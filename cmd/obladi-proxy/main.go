@@ -169,6 +169,14 @@ func serve(db *obladi.DB, srv *clientproto.Server, storageAddr string, interval 
 		db.Close()
 	}
 	st := db.Stats()
-	fmt.Printf("obladi-proxy: %d epochs, %d committed, %d aborted, %d reads shed\n",
-		st.Epochs, st.Committed, st.Aborted, st.ShedReads)
+	fmt.Printf("obladi-proxy: %d epochs, %d committed, %d aborted, %d reads shed, %d held over a boundary\n",
+		st.Epochs, st.Committed, st.Aborted, st.ShedReads, st.BoundaryReads)
+	fmt.Printf("obladi-proxy: storage calls: %d reads, %d writes\n", st.StorageReadCalls, st.StorageWriteCalls)
+	for i, l := range st.Logs {
+		fmt.Printf("obladi-proxy: shard %d log: %d records from seq %d, %d truncations\n", i, l.Records, l.FloorSeq, l.Truncations)
+	}
+	if rs, ok := db.ReplicationStats(); ok {
+		fmt.Printf("obladi-proxy: replication: standby attached=%v, stream %d (acked %d), history %d entries, floors %v, %d barriers degraded\n",
+			rs.Attached, rs.StreamLen, rs.Acked, rs.HistoryLen, rs.Floors, rs.BarriersDegraded)
+	}
 }

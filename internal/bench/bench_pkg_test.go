@@ -321,8 +321,27 @@ func TestRecoveryShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("expected 1/2/4-worker replay rows for both backends: %+v", rows)
+	if len(rows) != 12 {
+		t.Fatalf("expected 1/2/4-worker replay rows for both backends and three uptime points: %+v", rows)
+	}
+	// Recovery must read the same log whatever the uptime: the axis points
+	// share a cadence phase, so the sizes may differ only by padding noise.
+	var logKiB []float64
+	for _, r := range rows[6:] {
+		if r.Value <= 0 {
+			t.Errorf("%s %s: nonpositive value %f", r.Series, r.X, r.Value)
+		}
+		if r.Series == "LogBytesRead/uptime" {
+			logKiB = append(logKiB, r.Value)
+		}
+	}
+	if len(logKiB) != 3 {
+		t.Fatalf("expected three LogBytesRead/uptime rows: %+v", rows[6:])
+	}
+	for _, v := range logKiB[1:] {
+		if v > logKiB[0]*1.1 || v < logKiB[0]*0.9 {
+			t.Errorf("recovery reads %v KiB across the uptime axis; want it flat", logKiB)
+		}
 	}
 	for i, workers := range []string{"1-workers", "2-workers", "4-workers",
 		"1-workers", "2-workers", "4-workers"} {

@@ -26,6 +26,9 @@ import (
 //	throughput  committed txns/s per replication mode
 //	overhead    replication cost vs standalone, percent
 //	failover    detect / promote / first-commit milliseconds
+//	promote/uptime  promotion time and standby log size after 64 / 512 /
+//	            4096 epochs of primary uptime — flat, because the standby's
+//	            log copies follow the primary's truncations
 //
 // The committed BENCH_failover.json pins the acceptance bar: replica-acked
 // throughput within 15% of standalone on the mem profile.
@@ -54,7 +57,11 @@ func Failover(cfg Config) ([]Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("failover timeline: %w", err)
 	}
-	return append(rows, fo...), nil
+	up, err := promoteVsUptime(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("failover promote vs uptime: %w", err)
+	}
+	return append(append(rows, fo...), up...), nil
 }
 
 // failoverParams is the shared mem-profile geometry: small enough that the
@@ -84,9 +91,12 @@ type haHarness struct {
 	base    core.Config
 }
 
-func newHAHarness(seed uint64, mode string, lease time.Duration) (*haHarness, error) {
+func newHAHarness(seed uint64, mode string, lease time.Duration, manual bool) (*haHarness, error) {
 	const shards = 2
 	ccfg := failoverCoreConfig(seed)
+	if manual {
+		ccfg.BatchInterval = 0 // the caller steps the schedule
+	}
 	h := &haHarness{base: ccfg}
 	raw := make([]storage.Backend, shards)
 	h.views = make([]storage.Backend, shards)
@@ -148,7 +158,7 @@ func (h *haHarness) close() {
 // failoverThroughput drives write-only commits from a small worker pool for
 // dur and reports committed txns/s.
 func failoverThroughput(seed uint64, mode string, dur time.Duration) (float64, error) {
-	h, err := newHAHarness(seed, mode, time.Second)
+	h, err := newHAHarness(seed, mode, time.Second, false)
 	if err != nil {
 		return 0, err
 	}
@@ -192,7 +202,7 @@ func failoverThroughput(seed uint64, mode string, dur time.Duration) (float64, e
 // and the first transaction committed on the promoted proxy.
 func failoverTimeline(seed uint64) ([]Row, error) {
 	const lease = 250 * time.Millisecond
-	h, err := newHAHarness(seed, "replicated", lease)
+	h, err := newHAHarness(seed, "replicated", lease, false)
 	if err != nil {
 		return nil, err
 	}
@@ -253,5 +263,70 @@ func failoverTimeline(seed uint64) ([]Row, error) {
 		{Experiment: "failover", Series: "failover", X: "detect (250ms lease)", Value: ms(detect), Unit: "ms", Shards: 2},
 		{Experiment: "failover", Series: "failover", X: "promote", Value: ms(promoted), Unit: "ms", Shards: 2},
 		{Experiment: "failover", Series: "failover", X: "first-commit", Value: ms(firstCommit), Unit: "ms", Shards: 2},
+	}, nil
+}
+
+// promoteVsUptime runs a replicated primary for a growing number of epochs,
+// kills it, and times the standby's promotion (fence, top-up, wal recovery)
+// and the new primary's start (rollback, state rebuild, recovery epoch).
+func promoteVsUptime(cfg Config) ([]Row, error) {
+	var rows []Row
+	for _, uptime := range uptimeAxis(cfg) {
+		h, err := newHAHarness(cfg.Seed, "replicated", time.Minute, true)
+		if err != nil {
+			return nil, err
+		}
+		row, err := h.promoteAfter(uptime)
+		h.close()
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row...)
+	}
+	return rows, nil
+}
+
+func (h *haHarness) promoteAfter(uptime int) ([]Row, error) {
+	if err := runEpochs(h.proxy, h.base.ReadBatches, uptime+3); err != nil {
+		return nil, err
+	}
+	// Let the standby drain the stream: a lagging copy would be topped up
+	// from storage at promotion, which is a different cost.
+	deadline := time.Now().Add(10 * time.Second)
+	for st := h.sender.Stats(); st.Acked < st.StreamLen; st = h.sender.Stats() {
+		if time.Now().After(deadline) {
+			return nil, errors.New("standby never caught up")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	records := 0
+	for _, n := range h.standby.Stats().Records {
+		records += n
+	}
+	h.sender.Close() // the primary dies
+	base, err := core.WALConfigFor(h.base, 0, len(h.views))
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	res, err := h.standby.Promote(base)
+	if err != nil {
+		return nil, err
+	}
+	if res.Recoveries == nil {
+		return nil, errors.New("promotion found no committed state")
+	}
+	ccfg := h.base
+	ccfg.Replicator = nil
+	p2, err := core.NewShardedFromRecoveries(res.Stores, ccfg, res.Recoveries)
+	if err != nil {
+		return nil, err
+	}
+	promote := time.Since(start)
+	p2.Close()
+	x := fmt.Sprintf("%d-epochs", uptime)
+	return []Row{
+		{Experiment: "failover", Series: "promote/uptime", X: x, Value: float64(promote.Microseconds()) / 1000, Unit: "ms", Shards: 2},
+		{Experiment: "failover", Series: "standby-records/uptime", X: x, Value: float64(records), Unit: "records", Shards: 2},
 	}, nil
 }

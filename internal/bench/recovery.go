@@ -5,7 +5,11 @@ import (
 	"os"
 	"time"
 
+	"obladi/internal/core"
+	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram"
 	"obladi/internal/storage"
+	"obladi/internal/wal"
 )
 
 // Recovery measures cold-start crash recovery of the disk backend — heap
@@ -15,6 +19,12 @@ import (
 // rows show how much of the reopen is the embarrassingly parallel per-file
 // scan. The store is built once with a small segment roll-over so the log
 // fans out into enough segments for the worker pool to matter.
+//
+// The last rows put uptime on the x-axis (the paper's Table 11b holds it
+// fixed): the proxy runs 64, 512 and 4096 epochs before the crash, and what
+// recovery reads off the log and how long it takes must not move — the log
+// is cut at every full checkpoint, so recovery cost is a function of the
+// ORAM's size and the public parameters only.
 func Recovery(cfg Config) ([]Row, error) {
 	cfg.setDefaults()
 	epochs, iters := 16, 20
@@ -61,7 +71,107 @@ func Recovery(cfg Config) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(rows, lhRows...), nil
+	upRows, err := recoveryVsUptime(cfg, iters)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(rows, lhRows...), upRows...), nil
+}
+
+// uptimeAxis is the epochs-before-the-crash sweep shared by the recovery and
+// failover experiments. Every point sits at the same phase of the
+// full-checkpoint cadence, so the logs compared hold the same records.
+func uptimeAxis(cfg Config) []int {
+	if cfg.Quick {
+		return []int{32, 128, 512}
+	}
+	return []int{64, 512, 4096}
+}
+
+// runEpochs steps a manually driven proxy through n epochs, each committing
+// one write over a small fixed key set.
+func runEpochs(p *core.Proxy, readBatches, n int) error {
+	for e := 0; e < n; e++ {
+		tx := p.Begin()
+		if err := tx.Write(fmt.Sprintf("up-%03d", e%256), []byte("v")); err != nil {
+			return err
+		}
+		ack := tx.CommitAsync()
+		for b := 0; b < readBatches; b++ {
+			if err := p.StepReadBatch(); err != nil {
+				return err
+			}
+		}
+		if err := p.EndEpoch(); err != nil {
+			return err
+		}
+		if err := <-ack; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recoveryVsUptime crashes a proxy after a growing number of epochs and
+// measures the log recovery of §8 — scan, decrypt, decode, rebuild the ORAM
+// metadata — each time: bytes read off the log, and time.
+func recoveryVsUptime(cfg Config, iters int) ([]Row, error) {
+	key := cryptoutil.KeyFromSeed([]byte("bench-recovery-uptime"))
+	ccfg := core.Config{
+		Params:      ringoram.Params{NumBlocks: 4096, Z: 8, S: 12, A: 8, KeySize: 24, ValueSize: 64, Seed: cfg.Seed},
+		Key:         key,
+		ReadBatches: 4, ReadBatchSize: 16, WriteBatchSize: 32,
+	}
+	wcfg, err := core.WALConfigFor(ccfg, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Row
+	for _, uptime := range uptimeAxis(cfg) {
+		backend := storage.NewMemBackend(ccfg.Params.Geometry().NumBuckets)
+		p, err := core.New(backend, ccfg)
+		if err != nil {
+			return nil, err
+		}
+		// A few epochs past the axis point, so the crash is not on a
+		// truncation's heels, then one read batch of the epoch that dies.
+		if err := runEpochs(p, ccfg.ReadBatches, uptime+3); err != nil {
+			return nil, err
+		}
+		if err := p.StepReadBatch(); err != nil {
+			return nil, err
+		}
+		times := make([]time.Duration, 0, iters)
+		var total time.Duration
+		var bytesRead int
+		for i := 0; i < iters; i++ {
+			l, err := wal.New(backend, wcfg)
+			if err != nil {
+				return nil, err
+			}
+			start := time.Now()
+			rec, err := l.Recover()
+			if err != nil {
+				return nil, err
+			}
+			if _, err := ringoram.NewFromState(key, ccfg.Params, rec.Full, rec.Deltas...); err != nil {
+				return nil, err
+			}
+			d := time.Since(start)
+			times = append(times, d)
+			total += d
+			bytesRead = rec.Stats.BytesRead
+		}
+		p.Close()
+		x := fmt.Sprintf("%d-epochs", uptime)
+		rows = append(rows,
+			Row{Experiment: "recovery", Series: "LogRecovery/uptime", X: x, Profile: "Mem", Unit: "ms/recovery",
+				Value: float64(total) / float64(iters) / float64(time.Millisecond), P50ms: percentile(times, 50), P99ms: percentile(times, 99)},
+			Row{Experiment: "recovery", Series: "LogBytesRead/uptime", X: x, Profile: "Mem", Unit: "KiB",
+				Value: float64(bytesRead) / 1024},
+		)
+	}
+	return rows, nil
 }
 
 // recoveryLogHeap measures the same cold start for a 2-shard logheap group:

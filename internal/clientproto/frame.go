@@ -41,7 +41,8 @@ import (
 //
 //	frameOK  — read: found(u8) value; others: empty
 //	frameErr — code(u8) message; code 1 marks a retryable transaction abort,
-//	           code 2 a load-shed (retryable after backing off ~one epoch)
+//	           code 2 a load-shed (retryable after backing off ~one epoch),
+//	           code 3 a boundary-window refusal (retryable at once)
 const muxMagic = "\x00OB2"
 
 type frameKind uint8
@@ -68,6 +69,10 @@ const (
 	// the transaction conflicted. Retryable like errCodeAborted, but the
 	// client should back off roughly an epoch first instead of retrying hot.
 	errCodeShed uint8 = 2
+	// errCodeBoundary marks a read that arrived after its epoch's last read
+	// batch: the server held it until the next epoch opened and only then
+	// refused it. Not overload — retry immediately, without backoff.
+	errCodeBoundary uint8 = 3
 )
 
 // muxMaxFrame bounds a single frame; generous for any key/value the proxy

@@ -264,12 +264,15 @@ func foundByte(found bool) []byte {
 // errReply encodes err as a frameErr payload, classifying retryable aborts
 // so the client can reconstruct errors.Is(err, kvtxn.ErrAborted) across the
 // wire. Load-sheds get their own code so the client can also reconstruct
-// errors.Is(err, core.ErrShed) and back off instead of retrying hot.
+// errors.Is(err, core.ErrShed) and back off instead of retrying hot;
+// boundary-window refusals get theirs so the client knows not to.
 func errReply(err error) []byte {
 	code := errCodeGeneric
 	switch {
 	case errors.Is(err, core.ErrShed):
 		code = errCodeShed
+	case errors.Is(err, core.ErrBoundaryWindow):
+		code = errCodeBoundary
 	case errors.Is(err, kvtxn.ErrAborted) || errors.Is(err, core.ErrAborted) || errors.Is(err, core.ErrEpochFull):
 		code = errCodeAborted
 	}

@@ -186,7 +186,8 @@ func (c *MuxClient) connLost() error {
 // replyError converts a reply frame into the operation's error result,
 // reconstructing retryable aborts so errors.Is(err, kvtxn.ErrAborted) holds
 // across the wire — and load-sheds so errors.Is(err, core.ErrShed) does too,
-// letting the client back off instead of retrying hot.
+// letting the client back off instead of retrying hot, and boundary-window
+// refusals (core.ErrBoundaryWindow), which call for an immediate retry.
 func (c *MuxClient) replyError(f frame) error {
 	switch f.kind {
 	case frameOK:
@@ -201,6 +202,8 @@ func (c *MuxClient) replyError(f frame) error {
 			return fmt.Errorf("%w: %s", kvtxn.ErrAborted, msg)
 		case errCodeShed:
 			return fmt.Errorf("%w: %w: %s", kvtxn.ErrAborted, core.ErrShed, msg)
+		case errCodeBoundary:
+			return fmt.Errorf("%w: %w: %s", kvtxn.ErrAborted, core.ErrBoundaryWindow, msg)
 		}
 		return fmt.Errorf("clientproto: %s", msg)
 	default:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"obladi/internal/mvtso"
@@ -31,6 +32,17 @@ import (
 // scheduling, so the storage trace keeps the exact workload-independent
 // shape it has at any other load. (Compare EagerBatches, which deliberately
 // trades that property away; admission control does not.)
+//
+// # The boundary window is not overload
+//
+// Between an epoch's last read batch and its seal the remaining budget is
+// zero however idle the proxy is. Refusing a read there as a shed would
+// report overload that does not exist and, because an instant retry lands in
+// the same window, could starve a polite client for the whole boundary. Such
+// a read is instead held until the seal opens the next epoch and refused
+// then (ErrBoundaryWindow): the wait is bounded by the boundary, the retry
+// finds a full budget, and the counters keep the two causes apart. Like a
+// shed, a held read never touches the schedule.
 //
 // # Fair slot scheduling
 //
@@ -72,6 +84,43 @@ func (e *ShedError) Unwrap() []error {
 	return []error{ErrShed, ErrEpochFull, ErrAborted}
 }
 
+// ErrBoundaryWindow is returned for a read that arrived after its epoch's
+// last read batch had fired. That is not overload — the system may be idle —
+// it is the fixed schedule: the epoch has no read slot left to give, and the
+// transaction cannot move to the next epoch. The read is held until the seal
+// opens the next epoch (a wait bounded by the boundary itself) and fails
+// then, so an immediate retry lands in an epoch with its whole slot budget.
+var ErrBoundaryWindow = errors.New("obladi: read arrived after the epoch's last read batch (boundary window)")
+
+// errBoundaryWindow is what a held read fails with: retryable everywhere a
+// shed is (it matches ErrEpochFull and ErrAborted), but not ErrShed — no
+// backoff is called for.
+var errBoundaryWindow = fmt.Errorf("%w: the next epoch is open, retry now (%w, %w)", ErrBoundaryWindow, ErrEpochFull, ErrAborted)
+
+// inBoundaryWindowLocked reports whether the epoch's read batches have all
+// fired. The caller holds p.mu.
+func (p *Proxy) inBoundaryWindowLocked() bool {
+	return !p.cfg.DisableAdmission && p.batchIdx >= p.cfg.ReadBatches
+}
+
+// parkLocked holds one read through the boundary window and returns the
+// channel its outcome arrives on. The caller holds p.mu.
+func (p *Proxy) parkLocked() <-chan error {
+	p.boundaryReads.Add(1)
+	ch := make(chan error, 1)
+	p.parked = append(p.parked, ch)
+	return ch
+}
+
+// releaseParkedLocked fails every held read with err. The caller holds p.mu.
+func (p *Proxy) releaseParkedLocked(err error) {
+	for i, ch := range p.parked {
+		ch <- err
+		p.parked[i] = nil
+	}
+	p.parked = p.parked[:0]
+}
+
 // sessionFetchQueue holds one session's admitted-but-unscheduled fetch keys,
 // in the order the session issued them.
 type sessionFetchQueue struct {
@@ -81,8 +130,9 @@ type sessionFetchQueue struct {
 
 // admitFetchLocked runs the admission gate for one new fetch key on sh and,
 // if admitted, enqueues it under the session's queue. The caller holds
-// p.mu. It returns nil on admission and a *ShedError when the epoch's
-// remaining read-slot budget is already fully subscribed.
+// p.mu and has already diverted boundary-window reads (parkLocked), so read
+// batches remain. It returns nil on admission and a *ShedError when the
+// epoch's remaining read-slot budget is already fully subscribed.
 //
 // The gate's invariant: the total of admitted-but-unscheduled keys on a
 // shard never exceeds the slots its remaining read batches can serve, so

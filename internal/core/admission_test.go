@@ -108,6 +108,72 @@ func TestAdmissionBudgetShrinksWithBatches(t *testing.T) {
 	}
 }
 
+// TestBoundaryWindowReadHeldForNextEpoch pins the boundary-window rule: a
+// read that arrives after the epoch's last read batch is not shed as
+// overload. It waits for the seal, fails with the distinct boundary error
+// once the next epoch is open, and an immediate retry is then served.
+func TestBoundaryWindowReadHeldForNextEpoch(t *testing.T) {
+	cfg := testConfig(14)
+	cfg.ReadBatches = 2
+	cfg.ReadBatchSize = 2
+	p, _, _ := testProxy(t, cfg)
+	for i := 0; i < cfg.ReadBatches; i++ {
+		if err := p.Advance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := p.Epoch()
+	tx := p.Begin()
+	f := tx.ReadAsync("late")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	_, _, err := f.Wait(ctx)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("boundary-window read resolved before the seal: %v", err)
+	}
+
+	late := p.Begin()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := late.Read("late")
+		done <- err
+	}()
+	for p.Stats().BoundaryReads < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := p.Advance(); err != nil { // the seal opens the next epoch
+		t.Fatal(err)
+	}
+	err = <-done
+	if !errors.Is(err, ErrBoundaryWindow) || !errors.Is(err, ErrAborted) || !errors.Is(err, ErrEpochFull) {
+		t.Fatalf("held read failed with %v; want ErrBoundaryWindow matching ErrAborted and ErrEpochFull", err)
+	}
+	if errors.Is(err, ErrShed) {
+		t.Fatalf("boundary-window refusal %v must not read as overload", err)
+	}
+	if got := p.Epoch(); got != epoch+1 {
+		t.Fatalf("held read released at epoch %d, want %d (the next epoch open)", got, epoch+1)
+	}
+	if st := p.Stats(); st.ShedReads != 0 || st.BoundaryReads != 2 {
+		t.Fatalf("ShedReads = %d, BoundaryReads = %d; want 0 and 2", st.ShedReads, st.BoundaryReads)
+	}
+
+	// The instant retry lands in the fresh epoch and is served.
+	retry := p.Begin()
+	defer retry.Abort()
+	go func() {
+		_, _, err := retry.Read("late")
+		done <- err
+	}()
+	waitQueued(t, p, 1)
+	if err := p.Advance(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("retry in the fresh epoch: %v", err)
+	}
+}
+
 // TestFairSlotSchedulingRoundRobin pins the drain order: one key per session
 // per pass, so a pipelining session cannot monopolize a batch ahead of
 // single-read sessions that arrived after it.

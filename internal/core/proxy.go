@@ -203,13 +203,22 @@ type Stats struct {
 	RecoveryReplayed int
 
 	// Overload-control counters (admission.go). ShedReads counts fetches
-	// refused by the admission gate; AdmittedSessions counts sessions that
-	// were granted at least one batch slot; ReadQueueDepth is the current
-	// number of admitted-but-unscheduled fetch keys across shards (a gauge,
-	// bounded by the gate at shards × R × bread).
+	// refused by the admission gate because the epoch's remaining slot
+	// budget was spoken for; BoundaryReads counts fetches that arrived after
+	// the epoch's last read batch and were held for the next epoch (not
+	// overload); AdmittedSessions counts sessions that were granted at least
+	// one batch slot; ReadQueueDepth is the current number of
+	// admitted-but-unscheduled fetch keys across shards (a gauge, bounded by
+	// the gate at shards × R × bread).
 	ShedReads        uint64
+	BoundaryReads    uint64
 	AdmittedSessions uint64
 	ReadQueueDepth   int
+
+	// Logs is each shard's recovery-log lifecycle: records retained, the
+	// truncation floor and how many truncations have run (nil without
+	// durability).
+	Logs []wal.Stats
 }
 
 // fetchWaiter is one transaction blocked on a base-version fetch.
@@ -281,6 +290,9 @@ type Proxy struct {
 
 	// commit waiters, by transaction timestamp.
 	waiters map[mvtso.Timestamp]chan error
+	// parked holds reads that arrived after the epoch's last read batch
+	// (admission.go); the seal releases them when it opens the next epoch.
+	parked []chan error
 
 	// inflight is the sealed boundary whose commit stage has not landed
 	// (guarded by mu; at most one). boundaryDone is signaled whenever it
@@ -299,6 +311,7 @@ type Proxy struct {
 	// sheds are counted on the client-facing fast path and read by Stats
 	// snapshots concurrently with batch execution.
 	shedReads        atomic.Uint64
+	boundaryReads    atomic.Uint64
 	admittedSessions atomic.Uint64
 
 	stats        Stats
@@ -713,6 +726,13 @@ func (p *Proxy) recoverFromRecoveries(recs []*wal.Recovery) error {
 	if err := p.commitStoresParallel(recoveryEpoch); err != nil {
 		return err
 	}
+	// The recovery checkpoint is full and now durably committed everywhere:
+	// it re-anchors the log floor, so a crash loop cannot grow the log.
+	for _, sh := range p.shards {
+		if err := sh.rlog.Retire(recoveryEpoch); err != nil {
+			return err
+		}
+	}
 	p.epoch = recoveryEpoch + 1
 	p.beginEpochAllLocked()
 	return nil
@@ -743,11 +763,11 @@ func (p *Proxy) PendingFetches() int {
 // Stats returns a snapshot of proxy counters.
 func (p *Proxy) Stats() Stats {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	s := p.stats
 	s.Shards = len(p.shards)
 	s.ConflictAborts, s.CascadingAborts = p.ccu.Stats()
 	s.ShedReads = p.shedReads.Load()
+	s.BoundaryReads = p.boundaryReads.Load()
 	s.AdmittedSessions = p.admittedSessions.Load()
 	for _, sh := range p.shards {
 		s.ReadQueueDepth += sh.queuedKeys
@@ -760,8 +780,18 @@ func (p *Proxy) Stats() Stats {
 		s.Executor.WritesBuffered += es.WritesBuffered
 		s.Executor.Evictions += es.Evictions
 		s.Executor.Reshuffles += es.Reshuffles
+		s.Executor.ReadCalls += es.ReadCalls
+		s.Executor.WriteCalls += es.WriteCalls
 		if peak := sh.exec.ORAM().StashPeak(); peak > s.StashPeak {
 			s.StashPeak = peak
+		}
+	}
+	p.mu.Unlock()
+	// Outside p.mu: a log's counters sit behind the lock its batch appends
+	// hold across the store call, and clients must not queue behind that.
+	for _, sh := range p.shards {
+		if sh.rlog != nil {
+			s.Logs = append(s.Logs, sh.rlog.Stats())
 		}
 	}
 	return s
@@ -846,6 +876,7 @@ func (p *Proxy) failAllLocked(err error) {
 		ch <- err
 		delete(p.waiters, ts)
 	}
+	p.releaseParkedLocked(err)
 }
 
 // epochLoop drives the fixed batch schedule in auto mode.
@@ -1257,6 +1288,9 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	p.epoch++
 	p.beginEpochAllLocked()
 	p.inflight = job
+	// The next epoch is open: reads held through the boundary window fail
+	// now, so their retry begins in an epoch with a full slot budget.
+	p.releaseParkedLocked(errBoundaryWindow)
 	p.mu.Unlock()
 	return job, nil
 }
@@ -1299,15 +1333,28 @@ func (p *Proxy) commitBoundary(job *boundaryJob) error {
 	return err
 }
 
-// runCommit makes a sealed epoch durable: flush every shard's sealed
-// buckets and append its checkpoint (prepare), then the coordinator-first
-// commit records (the global commit point), then commit the storage epoch.
+// runCommit makes a sealed epoch durable: retire the previous epoch's log
+// prefix, flush every shard's sealed buckets and append its checkpoint
+// (prepare), then the coordinator-first commit records (the global commit
+// point), then commit the storage epoch.
 // Per-shard work runs concurrently; only the commit point needs cross-shard
 // ordering.
 func (p *Proxy) runCommit(job *boundaryJob) error {
 	errs := make([]error, len(p.shards))
 	oramexec.RunStages(len(p.shards), func(i int) {
 		sh := p.shards[i]
+		// The previous epoch's commit stage finished before this epoch
+		// could seal: that epoch is durable on every shard (checkpoints,
+		// coordinator commit record, store commit, replica barrier) and its
+		// clients are acknowledged, so its log prefix can go. Doing it here
+		// keeps it off the seal path and makes it a function of the epoch
+		// counter alone.
+		if sh.rlog != nil {
+			if err := sh.rlog.Retire(job.epoch - 1); err != nil {
+				errs[i] = err
+				return
+			}
+		}
 		if _, err := sh.exec.FlushSealed(job.sealed[i]); err != nil {
 			errs[i] = err
 			return

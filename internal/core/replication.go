@@ -30,23 +30,30 @@ func WALConfigFor(cfg Config, shard, shards int) (wal.Config, error) {
 // internal/replica.Sender; core deliberately knows nothing about the wire).
 // The recovery log IS the replication stream: every record the proxy appends
 // — batch schedules, checkpoints, commit records — is mirrored to the
-// replicator in exactly store order, so a standby replaying the stream with
-// wal.Recover reconstructs the same state cold recovery would read back from
-// storage.
+// replicator in exactly store order, and so is every truncation, so a
+// standby replaying the stream holds the same bounded log the store does and
+// wal.Recover over it reconstructs the state cold recovery would read back
+// from storage.
 //
 // Structural typing keeps the dependency one-way: replica.Sender implements
 // these methods without importing core, and core never imports replica.
 type Replicator interface {
-	// Prime seeds the replicator with shard's full existing log (records
-	// holding seqs firstSeq..firstSeq+len(recs)-1). Called once per shard
-	// after bootstrap/recovery and before any traffic, so a standby that
-	// attaches later can be sent the complete history a fresh wal.Recover
-	// needs (the full checkpoint is always inside it).
+	// Prime seeds the replicator with everything shard's log retains
+	// (records holding seqs firstSeq..firstSeq+len(recs)-1; firstSeq is the
+	// store's truncation floor). Called once per shard after
+	// bootstrap/recovery and before any traffic, so a standby that attaches
+	// later can be sent the history a fresh wal.Recover needs (a full
+	// checkpoint is always inside it).
 	Prime(shard int, recs [][]byte, firstSeq uint64) error
 	// Mirror reports one appended record. Called with the shard's append
 	// lock held: invocation order IS store order per shard. It must not
 	// block on the network (buffer and return).
 	Mirror(shard int, seq uint64, rec []byte)
+	// Truncate reports that the store dropped shard's records below
+	// before. Same calling discipline as Mirror: under the shard's append
+	// lock, in store order, never blocking on the network. The replicator
+	// may forget the dropped records and must tell the standby to.
+	Truncate(shard int, before uint64)
 	// Barrier is called on the boundary commit path after the epoch is
 	// locally durable and before its clients are acknowledged. In
 	// replica-acked mode it waits (bounded) until the attached standby has
@@ -58,12 +65,14 @@ type Replicator interface {
 	Barrier() error
 }
 
-// replTee wraps one shard's LogStore so every successful append is mirrored
-// to the replicator. The mutex serializes append+mirror pairs: the pipelined
-// boundary's committer (checkpoint/commit records of epoch e) races the next
-// epoch's batch appends on the same shard log, and the standby must see them
-// in the order the store did. The tee starts disarmed — bootstrap's appends
-// are covered by Prime's full-history scan — and arms before traffic starts.
+// replTee wraps one shard's LogStore so every successful append and
+// truncation is mirrored to the replicator. The mutex serializes each store
+// call with its mirror: the pipelined boundary's committer (checkpoint and
+// commit records of epoch e, the truncation behind it) races the next
+// epoch's batch appends on the same shard log, and the standby must see
+// them in the order the store did. The tee starts disarmed — bootstrap's
+// appends and recovery's truncation are covered by Prime's scan of what the
+// log retains — and arms before traffic starts.
 type replTee struct {
 	storage.LogStore
 	shard int
@@ -82,6 +91,16 @@ func (t *replTee) Append(rec []byte) (uint64, error) {
 		t.repl.Mirror(t.shard, seq, rec)
 	}
 	return seq, err
+}
+
+func (t *replTee) Truncate(before uint64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	err := t.LogStore.Truncate(before)
+	if err == nil && t.armed.Load() {
+		t.repl.Truncate(t.shard, before)
+	}
+	return err
 }
 
 // replTeeBatcher is the tee for stores with the LogBatcher capability. A
@@ -117,11 +136,12 @@ func newReplTee(st storage.LogStore, shard int, repl Replicator) (storage.LogSto
 	return t, t
 }
 
-// primeReplicator hands the replicator each shard's complete log history and
-// arms the tees. Runs after bootstrap/recovery and before NewSharded returns,
-// so no append races the scan: everything before this point is in the scan,
-// everything after goes through an armed tee. Seq alignment (standby seq i ==
-// store seq i) holds from here on because neither side truncates.
+// primeReplicator hands the replicator everything each shard's log retains
+// and arms the tees. Runs after bootstrap/recovery and before NewSharded
+// returns, so no append races the scan: everything before this point is in
+// the scan, everything after goes through an armed tee. Seq alignment
+// (standby seq i == store seq i) holds from here on because both sides apply
+// the same appends and the same truncations in the same order.
 func (p *Proxy) primeReplicator() error {
 	if p.cfg.Replicator == nil || p.cfg.DisableDurability {
 		return nil

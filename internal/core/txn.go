@@ -239,7 +239,13 @@ func (p *Proxy) queueFetch(epoch uint64, ts mvtso.Timestamp, key string) <-chan 
 		return nil
 	}
 	if !sh.pending[key] {
-		// The key needs a new batch slot — ask the admission gate.
+		// The key needs a new batch slot. After the last read batch there
+		// is none to ask for: hold the read for the next epoch's opening.
+		if p.inBoundaryWindowLocked() {
+			ch := p.parkLocked()
+			p.mu.Unlock()
+			return ch
+		}
 		if err := p.admitFetchLocked(sh, ts, key); err != nil {
 			return immediate(err)
 		}
@@ -272,6 +278,11 @@ func (t *Txn) payCacheSlot(key string) <-chan error {
 	if !sh.fetched[key] || t.paidSlots[key] {
 		p.mu.Unlock()
 		return nil
+	}
+	if p.inBoundaryWindowLocked() {
+		ch := p.parkLocked()
+		p.mu.Unlock()
+		return ch
 	}
 	if t.paidSlots == nil {
 		t.paidSlots = make(map[string]bool)

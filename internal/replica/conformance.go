@@ -21,9 +21,12 @@ import (
 // (torn tails and corruption detected, never half-applied), lease semantics
 // (heartbeats hold it, silence expires it), promotion fencing (the zombie
 // primary's next append fails loudly), standby replay equivalence with cold
-// recovery, and zero acknowledged-commit loss across a handoff in both ack
-// modes. It lives here so any future transport or protocol change re-proves
-// the whole contract under -race with one call.
+// recovery, zero acknowledged-commit loss across a handoff in both ack
+// modes, and the log lifecycle: sender history and standby copies follow the
+// primary's truncations, so a standby attaching late, reconnecting across a
+// truncation or promoting right after one handles a bounded log, never the
+// primary's uptime. It lives here so any future transport or protocol change
+// re-proves the whole contract under -race with one call.
 func RunFailoverConformance(t *testing.T) {
 	checks := []struct {
 		name string
@@ -35,12 +38,17 @@ func RunFailoverConformance(t *testing.T) {
 		{"framing/hello", checkHelloValidation},
 		{"stream/dedup-by-seq", checkDedupBySeq},
 		{"stream/resync-replays-history", checkResyncReplaysHistory},
+		{"stream/resync-from-floor", checkResyncFromFloor},
+		{"stream/memlog-follows-truncation", checkMemlogTruncation},
 		{"lease/heartbeat-holds", checkLeaseHeartbeatHolds},
 		{"lease/expires-on-silence", checkLeaseExpires},
 		{"promotion/fences-zombie", checkPromotionFencesZombie},
 		{"promotion/replay-equivalence", checkReplayEquivalence},
 		{"handoff/zero-acked-loss-local", func(t *testing.T) { checkZeroAckedLoss(t, false) }},
 		{"handoff/zero-acked-loss-replica-acked", func(t *testing.T) { checkZeroAckedLoss(t, true) }},
+		{"lifecycle/late-attach-after-truncation", checkLateAttachAfterTruncation},
+		{"lifecycle/reconnect-across-truncation", checkReconnectAcrossTruncation},
+		{"lifecycle/promote-right-after-truncation", checkPromoteRightAfterTruncation},
 	}
 	for _, c := range checks {
 		t.Run(c.name, c.run)
@@ -58,6 +66,8 @@ func sampleFrames() []frame {
 		{kind: frameHeartbeat},
 		{kind: frameSyncpoint, seq: 42},
 		{kind: frameAck, seq: 41},
+		{kind: frameFloor, shard: 1, seq: 97},
+		{kind: frameTruncate, shard: 1, seq: 113},
 	}
 }
 
@@ -187,9 +197,9 @@ func checkDedupBySeq(t *testing.T) {
 }
 
 // checkResyncReplaysHistory speaks the protocol by hand: a standby that
-// reconnects must receive the sender's full history again from offset zero,
-// in identical order — the resend plus seq-dedup is what makes a lossy
-// reconnect correct without any per-connection cursor state.
+// reconnects must receive everything the sender retains again, in identical
+// order — the resend plus seq-dedup is what makes a lossy reconnect correct
+// without any per-connection cursor state.
 func checkResyncReplaysHistory(t *testing.T) {
 	s, err := NewSender("127.0.0.1:0", SenderConfig{Shards: 2, HeartbeatEvery: time.Hour})
 	if err != nil {
@@ -204,32 +214,15 @@ func checkResyncReplaysHistory(t *testing.T) {
 	}
 	s.Mirror(0, 3, []byte("a3"))
 
+	// Two floor frames open each connection's stream; the records follow.
 	readStream := func(n int) []frame {
-		c, err := net.Dial("tcp", s.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		hello, err := readFrame(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shards, err := checkHello(hello); err != nil || shards != 2 {
-			t.Fatalf("hello: shards=%d err=%v", shards, err)
-		}
-		var got []frame
-		for len(got) < n {
-			f, err := readFrame(c)
-			if err != nil {
-				t.Fatal(err)
+		var recs []frame
+		for _, f := range readStreamFrames(t, s, 2, 2+n) {
+			if f.kind == frameRecord {
+				recs = append(recs, f)
 			}
-			if f.kind != frameRecord {
-				continue
-			}
-			f.rec = append([]byte(nil), f.rec...)
-			got = append(got, f)
 		}
-		return got
+		return recs
 	}
 
 	first := readStream(4) // connection drops after a partial read elsewhere
@@ -247,6 +240,129 @@ func checkResyncReplaysHistory(t *testing.T) {
 			t.Fatalf("shard %d: seq %d, want %d", f.shard, f.seq, next[f.shard])
 		}
 		next[f.shard]++
+	}
+}
+
+// readStreamFrames dials the sender, checks the hello, and returns the next
+// n floor, record and truncate frames.
+func readStreamFrames(t *testing.T, s *Sender, shards, n int) []frame {
+	t.Helper()
+	c, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello, err := readFrame(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := checkHello(hello); err != nil || got != shards {
+		t.Fatalf("hello: shards=%d err=%v", got, err)
+	}
+	var got []frame
+	for len(got) < n {
+		f, err := readFrame(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.kind != frameFloor && f.kind != frameRecord && f.kind != frameTruncate {
+			continue
+		}
+		f.rec = append([]byte(nil), f.rec...)
+		got = append(got, f)
+	}
+	return got
+}
+
+// checkResyncFromFloor pins what a truncation does to the sender: it forgets
+// the dropped records, and a standby attaching afterwards is sent the
+// per-shard floors and then only what is retained — resync volume follows
+// the log's bound, not the length of the stream so far.
+func checkResyncFromFloor(t *testing.T) {
+	s, err := NewSender("127.0.0.1:0", SenderConfig{Shards: 2, HeartbeatEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for seq := uint64(1); seq <= 6; seq++ {
+		s.Mirror(0, seq, []byte{'a', byte(seq)})
+		s.Mirror(1, seq, []byte{'b', byte(seq)})
+	}
+	s.Truncate(0, 5)
+	if st := s.Stats(); st.HistoryLen != 12 || st.Floors[0] != 5 || st.StreamLen != 13 {
+		// Shard 1's first record still pins the head; only a1 went.
+		t.Fatalf("after truncating shard 0 alone: %+v", st)
+	}
+	s.Truncate(1, 4)
+	s.Mirror(0, 7, []byte{'a', 7})
+	st := s.Stats()
+	if st.HistoryLen != 8 || st.Floors[0] != 5 || st.Floors[1] != 4 || st.StreamLen != 15 {
+		t.Fatalf("after truncating both shards: %+v", st)
+	}
+
+	got := readStreamFrames(t, s, 2, 2+st.HistoryLen)
+	for shard, want := range []uint64{5, 4} {
+		if f := got[shard]; f.kind != frameFloor || int(f.shard) != shard || f.seq != want {
+			t.Fatalf("frame %d = %+v, want shard %d's floor %d", shard, f, shard, want)
+		}
+	}
+	// Applying the attach stream to empty copies yields exactly the
+	// retained suffix of each log, gap-free.
+	logs := []*memlog{newMemlog(), newMemlog()}
+	for _, f := range got {
+		switch f.kind {
+		case frameFloor:
+			logs[f.shard].skipTo(f.seq)
+		case frameRecord:
+			if _, err := logs[f.shard].applyAt(f.seq, f.rec); err != nil {
+				t.Fatal(err)
+			}
+		case frameTruncate:
+			if err := logs[f.shard].applyTruncate(f.seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for shard, want := range [][2]uint64{{5, 3}, {4, 3}} {
+		if first, n := logs[shard].span(); first != want[0] || uint64(n) != want[1] {
+			t.Fatalf("shard %d copy spans %d records from seq %d, want %d from %d", shard, n, first, want[1], want[0])
+		}
+	}
+}
+
+// checkMemlogTruncation pins the standby copy's three ways of moving its
+// floor: a stream truncation drops a prefix it holds and refuses to reach
+// past its end, an attach floor may restart a lagging copy, and neither
+// disturbs dedup-by-seq.
+func checkMemlogTruncation(t *testing.T) {
+	m := newMemlog()
+	for seq := uint64(1); seq <= 5; seq++ {
+		if _, err := m.applyAt(seq, []byte{byte(seq)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.applyTruncate(4); err != nil {
+		t.Fatal(err)
+	}
+	if first, n := m.span(); first != 4 || n != 2 {
+		t.Fatalf("after truncate below 4: %d records from seq %d", n, first)
+	}
+	if err := m.applyTruncate(9); err == nil {
+		t.Fatal("stream truncation past the copy's end accepted")
+	}
+	if ok, err := m.applyAt(2, []byte{0xff}); err != nil || ok {
+		t.Fatalf("record below the floor: applied=%v err=%v", ok, err)
+	}
+	m.skipTo(5) // floor inside the copy: an ordinary truncation
+	if first, n := m.span(); first != 5 || n != 1 {
+		t.Fatalf("after floor 5: %d records from seq %d", n, first)
+	}
+	m.skipTo(40) // the primary retains nothing the copy could extend
+	if first, n := m.span(); first != 40 || n != 0 {
+		t.Fatalf("after floor 40: %d records from seq %d", n, first)
+	}
+	if ok, err := m.applyAt(40, []byte{40}); err != nil || !ok {
+		t.Fatalf("first retained record after a restart: applied=%v err=%v", ok, err)
 	}
 }
 
@@ -305,6 +421,18 @@ func checkLeaseExpires(t *testing.T) {
 
 // --- promotion over a live core proxy ---
 
+// conformanceCadence is the full-checkpoint cadence of every proxy built
+// here: short, so a handful of commits already truncates both sides.
+const conformanceCadence = 4
+
+// logBound is the most records one shard's log — and so the standby's copy
+// of it — may retain: the epochs between two truncations plus the two the
+// pipelined boundary can have in flight, R read batches, a write batch, a
+// checkpoint and a commit record each.
+func logBound(cfg core.Config) int {
+	return (conformanceCadence + 3) * (cfg.ReadBatches + 3)
+}
+
 // conformanceConfig mirrors core's test configuration: a small ORAM so
 // epochs are cheap, deterministic seeds, auto-scheduled batches.
 func conformanceConfig(seed uint64) core.Config {
@@ -323,6 +451,8 @@ func conformanceConfig(seed uint64) core.Config {
 		ReadBatchSize:  8,
 		WriteBatchSize: 8,
 		BatchInterval:  time.Millisecond,
+
+		FullCheckpointEvery: conformanceCadence,
 	}
 }
 
@@ -337,9 +467,31 @@ type haPair struct {
 	standby *Standby
 }
 
+// haOptions shapes an haPair beyond the common case.
+type haOptions struct {
+	shards int
+	acked  bool
+	// manual drops the Δ timer: the test steps the primary's schedule itself
+	// (advanceEpoch, commitStepped), so a thousand epochs take milliseconds
+	// and truncations land at known points.
+	manual bool
+	// noStandby leaves the standby to a later attachStandby call.
+	noStandby bool
+	// redial overrides the standby's reconnect pacing (default 5ms).
+	redial time.Duration
+}
+
 func newHAPair(t *testing.T, shards int, acked bool) *haPair {
+	return newHAPairOpts(t, haOptions{shards: shards, acked: acked})
+}
+
+func newHAPairOpts(t *testing.T, o haOptions) *haPair {
 	t.Helper()
+	shards, acked := o.shards, o.acked
 	cfg := conformanceConfig(7)
+	if o.manual {
+		cfg.BatchInterval = 0
+	}
 	raw := make([]storage.Backend, shards)
 	views := make([]storage.Backend, shards)
 	for i := range raw {
@@ -367,25 +519,162 @@ func newHAPair(t *testing.T, shards int, acked bool) *haPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := core.WALConfigFor(cfg, 0, shards)
+	h := &haPair{raw: raw, views: views, cfg: cfg, sender: sender, primary: primary}
+	t.Cleanup(func() {
+		if h.standby != nil {
+			h.standby.Stop()
+		}
+		h.sender.Close()
+		h.primary.Close()
+	})
+	if !o.noStandby {
+		h.attachStandby(t, o.redial)
+	}
+	return h
+}
+
+// attachStandby starts the pair's standby against the live sender.
+func (h *haPair) attachStandby(t *testing.T, redial time.Duration) {
+	t.Helper()
+	base, err := core.WALConfigFor(h.cfg, 0, len(h.raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	standby, err := NewStandby(sender.Addr(), raw, StandbyConfig{
+	if redial == 0 {
+		redial = 5 * time.Millisecond
+	}
+	h.standby, err = NewStandby(h.sender.Addr(), h.raw, StandbyConfig{
 		LeaseTimeout: 150 * time.Millisecond,
-		RedialEvery:  5 * time.Millisecond,
+		RedialEvery:  redial,
 		Decode:       &base,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &haPair{raw: raw, views: views, cfg: cfg, sender: sender, primary: primary, standby: standby}
-	t.Cleanup(func() {
-		h.standby.Stop()
-		h.sender.Close()
-		h.primary.Close()
-	})
-	return h
+}
+
+// advanceEpoch steps a manually driven proxy through one whole epoch.
+func advanceEpoch(t *testing.T, p *core.Proxy, cfg core.Config) {
+	t.Helper()
+	for i := 0; i <= cfg.ReadBatches; i++ {
+		if err := p.Advance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// commitStepped commits key=value on a manually driven proxy by stepping the
+// epoch that carries it; it returns once the commit is acknowledged.
+func commitStepped(t *testing.T, p *core.Proxy, cfg core.Config, key string, value []byte) {
+	t.Helper()
+	tx := p.Begin()
+	if err := tx.Write(key, value); err != nil {
+		t.Fatal(err)
+	}
+	ack := tx.CommitAsync()
+	advanceEpoch(t, p, cfg)
+	if err := <-ack; err != nil {
+		t.Fatalf("commit %s: %v", key, err)
+	}
+}
+
+// readStepped reads key on a manually driven proxy: the read rides the
+// epoch's first batch, then the rest of the epoch is stepped out.
+func readStepped(t *testing.T, p *core.Proxy, cfg core.Config, key string) ([]byte, bool) {
+	t.Helper()
+	tx := p.Begin()
+	f := tx.ReadAsync(key)
+	if err := p.Advance(); err != nil {
+		t.Fatal(err)
+	}
+	v, found, err := f.Wait(context.Background())
+	tx.Abort()
+	if err != nil {
+		t.Fatalf("read %s: %v", key, err)
+	}
+	for i := 0; i < cfg.ReadBatches; i++ {
+		if err := p.Advance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return v, found
+}
+
+// waitCaughtUp waits until the standby's copy of every shard's log ends
+// where the store's does.
+func (h *haPair) waitCaughtUp(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := h.standby.Stats()
+		behind := !st.Connected
+		for i, raw := range h.raw {
+			last, err := raw.LastSeq()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Seqs[i] != last {
+				behind = true
+			}
+		}
+		if !behind {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never caught up: %+v", st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// checkBounded asserts the lifecycle bound on all three holders of the log:
+// the store logs (through the proxy's own counters), the sender's history
+// and, when attached, the standby's copies.
+func (h *haPair) checkBounded(t *testing.T, when string) {
+	t.Helper()
+	bound := logBound(h.cfg)
+	for i, l := range h.primary.Stats().Logs {
+		if int(l.Records) > bound {
+			t.Fatalf("%s: shard %d log retains %d records, bound %d", when, i, l.Records, bound)
+		}
+	}
+	// The stream interleaves the shards and carries their truncation marks.
+	if st := h.sender.Stats(); st.HistoryLen > len(h.raw)*(bound+1) {
+		t.Fatalf("%s: sender history holds %d entries for %d shards, bound %d each", when, st.HistoryLen, len(h.raw), bound)
+	}
+	if h.standby == nil {
+		return
+	}
+	for i, n := range h.standby.Stats().Records {
+		if n > bound {
+			t.Fatalf("%s: standby copy of shard %d holds %d records, bound %d", when, i, n, bound)
+		}
+	}
+}
+
+// failoverStepped kills the primary, promotes the standby into a manually
+// driven proxy and checks that every acknowledged key reads back and that
+// the new primary commits.
+func (h *haPair) failoverStepped(t *testing.T, want map[string][]byte) {
+	t.Helper()
+	h.kill()
+	res := h.promote(t)
+	if res.Recoveries == nil {
+		t.Fatal("promotion found no committed state")
+	}
+	cfg := h.newPrimaryConfig()
+	p2, err := core.NewShardedFromRecoveries(res.Stores, cfg, res.Recoveries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	for key, val := range want {
+		v, found := readStepped(t, p2, cfg, key)
+		if !found || !bytes.Equal(v, val) {
+			t.Fatalf("%s after failover: got %q found=%v, want %q", key, v, found, val)
+		}
+	}
+	commitStepped(t, p2, cfg, "post-failover", []byte("alive"))
 }
 
 func waitAttached(t *testing.T, sb *Standby) {
@@ -408,12 +697,9 @@ func commit(p *core.Proxy, key string, value []byte) error {
 	return tx.Commit()
 }
 
-// readKey reads key in its own transaction, retrying ErrEpochFull (which
-// admission-control sheds also match): a transaction that begins near its
-// epoch's end can miss the read batches — ordinary client-visible
-// backpressure, not a correctness signal. The sleep matters: sheds fire in
-// the window between an epoch's last read batch and its boundary, so an
-// instant retry lands in the same window and sheds again.
+// readKey reads key in its own transaction, retrying ErrEpochFull: a read
+// that arrives after its epoch's last read batch is held until the next
+// epoch opens and then refused, so the retry can be immediate.
 func readKey(t *testing.T, p *core.Proxy, key string) ([]byte, bool) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
@@ -426,7 +712,6 @@ func readKey(t *testing.T, p *core.Proxy, key string) ([]byte, bool) {
 		if !errors.Is(err, core.ErrEpochFull) || attempt >= 50 {
 			t.Fatalf("read %s: %v", key, err)
 		}
-		time.Sleep(500 * time.Microsecond)
 	}
 }
 
@@ -516,7 +801,8 @@ func checkPromotionFencesZombie(t *testing.T) {
 func checkReplayEquivalence(t *testing.T) {
 	h := newHAPair(t, 2, false)
 	waitAttached(t, h.standby)
-	for i := 0; i < 6; i++ {
+	// Enough commits for several truncations on both sides.
+	for i := 0; i < 3*conformanceCadence; i++ {
 		if err := commit(h.primary, fmt.Sprintf("eq-%d", i), []byte{byte(i)}); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
@@ -527,16 +813,27 @@ func checkReplayEquivalence(t *testing.T) {
 		t.Fatal("promotion found no committed state")
 	}
 	for i := range h.raw {
-		warm, err := h.standby.logs[i].Scan(0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		durable, err := res.Stores[i].Scan(0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		last, err := res.Stores[i].LastSeq()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The zombie primary kept truncating the store until the fence,
+		// after its stream had died: the warm copy may start lower. They
+		// must agree wherever both are defined — from the store's floor on.
+		floor := last + 1 - uint64(len(durable))
+		if first, _ := h.standby.logs[i].span(); floor == 1 || first == 1 || first > floor {
+			t.Fatalf("shard %d: store floor %d, warm floor %d; want both truncated, warm no further than the store", i, floor, first)
+		}
+		warm, err := h.standby.logs[i].Scan(floor)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(warm) != len(durable) {
-			t.Fatalf("shard %d: warm log has %d records, store has %d", i, len(warm), len(durable))
+			t.Fatalf("shard %d: from seq %d the warm log has %d records, the store %d", i, floor, len(warm), len(durable))
 		}
 		for j := range warm {
 			if !bytes.Equal(warm[j], durable[j]) {
@@ -613,7 +910,6 @@ func checkZeroAckedLoss(t *testing.T, acked bool) {
 		if !errors.Is(err, core.ErrEpochFull) || attempt >= 50 {
 			t.Fatalf("multi-key commit: %v", err)
 		}
-		time.Sleep(500 * time.Microsecond)
 	}
 	want["acked-00"], want["extra"] = []byte("rewritten"), []byte("pair")
 
@@ -646,4 +942,103 @@ func checkZeroAckedLoss(t *testing.T, acked bool) {
 	if err := commit(p2, "post-failover", []byte("alive")); err != nil {
 		t.Fatalf("commit on promoted primary: %v", err)
 	}
+}
+
+// --- log lifecycle under replication ---
+
+// checkLateAttachAfterTruncation runs the primary alone for over a thousand
+// epochs, then attaches a standby. The sender's history stayed bounded the
+// whole time, the standby is brought up from the floors with a bounded
+// resync, and its promotion loses no acknowledged commit.
+func checkLateAttachAfterTruncation(t *testing.T) {
+	h := newHAPairOpts(t, haOptions{shards: 2, manual: true, noStandby: true})
+	want := map[string][]byte{}
+	for e := 0; e < 1040; e++ {
+		if e%40 != 0 {
+			advanceEpoch(t, h.primary, h.cfg)
+			continue
+		}
+		key, val := fmt.Sprintf("late-%04d", e), []byte(fmt.Sprintf("v%d", e))
+		commitStepped(t, h.primary, h.cfg, key, val)
+		want[key] = val
+		h.checkBounded(t, fmt.Sprintf("epoch %d", e))
+	}
+	for i, l := range h.primary.Stats().Logs {
+		if l.Truncations < 1000/conformanceCadence {
+			t.Fatalf("shard %d: %d truncations over 1040 epochs at cadence %d", i, l.Truncations, conformanceCadence)
+		}
+	}
+	streamed := h.sender.Stats().StreamLen
+	h.attachStandby(t, 0)
+	h.waitCaughtUp(t)
+	h.checkBounded(t, "after late attach")
+	ss, st := h.sender.Stats(), h.standby.Stats()
+	for i := range h.raw {
+		if st.Floors[i] != ss.Floors[i] || st.Floors[i] == 1 {
+			t.Fatalf("shard %d: standby starts at seq %d, primary's floor is %d", i, st.Floors[i], ss.Floors[i])
+		}
+	}
+	if resync := len(h.raw) * (logBound(h.cfg) + 1); uint64(resync)*10 > streamed {
+		t.Fatalf("stream of %d entries is too short to tell a bounded resync (%d) from a full one", streamed, resync)
+	}
+	commitStepped(t, h.primary, h.cfg, "after-attach", []byte("seen"))
+	want["after-attach"] = []byte("seen")
+	h.failoverStepped(t, want)
+}
+
+// checkReconnectAcrossTruncation drops an attached standby's connection and
+// lets the primary truncate past everything the standby holds before it
+// redials: the reconnect must restart the copies at the new floors, stay
+// bounded, and still promote without losing an acknowledged commit.
+func checkReconnectAcrossTruncation(t *testing.T) {
+	h := newHAPairOpts(t, haOptions{shards: 2, manual: true, redial: 500 * time.Millisecond})
+	waitAttached(t, h.standby)
+	want := map[string][]byte{"before-drop": []byte("b")}
+	commitStepped(t, h.primary, h.cfg, "before-drop", want["before-drop"])
+	h.waitCaughtUp(t)
+	held := h.standby.Stats().Seqs
+
+	h.sender.mu.Lock()
+	sc := h.sender.conn
+	h.sender.mu.Unlock()
+	h.sender.dropConn(sc)
+	for e := 0; e < 3*conformanceCadence; e++ { // well inside the redial pause
+		key := fmt.Sprintf("during-drop-%d", e)
+		commitStepped(t, h.primary, h.cfg, key, []byte{byte(e)})
+		want[key] = []byte{byte(e)}
+	}
+	for i, floor := range h.sender.Stats().Floors {
+		if floor <= held[i]+1 {
+			t.Fatalf("shard %d: floor %d has not passed what the standby held (seq %d): no gap to reconnect across", i, floor, held[i])
+		}
+	}
+	h.waitCaughtUp(t)
+	h.checkBounded(t, "after reconnect")
+	ss, st := h.sender.Stats(), h.standby.Stats()
+	for i := range h.raw {
+		if st.Floors[i] != ss.Floors[i] {
+			t.Fatalf("shard %d: standby restarted at seq %d, primary's floor is %d", i, st.Floors[i], ss.Floors[i])
+		}
+	}
+	h.failoverStepped(t, want)
+}
+
+// checkPromoteRightAfterTruncation kills the primary in the very epoch whose
+// commit stage truncated the logs, before the standby has necessarily seen
+// the truncation: promotion must find a full checkpoint at the head of
+// whatever it holds and lose nothing acknowledged.
+func checkPromoteRightAfterTruncation(t *testing.T) {
+	h := newHAPairOpts(t, haOptions{shards: 2, manual: true})
+	waitAttached(t, h.standby)
+	want := map[string][]byte{}
+	cuts := func() uint64 { return h.primary.Stats().Logs[1].Truncations }
+	for e, start := 0, cuts(); cuts() < start+3; e++ {
+		if e > 10*conformanceCadence {
+			t.Fatal("no truncation in ten cadences of epochs")
+		}
+		key := fmt.Sprintf("cut-%d", e)
+		commitStepped(t, h.primary, h.cfg, key, []byte{byte(e)})
+		want[key] = []byte{byte(e)}
+	}
+	h.failoverStepped(t, want)
 }

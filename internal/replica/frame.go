@@ -36,16 +36,27 @@ const (
 	frameHeartbeat
 	// frameSyncpoint asks the standby to ack immediately (barrier probe).
 	frameSyncpoint
-	// frameAck, standby → primary: seq is the cumulative count of record
-	// frames received on this connection, which — because each connection
-	// streams from offset 0 in stream order — equals the sender's global
-	// stream offset covered so far.
+	// frameAck, standby → primary: seq is the cumulative count of stream
+	// frames (records and truncations) received on this connection; the
+	// sender adds the stream offset the connection started at.
 	frameAck
+	// frameFloor opens a connection's stream, one per shard, before any
+	// stream frame: seq is the first sequence number the primary's log for
+	// shard still retains. A standby whose copy ends below it restarts the
+	// copy there — the records in between exist nowhere any more, and a
+	// full checkpoint heads what remains. Not a stream frame: not counted
+	// in acks.
+	frameFloor
+	// frameTruncate is a stream frame: the primary truncated shard's log
+	// below seq, in this position relative to the records around it.
+	frameTruncate
 )
 
 const (
-	frameMagic   = "OBRP"
-	frameVersion = 1
+	frameMagic = "OBRP"
+	// frameVersion 2 added frameFloor/frameTruncate and made acks relative
+	// to the connection's starting offset.
+	frameVersion = 2
 	// maxFrameLen bounds a frame body so a corrupt length prefix cannot
 	// drive an unbounded allocation. Records are epoch-sized (a write-batch
 	// schedule or a padded checkpoint), far under this.

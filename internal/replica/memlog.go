@@ -10,8 +10,11 @@ import (
 // unchanged at promotion. The load-bearing invariant is seq alignment:
 // record seq i here holds the same bytes as seq i in the primary's store
 // log. It holds because the primary mirrors each record with the seq its
-// store assigned, applyAt refuses gaps (a lossy reconnect resyncs from
-// offset 0 and duplicates are dropped by seq), and neither side truncates.
+// store assigned and each truncation at the point the store applied it,
+// applyAt and applyTruncate refuse gaps (a lossy reconnect resyncs from the
+// primary's floor and duplicates are dropped by seq), and only an attach-time
+// floor (skipTo) may move the copy past records it never received — records
+// the primary no longer has either.
 type memlog struct {
 	mu   sync.Mutex
 	recs [][]byte
@@ -35,6 +38,32 @@ func (m *memlog) applyAt(seq uint64, rec []byte) (bool, error) {
 	}
 	m.recs = append(m.recs, append([]byte(nil), rec...))
 	return true, nil
+}
+
+// applyTruncate applies a stream truncation: drop everything below before.
+// The stream is ordered, so every record below before was sent first; a
+// truncation reaching past the copy's end is a gap like any other.
+func (m *memlog) applyTruncate(before uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if next := m.base + uint64(len(m.recs)); before > next {
+		return fmt.Errorf("replica: log gap: have through seq %d, truncation below seq %d", next-1, before)
+	}
+	m.truncateLocked(before)
+	return nil
+}
+
+// skipTo applies an attach-time floor: the primary retains nothing below
+// floor. What the copy holds below it goes; a copy that ends before floor
+// restarts empty at floor.
+func (m *memlog) skipTo(floor uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if floor > m.base+uint64(len(m.recs)) {
+		m.recs, m.base = nil, floor
+		return
+	}
+	m.truncateLocked(floor)
 }
 
 // Append implements storage.LogStore.
@@ -65,8 +94,13 @@ func (m *memlog) Scan(from uint64) ([][]byte, error) {
 func (m *memlog) Truncate(before uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.truncateLocked(before)
+	return nil
+}
+
+func (m *memlog) truncateLocked(before uint64) {
 	if before <= m.base {
-		return nil
+		return
 	}
 	drop := before - m.base
 	if drop > uint64(len(m.recs)) {
@@ -74,7 +108,13 @@ func (m *memlog) Truncate(before uint64) error {
 	}
 	m.recs = append([][]byte(nil), m.recs[drop:]...)
 	m.base += drop
-	return nil
+}
+
+// span reports the copy's first sequence number and record count.
+func (m *memlog) span() (first uint64, n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.base, len(m.recs)
 }
 
 // LastSeq implements storage.LogStore.

@@ -41,31 +41,46 @@ func (c *SenderConfig) setDefaults() error {
 	return nil
 }
 
-// entry is one mirrored record in the sender's global stream. The stream
-// interleaves shards in mirror order; per shard it preserves store order, so
-// any prefix of the stream gives the standby a per-shard log prefix — the
-// same shape a crash leaves, which is exactly what wal recovery handles.
+// entry is one element of the sender's global stream: a mirrored record, or
+// (trunc set) a truncation of shard's log below seq. The stream interleaves
+// shards in mirror order; per shard it preserves store order, so any prefix
+// of the stream gives the standby a per-shard log prefix — the same shape a
+// crash leaves, which is exactly what wal recovery handles.
 type entry struct {
 	shard int
 	seq   uint64
 	rec   []byte
+	trunc bool
+}
+
+func (e entry) frame() frame {
+	if e.trunc {
+		return frame{kind: frameTruncate, shard: uint32(e.shard), seq: e.seq}
+	}
+	return frame{kind: frameRecord, shard: uint32(e.shard), seq: e.seq, rec: e.rec}
 }
 
 // Sender is the primary-side replication endpoint. It implements the
-// structural core.Replicator contract (Prime/Mirror/Barrier) and serves at
-// most one attached standby, streaming the full record history from offset
-// zero on every (re)attach; the standby deduplicates by store seq, so a
-// resync is wasteful but never wrong. History is retained for the process
-// lifetime — the proxy never truncates its recovery log (checkpoint deltas
-// keep it short-lived state, and full history is what makes late attach and
-// lossy reconnect trivially correct).
+// structural core.Replicator contract (Prime/Mirror/Truncate/Barrier) and
+// serves at most one attached standby. It retains exactly the history the
+// primary's store logs retain: when the proxy truncates a shard's log the
+// sender forgets the same records, so its memory — and what a (re)attaching
+// standby is sent — is bounded by the log's own bound (two full-checkpoint
+// cadences of records), not by uptime. Every (re)attach streams the
+// per-shard floors and then everything retained; the standby skips what it
+// already holds by store seq, so a resync is never wrong, and a full
+// checkpoint is always at the head of what remains, so it is always enough.
 type Sender struct {
 	cfg SenderConfig
 	ln  net.Listener
 
-	mu       sync.Mutex
-	cond     *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// entries is the retained tail of the global stream; entries[0] sits at
+	// global offset base. floors[i] is the first seq shard i's log retains.
 	entries  []entry
+	base     uint64
+	floors   []uint64
 	conn     *senderConn
 	closed   bool
 	degraded uint64 // barriers that fell back to local-durable
@@ -78,6 +93,7 @@ type Sender struct {
 type senderConn struct {
 	c     net.Conn
 	wmu   sync.Mutex
+	start uint64 // global stream offset this connection began streaming at
 	acked uint64 // guarded by Sender.mu: global stream offset acked
 	gone  chan struct{}
 	once  sync.Once
@@ -106,7 +122,10 @@ func NewSender(addr string, cfg SenderConfig) (*Sender, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sender{cfg: cfg, ln: ln}
+	s := &Sender{cfg: cfg, ln: ln, floors: make([]uint64, cfg.Shards)}
+	for i := range s.floors {
+		s.floors[i] = 1 // store logs start at seq 1
+	}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -136,6 +155,10 @@ func (s *Sender) acceptLoop() {
 		}
 		old := s.conn
 		s.conn = sc
+		// Floors and attach offset are read together: the floors cover
+		// exactly the truncations already trimmed out of entries.
+		sc.start, sc.acked = s.base, s.base
+		floors := append([]uint64(nil), s.floors...)
 		s.mu.Unlock()
 		if old != nil {
 			// Newest attach wins: a standby that redialed after a network
@@ -143,30 +166,47 @@ func (s *Sender) acceptLoop() {
 			old.close()
 		}
 		s.wg.Add(3)
-		go s.streamLoop(sc)
+		go s.streamLoop(sc, floors)
 		go s.heartbeatLoop(sc)
 		go s.ackLoop(sc)
 	}
 }
 
-// streamLoop pushes the global stream to one standby from offset zero.
-func (s *Sender) streamLoop(sc *senderConn) {
+// streamLoop brings one standby up to the retained history and keeps it
+// there: first the per-shard floors as they stood at attach (a standby that
+// holds less simply starts there), then every stream entry from the attach
+// offset on.
+func (s *Sender) streamLoop(sc *senderConn, floors []uint64) {
 	defer s.wg.Done()
-	cursor := 0
+	for shard, floor := range floors {
+		if err := sc.write(frame{kind: frameFloor, shard: uint32(shard), seq: floor}); err != nil {
+			s.dropConn(sc)
+			return
+		}
+	}
+	cursor := sc.start
 	for {
 		s.mu.Lock()
-		for !s.closed && s.conn == sc && cursor == len(s.entries) {
+		for !s.closed && s.conn == sc && cursor == s.base+uint64(len(s.entries)) {
 			s.cond.Wait()
 		}
 		if s.closed || s.conn != sc {
 			s.mu.Unlock()
 			return
 		}
-		batch := s.entries[cursor:len(s.entries):len(s.entries)]
-		cursor = len(s.entries)
+		if cursor < s.base {
+			// The log was truncated past what this standby has been sent:
+			// it lags by more than the whole retained history. Resyncing
+			// from the floor is both correct and the fastest way to catch up.
+			s.mu.Unlock()
+			s.dropConn(sc)
+			return
+		}
+		batch := s.entries[cursor-s.base:]
+		cursor += uint64(len(batch))
 		s.mu.Unlock()
 		for _, e := range batch {
-			if err := sc.write(frame{kind: frameRecord, shard: uint32(e.shard), seq: e.seq, rec: e.rec}); err != nil {
+			if err := sc.write(e.frame()); err != nil {
 				s.dropConn(sc)
 				return
 			}
@@ -205,8 +245,8 @@ func (s *Sender) ackLoop(sc *senderConn) {
 			continue
 		}
 		s.mu.Lock()
-		if f.seq > sc.acked {
-			sc.acked = f.seq
+		if off := sc.start + f.seq; off > sc.acked {
+			sc.acked = off
 			s.cond.Broadcast()
 		}
 		s.mu.Unlock()
@@ -223,14 +263,16 @@ func (s *Sender) dropConn(sc *senderConn) {
 	sc.close()
 }
 
-// Prime seeds shard's full existing history (core.Replicator contract:
-// called once per shard before any traffic flows through the tees).
+// Prime seeds what shard's log retains, firstSeq being its floor
+// (core.Replicator contract: called once per shard before any traffic flows
+// through the tees).
 func (s *Sender) Prime(shard int, recs [][]byte, firstSeq uint64) error {
 	if shard < 0 || shard >= s.cfg.Shards {
 		return fmt.Errorf("replica: prime for shard %d of %d", shard, s.cfg.Shards)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.floors[shard] = firstSeq
 	for i, rec := range recs {
 		s.entries = append(s.entries, entry{shard: shard, seq: firstSeq + uint64(i), rec: append([]byte(nil), rec...)})
 	}
@@ -247,6 +289,38 @@ func (s *Sender) Mirror(shard int, seq uint64, rec []byte) {
 	s.mu.Unlock()
 }
 
+// Truncate forgets shard's records below before and queues the truncation
+// for the standby, in stream order (core.Replicator contract: same calling
+// discipline as Mirror). The retained stream is trimmed from its head up to
+// the first entry some shard's floor still covers, so sender memory follows
+// the store logs' own bound.
+func (s *Sender) Truncate(shard int, before uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if before <= s.floors[shard] {
+		return
+	}
+	s.floors[shard] = before
+	s.entries = append(s.entries, entry{shard: shard, seq: before, trunc: true})
+	dead := 0
+	for dead < len(s.entries) {
+		e := s.entries[dead]
+		// A truncation marker is dead once applied here: attach sends the
+		// floors themselves.
+		if !e.trunc && e.seq >= s.floors[e.shard] {
+			break
+		}
+		dead++
+	}
+	if dead > 0 {
+		// Copy, so the dropped records' memory goes with them; a stream
+		// batch in flight keeps its own view of the old array.
+		s.entries = append([]entry(nil), s.entries[dead:]...)
+		s.base += uint64(dead)
+	}
+	s.cond.Broadcast()
+}
+
 // Barrier implements the core.Replicator ack gate. In local-durable mode it
 // is a no-op. In replica-acked mode it waits (bounded) until the attached
 // standby has acked every record mirrored so far; with no standby, or one
@@ -260,7 +334,7 @@ func (s *Sender) Barrier() error {
 	if !s.cfg.Acked || s.closed {
 		return nil
 	}
-	target := uint64(len(s.entries))
+	target := s.base + uint64(len(s.entries))
 	sc := s.conn
 	if sc == nil {
 		s.noteDegradedLocked("no standby attached")
@@ -306,8 +380,10 @@ func (s *Sender) noteDegradedLocked(reason string) {
 // SenderStats is an observability snapshot.
 type SenderStats struct {
 	Attached         bool
-	StreamLen        uint64 // records in the global stream
-	Acked            uint64 // stream offset acked by the attached standby
+	StreamLen        uint64   // global stream offset: entries ever mirrored
+	HistoryLen       int      // entries retained for (re)attach — bounded by the log's bound
+	Floors           []uint64 // per-shard first retained seq
+	Acked            uint64   // stream offset acked by the attached standby
 	BarriersDegraded uint64
 }
 
@@ -315,7 +391,12 @@ type SenderStats struct {
 func (s *Sender) Stats() SenderStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SenderStats{StreamLen: uint64(len(s.entries)), BarriersDegraded: s.degraded}
+	st := SenderStats{
+		StreamLen:        s.base + uint64(len(s.entries)),
+		HistoryLen:       len(s.entries),
+		Floors:           append([]uint64(nil), s.floors...),
+		BarriersDegraded: s.degraded,
+	}
 	if s.conn != nil {
 		st.Attached = true
 		st.Acked = s.conn.acked

@@ -49,7 +49,9 @@ func (c *StandbyConfig) setDefaults() {
 // equals the store log byte-for-byte wherever both are defined, and may
 // additionally hold a suffix of records the primary appended but never got
 // to fsync — the same kind of suffix a crash could have preserved, so
-// recovery's crash-image reasoning applies unchanged.
+// recovery's crash-image reasoning applies unchanged. The copies follow the
+// primary's truncations as they stream by, so standby memory and promotion
+// time are bounded by the log's own bound, not by the primary's uptime.
 type Standby struct {
 	primary string
 	stores  []storage.Backend
@@ -99,8 +101,8 @@ func NewStandby(primary string, stores []storage.Backend, cfg StandbyConfig) (*S
 }
 
 // run is the dial/replay loop: it keeps a stream attached while the primary
-// lives, resyncing from scratch after any drop (the sender resends history;
-// applyAt drops duplicates by seq).
+// lives, resyncing after any drop (the sender resends what its logs retain,
+// floors first; applyAt drops duplicates by seq).
 func (s *Standby) run() {
 	defer s.wg.Done()
 	for {
@@ -148,19 +150,21 @@ func (s *Standby) serve(c net.Conn) {
 	s.setConnected(true)
 	defer s.setConnected(false)
 	s.refreshLease()
-	var received uint64 // record frames on this connection == sender offset
+	var received uint64 // stream frames (records, truncations) on this connection
 	for {
 		f, err := readFrame(c)
 		if err != nil {
 			return
 		}
 		s.refreshLease()
-		switch f.kind {
-		case frameRecord:
+		if f.kind == frameRecord || f.kind == frameFloor || f.kind == frameTruncate {
 			if int(f.shard) >= len(s.logs) {
-				log.Printf("replica: record for shard %d of %d, dropping stream", f.shard, len(s.logs))
+				log.Printf("replica: frame for shard %d of %d, dropping stream", f.shard, len(s.logs))
 				return
 			}
+		}
+		switch f.kind {
+		case frameRecord:
 			if _, err := s.logs[f.shard].applyAt(f.seq, f.rec); err != nil {
 				// A gap means we missed frames somehow; drop and resync.
 				log.Printf("replica: %v, resyncing", err)
@@ -178,6 +182,17 @@ func (s *Standby) serve(c net.Conn) {
 					}
 					s.mu.Unlock()
 				}
+			}
+		case frameFloor:
+			s.logs[f.shard].skipTo(f.seq)
+		case frameTruncate:
+			if err := s.logs[f.shard].applyTruncate(f.seq); err != nil {
+				log.Printf("replica: %v, resyncing", err)
+				return
+			}
+			received++
+			if err := writeFrame(c, frame{kind: frameAck, seq: received}); err != nil {
+				return
 			}
 		case frameSyncpoint:
 			if err := writeFrame(c, frame{kind: frameAck, seq: received}); err != nil {
@@ -238,6 +253,8 @@ type StandbyStats struct {
 	CommitEpoch uint64    // highest replicated coordinator commit (needs Key)
 	LastFrame   time.Time // lease clock
 	Seqs        []uint64  // per-shard highest replicated seq
+	Floors      []uint64  // per-shard first retained seq
+	Records     []int     // per-shard records held — bounded by the log's bound
 }
 
 // Stats snapshots the standby.
@@ -246,8 +263,10 @@ func (s *Standby) Stats() StandbyStats {
 	st := StandbyStats{Connected: s.connected, CommitEpoch: s.commit, LastFrame: s.lastSeen}
 	s.mu.Unlock()
 	for _, l := range s.logs {
-		seq, _ := l.LastSeq()
-		st.Seqs = append(st.Seqs, seq)
+		first, n := l.span()
+		st.Seqs = append(st.Seqs, first+uint64(n)-1)
+		st.Floors = append(st.Floors, first)
+		st.Records = append(st.Records, n)
 	}
 	return st
 }
@@ -284,16 +303,25 @@ func (s *Standby) Promote(base wal.Config) (*PromoteResult, error) {
 		res.Stores[i] = view
 	}
 	for i, view := range res.Stores {
-		last, err := s.logs[i].LastSeq()
-		if err != nil {
-			return nil, err
-		}
-		tail, err := view.Scan(last + 1)
+		first, n := s.logs[i].span()
+		next := first + uint64(n)
+		tail, err := view.Scan(next)
 		if err != nil {
 			return nil, fmt.Errorf("replica: shard %d tail scan: %w", i, err)
 		}
+		storeLast, err := view.LastSeq()
+		if err != nil {
+			return nil, fmt.Errorf("replica: shard %d tail scan: %w", i, err)
+		}
+		// A scan is clamped to the store's truncation floor. If the dead
+		// primary truncated past the end of a lagging copy, the tail starts
+		// above next and the copy restarts there, as at any attach.
+		from := storeLast + 1 - uint64(len(tail))
+		if from > next {
+			s.logs[i].skipTo(from)
+		}
 		for j, rec := range tail {
-			if _, err := s.logs[i].applyAt(last+1+uint64(j), rec); err != nil {
+			if _, err := s.logs[i].applyAt(from+uint64(j), rec); err != nil {
 				return nil, err
 			}
 		}

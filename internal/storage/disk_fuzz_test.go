@@ -18,8 +18,8 @@ func FuzzDiskRecordDecode(f *testing.F) {
 	f.Add(encodeRecord(nil, encodeEpochBody(heapKindCommit, 42)))
 	f.Add(encodeRecord(nil, encodeEpochBody(heapKindRollback, 1)))
 	f.Add(encodeRecord(nil, encodeEpochBody(lhixKindState, 42)))
-	f.Add(encodeRecord(nil, encodeLhixVersion(3, 7, 128, 44, 61, []uint32{5, 0, 5})))
-	f.Add(encodeRecord(nil, encodeLhixVersion(0, 0, 0, 0, 0, nil)))
+	f.Add(encodeRecord(nil, appendLhixVersion(nil, 3, 7, 128, 44, 61, []uint32{5, 0, 5})))
+	f.Add(encodeRecord(nil, appendLhixVersion(nil, 0, 0, 0, 0, 0, nil)))
 	f.Add(encodeRecord(nil, encodeKVBody(kvKindPut, "key", []byte("value"))))
 	f.Add(encodeRecord(nil, encodeKVBody(kvKindDel, "key", nil)))
 	f.Add(encodeRecord(nil, []byte("raw log record")))
@@ -33,7 +33,7 @@ func FuzzDiskRecordDecode(f *testing.F) {
 	flipped := append([]byte(nil), rec...)
 	flipped[recordFrameSize] ^= 0xff
 	f.Add(flipped)
-	lrec := encodeRecord(nil, encodeLhixVersion(1, 2, 64, 8, 30, []uint32{3}))
+	lrec := encodeRecord(nil, appendLhixVersion(nil, 1, 2, 64, 8, 30, []uint32{3}))
 	f.Add(lrec[:len(lrec)-2])
 	lflipped := append([]byte(nil), lrec...)
 	lflipped[recordFrameSize] ^= 0xff
@@ -83,7 +83,7 @@ func FuzzDiskRecordDecode(f *testing.F) {
 						t.Fatalf("checkpoint state body did not round-trip")
 					}
 				case lhixKindVersion:
-					re := encodeLhixVersion(rec.bucket, rec.epoch, rec.segBase, rec.off, rec.recLen, rec.slotLens)
+					re := appendLhixVersion(nil, rec.bucket, rec.epoch, rec.segBase, rec.off, rec.recLen, rec.slotLens)
 					if !bytes.Equal(re, body) {
 						t.Fatalf("checkpoint version body did not round-trip")
 					}

@@ -365,8 +365,7 @@ const (
 // body, of the first slot-length entry.
 const lhixVersionDataStart = 1 + 4 + 8 + 8 + 8 + 4 + 4
 
-func encodeLhixVersion(bucket int, epoch, segBase uint64, off int64, recLen int, slotLens []uint32) []byte {
-	body := make([]byte, 0, lhixVersionDataStart+4*len(slotLens))
+func appendLhixVersion(body []byte, bucket int, epoch, segBase uint64, off int64, recLen int, slotLens []uint32) []byte {
 	body = append(body, lhixKindVersion)
 	body = binary.BigEndian.AppendUint32(body, uint32(bucket))
 	body = binary.BigEndian.AppendUint64(body, epoch)

@@ -734,27 +734,22 @@ func (b *DiskBackend) dropDeadSegmentsLocked() {
 	}
 }
 
-// activeSegBase returns the base of the tail segment — the one still taking
-// appends; the logheap GC only considers strictly older segments as
-// victims. Zero when the log holds no segments.
-func (b *DiskBackend) activeSegBase() uint64 {
+// gcCandidates lists the sealed segments whose every record sits below the
+// WAL truncation point, oldest first: nothing but the logheap retention gate
+// keeps them on disk, so evacuating their live bucket versions frees them.
+// The active tail is never a candidate.
+func (b *DiskBackend) gcCandidates() []uint64 {
 	b.logMu.RLock()
 	defer b.logMu.RUnlock()
-	if len(b.segs) == 0 {
-		return 0
+	var bases []uint64
+	for i := 0; i+1 < len(b.segs); i++ {
+		seg := b.segs[i]
+		if seg.base+uint64(len(seg.offs)) > b.truncBefore {
+			break
+		}
+		bases = append(bases, seg.base)
 	}
-	return b.segs[len(b.segs)-1].base
-}
-
-// gcCandidate reports the oldest retained segment when it is not the active
-// tail; ok=false means there is nothing a copy-forward pass could free.
-func (b *DiskBackend) gcCandidate() (base uint64, ok bool) {
-	b.logMu.RLock()
-	defer b.logMu.RUnlock()
-	if len(b.segs) < 2 {
-		return 0, false
-	}
-	return b.segs[0].base, true
+	return bases
 }
 
 // truncFloor returns the WAL truncation point (first retained WAL

@@ -659,10 +659,9 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 	return g, nil
 }
 
-// maintainLoop runs logheap maintenance off the commit path: checkpoints
-// heaps whose un-checkpointed backlog is due, then tries to evacuate and
-// drop the oldest segment while the heap gate — not the WAL — is what keeps
-// it alive.
+// maintainLoop runs logheap maintenance off the commit path: it copies live
+// bucket versions out of the segments WAL truncation has left behind,
+// checkpoints the heaps, and drops what that frees.
 func (g *DiskGroup) maintainLoop() {
 	defer g.maintainWG.Done()
 	for {
@@ -675,33 +674,37 @@ func (g *DiskGroup) maintainLoop() {
 	}
 }
 
+// maintainOnce is one maintenance pass. Every sealed segment wholly below
+// the WAL truncation floor holds nothing but dead WAL records and bucket
+// versions; each heap re-appends its live ones at the log head. One index
+// checkpoint per heap then covers the whole pass — it makes the copies
+// durable, stops pointing into the old segments and raises the retention
+// gate — and is also the periodic checkpoint that bounds open-time replay,
+// so a pass costs the checkpoints it would have written anyway plus the
+// copies. Only then can the segments go.
 func (g *DiskGroup) maintainOnce() {
-	for _, lh := range g.heaps {
+	owner := g.shards[0]
+	moved := make([]int, len(g.heaps))
+	for _, base := range owner.gcCandidates() {
+		for i, lh := range g.heaps {
+			n, err := lh.EvacuateSegment(base)
+			if err != nil {
+				return // wedged or closing; the next kick retries
+			}
+			moved[i] += n
+		}
+	}
+	for i, lh := range g.heaps {
 		lh.mu.RLock()
 		due := lh.dirty >= maintainEvery
 		lh.mu.RUnlock()
-		if due {
+		if due || moved[i] > 0 {
 			if err := lh.Checkpoint(); err != nil {
-				return // wedged or closing; the next kick retries
-			}
-		}
-	}
-	owner := g.shards[0]
-	for {
-		base, ok := owner.gcCandidate()
-		if !ok || base >= owner.truncFloor() {
-			return // the WAL still needs the oldest segment; GC frees nothing
-		}
-		for _, lh := range g.heaps {
-			if _, err := lh.EvacuateSegment(base); err != nil {
 				return
 			}
 		}
-		owner.dropDeadSegments()
-		if nb, ok := owner.gcCandidate(); !ok || nb == base {
-			return // nothing came free (WAL floor mid-segment); stop here
-		}
 	}
+	owner.dropDeadSegments()
 }
 
 // Shards returns the group's backends in shard order. Log methods on these

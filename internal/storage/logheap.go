@@ -676,10 +676,6 @@ func (lh *LogHeap) VersionCount(bucket int) int {
 func (lh *LogHeap) Checkpoint() error {
 	lh.commitMu.Lock()
 	defer lh.commitMu.Unlock()
-	return lh.checkpointLocked()
-}
-
-func (lh *LogHeap) checkpointLocked() error {
 	lh.mu.RLock()
 	if err := lh.owner.checkUsable(); err != nil {
 		lh.mu.RUnlock()
@@ -687,9 +683,17 @@ func (lh *LogHeap) checkpointLocked() error {
 	}
 	w := lh.lastPhys
 	committed := lh.committed
+	// One flat copy, sliced per bucket: a checkpoint runs every maintenance
+	// pass and must not cost an allocation per bucket.
+	total := 0
+	for _, vs := range lh.index {
+		total += len(vs)
+	}
+	flat := make([]logVersion, 0, total)
 	snap := make([][]logVersion, len(lh.index))
 	for i, vs := range lh.index {
-		snap[i] = append([]logVersion(nil), vs...)
+		flat = append(flat, vs...)
+		snap[i] = flat[len(flat)-len(vs):]
 	}
 	dirtyAt := lh.dirty
 	lh.mu.RUnlock()
@@ -719,10 +723,12 @@ func (lh *LogHeap) checkpointLocked() error {
 		buf = buf[:0]
 		return nil
 	}
+	var body []byte
 	for bucket, vs := range snap {
 		for i := range vs {
 			v := &vs[i]
-			buf = encodeRecord(buf, encodeLhixVersion(bucket, v.epoch, v.segBase, v.off, v.recLen, v.slotLens))
+			body = appendLhixVersion(body[:0], bucket, v.epoch, v.segBase, v.off, v.recLen, v.slotLens)
+			buf = encodeRecord(buf, body)
 			if len(buf) >= 1<<20 {
 				if err := flush(); err != nil {
 					return abort(err)
@@ -770,7 +776,10 @@ func (lh *LogHeap) checkpointLocked() error {
 // or the new one. Each copy happens under the lock against the entry it
 // copies, so a copy record in the log always reflects the entry's state at
 // append time; replay leans on that to relocate exactly the still-current
-// copies. Returns how many versions moved.
+// copies. Returns how many versions moved. The segment becomes collectible
+// only after the caller's next Checkpoint: that makes the copies durable and
+// installs an index that no longer points into the old segment before the
+// retention floor rises.
 func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 	lh.commitMu.Lock()
 	defer lh.commitMu.Unlock()
@@ -828,7 +837,8 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			lh.mu.Unlock()
 			return moved, fmt.Errorf("storage: GC re-reading segment %d offset %d: record shorter than its stream header", segBase, r.off)
 		}
-		copyBody := append([]byte(nil), body[sharedLogHdrSize:]...)
+		// frame is this call's own buffer: flip the kind in place.
+		copyBody := body[sharedLogHdrSize:]
 		copyBody[0] = heapKindGCCopy
 		res, err := lh.shared.appendHeapStream(lh.stream, copyBody)
 		if err != nil {
@@ -844,15 +854,6 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 		lh.dirty++
 		lh.mu.Unlock()
 		moved++
-	}
-	if moved > 0 {
-		// The copies must be durable — and the checkpoint that stops
-		// pointing into the old segment installed — before the floor rises
-		// and the segment can be collected; checkpointLocked does both in
-		// order.
-		if err := lh.checkpointLocked(); err != nil {
-			return moved, err
-		}
 	}
 	return moved, nil
 }

@@ -178,9 +178,15 @@ func logHeapWorkload(g *DiskGroup, oracles []*sweepOracle) {
 			// GC-copy record and its index entry flipped; the closing
 			// checkpoint makes the relocation durable. Crash points land
 			// between any two of those steps.
-			if base, ok := g.shards[0].gcCandidate(); ok {
+			if segs := g.shards[0].segs; len(segs) > 1 {
+				base := segs[0].base
 				for _, lh := range g.heaps {
 					if _, err := lh.EvacuateSegment(base); err != nil {
+						return
+					}
+				}
+				for _, lh := range g.heaps {
+					if lh.Checkpoint() != nil {
 						return
 					}
 				}

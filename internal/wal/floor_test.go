@@ -159,7 +159,7 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := l.Truncate(); err != nil {
+	if err := l.Retire(2); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := l.Recover()

@@ -23,6 +23,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"obladi/internal/cryptoutil"
@@ -79,10 +80,60 @@ func (c *Config) setDefaults() error {
 }
 
 // Log is the recovery unit client.
+//
+// # Lifecycle
+//
+// The log is bounded: Retire(e), called once epoch e is durable everywhere,
+// cuts the store log at the newest full checkpoint at or below e. The cut
+// is computed from the sequence numbers the store handed back at append
+// time — nothing is scanned or decrypted. Under the pipelined boundary the
+// next epoch's batch records can precede e's checkpoint in the log; they are
+// a crash's replay schedule, so the cut never passes the first batch record
+// of an epoch above e. The bookkeeping is per process: after a restart it is
+// empty and the first full checkpoint appended (recovery's own) re-anchors it.
 type Log struct {
 	store     storage.LogStore
 	cfg       Config
 	sinceFull int
+
+	// mu guards the lifecycle bookkeeping below. Batch appends run on the
+	// schedule goroutine, checkpoint/commit appends and Retire on the
+	// committer.
+	mu          sync.Mutex
+	full        logMark   // newest full checkpoint appended (seq 0: none yet)
+	batches     []logMark // first batch record of each epoch not yet retired, in epoch order
+	lastSeq     uint64    // highest sequence number an append returned
+	retained    uint64    // records the store holds, as far as this process knows
+	truncations uint64
+}
+
+// logMark locates one record: the epoch it belongs to and its store seq.
+type logMark struct {
+	epoch, seq uint64
+}
+
+// Stats is a snapshot of a log's lifecycle counters.
+type Stats struct {
+	// Records counts the records the store retains: what recovery scanned
+	// plus what this process appended, exact from the first truncation on.
+	Records uint64
+	// FloorSeq is the sequence number of the oldest retained record; 0
+	// until this process has appended (sequence numbers are only learned
+	// from appends).
+	FloorSeq uint64
+	// Truncations counts Retire calls that cut the log.
+	Truncations uint64
+}
+
+// Stats snapshots the log's lifecycle counters.
+func (l *Log) Stats() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := Stats{Records: l.retained, Truncations: l.truncations}
+	if l.lastSeq >= l.retained {
+		st.FloorSeq = l.lastSeq + 1 - l.retained
+	}
+	return st
 }
 
 // New creates a recovery unit over a durable log store.
@@ -147,12 +198,7 @@ func (l *Log) open(rec []byte, payload interface{}) error {
 // AppendBatch durably logs a batch's physical read schedule. Must complete
 // before the batch's reads are issued (write-ahead rule).
 func (l *Log) AppendBatch(epoch uint64, batch int, entries []oramexec.LogEntry) error {
-	rec, err := l.seal(kindBatch, batchRecord{Epoch: epoch, Batch: batch, Entries: entries})
-	if err != nil {
-		return err
-	}
-	_, err = l.appendStore(rec, true)
-	return err
+	return l.appendBatch(epoch, batch, entries, true)
 }
 
 // AppendBatchDeferred logs a batch's read schedule without waiting for its
@@ -162,12 +208,36 @@ func (l *Log) AppendBatch(epoch uint64, batch int, entries []oramexec.LogEntry) 
 // on a shared physical log, several records per shard) stand on one flush
 // instead of one fsync per record.
 func (l *Log) AppendBatchDeferred(epoch uint64, batch int, entries []oramexec.LogEntry) error {
+	return l.appendBatch(epoch, batch, entries, false)
+}
+
+// appendBatch appends a batch record and remembers where its epoch's batch
+// records start. The append and the note share one critical section: a
+// batch record that reaches the store ahead of a checkpoint is then always
+// noted before a Retire standing on that checkpoint can read the marks.
+func (l *Log) appendBatch(epoch uint64, batch int, entries []oramexec.LogEntry, sync bool) error {
 	rec, err := l.seal(kindBatch, batchRecord{Epoch: epoch, Batch: batch, Entries: entries})
 	if err != nil {
 		return err
 	}
-	_, err = l.appendStore(rec, false)
-	return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seq, err := l.appendStore(rec, sync)
+	if err != nil {
+		return err
+	}
+	l.noteAppendLocked(seq)
+	if n := len(l.batches); n == 0 || l.batches[n-1].epoch < epoch {
+		l.batches = append(l.batches, logMark{epoch: epoch, seq: seq})
+	}
+	return nil
+}
+
+func (l *Log) noteAppendLocked(seq uint64) {
+	if seq > l.lastSeq {
+		l.lastSeq = seq
+	}
+	l.retained++
 }
 
 // Sync makes every deferred append durable. A no-op when the store lacks
@@ -245,9 +315,16 @@ func (l *Log) appendPrepared(cp *PendingCheckpoint, sync bool) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if _, err := l.appendStore(rec, sync); err != nil {
+	seq, err := l.appendStore(rec, sync)
+	if err != nil {
 		return false, err
 	}
+	l.mu.Lock()
+	l.noteAppendLocked(seq)
+	if cp.state.Full {
+		l.full = logMark{epoch: cp.epoch, seq: seq}
+	}
+	l.mu.Unlock()
 	return cp.state.Full, nil
 }
 
@@ -324,12 +401,7 @@ func (l *Log) DecodeCommitEpoch(rec []byte) (epoch uint64, ok bool, err error) {
 // AppendCommit durably marks epoch as committed. After this record is
 // persisted the epoch's transactions may be acknowledged to clients.
 func (l *Log) AppendCommit(epoch uint64) error {
-	rec, err := l.seal(kindCommit, commitRecord{Epoch: epoch})
-	if err != nil {
-		return err
-	}
-	_, err = l.appendStore(rec, true)
-	return err
+	return l.appendCommit(epoch, true)
 }
 
 // AppendCommitDeferred appends a commit record without waiting for its
@@ -340,72 +412,67 @@ func (l *Log) AppendCommit(epoch uint64) error {
 // next instead of each paying an fsync. The coordinator's own commit record
 // is the global commit point and must use AppendCommit.
 func (l *Log) AppendCommitDeferred(epoch uint64) error {
+	return l.appendCommit(epoch, false)
+}
+
+func (l *Log) appendCommit(epoch uint64, sync bool) error {
 	rec, err := l.seal(kindCommit, commitRecord{Epoch: epoch})
 	if err != nil {
 		return err
 	}
-	_, err = l.appendStore(rec, false)
-	return err
+	seq, err := l.appendStore(rec, sync)
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.noteAppendLocked(seq)
+	l.mu.Unlock()
+	return nil
 }
 
-// Truncate drops log records that precede the newest full checkpoint at or
-// below the given committed epoch. Call opportunistically after commits.
-func (l *Log) Truncate() error {
-	recs, err := l.store.Scan(0)
-	if err != nil {
-		return err
+// Retire tells the log that every epoch up to and including epoch is durably
+// committed on every shard — checkpoints, the coordinator's commit record
+// and the storage epoch commit — so nothing at or below it will ever be
+// replayed. If a full checkpoint at or below epoch has been appended since
+// the last cut, Retire issues exactly one store Truncate, at that checkpoint
+// or at the first batch record of a later epoch, whichever comes first in
+// the log; otherwise it touches nothing. The caller owns the ordering: on a
+// non-coordinator shard the coordinator's commit of epoch must already be
+// durable, because recovery with that floor needs the checkpoint the cut
+// keeps at the head of the log.
+func (l *Log) Retire(epoch uint64) error {
+	l.mu.Lock()
+	cut := uint64(0)
+	if l.full.seq != 0 && l.full.epoch <= epoch {
+		cut = l.full.seq
 	}
-	last, err := l.store.LastSeq()
-	if err != nil {
-		return err
-	}
-	base := last - uint64(len(recs)) + 1
-	// Find the newest full checkpoint that is covered by a later commit.
-	committed := uint64(0)
-	for i := len(recs) - 1; i >= 0; i-- {
-		if len(recs[i]) > 0 && recs[i][0] == kindCommit {
-			var cr commitRecord
-			if err := l.open(recs[i], &cr); err != nil {
-				return err
-			}
-			committed = cr.Epoch
-			break
-		}
-	}
-	if committed == 0 {
-		return nil
-	}
-	for i := len(recs) - 1; i >= 0; i-- {
-		if len(recs[i]) == 0 || recs[i][0] != kindCheckpoint {
+	live := l.batches[:0]
+	for _, m := range l.batches {
+		if m.epoch <= epoch {
 			continue
 		}
-		var cp checkpointRecord
-		if err := l.open(recs[i], &cp); err != nil {
-			return err
-		}
-		if cp.State.Full && cp.Epoch <= committed {
-			cut := i
-			// The pipelined boundary appends the next epoch's batch
-			// records while the committer is still writing this epoch's
-			// checkpoint and commit records, so a live (uncommitted)
-			// batch record can precede the checkpoint in the log. Those
-			// records are the crash-replay schedule: never cut past one.
-			for j := 0; j < cut; j++ {
-				if len(recs[j]) == 0 || recs[j][0] != kindBatch {
-					continue
-				}
-				var br batchRecord
-				if err := l.open(recs[j], &br); err != nil {
-					return err
-				}
-				if br.Epoch > committed {
-					cut = j
-					break
-				}
-			}
-			return l.store.Truncate(base + uint64(cut))
+		live = append(live, m)
+		if m.seq < cut {
+			cut = m.seq
 		}
 	}
+	l.batches = live
+	if cut <= 1 { // no full checkpoint to stand on, or nothing precedes it
+		l.mu.Unlock()
+		return nil
+	}
+	l.full = logMark{} // one cut per full checkpoint
+	l.mu.Unlock()
+	// Outside the lock: the store call can be a round trip or an fsync, and
+	// batch appends on the schedule goroutine must not wait behind it.
+	// Records appended meanwhile sit above the cut.
+	if err := l.store.Truncate(cut); err != nil {
+		return fmt.Errorf("wal: truncating log below seq %d: %w", cut, err)
+	}
+	l.mu.Lock()
+	l.retained = l.lastSeq + 1 - cut
+	l.truncations++
+	l.mu.Unlock()
 	return nil
 }
 
@@ -467,6 +534,9 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.mu.Lock()
+	l.retained = uint64(len(recs))
+	l.mu.Unlock()
 	r := &Recovery{}
 	for _, rec := range recs {
 		r.Stats.BytesRead += len(rec)

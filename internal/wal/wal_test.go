@@ -341,14 +341,19 @@ func TestTruncateDropsOldRecords(t *testing.T) {
 		if err := l.AppendCommit(e); err != nil {
 			t.Fatal(err)
 		}
+		if err := l.Retire(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	before, _ := backend.Scan(0)
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
+	// Retiring every epoch cuts once per full checkpoint with anything
+	// before it (epochs 3 and 5; epoch 1's heads the log) and leaves the
+	// newest one, its delta and their commit records.
 	after, _ := backend.Scan(0)
-	if len(after) >= len(before) {
-		t.Fatalf("truncate kept %d of %d records", len(after), len(before))
+	if len(after) != 4 {
+		t.Fatalf("log holds %d records after retiring, want 4", len(after))
+	}
+	if st := l.Stats(); st.Truncations != 2 || st.Records != 4 || st.FloorSeq != 9 {
+		t.Fatalf("lifecycle stats = %+v, want 2 truncations, 4 records from seq 9", st)
 	}
 	// Recovery still works from the truncated log.
 	rec, err := l.Recover()

@@ -36,6 +36,7 @@ import (
 	"obladi/internal/replica"
 	"obladi/internal/ringoram"
 	"obladi/internal/storage"
+	"obladi/internal/wal"
 )
 
 // Errors surfaced by transactions.
@@ -555,12 +556,23 @@ type Stats struct {
 	RecoveryReplayed int
 	// ShedReads counts reads refused by the admission gate (overload).
 	ShedReads uint64
+	// BoundaryReads counts reads that arrived after their epoch's last read
+	// batch and were held until the next epoch opened (not overload).
+	BoundaryReads uint64
 	// AdmittedSessions counts sessions that got at least one fetch admitted.
 	AdmittedSessions uint64
 	// ReadQueueDepth is the current admitted-but-unscheduled fetch count
 	// across shards (instantaneous, not cumulative).
 	ReadQueueDepth int
+	// Logs is each shard's recovery-log lifecycle: records retained, the
+	// truncation floor and truncations run. Retained records are bounded by
+	// two full-checkpoint cadences whatever the uptime.
+	Logs []LogStats
 }
+
+// LogStats is one shard's recovery-log lifecycle snapshot: Records retained,
+// the FloorSeq of the oldest one, and Truncations run.
+type LogStats = wal.Stats
 
 // Stats returns a snapshot of proxy counters.
 func (db *DB) Stats() Stats {
@@ -581,6 +593,8 @@ func (db *DB) Stats() Stats {
 		StashPeak:         s.StashPeak,
 		RecoveryReplayed:  s.RecoveryReplayed,
 		ShedReads:         s.ShedReads,
+		BoundaryReads:     s.BoundaryReads,
+		Logs:              s.Logs,
 		AdmittedSessions:  s.AdmittedSessions,
 		ReadQueueDepth:    s.ReadQueueDepth,
 	}
