@@ -173,7 +173,8 @@ func serve(db *obladi.DB, srv *clientproto.Server, storageAddr string, interval 
 		st.Epochs, st.Committed, st.Aborted, st.ShedReads, st.BoundaryReads)
 	fmt.Printf("obladi-proxy: storage calls: %d reads, %d writes\n", st.StorageReadCalls, st.StorageWriteCalls)
 	for i, l := range st.Logs {
-		fmt.Printf("obladi-proxy: shard %d log: %d records from seq %d, %d truncations\n", i, l.Records, l.FloorSeq, l.Truncations)
+		fmt.Printf("obladi-proxy: shard %d log: %d records from seq %d, %d truncations; checkpoints: last delta %d B, last full %d B, %d B in all\n",
+			i, l.Records, l.FloorSeq, l.Truncations, l.LastDeltaBytes, l.LastFullBytes, l.CheckpointBytes)
 	}
 	if rs, ok := db.ReplicationStats(); ok {
 		fmt.Printf("obladi-proxy: replication: standby attached=%v, stream %d (acked %d), history %d entries, floors %v, %d barriers degraded\n",

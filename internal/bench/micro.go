@@ -406,7 +406,7 @@ func Table11b(cfg Config) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		restored, err := ringoram.NewFromState(key, p, rec.Full, rec.Deltas...)
+		restored, err := ringoram.Restore(key, p, rec.Full, rec.Deltas...)
 		if err != nil {
 			return nil, err
 		}

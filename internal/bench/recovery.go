@@ -154,7 +154,7 @@ func recoveryVsUptime(cfg Config, iters int) ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := ringoram.NewFromState(key, ccfg.Params, rec.Full, rec.Deltas...); err != nil {
+			if _, err := ringoram.Restore(key, ccfg.Params, rec.Full, rec.Deltas...); err != nil {
 				return nil, err
 			}
 			d := time.Since(start)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -8,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -236,17 +236,17 @@ func (h *historyBackend) image(t *testing.T) (truncated, whole storage.LogStore)
 }
 
 // recoveredState rebuilds the ORAM metadata a recovery describes, in a
-// canonical form.
-func recoveredState(t *testing.T, cfg Config, shard int, rec *wal.Recovery) *ringoram.State {
+// canonical form: the restored client's own full checkpoint image, which
+// covers every bucket, the position map, the stash and the counters.
+func recoveredState(t *testing.T, cfg Config, shard int, rec *wal.Recovery) []byte {
 	t.Helper()
 	sp := cfg.Params
 	sp.Seed += uint64(shard)
-	o, err := ringoram.NewFromState(cfg.Key, sp, rec.Full, rec.Deltas...)
+	o, err := ringoram.Restore(cfg.Key, sp, rec.Full, rec.Deltas...)
 	must(t, err)
-	st, err := o.Snapshot(true)
+	img, err := o.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
 	must(t, err)
-	sort.Slice(st.Stash, func(i, j int) bool { return st.Stash[i].Key < st.Stash[j].Key })
-	return st
+	return img
 }
 
 // checkRecoveryEquivalence recovers every shard twice — from the truncated
@@ -283,7 +283,7 @@ func checkRecoveryEquivalence(t *testing.T, cfg Config, stores []*historyBackend
 		if !reflect.DeepEqual(got.AbortedBatches, want.AbortedBatches) {
 			t.Fatalf("%s: shard %d replays %d batches from the truncated log, %d from the whole history", when, i, len(got.AbortedBatches), len(want.AbortedBatches))
 		}
-		if !reflect.DeepEqual(recoveredState(t, cfg, i, got), recoveredState(t, cfg, i, want)) {
+		if !bytes.Equal(recoveredState(t, cfg, i, got), recoveredState(t, cfg, i, want)) {
 			t.Fatalf("%s: shard %d: ORAM state from the truncated log differs from the whole history's", when, i)
 		}
 		if got.Stats.BytesRead > want.Stats.BytesRead {
@@ -354,6 +354,96 @@ func TestRecoveryEquivalenceAfterTruncation(t *testing.T) {
 						acked[w.k] = w.v
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestRecoveryEquivalenceLiveMetadata is the record format's differential
+// test: at random epochs of a seeded pipelined run — reads, writes and
+// deletes over every shard, full checkpoints every fourth epoch and
+// touched/rewritten deltas between — each shard's log must restore to exactly
+// the metadata the live ORAM holds. The comparison is the client's own full
+// checkpoint image, which covers every bucket's permutation, resident keys,
+// valid map, count and version, the position map, the stash and the counters.
+func TestRecoveryEquivalenceLiveMetadata(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d-shard", shards), func(t *testing.T) {
+			cfg := testConfig(340 + uint64(shards))
+			cfg.Boundary = BoundaryPipelined
+			cfg.FullCheckpointEvery = 4
+			stores := make([]storage.Backend, shards)
+			for i := range stores {
+				stores[i] = storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
+			}
+			p, err := NewSharded(stores, cfg)
+			must(t, err)
+			defer p.Close()
+			rng := rand.New(rand.NewPCG(uint64(shards), 341))
+			key := func() string { return fmt.Sprintf("live-%d", rng.IntN(48)) }
+			checked := 0
+			for e := 0; e < 48; e++ {
+				var acks []<-chan error
+				var reads []*Future
+				txs := make([]*Txn, 1+rng.IntN(3))
+				for i := range txs {
+					txs[i] = p.Begin()
+					reads = append(reads, txs[i].ReadAsync(key()))
+				}
+				must(t, p.StepReadBatch())
+				for i, tx := range txs {
+					if _, _, err := reads[i].Value(); err != nil {
+						t.Fatalf("epoch %d: read: %v", e, err)
+					}
+					if k := key(); rng.IntN(5) == 0 {
+						must(t, tx.Delete(k))
+					} else {
+						must(t, tx.Write(k, []byte(fmt.Sprintf("e%d-%d", e, i))))
+					}
+					acks = append(acks, tx.CommitAsync())
+				}
+				finishEpoch(t, p)
+				if rng.IntN(3) != 0 {
+					continue
+				}
+				// Quiesce: once the epoch's commits are acknowledged its
+				// checkpoint is durable on every shard, and until the next
+				// batch is stepped nothing touches the live metadata.
+				for _, ack := range acks {
+					if err := <-ack; err != nil && !errors.Is(err, ErrAborted) {
+						t.Fatalf("epoch %d: commit: %v", e, err)
+					}
+				}
+				var floor uint64
+				for i, store := range stores {
+					wcfg, err := WALConfigFor(cfg, i, shards)
+					must(t, err)
+					l, err := wal.New(store, wcfg)
+					must(t, err)
+					rec, err := l.RecoverWithFloor(floor)
+					if err != nil {
+						t.Fatalf("epoch %d: shard %d recovery: %v", e, i, err)
+					}
+					if i == 0 {
+						floor = rec.CommittedEpoch
+					}
+					if rec.CommittedEpoch != floor || len(rec.AbortedBatches) != 0 {
+						t.Fatalf("epoch %d: shard %d recovers to epoch %d with %d batches to replay; want the quiesced epoch %d and none",
+							e, i, rec.CommittedEpoch, len(rec.AbortedBatches), floor)
+					}
+					live, err := p.shards[i].exec.ORAM().EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
+					must(t, err)
+					if !bytes.Equal(recoveredState(t, cfg, i, rec), live) {
+						t.Fatalf("epoch %d: shard %d: metadata restored from a full checkpoint and %d deltas differs from the live ORAM's",
+							e, i, len(rec.Deltas))
+					}
+					if len(rec.Deltas) > 0 {
+						checked++
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("no comparison went through a delta checkpoint")
 			}
 		})
 	}

@@ -216,8 +216,8 @@ type Stats struct {
 	ReadQueueDepth   int
 
 	// Logs is each shard's recovery-log lifecycle: records retained, the
-	// truncation floor and how many truncations have run (nil without
-	// durability).
+	// truncation floor, how many truncations have run, and the sizes of the
+	// checkpoint records appended (nil without durability).
 	Logs []wal.Stats
 }
 
@@ -665,7 +665,7 @@ func (p *Proxy) recoverFromRecoveries(recs []*wal.Recovery) error {
 				errs[i] = err
 				return
 			}
-			oram, err := ringoram.NewFromState(p.cfg.Key, p.shardParams(i), rec.Full, rec.Deltas...)
+			oram, err := ringoram.Restore(p.cfg.Key, p.shardParams(i), rec.Full, rec.Deltas...)
 			if err != nil {
 				errs[i] = err
 				return

@@ -192,6 +192,31 @@ func (k *Key) Seal(plaintext, binding []byte) ([]byte, error) {
 	return k.SealTo(make([]byte, 0, len(plaintext)+Overhead), plaintext, binding)
 }
 
+// PlaintextOffset and TagSize locate the plaintext inside a GCM frame: it
+// occupies frame[PlaintextOffset : len(frame)-TagSize].
+const (
+	PlaintextOffset = 1 + nonceSize
+	TagSize         = tagSize
+)
+
+// SealInPlace seals a frame whose plaintext the caller has already written at
+// its final position, frame[PlaintextOffset:len(frame)-TagSize], encrypting
+// it where it lies: a large message is built once, in the buffer that will be
+// stored, with no second copy. The result is exactly what SealTo produces.
+func (k *Key) SealInPlace(frame, binding []byte) error {
+	if len(frame) < Overhead {
+		return fmt.Errorf("cryptoutil: frame of %d bytes is smaller than the sealing overhead", len(frame))
+	}
+	frame[0] = byte(SchemeGCM)
+	nonce := frame[1:PlaintextOffset]
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		return fmt.Errorf("cryptoutil: generating nonce: %w", err)
+	}
+	// cipher.AEAD permits dst and plaintext to overlap exactly.
+	k.aead.Seal(frame[:PlaintextOffset], nonce, frame[PlaintextOffset:len(frame)-TagSize], binding)
+	return nil
+}
+
 // OpenTo authenticates a frame produced by SealTo under the same binding and
 // appends the plaintext to dst, returning the extended slice. A frame led by
 // a different scheme byte fails with ErrScheme; an authentic-looking but

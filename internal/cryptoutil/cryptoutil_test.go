@@ -167,3 +167,29 @@ func TestRandomBytes(t *testing.T) {
 		t.Fatal("two RandomBytes calls returned identical data")
 	}
 }
+
+func TestSealInPlaceOpensLikeSealTo(t *testing.T) {
+	k := KeyFromSeed([]byte("in-place"))
+	binding := Binding(7, 8, 9)
+	for _, n := range []int{0, 1, 15, 16, 17, 4096} {
+		plain := bytes.Repeat([]byte{0xA5}, n)
+		frame := make([]byte, SealedSize(n))
+		copy(frame[PlaintextOffset:], plain)
+		if err := k.SealInPlace(frame, binding); err != nil {
+			t.Fatal(err)
+		}
+		got, err := k.Open(frame, binding)
+		if err != nil {
+			t.Fatalf("%d-byte plaintext sealed in place does not open: %v", n, err)
+		}
+		if !bytes.Equal(got, plain) {
+			t.Fatalf("%d-byte plaintext came back changed", n)
+		}
+		if _, err := k.Open(frame, Binding(7, 8, 10)); err == nil {
+			t.Fatal("in-place frame opened under the wrong binding")
+		}
+	}
+	if err := k.SealInPlace(make([]byte, Overhead-1), binding); err == nil {
+		t.Fatal("undersized frame accepted")
+	}
+}

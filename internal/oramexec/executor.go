@@ -80,6 +80,7 @@ type Executor struct {
 	refsBuf  []storage.SlotRef
 	destsBuf []scatter
 
+	shape logShape // fixed entry widths of this ORAM's batch records
 	stats statCounters
 }
 
@@ -155,33 +156,6 @@ func (c *statCounters) snapshot() Stats {
 	}
 }
 
-// LogKind identifies a durability-log entry kind.
-type LogKind uint8
-
-// Log entry kinds.
-const (
-	LogAccess LogKind = iota + 1
-	LogEvict
-	LogReshuffle
-	LogWriteBump
-)
-
-// LogEntry is one recovery-log record: enough to deterministically replay
-// the adversary-visible reads of an epoch (§8).
-type LogEntry struct {
-	Kind LogKind
-	// Key is the logical key of an access ("" for padding dummies).
-	Key string
-	// Leaf is the path read by an access.
-	Leaf int
-	// Slots holds the physical slot per path bucket (access) .
-	Slots []int
-	// BucketSlots holds the slots read per bucket (evict).
-	BucketSlots [][]int
-	// Bucket is the reshuffled bucket; Slots holds its read slots.
-	Bucket int
-}
-
 // task is one planned unit with its physical reads. Tasks are pooled: a
 // batch that executes successfully returns its tasks (with their local/data
 // backing arrays) for the next batch; error paths abandon the batch and the
@@ -196,6 +170,11 @@ type task struct {
 	err     error
 	errOnce sync.Once
 	opIdx   int // index into the batch's results (-1 for maintenance)
+	// logKind is the durability-log entry this task stands for (0: none — a
+	// read served from the stash issues no physical reads), and bumps the
+	// number of write-bump entries logged ahead of it.
+	logKind LogKind
+	bumps   int
 }
 
 var taskPool = sync.Pool{New: func() any { return new(task) }}
@@ -216,6 +195,7 @@ func putTask(t *task) {
 	t.err = nil
 	t.errOnce = sync.Once{}
 	t.opIdx = 0
+	t.logKind, t.bumps = 0, 0
 	taskPool.Put(t)
 }
 
@@ -233,17 +213,26 @@ func (t *task) ensureData() {
 // BatchPlan is a planned batch: metadata already mutated, I/O not yet done.
 type BatchPlan struct {
 	tasks   []*task
-	log     []LogEntry
 	results []ReadResult
-	// slotArena backs every LogAccess entry's Slots in this plan: one growing
-	// buffer per batch instead of one slice per access. Reallocation on growth
-	// is safe — handed-out subslices keep the old backing array.
-	slotArena []int
+	shape   logShape
+	// bumps counts write-bump log entries not yet attached to a task: the
+	// next task planned takes them, and whatever remains trails the batch.
+	bumps    int
+	executed bool
 }
 
-// Log returns the durability-log entries for this batch, in order. The
-// caller must persist them before calling Execute (write-ahead logging).
-func (b *BatchPlan) Log() []LogEntry { return b.log }
+// addTask appends t to the plan as a durability-log entry of the given kind
+// (0 for none), after the write bumps planned since the previous task.
+func (b *BatchPlan) addTask(t *task, kind LogKind) {
+	t.logKind, t.bumps = kind, b.bumps
+	b.bumps = 0
+	b.tasks = append(b.tasks, t)
+}
+
+// Log returns the batch's durability-log entries, in order, as a view over
+// the plan. The caller must persist it before calling Execute (write-ahead
+// logging): execution recycles what the view reads.
+func (b *BatchPlan) Log() BatchLog { return BatchLog{plan: b} }
 
 // ReadOp is one slot of a read batch. An empty key is a padding dummy.
 type ReadOp struct {
@@ -272,6 +261,7 @@ func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
 		store:    store,
 		cfg:      cfg,
 		buffered: make(map[int]*bufferedBucket),
+		shape:    newLogShape(oram.Params(), oram.Geometry()),
 	}
 }
 
@@ -297,7 +287,7 @@ func (e *Executor) BufferedBuckets() int { return len(e.buffered) }
 // early reshuffles and evict-paths that fall due. The ops must have distinct
 // keys (the proxy deduplicates); padding entries have empty keys.
 func (e *Executor) PlanReadBatch(ops []ReadOp) (*BatchPlan, error) {
-	plan := &BatchPlan{results: make([]ReadResult, len(ops))}
+	plan := &BatchPlan{results: make([]ReadResult, len(ops)), shape: e.shape}
 	seen := make(map[string]bool, len(ops))
 	for i, op := range ops {
 		if op.Key != "" {
@@ -331,12 +321,12 @@ func (e *Executor) PlanReadBatch(ops []ReadOp) (*BatchPlan, error) {
 // entries (empty keys) bump the access counter so the eviction schedule
 // stays workload independent.
 func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
-	plan := &BatchPlan{}
+	plan := &BatchPlan{shape: e.shape}
 	for i := range ops {
 		op := &ops[i]
 		if op.Key == "" {
 			e.oram.BumpWrite()
-			plan.log = append(plan.log, LogEntry{Kind: LogWriteBump})
+			plan.bumps++
 		} else {
 			ap, due, err := e.oram.PlanWrite(op.Key, op.Value, op.Tombstone)
 			if err != nil {
@@ -350,7 +340,7 @@ func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
 				}
 				continue
 			}
-			plan.log = append(plan.log, LogEntry{Kind: LogWriteBump})
+			plan.bumps++
 		}
 		if err := e.planDueEvictions(plan); err != nil {
 			return nil, err
@@ -363,21 +353,13 @@ func (e *Executor) appendAccess(plan *BatchPlan, ap *ringoram.AccessPlan, opIdx 
 	t := getTask()
 	t.access = ap
 	t.opIdx = opIdx
+	kind := LogKind(0)
 	if !ap.Cached() {
 		t.reads = ap.Reads
-		n := len(plan.slotArena)
-		for _, r := range ap.Reads {
-			plan.slotArena = append(plan.slotArena, r.Slot)
-		}
-		plan.log = append(plan.log, LogEntry{
-			Kind:  LogAccess,
-			Key:   ap.Key,
-			Leaf:  ap.Leaf,
-			Slots: plan.slotArena[n:len(plan.slotArena):len(plan.slotArena)],
-		})
+		kind = LogAccess
 	}
 	e.markLocality(t)
-	plan.tasks = append(plan.tasks, t)
+	plan.addTask(t, kind)
 }
 
 // planMaintenance plans due early reshuffles then due evict-paths.
@@ -390,10 +372,9 @@ func (e *Executor) planMaintenance(plan *BatchPlan, reshuffle []int) error {
 		e.stats.reshuffles.Add(1)
 		t := getTask()
 		t.evict, t.reads, t.opIdx = ep, ep.Reads, -1
-		plan.log = append(plan.log, LogEntry{Kind: LogReshuffle, Bucket: b, Slots: ep.LogSlots()[0]})
 		e.markLocality(t)
 		e.claimBuckets(ep)
-		plan.tasks = append(plan.tasks, t)
+		plan.addTask(t, LogReshuffle)
 	}
 	return e.planDueEvictions(plan)
 }
@@ -407,10 +388,9 @@ func (e *Executor) planDueEvictions(plan *BatchPlan) error {
 		e.stats.evictions.Add(1)
 		t := getTask()
 		t.evict, t.reads, t.opIdx = ep, ep.Reads, -1
-		plan.log = append(plan.log, LogEntry{Kind: LogEvict, BucketSlots: ep.LogSlots()})
 		e.markLocality(t)
 		e.claimBuckets(ep)
-		plan.tasks = append(plan.tasks, t)
+		plan.addTask(t, LogEvict)
 	}
 	return nil
 }
@@ -460,6 +440,7 @@ func (e *Executor) claimBuckets(ep *ringoram.EvictPlan) {
 // path, issued goroutine-per-slot), completions are applied in plan order,
 // and eviction writes are buffered (or written through).
 func (e *Executor) Execute(plan *BatchPlan) ([]ReadResult, error) {
+	plan.executed = true
 	var res []ReadResult
 	var err error
 	if e.cfg.WriteThrough {
@@ -826,7 +807,7 @@ func (e *Executor) DiscardBuffer() {
 // the same physical reads are issued. Eviction writes are buffered and
 // flushed by the caller as the recovery epoch's write-back.
 func (e *Executor) ReplayBatch(entries []LogEntry) error {
-	plan := &BatchPlan{}
+	plan := &BatchPlan{shape: e.shape}
 	for _, le := range entries {
 		switch le.Kind {
 		case LogAccess:
@@ -878,7 +859,7 @@ func (e *Executor) ReplayBatch(entries []LogEntry) error {
 			t.evict, t.reads, t.opIdx = ep, ep.Reads, -1
 			e.markLocality(t)
 			e.claimBuckets(ep)
-			plan.tasks = append(plan.tasks, t)
+			plan.addTask(t, LogEvict)
 		case LogReshuffle:
 			rslots := le.Slots
 			if _, buffered := e.buffered[le.Bucket]; buffered {
@@ -892,7 +873,7 @@ func (e *Executor) ReplayBatch(entries []LogEntry) error {
 			t.evict, t.reads, t.opIdx = ep, ep.Reads, -1
 			e.markLocality(t)
 			e.claimBuckets(ep)
-			plan.tasks = append(plan.tasks, t)
+			plan.addTask(t, LogReshuffle)
 		default:
 			return fmt.Errorf("oramexec: unknown log entry kind %d", le.Kind)
 		}

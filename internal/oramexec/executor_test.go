@@ -281,12 +281,8 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	if err := h.rec.RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}
-	// A client restored from epoch-1 metadata sees epoch-1 data.
-	st, err := h.oram.Snapshot(true)
-	if err == nil {
-		_ = st // snapshot of post-epoch-2 metadata is NOT what recovery
-		// uses; full recovery flow is exercised in internal/core tests.
-	}
+	// Restoring epoch-1 metadata over the rolled-back tree is the recovery
+	// flow; it is exercised end to end in internal/core tests.
 }
 
 // TestExecutorTraceShapeWorkloadIndependence is the executor-level security
@@ -338,7 +334,7 @@ func TestExecutorReplayReproducesTrace(t *testing.T) {
 	// Epoch 1: committed baseline.
 	h.runWrites(t, map[string]string{"k1": "v1", "k2": "v2", "k3": "v3"}, 1)
 	h.endEpoch(t)
-	snap, err := h.oram.Snapshot(true)
+	snap, err := h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +346,7 @@ func TestExecutorReplayReproducesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logged = append(logged, plan.Log()...)
+	logged = append(logged, decodeLog(t, plan.Log())...)
 	if _, err := h.exec.Execute(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +354,7 @@ func TestExecutorReplayReproducesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logged = append(logged, wplan.Log()...)
+	logged = append(logged, decodeLog(t, wplan.Log())...)
 	if _, err := h.exec.Execute(wplan); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +364,7 @@ func TestExecutorReplayReproducesTrace(t *testing.T) {
 	if err := h.rec.RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ringoram.NewFromState(cryptoutil.KeyFromSeed([]byte("exec")), p, snap)
+	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("exec")), p, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +400,24 @@ func TestExecutorReplayReproducesTrace(t *testing.T) {
 		}
 	}
 	h.checkInvariant(t)
+}
+
+// decodeLog takes a plan's durability log through its record encoding, as a
+// crash would: what recovery replays is what DecodeBatchLog gives back.
+func decodeLog(t *testing.T, l BatchLog) []LogEntry {
+	t.Helper()
+	buf := make([]byte, l.EncodedSize())
+	if err := l.Encode(buf); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := DecodeBatchLog(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != l.Len() {
+		t.Fatalf("decoded %d log entries, the plan holds %d", len(entries), l.Len())
+	}
+	return entries
 }
 
 func mustReads(t *testing.T, e *Executor, keys ...string) []ReadResult {

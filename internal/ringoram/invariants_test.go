@@ -15,26 +15,30 @@ func checkPathInvariant(t *testing.T, o *ORAM) {
 	t.Helper()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for key, leaf := range o.pos {
+	for i := range o.keys {
+		key, leaf := o.keys[i].name, int(o.keys[i].leaf)
+		if o.pos[key] != int32(i) {
+			t.Fatalf("key %q sits at table index %d, index map says %d", key, i, o.pos[key])
+		}
 		if _, inStash := o.stash[key]; inStash {
 			continue
 		}
-		l, inTree := o.loc[key]
-		if !inTree {
+		bucket, rpos := int(o.keys[i].bucket), int(o.keys[i].rpos)
+		if bucket < 0 {
 			t.Fatalf("key %q neither in stash nor in tree", key)
 		}
 		onPath := false
 		for lvl := 0; lvl <= o.geo.Levels; lvl++ {
-			if o.geo.pathBucket(leaf, lvl) == l.bucket {
+			if o.geo.pathBucket(leaf, lvl) == bucket {
 				onPath = true
 				break
 			}
 		}
 		if !onPath {
-			t.Fatalf("key %q (leaf %d) resides in bucket %d, off its path", key, leaf, l.bucket)
+			t.Fatalf("key %q (leaf %d) resides in bucket %d, off its path", key, leaf, bucket)
 		}
-		if got := o.meta[l.bucket].addrs[l.pos]; got != key {
-			t.Fatalf("loc index says bucket %d pos %d holds %q, metadata says %q", l.bucket, l.pos, key, got)
+		if got := o.meta[bucket].addrs[rpos]; got != key {
+			t.Fatalf("loc index says bucket %d pos %d holds %q, metadata says %q", bucket, rpos, key, got)
 		}
 	}
 }
@@ -57,17 +61,29 @@ func checkMetaConsistency(t *testing.T, o *ORAM) {
 			if !m.valid[m.perm[r]] {
 				t.Fatalf("bucket %d: occupied real slot for %q is invalid", b, key)
 			}
-			if l, ok := o.loc[key]; !ok || l.bucket != b || l.pos != r {
+			if k := o.keys[o.pos[key]]; int(k.bucket) != b || int(k.rpos) != r {
 				t.Fatalf("loc index out of sync for %q", key)
 			}
 		}
 	}
-	if occupied != len(o.loc) {
-		t.Fatalf("loc index has %d entries, metadata has %d occupied slots", len(o.loc), occupied)
+	resident := 0
+	for i := range o.keys {
+		if o.keys[i].bucket >= 0 {
+			resident++
+		}
 	}
-	for key := range o.stash {
-		if _, dup := o.loc[key]; dup {
-			t.Fatalf("key %q both in stash and tree", key)
+	if occupied != resident {
+		t.Fatalf("loc index has %d entries, metadata has %d occupied slots", resident, occupied)
+	}
+	if len(o.stashList) != len(o.stash) {
+		t.Fatalf("stash list has %d entries, stash map %d", len(o.stashList), len(o.stash))
+	}
+	for i, e := range o.stashList {
+		if e.idx != i || o.stash[e.key] != e {
+			t.Fatalf("stash list entry %d (%q, idx %d) out of sync with the stash map", i, e.key, e.idx)
+		}
+		if o.keys[o.pos[e.key]].bucket >= 0 {
+			t.Fatalf("key %q both in stash and tree", e.key)
 		}
 	}
 }
@@ -152,7 +168,8 @@ func TestPropertyRemapChangesLeaf(t *testing.T) {
 			t.Fatal(err)
 		}
 		seq.ORAM().mu.Lock()
-		leaves[seq.ORAM().pos["k"]] = true
+		o := seq.ORAM()
+		leaves[int(o.keys[o.pos["k"]].leaf)] = true
 		seq.ORAM().mu.Unlock()
 	}
 	geo := seq.ORAM().Geometry()

@@ -40,24 +40,43 @@ type bucketMeta struct {
 	writeVer uint64   // bumped on every rewrite; binds slot ciphertexts
 }
 
-// location records where a tree-resident key lives.
-type location struct {
-	bucket int
-	pos    int
+// keyEnt is one position-map entry: the leaf a key is mapped to and, while
+// the block is resident in the tree, the bucket and real position holding it.
+// Entries live in a table in first-write order and are never removed (a
+// deleted key keeps its entry, §6.3), so a key's index is stable: full
+// checkpoints walk the table in order, which makes their bytes a function of
+// the operation history instead of map iteration order.
+type keyEnt struct {
+	name   string
+	leaf   int32
+	bucket int32 // heap index of the bucket holding the block; -1 when not in the tree
+	rpos   int32 // real position inside that bucket
+	dirty  bool  // remapped since the last ClearDirty
 }
 
 // stashEntry is a client-side buffered block. Entries are shared by pointer
-// between the stash map and in-flight plans so that a completion can deliver
-// a value to a block that a later-planned eviction has already placed.
+// between the stash and in-flight plans so that a completion can deliver a
+// value to a block that a later-planned eviction has already placed.
 type stashEntry struct {
 	key       string
 	value     []byte
 	tombstone bool
 	leaf      int
+	idx       int  // position in ORAM.stashList
 	cacheable bool // safe to serve without a dummy path read (§6.3)
 	pending   bool // value not yet delivered by a completion
 	arenaVal  bool // value is a slab owned by the ORAM's value arena
 }
+
+// Per-bucket dirty levels for delta checkpoints. Only an eviction's write
+// phase changes a bucket's permutation, version and the identity of its
+// resident keys; every other mutation clears a valid bit, bumps the slot
+// count or blanks a resident key, and a delta can describe it by state alone.
+const (
+	bucketClean     = 0
+	bucketTouched   = 1
+	bucketRewritten = 2
+)
 
 // ORAM is a Ring ORAM client. Methods are safe for concurrent use, but the
 // plan/complete protocol requires completions to be applied in plan order
@@ -69,16 +88,24 @@ type ORAM struct {
 	cdc codec
 	rng *rand.Rand
 
-	pos   map[string]int // key -> leaf
-	loc   map[string]location
+	keys  []keyEnt         // position map and location index, in first-write order
+	pos   map[string]int32 // key -> index into keys
 	stash map[string]*stashEntry
-	meta  []bucketMeta
+	// stashList holds the stash in a deterministic order (insertion order,
+	// perturbed by swap-removal): eviction placement and checkpoint encoding
+	// walk it instead of the map, so both are a function of the operation
+	// history and the seed alone.
+	stashList []*stashEntry
+	meta      []bucketMeta
 
 	accessCount uint64 // physical batch slots consumed (reads + writes)
 	evictCount  uint64
 
-	dirtyKeys    map[string]struct{}
-	dirtyBuckets map[int]struct{}
+	// Delta tracking since the last ClearDirty: flag arrays plus first-dirtied
+	// order lists, reset in place.
+	dirtyKeys    []int32 // indices into keys
+	bucketDirty  []uint8 // bucketClean / bucketTouched / bucketRewritten
+	dirtyBuckets []int32
 	stashPeak    int
 
 	// Hot-path scratch, all guarded by mu (planning, completion and sealing
@@ -89,11 +116,14 @@ type ORAM struct {
 	bindBuf   []byte
 	occ       []*placement
 	fillerBuf []int
+	pathBuf   []int
 	varena    valArena
-	// planPool and entryPool recycle the read path's two per-access objects.
-	// CompleteAccess retires plans; CompleteEvict retires entries once the
-	// seal writes them back into the tree. Both guarded by mu.
+	// planPool, evictPool and entryPool recycle the per-access and
+	// per-eviction objects. CompleteAccess and CompleteEvict retire their
+	// plans (with every slice the plan owns); CompleteEvict also retires
+	// entries once the seal writes them back into the tree. All guarded by mu.
 	planPool  []*AccessPlan
+	evictPool []*EvictPlan
 	entryPool []*stashEntry
 	// bufPool recycles bucket serialization buffers (one contiguous
 	// ciphertext arena + per-slot headers). Writes that reach storage
@@ -178,7 +208,7 @@ func (o *ORAM) newPlan() *AccessPlan {
 
 // newEntry clones v into a pooled stashEntry. Entries go back to the pool
 // when an eviction seals them into the tree — the one point where nothing
-// (stash, location map, outstanding plans) can still reference them.
+// (stash, position map, outstanding plans) can still reference them.
 func (o *ORAM) newEntry(v stashEntry) *stashEntry {
 	n := len(o.entryPool)
 	if n == 0 {
@@ -225,16 +255,6 @@ type AccessPlan struct {
 // Cached reports whether the plan requires no storage reads.
 func (p *AccessPlan) Cached() bool { return p == nil || p.cached }
 
-// LogSlots returns the physical slot chosen in each bucket along the path,
-// for the durability log.
-func (p *AccessPlan) LogSlots() []int {
-	out := make([]int, len(p.Reads))
-	for i, r := range p.Reads {
-		out[i] = r.Slot
-	}
-	return out
-}
-
 // BucketWrite is one serialized bucket the caller must write back. Slots
 // subslice one contiguous pooled arena; see Recycle for the ownership rule.
 type BucketWrite struct {
@@ -274,31 +294,34 @@ type plannedBucket struct {
 	placed []placement
 }
 
-// EvictPlan is the outcome of planning an evict-path or early reshuffle.
+// EvictPlan is the outcome of planning an evict-path or early reshuffle. A
+// plan and its slices belong to the ORAM's pool again once CompleteEvict
+// succeeds; callers must not touch it afterwards.
 type EvictPlan struct {
 	// Buckets lists the buckets rewritten, in read order.
 	Buckets []int
-	// Reads lists all physical slot reads of the read phase.
+	// Reads lists all physical slot reads of the read phase, bucket by
+	// bucket in Buckets order: each bucket's reads are one contiguous run
+	// (at most Z, fewer only when a bucket ran out of filler slots).
 	Reads []SlotRead
-	// readsPerBucket partitions Reads by bucket (parallel to Buckets).
-	readsPerBucket [][]int // indices into Reads
 
-	writes    []plannedBucket
-	isEvict   bool
+	writes    []plannedBucket // parallel to Buckets
 	completed bool
 }
 
-// LogSlots returns, per bucket, the slots read, for the durability log.
-func (p *EvictPlan) LogSlots() [][]int {
-	out := make([][]int, len(p.Buckets))
-	for i, idxs := range p.readsPerBucket {
-		s := make([]int, len(idxs))
-		for j, idx := range idxs {
-			s[j] = p.Reads[idx].Slot
-		}
-		out[i] = s
+// newEvictPlan takes a retired EvictPlan from the pool, keeping the capacity
+// of every slice it owns, or allocates a fresh one.
+func (o *ORAM) newEvictPlan() *EvictPlan {
+	n := len(o.evictPool)
+	if n == 0 {
+		return &EvictPlan{}
 	}
-	return out
+	p := o.evictPool[n-1]
+	o.evictPool[n-1] = nil
+	o.evictPool = o.evictPool[:n-1]
+	p.Buckets, p.Reads, p.writes = p.Buckets[:0], p.Reads[:0], p.writes[:0]
+	p.completed = false
+	return p
 }
 
 // New creates an ORAM with freshly initialized buckets written to store.
@@ -383,22 +406,21 @@ func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
 		sealer = key
 	}
 	o := &ORAM{
-		p:            p,
-		geo:          geo,
-		cdc:          codec{keySize: p.KeySize, valueSize: p.ValueSize, key: sealer},
-		rng:          rand.New(src),
-		pos:          make(map[string]int),
-		loc:          make(map[string]location),
-		stash:        make(map[string]*stashEntry),
-		meta:         make([]bucketMeta, geo.NumBuckets),
-		dirtyKeys:    make(map[string]struct{}),
-		dirtyBuckets: make(map[int]struct{}),
+		p:           p,
+		geo:         geo,
+		cdc:         codec{keySize: p.KeySize, valueSize: p.ValueSize, key: sealer},
+		rng:         rand.New(src),
+		pos:         make(map[string]int32),
+		stash:       make(map[string]*stashEntry),
+		meta:        make([]bucketMeta, geo.NumBuckets),
+		bucketDirty: make([]uint8, geo.NumBuckets),
 	}
 	o.encPlain = make([]byte, o.cdc.plainSize())
 	o.decPlain = make([]byte, 0, o.cdc.plainSize())
 	o.varena.slab = p.ValueSize
 	o.bindBuf = make([]byte, 0, cryptoutil.BindingSize)
 	o.occ = make([]*placement, p.Z)
+	o.pathBuf = make([]int, 0, geo.Levels+1)
 	slotSize, slotsPer := o.cdc.slotSize(), geo.SlotsPer
 	pool := &sync.Pool{}
 	pool.New = func() any {
@@ -488,10 +510,70 @@ func (o *ORAM) NextEvictPath() []int {
 func (o *ORAM) KeyCount() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return len(o.pos)
+	return len(o.keys)
 }
 
 func (o *ORAM) randLeaf() int { return o.rng.IntN(o.geo.Leaves) }
+
+// addKey allocates key's position-map entry.
+func (o *ORAM) addKey(key string) int32 {
+	i := int32(len(o.keys))
+	o.keys = append(o.keys, keyEnt{name: key, bucket: -1})
+	o.pos[key] = i
+	return i
+}
+
+// remap points key at leaf, allocating its position-map entry on first
+// write, and records the change for the next delta checkpoint. It returns
+// the key's entry.
+func (o *ORAM) remap(key string, leaf int) *keyEnt {
+	i, ok := o.pos[key]
+	if !ok {
+		i = o.addKey(key)
+	}
+	k := &o.keys[i]
+	k.leaf = int32(leaf)
+	if !k.dirty {
+		k.dirty = true
+		o.dirtyKeys = append(o.dirtyKeys, i)
+	}
+	return k
+}
+
+// stashAdd inserts e into the stash.
+func (o *ORAM) stashAdd(e *stashEntry) {
+	e.idx = len(o.stashList)
+	o.stashList = append(o.stashList, e)
+	o.stash[e.key] = e
+}
+
+// stashRemove deletes e from the stash, moving the last entry into its place.
+func (o *ORAM) stashRemove(e *stashEntry) {
+	last := len(o.stashList) - 1
+	moved := o.stashList[last]
+	o.stashList[e.idx] = moved
+	moved.idx = e.idx
+	o.stashList[last] = nil
+	o.stashList = o.stashList[:last]
+	delete(o.stash, e.key)
+}
+
+// markBucket raises bucket b's dirty level for the next delta checkpoint.
+func (o *ORAM) markBucket(b int, level uint8) {
+	if o.bucketDirty[b] == bucketClean {
+		o.dirtyBuckets = append(o.dirtyBuckets, int32(b))
+	}
+	if o.bucketDirty[b] < level {
+		o.bucketDirty[b] = level
+	}
+}
+
+// scratchPath returns the root-first path to leaf in mu-guarded scratch,
+// valid until the next call.
+func (o *ORAM) scratchPath(leaf int) []int {
+	o.pathBuf = o.geo.appendPath(o.pathBuf[:0], leaf)
+	return o.pathBuf
+}
 
 // fillerPositions returns the logical positions usable as dummy reads:
 // dummy positions and unoccupied real positions whose slot is still valid.
@@ -526,7 +608,7 @@ func (o *ORAM) consumeFiller(b int, forced int) (int, error) {
 		}
 		m.valid[forced] = false
 		m.count++
-		o.dirtyBuckets[b] = struct{}{}
+		o.markBucket(b, bucketTouched)
 		return forced, nil
 	}
 	fillers := o.fillerPositions(m)
@@ -539,7 +621,7 @@ func (o *ORAM) consumeFiller(b int, forced int) (int, error) {
 	phys := m.perm[pos]
 	m.valid[phys] = false
 	m.count++
-	o.dirtyBuckets[b] = struct{}{}
+	o.markBucket(b, bucketTouched)
 	return phys, nil
 }
 
@@ -597,8 +679,7 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 	if key != "" {
 		if e, ok := o.stash[key]; ok {
 			e.leaf = o.randLeaf() // remap on every logical access
-			o.pos[key] = e.leaf
-			o.dirtyKeys[key] = struct{}{}
+			o.remap(key, e.leaf)
 			if e.cacheable && forcedSlots == nil {
 				p := o.newPlan()
 				p.Key, p.Leaf, p.cached, p.cachedEntry, p.targetIdx = key, -1, true, e, -1
@@ -623,12 +704,12 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 		}
 	}
 
-	if l, ok := o.loc[key]; key != "" && ok {
-		oldLeaf := o.pos[key]
+	if ki, known := o.pos[key]; known && o.keys[ki].bucket >= 0 {
+		oldLeaf, bucket, rpos := int(o.keys[ki].leaf), int(o.keys[ki].bucket), int(o.keys[ki].rpos)
 		if forcedLeaf >= 0 && forcedLeaf != oldLeaf {
 			return nil, nil, fmt.Errorf("%w: key %q logged leaf %d, position map says %d", ErrReplay, key, forcedLeaf, oldLeaf)
 		}
-		path := o.geo.path(oldLeaf)
+		path := o.scratchPath(oldLeaf)
 		plan := o.newPlan()
 		plan.Key, plan.Leaf, plan.targetIdx = key, oldLeaf, -1
 		if cap(plan.Reads) < len(path) {
@@ -640,18 +721,18 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 			if forcedSlots != nil {
 				forced = forcedSlots[lvl]
 			}
-			if b == l.bucket {
-				phys := m.perm[l.pos]
+			if b == bucket {
+				phys := m.perm[rpos]
 				if forced >= 0 && forced != phys {
 					return nil, nil, fmt.Errorf("%w: key %q logged slot %d in bucket %d, metadata says %d", ErrReplay, key, forced, b, phys)
 				}
 				if !m.valid[phys] {
-					return nil, nil, fmt.Errorf("ringoram: occupied real slot invalid (bucket %d pos %d)", b, l.pos)
+					return nil, nil, fmt.Errorf("ringoram: occupied real slot invalid (bucket %d pos %d)", b, rpos)
 				}
 				m.valid[phys] = false
 				m.count++
-				m.addrs[l.pos] = ""
-				o.dirtyBuckets[b] = struct{}{}
+				m.addrs[rpos] = ""
+				o.markBucket(b, bucketTouched)
 				plan.targetIdx = len(plan.Reads)
 				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer, target: true})
 				continue
@@ -663,16 +744,14 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 			plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: o.meta[b].writeVer})
 		}
 		if plan.targetIdx < 0 {
-			return nil, nil, fmt.Errorf("ringoram: key %q resides in bucket %d, off its path (leaf %d)", key, l.bucket, oldLeaf)
+			return nil, nil, fmt.Errorf("ringoram: key %q resides in bucket %d, off its path (leaf %d)", key, bucket, oldLeaf)
 		}
-		delete(o.loc, key)
+		o.keys[ki].bucket = -1
 		e := o.newEntry(stashEntry{key: key, cacheable: true, pending: true})
-		o.stash[key] = e
+		o.stashAdd(e)
 		plan.targetEntry = e
-		newLeaf := o.randLeaf()
-		o.pos[key] = newLeaf
-		e.leaf = newLeaf
-		o.dirtyKeys[key] = struct{}{}
+		e.leaf = o.randLeaf()
+		o.remap(key, e.leaf)
 		o.accessCount++
 		if err := o.noteStash(); err != nil {
 			return nil, nil, err
@@ -695,7 +774,7 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 
 // dummyPathLocked consumes one filler slot per bucket along leaf's path.
 func (o *ORAM) dummyPathLocked(leaf int, forcedSlots []int) (*AccessPlan, []int, error) {
-	path := o.geo.path(leaf)
+	path := o.scratchPath(leaf)
 	plan := o.newPlan()
 	plan.Leaf, plan.targetIdx = leaf, -1
 	if cap(plan.Reads) < len(path) {
@@ -733,8 +812,8 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) (*AccessPlan,
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if _, known := o.pos[key]; !known {
-		if len(o.pos) >= o.p.NumBlocks {
-			return nil, nil, fmt.Errorf("%w: %d keys", ErrFull, len(o.pos))
+		if len(o.keys) >= o.p.NumBlocks {
+			return nil, nil, fmt.Errorf("%w: %d keys", ErrFull, len(o.keys))
 		}
 	}
 	if o.p.DisableDummilessWrites {
@@ -758,9 +837,8 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) (*AccessPlan,
 			// Unknown key: the dummy path read allocated nothing; create
 			// the stash entry now.
 			e := o.newEntry(stashEntry{key: key, leaf: o.randLeaf(), cacheable: true, pending: true})
-			o.stash[key] = e
-			o.pos[key] = e.leaf
-			o.dirtyKeys[key] = struct{}{}
+			o.stashAdd(e)
+			o.remap(key, e.leaf)
 			plan.targetEntry = e
 			if err := o.noteStash(); err != nil {
 				return nil, nil, err
@@ -770,8 +848,7 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) (*AccessPlan,
 	}
 
 	newLeaf := o.randLeaf()
-	o.pos[key] = newLeaf
-	o.dirtyKeys[key] = struct{}{}
+	k := o.remap(key, newLeaf)
 	if e, ok := o.stash[key]; ok {
 		o.releaseEntryVal(e)
 		e.value = append([]byte(nil), value...)
@@ -780,21 +857,21 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) (*AccessPlan,
 		e.cacheable = true
 		e.pending = false
 	} else {
-		if l, ok := o.loc[key]; ok {
+		if k.bucket >= 0 {
 			// Logically remove the stale tree copy without reading it: the
 			// slot keeps its (now meaningless) ciphertext and remains valid
 			// filler.
-			o.meta[l.bucket].addrs[l.pos] = ""
-			o.dirtyBuckets[l.bucket] = struct{}{}
-			delete(o.loc, key)
+			o.meta[k.bucket].addrs[k.rpos] = ""
+			o.markBucket(int(k.bucket), bucketTouched)
+			k.bucket = -1
 		}
-		o.stash[key] = o.newEntry(stashEntry{
+		o.stashAdd(o.newEntry(stashEntry{
 			key:       key,
 			value:     append([]byte(nil), value...),
 			tombstone: tombstone,
 			leaf:      newLeaf,
 			cacheable: true,
-		})
+		}))
 	}
 	o.accessCount++
 	if err := o.noteStash(); err != nil {
@@ -902,20 +979,18 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 func (o *ORAM) PlanEvict() (*EvictPlan, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	leaf := o.geo.evictLeaf(o.evictCount)
-	return o.planEvictionLocked(o.geo.path(leaf), leaf, true, nil)
+	return o.planEvictionLocked(o.scratchPath(o.geo.evictLeaf(o.evictCount)), true, nil)
 }
 
 // ReplayEvict replays a logged evict-path with the logged per-bucket slots.
 func (o *ORAM) ReplayEvict(slots [][]int) (*EvictPlan, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	leaf := o.geo.evictLeaf(o.evictCount)
-	path := o.geo.path(leaf)
+	path := o.scratchPath(o.geo.evictLeaf(o.evictCount))
 	if len(slots) != len(path) {
 		return nil, fmt.Errorf("%w: logged %d buckets, evict path has %d", ErrReplay, len(slots), len(path))
 	}
-	return o.planEvictionLocked(path, leaf, true, slots)
+	return o.planEvictionLocked(path, true, slots)
 }
 
 // PlanReshuffle plans an early reshuffle of a single bucket.
@@ -925,7 +1000,7 @@ func (o *ORAM) PlanReshuffle(bucket int) (*EvictPlan, error) {
 	if bucket < 0 || bucket >= o.geo.NumBuckets {
 		return nil, fmt.Errorf("ringoram: reshuffle of bucket %d out of range", bucket)
 	}
-	return o.planEvictionLocked([]int{bucket}, -1, false, nil)
+	return o.planEvictionLocked([]int{bucket}, false, nil)
 }
 
 // ReplayReshuffle replays a logged early reshuffle.
@@ -935,7 +1010,7 @@ func (o *ORAM) ReplayReshuffle(bucket int, slots []int) (*EvictPlan, error) {
 	if bucket < 0 || bucket >= o.geo.NumBuckets {
 		return nil, fmt.Errorf("%w: reshuffle bucket %d out of range", ErrReplay, bucket)
 	}
-	return o.planEvictionLocked([]int{bucket}, -1, false, [][]int{slots})
+	return o.planEvictionLocked([]int{bucket}, false, [][]int{slots})
 }
 
 // bucketLevel returns the depth of a heap bucket index.
@@ -948,20 +1023,38 @@ func bucketLevel(b int) int {
 	return lvl
 }
 
+// shuffle fills perm with a fresh uniform permutation of 0..len(perm)-1 in
+// place, drawing from the ORAM's generator exactly as rand.Perm does, so a
+// seeded run keeps its stream.
+func (o *ORAM) shuffle(perm []int) {
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := o.rng.IntN(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+}
+
 // planEvictionLocked implements the shared read/write planning of evict-path
 // (buckets = full path, deepest placement first) and early reshuffle
 // (single bucket). forcedSlots, when non-nil, dictates the physical slots of
-// the read phase (recovery replay).
-func (o *ORAM) planEvictionLocked(buckets []int, targetLeaf int, isEvict bool, forcedSlots [][]int) (*EvictPlan, error) {
-	plan := &EvictPlan{Buckets: append([]int(nil), buckets...), isEvict: isEvict}
-	plan.Reads = make([]SlotRead, 0, len(buckets)*o.p.Z)
-	plan.readsPerBucket = make([][]int, 0, len(buckets))
+// the read phase (recovery replay). buckets may be scratch: it is copied.
+//
+// The planner runs once per A accesses over L+1 buckets, so everything it
+// needs — the plan, its slices, each planned bucket's permutation copy and
+// placements — comes from the plan pool, and the new permutation is drawn in
+// place: the steady state allocates nothing here.
+func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]int) (*EvictPlan, error) {
+	plan := o.newEvictPlan()
+	plan.Buckets = append(plan.Buckets, buckets...)
+	buckets = plan.Buckets
 
 	// Read phase: every valid occupied real block, padded with fillers to Z
 	// reads per bucket. Blocks move to the stash as pending entries.
 	for bi, b := range buckets {
 		m := &o.meta[b]
-		idxs := make([]int, 0, o.p.Z)
+		start := len(plan.Reads)
 		var forced []int
 		if forcedSlots != nil {
 			forced = forcedSlots[bi]
@@ -996,10 +1089,10 @@ func (o *ORAM) planEvictionLocked(buckets []int, targetLeaf int, isEvict bool, f
 			m.valid[phys] = false
 			m.count++
 			m.addrs[r] = ""
-			delete(o.loc, key)
-			e := o.newEntry(stashEntry{key: key, leaf: o.pos[key], pending: true})
-			o.stash[key] = e
-			idxs = append(idxs, len(plan.Reads))
+			k := &o.keys[o.pos[key]]
+			k.bucket = -1
+			e := o.newEntry(stashEntry{key: key, leaf: int(k.leaf), pending: true})
+			o.stashAdd(e)
 			plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer, entry: e})
 		}
 		// Pad with fillers.
@@ -1012,11 +1105,10 @@ func (o *ORAM) planEvictionLocked(buckets []int, targetLeaf int, isEvict bool, f
 				if err != nil {
 					return nil, err
 				}
-				idxs = append(idxs, len(plan.Reads))
 				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer})
 			}
 		} else {
-			for len(idxs) < o.p.Z {
+			for len(plan.Reads)-start < o.p.Z {
 				fillers := o.fillerPositions(m)
 				if len(fillers) == 0 {
 					break // short read phase; harmless and rare
@@ -1025,47 +1117,41 @@ func (o *ORAM) planEvictionLocked(buckets []int, targetLeaf int, isEvict bool, f
 				if err != nil {
 					return nil, err
 				}
-				idxs = append(idxs, len(plan.Reads))
 				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer})
 			}
 		}
-		plan.readsPerBucket = append(plan.readsPerBucket, idxs)
-		o.dirtyBuckets[b] = struct{}{}
+		o.markBucket(b, bucketTouched)
 	}
 	if err := o.noteStash(); err != nil {
 		return nil, err
 	}
 
-	// Write phase planning: place stash blocks as deep as possible.
-	order := make([]int, len(buckets))
-	copy(order, buckets)
-	if isEvict {
-		// Deepest first: iterate the path bottom-up.
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
+	// Write phase planning: place stash blocks as deep as possible. Writes
+	// are parallel to Buckets (root first); an evict-path fills them bottom-up.
+	if cap(plan.writes) < len(buckets) {
+		plan.writes = append(plan.writes[:cap(plan.writes)], make([]plannedBucket, len(buckets)-cap(plan.writes))...)
 	}
-	placedKeys := make(map[string]bool)
-	writesByBucket := make(map[int]*plannedBucket, len(order))
-	for _, b := range order {
+	plan.writes = plan.writes[:len(buckets)]
+	for n := range buckets {
+		wi := n
+		if isEvict {
+			wi = len(buckets) - 1 - n // deepest first
+		}
+		b := buckets[wi]
 		lvl := bucketLevel(b)
-		pb := &plannedBucket{bucket: b}
-		for key, e := range o.stash {
-			if placedKeys[key] {
-				continue
-			}
-			if len(pb.placed) >= o.p.Z {
-				break
-			}
+		pb := &plan.writes[wi]
+		pb.bucket, pb.placed = b, pb.placed[:0]
+		for i := 0; i < len(o.stashList) && len(pb.placed) < o.p.Z; {
+			e := o.stashList[i]
 			if o.geo.pathBucket(e.leaf, lvl) != b {
+				i++
 				continue
 			}
-			pos := len(pb.placed)
-			pb.placed = append(pb.placed, placement{key: key, pos: pos, entry: e})
-			placedKeys[key] = true
+			pb.placed = append(pb.placed, placement{key: e.key, pos: len(pb.placed), entry: e})
+			o.stashRemove(e) // moves the last entry to i: look at i again
 		}
 		m := &o.meta[b]
-		m.perm = o.rng.Perm(o.geo.SlotsPer)
+		o.shuffle(m.perm)
 		for i := range m.valid {
 			m.valid[i] = true
 		}
@@ -1076,23 +1162,20 @@ func (o *ORAM) planEvictionLocked(buckets []int, targetLeaf int, isEvict bool, f
 		m.writeVer++
 		for _, pl := range pb.placed {
 			m.addrs[pl.pos] = pl.key
-			o.loc[pl.key] = location{bucket: b, pos: pl.pos}
-			delete(o.stash, pl.key)
+			k := &o.keys[o.pos[pl.key]]
+			k.bucket, k.rpos = int32(b), int32(pl.pos)
 		}
 		pb.ver = m.writeVer
-		pb.perm = append([]int(nil), m.perm...)
-		writesByBucket[b] = pb
-		o.dirtyBuckets[b] = struct{}{}
-	}
-	// Emit writes in read order (root first) for determinism.
-	for _, b := range buckets {
-		plan.writes = append(plan.writes, *writesByBucket[b])
+		// A later plan may rewrite this bucket (and m.perm, in place) before
+		// this one completes: the plan keeps its own copy.
+		pb.perm = append(pb.perm[:0], m.perm...)
+		o.markBucket(b, bucketRewritten)
 	}
 	if isEvict {
 		o.evictCount++
 		// Whatever could not be flushed is skewed away from recent evict
 		// paths; serving it without a dummy read would leak (§6.3).
-		for _, e := range o.stash {
+		for _, e := range o.stashList {
 			e.cacheable = false
 		}
 	}
@@ -1165,6 +1248,8 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, err
 			}
 		}
 	}
+	// Completion is the plan's death in every caller: recycle it.
+	o.evictPool = append(o.evictPool, plan)
 	return writes, nil
 }
 

@@ -139,11 +139,15 @@ func (g Geometry) pathBucket(leaf, level int) int {
 
 // path returns all bucket indices from root to leaf, root first.
 func (g Geometry) path(leaf int) []int {
-	out := make([]int, g.Levels+1)
+	return g.appendPath(make([]int, 0, g.Levels+1), leaf)
+}
+
+// appendPath appends the root-first path to leaf to dst.
+func (g Geometry) appendPath(dst []int, leaf int) []int {
 	for lvl := 0; lvl <= g.Levels; lvl++ {
-		out[lvl] = g.pathBucket(leaf, lvl)
+		dst = append(dst, g.pathBucket(leaf, lvl))
 	}
-	return out
+	return dst
 }
 
 // evictLeaf returns the g-th eviction target leaf in Ring ORAM's

@@ -570,7 +570,16 @@ func (s *recordScanner) next() (body []byte, size int, err error) {
 
 // readFileRange reads [off, off+n) from f, failing on short reads.
 func readFileRange(f vfile, off int64, n int) ([]byte, error) {
-	buf := make([]byte, n)
+	return readFileRangeInto(nil, f, off, n)
+}
+
+// readFileRangeInto is readFileRange into buf's backing array when it is
+// large enough (a fresh one otherwise); the result does not extend buf.
+func readFileRangeInto(buf []byte, f vfile, off int64, n int) ([]byte, error) {
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	got, err := f.ReadAt(buf, off)
 	if got == n {
 		return buf, nil

@@ -498,6 +498,13 @@ type logAppendRes struct {
 // shards' streams append into one physical log here and then stand on the
 // same file's flush wave together.
 func (b *DiskBackend) appendLogUnsynced(record []byte) (logAppendRes, error) {
+	return b.appendLogFramed(encodeRecord(nil, record))
+}
+
+// appendLogFramed is appendLogUnsynced for a record the caller has already
+// framed (encodeRecord's layout, checksum included). The bytes are written
+// out before it returns; framed is not retained.
+func (b *DiskBackend) appendLogFramed(framed []byte) (logAppendRes, error) {
 	b.logMu.Lock()
 	defer b.logMu.Unlock()
 	if err := b.checkUsable(); err != nil {
@@ -507,7 +514,6 @@ func (b *DiskBackend) appendLogUnsynced(record []byte) (logAppendRes, error) {
 	if err != nil {
 		return logAppendRes{}, err
 	}
-	framed := encodeRecord(nil, record)
 	off := seg.size
 	if _, err := seg.f.WriteAt(framed, off); err != nil {
 		return logAppendRes{}, b.wedge(err)
@@ -636,6 +642,12 @@ func (b *DiskBackend) scanLogLocked(from uint64, fn func(seq, segBase uint64, of
 // bytes were written by this process), so the logheap read path slices the
 // returned frame without re-checking.
 func (b *DiskBackend) readLogRange(segBase uint64, off int64, n int) ([]byte, error) {
+	return b.readLogRangeInto(nil, segBase, off, n)
+}
+
+// readLogRangeInto is readLogRange into buf's backing array when it is large
+// enough.
+func (b *DiskBackend) readLogRangeInto(buf []byte, segBase uint64, off int64, n int) ([]byte, error) {
 	b.logMu.RLock()
 	defer b.logMu.RUnlock()
 	if err := b.checkUsable(); err != nil {
@@ -649,7 +661,7 @@ func (b *DiskBackend) readLogRange(segBase uint64, off int64, n int) ([]byte, er
 	if off < int64(fileHeaderSize) || n < 0 || off+int64(n) > seg.size {
 		return nil, fmt.Errorf("storage: read [%d,+%d) outside log segment %s", off, n, seg.name)
 	}
-	return readFileRange(seg.f, off, n)
+	return readFileRangeInto(buf, seg.f, off, n)
 }
 
 // Truncate implements LogStore: the truncation point lands durably in the

@@ -685,9 +685,12 @@ func (lh *LogHeap) Checkpoint() error {
 	committed := lh.committed
 	// One flat copy, sliced per bucket: a checkpoint runs every maintenance
 	// pass and must not cost an allocation per bucket.
-	total := 0
+	total, encoded := 0, 0
 	for _, vs := range lh.index {
 		total += len(vs)
+		for i := range vs {
+			encoded += recordFrameSize + lhixVersionDataStart + 4*len(vs[i].slotLens)
+		}
 	}
 	flat := make([]logVersion, 0, total)
 	snap := make([][]logVersion, len(lh.index))
@@ -712,7 +715,10 @@ func (lh *LogHeap) Checkpoint() error {
 		_ = lh.fsys.Remove(tmpName)
 		return err
 	}
-	buf := encodeFileHeader(lhixMagic, uint32(lh.numBuckets), w)
+	// Sized up front (to the flush threshold at most): the file is written
+	// from one buffer, not from a chain of doublings.
+	buf := make([]byte, 0, fileHeaderSize+32+min(encoded, 1<<20))
+	buf = append(buf, encodeFileHeader(lhixMagic, uint32(lh.numBuckets), w)...)
 	buf = encodeRecord(buf, encodeEpochBody(lhixKindState, committed))
 	off := int64(0)
 	flush := func() error {
@@ -807,6 +813,7 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 	lh.mu.RUnlock()
 
 	moved := 0
+	var frame []byte // one buffer for every copy: a pass moves thousands
 	for _, r := range refs {
 		lh.mu.Lock()
 		vs := lh.index[r.bucket]
@@ -823,12 +830,13 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			lh.mu.Unlock()
 			continue // superseded or rolled back since the snapshot
 		}
-		frame, err := lh.owner.readLogRange(segBase, r.off, r.recLen)
+		var err error
+		frame, err = lh.owner.readLogRangeInto(frame, segBase, r.off, r.recLen)
 		if err != nil {
 			lh.mu.Unlock()
 			return moved, err
 		}
-		body, _, err := decodeRecord(frame)
+		body, size, err := decodeRecord(frame)
 		if err != nil {
 			lh.mu.Unlock()
 			return moved, fmt.Errorf("storage: GC re-reading segment %d offset %d: %w", segBase, r.off, err)
@@ -837,10 +845,10 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			lh.mu.Unlock()
 			return moved, fmt.Errorf("storage: GC re-reading segment %d offset %d: record shorter than its stream header", segBase, r.off)
 		}
-		// frame is this call's own buffer: flip the kind in place.
-		copyBody := body[sharedLogHdrSize:]
-		copyBody[0] = heapKindGCCopy
-		res, err := lh.shared.appendHeapStream(lh.stream, copyBody)
+		// frame is this call's own buffer: flip the kind in place and send
+		// the same bytes back to the log head.
+		body[sharedLogHdrSize] = heapKindGCCopy
+		res, err := lh.shared.reappendHeapFrame(lh.stream, frame[:size])
 		if err != nil {
 			lh.mu.Unlock()
 			return moved, err

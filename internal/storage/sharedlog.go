@@ -138,6 +138,27 @@ func (s *SharedLog) appendHeapStream(i int, rec []byte) (logAppendRes, error) {
 	return s.owner.appendLogUnsynced(wrapSharedRecord(uint32(len(s.streams)+i), rec))
 }
 
+// reappendHeapFrame appends to heap stream i a record given as a whole frame
+// read back from the log (frame header, stream header, body), after the
+// caller edited its body in place: the stream id is set and the checksum
+// recomputed inside frame, which goes to the log head as it is. Nothing is
+// allocated and frame is not retained — segment GC moves thousands of
+// versions per pass through one buffer. Locking as appendHeapStream.
+func (s *SharedLog) reappendHeapFrame(i int, frame []byte) (logAppendRes, error) {
+	if i < 0 || i >= s.heapStreams {
+		return logAppendRes{}, fmt.Errorf("storage: shared log heap stream %d of %d", i, s.heapStreams)
+	}
+	if len(frame) < recordFrameSize+sharedLogHdrSize {
+		return logAppendRes{}, fmt.Errorf("storage: %d byte frame shorter than its stream header", len(frame))
+	}
+	body := frame[recordFrameSize:]
+	binary.BigEndian.PutUint32(body, uint32(len(s.streams)+i))
+	binary.BigEndian.PutUint32(frame[4:8], recordCRC(frame[:4], body))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.owner.appendLogFramed(frame)
+}
+
 func wrapSharedRecord(id uint32, rec []byte) []byte {
 	out := make([]byte, sharedLogHdrSize+len(rec))
 	binary.BigEndian.PutUint32(out, id)

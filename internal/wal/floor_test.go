@@ -3,8 +3,42 @@ package wal
 import (
 	"testing"
 
+	"obladi/internal/cryptoutil"
 	"obladi/internal/oramexec"
+	"obladi/internal/ringoram"
 )
+
+// scheduler plans batches over a scratch ORAM so tests have real schedules
+// to log without disturbing the client they checkpoint.
+type scheduler struct {
+	t    *testing.T
+	exec *oramexec.Executor
+}
+
+func newScheduler(t *testing.T) scheduler {
+	o, backend := testORAM(t)
+	return scheduler{t: t, exec: oramexec.New(o, backend, oramexec.Config{})}
+}
+
+// access returns the log of a one-read batch for key.
+func (s scheduler) access(key string) oramexec.BatchLog {
+	s.t.Helper()
+	plan, err := s.exec.PlanReadBatch([]oramexec.ReadOp{{Key: key}})
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return plan.Log()
+}
+
+// bump returns the log of a write batch holding one padding slot.
+func (s scheduler) bump() oramexec.BatchLog {
+	s.t.Helper()
+	plan, err := s.exec.PlanWriteBatch([]oramexec.WriteOp{{}})
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return plan.Log()
+}
 
 // TestRecoverWithFloor models the lagging shard of a torn cross-shard commit:
 // its log holds the prepared checkpoint for an epoch the coordinator decided,
@@ -46,18 +80,13 @@ func TestRecoverWithFloor(t *testing.T) {
 		t.Fatalf("floored recovery committed epoch = %d, want 2", rec.CommittedEpoch)
 	}
 	// The epoch-2 checkpoint must be part of the recovered state: its
-	// position map knows the keys written in epoch 2.
-	found2 := false
-	if rec.Full != nil {
-		_, found2 = rec.Full.Pos["e2-k0"]
+	// position map knows the keys written in epoch 2 as well as epoch 1's.
+	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, d := range rec.Deltas {
-		if _, ok := d.Pos["e2-k0"]; ok {
-			found2 = true
-		}
-	}
-	if !found2 {
-		t.Fatal("floored recovery did not include the promoted epoch's checkpoint")
+	if restored.KeyCount() != 8 {
+		t.Fatalf("floored recovery restores %d keys, want 8: the promoted epoch's checkpoint is missing", restored.KeyCount())
 	}
 
 	// A floor beyond any durable checkpoint is a protocol violation.
@@ -83,12 +112,13 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 	if err := l.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
+	sched := newScheduler(t)
 	// Sealed epoch 2: read batch + write batch logged, checkpoint prepared
 	// at seal and appended by the committer, no commit record (the crash).
-	if err := l.AppendBatch(2, 0, []oramexec.LogEntry{{Kind: oramexec.LogAccess, Key: "e2-r"}}); err != nil {
+	if err := l.AppendBatch(2, 0, sched.access("e2-r")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(2, 1, []oramexec.LogEntry{{Kind: oramexec.LogWriteBump}}); err != nil {
+	if err := l.AppendBatch(2, 1, sched.bump()); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := l.PrepareCheckpoint(2, o)
@@ -99,7 +129,7 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Epoch 3 was already reading while epoch 2's commit was in flight.
-	if err := l.AppendBatch(3, 0, []oramexec.LogEntry{{Kind: oramexec.LogAccess, Key: "e3-r"}}); err != nil {
+	if err := l.AppendBatch(3, 0, sched.access("e3-r")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -140,16 +170,17 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 	if err := l.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
+	sched := newScheduler(t)
 	// Epoch 2 seals; epoch 3's first read batch is appended while the
 	// committer is still writing epoch 2's checkpoint and commit records.
-	if err := l.AppendBatch(2, 0, []oramexec.LogEntry{{Kind: oramexec.LogAccess, Key: "e2-r"}}); err != nil {
+	if err := l.AppendBatch(2, 0, sched.access("e2-r")); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := l.PrepareCheckpoint(2, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(3, 0, []oramexec.LogEntry{{Kind: oramexec.LogAccess, Key: "e3-r"}}); err != nil {
+	if err := l.AppendBatch(3, 0, sched.access("e3-r")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.AppendPrepared(cp); err != nil {

@@ -13,14 +13,36 @@
 //     and the stash to its configured maximum, so record sizes leak nothing;
 //   - commit records: the epoch-boundary durability point.
 //
-// All payloads are sealed with the proxy's key and bound to (kind, epoch,
-// seq) so the storage server can neither forge nor replay stale records
-// (Appendix A).
+// # Record format
+//
+// A record is one exact-size buffer, written once and sealed where it lies:
+//
+//	kind(u8) | scheme(u8) nonce(12) | plaintext | tag(16)
+//
+// kind is plaintext framing (the timing and kind of records is public). The
+// plaintext starts with a format version byte and a fixed header, followed by
+// a payload the owning package lays out in fixed-width entries:
+//
+//	batch       version(u8) epoch(u64) batch(u32)              | oramexec batch log
+//	checkpoint  version(u8) epoch(u64) shard(u32) shards(u32)  | ringoram checkpoint image
+//	commit      version(u8) epoch(u64)
+//
+// The payloads are written straight from the executor's plan and the ORAM's
+// live metadata into the record buffer (oramexec.BatchLog, ringoram's
+// EncodeCheckpoint): there is no intermediate representation, no reflection,
+// and one allocation per record. A record whose version byte is not
+// formatVersion — version 0 is the retired gob encoding — fails recovery and
+// standby attach with ErrFormat; there is no migration reader.
+//
+// All payloads are sealed with the proxy's key and bound to the record kind;
+// epoch ordering is carried (authenticated) inside the payload, so the
+// storage server can neither forge records nor pass one kind off as another,
+// and log-suffix freshness is the trusted counter's job (Appendix A), modeled
+// here by the append-only LogStore.
 package wal
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,9 +61,21 @@ const (
 	kindCommit     = 3
 )
 
-// padKeyPrefix marks padding entries injected into checkpoint maps; the
-// NUL byte cannot appear in real keys written through the public API.
-const padKeyPrefix = "\x00pad"
+// formatVersion leads every record's plaintext.
+const formatVersion = 1
+
+// Record geometry: where the plaintext sits in a record, and the fixed
+// header each kind puts in front of its payload.
+const (
+	recordHead           = 1 + cryptoutil.PlaintextOffset // kind byte, then the AEAD frame's scheme and nonce
+	recordTail           = cryptoutil.TagSize
+	batchHeaderSize      = 1 + 8 + 4
+	checkpointHeaderSize = 1 + 8 + 4 + 4
+	commitHeaderSize     = 1 + 8
+)
+
+// ErrFormat indicates a record written in a format this build does not read.
+var ErrFormat = errors.New("wal: log written by an older build (unsupported record format version)")
 
 // Config tunes the recovery unit.
 type Config struct {
@@ -61,8 +95,10 @@ type Config struct {
 	// PadStashEntries pads the logged stash to this many blocks
 	// (the ORAM's stash limit). 0 disables padding (tests only).
 	PadStashEntries int
-	// PadValueSize sizes stash padding blocks. Defaults to 0 (empty pad
-	// values); set to the ORAM value size for full-fidelity padding.
+	// PadValueSize is the number of value bytes each padding stash entry
+	// carries. Real entries are logged at their own value length, so the
+	// stash section is constant-size only when this is the ORAM value size
+	// and values are full width. Defaults to 0 (empty pad values).
 	PadValueSize int
 	// FullCheckpointEvery forces a full (non-delta) checkpoint every N
 	// epochs; 1 means every checkpoint is full. Default 16.
@@ -95,6 +131,8 @@ type Log struct {
 	store     storage.LogStore
 	cfg       Config
 	sinceFull int
+	// bind holds each record kind's AEAD binding, built once.
+	bind [kindCommit + 1][]byte
 
 	// mu guards the lifecycle bookkeeping below. Batch appends run on the
 	// schedule goroutine, checkpoint/commit appends and Retire on the
@@ -105,6 +143,8 @@ type Log struct {
 	lastSeq     uint64    // highest sequence number an append returned
 	retained    uint64    // records the store holds, as far as this process knows
 	truncations uint64
+	// Checkpoint record sizes: the newest delta and full, and the running total.
+	lastDelta, lastFull, checkpointBytes uint64
 }
 
 // logMark locates one record: the epoch it belongs to and its store seq.
@@ -123,13 +163,20 @@ type Stats struct {
 	FloorSeq uint64
 	// Truncations counts Retire calls that cut the log.
 	Truncations uint64
+	// LastDeltaBytes and LastFullBytes are the sizes of the newest delta and
+	// full checkpoint records this process appended; CheckpointBytes is the
+	// total over all of them.
+	LastDeltaBytes, LastFullBytes, CheckpointBytes uint64
 }
 
 // Stats snapshots the log's lifecycle counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := Stats{Records: l.retained, Truncations: l.truncations}
+	st := Stats{
+		Records: l.retained, Truncations: l.truncations,
+		LastDeltaBytes: l.lastDelta, LastFullBytes: l.lastFull, CheckpointBytes: l.checkpointBytes,
+	}
 	if l.lastSeq >= l.retained {
 		st.FloorSeq = l.lastSeq + 1 - l.retained
 	}
@@ -141,64 +188,65 @@ func New(store storage.LogStore, cfg Config) (*Log, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return &Log{store: store, cfg: cfg, sinceFull: cfg.FullCheckpointEvery}, nil
-}
-
-// batchRecord is the gob payload of a batch record.
-type batchRecord struct {
-	Epoch   uint64
-	Batch   int
-	Entries []oramexec.LogEntry
-}
-
-// checkpointRecord is the gob payload of a checkpoint record.
-type checkpointRecord struct {
-	Epoch uint64
-	// Shard and ShardCount pin the checkpoint to its key-space partition.
-	Shard, ShardCount int
-	State             ringoram.State
-}
-
-// commitRecord is the gob payload of a commit record.
-type commitRecord struct {
-	Epoch uint64
-}
-
-// seal encrypts and authenticates a record. The binding covers the record
-// kind; epoch ordering is carried (authenticated) inside the payload, and
-// log-suffix freshness is the trusted counter's job (Appendix A), modeled
-// here by the append-only LogStore.
-func (l *Log) seal(kind byte, payload interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(0) // reserved/version
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-		return nil, fmt.Errorf("wal: encoding record: %w", err)
+	l := &Log{store: store, cfg: cfg, sinceFull: cfg.FullCheckpointEvery}
+	for kind := kindBatch; kind <= kindCommit; kind++ {
+		l.bind[kind] = cryptoutil.Binding(uint64(kind), 0, 0)
 	}
-	sealed, err := l.cfg.Key.Seal(buf.Bytes(), cryptoutil.Binding(uint64(kind), 0, 0))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte{kind}, sealed...), nil
+	return l, nil
 }
 
-func (l *Log) open(rec []byte, payload interface{}) error {
+// newRecord allocates the one buffer a record of the given kind and plaintext
+// length will ever occupy, and returns it with its plaintext region.
+func newRecord(kind byte, plainLen int) (rec, plain []byte) {
+	rec = make([]byte, recordHead+plainLen+recordTail)
+	rec[0] = kind
+	return rec, rec[recordHead : recordHead+plainLen]
+}
+
+// putHeader writes the part every kind's fixed header starts with: the format
+// version and the epoch the record belongs to.
+func putHeader(plain []byte, epoch uint64) {
+	plain[0] = formatVersion
+	binary.BigEndian.PutUint64(plain[1:], epoch)
+}
+
+// headerEpoch reads the epoch out of an opened record's header.
+func headerEpoch(plain []byte) uint64 { return binary.BigEndian.Uint64(plain[1:]) }
+
+// seal encrypts and authenticates a record's plaintext where it lies.
+func (l *Log) seal(rec []byte) error {
+	return l.cfg.Key.SealInPlace(rec[1:], l.bind[rec[0]])
+}
+
+// open authenticates and decrypts a record, checks its format version and
+// that it is at least headerSize long, and returns its plaintext.
+func (l *Log) open(rec []byte, headerSize int) ([]byte, error) {
 	if len(rec) < 1 {
-		return errors.New("wal: empty record")
+		return nil, errors.New("wal: empty record")
 	}
-	plain, err := l.cfg.Key.Open(rec[1:], cryptoutil.Binding(uint64(rec[0]), 0, 0))
+	if rec[0] < kindBatch || rec[0] > kindCommit {
+		return nil, fmt.Errorf("wal: unknown record kind %d", rec[0])
+	}
+	plain, err := l.cfg.Key.Open(rec[1:], l.bind[rec[0]])
 	if err != nil {
-		return fmt.Errorf("wal: record failed authentication: %w", err)
+		return nil, fmt.Errorf("wal: record failed authentication: %w", err)
 	}
 	if len(plain) < 1 {
-		return errors.New("wal: short record")
+		return nil, errors.New("wal: short record")
 	}
-	return gob.NewDecoder(bytes.NewReader(plain[1:])).Decode(payload)
+	if plain[0] != formatVersion {
+		return nil, fmt.Errorf("%w: record version %d, this build reads %d", ErrFormat, plain[0], formatVersion)
+	}
+	if len(plain) < headerSize {
+		return nil, errors.New("wal: short record")
+	}
+	return plain, nil
 }
 
 // AppendBatch durably logs a batch's physical read schedule. Must complete
 // before the batch's reads are issued (write-ahead rule).
-func (l *Log) AppendBatch(epoch uint64, batch int, entries []oramexec.LogEntry) error {
-	return l.appendBatch(epoch, batch, entries, true)
+func (l *Log) AppendBatch(epoch uint64, batch int, log oramexec.BatchLog) error {
+	return l.appendBatch(epoch, batch, log, true)
 }
 
 // AppendBatchDeferred logs a batch's read schedule without waiting for its
@@ -207,17 +255,22 @@ func (l *Log) AppendBatch(epoch uint64, batch int, entries []oramexec.LogEntry) 
 // reads are issued. The split lets several shards' schedule records (and,
 // on a shared physical log, several records per shard) stand on one flush
 // instead of one fsync per record.
-func (l *Log) AppendBatchDeferred(epoch uint64, batch int, entries []oramexec.LogEntry) error {
-	return l.appendBatch(epoch, batch, entries, false)
+func (l *Log) AppendBatchDeferred(epoch uint64, batch int, log oramexec.BatchLog) error {
+	return l.appendBatch(epoch, batch, log, false)
 }
 
 // appendBatch appends a batch record and remembers where its epoch's batch
 // records start. The append and the note share one critical section: a
 // batch record that reaches the store ahead of a checkpoint is then always
 // noted before a Retire standing on that checkpoint can read the marks.
-func (l *Log) appendBatch(epoch uint64, batch int, entries []oramexec.LogEntry, sync bool) error {
-	rec, err := l.seal(kindBatch, batchRecord{Epoch: epoch, Batch: batch, Entries: entries})
-	if err != nil {
+func (l *Log) appendBatch(epoch uint64, batch int, log oramexec.BatchLog, sync bool) error {
+	rec, plain := newRecord(kindBatch, batchHeaderSize+log.EncodedSize())
+	putHeader(plain, epoch)
+	binary.BigEndian.PutUint32(plain[9:], uint32(batch))
+	if err := log.Encode(plain[batchHeaderSize:]); err != nil {
+		return err
+	}
+	if err := l.seal(rec); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -269,31 +322,41 @@ func (l *Log) appendStore(rec []byte, sync bool) (uint64, error) {
 // batch schedule's hot path.
 type PendingCheckpoint struct {
 	epoch uint64
-	state *ringoram.State
+	full  bool
+	// rec is the complete record, plaintext encoded in place and not yet
+	// sealed: the committer seals and appends these very bytes.
+	rec []byte
 }
 
 // Epoch returns the epoch the pending checkpoint belongs to.
 func (c *PendingCheckpoint) Epoch() uint64 { return c.epoch }
 
-// PrepareCheckpoint snapshots the epoch-end metadata without appending it.
-// It decides full-vs-delta per the configured cadence, pads the delta so its
-// size is workload independent, and resets the ORAM's dirty tracking (the
-// snapshot owns those changes now; if the later append fails the proxy
-// fail-stops, so no subsequent checkpoint can miss them).
+// PrepareCheckpoint snapshots the epoch-end metadata without appending it:
+// one pass over the ORAM's live metadata encodes the checkpoint image
+// directly into the record buffer. It decides full-vs-delta per the
+// configured cadence, pads the image so its size is workload independent, and
+// resets the ORAM's dirty tracking (the snapshot owns those changes now; if
+// the later append fails the proxy fail-stops, so no subsequent checkpoint
+// can miss them).
 func (l *Log) PrepareCheckpoint(epoch uint64, oram *ringoram.ORAM) (*PendingCheckpoint, error) {
 	full := l.sinceFull >= l.cfg.FullCheckpointEvery
-	st, err := oram.Snapshot(full)
+	pad := ringoram.CheckpointPad{PosEntries: l.cfg.PadPosEntries, StashEntries: l.cfg.PadStashEntries, ValueSize: l.cfg.PadValueSize}
+	rec, err := oram.EncodeCheckpoint(full, pad, recordHead+checkpointHeaderSize, recordTail)
 	if err != nil {
 		return nil, err
 	}
-	l.pad(st)
 	oram.ClearDirty()
+	rec[0] = kindCheckpoint
+	plain := rec[recordHead:]
+	putHeader(plain, epoch)
+	binary.BigEndian.PutUint32(plain[9:], uint32(l.cfg.Shard))
+	binary.BigEndian.PutUint32(plain[13:], uint32(l.cfg.Shards))
 	if full {
 		l.sinceFull = 1
 	} else {
 		l.sinceFull++
 	}
-	return &PendingCheckpoint{epoch: epoch, state: st}, nil
+	return &PendingCheckpoint{epoch: epoch, full: full, rec: rec}, nil
 }
 
 // AppendPrepared seals and durably appends a prepared checkpoint. Returns
@@ -311,21 +374,25 @@ func (l *Log) AppendPreparedDeferred(cp *PendingCheckpoint) (bool, error) {
 }
 
 func (l *Log) appendPrepared(cp *PendingCheckpoint, sync bool) (bool, error) {
-	rec, err := l.seal(kindCheckpoint, checkpointRecord{Epoch: cp.epoch, Shard: l.cfg.Shard, ShardCount: l.cfg.Shards, State: *cp.state})
-	if err != nil {
+	if err := l.seal(cp.rec); err != nil {
 		return false, err
 	}
-	seq, err := l.appendStore(rec, sync)
+	seq, err := l.appendStore(cp.rec, sync)
 	if err != nil {
 		return false, err
 	}
 	l.mu.Lock()
 	l.noteAppendLocked(seq)
-	if cp.state.Full {
+	size := uint64(len(cp.rec))
+	l.checkpointBytes += size
+	if cp.full {
 		l.full = logMark{epoch: cp.epoch, seq: seq}
+		l.lastFull = size
+	} else {
+		l.lastDelta = size
 	}
 	l.mu.Unlock()
-	return cp.state.Full, nil
+	return cp.full, nil
 }
 
 // AppendCheckpoint logs the epoch-end metadata snapshot synchronously:
@@ -337,42 +404,6 @@ func (l *Log) AppendCheckpoint(epoch uint64, oram *ringoram.ORAM) (bool, error) 
 		return false, err
 	}
 	return l.AppendPrepared(cp)
-}
-
-// pad injects dummy entries so a delta's position-map size and the stash
-// size are constants (§8 "Optimizations": "pads the map delta to the maximum
-// number of entries that could have changed in an epoch").
-func (l *Log) pad(st *ringoram.State) {
-	if !st.Full && l.cfg.PadPosEntries > 0 {
-		for i := 0; len(st.Pos) < l.cfg.PadPosEntries; i++ {
-			st.Pos[fmt.Sprintf("%s-%d", padKeyPrefix, i)] = 0
-		}
-	}
-	if l.cfg.PadStashEntries > 0 {
-		for i := len(st.Stash); i < l.cfg.PadStashEntries; i++ {
-			st.Stash = append(st.Stash, ringoram.StashBlock{
-				Key:   fmt.Sprintf("%s-s%d", padKeyPrefix, i),
-				Value: make([]byte, l.cfg.PadValueSize),
-			})
-		}
-	}
-}
-
-// unpad strips padding entries from a decoded state.
-func unpad(st *ringoram.State) {
-	for k := range st.Pos {
-		if len(k) >= len(padKeyPrefix) && k[:len(padKeyPrefix)] == padKeyPrefix {
-			delete(st.Pos, k)
-		}
-	}
-	kept := st.Stash[:0]
-	for _, b := range st.Stash {
-		if len(b.Key) >= len(padKeyPrefix) && b.Key[:len(padKeyPrefix)] == padKeyPrefix {
-			continue
-		}
-		kept = append(kept, b)
-	}
-	st.Stash = kept
 }
 
 // IsCommitRecord reports whether a raw log record is a commit record.
@@ -391,11 +422,11 @@ func (l *Log) DecodeCommitEpoch(rec []byte) (epoch uint64, ok bool, err error) {
 	if !IsCommitRecord(rec) {
 		return 0, false, nil
 	}
-	var cr commitRecord
-	if err := l.open(rec, &cr); err != nil {
+	plain, err := l.open(rec, commitHeaderSize)
+	if err != nil {
 		return 0, false, err
 	}
-	return cr.Epoch, true, nil
+	return headerEpoch(plain), true, nil
 }
 
 // AppendCommit durably marks epoch as committed. After this record is
@@ -416,8 +447,9 @@ func (l *Log) AppendCommitDeferred(epoch uint64) error {
 }
 
 func (l *Log) appendCommit(epoch uint64, sync bool) error {
-	rec, err := l.seal(kindCommit, commitRecord{Epoch: epoch})
-	if err != nil {
+	rec, plain := newRecord(kindCommit, commitHeaderSize)
+	putHeader(plain, epoch)
+	if err := l.seal(rec); err != nil {
 		return err
 	}
 	seq, err := l.appendStore(rec, sync)
@@ -478,10 +510,16 @@ func (l *Log) Retire(epoch uint64) error {
 
 // RecoveryStats breaks down recovery cost for Table 11b.
 type RecoveryStats struct {
-	BytesRead     int
-	PosEntries    int
-	PermBuckets   int
-	PathEntries   int
+	BytesRead int
+	// PosEntries and PermBuckets count the position-map and bucket entries
+	// of the checkpoints recovery will apply, padding included.
+	PosEntries  int
+	PermBuckets int
+	PathEntries int
+	// DecodePosPerm is the time spent authenticating, decrypting and
+	// inspecting checkpoint records (their images are decoded into a client
+	// by ringoram.Restore); DecodePaths the same plus entry decoding for
+	// batch records.
 	DecodePosPerm time.Duration
 	DecodePaths   time.Duration
 }
@@ -496,9 +534,11 @@ type Recovery struct {
 	// nothing ever committed, and callers should reinitialize instead of
 	// recovering "epoch 0".
 	HasCommit bool
-	// Full and Deltas reconstruct the ORAM client metadata.
-	Full   *ringoram.State
-	Deltas []*ringoram.State
+	// Full and Deltas are the checkpoint images that reconstruct the ORAM
+	// client metadata: the newest committed full image and every committed
+	// delta after it, in log order, ready for ringoram.Restore.
+	Full   []byte
+	Deltas [][]byte
 	// AbortedBatches holds the logged read schedules of every epoch that
 	// was still uncommitted when the proxy crashed, in log (= schedule)
 	// order; recovery replays them. With the pipelined epoch boundary up to
@@ -538,29 +578,18 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 	l.retained = uint64(len(recs))
 	l.mu.Unlock()
 	r := &Recovery{}
-	for _, rec := range recs {
-		r.Stats.BytesRead += len(rec)
-	}
 	// Pass 1: newest committed epoch.
-	type parsed struct {
-		kind  byte
-		cp    *checkpointRecord
-		batch *batchRecord
-	}
-	items := make([]parsed, len(recs))
 	for i, rec := range recs {
 		if len(rec) == 0 {
 			return nil, fmt.Errorf("wal: empty record %d", i)
 		}
-		items[i].kind = rec[0]
-		if rec[0] == kindCommit {
-			var cr commitRecord
-			if err := l.open(rec, &cr); err != nil {
-				return nil, fmt.Errorf("wal: commit record %d: %w", i, err)
-			}
-			if cr.Epoch > r.CommittedEpoch {
-				r.CommittedEpoch = cr.Epoch
-			}
+		r.Stats.BytesRead += len(rec)
+		epoch, ok, err := l.DecodeCommitEpoch(rec)
+		if err != nil {
+			return nil, fmt.Errorf("wal: commit record %d: %w", i, err)
+		}
+		if ok {
+			r.CommittedEpoch = max(r.CommittedEpoch, epoch)
 			r.HasCommit = true
 		}
 	}
@@ -568,88 +597,81 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 	if raised {
 		r.CommittedEpoch = floor
 	}
-	// Pass 2: decode checkpoints up to the committed epoch; find the newest
-	// full one, then collect subsequent deltas. Also decode batch records
-	// of the aborted epoch (committed+1).
+	// Pass 2: open the checkpoints up to the committed epoch, keeping the
+	// newest full image and the deltas after it.
 	start := time.Now()
-	var fullIdx = -1
 	haveFloorCp := false
-	cps := make([]*checkpointRecord, len(recs))
 	for i, rec := range recs {
-		if items[i].kind != kindCheckpoint {
+		if rec[0] != kindCheckpoint {
 			continue
 		}
-		var cp checkpointRecord
-		if err := l.openCheckpoint(rec, &cp); err != nil {
+		plain, err := l.open(rec, checkpointHeaderSize)
+		if err != nil {
 			return nil, fmt.Errorf("wal: checkpoint record %d: %w", i, err)
 		}
-		if l.cfg.Shards != 0 && (cp.ShardCount != l.cfg.Shards || cp.Shard != l.cfg.Shard) {
+		epoch := headerEpoch(plain)
+		shard, shards := int(binary.BigEndian.Uint32(plain[9:])), int(binary.BigEndian.Uint32(plain[13:]))
+		if l.cfg.Shards != 0 && (shards != l.cfg.Shards || shard != l.cfg.Shard) {
 			return nil, fmt.Errorf("wal: log belongs to shard %d of %d, configured as shard %d of %d — storage addresses reordered or shard count changed?",
-				cp.Shard, cp.ShardCount, l.cfg.Shard, l.cfg.Shards)
+				shard, shards, l.cfg.Shard, l.cfg.Shards)
 		}
-		if cp.Epoch > r.CommittedEpoch {
+		if epoch > r.CommittedEpoch {
 			continue // checkpoint of an epoch that never committed
 		}
-		if cp.Epoch == floor {
+		if epoch == floor {
 			haveFloorCp = true
 		}
-		cps[i] = &cp
-		if cp.State.Full {
-			fullIdx = i
+		image := plain[checkpointHeaderSize:]
+		info, err := ringoram.InspectImage(image)
+		if err != nil {
+			return nil, fmt.Errorf("wal: checkpoint record %d: %w", i, err)
 		}
+		switch {
+		case info.Full:
+			r.Full, r.Deltas = image, r.Deltas[:0]
+			r.Stats.PosEntries, r.Stats.PermBuckets = 0, 0
+		case r.Full == nil:
+			continue // a delta with no full checkpoint under it
+		default:
+			r.Deltas = append(r.Deltas, image)
+		}
+		r.Stats.PosEntries += info.PosEntries
+		r.Stats.PermBuckets += info.Buckets
 	}
 	if raised && !haveFloorCp {
 		return nil, fmt.Errorf("wal: coordinator committed epoch %d but no local checkpoint for it", floor)
 	}
-	if fullIdx < 0 {
+	if r.Full == nil {
 		return nil, ErrNoCheckpoint
-	}
-	unpad(&cps[fullIdx].State)
-	r.Full = &cps[fullIdx].State
-	r.Stats.PosEntries += len(r.Full.Pos)
-	r.Stats.PermBuckets += len(r.Full.Buckets)
-	for i := fullIdx + 1; i < len(recs); i++ {
-		if cps[i] == nil {
-			continue
-		}
-		unpad(&cps[i].State)
-		r.Deltas = append(r.Deltas, &cps[i].State)
-		r.Stats.PosEntries += len(cps[i].State.Pos)
-		r.Stats.PermBuckets += len(cps[i].State.Buckets)
 	}
 	r.Stats.DecodePosPerm = time.Since(start)
 
+	// Pass 3: the read schedules of every epoch above the committed one — the
+	// sealed-but-uncommitted epoch plus, under the pipelined boundary, its
+	// successor's already-issued batches. Per-shard appends happen in schedule
+	// order (a batch record is durable before its reads execute, and every
+	// record of epoch e precedes epoch e+1's), so log order is replay order.
 	start = time.Now()
 	for i, rec := range recs {
-		if items[i].kind != kindBatch {
+		if rec[0] != kindBatch {
 			continue
 		}
-		var br batchRecord
-		if err := l.openBatch(rec, &br); err != nil {
+		plain, err := l.open(rec, batchHeaderSize)
+		if err != nil {
 			return nil, fmt.Errorf("wal: batch record %d: %w", i, err)
 		}
-		if br.Epoch <= r.CommittedEpoch {
+		epoch := headerEpoch(plain)
+		if epoch <= r.CommittedEpoch {
 			continue // batch of a committed (already durable) epoch
 		}
-		// Epochs > committed: the sealed-but-uncommitted epoch plus, under
-		// the pipelined boundary, its successor's already-issued batches.
-		// Per-shard appends happen in schedule order (a batch record is
-		// durable before its reads execute, and every record of epoch e
-		// precedes epoch e+1's), so log order is replay order.
-		r.AbortedBatches = append(r.AbortedBatches, br.Entries)
-		if br.Epoch > r.MaxAbortedEpoch {
-			r.MaxAbortedEpoch = br.Epoch
+		entries, err := oramexec.DecodeBatchLog(plain[batchHeaderSize:])
+		if err != nil {
+			return nil, fmt.Errorf("wal: batch record %d: %w", i, err)
 		}
-		r.Stats.PathEntries += len(br.Entries)
+		r.AbortedBatches = append(r.AbortedBatches, entries)
+		r.MaxAbortedEpoch = max(r.MaxAbortedEpoch, epoch)
+		r.Stats.PathEntries += len(entries)
 	}
 	r.Stats.DecodePaths = time.Since(start)
 	return r, nil
-}
-
-func (l *Log) openCheckpoint(rec []byte, cp *checkpointRecord) error {
-	return l.open(rec, cp)
-}
-
-func (l *Log) openBatch(rec []byte, br *batchRecord) error {
-	return l.open(rec, br)
 }

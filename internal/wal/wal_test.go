@@ -11,7 +11,7 @@ import (
 	"obladi/internal/storage"
 )
 
-func testORAM(t *testing.T) (*ringoram.ORAM, *storage.MemBackend) {
+func testORAM(t testing.TB) (*ringoram.ORAM, *storage.MemBackend) {
 	t.Helper()
 	p := ringoram.Params{NumBlocks: 64, Z: 4, S: 6, A: 4, KeySize: 16, ValueSize: 32, Seed: 17}
 	backend := storage.NewMemBackend(p.Geometry().NumBuckets)
@@ -22,7 +22,7 @@ func testORAM(t *testing.T) (*ringoram.ORAM, *storage.MemBackend) {
 	return o, backend
 }
 
-func newLog(t *testing.T, store storage.LogStore, cfg Config) *Log {
+func newLog(t testing.TB, store storage.LogStore, cfg Config) *Log {
 	t.Helper()
 	if cfg.Key == nil {
 		cfg.Key = cryptoutil.KeyFromSeed([]byte("wal"))
@@ -76,10 +76,10 @@ func TestCheckpointCommitRecover(t *testing.T) {
 	if rec.CommittedEpoch != 1 {
 		t.Fatalf("committed epoch = %d", rec.CommittedEpoch)
 	}
-	if rec.Full == nil || !rec.Full.Full {
-		t.Fatal("no full checkpoint recovered")
+	if info, err := ringoram.InspectImage(rec.Full); err != nil || !info.Full {
+		t.Fatalf("no full checkpoint recovered: %+v, %v", info, err)
 	}
-	restored, err := ringoram.NewFromState(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
+	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRecoverAppliesDeltas(t *testing.T) {
 	if len(rec.Deltas) == 0 {
 		t.Fatal("no deltas recovered despite FullCheckpointEvery=3")
 	}
-	restored, err := ringoram.NewFromState(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
+	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +158,7 @@ func TestRecoverAbortedBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logged := plan.Log().Len()
 	if err := l.AppendBatch(2, 0, plan.Log()); err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +183,8 @@ func TestRecoverAbortedBatches(t *testing.T) {
 	if len(rec.AbortedBatches) != 2 {
 		t.Fatalf("aborted batches = %d, want 2", len(rec.AbortedBatches))
 	}
-	if len(rec.AbortedBatches[0]) != len(plan.Log()) {
-		t.Fatalf("batch 0: %d entries, logged %d", len(rec.AbortedBatches[0]), len(plan.Log()))
+	if len(rec.AbortedBatches[0]) != logged {
+		t.Fatalf("batch 0: %d entries, logged %d", len(rec.AbortedBatches[0]), logged)
 	}
 }
 
@@ -257,57 +258,60 @@ func TestPaddingMakesDeltasConstantSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cp2, cp3 checkpointRecord
+	// Checkpoints 2 and 3 dirtied the same buckets' worth of public schedule
+	// or not — what must not differ is the padded part: entry counts.
+	var infos []ringoram.ImageInfo
 	for _, r := range recs {
-		if len(r) > 0 && r[0] == kindCheckpoint {
-			var cp checkpointRecord
-			if err := l.open(r, &cp); err != nil {
-				t.Fatal(err)
-			}
-			switch cp.Epoch {
-			case 2:
-				cp2 = cp
-			case 3:
-				cp3 = cp
-			}
+		if r[0] != kindCheckpoint {
+			continue
 		}
+		plain, err := l.open(r, checkpointHeaderSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := ringoram.InspectImage(plain[checkpointHeaderSize:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos = append(infos, info)
 	}
-	if len(cp2.State.Pos) != 16 || len(cp3.State.Pos) != 16 {
-		t.Fatalf("padded pos sizes: %d and %d, want 16", len(cp2.State.Pos), len(cp3.State.Pos))
+	if len(infos) != 3 || infos[1].Full || infos[2].Full {
+		t.Fatalf("checkpoints: %+v", infos)
 	}
-	if len(cp2.State.Stash) != len(cp3.State.Stash) {
-		t.Fatalf("padded stash sizes differ: %d vs %d", len(cp2.State.Stash), len(cp3.State.Stash))
+	if infos[1].PosEntries != 16 || infos[2].PosEntries != 16 {
+		t.Fatalf("padded pos sizes: %d and %d, want 16", infos[1].PosEntries, infos[2].PosEntries)
 	}
 }
 
-func TestUnpadStripsPadding(t *testing.T) {
+func TestPaddingStaysOutOfRestoredState(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1, PadPosEntries: 32, PadStashEntries: 16})
-	seed(t, o, backend, exec, 1, 3)
-	if _, err := l.AppendCheckpoint(1, o); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(1); err != nil {
-		t.Fatal(err)
+	l := newLog(t, backend, Config{FullCheckpointEvery: 2, PadPosEntries: 32, PadStashEntries: 16, PadValueSize: 8})
+	for e := uint64(1); e <= 2; e++ {
+		seed(t, o, backend, exec, e, 3)
+		if _, err := l.AppendCheckpoint(e, o); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendCommit(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rec, err := l.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range rec.Full.Pos {
-		if k[0] == 0 {
-			t.Fatalf("padding key %q leaked into recovered state", k)
-		}
+	if len(rec.Deltas) != 1 {
+		t.Fatalf("recovered %d deltas, want the padded one of epoch 2", len(rec.Deltas))
 	}
-	for _, b := range rec.Full.Stash {
-		if len(b.Key) > 0 && b.Key[0] == 0 {
-			t.Fatalf("padding stash block %q leaked", b.Key)
-		}
-	}
-	// Restoring must succeed (padding would corrupt geometry checks).
-	if _, err := ringoram.NewFromState(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full); err != nil {
+	// Restoring must succeed and hold exactly the live client's keys and
+	// stash: padding entries are dropped, never applied.
+	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if restored.KeyCount() != o.KeyCount() || restored.StashSize() != o.StashSize() {
+		t.Fatalf("restored client holds %d keys and %d stash blocks, live client %d and %d",
+			restored.KeyCount(), restored.StashSize(), o.KeyCount(), o.StashSize())
 	}
 }
 
@@ -363,7 +367,7 @@ func TestTruncateDropsOldRecords(t *testing.T) {
 	if rec.CommittedEpoch != 6 {
 		t.Fatalf("committed epoch after truncate = %d", rec.CommittedEpoch)
 	}
-	if _, err := ringoram.NewFromState(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...); err != nil {
+	if _, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...); err != nil {
 		t.Fatal(err)
 	}
 }

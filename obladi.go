@@ -571,7 +571,8 @@ type Stats struct {
 }
 
 // LogStats is one shard's recovery-log lifecycle snapshot: Records retained,
-// the FloorSeq of the oldest one, and Truncations run.
+// the FloorSeq of the oldest one, Truncations run, and the checkpoint record
+// sizes (LastDeltaBytes, LastFullBytes, CheckpointBytes in all).
 type LogStats = wal.Stats
 
 // Stats returns a snapshot of proxy counters.
