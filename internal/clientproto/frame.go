@@ -169,12 +169,20 @@ func readMuxFrame(r *bufio.Reader) (frame, error) {
 		frameBufPool.Put(buf)
 		return frame{}, err
 	}
-	f, err := decodeFrame(buf.b)
+	f, err := buf.frame()
 	if err != nil {
 		frameBufPool.Put(buf)
+	}
+	return f, err
+}
+
+// frame decodes the frame whose body b holds; the frame owns b.
+func (b *frameBuf) frame() (frame, error) {
+	f, err := decodeFrame(b.b)
+	if err != nil {
 		return frame{}, err
 	}
-	f.buf = buf
+	f.buf = b
 	return f, nil
 }
 

@@ -25,49 +25,109 @@ import (
 // thousands).
 const muxSessionQueue = 128
 
-// muxSession is one transaction session multiplexed on a connection.
-type muxSession struct {
-	id  uint32
-	ops chan frame
-	// readSem bounds the session's concurrently-resolving read futures: the
-	// worker acquires a slot before spawning a resolver goroutine and blocks
-	// at the cap, backpressuring the connection's read loop through ops
-	// instead of growing goroutines (and their pending replies) without
-	// bound.
-	readSem chan struct{}
-}
+// muxConn is one v2 connection: what its sessions share.
+type muxConn struct {
+	s    *Server
+	conn net.Conn
+	// ctx is cancelled when the connection dies, aborting every open
+	// session's transaction and unblocking its waits.
+	ctx context.Context
 
-// replyFunc sends one reply frame; it is safe for concurrent use. The
-// payload is the concatenation of p1 and p2 (either may be nil): read
-// replies pass the status byte and the borrowed value slice separately so no
-// intermediate payload is built. Payloads are fully copied into the write
-// buffer before replyFunc returns.
-type replyFunc func(kind frameKind, session, req uint32, p1, p2 []byte)
-
-// serveMux serves the v2 protocol on one connection (magic already
-// consumed). ctx is cancelled when the connection dies, aborting every open
-// session's transaction and unblocking its waits.
-func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var wmu sync.Mutex
-	w := bufio.NewWriter(conn)
 	// wbuf is the connection's reply-encode scratch, guarded by wmu: replies
 	// from any session reuse one buffer instead of allocating per frame.
-	var wbuf []byte
-	reply := func(kind frameKind, session, req uint32, p1, p2 []byte) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		wbuf = appendFrame2(wbuf[:0], kind, session, req, p1, p2)
-		if _, err := w.Write(wbuf); err != nil {
-			conn.Close()
-			return
-		}
-		if w.Flush() != nil {
-			conn.Close()
-		}
+	wmu  sync.Mutex
+	w    *bufio.Writer
+	wbuf []byte
+
+	workers sync.WaitGroup
+	// idle holds settled sessions for the next Begin to reuse, queue and
+	// read waiters included: a session is a goroutine start, not a set of
+	// allocations.
+	idle sync.Pool
+}
+
+// muxSession is one transaction session multiplexed on a connection. Its
+// worker (run) executes the session's operations in wire order and ends with
+// the session's commit or abort; a session that settled goes back to the
+// connection's idle pool.
+type muxSession struct {
+	c  *muxConn
+	id uint32
+	// ops queues the session's request frames as the pooled buffers they
+	// were read into; the worker decodes each a second time, which costs
+	// three loads — a queue of decoded frames is six times the size, and
+	// idle sessions keep their queues.
+	ops chan *frameBuf
+	run func() // ms.work as a method value, made once: `go ms.run()` needs no closure
+
+	// reads counts the session's resolving read futures; commit and abort
+	// wait for it (a commit may not overtake the reads it depends on).
+	reads sync.WaitGroup
+	// waiters is both the pool of read waiters and the bound on how many
+	// resolve at once: the worker takes one per read and blocks when
+	// MaxPendingReadsPerSession are out, backpressuring the connection's
+	// read loop through ops instead of growing goroutines (and their pending
+	// replies) without bound. made counts the waiters created so far; only
+	// the worker touches it.
+	waiters chan *readWaiter
+	made    int
+}
+
+// readWaiter resolves one read future on a goroutine of its own and sends
+// the reply.
+type readWaiter struct {
+	ms  *muxSession
+	req uint32
+	fut kvtxn.ReadFuture
+	run func() // w.wait as a method value, made once
+}
+
+// reply sends one reply frame; it is safe for concurrent use. The payload is
+// the concatenation of p1 and p2 (either may be nil): read replies pass the
+// status byte and the borrowed value slice separately so no intermediate
+// payload is built. Payloads are fully copied into the write buffer before
+// reply returns.
+func (c *muxConn) reply(kind frameKind, session, req uint32, p1, p2 []byte) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = appendFrame2(c.wbuf[:0], kind, session, req, p1, p2)
+	if _, err := c.w.Write(c.wbuf); err != nil {
+		c.conn.Close()
+		return
 	}
+	if c.w.Flush() != nil {
+		c.conn.Close()
+	}
+}
+
+func (c *muxConn) replyErr(f frame, code uint8, msg string) {
+	c.reply(frameErr, f.session, f.req, encodeErrPayload(code, msg), nil)
+}
+
+// openSession starts session id's worker on an idle session or a new one.
+func (c *muxConn) openSession(id uint32) *muxSession {
+	ms, _ := c.idle.Get().(*muxSession)
+	if ms == nil {
+		ms = &muxSession{
+			c:       c,
+			ops:     make(chan *frameBuf, muxSessionQueue),
+			waiters: make(chan *readWaiter, c.s.opt.MaxPendingReadsPerSession),
+		}
+		ms.run = ms.work
+	}
+	ms.id = id
+	c.s.openSessions.Add(1)
+	c.workers.Add(1)
+	go ms.run()
+	return ms
+}
+
+// serveMux serves the v2 protocol on one connection (magic already
+// consumed).
+func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &muxConn{s: s, conn: conn, ctx: ctx, w: bufio.NewWriter(conn)}
 	sessions := make(map[uint32]*muxSession)
-	var workers sync.WaitGroup
 
 	for {
 		f, err := readMuxFrame(r)
@@ -76,109 +136,72 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 		}
 		// Routed frames hand their pooled buffer to the session worker,
 		// which releases it after the op; unrouted frames release here.
-		switch f.kind {
-		case frameBegin:
-			if _, open := sessions[f.session]; open {
-				reply(frameErr, f.session, f.req, encodeErrPayload(errCodeGeneric, "session already open"), nil)
-				f.release()
-				continue
-			}
-			if len(sessions) >= s.opt.MaxSessionsPerConn {
-				// Session cap: shed the Begin instead of growing the worker
-				// map without bound. Retryable once earlier sessions settle.
-				s.shedSessions.Add(1)
-				reply(frameErr, f.session, f.req, encodeErrPayload(errCodeShed,
-					fmt.Sprintf("connection session cap (%d) reached", s.opt.MaxSessionsPerConn)), nil)
-				f.release()
-				continue
-			}
-			ms := &muxSession{
-				id:      f.session,
-				ops:     make(chan frame, muxSessionQueue),
-				readSem: make(chan struct{}, s.opt.MaxPendingReadsPerSession),
-			}
+		ms, open := sessions[f.session]
+		switch {
+		case f.kind == frameBegin && open:
+			c.replyErr(f, errCodeGeneric, "session already open")
+		case f.kind == frameBegin && len(sessions) >= s.opt.MaxSessionsPerConn:
+			// Session cap: shed the Begin instead of growing the worker map
+			// without bound. Retryable once earlier sessions settle.
+			s.shedSessions.Add(1)
+			c.replyErr(f, errCodeShed, fmt.Sprintf("connection session cap (%d) reached", s.opt.MaxSessionsPerConn))
+		case f.kind == frameBegin:
+			ms = c.openSession(f.session)
 			sessions[f.session] = ms
-			s.openSessions.Add(1)
-			workers.Add(1)
-			go func() {
-				defer workers.Done()
-				defer s.openSessions.Add(-1)
-				s.runSession(ctx, ms, reply)
-			}()
-			ms.ops <- f
-		case frameRead, frameWrite, frameDelete:
-			ms, open := sessions[f.session]
-			if !open {
-				reply(frameErr, f.session, f.req, encodeErrPayload(errCodeGeneric, "no such session"), nil)
-				f.release()
-				continue
-			}
-			ms.ops <- f
-		case frameCommit, frameAbort:
-			ms, open := sessions[f.session]
-			if !open {
-				reply(frameErr, f.session, f.req, encodeErrPayload(errCodeGeneric, "no such session"), nil)
-				f.release()
-				continue
-			}
-			// The session ends with this op: frames for the id arriving
-			// later (a client bug) get "no such session", never a stale
-			// transaction. The worker drains the queue and exits.
-			delete(sessions, f.session)
-			ms.ops <- f
-			close(ms.ops)
+			ms.ops <- f.buf
+			continue
+		case f.kind < frameBegin || f.kind > frameAbort:
+			c.replyErr(f, errCodeGeneric, fmt.Sprintf("unknown frame kind %d", f.kind))
+		case !open:
+			c.replyErr(f, errCodeGeneric, "no such session")
 		default:
-			reply(frameErr, f.session, f.req, encodeErrPayload(errCodeGeneric, fmt.Sprintf("unknown frame kind %d", f.kind)), nil)
-			f.release()
+			if f.kind == frameCommit || f.kind == frameAbort {
+				// The session ends with this op: frames for the id arriving
+				// later (a client bug) get "no such session", never a stale
+				// transaction. The worker ends after it.
+				delete(sessions, f.session)
+			}
+			ms.ops <- f.buf
+			continue
 		}
+		f.release()
 	}
 	// Connection teardown: cancel session transactions (unblocking batch and
-	// commit waits), close the queues so workers drain, and wait them out.
+	// commit waits), close the open sessions' queues so their workers drain
+	// and end, and wait them out.
 	cancel()
 	for _, ms := range sessions {
 		close(ms.ops)
 	}
-	workers.Wait()
+	c.workers.Wait()
 	conn.Close()
 }
 
-// runSession executes one session's operations in wire order. Reads are
-// registered asynchronously and resolved on side goroutines, so a pipelined
-// read set shares one batch and the worker moves straight on to the next op;
-// commit/abort wait for every outstanding read first (a commit may not
-// overtake the reads it depends on).
-func (s *Server) runSession(ctx context.Context, ms *muxSession, reply replyFunc) {
-	tx := beginTxn(s.db, ctx)
-	var reads sync.WaitGroup
+// work executes one session's operations in wire order. Reads are registered
+// asynchronously and resolved by waiters, so a pipelined read set shares one
+// batch and the worker moves straight on to the next op; commit/abort wait
+// for every outstanding read first.
+func (ms *muxSession) work() {
+	c := ms.c
+	tx := beginTxn(c.s.db, c.ctx)
 	settled := false
-	for f := range ms.ops {
+	for fb := range ms.ops {
+		f, _ := fb.frame() // decoded once already, by the connection's read loop
 		switch f.kind {
 		case frameBegin:
-			reply(frameOK, ms.id, f.req, nil, nil)
+			c.reply(frameOK, ms.id, f.req, nil, nil)
 		case frameRead:
 			// string(f.payload) copies the key out of the pooled buffer in
 			// both branches, so the frame releases at the loop bottom while
 			// the read is still in flight.
 			if atx, ok := tx.(kvtxn.AsyncTxn); ok {
-				// Acquire a resolver slot first: at the cap the worker blocks
-				// here (not the whole server — ops and the TCP window absorb
-				// the stall), keeping the per-session goroutine count bounded.
-				ms.readSem <- struct{}{}
-				fut := atx.ReadAsync(string(f.payload))
-				reads.Add(1)
-				go func(req uint32) {
-					defer reads.Done()
-					defer func() { <-ms.readSem }()
-					v, found, err := fut.Wait(ctx)
-					if !found {
-						v = nil
-					}
-					if err != nil {
-						reply(frameErr, ms.id, req, errReply(err), nil)
-					} else {
-						reply(frameOK, ms.id, req, foundByte(found), v)
-					}
-				}(f.req)
+				// Take a waiter first: at the cap the worker blocks here (not
+				// the whole server — ops and the TCP window absorb the
+				// stall), keeping the per-session goroutine count bounded.
+				w := ms.waiter()
+				w.req, w.fut = f.req, atx.ReadAsync(string(f.payload))
+				ms.reads.Add(1)
+				go w.run()
 			} else {
 				// Engines without asynchronous reads (the evaluation
 				// baselines) execute the read inline: a kvtxn.Txn is
@@ -186,14 +209,7 @@ func (s *Server) runSession(ctx context.Context, ms *muxSession, reply replyFunc
 				// concurrently with a pending read. Sessions still
 				// multiplex; only intra-session read pipelining is lost.
 				v, found, err := tx.Read(string(f.payload))
-				if !found {
-					v = nil
-				}
-				if err != nil {
-					reply(frameErr, ms.id, f.req, errReply(err), nil)
-				} else {
-					reply(frameOK, ms.id, f.req, foundByte(found), v)
-				}
+				ms.replyRead(f.req, v, found, err)
 			}
 		case frameWrite:
 			key, value, err := parseWritePayload(f.payload)
@@ -203,38 +219,85 @@ func (s *Server) runSession(ctx context.Context, ms *muxSession, reply replyFunc
 				// aliases the pooled frame: copy before handing it over.
 				err = tx.Write(key, append([]byte(nil), value...))
 			}
-			if err != nil {
-				reply(frameErr, ms.id, f.req, errReply(err), nil)
-			} else {
-				reply(frameOK, ms.id, f.req, nil, nil)
-			}
+			ms.replyAck(f.req, err)
 		case frameDelete:
-			if err := tx.Delete(string(f.payload)); err != nil {
-				reply(frameErr, ms.id, f.req, errReply(err), nil)
-			} else {
-				reply(frameOK, ms.id, f.req, nil, nil)
-			}
+			ms.replyAck(f.req, tx.Delete(string(f.payload)))
 		case frameCommit:
-			reads.Wait()
+			ms.reads.Wait()
 			settled = true
-			if err := tx.Commit(); err != nil {
-				reply(frameErr, ms.id, f.req, errReply(err), nil)
-			} else {
-				reply(frameOK, ms.id, f.req, nil, nil)
-			}
+			ms.replyAck(f.req, tx.Commit())
 		case frameAbort:
-			reads.Wait()
+			ms.reads.Wait()
 			settled = true
 			tx.Abort()
-			reply(frameOK, ms.id, f.req, nil, nil)
+			c.reply(frameOK, ms.id, f.req, nil, nil)
 		}
 		f.release()
+		if settled {
+			break
+		}
 	}
 	if !settled {
 		// Connection died with the session open: discard the transaction.
-		reads.Wait()
+		ms.reads.Wait()
 		tx.Abort()
 	}
+	c.s.openSessions.Add(-1)
+	c.workers.Done()
+	if settled {
+		// Every waiter is back and the queue is empty (the connection routes
+		// nothing to a session after its commit or abort); a session whose
+		// queue was closed under it is not reusable.
+		c.idle.Put(ms)
+	}
+}
+
+func (ms *muxSession) replyAck(req uint32, err error) {
+	if err != nil {
+		ms.c.reply(frameErr, ms.id, req, errReply(err), nil)
+	} else {
+		ms.c.reply(frameOK, ms.id, req, nil, nil)
+	}
+}
+
+func (ms *muxSession) replyRead(req uint32, v []byte, found bool, err error) {
+	if !found {
+		v = nil
+	}
+	if err != nil {
+		ms.c.reply(frameErr, ms.id, req, errReply(err), nil)
+	} else {
+		ms.c.reply(frameOK, ms.id, req, foundByte(found), v)
+	}
+}
+
+// waiter takes a read waiter from the session's pool, creating one while
+// fewer than the cap exist and blocking for one to come back otherwise.
+func (ms *muxSession) waiter() *readWaiter {
+	select {
+	case w := <-ms.waiters:
+		return w
+	default:
+	}
+	if ms.made == cap(ms.waiters) {
+		return <-ms.waiters
+	}
+	ms.made++
+	w := &readWaiter{ms: ms}
+	w.run = w.wait
+	return w
+}
+
+// wait resolves the waiter's future, replies, and hands the waiter back.
+func (w *readWaiter) wait() {
+	ms := w.ms
+	v, found, err := w.fut.Wait(ms.c.ctx)
+	ms.replyRead(w.req, v, found, err)
+	w.fut = nil
+	// Back in the pool before the session may move on: once reads.Done lets
+	// a commit through, the session can settle and be reused.
+	ms.waiters <- w
+	ms.reads.Done()
 }
 
 // beginTxn starts a transaction bound to ctx when the engine supports it.

@@ -116,13 +116,34 @@ func (c *MuxClient) fail(err error) {
 	}
 }
 
+// replyChanPool recycles the one-slot channels replies arrive on. Only a
+// channel that delivered its reply goes back (awaitReply): one closed by a
+// connection failure, or abandoned with its reply unread, is dropped.
+var replyChanPool = sync.Pool{New: func() any { return make(chan frame, 1) }}
+
+// awaitReply waits for the reply on ch or for ctx to end. ok is false when
+// the channel was closed instead (connection lost). A ctx error leaves the
+// reply to arrive later: the caller may wait on ch again.
+func awaitReply(ctx context.Context, ch chan frame) (reply frame, ok bool, err error) {
+	select {
+	case reply, ok = <-ch:
+		if ok {
+			replyChanPool.Put(ch)
+		}
+		return reply, ok, nil
+	case <-ctx.Done():
+		return frame{}, false, ctx.Err()
+	}
+}
+
 // send registers a pending reply and writes one request frame. The returned
-// channel delivers the reply (or closes on connection loss).
+// channel delivers the reply (or closes on connection loss); awaitReply is
+// how it is read.
 func (c *MuxClient) send(kind frameKind, session, req uint32, payload []byte) (chan frame, error) {
 	if frameHeaderLen+len(payload) > muxMaxFrame {
 		return nil, fmt.Errorf("clientproto: request of %d bytes exceeds frame limit", len(payload))
 	}
-	ch := make(chan frame, 1)
+	ch := replyChanPool.Get().(chan frame)
 	key := uint64(session)<<32 | uint64(req)
 	c.mu.Lock()
 	if c.closed {
@@ -288,21 +309,20 @@ func (f *MuxOpFuture) Wait(ctx context.Context) error {
 	if ctx == nil {
 		ctx = f.t.ctx
 	}
-	select {
-	case reply, ok := <-f.ch:
-		f.done = true
-		if !ok {
-			f.err = f.t.c.connLost()
-		} else {
-			f.err = f.t.c.replyError(reply)
-			reply.release()
-		}
-		return f.err
-	case <-ctx.Done():
+	reply, ok, err := awaitReply(ctx, f.ch)
+	if err != nil {
 		// The ack may still arrive; the future stays pending so a later
 		// drain can collect it.
-		return ctx.Err()
+		return err
 	}
+	f.done = true
+	if !ok {
+		f.err = f.t.c.connLost()
+	} else {
+		f.err = f.t.c.replyError(reply)
+		reply.release()
+	}
+	return f.err
 }
 
 // MuxFuture is a pending read result.
@@ -333,30 +353,29 @@ func (f *MuxFuture) Wait(ctx context.Context) ([]byte, bool, error) {
 		f.err = f.t.sendErrOrLost()
 		return nil, false, f.err
 	}
-	select {
-	case reply, ok := <-f.ch:
-		f.done = true
-		switch {
-		case !ok:
-			f.err = f.t.c.connLost()
-		case reply.kind == frameOK:
-			// The parsed value aliases the reply's pooled buffer; copy it
-			// out before the buffer goes back to the pool (the future's
-			// result outlives the frame).
-			var v []byte
-			v, f.found, f.err = parseReadOKPayload(reply.payload)
-			if f.found {
-				f.value = append([]byte(nil), v...)
-			}
-			reply.release()
-		default:
-			f.err = f.t.c.replyError(reply)
-			reply.release()
-		}
-		return f.value, f.found, f.err
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
+	reply, ok, err := awaitReply(ctx, f.ch)
+	if err != nil {
+		return nil, false, err
 	}
+	f.done = true
+	switch {
+	case !ok:
+		f.err = f.t.c.connLost()
+	case reply.kind == frameOK:
+		// The parsed value aliases the reply's pooled buffer; copy it out
+		// before the buffer goes back to the pool (the future's result
+		// outlives the frame).
+		var v []byte
+		v, f.found, f.err = parseReadOKPayload(reply.payload)
+		if f.found {
+			f.value = append([]byte(nil), v...)
+		}
+		reply.release()
+	default:
+		f.err = f.t.c.replyError(reply)
+		reply.release()
+	}
+	return f.value, f.found, f.err
 }
 
 func (t *MuxTxn) sendErrOrLost() error {
@@ -477,32 +496,31 @@ func (t *MuxTxn) Commit() error {
 	// and stays retryable; a conn-loss error is not a decision at all and
 	// must surface as ErrCommitUnknown — at-most-once acknowledgement.
 	lostAck := firstErr != nil && errors.Is(firstErr, ErrConnLost)
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			if firstErr != nil && !lostAck {
-				return firstErr
-			}
-			return fmt.Errorf("%w: %v", ErrCommitUnknown, t.c.connLost())
-		}
-		err := t.c.replyError(reply)
-		reply.release()
-		if err != nil {
-			if firstErr != nil && !lostAck {
-				return firstErr
-			}
-			return err
-		}
-		if lostAck {
-			// The decision arrived, so earlier acks on the same ordered
-			// stream must have too; a lost ack with a received decision
-			// means the decision governs.
-			return nil
-		}
-		return firstErr
-	case <-t.ctx.Done():
-		return fmt.Errorf("%w: %v while awaiting decision", ErrCommitUnknown, t.ctx.Err())
+	reply, ok, err := awaitReply(t.ctx, ch)
+	if err != nil {
+		return fmt.Errorf("%w: %v while awaiting decision", ErrCommitUnknown, err)
 	}
+	if !ok {
+		if firstErr != nil && !lostAck {
+			return firstErr
+		}
+		return fmt.Errorf("%w: %v", ErrCommitUnknown, t.c.connLost())
+	}
+	err = t.c.replyError(reply)
+	reply.release()
+	if err != nil {
+		if firstErr != nil && !lostAck {
+			return firstErr
+		}
+		return err
+	}
+	if lostAck {
+		// The decision arrived, so earlier acks on the same ordered stream
+		// must have too; a lost ack with a received decision means the
+		// decision governs.
+		return nil
+	}
+	return firstErr
 }
 
 // Abort pipelines the ABORT frame and collects the outstanding acks,
@@ -524,10 +542,8 @@ func (t *MuxTxn) Abort() {
 		f.Wait(t.ctx)
 	}
 	t.pend = nil
-	select {
-	case reply := <-ch:
+	if reply, ok, _ := awaitReply(t.ctx, ch); ok {
 		reply.release()
-	case <-t.ctx.Done():
 	}
 }
 

@@ -25,19 +25,17 @@ func stagePoolSize() int {
 // trace shape is identical to the scalar loop (pinned by
 // TestExecutorParallelStagesMatchScalar).
 //
-// n == 1 dispatches on a dedicated goroutine, skipping the slot accounting
-// but keeping the handoff: the yield matches the scalar fan-out's scheduling,
-// which clients on few-core hosts depend on to interleave with the epoch
-// loop. fn must not call RunStages itself: nested calls could hold every slot
-// while waiting for workers that need one (the proxy's fan-outs are flat).
+// n == 1 runs fn(0) on the caller's goroutine: a single stage has nothing
+// to overlap with, and neither the stepped driver nor the pipelined committer
+// has a client goroutine a hand-off would yield to. fn must not call
+// RunStages itself: nested calls could hold every slot while waiting for
+// workers that need one (the proxy's fan-outs are flat).
 func RunStages(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
 	if n == 1 {
-		done := make(chan struct{})
-		go func() { fn(0); close(done) }()
-		<-done
+		fn(0)
 		return
 	}
 	done := make(chan struct{})

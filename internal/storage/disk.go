@@ -111,6 +111,7 @@ type DiskBackend struct {
 	// keepDeadSegs defers open-time dead-segment collection until the
 	// retention gate is installed (logheap mode).
 	keepDeadSegs bool
+	logFrame     []byte // appendLogRecord's framing buffer, reused by every append
 
 	// Deferred log appends awaiting a SyncLog barrier, oldest first. Almost
 	// always one entry; a second appears only when unsynced appends straddle
@@ -827,14 +828,7 @@ func (b *DiskBackend) readVersionSlotsLocked(v *diskVersion) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	slots := make([][]byte, len(v.slotLens))
-	pos := 0
-	for i, l := range v.slotLens {
-		pos += 4
-		slots[i] = buf[pos : pos+int(l)]
-		pos += int(l)
-	}
-	return slots, nil
+	return splitSlots(buf, v.slotLens), nil
 }
 
 func (b *DiskBackend) validateWriteLocked(bucket int, epoch uint64) error {
@@ -875,14 +869,10 @@ func (b *DiskBackend) WriteBuckets(writes []BucketWrite) error {
 	var buf []byte
 	pend := make([]pendingWrite, len(writes))
 	for i, w := range writes {
-		body := encodeVersionBody(w.Bucket, w.Epoch, w.Slots)
-		pend[i].relOff = int64(len(buf))
-		buf = encodeRecord(buf, body)
-		pend[i].recSize = int64(recordFrameSize + len(body))
-		pend[i].slotLens = make([]uint32, len(w.Slots))
-		for j, s := range w.Slots {
-			pend[i].slotLens[j] = uint32(len(s))
-		}
+		at := len(buf)
+		buf = appendVersionBody(beginRecord(buf), heapKindVersion, w.Bucket, w.Epoch, w.Slots)
+		sealRecord(buf[at:])
+		pend[i] = pendingWrite{relOff: int64(at), recSize: int64(len(buf) - at), slotLens: slotLengths(w.Slots)}
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -173,14 +173,27 @@ func recordCRC(lenPrefix, body []byte) uint32 {
 	return crc32.Update(crc32.Checksum(lenPrefix, diskCRC), diskCRC, body)
 }
 
+// beginRecord appends an empty frame header to dst; the caller appends the
+// body behind it, in pieces, straight from wherever they lie, and then calls
+// sealRecord: a body is written once, into the buffer that goes to the file.
+func beginRecord(dst []byte) []byte {
+	return append(dst, make([]byte, recordFrameSize)...)
+}
+
+// sealRecord fills in the header (length, checksum) of the one record in rec.
+func sealRecord(rec []byte) {
+	body := rec[recordFrameSize:]
+	binary.BigEndian.PutUint32(rec[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(rec[4:8], recordCRC(rec[:4], body))
+}
+
 // encodeRecord appends the framed record to dst and returns the extended
 // slice.
 func encodeRecord(dst, body []byte) []byte {
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(body)))
-	dst = append(dst, lenb[:]...)
-	dst = binary.BigEndian.AppendUint32(dst, recordCRC(lenb[:], body))
-	return append(dst, body...)
+	at := len(dst)
+	dst = append(beginRecord(dst), body...)
+	sealRecord(dst[at:])
+	return dst
 }
 
 // decodeRecord parses one framed record from the front of buf. The returned
@@ -260,28 +273,39 @@ const (
 // first slot's length prefix.
 const heapVersionDataStart = 1 + 4 + 8 + 4
 
-// encodeVersionBody builds a heapKindVersion record body.
-func encodeVersionBody(bucket int, epoch uint64, slots [][]byte) []byte {
-	return encodeVersionBodyKind(heapKindVersion, bucket, epoch, slots)
+// appendVersionBody appends a version record body to dst.
+func appendVersionBody(dst []byte, kind byte, bucket int, epoch uint64, slots [][]byte) []byte {
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(bucket))
+	dst = binary.BigEndian.AppendUint64(dst, epoch)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(slots)))
+	for _, s := range slots {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
+		dst = append(dst, s...)
+	}
+	return dst
 }
 
-// encodeVersionBodyKind is encodeVersionBody with an explicit kind, so
-// LogHeap GC can emit heapKindGCCopy records with the same layout.
-func encodeVersionBodyKind(kind byte, bucket int, epoch uint64, slots [][]byte) []byte {
-	n := heapVersionDataStart
-	for _, s := range slots {
-		n += 4 + len(s)
+// splitSlots is slotLengths' inverse over a version body's slot span (a
+// length prefix before each slot) read back from a file; the slots alias buf.
+func splitSlots(buf []byte, lens []uint32) [][]byte {
+	slots := make([][]byte, len(lens))
+	pos := 0
+	for i, l := range lens {
+		pos += 4
+		slots[i] = buf[pos : pos+int(l)]
+		pos += int(l)
 	}
-	body := make([]byte, 0, n)
-	body = append(body, kind)
-	body = binary.BigEndian.AppendUint32(body, uint32(bucket))
-	body = binary.BigEndian.AppendUint64(body, epoch)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(slots)))
-	for _, s := range slots {
-		body = binary.BigEndian.AppendUint32(body, uint32(len(s)))
-		body = append(body, s...)
+	return slots
+}
+
+// slotLengths is the per-slot length table a version's index entry keeps.
+func slotLengths(slots [][]byte) []uint32 {
+	lens := make([]uint32, len(slots))
+	for i, s := range slots {
+		lens[i] = uint32(len(s))
 	}
-	return body
+	return lens
 }
 
 func encodeEpochBody(kind byte, epoch uint64) []byte {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -420,7 +421,7 @@ func (b *DiskBackend) openSegment(base uint64) (*segment, error) {
 // appends and bucket-heap writes inside one epoch boundary overlap instead
 // of serializing on a shared mutex.
 func (b *DiskBackend) Append(record []byte) (uint64, error) {
-	res, err := b.appendLogUnsynced(record)
+	res, err := b.appendLogRecord(noStream, record)
 	if err != nil {
 		return 0, err
 	}
@@ -440,7 +441,7 @@ func (b *DiskBackend) Append(record []byte) (uint64, error) {
 // will trim it with the torn tail), which is exactly why the LogStore ack
 // contract moves to SyncLog's return.
 func (b *DiskBackend) AppendNoSync(record []byte) (uint64, error) {
-	res, err := b.appendLogUnsynced(record)
+	res, err := b.appendLogRecord(noStream, record)
 	if err != nil {
 		return 0, err
 	}
@@ -492,21 +493,37 @@ type logAppendRes struct {
 	ticket  uint64
 }
 
-// appendLogUnsynced writes one framed record to the active segment and
-// stamps it, leaving durability to the caller's barrierTicket on the
-// returned file. It is the seam the shared group log builds on: several
-// shards' streams append into one physical log here and then stand on the
-// same file's flush wave together.
-func (b *DiskBackend) appendLogUnsynced(record []byte) (logAppendRes, error) {
-	return b.appendLogFramed(encodeRecord(nil, record))
+// noStream: the backend's own raw log, whose records have no stream header.
+const noStream = -1
+
+// appendLogRecord frames one record in place in the log's reusable buffer —
+// frame header, the shared log's stream header unless stream is noStream,
+// the record — writes it to the active segment and stamps it, leaving
+// durability to the caller's barrierTicket on the returned file: the seam
+// through which several shards' streams land in one physical log and stand
+// on the same flush wave. record is not retained.
+func (b *DiskBackend) appendLogRecord(stream int, record []byte) (logAppendRes, error) {
+	b.logMu.Lock()
+	defer b.logMu.Unlock()
+	buf := beginRecord(b.logFrame[:0])
+	if stream != noStream {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(stream))
+	}
+	buf = append(buf, record...)
+	sealRecord(buf)
+	b.logFrame = buf
+	return b.appendLogFramedLocked(buf)
 }
 
-// appendLogFramed is appendLogUnsynced for a record the caller has already
-// framed (encodeRecord's layout, checksum included). The bytes are written
-// out before it returns; framed is not retained.
+// appendLogFramed is appendLogRecord for a record already framed in a buffer
+// of the caller's (beginRecord/sealRecord); framed is not retained.
 func (b *DiskBackend) appendLogFramed(framed []byte) (logAppendRes, error) {
 	b.logMu.Lock()
 	defer b.logMu.Unlock()
+	return b.appendLogFramedLocked(framed)
+}
+
+func (b *DiskBackend) appendLogFramedLocked(framed []byte) (logAppendRes, error) {
 	if err := b.checkUsable(); err != nil {
 		return logAppendRes{}, err
 	}
@@ -637,7 +654,7 @@ func (b *DiskBackend) scanLogLocked(from uint64, fn func(seq, segBase uint64, of
 }
 
 // readLogRange serves one ranged pread out of a retained segment, addressed
-// by the (segBase, offset) an appendLogUnsynced or scanLog reported. Every
+// by the (segBase, offset) an appendLogRecord or scanLog reported. Every
 // retained record's crc32c was verified when its segment was opened (or the
 // bytes were written by this process), so the logheap read path slices the
 // returned frame without re-checking.

@@ -62,6 +62,7 @@ type LogHeap struct {
 	lastPhys  uint64 // physical seq of this stream's newest record
 	ckptW     uint64 // watermark of the installed index checkpoint
 	dirty     int    // own-stream records appended since that checkpoint
+	frame     []byte // framing buffer: one stream record at a time
 
 	// retainFloor is the segment retention gate's input: the first physical
 	// sequence this heap still needs on disk (lowest live version's segment
@@ -480,14 +481,7 @@ func (lh *LogHeap) readVersionSlotsLocked(v *logVersion) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	slots := make([][]byte, len(v.slotLens))
-	pos := 0
-	for i, l := range v.slotLens {
-		pos += 4
-		slots[i] = buf[pos : pos+int(l)]
-		pos += int(l)
-	}
-	return slots, nil
+	return splitSlots(buf, v.slotLens), nil
 }
 
 // ---- BucketStore writes ----
@@ -503,36 +497,36 @@ func (lh *LogHeap) validateWriteLocked(bucket int, epoch uint64) error {
 	return nil
 }
 
+// beginFrame starts a stream record in the heap's framing buffer (mu held):
+// an empty frame header and room for the stream header; the caller appends
+// the body and hands the whole to appendHeapFrame.
+func (lh *LogHeap) beginFrame() []byte {
+	return append(beginRecord(lh.frame[:0]), make([]byte, sharedLogHdrSize)...)
+}
+
 // WriteBucket implements BucketStore.
 func (lh *LogHeap) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 	return lh.WriteBuckets([]BucketWrite{{Bucket: bucket, Epoch: epoch, Slots: slots}})
 }
 
 // WriteBuckets implements BucketStore: one version record per bucket into
-// the shared log, no fsync (CommitEpoch's wave is the barrier; shadow
-// paging makes a torn or unsynced version harmless). Bodies are encoded
-// outside the lock; append + index install stay atomic under it, so the
-// stream's record order equals the index mutation order replay will
-// reproduce — and so lastPhys (the checkpoint watermark source) never runs
-// behind an installed record. Writes install in vector order and stop at
-// the first failing entry, leaving the validated prefix installed.
+// the shared log, no fsync (CommitEpoch's wave is the barrier; shadow paging
+// makes a torn or unsynced version harmless). Each record is framed in place
+// in the heap's one buffer, which is what the log writes out. Framing,
+// append and index install all happen under the lock, so the stream's record
+// order equals the index mutation order replay will reproduce — and lastPhys
+// (the checkpoint watermark source) never runs behind an installed record.
+// Writes install in vector order and stop at the first failing entry,
+// leaving the validated prefix installed.
 func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
-	bodies := make([][]byte, len(writes))
-	lens := make([][]uint32, len(writes))
-	for i, w := range writes {
-		bodies[i] = encodeVersionBody(w.Bucket, w.Epoch, w.Slots)
-		lens[i] = make([]uint32, len(w.Slots))
-		for j, s := range w.Slots {
-			lens[i][j] = uint32(len(s))
-		}
-	}
 	lh.mu.Lock()
 	defer lh.mu.Unlock()
-	for i, w := range writes {
+	for _, w := range writes {
 		if err := lh.validateWriteLocked(w.Bucket, w.Epoch); err != nil {
 			return err
 		}
-		res, err := lh.shared.appendHeapStream(lh.stream, bodies[i])
+		lh.frame = appendVersionBody(lh.beginFrame(), heapKindVersion, w.Bucket, w.Epoch, w.Slots)
+		res, err := lh.shared.appendHeapFrame(lh.stream, lh.frame)
 		if err != nil {
 			return err
 		}
@@ -542,7 +536,7 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 			segBase:  res.segBase,
 			off:      res.off,
 			recLen:   res.n,
-			slotLens: lens[i],
+			slotLens: slotLengths(w.Slots),
 			cached:   w.Slots, // take ownership, like MemBackend
 		}
 		if err := lh.installVersionLocked(w.Bucket, v); err != nil {
@@ -608,7 +602,8 @@ func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) (appended bool, er
 	}
 	needRecord := kind == heapKindRollback || epoch > lh.committed
 	if needRecord {
-		res, err := lh.shared.appendHeapStream(lh.stream, encodeEpochBody(kind, epoch))
+		lh.frame = append(lh.beginFrame(), encodeEpochBody(kind, epoch)...)
+		res, err := lh.shared.appendHeapFrame(lh.stream, lh.frame)
 		if err != nil {
 			return false, err
 		}
@@ -848,7 +843,7 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 		// frame is this call's own buffer: flip the kind in place and send
 		// the same bytes back to the log head.
 		body[sharedLogHdrSize] = heapKindGCCopy
-		res, err := lh.shared.reappendHeapFrame(lh.stream, frame[:size])
+		res, err := lh.shared.appendHeapFrame(lh.stream, frame[:size])
 		if err != nil {
 			lh.mu.Unlock()
 			return moved, err

@@ -286,10 +286,10 @@ func (m *MemBackend) Scan(from uint64) ([][]byte, error) {
 	if from < m.logBase {
 		from = m.logBase
 	}
-	idx := int(from - m.logBase)
-	if idx >= len(m.log) {
+	if from-m.logBase >= uint64(len(m.log)) {
 		return nil, nil
 	}
+	idx := int(from - m.logBase)
 	out := make([][]byte, len(m.log)-idx)
 	copy(out, m.log[idx:])
 	return out, nil

@@ -84,18 +84,45 @@ const serverMaxHandlers = 256
 var ErrRemote = errors.New("storage: remote error")
 
 // wireBuf is a pooled wire buffer: request frames read off a connection,
-// response payloads, and encode scratch all recycle through one pool so the
-// steady-state wire path performs no per-frame allocation. A frame decoded
-// from a wireBuf aliases it; whoever consumes the frame releases the buffer
-// once every alias is dead.
-type wireBuf struct{ b []byte }
+// response payloads, encode scratch and a handler's vector scratch (refs,
+// writes) all recycle, so the steady-state wire path allocates nothing per
+// frame. A frame decoded from a wireBuf aliases it; whoever consumes the
+// frame releases the buffer once every alias is dead (DESIGN.md, "Who owns a
+// bucket's bytes at each hop").
+type wireBuf struct {
+	b      []byte
+	refs   []SlotRef
+	writes []BucketWrite
+	class  int // index of the pool it came from and goes back to
+}
 
-var wireBufPool = sync.Pool{New: func() any { return new(wireBuf) }}
+// Buffers pool in two classes by the size of the job they are taken for, and
+// return to the class they came from however they grew: out of one mixed pool
+// the many small frames sit on vector-sized buffers (a write-back vector or
+// full checkpoint is most of a megabyte) while each vector allocates anew.
+var wireBufPools [2]sync.Pool
 
-func getWireBuf() *wireBuf { return wireBufPool.Get().(*wireBuf) }
+const vectorWireBuf = 256 << 10
 
-// putWireBuf recycles buf, keeping whatever backing array it last held.
-func putWireBuf(buf *wireBuf) { wireBufPool.Put(buf) }
+// getWireBuf returns a pooled buffer for a job of about size bytes; its b
+// may still be shorter than that, or nil.
+func getWireBuf(size int) *wireBuf {
+	class := 0
+	if size >= vectorWireBuf {
+		class = 1
+	}
+	if buf, _ := wireBufPools[class].Get().(*wireBuf); buf != nil {
+		return buf
+	}
+	return &wireBuf{class: class}
+}
+
+// putWireBuf recycles buf with its backing arrays, minus the slot slices a
+// write vector pointed at (those belong to the backend now).
+func putWireBuf(buf *wireBuf) {
+	clear(buf.writes[:cap(buf.writes)])
+	wireBufPools[buf.class].Put(buf)
+}
 
 // Server serves a Backend over TCP.
 type Server struct {
@@ -157,17 +184,7 @@ func NewServer(backend Backend, addr string) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the server and closes all connections.
-func (s *Server) Close() error {
-	close(s.done)
-	err := s.ln.Close()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.Drain(0) }
 
 // Drain stops accepting new connections, waits up to grace for the existing
 // ones to finish on their own (clients closing after their last request),
@@ -181,7 +198,7 @@ func (s *Server) Drain(grace time.Duration) error {
 		s.mu.Lock()
 		n := len(s.conns)
 		s.mu.Unlock()
-		if n == 0 || time.Now().After(deadline) {
+		if n == 0 || !time.Now().Before(deadline) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -257,8 +274,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			// releases after handle (which copies anything it retains) and
 			// the response write both finish with its bytes.
 			defer putWireBuf(fb)
-			rb := getWireBuf()
-			status, resp := s.handle(cs, op, payload, rb.b[:0])
+			rb := getWireBuf(0)
+			status, resp := s.handle(cs, op, payload, rb)
 			if len(resp)+9 > maxFrame {
 				// A response the peer's readFrame would reject must become a
 				// clean per-request error, not a connection-killing frame.
@@ -296,11 +313,11 @@ func mutatingOp(op wireOp) bool {
 }
 
 // handle executes one request. The payload may alias a pooled frame: every
-// slice handed to the backend is copied out first (copyBytes/str), so the
-// caller may release the frame as soon as handle returns. The response is
-// encoded into scratch (a pooled buffer's spare capacity) and returned.
-func (s *Server) handle(cs *connState, op wireOp, payload, scratch []byte) (byte, []byte) {
-	enc := encoder{buf: scratch}
+// slice the backend keeps is copied out of it first (decoder.fields,
+// copyBytes, str), so the caller may release the frame as soon as handle
+// returns. Vector scratch and the returned response come out of rb.
+func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (byte, []byte) {
+	enc := encoder{buf: rb.b[:0]}
 	fail := func(err error) (byte, []byte) {
 		return statusErr, []byte(err.Error())
 	}
@@ -339,34 +356,24 @@ func (s *Server) handle(cs *connState, op wireOp, payload, scratch []byte) (byte
 			enc.bytes(sl)
 		}
 	case wireWriteBucket:
-		bucket := int(d.u32())
-		epoch := d.u64()
-		n := int(d.u32())
-		if d.err != nil || n < 0 || n > maxVector {
-			return fail(fmt.Errorf("storage: bad write-bucket frame"))
-		}
-		slots := make([][]byte, n)
-		for i := range slots {
-			slots[i] = d.copyBytes()
-		}
+		bucket, epoch := int(d.u32()), d.u64()
+		slots := d.fields()
 		if d.err != nil {
-			return fail(d.err)
+			return fail(fmt.Errorf("storage: bad write-bucket frame: %w", d.err))
 		}
 		if err := s.backend.WriteBucket(bucket, epoch, slots); err != nil {
 			return fail(err)
 		}
 	case wireReadSlots:
-		n := int(d.u32())
-		if d.err != nil || n < 0 || n > maxVector {
-			return fail(fmt.Errorf("storage: bad read-slots frame"))
-		}
-		refs := make([]SlotRef, n)
-		for i := range refs {
-			refs[i] = SlotRef{Bucket: int(d.u32()), Slot: int(d.u32())}
-		}
+		n := d.count(8)
 		if d.err != nil {
-			return fail(d.err)
+			return fail(fmt.Errorf("storage: bad read-slots frame: %w", d.err))
 		}
+		refs := rb.refs[:0]
+		for i := 0; i < n; i++ {
+			refs = append(refs, SlotRef{Bucket: int(d.u32()), Slot: int(d.u32())})
+		}
+		rb.refs = refs
 		data, err := s.backend.ReadSlots(refs)
 		if err != nil {
 			return fail(err)
@@ -376,26 +383,16 @@ func (s *Server) handle(cs *connState, op wireOp, payload, scratch []byte) (byte
 			enc.bytes(sl)
 		}
 	case wireWriteBuckets:
-		n := int(d.u32())
-		if d.err != nil || n < 0 || n > maxVector {
-			return fail(fmt.Errorf("storage: bad write-buckets frame"))
+		n := d.count(16)
+		writes := rb.writes[:0]
+		for i := 0; i < n && d.err == nil; i++ {
+			w := BucketWrite{Bucket: int(d.u32()), Epoch: d.u64()}
+			w.Slots = d.fields()
+			writes = append(writes, w)
 		}
-		writes := make([]BucketWrite, n)
-		for i := range writes {
-			writes[i].Bucket = int(d.u32())
-			writes[i].Epoch = d.u64()
-			ns := int(d.u32())
-			if d.err != nil || ns < 0 || ns > maxVector {
-				return fail(fmt.Errorf("storage: bad write-buckets frame"))
-			}
-			slots := make([][]byte, ns)
-			for j := range slots {
-				slots[j] = d.copyBytes()
-			}
-			writes[i].Slots = slots
-		}
+		rb.writes = writes
 		if d.err != nil {
-			return fail(d.err)
+			return fail(fmt.Errorf("storage: bad write-buckets frame: %w", d.err))
 		}
 		if err := s.backend.WriteBuckets(writes); err != nil {
 			return fail(err)
@@ -504,7 +501,7 @@ func readFrame(r *bufio.Reader) (*wireBuf, error) {
 	if _, err := r.Discard(4); err != nil {
 		return nil, err
 	}
-	buf := getWireBuf()
+	buf := getWireBuf(int(n))
 	if cap(buf.b) < int(n) {
 		buf.b = make([]byte, n)
 	}
@@ -550,6 +547,10 @@ type response struct {
 	payload []byte
 	buf     *wireBuf
 }
+
+// replyChanPool recycles the one-slot channels calls wait on; only a channel
+// that delivered its reply goes back (a closed or unanswered one is dropped).
+var replyChanPool = sync.Pool{New: func() any { return make(chan response, 1) }}
 
 // release returns the response's pooled buffer. Idempotent per value; safe
 // on zero responses.
@@ -656,7 +657,7 @@ func (c *Client) fail(err error) {
 // keeps) and then releases it. The request payload is fully consumed before
 // call returns, so callers may recycle its backing immediately.
 func (c *Client) call(op wireOp, payload []byte) (response, error) {
-	ch := make(chan response, 1)
+	ch := replyChanPool.Get().(chan response)
 	c.mu.Lock()
 	if c.closed {
 		// Closing the client also tears down the read loop, which records a
@@ -714,6 +715,7 @@ func (c *Client) call(op wireOp, payload []byte) (response, error) {
 		}
 		return response{}, fmt.Errorf("storage: connection lost: %w", err)
 	}
+	replyChanPool.Put(ch) // the read loop dropped it before sending: ours alone, and empty
 	if resp.status != statusOK {
 		msg := string(resp.payload)
 		err := fmt.Errorf("%w: %s", ErrRemote, msg)
@@ -734,17 +736,23 @@ func (c *Client) call(op wireOp, payload []byte) (response, error) {
 // later mutating ops are checked server-side against the highest token
 // issued for the served backend.
 func (c *Client) AcquireFence() (Backend, uint64, error) {
-	resp, err := c.call(wireFence, nil)
+	token, err := c.callForU64(wireFence, nil)
 	if err != nil {
 		return nil, 0, err
 	}
+	return c, token, nil
+}
+
+// callForU64 performs an op whose reply is one u64.
+func (c *Client) callForU64(op wireOp, payload []byte) (uint64, error) {
+	resp, err := c.call(op, payload)
+	if err != nil {
+		return 0, err
+	}
 	defer resp.release()
 	d := decoder{buf: resp.payload}
-	token := d.u64()
-	if d.err != nil {
-		return nil, 0, d.err
-	}
-	return c, token, nil
+	v := d.u64()
+	return v, d.err
 }
 
 // Close closes the connection.
@@ -756,7 +764,7 @@ func (c *Client) Close() error {
 }
 
 func (c *Client) ReadSlot(bucket, slot int) ([]byte, error) {
-	rq := getWireBuf()
+	rq := getWireBuf(0)
 	enc := encoder{buf: rq.b[:0]}
 	enc.u32(uint32(bucket))
 	enc.u32(uint32(slot))
@@ -797,71 +805,49 @@ func (c *Client) ReadSlots(refs []SlotRef) ([][]byte, error) {
 }
 
 func (c *Client) readSlotsFrame(refs []SlotRef) ([][]byte, error) {
-	rq := getWireBuf()
+	rq := getWireBuf(0)
 	enc := encoder{buf: rq.b[:0]}
 	enc.u32(uint32(len(refs)))
 	for _, r := range refs {
 		enc.u32(uint32(r.Bucket))
 		enc.u32(uint32(r.Slot))
 	}
-	resp, err := c.call(wireReadSlots, enc.buf)
+	data, err := c.callForFields(wireReadSlots, enc.buf)
 	rq.b = enc.buf
 	putWireBuf(rq)
+	if err == nil && len(data) != len(refs) {
+		err = fmt.Errorf("storage: bad read-slots response (%d results for %d refs)", len(data), len(refs))
+	}
+	return data, err
+}
+
+// callForFields performs an op whose reply is a vector of byte fields (slots,
+// log records), copied out of the pooled reply frame into one arena: two
+// allocations per call instead of one per field.
+func (c *Client) callForFields(op wireOp, payload []byte) ([][]byte, error) {
+	resp, err := c.call(op, payload)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.release()
 	d := decoder{buf: resp.payload}
-	n := int(d.u32())
-	if d.err != nil || n != len(refs) {
-		return nil, fmt.Errorf("storage: bad read-slots response (%d results for %d refs)", n, len(refs))
+	out := d.fields()
+	if d.err != nil {
+		return nil, fmt.Errorf("storage: bad response to op %d: %w", op, d.err)
 	}
-	// The whole vector copies out of the pooled frame into one contiguous
-	// arena: two allocations per call instead of one per slot. The arena is
-	// pre-sized, so the handed-out subslices never move.
-	arena := make([]byte, 0, len(resp.payload))
-	data := make([][]byte, n)
-	for i := range data {
-		b := d.view()
-		if d.err != nil {
-			return nil, d.err
-		}
-		off := len(arena)
-		arena = append(arena, b...)
-		data[i] = arena[off:len(arena):len(arena)]
-	}
-	return data, nil
+	return out, nil
 }
 
 func (c *Client) ReadBucket(bucket int) ([][]byte, error) {
 	var enc encoder
 	enc.u32(uint32(bucket))
-	resp, err := c.call(wireReadBucket, enc.buf)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.release()
-	d := decoder{buf: resp.payload}
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("storage: bad read-bucket response")
-	}
-	slots := make([][]byte, n)
-	for i := range slots {
-		slots[i] = d.copyBytes()
-	}
-	return slots, d.err
+	return c.callForFields(wireReadBucket, enc.buf)
 }
 
 func (c *Client) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	rq := getWireBuf()
+	rq := getWireBuf(0)
 	enc := encoder{buf: rq.b[:0]}
-	enc.u32(uint32(bucket))
-	enc.u64(epoch)
-	enc.u32(uint32(len(slots)))
-	for _, s := range slots {
-		enc.bytes(s)
-	}
+	enc.bucket(bucket, epoch, slots)
 	resp, err := c.call(wireWriteBucket, enc.buf)
 	rq.b = enc.buf
 	putWireBuf(rq)
@@ -870,66 +856,60 @@ func (c *Client) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 }
 
 // WriteBuckets ships a whole write-back set in one request frame, splitting
-// into several frames (sent back-to-back) only when the encoded payload
-// would approach the frame limit — the exact size is known client-side.
-// Buckets install in vector order either way.
+// into several (sent back-to-back) only when the payload would approach the
+// frame limit; sizes are known before encoding, so each frame is written
+// once into a buffer sized for it. Buckets install in vector order.
 func (c *Client) WriteBuckets(writes []BucketWrite) error {
-	rq, ob := getWireBuf(), getWireBuf()
-	defer func() { putWireBuf(rq); putWireBuf(ob) }()
-	// The chunk's element count lives in the payload's first four bytes,
-	// patched at flush time, so the whole request encodes into one pooled
-	// buffer with no per-chunk assembly copy.
-	enc := encoder{buf: append(rq.b[:0], 0, 0, 0, 0)}
-	start := 0
-	flush := func(end int) error {
-		if end == start && len(writes) > 0 {
+	for start := 0; ; {
+		end, size := start, 4
+		for end < len(writes) {
+			n := 4 + 8 + 4
+			for _, s := range writes[end].Slots {
+				n += 4 + len(s)
+			}
+			if end > start && size+n > vectorChunkBytes {
+				break
+			}
+			size += n
+			end++
+		}
+		if err := c.writeBucketsFrame(writes[start:end], size); err != nil {
+			return err
+		}
+		if start = end; start >= len(writes) {
 			return nil
 		}
-		binary.BigEndian.PutUint32(enc.buf[:4], uint32(end-start))
-		resp, err := c.call(wireWriteBuckets, enc.buf)
-		resp.release()
-		rq.b = enc.buf
-		enc.buf = enc.buf[:4]
-		start = end
-		return err
 	}
-	for i, w := range writes {
-		one := encoder{buf: ob.b[:0]}
-		one.u32(uint32(w.Bucket))
-		one.u64(w.Epoch)
-		one.u32(uint32(len(w.Slots)))
-		for _, s := range w.Slots {
-			one.bytes(s)
-		}
-		ob.b = one.buf
-		if len(enc.buf) > 4 && len(enc.buf)+len(one.buf) > vectorChunkBytes {
-			if err := flush(i); err != nil {
-				return err
-			}
-		}
-		enc.buf = append(enc.buf, one.buf...)
-	}
-	return flush(len(writes))
 }
 
-func (c *Client) CommitEpoch(epoch uint64) error {
-	rq := getWireBuf()
+func (c *Client) writeBucketsFrame(writes []BucketWrite, size int) error {
+	rq := getWireBuf(size)
+	if cap(rq.b) < size {
+		rq.b = make([]byte, 0, size)
+	}
 	enc := encoder{buf: rq.b[:0]}
-	enc.u64(epoch)
-	resp, err := c.call(wireCommitEpoch, enc.buf)
-	rq.b = enc.buf
+	enc.u32(uint32(len(writes)))
+	for _, w := range writes {
+		enc.bucket(w.Bucket, w.Epoch, w.Slots)
+	}
+	resp, err := c.call(wireWriteBuckets, enc.buf)
+	resp.release()
+	putWireBuf(rq)
+	return err
+}
+
+// callU64 performs an op whose request is one u64 and whose reply is empty.
+func (c *Client) callU64(op wireOp, v uint64) error {
+	rq := getWireBuf(0)
+	rq.b = binary.BigEndian.AppendUint64(rq.b[:0], v)
+	resp, err := c.call(op, rq.b)
 	putWireBuf(rq)
 	resp.release()
 	return err
 }
 
-func (c *Client) RollbackTo(epoch uint64) error {
-	var enc encoder
-	enc.u64(epoch)
-	resp, err := c.call(wireRollbackTo, enc.buf)
-	resp.release()
-	return err
-}
+func (c *Client) CommitEpoch(epoch uint64) error { return c.callU64(wireCommitEpoch, epoch) }
+func (c *Client) RollbackTo(epoch uint64) error  { return c.callU64(wireRollbackTo, epoch) }
 
 func (c *Client) NumBuckets() (int, error) {
 	resp, err := c.call(wireNumBuckets, nil)
@@ -978,54 +958,18 @@ func (c *Client) Delete(key string) error {
 func (c *Client) Append(record []byte) (uint64, error) {
 	var enc encoder
 	enc.bytes(record)
-	resp, err := c.call(wireLogAppend, enc.buf)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.release()
-	d := decoder{buf: resp.payload}
-	seq := d.u64()
-	return seq, d.err
+	return c.callForU64(wireLogAppend, enc.buf)
 }
 
 func (c *Client) Scan(from uint64) ([][]byte, error) {
 	var enc encoder
 	enc.u64(from)
-	resp, err := c.call(wireLogScan, enc.buf)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.release()
-	d := decoder{buf: resp.payload}
-	n := int(d.u32())
-	if d.err != nil || n < 0 {
-		return nil, fmt.Errorf("storage: bad log-scan response")
-	}
-	recs := make([][]byte, n)
-	for i := range recs {
-		recs[i] = d.copyBytes()
-	}
-	return recs, d.err
+	return c.callForFields(wireLogScan, enc.buf)
 }
 
-func (c *Client) Truncate(before uint64) error {
-	var enc encoder
-	enc.u64(before)
-	resp, err := c.call(wireLogTruncate, enc.buf)
-	resp.release()
-	return err
-}
+func (c *Client) Truncate(before uint64) error { return c.callU64(wireLogTruncate, before) }
 
-func (c *Client) LastSeq() (uint64, error) {
-	resp, err := c.call(wireLogLastSeq, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.release()
-	d := decoder{buf: resp.payload}
-	seq := d.u64()
-	return seq, d.err
-}
+func (c *Client) LastSeq() (uint64, error) { return c.callForU64(wireLogLastSeq, nil) }
 
 // encoder builds wire payloads.
 type encoder struct {
@@ -1039,6 +983,17 @@ func (e *encoder) bytes(b []byte) {
 	e.u32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
 }
+
+// bucket encodes one written bucket: bucket, epoch, slot count, slots.
+func (e *encoder) bucket(bucket int, epoch uint64, slots [][]byte) {
+	e.u32(uint32(bucket))
+	e.u64(epoch)
+	e.u32(uint32(len(slots)))
+	for _, s := range slots {
+		e.bytes(s)
+	}
+}
+
 func (e *encoder) str(s string) {
 	e.u32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
@@ -1105,6 +1060,47 @@ func (d *decoder) copyBytes() []byte {
 func (d *decoder) view() []byte {
 	n := int(d.u32())
 	return d.take(n)
+}
+
+// count reads a vector's element count, failing when it exceeds maxVector or
+// what the rest of the payload could hold at minSize bytes an element.
+func (d *decoder) count(minSize int) int {
+	n := d.u32()
+	if d.err == nil && (n > maxVector || int(n) > len(d.buf)/minSize) {
+		d.err = errShort
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// fields decodes a count and that many length-prefixed fields (a bucket's
+// slots, a read vector's results) into an arena the caller may keep: a size
+// pass over the prefixes bounded by the payload, one exactly-sized allocation,
+// capacity-clipped subslices. One arena per bucket, not per frame: a version
+// that lives long pins its own bytes only.
+func (d *decoder) fields() [][]byte {
+	n := d.count(4)
+	size := decoder{buf: d.buf}
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(size.view())
+	}
+	if d.err == nil {
+		d.err = size.err
+	}
+	if d.err != nil {
+		return nil
+	}
+	arena := make([]byte, 0, total)
+	out := make([][]byte, n)
+	for i := range out {
+		at := len(arena)
+		arena = append(arena, d.view()...)
+		out[i] = arena[at:len(arena):len(arena)]
+	}
+	return out
 }
 
 func (d *decoder) str() string {

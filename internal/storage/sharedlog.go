@@ -124,46 +124,27 @@ func newSharedLogOpts(owner *DiskBackend, walStreams, heapStreams int, rp shared
 	return s, nil
 }
 
-// appendHeapStream appends one bucket-data record to heap stream i without
+// appendHeapFrame appends one bucket-data record to heap stream i without
 // standing on a barrier, returning where it landed; the caller owns
-// durability (notePending now, SyncLog at the commit barrier). Called with
-// the owning LogHeap's mutex held — lock order is heap mu → s.mu → the
-// owner's logMu.
-func (s *SharedLog) appendHeapStream(i int, rec []byte) (logAppendRes, error) {
-	if i < 0 || i >= s.heapStreams {
-		return logAppendRes{}, fmt.Errorf("storage: shared log heap stream %d of %d", i, s.heapStreams)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.owner.appendLogUnsynced(wrapSharedRecord(uint32(len(s.streams)+i), rec))
-}
-
-// reappendHeapFrame appends to heap stream i a record given as a whole frame
-// read back from the log (frame header, stream header, body), after the
-// caller edited its body in place: the stream id is set and the checksum
-// recomputed inside frame, which goes to the log head as it is. Nothing is
-// allocated and frame is not retained — segment GC moves thousands of
-// versions per pass through one buffer. Locking as appendHeapStream.
-func (s *SharedLog) reappendHeapFrame(i int, frame []byte) (logAppendRes, error) {
+// durability (notePending now, SyncLog at the commit barrier). The caller
+// laid the record out as a whole frame in its own buffer — beginRecord,
+// sharedLogHdrSize bytes for the stream header, the body — freshly built or
+// read back and edited (segment GC's copy): the stream id and frame header
+// are filled in there and frame goes to the log head as it is, not retained.
+// Called with the owning LogHeap's mutex held — lock order is heap mu → s.mu
+// → the owner's logMu.
+func (s *SharedLog) appendHeapFrame(i int, frame []byte) (logAppendRes, error) {
 	if i < 0 || i >= s.heapStreams {
 		return logAppendRes{}, fmt.Errorf("storage: shared log heap stream %d of %d", i, s.heapStreams)
 	}
 	if len(frame) < recordFrameSize+sharedLogHdrSize {
 		return logAppendRes{}, fmt.Errorf("storage: %d byte frame shorter than its stream header", len(frame))
 	}
-	body := frame[recordFrameSize:]
-	binary.BigEndian.PutUint32(body, uint32(len(s.streams)+i))
-	binary.BigEndian.PutUint32(frame[4:8], recordCRC(frame[:4], body))
+	binary.BigEndian.PutUint32(frame[recordFrameSize:], uint32(len(s.streams)+i))
+	sealRecord(frame)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.owner.appendLogFramed(frame)
-}
-
-func wrapSharedRecord(id uint32, rec []byte) []byte {
-	out := make([]byte, sharedLogHdrSize+len(rec))
-	binary.BigEndian.PutUint32(out, id)
-	copy(out[sharedLogHdrSize:], rec)
-	return out
 }
 
 func splitSharedRecord(rec []byte) (uint32, []byte, error) {
@@ -187,27 +168,32 @@ type LogView struct {
 	id  uint32
 }
 
-// Append writes the record into the shared physical log and blocks on a
-// flush wave of that log's active segment. The mapping update and the
-// physical append stay under one lock (stream order == physical order, the
-// invariant torn-tail recovery leans on), but the barrier runs outside it —
-// that is the whole point: every stream's barrier lands on the same file and
-// coalesces.
-func (v *LogView) Append(record []byte) (uint64, error) {
+// appendUnsynced writes the record into the shared physical log and extends
+// the stream's mapping under one lock (stream order == physical order, the
+// invariant torn-tail recovery leans on); durability is the caller's.
+func (v *LogView) appendUnsynced(record []byte) (seq uint64, res logAppendRes, err error) {
 	s := v.log
 	s.mu.Lock()
-	res, err := s.owner.appendLogUnsynced(wrapSharedRecord(v.id, record))
-	if err != nil {
-		s.mu.Unlock()
-		return 0, err
+	defer s.mu.Unlock()
+	if res, err = s.owner.appendLogRecord(int(v.id), record); err != nil {
+		return 0, res, err
 	}
 	st := &s.streams[v.id]
 	st.phys = append(st.phys, res.seq)
 	st.last++
-	seq := st.last
-	s.mu.Unlock()
-	if err := s.owner.barrierTicket(res.f, res.ticket); err != nil {
-		return 0, s.owner.wedge(err)
+	return st.last, res, nil
+}
+
+// Append writes the record and blocks on a flush wave of the physical log's
+// active segment. The barrier runs outside the lock — that is the whole
+// point: every stream's barrier lands on the same file and coalesces.
+func (v *LogView) Append(record []byte) (uint64, error) {
+	seq, res, err := v.appendUnsynced(record)
+	if err != nil {
+		return 0, err
+	}
+	if err := v.log.owner.barrierTicket(res.f, res.ticket); err != nil {
+		return 0, v.log.owner.wedge(err)
 	}
 	return seq, nil
 }
@@ -219,22 +205,14 @@ func (v *LogView) Append(record []byte) (uint64, error) {
 // all of them durable and the remaining N-1 calls return without touching
 // the disk.
 func (v *LogView) AppendNoSync(record []byte) (uint64, error) {
-	s := v.log
-	s.mu.Lock()
-	res, err := s.owner.appendLogUnsynced(wrapSharedRecord(v.id, record))
+	seq, res, err := v.appendUnsynced(record)
 	if err != nil {
-		s.mu.Unlock()
 		return 0, err
 	}
-	st := &s.streams[v.id]
-	st.phys = append(st.phys, res.seq)
-	st.last++
-	seq := st.last
-	s.mu.Unlock()
 	// The pending-barrier ledger is the owner's: it is per physical log
 	// (which is exactly the coalescing domain) and it already forgets
 	// obligations on retired segment files.
-	s.owner.notePending(res.f, res.ticket)
+	v.log.owner.notePending(res.f, res.ticket)
 	return seq, nil
 }
 
