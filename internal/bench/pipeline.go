@@ -15,8 +15,8 @@ import (
 // transactions per second on latency-injected backends with the boundary's
 // commit stage run synchronously (every epoch pays the full write-back +
 // durability round trip before the next epoch starts) versus pipelined
-// (epoch e's flush, checkpoint and commit records overlap epoch e+1's read
-// batches). Durability is ON — the commit records and checkpoints are
+// (epoch e's flush, checkpoints and store commit overlap epoch e+1's read
+// batches). Durability is ON — the checkpoints and the store commit are
 // precisely the round trips the pipeline hides.
 func Pipeline(cfg Config) ([]Row, error) {
 	cfg.setDefaults()

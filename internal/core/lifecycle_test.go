@@ -17,12 +17,15 @@ import (
 	"obladi/internal/wal"
 )
 
-// lifecycleBound is the most records one shard's recovery log may retain:
-// the epochs between two truncations plus the two the pipelined boundary can
-// have in flight, each worth R read batches, a write batch, a checkpoint and
-// a commit record. It is a function of public parameters only.
+// lifecycleBound is the most records one shard's recovery log may retain. A
+// full checkpoint's cut runs at the end of its own epoch's commit stage, so
+// just before it the log holds the previous full checkpoint, the
+// FullCheckpointEvery epochs since — R read batches, a write batch and a
+// checkpoint each — and the read batches of the one epoch that overlaps the
+// commit (its write batch waits for the boundary slot, which the cut frees):
+// C·(R+2) + R + 1. It is a function of public parameters only.
 func lifecycleBound(cfg Config) uint64 {
-	return uint64((cfg.FullCheckpointEvery + 3) * (cfg.ReadBatches + 3))
+	return uint64((cfg.FullCheckpointEvery+1)*(cfg.ReadBatches+2) - 1)
 }
 
 // finishEpoch advances the schedule, from wherever it stands, through the
@@ -97,6 +100,7 @@ func TestLogLifecycleSoakMem(t *testing.T) {
 		}
 		if e%1000 == 0 {
 			must(t, <-ack) // quiesce: nothing in flight while the store is counted
+			p.committers.Wait()
 			ack = nil
 			recs, err := backend.Scan(0)
 			must(t, err)
@@ -190,7 +194,7 @@ func TestLogLifecycleSoakDisk(t *testing.T) {
 
 // historyBackend is a store that remembers every log record ever appended,
 // so a test can ask what recovery would have seen had the log never been
-// truncated. Appends and truncations are serialized with image(), which
+// truncated. Appends and truncations are serialized with crashImages, which
 // therefore captures a consistent crash image at any instant, background
 // committer or not.
 type historyBackend struct {
@@ -215,14 +219,17 @@ func (h *historyBackend) Truncate(before uint64) error {
 	return h.Backend.Truncate(before)
 }
 
-// image returns the log as a crash would leave it, and as it would have
-// been left without truncation, each as a fresh log store.
-func (h *historyBackend) image(t *testing.T) (truncated, whole storage.LogStore) {
+// crashImages returns every shard's log as a crash at this instant would
+// leave it, and as it would have been left without truncation, each as a
+// fresh log store. All the stores are held at once: the committer may be
+// between one shard's append or truncation and the next's, and recovery
+// reads one instant, not one per shard.
+func crashImages(t *testing.T, hs []*historyBackend) (truncated, whole []storage.LogStore) {
 	t.Helper()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	recs, err := h.Backend.Scan(0)
-	must(t, err)
+	for _, h := range hs {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+	}
 	fill := func(recs [][]byte) storage.LogStore {
 		m := storage.NewMemBackend(1)
 		for _, r := range recs {
@@ -232,7 +239,12 @@ func (h *historyBackend) image(t *testing.T) (truncated, whole storage.LogStore)
 		}
 		return m
 	}
-	return fill(recs), fill(h.history)
+	for _, h := range hs {
+		recs, err := h.Backend.Scan(0)
+		must(t, err)
+		truncated, whole = append(truncated, fill(recs)), append(whole, fill(h.history))
+	}
+	return truncated, whole
 }
 
 // recoveredState rebuilds the ORAM metadata a recovery describes, in a
@@ -255,12 +267,12 @@ func recoveredState(t *testing.T, cfg Config, shard int, rec *wal.Recovery) []by
 func checkRecoveryEquivalence(t *testing.T, cfg Config, stores []*historyBackend, when string) {
 	t.Helper()
 	var floor uint64
-	for i, h := range stores {
-		truncated, whole := h.image(t)
+	truncated, whole := crashImages(t, stores)
+	for i := range stores {
 		wcfg, err := WALConfigFor(cfg, i, len(stores))
 		must(t, err)
 		var recs [2]*wal.Recovery
-		for j, store := range []storage.LogStore{truncated, whole} {
+		for j, store := range []storage.LogStore{truncated[i], whole[i]} {
 			l, err := wal.New(store, wcfg)
 			must(t, err)
 			if i == 0 {
@@ -452,10 +464,10 @@ func TestRecoveryEquivalenceLiveMetadata(t *testing.T) {
 // TestRecoveryEquivalenceTornCommitAfterTruncation tears the 4-shard commit
 // protocol in an epoch whose checkpoint is full, with every log already
 // truncated at the previous full checkpoint: the coordinator holds the
-// epoch's commit record, the other shards only their checkpoints. Each
-// lagging shard must recover through the coordinator's floor from its
-// truncated log exactly as from its whole history, and the epoch's
-// truncation — which never ran — must not be needed.
+// epoch's committing checkpoint, the other shards their prepared ones, no
+// store has retired the epoch. Each follower must recover through the
+// coordinator's floor from its truncated log exactly as from its whole
+// history, and the epoch's truncation — which never ran — must not be needed.
 func TestRecoveryEquivalenceTornCommitAfterTruncation(t *testing.T) {
 	cfg := testConfig(320)
 	cfg.FullCheckpointEvery = 4
@@ -466,7 +478,7 @@ func TestRecoveryEquivalenceTornCommitAfterTruncation(t *testing.T) {
 	}
 	want := map[string]string{}
 	// Epochs 1..7: the full checkpoints of epochs 0 and 4 are behind us and
-	// epoch 5's commit stage has cut every log at epoch 4's.
+	// epoch 4's commit stage has cut every log at its own.
 	for e := 1; e <= 7; e++ {
 		kv := map[string]string{}
 		for s := 0; s < 4; s++ {
@@ -483,12 +495,7 @@ func TestRecoveryEquivalenceTornCommitAfterTruncation(t *testing.T) {
 		}
 	}
 	crash := errors.New("injected crash after coordinator commit")
-	p.testCommitHook = func(shardID int) error {
-		if shardID == 0 {
-			return crash
-		}
-		return nil
-	}
+	p.testCommitHook = func() error { return crash }
 	tx := p.Begin()
 	for s := 0; s < 4; s++ {
 		k := keysForShard(s, 4, 1)[0]

@@ -38,12 +38,12 @@
 // nothing beyond what the single-ORAM design already leaked.
 //
 // Cross-shard durability uses a coordinator-commit protocol: at the epoch
-// boundary every shard flushes and appends its checkpoint (prepare), and only
-// then are commit records appended, shard 0 first. Shard 0's commit record is
-// the global commit point; recovery reads shard 0's committed epoch and
-// recovers every other shard with that epoch as a floor (a shard can lag the
-// coordinator by at most its own commit record, and its checkpoint for the
-// committed epoch is already durable).
+// boundary every shard flushes and every shard but shard 0 appends its
+// checkpoint (prepare); only then does shard 0 append its own, a committing
+// checkpoint. That record is the global commit point; recovery reads shard 0's
+// committed epoch and recovers every other shard with that epoch as a floor
+// (its checkpoint for the committed epoch is already durable, and the ones
+// above it are ignored).
 package core
 
 import (
@@ -119,9 +119,9 @@ type Config struct {
 	DisableReadCache bool
 
 	// Boundary controls epoch-boundary pipelining: whether EndEpoch's
-	// commit stage (buffered-bucket flush, checkpoint and commit-record
-	// appends, storage epoch commit) overlaps the next epoch's read
-	// batches or runs inline. Default BoundaryAuto.
+	// commit stage (buffered-bucket flush, checkpoint appends, storage
+	// epoch commit) overlaps the next epoch's read batches or runs inline.
+	// Default BoundaryAuto.
 	Boundary BoundaryMode
 
 	// DisableDurability skips the recovery unit entirely (microbenchmarks
@@ -274,9 +274,14 @@ type Proxy struct {
 	ccu    *mvtso.Manager
 	// unified, when non-nil, holds every shard's EpochCommitBatcher face:
 	// the stores retire epochs with records on the SAME physical append
-	// stream as the recovery log, so the boundary commit can collapse to a
-	// single flush wave (see commitUnified). nil selects the inline path.
+	// stream as the recovery log, so record order carries the boundary
+	// commit's ordering points and the whole commit stands on a single flush
+	// wave (see runCommit). nil: each ordering point is a barrier.
 	unified []storage.EpochCommitBatcher
+	// deferredLogs reports that some shard's log store splits appends from
+	// their barrier (storage.LogBatcher). Without one, every append was
+	// durable inline and a Sync round has nothing to flush.
+	deferredLogs bool
 
 	// tees are the per-shard replication taps on the recovery logs (nil
 	// without a Replicator); armed once primeReplicator has seeded history.
@@ -302,6 +307,11 @@ type Proxy struct {
 	inflight     *boundaryJob
 	boundaryDone *sync.Cond
 	committers   sync.WaitGroup
+	// retiring is held from just before a boundary's acks are sent until the
+	// log truncation behind them has landed. Stats takes it: whoever has seen
+	// an epoch's acks reads lifecycle counters from after that epoch's
+	// truncation, never from the middle of it.
+	retiring sync.Mutex
 
 	kick      chan struct{} // wakes the epoch loop (eager batches, close)
 	loop      sync.WaitGroup
@@ -317,10 +327,27 @@ type Proxy struct {
 	stats        Stats
 	replayedLast int
 
-	// testCommitHook, when set (tests only), runs after each shard's commit
-	// record is appended; returning an error simulates a crash torn across
-	// the coordinator-commit protocol.
-	testCommitHook func(shardID int) error
+	// step is the schedule goroutine's per-step scratch and commitErrs the
+	// commit stage's: one goroutine drives the schedule and at most one
+	// boundary commits at a time, so both are reused, cleared, every step.
+	step       stepScratch
+	commitErrs []error
+
+	// testCommitHook, when set (tests only), runs at the commit point: the
+	// coordinator's committing checkpoint is durable, nothing after it has
+	// happened. Returning an error simulates a crash there.
+	testCommitHook func() error
+}
+
+// stepScratch holds one entry per shard of everything a read batch or a seal
+// builds and drops again.
+type stepScratch struct {
+	batches  []shardReadBatch
+	ops      [][]oramexec.ReadOp
+	results  [][]oramexec.ReadResult
+	plans    []*oramexec.BatchPlan
+	errs     []error
+	shardOps [][]oramexec.WriteOp
 }
 
 // New creates a single-shard proxy over the given backend, initializing (or
@@ -369,7 +396,7 @@ func NewShardedFromRecoveries(stores []storage.Backend, cfg Config, recs []*wal.
 		return nil, fmt.Errorf("core: %d recoveries for %d stores", len(recs), len(stores))
 	}
 	if !recs[0].HasCommit {
-		return nil, errors.New("core: coordinator recovery has no commit record")
+		return nil, errors.New("core: coordinator recovery has no committing checkpoint")
 	}
 	if err := p.recoverFromRecoveries(recs); err != nil {
 		return nil, err
@@ -398,6 +425,16 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 		kick:    make(chan struct{}, 1),
 	}
 	p.boundaryDone = sync.NewCond(&p.mu)
+	n := len(stores)
+	p.commitErrs = make([]error, n)
+	p.step = stepScratch{
+		batches:  make([]shardReadBatch, n),
+		ops:      make([][]oramexec.ReadOp, n),
+		results:  make([][]oramexec.ReadResult, n),
+		plans:    make([]*oramexec.BatchPlan, n),
+		errs:     make([]error, n),
+		shardOps: make([][]oramexec.WriteOp, n),
+	}
 	for i, st := range stores {
 		sh := &shard{
 			id:      i,
@@ -414,6 +451,9 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 				logStore = tapped
 				p.tees = append(p.tees, tee)
 			}
+			if _, ok := logStore.(storage.LogBatcher); ok {
+				p.deferredLogs = true
+			}
 			wcfg, err := WALConfigFor(cfg, i, len(stores))
 			if err != nil {
 				return nil, err
@@ -425,6 +465,9 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 			sh.rlog = l
 		}
 		p.shards = append(p.shards, sh)
+		p.step.batches[i] = shardReadBatch{sh: sh, waiters: make(map[string][]*fetchWaiter, cfg.ReadBatchSize)}
+		p.step.ops[i] = make([]oramexec.ReadOp, cfg.ReadBatchSize)
+		p.step.shardOps[i] = make([]oramexec.WriteOp, 0, cfg.WriteBatchSize)
 	}
 	if !cfg.DisableDurability {
 		p.unified = unifiedCommitStores(stores)
@@ -473,65 +516,32 @@ func (p *Proxy) beginEpochAllLocked() {
 	}
 }
 
-// syncLogsParallel runs one Sync round: every shard without an earlier
-// error flushes its recovery log's deferred appends, concurrently. On a
-// shared physical log the first Sync's fsync covers every shard and the
-// rest return without touching the disk; on independent stores the barriers
-// at least overlap. Errors land in errs[i].
-func (p *Proxy) syncLogsParallel(shs []*shard, errs []error) {
-	var wg sync.WaitGroup
-	for i := range shs {
-		if errs[i] != nil || shs[i].rlog == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+// syncLogs runs one Sync round: every shard without an earlier error flushes
+// its recovery log's deferred appends. On a shared physical log the first
+// Sync's fsync covers every shard and the rest return without touching the
+// disk; on independent stores the barriers overlap. With nothing deferred (no
+// LogBatcher store: every append was durable inline) or a single shard there
+// is nothing to overlap and the round runs on the caller's goroutine. Errors
+// land in errs[i].
+func (p *Proxy) syncLogs(shs []*shard, errs []error) {
+	if !p.deferredLogs {
+		return
+	}
+	oramexec.RunStages(len(shs), func(i int) {
+		if errs[i] == nil && shs[i].rlog != nil {
 			errs[i] = shs[i].rlog.Sync()
-		}(i)
-	}
-	wg.Wait()
-}
-
-// appendCommitAll appends the epoch's commit records, coordinator (shard 0)
-// first: the coordinator's record is the global commit point and pays a
-// real durability barrier. The other shards' records merely let a shard
-// recover without consulting the coordinator's floor — losing one costs a
-// floor lookup, not correctness — so they are appended deferred and ride
-// whatever flush comes next (the storage-epoch commits that follow, or the
-// next epoch's barriers) instead of each paying an fsync.
-func (p *Proxy) appendCommitAll(epoch uint64) error {
-	commitHook := func(sh *shard) error {
-		if p.testCommitHook != nil {
-			return p.testCommitHook(sh.id)
 		}
-		return nil
-	}
-	if err := p.shards[0].rlog.AppendCommit(epoch); err != nil {
-		return err
-	}
-	if err := commitHook(p.shards[0]); err != nil {
-		return err
-	}
-	for _, sh := range p.shards[1:] {
-		if err := sh.rlog.AppendCommitDeferred(epoch); err != nil {
-			return err
-		}
-		if err := commitHook(sh); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // unifiedCommitStores probes for the single-barrier boundary commit: every
 // store must batch epoch commits onto its recovery-log stream
 // (EpochCommitBatcher), and in a sharded proxy all shards must share ONE
 // physical stream — prefix durability, which is what orders a shard's heap
-// commit after the coordinator's WAL commit record without a barrier between
-// them, only exists within one physical log. Anything else returns nil and
-// the boundary keeps the inline commit path, whose explicit barrier order
-// provides the same guarantees at more fsync waves.
+// commit after the coordinator's committing checkpoint without a barrier
+// between them, only exists within one physical log. Anything else returns nil
+// and the boundary commit places an explicit barrier at each ordering point,
+// which provides the same guarantees at more fsync waves.
 func unifiedCommitStores(stores []storage.Backend) []storage.EpochCommitBatcher {
 	out := make([]storage.EpochCommitBatcher, len(stores))
 	var stream any
@@ -558,13 +568,10 @@ func (p *Proxy) bootstrap() error {
 		switch {
 		case err == nil && rec.HasCommit:
 			return p.recover(rec)
-		case err == nil:
-			// Checkpoints but no commit record anywhere: a first boot that
-			// died between baseline checkpoints. Nothing committed and a
-			// lagging shard's log may be empty — reinitialize rather than
-			// recover (the stale checkpoint is superseded by the fresh one).
-		case errors.Is(err, wal.ErrNoCheckpoint):
-			// Fresh deployment.
+		case err == nil, errors.Is(err, wal.ErrNoCheckpoint):
+			// Nothing ever committed: a fresh deployment, or a first boot that
+			// died before the coordinator's baseline checkpoint. Reinitialize;
+			// a follower's stale baseline is superseded by the fresh one.
 		default:
 			return err
 		}
@@ -583,14 +590,34 @@ func (p *Proxy) bootstrap() error {
 	p.epoch = 1
 	p.beginEpochAllLocked()
 	if coord.rlog != nil {
-		// Baseline checkpoints so a crash before the first epoch commits
-		// recovers to an empty store. Prepare everywhere, then commit.
-		for _, sh := range p.shards {
-			if _, err := sh.rlog.AppendCheckpoint(0, sh.exec.ORAM()); err != nil {
-				return err
-			}
-		}
-		if err := p.appendCommitAll(0); err != nil {
+		// Baseline checkpoints, committed like any epoch, so a crash before
+		// the first epoch commits recovers to an empty store.
+		return p.commitSnapshot(0)
+	}
+	return nil
+}
+
+// commitSnapshot checkpoints every shard's ORAM metadata as it stands and
+// commits it as epoch through the boundary's own commit sequence: bootstrap's
+// baseline and recovery's replay epoch are epochs with nothing to flush.
+func (p *Proxy) commitSnapshot(epoch uint64) error {
+	job := &boundaryJob{epoch: epoch, ckpts: make([]*wal.PendingCheckpoint, len(p.shards))}
+	errs := p.commitErrs
+	clear(errs)
+	oramexec.RunStages(len(p.shards), func(i int) {
+		sh := p.shards[i]
+		job.ckpts[i], errs[i] = sh.rlog.PrepareCheckpoint(epoch, sh.exec.ORAM())
+	})
+	if err := firstError(errs); err != nil {
+		return err
+	}
+	return p.runCommit(job)
+}
+
+// firstError returns the first non-nil error of a per-shard round.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
@@ -653,7 +680,7 @@ func (p *Proxy) recoverFromRecoveries(recs []*wal.Recovery) error {
 		}
 	}
 	// Phase 2: rollback, state rebuild, deterministic replay (concurrent);
-	// only the final checkpoint/commit records below need ordering.
+	// only the recovery epoch's commit below needs ordering.
 	replayed := make([]int, len(p.shards))
 	for i := range p.shards {
 		wg.Add(1)
@@ -700,38 +727,13 @@ func (p *Proxy) recoverFromRecoveries(recs []*wal.Recovery) error {
 		p.replayedLast += n
 	}
 	p.stats.RecoveryReplayed += p.replayedLast
-	// Checkpoints are per-shard prepares: independent logs, so they append
-	// (and fsync) concurrently. Only the coordinator-first commit records
-	// need cross-shard ordering; the storage CommitEpochs after them are
-	// again independent barriers and run as one parallel round.
-	ckptErrs := make([]error, len(p.shards))
-	var ckptWG sync.WaitGroup
-	for i := range p.shards {
-		ckptWG.Add(1)
-		go func(i int) {
-			defer ckptWG.Done()
-			sh := p.shards[i]
-			_, ckptErrs[i] = sh.rlog.AppendCheckpoint(recoveryEpoch, sh.exec.ORAM())
-		}(i)
-	}
-	ckptWG.Wait()
-	for _, err := range ckptErrs {
-		if err != nil {
-			return err
-		}
-	}
-	if err := p.appendCommitAll(recoveryEpoch); err != nil {
-		return err
-	}
-	if err := p.commitStoresParallel(recoveryEpoch); err != nil {
+	if err := p.commitSnapshot(recoveryEpoch); err != nil {
 		return err
 	}
 	// The recovery checkpoint is full and now durably committed everywhere:
 	// it re-anchors the log floor, so a crash loop cannot grow the log.
-	for _, sh := range p.shards {
-		if err := sh.rlog.Retire(recoveryEpoch); err != nil {
-			return err
-		}
+	if err := p.retireLogs(recoveryEpoch); err != nil {
+		return err
 	}
 	p.epoch = recoveryEpoch + 1
 	p.beginEpochAllLocked()
@@ -789,11 +791,13 @@ func (p *Proxy) Stats() Stats {
 	p.mu.Unlock()
 	// Outside p.mu: a log's counters sit behind the lock its batch appends
 	// hold across the store call, and clients must not queue behind that.
+	p.retiring.Lock()
 	for _, sh := range p.shards {
 		if sh.rlog != nil {
 			s.Logs = append(s.Logs, sh.rlog.Stats())
 		}
 	}
+	p.retiring.Unlock()
 	return s
 }
 
@@ -956,7 +960,8 @@ func (p *Proxy) stepScheduled() error {
 }
 
 // shardReadBatch is one shard's share of a read-batch slot: the real keys it
-// serves this round and their blocked transactions.
+// serves this round and their blocked transactions (Proxy.step keeps one per
+// shard across rounds).
 type shardReadBatch struct {
 	sh      *shard
 	keys    []string
@@ -976,19 +981,21 @@ func (p *Proxy) StepReadBatch() error {
 		p.mu.Unlock()
 		return fmt.Errorf("core: epoch %d already issued all %d read batches", p.epoch, p.cfg.ReadBatches)
 	}
-	batches := make([]shardReadBatch, len(p.shards))
+	st := &p.step
+	batches, results, plans, errs := st.batches, st.results, st.plans, st.errs
+	clear(errs)
 	for i, sh := range p.shards {
 		// Fair drain: one key per session per pass (admission.go), up to
 		// bread slots.
-		keys := sh.takeBatchLocked(p.cfg.ReadBatchSize)
-		waiters := make(map[string][]*fetchWaiter, len(keys))
-		for _, k := range keys {
-			waiters[k] = sh.queued[k]
+		b := &batches[i]
+		b.keys = sh.takeBatchLocked(p.cfg.ReadBatchSize)
+		clear(b.waiters)
+		for _, k := range b.keys {
+			b.waiters[k] = sh.queued[k]
 			delete(sh.queued, k)
 		}
-		batches[i] = shardReadBatch{sh: sh, keys: keys, waiters: waiters}
 		p.stats.ReadBatchSlots += uint64(p.cfg.ReadBatchSize)
-		p.stats.RealReads += uint64(len(keys))
+		p.stats.RealReads += uint64(len(b.keys))
 	}
 	p.batchIdx++
 	batchIdx := p.batchIdx - 1
@@ -1004,30 +1011,23 @@ func (p *Proxy) StepReadBatch() error {
 	// before any read issues. On a shared physical log the round is ONE
 	// fsync for all shards — barrier placement, not barrier count, is what
 	// the write-ahead rule fixes.
-	results := make([][]oramexec.ReadResult, len(batches))
-	plans := make([]*oramexec.BatchPlan, len(batches))
-	errs := make([]error, len(batches))
 	oramexec.RunStages(len(batches), func(i int) {
-		b := batches[i]
-		ops := make([]oramexec.ReadOp, p.cfg.ReadBatchSize)
-		for j, k := range b.keys {
+		ops := st.ops[i]
+		clear(ops)
+		for j, k := range batches[i].keys {
 			ops[j].Key = k
 		}
-		plans[i], errs[i] = b.sh.exec.PlanReadBatch(ops)
+		plans[i], errs[i] = batches[i].sh.exec.PlanReadBatch(ops)
 	})
-	for i, b := range batches {
-		if errs[i] != nil || b.sh.rlog == nil {
+	for i, sh := range p.shards {
+		if errs[i] != nil || sh.rlog == nil {
 			continue
 		}
-		if err := b.sh.rlog.AppendBatchDeferred(epoch, batchIdx, plans[i].Log()); err != nil {
+		if err := sh.rlog.AppendBatchDeferred(epoch, batchIdx, plans[i].Log()); err != nil {
 			errs[i] = err
 		}
 	}
-	shs := make([]*shard, len(batches))
-	for i, b := range batches {
-		shs[i] = b.sh
-	}
-	p.syncLogsParallel(shs, errs)
+	p.syncLogs(p.shards, errs)
 	oramexec.RunStages(len(batches), func(i int) {
 		if errs[i] != nil {
 			return
@@ -1052,13 +1052,7 @@ func (p *Proxy) StepReadBatch() error {
 			delete(b.waiters, r.Key)
 		}
 	}
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
+	firstErr := firstError(errs)
 	if firstErr != nil {
 		// Waiters were already dequeued from sh.queued into the batches, so
 		// failAllLocked can no longer reach them: wake every one still
@@ -1080,6 +1074,9 @@ func (p *Proxy) StepReadBatch() error {
 		p.boundaryDone.Broadcast()
 	}
 	p.mu.Unlock()
+	// The scratch outlives the step; what it pointed at must not.
+	clear(results)
+	clear(plans)
 	if firstErr != nil {
 		p.ccu.AbortAll()
 	}
@@ -1113,7 +1110,7 @@ func (p *Proxy) pipelined() bool {
 // detaches every shard's buffered write-back set under a sealed-epoch
 // handle, snapshots the checkpoints, and immediately opens the next epoch so
 // read batches resume. The COMMIT stage flushes the sealed buckets, appends
-// the per-shard checkpoints and the coordinator-first commit records,
+// the per-shard checkpoints — the coordinator's last: it commits the epoch —
 // commits the storage epoch, and only then acknowledges the epoch's commit
 // waiters — delayed visibility already deferred acks to the boundary, so
 // deferring them to the commit's completion changes no client-visible
@@ -1173,7 +1170,11 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	out := p.ccu.FinalizeEpoch()
 
 	// Partition the deduplicated write set across shards.
-	shardOps := make([][]oramexec.WriteOp, len(p.shards))
+	shardOps, wplans, errs := p.step.shardOps, p.step.plans, p.step.errs
+	for i := range shardOps {
+		shardOps[i] = shardOps[i][:0]
+	}
+	clear(errs)
 	for _, w := range out.Writes {
 		i := shardOf(w.Key, len(p.shards))
 		if len(shardOps[i]) == p.cfg.WriteBatchSize {
@@ -1204,8 +1205,6 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// write-batch schedule deferred, one Sync round (one fsync on a shared
 	// log), then execute — the write-ahead rule holds per shard, with the
 	// barrier placed once per round instead of once per record.
-	errs := make([]error, len(p.shards))
-	wplans := make([]*oramexec.BatchPlan, len(p.shards))
 	oramexec.RunStages(len(p.shards), func(i int) {
 		sh := p.shards[i]
 		ops := shardOps[i]
@@ -1222,7 +1221,7 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 			errs[i] = err
 		}
 	}
-	p.syncLogsParallel(p.shards, errs)
+	p.syncLogs(p.shards, errs)
 	oramexec.RunStages(len(p.shards), func(i int) {
 		if errs[i] != nil {
 			return
@@ -1244,10 +1243,9 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 			job.ckpts[i], errs[i] = sh.rlog.PrepareCheckpoint(epoch, sh.exec.ORAM())
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, p.failBoundary(err)
-		}
+	clear(wplans)
+	if err := firstError(errs); err != nil {
+		return nil, p.failBoundary(err)
 	}
 
 	// Collect the epoch's commit waiters for the commit stage, ack its
@@ -1310,15 +1308,26 @@ func (p *Proxy) commitBoundary(job *boundaryJob) error {
 		// replicator itself is broken, and fail-stop is the honest outcome.
 		err = p.cfg.Replicator.Barrier()
 	}
-	p.mu.Lock()
-	p.inflight = nil
 	if err == nil {
+		p.retiring.Lock()
+		p.mu.Lock()
 		p.stats.Epochs++
 		p.stats.Committed += job.committed
 		for _, ch := range job.commitAck {
 			ch <- nil
 		}
-	} else {
+		p.mu.Unlock()
+		job.commitAck = nil
+		// The epoch is durable on every shard (checkpoints, the commit point,
+		// store commit, replica barrier), so its log prefix can go — after
+		// the acks, which have no reason to wait for a truncation, and before
+		// the boundary slot is freed, so no later commit's appends overlap it.
+		err = p.retireLogs(job.epoch)
+		p.retiring.Unlock()
+	}
+	p.mu.Lock()
+	p.inflight = nil
+	if err != nil {
 		for _, ch := range job.commitAck {
 			ch <- err
 		}
@@ -1333,134 +1342,101 @@ func (p *Proxy) commitBoundary(job *boundaryJob) error {
 	return err
 }
 
-// runCommit makes a sealed epoch durable: retire the previous epoch's log
-// prefix, flush every shard's sealed buckets and append its checkpoint
-// (prepare), then the coordinator-first commit records (the global commit
-// point), then commit the storage epoch.
-// Per-shard work runs concurrently; only the commit point needs cross-shard
-// ordering.
+// retireLogs tells every shard's log that epoch is durably committed
+// everywhere (see wal.Log.Retire): a function of the epoch counter alone,
+// one Truncate per shard per full checkpoint.
+func (p *Proxy) retireLogs(epoch uint64) error {
+	errs := p.commitErrs
+	clear(errs)
+	oramexec.RunStages(len(p.shards), func(i int) {
+		if rlog := p.shards[i].rlog; rlog != nil {
+			errs[i] = rlog.Retire(epoch)
+		}
+	})
+	return firstError(errs)
+}
+
+// runCommit makes an epoch durable and decides it, in the one sequence every
+// commit takes — a sealed boundary's, bootstrap's baseline, recovery's epoch:
+//
+//	every shard's write-back, the followers' prepared checkpoints
+//	  · ordering point ·
+//	the coordinator's committing checkpoint — the global commit point
+//	  · ordering point ·
+//	every store's epoch commit
+//
+// An ordering point is a Sync round on independent stores. When every shard
+// appends to one physical stream (p.unified: write-back buckets, checkpoints
+// and store commits are all records of it) an ordering point is nothing at
+// all: record order carries the protocol, crash recovery keeps a prefix of
+// the stream — so a lost suffix always falls between two steps, never inside
+// an inverted one — and the whole boundary stands on the one flush that ends
+// it. Per-shard work runs concurrently; only the commit point is ordered
+// across shards.
 func (p *Proxy) runCommit(job *boundaryJob) error {
-	errs := make([]error, len(p.shards))
+	shared := p.unified != nil
+	errs := p.commitErrs
+	clear(errs)
 	oramexec.RunStages(len(p.shards), func(i int) {
 		sh := p.shards[i]
-		// The previous epoch's commit stage finished before this epoch
-		// could seal: that epoch is durable on every shard (checkpoints,
-		// coordinator commit record, store commit, replica barrier) and its
-		// clients are acknowledged, so its log prefix can go. Doing it here
-		// keeps it off the seal path and makes it a function of the epoch
-		// counter alone.
-		if sh.rlog != nil {
-			if err := sh.rlog.Retire(job.epoch - 1); err != nil {
+		if job.sealed != nil {
+			if _, err := sh.exec.FlushSealed(job.sealed[i]); err != nil {
 				errs[i] = err
 				return
 			}
+			if !p.pipelined() {
+				// A synchronous boundary has no overlap to serve: retire
+				// the sealed set so the next epoch reads storage directly,
+				// keeping the observable trace (and its crash replay)
+				// identical to the unpipelined design.
+				sh.exec.ReleaseSealed(job.sealed[i])
+			}
 		}
-		if _, err := sh.exec.FlushSealed(job.sealed[i]); err != nil {
-			errs[i] = err
-			return
-		}
-		if !p.pipelined() {
-			// A synchronous boundary has no overlap to serve: retire
-			// the sealed set so the next epoch reads storage directly,
-			// keeping the observable trace (and its crash replay)
-			// identical to the unpipelined design.
-			sh.exec.ReleaseSealed(job.sealed[i])
+		if i > 0 && job.ckpts[i] != nil {
+			_, errs[i] = sh.rlog.AppendPreparedDeferred(job.ckpts[i])
 		}
 	})
-	// Prepare: append every shard's checkpoint deferred. On the inline path
-	// a Sync round follows, making all prepared records durable before the
-	// commit point is written; on the unified path the stream order itself
-	// carries prepare-before-commit and the whole boundary stands on one
-	// final flush.
-	for i, sh := range p.shards {
-		if errs[i] != nil || job.ckpts[i] == nil {
-			continue
-		}
-		if _, err := sh.rlog.AppendPreparedDeferred(job.ckpts[i]); err != nil {
-			errs[i] = err
-		}
+	if !shared {
+		p.syncLogs(p.shards[1:], errs[1:])
 	}
-	// The test hook's contract is "shard i's commit record is durable, later
-	// shards' not yet appended" — only the inline path has that intermediate
-	// state, so hooked runs keep it.
-	if p.unified != nil && p.shards[0].rlog != nil && p.testCommitHook == nil {
-		return p.commitUnified(job, errs)
+	if err := firstError(errs); err != nil {
+		return err
 	}
-	p.syncLogsParallel(p.shards, errs)
-	for _, err := range errs {
-		if err != nil {
+	// Commit point: every shard has flushed and every follower is prepared.
+	if cp := job.ckpts[0]; cp != nil {
+		coord := p.shards[0].rlog
+		if _, err := coord.AppendPreparedDeferred(cp); err != nil {
 			return err
 		}
-	}
-	// Global commit point: all shards prepared; the coordinator's commit
-	// record decides the epoch for everyone.
-	if p.shards[0].rlog != nil {
-		if err := p.appendCommitAll(job.epoch); err != nil {
-			return err
+		// The hook's contract is a durable commit point with nothing after
+		// it, so a hooked run flushes here even on a shared stream.
+		if !shared || p.testCommitHook != nil {
+			if err := coord.Sync(); err != nil {
+				return err
+			}
+		}
+		if p.testCommitHook != nil {
+			if err := p.testCommitHook(); err != nil {
+				return err
+			}
 		}
 	}
-	return p.commitStoresParallel(job.epoch)
-}
-
-// commitUnified retires a sealed boundary with ONE flush wave. In logheap
-// mode the epoch's write-back buckets, every shard's checkpoint, the WAL
-// commit records, and every shard's storage epoch commit are all records on
-// the same physical append stream, so a single fsync makes the entire
-// boundary durable at once. Record order carries the protocol that the
-// inline path enforces with barriers: checkpoints (prepare) precede the
-// coordinator's commit record (the global commit point), which precedes
-// every heap commit (epoch retirement) — and crash recovery keeps a prefix
-// of the stream, so no record can outlive a crash without every record it
-// depends on. A lost suffix therefore always lands BETWEEN protocol steps,
-// never inside an inverted one.
-func (p *Proxy) commitUnified(job *boundaryJob, errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
+	if shared {
+		for i := range p.shards {
+			if err := p.unified[i].CommitEpochNoSync(job.epoch); err != nil {
+				return err
+			}
 		}
+		p.syncLogs(p.shards, errs)
+	} else {
+		// Each CommitEpoch stands on its own barrier; issued together,
+		// backends sharing a commit-group data dir coalesce the round into
+		// one fsync wave instead of paying one barrier per shard.
+		oramexec.RunStages(len(p.shards), func(i int) {
+			errs[i] = p.shards[i].store.CommitEpoch(job.epoch)
+		})
 	}
-	// Coordinator first: within one stream, "appended earlier" is all the
-	// ordering the global commit point needs.
-	for _, sh := range p.shards {
-		if err := sh.rlog.AppendCommitDeferred(job.epoch); err != nil {
-			return err
-		}
-	}
-	for i := range p.shards {
-		if err := p.unified[i].CommitEpochNoSync(job.epoch); err != nil {
-			return err
-		}
-	}
-	p.syncLogsParallel(p.shards, errs)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// commitStoresParallel retires the epoch on every shard's storage
-// concurrently. Each CommitEpoch stands on its own fsync barrier; issuing
-// them together lets backends sharing a commit-group data dir coalesce the
-// whole round into one fsync wave instead of paying one barrier per shard.
-func (p *Proxy) commitStoresParallel(epoch uint64) error {
-	errs := make([]error, len(p.shards))
-	var wg sync.WaitGroup
-	for i := range p.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = p.shards[i].store.CommitEpoch(epoch)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstError(errs)
 }
 
 // failBoundary fail-stops the proxy after a boundary error: every fetch and

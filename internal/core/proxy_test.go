@@ -565,7 +565,7 @@ func TestManualBoundaryErrorFailsProxy(t *testing.T) {
 	}
 	defer p.Close()
 	boom := errors.New("injected boundary failure")
-	p.testCommitHook = func(shardID int) error { return boom }
+	p.testCommitHook = func() error { return boom }
 	tx := p.Begin()
 	must(t, tx.Write("k", []byte("v")))
 	ch := tx.CommitAsync()

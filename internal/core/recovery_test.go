@@ -429,9 +429,9 @@ func waitQueuedOrDone(p *Proxy, done chan struct{}) {
 	}
 }
 
-// commitGate wraps a backend and, when armed, fails every commit-record
-// append — freezing a boundary exactly between its prepare (batch records,
-// flush and checkpoints durable) and its commit point. Record kinds are
+// commitGate wraps a backend and, when armed, fails every append of a
+// committing checkpoint — freezing a boundary exactly at its commit point,
+// after its prepare (batch records and flush durable). Record kinds are
 // plaintext framing, so the "storage server" can target them precisely.
 type commitGate struct {
 	storage.Backend
@@ -439,7 +439,7 @@ type commitGate struct {
 	armed bool
 }
 
-var errCommitGate = errors.New("injected storage failure before commit record")
+var errCommitGate = errors.New("injected storage failure at the commit point")
 
 func (g *commitGate) arm(on bool) {
 	g.mu.Lock()
@@ -460,7 +460,7 @@ func (g *commitGate) Append(rec []byte) (uint64, error) {
 // TestCrashBetweenSealAndCommit kills a pipelined boundary in its riskiest
 // window: epoch e is sealed (write batch executed, buckets flushing,
 // checkpoint prepared) and epoch e+1 is already open, but the coordinator's
-// commit record never lands. The commit waiter must be woken with the
+// committing checkpoint never lands. The commit waiter must be woken with the
 // failure (not acked, not stranded), and recovery must roll back to the last
 // committed epoch, drop the sealed epoch's writes, and replay its logged
 // reads.
@@ -478,7 +478,7 @@ func TestCrashBetweenSealAndCommit(t *testing.T) {
 	commitKV(t, p1, map[string]string{"stable": "committed"})
 
 	// Doomed epoch: a logged read batch, two writes, then a boundary whose
-	// asynchronous commit dies before the commit record.
+	// asynchronous commit dies at the commit point.
 	gate.arm(true)
 	tx := p1.Begin()
 	readDone := make(chan error, 1)
@@ -528,6 +528,47 @@ func TestCrashBetweenSealAndCommit(t *testing.T) {
 	}
 	if v := checker.Violation(); v != nil {
 		t.Fatal(v)
+	}
+}
+
+// TestRecoveryAfterBlindOverwrite is the reproducer of a known defect, found
+// by the commit crash sweep and older than it: a sealed epoch that blind-wrote
+// a key whose current copy sits in the tree, and then never committed, cannot
+// be replayed. The dummiless write turned the stale copy into filler without
+// reading it, so the epoch's logged evictions skip that slot; recovery does
+// not re-apply the aborted write, finds a live block the logged schedule never
+// reads, and refuses (ringoram.ErrReplay) — on every restart. Keeping the
+// block needs its bytes, and fetching them is a read the adversary never saw:
+// the fix belongs in how a dummiless write retires a tree copy, not in replay
+// (ROADMAP, "End-to-end oracles").
+func TestRecoveryAfterBlindOverwrite(t *testing.T) {
+	t.Skip("known defect: replay of an aborted blind overwrite of a tree-resident key diverges (see ROADMAP)")
+	cfg := testConfig(95)
+	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
+	gate := &commitGate{Backend: backend}
+	p1, err := New(gate, cfg)
+	must(t, err)
+	keys := keysForShard(0, 1, 2)
+	for e := 1; e <= 3; e++ { // enough write batches to evict both keys into the tree
+		commitKV(t, p1, map[string]string{keys[0]: fmt.Sprint(e), keys[1]: fmt.Sprint(e)})
+	}
+	gate.arm(true)
+	tx := p1.Begin()
+	must(t, tx.Write(keys[0], []byte("doomed")))
+	must(t, tx.Write(keys[1], []byte("doomed")))
+	tx.CommitAsync()
+	if err := p1.EndEpoch(); !errors.Is(err, errCommitGate) {
+		t.Fatalf("EndEpoch with the commit point gated: %v", err)
+	}
+	p1.Close()
+	gate.arm(false)
+	p2, err := New(gate, cfg)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer p2.Close()
+	if got := readAll(t, p2, keys...); got[keys[0]] != "3" || got[keys[1]] != "3" {
+		t.Fatalf("recovered %v, want the last committed values", got)
 	}
 }
 

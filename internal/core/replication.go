@@ -29,11 +29,11 @@ func WALConfigFor(cfg Config, shard, shards int) (wal.Config, error) {
 // Replicator is the proxy's hot-standby replication hook (implemented by
 // internal/replica.Sender; core deliberately knows nothing about the wire).
 // The recovery log IS the replication stream: every record the proxy appends
-// — batch schedules, checkpoints, commit records — is mirrored to the
-// replicator in exactly store order, and so is every truncation, so a
-// standby replaying the stream holds the same bounded log the store does and
-// wal.Recover over it reconstructs the state cold recovery would read back
-// from storage.
+// — batch schedules and checkpoints, the committing ones among them — is
+// mirrored to the replicator in exactly store order, and so is every
+// truncation, so a standby replaying the stream holds the same bounded log
+// the store does and wal.Recover over it reconstructs the state cold recovery
+// would read back from storage.
 //
 // Structural typing keeps the dependency one-way: replica.Sender implements
 // these methods without importing core, and core never imports replica.
@@ -67,10 +67,9 @@ type Replicator interface {
 
 // replTee wraps one shard's LogStore so every successful append and
 // truncation is mirrored to the replicator. The mutex serializes each store
-// call with its mirror: the pipelined boundary's committer (checkpoint and
-// commit records of epoch e, the truncation behind it) races the next
-// epoch's batch appends on the same shard log, and the standby must see
-// them in the order the store did. The tee starts disarmed — bootstrap's
+// call with its mirror: the pipelined boundary's committer (the checkpoint of
+// epoch e, the truncation behind it) races the next epoch's batch appends on
+// the same shard log, and the standby must see them in the order the store did. The tee starts disarmed — bootstrap's
 // appends and recovery's truncation are covered by Prime's scan of what the
 // log retains — and arms before traffic starts.
 type replTee struct {

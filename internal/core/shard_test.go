@@ -268,14 +268,10 @@ func TestShardedTornCommitRecovers(t *testing.T) {
 	}
 	commitKV(t, p1, warm)
 
-	// Crash exactly after the coordinator's commit record of the next epoch.
+	// Crash exactly at the next epoch's commit point: the coordinator's
+	// committing checkpoint is durable, no store has retired the epoch.
 	crash := errors.New("injected crash after coordinator commit")
-	p1.testCommitHook = func(shardID int) error {
-		if shardID == 0 {
-			return crash
-		}
-		return nil
-	}
+	p1.testCommitHook = func() error { return crash }
 	torn := map[string]string{}
 	for s := 0; s < 4; s++ {
 		torn[keysForShard(s, 4, 2)[1]] = "torn"
@@ -288,8 +284,8 @@ func TestShardedTornCommitRecovers(t *testing.T) {
 	if err := p1.EndEpoch(); !errors.Is(err, crash) {
 		t.Fatalf("EndEpoch under injected crash: %v", err)
 	}
-	// The proxy is now dead mid-commit: shard 0 has the epoch's commit
-	// record, shards 1-3 only their checkpoints.
+	// The proxy is now dead mid-commit: shard 0 holds the epoch's committing
+	// checkpoint, shards 1-3 their prepared ones.
 
 	p2, err := NewSharded(stores, cfg)
 	if err != nil {
@@ -345,25 +341,25 @@ func TestShardConfigMismatchRejected(t *testing.T) {
 }
 
 // TestTornFirstBootReinitializes covers a first boot that dies between
-// baseline checkpoints: the coordinator's epoch-0 checkpoint is durable, a
-// lagging shard's log is still empty, and no commit record exists anywhere.
-// Restart must reinitialize (nothing ever committed) rather than recover a
-// phantom epoch 0 and fail forever on the empty shard log.
+// baseline checkpoints: a follower's prepared epoch-0 checkpoint is durable,
+// the coordinator's committing one never was written. Restart must
+// reinitialize (nothing ever committed), and the follower's stale baseline
+// must not outlive the fresh one.
 func TestTornFirstBootReinitializes(t *testing.T) {
 	cfg := testConfig(57)
 	stores, checkers := shardedBackends(cfg, 2)
-	l, err := wal.New(stores[0], wal.Config{Key: cfg.Key, Shard: 0, Shards: 2, FullCheckpointEvery: 1})
+	l, err := wal.New(stores[1], wal.Config{Key: cfg.Key, Shard: 1, Shards: 2, FullCheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oram, err := oramexec.InitORAM(stores[0], cfg.Key, cfg.Params)
+	oram, err := oramexec.InitORAM(stores[1], cfg.Key, cfg.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.AppendCheckpoint(0, oram); err != nil {
 		t.Fatal(err)
 	}
-	// Crash here: no commit record, shard 1's log empty.
+	// Crash here: shard 1 prepared, the coordinator's log empty.
 
 	p, err := NewSharded(stores, cfg)
 	if err != nil {
@@ -383,6 +379,20 @@ func TestTornFirstBootReinitializes(t *testing.T) {
 	for k, v := range kv {
 		if got[k] != v {
 			t.Fatalf("%s = %q after reinit", k, got[k])
+		}
+	}
+	// Shard 1's log now opens with two epoch-0 baselines, the dead boot's
+	// first: a recovery must stand on the second.
+	p.Close()
+	p2, err := NewSharded(stores, cfg)
+	if err != nil {
+		t.Fatalf("recovery over the superseded baseline: %v", err)
+	}
+	defer p2.Close()
+	got = readAll(t, p2, keys...)
+	for k, v := range kv {
+		if got[k] != v {
+			t.Fatalf("%s = %q after recovery", k, got[k])
 		}
 	}
 	checkAll(t, checkers)
@@ -407,10 +417,7 @@ func TestCommitDuringBoundaryDecidedNextEpoch(t *testing.T) {
 	fired := false
 	// The hook runs inside EndEpoch after FinalizeEpoch but before waiter
 	// notification — exactly the boundary window.
-	p.testCommitHook = func(shardID int) error {
-		if shardID != 0 || fired {
-			return nil
-		}
+	p.testCommitHook = func() error {
 		fired = true
 		tx := p.Begin()
 		if werr := tx.Write("boundary-key", []byte("v")); werr != nil {

@@ -426,11 +426,11 @@ func checkLeaseExpires(t *testing.T) {
 const conformanceCadence = 4
 
 // logBound is the most records one shard's log — and so the standby's copy
-// of it — may retain: the epochs between two truncations plus the two the
-// pipelined boundary can have in flight, R read batches, a write batch, a
-// checkpoint and a commit record each.
+// of it — may retain: the previous full checkpoint, the epochs of one cadence
+// (R read batches, a write batch and a checkpoint each) and the read batches
+// of the epoch that overlaps the commit stage whose end truncates.
 func logBound(cfg core.Config) int {
-	return (conformanceCadence + 3) * (cfg.ReadBatches + 3)
+	return (conformanceCadence+1)*(cfg.ReadBatches+2) - 1
 }
 
 // conformanceConfig mirrors core's test configuration: a small ORAM so

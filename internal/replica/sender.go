@@ -65,8 +65,8 @@ func (e entry) frame() frame {
 // serves at most one attached standby. It retains exactly the history the
 // primary's store logs retain: when the proxy truncates a shard's log the
 // sender forgets the same records, so its memory — and what a (re)attaching
-// standby is sent — is bounded by the log's own bound (two full-checkpoint
-// cadences of records), not by uptime. Every (re)attach streams the
+// standby is sent — is bounded by the log's own bound (one full-checkpoint
+// cadence of records and an epoch's read batches), not by uptime. Every (re)attach streams the
 // per-shard floors and then everything retained; the standby skips what it
 // already holds by store seq, so a resync is never wrong, and a full
 // checkpoint is always at the head of what remains, so it is always enough.

@@ -25,9 +25,9 @@ type StandbyConfig struct {
 	// Default 50ms.
 	RedialEvery time.Duration
 	// Decode, when set (the primary's wal config — key and padding), lets
-	// the standby open coordinator commit records in flight and expose the
-	// replicated committed epoch (observability and tests); nil disables
-	// decoding. Replication itself never opens records.
+	// the standby open the coordinator's committing checkpoints in flight and
+	// expose the replicated committed epoch (observability and tests); nil
+	// disables decoding. Replication itself never opens records.
 	Decode *wal.Config
 }
 
@@ -62,7 +62,7 @@ type Standby struct {
 	logs      []*memlog
 	lastSeen  time.Time
 	connected bool
-	commit    uint64 // highest coordinator commit epoch decoded off the stream
+	commit    uint64 // highest epoch a coordinator checkpoint on the stream committed
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -336,11 +336,11 @@ func (s *Standby) Promote(base wal.Config) (*PromoteResult, error) {
 	rec, err := coordLog.Recover()
 	switch {
 	case errors.Is(err, wal.ErrNoCheckpoint):
-		return res, nil // never booted: caller cold-starts on res.Stores
+		// Never booted, or the first boot died before the coordinator's
+		// baseline checkpoint committed: caller cold-starts on res.Stores.
+		return res, nil
 	case err != nil:
 		return nil, fmt.Errorf("replica: recovering coordinator: %w", err)
-	case !rec.HasCommit:
-		return res, nil // first boot died pre-commit: cold-start reinits
 	}
 	recs[0] = rec
 	for i := 1; i < len(s.logs); i++ {

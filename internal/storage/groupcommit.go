@@ -472,9 +472,9 @@ func (s *GroupShard) Close() error {
 // distinct type so that only logheap shards expose CommitEpochNoSync: a
 // per-shard-file GroupShard must NOT satisfy EpochCommitBatcher — deferring
 // its commit barrier would let a bucket heap become durably committed ahead
-// of the WAL commit record it depends on, exactly the ordering inversion
-// the unified log exists to make impossible (commit records ride the same
-// stream, so prefix durability orders them for free).
+// of the WAL's committing checkpoint it depends on, exactly the ordering
+// inversion the unified log exists to make impossible (commit records ride
+// the same stream, so prefix durability orders them for free).
 type logHeapShard struct{ *GroupShard }
 
 // CommitEpochNoSync implements EpochCommitBatcher.

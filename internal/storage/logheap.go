@@ -14,9 +14,9 @@ import (
 // version records ride the SAME physical segmented log as the group's
 // recovery-log streams (a dedicated bucket-data stream id on the
 // SharedLog). That is the whole point of the design — an epoch's bucket
-// commit record and its WAL commit record land in one file, so the round's
-// single deferred-barrier fsync covers both: heap commit and log barrier
-// share a wave instead of each costing one.
+// commit record and the WAL checkpoint that commits it land in one file, so
+// the round's single deferred-barrier fsync covers both: heap commit and log
+// barrier share a wave instead of each costing one.
 //
 // State is an in-memory index (bucket → version stack, newest last, each
 // entry locating a version record in the shared log) plus a committed-epoch
@@ -570,7 +570,7 @@ func (lh *LogHeap) CommitEpoch(epoch uint64) error {
 // CommitEpochNoSync implements EpochCommitBatcher: the commit record is
 // appended and applied but its durability rides the caller's next SyncLog —
 // the proxy's round barrier, where N shards' commits and the coordinator's
-// WAL commit record all stand on one fsync.
+// committing checkpoint all stand on one fsync.
 func (lh *LogHeap) CommitEpochNoSync(epoch uint64) error {
 	if _, err := lh.appendEpochRecord(heapKindCommit, epoch); err != nil {
 		return err

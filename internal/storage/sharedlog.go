@@ -12,14 +12,14 @@ import (
 // shards' epoch-boundary appends land on different files and their fsyncs
 // can never merge — the scheduler only amortizes barriers on the same file.
 // With every stream in one file, a read round's two schedule appends, the
-// prepare round's two checkpoints, and a commit record plus whatever else is
-// in flight all stand on one flush wave.
+// commit round's two checkpoints and whatever else is in flight all stand on
+// one flush wave.
 //
 // Sharing one file also strengthens the sharded commit protocol for free:
-// the coordinator's commit-record fsync covers every other shard's prepared
-// record (they sit earlier in the same file), so the global commit point's
-// single flush is exactly the durability the protocol's recovery floor
-// assumes.
+// the fsync of the coordinator's committing checkpoint covers every other
+// shard's prepared one (they sit earlier in the same file), so the global
+// commit point's single flush is exactly the durability the protocol's
+// recovery floor assumes.
 //
 // Stream records are the owner's physical records with a 4-byte stream-id
 // prefix. Each stream presents the LogStore contract with its own dense

@@ -148,9 +148,9 @@ type LogBatcher interface {
 // commit but leaves its durability to the caller's next SyncLog, so N
 // shards' epoch commits and the round's WAL records all stand on ONE fsync
 // wave. Only stores that can guarantee the commit record is ordered AFTER
-// the WAL commit record it depends on (prefix durability in one stream)
-// may implement this — a store with a separate heap file must not, since
-// deferring would let the heap commit become durable first.
+// the WAL's committing checkpoint it depends on (prefix durability in one
+// stream) may implement this — a store with a separate heap file must not,
+// since deferring would let the heap commit become durable first.
 //
 // Callers probe with a type assertion and fall back to CommitEpoch's
 // inline barrier.
@@ -160,7 +160,7 @@ type EpochCommitBatcher interface {
 	// records ride (comparable; same value ⟺ same stream). A sharded caller
 	// must verify every shard reports the SAME stream before deferring the
 	// round's barriers: the prefix durability that orders a shard's heap
-	// commit after the coordinator's WAL commit record only exists within
+	// commit after the coordinator's committing checkpoint only exists within
 	// one physical log. Shards on distinct streams fall back to inline
 	// commits, where explicit barrier order supplies the same guarantee.
 	CommitStream() any

@@ -40,55 +40,40 @@ func (s scheduler) bump() oramexec.BatchLog {
 	return plan.Log()
 }
 
-// TestRecoverWithFloor models the lagging shard of a torn cross-shard commit:
-// its log holds the prepared checkpoint for an epoch the coordinator decided,
-// but not its own commit record. The floor must promote that epoch to
-// committed; a floor with no matching checkpoint must fail loudly.
+// TestRecoverWithFloor models a follower of a torn cross-shard commit: its log
+// holds prepared checkpoints only, and which of them count is the
+// coordinator's decision. The floor promotes exactly the epochs at or below
+// it; a floor with no matching checkpoint must fail loudly.
 func TestRecoverWithFloor(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1})
+	l := newLog(t, backend, Config{FullCheckpointEvery: 1, Shard: 1, Shards: 2})
 
-	seed(t, o, backend, exec, 1, 4)
-	if _, err := l.AppendCheckpoint(1, o); err != nil {
-		t.Fatal(err)
+	for e := uint64(1); e <= 2; e++ {
+		seed(t, o, backend, exec, e, 4)
+		if _, err := l.AppendCheckpoint(e, o); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.AppendCommit(1); err != nil {
-		t.Fatal(err)
+	// The coordinator committed epoch 1 and died before committing epoch 2
+	// (floor 1), or got as far as its committing checkpoint (floor 2). Each
+	// epoch's checkpoint knows the 4 keys it wrote and every earlier one.
+	for floor := uint64(1); floor <= 2; floor++ {
+		rec, err := l.RecoverWithFloor(floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.CommittedEpoch != floor || rec.HasCommit {
+			t.Fatalf("floor %d: committed epoch %d, HasCommit %v; a follower commits nothing itself", floor, rec.CommittedEpoch, rec.HasCommit)
+		}
+		restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 4 * int(floor); restored.KeyCount() != want {
+			t.Fatalf("floor %d restores %d keys, want %d", floor, restored.KeyCount(), want)
+		}
 	}
-	// Epoch 2 prepared (checkpoint durable) but this shard's commit record
-	// never made it.
-	seed(t, o, backend, exec, 2, 4)
-	if _, err := l.AppendCheckpoint(2, o); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := l.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.CommittedEpoch != 1 {
-		t.Fatalf("own recovery committed epoch = %d, want 1", rec.CommittedEpoch)
-	}
-
-	// Coordinator says epoch 2 committed: the floor promotes it.
-	rec, err = l.RecoverWithFloor(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.CommittedEpoch != 2 {
-		t.Fatalf("floored recovery committed epoch = %d, want 2", rec.CommittedEpoch)
-	}
-	// The epoch-2 checkpoint must be part of the recovered state: its
-	// position map knows the keys written in epoch 2 as well as epoch 1's.
-	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.KeyCount() != 8 {
-		t.Fatalf("floored recovery restores %d keys, want 8: the promoted epoch's checkpoint is missing", restored.KeyCount())
-	}
-
 	// A floor beyond any durable checkpoint is a protocol violation.
 	if _, err := l.RecoverWithFloor(3); err == nil {
 		t.Fatal("floor without a matching checkpoint accepted")
@@ -96,25 +81,23 @@ func TestRecoverWithFloor(t *testing.T) {
 }
 
 // TestRecoverPipelinedTwoEpochsInFlight models a crash with the pipelined
-// boundary mid-commit: epoch 2 is sealed (its batches and checkpoint are
-// logged) but its commit record never landed, while epoch 3 had already
-// issued read batches. Recovery must report epoch 1 as committed and return
-// the batches of BOTH uncommitted epochs, in schedule order.
+// boundary mid-commit, seen from a follower: epoch 2 is sealed (its batches
+// and prepared checkpoint are logged) but the coordinator never committed it,
+// while epoch 3 had already issued read batches. Recovery at the coordinator's
+// floor must report epoch 1 as committed and return the batches of BOTH
+// uncommitted epochs, in schedule order.
 func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1})
+	l := newLog(t, backend, Config{FullCheckpointEvery: 1, Shard: 1, Shards: 2})
 
 	seed(t, o, backend, exec, 1, 4)
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCommit(1); err != nil {
-		t.Fatal(err)
-	}
 	sched := newScheduler(t)
 	// Sealed epoch 2: read batch + write batch logged, checkpoint prepared
-	// at seal and appended by the committer, no commit record (the crash).
+	// at seal and appended by the committer; the coordinator's never was.
 	if err := l.AppendBatch(2, 0, sched.access("e2-r")); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +116,7 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := l.Recover()
+	rec, err := l.RecoverWithFloor(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +138,8 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 
 // TestTruncateKeepsLiveBatchRecords pins down truncation under the pipelined
 // boundary: epoch 3's batch record lands in the log BEFORE epoch 2's
-// checkpoint and commit records (the committer was still flushing), and a
-// truncation after commit(2) must not drop it — it is epoch 3's crash-replay
-// schedule.
+// checkpoint (the committer was still flushing), and a truncation after
+// epoch 2 committed must not drop it — it is epoch 3's crash-replay schedule.
 func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
@@ -167,12 +149,9 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCommit(1); err != nil {
-		t.Fatal(err)
-	}
 	sched := newScheduler(t)
 	// Epoch 2 seals; epoch 3's first read batch is appended while the
-	// committer is still writing epoch 2's checkpoint and commit records.
+	// committer is still writing epoch 2's committing checkpoint.
 	if err := l.AppendBatch(2, 0, sched.access("e2-r")); err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +163,6 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := l.AppendPrepared(cp); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,13 +179,67 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 	if len(rec.AbortedBatches) != 1 || rec.AbortedBatches[0][0].Key != "e3-r" {
 		t.Fatalf("truncation dropped epoch 3's live batch record: %+v", rec.AbortedBatches)
 	}
-	// The prefix before the live batch record IS gone: of the six appended
-	// records, only [batch(3,0), checkpoint(2), commit(2)] remain.
+	// The prefix before the live batch record IS gone: of the four appended
+	// records, only [batch(3,0), checkpoint(2)] remain.
 	recs, err := backend.Scan(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("log holds %d records after truncation, want 3", len(recs))
+	if len(recs) != 2 {
+		t.Fatalf("log holds %d records after truncation, want 2", len(recs))
+	}
+}
+
+// TestFollowerCannotCommit: which log may write the committing checkpoint is
+// the log's own business, not its caller's. A checkpoint prepared by the
+// coordinator's log is refused by a follower's, and the other way round.
+func TestFollowerCannotCommit(t *testing.T) {
+	o, backend := testORAM(t)
+	coord := newLog(t, backend, Config{Shard: 0, Shards: 2})
+	follower := newLog(t, backend, Config{Shard: 1, Shards: 2})
+	committing, err := coord.PrepareCheckpoint(1, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.AppendPrepared(committing); err == nil {
+		t.Fatal("a follower's log wrote a committing checkpoint")
+	}
+	prepared, err := follower.PrepareCheckpoint(1, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !IsCommitRecord(committing.rec) || IsCommitRecord(prepared.rec) {
+		t.Fatalf("coordinator prepared kind %d, follower kind %d", committing.rec[0], prepared.rec[0])
+	}
+	if _, err := coord.AppendPreparedDeferred(prepared); err == nil {
+		t.Fatal("the coordinator's log wrote a checkpoint that commits nothing")
+	}
+	if recs, _ := backend.Scan(0); len(recs) != 0 {
+		t.Fatalf("%d records reached the store", len(recs))
+	}
+}
+
+// TestCommittingMarkIsAuthenticated: the kind byte is plaintext framing, but
+// it is bound into the record's AEAD — the store can neither promote a
+// follower's prepared checkpoint to a commit nor strip the mark from the
+// coordinator's.
+func TestCommittingMarkIsAuthenticated(t *testing.T) {
+	for _, shard := range []int{0, 1} {
+		o, backend := testORAM(t)
+		l := newLog(t, backend, Config{Shard: shard, Shards: 2})
+		if _, err := l.AppendCheckpoint(1, o); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.RecoverWithFloor(1); err != nil {
+			t.Fatalf("shard %d: recovering the untouched log: %v", shard, err)
+		}
+		recs, _ := backend.Scan(0)
+		recs[0][0] ^= kindCheckpoint ^ kindCheckpointCommitting
+		if _, err := l.RecoverWithFloor(1); err == nil {
+			t.Fatalf("shard %d: a checkpoint whose kind byte was flipped to %d recovered", shard, recs[0][0])
+		}
+		if _, ok, err := l.DecodeCommitEpoch(recs[0]); shard == 1 && (ok || err == nil) {
+			t.Fatal("a prepared checkpoint relabelled as committing decoded as a commit")
+		}
 	}
 }

@@ -71,8 +71,8 @@ func (h *formatHarness) writes(batch int, ops []oramexec.WriteOp) {
 	h.run(batch, plan, err)
 }
 
-// endEpoch flushes, checkpoints and commits the epoch and returns the
-// checkpoint record as stored.
+// endEpoch flushes the epoch, commits it with its checkpoint and returns that
+// record as stored.
 func (h *formatHarness) endEpoch() []byte {
 	h.t.Helper()
 	if _, err := h.exec.Flush(); err != nil {
@@ -86,9 +86,6 @@ func (h *formatHarness) endEpoch() []byte {
 	}
 	recs, err := h.backend.Scan(0)
 	if err != nil {
-		h.t.Fatal(err)
-	}
-	if err := h.log.AppendCommit(h.epoch); err != nil {
 		h.t.Fatal(err)
 	}
 	h.epoch++
@@ -187,7 +184,7 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 }
 
 // TestRecordBytesDeterministic: the same seed and operations produce the same
-// record plaintexts — batch, delta, full and commit — byte for byte. Nothing
+// record plaintexts — batch, delta and full — byte for byte. Nothing
 // in a record follows map iteration order.
 func TestRecordBytesDeterministic(t *testing.T) {
 	run := func() [][]byte {
@@ -241,30 +238,30 @@ func sealPlain(t testing.TB, l *Log, kind byte, plain []byte) []byte {
 }
 
 // TestOlderFormatRejected: a record whose version byte is not this build's —
-// version 0 is what the retired gob encoding wrote — fails recovery and the
-// standby's commit tracking with ErrFormat, whatever follows the byte.
+// version 0 is what the retired gob encoding wrote, version 1 committed epochs
+// with a 9-byte record of kind 3 — fails recovery and the standby's commit
+// tracking with ErrFormat, whatever follows the byte.
 func TestOlderFormatRejected(t *testing.T) {
-	for kind := byte(kindBatch); kind <= kindCommit; kind++ {
-		o, backend := testORAM(t)
-		l := newLog(t, backend, Config{})
-		if _, err := l.AppendCheckpoint(1, o); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.AppendCommit(1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Recover(); err != nil {
-			t.Fatalf("recovering the current-format log: %v", err)
-		}
-		old := sealPlain(t, l, kind, append([]byte{0}, "any gob stream"...))
-		if _, err := backend.Append(old); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Recover(); !errors.Is(err, ErrFormat) {
-			t.Fatalf("recovering over a version-0 record of kind %d: %v, want ErrFormat", kind, err)
-		}
-		if _, _, err := l.DecodeCommitEpoch(old); kind == kindCommit && !errors.Is(err, ErrFormat) {
-			t.Fatalf("decoding a version-0 commit record: %v, want ErrFormat", err)
+	for version := byte(0); version < formatVersion; version++ {
+		for kind := byte(kindBatch); kind <= kindCheckpointCommitting; kind++ {
+			o, backend := testORAM(t)
+			l := newLog(t, backend, Config{})
+			if _, err := l.AppendCheckpoint(1, o); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Recover(); err != nil {
+				t.Fatalf("recovering the current-format log: %v", err)
+			}
+			old := sealPlain(t, l, kind, append([]byte{version}, "8 bytes."...))
+			if _, err := backend.Append(old); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Recover(); !errors.Is(err, ErrFormat) {
+				t.Fatalf("recovering over a version-%d record of kind %d: %v, want ErrFormat", version, kind, err)
+			}
+			if _, _, err := l.DecodeCommitEpoch(old); kind == kindCheckpointCommitting && !errors.Is(err, ErrFormat) {
+				t.Fatalf("decoding a version-%d commit record: %v, want ErrFormat", version, err)
+			}
 		}
 	}
 }

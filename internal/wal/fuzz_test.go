@@ -39,7 +39,7 @@ func fuzzSeedRecords(t testing.TB) (batches, checkpoints [][]byte) {
 		switch rec[0] {
 		case kindBatch:
 			batches = append(batches, plain)
-		case kindCheckpoint:
+		case kindCheckpointCommitting: // the harness logs as the coordinator
 			checkpoints = append(checkpoints, plain)
 		}
 	}
@@ -58,7 +58,8 @@ func allocatedBy(f func()) uint64 {
 func FuzzDecodeCheckpoint(f *testing.F) {
 	_, checkpoints := fuzzSeedRecords(f)
 	for _, cp := range checkpoints {
-		f.Add(cp)
+		f.Add(cp, true)
+		f.Add(cp, false)
 	}
 	key := cryptoutil.KeyFromSeed([]byte("wal"))
 	p := formatParams
@@ -67,17 +68,23 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	// What restoring costs before the image has any say: the client itself.
 	base := allocatedBy(func() { ringoram.Restore(key, p, nil) })
-	f.Fuzz(func(t *testing.T, plain []byte) {
+	f.Fuzz(func(t *testing.T, plain []byte, committing bool) {
 		backend := storage.NewMemBackend(1)
 		l := newLog(t, backend, Config{})
-		if _, err := backend.Append(sealPlain(t, l, kindCheckpoint, plain)); err != nil {
-			t.Fatal(err)
+		// A committing checkpoint commits whatever epoch it claims; a prepared
+		// one needs the floor to say so.
+		kind, floor := byte(kindCheckpointCommitting), uint64(0)
+		if !committing {
+			kind = kindCheckpoint
+			if len(plain) >= checkpointHeaderSize {
+				floor = headerEpoch(plain)
+			}
 		}
-		if err := l.AppendCommit(1 << 62); err != nil { // commits whatever epoch the image claims
+		if _, err := backend.Append(sealPlain(t, l, kind, plain)); err != nil {
 			t.Fatal(err)
 		}
 		spent := allocatedBy(func() {
-			rec, err := l.Recover()
+			rec, err := l.RecoverWithFloor(floor)
 			if err != nil {
 				return
 			}
@@ -100,9 +107,6 @@ func FuzzDecodeBatch(f *testing.F) {
 		o, backend := testORAM(t)
 		l := newLog(t, backend, Config{})
 		if _, err := l.AppendCheckpoint(0, o); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.AppendCommit(0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := backend.Append(sealPlain(t, l, kindBatch, plain)); err != nil {

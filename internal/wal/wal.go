@@ -1,7 +1,7 @@
 // Package wal implements Obladi's recovery unit (§8 of the paper): an
 // encrypted write-ahead log kept on untrusted cloud storage.
 //
-// Three record kinds are logged:
+// Two record kinds are logged:
 //
 //   - batch records: the physical read schedule (paths, slot indices) of
 //     every read batch, written BEFORE the reads execute, so a recovering
@@ -10,8 +10,14 @@
 //     map, per-bucket permutation/valid maps, counters, and the stash.
 //     Checkpoints are deltas, with a periodic full checkpoint; deltas pad
 //     the position-map to the maximum number of entries an epoch can touch
-//     and the stash to its configured maximum, so record sizes leak nothing;
-//   - commit records: the epoch-boundary durability point.
+//     and the stash to its configured maximum, so record sizes leak nothing.
+//
+// A checkpoint is also the epoch-boundary durability point. The coordinator's
+// log (Config.Shard == 0) writes every checkpoint as a COMMITTING checkpoint:
+// the record whose durability decides its epoch for every shard. The other
+// shards write prepared checkpoints, which count only up to the epoch the
+// coordinator committed (RecoverWithFloor). The two differ in the kind byte
+// alone — same layout, same size.
 //
 // # Record format
 //
@@ -25,18 +31,19 @@
 //
 //	batch       version(u8) epoch(u64) batch(u32)              | oramexec batch log
 //	checkpoint  version(u8) epoch(u64) shard(u32) shards(u32)  | ringoram checkpoint image
-//	commit      version(u8) epoch(u64)
 //
 // The payloads are written straight from the executor's plan and the ORAM's
 // live metadata into the record buffer (oramexec.BatchLog, ringoram's
 // EncodeCheckpoint): there is no intermediate representation, no reflection,
 // and one allocation per record. A record whose version byte is not
-// formatVersion — version 0 is the retired gob encoding — fails recovery and
-// standby attach with ErrFormat; there is no migration reader.
+// formatVersion — version 0 is the retired gob encoding, version 1 committed
+// epochs with a record of their own — fails recovery and standby attach with
+// ErrFormat; there is no migration reader.
 //
 // All payloads are sealed with the proxy's key and bound to the record kind;
 // epoch ordering is carried (authenticated) inside the payload, so the
-// storage server can neither forge records nor pass one kind off as another,
+// storage server can neither forge records nor pass one kind off as another
+// (in particular it can neither add nor strip a checkpoint's committing mark),
 // and log-suffix freshness is the trusted counter's job (Appendix A), modeled
 // here by the append-only LogStore.
 package wal
@@ -56,13 +63,13 @@ import (
 
 // Record kinds (plaintext framing byte; timing/kind of records is public).
 const (
-	kindBatch      = 1
-	kindCheckpoint = 2
-	kindCommit     = 3
+	kindBatch                = 1
+	kindCheckpoint           = 2 // prepared: committed once the coordinator's floor reaches its epoch
+	kindCheckpointCommitting = 3 // the coordinator's: its durability commits its epoch
 )
 
 // formatVersion leads every record's plaintext.
-const formatVersion = 1
+const formatVersion = 2
 
 // Record geometry: where the plaintext sits in a record, and the fixed
 // header each kind puts in front of its payload.
@@ -71,7 +78,6 @@ const (
 	recordTail           = cryptoutil.TagSize
 	batchHeaderSize      = 1 + 8 + 4
 	checkpointHeaderSize = 1 + 8 + 4 + 4
-	commitHeaderSize     = 1 + 8
 )
 
 // ErrFormat indicates a record written in a format this build does not read.
@@ -132,11 +138,10 @@ type Log struct {
 	cfg       Config
 	sinceFull int
 	// bind holds each record kind's AEAD binding, built once.
-	bind [kindCommit + 1][]byte
+	bind [kindCheckpointCommitting + 1][]byte
 
 	// mu guards the lifecycle bookkeeping below. Batch appends run on the
-	// schedule goroutine, checkpoint/commit appends and Retire on the
-	// committer.
+	// schedule goroutine, checkpoint appends and Retire on the committer.
 	mu          sync.Mutex
 	full        logMark   // newest full checkpoint appended (seq 0: none yet)
 	batches     []logMark // first batch record of each epoch not yet retired, in epoch order
@@ -189,7 +194,7 @@ func New(store storage.LogStore, cfg Config) (*Log, error) {
 		return nil, err
 	}
 	l := &Log{store: store, cfg: cfg, sinceFull: cfg.FullCheckpointEvery}
-	for kind := kindBatch; kind <= kindCommit; kind++ {
+	for kind := kindBatch; kind <= kindCheckpointCommitting; kind++ {
 		l.bind[kind] = cryptoutil.Binding(uint64(kind), 0, 0)
 	}
 	return l, nil
@@ -224,7 +229,7 @@ func (l *Log) open(rec []byte, headerSize int) ([]byte, error) {
 	if len(rec) < 1 {
 		return nil, errors.New("wal: empty record")
 	}
-	if rec[0] < kindBatch || rec[0] > kindCommit {
+	if rec[0] < kindBatch || rec[0] > kindCheckpointCommitting {
 		return nil, fmt.Errorf("wal: unknown record kind %d", rec[0])
 	}
 	plain, err := l.cfg.Key.Open(rec[1:], l.bind[rec[0]])
@@ -337,7 +342,8 @@ func (c *PendingCheckpoint) Epoch() uint64 { return c.epoch }
 // configured cadence, pads the image so its size is workload independent, and
 // resets the ORAM's dirty tracking (the snapshot owns those changes now; if
 // the later append fails the proxy fail-stops, so no subsequent checkpoint
-// can miss them).
+// can miss them). On the coordinator's log the record is a committing
+// checkpoint: appending it commits the epoch.
 func (l *Log) PrepareCheckpoint(epoch uint64, oram *ringoram.ORAM) (*PendingCheckpoint, error) {
 	full := l.sinceFull >= l.cfg.FullCheckpointEvery
 	pad := ringoram.CheckpointPad{PosEntries: l.cfg.PadPosEntries, StashEntries: l.cfg.PadStashEntries, ValueSize: l.cfg.PadValueSize}
@@ -346,7 +352,7 @@ func (l *Log) PrepareCheckpoint(epoch uint64, oram *ringoram.ORAM) (*PendingChec
 		return nil, err
 	}
 	oram.ClearDirty()
-	rec[0] = kindCheckpoint
+	rec[0] = l.checkpointKind()
 	plain := rec[recordHead:]
 	putHeader(plain, epoch)
 	binary.BigEndian.PutUint32(plain[9:], uint32(l.cfg.Shard))
@@ -359,21 +365,38 @@ func (l *Log) PrepareCheckpoint(epoch uint64, oram *ringoram.ORAM) (*PendingChec
 	return &PendingCheckpoint{epoch: epoch, full: full, rec: rec}, nil
 }
 
+// checkpointKind is the kind of checkpoint this log writes: committing on the
+// coordinator's log, prepared on every other shard's.
+func (l *Log) checkpointKind() byte {
+	if l.cfg.Shard == 0 {
+		return kindCheckpointCommitting
+	}
+	return kindCheckpoint
+}
+
 // AppendPrepared seals and durably appends a prepared checkpoint. Returns
-// whether it was a full checkpoint.
+// whether it was a full checkpoint. On the coordinator's log its return is
+// the epoch's commit point: every other shard's checkpoint and write-back
+// must already be durable, and the epoch's transactions may be acknowledged
+// once the stores have retired the epoch.
 func (l *Log) AppendPrepared(cp *PendingCheckpoint) (bool, error) {
 	return l.appendPrepared(cp, true)
 }
 
 // AppendPreparedDeferred appends a prepared checkpoint without its barrier;
-// the caller must Sync before treating the epoch as prepared (in the
-// coordinator-commit protocol: before the coordinator's commit record may
-// be written).
+// the caller must Sync before treating the checkpoint as durable (in the
+// coordinator-commit protocol: a follower's before the coordinator's
+// committing checkpoint may be written, the coordinator's before the epoch
+// counts as committed). On a log stream shared with the records that depend
+// on it, record order carries the same guarantee and one Sync covers them all.
 func (l *Log) AppendPreparedDeferred(cp *PendingCheckpoint) (bool, error) {
 	return l.appendPrepared(cp, false)
 }
 
 func (l *Log) appendPrepared(cp *PendingCheckpoint, sync bool) (bool, error) {
+	if cp.rec[0] != l.checkpointKind() {
+		return false, fmt.Errorf("wal: shard %d's log cannot write a checkpoint of kind %d (only the coordinator commits)", l.cfg.Shard, cp.rec[0])
+	}
 	if err := l.seal(cp.rec); err != nil {
 		return false, err
 	}
@@ -406,72 +429,40 @@ func (l *Log) AppendCheckpoint(epoch uint64, oram *ringoram.ORAM) (bool, error) 
 	return l.AppendPrepared(cp)
 }
 
-// IsCommitRecord reports whether a raw log record is a commit record.
-// Record kinds are plaintext framing (their timing is public information);
-// crash-injection tests use this to fail storage exactly between an epoch's
-// prepare (checkpoints durable) and its commit point.
+// IsCommitRecord reports whether a raw log record is a committing
+// checkpoint, the record whose durability commits its epoch. Record kinds are
+// plaintext framing (their timing is public information); crash-injection
+// tests use this to fail storage exactly at an epoch's commit point.
 func IsCommitRecord(rec []byte) bool {
-	return len(rec) > 0 && rec[0] == kindCommit
+	return len(rec) > 0 && rec[0] == kindCheckpointCommitting
 }
 
-// DecodeCommitEpoch opens a raw log record and, when it is a commit record,
-// returns the epoch it commits. ok is false (with no error) for other record
-// kinds. The replication standby uses this to track the primary's committed
-// epoch from the mirrored stream without running a full recovery per record.
+// DecodeCommitEpoch opens a raw log record and, when it is a committing
+// checkpoint, returns the epoch it commits. ok is false (with no error) for
+// other record kinds. The replication standby uses this to track the
+// primary's committed epoch from the mirrored stream without running a full
+// recovery per record.
 func (l *Log) DecodeCommitEpoch(rec []byte) (epoch uint64, ok bool, err error) {
 	if !IsCommitRecord(rec) {
 		return 0, false, nil
 	}
-	plain, err := l.open(rec, commitHeaderSize)
+	plain, err := l.open(rec, checkpointHeaderSize)
 	if err != nil {
 		return 0, false, err
 	}
 	return headerEpoch(plain), true, nil
 }
 
-// AppendCommit durably marks epoch as committed. After this record is
-// persisted the epoch's transactions may be acknowledged to clients.
-func (l *Log) AppendCommit(epoch uint64) error {
-	return l.appendCommit(epoch, true)
-}
-
-// AppendCommitDeferred appends a commit record without waiting for its
-// barrier. Only sound for records whose durability is OPTIONAL — in the
-// coordinator-commit protocol, the non-coordinator shards' commit records
-// are a recovery fast path (a shard that lost one recovers by consulting
-// the coordinator's committed floor), so they may ride whatever flush comes
-// next instead of each paying an fsync. The coordinator's own commit record
-// is the global commit point and must use AppendCommit.
-func (l *Log) AppendCommitDeferred(epoch uint64) error {
-	return l.appendCommit(epoch, false)
-}
-
-func (l *Log) appendCommit(epoch uint64, sync bool) error {
-	rec, plain := newRecord(kindCommit, commitHeaderSize)
-	putHeader(plain, epoch)
-	if err := l.seal(rec); err != nil {
-		return err
-	}
-	seq, err := l.appendStore(rec, sync)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.noteAppendLocked(seq)
-	l.mu.Unlock()
-	return nil
-}
-
 // Retire tells the log that every epoch up to and including epoch is durably
-// committed on every shard — checkpoints, the coordinator's commit record
-// and the storage epoch commit — so nothing at or below it will ever be
-// replayed. If a full checkpoint at or below epoch has been appended since
-// the last cut, Retire issues exactly one store Truncate, at that checkpoint
-// or at the first batch record of a later epoch, whichever comes first in
-// the log; otherwise it touches nothing. The caller owns the ordering: on a
-// non-coordinator shard the coordinator's commit of epoch must already be
-// durable, because recovery with that floor needs the checkpoint the cut
-// keeps at the head of the log.
+// committed on every shard — checkpoints, the coordinator's committing one
+// among them, and the storage epoch commit — so nothing at or below it will
+// ever be replayed. If a full checkpoint at or below epoch has been appended
+// since the last cut, Retire issues exactly one store Truncate, at that
+// checkpoint or at the first batch record of a later epoch, whichever comes
+// first in the log; otherwise it touches nothing. The caller owns the
+// ordering: on a non-coordinator shard the coordinator's commit of epoch must
+// already be durable, because recovery with that floor needs the checkpoint
+// the cut keeps at the head of the log.
 func (l *Log) Retire(epoch uint64) error {
 	l.mu.Lock()
 	cut := uint64(0)
@@ -526,13 +517,14 @@ type RecoveryStats struct {
 
 // Recovery is the reconstructed durable state after a crash.
 type Recovery struct {
-	// CommittedEpoch is the last epoch whose commit record is durable; the
-	// storage tree must be rolled back to it.
+	// CommittedEpoch is the last committed epoch — the newest committing
+	// checkpoint's, or the caller's floor if that is higher; the storage tree
+	// must be rolled back to it.
 	CommittedEpoch uint64
-	// HasCommit reports whether any commit record exists at all. A log with
-	// checkpoints but no commit record is a first boot that died mid-prepare:
-	// nothing ever committed, and callers should reinitialize instead of
-	// recovering "epoch 0".
+	// HasCommit reports whether the log holds a committing checkpoint at all.
+	// A coordinator log without one is a first boot that died before its
+	// baseline committed: nothing ever committed, and callers should
+	// reinitialize instead of recovering "epoch 0".
 	HasCommit bool
 	// Full and Deltas are the checkpoint images that reconstruct the ORAM
 	// client metadata: the newest committed full image and every committed
@@ -561,14 +553,14 @@ var ErrNoCheckpoint = errors.New("wal: no full checkpoint in log")
 func (l *Log) Recover() (*Recovery, error) { return l.RecoverWithFloor(0) }
 
 // RecoverWithFloor recovers like Recover but treats `floor` as committed even
-// if this log's own newest commit record is older. The cross-shard epoch
-// coordinator relies on this: every shard's checkpoint for an epoch is durable
-// before the coordinator appends the epoch's global commit record (prepare
-// precedes commit), so a crash between the coordinator's commit record and
-// this shard's own leaves the shard exactly one commit record behind; the
-// floor restores the coordinator's decision. A floor above this log's own
-// commit requires the floor epoch's checkpoint to be present, otherwise
-// recovery fails rather than silently resurrecting older state.
+// though this log's own committing checkpoints (a follower's log has none) say
+// less. The cross-shard epoch coordinator relies on this: every shard's
+// checkpoint for an epoch is durable before the coordinator appends its
+// committing checkpoint (prepare precedes commit), so a follower recovers
+// every prepared checkpoint up to the coordinator's decision and ignores the
+// ones above it. A floor above this log's own commit requires the floor
+// epoch's checkpoint to be present, otherwise recovery fails rather than
+// silently resurrecting older state.
 func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 	recs, err := l.store.Scan(0)
 	if err != nil {
@@ -577,32 +569,19 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 	l.mu.Lock()
 	l.retained = uint64(len(recs))
 	l.mu.Unlock()
-	r := &Recovery{}
-	// Pass 1: newest committed epoch.
+	r := &Recovery{CommittedEpoch: floor}
+	// Pass 1: open the committed checkpoints — every committing one, and the
+	// prepared ones the floor covers — keeping the newest full image and the
+	// deltas after it. Checkpoints sit in the log in epoch order, so the
+	// committed epoch is known once the pass ends, not before.
+	start := time.Now()
+	haveFloorCp := false
 	for i, rec := range recs {
 		if len(rec) == 0 {
 			return nil, fmt.Errorf("wal: empty record %d", i)
 		}
 		r.Stats.BytesRead += len(rec)
-		epoch, ok, err := l.DecodeCommitEpoch(rec)
-		if err != nil {
-			return nil, fmt.Errorf("wal: commit record %d: %w", i, err)
-		}
-		if ok {
-			r.CommittedEpoch = max(r.CommittedEpoch, epoch)
-			r.HasCommit = true
-		}
-	}
-	raised := floor > r.CommittedEpoch
-	if raised {
-		r.CommittedEpoch = floor
-	}
-	// Pass 2: open the checkpoints up to the committed epoch, keeping the
-	// newest full image and the deltas after it.
-	start := time.Now()
-	haveFloorCp := false
-	for i, rec := range recs {
-		if rec[0] != kindCheckpoint {
+		if rec[0] != kindCheckpoint && rec[0] != kindCheckpointCommitting {
 			continue
 		}
 		plain, err := l.open(rec, checkpointHeaderSize)
@@ -615,8 +594,11 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 			return nil, fmt.Errorf("wal: log belongs to shard %d of %d, configured as shard %d of %d — storage addresses reordered or shard count changed?",
 				shard, shards, l.cfg.Shard, l.cfg.Shards)
 		}
-		if epoch > r.CommittedEpoch {
-			continue // checkpoint of an epoch that never committed
+		if rec[0] == kindCheckpointCommitting {
+			r.HasCommit = true
+			r.CommittedEpoch = max(r.CommittedEpoch, epoch)
+		} else if epoch > floor {
+			continue // prepared for an epoch the coordinator never committed
 		}
 		if epoch == floor {
 			haveFloorCp = true
@@ -638,7 +620,7 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 		r.Stats.PosEntries += info.PosEntries
 		r.Stats.PermBuckets += info.Buckets
 	}
-	if raised && !haveFloorCp {
+	if r.CommittedEpoch == floor && floor > 0 && !haveFloorCp {
 		return nil, fmt.Errorf("wal: coordinator committed epoch %d but no local checkpoint for it", floor)
 	}
 	if r.Full == nil {
@@ -646,7 +628,7 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 	}
 	r.Stats.DecodePosPerm = time.Since(start)
 
-	// Pass 3: the read schedules of every epoch above the committed one — the
+	// Pass 2: the read schedules of every epoch above the committed one — the
 	// sealed-but-uncommitted epoch plus, under the pipelined boundary, its
 	// successor's already-issued batches. Per-shard appends happen in schedule
 	// order (a batch record is durable before its reads execute, and every

@@ -66,9 +66,6 @@ func TestCheckpointCommitRecover(t *testing.T) {
 	if full, err := l.AppendCheckpoint(1, o); err != nil || !full {
 		t.Fatalf("checkpoint: full=%v err=%v", full, err)
 	}
-	if err := l.AppendCommit(1); err != nil {
-		t.Fatal(err)
-	}
 	rec, err := l.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +95,6 @@ func TestRecoverAppliesDeltas(t *testing.T) {
 	for e := uint64(1); e <= 5; e++ {
 		seed(t, o, backend, exec, e, 3)
 		if _, err := l.AppendCheckpoint(e, o); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.AppendCommit(e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,9 +141,6 @@ func TestRecoverAbortedBatches(t *testing.T) {
 
 	seed(t, o, backend, exec, 1, 4)
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
 	// Epoch 2 in flight: two batches logged, then crash (no commit).
@@ -211,9 +202,6 @@ func TestRecoverIgnoresCommittedEpochBatches(t *testing.T) {
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCommit(1); err != nil {
-		t.Fatal(err)
-	}
 	rec, err := l.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -223,14 +211,19 @@ func TestRecoverIgnoresCommittedEpochBatches(t *testing.T) {
 	}
 }
 
+// TestRecoverNoCheckpoint: a follower's prepared checkpoint counts for nothing
+// until the coordinator's floor reaches its epoch.
 func TestRecoverNoCheckpoint(t *testing.T) {
-	_, backend := testORAM(t)
-	l := newLog(t, backend, Config{})
-	if err := l.AppendCommit(1); err != nil {
+	o, backend := testORAM(t)
+	l := newLog(t, backend, Config{Shard: 1, Shards: 2})
+	if _, err := l.Recover(); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("recover of an empty log: %v", err)
+	}
+	if _, err := l.AppendCheckpoint(1, o); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Recover(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("recover without checkpoint: %v", err)
+		t.Fatalf("recover with only a prepared checkpoint above the floor: %v", err)
 	}
 }
 
@@ -262,7 +255,7 @@ func TestPaddingMakesDeltasConstantSize(t *testing.T) {
 	// or not — what must not differ is the padded part: entry counts.
 	var infos []ringoram.ImageInfo
 	for _, r := range recs {
-		if r[0] != kindCheckpoint {
+		if r[0] != kindCheckpointCommitting {
 			continue
 		}
 		plain, err := l.open(r, checkpointHeaderSize)
@@ -290,9 +283,6 @@ func TestPaddingStaysOutOfRestoredState(t *testing.T) {
 	for e := uint64(1); e <= 2; e++ {
 		seed(t, o, backend, exec, e, 3)
 		if _, err := l.AppendCheckpoint(e, o); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.AppendCommit(e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,9 +313,6 @@ func TestTamperedRecordRejected(t *testing.T) {
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCommit(1); err != nil {
-		t.Fatal(err)
-	}
 	recs, _ := backend.Scan(0)
 	recs[0][len(recs[0])/2] ^= 0xFF
 	if _, err := l.Recover(); err == nil {
@@ -342,30 +329,29 @@ func TestTruncateDropsOldRecords(t *testing.T) {
 		if _, err := l.AppendCheckpoint(e, o); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.AppendCommit(e); err != nil {
-			t.Fatal(err)
-		}
 		if err := l.Retire(e); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Retiring every epoch cuts once per full checkpoint with anything
 	// before it (epochs 3 and 5; epoch 1's heads the log) and leaves the
-	// newest one, its delta and their commit records.
+	// newest one and its delta.
 	after, _ := backend.Scan(0)
-	if len(after) != 4 {
-		t.Fatalf("log holds %d records after retiring, want 4", len(after))
+	if len(after) != 2 {
+		t.Fatalf("log holds %d records after retiring, want 2", len(after))
 	}
-	if st := l.Stats(); st.Truncations != 2 || st.Records != 4 || st.FloorSeq != 9 {
-		t.Fatalf("lifecycle stats = %+v, want 2 truncations, 4 records from seq 9", st)
+	if st := l.Stats(); st.Truncations != 2 || st.Records != 2 || st.FloorSeq != 5 {
+		t.Fatalf("lifecycle stats = %+v, want 2 truncations, 2 records from seq 5", st)
 	}
+	// The head of the log is a committing full checkpoint: that alone says
+	// the log has committed.
 	// Recovery still works from the truncated log.
 	rec, err := l.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.CommittedEpoch != 6 {
-		t.Fatalf("committed epoch after truncate = %d", rec.CommittedEpoch)
+	if rec.CommittedEpoch != 6 || !rec.HasCommit {
+		t.Fatalf("after truncate: committed epoch %d, HasCommit %v", rec.CommittedEpoch, rec.HasCommit)
 	}
 	if _, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...); err != nil {
 		t.Fatal(err)
@@ -378,9 +364,6 @@ func TestRecoverStats(t *testing.T) {
 	l := newLog(t, backend, Config{FullCheckpointEvery: 1})
 	seed(t, o, backend, exec, 1, 4)
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
 	exec.BeginEpoch(2)
