@@ -784,6 +784,7 @@ func (p *Proxy) Stats() Stats {
 		s.Executor.Reshuffles += es.Reshuffles
 		s.Executor.ReadCalls += es.ReadCalls
 		s.Executor.WriteCalls += es.WriteCalls
+		s.Executor.ResidentBytes += es.ResidentBytes
 		if peak := sh.exec.ORAM().StashPeak(); peak > s.StashPeak {
 			s.StashPeak = peak
 		}

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"obladi/internal/oramexec"
 	"obladi/internal/storage"
 	"obladi/internal/wal"
 )
@@ -143,54 +145,116 @@ func TestRecoveryDropsInFlightEpoch(t *testing.T) {
 	}
 }
 
-// TestRecoveryReplaysObservedTrace verifies §8's security core: the reads a
-// recovering proxy issues are exactly the reads the adversary already saw in
-// the aborted epoch.
+// TestRecoveryReplaysObservedTrace verifies §8's security core in both
+// boundary modes: recovery reads every slot the adversary saw the aborted
+// epoch read, exactly once. It may read more, because a restarted proxy has
+// neither epoch buffers nor a resident set: slots the aborted epoch's log
+// records name, in buckets that epoch served from the proxy throughout — it
+// read none of their slots from storage — and no slot of any bucket version
+// twice (the invariant checker sits under the recorder).
 func TestRecoveryReplaysObservedTrace(t *testing.T) {
-	cfg := testConfig(33)
-	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
-	rec := storage.NewRecorder(storage.NewInvariantChecker(backend))
+	for name, mode := range map[string]BoundaryMode{"sync": BoundarySync, "pipelined": BoundaryPipelined} {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(33)
+			cfg.Boundary = mode
+			backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
+			checker := storage.NewInvariantChecker(backend)
+			rec := storage.NewRecorder(checker)
 
-	p1, err := New(rec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitKV(t, p1, map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"})
+			p1, err := New(rec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Enough committed epochs for blocks to sink into the tree and the
+			// upper levels to turn resident.
+			for e := 0; e < 4; e++ {
+				kv := map[string]string{}
+				for i := 0; i < 4; i++ {
+					kv[fmt.Sprintf("k%d", e*4+i)] = fmt.Sprint(e)
+				}
+				commitKV(t, p1, kv)
+			}
+			oram := p1.shards[0].exec.ORAM()
+			_, evictCount := oram.Counters()
 
-	// Aborted epoch: two read batches.
-	rec.Reset()
-	for _, keys := range [][]string{{"a", "c"}, {"b", "d"}} {
-		tx := p1.Begin()
-		go func(keys []string) {
-			tx.ReadMany(keys)
-		}(keys)
-		// Give the reads a moment to enqueue, then fire the batch.
-		waitQueued(t, p1, len(keys))
-		must(t, p1.StepReadBatch())
-	}
-	aborted := slotMultiset(rec.Events())
-	// Crash.
+			// Aborted epoch: two read batches.
+			rec.Reset()
+			for _, keys := range [][]string{{"k0", "k5"}, {"k10", "k15"}} {
+				tx := p1.Begin()
+				go func(keys []string) {
+					tx.ReadMany(keys)
+				}(keys)
+				// Give the reads a moment to enqueue, then fire the batch.
+				waitQueued(t, p1, len(keys))
+				must(t, p1.StepReadBatch())
+			}
+			aborted := slotReads(rec.Events())
+			// Crash. What the epoch logged is what recovery will find.
+			logged, err := p1.shards[0].rlog.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			named := make(map[storage.SlotRef]bool)
+			geo := oram.Geometry()
+			for _, batch := range logged.AbortedBatches {
+				for _, le := range batch {
+					switch le.Kind {
+					case oramexec.LogAccess:
+						for i, b := range oram.PathBuckets(le.Leaf) {
+							named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
+						}
+					case oramexec.LogEvict:
+						// The evict path is a function of the eviction counter.
+						leaf := int(bits.Reverse(uint(evictCount)%uint(geo.Leaves)) >> (bits.UintSize - geo.Levels))
+						for i, b := range oram.PathBuckets(leaf) {
+							for _, s := range le.BucketSlots[i] {
+								named[storage.SlotRef{Bucket: b, Slot: s}] = true
+							}
+						}
+						evictCount++
+					case oramexec.LogReshuffle:
+						for _, s := range le.Slots {
+							named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
+						}
+					}
+				}
+			}
 
-	rec.Reset()
-	p2, err := New(rec, cfg)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer p2.Close()
-	replayEvents := rec.Events()
-	replay := slotMultiset(replayEvents)
-	if len(replay) == 0 {
-		t.Fatal("recovery issued no reads")
-	}
-	for k, n := range aborted {
-		if replay[k] != n {
-			t.Fatalf("replay diverges at %s: aborted epoch read it %d times, replay %d", k, n, replay[k])
-		}
-	}
-	for k := range replay {
-		if _, ok := aborted[k]; !ok {
-			t.Fatalf("replay read %s, which the aborted epoch never touched", k)
-		}
+			rec.Reset()
+			p2, err := New(rec, cfg)
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			defer p2.Close()
+			replay := slotReads(rec.Events())
+			observed := make(map[int]bool) // buckets the aborted epoch read from storage
+			for ref := range aborted {
+				observed[ref.Bucket] = true
+				if replay[ref] != 1 {
+					t.Fatalf("the aborted epoch read bucket %d slot %d from storage, the replay read it %d times", ref.Bucket, ref.Slot, replay[ref])
+				}
+			}
+			extra := 0
+			for ref, n := range replay {
+				switch {
+				case n != 1:
+					t.Fatalf("the replay read bucket %d slot %d %d times", ref.Bucket, ref.Slot, n)
+				case aborted[ref] == 1:
+				case !named[ref]:
+					t.Fatalf("the replay read bucket %d slot %d, which no log record of the aborted epoch names", ref.Bucket, ref.Slot)
+				case observed[ref.Bucket]:
+					t.Fatalf("the replay read bucket %d slot %d anew, in a bucket the aborted epoch read from storage", ref.Bucket, ref.Slot)
+				default:
+					extra++
+				}
+			}
+			if extra == 0 {
+				t.Fatal("the replay read nothing the aborted epoch had served from the proxy: the test proves nothing about such reads")
+			}
+			if v := checker.Violation(); v != nil {
+				t.Fatal(v)
+			}
+		})
 	}
 }
 
@@ -207,11 +271,12 @@ func waitQueued(t *testing.T, p *Proxy, n int) {
 	t.Fatal("fetches never queued")
 }
 
-func slotMultiset(evs []storage.Event) map[string]int {
-	out := make(map[string]int)
+// slotReads counts the slot reads of a recorded trace.
+func slotReads(evs []storage.Event) map[storage.SlotRef]int {
+	out := make(map[storage.SlotRef]int)
 	for _, ev := range evs {
 		if ev.Op == storage.OpReadSlot {
-			out[fmt.Sprintf("%d/%d", ev.Bucket, ev.Slot)]++
+			out[storage.SlotRef{Bucket: ev.Bucket, Slot: ev.Slot}]++
 		}
 	}
 	return out

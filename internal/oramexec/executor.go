@@ -18,11 +18,24 @@
 // batches already plan and execute. Until the sealed set is released (or
 // superseded by the next seal), reads that target a sealed bucket keep being
 // served locally — the sealed versions may not have reached storage yet.
+//
+// Above that sits the resident set: for every bucket of levels 0..L-3 the
+// executor keeps a compact copy of the blocks of the newest version it wrote,
+// and serves every later read of that bucket from it — the block's bytes for
+// the one read that carries a block, nothing for a filler, which completion
+// never inspects. A read is therefore local when its bucket is buffered,
+// sealed or resident. Which reads that skips depends on the bucket's level and
+// on the evictions since this executor started, never on the workload. The
+// set is volatile: writes still reach storage exactly as before, and a
+// restarted proxy starts cold and reads from storage until it has rewritten a
+// bucket itself.
 package oramexec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,6 +86,16 @@ type Executor struct {
 	// which the proxy serializes with planning; the map it points to is
 	// immutable after seal, so FlushSealed reads it without locks.
 	sealed *SealedEpoch
+	// resident holds the upper levels' buckets, indexed by heap number (see
+	// residentBuckets for the level rule). Touched only by planning and
+	// execution, never by a background flush.
+	resident []residentBucket
+	// freeFrames are resident-set frames no bucket holds at the moment. The
+	// buckets share them because a bucket's occupancy swings between 0 and Z
+	// while the levels' total barely moves: per-bucket buffers would each grow
+	// to their own peak, about twice the memory.
+	freeFrames [][]byte
+	frameSize  int // 2-byte slot number + one physical slot
 
 	// refsBuf and destsBuf are issueVector's scatter-gather scratch, reused
 	// across batches. Planning and execution are serialized per executor, so
@@ -99,6 +122,26 @@ type bufferedBucket struct {
 	w ringoram.BucketWrite
 }
 
+// residentBucket is the executor's copy of one upper-level bucket: the blocks
+// of the newest version it wrote, one frame each of a 2-byte physical slot
+// number and the slot's bytes, copied out of the write's arena (never aliased:
+// arenas are recycled or handed to the store).
+type residentBucket struct {
+	ver    uint64 // version held; 0 until this executor first rewrites the bucket
+	frames [][]byte
+}
+
+// residentBuckets is the level rule: the buckets of levels 0..L-3, which are
+// the first 2^(L-2)-1 heap indices, stay resident. A bucket holds about the
+// same number of blocks at every level, so each further level doubles the
+// memory for the same 1/(L+1) of the physical reads.
+func residentBuckets(g ringoram.Geometry) int {
+	if g.Levels < 3 || g.SlotsPer > math.MaxUint16 {
+		return 0
+	}
+	return 1<<(g.Levels-2) - 1
+}
+
 // SealedEpoch is a finished epoch's detached write-back set: every bucket
 // the epoch rewrote, deduplicated. It is immutable once sealed.
 type SealedEpoch struct {
@@ -115,7 +158,7 @@ func (s *SealedEpoch) Buckets() int { return len(s.buckets) }
 // Stats counts executor activity since creation.
 type Stats struct {
 	RemoteReads    int64 // slot reads issued to storage
-	LocalReads     int64 // slot reads served from the epoch buffer
+	LocalReads     int64 // slot reads served from the epoch buffers or the resident set
 	BucketWrites   int64 // bucket writes flushed to storage
 	WritesBuffered int64 // bucket write intents produced by evictions
 	Evictions      int64
@@ -126,6 +169,9 @@ type Stats struct {
 	// RemoteReads/BucketWrites is the batching factor vectoring buys.
 	ReadCalls  int64
 	WriteCalls int64
+	// ResidentBytes is a gauge: the memory of the resident set's frames, in
+	// use or free, at most Z frames for each resident bucket.
+	ResidentBytes int64
 }
 
 // statCounters is the executor's internal, atomically updated counter set.
@@ -141,6 +187,7 @@ type statCounters struct {
 	reshuffles     atomic.Int64
 	readCalls      atomic.Int64
 	writeCalls     atomic.Int64
+	residentBytes  atomic.Int64
 }
 
 func (c *statCounters) snapshot() Stats {
@@ -153,6 +200,7 @@ func (c *statCounters) snapshot() Stats {
 		Reshuffles:     c.reshuffles.Load(),
 		ReadCalls:      c.readCalls.Load(),
 		WriteCalls:     c.writeCalls.Load(),
+		ResidentBytes:  c.residentBytes.Load(),
 	}
 }
 
@@ -257,11 +305,13 @@ type ReadResult struct {
 func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
 	cfg.setDefaults()
 	return &Executor{
-		oram:     oram,
-		store:    store,
-		cfg:      cfg,
-		buffered: make(map[int]*bufferedBucket),
-		shape:    newLogShape(oram.Params(), oram.Geometry()),
+		oram:      oram,
+		store:     store,
+		cfg:       cfg,
+		buffered:  make(map[int]*bufferedBucket),
+		resident:  make([]residentBucket, residentBuckets(oram.Geometry())),
+		frameSize: 2 + oram.SlotSize(),
+		shape:     newLogShape(oram.Params(), oram.Geometry()),
 	}
 }
 
@@ -395,11 +445,13 @@ func (e *Executor) planDueEvictions(plan *BatchPlan) error {
 	return nil
 }
 
-// markLocality decides, per slot read, whether it will be served from an
-// epoch buffer. The decision is made at plan time: a bucket claimed by an
-// earlier-planned eviction is buffered by the time this task completes, and
-// a bucket in the sealed (previous-epoch) set holds a version that may not
-// have reached storage yet, so it MUST be served locally.
+// markLocality decides, per slot read, whether it will be served from the
+// proxy: its bucket is buffered, sealed or resident. The decision is made at
+// plan time: a bucket claimed by an earlier-planned eviction is buffered by
+// the time this task completes, a bucket in the sealed (previous-epoch) set
+// holds a version that may not have reached storage yet, so it MUST be served
+// locally, and a resident bucket holds the version the read was planned
+// against until a later-planned rewrite completes, which is after this task.
 func (e *Executor) markLocality(t *task) {
 	if cap(t.local) < len(t.reads) {
 		t.local = make([]bool, len(t.reads))
@@ -408,6 +460,10 @@ func (e *Executor) markLocality(t *task) {
 		clear(t.local)
 	}
 	for i, r := range t.reads {
+		if r.Bucket < len(e.resident) && e.resident[r.Bucket].ver != 0 {
+			t.local[i] = true
+			continue
+		}
 		if _, ok := e.buffered[r.Bucket]; ok {
 			t.local[i] = true
 			continue
@@ -596,13 +652,19 @@ func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 		// The current epoch's buffer supersedes the sealed one: a read
 		// planned after a rewrite completes after it (plan order). A read
 		// that still sees a nil (claimed, unfilled) current-epoch entry was
-		// planned before the claim and is served from the sealed version.
+		// planned before the claim and is served from the sealed version, or
+		// from the resident one once that has left the sealed set.
 		b := e.buffered[t.reads[i].Bucket]
 		if b == nil && e.sealed != nil {
 			b = e.sealed.buckets[t.reads[i].Bucket]
 		}
 		if b == nil {
-			return fmt.Errorf("oramexec: bucket %d claimed but not buffered at completion", t.reads[i].Bucket)
+			d, err := e.residentSlot(t.reads[i])
+			if err != nil {
+				return err
+			}
+			t.data[i] = d
+			continue
 		}
 		if s := t.reads[i].Slot; s < 0 || s >= len(b.w.Slots) {
 			return fmt.Errorf("oramexec: buffered bucket %d has no slot %d", t.reads[i].Bucket, t.reads[i].Slot)
@@ -634,6 +696,8 @@ func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 				if old := e.buffered[w.Bucket]; old != nil {
 					old.w.Recycle()
 				}
+				e.keepResident(w)
+				w.Real = nil // the plan's scratch; the buffer outlives it
 				e.buffered[w.Bucket] = &bufferedBucket{w: w}
 			}
 		case e.cfg.ScalarIO:
@@ -660,6 +724,55 @@ func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 		}
 	}
 	return nil
+}
+
+// keepResident replaces an upper-level bucket's resident copy with the blocks
+// of w, the version just buffered.
+func (e *Executor) keepResident(w ringoram.BucketWrite) {
+	if w.Bucket >= len(e.resident) {
+		return
+	}
+	rb := &e.resident[w.Bucket]
+	e.releaseFrames(rb)
+	rb.ver = w.Ver
+	for _, s := range w.Real {
+		if len(e.freeFrames) == 0 {
+			// One bucket's worth at a time, so the frames in existence never
+			// exceed Z per resident bucket.
+			chunk := make([]byte, e.oram.Params().Z*e.frameSize)
+			e.stats.residentBytes.Add(int64(len(chunk)))
+			for ; len(chunk) > 0; chunk = chunk[e.frameSize:] {
+				e.freeFrames = append(e.freeFrames, chunk[:e.frameSize:e.frameSize])
+			}
+		}
+		last := len(e.freeFrames) - 1
+		f := e.freeFrames[last]
+		e.freeFrames = e.freeFrames[:last]
+		binary.BigEndian.PutUint16(f, uint16(s))
+		copy(f[2:], w.Slots[s])
+		rb.frames = append(rb.frames, f)
+	}
+}
+
+// releaseFrames empties rb, keeping its frames for reuse.
+func (e *Executor) releaseFrames(rb *residentBucket) {
+	e.freeFrames = append(e.freeFrames, rb.frames...)
+	rb.ver, rb.frames = 0, rb.frames[:0]
+}
+
+// residentSlot serves a read of a bucket that is neither buffered nor sealed
+// from its resident copy: the slot's bytes when the slot holds a block, nil
+// for a filler. The copy must be of the version the read was planned against.
+func (e *Executor) residentSlot(r ringoram.SlotRead) ([]byte, error) {
+	if r.Bucket >= len(e.resident) || e.resident[r.Bucket].ver != r.Ver {
+		return nil, fmt.Errorf("oramexec: bucket %d version %d planned local but neither buffered nor resident at completion", r.Bucket, r.Ver)
+	}
+	for _, f := range e.resident[r.Bucket].frames {
+		if int(binary.BigEndian.Uint16(f)) == r.Slot {
+			return f[2:], nil
+		}
+	}
+	return nil, nil
 }
 
 // drain waits out any in-flight reads after an error so goroutines do not
@@ -786,9 +899,9 @@ func (e *Executor) flushScalar(writes []storage.BucketWrite) error {
 	return firstErr
 }
 
-// DiscardBuffer drops all buffered writes, current and sealed (used when
-// abandoning an epoch in tests; a crashed proxy loses the buffers
-// implicitly).
+// DiscardBuffer drops all buffered writes, current and sealed, and empties
+// the resident set: storage may roll back the versions it copies (used when
+// abandoning an epoch in tests; a crashed proxy loses all of it implicitly).
 func (e *Executor) DiscardBuffer() {
 	// Discarded current-epoch buckets never reached storage, so their arenas
 	// recycle. Sealed buckets may already be (or be in the middle of) a
@@ -800,6 +913,14 @@ func (e *Executor) DiscardBuffer() {
 	}
 	e.buffered = make(map[int]*bufferedBucket)
 	e.sealed = nil
+	e.dropResident()
+}
+
+// dropResident empties the resident set.
+func (e *Executor) dropResident() {
+	for i := range e.resident {
+		e.releaseFrames(&e.resident[i])
+	}
 }
 
 // ReplayBatch replays logged entries during crash recovery: metadata is

@@ -2,6 +2,7 @@ package oramexec
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -100,6 +101,24 @@ func (h *harness) runWrites(t *testing.T, kv map[string]string, pad int) {
 func (h *harness) endEpoch(t *testing.T) {
 	t.Helper()
 	if _, err := h.exec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.backend.CommitEpoch(h.epoch); err != nil {
+		t.Fatal(err)
+	}
+	h.begin()
+}
+
+// endEpochPipelined seals, flushes and commits the way the pipelined boundary
+// does: the sealed set is not released, so the next epoch's reads of its
+// buckets are served from the proxy.
+func (h *harness) endEpochPipelined(t *testing.T) {
+	t.Helper()
+	sealed, err := h.exec.SealEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.exec.FlushSealed(sealed); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.backend.CommitEpoch(h.epoch); err != nil {
@@ -268,21 +287,58 @@ func TestExecutorWriteThrough(t *testing.T) {
 	h.checkInvariant(t)
 }
 
+// TestExecutorRollbackDiscardsEpoch: an executor that outlives a rollback must
+// not serve anything of the epoch storage dropped — not from the epoch
+// buffers and not from the resident set, whose root copy is by then of a
+// version that no longer exists.
 func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
-	h := newHarness(t, testParams(64, 8), Config{})
+	p := testParams(64, 8)
+	h := newHarness(t, p, Config{})
 	h.runWrites(t, map[string]string{"durable": "yes"}, 3)
 	h.endEpoch(t)
+	snap, err := h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Epoch 2: write, flush, but do NOT commit; then roll back.
 	h.runWrites(t, map[string]string{"durable": "overwritten", "volatile": "x"}, 2)
 	if _, err := h.exec.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if h.exec.resident[0].ver == 0 {
+		t.Fatal("the root is not resident after two epochs of evictions: the test would prove nothing")
+	}
+	h.exec.DiscardBuffer()
 	if err := h.rec.RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}
-	// Restoring epoch-1 metadata over the rolled-back tree is the recovery
-	// flow; it is exercised end to end in internal/core tests.
+	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("exec")), p, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.exec.oram = restored // the same executor over the restored metadata
+
+	h.epoch = 2
+	h.begin()
+	h.rec.Reset()
+	res := h.runReads(t, "durable", "volatile")
+	if !res[0].Found || string(res[0].Value) != "yes" {
+		t.Fatalf("durable = %q (found=%v) after the rollback, want the epoch-1 value", res[0].Value, res[0].Found)
+	}
+	if res[1].Found {
+		t.Fatalf("volatile = %q survived the rollback", res[1].Value)
+	}
+	rootReads := 0
+	for _, ev := range h.rec.Events() {
+		if ev.Op == storage.OpReadSlot && ev.Bucket == 0 {
+			rootReads++
+		}
+	}
+	if rootReads != len(res) {
+		t.Fatalf("%d of the batch's %d root reads went to storage: the rest were served from a discarded epoch", rootReads, len(res))
+	}
+	h.checkInvariant(t)
 }
 
 // TestExecutorTraceShapeWorkloadIndependence is the executor-level security
@@ -290,6 +346,7 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 // must produce storage traces with identical shape (same op kinds, same
 // event count per position, same number of bucket writes).
 func TestExecutorTraceShapeWorkloadIndependence(t *testing.T) {
+	t.Run("resident levels", testSkipSetIsPublic)
 	shape := func(seed uint64, keys [][]string, writes []map[string]string) []storage.Op {
 		p := testParams(64, seed)
 		h := newHarness(t, p, Config{})
@@ -324,82 +381,352 @@ func TestExecutorTraceShapeWorkloadIndependence(t *testing.T) {
 	}
 }
 
-// TestExecutorReplayReproducesTrace is the recovery security test: after a
-// crash mid-epoch, the recovery replay must issue exactly the same physical
-// reads the adversary already observed.
+// testSkipSetIsPublic runs three workloads that could not differ more — all
+// padding, uniform real reads and writes, one hot key — over a tree deep
+// enough (L = 6) and long enough for levels 0..3 to turn resident, and checks
+// that which reads stay in the proxy is public.
+//
+// Path leaves are drawn from a generator that real and padding accesses consume
+// differently, so the three runs do not read the same paths and the per-level
+// counts of an access's remote reads agree in distribution, not batch by
+// batch. What the test asserts is the rule itself and everything that is
+// exact. The rule: in each run, every planned read is local exactly when its
+// bucket is in a set computed from that run's write trace and the eviction
+// counter alone — rewritten earlier this epoch, written by the previous
+// epoch, or an upper-level bucket written at any time. Exact across runs: each
+// flush's bucket set, each batch's remote eviction reads per level, and — from
+// the flush that completes the upper levels, the same flush in every run — no
+// remote read at levels 0..L-3 at all.
+func testSkipSetIsPublic(t *testing.T) {
+	const epochs, preload, keys = 30, 8, 32
+	p := testParams(256, 77)
+	p.S = 16 // roomy enough that no early reshuffle (a function of the drawn paths) falls due
+	geo := p.Geometry()
+	nRes := residentBuckets(geo)
+	if geo.Levels < 6 || nRes != 15 {
+		t.Fatalf("geometry %+v keeps %d buckets resident, want L >= 6 and 15", geo, nRes)
+	}
+	level := func(b int) int { return bits.Len(uint(b+1)) - 1 }
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+
+	run := func(workload string) (batches, flushes []string) {
+		h := newHarness(t, p, Config{})
+		rng := rand.New(rand.NewPCG(3, 4))
+		prevFlush, everWritten := map[int]bool{}, map[int]bool{}
+		warm := false
+		var evictCount uint64
+
+		// check models one planned batch against the public sets, executes it,
+		// and returns its signature.
+		check := func(plan *BatchPlan, claimed map[int]bool) string {
+			evictRemote := make([]int, geo.Levels+1)
+			remote := 0
+			for _, tk := range plan.tasks {
+				if tk.logKind == LogReshuffle {
+					t.Fatalf("%s: an early reshuffle fell due; its timing depends on the drawn paths — pick parameters that avoid it", workload)
+				}
+				for i, r := range tk.reads {
+					public := claimed[r.Bucket] || prevFlush[r.Bucket] || (r.Bucket < nRes && everWritten[r.Bucket])
+					if tk.local[i] != public {
+						t.Fatalf("%s: read of bucket %d (level %d) planned local=%v, the public sets say %v", workload, r.Bucket, level(r.Bucket), tk.local[i], public)
+					}
+					if tk.local[i] {
+						continue
+					}
+					remote++
+					if tk.evict != nil {
+						evictRemote[level(r.Bucket)]++
+					}
+					if warm && level(r.Bucket) <= geo.Levels-3 {
+						t.Fatalf("%s: remote read of bucket %d at resident level %d after every upper bucket was written", workload, r.Bucket, level(r.Bucket))
+					}
+				}
+				if tk.evict != nil {
+					if path := evictPath(h.oram, evictCount); fmt.Sprint(tk.evict.Buckets) != fmt.Sprint(path) {
+						t.Fatalf("%s: eviction %d rewrites %v, the counter says %v", workload, evictCount, tk.evict.Buckets, path)
+					}
+					evictCount++
+					for _, b := range tk.evict.Buckets {
+						claimed[b] = true
+					}
+				}
+			}
+			h.rec.Reset()
+			if _, err := h.exec.Execute(plan); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(h.rec.Events()); got != remote {
+				t.Fatalf("%s: batch planned %d remote reads, storage saw %d", workload, remote, got)
+			}
+			return fmt.Sprint(evictRemote)
+		}
+
+		for e := 0; e < epochs; e++ {
+			claimed := map[int]bool{}
+			for r := 0; r < 2; r++ {
+				ops := make([]ReadOp, 4)
+				switch {
+				case e < preload || workload == "padding":
+				case workload == "hot":
+					ops[0].Key = key(0)
+				default:
+					for i, k := range rng.Perm(keys)[:4] {
+						ops[i].Key = key(k)
+					}
+				}
+				plan, err := h.exec.PlanReadBatch(ops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batches = append(batches, check(plan, claimed))
+			}
+			ops := make([]WriteOp, 4)
+			switch {
+			case e < preload:
+				for i := range ops {
+					ops[i] = WriteOp{Key: key(e*4 + i), Value: []byte("v")}
+				}
+			case workload == "padding":
+			case workload == "hot":
+				ops[0] = WriteOp{Key: key(0), Value: []byte(fmt.Sprint(e))}
+			default:
+				for i, k := range rng.Perm(keys)[:4] {
+					ops[i] = WriteOp{Key: key(k), Value: []byte(fmt.Sprint(e))}
+				}
+			}
+			plan, err := h.exec.PlanWriteBatch(ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches = append(batches, check(plan, claimed))
+
+			h.rec.Reset()
+			h.endEpochPipelined(t)
+			prevFlush = map[int]bool{}
+			var set []int
+			for _, ev := range h.rec.Events() {
+				if ev.Op == storage.OpWriteBucket {
+					prevFlush[ev.Bucket], everWritten[ev.Bucket] = true, true
+					set = append(set, ev.Bucket)
+				}
+			}
+			flushes = append(flushes, fmt.Sprint(set))
+			warm = true
+			for b := 0; b < nRes; b++ {
+				warm = warm && everWritten[b]
+			}
+		}
+		if !warm {
+			t.Fatalf("%s: the upper levels never all turned resident in %d epochs", workload, epochs)
+		}
+		h.checkInvariant(t)
+		return batches, flushes
+	}
+
+	batches, flushes := run("padding")
+	for _, workload := range []string{"uniform", "hot"} {
+		b, f := run(workload)
+		for i := range flushes {
+			if f[i] != flushes[i] {
+				t.Fatalf("epoch %d: %s wrote buckets %s, padding wrote %s", i+1, workload, f[i], flushes[i])
+			}
+		}
+		for i := range batches {
+			if b[i] != batches[i] {
+				t.Fatalf("batch %d: %s read %s eviction slots per level from storage, padding %s", i, workload, b[i], batches[i])
+			}
+		}
+	}
+}
+
+// TestExecutorReplayReproducesTrace is the recovery security test. After a
+// crash mid-epoch the replay reads every slot the aborted epoch read from
+// storage, exactly once. It may read more: a new executor holds no epoch
+// buffers and no resident set, so slots the aborted epoch served from the
+// proxy now come from storage. Those are slots the epoch's log records name, in
+// buckets the epoch never read from storage — bucket versions the adversary
+// has not seen a read of — and no slot of any bucket version is read twice
+// (the invariant checker sits under the recorder). Both boundary modes: after
+// a synchronous boundary only the resident set serves such reads, after a
+// pipelined one the sealed set does too.
 func TestExecutorReplayReproducesTrace(t *testing.T) {
-	p := testParams(64, 9)
-	h := newHarness(t, p, Config{})
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			p := testParams(256, 9)
+			h := newHarness(t, p, Config{})
+			end := h.endEpoch
+			if pipelined {
+				end = h.endEpochPipelined
+			}
+			key := func(i int) string { return fmt.Sprintf("k%d", i) }
 
-	// Epoch 1: committed baseline.
-	h.runWrites(t, map[string]string{"k1": "v1", "k2": "v2", "k3": "v3"}, 1)
-	h.endEpoch(t)
-	snap, err := h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Committed history, long enough for the upper levels to turn
+			// resident and for blocks to sink into the tree.
+			want := map[string]string{}
+			for e := 0; e < 6; e++ {
+				w := map[string]string{}
+				for i := 0; i < 4; i++ {
+					w[key(e*4+i)] = fmt.Sprintf("v%d", e*4+i)
+					want[key(e*4+i)] = w[key(e*4+i)]
+				}
+				h.runReads(t, key(e), key(e+30), "", "")
+				h.runWrites(t, w, 0)
+				end(t)
+			}
+			committed := h.epoch - 1
+			snap, err := h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, evictCount := h.oram.Counters()
 
-	// Epoch 2: the epoch that will crash. Record log entries and the trace.
-	h.rec.Reset()
-	var logged []LogEntry
-	plan, err := h.exec.PlanReadBatch([]ReadOp{{Key: "k1"}, {Key: "k3"}, {Key: "ghost"}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	logged = append(logged, decodeLog(t, plan.Log())...)
-	if _, err := h.exec.Execute(plan); err != nil {
-		t.Fatal(err)
-	}
-	wplan, err := h.exec.PlanWriteBatch([]WriteOp{{Key: "k2", Value: []byte("doomed")}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	logged = append(logged, decodeLog(t, wplan.Log())...)
-	if _, err := h.exec.Execute(wplan); err != nil {
-		t.Fatal(err)
-	}
-	abortedTrace := readMultiset(h.rec.Events())
+			// The epoch that will crash: two read batches and the write batch,
+			// each logged before it executes.
+			h.rec.Reset()
+			before := h.exec.Stats()
+			var logged [][]LogEntry
+			for _, keys := range [][]string{{key(1), key(9), "ghost", ""}, {key(2), key(17), key(22), ""}} {
+				ops := make([]ReadOp, len(keys))
+				for i, k := range keys {
+					ops[i].Key = k
+				}
+				plan, err := h.exec.PlanReadBatch(ops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				logged = append(logged, decodeLog(t, plan.Log()))
+				if _, err := h.exec.Execute(plan); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wplan, err := h.exec.PlanWriteBatch([]WriteOp{{Key: key(3), Value: []byte("doomed")}, {}, {}, {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			logged = append(logged, decodeLog(t, wplan.Log()))
+			if _, err := h.exec.Execute(wplan); err != nil {
+				t.Fatal(err)
+			}
+			aborted := h.rec.Events()
+			if h.exec.Stats().LocalReads == before.LocalReads {
+				t.Fatal("the aborted epoch served nothing from the proxy: the test would prove nothing")
+			}
+			var named map[storage.SlotRef]bool
+			for _, batch := range logged {
+				named, evictCount = loggedSlots(h.oram, evictCount, batch, named)
+			}
 
-	// Crash: buffer lost, storage rolled back, metadata restored.
-	if err := h.rec.RollbackTo(1); err != nil {
-		t.Fatal(err)
+			// Crash: buffers and resident set lost, storage rolled back,
+			// metadata restored.
+			if err := h.rec.RollbackTo(committed); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("exec")), p, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec2 := New(restored, h.rec, Config{})
+			exec2.BeginEpoch(h.epoch + 1) // recovery epoch
+			h.rec.Reset()
+			for _, batch := range logged {
+				if err := exec2.ReplayBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if extra := checkReplayTrace(t, aborted, h.rec.Events(), named); extra == 0 {
+				t.Fatal("the replay read nothing the aborted epoch had served from the proxy")
+			}
+
+			// Finish the recovery epoch and verify committed data survived and
+			// the aborted write did not.
+			if _, err := exec2.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.backend.CommitEpoch(h.epoch + 1); err != nil {
+				t.Fatal(err)
+			}
+			exec2.BeginEpoch(h.epoch + 2)
+			for _, r := range mustReads(t, exec2, key(1), key(3), key(9), key(23)) {
+				if !r.Found || string(r.Value) != want[r.Key] {
+					t.Fatalf("after recovery %s = %q (found=%v), want %q", r.Key, r.Value, r.Found, want[r.Key])
+				}
+			}
+			h.checkInvariant(t)
+		})
 	}
-	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("exec")), p, snap)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// loggedSlots adds every slot the batch's log entries name to named. Evict
+// entries name slots along the evict path, a function of the eviction counter
+// alone; the counter after the batch is returned.
+func loggedSlots(o *ringoram.ORAM, evictCount uint64, batch []LogEntry, named map[storage.SlotRef]bool) (map[storage.SlotRef]bool, uint64) {
+	if named == nil {
+		named = make(map[storage.SlotRef]bool)
 	}
-	exec2 := New(restored, h.rec, Config{})
-	exec2.BeginEpoch(3) // recovery epoch
-	h.rec.Reset()
-	if err := exec2.ReplayBatch(logged); err != nil {
-		t.Fatal(err)
-	}
-	replayTrace := readMultiset(h.rec.Events())
-	if len(abortedTrace) != len(replayTrace) {
-		t.Fatalf("replay issued %d reads, aborted epoch issued %d", len(replayTrace), len(abortedTrace))
-	}
-	for k, n := range abortedTrace {
-		if replayTrace[k] != n {
-			t.Fatalf("replay read-set diverges at %s: %d vs %d", k, replayTrace[k], n)
+	for _, le := range batch {
+		switch le.Kind {
+		case LogAccess:
+			for i, b := range o.PathBuckets(le.Leaf) {
+				named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
+			}
+		case LogEvict:
+			for i, b := range evictPath(o, evictCount) {
+				for _, s := range le.BucketSlots[i] {
+					named[storage.SlotRef{Bucket: b, Slot: s}] = true
+				}
+			}
+			evictCount++
+		case LogReshuffle:
+			for _, s := range le.Slots {
+				named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
+			}
 		}
 	}
-	// Finish the recovery epoch and verify committed data survived and the
-	// aborted write did not.
-	if _, err := exec2.Flush(); err != nil {
-		t.Fatal(err)
+	return named, evictCount
+}
+
+// evictPath returns the buckets of the evictCount-th evict-path: Ring ORAM's
+// reverse-lexicographic order, a function of the counter alone.
+func evictPath(o *ringoram.ORAM, evictCount uint64) []int {
+	g := o.Geometry()
+	return o.PathBuckets(int(bits.Reverse(uint(evictCount)%uint(g.Leaves)) >> (bits.UintSize - g.Levels)))
+}
+
+// checkReplayTrace asserts the replay-trace property over two recorded traces
+// and returns how many reads the replay issued beyond the aborted epoch's.
+func checkReplayTrace(t *testing.T, aborted, replay []storage.Event, named map[storage.SlotRef]bool) (extra int) {
+	t.Helper()
+	count := func(evs []storage.Event) map[storage.SlotRef]int {
+		out := make(map[storage.SlotRef]int)
+		for _, ev := range evs {
+			if ev.Op == storage.OpReadSlot {
+				out[storage.SlotRef{Bucket: ev.Bucket, Slot: ev.Slot}]++
+			}
+		}
+		return out
 	}
-	if err := h.backend.CommitEpoch(3); err != nil {
-		t.Fatal(err)
-	}
-	exec2.BeginEpoch(4)
-	res := mustReads(t, exec2, "k1", "k2", "k3")
-	want := map[string]string{"k1": "v1", "k2": "v2", "k3": "v3"}
-	for _, r := range res {
-		if !r.Found || string(r.Value) != want[r.Key] {
-			t.Fatalf("after recovery %s = %q (found=%v), want %q", r.Key, r.Value, r.Found, want[r.Key])
+	seen, again := count(aborted), count(replay)
+	observed := make(map[int]bool) // buckets the aborted epoch read from storage
+	for ref := range seen {
+		observed[ref.Bucket] = true
+		if again[ref] != 1 {
+			t.Fatalf("the aborted epoch read bucket %d slot %d from storage, the replay read it %d times", ref.Bucket, ref.Slot, again[ref])
 		}
 	}
-	h.checkInvariant(t)
+	for ref, n := range again {
+		switch {
+		case n != 1:
+			t.Fatalf("the replay read bucket %d slot %d %d times", ref.Bucket, ref.Slot, n)
+		case seen[ref] == 1:
+		case !named[ref]:
+			t.Fatalf("the replay read bucket %d slot %d, which no log record of the aborted epoch names", ref.Bucket, ref.Slot)
+		case observed[ref.Bucket]:
+			t.Fatalf("the replay read bucket %d slot %d anew, in a bucket the aborted epoch read from storage", ref.Bucket, ref.Slot)
+		default:
+			extra++
+		}
+	}
+	return extra
 }
 
 // decodeLog takes a plan's durability log through its record encoding, as a
@@ -435,17 +762,6 @@ func mustReads(t *testing.T, e *Executor, keys ...string) []ReadResult {
 		t.Fatal(err)
 	}
 	return res
-}
-
-// readMultiset maps "bucket/slot" to read count for all slot-read events.
-func readMultiset(evs []storage.Event) map[string]int {
-	out := make(map[string]int)
-	for _, ev := range evs {
-		if ev.Op == storage.OpReadSlot {
-			out[fmt.Sprintf("%d/%d", ev.Bucket, ev.Slot)]++
-		}
-	}
-	return out
 }
 
 func TestInitORAMRejectsSmallBackend(t *testing.T) {

@@ -261,6 +261,10 @@ type BucketWrite struct {
 	Bucket int
 	Ver    uint64
 	Slots  [][]byte
+	// Real lists the physical slots holding the blocks this version placed;
+	// every other slot is filler (a dummy or an empty real). It is the
+	// eviction plan's scratch, valid until the next CompleteEvict: copy to keep.
+	Real []int
 
 	buf *bucketBuf
 }
@@ -292,6 +296,7 @@ type plannedBucket struct {
 	ver    uint64
 	perm   []int
 	placed []placement
+	real   []int // physical slots of placed, filled by the seal
 }
 
 // EvictPlan is the outcome of planning an evict-path or early reshuffle. A
@@ -898,7 +903,10 @@ func (o *ORAM) EvictDue() bool {
 
 // CompleteAccess applies the fetched slot data for an access plan and
 // returns the read value (for writes, the returned value is nil). data must
-// be parallel to plan.Reads.
+// be parallel to plan.Reads. Only the slot that carries the access's block is
+// ever inspected: the entry of every other read (a filler) may be nil, which
+// is what lets a caller that knows where a bucket's blocks sit skip fetching
+// the rest.
 func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, found bool, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -1184,7 +1192,8 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 
 // CompleteEvict applies the fetched read-phase data and returns the bucket
 // writes the caller must perform (or buffer). data is parallel to
-// plan.Reads.
+// plan.Reads. As in CompleteAccess, only reads that carry a block are
+// inspected; a filler's entry may be nil.
 func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -1265,8 +1274,10 @@ func (o *ORAM) sealPlannedBucket(pb *plannedBucket) (BucketWrite, error) {
 	for i := range occ {
 		occ[i] = nil
 	}
+	pb.real = pb.real[:0]
 	for i := range pb.placed {
 		occ[pb.placed[i].pos] = &pb.placed[i]
+		pb.real = append(pb.real, pb.perm[pb.placed[i].pos])
 	}
 	for pos := 0; pos < o.geo.SlotsPer; pos++ {
 		phys := pb.perm[pos]
@@ -1296,7 +1307,7 @@ func (o *ORAM) sealPlannedBucket(pb *plannedBucket) (BucketWrite, error) {
 		}
 		bb.slots[phys] = data
 	}
-	return BucketWrite{Bucket: pb.bucket, Ver: pb.ver, Slots: bb.slots, buf: bb}, nil
+	return BucketWrite{Bucket: pb.bucket, Ver: pb.ver, Slots: bb.slots, Real: pb.real, buf: bb}, nil
 }
 
 // sealBucket serializes a bucket straight from current metadata; used for
