@@ -414,6 +414,9 @@ func Table11b(cfg Config) ([]Row, error) {
 			return nil, err
 		}
 		exec := oramexec.New(restored, backend, oramexec.Config{})
+		if err := exec.LoadResident(); err != nil {
+			return nil, err
+		}
 		exec.BeginEpoch(rec.CommittedEpoch + 1)
 		pathStart := time.Now()
 		for _, batch := range rec.AbortedBatches {

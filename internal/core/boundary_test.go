@@ -243,7 +243,9 @@ var errCrashed = errors.New("injected crash: the proxy is gone")
 // serve exactly that epoch's values; and an acknowledged epoch must be the
 // recovered one. The sweep must cross the commit point — the first crash
 // loses the epoch, the last keeps it — and with two shards pass through the
-// state the floor exists for: a follower prepared, the coordinator not.
+// state the floor exists for: a follower prepared, the coordinator not. Every
+// crash point is followed by a second one inside the recovery it causes, in
+// the load of the resident levels.
 func TestCommitCrashSweep(t *testing.T) {
 	for _, logheap := range []bool{false, true} {
 		for _, shards := range []int{1, 2} {
@@ -382,6 +384,22 @@ func crashAt(t *testing.T, logheap bool, shards, k int) crashOutcome {
 		if !slices.Equal(got.shards[i], want[i]) {
 			t.Fatalf("%s: shard %d recovers to neither epoch's metadata (coordinator committed %d)", when, i, got.committed)
 		}
+	}
+	// One more crash point, inside recovery: the restart dies in the last
+	// shard's load of the resident levels, while the other shards load, replay
+	// and flush. Recovery is re-runnable from there.
+	var loads int
+	_, err = NewSharded(spyOn(inner, func(shard int, call string) error {
+		if shard != shards-1 || call != "ReadSlots" {
+			return nil
+		}
+		mu.Lock()
+		loads++
+		mu.Unlock()
+		return errCrashed
+	}), cfg)
+	if !errors.Is(err, errCrashed) || loads != 1 {
+		t.Fatalf("%s: restart with the load failing (%d reads attempted): %v", when, loads, err)
 	}
 	p2, err := NewSharded(inner, cfg)
 	if err != nil {

@@ -111,7 +111,9 @@ type Config struct {
 	// every slot read and write-back bucket becomes its own storage call,
 	// as before vectorization. Baseline knob for the `vector` benchmark.
 	ScalarStorageIO bool
-	// WriteThrough disables delayed write-back (Figure 10d ablation).
+	// WriteThrough disables delayed write-back (Figure 10d ablation). It
+	// cannot recover a store a proxy without it has written to: that proxy
+	// stores the resident levels' buckets without their dummies.
 	WriteThrough bool
 	// DisableReadCache makes repeat reads of an epoch-resident key consume
 	// a fresh batch slot instead of being served from the version cache
@@ -702,6 +704,12 @@ func (p *Proxy) recoverFromRecoveries(recs []*wal.Recovery) error {
 				WriteThrough: p.cfg.WriteThrough,
 				ScalarIO:     p.cfg.ScalarStorageIO,
 			})
+			// The upper levels live in the proxy and storage holds only their
+			// blocks: fetch them before anything reads a path.
+			if err := sh.exec.LoadResident(); err != nil {
+				errs[i] = fmt.Errorf("core: shard %d: %w", i, err)
+				return
+			}
 			sh.exec.BeginEpoch(recoveryEpoch)
 			for _, batch := range rec.AbortedBatches {
 				if err := sh.exec.ReplayBatch(batch); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"testing"
@@ -146,12 +147,15 @@ func TestRecoveryDropsInFlightEpoch(t *testing.T) {
 }
 
 // TestRecoveryReplaysObservedTrace verifies §8's security core in both
-// boundary modes: recovery reads every slot the adversary saw the aborted
-// epoch read, exactly once. It may read more, because a restarted proxy has
-// neither epoch buffers nor a resident set: slots the aborted epoch's log
-// records name, in buckets that epoch served from the proxy throughout — it
-// read none of their slots from storage — and no slot of any bucket version
-// twice (the invariant checker sits under the recorder).
+// boundary modes: after loading the resident levels (TestRecoveryLoadsResidentTop
+// pins that read), recovery reads every slot the adversary saw the aborted
+// epoch read, exactly once. It may read more, because a restarted proxy has no
+// epoch buffers: slots the aborted epoch's log records name, in buckets of
+// levels L-2..L that epoch served from its sealed set throughout — it read
+// none of their slots from storage — and no slot of any bucket version twice
+// (the invariant checker sits under the recorder). A synchronous boundary
+// leaves no sealed set, so there the replay reads nothing more. Neither side
+// reads a resident level.
 func TestRecoveryReplaysObservedTrace(t *testing.T) {
 	for name, mode := range map[string]BoundaryMode{"sync": BoundarySync, "pipelined": BoundaryPipelined} {
 		t.Run(name, func(t *testing.T) {
@@ -165,8 +169,7 @@ func TestRecoveryReplaysObservedTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Enough committed epochs for blocks to sink into the tree and the
-			// upper levels to turn resident.
+			// Enough committed epochs for blocks to sink into the tree.
 			for e := 0; e < 4; e++ {
 				kv := map[string]string{}
 				for i := 0; i < 4; i++ {
@@ -226,9 +229,22 @@ func TestRecoveryReplaysObservedTrace(t *testing.T) {
 				t.Fatalf("recovery: %v", err)
 			}
 			defer p2.Close()
+			nRes := residentTop(cfg)
 			replay := slotReads(rec.Events())
+			for b := 0; b < nRes; b++ { // the load; nothing else names these buckets
+				for r := 0; r < cfg.Params.Z; r++ {
+					ref := storage.SlotRef{Bucket: b, Slot: r}
+					if replay[ref] != 1 {
+						t.Fatalf("recovery read bucket %d slot %d of the resident levels %d times, the load reads it once", b, r, replay[ref])
+					}
+					delete(replay, ref)
+				}
+			}
 			observed := make(map[int]bool) // buckets the aborted epoch read from storage
 			for ref := range aborted {
+				if ref.Bucket < nRes {
+					t.Fatalf("the aborted epoch read bucket %d of a resident level from storage", ref.Bucket)
+				}
 				observed[ref.Bucket] = true
 				if replay[ref] != 1 {
 					t.Fatalf("the aborted epoch read bucket %d slot %d from storage, the replay read it %d times", ref.Bucket, ref.Slot, replay[ref])
@@ -239,6 +255,8 @@ func TestRecoveryReplaysObservedTrace(t *testing.T) {
 				switch {
 				case n != 1:
 					t.Fatalf("the replay read bucket %d slot %d %d times", ref.Bucket, ref.Slot, n)
+				case ref.Bucket < nRes:
+					t.Fatalf("the replay read bucket %d slot %d of a resident level", ref.Bucket, ref.Slot)
 				case aborted[ref] == 1:
 				case !named[ref]:
 					t.Fatalf("the replay read bucket %d slot %d, which no log record of the aborted epoch names", ref.Bucket, ref.Slot)
@@ -248,8 +266,8 @@ func TestRecoveryReplaysObservedTrace(t *testing.T) {
 					extra++
 				}
 			}
-			if extra == 0 {
-				t.Fatal("the replay read nothing the aborted epoch had served from the proxy: the test proves nothing about such reads")
+			if (extra > 0) != (mode == BoundaryPipelined) {
+				t.Fatalf("the replay read %d slots the aborted epoch had served from the proxy; only a sealed set (%s) leaves any", extra, name)
 			}
 			if v := checker.Violation(); v != nil {
 				t.Fatal(v)
@@ -257,6 +275,151 @@ func TestRecoveryReplaysObservedTrace(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoveryLoadsResidentTop sweeps the recovery step the resident levels
+// need: storage holds only the blocks of levels 0..L-3, so a recovering proxy
+// fetches them before it reads a path. After an idle, a uniform and a
+// one-hot-key history of equal length, a crash and restart issues — first of
+// all its reads — one vectored read of slots 0..Z-1 of every resident bucket in
+// bucket order, the same refs whatever the history; and neither the replay,
+// nor fifty more epochs, nor a second crash and what follows it, ever names a
+// bucket of those levels outside that one read.
+func TestRecoveryLoadsResidentTop(t *testing.T) {
+	const epochs = 12
+	var loads []string
+	for _, history := range []string{"idle", "uniform", "hot"} {
+		t.Run(history, func(t *testing.T) {
+			cfg := testConfig(36)
+			checker := storage.NewInvariantChecker(storage.NewMemBackend(cfg.Params.Geometry().NumBuckets))
+			rec := storage.NewRecorder(checker)
+			want := map[string]string{}
+			rng := rand.New(rand.NewPCG(5, 7))
+			// epoch commits one epoch of the history: a read batch, writes of
+			// what it read, the boundary.
+			epoch := func(p *Proxy, history string, e int) {
+				var keys []string
+				switch history {
+				case "uniform":
+					for _, k := range rng.Perm(24)[:3] {
+						keys = append(keys, fmt.Sprintf("k%d", k))
+					}
+				case "hot":
+					keys = []string{"hot"}
+				}
+				tx := p.Begin()
+				reads := make([]*Future, len(keys))
+				for i, key := range keys {
+					reads[i] = tx.ReadAsync(key)
+				}
+				must(t, p.StepReadBatch())
+				for i, key := range keys {
+					if _, _, err := reads[i].Value(); err != nil {
+						t.Fatal(err)
+					}
+					want[key] = fmt.Sprintf("%s-%d", history, e)
+					must(t, tx.Write(key, []byte(want[key])))
+				}
+				ack := tx.CommitAsync()
+				must(t, p.EndEpoch())
+				must(t, <-ack)
+			}
+			// crash leaves one logged read batch behind and restarts.
+			crash := func(p *Proxy) *Proxy {
+				tx := p.Begin()
+				tx.ReadAsync("hot")
+				must(t, p.StepReadBatch())
+				rec.Reset()
+				next, err := New(rec, cfg)
+				if err != nil {
+					t.Fatalf("recovery: %v", err)
+				}
+				return next
+			}
+			// loadThenNothing checks a recovery's reads and returns the load's.
+			loadThenNothing := func(p *Proxy) string {
+				nRes, z := residentTop(cfg), cfg.Params.Z
+				if nRes < 3 {
+					t.Fatalf("%d resident buckets: the test wants resident levels", nRes)
+				}
+				reads := slotReadOrder(rec.Events())
+				if len(reads) <= nRes*z {
+					t.Fatalf("recovery read %d slots: no replay followed the load", len(reads))
+				}
+				for i, ref := range reads[:nRes*z] {
+					if ref != (storage.SlotRef{Bucket: i / z, Slot: i % z}) {
+						t.Fatalf("read %d of the recovery is bucket %d slot %d, the load reads bucket %d slot %d there", i, ref.Bucket, ref.Slot, i/z, i%z)
+					}
+				}
+				for _, ref := range reads[nRes*z:] {
+					if ref.Bucket < nRes {
+						t.Fatalf("the replay read bucket %d slot %d of a resident level", ref.Bucket, ref.Slot)
+					}
+				}
+				// One call for the load, one for the replayed batch.
+				if calls := rec.Calls(); calls.ReadSlots != 2 || calls.ReadSlot != 0 || calls.ReadBucket != 0 {
+					t.Fatalf("recovery read through %+v, want the load and the replayed batch, one vectored call each", calls)
+				}
+				return fmt.Sprint(reads[:nRes*z])
+			}
+
+			// noTopReads checks everything recorded since the last reset.
+			noTopReads := func() {
+				for _, ref := range slotReadOrder(rec.Events()) {
+					if ref.Bucket < residentTop(cfg) {
+						t.Fatalf("bucket %d of a resident level read from storage after the load", ref.Bucket)
+					}
+				}
+			}
+
+			p1, err := New(rec, cfg)
+			must(t, err)
+			for e := 0; e < epochs; e++ {
+				epoch(p1, history, e)
+			}
+			noTopReads()
+			p2 := crash(p1)
+			loads = append(loads, loadThenNothing(p2))
+			rec.Reset()
+			for e := 0; e < 50; e++ {
+				epoch(p2, "uniform", epochs+e)
+			}
+			noTopReads()
+			p3 := crash(p2)
+			defer p3.Close()
+			if again := loadThenNothing(p3); again != loads[len(loads)-1] {
+				t.Fatalf("the second recovery loaded %s, the first %s", again, loads[len(loads)-1])
+			}
+			rec.Reset()
+			var keys []string
+			for key := range want {
+				keys = append(keys, key)
+			}
+			sort.Strings(keys)
+			for len(keys) > 0 {
+				n := min(len(keys), cfg.ReadBatchSize)
+				for key, v := range readAll(t, p3, keys[:n]...) {
+					if v != want[key] {
+						t.Fatalf("%s = %q after two recoveries, want %q", key, v, want[key])
+					}
+				}
+				keys = keys[n:]
+			}
+			noTopReads()
+			if v := checker.Violation(); v != nil {
+				t.Fatal(v)
+			}
+		})
+	}
+	for _, l := range loads {
+		if l != loads[0] {
+			t.Fatalf("the load depends on the history: %s versus %s", l, loads[0])
+		}
+	}
+}
+
+// residentTop is the level rule the executor keeps resident and stores without
+// dummies: the buckets of levels 0..L-3, the first 2^(L-2)-1 in heap order.
+func residentTop(cfg Config) int { return 1<<(cfg.Params.Geometry().Levels-2) - 1 }
 
 // waitQueued blocks until n fetches are queued at the proxy.
 func waitQueued(t *testing.T, p *Proxy, n int) {
@@ -280,6 +443,17 @@ func slotReads(evs []storage.Event) map[storage.SlotRef]int {
 		}
 	}
 	return out
+}
+
+// slotReadOrder lists the slot reads of a recorded trace in order.
+func slotReadOrder(evs []storage.Event) []storage.SlotRef {
+	var refs []storage.SlotRef
+	for _, ev := range evs {
+		if ev.Op == storage.OpReadSlot {
+			refs = append(refs, storage.SlotRef{Bucket: ev.Bucket, Slot: ev.Slot})
+		}
+	}
+	return refs
 }
 
 func TestRecoveryIdempotent(t *testing.T) {

@@ -20,15 +20,18 @@
 // served locally — the sealed versions may not have reached storage yet.
 //
 // Above that sits the resident set: for every bucket of levels 0..L-3 the
-// executor keeps a compact copy of the blocks of the newest version it wrote,
-// and serves every later read of that bucket from it — the block's bytes for
-// the one read that carries a block, nothing for a filler, which completion
-// never inspects. A read is therefore local when its bucket is buffered,
-// sealed or resident. Which reads that skips depends on the bucket's level and
-// on the evictions since this executor started, never on the workload. The
-// set is volatile: writes still reach storage exactly as before, and a
-// restarted proxy starts cold and reads from storage until it has rewritten a
-// bucket itself.
+// executor keeps a compact copy of the blocks of the bucket's newest version,
+// and serves every read of that bucket from it — the block's bytes for the
+// one read that carries a block, nothing for a filler, which completion never
+// inspects. A read is therefore local when its bucket is resident, buffered
+// or sealed; which reads that skips is a function of the bucket number and of
+// the epoch's evictions, never of the workload. Because a resident bucket is
+// never read slot by slot, storage gets only what can ever be read back: its
+// Z real positions, in position order, and none of its S dummies. The set is
+// recovered state, not a cache: an executor built over restored metadata
+// calls LoadResident, one vectored read of those Z slots of every resident
+// bucket, before it plans or replays anything. Write-through mode keeps no
+// resident set and writes whole buckets.
 package oramexec
 
 import (
@@ -54,6 +57,8 @@ type Config struct {
 	// WriteThrough disables delayed visibility: eviction writes go to
 	// storage immediately and act as pipeline barriers. This is the
 	// "Write Back" ablation of Figure 10d and is never used in production.
+	// It keeps no resident set, reads and writes whole (Z+S slot) buckets, and
+	// so cannot read a tree a resident-set executor has written to.
 	WriteThrough bool
 	// ScalarIO disables scatter-gather storage calls: every slot read is
 	// its own ReadSlot call (goroutine-per-slot) and every write-back
@@ -87,8 +92,8 @@ type Executor struct {
 	// immutable after seal, so FlushSealed reads it without locks.
 	sealed *SealedEpoch
 	// resident holds the upper levels' buckets, indexed by heap number (see
-	// residentBuckets for the level rule). Touched only by planning and
-	// execution, never by a background flush.
+	// residentBuckets for the level rule); empty in write-through mode.
+	// Touched only by planning and execution, never by a background flush.
 	resident []residentBucket
 	// freeFrames are resident-set frames no bucket holds at the moment. The
 	// buckets share them because a bucket's occupancy swings between 0 and Z
@@ -123,11 +128,11 @@ type bufferedBucket struct {
 }
 
 // residentBucket is the executor's copy of one upper-level bucket: the blocks
-// of the newest version it wrote, one frame each of a 2-byte physical slot
-// number and the slot's bytes, copied out of the write's arena (never aliased:
-// arenas are recycled or handed to the store).
+// of its newest version, one frame each of a 2-byte physical slot number and
+// the slot's bytes, copied out of the write's arena or the load's reply (never
+// aliased: arenas are recycled or handed to the store). A bucket of a fresh
+// tree holds no blocks and has no frames.
 type residentBucket struct {
-	ver    uint64 // version held; 0 until this executor first rewrites the bucket
 	frames [][]byte
 }
 
@@ -301,18 +306,24 @@ type ReadResult struct {
 	Found bool
 }
 
-// New creates an executor over an existing ORAM client and storage.
+// New creates an executor over an existing ORAM client and storage. Over a
+// freshly initialized tree it is ready; over restored metadata the caller
+// must call LoadResident before planning or replaying anything.
 func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
 	cfg.setDefaults()
-	return &Executor{
+	e := &Executor{
 		oram:      oram,
 		store:     store,
 		cfg:       cfg,
 		buffered:  make(map[int]*bufferedBucket),
-		resident:  make([]residentBucket, residentBuckets(oram.Geometry())),
 		frameSize: 2 + oram.SlotSize(),
 		shape:     newLogShape(oram.Params(), oram.Geometry()),
 	}
+	if !cfg.WriteThrough {
+		e.resident = make([]residentBucket, residentBuckets(oram.Geometry()))
+		oram.SealRealOnly(len(e.resident))
+	}
+	return e
 }
 
 // ORAM returns the underlying client.
@@ -446,12 +457,13 @@ func (e *Executor) planDueEvictions(plan *BatchPlan) error {
 }
 
 // markLocality decides, per slot read, whether it will be served from the
-// proxy: its bucket is buffered, sealed or resident. The decision is made at
-// plan time: a bucket claimed by an earlier-planned eviction is buffered by
-// the time this task completes, a bucket in the sealed (previous-epoch) set
-// holds a version that may not have reached storage yet, so it MUST be served
-// locally, and a resident bucket holds the version the read was planned
-// against until a later-planned rewrite completes, which is after this task.
+// proxy: its bucket is resident, buffered or sealed. The decision is made at
+// plan time: a resident bucket is always served locally (storage holds no
+// physical slot layout of it) and holds the version the read was planned
+// against until a later-planned rewrite completes, which is after this task;
+// a bucket claimed by an earlier-planned eviction is buffered by the time this
+// task completes; and a bucket in the sealed (previous-epoch) set holds a
+// version that may not have reached storage yet, so it MUST be served locally.
 func (e *Executor) markLocality(t *task) {
 	if cap(t.local) < len(t.reads) {
 		t.local = make([]bool, len(t.reads))
@@ -460,7 +472,7 @@ func (e *Executor) markLocality(t *task) {
 		clear(t.local)
 	}
 	for i, r := range t.reads {
-		if r.Bucket < len(e.resident) && e.resident[r.Bucket].ver != 0 {
+		if r.Bucket < len(e.resident) {
 			t.local[i] = true
 			continue
 		}
@@ -583,23 +595,42 @@ func (e *Executor) issueVector(tasks []*task) error {
 	// length are harmless: tasks are pooled and the scratch is overwritten
 	// from index zero each batch.
 	e.refsBuf, e.destsBuf = refs, dests
-	e.stats.remoteReads.Add(int64(len(refs)))
 	e.stats.localReads.Add(locals)
 	if len(refs) == 0 {
 		return nil
 	}
-	e.stats.readCalls.Add(1)
-	data, err := e.store.ReadSlots(refs)
+	data, err := e.readSlots(refs)
 	if err != nil {
-		return fmt.Errorf("oramexec: slot read: %w", err)
-	}
-	if len(data) != len(refs) {
-		return fmt.Errorf("oramexec: vectored read returned %d slots for %d refs", len(data), len(refs))
+		return err
 	}
 	for k, d := range data {
 		dests[k].t.data[dests[k].i] = d
 	}
 	return nil
+}
+
+// readSlots is one vectored storage read, counted.
+func (e *Executor) readSlots(refs []storage.SlotRef) ([][]byte, error) {
+	e.stats.remoteReads.Add(int64(len(refs)))
+	e.stats.readCalls.Add(1)
+	data, err := e.store.ReadSlots(refs)
+	if err != nil {
+		return nil, e.readErr(err)
+	}
+	if len(data) != len(refs) {
+		return nil, fmt.Errorf("oramexec: vectored read returned %d slots for %d refs", len(data), len(refs))
+	}
+	return data, nil
+}
+
+// readErr wraps a storage read error. In write-through mode a missing slot
+// means the tree was written by an executor that keeps the upper levels
+// resident: say so instead of reporting a bare slot number.
+func (e *Executor) readErr(err error) error {
+	if e.cfg.WriteThrough && errors.Is(err, storage.ErrNoSuchSlot) {
+		return fmt.Errorf("oramexec: slot read in write-through mode: %w (the tree was written by a resident-set executor, which stores Z slots per upper-level bucket; Config.WriteThrough cannot read it)", err)
+	}
+	return fmt.Errorf("oramexec: slot read: %w", err)
 }
 
 // issueRemote schedules all non-local reads of a task as individual calls
@@ -643,33 +674,17 @@ func (e *Executor) issueRemote(t *task, sem chan struct{}) {
 func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 	t.pending.Wait()
 	if t.err != nil {
-		return fmt.Errorf("oramexec: slot read: %w", t.err)
+		return e.readErr(t.err)
 	}
 	for i := range t.reads {
 		if !t.local[i] {
 			continue
 		}
-		// The current epoch's buffer supersedes the sealed one: a read
-		// planned after a rewrite completes after it (plan order). A read
-		// that still sees a nil (claimed, unfilled) current-epoch entry was
-		// planned before the claim and is served from the sealed version, or
-		// from the resident one once that has left the sealed set.
-		b := e.buffered[t.reads[i].Bucket]
-		if b == nil && e.sealed != nil {
-			b = e.sealed.buckets[t.reads[i].Bucket]
+		d, err := e.localSlot(t.reads[i])
+		if err != nil {
+			return err
 		}
-		if b == nil {
-			d, err := e.residentSlot(t.reads[i])
-			if err != nil {
-				return err
-			}
-			t.data[i] = d
-			continue
-		}
-		if s := t.reads[i].Slot; s < 0 || s >= len(b.w.Slots) {
-			return fmt.Errorf("oramexec: buffered bucket %d has no slot %d", t.reads[i].Bucket, t.reads[i].Slot)
-		}
-		t.data[i] = b.w.Slots[t.reads[i].Slot]
+		t.data[i] = d
 	}
 	switch {
 	case t.access != nil:
@@ -727,52 +742,107 @@ func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 }
 
 // keepResident replaces an upper-level bucket's resident copy with the blocks
-// of w, the version just buffered.
+// of w, the version just buffered; w holds the bucket's real positions only,
+// the block of physical slot w.Real[i] at w.Slots[i].
 func (e *Executor) keepResident(w ringoram.BucketWrite) {
 	if w.Bucket >= len(e.resident) {
 		return
 	}
 	rb := &e.resident[w.Bucket]
 	e.releaseFrames(rb)
-	rb.ver = w.Ver
-	for _, s := range w.Real {
-		if len(e.freeFrames) == 0 {
-			// One bucket's worth at a time, so the frames in existence never
-			// exceed Z per resident bucket.
-			chunk := make([]byte, e.oram.Params().Z*e.frameSize)
-			e.stats.residentBytes.Add(int64(len(chunk)))
-			for ; len(chunk) > 0; chunk = chunk[e.frameSize:] {
-				e.freeFrames = append(e.freeFrames, chunk[:e.frameSize:e.frameSize])
-			}
-		}
-		last := len(e.freeFrames) - 1
-		f := e.freeFrames[last]
-		e.freeFrames = e.freeFrames[:last]
-		binary.BigEndian.PutUint16(f, uint16(s))
-		copy(f[2:], w.Slots[s])
-		rb.frames = append(rb.frames, f)
+	for i, s := range w.Real {
+		e.addFrame(rb, s, w.Slots[i])
 	}
+}
+
+// addFrame copies the block at physical slot s into rb.
+func (e *Executor) addFrame(rb *residentBucket, s int, block []byte) {
+	if len(e.freeFrames) == 0 {
+		// One bucket's worth at a time, so the frames in existence never
+		// exceed Z per resident bucket.
+		chunk := make([]byte, e.oram.Params().Z*e.frameSize)
+		e.stats.residentBytes.Add(int64(len(chunk)))
+		for ; len(chunk) > 0; chunk = chunk[e.frameSize:] {
+			e.freeFrames = append(e.freeFrames, chunk[:e.frameSize:e.frameSize])
+		}
+	}
+	last := len(e.freeFrames) - 1
+	f := e.freeFrames[last]
+	e.freeFrames = e.freeFrames[:last]
+	binary.BigEndian.PutUint16(f, uint16(s))
+	copy(f[2:], block)
+	rb.frames = append(rb.frames, f)
 }
 
 // releaseFrames empties rb, keeping its frames for reuse.
 func (e *Executor) releaseFrames(rb *residentBucket) {
 	e.freeFrames = append(e.freeFrames, rb.frames...)
-	rb.ver, rb.frames = 0, rb.frames[:0]
+	rb.frames = rb.frames[:0]
 }
 
-// residentSlot serves a read of a bucket that is neither buffered nor sealed
-// from its resident copy: the slot's bytes when the slot holds a block, nil
-// for a filler. The copy must be of the version the read was planned against.
-func (e *Executor) residentSlot(r ringoram.SlotRead) ([]byte, error) {
-	if r.Bucket >= len(e.resident) || e.resident[r.Bucket].ver != r.Ver {
-		return nil, fmt.Errorf("oramexec: bucket %d version %d planned local but neither buffered nor resident at completion", r.Bucket, r.Ver)
+// LoadResident rebuilds the resident set from storage for an executor built
+// over restored metadata, after the store's rollback and before any planning
+// or replay. It is one vectored read of slots 0..Z-1 of every resident bucket,
+// in bucket order — a function of the geometry alone — of which it keeps the
+// positions the metadata says still hold a block. The bytes are not opened
+// here: each is bound to its bucket's version and checked when a read uses it.
+func (e *Executor) LoadResident() error {
+	if len(e.resident) == 0 {
+		return nil
 	}
-	for _, f := range e.resident[r.Bucket].frames {
-		if int(binary.BigEndian.Uint16(f)) == r.Slot {
-			return f[2:], nil
+	z := e.oram.Params().Z
+	refs := make([]storage.SlotRef, 0, z*len(e.resident))
+	for b := range e.resident {
+		for r := 0; r < z; r++ {
+			refs = append(refs, storage.SlotRef{Bucket: b, Slot: r})
 		}
 	}
-	return nil, nil
+	data, err := e.readSlots(refs)
+	if err != nil {
+		return fmt.Errorf("oramexec: loading the resident levels: %w", err)
+	}
+	var slots []int
+	for b := range e.resident {
+		rb := &e.resident[b]
+		e.releaseFrames(rb)
+		slots = e.oram.BlockSlots(b, slots[:0])
+		for r, s := range slots {
+			if s >= 0 {
+				e.addFrame(rb, s, data[b*z+r])
+			}
+		}
+	}
+	return nil
+}
+
+// localSlot serves a read planned local. A resident bucket's copy answers for
+// it in every state — buffered, sealed or neither — with the slot's bytes when
+// the slot holds a block and nil for a filler; completions apply in plan
+// order, so the copy is of the version the read was planned against. Of the
+// other buckets the current epoch's buffer supersedes the sealed one: a read
+// planned after a rewrite completes after it, and one that still sees a nil
+// (claimed, unfilled) current-epoch entry was planned before the claim and is
+// served from the sealed version.
+func (e *Executor) localSlot(r ringoram.SlotRead) ([]byte, error) {
+	if r.Bucket < len(e.resident) {
+		for _, f := range e.resident[r.Bucket].frames {
+			if int(binary.BigEndian.Uint16(f)) == r.Slot {
+				return f[2:], nil
+			}
+		}
+		return nil, nil
+	}
+	b := e.buffered[r.Bucket]
+	if b == nil && e.sealed != nil {
+		b = e.sealed.buckets[r.Bucket]
+	}
+	if b == nil {
+		return nil, fmt.Errorf("oramexec: bucket %d planned local but neither buffered nor sealed at completion", r.Bucket)
+	}
+	if r.Slot < 0 || r.Slot >= len(b.w.Slots) {
+		return nil, fmt.Errorf("oramexec: buffered bucket %d has no slot %d", r.Bucket, r.Slot)
+	}
+	return b.w.Slots[r.Slot], nil
 }
 
 // drain waits out any in-flight reads after an error so goroutines do not
@@ -900,8 +970,9 @@ func (e *Executor) flushScalar(writes []storage.BucketWrite) error {
 }
 
 // DiscardBuffer drops all buffered writes, current and sealed, and empties
-// the resident set: storage may roll back the versions it copies (used when
-// abandoning an epoch in tests; a crashed proxy loses all of it implicitly).
+// the resident set: storage may roll back the versions it copies, and
+// LoadResident brings back the ones it rolled back to (used when abandoning
+// an epoch in tests; a crashed proxy loses all of it implicitly).
 func (e *Executor) DiscardBuffer() {
 	// Discarded current-epoch buckets never reached storage, so their arenas
 	// recycle. Sealed buckets may already be (or be in the middle of) a

@@ -1,10 +1,12 @@
 package oramexec
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -46,6 +48,12 @@ func newHarness(t *testing.T, p ringoram.Params, cfg Config) *harness {
 	h := &harness{backend: backend, checker: checker, rec: rec, oram: oram, exec: exec}
 	h.begin()
 	return h
+}
+
+// adopt puts the harness's executor over o, restored metadata of its own ORAM.
+func (h *harness) adopt(o *ringoram.ORAM) {
+	o.SealRealOnly(len(h.exec.resident))
+	h.oram, h.exec.oram = o, o
 }
 
 func (h *harness) begin() {
@@ -287,14 +295,39 @@ func TestExecutorWriteThrough(t *testing.T) {
 	h.checkInvariant(t)
 }
 
+// TestWriteThroughNamesResidentTree: a tree a resident-set executor has
+// written to holds Z slots in its upper buckets, which write-through mode
+// cannot read by physical slot. The failure says so.
+func TestWriteThroughNamesResidentTree(t *testing.T) {
+	p := testParams(64, 13)
+	h := newHarness(t, p, Config{})
+	h.runWrites(t, map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"}, 0)
+	h.endEpoch(t)
+	for _, scalar := range []bool{false, true} {
+		wt := New(h.oram, h.rec, Config{WriteThrough: true, ScalarIO: scalar})
+		wt.BeginEpoch(h.epoch)
+		plan, err := wt.PlanReadBatch(make([]ReadOp, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = wt.Execute(plan)
+		if !errors.Is(err, storage.ErrNoSuchSlot) || !strings.Contains(err.Error(), "write-through") {
+			t.Fatalf("scalar=%v: reading a resident-set tree in write-through mode: %v", scalar, err)
+		}
+	}
+}
+
 // TestExecutorRollbackDiscardsEpoch: an executor that outlives a rollback must
 // not serve anything of the epoch storage dropped — not from the epoch
-// buffers and not from the resident set, whose root copy is by then of a
-// version that no longer exists.
+// buffers and not from the resident set, whose copies are by then of versions
+// that no longer exist. It discards both and loads the set back, and the
+// rolled-back values come from the reloaded set with no slot read of the top.
 func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	p := testParams(64, 8)
 	h := newHarness(t, p, Config{})
-	h.runWrites(t, map[string]string{"durable": "yes"}, 3)
+	nRes := len(h.exec.resident)
+	committed := map[string]string{"durable": "yes", "d2": "yes2", "d3": "yes3", "d4": "yes4"}
+	h.runWrites(t, committed, 0)
 	h.endEpoch(t)
 	snap, err := h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
 	if err != nil {
@@ -306,9 +339,6 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	if _, err := h.exec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if h.exec.resident[0].ver == 0 {
-		t.Fatal("the root is not resident after two epochs of evictions: the test would prove nothing")
-	}
 	h.exec.DiscardBuffer()
 	if err := h.rec.RollbackTo(1); err != nil {
 		t.Fatal(err)
@@ -317,26 +347,38 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.exec.oram = restored // the same executor over the restored metadata
+	h.adopt(restored) // the same executor over the restored metadata
+	h.rec.Reset()
+	if err := h.exec.LoadResident(); err != nil {
+		t.Fatal(err)
+	}
+	if got := slotReadRefs(h.rec.Events()); fmt.Sprint(got) != fmt.Sprint(loadRefs(nRes, p.Z)) {
+		t.Fatalf("the load read %v", got)
+	}
+	top := 0 // committed blocks the top holds: served from the reloaded set or not at all
+	for b := 0; b < nRes; b++ {
+		top += len(h.exec.resident[b].frames)
+	}
+	if top == 0 {
+		t.Fatal("no committed block sits in a resident level: the test would prove nothing")
+	}
 
 	h.epoch = 2
 	h.begin()
 	h.rec.Reset()
-	res := h.runReads(t, "durable", "volatile")
-	if !res[0].Found || string(res[0].Value) != "yes" {
-		t.Fatalf("durable = %q (found=%v) after the rollback, want the epoch-1 value", res[0].Value, res[0].Found)
-	}
-	if res[1].Found {
-		t.Fatalf("volatile = %q survived the rollback", res[1].Value)
-	}
-	rootReads := 0
-	for _, ev := range h.rec.Events() {
-		if ev.Op == storage.OpReadSlot && ev.Bucket == 0 {
-			rootReads++
+	res := h.runReads(t, "durable", "d2", "d3", "d4", "volatile")
+	for _, r := range res[:4] {
+		if !r.Found || string(r.Value) != committed[r.Key] {
+			t.Fatalf("%s = %q (found=%v) after the rollback, want the epoch-1 value", r.Key, r.Value, r.Found)
 		}
 	}
-	if rootReads != len(res) {
-		t.Fatalf("%d of the batch's %d root reads went to storage: the rest were served from a discarded epoch", rootReads, len(res))
+	if res[4].Found {
+		t.Fatalf("volatile = %q survived the rollback", res[4].Value)
+	}
+	for _, ref := range slotReadRefs(h.rec.Events()) {
+		if ref.Bucket < nRes {
+			t.Fatalf("bucket %d slot %d of a resident level read from storage after the load", ref.Bucket, ref.Slot)
+		}
 	}
 	h.checkInvariant(t)
 }
@@ -383,20 +425,21 @@ func TestExecutorTraceShapeWorkloadIndependence(t *testing.T) {
 
 // testSkipSetIsPublic runs three workloads that could not differ more — all
 // padding, uniform real reads and writes, one hot key — over a tree deep
-// enough (L = 6) and long enough for levels 0..3 to turn resident, and checks
-// that which reads stay in the proxy is public.
+// enough (L = 6) for levels 0..3 to be resident, and checks that which reads
+// stay in the proxy, and what the flush writes, is public.
 //
 // Path leaves are drawn from a generator that real and padding accesses consume
 // differently, so the three runs do not read the same paths and the per-level
 // counts of an access's remote reads agree in distribution, not batch by
 // batch. What the test asserts is the rule itself and everything that is
 // exact. The rule: in each run, every planned read is local exactly when its
-// bucket is in a set computed from that run's write trace and the eviction
-// counter alone — rewritten earlier this epoch, written by the previous
-// epoch, or an upper-level bucket written at any time. Exact across runs: each
-// flush's bucket set, each batch's remote eviction reads per level, and — from
-// the flush that completes the upper levels, the same flush in every run — no
-// remote read at levels 0..L-3 at all.
+// bucket is in a set computed from the bucket number, that run's write trace
+// and the eviction counter alone — an upper-level bucket, rewritten earlier
+// this epoch, or written by the previous epoch — so no read at levels 0..L-3
+// reaches storage, from the first batch on. Exact across runs: each flush's
+// bucket set and each batch's remote eviction reads per level. And every
+// bucket a flush writes carries Z slots when it is an upper-level bucket and
+// Z+S otherwise, all of one length: a function of the bucket number.
 func testSkipSetIsPublic(t *testing.T) {
 	const epochs, preload, keys = 30, 8, 32
 	p := testParams(256, 77)
@@ -412,8 +455,7 @@ func testSkipSetIsPublic(t *testing.T) {
 	run := func(workload string) (batches, flushes []string) {
 		h := newHarness(t, p, Config{})
 		rng := rand.New(rand.NewPCG(3, 4))
-		prevFlush, everWritten := map[int]bool{}, map[int]bool{}
-		warm := false
+		prevFlush := map[int]bool{}
 		var evictCount uint64
 
 		// check models one planned batch against the public sets, executes it,
@@ -426,7 +468,7 @@ func testSkipSetIsPublic(t *testing.T) {
 					t.Fatalf("%s: an early reshuffle fell due; its timing depends on the drawn paths — pick parameters that avoid it", workload)
 				}
 				for i, r := range tk.reads {
-					public := claimed[r.Bucket] || prevFlush[r.Bucket] || (r.Bucket < nRes && everWritten[r.Bucket])
+					public := r.Bucket < nRes || claimed[r.Bucket] || prevFlush[r.Bucket]
 					if tk.local[i] != public {
 						t.Fatalf("%s: read of bucket %d (level %d) planned local=%v, the public sets say %v", workload, r.Bucket, level(r.Bucket), tk.local[i], public)
 					}
@@ -436,9 +478,6 @@ func testSkipSetIsPublic(t *testing.T) {
 					remote++
 					if tk.evict != nil {
 						evictRemote[level(r.Bucket)]++
-					}
-					if warm && level(r.Bucket) <= geo.Levels-3 {
-						t.Fatalf("%s: remote read of bucket %d at resident level %d after every upper bucket was written", workload, r.Bucket, level(r.Bucket))
 					}
 				}
 				if tk.evict != nil {
@@ -455,8 +494,14 @@ func testSkipSetIsPublic(t *testing.T) {
 			if _, err := h.exec.Execute(plan); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(h.rec.Events()); got != remote {
-				t.Fatalf("%s: batch planned %d remote reads, storage saw %d", workload, remote, got)
+			reads := slotReadRefs(h.rec.Events())
+			if len(reads) != remote {
+				t.Fatalf("%s: batch planned %d remote reads, storage saw %d", workload, remote, len(reads))
+			}
+			for _, ref := range reads {
+				if level(ref.Bucket) <= geo.Levels-3 {
+					t.Fatalf("%s: storage saw a read of bucket %d at resident level %d", workload, ref.Bucket, level(ref.Bucket))
+				}
 			}
 			return fmt.Sprint(evictRemote)
 		}
@@ -505,19 +550,29 @@ func testSkipSetIsPublic(t *testing.T) {
 			prevFlush = map[int]bool{}
 			var set []int
 			for _, ev := range h.rec.Events() {
-				if ev.Op == storage.OpWriteBucket {
-					prevFlush[ev.Bucket], everWritten[ev.Bucket] = true, true
-					set = append(set, ev.Bucket)
+				if ev.Op != storage.OpWriteBucket {
+					continue
+				}
+				prevFlush[ev.Bucket] = true
+				set = append(set, ev.Bucket)
+				written, err := h.backend.ReadBucket(ev.Bucket)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := p.Z + p.S
+				if ev.Bucket < nRes {
+					want = p.Z
+				}
+				if len(written) != want {
+					t.Fatalf("%s: epoch %d wrote bucket %d with %d slots, its number says %d", workload, e+1, ev.Bucket, len(written), want)
+				}
+				for _, slot := range written {
+					if len(slot) != h.oram.SlotSize() {
+						t.Fatalf("%s: epoch %d wrote bucket %d with a slot of %d bytes, want %d", workload, e+1, ev.Bucket, len(slot), h.oram.SlotSize())
+					}
 				}
 			}
 			flushes = append(flushes, fmt.Sprint(set))
-			warm = true
-			for b := 0; b < nRes; b++ {
-				warm = warm && everWritten[b]
-			}
-		}
-		if !warm {
-			t.Fatalf("%s: the upper levels never all turned resident in %d epochs", workload, epochs)
 		}
 		h.checkInvariant(t)
 		return batches, flushes
@@ -540,15 +595,17 @@ func testSkipSetIsPublic(t *testing.T) {
 }
 
 // TestExecutorReplayReproducesTrace is the recovery security test. After a
-// crash mid-epoch the replay reads every slot the aborted epoch read from
-// storage, exactly once. It may read more: a new executor holds no epoch
-// buffers and no resident set, so slots the aborted epoch served from the
-// proxy now come from storage. Those are slots the epoch's log records name, in
-// buckets the epoch never read from storage — bucket versions the adversary
-// has not seen a read of — and no slot of any bucket version is read twice
-// (the invariant checker sits under the recorder). Both boundary modes: after
-// a synchronous boundary only the resident set serves such reads, after a
-// pipelined one the sealed set does too.
+// crash mid-epoch the new executor loads the resident levels — one read, a
+// function of the geometry — and the replay then reads every slot the aborted
+// epoch read from storage, exactly once. It may read more: a new executor holds
+// no epoch buffers, so slots the aborted epoch served from the sealed set now
+// come from storage. Those are slots the epoch's log records name, in buckets
+// of levels L-2..L the epoch never read from storage — bucket versions the
+// adversary has not seen a read of — and no slot of any bucket version is read
+// twice (the invariant checker sits under the recorder). Both boundary modes:
+// after a synchronous boundary there is no sealed set and the replay reads
+// nothing more, after a pipelined one it does. Nothing at the resident levels
+// is read by either side.
 func TestExecutorReplayReproducesTrace(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
@@ -560,8 +617,7 @@ func TestExecutorReplayReproducesTrace(t *testing.T) {
 			}
 			key := func(i int) string { return fmt.Sprintf("k%d", i) }
 
-			// Committed history, long enough for the upper levels to turn
-			// resident and for blocks to sink into the tree.
+			// Committed history, long enough for blocks to sink into the tree.
 			want := map[string]string{}
 			for e := 0; e < 6; e++ {
 				w := map[string]string{}
@@ -617,7 +673,7 @@ func TestExecutorReplayReproducesTrace(t *testing.T) {
 			}
 
 			// Crash: buffers and resident set lost, storage rolled back,
-			// metadata restored.
+			// metadata restored, resident set loaded.
 			if err := h.rec.RollbackTo(committed); err != nil {
 				t.Fatal(err)
 			}
@@ -626,6 +682,14 @@ func TestExecutorReplayReproducesTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			exec2 := New(restored, h.rec, Config{})
+			h.rec.Reset()
+			if err := exec2.LoadResident(); err != nil {
+				t.Fatal(err)
+			}
+			nRes := len(exec2.resident)
+			if got := slotReadRefs(h.rec.Events()); nRes == 0 || fmt.Sprint(got) != fmt.Sprint(loadRefs(nRes, p.Z)) {
+				t.Fatalf("the load of %d resident buckets read %v", nRes, got)
+			}
 			exec2.BeginEpoch(h.epoch + 1) // recovery epoch
 			h.rec.Reset()
 			for _, batch := range logged {
@@ -633,8 +697,13 @@ func TestExecutorReplayReproducesTrace(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if extra := checkReplayTrace(t, aborted, h.rec.Events(), named); extra == 0 {
-				t.Fatal("the replay read nothing the aborted epoch had served from the proxy")
+			for _, ref := range append(slotReadRefs(aborted), slotReadRefs(h.rec.Events())...) {
+				if ref.Bucket < nRes {
+					t.Fatalf("bucket %d slot %d of a resident level read from storage outside the load", ref.Bucket, ref.Slot)
+				}
+			}
+			if extra := checkReplayTrace(t, aborted, h.rec.Events(), named); (extra > 0) != pipelined {
+				t.Fatalf("the replay read %d slots the aborted epoch had served from the proxy; only a sealed set (pipelined=%v) leaves any", extra, pipelined)
 			}
 
 			// Finish the recovery epoch and verify committed data survived and

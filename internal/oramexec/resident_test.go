@@ -55,44 +55,72 @@ func runEpoch(t *testing.T, e *Executor, reads [2][]ReadOp, writes []WriteOp) (r
 	return results
 }
 
-// TestResidentWarmEqualsCold is the differential behind "a restarted proxy
-// starts cold and nothing else changes". Two identically seeded deployments
-// run the same epochs; after every epoch both restore their ORAM from its full
-// checkpoint (so both draw from the same restarted generator), but one keeps
-// its executor — epoch after epoch warmer — while the other builds a new one,
-// as a restart does. Results and checkpoint images must be identical, and the
-// reads the warm one sends to storage a subset of the cold one's.
-func TestResidentWarmEqualsCold(t *testing.T) {
+// loadRefs is the read LoadResident must issue: slots 0..Z-1 of every resident
+// bucket, in bucket order.
+func loadRefs(nRes, z int) []storage.SlotRef {
+	refs := make([]storage.SlotRef, 0, nRes*z)
+	for b := 0; b < nRes; b++ {
+		for r := 0; r < z; r++ {
+			refs = append(refs, storage.SlotRef{Bucket: b, Slot: r})
+		}
+	}
+	return refs
+}
+
+// slotReadRefs lists a trace's slot reads in order.
+func slotReadRefs(evs []storage.Event) []storage.SlotRef {
+	var refs []storage.SlotRef
+	for _, ev := range evs {
+		if ev.Op == storage.OpReadSlot {
+			refs = append(refs, storage.SlotRef{Bucket: ev.Bucket, Slot: ev.Slot})
+		}
+	}
+	return refs
+}
+
+// frameOf returns rb's frame for physical slot s, nil when it has none.
+func frameOf(rb *residentBucket, s int) []byte {
+	for _, f := range rb.frames {
+		if int(binary.BigEndian.Uint16(f)) == s {
+			return f[2:]
+		}
+	}
+	return nil
+}
+
+// TestResidentWarmEqualsRecovered is the differential behind "the resident set
+// is recovered state". Two identically seeded deployments run the same epochs;
+// after every epoch both restore their ORAM from its full checkpoint (so both
+// draw from the same restarted generator), but one keeps its executor while
+// the other builds a new one and loads the top, as a recovery does. Results
+// and checkpoint images must be identical, neither may read a resident level
+// outside the load, the load must be the same read every time, and what it
+// brings back must be the frames the replaced executor held at the end of the
+// epoch (ciphertexts differ between the two deployments), restricted to the
+// positions the metadata says still hold a block.
+func TestResidentWarmEqualsRecovered(t *testing.T) {
 	p := residentParams(31)
 	key := cryptoutil.KeyFromSeed([]byte("exec"))
 	warm, cold := newHarness(t, p, Config{}), newHarness(t, p, Config{})
-	remote := func(h *harness) map[storage.SlotRef]bool {
-		out := make(map[storage.SlotRef]bool)
-		for _, ev := range h.rec.Events() {
-			if ev.Op == storage.OpReadSlot {
-				out[storage.SlotRef{Bucket: ev.Bucket, Slot: ev.Slot}] = true
-			}
-		}
-		return out
-	}
+	nRes := len(warm.exec.resident)
+	wantLoad := loadRefs(nRes, p.Z)
 	rng := rand.New(rand.NewPCG(11, 13))
-	skipped := 0
+	loaded := 0
 	for e := 0; e < 40; e++ {
 		reads, writes := epochOps(rng, e)
 		warm.rec.Reset()
 		cold.rec.Reset()
 		a, b := runEpoch(t, warm.exec, reads, writes), runEpoch(t, cold.exec, reads, writes)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("epoch %d: warm read %v, cold read %v", e, a, b)
+			t.Fatalf("epoch %d: warm read %v, recovered read %v", e, a, b)
 		}
-		coldReads := remote(cold)
-		for ref := range remote(warm) {
-			if !coldReads[ref] {
-				t.Fatalf("epoch %d: warm read bucket %d slot %d from storage, cold did not", e, ref.Bucket, ref.Slot)
+		for _, h := range []*harness{warm, cold} {
+			for _, ref := range slotReadRefs(h.rec.Events()) {
+				if ref.Bucket < nRes {
+					t.Fatalf("epoch %d: bucket %d of a resident level read from storage outside the load", e, ref.Bucket)
+				}
 			}
-			delete(coldReads, ref)
 		}
-		skipped += len(coldReads)
 		warm.endEpoch(t)
 		cold.endEpoch(t)
 
@@ -105,20 +133,51 @@ func TestResidentWarmEqualsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(imgW, imgC) {
-			t.Fatalf("epoch %d: warm and cold checkpoint images differ", e)
+			t.Fatalf("epoch %d: warm and recovered checkpoint images differ", e)
 		}
-		if warm.oram, err = ringoram.Restore(key, p, imgW); err != nil {
+		restoredW, err := ringoram.Restore(key, p, imgW)
+		if err != nil {
 			t.Fatal(err)
 		}
+		warm.adopt(restoredW)
 		if cold.oram, err = ringoram.Restore(key, p, imgC); err != nil {
 			t.Fatal(err)
 		}
-		warm.exec.oram = warm.oram
+		// A recovery: roll back to the committed epoch (nothing to discard
+		// here), build the executor, load the top.
+		if err := cold.rec.RollbackTo(cold.epoch - 1); err != nil {
+			t.Fatal(err)
+		}
+		prev := cold.exec
 		cold.exec = New(cold.oram, cold.rec, Config{})
+		cold.rec.Reset()
+		if err := cold.exec.LoadResident(); err != nil {
+			t.Fatal(err)
+		}
+		if got := slotReadRefs(cold.rec.Events()); fmt.Sprint(got) != fmt.Sprint(wantLoad) || cold.rec.Calls().ReadSlots != 1 {
+			t.Fatalf("epoch %d: the load read %v in %d calls, want slots 0..%d of buckets 0..%d in one", e, got, cold.rec.Calls().ReadSlots, p.Z-1, nRes-1)
+		}
 		cold.exec.BeginEpoch(cold.epoch)
+		for b := 0; b < nRes; b++ {
+			held := 0
+			for _, s := range cold.oram.BlockSlots(b, nil) {
+				if s < 0 {
+					continue
+				}
+				held++
+				w, c := frameOf(&prev.resident[b], s), frameOf(&cold.exec.resident[b], s)
+				if w == nil || !bytes.Equal(w, c) {
+					t.Fatalf("epoch %d: bucket %d slot %d: loaded frame differs from the one the replaced executor held", e, b, s)
+				}
+			}
+			if got := len(cold.exec.resident[b].frames); got != held {
+				t.Fatalf("epoch %d: bucket %d: %d frames loaded, the metadata places %d blocks", e, b, got, held)
+			}
+			loaded += held
+		}
 	}
-	if skipped == 0 {
-		t.Fatal("the warm executor read everything the cold one did: the resident set served nothing")
+	if loaded == 0 {
+		t.Fatal("no load ever brought a block back: the upper levels stayed empty")
 	}
 	warm.checkInvariant(t)
 	cold.checkInvariant(t)
@@ -128,9 +187,11 @@ func TestResidentWarmEqualsCold(t *testing.T) {
 // buffered version's slot in memory of its own. Arenas are recycled when a
 // later eviction of the same epoch supersedes the version (the root's, every
 // eviction) and pass to the store at the flush; a frame that pointed into one
-// would change under the reads it serves.
+// would change under the reads it serves. The buffered version of a resident
+// bucket is its Z real positions, the blocks first.
 func TestResidentCopiesNeverAliasArenas(t *testing.T) {
-	h := newHarness(t, residentParams(32), Config{})
+	p := residentParams(32)
+	h := newHarness(t, p, Config{})
 	rng := rand.New(rand.NewPCG(17, 19))
 	checked := 0
 	for e := 0; e < 12; e++ {
@@ -141,11 +202,11 @@ func TestResidentCopiesNeverAliasArenas(t *testing.T) {
 			if buf == nil {
 				continue
 			}
-			if rb.ver != buf.w.Ver {
-				t.Fatalf("bucket %d: resident version %d, buffered version %d", b, rb.ver, buf.w.Ver)
+			if len(buf.w.Slots) != p.Z || len(rb.frames) > p.Z {
+				t.Fatalf("bucket %d: %d slots buffered and %d frames, want Z = %d slots and no more frames", b, len(buf.w.Slots), len(rb.frames), p.Z)
 			}
-			for _, f := range rb.frames {
-				slot := buf.w.Slots[binary.BigEndian.Uint16(f)]
+			for i, f := range rb.frames {
+				slot := buf.w.Slots[i]
 				if !bytes.Equal(f[2:], slot) {
 					t.Fatalf("bucket %d: resident frame differs from the buffered slot", b)
 				}
@@ -169,7 +230,7 @@ func TestResidentCopiesNeverAliasArenas(t *testing.T) {
 // TestResidentBudget pins what the resident set may cost. Memory: the frames
 // in existence never exceed Z per resident bucket. Allocation: a steady-state
 // epoch with the set warm allocates no more than the same epoch with the set
-// emptied first, which sends every read the set would have served to storage.
+// emptied and loaded back from storage first.
 func TestResidentBudget(t *testing.T) {
 	p := residentParams(33)
 	steady := func(empty bool) (perEpoch float64, e *Executor) {
@@ -187,6 +248,9 @@ func TestResidentBudget(t *testing.T) {
 			e.BeginEpoch(epoch)
 			if empty {
 				e.dropResident()
+				if err := e.LoadResident(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			reads, writes := epochOps(rng, int(epoch))
 			runEpoch(t, e, reads, writes)

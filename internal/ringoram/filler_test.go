@@ -12,11 +12,13 @@ import (
 // sparseClient drives an ORAM against a store that keeps, for each bucket,
 // only the slots its last BucketWrite listed in Real: every other read gets a
 // nil entry. It is the executor's resident set taken to the limit (every
-// bucket, every level).
+// bucket, every level). The first realOnly buckets are sealed without dummies,
+// as the executor has its resident levels sealed.
 type sparseClient struct {
-	t    *testing.T
-	oram *ORAM
-	kept map[int]map[int][]byte // bucket -> physical slot -> bytes
+	t        *testing.T
+	oram     *ORAM
+	kept     map[int]map[int][]byte // bucket -> physical slot -> bytes
+	realOnly int
 }
 
 func (c *sparseClient) fetch(reads []SlotRead) [][]byte {
@@ -34,15 +36,34 @@ func (c *sparseClient) evict(plan *EvictPlan) {
 	writes, err := c.oram.CompleteEvict(plan, c.fetch(plan.Reads))
 	must(c.t, err)
 	for _, w := range writes {
+		trimmed := w.Bucket < c.realOnly
+		if want := c.oram.geo.SlotsPer; !trimmed && len(w.Slots) != want {
+			c.t.Fatalf("bucket %d sealed with %d slots, want all %d", w.Bucket, len(w.Slots), want)
+		}
+		if want := c.oram.p.Z; trimmed && len(w.Slots) != want {
+			c.t.Fatalf("bucket %d sealed with %d slots, want its Z = %d real positions", w.Bucket, len(w.Slots), want)
+		}
 		slots := make(map[int][]byte, len(w.Real))
-		for _, s := range w.Real {
-			slots[s] = bytes.Clone(w.Slots[s])
+		for i, s := range w.Real {
+			if trimmed {
+				// Real[i] is the physical slot of the block at Slots[i].
+				slots[s] = bytes.Clone(w.Slots[i])
+			} else {
+				slots[s] = bytes.Clone(w.Slots[s])
+			}
 		}
 		c.kept[w.Bucket] = slots
 		for s, d := range w.Slots {
 			kind, _, err := c.oram.cdc.decodeSlot(d, c.oram.binding(uint64(w.Bucket), w.Ver))
 			must(c.t, err)
-			if holds := kind == slotReal || kind == slotTombstone; holds != (slots[s] != nil) {
+			listed := slots[s] != nil
+			if trimmed {
+				listed = s < len(w.Real)
+				if kind == slotDummy {
+					c.t.Fatalf("bucket %d version %d: a dummy sealed at position %d of a bucket sealed without dummies", w.Bucket, w.Ver, s)
+				}
+			}
+			if holds := kind == slotReal || kind == slotTombstone; holds != listed {
 				c.t.Fatalf("bucket %d version %d slot %d: holds a block = %v, listed in Real = %v", w.Bucket, w.Ver, s, holds, !holds)
 			}
 		}
@@ -78,7 +99,10 @@ func (c *sparseClient) access(plan *AccessPlan, due []int) ([]byte, bool) {
 // that carry a block, and BucketWrite.Real names exactly the slots that can.
 // One ORAM is driven by the sequential client over a full store, its twin
 // (same seed, same operations) by a client that is handed nil for everything
-// outside Real. They must agree on every result and end in the same state.
+// outside Real. They must agree on every result and end in the same state —
+// though the twin seals its upper buckets as their Z real positions alone,
+// where Real[i] is the physical slot of Slots[i]: leaving the dummies out
+// changes nothing a checkpoint records and draws nothing from the generator.
 func TestCompletionNeverInspectsFillers(t *testing.T) {
 	for _, dummiless := range []bool{true, false} {
 		t.Run(fmt.Sprintf("dummiless=%v", dummiless), func(t *testing.T) {
@@ -87,7 +111,8 @@ func TestCompletionNeverInspectsFillers(t *testing.T) {
 			full, store := newTestSeq(t, p)
 			o, err := New(newMapStore(), cryptoutil.KeyFromSeed([]byte("test")), p)
 			must(t, err)
-			sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte)}
+			sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte), realOnly: o.geo.NumBuckets / 4}
+			o.SealRealOnly(sparse.realOnly)
 
 			rng := rand.New(rand.NewPCG(5, 6))
 			for i := 0; i < 1500; i++ {

@@ -128,8 +128,12 @@ type ORAM struct {
 	// bufPool recycles bucket serialization buffers (one contiguous
 	// ciphertext arena + per-slot headers). Writes that reach storage
 	// transfer ownership of their buffer to the store and never come back;
-	// only superseded or discarded pre-flush versions are recycled.
-	bufPool *sync.Pool
+	// only superseded or discarded pre-flush versions are recycled. realPool
+	// is the same for the Z-slot buffers of buckets sealed without dummies.
+	bufPool, realPool *sync.Pool
+	// realOnly is how many buckets, from the root in heap order, are sealed as
+	// their Z real positions alone (see SealRealOnly).
+	realOnly int
 }
 
 // bucketBuf is a pooled serialization buffer for one bucket: a contiguous
@@ -264,6 +268,8 @@ type BucketWrite struct {
 	// Real lists the physical slots holding the blocks this version placed;
 	// every other slot is filler (a dummy or an empty real). It is the
 	// eviction plan's scratch, valid until the next CompleteEvict: copy to keep.
+	// In a bucket sealed without dummies (SealRealOnly) Slots is indexed by real
+	// position, and the block at physical slot Real[i] is Slots[i].
 	Real []int
 
 	buf *bucketBuf
@@ -426,17 +432,19 @@ func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
 	o.bindBuf = make([]byte, 0, cryptoutil.BindingSize)
 	o.occ = make([]*placement, p.Z)
 	o.pathBuf = make([]int, 0, geo.Levels+1)
-	slotSize, slotsPer := o.cdc.slotSize(), geo.SlotsPer
+	o.bufPool = newBufPool(geo.SlotsPer, o.cdc.slotSize())
+	o.realPool = newBufPool(p.Z, o.cdc.slotSize())
+	return o, nil
+}
+
+// newBufPool makes a pool of bucket buffers of n slots; a buffer goes back to
+// the pool it came from.
+func newBufPool(n, slotSize int) *sync.Pool {
 	pool := &sync.Pool{}
 	pool.New = func() any {
-		return &bucketBuf{
-			arena: make([]byte, slotsPer*slotSize),
-			slots: make([][]byte, slotsPer),
-			pool:  pool,
-		}
+		return &bucketBuf{arena: make([]byte, n*slotSize), slots: make([][]byte, n), pool: pool}
 	}
-	o.bufPool = pool
-	return o, nil
+	return pool
 }
 
 // binding encodes the Appendix A (id, epoch, batch=0) freshness triple into
@@ -470,6 +478,37 @@ func (o *ORAM) Geometry() Geometry { return o.geo }
 
 // SlotSize returns the physical slot size in bytes.
 func (o *ORAM) SlotSize() int { return o.cdc.slotSize() }
+
+// SealRealOnly makes every later seal of the first n buckets (heap order, the
+// root first) produce only the bucket's Z real positions, in position order,
+// and no dummies: such a bucket can be read back whole but no longer slot by
+// physical slot, so only a caller that keeps those buckets' blocks itself and
+// never reads them from storage may ask for it. Metadata, permutations and
+// the generator's stream do not change; the dummies become metadata only.
+func (o *ORAM) SealRealOnly(n int) {
+	o.mu.Lock()
+	o.realOnly = n
+	o.mu.Unlock()
+}
+
+// BlockSlots appends, for each real position 0..Z-1 of bucket b in order, the
+// physical slot of the block the position holds, or -1 where it holds none
+// (never filled, blanked by an overwrite, or read since the bucket was
+// written). It is what a caller needs to rebuild its copy of a bucket sealed
+// by SealRealOnly from the bucket's stored slots.
+func (o *ORAM) BlockSlots(b int, dst []int) []int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	m := &o.meta[b]
+	for r := 0; r < o.p.Z; r++ {
+		if phys := m.perm[r]; m.addrs[r] != "" && m.valid[phys] {
+			dst = append(dst, phys)
+		} else {
+			dst = append(dst, -1)
+		}
+	}
+	return dst
+}
 
 // Counters returns (accessCount, evictCount).
 func (o *ORAM) Counters() (uint64, uint64) {
@@ -1265,9 +1304,15 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, err
 // sealPlannedBucket serializes a bucket per a write-phase plan. Every slot is
 // sealed in place into one contiguous pooled arena (two allocations per
 // bucket when the pool is cold, zero when warm) instead of one buffer per
-// slot; the arena travels with the returned BucketWrite.
+// slot; the arena travels with the returned BucketWrite. A bucket below
+// realOnly gets its Z real positions in position order and nothing else.
 func (o *ORAM) sealPlannedBucket(pb *plannedBucket) (BucketWrite, error) {
-	bb := o.bufPool.Get().(*bucketBuf)
+	n, pool := o.geo.SlotsPer, o.bufPool
+	trim := pb.bucket < o.realOnly
+	if trim {
+		n, pool = o.p.Z, o.realPool
+	}
+	bb := pool.Get().(*bucketBuf)
 	slotSize := o.cdc.slotSize()
 	binding := o.binding(uint64(pb.bucket), pb.ver)
 	occ := o.occ
@@ -1279,9 +1324,12 @@ func (o *ORAM) sealPlannedBucket(pb *plannedBucket) (BucketWrite, error) {
 		occ[pb.placed[i].pos] = &pb.placed[i]
 		pb.real = append(pb.real, pb.perm[pb.placed[i].pos])
 	}
-	for pos := 0; pos < o.geo.SlotsPer; pos++ {
-		phys := pb.perm[pos]
-		dst := bb.arena[phys*slotSize : phys*slotSize : (phys+1)*slotSize]
+	for pos := 0; pos < n; pos++ {
+		at := pb.perm[pos]
+		if trim {
+			at = pos
+		}
+		dst := bb.arena[at*slotSize : at*slotSize : (at+1)*slotSize]
 		var data []byte
 		var err error
 		switch {
@@ -1305,7 +1353,7 @@ func (o *ORAM) sealPlannedBucket(pb *plannedBucket) (BucketWrite, error) {
 			bb.pool.Put(bb)
 			return BucketWrite{}, err
 		}
-		bb.slots[phys] = data
+		bb.slots[at] = data
 	}
 	return BucketWrite{Bucket: pb.bucket, Ver: pb.ver, Slots: bb.slots, Real: pb.real, buf: bb}, nil
 }

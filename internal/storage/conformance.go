@@ -53,6 +53,7 @@ func RunBackendConformanceOpts(t *testing.T, factory func(t *testing.T) Backend,
 		{"vector-read-atomicity", true, conformVectorReadAtomicity},
 		{"rollback-after-partial-vector", true, conformPartialVectorRollback},
 		{"commit-rollback-visibility", true, conformCommitRollback},
+		{"slot-count-per-version", true, func(t *testing.T, b Backend) { ConformSlotCountPerVersion(t, b, nil) }},
 		{"log-sequence", false, conformLogSequence},
 		{"log-truncate", false, conformLogTruncate},
 		{"kv", false, conformKV},
@@ -259,6 +260,68 @@ func conformCommitRollback(t *testing.T, b Backend) {
 	if err := b.CommitEpoch(1); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ConformSlotCountPerVersion holds a store to what the executor leans on:
+// successive versions of one bucket may hold different numbers of slots (a
+// whole Z+S bucket from tree initialization, then its Z real positions), reads
+// are bounded by the newest version's count, a bad slot fails its whole vector,
+// and a rollback brings the older count back. reopen, when not nil, closes and
+// reopens a durable store between the steps; the store must answer the same.
+func ConformSlotCountPerVersion(t *testing.T, b Backend, reopen func(Backend) Backend) {
+	if reopen == nil {
+		reopen = func(b Backend) Backend { return b }
+	}
+	expect := func(when string, want [][]byte) {
+		t.Helper()
+		all, err := b.ReadBucket(0)
+		if err != nil || len(all) != len(want) {
+			t.Fatalf("%s: ReadBucket returned %d slots (%v), want %d", when, len(all), err, len(want))
+		}
+		last := len(want) - 1
+		got, err := b.ReadSlots([]SlotRef{{Bucket: 0, Slot: last}, {Bucket: 0, Slot: 0}})
+		if err != nil || !bytes.Equal(got[0], want[last]) || !bytes.Equal(got[1], want[0]) {
+			t.Fatalf("%s: ReadSlots of the first and last slot = %q, %v", when, got, err)
+		}
+		if _, err := b.ReadSlot(0, len(want)); err == nil {
+			t.Fatalf("%s: ReadSlot(0, %d) succeeded on a version of %d slots", when, len(want), len(want))
+		}
+		if got, err := b.ReadSlots([]SlotRef{{Bucket: 0, Slot: 0}, {Bucket: 0, Slot: len(want)}}); err == nil || got != nil {
+			t.Fatalf("%s: a vector naming slot %d of a version of %d slots returned %q, %v", when, len(want), len(want), got, err)
+		}
+	}
+	whole, real := conformSlots("e1", 40), conformSlots("e2", 16)
+	if err := b.WriteBucket(0, 1, whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CommitEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	expect("40 slots committed", whole)
+	if err := b.WriteBuckets([]BucketWrite{{Bucket: 0, Epoch: 2, Slots: real}}); err != nil {
+		t.Fatalf("a 16-slot version over a 40-slot one: %v", err)
+	}
+	expect("16 slots over 40", real)
+	if err := b.RollbackTo(1); err != nil {
+		t.Fatal(err)
+	}
+	expect("rolled back to 40 slots", whole)
+	if err := b.WriteBuckets([]BucketWrite{{Bucket: 0, Epoch: 2, Slots: conformSlots("e2", 16)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CommitEpoch(2); err != nil {
+		t.Fatal(err)
+	}
+	// An uncommitted 40-slot version on top: a reopened store may or may not
+	// still hold it, and rolls it back either way.
+	if err := b.WriteBucket(0, 3, conformSlots("e3", 40)); err != nil {
+		t.Fatal(err)
+	}
+	b = reopen(b)
+	if err := b.RollbackTo(2); err != nil {
+		t.Fatal(err)
+	}
+	expect("16 slots committed, a 40-slot version rolled back", real)
 }
 
 func conformLogSequence(t *testing.T, b Backend) {

@@ -241,3 +241,48 @@ func TestBackendConformanceRemoteDisk(t *testing.T) {
 		return c
 	})
 }
+
+// A bucket's slot count is per version on disk too: every durable layout must
+// answer the same after a close and reopen in the middle of the case.
+func TestSlotCountPerVersionSurvivesReopen(t *testing.T) {
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		open := func() Backend {
+			b, err := OpenDiskBackend(dir, ConformanceMinBuckets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		b := open()
+		ConformSlotCountPerVersion(t, b, func(old Backend) Backend {
+			if err := old.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b = open()
+			return b
+		})
+		b.Close()
+	})
+	for name, opts := range map[string]DiskOptions{"disk-group": {}, "logheap": {LogHeap: true}} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *DiskGroup {
+				g, err := OpenDiskGroupOpts(dir, 1, ConformanceMinBuckets, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			g := open()
+			ConformSlotCountPerVersion(t, g.Backends()[0], func(Backend) Backend {
+				if err := g.Close(); err != nil {
+					t.Fatal(err)
+				}
+				g = open()
+				return g.Backends()[0]
+			})
+			g.Close()
+		})
+	}
+}

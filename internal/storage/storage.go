@@ -49,9 +49,12 @@ type BucketWrite struct {
 
 // BucketStore is the shadow-paged ORAM bucket tree.
 //
-// Buckets are addressed 0..NumBuckets()-1 in heap order (0 is the root).
-// Every bucket version holds a fixed number of equally sized encrypted slots;
-// the server never interprets slot contents.
+// Buckets are addressed 0..NumBuckets()-1 in heap order (0 is the root). A
+// bucket version holds however many encrypted slots its writer gave it: the
+// count is per version, not per store or per bucket (the executor writes the
+// upper levels' buckets without their dummies), and a slot index at or past
+// the newest version's count is ErrNoSuchSlot. The server never interprets
+// slot contents.
 type BucketStore interface {
 	// ReadSlot returns the requested slot of the newest version of the
 	// bucket. The returned slice must not be modified by the caller.

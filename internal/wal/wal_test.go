@@ -114,6 +114,9 @@ func TestRecoverAppliesDeltas(t *testing.T) {
 	}
 	// All five epochs' keys must be readable through a fresh executor.
 	exec2 := oramexec.New(restored, backend, oramexec.Config{})
+	if err := exec2.LoadResident(); err != nil {
+		t.Fatal(err)
+	}
 	exec2.BeginEpoch(6)
 	var ops []oramexec.ReadOp
 	for e := 1; e <= 5; e++ {
