@@ -80,7 +80,6 @@ func main() {
 	lease := flag.Duration("lease", 750*time.Millisecond, "standby promotes after this long without a frame from the primary")
 	maxSessions := flag.Int("max-sessions-per-conn", 0, "shed transaction sessions beyond this many per client connection (0 = default cap)")
 	maxPendingReads := flag.Int("max-pending-reads", 0, "per-session cap on outstanding async reads; excess applies read-loop backpressure (0 = default)")
-	noAdmission := flag.Bool("no-admission", false, "disable epoch admission control: queue reads without bound instead of shedding at the slot budget")
 	flag.Parse()
 
 	if addr, err := pprofserve.Start(*pprofAddr); err != nil {
@@ -101,8 +100,6 @@ func main() {
 		ReplicaListen:  *replicaListen,
 		ReplicaAcked:   *replicaAck,
 		LeaseTimeout:   *lease,
-
-		DisableAdmission: *noAdmission,
 	}
 	srvOpt := clientproto.ServerOptions{
 		MaxSessionsPerConn:        *maxSessions,

@@ -97,59 +97,52 @@ var ErrBoundaryWindow = errors.New("obladi: read arrived after the epoch's last 
 // backoff is called for.
 var errBoundaryWindow = fmt.Errorf("%w: the next epoch is open, retry now (%w, %w)", ErrBoundaryWindow, ErrEpochFull, ErrAborted)
 
+// errReadBatchesExhausted is what a queued read no batch served fails with at
+// the seal.
+var errReadBatchesExhausted = fmt.Errorf("%w: read batches exhausted", ErrEpochFull)
+
 // inBoundaryWindowLocked reports whether the epoch's read batches have all
 // fired. The caller holds p.mu.
 func (p *Proxy) inBoundaryWindowLocked() bool {
-	return !p.cfg.DisableAdmission && p.batchIdx >= p.cfg.ReadBatches
+	return p.batchIdx >= p.cfg.ReadBatches
 }
 
-// parkLocked holds one read through the boundary window and returns the
-// channel its outcome arrives on. The caller holds p.mu.
-func (p *Proxy) parkLocked() <-chan error {
-	p.boundaryReads.Add(1)
-	ch := make(chan error, 1)
-	p.parked = append(p.parked, ch)
-	return ch
-}
-
-// releaseParkedLocked fails every held read with err. The caller holds p.mu.
+// releaseParkedLocked fails every read held through the boundary window with
+// err. The caller holds p.mu and calls wakeLocked.
 func (p *Proxy) releaseParkedLocked(err error) {
-	for i, ch := range p.parked {
-		ch <- err
-		p.parked[i] = nil
-	}
-	p.parked = p.parked[:0]
+	p.publishLocked(p.parked, err)
+	p.parked = nil
 }
 
 // sessionFetchQueue holds one session's admitted-but-unscheduled fetch keys,
-// in the order the session issued them.
+// in the order the session issued them. Sessions rarely queue more than a few
+// keys at a time: keys starts on the inline array and append spills it.
 type sessionFetchQueue struct {
-	ts   mvtso.Timestamp
-	keys []string
+	ts     mvtso.Timestamp
+	keys   []string
+	inline [4]string
 }
 
 // admitFetchLocked runs the admission gate for one new fetch key on sh and,
 // if admitted, enqueues it under the session's queue. The caller holds
-// p.mu and has already diverted boundary-window reads (parkLocked), so read
+// p.mu and has already diverted boundary-window reads (enqueueLocked), so read
 // batches remain. It returns nil on admission and a *ShedError when the
 // epoch's remaining read-slot budget is already fully subscribed.
 //
 // The gate's invariant: the total of admitted-but-unscheduled keys on a
 // shard never exceeds the slots its remaining read batches can serve, so
 // every admitted fetch is guaranteed a slot this epoch — admission implies
-// service, and the only reads that die at the seal are ablation tokens and
-// gate-disabled runs.
+// service, and the only reads that die at the seal are ablation tokens.
 func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) error {
-	if !p.cfg.DisableAdmission {
-		remaining := (p.cfg.ReadBatches - p.batchIdx) * p.cfg.ReadBatchSize
-		if sh.queuedKeys >= remaining {
-			p.shedReads.Add(1)
-			return &ShedError{RetryEpoch: p.epoch + 1, Shard: sh.id}
-		}
+	remaining := (p.cfg.ReadBatches - p.batchIdx) * p.cfg.ReadBatchSize
+	if sh.queuedKeys >= remaining {
+		p.shedReads.Add(1)
+		return &ShedError{RetryEpoch: p.epoch + 1, Shard: sh.id}
 	}
 	sq := sh.sessQ[ts]
 	if sq == nil {
-		sq = &sessionFetchQueue{ts: ts}
+		sq = sh.sessSlab.New()
+		sq.ts, sq.keys = ts, sq.inline[:0]
 		sh.sessQ[ts] = sq
 		sh.ring = append(sh.ring, sq)
 		p.admittedSessions.Add(1)
@@ -162,15 +155,11 @@ func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) erro
 
 // takeBatchLocked drains up to n keys from sh's session queues for the next
 // read batch, round-robin over sessions: one key per live session per pass,
-// starting where the previous batch's cursor stopped. The caller holds p.mu.
-func (sh *shard) takeBatchLocked(n int) []string {
-	if sh.queuedKeys == 0 || n <= 0 {
-		return nil
-	}
-	if n > sh.queuedKeys {
-		n = sh.queuedKeys
-	}
-	keys := make([]string, 0, n)
+// starting where the previous batch's cursor stopped. The keys are appended to
+// keys[:0]. The caller holds p.mu.
+func (sh *shard) takeBatchLocked(keys []string, n int) []string {
+	keys = keys[:0]
+	n = min(n, sh.queuedKeys)
 	i := sh.rr
 	for len(keys) < n && len(sh.ring) > 0 {
 		if i >= len(sh.ring) {
@@ -203,9 +192,11 @@ func (sh *shard) takeBatchLocked(n int) []string {
 // boundary (or on failure). Waiters are the caller's problem: they live in
 // sh.queued, which outlives scheduling state.
 func (sh *shard) resetFetchQueuesLocked() {
-	sh.sessQ = make(map[mvtso.Timestamp]*sessionFetchQueue)
+	clear(sh.sessQ)
+	clear(sh.ring)
 	sh.ring = sh.ring[:0]
+	sh.sessSlab.Reset()
 	sh.rr = 0
-	sh.pending = make(map[string]bool)
+	clear(sh.pending)
 	sh.queuedKeys = 0
 }

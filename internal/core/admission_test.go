@@ -198,13 +198,13 @@ func TestFairSlotSchedulingRoundRobin(t *testing.T) {
 		}
 	}
 
-	got := sh.takeBatchLocked(4)
+	got := sh.takeBatchLocked(nil, 4)
 	want := []string{"p0", "s2", "s3", "s4"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("batch 1 = %v, want %v (one key per session per pass)", got, want)
 	}
 	// Only the pipeliner remains; the next batch is all theirs, in order.
-	got = sh.takeBatchLocked(4)
+	got = sh.takeBatchLocked(nil, 4)
 	want = []string{"p1", "p2", "p3", "p4"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("batch 2 = %v, want %v", got, want)
@@ -237,54 +237,11 @@ func TestFairSchedulingCursorPersists(t *testing.T) {
 	}
 	var order []string
 	for len(order) < 6 {
-		order = append(order, sh.takeBatchLocked(2)...)
+		order = append(order, sh.takeBatchLocked(nil, 2)...)
 	}
 	want := []string{"s1-0", "s2-0", "s3-0", "s1-1", "s2-1", "s3-1"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("drain order %v, want %v (cursor must persist across batches)", order, want)
-	}
-}
-
-// TestDisableAdmissionRestoresOldBehavior pins the ablation knob: with the
-// gate off, over-budget reads queue unboundedly and die at the seal with
-// plain ErrEpochFull, as before this plane existed.
-func TestDisableAdmissionRestoresOldBehavior(t *testing.T) {
-	cfg := testConfig(15)
-	cfg.ReadBatches = 1
-	cfg.ReadBatchSize = 1
-	cfg.DisableAdmission = true
-	p, _, _ := testProxy(t, cfg)
-
-	tx := p.Begin()
-	defer tx.Abort()
-	tx.ReadAsync("a")
-	f := tx.ReadAsync("b") // over budget: queues anyway
-	waitQueued(t, p, 2)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := f.Wait(context.Background())
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("over-budget read resolved early with gate off: %v", err)
-	case <-time.After(10 * time.Millisecond):
-	}
-	if err := p.Advance(); err != nil { // the only read batch: serves "a"
-		t.Fatal(err)
-	}
-	if err := p.Advance(); err != nil { // boundary: aborts "b"
-		t.Fatal(err)
-	}
-	err := <-done
-	if !errors.Is(err, ErrEpochFull) {
-		t.Fatalf("seal abort = %v, want ErrEpochFull", err)
-	}
-	if errors.Is(err, ErrShed) {
-		t.Fatalf("gate off must not shed, got %v", err)
-	}
-	if st := p.Stats(); st.ShedReads != 0 {
-		t.Fatalf("ShedReads = %d with gate off", st.ShedReads)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"obladi/internal/mvtso"
 )
@@ -21,6 +22,90 @@ import (
 // the MVTSO transaction but leaves the queued slot in place — it executes as
 // a dummy from the schedule's point of view, so cancellation is invisible in
 // the trace.
+//
+// # One wake-up per batch
+//
+// A read's outcome is decided for its whole batch at one public moment — the
+// StepReadBatch that served it, the seal, a fail-stop — so that moment wakes
+// its readers together. Each Future carries a wait record (fetchWaiter). The
+// decider, under Proxy.mu, publishes every record it decided (outcome, then
+// the done flag), then closes the proxy's one wake channel and installs a
+// fresh one. A waiter loads the channel, then checks its record, then sleeps
+// on the channel: a record published after the check is announced on that
+// channel or on an earlier-closed one, so no wake-up is lost; a close that
+// decided other records wakes it spuriously, at most once per batch of its
+// epoch, and never on a stepped schedule, where Wait follows the batch.
+// Outcomes known at once (closed proxy, dead epoch, shed) are published by the
+// caller itself and involve no channel.
+//
+// # Stale handles
+//
+// Transactions and futures are handed out of chunks that are never reused
+// (internal/slab): a client may keep a *Txn or *Future past its epoch, and it
+// keeps answering — ErrAborted, or the value the Future resolved to — without
+// ever aliasing or disturbing a live transaction.
+
+// fetchWaiter is a read's wait record, embedded in its Future.
+type fetchWaiter struct {
+	next  *fetchWaiter  // the key's waiter list or the parked list; guarded by Proxy.mu
+	state atomic.Uint32 // waiterIdle, waiterQueued or waiterDone
+	err   error         // the outcome; written before state becomes waiterDone
+}
+
+const (
+	waiterIdle   = iota // nothing to wait for
+	waiterQueued        // on a list: a close of the wake channel will announce the outcome
+	waiterDone          // err holds the outcome
+)
+
+// publish records w's outcome. A decider holding Proxy.mu follows it with
+// wakeLocked (see publishLocked); a caller deciding its own read does not.
+func (w *fetchWaiter) publish(err error) {
+	w.err = err
+	w.state.Store(waiterDone)
+}
+
+// publishLocked decides every waiter of a list and takes the list apart, so a
+// future a client keeps pins no other. The caller holds p.mu and calls
+// wakeLocked before releasing it.
+func (p *Proxy) publishLocked(w *fetchWaiter, err error) {
+	for w != nil {
+		next := w.next
+		w.next = nil
+		w.publish(err)
+		p.wakeDue = true
+		w = next
+	}
+}
+
+// wakeLocked announces everything published since the last call: one close,
+// whatever the number of waiters. The caller holds p.mu.
+func (p *Proxy) wakeLocked() {
+	if !p.wakeDue {
+		return
+	}
+	p.wakeDue = false
+	close(p.wake.Load().(chan struct{}))
+	p.wake.Store(make(chan struct{}))
+}
+
+// await blocks until w is decided, or returns the cause of the first context
+// to end.
+func (w *fetchWaiter) await(p *Proxy, ctx, txnCtx context.Context) error {
+	for {
+		ch := p.wake.Load().(chan struct{})
+		if w.state.Load() == waiterDone {
+			return nil
+		}
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return context.Cause(ctx)
+		case <-txnCtx.Done():
+			return context.Cause(txnCtx)
+		}
+	}
+}
 
 // BeginCtx starts a transaction bound to ctx. Cancellation or deadline
 // expiry aborts the transaction at its next operation, and unblocks Future
@@ -32,9 +117,11 @@ func (p *Proxy) BeginCtx(ctx context.Context) *Txn {
 		ctx = context.Background()
 	}
 	p.mu.Lock()
-	epoch := p.epoch
+	t := p.txnSlab.New()
+	t.epoch = p.epoch
 	p.mu.Unlock()
-	return &Txn{p: p, inner: p.ccu.Begin(), epoch: epoch, ctx: ctx}
+	t.p, t.inner, t.ctx = p, p.ccu.Begin(), ctx
+	return t
 }
 
 // Future is the pending result of a ReadAsync. It resolves when the read's
@@ -48,10 +135,10 @@ func (p *Proxy) BeginCtx(ctx context.Context) *Txn {
 type Future struct {
 	t   *Txn
 	key string
+	w   fetchWaiter // the pending fetch or slot payment, if any
 
 	mu       sync.Mutex
-	ch       <-chan error // pending fetch; nil once consumed or when resident
-	hadFetch bool         // this future's read queued the key's real fetch
+	hadFetch bool // this future's read queued the key's real fetch
 	done     bool
 	value    []byte
 	found    bool
@@ -64,13 +151,17 @@ type Future struct {
 // through ReadAsync before the first Wait packs them into the same read
 // batch, like ReadMany, without requiring the key set up front.
 func (t *Txn) ReadAsync(key string) *Future {
-	f := &Future{t: t, key: key}
-	if err := t.check(key); err != nil {
+	p := t.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f := p.futureSlab.New()
+	f.t, f.key = t, key
+	if err := t.checkLocked(key); err != nil {
 		f.done, f.err = true, err
 		return f
 	}
-	f.ch = t.p.queueFetch(t.epoch, t.inner.TS(), key)
-	f.hadFetch = f.ch != nil
+	p.queueFetchLocked(f)
+	f.hadFetch = f.w.state.Load() != waiterIdle
 	return f
 }
 
@@ -96,32 +187,25 @@ func (f *Future) Wait(ctx context.Context) ([]byte, bool, error) {
 		ctx = t.ctx
 	}
 	for {
-		if f.ch != nil {
-			select {
-			case err := <-f.ch:
-				f.ch = nil
-				if err != nil {
-					t.inner.Abort()
-					return f.resolve(nil, false, err)
-				}
-			case <-ctx.Done():
+		if f.w.state.Load() != waiterIdle {
+			if cause := f.w.await(t.p, ctx, t.ctx); cause != nil {
+				// The record stays on its list; nobody reads it again.
 				t.inner.Abort()
-				return f.resolve(nil, false, fmt.Errorf("%w: %w", ErrAborted, context.Cause(ctx)))
-			case <-t.ctx.Done():
+				return f.resolve(nil, false, fmt.Errorf("%w: %w", ErrAborted, cause))
+			}
+			f.w.state.Store(waiterIdle)
+			if err := f.w.err; err != nil {
 				t.inner.Abort()
-				return f.resolve(nil, false, fmt.Errorf("%w: %w", ErrAborted, context.Cause(t.ctx)))
+				return f.resolve(nil, false, err)
 			}
 		}
-		if t.p.cfg.DisableReadCache && !f.hadFetch {
-			// Ablation (§6.3): a version-cache hit still consumes a read-batch
-			// slot. A future that carried the key's real fetch already paid
-			// with that slot. The payment waits through the same select as a
-			// fetch, so cancellation unblocks it too; payCacheSlot marks the
-			// slot paid, making the next loop iteration skip this branch.
-			if ch := t.payCacheSlot(f.key); ch != nil {
-				f.ch = ch
-				continue
-			}
+		// Ablation (§6.3): a version-cache hit still consumes a read-batch
+		// slot. A future that carried the key's real fetch already paid with
+		// that slot. The payment waits on the same record as a fetch, so
+		// cancellation unblocks it too; payCacheSlot marks the slot paid,
+		// making the next loop iteration skip this branch.
+		if t.p.cfg.DisableReadCache && !f.hadFetch && t.payCacheSlot(f) {
+			continue
 		}
 		v, found, err := t.inner.Read(f.key)
 		switch {
@@ -130,8 +214,12 @@ func (f *Future) Wait(ctx context.Context) ([]byte, bool, error) {
 		case errors.Is(err, mvtso.ErrNeedFetch):
 			// The version cache no longer holds the base (possible only
 			// across batch races); queue again and keep waiting.
-			f.ch = t.p.queueFetch(t.epoch, t.inner.TS(), f.key)
-		case errors.Is(err, mvtso.ErrAborted):
+			t.p.mu.Lock()
+			t.p.queueFetchLocked(f)
+			t.p.mu.Unlock()
+		case errors.Is(err, mvtso.ErrAborted), errors.Is(err, mvtso.ErrNotActive):
+			// Aborted — or settled before this read was ever performed (a
+			// future left unwaited past Commit or past its epoch).
 			return f.resolve(nil, false, fmt.Errorf("%w: %v", ErrAborted, err))
 		default:
 			return f.resolve(nil, false, err)

@@ -304,9 +304,6 @@ func TestEagerKickNeverFiresBoundary(t *testing.T) {
 	cfg.EagerBatches = true
 	cfg.ReadBatches = 1
 	cfg.ReadBatchSize = 1
-	// Admission control would shed the over-budget read before it queues;
-	// the leak this test pins needs a key queued past the slot budget.
-	cfg.DisableAdmission = true
 	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
 	p, err := New(backend, cfg)
 	if err != nil {
@@ -327,14 +324,18 @@ func TestEagerKickNeverFiresBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All of the epoch's read-batch slots are spent, so the only schedule
-	// slot a kick could fire now is the boundary. Queue another read to
-	// fill the queue and kick again; the epoch must not advance before Δ.
+	// slot a kick could fire now is the boundary. Another read is held through
+	// the boundary window rather than queued, so kick the loop directly; the
+	// epoch must not advance before Δ.
 	go func() {
 		tx := p.Begin()
 		defer tx.Abort()
 		tx.Read("b") // woken with an abort when the proxy closes
 	}()
-	waitQueued(t, p, 1)
+	for p.Stats().BoundaryReads == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	p.kick <- struct{}{}
 	time.Sleep(20 * time.Millisecond)
 	if got := p.Epoch(); got != start {
 		t.Fatalf("epoch advanced %d -> %d on an eager kick: boundary timing depends on queued keys", start, got)

@@ -57,6 +57,7 @@ import (
 	"obladi/internal/mvtso"
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
+	"obladi/internal/slab"
 	"obladi/internal/storage"
 	"obladi/internal/wal"
 )
@@ -137,13 +138,6 @@ type Config struct {
 	// Ignored with DisableDurability — the WAL is the replication stream,
 	// so no WAL means nothing to replicate.
 	Replicator Replicator
-
-	// DisableAdmission turns off the overload-control admission gate
-	// (admission.go): fetches queue without bound again and excess load
-	// dies at the epoch seal with ErrEpochFull instead of being shed
-	// immediately with a retry hint. Ablation/back-compat knob; fair
-	// per-session scheduling stays on either way.
-	DisableAdmission bool
 }
 
 // BoundaryMode selects how an epoch boundary's commit stage runs relative
@@ -223,12 +217,6 @@ type Stats struct {
 	Logs []wal.Stats
 }
 
-// fetchWaiter is one transaction blocked on a base-version fetch.
-type fetchWaiter struct {
-	key  string
-	done chan error
-}
-
 // shard is one key-space partition: an independent Ring ORAM with its own
 // executor, recovery log, storage backend, and per-epoch batch bookkeeping.
 type shard struct {
@@ -243,14 +231,17 @@ type shard struct {
 	// session's queued keys in arrival order for round-robin draining,
 	// pending dedups keys already scheduled for a fetch this epoch, and
 	// queuedKeys counts admitted-but-unscheduled keys (the quantity the
-	// admission gate bounds). Waiters live in queued, keyed by key, and
-	// are woken when the key's base version installs.
+	// admission gate bounds). Waiters live in queued — per key, the head of
+	// a list linked through the waiters themselves — and are woken when the
+	// key's base version installs. Session queues never leave the proxy, so
+	// sessSlab takes them back at every boundary.
 	sessQ      map[mvtso.Timestamp]*sessionFetchQueue
+	sessSlab   slab.Reused[sessionFetchQueue]
 	ring       []*sessionFetchQueue
 	rr         int
 	pending    map[string]bool
 	queuedKeys int
-	queued     map[string][]*fetchWaiter
+	queued     map[string]*fetchWaiter
 	fetched    map[string]bool // keys whose base version is resident
 }
 
@@ -297,9 +288,18 @@ type Proxy struct {
 
 	// commit waiters, by transaction timestamp.
 	waiters map[mvtso.Timestamp]chan error
-	// parked holds reads that arrived after the epoch's last read batch
+	// parked lists the reads that arrived after the epoch's last read batch
 	// (admission.go); the seal releases them when it opens the next epoch.
-	parked []chan error
+	parked *fetchWaiter
+	// wake is the channel (a chan struct{}) whose close announces every read
+	// outcome published since the previous close; wakeDue says some are
+	// waiting for it (async.go, "One wake-up per batch").
+	wake    atomic.Value
+	wakeDue bool
+	// Client handles come from chunks that are never reused (async.go, "Stale
+	// handles").
+	txnSlab    slab.Chunked[Txn]
+	futureSlab slab.Chunked[Future]
 
 	// inflight is the sealed boundary whose commit stage has not landed
 	// (guarded by mu; at most one). boundaryDone is signaled whenever it
@@ -426,6 +426,7 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 		waiters: make(map[mvtso.Timestamp]chan error),
 		kick:    make(chan struct{}, 1),
 	}
+	p.wake.Store(make(chan struct{}))
 	p.boundaryDone = sync.NewCond(&p.mu)
 	n := len(stores)
 	p.commitErrs = make([]error, n)
@@ -443,7 +444,7 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 			store:   st,
 			sessQ:   make(map[mvtso.Timestamp]*sessionFetchQueue),
 			pending: make(map[string]bool),
-			queued:  make(map[string][]*fetchWaiter),
+			queued:  make(map[string]*fetchWaiter),
 			fetched: make(map[string]bool),
 		}
 		if !cfg.DisableDurability {
@@ -467,7 +468,7 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 			sh.rlog = l
 		}
 		p.shards = append(p.shards, sh)
-		p.step.batches[i] = shardReadBatch{sh: sh, waiters: make(map[string][]*fetchWaiter, cfg.ReadBatchSize)}
+		p.step.batches[i] = shardReadBatch{sh: sh}
 		p.step.ops[i] = make([]oramexec.ReadOp, cfg.ReadBatchSize)
 		p.step.shardOps[i] = make([]oramexec.WriteOp, 0, cfg.WriteBatchSize)
 	}
@@ -876,20 +877,25 @@ func (p *Proxy) Shutdown() error {
 
 // failAllLocked wakes every fetch and commit waiter with err.
 func (p *Proxy) failAllLocked(err error) {
+	p.failQueuedLocked(err)
+	for _, ch := range p.waiters {
+		ch <- err
+	}
+	clear(p.waiters)
+	p.releaseParkedLocked(err)
+	p.wakeLocked()
+}
+
+// failQueuedLocked decides every queued read with err and empties the fetch
+// queues. The caller holds p.mu and calls wakeLocked.
+func (p *Proxy) failQueuedLocked(err error) {
 	for _, sh := range p.shards {
-		for _, ws := range sh.queued {
-			for _, w := range ws {
-				w.done <- err
-			}
+		for _, w := range sh.queued {
+			p.publishLocked(w, err)
 		}
-		sh.queued = make(map[string][]*fetchWaiter)
+		clear(sh.queued)
 		sh.resetFetchQueuesLocked()
 	}
-	for ts, ch := range p.waiters {
-		ch <- err
-		delete(p.waiters, ts)
-	}
-	p.releaseParkedLocked(err)
 }
 
 // epochLoop drives the fixed batch schedule in auto mode.
@@ -969,12 +975,12 @@ func (p *Proxy) stepScheduled() error {
 }
 
 // shardReadBatch is one shard's share of a read-batch slot: the real keys it
-// serves this round and their blocked transactions (Proxy.step keeps one per
-// shard across rounds).
+// serves this round and, parallel to them, their blocked transactions
+// (Proxy.step keeps one per shard across rounds).
 type shardReadBatch struct {
 	sh      *shard
 	keys    []string
-	waiters map[string][]*fetchWaiter
+	waiters []*fetchWaiter
 }
 
 // StepReadBatch issues the epoch's next read batch on every shard: up to
@@ -997,10 +1003,10 @@ func (p *Proxy) StepReadBatch() error {
 		// Fair drain: one key per session per pass (admission.go), up to
 		// bread slots.
 		b := &batches[i]
-		b.keys = sh.takeBatchLocked(p.cfg.ReadBatchSize)
-		clear(b.waiters)
+		b.keys = sh.takeBatchLocked(b.keys, p.cfg.ReadBatchSize)
+		b.waiters = b.waiters[:0]
 		for _, k := range b.keys {
-			b.waiters[k] = sh.queued[k]
+			b.waiters = append(b.waiters, sh.queued[k])
 			delete(sh.queued, k)
 		}
 		p.stats.ReadBatchSlots += uint64(p.cfg.ReadBatchSize)
@@ -1049,16 +1055,13 @@ func (p *Proxy) StepReadBatch() error {
 		if errs[i] != nil {
 			continue
 		}
-		for _, r := range results[i] {
-			if r.Key == "" {
-				continue
-			}
+		// Result j answers op j, which carried key j.
+		for j := range b.keys {
+			r := &results[i][j]
 			p.ccu.InstallBase(r.Key, r.Value, r.Found)
 			b.sh.fetched[r.Key] = true
-			for _, w := range b.waiters[r.Key] {
-				w.done <- nil
-			}
-			delete(b.waiters, r.Key)
+			p.publishLocked(b.waiters[j], nil)
+			b.waiters[j] = nil
 		}
 	}
 	firstErr := firstError(errs)
@@ -1068,10 +1071,8 @@ func (p *Proxy) StepReadBatch() error {
 		// unserved (all shards — the batch failed as a unit) or their
 		// transactions would block forever.
 		for _, b := range batches {
-			for _, ws := range b.waiters {
-				for _, w := range ws {
-					w.done <- firstErr
-				}
+			for _, w := range b.waiters {
+				p.publishLocked(w, firstErr)
 			}
 		}
 		// A failed batch leaves planned ORAM metadata with no matching
@@ -1082,8 +1083,14 @@ func (p *Proxy) StepReadBatch() error {
 		p.failAllLocked(firstErr)
 		p.boundaryDone.Broadcast()
 	}
+	// One close wakes the batch's readers.
+	p.wakeLocked()
 	p.mu.Unlock()
 	// The scratch outlives the step; what it pointed at must not.
+	for i := range batches {
+		clear(batches[i].keys)
+		clear(batches[i].waiters)
+	}
 	clear(results)
 	clear(plans)
 	if firstErr != nil {
@@ -1097,7 +1104,7 @@ type boundaryJob struct {
 	epoch     uint64
 	sealed    []*oramexec.SealedEpoch  // per-shard detached write-back sets
 	ckpts     []*wal.PendingCheckpoint // per-shard checkpoint snapshots (nil without durability)
-	commitAck map[mvtso.Timestamp]chan error
+	commitAck []chan error             // the committed transactions' waiters
 	committed uint64
 }
 
@@ -1163,16 +1170,11 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	}
 	epoch := p.epoch
 	// Reads that never got a batch slot: their transactions abort with the
-	// epoch (fate sharing); wake them now so they observe the abort.
-	for _, sh := range p.shards {
-		for _, ws := range sh.queued {
-			for _, w := range ws {
-				w.done <- fmt.Errorf("%w: read batches exhausted", ErrEpochFull)
-			}
-		}
-		sh.queued = make(map[string][]*fetchWaiter)
-		sh.resetFetchQueuesLocked()
-	}
+	// epoch (fate sharing); wake them now so they observe the abort. The
+	// admission gate guarantees every admitted fetch a slot, so these can only
+	// be DisableReadCache ablation tokens.
+	p.failQueuedLocked(errReadBatchesExhausted)
+	p.wakeLocked()
 	p.mu.Unlock()
 
 	// Decide fates. Every transaction that did not request commit aborts.
@@ -1260,11 +1262,11 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// Collect the epoch's commit waiters for the commit stage, ack its
 	// aborts (no durability obligation), and open the next epoch.
 	p.mu.Lock()
-	job.commitAck = make(map[mvtso.Timestamp]chan error, len(out.Committed))
+	job.commitAck = make([]chan error, 0, len(out.Committed))
 	job.committed = uint64(len(out.Committed))
 	for _, ts := range out.Committed {
 		if ch, ok := p.waiters[ts]; ok {
-			job.commitAck[ts] = ch
+			job.commitAck = append(job.commitAck, ch)
 			delete(p.waiters, ts)
 		}
 	}
@@ -1289,8 +1291,10 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 		delete(p.waiters, ts)
 	}
 	for _, sh := range p.shards {
-		sh.fetched = make(map[string]bool)
+		clear(sh.fetched)
 	}
+	p.txnSlab.EndEpoch()
+	p.futureSlab.EndEpoch()
 	p.batchIdx = 0
 	p.epoch++
 	p.beginEpochAllLocked()
@@ -1298,6 +1302,7 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// The next epoch is open: reads held through the boundary window fail
 	// now, so their retry begins in an epoch with a full slot budget.
 	p.releaseParkedLocked(errBoundaryWindow)
+	p.wakeLocked()
 	p.mu.Unlock()
 	return job, nil
 }

@@ -11,7 +11,9 @@ import (
 
 // Txn is a transaction handle bound to the epoch it started in. Operations
 // (Read, Write, Commit, …) must not be called concurrently; resolving
-// ReadAsync Futures from other goroutines is allowed (see async.go).
+// ReadAsync Futures from other goroutines is allowed (see async.go). A handle
+// kept past its epoch stays valid and answers ErrAborted (async.go, "Stale
+// handles").
 type Txn struct {
 	p     *Proxy
 	inner *mvtso.Txn
@@ -184,6 +186,13 @@ func (t *Txn) Abort() {
 
 // check validates key, context, and epoch membership for an operation.
 func (t *Txn) check(key string) error {
+	t.p.mu.Lock()
+	defer t.p.mu.Unlock()
+	return t.checkLocked(key)
+}
+
+// checkLocked is check for a caller holding p.mu.
+func (t *Txn) checkLocked(key string) error {
 	if t.done.Load() {
 		return ErrAborted
 	}
@@ -200,105 +209,85 @@ func (t *Txn) check(key string) error {
 	if len(key) > t.p.cfg.Params.KeySize {
 		return fmt.Errorf("obladi: key of %d bytes exceeds KeySize %d", len(key), t.p.cfg.Params.KeySize)
 	}
-	t.p.mu.Lock()
-	live := t.p.epoch == t.epoch && !t.p.closed
-	closed := t.p.closed
-	t.p.mu.Unlock()
-	if closed {
+	if t.p.closed {
 		return ErrClosed
 	}
-	if !live {
+	if t.p.epoch != t.epoch {
 		t.inner.Abort()
 		return fmt.Errorf("%w: transaction spans epochs", ErrAborted)
 	}
 	return nil
 }
 
-// queueFetch enqueues key on its shard's next read batch (under the
-// admission gate, filed under the requesting session ts for fair
-// scheduling) and returns a channel delivering the fetch outcome, or nil if
-// the key is already resident (no fetch needed) or an immediate error
-// channel for a dead epoch or a shed.
-func (p *Proxy) queueFetch(epoch uint64, ts mvtso.Timestamp, key string) <-chan error {
-	p.mu.Lock()
-	immediate := func(err error) <-chan error {
-		p.mu.Unlock()
-		ch := make(chan error, 1)
-		ch <- err
-		return ch
+// queueFetchLocked files f's read of its key: on return f's wait record is
+// idle (the key is resident, nothing to wait for), queued on the key's shard
+// under the admission gate — filed under the requesting session for fair
+// scheduling — or parked through the boundary window, or already decided (a
+// closed proxy, a dead epoch, a shed). The caller holds p.mu.
+func (p *Proxy) queueFetchLocked(f *Future) {
+	switch {
+	case p.closed:
+		f.w.publish(ErrClosed)
+		return
+	case p.epoch != f.t.epoch:
+		f.w.publish(fmt.Errorf("%w: epoch ended during read", ErrAborted))
+		return
 	}
-	if p.closed {
-		return immediate(ErrClosed)
+	sh := p.shards[shardOf(f.key, len(p.shards))]
+	if sh.fetched[f.key] {
+		return
 	}
-	if p.epoch != epoch {
-		return immediate(fmt.Errorf("%w: epoch ended during read", ErrAborted))
-	}
-	sh := p.shards[shardOf(key, len(p.shards))]
-	if sh.fetched[key] {
-		p.mu.Unlock()
-		return nil
-	}
-	if !sh.pending[key] {
-		// The key needs a new batch slot. After the last read batch there
-		// is none to ask for: hold the read for the next epoch's opening.
-		if p.inBoundaryWindowLocked() {
-			ch := p.parkLocked()
-			p.mu.Unlock()
-			return ch
-		}
-		if err := p.admitFetchLocked(sh, ts, key); err != nil {
-			return immediate(err)
-		}
-	}
-	// Already scheduled by another session: just join its waiters — no new
-	// slot is consumed, so no gate check.
-	w := &fetchWaiter{key: key, done: make(chan error, 1)}
-	sh.queued[key] = append(sh.queued[key], w)
-	full := sh.queuedKeys >= p.cfg.ReadBatchSize
-	p.mu.Unlock()
-	if full && p.cfg.EagerBatches {
+	p.enqueueLocked(sh, f.t.inner.TS(), f.key, &f.w)
+	if sh.queuedKeys >= p.cfg.ReadBatchSize && p.cfg.EagerBatches {
 		select {
 		case p.kick <- struct{}{}:
 		default:
 		}
 	}
-	return w.done
+}
+
+// enqueueLocked makes w wait for key's slot on sh and reports whether a slot
+// will serve it. A key nobody has scheduled yet needs a new slot: after the
+// last read batch there is none to ask for, so the read is held for the next
+// epoch's opening; before it, the admission gate decides. A key another
+// session already scheduled costs nothing — w just joins its waiters. The
+// caller holds p.mu.
+func (p *Proxy) enqueueLocked(sh *shard, ts mvtso.Timestamp, key string, w *fetchWaiter) bool {
+	if !sh.pending[key] {
+		if p.inBoundaryWindowLocked() {
+			p.boundaryReads.Add(1)
+			w.state.Store(waiterQueued)
+			w.next, p.parked = p.parked, w
+			return false
+		}
+		if err := p.admitFetchLocked(sh, ts, key); err != nil {
+			w.publish(err)
+			return false
+		}
+	}
+	w.state.Store(waiterQueued)
+	w.next, sh.queued[key] = sh.queued[key], w
+	return true
 }
 
 // payCacheSlot consumes one read-batch slot for a key whose base version is
-// already resident, by enqueueing a unique padding token on the key's shard.
-// It returns a channel delivering the slot's batch outcome, or nil when no
-// payment is due: the key has not been fetched this epoch (the real fetch
-// pays) or this transaction already paid for it. The caller waits — with its
-// context, so cancellation is not blocked on the batch.
-func (t *Txn) payCacheSlot(key string) <-chan error {
+// already resident, by enqueueing a unique padding token on the key's shard
+// for f to wait on. It reports false when no payment is due: the key has not
+// been fetched this epoch (the real fetch pays) or this transaction already
+// paid for it.
+func (t *Txn) payCacheSlot(f *Future) bool {
 	p := t.p
 	p.mu.Lock()
-	sh := p.shards[shardOf(key, len(p.shards))]
-	if !sh.fetched[key] || t.paidSlots[key] {
-		p.mu.Unlock()
-		return nil
-	}
-	if p.inBoundaryWindowLocked() {
-		ch := p.parkLocked()
-		p.mu.Unlock()
-		return ch
+	defer p.mu.Unlock()
+	sh := p.shards[shardOf(f.key, len(p.shards))]
+	if !sh.fetched[f.key] || t.paidSlots[f.key] {
+		return false
 	}
 	if t.paidSlots == nil {
 		t.paidSlots = make(map[string]bool)
 	}
-	t.paidSlots[key] = true
 	p.ablateSeq++
 	token := fmt.Sprintf("\x00rc-%d", p.ablateSeq)
-	if err := p.admitFetchLocked(sh, t.inner.TS(), token); err != nil {
-		delete(t.paidSlots, key)
-		p.mu.Unlock()
-		ch := make(chan error, 1)
-		ch <- err
-		return ch
-	}
-	w := &fetchWaiter{key: token, done: make(chan error, 1)}
-	sh.queued[token] = append(sh.queued[token], w)
-	p.mu.Unlock()
-	return w.done
+	t.paidSlots[f.key] = p.enqueueLocked(sh, t.inner.TS(), token, &f.w)
+	return true
 }

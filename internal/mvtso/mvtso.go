@@ -13,13 +13,26 @@
 // aborts every unfinished transaction, cascades aborts through dependency
 // edges, commits the survivors, and emits the deduplicated write set (the
 // latest committed version per key) that forms the epoch's ORAM write batch.
+//
+// # Allocation and stale handles
+//
+// Everything here dies at FinalizeEpoch or AbortAll, so the epoch is the unit
+// of allocation (internal/slab). Version chains never leave the package: they
+// are reset and reused. A *Txn does leave it, so transactions come from chunks
+// that are never reused: a handle kept past its epoch is Committed or Aborted
+// for good, every method on it answers from that status alone, and it can
+// never alias — or touch the chains, dependencies or write budget of — a
+// transaction of a later epoch.
 package mvtso
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+
+	"obladi/internal/slab"
 )
 
 // Timestamp orders transactions; it is also the transaction identifier.
@@ -75,24 +88,36 @@ type version struct {
 	readMarker Timestamp // highest timestamp that read this version
 }
 
-// chain is a key's version list, sorted by writer timestamp ascending.
+// chain is a key's version list, sorted by writer timestamp ascending. Most
+// chains hold a base and one write: versions starts on the inline array and
+// append spills it to the heap.
 type chain struct {
-	versions []*version
+	versions []version
 	hasBase  bool
+	inline   [2]version
 }
 
 // Txn is a transaction handle. All methods are safe for concurrent use with
 // other transactions; a single Txn must not be used concurrently.
+//
+// The three sets are small, so they are slices that start on inline arrays
+// (append spills them); none needs a membership scan longer than deps.
 type Txn struct {
 	ts     Timestamp
 	mgr    *Manager
 	status Status
 	// deps are the uncommitted writers whose values this txn observed.
-	deps map[Timestamp]struct{}
-	// writes lists keys this txn wrote (for rollback).
-	writes map[string]struct{}
-	// readers of this txn's writes (reverse dependency edges for cascade).
-	dependents map[Timestamp]struct{}
+	deps []Timestamp
+	// writes lists keys this txn wrote (for rollback). A rewrite finds its own
+	// version in the chain and does not list the key twice.
+	writes []string
+	// readers of this txn's writes (reverse dependency edges for cascade): t
+	// is in w.dependents exactly when w is in t.deps.
+	dependents []Timestamp
+
+	depsInline   [2]Timestamp
+	writesInline [2]string
+	dependInline [2]Timestamp
 }
 
 // TS returns the transaction's timestamp.
@@ -103,7 +128,14 @@ type Manager struct {
 	mu     sync.Mutex
 	nextTS Timestamp
 	chains map[string]*chain
-	txns   map[Timestamp]*Txn
+	// txns holds the epoch's transactions in timestamp order: timestamps are
+	// consecutive, so txns[i] is transaction firstTS+i.
+	txns    []*Txn
+	firstTS Timestamp
+
+	chainSlab slab.Reused[chain]
+	txnSlab   slab.Chunked[Txn]
+	keys      []string // FinalizeEpoch's sort scratch
 
 	// Write-budget accounting (SetWriteBudget); zero writePerShard means
 	// unlimited.
@@ -119,10 +151,26 @@ type Manager struct {
 
 // NewManager creates an empty CCU.
 func NewManager() *Manager {
-	return &Manager{
-		chains: make(map[string]*chain),
-		txns:   make(map[Timestamp]*Txn),
+	return &Manager{chains: make(map[string]*chain), firstTS: 1}
+}
+
+// txn returns the epoch's transaction ts, or nil if ts is not of this epoch.
+func (m *Manager) txn(ts Timestamp) *Txn {
+	if ts < m.firstTS || ts-m.firstTS >= Timestamp(len(m.txns)) {
+		return nil
 	}
+	return m.txns[ts-m.firstTS]
+}
+
+// chainLocked returns key's chain, creating an empty one.
+func (m *Manager) chainLocked(key string) *chain {
+	c := m.chains[key]
+	if c == nil {
+		c = m.chainSlab.New()
+		c.versions = c.inline[:0]
+		m.chains[key] = c
+	}
+	return c
 }
 
 // Begin starts a transaction in the current epoch.
@@ -130,15 +178,10 @@ func (m *Manager) Begin() *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextTS++
-	t := &Txn{
-		ts:         m.nextTS,
-		mgr:        m,
-		status:     StatusActive,
-		deps:       make(map[Timestamp]struct{}),
-		writes:     make(map[string]struct{}),
-		dependents: make(map[Timestamp]struct{}),
-	}
-	m.txns[t.ts] = t
+	t := m.txnSlab.New()
+	t.ts, t.mgr, t.status = m.nextTS, m, StatusActive
+	t.deps, t.writes, t.dependents = t.depsInline[:0], t.writesInline[:0], t.dependInline[:0]
+	m.txns = append(m.txns, t)
 	return t
 }
 
@@ -187,17 +230,15 @@ func (m *Manager) resetWriteBudgetLocked() {
 	if m.writePerShard <= 0 {
 		return
 	}
-	for i := range m.writeCounts {
-		m.writeCounts[i] = 0
-	}
-	m.writeKeys = make(map[string]struct{})
+	clear(m.writeCounts)
+	clear(m.writeKeys)
 }
 
 // Status returns a transaction's current state.
 func (m *Manager) Status(ts Timestamp) Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if t, ok := m.txns[ts]; ok {
+	if t := m.txn(ts); t != nil {
 		return t.status
 	}
 	return StatusAborted
@@ -209,18 +250,13 @@ func (m *Manager) Status(ts Timestamp) Status {
 func (m *Manager) InstallBase(key string, value []byte, found bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.chains[key]
-	if c == nil {
-		c = &chain{}
-		m.chains[key] = c
-	}
+	c := m.chainLocked(key)
 	if c.hasBase {
 		return
 	}
 	c.hasBase = true
-	base := &version{writer: 0, value: value, absent: !found}
 	// The base sorts before every transaction's versions.
-	c.versions = append([]*version{base}, c.versions...)
+	c.versions = slices.Insert(c.versions, 0, version{writer: 0, value: value, absent: !found})
 }
 
 // HasBase reports whether a base version is resident for key.
@@ -250,7 +286,7 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 	if c != nil {
 		for i := len(c.versions) - 1; i >= 0; i-- {
 			if c.versions[i].writer <= t.ts {
-				vis = c.versions[i]
+				vis = &c.versions[i]
 				break
 			}
 		}
@@ -266,14 +302,16 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 		vis.readMarker = t.ts
 	}
 	if vis.writer != 0 && vis.writer != t.ts {
-		writer := m.txns[vis.writer]
+		writer := m.txn(vis.writer)
 		if writer == nil {
 			return nil, false, fmt.Errorf("mvtso: internal: version by unknown txn %d", vis.writer)
 		}
 		// Visible versions by aborted writers are removed eagerly; a
 		// finished writer is a legitimate dependency until the epoch ends.
-		t.deps[vis.writer] = struct{}{}
-		writer.dependents[t.ts] = struct{}{}
+		if !slices.Contains(t.deps, vis.writer) {
+			t.deps = append(t.deps, vis.writer)
+			writer.dependents = append(writer.dependents, t.ts)
+		}
 	}
 	if vis.absent || vis.tombstone {
 		return nil, false, nil
@@ -306,11 +344,7 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 	if err := m.reserveWriteLocked(key); err != nil {
 		return err
 	}
-	c := m.chains[key]
-	if c == nil {
-		c = &chain{}
-		m.chains[key] = c
-	}
+	c := m.chainLocked(key)
 	// Locate the insertion point and the predecessor version.
 	idx := sort.Search(len(c.versions), func(i int) bool {
 		return c.versions[i].writer >= t.ts
@@ -327,11 +361,10 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 		c.versions[idx].value = value
 		c.versions[idx].tombstone = tombstone
 		c.versions[idx].absent = false
-		t.writes[key] = struct{}{}
 		return nil
 	}
 	if idx > 0 {
-		pred := c.versions[idx-1]
+		pred := &c.versions[idx-1]
 		if pred.readMarker > t.ts {
 			// A later transaction already read the predecessor: writing now
 			// would invalidate that read. Timestamp-ordering abort.
@@ -340,11 +373,8 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 			return fmt.Errorf("%w: key %q read by txn %d after txn %d's visible version", ErrAborted, key, pred.readMarker, t.ts)
 		}
 	}
-	v := &version{writer: t.ts, value: value, tombstone: tombstone}
-	c.versions = append(c.versions, nil)
-	copy(c.versions[idx+1:], c.versions[idx:])
-	c.versions[idx] = v
-	t.writes[key] = struct{}{}
+	c.versions = slices.Insert(c.versions, idx, version{writer: t.ts, value: value, tombstone: tombstone})
+	t.writes = append(t.writes, key)
 	return nil
 }
 
@@ -384,21 +414,21 @@ func (m *Manager) abortLocked(t *Txn, reason string) {
 		return
 	}
 	t.status = StatusAborted
-	for key := range t.writes {
+	for _, key := range t.writes {
 		c := m.chains[key]
 		if c == nil {
 			continue
 		}
-		for i, v := range c.versions {
-			if v.writer == t.ts {
-				c.versions = append(c.versions[:i], c.versions[i+1:]...)
+		for i := range c.versions {
+			if c.versions[i].writer == t.ts {
+				c.versions = slices.Delete(c.versions, i, i+1)
 				break
 			}
 		}
 	}
 	// Cascade: anyone who read this transaction's writes must abort too.
-	for dep := range t.dependents {
-		if reader, ok := m.txns[dep]; ok && reader.status != StatusAborted {
+	for _, dep := range t.dependents {
+		if reader := m.txn(dep); reader != nil && reader.status != StatusAborted {
 			m.statCascadingAborts++
 			m.abortLocked(reader, "cascading")
 		}
@@ -444,8 +474,8 @@ func (m *Manager) FinalizeEpoch() Outcome {
 			if t.status != StatusFinished {
 				continue
 			}
-			for dep := range t.deps {
-				if d, ok := m.txns[dep]; !ok || d.status == StatusAborted {
+			for _, dep := range t.deps {
+				if d := m.txn(dep); d == nil || d.status == StatusAborted {
 					m.statCascadingAborts++
 					m.abortLocked(t, "dependency aborted")
 					changed = true
@@ -454,7 +484,16 @@ func (m *Manager) FinalizeEpoch() Outcome {
 			}
 		}
 	}
+	// Transactions are in timestamp order, so both lists come out sorted.
 	var out Outcome
+	finished := 0
+	for _, t := range m.txns {
+		if t.status == StatusFinished {
+			finished++
+		}
+	}
+	out.Committed = make([]Timestamp, 0, finished)
+	out.Aborted = make([]Timestamp, 0, len(m.txns)-finished)
 	for _, t := range m.txns {
 		switch t.status {
 		case StatusFinished:
@@ -464,35 +503,42 @@ func (m *Manager) FinalizeEpoch() Outcome {
 			out.Aborted = append(out.Aborted, t.ts)
 		}
 	}
-	sort.Slice(out.Committed, func(i, j int) bool { return out.Committed[i] < out.Committed[j] })
-	sort.Slice(out.Aborted, func(i, j int) bool { return out.Aborted[i] < out.Aborted[j] })
 	// Deduplicated write set: last version per key (aborted versions are
 	// already gone; remaining non-base versions belong to committed txns).
-	keys := make([]string, 0, len(m.chains))
-	for key := range m.chains {
-		keys = append(keys, key)
+	keys := m.keys[:0]
+	for key, c := range m.chains {
+		// Only the base version remaining means nothing to write back.
+		if n := len(c.versions); n > 0 && c.versions[n-1].writer != 0 {
+			keys = append(keys, key)
+		}
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	slices.Sort(keys)
+	out.Writes = make([]WriteSetEntry, len(keys))
+	for i, key := range keys {
 		c := m.chains[key]
-		if len(c.versions) == 0 {
-			continue
-		}
-		last := c.versions[len(c.versions)-1]
-		if last.writer == 0 {
-			continue // only the base version remains: nothing to write back
-		}
-		out.Writes = append(out.Writes, WriteSetEntry{
-			Key:       key,
-			Value:     last.value,
-			Tombstone: last.tombstone,
-		})
+		last := &c.versions[len(c.versions)-1]
+		out.Writes[i] = WriteSetEntry{Key: key, Value: last.value, Tombstone: last.tombstone}
 	}
-	// Reset for the next epoch.
-	m.chains = make(map[string]*chain)
-	m.txns = make(map[Timestamp]*Txn)
-	m.resetWriteBudgetLocked()
+	clear(keys)
+	m.keys = keys
+	m.resetLocked()
 	return out
+}
+
+// resetLocked opens the next epoch: empty version chains, no transactions, a
+// fresh write budget. The chains go back to their slab; the transactions stay
+// where their handles point, decided for good, holding nothing.
+func (m *Manager) resetLocked() {
+	for _, t := range m.txns {
+		t.deps, t.writes, t.dependents = nil, nil, nil
+	}
+	m.firstTS = m.nextTS + 1
+	clear(m.txns)
+	m.txns = m.txns[:0]
+	m.txnSlab.EndEpoch()
+	clear(m.chains)
+	m.chainSlab.Reset()
+	m.resetWriteBudgetLocked()
 }
 
 // AbortAll aborts every live transaction without committing anyone — the
@@ -502,15 +548,10 @@ func (m *Manager) AbortAll() []Timestamp {
 	defer m.mu.Unlock()
 	var aborted []Timestamp
 	for _, t := range m.txns {
-		if t.status != StatusCommitted {
-			m.abortLocked(t, "epoch abandoned")
-			aborted = append(aborted, t.ts)
-		}
+		m.abortLocked(t, "epoch abandoned")
+		aborted = append(aborted, t.ts)
 	}
-	m.chains = make(map[string]*chain)
-	m.txns = make(map[Timestamp]*Txn)
-	m.resetWriteBudgetLocked()
-	sort.Slice(aborted, func(i, j int) bool { return aborted[i] < aborted[j] })
+	m.resetLocked()
 	return aborted
 }
 

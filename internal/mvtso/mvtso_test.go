@@ -417,3 +417,57 @@ func must(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// TestEpochAllocBudget pins the epoch as the allocation unit: an epoch of 64
+// transactions shaped like the benchmark's (two fetched reads and one blind
+// write to distinct keys) costs a transaction chunk, the Outcome's three
+// slices and nothing per transaction, version or key.
+func TestEpochAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const txns, epochs = 64, 50
+	keys := make([]string, 3*txns)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+	}
+	value := []byte("value")
+	m := NewManager()
+	m.SetWriteBudget(1, txns, func(string) int { return 0 })
+	committed := 0
+	epoch := func() {
+		for i := 0; i < txns; i++ {
+			tx := m.Begin()
+			r0, r1, w := keys[3*i], keys[3*i+1], keys[3*i+2]
+			m.InstallBase(r0, value, true)
+			m.InstallBase(r1, value, i%2 == 0)
+			if _, _, err := tx.Read(r0); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := tx.Read(r1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write(w, value); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := m.FinalizeEpoch()
+		committed += len(out.Committed)
+		if len(out.Writes) != txns {
+			t.Fatalf("write set of %d keys, want %d", len(out.Writes), txns)
+		}
+	}
+	epoch() // grow the slabs and maps
+	epoch()
+	perEpoch := testing.AllocsPerRun(epochs, epoch)
+	t.Logf("%.1f allocations per epoch of %d transactions", perEpoch, txns)
+	if perTxn := perEpoch / txns; perTxn > 0.25 {
+		t.Errorf("%.3f allocations per transaction, budget 0.25", perTxn)
+	}
+	if committed != (epochs+3)*txns {
+		t.Fatalf("%d transactions committed, want %d", committed, (epochs+3)*txns)
+	}
+}

@@ -84,7 +84,7 @@ type Executor struct {
 	cfg   Config
 
 	epoch    uint64
-	buffered map[int]*bufferedBucket
+	buffered map[int]bufferedBucket
 	// sealed is the previous epoch's detached write-back set, retained so
 	// its buckets stay locally servable while (and after) a background
 	// committer flushes them. Written only by SealEpoch/ReleaseSealed,
@@ -122,10 +122,15 @@ type scatter struct {
 // so its pooled arena can be recycled if a later rewrite of the same bucket
 // supersedes it before the epoch flushes. Once flushed (or sealed and then
 // flushed) the arena's ownership passes to the store and it is never
-// recycled.
+// recycled. The epoch buffers hold it by value — a rewrite of a bucket the
+// epoch already rewrote reuses the map's slot — and a bucket an eviction has
+// claimed but not yet completed is the zero value.
 type bufferedBucket struct {
 	w ringoram.BucketWrite
 }
+
+// filled reports whether the rewrite's completion has run.
+func (b bufferedBucket) filled() bool { return b.w.Slots != nil }
 
 // residentBucket is the executor's copy of one upper-level bucket: the blocks
 // of its newest version, one frame each of a 2-byte physical slot number and
@@ -151,7 +156,7 @@ func residentBuckets(g ringoram.Geometry) int {
 // the epoch rewrote, deduplicated. It is immutable once sealed.
 type SealedEpoch struct {
 	epoch   uint64
-	buckets map[int]*bufferedBucket
+	buckets map[int]bufferedBucket
 }
 
 // Epoch returns the sealed epoch's number.
@@ -315,7 +320,7 @@ func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
 		oram:      oram,
 		store:     store,
 		cfg:       cfg,
-		buffered:  make(map[int]*bufferedBucket),
+		buffered:  make(map[int]bufferedBucket),
 		frameSize: 2 + oram.SlotSize(),
 		shape:     newLogShape(oram.Params(), oram.Geometry()),
 	}
@@ -498,7 +503,7 @@ func (e *Executor) claimBuckets(ep *ringoram.EvictPlan) {
 	}
 	for _, b := range ep.Buckets {
 		if _, ok := e.buffered[b]; !ok {
-			e.buffered[b] = nil // claimed; filled at completion
+			e.buffered[b] = bufferedBucket{} // claimed; filled at completion
 		}
 	}
 }
@@ -708,12 +713,12 @@ func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 				// A superseded version never reaches storage: its arena goes
 				// back to the pool. Completions apply in plan order, so any
 				// read planned against the old version already resolved.
-				if old := e.buffered[w.Bucket]; old != nil {
+				if old, ok := e.buffered[w.Bucket]; ok {
 					old.w.Recycle()
 				}
 				e.keepResident(w)
 				w.Real = nil // the plan's scratch; the buffer outlives it
-				e.buffered[w.Bucket] = &bufferedBucket{w: w}
+				e.buffered[w.Bucket] = bufferedBucket{w: w}
 			}
 		case e.cfg.ScalarIO:
 			for _, w := range writes {
@@ -833,10 +838,10 @@ func (e *Executor) localSlot(r ringoram.SlotRead) ([]byte, error) {
 		return nil, nil
 	}
 	b := e.buffered[r.Bucket]
-	if b == nil && e.sealed != nil {
+	if !b.filled() && e.sealed != nil {
 		b = e.sealed.buckets[r.Bucket]
 	}
-	if b == nil {
+	if !b.filled() {
 		return nil, fmt.Errorf("oramexec: bucket %d planned local but neither buffered nor sealed at completion", r.Bucket)
 	}
 	if r.Slot < 0 || r.Slot >= len(b.w.Slots) {
@@ -861,7 +866,7 @@ func (e *Executor) Flush() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.buffered = make(map[int]*bufferedBucket)
+	e.buffered = make(map[int]bufferedBucket)
 	return n, nil
 }
 
@@ -873,13 +878,15 @@ func (e *Executor) Flush() (int, error) {
 // planning or execution).
 func (e *Executor) SealEpoch() (*SealedEpoch, error) {
 	for b, buf := range e.buffered {
-		if buf == nil {
+		if !buf.filled() {
 			return nil, fmt.Errorf("oramexec: bucket %d claimed but never filled (incomplete epoch)", b)
 		}
 	}
 	s := &SealedEpoch{epoch: e.epoch, buckets: e.buffered}
 	e.sealed = s
-	e.buffered = make(map[int]*bufferedBucket)
+	// The schedule is public and fixed: the next epoch rewrites about as many
+	// buckets as this one.
+	e.buffered = make(map[int]bufferedBucket, len(s.buckets))
 	return s, nil
 }
 
@@ -903,13 +910,13 @@ func (e *Executor) ReleaseSealed(s *SealedEpoch) {
 	}
 }
 
-func (e *Executor) flushBuckets(epoch uint64, buckets map[int]*bufferedBucket) (int, error) {
+func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (int, error) {
 	if len(buckets) == 0 {
 		return 0, nil
 	}
 	writes := make([]storage.BucketWrite, 0, len(buckets))
 	for b, buf := range buckets {
-		if buf == nil {
+		if !buf.filled() {
 			return 0, fmt.Errorf("oramexec: bucket %d claimed but never filled (incomplete epoch)", b)
 		}
 		// Ownership of the slots (and their backing arena) transfers to the
@@ -978,11 +985,9 @@ func (e *Executor) DiscardBuffer() {
 	// recycle. Sealed buckets may already be (or be in the middle of) a
 	// background flush — their ownership is ambiguous, so they just drop.
 	for _, buf := range e.buffered {
-		if buf != nil {
-			buf.w.Recycle()
-		}
+		buf.w.Recycle()
 	}
-	e.buffered = make(map[int]*bufferedBucket)
+	e.buffered = make(map[int]bufferedBucket)
 	e.sealed = nil
 	e.dropResident()
 }

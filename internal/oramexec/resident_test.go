@@ -199,7 +199,7 @@ func TestResidentCopiesNeverAliasArenas(t *testing.T) {
 		runEpoch(t, h.exec, reads, writes)
 		for b := range h.exec.resident {
 			rb, buf := &h.exec.resident[b], h.exec.buffered[b]
-			if buf == nil {
+			if !buf.filled() {
 				continue
 			}
 			if len(buf.w.Slots) != p.Z || len(rb.frames) > p.Z {

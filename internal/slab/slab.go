@@ -1,0 +1,90 @@
+// Package slab hands out objects whose lifetime an epoch bounds, many to an
+// allocation. Which of the two types fits is decided by one rule: does a
+// pointer to the object escape to a client?
+//
+// If it does (a transaction or future handle), the object comes from a
+// Chunked: chunks are allocated one at a time and never reused, so a handle
+// kept past its epoch can never alias a later object — the garbage collector
+// frees a chunk when the last handle into it goes.
+//
+// If it does not (version chains, fetch queues, write-back buffers), the
+// object comes from a Reused: Reset zeroes what was handed out and hands the
+// same memory out again.
+//
+// Neither type is safe for concurrent use; the owner's lock guards it.
+package slab
+
+const (
+	minChunk = 16
+	maxChunk = 4096
+)
+
+func clampChunk(n int) int {
+	return min(max(n, minChunk), maxChunk)
+}
+
+// Chunked allocates chunks and abandons them to the garbage collector.
+type Chunked[T any] struct {
+	free []T // unused tail of the newest chunk
+	n    int // handed out since the last EndEpoch
+	size int // the next chunk's length
+}
+
+// New returns a zero T.
+func (c *Chunked[T]) New() *T {
+	if len(c.free) == 0 {
+		c.free = make([]T, clampChunk(c.size))
+	}
+	p := &c.free[0]
+	c.free = c.free[1:]
+	c.n++
+	return p
+}
+
+// EndEpoch sizes the chunks to come after the epoch that just ended: about
+// one allocation an epoch, however many objects an epoch needs.
+func (c *Chunked[T]) EndEpoch() {
+	c.size, c.n = c.n, 0
+}
+
+// Reused allocates chunks and keeps them.
+type Reused[T any] struct {
+	chunks [][]T
+	ci, i  int // next free: chunks[ci][i]
+}
+
+// New returns a zero T, valid until Reset.
+func (r *Reused[T]) New() *T {
+	if r.ci < len(r.chunks) && r.i == len(r.chunks[r.ci]) {
+		r.ci, r.i = r.ci+1, 0
+	}
+	if r.ci == len(r.chunks) {
+		// Double the slab: a steady epoch allocates nothing.
+		r.chunks = append(r.chunks, make([]T, clampChunk(r.Len())))
+	}
+	p := &r.chunks[r.ci][r.i]
+	r.i++
+	return p
+}
+
+// Len reports how many objects are handed out.
+func (r *Reused[T]) Len() int {
+	n := r.i
+	for _, c := range r.chunks[:r.ci] {
+		n += len(c)
+	}
+	return n
+}
+
+// Reset takes every object back, zeroing it so nothing it pointed at stays
+// reachable.
+func (r *Reused[T]) Reset() {
+	for k := 0; k <= r.ci && k < len(r.chunks); k++ {
+		c := r.chunks[k]
+		if k == r.ci {
+			c = c[:r.i]
+		}
+		clear(c)
+	}
+	r.ci, r.i = 0, 0
+}

@@ -657,6 +657,14 @@ func (c *Client) fail(err error) {
 // keeps) and then releases it. The request payload is fully consumed before
 // call returns, so callers may recycle its backing immediately.
 func (c *Client) call(op wireOp, payload []byte) (response, error) {
+	return c.callPrefixed(op, nil, payload)
+}
+
+// callPrefixed is call with the request payload in two parts, pre‖payload. pre
+// (at most 4 bytes) travels in the frame header's buffer, so a request that is
+// one length-prefixed field — Append's record — is sent from where it lies
+// instead of being copied behind its length.
+func (c *Client) callPrefixed(op wireOp, pre, payload []byte) (response, error) {
 	ch := replyChanPool.Get().(chan response)
 	c.mu.Lock()
 	if c.closed {
@@ -676,21 +684,23 @@ func (c *Client) call(op wireOp, payload []byte) (response, error) {
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	if len(payload)+9 > maxFrame {
+	n := len(pre) + len(payload)
+	if n+9 > maxFrame {
 		// Refuse rather than send: the server would reject the frame and
 		// kill the connection; a u32 header could even wrap past 4 GiB.
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return response{}, fmt.Errorf("storage: request of %d bytes exceeds frame limit", len(payload))
+		return response{}, fmt.Errorf("storage: request of %d bytes exceeds frame limit", n)
 	}
-	var hdr [13]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(9+len(payload)))
+	var hdr [17]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(9+n))
 	hdr[4] = byte(op)
 	binary.BigEndian.PutUint64(hdr[5:13], id)
+	copy(hdr[13:], pre)
 
 	c.wmu.Lock()
-	_, err := c.w.Write(hdr[:])
+	_, err := c.w.Write(hdr[:13+len(pre)])
 	if err == nil {
 		_, err = c.w.Write(payload)
 	}
@@ -745,7 +755,11 @@ func (c *Client) AcquireFence() (Backend, uint64, error) {
 
 // callForU64 performs an op whose reply is one u64.
 func (c *Client) callForU64(op wireOp, payload []byte) (uint64, error) {
-	resp, err := c.call(op, payload)
+	return u64Reply(c.call(op, payload))
+}
+
+// u64Reply decodes a reply that is one u64.
+func u64Reply(resp response, err error) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
@@ -956,9 +970,9 @@ func (c *Client) Delete(key string) error {
 }
 
 func (c *Client) Append(record []byte) (uint64, error) {
-	var enc encoder
-	enc.bytes(record)
-	return c.callForU64(wireLogAppend, enc.buf)
+	var pre [4]byte
+	binary.BigEndian.PutUint32(pre[:], uint32(len(record)))
+	return u64Reply(c.callPrefixed(wireLogAppend, pre[:], record))
 }
 
 func (c *Client) Scan(from uint64) ([][]byte, error) {

@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -312,5 +315,81 @@ func TestRemoteWritesDoNotAliasPooledFrames(t *testing.T) {
 		if !bytes.Equal(got[k], slot(r.Bucket, r.Slot)) {
 			t.Fatalf("bucket %d slot %d changed under later traffic: a pooled frame is aliased", r.Bucket, r.Slot)
 		}
+	}
+}
+
+// TestClientAppendSendsRecordInPlace pins the append path's request: the frame
+// on the wire is the one the copying encoder built — header, then the record
+// behind its 4-byte length — and the client builds it without a buffer of the
+// record's size. The peer is a frame reader with preallocated buffers, so what
+// the process allocates during a call is the client's; a real server's round
+// trip follows.
+func TestClientAppendSendsRecordInPlace(t *testing.T) {
+	record := bytes.Repeat([]byte{0xa5, 0x5a, 0x3c}, 64<<10/3)
+	cliConn, srvConn := net.Pipe()
+	c := &Client{conn: cliConn, w: bufio.NewWriterSize(cliConn, 1<<16), pending: make(map[uint64]chan response)}
+	go c.readLoop()
+	defer c.Close()
+
+	frame := make([]byte, 4+9+4+len(record))
+	reply := make([]byte, 4+9+8)
+	binary.BigEndian.PutUint32(reply, 9+8)
+	reply[4] = statusOK
+	peerErr := make(chan error, 1)
+	go func() {
+		defer srvConn.Close()
+		for seq := uint64(1); ; seq++ {
+			if _, err := io.ReadFull(srvConn, frame); err != nil {
+				peerErr <- err
+				return
+			}
+			copy(reply[5:13], frame[5:13]) // request ID
+			binary.BigEndian.PutUint64(reply[13:], seq)
+			if _, err := srvConn.Write(reply); err != nil {
+				peerErr <- err
+				return
+			}
+		}
+	}()
+	seq, err := c.Append(record)
+	if err != nil || seq != 1 {
+		t.Fatalf("Append = %d, %v", seq, err)
+	}
+	var enc encoder // the encoding Append sent before it stopped copying
+	enc.u32(uint32(9 + 4 + len(record)))
+	enc.u8(uint8(wireLogAppend))
+	enc.u64(1)
+	enc.bytes(record)
+	if !bytes.Equal(frame, enc.buf) {
+		t.Fatal("append frame differs from the copying encoder's")
+	}
+
+	const runs = 50
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := c.Append(record); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&m1)
+	perCall := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1)
+	t.Logf("Append of %d bytes: %.1f allocations, %d bytes allocated per call", len(record), allocs, perCall)
+	if perCall >= 1<<10 {
+		t.Errorf("%d bytes allocated per %d-byte Append: the record is copied again", perCall, len(record))
+	}
+	select {
+	case err := <-peerErr:
+		t.Fatalf("peer: %v", err)
+	default:
+	}
+
+	rc, _ := newRemotePair(t, 4)
+	if seq, err := rc.Append(record); err != nil || seq != 1 {
+		t.Fatalf("Append to a server = %d, %v", seq, err)
+	}
+	got, err := rc.Scan(0)
+	if err != nil || len(got) != 1 || !bytes.Equal(got[0], record) {
+		t.Fatalf("Scan returned %d records, err %v; want the appended one", len(got), err)
 	}
 }

@@ -95,12 +95,6 @@ type Options struct {
 	// epoch's batches start, instead of overlapping them. Slower on
 	// high-latency storage; useful as an ablation baseline.
 	SyncEpochBoundary bool
-	// DisableAdmission turns off the overload-control admission gate: reads
-	// past the epoch's remaining batch-slot budget queue unboundedly and
-	// abort at the seal instead of shedding immediately with a retryable
-	// ErrShed. Useful only as an ablation baseline; see DESIGN.md
-	// ("Overload and admission control").
-	DisableAdmission bool
 
 	// Z, S, A tune the Ring ORAM (reals/dummies per bucket, eviction
 	// rate). Zero selects 8/12/8, suitable for small stores; the paper's
@@ -253,7 +247,6 @@ func coreConfig(opt Options, params ringoram.Params, key *cryptoutil.Key) core.C
 		WriteBatchSize:      opt.WriteBatchSize,
 		BatchInterval:       opt.BatchInterval,
 		EagerBatches:        opt.EagerBatches,
-		DisableAdmission:    opt.DisableAdmission,
 		Boundary:            boundaryMode(opt),
 		Parallelism:         opt.Parallelism,
 		DisableDurability:   opt.DisableDurability,
