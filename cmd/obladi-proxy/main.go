@@ -1,24 +1,10 @@
 // Command obladi-proxy runs the trusted Obladi proxy, connecting on-site
-// clients to an (untrusted) obladi-storage server. Clients speak one of the
-// two protocols of internal/clientproto over the same port, auto-detected
-// per connection from its first byte:
-//
-// The multiplexed v2 protocol (clientproto.DialMux) — a length-prefixed
-// binary framing that carries many concurrent transaction sessions per
-// connection and pipelines requests without waiting for replies. This is
-// what applications and the `client` benchmark should use.
-//
-// The legacy line protocol — one transaction session per connection, one
-// synchronous round trip per command:
-//
-//	BEGIN
-//	READ <key>
-//	WRITE <key> <hex-value>
-//	DELETE <key>
-//	COMMIT
-//	ABORT
-//
-// Responses are single lines: OK [hex-value|NONE] or ERR <message>.
+// clients to an (untrusted) obladi-storage server. Clients speak the
+// multiplexed protocol of internal/clientproto (clientproto.DialMux): a
+// length-prefixed binary framing that carries many concurrent transaction
+// sessions per connection and pipelines requests without waiting for
+// replies. A connection that does not open with the protocol's magic is
+// closed.
 //
 // Usage:
 //

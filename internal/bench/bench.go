@@ -114,7 +114,6 @@ var experiments = []struct {
 	{"shards", "aggregate throughput vs shard count (beyond the paper: sharded proxy)", ShardScale},
 	{"pipeline", "epoch-boundary pipelining: synchronous vs overlapped commit stage (beyond the paper)", Pipeline},
 	{"vector", "scatter-gather storage I/O vs scalar call-per-slot baseline (beyond the paper)", Vector},
-	{"client", "client plane: line vs multiplexed wire protocol at fixed connection counts (beyond the paper)", ClientPlane},
 	{"disk", "durable disk backend vs in-memory store, scalar vs vectored I/O, plus 2-shard group commit (beyond the paper)", Disk},
 	{"recovery", "crash-recovery time: serial vs parallel segment replay at 1/2/4 workers (beyond the paper)", Recovery},
 	{"hotpath", "proxy CPU hot path: executor slot pipeline and single-shard mem throughput, with allocs/slot (beyond the paper)", HotPath},

@@ -15,8 +15,8 @@ func quickCfg() Config {
 
 func TestNamesAndDescribe(t *testing.T) {
 	names := Names()
-	if len(names) != 19 {
-		t.Fatalf("expected 19 experiments (every table and figure, plus shards, pipeline, vector, client, disk, recovery, hotpath, failover and scale), got %d: %v", len(names), names)
+	if len(names) != 18 {
+		t.Fatalf("expected 18 experiments (every table and figure, plus shards, pipeline, vector, disk, recovery, hotpath, failover and scale), got %d: %v", len(names), names)
 	}
 	for _, n := range names {
 		if Describe(n) == "" {

@@ -2,8 +2,6 @@ package clientproto_test
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 
 	"obladi/internal/clientproto"
@@ -15,10 +13,10 @@ import (
 )
 
 // TestBoundaryWindowOnTheWire pins how a read that misses its epoch's last
-// read batch looks to clients of both protocols: the server holds it until
-// the next epoch opens and then answers with the boundary-window refusal —
-// its own mux error code and its own line reply — never with an overload
-// shed, so clients retry at once instead of backing off.
+// read batch looks to a client: the server holds it until the next epoch
+// opens and then answers with the boundary-window refusal — its own error
+// code — never with an overload shed, so clients retry at once instead of
+// backing off.
 func TestBoundaryWindowOnTheWire(t *testing.T) {
 	cfg := core.Config{
 		Params:        ringoram.Params{NumBlocks: 64, Z: 4, S: 6, A: 4, KeySize: 24, ValueSize: 32, Seed: 5},
@@ -44,17 +42,6 @@ func TestBoundaryWindowOnTheWire(t *testing.T) {
 		}
 	}
 
-	line := dialRawLine(t, srv.Addr())
-	if resp := line.roundTrip(t, "BEGIN"); resp != "OK" {
-		t.Fatalf("begin: %q", resp)
-	}
-	lineReply := make(chan string, 1)
-	go func() {
-		fmt.Fprintf(line.conn, "READ late-line\n")
-		resp, _ := line.r.ReadString('\n') // an empty reply fails the check below
-		lineReply <- strings.TrimSpace(resp)
-	}()
-
 	mc, err := clientproto.DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +53,9 @@ func TestBoundaryWindowOnTheWire(t *testing.T) {
 		muxErr <- err
 	}()
 
-	waitFor(t, func() bool { return p.Stats().BoundaryReads == 2 })
+	waitFor(t, func() bool { return p.Stats().BoundaryReads == 1 })
 	if err := p.Advance(); err != nil { // the seal opens the next epoch
 		t.Fatal(err)
-	}
-	if resp := <-lineReply; !strings.HasPrefix(resp, "ERR ") || !strings.Contains(resp, "boundary window") {
-		t.Fatalf("line reply %q, want an ERR naming the boundary window", resp)
 	}
 	err = <-muxErr
 	if !errors.Is(err, core.ErrBoundaryWindow) || !errors.Is(err, kvtxn.ErrAborted) {

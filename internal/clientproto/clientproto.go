@@ -1,39 +1,22 @@
-// Package clientproto implements the wire protocols between on-site
-// application clients and the Obladi proxy (cmd/obladi-proxy). Two protocols
-// share one port, distinguished by the connection's first byte:
-//
-// The v2 protocol (DialMux/MuxClient) is a length-prefixed binary framing
-// that multiplexes many concurrent transaction sessions over one connection
-// and pipelines requests without waiting for replies; it opens with a
-// NUL-led magic. See frame.go for the frame format and mux.go/muxclient.go
-// for the server and client halves.
-//
-// The legacy line protocol carries one transaction session at a time per
-// connection, one synchronous round trip per command:
-//
-//	BEGIN                     -> OK
-//	READ <key>                -> OK <hex-value> | OK NONE
-//	WRITE <key> <hex-value>   -> OK
-//	DELETE <key>              -> OK
-//	COMMIT                    -> OK          (durably committed)
-//	ABORT                     -> OK
-//
-// Errors answer ERR <message>; a transaction-fatal error (abort) also closes
-// the session's transaction. No line-protocol command starts with a NUL
-// byte, which is what makes the first-byte auto-detect unambiguous.
+// Package clientproto implements the wire protocol between on-site
+// application clients and the Obladi proxy (cmd/obladi-proxy): a
+// length-prefixed binary framing that multiplexes many concurrent transaction
+// sessions over one TCP connection and pipelines requests without waiting for
+// replies. A connection opens with a 4-byte magic; the server closes one that
+// does not. See frame.go for the frame format and mux.go/muxclient.go for the
+// server and client halves.
 package clientproto
 
 import (
 	"bufio"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"obladi/internal/kvtxn"
+	"obladi/internal/slab"
 )
 
 // ServerOptions bounds a server's per-connection resources. The zero value
@@ -71,8 +54,7 @@ type ServerStats struct {
 	ShedSessions uint64
 }
 
-// Server serves both client protocols over a kvtxn.DB, auto-detecting per
-// connection.
+// Server serves the client protocol over a kvtxn.DB.
 type Server struct {
 	db  kvtxn.DB
 	ln  net.Listener
@@ -174,201 +156,28 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serve sniffs the connection's first byte and dispatches to the v2
-// multiplexed protocol (NUL magic) or the legacy line protocol.
+// serve checks the connection's magic and serves it; a connection that opens
+// with anything else is closed without a reply.
 func (s *Server) serve(conn net.Conn) {
 	r := bufio.NewReader(conn)
-	first, err := r.Peek(1)
-	if err != nil {
+	var magic [len(muxMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != muxMagic {
 		conn.Close()
 		return
 	}
-	if first[0] == muxMagic[0] {
-		magic := make([]byte, len(muxMagic))
-		if _, err := io.ReadFull(r, magic); err != nil || string(magic) != muxMagic {
-			conn.Close()
-			return
-		}
-		s.serveMux(conn, r)
-		return
-	}
-	s.serveLine(conn, r)
+	s.serveMux(conn, r)
 }
 
-// oneLine flattens an error message onto a single line: wrapped aborts carry
-// errors.Join chains whose Error() contains newlines, which would split one
-// protocol reply into several and desynchronize the session.
-func oneLine(err error) string {
-	return strings.ReplaceAll(err.Error(), "\n", "; ")
+// carver copies values out of pooled frames into memory their new owner
+// keeps: a slab.Bytes behind its own lock, since a connection's sessions (or
+// a client's futures) copy from many goroutines at once.
+type carver struct {
+	mu sync.Mutex
+	b  slab.Bytes
 }
 
-// serveLine handles one legacy line-protocol session.
-func (s *Server) serveLine(conn net.Conn, r *bufio.Reader) {
-	defer conn.Close()
-	sc := bufio.NewScanner(r)
-	w := bufio.NewWriter(conn)
-	var tx kvtxn.Txn
-	defer func() {
-		if tx != nil {
-			tx.Abort()
-		}
-	}()
-	reply := func(format string, args ...interface{}) bool {
-		if _, err := fmt.Fprintf(w, format+"\n", args...); err != nil {
-			return false
-		}
-		return w.Flush() == nil
-	}
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		ok := true
-		switch cmd := strings.ToUpper(fields[0]); {
-		case cmd == "BEGIN":
-			if tx != nil {
-				ok = reply("ERR transaction already open")
-				break
-			}
-			tx = s.db.Begin()
-			ok = reply("OK")
-		case tx == nil:
-			ok = reply("ERR no transaction (BEGIN first)")
-		case cmd == "READ" && len(fields) == 2:
-			v, found, err := tx.Read(fields[1])
-			switch {
-			case err != nil:
-				tx.Abort()
-				tx = nil
-				ok = reply("ERR %v", oneLine(err))
-			case !found:
-				ok = reply("OK NONE")
-			default:
-				ok = reply("OK %s", hex.EncodeToString(v))
-			}
-		case cmd == "WRITE" && len(fields) == 3:
-			v, err := hex.DecodeString(fields[2])
-			if err != nil {
-				ok = reply("ERR bad hex value")
-				break
-			}
-			if err := tx.Write(fields[1], v); err != nil {
-				tx.Abort()
-				tx = nil
-				ok = reply("ERR %v", oneLine(err))
-				break
-			}
-			ok = reply("OK")
-		case cmd == "DELETE" && len(fields) == 2:
-			if err := tx.Delete(fields[1]); err != nil {
-				tx.Abort()
-				tx = nil
-				ok = reply("ERR %v", oneLine(err))
-				break
-			}
-			ok = reply("OK")
-		case cmd == "COMMIT":
-			err := tx.Commit()
-			tx = nil
-			if err != nil {
-				ok = reply("ERR %v", oneLine(err))
-			} else {
-				ok = reply("OK")
-			}
-		case cmd == "ABORT":
-			tx.Abort()
-			tx = nil
-			ok = reply("OK")
-		default:
-			ok = reply("ERR unknown command %q", fields[0])
-		}
-		if !ok {
-			return
-		}
-	}
-}
-
-// Client is a convenience client for the line protocol (used by tests and
-// tools; applications embed the library instead).
-type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-}
-
-// DialClient connects to a proxy server.
-func DialClient(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// roundTrip sends one command line and parses the reply.
-func (c *Client) roundTrip(line string) (string, error) {
-	if _, err := fmt.Fprintf(c.conn, "%s\n", line); err != nil {
-		return "", err
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	resp = strings.TrimSpace(resp)
-	if strings.HasPrefix(resp, "ERR ") {
-		return "", fmt.Errorf("clientproto: %s", resp[4:])
-	}
-	if resp == "OK" {
-		return "", nil
-	}
-	if strings.HasPrefix(resp, "OK ") {
-		return resp[3:], nil
-	}
-	return "", fmt.Errorf("clientproto: malformed reply %q", resp)
-}
-
-// Begin starts a transaction on this connection.
-func (c *Client) Begin() error {
-	_, err := c.roundTrip("BEGIN")
-	return err
-}
-
-// Read fetches a key.
-func (c *Client) Read(key string) ([]byte, bool, error) {
-	resp, err := c.roundTrip("READ " + key)
-	if err != nil {
-		return nil, false, err
-	}
-	if resp == "NONE" {
-		return nil, false, nil
-	}
-	v, err := hex.DecodeString(resp)
-	return v, err == nil, err
-}
-
-// Write stores a key.
-func (c *Client) Write(key string, value []byte) error {
-	_, err := c.roundTrip(fmt.Sprintf("WRITE %s %s", key, hex.EncodeToString(value)))
-	return err
-}
-
-// Delete removes a key.
-func (c *Client) Delete(key string) error {
-	_, err := c.roundTrip("DELETE " + key)
-	return err
-}
-
-// Commit commits the open transaction.
-func (c *Client) Commit() error {
-	_, err := c.roundTrip("COMMIT")
-	return err
-}
-
-// Abort aborts the open transaction.
-func (c *Client) Abort() error {
-	_, err := c.roundTrip("ABORT")
-	return err
+func (c *carver) copy(v []byte) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.b.Copy(v)
 }

@@ -1,8 +1,9 @@
 package clientproto_test
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -10,11 +11,12 @@ import (
 
 	"obladi/internal/clientproto"
 	"obladi/internal/enginetest"
+	"obladi/internal/kvtxn"
 )
 
 // newStack builds a full stack: Obladi proxy over checked storage, served
-// through the client protocol.
-func newStack(t *testing.T) *clientproto.Client {
+// through the client protocol, and a client connected to it.
+func newStack(t *testing.T) *clientproto.MuxClient {
 	return newShardedStack(t, 1)
 }
 
@@ -40,10 +42,10 @@ func newServer(t *testing.T, shards int) *clientproto.Server {
 }
 
 // newShardedStack is newStack over a hash-partitioned proxy.
-func newShardedStack(t *testing.T, shards int) *clientproto.Client {
+func newShardedStack(t *testing.T, shards int) *clientproto.MuxClient {
 	t.Helper()
 	srv := newServer(t, shards)
-	c, err := clientproto.DialClient(srv.Addr())
+	c, err := clientproto.DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,197 +53,214 @@ func newShardedStack(t *testing.T, shards int) *clientproto.Client {
 	return c
 }
 
-// rawLineConn dials the server and speaks the line protocol by hand, for
-// tests that need to send malformed commands the Client cannot produce.
-type rawLineConn struct {
+// Frame kinds and reply codes, as the wire carries them.
+const (
+	kindBegin  = 1
+	kindRead   = 2
+	kindWrite  = 3
+	kindDelete = 4
+	kindCommit = 5
+	kindAbort  = 6
+	kindOK     = 0x80
+	kindErr    = 0x81
+)
+
+// rawConn speaks the protocol by hand, for tests that need frames a
+// MuxClient cannot produce.
+type rawConn struct {
+	t    *testing.T
 	conn net.Conn
-	r    *bufio.Reader
 }
 
-func dialRawLine(t *testing.T, addr string) *rawLineConn {
+// dialRaw connects and sends the magic.
+func dialRaw(t *testing.T, addr string) *rawConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &rawLineConn{conn: conn, r: bufio.NewReader(conn)}
-}
-
-// roundTrip sends one command line and returns the raw reply line.
-func (c *rawLineConn) roundTrip(t *testing.T, line string) string {
-	t.Helper()
-	if _, err := fmt.Fprintf(c.conn, "%s\n", line); err != nil {
+	if _, err := conn.Write([]byte("\x00OB2")); err != nil {
 		t.Fatal(err)
 	}
+	return &rawConn{t: t, conn: conn}
+}
+
+func (c *rawConn) send(kind byte, session, req uint32, payload []byte) {
+	c.t.Helper()
+	buf := binary.BigEndian.AppendUint32(nil, uint32(9+len(payload)))
+	buf = append(buf, kind)
+	buf = binary.BigEndian.AppendUint32(buf, session)
+	buf = binary.BigEndian.AppendUint32(buf, req)
+	if _, err := c.conn.Write(append(buf, payload...)); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+func (c *rawConn) recv() (kind byte, session, req uint32, payload []byte) {
+	c.t.Helper()
 	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
+	hdr := make([]byte, 4)
+	if _, err := io.ReadFull(c.conn, hdr); err != nil {
+		c.t.Fatal(err)
 	}
-	return strings.TrimSpace(resp)
+	body := make([]byte, binary.BigEndian.Uint32(hdr))
+	if _, err := io.ReadFull(c.conn, body); err != nil {
+		c.t.Fatal(err)
+	}
+	return body[0], binary.BigEndian.Uint32(body[1:5]), binary.BigEndian.Uint32(body[5:9]), body[9:]
 }
 
-// TestProtocolShardedStack drives the full wire protocol against a 4-shard
-// proxy: one session's transaction spans every shard.
+// writePayload is a WRITE frame's payload: klen(u32) | key | value.
+func writePayload(key string, value []byte) []byte {
+	return append(append(binary.BigEndian.AppendUint32(nil, uint32(len(key))), key...), value...)
+}
+
+// TestProtocolShardedStack drives the wire protocol against a 4-shard proxy:
+// one session's transaction spans every shard.
 func TestProtocolShardedStack(t *testing.T) {
-	c := newShardedStack(t, 4)
-	must(t, c.Begin())
-	for i := 0; i < 16; i++ {
-		must(t, c.Write(fmt.Sprintf("shard-key-%d", i), []byte{byte(i)}))
-	}
-	must(t, c.Commit())
+	db := clientproto.MuxDB{C: newShardedStack(t, 4)}
+	must(t, kvtxn.RunWithRetries(db, 10, func(tx kvtxn.Txn) error {
+		for i := 0; i < 16; i++ {
+			if err := tx.Write(fmt.Sprintf("shard-key-%d", i), []byte{byte(i)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}))
 	// Dependent reads cost one batch each, so read back one key per
 	// transaction rather than all sixteen in one epoch. A read landing on an
-	// epoch boundary aborts by fate sharing; retry like a real client.
+	// epoch boundary aborts by fate sharing; the retries are a real client's.
 	for i := 0; i < 16; i++ {
 		key := fmt.Sprintf("shard-key-%d", i)
-		ok := false
-		for attempt := 0; attempt < 10 && !ok; attempt++ {
-			must(t, c.Begin())
-			v, found, err := c.Read(key)
+		must(t, kvtxn.RunWithRetries(db, 10, func(tx kvtxn.Txn) error {
+			v, found, err := tx.Read(key)
 			if err != nil {
-				c.Abort()
-				continue
+				return err
 			}
 			if !found || len(v) != 1 || v[0] != byte(i) {
 				t.Fatalf("%s: %v %v", key, v, found)
 			}
-			must(t, c.Abort())
-			ok = true
-		}
-		if !ok {
-			t.Fatalf("%s: aborted on every attempt", key)
-		}
+			return nil
+		}))
 	}
 }
 
 func TestProtocolRoundTrip(t *testing.T) {
-	c := newStack(t)
-	must(t, c.Begin())
-	must(t, c.Write("hello", []byte("world")))
-	v, found, err := c.Read("hello")
-	if err != nil || !found || string(v) != "world" {
-		t.Fatalf("read own write: %q %v %v", v, found, err)
-	}
-	must(t, c.Commit())
-
-	must(t, c.Begin())
-	v, found, err = c.Read("hello")
-	if err != nil || !found || string(v) != "world" {
-		t.Fatalf("read after commit: %q %v %v", v, found, err)
-	}
-	_, found, err = c.Read("absent")
-	if err != nil || found {
-		t.Fatalf("absent key: %v %v", found, err)
-	}
-	must(t, c.Delete("hello"))
-	must(t, c.Commit())
-
-	must(t, c.Begin())
-	_, found, err = c.Read("hello")
-	if err != nil || found {
-		t.Fatalf("deleted key visible: %v %v", found, err)
-	}
-	must(t, c.Abort())
+	db := clientproto.MuxDB{C: newStack(t)}
+	must(t, kvtxn.RunWithRetries(db, 10, func(tx kvtxn.Txn) error {
+		if err := tx.Write("hello", []byte("world")); err != nil {
+			return err
+		}
+		v, found, err := tx.Read("hello")
+		if err == nil && (!found || string(v) != "world") {
+			t.Fatalf("read own write: %q %v", v, found)
+		}
+		return err
+	}))
+	must(t, kvtxn.RunWithRetries(db, 10, func(tx kvtxn.Txn) error {
+		v, found, err := tx.Read("hello")
+		if err != nil {
+			return err
+		}
+		if !found || string(v) != "world" {
+			t.Fatalf("read after commit: %q %v", v, found)
+		}
+		if _, found, err = tx.Read("absent"); err != nil {
+			return err
+		}
+		if found {
+			t.Fatal("absent key found")
+		}
+		return tx.Delete("hello")
+	}))
+	must(t, kvtxn.RunWithRetries(db, 10, func(tx kvtxn.Txn) error {
+		_, found, err := tx.Read("hello")
+		if err == nil && found {
+			t.Fatal("deleted key visible")
+		}
+		return err
+	}))
 }
 
+// TestProtocolErrors sends what a MuxClient never would: an op on a session
+// that was never opened, a double BEGIN, an unknown frame kind and a WRITE
+// whose key length runs past its frame. Each gets an error reply, the
+// malformed WRITE aborts its session, and the connection stays in sync.
 func TestProtocolErrors(t *testing.T) {
-	srv := newServer(t, 1)
-	raw := dialRawLine(t, srv.Addr())
-	// Command before BEGIN.
-	if resp := raw.roundTrip(t, "READ x"); !strings.Contains(resp, "no transaction") {
-		t.Fatalf("read without txn: %q", resp)
+	raw := dialRaw(t, newServer(t, 1).Addr())
+	expect := func(what string, wantKind byte, req uint32) string {
+		t.Helper()
+		kind, session, gotReq, payload := raw.recv()
+		if kind != wantKind || session != 1 || gotReq != req {
+			t.Fatalf("%s: kind=%#x session=%d req=%d %q, want kind %#x for req %d", what, kind, session, gotReq, payload, wantKind, req)
+		}
+		return string(payload)
 	}
-	if resp := raw.roundTrip(t, "BEGIN"); resp != "OK" {
-		t.Fatalf("begin: %q", resp)
+	raw.send(kindRead, 1, 1, []byte("x"))
+	if msg := expect("read without a session", kindErr, 1); !strings.Contains(msg, "no such session") {
+		t.Fatalf("read without a session: %q", msg)
 	}
-	if resp := raw.roundTrip(t, "BEGIN"); !strings.HasPrefix(resp, "ERR") {
-		t.Fatalf("double BEGIN accepted: %q", resp)
+	raw.send(kindBegin, 1, 2, nil)
+	expect("begin", kindOK, 2)
+	raw.send(kindBegin, 1, 3, nil)
+	expect("double begin", kindErr, 3)
+	raw.send(0x42, 1, 4, nil)
+	if msg := expect("unknown kind", kindErr, 4); !strings.Contains(msg, "unknown frame kind") {
+		t.Fatalf("unknown kind: %q", msg)
 	}
-	// Bad hex.
-	if resp := raw.roundTrip(t, "WRITE k zzzz"); !strings.HasPrefix(resp, "ERR") {
-		t.Fatalf("bad hex accepted: %q", resp)
+	raw.send(kindWrite, 1, 5, binary.BigEndian.AppendUint32(nil, 1000))
+	expect("malformed write", kindErr, 5)
+	raw.send(kindRead, 1, 6, []byte("x"))
+	if msg := expect("read after a refused write", kindErr, 6); !strings.Contains(msg, "aborted at a refused write") {
+		t.Fatalf("read after a refused write: %q", msg)
 	}
-	// Unknown command.
-	if resp := raw.roundTrip(t, "FROB k"); !strings.HasPrefix(resp, "ERR") {
-		t.Fatalf("unknown command accepted: %q", resp)
-	}
-	if resp := raw.roundTrip(t, "ABORT"); resp != "OK" {
-		t.Fatalf("abort: %q", resp)
-	}
+	raw.send(kindAbort, 1, 7, nil)
+	expect("abort", kindOK, 7)
 }
 
 func TestProtocolAbortDiscards(t *testing.T) {
-	c := newStack(t)
-	must(t, c.Begin())
-	must(t, c.Write("tmp", []byte("x")))
-	must(t, c.Abort())
-	must(t, c.Begin())
-	_, found, err := c.Read("tmp")
-	if err != nil || found {
-		t.Fatalf("aborted write visible: %v %v", found, err)
-	}
-	must(t, c.Abort())
+	mc := newStack(t)
+	tx := mc.Begin()
+	must(t, tx.Write("tmp", []byte("x")))
+	tx.Abort()
+	must(t, kvtxn.RunWithRetries(clientproto.MuxDB{C: mc}, 10, func(tx kvtxn.Txn) error {
+		_, found, err := tx.Read("tmp")
+		if err == nil && found {
+			t.Fatal("aborted write visible")
+		}
+		return err
+	}))
 }
 
+// TestProtocolConcurrentSessions commits from two connections and reads both
+// writes back from one.
 func TestProtocolConcurrentSessions(t *testing.T) {
 	srv := newServer(t, 1)
-	c1, err := clientproto.DialClient(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := clientproto.DialClient(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	// Each session commits with retries: a session that lingers across an
-	// epoch boundary without requesting commit aborts by design (epoch
-	// fate sharing), so interactive clients always retry.
-	commitKV := func(c *clientproto.Client, k, v string) {
-		t.Helper()
-		for attempt := 0; attempt < 10; attempt++ {
-			if err := c.Begin(); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Write(k, []byte(v)); err != nil {
-				continue
-			}
-			if err := c.Commit(); err == nil {
-				return
-			}
-		}
-		t.Fatalf("could not commit %s", k)
-	}
-	commitKV(c1, "a", "1")
-	commitKV(c2, "b", "2")
-
-	// Interactive sessions straddle epochs and may abort; retry as any
-	// Obladi client would.
-	ok := false
-	for attempt := 0; attempt < 10 && !ok; attempt++ {
-		if err := c1.Begin(); err != nil {
-			continue
-		}
-		va, _, err := c1.Read("a")
+	var dbs [2]kvtxn.DB
+	for i := range dbs {
+		c, err := clientproto.DialMux(srv.Addr())
 		if err != nil {
-			continue // session txn aborted; BEGIN again
+			t.Fatal(err)
 		}
-		vb, _, err := c1.Read("b")
+		defer c.Close()
+		dbs[i] = clientproto.MuxDB{C: c}
+	}
+	for i, kv := range [][2]string{{"a", "1"}, {"b", "2"}} {
+		must(t, kvtxn.RunWithRetries(dbs[i], 10, func(tx kvtxn.Txn) error {
+			return tx.Write(kv[0], []byte(kv[1]))
+		}))
+	}
+	must(t, kvtxn.RunWithRetries(dbs[0], 10, func(tx kvtxn.Txn) error {
+		res, err := tx.ReadMany([]string{"a", "b"})
 		if err != nil {
-			continue
+			return err
 		}
-		if string(va) != "1" || string(vb) != "2" {
-			t.Fatalf("a=%q b=%q", va, vb)
+		if string(res[0].Value) != "1" || string(res[1].Value) != "2" {
+			t.Fatalf("a=%q b=%q", res[0].Value, res[1].Value)
 		}
-		must(t, c1.Abort())
-		ok = true
-	}
-	if !ok {
-		t.Fatal("read session aborted on every attempt")
-	}
+		return nil
+	}))
 }
 
 func must(t *testing.T, err error) {

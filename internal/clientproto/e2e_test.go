@@ -14,7 +14,7 @@ import (
 )
 
 // TestBinariesEndToEnd builds the real obladi-storage and obladi-proxy
-// binaries, launches them, and drives both wire protocols against the proxy
+// binaries, launches them, and drives the client protocol against the proxy
 // — the deployment a remote application actually talks to. Skipped under
 // -short (it compiles and execs binaries).
 func TestBinariesEndToEnd(t *testing.T) {
@@ -52,32 +52,6 @@ func TestBinariesEndToEnd(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
-	}
-
-	// The legacy line protocol shares the same port via auto-detect.
-	lc, err := clientproto.DialClient(proxyAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	ok := false
-	for attempt := 0; attempt < 20 && !ok; attempt++ {
-		if err := lc.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		v, found, err := lc.Read("e2e/key")
-		if err != nil {
-			lc.Abort()
-			continue
-		}
-		if !found || string(v) != "through-the-binaries" {
-			t.Fatalf("line read back: %q %v", v, found)
-		}
-		lc.Abort()
-		ok = true
-	}
-	if !ok {
-		t.Fatal("line client aborted on every attempt")
 	}
 }
 

@@ -9,12 +9,11 @@ import (
 	"sync"
 )
 
-// The v2 client protocol is a length-prefixed binary framing that multiplexes
+// The client protocol is a length-prefixed binary framing that multiplexes
 // many concurrent transaction sessions over one TCP connection (the framing
 // idiom of storage/remote.go, one layer up). A client opens the stream with a
-// 4-byte magic whose first byte is NUL — no line-protocol command starts with
-// NUL, which is what lets the server auto-detect the protocol from the first
-// byte and keep serving legacy line clients on the same port.
+// 4-byte magic; the server closes a connection that opens with anything else,
+// without a reply.
 //
 //	magic: 0x00 'O' 'B' '2'
 //	frame: len(u32) | kind(u8) | session(u32) | reqID(u32) | payload
@@ -86,7 +85,7 @@ const frameHeaderLen = 9
 // frame is one decoded protocol frame. A frame read off the wire borrows its
 // payload from a pooled buffer: whoever consumes the frame calls release once
 // every alias of the payload is dead (values that outlive the frame — an
-// engine-retained write value, a future's read result — are copied first).
+// engine-retained write value, a future's read result — are carved first).
 type frame struct {
 	kind    frameKind
 	session uint32
@@ -127,21 +126,15 @@ func decodeFrame(b []byte) (frame, error) {
 	}, nil
 }
 
-// appendFrame appends f's wire encoding (length prefix included) to dst.
-func appendFrame(dst []byte, f frame) []byte {
-	return appendFrame2(dst, f.kind, f.session, f.req, f.payload, nil)
-}
-
-// appendFrame2 appends a frame whose payload is the concatenation of two
-// segments, so callers can prepend a status byte to a borrowed value slice
-// without building an intermediate payload.
-func appendFrame2(dst []byte, kind frameKind, session, req uint32, p1, p2 []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(frameHeaderLen+len(p1)+len(p2)))
+// appendHeader appends the length prefix and header of a frame whose payload
+// is n bytes long. Writers build it in their bufio.Writer's own buffer
+// (AvailableBuffer) and write the payload's parts after it from where they
+// lie, so a frame costs no allocation and no intermediate payload.
+func appendHeader(dst []byte, kind frameKind, session, req uint32, n int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameHeaderLen+n))
 	dst = append(dst, byte(kind))
 	dst = binary.BigEndian.AppendUint32(dst, session)
-	dst = binary.BigEndian.AppendUint32(dst, req)
-	dst = append(dst, p1...)
-	return append(dst, p2...)
+	return binary.BigEndian.AppendUint32(dst, req)
 }
 
 // readMuxFrame reads and decodes one frame into a pooled buffer: the length
@@ -186,16 +179,8 @@ func (b *frameBuf) frame() (frame, error) {
 	return f, nil
 }
 
-// encodeWritePayload builds a frameWrite payload: klen(u32) | key | value.
-func encodeWritePayload(key string, value []byte) []byte {
-	p := make([]byte, 0, 4+len(key)+len(value))
-	p = binary.BigEndian.AppendUint32(p, uint32(len(key)))
-	p = append(p, key...)
-	return append(p, value...)
-}
-
-// parseWritePayload is encodeWritePayload's inverse. The returned value
-// aliases p.
+// parseWritePayload parses a frameWrite payload: klen(u32) | key | value. The
+// returned value aliases p.
 func parseWritePayload(p []byte) (key string, value []byte, err error) {
 	if len(p) < 4 {
 		return "", nil, errShortFrame
@@ -222,19 +207,8 @@ func parseErrPayload(p []byte) (code uint8, msg string, err error) {
 	return p[0], string(p[1:]), nil
 }
 
-// encodeReadOKPayload builds a read reply payload: found(u8) | value.
-func encodeReadOKPayload(value []byte, found bool) []byte {
-	p := make([]byte, 0, 1+len(value))
-	if found {
-		p = append(p, 1)
-	} else {
-		p = append(p, 0)
-	}
-	return append(p, value...)
-}
-
-// parseReadOKPayload is encodeReadOKPayload's inverse. The returned value
-// aliases p.
+// parseReadOKPayload parses a read reply payload: found(u8) | value. The
+// returned value aliases p.
 func parseReadOKPayload(p []byte) (value []byte, found bool, err error) {
 	if len(p) < 1 {
 		return nil, false, errShortFrame

@@ -2,8 +2,32 @@ package clientproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
+
+// appendFrame appends f's wire encoding (length prefix included) to dst.
+func appendFrame(dst []byte, f frame) []byte {
+	return appendFrame2(dst, f.kind, f.session, f.req, f.payload, nil)
+}
+
+// appendFrame2 appends a frame whose payload is p1 followed by p2.
+func appendFrame2(dst []byte, kind frameKind, session, req uint32, p1, p2 []byte) []byte {
+	dst = appendHeader(dst, kind, session, req, len(p1)+len(p2))
+	return append(append(dst, p1...), p2...)
+}
+
+// encodeWritePayload builds a frameWrite payload: klen(u32) | key | value,
+// the bytes MuxClient writes behind a WRITE's header.
+func encodeWritePayload(key string, value []byte) []byte {
+	p := binary.BigEndian.AppendUint32(nil, uint32(len(key)))
+	return append(append(p, key...), value...)
+}
+
+// encodeReadOKPayload builds a read reply payload: found(u8) | value.
+func encodeReadOKPayload(value []byte, found bool) []byte {
+	return append([]byte{foundByte(found)[0]}, value...)
+}
 
 // TestFrameRoundTrip pins the wire encoding: append → decode is identity.
 func TestFrameRoundTrip(t *testing.T) {

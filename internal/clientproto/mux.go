@@ -12,7 +12,7 @@ import (
 	"obladi/internal/kvtxn"
 )
 
-// This file is the server half of the multiplexed v2 protocol: one goroutine
+// This file is the server half of the multiplexed protocol: one goroutine
 // reads frames off the connection and routes them to per-session workers;
 // workers execute a session's operations in wire order, registering reads
 // asynchronously so a pipelined read set lands in one batch; replies stream
@@ -25,7 +25,7 @@ import (
 // thousands).
 const muxSessionQueue = 128
 
-// muxConn is one v2 connection: what its sessions share.
+// muxConn is one connection: what its sessions share.
 type muxConn struct {
 	s    *Server
 	conn net.Conn
@@ -33,11 +33,12 @@ type muxConn struct {
 	// session's transaction and unblocking its waits.
 	ctx context.Context
 
-	// wbuf is the connection's reply-encode scratch, guarded by wmu: replies
-	// from any session reuse one buffer instead of allocating per frame.
-	wmu  sync.Mutex
-	w    *bufio.Writer
-	wbuf []byte
+	// Replies from every session go through one writer, guarded by wmu.
+	wmu sync.Mutex
+	w   *bufio.Writer
+
+	// vals carves the write values the engine keeps out of their frames.
+	vals carver
 
 	workers sync.WaitGroup
 	// idle holds settled sessions for the next Begin to reuse, queue and
@@ -85,16 +86,14 @@ type readWaiter struct {
 // reply sends one reply frame; it is safe for concurrent use. The payload is
 // the concatenation of p1 and p2 (either may be nil): read replies pass the
 // status byte and the borrowed value slice separately so no intermediate
-// payload is built. Payloads are fully copied into the write buffer before
-// reply returns.
+// payload is built. Payloads are fully written before reply returns.
 func (c *muxConn) reply(kind frameKind, session, req uint32, p1, p2 []byte) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf = appendFrame2(c.wbuf[:0], kind, session, req, p1, p2)
-	if _, err := c.w.Write(c.wbuf); err != nil {
-		c.conn.Close()
-		return
-	}
+	c.w.Write(appendHeader(c.w.AvailableBuffer(), kind, session, req, len(p1)+len(p2)))
+	c.w.Write(p1)
+	c.w.Write(p2)
+	// A failed write sticks in the writer: Flush reports it.
 	if c.w.Flush() != nil {
 		c.conn.Close()
 	}
@@ -122,7 +121,7 @@ func (c *muxConn) openSession(id uint32) *muxSession {
 	return ms
 }
 
-// serveMux serves the v2 protocol on one connection (magic already
+// serveMux serves the protocol on one connection (magic already
 // consumed).
 func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -180,17 +179,22 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 // work executes one session's operations in wire order. Reads are registered
 // asynchronously and resolved by waiters, so a pipelined read set shares one
 // batch and the worker moves straight on to the next op; commit/abort wait
-// for every outstanding read first.
+// for every outstanding read first. A refused WRITE or DELETE aborts the
+// transaction there (ackMutation).
 func (ms *muxSession) work() {
 	c := ms.c
 	tx := beginTxn(c.s.db, c.ctx)
+	var refused error // why the transaction aborted at a refused mutation
 	settled := false
 	for fb := range ms.ops {
 		f, _ := fb.frame() // decoded once already, by the connection's read loop
-		switch f.kind {
-		case frameBegin:
+		switch {
+		case f.kind == frameBegin:
 			c.reply(frameOK, ms.id, f.req, nil, nil)
-		case frameRead:
+		case refused != nil && f.kind != frameAbort:
+			settled = f.kind == frameCommit
+			ms.replyAck(f.req, refused)
+		case f.kind == frameRead:
 			// string(f.payload) copies the key out of the pooled buffer in
 			// both branches, so the frame releases at the loop bottom while
 			// the read is still in flight.
@@ -211,25 +215,27 @@ func (ms *muxSession) work() {
 				v, found, err := tx.Read(string(f.payload))
 				ms.replyRead(f.req, v, found, err)
 			}
-		case frameWrite:
+		case f.kind == frameWrite:
 			key, value, err := parseWritePayload(f.payload)
 			if err == nil {
-				// The engine retains the value slice past the call (MVTSO
-				// buffers it until the epoch's write batch), but value
-				// aliases the pooled frame: copy before handing it over.
-				err = tx.Write(key, append([]byte(nil), value...))
+				// The engine retains the value past the call (MVTSO buffers it
+				// until the epoch's write batch), but value aliases the pooled
+				// frame: carve it out before handing it over.
+				err = tx.Write(key, c.vals.copy(value))
 			}
-			ms.replyAck(f.req, err)
-		case frameDelete:
-			ms.replyAck(f.req, tx.Delete(string(f.payload)))
-		case frameCommit:
+			tx, refused = ms.ackMutation(tx, f.req, "write", err)
+		case f.kind == frameDelete:
+			tx, refused = ms.ackMutation(tx, f.req, "delete", tx.Delete(string(f.payload)))
+		case f.kind == frameCommit:
 			ms.reads.Wait()
 			settled = true
 			ms.replyAck(f.req, tx.Commit())
-		case frameAbort:
+		case f.kind == frameAbort:
 			ms.reads.Wait()
 			settled = true
-			tx.Abort()
+			if tx != nil {
+				tx.Abort()
+			}
 			c.reply(frameOK, ms.id, f.req, nil, nil)
 		}
 		f.release()
@@ -237,7 +243,7 @@ func (ms *muxSession) work() {
 			break
 		}
 	}
-	if !settled {
+	if !settled && tx != nil {
 		// Connection died with the session open: discard the transaction.
 		ms.reads.Wait()
 		tx.Abort()
@@ -250,6 +256,22 @@ func (ms *muxSession) work() {
 		// queue was closed under it is not reusable.
 		c.idle.Put(ms)
 	}
+}
+
+// ackMutation answers a WRITE or DELETE. One the server refused — an engine
+// error or a malformed payload — aborts the transaction: ackMutation returns
+// a nil transaction and the error every later op of the session, COMMIT
+// included, answers. That error keeps the refusal's classification: a
+// conflict abort stays retryable, a bad value does not.
+func (ms *muxSession) ackMutation(tx kvtxn.Txn, req uint32, op string, err error) (kvtxn.Txn, error) {
+	if err == nil {
+		ms.replyAck(req, nil)
+		return tx, nil
+	}
+	ms.reads.Wait()
+	tx.Abort()
+	ms.replyAck(req, err)
+	return nil, fmt.Errorf("transaction aborted at a refused %s: %w", op, err)
 }
 
 func (ms *muxSession) replyAck(req uint32, err error) {
@@ -308,15 +330,15 @@ func beginTxn(db kvtxn.DB, ctx context.Context) kvtxn.Txn {
 	return db.Begin()
 }
 
-// Static status-byte segments for read replies (same wire format as
-// encodeReadOKPayload, without building an intermediate payload).
+// Static status-byte segments for read replies, found(u8) | value, written
+// ahead of the value without building an intermediate payload.
 var (
 	replyFound    = []byte{1}
 	replyNotFound = []byte{0}
 )
 
 // foundByte returns the read reply's status segment. A not-found reply
-// carries no value bytes, matching encodeReadOKPayload.
+// carries no value bytes.
 func foundByte(found bool) []byte {
 	if found {
 		return replyFound

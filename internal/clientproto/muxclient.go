@@ -3,6 +3,7 @@ package clientproto
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 
 	"obladi/internal/core"
 	"obladi/internal/kvtxn"
+	"obladi/internal/slab"
 )
 
 var (
@@ -30,7 +32,7 @@ var (
 	ErrCommitUnknown = errors.New("clientproto: commit outcome unknown (connection lost after COMMIT was sent)")
 )
 
-// MuxClient speaks the multiplexed v2 protocol: many concurrent transaction
+// MuxClient speaks the multiplexed protocol: many concurrent transaction
 // sessions over one TCP connection, requests pipelined without waiting for
 // replies. It is safe for concurrent use; each MuxTxn it hands out follows
 // the kvtxn.Txn contract (single goroutine, though read futures may be
@@ -38,18 +40,25 @@ var (
 type MuxClient struct {
 	conn net.Conn
 
-	wmu  sync.Mutex
-	w    *bufio.Writer
-	wbuf []byte // request-encode scratch, guarded by wmu
+	wmu sync.Mutex
+	w   *bufio.Writer
 
 	mu          sync.Mutex
 	nextSession uint32
 	pending     map[uint64]chan frame
 	readErr     error
 	closed      bool
+	// txns hands out transactions, sixteen to an allocation, under mu. A
+	// chunk is never reused, so a settled MuxTxn kept by its caller keeps
+	// answering from its own memory (slab's escape rule) — and keeps the
+	// chunk's 15 other transactions and their results alive with it.
+	txns slab.Chunked[MuxTxn]
+
+	// vals carves read values out of their reply frames for the caller.
+	vals carver
 }
 
-// DialMux connects to a proxy server and opens the v2 protocol.
+// DialMux connects to a proxy server and opens the protocol.
 func DialMux(addr string) (*MuxClient, error) { return dialMuxTimeout(addr, 0) }
 
 func dialMuxTimeout(addr string, timeout time.Duration) (*MuxClient, error) {
@@ -136,15 +145,20 @@ func awaitReply(ctx context.Context, ch chan frame) (reply frame, ok bool, err e
 	}
 }
 
-// send registers a pending reply and writes one request frame. The returned
-// channel delivers the reply (or closes on connection loss); awaitReply is
-// how it is read.
-func (c *MuxClient) send(kind frameKind, session, req uint32, payload []byte) (chan frame, error) {
-	if frameHeaderLen+len(payload) > muxMaxFrame {
-		return nil, fmt.Errorf("clientproto: request of %d bytes exceeds frame limit", len(payload))
+// send registers a pending reply and writes one request frame, whose payload
+// is key — or, for a WRITE, klen(u32) | key | value — written behind the
+// header from where it lies. The returned channel delivers the reply (or
+// closes on connection loss); awaitReply is how it is read.
+func (c *MuxClient) send(kind frameKind, session, req uint32, key string, value []byte) (chan frame, error) {
+	n := len(key)
+	if kind == frameWrite {
+		n += 4 + len(value)
+	}
+	if frameHeaderLen+n > muxMaxFrame {
+		return nil, fmt.Errorf("clientproto: request of %d bytes exceeds frame limit", n)
 	}
 	ch := replyChanPool.Get().(chan frame)
-	key := uint64(session)<<32 | uint64(req)
+	pk := uint64(session)<<32 | uint64(req)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -156,19 +170,22 @@ func (c *MuxClient) send(kind frameKind, session, req uint32, payload []byte) (c
 		// sent, so the operation is as retryable as any pre-commit loss.
 		return nil, fmt.Errorf("%w: %v: %w", ErrConnLost, err, kvtxn.ErrAborted)
 	}
-	c.pending[key] = ch
+	c.pending[pk] = ch
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	c.wbuf = appendFrame(c.wbuf[:0], frame{kind: kind, session: session, req: req, payload: payload})
-	_, err := c.w.Write(c.wbuf)
-	if err == nil {
-		err = c.w.Flush()
+	hdr := appendHeader(c.w.AvailableBuffer(), kind, session, req, n)
+	if kind == frameWrite {
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(key)))
 	}
+	c.w.Write(hdr)
+	c.w.WriteString(key)
+	c.w.Write(value)
+	err := c.w.Flush() // a failed write sticks in the writer: Flush reports it
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
-		delete(c.pending, key)
+		delete(c.pending, pk)
 		c.mu.Unlock()
 		// A failed write proves the connection is dead: mark the client lost
 		// immediately (the failover dialer keys off Lost(); waiting for the
@@ -248,13 +265,21 @@ func (c *MuxClient) BeginCtx(ctx context.Context) *MuxTxn {
 	c.mu.Lock()
 	c.nextSession++
 	id := c.nextSession
+	t := c.txns.New()
 	c.mu.Unlock()
-	t := &MuxTxn{c: c, session: id, ctx: ctx}
-	t.enqueue(frameBegin, nil, "begin")
+	t.c, t.session, t.ctx = c, id, ctx
+	t.pend = t.pendBuf[:0]
+	t.enqueue(frameBegin, "", nil, "begin")
 	return t
 }
 
-// MuxTxn is one multiplexed transaction session.
+// muxInline is how many op futures, pending acks and read futures a MuxTxn
+// carries inline; a transaction past it allocates each further one.
+const muxInline = 4
+
+// MuxTxn is one multiplexed transaction session. Its first muxInline op
+// futures, pending acks and read futures are part of it: a transaction of a
+// few operations is one object.
 type MuxTxn struct {
 	c       *MuxClient
 	session uint32
@@ -265,17 +290,48 @@ type MuxTxn struct {
 	pend    []*MuxOpFuture
 	settled bool
 	sendErr error
+
+	ops          [muxInline]MuxOpFuture
+	reads        [muxInline]MuxFuture
+	pendBuf      [muxInline]*MuxOpFuture
+	nops, nreads int
+}
+
+// newOp returns the transaction's next op future.
+func (t *MuxTxn) newOp(op string) *MuxOpFuture {
+	var f *MuxOpFuture
+	if t.nops < len(t.ops) {
+		f = &t.ops[t.nops]
+	} else {
+		f = new(MuxOpFuture)
+	}
+	t.nops++
+	f.t, f.op = t, op
+	return f
+}
+
+// newRead returns the transaction's next read future.
+func (t *MuxTxn) newRead() *MuxFuture {
+	var f *MuxFuture
+	if t.nreads < len(t.reads) {
+		f = &t.reads[t.nreads]
+	} else {
+		f = new(MuxFuture)
+	}
+	t.nreads++
+	f.t = t
+	return f
 }
 
 // enqueue sends one request frame and tracks its ack as an OpFuture.
-func (t *MuxTxn) enqueue(kind frameKind, payload []byte, op string) *MuxOpFuture {
+func (t *MuxTxn) enqueue(kind frameKind, key string, value []byte, op string) *MuxOpFuture {
 	t.nextReq++
-	f := &MuxOpFuture{t: t, op: op}
+	f := t.newOp(op)
 	if t.sendErr != nil {
 		f.done, f.err = true, t.sendErr
 		return f
 	}
-	ch, err := t.c.send(kind, t.session, t.nextReq, payload)
+	ch, err := t.c.send(kind, t.session, t.nextReq, key, value)
 	if err != nil {
 		t.sendErr = err
 		f.done, f.err = true, err
@@ -362,14 +418,12 @@ func (f *MuxFuture) Wait(ctx context.Context) ([]byte, bool, error) {
 	case !ok:
 		f.err = f.t.c.connLost()
 	case reply.kind == frameOK:
-		// The parsed value aliases the reply's pooled buffer; copy it out
+		// The parsed value aliases the reply's pooled buffer; carve it out
 		// before the buffer goes back to the pool (the future's result
 		// outlives the frame).
 		var v []byte
 		v, f.found, f.err = parseReadOKPayload(reply.payload)
-		if f.found {
-			f.value = append([]byte(nil), v...)
-		}
+		f.value = f.t.c.vals.copy(v)
 		reply.release()
 	default:
 		f.err = f.t.c.replyError(reply)
@@ -389,17 +443,18 @@ func (t *MuxTxn) sendErrOrLost() error {
 // transaction can put its whole read set on the wire before the first batch
 // fires, and the server packs the reads into the same batch.
 func (t *MuxTxn) ReadAsync(key string) kvtxn.ReadFuture {
-	f := &MuxFuture{t: t}
 	if t.settled {
-		f.done, f.err = true, fmt.Errorf("%w: session settled", kvtxn.ErrAborted)
-		return f
+		// A settled transaction may be a stale handle used from several
+		// goroutines: answer without touching it.
+		return &MuxFuture{t: t, done: true, err: fmt.Errorf("%w: session settled", kvtxn.ErrAborted)}
 	}
+	f := t.newRead()
 	if t.sendErr != nil {
 		f.done, f.err = true, t.sendErr
 		return f
 	}
 	t.nextReq++
-	ch, err := t.c.send(frameRead, t.session, t.nextReq, []byte(key))
+	ch, err := t.c.send(frameRead, t.session, t.nextReq, key, nil)
 	if err != nil {
 		t.sendErr = err
 		f.done, f.err = true, err
@@ -436,7 +491,7 @@ func (t *MuxTxn) WriteAsync(key string, value []byte) *MuxOpFuture {
 	if t.settled {
 		return &MuxOpFuture{t: t, op: "write", done: true, err: fmt.Errorf("%w: session settled", kvtxn.ErrAborted)}
 	}
-	return t.enqueue(frameWrite, encodeWritePayload(key, value), "write")
+	return t.enqueue(frameWrite, key, value, "write")
 }
 
 // Write pipelines a write without waiting for its ack; a failure surfaces on
@@ -454,7 +509,7 @@ func (t *MuxTxn) DeleteAsync(key string) *MuxOpFuture {
 	if t.settled {
 		return &MuxOpFuture{t: t, op: "delete", done: true, err: fmt.Errorf("%w: session settled", kvtxn.ErrAborted)}
 	}
-	return t.enqueue(frameDelete, []byte(key), "delete")
+	return t.enqueue(frameDelete, key, nil, "delete")
 }
 
 // Delete pipelines a delete without waiting for its ack.
@@ -479,7 +534,7 @@ func (t *MuxTxn) Commit() error {
 		return t.sendErr
 	}
 	t.nextReq++
-	ch, err := t.c.send(frameCommit, t.session, t.nextReq, nil)
+	ch, err := t.c.send(frameCommit, t.session, t.nextReq, "", nil)
 	if err != nil {
 		return err
 	}
@@ -534,7 +589,7 @@ func (t *MuxTxn) Abort() {
 		return
 	}
 	t.nextReq++
-	ch, err := t.c.send(frameAbort, t.session, t.nextReq, nil)
+	ch, err := t.c.send(frameAbort, t.session, t.nextReq, "", nil)
 	if err != nil {
 		return
 	}

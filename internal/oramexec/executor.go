@@ -39,7 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -107,6 +107,12 @@ type Executor struct {
 	// one set per executor is safe.
 	refsBuf  []storage.SlotRef
 	destsBuf []scatter
+
+	// readPlan and writePlan are the one read and one write batch plan each
+	// Plan*Batch call resets, tasks and results included; seen is the read
+	// batch's duplicate check.
+	readPlan, writePlan BatchPlan
+	seen                map[string]bool
 
 	shape logShape // fixed entry widths of this ORAM's batch records
 	stats statCounters
@@ -214,10 +220,9 @@ func (c *statCounters) snapshot() Stats {
 	}
 }
 
-// task is one planned unit with its physical reads. Tasks are pooled: a
-// batch that executes successfully returns its tasks (with their local/data
-// backing arrays) for the next batch; error paths abandon the batch and the
-// tasks with it.
+// task is one planned unit with its physical reads. Tasks belong to their
+// plan and are reset, keeping their local/data backing arrays, for the plan's
+// next batch.
 type task struct {
 	access  *ringoram.AccessPlan
 	evict   *ringoram.EvictPlan // eviction or reshuffle
@@ -235,16 +240,11 @@ type task struct {
 	bumps   int
 }
 
-var taskPool = sync.Pool{New: func() any { return new(task) }}
-
-// getTask fetches a cleared task slot from the pool.
-func getTask() *task { return taskPool.Get().(*task) }
-
-// putTask resets a finished task and returns it to the pool. The WaitGroup
-// is quiescent (completeTask waited it out) and the backing arrays of local
-// and data ride along for reuse.
-func putTask(t *task) {
-	clear(t.data) // drop slot references so pooled tasks don't pin arenas
+// reset clears a finished task for its plan's next batch. The WaitGroup is
+// quiescent (completeTask waited it out) and the backing arrays of local and
+// data ride along for reuse.
+func (t *task) reset() {
+	clear(t.data) // drop slot references so kept tasks don't pin arenas
 	t.access = nil
 	t.evict = nil
 	t.reads = nil
@@ -254,7 +254,6 @@ func putTask(t *task) {
 	t.errOnce = sync.Once{}
 	t.opIdx = 0
 	t.logKind, t.bumps = 0, 0
-	taskPool.Put(t)
 }
 
 // ensureData sizes t.data for the task's reads, reusing pooled capacity.
@@ -269,7 +268,12 @@ func (t *task) ensureData() {
 }
 
 // BatchPlan is a planned batch: metadata already mutated, I/O not yet done.
+// An executor owns one read and one write plan and hands the same one out
+// for every batch of its kind: a plan, and the results Execute returns from
+// it, are valid until the next batch of that kind is planned.
 type BatchPlan struct {
+	// tasks[:len] are this batch's; tasks[len:cap] are reset tasks kept
+	// from earlier batches for newTask to hand out again.
 	tasks   []*task
 	results []ReadResult
 	shape   logShape
@@ -277,6 +281,28 @@ type BatchPlan struct {
 	// next task planned takes them, and whatever remains trails the batch.
 	bumps    int
 	executed bool
+}
+
+// reset readies the plan for a batch of n results.
+func (b *BatchPlan) reset(n int) *BatchPlan {
+	b.tasks = b.tasks[:0]
+	b.results = slices.Grow(b.results[:0], n)[:n]
+	clear(b.results)
+	b.bumps, b.executed = 0, false
+	return b
+}
+
+// newTask returns a task of an earlier batch, reset, or a new one. A task is
+// free for reuse once its batch ends: Execute returns only after every read
+// it issued has completed, whether it succeeds or fails.
+func (b *BatchPlan) newTask() *task {
+	if n := len(b.tasks); n < cap(b.tasks) {
+		if t := b.tasks[:n+1][n]; t != nil {
+			t.reset()
+			return t
+		}
+	}
+	return new(task)
 }
 
 // addTask appends t to the plan as a durability-log entry of the given kind
@@ -324,6 +350,7 @@ func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
 		frameSize: 2 + oram.SlotSize(),
 		shape:     newLogShape(oram.Params(), oram.Geometry()),
 	}
+	e.readPlan.shape, e.writePlan.shape = e.shape, e.shape
 	if !cfg.WriteThrough {
 		e.resident = make([]residentBucket, residentBuckets(oram.Geometry()))
 		oram.SealRealOnly(len(e.resident))
@@ -353,14 +380,17 @@ func (e *Executor) BufferedBuckets() int { return len(e.buffered) }
 // early reshuffles and evict-paths that fall due. The ops must have distinct
 // keys (the proxy deduplicates); padding entries have empty keys.
 func (e *Executor) PlanReadBatch(ops []ReadOp) (*BatchPlan, error) {
-	plan := &BatchPlan{results: make([]ReadResult, len(ops)), shape: e.shape}
-	seen := make(map[string]bool, len(ops))
+	plan := e.readPlan.reset(len(ops))
+	if e.seen == nil {
+		e.seen = make(map[string]bool, len(ops))
+	}
+	defer clear(e.seen)
 	for i, op := range ops {
 		if op.Key != "" {
-			if seen[op.Key] {
+			if e.seen[op.Key] {
 				return nil, fmt.Errorf("oramexec: duplicate key %q in batch (dedup is the caller's job)", op.Key)
 			}
-			seen[op.Key] = true
+			e.seen[op.Key] = true
 		}
 		plan.results[i].Key = op.Key
 		var ap *ringoram.AccessPlan
@@ -387,7 +417,7 @@ func (e *Executor) PlanReadBatch(ops []ReadOp) (*BatchPlan, error) {
 // entries (empty keys) bump the access counter so the eviction schedule
 // stays workload independent.
 func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
-	plan := &BatchPlan{shape: e.shape}
+	plan := e.writePlan.reset(0)
 	for i := range ops {
 		op := &ops[i]
 		if op.Key == "" {
@@ -416,7 +446,7 @@ func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
 }
 
 func (e *Executor) appendAccess(plan *BatchPlan, ap *ringoram.AccessPlan, opIdx int) {
-	t := getTask()
+	t := plan.newTask()
 	t.access = ap
 	t.opIdx = opIdx
 	kind := LogKind(0)
@@ -436,7 +466,7 @@ func (e *Executor) planMaintenance(plan *BatchPlan, reshuffle []int) error {
 			return err
 		}
 		e.stats.reshuffles.Add(1)
-		t := getTask()
+		t := plan.newTask()
 		t.evict, t.reads, t.opIdx = ep, ep.Reads, -1
 		e.markLocality(t)
 		e.claimBuckets(ep)
@@ -452,7 +482,7 @@ func (e *Executor) planDueEvictions(plan *BatchPlan) error {
 			return err
 		}
 		e.stats.evictions.Add(1)
-		t := getTask()
+		t := plan.newTask()
 		t.evict, t.reads, t.opIdx = ep, ep.Reads, -1
 		e.markLocality(t)
 		e.claimBuckets(ep)
@@ -522,12 +552,10 @@ func (e *Executor) Execute(plan *BatchPlan) ([]ReadResult, error) {
 		res, err = e.executeStage(plan, plan.tasks)
 	}
 	if err == nil {
-		// The batch is done with its tasks: return them to the pool. Error
-		// paths abandon the batch (a task may still be referenced by an
-		// in-flight goroutine that drain waited out, but re-pooling buys
-		// nothing on a path that tears the executor down).
+		// The batch is done with its tasks: reset them now, so the slot data
+		// they point at does not stay reachable until the next batch.
 		for _, t := range plan.tasks {
-			putTask(t)
+			t.reset()
 		}
 		plan.tasks = plan.tasks[:0]
 	}
@@ -927,7 +955,7 @@ func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (i
 	// (dedup per bucket), and sorting removes map-iteration order from the
 	// adversary-visible sequence so every flush of the same set looks the
 	// same on the wire.
-	sort.Slice(writes, func(i, j int) bool { return writes[i].Bucket < writes[j].Bucket })
+	slices.SortFunc(writes, func(a, b storage.BucketWrite) int { return a.Bucket - b.Bucket })
 	if e.cfg.ScalarIO {
 		if err := e.flushScalar(writes); err != nil {
 			return 0, fmt.Errorf("oramexec: flushing epoch %d: %w", epoch, err)
@@ -1052,7 +1080,7 @@ func (e *Executor) ReplayBatch(entries []LogEntry) error {
 			if err != nil {
 				return err
 			}
-			t := getTask()
+			t := plan.newTask()
 			t.evict, t.reads, t.opIdx = ep, ep.Reads, -1
 			e.markLocality(t)
 			e.claimBuckets(ep)
@@ -1066,7 +1094,7 @@ func (e *Executor) ReplayBatch(entries []LogEntry) error {
 			if err != nil {
 				return err
 			}
-			t := getTask()
+			t := plan.newTask()
 			t.evict, t.reads, t.opIdx = ep, ep.Reads, -1
 			e.markLocality(t)
 			e.claimBuckets(ep)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/slab"
 )
 
 // Store is the slot-granularity storage interface the ORAM client drives.
@@ -118,6 +119,11 @@ type ORAM struct {
 	fillerBuf []int
 	pathBuf   []int
 	varena    valArena
+	// vals carves the values CompleteAccess returns: they escape to the
+	// caller, so they are copied once into chunks that are never reused.
+	vals slab.Bytes
+	// writeBuf backs the []BucketWrite CompleteEvict returns.
+	writeBuf []BucketWrite
 	// planPool, evictPool and entryPool recycle the per-access and
 	// per-eviction objects. CompleteAccess and CompleteEvict retire their
 	// plans (with every slice the plan owns); CompleteEvict also retires
@@ -147,11 +153,12 @@ type bucketBuf struct {
 // valArenaChunk sizes the value arena's carve chunks (at least one slab).
 const valArenaChunk = 64 << 10
 
-// valArena owns the stash's decoded values: fixed-capacity slabs carved from
-// large chunks and recycled through a free list when their stash entry is
-// sealed back into the tree, so the steady-state read path allocates nothing
-// per decoded slot. All access is guarded by the ORAM's mu. Slabs never shrink
-// the value-size bound, so a recycled slab fits any future value.
+// valArena owns the stash's values, decoded or written: fixed-capacity slabs
+// carved from large chunks and recycled through a free list when their stash
+// entry is sealed back into the tree, so neither the steady-state read path
+// nor a write allocates per value. All access is guarded by the ORAM's mu.
+// Slabs never shrink the value-size bound, so a recycled slab fits any future
+// value.
 type valArena struct {
 	slab  int // slab capacity (== ValueSize)
 	chunk []byte
@@ -192,6 +199,12 @@ func (o *ORAM) releaseEntryVal(e *stashEntry) {
 		e.arenaVal = false
 	}
 	e.value = nil
+}
+
+// setEntryVal replaces an entry's value with an arena copy of v.
+func (o *ORAM) setEntryVal(e *stashEntry, v []byte) {
+	o.releaseEntryVal(e)
+	e.value, e.arenaVal = o.varena.copyVal(v), true
 }
 
 // newPlan takes a retired AccessPlan from the pool (keeping its Reads
@@ -869,13 +882,12 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) (*AccessPlan,
 		}
 		if plan.cached {
 			// Stash hit: update in place, still no I/O.
-			o.releaseEntryVal(plan.cachedEntry)
-			plan.cachedEntry.value = append([]byte(nil), value...)
+			o.setEntryVal(plan.cachedEntry, value)
 			plan.cachedEntry.tombstone = tombstone
 			return nil, nil, nil
 		}
 		plan.isWrite = true
-		plan.newValue = append([]byte(nil), value...)
+		plan.newValue = o.varena.copyVal(value) // the entry's at completion
 		plan.newTomb = tombstone
 		if plan.targetEntry == nil {
 			// Unknown key: the dummy path read allocated nothing; create
@@ -894,8 +906,7 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) (*AccessPlan,
 	newLeaf := o.randLeaf()
 	k := o.remap(key, newLeaf)
 	if e, ok := o.stash[key]; ok {
-		o.releaseEntryVal(e)
-		e.value = append([]byte(nil), value...)
+		o.setEntryVal(e, value)
 		e.tombstone = tombstone
 		e.leaf = newLeaf
 		e.cacheable = true
@@ -909,13 +920,9 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) (*AccessPlan,
 			o.markBucket(int(k.bucket), bucketTouched)
 			k.bucket = -1
 		}
-		o.stashAdd(o.newEntry(stashEntry{
-			key:       key,
-			value:     append([]byte(nil), value...),
-			tombstone: tombstone,
-			leaf:      newLeaf,
-			cacheable: true,
-		}))
+		e := o.newEntry(stashEntry{key: key, tombstone: tombstone, leaf: newLeaf, cacheable: true})
+		o.setEntryVal(e, value)
+		o.stashAdd(e)
 	}
 	o.accessCount++
 	if err := o.noteStash(); err != nil {
@@ -941,11 +948,12 @@ func (o *ORAM) EvictDue() bool {
 }
 
 // CompleteAccess applies the fetched slot data for an access plan and
-// returns the read value (for writes, the returned value is nil). data must
-// be parallel to plan.Reads. Only the slot that carries the access's block is
-// ever inspected: the entry of every other read (a filler) may be nil, which
-// is what lets a caller that knows where a bucket's blocks sit skip fetching
-// the rest.
+// returns the read value (for writes, the returned value is nil). The value
+// is the caller's to keep: a capacity-clipped copy carved by a slab.Bytes.
+// data must be parallel to plan.Reads. Only the slot that carries the
+// access's block is ever inspected: the entry of every other read (a filler)
+// may be nil, which is what lets a caller that knows where a bucket's blocks
+// sit skip fetching the rest.
 func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, found bool, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -988,9 +996,7 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 		default:
 			// blk.value aliases the decode scratch: copy it into the stash's
 			// value arena, which owns it until the entry is sealed back.
-			o.releaseEntryVal(e)
-			e.value = o.varena.copyVal(blk.value)
-			e.arenaVal = true
+			o.setEntryVal(e, blk.value)
 			e.tombstone = blk.tombstone
 			e.pending = false
 		}
@@ -1005,7 +1011,7 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 			return nil, false, errors.New("ringoram: write plan without entry")
 		}
 		o.releaseEntryVal(entry)
-		entry.value = plan.newValue
+		entry.value, entry.arenaVal = plan.newValue, true
 		entry.tombstone = plan.newTomb
 		entry.pending = false
 		return nil, true, nil
@@ -1019,7 +1025,7 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 	if entry.tombstone {
 		return nil, false, nil
 	}
-	return append([]byte(nil), entry.value...), true, nil
+	return o.vals.Copy(entry.value), true, nil
 }
 
 // PlanEvict plans the next deterministic evict-path operation.
@@ -1232,7 +1238,9 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 // CompleteEvict applies the fetched read-phase data and returns the bucket
 // writes the caller must perform (or buffer). data is parallel to
 // plan.Reads. As in CompleteAccess, only reads that carry a block are
-// inspected; a filler's entry may be nil.
+// inspected; a filler's entry may be nil. The returned slice is the ORAM's
+// scratch, valid until the next CompleteEvict (as each write's Real is): keep
+// the writes by value.
 func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -1269,13 +1277,11 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, err
 			r.entry.pending = false
 			continue
 		}
-		o.releaseEntryVal(r.entry)
-		r.entry.value = o.varena.copyVal(blk.value)
-		r.entry.arenaVal = true
+		o.setEntryVal(r.entry, blk.value)
 		r.entry.tombstone = blk.tombstone
 		r.entry.pending = false
 	}
-	writes := make([]BucketWrite, 0, len(plan.writes))
+	writes := o.writeBuf[:0]
 	for i := range plan.writes {
 		pb := &plan.writes[i]
 		w, err := o.sealPlannedBucket(pb)
@@ -1284,6 +1290,7 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, err
 		}
 		writes = append(writes, w)
 	}
+	o.writeBuf = writes
 	// The placed entries left the stash when the write phase planned them and
 	// their values are now sealed inside the bucket arenas: recycle the slabs.
 	// Plan-ordered completion means no earlier plan still references them, and

@@ -11,13 +11,55 @@
 // object comes from a Reused: Reset zeroes what was handed out and hands the
 // same memory out again.
 //
-// Neither type is safe for concurrent use; the owner's lock guards it.
+// A value's bytes that escape (a read result, a write value an engine keeps)
+// follow the first rule: they are copied into a Bytes, which carves them out
+// of chunks it never reuses.
+//
+// No type here is safe for concurrent use; the owner's lock guards it.
 package slab
 
 const (
 	minChunk = 16
 	maxChunk = 4096
 )
+
+// Carving bounds. A chunk is opened at max(carvePer values the size of the one
+// that opens it, carveMinChunk bytes), and a value is carved only from a chunk
+// at most that large for it, so a value someone keeps pins at most
+// max(carvePer × its own size, carveMinChunk). Values longer than carveMax get
+// an allocation of their own.
+const (
+	carvePer      = 16
+	carveMinChunk = 4 << 10
+	carveMax      = 4 << 10
+)
+
+// Bytes copies values into carved, capacity-clipped slices: an append to one
+// reallocates instead of reaching its neighbour. Chunks are abandoned, never
+// reused, so a value stays valid for as long as anyone holds it.
+type Bytes struct {
+	free  []byte // unused tail of the newest chunk
+	chunk int    // the newest chunk's length
+}
+
+// Copy returns a copy of v that the caller owns; nil when v is empty.
+func (b *Bytes) Copy(v []byte) []byte {
+	n := len(v)
+	if n == 0 {
+		return nil
+	}
+	if n > carveMax {
+		return append(make([]byte, 0, n), v...)
+	}
+	limit := max(carvePer*n, carveMinChunk)
+	if n > len(b.free) || b.chunk > limit {
+		b.free, b.chunk = make([]byte, limit), limit
+	}
+	p := b.free[:n:n]
+	b.free = b.free[n:]
+	copy(p, v)
+	return p
+}
 
 func clampChunk(n int) int {
 	return min(max(n, minChunk), maxChunk)

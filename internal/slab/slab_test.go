@@ -52,6 +52,68 @@ func TestChunkedClampsChunkSize(t *testing.T) {
 	}
 }
 
+func TestBytesCopiesAndClips(t *testing.T) {
+	var b Bytes
+	if b.Copy(nil) != nil || b.Copy([]byte{}) != nil {
+		t.Fatal("an empty value must copy to nil")
+	}
+	var kept [][]byte
+	for i := 0; i < 100; i++ {
+		v := []byte{byte(i), byte(i), byte(i)}
+		c := b.Copy(v)
+		if cap(c) != len(v) || string(c) != string(v) {
+			t.Fatalf("copy %d: %v cap %d, want %v clipped", i, c, cap(c), v)
+		}
+		v[0] = 0xff // the source is not aliased
+		kept = append(kept, c)
+	}
+	// Overwrite every even value in full and append to it: the odd ones,
+	// its neighbours in the chunk, must not change.
+	for i := 0; i < len(kept); i += 2 {
+		for j := range kept[i] {
+			kept[i][j] = 0xdd
+		}
+		kept[i] = append(kept[i], 0xee)
+	}
+	for i := 1; i < len(kept); i += 2 {
+		if c := kept[i]; len(c) != 3 || c[0] != byte(i) || c[2] != byte(i) {
+			t.Fatalf("value %d changed to %v by a neighbour's writes", i, c)
+		}
+	}
+	big := make([]byte, carveMax+1)
+	if c := b.Copy(big); cap(c) != len(big) {
+		t.Fatalf("a value over carveMax has capacity %d, want %d", cap(c), len(big))
+	}
+}
+
+// A chunk serves at least carvePer values, and a value is never carved from a
+// chunk more than max(carvePer × its size, carveMinChunk) long.
+func TestBytesChunkBounds(t *testing.T) {
+	for _, size := range []int{1, 64, 256, 1000, carveMax} {
+		var b Bytes
+		v := make([]byte, size)
+		b.Copy(v)
+		limit := max(carvePer*size, carveMinChunk)
+		if b.chunk != limit {
+			t.Fatalf("%d-byte values open %d-byte chunks, want %d", size, b.chunk, limit)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for i := 0; i < carvePer; i++ {
+				b.Copy(v)
+			}
+		}); allocs > 1 {
+			t.Fatalf("%d-byte values: %.1f allocations per %d copies, want ≤ 1", size, allocs, carvePer)
+		}
+	}
+	// A small value after a big one does not land in the big one's chunk.
+	var b Bytes
+	b.Copy(make([]byte, 2048))
+	b.Copy([]byte{1})
+	if b.chunk != carveMinChunk {
+		t.Fatalf("a 1-byte value was carved from a %d-byte chunk", b.chunk)
+	}
+}
+
 func TestReusedResetsAndReuses(t *testing.T) {
 	var r Reused[obj]
 	x := 7

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -79,6 +80,11 @@ const vectorChunkRefs = 1 << 12
 // server fans pipelined (and vectored) requests out to goroutines, and the
 // bound keeps a flood of frames from spawning an unbounded worker set.
 const serverMaxHandlers = 256
+
+// serverWorkerIdle is how long a connection's extra handler workers wait for
+// a request before exiting: a burst's workers stay while requests keep
+// coming, and an idle connection shrinks back to its one resident worker.
+const serverWorkerIdle = time.Second
 
 // ErrRemote wraps an error string returned by the storage server.
 var ErrRemote = errors.New("storage: remote error")
@@ -232,6 +238,23 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serverConn is one served connection: its read loop hands request frames to
+// long-lived handler workers, which answer through the shared writer.
+type serverConn struct {
+	s    *Server
+	conn net.Conn
+	cs   connState
+
+	wmu sync.Mutex
+	w   *bufio.Writer
+
+	// reqs feeds the workers; a send succeeds at once only when a worker is
+	// idle. Only the read loop adds to workers; an exiting worker subtracts.
+	reqs     chan *wireBuf
+	workers  atomic.Int32
+	handlers sync.WaitGroup
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -241,16 +264,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	r := bufio.NewReaderSize(conn, 1<<16)
-	var wmu sync.Mutex
-	w := bufio.NewWriterSize(conn, 1<<16)
-	cs := &connState{}
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
-	// Bounded worker pool: slow backends (e.g. latency-injected) must not
-	// serialize pipelined requests, but a frame flood must not spawn an
-	// unbounded goroutine set either. Acquiring before the spawn exerts
-	// back-pressure on the connection's read loop.
-	sem := make(chan struct{}, serverMaxHandlers)
+	sc := &serverConn{s: s, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), reqs: make(chan *wireBuf)}
+	defer sc.handlers.Wait()
+	defer close(sc.reqs)
+	sc.workers.Store(1)
+	sc.handlers.Add(1)
+	go sc.work(true)
 	for {
 		fb, err := readFrame(r)
 		if err != nil {
@@ -260,44 +279,85 @@ func (s *Server) serveConn(conn net.Conn) {
 			putWireBuf(fb)
 			return
 		}
-		op := wireOp(fb.b[0])
-		reqID := binary.BigEndian.Uint64(fb.b[1:9])
-		payload := fb.b[9:]
-		handlers.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() {
-				<-sem
-				handlers.Done()
-			}()
-			// The response encodes into a pooled scratch; the request frame
-			// releases after handle (which copies anything it retains) and
-			// the response write both finish with its bytes.
-			defer putWireBuf(fb)
-			rb := getWireBuf(0)
-			status, resp := s.handle(cs, op, payload, rb)
-			if len(resp)+9 > maxFrame {
-				// A response the peer's readFrame would reject must become a
-				// clean per-request error, not a connection-killing frame.
-				status, resp = statusErr, []byte(fmt.Sprintf("storage: response of %d bytes exceeds frame limit", len(resp)))
-			}
-			wmu.Lock()
-			err := writeResponse(w, status, reqID, resp)
-			if err == nil {
-				w.Flush()
-			}
-			wmu.Unlock()
-			if err != nil {
-				conn.Close()
-			}
-			if resp != nil {
-				// Keep whichever backing the handler ended up with (error
-				// strings included — any byte slice is a fine future frame).
-				rb.b = resp[:0]
-			}
-			putWireBuf(rb)
-		}()
+		sc.dispatch(fb)
 	}
+}
+
+// dispatch hands a request to an idle worker, or starts one. Slow backends
+// (e.g. latency-injected) must not serialize pipelined requests, but a frame
+// flood must not grow the worker set past serverMaxHandlers either: at the
+// cap the read loop waits for a worker, which back-pressures the connection.
+func (sc *serverConn) dispatch(fb *wireBuf) {
+	select {
+	case sc.reqs <- fb:
+		return
+	default:
+	}
+	if sc.workers.Load() < serverMaxHandlers {
+		sc.workers.Add(1)
+		sc.handlers.Add(1)
+		go sc.work(false)
+	}
+	sc.reqs <- fb
+}
+
+// work serves requests until the connection's read loop ends. The resident
+// worker stays that long, so a read loop blocked on a full worker set is
+// always answered; any other worker exits once idle for serverWorkerIdle.
+func (sc *serverConn) work(resident bool) {
+	defer sc.handlers.Done()
+	if resident {
+		for fb := range sc.reqs {
+			sc.serve(fb)
+		}
+		return
+	}
+	idle := time.NewTimer(serverWorkerIdle)
+	defer idle.Stop()
+	for {
+		select {
+		case fb, ok := <-sc.reqs:
+			if !ok {
+				return
+			}
+			sc.serve(fb)
+			idle.Reset(serverWorkerIdle)
+		case <-idle.C:
+			sc.workers.Add(-1)
+			return
+		}
+	}
+}
+
+// serve answers one request frame and releases it. The response encodes into
+// a pooled scratch; the request frame releases after handle (which copies
+// anything it retains) and the response write both finish with its bytes.
+func (sc *serverConn) serve(fb *wireBuf) {
+	op := wireOp(fb.b[0])
+	reqID := binary.BigEndian.Uint64(fb.b[1:9])
+	rb := getWireBuf(0)
+	status, resp := sc.s.handle(&sc.cs, op, fb.b[9:], rb)
+	if len(resp)+9 > maxFrame {
+		// A response the peer's readFrame would reject must become a clean
+		// per-request error, not a connection-killing frame.
+		status, resp = statusErr, []byte(fmt.Sprintf("storage: response of %d bytes exceeds frame limit", len(resp)))
+	}
+	sc.wmu.Lock()
+	err := writeResponse(sc.w, status, reqID, resp)
+	if err == nil {
+		sc.w.Flush()
+	}
+	sc.wmu.Unlock()
+	if err != nil {
+		sc.conn.Close()
+	}
+	putWireBuf(fb)
+	if resp != nil {
+		// Keep whichever backing the handler ended up with (error strings
+		// included — any byte slice is a fine future frame).
+		rb.b = resp[:0]
+	}
+	putWireBuf(rb)
 }
 
 // mutatingOp reports whether an op changes store state and is therefore
@@ -513,12 +573,13 @@ func readFrame(r *bufio.Reader) (*wireBuf, error) {
 	return buf, nil
 }
 
+// writeResponse writes one response frame; the header is built in the
+// writer's own buffer, so nothing escapes per call.
 func writeResponse(w *bufio.Writer, status byte, reqID uint64, payload []byte) error {
-	var hdr [13]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(9+len(payload)))
-	hdr[4] = status
-	binary.BigEndian.PutUint64(hdr[5:13], reqID)
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(9+len(payload)))
+	hdr = append(hdr, status)
+	hdr = binary.BigEndian.AppendUint64(hdr, reqID)
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -661,9 +722,9 @@ func (c *Client) call(op wireOp, payload []byte) (response, error) {
 }
 
 // callPrefixed is call with the request payload in two parts, pre‖payload. pre
-// (at most 4 bytes) travels in the frame header's buffer, so a request that is
-// one length-prefixed field — Append's record — is sent from where it lies
-// instead of being copied behind its length.
+// (a few bytes) travels with the frame header, which is built in the writer's
+// own buffer, so a request that is one length-prefixed field — Append's record
+// — is sent from where it lies instead of being copied behind its length.
 func (c *Client) callPrefixed(op wireOp, pre, payload []byte) (response, error) {
 	ch := replyChanPool.Get().(chan response)
 	c.mu.Lock()
@@ -693,14 +754,11 @@ func (c *Client) callPrefixed(op wireOp, pre, payload []byte) (response, error) 
 		c.mu.Unlock()
 		return response{}, fmt.Errorf("storage: request of %d bytes exceeds frame limit", n)
 	}
-	var hdr [17]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(9+n))
-	hdr[4] = byte(op)
-	binary.BigEndian.PutUint64(hdr[5:13], id)
-	copy(hdr[13:], pre)
-
 	c.wmu.Lock()
-	_, err := c.w.Write(hdr[:13+len(pre)])
+	hdr := binary.BigEndian.AppendUint32(c.w.AvailableBuffer(), uint32(9+n))
+	hdr = append(hdr, byte(op))
+	hdr = binary.BigEndian.AppendUint64(hdr, id)
+	_, err := c.w.Write(append(hdr, pre...))
 	if err == nil {
 		_, err = c.w.Write(payload)
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // newRemotePair starts a server over a fresh MemBackend and returns a
@@ -174,6 +176,56 @@ func TestRemotePipelining(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestServerWorkersShrinkWhenIdle drives a burst of pipelined reads against a
+// latency-injected store, which grows the connection's handler workers, and
+// requires the extra workers to exit once the connection goes idle: a
+// long-lived connection does not keep its peak worker set.
+func TestServerWorkersShrinkWhenIdle(t *testing.T) {
+	const burst = 64
+	inner := NewMemBackend(burst)
+	for b := 0; b < burst; b++ {
+		must(t, inner.WriteBucket(b, 1, slots("x")))
+	}
+	srv, err := NewServer(WithLatency(inner, Profile{Name: "slow", Read: 20 * time.Millisecond}), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.ReadSlot(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for b := 0; b < burst; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			if _, err := c.ReadSlot(b, 0); err != nil {
+				t.Error(err)
+			}
+		}(b)
+	}
+	wg.Wait()
+	if peak := runtime.NumGoroutine(); peak < before+burst/4 {
+		t.Fatalf("goroutines %d -> %d after a burst of %d slow reads: the burst did not grow the worker set", before, peak, burst)
+	}
+	deadline := time.Now().Add(10 * serverWorkerIdle)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d -> %d, %v after the burst: idle workers stay", before, runtime.NumGoroutine(), 10*serverWorkerIdle)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if _, err := c.ReadSlot(1, 0); err != nil {
+		t.Fatalf("read after the workers shrank: %v", err)
 	}
 }
 
