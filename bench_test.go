@@ -84,7 +84,8 @@ func BenchmarkFig11aCheckpointFrequency(b *testing.B) { runExperiment(b, "fig11a
 
 // BenchmarkTable11bRecovery regenerates Table 11b: recovery time breakdown
 // (levels, slowdown, recovery time, log bytes, position/permutation map
-// entries, path replay) by database size.
+// entries, path replay) by database size, and the log bytes and records
+// recovery reads as uptime grows.
 func BenchmarkTable11bRecovery(b *testing.B) { runExperiment(b, "table11b") }
 
 // BenchmarkAblationEpochCommit measures the design decision DESIGN.md calls

@@ -7,7 +7,6 @@
 //
 //	obladi-bench -list
 //	obladi-bench -experiment fig10a [-quick] [-latency-scale 0.25]
-//	obladi-bench -experiment vector -json [-json-dir results]
 //	obladi-bench -experiment all
 package main
 
@@ -16,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"obladi/internal/bench"
@@ -28,9 +26,6 @@ func main() {
 	quick := flag.Bool("quick", false, "CI-scale data sizes and run lengths")
 	scale := flag.Float64("latency-scale", 0, "storage latency scale factor (0 = default)")
 	seed := flag.Uint64("seed", 42, "random seed")
-	scaleSessions := flag.Int("scale-sessions", 0, "override the scale experiment's session sweep with one point (0 = default sweep)")
-	jsonOut := flag.Bool("json", false, "also write BENCH_<experiment>.json with machine-readable results")
-	jsonDir := flag.String("json-dir", ".", "directory for -json output files")
 	flag.Parse()
 
 	if *list {
@@ -39,7 +34,7 @@ func main() {
 		}
 		return
 	}
-	cfg := bench.Config{Quick: *quick, LatencyScale: *scale, Seed: *seed, ScaleSessions: *scaleSessions}
+	cfg := bench.Config{Quick: *quick, LatencyScale: *scale, Seed: *seed}
 
 	names := bench.Names()
 	if *experiment != "all" {
@@ -54,13 +49,6 @@ func main() {
 		}
 		if err := bench.Print(os.Stdout, rows); err != nil {
 			log.Fatal(err)
-		}
-		if *jsonOut {
-			path := filepath.Join(*jsonDir, fmt.Sprintf("BENCH_%s.json", name))
-			if err := bench.WriteJSON(path, name, rows); err != nil {
-				log.Fatalf("%s: writing %s: %v", name, path, err)
-			}
-			fmt.Printf("-- results written to %s\n", path)
 		}
 		fmt.Printf("-- %s done in %v\n\n", name, time.Since(start).Round(time.Millisecond))
 	}

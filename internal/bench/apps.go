@@ -35,9 +35,15 @@ type proxyOpts struct {
 	txns       int
 }
 
-// proxyThroughput measures committed single-write transactions per second
-// on a manually-driven proxy.
-func proxyThroughput(cfg Config, opt proxyOpts) (float64, error) {
+// proxyRun is one proxyThroughput measurement.
+type proxyRun struct {
+	rate              float64 // completed (committed or aborted) txns/s
+	logBytesPerCommit float64 // recovery-log bytes appended per committed txn
+}
+
+// proxyThroughput measures completed single-write transactions per second
+// on a manually-driven proxy, and the log bytes each commit cost.
+func proxyThroughput(cfg Config, opt proxyOpts) (proxyRun, error) {
 	p := ringoram.Params{
 		NumBlocks: opt.numKeys, Z: 16, S: 24, A: 16,
 		KeySize: 24, ValueSize: 64, Seed: cfg.Seed,
@@ -45,47 +51,50 @@ func proxyThroughput(cfg Config, opt proxyOpts) (float64, error) {
 	if opt.params != nil {
 		p = *opt.params
 	}
-	var backend storage.Backend = storage.NewMemBackend(p.Geometry().NumBuckets)
+	m := newMeter(storage.NewMemBackend(p.Geometry().NumBuckets))
+	var backend storage.Backend = m
 	if opt.profile.Name != "" && opt.profile.Name != "dummy" {
-		backend = storage.WithLatency(backend, opt.profile.Scaled(opt.scale))
+		backend = storage.WithLatency(m, opt.profile.Scaled(opt.scale))
 	}
 	proxy, err := core.New(backend, core.Config{
 		Params: p, Key: cryptoutil.KeyFromSeed([]byte("bench")),
 		ReadBatches: 4, ReadBatchSize: 16, WriteBatchSize: 32,
 		DisableDurability:   !opt.durability,
 		FullCheckpointEvery: opt.ckptEvery,
-		Parallelism:         128,
 	})
 	if err != nil {
-		return 0, err
+		return proxyRun{}, err
 	}
 	defer proxy.Close()
+	m.reset()
 	rng := newRand(cfg.Seed)
 	start := time.Now()
-	done := 0
+	done, committed := 0, 0
 	for done < opt.txns {
 		// A small group of write txns per epoch.
-		group := 8
-		if opt.txns-done < group {
-			group = opt.txns - done
-		}
+		group := min(8, opt.txns-done)
 		chans := make([]<-chan error, group)
 		for i := 0; i < group; i++ {
 			tx := proxy.Begin()
 			if err := tx.Write(fmt.Sprintf("key-%d", rng.IntN(opt.numKeys)), []byte("v")); err != nil {
-				return 0, err
+				return proxyRun{}, err
 			}
 			chans[i] = tx.CommitAsync()
 		}
 		if err := proxy.EndEpoch(); err != nil {
-			return 0, err
+			return proxyRun{}, err
 		}
 		for _, ch := range chans {
-			<-ch // conflicts abort; both outcomes count as completed ops
+			if <-ch == nil { // conflicts abort; both outcomes count as completed ops
+				committed++
+			}
 		}
 		done += group
 	}
-	return opsPerSec(done, time.Since(start)), nil
+	return proxyRun{
+		rate:              opsPerSec(done, time.Since(start)),
+		logBytesPerCommit: perOp(int(m.logBytes.Load()), committed),
+	}, nil
 }
 
 // appEngine is one (engine, app) pairing for Figure 9 / Figure 10f.
@@ -189,7 +198,6 @@ func buildEngine(cfg Config, es engineSpec, as appSpec, batchInterval time.Durat
 			BatchInterval:     batchInterval,
 			EagerBatches:      true,
 			DisableDurability: true, // Figure 9 isolates the data path
-			Parallelism:       256,
 		})
 		if err != nil {
 			return nil, err
@@ -332,7 +340,7 @@ func AblationEpochCommit(cfg Config) ([]Row, error) {
 	cfg.setDefaults()
 	var rows []Row
 	for _, bpe := range []int{1, 8} {
-		rate, err := proxyThroughput(cfg, proxyOpts{
+		run, err := proxyThroughput(cfg, proxyOpts{
 			numKeys: 2_000,
 			profile: storage.ProfileServer,
 			scale:   cfg.LatencyScale,
@@ -341,7 +349,7 @@ func AblationEpochCommit(cfg Config) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Row{Experiment: "ablation-epoch", Series: "Obladi", X: fmt.Sprintf("%d batches/epoch", bpe), Value: rate, Unit: "txn/s"})
+		rows = append(rows, Row{Experiment: "ablation-epoch", Series: "Obladi", X: fmt.Sprintf("%d batches/epoch", bpe), Value: run.rate, Unit: "txn/s"})
 	}
 	return rows, nil
 }

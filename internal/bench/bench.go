@@ -1,16 +1,19 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§11). Each experiment returns rows of (series, x, value) that
 // print as the same series the paper plots. Absolute numbers depend on the
-// host and on the latency scale factor; the experiments are designed so the
-// paper's *shape* (who wins, by what factor, where curves bend) reproduces.
+// host and on the latency scale factor. Beside the timings each figure emits
+// counted rows, measured at the storage boundary through a storage.Recorder —
+// round trips, bucket writes, log bytes, committed operations — which are
+// exact for a seed and carry the paper's structural claims; the shape tests
+// assert only on those.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"math"
 	"sort"
+	"strconv"
 	"text/tabwriter"
 	"time"
 )
@@ -24,9 +27,6 @@ type Config struct {
 	LatencyScale float64
 	// Seed makes experiments deterministic where possible.
 	Seed uint64
-	// ScaleSessions overrides the session sweep of the scale experiment
-	// with a single point (0 = the default sweep).
-	ScaleSessions int
 }
 
 func (c *Config) setDefaults() {
@@ -43,56 +43,14 @@ func (c *Config) setDefaults() {
 }
 
 // Row is one data point: Experiment/Series identify the curve or bar, X the
-// position on the x-axis, Value the measurement. Profile, Shards and the
-// latency percentiles are optional annotations experiments fill when they
-// apply; they ride into the machine-readable output (-json) so the perf
-// trajectory can be tracked across PRs.
+// position on the x-axis, Value the measurement in Unit — a throughput, a
+// latency, a ratio, a size or a count.
 type Row struct {
-	Experiment string `json:"experiment"`
-	Series     string `json:"series"`
-	X          string `json:"x"`
-	// Value is the measurement in Unit — a throughput for the rate-style
-	// experiments (the vector/pipeline/shards rows), but also latencies,
-	// ratios or sizes for the figure reproductions, hence the neutral
-	// JSON name.
-	Value   float64 `json:"value"`
-	Unit    string  `json:"unit"`
-	Profile string  `json:"profile,omitempty"`
-	Shards  int     `json:"shards,omitempty"`
-	P50ms   float64 `json:"p50_ms,omitempty"`
-	P99ms   float64 `json:"p99_ms,omitempty"`
-	// Scale-experiment annotations: concurrent session count, offered
-	// (attempted) load in txns/s, and the fraction of it load-shed.
-	Sessions int     `json:"sessions,omitempty"`
-	Offered  float64 `json:"offered_txns_per_sec,omitempty"`
-	ShedRate float64 `json:"shed_rate,omitempty"`
-}
-
-// WriteJSON writes one experiment's rows as BENCH_<experiment>-style JSON:
-// a machine-readable record of throughput (and, where measured, latency
-// percentiles) per series/profile/shard-count.
-func WriteJSON(path, experiment string, rows []Row) error {
-	doc := struct {
-		Experiment string `json:"experiment"`
-		Rows       []Row  `json:"results"`
-	}{Experiment: experiment, Rows: rows}
-	data, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// percentile returns the p-th percentile (0..100) of durations in
-// milliseconds (nearest-rank on a sorted copy).
-func percentile(ds []time.Duration, p float64) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(float64(len(sorted)-1)*p/100 + 0.5)
-	return float64(sorted[rank]) / float64(time.Millisecond)
+	Experiment string
+	Series     string
+	X          string
+	Value      float64
+	Unit       string
 }
 
 // Experiment names in paper order.
@@ -103,22 +61,15 @@ var experiments = []struct {
 }{
 	{"fig9a", "application throughput (Obladi, NoPriv, MySQL, ObladiW, NoPrivW)", Fig9a},
 	{"fig9b", "application latency", Fig9b},
-	{"fig10a", "sequential vs parallel vs parallel+crypto ops/s", Fig10a},
-	{"fig10b", "throughput vs batch size", Fig10b},
-	{"fig10c", "latency vs batch size", Fig10c},
-	{"fig10d", "delayed visibility (normal vs write back)", Fig10d},
-	{"fig10e", "epoch size impact on ORAM throughput", Fig10e},
+	{"fig10a", "sequential vs parallel vs parallel+crypto ops/s, and storage round trips per op", Fig10a},
+	{"fig10b", "throughput and storage round trips per op vs batch size", Fig10b},
+	{"fig10c", "latency and storage round trips per op vs batch size", Fig10c},
+	{"fig10d", "delayed visibility (normal vs write back): throughput and bucket writes per op", Fig10d},
+	{"fig10e", "epoch size impact on ORAM throughput and bucket writes per op", Fig10e},
 	{"fig10f", "epoch size impact on application throughput", Fig10f},
-	{"fig11a", "throughput vs checkpoint frequency", Fig11a},
-	{"table11b", "recovery time breakdown", Table11b},
-	{"shards", "aggregate throughput vs shard count (beyond the paper: sharded proxy)", ShardScale},
-	{"pipeline", "epoch-boundary pipelining: synchronous vs overlapped commit stage (beyond the paper)", Pipeline},
-	{"vector", "scatter-gather storage I/O vs scalar call-per-slot baseline (beyond the paper)", Vector},
-	{"disk", "durable disk backend vs in-memory store, scalar vs vectored I/O, plus 2-shard group commit (beyond the paper)", Disk},
-	{"recovery", "crash-recovery time: serial vs parallel segment replay at 1/2/4 workers (beyond the paper)", Recovery},
-	{"hotpath", "proxy CPU hot path: executor slot pipeline and single-shard mem throughput, with allocs/slot (beyond the paper)", HotPath},
-	{"failover", "hot-standby replication tax (standalone vs replicated vs replica-acked) and measured failover timeline (beyond the paper)", Failover},
-	{"scale", "overload control: committed throughput, p99 and shed rate vs session count (to 100k+) and vs offered load past saturation (beyond the paper)", Scale},
+	{"fig11a", "throughput and log bytes per commit vs checkpoint frequency", Fig11a},
+	{"table11b", "recovery cost breakdown, and what recovery reads vs uptime", Table11b},
+	{"shards", "aggregate throughput and committed ops per epoch vs shard count (beyond the paper: sharded proxy)", ShardScale},
 }
 
 // Names lists all experiment ids.
@@ -163,9 +114,18 @@ func Print(w io.Writer, rows []Row) error {
 		return false // keep insertion order within an experiment
 	})
 	for _, r := range sorted {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.2f\t%s\n", r.Experiment, r.Series, r.X, r.Value, r.Unit)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", r.Experiment, r.Series, r.X, formatValue(r.Value), r.Unit)
 	}
 	return tw.Flush()
+}
+
+// formatValue prints two decimals, or three significant digits below one so
+// that small per-op counts stay readable.
+func formatValue(v float64) string {
+	if v != 0 && math.Abs(v) < 1 {
+		return strconv.FormatFloat(v, 'g', 3, 64)
+	}
+	return strconv.FormatFloat(v, 'f', 2, 64)
 }
 
 // opsPerSec converts a count and duration to a rate.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"obladi/internal/core"
@@ -12,6 +13,54 @@ import (
 	"obladi/internal/wal"
 	"obladi/internal/workload"
 )
+
+// meter is the recording backend every figure puts under the latency
+// injection of the store it builds: storage.Recorder's call counts and
+// per-slot trace, plus the bytes of the log appends the recorder passes
+// through uncounted.
+type meter struct {
+	*storage.Recorder
+	logBytes atomic.Int64
+}
+
+func newMeter(inner storage.Backend) *meter { return &meter{Recorder: storage.NewRecorder(inner)} }
+
+func (m *meter) Append(record []byte) (uint64, error) {
+	m.logBytes.Add(int64(len(record)))
+	return m.Recorder.Append(record)
+}
+
+// reset zeroes every count, so what follows a setup phase is measured alone.
+func (m *meter) reset() {
+	m.Recorder.Reset()
+	m.logBytes.Store(0)
+}
+
+// roundTrips counts the bucket-store calls: a vectored call is one however
+// many slots or buckets it carries.
+func (m *meter) roundTrips() int {
+	c := m.Calls()
+	return c.ReadSlot + c.ReadSlots + c.ReadBucket + c.WriteBucket + c.WriteBuckets + c.Commit + c.Rollback
+}
+
+// bucketWrites counts the bucket versions written.
+func (m *meter) bucketWrites() int {
+	n := 0
+	for _, ev := range m.Events() {
+		if ev.Op == storage.OpWriteBucket {
+			n++
+		}
+	}
+	return n
+}
+
+// perOp divides a count by an operation count.
+func perOp(count, ops int) float64 {
+	if ops == 0 {
+		return 0
+	}
+	return float64(count) / float64(ops)
+}
 
 // microParams builds the ORAM configuration for the Figure 10
 // microbenchmarks: the paper instantiates 100K objects; quick mode shrinks
@@ -33,18 +82,16 @@ func microParams(cfg Config, crypto bool) ringoram.Params {
 	return p
 }
 
-// microBackend builds a backend for a latency profile over the geometry.
-func microBackend(p ringoram.Params, prof storage.Profile, scale float64) storage.Backend {
+// microBackend builds a backend for a latency profile over the geometry, and
+// the meter under its latency injection.
+func microBackend(p ringoram.Params, prof storage.Profile, scale float64) (storage.Backend, *meter) {
 	n := p.Geometry().NumBuckets
 	if prof.Name == "dummy" {
-		return storage.NewDummyBackend(n, 1)
+		m := newMeter(storage.NewDummyBackend(n, 1))
+		return m, m
 	}
-	return storage.WithLatency(storage.NewMemBackend(n), prof.Scaled(scale))
-}
-
-// microProfiles returns the four backends of Figure 10, in plot order.
-func microProfiles(cfg Config) []storage.Profile {
-	return storage.Profiles()
+	m := newMeter(storage.NewMemBackend(n))
+	return storage.WithLatency(m, prof.Scaled(scale)), m
 }
 
 // runSeqOps runs n sequential ORAM ops and returns the duration.
@@ -109,8 +156,36 @@ func runExecBatches(exec *oramexec.Executor, store storage.BucketStore, mix *wor
 	return ops, time.Since(start), nil
 }
 
+// microExec builds an initialized executor over a metered backend for one
+// profile; the meter starts counting after the tree is initialized.
+func microExec(p ringoram.Params, prof storage.Profile, scale float64, key *cryptoutil.Key, cfg oramexec.Config) (*oramexec.Executor, storage.Backend, *meter, error) {
+	backend, m := microBackend(p, prof, scale)
+	oram, err := oramexec.InitORAM(backend, key, p)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	m.reset()
+	return oramexec.New(oram, backend, cfg), backend, m, nil
+}
+
+// traceDiff counts the positions at which two recorded traces differ, plus
+// the length difference.
+func traceDiff(a, b []storage.Event) int {
+	n := max(len(a), len(b)) - min(len(a), len(b))
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
+}
+
 // Fig10a reproduces Figure 10a: sequential vs parallel vs parallel+crypto
-// throughput at batch size 500 across the four backends.
+// throughput at batch size 500 across the four backends. Counted beside it:
+// storage round trips per op — the parallel executor's batch crosses storage
+// in a few vectored calls, the sequential client pays one per slot and
+// bucket — and how far ParallelCrypto's trace is from Parallel's (encryption
+// changes the bytes, never which slots are touched).
 func Fig10a(cfg Config) ([]Row, error) {
 	batchSize := 500
 	batches := 4
@@ -119,55 +194,59 @@ func Fig10a(cfg Config) ([]Row, error) {
 		batchSize, batches, seqOps = 100, 2, 60
 	}
 	var rows []Row
-	for _, prof := range microProfiles(cfg) {
+	for _, prof := range storage.Profiles() {
 		scale := cfg.LatencyScale
 		// Sequential (crypto on, as in canonical Ring ORAM).
 		{
 			p := microParams(cfg, true)
-			backend := microBackend(p, prof, scale)
+			backend, m := microBackend(p, prof, scale)
 			seq, err := ringoram.NewSeq(oramexec.StoreAdapter{B: backend, Epoch: 1}, cryptoutil.KeyFromSeed([]byte("f10a")), p)
 			if err != nil {
 				return nil, err
 			}
+			m.reset()
 			mix := workload.NewMix(workload.NewUniform(p.NumBlocks), 1.0, "k")
 			n := seqOps
 			if prof.Name == "server WAN" {
 				// WAN sequential ops cost ~path × RTT each; a handful
 				// suffices for a rate estimate and keeps runtime sane.
-				n = seqOps / 8
-				if n < 4 {
-					n = 4
-				}
+				n = max(seqOps/8, 4)
 			}
 			d, err := runSeqOps(seq, mix, n, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, Row{Experiment: "fig10a", Series: "Sequential", X: prof.Name, Value: opsPerSec(n, d), Unit: "ops/s"})
+			rows = append(rows,
+				Row{Experiment: "fig10a", Series: "Sequential", X: prof.Name, Value: opsPerSec(n, d), Unit: "ops/s"},
+				Row{Experiment: "fig10a", Series: "Sequential round trips", X: prof.Name, Value: perOp(m.roundTrips(), n), Unit: "calls/op"})
 			backend.Close()
 		}
+		var plainTrace []storage.Event
 		for _, crypto := range []bool{false, true} {
 			series := "Parallel"
-			if crypto {
-				series = "ParallelCrypto"
-			}
-			p := microParams(cfg, crypto)
-			backend := microBackend(p, prof, scale)
 			var key *cryptoutil.Key
 			if crypto {
+				series = "ParallelCrypto"
 				key = cryptoutil.KeyFromSeed([]byte("f10a"))
 			}
-			oram, err := oramexec.InitORAM(backend, key, p)
+			p := microParams(cfg, crypto)
+			exec, backend, m, err := microExec(p, prof, scale, key, oramexec.Config{})
 			if err != nil {
 				return nil, err
 			}
-			exec := oramexec.New(oram, backend, oramexec.Config{Parallelism: 256})
 			mix := workload.NewMix(workload.NewUniform(p.NumBlocks), 1.0, "k")
 			ops, d, err := runExecBatches(exec, backend, mix, batchSize, batches, 1, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, Row{Experiment: "fig10a", Series: series, X: prof.Name, Value: opsPerSec(ops, d), Unit: "ops/s"})
+			rows = append(rows,
+				Row{Experiment: "fig10a", Series: series, X: prof.Name, Value: opsPerSec(ops, d), Unit: "ops/s"},
+				Row{Experiment: "fig10a", Series: series + " round trips", X: prof.Name, Value: perOp(m.roundTrips(), ops), Unit: "calls/op"})
+			if !crypto {
+				plainTrace = m.Events()
+			} else {
+				rows = append(rows, Row{Experiment: "fig10a", Series: "ParallelCrypto trace diff", X: prof.Name, Value: float64(traceDiff(plainTrace, m.Events())), Unit: "events"})
+			}
 			backend.Close()
 		}
 	}
@@ -184,6 +263,8 @@ func Fig10c(cfg Config) ([]Row, error) {
 	return fig10bc(cfg, true)
 }
 
+// fig10bc sweeps the batch size. Beside each timing it counts storage round
+// trips per op, which batching divides by the batch size.
 func fig10bc(cfg Config, latency bool) ([]Row, error) {
 	sizes := []int{1, 10, 100, 500, 1000, 2000}
 	batches := 4
@@ -196,14 +277,12 @@ func fig10bc(cfg Config, latency bool) ([]Row, error) {
 		exp = "fig10c"
 	}
 	var rows []Row
-	for _, prof := range microProfiles(cfg) {
+	for _, prof := range storage.Profiles() {
 		p := microParams(cfg, true)
-		backend := microBackend(p, prof, cfg.LatencyScale/4)
-		oram, err := oramexec.InitORAM(backend, cryptoutil.KeyFromSeed([]byte("f10b")), p)
+		exec, backend, m, err := microExec(p, prof, cfg.LatencyScale/4, cryptoutil.KeyFromSeed([]byte("f10b")), oramexec.Config{})
 		if err != nil {
 			return nil, err
 		}
-		exec := oramexec.New(oram, backend, oramexec.Config{Parallelism: 512})
 		mix := workload.NewMix(workload.NewUniform(p.NumBlocks), 1.0, "k")
 		for _, size := range sizes {
 			if size > p.NumBlocks/2 {
@@ -214,16 +293,19 @@ func fig10bc(cfg Config, latency bool) ([]Row, error) {
 			if size < 100 {
 				rounds = batches * 8
 			}
+			m.reset()
 			ops, d, err := runExecBatches(exec, backend, mix, size, rounds, 1, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
+			x := fmt.Sprint(size)
 			if latency {
 				per := d / time.Duration(rounds)
-				rows = append(rows, Row{Experiment: exp, Series: prof.Name, X: fmt.Sprint(size), Value: float64(per.Microseconds()) / 1000, Unit: "ms/batch"})
+				rows = append(rows, Row{Experiment: exp, Series: prof.Name, X: x, Value: float64(per.Microseconds()) / 1000, Unit: "ms/batch"})
 			} else {
-				rows = append(rows, Row{Experiment: exp, Series: prof.Name, X: fmt.Sprint(size), Value: opsPerSec(ops, d), Unit: "ops/s"})
+				rows = append(rows, Row{Experiment: exp, Series: prof.Name, X: x, Value: opsPerSec(ops, d), Unit: "ops/s"})
 			}
+			rows = append(rows, Row{Experiment: exp, Series: prof.Name + " round trips", X: x, Value: perOp(m.roundTrips(), ops), Unit: "calls/op"})
 		}
 		backend.Close()
 	}
@@ -232,6 +314,7 @@ func fig10bc(cfg Config, latency bool) ([]Row, error) {
 
 // Fig10d reproduces Figure 10d: delayed visibility (buffered, deduplicated
 // epoch write-back) vs immediate write-back, with epochs of eight batches.
+// Counted: bucket writes per op, which the epoch's per-bucket dedup cuts.
 func Fig10d(cfg Config) ([]Row, error) {
 	batchSize, epochs := 200, 2
 	if cfg.Quick {
@@ -239,25 +322,25 @@ func Fig10d(cfg Config) ([]Row, error) {
 	}
 	const batchesPerEpoch = 8
 	var rows []Row
-	for _, prof := range microProfiles(cfg) {
+	for _, prof := range storage.Profiles() {
 		for _, writeThrough := range []bool{false, true} {
 			series := "Normal"
 			if writeThrough {
 				series = "Write Back"
 			}
 			p := microParams(cfg, true)
-			backend := microBackend(p, prof, cfg.LatencyScale/4)
-			oram, err := oramexec.InitORAM(backend, cryptoutil.KeyFromSeed([]byte("f10d")), p)
+			exec, backend, m, err := microExec(p, prof, cfg.LatencyScale/4, cryptoutil.KeyFromSeed([]byte("f10d")), oramexec.Config{WriteThrough: writeThrough})
 			if err != nil {
 				return nil, err
 			}
-			exec := oramexec.New(oram, backend, oramexec.Config{Parallelism: 256, WriteThrough: writeThrough})
 			mix := workload.NewMix(workload.NewUniform(p.NumBlocks), 1.0, "k")
 			ops, d, err := runExecBatches(exec, backend, mix, batchSize, epochs*batchesPerEpoch, batchesPerEpoch, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, Row{Experiment: "fig10d", Series: series, X: prof.Name, Value: opsPerSec(ops, d), Unit: "ops/s"})
+			rows = append(rows,
+				Row{Experiment: "fig10d", Series: series, X: prof.Name, Value: opsPerSec(ops, d), Unit: "ops/s"},
+				Row{Experiment: "fig10d", Series: series + " bucket writes", X: prof.Name, Value: perOp(m.bucketWrites(), ops), Unit: "writes/op"})
 			backend.Close()
 		}
 	}
@@ -265,7 +348,8 @@ func Fig10d(cfg Config) ([]Row, error) {
 }
 
 // Fig10e reproduces Figure 10e: relative throughput increase as the epoch
-// grows from 2 to 2^7 batches.
+// grows from 2 to 2^7 batches. Counted: bucket writes per op, which fall as
+// a longer epoch deduplicates more rewrites of the same buckets.
 func Fig10e(cfg Config) ([]Row, error) {
 	batchSize := 168 // one eviction per batch at A=168 in the paper; scaled
 	epochSizes := []int{2, 8, 32, 128}
@@ -274,36 +358,36 @@ func Fig10e(cfg Config) ([]Row, error) {
 		epochSizes = []int{2, 8, 32}
 	}
 	var rows []Row
-	for _, prof := range microProfiles(cfg) {
+	for _, prof := range storage.Profiles() {
 		var baselineRate float64
 		for i, bpe := range append([]int{1}, epochSizes...) {
 			p := microParams(cfg, true)
-			backend := microBackend(p, prof, cfg.LatencyScale/8)
-			oram, err := oramexec.InitORAM(backend, cryptoutil.KeyFromSeed([]byte("f10e")), p)
+			exec, backend, m, err := microExec(p, prof, cfg.LatencyScale/8, cryptoutil.KeyFromSeed([]byte("f10e")), oramexec.Config{})
 			if err != nil {
 				return nil, err
 			}
-			exec := oramexec.New(oram, backend, oramexec.Config{Parallelism: 256})
 			mix := workload.NewMix(workload.NewUniform(p.NumBlocks), 1.0, "k")
 			ops, d, err := runExecBatches(exec, backend, mix, batchSize, bpe, bpe, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
+			backend.Close()
+			x := fmt.Sprint(bpe)
+			rows = append(rows, Row{Experiment: "fig10e", Series: prof.Name + " bucket writes", X: x, Value: perOp(m.bucketWrites(), ops), Unit: "writes/op"})
 			rate := opsPerSec(ops, d)
 			if i == 0 {
 				baselineRate = rate
-				backend.Close()
 				continue
 			}
-			rows = append(rows, Row{Experiment: "fig10e", Series: prof.Name, X: fmt.Sprint(bpe), Value: rate / baselineRate, Unit: "x vs 1 batch"})
-			backend.Close()
+			rows = append(rows, Row{Experiment: "fig10e", Series: prof.Name, X: x, Value: rate / baselineRate, Unit: "x vs 1 batch"})
 		}
 	}
 	return rows, nil
 }
 
 // Fig11a reproduces Figure 11a: throughput vs full-checkpoint frequency
-// with durability enabled.
+// with durability enabled. Counted: log bytes per commit, which fall as full
+// checkpoints get rarer.
 func Fig11a(cfg Config) ([]Row, error) {
 	freqs := []int{1, 4, 16, 64}
 	profiles := []storage.Profile{storage.ProfileServer, storage.ProfileServerWAN, storage.ProfileDynamo}
@@ -317,7 +401,7 @@ func Fig11a(cfg Config) ([]Row, error) {
 	var rows []Row
 	for _, prof := range profiles {
 		for _, freq := range freqs {
-			rate, err := proxyThroughput(cfg, proxyOpts{
+			run, err := proxyThroughput(cfg, proxyOpts{
 				numKeys:    numKeys,
 				profile:    prof,
 				scale:      cfg.LatencyScale / 8,
@@ -328,13 +412,18 @@ func Fig11a(cfg Config) ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, Row{Experiment: "fig11a", Series: prof.Name, X: fmt.Sprint(freq), Value: rate, Unit: "ops/s"})
+			x := fmt.Sprint(freq)
+			rows = append(rows,
+				Row{Experiment: "fig11a", Series: prof.Name, X: x, Value: run.rate, Unit: "ops/s"},
+				Row{Experiment: "fig11a", Series: prof.Name + " log bytes", X: x, Value: run.logBytesPerCommit, Unit: "B/commit"})
 		}
 	}
 	return rows, nil
 }
 
 // Table11b reproduces Table 11b: recovery cost breakdown by database size.
+// Its last rows put uptime on the x-axis, which the paper holds fixed: what
+// recovery reads off the log must not grow with it.
 func Table11b(cfg Config) ([]Row, error) {
 	sizes := []int{10_000, 100_000}
 	if cfg.Quick {
@@ -358,8 +447,8 @@ func Table11b(cfg Config) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if base > 0 {
-			rows = append(rows, Row{Experiment: "table11b", Series: "Slowdown", X: label, Value: durable / base, Unit: "x"})
+		if base.rate > 0 {
+			rows = append(rows, Row{Experiment: "table11b", Series: "Slowdown", X: label, Value: durable.rate / base.rate, Unit: "x"})
 		}
 
 		// Recovery time breakdown: build state, crash mid-epoch, recover.
@@ -437,7 +526,11 @@ func Table11b(cfg Config) ([]Row, error) {
 			Row{Experiment: "table11b", Series: "Paths", X: label, Value: float64(pathTime.Microseconds()) / 1000, Unit: "ms"},
 		)
 	}
-	return rows, nil
+	upRows, err := recoveryVsUptime(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return append(rows, upRows...), nil
 }
 
 func logBytes(b *storage.MemBackend) int {
@@ -450,4 +543,93 @@ func logBytes(b *storage.MemBackend) int {
 		total += len(r)
 	}
 	return total
+}
+
+// uptimeAxis is the epochs-before-the-crash sweep. Every point sits at the
+// same phase of the full-checkpoint cadence, so the logs compared hold the
+// same records.
+func uptimeAxis(cfg Config) []int {
+	if cfg.Quick {
+		return []int{32, 128, 512}
+	}
+	return []int{64, 512, 4096}
+}
+
+// runEpochs steps a manually driven proxy through n epochs, each committing
+// one write over a small fixed key set.
+func runEpochs(p *core.Proxy, readBatches, n int) error {
+	for e := 0; e < n; e++ {
+		tx := p.Begin()
+		if err := tx.Write(fmt.Sprintf("up-%03d", e%256), []byte("v")); err != nil {
+			return err
+		}
+		ack := tx.CommitAsync()
+		for b := 0; b < readBatches; b++ {
+			if err := p.StepReadBatch(); err != nil {
+				return err
+			}
+		}
+		if err := p.EndEpoch(); err != nil {
+			return err
+		}
+		if err := <-ack; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recoveryVsUptime crashes a proxy after a growing number of epochs and runs
+// the log recovery of §8 — scan, decrypt, decode, rebuild the ORAM metadata —
+// each time, counting the bytes and records it reads off the log. The log is
+// cut at every full checkpoint, so both are functions of the ORAM's size and
+// the public parameters, not of how long the proxy ran.
+func recoveryVsUptime(cfg Config) ([]Row, error) {
+	key := cryptoutil.KeyFromSeed([]byte("bench-recovery-uptime"))
+	ccfg := core.Config{
+		Params:      ringoram.Params{NumBlocks: 4096, Z: 8, S: 12, A: 8, KeySize: 24, ValueSize: 64, Seed: cfg.Seed},
+		Key:         key,
+		ReadBatches: 4, ReadBatchSize: 16, WriteBatchSize: 32,
+	}
+	wcfg, err := core.WALConfigFor(ccfg, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Row
+	for _, uptime := range uptimeAxis(cfg) {
+		backend := storage.NewMemBackend(ccfg.Params.Geometry().NumBuckets)
+		p, err := core.New(backend, ccfg)
+		if err != nil {
+			return nil, err
+		}
+		// A few epochs past the axis point, so the crash is not on a
+		// truncation's heels, then one read batch of the epoch that dies.
+		if err := runEpochs(p, ccfg.ReadBatches, uptime+3); err != nil {
+			return nil, err
+		}
+		if err := p.StepReadBatch(); err != nil {
+			return nil, err
+		}
+		l, err := wal.New(backend, wcfg)
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		rec, err := l.Recover()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := ringoram.Restore(key, ccfg.Params, rec.Full, rec.Deltas...); err != nil {
+			return nil, err
+		}
+		d := time.Since(start)
+		p.Close()
+		x := fmt.Sprintf("%d-epochs", uptime)
+		rows = append(rows,
+			Row{Experiment: "table11b", Series: "LogRecovery/uptime", X: x, Value: float64(d.Microseconds()) / 1000, Unit: "ms"},
+			Row{Experiment: "table11b", Series: "LogBytesRead/uptime", X: x, Value: float64(rec.Stats.BytesRead) / 1024, Unit: "KiB"},
+			Row{Experiment: "table11b", Series: "RecordsReplayed/uptime", X: x, Value: float64(l.Stats().Records), Unit: "records"},
+		)
+	}
+	return rows, nil
 }

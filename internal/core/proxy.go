@@ -105,13 +105,6 @@ type Config struct {
 	// exists for throughput experiments only.
 	EagerBatches bool
 
-	// Parallelism caps concurrent storage operations on the scalar I/O
-	// path (per shard); the vectored path issues one call per stage.
-	Parallelism int
-	// ScalarStorageIO disables the executor's scatter-gather storage calls:
-	// every slot read and write-back bucket becomes its own storage call,
-	// as before vectorization. Baseline knob for the `vector` benchmark.
-	ScalarStorageIO bool
 	// WriteThrough disables delayed write-back (Figure 10d ablation). It
 	// cannot recover a store a proxy without it has written to: that proxy
 	// stores the resident levels' buckets without their dummies.
@@ -154,7 +147,7 @@ const (
 	BoundaryAuto BoundaryMode = iota
 	// BoundarySync runs the commit stage inline: EndEpoch returns only
 	// after the epoch is durable and its clients are notified. This is the
-	// paper's synchronous boundary and the `pipeline` benchmark baseline.
+	// paper's synchronous boundary.
 	BoundarySync
 	// BoundaryPipelined hands the commit stage to a background committer
 	// even under manual driving, so epoch e's write-back and durability
@@ -584,11 +577,7 @@ func (p *Proxy) bootstrap() error {
 		if err != nil {
 			return err
 		}
-		sh.exec = oramexec.New(oram, sh.store, oramexec.Config{
-			Parallelism:  p.cfg.Parallelism,
-			WriteThrough: p.cfg.WriteThrough,
-			ScalarIO:     p.cfg.ScalarStorageIO,
-		})
+		sh.exec = oramexec.New(oram, sh.store, oramexec.Config{WriteThrough: p.cfg.WriteThrough})
 	}
 	p.epoch = 1
 	p.beginEpochAllLocked()
@@ -700,11 +689,7 @@ func (p *Proxy) recoverFromRecoveries(recs []*wal.Recovery) error {
 				errs[i] = err
 				return
 			}
-			sh.exec = oramexec.New(oram, sh.store, oramexec.Config{
-				Parallelism:  p.cfg.Parallelism,
-				WriteThrough: p.cfg.WriteThrough,
-				ScalarIO:     p.cfg.ScalarStorageIO,
-			})
+			sh.exec = oramexec.New(oram, sh.store, oramexec.Config{WriteThrough: p.cfg.WriteThrough})
 			// The upper levels live in the proxy and storage holds only their
 			// blocks: fetch them before anything reads a path.
 			if err := sh.exec.LoadResident(); err != nil {

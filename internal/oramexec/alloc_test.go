@@ -2,9 +2,11 @@ package oramexec
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram"
 	"obladi/internal/storage"
 )
 
@@ -146,5 +148,126 @@ func TestEpochAllocBudget(t *testing.T) {
 	t.Logf("%.1f allocations per epoch; %.1f buckets flushed, budget %.1f", allocs, flushed, budget)
 	if allocs > budget {
 		t.Errorf("%.1f allocations per epoch, budget %.1f: planning or execution allocates per batch or per value again", allocs, budget)
+	}
+}
+
+// hotPathReadAllocCeiling is the regression gate for the read hot path:
+// steady-state heap allocations per physical batch slot across
+// PlanReadBatch+Execute, maintenance (evictions, reshuffles) included. With
+// decoded values landing in the stash's slab arena, decoded keys compared
+// in place, and plans/stash entries recycled through pools, the pipeline
+// measures ~0.7 on this geometry (what remains is mostly the caller-owned
+// result copy and per-epoch bookkeeping); the ceiling leaves room for
+// run-to-run noise, not for a per-slot allocation creeping back in (the
+// pre-pooling pipeline measured ~23, the pre-arena one ~1.6).
+const hotPathReadAllocCeiling = 1.0
+
+// TestHotPathReadAllocBudget fails if the executor's read path regresses
+// past the allocation budget, on a steady-state executor over a raw mem
+// backend preloaded with 2 048 keys: four read batches of 16 slots an epoch,
+// then a padding write batch, flush and commit. Only the read batches are
+// measured: the padding write batch, flush and epoch commit run outside the
+// measured windows, so the gate tracks exactly the per-slot read pipeline
+// (plan, fetch, open, complete) that dominates proxy CPU.
+func TestHotPathReadAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs steady-state epochs")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const (
+		numKeys     = 2048
+		readBatches = 4
+		batchSlots  = 16
+	)
+	p := ringoram.Params{NumBlocks: numKeys, Z: 16, S: 24, A: 16, KeySize: 24, ValueSize: 512, Seed: 42}
+	backend := storage.NewMemBackend(p.Geometry().NumBuckets)
+	defer backend.Close()
+	oram, err := InitORAM(backend, cryptoutil.KeyFromSeed([]byte("hotpath")), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(oram, backend, Config{})
+	epoch := uint64(1)
+	e.BeginEpoch(epoch)
+	execute := func(plan *BatchPlan, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Execute(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	endEpoch := func() {
+		if _, err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.CommitEpoch(epoch); err != nil {
+			t.Fatal(err)
+		}
+		epoch++
+		e.BeginEpoch(epoch)
+	}
+	// Preload every key so steady-state reads decode real target slots.
+	keys := make([]string, numKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("hk-%06d", i)
+	}
+	value := make([]byte, 256)
+	for i := range value {
+		value[i] = byte(i)
+	}
+	for start := 0; start < numKeys; start += 32 {
+		ops := make([]WriteOp, 0, 32)
+		for _, k := range keys[start:min(start+32, numKeys)] {
+			ops = append(ops, WriteOp{Key: k, Value: value})
+		}
+		execute(e.PlanWriteBatch(ops))
+	}
+	endEpoch()
+	// Scratch slices are reused so the test itself stays off the measured
+	// allocation profile.
+	reads, pads := make([]ReadOp, batchSlots), make([]WriteOp, batchSlots)
+	cursor := 0
+	slots := func() int64 { s := e.Stats(); return s.RemoteReads + s.LocalReads }
+	var mallocs uint64
+	var measured int64
+	var m0, m1 runtime.MemStats
+	runEpoch := func(measure bool) {
+		for b := 0; b < readBatches; b++ {
+			for i := range reads {
+				reads[i].Key = keys[cursor]
+				cursor = (cursor + 1) % numKeys
+			}
+			s0 := slots()
+			runtime.ReadMemStats(&m0)
+			execute(e.PlanReadBatch(reads))
+			runtime.ReadMemStats(&m1)
+			if measure {
+				mallocs += m1.Mallocs - m0.Mallocs
+				measured += slots() - s0
+			}
+		}
+		// Close the epoch off the books: padding writes, flush, commit.
+		execute(e.PlanWriteBatch(pads))
+		endEpoch()
+	}
+	// Warm-up: fill the task/arena pools, reach the periodic-eviction regime.
+	for i := 0; i < 3; i++ {
+		runEpoch(false)
+	}
+	runtime.GC()
+	const epochs = 12
+	for i := 0; i < epochs; i++ {
+		runEpoch(true)
+	}
+	if measured == 0 {
+		t.Fatal("no slots processed")
+	}
+	perSlot := float64(mallocs) / float64(measured)
+	t.Logf("read path: %.2f allocs/slot over %d slots (%d epochs)", perSlot, measured, epochs)
+	if perSlot > hotPathReadAllocCeiling {
+		t.Fatalf("read path allocates %.2f/slot, over the %.1f budget — a per-slot allocation crept back into the hot pipeline", perSlot, hotPathReadAllocCeiling)
 	}
 }

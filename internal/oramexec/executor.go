@@ -9,8 +9,7 @@
 // sequential execution of the same batch), and all bucket writes produced by
 // evictions and early reshuffles are buffered until the end of the epoch,
 // deduplicated per bucket, and flushed as one vectored write-back. Reads
-// that target a buffered bucket are served locally. Config.ScalarIO restores
-// the pre-vectorization call-per-slot behaviour as a benchmark baseline.
+// that target a buffered bucket are served locally.
 //
 // Epoch buffers are double-buffered to support the proxy's pipelined epoch
 // boundary: SealEpoch detaches the finished epoch's write-back set, which a
@@ -40,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"obladi/internal/ringoram"
@@ -49,28 +47,12 @@ import (
 
 // Config tunes the executor.
 type Config struct {
-	// Parallelism caps concurrent storage operations on the scalar I/O
-	// path (default 64). The vectored path issues one storage call per
-	// stage, so the cap models per-connection in-flight request slots and
-	// only throttles ScalarIO (and scalar write-through) executions.
-	Parallelism int
 	// WriteThrough disables delayed visibility: eviction writes go to
 	// storage immediately and act as pipeline barriers. This is the
 	// "Write Back" ablation of Figure 10d and is never used in production.
 	// It keeps no resident set, reads and writes whole (Z+S slot) buckets, and
 	// so cannot read a tree a resident-set executor has written to.
 	WriteThrough bool
-	// ScalarIO disables scatter-gather storage calls: every slot read is
-	// its own ReadSlot call (goroutine-per-slot) and every write-back
-	// bucket its own WriteBucket call. This is the pre-vectorization wire
-	// behaviour, kept as the `vector` benchmark's baseline.
-	ScalarIO bool
-}
-
-func (c *Config) setDefaults() {
-	if c.Parallelism <= 0 {
-		c.Parallelism = 64
-	}
 }
 
 // Executor drives a ringoram client against shadow-paged storage.
@@ -180,9 +162,9 @@ type Stats struct {
 	Evictions      int64
 	Reshuffles     int64
 	// ReadCalls and WriteCalls count storage calls (wire ops on a remote
-	// deployment): a vectored stage is one call however many slots it
-	// carries, a scalar stage one call per slot/bucket. Their ratio to
-	// RemoteReads/BucketWrites is the batching factor vectoring buys.
+	// deployment): a stage is one call however many slots it carries. Their
+	// ratio to RemoteReads/BucketWrites is the batching factor vectoring
+	// buys.
 	ReadCalls  int64
 	WriteCalls int64
 	// ResidentBytes is a gauge: the memory of the resident set's frames, in
@@ -224,15 +206,12 @@ func (c *statCounters) snapshot() Stats {
 // plan and are reset, keeping their local/data backing arrays, for the plan's
 // next batch.
 type task struct {
-	access  *ringoram.AccessPlan
-	evict   *ringoram.EvictPlan // eviction or reshuffle
-	reads   []ringoram.SlotRead
-	local   []bool // read i served from the buffer
-	data    [][]byte
-	pending sync.WaitGroup // outstanding remote reads
-	err     error
-	errOnce sync.Once
-	opIdx   int // index into the batch's results (-1 for maintenance)
+	access *ringoram.AccessPlan
+	evict  *ringoram.EvictPlan // eviction or reshuffle
+	reads  []ringoram.SlotRead
+	local  []bool // read i served from the buffer
+	data   [][]byte
+	opIdx  int // index into the batch's results (-1 for maintenance)
 	// logKind is the durability-log entry this task stands for (0: none — a
 	// read served from the stash issues no physical reads), and bumps the
 	// number of write-bump entries logged ahead of it.
@@ -240,9 +219,8 @@ type task struct {
 	bumps   int
 }
 
-// reset clears a finished task for its plan's next batch. The WaitGroup is
-// quiescent (completeTask waited it out) and the backing arrays of local and
-// data ride along for reuse.
+// reset clears a finished task for its plan's next batch. The backing arrays
+// of local and data ride along for reuse.
 func (t *task) reset() {
 	clear(t.data) // drop slot references so kept tasks don't pin arenas
 	t.access = nil
@@ -250,8 +228,6 @@ func (t *task) reset() {
 	t.reads = nil
 	t.local = t.local[:0]
 	t.data = t.data[:0]
-	t.err = nil
-	t.errOnce = sync.Once{}
 	t.opIdx = 0
 	t.logKind, t.bumps = 0, 0
 }
@@ -293,8 +269,8 @@ func (b *BatchPlan) reset(n int) *BatchPlan {
 }
 
 // newTask returns a task of an earlier batch, reset, or a new one. A task is
-// free for reuse once its batch ends: Execute returns only after every read
-// it issued has completed, whether it succeeds or fails.
+// free for reuse once its batch ends: Execute returns only after the reads
+// it issued have returned, whether it succeeds or fails.
 func (b *BatchPlan) newTask() *task {
 	if n := len(b.tasks); n < cap(b.tasks) {
 		if t := b.tasks[:n+1][n]; t != nil {
@@ -341,7 +317,6 @@ type ReadResult struct {
 // freshly initialized tree it is ready; over restored metadata the caller
 // must call LoadResident before planning or replaying anything.
 func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
-	cfg.setDefaults()
 	e := &Executor{
 		oram:      oram,
 		store:     store,
@@ -539,9 +514,9 @@ func (e *Executor) claimBuckets(ep *ringoram.EvictPlan) {
 }
 
 // Execute performs a planned batch as one stage: every non-local slot read
-// is coalesced into a single vectored ReadSlots call (or, on the scalar
-// path, issued goroutine-per-slot), completions are applied in plan order,
-// and eviction writes are buffered (or written through).
+// is coalesced into a single vectored ReadSlots call, completions are
+// applied in plan order, and eviction writes are buffered (or written
+// through).
 func (e *Executor) Execute(plan *BatchPlan) ([]ReadResult, error) {
 	plan.executed = true
 	var res []ReadResult
@@ -585,21 +560,14 @@ func (e *Executor) executeStaged(plan *BatchPlan) ([]ReadResult, error) {
 	return plan.results, nil
 }
 
-// executeStage issues one stage's remote reads — one vectored storage call,
-// or per-slot calls on the scalar path — then applies completions in plan
-// order.
+// executeStage issues one stage's remote reads as one vectored storage call,
+// then applies completions in plan order.
 func (e *Executor) executeStage(plan *BatchPlan, tasks []*task) ([]ReadResult, error) {
-	if e.cfg.ScalarIO {
-		sem := make(chan struct{}, e.cfg.Parallelism)
-		for _, t := range tasks {
-			e.issueRemote(t, sem)
-		}
-	} else if err := e.issueVector(tasks); err != nil {
+	if err := e.issueVector(tasks); err != nil {
 		return nil, err
 	}
 	for _, t := range tasks {
 		if err := e.completeTask(t, plan); err != nil {
-			e.drain(plan)
 			return nil, err
 		}
 	}
@@ -666,49 +634,9 @@ func (e *Executor) readErr(err error) error {
 	return fmt.Errorf("oramexec: slot read: %w", err)
 }
 
-// issueRemote schedules all non-local reads of a task as individual calls
-// (scalar path).
-func (e *Executor) issueRemote(t *task, sem chan struct{}) {
-	t.ensureData()
-	for i := range t.reads {
-		if t.local[i] {
-			continue
-		}
-		t.pending.Add(1)
-		i := i
-		r := t.reads[i]
-		sem <- struct{}{}
-		e.stats.readCalls.Add(1)
-		go func() {
-			defer func() {
-				<-sem
-				t.pending.Done()
-			}()
-			d, err := e.store.ReadSlot(r.Bucket, r.Slot)
-			if err != nil {
-				t.errOnce.Do(func() { t.err = err })
-				return
-			}
-			t.data[i] = d
-		}()
-	}
-	locals := int64(0)
-	for _, l := range t.local {
-		if l {
-			locals++
-		}
-	}
-	e.stats.remoteReads.Add(int64(len(t.reads)) - locals)
-	e.stats.localReads.Add(locals)
-}
-
-// completeTask waits for the task's reads, fills locals from the buffer, and
+// completeTask fills the task's local reads from the proxy's copies and
 // applies the completion.
 func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
-	t.pending.Wait()
-	if t.err != nil {
-		return e.readErr(t.err)
-	}
 	for i := range t.reads {
 		if !t.local[i] {
 			continue
@@ -748,18 +676,10 @@ func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 				w.Real = nil // the plan's scratch; the buffer outlives it
 				e.buffered[w.Bucket] = bufferedBucket{w: w}
 			}
-		case e.cfg.ScalarIO:
-			for _, w := range writes {
-				if err := e.store.WriteBucket(w.Bucket, e.epoch, w.Slots); err != nil {
-					return fmt.Errorf("oramexec: write-through bucket %d: %w", w.Bucket, err)
-				}
-				e.stats.bucketWrites.Add(1)
-				e.stats.writeCalls.Add(1)
-			}
 		case len(writes) > 0:
-			// Vectored write-through: the eviction's whole write set in one
-			// call, preserving the barrier (writes land before the next
-			// stage's reads are issued).
+			// Write-through: the eviction's whole write set in one call,
+			// preserving the barrier (writes land before the next stage's
+			// reads are issued).
 			vec := make([]storage.BucketWrite, len(writes))
 			for i, w := range writes {
 				vec[i] = storage.BucketWrite{Bucket: w.Bucket, Epoch: e.epoch, Slots: w.Slots}
@@ -878,15 +798,7 @@ func (e *Executor) localSlot(r ringoram.SlotRead) ([]byte, error) {
 	return b.w.Slots[r.Slot], nil
 }
 
-// drain waits out any in-flight reads after an error so goroutines do not
-// outlive the call.
-func (e *Executor) drain(plan *BatchPlan) {
-	for _, t := range plan.tasks {
-		t.pending.Wait()
-	}
-}
-
-// Flush writes every buffered bucket to storage in parallel and clears the
+// Flush writes every buffered bucket to storage in one call and clears the
 // buffer. This is the epoch's deterministic write-back set: intermediate
 // bucket versions were already superseded in the buffer (write dedup).
 func (e *Executor) Flush() (int, error) {
@@ -918,7 +830,7 @@ func (e *Executor) SealEpoch() (*SealedEpoch, error) {
 	return s, nil
 }
 
-// FlushSealed writes a sealed epoch's buckets to storage in parallel. It
+// FlushSealed writes a sealed epoch's buckets to storage in one call. It
 // only reads the immutable sealed set, so it is safe to run from a
 // background committer while the executor plans and executes the next
 // epoch's batches. The sealed set stays locally servable afterwards (the
@@ -956,52 +868,15 @@ func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (i
 	// adversary-visible sequence so every flush of the same set looks the
 	// same on the wire.
 	slices.SortFunc(writes, func(a, b storage.BucketWrite) int { return a.Bucket - b.Bucket })
-	if e.cfg.ScalarIO {
-		if err := e.flushScalar(writes); err != nil {
-			return 0, fmt.Errorf("oramexec: flushing epoch %d: %w", epoch, err)
-		}
-	} else {
-		// The sealed epoch's entire write-back set crosses the storage
-		// boundary in one scatter-gather call.
-		e.stats.writeCalls.Add(1)
-		if err := e.store.WriteBuckets(writes); err != nil {
-			return 0, fmt.Errorf("oramexec: flushing epoch %d: %w", epoch, err)
-		}
+	// The sealed epoch's entire write-back set crosses the storage boundary
+	// in one scatter-gather call.
+	e.stats.writeCalls.Add(1)
+	if err := e.store.WriteBuckets(writes); err != nil {
+		return 0, fmt.Errorf("oramexec: flushing epoch %d: %w", epoch, err)
 	}
 	n := len(writes)
 	e.stats.bucketWrites.Add(int64(n))
 	return n, nil
-}
-
-// flushScalar is the pre-vectorization write-back: one WriteBucket call per
-// bucket, fanned out under the parallelism cap (the `vector` benchmark's
-// baseline).
-func (e *Executor) flushScalar(writes []storage.BucketWrite) error {
-	sem := make(chan struct{}, e.cfg.Parallelism)
-	var wg sync.WaitGroup
-	var firstErr error
-	var mu sync.Mutex
-	for _, w := range writes {
-		wg.Add(1)
-		w := w
-		sem <- struct{}{}
-		e.stats.writeCalls.Add(1)
-		go func() {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			if err := e.store.WriteBucket(w.Bucket, w.Epoch, w.Slots); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // DiscardBuffer drops all buffered writes, current and sealed, and empties

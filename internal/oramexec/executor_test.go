@@ -303,17 +303,15 @@ func TestWriteThroughNamesResidentTree(t *testing.T) {
 	h := newHarness(t, p, Config{})
 	h.runWrites(t, map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"}, 0)
 	h.endEpoch(t)
-	for _, scalar := range []bool{false, true} {
-		wt := New(h.oram, h.rec, Config{WriteThrough: true, ScalarIO: scalar})
-		wt.BeginEpoch(h.epoch)
-		plan, err := wt.PlanReadBatch(make([]ReadOp, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = wt.Execute(plan)
-		if !errors.Is(err, storage.ErrNoSuchSlot) || !strings.Contains(err.Error(), "write-through") {
-			t.Fatalf("scalar=%v: reading a resident-set tree in write-through mode: %v", scalar, err)
-		}
+	wt := New(h.oram, h.rec, Config{WriteThrough: true})
+	wt.BeginEpoch(h.epoch)
+	plan, err := wt.PlanReadBatch(make([]ReadOp, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = wt.Execute(plan)
+	if !errors.Is(err, storage.ErrNoSuchSlot) || !strings.Contains(err.Error(), "write-through") {
+		t.Fatalf("reading a resident-set tree in write-through mode: %v", err)
 	}
 }
 
@@ -839,16 +837,4 @@ func TestInitORAMRejectsSmallBackend(t *testing.T) {
 	if _, err := InitORAM(backend, cryptoutil.KeyFromSeed([]byte("x")), p); err == nil {
 		t.Fatal("undersized backend accepted")
 	}
-}
-
-func TestExecutorParallelismCap(t *testing.T) {
-	p := testParams(64, 11)
-	h := newHarness(t, p, Config{Parallelism: 1})
-	h.runWrites(t, map[string]string{"a": "1"}, 0)
-	h.endEpoch(t)
-	res := h.runReads(t, "a")
-	if !res[0].Found || string(res[0].Value) != "1" {
-		t.Fatalf("a = %+v", res[0])
-	}
-	h.checkInvariant(t)
 }

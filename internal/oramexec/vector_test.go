@@ -1,7 +1,8 @@
 package oramexec
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"testing"
 
 	"obladi/internal/storage"
@@ -81,77 +82,78 @@ func TestExecutorSealedFlushOneCall(t *testing.T) {
 	h.exec.ReleaseSealed(sealed)
 }
 
-// TestExecutorScalarBaselineStillScalar pins the ScalarIO knob: the
-// benchmark baseline must keep issuing per-slot and per-bucket calls.
-func TestExecutorScalarBaselineStillScalar(t *testing.T) {
-	h := newHarness(t, testParams(64, 9), Config{ScalarIO: true})
-	h.runWrites(t, map[string]string{"a": "1", "b": "2"}, 8)
-	h.rec.Reset()
-	h.runReads(t, "a", "b")
-	calls := h.rec.Calls()
-	if calls.ReadSlots != 0 {
-		t.Fatalf("scalar baseline issued %d vectored calls", calls.ReadSlots)
-	}
-	if h.exec.Stats().RemoteReads > 0 && calls.ReadSlot == 0 {
-		t.Fatal("scalar baseline issued no ReadSlot calls despite remote reads")
-	}
-	h.rec.Reset()
-	if n, err := h.exec.Flush(); err != nil {
-		t.Fatal(err)
-	} else if n > 0 {
-		calls := h.rec.Calls()
-		if calls.WriteBuckets != 0 || calls.WriteBucket != n {
-			t.Fatalf("scalar flush of %d buckets used %d WriteBucket + %d WriteBuckets calls",
-				n, calls.WriteBucket, calls.WriteBuckets)
+// TestExecutorVectorTraceMatchesPlan is the security argument for
+// vectoring: the adversary-visible trace is the plan's, whatever the
+// framing. A batch records exactly the non-local slot reads its planned
+// tasks name, in plan order, and a flush writes exactly the buffered
+// buckets, each once, under the epoch's tag — vectoring neither adds nor
+// drops a slot.
+func TestExecutorVectorTraceMatchesPlan(t *testing.T) {
+	h := newHarness(t, testParams(64, 11), Config{})
+	check := func(what string, want []storage.Event) {
+		t.Helper()
+		if len(want) == 0 {
+			t.Fatalf("%s: nothing planned to reach storage", what)
+		}
+		if got := h.rec.Events(); !slices.Equal(got, want) {
+			t.Fatalf("%s: recorded trace %v, planned %v", what, got, want)
 		}
 	}
-}
-
-// TestExecutorVectorTraceShapeMatchesScalar is the security argument for
-// vectoring: the adversary-visible trace — which slots of which buckets are
-// touched, which bucket versions are written — is identical whether the
-// batch crosses the wire as one frame or as many. Scalar issue order is
-// goroutine-nondeterministic, so traces compare as multisets.
-func TestExecutorVectorTraceShapeMatchesScalar(t *testing.T) {
-	run := func(scalar bool) []storage.Event {
-		h := newHarness(t, testParams(64, 11), Config{ScalarIO: scalar})
-		h.runWrites(t, map[string]string{"k1": "v1", "k2": "v2", "k3": "v3"}, 9)
-		h.endEpoch(t)
-		h.runReads(t, "k1", "k2", "", "k3")
-		h.runWrites(t, map[string]string{"k1": "v1b"}, 11)
-		if _, err := h.exec.Flush(); err != nil {
+	execute := func(what string, plan *BatchPlan, err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
-		h.checkInvariant(t)
-		return h.rec.Events()
+		var want []storage.Event
+		for _, tk := range plan.tasks {
+			for i, r := range tk.reads {
+				if !tk.local[i] {
+					want = append(want, storage.Event{Op: storage.OpReadSlot, Bucket: r.Bucket, Slot: r.Slot})
+				}
+			}
+		}
+		h.rec.Reset()
+		if _, err := h.exec.Execute(plan); err != nil {
+			t.Fatal(err)
+		}
+		check(what, want)
 	}
-	a, b := run(false), run(true)
-	sortEvents(a)
-	sortEvents(b)
-	if len(a) != len(b) {
-		t.Fatalf("vectored trace has %d events, scalar %d", len(a), len(b))
+	writes := func(pad int, keys ...string) {
+		t.Helper()
+		ops := make([]WriteOp, len(keys)+pad) // padding trails the keys
+		for i, k := range keys {
+			ops[i] = WriteOp{Key: k, Value: []byte("v-" + k)}
+		}
+		plan, err := h.exec.PlanWriteBatch(ops)
+		execute("write batch", plan, err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trace multiset diverges at %d: vectored %+v vs scalar %+v", i, a[i], b[i])
+	reads := func(keys ...string) {
+		t.Helper()
+		ops := make([]ReadOp, len(keys))
+		for i, k := range keys {
+			ops[i].Key = k
 		}
+		plan, err := h.exec.PlanReadBatch(ops)
+		execute("read batch", plan, err)
 	}
-}
-
-func sortEvents(ev []storage.Event) {
-	sort.Slice(ev, func(i, j int) bool {
-		a, b := ev[i], ev[j]
-		if a.Op != b.Op {
-			return a.Op < b.Op
+	flush := func() {
+		t.Helper()
+		buckets := slices.Sorted(maps.Keys(h.exec.buffered))
+		want := make([]storage.Event, len(buckets))
+		for i, b := range buckets {
+			want[i] = storage.Event{Op: storage.OpWriteBucket, Bucket: b, Epoch: h.epoch}
 		}
-		if a.Bucket != b.Bucket {
-			return a.Bucket < b.Bucket
-		}
-		if a.Slot != b.Slot {
-			return a.Slot < b.Slot
-		}
-		return a.Epoch < b.Epoch
-	})
+		h.rec.Reset()
+		h.endEpoch(t)
+		check("flush", want)
+	}
+	writes(9, "k1", "k2", "k3")
+	flush()
+	reads("k1", "k2", "", "k3")
+	reads("", "k2")
+	writes(11, "k1")
+	flush()
+	h.checkInvariant(t)
 }
 
 // TestExecutorWriteThroughVectored: in the Figure 10d ablation each

@@ -438,9 +438,9 @@ func conformKV(t *testing.T, b Backend) {
 
 // RunGroupCommitConformance exercises the Backend contract edges that only
 // appear when several shards share one durability scheduler (a CommitGroup
-// over one data dir, or a LatencyGroup over mem shards). The factory must
-// return n open, empty backends whose durability barriers coalesce, and
-// register cleanup on t. The contract under test: coalescing is invisible —
+// over one data dir). The factory must return n open, empty backends, whose
+// durability barriers may coalesce, and register cleanup on t. The contract
+// under test: coalescing is invisible —
 // concurrent CommitEpoch calls from every shard succeed and each shard still
 // observes its *own* epoch-order rejection and ErrClosed semantics,
 // unchanged from the single-shard suite.

@@ -169,14 +169,13 @@ func TestBackendConformanceGroupLogHeap(t *testing.T) {
 	})
 }
 
-// Mem shards sharing a LatencyGroup: the bench harness's "honest mem side"
-// must satisfy the same group contract it is compared against.
+// Mem shards behind latency wrappers, each paying its own barriers: the
+// wrapper must not disturb the group contract the suite checks.
 func TestBackendConformanceGroupMemLatency(t *testing.T) {
 	RunGroupCommitConformance(t, 3, func(t *testing.T, n int) []Backend {
-		lg := NewLatencyGroup()
 		out := make([]Backend, n)
 		for i := range out {
-			out[i] = WithLatencyGroup(NewMemBackend(ConformanceMinBuckets), Profile{Name: "conformance"}, lg)
+			out[i] = WithLatency(NewMemBackend(ConformanceMinBuckets), Profile{Name: "conformance"})
 		}
 		return out
 	})

@@ -187,7 +187,7 @@ type DiskOptions struct {
 	// 0 picks a default from GOMAXPROCS; 1 forces serial recovery.
 	RecoveryWorkers int
 	// SegMaxBytes overrides the log segment roll-over size (0 = default).
-	// Exposed for recovery benchmarks that need many segments.
+	// Exposed for tests that need many segments.
 	SegMaxBytes int64
 	// LogHeap selects the log-structured bucket heap for a DiskGroup:
 	// bucket version records ride the shared physical log alongside the

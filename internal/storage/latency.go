@@ -2,7 +2,6 @@ package storage
 
 import (
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -69,7 +68,6 @@ type Latency struct {
 	inner Backend
 	prof  Profile
 	slots chan struct{} // nil when unlimited
-	group *LatencyGroup // nil: every durability op pays its own round trip
 }
 
 var _ Backend = (*Latency)(nil)
@@ -81,58 +79,6 @@ func WithLatency(inner Backend, prof Profile) *Latency {
 		l.slots = make(chan struct{}, prof.MaxConcurrent)
 	}
 	return l
-}
-
-// WithLatencyGroup wraps inner like WithLatency, but routes the durability
-// round trips (CommitEpoch, RollbackTo, Append, Put, Delete) through a shared
-// LatencyGroup: wrappers sharing one group model shards whose fsync barriers
-// coalesce in a commit group, so a wave of concurrent commits is priced as
-// ONE injected round trip shared across shards — not one per shard. Without
-// this, a mem-vs-disk comparison at N shards would overcharge the mem side N×
-// for a barrier the disk side pays once.
-func WithLatencyGroup(inner Backend, prof Profile, group *LatencyGroup) *Latency {
-	l := WithLatency(inner, prof)
-	l.group = group
-	return l
-}
-
-// LatencyGroup coalesces injected durability delays across the Latency
-// wrappers sharing it, mirroring CommitGroup's flush waves: the first caller
-// of a wave pays the full round trip, callers arriving while that wave is in
-// flight ride it and return when it lands.
-type LatencyGroup struct {
-	mu   sync.Mutex
-	wave chan struct{} // non-nil while a wave's delay is being paid
-}
-
-// NewLatencyGroup returns an empty group.
-func NewLatencyGroup() *LatencyGroup { return &LatencyGroup{} }
-
-func (g *LatencyGroup) ride(l *Latency, d time.Duration) {
-	g.mu.Lock()
-	if wave := g.wave; wave != nil {
-		g.mu.Unlock()
-		<-wave
-		return
-	}
-	wave := make(chan struct{})
-	g.wave = wave
-	g.mu.Unlock()
-	l.delay(d)
-	g.mu.Lock()
-	g.wave = nil
-	g.mu.Unlock()
-	close(wave)
-}
-
-// syncDelay prices one durability barrier: through the shared group when the
-// wrapper has one, standalone otherwise.
-func (l *Latency) syncDelay(d time.Duration) {
-	if l.group != nil {
-		l.group.ride(l, d)
-		return
-	}
-	l.delay(d)
 }
 
 // Profile returns the wrapper's profile.
@@ -208,14 +154,14 @@ func (l *Latency) WriteBuckets(writes []BucketWrite) error {
 func (l *Latency) CommitEpoch(epoch uint64) error {
 	release := l.acquire()
 	defer release()
-	l.syncDelay(l.prof.Write)
+	l.delay(l.prof.Write)
 	return l.inner.CommitEpoch(epoch)
 }
 
 func (l *Latency) RollbackTo(epoch uint64) error {
 	release := l.acquire()
 	defer release()
-	l.syncDelay(l.prof.Write)
+	l.delay(l.prof.Write)
 	return l.inner.RollbackTo(epoch)
 }
 
@@ -233,21 +179,21 @@ func (l *Latency) Get(key string) ([]byte, bool, error) {
 func (l *Latency) Put(key string, value []byte) error {
 	release := l.acquire()
 	defer release()
-	l.syncDelay(l.prof.Write)
+	l.delay(l.prof.Write)
 	return l.inner.Put(key, value)
 }
 
 func (l *Latency) Delete(key string) error {
 	release := l.acquire()
 	defer release()
-	l.syncDelay(l.prof.Write)
+	l.delay(l.prof.Write)
 	return l.inner.Delete(key)
 }
 
 func (l *Latency) Append(record []byte) (uint64, error) {
 	release := l.acquire()
 	defer release()
-	l.syncDelay(l.prof.Write)
+	l.delay(l.prof.Write)
 	return l.inner.Append(record)
 }
 
@@ -261,12 +207,11 @@ func (l *Latency) AppendNoSync(record []byte) (uint64, error) {
 }
 
 // SyncLog implements LogBatcher: the durability barrier is where the round
-// trip is paid — once per wave when wrappers share a LatencyGroup, exactly
-// how a commit group prices a coalesced fsync.
+// trip is paid.
 func (l *Latency) SyncLog() error {
 	release := l.acquire()
 	defer release()
-	l.syncDelay(l.prof.Write)
+	l.delay(l.prof.Write)
 	if lb, ok := l.inner.(LogBatcher); ok {
 		return lb.SyncLog()
 	}

@@ -121,9 +121,6 @@ type Options struct {
 	// key (suitable only for stores that die with the process).
 	KeySeed []byte
 
-	// Parallelism caps concurrent storage requests. Default 64.
-	Parallelism int
-
 	// ReplicaListen, when non-empty, enables hot-standby replication: the
 	// proxy listens on this address for a standby, mirrors every
 	// recovery-log record to it, and fences the storage backends under its
@@ -248,7 +245,6 @@ func coreConfig(opt Options, params ringoram.Params, key *cryptoutil.Key) core.C
 		BatchInterval:       opt.BatchInterval,
 		EagerBatches:        opt.EagerBatches,
 		Boundary:            boundaryMode(opt),
-		Parallelism:         opt.Parallelism,
 		DisableDurability:   opt.DisableDurability,
 		FullCheckpointEvery: opt.FullCheckpointEvery,
 	}
