@@ -160,7 +160,7 @@ func runExecBatches(exec *oramexec.Executor, store storage.BucketStore, mix *wor
 // profile; the meter starts counting after the tree is initialized.
 func microExec(p ringoram.Params, prof storage.Profile, scale float64, key *cryptoutil.Key, cfg oramexec.Config) (*oramexec.Executor, storage.Backend, *meter, error) {
 	backend, m := microBackend(p, prof, scale)
-	oram, err := oramexec.InitORAM(backend, key, p)
+	oram, err := oramexec.InitORAMFor(backend, key, p, cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -573,11 +573,12 @@ func (p *Proxy) bootstrap() error {
 		}
 	}
 	for i, sh := range p.shards {
-		oram, err := oramexec.InitORAM(sh.store, p.cfg.Key, p.shardParams(i))
+		cfg := oramexec.Config{WriteThrough: p.cfg.WriteThrough}
+		oram, err := oramexec.InitORAMFor(sh.store, p.cfg.Key, p.shardParams(i), cfg)
 		if err != nil {
 			return err
 		}
-		sh.exec = oramexec.New(oram, sh.store, oramexec.Config{WriteThrough: p.cfg.WriteThrough})
+		sh.exec = oramexec.New(oram, sh.store, cfg)
 	}
 	p.epoch = 1
 	p.beginEpochAllLocked()

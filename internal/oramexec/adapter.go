@@ -30,9 +30,27 @@ func (s StoreAdapter) WriteBucket(bucket int, slots [][]byte) error {
 }
 
 // InitORAM creates a fresh Ring ORAM client, initializes the tree on the
-// backend as epoch 0, and commits it. This is the starting state of every
-// Obladi deployment.
+// backend as epoch 0 with every bucket whole (Z+S slots), and commits it. An
+// executor of any configuration can drive the tree; InitORAMFor writes the
+// tree the configuration itself writes.
 func InitORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params) (*ringoram.ORAM, error) {
+	return initORAM(store, key, p, 0)
+}
+
+// InitORAMFor is InitORAM for the executor configuration that will drive the
+// tree: the buckets such an executor keeps resident are written as their Z
+// real positions from the first write on, as it writes them later, so no
+// whole-bucket version of them is ever stored (write-through keeps every
+// bucket whole). This is the starting state of every Obladi deployment.
+func InitORAMFor(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params, cfg Config) (*ringoram.ORAM, error) {
+	resident := 0
+	if !cfg.WriteThrough {
+		resident = residentBuckets(p.Geometry())
+	}
+	return initORAM(store, key, p, resident)
+}
+
+func initORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params, realOnly int) (*ringoram.ORAM, error) {
 	if n, err := store.NumBuckets(); err != nil {
 		return nil, err
 	} else if need := p.Geometry().NumBuckets; n < need {
@@ -44,7 +62,7 @@ func InitORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params)
 	if err := store.RollbackTo(0); err != nil {
 		return nil, err
 	}
-	o, err := ringoram.New(StoreAdapter{B: store, Epoch: 0}, key, p)
+	o, err := ringoram.New(StoreAdapter{B: store, Epoch: 0}, key, p, realOnly)
 	if err != nil {
 		return nil, err
 	}

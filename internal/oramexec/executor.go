@@ -18,6 +18,16 @@
 // superseded by the next seal), reads that target a sealed bucket keep being
 // served locally — the sealed versions may not have reached storage yet.
 //
+// A bucket's buffer is the ORAM's, lent to the executor from the seal that
+// fills it until nothing reads it any more, and never to the store, which
+// copies what it keeps. The executor recycles a buffered version a later
+// rewrite supersedes at once, a flushed epoch's buffers as soon as Flush's
+// store call returns, and a sealed set's when it is released or superseded
+// by the next seal — by then its flush has landed (the proxy seals only after
+// the previous commit) and no batch reads it. The write-back set is a
+// function of the public schedule, so the pool settles at about two epochs'
+// buffers and a steady-state epoch allocates none.
+//
 // Above that sits the resident set: for every bucket of levels 0..L-3 the
 // executor keeps a compact copy of the blocks of the bucket's newest version,
 // and serves every read of that bucket from it — the block's bytes for the
@@ -107,12 +117,11 @@ type scatter struct {
 }
 
 // bufferedBucket is one buffered bucket rewrite, holding the ringoram write
-// so its pooled arena can be recycled if a later rewrite of the same bucket
-// supersedes it before the epoch flushes. Once flushed (or sealed and then
-// flushed) the arena's ownership passes to the store and it is never
-// recycled. The epoch buffers hold it by value — a rewrite of a bucket the
-// epoch already rewrote reuses the map's slot — and a bucket an eviction has
-// claimed but not yet completed is the zero value.
+// so its pooled arena can be recycled once nothing reads it: when a later
+// rewrite of the same bucket supersedes it, or after its epoch's flush (see
+// the package doc). The epoch buffers hold it by value — a rewrite of a
+// bucket the epoch already rewrote reuses the map's slot — and a bucket an
+// eviction has claimed but not yet completed is the zero value.
 type bufferedBucket struct {
 	w ringoram.BucketWrite
 }
@@ -123,7 +132,7 @@ func (b bufferedBucket) filled() bool { return b.w.Slots != nil }
 // residentBucket is the executor's copy of one upper-level bucket: the blocks
 // of its newest version, one frame each of a 2-byte physical slot number and
 // the slot's bytes, copied out of the write's arena or the load's reply (never
-// aliased: arenas are recycled or handed to the store). A bucket of a fresh
+// aliased: arenas are recycled, replies are the store's). A bucket of a fresh
 // tree holds no blocks and has no frames.
 type residentBucket struct {
 	frames [][]byte
@@ -679,13 +688,16 @@ func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 		case len(writes) > 0:
 			// Write-through: the eviction's whole write set in one call,
 			// preserving the barrier (writes land before the next stage's
-			// reads are issued).
+			// reads are issued). The store copied them: recycle.
 			vec := make([]storage.BucketWrite, len(writes))
 			for i, w := range writes {
 				vec[i] = storage.BucketWrite{Bucket: w.Bucket, Epoch: e.epoch, Slots: w.Slots}
 			}
 			if err := e.store.WriteBuckets(vec); err != nil {
 				return fmt.Errorf("oramexec: write-through eviction: %w", err)
+			}
+			for i := range writes {
+				writes[i].Recycle()
 			}
 			e.stats.bucketWrites.Add(int64(len(vec)))
 			e.stats.writeCalls.Add(1)
@@ -799,15 +811,24 @@ func (e *Executor) localSlot(r ringoram.SlotRead) ([]byte, error) {
 }
 
 // Flush writes every buffered bucket to storage in one call and clears the
-// buffer. This is the epoch's deterministic write-back set: intermediate
-// bucket versions were already superseded in the buffer (write dedup).
+// buffer, recycling the buffers the store has copied. This is the epoch's
+// deterministic write-back set: intermediate bucket versions were already
+// superseded in the buffer (write dedup).
 func (e *Executor) Flush() (int, error) {
 	n, err := e.flushBuckets(e.epoch, e.buffered)
 	if err != nil {
 		return 0, err
 	}
+	recycleAll(e.buffered)
 	e.buffered = make(map[int]bufferedBucket)
 	return n, nil
+}
+
+// recycleAll returns every buffer of an epoch buffer nothing reads any more.
+func recycleAll(buckets map[int]bufferedBucket) {
+	for _, b := range buckets {
+		b.w.Recycle()
+	}
 }
 
 // SealEpoch detaches the current epoch's write-back set and opens a fresh
@@ -815,12 +836,16 @@ func (e *Executor) Flush() (int, error) {
 // background committer flushes the sealed set via FlushSealed. The sealed
 // buckets remain locally servable until ReleaseSealed or the next seal.
 // Must be called from the proxy's schedule driver (never concurrently with
-// planning or execution).
+// planning or execution), and only once the previous sealed set's flush has
+// returned: its buffers are recycled here.
 func (e *Executor) SealEpoch() (*SealedEpoch, error) {
 	for b, buf := range e.buffered {
 		if !buf.filled() {
 			return nil, fmt.Errorf("oramexec: bucket %d claimed but never filled (incomplete epoch)", b)
 		}
+	}
+	if e.sealed != nil {
+		recycleAll(e.sealed.buckets)
 	}
 	s := &SealedEpoch{epoch: e.epoch, buckets: e.buffered}
 	e.sealed = s
@@ -835,17 +860,18 @@ func (e *Executor) SealEpoch() (*SealedEpoch, error) {
 // background committer while the executor plans and executes the next
 // epoch's batches. The sealed set stays locally servable afterwards (the
 // flushed versions are identical); ReleaseSealed or the next SealEpoch
-// retires it.
+// retires it and recycles its buffers.
 func (e *Executor) FlushSealed(s *SealedEpoch) (int, error) {
 	return e.flushBuckets(s.epoch, s.buckets)
 }
 
-// ReleaseSealed stops serving the sealed set locally. Only valid once the
-// set is durable on storage and no batch is in flight (the synchronous
-// boundary calls it right after FlushSealed; the pipelined boundary lets
-// the next SealEpoch supersede it instead).
+// ReleaseSealed stops serving the sealed set locally and recycles its
+// buffers. Only valid once the set is flushed and no batch is in flight (the
+// synchronous boundary calls it right after FlushSealed; the pipelined
+// boundary lets the next SealEpoch supersede it instead).
 func (e *Executor) ReleaseSealed(s *SealedEpoch) {
 	if e.sealed == s {
+		recycleAll(s.buckets)
 		e.sealed = nil
 	}
 }
@@ -859,8 +885,6 @@ func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (i
 		if !buf.filled() {
 			return 0, fmt.Errorf("oramexec: bucket %d claimed but never filled (incomplete epoch)", b)
 		}
-		// Ownership of the slots (and their backing arena) transfers to the
-		// store with the write; flushed buckets are never recycled.
 		writes = append(writes, storage.BucketWrite{Bucket: b, Epoch: epoch, Slots: buf.w.Slots})
 	}
 	// Canonical bucket order: the write-back SET is already deterministic
@@ -885,11 +909,9 @@ func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (i
 // an epoch in tests; a crashed proxy loses all of it implicitly).
 func (e *Executor) DiscardBuffer() {
 	// Discarded current-epoch buckets never reached storage, so their arenas
-	// recycle. Sealed buckets may already be (or be in the middle of) a
-	// background flush — their ownership is ambiguous, so they just drop.
-	for _, buf := range e.buffered {
-		buf.w.Recycle()
-	}
+	// recycle. Sealed buckets may be in the middle of a background flush:
+	// they just drop.
+	recycleAll(e.buffered)
 	e.buffered = make(map[int]bufferedBucket)
 	e.sealed = nil
 	e.dropResident()

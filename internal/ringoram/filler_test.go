@@ -109,7 +109,7 @@ func TestCompletionNeverInspectsFillers(t *testing.T) {
 			p := testParams(64)
 			p.DisableDummilessWrites = !dummiless
 			full, store := newTestSeq(t, p)
-			o, err := New(newMapStore(), cryptoutil.KeyFromSeed([]byte("test")), p)
+			o, err := New(newMapStore(), cryptoutil.KeyFromSeed([]byte("test")), p, 0)
 			must(t, err)
 			sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte), realOnly: o.geo.NumBuckets / 4}
 			o.SealRealOnly(sparse.realOnly)

@@ -11,7 +11,9 @@ import (
 )
 
 // Store is the slot-granularity storage interface the ORAM client drives.
-// Implementations decide how writes map onto shadow-paged epochs.
+// Implementations decide how writes map onto shadow-paged epochs. A store
+// must not retain the slots WriteBucket is handed: the ORAM reuses their
+// bytes once the call returns.
 type Store interface {
 	ReadSlot(bucket, slot int) ([]byte, error)
 	WriteBucket(bucket int, slots [][]byte) error
@@ -132,10 +134,10 @@ type ORAM struct {
 	evictPool []*EvictPlan
 	entryPool []*stashEntry
 	// bufPool recycles bucket serialization buffers (one contiguous
-	// ciphertext arena + per-slot headers). Writes that reach storage
-	// transfer ownership of their buffer to the store and never come back;
-	// only superseded or discarded pre-flush versions are recycled. realPool
-	// is the same for the Z-slot buffers of buckets sealed without dummies.
+	// ciphertext arena + per-slot headers): whoever holds a BucketWrite
+	// returns its buffer with Recycle once nothing reads the slots any more
+	// (a store copies what it keeps). realPool is the same for the Z-slot
+	// buffers of buckets sealed without dummies.
 	bufPool, realPool *sync.Pool
 	// realOnly is how many buckets, from the root in heap order, are sealed as
 	// their Z real positions alone (see SealRealOnly).
@@ -273,7 +275,8 @@ type AccessPlan struct {
 func (p *AccessPlan) Cached() bool { return p == nil || p.cached }
 
 // BucketWrite is one serialized bucket the caller must write back. Slots
-// subslice one contiguous pooled arena; see Recycle for the ownership rule.
+// subslice one contiguous pooled arena, which the caller owns until it calls
+// Recycle.
 type BucketWrite struct {
 	Bucket int
 	Ver    uint64
@@ -288,16 +291,19 @@ type BucketWrite struct {
 	buf *bucketBuf
 }
 
-// Recycle returns the write's backing arena to the ORAM's buffer pool. Legal
-// ONLY while the write never reached storage — a version superseded by a
-// later rewrite of the same bucket before the epoch flushed, or a discarded
-// epoch buffer. A write handed to the store transfers ownership of its slots
-// (and therefore its arena) to the store and must never be recycled. Safe to
-// call more than once; Slots must not be used afterwards.
+// Recycle returns the write's backing arena to the ORAM's buffer pool, for
+// the next seal to overwrite. Call it once nothing reads Slots any more: the
+// write was superseded or discarded before it reached storage, or the store
+// call that wrote it returned (a store copies what it keeps, so a flushed
+// write is the caller's again) and no local read is still served from it.
+// Safe to call more than once; Slots must not be used afterwards, and in race
+// builds the arena is poisoned so a read of it fails authentication instead
+// of passing with stale bytes.
 func (w *BucketWrite) Recycle() {
 	if b := w.buf; b != nil {
 		w.buf = nil
 		w.Slots = nil
+		poison(b.arena)
 		b.pool.Put(b)
 	}
 }
@@ -349,8 +355,10 @@ func (o *ORAM) newEvictPlan() *EvictPlan {
 }
 
 // New creates an ORAM with freshly initialized buckets written to store.
-// key may be nil only when p.DisableEncryption is set.
-func New(store Store, key *cryptoutil.Key, p Params) (*ORAM, error) {
+// key may be nil only when p.DisableEncryption is set. The first realOnly
+// buckets are written as SealRealOnly writes them, from this first write on;
+// 0 writes every bucket whole.
+func New(store Store, key *cryptoutil.Key, p Params, realOnly int) (*ORAM, error) {
 	o, err := newClient(key, p)
 	if err != nil {
 		return nil, err
@@ -358,14 +366,11 @@ func New(store Store, key *cryptoutil.Key, p Params) (*ORAM, error) {
 	if store == nil {
 		return nil, errors.New("ringoram: nil store")
 	}
+	o.realOnly = realOnly
 	// Initialize every bucket: empty reals + dummies, fresh permutations.
 	// Parallel workers keep setup tolerable for latency-injected stores.
-	type job struct {
-		bucket int
-		slots  [][]byte
-	}
 	const workers = 16
-	jobs := make(chan job)
+	jobs := make(chan BucketWrite)
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -373,13 +378,14 @@ func New(store Store, key *cryptoutil.Key, p Params) (*ORAM, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				if err := store.WriteBucket(j.bucket, j.slots); err != nil {
+				if err := store.WriteBucket(j.Bucket, j.Slots); err != nil {
 					select {
 					case errs <- err:
 					default:
 					}
 					return
 				}
+				j.Recycle() // the store copied it
 			}
 		}()
 	}
@@ -391,9 +397,7 @@ func New(store Store, key *cryptoutil.Key, p Params) (*ORAM, error) {
 			initErr = err
 			break
 		}
-		// Ownership of the serialization buffer transfers to the store with
-		// the write; never recycled.
-		jobs <- job{bucket: b, slots: w.Slots}
+		jobs <- w
 	}
 	close(jobs)
 	wg.Wait()

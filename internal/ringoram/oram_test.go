@@ -52,7 +52,11 @@ func (s *mapStore) WriteBucket(bucket int, slots [][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
-	s.buckets[bucket] = slots
+	kept := make([][]byte, len(slots)) // a store copies what it keeps
+	for i, sl := range slots {
+		kept[i] = bytes.Clone(sl)
+	}
+	s.buckets[bucket] = kept
 	delete(s.readSince, bucket)
 	return nil
 }

@@ -18,7 +18,7 @@ type Seq struct {
 
 // NewSeq creates a sequential Ring ORAM over store, initializing the tree.
 func NewSeq(store Store, key *cryptoutil.Key, p Params) (*Seq, error) {
-	o, err := New(store, key, p)
+	o, err := New(store, key, p, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -139,6 +139,7 @@ func (s *Seq) runEviction(plan *EvictPlan) error {
 		if err := s.store.WriteBucket(w.Bucket, w.Slots); err != nil {
 			return fmt.Errorf("ringoram: eviction write bucket %d: %w", w.Bucket, err)
 		}
+		w.Recycle()
 	}
 	return nil
 }

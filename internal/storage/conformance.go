@@ -54,6 +54,7 @@ func RunBackendConformanceOpts(t *testing.T, factory func(t *testing.T) Backend,
 		{"rollback-after-partial-vector", true, conformPartialVectorRollback},
 		{"commit-rollback-visibility", true, conformCommitRollback},
 		{"slot-count-per-version", true, func(t *testing.T, b Backend) { ConformSlotCountPerVersion(t, b, nil) }},
+		{"keeps-own-copy", true, func(t *testing.T, b Backend) { ConformKeepsOwnCopy(t, b, nil) }},
 		{"log-sequence", false, conformLogSequence},
 		{"log-truncate", false, conformLogTruncate},
 		{"kv", false, conformKV},
@@ -322,6 +323,111 @@ func ConformSlotCountPerVersion(t *testing.T, b Backend, reopen func(Backend) Ba
 		t.Fatal(err)
 	}
 	expect("16 slots committed, a 40-slot version rolled back", real)
+}
+
+// ConformKeepsOwnCopy holds a store to the write contract: it must not retain
+// the caller's slices. The caller scribbles over every slot and slot table it
+// handed to WriteBuckets and WriteBucket as soon as the call returns, and
+// reads still answer the written bytes — the newest version, a committed one
+// under an uncommitted rewrite, the one a same-epoch rewrite replaced, and the
+// one a rollback brings back, in slots of one size and of mixed sizes. reopen,
+// when not nil, closes and reopens a durable store before the last reads.
+func ConformKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) {
+	if reopen == nil {
+		reopen = func(b Backend) Backend { return b }
+	}
+	scribble := func(slots [][]byte) {
+		for i, sl := range slots {
+			for j := range sl {
+				sl[j] = 0xee
+			}
+			slots[i] = []byte("scribbled")
+		}
+	}
+	// written keeps what each bucket should read back.
+	written := map[int][][]byte{}
+	write := func(vec []BucketWrite) {
+		t.Helper()
+		for _, w := range vec {
+			written[w.Bucket] = conformClone(w.Slots)
+		}
+		var err error
+		if len(vec) == 1 {
+			err = b.WriteBucket(vec[0].Bucket, vec[0].Epoch, vec[0].Slots)
+		} else {
+			err = b.WriteBuckets(vec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range vec {
+			scribble(w.Slots)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for bucket, want := range written {
+			all, err := b.ReadBucket(bucket)
+			if err != nil || len(all) != len(want) {
+				t.Fatalf("%s: bucket %d: ReadBucket returned %d slots (%v), want %d", when, bucket, len(all), err, len(want))
+			}
+			refs := make([]SlotRef, len(want))
+			for i := range want {
+				if !bytes.Equal(all[i], want[i]) {
+					t.Fatalf("%s: bucket %d slot %d = %q, want %q: the store kept the caller's bytes", when, bucket, i, all[i], want[i])
+				}
+				refs[len(want)-1-i] = SlotRef{Bucket: bucket, Slot: i}
+			}
+			got, err := b.ReadSlots(refs)
+			if err != nil {
+				t.Fatalf("%s: bucket %d: ReadSlots: %v", when, bucket, err)
+			}
+			for k, r := range refs {
+				if !bytes.Equal(got[k], want[r.Slot]) {
+					t.Fatalf("%s: bucket %d slot %d read as %q, want %q", when, bucket, r.Slot, got[k], want[r.Slot])
+				}
+			}
+		}
+	}
+	mixed := func(tag string) [][]byte {
+		return [][]byte{[]byte(tag), {}, []byte(tag + "-longer-slot"), []byte("x")}
+	}
+	write([]BucketWrite{
+		{Bucket: 0, Epoch: 1, Slots: conformSlots("e1b0", 4)},
+		{Bucket: 1, Epoch: 1, Slots: mixed("e1b1")},
+	})
+	write([]BucketWrite{{Bucket: 2, Epoch: 1, Slots: conformSlots("e1b2", 3)}})
+	check("epoch 1 written")
+	if err := b.CommitEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	check("epoch 1 committed")
+	committed := map[int][][]byte{0: written[0], 1: written[1], 2: written[2]}
+	write([]BucketWrite{
+		{Bucket: 0, Epoch: 2, Slots: conformSlots("e2b0", 2)},
+		{Bucket: 1, Epoch: 2, Slots: conformSlots("e2b1", 4)},
+	})
+	write([]BucketWrite{{Bucket: 1, Epoch: 2, Slots: mixed("e2b1-rewrite")}})
+	check("epoch 2 over epoch 1")
+	if err := b.RollbackTo(1); err != nil {
+		t.Fatal(err)
+	}
+	written = committed
+	check("rolled back to epoch 1")
+	write([]BucketWrite{{Bucket: 3, Epoch: 2, Slots: conformSlots("e2b3", 5)}})
+	if err := b.CommitEpoch(2); err != nil {
+		t.Fatal(err)
+	}
+	b = reopen(b)
+	check("epoch 2 committed")
+}
+
+func conformClone(slots [][]byte) [][]byte {
+	out := make([][]byte, len(slots))
+	for i, sl := range slots {
+		out[i] = bytes.Clone(sl)
+	}
+	return out
 }
 
 func conformLogSequence(t *testing.T, b Backend) {

@@ -241,6 +241,48 @@ func TestBackendConformanceRemoteDisk(t *testing.T) {
 	})
 }
 
+// A store keeps its own copy on disk too: after a reopen, the logheap and
+// disk layouts answer the written bytes from their files, with no write-through
+// mirror left.
+func TestKeepsOwnCopySurvivesReopen(t *testing.T) {
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		b, err := OpenDiskBackend(dir, ConformanceMinBuckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ConformKeepsOwnCopy(t, b, func(old Backend) Backend {
+			if err := old.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b, err = OpenDiskBackend(dir, ConformanceMinBuckets); err != nil {
+				t.Fatal(err)
+			}
+			return b
+		})
+		b.Close()
+	})
+	t.Run("logheap", func(t *testing.T) {
+		dir := t.TempDir()
+		open := func() *DiskGroup {
+			g, err := OpenDiskGroupOpts(dir, 1, ConformanceMinBuckets, DiskOptions{LogHeap: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		g := open()
+		ConformKeepsOwnCopy(t, g.Backends()[0], func(Backend) Backend {
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+			g = open()
+			return g.Backends()[0]
+		})
+		g.Close()
+	})
+}
+
 // A bucket's slot count is per version on disk too: every durable layout must
 // answer the same after a close and reopen in the middle of the case.
 func TestSlotCountPerVersionSurvivesReopen(t *testing.T) {

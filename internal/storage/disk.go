@@ -130,17 +130,18 @@ type fileTicket struct {
 
 // diskVersion locates one shadow-paged bucket version inside the heap file.
 type diskVersion struct {
-	epoch    uint64
-	dataOff  int64 // file offset of the first slot's length prefix
-	recSize  int64 // framed record size, for garbage accounting
-	slotLens []uint32
-	// cached mirrors this version's slot bytes in memory. The cache is
-	// write-through only: WriteBuckets installs the bytes it just encoded,
-	// recovery replay leaves it nil (those reads fall back to preads). Live
-	// versions therefore keep about one store's worth of bytes resident —
-	// the warm-page-cache case made explicit and deterministic — and the
-	// read path skips the syscall entirely when the mirror is present.
-	cached [][]byte
+	epoch   uint64
+	dataOff int64 // file offset of the first slot's length prefix
+	recSize int64 // framed record size, for garbage accounting
+	layout  slotLayout
+	// cached mirrors this version's slot bytes in memory, back to back in one
+	// copy of its own that is never reused. The cache is write-through only:
+	// WriteBuckets copies in the bytes it just encoded, recovery replay leaves
+	// it nil (those reads fall back to preads). Live versions therefore keep
+	// about one store's worth of bytes resident — the warm-page-cache case
+	// made explicit and deterministic — and the read path skips the syscall
+	// entirely when the mirror is present.
+	cached []byte
 }
 
 type kvEntry struct {
@@ -503,10 +504,10 @@ func (b *DiskBackend) replayHeap(f vfile, size int64) (int64, error) {
 				return 0, fmt.Errorf("storage: bucket heap references bucket %d of %d", rec.bucket, b.numBuckets)
 			}
 			v := diskVersion{
-				epoch:    rec.epoch,
-				dataOff:  off + recordFrameSize + heapVersionDataStart,
-				recSize:  int64(total),
-				slotLens: rec.slotLens,
+				epoch:   rec.epoch,
+				dataOff: off + recordFrameSize + heapVersionDataStart,
+				recSize: int64(total),
+				layout:  layoutFromLens(rec.slotLens),
 			}
 			if err := b.installVersionLocked(rec.bucket, v); err != nil {
 				return 0, fmt.Errorf("storage: bucket heap replay: %w", err)
@@ -695,20 +696,8 @@ func (b *DiskBackend) newestVersionLocked(bucket int) (*diskVersion, error) {
 // slotRange locates slot within v: file offset of the slot's data bytes and
 // its length.
 func (v *diskVersion) slotRange(slot int) (off int64, n int) {
-	off = v.dataOff
-	for i := 0; i < slot; i++ {
-		off += 4 + int64(v.slotLens[i])
-	}
-	return off + 4, int(v.slotLens[slot])
-}
-
-// span reports the file range covering all of v's slots.
-func (v *diskVersion) span() (off int64, n int) {
-	off = v.dataOff
-	for _, l := range v.slotLens {
-		n += 4 + int(l)
-	}
-	return off, n
+	at, n := v.layout.at(slot, 4)
+	return v.dataOff + int64(at), n
 }
 
 // lookupSlotLocked finds the newest version of bucket and bounds-checks slot
@@ -721,8 +710,8 @@ func (b *DiskBackend) lookupSlotLocked(bucket, slot int) (*diskVersion, error) {
 	if v == nil {
 		return nil, fmt.Errorf("%w: bucket %d never written", ErrNoSuchSlot, bucket)
 	}
-	if slot < 0 || slot >= len(v.slotLens) {
-		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, len(v.slotLens))
+	if slot < 0 || slot >= v.layout.n {
+		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, v.layout.n)
 	}
 	return v, nil
 }
@@ -739,7 +728,7 @@ func (b *DiskBackend) ReadSlot(bucket, slot int) ([]byte, error) {
 		return nil, err
 	}
 	if v.cached != nil {
-		return v.cached[slot], nil
+		return v.layout.slotIn(v.cached, slot, 0), nil
 	}
 	off, n := v.slotRange(slot)
 	return readFileRange(b.heap, off, n)
@@ -771,7 +760,7 @@ func (b *DiskBackend) ReadSlots(refs []SlotRef) ([][]byte, error) {
 			return nil, err
 		}
 		if v.cached != nil {
-			out[i] = v.cached[r.Slot]
+			out[i] = v.layout.slotIn(v.cached, r.Slot, 0)
 			continue
 		}
 		off, n := v.slotRange(r.Slot)
@@ -821,14 +810,13 @@ func (b *DiskBackend) ReadBucket(bucket int) ([][]byte, error) {
 
 func (b *DiskBackend) readVersionSlotsLocked(v *diskVersion) ([][]byte, error) {
 	if v.cached != nil {
-		return v.cached, nil
+		return v.layout.split(v.cached, 0), nil
 	}
-	off, n := v.span()
-	buf, err := readFileRange(b.heap, off, n)
+	buf, err := readFileRange(b.heap, v.dataOff, v.layout.span(4))
 	if err != nil {
 		return nil, err
 	}
-	return splitSlots(buf, v.slotLens), nil
+	return v.layout.split(buf, 4), nil
 }
 
 func (b *DiskBackend) validateWriteLocked(bucket int, epoch uint64) error {
@@ -854,17 +842,19 @@ func (b *DiskBackend) WriteBucket(bucket int, epoch uint64, slots [][]byte) erro
 // stops at the first failing entry, leaving the validated prefix installed,
 // exactly like MemBackend.
 func (b *DiskBackend) WriteBuckets(writes []BucketWrite) error {
-	// Encode the whole vector before taking the heap lock: a record's frame
-	// (crc included) is independent of its file offset, so the kilobytes of
-	// copy + checksum work need no exclusivity. Only validation, index
+	// Encode the whole vector, and copy each version's mirror, before taking
+	// the heap lock: a record's frame (crc included) is independent of its
+	// file offset, so the kilobytes of copy + checksum work need no
+	// exclusivity. Only validation, index
 	// installation and the append run under mu — concurrent read batches
 	// overlap the write-back's encoding instead of stalling behind it. If
 	// validation stops mid-vector, the encoded suffix is simply not
 	// appended (records concatenate in vector order).
 	type pendingWrite struct {
-		relOff   int64
-		recSize  int64
-		slotLens []uint32
+		relOff  int64
+		recSize int64
+		layout  slotLayout
+		cached  []byte
 	}
 	var buf []byte
 	pend := make([]pendingWrite, len(writes))
@@ -872,7 +862,12 @@ func (b *DiskBackend) WriteBuckets(writes []BucketWrite) error {
 		at := len(buf)
 		buf = appendVersionBody(beginRecord(buf), heapKindVersion, w.Bucket, w.Epoch, w.Slots)
 		sealRecord(buf[at:])
-		pend[i] = pendingWrite{relOff: int64(at), recSize: int64(len(buf) - at), slotLens: slotLengths(w.Slots)}
+		l := layoutOf(w.Slots)
+		cached := make([]byte, 0, l.span(0))
+		for _, sl := range w.Slots {
+			cached = append(cached, sl...)
+		}
+		pend[i] = pendingWrite{relOff: int64(at), recSize: int64(len(buf) - at), layout: l, cached: cached}
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -888,12 +883,11 @@ func (b *DiskBackend) WriteBuckets(writes []BucketWrite) error {
 			break
 		}
 		v := diskVersion{
-			epoch:    w.Epoch,
-			dataOff:  b.heapSize + pend[i].relOff + recordFrameSize + heapVersionDataStart,
-			recSize:  pend[i].recSize,
-			slotLens: pend[i].slotLens,
-			// Take ownership of the caller's slices, like MemBackend does.
-			cached: w.Slots,
+			epoch:   w.Epoch,
+			dataOff: b.heapSize + pend[i].relOff + recordFrameSize + heapVersionDataStart,
+			recSize: pend[i].recSize,
+			layout:  pend[i].layout,
+			cached:  pend[i].cached,
 		}
 		if err := b.installVersionLocked(w.Bucket, v); err != nil {
 			// validateWriteLocked already screened the failure modes.

@@ -286,20 +286,8 @@ func appendVersionBody(dst []byte, kind byte, bucket int, epoch uint64, slots []
 	return dst
 }
 
-// splitSlots is slotLengths' inverse over a version body's slot span (a
-// length prefix before each slot) read back from a file; the slots alias buf.
-func splitSlots(buf []byte, lens []uint32) [][]byte {
-	slots := make([][]byte, len(lens))
-	pos := 0
-	for i, l := range lens {
-		pos += 4
-		slots[i] = buf[pos : pos+int(l)]
-		pos += int(l)
-	}
-	return slots
-}
-
-// slotLengths is the per-slot length table a version's index entry keeps.
+// slotLengths is the per-slot length table of a version whose slots differ
+// in length.
 func slotLengths(slots [][]byte) []uint32 {
 	lens := make([]uint32, len(slots))
 	for i, s := range slots {
@@ -389,16 +377,18 @@ const (
 // body, of the first slot-length entry.
 const lhixVersionDataStart = 1 + 4 + 8 + 8 + 8 + 4 + 4
 
-func appendLhixVersion(body []byte, bucket int, epoch, segBase uint64, off int64, recLen int, slotLens []uint32) []byte {
+// appendLhixVersion writes every slot's length, whatever the layout keeps:
+// the checkpoint format is the same for uniform and mixed slot sizes.
+func appendLhixVersion(body []byte, bucket int, epoch, segBase uint64, off int64, recLen int, l slotLayout) []byte {
 	body = append(body, lhixKindVersion)
 	body = binary.BigEndian.AppendUint32(body, uint32(bucket))
 	body = binary.BigEndian.AppendUint64(body, epoch)
 	body = binary.BigEndian.AppendUint64(body, segBase)
 	body = binary.BigEndian.AppendUint64(body, uint64(off))
 	body = binary.BigEndian.AppendUint32(body, uint32(recLen))
-	body = binary.BigEndian.AppendUint32(body, uint32(len(slotLens)))
-	for _, l := range slotLens {
-		body = binary.BigEndian.AppendUint32(body, l)
+	body = binary.BigEndian.AppendUint32(body, uint32(l.n))
+	for i := 0; i < l.n; i++ {
+		body = binary.BigEndian.AppendUint32(body, uint32(l.slotLen(i)))
 	}
 	return body
 }

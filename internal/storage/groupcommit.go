@@ -386,6 +386,24 @@ func (s *GroupShard) ReadBucket(bucket int) ([][]byte, error) {
 	}
 	return s.DiskBackend.ReadBucket(bucket)
 }
+func (s *GroupShard) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
+	if err := s.guard(); err != nil {
+		return dst, err
+	}
+	if s.heap != nil {
+		return s.heap.encodeSlots(dst, refs)
+	}
+	return encodeSlotsFrom(s.DiskBackend, dst, refs)
+}
+func (s *GroupShard) encodeBucket(dst []byte, bucket int) ([]byte, error) {
+	if err := s.guard(); err != nil {
+		return dst, err
+	}
+	if s.heap != nil {
+		return s.heap.encodeBucket(dst, bucket)
+	}
+	return encodeBucketFrom(s.DiskBackend, dst, bucket)
+}
 func (s *GroupShard) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 	if err := s.guard(); err != nil {
 		return err

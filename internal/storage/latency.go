@@ -70,7 +70,10 @@ type Latency struct {
 	slots chan struct{} // nil when unlimited
 }
 
-var _ Backend = (*Latency)(nil)
+var (
+	_ Backend     = (*Latency)(nil)
+	_ readEncoder = (*Latency)(nil)
+)
 
 // WithLatency wraps inner with the given profile.
 func WithLatency(inner Backend, prof Profile) *Latency {
@@ -133,6 +136,23 @@ func (l *Latency) ReadBucket(bucket int) ([][]byte, error) {
 	defer release()
 	l.delay(l.prof.Read)
 	return l.inner.ReadBucket(bucket)
+}
+
+// encodeSlots serves ReadSlots to the storage server: same price, and the
+// reply is encoded under the inner store's lock when it has one.
+func (l *Latency) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
+	release := l.acquire()
+	defer release()
+	l.delay(l.prof.Read + time.Duration(len(refs))*l.prof.ReadPerSlot)
+	return encodeSlotsFrom(l.inner, dst, refs)
+}
+
+// encodeBucket serves ReadBucket to the storage server.
+func (l *Latency) encodeBucket(dst []byte, bucket int) ([]byte, error) {
+	release := l.acquire()
+	defer release()
+	l.delay(l.prof.Read)
+	return encodeBucketFrom(l.inner, dst, bucket)
 }
 
 func (l *Latency) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {

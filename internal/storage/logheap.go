@@ -58,6 +58,8 @@ type LogHeap struct {
 
 	mu        sync.RWMutex
 	index     [][]logVersion // per bucket: version stack, oldest first
+	multi     []int          // buckets holding more than one version
+	slabs     slabs          // the write-through mirrors' bytes
 	committed uint64
 	lastPhys  uint64 // physical seq of this stream's newest record
 	ckptW     uint64 // watermark of the installed index checkpoint
@@ -86,16 +88,20 @@ const maintainEvery = 4096
 // logVersion locates one shadow-paged bucket version inside the shared
 // physical log.
 type logVersion struct {
-	epoch    uint64
-	segBase  uint64
-	off      int64 // frame offset of the whole record within its segment
-	recLen   int   // framed record length
-	slotLens []uint32
-	// cached mirrors the slot bytes in memory, write-through only (same
-	// policy as diskVersion): WriteBuckets installs what it just encoded,
-	// replay leaves nil and those reads fall back to preads.
-	cached [][]byte
+	epoch   uint64
+	segBase uint64
+	off     int64 // frame offset of the whole record within its segment
+	recLen  int   // framed record length
+	layout  slotLayout
+	// cached mirrors the slot bytes in memory, one slab of the heap's,
+	// write-through only (same policy as diskVersion): WriteBuckets copies in
+	// what it just encoded, replay leaves nil and those reads fall back to
+	// preads. The slab goes back to the heap when the version is retired.
+	cached []byte
 }
+
+func (v logVersion) tag() uint64  { return v.epoch }
+func (v logVersion) slab() []byte { return v.cached }
 
 // dataOff is the file offset of the version's first slot-length prefix:
 // past the record frame, the stream-id header and the version-body header.
@@ -103,23 +109,16 @@ func (v *logVersion) dataOff() int64 {
 	return v.off + recordFrameSize + sharedLogHdrSize + heapVersionDataStart
 }
 
+// slotRange is the file range of one slot's bytes.
 func (v *logVersion) slotRange(slot int) (off int64, n int) {
-	off = v.dataOff()
-	for i := 0; i < slot; i++ {
-		off += 4 + int64(v.slotLens[i])
-	}
-	return off + 4, int(v.slotLens[slot])
+	at, n := v.layout.at(slot, 4)
+	return v.dataOff() + int64(at), n
 }
 
-func (v *logVersion) span() (off int64, n int) {
-	off = v.dataOff()
-	for _, l := range v.slotLens {
-		n += 4 + int(l)
-	}
-	return off, n
-}
-
-var _ BucketStore = (*LogHeap)(nil)
+var (
+	_ BucketStore = (*LogHeap)(nil)
+	_ readEncoder = (*LogHeap)(nil)
+)
 
 // newLogHeap loads the shard's index checkpoint; the caller then replays
 // own-stream records above the returned watermark through replayRecord (via
@@ -200,16 +199,17 @@ func (lh *LogHeap) loadCheckpoint() error {
 				return fmt.Errorf("storage: heap index checkpoint references bucket %d of %d", rec.bucket, lh.numBuckets)
 			}
 			index[rec.bucket] = append(index[rec.bucket], logVersion{
-				epoch:    rec.epoch,
-				segBase:  rec.segBase,
-				off:      rec.off,
-				recLen:   rec.recLen,
-				slotLens: rec.slotLens,
+				epoch:   rec.epoch,
+				segBase: rec.segBase,
+				off:     rec.off,
+				recLen:  rec.recLen,
+				layout:  layoutFromLens(rec.slotLens),
 			})
 		}
 		off += int64(total)
 	}
 	lh.index = index
+	lh.multi = multiVersioned(index)
 	lh.committed = committed
 	lh.ckptW = w
 	return nil
@@ -236,11 +236,11 @@ func (lh *LogHeap) replayRecord(seq, segBase uint64, off int64, body []byte) err
 			return fmt.Errorf("storage: bucket stream %d references bucket %d of %d", lh.stream, rec.bucket, lh.numBuckets)
 		}
 		v := logVersion{
-			epoch:    rec.epoch,
-			segBase:  segBase,
-			off:      off,
-			recLen:   recordFrameSize + sharedLogHdrSize + len(body),
-			slotLens: rec.slotLens,
+			epoch:   rec.epoch,
+			segBase: segBase,
+			off:     off,
+			recLen:  recordFrameSize + sharedLogHdrSize + len(body),
+			layout:  layoutFromLens(rec.slotLens),
 		}
 		if rec.kind == heapKindGCCopy {
 			// A GC copy re-locates the version it copied, and only if that
@@ -299,44 +299,20 @@ func (lh *LogHeap) recomputeRetainLocked() {
 // ---- shadow-paging index transitions (same rules as DiskBackend) ----
 
 func (lh *LogHeap) installVersionLocked(bucket int, v logVersion) error {
-	vs := lh.index[bucket]
-	if n := len(vs); n > 0 && vs[n-1].epoch == v.epoch {
-		vs[n-1] = v
-		return nil
-	}
-	if n := len(vs); n > 0 && vs[n-1].epoch > v.epoch {
-		return fmt.Errorf("storage: bucket %d write for epoch %d after epoch %d already written (out-of-order shadow-page write)", bucket, v.epoch, vs[n-1].epoch)
-	}
-	lh.index[bucket] = append(vs, v)
-	return nil
+	var err error
+	lh.multi, err = installVersion(&lh.slabs, lh.index, lh.multi, bucket, v)
+	return err
 }
 
 func (lh *LogHeap) applyCommitLocked(epoch uint64) {
 	if epoch > lh.committed {
 		lh.committed = epoch
 	}
-	for i, vs := range lh.index {
-		keep := -1
-		for j := len(vs) - 1; j >= 0; j-- {
-			if vs[j].epoch <= lh.committed {
-				keep = j
-				break
-			}
-		}
-		if keep > 0 {
-			lh.index[i] = append(vs[:0], vs[keep:]...)
-		}
-	}
+	lh.multi = commitVersions(&lh.slabs, lh.index, lh.multi, lh.committed)
 }
 
 func (lh *LogHeap) applyRollbackLocked(epoch uint64) {
-	for i, vs := range lh.index {
-		n := len(vs)
-		for n > 0 && vs[n-1].epoch > epoch {
-			n--
-		}
-		lh.index[i] = vs[:n]
-	}
+	lh.multi = rollbackVersions(&lh.slabs, lh.index, lh.multi, epoch)
 	if lh.committed > epoch {
 		lh.committed = epoch
 	}
@@ -371,8 +347,8 @@ func (lh *LogHeap) lookupSlotLocked(bucket, slot int) (*logVersion, error) {
 	if v == nil {
 		return nil, fmt.Errorf("%w: bucket %d never written", ErrNoSuchSlot, bucket)
 	}
-	if slot < 0 || slot >= len(v.slotLens) {
-		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, len(v.slotLens))
+	if slot < 0 || slot >= v.layout.n {
+		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, v.layout.n)
 	}
 	return v, nil
 }
@@ -389,7 +365,7 @@ func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) {
 		return nil, err
 	}
 	if v.cached != nil {
-		return v.cached[slot], nil
+		return v.layout.slotIn(v.cached, slot, 0), nil
 	}
 	off, n := v.slotRange(slot)
 	return lh.owner.readLogRange(v.segBase, off, n)
@@ -402,6 +378,10 @@ func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) {
 func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
+	return lh.readSlotsLocked(refs)
+}
+
+func (lh *LogHeap) readSlotsLocked(refs []SlotRef) ([][]byte, error) {
 	if err := lh.owner.checkUsable(); err != nil {
 		return nil, err
 	}
@@ -411,7 +391,7 @@ func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 		off     int64
 		n       int
 	}
-	reads := make([]slotRead, 0, len(refs))
+	var reads []slotRead // only versions without a mirror need any
 	out := make([][]byte, len(refs))
 	for i, r := range refs {
 		v, err := lh.lookupSlotLocked(r.Bucket, r.Slot)
@@ -419,18 +399,23 @@ func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 			return nil, err
 		}
 		if v.cached != nil {
-			out[i] = v.cached[r.Slot]
+			out[i] = v.layout.slotIn(v.cached, r.Slot, 0)
 			continue
+		}
+		if reads == nil {
+			reads = make([]slotRead, 0, len(refs)-i)
 		}
 		off, n := v.slotRange(r.Slot)
 		reads = append(reads, slotRead{resIdx: i, segBase: v.segBase, off: off, n: n})
 	}
-	sort.Slice(reads, func(i, j int) bool {
-		if reads[i].segBase != reads[j].segBase {
-			return reads[i].segBase < reads[j].segBase
-		}
-		return reads[i].off < reads[j].off
-	})
+	if len(reads) > 1 {
+		sort.Slice(reads, func(i, j int) bool {
+			if reads[i].segBase != reads[j].segBase {
+				return reads[i].segBase < reads[j].segBase
+			}
+			return reads[i].off < reads[j].off
+		})
+	}
 	for start := 0; start < len(reads); {
 		end := start
 		runEnd := reads[start].off + int64(reads[start].n)
@@ -459,29 +444,48 @@ func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 func (lh *LogHeap) ReadBucket(bucket int) ([][]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
+	return lh.readBucketLocked(bucket)
+}
+
+func (lh *LogHeap) readBucketLocked(bucket int) ([][]byte, error) {
 	if err := lh.owner.checkUsable(); err != nil {
 		return nil, err
 	}
 	v, err := lh.newestVersionLocked(bucket)
+	if err != nil || v == nil {
+		return nil, err
+	}
+	if v.cached != nil {
+		return v.layout.split(v.cached, 0), nil
+	}
+	buf, err := lh.owner.readLogRange(v.segBase, v.dataOff(), v.layout.span(4))
 	if err != nil {
 		return nil, err
 	}
-	if v == nil {
-		return nil, nil
-	}
-	return lh.readVersionSlotsLocked(v)
+	return v.layout.split(buf, 4), nil
 }
 
-func (lh *LogHeap) readVersionSlotsLocked(v *logVersion) ([][]byte, error) {
-	if v.cached != nil {
-		return v.cached, nil
-	}
-	off, n := v.span()
-	buf, err := lh.owner.readLogRange(v.segBase, off, n)
+// encodeSlots implements readEncoder: the vector is read as ReadSlots reads
+// it and copied into the reply before the lock is released.
+func (lh *LogHeap) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
+	lh.mu.RLock()
+	defer lh.mu.RUnlock()
+	data, err := lh.readSlotsLocked(refs)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return splitSlots(buf, v.slotLens), nil
+	return appendFields(dst, data), nil
+}
+
+// encodeBucket implements readEncoder.
+func (lh *LogHeap) encodeBucket(dst []byte, bucket int) ([]byte, error) {
+	lh.mu.RLock()
+	defer lh.mu.RUnlock()
+	slots, err := lh.readBucketLocked(bucket)
+	if err != nil {
+		return dst, err
+	}
+	return appendFields(dst, slots), nil
 }
 
 // ---- BucketStore writes ----
@@ -512,7 +516,8 @@ func (lh *LogHeap) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 // WriteBuckets implements BucketStore: one version record per bucket into
 // the shared log, no fsync (CommitEpoch's wave is the barrier; shadow paging
 // makes a torn or unsynced version harmless). Each record is framed in place
-// in the heap's one buffer, which is what the log writes out. Framing,
+// in the heap's one buffer, which is what the log writes out, and the slots
+// are copied once more into the version's mirror slab. Framing,
 // append and index install all happen under the lock, so the stream's record
 // order equals the index mutation order replay will reproduce — and lastPhys
 // (the checkpoint watermark source) never runs behind an installed record.
@@ -531,13 +536,14 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 			return err
 		}
 		lh.owner.notePending(res.f, res.ticket)
+		l := layoutOf(w.Slots)
 		v := logVersion{
-			epoch:    w.Epoch,
-			segBase:  res.segBase,
-			off:      res.off,
-			recLen:   res.n,
-			slotLens: slotLengths(w.Slots),
-			cached:   w.Slots, // take ownership, like MemBackend
+			epoch:   w.Epoch,
+			segBase: res.segBase,
+			off:     res.off,
+			recLen:  res.n,
+			layout:  l,
+			cached:  lh.slabs.copySlots(w.Slots, l),
 		}
 		if err := lh.installVersionLocked(w.Bucket, v); err != nil {
 			return err
@@ -684,7 +690,7 @@ func (lh *LogHeap) Checkpoint() error {
 	for _, vs := range lh.index {
 		total += len(vs)
 		for i := range vs {
-			encoded += recordFrameSize + lhixVersionDataStart + 4*len(vs[i].slotLens)
+			encoded += recordFrameSize + lhixVersionDataStart + 4*vs[i].layout.n
 		}
 	}
 	flat := make([]logVersion, 0, total)
@@ -728,7 +734,7 @@ func (lh *LogHeap) Checkpoint() error {
 	for bucket, vs := range snap {
 		for i := range vs {
 			v := &vs[i]
-			body = appendLhixVersion(body[:0], bucket, v.epoch, v.segBase, v.off, v.recLen, v.slotLens)
+			body = appendLhixVersion(body[:0], bucket, v.epoch, v.segBase, v.off, v.recLen, v.layout)
 			buf = encodeRecord(buf, body)
 			if len(buf) >= 1<<20 {
 				if err := flush(); err != nil {

@@ -5,11 +5,16 @@ import (
 	"sync"
 )
 
-// bucketVersion is one shadow-paged copy of a bucket.
+// bucketVersion is one shadow-paged copy of a bucket: its slots back to back
+// in one slab the store owns.
 type bucketVersion struct {
-	epoch uint64
-	slots [][]byte
+	epoch  uint64
+	data   []byte
+	layout slotLayout
 }
+
+func (v bucketVersion) tag() uint64  { return v.epoch }
+func (v bucketVersion) slab() []byte { return v.data }
 
 // MemBackend is an in-memory Backend. It is the reference implementation that
 // both the in-process benchmarks and the TCP storage server build on.
@@ -18,8 +23,9 @@ type MemBackend struct {
 	closed    bool
 	buckets   [][]bucketVersion // per bucket: version stack, oldest first
 	committed uint64
-
-	kv map[string][]byte
+	slabs     slabs // the versions' bytes
+	multi     []int // buckets holding more than one version
+	kv        map[string][]byte
 
 	log     [][]byte
 	logBase uint64 // sequence number of log[0]
@@ -27,7 +33,10 @@ type MemBackend struct {
 	fence fenceRegister // proxy-generation fencing (see Fenceable)
 }
 
-var _ Backend = (*MemBackend)(nil)
+var (
+	_ Backend     = (*MemBackend)(nil)
+	_ readEncoder = (*MemBackend)(nil)
+)
 
 // NewMemBackend creates a backend with numBuckets empty buckets. Buckets start
 // with a single version (epoch 0) of nil slots; the ORAM client initializes
@@ -66,11 +75,11 @@ func (m *MemBackend) readSlotLocked(bucket, slot int) ([]byte, error) {
 	if len(vs) == 0 {
 		return nil, fmt.Errorf("%w: bucket %d never written", ErrNoSuchSlot, bucket)
 	}
-	slots := vs[len(vs)-1].slots
-	if slot < 0 || slot >= len(slots) {
-		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, len(slots))
+	v := &vs[len(vs)-1]
+	if slot < 0 || slot >= v.layout.n {
+		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, v.layout.n)
 	}
-	return slots[slot], nil
+	return v.layout.slotIn(v.data, slot, 0), nil
 }
 
 // ReadSlots implements BucketStore: the whole vector is served under one
@@ -106,7 +115,51 @@ func (m *MemBackend) ReadBucket(bucket int) ([][]byte, error) {
 	if len(vs) == 0 {
 		return nil, nil
 	}
-	return vs[len(vs)-1].slots, nil
+	v := &vs[len(vs)-1]
+	return v.layout.split(v.data, 0), nil
+}
+
+// encodeSlots implements readEncoder.
+func (m *MemBackend) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if err := m.checkOpen(); err != nil {
+		return dst, err
+	}
+	e := encoder{buf: dst}
+	e.u32(uint32(len(refs)))
+	for _, r := range refs {
+		d, err := m.readSlotLocked(r.Bucket, r.Slot)
+		if err != nil {
+			return e.buf, err
+		}
+		e.bytes(d)
+	}
+	return e.buf, nil
+}
+
+// encodeBucket implements readEncoder.
+func (m *MemBackend) encodeBucket(dst []byte, bucket int) ([]byte, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if err := m.checkOpen(); err != nil {
+		return dst, err
+	}
+	if err := checkBucket(bucket, len(m.buckets)); err != nil {
+		return dst, err
+	}
+	e := encoder{buf: dst}
+	vs := m.buckets[bucket]
+	if len(vs) == 0 {
+		e.u32(0)
+		return e.buf, nil
+	}
+	v := &vs[len(vs)-1]
+	e.u32(uint32(v.layout.n))
+	for i := 0; i < v.layout.n; i++ {
+		e.bytes(v.layout.slotIn(v.data, i, 0))
+	}
+	return e.buf, nil
 }
 
 // WriteBucket implements BucketStore.
@@ -139,26 +192,24 @@ func (m *MemBackend) writeBucketLocked(bucket int, epoch uint64, slots [][]byte)
 	if err := checkBucket(bucket, len(m.buckets)); err != nil {
 		return err
 	}
-	vs := m.buckets[bucket]
-	// Writes within the same epoch supersede each other in place: the proxy
-	// deduplicates bucket writes, but recovery replay may rewrite a bucket.
-	if n := len(vs); n > 0 && vs[n-1].epoch == epoch {
-		vs[n-1].slots = slots
-		return nil
-	}
 	// Shadow-paging keeps version stacks epoch-ordered so RollbackTo can
 	// pop from the top. The pipelined proxy may have two live epochs (the
 	// sealed one flushing plus its successor) but flushes them in order; a
-	// write that would bury a newer version is a pipelining bug.
-	if n := len(vs); n > 0 && vs[n-1].epoch > epoch {
-		return fmt.Errorf("storage: bucket %d write for epoch %d after epoch %d already written (out-of-order shadow-page write)", bucket, epoch, vs[n-1].epoch)
+	// write that would bury a newer version is a pipelining bug. Writes
+	// within the same epoch supersede each other in place: the proxy
+	// deduplicates bucket writes, but recovery replay may rewrite a bucket.
+	l := layoutOf(slots)
+	v := bucketVersion{epoch: epoch, data: m.slabs.copySlots(slots, l), layout: l}
+	var err error
+	if m.multi, err = installVersion(&m.slabs, m.buckets, m.multi, bucket, v); err != nil {
+		m.slabs.put(v.data)
 	}
-	m.buckets[bucket] = append(vs, bucketVersion{epoch: epoch, slots: slots})
-	return nil
+	return err
 }
 
 // CommitEpoch implements BucketStore. Superseded versions within the
-// committed prefix are garbage-collected.
+// committed prefix are retired; only buckets holding more than one version
+// have any, so a commit costs what the epochs since the last one wrote.
 func (m *MemBackend) CommitEpoch(epoch uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -168,19 +219,7 @@ func (m *MemBackend) CommitEpoch(epoch uint64) error {
 	if epoch > m.committed {
 		m.committed = epoch
 	}
-	for i, vs := range m.buckets {
-		// Find the newest version with epoch <= committed; drop older ones.
-		keep := -1
-		for j := len(vs) - 1; j >= 0; j-- {
-			if vs[j].epoch <= m.committed {
-				keep = j
-				break
-			}
-		}
-		if keep > 0 {
-			m.buckets[i] = append(vs[:0], vs[keep:]...)
-		}
-	}
+	m.multi = commitVersions(&m.slabs, m.buckets, m.multi, m.committed)
 	return nil
 }
 
@@ -191,13 +230,7 @@ func (m *MemBackend) RollbackTo(epoch uint64) error {
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	for i, vs := range m.buckets {
-		n := len(vs)
-		for n > 0 && vs[n-1].epoch > epoch {
-			n--
-		}
-		m.buckets[i] = vs[:n]
-	}
+	m.multi = rollbackVersions(&m.slabs, m.buckets, m.multi, epoch)
 	if m.committed > epoch {
 		m.committed = epoch
 	}
@@ -367,6 +400,17 @@ func (d *DummyBackend) ReadSlots(refs []SlotRef) ([][]byte, error) {
 // ReadBucket returns nil: dummy buckets have no recoverable contents.
 func (d *DummyBackend) ReadBucket(bucket int) ([][]byte, error) {
 	return nil, nil
+}
+
+// encodeSlots and encodeBucket keep a served dummy answering as ReadSlots
+// and ReadBucket do, not as the embedded MemBackend would.
+func (d *DummyBackend) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
+	data, _ := d.ReadSlots(refs)
+	return appendFields(dst, data), nil
+}
+
+func (d *DummyBackend) encodeBucket(dst []byte, bucket int) ([]byte, error) {
+	return appendFields(dst, nil), nil
 }
 
 // WriteBucket discards the write.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 )
@@ -317,5 +318,112 @@ func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCommitRetiresWhatTheEpochWrote drives the proxy's pattern — epoch e+1
+// written before e commits — over a store whose commit visits only the
+// buckets written since the last one: after each commit every bucket holds
+// exactly one version, except those the uncommitted epoch rewrote, which hold
+// two; after the last commit none is left multi-versioned.
+func TestCommitRetiresWhatTheEpochWrote(t *testing.T) {
+	const numBuckets, epochs = 64, 24
+	type versioned interface {
+		Backend
+		VersionCount(bucket int) int
+	}
+	run := func(t *testing.T, b versioned, multi func() int) {
+		rng := rand.New(rand.NewPCG(3, 5))
+		written := make([][]int, epochs+2)
+		write := func(e int) {
+			var vec []BucketWrite
+			for bucket := 0; bucket < numBuckets; bucket++ {
+				if e == 1 || rng.IntN(3) == 0 {
+					written[e] = append(written[e], bucket)
+					vec = append(vec, BucketWrite{Bucket: bucket, Epoch: uint64(e), Slots: conformSlots(fmt.Sprintf("e%d", e), 4)})
+				}
+			}
+			if err := b.WriteBuckets(vec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(1)
+		for e := 1; e <= epochs; e++ {
+			write(e + 1)
+			if err := b.CommitEpoch(uint64(e)); err != nil {
+				t.Fatal(err)
+			}
+			pending := map[int]bool{}
+			for _, bucket := range written[e+1] {
+				pending[bucket] = true
+			}
+			for bucket := 0; bucket < numBuckets; bucket++ {
+				want := 1
+				if pending[bucket] {
+					want = 2
+				}
+				if got := b.VersionCount(bucket); got != want {
+					t.Fatalf("after commit %d: bucket %d holds %d versions, want %d", e, bucket, got, want)
+				}
+			}
+		}
+		if err := b.CommitEpoch(epochs + 1); err != nil {
+			t.Fatal(err)
+		}
+		for bucket := 0; bucket < numBuckets; bucket++ {
+			if got := b.VersionCount(bucket); got != 1 {
+				t.Fatalf("after the last commit: bucket %d holds %d versions", bucket, got)
+			}
+		}
+		if n := multi(); n != 0 {
+			t.Fatalf("after the last commit %d buckets are still listed as multi-versioned", n)
+		}
+	}
+	t.Run("mem", func(t *testing.T) {
+		m := NewMemBackend(numBuckets)
+		run(t, m, func() int { return len(m.multi) })
+	})
+	t.Run("logheap", func(t *testing.T) {
+		g, err := OpenDiskGroupOpts(t.TempDir(), 1, numBuckets, DiskOptions{LogHeap: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		run(t, g.views[0], func() int { return len(g.heaps[0].multi) })
+	})
+}
+
+// TestMemBackendEpochAllocBudget pins the store's side of a write-back: once
+// warm, writing an epoch's buckets and committing it allocates nothing — each
+// version's slab is one a commit retired.
+func TestMemBackendEpochAllocBudget(t *testing.T) {
+	const numBuckets, slotsPer, slotSize = 32, 40, 300
+	m := NewMemBackend(numBuckets)
+	vec := make([]BucketWrite, numBuckets/2)
+	for i := range vec {
+		slots := make([][]byte, slotsPer)
+		for j := range slots {
+			slots[j] = bytes.Repeat([]byte{byte(i)}, slotSize)
+		}
+		vec[i] = BucketWrite{Bucket: 2 * i, Slots: slots}
+	}
+	epoch := uint64(0)
+	run := func() {
+		epoch++
+		for i := range vec {
+			vec[i].Epoch = epoch
+		}
+		if err := m.WriteBuckets(vec); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CommitEpoch(epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Errorf("%.1f allocations per written and committed epoch of %d buckets, want 0", allocs, len(vec))
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"os"
@@ -50,7 +51,9 @@ func (m *MemBackend) SaveTo(path string) error {
 	for i, vs := range m.buckets {
 		out := make([]snapVersion, len(vs))
 		for j, v := range vs {
-			out[j] = snapVersion{Epoch: v.epoch, Slots: v.slots}
+			// A copy: once the lock is released a retired version's slab may
+			// be reused under the encoder.
+			out[j] = snapVersion{Epoch: v.epoch, Slots: v.layout.split(bytes.Clone(v.data), 0)}
 		}
 		snap.Buckets[i] = out
 	}
@@ -115,9 +118,11 @@ func LoadMemBackend(path string) (*MemBackend, error) {
 	for i, vs := range snap.Buckets {
 		out := make([]bucketVersion, len(vs))
 		for j, v := range vs {
-			out[j] = bucketVersion{epoch: v.Epoch, slots: v.Slots}
+			l := layoutOf(v.Slots)
+			out[j] = bucketVersion{epoch: v.Epoch, data: m.slabs.copySlots(v.Slots, l), layout: l}
 		}
 		m.buckets[i] = out
 	}
+	m.multi = multiVersioned(m.buckets)
 	return m, nil
 }

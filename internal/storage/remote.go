@@ -91,14 +91,15 @@ var ErrRemote = errors.New("storage: remote error")
 
 // wireBuf is a pooled wire buffer: request frames read off a connection,
 // response payloads, encode scratch and a handler's vector scratch (refs,
-// writes) all recycle, so the steady-state wire path allocates nothing per
-// frame. A frame decoded from a wireBuf aliases it; whoever consumes the
-// frame releases the buffer once every alias is dead (DESIGN.md, "Who owns a
-// bucket's bytes at each hop").
+// writes and the slot views they carry) all recycle, so the steady-state wire
+// path allocates nothing per frame. A frame decoded from a wireBuf aliases it;
+// whoever consumes the frame releases the buffer once every alias is dead
+// (DESIGN.md, "Who owns a bucket's bytes at each hop").
 type wireBuf struct {
 	b      []byte
 	refs   []SlotRef
 	writes []BucketWrite
+	slots  [][]byte
 	class  int // index of the pool it came from and goes back to
 }
 
@@ -123,10 +124,12 @@ func getWireBuf(size int) *wireBuf {
 	return &wireBuf{class: class}
 }
 
-// putWireBuf recycles buf with its backing arrays, minus the slot slices a
-// write vector pointed at (those belong to the backend now).
+// putWireBuf recycles buf with its backing arrays, minus the views its write
+// scratch held into the request frame (which goes back to the pool itself).
 func putWireBuf(buf *wireBuf) {
-	clear(buf.writes[:cap(buf.writes)])
+	clear(buf.writes)
+	clear(buf.slots)
+	buf.writes, buf.slots = buf.writes[:0], buf.slots[:0]
 	wireBufPools[buf.class].Put(buf)
 }
 
@@ -330,8 +333,8 @@ func (sc *serverConn) work(resident bool) {
 }
 
 // serve answers one request frame and releases it. The response encodes into
-// a pooled scratch; the request frame releases after handle (which copies
-// anything it retains) and the response write both finish with its bytes.
+// a pooled scratch; the request frame releases after handle (whose backend
+// copies anything it keeps) and the response write both finish with its bytes.
 func (sc *serverConn) serve(fb *wireBuf) {
 	op := wireOp(fb.b[0])
 	reqID := binary.BigEndian.Uint64(fb.b[1:9])
@@ -372,10 +375,13 @@ func mutatingOp(op wireOp) bool {
 	return false
 }
 
-// handle executes one request. The payload may alias a pooled frame: every
-// slice the backend keeps is copied out of it first (decoder.fields,
-// copyBytes, str), so the caller may release the frame as soon as handle
-// returns. Vector scratch and the returned response come out of rb.
+// handle executes one request. The payload may alias a pooled frame: bucket
+// writes reach the backend as views of it (a store copies what it keeps), the
+// recovery log and KV values as copies (copyBytes, str), so the caller may
+// release the frame as soon as handle returns. Read replies are encoded
+// through encodeSlotsFrom/encodeBucketFrom, under the store's read lock when
+// it reuses retired versions' bytes. Vector scratch and the returned response
+// come out of rb.
 func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (byte, []byte) {
 	enc := encoder{buf: rb.b[:0]}
 	fail := func(err error) (byte, []byte) {
@@ -397,31 +403,29 @@ func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (
 		if d.err != nil {
 			return fail(d.err)
 		}
-		data, err := s.backend.ReadSlot(bucket, slot)
-		if err != nil {
+		rb.refs = append(rb.refs[:0], SlotRef{Bucket: bucket, Slot: slot})
+		var err error
+		if enc.buf, err = encodeSlotsFrom(s.backend, enc.buf, rb.refs); err != nil {
 			return fail(err)
 		}
-		enc.bytes(data)
+		// One slot's reply is its field alone, without the vector's count.
+		enc.buf = append(enc.buf[:0], enc.buf[4:]...)
 	case wireReadBucket:
 		bucket := int(d.u32())
 		if d.err != nil {
 			return fail(d.err)
 		}
-		slots, err := s.backend.ReadBucket(bucket)
-		if err != nil {
+		var err error
+		if enc.buf, err = encodeBucketFrom(s.backend, enc.buf, bucket); err != nil {
 			return fail(err)
-		}
-		enc.u32(uint32(len(slots)))
-		for _, sl := range slots {
-			enc.bytes(sl)
 		}
 	case wireWriteBucket:
 		bucket, epoch := int(d.u32()), d.u64()
-		slots := d.fields()
+		rb.slots = d.views(rb.slots[:0])
 		if d.err != nil {
 			return fail(fmt.Errorf("storage: bad write-bucket frame: %w", d.err))
 		}
-		if err := s.backend.WriteBucket(bucket, epoch, slots); err != nil {
+		if err := s.backend.WriteBucket(bucket, epoch, rb.slots); err != nil {
 			return fail(err)
 		}
 	case wireReadSlots:
@@ -434,23 +438,23 @@ func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (
 			refs = append(refs, SlotRef{Bucket: int(d.u32()), Slot: int(d.u32())})
 		}
 		rb.refs = refs
-		data, err := s.backend.ReadSlots(refs)
-		if err != nil {
+		var err error
+		if enc.buf, err = encodeSlotsFrom(s.backend, enc.buf, refs); err != nil {
 			return fail(err)
-		}
-		enc.u32(uint32(len(data)))
-		for _, sl := range data {
-			enc.bytes(sl)
 		}
 	case wireWriteBuckets:
 		n := d.count(16)
-		writes := rb.writes[:0]
+		writes, views := rb.writes[:0], rb.slots[:0]
 		for i := 0; i < n && d.err == nil; i++ {
 			w := BucketWrite{Bucket: int(d.u32()), Epoch: d.u64()}
-			w.Slots = d.fields()
+			at := len(views)
+			views = d.views(views)
+			// A later append may move views; this write's table stays valid
+			// where it is.
+			w.Slots = views[at:len(views):len(views)]
 			writes = append(writes, w)
 		}
-		rb.writes = writes
+		rb.writes, rb.slots = writes, views
 		if d.err != nil {
 			return fail(fmt.Errorf("storage: bad write-buckets frame: %w", d.err))
 		}
@@ -1056,6 +1060,16 @@ func (e *encoder) bytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// appendFields appends a count and that many length-prefixed fields.
+func appendFields(dst []byte, fs [][]byte) []byte {
+	e := encoder{buf: dst}
+	e.u32(uint32(len(fs)))
+	for _, f := range fs {
+		e.bytes(f)
+	}
+	return e.buf
+}
+
 // bucket encodes one written bucket: bucket, epoch, slot count, slots.
 func (e *encoder) bucket(bucket int, epoch uint64, slots [][]byte) {
 	e.u32(uint32(bucket))
@@ -1147,11 +1161,21 @@ func (d *decoder) count(minSize int) int {
 	return int(n)
 }
 
-// fields decodes a count and that many length-prefixed fields (a bucket's
-// slots, a read vector's results) into an arena the caller may keep: a size
-// pass over the prefixes bounded by the payload, one exactly-sized allocation,
-// capacity-clipped subslices. One arena per bucket, not per frame: a version
-// that lives long pins its own bytes only.
+// views decodes a count and that many length-prefixed fields as views of the
+// decoder's buffer, appended to dst: nothing is copied, so they are dead when
+// the frame is. The server hands a write's slots to its store this way.
+func (d *decoder) views(dst [][]byte) [][]byte {
+	n := d.count(4)
+	for i := 0; i < n && d.err == nil; i++ {
+		dst = append(dst, d.view())
+	}
+	return dst
+}
+
+// fields decodes a count and that many length-prefixed fields (a read reply's
+// slots or log records) into one arena the caller may keep: a size pass over
+// the prefixes bounded by the payload, one exactly-sized allocation,
+// capacity-clipped subslices.
 func (d *decoder) fields() [][]byte {
 	n := d.count(4)
 	size := decoder{buf: d.buf}

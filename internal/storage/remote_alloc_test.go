@@ -5,35 +5,17 @@ import (
 	"testing"
 )
 
-// reusedReadsBackend answers vectored reads out of one reused slice, so a
-// round trip's allocations are the wire's alone. Calls must not overlap.
-type reusedReadsBackend struct {
-	*MemBackend
-	out [][]byte
-}
-
-func (b *reusedReadsBackend) ReadSlots(refs []SlotRef) ([][]byte, error) {
-	b.out = b.out[:0]
-	for _, r := range refs {
-		d, err := b.ReadSlot(r.Bucket, r.Slot)
-		if err != nil {
-			return nil, err
-		}
-		b.out = append(b.out, d)
-	}
-	return b.out, nil
-}
-
 // TestReadSlotsRoundTripAllocBudget pins the storage wire's per-call cost:
 // a ReadSlots round trip against an in-process Server allocates the reply
 // arena the caller keeps (its bytes and its slot table) and nothing else at
-// either end — no frame header, no per-request goroutine.
+// either end — no frame header, no per-request goroutine, and no result
+// vector on the server, which encodes the reply under the store's lock.
 func TestReadSlotsRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	const numBuckets, slotsPer, slotSize = 16, 4, 300
-	backend := &reusedReadsBackend{MemBackend: NewMemBackend(numBuckets)}
+	backend := NewMemBackend(numBuckets)
 	srv, err := NewServer(backend, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

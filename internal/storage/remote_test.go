@@ -278,3 +278,118 @@ func TestRemoteCallAfterClientClose(t *testing.T) {
 		t.Fatal("call succeeded on closed client")
 	}
 }
+
+// TestServerReadsRaceCommits serves readers while a writer rewrites and
+// commits every bucket epoch after epoch, so each commit retires versions
+// whose slabs the next write reuses. Every slot of an epoch-e version holds
+// byte e throughout: a reply encoded from a slab being reused would carry a
+// torn mix, and under -race the overlap itself is reported.
+func TestServerReadsRaceCommits(t *testing.T) {
+	const numBuckets, slotsPer, slotSize = 8, 40, 64
+	run := func(t *testing.T, backend Backend, epochs int) {
+		srv, err := NewServer(backend, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		dial := func() *Client {
+			c, err := Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c
+		}
+		writer := dial()
+		writeEpoch := func(e int) {
+			writes := make([]BucketWrite, numBuckets)
+			for b := range writes {
+				slots := make([][]byte, slotsPer)
+				for i := range slots {
+					slots[i] = bytes.Repeat([]byte{byte(e)}, slotSize)
+				}
+				writes[b] = BucketWrite{Bucket: b, Epoch: uint64(e), Slots: slots}
+			}
+			if err := writer.WriteBuckets(writes); err != nil {
+				t.Error(err)
+			}
+			if err := writer.CommitEpoch(uint64(e)); err != nil {
+				t.Error(err)
+			}
+		}
+		writeEpoch(1)
+		var refs []SlotRef
+		for b := 0; b < numBuckets; b++ {
+			for i := 0; i < slotsPer; i++ {
+				refs = append(refs, SlotRef{Bucket: b, Slot: i})
+			}
+		}
+		uniform := func(what string, slots ...[]byte) error {
+			for _, sl := range slots {
+				if len(sl) != slotSize || !bytes.Equal(sl, bytes.Repeat(sl[:1], slotSize)) {
+					return fmt.Errorf("%s: torn slot %x", what, sl)
+				}
+			}
+			return nil
+		}
+		done := make(chan struct{})
+		errs := make(chan error, 3)
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			c := dial()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-done:
+						errs <- nil
+						return
+					default:
+					}
+					var err error
+					switch i % 3 {
+					case 0:
+						var got [][]byte
+						if got, err = c.ReadSlots(refs); err == nil {
+							err = uniform("ReadSlots", got...)
+						}
+					case 1:
+						var got [][]byte
+						if got, err = c.ReadBucket(i % numBuckets); err == nil {
+							err = uniform("ReadBucket", got...)
+						}
+					default:
+						var got []byte
+						if got, err = c.ReadSlot(i%numBuckets, i%slotsPer); err == nil {
+							err = uniform("ReadSlot", got)
+						}
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		for e := 2; e <= epochs; e++ {
+			writeEpoch(e)
+		}
+		close(done)
+		wg.Wait()
+		for r := 0; r < 3; r++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("mem", func(t *testing.T) { run(t, NewMemBackend(numBuckets), 300) })
+	t.Run("logheap", func(t *testing.T) {
+		g, err := OpenDiskGroupOpts(t.TempDir(), 1, numBuckets, DiskOptions{LogHeap: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		run(t, g.Backends()[0], 100)
+	})
+}

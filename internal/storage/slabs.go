@@ -1,0 +1,298 @@
+package storage
+
+import "fmt"
+
+// This file holds how the stores keep a bucket version's bytes: its slots
+// back to back in one exact-length slab (slabs), addressed through the
+// version's slotLayout; the shadow-paging transitions that retire versions
+// and hand their slabs on; and the server's read path into such a store
+// (readEncoder).
+
+// slotLayout is how a version's slots lie back to back in a span, each behind
+// prefix bytes (its u32 length on disk, nothing in memory): n slots of size
+// bytes each, or, only when their lengths differ, the lengths in lens. Every
+// production write has one slot size, so a version carries no table.
+type slotLayout struct {
+	n    int
+	size int
+	lens []uint32
+}
+
+// layoutOf is the layout of slots laid out in order.
+func layoutOf(slots [][]byte) slotLayout {
+	l := slotLayout{n: len(slots)}
+	for i, s := range slots {
+		if i == 0 {
+			l.size = len(s)
+		} else if len(s) != l.size {
+			return slotLayout{n: len(slots), lens: slotLengths(slots)}
+		}
+	}
+	return l
+}
+
+// layoutFromLens is the layout of slots of the given lengths; lens is kept
+// only when they differ.
+func layoutFromLens(lens []uint32) slotLayout {
+	l := slotLayout{n: len(lens)}
+	for i, n := range lens {
+		if i == 0 {
+			l.size = int(n)
+		} else if int(n) != l.size {
+			l.lens = lens
+			return l
+		}
+	}
+	return l
+}
+
+// slotLen is the length of slot i.
+func (l slotLayout) slotLen(i int) int {
+	if l.lens != nil {
+		return int(l.lens[i])
+	}
+	return l.size
+}
+
+// at locates slot i in a span laid out as l: its offset and its length.
+func (l slotLayout) at(i, prefix int) (off, n int) {
+	if l.lens == nil {
+		return i*(prefix+l.size) + prefix, l.size
+	}
+	for _, s := range l.lens[:i] {
+		off += prefix + int(s)
+	}
+	return off + prefix, int(l.lens[i])
+}
+
+// span is the length of the whole span.
+func (l slotLayout) span(prefix int) int {
+	if l.lens == nil {
+		return l.n * (prefix + l.size)
+	}
+	n := 0
+	for _, s := range l.lens {
+		n += prefix + int(s)
+	}
+	return n
+}
+
+// split returns every slot of span as a capacity-clipped view.
+func (l slotLayout) split(span []byte, prefix int) [][]byte {
+	out := make([][]byte, l.n)
+	off := 0
+	for i := range out {
+		off += prefix
+		end := off + l.slotLen(i)
+		out[i] = span[off:end:end]
+		off = end
+	}
+	return out
+}
+
+// slotIn returns slot i of span as a capacity-clipped view.
+func (l slotLayout) slotIn(span []byte, i, prefix int) []byte {
+	off, n := l.at(i, prefix)
+	return span[off : off+n : off+n]
+}
+
+// Version slabs are carved out of chunks that grow from slabChunkMin to
+// slabChunkMax: a small store allocates little, and what a store loses is a
+// chunk's unused end when the next slab does not fit (under one slab each)
+// plus the last chunk's unused part. Measured on the benchmark's trees (slabs
+// of 1.8 to 12 KiB), 256 KiB keeps the sum lowest: a 1 MiB cap left up to a
+// megabyte unused per store. A slab larger than slabChunkMax is its own
+// allocation.
+const (
+	slabChunkMin = 16 << 10
+	slabChunkMax = 256 << 10
+)
+
+// slabs hands out the exact-length slabs a store keeps its versions' bytes in
+// and takes back the slab of a version the store retired (superseded by a
+// commit, discarded by a rollback, replaced by a same-epoch write), for the
+// next write of that length. A store writes about as many bytes as it
+// retires, so once warm it allocates nothing; the slabs are never given back,
+// and the free list holds at most the bytes of the versions retired since the
+// last write. Guarded by the owning store's write lock.
+type slabs struct {
+	chunk []byte
+	next  int // size of the next chunk
+	free  map[int][][]byte
+}
+
+// take returns a slab of exactly n bytes (len == cap), non-nil even when n is
+// zero.
+func (s *slabs) take(n int) []byte {
+	if n == 0 {
+		return []byte{}
+	}
+	if f := s.free[n]; len(f) > 0 {
+		b := f[len(f)-1]
+		s.free[n] = f[:len(f)-1]
+		return b
+	}
+	if n > slabChunkMax {
+		return make([]byte, n)
+	}
+	if len(s.chunk) < n {
+		s.next = min(max(2*s.next, slabChunkMin), slabChunkMax)
+		s.chunk = make([]byte, max(s.next, n))
+	}
+	b := s.chunk[:n:n]
+	s.chunk = s.chunk[n:]
+	return b
+}
+
+// copySlots copies slots back to back into a slab of their total length.
+func (s *slabs) copySlots(slots [][]byte, l slotLayout) []byte {
+	b := s.take(l.span(0))
+	off := 0
+	for _, sl := range slots {
+		off += copy(b[off:], sl)
+	}
+	return b
+}
+
+// put takes back the slab of a retired version. The caller guarantees nothing
+// reads it any more: a slot returned from it stays valid until its version is
+// retired, no longer.
+func (s *slabs) put(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	if s.free == nil {
+		s.free = make(map[int][][]byte)
+	}
+	s.free[len(b)] = append(s.free[len(b)], b)
+}
+
+// storedVersion is what the shadow-paging transitions below need of a
+// slab-keeping store's version: the epoch it was written in and its slab
+// (nil when the store keeps no bytes for it).
+type storedVersion interface {
+	tag() uint64
+	slab() []byte
+}
+
+// The shadow-paging transitions of the stores that keep their versions in
+// slabs, over index (per bucket the version stack, oldest first) and multi
+// (the buckets holding more than one version, the only ones a commit has
+// anything to retire from). A retired version's slab goes back to s.
+
+// installVersion pushes v onto bucket's stack, retiring a version of the
+// same epoch it replaces; a version for an epoch below the newest is a
+// pipelining bug and is refused.
+func installVersion[V storedVersion](s *slabs, index [][]V, multi []int, bucket int, v V) ([]int, error) {
+	vs := index[bucket]
+	n := len(vs)
+	if n > 0 && vs[n-1].tag() == v.tag() {
+		s.put(vs[n-1].slab())
+		vs[n-1] = v
+		return multi, nil
+	}
+	if n > 0 && vs[n-1].tag() > v.tag() {
+		return multi, fmt.Errorf("storage: bucket %d write for epoch %d after epoch %d already written (out-of-order shadow-page write)", bucket, v.tag(), vs[n-1].tag())
+	}
+	if n == 1 {
+		multi = append(multi, bucket)
+	}
+	index[bucket] = append(vs, v)
+	return multi, nil
+}
+
+// commitVersions retires every version below the newest one tagged at or
+// under committed, visiting only the buckets multi lists: a commit costs
+// what the epochs since the last one wrote.
+func commitVersions[V storedVersion](s *slabs, index [][]V, multi []int, committed uint64) []int {
+	still := multi[:0]
+	for _, b := range multi {
+		vs := index[b]
+		keep := len(vs) - 1
+		for keep > 0 && vs[keep].tag() > committed {
+			keep--
+		}
+		if keep > 0 {
+			for _, v := range vs[:keep] {
+				s.put(v.slab())
+			}
+			n := copy(vs, vs[keep:])
+			clear(vs[n:])
+			vs = vs[:n]
+			index[b] = vs
+		}
+		if len(vs) > 1 {
+			still = append(still, b)
+		}
+	}
+	return still
+}
+
+// rollbackVersions retires every version tagged above epoch.
+func rollbackVersions[V storedVersion](s *slabs, index [][]V, multi []int, epoch uint64) []int {
+	multi = multi[:0]
+	for b, vs := range index {
+		n := len(vs)
+		for n > 0 && vs[n-1].tag() > epoch {
+			n--
+			s.put(vs[n].slab())
+		}
+		clear(vs[n:])
+		index[b] = vs[:n]
+		if n > 1 {
+			multi = append(multi, b)
+		}
+	}
+	return multi
+}
+
+// multiVersioned lists the buckets of a loaded index holding more than one
+// version.
+func multiVersioned[V any](index [][]V) []int {
+	var multi []int
+	for b, vs := range index {
+		if len(vs) > 1 {
+			multi = append(multi, b)
+		}
+	}
+	return multi
+}
+
+// readEncoder is the read side of a store that reuses a retired version's slab
+// (MemBackend, LogHeap's mirror) and of the wrappers that serve one. The
+// server encodes read replies through it: slots are copied into the reply
+// while the store's read lock is held, so no reply can carry a slab that a
+// concurrent commit retired and a write reused — whoever reads, a fenced
+// zombie primary included.
+type readEncoder interface {
+	// encodeSlots appends refs' slots to dst as a count-prefixed field
+	// vector. On error what it appended is meaningless.
+	encodeSlots(dst []byte, refs []SlotRef) ([]byte, error)
+	// encodeBucket appends the newest version of bucket the same way.
+	encodeBucket(dst []byte, bucket int) ([]byte, error)
+}
+
+// encodeSlotsFrom appends refs' slots read from b, under b's own lock when b
+// is a readEncoder.
+func encodeSlotsFrom(b BucketStore, dst []byte, refs []SlotRef) ([]byte, error) {
+	if re, ok := b.(readEncoder); ok {
+		return re.encodeSlots(dst, refs)
+	}
+	data, err := b.ReadSlots(refs)
+	if err != nil {
+		return dst, err
+	}
+	return appendFields(dst, data), nil
+}
+
+// encodeBucketFrom is encodeSlotsFrom for a whole bucket.
+func encodeBucketFrom(b BucketStore, dst []byte, bucket int) ([]byte, error) {
+	if re, ok := b.(readEncoder); ok {
+		return re.encodeBucket(dst, bucket)
+	}
+	slots, err := b.ReadBucket(bucket)
+	if err != nil {
+		return dst, err
+	}
+	return appendFields(dst, slots), nil
+}

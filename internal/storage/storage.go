@@ -55,6 +55,17 @@ type BucketWrite struct {
 // upper levels' buckets without their dummies), and a slot index at or past
 // the newest version's count is ErrNoSuchSlot. The server never interprets
 // slot contents.
+//
+// Writes: a store must not retain the caller's slices — it copies what it
+// keeps, and the caller may reuse every slot and the vector once the call
+// returns. Reads: a returned slot is the store's and stays valid until its
+// version is retired — superseded by a CommitEpoch, discarded by a
+// RollbackTo, or replaced by a same-epoch write — after which the store may
+// reuse its bytes. A caller that needs a slot longer copies it. The proxy
+// reads a bucket from storage only while nothing retires its newest version:
+// a bucket rewritten by the epoch being committed is served from the sealed
+// set, not read. The storage server encodes its replies under the store's own
+// lock, so no client read depends on the rule.
 type BucketStore interface {
 	// ReadSlot returns the requested slot of the newest version of the
 	// bucket. The returned slice must not be modified by the caller.
@@ -69,8 +80,8 @@ type BucketStore interface {
 
 	// WriteBuckets performs a vectored write-back: every bucket write of a
 	// stage (typically one sealed epoch's deduplicated write-back set) in
-	// one storage call. The store takes ownership of the slot slices. The
-	// same per-bucket epoch-ordering rules as WriteBucket apply; writes are
+	// one storage call. The store copies the slots it keeps. The same
+	// per-bucket epoch-ordering rules as WriteBucket apply; writes are
 	// installed in vector order and the call stops at the first failing
 	// entry, so a mid-vector error may leave a prefix installed (shadow
 	// paging makes that harmless: RollbackTo discards it).
@@ -79,18 +90,18 @@ type BucketStore interface {
 	// ReadBucket returns all slots of the newest version of the bucket.
 	ReadBucket(bucket int) ([][]byte, error)
 
-	// WriteBucket installs a new version of the bucket tagged with epoch.
-	// The store takes ownership of the slot slices. Per bucket, writes
-	// arrive in non-decreasing epoch order: the pipelined proxy keeps at
-	// most two live (uncommitted) epochs — the sealed epoch a background
-	// committer is flushing and its successor — and flushes them in epoch
-	// order, so a lower-epoch write after a higher-epoch one can only be a
-	// pipelining bug and implementations may reject it.
+	// WriteBucket installs a new version of the bucket tagged with epoch,
+	// copied from slots. Per bucket, writes arrive in non-decreasing epoch
+	// order: the pipelined proxy keeps at most two live (uncommitted) epochs
+	// — the sealed epoch a background committer is flushing and its
+	// successor — and flushes them in epoch order, so a lower-epoch write
+	// after a higher-epoch one can only be a pipelining bug and
+	// implementations may reject it.
 	WriteBucket(bucket int, epoch uint64, slots [][]byte) error
 
 	// CommitEpoch makes every version tagged <= epoch durable and allows the
-	// store to garbage-collect versions that are superseded within the
-	// committed prefix.
+	// store to retire versions that are superseded within the committed
+	// prefix.
 	CommitEpoch(epoch uint64) error
 
 	// RollbackTo discards all bucket versions tagged with an epoch > epoch.
