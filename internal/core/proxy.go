@@ -556,57 +556,6 @@ func unifiedCommitStores(stores []storage.Backend) []storage.EpochCommitBatcher 
 	return out
 }
 
-// bootstrap initializes fresh ORAMs or recovers from the durability logs.
-func (p *Proxy) bootstrap() error {
-	coord := p.shards[0]
-	if coord.rlog != nil {
-		rec, err := coord.rlog.Recover()
-		switch {
-		case err == nil && rec.HasCommit:
-			return p.recover(rec)
-		case err == nil, errors.Is(err, wal.ErrNoCheckpoint):
-			// Nothing ever committed: a fresh deployment, or a first boot that
-			// died before the coordinator's baseline checkpoint. Reinitialize;
-			// a follower's stale baseline is superseded by the fresh one.
-		default:
-			return err
-		}
-	}
-	for i, sh := range p.shards {
-		cfg := oramexec.Config{WriteThrough: p.cfg.WriteThrough}
-		oram, err := oramexec.InitORAMFor(sh.store, p.cfg.Key, p.shardParams(i), cfg)
-		if err != nil {
-			return err
-		}
-		sh.exec = oramexec.New(oram, sh.store, cfg)
-	}
-	p.epoch = 1
-	p.beginEpochAllLocked()
-	if coord.rlog != nil {
-		// Baseline checkpoints, committed like any epoch, so a crash before
-		// the first epoch commits recovers to an empty store.
-		return p.commitSnapshot(0)
-	}
-	return nil
-}
-
-// commitSnapshot checkpoints every shard's ORAM metadata as it stands and
-// commits it as epoch through the boundary's own commit sequence: bootstrap's
-// baseline and recovery's replay epoch are epochs with nothing to flush.
-func (p *Proxy) commitSnapshot(epoch uint64) error {
-	job := &boundaryJob{epoch: epoch, ckpts: make([]*wal.PendingCheckpoint, len(p.shards))}
-	errs := p.commitErrs
-	clear(errs)
-	oramexec.RunStages(len(p.shards), func(i int) {
-		sh := p.shards[i]
-		job.ckpts[i], errs[i] = sh.rlog.PrepareCheckpoint(epoch, sh.exec.ORAM())
-	})
-	if err := firstError(errs); err != nil {
-		return err
-	}
-	return p.runCommit(job)
-}
-
 // firstError returns the first non-nil error of a per-shard round.
 func firstError(errs []error) error {
 	for _, err := range errs {
@@ -614,124 +563,6 @@ func firstError(errs []error) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// recover implements §8 across all shards: roll each shadow-paged tree back
-// to the last globally committed epoch (the coordinator's), rebuild proxy
-// metadata from per-shard checkpoints, deterministically replay each shard's
-// logged reads from the aborted epoch, and commit the replay as a recovery
-// epoch under the same coordinator-commit protocol.
-func (p *Proxy) recover(coordRec *wal.Recovery) error {
-	committed := coordRec.CommittedEpoch
-	// Phase 1: per-shard log reconstruction. No cross-shard dependency once
-	// the committed epoch is known, so it runs concurrently.
-	recs := make([]*wal.Recovery, len(p.shards))
-	recs[0] = coordRec
-	errs := make([]error, len(p.shards))
-	var wg sync.WaitGroup
-	for i := 1; i < len(p.shards); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rec, err := p.shards[i].rlog.RecoverWithFloor(committed)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: recovering shard %d: %w", i, err)
-				return
-			}
-			recs[i] = rec
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return p.recoverFromRecoveries(recs)
-}
-
-// recoverFromRecoveries is recovery phase 2, shared by the cold path above
-// and the hot-standby promotion path (NewShardedFromRecoveries, which built
-// recs from its replicated log copies instead of scanning storage): rollback,
-// state rebuild, deterministic replay, and the recovery-epoch commit.
-func (p *Proxy) recoverFromRecoveries(recs []*wal.Recovery) error {
-	committed := recs[0].CommittedEpoch
-	errs := make([]error, len(p.shards))
-	var wg sync.WaitGroup
-	// The recovery epoch must cover every logged epoch of the dead
-	// generation: the pipelined boundary can leave batch records of
-	// committed+1 AND committed+2 behind, and the next generation reuses
-	// epoch numbers starting after the recovery epoch. Committing the
-	// replay under the highest aborted epoch seen on ANY shard pushes the
-	// stale records at or below the committed floor, so a later crash can
-	// never replay this generation again.
-	recoveryEpoch := committed + 1
-	for _, rec := range recs {
-		if rec.MaxAbortedEpoch > recoveryEpoch {
-			recoveryEpoch = rec.MaxAbortedEpoch
-		}
-	}
-	// Phase 2: rollback, state rebuild, deterministic replay (concurrent);
-	// only the recovery epoch's commit below needs ordering.
-	replayed := make([]int, len(p.shards))
-	for i := range p.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := p.shards[i]
-			rec := recs[i]
-			if err := sh.store.RollbackTo(committed); err != nil {
-				errs[i] = err
-				return
-			}
-			oram, err := ringoram.Restore(p.cfg.Key, p.shardParams(i), rec.Full, rec.Deltas...)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sh.exec = oramexec.New(oram, sh.store, oramexec.Config{WriteThrough: p.cfg.WriteThrough})
-			// The upper levels live in the proxy and storage holds only their
-			// blocks: fetch them before anything reads a path.
-			if err := sh.exec.LoadResident(); err != nil {
-				errs[i] = fmt.Errorf("core: shard %d: %w", i, err)
-				return
-			}
-			sh.exec.BeginEpoch(recoveryEpoch)
-			for _, batch := range rec.AbortedBatches {
-				if err := sh.exec.ReplayBatch(batch); err != nil {
-					errs[i] = fmt.Errorf("core: shard %d replaying aborted epoch: %w", i, err)
-					return
-				}
-				replayed[i] += len(batch)
-			}
-			if len(rec.AbortedBatches) > 0 {
-				if _, err := sh.exec.Flush(); err != nil {
-					errs[i] = err
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, n := range replayed {
-		p.replayedLast += n
-	}
-	p.stats.RecoveryReplayed += p.replayedLast
-	if err := p.commitSnapshot(recoveryEpoch); err != nil {
-		return err
-	}
-	// The recovery checkpoint is full and now durably committed everywhere:
-	// it re-anchors the log floor, so a crash loop cannot grow the log.
-	if err := p.retireLogs(recoveryEpoch); err != nil {
-		return err
-	}
-	p.epoch = recoveryEpoch + 1
-	p.beginEpochAllLocked()
 	return nil
 }
 
@@ -882,572 +713,4 @@ func (p *Proxy) failQueuedLocked(err error) {
 		clear(sh.queued)
 		sh.resetFetchQueuesLocked()
 	}
-}
-
-// epochLoop drives the fixed batch schedule in auto mode.
-func (p *Proxy) epochLoop() {
-	defer p.loop.Done()
-	timer := time.NewTimer(p.cfg.BatchInterval)
-	defer timer.Stop()
-	for {
-		p.mu.Lock()
-		closed := p.closed || p.draining
-		p.mu.Unlock()
-		if closed {
-			return
-		}
-		step := p.stepScheduled
-		select {
-		case <-timer.C:
-		case <-p.kick:
-			p.mu.Lock()
-			closed = p.closed || p.draining
-			fire := false
-			// An eager kick may only accelerate a read-batch slot. The
-			// epoch boundary stays on the Δ timer: routing a full-queue
-			// kick into EndEpoch would make the boundary's timing depend
-			// on how many keys clients queued — a trace-shape leak (and,
-			// pipelined, a premature seal).
-			if p.cfg.EagerBatches && p.batchIdx < p.cfg.ReadBatches {
-				for _, sh := range p.shards {
-					if sh.queuedKeys >= p.cfg.ReadBatchSize {
-						fire = true
-						break
-					}
-				}
-			}
-			p.mu.Unlock()
-			if closed {
-				return
-			}
-			if !fire {
-				continue
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			step = p.StepReadBatch
-		}
-		if err := step(); err != nil {
-			// StepReadBatch and EndEpoch fail-stop the proxy themselves on
-			// execution errors; the loop only stops driving the schedule.
-			if !errors.Is(err, ErrClosed) {
-				p.failBoundary(err)
-			}
-			return
-		}
-		timer.Reset(p.cfg.BatchInterval)
-	}
-}
-
-// Advance moves the fixed schedule forward by one slot: the next read batch,
-// or the epoch boundary once all R read batches have fired. It is the manual
-// counterpart of the Δ timer (tests, deterministic examples).
-func (p *Proxy) Advance() error { return p.stepScheduled() }
-
-// stepScheduled advances the schedule by one slot: a read batch, or the
-// epoch boundary once all R read batches have fired.
-func (p *Proxy) stepScheduled() error {
-	p.mu.Lock()
-	last := p.batchIdx >= p.cfg.ReadBatches
-	p.mu.Unlock()
-	if last {
-		return p.EndEpoch()
-	}
-	return p.StepReadBatch()
-}
-
-// shardReadBatch is one shard's share of a read-batch slot: the real keys it
-// serves this round and, parallel to them, their blocked transactions
-// (Proxy.step keeps one per shard across rounds).
-type shardReadBatch struct {
-	sh      *shard
-	keys    []string
-	waiters []*fetchWaiter
-}
-
-// StepReadBatch issues the epoch's next read batch on every shard: up to
-// bread queued fetches per shard, padded with dummies, executed in parallel
-// across shards. Exported for manual mode and tests.
-func (p *Proxy) StepReadBatch() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	if p.batchIdx >= p.cfg.ReadBatches {
-		p.mu.Unlock()
-		return fmt.Errorf("core: epoch %d already issued all %d read batches", p.epoch, p.cfg.ReadBatches)
-	}
-	st := &p.step
-	batches, results, plans, errs := st.batches, st.results, st.plans, st.errs
-	clear(errs)
-	for i, sh := range p.shards {
-		// Fair drain: one key per session per pass (admission.go), up to
-		// bread slots.
-		b := &batches[i]
-		b.keys = sh.takeBatchLocked(b.keys, p.cfg.ReadBatchSize)
-		b.waiters = b.waiters[:0]
-		for _, k := range b.keys {
-			b.waiters = append(b.waiters, sh.queued[k])
-			delete(sh.queued, k)
-		}
-		p.stats.ReadBatchSlots += uint64(p.cfg.ReadBatchSize)
-		p.stats.RealReads += uint64(len(b.keys))
-	}
-	p.batchIdx++
-	batchIdx := p.batchIdx - 1
-	epoch := p.epoch
-	p.mu.Unlock()
-
-	// Per shard: plan, write-ahead log, execute. The write-ahead rule (§8:
-	// the read schedule must be durable before its reads are issued) only
-	// orders a shard's own log against its own reads, so planning and
-	// execution run concurrently across shards. The log appends, though,
-	// are split from their barrier: every shard's schedule record is
-	// appended first (deferred), then one Sync round makes them all durable
-	// before any read issues. On a shared physical log the round is ONE
-	// fsync for all shards — barrier placement, not barrier count, is what
-	// the write-ahead rule fixes.
-	oramexec.RunStages(len(batches), func(i int) {
-		ops := st.ops[i]
-		clear(ops)
-		for j, k := range batches[i].keys {
-			ops[j].Key = k
-		}
-		plans[i], errs[i] = batches[i].sh.exec.PlanReadBatch(ops)
-	})
-	for i, sh := range p.shards {
-		if errs[i] != nil || sh.rlog == nil {
-			continue
-		}
-		if err := sh.rlog.AppendBatchDeferred(epoch, batchIdx, plans[i].Log()); err != nil {
-			errs[i] = err
-		}
-	}
-	p.syncLogs(p.shards, errs)
-	oramexec.RunStages(len(batches), func(i int) {
-		if errs[i] != nil {
-			return
-		}
-		results[i], errs[i] = batches[i].sh.exec.Execute(plans[i])
-	})
-
-	p.mu.Lock()
-	for i, b := range batches {
-		if errs[i] != nil {
-			continue
-		}
-		// Result j answers op j, which carried key j.
-		for j := range b.keys {
-			r := &results[i][j]
-			p.ccu.InstallBase(r.Key, r.Value, r.Found)
-			b.sh.fetched[r.Key] = true
-			p.publishLocked(b.waiters[j], nil)
-			b.waiters[j] = nil
-		}
-	}
-	firstErr := firstError(errs)
-	if firstErr != nil {
-		// Waiters were already dequeued from sh.queued into the batches, so
-		// failAllLocked can no longer reach them: wake every one still
-		// unserved (all shards — the batch failed as a unit) or their
-		// transactions would block forever.
-		for _, b := range batches {
-			for _, w := range b.waiters {
-				p.publishLocked(w, firstErr)
-			}
-		}
-		// A failed batch leaves planned ORAM metadata with no matching
-		// storage reads: the executor state has diverged from the tree, so
-		// the proxy fail-stops (crash-and-recover is §8's answer) instead
-		// of continuing on a broken schedule.
-		p.closed = true
-		p.failAllLocked(firstErr)
-		p.boundaryDone.Broadcast()
-	}
-	// One close wakes the batch's readers.
-	p.wakeLocked()
-	p.mu.Unlock()
-	// The scratch outlives the step; what it pointed at must not.
-	for i := range batches {
-		clear(batches[i].keys)
-		clear(batches[i].waiters)
-	}
-	clear(results)
-	clear(plans)
-	if firstErr != nil {
-		p.ccu.AbortAll()
-	}
-	return firstErr
-}
-
-// boundaryJob carries one sealed epoch from its seal to its commit.
-type boundaryJob struct {
-	epoch     uint64
-	sealed    []*oramexec.SealedEpoch  // per-shard detached write-back sets
-	ckpts     []*wal.PendingCheckpoint // per-shard checkpoint snapshots (nil without durability)
-	commitAck []chan error             // the committed transactions' waiters
-	committed uint64
-}
-
-// pipelined reports whether boundary commit stages run on the background
-// committer (see BoundaryMode).
-func (p *Proxy) pipelined() bool {
-	switch p.cfg.Boundary {
-	case BoundarySync:
-		return false
-	case BoundaryPipelined:
-		return true
-	default:
-		return p.cfg.BatchInterval > 0
-	}
-}
-
-// EndEpoch finalizes the current epoch in two stages. The synchronous SEAL
-// decides transaction fates, partitions and executes the write batch,
-// detaches every shard's buffered write-back set under a sealed-epoch
-// handle, snapshots the checkpoints, and immediately opens the next epoch so
-// read batches resume. The COMMIT stage flushes the sealed buckets, appends
-// the per-shard checkpoints — the coordinator's last: it commits the epoch —
-// commits the storage epoch, and only then acknowledges the epoch's commit
-// waiters — delayed visibility already deferred acks to the boundary, so
-// deferring them to the commit's completion changes no client-visible
-// semantics. Pipelined, the commit runs on a background committer and
-// EndEpoch returns right after the seal, with at most one boundary in
-// flight (the next seal waits for the previous commit to land). A boundary
-// error in either stage fail-stops the proxy: every fetch and commit waiter
-// is woken, in manual mode as much as in auto mode. Exported for manual
-// mode and tests.
-func (p *Proxy) EndEpoch() error {
-	job, err := p.sealEpoch()
-	if err != nil {
-		return err
-	}
-	if p.pipelined() {
-		p.committers.Add(1)
-		go func() {
-			defer p.committers.Done()
-			p.commitBoundary(job)
-		}()
-		return nil
-	}
-	return p.commitBoundary(job)
-}
-
-// sealEpoch runs the boundary's synchronous stage and opens the next epoch.
-// On return the write batch has executed, every shard's write-back set is
-// sealed, the checkpoints are snapshotted, and read batches may resume; the
-// returned job is registered as the (single) in-flight boundary.
-func (p *Proxy) sealEpoch() (*boundaryJob, error) {
-	p.mu.Lock()
-	// Back-pressure: at most one boundary in flight. If the previous
-	// epoch's commit has not landed yet, this boundary waits here — the
-	// current epoch's read batches already ran, so only the seal stalls.
-	for p.inflight != nil && !p.closed {
-		p.boundaryDone.Wait()
-	}
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrClosed
-	}
-	epoch := p.epoch
-	// Reads that never got a batch slot: their transactions abort with the
-	// epoch (fate sharing); wake them now so they observe the abort. The
-	// admission gate guarantees every admitted fetch a slot, so these can only
-	// be DisableReadCache ablation tokens.
-	p.failQueuedLocked(errReadBatchesExhausted)
-	p.wakeLocked()
-	p.mu.Unlock()
-
-	// Decide fates. Every transaction that did not request commit aborts.
-	out := p.ccu.FinalizeEpoch()
-
-	// Partition the deduplicated write set across shards.
-	shardOps, wplans, errs := p.step.shardOps, p.step.plans, p.step.errs
-	for i := range shardOps {
-		shardOps[i] = shardOps[i][:0]
-	}
-	clear(errs)
-	for _, w := range out.Writes {
-		i := shardOf(w.Key, len(p.shards))
-		if len(shardOps[i]) == p.cfg.WriteBatchSize {
-			// Unreachable: the CCU charges every admitted write against the
-			// epoch generation's budget under its own lock (SetWriteBudget),
-			// so the finalized write set cannot exceed it. Fail-stop if the
-			// invariant ever breaks — the epoch cannot commit these writes.
-			return nil, p.failBoundary(fmt.Errorf("core: shard %d write set exceeds write batch (%d)", i, p.cfg.WriteBatchSize))
-		}
-		shardOps[i] = append(shardOps[i], oramexec.WriteOp{Key: w.Key, Value: w.Value, Tombstone: w.Tombstone})
-	}
-	p.mu.Lock()
-	p.stats.WriteSlots += uint64(p.cfg.WriteBatchSize * len(p.shards))
-	p.stats.RealWrites += uint64(len(out.Writes))
-	p.mu.Unlock()
-
-	// Per-shard seal pipeline (pad, plan, log, execute, seal, checkpoint
-	// snapshot) runs concurrently across shards; each stage orders
-	// correctly within its shard. The checkpoint must be snapshotted here,
-	// before the next epoch mutates the ORAM metadata; its durable append
-	// is the commit stage's job.
-	job := &boundaryJob{
-		epoch:  epoch,
-		sealed: make([]*oramexec.SealedEpoch, len(p.shards)),
-		ckpts:  make([]*wal.PendingCheckpoint, len(p.shards)),
-	}
-	// Same staging as StepReadBatch: plan everywhere, append every shard's
-	// write-batch schedule deferred, one Sync round (one fsync on a shared
-	// log), then execute — the write-ahead rule holds per shard, with the
-	// barrier placed once per round instead of once per record.
-	oramexec.RunStages(len(p.shards), func(i int) {
-		sh := p.shards[i]
-		ops := shardOps[i]
-		for len(ops) < p.cfg.WriteBatchSize {
-			ops = append(ops, oramexec.WriteOp{})
-		}
-		wplans[i], errs[i] = sh.exec.PlanWriteBatch(ops)
-	})
-	for i, sh := range p.shards {
-		if errs[i] != nil || sh.rlog == nil {
-			continue
-		}
-		if err := sh.rlog.AppendBatchDeferred(epoch, p.cfg.ReadBatches, wplans[i].Log()); err != nil {
-			errs[i] = err
-		}
-	}
-	p.syncLogs(p.shards, errs)
-	oramexec.RunStages(len(p.shards), func(i int) {
-		if errs[i] != nil {
-			return
-		}
-		sh := p.shards[i]
-		if _, err := sh.exec.Execute(wplans[i]); err != nil {
-			errs[i] = err
-			return
-		}
-		// Detach the epoch's write-back set. The next epoch's reads
-		// that land on a sealed bucket are served from it locally, so
-		// they stay correct while the flush is still in flight.
-		var err error
-		if job.sealed[i], err = sh.exec.SealEpoch(); err != nil {
-			errs[i] = err
-			return
-		}
-		if sh.rlog != nil {
-			job.ckpts[i], errs[i] = sh.rlog.PrepareCheckpoint(epoch, sh.exec.ORAM())
-		}
-	})
-	clear(wplans)
-	if err := firstError(errs); err != nil {
-		return nil, p.failBoundary(err)
-	}
-
-	// Collect the epoch's commit waiters for the commit stage, ack its
-	// aborts (no durability obligation), and open the next epoch.
-	p.mu.Lock()
-	job.commitAck = make([]chan error, 0, len(out.Committed))
-	job.committed = uint64(len(out.Committed))
-	for _, ts := range out.Committed {
-		if ch, ok := p.waiters[ts]; ok {
-			job.commitAck = append(job.commitAck, ch)
-			delete(p.waiters, ts)
-		}
-	}
-	p.stats.Aborted += uint64(len(out.Aborted))
-	for _, ts := range out.Aborted {
-		if ch, ok := p.waiters[ts]; ok {
-			ch <- ErrAborted
-			delete(p.waiters, ts)
-		}
-	}
-	// Any waiter left belongs either to a transaction the CCU no longer
-	// tracks (abort it now) or to one that began while this boundary was
-	// already finalizing: that transaction lives in the next epoch's CCU
-	// generation, so its waiter stays registered and the next boundary
-	// decides it. Acking such a transaction as aborted here would lie —
-	// its writes would still commit next epoch.
-	for ts, ch := range p.waiters {
-		if st := p.ccu.Status(ts); st == mvtso.StatusActive || st == mvtso.StatusFinished {
-			continue
-		}
-		ch <- ErrAborted
-		delete(p.waiters, ts)
-	}
-	for _, sh := range p.shards {
-		clear(sh.fetched)
-	}
-	p.txnSlab.EndEpoch()
-	p.futureSlab.EndEpoch()
-	p.batchIdx = 0
-	p.epoch++
-	p.beginEpochAllLocked()
-	p.inflight = job
-	// The next epoch is open: reads held through the boundary window fail
-	// now, so their retry begins in an epoch with a full slot budget.
-	p.releaseParkedLocked(errBoundaryWindow)
-	p.wakeLocked()
-	p.mu.Unlock()
-	return job, nil
-}
-
-// commitBoundary runs a sealed boundary's commit stage and publishes its
-// outcome: on success the epoch's commit waiters are acknowledged; on
-// failure they receive the error and the proxy fail-stops (a half-committed
-// boundary leaves proxy metadata ahead of storage — §8's answer is to crash
-// and recover). Either way the boundary slot is freed for the next seal.
-func (p *Proxy) commitBoundary(job *boundaryJob) error {
-	err := p.runCommit(job)
-	if err == nil && p.cfg.Replicator != nil {
-		// Replication barrier: in replica-acked mode the acks below addition-
-		// ally stand on the standby holding every record of this epoch. The
-		// epoch is already durably committed locally, so Barrier degrades
-		// rather than fails (see Replicator) — a non-nil error here means the
-		// replicator itself is broken, and fail-stop is the honest outcome.
-		err = p.cfg.Replicator.Barrier()
-	}
-	if err == nil {
-		p.retiring.Lock()
-		p.mu.Lock()
-		p.stats.Epochs++
-		p.stats.Committed += job.committed
-		for _, ch := range job.commitAck {
-			ch <- nil
-		}
-		p.mu.Unlock()
-		job.commitAck = nil
-		// The epoch is durable on every shard (checkpoints, the commit point,
-		// store commit, replica barrier), so its log prefix can go — after
-		// the acks, which have no reason to wait for a truncation, and before
-		// the boundary slot is freed, so no later commit's appends overlap it.
-		err = p.retireLogs(job.epoch)
-		p.retiring.Unlock()
-	}
-	p.mu.Lock()
-	p.inflight = nil
-	if err != nil {
-		for _, ch := range job.commitAck {
-			ch <- err
-		}
-		p.closed = true
-		p.failAllLocked(err)
-	}
-	p.boundaryDone.Broadcast()
-	p.mu.Unlock()
-	if err != nil {
-		p.ccu.AbortAll()
-	}
-	return err
-}
-
-// retireLogs tells every shard's log that epoch is durably committed
-// everywhere (see wal.Log.Retire): a function of the epoch counter alone,
-// one Truncate per shard per full checkpoint.
-func (p *Proxy) retireLogs(epoch uint64) error {
-	errs := p.commitErrs
-	clear(errs)
-	oramexec.RunStages(len(p.shards), func(i int) {
-		if rlog := p.shards[i].rlog; rlog != nil {
-			errs[i] = rlog.Retire(epoch)
-		}
-	})
-	return firstError(errs)
-}
-
-// runCommit makes an epoch durable and decides it, in the one sequence every
-// commit takes — a sealed boundary's, bootstrap's baseline, recovery's epoch:
-//
-//	every shard's write-back, the followers' prepared checkpoints
-//	  · ordering point ·
-//	the coordinator's committing checkpoint — the global commit point
-//	  · ordering point ·
-//	every store's epoch commit
-//
-// An ordering point is a Sync round on independent stores. When every shard
-// appends to one physical stream (p.unified: write-back buckets, checkpoints
-// and store commits are all records of it) an ordering point is nothing at
-// all: record order carries the protocol, crash recovery keeps a prefix of
-// the stream — so a lost suffix always falls between two steps, never inside
-// an inverted one — and the whole boundary stands on the one flush that ends
-// it. Per-shard work runs concurrently; only the commit point is ordered
-// across shards.
-func (p *Proxy) runCommit(job *boundaryJob) error {
-	shared := p.unified != nil
-	errs := p.commitErrs
-	clear(errs)
-	oramexec.RunStages(len(p.shards), func(i int) {
-		sh := p.shards[i]
-		if job.sealed != nil {
-			if _, err := sh.exec.FlushSealed(job.sealed[i]); err != nil {
-				errs[i] = err
-				return
-			}
-			if !p.pipelined() {
-				// A synchronous boundary has no overlap to serve: retire
-				// the sealed set so the next epoch reads storage directly,
-				// keeping the observable trace (and its crash replay)
-				// identical to the unpipelined design.
-				sh.exec.ReleaseSealed(job.sealed[i])
-			}
-		}
-		if i > 0 && job.ckpts[i] != nil {
-			_, errs[i] = sh.rlog.AppendPreparedDeferred(job.ckpts[i])
-		}
-	})
-	if !shared {
-		p.syncLogs(p.shards[1:], errs[1:])
-	}
-	if err := firstError(errs); err != nil {
-		return err
-	}
-	// Commit point: every shard has flushed and every follower is prepared.
-	if cp := job.ckpts[0]; cp != nil {
-		coord := p.shards[0].rlog
-		if _, err := coord.AppendPreparedDeferred(cp); err != nil {
-			return err
-		}
-		// The hook's contract is a durable commit point with nothing after
-		// it, so a hooked run flushes here even on a shared stream.
-		if !shared || p.testCommitHook != nil {
-			if err := coord.Sync(); err != nil {
-				return err
-			}
-		}
-		if p.testCommitHook != nil {
-			if err := p.testCommitHook(); err != nil {
-				return err
-			}
-		}
-	}
-	if shared {
-		for i := range p.shards {
-			if err := p.unified[i].CommitEpochNoSync(job.epoch); err != nil {
-				return err
-			}
-		}
-		p.syncLogs(p.shards, errs)
-	} else {
-		// Each CommitEpoch stands on its own barrier; issued together,
-		// backends sharing a commit-group data dir coalesce the round into
-		// one fsync wave instead of paying one barrier per shard.
-		oramexec.RunStages(len(p.shards), func(i int) {
-			errs[i] = p.shards[i].store.CommitEpoch(job.epoch)
-		})
-	}
-	return firstError(errs)
-}
-
-// failBoundary fail-stops the proxy after a boundary error: every fetch and
-// commit waiter is woken with err regardless of mode, so manual-mode
-// Advance() callers are never stranded.
-func (p *Proxy) failBoundary(err error) error {
-	p.mu.Lock()
-	p.closed = true
-	p.failAllLocked(err)
-	p.boundaryDone.Broadcast()
-	p.mu.Unlock()
-	p.ccu.AbortAll()
-	return err
 }
