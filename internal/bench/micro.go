@@ -474,6 +474,9 @@ func Table11b(cfg Config) ([]Row, error) {
 			if err := proxy.EndEpoch(); err != nil {
 				return nil, err
 			}
+			if err := proxy.WaitCommitted(); err != nil {
+				return nil, err
+			}
 			if err := <-ch; err != nil {
 				return nil, err
 			}
@@ -556,7 +559,7 @@ func uptimeAxis(cfg Config) []int {
 }
 
 // runEpochs steps a manually driven proxy through n epochs, each committing
-// one write over a small fixed key set.
+// one write over a small fixed key set and landing before the next begins.
 func runEpochs(p *core.Proxy, readBatches, n int) error {
 	for e := 0; e < n; e++ {
 		tx := p.Begin()
@@ -570,6 +573,9 @@ func runEpochs(p *core.Proxy, readBatches, n int) error {
 			}
 		}
 		if err := p.EndEpoch(); err != nil {
+			return err
+		}
+		if err := p.WaitCommitted(); err != nil {
 			return err
 		}
 		if err := <-ack; err != nil {

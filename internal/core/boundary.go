@@ -17,48 +17,45 @@ type boundaryJob struct {
 	committed uint64
 }
 
-// pipelined reports whether boundary commit stages run on the background
-// committer (see BoundaryMode).
-func (p *Proxy) pipelined() bool {
-	switch p.cfg.Boundary {
-	case BoundarySync:
-		return false
-	case BoundaryPipelined:
-		return true
-	default:
-		return p.cfg.BatchInterval > 0
-	}
-}
-
-// EndEpoch finalizes the current epoch in two stages. The synchronous SEAL
-// decides transaction fates, partitions and executes the write batch,
-// detaches every shard's buffered write-back set under a sealed-epoch
-// handle, snapshots the checkpoints, and immediately opens the next epoch so
-// read batches resume. The COMMIT stage flushes the sealed buckets, appends
-// the per-shard checkpoints — the coordinator's last: it commits the epoch —
-// commits the storage epoch, and only then acknowledges the epoch's commit
-// waiters — delayed visibility already deferred acks to the boundary, so
-// deferring them to the commit's completion changes no client-visible
-// semantics. Pipelined, the commit runs on a background committer and
-// EndEpoch returns right after the seal, with at most one boundary in
-// flight (the next seal waits for the previous commit to land). A boundary
-// error in either stage fail-stops the proxy: every fetch and commit waiter
-// is woken, in manual mode as much as in auto mode. Exported for manual
-// mode and tests.
+// EndEpoch finalizes the current epoch in two stages. The SEAL decides
+// transaction fates, partitions and executes the write batch, detaches every
+// shard's buffered write-back set under a sealed-epoch handle, snapshots the
+// checkpoints, and immediately opens the next epoch so read batches resume.
+// The COMMIT stage flushes the sealed buckets, appends the per-shard
+// checkpoints — the coordinator's last: it commits the epoch — commits the
+// storage epoch, and only then acknowledges the epoch's commit waiters —
+// delayed visibility already deferred acks to the boundary, so deferring them
+// to the commit's completion changes no client-visible semantics. The commit
+// runs on a background committer and EndEpoch returns right after the seal,
+// with at most one boundary in flight (the next seal waits for the previous
+// commit to land). A boundary error in either stage fail-stops the proxy:
+// every fetch and commit waiter is woken. EndEpoch returns a seal error; a
+// commit error reaches the epoch's commit waiters and WaitCommitted.
+// Exported for manual mode and tests.
 func (p *Proxy) EndEpoch() error {
 	job, err := p.sealEpoch()
 	if err != nil {
 		return err
 	}
-	if p.pipelined() {
-		p.committers.Add(1)
-		go func() {
-			defer p.committers.Done()
-			p.commitBoundary(job)
-		}()
-		return nil
+	p.committers.Add(1)
+	go func() {
+		defer p.committers.Done()
+		p.commitBoundary(job)
+	}()
+	return nil
+}
+
+// WaitCommitted blocks until no boundary is in flight: the last sealed
+// epoch's acks are sent and its log prefix is retired. It returns the error
+// that fail-stopped the proxy, if one did. A stepped caller that needs a
+// quiet store or a deterministic call order calls it after EndEpoch.
+func (p *Proxy) WaitCommitted() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.inflight != nil {
+		p.boundaryDone.Wait()
 	}
-	return p.commitBoundary(job)
+	return p.failed
 }
 
 // sealEpoch runs the boundary's synchronous stage and opens the next epoch.
@@ -221,7 +218,7 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 // failure they receive the error and the proxy fail-stops (a half-committed
 // boundary leaves proxy metadata ahead of storage — §8's answer is to crash
 // and recover). Either way the boundary slot is freed for the next seal.
-func (p *Proxy) commitBoundary(job *boundaryJob) error {
+func (p *Proxy) commitBoundary(job *boundaryJob) {
 	err := p.runCommit(job)
 	if err == nil && p.cfg.Replicator != nil {
 		// Replication barrier: in replica-acked mode the acks below addition-
@@ -254,15 +251,13 @@ func (p *Proxy) commitBoundary(job *boundaryJob) error {
 		for _, ch := range job.commitAck {
 			ch <- err
 		}
-		p.closed = true
-		p.failAllLocked(err)
+		p.failStopLocked(err)
 	}
 	p.boundaryDone.Broadcast()
 	p.mu.Unlock()
 	if err != nil {
 		p.ccu.AbortAll()
 	}
-	return err
 }
 
 // retireLogs tells every shard's log that epoch is durably committed
@@ -306,13 +301,6 @@ func (p *Proxy) runCommit(job *boundaryJob) error {
 			if _, err := sh.exec.FlushSealed(job.sealed[i]); err != nil {
 				errs[i] = err
 				return
-			}
-			if !p.pipelined() {
-				// A synchronous boundary has no overlap to serve: retire
-				// the sealed set so the next epoch reads storage directly,
-				// keeping the observable trace (and its crash replay)
-				// identical to the unpipelined design.
-				sh.exec.ReleaseSealed(job.sealed[i])
 			}
 		}
 		if i > 0 && job.ckpts[i] != nil {
@@ -363,14 +351,24 @@ func (p *Proxy) runCommit(job *boundaryJob) error {
 }
 
 // failBoundary fail-stops the proxy after a boundary error: every fetch and
-// commit waiter is woken with err regardless of mode, so manual-mode
-// Advance() callers are never stranded.
+// commit waiter is woken with err, so manual-mode Advance() callers are never
+// stranded.
 func (p *Proxy) failBoundary(err error) error {
 	p.mu.Lock()
-	p.closed = true
-	p.failAllLocked(err)
-	p.boundaryDone.Broadcast()
+	p.failStopLocked(err)
 	p.mu.Unlock()
 	p.ccu.AbortAll()
 	return err
+}
+
+// failStopLocked closes the proxy on err, records err as the fail-stop cause
+// unless an earlier error already is, and wakes every waiter: fetches, commits
+// and a seal or WaitCommitted blocked on the boundary.
+func (p *Proxy) failStopLocked(err error) {
+	if p.failed == nil {
+		p.failed = err
+	}
+	p.closed = true
+	p.failAllLocked(err)
+	p.boundaryDone.Broadcast()
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"obladi/internal/ringoram"
 	"obladi/internal/storage"
@@ -165,6 +167,7 @@ func TestBoundaryStorageCalls(t *testing.T) {
 			}
 			must(t, p.EndEpoch())
 			must(t, <-ack)
+			must(t, p.WaitCommitted())
 		}
 		for e := 1; e <= 3; e++ {
 			step(e)
@@ -349,17 +352,18 @@ func crashAt(t *testing.T, logheap bool, shards, k int) crashOutcome {
 	mu.Lock()
 	armed = true
 	mu.Unlock()
-	endErr := p.EndEpoch()
+	must(t, p.EndEpoch())
 	ackErr := <-ack
+	commitErr := p.WaitCommitted()
 	mu.Lock()
 	made := calls
 	mu.Unlock()
 	when := fmt.Sprintf("crash after call %d of %d", k, made)
-	if made > k != (endErr != nil) {
-		t.Fatalf("%s: EndEpoch returned %v", when, endErr)
+	if made > k != (commitErr != nil) {
+		t.Fatalf("%s: the boundary landed with %v", when, commitErr)
 	}
-	if endErr != nil && !errors.Is(endErr, errCrashed) {
-		t.Fatalf("%s: EndEpoch failed with %v", when, endErr)
+	if commitErr != nil && !errors.Is(commitErr, errCrashed) {
+		t.Fatalf("%s: the boundary failed with %v", when, commitErr)
 	}
 	// The seal snapshotted the epoch's metadata and nothing has touched the
 	// live ORAMs since: they are what the epoch's checkpoints restore to.
@@ -451,4 +455,310 @@ func recoverLogs(t *testing.T, cfg Config, stores []storage.Backend, when string
 		}
 	}
 	return out
+}
+
+// commitGate wraps a backend and, when armed, fails every append of a
+// committing checkpoint — freezing a boundary exactly at its commit point,
+// after its prepare (batch records and flush durable). Record kinds are
+// plaintext framing, so the "storage server" can target them precisely.
+type commitGate struct {
+	storage.Backend
+	mu    sync.Mutex
+	armed bool
+}
+
+var errCommitGate = errors.New("injected storage failure at the commit point")
+
+func (g *commitGate) arm(on bool) {
+	g.mu.Lock()
+	g.armed = on
+	g.mu.Unlock()
+}
+
+func (g *commitGate) Append(rec []byte) (uint64, error) {
+	g.mu.Lock()
+	armed := g.armed
+	g.mu.Unlock()
+	if armed && wal.IsCommitRecord(rec) {
+		return 0, errCommitGate
+	}
+	return g.Backend.Append(rec)
+}
+
+// TestCrashBetweenSealAndCommit kills a pipelined boundary in its riskiest
+// window: epoch e is sealed (write batch executed, buckets flushing,
+// checkpoint prepared) and epoch e+1 is already open, but the coordinator's
+// committing checkpoint never lands. The commit waiter must be woken with the
+// failure (not acked, not stranded), and recovery must roll back to the last
+// committed epoch, drop the sealed epoch's writes, and replay its logged
+// reads.
+func TestCrashBetweenSealAndCommit(t *testing.T) {
+	cfg := testConfig(38)
+	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
+	checker := storage.NewInvariantChecker(backend)
+	gate := &commitGate{Backend: checker}
+
+	p1, err := New(gate, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitKV(t, p1, map[string]string{"stable": "committed"})
+
+	// Doomed epoch: a logged read batch, two writes, then a boundary whose
+	// asynchronous commit dies at the commit point.
+	gate.arm(true)
+	tx := p1.Begin()
+	readDone := make(chan error, 1)
+	go func() {
+		_, rerr := tx.ReadMany([]string{"stable"})
+		readDone <- rerr
+	}()
+	waitQueued(t, p1, 1)
+	must(t, p1.StepReadBatch())
+	must(t, <-readDone)
+	must(t, tx.Write("stable", []byte("doomed")))
+	must(t, tx.Write("fresh", []byte("doomed-too")))
+	ch := tx.CommitAsync()
+	// The seal succeeds and epoch e+1 opens immediately; the background
+	// commit then hits the gate.
+	must(t, p1.EndEpoch())
+	// Reads of the next epoch may already be running when the commit dies;
+	// either they work or the proxy has fail-stopped by then.
+	if err := p1.StepReadBatch(); err != nil && !errors.Is(err, ErrClosed) {
+		t.Fatalf("read batch during async commit: %v", err)
+	}
+	select {
+	case err := <-ch:
+		if err == nil {
+			t.Fatal("commit acknowledged although the commit record never landed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("commit waiter stranded after a mid-commit crash")
+	}
+	p1.Close()
+
+	gate.arm(false)
+	p2, err := New(gate, cfg)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer p2.Close()
+	if p2.ReplayedReads() == 0 {
+		t.Fatal("recovery replayed nothing despite logged batches")
+	}
+	got := readAll(t, p2, "stable", "fresh")
+	if got["stable"] != "committed" {
+		t.Fatalf("stable = %q after recovery, want the last committed value", got["stable"])
+	}
+	if _, leaked := got["fresh"]; leaked {
+		t.Fatal("write of the sealed-but-uncommitted epoch survived the crash")
+	}
+	if v := checker.Violation(); v != nil {
+		t.Fatal(v)
+	}
+}
+
+// blockingCommit holds a store's CommitEpoch for one epoch until release is
+// closed, and says so on entered.
+type blockingCommit struct {
+	storage.Backend
+	epoch   uint64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingCommit) CommitEpoch(epoch uint64) error {
+	if epoch == b.epoch {
+		close(b.entered)
+		<-b.release
+	}
+	return b.Backend.CommitEpoch(epoch)
+}
+
+// TestEndEpochReturnsBeforeCommitLands pins the one boundary there is: a
+// manually stepped EndEpoch returns once the epoch is sealed, the next
+// epoch's read batches run while its commit stage is held, and WaitCommitted
+// returns only after the commit stage has landed — the epoch's ack sent and
+// its log prefix retired.
+func TestEndEpochReturnsBeforeCommitLands(t *testing.T) {
+	cfg := testConfig(97)
+	cfg.FullCheckpointEvery = 1 // every boundary's retire truncates
+	store := &blockingCommit{
+		Backend: storage.NewMemBackend(cfg.Params.Geometry().NumBuckets),
+		epoch:   1,
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	p, err := New(store, cfg)
+	must(t, err)
+	defer p.Close()
+	tx := p.Begin()
+	must(t, tx.Write("k", []byte("v")))
+	ack := tx.CommitAsync()
+	truncations := p.Stats().Logs[0].Truncations
+
+	ended := make(chan error, 1)
+	go func() { ended <- p.EndEpoch() }()
+	select {
+	case err := <-ended:
+		must(t, err)
+	case <-time.After(5 * time.Second):
+		close(store.release)
+		t.Fatal("EndEpoch waited for the commit stage")
+	}
+	<-store.entered
+	must(t, p.StepReadBatch()) // the next epoch runs while the commit is held
+	waited := make(chan error, 1)
+	go func() { waited <- p.WaitCommitted() }()
+	select {
+	case err := <-waited:
+		t.Fatalf("WaitCommitted returned %v while the commit stage was held", err)
+	case err := <-ack:
+		t.Fatalf("epoch acknowledged (%v) while its storage commit was held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := p.Stats().Logs[0].Truncations; got != truncations {
+		t.Fatalf("log retired (%d truncations, was %d) before the epoch committed", got, truncations)
+	}
+
+	close(store.release)
+	must(t, <-waited)
+	select {
+	case err := <-ack:
+		must(t, err)
+	default:
+		t.Fatal("WaitCommitted returned before the epoch's ack was sent")
+	}
+	if got := p.Stats().Logs[0].Truncations; got != truncations+1 {
+		t.Fatalf("%d truncations after the epoch landed, want %d", got, truncations+1)
+	}
+}
+
+// callTrace records what one shard's store is asked, call by call: kind,
+// the recorder's slot refs underneath, and the lengths of what is written.
+type callTrace struct {
+	*storage.Recorder
+	mu    sync.Mutex
+	calls []string
+}
+
+func (c *callTrace) add(format string, args ...any) {
+	c.mu.Lock()
+	c.calls = append(c.calls, fmt.Sprintf(format, args...))
+	c.mu.Unlock()
+}
+
+func (c *callTrace) ReadSlots(refs []storage.SlotRef) ([][]byte, error) {
+	c.add("ReadSlots %v", refs)
+	return c.Recorder.ReadSlots(refs)
+}
+
+func (c *callTrace) WriteBuckets(writes []storage.BucketWrite) error {
+	lens := make([]int, len(writes))
+	for i, w := range writes {
+		for _, slot := range w.Slots {
+			lens[i] += len(slot)
+		}
+	}
+	c.add("WriteBuckets %d %v", len(writes), lens)
+	return c.Recorder.WriteBuckets(writes)
+}
+
+func (c *callTrace) Append(rec []byte) (uint64, error) {
+	c.add("Append %d", len(rec))
+	return c.Recorder.Append(rec)
+}
+
+func (c *callTrace) Truncate(before uint64) error {
+	c.add("Truncate %d", before)
+	return c.Recorder.Truncate(before)
+}
+
+func (c *callTrace) CommitEpoch(epoch uint64) error {
+	c.add("CommitEpoch %d", epoch)
+	return c.Recorder.CommitEpoch(epoch)
+}
+
+// TestSteppedTraceDeterministic runs the same seeded 2-shard workload twice,
+// stepped by hand with WaitCommitted after every EndEpoch, and requires every
+// shard's store to see the same calls in the same order both times, from the
+// first read batch on: kinds, slot refs and lengths. The commit stage runs on the committer, and the wait
+// is what orders it before the next epoch's first call.
+func TestSteppedTraceDeterministic(t *testing.T) {
+	const shards, epochs = 2, 24
+	run := func() (calls [][]string, events [][]storage.Event, fates []string) {
+		cfg := testConfig(99)
+		cfg.FullCheckpointEvery = 4
+		traces := make([]*callTrace, shards)
+		stores := make([]storage.Backend, shards)
+		for i := range stores {
+			traces[i] = &callTrace{Recorder: storage.NewRecorder(storage.NewMemBackend(cfg.Params.Geometry().NumBuckets))}
+			stores[i] = traces[i]
+		}
+		p, err := NewSharded(stores, cfg)
+		must(t, err)
+		defer p.Close()
+		// The stepped run is compared, not how bootstrap lays out the tree.
+		for _, tr := range traces {
+			tr.Reset()
+			tr.calls = nil
+		}
+		rng := rand.New(rand.NewPCG(99, 1))
+		key := func() string { return fmt.Sprintf("det-%d", rng.IntN(32)) }
+		for e := 0; e < epochs; e++ {
+			txs := make([]*Txn, 1+rng.IntN(4))
+			reads := make([]*Future, len(txs))
+			for i := range txs {
+				txs[i] = p.Begin()
+				reads[i] = txs[i].ReadAsync(key())
+			}
+			must(t, p.StepReadBatch())
+			acks := make([]<-chan error, len(txs))
+			for i, tx := range txs {
+				if _, _, err := reads[i].Value(); err != nil {
+					t.Fatalf("epoch %d: read: %v", e, err)
+				}
+				if err := tx.Write(key(), []byte(fmt.Sprint(e))); err != nil && !errors.Is(err, ErrAborted) {
+					t.Fatal(err)
+				}
+				acks[i] = tx.CommitAsync()
+			}
+			for b := 1; b < cfg.ReadBatches; b++ {
+				must(t, p.StepReadBatch())
+			}
+			must(t, p.EndEpoch())
+			must(t, p.WaitCommitted())
+			for _, ack := range acks {
+				fates = append(fates, fmt.Sprint(<-ack))
+			}
+		}
+		for _, tr := range traces {
+			tr.mu.Lock()
+			calls = append(calls, tr.calls)
+			tr.mu.Unlock()
+			events = append(events, tr.Events())
+		}
+		return calls, events, fates
+	}
+	callsA, eventsA, fatesA := run()
+	callsB, eventsB, fatesB := run()
+	if !slices.Equal(fatesA, fatesB) {
+		t.Fatalf("transaction fates differ between runs:\n%v\n%v", fatesA, fatesB)
+	}
+	for i := 0; i < shards; i++ {
+		if len(callsA[i]) < epochs*(testConfig(99).ReadBatches+4) {
+			t.Fatalf("shard %d saw %d calls in %d epochs: the trace would prove nothing", i, len(callsA[i]), epochs)
+		}
+		for j := range min(len(callsA[i]), len(callsB[i])) {
+			if callsA[i][j] != callsB[i][j] {
+				t.Fatalf("shard %d call %d: %s, then %s", i, j, callsA[i][j], callsB[i][j])
+			}
+		}
+		if len(callsA[i]) != len(callsB[i]) {
+			t.Fatalf("shard %d: %d calls, then %d", i, len(callsA[i]), len(callsB[i]))
+		}
+		if !slices.Equal(eventsA[i], eventsB[i]) {
+			t.Fatalf("shard %d: the recorders' slot traces differ", i)
+		}
+	}
 }

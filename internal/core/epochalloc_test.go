@@ -89,7 +89,12 @@ func TestTxnAllocBudget(t *testing.T) {
 			acks[i] = tx.CommitAsync()
 		}
 		m3 := mallocs()
-		if err := p.EndEpoch(); err != nil { // a manual proxy's boundary is synchronous
+		if err := p.EndEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		// The commit stage runs on the committer: wait it out, so all of it
+		// counts as schedule.
+		if err := p.WaitCommitted(); err != nil {
 			t.Fatal(err)
 		}
 		m4 := mallocs()

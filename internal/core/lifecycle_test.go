@@ -77,7 +77,6 @@ func liveHeap() uint64 {
 // are functions of the parameters, not of uptime. (-short runs 3 000.)
 func TestLogLifecycleSoakMem(t *testing.T) {
 	cfg := testConfig(301)
-	cfg.Boundary = BoundaryPipelined
 	cfg.FullCheckpointEvery = 16
 	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
 	p, err := New(backend, cfg)
@@ -100,7 +99,7 @@ func TestLogLifecycleSoakMem(t *testing.T) {
 		}
 		if e%1000 == 0 {
 			must(t, <-ack) // quiesce: nothing in flight while the store is counted
-			p.committers.Wait()
+			must(t, p.WaitCommitted())
 			ack = nil
 			recs, err := backend.Scan(0)
 			must(t, err)
@@ -148,7 +147,6 @@ func dirSize(t *testing.T, dir string) int64 {
 // data directory's size is flat too.
 func TestLogLifecycleSoakDisk(t *testing.T) {
 	cfg := testConfig(302)
-	cfg.Boundary = BoundaryPipelined
 	cfg.FullCheckpointEvery = 8
 	dir := t.TempDir()
 	// Small segments, so the floor crosses many of them.
@@ -322,7 +320,6 @@ func TestRecoveryEquivalenceAfterTruncation(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("%d-shard", shards), func(t *testing.T) {
 			cfg := testConfig(310 + uint64(shards))
-			cfg.Boundary = BoundaryPipelined
 			cfg.FullCheckpointEvery = 4
 			hs, stores := historyBackends(cfg, shards)
 			rng := rand.New(rand.NewPCG(uint64(shards), 311))
@@ -382,7 +379,6 @@ func TestRecoveryEquivalenceLiveMetadata(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("%d-shard", shards), func(t *testing.T) {
 			cfg := testConfig(340 + uint64(shards))
-			cfg.Boundary = BoundaryPipelined
 			cfg.FullCheckpointEvery = 4
 			stores := make([]storage.Backend, shards)
 			for i := range stores {
@@ -418,14 +414,15 @@ func TestRecoveryEquivalenceLiveMetadata(t *testing.T) {
 				if rng.IntN(3) != 0 {
 					continue
 				}
-				// Quiesce: once the epoch's commits are acknowledged its
-				// checkpoint is durable on every shard, and until the next
-				// batch is stepped nothing touches the live metadata.
+				// Quiesce: once the boundary has landed its checkpoint is
+				// durable on every shard, and until the next batch is stepped
+				// nothing touches the live metadata.
 				for _, ack := range acks {
 					if err := <-ack; err != nil && !errors.Is(err, ErrAborted) {
 						t.Fatalf("epoch %d: commit: %v", e, err)
 					}
 				}
+				must(t, p.WaitCommitted())
 				var floor uint64
 				for i, store := range stores {
 					wcfg, err := WALConfigFor(cfg, i, shards)
@@ -503,8 +500,9 @@ func TestRecoveryEquivalenceTornCommitAfterTruncation(t *testing.T) {
 		want[k] = "torn" // the coordinator committed: the epoch is global
 	}
 	tx.CommitAsync()
-	if err := p.EndEpoch(); !errors.Is(err, crash) { // epoch 8: a full checkpoint
-		t.Fatalf("EndEpoch under injected crash: %v", err)
+	must(t, p.EndEpoch()) // epoch 8: a full checkpoint
+	if err := p.WaitCommitted(); !errors.Is(err, crash) {
+		t.Fatalf("WaitCommitted under injected crash: %v", err)
 	}
 	checkRecoveryEquivalence(t, cfg, hs, "torn commit")
 
@@ -548,8 +546,8 @@ func TestRetireIssuesOnlyTruncate(t *testing.T) {
 }
 
 // callCounter counts the log-store calls a truncation could hide behind.
-// The proxy under test is stepped from one goroutine with a synchronous
-// boundary, so plain counters suffice.
+// The proxy under test is stepped from one goroutine and commitKV waits for
+// each boundary to land, so plain counters suffice.
 type callCounter struct {
 	storage.Backend
 	scans, lastSeqs, truncates int

@@ -17,13 +17,13 @@
 // The boundary is split into a cheap synchronous seal (decide fates, execute
 // the write batch, detach each shard's buffered write-back set, snapshot the
 // checkpoint) and a commit stage (flush, durable appends, storage epoch
-// commit, client acks) that can run on a background committer, overlapping
+// commit, client acks) that runs on a background committer, overlapping
 // epoch e's write-back and durability round trips with epoch e+1's read
 // batches. Delayed visibility makes the overlap safe: clients were only ever
 // acknowledged at the boundary, so acknowledging them when the asynchronous
 // commit lands changes nothing they can observe, and reads of e+1 that land
 // on a not-yet-flushed bucket are served from the sealed buffer. At most one
-// boundary is in flight; see BoundaryMode.
+// boundary is in flight; a stepped caller waits for it with WaitCommitted.
 //
 // # Sharding
 //
@@ -114,10 +114,9 @@ type Config struct {
 	// (§6.3 ablation).
 	DisableReadCache bool
 
-	// Boundary controls epoch-boundary pipelining: whether EndEpoch's
-	// commit stage (buffered-bucket flush, checkpoint appends, storage
-	// epoch commit) overlaps the next epoch's read batches or runs inline.
-	// Default BoundaryAuto.
+	// Boundary has no effect: every epoch boundary is pipelined (see
+	// EndEpoch). It remains so configurations that name BoundaryPipelined
+	// still compile.
 	Boundary BoundaryMode
 
 	// DisableDurability skips the recovery unit entirely (microbenchmarks
@@ -133,29 +132,13 @@ type Config struct {
 	Replicator Replicator
 }
 
-// BoundaryMode selects how an epoch boundary's commit stage runs relative
-// to the next epoch's read batches. The boundary is always split into a
-// cheap synchronous seal (fate decisions, write batch, buffer detach,
-// checkpoint snapshot) and a commit (flush, durable appends, storage epoch
-// commit, client acks); the mode decides where the commit executes.
+// BoundaryMode is the type of Config.Boundary, which has no effect.
 type BoundaryMode int
 
-const (
-	// BoundaryAuto pipelines boundaries in timer-driven mode
-	// (BatchInterval > 0) and keeps them synchronous under manual driving,
-	// where single-stepped determinism is the point.
-	BoundaryAuto BoundaryMode = iota
-	// BoundarySync runs the commit stage inline: EndEpoch returns only
-	// after the epoch is durable and its clients are notified. This is the
-	// paper's synchronous boundary.
-	BoundarySync
-	// BoundaryPipelined hands the commit stage to a background committer
-	// even under manual driving, so epoch e's write-back and durability
-	// round trips overlap epoch e+1's read batches. At most one boundary
-	// is in flight: the next EndEpoch waits for the previous commit to
-	// land (back-pressure).
-	BoundaryPipelined
-)
+// BoundaryPipelined, the zero value, names the one boundary there is:
+// EndEpoch's commit stage runs on a background committer and overlaps the
+// next epoch's read batches.
+const BoundaryPipelined BoundaryMode = 0
 
 func (c *Config) setDefaults() error {
 	if c.ReadBatches <= 0 {
@@ -273,8 +256,11 @@ type Proxy struct {
 	// without a Replicator); armed once primeReplicator has seeded history.
 	tees []*replTee
 
-	mu       sync.Mutex
-	closed   bool
+	mu     sync.Mutex
+	closed bool
+	// failed is the error that fail-stopped the proxy (nil until one does;
+	// Close alone leaves it nil).
+	failed   error
 	draining bool // Shutdown in progress: the epoch loop stops driving
 	epoch    uint64
 	batchIdx int // read batches already issued this epoch
@@ -677,15 +663,18 @@ func (p *Proxy) Shutdown() error {
 	default:
 	}
 	p.loop.Wait()
-	// Seal and commit whatever the final epoch holds. EndEpoch runs the full
-	// boundary (write batch, WAL records, storage commit), so transactions
-	// admitted before draining commit durably. Errors fail-stop the proxy
-	// like any boundary error; Close below still reaps the wreckage.
+	// Seal and commit whatever the final epoch holds. EndEpoch seals (write
+	// batch, WAL records) and WaitCommitted waits out the commit stage
+	// (storage commit, acks), so transactions admitted before draining
+	// commit durably. Errors fail-stop the proxy like any boundary error and
+	// are returned; Close below still reaps the wreckage.
 	err := p.EndEpoch()
 	if errors.Is(err, ErrClosed) {
 		err = nil
 	}
-	p.committers.Wait()
+	if werr := p.WaitCommitted(); err == nil {
+		err = werr
+	}
 	if cerr := p.Close(); err == nil {
 		err = cerr
 	}

@@ -517,7 +517,6 @@ func TestCloseAbortsInFlight(t *testing.T) {
 // that Stats is atomically readable mid-batch.
 func TestStatsConcurrentWithBatches(t *testing.T) {
 	cfg := testConfig(18)
-	cfg.Boundary = BoundaryPipelined
 	p, _, _ := testProxy(t, cfg)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -554,8 +553,8 @@ func TestStatsConcurrentWithBatches(t *testing.T) {
 }
 
 // TestManualBoundaryErrorFailsProxy pins down fail-stop at the boundary: a
-// mid-boundary failure in manual mode must wake commit waiters and close
-// the proxy, not strand Advance() callers forever.
+// commit-stage failure in manual mode must wake commit waiters, reach
+// WaitCommitted and close the proxy, not strand Advance() callers forever.
 func TestManualBoundaryErrorFailsProxy(t *testing.T) {
 	cfg := testConfig(19)
 	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
@@ -569,8 +568,9 @@ func TestManualBoundaryErrorFailsProxy(t *testing.T) {
 	tx := p.Begin()
 	must(t, tx.Write("k", []byte("v")))
 	ch := tx.CommitAsync()
-	if err := p.EndEpoch(); !errors.Is(err, boom) {
-		t.Fatalf("EndEpoch under injected failure: %v", err)
+	must(t, p.EndEpoch())
+	if err := p.WaitCommitted(); !errors.Is(err, boom) {
+		t.Fatalf("WaitCommitted under injected failure: %v", err)
 	}
 	select {
 	case err := <-ch:

@@ -6,17 +6,15 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"obladi/internal/oramexec"
 	"obladi/internal/storage"
-	"obladi/internal/wal"
 )
 
 // commitKV commits a set of writes in one transaction, driving the schedule
-// manually.
+// manually, and returns once the boundary has landed.
 func commitKV(t *testing.T, p *Proxy, kv map[string]string) {
 	t.Helper()
 	tx := p.Begin()
@@ -28,6 +26,7 @@ func commitKV(t *testing.T, p *Proxy, kv map[string]string) {
 	if err := <-ch; err != nil {
 		t.Fatal(err)
 	}
+	must(t, p.WaitCommitted())
 }
 
 // readAll reads keys in one transaction, driving the schedule manually.
@@ -146,133 +145,127 @@ func TestRecoveryDropsInFlightEpoch(t *testing.T) {
 	}
 }
 
-// TestRecoveryReplaysObservedTrace verifies §8's security core in both
-// boundary modes: after loading the resident levels (TestRecoveryLoadsResidentTop
-// pins that read), recovery reads every slot the adversary saw the aborted
-// epoch read, exactly once. It may read more, because a restarted proxy has no
-// epoch buffers: slots the aborted epoch's log records name, in buckets of
-// levels L-2..L that epoch served from its sealed set throughout — it read
-// none of their slots from storage — and no slot of any bucket version twice
-// (the invariant checker sits under the recorder). A synchronous boundary
-// leaves no sealed set, so there the replay reads nothing more. Neither side
-// reads a resident level.
+// TestRecoveryReplaysObservedTrace verifies §8's security core: after loading
+// the resident levels (TestRecoveryLoadsResidentTop pins that read), recovery
+// reads every slot the adversary saw the aborted epoch read, exactly once. It
+// reads more, because a restarted proxy has no epoch buffers: slots the
+// aborted epoch's log records name, in buckets of levels L-2..L that epoch
+// served from the previous epoch's sealed set throughout — it read none of
+// their slots from storage — and no slot of any bucket version twice (the
+// invariant checker sits under the recorder). Neither side reads a resident
+// level.
 func TestRecoveryReplaysObservedTrace(t *testing.T) {
-	for name, mode := range map[string]BoundaryMode{"sync": BoundarySync, "pipelined": BoundaryPipelined} {
-		t.Run(name, func(t *testing.T) {
-			cfg := testConfig(33)
-			cfg.Boundary = mode
-			backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
-			checker := storage.NewInvariantChecker(backend)
-			rec := storage.NewRecorder(checker)
+	cfg := testConfig(33)
+	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
+	checker := storage.NewInvariantChecker(backend)
+	rec := storage.NewRecorder(checker)
 
-			p1, err := New(rec, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Enough committed epochs for blocks to sink into the tree.
-			for e := 0; e < 4; e++ {
-				kv := map[string]string{}
-				for i := 0; i < 4; i++ {
-					kv[fmt.Sprintf("k%d", e*4+i)] = fmt.Sprint(e)
+	p1, err := New(rec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough committed epochs for blocks to sink into the tree.
+	for e := 0; e < 4; e++ {
+		kv := map[string]string{}
+		for i := 0; i < 4; i++ {
+			kv[fmt.Sprintf("k%d", e*4+i)] = fmt.Sprint(e)
+		}
+		commitKV(t, p1, kv)
+	}
+	oram := p1.shards[0].exec.ORAM()
+	_, evictCount := oram.Counters()
+
+	// Aborted epoch: two read batches.
+	rec.Reset()
+	for _, keys := range [][]string{{"k0", "k5"}, {"k10", "k15"}} {
+		tx := p1.Begin()
+		go func(keys []string) {
+			tx.ReadMany(keys)
+		}(keys)
+		// Give the reads a moment to enqueue, then fire the batch.
+		waitQueued(t, p1, len(keys))
+		must(t, p1.StepReadBatch())
+	}
+	aborted := slotReads(rec.Events())
+	// Crash. What the epoch logged is what recovery will find.
+	logged, err := p1.shards[0].rlog.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := make(map[storage.SlotRef]bool)
+	geo := oram.Geometry()
+	for _, batch := range logged.AbortedBatches {
+		for _, le := range batch {
+			switch le.Kind {
+			case oramexec.LogAccess:
+				for i, b := range oram.PathBuckets(le.Leaf) {
+					named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
 				}
-				commitKV(t, p1, kv)
-			}
-			oram := p1.shards[0].exec.ORAM()
-			_, evictCount := oram.Counters()
-
-			// Aborted epoch: two read batches.
-			rec.Reset()
-			for _, keys := range [][]string{{"k0", "k5"}, {"k10", "k15"}} {
-				tx := p1.Begin()
-				go func(keys []string) {
-					tx.ReadMany(keys)
-				}(keys)
-				// Give the reads a moment to enqueue, then fire the batch.
-				waitQueued(t, p1, len(keys))
-				must(t, p1.StepReadBatch())
-			}
-			aborted := slotReads(rec.Events())
-			// Crash. What the epoch logged is what recovery will find.
-			logged, err := p1.shards[0].rlog.Recover()
-			if err != nil {
-				t.Fatal(err)
-			}
-			named := make(map[storage.SlotRef]bool)
-			geo := oram.Geometry()
-			for _, batch := range logged.AbortedBatches {
-				for _, le := range batch {
-					switch le.Kind {
-					case oramexec.LogAccess:
-						for i, b := range oram.PathBuckets(le.Leaf) {
-							named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
-						}
-					case oramexec.LogEvict:
-						// The evict path is a function of the eviction counter.
-						leaf := int(bits.Reverse(uint(evictCount)%uint(geo.Leaves)) >> (bits.UintSize - geo.Levels))
-						for i, b := range oram.PathBuckets(leaf) {
-							for _, s := range le.BucketSlots[i] {
-								named[storage.SlotRef{Bucket: b, Slot: s}] = true
-							}
-						}
-						evictCount++
-					case oramexec.LogReshuffle:
-						for _, s := range le.Slots {
-							named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
-						}
+			case oramexec.LogEvict:
+				// The evict path is a function of the eviction counter.
+				leaf := int(bits.Reverse(uint(evictCount)%uint(geo.Leaves)) >> (bits.UintSize - geo.Levels))
+				for i, b := range oram.PathBuckets(leaf) {
+					for _, s := range le.BucketSlots[i] {
+						named[storage.SlotRef{Bucket: b, Slot: s}] = true
 					}
 				}
+				evictCount++
+			case oramexec.LogReshuffle:
+				for _, s := range le.Slots {
+					named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
+				}
 			}
+		}
+	}
 
-			rec.Reset()
-			p2, err := New(rec, cfg)
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
+	rec.Reset()
+	p2, err := New(rec, cfg)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer p2.Close()
+	nRes := residentTop(cfg)
+	replay := slotReads(rec.Events())
+	for b := 0; b < nRes; b++ { // the load; nothing else names these buckets
+		for r := 0; r < cfg.Params.Z; r++ {
+			ref := storage.SlotRef{Bucket: b, Slot: r}
+			if replay[ref] != 1 {
+				t.Fatalf("recovery read bucket %d slot %d of the resident levels %d times, the load reads it once", b, r, replay[ref])
 			}
-			defer p2.Close()
-			nRes := residentTop(cfg)
-			replay := slotReads(rec.Events())
-			for b := 0; b < nRes; b++ { // the load; nothing else names these buckets
-				for r := 0; r < cfg.Params.Z; r++ {
-					ref := storage.SlotRef{Bucket: b, Slot: r}
-					if replay[ref] != 1 {
-						t.Fatalf("recovery read bucket %d slot %d of the resident levels %d times, the load reads it once", b, r, replay[ref])
-					}
-					delete(replay, ref)
-				}
-			}
-			observed := make(map[int]bool) // buckets the aborted epoch read from storage
-			for ref := range aborted {
-				if ref.Bucket < nRes {
-					t.Fatalf("the aborted epoch read bucket %d of a resident level from storage", ref.Bucket)
-				}
-				observed[ref.Bucket] = true
-				if replay[ref] != 1 {
-					t.Fatalf("the aborted epoch read bucket %d slot %d from storage, the replay read it %d times", ref.Bucket, ref.Slot, replay[ref])
-				}
-			}
-			extra := 0
-			for ref, n := range replay {
-				switch {
-				case n != 1:
-					t.Fatalf("the replay read bucket %d slot %d %d times", ref.Bucket, ref.Slot, n)
-				case ref.Bucket < nRes:
-					t.Fatalf("the replay read bucket %d slot %d of a resident level", ref.Bucket, ref.Slot)
-				case aborted[ref] == 1:
-				case !named[ref]:
-					t.Fatalf("the replay read bucket %d slot %d, which no log record of the aborted epoch names", ref.Bucket, ref.Slot)
-				case observed[ref.Bucket]:
-					t.Fatalf("the replay read bucket %d slot %d anew, in a bucket the aborted epoch read from storage", ref.Bucket, ref.Slot)
-				default:
-					extra++
-				}
-			}
-			if (extra > 0) != (mode == BoundaryPipelined) {
-				t.Fatalf("the replay read %d slots the aborted epoch had served from the proxy; only a sealed set (%s) leaves any", extra, name)
-			}
-			if v := checker.Violation(); v != nil {
-				t.Fatal(v)
-			}
-		})
+			delete(replay, ref)
+		}
+	}
+	observed := make(map[int]bool) // buckets the aborted epoch read from storage
+	for ref := range aborted {
+		if ref.Bucket < nRes {
+			t.Fatalf("the aborted epoch read bucket %d of a resident level from storage", ref.Bucket)
+		}
+		observed[ref.Bucket] = true
+		if replay[ref] != 1 {
+			t.Fatalf("the aborted epoch read bucket %d slot %d from storage, the replay read it %d times", ref.Bucket, ref.Slot, replay[ref])
+		}
+	}
+	extra := 0
+	for ref, n := range replay {
+		switch {
+		case n != 1:
+			t.Fatalf("the replay read bucket %d slot %d %d times", ref.Bucket, ref.Slot, n)
+		case ref.Bucket < nRes:
+			t.Fatalf("the replay read bucket %d slot %d of a resident level", ref.Bucket, ref.Slot)
+		case aborted[ref] == 1:
+		case !named[ref]:
+			t.Fatalf("the replay read bucket %d slot %d, which no log record of the aborted epoch names", ref.Bucket, ref.Slot)
+		case observed[ref.Bucket]:
+			t.Fatalf("the replay read bucket %d slot %d anew, in a bucket the aborted epoch read from storage", ref.Bucket, ref.Slot)
+		default:
+			extra++
+		}
+	}
+	if extra == 0 {
+		t.Fatal("the replay read no slot the aborted epoch had served from the sealed set: the test would prove nothing")
+	}
+	if v := checker.Violation(); v != nil {
+		t.Fatal(v)
 	}
 }
 
@@ -668,108 +661,6 @@ func waitQueuedOrDone(p *Proxy, done chan struct{}) {
 	}
 }
 
-// commitGate wraps a backend and, when armed, fails every append of a
-// committing checkpoint — freezing a boundary exactly at its commit point,
-// after its prepare (batch records and flush durable). Record kinds are
-// plaintext framing, so the "storage server" can target them precisely.
-type commitGate struct {
-	storage.Backend
-	mu    sync.Mutex
-	armed bool
-}
-
-var errCommitGate = errors.New("injected storage failure at the commit point")
-
-func (g *commitGate) arm(on bool) {
-	g.mu.Lock()
-	g.armed = on
-	g.mu.Unlock()
-}
-
-func (g *commitGate) Append(rec []byte) (uint64, error) {
-	g.mu.Lock()
-	armed := g.armed
-	g.mu.Unlock()
-	if armed && wal.IsCommitRecord(rec) {
-		return 0, errCommitGate
-	}
-	return g.Backend.Append(rec)
-}
-
-// TestCrashBetweenSealAndCommit kills a pipelined boundary in its riskiest
-// window: epoch e is sealed (write batch executed, buckets flushing,
-// checkpoint prepared) and epoch e+1 is already open, but the coordinator's
-// committing checkpoint never lands. The commit waiter must be woken with the
-// failure (not acked, not stranded), and recovery must roll back to the last
-// committed epoch, drop the sealed epoch's writes, and replay its logged
-// reads.
-func TestCrashBetweenSealAndCommit(t *testing.T) {
-	cfg := testConfig(38)
-	cfg.Boundary = BoundaryPipelined
-	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
-	checker := storage.NewInvariantChecker(backend)
-	gate := &commitGate{Backend: checker}
-
-	p1, err := New(gate, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitKV(t, p1, map[string]string{"stable": "committed"})
-
-	// Doomed epoch: a logged read batch, two writes, then a boundary whose
-	// asynchronous commit dies at the commit point.
-	gate.arm(true)
-	tx := p1.Begin()
-	readDone := make(chan error, 1)
-	go func() {
-		_, rerr := tx.ReadMany([]string{"stable"})
-		readDone <- rerr
-	}()
-	waitQueued(t, p1, 1)
-	must(t, p1.StepReadBatch())
-	must(t, <-readDone)
-	must(t, tx.Write("stable", []byte("doomed")))
-	must(t, tx.Write("fresh", []byte("doomed-too")))
-	ch := tx.CommitAsync()
-	// The seal succeeds and epoch e+1 opens immediately; the background
-	// commit then hits the gate.
-	must(t, p1.EndEpoch())
-	// Reads of the next epoch may already be running when the commit dies;
-	// either they work or the proxy has fail-stopped by then.
-	if err := p1.StepReadBatch(); err != nil && !errors.Is(err, ErrClosed) {
-		t.Fatalf("read batch during async commit: %v", err)
-	}
-	select {
-	case err := <-ch:
-		if err == nil {
-			t.Fatal("commit acknowledged although the commit record never landed")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("commit waiter stranded after a mid-commit crash")
-	}
-	p1.Close()
-
-	gate.arm(false)
-	p2, err := New(gate, cfg)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer p2.Close()
-	if p2.ReplayedReads() == 0 {
-		t.Fatal("recovery replayed nothing despite logged batches")
-	}
-	got := readAll(t, p2, "stable", "fresh")
-	if got["stable"] != "committed" {
-		t.Fatalf("stable = %q after recovery, want the last committed value", got["stable"])
-	}
-	if _, leaked := got["fresh"]; leaked {
-		t.Fatal("write of the sealed-but-uncommitted epoch survived the crash")
-	}
-	if v := checker.Violation(); v != nil {
-		t.Fatal(v)
-	}
-}
-
 // TestRecoveryAfterBlindOverwrite is the reproducer of a known defect, found
 // by the commit crash sweep and older than it: a sealed epoch that blind-wrote
 // a key whose current copy sits in the tree, and then never committed, cannot
@@ -796,8 +687,9 @@ func TestRecoveryAfterBlindOverwrite(t *testing.T) {
 	must(t, tx.Write(keys[0], []byte("doomed")))
 	must(t, tx.Write(keys[1], []byte("doomed")))
 	tx.CommitAsync()
-	if err := p1.EndEpoch(); !errors.Is(err, errCommitGate) {
-		t.Fatalf("EndEpoch with the commit point gated: %v", err)
+	must(t, p1.EndEpoch())
+	if err := p1.WaitCommitted(); !errors.Is(err, errCommitGate) {
+		t.Fatalf("boundary with the commit point gated: %v", err)
 	}
 	p1.Close()
 	gate.arm(false)

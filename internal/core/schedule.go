@@ -189,9 +189,7 @@ func (p *Proxy) StepReadBatch() error {
 		// storage reads: the executor state has diverged from the tree, so
 		// the proxy fail-stops (crash-and-recover is §8's answer) instead
 		// of continuing on a broken schedule.
-		p.closed = true
-		p.failAllLocked(firstErr)
-		p.boundaryDone.Broadcast()
+		p.failStopLocked(firstErr)
 	}
 	// One close wakes the batch's readers.
 	p.wakeLocked()

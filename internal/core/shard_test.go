@@ -281,8 +281,9 @@ func TestShardedTornCommitRecovers(t *testing.T) {
 		must(t, tx.Write(k, []byte(v)))
 	}
 	tx.CommitAsync()
-	if err := p1.EndEpoch(); !errors.Is(err, crash) {
-		t.Fatalf("EndEpoch under injected crash: %v", err)
+	must(t, p1.EndEpoch())
+	if err := p1.WaitCommitted(); !errors.Is(err, crash) {
+		t.Fatalf("WaitCommitted under injected crash: %v", err)
 	}
 	// The proxy is now dead mid-commit: shard 0 holds the epoch's committing
 	// checkpoint, shards 1-3 their prepared ones.
@@ -399,8 +400,8 @@ func TestTornFirstBootReinitializes(t *testing.T) {
 }
 
 // TestCommitDuringBoundaryDecidedNextEpoch pins down a race the sharded
-// boundary widens: a transaction that begins while EndEpoch is already
-// finalizing lives in the next epoch's CCU generation. Its commit must NOT be
+// boundary widens: a transaction that begins while a boundary is still
+// committing lives in the next epoch's CCU generation. Its commit must NOT be
 // acked as aborted by the boundary it slipped into (its writes would commit
 // next epoch regardless — a lying ack); it must be decided by the next
 // boundary.
@@ -415,8 +416,9 @@ func TestCommitDuringBoundaryDecidedNextEpoch(t *testing.T) {
 
 	var ch <-chan error
 	fired := false
-	// The hook runs inside EndEpoch after FinalizeEpoch but before waiter
-	// notification — exactly the boundary window.
+	// The hook runs at the commit point: the seal has decided the epoch's
+	// fates, the commit stage has not yet acknowledged its waiters — exactly
+	// the boundary window.
 	p.testCommitHook = func() error {
 		fired = true
 		tx := p.Begin()
@@ -428,6 +430,7 @@ func TestCommitDuringBoundaryDecidedNextEpoch(t *testing.T) {
 		return nil
 	}
 	must(t, p.EndEpoch())
+	must(t, p.WaitCommitted())
 	p.testCommitHook = nil
 	if !fired {
 		t.Fatal("hook never fired")

@@ -2,6 +2,7 @@ package cryptoutil
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -192,4 +193,130 @@ func TestSealInPlaceOpensLikeSealTo(t *testing.T) {
 	if err := k.SealInPlace(make([]byte, Overhead-1), binding); err == nil {
 		t.Fatal("undersized frame accepted")
 	}
+}
+
+// TestSealToOpenToInPlace verifies the appending variants: they extend the
+// destination slice, round-trip, and perform zero allocations when the
+// destination has spare capacity (the hot path's contract).
+func TestSealToOpenToInPlace(t *testing.T) {
+	k := KeyFromSeed([]byte("inplace"))
+	msg := bytes.Repeat([]byte{0xA5}, 300)
+	binding := Binding(7, 7, 7)
+	prefix := []byte("prefix:")
+	sealed, err := k.SealTo(append([]byte(nil), prefix...), msg, binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(sealed, prefix) {
+		t.Fatal("SealTo clobbered the destination prefix")
+	}
+	frame := sealed[len(prefix):]
+	if len(frame) != SealedSize(len(msg)) {
+		t.Fatalf("frame of %d bytes, want %d", len(frame), SealedSize(len(msg)))
+	}
+	plain, err := k.OpenTo(append([]byte(nil), prefix...), frame, binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain[len(prefix):], msg) {
+		t.Fatal("OpenTo round trip mismatch")
+	}
+
+	sealBuf := make([]byte, 0, SealedSize(len(msg)))
+	openBuf := make([]byte, 0, len(msg))
+	bindBuf := make([]byte, 0, BindingSize)
+	allocs := testing.AllocsPerRun(200, func() {
+		bindBuf = AppendBinding(bindBuf[:0], 7, 7, 7)
+		var err error
+		sealBuf, err = k.SealTo(sealBuf[:0], msg, bindBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		openBuf, err = k.OpenTo(openBuf[:0], sealBuf, bindBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("SealTo+OpenTo with pre-sized buffers: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestAppendBinding pins AppendBinding against the allocating wrapper.
+func TestAppendBinding(t *testing.T) {
+	want := Binding(10, 20, 30)
+	got := AppendBinding([]byte("x"), 10, 20, 30)
+	if !bytes.Equal(got[1:], want) || got[0] != 'x' {
+		t.Fatalf("AppendBinding: got % x want x||% x", got, want)
+	}
+	if len(want) != BindingSize {
+		t.Fatalf("Binding of %d bytes, want %d", len(want), BindingSize)
+	}
+}
+
+// TestForeignSchemeByteFailsWithErrScheme is the scheme-byte rule: a frame
+// led by any byte other than SchemeGCM — 1, the reserved value, included —
+// fails with ErrScheme before any decryption and never yields plaintext.
+func TestForeignSchemeByteFailsWithErrScheme(t *testing.T) {
+	k := KeyFromSeed([]byte("scheme"))
+	binding := Binding(3, 9, 1)
+	sealed, err := k.Seal([]byte("bucket slot plaintext"), binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 256; b++ {
+		if Scheme(b) == SchemeGCM {
+			continue
+		}
+		mut := append([]byte(nil), sealed...)
+		mut[0] = byte(b)
+		plain, err := k.Open(mut, binding)
+		if err == nil {
+			t.Fatalf("frame led by %d yielded plaintext %q", b, plain)
+		}
+		if !errors.Is(err, ErrScheme) {
+			t.Fatalf("frame led by %d: %v, want ErrScheme", b, err)
+		}
+	}
+}
+
+// FuzzOpenSealed extends frame-decode fuzzing to the sealed framing: the
+// opener must reject arbitrary frames without panicking, a valid frame must
+// survive the trip, and a frame led by a foreign scheme byte fails with
+// ErrScheme.
+func FuzzOpenSealed(f *testing.F) {
+	k := KeyFromSeed([]byte("fuzz"))
+	if s, err := k.Seal([]byte("seed frame"), Binding(1, 2, 3)); err == nil {
+		f.Add(s, uint64(1), uint64(2), uint64(3))
+		reserved := append([]byte(nil), s...)
+		reserved[0] = 1 // the reserved scheme value
+		f.Add(reserved, uint64(1), uint64(2), uint64(3))
+	}
+	f.Add([]byte{byte(SchemeGCM)}, uint64(0), uint64(0), uint64(0))
+	f.Add([]byte{}, uint64(0), uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, frame []byte, id, epoch, batch uint64) {
+		binding := Binding(id, epoch, batch)
+		if plain, err := k.Open(frame, binding); err == nil {
+			// The fuzzer forging an authentic GCM frame would be a break of
+			// AES-GCM itself; anything it opens must round-trip.
+			resealed, err := k.Seal(plain, binding)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := k.Open(resealed, binding); err != nil || !bytes.Equal(got, plain) {
+				t.Fatalf("reseal round trip: %v", err)
+			}
+		}
+		if len(frame) > 0 {
+			mut := append([]byte(nil), frame...)
+			mut[0] ^= 0xFF
+			_, err := k.Open(mut, binding)
+			if err == nil {
+				t.Fatal("scheme-byte flip still opened")
+			}
+			if len(mut) >= Overhead && Scheme(mut[0]) != SchemeGCM && !errors.Is(err, ErrScheme) {
+				t.Fatalf("foreign scheme byte %d: %v, want ErrScheme", mut[0], err)
+			}
+		}
+	})
 }

@@ -79,8 +79,8 @@ type Executor struct {
 	buffered map[int]bufferedBucket
 	// sealed is the previous epoch's detached write-back set, retained so
 	// its buckets stay locally servable while (and after) a background
-	// committer flushes them. Written only by SealEpoch/ReleaseSealed,
-	// which the proxy serializes with planning; the map it points to is
+	// committer flushes them. Written only by SealEpoch, which the proxy
+	// serializes with planning; the map it points to is
 	// immutable after seal, so FlushSealed reads it without locks.
 	sealed *SealedEpoch
 	// resident holds the upper levels' buckets, indexed by heap number (see
@@ -834,7 +834,7 @@ func recycleAll(buckets map[int]bufferedBucket) {
 // SealEpoch detaches the current epoch's write-back set and opens a fresh
 // buffer, so the next epoch's batches can plan and execute while a
 // background committer flushes the sealed set via FlushSealed. The sealed
-// buckets remain locally servable until ReleaseSealed or the next seal.
+// buckets remain locally servable until the next seal.
 // Must be called from the proxy's schedule driver (never concurrently with
 // planning or execution), and only once the previous sealed set's flush has
 // returned: its buffers are recycled here.
@@ -859,21 +859,10 @@ func (e *Executor) SealEpoch() (*SealedEpoch, error) {
 // only reads the immutable sealed set, so it is safe to run from a
 // background committer while the executor plans and executes the next
 // epoch's batches. The sealed set stays locally servable afterwards (the
-// flushed versions are identical); ReleaseSealed or the next SealEpoch
-// retires it and recycles its buffers.
+// flushed versions are identical); the next SealEpoch retires it and
+// recycles its buffers.
 func (e *Executor) FlushSealed(s *SealedEpoch) (int, error) {
 	return e.flushBuckets(s.epoch, s.buckets)
-}
-
-// ReleaseSealed stops serving the sealed set locally and recycles its
-// buffers. Only valid once the set is flushed and no batch is in flight (the
-// synchronous boundary calls it right after FlushSealed; the pipelined
-// boundary lets the next SealEpoch supersede it instead).
-func (e *Executor) ReleaseSealed(s *SealedEpoch) {
-	if e.sealed == s {
-		recycleAll(s.buckets)
-		e.sealed = nil
-	}
 }
 
 func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (int, error) {

@@ -79,7 +79,6 @@ func TestExecutorSealedFlushOneCall(t *testing.T) {
 		t.Fatalf("sealed flush used %d WriteBuckets + %d WriteBucket calls, want exactly 1 + 0",
 			calls.WriteBuckets, calls.WriteBucket)
 	}
-	h.exec.ReleaseSealed(sealed)
 }
 
 // TestExecutorVectorTraceMatchesPlan is the security argument for

@@ -564,7 +564,8 @@ func advanceEpoch(t *testing.T, p *core.Proxy, cfg core.Config) {
 }
 
 // commitStepped commits key=value on a manually driven proxy by stepping the
-// epoch that carries it; it returns once the commit is acknowledged.
+// epoch that carries it; it returns once the commit is acknowledged and the
+// boundary has landed.
 func commitStepped(t *testing.T, p *core.Proxy, cfg core.Config, key string, value []byte) {
 	t.Helper()
 	tx := p.Begin()
@@ -574,6 +575,9 @@ func commitStepped(t *testing.T, p *core.Proxy, cfg core.Config, key string, val
 	ack := tx.CommitAsync()
 	advanceEpoch(t, p, cfg)
 	if err := <-ack; err != nil {
+		t.Fatalf("commit %s: %v", key, err)
+	}
+	if err := p.WaitCommitted(); err != nil {
 		t.Fatalf("commit %s: %v", key, err)
 	}
 }

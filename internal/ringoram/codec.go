@@ -23,7 +23,7 @@ const (
 type codec struct {
 	keySize   int
 	valueSize int
-	key       cryptoutil.Sealer // nil when encryption is disabled
+	key       *cryptoutil.Key // nil when encryption is disabled
 }
 
 // plainSize is the fixed plaintext slot size.

@@ -429,14 +429,10 @@ func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
 	} else {
 		src = rand.NewPCG(rand.Uint64(), rand.Uint64())
 	}
-	var sealer cryptoutil.Sealer
-	if key != nil {
-		sealer = key
-	}
 	o := &ORAM{
 		p:           p,
 		geo:         geo,
-		cdc:         codec{keySize: p.KeySize, valueSize: p.ValueSize, key: sealer},
+		cdc:         codec{keySize: p.KeySize, valueSize: p.ValueSize, key: key},
 		rng:         rand.New(src),
 		pos:         make(map[string]int32),
 		stash:       make(map[string]*stashEntry),

@@ -135,6 +135,11 @@ func runTruncSweepWorkload(t *testing.T, w *truncSweep) (acked map[string]string
 			break
 		}
 		acked[key] = val
+		// The truncation behind the ack lands before maintenance starts, so
+		// each crash point falls in one call, not in two interleaved ones.
+		if err := p.WaitCommitted(); err != nil {
+			break
+		}
 		segs, ops := g.SegmentCount(), w.fsys.Ops()
 		w.enter(inMaintain)
 		g.MaintainOnce()

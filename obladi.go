@@ -83,18 +83,14 @@ type Options struct {
 	WriteBatchSize int
 	// BatchInterval is Δ, the fixed batch cadence. Zero selects manual
 	// mode, where the caller drives the schedule with Advance (useful for
-	// tests and deterministic tools).
+	// tests and deterministic tools). Either way an epoch's write-back and
+	// durability round trips overlap the next epoch's read batches.
 	BatchInterval time.Duration
 	// EagerBatches fires a read batch as soon as it fills rather than
 	// waiting out Δ. This makes the schedule load-dependent (observable);
 	// use only for throughput experiments. Eager firing never moves the
 	// epoch boundary, which always waits out its Δ slot.
 	EagerBatches bool
-	// SyncEpochBoundary disables epoch-boundary pipelining: every epoch's
-	// write-back and durability round trips complete before the next
-	// epoch's batches start, instead of overlapping them. Slower on
-	// high-latency storage; useful as an ablation baseline.
-	SyncEpochBoundary bool
 
 	// Z, S, A tune the Ring ORAM (reals/dummies per bucket, eviction
 	// rate). Zero selects 8/12/8, suitable for small stores; the paper's
@@ -116,7 +112,7 @@ type Options struct {
 	// FullCheckpointEvery sets the full-checkpoint cadence (default 16).
 	FullCheckpointEvery int
 
-	// KeySeed derives the encryption/MAC keys deterministically. Required
+	// KeySeed derives the encryption key deterministically. Required
 	// to reopen an existing store after a restart; nil generates a random
 	// key (suitable only for stores that die with the process).
 	KeySeed []byte
@@ -244,7 +240,6 @@ func coreConfig(opt Options, params ringoram.Params, key *cryptoutil.Key) core.C
 		WriteBatchSize:      opt.WriteBatchSize,
 		BatchInterval:       opt.BatchInterval,
 		EagerBatches:        opt.EagerBatches,
-		Boundary:            boundaryMode(opt),
 		DisableDurability:   opt.DisableDurability,
 		FullCheckpointEvery: opt.FullCheckpointEvery,
 	}
@@ -404,13 +399,6 @@ func splitAddrs(s string) ([]string, error) {
 	return addrs, nil
 }
 
-func boundaryMode(opt Options) core.BoundaryMode {
-	if opt.SyncEpochBoundary {
-		return core.BoundarySync
-	}
-	return core.BoundaryAuto
-}
-
 // Begin starts a transaction.
 func (db *DB) Begin() *Txn {
 	return db.BeginCtx(context.Background())
@@ -493,7 +481,10 @@ func (db *DB) ViewCtx(ctx context.Context, fn func(*Txn) error) error {
 }
 
 // Advance drives the batch schedule by one step in manual mode
-// (BatchInterval == 0): the next read batch, or the epoch boundary.
+// (BatchInterval == 0): the next read batch, or the epoch boundary. At the
+// boundary it returns once the epoch is sealed and the next one open; the
+// epoch's commit lands in the background, and its transactions' Commit calls
+// return when it has.
 func (db *DB) Advance() error { return db.proxy.Advance() }
 
 // Epoch returns the current epoch number.
