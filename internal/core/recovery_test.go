@@ -153,8 +153,13 @@ func TestRecoveryDropsInFlightEpoch(t *testing.T) {
 // served from the previous epoch's sealed set throughout — it read none of
 // their slots from storage — and no slot of any bucket version twice (the
 // invariant checker sits under the recorder). Neither side reads a resident
-// level.
+// level. The subtest names the boundary the committed history ran under:
+// every boundary is pipelined.
 func TestRecoveryReplaysObservedTrace(t *testing.T) {
+	t.Run("pipelined", testReplayAfterPipelinedBoundary)
+}
+
+func testReplayAfterPipelinedBoundary(t *testing.T) {
 	cfg := testConfig(33)
 	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
 	checker := storage.NewInvariantChecker(backend)

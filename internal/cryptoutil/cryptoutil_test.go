@@ -280,6 +280,60 @@ func TestForeignSchemeByteFailsWithErrScheme(t *testing.T) {
 	}
 }
 
+// TestCTRSealedFailsUnderGCM holds the opener to frames in the layout of the
+// retired scheme 1 (AES-CTR + HMAC-SHA256): iv(16) | ciphertext | mac(32),
+// with no scheme byte, so the lead byte is a random IV byte. Whatever that
+// byte is, the frame fails loudly and never decrypts: ErrScheme when it is
+// not SchemeGCM, ErrAuth when it collides with it.
+func TestCTRSealedFailsUnderGCM(t *testing.T) {
+	const ivSize, macSize = 16, 32
+	k := KeyFromSeed([]byte("migrate"))
+	binding := Binding(3, 9, 1)
+	msg := []byte("bucket slot plaintext")
+	for b := 0; b < 256; b++ {
+		frame, err := RandomBytes(ivSize + len(msg) + macSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[0] = byte(b)
+		plain, err := k.Open(frame, binding)
+		if err == nil {
+			t.Fatalf("scheme-1 frame led by %d yielded plaintext %q", b, plain)
+		}
+		want := ErrScheme
+		if Scheme(b) == SchemeGCM {
+			want = ErrAuth
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("scheme-1 frame led by %d: %v, want %v", b, err, want)
+		}
+	}
+}
+
+// TestGCMSealedFailsUnderCTR is the reverse direction: no GCM frame can be
+// taken for the retired scheme 1. Every frame leads with SchemeGCM, never by
+// chance, and the same frame relabeled as scheme 1 fails with ErrScheme
+// rather than decrypting.
+func TestGCMSealedFailsUnderCTR(t *testing.T) {
+	k := KeyFromSeed([]byte("migrate"))
+	binding := Binding(3, 9, 1)
+	for i := 0; i < 256; i++ {
+		sealed, err := k.Seal([]byte("bucket slot plaintext"), binding)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Scheme(sealed[0]) != SchemeGCM {
+			t.Fatalf("GCM frame led by %d, want %d", sealed[0], SchemeGCM)
+		}
+		sealed[0] = 1
+		if plain, err := k.Open(sealed, binding); err == nil {
+			t.Fatalf("GCM frame relabeled as scheme 1 yielded plaintext %q", plain)
+		} else if !errors.Is(err, ErrScheme) {
+			t.Fatalf("GCM frame relabeled as scheme 1: %v, want ErrScheme", err)
+		}
+	}
+}
+
 // FuzzOpenSealed extends frame-decode fuzzing to the sealed framing: the
 // opener must reject arbitrary frames without panicking, a valid frame must
 // survive the trip, and a frame led by a foreign scheme byte fails with

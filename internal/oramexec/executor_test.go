@@ -598,8 +598,14 @@ func testSkipSetIsPublic(t *testing.T) {
 // records name, in buckets of levels L-2..L the epoch never read from storage
 // — bucket versions the adversary has not seen a read of — and no slot of any
 // bucket version is read twice (the invariant checker sits under the
-// recorder). Nothing at the resident levels is read by either side.
+// recorder). Nothing at the resident levels is read by either side. The
+// subtest names the boundary the committed history ran under, the pipelined
+// one, whose sealed set the next seal supersedes.
 func TestExecutorReplayReproducesTrace(t *testing.T) {
+	t.Run("pipelined=true", testReplayAfterPipelinedBoundary)
+}
+
+func testReplayAfterPipelinedBoundary(t *testing.T) {
 	p := testParams(256, 9)
 	h := newHarness(t, p, Config{})
 	key := func(i int) string { return fmt.Sprintf("k%d", i) }
