@@ -11,26 +11,19 @@
 //	obladi-storage -listen :7000 -buckets 65536 -data-dir /var/lib/obladi
 //	obladi-storage -listen :7000 -buckets 65536 -data-dir /var/lib/obladi -shards 2
 //
-// With -data-dir the server runs the durable DiskBackend: an incrementally
-// persisted, crash-atomic store (shadow-paged bucket heap, segmented
-// fsync-barriered recovery log, KV journal) that recovers to the last
-// committed epoch after a crash or SIGKILL. The legacy -persist flag keeps
-// the whole-store snapshot behaviour for the in-memory backend; the two are
-// mutually exclusive.
+// Without -data-dir the store lives in memory and dies with the process.
+// With -data-dir the server runs the durable store: a logheap disk group of
+// -shards shards (default 1) under that directory, which recovers to the
+// last committed epoch after a crash or SIGKILL. Every shard's bucket
+// versions, epoch commits and recovery-log stream ride one shared physical
+// log, so an epoch commit across all shards is one deferred record per shard
+// plus a single fsync. A directory written in another layout (a lone
+// single-directory store, or a group with one heap file per shard) is
+// refused at open, naming its layout.
 //
-// With -shards N (N > 1, requires -data-dir) the server runs N disk shards
-// under one data dir as a commit group: their recovery-log streams multiplex
-// onto one shared physical log and every durability barrier routes through
-// one fsync scheduler, so a sharded proxy's epoch-boundary flushes coalesce
-// into shared waves instead of paying one fsync per shard. Shard i is served
-// on the base port + i (or on its own ephemeral port when the base port is
-// 0; each shard prints its address).
-//
-// With -logheap (requires -shards and -data-dir) the group runs the
-// log-structured bucket heap: bucket versions ride the same physical log as
-// the WAL streams, so a cross-shard epoch commit is one deferred record per
-// shard plus a single fsync. The two heap layouts are on-disk incompatible;
-// a dir written by one fails loudly when opened as the other.
+// With one shard the server listens on -listen. With -shards N > 1 shard i
+// is served on the base port + i (or on its own ephemeral port when the base
+// port is 0); each shard prints its address.
 package main
 
 import (
@@ -54,10 +47,8 @@ func main() {
 	buckets := flag.Int("buckets", 1<<16, "number of ORAM buckets to provision (must cover the proxy's tree)")
 	latency := flag.String("latency", "", "inject a latency profile for experiments: server | server-wan | dynamo")
 	scale := flag.Float64("latency-scale", 1.0, "scale factor applied to the injected latency profile")
-	persist := flag.String("persist", "", "snapshot file: loaded on start if present, saved on shutdown (in-memory backend)")
-	dataDir := flag.String("data-dir", "", "directory for the durable disk backend (incremental, crash-atomic persistence)")
-	shards := flag.Int("shards", 1, "disk shards sharing the data dir as a commit group (requires -data-dir); shard i listens on the base port + i")
-	logHeap := flag.Bool("logheap", false, "log-structured bucket heap: bucket data rides the shared physical log, one fsync per epoch commit (requires -shards)")
+	dataDir := flag.String("data-dir", "", "directory for the durable store (a logheap disk group; crash-atomic, recovers on restart)")
+	shards := flag.Int("shards", 1, "shards of the durable store (requires -data-dir); shard i listens on the base port + i")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables profiling)")
 	flag.Parse()
 
@@ -66,141 +57,55 @@ func main() {
 	} else if addr != "" {
 		fmt.Printf("obladi-storage: pprof on http://%s/debug/pprof/\n", addr)
 	}
-	if *persist != "" && *dataDir != "" {
-		log.Fatal("-persist and -data-dir are mutually exclusive")
-	}
 	if *shards < 1 {
 		log.Fatalf("-shards must be at least 1 (got %d)", *shards)
 	}
-	if *shards > 1 {
-		if *dataDir == "" {
-			log.Fatal("-shards needs -data-dir (group commit is a disk-backend deployment)")
+	var backends []storage.Backend
+	if *dataDir == "" {
+		if *shards > 1 {
+			log.Fatal("-shards needs -data-dir (the shards are a disk group)")
 		}
-		serveGroup(*dataDir, *shards, *buckets, *listen, *latency, *scale, *logHeap)
-		return
-	}
-	if *logHeap {
-		log.Fatal("-logheap needs -shards > 1 (the unified log is a group deployment)")
-	}
-	var backend storage.Backend
-	var mem *storage.MemBackend
-	if *dataDir != "" {
-		disk, err := storage.OpenDiskBackend(*dataDir, *buckets)
+		backends = []storage.Backend{storage.NewMemBackend(*buckets)}
+	} else {
+		g, err := storage.OpenDiskGroupOpts(*dataDir, *shards, *buckets, storage.DiskOptions{LogHeap: true})
 		if err != nil {
 			log.Fatalf("opening data dir %s: %v", *dataDir, err)
 		}
-		defer disk.Close()
-		fmt.Printf("obladi-storage: durable store in %s (committed epoch %d)\n", *dataDir, disk.CommittedEpoch())
-		backend = disk
-	} else {
-		mem = storage.NewMemBackend(*buckets)
-		if *persist != "" {
-			if loaded, err := storage.LoadMemBackend(*persist); err == nil {
-				mem = loaded
-				n, _ := mem.NumBuckets()
-				fmt.Printf("obladi-storage: restored %d buckets from %s\n", n, *persist)
-			} else if !os.IsNotExist(err) {
-				// A corrupt snapshot must not be silently ignored.
-				if _, statErr := os.Stat(*persist); statErr == nil {
-					log.Fatalf("loading snapshot %s: %v", *persist, err)
-				}
-			}
+		defer g.Close()
+		// All client traffic goes through the group's views — raw shard
+		// access would bypass the shared physical log.
+		backends = g.Backends()
+		fmt.Printf("obladi-storage: durable store in %s, %d shard(s) (committed epochs:", *dataDir, *shards)
+		for _, be := range backends {
+			fmt.Printf(" %d", be.(interface{ CommittedEpoch() uint64 }).CommittedEpoch())
 		}
-		backend = mem
+		fmt.Println(")")
 	}
-	backend = wrapLatency(backend, *latency, *scale)
 
-	srv, err := storage.NewServer(backend, *listen)
-	if err != nil {
-		log.Fatalf("starting storage server: %v", err)
+	servers := make([]*storage.Server, 0, len(backends))
+	for i, be := range backends {
+		addr := *listen
+		if len(backends) > 1 {
+			addr = shardAddr(*listen, i)
+		}
+		srv, err := storage.NewServer(wrapLatency(be, *latency, *scale), addr)
+		if err != nil {
+			log.Fatalf("starting storage server: %v", err)
+		}
+		servers = append(servers, srv)
+		if len(backends) > 1 {
+			fmt.Printf("obladi-storage: shard %d serving %d buckets on %s\n", i, *buckets, srv.Addr())
+		} else {
+			fmt.Printf("obladi-storage: serving %d buckets on %s\n", *buckets, srv.Addr())
+		}
 	}
-	fmt.Printf("obladi-storage: serving %d buckets on %s\n", *buckets, srv.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	if s == syscall.SIGTERM {
+	if <-sig == syscall.SIGTERM {
 		// Graceful drain: stop accepting and give in-flight proxy requests
 		// (an epoch boundary's flush, a WAL barrier) a grace window to
 		// finish, so a rolling restart doesn't tear a boundary mid-commit.
-		fmt.Println("obladi-storage: SIGTERM, draining")
-		if err := srv.Drain(5 * time.Second); err != nil {
-			log.Print(err)
-		}
-	} else {
-		fmt.Println("obladi-storage: shutting down")
-		if err := srv.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *persist != "" && mem != nil {
-		if err := mem.SaveTo(*persist); err != nil {
-			log.Fatalf("saving snapshot: %v", err)
-		}
-		fmt.Printf("obladi-storage: state saved to %s\n", *persist)
-	}
-}
-
-// wrapLatency injects the requested latency profile (empty = none).
-func wrapLatency(b storage.Backend, latency string, scale float64) storage.Backend {
-	switch latency {
-	case "":
-		return b
-	case "server":
-		return storage.WithLatency(b, storage.ProfileServer.Scaled(scale))
-	case "server-wan":
-		return storage.WithLatency(b, storage.ProfileServerWAN.Scaled(scale))
-	case "dynamo":
-		return storage.WithLatency(b, storage.ProfileDynamo.Scaled(scale))
-	default:
-		log.Fatalf("unknown latency profile %q", latency)
-		return nil
-	}
-}
-
-// serveGroup runs the N-shard commit-group deployment: one DiskGroup under
-// dataDir, each shard's shared-log view served by its own TCP server. All
-// client traffic goes through the views — raw shard access would bypass the
-// shared physical log — so cross-shard barriers keep coalescing end to end.
-func serveGroup(dataDir string, shards, buckets int, listen, latency string, scale float64, logHeap bool) {
-	g, err := storage.OpenDiskGroupOpts(dataDir, shards, buckets, storage.DiskOptions{LogHeap: logHeap})
-	if err != nil {
-		log.Fatalf("opening %d-shard group in %s: %v", shards, dataDir, err)
-	}
-	defer g.Close()
-	host, portStr, err := net.SplitHostPort(listen)
-	if err != nil {
-		log.Fatalf("parsing -listen %q: %v", listen, err)
-	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		log.Fatalf("-listen %q needs a numeric port with -shards (shard i is served on port+i): %v", listen, err)
-	}
-	fmt.Printf("obladi-storage: %d-shard commit group in %s (committed epochs:", shards, dataDir)
-	views := g.Backends()
-	for _, be := range views {
-		// The view, not the raw shard: in logheap mode the raw shard's heap
-		// epoch is always 0 (bucket data lives in the shared log).
-		fmt.Printf(" %d", be.(interface{ CommittedEpoch() uint64 }).CommittedEpoch())
-	}
-	fmt.Println(")")
-	servers := make([]*storage.Server, 0, shards)
-	for i, be := range views {
-		shardPort := 0
-		if port != 0 {
-			shardPort = port + i
-		}
-		srv, err := storage.NewServer(wrapLatency(be, latency, scale), net.JoinHostPort(host, strconv.Itoa(shardPort)))
-		if err != nil {
-			log.Fatalf("starting shard %d server: %v", i, err)
-		}
-		servers = append(servers, srv)
-		fmt.Printf("obladi-storage: shard %d serving %d buckets on %s\n", i, buckets, srv.Addr())
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	if s == syscall.SIGTERM {
 		fmt.Println("obladi-storage: SIGTERM, draining")
 		var wg sync.WaitGroup
 		for _, srv := range servers {
@@ -220,5 +125,39 @@ func serveGroup(dataDir string, shards, buckets int, listen, latency string, sca
 		if err := srv.Close(); err != nil {
 			log.Print(err)
 		}
+	}
+}
+
+// shardAddr is shard i's listen address: the base port + i, or an ephemeral
+// port when the base port is 0.
+func shardAddr(listen string, i int) string {
+	host, portStr, err := net.SplitHostPort(listen)
+	if err != nil {
+		log.Fatalf("parsing -listen %q: %v", listen, err)
+	}
+	port, err := strconv.Atoi(portStr)
+	if err != nil {
+		log.Fatalf("-listen %q needs a numeric port with -shards (shard i is served on port+i): %v", listen, err)
+	}
+	if port != 0 {
+		port += i
+	}
+	return net.JoinHostPort(host, strconv.Itoa(port))
+}
+
+// wrapLatency injects the requested latency profile (empty = none).
+func wrapLatency(b storage.Backend, latency string, scale float64) storage.Backend {
+	switch latency {
+	case "":
+		return b
+	case "server":
+		return storage.WithLatency(b, storage.ProfileServer.Scaled(scale))
+	case "server-wan":
+		return storage.WithLatency(b, storage.ProfileServerWAN.Scaled(scale))
+	case "dynamo":
+		return storage.WithLatency(b, storage.ProfileDynamo.Scaled(scale))
+	default:
+		log.Fatalf("unknown latency profile %q", latency)
+		return nil
 	}
 }

@@ -40,7 +40,7 @@ func (m *meter) reset() {
 // many slots or buckets it carries.
 func (m *meter) roundTrips() int {
 	c := m.Calls()
-	return c.ReadSlot + c.ReadSlots + c.ReadBucket + c.WriteBucket + c.WriteBuckets + c.Commit + c.Rollback
+	return c.ReadSlots + c.ReadBucket + c.WriteBuckets + c.Commit + c.Rollback
 }
 
 // bucketWrites counts the bucket versions written.

@@ -1,7 +1,10 @@
 package clientproto_test
 
 import (
+	"fmt"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -12,28 +15,47 @@ import (
 )
 
 // TestKillRestartDurability is the end-to-end crash drill for the durable
-// storage backend: real obladi-proxy + obladi-storage binaries with
-// -data-dir, smallbank traffic, a SIGKILL of the storage server mid-epoch, a
-// restart on the same directory, and a fresh proxy recovering from the
-// recovered store. The workload runs only the total-preserving smallbank
-// transactions (SendPayment, Amalgamate), so whichever prefix of epochs
-// survived the kill, the money-conservation invariant must hold exactly.
+// store, at one shard and at two: real obladi-proxy + obladi-storage
+// binaries with -data-dir (a logheap group), smallbank traffic, a SIGKILL of
+// the storage server mid-epoch, a restart on the same directory, and a fresh
+// proxy recovering from the recovered store. The workload runs only the
+// total-preserving smallbank transactions (SendPayment, Amalgamate), so
+// whichever prefix of epochs survived the kill, the money-conservation
+// invariant must hold exactly.
 func TestKillRestartDurability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and launches binaries")
 	}
 	storageBin, proxyBin := buildBinaries(t)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			killRestart(t, storageBin, proxyBin, shards)
+		})
+	}
+}
+
+func killRestart(t *testing.T, storageBin, proxyBin string, shards int) {
 	dataDir := filepath.Join(t.TempDir(), "store")
 	const seed = "kill-restart-e2e"
 
-	storageArgs := func() []string {
-		return []string{"-listen", "127.0.0.1:0", "-buckets", "4096", "-data-dir", dataDir}
+	// The storage server prints one "serving" line per shard.
+	markers, extracts := []string{"obladi-storage: serving"}, []func(string) string{extractLastField}
+	if shards > 1 {
+		markers, extracts = nil, nil
+		for i := 0; i < shards; i++ {
+			markers = append(markers, fmt.Sprintf("obladi-storage: shard %d serving", i))
+			extracts = append(extracts, extractLastField)
+		}
 	}
-	storageAddr, storageCmd := launch(t, storageBin, storageArgs(),
-		"obladi-storage: serving", extractLastField)
+	launchStorage := func() (string, *exec.Cmd) {
+		addrs, cmd := launchSeq(t, storageBin, []string{"-listen", "127.0.0.1:0", "-buckets", "4096",
+			"-data-dir", dataDir, "-shards", fmt.Sprint(shards)}, markers, extracts)
+		return strings.Join(addrs, ","), cmd
+	}
+	storageAddr, storageCmd := launchStorage()
 	proxyArgs := func(storage string) []string {
-		return []string{"-storage", storage, "-listen", "127.0.0.1:0", "-keys", "1024",
-			"-batch-interval", "1ms", "-seed", seed}
+		return []string{"-storage", storage, "-shards", fmt.Sprint(shards), "-listen", "127.0.0.1:0",
+			"-keys", "1024", "-batch-interval", "1ms", "-seed", seed}
 	}
 	proxyAddr, _ := launch(t, proxyBin, proxyArgs(storageAddr), "clients=", extractClientsField)
 
@@ -102,8 +124,7 @@ func TestKillRestartDurability(t *testing.T) {
 	// Restart storage on the same data dir; it must replay to the last
 	// committed epoch. Then a fresh proxy (same key seed) runs recovery
 	// against the recovered store.
-	storageAddr2, _ := launch(t, storageBin, storageArgs(),
-		"obladi-storage: serving", extractLastField)
+	storageAddr2, _ := launchStorage()
 	proxyAddr2, _ := launch(t, proxyBin, proxyArgs(storageAddr2), "clients=", extractClientsField)
 
 	mc2, err := clientproto.DialMux(proxyAddr2)

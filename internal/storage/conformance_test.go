@@ -16,7 +16,7 @@ func TestBackendConformanceMem(t *testing.T) {
 
 func TestBackendConformanceDisk(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
-		b, err := OpenDiskBackend(t.TempDir(), ConformanceMinBuckets)
+		b, err := openLoneDisk(t.TempDir(), ConformanceMinBuckets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,14 +30,14 @@ func TestBackendConformanceDisk(t *testing.T) {
 func TestBackendConformanceDiskReopened(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
 		dir := t.TempDir()
-		b, err := OpenDiskBackend(dir, ConformanceMinBuckets)
+		b, err := openLoneDisk(dir, ConformanceMinBuckets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
 		}
-		b, err = OpenDiskBackend(dir, ConformanceMinBuckets)
+		b, err = openLoneDisk(dir, ConformanceMinBuckets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestBackendConformanceRemote(t *testing.T) {
 // suite runs against a group-backed shard to prove it.
 func TestBackendConformanceDiskGrouped(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
-		g, err := OpenDiskGroup(t.TempDir(), 1, ConformanceMinBuckets)
+		g, err := OpenDiskGroupOpts(t.TempDir(), 1, ConformanceMinBuckets, DiskOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,25 +127,11 @@ func TestBackendConformanceLogHeapReopened(t *testing.T) {
 	})
 }
 
-// Group-commit conformance: N disk shards on one data dir sharing one
-// CommitGroup scheduler.
+// Group-commit conformance: N disk shards on one data dir, each with its own
+// bucket heap file, sharing one CommitGroup scheduler.
 func TestBackendConformanceGroupDisk(t *testing.T) {
 	RunGroupCommitConformance(t, 3, func(t *testing.T, n int) []Backend {
-		g, err := OpenDiskGroup(t.TempDir(), n, ConformanceMinBuckets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { g.Close() })
-		return g.Backends()
-	})
-}
-
-// The same contract must hold with a tight window (every barrier races the
-// flusher) — the degenerate scheduling the crash sweep leans on.
-func TestBackendConformanceGroupDiskZeroWindow(t *testing.T) {
-	RunGroupCommitConformance(t, 3, func(t *testing.T, n int) []Backend {
-		cg := NewCommitGroup(GroupConfig{Window: 0})
-		g, err := OpenDiskGroupOpts(t.TempDir(), n, ConformanceMinBuckets, DiskOptions{Group: cg})
+		g, err := OpenDiskGroupOpts(t.TempDir(), n, ConformanceMinBuckets, DiskOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,12 +167,12 @@ func TestBackendConformanceGroupMemLatency(t *testing.T) {
 	})
 }
 
-// Remote clients over disk shards sharing one CommitGroup — the deployment
+// Remote clients over the shards of a logheap group — the deployment
 // obladi-storage -shards N -data-dir serves. The wire layer must not disturb
 // the group contract.
 func TestBackendConformanceGroupRemoteDisk(t *testing.T) {
 	RunGroupCommitConformance(t, 2, func(t *testing.T, n int) []Backend {
-		g, err := OpenDiskGroup(t.TempDir(), n, ConformanceMinBuckets)
+		g, err := OpenDiskGroupOpts(t.TempDir(), n, ConformanceMinBuckets, DiskOptions{LogHeap: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,27 +201,30 @@ func TestBackendConformanceGroupRemoteDisk(t *testing.T) {
 	})
 }
 
-// The remote client over a DiskBackend is the deployment obladi-storage
-// -data-dir actually serves; the composition must hold the contract too.
+// The remote client over a one-shard logheap group is the deployment
+// obladi-storage -data-dir serves; the composition must hold the contract
+// too.
 func TestBackendConformanceRemoteDisk(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
-		inner, err := OpenDiskBackend(t.TempDir(), ConformanceMinBuckets)
+		g, err := OpenDiskGroupOpts(t.TempDir(), 1, ConformanceMinBuckets, DiskOptions{LogHeap: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer(inner, "127.0.0.1:0")
+		srv, err := NewServer(g.Backends()[0], "127.0.0.1:0")
 		if err != nil {
-			inner.Close()
+			g.Close()
 			t.Fatal(err)
 		}
 		c, err := Dial(srv.Addr())
 		if err != nil {
 			srv.Close()
+			g.Close()
 			t.Fatal(err)
 		}
 		t.Cleanup(func() {
 			c.Close()
 			srv.Close()
+			g.Close()
 		})
 		return c
 	})
@@ -247,7 +236,7 @@ func TestBackendConformanceRemoteDisk(t *testing.T) {
 func TestKeepsOwnCopySurvivesReopen(t *testing.T) {
 	t.Run("disk", func(t *testing.T) {
 		dir := t.TempDir()
-		b, err := OpenDiskBackend(dir, ConformanceMinBuckets)
+		b, err := openLoneDisk(dir, ConformanceMinBuckets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +244,7 @@ func TestKeepsOwnCopySurvivesReopen(t *testing.T) {
 			if err := old.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if b, err = OpenDiskBackend(dir, ConformanceMinBuckets); err != nil {
+			if b, err = openLoneDisk(dir, ConformanceMinBuckets); err != nil {
 				t.Fatal(err)
 			}
 			return b
@@ -289,7 +278,7 @@ func TestSlotCountPerVersionSurvivesReopen(t *testing.T) {
 	t.Run("disk", func(t *testing.T) {
 		dir := t.TempDir()
 		open := func() Backend {
-			b, err := OpenDiskBackend(dir, ConformanceMinBuckets)
+			b, err := openLoneDisk(dir, ConformanceMinBuckets)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,10 +11,12 @@ import (
 )
 
 // DiskBackend is a durable, crash-atomic implementation of the full Backend
-// interface. Unlike MemBackend's whole-store gob snapshot, it persists
-// incrementally:
+// interface, and one shard of a DiskGroup. It persists incrementally, in
+// files of its own directory:
 //
-//   - buckets.heap — a slotted heap of shadow-paged bucket versions.
+//   - buckets.heap — a slotted heap of shadow-paged bucket versions (absent
+//     in a logheap group, whose LogHeap keeps the shard's buckets in the
+//     shared log instead).
 //     WriteBuckets appends version records (no fsync: shadow paging makes
 //     uncommitted versions discardable); CommitEpoch appends a commit record
 //     and fsyncs — the durability barrier a commit ack stands on; RollbackTo
@@ -77,15 +79,6 @@ type DiskBackend struct {
 	compactKick chan struct{}
 	compactStop chan struct{}
 	compactWG   sync.WaitGroup
-
-	// presync, when on, schedules a best-effort background fsync of the
-	// heap after bucket appends, so the epoch's write-back bytes are
-	// already clean when CommitEpoch's barrier fsyncs. Purely a latency
-	// optimization: the barrier's own fsync is still what acks stand on,
-	// and a presync failure simply resurfaces there. presyncing (guarded
-	// by mu) keeps at most one in flight.
-	presync    bool
-	presyncing bool
 
 	// KV namespace (guarded by kvMu).
 	kvMu         sync.RWMutex
@@ -178,11 +171,8 @@ const (
 	readCoalesceGap = 4096
 )
 
-// DiskOptions tunes OpenDiskBackendOpts beyond the defaults.
+// DiskOptions tunes OpenDiskGroupOpts beyond the defaults.
 type DiskOptions struct {
-	// Group routes every durability barrier through a shared fsync
-	// scheduler (nil = each barrier fsyncs inline).
-	Group *CommitGroup
 	// RecoveryWorkers bounds the pool that replays and crc-verifies log
 	// segments (and opens the heap/KV/log files concurrently) at open.
 	// 0 picks a default from GOMAXPROCS; 1 forces serial recovery.
@@ -190,42 +180,26 @@ type DiskOptions struct {
 	// SegMaxBytes overrides the log segment roll-over size (0 = default).
 	// Exposed for tests that need many segments.
 	SegMaxBytes int64
-	// LogHeap selects the log-structured bucket heap for a DiskGroup:
-	// bucket version records ride the shared physical log alongside the
-	// recovery-log streams, so an epoch's heap commit and its log barrier
-	// share a single fsync wave. Only meaningful to OpenDiskGroupOpts; a
-	// data dir is created in one mode and refuses to open in the other.
+	// LogHeap selects the log-structured bucket heap, the layout
+	// obladi-storage serves: bucket version records ride the shared
+	// physical log alongside the recovery-log streams, so an epoch's heap
+	// commit and its log barrier share a single fsync wave. Without it each
+	// shard keeps its own buckets.heap. A data dir is created in one mode
+	// and refuses to open in the other.
 	LogHeap bool
 }
 
-// OpenDiskBackend opens (or creates) a durable backend rooted at dir.
-// numBuckets fixes the tree size at creation; reopening an existing store
-// with a different non-zero numBuckets fails loudly (0 adopts the stored
-// size).
-func OpenDiskBackend(dir string, numBuckets int) (*DiskBackend, error) {
-	return OpenDiskBackendOpts(dir, numBuckets, DiskOptions{})
-}
-
-// OpenDiskBackendOpts is OpenDiskBackend with options.
-func OpenDiskBackendOpts(dir string, numBuckets int, opts DiskOptions) (*DiskBackend, error) {
-	return openDiskBackendOpts(osFS{}, dir, numBuckets, diskOpts{
-		group:       opts.Group,
-		workers:     opts.RecoveryWorkers,
-		segMaxBytes: opts.SegMaxBytes,
-		autoCompact: true,
-		presync:     false,
-	})
-}
-
 // diskOpts is the internal option set; crash-harness opens leave
-// autoCompact and presync off (and workers at 1) so the swept op sequence
-// stays deterministic, driving CompactNow explicitly instead.
+// autoCompact off (and workers at 1) so the swept op sequence stays
+// deterministic, driving CompactNow explicitly instead.
 type diskOpts struct {
+	// group routes every durability barrier through a shared fsync
+	// scheduler (nil = each barrier fsyncs inline; a group open makes its
+	// own when none is given).
 	group       *CommitGroup
 	workers     int
 	segMaxBytes int64
 	autoCompact bool
-	presync     bool
 	// noHeap skips buckets.heap entirely: the shard's bucket data lives in
 	// the shared physical log (LogHeap) and the per-shard heap file is never
 	// created. Bucket ops on the raw DiskBackend are invalid in this mode —
@@ -253,7 +227,6 @@ func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*
 		dir:             dir,
 		group:           opts.group,
 		recoveryWorkers: opts.workers,
-		presync:         opts.presync,
 		kv:              make(map[string]kvEntry),
 		heapCompactMin:  defaultHeapCompactMin,
 		kvCompactMin:    defaultKVCompactMin,
@@ -717,22 +690,7 @@ func (b *DiskBackend) lookupSlotLocked(bucket, slot int) (*diskVersion, error) {
 }
 
 // ReadSlot implements BucketStore.
-func (b *DiskBackend) ReadSlot(bucket, slot int) ([]byte, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if err := b.checkUsable(); err != nil {
-		return nil, err
-	}
-	v, err := b.lookupSlotLocked(bucket, slot)
-	if err != nil {
-		return nil, err
-	}
-	if v.cached != nil {
-		return v.layout.slotIn(v.cached, slot, 0), nil
-	}
-	off, n := v.slotRange(slot)
-	return readFileRange(b.heap, off, n)
-}
+func (b *DiskBackend) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(b, bucket, slot) }
 
 // ReadSlots implements BucketStore: the whole vector resolves under one lock
 // acquisition. Refs whose version carries the in-memory mirror are answered
@@ -832,7 +790,7 @@ func (b *DiskBackend) validateWriteLocked(bucket int, epoch uint64) error {
 
 // WriteBucket implements BucketStore.
 func (b *DiskBackend) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	return b.WriteBuckets([]BucketWrite{{Bucket: bucket, Epoch: epoch, Slots: slots}})
+	return writeBucket(b, bucket, epoch, slots)
 }
 
 // WriteBuckets implements BucketStore: the whole vector is encoded into one
@@ -900,28 +858,8 @@ func (b *DiskBackend) WriteBuckets(writes []BucketWrite) error {
 		if err := b.appendHeapLocked(buf[:end]); err != nil {
 			return err
 		}
-		b.kickPresyncLocked()
 	}
 	return firstErr
-}
-
-// kickPresyncLocked starts (at most one) background fsync of the heap so
-// the write-back bytes just appended are clean by the time the epoch's
-// commit barrier runs. The error is deliberately dropped: durability is
-// still decided by the barrier's own fsync, which will see the same failure
-// and wedge the backend.
-func (b *DiskBackend) kickPresyncLocked() {
-	if !b.presync || b.presyncing {
-		return
-	}
-	b.presyncing = true
-	f := b.heap
-	go func() {
-		_ = f.Sync()
-		b.mu.Lock()
-		b.presyncing = false
-		b.mu.Unlock()
-	}()
 }
 
 // CommitEpoch implements BucketStore. The commit record plus its covering

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 )
 
 // This file is the crash-point sweep harness: an in-memory vfs that models
@@ -581,9 +580,7 @@ func groupShardDir(i int) string { return fmt.Sprintf("data/shard-%d", i) }
 // consecutive global indices whatever the interleaving.
 func runGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 	t.Helper()
-	// A tight window keeps the sweep fast while MaxBatch == shard count still
-	// lets a wave gather every shard when they arrive together.
-	cg := NewCommitGroup(GroupConfig{Window: 50 * time.Microsecond, MaxBatch: groupSweepShards})
+	cg := NewCommitGroup()
 	defer cg.Close()
 	oracles := make([]*sweepOracle, groupSweepShards)
 	backends := make([]*DiskBackend, groupSweepShards)
@@ -647,6 +644,7 @@ func TestCrashPointSweepGroupCommit(t *testing.T) {
 	if total < 3*30 {
 		t.Fatalf("group workload only has %d mutation points; the sweep would prove little", total)
 	}
+	t.Logf("%d mutation points per mode", total)
 	modes := []struct {
 		name   string
 		mode   int

@@ -5,13 +5,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
+// openLoneDisk opens a lone DiskBackend on the real filesystem with a group
+// shard's settings: background compaction on, default recovery workers.
+func openLoneDisk(dir string, buckets int) (*DiskBackend, error) {
+	return openDiskBackendOpts(osFS{}, dir, buckets, diskOpts{autoCompact: true})
+}
+
 func openDisk(t *testing.T, dir string, buckets int) *DiskBackend {
 	t.Helper()
-	b, err := OpenDiskBackend(dir, buckets)
+	b, err := openLoneDisk(dir, buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +203,7 @@ func TestDiskStructuralCorruptionFailsLoudly(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDiskBackend(dir, 2); err == nil {
+	if _, err := openLoneDisk(dir, 2); err == nil {
 		t.Fatal("open succeeded on a structurally corrupt heap")
 	}
 }
@@ -205,7 +212,7 @@ func TestDiskNumBucketsMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	b := openDisk(t, dir, 8)
 	must(t, b.Close())
-	if _, err := OpenDiskBackend(dir, 16); err == nil {
+	if _, err := openLoneDisk(dir, 16); err == nil {
 		t.Fatal("reopen with a different bucket count succeeded")
 	}
 	// Zero adopts the stored geometry.
@@ -213,6 +220,55 @@ func TestDiskNumBucketsMismatchRejected(t *testing.T) {
 	defer r.Close()
 	if n, _ := r.NumBuckets(); n != 8 {
 		t.Fatalf("adopted bucket count = %d", n)
+	}
+}
+
+// TestGroupOpenRefusesOtherLayouts opens data dirs written in the two
+// layouts obladi-storage no longer serves the way it opens its -data-dir: a
+// lone single-directory store and a per-shard-file group are each refused
+// with an error naming the layout, and neither dir gains or loses a file.
+func TestGroupOpenRefusesOtherLayouts(t *testing.T) {
+	single := t.TempDir()
+	b := openDisk(t, single, 8)
+	must(t, b.WriteBucket(0, 1, slots("live")))
+	must(t, b.CommitEpoch(1))
+	must(t, b.Close())
+	perShard := t.TempDir()
+	g, err := OpenDiskGroupOpts(perShard, 2, 8, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(t, g.Close())
+
+	names := func(dir string) string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return strings.Join(out, " ")
+	}
+	for _, c := range []struct{ dir, layout string }{{single, "single-directory"}, {perShard, "per-shard-file"}} {
+		before := names(c.dir)
+		for _, shards := range []int{1, 2} {
+			g, err := OpenDiskGroupOpts(c.dir, shards, 8, DiskOptions{LogHeap: true})
+			if err == nil {
+				g.Close()
+				t.Fatalf("%d-shard logheap open of a %s dir succeeded", shards, c.layout)
+			}
+			if !strings.Contains(err.Error(), c.layout) {
+				t.Fatalf("%d-shard logheap open of a %s dir: %v; want the layout named", shards, c.layout, err)
+			}
+		}
+		if after := names(c.dir); after != before {
+			t.Fatalf("refused open of a %s dir changed it: [%s] -> [%s]", c.layout, before, after)
+		}
+	}
+	if _, err := OpenDiskGroupOpts(single, 1, 8, DiskOptions{}); err == nil || !strings.Contains(err.Error(), "single-directory") {
+		t.Fatalf("per-shard-file open of a single-directory dir: %v; want it refused", err)
 	}
 }
 

@@ -131,10 +131,6 @@ func (osFS) SyncDir(dir string) error {
 	return err
 }
 
-// syncDir is a package-level helper for callers outside DiskBackend (the
-// MemBackend snapshot path) that need the same rename-durability barrier.
-func syncDir(dir string) error { return osFS{}.SyncDir(dir) }
-
 // ---- record framing ----
 //
 // Every on-disk file is a fixed header followed by framed records:

@@ -64,7 +64,7 @@ var _ Backend = (*fencedMem)(nil)
 
 func (f *fencedMem) checkFence() error { return f.m.fence.check(f.token) }
 
-func (f *fencedMem) ReadSlot(bucket, slot int) ([]byte, error) { return f.m.ReadSlot(bucket, slot) }
+func (f *fencedMem) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(f, bucket, slot) }
 func (f *fencedMem) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	return f.m.ReadSlots(refs)
 }
@@ -75,10 +75,7 @@ func (f *fencedMem) Scan(from uint64) ([][]byte, error)      { return f.m.Scan(f
 func (f *fencedMem) LastSeq() (uint64, error)                { return f.m.LastSeq() }
 
 func (f *fencedMem) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	if err := f.checkFence(); err != nil {
-		return err
-	}
-	return f.m.WriteBucket(bucket, epoch, slots)
+	return writeBucket(f, bucket, epoch, slots)
 }
 
 func (f *fencedMem) WriteBuckets(writes []BucketWrite) error {

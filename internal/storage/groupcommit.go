@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,33 +13,11 @@ import (
 // shared by every DiskBackend shard rooted under one directory. Shards append
 // their commit records (and log/KV records) unsynced and then stand on a
 // Barrier; the scheduler runs one syncer per file with pending barriers, so
-// every barrier that lands on a file while its fsync is in flight (or within
-// the growth window) rides the next fsync of that file together — and fsyncs
-// of *different* files never wait on one another. The ack contract is
-// unchanged: nothing is acknowledged before its covering barrier lands; what
-// moves is how many acks one fsync covers.
-
-// GroupConfig tunes a CommitGroup.
-type GroupConfig struct {
-	// Window is how long a file's syncer waits after the first pending
-	// barrier for more to pile on before fsyncing. Zero still coalesces:
-	// barriers arriving while the file's fsync is in flight batch into its
-	// next round.
-	Window time.Duration
-	// MaxBatch fsyncs immediately once this many barriers are pending on one
-	// file, without waiting out the window (0 = DefaultGroupMaxBatch).
-	MaxBatch int
-}
-
-// DefaultGroupWindow is zero: in-flight coalescing alone captures the
-// amortization (concurrent committers pile onto the fsync already running)
-// without taxing a lone committer's latency. Deployments whose shards reach
-// epoch boundaries in loose lockstep can widen it to trade commit latency
-// for bigger waves.
-const DefaultGroupWindow time.Duration = 0
-
-// DefaultGroupMaxBatch caps how many barriers one fsync round gathers.
-const DefaultGroupMaxBatch = 64
+// every barrier that lands on a file while its fsync is in flight rides the
+// next fsync of that file together — and fsyncs of *different* files never
+// wait on one another. The ack contract is unchanged: nothing is acknowledged
+// before its covering barrier lands; what moves is how many acks one fsync
+// covers.
 
 // GroupStats counts a CommitGroup's work. Barriers/Syncs is the
 // amortization factor the scheduler achieved.
@@ -60,37 +39,27 @@ type groupReq struct {
 // before a retire could never be matched again.
 type fileSync struct {
 	pending []*groupReq
-	written uint64        // write tickets issued for this file (see Wrote)
-	acked   uint64        // highest ticket covered by a *successful* fsync
-	syncing bool          // a runFile goroutine is serving this file
-	arrived chan struct{} // capacity 1: "pending grew" edge signal
+	written uint64 // write tickets issued for this file (see Wrote)
+	acked   uint64 // highest ticket covered by a *successful* fsync
+	syncing bool   // a runFile goroutine is serving this file
 }
 
 // CommitGroup is the shared fsync scheduler. Each file with pending barriers
-// gets a syncer goroutine; Close drains every accepted barrier before
-// returning.
+// gets a syncer goroutine, which fsyncs as soon as it runs: barriers arriving
+// while an fsync is in flight batch into the file's next one, so concurrent
+// committers share waves without a lone committer waiting for company.
+// Close drains every accepted barrier before returning.
 type CommitGroup struct {
 	mu     sync.Mutex
 	files  map[vfile]*fileSync
 	closed bool
 	stats  GroupStats
-
-	wg       sync.WaitGroup
-	window   time.Duration
-	maxBatch int
+	wg     sync.WaitGroup
 }
 
-// NewCommitGroup starts a scheduler with the given config.
-func NewCommitGroup(cfg GroupConfig) *CommitGroup {
-	g := &CommitGroup{
-		files:    make(map[vfile]*fileSync),
-		window:   cfg.Window,
-		maxBatch: cfg.MaxBatch,
-	}
-	if g.maxBatch <= 0 {
-		g.maxBatch = DefaultGroupMaxBatch
-	}
-	return g
+// NewCommitGroup starts a scheduler.
+func NewCommitGroup() *CommitGroup {
+	return &CommitGroup{files: make(map[vfile]*fileSync)}
 }
 
 // Wrote records that the caller just finished writing bytes to f and returns
@@ -111,7 +80,7 @@ func (g *CommitGroup) Wrote(f vfile) uint64 {
 func (g *CommitGroup) fileLocked(f vfile) *fileSync {
 	fs := g.files[f]
 	if fs == nil {
-		fs = &fileSync{arrived: make(chan struct{}, 1)}
+		fs = &fileSync{}
 		g.files[f] = fs
 	}
 	return fs
@@ -147,11 +116,6 @@ func (g *CommitGroup) BarrierTicket(f vfile, ticket uint64) error {
 		fs.syncing = true
 		g.wg.Add(1)
 		go g.runFile(f, fs)
-	} else {
-		select {
-		case fs.arrived <- struct{}{}:
-		default:
-		}
 	}
 	g.mu.Unlock()
 	return <-req.done
@@ -196,9 +160,6 @@ func (g *CommitGroup) Close() error {
 func (g *CommitGroup) runFile(f vfile, fs *fileSync) {
 	defer g.wg.Done()
 	for {
-		if g.window > 0 {
-			g.grow(fs)
-		}
 		g.mu.Lock()
 		if len(fs.pending) == 0 {
 			fs.syncing = false
@@ -234,26 +195,6 @@ func (g *CommitGroup) runFile(f vfile, fs *fileSync) {
 		g.mu.Unlock()
 		for _, r := range ack {
 			r.done <- err
-		}
-	}
-}
-
-// grow waits out the window (or the batch gate) so near-simultaneous
-// barriers on one file share its next fsync.
-func (g *CommitGroup) grow(fs *fileSync) {
-	timer := time.NewTimer(g.window)
-	defer timer.Stop()
-	for {
-		g.mu.Lock()
-		n := len(fs.pending)
-		g.mu.Unlock()
-		if n == 0 || n >= g.maxBatch {
-			return
-		}
-		select {
-		case <-timer.C:
-			return
-		case <-fs.arrived:
 		}
 	}
 }
@@ -359,15 +300,7 @@ func (s *GroupShard) NumBuckets() (int, error) {
 	}
 	return s.DiskBackend.NumBuckets()
 }
-func (s *GroupShard) ReadSlot(bucket, slot int) ([]byte, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	if s.heap != nil {
-		return s.heap.ReadSlot(bucket, slot)
-	}
-	return s.DiskBackend.ReadSlot(bucket, slot)
-}
+func (s *GroupShard) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(s, bucket, slot) }
 func (s *GroupShard) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	if err := s.guard(); err != nil {
 		return nil, err
@@ -405,13 +338,7 @@ func (s *GroupShard) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 	return encodeBucketFrom(s.DiskBackend, dst, bucket)
 }
 func (s *GroupShard) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	if s.heap != nil {
-		return s.heap.WriteBucket(bucket, epoch, slots)
-	}
-	return s.DiskBackend.WriteBucket(bucket, epoch, slots)
+	return writeBucket(s, bucket, epoch, slots)
 }
 func (s *GroupShard) WriteBuckets(writes []BucketWrite) error {
 	if err := s.guard(); err != nil {
@@ -507,18 +434,13 @@ func (s logHeapShard) CommitEpochNoSync(epoch uint64) error {
 // appends into the owner backend's one physical log.
 func (s logHeapShard) CommitStream() any { return s.heap.owner }
 
-// OpenDiskGroup opens (or creates) shards backends under dir/shard-<i>,
-// each provisioned with numBuckets buckets, sharing a scheduler with the
-// default window.
-func OpenDiskGroup(dir string, shards, numBuckets int) (*DiskGroup, error) {
-	return OpenDiskGroupOpts(dir, shards, numBuckets, DiskOptions{})
-}
-
-// OpenDiskGroupOpts is OpenDiskGroup with per-shard options. A nil
-// opts.Group gets a fresh scheduler owned (and closed) by the group.
+// OpenDiskGroupOpts opens (or creates) shards backends under dir/shard-<i>,
+// each provisioned with numBuckets buckets, sharing one fsync scheduler the
+// group owns and closes. numBuckets fixes the tree size at creation;
+// reopening with a different non-zero count fails loudly (0 adopts the
+// stored size). obladi-storage opens its data dir with opts.LogHeap set.
 func OpenDiskGroupOpts(dir string, shards, numBuckets int, opts DiskOptions) (*DiskGroup, error) {
 	return openDiskGroupOpts(osFS{}, dir, shards, numBuckets, diskOpts{
-		group:       opts.Group,
 		workers:     opts.RecoveryWorkers,
 		segMaxBytes: opts.SegMaxBytes,
 		autoCompact: true,
@@ -533,7 +455,10 @@ func OpenDiskGroupOpts(dir string, shards, numBuckets int, opts DiskOptions) (*D
 // store over live data.
 const logHeapMarker = "logheap"
 
-// checkGroupMode enforces the marker, creating it for a fresh logheap dir.
+// checkGroupMode enforces the marker, creating it for a fresh logheap dir. A
+// dir holding a lone DiskBackend's files at its top level is no group at
+// all: opening it would create shard-000 beside them and serve an empty tree
+// over live data, so it is refused in either mode.
 func checkGroupMode(fsys vfs, dir string, logHeap bool) error {
 	names, err := fsys.List(dir)
 	if err != nil {
@@ -544,8 +469,11 @@ func checkGroupMode(fsys vfs, dir string, logHeap bool) error {
 		switch {
 		case n == logHeapMarker:
 			hasMarker = true
-		case len(n) >= 6 && n[:6] == "shard-":
+		case strings.HasPrefix(n, "shard-"):
 			hasShard = true
+		case n == metaFileName, n == heapFileName, n == kvFileName,
+			strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix):
+			return fmt.Errorf("storage: data dir %s holds a single-directory disk store (%s at its top level); refusing to open it as a group", dir, n)
 		}
 	}
 	switch {
@@ -579,7 +507,7 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 		return nil, err
 	}
 	if opts.group == nil {
-		opts.group = NewCommitGroup(GroupConfig{Window: DefaultGroupWindow})
+		opts.group = NewCommitGroup()
 	}
 	shardOpts := opts
 	if opts.logHeap {

@@ -16,16 +16,16 @@ import (
 type Profile struct {
 	Name string
 	// Read and Write are the per-request round-trip latencies. A request is
-	// one storage call: a scalar op or a whole vectored op. This is what
-	// makes the latency model honest for batched I/O — a vectored call pays
-	// the round trip once, not once per element.
+	// one storage call, however many slots or buckets it carries. This is
+	// what makes the latency model honest for batched I/O — a vectored call
+	// pays the round trip once, not once per element.
 	Read  time.Duration
 	Write time.Duration
 	// ReadPerSlot and WritePerBucket are per-item service times charged on
 	// top of the round trip: a vectored read of n slots costs
 	// Read + n*ReadPerSlot, a vectored write-back of b buckets costs
-	// Write + b*WritePerBucket, and scalar ops carry one item each. They
-	// keep vectored calls from being modeled as free.
+	// Write + b*WritePerBucket (ReadSlot and WriteBucket are vectors of
+	// one). They keep vectored calls from being modeled as free.
 	ReadPerSlot    time.Duration
 	WritePerBucket time.Duration
 	// MaxConcurrent caps in-flight requests (0 means unlimited). A vectored
@@ -114,12 +114,7 @@ func (l *Latency) delay(d time.Duration) {
 	}
 }
 
-func (l *Latency) ReadSlot(bucket, slot int) ([]byte, error) {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Read + l.prof.ReadPerSlot)
-	return l.inner.ReadSlot(bucket, slot)
-}
+func (l *Latency) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(l, bucket, slot) }
 
 // ReadSlots charges one round trip for the whole vector plus per-slot
 // service time, occupying a single concurrency slot: the vectored call is
@@ -156,10 +151,7 @@ func (l *Latency) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 }
 
 func (l *Latency) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Write + l.prof.WritePerBucket)
-	return l.inner.WriteBucket(bucket, epoch, slots)
+	return writeBucket(l, bucket, epoch, slots)
 }
 
 // WriteBuckets charges one round trip for the whole write-back vector plus

@@ -354,22 +354,7 @@ func (lh *LogHeap) lookupSlotLocked(bucket, slot int) (*logVersion, error) {
 }
 
 // ReadSlot implements BucketStore.
-func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) {
-	lh.mu.RLock()
-	defer lh.mu.RUnlock()
-	if err := lh.owner.checkUsable(); err != nil {
-		return nil, err
-	}
-	v, err := lh.lookupSlotLocked(bucket, slot)
-	if err != nil {
-		return nil, err
-	}
-	if v.cached != nil {
-		return v.layout.slotIn(v.cached, slot, 0), nil
-	}
-	off, n := v.slotRange(slot)
-	return lh.owner.readLogRange(v.segBase, off, n)
-}
+func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(lh, bucket, slot) }
 
 // ReadSlots implements BucketStore. The vector fails atomically (every ref
 // validated before any I/O); refs carrying the write-through mirror are
@@ -510,7 +495,7 @@ func (lh *LogHeap) beginFrame() []byte {
 
 // WriteBucket implements BucketStore.
 func (lh *LogHeap) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	return lh.WriteBuckets([]BucketWrite{{Bucket: bucket, Epoch: epoch, Slots: slots}})
+	return writeBucket(lh, bucket, epoch, slots)
 }
 
 // WriteBuckets implements BucketStore: one version record per bucket into

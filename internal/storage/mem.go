@@ -58,14 +58,7 @@ func (m *MemBackend) checkOpen() error {
 }
 
 // ReadSlot implements BucketStore.
-func (m *MemBackend) ReadSlot(bucket, slot int) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if err := m.checkOpen(); err != nil {
-		return nil, err
-	}
-	return m.readSlotLocked(bucket, slot)
-}
+func (m *MemBackend) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(m, bucket, slot) }
 
 func (m *MemBackend) readSlotLocked(bucket, slot int) ([]byte, error) {
 	if err := checkBucket(bucket, len(m.buckets)); err != nil {
@@ -164,12 +157,7 @@ func (m *MemBackend) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 
 // WriteBucket implements BucketStore.
 func (m *MemBackend) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkOpen(); err != nil {
-		return err
-	}
-	return m.writeBucketLocked(bucket, epoch, slots)
+	return writeBucket(m, bucket, epoch, slots)
 }
 
 // WriteBuckets implements BucketStore: the whole vector installs under one
@@ -384,9 +372,7 @@ func NewDummyBackend(numBuckets, slotSize int) *DummyBackend {
 }
 
 // ReadSlot returns the static slot regardless of location.
-func (d *DummyBackend) ReadSlot(bucket, slot int) ([]byte, error) {
-	return d.static, nil
-}
+func (d *DummyBackend) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(d, bucket, slot) }
 
 // ReadSlots returns the static slot for every ref.
 func (d *DummyBackend) ReadSlots(refs []SlotRef) ([][]byte, error) {
@@ -415,7 +401,7 @@ func (d *DummyBackend) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 
 // WriteBucket discards the write.
 func (d *DummyBackend) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	return nil
+	return writeBucket(d, bucket, epoch, slots)
 }
 
 // WriteBuckets discards the writes.

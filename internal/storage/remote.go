@@ -25,9 +25,12 @@ import (
 type wireOp uint8
 
 const (
-	wireReadSlot wireOp = iota + 1
+	// Ops 1 and 3 are reserved: they were the scalar slot read and bucket
+	// write, now vectors of one (wireReadSlots, wireWriteBuckets), and a
+	// server answers them as unknown ops.
+	_ wireOp = iota + 1
 	wireReadBucket
-	wireWriteBucket
+	_
 	wireCommitEpoch
 	wireRollbackTo
 	wireNumBuckets
@@ -368,7 +371,7 @@ func (sc *serverConn) serve(fb *wireBuf) {
 // untrusted and its ciphertext readable by anyone on the wire anyway.
 func mutatingOp(op wireOp) bool {
 	switch op {
-	case wireWriteBucket, wireWriteBuckets, wireCommitEpoch, wireRollbackTo,
+	case wireWriteBuckets, wireCommitEpoch, wireRollbackTo,
 		wireKVPut, wireKVDelete, wireLogAppend, wireLogTruncate:
 		return true
 	}
@@ -398,18 +401,6 @@ func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (
 		token := s.fence.acquire()
 		cs.setToken(token)
 		enc.u64(token)
-	case wireReadSlot:
-		bucket, slot := int(d.u32()), int(d.u32())
-		if d.err != nil {
-			return fail(d.err)
-		}
-		rb.refs = append(rb.refs[:0], SlotRef{Bucket: bucket, Slot: slot})
-		var err error
-		if enc.buf, err = encodeSlotsFrom(s.backend, enc.buf, rb.refs); err != nil {
-			return fail(err)
-		}
-		// One slot's reply is its field alone, without the vector's count.
-		enc.buf = append(enc.buf[:0], enc.buf[4:]...)
 	case wireReadBucket:
 		bucket := int(d.u32())
 		if d.err != nil {
@@ -417,15 +408,6 @@ func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (
 		}
 		var err error
 		if enc.buf, err = encodeBucketFrom(s.backend, enc.buf, bucket); err != nil {
-			return fail(err)
-		}
-	case wireWriteBucket:
-		bucket, epoch := int(d.u32()), d.u64()
-		rb.slots = d.views(rb.slots[:0])
-		if d.err != nil {
-			return fail(fmt.Errorf("storage: bad write-bucket frame: %w", d.err))
-		}
-		if err := s.backend.WriteBucket(bucket, epoch, rb.slots); err != nil {
 			return fail(err)
 		}
 	case wireReadSlots:
@@ -462,11 +444,19 @@ func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (
 			return fail(err)
 		}
 	case wireCommitEpoch:
-		if err := s.backend.CommitEpoch(d.u64()); err != nil {
+		epoch, err := d.onlyU64()
+		if err == nil {
+			err = s.backend.CommitEpoch(epoch)
+		}
+		if err != nil {
 			return fail(err)
 		}
 	case wireRollbackTo:
-		if err := s.backend.RollbackTo(d.u64()); err != nil {
+		epoch, err := d.onlyU64()
+		if err == nil {
+			err = s.backend.RollbackTo(epoch)
+		}
+		if err != nil {
 			return fail(err)
 		}
 	case wireNumBuckets:
@@ -531,7 +521,11 @@ func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (
 			enc.bytes(rec)
 		}
 	case wireLogTruncate:
-		if err := s.backend.Truncate(d.u64()); err != nil {
+		before, err := d.onlyU64()
+		if err == nil {
+			err = s.backend.Truncate(before)
+		}
+		if err != nil {
 			return fail(err)
 		}
 	case wireLogLastSeq:
@@ -839,23 +833,7 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-func (c *Client) ReadSlot(bucket, slot int) ([]byte, error) {
-	rq := getWireBuf(0)
-	enc := encoder{buf: rq.b[:0]}
-	enc.u32(uint32(bucket))
-	enc.u32(uint32(slot))
-	resp, err := c.call(wireReadSlot, enc.buf)
-	rq.b = enc.buf
-	putWireBuf(rq)
-	if err != nil {
-		return nil, err
-	}
-	d := decoder{buf: resp.payload}
-	data := d.copyBytes()
-	err = d.err
-	resp.release()
-	return data, err
-}
+func (c *Client) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(c, bucket, slot) }
 
 // ReadSlots packs the whole vector into a single request frame: one wire op
 // and one round trip however many slots the stage reads. Vectors larger
@@ -921,14 +899,7 @@ func (c *Client) ReadBucket(bucket int) ([][]byte, error) {
 }
 
 func (c *Client) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	rq := getWireBuf(0)
-	enc := encoder{buf: rq.b[:0]}
-	enc.bucket(bucket, epoch, slots)
-	resp, err := c.call(wireWriteBucket, enc.buf)
-	rq.b = enc.buf
-	putWireBuf(rq)
-	resp.release()
-	return err
+	return writeBucket(c, bucket, epoch, slots)
 }
 
 // WriteBuckets ships a whole write-back set in one request frame, splitting
@@ -1091,7 +1062,10 @@ type decoder struct {
 	err error
 }
 
-var errShort = errors.New("storage: short payload")
+var (
+	errShort    = errors.New("storage: short payload")
+	errTrailing = errors.New("storage: trailing bytes after payload")
+)
 
 func (d *decoder) take(n int) []byte {
 	if d.err != nil {
@@ -1128,6 +1102,17 @@ func (d *decoder) u64() uint64 {
 		return 0
 	}
 	return binary.BigEndian.Uint64(b)
+}
+
+// onlyU64 decodes a payload that is exactly one u64: a mutation carrying
+// one runs only once the whole frame has decoded, so a short or overlong
+// frame is refused before it reaches the store.
+func (d *decoder) onlyU64() (uint64, error) {
+	v := d.u64()
+	if d.err == nil && len(d.buf) > 0 {
+		d.err = errTrailing
+	}
+	return v, d.err
 }
 
 func (d *decoder) copyBytes() []byte {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 )
 
@@ -35,24 +36,27 @@ type hostileFrame struct {
 }
 
 // hostileFrames lists write and read frames whose counts or lengths promise
-// more than the payload holds, and every strict prefix of two valid write
-// frames (the format is self-delimiting, so each of those is short).
+// more than the payload holds; every strict prefix of two valid write frames
+// (the format is self-delimiting, so each of those is short); every strict
+// prefix of each mutation that carries one u64, and the same u64 with a byte
+// behind it (each value would change seededStore); and the two retired
+// scalar ops.
 func hostileFrames() []hostileFrame {
 	oneBucket := encodeWriteBuckets([]BucketWrite{{Bucket: 1, Epoch: 1, Slots: [][]byte{[]byte("alpha"), {}, []byte("gamma")}}})
 	vector := encodeWriteBuckets([]BucketWrite{
 		{Bucket: 1, Epoch: 1, Slots: [][]byte{[]byte("alpha"), []byte("beta")}},
 		{Bucket: 2, Epoch: 1, Slots: [][]byte{[]byte("gamma")}},
 	})
-	single := oneBucket[4:] // wireWriteBucket carries one entry without the vector count
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	hdr := cat(be32(1), be32(0), be32(1)) // bucket 1, epoch 1 (u64)
+	one := cat(be32(1), hdr)              // a one-bucket vector up to its slot count
 	frames := []hostileFrame{
-		{"bucket slot count 2^20 over no slots", wireWriteBucket, cat(hdr, be32(1<<20))},
-		{"bucket slot count 2^32-1", wireWriteBucket, cat(hdr, be32(0xffffffff))},
-		{"bucket slot count one too many", wireWriteBucket, cat(hdr, be32(2), be32(1), []byte("x"))},
-		{"bucket slot length 2^31-1", wireWriteBucket, cat(hdr, be32(1), be32(0x7fffffff), []byte("x"))},
-		{"bucket slot length 2^32-1", wireWriteBucket, cat(hdr, be32(1), be32(0xffffffff), []byte("x"))},
-		{"bucket second slot overruns", wireWriteBucket, cat(hdr, be32(2), be32(1), []byte("x"), be32(9), []byte("short"))},
+		{"bucket slot count 2^20 over no slots", wireWriteBuckets, cat(one, be32(1<<20))},
+		{"bucket slot count 2^32-1", wireWriteBuckets, cat(one, be32(0xffffffff))},
+		{"bucket slot count one too many", wireWriteBuckets, cat(one, be32(2), be32(1), []byte("x"))},
+		{"bucket slot length 2^31-1", wireWriteBuckets, cat(one, be32(1), be32(0x7fffffff), []byte("x"))},
+		{"bucket slot length 2^32-1", wireWriteBuckets, cat(one, be32(1), be32(0xffffffff), []byte("x"))},
+		{"bucket second slot overruns", wireWriteBuckets, cat(one, be32(2), be32(1), []byte("x"), be32(9), []byte("short"))},
 		{"vector bucket count 2^20", wireWriteBuckets, cat(be32(1<<20), hdr, be32(0))},
 		{"vector bucket count 2^32-1", wireWriteBuckets, be32(0xffffffff)},
 		{"vector bucket count one too many", wireWriteBuckets, cat(be32(2), hdr, be32(0))},
@@ -61,23 +65,69 @@ func hostileFrames() []hostileFrame {
 		{"vector second bucket inflated", wireWriteBuckets, cat(be32(2), hdr, be32(1), be32(1), []byte("x"), hdr, be32(3), be32(1<<30))},
 		{"read-slots count 2^20", wireReadSlots, cat(be32(1<<20), be32(0), be32(0))},
 		{"read-slots count one too many", wireReadSlots, cat(be32(2), be32(0), be32(0))},
+		{"retired scalar slot read", 1, cat(be32(0), be32(0))},
+		{"retired scalar bucket write", 3, oneBucket[4:]},
 	}
-	for cut := 0; cut < len(single); cut++ {
-		frames = append(frames, hostileFrame{fmt.Sprintf("write-bucket cut at %d", cut), wireWriteBucket, single[:cut]})
+	for cut := 0; cut < len(oneBucket); cut++ {
+		frames = append(frames, hostileFrame{fmt.Sprintf("one-bucket write cut at %d", cut), wireWriteBuckets, oneBucket[:cut]})
 	}
 	for cut := 0; cut < len(vector); cut++ {
 		frames = append(frames, hostileFrame{fmt.Sprintf("write-buckets cut at %d", cut), wireWriteBuckets, vector[:cut]})
 	}
+	for _, m := range []struct {
+		name string
+		op   wireOp
+		v    uint64
+	}{{"commit-epoch", wireCommitEpoch, 2}, {"rollback-to", wireRollbackTo, 0}, {"truncate", wireLogTruncate, 2}} {
+		full := binary.BigEndian.AppendUint64(nil, m.v)
+		for cut := 0; cut < len(full); cut++ {
+			frames = append(frames, hostileFrame{fmt.Sprintf("%s cut at %d", m.name, cut), m.op, full[:cut]})
+		}
+		frames = append(frames, hostileFrame{m.name + " with a trailing byte", m.op, append(full, 0)})
+	}
 	return frames
 }
 
+// seededStore is a store any stray mutation visibly changes: bucket 0 holds
+// an epoch-2 version over the committed epoch-1 one, and the log two
+// records.
+func seededStore(t *testing.T) *MemBackend {
+	mem := NewMemBackend(8)
+	must(t, mem.WriteBucket(0, 1, [][]byte{[]byte("one"), {}}))
+	must(t, mem.CommitEpoch(1))
+	must(t, mem.WriteBucket(0, 2, [][]byte{[]byte("two")}))
+	for _, rec := range []string{"r1", "r2"} {
+		if _, err := mem.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mem
+}
+
+// storeState renders what a mutation can change: the committed epoch, every
+// bucket's newest version and version count, and the log.
+func storeState(mem *MemBackend) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "committed %d;", mem.CommittedEpoch())
+	for i := range mem.buckets {
+		slots, err := mem.ReadBucket(i)
+		fmt.Fprintf(&b, " bucket %d: %d versions, newest %q %v;", i, mem.VersionCount(i), slots, err)
+	}
+	last, err := mem.LastSeq()
+	recs, _ := mem.Scan(0)
+	fmt.Fprintf(&b, " log to %d %v: %q", last, err, recs)
+	return b.String()
+}
+
 // TestServerHandleRejectsHostileFrames: a frame that promises more than it
-// carries fails as a per-request error before anything is sized by its
-// length fields, and installs nothing.
+// carries, or a u64 mutation whose payload is not exactly its u64, fails as
+// a per-request error before anything is sized by its length fields, and
+// leaves the store as it was.
 func TestServerHandleRejectsHostileFrames(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, hf := range hostileFrames() {
-		mem := NewMemBackend(8)
+		mem := seededStore(t)
+		before := storeState(mem)
 		s := &Server{backend: mem}
 		rb := new(wireBuf)
 		var m0, m1 runtime.MemStats
@@ -95,10 +145,8 @@ func TestServerHandleRejectsHostileFrames(t *testing.T) {
 		}
 		// A frame that does not decode never reaches the backend, not even
 		// with the entries ahead of the bad one.
-		for b := 0; b < 8; b++ {
-			if mem.VersionCount(b) != 0 {
-				t.Errorf("%s: bucket %d was written", hf.name, b)
-			}
+		if after := storeState(mem); after != before {
+			t.Errorf("%s changed the store:\n%s\nto\n%s", hf.name, before, after)
 		}
 	}
 }
@@ -113,8 +161,6 @@ func checkWellFormed(t *testing.T, op wireOp, resp []byte) {
 		d.u64()
 	case wireNumBuckets:
 		d.u32()
-	case wireReadSlot:
-		d.view()
 	case wireReadBucket, wireReadSlots, wireLogScan:
 		d.fields()
 	case wireKVGet:
@@ -128,10 +174,11 @@ func checkWellFormed(t *testing.T, op wireOp, resp []byte) {
 }
 
 // FuzzServerHandle throws arbitrary requests at the server's handler over a
-// small MemBackend: it must not panic, must answer with an error or a
-// well-formed response, and whatever a write leaves behind in the store must
-// be sized by the payload that carried it — one exact-length slab per
-// version, no more bytes than the frame had.
+// small seeded MemBackend: it must not panic, must answer with an error or a
+// well-formed response, a refused mutation must leave the store as it was,
+// and whatever a write leaves behind in the store must be sized by the
+// payload that carried it — one exact-length slab per version, no more bytes
+// than the frame had.
 func FuzzServerHandle(f *testing.F) {
 	for _, hf := range hostileFrames() {
 		f.Add(byte(hf.op), hf.payload)
@@ -142,7 +189,7 @@ func FuzzServerHandle(f *testing.F) {
 		{Bucket: 7, Epoch: 2, Slots: [][]byte{bytes.Repeat([]byte{7}, 300)}},
 	})
 	f.Add(byte(wireWriteBuckets), valid)
-	f.Add(byte(wireWriteBucket), valid[4:])
+	f.Add(byte(wireRollbackTo), binary.BigEndian.AppendUint64(nil, 1))
 	f.Add(byte(wireReadSlots), bytes.Join([][]byte{be32(1), be32(0), be32(0)}, nil))
 	f.Add(byte(wireReadBucket), be32(0))
 	f.Add(byte(wireLogAppend), bytes.Join([][]byte{be32(3), []byte("rec")}, nil))
@@ -153,13 +200,10 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add(byte(wireFence), []byte{})
 	f.Add(byte(0), []byte{})
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
-		const numBuckets = 8
-		mem := NewMemBackend(numBuckets)
-		// Something to read, so read ops have successful answers too.
-		seed := [][]byte{[]byte("seed"), {}}
-		if err := mem.WriteBucket(0, 0, seed); err != nil {
-			t.Fatal(err)
-		}
+		// Something to read, so read ops have successful answers too, and to
+		// lose, so a stray mutation shows.
+		mem := seededStore(t)
+		before := storeState(mem)
 		s := &Server{backend: mem}
 		rb := new(wireBuf)
 		status, resp := s.handle(&connState{}, wireOp(op), payload, rb)
@@ -167,6 +211,15 @@ func FuzzServerHandle(f *testing.F) {
 		case statusErr:
 			if len(resp) == 0 {
 				t.Fatalf("op %d: error without a message", op)
+			}
+			// A write-back vector that decoded may fail part way and leave
+			// its prefix installed, as BucketStore allows; any other refused
+			// mutation must not have reached the store.
+			partial := wireOp(op) == wireWriteBuckets && !strings.HasPrefix(string(resp), "storage: bad write-buckets frame")
+			if mutatingOp(wireOp(op)) && !partial {
+				if after := storeState(mem); after != before {
+					t.Fatalf("op %d: refused with %q but changed the store:\n%s\nto\n%s", op, resp, before, after)
+				}
 			}
 		case statusOK:
 			checkWellFormed(t, wireOp(op), resp)
@@ -177,10 +230,10 @@ func FuzzServerHandle(f *testing.F) {
 			t.Fatalf("op %d: scratch grew to %d refs / %d writes / %d slots on a %d byte payload", op, cap(rb.refs), cap(rb.writes), cap(rb.slots), len(payload))
 		}
 		retained := 0
-		for b := 0; b < numBuckets; b++ {
-			for _, v := range mem.buckets[b] {
-				if b == 0 && v.epoch == 0 && string(v.data) == "seed" {
-					continue // still the seed version
+		for b, vs := range mem.buckets {
+			for _, v := range vs {
+				if b == 0 && (string(v.data) == "one" || string(v.data) == "two") {
+					continue // a seeded version
 				}
 				if cap(v.data) != v.layout.span(0) {
 					t.Fatalf("op %d: bucket %d keeps %d slot bytes in a %d byte slab", op, b, v.layout.span(0), cap(v.data))

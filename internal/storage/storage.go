@@ -67,36 +67,36 @@ type BucketWrite struct {
 // set, not read. The storage server encodes its replies under the store's own
 // lock, so no client read depends on the rule.
 type BucketStore interface {
-	// ReadSlot returns the requested slot of the newest version of the
-	// bucket. The returned slice must not be modified by the caller.
+	// ReadSlot is ReadSlots of the one ref (every store answers it through
+	// readSlot).
 	ReadSlot(bucket, slot int) ([]byte, error)
 
 	// ReadSlots performs a vectored read: one storage call returning the
-	// requested slots in ref order (result[i] answers refs[i]). The whole
-	// vector fails atomically at the call level — a single bad ref errors
-	// the call (no partial results). The returned slices must not be
-	// modified by the caller.
+	// requested slots of each bucket's newest version in ref order
+	// (result[i] answers refs[i]). The whole vector fails atomically at the
+	// call level — a single bad ref errors the call (no partial results).
+	// The returned slices must not be modified by the caller.
 	ReadSlots(refs []SlotRef) ([][]byte, error)
 
 	// WriteBuckets performs a vectored write-back: every bucket write of a
 	// stage (typically one sealed epoch's deduplicated write-back set) in
-	// one storage call. The store copies the slots it keeps. The same
-	// per-bucket epoch-ordering rules as WriteBucket apply; writes are
-	// installed in vector order and the call stops at the first failing
-	// entry, so a mid-vector error may leave a prefix installed (shadow
-	// paging makes that harmless: RollbackTo discards it).
+	// one storage call, each installing a new version of its bucket tagged
+	// with its epoch. The store copies the slots it keeps. Per bucket,
+	// writes arrive in non-decreasing epoch order: the pipelined proxy keeps
+	// at most two live (uncommitted) epochs — the sealed epoch a background
+	// committer is flushing and its successor — and flushes them in epoch
+	// order, so a lower-epoch write after a higher-epoch one can only be a
+	// pipelining bug and implementations may reject it. Writes are installed
+	// in vector order and the call stops at the first failing entry, so a
+	// mid-vector error may leave a prefix installed (shadow paging makes
+	// that harmless: RollbackTo discards it).
 	WriteBuckets(writes []BucketWrite) error
 
 	// ReadBucket returns all slots of the newest version of the bucket.
 	ReadBucket(bucket int) ([][]byte, error)
 
-	// WriteBucket installs a new version of the bucket tagged with epoch,
-	// copied from slots. Per bucket, writes arrive in non-decreasing epoch
-	// order: the pipelined proxy keeps at most two live (uncommitted) epochs
-	// — the sealed epoch a background committer is flushing and its
-	// successor — and flushes them in epoch order, so a lower-epoch write
-	// after a higher-epoch one can only be a pipelining bug and
-	// implementations may reject it.
+	// WriteBucket is WriteBuckets of the one bucket (every store answers it
+	// through writeBucket).
 	WriteBucket(bucket int, epoch uint64, slots [][]byte) error
 
 	// CommitEpoch makes every version tagged <= epoch durable and allows the
@@ -202,6 +202,22 @@ type EpochCommitBatcher interface {
 // serves, which covers every multi-proxy deployment.
 type Fenceable interface {
 	AcquireFence() (view Backend, token uint64, err error)
+}
+
+// readSlot is every store's ReadSlot: a vectored read of the one ref, so a
+// scalar call costs, records and fails exactly as that vector does.
+func readSlot(s BucketStore, bucket, slot int) ([]byte, error) {
+	out, err := s.ReadSlots([]SlotRef{{Bucket: bucket, Slot: slot}})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// writeBucket is every store's WriteBucket: a vectored write of the one
+// bucket.
+func writeBucket(s BucketStore, bucket int, epoch uint64, slots [][]byte) error {
+	return s.WriteBuckets([]BucketWrite{{Bucket: bucket, Epoch: epoch, Slots: slots}})
 }
 
 func checkBucket(bucket, n int) error {

@@ -45,13 +45,12 @@ type Event struct {
 // CallStats counts actual backend invocations (wire ops on a remote
 // deployment), as opposed to the per-slot events of the trace. Vectored
 // calls count once however many items they carry — this is the measurement
-// behind the "one storage call per stage" batching guarantee.
+// behind the "one storage call per stage" batching guarantee. A ReadSlot or
+// WriteBucket is a vector of one and counts as one.
 type CallStats struct {
-	ReadSlot     int // scalar slot reads
-	ReadSlots    int // vectored slot reads
+	ReadSlots    int // slot reads
 	ReadBucket   int
-	WriteBucket  int // scalar bucket writes
-	WriteBuckets int // vectored bucket write-backs
+	WriteBuckets int // bucket write-backs
 	Commit       int
 	Rollback     int
 }
@@ -60,10 +59,10 @@ type CallStats struct {
 // trace. It is the measurement device behind the workload-independence tests:
 // two executions are indistinguishable to the honest-but-curious server
 // exactly when their recorded traces have the same shape. Vectored calls are
-// expanded into per-slot / per-bucket events in vector order, so scalar and
-// vectored executions of the same plan record identical traces (vectoring
-// changes the framing, not which versions of which slots are touched); the
-// call-level difference is visible through Calls.
+// expanded into per-slot / per-bucket events in vector order, so however a
+// plan is split into calls it records the same trace (vectoring changes the
+// framing, not which versions of which slots are touched); the call-level
+// difference is visible through Calls.
 type Recorder struct {
 	Backend
 	mu     sync.Mutex
@@ -100,13 +99,7 @@ func (r *Recorder) Reset() {
 	r.mu.Unlock()
 }
 
-func (r *Recorder) ReadSlot(bucket, slot int) ([]byte, error) {
-	r.mu.Lock()
-	r.calls.ReadSlot++
-	r.events = append(r.events, Event{Op: OpReadSlot, Bucket: bucket, Slot: slot})
-	r.mu.Unlock()
-	return r.Backend.ReadSlot(bucket, slot)
-}
+func (r *Recorder) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(r, bucket, slot) }
 
 func (r *Recorder) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	r.mu.Lock()
@@ -127,11 +120,7 @@ func (r *Recorder) ReadBucket(bucket int) ([][]byte, error) {
 }
 
 func (r *Recorder) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	r.mu.Lock()
-	r.calls.WriteBucket++
-	r.events = append(r.events, Event{Op: OpWriteBucket, Bucket: bucket, Epoch: epoch})
-	r.mu.Unlock()
-	return r.Backend.WriteBucket(bucket, epoch, slots)
+	return writeBucket(r, bucket, epoch, slots)
 }
 
 func (r *Recorder) WriteBuckets(writes []BucketWrite) error {
@@ -200,10 +189,7 @@ func (c *InvariantChecker) checkReadLocked(bucket, slot int) {
 }
 
 func (c *InvariantChecker) ReadSlot(bucket, slot int) ([]byte, error) {
-	c.mu.Lock()
-	c.checkReadLocked(bucket, slot)
-	c.mu.Unlock()
-	return c.Backend.ReadSlot(bucket, slot)
+	return readSlot(c, bucket, slot)
 }
 
 // ReadSlots applies the per-slot invariant to every ref: packing reads into
@@ -228,14 +214,10 @@ func (c *InvariantChecker) ReadBucket(bucket int) ([][]byte, error) {
 }
 
 func (c *InvariantChecker) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	c.mu.Lock()
-	delete(c.readSlots, bucket)
-	c.mu.Unlock()
-	return c.Backend.WriteBucket(bucket, epoch, slots)
+	return writeBucket(c, bucket, epoch, slots)
 }
 
-// WriteBuckets resets the read-set of every written bucket, like the scalar
-// write does.
+// WriteBuckets resets the read-set of every written bucket.
 func (c *InvariantChecker) WriteBuckets(writes []BucketWrite) error {
 	c.mu.Lock()
 	for _, w := range writes {

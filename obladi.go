@@ -102,10 +102,6 @@ type Options struct {
 	// comma-separated address per shard; each server stores exactly one
 	// shard's bucket tree and recovery log.
 	RemoteAddr string
-	// SimulatedLatency, when non-empty, wraps embedded storage with one of
-	// the paper's latency profiles: "server" (0.3ms), "server-wan" (10ms),
-	// "dynamo" (1/3ms, capped concurrency).
-	SimulatedLatency string
 
 	// DisableDurability turns off the recovery unit (no crash recovery).
 	DisableDurability bool
@@ -211,21 +207,7 @@ func openBackends(opt Options, params ringoram.Params) ([]storage.Backend, error
 	}
 	var backends []storage.Backend
 	for i := 0; i < opt.Shards; i++ {
-		mem := storage.NewMemBackend(params.Geometry().NumBuckets)
-		var backend storage.Backend
-		switch opt.SimulatedLatency {
-		case "":
-			backend = mem
-		case "server":
-			backend = storage.WithLatency(mem, storage.ProfileServer)
-		case "server-wan":
-			backend = storage.WithLatency(mem, storage.ProfileServerWAN)
-		case "dynamo":
-			backend = storage.WithLatency(mem, storage.ProfileDynamo)
-		default:
-			return nil, fmt.Errorf("obladi: unknown latency profile %q", opt.SimulatedLatency)
-		}
-		backends = append(backends, backend)
+		backends = append(backends, storage.NewMemBackend(params.Geometry().NumBuckets))
 	}
 	return backends, nil
 }

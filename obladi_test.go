@@ -223,13 +223,18 @@ func TestCrashRecoveryThroughAPI(t *testing.T) {
 	}))
 }
 
+// TestSimulatedLatencyProfiles runs the store over a storage server that
+// injects each of the paper's remote latency profiles, as obladi-storage
+// -latency does.
 func TestSimulatedLatencyProfiles(t *testing.T) {
-	for _, prof := range []string{"server", "dynamo"} {
-		db := openTest(t, Options{MaxKeys: 256, SimulatedLatency: prof})
+	for _, prof := range []storage.Profile{storage.ProfileServer, storage.ProfileDynamo} {
+		srv, err := storage.NewServer(storage.WithLatency(storage.NewMemBackend(1<<12), prof), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		db := openTest(t, Options{MaxKeys: 256, RemoteAddr: srv.Addr()})
 		must(t, db.Update(func(tx *Txn) error { return tx.Write("k", []byte("v")) }))
-	}
-	if _, err := Open(Options{SimulatedLatency: "nonsense"}); err == nil {
-		t.Fatal("bogus latency profile accepted")
 	}
 }
 
@@ -359,17 +364,25 @@ func TestShardedRemoteAddrMismatch(t *testing.T) {
 }
 
 // TestFullRestartWithPersistedStorage is the complete durability story: the
-// proxy crashes AND the storage server restarts from its snapshot file; the
+// proxy crashes AND the storage server restarts, reopening its data dir — a
+// one-shard logheap group, the store obladi-storage -data-dir serves; the
 // recovered deployment serves all committed data.
 func TestFullRestartWithPersistedStorage(t *testing.T) {
 	dir := t.TempDir()
-	snap := dir + "/cloud.snap"
-
-	backend1 := storage.NewMemBackend(1 << 12)
-	srv1, err := storage.NewServer(backend1, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	serve := func() (*storage.DiskGroup, *storage.Server) {
+		g, err := storage.OpenDiskGroupOpts(dir, 1, 1<<12, storage.DiskOptions{LogHeap: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := storage.NewServer(g.Backends()[0], "127.0.0.1:0")
+		if err != nil {
+			g.Close()
+			t.Fatal(err)
+		}
+		return g, srv
 	}
+
+	g1, srv1 := serve()
 	opt := Options{
 		MaxKeys:       512,
 		RemoteAddr:    srv1.Addr(),
@@ -382,18 +395,13 @@ func TestFullRestartWithPersistedStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	must(t, db1.Update(func(tx *Txn) error { return tx.Write("durable", []byte("across-restarts")) }))
-	// Proxy crashes; storage shuts down cleanly, snapshotting its state.
+	// Proxy crashes; storage shuts down and closes its data dir.
 	srv1.Close()
-	must(t, backend1.SaveTo(snap))
+	db1.Close()
+	must(t, g1.Close())
 
-	backend2, err := storage.LoadMemBackend(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := storage.NewServer(backend2, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2, srv2 := serve()
+	defer g2.Close()
 	defer srv2.Close()
 	opt.RemoteAddr = srv2.Addr()
 	db2, err := Open(opt)
