@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -137,6 +139,28 @@ func TestBackendConformanceGroupDisk(t *testing.T) {
 		}
 		t.Cleanup(func() { g.Close() })
 		return g.Backends()
+	})
+}
+
+// The same contract must hold for the composition the group crash sweep
+// leans on: lone shards, each opened on its own with one worker, sharing one
+// caller-owned CommitGroup that outlives them. The scheduler has no window,
+// so every barrier races the flusher, and no DiskGroup owns it.
+func TestBackendConformanceGroupDiskZeroWindow(t *testing.T) {
+	RunGroupCommitConformance(t, 3, func(t *testing.T, n int) []Backend {
+		cg := NewCommitGroup()
+		t.Cleanup(func() { cg.Close() })
+		dir := t.TempDir()
+		out := make([]Backend, n)
+		for i := range out {
+			b, err := openDiskBackendOpts(osFS{}, filepath.Join(dir, fmt.Sprintf("shard-%d", i)), ConformanceMinBuckets, diskOpts{group: cg, workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { b.Close() })
+			out[i] = b
+		}
+		return out
 	})
 }
 
