@@ -14,17 +14,18 @@
 //
 //	obladi-proxy -shards 4 -storage host0:7000,host1:7000,host2:7000,host3:7000
 //
-// High availability (hot standby with sub-second failover):
+// High availability (a standby with sub-second failover):
 //
 //	obladi-proxy -storage host:7000 -seed s3cret -replica-listen :7200
 //	obladi-proxy -storage host:7000 -seed s3cret -standby-of primary:7200
 //
 // The standby claims its client port immediately (so clients can list both
-// proxies in a static failover address list), replicates the primary's
-// recovery log, and serves transactions after promoting on lease expiry.
-// Client connections made before promotion wait in the accept queue and are
-// served once the standby promotes — a client dialing into the failover
-// window sees latency, not errors.
+// proxies in a static failover address list) and watches the primary's
+// heartbeats. When they stop for a lease, it fences the storage servers and
+// recovers from the durable log exactly as a restarted proxy would, then
+// serves. Client connections made before promotion wait in the accept queue
+// and are served once the standby promotes — a client dialing into the
+// failover window sees latency, not errors.
 //
 // SIGTERM drains gracefully: client sessions stop being accepted, the
 // current epoch seals and commits, and every accepted transaction resolves
@@ -60,10 +61,9 @@ func main() {
 	readBatch := flag.Int("read-batch-size", 32, "read batch size (bread)")
 	writeBatch := flag.Int("write-batch-size", 32, "write batch size (bwrite)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables profiling)")
-	replicaListen := flag.String("replica-listen", "", "listen here for a hot standby and replicate the recovery log to it")
-	replicaAck := flag.Bool("replica-ack", false, "gate commit acks on standby receipt (replica-acked mode; needs -replica-listen)")
-	standbyOf := flag.String("standby-of", "", "run as hot standby of the primary replicating at this address; promote on lease expiry")
-	lease := flag.Duration("lease", 750*time.Millisecond, "standby promotes after this long without a frame from the primary")
+	replicaListen := flag.String("replica-listen", "", "fence storage and listen here for a standby, holding its lease with heartbeats")
+	standbyOf := flag.String("standby-of", "", "run as standby of the primary whose -replica-listen is this address; promote on lease expiry")
+	lease := flag.Duration("lease", 750*time.Millisecond, "standby promotes after this long without a heartbeat from the primary")
 	maxSessions := flag.Int("max-sessions-per-conn", 0, "shed transaction sessions beyond this many per client connection (0 = default cap)")
 	maxPendingReads := flag.Int("max-pending-reads", 0, "per-session cap on outstanding async reads; excess applies read-loop backpressure (0 = default)")
 	flag.Parse()
@@ -84,7 +84,6 @@ func main() {
 		BatchInterval:  *interval,
 		RemoteAddr:     *storageAddr,
 		ReplicaListen:  *replicaListen,
-		ReplicaAcked:   *replicaAck,
 		LeaseTimeout:   *lease,
 	}
 	srvOpt := clientproto.ServerOptions{
@@ -123,7 +122,7 @@ func main() {
 		log.Fatalf("opening store: %v", err)
 	}
 	if addr := db.ReplicaAddr(); addr != "" {
-		fmt.Printf("obladi-proxy: replica=%s (hot standby attach point)\n", addr)
+		fmt.Printf("obladi-proxy: replica=%s (standby lease link)\n", addr)
 	}
 	srv, err := clientproto.NewServerOpts(clientproto.WrapDB(db), *listen, srvOpt)
 	if err != nil {
@@ -158,9 +157,5 @@ func serve(db *obladi.DB, srv *clientproto.Server, storageAddr string, interval 
 	for i, l := range st.Logs {
 		fmt.Printf("obladi-proxy: shard %d log: %d records from seq %d, %d truncations; checkpoints: last delta %d B, last full %d B, %d B in all\n",
 			i, l.Records, l.FloorSeq, l.Truncations, l.LastDeltaBytes, l.LastFullBytes, l.CheckpointBytes)
-	}
-	if rs, ok := db.ReplicationStats(); ok {
-		fmt.Printf("obladi-proxy: replication: standby attached=%v, stream %d (acked %d), history %d entries, floors %v, %d barriers degraded\n",
-			rs.Attached, rs.StreamLen, rs.Acked, rs.HistoryLen, rs.Floors, rs.BarriersDegraded)
 	}
 }

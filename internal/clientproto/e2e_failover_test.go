@@ -28,7 +28,7 @@ func extractReplicaField(line string) string {
 
 // launchSeq starts a binary and extracts one value per (marker, extract)
 // pair, in the order the process prints them — for processes that announce
-// several addresses (the replicating primary prints replica= then clients=).
+// several addresses (a primary with a standby prints replica= then clients=).
 func launchSeq(t *testing.T, bin string, args []string, markers []string, extracts []func(string) string) ([]string, *exec.Cmd) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -76,9 +76,9 @@ func launchSeq(t *testing.T, bin string, args []string, markers []string, extrac
 
 // TestFailoverKillPrimary is the end-to-end failover drill the subsystem
 // exists for: real binaries — durable obladi-storage, a primary obladi-proxy
-// replicating to a hot standby obladi-proxy — with smallbank traffic through
-// a failover-aware client, a SIGKILL of the primary mid-epoch, and the
-// standby promoting on lease expiry. It must hold zero acknowledged-commit
+// holding the lease of a standby obladi-proxy — with smallbank traffic
+// through a failover-aware client, a SIGKILL of the primary mid-epoch, and
+// the standby promoting on lease expiry. It must hold zero acknowledged-commit
 // loss (every marker whose Commit returned nil is readable afterwards),
 // money conservation, and sub-lease-order failover (bounded here loosely for
 // CI scheduling noise).
@@ -97,7 +97,7 @@ func TestFailoverKillPrimary(t *testing.T) {
 	commonArgs := []string{"-storage", storageAddr, "-listen", "127.0.0.1:0",
 		"-keys", "1024", "-batch-interval", "1ms", "-seed", seed}
 	primaryCmdArgs := append(append([]string{}, commonArgs...),
-		"-replica-listen", "127.0.0.1:0", "-replica-ack")
+		"-replica-listen", "127.0.0.1:0")
 	primaryOut, primaryCmd := launchSeq(t, proxyBin, primaryCmdArgs,
 		[]string{"replica=", "clients="},
 		[]func(string) string{extractReplicaField, extractClientsField})

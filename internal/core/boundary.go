@@ -58,6 +58,14 @@ func (p *Proxy) WaitCommitted() error {
 	return p.failed
 }
 
+// Failed returns the error that fail-stopped the proxy: nil while it serves,
+// and after a plain Close.
+func (p *Proxy) Failed() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.failed
+}
+
 // sealEpoch runs the boundary's synchronous stage and opens the next epoch.
 // On return the write batch has executed, every shard's write-back set is
 // sealed, the checkpoints are snapshotted, and read batches may resume; the
@@ -220,14 +228,6 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 // and recover). Either way the boundary slot is freed for the next seal.
 func (p *Proxy) commitBoundary(job *boundaryJob) {
 	err := p.runCommit(job)
-	if err == nil && p.cfg.Replicator != nil {
-		// Replication barrier: in replica-acked mode the acks below addition-
-		// ally stand on the standby holding every record of this epoch. The
-		// epoch is already durably committed locally, so Barrier degrades
-		// rather than fails (see Replicator) — a non-nil error here means the
-		// replicator itself is broken, and fail-stop is the honest outcome.
-		err = p.cfg.Replicator.Barrier()
-	}
 	if err == nil {
 		p.retiring.Lock()
 		p.mu.Lock()
@@ -239,9 +239,9 @@ func (p *Proxy) commitBoundary(job *boundaryJob) {
 		p.mu.Unlock()
 		job.commitAck = nil
 		// The epoch is durable on every shard (checkpoints, the commit point,
-		// store commit, replica barrier), so its log prefix can go — after
-		// the acks, which have no reason to wait for a truncation, and before
-		// the boundary slot is freed, so no later commit's appends overlap it.
+		// store commit), so its log prefix can go — after the acks, which
+		// have no reason to wait for a truncation, and before the boundary
+		// slot is freed, so no later commit's appends overlap it.
 		err = p.retireLogs(job.epoch)
 		p.retiring.Unlock()
 	}

@@ -48,7 +48,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,12 +123,6 @@ type Config struct {
 	DisableDurability bool
 	// FullCheckpointEvery is the full-checkpoint cadence (Figure 11a).
 	FullCheckpointEvery int
-
-	// Replicator, when set, mirrors every recovery-log append to a hot
-	// standby and gates boundary acks on its Barrier (see Replicator).
-	// Ignored with DisableDurability — the WAL is the replication stream,
-	// so no WAL means nothing to replicate.
-	Replicator Replicator
 }
 
 // BoundaryMode is the type of Config.Boundary, which has no effect.
@@ -252,10 +245,6 @@ type Proxy struct {
 	// durable inline and a Sync round has nothing to flush.
 	deferredLogs bool
 
-	// tees are the per-shard replication taps on the recovery logs (nil
-	// without a Replicator); armed once primeReplicator has seeded history.
-	tees []*replTee
-
 	mu     sync.Mutex
 	closed bool
 	// failed is the error that fail-stopped the proxy (nil until one does;
@@ -344,7 +333,9 @@ func New(store storage.Backend, cfg Config) (*Proxy, error) {
 // len(stores) shards, one Ring ORAM per backend. Every shard runs the same
 // per-shard configuration (geometry, batch quotas, recovery cadence). Like
 // New, it recovers instead of reinitializing when the coordinator shard's
-// recovery log holds a committed checkpoint.
+// recovery log holds a committed checkpoint. It is also how a standby
+// promotes (internal/replica): over the views it fenced, a promotion is a
+// restart.
 func NewSharded(stores []storage.Backend, cfg Config) (*Proxy, error) {
 	p, err := newProxy(stores, cfg)
 	if err != nil {
@@ -353,42 +344,32 @@ func NewSharded(stores []storage.Backend, cfg Config) (*Proxy, error) {
 	if err := p.bootstrap(); err != nil {
 		return nil, err
 	}
-	return p.start()
+	if p.cfg.BatchInterval > 0 {
+		p.loop.Add(1)
+		go p.epochLoop()
+	}
+	return p, nil
 }
 
-// NewShardedFromRecoveries builds a proxy from pre-built recovery states
-// instead of scanning the stores' logs: the promotion path of hot-standby
-// failover (internal/replica), where the standby has already run
-// wal.Recover/RecoverWithFloor over its warm, locally replicated copy of
-// every shard's log. recs must be per-shard and coordinator-first, exactly
-// what the cold path's phase 1 would have produced; phase 2 (rollback,
-// state rebuild, deterministic replay, recovery-epoch commit) then runs
-// unchanged against the given stores, so a promoted standby and a
-// cold-restarted proxy reach identical state by construction.
-func NewShardedFromRecoveries(stores []storage.Backend, cfg Config, recs []*wal.Recovery) (*Proxy, error) {
-	p, err := newProxy(stores, cfg)
-	if err != nil {
-		return nil, err
+// WALConfigFor returns the recovery-unit configuration NewSharded gives
+// shard's log under cfg, for tools and tests that open a proxy's log
+// themselves.
+func WALConfigFor(cfg Config, shard, shards int) (wal.Config, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return wal.Config{}, err
 	}
-	if cfg.DisableDurability {
-		return nil, errors.New("core: recovery injection needs durability enabled")
-	}
-	if len(recs) != len(stores) {
-		return nil, fmt.Errorf("core: %d recoveries for %d stores", len(recs), len(stores))
-	}
-	if !recs[0].HasCommit {
-		return nil, errors.New("core: coordinator recovery has no committing checkpoint")
-	}
-	if err := p.recoverFromRecoveries(recs); err != nil {
-		return nil, err
-	}
-	return p.start()
+	return wal.Config{
+		Key:                 cfg.Key,
+		Shard:               shard,
+		Shards:              shards,
+		PadPosEntries:       cfg.ReadBatches*cfg.ReadBatchSize + cfg.WriteBatchSize,
+		PadStashEntries:     cfg.Params.StashLimit,
+		FullCheckpointEvery: cfg.FullCheckpointEvery,
+	}, nil
 }
 
-// newProxy runs the construction shared by every entry point: validation,
-// shard assembly, recovery-unit creation (tee-wrapped when replicating), and
-// the unified-commit probe. The caller then bootstraps or injects recovery
-// state and calls start.
+// newProxy validates cfg and assembles the shards, their recovery units and
+// the unified-commit probe; NewSharded then bootstraps or recovers.
 func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("core: at least one storage backend required")
@@ -427,20 +408,14 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 			fetched: make(map[string]bool),
 		}
 		if !cfg.DisableDurability {
-			var logStore storage.LogStore = st
-			if cfg.Replicator != nil {
-				tapped, tee := newReplTee(st, i, cfg.Replicator)
-				logStore = tapped
-				p.tees = append(p.tees, tee)
-			}
-			if _, ok := logStore.(storage.LogBatcher); ok {
+			if _, ok := st.(storage.LogBatcher); ok {
 				p.deferredLogs = true
 			}
 			wcfg, err := WALConfigFor(cfg, i, len(stores))
 			if err != nil {
 				return nil, err
 			}
-			l, err := wal.New(logStore, wcfg)
+			l, err := wal.New(st, wcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -462,19 +437,6 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 	p.ccu.SetWriteBudget(nshards, cfg.WriteBatchSize, func(key string) int {
 		return shardOf(key, nshards)
 	})
-	return p, nil
-}
-
-// start arms replication and launches the epoch loop once the proxy's state
-// is built (bootstrap or injected recovery).
-func (p *Proxy) start() (*Proxy, error) {
-	if err := p.primeReplicator(); err != nil {
-		return nil, err
-	}
-	if p.cfg.BatchInterval > 0 {
-		p.loop.Add(1)
-		go p.epochLoop()
-	}
 	return p, nil
 }
 

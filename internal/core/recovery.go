@@ -92,17 +92,6 @@ func (p *Proxy) recover(coordRec *wal.Recovery) error {
 			return err
 		}
 	}
-	return p.recoverFromRecoveries(recs)
-}
-
-// recoverFromRecoveries is recovery phase 2, shared by the cold path above
-// and the hot-standby promotion path (NewShardedFromRecoveries, which built
-// recs from its replicated log copies instead of scanning storage): rollback,
-// state rebuild, deterministic replay, and the recovery-epoch commit.
-func (p *Proxy) recoverFromRecoveries(recs []*wal.Recovery) error {
-	committed := recs[0].CommittedEpoch
-	errs := make([]error, len(p.shards))
-	var wg sync.WaitGroup
 	// The recovery epoch must cover every logged epoch of the dead
 	// generation: the pipelined boundary can leave batch records of
 	// committed+1 AND committed+2 behind, and the next generation reuses

@@ -1,15 +1,14 @@
-// Package replica implements proxy hot-standby replication: the primary
-// proxy streams its recovery log — the WAL of §8, whose records already
-// capture everything recovery needs — over TCP to a standby that replays it
-// into warm per-shard log copies. On lease expiry the standby fences the
-// storage backends, tops its copies up from the durable log tail, and runs
-// the ordinary wal recovery over them, so promotion costs one fence
-// round-trip plus a tail scan instead of a full log scan.
+// Package replica implements proxy failover: a lease link from the primary
+// proxy to a standby, and promotion. The primary only says it is alive — a
+// hello, then a heartbeat every HeartbeatEvery while its proxy has not
+// fail-stopped. When the heartbeats stop for a lease, the standby fences
+// every storage backend and hands the fenced views to core.NewSharded: a
+// promotion is a restart, recovering from the durable log on storage like
+// any other (§8). No log record crosses the link.
 //
-// Security: the stream carries only sealed log records (AES-GCM under the
-// proxy key) plus plaintext framing the untrusted store already sees —
-// record kinds, sizes, and timing. An observer of the replication link
-// learns nothing an observer of the storage link could not.
+// Security: the link carries no sealed bytes and nothing derived from the
+// workload — a fixed-size hello and empty heartbeats, so an observer learns
+// only the primary's liveness timing.
 package replica
 
 import (
@@ -20,54 +19,35 @@ import (
 	"io"
 )
 
-// Frame kinds. The stream is a sequence of length-prefixed, crc32c-protected
+// Frame kinds. The link is a sequence of length-prefixed, crc32c-protected
 // frames; torn tails (a frame cut mid-write by a crash or connection drop)
-// and corruption are detected per frame, so a standby never applies a
-// partial record.
+// and corruption are detected per frame.
 const (
 	// frameHello opens a connection, primary → standby: seq carries the
 	// protocol version, shard the primary's shard count, rec the magic.
 	frameHello = byte(iota + 1)
-	// frameRecord mirrors one log record: shard and seq name its slot in
-	// that shard's store log, rec is the sealed record verbatim.
-	frameRecord
-	// frameHeartbeat is sent when the stream is idle so the standby's lease
-	// clock keeps running without traffic.
+	// frameHeartbeat renews the standby's lease.
 	frameHeartbeat
-	// frameSyncpoint asks the standby to ack immediately (barrier probe).
-	frameSyncpoint
-	// frameAck, standby → primary: seq is the cumulative count of stream
-	// frames (records and truncations) received on this connection; the
-	// sender adds the stream offset the connection started at.
-	frameAck
-	// frameFloor opens a connection's stream, one per shard, before any
-	// stream frame: seq is the first sequence number the primary's log for
-	// shard still retains. A standby whose copy ends below it restarts the
-	// copy there — the records in between exist nowhere any more, and a
-	// full checkpoint heads what remains. Not a stream frame: not counted
-	// in acks.
-	frameFloor
-	// frameTruncate is a stream frame: the primary truncated shard's log
-	// below seq, in this position relative to the records around it.
-	frameTruncate
 )
 
 const (
 	frameMagic = "OBRP"
-	// frameVersion 2 added frameFloor/frameTruncate and made acks relative
-	// to the connection's starting offset.
-	frameVersion = 2
-	// maxFrameLen bounds a frame body so a corrupt length prefix cannot
-	// drive an unbounded allocation. Records are epoch-sized (a write-batch
-	// schedule or a padded checkpoint), far under this.
-	maxFrameLen = 64 << 20
+	// frameVersion 3 dropped the log stream: hello and heartbeat are the
+	// only frames.
+	frameVersion = 3
+	// frameHeader is kind + shard + seq; the length prefix and trailing
+	// crc32c bracket it and the record bytes.
+	frameHeader = 1 + 4 + 8
+	// maxFrameLen is the largest legal frame body, the hello's, so a hostile
+	// length prefix is refused before anything is allocated for it.
+	maxFrameLen = frameHeader + len(frameMagic)
 )
 
 var (
-	// ErrCorruptFrame means a frame's crc32c did not match its body.
-	ErrCorruptFrame = errors.New("replica: frame failed crc32c check")
-	// ErrTornFrame means the stream ended inside a frame — the partial
-	// frame is discarded, never partially applied.
+	// ErrCorruptFrame means a frame's crc32c did not match its body, or its
+	// length prefix was impossible.
+	ErrCorruptFrame = errors.New("replica: corrupt frame")
+	// ErrTornFrame means the link ended inside a frame.
 	ErrTornFrame = errors.New("replica: torn frame at stream tail")
 	// ErrBadHello means the peer did not speak this protocol.
 	ErrBadHello = errors.New("replica: bad hello")
@@ -75,17 +55,13 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// frame is the unit of the replication stream.
+// frame is the unit of the lease link.
 type frame struct {
 	kind  byte
 	shard uint32
 	seq   uint64
 	rec   []byte
 }
-
-// frameHeader is kind + shard + seq; the length prefix and trailing crc32c
-// bracket it and the record bytes.
-const frameHeader = 1 + 4 + 8
 
 // writeFrame encodes f as len(u32) | kind | shard | seq | rec | crc32c,
 // little-endian, with the crc covering everything between len and crc.
@@ -106,32 +82,31 @@ func writeFrame(w io.Writer, f frame) error {
 // readFrame decodes the next frame. A clean end-of-stream between frames
 // returns io.EOF; a stream that ends inside a frame returns ErrTornFrame.
 func readFrame(r io.Reader) (frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	var buf [4 + maxFrameLen + 4]byte
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		if err == io.EOF {
 			return frame{}, io.EOF
 		}
 		return frame{}, fmt.Errorf("%w: %v", ErrTornFrame, err)
 	}
-	body := binary.LittleEndian.Uint32(lenBuf[:])
+	body := int(binary.LittleEndian.Uint32(buf[:4]))
 	if body < frameHeader || body > maxFrameLen {
 		return frame{}, fmt.Errorf("%w: implausible frame length %d", ErrCorruptFrame, body)
 	}
-	buf := make([]byte, body+4)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	b := buf[4 : 4+body+4]
+	if _, err := io.ReadFull(r, b); err != nil {
 		return frame{}, fmt.Errorf("%w: %v", ErrTornFrame, err)
 	}
-	crc := binary.LittleEndian.Uint32(buf[body:])
-	if crc32.Checksum(buf[:body], crcTable) != crc {
+	if crc32.Checksum(b[:body], crcTable) != binary.LittleEndian.Uint32(b[body:]) {
 		return frame{}, ErrCorruptFrame
 	}
 	f := frame{
-		kind:  buf[0],
-		shard: binary.LittleEndian.Uint32(buf[1:]),
-		seq:   binary.LittleEndian.Uint64(buf[5:]),
+		kind:  b[0],
+		shard: binary.LittleEndian.Uint32(b[1:]),
+		seq:   binary.LittleEndian.Uint64(b[5:]),
 	}
 	if body > frameHeader {
-		f.rec = buf[frameHeader:body]
+		f.rec = b[frameHeader:body]
 	}
 	return f, nil
 }

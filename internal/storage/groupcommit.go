@@ -12,10 +12,10 @@ import (
 // This file holds the group-commit scheduler: a per-data-dir fsync coalescer
 // shared by every DiskBackend shard rooted under one directory. Shards append
 // their commit records (and log/KV records) unsynced and then stand on a
-// Barrier; the scheduler runs one syncer per file with pending barriers, so
-// every barrier that lands on a file while its fsync is in flight rides the
-// next fsync of that file together — and fsyncs of *different* files never
-// wait on one another. The ack contract is unchanged: nothing is acknowledged
+// barrier (BarrierTicket); the scheduler runs one syncer per file with
+// pending barriers, so every barrier that lands on a file while its fsync is
+// in flight rides the next fsync of that file together — and fsyncs of
+// *different* files never wait on one another. The ack contract is unchanged: nothing is acknowledged
 // before its covering barrier lands; what moves is how many acks one fsync
 // covers.
 
@@ -76,7 +76,8 @@ func (g *CommitGroup) Wrote(f vfile) uint64 {
 }
 
 // fileLocked returns (creating if needed) f's queue. A queue created here
-// with no pending barriers has no syncer yet; Barrier spawns one on demand.
+// with no pending barriers has no syncer yet; BarrierTicket spawns one on
+// demand.
 func (g *CommitGroup) fileLocked(f vfile) *fileSync {
 	fs := g.files[f]
 	if fs == nil {
@@ -86,18 +87,12 @@ func (g *CommitGroup) fileLocked(f vfile) *fileSync {
 	return fs
 }
 
-// Barrier blocks until an fsync of f issued at or after this call returns,
-// and reports that fsync's error. It is the durability point every group-
-// routed ack stands on.
-func (g *CommitGroup) Barrier(f vfile) error {
-	return g.BarrierTicket(f, g.Wrote(f))
-}
-
-// BarrierTicket is Barrier for bytes stamped by an earlier Wrote: it blocks
-// until an fsync of f issued after that ticket returns. Callers that stamp
-// right after their write ride fsyncs a plain Barrier would have to wait
-// out — and return immediately when a successful fsync already covered the
-// ticket. Each ticket backs at most one BarrierTicket call.
+// BarrierTicket blocks until an fsync of f issued after ticket (stamped by
+// an earlier Wrote) returns, and reports that fsync's error: the durability
+// point every group-routed ack stands on. Callers that stamp right after
+// their write ride fsyncs already in flight — and return immediately when a
+// successful fsync already covered the ticket. Each ticket backs at most one
+// BarrierTicket call.
 func (g *CommitGroup) BarrierTicket(f vfile, ticket uint64) error {
 	req := &groupReq{ticket: ticket, done: make(chan error, 1)}
 	g.mu.Lock()

@@ -180,11 +180,11 @@ type EpochCommitBatcher interface {
 	CommitStream() any
 }
 
-// Fenceable is an optional Backend capability for proxy-generation fencing,
-// the storage half of hot-standby failover (internal/replica). AcquireFence
-// registers a new proxy generation with the store: the returned token is
-// strictly greater than every token issued before, and the returned view is
-// bound to it. Mutating operations (bucket writes, epoch commit/rollback, log
+// Fenceable is an optional Backend capability for proxy-generation fencing:
+// what lets a promoted standby (internal/replica) revoke a primary that may
+// still be running. AcquireFence registers a new proxy generation with the
+// store: the returned token is strictly greater than every token issued
+// before, and the returned view is bound to it. Mutating operations (bucket writes, epoch commit/rollback, log
 // append/truncate, KV writes) issued through a view whose token has been
 // superseded fail with ErrFenced; reads stay unfenced (the store is untrusted
 // and readable by anyone holding the wire anyway).
@@ -193,9 +193,9 @@ type EpochCommitBatcher interface {
 // AcquireFence may be admitted as if it preceded the acquisition, but every
 // mutating operation STARTED after AcquireFence returns on a stale view
 // fails. A promoted standby therefore acquires its fence first and only then
-// reads the log tail and rolls the tree back — anything a zombie primary
-// slipped in before the fence is observed by that scan, and anything after
-// it fails loudly (the proxy fail-stops on any boundary error).
+// recovers — its log scan observes anything a zombie primary slipped in
+// before the fence, and anything after it fails loudly (the proxy
+// fail-stops on any boundary error).
 //
 // Backends without the capability (plain disk dirs opened in-process) simply
 // do not fence; the remote Server fences at the wire for whatever backend it
@@ -225,6 +225,26 @@ func checkBucket(bucket, n int) error {
 		return fmt.Errorf("%w: %d (have %d)", ErrNoSuchBucket, bucket, n)
 	}
 	return nil
+}
+
+// FenceAll acquires a new proxy generation on every Fenceable backend of a
+// sharded deployment and returns the views to run through; a backend without
+// the capability is returned as is. Any failure is returned: falling back to
+// the raw handle, whose token is 0, would leave a proxy no later generation
+// can revoke.
+func FenceAll(backends []Backend) ([]Backend, error) {
+	out := make([]Backend, len(backends))
+	for i, b := range backends {
+		out[i] = b
+		if f, ok := b.(Fenceable); ok {
+			view, _, err := f.AcquireFence()
+			if err != nil {
+				return nil, fmt.Errorf("storage: fencing shard %d: %w", i, err)
+			}
+			out[i] = view
+		}
+	}
+	return out, nil
 }
 
 // CloseAll closes every backend of a sharded deployment, returning the first

@@ -437,22 +437,6 @@ func IsCommitRecord(rec []byte) bool {
 	return len(rec) > 0 && rec[0] == kindCheckpointCommitting
 }
 
-// DecodeCommitEpoch opens a raw log record and, when it is a committing
-// checkpoint, returns the epoch it commits. ok is false (with no error) for
-// other record kinds. The replication standby uses this to track the
-// primary's committed epoch from the mirrored stream without running a full
-// recovery per record.
-func (l *Log) DecodeCommitEpoch(rec []byte) (epoch uint64, ok bool, err error) {
-	if !IsCommitRecord(rec) {
-		return 0, false, nil
-	}
-	plain, err := l.open(rec, checkpointHeaderSize)
-	if err != nil {
-		return 0, false, err
-	}
-	return headerEpoch(plain), true, nil
-}
-
 // Retire tells the log that every epoch up to and including epoch is durably
 // committed on every shard — checkpoints, the coordinator's committing one
 // among them, and the storage epoch commit — so nothing at or below it will

@@ -113,21 +113,15 @@ type Options struct {
 	// key (suitable only for stores that die with the process).
 	KeySeed []byte
 
-	// ReplicaListen, when non-empty, enables hot-standby replication: the
-	// proxy listens on this address for a standby, mirrors every
-	// recovery-log record to it, and fences the storage backends under its
-	// proxy generation so a standby that later promotes revokes this
-	// proxy's write authority. See DESIGN.md ("Proxy replication and
-	// failover"). Requires durability.
+	// ReplicaListen, when non-empty, lets a standby take over from this
+	// proxy: it fences the storage backends under its own proxy generation,
+	// so a standby that later promotes revokes its write authority, and
+	// listens on this address to hold the standby's lease with heartbeats
+	// for as long as the proxy has not fail-stopped. See DESIGN.md ("Proxy
+	// failover"). Requires durability: a promotion recovers from the log.
 	ReplicaListen string
-	// ReplicaAcked gates commit acknowledgements on standby receipt: the
-	// epoch boundary additionally waits until the attached standby holds
-	// every log record (degrading to local-durable, loudly, when no
-	// standby keeps up). Without it replication is best-effort warmth that
-	// only shortens failover.
-	ReplicaAcked bool
 	// LeaseTimeout is the failover detector's patience: a standby promotes
-	// after this long without a frame from the primary. Default 750ms.
+	// after this long without a heartbeat from the primary. Default 750ms.
 	LeaseTimeout time.Duration
 }
 
@@ -227,23 +221,6 @@ func coreConfig(opt Options, params ringoram.Params, key *cryptoutil.Key) core.C
 	}
 }
 
-// fenceBackends claims a proxy generation on every fence-capable backend and
-// returns the fenced views to run through. Called whenever replication is in
-// play: writing through a fenced view is what lets a later generation (a
-// promoted standby) revoke this proxy's write authority instead of racing it.
-func fenceBackends(backends []storage.Backend) []storage.Backend {
-	out := make([]storage.Backend, len(backends))
-	for i, b := range backends {
-		out[i] = b
-		if f, ok := b.(storage.Fenceable); ok {
-			if view, _, err := f.AcquireFence(); err == nil {
-				out[i] = view
-			}
-		}
-	}
-	return out
-}
-
 // Open creates (or, when the backends' recovery logs hold a committed
 // checkpoint, recovers) a DB.
 func Open(opt Options) (*DB, error) {
@@ -255,47 +232,61 @@ func Open(opt Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := coreConfig(opt, params, key)
-	var sender *replica.Sender
-	if opt.ReplicaListen != "" {
-		if opt.DisableDurability {
-			storage.CloseAll(backends)
-			return nil, errors.New("obladi: ReplicaListen requires durability (the recovery log is the replication stream)")
-		}
-		sender, err = replica.NewSender(opt.ReplicaListen, replica.SenderConfig{
-			Shards: opt.Shards,
-			Acked:  opt.ReplicaAcked,
-		})
-		if err != nil {
-			storage.CloseAll(backends)
-			return nil, err
-		}
-		cfg.Replicator = sender
-		backends = fenceBackends(backends)
-	}
-	proxy, err := core.NewSharded(backends, cfg)
+	db, err := openOn(opt, coreConfig(opt, params, key), backends)
 	if err != nil {
-		if sender != nil {
-			sender.Close()
-		}
 		storage.CloseAll(backends)
 		return nil, err
 	}
-	return &DB{proxy: proxy, backends: backends, sender: sender}, nil
+	return db, nil
 }
 
-// OpenStandby runs as a hot standby of the primary replicating at
-// primaryAddr (its ReplicaListen address). It mirrors the primary's
-// recovery logs into memory, blocks until the primary's lease expires (or
-// ctx is done, which aborts with ctx's error), then promotes: fences the
-// storage backends — revoking the dead (or zombie) primary's write
-// authority — tops its warm logs up from the durable tail, runs crash
-// recovery over them, and returns a live DB. Options must match the
-// primary's (same KeySeed, shards, batching and storage addresses);
-// KeySeed is required since the standby must open the primary's sealed
-// records. Every transaction the primary acknowledged is visible in the
-// returned DB — acknowledgements stand on the durable log the promotion
-// replays.
+// openOn runs Open over backends it does not close on failure. With
+// ReplicaListen it fences them first and fails if it cannot: a primary
+// running on raw token-0 handles could never be revoked by a promotion.
+func openOn(opt Options, cfg core.Config, backends []storage.Backend) (*DB, error) {
+	if opt.ReplicaListen != "" {
+		if opt.DisableDurability {
+			return nil, errors.New("obladi: ReplicaListen requires durability (a promotion recovers from the log)")
+		}
+		views, err := storage.FenceAll(backends)
+		if err != nil {
+			return nil, err
+		}
+		backends = views
+	}
+	return start(opt, cfg, backends)
+}
+
+// start runs the proxy over backends and, with ReplicaListen, holds a
+// standby's lease for as long as the proxy has not fail-stopped.
+func start(opt Options, cfg core.Config, backends []storage.Backend) (*DB, error) {
+	proxy, err := core.NewSharded(backends, cfg)
+	if err != nil {
+		return nil, err
+	}
+	db := &DB{proxy: proxy, backends: backends}
+	if opt.ReplicaListen != "" {
+		db.sender, err = replica.NewSender(opt.ReplicaListen, replica.SenderConfig{
+			Shards: opt.Shards,
+			Alive:  func() bool { return proxy.Failed() == nil },
+		})
+		if err != nil {
+			proxy.Close()
+			return nil, err
+		}
+	}
+	return db, nil
+}
+
+// OpenStandby runs as the standby of the primary whose ReplicaListen address
+// is primaryAddr. It blocks until the primary's lease expires (or ctx is
+// done, which aborts with ctx's error), then promotes: it fences the storage
+// backends, revoking the dead (or zombie) primary's write authority, and
+// opens the DB over the fenced views — a restart, recovering from the
+// durable log. Options must match the primary's (same KeySeed, shards,
+// batching and storage addresses); KeySeed is required since recovery opens
+// the primary's sealed records. Every transaction the primary acknowledged
+// is visible in the returned DB: acknowledgements stand on that log.
 func OpenStandby(ctx context.Context, primaryAddr string, opt Options) (*DB, error) {
 	opt, params, key, err := normalize(opt)
 	if err != nil {
@@ -311,16 +302,7 @@ func OpenStandby(ctx context.Context, primaryAddr string, opt Options) (*DB, err
 	if err != nil {
 		return nil, err
 	}
-	cfg := coreConfig(opt, params, key)
-	base, err := core.WALConfigFor(cfg, 0, opt.Shards)
-	if err != nil {
-		storage.CloseAll(backends)
-		return nil, err
-	}
-	sb, err := replica.NewStandby(primaryAddr, backends, replica.StandbyConfig{
-		LeaseTimeout: opt.LeaseTimeout,
-		Decode:       &base,
-	})
+	sb, err := replica.NewStandby(primaryAddr, backends, replica.StandbyConfig{LeaseTimeout: opt.LeaseTimeout})
 	if err != nil {
 		storage.CloseAll(backends)
 		return nil, err
@@ -330,39 +312,17 @@ func OpenStandby(ctx context.Context, primaryAddr string, opt Options) (*DB, err
 		storage.CloseAll(backends)
 		return nil, err
 	}
-	res, err := sb.Promote(base)
+	views, err := sb.Promote()
 	if err != nil {
 		storage.CloseAll(backends)
 		return nil, err
 	}
-	var sender *replica.Sender
-	if opt.ReplicaListen != "" {
-		sender, err = replica.NewSender(opt.ReplicaListen, replica.SenderConfig{
-			Shards: opt.Shards,
-			Acked:  opt.ReplicaAcked,
-		})
-		if err != nil {
-			storage.CloseAll(backends)
-			return nil, err
-		}
-		cfg.Replicator = sender
-	}
-	var proxy *core.Proxy
-	if res.Recoveries != nil {
-		proxy, err = core.NewShardedFromRecoveries(res.Stores, cfg, res.Recoveries)
-	} else {
-		// The dead primary never committed a first boot; nothing to carry
-		// over, so bootstrap cold on the fenced views.
-		proxy, err = core.NewSharded(res.Stores, cfg)
-	}
+	db, err := start(opt, coreConfig(opt, params, key), views)
 	if err != nil {
-		if sender != nil {
-			sender.Close()
-		}
 		storage.CloseAll(backends)
 		return nil, err
 	}
-	return &DB{proxy: proxy, backends: res.Stores, sender: sender}, nil
+	return db, nil
 }
 
 // splitAddrs parses a comma-separated address list, trimming surrounding
@@ -475,9 +435,9 @@ func (db *DB) Epoch() uint64 { return db.proxy.Epoch() }
 // Shards returns the number of key-space partitions.
 func (db *DB) Shards() int { return db.proxy.Shards() }
 
-// ReplicaAddr returns the bound replica-listener address when this DB
-// replicates to a hot standby (Options.ReplicaListen), "" otherwise. With a
-// ":0" listen spec this is how a standby learns the actual port.
+// ReplicaAddr returns the bound address of the lease link a standby attaches
+// to (Options.ReplicaListen), "" without one. With a ":0" listen spec this
+// is how a standby learns the actual port.
 func (db *DB) ReplicaAddr() string {
 	if db.sender == nil {
 		return ""
@@ -588,16 +548,6 @@ func (db *DB) Shutdown() error {
 		err = cerr
 	}
 	return err
-}
-
-// ReplicationStats reports the primary-side replication state: whether a
-// standby is attached, stream/ack offsets, and how many barriers degraded
-// to local-durable. Zero-valued unless ReplicaListen was set.
-func (db *DB) ReplicationStats() (replica.SenderStats, bool) {
-	if db.sender == nil {
-		return replica.SenderStats{}, false
-	}
-	return db.sender.Stats(), true
 }
 
 // Txn is a transaction handle. Operations must not be called concurrently,

@@ -417,3 +417,24 @@ func TestFullRestartWithPersistedStorage(t *testing.T) {
 		return nil
 	}))
 }
+
+// TestOpenFailsWhenFencingFails: a proxy that will hold a standby's lease
+// must run on fenced views, so a failed AcquireFence fails Open with its
+// error before the proxy touches the store — never a fallback to the raw
+// token-0 handle, which no promotion could revoke.
+func TestOpenFailsWhenFencingFails(t *testing.T) {
+	opt, params, key, err := normalize(Options{ReplicaListen: "127.0.0.1:0", KeySeed: []byte("fence")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := storage.NewMemBackend(params.Geometry().NumBuckets)
+	mem.Close()
+	db, err := openOn(opt, coreConfig(opt, params, key), []storage.Backend{mem})
+	if err == nil {
+		db.Close()
+		t.Fatal("Open succeeded over a store it could not fence")
+	}
+	if !errors.Is(err, storage.ErrClosed) || !strings.Contains(err.Error(), "fencing shard 0") {
+		t.Fatalf("Open over an unfenceable store: %v, want the fence's ErrClosed", err)
+	}
+}
