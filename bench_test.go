@@ -88,37 +88,6 @@ func BenchmarkFig11aCheckpointFrequency(b *testing.B) { runExperiment(b, "fig11a
 // recovery reads as uptime grows.
 func BenchmarkTable11bRecovery(b *testing.B) { runExperiment(b, "table11b") }
 
-// BenchmarkAblationEpochCommit measures the design decision DESIGN.md calls
-// out: delayed epoch commit vs single-batch epochs.
-func BenchmarkAblationEpochCommit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.AblationEpochCommit(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%-18s %-24s %12.2f %s", r.Series, r.X, r.Value, r.Unit)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationReadCache measures §6.3's version-cache serving on/off.
-func BenchmarkAblationReadCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.AblationReadCache(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.Logf("%-18s %-24s %12.2f %s", r.Series, r.X, r.Value, r.Unit)
-			}
-		}
-	}
-}
-
 // BenchmarkPublicAPIUpdate measures the end-to-end public API on the
 // embedded backend (not a paper figure; a library-user-facing number).
 func BenchmarkPublicAPIUpdate(b *testing.B) {

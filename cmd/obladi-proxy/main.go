@@ -46,6 +46,7 @@ import (
 
 	"obladi"
 	"obladi/internal/clientproto"
+	"obladi/internal/kvtxn"
 	"obladi/internal/pprofserve"
 )
 
@@ -64,8 +65,6 @@ func main() {
 	replicaListen := flag.String("replica-listen", "", "fence storage and listen here for a standby, holding its lease with heartbeats")
 	standbyOf := flag.String("standby-of", "", "run as standby of the primary whose -replica-listen is this address; promote on lease expiry")
 	lease := flag.Duration("lease", 750*time.Millisecond, "standby promotes after this long without a heartbeat from the primary")
-	maxSessions := flag.Int("max-sessions-per-conn", 0, "shed transaction sessions beyond this many per client connection (0 = default cap)")
-	maxPendingReads := flag.Int("max-pending-reads", 0, "per-session cap on outstanding async reads; excess applies read-loop backpressure (0 = default)")
 	flag.Parse()
 
 	if addr, err := pprofserve.Start(*pprofAddr); err != nil {
@@ -85,10 +84,6 @@ func main() {
 		RemoteAddr:     *storageAddr,
 		ReplicaListen:  *replicaListen,
 		LeaseTimeout:   *lease,
-	}
-	srvOpt := clientproto.ServerOptions{
-		MaxSessionsPerConn:        *maxSessions,
-		MaxPendingReadsPerSession: *maxPendingReads,
 	}
 	if *seed != "" {
 		opt.KeySeed = []byte(*seed)
@@ -113,7 +108,7 @@ func main() {
 			log.Fatalf("standby: %v", err)
 		}
 		fmt.Printf("obladi-proxy: promoted to primary (replayed %d logged reads)\n", db.Stats().RecoveryReplayed)
-		serve(db, clientproto.NewServerListenerOpts(clientproto.WrapDB(db), ln, srvOpt), *storageAddr, *interval, *readBatches)
+		serve(db, clientproto.NewServerListener(kvtxn.ProxyDB{P: db}, ln), *storageAddr, *interval, *readBatches)
 		return
 	}
 
@@ -124,7 +119,7 @@ func main() {
 	if addr := db.ReplicaAddr(); addr != "" {
 		fmt.Printf("obladi-proxy: replica=%s (standby lease link)\n", addr)
 	}
-	srv, err := clientproto.NewServerOpts(clientproto.WrapDB(db), *listen, srvOpt)
+	srv, err := clientproto.NewServer(kvtxn.ProxyDB{P: db}, *listen)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
@@ -153,7 +148,7 @@ func serve(db *obladi.DB, srv *clientproto.Server, storageAddr string, interval 
 	st := db.Stats()
 	fmt.Printf("obladi-proxy: %d epochs, %d committed, %d aborted, %d reads shed, %d held over a boundary\n",
 		st.Epochs, st.Committed, st.Aborted, st.ShedReads, st.BoundaryReads)
-	fmt.Printf("obladi-proxy: storage calls: %d reads, %d writes\n", st.StorageReadCalls, st.StorageWriteCalls)
+	fmt.Printf("obladi-proxy: storage calls: %d reads, %d writes\n", st.Executor.ReadCalls, st.Executor.WriteCalls)
 	for i, l := range st.Logs {
 		fmt.Printf("obladi-proxy: shard %d log: %d records from seq %d, %d truncations; checkpoints: last delta %d B, last full %d B, %d B in all\n",
 			i, l.Records, l.FloorSeq, l.Truncations, l.LastDeltaBytes, l.LastFullBytes, l.CheckpointBytes)

@@ -17,7 +17,6 @@ import (
 	"obladi/internal/smallbank"
 	"obladi/internal/storage"
 	"obladi/internal/tpcc"
-	"obladi/internal/workload"
 )
 
 func newRand(seed uint64) *rand.Rand {
@@ -329,92 +328,6 @@ func Fig10f(cfg Config) ([]Row, error) {
 			rows = append(rows, Row{Experiment: "fig10f", Series: as.name, X: fmt.Sprintf("%.1fms", epochMs), Value: tput, Unit: "txn/s"})
 			eng.db.Close()
 		}
-	}
-	return rows, nil
-}
-
-// AblationEpochCommit compares Obladi's delayed epoch commit against an
-// epoch of one batch (commit "immediately"), the design decision DESIGN.md
-// calls out. Returns throughput for both settings.
-func AblationEpochCommit(cfg Config) ([]Row, error) {
-	cfg.setDefaults()
-	var rows []Row
-	for _, bpe := range []int{1, 8} {
-		run, err := proxyThroughput(cfg, proxyOpts{
-			numKeys: 2_000,
-			profile: storage.ProfileServer,
-			scale:   cfg.LatencyScale,
-			txns:    32 * bpe,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Row{Experiment: "ablation-epoch", Series: "Obladi", X: fmt.Sprintf("%d batches/epoch", bpe), Value: run.rate, Unit: "txn/s"})
-	}
-	return rows, nil
-}
-
-// AblationReadCache compares version-cache serving on/off (§6.3).
-func AblationReadCache(cfg Config) ([]Row, error) {
-	cfg.setDefaults()
-	var rows []Row
-	for _, disable := range []bool{false, true} {
-		p := ringoram.Params{
-			NumBlocks: 512, Z: 8, S: 12, A: 8, KeySize: 24, ValueSize: 64, Seed: cfg.Seed,
-		}
-		backend := storage.WithLatency(storage.NewMemBackend(p.Geometry().NumBuckets), storage.ProfileServer.Scaled(cfg.LatencyScale))
-		proxy, err := core.New(backend, core.Config{
-			Params: p, Key: cryptoutil.KeyFromSeed([]byte("ab-rc")),
-			ReadBatches: 6, ReadBatchSize: 8, WriteBatchSize: 48,
-			DisableDurability: true,
-			DisableReadCache:  disable,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Hot-key workload: many reads of one key per epoch.
-		mix := workload.NewMix(workload.NewZipfian(64, 0.99), 1.0, "h")
-		rng := newRand(cfg.Seed)
-		seedTx := proxy.Begin()
-		for i := 0; i < 32; i++ {
-			if err := seedTx.Write(mix.Key(i), []byte("v")); err != nil {
-				return nil, err
-			}
-		}
-		ch := seedTx.CommitAsync()
-		if err := proxy.EndEpoch(); err != nil {
-			return nil, err
-		}
-		<-ch
-		start := time.Now()
-		const reads = 24
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < reads; i++ {
-				tx := proxy.Begin()
-				tx.Read(mix.Next(rng).Key)
-				tx.Abort()
-			}
-		}()
-	pump:
-		for {
-			select {
-			case <-done:
-				break pump
-			default:
-				if err := proxy.Advance(); err != nil {
-					return nil, err
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-		name := "cache on"
-		if disable {
-			name = "cache off"
-		}
-		rows = append(rows, Row{Experiment: "ablation-readcache", Series: "Obladi", X: name, Value: opsPerSec(reads, time.Since(start)), Unit: "reads/s"})
-		proxy.Close()
 	}
 	return rows, nil
 }

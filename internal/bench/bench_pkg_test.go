@@ -238,32 +238,6 @@ func TestRecoveryShape(t *testing.T) {
 	}
 }
 
-func TestAblationEpochCommit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	rows, err := AblationEpochCommit(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows: %+v", rows)
-	}
-}
-
-func TestAblationReadCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	rows, err := AblationReadCache(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows: %+v", rows)
-	}
-}
-
 // TestShardScaleShape: every shard keeps its own fixed schedule, so the
 // operations an epoch completes grow with the shard count.
 func TestShardScaleShape(t *testing.T) {

@@ -19,31 +19,21 @@ import (
 	"obladi/internal/slab"
 )
 
-// ServerOptions bounds a server's per-connection resources. The zero value
-// selects the defaults; both knobs exist because an overloaded (or buggy, or
-// adversarial) client must be able to cost the proxy only a bounded amount
-// of memory and goroutines, whatever it sends.
-type ServerOptions struct {
-	// MaxSessionsPerConn caps concurrently open mux sessions on one
+// A server bounds each connection's resources, so an overloaded (or buggy,
+// or adversarial) client costs the proxy only a bounded amount of memory and
+// goroutines, whatever it sends.
+const (
+	// maxSessionsPerConn caps concurrently open mux sessions on one
 	// connection; a Begin past the cap is refused with a shed reply
-	// (retryable after earlier sessions settle). Default 16384.
-	MaxSessionsPerConn int
-	// MaxPendingReadsPerSession caps a session's concurrently-resolving
-	// read futures. A session pipelining reads faster than batches serve
-	// them blocks its worker at the cap, which backpressures the
-	// connection's read loop through the bounded op queue — instead of
-	// spawning an unbounded resolver goroutine per read. Default 64.
-	MaxPendingReadsPerSession int
-}
-
-func (o *ServerOptions) setDefaults() {
-	if o.MaxSessionsPerConn <= 0 {
-		o.MaxSessionsPerConn = 16384
-	}
-	if o.MaxPendingReadsPerSession <= 0 {
-		o.MaxPendingReadsPerSession = 64
-	}
-}
+	// (retryable after earlier sessions settle).
+	maxSessionsPerConn = 16384
+	// maxPendingReadsPerSession caps a session's concurrently-resolving read
+	// futures. A session pipelining reads faster than batches serve them
+	// blocks its worker at the cap, which backpressures the connection's
+	// read loop through the bounded op queue — instead of spawning an
+	// unbounded resolver goroutine per read.
+	maxPendingReadsPerSession = 64
+)
 
 // ServerStats is a snapshot of the wire server's overload counters.
 type ServerStats struct {
@@ -56,10 +46,12 @@ type ServerStats struct {
 
 // Server serves the client protocol over a kvtxn.DB.
 type Server struct {
-	db  kvtxn.DB
-	ln  net.Listener
-	wg  sync.WaitGroup
-	opt ServerOptions
+	db kvtxn.DB
+	ln net.Listener
+	wg sync.WaitGroup
+	// The per-connection caps: maxSessionsPerConn and
+	// maxPendingReadsPerSession outside tests.
+	maxSessions, maxPendingReads int
 
 	// Overload counters, atomic: sessions update them from every
 	// connection's read loop and Stats snapshots them concurrently.
@@ -71,18 +63,13 @@ type Server struct {
 	closed bool
 }
 
-// NewServer starts listening on addr with default ServerOptions.
+// NewServer starts listening on addr.
 func NewServer(db kvtxn.DB, addr string) (*Server, error) {
-	return NewServerOpts(db, addr, ServerOptions{})
-}
-
-// NewServerOpts starts listening on addr with explicit resource bounds.
-func NewServerOpts(db kvtxn.DB, addr string, opt ServerOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("clientproto: listen: %w", err)
 	}
-	return NewServerListenerOpts(db, ln, opt), nil
+	return NewServerListener(db, ln), nil
 }
 
 // NewServerListener serves on an already-bound listener. A standby proxy
@@ -91,13 +78,11 @@ func NewServerOpts(db kvtxn.DB, addr string, opt ServerOptions) (*Server, error)
 // the promoted standby starts accepting — so clients' failover address lists
 // stay static and a dial into the failover window costs latency, not errors.
 func NewServerListener(db kvtxn.DB, ln net.Listener) *Server {
-	return NewServerListenerOpts(db, ln, ServerOptions{})
+	return newServer(db, ln, maxSessionsPerConn, maxPendingReadsPerSession)
 }
 
-// NewServerListenerOpts is NewServerListener with explicit resource bounds.
-func NewServerListenerOpts(db kvtxn.DB, ln net.Listener, opt ServerOptions) *Server {
-	opt.setDefaults()
-	s := &Server{db: db, ln: ln, opt: opt, conns: make(map[net.Conn]bool)}
+func newServer(db kvtxn.DB, ln net.Listener, maxSessions, maxPendingReads int) *Server {
+	s := &Server{db: db, ln: ln, maxSessions: maxSessions, maxPendingReads: maxPendingReads, conns: make(map[net.Conn]bool)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s

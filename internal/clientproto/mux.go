@@ -66,7 +66,7 @@ type muxSession struct {
 	reads sync.WaitGroup
 	// waiters is both the pool of read waiters and the bound on how many
 	// resolve at once: the worker takes one per read and blocks when
-	// MaxPendingReadsPerSession are out, backpressuring the connection's
+	// maxPendingReads are out, backpressuring the connection's
 	// read loop through ops instead of growing goroutines (and their pending
 	// replies) without bound. made counts the waiters created so far; only
 	// the worker touches it.
@@ -110,7 +110,7 @@ func (c *muxConn) openSession(id uint32) *muxSession {
 		ms = &muxSession{
 			c:       c,
 			ops:     make(chan *frameBuf, muxSessionQueue),
-			waiters: make(chan *readWaiter, c.s.opt.MaxPendingReadsPerSession),
+			waiters: make(chan *readWaiter, c.s.maxPendingReads),
 		}
 		ms.run = ms.work
 	}
@@ -139,11 +139,11 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 		switch {
 		case f.kind == frameBegin && open:
 			c.replyErr(f, errCodeGeneric, "session already open")
-		case f.kind == frameBegin && len(sessions) >= s.opt.MaxSessionsPerConn:
+		case f.kind == frameBegin && len(sessions) >= s.maxSessions:
 			// Session cap: shed the Begin instead of growing the worker map
 			// without bound. Retryable once earlier sessions settle.
 			s.shedSessions.Add(1)
-			c.replyErr(f, errCodeShed, fmt.Sprintf("connection session cap (%d) reached", s.opt.MaxSessionsPerConn))
+			c.replyErr(f, errCodeShed, fmt.Sprintf("connection session cap (%d) reached", s.maxSessions))
 		case f.kind == frameBegin:
 			ms = c.openSession(f.session)
 			sessions[f.session] = ms

@@ -287,23 +287,23 @@ type MuxTxn struct {
 	nextReq uint32
 	// pend holds the acks of pipelined mutations (begin/write/delete) not
 	// yet collected; Commit and Abort drain it.
-	pend    []*MuxOpFuture
+	pend    []*MuxAck
 	settled bool
 	sendErr error
 
-	ops          [muxInline]MuxOpFuture
+	ops          [muxInline]MuxAck
 	reads        [muxInline]MuxFuture
-	pendBuf      [muxInline]*MuxOpFuture
+	pendBuf      [muxInline]*MuxAck
 	nops, nreads int
 }
 
 // newOp returns the transaction's next op future.
-func (t *MuxTxn) newOp(op string) *MuxOpFuture {
-	var f *MuxOpFuture
+func (t *MuxTxn) newOp(op string) *MuxAck {
+	var f *MuxAck
 	if t.nops < len(t.ops) {
 		f = &t.ops[t.nops]
 	} else {
-		f = new(MuxOpFuture)
+		f = new(MuxAck)
 	}
 	t.nops++
 	f.t, f.op = t, op
@@ -323,8 +323,8 @@ func (t *MuxTxn) newRead() *MuxFuture {
 	return f
 }
 
-// enqueue sends one request frame and tracks its ack as an OpFuture.
-func (t *MuxTxn) enqueue(kind frameKind, key string, value []byte, op string) *MuxOpFuture {
+// enqueue sends one request frame and tracks its ack as a MuxAck.
+func (t *MuxTxn) enqueue(kind frameKind, key string, value []byte, op string) *MuxAck {
 	t.nextReq++
 	f := t.newOp(op)
 	if t.sendErr != nil {
@@ -342,8 +342,8 @@ func (t *MuxTxn) enqueue(kind frameKind, key string, value []byte, op string) *M
 	return f
 }
 
-// MuxOpFuture is the pending ack of a pipelined mutation.
-type MuxOpFuture struct {
+// MuxAck is the pending ack of a pipelined mutation.
+type MuxAck struct {
 	t  *MuxTxn
 	op string
 	ch chan frame
@@ -356,7 +356,7 @@ type MuxOpFuture struct {
 // Wait blocks until the operation's ack arrives or ctx is done (nil means
 // the transaction's context). It is idempotent; Commit/Abort call it for
 // every ack the caller didn't collect.
-func (f *MuxOpFuture) Wait(ctx context.Context) error {
+func (f *MuxAck) Wait(ctx context.Context) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.done {
@@ -487,9 +487,9 @@ func (t *MuxTxn) ReadMany(keys []string) ([]kvtxn.Value, error) {
 }
 
 // WriteAsync pipelines a WRITE frame; the returned future carries the ack.
-func (t *MuxTxn) WriteAsync(key string, value []byte) *MuxOpFuture {
+func (t *MuxTxn) WriteAsync(key string, value []byte) *MuxAck {
 	if t.settled {
-		return &MuxOpFuture{t: t, op: "write", done: true, err: fmt.Errorf("%w: session settled", kvtxn.ErrAborted)}
+		return &MuxAck{t: t, op: "write", done: true, err: fmt.Errorf("%w: session settled", kvtxn.ErrAborted)}
 	}
 	return t.enqueue(frameWrite, key, value, "write")
 }
@@ -505,9 +505,9 @@ func (t *MuxTxn) Write(key string, value []byte) error {
 }
 
 // DeleteAsync pipelines a DELETE frame; the returned future carries the ack.
-func (t *MuxTxn) DeleteAsync(key string) *MuxOpFuture {
+func (t *MuxTxn) DeleteAsync(key string) *MuxAck {
 	if t.settled {
-		return &MuxOpFuture{t: t, op: "delete", done: true, err: fmt.Errorf("%w: session settled", kvtxn.ErrAborted)}
+		return &MuxAck{t: t, op: "delete", done: true, err: fmt.Errorf("%w: session settled", kvtxn.ErrAborted)}
 	}
 	return t.enqueue(frameDelete, key, nil, "delete")
 }

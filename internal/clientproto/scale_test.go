@@ -25,15 +25,14 @@ import (
 	"obladi/internal/kvtxn"
 )
 
-// newServerOpts builds the protocol server with explicit resource bounds
-// over a fresh Obladi engine.
-func newServerOpts(t *testing.T, engOpt enginetest.ObladiOptions, srvOpt clientproto.ServerOptions) *clientproto.Server {
+// serveEngine builds a protocol server with serve over a fresh Obladi engine.
+func serveEngine(t *testing.T, engOpt enginetest.ObladiOptions, serve func(kvtxn.DB) (*clientproto.Server, error)) *clientproto.Server {
 	t.Helper()
 	eng, err := enginetest.NewObladi(engOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := clientproto.NewServerOpts(eng.DB, "127.0.0.1:0", srvOpt)
+	srv, err := serve(eng.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +50,8 @@ func newServerOpts(t *testing.T, engOpt enginetest.ObladiOptions, srvOpt clientp
 // the cap is refused with a retryable shed, and settling a session frees its
 // slot (the worker map is reaped, not just bounded).
 func TestMuxSessionCapSheds(t *testing.T) {
-	srv := newServerOpts(t,
-		enginetest.ObladiOptions{NumBlocks: 256, ValueSize: 64},
-		clientproto.ServerOptions{MaxSessionsPerConn: 4})
+	srv := serveEngine(t, enginetest.ObladiOptions{NumBlocks: 256, ValueSize: 64},
+		func(db kvtxn.DB) (*clientproto.Server, error) { return clientproto.NewServerCaps(db, 4, 64) })
 	mc, err := clientproto.DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -119,9 +117,8 @@ func muxFrame(kind byte, session, req uint32, payload []byte) []byte {
 // server only a bounded number of goroutines (each of which bounds its
 // memory), and does not starve well-behaved clients on other connections.
 func TestNeverReadingClientBounded(t *testing.T) {
-	srv := newServerOpts(t,
-		enginetest.ObladiOptions{NumBlocks: 512, ValueSize: 64},
-		clientproto.ServerOptions{MaxSessionsPerConn: 8, MaxPendingReadsPerSession: 4})
+	srv := serveEngine(t, enginetest.ObladiOptions{NumBlocks: 512, ValueSize: 64},
+		func(db kvtxn.DB) (*clientproto.Server, error) { return clientproto.NewServerCaps(db, 8, 4) })
 
 	before := runtime.NumGoroutine()
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -177,14 +174,14 @@ func TestNeverReadingClientBounded(t *testing.T) {
 // whose p99 stays bounded, (b) retryable sheds for the excess, and (c) no
 // hangs, desyncs, or non-retryable errors.
 func TestSaturationGracefulP99(t *testing.T) {
-	srv := newServerOpts(t,
+	srv := serveEngine(t,
 		enginetest.ObladiOptions{
 			NumBlocks:     512,
 			ValueSize:     64,
 			ReadBatches:   2,
 			ReadBatchSize: 4, // budget: 8 read slots per epoch
 		},
-		clientproto.ServerOptions{})
+		func(db kvtxn.DB) (*clientproto.Server, error) { return clientproto.NewServer(db, "127.0.0.1:0") })
 	mc, err := clientproto.DialMux(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

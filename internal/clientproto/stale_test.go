@@ -248,7 +248,7 @@ func TestMuxTxnSpillsMatchModel(t *testing.T) {
 	}
 	must(t, kvtxn.RunWithRetries(db, 10, func(kt kvtxn.Txn) error {
 		tx := kt.(*clientproto.MuxTxn)
-		var acks []*clientproto.MuxOpFuture
+		var acks []*clientproto.MuxAck
 		for i := 4; i < 13; i++ {
 			acks = append(acks, tx.WriteAsync(key(i), []byte(want[key(i)])))
 		}
@@ -307,7 +307,7 @@ func TestMuxStaleHandlesAgainstTwin(t *testing.T) {
 		db.set("seed", []byte("seed-value"))
 	}
 	// The transaction that goes stale, run on both sides.
-	settle := func(mc *clientproto.MuxClient) (*clientproto.MuxTxn, kvtxn.ReadFuture, *clientproto.MuxOpFuture) {
+	settle := func(mc *clientproto.MuxClient) (*clientproto.MuxTxn, kvtxn.ReadFuture, *clientproto.MuxAck) {
 		tx := mc.Begin()
 		ack := tx.WriteAsync("stale", []byte("before"))
 		f := tx.ReadAsync("seed")

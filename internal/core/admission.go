@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"time"
 
 	"obladi/internal/mvtso"
 )
@@ -84,6 +87,24 @@ func (e *ShedError) Unwrap() []error {
 	return []error{ErrShed, ErrEpochFull, ErrAborted}
 }
 
+// ShedBackoff is a retry loop's first pause after a shed; WaitShedBackoff
+// doubles it up to 250 ms.
+const ShedBackoff = time.Millisecond
+
+// WaitShedBackoff pauses a retry loop after a shed for a jittered d/2..d, or
+// until ctx is done, and returns the pause to use after the next shed. An
+// immediate retry would land in the same exhausted epoch and keep the proxy
+// saturated.
+func WaitShedBackoff(ctx context.Context, d time.Duration) time.Duration {
+	t := time.NewTimer(d/2 + rand.N(d/2+1))
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+		t.Stop()
+	}
+	return min(2*d, 250*time.Millisecond)
+}
+
 // ErrBoundaryWindow is returned for a read that arrived after its epoch's
 // last read batch had fired. That is not overload — the system may be idle —
 // it is the fixed schedule: the epoch has no read slot left to give, and the
@@ -132,7 +153,8 @@ type sessionFetchQueue struct {
 // The gate's invariant: the total of admitted-but-unscheduled keys on a
 // shard never exceeds the slots its remaining read batches can serve, so
 // every admitted fetch is guaranteed a slot this epoch — admission implies
-// service, and the only reads that die at the seal are ablation tokens.
+// service, and no admitted read dies at the seal (the seal still fails any it
+// finds, as a safety net).
 func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) error {
 	remaining := (p.cfg.ReadBatches - p.batchIdx) * p.cfg.ReadBatchSize
 	if sh.queuedKeys >= remaining {

@@ -135,21 +135,24 @@ func (p *Proxy) BeginCtx(ctx context.Context) *Txn {
 type Future struct {
 	t   *Txn
 	key string
-	w   fetchWaiter // the pending fetch or slot payment, if any
+	w   fetchWaiter // the pending fetch, if any
 
-	mu       sync.Mutex
-	hadFetch bool // this future's read queued the key's real fetch
-	done     bool
-	value    []byte
-	found    bool
-	err      error
+	mu    sync.Mutex
+	done  bool
+	value []byte
+	found bool
+	err   error
 }
 
 // ReadAsync registers a read of key and returns immediately. The returned
 // Future resolves when the key's base version is resident (for keys already
 // fetched this epoch, immediately). Issuing a transaction's independent reads
 // through ReadAsync before the first Wait packs them into the same read
-// batch, like ReadMany, without requiring the key set up front.
+// batch, like ReadMany, without requiring the key set up front:
+//
+//	a, b := tx.ReadAsync("alice"), tx.ReadAsync("bob")
+//	av, _, err := a.Value()
+//	bv, _, err := b.Value()
 func (t *Txn) ReadAsync(key string) *Future {
 	p := t.p
 	p.mu.Lock()
@@ -161,7 +164,6 @@ func (t *Txn) ReadAsync(key string) *Future {
 		return f
 	}
 	p.queueFetchLocked(f)
-	f.hadFetch = f.w.state.Load() != waiterIdle
 	return f
 }
 
@@ -198,14 +200,6 @@ func (f *Future) Wait(ctx context.Context) ([]byte, bool, error) {
 				t.inner.Abort()
 				return f.resolve(nil, false, err)
 			}
-		}
-		// Ablation (§6.3): a version-cache hit still consumes a read-batch
-		// slot. A future that carried the key's real fetch already paid with
-		// that slot. The payment waits on the same record as a fetch, so
-		// cancellation unblocks it too; payCacheSlot marks the slot paid,
-		// making the next loop iteration skip this branch.
-		if t.p.cfg.DisableReadCache && !f.hadFetch && t.payCacheSlot(f) {
-			continue
 		}
 		v, found, err := t.inner.Read(f.key)
 		switch {

@@ -85,8 +85,9 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	epoch := p.epoch
 	// Reads that never got a batch slot: their transactions abort with the
 	// epoch (fate sharing); wake them now so they observe the abort. The
-	// admission gate guarantees every admitted fetch a slot, so these can only
-	// be DisableReadCache ablation tokens.
+	// admission gate guarantees every admitted fetch a slot, so none should be
+	// left: this is the safety net that keeps a broken gate from stranding a
+	// reader past its epoch.
 	p.failQueuedLocked(errReadBatchesExhausted)
 	p.wakeLocked()
 	p.mu.Unlock()

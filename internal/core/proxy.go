@@ -104,15 +104,6 @@ type Config struct {
 	// exists for throughput experiments only.
 	EagerBatches bool
 
-	// WriteThrough disables delayed write-back (Figure 10d ablation). It
-	// cannot recover a store a proxy without it has written to: that proxy
-	// stores the resident levels' buckets without their dummies.
-	WriteThrough bool
-	// DisableReadCache makes repeat reads of an epoch-resident key consume
-	// a fresh batch slot instead of being served from the version cache
-	// (§6.3 ablation).
-	DisableReadCache bool
-
 	// Boundary has no effect: every epoch boundary is pipelined (see
 	// EndEpoch). It remains so configurations that name BoundaryPipelined
 	// still compile.
@@ -149,22 +140,39 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// Stats is a snapshot of proxy counters. Executor counters are summed across
-// shards; StashPeak is the maximum over shards.
+// Stats is a snapshot of proxy counters, the public view of the trusted
+// proxy's bookkeeping: epochs and transaction fates, batch-slot utilization
+// (how much of the fixed schedule carried real work), and the storage calls
+// the vectored I/O plane made. Executor counters are summed across shards;
+// StashPeak is the maximum over shards.
 type Stats struct {
-	Shards           int
-	Epochs           uint64
-	Committed        uint64
-	Aborted          uint64
-	ReadBatchSlots   uint64 // total read-batch slots issued (all shards)
-	RealReads        uint64 // slots carrying real requests
-	CacheHits        uint64 // reads served from the version cache
-	WriteSlots       uint64
-	RealWrites       uint64
-	ConflictAborts   int64
-	CascadingAborts  int64
-	Executor         oramexec.Stats
-	StashPeak        int
+	// Shards is the number of key-space partitions.
+	Shards int
+	// Epochs counts committed epoch boundaries.
+	Epochs uint64
+	// Committed and Aborted count transaction fates.
+	Committed uint64
+	Aborted   uint64
+	// ReadBatchSlots counts read-batch slots issued across all shards;
+	// RealReads the slots that carried real requests (the rest is padding).
+	ReadBatchSlots uint64
+	RealReads      uint64
+	// CacheHits counts reads of a key already resident this epoch, served
+	// from the version cache without a slot.
+	CacheHits uint64
+	// WriteSlots and RealWrites are the write-batch equivalents.
+	WriteSlots uint64
+	RealWrites uint64
+	// ConflictAborts and CascadingAborts break down MVTSO aborts.
+	ConflictAborts  int64
+	CascadingAborts int64
+	// Executor sums the shards' executor counters. Its ReadCalls and
+	// WriteCalls count storage calls; their ratio to the slot counters is
+	// the vectored I/O batching factor.
+	Executor oramexec.Stats
+	// StashPeak is the maximum Ring ORAM stash occupancy over shards.
+	StashPeak int
+	// RecoveryReplayed counts logged reads replayed by crash recovery.
 	RecoveryReplayed int
 
 	// Overload-control counters (admission.go). ShedReads counts fetches
@@ -182,7 +190,8 @@ type Stats struct {
 
 	// Logs is each shard's recovery-log lifecycle: records retained, the
 	// truncation floor, how many truncations have run, and the sizes of the
-	// checkpoint records appended (nil without durability).
+	// checkpoint records appended (nil without durability). Retained records
+	// are bounded by two full-checkpoint cadences whatever the uptime.
 	Logs []wal.Stats
 }
 
@@ -283,9 +292,8 @@ type Proxy struct {
 	// truncation, never from the middle of it.
 	retiring sync.Mutex
 
-	kick      chan struct{} // wakes the epoch loop (eager batches, close)
-	loop      sync.WaitGroup
-	ablateSeq uint64 // unique tokens for the DisableReadCache ablation
+	kick chan struct{} // wakes the epoch loop (eager batches, close)
+	loop sync.WaitGroup
 
 	// Overload-control counters. Atomics (the PR 2 Stats-race pattern):
 	// sheds are counted on the client-facing fast path and read by Stats

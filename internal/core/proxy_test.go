@@ -454,36 +454,26 @@ func TestManualModeDeterministic(t *testing.T) {
 	}
 }
 
-func TestDisableReadCacheConsumesSlots(t *testing.T) {
-	run := func(disable bool) uint64 {
-		cfg := testConfig(16)
-		cfg.DisableReadCache = disable
-		cfg.ReadBatchSize = 4
-		p, _, _ := testProxy(t, cfg)
-		stop := pump(t, p)
-		defer stop()
-		setup := p.Begin()
-		must(t, setup.Write("hot", []byte("v")))
-		must(t, setup.Commit())
-		// Several transactions read the same hot key within one epoch.
-		var txs []*Txn
-		for i := 0; i < 3; i++ {
-			tx := p.Begin()
-			if _, _, err := tx.Read("hot"); err != nil {
-				i--
-				continue
-			}
-			txs = append(txs, tx)
-		}
-		for _, tx := range txs {
-			tx.Abort()
-		}
-		return p.Stats().RealReads
+// TestVersionCacheHitsTakeNoSlot: once a key's base version is resident this
+// epoch, later reads of it are served from the version cache (§6.3): they
+// take no read slot and count as CacheHits.
+func TestVersionCacheHitsTakeNoSlot(t *testing.T) {
+	p, _, _ := testProxy(t, testConfig(16))
+	first := p.Begin()
+	f := first.ReadAsync("hot")
+	must(t, p.StepReadBatch())
+	if _, _, err := f.Value(); err != nil {
+		t.Fatal(err)
 	}
-	with := run(false)
-	without := run(true)
-	if without <= with {
-		t.Fatalf("DisableReadCache consumed %d slots, cache mode %d", without, with)
+	for i := 0; i < 3; i++ {
+		tx := p.Begin()
+		if _, _, err := tx.Read("hot"); err != nil {
+			t.Fatal(err)
+		}
+		tx.Abort()
+	}
+	if st := p.Stats(); st.RealReads != 1 || st.CacheHits != 3 {
+		t.Fatalf("RealReads = %d, CacheHits = %d; want 1 slot and 3 cache hits", st.RealReads, st.CacheHits)
 	}
 }
 

@@ -27,12 +27,11 @@ func (p *Proxy) bootstrap() error {
 		}
 	}
 	for i, sh := range p.shards {
-		cfg := oramexec.Config{WriteThrough: p.cfg.WriteThrough}
-		oram, err := oramexec.InitORAMFor(sh.store, p.cfg.Key, p.shardParams(i), cfg)
+		oram, err := oramexec.InitORAMFor(sh.store, p.cfg.Key, p.shardParams(i), oramexec.Config{})
 		if err != nil {
 			return err
 		}
-		sh.exec = oramexec.New(oram, sh.store, cfg)
+		sh.exec = oramexec.New(oram, sh.store, oramexec.Config{})
 	}
 	p.epoch = 1
 	p.beginEpochAllLocked()
@@ -123,7 +122,7 @@ func (p *Proxy) recover(coordRec *wal.Recovery) error {
 				errs[i] = err
 				return
 			}
-			sh.exec = oramexec.New(oram, sh.store, oramexec.Config{WriteThrough: p.cfg.WriteThrough})
+			sh.exec = oramexec.New(oram, sh.store, oramexec.Config{})
 			// The upper levels live in the proxy and storage holds only their
 			// blocks: fetch them before anything reads a path.
 			if err := sh.exec.LoadResident(); err != nil {

@@ -10,10 +10,10 @@ import (
 )
 
 // Txn is a transaction handle bound to the epoch it started in. Operations
-// (Read, Write, Commit, …) must not be called concurrently; resolving
-// ReadAsync Futures from other goroutines is allowed (see async.go). A handle
-// kept past its epoch stays valid and answers ErrAborted (async.go, "Stale
-// handles").
+// (Read, Write, Commit, …) must not be called concurrently, but Futures
+// returned by ReadAsync may be resolved from other goroutines (see async.go).
+// A handle kept past its epoch stays valid and answers ErrAborted (async.go,
+// "Stale handles").
 type Txn struct {
 	p     *Proxy
 	inner *mvtso.Txn
@@ -23,9 +23,6 @@ type Txn struct {
 	// Atomic because Future waiters may consult the handle while the owning
 	// goroutine settles it.
 	done atomic.Bool
-	// paidSlots tracks keys this txn already spent a batch slot on, for
-	// the DisableReadCache ablation. Guarded by p.mu.
-	paidSlots map[string]bool
 }
 
 // Begin starts a transaction in the current epoch.
@@ -235,6 +232,7 @@ func (p *Proxy) queueFetchLocked(f *Future) {
 	}
 	sh := p.shards[shardOf(f.key, len(p.shards))]
 	if sh.fetched[f.key] {
+		p.stats.CacheHits++
 		return
 	}
 	p.enqueueLocked(sh, f.t.inner.TS(), f.key, &f.w)
@@ -246,48 +244,24 @@ func (p *Proxy) queueFetchLocked(f *Future) {
 	}
 }
 
-// enqueueLocked makes w wait for key's slot on sh and reports whether a slot
-// will serve it. A key nobody has scheduled yet needs a new slot: after the
-// last read batch there is none to ask for, so the read is held for the next
-// epoch's opening; before it, the admission gate decides. A key another
-// session already scheduled costs nothing — w just joins its waiters. The
-// caller holds p.mu.
-func (p *Proxy) enqueueLocked(sh *shard, ts mvtso.Timestamp, key string, w *fetchWaiter) bool {
+// enqueueLocked makes w wait for key's slot on sh. A key nobody has scheduled
+// yet needs a new slot: after the last read batch there is none to ask for,
+// so the read is held for the next epoch's opening; before it, the admission
+// gate decides. A key another session already scheduled costs nothing — w
+// just joins its waiters. The caller holds p.mu.
+func (p *Proxy) enqueueLocked(sh *shard, ts mvtso.Timestamp, key string, w *fetchWaiter) {
 	if !sh.pending[key] {
 		if p.inBoundaryWindowLocked() {
 			p.boundaryReads.Add(1)
 			w.state.Store(waiterQueued)
 			w.next, p.parked = p.parked, w
-			return false
+			return
 		}
 		if err := p.admitFetchLocked(sh, ts, key); err != nil {
 			w.publish(err)
-			return false
+			return
 		}
 	}
 	w.state.Store(waiterQueued)
 	w.next, sh.queued[key] = sh.queued[key], w
-	return true
-}
-
-// payCacheSlot consumes one read-batch slot for a key whose base version is
-// already resident, by enqueueing a unique padding token on the key's shard
-// for f to wait on. It reports false when no payment is due: the key has not
-// been fetched this epoch (the real fetch pays) or this transaction already
-// paid for it.
-func (t *Txn) payCacheSlot(f *Future) bool {
-	p := t.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sh := p.shards[shardOf(f.key, len(p.shards))]
-	if !sh.fetched[f.key] || t.paidSlots[f.key] {
-		return false
-	}
-	if t.paidSlots == nil {
-		t.paidSlots = make(map[string]bool)
-	}
-	p.ablateSeq++
-	token := fmt.Sprintf("\x00rc-%d", p.ablateSeq)
-	t.paidSlots[f.key] = p.enqueueLocked(sh, t.inner.TS(), token, &f.w)
-	return true
 }

@@ -7,8 +7,6 @@ package kvtxn
 import (
 	"context"
 	"errors"
-	"math/rand/v2"
-	"time"
 
 	"obladi/internal/core"
 )
@@ -78,9 +76,18 @@ type AsyncTxn interface {
 	ReadAsync(key string) ReadFuture
 }
 
-// ProxyDB adapts the Obladi proxy to the DB interface.
+// Proxy is what ProxyDB serves: a *core.Proxy, or the public *obladi.DB
+// over one, whose Close also closes its storage backends.
+type Proxy interface {
+	Begin() *core.Txn
+	BeginCtx(ctx context.Context) *core.Txn
+	Close() error
+}
+
+// ProxyDB adapts the Obladi proxy to the DB interface. It wraps the proxy's
+// aborts in ErrAborted, so engine-independent retry loops recognize them.
 type ProxyDB struct {
-	P *core.Proxy
+	P Proxy
 }
 
 var (
@@ -164,7 +171,7 @@ func wrapAbort(err error) error {
 // proxy saturated.
 func RunWithRetries(db DB, maxRetries int, fn func(Txn) error) error {
 	var last error
-	shedBackoff := time.Millisecond
+	shedBackoff := core.ShedBackoff
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		tx := db.Begin()
 		err := fn(tx)
@@ -180,10 +187,7 @@ func RunWithRetries(db DB, maxRetries int, fn func(Txn) error) error {
 			return err
 		}
 		if errors.Is(err, core.ErrShed) {
-			time.Sleep(shedBackoff/2 + rand.N(shedBackoff/2+1))
-			if shedBackoff *= 2; shedBackoff > 250*time.Millisecond {
-				shedBackoff = 250 * time.Millisecond
-			}
+			shedBackoff = core.WaitShedBackoff(context.Background(), shedBackoff)
 		}
 		last = err
 	}

@@ -406,22 +406,10 @@ func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
 		op := &ops[i]
 		if op.Key == "" {
 			e.oram.BumpWrite()
-			plan.bumps++
-		} else {
-			ap, due, err := e.oram.PlanWrite(op.Key, op.Value, op.Tombstone)
-			if err != nil {
-				return nil, err
-			}
-			if ap != nil {
-				// Non-dummiless configuration: the write reads a path.
-				e.appendAccess(plan, ap, -1)
-				if err := e.planMaintenance(plan, due); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			plan.bumps++
+		} else if err := e.oram.PlanWrite(op.Key, op.Value, op.Tombstone); err != nil {
+			return nil, err
 		}
+		plan.bumps++
 		if err := e.planDueEvictions(plan); err != nil {
 			return nil, err
 		}

@@ -1,45 +1,10 @@
 package oramexec
 
 import (
-	"fmt"
 	"testing"
 
 	"obladi/internal/storage"
 )
-
-// TestExecutorNonDummilessWrites runs the executor with canonical (path-
-// reading) writes: write batches then carry physical reads.
-func TestExecutorNonDummilessWrites(t *testing.T) {
-	p := testParams(64, 21)
-	p.DisableDummilessWrites = true
-	h := newHarness(t, p, Config{})
-	oracle := map[string]string{}
-	for e := 0; e < 3; e++ {
-		w := map[string]string{}
-		for i := 0; i < 4; i++ {
-			k := fmt.Sprintf("k%d", (e*4+i)%10)
-			v := fmt.Sprintf("v%d-%d", e, i)
-			w[k] = v
-			oracle[k] = v
-		}
-		h.runWrites(t, w, 1)
-		h.endEpoch(t)
-	}
-	var keys []string
-	for k := range oracle {
-		keys = append(keys, k)
-	}
-	res := h.runReads(t, keys...)
-	for _, r := range res {
-		if !r.Found || string(r.Value) != oracle[r.Key] {
-			t.Fatalf("%s = %q (found=%v), want %q", r.Key, r.Value, r.Found, oracle[r.Key])
-		}
-	}
-	h.checkInvariant(t)
-	if h.exec.Stats().RemoteReads == 0 {
-		t.Fatal("non-dummiless writes issued no reads")
-	}
-}
 
 // TestExecutorDummyBackend runs the executor against the measurement-only
 // dummy backend (lossy storage, TolerateCorrupt).

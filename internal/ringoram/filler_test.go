@@ -104,65 +104,52 @@ func (c *sparseClient) access(plan *AccessPlan, due []int) ([]byte, bool) {
 // where Real[i] is the physical slot of Slots[i]: leaving the dummies out
 // changes nothing a checkpoint records and draws nothing from the generator.
 func TestCompletionNeverInspectsFillers(t *testing.T) {
-	for _, dummiless := range []bool{true, false} {
-		t.Run(fmt.Sprintf("dummiless=%v", dummiless), func(t *testing.T) {
-			p := testParams(64)
-			p.DisableDummilessWrites = !dummiless
-			full, store := newTestSeq(t, p)
-			o, err := New(newMapStore(), cryptoutil.KeyFromSeed([]byte("test")), p, 0)
-			must(t, err)
-			sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte), realOnly: o.geo.NumBuckets / 4}
-			o.SealRealOnly(sparse.realOnly)
+	t.Run("dummiless=true", func(t *testing.T) {
+		p := testParams(64)
+		full, store := newTestSeq(t, p)
+		o, err := New(newMapStore(), cryptoutil.KeyFromSeed([]byte("test")), p, 0)
+		must(t, err)
+		sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte), realOnly: o.geo.NumBuckets / 4}
+		o.SealRealOnly(sparse.realOnly)
 
-			rng := rand.New(rand.NewPCG(5, 6))
-			for i := 0; i < 1500; i++ {
-				key := fmt.Sprintf("k%d", rng.IntN(48))
-				switch op := rng.IntN(10); {
-				case op < 4:
-					val := []byte(fmt.Sprintf("v%d", i))
-					must(t, full.Write(key, val))
-					plan, due, err := o.PlanWrite(key, val, false)
-					must(t, err)
-					if plan != nil {
-						sparse.access(plan, due)
-					} else {
-						sparse.maintain(due)
-					}
-				case op < 5:
-					must(t, full.Delete(key))
-					plan, due, err := o.PlanWrite(key, nil, true)
-					must(t, err)
-					if plan != nil {
-						sparse.access(plan, due)
-					} else {
-						sparse.maintain(due)
-					}
-				case op < 9:
-					want, wantFound, err := full.Read(key)
-					must(t, err)
-					plan, due, err := o.PlanRead(key)
-					must(t, err)
-					got, found := sparse.access(plan, due)
-					if found != wantFound || !bytes.Equal(got, want) {
-						t.Fatalf("op %d: read %s = %q (found=%v) from kept blocks, %q (found=%v) from the full store", i, key, got, found, want, wantFound)
-					}
-				default:
-					must(t, full.DummyRead())
-					plan, due, err := o.PlanDummyRead()
-					must(t, err)
-					sparse.access(plan, due)
+		rng := rand.New(rand.NewPCG(5, 6))
+		for i := 0; i < 1500; i++ {
+			key := fmt.Sprintf("k%d", rng.IntN(48))
+			switch op := rng.IntN(10); {
+			case op < 4:
+				val := []byte(fmt.Sprintf("v%d", i))
+				must(t, full.Write(key, val))
+				must(t, o.PlanWrite(key, val, false))
+				sparse.maintain(nil)
+			case op < 5:
+				must(t, full.Delete(key))
+				must(t, o.PlanWrite(key, nil, true))
+				sparse.maintain(nil)
+			case op < 9:
+				want, wantFound, err := full.Read(key)
+				must(t, err)
+				plan, due, err := o.PlanRead(key)
+				must(t, err)
+				got, found := sparse.access(plan, due)
+				if found != wantFound || !bytes.Equal(got, want) {
+					t.Fatalf("op %d: read %s = %q (found=%v) from kept blocks, %q (found=%v) from the full store", i, key, got, found, want, wantFound)
 				}
+			default:
+				must(t, full.DummyRead())
+				plan, due, err := o.PlanDummyRead()
+				must(t, err)
+				sparse.access(plan, due)
 			}
-			if store.violation != nil {
-				t.Fatal(store.violation)
-			}
-			a, err := full.ORAM().EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
-			must(t, err)
-			b, err := o.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
-			must(t, err)
-			if !bytes.Equal(a, b) {
-				t.Fatal("the two clients' metadata diverged")
-			}
-		})
-	}
+		}
+		if store.violation != nil {
+			t.Fatal(store.violation)
+		}
+		a, err := full.ORAM().EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
+		must(t, err)
+		b, err := o.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
+		must(t, err)
+		if !bytes.Equal(a, b) {
+			t.Fatal("the two clients' metadata diverged")
+		}
+	})
 }

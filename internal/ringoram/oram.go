@@ -265,9 +265,6 @@ type AccessPlan struct {
 	cachedEntry *stashEntry
 	targetIdx   int
 	targetEntry *stashEntry
-	isWrite     bool
-	newValue    []byte
-	newTomb     bool
 	completed   bool
 }
 
@@ -852,57 +849,27 @@ func (o *ORAM) dummyPathLocked(leaf int, forcedSlots []int) (*AccessPlan, []int,
 	return plan, o.reshuffleDue(path), nil
 }
 
-// PlanWrite plans a logical write (or delete, when tombstone is set). With
-// dummiless writes (the default, §6.3) the block goes directly to the stash
-// and the returned plan is nil: no storage reads are needed and no
-// completion is required.
-func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) (*AccessPlan, []int, error) {
+// PlanWrite applies a logical write (or delete, when tombstone is set) as a
+// dummiless write (§6.3): the block goes directly to the stash, so no storage
+// reads are needed and there is nothing to complete. The write counts as one
+// access toward the eviction schedule (EvictDue).
+func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) error {
 	if key == "" {
-		return nil, nil, errors.New("ringoram: empty key")
+		return errors.New("ringoram: empty key")
 	}
 	if len(key) > o.p.KeySize {
-		return nil, nil, fmt.Errorf("ringoram: key of %d bytes exceeds KeySize %d", len(key), o.p.KeySize)
+		return fmt.Errorf("ringoram: key of %d bytes exceeds KeySize %d", len(key), o.p.KeySize)
 	}
 	if len(value) > o.p.ValueSize {
-		return nil, nil, fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(value), o.p.ValueSize)
+		return fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(value), o.p.ValueSize)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if _, known := o.pos[key]; !known {
 		if len(o.keys) >= o.p.NumBlocks {
-			return nil, nil, fmt.Errorf("%w: %d keys", ErrFull, len(o.keys))
+			return fmt.Errorf("%w: %d keys", ErrFull, len(o.keys))
 		}
 	}
-	if o.p.DisableDummilessWrites {
-		// Canonical Ring ORAM: a write is a path read whose completion
-		// installs the new value.
-		plan, due, err := o.planReadLocked(key, -1, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		if plan.cached {
-			// Stash hit: update in place, still no I/O.
-			o.setEntryVal(plan.cachedEntry, value)
-			plan.cachedEntry.tombstone = tombstone
-			return nil, nil, nil
-		}
-		plan.isWrite = true
-		plan.newValue = o.varena.copyVal(value) // the entry's at completion
-		plan.newTomb = tombstone
-		if plan.targetEntry == nil {
-			// Unknown key: the dummy path read allocated nothing; create
-			// the stash entry now.
-			e := o.newEntry(stashEntry{key: key, leaf: o.randLeaf(), cacheable: true, pending: true})
-			o.stashAdd(e)
-			o.remap(key, e.leaf)
-			plan.targetEntry = e
-			if err := o.noteStash(); err != nil {
-				return nil, nil, err
-			}
-		}
-		return plan, due, nil
-	}
-
 	newLeaf := o.randLeaf()
 	k := o.remap(key, newLeaf)
 	if e, ok := o.stash[key]; ok {
@@ -925,10 +892,7 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) (*AccessPlan,
 		o.stashAdd(e)
 	}
 	o.accessCount++
-	if err := o.noteStash(); err != nil {
-		return nil, nil, err
-	}
-	return nil, nil, nil
+	return o.noteStash()
 }
 
 // BumpWrite advances the access counter by one write-batch slot without any
@@ -947,8 +911,8 @@ func (o *ORAM) EvictDue() bool {
 	return o.accessCount >= uint64(o.p.A)*(o.evictCount+1)
 }
 
-// CompleteAccess applies the fetched slot data for an access plan and
-// returns the read value (for writes, the returned value is nil). The value
+// CompleteAccess applies the fetched slot data for a read plan and returns
+// the read value. The value
 // is the caller's to keep: a capacity-clipped copy carved by a slab.Bytes.
 // data must be parallel to plan.Reads. Only the slot that carries the
 // access's block is ever inspected: the entry of every other read (a filler)
@@ -1005,16 +969,6 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 	entry := plan.targetEntry
 	if entry == nil {
 		entry = plan.cachedEntry
-	}
-	if plan.isWrite {
-		if entry == nil {
-			return nil, false, errors.New("ringoram: write plan without entry")
-		}
-		o.releaseEntryVal(entry)
-		entry.value, entry.arenaVal = plan.newValue, true
-		entry.tombstone = plan.newTomb
-		entry.pending = false
-		return nil, true, nil
 	}
 	if entry == nil {
 		return nil, false, nil // unknown key or padding

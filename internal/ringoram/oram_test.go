@@ -262,30 +262,6 @@ func TestSeqNilKeyRejected(t *testing.T) {
 	}
 }
 
-func TestSeqNonDummilessWrites(t *testing.T) {
-	p := testParams(32)
-	p.DisableDummilessWrites = true
-	store := newMapStore()
-	seq, err := NewSeq(store, cryptoutil.KeyFromSeed([]byte("t")), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		k := fmt.Sprintf("k%d", i%5)
-		must(t, seq.Write(k, []byte(fmt.Sprintf("v%d", i))))
-	}
-	for i := 15; i < 20; i++ {
-		k := fmt.Sprintf("k%d", i%5)
-		v, found, err := seq.Read(k)
-		if err != nil || !found || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("%s = %q %v %v", k, v, found, err)
-		}
-	}
-	if store.violation != nil {
-		t.Fatalf("bucket invariant: %v", store.violation)
-	}
-}
-
 func TestSeqDummilessWritesSkipReads(t *testing.T) {
 	// A dummiless write between evictions performs zero physical reads.
 	p := testParams(64)

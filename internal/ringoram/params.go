@@ -41,10 +41,6 @@ type Params struct {
 	// crypto overhead (the "Parallel" vs "ParallelCrypto" series of
 	// Figure 10a); never secure.
 	DisableEncryption bool
-	// DisableDummilessWrites makes logical writes perform a full physical
-	// path read like canonical Ring ORAM, instead of Obladi's
-	// direct-to-stash write (§6.3). Ablation knob.
-	DisableDummilessWrites bool
 	// TolerateCorrupt treats undecryptable target slots as absent keys
 	// instead of errors. Required when running against the lossy "dummy"
 	// measurement backend; never enable against real storage.

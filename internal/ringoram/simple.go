@@ -57,16 +57,10 @@ func (s *Seq) Delete(key string) error {
 }
 
 func (s *Seq) write(key string, value []byte, tombstone bool) error {
-	plan, due, err := s.oram.PlanWrite(key, value, tombstone)
-	if err != nil {
+	if err := s.oram.PlanWrite(key, value, tombstone); err != nil {
 		return err
 	}
-	if plan != nil {
-		if _, _, err := s.runAccess(plan); err != nil {
-			return err
-		}
-	}
-	return s.maintain(due)
+	return s.maintain(nil)
 }
 
 // DummyRead issues a padding access (used by callers that must keep a fixed

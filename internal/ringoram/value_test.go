@@ -25,7 +25,7 @@ func TestValuePathAllocBudget(t *testing.T) {
 	value := make([]byte, p.ValueSize)
 	write := func() {
 		for _, k := range keys {
-			if _, _, err := o.PlanWrite(k, value, false); err != nil {
+			if err := o.PlanWrite(k, value, false); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// This file exports a conformance suite for the Backend contract, so every
+// This file holds the conformance suite for the Backend contract, so every
 // implementation — MemBackend, DiskBackend, DummyBackend, the latency
 // wrapper, the remote client/server pair, and any future store — is held to
 // the same edge cases instead of each accumulating ad-hoc coverage.

@@ -53,9 +53,9 @@ type DiskBackend struct {
 	// sharing a data dir coalesce into one flush wave.
 	group *CommitGroup
 
-	// recoveryWorkers bounds the worker pool that replays log segments (and
+	// replayWorkers bounds the worker pool that replays log segments (and
 	// opens the heap/KV/log files concurrently) at open; 1 means serial.
-	recoveryWorkers int
+	replayWorkers int
 
 	// commitMu serializes the heap's durability barriers — CommitEpoch,
 	// RollbackTo and the compaction swap — against each other, so the heap
@@ -173,10 +173,6 @@ const (
 
 // DiskOptions tunes OpenDiskGroupOpts beyond the defaults.
 type DiskOptions struct {
-	// RecoveryWorkers bounds the pool that replays and crc-verifies log
-	// segments (and opens the heap/KV/log files concurrently) at open.
-	// 0 picks a default from GOMAXPROCS; 1 forces serial recovery.
-	RecoveryWorkers int
 	// SegMaxBytes overrides the log segment roll-over size (0 = default).
 	// Exposed for tests that need many segments.
 	SegMaxBytes int64
@@ -223,22 +219,22 @@ func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*
 		return nil, fmt.Errorf("storage: creating data dir: %w", err)
 	}
 	b := &DiskBackend{
-		fsys:            fsys,
-		dir:             dir,
-		group:           opts.group,
-		recoveryWorkers: opts.workers,
-		kv:              make(map[string]kvEntry),
-		heapCompactMin:  defaultHeapCompactMin,
-		kvCompactMin:    defaultKVCompactMin,
-		segMaxBytes:     defaultSegMaxBytes,
-		truncBefore:     1,
-		keepDeadSegs:    opts.keepSegs,
+		fsys:           fsys,
+		dir:            dir,
+		group:          opts.group,
+		replayWorkers:  opts.workers,
+		kv:             make(map[string]kvEntry),
+		heapCompactMin: defaultHeapCompactMin,
+		kvCompactMin:   defaultKVCompactMin,
+		segMaxBytes:    defaultSegMaxBytes,
+		truncBefore:    1,
+		keepDeadSegs:   opts.keepSegs,
 	}
 	if opts.segMaxBytes > 0 {
 		b.segMaxBytes = opts.segMaxBytes
 	}
-	if b.recoveryWorkers <= 0 {
-		b.recoveryWorkers = defaultRecoveryWorkers()
+	if b.replayWorkers <= 0 {
+		b.replayWorkers = defaultReplayWorkers()
 	}
 	names, err := fsys.List(dir)
 	if err != nil {
@@ -262,7 +258,7 @@ func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*
 	if !opts.noHeap {
 		opens = append([]func() error{b.openHeap}, opens...)
 	}
-	if b.recoveryWorkers > 1 {
+	if b.replayWorkers > 1 {
 		var wg sync.WaitGroup
 		errs := make([]error, len(opens))
 		for i, fn := range opens {
@@ -301,9 +297,9 @@ func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*
 	return b, nil
 }
 
-// defaultRecoveryWorkers sizes the replay pool: parallel crc verification
+// defaultReplayWorkers sizes the replay pool: parallel crc verification
 // saturates quickly, so a small pool captures most of the win.
-func defaultRecoveryWorkers() int {
+func defaultReplayWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 4 {
 		n = 4

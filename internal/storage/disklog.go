@@ -264,7 +264,7 @@ var errSegDamaged = errors.New("storage: damaged log segment")
 // the point-in-time prefix a write-ahead log must recover to.
 // Segment replay — scanning every record frame and checking its crc32c —
 // dominates recovery time on a long log, and segments are independent
-// files, so the scan fans out across b.recoveryWorkers (pFSCK-style);
+// files, so the scan fans out across b.replayWorkers (pFSCK-style);
 // only the chain-prefix decision below stays sequential.
 func (b *DiskBackend) openLog(names []string) error {
 	var bases []uint64
@@ -276,7 +276,7 @@ func (b *DiskBackend) openLog(names []string) error {
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 	segs := make([]*segment, len(bases))
 	segErrs := make([]error, len(bases))
-	if workers := b.recoveryWorkers; workers > 1 && len(bases) > 1 {
+	if workers := b.replayWorkers; workers > 1 && len(bases) > 1 {
 		if workers > len(bases) {
 			workers = len(bases)
 		}

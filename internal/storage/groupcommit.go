@@ -436,7 +436,6 @@ func (s logHeapShard) CommitStream() any { return s.heap.owner }
 // stored size). obladi-storage opens its data dir with opts.LogHeap set.
 func OpenDiskGroupOpts(dir string, shards, numBuckets int, opts DiskOptions) (*DiskGroup, error) {
 	return openDiskGroupOpts(osFS{}, dir, shards, numBuckets, diskOpts{
-		workers:     opts.RecoveryWorkers,
 		segMaxBytes: opts.SegMaxBytes,
 		autoCompact: true,
 		logHeap:     opts.LogHeap,

@@ -341,18 +341,24 @@ func splitAddrs(s string) ([]string, error) {
 	return addrs, nil
 }
 
+// Txn is a transaction handle; see core.Txn for its methods.
+type Txn = core.Txn
+
+// Future is the pending result of a ReadAsync; it resolves when the read's
+// batch executes.
+type Future = core.Future
+
+// KV is one ReadMany result.
+type KV = core.ReadResult
+
 // Begin starts a transaction.
-func (db *DB) Begin() *Txn {
-	return db.BeginCtx(context.Background())
-}
+func (db *DB) Begin() *Txn { return db.proxy.Begin() }
 
 // BeginCtx starts a transaction bound to ctx: cancellation or deadline
 // expiry aborts it, and unblocks any operation waiting on a batch or on the
 // epoch's commit decision. The oblivious schedule is unaffected — batch
 // slots a cancelled transaction queued still execute as dummies.
-func (db *DB) BeginCtx(ctx context.Context) *Txn {
-	return &Txn{t: db.proxy.BeginCtx(ctx)}
-}
+func (db *DB) BeginCtx(ctx context.Context) *Txn { return db.proxy.BeginCtx(ctx) }
 
 // Update runs fn in a transaction and commits, retrying up to 10 times on
 // aborts. fn must be idempotent.
@@ -363,33 +369,12 @@ func (db *DB) Update(fn func(*Txn) error) error {
 // UpdateCtx is Update bound to ctx: each attempt's transaction carries ctx,
 // and retries stop once ctx is done.
 func (db *DB) UpdateCtx(ctx context.Context, fn func(*Txn) error) error {
-	var last error
-	for attempt := 0; attempt < 10; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if last != nil {
-				return last
-			}
-			return err
-		}
-		tx := db.BeginCtx(ctx)
+	return db.retry(ctx, func(tx *Txn) error {
 		if err := fn(tx); err != nil {
-			tx.Abort()
-			if errors.Is(err, ErrAborted) || errors.Is(err, ErrEpochFull) {
-				last = err
-				continue
-			}
 			return err
 		}
-		err := tx.Commit()
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, ErrAborted) && !errors.Is(err, ErrEpochFull) {
-			return err
-		}
-		last = err
-	}
-	return last
+		return tx.Commit()
+	})
 }
 
 // View runs fn in a transaction that is aborted afterwards (reads only take
@@ -400,8 +385,19 @@ func (db *DB) View(fn func(*Txn) error) error {
 
 // ViewCtx is View bound to ctx, with UpdateCtx's retry semantics.
 func (db *DB) ViewCtx(ctx context.Context, fn func(*Txn) error) error {
+	return db.retry(ctx, fn)
+}
+
+// retry runs attempt in up to 10 transactions bound to ctx, aborting each
+// afterwards (a no-op once it committed), until an attempt returns nil or an
+// error that is not a retryable abort. A load-shed (ErrShed) means the
+// epoch's read slots are spoken for, and an immediate replay would land in
+// the same exhausted epoch: a shed attempt is retried after a jittered,
+// doubling backoff, cut short when ctx is done.
+func (db *DB) retry(ctx context.Context, attempt func(*Txn) error) error {
 	var last error
-	for attempt := 0; attempt < 10; attempt++ {
+	backoff := core.ShedBackoff
+	for i := 0; i < 10; i++ {
 		if err := ctx.Err(); err != nil {
 			if last != nil {
 				return last
@@ -409,7 +405,7 @@ func (db *DB) ViewCtx(ctx context.Context, fn func(*Txn) error) error {
 			return err
 		}
 		tx := db.BeginCtx(ctx)
-		err := fn(tx)
+		err := attempt(tx)
 		tx.Abort()
 		if err == nil {
 			return nil
@@ -418,6 +414,9 @@ func (db *DB) ViewCtx(ctx context.Context, fn func(*Txn) error) error {
 			return err
 		}
 		last = err
+		if errors.Is(err, ErrShed) {
+			backoff = core.WaitShedBackoff(ctx, backoff)
+		}
 	}
 	return last
 }
@@ -445,52 +444,9 @@ func (db *DB) ReplicaAddr() string {
 	return db.sender.Addr()
 }
 
-// Stats is a snapshot of proxy counters, the public view of the trusted
-// proxy's bookkeeping: epochs and transaction fates, batch-slot utilization
-// (how much of the fixed schedule carried real work), and the storage wire
-// call counters the vectorized I/O plane exposes. Benchmarks and operators
-// read these instead of reaching into internal packages.
-type Stats struct {
-	// Shards is the number of key-space partitions.
-	Shards int
-	// Epochs counts committed epoch boundaries.
-	Epochs uint64
-	// Committed and Aborted count transaction fates.
-	Committed uint64
-	Aborted   uint64
-	// ConflictAborts and CascadingAborts break down MVTSO aborts.
-	ConflictAborts  int64
-	CascadingAborts int64
-	// ReadBatchSlots counts read-batch slots issued across all shards;
-	// RealReads the slots that carried real requests (the rest is padding).
-	ReadBatchSlots uint64
-	RealReads      uint64
-	// WriteSlots and RealWrites are the write-batch equivalents.
-	WriteSlots uint64
-	RealWrites uint64
-	// StorageReadCalls and StorageWriteCalls count storage wire calls; their
-	// ratio to the slot counters is the vectored I/O batching factor.
-	StorageReadCalls  int64
-	StorageWriteCalls int64
-	// StashPeak is the maximum Ring ORAM stash occupancy over shards.
-	StashPeak int
-	// RecoveryReplayed counts logged reads replayed by crash recovery.
-	RecoveryReplayed int
-	// ShedReads counts reads refused by the admission gate (overload).
-	ShedReads uint64
-	// BoundaryReads counts reads that arrived after their epoch's last read
-	// batch and were held until the next epoch opened (not overload).
-	BoundaryReads uint64
-	// AdmittedSessions counts sessions that got at least one fetch admitted.
-	AdmittedSessions uint64
-	// ReadQueueDepth is the current admitted-but-unscheduled fetch count
-	// across shards (instantaneous, not cumulative).
-	ReadQueueDepth int
-	// Logs is each shard's recovery-log lifecycle: records retained, the
-	// truncation floor and truncations run. Retained records are bounded by
-	// two full-checkpoint cadences whatever the uptime.
-	Logs []LogStats
-}
+// Stats is a snapshot of proxy counters; see core.Stats for the fields.
+// Executor.ReadCalls and Executor.WriteCalls count storage wire calls.
+type Stats = core.Stats
 
 // LogStats is one shard's recovery-log lifecycle snapshot: Records retained,
 // the FloorSeq of the oldest one, Truncations run, and the checkpoint record
@@ -498,30 +454,7 @@ type Stats struct {
 type LogStats = wal.Stats
 
 // Stats returns a snapshot of proxy counters.
-func (db *DB) Stats() Stats {
-	s := db.proxy.Stats()
-	return Stats{
-		Shards:            s.Shards,
-		Epochs:            s.Epochs,
-		Committed:         s.Committed,
-		Aborted:           s.Aborted,
-		ConflictAborts:    s.ConflictAborts,
-		CascadingAborts:   s.CascadingAborts,
-		ReadBatchSlots:    s.ReadBatchSlots,
-		RealReads:         s.RealReads,
-		WriteSlots:        s.WriteSlots,
-		RealWrites:        s.RealWrites,
-		StorageReadCalls:  s.Executor.ReadCalls,
-		StorageWriteCalls: s.Executor.WriteCalls,
-		StashPeak:         s.StashPeak,
-		RecoveryReplayed:  s.RecoveryReplayed,
-		ShedReads:         s.ShedReads,
-		BoundaryReads:     s.BoundaryReads,
-		Logs:              s.Logs,
-		AdmittedSessions:  s.AdmittedSessions,
-		ReadQueueDepth:    s.ReadQueueDepth,
-	}
-}
+func (db *DB) Stats() Stats { return db.proxy.Stats() }
 
 // Close shuts the proxy down; in-flight transactions abort.
 func (db *DB) Close() error {
@@ -549,106 +482,3 @@ func (db *DB) Shutdown() error {
 	}
 	return err
 }
-
-// Txn is a transaction handle. Operations must not be called concurrently,
-// but Futures returned by ReadAsync may be resolved from other goroutines.
-type Txn struct {
-	t *core.Txn
-}
-
-// Read returns the value visible to this transaction.
-func (tx *Txn) Read(key string) (value []byte, found bool, err error) {
-	return tx.t.Read(key)
-}
-
-// Future is the pending result of a ReadAsync; it resolves when the read's
-// batch executes.
-type Future struct {
-	f *core.Future
-}
-
-// Wait blocks until the Future resolves or ctx is done (nil means the
-// transaction's own context). Cancellation aborts the transaction; the
-// queued batch slot still executes as a dummy, so the oblivious schedule is
-// unaffected.
-func (f *Future) Wait(ctx context.Context) (value []byte, found bool, err error) {
-	return f.f.Wait(ctx)
-}
-
-// Value resolves the Future under the transaction's own context.
-func (f *Future) Value() (value []byte, found bool, err error) { return f.f.Value() }
-
-// ReadAsync registers a read of key and returns a Future immediately, so one
-// goroutine can issue a transaction's whole read set before the first batch
-// fires — every independent read then lands in the same batch:
-//
-//	a, b := tx.ReadAsync("alice"), tx.ReadAsync("bob")
-//	av, _, err := a.Value()
-//	bv, _, err := b.Value()
-func (tx *Txn) ReadAsync(key string) *Future {
-	return &Future{f: tx.t.ReadAsync(key)}
-}
-
-// OpFuture is the result of an enqueue-style mutation (WriteAsync,
-// DeleteAsync).
-type OpFuture struct {
-	err error
-}
-
-// Wait reports the operation's outcome. Embedded mutations are pure
-// enqueues (delayed write-back: nothing reaches storage before the epoch
-// boundary), so the future is always already resolved; the ctx parameter
-// exists for signature symmetry with the wire client, where WriteAsync
-// genuinely pipelines.
-func (f *OpFuture) Wait(ctx context.Context) error { return f.err }
-
-// Err is Wait without a context.
-func (f *OpFuture) Err() error { return f.err }
-
-// WriteAsync enqueues a write and returns its outcome as an OpFuture.
-func (tx *Txn) WriteAsync(key string, value []byte) *OpFuture {
-	return &OpFuture{err: tx.t.Write(key, value)}
-}
-
-// DeleteAsync enqueues a delete and returns its outcome as an OpFuture.
-func (tx *Txn) DeleteAsync(key string) *OpFuture {
-	return &OpFuture{err: tx.t.Delete(key)}
-}
-
-// ReadMany reads independent keys in one batch round; results are parallel
-// to keys. Prefer it over sequential Reads: each chain of dependent reads
-// costs one read batch.
-func (tx *Txn) ReadMany(keys []string) ([]KV, error) {
-	res, err := tx.t.ReadMany(keys)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]KV, len(res))
-	for i, r := range res {
-		out[i] = KV{Key: r.Key, Value: r.Value, Found: r.Found}
-	}
-	return out, nil
-}
-
-// KV is one ReadMany result.
-type KV struct {
-	Key   string
-	Value []byte
-	Found bool
-}
-
-// Write stores value under key.
-func (tx *Txn) Write(key string, value []byte) error { return tx.t.Write(key, value) }
-
-// Delete removes key.
-func (tx *Txn) Delete(key string) error { return tx.t.Delete(key) }
-
-// Commit requests commit and blocks until the epoch decides; nil means the
-// transaction is durably committed.
-func (tx *Txn) Commit() error { return tx.t.Commit() }
-
-// CommitAsync requests commit and returns the decision channel.
-func (tx *Txn) CommitAsync() <-chan error { return tx.t.CommitAsync() }
-
-// Abort discards the transaction.
-func (tx *Txn) Abort() { tx.t.Abort() }

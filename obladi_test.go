@@ -96,6 +96,26 @@ func TestUpdateRetriesOnConflict(t *testing.T) {
 	}
 }
 
+// TestUpdateBacksOffOnShed: a shed says the epoch's read slots are spoken
+// for, so Update must retry in a later epoch instead of spending every
+// attempt on the exhausted one within microseconds.
+func TestUpdateBacksOffOnShed(t *testing.T) {
+	db := openTest(t, Options{ReadBatches: 1, ReadBatchSize: 1, BatchInterval: 50 * time.Millisecond})
+	hog := db.Begin()
+	defer hog.Abort()
+	hog.ReadAsync("hog") // takes the epoch's only read slot
+	err := db.Update(func(tx *Txn) error {
+		_, _, err := tx.Read("other")
+		return err
+	})
+	if err != nil {
+		t.Fatalf("Update behind a filled epoch: %v", err)
+	}
+	if st := db.Stats(); st.ShedReads == 0 {
+		t.Fatal("the first attempt was not shed; the test did not exercise the backoff")
+	}
+}
+
 func TestReadManyAPI(t *testing.T) {
 	db := openTest(t, Options{})
 	must(t, db.Update(func(tx *Txn) error {
