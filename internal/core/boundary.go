@@ -8,10 +8,11 @@ import (
 	"obladi/internal/wal"
 )
 
-// boundaryJob carries one sealed epoch from its seal to its commit.
+// boundaryJob carries one sealed epoch from its seal to its commit. The proxy
+// has one (Proxy.job), refilled by every seal.
 type boundaryJob struct {
 	epoch     uint64
-	sealed    []*oramexec.SealedEpoch  // per-shard detached write-back sets
+	sealed    []*oramexec.SealedEpoch  // per-shard detached write-back sets (nil: nothing to flush)
 	ckpts     []*wal.PendingCheckpoint // per-shard checkpoint snapshots (nil without durability)
 	commitAck []chan error             // the committed transactions' waiters
 	committed uint64
@@ -26,23 +27,31 @@ type boundaryJob struct {
 // storage epoch, and only then acknowledges the epoch's commit waiters —
 // delayed visibility already deferred acks to the boundary, so deferring them
 // to the commit's completion changes no client-visible semantics. The commit
-// runs on a background committer and EndEpoch returns right after the seal,
-// with at most one boundary in flight (the next seal waits for the previous
-// commit to land). A boundary error in either stage fail-stops the proxy:
-// every fetch and commit waiter is woken. EndEpoch returns a seal error; a
-// commit error reaches the epoch's commit waiters and WaitCommitted.
+// runs on the proxy's committer goroutine and EndEpoch returns right after
+// the seal, with at most one boundary in flight (the next seal waits for the
+// previous commit to land). A boundary error in either stage fail-stops the
+// proxy: every fetch and commit waiter is woken. EndEpoch returns a seal
+// error; a commit error reaches the epoch's commit waiters and WaitCommitted.
 // Exported for manual mode and tests.
 func (p *Proxy) EndEpoch() error {
+	p.sealMu.Lock()
+	defer p.sealMu.Unlock()
 	job, err := p.sealEpoch()
 	if err != nil {
 		return err
 	}
-	p.committers.Add(1)
-	go func() {
-		defer p.committers.Done()
-		p.commitBoundary(job)
-	}()
+	// The committer is idle: it took the previous job before committing it.
+	p.commitQ <- job
 	return nil
+}
+
+// commitLoop is the committer: it runs each sealed boundary's commit stage,
+// in seal order, until the proxy stops it.
+func (p *Proxy) commitLoop(q <-chan *boundaryJob) {
+	defer p.committer.Done()
+	for job := range q {
+		p.commitBoundary(job)
+	}
 }
 
 // WaitCommitted blocks until no boundary is in flight: the last sealed
@@ -96,7 +105,7 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	out := p.ccu.FinalizeEpoch()
 
 	// Partition the deduplicated write set across shards.
-	shardOps, wplans, errs := p.step.shardOps, p.step.plans, p.step.errs
+	shardOps, errs := p.step.shardOps, p.step.errs
 	for i := range shardOps {
 		shardOps[i] = shardOps[i][:0]
 	}
@@ -122,54 +131,26 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// correctly within its shard. The checkpoint must be snapshotted here,
 	// before the next epoch mutates the ORAM metadata; its durable append
 	// is the commit stage's job.
-	job := &boundaryJob{
-		epoch:  epoch,
-		sealed: make([]*oramexec.SealedEpoch, len(p.shards)),
-		ckpts:  make([]*wal.PendingCheckpoint, len(p.shards)),
-	}
+	// The previous boundary has landed (back-pressure above), so the job is
+	// free to refill.
+	job := &p.job
+	job.epoch = epoch
 	// Same staging as StepReadBatch: plan everywhere, append every shard's
 	// write-batch schedule deferred, one Sync round (one fsync on a shared
 	// log), then execute — the write-ahead rule holds per shard, with the
 	// barrier placed once per round instead of once per record.
-	oramexec.RunStages(len(p.shards), func(i int) {
-		sh := p.shards[i]
-		ops := shardOps[i]
-		for len(ops) < p.cfg.WriteBatchSize {
-			ops = append(ops, oramexec.WriteOp{})
-		}
-		wplans[i], errs[i] = sh.exec.PlanWriteBatch(ops)
-	})
+	p.sched.Run(stagePlanWrites)
 	for i, sh := range p.shards {
 		if errs[i] != nil || sh.rlog == nil {
 			continue
 		}
-		if err := sh.rlog.AppendBatchDeferred(epoch, p.cfg.ReadBatches, wplans[i].Log()); err != nil {
+		if err := sh.rlog.AppendBatchDeferred(epoch, p.cfg.ReadBatches, p.step.plans[i].Log()); err != nil {
 			errs[i] = err
 		}
 	}
-	p.syncLogs(p.shards, errs)
-	oramexec.RunStages(len(p.shards), func(i int) {
-		if errs[i] != nil {
-			return
-		}
-		sh := p.shards[i]
-		if _, err := sh.exec.Execute(wplans[i]); err != nil {
-			errs[i] = err
-			return
-		}
-		// Detach the epoch's write-back set. The next epoch's reads
-		// that land on a sealed bucket are served from it locally, so
-		// they stay correct while the flush is still in flight.
-		var err error
-		if job.sealed[i], err = sh.exec.SealEpoch(); err != nil {
-			errs[i] = err
-			return
-		}
-		if sh.rlog != nil {
-			job.ckpts[i], errs[i] = sh.rlog.PrepareCheckpoint(epoch, sh.exec.ORAM())
-		}
-	})
-	clear(wplans)
+	p.syncLogs(p.sched, stageSyncStep)
+	p.sched.Run(stageSeal)
+	clear(p.step.plans)
 	if err := firstError(errs); err != nil {
 		return nil, p.failBoundary(err)
 	}
@@ -177,7 +158,7 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// Collect the epoch's commit waiters for the commit stage, ack its
 	// aborts (no durability obligation), and open the next epoch.
 	p.mu.Lock()
-	job.commitAck = make([]chan error, 0, len(out.Committed))
+	job.commitAck = job.commitAck[:0]
 	job.committed = uint64(len(out.Committed))
 	for _, ts := range out.Committed {
 		if ch, ok := p.waiters[ts]; ok {
@@ -238,12 +219,13 @@ func (p *Proxy) commitBoundary(job *boundaryJob) {
 			ch <- nil
 		}
 		p.mu.Unlock()
-		job.commitAck = nil
+		clear(job.commitAck)
+		job.commitAck = job.commitAck[:0]
 		// The epoch is durable on every shard (checkpoints, the commit point,
 		// store commit), so its log prefix can go — after the acks, which
 		// have no reason to wait for a truncation, and before the boundary
 		// slot is freed, so no later commit's appends overlap it.
-		err = p.retireLogs(job.epoch)
+		err = p.retireLogs()
 		p.retiring.Unlock()
 	}
 	p.mu.Lock()
@@ -254,6 +236,8 @@ func (p *Proxy) commitBoundary(job *boundaryJob) {
 		}
 		p.failStopLocked(err)
 	}
+	clear(job.sealed)
+	clear(job.ckpts)
 	p.boundaryDone.Broadcast()
 	p.mu.Unlock()
 	if err != nil {
@@ -261,18 +245,13 @@ func (p *Proxy) commitBoundary(job *boundaryJob) {
 	}
 }
 
-// retireLogs tells every shard's log that epoch is durably committed
-// everywhere (see wal.Log.Retire): a function of the epoch counter alone,
-// one Truncate per shard per full checkpoint.
-func (p *Proxy) retireLogs(epoch uint64) error {
-	errs := p.commitErrs
-	clear(errs)
-	oramexec.RunStages(len(p.shards), func(i int) {
-		if rlog := p.shards[i].rlog; rlog != nil {
-			errs[i] = rlog.Retire(epoch)
-		}
-	})
-	return firstError(errs)
+// retireLogs tells every shard's log that the job's epoch is durably
+// committed everywhere (see wal.Log.Retire): a function of the epoch counter
+// alone, one Truncate per shard per full checkpoint.
+func (p *Proxy) retireLogs() error {
+	clear(p.commitErrs)
+	p.commits.Run(stageRetire)
+	return firstError(p.commitErrs)
 }
 
 // runCommit makes an epoch durable and decides it, in the one sequence every
@@ -296,20 +275,9 @@ func (p *Proxy) runCommit(job *boundaryJob) error {
 	shared := p.unified != nil
 	errs := p.commitErrs
 	clear(errs)
-	oramexec.RunStages(len(p.shards), func(i int) {
-		sh := p.shards[i]
-		if job.sealed != nil {
-			if _, err := sh.exec.FlushSealed(job.sealed[i]); err != nil {
-				errs[i] = err
-				return
-			}
-		}
-		if i > 0 && job.ckpts[i] != nil {
-			_, errs[i] = sh.rlog.AppendPreparedDeferred(job.ckpts[i])
-		}
-	})
+	p.commits.Run(stageFlush)
 	if !shared {
-		p.syncLogs(p.shards[1:], errs[1:])
+		p.syncLogs(p.commits, stageSyncFollowers)
 	}
 	if err := firstError(errs); err != nil {
 		return err
@@ -339,16 +307,50 @@ func (p *Proxy) runCommit(job *boundaryJob) error {
 				return err
 			}
 		}
-		p.syncLogs(p.shards, errs)
+		p.syncLogs(p.commits, stageSyncAll)
 	} else {
 		// Each CommitEpoch stands on its own barrier; issued together,
 		// backends sharing a commit-group data dir coalesce the round into
 		// one fsync wave instead of paying one barrier per shard.
-		oramexec.RunStages(len(p.shards), func(i int) {
-			errs[i] = p.shards[i].store.CommitEpoch(job.epoch)
-		})
+		p.commits.Run(stageCommitEpoch)
 	}
 	return firstError(errs)
+}
+
+// flushShard is shard sh's part of a commit's first step: write back its
+// sealed buckets, then append its prepared checkpoint if it is a follower.
+func (p *Proxy) flushShard(sh *shard) error {
+	job := &p.job
+	if s := job.sealed[sh.id]; s != nil {
+		if _, err := sh.exec.FlushSealed(s); err != nil {
+			return err
+		}
+	}
+	if cp := job.ckpts[sh.id]; sh.id > 0 && cp != nil {
+		_, err := sh.rlog.AppendPreparedDeferred(cp)
+		return err
+	}
+	return nil
+}
+
+// sealShard is shard sh's part of the seal once its write-batch schedule is
+// durable: execute the write batch, detach the epoch's write-back set and
+// snapshot the checkpoint. The next epoch's reads that land on a sealed
+// bucket are served from the set locally, so they stay correct while the
+// flush is still in flight.
+func (p *Proxy) sealShard(sh *shard, plan *oramexec.BatchPlan) error {
+	job := &p.job
+	if _, err := sh.exec.Execute(plan); err != nil {
+		return err
+	}
+	var err error
+	if job.sealed[sh.id], err = sh.exec.SealEpoch(); err != nil {
+		return err
+	}
+	if sh.rlog != nil {
+		job.ckpts[sh.id], err = sh.rlog.PrepareCheckpoint(job.epoch, sh.exec.ORAM())
+	}
+	return err
 }
 
 // failBoundary fail-stops the proxy after a boundary error: every fetch and

@@ -113,6 +113,59 @@ func TestTxnAllocBudget(t *testing.T) {
 	}
 }
 
+// TestShardedEpochAllocBudget counts what the schedule allocates per epoch —
+// R read batches, the seal and the commit stage — on a stepped two-shard
+// proxy over a logheap DiskGroup, the bank-disk shape. Every such epoch runs
+// 18 per-shard fan-outs and 12 SyncLog barriers (R+2 rounds per shard).
+// With a goroutine per shard, a closure and a done channel per fan-out, a
+// goroutine per commit stage, and a request, a channel and a syncer
+// goroutine per barrier, the schedule allocated 199 times per epoch here.
+// With parked shard workers, one long-lived committer and barriers led by
+// their callers it allocates 50. The budget keeps the drop at 140 or more.
+func TestShardedEpochAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const warm, epochs = 4, 40
+	cfg := testConfig(91)
+	g := openLogHeapGroup(t, t.TempDir(), 2, cfg)
+	defer g.Close()
+	p, err := NewSharded(g.Backends(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var ms runtime.MemStats
+	mallocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	var schedule uint64
+	for e := 0; e < warm+epochs; e++ {
+		m0 := mallocs()
+		for b := 0; b < cfg.ReadBatches; b++ {
+			if err := p.StepReadBatch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.EndEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.WaitCommitted(); err != nil {
+			t.Fatal(err)
+		}
+		if e >= warm {
+			schedule += mallocs() - m0
+		}
+	}
+	perEpoch := float64(schedule) / epochs
+	t.Logf("schedule: %.1f allocations per epoch", perEpoch)
+	const budget = 199 - 140
+	if perEpoch > budget {
+		t.Errorf("the schedule allocates %.1f per epoch, budget %d", perEpoch, budget)
+	}
+}
+
 // staleEpoch is one epoch of a fixed little workload: transaction i reads
 // keys i and i+1 and writes key i. It returns the handles and the acks.
 func staleEpoch(t *testing.T, p *Proxy, e int) (txs []*Txn, futs []*Future, acks []error) {

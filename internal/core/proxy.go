@@ -279,13 +279,25 @@ type Proxy struct {
 	futureSlab slab.Chunked[Future]
 
 	// inflight is the sealed boundary whose commit stage has not landed
-	// (guarded by mu; at most one). boundaryDone is signaled whenever it
-	// clears or the proxy closes, waking a boundary blocked on
-	// back-pressure. committers tracks background commit goroutines so
-	// Close can drain them.
+	// (guarded by mu; at most one, so it is always &job or nil).
+	// boundaryDone is signaled whenever it clears or the proxy closes, waking
+	// a boundary blocked on back-pressure.
 	inflight     *boundaryJob
 	boundaryDone *sync.Cond
-	committers   sync.WaitGroup
+	// job is the one boundary job: a seal fills it only once the previous
+	// epoch's commit has landed, and bootstrap and recovery commit through it
+	// before any seal.
+	job boundaryJob
+	// commitQ hands a sealed job to the committer goroutine (nil once
+	// stopped). sealMu is held across EndEpoch, so Close never stops the
+	// committer between a seal and its hand-off.
+	commitQ   chan *boundaryJob
+	committer sync.WaitGroup
+	sealMu    sync.Mutex
+	// sched runs the schedule's per-shard stages (read batches, the seal)
+	// and commits the committer's, so a commit stage's flush overlaps the
+	// next epoch's read batches.
+	sched, commits *oramexec.Fanout[stage]
 	// retiring is held from just before a boundary's acks are sent until the
 	// log truncation behind them has landed. Stats takes it: whoever has seen
 	// an epoch's acks reads lifecycle counters from after that epoch's
@@ -350,6 +362,7 @@ func NewSharded(stores []storage.Backend, cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	if err := p.bootstrap(); err != nil {
+		p.stopWorkers()
 		return nil, err
 	}
 	if p.cfg.BatchInterval > 0 {
@@ -445,6 +458,13 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 	p.ccu.SetWriteBudget(nshards, cfg.WriteBatchSize, func(key string) int {
 		return shardOf(key, nshards)
 	})
+	p.job.sealed = make([]*oramexec.SealedEpoch, n)
+	p.job.ckpts = make([]*wal.PendingCheckpoint, n)
+	p.sched = oramexec.NewFanout(n, p.runStage)
+	p.commits = oramexec.NewFanout(n, p.runStage)
+	p.commitQ = make(chan *boundaryJob, 1)
+	p.committer.Add(1)
+	go p.commitLoop(p.commitQ)
 	return p, nil
 }
 
@@ -468,22 +488,89 @@ func (p *Proxy) beginEpochAllLocked() {
 	}
 }
 
-// syncLogs runs one Sync round: every shard without an earlier error flushes
-// its recovery log's deferred appends. On a shared physical log the first
-// Sync's fsync covers every shard and the rest return without touching the
-// disk; on independent stores the barriers overlap. With nothing deferred (no
-// LogBatcher store: every append was durable inline) or a single shard there
-// is nothing to overlap and the round runs on the caller's goroutine. Errors
-// land in errs[i].
-func (p *Proxy) syncLogs(shs []*shard, errs []error) {
-	if !p.deferredLogs {
-		return
+// syncLogs runs one Sync round on f, s being one of its sync stages: every
+// shard the stage names, unless it already failed, flushes its recovery log's
+// deferred appends. On a shared physical log the shards' barriers ride one
+// fsync wave; on independent stores they overlap. With nothing deferred (no
+// LogBatcher store: every append was durable inline) there is no round.
+func (p *Proxy) syncLogs(f *oramexec.Fanout[stage], s stage) {
+	if p.deferredLogs {
+		f.Run(s)
 	}
-	oramexec.RunStages(len(shs), func(i int) {
-		if errs[i] == nil && shs[i].rlog != nil {
-			errs[i] = shs[i].rlog.Sync()
+}
+
+// syncLog is one shard's part of a Sync round; the error lands in *err.
+func syncLog(sh *shard, err *error) {
+	if *err == nil && sh.rlog != nil {
+		*err = sh.rlog.Sync()
+	}
+}
+
+// stage names one per-shard step, run by a fan-out through runStage. A
+// schedule stage's inputs and results live in p.step, a commit stage's in
+// p.job and p.commitErrs.
+type stage uint8
+
+const (
+	// Schedule stages, on p.sched.
+	stagePlanReads  stage = iota // plan the shard's share of a read batch
+	stageExecReads               // execute it
+	stagePlanWrites              // pad and plan the write batch
+	stageSeal                    // execute it, seal the write-back, snapshot the checkpoint
+	stageSyncStep                // the round's Sync
+	// Commit stages, on p.commits.
+	stagePrepare       // snapshot the checkpoint (commitSnapshot)
+	stageFlush         // flush the sealed write-back, append a follower's checkpoint
+	stageSyncFollowers // the prepare round's Sync, shards 1..n-1
+	stageSyncAll       // the commit's Sync on a shared stream
+	stageCommitEpoch   // each store's own epoch commit
+	stageRetire        // retire the committed log prefix
+)
+
+// runStage runs shard i's part of stage s.
+func (p *Proxy) runStage(s stage, i int) {
+	sh, st, job, cerr := p.shards[i], &p.step, &p.job, &p.commitErrs[i]
+	switch s {
+	case stagePlanReads:
+		ops := st.ops[i]
+		clear(ops)
+		for j, k := range st.batches[i].keys {
+			ops[j].Key = k
 		}
-	})
+		st.plans[i], st.errs[i] = sh.exec.PlanReadBatch(ops)
+	case stageExecReads:
+		if st.errs[i] == nil {
+			st.results[i], st.errs[i] = sh.exec.Execute(st.plans[i])
+		}
+	case stagePlanWrites:
+		ops := st.shardOps[i]
+		for len(ops) < p.cfg.WriteBatchSize {
+			ops = append(ops, oramexec.WriteOp{})
+		}
+		st.plans[i], st.errs[i] = sh.exec.PlanWriteBatch(ops)
+	case stageSeal:
+		if st.errs[i] == nil {
+			st.errs[i] = p.sealShard(sh, st.plans[i])
+		}
+	case stageSyncStep:
+		syncLog(sh, &st.errs[i])
+	case stagePrepare:
+		job.ckpts[i], *cerr = sh.rlog.PrepareCheckpoint(job.epoch, sh.exec.ORAM())
+	case stageFlush:
+		*cerr = p.flushShard(sh)
+	case stageSyncFollowers:
+		if i > 0 {
+			syncLog(sh, cerr)
+		}
+	case stageSyncAll:
+		syncLog(sh, cerr)
+	case stageCommitEpoch:
+		*cerr = sh.store.CommitEpoch(job.epoch)
+	case stageRetire:
+		if sh.rlog != nil {
+			*cerr = sh.rlog.Retire(job.epoch)
+		}
+	}
 }
 
 // unifiedCommitStores probes for the single-barrier boundary commit: every
@@ -593,7 +680,7 @@ func (p *Proxy) Close() error {
 	if p.closed {
 		p.mu.Unlock()
 		p.loop.Wait()
-		p.committers.Wait()
+		p.stopWorkers()
 		return nil
 	}
 	p.closed = true
@@ -605,12 +692,31 @@ func (p *Proxy) Close() error {
 	default:
 	}
 	p.loop.Wait()
-	p.committers.Wait()
+	p.stopWorkers()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.failAllLocked(ErrClosed)
 	p.ccu.AbortAll()
 	return nil
+}
+
+// stopWorkers lets the boundary in flight land, then stops the committer and
+// both fan-outs' helpers. It is idempotent.
+func (p *Proxy) stopWorkers() {
+	p.sealMu.Lock()
+	p.mu.Lock()
+	for p.inflight != nil {
+		p.boundaryDone.Wait()
+	}
+	if p.commitQ != nil {
+		close(p.commitQ)
+		p.commitQ = nil
+	}
+	p.mu.Unlock()
+	p.sealMu.Unlock()
+	p.committer.Wait()
+	p.sched.Close()
+	p.commits.Close()
 }
 
 // Shutdown drains the proxy: the epoch loop stops driving new slots, the

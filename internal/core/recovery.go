@@ -47,17 +47,15 @@ func (p *Proxy) bootstrap() error {
 // commits it as epoch through the boundary's own commit sequence: bootstrap's
 // baseline and recovery's replay epoch are epochs with nothing to flush.
 func (p *Proxy) commitSnapshot(epoch uint64) error {
-	job := &boundaryJob{epoch: epoch, ckpts: make([]*wal.PendingCheckpoint, len(p.shards))}
-	errs := p.commitErrs
-	clear(errs)
-	oramexec.RunStages(len(p.shards), func(i int) {
-		sh := p.shards[i]
-		job.ckpts[i], errs[i] = sh.rlog.PrepareCheckpoint(epoch, sh.exec.ORAM())
-	})
-	if err := firstError(errs); err != nil {
+	p.job.epoch = epoch
+	clear(p.commitErrs)
+	p.commits.Run(stagePrepare)
+	if err := firstError(p.commitErrs); err != nil {
 		return err
 	}
-	return p.runCommit(job)
+	err := p.runCommit(&p.job)
+	clear(p.job.ckpts)
+	return err
 }
 
 // recover implements §8 across all shards: roll each shadow-paged tree back
@@ -159,7 +157,7 @@ func (p *Proxy) recover(coordRec *wal.Recovery) error {
 	}
 	// The recovery checkpoint is full and now durably committed everywhere:
 	// it re-anchors the log floor, so a crash loop cannot grow the log.
-	if err := p.retireLogs(recoveryEpoch); err != nil {
+	if err := p.retireLogs(); err != nil {
 		return err
 	}
 	p.epoch = recoveryEpoch + 1

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"obladi/internal/oramexec"
 )
 
 // epochLoop drives the fixed batch schedule in auto mode.
@@ -136,14 +134,7 @@ func (p *Proxy) StepReadBatch() error {
 	// before any read issues. On a shared physical log the round is ONE
 	// fsync for all shards — barrier placement, not barrier count, is what
 	// the write-ahead rule fixes.
-	oramexec.RunStages(len(batches), func(i int) {
-		ops := st.ops[i]
-		clear(ops)
-		for j, k := range batches[i].keys {
-			ops[j].Key = k
-		}
-		plans[i], errs[i] = batches[i].sh.exec.PlanReadBatch(ops)
-	})
+	p.sched.Run(stagePlanReads)
 	for i, sh := range p.shards {
 		if errs[i] != nil || sh.rlog == nil {
 			continue
@@ -152,13 +143,8 @@ func (p *Proxy) StepReadBatch() error {
 			errs[i] = err
 		}
 	}
-	p.syncLogs(p.shards, errs)
-	oramexec.RunStages(len(batches), func(i int) {
-		if errs[i] != nil {
-			return
-		}
-		results[i], errs[i] = batches[i].sh.exec.Execute(plans[i])
-	})
+	p.syncLogs(p.sched, stageSyncStep)
+	p.sched.Run(stageExecReads)
 
 	p.mu.Lock()
 	for i, b := range batches {

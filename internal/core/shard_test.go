@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -111,6 +112,53 @@ func TestShardedCommitAndReadBack(t *testing.T) {
 		t.Fatalf("read slots %d not a multiple of shards*bread", st.ReadBatchSlots)
 	}
 	checkAll(t, checkers)
+}
+
+// TestShardedCloseLeavesNoGoroutine runs proxies of 1, 2 and 4 shards, both
+// stepped by hand and on the Δ timer, through committed epochs, and checks
+// that Close stops everything they started: the shard workers of both
+// fan-outs, the committer and the epoch loop.
+func TestShardedCloseLeavesNoGoroutine(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		for _, timer := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/timer=%v", shards, timer), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				cfg := testConfig(61)
+				if timer {
+					cfg.BatchInterval = time.Millisecond
+				}
+				stores, _ := shardedBackends(cfg, shards)
+				p, err := NewSharded(stores, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e := 0; e < 3; e++ {
+					kv := map[string]string{}
+					for s := 0; s < shards; s++ {
+						kv[keysForShard(s, shards, e+1)[e]] = fmt.Sprint(e)
+					}
+					if !timer {
+						commitKV(t, p, kv)
+						continue
+					}
+					tx := p.Begin()
+					for k, v := range kv {
+						must(t, tx.Write(k, []byte(v)))
+					}
+					if err := tx.Commit(); err != nil && !errors.Is(err, ErrAborted) {
+						t.Fatal(err)
+					}
+				}
+				must(t, p.Close())
+				for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines before the proxy, %d after Close", before, runtime.NumGoroutine())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
+	}
 }
 
 // TestShardedCrossShardAbortAtomic is the epoch-capacity atomicity check: a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -92,6 +93,128 @@ func (c *sparseClient) access(plan *AccessPlan, due []int) ([]byte, bool) {
 	must(c.t, err)
 	c.maintain(due)
 	return val, found
+}
+
+// rescanFillers is the eviction read phase's filler loop as it ran before
+// the planner scanned each bucket once: a fresh scan for every pick. It pads
+// m (a copy of a bucket's metadata after its occupied reals were read) to
+// need fillers with draws from rng and returns the physical slots picked.
+func rescanFillers(o *ORAM, m *bucketMeta, rng *rand.Rand, need int) []int {
+	var picked []int
+	for len(picked) < need {
+		fillers := o.fillerPositions(m)
+		if len(fillers) == 0 {
+			break
+		}
+		phys := m.perm[fillers[rng.IntN(len(fillers))]]
+		m.valid[phys] = false
+		m.count++
+		picked = append(picked, phys)
+	}
+	return picked
+}
+
+// predictReads returns the read phase an eviction or reshuffle of buckets
+// plans from o's current state, drawn the rescanning way from a copy of
+// o's generator src, and advances that copy past the write phase's
+// shuffles: on return it is the state src must be in after the plan.
+func predictReads(o *ORAM, buckets []int, src *rand.PCG) []SlotRead {
+	rng := rand.New(src)
+	var want []SlotRead
+	for _, b := range buckets {
+		live := &o.meta[b]
+		m := bucketMeta{
+			perm:  slices.Clone(live.perm),
+			addrs: slices.Clone(live.addrs),
+			valid: slices.Clone(live.valid),
+			count: live.count,
+		}
+		start := len(want)
+		for r := 0; r < o.p.Z; r++ {
+			if m.addrs[r] != "" {
+				phys := m.perm[r]
+				m.valid[phys] = false
+				m.count++
+				m.addrs[r] = ""
+				want = append(want, SlotRead{Bucket: b, Slot: phys})
+			}
+		}
+		for _, phys := range rescanFillers(o, &m, rng, o.p.Z-(len(want)-start)) {
+			want = append(want, SlotRead{Bucket: b, Slot: phys})
+		}
+	}
+	for range buckets {
+		for i := o.geo.SlotsPer - 1; i > 0; i-- {
+			rng.IntN(i + 1)
+		}
+	}
+	return want
+}
+
+// TestEvictionFillersMatchRescan drives a seeded ORAM through more than ten
+// thousand evictions, early reshuffles among them, and checks every plan's
+// read phase against the rescanning loop it replaced: the same slots in the
+// same order, and the generator left in the same state.
+func TestEvictionFillersMatchRescan(t *testing.T) {
+	const evictions = 10000
+	seq, _ := newTestSeq(t, testParams(64))
+	o := seq.ORAM()
+	src := rand.NewPCG(7, 8)
+	o.rng = rand.New(src)
+	check := func(buckets []int, planIt func() (*EvictPlan, error)) *EvictPlan {
+		t.Helper()
+		oracle := *src
+		want := predictReads(o, buckets, &oracle)
+		plan, err := planIt()
+		must(t, err)
+		if len(plan.Reads) != len(want) {
+			t.Fatalf("eviction %d of buckets %v: %d reads, the rescan plans %d", o.evictCount, buckets, len(plan.Reads), len(want))
+		}
+		for i, r := range plan.Reads {
+			if r.Bucket != want[i].Bucket || r.Slot != want[i].Slot {
+				t.Fatalf("eviction %d read %d: bucket %d slot %d, the rescan picks bucket %d slot %d", o.evictCount, i, r.Bucket, r.Slot, want[i].Bucket, want[i].Slot)
+			}
+		}
+		if *src != oracle {
+			t.Fatalf("eviction %d of buckets %v: generator state diverged from the rescan's", o.evictCount, buckets)
+		}
+		return plan
+	}
+	reshuffles := 0
+	maintain := func(due []int) {
+		for _, b := range due {
+			must(t, seq.runEviction(check([]int{b}, func() (*EvictPlan, error) { return o.PlanReshuffle(b) })))
+			reshuffles++
+		}
+		for o.EvictDue() {
+			must(t, seq.runEviction(check(o.NextEvictPath(), o.PlanEvict)))
+		}
+	}
+	ops := rand.New(rand.NewPCG(9, 10))
+	for i := 0; o.evictCount < evictions; i++ {
+		key := fmt.Sprintf("k%d", ops.IntN(48))
+		var plan *AccessPlan
+		var due []int
+		var err error
+		switch op := ops.IntN(10); {
+		case op < 3:
+			must(t, o.PlanWrite(key, []byte(fmt.Sprintf("v%d", i)), false))
+			maintain(nil)
+			continue
+		case op < 9:
+			plan, due, err = o.PlanRead(key)
+		default:
+			plan, due, err = o.PlanDummyRead()
+		}
+		must(t, err)
+		_, _, err = seq.runAccess(plan)
+		must(t, err)
+		maintain(due)
+	}
+	if reshuffles < 100 {
+		t.Fatalf("only %d early reshuffles over %d evictions", reshuffles, o.evictCount)
+	}
+	t.Logf("%d evictions and %d early reshuffles planned as the rescan would", o.evictCount, reshuffles)
 }
 
 // TestCompletionNeverInspectsFillers pins the contract the executor's

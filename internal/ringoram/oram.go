@@ -632,7 +632,8 @@ func (o *ORAM) scratchPath(leaf int) []int {
 // fillerPositions returns the logical positions usable as dummy reads:
 // dummy positions and unoccupied real positions whose slot is still valid.
 // The returned slice is mu-guarded scratch, valid until the next call — it
-// runs once per consumed slot, so it must not allocate in steady state.
+// runs once per filler a path read consumes and once per bucket an eviction
+// reads, so it must not allocate in steady state.
 func (o *ORAM) fillerPositions(m *bucketMeta) []int {
 	out := o.fillerBuf[:0]
 	for pos := 0; pos < o.geo.SlotsPer; pos++ {
@@ -1115,15 +1116,18 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer})
 			}
 		} else {
-			for len(plan.Reads)-start < o.p.Z {
-				fillers := o.fillerPositions(m)
-				if len(fillers) == 0 {
-					break // short read phase; harmless and rare
-				}
-				phys, err := o.consumeFiller(b, m.perm[fillers[o.rng.IntN(len(fillers))]])
-				if err != nil {
-					return nil, err
-				}
+			// One scan per bucket: consuming a filler invalidates its slot
+			// and no other, so dropping each pick from the list in order
+			// leaves exactly the list a rescan would build, and the draws
+			// pick the same slots. A bucket may run out (a short read phase;
+			// harmless and rare).
+			fillers := o.fillerPositions(m)
+			for len(plan.Reads)-start < o.p.Z && len(fillers) > 0 {
+				j := o.rng.IntN(len(fillers))
+				phys := m.perm[fillers[j]]
+				fillers = append(fillers[:j], fillers[j+1:]...)
+				m.valid[phys] = false
+				m.count++
 				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer})
 			}
 		}

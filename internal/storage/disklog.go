@@ -449,21 +449,44 @@ func (b *DiskBackend) AppendNoSync(record []byte) (uint64, error) {
 	return res.seq, nil
 }
 
-// SyncLog implements LogBatcher: every append deferred since the last call
+// SyncLog implements LogBatcher: every append deferred before the call
 // becomes durable. Usually one barrier; two only when appends straddled a
 // segment rotation (each file needs its own flush — the outgoing segment's
-// tail is not covered by the new segment's barrier).
+// tail is not covered by the new segment's barrier). The obligations stay
+// noted until their barrier lands: a SyncLog running alongside (another
+// shard's round barrier, a heap checkpoint) needs them as much as this one,
+// and rides the same fsync wave instead of returning before it lands.
 func (b *DiskBackend) SyncLog() error {
+	var buf [2]fileTicket
 	b.pendMu.Lock()
-	pend := b.pendLog
-	b.pendLog = nil
+	due := append(buf[:0], b.pendLog...)
 	b.pendMu.Unlock()
-	for _, p := range pend {
+	for _, p := range due {
 		if err := b.barrierTicket(p.f, p.ticket); err != nil {
 			return b.wedge(err)
 		}
 	}
+	b.pendMu.Lock()
+	keep := b.pendLog[:0]
+	for _, p := range b.pendLog {
+		if !coveredBy(p, due) {
+			keep = append(keep, p)
+		}
+	}
+	clear(b.pendLog[len(keep):])
+	b.pendLog = keep
+	b.pendMu.Unlock()
 	return nil
+}
+
+// coveredBy reports whether a barrier on one of due makes p durable.
+func coveredBy(p fileTicket, due []fileTicket) bool {
+	for _, d := range due {
+		if d.f == p.f && p.ticket <= d.ticket {
+			return true
+		}
+	}
+	return false
 }
 
 // notePending records a deferred append's barrier obligation.

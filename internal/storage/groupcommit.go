@@ -12,12 +12,12 @@ import (
 // This file holds the group-commit scheduler: a per-data-dir fsync coalescer
 // shared by every DiskBackend shard rooted under one directory. Shards append
 // their commit records (and log/KV records) unsynced and then stand on a
-// barrier (BarrierTicket); the scheduler runs one syncer per file with
-// pending barriers, so every barrier that lands on a file while its fsync is
-// in flight rides the next fsync of that file together — and fsyncs of
-// *different* files never wait on one another. The ack contract is unchanged: nothing is acknowledged
-// before its covering barrier lands; what moves is how many acks one fsync
-// covers.
+// barrier (BarrierTicket). The barriers on one file form fsync waves: a
+// barrier with no fsync of its file in flight issues one itself, and every
+// barrier the in-flight fsync covers waits for it and shares its outcome —
+// fsyncs of *different* files never wait on one another. The ack contract is
+// unchanged: nothing is acknowledged before its covering barrier lands; what
+// moves is how many acks one fsync covers.
 
 // GroupStats counts a CommitGroup's work. Barriers/Syncs is the
 // amortization factor the scheduler achieved.
@@ -28,33 +28,33 @@ type GroupStats struct {
 	SyncTime time.Duration // cumulative time spent inside fsync calls
 }
 
-type groupReq struct {
-	ticket uint64
-	done   chan error
-}
-
-// fileSync is the per-file barrier queue; its syncer goroutine lives exactly
-// as long as the file has pending barriers. The entry itself persists until
-// Forget — the ticket counters must outlive idle gaps, or a ticket stamped
-// before a retire could never be matched again.
+// fileSync is one file's barrier state. The entry persists until Forget —
+// the ticket counters must outlive idle gaps, or a ticket stamped before a
+// retire could never be matched again.
 type fileSync struct {
-	pending []*groupReq
 	written uint64 // write tickets issued for this file (see Wrote)
 	acked   uint64 // highest ticket covered by a *successful* fsync
-	syncing bool   // a runFile goroutine is serving this file
+	flying  uint64 // highest ticket the in-flight fsync covers
+	syncing bool   // a barrier is leading an fsync of this file
+	waves   uint64 // fsyncs of this file that have returned
+	// err is the first failed fsync's error. It sticks: after a failed
+	// fsync the kernel may have dropped the dirty pages, so a later fsync
+	// that succeeds proves nothing about the bytes the failed one covered.
+	err    error
+	landed sync.Cond // broadcast (L = CommitGroup.mu) when an fsync returns
 }
 
-// CommitGroup is the shared fsync scheduler. Each file with pending barriers
-// gets a syncer goroutine, which fsyncs as soon as it runs: barriers arriving
-// while an fsync is in flight batch into the file's next one, so concurrent
-// committers share waves without a lone committer waiting for company.
-// Close drains every accepted barrier before returning.
+// CommitGroup is the shared fsync scheduler. It has no goroutine of its own:
+// a barrier's caller leads the fsync its file needs, so a lone committer
+// never waits for company, and barriers arriving while an fsync is in flight
+// batch into the file's next one. Close drains every accepted barrier before
+// returning.
 type CommitGroup struct {
 	mu     sync.Mutex
 	files  map[vfile]*fileSync
 	closed bool
 	stats  GroupStats
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // accepted barriers not yet returned
 }
 
 // NewCommitGroup starts a scheduler.
@@ -75,13 +75,12 @@ func (g *CommitGroup) Wrote(f vfile) uint64 {
 	return fs.written
 }
 
-// fileLocked returns (creating if needed) f's queue. A queue created here
-// with no pending barriers has no syncer yet; BarrierTicket spawns one on
-// demand.
+// fileLocked returns (creating if needed) f's entry.
 func (g *CommitGroup) fileLocked(f vfile) *fileSync {
 	fs := g.files[f]
 	if fs == nil {
 		fs = &fileSync{}
+		fs.landed.L = &g.mu
 		g.files[f] = fs
 	}
 	return fs
@@ -89,40 +88,75 @@ func (g *CommitGroup) fileLocked(f vfile) *fileSync {
 
 // BarrierTicket blocks until an fsync of f issued after ticket (stamped by
 // an earlier Wrote) returns, and reports that fsync's error: the durability
-// point every group-routed ack stands on. Callers that stamp right after
-// their write ride fsyncs already in flight — and return immediately when a
-// successful fsync already covered the ticket. Each ticket backs at most one
-// BarrierTicket call.
+// point every group-routed ack stands on. It returns at once when a
+// successful fsync already covered the ticket. Otherwise, if an fsync of f
+// in flight covers it, the barrier waits for that fsync and returns its
+// error; if none is in flight, the barrier issues the fsync itself, on its
+// own goroutine; and if the one in flight started too early to cover it, the
+// barrier waits for it to land and then leads — or rides — the next. Once an
+// fsync of f has failed, every barrier on f not already covered fails with
+// its error. Each ticket backs at most one BarrierTicket call.
 func (g *CommitGroup) BarrierTicket(f vfile, ticket uint64) error {
-	req := &groupReq{ticket: ticket, done: make(chan error, 1)}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
 		return fmt.Errorf("storage: commit group: %w", ErrClosed)
 	}
+	g.wg.Add(1)
+	defer g.wg.Done()
+	g.stats.Barriers++
 	fs := g.fileLocked(f)
-	if ticket <= fs.acked {
-		g.stats.Barriers++
-		g.mu.Unlock()
-		return nil
+	for {
+		switch {
+		case ticket <= fs.acked:
+			g.mu.Unlock()
+			return nil
+		case fs.err != nil:
+			g.mu.Unlock()
+			return fs.err
+		case !fs.syncing:
+			return g.leadLocked(f, fs)
+		}
+		for w := fs.waves; fs.waves == w; {
+			fs.landed.Wait()
+		}
 	}
-	fs.pending = append(fs.pending, req)
-	if !fs.syncing {
-		fs.syncing = true
-		g.wg.Add(1)
-		go g.runFile(f, fs)
-	}
-	g.mu.Unlock()
-	return <-req.done
 }
 
-// Forget drops f's queue entry. Call only once f is closed and nothing can
-// stamp or barrier it again (segment dropped, compacted file swapped out);
-// without it a long-lived group accumulates an entry per retired file.
+// leadLocked issues one fsync of f covering every ticket stamped so far,
+// publishes its outcome to the barriers waiting on it, and returns its
+// error. Called with g.mu held; returns with it released.
+func (g *CommitGroup) leadLocked(f vfile, fs *fileSync) error {
+	fs.syncing, fs.flying = true, fs.written
+	g.mu.Unlock()
+	start := time.Now()
+	err := f.Sync()
+	elapsed := time.Since(start)
+	g.mu.Lock()
+	fs.syncing = false
+	fs.waves++
+	if err != nil {
+		if fs.err == nil {
+			fs.err = err
+		}
+	} else if fs.flying > fs.acked {
+		fs.acked = fs.flying
+	}
+	g.stats.Syncs++
+	g.stats.Waves++
+	g.stats.SyncTime += elapsed
+	fs.landed.Broadcast()
+	g.mu.Unlock()
+	return err
+}
+
+// Forget drops f's entry. Call only once f is closed and nothing can stamp
+// or barrier it again (segment dropped, compacted file swapped out); without
+// it a long-lived group accumulates an entry per retired file.
 func (g *CommitGroup) Forget(f vfile) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if fs := g.files[f]; fs != nil && !fs.syncing && len(fs.pending) == 0 {
+	if fs := g.files[f]; fs != nil && !fs.syncing {
 		delete(g.files, f)
 	}
 }
@@ -134,64 +168,15 @@ func (g *CommitGroup) Stats() GroupStats {
 	return g.stats
 }
 
-// Close rejects new barriers, waits for every barrier already accepted to be
-// served, and stops the syncers. Backends using the group must be closed
-// first (or be prepared to see ErrClosed from in-flight barriers).
+// Close rejects new barriers and waits for every barrier already accepted
+// to return. Backends using the group must be closed first (or be prepared
+// to see ErrClosed from their barriers).
 func (g *CommitGroup) Close() error {
 	g.mu.Lock()
 	g.closed = true
 	g.mu.Unlock()
 	g.wg.Wait()
 	return nil
-}
-
-// runFile serves one file's barriers: snapshot the write-ticket frontier,
-// fsync once, answer every pending barrier whose ticket that fsync covers —
-// including barriers that arrived while it was in flight, as long as their
-// bytes were written before it was issued — then repeat until nothing is
-// pending and retire. Clearing syncing under the same lock as the emptiness
-// check keeps the invariant exact: a barrier either queues behind this
-// goroutine or spawns the next one.
-func (g *CommitGroup) runFile(f vfile, fs *fileSync) {
-	defer g.wg.Done()
-	for {
-		g.mu.Lock()
-		if len(fs.pending) == 0 {
-			fs.syncing = false
-			g.mu.Unlock()
-			return
-		}
-		syncTicket := fs.written
-		g.mu.Unlock()
-		start := time.Now()
-		err := f.Sync()
-		elapsed := time.Since(start)
-		g.mu.Lock()
-		var ack []*groupReq
-		keep := fs.pending[:0]
-		for _, r := range fs.pending {
-			// Every request pending when the frontier was snapshotted has
-			// ticket <= syncTicket (tickets are stamped before queueing,
-			// under the same lock); only mid-flight arrivals can exceed it.
-			if r.ticket <= syncTicket {
-				ack = append(ack, r)
-			} else {
-				keep = append(keep, r)
-			}
-		}
-		fs.pending = keep
-		if err == nil && syncTicket > fs.acked {
-			fs.acked = syncTicket
-		}
-		g.stats.Barriers += uint64(len(ack))
-		g.stats.Syncs++
-		g.stats.Waves++
-		g.stats.SyncTime += elapsed
-		g.mu.Unlock()
-		for _, r := range ack {
-			r.done <- err
-		}
-	}
 }
 
 // ---- DiskGroup: N shards sharing one directory and one scheduler ----
@@ -270,7 +255,8 @@ func (s *GroupShard) LastSeq() (uint64, error) {
 
 // The deferred-barrier capability routes through the shared log too — this
 // is where it earns its keep: shards append back to back and the first
-// SyncLog's lone fsync covers the whole round.
+// SyncLog's lone fsync covers the whole round; the other shards' SyncLogs
+// ride it.
 func (s *GroupShard) AppendNoSync(record []byte) (uint64, error) {
 	if err := s.guard(); err != nil {
 		return 0, err

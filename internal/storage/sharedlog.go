@@ -202,8 +202,7 @@ func (v *LogView) Append(record []byte) (uint64, error) {
 // physical log but its durability waits for a SyncLog — from ANY view.
 // This is the cross-shard barrier-placement primitive: N shards append
 // their records back to back, then the first SyncLog's single fsync makes
-// all of them durable and the remaining N-1 calls return without touching
-// the disk.
+// all of them durable and the remaining N-1 calls ride that fsync's wave.
 func (v *LogView) AppendNoSync(record []byte) (uint64, error) {
 	seq, res, err := v.appendUnsynced(record)
 	if err != nil {
@@ -217,9 +216,10 @@ func (v *LogView) AppendNoSync(record []byte) (uint64, error) {
 }
 
 // SyncLog implements LogBatcher: every deferred append across ALL streams
-// becomes durable — they share one physical file, so one barrier covers
-// them and the other views' SyncLog calls become no-ops. Usually one fsync;
-// one per file only when deferred appends straddled a segment rotation.
+// becomes durable — they share one physical file, so one fsync covers them
+// and the other views' SyncLog calls wait on it or find it landed. Usually
+// one fsync; one per file only when deferred appends straddled a segment
+// rotation.
 func (v *LogView) SyncLog() error {
 	return v.log.owner.SyncLog()
 }
