@@ -72,7 +72,6 @@ func microParams(cfg Config, crypto bool) ringoram.Params {
 		ValueSize:         64,
 		Seed:              cfg.Seed,
 		DisableEncryption: !crypto,
-		TolerateCorrupt:   true, // the dummy backend returns garbage
 	}
 	if cfg.Quick {
 		p.NumBlocks = 4_000
@@ -83,14 +82,10 @@ func microParams(cfg Config, crypto bool) ringoram.Params {
 }
 
 // microBackend builds a backend for a latency profile over the geometry, and
-// the meter under its latency injection.
+// the meter under its latency injection. The dummy profile injects none: the
+// in-memory store alone, so what is timed is the proxy.
 func microBackend(p ringoram.Params, prof storage.Profile, scale float64) (storage.Backend, *meter) {
-	n := p.Geometry().NumBuckets
-	if prof.Name == "dummy" {
-		m := newMeter(storage.NewDummyBackend(n, 1))
-		return m, m
-	}
-	m := newMeter(storage.NewMemBackend(n))
+	m := newMeter(storage.NewMemBackend(p.Geometry().NumBuckets))
 	return storage.WithLatency(m, prof.Scaled(scale)), m
 }
 

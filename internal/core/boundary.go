@@ -249,9 +249,7 @@ func (p *Proxy) commitBoundary(job *boundaryJob) {
 // committed everywhere (see wal.Log.Retire): a function of the epoch counter
 // alone, one Truncate per shard per full checkpoint.
 func (p *Proxy) retireLogs() error {
-	clear(p.commitErrs)
-	p.commits.Run(stageRetire)
-	return firstError(p.commitErrs)
+	return p.commitRound(stageRetire)
 }
 
 // runCommit makes an epoch durable and decides it, in the one sequence every

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -543,7 +544,7 @@ func TestCrashBetweenSealAndCommit(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer p2.Close()
-	if p2.ReplayedReads() == 0 {
+	if p2.Stats().RecoveryReplayed == 0 {
 		t.Fatal("recovery replayed nothing despite logged batches")
 	}
 	got := readAll(t, p2, "stable", "fresh")
@@ -679,39 +680,50 @@ func (c *callTrace) CommitEpoch(epoch uint64) error {
 	return c.Recorder.CommitEpoch(epoch)
 }
 
+func (c *callTrace) RollbackTo(epoch uint64) error {
+	c.add("RollbackTo %d", epoch)
+	return c.Recorder.RollbackTo(epoch)
+}
+
+func (c *callTrace) Scan(from uint64) ([][]byte, error) {
+	c.add("Scan %d", from)
+	return c.Recorder.Scan(from)
+}
+
 // TestSteppedTraceDeterministic runs the same seeded 2-shard workload twice,
 // stepped by hand with WaitCommitted after every EndEpoch, and requires every
-// shard's store to see the same calls in the same order both times, from the
-// first read batch on: kinds, slot refs and lengths. The commit stage runs on the committer, and the wait
-// is what orders it before the next epoch's first call.
+// shard's store to see the same calls in the same order both times, from
+// NewSharded on: kinds, slot refs and lengths. The commit stage runs on the
+// committer, and the wait is what orders it before the next epoch's first
+// call. Both runs crash at the same point in the middle of an epoch, with two
+// read batches logged, and restart over the same stores, so recovery's calls
+// (log scans, rollback, the load of the resident levels, the replay and its
+// commit) are compared too.
 func TestSteppedTraceDeterministic(t *testing.T) {
-	const shards, epochs = 2, 24
+	const shards, epochs, after = 2, 24, 4
+	cfg := testConfig(99)
+	cfg.FullCheckpointEvery = 4
 	run := func() (calls [][]string, events [][]storage.Event, fates []string) {
-		cfg := testConfig(99)
-		cfg.FullCheckpointEvery = 4
 		traces := make([]*callTrace, shards)
 		stores := make([]storage.Backend, shards)
 		for i := range stores {
 			traces[i] = &callTrace{Recorder: storage.NewRecorder(storage.NewMemBackend(cfg.Params.Geometry().NumBuckets))}
 			stores[i] = traces[i]
 		}
-		p, err := NewSharded(stores, cfg)
-		must(t, err)
-		defer p.Close()
-		// The stepped run is compared, not how bootstrap lays out the tree.
-		for _, tr := range traces {
-			tr.Reset()
-			tr.calls = nil
-		}
 		rng := rand.New(rand.NewPCG(99, 1))
 		key := func() string { return fmt.Sprintf("det-%d", rng.IntN(32)) }
-		for e := 0; e < epochs; e++ {
+		// begin starts 1–4 transactions, each with a read of its own.
+		begin := func(p *Proxy) ([]*Txn, []*Future) {
 			txs := make([]*Txn, 1+rng.IntN(4))
 			reads := make([]*Future, len(txs))
 			for i := range txs {
 				txs[i] = p.Begin()
 				reads[i] = txs[i].ReadAsync(key())
 			}
+			return txs, reads
+		}
+		step := func(p *Proxy, e int) {
+			txs, reads := begin(p)
 			must(t, p.StepReadBatch())
 			acks := make([]<-chan error, len(txs))
 			for i, tx := range txs {
@@ -732,6 +744,32 @@ func TestSteppedTraceDeterministic(t *testing.T) {
 				fates = append(fates, fmt.Sprint(<-ack))
 			}
 		}
+		p, err := NewSharded(stores, cfg)
+		must(t, err)
+		for e := 0; e < epochs; e++ {
+			step(p, e)
+		}
+		// The crash: two read batches of the next epoch are logged and served,
+		// then the proxy is gone. No boundary is in flight, so Close issues no
+		// storage call: the stores see exactly what a killed process leaves.
+		_, reads := begin(p)
+		must(t, p.StepReadBatch())
+		for _, f := range reads {
+			if _, _, err := f.Value(); err != nil {
+				t.Fatalf("crashed epoch: read: %v", err)
+			}
+		}
+		must(t, p.StepReadBatch())
+		must(t, p.Close())
+		p, err = NewSharded(stores, cfg)
+		must(t, err)
+		defer p.Close()
+		if p.Stats().RecoveryReplayed == 0 {
+			t.Fatal("the restart replayed nothing: the crashed epoch's batches were not logged")
+		}
+		for e := epochs; e < epochs+after; e++ {
+			step(p, e)
+		}
 		for _, tr := range traces {
 			tr.mu.Lock()
 			calls = append(calls, tr.calls)
@@ -745,9 +783,11 @@ func TestSteppedTraceDeterministic(t *testing.T) {
 	if !slices.Equal(fatesA, fatesB) {
 		t.Fatalf("transaction fates differ between runs:\n%v\n%v", fatesA, fatesB)
 	}
+	n := cfg.Params.Geometry().NumBuckets
 	for i := 0; i < shards; i++ {
-		if len(callsA[i]) < epochs*(testConfig(99).ReadBatches+4) {
-			t.Fatalf("shard %d saw %d calls in %d epochs: the trace would prove nothing", i, len(callsA[i]), epochs)
+		checkBootstrapTrace(t, i, n, callsA[i], eventsA[i])
+		if len(callsA[i]) < (epochs+after)*(cfg.ReadBatches+4) {
+			t.Fatalf("shard %d saw %d calls in %d epochs: the trace would prove nothing", i, len(callsA[i]), epochs+after)
 		}
 		for j := range min(len(callsA[i]), len(callsB[i])) {
 			if callsA[i][j] != callsB[i][j] {
@@ -760,5 +800,39 @@ func TestSteppedTraceDeterministic(t *testing.T) {
 		if !slices.Equal(eventsA[i], eventsB[i]) {
 			t.Fatalf("shard %d: the recorders' slot traces differ", i)
 		}
+	}
+}
+
+// checkBootstrapTrace pins how bootstrap writes shard i's fresh tree of n
+// buckets: one RollbackTo(0), then the buckets in ascending order in fewer
+// WriteBuckets calls than there are buckets, then one CommitEpoch(0) — the
+// first bucket-store calls the shard's store sees.
+func checkBootstrapTrace(t *testing.T, i, n int, calls []string, events []storage.Event) {
+	t.Helper()
+	var tree []string
+	for _, c := range calls {
+		if !strings.HasPrefix(c, "Scan ") {
+			tree = append(tree, c)
+		}
+		if c == "CommitEpoch 0" {
+			break
+		}
+	}
+	writes := len(tree) - 2
+	if len(tree) < 3 || tree[0] != "RollbackTo 0" || tree[len(tree)-1] != "CommitEpoch 0" || writes >= n {
+		t.Fatalf("shard %d: bootstrap made the calls %v; want RollbackTo 0, fewer than %d WriteBuckets, CommitEpoch 0", i, tree, n)
+	}
+	for _, c := range tree[1 : len(tree)-1] {
+		if !strings.HasPrefix(c, "WriteBuckets ") {
+			t.Fatalf("shard %d: bootstrap made the calls %v; want only WriteBuckets between its rollback and its commit", i, tree)
+		}
+	}
+	want := []storage.Event{{Op: storage.OpRollback}}
+	for b := 0; b < n; b++ {
+		want = append(want, storage.Event{Op: storage.OpWriteBucket, Bucket: b})
+	}
+	want = append(want, storage.Event{Op: storage.OpCommit})
+	if len(events) < len(want) || !slices.Equal(events[:len(want)], want) {
+		t.Fatalf("shard %d: bootstrap's bucket trace does not write buckets 0..%d in order at epoch 0 between RollbackTo(0) and CommitEpoch(0)", i, n-1)
 	}
 }

@@ -118,7 +118,7 @@ func TestLogHeapProxyCrashDropsInFlight(t *testing.T) {
 		t.Fatalf("recovery over logheap group: %v", err)
 	}
 	defer p2.Close()
-	if p2.ReplayedReads() == 0 {
+	if p2.Stats().RecoveryReplayed == 0 {
 		t.Fatal("recovery replayed nothing despite logged batches")
 	}
 	var keys []string

@@ -314,8 +314,10 @@ type Proxy struct {
 	boundaryReads    atomic.Uint64
 	admittedSessions atomic.Uint64
 
-	stats        Stats
-	replayedLast int
+	stats Stats
+	// rec is recovery's per-shard scratch while NewSharded recovers; nil
+	// otherwise.
+	rec *recovery
 
 	// step is the schedule goroutine's per-step scratch and commitErrs the
 	// commit stage's: one goroutine drives the schedule and at most one
@@ -508,7 +510,7 @@ func syncLog(sh *shard, err *error) {
 
 // stage names one per-shard step, run by a fan-out through runStage. A
 // schedule stage's inputs and results live in p.step, a commit stage's in
-// p.job and p.commitErrs.
+// p.job (or p.rec) and p.commitErrs.
 type stage uint8
 
 const (
@@ -525,6 +527,10 @@ const (
 	stageSyncAll       // the commit's Sync on a shared stream
 	stageCommitEpoch   // each store's own epoch commit
 	stageRetire        // retire the committed log prefix
+	// Bootstrap and recovery stages, on p.commits before the first epoch.
+	stageInit    // write the shard's fresh tree and build its executor
+	stageScan    // recover a follower's log above the committed floor
+	stageRestore // roll back, restore, load the resident levels, replay, flush
 )
 
 // runStage runs shard i's part of stage s.
@@ -570,7 +576,21 @@ func (p *Proxy) runStage(s stage, i int) {
 		if sh.rlog != nil {
 			*cerr = sh.rlog.Retire(job.epoch)
 		}
+	case stageInit:
+		*cerr = p.initShard(sh)
+	case stageScan:
+		*cerr = p.scanShard(sh)
+	case stageRestore:
+		*cerr = p.restoreShard(sh)
 	}
+}
+
+// commitRound runs stage s on every shard through the committer's fan-out
+// and returns the first error in shard order.
+func (p *Proxy) commitRound(s stage) error {
+	clear(p.commitErrs)
+	p.commits.Run(s)
+	return firstError(p.commitErrs)
 }
 
 // unifiedCommitStores probes for the single-barrier boundary commit: every
@@ -608,9 +628,6 @@ func firstError(errs []error) error {
 	}
 	return nil
 }
-
-// ReplayedReads reports how many logged entries the last recovery replayed.
-func (p *Proxy) ReplayedReads() int { return p.replayedLast }
 
 // Epoch returns the current epoch number.
 func (p *Proxy) Epoch() uint64 {

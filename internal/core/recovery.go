@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
@@ -11,6 +10,8 @@ import (
 )
 
 // bootstrap initializes fresh ORAMs or recovers from the durability logs.
+// Either way the per-shard work runs as stages on the committer's fan-out,
+// like every boundary's.
 func (p *Proxy) bootstrap() error {
 	coord := p.shards[0]
 	if coord.rlog != nil {
@@ -26,12 +27,8 @@ func (p *Proxy) bootstrap() error {
 			return err
 		}
 	}
-	for i, sh := range p.shards {
-		oram, err := oramexec.InitORAMFor(sh.store, p.cfg.Key, p.shardParams(i), oramexec.Config{})
-		if err != nil {
-			return err
-		}
-		sh.exec = oramexec.New(oram, sh.store, oramexec.Config{})
+	if err := p.commitRound(stageInit); err != nil {
+		return err
 	}
 	p.epoch = 1
 	p.beginEpochAllLocked()
@@ -43,19 +40,35 @@ func (p *Proxy) bootstrap() error {
 	return nil
 }
 
+// initShard is shard sh's part of bootstrap: write its fresh tree and build
+// its executor over it.
+func (p *Proxy) initShard(sh *shard) error {
+	oram, err := oramexec.InitORAMFor(sh.store, p.cfg.Key, p.shardParams(sh.id), oramexec.Config{})
+	if err != nil {
+		return err
+	}
+	sh.exec = oramexec.New(oram, sh.store, oramexec.Config{})
+	return nil
+}
+
 // commitSnapshot checkpoints every shard's ORAM metadata as it stands and
 // commits it as epoch through the boundary's own commit sequence: bootstrap's
 // baseline and recovery's replay epoch are epochs with nothing to flush.
 func (p *Proxy) commitSnapshot(epoch uint64) error {
 	p.job.epoch = epoch
-	clear(p.commitErrs)
-	p.commits.Run(stagePrepare)
-	if err := firstError(p.commitErrs); err != nil {
+	if err := p.commitRound(stagePrepare); err != nil {
 		return err
 	}
 	err := p.runCommit(&p.job)
 	clear(p.job.ckpts)
 	return err
+}
+
+// recovery is what recover's per-shard stages read and fill.
+type recovery struct {
+	committed uint64          // the coordinator's committed epoch, every follower's floor
+	epoch     uint64          // the epoch the replay commits as
+	recs      []*wal.Recovery // each shard's recovered log
 }
 
 // recover implements §8 across all shards: roll each shadow-paged tree back
@@ -64,30 +77,18 @@ func (p *Proxy) commitSnapshot(epoch uint64) error {
 // logged reads from the aborted epoch, and commit the replay as a recovery
 // epoch under the same coordinator-commit protocol.
 func (p *Proxy) recover(coordRec *wal.Recovery) error {
-	committed := coordRec.CommittedEpoch
-	// Phase 1: per-shard log reconstruction. No cross-shard dependency once
-	// the committed epoch is known, so it runs concurrently.
-	recs := make([]*wal.Recovery, len(p.shards))
-	recs[0] = coordRec
-	errs := make([]error, len(p.shards))
-	var wg sync.WaitGroup
-	for i := 1; i < len(p.shards); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rec, err := p.shards[i].rlog.RecoverWithFloor(committed)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: recovering shard %d: %w", i, err)
-				return
-			}
-			recs[i] = rec
-		}(i)
+	r := &recovery{
+		committed: coordRec.CommittedEpoch,
+		recs:      make([]*wal.Recovery, len(p.shards)),
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	r.recs[0] = coordRec
+	// The recovered logs hold whole checkpoint images: the proxy keeps them
+	// only while it recovers.
+	p.rec = r
+	defer func() { p.rec = nil }()
+	// Phase 1: every follower's log, with the committed epoch as its floor.
+	if err := p.commitRound(stageScan); err != nil {
+		return err
 	}
 	// The recovery epoch must cover every logged epoch of the dead
 	// generation: the pipelined boundary can leave batch records of
@@ -96,63 +97,21 @@ func (p *Proxy) recover(coordRec *wal.Recovery) error {
 	// replay under the highest aborted epoch seen on ANY shard pushes the
 	// stale records at or below the committed floor, so a later crash can
 	// never replay this generation again.
-	recoveryEpoch := committed + 1
-	for _, rec := range recs {
-		if rec.MaxAbortedEpoch > recoveryEpoch {
-			recoveryEpoch = rec.MaxAbortedEpoch
+	r.epoch = r.committed + 1
+	for _, rec := range r.recs {
+		r.epoch = max(r.epoch, rec.MaxAbortedEpoch)
+	}
+	// Phase 2: rollback, state rebuild, deterministic replay; only the
+	// recovery epoch's commit below needs ordering across shards.
+	if err := p.commitRound(stageRestore); err != nil {
+		return err
+	}
+	for _, rec := range r.recs {
+		for _, batch := range rec.AbortedBatches {
+			p.stats.RecoveryReplayed += len(batch)
 		}
 	}
-	// Phase 2: rollback, state rebuild, deterministic replay (concurrent);
-	// only the recovery epoch's commit below needs ordering.
-	replayed := make([]int, len(p.shards))
-	for i := range p.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := p.shards[i]
-			rec := recs[i]
-			if err := sh.store.RollbackTo(committed); err != nil {
-				errs[i] = err
-				return
-			}
-			oram, err := ringoram.Restore(p.cfg.Key, p.shardParams(i), rec.Full, rec.Deltas...)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sh.exec = oramexec.New(oram, sh.store, oramexec.Config{})
-			// The upper levels live in the proxy and storage holds only their
-			// blocks: fetch them before anything reads a path.
-			if err := sh.exec.LoadResident(); err != nil {
-				errs[i] = fmt.Errorf("core: shard %d: %w", i, err)
-				return
-			}
-			sh.exec.BeginEpoch(recoveryEpoch)
-			for _, batch := range rec.AbortedBatches {
-				if err := sh.exec.ReplayBatch(batch); err != nil {
-					errs[i] = fmt.Errorf("core: shard %d replaying aborted epoch: %w", i, err)
-					return
-				}
-				replayed[i] += len(batch)
-			}
-			if len(rec.AbortedBatches) > 0 {
-				if _, err := sh.exec.Flush(); err != nil {
-					errs[i] = err
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, n := range replayed {
-		p.replayedLast += n
-	}
-	p.stats.RecoveryReplayed += p.replayedLast
-	if err := p.commitSnapshot(recoveryEpoch); err != nil {
+	if err := p.commitSnapshot(r.epoch); err != nil {
 		return err
 	}
 	// The recovery checkpoint is full and now durably committed everywhere:
@@ -160,7 +119,53 @@ func (p *Proxy) recover(coordRec *wal.Recovery) error {
 	if err := p.retireLogs(); err != nil {
 		return err
 	}
-	p.epoch = recoveryEpoch + 1
+	p.epoch = r.epoch + 1
 	p.beginEpochAllLocked()
 	return nil
+}
+
+// scanShard is a follower's part of recovery's first phase: its log,
+// recovered with the coordinator's committed epoch as the floor.
+func (p *Proxy) scanShard(sh *shard) error {
+	if sh.id == 0 {
+		return nil // the coordinator's log is already read
+	}
+	rec, err := sh.rlog.RecoverWithFloor(p.rec.committed)
+	if err != nil {
+		return fmt.Errorf("core: recovering shard %d: %w", sh.id, err)
+	}
+	p.rec.recs[sh.id] = rec
+	return nil
+}
+
+// restoreShard is shard sh's part of recovery's second phase: roll its tree
+// back to the committed epoch, rebuild its metadata from its checkpoints,
+// load the resident levels, and replay the aborted epochs' logged batches
+// under the recovery epoch, flushing what they rewrote.
+func (p *Proxy) restoreShard(sh *shard) error {
+	r, rec := p.rec, p.rec.recs[sh.id]
+	if err := sh.store.RollbackTo(r.committed); err != nil {
+		return err
+	}
+	oram, err := ringoram.Restore(p.cfg.Key, p.shardParams(sh.id), rec.Full, rec.Deltas...)
+	if err != nil {
+		return err
+	}
+	sh.exec = oramexec.New(oram, sh.store, oramexec.Config{})
+	// The upper levels live in the proxy and storage holds only their
+	// blocks: fetch them before anything reads a path.
+	if err := sh.exec.LoadResident(); err != nil {
+		return fmt.Errorf("core: shard %d: %w", sh.id, err)
+	}
+	sh.exec.BeginEpoch(r.epoch)
+	for _, batch := range rec.AbortedBatches {
+		if err := sh.exec.ReplayBatch(batch); err != nil {
+			return fmt.Errorf("core: shard %d replaying aborted epoch: %w", sh.id, err)
+		}
+	}
+	if len(rec.AbortedBatches) == 0 {
+		return nil
+	}
+	_, err = sh.exec.Flush()
+	return err
 }

@@ -130,7 +130,7 @@ func TestRecoveryDropsInFlightEpoch(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer p2.Close()
-	if p2.ReplayedReads() == 0 {
+	if p2.Stats().RecoveryReplayed == 0 {
 		t.Fatal("recovery replayed nothing despite a logged batch")
 	}
 	got := readAll(t, p2, "stable", "new-key")

@@ -161,6 +161,77 @@ func TestShardedCloseLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
+// refusingStore accepts bucket writes until limit buckets have been written,
+// then refuses every one: a storage server that dies in the middle of
+// bootstrap, or a view that a newer generation has fenced. A scalar
+// WriteBucket is a vector of one.
+type refusingStore struct {
+	storage.Backend
+	mu    sync.Mutex
+	limit int
+}
+
+var errRefused = errors.New("injected: the store refuses bucket writes")
+
+func (s *refusingStore) WriteBuckets(writes []storage.BucketWrite) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(writes) > s.limit {
+		s.limit = 0
+		return errRefused
+	}
+	s.limit -= len(writes)
+	return s.Backend.WriteBuckets(writes)
+}
+
+func (s *refusingStore) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
+	return s.WriteBuckets([]storage.BucketWrite{{Bucket: bucket, Epoch: epoch, Slots: slots}})
+}
+
+// TestBootstrapFailsWhenStorageRefusesWrites: when the last shard's store
+// starts refusing writes two thirds of the way through the fresh tree,
+// NewSharded returns the store's error within seconds and leaves no goroutine
+// behind, at one shard and at two.
+func TestBootstrapFailsWhenStorageRefusesWrites(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := testConfig(67)
+			n := cfg.Params.Geometry().NumBuckets
+			stores := make([]storage.Backend, shards)
+			for i := range stores {
+				limit := n
+				if i == shards-1 {
+					limit = 2 * n / 3
+				}
+				stores[i] = &refusingStore{Backend: storage.NewMemBackend(n), limit: limit}
+			}
+			done := make(chan error, 1)
+			go func() {
+				p, err := NewSharded(stores, cfg)
+				if err == nil {
+					p.Close()
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, errRefused) {
+					t.Fatalf("NewSharded over a store that refuses writes returned %v, want its error", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("NewSharded still bootstrapping 5 s after the store began refusing writes")
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before NewSharded, %d after it failed", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
 // TestShardedCrossShardAbortAtomic is the epoch-capacity atomicity check: a
 // transaction that overflows ONE shard's write quota must abort as a whole —
 // its writes on other shards must not commit.
@@ -280,7 +351,7 @@ func TestShardedRecoveryDropsInFlightEpoch(t *testing.T) {
 		t.Fatalf("sharded recovery: %v", err)
 	}
 	defer p2.Close()
-	if p2.ReplayedReads() == 0 {
+	if p2.Stats().RecoveryReplayed == 0 {
 		t.Fatal("recovery replayed nothing despite logged batches")
 	}
 	var keys []string

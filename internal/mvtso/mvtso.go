@@ -259,14 +259,6 @@ func (m *Manager) InstallBase(key string, value []byte, found bool) {
 	c.versions = slices.Insert(c.versions, 0, version{writer: 0, value: value, absent: !found})
 }
 
-// HasBase reports whether a base version is resident for key.
-func (m *Manager) HasBase(key string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.chains[key]
-	return c != nil && c.hasBase
-}
-
 // Read returns the value of key visible to t: the latest version with
 // writer <= t.ts. It records the read marker and, for uncommitted versions,
 // a write-read dependency. If the chain holds no version visible to t and

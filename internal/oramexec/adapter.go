@@ -9,9 +9,8 @@ import (
 )
 
 // StoreAdapter adapts a shadow-paged storage.BucketStore to the
-// epoch-agnostic ringoram.Store interface by tagging every write with a
-// fixed epoch. The sequential baseline (ringoram.Seq) uses it directly;
-// initialization uses epoch 0.
+// epoch-agnostic ringoram.Store interface of the sequential baseline
+// (ringoram.Seq) by tagging every write with a fixed epoch.
 type StoreAdapter struct {
 	B     storage.BucketStore
 	Epoch uint64
@@ -28,6 +27,12 @@ func (s StoreAdapter) ReadSlot(bucket, slot int) ([]byte, error) {
 func (s StoreAdapter) WriteBucket(bucket int, slots [][]byte) error {
 	return s.B.WriteBucket(bucket, s.Epoch, slots)
 }
+
+// initChunk is how many buckets of the fresh tree one WriteBuckets call
+// carries. The tree crosses the storage boundary as ⌈NumBuckets/initChunk⌉
+// vectors in ascending bucket order, and at most one chunk's bucket buffers
+// are out at a time.
+const initChunk = 64
 
 // InitORAM creates a fresh Ring ORAM client, initializes the tree on the
 // backend as epoch 0 with every bucket whole (Z+S slots), and commits it. An
@@ -50,11 +55,19 @@ func InitORAMFor(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Para
 	return initORAM(store, key, p, resident)
 }
 
+// initORAM writes a fresh tree in three steps: RollbackTo(0), the buckets in
+// ascending order, initChunk to a WriteBuckets call, and CommitEpoch(0).
 func initORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params, realOnly int) (*ringoram.ORAM, error) {
-	if n, err := store.NumBuckets(); err != nil {
+	o, err := ringoram.New(key, p)
+	if err != nil {
 		return nil, err
-	} else if need := p.Geometry().NumBuckets; n < need {
-		return nil, fmt.Errorf("oramexec: backend has %d buckets, geometry needs %d", n, need)
+	}
+	o.SealRealOnly(realOnly)
+	n := p.Geometry().NumBuckets
+	if have, err := store.NumBuckets(); err != nil {
+		return nil, err
+	} else if have < n {
+		return nil, fmt.Errorf("oramexec: backend has %d buckets, geometry needs %d", have, n)
 	}
 	// Reinitializing wipes: discard any shadow versions a previous (e.g.
 	// non-durable or torn-first-boot) deployment left behind, so the fresh
@@ -62,9 +75,24 @@ func initORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params,
 	if err := store.RollbackTo(0); err != nil {
 		return nil, err
 	}
-	o, err := ringoram.New(StoreAdapter{B: store, Epoch: 0}, key, p, realOnly)
-	if err != nil {
-		return nil, err
+	sealed := make([]ringoram.BucketWrite, 0, initChunk)
+	writes := make([]storage.BucketWrite, 0, initChunk)
+	for from := 0; from < n; from += initChunk {
+		sealed, writes = sealed[:0], writes[:0]
+		for b := from; b < min(from+initChunk, n); b++ {
+			w, err := o.SealFresh(b)
+			if err != nil {
+				recycle(sealed)
+				return nil, err
+			}
+			sealed = append(sealed, w)
+			writes = append(writes, storage.BucketWrite{Bucket: b, Epoch: 0, Slots: w.Slots})
+		}
+		err := store.WriteBuckets(writes)
+		recycle(sealed) // the store copied what it keeps
+		if err != nil {
+			return nil, fmt.Errorf("oramexec: initializing buckets %d..%d: %w", from, from+len(writes)-1, err)
+		}
 	}
 	if err := store.CommitEpoch(0); err != nil {
 		return nil, err

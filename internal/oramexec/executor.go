@@ -684,9 +684,7 @@ func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 			if err := e.store.WriteBuckets(vec); err != nil {
 				return fmt.Errorf("oramexec: write-through eviction: %w", err)
 			}
-			for i := range writes {
-				writes[i].Recycle()
-			}
+			recycle(writes)
 			e.stats.bucketWrites.Add(int64(len(vec)))
 			e.stats.writeCalls.Add(1)
 		}
@@ -816,6 +814,13 @@ func (e *Executor) Flush() (int, error) {
 func recycleAll(buckets map[int]bufferedBucket) {
 	for _, b := range buckets {
 		b.w.Recycle()
+	}
+}
+
+// recycle returns every write's arena to its ORAM's pool.
+func recycle(ws []ringoram.BucketWrite) {
+	for i := range ws {
+		ws[i].Recycle()
 	}
 }
 

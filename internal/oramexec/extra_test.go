@@ -6,37 +6,6 @@ import (
 	"obladi/internal/storage"
 )
 
-// TestExecutorDummyBackend runs the executor against the measurement-only
-// dummy backend (lossy storage, TolerateCorrupt).
-func TestExecutorDummyBackend(t *testing.T) {
-	p := testParams(64, 22)
-	p.TolerateCorrupt = true
-	p.DisableEncryption = true
-	backend := storage.NewDummyBackend(p.Geometry().NumBuckets, 1)
-	oram, err := InitORAM(backend, nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := New(oram, backend, Config{})
-	exec.BeginEpoch(1)
-	plan, err := exec.PlanReadBatch([]ReadOp{{Key: "a"}, {Key: "b"}, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exec.Execute(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res {
-		if r.Found {
-			t.Fatalf("dummy backend produced data: %+v", r)
-		}
-	}
-	if _, err := exec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestExecutorStatsAccounting cross-checks the executor counters.
 func TestExecutorStatsAccounting(t *testing.T) {
 	h := newHarness(t, testParams(64, 23), Config{})

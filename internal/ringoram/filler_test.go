@@ -230,7 +230,7 @@ func TestCompletionNeverInspectsFillers(t *testing.T) {
 	t.Run("dummiless=true", func(t *testing.T) {
 		p := testParams(64)
 		full, store := newTestSeq(t, p)
-		o, err := New(newMapStore(), cryptoutil.KeyFromSeed([]byte("test")), p, 0)
+		o, err := New(cryptoutil.KeyFromSeed([]byte("test")), p)
 		must(t, err)
 		sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte), realOnly: o.geo.NumBuckets / 4}
 		o.SealRealOnly(sparse.realOnly)

@@ -10,15 +10,6 @@ import (
 	"obladi/internal/slab"
 )
 
-// Store is the slot-granularity storage interface the ORAM client drives.
-// Implementations decide how writes map onto shadow-paged epochs. A store
-// must not retain the slots WriteBucket is handed: the ORAM reuses their
-// bytes once the call returns.
-type Store interface {
-	ReadSlot(bucket, slot int) ([]byte, error)
-	WriteBucket(bucket int, slots [][]byte) error
-}
-
 // Public errors.
 var (
 	// ErrFull is returned when inserting more distinct keys than NumBlocks.
@@ -351,61 +342,33 @@ func (o *ORAM) newEvictPlan() *EvictPlan {
 	return p
 }
 
-// New creates an ORAM with freshly initialized buckets written to store.
-// key may be nil only when p.DisableEncryption is set. The first realOnly
-// buckets are written as SealRealOnly writes them, from this first write on;
-// 0 writes every bucket whole.
-func New(store Store, key *cryptoutil.Key, p Params, realOnly int) (*ORAM, error) {
+// New creates an ORAM client over a fresh tree and does no I/O: every bucket
+// gets fresh metadata (empty real positions, a random permutation), drawn in
+// heap order from the seeded generator. The caller stores each bucket as
+// SealFresh seals it before anything reads the tree. key may be nil only when
+// p.DisableEncryption is set.
+func New(key *cryptoutil.Key, p Params) (*ORAM, error) {
 	o, err := newClient(key, p)
 	if err != nil {
 		return nil, err
 	}
-	if store == nil {
-		return nil, errors.New("ringoram: nil store")
-	}
-	o.realOnly = realOnly
-	// Initialize every bucket: empty reals + dummies, fresh permutations.
-	// Parallel workers keep setup tolerable for latency-injected stores.
-	const workers = 16
-	jobs := make(chan BucketWrite)
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if err := store.WriteBucket(j.Bucket, j.Slots); err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-					return
-				}
-				j.Recycle() // the store copied it
-			}
-		}()
-	}
-	var initErr error
-	for b := 0; b < o.geo.NumBuckets; b++ {
+	for b := range o.meta {
 		o.meta[b] = o.freshMeta()
-		w, err := o.sealBucket(b, o.meta[b], nil)
-		if err != nil {
-			initErr = err
-			break
-		}
-		jobs <- w
-	}
-	close(jobs)
-	wg.Wait()
-	close(errs)
-	if initErr == nil {
-		initErr = <-errs
-	}
-	if initErr != nil {
-		return nil, fmt.Errorf("ringoram: initializing tree: %w", initErr)
 	}
 	return o, nil
+}
+
+// SealFresh seals bucket b of the fresh tree New drew: its first version,
+// holding no block. A bucket below the SealRealOnly bound gets its Z real
+// positions only. The write's arena is the caller's until it calls Recycle.
+func (o *ORAM) SealFresh(b int) (BucketWrite, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	m := &o.meta[b]
+	if m.writeVer != 1 || m.count != 0 {
+		return BucketWrite{}, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
+	}
+	return o.sealPlannedBucket(&plannedBucket{bucket: b, ver: m.writeVer, perm: m.perm})
 }
 
 func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
@@ -939,32 +902,21 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 	if plan.targetIdx >= 0 && plan.targetEntry.pending {
 		r := plan.Reads[plan.targetIdx]
 		kind, blk, derr := o.cdc.decodeSlotInto(o.decPlain, data[plan.targetIdx], o.binding(uint64(r.Bucket), r.Ver))
-		e := plan.targetEntry
 		switch {
 		case derr != nil || (kind != slotReal && kind != slotTombstone):
-			if !o.p.TolerateCorrupt {
-				if derr == nil {
-					derr = fmt.Errorf("slot kind %d", kind)
-				}
-				return nil, false, fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, derr)
+			if derr == nil {
+				derr = fmt.Errorf("slot kind %d", kind)
 			}
-			o.releaseEntryVal(e)
-			e.tombstone = true
-			e.pending = false
+			return nil, false, fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, derr)
 		case string(blk.keyB) != plan.Key:
-			if !o.p.TolerateCorrupt {
-				return nil, false, fmt.Errorf("%w: bucket %d slot %d holds key %q, want %q", ErrCorrupt, r.Bucket, r.Slot, blk.keyB, plan.Key)
-			}
-			o.releaseEntryVal(e)
-			e.tombstone = true
-			e.pending = false
-		default:
-			// blk.value aliases the decode scratch: copy it into the stash's
-			// value arena, which owns it until the entry is sealed back.
-			o.setEntryVal(e, blk.value)
-			e.tombstone = blk.tombstone
-			e.pending = false
+			return nil, false, fmt.Errorf("%w: bucket %d slot %d holds key %q, want %q", ErrCorrupt, r.Bucket, r.Slot, blk.keyB, plan.Key)
 		}
+		// blk.value aliases the decode scratch: copy it into the stash's
+		// value arena, which owns it until the entry is sealed back.
+		e := plan.targetEntry
+		o.setEntryVal(e, blk.value)
+		e.tombstone = blk.tombstone
+		e.pending = false
 	}
 	// Resolve the logical result.
 	entry := plan.targetEntry
@@ -1215,25 +1167,13 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, err
 		}
 		kind, blk, err := o.cdc.decodeSlotInto(o.decPlain, data[i], o.binding(uint64(r.Bucket), r.Ver))
 		if err != nil || (kind != slotReal && kind != slotTombstone) {
-			if !o.p.TolerateCorrupt {
-				if err == nil {
-					err = fmt.Errorf("slot kind %d", kind)
-				}
-				return nil, fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, err)
+			if err == nil {
+				err = fmt.Errorf("slot kind %d", kind)
 			}
-			o.releaseEntryVal(r.entry)
-			r.entry.tombstone = true
-			r.entry.pending = false
-			continue
+			return nil, fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, err)
 		}
 		if string(blk.keyB) != r.entry.key {
-			if !o.p.TolerateCorrupt {
-				return nil, fmt.Errorf("%w: bucket %d slot %d holds key %q, want %q", ErrCorrupt, r.Bucket, r.Slot, blk.keyB, r.entry.key)
-			}
-			o.releaseEntryVal(r.entry)
-			r.entry.tombstone = true
-			r.entry.pending = false
-			continue
+			return nil, fmt.Errorf("%w: bucket %d slot %d holds key %q, want %q", ErrCorrupt, r.Bucket, r.Slot, blk.keyB, r.entry.key)
 		}
 		o.setEntryVal(r.entry, blk.value)
 		r.entry.tombstone = blk.tombstone
@@ -1321,20 +1261,4 @@ func (o *ORAM) sealPlannedBucket(pb *plannedBucket) (BucketWrite, error) {
 		bb.slots[at] = data
 	}
 	return BucketWrite{Bucket: pb.bucket, Ver: pb.ver, Slots: bb.slots, Real: pb.real, buf: bb}, nil
-}
-
-// sealBucket serializes a bucket straight from current metadata; used for
-// tree initialization where all real positions are empty.
-func (o *ORAM) sealBucket(bucket int, m bucketMeta, values map[string][]byte) (BucketWrite, error) {
-	pb := plannedBucket{bucket: bucket, ver: m.writeVer, perm: m.perm}
-	for r, key := range m.addrs {
-		if key == "" {
-			continue
-		}
-		pb.placed = append(pb.placed, placement{
-			key: key, pos: r,
-			entry: &stashEntry{key: key, value: values[key]},
-		})
-	}
-	return o.sealPlannedBucket(&pb)
 }

@@ -41,10 +41,6 @@ type Params struct {
 	// crypto overhead (the "Parallel" vs "ParallelCrypto" series of
 	// Figure 10a); never secure.
 	DisableEncryption bool
-	// TolerateCorrupt treats undecryptable target slots as absent keys
-	// instead of errors. Required when running against the lossy "dummy"
-	// measurement backend; never enable against real storage.
-	TolerateCorrupt bool
 	// Seed, when non-zero, makes all randomized choices (leaf remaps,
 	// dummy-slot selection, permutations) deterministic. Tests only.
 	Seed uint64

@@ -13,11 +13,11 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 	if !raceEnabled {
 		t.Skip("Recycle poisons arenas in race builds only")
 	}
-	o, err := New(newMapStore(), cryptoutil.KeyFromSeed([]byte("poison")), testParams(16), 0)
+	o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := o.sealBucket(0, o.meta[0], nil)
+	w, err := o.SealFresh(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,15 @@ import (
 	"obladi/internal/cryptoutil"
 )
 
+// Store is the slot-granularity storage interface the sequential client
+// drives. Implementations decide how writes map onto shadow-paged epochs. A
+// store must not retain the slots WriteBucket is handed: the ORAM reuses their
+// bytes once the call returns.
+type Store interface {
+	ReadSlot(bucket, slot int) ([]byte, error)
+	WriteBucket(bucket int, slots [][]byte) error
+}
+
 // Seq is a synchronous, sequential Ring ORAM: every logical operation's
 // physical reads execute one at a time and evictions write back immediately.
 // It is the canonical construction the paper benchmarks against (the
@@ -16,11 +25,22 @@ type Seq struct {
 	store Store
 }
 
-// NewSeq creates a sequential Ring ORAM over store, initializing the tree.
+// NewSeq creates a sequential Ring ORAM over store and writes its fresh tree,
+// one bucket at a time in heap order.
 func NewSeq(store Store, key *cryptoutil.Key, p Params) (*Seq, error) {
-	o, err := New(store, key, p, 0)
+	o, err := New(key, p)
 	if err != nil {
 		return nil, err
+	}
+	for b := 0; b < o.geo.NumBuckets; b++ {
+		w, err := o.SealFresh(b)
+		if err != nil {
+			return nil, err
+		}
+		if err := store.WriteBucket(b, w.Slots); err != nil {
+			return nil, fmt.Errorf("ringoram: initializing bucket %d: %w", b, err)
+		}
+		w.Recycle()
 	}
 	return &Seq{oram: o, store: store}, nil
 }

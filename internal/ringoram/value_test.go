@@ -19,7 +19,7 @@ func TestValuePathAllocBudget(t *testing.T) {
 	}
 	p := testParams(256)
 	p.KeySize, p.ValueSize = 16, 256
-	o, err := New(newMapStore(), cryptoutil.KeyFromSeed([]byte("budget")), p, 0)
+	o, err := New(cryptoutil.KeyFromSeed([]byte("budget")), p)
 	must(t, err)
 	keys := make([]string, 16)
 	value := make([]byte, p.ValueSize)

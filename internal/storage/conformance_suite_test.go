@@ -9,9 +9,9 @@ import (
 )
 
 // This file holds the conformance suite for the Backend contract, so every
-// implementation — MemBackend, DiskBackend, DummyBackend, the latency
-// wrapper, the remote client/server pair, and any future store — is held to
-// the same edge cases instead of each accumulating ad-hoc coverage.
+// implementation — MemBackend, DiskBackend, the latency wrapper, the remote
+// client/server pair, and any future store — is held to the same edge cases
+// instead of each accumulating ad-hoc coverage.
 //
 // The suite asserts error *presence*, not error identity, for range checks:
 // the remote client flattens server errors into ErrRemote strings. ErrClosed
@@ -22,48 +22,29 @@ import (
 // must provision.
 const ConformanceMinBuckets = 8
 
-// ConformanceOptions tunes the suite for intentionally lossy backends.
-type ConformanceOptions struct {
-	// BucketDataDiscarded marks backends that ignore bucket writes and
-	// serve synthetic reads (DummyBackend): read-back, epoch-ordering and
-	// vector-atomicity checks are skipped, while log, KV, NumBuckets and
-	// close semantics still apply.
-	BucketDataDiscarded bool
-}
-
 // RunBackendConformance exercises every Backend contract edge against fresh
 // instances produced by factory. The factory must return an empty, open
 // backend with at least ConformanceMinBuckets buckets and register any
 // cleanup on t.
 func RunBackendConformance(t *testing.T, factory func(t *testing.T) Backend) {
-	RunBackendConformanceOpts(t, factory, ConformanceOptions{})
-}
-
-// RunBackendConformanceOpts is RunBackendConformance with options.
-func RunBackendConformanceOpts(t *testing.T, factory func(t *testing.T) Backend, opts ConformanceOptions) {
-	type check struct {
-		name    string
-		buckets bool // requires faithful bucket storage
-		run     func(t *testing.T, b Backend)
-	}
-	checks := []check{
-		{"num-buckets", false, conformNumBuckets},
-		{"bucket-round-trip", true, conformBucketRoundTrip},
-		{"epoch-order-rejection", true, conformEpochOrder},
-		{"vector-read-atomicity", true, conformVectorReadAtomicity},
-		{"rollback-after-partial-vector", true, conformPartialVectorRollback},
-		{"commit-rollback-visibility", true, conformCommitRollback},
-		{"slot-count-per-version", true, func(t *testing.T, b Backend) { ConformSlotCountPerVersion(t, b, nil) }},
-		{"keeps-own-copy", true, func(t *testing.T, b Backend) { ConformKeepsOwnCopy(t, b, nil) }},
-		{"log-sequence", false, conformLogSequence},
-		{"log-truncate", false, conformLogTruncate},
-		{"kv", false, conformKV},
-		{"closed", false, func(t *testing.T, b Backend) { conformClosed(t, b, opts) }},
+	checks := []struct {
+		name string
+		run  func(t *testing.T, b Backend)
+	}{
+		{"num-buckets", conformNumBuckets},
+		{"bucket-round-trip", conformBucketRoundTrip},
+		{"epoch-order-rejection", conformEpochOrder},
+		{"vector-read-atomicity", conformVectorReadAtomicity},
+		{"rollback-after-partial-vector", conformPartialVectorRollback},
+		{"commit-rollback-visibility", conformCommitRollback},
+		{"slot-count-per-version", func(t *testing.T, b Backend) { ConformSlotCountPerVersion(t, b, nil) }},
+		{"keeps-own-copy", func(t *testing.T, b Backend) { ConformKeepsOwnCopy(t, b, nil) }},
+		{"log-sequence", conformLogSequence},
+		{"log-truncate", conformLogTruncate},
+		{"kv", conformKV},
+		{"closed", conformClosed},
 	}
 	for _, c := range checks {
-		if c.buckets && opts.BucketDataDiscarded {
-			continue
-		}
 		t.Run(c.name, func(t *testing.T) {
 			c.run(t, factory(t))
 		})
@@ -812,7 +793,7 @@ func RunGroupCommitConformance(t *testing.T, n int, factory func(t *testing.T, n
 	})
 }
 
-func conformClosed(t *testing.T, b Backend, opts ConformanceOptions) {
+func conformClosed(t *testing.T, b Backend) {
 	if err := b.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -822,19 +803,17 @@ func conformClosed(t *testing.T, b Backend, opts ConformanceOptions) {
 			t.Fatalf("%s after Close = %v, want ErrClosed", op, err)
 		}
 	}
-	if !opts.BucketDataDiscarded {
-		_, err := b.ReadSlot(0, 0)
-		checkClosed("ReadSlot", err)
-		_, err = b.ReadSlots([]SlotRef{{Bucket: 0, Slot: 0}})
-		checkClosed("ReadSlots", err)
-		_, err = b.ReadBucket(0)
-		checkClosed("ReadBucket", err)
-		checkClosed("WriteBucket", b.WriteBucket(0, 1, conformSlots("x", 1)))
-		checkClosed("WriteBuckets", b.WriteBuckets([]BucketWrite{{Bucket: 0, Epoch: 1, Slots: conformSlots("x", 1)}}))
-	}
+	_, err := b.ReadSlot(0, 0)
+	checkClosed("ReadSlot", err)
+	_, err = b.ReadSlots([]SlotRef{{Bucket: 0, Slot: 0}})
+	checkClosed("ReadSlots", err)
+	_, err = b.ReadBucket(0)
+	checkClosed("ReadBucket", err)
+	checkClosed("WriteBucket", b.WriteBucket(0, 1, conformSlots("x", 1)))
+	checkClosed("WriteBuckets", b.WriteBuckets([]BucketWrite{{Bucket: 0, Epoch: 1, Slots: conformSlots("x", 1)}}))
 	checkClosed("CommitEpoch", b.CommitEpoch(1))
 	checkClosed("RollbackTo", b.RollbackTo(0))
-	_, err := b.NumBuckets()
+	_, err = b.NumBuckets()
 	checkClosed("NumBuckets", err)
 	_, _, err = b.Get("k")
 	checkClosed("Get", err)

@@ -48,12 +48,6 @@ func TestBackendConformanceDiskReopened(t *testing.T) {
 	})
 }
 
-func TestBackendConformanceDummy(t *testing.T) {
-	RunBackendConformanceOpts(t, func(t *testing.T) Backend {
-		return NewDummyBackend(ConformanceMinBuckets, 64)
-	}, ConformanceOptions{BucketDataDiscarded: true})
-}
-
 func TestBackendConformanceLatency(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
 		return WithLatency(NewMemBackend(ConformanceMinBuckets), Profile{Name: "conformance"})

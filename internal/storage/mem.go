@@ -352,59 +352,3 @@ func (m *MemBackend) Close() error {
 	m.closed = true
 	return nil
 }
-
-// DummyBackend responds to every slot read with a static value and ignores
-// writes; it is the "dummy" backend of Figure 10, used to measure proxy CPU
-// costs with zero storage cost. Log and KV operations are served from memory
-// so durability code paths still function.
-type DummyBackend struct {
-	*MemBackend
-	static []byte
-}
-
-// NewDummyBackend creates a dummy backend whose slot reads return a static
-// slot of the given size.
-func NewDummyBackend(numBuckets, slotSize int) *DummyBackend {
-	return &DummyBackend{
-		MemBackend: NewMemBackend(numBuckets),
-		static:     make([]byte, slotSize),
-	}
-}
-
-// ReadSlot returns the static slot regardless of location.
-func (d *DummyBackend) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(d, bucket, slot) }
-
-// ReadSlots returns the static slot for every ref.
-func (d *DummyBackend) ReadSlots(refs []SlotRef) ([][]byte, error) {
-	out := make([][]byte, len(refs))
-	for i := range out {
-		out[i] = d.static
-	}
-	return out, nil
-}
-
-// ReadBucket returns nil: dummy buckets have no recoverable contents.
-func (d *DummyBackend) ReadBucket(bucket int) ([][]byte, error) {
-	return nil, nil
-}
-
-// encodeSlots and encodeBucket keep a served dummy answering as ReadSlots
-// and ReadBucket do, not as the embedded MemBackend would.
-func (d *DummyBackend) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
-	data, _ := d.ReadSlots(refs)
-	return appendFields(dst, data), nil
-}
-
-func (d *DummyBackend) encodeBucket(dst []byte, bucket int) ([]byte, error) {
-	return appendFields(dst, nil), nil
-}
-
-// WriteBucket discards the write.
-func (d *DummyBackend) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	return writeBucket(d, bucket, epoch, slots)
-}
-
-// WriteBuckets discards the writes.
-func (d *DummyBackend) WriteBuckets(writes []BucketWrite) error {
-	return nil
-}

@@ -253,22 +253,6 @@ func TestMemBackendConcurrent(t *testing.T) {
 	}
 }
 
-func TestDummyBackendIgnoresWrites(t *testing.T) {
-	d := NewDummyBackend(4, 32)
-	must(t, d.WriteBucket(0, 1, slots("real")))
-	got, err := d.ReadSlot(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, make([]byte, 32)) {
-		t.Fatalf("dummy backend returned %q", got)
-	}
-	// Log still works (durability code path).
-	if seq, err := d.Append([]byte("rec")); err != nil || seq != 1 {
-		t.Fatalf("dummy log append: %d %v", seq, err)
-	}
-}
-
 // TestTwoLiveEpochsShadowPaging models the pipelined boundary's storage
 // footprint: the sealed epoch's flush and the next epoch's writes coexist as
 // uncommitted shadow versions, rollback discards both, commit in epoch order

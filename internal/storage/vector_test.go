@@ -76,15 +76,6 @@ func TestMemWriteBucketsKeepsEpochOrdering(t *testing.T) {
 	}
 }
 
-func TestDummyBackendVector(t *testing.T) {
-	d := NewDummyBackend(4, 8)
-	got, err := d.ReadSlots(make([]SlotRef, 3))
-	if err != nil || len(got) != 3 || len(got[0]) != 8 {
-		t.Fatalf("dummy ReadSlots: %v %v", got, err)
-	}
-	must(t, d.WriteBuckets([]BucketWrite{{Bucket: 0, Epoch: 1, Slots: slots("ignored")}}))
-}
-
 func TestRecorderExpandsVectorOps(t *testing.T) {
 	r := NewRecorder(NewMemBackend(4))
 	must(t, r.WriteBuckets([]BucketWrite{

@@ -9,7 +9,6 @@
 package tpcc
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -458,9 +457,6 @@ func (c *Client) OrderStatus() error {
 	}
 	return tx.Commit()
 }
-
-// ErrNothingToDeliver marks a delivery with an empty new-order queue.
-var ErrNothingToDeliver = errors.New("tpcc: no undelivered orders")
 
 // Delivery implements the delivery transaction for one district.
 func (c *Client) Delivery() error {

@@ -10,12 +10,6 @@ import (
 	"math/rand/v2"
 )
 
-// Chooser selects keys from [0, n).
-type Chooser interface {
-	Next(rng *rand.Rand) int
-	N() int
-}
-
 // Uniform selects keys uniformly.
 type Uniform struct {
 	n int
@@ -29,10 +23,10 @@ func NewUniform(n int) *Uniform {
 	return &Uniform{n: n}
 }
 
-// Next implements Chooser.
+// Next implements Oracle.
 func (u *Uniform) Next(rng *rand.Rand) int { return rng.IntN(u.n) }
 
-// N implements Chooser.
+// N implements Oracle.
 func (u *Uniform) N() int { return u.n }
 
 // Zipfian selects keys with a zipfian distribution using the Gray et al.
@@ -69,7 +63,7 @@ func zeta(n int, theta float64) float64 {
 	return sum
 }
 
-// Next implements Chooser.
+// Next implements Oracle.
 func (z *Zipfian) Next(rng *rand.Rand) int {
 	u := rng.Float64()
 	uz := u * z.zetan
@@ -82,7 +76,7 @@ func (z *Zipfian) Next(rng *rand.Rand) int {
 	return int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 }
 
-// N implements Chooser.
+// N implements Oracle.
 func (z *Zipfian) N() int { return z.n }
 
 // OpKind is a microbenchmark operation type.
@@ -107,7 +101,7 @@ type Mix struct {
 	keyPrefix string
 }
 
-// Oracle abstracts Chooser for testing.
+// Oracle selects keys from [0, n): the chooser a Mix draws from.
 type Oracle interface {
 	Next(rng *rand.Rand) int
 	N() int
