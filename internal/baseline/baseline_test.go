@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"obladi/internal/kvtxn"
 	"obladi/internal/storage"
@@ -316,5 +317,71 @@ func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// keyStore is a KVStore that records the keys it is handed to keep.
+type keyStore struct {
+	storage.KVStore
+	mu   sync.Mutex
+	kept []string
+}
+
+func (s *keyStore) Put(key string, value []byte) error {
+	s.mu.Lock()
+	s.kept = append(s.kept, key)
+	s.mu.Unlock()
+	return s.KVStore.Put(key, value)
+}
+
+// TestEnginesKeepTheirOwnKeys writes, deletes and reads through keys that
+// alias one scratch buffer, the way a wire server's carved keys alias their
+// chunk, and checks that nothing an engine keeps past the transaction — the
+// store's entries, NoPriv's chains — aliases it (kvtxn.Txn's key rule).
+func TestEnginesKeepTheirOwnKeys(t *testing.T) {
+	for name, mk := range engines() {
+		t.Run(name, func(t *testing.T) {
+			store := &keyStore{KVStore: storage.NewMemBackend(0)}
+			db := mk(store)
+			defer db.Close()
+			scratch := make([]byte, 0, 256)
+			carve := func(key string) string {
+				start := len(scratch)
+				scratch = append(scratch, key...)
+				return unsafe.String(&scratch[start], len(key))
+			}
+			for i := 0; i < 8; i++ {
+				tx := db.Begin()
+				k := carve(fmt.Sprintf("k%d", i%4))
+				if _, _, err := tx.Read(k); err != nil {
+					t.Fatal(err)
+				}
+				must(t, tx.Write(k, []byte("v")))
+				if i%3 == 2 {
+					must(t, tx.Delete(carve(fmt.Sprintf("k%d", i%4))))
+				}
+				must(t, tx.Commit())
+			}
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(scratch)))
+			aliases := func(s string) bool {
+				d := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+				return d >= lo && d < lo+uintptr(cap(scratch))
+			}
+			if len(store.kept) == 0 {
+				t.Fatal("the store was handed no key")
+			}
+			for _, k := range store.kept {
+				if aliases(k) {
+					t.Fatalf("the store keeps the caller's key %q", k)
+				}
+			}
+			if np, ok := db.(*NoPriv); ok {
+				for k, c := range np.chains {
+					if aliases(k) || aliases(c.key) {
+						t.Fatalf("chain %q keeps the caller's key", k)
+					}
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ package baseline
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"obladi/internal/kvtxn"
@@ -35,7 +36,11 @@ type npVersion struct {
 	readMarker uint64
 }
 
+// npChain is one key's versions. key is the engine's own copy of the key,
+// made with the chain: chains outlive every transaction, so they, the write
+// sets naming them and the store's entries hold it, never a caller's key.
 type npChain struct {
+	key      string
 	versions []*npVersion
 	hasBase  bool
 }
@@ -101,6 +106,16 @@ func (n *NoPriv) Close() error {
 	return nil
 }
 
+// chainLocked returns key's chain, creating it with a copy of key.
+func (n *NoPriv) chainLocked(key string) *npChain {
+	c := n.chains[key]
+	if c == nil {
+		c = &npChain{key: strings.Clone(key)}
+		n.chains[c.key] = c
+	}
+	return c
+}
+
 // fetchBase loads a key's committed value from storage (outside the lock)
 // and installs it as the chain's base.
 func (n *NoPriv) fetchBase(key string) error {
@@ -110,11 +125,7 @@ func (n *NoPriv) fetchBase(key string) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	c := n.chains[key]
-	if c == nil {
-		c = &npChain{}
-		n.chains[key] = c
-	}
+	c := n.chainLocked(key)
 	if !c.hasBase {
 		c.hasBase = true
 		base := &npVersion{ts: 0, value: v, absent: !found}
@@ -219,11 +230,7 @@ func (t *npTxn) write(key string, value []byte, tombstone bool) error {
 	if t.status != npActive {
 		return fmt.Errorf("%w: nopriv write on finished txn", ErrAborted)
 	}
-	c := n.chains[key]
-	if c == nil {
-		c = &npChain{}
-		n.chains[key] = c
-	}
+	c := n.chainLocked(key)
 	idx := sort.Search(len(c.versions), func(i int) bool {
 		return c.versions[i].ts >= t.ts
 	})
@@ -234,7 +241,7 @@ func (t *npTxn) write(key string, value []byte, tombstone bool) error {
 		}
 		c.versions[idx].value = value
 		c.versions[idx].tombstone = tombstone
-		t.writes[key] = struct{}{}
+		t.writes[c.key] = struct{}{}
 		return nil
 	}
 	if idx > 0 && c.versions[idx-1].readMarker > t.ts {
@@ -245,7 +252,7 @@ func (t *npTxn) write(key string, value []byte, tombstone bool) error {
 	c.versions = append(c.versions, nil)
 	copy(c.versions[idx+1:], c.versions[idx:])
 	c.versions[idx] = v
-	t.writes[key] = struct{}{}
+	t.writes[c.key] = struct{}{}
 	return nil
 }
 

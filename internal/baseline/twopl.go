@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"obladi/internal/kvtxn"
@@ -23,8 +24,11 @@ type TwoPL struct {
 
 var _ kvtxn.DB = (*TwoPL)(nil)
 
-// lockState tracks one key's lock.
+// lockState tracks one key's lock. key is the engine's own copy of the key,
+// made with the lock: the lock table, the holder's lock and undo sets and the
+// store's entry hold it, never a caller's key.
 type lockState struct {
+	key string
 	// sharedHolders maps transaction timestamps holding S locks.
 	sharedHolders map[uint64]bool
 	// exclusiveHolder is the X holder's timestamp (0 = none).
@@ -81,27 +85,28 @@ type plTxn struct {
 
 // acquire takes a lock on key in the requested mode, applying wait-die:
 // if the lock is held by an older transaction (smaller timestamp), this
-// (younger) transaction aborts rather than waits.
-func (t *plTxn) acquire(key string, exclusive bool) error {
+// (younger) transaction aborts rather than waits. It returns the lock's copy
+// of key.
+func (t *plTxn) acquire(key string, exclusive bool) (string, error) {
 	d := t.db
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
 		if d.closed {
-			return fmt.Errorf("%w: store closed", ErrAborted)
+			return "", fmt.Errorf("%w: store closed", ErrAborted)
 		}
 		if t.aborted {
-			return fmt.Errorf("%w: 2pl txn aborted", ErrAborted)
+			return "", fmt.Errorf("%w: 2pl txn aborted", ErrAborted)
 		}
 		ls := d.locks[key]
 		if ls == nil {
-			ls = &lockState{sharedHolders: make(map[uint64]bool)}
-			d.locks[key] = ls
+			ls = &lockState{key: strings.Clone(key), sharedHolders: make(map[uint64]bool)}
+			d.locks[ls.key] = ls
 		}
 		if t.held[key] {
 			// Already hold X, or hold S and want S.
 			if !exclusive || t.heldExclusive(key, ls) {
-				return nil
+				return ls.key, nil
 			}
 		}
 		blockers := t.blockers(ls, exclusive)
@@ -112,15 +117,15 @@ func (t *plTxn) acquire(key string, exclusive bool) error {
 			} else {
 				ls.sharedHolders[t.ts] = true
 			}
-			t.held[key] = exclusive || t.held[key]
-			return nil
+			t.held[ls.key] = exclusive || t.held[key]
+			return ls.key, nil
 		}
 		// Wait-die: wait only if we are older than every blocker.
 		for _, b := range blockers {
 			if t.ts > b {
 				t.releaseLocked()
 				t.aborted = true
-				return fmt.Errorf("%w: wait-die on %q (ts %d vs holder %d)", ErrAborted, key, t.ts, b)
+				return "", fmt.Errorf("%w: wait-die on %q (ts %d vs holder %d)", ErrAborted, key, t.ts, b)
 			}
 		}
 		d.cond.Wait()
@@ -170,7 +175,7 @@ func (t *plTxn) Read(key string) ([]byte, bool, error) {
 	if t.done {
 		return nil, false, fmt.Errorf("%w: finished txn", ErrAborted)
 	}
-	if err := t.acquire(key, false); err != nil {
+	if _, err := t.acquire(key, false); err != nil {
 		return nil, false, err
 	}
 	return t.db.store.Get(key)
@@ -181,7 +186,7 @@ func (t *plTxn) ReadMany(keys []string) ([]kvtxn.Value, error) {
 		return nil, fmt.Errorf("%w: finished txn", ErrAborted)
 	}
 	for _, k := range keys {
-		if err := t.acquire(k, false); err != nil {
+		if _, err := t.acquire(k, false); err != nil {
 			return nil, err
 		}
 	}
@@ -220,7 +225,8 @@ func (t *plTxn) write(key string, value []byte, tombstone bool) error {
 	if t.done {
 		return fmt.Errorf("%w: finished txn", ErrAborted)
 	}
-	if err := t.acquire(key, true); err != nil {
+	key, err := t.acquire(key, true)
+	if err != nil {
 		return err
 	}
 	old, existed, err := t.db.store.Get(key)

@@ -153,9 +153,9 @@ func (s *Server) serve(conn net.Conn) {
 	s.serveMux(conn, r)
 }
 
-// carver copies values out of pooled frames into memory their new owner
-// keeps: a slab.Bytes behind its own lock, since a connection's sessions (or
-// a client's futures) copy from many goroutines at once.
+// carver copies keys and values out of pooled frames into memory their new
+// owner keeps: a slab.Bytes behind its own lock, since a connection's sessions
+// (or a client's futures) copy from many goroutines at once.
 type carver struct {
 	mu sync.Mutex
 	b  slab.Bytes
@@ -165,4 +165,12 @@ func (c *carver) copy(v []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.b.Copy(v)
+}
+
+// key carves k as a string (see slab.Bytes.String): it outlives the frame and
+// pins its chunk while anyone holds it.
+func (c *carver) key(k []byte) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.b.String(k)
 }

@@ -84,8 +84,8 @@ const frameHeaderLen = 9
 
 // frame is one decoded protocol frame. A frame read off the wire borrows its
 // payload from a pooled buffer: whoever consumes the frame calls release once
-// every alias of the payload is dead (values that outlive the frame — an
-// engine-retained write value, a future's read result — are carved first).
+// every alias of the payload is dead (keys and values that outlive the frame —
+// an engine-retained write value, a future's read result — are carved first).
 type frame struct {
 	kind    frameKind
 	session uint32
@@ -180,16 +180,16 @@ func (b *frameBuf) frame() (frame, error) {
 }
 
 // parseWritePayload parses a frameWrite payload: klen(u32) | key | value. The
-// returned value aliases p.
-func parseWritePayload(p []byte) (key string, value []byte, err error) {
+// returned key and value alias p.
+func parseWritePayload(p []byte) (key, value []byte, err error) {
 	if len(p) < 4 {
-		return "", nil, errShortFrame
+		return nil, nil, errShortFrame
 	}
 	klen := int(binary.BigEndian.Uint32(p))
 	if klen < 0 || len(p)-4 < klen {
-		return "", nil, errShortFrame
+		return nil, nil, errShortFrame
 	}
-	return string(p[4 : 4+klen]), p[4+klen:], nil
+	return p[4 : 4+klen], p[4+klen:], nil
 }
 
 // encodeErrPayload builds a frameErr payload.

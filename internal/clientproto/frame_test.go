@@ -64,7 +64,7 @@ func TestWritePayloadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", tc.key, err)
 		}
-		if k != tc.key || !bytes.Equal(v, tc.value) {
+		if string(k) != tc.key || !bytes.Equal(v, tc.value) {
 			t.Fatalf("got %q/%v want %q/%v", k, v, tc.key, tc.value)
 		}
 	}
@@ -97,7 +97,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		switch fr.kind {
 		case frameWrite:
 			if k, v, err := parseWritePayload(fr.payload); err == nil {
-				if enc := encodeWritePayload(k, v); !bytes.Equal(enc, fr.payload) {
+				if enc := encodeWritePayload(string(k), v); !bytes.Equal(enc, fr.payload) {
 					t.Fatalf("write payload re-encode mismatch: %x -> %x", fr.payload, enc)
 				}
 			}

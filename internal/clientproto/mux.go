@@ -37,8 +37,9 @@ type muxConn struct {
 	wmu sync.Mutex
 	w   *bufio.Writer
 
-	// vals carves the write values the engine keeps out of their frames.
-	vals carver
+	// carve copies the keys and write values the engine keeps out of their
+	// frames.
+	carve carver
 
 	workers sync.WaitGroup
 	// idle holds settled sessions for the next Begin to reuse, queue and
@@ -195,15 +196,15 @@ func (ms *muxSession) work() {
 			settled = f.kind == frameCommit
 			ms.replyAck(f.req, refused)
 		case f.kind == frameRead:
-			// string(f.payload) copies the key out of the pooled buffer in
-			// both branches, so the frame releases at the loop bottom while
-			// the read is still in flight.
+			// The key is carved out of the pooled buffer in both branches, so
+			// the frame releases at the loop bottom while the read is still in
+			// flight.
 			if atx, ok := tx.(kvtxn.AsyncTxn); ok {
 				// Take a waiter first: at the cap the worker blocks here (not
 				// the whole server — ops and the TCP window absorb the
 				// stall), keeping the per-session goroutine count bounded.
 				w := ms.waiter()
-				w.req, w.fut = f.req, atx.ReadAsync(string(f.payload))
+				w.req, w.fut = f.req, atx.ReadAsync(c.carve.key(f.payload))
 				ms.reads.Add(1)
 				go w.run()
 			} else {
@@ -212,20 +213,20 @@ func (ms *muxSession) work() {
 				// single-goroutine, so the worker may not run later ops
 				// concurrently with a pending read. Sessions still
 				// multiplex; only intra-session read pipelining is lost.
-				v, found, err := tx.Read(string(f.payload))
+				v, found, err := tx.Read(c.carve.key(f.payload))
 				ms.replyRead(f.req, v, found, err)
 			}
 		case f.kind == frameWrite:
 			key, value, err := parseWritePayload(f.payload)
 			if err == nil {
-				// The engine retains the value past the call (MVTSO buffers it
-				// until the epoch's write batch), but value aliases the pooled
-				// frame: carve it out before handing it over.
-				err = tx.Write(key, c.vals.copy(value))
+				// The engine retains key and value past the call (MVTSO buffers
+				// them until the epoch's write batch), but both alias the pooled
+				// frame: carve them out before handing them over.
+				err = tx.Write(c.carve.key(key), c.carve.copy(value))
 			}
 			tx, refused = ms.ackMutation(tx, f.req, "write", err)
 		case f.kind == frameDelete:
-			tx, refused = ms.ackMutation(tx, f.req, "delete", tx.Delete(string(f.payload)))
+			tx, refused = ms.ackMutation(tx, f.req, "delete", tx.Delete(c.carve.key(f.payload)))
 		case f.kind == frameCommit:
 			ms.reads.Wait()
 			settled = true

@@ -24,6 +24,10 @@ type DB interface {
 }
 
 // Txn is a single-goroutine transaction handle.
+//
+// A key is the caller's: an engine that keeps it past the transaction keeps
+// a copy. (A wire server hands over keys carved from a connection's chunks,
+// and a kept key keeps its whole chunk alive.)
 type Txn interface {
 	// Read returns the visible value of key.
 	Read(key string) (value []byte, found bool, err error)

@@ -136,6 +136,7 @@ type Manager struct {
 	chainSlab slab.Reused[chain]
 	txnSlab   slab.Chunked[Txn]
 	keys      []string // FinalizeEpoch's sort scratch
+	out       Outcome  // FinalizeEpoch's result, refilled by every call
 
 	// Write-budget accounting (SetWriteBudget); zero writePerShard means
 	// unlimited.
@@ -447,7 +448,8 @@ type WriteSetEntry struct {
 // FinalizeEpoch ends the epoch: unfinished transactions abort (no
 // transaction spans epochs), aborts cascade, survivors commit. The CCU then
 // resets; the next epoch starts with empty version chains (the version cache
-// is flushed, reads re-fetch from the ORAM).
+// is flushed, reads re-fetch from the ORAM). The outcome's slices are the
+// manager's: they are valid until the next FinalizeEpoch refills them.
 func (m *Manager) FinalizeEpoch() Outcome {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -477,15 +479,15 @@ func (m *Manager) FinalizeEpoch() Outcome {
 		}
 	}
 	// Transactions are in timestamp order, so both lists come out sorted.
-	var out Outcome
+	out := &m.out
 	finished := 0
 	for _, t := range m.txns {
 		if t.status == StatusFinished {
 			finished++
 		}
 	}
-	out.Committed = make([]Timestamp, 0, finished)
-	out.Aborted = make([]Timestamp, 0, len(m.txns)-finished)
+	out.Committed = refill(out.Committed, finished)
+	out.Aborted = refill(out.Aborted, len(m.txns)-finished)
 	for _, t := range m.txns {
 		switch t.status {
 		case StatusFinished:
@@ -505,16 +507,25 @@ func (m *Manager) FinalizeEpoch() Outcome {
 		}
 	}
 	slices.Sort(keys)
-	out.Writes = make([]WriteSetEntry, len(keys))
-	for i, key := range keys {
+	clear(out.Writes) // the last epoch's keys and values
+	out.Writes = refill(out.Writes, len(keys))
+	for _, key := range keys {
 		c := m.chains[key]
 		last := &c.versions[len(c.versions)-1]
-		out.Writes[i] = WriteSetEntry{Key: key, Value: last.value, Tombstone: last.tombstone}
+		out.Writes = append(out.Writes, WriteSetEntry{Key: key, Value: last.value, Tombstone: last.tombstone})
 	}
 	clear(keys)
 	m.keys = keys
 	m.resetLocked()
-	return out
+	return *out
+}
+
+// refill returns s emptied, with room for n: s itself once it is big enough.
+func refill[E any](s []E, n int) []E {
+	if s == nil || cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s[:0]
 }
 
 // resetLocked opens the next epoch: empty version chains, no transactions, a

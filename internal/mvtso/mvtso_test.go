@@ -420,8 +420,8 @@ func must(t *testing.T, err error) {
 
 // TestEpochAllocBudget pins the epoch as the allocation unit: an epoch of 64
 // transactions shaped like the benchmark's (two fetched reads and one blind
-// write to distinct keys) costs a transaction chunk, the Outcome's three
-// slices and nothing per transaction, version or key.
+// write to distinct keys) costs a transaction chunk and nothing per
+// transaction, version or key; the Outcome's slices are reused.
 func TestEpochAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

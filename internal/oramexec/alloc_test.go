@@ -3,6 +3,7 @@ package oramexec
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -70,10 +71,11 @@ func (s *copyStore) bucketsWritten(e *Executor) int64 { return e.Stats().BucketW
 
 // TestEpochAllocBudget pins what a steady-state epoch of planned and executed
 // batches allocates in the executor and the ORAM: each read value's carve
-// (sixteen 256-byte values to a chunk) and a constant for the sealed set —
-// nothing per bucket, since the store copies what it keeps and the next seal
-// recycles the flushed buffers. Plans, tasks, results and scratch are the
-// executor's, reused.
+// (sixteen 256-byte values to a chunk) and nothing else — nothing per bucket,
+// since the store copies what it keeps and the next seal recycles the flushed
+// buffers, and nothing per boundary. Plans, tasks, results, scratch, the
+// sealed sets, the write-back maps and the flush's vector are the executor's,
+// reused: with the collector off, a warm seal and flush allocate nothing.
 func TestEpochAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -81,10 +83,10 @@ func TestEpochAllocBudget(t *testing.T) {
 	const (
 		readBatches = 4
 		batchSize   = 16
-		// The sealed set's handle, the next epoch's buffer map (header, table
-		// and groups), the flush's vector, and one bucket buffer a collection
-		// may take out of the pool.
-		perEpoch = 6 + 3
+		// One bucket buffer a collection may take out of the pool, and 3 to
+		// spare: a sealed-set handle, write-back map or flush vector per
+		// boundary again costs 1 to 3 each.
+		perEpoch = 1 + 3
 	)
 	// The benchmark's geometry: early reshuffles are rare at S = 24.
 	p := testParams(1024, 5)
@@ -104,6 +106,8 @@ func TestEpochAllocBudget(t *testing.T) {
 	next := func() string { keys = (keys + 1) % len(names); return names[keys] }
 	reads, writes := make([]ReadOp, batchSize), make([]WriteOp, batchSize)
 	epoch := uint64(1)
+	var boundaryMallocs uint64
+	var m0, m1 runtime.MemStats
 	run := func() {
 		e.BeginEpoch(epoch)
 		epoch++
@@ -129,6 +133,7 @@ func TestEpochAllocBudget(t *testing.T) {
 		if _, err := e.Execute(plan); err != nil {
 			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&m0)
 		sealed, err := e.SealEpoch()
 		if err != nil {
 			t.Fatal(err)
@@ -136,6 +141,8 @@ func TestEpochAllocBudget(t *testing.T) {
 		if _, err := e.FlushSealed(sealed); err != nil {
 			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&m1)
+		boundaryMallocs += m1.Mallocs - m0.Mallocs
 	}
 	// Warm up: every key written, every bucket buffer shape seen.
 	for i := 0; i < 64; i++ {
@@ -149,6 +156,20 @@ func TestEpochAllocBudget(t *testing.T) {
 	t.Logf("%.1f allocations per epoch; %.1f buckets flushed, budget %.1f", allocs, flushed, budget)
 	if allocs > budget {
 		t.Errorf("%.1f allocations per epoch, budget %.1f: planning, execution or the flush allocates per batch, per value or per bucket again", allocs, budget)
+	}
+	// A collection empties the buffer pools, so the seal's first recycle
+	// after one re-registers a pool, and a goroutine that changes P recycles
+	// into another P's cache, which may grow: measure the boundary with the
+	// collector off and one P, after an epoch that refills the pools.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run()
+	boundaryMallocs = 0
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	if boundaryMallocs != 0 {
+		t.Errorf("%d allocations in %d warm SealEpoch + FlushSealed boundaries, want 0", boundaryMallocs, runs)
 	}
 }
 

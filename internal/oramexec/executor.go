@@ -83,6 +83,14 @@ type Executor struct {
 	// serializes with planning; the map it points to is
 	// immutable after seal, so FlushSealed reads it without locks.
 	sealed *SealedEpoch
+	// spare is the set sealed before sealed, retired by the last seal (its
+	// flush had returned) and refilled by the next: the executor alternates
+	// two SealedEpochs, and the write-back maps pass from sealed set to
+	// buffer, so a steady boundary allocates neither.
+	spare *SealedEpoch
+	// flushBuf is flushBuckets' write vector, reused across flushes: a flush
+	// runs on one goroutine at a time, and stores keep nothing of the vector.
+	flushBuf []storage.BucketWrite
 	// resident holds the upper levels' buckets, indexed by heap number (see
 	// residentBuckets for the level rule); empty in write-through mode.
 	// Touched only by planning and execution, never by a background flush.
@@ -806,7 +814,7 @@ func (e *Executor) Flush() (int, error) {
 		return 0, err
 	}
 	recycleAll(e.buffered)
-	e.buffered = make(map[int]bufferedBucket)
+	clear(e.buffered)
 	return n, nil
 }
 
@@ -830,22 +838,38 @@ func recycle(ws []ringoram.BucketWrite) {
 // buckets remain locally servable until the next seal.
 // Must be called from the proxy's schedule driver (never concurrently with
 // planning or execution), and only once the previous sealed set's flush has
-// returned: its buffers are recycled here.
+// returned: its buffers are recycled here, its map becomes the next epoch's
+// buffer and its handle is retired (it reports no buckets from now on) to be
+// refilled by the seal after this one.
 func (e *Executor) SealEpoch() (*SealedEpoch, error) {
 	for b, buf := range e.buffered {
 		if !buf.filled() {
 			return nil, fmt.Errorf("oramexec: bucket %d claimed but never filled (incomplete epoch)", b)
 		}
 	}
-	if e.sealed != nil {
-		recycleAll(e.sealed.buckets)
+	next := e.retireSealed()
+	s := e.spare
+	if s == nil {
+		s = new(SealedEpoch)
 	}
-	s := &SealedEpoch{epoch: e.epoch, buckets: e.buffered}
-	e.sealed = s
-	// The schedule is public and fixed: the next epoch rewrites about as many
-	// buckets as this one.
-	e.buffered = make(map[int]bufferedBucket, len(s.buckets))
+	s.epoch, s.buckets = e.epoch, e.buffered
+	e.spare, e.sealed, e.buffered = e.sealed, s, next
 	return s, nil
+}
+
+// retireSealed retires the previous sealed set and returns its map, emptied,
+// for the next epoch's buffer: the schedule is public and fixed, so the next
+// epoch rewrites about as many buckets as the last.
+func (e *Executor) retireSealed() map[int]bufferedBucket {
+	prev := e.sealed
+	if prev == nil {
+		return make(map[int]bufferedBucket, len(e.buffered))
+	}
+	recycleAll(prev.buckets)
+	m := prev.buckets
+	clear(m)
+	prev.buckets = nil
+	return m
 }
 
 // FlushSealed writes a sealed epoch's buckets to storage in one call. It
@@ -862,7 +886,7 @@ func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (i
 	if len(buckets) == 0 {
 		return 0, nil
 	}
-	writes := make([]storage.BucketWrite, 0, len(buckets))
+	writes := e.flushBuf[:0]
 	for b, buf := range buckets {
 		if !buf.filled() {
 			return 0, fmt.Errorf("oramexec: bucket %d claimed but never filled (incomplete epoch)", b)
@@ -877,7 +901,11 @@ func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (i
 	// The sealed epoch's entire write-back set crosses the storage boundary
 	// in one scatter-gather call.
 	e.stats.writeCalls.Add(1)
-	if err := e.store.WriteBuckets(writes); err != nil {
+	err := e.store.WriteBuckets(writes)
+	// The vector keeps no slots past the call: their arenas recycle.
+	clear(writes)
+	e.flushBuf = writes[:0]
+	if err != nil {
 		return 0, fmt.Errorf("oramexec: flushing epoch %d: %w", epoch, err)
 	}
 	n := len(writes)
@@ -894,8 +922,8 @@ func (e *Executor) DiscardBuffer() {
 	// recycle. Sealed buckets may be in the middle of a background flush:
 	// they just drop.
 	recycleAll(e.buffered)
-	e.buffered = make(map[int]bufferedBucket)
-	e.sealed = nil
+	clear(e.buffered)
+	e.sealed, e.spare = nil, nil
 	e.dropResident()
 }
 

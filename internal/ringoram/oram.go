@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync"
 
 	"obladi/internal/cryptoutil"
@@ -40,6 +41,11 @@ type bucketMeta struct {
 // deleted key keeps its entry, §6.3), so a key's index is stable: full
 // checkpoints walk the table in order, which makes their bytes a function of
 // the operation history instead of map iteration order.
+//
+// name is the ORAM's own copy of the key, made when the entry is. It is the
+// one string everything long-lived holds for the block — the index map,
+// stash entries, placements, bucket addrs — so a caller's key (a carved wire
+// key pins its whole chunk) is never kept past the call that handed it over.
 type keyEnt struct {
 	name   string
 	leaf   int32
@@ -216,9 +222,10 @@ func (o *ORAM) newPlan() *AccessPlan {
 	return p
 }
 
-// newEntry clones v into a pooled stashEntry. Entries go back to the pool
-// when an eviction seals them into the tree — the one point where nothing
-// (stash, position map, outstanding plans) can still reference them.
+// newEntry clones v into a pooled stashEntry. Entries go back to the pool,
+// zeroed so a free entry pins nothing, when an eviction seals them into the
+// tree — the one point where nothing (stash, position map, outstanding plans)
+// can still reference them. v.key must be the key table's name.
 func (o *ORAM) newEntry(v stashEntry) *stashEntry {
 	n := len(o.entryPool)
 	if n == 0 {
@@ -532,11 +539,12 @@ func (o *ORAM) KeyCount() int {
 
 func (o *ORAM) randLeaf() int { return o.rng.IntN(o.geo.Leaves) }
 
-// addKey allocates key's position-map entry.
+// addKey allocates key's position-map entry, with a copy of key as its name.
 func (o *ORAM) addKey(key string) int32 {
 	i := int32(len(o.keys))
-	o.keys = append(o.keys, keyEnt{name: key, bucket: -1})
-	o.pos[key] = i
+	name := strings.Clone(key)
+	o.keys = append(o.keys, keyEnt{name: name, bucket: -1})
+	o.pos[name] = i
 	return i
 }
 
@@ -765,7 +773,7 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 			return nil, nil, fmt.Errorf("ringoram: key %q resides in bucket %d, off its path (leaf %d)", key, bucket, oldLeaf)
 		}
 		o.keys[ki].bucket = -1
-		e := o.newEntry(stashEntry{key: key, cacheable: true, pending: true})
+		e := o.newEntry(stashEntry{key: o.keys[ki].name, cacheable: true, pending: true})
 		o.stashAdd(e)
 		plan.targetEntry = e
 		e.leaf = o.randLeaf()
@@ -851,7 +859,7 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) error {
 			o.markBucket(int(k.bucket), bucketTouched)
 			k.bucket = -1
 		}
-		e := o.newEntry(stashEntry{key: key, tombstone: tombstone, leaf: newLeaf, cacheable: true})
+		e := o.newEntry(stashEntry{key: k.name, tombstone: tombstone, leaf: newLeaf, cacheable: true})
 		o.setEntryVal(e, value)
 		o.stashAdd(e)
 	}
@@ -1197,6 +1205,7 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, err
 		for _, pl := range plan.writes[i].placed {
 			if pl.entry != nil {
 				o.releaseEntryVal(pl.entry)
+				*pl.entry = stashEntry{}
 				o.entryPool = append(o.entryPool, pl.entry)
 			}
 		}

@@ -486,7 +486,7 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 			if prev := o.meta[bucket].addrs[pos]; prev != "" {
 				return fmt.Errorf("ringoram: checkpoint places %q and %q at bucket %d position %d", prev, key, bucket, pos)
 			}
-			o.meta[bucket].addrs[pos] = key
+			o.meta[bucket].addrs[pos] = o.keys[ki].name
 		}
 	}
 
@@ -529,7 +529,11 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		}
 		if !full {
 			for pos := range m.addrs {
-				if m.addrs[pos], err = rewritten.key(l); err != nil {
+				key, err := rewritten.key(l)
+				if err != nil {
+					return err
+				}
+				if m.addrs[pos], err = o.tableName(key); err != nil {
 					return err
 				}
 			}
@@ -562,11 +566,12 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		if _, dup := o.stash[key]; dup {
 			return fmt.Errorf("ringoram: checkpoint stash lists %q twice", key)
 		}
-		if _, known := o.pos[key]; !known {
+		ki, known := o.pos[key]
+		if !known {
 			return fmt.Errorf("ringoram: checkpoint stash entry %q has no position-map entry", key)
 		}
 		o.stashAdd(&stashEntry{
-			key:       key,
+			key:       o.keys[ki].name,
 			value:     append([]byte(nil), value...),
 			tombstone: flags&stashFlagTombstone != 0,
 			leaf:      leaf,
@@ -580,6 +585,19 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		return fmt.Errorf("ringoram: %d trailing bytes after checkpoint image", len(c))
 	}
 	return nil
+}
+
+// tableName returns the key table's own copy of a key an image places in the
+// tree ("" stays ""); a placed key the table lacks is a corrupt image.
+func (o *ORAM) tableName(key string) (string, error) {
+	if key == "" {
+		return "", nil
+	}
+	ki, known := o.pos[key]
+	if !known {
+		return "", fmt.Errorf("ringoram: checkpoint places %q, which has no position-map entry", key)
+	}
+	return o.keys[ki].name, nil
 }
 
 // readBucketState decodes the common head of a bucket entry into the bucket

@@ -15,8 +15,16 @@
 // follow the first rule: they are copied into a Bytes, which carves them out
 // of chunks it never reuses.
 //
+// So do keys: Bytes.String carves a key as a string. Nothing writes a carved
+// chunk again, so the string is immutable and valid for as long as anyone
+// holds it, but it pins its whole chunk while it is held. A key is therefore
+// its caller's: a structure that keeps a key past the call that handed it over
+// (a position map, a lock table) keeps a copy of its own.
+//
 // No type here is safe for concurrent use; the owner's lock guards it.
 package slab
+
+import "unsafe"
 
 const (
 	minChunk = 16
@@ -59,6 +67,12 @@ func (b *Bytes) Copy(v []byte) []byte {
 	b.free = b.free[n:]
 	copy(p, v)
 	return p
+}
+
+// String returns a carved copy of v as a string; "" when v is empty.
+func (b *Bytes) String(v []byte) string {
+	p := b.Copy(v)
+	return unsafe.String(unsafe.SliceData(p), len(p))
 }
 
 func clampChunk(n int) int {

@@ -86,6 +86,24 @@ func TestBytesCopiesAndClips(t *testing.T) {
 	}
 }
 
+// A carved key is a copy of its source, and keys share chunks: carving one
+// allocates nothing once a chunk is open.
+func TestBytesString(t *testing.T) {
+	var b Bytes
+	if b.String(nil) != "" {
+		t.Fatal("an empty key must carve to \"\"")
+	}
+	src := []byte("key-000000000001")
+	k := b.String(src)
+	src[0] = 'X' // the source is not aliased
+	if k != "key-000000000001" {
+		t.Fatalf("carved key %q changed with its source", k)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.String(src) }); allocs > 1.0/16 {
+		t.Fatalf("%.2f allocations per carved key, want at most one per chunk", allocs)
+	}
+}
+
 // A chunk serves at least carvePer values, and a value is never carved from a
 // chunk more than max(carvePer × its size, carveMinChunk) long.
 func TestBytesChunkBounds(t *testing.T) {
