@@ -46,7 +46,7 @@ func scriptedMux(t *testing.T, script func(c net.Conn, r *bufio.Reader)) string 
 func ackFrames(t *testing.T, c net.Conn, r *bufio.Reader, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		f, err := readMuxFrame(r)
+		f, err := recvFrame(r)
 		if err != nil {
 			t.Errorf("scripted server: frame %d: %v", i, err)
 			return
@@ -74,8 +74,8 @@ func waitLost(t *testing.T, mc *MuxClient) {
 // (wrapping both ErrConnLost and kvtxn.ErrAborted, never ErrCommitUnknown).
 func TestAtMostOncePreCommitLossIsRetryable(t *testing.T) {
 	addr := scriptedMux(t, func(c net.Conn, r *bufio.Reader) {
-		ackFrames(t, c, r, 2)  // begin, write
-		_, _ = readMuxFrame(r) // the read arrives...
+		ackFrames(t, c, r, 2) // begin, write
+		_, _ = recvFrame(r)   // the read arrives...
 		// ...and the server dies without replying.
 	})
 	mc, err := DialMux(addr)
@@ -117,8 +117,8 @@ func TestAtMostOncePreCommitLossIsRetryable(t *testing.T) {
 // the error must be ErrCommitUnknown and must NOT be retryable.
 func TestAtMostOnceLossAfterCommitSentIsUnknown(t *testing.T) {
 	addr := scriptedMux(t, func(c net.Conn, r *bufio.Reader) {
-		ackFrames(t, c, r, 2)  // begin, write
-		_, _ = readMuxFrame(r) // COMMIT received; die without a decision
+		ackFrames(t, c, r, 2) // begin, write
+		_, _ = recvFrame(r)   // COMMIT received; die without a decision
 	})
 	mc, err := DialMux(addr)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestAtMostOnceLossAfterCommitSentIsUnknown(t *testing.T) {
 func TestAtMostOnceServerAbortStaysRetryable(t *testing.T) {
 	addr := scriptedMux(t, func(c net.Conn, r *bufio.Reader) {
 		ackFrames(t, c, r, 2) // begin, write
-		f, err := readMuxFrame(r)
+		f, err := recvFrame(r)
 		if err != nil {
 			t.Errorf("scripted server: commit frame: %v", err)
 			return

@@ -17,6 +17,7 @@ import (
 
 	"obladi/internal/kvtxn"
 	"obladi/internal/slab"
+	"obladi/internal/wire"
 )
 
 // A server bounds each connection's resources, so an overloaded (or buggy,
@@ -46,9 +47,8 @@ type ServerStats struct {
 
 // Server serves the client protocol over a kvtxn.DB.
 type Server struct {
-	db kvtxn.DB
-	ln net.Listener
-	wg sync.WaitGroup
+	db  kvtxn.DB
+	srv *wire.Server
 	// The per-connection caps: maxSessionsPerConn and
 	// maxPendingReadsPerSession outside tests.
 	maxSessions, maxPendingReads int
@@ -57,10 +57,6 @@ type Server struct {
 	// connection's read loop and Stats snapshots them concurrently.
 	openSessions atomic.Int64
 	shedSessions atomic.Uint64
-
-	mu     sync.Mutex
-	conns  map[net.Conn]bool
-	closed bool
 }
 
 // NewServer starts listening on addr.
@@ -82,9 +78,8 @@ func NewServerListener(db kvtxn.DB, ln net.Listener) *Server {
 }
 
 func newServer(db kvtxn.DB, ln net.Listener, maxSessions, maxPendingReads int) *Server {
-	s := &Server{db: db, ln: ln, maxSessions: maxSessions, maxPendingReads: maxPendingReads, conns: make(map[net.Conn]bool)}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{db: db, maxSessions: maxSessions, maxPendingReads: maxPendingReads}
+	s.srv = wire.Serve(ln, s.serve)
 	return s
 }
 
@@ -97,49 +92,11 @@ func (s *Server) Stats() ServerStats {
 }
 
 // Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops accepting, closes every client connection, and waits for their
 // sessions to wind down (open transactions abort).
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			s.serve(conn)
-		}()
-	}
-}
+func (s *Server) Close() error { return s.srv.Close() }
 
 // serve checks the connection's magic and serves it; a connection that opens
 // with anything else is closed without a reply.
@@ -147,7 +104,6 @@ func (s *Server) serve(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	var magic [len(muxMagic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != muxMagic {
-		conn.Close()
 		return
 	}
 	s.serveMux(conn, r)

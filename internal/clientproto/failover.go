@@ -158,7 +158,7 @@ func (fc *FailoverClient) client() (*MuxClient, error) {
 		fc.mu.Unlock()
 
 		for _, addr := range fc.cfg.Addrs {
-			c, err := dialMuxTimeout(addr, fc.cfg.DialTimeout)
+			c, err := dialMux(addr, fc.cfg.DialTimeout)
 			if err != nil {
 				lastErr = err
 				continue

@@ -1,28 +1,26 @@
 package clientproto
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
-	"sync"
+
+	"obladi/internal/wire"
 )
 
-// The client protocol is a length-prefixed binary framing that multiplexes
-// many concurrent transaction sessions over one TCP connection (the framing
-// idiom of storage/remote.go, one layer up). A client opens the stream with a
-// 4-byte magic; the server closes a connection that opens with anything else,
-// without a reply.
+// The client protocol multiplexes many concurrent transaction sessions over
+// one TCP connection, on internal/wire's framing: the frame kind is the
+// wire's, and the wire id is session<<32 | reqID, whose big-endian bytes are
+// session(u32) | reqID(u32). A client opens the stream with a 4-byte magic;
+// the server closes a connection that opens with anything else, without a
+// reply.
 //
 //	magic: 0x00 'O' 'B' '2'
 //	frame: len(u32) | kind(u8) | session(u32) | reqID(u32) | payload
 //
-// len counts everything after the length field itself (kind, session, reqID,
-// payload). Sessions are client-allocated identifiers, unique per connection
-// for its lifetime; request IDs are client-allocated, unique per session.
-// Each request frame is answered by exactly one reply frame echoing its
-// session and request ID. Requests of one session execute in wire order;
+// Sessions are client-allocated identifiers, unique per connection for its
+// lifetime; request IDs are client-allocated, unique per session. Each
+// request frame is answered by exactly one reply frame echoing its session
+// and request ID. Requests of one session execute in wire order;
 // replies stream back in completion order — a read's reply lands when its
 // batch executes, so replies of different sessions (and a session's write
 // acks versus its read results) interleave freely.
@@ -79,105 +77,38 @@ const (
 // allocation.
 const muxMaxFrame = 16 << 20
 
-// frameHeaderLen is the encoded size of kind+session+reqID.
-const frameHeaderLen = 9
+// frames recycles the client protocol's frames, at both ends.
+var frames wire.Pool
 
-// frame is one decoded protocol frame. A frame read off the wire borrows its
-// payload from a pooled buffer: whoever consumes the frame calls release once
-// every alias of the payload is dead (keys and values that outlive the frame —
-// an engine-retained write value, a future's read result — are carved first).
+// frame is one frame decoded from the pooled buffer it aliases: whoever
+// consumes the frame calls release once every alias of the payload is dead
+// (keys and values that outlive the frame — an engine-retained write value, a
+// future's read result — are carved first).
 type frame struct {
 	kind    frameKind
 	session uint32
 	req     uint32
 	payload []byte
-	buf     *frameBuf
+	buf     *wire.Buf
 }
 
-// release returns the frame's pooled buffer. Safe on frames without one
-// (locally built frames, zero frames); idempotent per frame value.
+// frameOf decodes the frame b holds; the frame owns b.
+func frameOf(b *wire.Buf) frame {
+	id := b.ID()
+	return frame{kind: frameKind(b.Kind()), session: uint32(id >> 32), req: uint32(id), payload: b.Payload(), buf: b}
+}
+
+// muxID is the wire id of a session's request.
+func muxID(session, req uint32) uint64 { return uint64(session)<<32 | uint64(req) }
+
+// release returns the frame's pooled buffer. Safe on zero frames; idempotent
+// per frame value.
 func (f *frame) release() {
-	if f.buf != nil {
-		frameBufPool.Put(f.buf)
-		f.buf = nil
-		f.payload = nil
-	}
+	wire.Put(f.buf)
+	f.buf, f.payload = nil, nil
 }
-
-// frameBuf is a pooled frame body, recycled across reads so the steady-state
-// read path performs no per-frame allocation.
-type frameBuf struct{ b []byte }
-
-var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
 
 var errShortFrame = errors.New("clientproto: short frame")
-
-// decodeFrame parses a frame body (everything after the length prefix). The
-// returned payload aliases b.
-func decodeFrame(b []byte) (frame, error) {
-	if len(b) < frameHeaderLen {
-		return frame{}, errShortFrame
-	}
-	return frame{
-		kind:    frameKind(b[0]),
-		session: binary.BigEndian.Uint32(b[1:5]),
-		req:     binary.BigEndian.Uint32(b[5:9]),
-		payload: b[frameHeaderLen:],
-	}, nil
-}
-
-// appendHeader appends the length prefix and header of a frame whose payload
-// is n bytes long. Writers build it in their bufio.Writer's own buffer
-// (AvailableBuffer) and write the payload's parts after it from where they
-// lie, so a frame costs no allocation and no intermediate payload.
-func appendHeader(dst []byte, kind frameKind, session, req uint32, n int) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(frameHeaderLen+n))
-	dst = append(dst, byte(kind))
-	dst = binary.BigEndian.AppendUint32(dst, session)
-	return binary.BigEndian.AppendUint32(dst, req)
-}
-
-// readMuxFrame reads and decodes one frame into a pooled buffer: the length
-// prefix is peeked out of the bufio window (no scratch copy) and the body
-// lands in a recycled frameBuf the returned frame aliases. The caller owns
-// the frame and must release it.
-func readMuxFrame(r *bufio.Reader) (frame, error) {
-	prefix, err := r.Peek(4)
-	if err != nil {
-		return frame{}, err
-	}
-	n := binary.BigEndian.Uint32(prefix)
-	if n > muxMaxFrame {
-		return frame{}, fmt.Errorf("clientproto: frame of %d bytes exceeds limit", n)
-	}
-	if _, err := r.Discard(4); err != nil {
-		return frame{}, err
-	}
-	buf := frameBufPool.Get().(*frameBuf)
-	if cap(buf.b) < int(n) {
-		buf.b = make([]byte, n)
-	}
-	buf.b = buf.b[:n]
-	if _, err := io.ReadFull(r, buf.b); err != nil {
-		frameBufPool.Put(buf)
-		return frame{}, err
-	}
-	f, err := buf.frame()
-	if err != nil {
-		frameBufPool.Put(buf)
-	}
-	return f, err
-}
-
-// frame decodes the frame whose body b holds; the frame owns b.
-func (b *frameBuf) frame() (frame, error) {
-	f, err := decodeFrame(b.b)
-	if err != nil {
-		return frame{}, err
-	}
-	f.buf = b
-	return f, nil
-}
 
 // parseWritePayload parses a frameWrite payload: klen(u32) | key | value. The
 // returned key and value alias p.

@@ -1,10 +1,28 @@
 package clientproto
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
+	"net"
 	"testing"
+
+	"obladi/internal/wire"
 )
+
+// The encoders the protocol had before it moved onto internal/wire, kept
+// here unchanged as the oracle the shared framing must reproduce byte for
+// byte, and as the scripted servers' reply encoder.
+
+// oracleHeader appends the length prefix and header of a frame whose payload
+// is n bytes long.
+func oracleHeader(dst []byte, kind frameKind, session, req uint32, n int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(9+n))
+	dst = append(dst, byte(kind))
+	dst = binary.BigEndian.AppendUint32(dst, session)
+	return binary.BigEndian.AppendUint32(dst, req)
+}
 
 // appendFrame appends f's wire encoding (length prefix included) to dst.
 func appendFrame(dst []byte, f frame) []byte {
@@ -13,7 +31,7 @@ func appendFrame(dst []byte, f frame) []byte {
 
 // appendFrame2 appends a frame whose payload is p1 followed by p2.
 func appendFrame2(dst []byte, kind frameKind, session, req uint32, p1, p2 []byte) []byte {
-	dst = appendHeader(dst, kind, session, req, len(p1)+len(p2))
+	dst = oracleHeader(dst, kind, session, req, len(p1)+len(p2))
 	return append(append(dst, p1...), p2...)
 }
 
@@ -29,7 +47,17 @@ func encodeReadOKPayload(value []byte, found bool) []byte {
 	return append([]byte{foundByte(found)[0]}, value...)
 }
 
-// TestFrameRoundTrip pins the wire encoding: append → decode is identity.
+// recvFrame reads one frame the way the server's read loop does.
+func recvFrame(r *bufio.Reader) (frame, error) {
+	b, err := wire.ReadFrame(r, muxMaxFrame, &frames)
+	if err != nil {
+		return frame{}, err
+	}
+	return frameOf(b), nil
+}
+
+// TestFrameRoundTrip pins the wire encoding: what the oracle appends, the
+// shared reader decodes to the same frame.
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []frame{
 		{kind: frameBegin, session: 1, req: 1},
@@ -39,8 +67,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{kind: frameOK, session: 3, req: 4, payload: encodeReadOKPayload([]byte("v"), true)},
 	}
 	for _, want := range cases {
-		buf := appendFrame(nil, want)
-		got, err := decodeFrame(buf[4:])
+		got, err := recvFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, want))))
 		if err != nil {
 			t.Fatalf("decode %v: %v", want, err)
 		}
@@ -48,6 +75,84 @@ func TestFrameRoundTrip(t *testing.T) {
 			!bytes.Equal(got.payload, want.payload) {
 			t.Fatalf("round trip: got %+v want %+v", got, want)
 		}
+		got.release()
+	}
+}
+
+// TestMuxGoldenBytes requires the shared framing to put on the wire exactly
+// what the protocol's own encoders did: the magic and every request kind as a
+// MuxClient sends them, and every reply kind as the server writes them.
+func TestMuxGoldenBytes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sent := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			sent <- nil
+			return
+		}
+		defer conn.Close()
+		b, _ := io.ReadAll(conn)
+		sent <- b
+	}()
+	c, err := DialMux(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte{0x5a}, 300)
+	requests := []struct {
+		kind  frameKind
+		key   string
+		value []byte
+	}{
+		{frameBegin, "", nil},
+		{frameRead, "key-1", nil},
+		{frameWrite, "key-2", value},
+		{frameDelete, "key-3", nil},
+		{frameCommit, "", nil},
+		{frameAbort, "", nil},
+	}
+	want := []byte(muxMagic)
+	for i, rq := range requests {
+		session, req := uint32(0xa0000000+i), uint32(i+1)
+		if _, err := c.send(rq.kind, session, req, rq.key, rq.value); err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte(rq.key)
+		if rq.kind == frameWrite {
+			payload = encodeWritePayload(rq.key, rq.value)
+		}
+		want = appendFrame2(want, rq.kind, session, req, payload, nil)
+	}
+	c.Close()
+	if got := <-sent; !bytes.Equal(got, want) {
+		t.Fatalf("requests on the wire:\n%x\nwant the oracle's\n%x", got, want)
+	}
+
+	var out bytes.Buffer
+	mc := &muxConn{w: bufio.NewWriter(&out)}
+	replies := []struct {
+		kind   frameKind
+		p1, p2 []byte
+	}{
+		{frameOK, nil, nil},
+		{frameOK, foundByte(true), value},
+		{frameOK, foundByte(false), nil},
+		{frameErr, encodeErrPayload(errCodeAborted, "epoch aborted the transaction"), nil},
+		{frameErr, encodeErrPayload(errCodeGeneric, ""), nil},
+	}
+	want = nil
+	for i, rp := range replies {
+		session, req := uint32(i+1)<<24, uint32(0xffffffff-i)
+		mc.reply(rp.kind, session, req, rp.p1, rp.p2)
+		want = appendFrame2(want, rp.kind, session, req, rp.p1, rp.p2)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("replies on the wire:\n%x\nwant the oracle's\n%x", out.Bytes(), want)
 	}
 }
 
@@ -70,10 +175,11 @@ func TestWritePayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame exercises frame and payload decoding with arbitrary bytes:
-// no panic, and every successfully decoded frame must re-encode to the exact
-// input (the codec is canonical, so a desync can never hide in a
-// decode/encode asymmetry — the PR 1 multi-line-abort bug class).
+// FuzzDecodeFrame exercises frame and payload decoding with arbitrary frame
+// bodies: no panic, and every body the shared reader accepts must re-encode
+// through the oracle to the exact input (the codec is canonical, so a desync
+// can never hide in a decode/encode asymmetry — the multi-line-abort bug
+// class).
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(appendFrame(nil, frame{kind: frameBegin, session: 1, req: 1})[4:])
 	f.Add(appendFrame(nil, frame{kind: frameRead, session: 2, req: 9, payload: []byte("key")})[4:])
@@ -83,13 +189,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := decodeFrame(data)
+		framed := binary.BigEndian.AppendUint32(nil, uint32(len(data)))
+		fr, err := recvFrame(bufio.NewReader(bytes.NewReader(append(framed, data...))))
 		if err != nil {
-			if len(data) >= frameHeaderLen {
-				t.Fatalf("decode rejected a full header: %v", err)
+			if len(data) >= wire.HeaderLen && len(data) <= muxMaxFrame {
+				t.Fatalf("reader rejected a full header: %v", err)
 			}
 			return
 		}
+		defer fr.release()
 		if enc := appendFrame(nil, fr); !bytes.Equal(enc[4:], data) {
 			t.Fatalf("re-encode mismatch: %x -> %x", data, enc[4:])
 		}

@@ -10,6 +10,7 @@ import (
 
 	"obladi/internal/core"
 	"obladi/internal/kvtxn"
+	"obladi/internal/wire"
 )
 
 // This file is the server half of the multiplexed protocol: one goroutine
@@ -59,7 +60,7 @@ type muxSession struct {
 	// were read into; the worker decodes each a second time, which costs
 	// three loads — a queue of decoded frames is six times the size, and
 	// idle sessions keep their queues.
-	ops chan *frameBuf
+	ops chan *wire.Buf
 	run func() // ms.work as a method value, made once: `go ms.run()` needs no closure
 
 	// reads counts the session's resolving read futures; commit and abort
@@ -91,11 +92,7 @@ type readWaiter struct {
 func (c *muxConn) reply(kind frameKind, session, req uint32, p1, p2 []byte) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.w.Write(appendHeader(c.w.AvailableBuffer(), kind, session, req, len(p1)+len(p2)))
-	c.w.Write(p1)
-	c.w.Write(p2)
-	// A failed write sticks in the writer: Flush reports it.
-	if c.w.Flush() != nil {
+	if wire.Write(c.w, uint8(kind), muxID(session, req), p1, "", p2) != nil {
 		c.conn.Close()
 	}
 }
@@ -110,7 +107,7 @@ func (c *muxConn) openSession(id uint32) *muxSession {
 	if ms == nil {
 		ms = &muxSession{
 			c:       c,
-			ops:     make(chan *frameBuf, muxSessionQueue),
+			ops:     make(chan *wire.Buf, muxSessionQueue),
 			waiters: make(chan *readWaiter, c.s.maxPendingReads),
 		}
 		ms.run = ms.work
@@ -130,10 +127,11 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 	sessions := make(map[uint32]*muxSession)
 
 	for {
-		f, err := readMuxFrame(r)
+		b, err := wire.ReadFrame(r, muxMaxFrame, &frames)
 		if err != nil {
 			break
 		}
+		f := frameOf(b)
 		// Routed frames hand their pooled buffer to the session worker,
 		// which releases it after the op; unrouted frames release here.
 		ms, open := sessions[f.session]
@@ -174,7 +172,6 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
 		close(ms.ops)
 	}
 	c.workers.Wait()
-	conn.Close()
 }
 
 // work executes one session's operations in wire order. Reads are registered
@@ -187,8 +184,8 @@ func (ms *muxSession) work() {
 	tx := beginTxn(c.s.db, c.ctx)
 	var refused error // why the transaction aborted at a refused mutation
 	settled := false
-	for fb := range ms.ops {
-		f, _ := fb.frame() // decoded once already, by the connection's read loop
+	for b := range ms.ops {
+		f := frameOf(b)
 		switch {
 		case f.kind == frameBegin:
 			c.reply(frameOK, ms.id, f.req, nil, nil)

@@ -1,18 +1,17 @@
 package clientproto
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"obladi/internal/core"
 	"obladi/internal/kvtxn"
 	"obladi/internal/slab"
+	"obladi/internal/wire"
 )
 
 var (
@@ -38,16 +37,10 @@ var (
 // the kvtxn.Txn contract (single goroutine, though read futures may be
 // resolved from others).
 type MuxClient struct {
-	conn net.Conn
-
-	wmu sync.Mutex
-	w   *bufio.Writer
+	wc *wire.Client
 
 	mu          sync.Mutex
 	nextSession uint32
-	pending     map[uint64]chan frame
-	readErr     error
-	closed      bool
 	// txns hands out transactions, sixteen to an allocation, under mu. A
 	// chunk is never reused, so a settled MuxTxn kept by its caller keeps
 	// answering from its own memory (slab's escape rule) — and keeps the
@@ -58,167 +51,62 @@ type MuxClient struct {
 	vals carver
 }
 
-// DialMux connects to a proxy server and opens the protocol.
-func DialMux(addr string) (*MuxClient, error) { return dialMuxTimeout(addr, 0) }
+// DialMux connects to a proxy server and opens the protocol, failing after
+// wire.DialTimeout when the proxy does not answer.
+func DialMux(addr string) (*MuxClient, error) { return dialMux(addr, 0) }
 
-func dialMuxTimeout(addr string, timeout time.Duration) (*MuxClient, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// dialMux is DialMux with an explicit connect timeout (0 selects
+// wire.DialTimeout).
+func dialMux(addr string, timeout time.Duration) (*MuxClient, error) {
+	conn, err := wire.Dial(addr, timeout)
 	if err != nil {
-		return nil, err
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		// Frames are small and flushed eagerly; Nagle buffering would add
-		// delayed-ACK stalls to every pipelined burst.
-		tc.SetNoDelay(true)
-	}
-	c := &MuxClient{
-		conn:    conn,
-		w:       bufio.NewWriterSize(conn, 1<<16),
-		pending: make(map[uint64]chan frame),
+		return nil, fmt.Errorf("clientproto: dial %s: %w", addr, err)
 	}
 	if _, err := conn.Write([]byte(muxMagic)); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("clientproto: sending magic: %w", err)
 	}
-	go c.readLoop()
-	return c, nil
+	return &MuxClient{wc: wire.NewClient(conn, muxMaxFrame, &frames)}, nil
 }
 
 // Close closes the connection; pending operations fail with a
 // connection-lost error.
-func (c *MuxClient) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	return c.conn.Close()
-}
+func (c *MuxClient) Close() error { return c.wc.Close() }
 
-func (c *MuxClient) readLoop() {
-	r := bufio.NewReaderSize(c.conn, 1<<16)
-	for {
-		f, err := readMuxFrame(r)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		key := uint64(f.session)<<32 | uint64(f.req)
-		c.mu.Lock()
-		ch := c.pending[key]
-		delete(c.pending, key)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- f
-		}
-	}
-}
-
-// fail records the connection error and wakes every pending wait.
-func (c *MuxClient) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readErr == nil {
-		c.readErr = err
-	}
-	for key, ch := range c.pending {
-		delete(c.pending, key)
-		close(ch)
-	}
-}
-
-// replyChanPool recycles the one-slot channels replies arrive on. Only a
-// channel that delivered its reply goes back (awaitReply): one closed by a
-// connection failure, or abandoned with its reply unread, is dropped.
-var replyChanPool = sync.Pool{New: func() any { return make(chan frame, 1) }}
-
-// awaitReply waits for the reply on ch or for ctx to end. ok is false when
-// the channel was closed instead (connection lost). A ctx error leaves the
-// reply to arrive later: the caller may wait on ch again.
-func awaitReply(ctx context.Context, ch chan frame) (reply frame, ok bool, err error) {
-	select {
-	case reply, ok = <-ch:
-		if ok {
-			replyChanPool.Put(ch)
-		}
-		return reply, ok, nil
-	case <-ctx.Done():
-		return frame{}, false, ctx.Err()
-	}
-}
-
-// send registers a pending reply and writes one request frame, whose payload
-// is key — or, for a WRITE, klen(u32) | key | value — written behind the
-// header from where it lies. The returned channel delivers the reply (or
-// closes on connection loss); awaitReply is how it is read.
-func (c *MuxClient) send(kind frameKind, session, req uint32, key string, value []byte) (chan frame, error) {
-	n := len(key)
+// send writes one request frame, whose payload is key — or, for a WRITE,
+// klen(u32) | key | value — written behind the header from where it lies. The
+// returned channel delivers the reply (or closes on connection loss);
+// wire.Recv is how it is read.
+func (c *MuxClient) send(kind frameKind, session, req uint32, key string, value []byte) (chan *wire.Buf, error) {
+	var klen [4]byte
+	var pre []byte
 	if kind == frameWrite {
-		n += 4 + len(value)
+		binary.BigEndian.PutUint32(klen[:], uint32(len(key)))
+		pre = klen[:]
 	}
-	if frameHeaderLen+n > muxMaxFrame {
-		return nil, fmt.Errorf("clientproto: request of %d bytes exceeds frame limit", n)
+	ch, err := c.wc.Send(uint8(kind), muxID(session, req), pre, key, value)
+	switch {
+	case err == nil:
+		return ch, nil
+	case errors.Is(err, wire.ErrClosed) || errors.Is(err, wire.ErrTooLarge):
+		return nil, fmt.Errorf("clientproto: %w", err)
 	}
-	ch := replyChanPool.Get().(chan frame)
-	pk := uint64(session)<<32 | uint64(req)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("clientproto: client closed")
-	}
-	if err := c.readErr; err != nil {
-		c.mu.Unlock()
-		// The connection is already known dead and this frame was never
-		// sent, so the operation is as retryable as any pre-commit loss.
-		return nil, fmt.Errorf("%w: %v: %w", ErrConnLost, err, kvtxn.ErrAborted)
-	}
-	c.pending[pk] = ch
-	c.mu.Unlock()
-
-	c.wmu.Lock()
-	hdr := appendHeader(c.w.AvailableBuffer(), kind, session, req, n)
-	if kind == frameWrite {
-		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(key)))
-	}
-	c.w.Write(hdr)
-	c.w.WriteString(key)
-	c.w.Write(value)
-	err := c.w.Flush() // a failed write sticks in the writer: Flush reports it
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, pk)
-		c.mu.Unlock()
-		// A failed write proves the connection is dead: mark the client lost
-		// immediately (the failover dialer keys off Lost(); waiting for the
-		// read loop to notice would keep handing out this dead connection)
-		// and fail the other pending waits now rather than on the EOF.
-		c.fail(fmt.Errorf("clientproto: send failed: %w", err))
-		// A failed send can at worst have put a torn frame on the wire,
-		// which the server cannot act on — safe to classify retryable.
-		return nil, fmt.Errorf("%w: send: %v: %w", ErrConnLost, err, kvtxn.ErrAborted)
-	}
-	return ch, nil
+	// The connection is dead and this frame was never sent, or at worst sent
+	// torn, which the server cannot act on: the operation is as retryable as
+	// any pre-commit loss.
+	return nil, fmt.Errorf("%w: %v: %w", ErrConnLost, err, kvtxn.ErrAborted)
 }
 
 // Lost reports whether the client's connection has failed or been closed;
 // the failover dialer uses it to decide when to redial.
-func (c *MuxClient) Lost() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed || c.readErr != nil
-}
+func (c *MuxClient) Lost() bool { return c.wc.Err() != nil }
 
 // connLost reports the connection-level error behind a closed reply channel.
 // It wraps both ErrConnLost and kvtxn.ErrAborted: an operation that never
 // got its reply died with its session, so before the commit point it is
 // safely retryable (Commit reclassifies its own losses as ErrCommitUnknown).
 func (c *MuxClient) connLost() error {
-	c.mu.Lock()
-	err := c.readErr
-	c.mu.Unlock()
-	if err == nil {
-		err = fmt.Errorf("clientproto: client closed")
-	}
-	return fmt.Errorf("%w: %v: %w", ErrConnLost, err, kvtxn.ErrAborted)
+	return fmt.Errorf("%w: %v: %w", ErrConnLost, c.wc.Err(), kvtxn.ErrAborted)
 }
 
 // replyError converts a reply frame into the operation's error result,
@@ -346,7 +234,7 @@ func (t *MuxTxn) enqueue(kind frameKind, key string, value []byte, op string) *M
 type MuxAck struct {
 	t  *MuxTxn
 	op string
-	ch chan frame
+	ch chan *wire.Buf
 
 	mu   sync.Mutex
 	done bool
@@ -365,7 +253,7 @@ func (f *MuxAck) Wait(ctx context.Context) error {
 	if ctx == nil {
 		ctx = f.t.ctx
 	}
-	reply, ok, err := awaitReply(ctx, f.ch)
+	b, ok, err := wire.Recv(ctx, f.ch)
 	if err != nil {
 		// The ack may still arrive; the future stays pending so a later
 		// drain can collect it.
@@ -375,8 +263,8 @@ func (f *MuxAck) Wait(ctx context.Context) error {
 	if !ok {
 		f.err = f.t.c.connLost()
 	} else {
-		f.err = f.t.c.replyError(reply)
-		reply.release()
+		f.err = f.t.c.replyError(frameOf(b))
+		wire.Put(b)
 	}
 	return f.err
 }
@@ -384,7 +272,7 @@ func (f *MuxAck) Wait(ctx context.Context) error {
 // MuxFuture is a pending read result.
 type MuxFuture struct {
 	t  *MuxTxn
-	ch chan frame
+	ch chan *wire.Buf
 
 	mu    sync.Mutex
 	done  bool
@@ -409,26 +297,27 @@ func (f *MuxFuture) Wait(ctx context.Context) ([]byte, bool, error) {
 		f.err = f.t.sendErrOrLost()
 		return nil, false, f.err
 	}
-	reply, ok, err := awaitReply(ctx, f.ch)
+	b, ok, err := wire.Recv(ctx, f.ch)
 	if err != nil {
 		return nil, false, err
 	}
 	f.done = true
-	switch {
-	case !ok:
+	if !ok {
 		f.err = f.t.c.connLost()
-	case reply.kind == frameOK:
+		return nil, false, f.err
+	}
+	reply := frameOf(b)
+	if reply.kind == frameOK {
 		// The parsed value aliases the reply's pooled buffer; carve it out
 		// before the buffer goes back to the pool (the future's result
 		// outlives the frame).
 		var v []byte
 		v, f.found, f.err = parseReadOKPayload(reply.payload)
 		f.value = f.t.c.vals.copy(v)
-		reply.release()
-	default:
+	} else {
 		f.err = f.t.c.replyError(reply)
-		reply.release()
 	}
+	reply.release()
 	return f.value, f.found, f.err
 }
 
@@ -551,7 +440,7 @@ func (t *MuxTxn) Commit() error {
 	// and stays retryable; a conn-loss error is not a decision at all and
 	// must surface as ErrCommitUnknown — at-most-once acknowledgement.
 	lostAck := firstErr != nil && errors.Is(firstErr, ErrConnLost)
-	reply, ok, err := awaitReply(t.ctx, ch)
+	b, ok, err := wire.Recv(t.ctx, ch)
 	if err != nil {
 		return fmt.Errorf("%w: %v while awaiting decision", ErrCommitUnknown, err)
 	}
@@ -561,8 +450,8 @@ func (t *MuxTxn) Commit() error {
 		}
 		return fmt.Errorf("%w: %v", ErrCommitUnknown, t.c.connLost())
 	}
-	err = t.c.replyError(reply)
-	reply.release()
+	err = t.c.replyError(frameOf(b))
+	wire.Put(b)
 	if err != nil {
 		if firstErr != nil && !lostAck {
 			return firstErr
@@ -597,8 +486,8 @@ func (t *MuxTxn) Abort() {
 		f.Wait(t.ctx)
 	}
 	t.pend = nil
-	if reply, ok, _ := awaitReply(t.ctx, ch); ok {
-		reply.release()
+	if b, ok, _ := wire.Recv(t.ctx, ch); ok {
+		wire.Put(b)
 	}
 }
 

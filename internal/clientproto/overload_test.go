@@ -46,7 +46,7 @@ func shedServer(t *testing.T, shedCommits int) (addr string, conns *atomic.Int64
 				}
 				r := bufio.NewReaderSize(c, 1<<16)
 				for {
-					f, err := readMuxFrame(r)
+					f, err := recvFrame(r)
 					if err != nil {
 						return
 					}

@@ -2,25 +2,26 @@ package storage
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"obladi/internal/wire"
 )
 
 // This file implements the wire protocol between the trusted proxy and the
-// untrusted storage server. The protocol is a simple length-prefixed binary
-// framing over TCP with request pipelining: many requests may be in flight on
-// one connection, and responses carry the request id they answer.
+// untrusted storage server, over internal/wire's framing with request
+// pipelining: many requests may be in flight on one connection, and responses
+// carry the request id they answer.
 //
 // Request frame:  len(u32) | op(u8) | reqID(u64) | payload
 // Response frame: len(u32) | status(u8) | reqID(u64) | payload
-// len counts everything after the length field itself.
 
 type wireOp uint8
 
@@ -92,65 +93,20 @@ const serverWorkerIdle = time.Second
 // ErrRemote wraps an error string returned by the storage server.
 var ErrRemote = errors.New("storage: remote error")
 
-// wireBuf is a pooled wire buffer: request frames read off a connection,
-// response payloads, encode scratch and a handler's vector scratch (refs,
-// writes and the slot views they carry) all recycle, so the steady-state wire
-// path allocates nothing per frame. A frame decoded from a wireBuf aliases it;
-// whoever consumes the frame releases the buffer once every alias is dead
-// (DESIGN.md, "Who owns a bucket's bytes at each hop").
-type wireBuf struct {
-	b      []byte
-	refs   []SlotRef
-	writes []BucketWrite
-	slots  [][]byte
-	class  int // index of the pool it came from and goes back to
-}
-
-// Buffers pool in two classes by the size of the job they are taken for, and
-// return to the class they came from however they grew: out of one mixed pool
-// the many small frames sit on vector-sized buffers (a write-back vector or
-// full checkpoint is most of a megabyte) while each vector allocates anew.
-var wireBufPools [2]sync.Pool
-
-const vectorWireBuf = 256 << 10
-
-// getWireBuf returns a pooled buffer for a job of about size bytes; its b
-// may still be shorter than that, or nil.
-func getWireBuf(size int) *wireBuf {
-	class := 0
-	if size >= vectorWireBuf {
-		class = 1
-	}
-	if buf, _ := wireBufPools[class].Get().(*wireBuf); buf != nil {
-		return buf
-	}
-	return &wireBuf{class: class}
-}
-
-// putWireBuf recycles buf with its backing arrays, minus the views its write
-// scratch held into the request frame (which goes back to the pool itself).
-func putWireBuf(buf *wireBuf) {
-	clear(buf.writes)
-	clear(buf.slots)
-	buf.writes, buf.slots = buf.writes[:0], buf.slots[:0]
-	wireBufPools[buf.class].Put(buf)
-}
+// bufs recycles the storage wire's frames, request encodings and response
+// encodings, at both ends.
+var bufs wire.Pool
 
 // Server serves a Backend over TCP.
 type Server struct {
 	backend Backend
-	ln      net.Listener
+	srv     *wire.Server
 
 	// fence is the served backend's proxy-generation register: fencing at
 	// the wire covers any backend (disk groups included) without the backend
 	// itself implementing Fenceable, and a zombie proxy's stale connection
 	// is exactly the thing being fenced.
 	fence fenceRegister
-
-	mu    sync.Mutex
-	conns map[net.Conn]bool
-	done  chan struct{}
-	wg    sync.WaitGroup
 }
 
 // connState is per-connection protocol state: the fence token this
@@ -181,68 +137,26 @@ func NewServer(backend Backend, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: listen: %w", err)
 	}
-	s := &Server{
-		backend: backend,
-		ln:      ln,
-		conns:   make(map[net.Conn]bool),
-		done:    make(chan struct{}),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return newServer(backend, ln), nil
+}
+
+func newServer(backend Backend, ln net.Listener) *Server {
+	s := &Server{backend: backend}
+	s.srv = wire.Serve(ln, s.serveConn)
+	return s
 }
 
 // Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr() }
 
 // Close stops the server and closes all connections.
-func (s *Server) Close() error { return s.Drain(0) }
+func (s *Server) Close() error { return s.srv.Close() }
 
 // Drain stops accepting new connections, waits up to grace for the existing
 // ones to finish on their own (clients closing after their last request),
 // then closes whatever is left. Graceful shutdown (SIGTERM) uses it so a
 // proxy's in-flight epoch-boundary barrier is answered rather than torn.
-func (s *Server) Drain(grace time.Duration) error {
-	close(s.done)
-	err := s.ln.Close()
-	deadline := time.Now().Add(grace)
-	for {
-		s.mu.Lock()
-		n := len(s.conns)
-		s.mu.Unlock()
-		if n == 0 || !time.Now().Before(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-				continue
-			}
-		}
-		s.mu.Lock()
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Drain(grace time.Duration) error { return s.srv.Drain(grace) }
 
 // serverConn is one served connection: its read loop hands request frames to
 // long-lived handler workers, which answer through the shared writer.
@@ -256,33 +170,31 @@ type serverConn struct {
 
 	// reqs feeds the workers; a send succeeds at once only when a worker is
 	// idle. Only the read loop adds to workers; an exiting worker subtracts.
-	reqs     chan *wireBuf
+	reqs     chan *wire.Buf
 	workers  atomic.Int32
 	handlers sync.WaitGroup
 }
 
+// scratch is a handler worker's vector scratch, reused request to request: a
+// slot read's refs, and a bucket write's writes with the slot views they carry
+// into the request frame.
+type scratch struct {
+	refs   []SlotRef
+	writes []BucketWrite
+	slots  [][]byte
+}
+
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	r := bufio.NewReaderSize(conn, 1<<16)
-	sc := &serverConn{s: s, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), reqs: make(chan *wireBuf)}
+	sc := &serverConn{s: s, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), reqs: make(chan *wire.Buf)}
 	defer sc.handlers.Wait()
 	defer close(sc.reqs)
 	sc.workers.Store(1)
 	sc.handlers.Add(1)
 	go sc.work(true)
 	for {
-		fb, err := readFrame(r)
+		fb, err := wire.ReadFrame(r, maxFrame, &bufs)
 		if err != nil {
-			return
-		}
-		if len(fb.b) < 9 {
-			putWireBuf(fb)
 			return
 		}
 		sc.dispatch(fb)
@@ -293,7 +205,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // (e.g. latency-injected) must not serialize pipelined requests, but a frame
 // flood must not grow the worker set past serverMaxHandlers either: at the
 // cap the read loop waits for a worker, which back-pressures the connection.
-func (sc *serverConn) dispatch(fb *wireBuf) {
+func (sc *serverConn) dispatch(fb *wire.Buf) {
 	select {
 	case sc.reqs <- fb:
 		return
@@ -312,9 +224,10 @@ func (sc *serverConn) dispatch(fb *wireBuf) {
 // always answered; any other worker exits once idle for serverWorkerIdle.
 func (sc *serverConn) work(resident bool) {
 	defer sc.handlers.Done()
+	var hs scratch
 	if resident {
 		for fb := range sc.reqs {
-			sc.serve(fb)
+			sc.serve(fb, &hs)
 		}
 		return
 	}
@@ -326,7 +239,7 @@ func (sc *serverConn) work(resident bool) {
 			if !ok {
 				return
 			}
-			sc.serve(fb)
+			sc.serve(fb, &hs)
 			idle.Reset(serverWorkerIdle)
 		case <-idle.C:
 			sc.workers.Add(-1)
@@ -336,34 +249,29 @@ func (sc *serverConn) work(resident bool) {
 }
 
 // serve answers one request frame and releases it. The response encodes into
-// a pooled scratch; the request frame releases after handle (whose backend
+// a pooled buffer; the request frame releases after handle (whose backend
 // copies anything it keeps) and the response write both finish with its bytes.
-func (sc *serverConn) serve(fb *wireBuf) {
-	op := wireOp(fb.b[0])
-	reqID := binary.BigEndian.Uint64(fb.b[1:9])
-	rb := getWireBuf(0)
-	status, resp := sc.s.handle(&sc.cs, op, fb.b[9:], rb)
-	if len(resp)+9 > maxFrame {
-		// A response the peer's readFrame would reject must become a clean
-		// per-request error, not a connection-killing frame.
+func (sc *serverConn) serve(fb *wire.Buf, hs *scratch) {
+	rb := bufs.Get(0)
+	status, resp := sc.s.handle(&sc.cs, hs, wireOp(fb.Kind()), fb.Payload(), rb.B)
+	if len(resp)+wire.HeaderLen > maxFrame {
+		// A response the peer's frame reader would reject must become a
+		// clean per-request error, not a connection-killing frame.
 		status, resp = statusErr, []byte(fmt.Sprintf("storage: response of %d bytes exceeds frame limit", len(resp)))
 	}
 	sc.wmu.Lock()
-	err := writeResponse(sc.w, status, reqID, resp)
-	if err == nil {
-		sc.w.Flush()
-	}
+	err := wire.Write(sc.w, status, fb.ID(), nil, "", resp)
 	sc.wmu.Unlock()
 	if err != nil {
 		sc.conn.Close()
 	}
-	putWireBuf(fb)
+	wire.Put(fb)
 	if resp != nil {
 		// Keep whichever backing the handler ended up with (error strings
 		// included — any byte slice is a fine future frame).
-		rb.b = resp[:0]
+		rb.B = resp[:0]
 	}
-	putWireBuf(rb)
+	wire.Put(rb)
 }
 
 // mutatingOp reports whether an op changes store state and is therefore
@@ -383,10 +291,10 @@ func mutatingOp(op wireOp) bool {
 // recovery log and KV values as copies (copyBytes, str), so the caller may
 // release the frame as soon as handle returns. Read replies are encoded
 // through encodeSlotsFrom/encodeBucketFrom, under the store's read lock when
-// it reuses retired versions' bytes. Vector scratch and the returned response
-// come out of rb.
-func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (byte, []byte) {
-	enc := encoder{buf: rb.b[:0]}
+// it reuses retired versions' bytes. Vectors decode into the worker's
+// scratch hs, and the response is appended to out[:0].
+func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []byte) (byte, []byte) {
+	enc := encoder{buf: out[:0]}
 	fail := func(err error) (byte, []byte) {
 		return statusErr, []byte(err.Error())
 	}
@@ -415,18 +323,18 @@ func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (
 		if d.err != nil {
 			return fail(fmt.Errorf("storage: bad read-slots frame: %w", d.err))
 		}
-		refs := rb.refs[:0]
+		refs := hs.refs[:0]
 		for i := 0; i < n; i++ {
 			refs = append(refs, SlotRef{Bucket: int(d.u32()), Slot: int(d.u32())})
 		}
-		rb.refs = refs
+		hs.refs = refs
 		var err error
 		if enc.buf, err = encodeSlotsFrom(s.backend, enc.buf, refs); err != nil {
 			return fail(err)
 		}
 	case wireWriteBuckets:
 		n := d.count(16)
-		writes, views := rb.writes[:0], rb.slots[:0]
+		writes, views := hs.writes[:0], hs.slots[:0]
 		for i := 0; i < n && d.err == nil; i++ {
 			w := BucketWrite{Bucket: int(d.u32()), Epoch: d.u64()}
 			at := len(views)
@@ -436,11 +344,18 @@ func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (
 			w.Slots = views[at:len(views):len(views)]
 			writes = append(writes, w)
 		}
-		rb.writes, rb.slots = writes, views
+		var err error
 		if d.err != nil {
-			return fail(fmt.Errorf("storage: bad write-buckets frame: %w", d.err))
+			err = fmt.Errorf("storage: bad write-buckets frame: %w", d.err)
+		} else {
+			err = s.backend.WriteBuckets(writes)
 		}
-		if err := s.backend.WriteBuckets(writes); err != nil {
+		// The views die with the request frame: the scratch keeps its
+		// arrays but pins no frame.
+		clear(writes)
+		clear(views)
+		hs.writes, hs.slots = writes[:0], views[:0]
+		if err != nil {
 			return fail(err)
 		}
 	case wireCommitEpoch:
@@ -543,82 +458,11 @@ func (s *Server) handle(cs *connState, op wireOp, payload []byte, rb *wireBuf) (
 	return statusOK, enc.buf
 }
 
-// readFrame reads one frame into a pooled buffer: the length prefix is
-// peeked out of the bufio window (no scratch copy) and the body lands in a
-// recycled wireBuf. The caller owns the returned buffer and must putWireBuf
-// it once done with every slice aliasing it.
-func readFrame(r *bufio.Reader) (*wireBuf, error) {
-	prefix, err := r.Peek(4)
-	if err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(prefix)
-	if n > maxFrame {
-		return nil, fmt.Errorf("storage: frame of %d bytes exceeds limit", n)
-	}
-	if _, err := r.Discard(4); err != nil {
-		return nil, err
-	}
-	buf := getWireBuf(int(n))
-	if cap(buf.b) < int(n) {
-		buf.b = make([]byte, n)
-	}
-	buf.b = buf.b[:n]
-	if _, err := io.ReadFull(r, buf.b); err != nil {
-		putWireBuf(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-// writeResponse writes one response frame; the header is built in the
-// writer's own buffer, so nothing escapes per call.
-func writeResponse(w *bufio.Writer, status byte, reqID uint64, payload []byte) error {
-	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(9+len(payload)))
-	hdr = append(hdr, status)
-	hdr = binary.BigEndian.AppendUint64(hdr, reqID)
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // Client is a Backend implemented against a remote Server. It is safe for
 // concurrent use; concurrent calls are pipelined over a single connection.
 type Client struct {
-	conn net.Conn
-
-	wmu sync.Mutex
-	w   *bufio.Writer
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan response
-	closed  bool
-	readErr error
-}
-
-// response is one decoded server reply. Its payload aliases a pooled frame
-// buffer; the consumer calls release after copying out whatever it keeps.
-type response struct {
-	status  byte
-	payload []byte
-	buf     *wireBuf
-}
-
-// replyChanPool recycles the one-slot channels calls wait on; only a channel
-// that delivered its reply goes back (a closed or unanswered one is dropped).
-var replyChanPool = sync.Pool{New: func() any { return make(chan response, 1) }}
-
-// release returns the response's pooled buffer. Idempotent per value; safe
-// on zero responses.
-func (r *response) release() {
-	if r.buf != nil {
-		putWireBuf(r.buf)
-		r.buf = nil
-		r.payload = nil
-	}
+	wc     *wire.Client
+	nextID atomic.Uint64
 }
 
 var _ Backend = (*Client)(nil)
@@ -639,162 +483,59 @@ func DialMulti(addrs []string) ([]Backend, error) {
 	return backends, nil
 }
 
-// DialTimeout bounds how long Dial waits for a TCP connection. A dead shard
-// address must fail proxy startup loudly, not hang it forever.
-const DialTimeout = 10 * time.Second
+// Dial connects to a storage server, failing after wire.DialTimeout: a dead
+// shard address must fail proxy startup loudly, not hang it.
+func Dial(addr string) (*Client, error) { return dial(addr, 0) }
 
-// Dial connects to a storage server, failing after DialTimeout.
-func Dial(addr string) (*Client, error) {
-	return DialWithTimeout(addr, DialTimeout)
-}
-
-// DialWithTimeout connects to a storage server with an explicit connect
-// timeout (0 or negative selects DialTimeout).
-func DialWithTimeout(addr string, timeout time.Duration) (*Client, error) {
-	if timeout <= 0 {
-		timeout = DialTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// dial is Dial with an explicit connect timeout (0 selects wire.DialTimeout).
+func dial(addr string, timeout time.Duration) (*Client, error) {
+	conn, err := wire.Dial(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("storage: dial %s: %w", addr, err)
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		// The protocol is request/response with explicit flushes; Nagle
-		// buffering would add delayed-ACK stalls to every small frame.
-		tc.SetNoDelay(true)
-	}
-	c := &Client{
-		conn:    conn,
-		w:       bufio.NewWriterSize(conn, 1<<16),
-		pending: make(map[uint64]chan response),
-	}
-	go c.readLoop()
-	return c, nil
+	return &Client{wc: wire.NewClient(conn, maxFrame, &bufs)}, nil
 }
 
-func (c *Client) readLoop() {
-	r := bufio.NewReaderSize(c.conn, 1<<16)
-	for {
-		fb, err := readFrame(r)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		if len(fb.b) < 9 {
-			putWireBuf(fb)
-			c.fail(fmt.Errorf("storage: short response frame"))
-			return
-		}
-		status := fb.b[0]
-		reqID := binary.BigEndian.Uint64(fb.b[1:9])
-		c.mu.Lock()
-		ch := c.pending[reqID]
-		delete(c.pending, reqID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- response{status: status, payload: fb.b[9:], buf: fb}
-		} else {
-			putWireBuf(fb)
-		}
-	}
-}
-
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readErr == nil {
-		c.readErr = err
-	}
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		close(ch)
-	}
-}
-
-// call sends one request and waits for its reply. The returned response's
-// payload borrows a pooled buffer: the caller parses (copying whatever it
-// keeps) and then releases it. The request payload is fully consumed before
-// call returns, so callers may recycle its backing immediately.
-func (c *Client) call(op wireOp, payload []byte) (response, error) {
-	return c.callPrefixed(op, nil, payload)
-}
-
-// callPrefixed is call with the request payload in two parts, pre‖payload. pre
-// (a few bytes) travels with the frame header, which is built in the writer's
-// own buffer, so a request that is one length-prefixed field — Append's record
-// — is sent from where it lies instead of being copied behind its length.
-func (c *Client) callPrefixed(op wireOp, pre, payload []byte) (response, error) {
-	ch := replyChanPool.Get().(chan response)
-	c.mu.Lock()
-	if c.closed {
-		// Closing the client also tears down the read loop, which records a
-		// connection error; an explicitly closed client must still report
-		// ErrClosed, not whichever teardown error won the race.
-		c.mu.Unlock()
-		return response{}, ErrClosed
-	}
-	if c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		return response{}, err
-	}
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	n := len(pre) + len(payload)
-	if n+9 > maxFrame {
-		// Refuse rather than send: the server would reject the frame and
-		// kill the connection; a u32 header could even wrap past 4 GiB.
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return response{}, fmt.Errorf("storage: request of %d bytes exceeds frame limit", n)
-	}
-	c.wmu.Lock()
-	hdr := binary.BigEndian.AppendUint32(c.w.AvailableBuffer(), uint32(9+n))
-	hdr = append(hdr, byte(op))
-	hdr = binary.BigEndian.AppendUint64(hdr, id)
-	_, err := c.w.Write(append(hdr, pre...))
-	if err == nil {
-		_, err = c.w.Write(payload)
-	}
-	if err == nil {
-		err = c.w.Flush()
-	}
-	c.wmu.Unlock()
+// call sends one request, pre‖payload, and waits for its reply. pre (a few
+// bytes) travels with the frame header, so a request that is one
+// length-prefixed field — Append's record — is sent from where it lies
+// instead of being copied behind its length. The request is fully consumed
+// before call returns, so callers may recycle its backing immediately. The
+// reply's payload (Payload) borrows a pooled buffer: the caller parses it,
+// copying whatever it keeps, and then puts it back with wire.Put.
+func (c *Client) call(op wireOp, pre, payload []byte) (*wire.Buf, error) {
+	ch, err := c.wc.Send(uint8(op), c.nextID.Add(1), pre, "", payload)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return response{}, fmt.Errorf("storage: send: %w", err)
+		return nil, lostErr(err)
 	}
-
-	resp, ok := <-ch
+	resp, ok, _ := wire.Recv(context.Background(), ch)
 	if !ok {
-		c.mu.Lock()
-		err := c.readErr
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return response{}, fmt.Errorf("storage: connection lost: %w", err)
+		return nil, lostErr(c.wc.Err())
 	}
-	replyChanPool.Put(ch) // the read loop dropped it before sending: ours alone, and empty
-	if resp.status != statusOK {
-		msg := string(resp.payload)
-		err := fmt.Errorf("%w: %s", ErrRemote, msg)
-		if strings.HasPrefix(msg, ErrFenced.Error()) {
-			// Reconstruct the sentinel so errors.Is(err, ErrFenced) holds
-			// across the wire: a fenced-out proxy must be able to tell "I am
-			// a zombie" from an ordinary storage failure.
-			err = fmt.Errorf("%w: %w", ErrRemote, ErrFenced)
-		}
-		resp.release()
-		return response{}, err
+	if resp.Kind() == statusOK {
+		return resp, nil
 	}
-	return resp, nil
+	msg := string(resp.Payload())
+	wire.Put(resp)
+	if strings.HasPrefix(msg, ErrFenced.Error()) {
+		// Reconstruct the sentinel so errors.Is(err, ErrFenced) holds across
+		// the wire: a fenced-out proxy must be able to tell "I am a zombie"
+		// from an ordinary storage failure.
+		return nil, fmt.Errorf("%w: %w", ErrRemote, ErrFenced)
+	}
+	return nil, fmt.Errorf("%w: %s", ErrRemote, msg)
+}
+
+// lostErr maps the wire client's failures: a closed client reports ErrClosed,
+// an oversized request its size, anything else the lost connection.
+func lostErr(err error) error {
+	switch {
+	case errors.Is(err, wire.ErrClosed):
+		return ErrClosed
+	case errors.Is(err, wire.ErrTooLarge):
+		return fmt.Errorf("storage: %w", err)
+	}
+	return fmt.Errorf("storage: connection lost: %w", err)
 }
 
 // AcquireFence implements Fenceable over the wire: the server binds the new
@@ -802,7 +543,7 @@ func (c *Client) callPrefixed(op wireOp, pre, payload []byte) (response, error) 
 // later mutating ops are checked server-side against the highest token
 // issued for the served backend.
 func (c *Client) AcquireFence() (Backend, uint64, error) {
-	token, err := c.callForU64(wireFence, nil)
+	token, err := c.callForU64(wireFence, nil, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -810,28 +551,19 @@ func (c *Client) AcquireFence() (Backend, uint64, error) {
 }
 
 // callForU64 performs an op whose reply is one u64.
-func (c *Client) callForU64(op wireOp, payload []byte) (uint64, error) {
-	return u64Reply(c.call(op, payload))
-}
-
-// u64Reply decodes a reply that is one u64.
-func u64Reply(resp response, err error) (uint64, error) {
+func (c *Client) callForU64(op wireOp, pre, payload []byte) (uint64, error) {
+	resp, err := c.call(op, pre, payload)
 	if err != nil {
 		return 0, err
 	}
-	defer resp.release()
-	d := decoder{buf: resp.payload}
+	defer wire.Put(resp)
+	d := decoder{buf: resp.Payload()}
 	v := d.u64()
 	return v, d.err
 }
 
 // Close closes the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	return c.conn.Close()
-}
+func (c *Client) Close() error { return c.wc.Close() }
 
 func (c *Client) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(c, bucket, slot) }
 
@@ -859,16 +591,16 @@ func (c *Client) ReadSlots(refs []SlotRef) ([][]byte, error) {
 }
 
 func (c *Client) readSlotsFrame(refs []SlotRef) ([][]byte, error) {
-	rq := getWireBuf(0)
-	enc := encoder{buf: rq.b[:0]}
+	rq := bufs.Get(0)
+	enc := encoder{buf: rq.B}
 	enc.u32(uint32(len(refs)))
 	for _, r := range refs {
 		enc.u32(uint32(r.Bucket))
 		enc.u32(uint32(r.Slot))
 	}
 	data, err := c.callForFields(wireReadSlots, enc.buf)
-	rq.b = enc.buf
-	putWireBuf(rq)
+	rq.B = enc.buf
+	wire.Put(rq)
 	if err == nil && len(data) != len(refs) {
 		err = fmt.Errorf("storage: bad read-slots response (%d results for %d refs)", len(data), len(refs))
 	}
@@ -879,12 +611,12 @@ func (c *Client) readSlotsFrame(refs []SlotRef) ([][]byte, error) {
 // log records), copied out of the pooled reply frame into one arena: two
 // allocations per call instead of one per field.
 func (c *Client) callForFields(op wireOp, payload []byte) ([][]byte, error) {
-	resp, err := c.call(op, payload)
+	resp, err := c.call(op, nil, payload)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.release()
-	d := decoder{buf: resp.payload}
+	defer wire.Put(resp)
+	d := decoder{buf: resp.Payload()}
 	out := d.fields()
 	if d.err != nil {
 		return nil, fmt.Errorf("storage: bad response to op %d: %w", op, d.err)
@@ -930,28 +662,24 @@ func (c *Client) WriteBuckets(writes []BucketWrite) error {
 }
 
 func (c *Client) writeBucketsFrame(writes []BucketWrite, size int) error {
-	rq := getWireBuf(size)
-	if cap(rq.b) < size {
-		rq.b = make([]byte, 0, size)
-	}
-	enc := encoder{buf: rq.b[:0]}
+	rq := bufs.Get(size)
+	enc := encoder{buf: rq.B}
 	enc.u32(uint32(len(writes)))
 	for _, w := range writes {
 		enc.bucket(w.Bucket, w.Epoch, w.Slots)
 	}
-	resp, err := c.call(wireWriteBuckets, enc.buf)
-	resp.release()
-	putWireBuf(rq)
+	resp, err := c.call(wireWriteBuckets, nil, enc.buf)
+	wire.Put(resp)
+	wire.Put(rq)
 	return err
 }
 
 // callU64 performs an op whose request is one u64 and whose reply is empty.
 func (c *Client) callU64(op wireOp, v uint64) error {
-	rq := getWireBuf(0)
-	rq.b = binary.BigEndian.AppendUint64(rq.b[:0], v)
-	resp, err := c.call(op, rq.b)
-	putWireBuf(rq)
-	resp.release()
+	var rq [8]byte
+	binary.BigEndian.PutUint64(rq[:], v)
+	resp, err := c.call(op, rq[:], nil)
+	wire.Put(resp)
 	return err
 }
 
@@ -959,12 +687,12 @@ func (c *Client) CommitEpoch(epoch uint64) error { return c.callU64(wireCommitEp
 func (c *Client) RollbackTo(epoch uint64) error  { return c.callU64(wireRollbackTo, epoch) }
 
 func (c *Client) NumBuckets() (int, error) {
-	resp, err := c.call(wireNumBuckets, nil)
+	resp, err := c.call(wireNumBuckets, nil, nil)
 	if err != nil {
 		return 0, err
 	}
-	defer resp.release()
-	d := decoder{buf: resp.payload}
+	defer wire.Put(resp)
+	d := decoder{buf: resp.Payload()}
 	n := int(d.u32())
 	return n, d.err
 }
@@ -972,12 +700,12 @@ func (c *Client) NumBuckets() (int, error) {
 func (c *Client) Get(key string) ([]byte, bool, error) {
 	var enc encoder
 	enc.str(key)
-	resp, err := c.call(wireKVGet, enc.buf)
+	resp, err := c.call(wireKVGet, nil, enc.buf)
 	if err != nil {
 		return nil, false, err
 	}
-	defer resp.release()
-	d := decoder{buf: resp.payload}
+	defer wire.Put(resp)
+	d := decoder{buf: resp.Payload()}
 	if d.u8() == 0 {
 		return nil, false, d.err
 	}
@@ -989,23 +717,23 @@ func (c *Client) Put(key string, value []byte) error {
 	var enc encoder
 	enc.str(key)
 	enc.bytes(value)
-	resp, err := c.call(wireKVPut, enc.buf)
-	resp.release()
+	resp, err := c.call(wireKVPut, nil, enc.buf)
+	wire.Put(resp)
 	return err
 }
 
 func (c *Client) Delete(key string) error {
 	var enc encoder
 	enc.str(key)
-	resp, err := c.call(wireKVDelete, enc.buf)
-	resp.release()
+	resp, err := c.call(wireKVDelete, nil, enc.buf)
+	wire.Put(resp)
 	return err
 }
 
 func (c *Client) Append(record []byte) (uint64, error) {
 	var pre [4]byte
 	binary.BigEndian.PutUint32(pre[:], uint32(len(record)))
-	return u64Reply(c.callPrefixed(wireLogAppend, pre[:], record))
+	return c.callForU64(wireLogAppend, pre[:], record)
 }
 
 func (c *Client) Scan(from uint64) ([][]byte, error) {
@@ -1016,7 +744,7 @@ func (c *Client) Scan(from uint64) ([][]byte, error) {
 
 func (c *Client) Truncate(before uint64) error { return c.callU64(wireLogTruncate, before) }
 
-func (c *Client) LastSeq() (uint64, error) { return c.callForU64(wireLogLastSeq, nil) }
+func (c *Client) LastSeq() (uint64, error) { return c.callForU64(wireLogLastSeq, nil, nil) }
 
 // encoder builds wire payloads.
 type encoder struct {

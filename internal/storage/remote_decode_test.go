@@ -11,6 +11,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"obladi/internal/wire"
 )
 
 // Tests of the storage server's request decoding: hostile frames, what a
@@ -129,10 +131,10 @@ func TestServerHandleRejectsHostileFrames(t *testing.T) {
 		mem := seededStore(t)
 		before := storeState(mem)
 		s := &Server{backend: mem}
-		rb := new(wireBuf)
+		var hs scratch
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		status, resp := s.handle(&connState{}, hf.op, hf.payload, rb)
+		status, resp := s.handle(&connState{}, &hs, hf.op, hf.payload, nil)
 		runtime.ReadMemStats(&m1)
 		if status != statusErr || len(resp) == 0 {
 			t.Errorf("%s: status %d, response %q; want an error", hf.name, status, resp)
@@ -140,8 +142,8 @@ func TestServerHandleRejectsHostileFrames(t *testing.T) {
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4096 {
 			t.Errorf("%s: %d bytes allocated rejecting a %d byte payload", hf.name, grew, len(hf.payload))
 		}
-		if cap(rb.refs) > len(hf.payload) || cap(rb.writes) > len(hf.payload) {
-			t.Errorf("%s: scratch grew to %d refs / %d writes on a %d byte payload", hf.name, cap(rb.refs), cap(rb.writes), len(hf.payload))
+		if cap(hs.refs) > len(hf.payload) || cap(hs.writes) > len(hf.payload) {
+			t.Errorf("%s: scratch grew to %d refs / %d writes on a %d byte payload", hf.name, cap(hs.refs), cap(hs.writes), len(hf.payload))
 		}
 		// A frame that does not decode never reaches the backend, not even
 		// with the entries ahead of the bad one.
@@ -205,8 +207,8 @@ func FuzzServerHandle(f *testing.F) {
 		mem := seededStore(t)
 		before := storeState(mem)
 		s := &Server{backend: mem}
-		rb := new(wireBuf)
-		status, resp := s.handle(&connState{}, wireOp(op), payload, rb)
+		var hs scratch
+		status, resp := s.handle(&connState{}, &hs, wireOp(op), payload, nil)
 		switch status {
 		case statusErr:
 			if len(resp) == 0 {
@@ -226,8 +228,8 @@ func FuzzServerHandle(f *testing.F) {
 		default:
 			t.Fatalf("op %d: status %d", op, status)
 		}
-		if cap(rb.refs) > len(payload) || cap(rb.writes) > len(payload) || cap(rb.slots) > len(payload) {
-			t.Fatalf("op %d: scratch grew to %d refs / %d writes / %d slots on a %d byte payload", op, cap(rb.refs), cap(rb.writes), cap(rb.slots), len(payload))
+		if cap(hs.refs) > len(payload) || cap(hs.writes) > len(payload) || cap(hs.slots) > len(payload) {
+			t.Fatalf("op %d: scratch grew to %d refs / %d writes / %d slots on a %d byte payload", op, cap(hs.refs), cap(hs.writes), cap(hs.slots), len(payload))
 		}
 		retained := 0
 		for b, vs := range mem.buckets {
@@ -266,9 +268,9 @@ func TestServerHandleWriteBucketsAllocBudget(t *testing.T) {
 	}
 	payload := encodeWriteBuckets(writes)
 	mem := NewMemBackend(n)
-	s, cs, rb := &Server{backend: mem}, &connState{}, new(wireBuf)
+	s, cs, hs := &Server{backend: mem}, &connState{}, new(scratch)
 	handle := func() {
-		if status, resp := s.handle(cs, wireWriteBuckets, payload, rb); status != statusOK {
+		if status, resp := s.handle(cs, hs, wireWriteBuckets, payload, nil); status != statusOK {
 			t.Fatalf("handle: %s", resp)
 		}
 	}
@@ -386,8 +388,7 @@ func TestRemoteWritesDoNotAliasPooledFrames(t *testing.T) {
 func TestClientAppendSendsRecordInPlace(t *testing.T) {
 	record := bytes.Repeat([]byte{0xa5, 0x5a, 0x3c}, 64<<10/3)
 	cliConn, srvConn := net.Pipe()
-	c := &Client{conn: cliConn, w: bufio.NewWriterSize(cliConn, 1<<16), pending: make(map[uint64]chan response)}
-	go c.readLoop()
+	c := &Client{wc: wire.NewClient(cliConn, maxFrame, &bufs)}
 	defer c.Close()
 
 	frame := make([]byte, 4+9+4+len(record))
@@ -450,5 +451,112 @@ func TestClientAppendSendsRecordInPlace(t *testing.T) {
 	got, err := rc.Scan(0)
 	if err != nil || len(got) != 1 || !bytes.Equal(got[0], record) {
 		t.Fatalf("Scan returned %d records, err %v; want the appended one", len(got), err)
+	}
+}
+
+// oracleResponse is the server's response writer from before the storage
+// wire moved onto internal/wire, kept unchanged as the oracle the shared
+// framing must reproduce.
+func oracleResponse(w *bufio.Writer, status byte, reqID uint64, payload []byte) error {
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(9+len(payload)))
+	hdr = append(hdr, status)
+	hdr = binary.BigEndian.AppendUint64(hdr, reqID)
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// oracleRequest is the request frame the client built before the move:
+// header, then the payload.
+func oracleRequest(op wireOp, id uint64, payload []byte) []byte {
+	hdr := binary.BigEndian.AppendUint32(nil, uint32(9+len(payload)))
+	hdr = append(hdr, byte(op))
+	hdr = binary.BigEndian.AppendUint64(hdr, id)
+	return append(hdr, payload...)
+}
+
+// TestWireGoldenBytes requires the storage wire's bytes to be what they were
+// before it moved onto internal/wire: the client's requests (a u64 mutation,
+// a KV write, a bucket read) and the server's responses (a u32, a slot
+// vector, an error).
+func TestWireGoldenBytes(t *testing.T) {
+	cliConn, srvConn := net.Pipe()
+	c := &Client{wc: wire.NewClient(cliConn, maxFrame, &bufs)}
+	defer c.Close()
+	slots := [][]byte{[]byte("alpha"), {}, []byte("gamma")}
+	var put, get encoder
+	put.str("key")
+	put.bytes([]byte("value"))
+	get.u32(5)
+	want := [][]byte{
+		oracleRequest(wireCommitEpoch, 1, binary.BigEndian.AppendUint64(nil, 0x0102030405060708)),
+		oracleRequest(wireKVPut, 2, put.buf),
+		oracleRequest(wireReadBucket, 3, get.buf),
+	}
+	replies := [][]byte{nil, nil, appendFields(nil, slots)}
+	peer := make(chan error, 1)
+	go func() {
+		defer srvConn.Close()
+		w := bufio.NewWriter(srvConn)
+		for i, frame := range want {
+			got := make([]byte, len(frame))
+			if _, err := io.ReadFull(srvConn, got); err != nil {
+				peer <- err
+				return
+			}
+			if !bytes.Equal(got, frame) {
+				peer <- fmt.Errorf("request %d on the wire:\n%x\nwant the oracle's\n%x", i, got, frame)
+				return
+			}
+			if err := oracleResponse(w, statusOK, uint64(i+1), replies[i]); err != nil || w.Flush() != nil {
+				peer <- fmt.Errorf("reply %d: %v", i, err)
+				return
+			}
+		}
+		peer <- nil
+	}()
+	if err := c.CommitEpoch(0x0102030405060708); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("key", []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.ReadBucket(5); err != nil || len(got) != len(slots) {
+		t.Fatalf("ReadBucket = %q, %v", got, err)
+	}
+	if err := <-peer; err != nil {
+		t.Fatal(err)
+	}
+
+	mem := NewMemBackend(2)
+	must(t, mem.WriteBucket(1, 1, slots))
+	var out, wantOut bytes.Buffer
+	sc := &serverConn{s: &Server{backend: mem}, w: bufio.NewWriter(&out)}
+	oracle := bufio.NewWriter(&wantOut)
+	var hs scratch
+	refs := bytes.Join([][]byte{be32(2), be32(1), be32(0), be32(1), be32(2)}, nil)
+	for _, rq := range []struct {
+		op      wireOp
+		id      uint64
+		payload []byte
+		status  byte
+		reply   []byte
+	}{
+		{wireNumBuckets, 7, nil, statusOK, be32(2)},
+		{wireReadSlots, 1 << 40, refs, statusOK, appendFields(nil, [][]byte{slots[0], slots[2]})},
+		{wireOp(1), 0xffffffffffffffff, nil, statusErr, []byte("storage: unknown op 1")},
+	} {
+		fb, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(oracleRequest(rq.op, rq.id, rq.payload))), maxFrame, &bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.serve(fb, &hs)
+		must(t, oracleResponse(oracle, rq.status, rq.id, rq.reply))
+	}
+	must(t, oracle.Flush())
+	if !bytes.Equal(out.Bytes(), wantOut.Bytes()) {
+		t.Fatalf("responses on the wire:\n%x\nwant the oracle's\n%x", out.Bytes(), wantOut.Bytes())
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -392,4 +394,53 @@ func TestServerReadsRaceCommits(t *testing.T) {
 		defer g.Close()
 		run(t, g.Backends()[0], 100)
 	})
+}
+
+// flakyListener fails Accept with a temporary error on the calls fail
+// picks, and accepts from the listener it wraps on the others.
+type flakyListener struct {
+	net.Listener
+	fail  func(call int32) bool
+	calls atomic.Int32
+}
+
+type tempErr struct{}
+
+func (tempErr) Error() string   { return "accept: too many open files" }
+func (tempErr) Timeout() bool   { return false }
+func (tempErr) Temporary() bool { return true }
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fail(l.calls.Add(1)) {
+		return nil, tempErr{}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServerSurvivesAcceptErrors: three failed Accepts (EMFILE under a
+// connection flood) leave the server serving the next connection, and a
+// server backing off from Accepts that keep failing still closes at once.
+func TestServerSurvivesAcceptErrors(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &flakyListener{Listener: ln, fail: func(call int32) bool { return call != 4 }}
+	srv := newServer(NewMemBackend(3), fl)
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if n, err := c.NumBuckets(); err != nil || n != 3 {
+		t.Fatalf("NumBuckets after failed Accepts: %d, %v", n, err)
+	}
+	for fl.calls.Load() < 8 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	start := time.Now()
+	srv.Close()
+	if d := time.Since(start); d > 200*time.Millisecond {
+		t.Fatalf("Close took %v mid-backoff", d)
+	}
 }

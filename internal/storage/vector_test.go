@@ -364,7 +364,7 @@ func TestDialTimeout(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	_, err = DialWithTimeout(addr, 300*time.Millisecond)
+	_, err = dial(addr, 300*time.Millisecond)
 	if err == nil {
 		t.Skip("kernel accepted past the zero backlog; cannot simulate a hanging dial here")
 	}
@@ -379,7 +379,7 @@ func TestDialTimeoutConnectsToLiveServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialWithTimeout(srv.Addr(), time.Second)
+	c, err := dial(srv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
