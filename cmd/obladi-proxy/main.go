@@ -64,7 +64,7 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables profiling)")
 	replicaListen := flag.String("replica-listen", "", "fence storage and listen here for a standby, holding its lease with heartbeats")
 	standbyOf := flag.String("standby-of", "", "run as standby of the primary whose -replica-listen is this address; promote on lease expiry")
-	lease := flag.Duration("lease", 750*time.Millisecond, "standby promotes after this long without a heartbeat from the primary")
+	lease := flag.Duration("lease", 750*time.Millisecond, "standby promotes after this long without a heartbeat from the primary, which heartbeats every lease/8; must match on primary and standby")
 	flag.Parse()
 
 	if addr, err := pprofserve.Start(*pprofAddr); err != nil {

@@ -95,7 +95,7 @@ func TestFailoverKillPrimary(t *testing.T) {
 		"obladi-storage: serving", extractLastField)
 
 	commonArgs := []string{"-storage", storageAddr, "-listen", "127.0.0.1:0",
-		"-keys", "1024", "-batch-interval", "1ms", "-seed", seed}
+		"-keys", "1024", "-batch-interval", "1ms", "-seed", seed, "-lease", "500ms"}
 	primaryCmdArgs := append(append([]string{}, commonArgs...),
 		"-replica-listen", "127.0.0.1:0")
 	primaryOut, primaryCmd := launchSeq(t, proxyBin, primaryCmdArgs,
@@ -104,15 +104,12 @@ func TestFailoverKillPrimary(t *testing.T) {
 	replicaAddr, primaryAddr := primaryOut[0], primaryOut[1]
 
 	standbyArgs := append(append([]string{}, commonArgs...),
-		"-standby-of", replicaAddr, "-lease", "500ms")
+		"-standby-of", replicaAddr)
 	standbyAddr, _ := launch(t, proxyBin, standbyArgs, "clients=", extractClientsField)
 
 	fc, err := clientproto.DialMuxFailover(clientproto.FailoverConfig{
-		Addrs:       []string{primaryAddr, standbyAddr},
-		DialTimeout: time.Second,
-		BackoffMin:  10 * time.Millisecond,
-		BackoffMax:  100 * time.Millisecond,
-		MaxWait:     30 * time.Second,
+		Addrs:   []string{primaryAddr, standbyAddr},
+		MaxWait: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

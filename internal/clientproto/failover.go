@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -17,11 +16,6 @@ type FailoverConfig struct {
 	// Addrs lists the client endpoints of the primary and its standbys, in
 	// preference order. Required.
 	Addrs []string
-	// DialTimeout bounds one connection attempt. Default 500ms.
-	DialTimeout time.Duration
-	// BackoffMin/BackoffMax bound the exponential redial backoff applied
-	// between full sweeps of the address list. Defaults 25ms / 1s.
-	BackoffMin, BackoffMax time.Duration
 	// MaxWait bounds the total time a Begin will spend redialing before
 	// giving up; it should comfortably exceed the standby's lease timeout
 	// so clients ride out a failover. Default 15s.
@@ -32,20 +26,20 @@ func (c *FailoverConfig) setDefaults() error {
 	if len(c.Addrs) == 0 {
 		return errors.New("clientproto: FailoverConfig.Addrs required")
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 500 * time.Millisecond
-	}
-	if c.BackoffMin <= 0 {
-		c.BackoffMin = 25 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
-	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = 15 * time.Second
 	}
 	return nil
 }
+
+// dialTimeout bounds one connection attempt; backoffMin..backoffMax bound the
+// doubling redial backoff between sweeps of the address list, and the
+// doubling shed pacing.
+const (
+	dialTimeout = 500 * time.Millisecond
+	backoffMin  = 25 * time.Millisecond
+	backoffMax  = time.Second
+)
 
 // FailoverClient is a MuxClient facade over an address list: it keeps one
 // live connection, and when that connection dies it redials across the list
@@ -76,16 +70,16 @@ type FailoverClient struct {
 }
 
 // noteShed records a server load-shed: the next Begin waits out a jittered
-// backoff that doubles with consecutive sheds (BackoffMin..BackoffMax).
+// backoff that doubles with consecutive sheds (backoffMin..backoffMax).
 func (fc *FailoverClient) noteShed() {
 	fc.shedMu.Lock()
 	defer fc.shedMu.Unlock()
 	if fc.shedBackoff == 0 {
-		fc.shedBackoff = fc.cfg.BackoffMin
-	} else if fc.shedBackoff *= 2; fc.shedBackoff > fc.cfg.BackoffMax {
-		fc.shedBackoff = fc.cfg.BackoffMax
+		fc.shedBackoff = backoffMin
+	} else {
+		fc.shedBackoff = min(2*fc.shedBackoff, backoffMax)
 	}
-	fc.shedUntil = time.Now().Add(jitter(fc.shedBackoff))
+	fc.shedUntil = time.Now().Add(core.Jitter(fc.shedBackoff))
 }
 
 // noteOK records a successfully-settled transaction, disarming shed pacing.
@@ -114,16 +108,6 @@ func (fc *FailoverClient) shedWait(ctx context.Context) {
 	}
 }
 
-// jitter spreads d over [d/2, d): synchronized clients that all shed on the
-// same saturated epoch must not all retry on the same later one.
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + rand.N(half)
-}
-
 // DialMuxFailover connects to the first reachable address and returns the
 // failover client. The initial dial follows the same backoff/MaxWait policy
 // as post-failure redials, so a client started during a failover window
@@ -141,7 +125,7 @@ func DialMuxFailover(cfg FailoverConfig) (*FailoverClient, error) {
 
 // client returns the live connection, redialing if it is lost.
 func (fc *FailoverClient) client() (*MuxClient, error) {
-	backoff := fc.cfg.BackoffMin
+	backoff := backoffMin
 	deadline := time.Now().Add(fc.cfg.MaxWait)
 	var lastErr error
 	for {
@@ -158,7 +142,7 @@ func (fc *FailoverClient) client() (*MuxClient, error) {
 		fc.mu.Unlock()
 
 		for _, addr := range fc.cfg.Addrs {
-			c, err := dialMux(addr, fc.cfg.DialTimeout)
+			c, err := dialMux(addr, dialTimeout)
 			if err != nil {
 				lastErr = err
 				continue
@@ -185,10 +169,8 @@ func (fc *FailoverClient) client() (*MuxClient, error) {
 		}
 		// Jittered: a fleet of clients orphaned by the same failover must
 		// not sweep the address list in lockstep.
-		time.Sleep(jitter(backoff))
-		if backoff *= 2; backoff > fc.cfg.BackoffMax {
-			backoff = fc.cfg.BackoffMax
-		}
+		time.Sleep(core.Jitter(backoff))
+		backoff = min(2*backoff, backoffMax)
 	}
 }
 

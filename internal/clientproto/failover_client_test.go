@@ -11,15 +11,9 @@ import (
 	"obladi/internal/kvtxn"
 )
 
-// failoverConfig returns test-paced redial settings over addrs.
+// failoverConfig returns a failover client's settings over addrs.
 func failoverConfig(addrs ...string) clientproto.FailoverConfig {
-	return clientproto.FailoverConfig{
-		Addrs:       addrs,
-		DialTimeout: time.Second,
-		BackoffMin:  5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-		MaxWait:     10 * time.Second,
-	}
+	return clientproto.FailoverConfig{Addrs: addrs, MaxWait: 10 * time.Second}
 }
 
 // TestFailoverClientRedials pins the client plane's reconnect-with-replay:

@@ -74,11 +74,7 @@ func shedServer(t *testing.T, shedCommits int) (addr string, conns *atomic.Int64
 // redialing the address list — and a successful commit disarms the pacing.
 func TestShedBackoffNoRetryStorm(t *testing.T) {
 	addr, conns := shedServer(t, 3)
-	fc, err := DialMuxFailover(FailoverConfig{
-		Addrs:      []string{addr},
-		BackoffMin: 20 * time.Millisecond,
-		BackoffMax: 200 * time.Millisecond,
-	})
+	fc, err := DialMuxFailover(FailoverConfig{Addrs: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +97,10 @@ func TestShedBackoffNoRetryStorm(t *testing.T) {
 	if shedSeen != 3 {
 		t.Fatalf("saw %d sheds, want 3", shedSeen)
 	}
-	// Three sheds arm backoffs of 20/40/80ms (jittered to at least half),
+	// Three sheds arm backoffs of 25/50/100ms (jittered to at least half),
 	// each served by the following Begin: the sequence cannot complete in
-	// under 10+20+40 = 70ms. A storming client finishes in microseconds.
-	if elapsed := time.Since(start); elapsed < 70*time.Millisecond {
+	// under 12.5+25+50 = 87.5ms. A storming client finishes in microseconds.
+	if elapsed := time.Since(start); elapsed < 87*time.Millisecond {
 		t.Fatalf("4 attempts took %v: sheds are not backing off", elapsed)
 	}
 	// Overloaded is not dead: the client must never have redialed.
@@ -126,9 +122,9 @@ func TestShedPacingJitterSpreads(t *testing.T) {
 	const d = time.Second
 	seen := make(map[time.Duration]bool)
 	for i := 0; i < 64; i++ {
-		j := jitter(d)
+		j := core.Jitter(d)
 		if j < d/2 || j >= d {
-			t.Fatalf("jitter(%v) = %v, want [%v, %v)", d, j, d/2, d)
+			t.Fatalf("Jitter(%v) = %v, want [%v, %v)", d, j, d/2, d)
 		}
 		seen[j] = true
 	}

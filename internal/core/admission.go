@@ -91,18 +91,28 @@ func (e *ShedError) Unwrap() []error {
 // doubles it up to 250 ms.
 const ShedBackoff = time.Millisecond
 
-// WaitShedBackoff pauses a retry loop after a shed for a jittered d/2..d, or
+// WaitShedBackoff pauses a retry loop after a shed for a jittered d (Jitter), or
 // until ctx is done, and returns the pause to use after the next shed. An
 // immediate retry would land in the same exhausted epoch and keep the proxy
 // saturated.
 func WaitShedBackoff(ctx context.Context, d time.Duration) time.Duration {
-	t := time.NewTimer(d/2 + rand.N(d/2+1))
+	t := time.NewTimer(Jitter(d))
 	select {
 	case <-t.C:
 	case <-ctx.Done():
 		t.Stop()
 	}
 	return min(2*d, 250*time.Millisecond)
+}
+
+// Jitter spreads a backoff d over [d/2, d): retriers that shed on the same
+// saturated epoch, or lost the same primary, must not all retry on the same
+// later tick.
+func Jitter(d time.Duration) time.Duration {
+	if d <= 1 {
+		return d
+	}
+	return d/2 + rand.N(d-d/2)
 }
 
 // ErrBoundaryWindow is returned for a read that arrived after its epoch's

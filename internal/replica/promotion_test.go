@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,9 +106,9 @@ func newHAPair(t *testing.T, o haOptions) *haPair {
 		t.Fatal(err)
 	}
 	sender, err := NewSender("127.0.0.1:0", SenderConfig{
-		Shards:         o.shards,
-		HeartbeatEvery: 5 * time.Millisecond,
-		Alive:          func() bool { return primary.Failed() == nil },
+		Shards: o.shards,
+		Lease:  conformanceLease,
+		Alive:  func() bool { return primary.Failed() == nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,21 +122,19 @@ func newHAPair(t *testing.T, o haOptions) *haPair {
 		h.primary.Close()
 	})
 	if !o.noStandby {
-		h.attachStandby(t, raw)
+		h.attachStandby(t, h.sender.Addr(), raw)
 		waitAttached(t, h.standby)
 	}
 	return h
 }
 
 // attachStandby starts the pair's standby over stores (the shared stores, or
-// wrappers of them) against the live sender.
-func (h *haPair) attachStandby(t *testing.T, stores []storage.Backend) {
+// wrappers of them) against the sender at addr (the live sender, or a
+// linkProxy in front of it).
+func (h *haPair) attachStandby(t *testing.T, addr string, stores []storage.Backend) {
 	t.Helper()
 	var err error
-	h.standby, err = NewStandby(h.sender.Addr(), stores, StandbyConfig{
-		LeaseTimeout: conformanceLease,
-		RedialEvery:  5 * time.Millisecond,
-	})
+	h.standby, err = NewStandby(addr, stores, StandbyConfig{LeaseTimeout: conformanceLease})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +615,7 @@ func checkLateAttachAfterTruncation(t *testing.T) {
 	h := newHAPair(t, haOptions{shards: 2, manual: true, noStandby: true})
 	want := runLongPrimary(t, h)
 	counted, promoted := countStores(h.raw)
-	h.attachStandby(t, counted)
+	h.attachStandby(t, h.sender.Addr(), counted)
 	waitAttached(t, h.standby)
 	h.kill()
 	p2 := h.newPrimary(t, h.promote(t))
@@ -646,22 +643,20 @@ func checkLateAttachAfterTruncation(t *testing.T) {
 	h.checkStepped(t, p2, want)
 }
 
-// checkReconnectAcrossTruncation drops the lease link while the primary
-// goes on committing and truncating: the standby redials and reattaches,
-// and a later promotion loses no acknowledged commit.
+// checkReconnectAcrossTruncation blackholes the lease link while the
+// primary goes on committing and truncating: the standby gives up on the
+// silent link, redials and reattaches, and a later promotion loses no
+// acknowledged commit.
 func checkReconnectAcrossTruncation(t *testing.T) {
-	h := newHAPair(t, haOptions{shards: 2, manual: true})
+	h := newHAPair(t, haOptions{shards: 2, manual: true, noStandby: true})
+	link := newLinkProxy(t, h.sender.Addr())
+	h.attachStandby(t, link.addr(), h.raw)
+	waitAttached(t, h.standby)
 	want := map[string][]byte{"before-drop": []byte("b")}
 	commitStepped(t, h.primary, h.cfg, "before-drop", want["before-drop"])
 	cuts := h.primary.Stats().Logs[1].Truncations
 
-	link := func() net.Conn {
-		h.sender.mu.Lock()
-		defer h.sender.mu.Unlock()
-		return h.sender.conn
-	}
-	dropped := link()
-	dropped.Close()
+	link.blackhole()
 	for e := 0; e < 3*conformanceCadence; e++ {
 		key := fmt.Sprintf("during-drop-%d", e)
 		commitStepped(t, h.primary, h.cfg, key, []byte{byte(e)})
@@ -671,7 +666,7 @@ func checkReconnectAcrossTruncation(t *testing.T) {
 		t.Fatal("no truncation since the link dropped")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for link() == dropped {
+	for link.accepts.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("standby never redialed the dropped link")
 		}

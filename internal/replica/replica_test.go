@@ -1,34 +1,43 @@
 package replica
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"obladi/internal/storage"
+	"obladi/internal/wire"
 )
 
-// TestFailoverConformance pins the proxy-failover contract: framing integrity
-// (torn tails, corruption and hostile lengths detected, never half-read),
-// lease semantics (heartbeats hold it, silence and a fail-stopped primary
-// release it), promotion fencing (the zombie primary's next append fails
-// loudly), zero acknowledged-commit loss across a handoff, and promotion as a
+// TestFailoverConformance pins the proxy-failover contract: the lease link's
+// frames (a hello that refuses another protocol, version, shard count or
+// lease, and a hostile length refused before anything is sized by it), lease
+// semantics (heartbeats hold it, silence and a fail-stopped primary release
+// it), promotion fencing (the zombie primary's next append fails loudly),
+// zero acknowledged-commit loss across a handoff, and promotion as a
 // restart: after a thousand epochs, across a dropped link or right after a
 // truncation, it fences once per shard, scans a log bounded by public
 // parameters and makes exactly a restart's storage calls.
+//
+// The link has no frame checksum, so nothing here flips its bytes: it
+// carries no data, a damaged hello fails checkHello and a damaged heartbeat
+// its kind check, and either way the standby hangs up and redials. A frame
+// cut short is internal/wire's torn body (wire:TestReadFrameLengths).
 func TestFailoverConformance(t *testing.T) {
 	checks := []struct {
 		name string
 		run  func(t *testing.T)
 	}{
 		{"framing/roundtrip", checkFramingRoundTrip},
-		{"framing/torn-tail", checkFramingTornTail},
-		{"framing/corruption", checkFramingCorruption},
 		{"framing/hostile-length", checkFramingHostileLength},
 		{"framing/hello", checkHelloValidation},
 		{"lease/heartbeat-holds", checkLeaseHeartbeatHolds},
@@ -47,103 +56,80 @@ func TestFailoverConformance(t *testing.T) {
 
 // --- framing ---
 
-// linkFrames is one frame of each surviving kind, as the link carries them.
-func linkFrames() []frame {
-	return []frame{helloFrame(3), {kind: frameHeartbeat}}
-}
+var testPool wire.Pool
 
-func checkFramingRoundTrip(t *testing.T) {
+// encode writes frames through a bufio.Writer as the sender does and returns
+// the bytes a standby would read.
+func encode(t *testing.T, write ...func(w *bufio.Writer) error) *bufio.Reader {
+	t.Helper()
 	var buf bytes.Buffer
-	want := append(linkFrames(), helloFrame(1<<16))
-	for _, f := range want {
-		if err := writeFrame(&buf, f); err != nil {
+	w := bufio.NewWriter(&buf)
+	for _, f := range write {
+		if err := f(w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, w := range want {
-		g, err := readFrame(&buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if g.kind != w.kind || g.shard != w.shard || g.seq != w.seq || !bytes.Equal(g.rec, w.rec) {
-			t.Fatalf("frame %d: got %+v want %+v", i, g, w)
-		}
+	return bufio.NewReader(&buf)
+}
+
+func hello(shards int, lease time.Duration) func(*bufio.Writer) error {
+	return func(w *bufio.Writer) error { return writeHello(w, shards, lease) }
+}
+
+func rawFrame(kind uint8, id uint64, payload []byte) func(*bufio.Writer) error {
+	return func(w *bufio.Writer) error { return wire.Write(w, kind, id, nil, "", payload) }
+}
+
+var heartbeat = rawFrame(kindHeartbeat, 0, nil)
+
+// readOne reads the next frame at the standby's limit.
+func readOne(t *testing.T, r *bufio.Reader) *wire.Buf {
+	t.Helper()
+	b, err := wire.ReadFrame(r, helloLen, &testPool)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := readFrame(&buf); err != io.EOF {
+	return b
+}
+
+// checkFramingRoundTrip reads a hello and a heartbeat — and a hello at the
+// largest shard count — back as the standby reads them, then a clean end.
+func checkFramingRoundTrip(t *testing.T) {
+	const lease = 150 * time.Millisecond
+	r := encode(t, hello(3, lease), heartbeat, hello(1<<16, lease))
+	for i, shards := range []int{3, 0, 1 << 16} {
+		b := readOne(t, r)
+		if shards == 0 {
+			if b.Kind() != kindHeartbeat || b.ID() != 0 || len(b.Payload()) != 0 {
+				t.Fatalf("frame %d: heartbeat read as kind %d id %d payload %x", i, b.Kind(), b.ID(), b.Payload())
+			}
+		} else if n, err := checkHello(b, lease); err != nil || n != shards {
+			t.Fatalf("frame %d: hello read as %d shards, %v; want %d", i, n, err, shards)
+		}
+		wire.Put(b)
+	}
+	if _, err := wire.ReadFrame(r, helloLen, &testPool); err != io.EOF {
 		t.Fatalf("clean tail: got %v, want io.EOF", err)
 	}
 }
 
-// checkFramingTornTail truncates a hello + heartbeat stream at every byte
-// offset: a cut between frames must read as a clean io.EOF after the intact
-// prefix, a cut inside a frame must surface ErrTornFrame — never a partial
-// frame.
-func checkFramingTornTail(t *testing.T) {
-	var buf bytes.Buffer
-	bounds := []int{0} // frame boundaries in the stream
-	for _, f := range linkFrames() {
-		if err := writeFrame(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-		bounds = append(bounds, buf.Len())
-	}
-	full := buf.Bytes()
-	for cut := 0; cut < len(full); cut++ {
-		r := bytes.NewReader(full[:cut])
-		whole := 0 // frames fully contained before the cut
-		for whole+1 < len(bounds) && bounds[whole+1] <= cut {
-			whole++
-		}
-		for i := 0; i < whole; i++ {
-			if _, err := readFrame(r); err != nil {
-				t.Fatalf("cut %d: intact frame %d: %v", cut, i, err)
-			}
-		}
-		_, err := readFrame(r)
-		if cut == bounds[whole] { // cut exactly between frames
-			if err != io.EOF {
-				t.Fatalf("cut %d: got %v, want io.EOF", cut, err)
-			}
-		} else if !errors.Is(err, ErrTornFrame) {
-			t.Fatalf("cut %d: got %v, want ErrTornFrame", cut, err)
-		}
-	}
-}
-
-// checkFramingCorruption flips every byte of each kind's encoded frame in
-// turn; each single-byte flip must be rejected (crc mismatch, implausible
-// length, or a torn read from a garbled length prefix) — never decoded as
-// valid.
-func checkFramingCorruption(t *testing.T) {
-	for _, f := range linkFrames() {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-		good := buf.Bytes()
-		for i := range good {
-			bad := append([]byte(nil), good...)
-			bad[i] ^= 0x40
-			_, err := readFrame(bytes.NewReader(bad))
-			if !errors.Is(err, ErrCorruptFrame) && !errors.Is(err, ErrTornFrame) {
-				t.Fatalf("kind %d, flip at %d: got %v, want corrupt/torn", f.kind, i, err)
-			}
-		}
-	}
-}
-
-// checkFramingHostileLength feeds a length prefix claiming a 64 MB body: it
-// is refused before anything is sized by it. Both ends read whatever answers
-// on the other side, so a claimed length must not buy an allocation.
+// checkFramingHostileLength feeds a length prefix claiming a 64 MB body: the
+// standby's limit, the hello's size, refuses it before anything is sized by
+// it. A standby reads whatever answers at the primary's address, so a
+// claimed length must not buy an allocation.
 func checkFramingHostileLength(t *testing.T) {
-	hostile := binary.LittleEndian.AppendUint32(nil, 64<<20)
+	hostile := binary.BigEndian.AppendUint32(nil, 64<<20)
 	hostile = append(hostile, bytes.Repeat([]byte{0xa5}, 64)...)
+	src := bytes.NewReader(hostile)
+	r := bufio.NewReader(src)
 	const runs = 64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := readFrame(bytes.NewReader(hostile)); !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("64 MB length prefix: got %v, want ErrCorruptFrame", err)
+		src.Reset(hostile)
+		r.Reset(src)
+		if _, err := wire.ReadFrame(r, helloLen, &testPool); err == nil {
+			t.Fatal("a 64 MB length prefix was read")
 		}
 	}
 	runtime.ReadMemStats(&after)
@@ -152,56 +138,71 @@ func checkFramingHostileLength(t *testing.T) {
 	}
 }
 
+// checkHelloValidation refuses every hello but one of this protocol and
+// version, with a plausible shard count and the standby's own lease.
 func checkHelloValidation(t *testing.T) {
-	if n, err := checkHello(helloFrame(4)); err != nil || n != 4 {
+	const lease = 750 * time.Millisecond
+	b := readOne(t, encode(t, hello(4, lease)))
+	if n, err := checkHello(b, lease); err != nil || n != 4 {
 		t.Fatalf("good hello: %d, %v", n, err)
 	}
-	bads := []frame{
-		{kind: frameHeartbeat, shard: 4, seq: frameVersion, rec: []byte(frameMagic)},
-		{kind: frameHello, shard: 4, seq: frameVersion - 1, rec: []byte(frameMagic)},
-		{kind: frameHello, shard: 4, seq: frameVersion, rec: []byte("NOPE")},
-		{kind: frameHello, shard: 0, seq: frameVersion, rec: []byte(frameMagic)},
+	payload := binary.BigEndian.AppendUint32([]byte(linkMagic), 750)
+	bads := map[string]func(*bufio.Writer) error{
+		"heartbeat kind":    rawFrame(kindHeartbeat, linkVersion<<32|4, payload),
+		"version 3":         rawFrame(kindHello, 3<<32|4, payload),
+		"bad magic":         rawFrame(kindHello, linkVersion<<32|4, append([]byte("NOPE"), payload[4:]...)),
+		"no lease":          rawFrame(kindHello, linkVersion<<32|4, []byte(linkMagic)),
+		"shard count 0":     hello(0, lease),
+		"shard count 65537": hello(1<<16+1, lease),
+		"lease mismatch":    hello(4, lease+time.Millisecond),
 	}
-	for i, f := range bads {
-		if _, err := checkHello(f); !errors.Is(err, ErrBadHello) {
-			t.Fatalf("bad hello %d: got %v, want ErrBadHello", i, err)
+	for name, f := range bads {
+		b := readOne(t, encode(t, f))
+		if _, err := checkHello(b, lease); !errors.Is(err, ErrBadHello) {
+			t.Fatalf("%s: got %v, want ErrBadHello", name, err)
 		}
 	}
 }
 
 // --- lease ---
 
+// holdsFor fails t if sb's lease expires within d.
+func holdsFor(t *testing.T, sb *Standby, d time.Duration) {
+	t.Helper()
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if sb.PrimaryDown() {
+			t.Fatal("lease expired while the primary was heartbeating")
+		}
+	}
+}
+
 func checkLeaseHeartbeatHolds(t *testing.T) {
-	s, err := NewSender("127.0.0.1:0", SenderConfig{Shards: 1, HeartbeatEvery: 5 * time.Millisecond})
+	const lease = 250 * time.Millisecond
+	s, err := NewSender("127.0.0.1:0", SenderConfig{Shards: 1, Lease: lease})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	stores := []storage.Backend{storage.NewMemBackend(8)}
-	sb, err := NewStandby(s.Addr(), stores, StandbyConfig{LeaseTimeout: 250 * time.Millisecond, RedialEvery: 5 * time.Millisecond})
+	sb, err := NewStandby(s.Addr(), stores, StandbyConfig{LeaseTimeout: lease})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Stop()
-	deadline := time.Now().Add(600 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if sb.PrimaryDown() {
-			t.Fatal("lease expired while the primary was heartbeating")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	holdsFor(t, sb, 600*time.Millisecond)
 	if !sb.Connected() {
 		t.Fatal("standby never attached")
 	}
 }
 
 func checkLeaseExpires(t *testing.T) {
-	s, err := NewSender("127.0.0.1:0", SenderConfig{Shards: 1, HeartbeatEvery: 5 * time.Millisecond})
+	const lease = 100 * time.Millisecond
+	s, err := NewSender("127.0.0.1:0", SenderConfig{Shards: 1, Lease: lease})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stores := []storage.Backend{storage.NewMemBackend(8)}
-	sb, err := NewStandby(s.Addr(), stores, StandbyConfig{LeaseTimeout: 100 * time.Millisecond, RedialEvery: 5 * time.Millisecond})
+	sb, err := NewStandby(s.Addr(), stores, StandbyConfig{LeaseTimeout: lease})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,5 +231,200 @@ func waitAttached(t *testing.T, sb *Standby) {
 			t.Fatal("standby never attached")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestLinkTimingsFromLease pins every clock of the link to the lease, and
+// both ends to the same default lease. The dial bound is the lease: a
+// primary whose TCP connect takes longer than a fixed redial pace must
+// still attach.
+func TestLinkTimingsFromLease(t *testing.T) {
+	for _, tc := range []struct {
+		lease time.Duration
+		want  timings
+	}{
+		{750 * time.Millisecond, timings{heartbeat: 93750 * time.Microsecond, readDeadline: 187500 * time.Microsecond, redial: 46875 * time.Microsecond, dial: 750 * time.Millisecond}},
+		{150 * time.Millisecond, timings{heartbeat: 18750 * time.Microsecond, readDeadline: 37500 * time.Microsecond, redial: 9375 * time.Microsecond, dial: 150 * time.Millisecond}},
+		{8 * time.Second, timings{heartbeat: time.Second, readDeadline: 2 * time.Second, redial: 500 * time.Millisecond, dial: 8 * time.Second}},
+	} {
+		if got := linkTimings(tc.lease); got != tc.want {
+			t.Fatalf("lease %v: timings %+v, want %+v", tc.lease, got, tc.want)
+		}
+	}
+	s, err := NewSender("127.0.0.1:0", SenderConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sb, err := NewStandby(s.Addr(), []storage.Backend{storage.NewMemBackend(8)}, StandbyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Stop()
+	if s.cfg.Lease != defaultLease || sb.lease != defaultLease || sb.clock != linkTimings(defaultLease) {
+		t.Fatalf("default leases: sender %v, standby %v with %+v; want %v", s.cfg.Lease, sb.lease, sb.clock, defaultLease)
+	}
+	waitAttached(t, sb)
+}
+
+// flakyListener fails its first fails Accepts with a temporary error.
+type flakyListener struct {
+	net.Listener
+	fails   int32
+	accepts atomic.Int32
+}
+
+type tempErr struct{}
+
+func (tempErr) Error() string   { return "accept: too many open files" }
+func (tempErr) Timeout() bool   { return false }
+func (tempErr) Temporary() bool { return true }
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.accepts.Add(1) <= l.fails {
+		return nil, tempErr{}
+	}
+	return l.Listener.Accept()
+}
+
+// TestSenderSurvivesAcceptErrors: failed Accepts cost the lease link
+// nothing. Were the sender to stop accepting with its listener still open, a
+// standby's dial would complete in the kernel's backlog and wait for a hello
+// that never comes, and its lease would run out over a healthy primary.
+func TestSenderSurvivesAcceptErrors(t *testing.T) {
+	const lease = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &flakyListener{Listener: ln, fails: 3}
+	s := newSender(fl, SenderConfig{Shards: 1, Lease: lease})
+	defer s.Close()
+	sb, err := NewStandby(s.Addr(), []storage.Backend{storage.NewMemBackend(8)}, StandbyConfig{LeaseTimeout: lease})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Stop()
+	holdsFor(t, sb, 3*lease)
+	if !sb.Connected() || fl.accepts.Load() <= fl.fails {
+		t.Fatalf("standby attached %v after %d Accept calls", sb.Connected(), fl.accepts.Load())
+	}
+}
+
+// linkProxy forwards the lease link, primary to standby, through a listener
+// of its own. blackhole silences every connection open at the time without
+// closing either end — a half-open link: the route is dead, the primary
+// alive — while connections accepted later forward again.
+type linkProxy struct {
+	ln      net.Listener
+	target  string
+	accepts atomic.Int32
+
+	mu    sync.Mutex
+	conns []*proxiedConn
+}
+
+type proxiedConn struct {
+	up, down net.Conn // to the primary, to the standby
+	holed    atomic.Bool
+}
+
+func newLinkProxy(t *testing.T, target string) *linkProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &linkProxy{ln: ln, target: target}
+	go p.accept()
+	t.Cleanup(p.close)
+	return p
+}
+
+func (p *linkProxy) addr() string { return p.ln.Addr().String() }
+
+func (p *linkProxy) accept() {
+	for {
+		down, err := p.ln.Accept()
+		if err != nil {
+			return
+		}
+		up, err := net.Dial("tcp", p.target)
+		if err != nil {
+			down.Close()
+			continue
+		}
+		pc := &proxiedConn{up: up, down: down}
+		p.mu.Lock()
+		p.conns = append(p.conns, pc)
+		p.mu.Unlock()
+		p.accepts.Add(1)
+		go pc.forward()
+	}
+}
+
+// forward copies the primary's bytes to the standby until the connection is
+// blackholed, and drops them from then on.
+func (pc *proxiedConn) forward() {
+	buf := make([]byte, 256)
+	for {
+		n, err := pc.up.Read(buf)
+		if pc.holed.Load() {
+			if err != nil {
+				return
+			}
+			continue
+		}
+		if err != nil {
+			pc.down.Close()
+			return
+		}
+		if _, err := pc.down.Write(buf[:n]); err != nil {
+			pc.up.Close()
+			return
+		}
+	}
+}
+
+func (p *linkProxy) blackhole() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, pc := range p.conns {
+		pc.holed.Store(true)
+	}
+}
+
+func (p *linkProxy) close() {
+	p.ln.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, pc := range p.conns {
+		pc.up.Close()
+		pc.down.Close()
+	}
+}
+
+// TestStandbyRedialsBlackholedLink: a link that falls silent without closing
+// is given up after the read deadline and redialed, so the lease holds and
+// the standby reattaches. Without a read deadline it would wait on the dead
+// link until its lease ran out and promote over a live primary.
+func TestStandbyRedialsBlackholedLink(t *testing.T) {
+	const lease = 200 * time.Millisecond
+	s, err := NewSender("127.0.0.1:0", SenderConfig{Shards: 1, Lease: lease})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	link := newLinkProxy(t, s.Addr())
+	sb, err := NewStandby(link.addr(), []storage.Backend{storage.NewMemBackend(8)}, StandbyConfig{LeaseTimeout: lease})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Stop()
+	waitAttached(t, sb)
+	link.blackhole()
+	holdsFor(t, sb, 3*lease)
+	if n := link.accepts.Load(); n < 2 || !sb.Connected() {
+		t.Fatalf("standby attached %v over %d connections, want reattached", sb.Connected(), n)
 	}
 }

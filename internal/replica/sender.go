@@ -1,10 +1,13 @@
 package replica
 
 import (
+	"bufio"
+	"context"
 	"errors"
 	"net"
-	"sync"
 	"time"
+
+	"obladi/internal/wire"
 )
 
 // SenderConfig tunes the primary's end of the lease link.
@@ -12,9 +15,10 @@ type SenderConfig struct {
 	// Shards is the proxy's shard count, announced in the hello frame and
 	// checked by the standby (a mis-paired standby fails loudly). Required.
 	Shards int
-	// HeartbeatEvery paces the heartbeats that renew the standby's lease.
-	// Default 100ms.
-	HeartbeatEvery time.Duration
+	// Lease is the standby's lease, announced in the hello: the standby
+	// refuses a primary whose lease is not its own. The sender heartbeats
+	// every Lease/8. Default 750ms.
+	Lease time.Duration
 	// Alive, when set, is asked before every heartbeat. Once it returns false
 	// the sender stays silent, so the standby's lease runs out: a primary
 	// passes "my proxy has not fail-stopped", because a wedged proxy must not
@@ -23,17 +27,12 @@ type SenderConfig struct {
 }
 
 // Sender is the primary's end of the lease link. It writes a hello and then
-// heartbeats to the newest standby connection and never reads from the link.
+// heartbeats to every standby connection and never reads from the link.
 type Sender struct {
-	cfg  SenderConfig
-	ln   net.Listener
-	stop chan struct{}
-
-	mu   sync.Mutex
-	conn net.Conn
-
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	cfg    SenderConfig
+	srv    *wire.Server
+	ctx    context.Context // done once Close is called
+	cancel context.CancelFunc
 }
 
 // NewSender listens for a standby on addr (e.g. ":7042" or "127.0.0.1:0").
@@ -41,80 +40,55 @@ func NewSender(addr string, cfg SenderConfig) (*Sender, error) {
 	if cfg.Shards <= 0 {
 		return nil, errors.New("replica: SenderConfig.Shards required")
 	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 100 * time.Millisecond
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sender{cfg: cfg, ln: ln, stop: make(chan struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return newSender(ln, cfg), nil
+}
+
+// newSender serves the lease link on ln.
+func newSender(ln net.Listener, cfg SenderConfig) *Sender {
+	if cfg.Lease <= 0 {
+		cfg.Lease = defaultLease
+	}
+	s := &Sender{cfg: cfg}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
+	s.srv = wire.Serve(ln, s.heartbeat)
+	return s
 }
 
 // Addr returns the bound listen address.
-func (s *Sender) Addr() string { return s.ln.Addr().String() }
-
-func (s *Sender) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		// Newest attach wins: a standby that redialed after a network blip
-		// replaces its own stale connection.
-		s.mu.Lock()
-		old := s.conn
-		s.conn = c
-		s.mu.Unlock()
-		if old != nil {
-			old.Close()
-		}
-		s.wg.Add(1)
-		go s.heartbeat(c)
-	}
-}
+func (s *Sender) Addr() string { return s.srv.Addr() }
 
 // heartbeat holds one standby's lease: a hello, then a heartbeat every
-// HeartbeatEvery for as long as the primary is alive.
+// Lease/8 for as long as the primary is alive. A connection whose peer is
+// gone ends on its first failed write.
 func (s *Sender) heartbeat(c net.Conn) {
-	defer s.wg.Done()
-	defer c.Close()
-	if writeFrame(c, helloFrame(s.cfg.Shards)) != nil {
+	w := bufio.NewWriterSize(c, 64)
+	if writeHello(w, s.cfg.Shards, s.cfg.Lease) != nil {
 		return
 	}
-	t := time.NewTicker(s.cfg.HeartbeatEvery)
+	t := time.NewTicker(linkTimings(s.cfg.Lease).heartbeat)
 	defer t.Stop()
 	for {
 		if s.cfg.Alive != nil && !s.cfg.Alive() {
 			return
 		}
-		if writeFrame(c, frame{kind: frameHeartbeat}) != nil {
+		if wire.Write(w, kindHeartbeat, 0, nil, "", nil) != nil {
 			return
 		}
 		select {
-		case <-s.stop:
+		case <-s.ctx.Done():
 			return
 		case <-t.C:
 		}
 	}
 }
 
-// Close stops heartbeating and detaches the standby, whose lease then runs
+// Close stops heartbeating and detaches every standby, whose lease then runs
 // out.
 func (s *Sender) Close() error {
-	s.closeOnce.Do(func() {
-		close(s.stop)
-		s.ln.Close()
-		s.mu.Lock()
-		if s.conn != nil {
-			s.conn.Close()
-		}
-		s.mu.Unlock()
-	})
-	s.wg.Wait()
-	return nil
+	s.cancel()
+	return s.srv.Close()
 }

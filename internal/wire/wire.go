@@ -1,13 +1,14 @@
-// Package wire is the framing both of Obladi's network links share: the
-// proxy's link to its storage servers (internal/storage) and application
-// clients' link to the proxy (internal/clientproto). Every frame is
+// Package wire is the framing Obladi's three network links share: the
+// proxy's link to its storage servers (internal/storage), application
+// clients' link to the proxy (internal/clientproto) and a primary proxy's
+// lease link to its standby (internal/replica). Every frame is
 //
 //	len(u32) | kind(u8) | id(u64) | payload
 //
 // big-endian, len counting everything after itself. Each protocol gives kind
 // and id their meaning — an op or reply status and a request ID on the
-// storage link, a frame kind and session<<32 | request on the client link —
-// and sets its own frame limit. This package holds what does not depend on
+// storage link, a frame kind and session<<32 | request on the client link, a
+// hello or heartbeat on the lease link — and sets its own frame limit. This package holds what does not depend on
 // that meaning: the frame reader and writer, pooled frame buffers, a
 // pipelining client that matches replies to requests by id, and a server's
 // accept loop and connection set.
@@ -121,7 +122,7 @@ func Write(w *bufio.Writer, kind uint8, id uint64, pre []byte, s string, p []byt
 const DialTimeout = 10 * time.Second
 
 // Dial connects to addr over TCP, failing after timeout (DialTimeout when
-// timeout is not positive). Both protocols flush every frame, so Nagle's
+// timeout is not positive). Every protocol flushes every frame, so Nagle's
 // algorithm stays off: it would add delayed-ACK stalls to each small one.
 func Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if timeout <= 0 {

@@ -97,6 +97,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 0, 20, 1})
+	// The lease link's (internal/replica): a hello of version 4, 3 shards and
+	// a 750 ms lease, then a heartbeat.
+	f.Add(append(one(1, 4<<32|3, "OBRP\x00\x00\x02\xee"), one(2, 0, "")...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		var consumed []byte

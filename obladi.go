@@ -121,7 +121,9 @@ type Options struct {
 	// failover"). Requires durability: a promotion recovers from the log.
 	ReplicaListen string
 	// LeaseTimeout is the failover detector's patience: a standby promotes
-	// after this long without a heartbeat from the primary. Default 750ms.
+	// after this long without a heartbeat from the primary, which heartbeats
+	// every LeaseTimeout/8. It must match on primary and standby: the
+	// standby refuses a primary whose lease differs. Default 750ms.
 	LeaseTimeout time.Duration
 }
 
@@ -268,6 +270,7 @@ func start(opt Options, cfg core.Config, backends []storage.Backend) (*DB, error
 	if opt.ReplicaListen != "" {
 		db.sender, err = replica.NewSender(opt.ReplicaListen, replica.SenderConfig{
 			Shards: opt.Shards,
+			Lease:  opt.LeaseTimeout,
 			Alive:  func() bool { return proxy.Failed() == nil },
 		})
 		if err != nil {
@@ -284,7 +287,7 @@ func start(opt Options, cfg core.Config, backends []storage.Backend) (*DB, error
 // backends, revoking the dead (or zombie) primary's write authority, and
 // opens the DB over the fenced views — a restart, recovering from the
 // durable log. Options must match the primary's (same KeySeed, shards,
-// batching and storage addresses); KeySeed is required since recovery opens
+// LeaseTimeout, batching and storage addresses); KeySeed is required since recovery opens
 // the primary's sealed records. Every transaction the primary acknowledged
 // is visible in the returned DB: acknowledgements stand on that log.
 func OpenStandby(ctx context.Context, primaryAddr string, opt Options) (*DB, error) {
