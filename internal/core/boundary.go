@@ -315,8 +315,9 @@ func (p *Proxy) runCommit(job *boundaryJob) error {
 	return firstError(errs)
 }
 
-// flushShard is shard sh's part of a commit's first step: write back its
-// sealed buckets, then append its prepared checkpoint if it is a follower.
+// flushShard is shard sh's part of a commit's first step: seal and write
+// back its sealed epoch's buckets, then append its prepared checkpoint if it
+// is a follower.
 func (p *Proxy) flushShard(sh *shard) error {
 	job := &p.job
 	if s := job.sealed[sh.id]; s != nil {

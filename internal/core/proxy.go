@@ -16,10 +16,10 @@
 //
 // The boundary is split into a cheap synchronous seal (decide fates, execute
 // the write batch, detach each shard's buffered write-back set, snapshot the
-// checkpoint) and a commit stage (flush, durable appends, storage epoch
-// commit, client acks) that runs on a background committer, overlapping
-// epoch e's write-back and durability round trips with epoch e+1's read
-// batches. Delayed visibility makes the overlap safe: clients were only ever
+// checkpoint) and a commit stage (seal and flush the write-back, durable
+// appends, storage epoch commit, client acks) that runs on a background
+// committer, overlapping epoch e's bucket seals, write-back and durability
+// round trips with epoch e+1's read batches. Delayed visibility makes the overlap safe: clients were only ever
 // acknowledged at the boundary, so acknowledging them when the asynchronous
 // commit lands changes nothing they can observe, and reads of e+1 that land
 // on a not-yet-flushed bucket are served from the sealed buffer. At most one
@@ -522,7 +522,7 @@ const (
 	stageSyncStep                // the round's Sync
 	// Commit stages, on p.commits.
 	stagePrepare       // snapshot the checkpoint (commitSnapshot)
-	stageFlush         // flush the sealed write-back, append a follower's checkpoint
+	stageFlush         // seal and flush the sealed write-back, append a follower's checkpoint
 	stageSyncFollowers // the prepare round's Sync, shards 1..n-1
 	stageSyncAll       // the commit's Sync on a shared stream
 	stageCommitEpoch   // each store's own epoch commit

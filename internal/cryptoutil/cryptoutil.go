@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Scheme identifies a sealing construction; every frame carries it as its
@@ -110,6 +111,38 @@ func grow(b []byte, n int) []byte {
 	return nb
 }
 
+// nonceBlock is how much crypto/rand output one refill of a nonce buffer
+// draws: 341 nonces for one read of the system generator.
+const nonceBlock = 4096
+
+// nonceBuf is a block of crypto/rand output that nonces are cut from, front
+// to back, each byte used once; off is the first unused byte.
+type nonceBuf struct {
+	b   [nonceBlock]byte
+	off int
+}
+
+// nonces holds the nonce buffers. A sync.Pool keeps one per P, and Get hands
+// a buffer to one goroutine at a time, so no two seals ever cut the same
+// bytes. A buffer the collector drops takes its unused bytes with it.
+var nonces = sync.Pool{New: func() any { return &nonceBuf{off: nonceBlock} }}
+
+// readNonce fills dst with fresh random bytes from a nonce buffer, refilling
+// the buffer from crypto/rand when it runs short.
+func readNonce(dst []byte) error {
+	nb := nonces.Get().(*nonceBuf)
+	defer nonces.Put(nb)
+	if nb.off+len(dst) > nonceBlock {
+		if _, err := io.ReadFull(rand.Reader, nb.b[:]); err != nil {
+			nb.off = nonceBlock
+			return fmt.Errorf("cryptoutil: generating nonce: %w", err)
+		}
+		nb.off = 0
+	}
+	nb.off += copy(dst, nb.b[nb.off:])
+	return nil
+}
+
 // SealedSize reports the frame size for a plaintext of n bytes.
 func (k *Key) SealedSize(n int) int { return n + Overhead }
 
@@ -123,8 +156,8 @@ func (k *Key) SealTo(dst, plaintext, binding []byte) ([]byte, error) {
 	frame := dst[off:]
 	frame[0] = byte(SchemeGCM)
 	nonce := frame[1 : 1+nonceSize]
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return nil, fmt.Errorf("cryptoutil: generating nonce: %w", err)
+	if err := readNonce(nonce); err != nil {
+		return nil, err
 	}
 	k.aead.Seal(frame[:1+nonceSize], nonce, plaintext, binding)
 	return dst, nil
@@ -152,8 +185,8 @@ func (k *Key) SealInPlace(frame, binding []byte) error {
 	}
 	frame[0] = byte(SchemeGCM)
 	nonce := frame[1:PlaintextOffset]
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return fmt.Errorf("cryptoutil: generating nonce: %w", err)
+	if err := readNonce(nonce); err != nil {
+		return err
 	}
 	// cipher.AEAD permits dst and plaintext to overlap exactly.
 	k.aead.Seal(frame[:PlaintextOffset], nonce, frame[PlaintextOffset:len(frame)-TagSize], binding)
@@ -208,18 +241,4 @@ func AppendBinding(dst []byte, id, epoch, batch uint64) []byte {
 // thin allocating wrapper over AppendBinding kept for tests and cold paths.
 func Binding(id, epoch, batch uint64) []byte {
 	return AppendBinding(make([]byte, 0, BindingSize), id, epoch, batch)
-}
-
-// SealedSize reports the frame size for a plaintext of n bytes.
-func SealedSize(n int) int { return n + Overhead }
-
-// RandomBytes fills a fresh slice of length n with cryptographically random
-// bytes. Used to manufacture dummy slots that are indistinguishable from
-// sealed real slots.
-func RandomBytes(n int) ([]byte, error) {
-	b := make([]byte, n)
-	if _, err := io.ReadFull(rand.Reader, b); err != nil {
-		return nil, fmt.Errorf("cryptoutil: %w", err)
-	}
-	return b, nil
 }

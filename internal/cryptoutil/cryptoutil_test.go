@@ -2,7 +2,9 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -121,19 +123,6 @@ func TestKeyFromSeedDeterministic(t *testing.T) {
 	}
 }
 
-func TestSealedSize(t *testing.T) {
-	k := KeyFromSeed([]byte("seed"))
-	for _, n := range []int{0, 1, 15, 16, 17, 1000} {
-		sealed, err := k.Seal(make([]byte, n), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sealed) != SealedSize(n) {
-			t.Fatalf("SealedSize(%d) = %d, sealed length %d", n, SealedSize(n), len(sealed))
-		}
-	}
-}
-
 func TestQuickRoundTrip(t *testing.T) {
 	k := KeyFromSeed([]byte("quick"))
 	f := func(msg, binding []byte) bool {
@@ -152,29 +141,12 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRandomBytes(t *testing.T) {
-	a, err := RandomBytes(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RandomBytes(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 64 || len(b) != 64 {
-		t.Fatal("wrong length")
-	}
-	if bytes.Equal(a, b) {
-		t.Fatal("two RandomBytes calls returned identical data")
-	}
-}
-
 func TestSealInPlaceOpensLikeSealTo(t *testing.T) {
 	k := KeyFromSeed([]byte("in-place"))
 	binding := Binding(7, 8, 9)
 	for _, n := range []int{0, 1, 15, 16, 17, 4096} {
 		plain := bytes.Repeat([]byte{0xA5}, n)
-		frame := make([]byte, SealedSize(n))
+		frame := make([]byte, k.SealedSize(n))
 		copy(frame[PlaintextOffset:], plain)
 		if err := k.SealInPlace(frame, binding); err != nil {
 			t.Fatal(err)
@@ -211,8 +183,8 @@ func TestSealToOpenToInPlace(t *testing.T) {
 		t.Fatal("SealTo clobbered the destination prefix")
 	}
 	frame := sealed[len(prefix):]
-	if len(frame) != SealedSize(len(msg)) {
-		t.Fatalf("frame of %d bytes, want %d", len(frame), SealedSize(len(msg)))
+	if len(frame) != k.SealedSize(len(msg)) {
+		t.Fatalf("frame of %d bytes, want %d", len(frame), k.SealedSize(len(msg)))
 	}
 	plain, err := k.OpenTo(append([]byte(nil), prefix...), frame, binding)
 	if err != nil {
@@ -222,7 +194,7 @@ func TestSealToOpenToInPlace(t *testing.T) {
 		t.Fatal("OpenTo round trip mismatch")
 	}
 
-	sealBuf := make([]byte, 0, SealedSize(len(msg)))
+	sealBuf := make([]byte, 0, k.SealedSize(len(msg)))
 	openBuf := make([]byte, 0, len(msg))
 	bindBuf := make([]byte, 0, BindingSize)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -291,8 +263,8 @@ func TestCTRSealedFailsUnderGCM(t *testing.T) {
 	binding := Binding(3, 9, 1)
 	msg := []byte("bucket slot plaintext")
 	for b := 0; b < 256; b++ {
-		frame, err := RandomBytes(ivSize + len(msg) + macSize)
-		if err != nil {
+		frame := make([]byte, ivSize+len(msg)+macSize)
+		if _, err := rand.Read(frame); err != nil {
 			t.Fatal(err)
 		}
 		frame[0] = byte(b)
@@ -373,4 +345,70 @@ func FuzzOpenSealed(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNoncesDistinct draws 10^5 nonces through the seal path, across many
+// refills of the nonce buffers, and finds no nonce twice: every byte of a
+// buffer is cut into one nonce only.
+func TestNoncesDistinct(t *testing.T) {
+	const n = 100_000
+	k := KeyFromSeed([]byte("nonces"))
+	seen := make(map[[nonceSize]byte]bool, n)
+	frame := make([]byte, Overhead)
+	for i := 0; i < n; i++ {
+		if err := k.SealInPlace(frame, nil); err != nil {
+			t.Fatal(err)
+		}
+		nonce := [nonceSize]byte(frame[1:PlaintextOffset])
+		if seen[nonce] {
+			t.Fatalf("nonce %x drawn twice within %d seals", nonce, i+1)
+		}
+		seen[nonce] = true
+	}
+}
+
+// TestConcurrentSeals seals from several goroutines at once through one Key
+// (run it with -race): every frame opens, and no two frames share a nonce.
+func TestConcurrentSeals(t *testing.T) {
+	const workers, each = 8, 2000
+	k := KeyFromSeed([]byte("concurrent"))
+	binding := Binding(1, 2, 3)
+	frames := make([][][]byte, workers)
+	var wg sync.WaitGroup
+	for w := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				var f []byte
+				var err error
+				if i%2 == 0 {
+					f, err = k.Seal([]byte("concurrent seal"), binding)
+				} else {
+					f = make([]byte, k.SealedSize(15))
+					copy(f[PlaintextOffset:], "concurrent seal")
+					err = k.SealInPlace(f, binding)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				frames[w] = append(frames[w], f)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[[nonceSize]byte]bool, workers*each)
+	for _, fs := range frames {
+		for _, f := range fs {
+			if got, err := k.Open(f, binding); err != nil || string(got) != "concurrent seal" {
+				t.Fatalf("a concurrently sealed frame opens to %q, %v", got, err)
+			}
+			nonce := [nonceSize]byte(f[1:PlaintextOffset])
+			if seen[nonce] {
+				t.Fatalf("nonce %x used by two concurrent seals", nonce)
+			}
+			seen[nonce] = true
+		}
+	}
 }

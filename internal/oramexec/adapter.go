@@ -75,21 +75,19 @@ func initORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params,
 	if err := store.RollbackTo(0); err != nil {
 		return nil, err
 	}
-	sealed := make([]ringoram.BucketWrite, 0, initChunk)
+	var arena ringoram.SealArena
 	writes := make([]storage.BucketWrite, 0, initChunk)
 	for from := 0; from < n; from += initChunk {
-		sealed, writes = sealed[:0], writes[:0]
+		writes = writes[:0]
 		for b := from; b < min(from+initChunk, n); b++ {
-			w, err := o.SealFresh(b)
+			slots, err := o.SealFresh(b, &arena)
 			if err != nil {
-				recycle(sealed)
 				return nil, err
 			}
-			sealed = append(sealed, w)
-			writes = append(writes, storage.BucketWrite{Bucket: b, Epoch: 0, Slots: w.Slots})
+			writes = append(writes, storage.BucketWrite{Bucket: b, Epoch: 0, Slots: slots})
 		}
 		err := store.WriteBuckets(writes)
-		recycle(sealed) // the store copied what it keeps
+		arena.Reset() // the store copied what it keeps
 		if err != nil {
 			return nil, fmt.Errorf("oramexec: initializing buckets %d..%d: %w", from, from+len(writes)-1, err)
 		}

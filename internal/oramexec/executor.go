@@ -6,10 +6,11 @@
 // gather storage call per stage (one wire op and one round trip however many
 // slots the stage reads), completions are applied in plan order (which
 // realizes multilevel serializability: the outcome is identical to the
-// sequential execution of the same batch), and all bucket writes produced by
-// evictions and early reshuffles are buffered until the end of the epoch,
-// deduplicated per bucket, and flushed as one vectored write-back. Reads
-// that target a buffered bucket are served locally.
+// sequential execution of the same batch), and all bucket versions produced
+// by evictions and early reshuffles are buffered in plaintext until the end
+// of the epoch, deduplicated per bucket, and sealed and flushed as one
+// vectored write-back. Reads that target a buffered bucket are served
+// locally.
 //
 // Epoch buffers are double-buffered to support the proxy's pipelined epoch
 // boundary: SealEpoch detaches the finished epoch's write-back set, which a
@@ -18,29 +19,38 @@
 // superseded by the next seal), reads that target a sealed bucket keep being
 // served locally — the sealed versions may not have reached storage yet.
 //
-// A bucket's buffer is the ORAM's, lent to the executor from the seal that
-// fills it until nothing reads it any more, and never to the store, which
-// copies what it keeps. The executor recycles a buffered version a later
-// rewrite supersedes at once, a flushed epoch's buffers as soon as Flush's
-// store call returns, and a sealed set's when it is released or superseded
-// by the next seal — by then its flush has landed (the proxy seals only after
-// the previous commit) and no batch reads it. The write-back set is a
-// function of the public schedule, so the pool settles at about two epochs'
-// buffers and a steady-state epoch allocates none.
+// A buffered bucket version is a ringoram.BucketImage: plaintext, lent to the
+// executor from the eviction that fills it until nothing reads it any more.
+// Only the version that reaches storage is ever sealed, and only by the
+// flush: it seals the epoch's images into one executor-owned arena, makes its
+// one store call (the store copies what it keeps) and hands the arena to the
+// next flush. So an intermediate version a later rewrite of the same epoch
+// supersedes costs no seal, and on the pipelined boundary the sealing runs on
+// the committer, beside the next epoch's batches. The executor recycles a
+// superseded image at once, a flushed epoch's images as soon as Flush's store
+// call returns, and a sealed set's when it is superseded by the next seal —
+// by then its flush has landed (the proxy seals only after the previous
+// commit) and no batch reads it. The write-back set is a function of the
+// public schedule, so the image pool settles at about two epochs' images, the
+// arena at one epoch's slots, and a steady-state epoch allocates neither.
 //
 // Above that sits the resident set: for every bucket of levels 0..L-3 the
-// executor keeps a compact copy of the blocks of the bucket's newest version,
-// and serves every read of that bucket from it — the block's bytes for the
-// one read that carries a block, nothing for a filler, which completion never
-// inspects. A read is therefore local when its bucket is resident, buffered
-// or sealed; which reads that skips is a function of the bucket number and of
-// the epoch's evictions, never of the workload. Because a resident bucket is
-// never read slot by slot, storage gets only what can ever be read back: its
-// Z real positions, in position order, and none of its S dummies. The set is
-// recovered state, not a cache: an executor built over restored metadata
-// calls LoadResident, one vectored read of those Z slots of every resident
-// bucket, before it plans or replays anything. Write-through mode keeps no
-// resident set and writes whole buckets.
+// executor keeps a compact plaintext copy of the blocks of the bucket's
+// newest version, and serves every read of that bucket from it — the block
+// for the one read that carries a block, nothing for a filler, which
+// completion never inspects. A read is therefore local when its bucket is
+// resident, buffered or sealed; which reads that skips is a function of the
+// bucket number and of the epoch's evictions, never of the workload. A local
+// read is handed to completion as plaintext, marked Local, and the version it
+// came from must be the version the read was planned against: that check
+// stands where the slot's (bucket, version) binding would for a read from
+// storage. Because a resident bucket is never read slot by slot, storage gets
+// only what can ever be read back: its Z real positions, in position order,
+// and none of its S dummies. The set is recovered state, not a cache: an
+// executor built over restored metadata calls LoadResident, one vectored read
+// of those Z slots of every resident bucket, authenticated as they load,
+// before it plans or replays anything. Write-through mode keeps no resident
+// set, seals each eviction's images at once and writes whole buckets.
 package oramexec
 
 import (
@@ -88,9 +98,12 @@ type Executor struct {
 	// two SealedEpochs, and the write-back maps pass from sealed set to
 	// buffer, so a steady boundary allocates neither.
 	spare *SealedEpoch
-	// flushBuf is flushBuckets' write vector, reused across flushes: a flush
-	// runs on one goroutine at a time, and stores keep nothing of the vector.
+	// flushBuf is flushBuckets' write vector and arena the memory its seals
+	// carve the slots from, both reused across flushes: a flush runs on one
+	// goroutine at a time, and stores keep nothing of the vector or the slots.
+	// Write-through evictions, which buffer nothing, use them too.
 	flushBuf []storage.BucketWrite
+	arena    ringoram.SealArena
 	// resident holds the upper levels' buckets, indexed by heap number (see
 	// residentBuckets for the level rule); empty in write-through mode.
 	// Touched only by planning and execution, never by a background flush.
@@ -100,7 +113,7 @@ type Executor struct {
 	// while the levels' total barely moves: per-bucket buffers would each grow
 	// to their own peak, about twice the memory.
 	freeFrames [][]byte
-	frameSize  int // 2-byte slot number + one physical slot
+	frameSize  int // 2-byte slot number + one slot's plaintext
 
 	// refsBuf and destsBuf are issueVector's scatter-gather scratch, reused
 	// across batches. Planning and execution are serialized per executor, so
@@ -124,25 +137,27 @@ type scatter struct {
 	i int
 }
 
-// bufferedBucket is one buffered bucket rewrite, holding the ringoram write
-// so its pooled arena can be recycled once nothing reads it: when a later
+// bufferedBucket is one buffered bucket rewrite, holding the ringoram image
+// so its pooled buffer can be recycled once nothing reads it: when a later
 // rewrite of the same bucket supersedes it, or after its epoch's flush (see
 // the package doc). The epoch buffers hold it by value — a rewrite of a
 // bucket the epoch already rewrote reuses the map's slot — and a bucket an
 // eviction has claimed but not yet completed is the zero value.
 type bufferedBucket struct {
-	w ringoram.BucketWrite
+	w ringoram.BucketImage
 }
 
-// filled reports whether the rewrite's completion has run.
-func (b bufferedBucket) filled() bool { return b.w.Slots != nil }
+// filled reports whether the rewrite's completion has run (versions start
+// at 1).
+func (b bufferedBucket) filled() bool { return b.w.Ver != 0 }
 
-// residentBucket is the executor's copy of one upper-level bucket: the blocks
-// of its newest version, one frame each of a 2-byte physical slot number and
-// the slot's bytes, copied out of the write's arena or the load's reply (never
-// aliased: arenas are recycled, replies are the store's). A bucket of a fresh
-// tree holds no blocks and has no frames.
+// residentBucket is the executor's copy of one upper-level bucket: the
+// version it holds and that version's blocks, one frame each of a 2-byte
+// physical slot number and the slot's plaintext, copied out of the image or
+// the load's opened reply (never aliased: images are recycled, replies are
+// the store's). A bucket of a fresh tree holds no blocks and has no frames.
 type residentBucket struct {
+	ver    uint64
 	frames [][]byte
 }
 
@@ -220,13 +235,12 @@ func (c *statCounters) snapshot() Stats {
 }
 
 // task is one planned unit with its physical reads. Tasks belong to their
-// plan and are reset, keeping their local/data backing arrays, for the plan's
-// next batch.
+// plan and are reset, keeping their data backing array, for the plan's next
+// batch.
 type task struct {
 	access *ringoram.AccessPlan
 	evict  *ringoram.EvictPlan // eviction or reshuffle
-	reads  []ringoram.SlotRead
-	local  []bool // read i served from the buffer
+	reads  []ringoram.SlotRead // the plan's reads; markLocality marks the local ones
 	data   [][]byte
 	opIdx  int // index into the batch's results (-1 for maintenance)
 	// logKind is the durability-log entry this task stands for (0: none — a
@@ -236,14 +250,13 @@ type task struct {
 	bumps   int
 }
 
-// reset clears a finished task for its plan's next batch. The backing arrays
-// of local and data ride along for reuse.
+// reset clears a finished task for its plan's next batch. The backing array
+// of data rides along for reuse.
 func (t *task) reset() {
 	clear(t.data) // drop slot references so kept tasks don't pin arenas
 	t.access = nil
 	t.evict = nil
 	t.reads = nil
-	t.local = t.local[:0]
 	t.data = t.data[:0]
 	t.opIdx = 0
 	t.logKind, t.bumps = 0, 0
@@ -339,13 +352,17 @@ func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
 		store:     store,
 		cfg:       cfg,
 		buffered:  make(map[int]bufferedBucket),
-		frameSize: 2 + oram.SlotSize(),
+		frameSize: 2 + oram.PlainSlotSize(),
 		shape:     newLogShape(oram.Params(), oram.Geometry()),
 	}
 	e.readPlan.shape, e.writePlan.shape = e.shape, e.shape
 	if !cfg.WriteThrough {
 		e.resident = make([]residentBucket, residentBuckets(oram.Geometry()))
 		oram.SealRealOnly(len(e.resident))
+		var slots []int
+		for b := range e.resident {
+			slots, e.resident[b].ver = oram.BlockSlots(b, slots[:0])
+		}
 	}
 	return e
 }
@@ -472,33 +489,27 @@ func (e *Executor) planDueEvictions(plan *BatchPlan) error {
 }
 
 // markLocality decides, per slot read, whether it will be served from the
-// proxy: its bucket is resident, buffered or sealed. The decision is made at
-// plan time: a resident bucket is always served locally (storage holds no
+// proxy — its bucket is resident, buffered or sealed — and marks the read
+// Local, which is how completion knows to decode it as plaintext. The
+// decision is made at plan time: a resident bucket is always served locally (storage holds no
 // physical slot layout of it) and holds the version the read was planned
 // against until a later-planned rewrite completes, which is after this task;
 // a bucket claimed by an earlier-planned eviction is buffered by the time this
 // task completes; and a bucket in the sealed (previous-epoch) set holds a
 // version that may not have reached storage yet, so it MUST be served locally.
 func (e *Executor) markLocality(t *task) {
-	if cap(t.local) < len(t.reads) {
-		t.local = make([]bool, len(t.reads))
-	} else {
-		t.local = t.local[:len(t.reads)]
-		clear(t.local)
-	}
-	for i, r := range t.reads {
+	for i := range t.reads {
+		r := &t.reads[i]
 		if r.Bucket < len(e.resident) {
-			t.local[i] = true
+			r.Local = true
 			continue
 		}
 		if _, ok := e.buffered[r.Bucket]; ok {
-			t.local[i] = true
+			r.Local = true
 			continue
 		}
 		if e.sealed != nil {
-			if _, ok := e.sealed.buckets[r.Bucket]; ok {
-				t.local[i] = true
-			}
+			_, r.Local = e.sealed.buckets[r.Bucket]
 		}
 	}
 }
@@ -589,7 +600,7 @@ func (e *Executor) issueVector(tasks []*task) error {
 	for _, t := range tasks {
 		t.ensureData()
 		for i, r := range t.reads {
-			if t.local[i] {
+			if r.Local {
 				locals++
 				continue
 			}
@@ -642,13 +653,16 @@ func (e *Executor) readErr(err error) error {
 // completeTask fills the task's local reads from the proxy's copies and
 // applies the completion.
 func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
-	for i := range t.reads {
-		if !t.local[i] {
+	for i, r := range t.reads {
+		if !r.Local {
 			continue
 		}
-		d, err := e.localSlot(t.reads[i])
+		d, ver, err := e.localSlot(r)
 		if err != nil {
 			return err
+		}
+		if ver != r.Ver {
+			return fmt.Errorf("oramexec: bucket %d slot %d served locally from version %d, the read was planned against version %d", r.Bucket, r.Slot, ver, r.Ver)
 		}
 		t.data[i] = d
 	}
@@ -663,54 +677,77 @@ func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
 			plan.results[t.opIdx].Found = found
 		}
 	case t.evict != nil:
-		writes, err := e.oram.CompleteEvict(t.evict, t.data)
+		images, err := e.oram.CompleteEvict(t.evict, t.data)
 		if err != nil {
 			return err
 		}
-		e.stats.writesBuffered.Add(int64(len(writes)))
-		switch {
-		case !e.cfg.WriteThrough:
-			for _, w := range writes {
-				// A superseded version never reaches storage: its arena goes
-				// back to the pool. Completions apply in plan order, so any
-				// read planned against the old version already resolved.
-				if old, ok := e.buffered[w.Bucket]; ok {
-					old.w.Recycle()
-				}
-				e.keepResident(w)
-				w.Real = nil // the plan's scratch; the buffer outlives it
-				e.buffered[w.Bucket] = bufferedBucket{w: w}
+		e.stats.writesBuffered.Add(int64(len(images)))
+		if e.cfg.WriteThrough {
+			// Write-through: the eviction's whole write set, sealed now, in
+			// one call, preserving the barrier (writes land before the next
+			// stage's reads are issued).
+			return e.writeThrough(images)
+		}
+		for _, im := range images {
+			// A superseded version never reaches storage and was never
+			// sealed: its image goes back to the pool. Completions apply in
+			// plan order, so any read planned against the old version
+			// already resolved.
+			if old, ok := e.buffered[im.Bucket]; ok {
+				old.w.Recycle()
 			}
-		case len(writes) > 0:
-			// Write-through: the eviction's whole write set in one call,
-			// preserving the barrier (writes land before the next stage's
-			// reads are issued). The store copied them: recycle.
-			vec := make([]storage.BucketWrite, len(writes))
-			for i, w := range writes {
-				vec[i] = storage.BucketWrite{Bucket: w.Bucket, Epoch: e.epoch, Slots: w.Slots}
-			}
-			if err := e.store.WriteBuckets(vec); err != nil {
-				return fmt.Errorf("oramexec: write-through eviction: %w", err)
-			}
-			recycle(writes)
-			e.stats.bucketWrites.Add(int64(len(vec)))
-			e.stats.writeCalls.Add(1)
+			e.keepResident(im)
+			e.buffered[im.Bucket] = bufferedBucket{w: im}
 		}
 	}
 	return nil
 }
 
+// writeThrough seals an eviction's images and writes them in one call, then
+// recycles them: the store copied what it keeps.
+func (e *Executor) writeThrough(images []ringoram.BucketImage) error {
+	defer recycle(images)
+	if len(images) == 0 {
+		return nil
+	}
+	vec := e.flushBuf[:0]
+	for _, im := range images {
+		slots, err := e.oram.SealImage(im, &e.arena)
+		if err != nil {
+			e.releaseFlush(vec)
+			return err
+		}
+		vec = append(vec, storage.BucketWrite{Bucket: im.Bucket, Epoch: e.epoch, Slots: slots})
+	}
+	err := e.store.WriteBuckets(vec)
+	e.releaseFlush(vec)
+	if err != nil {
+		return fmt.Errorf("oramexec: write-through eviction: %w", err)
+	}
+	e.stats.bucketWrites.Add(int64(len(vec)))
+	e.stats.writeCalls.Add(1)
+	return nil
+}
+
+// releaseFlush hands the flush vector and the arena its slots were sealed
+// into back for the next flush, once the store call that took them returned.
+func (e *Executor) releaseFlush(vec []storage.BucketWrite) {
+	clear(vec)
+	e.flushBuf = vec[:0]
+	e.arena.Reset()
+}
+
 // keepResident replaces an upper-level bucket's resident copy with the blocks
-// of w, the version just buffered; w holds the bucket's real positions only,
-// the block of physical slot w.Real[i] at w.Slots[i].
-func (e *Executor) keepResident(w ringoram.BucketWrite) {
-	if w.Bucket >= len(e.resident) {
+// of im, the version just buffered.
+func (e *Executor) keepResident(im ringoram.BucketImage) {
+	if im.Bucket >= len(e.resident) {
 		return
 	}
-	rb := &e.resident[w.Bucket]
+	rb := &e.resident[im.Bucket]
 	e.releaseFrames(rb)
-	for i, s := range w.Real {
-		e.addFrame(rb, s, w.Slots[i])
+	rb.ver = im.Ver
+	for i, s := range im.Real() {
+		e.addFrame(rb, s, im.Blocks[i])
 	}
 }
 
@@ -743,8 +780,9 @@ func (e *Executor) releaseFrames(rb *residentBucket) {
 // over restored metadata, after the store's rollback and before any planning
 // or replay. It is one vectored read of slots 0..Z-1 of every resident bucket,
 // in bucket order — a function of the geometry alone — of which it keeps the
-// positions the metadata says still hold a block. The bytes are not opened
-// here: each is bound to its bucket's version and checked when a read uses it.
+// positions the metadata says still hold a block, each opened under its
+// bucket's (bucket, version) binding as it loads: a slot that fails to
+// authenticate fails the load.
 func (e *Executor) LoadResident() error {
 	if len(e.resident) == 0 {
 		return nil
@@ -761,53 +799,57 @@ func (e *Executor) LoadResident() error {
 		return fmt.Errorf("oramexec: loading the resident levels: %w", err)
 	}
 	var slots []int
+	plain := make([]byte, 0, e.oram.PlainSlotSize())
 	for b := range e.resident {
 		rb := &e.resident[b]
 		e.releaseFrames(rb)
-		slots = e.oram.BlockSlots(b, slots[:0])
+		slots, rb.ver = e.oram.BlockSlots(b, slots[:0])
 		for r, s := range slots {
-			if s >= 0 {
-				e.addFrame(rb, s, data[b*z+r])
+			if s < 0 {
+				continue
 			}
+			block, err := e.oram.OpenSlot(plain, data[b*z+r], b, rb.ver)
+			if err != nil {
+				return fmt.Errorf("oramexec: loading the resident levels: %w", err)
+			}
+			e.addFrame(rb, s, block)
 		}
 	}
 	return nil
 }
 
-// localSlot serves a read planned local. A resident bucket's copy answers for
-// it in every state — buffered, sealed or neither — with the slot's bytes when
-// the slot holds a block and nil for a filler; completions apply in plan
-// order, so the copy is of the version the read was planned against. Of the
-// other buckets the current epoch's buffer supersedes the sealed one: a read
-// planned after a rewrite completes after it, and one that still sees a nil
-// (claimed, unfilled) current-epoch entry was planned before the claim and is
-// served from the sealed version.
-func (e *Executor) localSlot(r ringoram.SlotRead) ([]byte, error) {
+// localSlot serves a read planned local: the plaintext of the block at the
+// read's slot, nil for a filler, and the version it came from. A resident
+// bucket's copy answers for it in every state — buffered, sealed or neither;
+// completions apply in plan order, so the copy is of the version the read was
+// planned against. Of the other buckets the current epoch's buffer supersedes
+// the sealed one: a read planned after a rewrite completes after it, and one
+// that still sees a nil (claimed, unfilled) current-epoch entry was planned
+// before the claim and is served from the sealed version.
+func (e *Executor) localSlot(r ringoram.SlotRead) ([]byte, uint64, error) {
 	if r.Bucket < len(e.resident) {
-		for _, f := range e.resident[r.Bucket].frames {
+		rb := &e.resident[r.Bucket]
+		for _, f := range rb.frames {
 			if int(binary.BigEndian.Uint16(f)) == r.Slot {
-				return f[2:], nil
+				return f[2:], rb.ver, nil
 			}
 		}
-		return nil, nil
+		return nil, rb.ver, nil
 	}
 	b := e.buffered[r.Bucket]
 	if !b.filled() && e.sealed != nil {
 		b = e.sealed.buckets[r.Bucket]
 	}
 	if !b.filled() {
-		return nil, fmt.Errorf("oramexec: bucket %d planned local but neither buffered nor sealed at completion", r.Bucket)
+		return nil, 0, fmt.Errorf("oramexec: bucket %d planned local but neither buffered nor sealed at completion", r.Bucket)
 	}
-	if r.Slot < 0 || r.Slot >= len(b.w.Slots) {
-		return nil, fmt.Errorf("oramexec: buffered bucket %d has no slot %d", r.Bucket, r.Slot)
-	}
-	return b.w.Slots[r.Slot], nil
+	return b.w.Block(r.Slot), b.w.Ver, nil
 }
 
-// Flush writes every buffered bucket to storage in one call and clears the
-// buffer, recycling the buffers the store has copied. This is the epoch's
-// deterministic write-back set: intermediate bucket versions were already
-// superseded in the buffer (write dedup).
+// Flush seals every buffered bucket, writes them to storage in one call and
+// clears the buffer, recycling the images. This is the epoch's deterministic
+// write-back set: intermediate bucket versions were already superseded in the
+// buffer (write dedup), unsealed.
 func (e *Executor) Flush() (int, error) {
 	n, err := e.flushBuckets(e.epoch, e.buffered)
 	if err != nil {
@@ -818,17 +860,17 @@ func (e *Executor) Flush() (int, error) {
 	return n, nil
 }
 
-// recycleAll returns every buffer of an epoch buffer nothing reads any more.
+// recycleAll returns every image of an epoch buffer nothing reads any more.
 func recycleAll(buckets map[int]bufferedBucket) {
 	for _, b := range buckets {
 		b.w.Recycle()
 	}
 }
 
-// recycle returns every write's arena to its ORAM's pool.
-func recycle(ws []ringoram.BucketWrite) {
-	for i := range ws {
-		ws[i].Recycle()
+// recycle returns every image's buffer to its ORAM's pool.
+func recycle(images []ringoram.BucketImage) {
+	for i := range images {
+		images[i].Recycle()
 	}
 }
 
@@ -872,12 +914,13 @@ func (e *Executor) retireSealed() map[int]bufferedBucket {
 	return m
 }
 
-// FlushSealed writes a sealed epoch's buckets to storage in one call. It
-// only reads the immutable sealed set, so it is safe to run from a
-// background committer while the executor plans and executes the next
-// epoch's batches. The sealed set stays locally servable afterwards (the
+// FlushSealed seals a sealed epoch's buckets and writes them to storage in
+// one call. It only reads the immutable sealed set (SealImage reads nothing
+// the ORAM's lock guards), so it is safe to run from a background committer
+// while the executor plans and executes the next epoch's batches: the epoch's
+// seals run there. The sealed set stays locally servable afterwards (the
 // flushed versions are identical); the next SealEpoch retires it and
-// recycles its buffers.
+// recycles its images.
 func (e *Executor) FlushSealed(s *SealedEpoch) (int, error) {
 	return e.flushBuckets(s.epoch, s.buckets)
 }
@@ -891,20 +934,27 @@ func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (i
 		if !buf.filled() {
 			return 0, fmt.Errorf("oramexec: bucket %d claimed but never filled (incomplete epoch)", b)
 		}
-		writes = append(writes, storage.BucketWrite{Bucket: b, Epoch: epoch, Slots: buf.w.Slots})
+		writes = append(writes, storage.BucketWrite{Bucket: b, Epoch: epoch})
 	}
 	// Canonical bucket order: the write-back SET is already deterministic
 	// (dedup per bucket), and sorting removes map-iteration order from the
 	// adversary-visible sequence so every flush of the same set looks the
 	// same on the wire.
 	slices.SortFunc(writes, func(a, b storage.BucketWrite) int { return a.Bucket - b.Bucket })
-	// The sealed epoch's entire write-back set crosses the storage boundary
-	// in one scatter-gather call.
+	for i := range writes {
+		slots, err := e.oram.SealImage(buckets[writes[i].Bucket].w, &e.arena)
+		if err != nil {
+			e.releaseFlush(writes)
+			return 0, err
+		}
+		writes[i].Slots = slots
+	}
+	// The epoch's entire write-back set crosses the storage boundary in one
+	// scatter-gather call.
 	e.stats.writeCalls.Add(1)
 	err := e.store.WriteBuckets(writes)
-	// The vector keeps no slots past the call: their arenas recycle.
-	clear(writes)
-	e.flushBuf = writes[:0]
+	// The store keeps nothing of the vector or its slots past the call.
+	e.releaseFlush(writes)
 	if err != nil {
 		return 0, fmt.Errorf("oramexec: flushing epoch %d: %w", epoch, err)
 	}

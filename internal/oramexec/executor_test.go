@@ -464,10 +464,10 @@ func testSkipSetIsPublic(t *testing.T) {
 				}
 				for i, r := range tk.reads {
 					public := r.Bucket < nRes || claimed[r.Bucket] || prevFlush[r.Bucket]
-					if tk.local[i] != public {
-						t.Fatalf("%s: read of bucket %d (level %d) planned local=%v, the public sets say %v", workload, r.Bucket, level(r.Bucket), tk.local[i], public)
+					if tk.reads[i].Local != public {
+						t.Fatalf("%s: read of bucket %d (level %d) planned local=%v, the public sets say %v", workload, r.Bucket, level(r.Bucket), tk.reads[i].Local, public)
 					}
-					if tk.local[i] {
+					if tk.reads[i].Local {
 						continue
 					}
 					remote++

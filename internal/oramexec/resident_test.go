@@ -160,7 +160,8 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 		cold.exec.BeginEpoch(cold.epoch)
 		for b := 0; b < nRes; b++ {
 			held := 0
-			for _, s := range cold.oram.BlockSlots(b, nil) {
+			slots, _ := cold.oram.BlockSlots(b, nil)
+			for _, s := range slots {
 				if s < 0 {
 					continue
 				}
@@ -183,12 +184,11 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 	cold.checkInvariant(t)
 }
 
-// TestResidentCopiesNeverAliasArenas: a resident frame holds the bytes of the
-// buffered version's slot in memory of its own. Arenas are recycled when a
+// TestResidentCopiesNeverAliasArenas: a resident frame holds the plaintext of
+// the buffered image's block in memory of its own. Images are recycled when a
 // later eviction of the same epoch supersedes the version (the root's, every
-// eviction) and pass to the store at the flush; a frame that pointed into one
-// would change under the reads it serves. The buffered version of a resident
-// bucket is its Z real positions, the blocks first.
+// eviction) and after the flush; a frame that pointed into one would change
+// under the reads it serves.
 func TestResidentCopiesNeverAliasArenas(t *testing.T) {
 	p := residentParams(32)
 	h := newHarness(t, p, Config{})
@@ -202,16 +202,16 @@ func TestResidentCopiesNeverAliasArenas(t *testing.T) {
 			if !buf.filled() {
 				continue
 			}
-			if len(buf.w.Slots) != p.Z || len(rb.frames) > p.Z {
-				t.Fatalf("bucket %d: %d slots buffered and %d frames, want Z = %d slots and no more frames", b, len(buf.w.Slots), len(rb.frames), p.Z)
+			if len(rb.frames) != len(buf.w.Blocks) || rb.ver != buf.w.Ver {
+				t.Fatalf("bucket %d: %d frames of version %d, the buffered image holds %d blocks of version %d", b, len(rb.frames), rb.ver, len(buf.w.Blocks), buf.w.Ver)
 			}
 			for i, f := range rb.frames {
-				slot := buf.w.Slots[i]
-				if !bytes.Equal(f[2:], slot) {
-					t.Fatalf("bucket %d: resident frame differs from the buffered slot", b)
+				block := buf.w.Blocks[i]
+				if int(binary.BigEndian.Uint16(f)) != buf.w.Real()[i] || !bytes.Equal(f[2:], block) {
+					t.Fatalf("bucket %d: resident frame differs from the buffered block", b)
 				}
-				if &f[2] == &slot[0] {
-					t.Fatalf("bucket %d: resident frame aliases the buffered arena", b)
+				if &f[2] == &block[0] {
+					t.Fatalf("bucket %d: resident frame aliases the buffered image", b)
 				}
 				checked++
 			}
@@ -241,7 +241,7 @@ func TestResidentBudget(t *testing.T) {
 		}
 		e = New(oram, backend, Config{})
 		rng := rand.New(rand.NewPCG(23, 29))
-		limit := int64(p.Z * (2 + oram.SlotSize()) * residentBuckets(p.Geometry()))
+		limit := int64(p.Z * (2 + oram.PlainSlotSize()) * residentBuckets(p.Geometry()))
 		epoch := uint64(0)
 		one := func() {
 			epoch++

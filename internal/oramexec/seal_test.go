@@ -1,0 +1,292 @@
+package oramexec
+
+import (
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand/v2"
+	"slices"
+	"strings"
+	"testing"
+
+	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram"
+	"obladi/internal/storage"
+)
+
+// slotCounter counts the slots a store is written.
+type slotCounter struct {
+	storage.BucketStore
+	slots int64
+}
+
+func (s *slotCounter) WriteBuckets(writes []storage.BucketWrite) error {
+	for _, w := range writes {
+		s.slots += int64(len(w.Slots))
+	}
+	return s.BucketStore.WriteBuckets(writes)
+}
+
+// TestSealsEqualFlushedSlots counts seals: every slot sealed in an epoch is a
+// slot the epoch's flush writes. A bucket version a later eviction of the
+// same epoch supersedes stays a plaintext image and is never sealed. The
+// geometry and schedule are the kv-mem benchmark's — Z = 16, S = 24, A = 16,
+// 256-byte values, 16 384 keys on one shard, four read batches of 32 and a
+// write batch of 64 per epoch — preloaded the way its setup is, 64 keys an
+// epoch under padding reads, then run through steady-state epochs of uniform
+// reads and blind writes, where an epoch makes 132.2 bucket versions and
+// flushes 99 of them (2 448.5 slots).
+func TestSealsEqualFlushedSlots(t *testing.T) {
+	const (
+		keys, readBatches, readBatch, writeBatch = 16384, 4, 32, 64
+		steady                                   = 32
+	)
+	if testing.Short() {
+		t.Skip("preloads 16 384 keys")
+	}
+	p := ringoram.Params{NumBlocks: keys, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 256, Seed: 2}
+	backend := storage.NewMemBackend(p.Geometry().NumBuckets)
+	defer backend.Close()
+	store := &slotCounter{BucketStore: backend}
+	oram, err := InitORAM(store, cryptoutil.KeyFromSeed([]byte("seals")), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(oram, store, Config{})
+	names := make([]string, keys)
+	for i := range names {
+		names[i] = fmt.Sprintf("key%08d", i)
+	}
+	value := make([]byte, p.ValueSize)
+	rng := rand.New(rand.NewPCG(1, 2))
+	reads, writes := make([]ReadOp, readBatch), make([]WriteOp, writeBatch)
+	var sealed, versions, written int64
+	epoch := uint64(0)
+	run := func(preload int) {
+		epoch++
+		e.BeginEpoch(epoch)
+		seals0, slots0, st0 := oram.SealedSlots(), store.slots, e.Stats()
+		for b := 0; b < readBatches; b++ {
+			clear(reads)
+			if preload < 0 {
+				for i, k := range rng.Perm(keys)[:readBatch] {
+					reads[i].Key = names[k]
+				}
+			}
+			plan, err := e.PlanReadBatch(reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Execute(plan); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clear(writes)
+		for i := range writes {
+			k := rng.IntN(keys)
+			if preload >= 0 {
+				if k = preload + i; k >= keys {
+					break
+				}
+			}
+			writes[i] = WriteOp{Key: names[k], Value: value}
+		}
+		plan, err := e.PlanWriteBatch(writes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Execute(plan); err != nil {
+			t.Fatal(err)
+		}
+		if got := oram.SealedSlots() - seals0; got != 0 {
+			t.Fatalf("epoch %d: %d slots sealed before the flush", epoch, got)
+		}
+		s, err := e.SealEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.FlushSealed(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.CommitEpoch(epoch); err != nil {
+			t.Fatal(err)
+		}
+		seals, slots := oram.SealedSlots()-seals0, store.slots-slots0
+		if seals != slots {
+			t.Fatalf("epoch %d: %d slots sealed, %d flushed", epoch, seals, slots)
+		}
+		if preload < 0 {
+			st := e.Stats()
+			sealed += seals
+			versions += st.WritesBuffered - st0.WritesBuffered
+			written += st.BucketWrites - st0.BucketWrites
+		}
+	}
+	for next := 0; next < keys; next += writeBatch {
+		run(next)
+	}
+	for i := 0; i < steady; i++ {
+		run(-1)
+	}
+	if versions <= written {
+		t.Fatalf("%d bucket versions made and %d flushed: no version was superseded within an epoch", versions, written)
+	}
+	t.Logf("steady state, per epoch: %.1f slots sealed and flushed; %.1f bucket versions made, %.1f of them flushed",
+		float64(sealed)/steady, float64(versions)/steady, float64(written)/steady)
+}
+
+// plainStore answers every remote read of a slot it has a plaintext copy of
+// with that copy: a well-formed slot, holding the block the read wants, that
+// decodes cleanly as plaintext and was never sealed.
+type plainStore struct {
+	storage.BucketStore
+	plain    map[int]map[int][]byte // bucket -> physical slot -> plaintext
+	answered int
+}
+
+func (s *plainStore) ReadSlots(refs []storage.SlotRef) ([][]byte, error) {
+	data, err := s.BucketStore.ReadSlots(refs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(data))
+	for i, r := range refs {
+		out[i] = data[i]
+		if p := s.plain[r.Bucket][r.Slot]; p != nil {
+			out[i] = p
+			s.answered++
+		}
+	}
+	return out, nil
+}
+
+// keepPlain records, for every bucket the executor is about to flush, the
+// plaintext of the blocks of the version that reaches storage.
+func (s *plainStore) keepPlain(e *Executor) {
+	for b, buf := range e.buffered {
+		if b < len(e.resident) {
+			continue
+		}
+		kept := make(map[int][]byte, len(buf.w.Blocks))
+		for i, slot := range buf.w.Real() {
+			kept[slot] = append([]byte(nil), buf.w.Blocks[i]...)
+		}
+		s.plain[b] = kept
+	}
+}
+
+// TestRemotePlaintextSlotRefused: a read from storage is opened under its
+// (bucket, version) binding, never decoded as plaintext, so a store that
+// answers it with the block's plaintext slot — the bytes a local read of the
+// same version is served — is refused with ErrCorrupt. A twin executor over
+// an honest store runs the same operations and reads every value back.
+func TestRemotePlaintextSlotRefused(t *testing.T) {
+	p := testParams(64, 21)
+	honest, lied := newHarness(t, p, Config{}), newHarness(t, p, Config{})
+	liar := &plainStore{BucketStore: lied.rec, plain: map[int]map[int][]byte{}}
+	lied.exec.store = liar
+	// execute runs a batch over the lying store and reports whether it was
+	// refused; a batch that fails must have been served a plaintext slot, and
+	// must fail with ErrCorrupt.
+	e := 0
+	execute := func(plan *BatchPlan, err error) ([]ReadResult, bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := liar.answered
+		res, err := lied.exec.Execute(plan)
+		switch {
+		case err == nil:
+			return res, false
+		case liar.answered == before:
+			t.Fatalf("epoch %d: a batch failed with no plaintext slot served: %v", e, err)
+		case !errors.Is(err, ringoram.ErrCorrupt):
+			t.Fatalf("epoch %d: a remote read answered with a plaintext slot failed with %v, want ErrCorrupt", e, err)
+		}
+		t.Logf("epoch %d, %d plaintext slots served: %v", e, liar.answered, err)
+		return nil, true
+	}
+	rng := rand.New(rand.NewPCG(7, 8))
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	for ; e < 40; e++ {
+		ops := make([]ReadOp, 4)
+		keys := make([]string, len(ops))
+		for i, k := range rng.Perm(32)[:len(ops)] {
+			keys[i] = key(k)
+			ops[i].Key = keys[i]
+		}
+		want := honest.runReads(t, keys...)
+		got, refused := execute(lied.exec.PlanReadBatch(ops))
+		if refused {
+			return
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("epoch %d: read %v, the honest twin read %v", e, got, want)
+		}
+		w := map[string]string{}
+		for i := 0; i < 3; i++ {
+			w[key(rng.IntN(32))] = fmt.Sprintf("v%d-%d", e, i)
+		}
+		honest.runWrites(t, w, 1)
+		var wops []WriteOp // as runWrites plans them: sorted, one padding slot
+		for _, k := range slices.Sorted(maps.Keys(w)) {
+			wops = append(wops, WriteOp{Key: k, Value: []byte(w[k])})
+		}
+		wops = append(wops, WriteOp{})
+		if _, refused := execute(lied.exec.PlanWriteBatch(wops)); refused {
+			return
+		}
+		liar.keepPlain(lied.exec)
+		honest.endEpoch(t)
+		lied.endEpoch(t)
+	}
+	t.Fatalf("%d plaintext slots served from storage in 40 epochs and no batch refused: either no block was read from storage, or plaintext from storage was accepted", liar.answered)
+}
+
+// TestLocalReadVersionChecked: a read served from the proxy's own plaintext
+// copy must come from the version it was planned against, which is the check
+// a read from storage gets from the slot's binding. A resident copy or a
+// sealed image whose version differs is refused.
+func TestLocalReadVersionChecked(t *testing.T) {
+	setup := func(t *testing.T) *harness {
+		h := newHarness(t, testParams(64, 22), Config{})
+		h.runWrites(t, map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"}, 8)
+		h.endEpoch(t)
+		if len(h.exec.resident) == 0 || len(h.exec.sealed.buckets) == 0 {
+			t.Fatalf("%d resident buckets, %d sealed: nothing is served locally", len(h.exec.resident), len(h.exec.sealed.buckets))
+		}
+		return h
+	}
+	refused := func(t *testing.T, h *harness, what string, keys ...string) {
+		t.Helper()
+		ops := make([]ReadOp, 4)
+		for i, k := range keys {
+			ops[i].Key = k
+		}
+		plan, err := h.exec.PlanReadBatch(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.exec.Execute(plan); err == nil || !strings.Contains(err.Error(), "planned against version") {
+			t.Fatalf("a read served from a %s of another version: %v", what, err)
+		}
+	}
+	t.Run("resident", func(t *testing.T) {
+		h := setup(t)
+		// The root is resident, and every path read goes through it.
+		h.exec.resident[0].ver++
+		refused(t, h, "resident copy")
+	})
+	t.Run("sealed image", func(t *testing.T) {
+		h := setup(t)
+		for b, buf := range h.exec.sealed.buckets {
+			buf.w.Ver--
+			h.exec.sealed.buckets[b] = buf
+		}
+		// The epoch's evictions moved the keys from the stash into buckets
+		// of their paths, below the resident levels, which the sealed set
+		// serves.
+		refused(t, h, "sealed image", "a", "b", "c", "d")
+	})
+}

@@ -101,7 +101,7 @@ func TestExecutorVectorTraceMatchesPlan(t *testing.T) {
 		var want []storage.Event
 		for _, tk := range plan.tasks {
 			for i, r := range tk.reads {
-				if !tk.local[i] {
+				if !tk.reads[i].Local {
 					want = append(want, storage.Event{Op: storage.OpReadSlot, Bucket: r.Bucket, Slot: r.Slot})
 				}
 			}

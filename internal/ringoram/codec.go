@@ -38,7 +38,7 @@ func (c codec) slotSize() int {
 }
 
 // block is a slot's logical content. Encoding reads key; decoding fills keyB
-// instead — a view into the decode buffer — because the hot path only ever
+// instead — a view into the plaintext — because the hot path only ever
 // COMPARES the decoded key against the one it planned for (`string(keyB) ==
 // want` compiles to an allocation-free comparison), and materializing a
 // string per decoded slot was a measurable share of the read path's budget.
@@ -49,19 +49,24 @@ type block struct {
 	tombstone bool
 }
 
-// encodeSlotTo serializes a slot into the plain scratch buffer (cap >=
-// plainSize, reused across calls) and appends the sealed frame to dst,
-// returning the extended slice. With pre-sized dst and scratch the only
-// allocation is none: the hot seal path writes straight into bucket arenas.
-// binding authenticates the slot's location and bucket version (Appendix A).
-func (c codec) encodeSlotTo(dst []byte, kind byte, b block, binding, plain []byte) ([]byte, error) {
+// plainOf returns the plaintext region of a slot frame (slotSize bytes): the
+// middle of the GCM frame, or all of it when encryption is off.
+func (c codec) plainOf(frame []byte) []byte {
+	if c.key == nil {
+		return frame
+	}
+	return frame[cryptoutil.PlaintextOffset : len(frame)-cryptoutil.TagSize]
+}
+
+// encodePlain writes a slot's plaintext over all of plain (plainSize bytes):
+// kind, the block's key and value, and zeros to the fixed size.
+func (c codec) encodePlain(plain []byte, kind byte, b block) error {
 	if len(b.key) > c.keySize {
-		return nil, fmt.Errorf("ringoram: key of %d bytes exceeds KeySize %d", len(b.key), c.keySize)
+		return fmt.Errorf("ringoram: key of %d bytes exceeds KeySize %d", len(b.key), c.keySize)
 	}
 	if len(b.value) > c.valueSize {
-		return nil, fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(b.value), c.valueSize)
+		return fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(b.value), c.valueSize)
 	}
-	plain = plain[:c.plainSize()]
 	clear(plain)
 	plain[0] = kind
 	binary.BigEndian.PutUint16(plain[1:3], uint16(len(b.key)))
@@ -69,40 +74,35 @@ func (c codec) encodeSlotTo(dst []byte, kind byte, b block, binding, plain []byt
 	off := 3 + c.keySize
 	binary.BigEndian.PutUint32(plain[off:off+4], uint32(len(b.value)))
 	copy(plain[off+4:], b.value)
+	return nil
+}
+
+// seal seals a frame whose plaintext is already in place (see plainOf) under
+// binding, which authenticates the slot's bucket and version (Appendix A).
+func (c codec) seal(frame, binding []byte) error {
 	if c.key == nil {
-		return append(dst, plain...), nil
+		return nil
 	}
-	return c.key.SealTo(dst, plain, binding)
+	return c.key.SealInPlace(frame, binding)
 }
 
-// encodeSlot produces the sealed physical representation of a slot in a fresh
-// buffer (cold paths and tests; the executor hot path uses encodeSlotTo).
-func (c codec) encodeSlot(kind byte, b block, binding []byte) ([]byte, error) {
-	return c.encodeSlotTo(make([]byte, 0, c.slotSize()), kind, b, binding, make([]byte, c.plainSize()))
-}
-
-// encodeDummy produces a filler slot indistinguishable from a real one.
-func (c codec) encodeDummy(binding []byte) ([]byte, error) {
-	return c.encodeSlot(slotDummy, block{}, binding)
-}
-
-// decodeSlotInto parses a physical slot, decrypting into the scratch buffer
-// (cap >= plainSize, reused across calls). It returns the slot kind and, for
-// real or tombstone slots, the decoded block. The returned block's value
-// ALIASES the decode buffer (the scratch, or data itself when encryption is
-// off) and is only valid until the next decode: a caller that retains it must
-// copy it out first — the ORAM hot path copies into its stash value arena,
-// turning what used to be one heap allocation per decoded slot into a bump
-// of a recycled slab.
-func (c codec) decodeSlotInto(scratch, data, binding []byte) (byte, block, error) {
-	plain := data
-	if c.key != nil {
-		var err error
-		plain, err = c.key.OpenTo(scratch[:0], data, binding)
-		if err != nil {
-			return 0, block{}, err
-		}
+// open authenticates a stored slot under binding and returns its plaintext,
+// decrypted into scratch (cap >= plainSize, reused across calls); with
+// encryption off the plaintext is data itself.
+func (c codec) open(scratch, data, binding []byte) ([]byte, error) {
+	if c.key == nil {
+		return data, nil
 	}
+	return c.key.OpenTo(scratch[:0], data, binding)
+}
+
+// parse decodes a slot's plaintext. It returns the slot kind and, for real or
+// tombstone slots, the decoded block. The returned block ALIASES plain and is
+// only valid as long as plain is: a caller that retains it must copy it out
+// first — the ORAM hot path copies into its stash value arena, turning what
+// used to be one heap allocation per decoded slot into a bump of a recycled
+// slab.
+func (c codec) parse(plain []byte) (byte, block, error) {
 	if len(plain) != c.plainSize() {
 		return 0, block{}, fmt.Errorf("ringoram: slot of %d bytes, want %d", len(plain), c.plainSize())
 	}
@@ -129,9 +129,4 @@ func (c codec) decodeSlotInto(scratch, data, binding []byte) (byte, block, error
 		tombstone: kind == slotTombstone,
 	}
 	return kind, b, nil
-}
-
-// decodeSlot parses a physical slot with a fresh scratch buffer.
-func (c codec) decodeSlot(data, binding []byte) (byte, block, error) {
-	return c.decodeSlotInto(make([]byte, 0, c.plainSize()), data, binding)
 }

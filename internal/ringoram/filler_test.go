@@ -11,8 +11,8 @@ import (
 )
 
 // sparseClient drives an ORAM against a store that keeps, for each bucket,
-// only the slots its last BucketWrite listed in Real: every other read gets a
-// nil entry. It is the executor's resident set taken to the limit (every
+// only the slots its last image listed in Real: every other read gets a nil
+// entry. It is the executor's resident set taken to the limit (every
 // bucket, every level). The first realOnly buckets are sealed without dummies,
 // as the executor has its resident levels sealed.
 type sparseClient struct {
@@ -20,6 +20,7 @@ type sparseClient struct {
 	oram     *ORAM
 	kept     map[int]map[int][]byte // bucket -> physical slot -> bytes
 	realOnly int
+	arena    SealArena
 }
 
 func (c *sparseClient) fetch(reads []SlotRead) [][]byte {
@@ -27,47 +28,51 @@ func (c *sparseClient) fetch(reads []SlotRead) [][]byte {
 	for i, r := range reads {
 		data[i] = c.kept[r.Bucket][r.Slot]
 		if carries := r.target || r.entry != nil; carries && data[i] == nil {
-			c.t.Fatalf("bucket %d slot %d carries a block, but the bucket's write did not list it in Real", r.Bucket, r.Slot)
+			c.t.Fatalf("bucket %d slot %d carries a block, but the bucket's image did not list it in Real", r.Bucket, r.Slot)
 		}
 	}
 	return data
 }
 
 func (c *sparseClient) evict(plan *EvictPlan) {
-	writes, err := c.oram.CompleteEvict(plan, c.fetch(plan.Reads))
+	images, err := c.oram.CompleteEvict(plan, c.fetch(plan.Reads))
 	must(c.t, err)
-	for _, w := range writes {
-		trimmed := w.Bucket < c.realOnly
-		if want := c.oram.geo.SlotsPer; !trimmed && len(w.Slots) != want {
-			c.t.Fatalf("bucket %d sealed with %d slots, want all %d", w.Bucket, len(w.Slots), want)
+	for _, im := range images {
+		slots, err := c.oram.SealImage(im, &c.arena)
+		must(c.t, err)
+		trimmed := im.Bucket < c.realOnly
+		if want := c.oram.geo.SlotsPer; !trimmed && len(slots) != want {
+			c.t.Fatalf("bucket %d sealed with %d slots, want all %d", im.Bucket, len(slots), want)
 		}
-		if want := c.oram.p.Z; trimmed && len(w.Slots) != want {
-			c.t.Fatalf("bucket %d sealed with %d slots, want its Z = %d real positions", w.Bucket, len(w.Slots), want)
+		if want := c.oram.p.Z; trimmed && len(slots) != want {
+			c.t.Fatalf("bucket %d sealed with %d slots, want its Z = %d real positions", im.Bucket, len(slots), want)
 		}
-		slots := make(map[int][]byte, len(w.Real))
-		for i, s := range w.Real {
+		kept := make(map[int][]byte, len(im.Blocks))
+		for i, s := range im.Real() {
 			if trimmed {
-				// Real[i] is the physical slot of the block at Slots[i].
-				slots[s] = bytes.Clone(w.Slots[i])
+				// Real()[i] is the physical slot of the block at slots[i].
+				kept[s] = bytes.Clone(slots[i])
 			} else {
-				slots[s] = bytes.Clone(w.Slots[s])
+				kept[s] = bytes.Clone(slots[s])
 			}
 		}
-		c.kept[w.Bucket] = slots
-		for s, d := range w.Slots {
-			kind, _, err := c.oram.cdc.decodeSlot(d, c.oram.binding(uint64(w.Bucket), w.Ver))
+		c.kept[im.Bucket] = kept
+		for s, d := range slots {
+			kind, _, err := c.oram.cdc.decodeSlot(d, c.oram.binding(uint64(im.Bucket), im.Ver))
 			must(c.t, err)
-			listed := slots[s] != nil
+			listed := kept[s] != nil
 			if trimmed {
-				listed = s < len(w.Real)
+				listed = s < len(im.Blocks)
 				if kind == slotDummy {
-					c.t.Fatalf("bucket %d version %d: a dummy sealed at position %d of a bucket sealed without dummies", w.Bucket, w.Ver, s)
+					c.t.Fatalf("bucket %d version %d: a dummy sealed at position %d of a bucket sealed without dummies", im.Bucket, im.Ver, s)
 				}
 			}
 			if holds := kind == slotReal || kind == slotTombstone; holds != listed {
-				c.t.Fatalf("bucket %d version %d slot %d: holds a block = %v, listed in Real = %v", w.Bucket, w.Ver, s, holds, !holds)
+				c.t.Fatalf("bucket %d version %d slot %d: holds a block = %v, listed in Real = %v", im.Bucket, im.Ver, s, holds, !holds)
 			}
 		}
+		im.Recycle()
+		c.arena.Reset()
 	}
 }
 
@@ -219,7 +224,7 @@ func TestEvictionFillersMatchRescan(t *testing.T) {
 
 // TestCompletionNeverInspectsFillers pins the contract the executor's
 // resident set stands on: CompleteAccess and CompleteEvict look only at reads
-// that carry a block, and BucketWrite.Real names exactly the slots that can.
+// that carry a block, and BucketImage.Real names exactly the slots that can.
 // One ORAM is driven by the sequential client over a full store, its twin
 // (same seed, same operations) by a client that is handed nil for everything
 // outside Real. They must agree on every result and end in the same state —

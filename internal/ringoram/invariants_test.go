@@ -251,6 +251,33 @@ func TestPropertyStashBoundedUnderHotspot(t *testing.T) {
 	}
 }
 
+// encodeSlot seals one slot into a fresh frame, as SealImage seals each slot
+// of a bucket.
+func (c codec) encodeSlot(kind byte, b block, binding []byte) ([]byte, error) {
+	frame := make([]byte, c.slotSize())
+	if err := c.encodePlain(c.plainOf(frame), kind, b); err != nil {
+		return nil, err
+	}
+	if err := c.seal(frame, binding); err != nil {
+		return nil, err
+	}
+	return frame, nil
+}
+
+// encodeDummy seals a filler slot.
+func (c codec) encodeDummy(binding []byte) ([]byte, error) {
+	return c.encodeSlot(slotDummy, block{}, binding)
+}
+
+// decodeSlot opens and parses a stored slot, as completion does a remote read.
+func (c codec) decodeSlot(data, binding []byte) (byte, block, error) {
+	plain, err := c.open(make([]byte, 0, c.plainSize()), data, binding)
+	if err != nil {
+		return 0, block{}, err
+	}
+	return c.parse(plain)
+}
+
 func TestQuickCodecRoundTrip(t *testing.T) {
 	c := codec{keySize: 32, valueSize: 64, key: cryptoutil.KeyFromSeed([]byte("codec"))}
 	f := func(rawKey []byte, value []byte, tomb bool) bool {

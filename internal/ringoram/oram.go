@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/slab"
@@ -108,56 +109,88 @@ type ORAM struct {
 	dirtyBuckets []int32
 	stashPeak    int
 
-	// Hot-path scratch, all guarded by mu (planning, completion and sealing
-	// are serialized per ORAM): codec plaintext buffers for seal and open,
-	// the Appendix A binding encoder, and the seal occupancy index.
-	encPlain  []byte
+	// Hot-path scratch, all guarded by mu (planning and completion are
+	// serialized per ORAM): the codec plaintext buffer for opens and the
+	// Appendix A binding encoder.
 	decPlain  []byte
 	bindBuf   []byte
-	occ       []*placement
 	fillerBuf []int
 	pathBuf   []int
 	varena    valArena
 	// vals carves the values CompleteAccess returns: they escape to the
 	// caller, so they are copied once into chunks that are never reused.
 	vals slab.Bytes
-	// writeBuf backs the []BucketWrite CompleteEvict returns.
-	writeBuf []BucketWrite
+	// images backs the []BucketImage CompleteEvict returns.
+	images []BucketImage
 	// planPool, evictPool and entryPool recycle the per-access and
 	// per-eviction objects. CompleteAccess and CompleteEvict retire their
 	// plans (with every slice the plan owns); CompleteEvict also retires
-	// entries once the seal writes them back into the tree. All guarded by mu.
+	// entries once their blocks are copied into the tree's images. All
+	// guarded by mu.
 	planPool  []*AccessPlan
 	evictPool []*EvictPlan
 	entryPool []*stashEntry
-	// bufPool recycles bucket serialization buffers (one contiguous
-	// ciphertext arena + per-slot headers): whoever holds a BucketWrite
-	// returns its buffer with Recycle once nothing reads the slots any more
-	// (a store copies what it keeps). realPool is the same for the Z-slot
-	// buffers of buckets sealed without dummies.
-	bufPool, realPool *sync.Pool
+	// imagePool recycles image buffers and blocks their images' plaintext
+	// slots: whoever holds a BucketImage returns both with Recycle once
+	// nothing reads the image any more.
+	imagePool *sync.Pool
+	blocks    *blockPool
 	// realOnly is how many buckets, from the root in heap order, are sealed as
 	// their Z real positions alone (see SealRealOnly).
 	realOnly int
+	// sealedSlots counts the slots SealImage has sealed.
+	sealedSlots atomic.Int64
 }
 
-// bucketBuf is a pooled serialization buffer for one bucket: a contiguous
-// ciphertext arena subsliced into per-slot frames.
-type bucketBuf struct {
-	arena []byte
-	slots [][]byte
-	pool  *sync.Pool
+// imageBuf is a pooled buffer for one bucket image: the version's
+// permutation and the headers of its blocks, which come from the ORAM's
+// blockPool.
+type imageBuf struct {
+	perm   []int
+	blocks [][]byte
+	pool   *sync.Pool
+	free   *blockPool
+}
+
+// blockPool recycles the plaintext slots images hold their blocks in, so an
+// image costs the blocks it holds, not Z of them: a valArena of slot-sized
+// slabs, which never shrinks back (the images in flight are a function of
+// the public schedule). Images are made under the ORAM's lock but recycled
+// by their holder, on any goroutine, so the pool has a lock of its own.
+type blockPool struct {
+	mu    sync.Mutex
+	slabs valArena
+}
+
+// take appends n blocks, each a full slot long, to dst.
+func (p *blockPool) take(dst [][]byte, n int) [][]byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := 0; i < n; i++ {
+		dst = append(dst, p.slabs.take()[:p.slabs.slab])
+	}
+	return dst
+}
+
+// put returns blocks to the pool.
+func (p *blockPool) put(blocks [][]byte) {
+	p.mu.Lock()
+	for _, b := range blocks {
+		p.slabs.release(b)
+	}
+	p.mu.Unlock()
 }
 
 // valArenaChunk sizes the value arena's carve chunks (at least one slab).
 const valArenaChunk = 64 << 10
 
-// valArena owns the stash's values, decoded or written: fixed-capacity slabs
-// carved from large chunks and recycled through a free list when their stash
-// entry is sealed back into the tree, so neither the steady-state read path
-// nor a write allocates per value. All access is guarded by the ORAM's mu.
-// Slabs never shrink the value-size bound, so a recycled slab fits any future
-// value.
+// valArena hands out fixed-capacity slabs carved from large chunks and
+// recycled through a free list. The ORAM's varena owns the stash's values,
+// decoded or written, recycled when their entry is placed back into the tree,
+// so neither the steady-state read path nor a write allocates per value; all
+// access to it is guarded by the ORAM's mu. Slabs never shrink the
+// value-size bound, so a recycled slab fits any future value. A blockPool
+// keeps the image blocks in another.
 type valArena struct {
 	slab  int // slab capacity (== ValueSize)
 	chunk []byte
@@ -243,8 +276,15 @@ func (o *ORAM) newEntry(v stashEntry) *stashEntry {
 // SlotRead is one physical slot the caller must fetch.
 type SlotRead struct {
 	Bucket, Slot int
-	// Ver is the bucket version whose ciphertext binding applies.
+	// Ver is the bucket version the read was planned against: the version
+	// whose ciphertext binding applies, or whose plaintext a local read must
+	// be served from.
 	Ver uint64
+	// Local marks a read the caller serves from its own plaintext copy of
+	// the bucket version (see BucketImage) instead of storage: completion
+	// decodes its bytes as plaintext instead of opening them. A read is
+	// remote unless the caller marks it.
+	Local bool
 	// target marks the slot holding the access's block.
 	target bool
 	// entry receives the decoded block for eviction/reshuffle reads.
@@ -269,36 +309,54 @@ type AccessPlan struct {
 // Cached reports whether the plan requires no storage reads.
 func (p *AccessPlan) Cached() bool { return p == nil || p.cached }
 
-// BucketWrite is one serialized bucket the caller must write back. Slots
-// subslice one contiguous pooled arena, which the caller owns until it calls
-// Recycle.
-type BucketWrite struct {
+// BucketImage is one bucket version in plaintext, as an eviction leaves it:
+// its version, its permutation and its blocks. It is what the caller keeps
+// until the version reaches storage, and SealImage seals it then: a version
+// that a later rewrite supersedes first is never sealed at all. The image's
+// memory is the ORAM's pooled buffer, the caller's until it calls Recycle.
+type BucketImage struct {
 	Bucket int
 	Ver    uint64
-	Slots  [][]byte
-	// Real lists the physical slots holding the blocks this version placed;
-	// every other slot is filler (a dummy or an empty real). It is the
-	// eviction plan's scratch, valid until the next CompleteEvict: copy to keep.
-	// In a bucket sealed without dummies (SealRealOnly) Slots is indexed by real
-	// position, and the block at physical slot Real[i] is Slots[i].
-	Real []int
+	// Blocks holds the plaintext slots of the blocks this version placed, the
+	// block of real position i at Blocks[i] (the placed blocks fill positions
+	// 0..len(Blocks)-1); Real()[i] is its physical slot.
+	Blocks [][]byte
 
-	buf *bucketBuf
+	perm []int // perm[pos] = physical slot; pos < Z real, else dummy
+	trim bool  // sealed as its Z real positions alone (SealRealOnly)
+	buf  *imageBuf
 }
 
-// Recycle returns the write's backing arena to the ORAM's buffer pool, for
-// the next seal to overwrite. Call it once nothing reads Slots any more: the
-// write was superseded or discarded before it reached storage, or the store
-// call that wrote it returned (a store copies what it keeps, so a flushed
-// write is the caller's again) and no local read is still served from it.
-// Safe to call more than once; Slots must not be used afterwards, and in race
-// builds the arena is poisoned so a read of it fails authentication instead
-// of passing with stale bytes.
-func (w *BucketWrite) Recycle() {
-	if b := w.buf; b != nil {
-		w.buf = nil
-		w.Slots = nil
-		poison(b.arena)
+// Real returns the physical slots of the image's blocks: the block at
+// physical slot Real()[i] is Blocks[i]. It is the image's own memory.
+func (im *BucketImage) Real() []int { return im.perm[:len(im.Blocks)] }
+
+// Block returns the plaintext slot the image holds at physical slot s, or nil
+// when s holds no block (a dummy or an empty real position).
+func (im *BucketImage) Block(s int) []byte {
+	for i, b := range im.Blocks {
+		if im.perm[i] == s {
+			return b
+		}
+	}
+	return nil
+}
+
+// Recycle returns the image's buffer to the ORAM's pool, for the next
+// eviction to overwrite. Call it once nothing reads the image any more: a
+// later rewrite superseded it, or its epoch's flush sealed it and no local
+// read is still served from it. Safe to call more than once; the image must
+// not be used afterwards, and in race builds its blocks are poisoned so a
+// read of one fails to decode instead of passing with stale bytes.
+func (im *BucketImage) Recycle() {
+	if b := im.buf; b != nil {
+		im.buf, im.Blocks, im.perm = nil, nil, nil
+		for _, block := range b.blocks {
+			poison(block)
+		}
+		b.free.put(b.blocks)
+		clear(b.blocks)
+		b.blocks = b.blocks[:0]
 		b.pool.Put(b)
 	}
 }
@@ -306,17 +364,16 @@ func (w *BucketWrite) Recycle() {
 // placement records a block assigned to a bucket by an eviction write phase.
 type placement struct {
 	key   string
-	pos   int
 	entry *stashEntry
 }
 
-// plannedBucket is the write-phase plan for one bucket.
+// plannedBucket is the write-phase plan for one bucket. Its i-th placed
+// block goes to real position i.
 type plannedBucket struct {
 	bucket int
 	ver    uint64
 	perm   []int
 	placed []placement
-	real   []int // physical slots of placed, filled by the seal
 }
 
 // EvictPlan is the outcome of planning an evict-path or early reshuffle. A
@@ -365,17 +422,16 @@ func New(key *cryptoutil.Key, p Params) (*ORAM, error) {
 	return o, nil
 }
 
-// SealFresh seals bucket b of the fresh tree New drew: its first version,
-// holding no block. A bucket below the SealRealOnly bound gets its Z real
-// positions only. The write's arena is the caller's until it calls Recycle.
-func (o *ORAM) SealFresh(b int) (BucketWrite, error) {
+// SealFresh seals bucket b of the fresh tree New drew into a, as SealImage
+// does: its first version, holding no block.
+func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	m := &o.meta[b]
 	if m.writeVer != 1 || m.count != 0 {
-		return BucketWrite{}, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
+		return nil, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
 	}
-	return o.sealPlannedBucket(&plannedBucket{bucket: b, ver: m.writeVer, perm: m.perm})
+	return o.SealImage(BucketImage{Bucket: b, Ver: m.writeVer, perm: m.perm, trim: b < o.realOnly}, a)
 }
 
 func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
@@ -406,25 +462,17 @@ func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
 		meta:        make([]bucketMeta, geo.NumBuckets),
 		bucketDirty: make([]uint8, geo.NumBuckets),
 	}
-	o.encPlain = make([]byte, o.cdc.plainSize())
 	o.decPlain = make([]byte, 0, o.cdc.plainSize())
 	o.varena.slab = p.ValueSize
 	o.bindBuf = make([]byte, 0, cryptoutil.BindingSize)
-	o.occ = make([]*placement, p.Z)
 	o.pathBuf = make([]int, 0, geo.Levels+1)
-	o.bufPool = newBufPool(geo.SlotsPer, o.cdc.slotSize())
-	o.realPool = newBufPool(p.Z, o.cdc.slotSize())
-	return o, nil
-}
-
-// newBufPool makes a pool of bucket buffers of n slots; a buffer goes back to
-// the pool it came from.
-func newBufPool(n, slotSize int) *sync.Pool {
+	o.blocks = &blockPool{slabs: valArena{slab: o.cdc.plainSize()}}
 	pool := &sync.Pool{}
 	pool.New = func() any {
-		return &bucketBuf{arena: make([]byte, n*slotSize), slots: make([][]byte, n), pool: pool}
+		return &imageBuf{perm: make([]int, geo.SlotsPer), blocks: make([][]byte, 0, p.Z), pool: pool, free: o.blocks}
 	}
-	return pool
+	o.imagePool = pool
+	return o, nil
 }
 
 // binding encodes the Appendix A (id, epoch, batch=0) freshness triple into
@@ -459,8 +507,17 @@ func (o *ORAM) Geometry() Geometry { return o.geo }
 // SlotSize returns the physical slot size in bytes.
 func (o *ORAM) SlotSize() int { return o.cdc.slotSize() }
 
-// SealRealOnly makes every later seal of the first n buckets (heap order, the
-// root first) produce only the bucket's Z real positions, in position order,
+// PlainSlotSize returns the size of a slot's plaintext, which image blocks
+// and local reads carry.
+func (o *ORAM) PlainSlotSize() int { return o.cdc.plainSize() }
+
+// SealedSlots returns how many slots SealImage has sealed, SealFresh's
+// included.
+func (o *ORAM) SealedSlots() int64 { return o.sealedSlots.Load() }
+
+// SealRealOnly makes the seal of every bucket version of the first n buckets
+// (heap order, the root first) that is made from now on produce only the
+// bucket's Z real positions, in position order,
 // and no dummies: such a bucket can be read back whole but no longer slot by
 // physical slot, so only a caller that keeps those buckets' blocks itself and
 // never reads them from storage may ask for it. Metadata, permutations and
@@ -474,9 +531,10 @@ func (o *ORAM) SealRealOnly(n int) {
 // BlockSlots appends, for each real position 0..Z-1 of bucket b in order, the
 // physical slot of the block the position holds, or -1 where it holds none
 // (never filled, blanked by an overwrite, or read since the bucket was
-// written). It is what a caller needs to rebuild its copy of a bucket sealed
-// by SealRealOnly from the bucket's stored slots.
-func (o *ORAM) BlockSlots(b int, dst []int) []int {
+// written), and returns the bucket's version. It is what a caller needs to
+// rebuild its copy of a bucket sealed by SealRealOnly from the bucket's stored
+// slots (see OpenSlot).
+func (o *ORAM) BlockSlots(b int, dst []int) ([]int, uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	m := &o.meta[b]
@@ -487,7 +545,23 @@ func (o *ORAM) BlockSlots(b int, dst []int) []int {
 			dst = append(dst, -1)
 		}
 	}
-	return dst
+	return dst, m.writeVer
+}
+
+// OpenSlot authenticates a slot storage holds for version ver of bucket b and
+// returns its plaintext, decrypted into scratch (or data itself when
+// encryption is off): what a caller that serves the bucket's reads itself
+// keeps of it. A slot that does not open under that binding fails with
+// ErrCorrupt.
+func (o *ORAM) OpenSlot(scratch, data []byte, b int, ver uint64) ([]byte, error) {
+	plain, err := o.cdc.open(scratch, data, cryptoutil.Binding(uint64(b), ver, 0))
+	if err == nil && len(plain) != o.cdc.plainSize() {
+		err = fmt.Errorf("slot of %d bytes, want %d", len(plain), o.cdc.plainSize())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: bucket %d version %d: %v", ErrCorrupt, b, ver, err)
+	}
+	return plain, nil
 }
 
 // Counters returns (accessCount, evictCount).
@@ -886,10 +960,11 @@ func (o *ORAM) EvictDue() bool {
 // CompleteAccess applies the fetched slot data for a read plan and returns
 // the read value. The value
 // is the caller's to keep: a capacity-clipped copy carved by a slab.Bytes.
-// data must be parallel to plan.Reads. Only the slot that carries the
-// access's block is ever inspected: the entry of every other read (a filler)
-// may be nil, which is what lets a caller that knows where a bucket's blocks
-// sit skip fetching the rest.
+// data must be parallel to plan.Reads: a sealed slot from storage, or for a
+// read marked Local the plaintext slot the caller served it from. Only the
+// slot that carries the access's block is ever inspected: the entry of every
+// other read (a filler) may be nil, which is what lets a caller that knows
+// where a bucket's blocks sit skip fetching the rest.
 func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, found bool, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -908,23 +983,9 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 		return nil, false, fmt.Errorf("ringoram: %d slots delivered, plan has %d", len(data), len(plan.Reads))
 	}
 	if plan.targetIdx >= 0 && plan.targetEntry.pending {
-		r := plan.Reads[plan.targetIdx]
-		kind, blk, derr := o.cdc.decodeSlotInto(o.decPlain, data[plan.targetIdx], o.binding(uint64(r.Bucket), r.Ver))
-		switch {
-		case derr != nil || (kind != slotReal && kind != slotTombstone):
-			if derr == nil {
-				derr = fmt.Errorf("slot kind %d", kind)
-			}
-			return nil, false, fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, derr)
-		case string(blk.keyB) != plan.Key:
-			return nil, false, fmt.Errorf("%w: bucket %d slot %d holds key %q, want %q", ErrCorrupt, r.Bucket, r.Slot, blk.keyB, plan.Key)
+		if err := o.deliver(plan.Reads[plan.targetIdx], data[plan.targetIdx], plan.targetEntry); err != nil {
+			return nil, false, err
 		}
-		// blk.value aliases the decode scratch: copy it into the stash's
-		// value arena, which owns it until the entry is sealed back.
-		e := plan.targetEntry
-		o.setEntryVal(e, blk.value)
-		e.tombstone = blk.tombstone
-		e.pending = false
 	}
 	// Resolve the logical result.
 	entry := plan.targetEntry
@@ -941,6 +1002,38 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 		return nil, false, nil
 	}
 	return o.vals.Copy(entry.value), true, nil
+}
+
+// deliver decodes the block a read fetched and moves it into the read's
+// pending stash entry. A local read's data is plaintext the caller served; a
+// remote read's is opened under the (bucket, version) binding it was planned
+// against. Either must hold the entry's key.
+func (o *ORAM) deliver(r SlotRead, data []byte, e *stashEntry) error {
+	plain := data
+	var err error
+	if !r.Local {
+		plain, err = o.cdc.open(o.decPlain, data, o.binding(uint64(r.Bucket), r.Ver))
+	}
+	var kind byte
+	var blk block
+	if err == nil {
+		kind, blk, err = o.cdc.parse(plain)
+	}
+	switch {
+	case err != nil || (kind != slotReal && kind != slotTombstone):
+		if err == nil {
+			err = fmt.Errorf("slot kind %d", kind)
+		}
+		return fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, err)
+	case string(blk.keyB) != e.key:
+		return fmt.Errorf("%w: bucket %d slot %d holds key %q, want %q", ErrCorrupt, r.Bucket, r.Slot, blk.keyB, e.key)
+	}
+	// blk.value aliases the plaintext: copy it into the stash's value arena,
+	// which owns it until the entry is written back into the tree.
+	o.setEntryVal(e, blk.value)
+	e.tombstone = blk.tombstone
+	e.pending = false
+	return nil
 }
 
 // PlanEvict plans the next deterministic evict-path operation.
@@ -1118,7 +1211,7 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 				i++
 				continue
 			}
-			pb.placed = append(pb.placed, placement{key: e.key, pos: len(pb.placed), entry: e})
+			pb.placed = append(pb.placed, placement{key: e.key, entry: e})
 			o.stashRemove(e) // moves the last entry to i: look at i again
 		}
 		m := &o.meta[b]
@@ -1131,10 +1224,10 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 		}
 		m.count = 0
 		m.writeVer++
-		for _, pl := range pb.placed {
-			m.addrs[pl.pos] = pl.key
+		for r, pl := range pb.placed {
+			m.addrs[r] = pl.key
 			k := &o.keys[o.pos[pl.key]]
-			k.bucket, k.rpos = int32(b), int32(pl.pos)
+			k.bucket, k.rpos = int32(b), int32(r)
 		}
 		pb.ver = m.writeVer
 		// A later plan may rewrite this bucket (and m.perm, in place) before
@@ -1153,13 +1246,14 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 	return plan, nil
 }
 
-// CompleteEvict applies the fetched read-phase data and returns the bucket
-// writes the caller must perform (or buffer). data is parallel to
-// plan.Reads. As in CompleteAccess, only reads that carry a block are
-// inspected; a filler's entry may be nil. The returned slice is the ORAM's
-// scratch, valid until the next CompleteEvict (as each write's Real is): keep
-// the writes by value.
-func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, error) {
+// CompleteEvict applies the fetched read-phase data and returns the image of
+// every bucket version the plan writes, which the caller keeps until it
+// seals them (SealImage) or a later rewrite supersedes them. data is parallel
+// to plan.Reads, as in CompleteAccess, and as there only reads that carry a
+// block are inspected; a filler's entry may be nil. The returned slice is the
+// ORAM's scratch, valid until the next CompleteEvict: keep the images by
+// value.
+func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketImage, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if plan.completed {
@@ -1173,32 +1267,24 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, err
 		if r.entry == nil || !r.entry.pending {
 			continue
 		}
-		kind, blk, err := o.cdc.decodeSlotInto(o.decPlain, data[i], o.binding(uint64(r.Bucket), r.Ver))
-		if err != nil || (kind != slotReal && kind != slotTombstone) {
-			if err == nil {
-				err = fmt.Errorf("slot kind %d", kind)
-			}
-			return nil, fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, err)
-		}
-		if string(blk.keyB) != r.entry.key {
-			return nil, fmt.Errorf("%w: bucket %d slot %d holds key %q, want %q", ErrCorrupt, r.Bucket, r.Slot, blk.keyB, r.entry.key)
-		}
-		o.setEntryVal(r.entry, blk.value)
-		r.entry.tombstone = blk.tombstone
-		r.entry.pending = false
-	}
-	writes := o.writeBuf[:0]
-	for i := range plan.writes {
-		pb := &plan.writes[i]
-		w, err := o.sealPlannedBucket(pb)
-		if err != nil {
+		if err := o.deliver(r, data[i], r.entry); err != nil {
 			return nil, err
 		}
-		writes = append(writes, w)
 	}
-	o.writeBuf = writes
+	images := o.images[:0]
+	for i := range plan.writes {
+		im, err := o.imageOf(&plan.writes[i])
+		if err != nil {
+			for j := range images {
+				images[j].Recycle()
+			}
+			return nil, err
+		}
+		images = append(images, im)
+	}
+	o.images = images
 	// The placed entries left the stash when the write phase planned them and
-	// their values are now sealed inside the bucket arenas: recycle the slabs.
+	// their values are now copied into the images: recycle the slabs.
 	// Plan-ordered completion means no earlier plan still references them, and
 	// any later access finds the key in the tree, not in these entries.
 	for i := range plan.writes {
@@ -1212,62 +1298,118 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketWrite, err
 	}
 	// Completion is the plan's death in every caller: recycle it.
 	o.evictPool = append(o.evictPool, plan)
-	return writes, nil
+	return images, nil
 }
 
-// sealPlannedBucket serializes a bucket per a write-phase plan. Every slot is
-// sealed in place into one contiguous pooled arena (two allocations per
-// bucket when the pool is cold, zero when warm) instead of one buffer per
-// slot; the arena travels with the returned BucketWrite. A bucket below
-// realOnly gets its Z real positions in position order and nothing else.
-func (o *ORAM) sealPlannedBucket(pb *plannedBucket) (BucketWrite, error) {
-	n, pool := o.geo.SlotsPer, o.bufPool
-	trim := pb.bucket < o.realOnly
-	if trim {
-		n, pool = o.p.Z, o.realPool
+// imageOf builds the image of a write-phase plan's bucket version in a pooled
+// buffer: the permutation, and each placed block's plaintext slot.
+func (o *ORAM) imageOf(pb *plannedBucket) (BucketImage, error) {
+	ib := o.imagePool.Get().(*imageBuf)
+	copy(ib.perm, pb.perm)
+	ib.blocks = o.blocks.take(ib.blocks, len(pb.placed))
+	im := BucketImage{Bucket: pb.bucket, Ver: pb.ver, Blocks: ib.blocks, perm: ib.perm, trim: pb.bucket < o.realOnly, buf: ib}
+	for i, pl := range pb.placed {
+		if pl.entry.pending {
+			im.Recycle()
+			return BucketImage{}, fmt.Errorf("ringoram: writing bucket %d: block %q still pending (completion order violated)", pb.bucket, pl.key)
+		}
+		kind := byte(slotReal)
+		if pl.entry.tombstone {
+			kind = slotTombstone
+		}
+		if err := o.cdc.encodePlain(ib.blocks[i], kind, block{key: pl.key, value: pl.entry.value}); err != nil {
+			im.Recycle()
+			return BucketImage{}, err
+		}
 	}
-	bb := pool.Get().(*bucketBuf)
-	slotSize := o.cdc.slotSize()
-	binding := o.binding(uint64(pb.bucket), pb.ver)
-	occ := o.occ
-	for i := range occ {
-		occ[i] = nil
+	return im, nil
+}
+
+// SealArena is memory a caller lends to SealImage and SealFresh: byte chunks
+// the seals carve slot frames from, front to back, and the slot headers they
+// hand back. It grows to the largest set of buckets sealed between two Resets,
+// a chunk at a time, and is reused after that. The zero value is ready.
+type SealArena struct {
+	chunks [][]byte // chunks[:used] hold frames, the last of them is carved next
+	used   int
+	slots  [][]byte
+	bind   []byte
+}
+
+// sealChunk is the size of a seal arena's chunks: a few buckets' slots, so an
+// arena outgrows what it holds by less than one chunk.
+const sealChunk = 64 << 10
+
+// Reset hands the arena's memory to the next seals. Every slot sealed into it
+// before must be unused by then (a store copies what it keeps); in race
+// builds the memory is poisoned, so a slot still read fails authentication
+// instead of passing with the bytes it held.
+func (a *SealArena) Reset() {
+	for i, c := range a.chunks[:a.used] {
+		poison(c)
+		a.chunks[i] = c[:0]
 	}
-	pb.real = pb.real[:0]
-	for i := range pb.placed {
-		occ[pb.placed[i].pos] = &pb.placed[i]
-		pb.real = append(pb.real, pb.perm[pb.placed[i].pos])
+	a.used, a.slots = 0, a.slots[:0]
+}
+
+// take carves n frames of size bytes from the current chunk, moving on to
+// the next one (and making it, the first time) when the current one is short.
+func (a *SealArena) take(n, size int) [][]byte {
+	need := n * size
+	if a.used == 0 || cap(a.chunks[a.used-1])-len(a.chunks[a.used-1]) < need {
+		if a.used == len(a.chunks) {
+			a.chunks = append(a.chunks, nil)
+		}
+		if cap(a.chunks[a.used]) < need {
+			a.chunks[a.used] = make([]byte, 0, max(sealChunk, need))
+		}
+		a.used++
 	}
+	c := a.chunks[a.used-1]
+	start := len(a.slots)
+	for i := 0; i < n; i++ {
+		off := len(c)
+		c = c[:off+size]
+		a.slots = append(a.slots, c[off:off+size:off+size])
+	}
+	a.chunks[a.used-1] = c
+	return a.slots[start:len(a.slots):len(a.slots)]
+}
+
+// SealImage seals im into a as the bucket version storage keeps: its Z+S
+// slots indexed by physical slot, or, for a bucket below the SealRealOnly
+// bound, its Z real positions in position order and no dummies. Every slot
+// is sealed under the version's (bucket, version) binding. It is the one
+// place a bucket is sealed. It reads only the image and the ORAM's fixed
+// configuration, never state the ORAM's lock guards, so a committer may seal
+// one epoch's images while the next epoch plans and completes.
+func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
+	n := o.geo.SlotsPer
+	if im.trim {
+		n = o.p.Z
+	}
+	slots := a.take(n, o.cdc.slotSize())
+	a.bind = cryptoutil.AppendBinding(a.bind[:0], uint64(im.Bucket), im.Ver, 0)
 	for pos := 0; pos < n; pos++ {
-		at := pb.perm[pos]
-		if trim {
-			at = pos
+		frame := slots[pos]
+		if !im.trim {
+			frame = slots[im.perm[pos]]
 		}
-		dst := bb.arena[at*slotSize : at*slotSize : (at+1)*slotSize]
-		var data []byte
-		var err error
+		plain := o.cdc.plainOf(frame)
 		switch {
-		case pos >= o.p.Z:
-			data, err = o.cdc.encodeSlotTo(dst, slotDummy, block{}, binding, o.encPlain)
-		case occ[pos] != nil:
-			pl := occ[pos]
-			if pl.entry.pending {
-				bb.pool.Put(bb)
-				return BucketWrite{}, fmt.Errorf("ringoram: serializing bucket %d: block %q still pending (completion order violated)", pb.bucket, pl.key)
-			}
-			kind := byte(slotReal)
-			if pl.entry.tombstone {
-				kind = slotTombstone
-			}
-			data, err = o.cdc.encodeSlotTo(dst, kind, block{key: pl.key, value: pl.entry.value, tombstone: pl.entry.tombstone}, binding, o.encPlain)
+		case pos < len(im.Blocks):
+			copy(plain, im.Blocks[pos])
+		case pos < o.p.Z:
+			clear(plain)
+			plain[0] = slotEmptyReal
 		default:
-			data, err = o.cdc.encodeSlotTo(dst, slotEmptyReal, block{}, binding, o.encPlain)
+			clear(plain)
+			plain[0] = slotDummy
 		}
-		if err != nil {
-			bb.pool.Put(bb)
-			return BucketWrite{}, err
+		if err := o.cdc.seal(frame, a.bind); err != nil {
+			return nil, err
 		}
-		bb.slots[at] = data
 	}
-	return BucketWrite{Bucket: pb.bucket, Ver: pb.ver, Slots: bb.slots, Real: pb.real, buf: bb}, nil
+	o.sealedSlots.Add(int64(n))
+	return slots, nil
 }

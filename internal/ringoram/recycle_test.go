@@ -1,36 +1,79 @@
 package ringoram
 
 import (
+	"errors"
 	"testing"
 
 	"obladi/internal/cryptoutil"
 )
 
-// TestRecycledBufferFailsAuthentication: in race builds Recycle poisons the
-// bucket's arena, so a slot still read through a write after its buffer went
-// back to the pool fails to open instead of passing with the bytes it held.
+// TestRecycledBufferFailsAuthentication: in race builds both kinds of buffer
+// a bucket version passes through are poisoned when they go back for reuse,
+// so a read through a stale reference fails loudly instead of passing with
+// the bytes the buffer held. A recycled image's block, served as a local
+// read, fails to decode (0xdb is no slot kind); a slot of a reset seal arena
+// fails authentication.
 func TestRecycledBufferFailsAuthentication(t *testing.T) {
 	if !raceEnabled {
-		t.Skip("Recycle poisons arenas in race builds only")
+		t.Skip("Recycle and Reset poison buffers in race builds only")
 	}
 	o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := o.SealFresh(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot := w.Slots[0]
-	open := func() error {
-		_, _, err := o.cdc.decodeSlotInto(o.decPlain, slot, o.binding(0, w.Ver))
-		return err
-	}
-	if err := open(); err != nil {
-		t.Fatalf("a sealed slot does not open: %v", err)
-	}
-	w.Recycle()
-	if err := open(); err == nil {
-		t.Fatal("a slot of a recycled buffer still opens: the arena was not poisoned")
-	}
+
+	t.Run("seal arena", func(t *testing.T) {
+		var a SealArena
+		slots, err := o.SealFresh(0, &a)
+		must(t, err)
+		open := func() error {
+			_, _, err := o.cdc.decodeSlot(slots[0], o.binding(0, 1))
+			return err
+		}
+		if err := open(); err != nil {
+			t.Fatalf("a sealed slot does not open: %v", err)
+		}
+		a.Reset()
+		if err := open(); err == nil {
+			t.Fatal("a slot of a reset arena still opens: the arena was not poisoned")
+		}
+	})
+
+	t.Run("image", func(t *testing.T) {
+		must(t, o.PlanWrite("k", []byte("v"), false))
+		ep, err := o.PlanEvict()
+		must(t, err)
+		images, err := o.CompleteEvict(ep, make([][]byte, len(ep.Reads)))
+		must(t, err)
+		plan, _, err := o.PlanRead("k")
+		must(t, err)
+		if plan.Cached() {
+			t.Fatal("the evicted block is still served from the stash")
+		}
+		// Serve every read of the access locally, the target from the image
+		// that holds it, as the executor serves a buffered bucket.
+		data := make([][]byte, len(plan.Reads))
+		var holder *BucketImage
+		for i := range plan.Reads {
+			r := &plan.Reads[i]
+			r.Local = true
+			for j := range images {
+				if im := &images[j]; im.Bucket == r.Bucket && im.Ver == r.Ver && im.Block(r.Slot) != nil {
+					data[i], holder = im.Block(r.Slot), im
+				}
+			}
+		}
+		if holder == nil {
+			t.Fatal("no image holds the evicted block")
+		}
+		if kind, _, err := o.cdc.parse(data[plan.targetIdx]); err != nil || kind != slotReal {
+			t.Fatalf("the image's block does not decode: kind %d, %v", kind, err)
+		}
+		for j := range images {
+			images[j].Recycle()
+		}
+		if _, _, err := o.CompleteAccess(plan, data); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a block of a recycled image read locally: %v, want ErrCorrupt (the image was not poisoned)", err)
+		}
+	})
 }

@@ -8,8 +8,8 @@ import (
 
 // Store is the slot-granularity storage interface the sequential client
 // drives. Implementations decide how writes map onto shadow-paged epochs. A
-// store must not retain the slots WriteBucket is handed: the ORAM reuses their
-// bytes once the call returns.
+// store must not retain the slots WriteBucket is handed: the client reuses
+// their bytes once the call returns.
 type Store interface {
 	ReadSlot(bucket, slot int) ([]byte, error)
 	WriteBucket(bucket int, slots [][]byte) error
@@ -23,6 +23,7 @@ type Store interface {
 type Seq struct {
 	oram  *ORAM
 	store Store
+	arena SealArena // each bucket is sealed into it and written at once
 }
 
 // NewSeq creates a sequential Ring ORAM over store and writes its fresh tree,
@@ -32,17 +33,18 @@ func NewSeq(store Store, key *cryptoutil.Key, p Params) (*Seq, error) {
 	if err != nil {
 		return nil, err
 	}
+	s := &Seq{oram: o, store: store}
 	for b := 0; b < o.geo.NumBuckets; b++ {
-		w, err := o.SealFresh(b)
+		slots, err := o.SealFresh(b, &s.arena)
 		if err != nil {
 			return nil, err
 		}
-		if err := store.WriteBucket(b, w.Slots); err != nil {
+		if err := store.WriteBucket(b, slots); err != nil {
 			return nil, fmt.Errorf("ringoram: initializing bucket %d: %w", b, err)
 		}
-		w.Recycle()
+		s.arena.Reset()
 	}
-	return &Seq{oram: o, store: store}, nil
+	return s, nil
 }
 
 // ORAM exposes the underlying client (for inspection in tests).
@@ -145,15 +147,25 @@ func (s *Seq) runEviction(plan *EvictPlan) error {
 		}
 		data[i] = d
 	}
-	writes, err := s.oram.CompleteEvict(plan, data)
+	images, err := s.oram.CompleteEvict(plan, data)
 	if err != nil {
 		return err
 	}
-	for _, w := range writes {
-		if err := s.store.WriteBucket(w.Bucket, w.Slots); err != nil {
-			return fmt.Errorf("ringoram: eviction write bucket %d: %w", w.Bucket, err)
+	defer func() {
+		for i := range images {
+			images[i].Recycle()
 		}
-		w.Recycle()
+	}()
+	for _, im := range images {
+		slots, err := s.oram.SealImage(im, &s.arena)
+		if err != nil {
+			return err
+		}
+		err = s.store.WriteBucket(im.Bucket, slots)
+		s.arena.Reset()
+		if err != nil {
+			return fmt.Errorf("ringoram: eviction write bucket %d: %w", im.Bucket, err)
+		}
 	}
 	return nil
 }

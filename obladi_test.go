@@ -195,8 +195,11 @@ func TestRemoteStorage(t *testing.T) {
 	must(t, db.Update(func(tx *Txn) error { return tx.Write("remote", []byte("yes")) }))
 	must(t, db.View(func(tx *Txn) error {
 		v, found, err := tx.Read("remote")
-		if err != nil || !found || string(v) != "yes" {
-			return fmt.Errorf("remote read: %q %v %v", v, found, err)
+		if err != nil {
+			return err // a retryable abort is retried by View
+		}
+		if !found || string(v) != "yes" {
+			return fmt.Errorf("remote read: %q %v", v, found)
 		}
 		return nil
 	}))
@@ -236,8 +239,11 @@ func TestCrashRecoveryThroughAPI(t *testing.T) {
 	defer db2.Close()
 	must(t, db2.View(func(tx *Txn) error {
 		v, found, err := tx.Read("persist")
-		if err != nil || !found || string(v) != "me" {
-			return fmt.Errorf("after recovery: %q %v %v", v, found, err)
+		if err != nil {
+			return err // a retryable abort is retried by View
+		}
+		if !found || string(v) != "me" {
+			return fmt.Errorf("after recovery: %q %v", v, found)
 		}
 		return nil
 	}))
@@ -431,8 +437,11 @@ func TestFullRestartWithPersistedStorage(t *testing.T) {
 	defer db2.Close()
 	must(t, db2.View(func(tx *Txn) error {
 		v, found, err := tx.Read("durable")
-		if err != nil || !found || string(v) != "across-restarts" {
-			return fmt.Errorf("after full restart: %q %v %v", v, found, err)
+		if err != nil {
+			return err // a retryable abort is retried by View
+		}
+		if !found || string(v) != "across-restarts" {
+			return fmt.Errorf("after full restart: %q %v", v, found)
 		}
 		return nil
 	}))
