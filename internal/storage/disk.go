@@ -6,7 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -20,15 +20,16 @@ import (
 //     WriteBuckets appends version records (no fsync: shadow paging makes
 //     uncommitted versions discardable); CommitEpoch appends a commit record
 //     and fsyncs — the durability barrier a commit ack stands on; RollbackTo
-//     appends a rollback record and fsyncs. Superseded committed versions are
-//     garbage-collected logically on commit and physically by compaction.
+//     appends a rollback record and fsyncs. The version index (versionIndex)
+//     retires superseded committed versions on commit; compaction drops their
+//     bytes.
 //   - wal-<base>.seg — segmented append-only log files for the recovery
 //     unit. Append fsyncs before acking (the log IS the durability point for
 //     the proxy's write-ahead records); Truncate drops whole dead segments.
-//   - kv.log — an append-only put/delete journal for the NoPriv baseline's
-//     namespace, compacted when dead entries dominate.
 //   - meta — a tiny atomically-replaced file holding the bucket count and
 //     the log truncation point.
+//
+// It keeps no key-value namespace: Get, Put and Delete fail with ErrNoKV.
 //
 // Every record is length-prefixed and checksummed; replay stops at the first
 // invalid record and truncates the torn tail, so reopening after a crash at
@@ -39,8 +40,8 @@ type DiskBackend struct {
 	fsys vfs
 	dir  string
 
-	// closed/ioErr have their own tiny mutex so every path — heap, log, KV —
-	// shares one wedge without sharing a data lock.
+	// closed/ioErr have their own tiny mutex so the heap and the log share
+	// one wedge without sharing a data lock.
 	stMu   sync.Mutex
 	closed bool
 	ioErr  error // sticky: a failed write may leave memory ahead of disk
@@ -48,13 +49,13 @@ type DiskBackend struct {
 	numBuckets int // immutable after open
 
 	// group, when set, is the shared fsync scheduler: CommitEpoch,
-	// RollbackTo, Append and Put append unsynced and stand on a group
+	// RollbackTo and Append append unsynced and stand on a group
 	// barrier instead of issuing their own fsync, so barriers from shards
 	// sharing a data dir coalesce into one flush wave.
 	group *CommitGroup
 
 	// replayWorkers bounds the worker pool that replays log segments (and
-	// opens the heap/KV/log files concurrently) at open; 1 means serial.
+	// opens the heap and log files concurrently) at open; 1 means serial.
 	replayWorkers int
 
 	// commitMu serializes the heap's durability barriers — CommitEpoch,
@@ -67,11 +68,8 @@ type DiskBackend struct {
 	mu             sync.RWMutex
 	heap           vfile
 	heapSize       int64
-	heapReserved   int64           // preallocated frontier (>= heapSize when reserved ahead)
-	index          [][]diskVersion // per bucket: version stack, oldest first
-	committed      uint64
-	heapLive       int64 // bytes of records still referenced by the index
-	heapDead       int64 // bytes of superseded/rolled-back/control records
+	heapReserved   int64 // preallocated frontier (>= heapSize when reserved ahead)
+	ix             versionIndex
 	heapCompactMin int64 // compact only past this much dead data
 
 	// Background heap compactor (nil channels when off: tests drive
@@ -79,15 +77,6 @@ type DiskBackend struct {
 	compactKick chan struct{}
 	compactStop chan struct{}
 	compactWG   sync.WaitGroup
-
-	// KV namespace (guarded by kvMu).
-	kvMu         sync.RWMutex
-	kvf          vfile
-	kvSize       int64
-	kv           map[string]kvEntry
-	kvLive       int64
-	kvDead       int64
-	kvCompactMin int64
 
 	// Recovery log (guarded by logMu, so log appends — and their fsyncs —
 	// no longer serialize behind heap writes).
@@ -121,27 +110,6 @@ type fileTicket struct {
 	ticket uint64
 }
 
-// diskVersion locates one shadow-paged bucket version inside the heap file.
-type diskVersion struct {
-	epoch   uint64
-	dataOff int64 // file offset of the first slot's length prefix
-	recSize int64 // framed record size, for garbage accounting
-	layout  slotLayout
-	// cached mirrors this version's slot bytes in memory, back to back in one
-	// copy of its own that is never reused. The cache is write-through only:
-	// WriteBuckets copies in the bytes it just encoded, recovery replay leaves
-	// it nil (those reads fall back to preads). Live versions therefore keep
-	// about one store's worth of bytes resident — the warm-page-cache case
-	// made explicit and deterministic — and the read path skips the syscall
-	// entirely when the mirror is present.
-	cached []byte
-}
-
-type kvEntry struct {
-	value   []byte
-	recSize int64
-}
-
 type segment struct {
 	f    vfile
 	name string
@@ -151,10 +119,19 @@ type segment struct {
 	size int64
 }
 
-var _ Backend = (*DiskBackend)(nil)
+var (
+	_ Backend     = (*DiskBackend)(nil)
+	_ readEncoder = (*DiskBackend)(nil)
+)
+
+// diskDataStart is how far past its frame a heap version record's first
+// slot-length prefix lies.
+const diskDataStart = recordFrameSize + heapVersionDataStart
 
 const (
 	heapFileName = "buckets.heap"
+	// kvFileName is the key-value journal older disk stores kept; an open
+	// only checks that it holds no records (refuseKVJournal).
 	kvFileName   = "kv.log"
 	metaFileName = "meta"
 	segPrefix    = "wal-"
@@ -164,7 +141,6 @@ const (
 
 const (
 	defaultHeapCompactMin = 1 << 20
-	defaultKVCompactMin   = 1 << 18
 	defaultSegMaxBytes    = 4 << 20
 	// readCoalesceGap merges vectored slot reads whose file ranges are
 	// within this many bytes into one pread.
@@ -223,9 +199,7 @@ func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*
 		dir:            dir,
 		group:          opts.group,
 		replayWorkers:  opts.workers,
-		kv:             make(map[string]kvEntry),
 		heapCompactMin: defaultHeapCompactMin,
-		kvCompactMin:   defaultKVCompactMin,
 		segMaxBytes:    defaultSegMaxBytes,
 		truncBefore:    1,
 		keepDeadSegs:   opts.keepSegs,
@@ -247,14 +221,19 @@ func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*
 			_ = fsys.Remove(joinPath(dir, n))
 		}
 	}
+	if slices.Contains(names, kvFileName) {
+		if err := refuseKVJournal(fsys, dir); err != nil {
+			return nil, err
+		}
+	}
 	if err := b.openMeta(numBuckets); err != nil {
 		return nil, err
 	}
-	// The heap, KV journal and log touch disjoint files and disjoint state:
+	// The heap and the log touch disjoint files and disjoint state:
 	// with a worker budget they open (replay + crc verify) concurrently,
 	// pFSCK-style. Serial order is preserved at workers == 1 so the crash
 	// harness's op sequence stays deterministic.
-	opens := []func() error{b.openKV, func() error { return b.openLog(names) }}
+	opens := []func() error{func() error { return b.openLog(names) }}
 	if !opts.noHeap {
 		opens = append([]func() error{b.openHeap}, opens...)
 	}
@@ -281,10 +260,10 @@ func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*
 			}
 		}
 	}
-	// Creating buckets.heap / kv.log fsyncs their contents, but on ext4 a
-	// new file's *directory entry* is only durable after a directory fsync;
-	// without it, an acked first commit or Put could vanish with the whole
-	// file on power loss. One barrier covers everything open created.
+	// Creating buckets.heap fsyncs its contents, but on ext4 a new file's
+	// *directory entry* is only durable after a directory fsync; without it,
+	// an acked first commit could vanish with the whole file on power loss.
+	// One barrier covers everything open created.
 	if err := fsys.SyncDir(dir); err != nil {
 		return nil, err
 	}
@@ -295,6 +274,28 @@ func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*
 		go b.compactLoop()
 	}
 	return b, nil
+}
+
+// refuseKVJournal fails the open of a directory whose kv.log — the journal
+// older disk stores kept a key-value namespace in — holds a record: no disk
+// store serves that namespace any more, and opening would hide it. A
+// header-only journal, which is all a proxy's data dir ever held, is left
+// alone.
+func refuseKVJournal(fsys vfs, dir string) error {
+	name := joinPath(dir, kvFileName)
+	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
+	if err != nil {
+		return fmt.Errorf("storage: opening %s: %w", name, err)
+	}
+	size, err := f.Size()
+	f.Close()
+	if err != nil {
+		return err
+	}
+	if size > fileHeaderSize {
+		return fmt.Errorf("storage: %s holds %d bytes of key-value records: %w", name, size-fileHeaderSize, ErrNoKV)
+	}
+	return nil
 }
 
 // defaultReplayWorkers sizes the replay pool: parallel crc verification
@@ -395,7 +396,7 @@ func (b *DiskBackend) openHeap() error {
 		return fmt.Errorf("storage: opening bucket heap: %w", err)
 	}
 	b.heap = f
-	b.index = make([][]diskVersion, b.numBuckets)
+	b.ix = newVersionIndex(b.numBuckets, diskDataStart)
 	size, err := f.Size()
 	if err != nil {
 		return err
@@ -469,87 +470,18 @@ func (b *DiskBackend) replayHeap(f vfile, size int64) (int64, error) {
 		}
 		switch rec.kind {
 		case heapKindVersion:
-			if rec.bucket < 0 || rec.bucket >= b.numBuckets {
-				return 0, fmt.Errorf("storage: bucket heap references bucket %d of %d", rec.bucket, b.numBuckets)
-			}
-			v := diskVersion{
-				epoch:   rec.epoch,
-				dataOff: off + recordFrameSize + heapVersionDataStart,
-				recSize: int64(total),
-				layout:  layoutFromLens(rec.slotLens),
-			}
-			if err := b.installVersionLocked(rec.bucket, v); err != nil {
+			v := version{epoch: rec.epoch, layout: layoutFromLens(rec.slotLens), off: off}
+			if err := b.ix.install(rec.bucket, v); err != nil {
 				return 0, fmt.Errorf("storage: bucket heap replay: %w", err)
 			}
 		case heapKindCommit:
-			b.applyCommitLocked(rec.epoch)
-			b.heapDead += int64(total)
+			b.ix.commit(rec.epoch)
 		case heapKindRollback:
-			b.applyRollbackLocked(rec.epoch)
-			b.heapDead += int64(total)
+			b.ix.rollback(rec.epoch)
 		}
 		off += int64(total)
 	}
 	return off, nil
-}
-
-// installVersionLocked applies one version to the index with MemBackend's
-// shadow-paging rules: same-epoch writes supersede in place, lower-epoch
-// writes after a higher epoch are rejected.
-func (b *DiskBackend) installVersionLocked(bucket int, v diskVersion) error {
-	vs := b.index[bucket]
-	if n := len(vs); n > 0 && vs[n-1].epoch == v.epoch {
-		b.heapDead += vs[n-1].recSize
-		b.heapLive += v.recSize - vs[n-1].recSize
-		vs[n-1] = v
-		return nil
-	}
-	if n := len(vs); n > 0 && vs[n-1].epoch > v.epoch {
-		return fmt.Errorf("storage: bucket %d write for epoch %d after epoch %d already written (out-of-order shadow-page write)", bucket, v.epoch, vs[n-1].epoch)
-	}
-	b.index[bucket] = append(vs, v)
-	b.heapLive += v.recSize
-	return nil
-}
-
-// applyCommitLocked advances the committed frontier and garbage-collects
-// superseded versions inside the committed prefix (index only; bytes become
-// dead and are reclaimed by compaction).
-func (b *DiskBackend) applyCommitLocked(epoch uint64) {
-	if epoch > b.committed {
-		b.committed = epoch
-	}
-	for i, vs := range b.index {
-		keep := -1
-		for j := len(vs) - 1; j >= 0; j-- {
-			if vs[j].epoch <= b.committed {
-				keep = j
-				break
-			}
-		}
-		if keep > 0 {
-			for _, v := range vs[:keep] {
-				b.heapDead += v.recSize
-				b.heapLive -= v.recSize
-			}
-			b.index[i] = append(vs[:0], vs[keep:]...)
-		}
-	}
-}
-
-func (b *DiskBackend) applyRollbackLocked(epoch uint64) {
-	for i, vs := range b.index {
-		n := len(vs)
-		for n > 0 && vs[n-1].epoch > epoch {
-			n--
-			b.heapDead += vs[n].recSize
-			b.heapLive -= vs[n].recSize
-		}
-		b.index[i] = vs[:n]
-	}
-	if b.committed > epoch {
-		b.committed = epoch
-	}
 }
 
 // ---- common guards ----
@@ -598,7 +530,7 @@ func (b *DiskBackend) barrierTicket(f vfile, ticket uint64) error {
 }
 
 // forgetFile releases a retired file's scheduler state (rolled-over
-// segments, compacted-away heaps and journals). Call after f is closed.
+// segments, compacted-away heaps). Call after f is closed.
 func (b *DiskBackend) forgetFile(f vfile) {
 	if b.group != nil {
 		b.group.Forget(f)
@@ -651,137 +583,58 @@ func (b *DiskBackend) NumBuckets() (int, error) {
 	return b.numBuckets, nil
 }
 
-func (b *DiskBackend) newestVersionLocked(bucket int) (*diskVersion, error) {
-	if err := checkBucket(bucket, b.numBuckets); err != nil {
-		return nil, err
-	}
-	vs := b.index[bucket]
-	if len(vs) == 0 {
-		return nil, nil
-	}
-	return &vs[len(vs)-1], nil
-}
-
-// slotRange locates slot within v: file offset of the slot's data bytes and
-// its length.
-func (v *diskVersion) slotRange(slot int) (off int64, n int) {
-	at, n := v.layout.at(slot, 4)
-	return v.dataOff + int64(at), n
-}
-
-// lookupSlotLocked finds the newest version of bucket and bounds-checks slot
-// against it.
-func (b *DiskBackend) lookupSlotLocked(bucket, slot int) (*diskVersion, error) {
-	v, err := b.newestVersionLocked(bucket)
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return nil, fmt.Errorf("%w: bucket %d never written", ErrNoSuchSlot, bucket)
-	}
-	if slot < 0 || slot >= v.layout.n {
-		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, v.layout.n)
-	}
-	return v, nil
-}
-
 // ReadSlot implements BucketStore.
 func (b *DiskBackend) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(b, bucket, slot) }
 
 // ReadSlots implements BucketStore: the whole vector resolves under one lock
 // acquisition. Refs whose version carries the in-memory mirror are answered
-// from it outright; the remainder (post-recovery versions) are served
-// scatter-gather style — sorted by file offset, adjacent ranges coalescing
-// into shared preads — so a stage's reads cost at most a handful of syscalls
-// and usually none. The vector fails atomically: every ref is validated
-// before any I/O.
+// from it outright; the rest (versions replayed at open) are read back from
+// the heap file, so a stage's reads cost at most a handful of syscalls and
+// usually none.
 func (b *DiskBackend) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if err := b.checkUsable(); err != nil {
 		return nil, err
 	}
-	type slotRead struct {
-		resIdx int
-		off    int64
-		n      int
-	}
-	reads := make([]slotRead, 0, len(refs))
-	out := make([][]byte, len(refs))
-	for i, r := range refs {
-		v, err := b.lookupSlotLocked(r.Bucket, r.Slot)
-		if err != nil {
-			return nil, err
-		}
-		if v.cached != nil {
-			out[i] = v.layout.slotIn(v.cached, r.Slot, 0)
-			continue
-		}
-		off, n := v.slotRange(r.Slot)
-		reads = append(reads, slotRead{resIdx: i, off: off, n: n})
-	}
-	sort.Slice(reads, func(i, j int) bool { return reads[i].off < reads[j].off })
-	for start := 0; start < len(reads); {
-		end := start
-		runEnd := reads[start].off + int64(reads[start].n)
-		for end+1 < len(reads) && reads[end+1].off <= runEnd+readCoalesceGap {
-			end++
-			if e := reads[end].off + int64(reads[end].n); e > runEnd {
-				runEnd = e
-			}
-		}
-		base := reads[start].off
-		buf, err := readFileRange(b.heap, base, int(runEnd-base))
-		if err != nil {
-			return nil, err
-		}
-		for i := start; i <= end; i++ {
-			lo := reads[i].off - base
-			out[reads[i].resIdx] = buf[lo : lo+int64(reads[i].n)]
-		}
-		start = end + 1
-	}
-	return out, nil
+	return b.ix.readSlots(refs, b)
 }
 
 // ReadBucket implements BucketStore with a single pread covering the whole
-// newest version.
+// newest version, when it has no mirror.
 func (b *DiskBackend) ReadBucket(bucket int) ([][]byte, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if err := b.checkUsable(); err != nil {
 		return nil, err
 	}
-	v, err := b.newestVersionLocked(bucket)
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return nil, nil
-	}
-	return b.readVersionSlotsLocked(v)
+	return b.ix.readBucket(bucket, b)
 }
 
-func (b *DiskBackend) readVersionSlotsLocked(v *diskVersion) ([][]byte, error) {
-	if v.cached != nil {
-		return v.layout.split(v.cached, 0), nil
+// encodeSlots implements readEncoder: a mirror's slab is reused once its
+// version retires, so replies are encoded under the heap lock.
+func (b *DiskBackend) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if err := b.checkUsable(); err != nil {
+		return dst, err
 	}
-	buf, err := readFileRange(b.heap, v.dataOff, v.layout.span(4))
-	if err != nil {
-		return nil, err
-	}
-	return v.layout.split(buf, 4), nil
+	return b.ix.encodeSlots(dst, refs, b)
 }
 
-func (b *DiskBackend) validateWriteLocked(bucket int, epoch uint64) error {
-	if err := checkBucket(bucket, b.numBuckets); err != nil {
-		return err
+// encodeBucket implements readEncoder.
+func (b *DiskBackend) encodeBucket(dst []byte, bucket int) ([]byte, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if err := b.checkUsable(); err != nil {
+		return dst, err
 	}
-	vs := b.index[bucket]
-	if n := len(vs); n > 0 && vs[n-1].epoch > epoch {
-		return fmt.Errorf("storage: bucket %d write for epoch %d after epoch %d already written (out-of-order shadow-page write)", bucket, epoch, vs[n-1].epoch)
-	}
-	return nil
+	return b.ix.encodeBucket(dst, bucket, b)
+}
+
+// preadVersion implements versionFile over the heap file.
+func (b *DiskBackend) preadVersion(_ uint64, off int64, n int) ([]byte, error) {
+	return readFileRange(b.heap, off, n)
 }
 
 // WriteBucket implements BucketStore.
@@ -793,35 +646,20 @@ func (b *DiskBackend) WriteBucket(bucket int, epoch uint64, slots [][]byte) erro
 // buffer and appended with a single write syscall (no fsync — CommitEpoch is
 // the durability barrier; shadow paging makes an unsynced or partially
 // persisted version harmless). Writes install in vector order and the call
-// stops at the first failing entry, leaving the validated prefix installed,
-// exactly like MemBackend.
+// stops at the first failing entry, leaving the prefix installed.
 func (b *DiskBackend) WriteBuckets(writes []BucketWrite) error {
-	// Encode the whole vector, and copy each version's mirror, before taking
-	// the heap lock: a record's frame (crc included) is independent of its
-	// file offset, so the kilobytes of copy + checksum work need no
-	// exclusivity. Only validation, index
-	// installation and the append run under mu — concurrent read batches
-	// overlap the write-back's encoding instead of stalling behind it. If
-	// validation stops mid-vector, the encoded suffix is simply not
-	// appended (records concatenate in vector order).
-	type pendingWrite struct {
-		relOff  int64
-		recSize int64
-		layout  slotLayout
-		cached  []byte
-	}
+	// Encode the whole vector before taking the heap lock: a record's frame
+	// (crc included) is independent of its file offset, so the checksum work
+	// needs no exclusivity. Only installation, with its mirror copy, and the
+	// append run under mu. If an install fails mid-vector, the encoded
+	// suffix is simply not appended (records concatenate in vector order).
 	var buf []byte
-	pend := make([]pendingWrite, len(writes))
+	starts := make([]int64, len(writes))
 	for i, w := range writes {
 		at := len(buf)
 		buf = appendVersionBody(beginRecord(buf), heapKindVersion, w.Bucket, w.Epoch, w.Slots)
 		sealRecord(buf[at:])
-		l := layoutOf(w.Slots)
-		cached := make([]byte, 0, l.span(0))
-		for _, sl := range w.Slots {
-			cached = append(cached, sl...)
-		}
-		pend[i] = pendingWrite{relOff: int64(at), recSize: int64(len(buf) - at), layout: l, cached: cached}
+		starts[i] = int64(at)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -831,22 +669,9 @@ func (b *DiskBackend) WriteBuckets(writes []BucketWrite) error {
 	var firstErr error
 	end := int64(len(buf))
 	for i, w := range writes {
-		if err := b.validateWriteLocked(w.Bucket, w.Epoch); err != nil {
-			firstErr = err
-			end = pend[i].relOff
-			break
-		}
-		v := diskVersion{
-			epoch:   w.Epoch,
-			dataOff: b.heapSize + pend[i].relOff + recordFrameSize + heapVersionDataStart,
-			recSize: pend[i].recSize,
-			layout:  pend[i].layout,
-			cached:  pend[i].cached,
-		}
-		if err := b.installVersionLocked(w.Bucket, v); err != nil {
-			// validateWriteLocked already screened the failure modes.
-			firstErr = err
-			end = pend[i].relOff
+		v := version{epoch: w.Epoch, layout: layoutOf(w.Slots), off: b.heapSize + starts[i]}
+		if err := b.ix.write(w.Bucket, v, w.Slots); err != nil {
+			firstErr, end = err, starts[i]
 			break
 		}
 	}
@@ -896,7 +721,7 @@ func (b *DiskBackend) heapBarrierOp(kind byte, epoch uint64) error {
 	}
 	// An already-covered commit needs no new record or barrier; rollbacks
 	// always log (the index shrinks, and replay must see that).
-	needBarrier := kind == heapKindRollback || epoch > b.committed
+	needBarrier := kind == heapKindRollback || epoch > b.ix.committed
 	heap := b.heap
 	var ticket uint64
 	if needBarrier {
@@ -905,13 +730,12 @@ func (b *DiskBackend) heapBarrierOp(kind byte, epoch uint64) error {
 			b.mu.Unlock()
 			return err
 		}
-		b.heapDead += int64(len(framed))
 		ticket = b.stamp(heap)
 	}
 	if kind == heapKindCommit {
-		b.applyCommitLocked(epoch)
+		b.ix.commit(epoch)
 	} else {
-		b.applyRollbackLocked(epoch)
+		b.ix.rollback(epoch)
 	}
 	b.noteCompactLocked()
 	b.mu.Unlock()
@@ -928,7 +752,7 @@ func (b *DiskBackend) heapBarrierOp(kind byte, epoch uint64) error {
 func (b *DiskBackend) CommittedEpoch() uint64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.committed
+	return b.ix.committed
 }
 
 // VersionCount reports how many shadow versions a bucket currently holds.
@@ -936,10 +760,7 @@ func (b *DiskBackend) CommittedEpoch() uint64 {
 func (b *DiskBackend) VersionCount(bucket int) int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if bucket < 0 || bucket >= len(b.index) {
-		return 0
-	}
-	return len(b.index[bucket])
+	return b.ix.count(bucket)
 }
 
 // ---- heap compaction ----
@@ -952,13 +773,18 @@ func (b *DiskBackend) VersionCount(bucket int) int {
 // lock, racing only against appends, which are safe to race: the heap file
 // is append-only, so every offset below the snapshot size is immutable.
 
-// noteCompactLocked kicks the background compactor when dead bytes dominate
-// live ones. No-op when auto-compaction is off (crash-harness opens).
+// compactDueLocked reports whether dead bytes — retired versions, commit and
+// rollback records: everything but the header and the records the index
+// still references — dominate live ones.
+func (b *DiskBackend) compactDueLocked() bool {
+	dead := b.heapSize - fileHeaderSize - b.ix.live
+	return dead >= b.heapCompactMin && dead > b.ix.live
+}
+
+// noteCompactLocked kicks the background compactor when compaction is due.
+// No-op when auto-compaction is off (crash-harness opens).
 func (b *DiskBackend) noteCompactLocked() {
-	if b.compactKick == nil {
-		return
-	}
-	if b.heapDead < b.heapCompactMin || b.heapDead <= b.heapLive {
+	if b.compactKick == nil || !b.compactDueLocked() {
 		return
 	}
 	select {
@@ -976,7 +802,7 @@ func (b *DiskBackend) compactLoop() {
 		case <-b.compactKick:
 		}
 		b.mu.RLock()
-		due := b.heapDead >= b.heapCompactMin && b.heapDead > b.heapLive
+		due := b.compactDueLocked()
 		b.mu.RUnlock()
 		if due {
 			// A failed compaction (before the rename) leaves the old file
@@ -1017,10 +843,10 @@ func (b *DiskBackend) compactHeap() error {
 	}
 	heap := b.heap // stable: commitMu is held, and Close waits for it
 	snapSize := b.heapSize
-	snapCommitted := b.committed
-	snapIndex := make([][]diskVersion, len(b.index))
-	for i, vs := range b.index {
-		snapIndex[i] = append([]diskVersion(nil), vs...)
+	snapCommitted := b.ix.committed
+	snapIndex := make([][]version, len(b.ix.buckets))
+	for i, vs := range b.ix.buckets {
+		snapIndex[i] = append([]version(nil), vs...)
 	}
 	b.mu.RUnlock()
 
@@ -1052,15 +878,14 @@ func (b *DiskBackend) compactHeap() error {
 	for bucket, vs := range snapIndex {
 		for i := range vs {
 			v := &vs[i]
-			recOff := v.dataOff - recordFrameSize - heapVersionDataStart
-			if recOff >= snapSize {
+			if v.off >= snapSize {
 				continue
 			}
-			rec, err := readFileRange(heap, recOff, int(v.recSize))
+			rec, err := readFileRange(heap, v.off, int(b.ix.recLen(v)))
 			if err != nil {
 				return abort(fmt.Errorf("storage: compacting bucket %d: %w", bucket, err))
 			}
-			remap[v.dataOff] = off + recordFrameSize + heapVersionDataStart
+			remap[v.off] = off
 			if err := write(rec); err != nil {
 				return abort(err)
 			}
@@ -1100,22 +925,20 @@ func (b *DiskBackend) compactHeap() error {
 	// rename is lost in a crash, the old heap file replays to the same
 	// logical state (compaction removed only dead bytes).
 	_ = b.fsys.SyncDir(b.dir)
-	var newLive int64
-	for bucket, vs := range b.index {
+	for bucket, vs := range b.ix.buckets {
 		for i := range vs {
 			v := &vs[i]
-			if v.dataOff-recordFrameSize-heapVersionDataStart >= snapSize {
-				v.dataOff += shift
-			} else if mapped, ok := remap[v.dataOff]; ok {
-				v.dataOff = mapped
+			if v.off >= snapSize {
+				v.off += shift
+			} else if mapped, ok := remap[v.off]; ok {
+				v.off = mapped
 			} else {
 				// Every pre-snapshot index entry was live at snapshot time
 				// (appends only ever reference fresh offsets), so a miss is
 				// an invariant violation; the new file is already installed,
 				// so serving stale offsets would corrupt reads. Fail stop.
-				return b.wedge(fmt.Errorf("storage: compaction lost bucket %d version at offset %d", bucket, v.dataOff))
+				return b.wedge(fmt.Errorf("storage: compaction lost bucket %d version at offset %d", bucket, v.off))
 			}
-			newLive += v.recSize
 		}
 	}
 	b.heap.Close()
@@ -1123,16 +946,32 @@ func (b *DiskBackend) compactHeap() error {
 	b.heap = tf
 	b.heapSize = off
 	b.heapReserved = off
-	b.heapLive = newLive
-	b.heapDead = b.heapSize - fileHeaderSize - newLive
 	return nil
+}
+
+// ---- KVStore ----
+
+// Get implements KVStore: a disk store keeps no namespace.
+func (b *DiskBackend) Get(string) ([]byte, bool, error) { return nil, false, b.noKV() }
+
+// Put implements KVStore: a disk store keeps no namespace.
+func (b *DiskBackend) Put(string, []byte) error { return b.noKV() }
+
+// Delete implements KVStore: a disk store keeps no namespace.
+func (b *DiskBackend) Delete(string) error { return b.noKV() }
+
+func (b *DiskBackend) noKV() error {
+	if err := b.checkUsable(); err != nil {
+		return err
+	}
+	return ErrNoKV
 }
 
 // ---- Close ----
 
 // Close implements Backend. Appended-but-unsynced bucket versions are not
 // flushed: they are uncommitted by definition, and the durability contract
-// only covers acknowledged commits, log appends and KV writes. The shared
+// only covers acknowledged commits and log appends. The shared
 // commit group (if any) is NOT closed — it belongs to the directory, not
 // the shard; DiskGroup.Close owns that.
 func (b *DiskBackend) Close() error {
@@ -1153,8 +992,6 @@ func (b *DiskBackend) Close() error {
 	defer b.commitMu.Unlock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.kvMu.Lock()
-	defer b.kvMu.Unlock()
 	b.logMu.Lock()
 	defer b.logMu.Unlock()
 	var first error
@@ -1165,9 +1002,6 @@ func (b *DiskBackend) Close() error {
 	}
 	if b.heap != nil {
 		keep(b.heap.Close())
-	}
-	if b.kvf != nil {
-		keep(b.kvf.Close())
 	}
 	for _, s := range b.segs {
 		keep(s.f.Close())

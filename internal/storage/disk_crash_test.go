@@ -270,7 +270,6 @@ type sweepOracle struct {
 	// to here — without anything having been invented. Zero for workloads
 	// that only commit inline.
 	commitIssued uint64
-	kv           map[string]string
 }
 
 func newSweepOracle(numBuckets int) *sweepOracle {
@@ -279,7 +278,6 @@ func newSweepOracle(numBuckets int) *sweepOracle {
 		numBuckets:     numBuckets,
 		snaps:          make(map[uint64][][][]byte),
 		truncAttempted: 1,
-		kv:             make(map[string]string),
 	}
 	o.snapshot(0)
 	return o
@@ -305,12 +303,11 @@ func (o *sweepOracle) snapshot(epoch uint64) {
 // sweep workload, so their crash windows are part of the swept surface.
 func shrinkDiskKnobs(b *DiskBackend) {
 	b.heapCompactMin = 64
-	b.kvCompactMin = 64
 	b.segMaxBytes = 128
 }
 
 // crashWorkload drives b through write→seal→commit cycles with same-epoch
-// rewrites, a mid-stream rollback, log appends, truncation, KV churn and two
+// rewrites, a mid-stream rollback, log appends, truncation and two
 // explicit heap compactions (the background compactor is off in harness
 // opens, so CompactNow puts compaction's crash windows at deterministic
 // sweep indices). Acked operations mirror into the oracle; the workload
@@ -349,19 +346,6 @@ func crashWorkload(b *DiskBackend, o *sweepOracle, salt string) {
 		}
 		o.logRecs = append(o.logRecs, rec)
 		o.logAcked = len(o.logRecs)
-		if e%2 == 0 {
-			k, v := salt+fmt.Sprintf("key%d", e/2), fmt.Sprintf("%sval%d", salt, e)
-			if b.Put(k, []byte(v)) != nil {
-				return
-			}
-			o.kv[k] = v
-		}
-		if e == 5 {
-			if b.Delete(salt+"key1") != nil {
-				return
-			}
-			delete(o.kv, salt+"key1")
-		}
 		if e == 3 {
 			// Epoch 3 aborts: revert instead of committing (the paper's §8).
 			if b.RollbackTo(2) != nil {
@@ -482,17 +466,6 @@ func verifyRecoveredState(t *testing.T, r recoveredStore, o *sweepOracle, strict
 			t.Fatalf("%s: log record %d = %q, want %q", tag, seq, rec, o.logRecs[seq-1])
 		}
 	}
-	if strict {
-		for k, v := range o.kv {
-			got, found, err := r.Get(k)
-			if err != nil || !found || string(got) != v {
-				t.Fatalf("%s: kv %q = %q, %v, %v (want %q)", tag, k, got, found, err, v)
-			}
-		}
-		if _, found, _ := r.Get("key1"); found && o.lastCommit >= 5 {
-			t.Fatalf("%s: acked delete of key1 lost", tag)
-		}
-	}
 }
 
 // countWorkloadOps dry-runs the workload to learn how many mutation points
@@ -564,7 +537,7 @@ func groupShardDir(i int) string { return fmt.Sprintf("data/shard-%d", i) }
 
 // runGroupCrashWorkload opens groupSweepShards backends on one crashFS, all
 // routed through one CommitGroup, and drives the standard workload on every
-// shard CONCURRENTLY — commits, log appends and KV puts race into shared
+// shard CONCURRENTLY — commits and log appends race into shared
 // flush waves. Each shard mirrors its acked ops into its own oracle. A crash
 // during a shard's open leaves that shard's oracle empty (epoch 0), which is
 // exactly what its directory must recover to.

@@ -7,8 +7,8 @@ import (
 
 // FuzzDiskRecordDecode hammers the on-disk decoders with arbitrary bytes
 // (mirroring the client plane's FuzzDecodeFrame): record framing, file
-// headers, heap bodies and KV bodies must either decode a value that
-// re-encodes to the identical bytes, or fail — never panic, never
+// headers, heap bodies and index-checkpoint bodies must either decode a value
+// that re-encodes to the identical bytes, or fail — never panic, never
 // mis-deserialize.
 func FuzzDiskRecordDecode(f *testing.F) {
 	// Valid records of every kind.
@@ -20,8 +20,8 @@ func FuzzDiskRecordDecode(f *testing.F) {
 	f.Add(encodeRecord(nil, encodeEpochBody(lhixKindState, 42)))
 	f.Add(encodeRecord(nil, appendLhixVersion(nil, 3, 7, 128, 44, 61, layoutFromLens([]uint32{5, 0, 5}))))
 	f.Add(encodeRecord(nil, appendLhixVersion(nil, 0, 0, 0, 0, 0, slotLayout{})))
-	f.Add(encodeRecord(nil, encodeKVBody(kvKindPut, "key", []byte("value"))))
-	f.Add(encodeRecord(nil, encodeKVBody(kvKindDel, "key", nil)))
+	f.Add(encodeRecord(nil, wrapSharedRecord(3, encodeEpochBody(heapKindCommit, 9))))
+	f.Add(encodeFileHeader(metaMagic, 8, 3))
 	f.Add(encodeRecord(nil, []byte("raw log record")))
 	f.Add(encodeFileHeader(heapMagic, 64, 0))
 	f.Add(encodeFileHeader(segMagic, 0, 17))
@@ -93,14 +93,9 @@ func FuzzDiskRecordDecode(f *testing.F) {
 					t.Fatalf("parseLhixBody accepted unknown kind %d", rec.kind)
 				}
 			}
-			if kind, key, value, err := parseKVBody(body); err == nil {
-				if re := encodeKVBody(kind, key, value); !bytes.Equal(re, body) {
-					t.Fatalf("kv body did not round-trip")
-				}
-			}
 		}
 		// File headers on the same bytes: decode or error, never panic.
-		for _, magic := range []string{heapMagic, segMagic, kvMagic, metaMagic} {
+		for _, magic := range []string{heapMagic, segMagic, metaMagic, lhixMagic} {
 			a, b, err := decodeFileHeader(data, magic)
 			if err == nil {
 				if re := encodeFileHeader(magic, a, b); !bytes.Equal(re, data[:fileHeaderSize]) {

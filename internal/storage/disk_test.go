@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,9 +48,6 @@ func TestDiskReopenRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(t, b.Put("alpha", []byte("1")))
-	must(t, b.Put("beta", []byte("2")))
-	must(t, b.Delete("alpha"))
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +76,6 @@ func TestDiskReopenRoundTrip(t *testing.T) {
 	}
 	if seq, _ := r.LastSeq(); seq != 3 {
 		t.Fatalf("recovered LastSeq = %d", seq)
-	}
-	if _, found, _ := r.Get("alpha"); found {
-		t.Fatal("deleted key resurrected on reopen")
-	}
-	if v, found, _ := r.Get("beta"); !found || string(v) != "2" {
-		t.Fatalf("recovered kv beta = %q, %v", v, found)
 	}
 }
 
@@ -389,26 +382,59 @@ func TestDiskLogSegmentsRollAndTruncate(t *testing.T) {
 	}
 }
 
-func TestDiskKVCompaction(t *testing.T) {
-	dir := t.TempDir()
-	b := openDisk(t, dir, 1)
-	b.kvCompactMin = 1 << 10
-	val := bytes.Repeat([]byte("v"), 128)
-	for i := 0; i < 64; i++ {
-		must(t, b.Put("churn", append([]byte(fmt.Sprintf("%02d-", i)), val...)))
-	}
-	must(t, b.Put("stable", []byte("keep")))
-	if b.kvSize > 4<<10 {
-		t.Fatalf("kv journal not compacted: %d bytes", b.kvSize)
-	}
-	must(t, b.Close())
-	r := openDisk(t, dir, 1)
-	defer r.Close()
-	if v, found, _ := r.Get("churn"); !found || !bytes.HasPrefix(v, []byte("63-")) {
-		t.Fatalf("churn after compaction = %q, %v", v, found)
-	}
-	if v, _, _ := r.Get("stable"); string(v) != "keep" {
-		t.Fatalf("stable after compaction = %q", v)
+// TestDiskRefusesKVJournalRecords: a shard directory an older disk store
+// wrote holds kv.log, the journal its key-value namespace lived in. A
+// header-only journal — all a proxy's data dir ever held — opens and is left
+// as it is; one holding a record is refused with ErrNoKV, because no store
+// serves that namespace now.
+func TestDiskRefusesKVJournalRecords(t *testing.T) {
+	header := encodeFileHeader("OBKV0001", 0, 0)
+	put := []byte{1} // put: u32 key length | key | u32 value length | value
+	put = binary.BigEndian.AppendUint32(put, 3)
+	put = append(put, "key"...)
+	put = binary.BigEndian.AppendUint32(put, 5)
+	put = append(put, "value"...)
+	for _, c := range []struct {
+		name    string
+		journal []byte
+		refused bool
+	}{
+		{"header-only", header, false},
+		{"one-record", encodeRecord(bytes.Clone(header), put), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			g, err := OpenDiskGroupOpts(dir, 2, 8, DiskOptions{LogHeap: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			must(t, g.Backends()[1].WriteBucket(0, 1, slots("live")))
+			must(t, g.Backends()[1].CommitEpoch(1))
+			must(t, g.Close())
+			journal := filepath.Join(dir, "shard-001", kvFileName)
+			must(t, os.WriteFile(journal, c.journal, 0o644))
+			g, err = OpenDiskGroupOpts(dir, 2, 8, DiskOptions{LogHeap: true})
+			if c.refused {
+				if !errors.Is(err, ErrNoKV) {
+					if err == nil {
+						g.Close()
+					}
+					t.Fatalf("open over a kv.log holding a record = %v, want ErrNoKV", err)
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("open over a header-only kv.log: %v", err)
+				}
+				got, err := g.Backends()[1].ReadSlot(0, 0)
+				if err != nil || string(got) != "live" {
+					t.Fatalf("bucket 0 after reopen = %q, %v", got, err)
+				}
+				must(t, g.Close())
+			}
+			if after, err := os.ReadFile(journal); err != nil || !bytes.Equal(after, c.journal) {
+				t.Fatalf("open changed kv.log: %x, %v", after, err)
+			}
+		})
 	}
 }
 

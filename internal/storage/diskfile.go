@@ -146,8 +146,8 @@ var diskCRC = crc32.MakeTable(crc32.Castagnoli)
 
 const (
 	recordFrameSize = 8 // u32 len | u32 crc
-	// maxRecordSize bounds one record (a bucket version, a log record, or a
-	// KV entry); it matches the wire protocol's frame bound.
+	// maxRecordSize bounds one record (a bucket version or a log record); it
+	// matches the wire protocol's frame bound.
 	maxRecordSize = 64 << 20
 )
 
@@ -223,7 +223,6 @@ const fileHeaderSize = 24
 const (
 	heapMagic = "OBHEAP01"
 	segMagic  = "OBSEG001"
-	kvMagic   = "OBKV0001"
 	metaMagic = "OBMETA01"
 	// lhixMagic heads a LogHeap index checkpoint: u32 = bucket count,
 	// u64 = physical-log watermark W (every own-stream record with physical
@@ -443,63 +442,6 @@ func parseLhixBody(body []byte) (lhixRec, error) {
 		return rec, nil
 	default:
 		return lhixRec{}, fmt.Errorf("%w: unknown index checkpoint record kind %d", errBadRecord, body[0])
-	}
-}
-
-// ---- KV record bodies ----
-
-const (
-	kvKindPut = 1 // u32 klen | key | u32 vlen | value
-	kvKindDel = 2 // u32 klen | key
-)
-
-func encodeKVBody(kind byte, key string, value []byte) []byte {
-	n := 1 + 4 + len(key)
-	if kind == kvKindPut {
-		n += 4 + len(value)
-	}
-	body := make([]byte, 0, n)
-	body = append(body, kind)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(key)))
-	body = append(body, key...)
-	if kind == kvKindPut {
-		body = binary.BigEndian.AppendUint32(body, uint32(len(value)))
-		body = append(body, value...)
-	}
-	return body
-}
-
-// parseKVBody decodes a KV record body.
-func parseKVBody(body []byte) (kind byte, key string, value []byte, err error) {
-	if len(body) < 5 {
-		return 0, "", nil, fmt.Errorf("%w: short kv record", errBadRecord)
-	}
-	kind = body[0]
-	klen := int(binary.BigEndian.Uint32(body[1:5]))
-	if klen < 0 || len(body)-5 < klen {
-		return 0, "", nil, fmt.Errorf("%w: kv key length %d overruns record", errBadRecord, klen)
-	}
-	key = string(body[5 : 5+klen])
-	rest := body[5+klen:]
-	switch kind {
-	case kvKindDel:
-		if len(rest) != 0 {
-			return 0, "", nil, fmt.Errorf("%w: trailing bytes in kv delete", errBadRecord)
-		}
-		return kind, key, nil, nil
-	case kvKindPut:
-		if len(rest) < 4 {
-			return 0, "", nil, fmt.Errorf("%w: truncated kv value", errBadRecord)
-		}
-		vlen := int(binary.BigEndian.Uint32(rest[:4]))
-		if vlen < 0 || len(rest)-4 != vlen {
-			return 0, "", nil, fmt.Errorf("%w: kv value length %d mismatches record", errBadRecord, vlen)
-		}
-		value = make([]byte, vlen)
-		copy(value, rest[4:])
-		return kind, key, value, nil
-	default:
-		return 0, "", nil, fmt.Errorf("%w: unknown kv record kind %d", errBadRecord, kind)
 	}
 }
 

@@ -11,222 +11,8 @@ import (
 	"sync"
 )
 
-// This file holds DiskBackend's recovery log (segmented append-only files
-// with an fsync barrier per append) and the NoPriv baseline's KV namespace
-// (an append-only put/delete journal with an in-memory map).
-
-// ---- KV namespace ----
-
-func (b *DiskBackend) openKV() error {
-	f, err := b.fsys.OpenFile(joinPath(b.dir, kvFileName), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: opening kv log: %w", err)
-	}
-	b.kvf = f
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	if size < fileHeaderSize {
-		// Same argument as the bucket heap: a sub-header file means creation
-		// never durably completed.
-		if err := f.Truncate(0); err != nil {
-			return err
-		}
-		hdr := encodeFileHeader(kvMagic, 0, 0)
-		if _, err := f.WriteAt(hdr, 0); err != nil {
-			return fmt.Errorf("storage: initializing kv log: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return err
-		}
-		b.kvSize = fileHeaderSize
-		return nil
-	}
-	hdr, err := readFileRange(f, 0, fileHeaderSize)
-	if err != nil {
-		return err
-	}
-	if _, _, err := decodeFileHeader(hdr, kvMagic); err != nil {
-		return fmt.Errorf("storage: kv log: %w", err)
-	}
-	sc := newRecordScanner(f, fileHeaderSize, size)
-	off := int64(fileHeaderSize)
-	for off < size {
-		body, total, err := sc.next()
-		if err != nil {
-			if errors.Is(err, errTornRecord) {
-				break
-			}
-			return fmt.Errorf("storage: kv log at offset %d: %w", off, err)
-		}
-		kind, key, value, err := parseKVBody(body)
-		if err != nil {
-			return fmt.Errorf("storage: kv log at offset %d: %w", off, err)
-		}
-		b.applyKVLocked(kind, key, value, int64(total))
-		off += int64(total)
-	}
-	if off < size {
-		if err := f.Truncate(off); err != nil {
-			return fmt.Errorf("storage: truncating torn kv tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	b.kvSize = off
-	return nil
-}
-
-func (b *DiskBackend) applyKVLocked(kind byte, key string, value []byte, recSize int64) {
-	if old, ok := b.kv[key]; ok {
-		b.kvDead += old.recSize
-		b.kvLive -= old.recSize
-	}
-	switch kind {
-	case kvKindPut:
-		b.kv[key] = kvEntry{value: value, recSize: recSize}
-		b.kvLive += recSize
-	case kvKindDel:
-		delete(b.kv, key)
-		b.kvDead += recSize
-	}
-}
-
-// Get implements KVStore.
-func (b *DiskBackend) Get(key string) ([]byte, bool, error) {
-	b.kvMu.RLock()
-	defer b.kvMu.RUnlock()
-	if err := b.checkUsable(); err != nil {
-		return nil, false, err
-	}
-	e, ok := b.kv[key]
-	return e.value, ok, nil
-}
-
-// Put implements KVStore: the entry is durable — covered by an fsync of the
-// journal, inline or via the shared commit group — before the call returns.
-func (b *DiskBackend) Put(key string, value []byte) error {
-	return b.kvAppend(kvKindPut, key, value)
-}
-
-// Delete implements KVStore.
-func (b *DiskBackend) Delete(key string) error {
-	return b.kvAppend(kvKindDel, key, nil)
-}
-
-func (b *DiskBackend) kvAppend(kind byte, key string, value []byte) error {
-	b.kvMu.Lock()
-	if err := b.checkUsable(); err != nil {
-		b.kvMu.Unlock()
-		return err
-	}
-	if kind == kvKindDel {
-		if _, ok := b.kv[key]; !ok {
-			b.kvMu.Unlock()
-			return nil // nothing to make durable
-		}
-	}
-	framed := encodeRecord(nil, encodeKVBody(kind, key, value))
-	if _, err := b.kvf.WriteAt(framed, b.kvSize); err != nil {
-		b.kvMu.Unlock()
-		return b.wedge(err)
-	}
-	b.kvSize += int64(len(framed))
-	b.applyKVLocked(kind, key, value, int64(len(framed)))
-	// Without a group the fsync stays under the lock — KV writers serialize
-	// on one file anyway; with a group the lock drops so barriers from other
-	// shards (and the heap/log) coalesce into one flush wave. Either way the
-	// entry is durable before compaction may fold it into a rewritten
-	// journal, so the compacted file only ever holds acknowledged entries.
-	if b.group == nil {
-		err := b.kvf.Sync()
-		if err != nil {
-			b.kvMu.Unlock()
-			return b.wedge(err)
-		}
-		b.maybeCompactKVLocked()
-		b.kvMu.Unlock()
-		return nil
-	}
-	f := b.kvf
-	ticket := b.stamp(f)
-	b.kvMu.Unlock()
-	if err := b.group.BarrierTicket(f, ticket); err != nil {
-		return b.wedge(err)
-	}
-	b.kvMu.Lock()
-	b.maybeCompactKVLocked()
-	b.kvMu.Unlock()
-	return nil
-}
-
-// maybeCompactKVLocked rewrites the journal as one put per live key when
-// dead entries dominate. Same crash argument as the heap: the old journal
-// replays to the identical map, so losing the rename is harmless.
-func (b *DiskBackend) maybeCompactKVLocked() {
-	if b.kvDead < b.kvCompactMin || b.kvDead <= b.kvLive {
-		return
-	}
-	tmpName := joinPath(b.dir, kvFileName+tmpSuffix)
-	tf, err := b.fsys.OpenFile(tmpName, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return
-	}
-	abort := func() {
-		tf.Close()
-		_ = b.fsys.Remove(tmpName)
-	}
-	keys := make([]string, 0, len(b.kv))
-	for k := range b.kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	off := int64(0)
-	buf := encodeFileHeader(kvMagic, 0, 0)
-	sizes := make(map[string]int64, len(keys))
-	for _, k := range keys {
-		body := encodeKVBody(kvKindPut, k, b.kv[k].value)
-		sizes[k] = int64(recordFrameSize + len(body))
-		buf = encodeRecord(buf, body)
-		if len(buf) >= 1<<20 {
-			if _, err := tf.WriteAt(buf, off); err != nil {
-				abort()
-				return
-			}
-			off += int64(len(buf))
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := tf.WriteAt(buf, off); err != nil {
-			abort()
-			return
-		}
-		off += int64(len(buf))
-	}
-	if err := tf.Sync(); err != nil {
-		abort()
-		return
-	}
-	if err := b.fsys.Rename(tmpName, joinPath(b.dir, kvFileName)); err != nil {
-		abort()
-		return
-	}
-	_ = b.fsys.SyncDir(b.dir)
-	b.kvf.Close()
-	b.forgetFile(b.kvf)
-	b.kvf = tf
-	b.kvSize = off
-	b.kvLive = 0
-	b.kvDead = 0
-	for k, e := range b.kv {
-		e.recSize = sizes[k]
-		b.kv[k] = e
-		b.kvLive += e.recSize
-	}
-}
+// This file holds DiskBackend's recovery log: segmented append-only files
+// with an fsync barrier per append.
 
 // ---- recovery log ----
 

@@ -113,8 +113,8 @@ func TestInPlaceFramerGoldenBytesLogHeap(t *testing.T) {
 						t.Fatal(err)
 					}
 					// A roll between two records of one vector.
-					if first, last := g.heaps[sh].index[writes[0].Bucket], g.heaps[sh].index[writes[len(writes)-1].Bucket]; len(owner.segs) > segsBefore &&
-						first[len(first)-1].segBase != last[len(last)-1].segBase {
+					if first, last := g.heaps[sh].ix.buckets[writes[0].Bucket], g.heaps[sh].ix.buckets[writes[len(writes)-1].Bucket]; len(owner.segs) > segsBefore &&
+						first[len(first)-1].seg != last[len(last)-1].seg {
 						straddled = true
 					}
 					rec := make([]byte, rng.Intn(3)*rng.Intn(300))

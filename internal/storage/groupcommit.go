@@ -11,7 +11,7 @@ import (
 
 // This file holds the group-commit scheduler: a per-data-dir fsync coalescer
 // shared by every DiskBackend shard rooted under one directory. Shards append
-// their commit records (and log/KV records) unsynced and then stand on a
+// their commit records (and log records) unsynced and then stand on a
 // barrier (BarrierTicket). The barriers on one file form fsync waves: a
 // barrier with no fsync of its file in flight issues one itself, and every
 // barrier the in-flight fsync covers waits for it and shares its outcome —
@@ -204,25 +204,32 @@ type DiskGroup struct {
 }
 
 // GroupShard is one shard of a DiskGroup as the proxy consumes it: the
-// shard's own DiskBackend for buckets and KV, with the recovery-log face
-// rerouted onto the group's shared physical log — and, in logheap mode,
-// the bucket face rerouted onto the shard's LogHeap.
+// shard's own DiskBackend, with the recovery-log face rerouted onto the
+// group's shared physical log and the bucket face onto the store picked at
+// open — the backend's heap file, or in logheap mode the shard's LogHeap.
+// It keeps no key-value namespace (ErrNoKV).
 type GroupShard struct {
 	*DiskBackend
 	logView *LogView
-	heap    *LogHeap // logheap mode only
-	// closed marks this shard logically closed in logheap mode. The
-	// underlying files belong to the physical log the OTHER shards still
-	// share, so Close cannot close them; the flag keeps the per-shard
+	buckets shardBuckets
+	// closed marks this shard logically closed. Its files belong to the
+	// group — the physical log is shard 0's, and every shard's log stream
+	// rides it — so Close cannot close them; the flag keeps the per-shard
 	// ErrClosed contract (every op on a closed shard fails, the siblings
-	// keep working) that DiskBackend.Close provides in per-shard-file mode.
+	// keep working), and the files close with the group.
 	closed atomic.Bool
 }
 
-// guard is the logheap-mode closed check; per-shard-file mode relies on the
-// embedded backend's own state.
+// shardBuckets is the store a GroupShard serves its bucket face from.
+type shardBuckets interface {
+	BucketStore
+	readEncoder
+	CommittedEpoch() uint64
+	VersionCount(bucket int) int
+}
+
 func (s *GroupShard) guard() error {
-	if s.heap != nil && s.closed.Load() {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	return nil
@@ -270,53 +277,36 @@ func (s *GroupShard) SyncLog() error {
 	return s.logView.SyncLog()
 }
 
-// Bucket ops route to the LogHeap in logheap mode.
-
 func (s *GroupShard) NumBuckets() (int, error) {
 	if err := s.guard(); err != nil {
 		return 0, err
 	}
-	if s.heap != nil {
-		return s.heap.NumBuckets()
-	}
-	return s.DiskBackend.NumBuckets()
+	return s.buckets.NumBuckets()
 }
 func (s *GroupShard) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(s, bucket, slot) }
 func (s *GroupShard) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	if err := s.guard(); err != nil {
 		return nil, err
 	}
-	if s.heap != nil {
-		return s.heap.ReadSlots(refs)
-	}
-	return s.DiskBackend.ReadSlots(refs)
+	return s.buckets.ReadSlots(refs)
 }
 func (s *GroupShard) ReadBucket(bucket int) ([][]byte, error) {
 	if err := s.guard(); err != nil {
 		return nil, err
 	}
-	if s.heap != nil {
-		return s.heap.ReadBucket(bucket)
-	}
-	return s.DiskBackend.ReadBucket(bucket)
+	return s.buckets.ReadBucket(bucket)
 }
 func (s *GroupShard) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 	if err := s.guard(); err != nil {
 		return dst, err
 	}
-	if s.heap != nil {
-		return s.heap.encodeSlots(dst, refs)
-	}
-	return encodeSlotsFrom(s.DiskBackend, dst, refs)
+	return s.buckets.encodeSlots(dst, refs)
 }
 func (s *GroupShard) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 	if err := s.guard(); err != nil {
 		return dst, err
 	}
-	if s.heap != nil {
-		return s.heap.encodeBucket(dst, bucket)
-	}
-	return encodeBucketFrom(s.DiskBackend, dst, bucket)
+	return s.buckets.encodeBucket(dst, bucket)
 }
 func (s *GroupShard) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 	return writeBucket(s, bucket, epoch, slots)
@@ -325,73 +315,41 @@ func (s *GroupShard) WriteBuckets(writes []BucketWrite) error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	if s.heap != nil {
-		return s.heap.WriteBuckets(writes)
-	}
-	return s.DiskBackend.WriteBuckets(writes)
+	return s.buckets.WriteBuckets(writes)
 }
 func (s *GroupShard) CommitEpoch(epoch uint64) error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	if s.heap != nil {
-		return s.heap.CommitEpoch(epoch)
-	}
-	return s.DiskBackend.CommitEpoch(epoch)
+	return s.buckets.CommitEpoch(epoch)
 }
 func (s *GroupShard) RollbackTo(epoch uint64) error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	if s.heap != nil {
-		return s.heap.RollbackTo(epoch)
-	}
-	return s.DiskBackend.RollbackTo(epoch)
+	return s.buckets.RollbackTo(epoch)
 }
 
 // CommittedEpoch / VersionCount mirror the DiskBackend test helpers.
-func (s *GroupShard) CommittedEpoch() uint64 {
-	if s.heap != nil {
-		return s.heap.CommittedEpoch()
-	}
-	return s.DiskBackend.CommittedEpoch()
-}
-func (s *GroupShard) VersionCount(bucket int) int {
-	if s.heap != nil {
-		return s.heap.VersionCount(bucket)
-	}
-	return s.DiskBackend.VersionCount(bucket)
-}
+func (s *GroupShard) CommittedEpoch() uint64      { return s.buckets.CommittedEpoch() }
+func (s *GroupShard) VersionCount(bucket int) int { return s.buckets.VersionCount(bucket) }
 
-// KV ops stay on the shard's own journal, but honor the logical close.
-func (s *GroupShard) Get(key string) ([]byte, bool, error) {
-	if err := s.guard(); err != nil {
-		return nil, false, err
-	}
-	return s.DiskBackend.Get(key)
-}
-func (s *GroupShard) Put(key string, value []byte) error {
+// Get, Put and Delete implement KVStore: a shard keeps no namespace.
+func (s *GroupShard) Get(string) ([]byte, bool, error) { return nil, false, s.noKV() }
+func (s *GroupShard) Put(string, []byte) error         { return s.noKV() }
+func (s *GroupShard) Delete(string) error              { return s.noKV() }
+
+func (s *GroupShard) noKV() error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	return s.DiskBackend.Put(key, value)
-}
-func (s *GroupShard) Delete(key string) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.DiskBackend.Delete(key)
+	return s.DiskBackend.noKV()
 }
 
-// Close closes the shard. In logheap mode the shard's bucket data and log
-// stream live inside files the sibling shards still share, so only the
-// logical flag flips; the physical files close with the group.
+// Close closes the shard logically (see closed).
 func (s *GroupShard) Close() error {
-	if s.heap != nil {
-		s.closed.Store(true)
-		return nil
-	}
-	return s.DiskBackend.Close()
+	s.closed.Store(true)
+	return nil
 }
 
 // logHeapShard is the Backend face of a logheap-mode shard. It is a
@@ -401,7 +359,10 @@ func (s *GroupShard) Close() error {
 // of the WAL's committing checkpoint it depends on, exactly the ordering
 // inversion the unified log exists to make impossible (commit records ride
 // the same stream, so prefix durability orders them for free).
-type logHeapShard struct{ *GroupShard }
+type logHeapShard struct {
+	*GroupShard
+	heap *LogHeap
+}
 
 // CommitEpochNoSync implements EpochCommitBatcher.
 func (s logHeapShard) CommitEpochNoSync(epoch uint64) error {
@@ -451,7 +412,7 @@ func checkGroupMode(fsys vfs, dir string, logHeap bool) error {
 			hasMarker = true
 		case strings.HasPrefix(n, "shard-"):
 			hasShard = true
-		case n == metaFileName, n == heapFileName, n == kvFileName,
+		case n == metaFileName, n == heapFileName,
 			strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix):
 			return fmt.Errorf("storage: data dir %s holds a single-directory disk store (%s at its top level); refusing to open it as a group", dir, n)
 		}
@@ -557,9 +518,9 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 	}
 	g.shared = shared
 	for i, b := range g.shards {
-		v := &GroupShard{DiskBackend: b, logView: shared.View(i)}
+		v := &GroupShard{DiskBackend: b, logView: shared.View(i), buckets: b}
 		if opts.logHeap {
-			v.heap = g.heaps[i]
+			v.buckets = g.heaps[i]
 		}
 		g.views = append(g.views, v)
 	}
@@ -645,10 +606,9 @@ func (g *DiskGroup) Shards() []*DiskBackend { return g.shards }
 func (g *DiskGroup) Backends() []Backend {
 	out := make([]Backend, len(g.views))
 	for i, v := range g.views {
-		if v.heap != nil {
-			out[i] = logHeapShard{v}
-		} else {
-			out[i] = v
+		out[i] = v
+		if len(g.heaps) > 0 {
+			out[i] = logHeapShard{v, g.heaps[i]}
 		}
 	}
 	return out

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -18,10 +17,9 @@ import (
 // the round's single deferred-barrier fsync covers both: heap commit and log
 // barrier share a wave instead of each costing one.
 //
-// State is an in-memory index (bucket → version stack, newest last, each
-// entry locating a version record in the shared log) plus a committed-epoch
-// frontier, exactly MemBackend's shadow-paging shape. Nothing on disk is
-// ever mutated in place:
+// State is the version index every store keeps (versionIndex), each entry
+// locating a version record in the shared log. Nothing on disk is ever
+// mutated in place:
 //
 //   - WriteBuckets appends a version record per bucket (no fsync — shadow
 //     paging makes an unsynced version harmless) and installs its location.
@@ -56,15 +54,12 @@ type LogHeap struct {
 	// other, mirroring DiskBackend.commitMu.
 	commitMu sync.Mutex
 
-	mu        sync.RWMutex
-	index     [][]logVersion // per bucket: version stack, oldest first
-	multi     []int          // buckets holding more than one version
-	slabs     slabs          // the write-through mirrors' bytes
-	committed uint64
-	lastPhys  uint64 // physical seq of this stream's newest record
-	ckptW     uint64 // watermark of the installed index checkpoint
-	dirty     int    // own-stream records appended since that checkpoint
-	frame     []byte // framing buffer: one stream record at a time
+	mu       sync.RWMutex
+	ix       versionIndex
+	lastPhys uint64 // physical seq of this stream's newest record
+	ckptW    uint64 // watermark of the installed index checkpoint
+	dirty    int    // own-stream records appended since that checkpoint
+	frame    []byte // framing buffer: one stream record at a time
 
 	// retainFloor is the segment retention gate's input: the first physical
 	// sequence this heap still needs on disk (lowest live version's segment
@@ -85,35 +80,9 @@ const heapIndexName = "heapindex"
 // checkpoint watermark before a commit kicks background maintenance.
 const maintainEvery = 4096
 
-// logVersion locates one shadow-paged bucket version inside the shared
-// physical log.
-type logVersion struct {
-	epoch   uint64
-	segBase uint64
-	off     int64 // frame offset of the whole record within its segment
-	recLen  int   // framed record length
-	layout  slotLayout
-	// cached mirrors the slot bytes in memory, one slab of the heap's,
-	// write-through only (same policy as diskVersion): WriteBuckets copies in
-	// what it just encoded, replay leaves nil and those reads fall back to
-	// preads. The slab goes back to the heap when the version is retired.
-	cached []byte
-}
-
-func (v logVersion) tag() uint64  { return v.epoch }
-func (v logVersion) slab() []byte { return v.cached }
-
-// dataOff is the file offset of the version's first slot-length prefix:
-// past the record frame, the stream-id header and the version-body header.
-func (v *logVersion) dataOff() int64 {
-	return v.off + recordFrameSize + sharedLogHdrSize + heapVersionDataStart
-}
-
-// slotRange is the file range of one slot's bytes.
-func (v *logVersion) slotRange(slot int) (off int64, n int) {
-	at, n := v.layout.at(slot, 4)
-	return v.dataOff() + int64(at), n
-}
+// logHeapDataStart is how far past its frame a version record's first
+// slot-length prefix lies: the stream-id header and the version-body header.
+const logHeapDataStart = recordFrameSize + sharedLogHdrSize + heapVersionDataStart
 
 var (
 	_ BucketStore = (*LogHeap)(nil)
@@ -130,7 +99,7 @@ func newLogHeap(owner *DiskBackend, fsys vfs, dir string, stream, numBuckets int
 		fsys:       fsys,
 		dir:        dir,
 		numBuckets: numBuckets,
-		index:      make([][]logVersion, numBuckets),
+		ix:         newVersionIndex(numBuckets, logHeapDataStart),
 	}
 	if err := lh.loadCheckpoint(); err != nil {
 		return nil, err
@@ -175,8 +144,7 @@ func (lh *LogHeap) loadCheckpoint() error {
 	if int(nb) != lh.numBuckets {
 		return fmt.Errorf("storage: heap index checkpoint holds %d buckets but meta says %d", nb, lh.numBuckets)
 	}
-	index := make([][]logVersion, lh.numBuckets)
-	var committed uint64
+	ix := newVersionIndex(lh.numBuckets, logHeapDataStart)
 	sc := newRecordScanner(f, fileHeaderSize, size)
 	off := int64(fileHeaderSize)
 	for off < size {
@@ -193,24 +161,16 @@ func (lh *LogHeap) loadCheckpoint() error {
 		}
 		switch rec.kind {
 		case lhixKindState:
-			committed = rec.committed
+			ix.committed = rec.committed
 		case lhixKindVersion:
-			if rec.bucket < 0 || rec.bucket >= lh.numBuckets {
-				return fmt.Errorf("storage: heap index checkpoint references bucket %d of %d", rec.bucket, lh.numBuckets)
+			v := version{epoch: rec.epoch, layout: layoutFromLens(rec.slotLens), seg: rec.segBase, off: rec.off}
+			if err := ix.install(rec.bucket, v); err != nil {
+				return fmt.Errorf("storage: heap index checkpoint: %w", err)
 			}
-			index[rec.bucket] = append(index[rec.bucket], logVersion{
-				epoch:   rec.epoch,
-				segBase: rec.segBase,
-				off:     rec.off,
-				recLen:  rec.recLen,
-				layout:  layoutFromLens(rec.slotLens),
-			})
 		}
 		off += int64(total)
 	}
-	lh.index = index
-	lh.multi = multiVersioned(index)
-	lh.committed = committed
+	lh.ix = ix
 	lh.ckptW = w
 	return nil
 }
@@ -235,20 +195,14 @@ func (lh *LogHeap) replayRecord(seq, segBase uint64, off int64, body []byte) err
 		if rec.bucket < 0 || rec.bucket >= lh.numBuckets {
 			return fmt.Errorf("storage: bucket stream %d references bucket %d of %d", lh.stream, rec.bucket, lh.numBuckets)
 		}
-		v := logVersion{
-			epoch:   rec.epoch,
-			segBase: segBase,
-			off:     off,
-			recLen:  recordFrameSize + sharedLogHdrSize + len(body),
-			layout:  layoutFromLens(rec.slotLens),
-		}
+		v := version{epoch: rec.epoch, layout: layoutFromLens(rec.slotLens), seg: segBase, off: off}
 		if rec.kind == heapKindGCCopy {
 			// A GC copy re-locates the version it copied, and only if that
 			// version is still the bucket's entry for its epoch: at runtime
 			// the copy was appended under the lock only while the entry
 			// matched, so by induction a mismatch here means a later record
 			// already superseded or rolled the version back — ignore.
-			vs := lh.index[rec.bucket]
+			vs := lh.ix.buckets[rec.bucket]
 			for j := len(vs) - 1; j >= 0; j-- {
 				if vs[j].epoch == rec.epoch {
 					vs[j] = v
@@ -258,13 +212,13 @@ func (lh *LogHeap) replayRecord(seq, segBase uint64, off int64, body []byte) err
 					break
 				}
 			}
-		} else if err := lh.installVersionLocked(rec.bucket, v); err != nil {
+		} else if err := lh.ix.install(rec.bucket, v); err != nil {
 			return fmt.Errorf("storage: bucket stream %d replay: %w", lh.stream, err)
 		}
 	case heapKindCommit:
-		lh.applyCommitLocked(rec.epoch)
+		lh.ix.commit(rec.epoch)
 	case heapKindRollback:
-		lh.applyRollbackLocked(rec.epoch)
+		lh.ix.rollback(rec.epoch)
 	}
 	lh.lastPhys = seq
 	lh.dirty++
@@ -286,36 +240,12 @@ func (lh *LogHeap) finishOpen() {
 // reads the atomic.
 func (lh *LogHeap) recomputeRetainLocked() {
 	floor := lh.ckptW + 1
-	for _, vs := range lh.index {
+	for _, vs := range lh.ix.buckets {
 		for i := range vs {
-			if vs[i].segBase < floor {
-				floor = vs[i].segBase
-			}
+			floor = min(floor, vs[i].seg)
 		}
 	}
 	lh.retainFloor.Store(floor)
-}
-
-// ---- shadow-paging index transitions (same rules as DiskBackend) ----
-
-func (lh *LogHeap) installVersionLocked(bucket int, v logVersion) error {
-	var err error
-	lh.multi, err = installVersion(&lh.slabs, lh.index, lh.multi, bucket, v)
-	return err
-}
-
-func (lh *LogHeap) applyCommitLocked(epoch uint64) {
-	if epoch > lh.committed {
-		lh.committed = epoch
-	}
-	lh.multi = commitVersions(&lh.slabs, lh.index, lh.multi, lh.committed)
-}
-
-func (lh *LogHeap) applyRollbackLocked(epoch uint64) {
-	lh.multi = rollbackVersions(&lh.slabs, lh.index, lh.multi, epoch)
-	if lh.committed > epoch {
-		lh.committed = epoch
-	}
 }
 
 // ---- BucketStore reads ----
@@ -328,126 +258,29 @@ func (lh *LogHeap) NumBuckets() (int, error) {
 	return lh.numBuckets, nil
 }
 
-func (lh *LogHeap) newestVersionLocked(bucket int) (*logVersion, error) {
-	if err := checkBucket(bucket, lh.numBuckets); err != nil {
-		return nil, err
-	}
-	vs := lh.index[bucket]
-	if len(vs) == 0 {
-		return nil, nil
-	}
-	return &vs[len(vs)-1], nil
-}
-
-func (lh *LogHeap) lookupSlotLocked(bucket, slot int) (*logVersion, error) {
-	v, err := lh.newestVersionLocked(bucket)
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return nil, fmt.Errorf("%w: bucket %d never written", ErrNoSuchSlot, bucket)
-	}
-	if slot < 0 || slot >= v.layout.n {
-		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, v.layout.n)
-	}
-	return v, nil
-}
-
 // ReadSlot implements BucketStore.
 func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(lh, bucket, slot) }
 
-// ReadSlots implements BucketStore. The vector fails atomically (every ref
-// validated before any I/O); refs carrying the write-through mirror are
-// answered from memory, the rest — only versions installed by recovery
-// replay — fall back to per-version preads out of the shared log.
+// ReadSlots implements BucketStore: refs carrying the write-through mirror
+// are answered from memory, the rest — only versions installed by recovery
+// replay — are read back out of the shared log.
 func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	return lh.readSlotsLocked(refs)
-}
-
-func (lh *LogHeap) readSlotsLocked(refs []SlotRef) ([][]byte, error) {
 	if err := lh.owner.checkUsable(); err != nil {
 		return nil, err
 	}
-	type slotRead struct {
-		resIdx  int
-		segBase uint64
-		off     int64
-		n       int
-	}
-	var reads []slotRead // only versions without a mirror need any
-	out := make([][]byte, len(refs))
-	for i, r := range refs {
-		v, err := lh.lookupSlotLocked(r.Bucket, r.Slot)
-		if err != nil {
-			return nil, err
-		}
-		if v.cached != nil {
-			out[i] = v.layout.slotIn(v.cached, r.Slot, 0)
-			continue
-		}
-		if reads == nil {
-			reads = make([]slotRead, 0, len(refs)-i)
-		}
-		off, n := v.slotRange(r.Slot)
-		reads = append(reads, slotRead{resIdx: i, segBase: v.segBase, off: off, n: n})
-	}
-	if len(reads) > 1 {
-		sort.Slice(reads, func(i, j int) bool {
-			if reads[i].segBase != reads[j].segBase {
-				return reads[i].segBase < reads[j].segBase
-			}
-			return reads[i].off < reads[j].off
-		})
-	}
-	for start := 0; start < len(reads); {
-		end := start
-		runEnd := reads[start].off + int64(reads[start].n)
-		for end+1 < len(reads) && reads[end+1].segBase == reads[start].segBase &&
-			reads[end+1].off <= runEnd+readCoalesceGap {
-			end++
-			if e := reads[end].off + int64(reads[end].n); e > runEnd {
-				runEnd = e
-			}
-		}
-		base := reads[start].off
-		buf, err := lh.owner.readLogRange(reads[start].segBase, base, int(runEnd-base))
-		if err != nil {
-			return nil, err
-		}
-		for i := start; i <= end; i++ {
-			lo := reads[i].off - base
-			out[reads[i].resIdx] = buf[lo : lo+int64(reads[i].n)]
-		}
-		start = end + 1
-	}
-	return out, nil
+	return lh.ix.readSlots(refs, lh)
 }
 
 // ReadBucket implements BucketStore.
 func (lh *LogHeap) ReadBucket(bucket int) ([][]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	return lh.readBucketLocked(bucket)
-}
-
-func (lh *LogHeap) readBucketLocked(bucket int) ([][]byte, error) {
 	if err := lh.owner.checkUsable(); err != nil {
 		return nil, err
 	}
-	v, err := lh.newestVersionLocked(bucket)
-	if err != nil || v == nil {
-		return nil, err
-	}
-	if v.cached != nil {
-		return v.layout.split(v.cached, 0), nil
-	}
-	buf, err := lh.owner.readLogRange(v.segBase, v.dataOff(), v.layout.span(4))
-	if err != nil {
-		return nil, err
-	}
-	return v.layout.split(buf, 4), nil
+	return lh.ix.readBucket(bucket, lh)
 }
 
 // encodeSlots implements readEncoder: the vector is read as ReadSlots reads
@@ -455,36 +288,28 @@ func (lh *LogHeap) readBucketLocked(bucket int) ([][]byte, error) {
 func (lh *LogHeap) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	data, err := lh.readSlotsLocked(refs)
-	if err != nil {
+	if err := lh.owner.checkUsable(); err != nil {
 		return dst, err
 	}
-	return appendFields(dst, data), nil
+	return lh.ix.encodeSlots(dst, refs, lh)
 }
 
 // encodeBucket implements readEncoder.
 func (lh *LogHeap) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	slots, err := lh.readBucketLocked(bucket)
-	if err != nil {
+	if err := lh.owner.checkUsable(); err != nil {
 		return dst, err
 	}
-	return appendFields(dst, slots), nil
+	return lh.ix.encodeBucket(dst, bucket, lh)
+}
+
+// preadVersion implements versionFile over the shared log.
+func (lh *LogHeap) preadVersion(seg uint64, off int64, n int) ([]byte, error) {
+	return lh.owner.readLogRange(seg, off, n)
 }
 
 // ---- BucketStore writes ----
-
-func (lh *LogHeap) validateWriteLocked(bucket int, epoch uint64) error {
-	if err := checkBucket(bucket, lh.numBuckets); err != nil {
-		return err
-	}
-	vs := lh.index[bucket]
-	if n := len(vs); n > 0 && vs[n-1].epoch > epoch {
-		return fmt.Errorf("storage: bucket %d write for epoch %d after epoch %d already written (out-of-order shadow-page write)", bucket, epoch, vs[n-1].epoch)
-	}
-	return nil
-}
 
 // beginFrame starts a stream record in the heap's framing buffer (mu held):
 // an empty frame header and room for the stream header; the caller appends
@@ -512,7 +337,7 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 	lh.mu.Lock()
 	defer lh.mu.Unlock()
 	for _, w := range writes {
-		if err := lh.validateWriteLocked(w.Bucket, w.Epoch); err != nil {
+		if err := lh.ix.checkWrite(w.Bucket, w.Epoch); err != nil {
 			return err
 		}
 		lh.frame = appendVersionBody(lh.beginFrame(), heapKindVersion, w.Bucket, w.Epoch, w.Slots)
@@ -521,16 +346,8 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 			return err
 		}
 		lh.owner.notePending(res.f, res.ticket)
-		l := layoutOf(w.Slots)
-		v := logVersion{
-			epoch:   w.Epoch,
-			segBase: res.segBase,
-			off:     res.off,
-			recLen:  res.n,
-			layout:  l,
-			cached:  lh.slabs.copySlots(w.Slots, l),
-		}
-		if err := lh.installVersionLocked(w.Bucket, v); err != nil {
+		v := version{epoch: w.Epoch, layout: layoutOf(w.Slots), seg: res.segBase, off: res.off}
+		if err := lh.ix.write(w.Bucket, v, w.Slots); err != nil {
 			return err
 		}
 		lh.lastPhys = res.seq
@@ -591,7 +408,7 @@ func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) (appended bool, er
 	if err := lh.owner.checkUsable(); err != nil {
 		return false, err
 	}
-	needRecord := kind == heapKindRollback || epoch > lh.committed
+	needRecord := kind == heapKindRollback || epoch > lh.ix.committed
 	if needRecord {
 		lh.frame = append(lh.beginFrame(), encodeEpochBody(kind, epoch)...)
 		res, err := lh.shared.appendHeapFrame(lh.stream, lh.frame)
@@ -603,9 +420,9 @@ func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) (appended bool, er
 		lh.dirty++
 	}
 	if kind == heapKindCommit {
-		lh.applyCommitLocked(epoch)
+		lh.ix.commit(epoch)
 	} else {
-		lh.applyRollbackLocked(epoch)
+		lh.ix.rollback(epoch)
 		// Entries above the rollback target are gone; the floor may rise,
 		// but more importantly replay must re-see the rollback record, which
 		// ckptW+1 <= lastPhys already guarantees.
@@ -628,7 +445,7 @@ func (lh *LogHeap) maybeKick() {
 func (lh *LogHeap) CommittedEpoch() uint64 {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	return lh.committed
+	return lh.ix.committed
 }
 
 // VersionCount reports how many shadow versions a bucket holds. Test
@@ -636,10 +453,7 @@ func (lh *LogHeap) CommittedEpoch() uint64 {
 func (lh *LogHeap) VersionCount(bucket int) int {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	if bucket < 0 || bucket >= len(lh.index) {
-		return 0
-	}
-	return len(lh.index[bucket])
+	return lh.ix.count(bucket)
 }
 
 // ---- index checkpoint ----
@@ -668,19 +482,19 @@ func (lh *LogHeap) Checkpoint() error {
 		return err
 	}
 	w := lh.lastPhys
-	committed := lh.committed
+	committed := lh.ix.committed
 	// One flat copy, sliced per bucket: a checkpoint runs every maintenance
 	// pass and must not cost an allocation per bucket.
 	total, encoded := 0, 0
-	for _, vs := range lh.index {
+	for _, vs := range lh.ix.buckets {
 		total += len(vs)
 		for i := range vs {
 			encoded += recordFrameSize + lhixVersionDataStart + 4*vs[i].layout.n
 		}
 	}
-	flat := make([]logVersion, 0, total)
-	snap := make([][]logVersion, len(lh.index))
-	for i, vs := range lh.index {
+	flat := make([]version, 0, total)
+	snap := make([][]version, len(lh.ix.buckets))
+	for i, vs := range lh.ix.buckets {
 		flat = append(flat, vs...)
 		snap[i] = flat[len(flat)-len(vs):]
 	}
@@ -719,7 +533,7 @@ func (lh *LogHeap) Checkpoint() error {
 	for bucket, vs := range snap {
 		for i := range vs {
 			v := &vs[i]
-			body = appendLhixVersion(body[:0], bucket, v.epoch, v.segBase, v.off, v.recLen, v.layout)
+			body = appendLhixVersion(body[:0], bucket, v.epoch, v.seg, v.off, int(lh.ix.recLen(v)), v.layout)
 			buf = encodeRecord(buf, body)
 			if len(buf) >= 1<<20 {
 				if err := flush(); err != nil {
@@ -778,7 +592,6 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 
 	type ref struct {
 		bucket int
-		stack  int
 		epoch  uint64
 		off    int64
 		recLen int
@@ -789,10 +602,10 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 		return 0, err
 	}
 	var refs []ref
-	for bucket, vs := range lh.index {
+	for bucket, vs := range lh.ix.buckets {
 		for i := range vs {
-			if vs[i].segBase == segBase {
-				refs = append(refs, ref{bucket: bucket, stack: i, epoch: vs[i].epoch, off: vs[i].off, recLen: vs[i].recLen})
+			if vs[i].seg == segBase {
+				refs = append(refs, ref{bucket: bucket, epoch: vs[i].epoch, off: vs[i].off, recLen: int(lh.ix.recLen(&vs[i]))})
 			}
 		}
 	}
@@ -802,12 +615,12 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 	var frame []byte // one buffer for every copy: a pass moves thousands
 	for _, r := range refs {
 		lh.mu.Lock()
-		vs := lh.index[r.bucket]
+		vs := lh.ix.buckets[r.bucket]
 		// Re-find the entry: commits/rollbacks may have shifted the stack
 		// since the snapshot. Identity is (epoch, location).
 		cur := -1
 		for j := range vs {
-			if vs[j].epoch == r.epoch && vs[j].segBase == segBase && vs[j].off == r.off {
+			if vs[j].epoch == r.epoch && vs[j].seg == segBase && vs[j].off == r.off {
 				cur = j
 				break
 			}
@@ -840,10 +653,8 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			return moved, err
 		}
 		lh.owner.notePending(res.f, res.ticket)
-		v := &lh.index[r.bucket][cur]
-		v.segBase = res.segBase
-		v.off = res.off
-		v.recLen = res.n
+		v := &vs[cur]
+		v.seg, v.off = res.segBase, res.off
 		lh.lastPhys = res.seq
 		lh.dirty++
 		lh.mu.Unlock()

@@ -103,14 +103,6 @@ func logHeapWorkload(g *DiskGroup, oracles []*sweepOracle) {
 			}
 			oracles[i].logRecs = append(oracles[i].logRecs, rec)
 		}
-		if e%2 == 0 {
-			i := int(e) % n
-			k, val := fmt.Sprintf("g%d-key%d", i, e), fmt.Sprintf("g%d-val%d", i, e)
-			if views[i].Put(k, []byte(val)) != nil {
-				return
-			}
-			oracles[i].kv[k] = val
-		}
 		if e == 3 {
 			// Epoch 3 aborts on every shard: shadow-paging revert by index
 			// rollback; its version and WAL records stay in the log —
@@ -135,7 +127,7 @@ func logHeapWorkload(g *DiskGroup, oracles []*sweepOracle) {
 		// mirrors into the oracle at issue (a rotation's seal fsync may
 		// persist it before the barrier); the ack waits for SyncLog.
 		for i := range views {
-			if (logHeapShard{views[i]}).CommitEpochNoSync(e) != nil {
+			if (logHeapShard{views[i], g.heaps[i]}).CommitEpochNoSync(e) != nil {
 				return
 			}
 			oracles[i].mem.CommitEpoch(e)

@@ -1,31 +1,15 @@
 package storage
 
-import (
-	"fmt"
-	"sync"
-)
-
-// bucketVersion is one shadow-paged copy of a bucket: its slots back to back
-// in one slab the store owns.
-type bucketVersion struct {
-	epoch  uint64
-	data   []byte
-	layout slotLayout
-}
-
-func (v bucketVersion) tag() uint64  { return v.epoch }
-func (v bucketVersion) slab() []byte { return v.data }
+import "sync"
 
 // MemBackend is an in-memory Backend. It is the reference implementation that
-// both the in-process benchmarks and the TCP storage server build on.
+// both the in-process benchmarks and the TCP storage server build on, and the
+// one store that keeps the key-value namespace.
 type MemBackend struct {
-	mu        sync.RWMutex
-	closed    bool
-	buckets   [][]bucketVersion // per bucket: version stack, oldest first
-	committed uint64
-	slabs     slabs // the versions' bytes
-	multi     []int // buckets holding more than one version
-	kv        map[string][]byte
+	mu     sync.RWMutex
+	closed bool
+	ix     versionIndex // the bucket tree; every version mirrored
+	kv     map[string][]byte
 
 	log     [][]byte
 	logBase uint64 // sequence number of log[0]
@@ -38,16 +22,14 @@ var (
 	_ readEncoder = (*MemBackend)(nil)
 )
 
-// NewMemBackend creates a backend with numBuckets empty buckets. Buckets start
-// with a single version (epoch 0) of nil slots; the ORAM client initializes
-// them explicitly.
+// NewMemBackend creates a backend with numBuckets buckets, none of them
+// written yet; the ORAM client initializes them explicitly.
 func NewMemBackend(numBuckets int) *MemBackend {
-	b := &MemBackend{
-		buckets: make([][]bucketVersion, numBuckets),
+	return &MemBackend{
+		ix:      newVersionIndex(numBuckets, 0),
 		kv:      make(map[string][]byte),
 		logBase: 1,
 	}
-	return b
 }
 
 func (m *MemBackend) checkOpen() error {
@@ -60,21 +42,6 @@ func (m *MemBackend) checkOpen() error {
 // ReadSlot implements BucketStore.
 func (m *MemBackend) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(m, bucket, slot) }
 
-func (m *MemBackend) readSlotLocked(bucket, slot int) ([]byte, error) {
-	if err := checkBucket(bucket, len(m.buckets)); err != nil {
-		return nil, err
-	}
-	vs := m.buckets[bucket]
-	if len(vs) == 0 {
-		return nil, fmt.Errorf("%w: bucket %d never written", ErrNoSuchSlot, bucket)
-	}
-	v := &vs[len(vs)-1]
-	if slot < 0 || slot >= v.layout.n {
-		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, v.layout.n)
-	}
-	return v.layout.slotIn(v.data, slot, 0), nil
-}
-
 // ReadSlots implements BucketStore: the whole vector is served under one
 // lock acquisition, so it is atomic with respect to concurrent writes.
 func (m *MemBackend) ReadSlots(refs []SlotRef) ([][]byte, error) {
@@ -83,15 +50,7 @@ func (m *MemBackend) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	if err := m.checkOpen(); err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(refs))
-	for i, r := range refs {
-		d, err := m.readSlotLocked(r.Bucket, r.Slot)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	return out, nil
+	return m.ix.readSlots(refs, nil)
 }
 
 // ReadBucket implements BucketStore.
@@ -101,15 +60,7 @@ func (m *MemBackend) ReadBucket(bucket int) ([][]byte, error) {
 	if err := m.checkOpen(); err != nil {
 		return nil, err
 	}
-	if err := checkBucket(bucket, len(m.buckets)); err != nil {
-		return nil, err
-	}
-	vs := m.buckets[bucket]
-	if len(vs) == 0 {
-		return nil, nil
-	}
-	v := &vs[len(vs)-1]
-	return v.layout.split(v.data, 0), nil
+	return m.ix.readBucket(bucket, nil)
 }
 
 // encodeSlots implements readEncoder.
@@ -119,16 +70,7 @@ func (m *MemBackend) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 	if err := m.checkOpen(); err != nil {
 		return dst, err
 	}
-	e := encoder{buf: dst}
-	e.u32(uint32(len(refs)))
-	for _, r := range refs {
-		d, err := m.readSlotLocked(r.Bucket, r.Slot)
-		if err != nil {
-			return e.buf, err
-		}
-		e.bytes(d)
-	}
-	return e.buf, nil
+	return m.ix.encodeSlots(dst, refs, nil)
 }
 
 // encodeBucket implements readEncoder.
@@ -138,21 +80,7 @@ func (m *MemBackend) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 	if err := m.checkOpen(); err != nil {
 		return dst, err
 	}
-	if err := checkBucket(bucket, len(m.buckets)); err != nil {
-		return dst, err
-	}
-	e := encoder{buf: dst}
-	vs := m.buckets[bucket]
-	if len(vs) == 0 {
-		e.u32(0)
-		return e.buf, nil
-	}
-	v := &vs[len(vs)-1]
-	e.u32(uint32(v.layout.n))
-	for i := 0; i < v.layout.n; i++ {
-		e.bytes(v.layout.slotIn(v.data, i, 0))
-	}
-	return e.buf, nil
+	return m.ix.encodeBucket(dst, bucket, nil)
 }
 
 // WriteBucket implements BucketStore.
@@ -169,45 +97,21 @@ func (m *MemBackend) WriteBuckets(writes []BucketWrite) error {
 		return err
 	}
 	for _, w := range writes {
-		if err := m.writeBucketLocked(w.Bucket, w.Epoch, w.Slots); err != nil {
+		if err := m.ix.write(w.Bucket, version{epoch: w.Epoch, layout: layoutOf(w.Slots)}, w.Slots); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (m *MemBackend) writeBucketLocked(bucket int, epoch uint64, slots [][]byte) error {
-	if err := checkBucket(bucket, len(m.buckets)); err != nil {
-		return err
-	}
-	// Shadow-paging keeps version stacks epoch-ordered so RollbackTo can
-	// pop from the top. The pipelined proxy may have two live epochs (the
-	// sealed one flushing plus its successor) but flushes them in order; a
-	// write that would bury a newer version is a pipelining bug. Writes
-	// within the same epoch supersede each other in place: the proxy
-	// deduplicates bucket writes, but recovery replay may rewrite a bucket.
-	l := layoutOf(slots)
-	v := bucketVersion{epoch: epoch, data: m.slabs.copySlots(slots, l), layout: l}
-	var err error
-	if m.multi, err = installVersion(&m.slabs, m.buckets, m.multi, bucket, v); err != nil {
-		m.slabs.put(v.data)
-	}
-	return err
-}
-
-// CommitEpoch implements BucketStore. Superseded versions within the
-// committed prefix are retired; only buckets holding more than one version
-// have any, so a commit costs what the epochs since the last one wrote.
+// CommitEpoch implements BucketStore.
 func (m *MemBackend) CommitEpoch(epoch uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	if epoch > m.committed {
-		m.committed = epoch
-	}
-	m.multi = commitVersions(&m.slabs, m.buckets, m.multi, m.committed)
+	m.ix.commit(epoch)
 	return nil
 }
 
@@ -218,10 +122,7 @@ func (m *MemBackend) RollbackTo(epoch uint64) error {
 	if err := m.checkOpen(); err != nil {
 		return err
 	}
-	m.multi = rollbackVersions(&m.slabs, m.buckets, m.multi, epoch)
-	if m.committed > epoch {
-		m.committed = epoch
-	}
+	m.ix.rollback(epoch)
 	return nil
 }
 
@@ -232,14 +133,14 @@ func (m *MemBackend) NumBuckets() (int, error) {
 	if err := m.checkOpen(); err != nil {
 		return 0, err
 	}
-	return len(m.buckets), nil
+	return len(m.ix.buckets), nil
 }
 
 // CommittedEpoch reports the highest committed epoch. Test helper.
 func (m *MemBackend) CommittedEpoch() uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.committed
+	return m.ix.committed
 }
 
 // VersionCount reports how many shadow versions a bucket currently holds.
@@ -247,10 +148,7 @@ func (m *MemBackend) CommittedEpoch() uint64 {
 func (m *MemBackend) VersionCount(bucket int) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if bucket < 0 || bucket >= len(m.buckets) {
-		return 0
-	}
-	return len(m.buckets[bucket])
+	return m.ix.count(bucket)
 }
 
 // Get implements KVStore.

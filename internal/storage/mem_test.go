@@ -365,7 +365,7 @@ func TestCommitRetiresWhatTheEpochWrote(t *testing.T) {
 	}
 	t.Run("mem", func(t *testing.T) {
 		m := NewMemBackend(numBuckets)
-		run(t, m, func() int { return len(m.multi) })
+		run(t, m, func() int { return len(m.ix.multi) })
 	})
 	t.Run("logheap", func(t *testing.T) {
 		g, err := OpenDiskGroupOpts(t.TempDir(), 1, numBuckets, DiskOptions{LogHeap: true})
@@ -373,7 +373,12 @@ func TestCommitRetiresWhatTheEpochWrote(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer g.Close()
-		run(t, g.views[0], func() int { return len(g.heaps[0].multi) })
+		run(t, g.views[0], func() int { return len(g.heaps[0].ix.multi) })
+	})
+	t.Run("disk", func(t *testing.T) {
+		b := openDisk(t, t.TempDir(), numBuckets)
+		defer b.Close()
+		run(t, b, func() int { return len(b.ix.multi) })
 	})
 }
 

@@ -517,11 +517,14 @@ func (c *Client) call(op wireOp, pre, payload []byte) (*wire.Buf, error) {
 	}
 	msg := string(resp.Payload())
 	wire.Put(resp)
-	if strings.HasPrefix(msg, ErrFenced.Error()) {
-		// Reconstruct the sentinel so errors.Is(err, ErrFenced) holds across
-		// the wire: a fenced-out proxy must be able to tell "I am a zombie"
-		// from an ordinary storage failure.
-		return nil, fmt.Errorf("%w: %w", ErrRemote, ErrFenced)
+	// Reconstruct the sentinels a caller acts on so errors.Is holds across
+	// the wire: a fenced-out proxy must be able to tell "I am a zombie" from
+	// an ordinary storage failure, and a baseline a store without a
+	// namespace from a lost write.
+	for _, sentinel := range [...]error{ErrFenced, ErrNoKV} {
+		if strings.HasPrefix(msg, sentinel.Error()) {
+			return nil, fmt.Errorf("%w: %w", ErrRemote, sentinel)
+		}
 	}
 	return nil, fmt.Errorf("%w: %s", ErrRemote, msg)
 }

@@ -111,7 +111,7 @@ func seededStore(t *testing.T) *MemBackend {
 func storeState(mem *MemBackend) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "committed %d;", mem.CommittedEpoch())
-	for i := range mem.buckets {
+	for i := range mem.ix.buckets {
 		slots, err := mem.ReadBucket(i)
 		fmt.Fprintf(&b, " bucket %d: %d versions, newest %q %v;", i, mem.VersionCount(i), slots, err)
 	}
@@ -232,18 +232,18 @@ func FuzzServerHandle(f *testing.F) {
 			t.Fatalf("op %d: scratch grew to %d refs / %d writes / %d slots on a %d byte payload", op, cap(hs.refs), cap(hs.writes), cap(hs.slots), len(payload))
 		}
 		retained := 0
-		for b, vs := range mem.buckets {
+		for b, vs := range mem.ix.buckets {
 			for _, v := range vs {
-				if b == 0 && (string(v.data) == "one" || string(v.data) == "two") {
+				if b == 0 && (string(v.mirror) == "one" || string(v.mirror) == "two") {
 					continue // a seeded version
 				}
-				if cap(v.data) != v.layout.span(0) {
-					t.Fatalf("op %d: bucket %d keeps %d slot bytes in a %d byte slab", op, b, v.layout.span(0), cap(v.data))
+				if cap(v.mirror) != v.layout.span(0) {
+					t.Fatalf("op %d: bucket %d keeps %d slot bytes in a %d byte slab", op, b, v.layout.span(0), cap(v.mirror))
 				}
 				if 4*v.layout.n > len(payload) {
 					t.Fatalf("op %d: bucket %d holds %d slots from a %d byte payload", op, b, v.layout.n, len(payload))
 				}
-				retained += cap(v.data)
+				retained += cap(v.mirror)
 			}
 		}
 		if retained > len(payload) {

@@ -394,6 +394,11 @@ func TestServerReadsRaceCommits(t *testing.T) {
 		defer g.Close()
 		run(t, g.Backends()[0], 100)
 	})
+	t.Run("disk", func(t *testing.T) {
+		b := openDisk(t, t.TempDir(), numBuckets)
+		defer b.Close()
+		run(t, b, 100)
+	})
 }
 
 // flakyListener fails Accept with a temporary error on the calls fail

@@ -55,8 +55,8 @@ func runSharedGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 
 // sharedGroupWorkload drives epochs of the proxy's barrier placement: bucket
 // writes per shard, a deferred append round closed by ONE shard's SyncLog, a
-// synced append interleaved on the same physical log, KV churn, a mid-stream
-// rollback, and per-shard commits. It stops at the first error (the injected
+// synced append interleaved on the same physical log, a mid-stream rollback,
+// and per-shard commits. It stops at the first error (the injected
 // crash wedges the group).
 func sharedGroupWorkload(views []*GroupShard, oracles []*sweepOracle) {
 	const numBuckets = 5
@@ -101,14 +101,6 @@ func sharedGroupWorkload(views []*GroupShard, oracles []*sweepOracle) {
 			}
 			oracles[i].logRecs = append(oracles[i].logRecs, rec)
 			oracles[i].logAcked = len(oracles[i].logRecs)
-		}
-		if e%2 == 0 {
-			i := int(e) % n
-			k, val := fmt.Sprintf("g%d-key%d", i, e), fmt.Sprintf("g%d-val%d", i, e)
-			if views[i].Put(k, []byte(val)) != nil {
-				return
-			}
-			oracles[i].kv[k] = val
 		}
 		if e == 3 {
 			// Epoch 3 aborts on every shard (the paper's §8 revert); its log

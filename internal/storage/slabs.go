@@ -1,11 +1,8 @@
 package storage
 
-import "fmt"
-
 // This file holds how the stores keep a bucket version's bytes: its slots
 // back to back in one exact-length slab (slabs), addressed through the
-// version's slotLayout; the shadow-paging transitions that retire versions
-// and hand their slabs on; and the server's read path into such a store
+// version's slotLayout; and the server's read path into such a store
 // (readEncoder).
 
 // slotLayout is how a version's slots lie back to back in a span, each behind
@@ -167,99 +164,8 @@ func (s *slabs) put(b []byte) {
 	s.free[len(b)] = append(s.free[len(b)], b)
 }
 
-// storedVersion is what the shadow-paging transitions below need of a
-// slab-keeping store's version: the epoch it was written in and its slab
-// (nil when the store keeps no bytes for it).
-type storedVersion interface {
-	tag() uint64
-	slab() []byte
-}
-
-// The shadow-paging transitions of the stores that keep their versions in
-// slabs, over index (per bucket the version stack, oldest first) and multi
-// (the buckets holding more than one version, the only ones a commit has
-// anything to retire from). A retired version's slab goes back to s.
-
-// installVersion pushes v onto bucket's stack, retiring a version of the
-// same epoch it replaces; a version for an epoch below the newest is a
-// pipelining bug and is refused.
-func installVersion[V storedVersion](s *slabs, index [][]V, multi []int, bucket int, v V) ([]int, error) {
-	vs := index[bucket]
-	n := len(vs)
-	if n > 0 && vs[n-1].tag() == v.tag() {
-		s.put(vs[n-1].slab())
-		vs[n-1] = v
-		return multi, nil
-	}
-	if n > 0 && vs[n-1].tag() > v.tag() {
-		return multi, fmt.Errorf("storage: bucket %d write for epoch %d after epoch %d already written (out-of-order shadow-page write)", bucket, v.tag(), vs[n-1].tag())
-	}
-	if n == 1 {
-		multi = append(multi, bucket)
-	}
-	index[bucket] = append(vs, v)
-	return multi, nil
-}
-
-// commitVersions retires every version below the newest one tagged at or
-// under committed, visiting only the buckets multi lists: a commit costs
-// what the epochs since the last one wrote.
-func commitVersions[V storedVersion](s *slabs, index [][]V, multi []int, committed uint64) []int {
-	still := multi[:0]
-	for _, b := range multi {
-		vs := index[b]
-		keep := len(vs) - 1
-		for keep > 0 && vs[keep].tag() > committed {
-			keep--
-		}
-		if keep > 0 {
-			for _, v := range vs[:keep] {
-				s.put(v.slab())
-			}
-			n := copy(vs, vs[keep:])
-			clear(vs[n:])
-			vs = vs[:n]
-			index[b] = vs
-		}
-		if len(vs) > 1 {
-			still = append(still, b)
-		}
-	}
-	return still
-}
-
-// rollbackVersions retires every version tagged above epoch.
-func rollbackVersions[V storedVersion](s *slabs, index [][]V, multi []int, epoch uint64) []int {
-	multi = multi[:0]
-	for b, vs := range index {
-		n := len(vs)
-		for n > 0 && vs[n-1].tag() > epoch {
-			n--
-			s.put(vs[n].slab())
-		}
-		clear(vs[n:])
-		index[b] = vs[:n]
-		if n > 1 {
-			multi = append(multi, b)
-		}
-	}
-	return multi
-}
-
-// multiVersioned lists the buckets of a loaded index holding more than one
-// version.
-func multiVersioned[V any](index [][]V) []int {
-	var multi []int
-	for b, vs := range index {
-		if len(vs) > 1 {
-			multi = append(multi, b)
-		}
-	}
-	return multi
-}
-
 // readEncoder is the read side of a store that reuses a retired version's slab
-// (MemBackend, LogHeap's mirror) and of the wrappers that serve one. The
+// (every store's mirror: see versionIndex) and of the wrappers that serve one. The
 // server encodes read replies through it: slots are copied into the reply
 // while the store's read lock is held, so no reply can carry a slab that a
 // concurrent commit retired and a write reused — whoever reads, a fenced

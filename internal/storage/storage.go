@@ -1,11 +1,13 @@
 // Package storage implements Obladi's untrusted cloud-storage substrate.
 //
-// The storage server is honest-but-curious: it stores encrypted ORAM buckets,
-// a plain key-value namespace (used only by the non-private NoPriv baseline),
-// and the recovery unit's write-ahead log. Buckets are shadow-paged (§8 of the
-// paper): every write installs a new version tagged with the epoch that
-// produced it, so the proxy can revert the whole tree to the last committed
-// epoch after a crash simply by discarding newer versions.
+// The storage server is honest-but-curious: it stores encrypted ORAM buckets
+// and the recovery unit's write-ahead log, and MemBackend (with the wrappers
+// and servers over one) also a plain key-value namespace for the non-private
+// NoPriv and TwoPL baselines; the durable stores keep none. Buckets are
+// shadow-paged (§8 of the paper): every write installs a new version tagged
+// with the epoch that produced it, so the proxy can revert the whole tree to
+// the last committed epoch after a crash simply by discarding newer versions.
+// Every store keeps them in one version index (versionIndex).
 //
 // The package also provides the latency-profile wrappers used throughout the
 // paper's evaluation (dummy / server / server WAN / dynamo), a trace recorder,
@@ -31,6 +33,10 @@ var (
 	// proxy generation owns the store, and the older generation must
 	// fail-stop rather than corrupt the log or bucket tree it no longer owns.
 	ErrFenced = errors.New("storage: fenced: a newer proxy generation owns this store")
+	// ErrNoKV is returned by the KVStore calls of a store that keeps no
+	// key-value namespace: DiskBackend and a DiskGroup's shards. It also
+	// refuses a data dir holding one an older disk store wrote.
+	ErrNoKV = errors.New("storage: this store keeps no key-value namespace")
 )
 
 // SlotRef addresses one physical slot of a bucket for a vectored read.
@@ -113,7 +119,10 @@ type BucketStore interface {
 }
 
 // KVStore is the plain (non-oblivious) key-value namespace used by the
-// NoPriv baseline. Obladi itself never calls it.
+// NoPriv and TwoPL baselines. Obladi itself never calls it. MemBackend keeps
+// one, and so do the wrappers over it (Latency, its fence views) and a Server
+// serving it to a Client; DiskBackend and a DiskGroup's shards keep none and
+// fail every call with ErrNoKV.
 type KVStore interface {
 	Get(key string) (value []byte, found bool, err error)
 	Put(key string, value []byte) error
@@ -132,7 +141,7 @@ type LogStore interface {
 }
 
 // Backend is the full untrusted storage service: ORAM tree + recovery unit +
-// baseline KV namespace.
+// baseline KV namespace (which a store may refuse with ErrNoKV).
 type Backend interface {
 	BucketStore
 	KVStore
