@@ -9,7 +9,7 @@ import (
 // recovery log sized so that segment replay dominates a reopen.
 func buildRecoveryStore(tb testing.TB, dir string) {
 	tb.Helper()
-	b, err := openDiskBackendOpts(osFS{}, dir, 64, diskOpts{segMaxBytes: 32 << 10, autoCompact: true})
+	b, err := openDiskStore(osFS{}, dir, 64, diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 32 << 10}, autoCompact: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func buildRecoveryStore(tb testing.TB, dir string) {
 			tb.Fatal(err)
 		}
 	}
-	if len(b.segs) < 8 {
-		tb.Fatalf("recovery store built only %d segments; replay would not dominate", len(b.segs))
+	if len(b.log.segs) < 8 {
+		tb.Fatalf("recovery store built only %d segments; replay would not dominate", len(b.log.segs))
 	}
 	if err := b.Close(); err != nil {
 		tb.Fatal(err)
@@ -49,7 +49,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := openDiskBackendOpts(osFS{}, dir, 0, diskOpts{workers: workers, autoCompact: true})
+				r, err := openDiskStore(osFS{}, dir, 0, diskOpts{workers: workers, autoCompact: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,9 +9,9 @@ import (
 )
 
 // This file holds the conformance suite for the Backend contract, so every
-// implementation — MemBackend, DiskBackend, the latency wrapper, the remote
-// client/server pair, and any future store — is held to the same edge cases
-// instead of each accumulating ad-hoc coverage.
+// implementation — MemBackend, a disk group's shards, the latency wrapper,
+// the remote client/server pair, and any future store — is held to the same
+// edge cases instead of each accumulating ad-hoc coverage.
 //
 // The suite asserts error *presence*, not error identity, for range checks:
 // the remote client flattens server errors into ErrRemote strings. ErrClosed

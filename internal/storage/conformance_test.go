@@ -16,35 +16,37 @@ func TestBackendConformanceMem(t *testing.T) {
 	})
 }
 
+// openSecondDiskShard opens a two-shard per-shard-file group in dir and
+// returns shard 1: a shard whose heap file lies in its own directory and
+// whose log stream rides shard-000's.
+func openSecondDiskShard(t *testing.T, dir string) Backend {
+	g, err := OpenDiskGroupOpts(dir, 2, ConformanceMinBuckets, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	return g.Backends()[1]
+}
+
 func TestBackendConformanceDisk(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
-		b, err := openLoneDisk(t.TempDir(), ConformanceMinBuckets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		return b
+		return openSecondDiskShard(t, t.TempDir())
 	})
 }
 
-// The disk backend must also pass the suite after a close/reopen cycle at
-// the start, proving a recovered store honors the same contract.
+// The disk shard must also pass the suite after a close/reopen cycle at the
+// start, proving a recovered store honors the same contract.
 func TestBackendConformanceDiskReopened(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
 		dir := t.TempDir()
-		b, err := openLoneDisk(dir, ConformanceMinBuckets)
+		g, err := OpenDiskGroupOpts(dir, 2, ConformanceMinBuckets, DiskOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Close(); err != nil {
+		if err := g.Close(); err != nil {
 			t.Fatal(err)
 		}
-		b, err = openLoneDisk(dir, ConformanceMinBuckets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		return b
+		return openSecondDiskShard(t, dir)
 	})
 }
 
@@ -136,10 +138,10 @@ func TestBackendConformanceGroupDisk(t *testing.T) {
 	})
 }
 
-// The same contract must hold for the composition the group crash sweep
-// leans on: lone shards, each opened on its own with one worker, sharing one
-// caller-owned CommitGroup that outlives them. The scheduler has no window,
-// so every barrier races the flusher, and no DiskGroup owns it.
+// The same contract must hold for the composition the private-dir group
+// crash sweep leans on: one-shard groups in directories of their own, each
+// opened with one worker, sharing one CommitGroup the caller made. The
+// scheduler has no window, so every barrier races the flusher.
 func TestBackendConformanceGroupDiskZeroWindow(t *testing.T) {
 	RunGroupCommitConformance(t, 3, func(t *testing.T, n int) []Backend {
 		cg := NewCommitGroup()
@@ -147,12 +149,12 @@ func TestBackendConformanceGroupDiskZeroWindow(t *testing.T) {
 		dir := t.TempDir()
 		out := make([]Backend, n)
 		for i := range out {
-			b, err := openDiskBackendOpts(osFS{}, filepath.Join(dir, fmt.Sprintf("shard-%d", i)), ConformanceMinBuckets, diskOpts{group: cg, workers: 1})
+			g, err := openDiskGroupOpts(osFS{}, filepath.Join(dir, fmt.Sprintf("shard-%d", i)), 1, ConformanceMinBuckets, diskOpts{group: cg, workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { b.Close() })
-			out[i] = b
+			t.Cleanup(func() { g.Close() })
+			out[i] = g.Backends()[0]
 		}
 		return out
 	})

@@ -3,60 +3,40 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
-	"runtime"
 	"slices"
+	"strings"
 	"sync"
 )
 
-// DiskBackend is a durable, crash-atomic implementation of the full Backend
-// interface, and one shard of a DiskGroup. It persists incrementally, in
-// files of its own directory:
-//
-//   - buckets.heap — a slotted heap of shadow-paged bucket versions (absent
-//     in a logheap group, whose LogHeap keeps the shard's buckets in the
-//     shared log instead).
-//     WriteBuckets appends version records (no fsync: shadow paging makes
-//     uncommitted versions discardable); CommitEpoch appends a commit record
-//     and fsyncs — the durability barrier a commit ack stands on; RollbackTo
-//     appends a rollback record and fsyncs. The version index (versionIndex)
-//     retires superseded committed versions on commit; compaction drops their
-//     bytes.
-//   - wal-<base>.seg — segmented append-only log files for the recovery
-//     unit. Append fsyncs before acking (the log IS the durability point for
-//     the proxy's write-ahead records); Truncate drops whole dead segments.
-//   - meta — a tiny atomically-replaced file holding the bucket count and
-//     the log truncation point.
-//
-// It keeps no key-value namespace: Get, Put and Delete fail with ErrNoKV.
+// DiskBackend is one shard's bucket heap in a per-shard-file disk group: a
+// durable, crash-atomic BucketStore kept in buckets.heap, a slotted heap of
+// shadow-paged bucket versions in the shard's directory. WriteBuckets
+// appends version records (no fsync: shadow paging makes uncommitted
+// versions discardable); CommitEpoch appends a commit record and stands on
+// the group's barrier for it — the durability point a commit ack stands on;
+// RollbackTo appends a rollback record and does the same. The version index
+// (versionIndex) retires superseded committed versions on commit; compaction
+// drops their bytes. The shard's log stream rides the group's physical log
+// (diskLog), not this file.
 //
 // Every record is length-prefixed and checksummed; replay stops at the first
 // invalid record and truncates the torn tail, so reopening after a crash at
-// any point recovers exactly the state of the last completed fsync barrier.
-// All I/O goes through the vfs abstraction so tests can interpose fault
+// any point recovers exactly the state of the last completed barrier. All
+// I/O goes through the vfs abstraction so tests can interpose fault
 // injection.
 type DiskBackend struct {
 	fsys vfs
 	dir  string
 
-	// closed/ioErr have their own tiny mutex so the heap and the log share
-	// one wedge without sharing a data lock.
-	stMu   sync.Mutex
-	closed bool
-	ioErr  error // sticky: a failed write may leave memory ahead of disk
+	failStop
 
 	numBuckets int // immutable after open
 
-	// group, when set, is the shared fsync scheduler: CommitEpoch,
-	// RollbackTo and Append append unsynced and stand on a group
-	// barrier instead of issuing their own fsync, so barriers from shards
-	// sharing a data dir coalesce into one flush wave.
+	// group is the shared fsync scheduler CommitEpoch and RollbackTo stand
+	// on, so barriers from shards sharing a data dir coalesce into one flush
+	// wave.
 	group *CommitGroup
-
-	// replayWorkers bounds the worker pool that replays log segments (and
-	// opens the heap and log files concurrently) at open; 1 means serial.
-	replayWorkers int
 
 	// commitMu serializes the heap's durability barriers — CommitEpoch,
 	// RollbackTo and the compaction swap — against each other, so the heap
@@ -77,52 +57,9 @@ type DiskBackend struct {
 	compactKick chan struct{}
 	compactStop chan struct{}
 	compactWG   sync.WaitGroup
-
-	// Recovery log (guarded by logMu, so log appends — and their fsyncs —
-	// no longer serialize behind heap writes).
-	logMu       sync.RWMutex
-	segs        []*segment
-	lastSeq     uint64
-	truncBefore uint64 // sequence numbers below this are logically gone
-	segMaxBytes int64
-	// segRetain, when set (logheap mode), is the retention gate: segments
-	// holding any sequence number >= segRetain() survive truncation because
-	// they still carry live bucket versions or un-checkpointed index state.
-	// Called under logMu; must only read atomics.
-	segRetain func() uint64
-	// keepDeadSegs defers open-time dead-segment collection until the
-	// retention gate is installed (logheap mode).
-	keepDeadSegs bool
-	logFrame     []byte // appendLogRecord's framing buffer, reused by every append
-
-	// Deferred log appends awaiting a SyncLog barrier, oldest first. Almost
-	// always one entry; a second appears only when unsynced appends straddle
-	// a segment rotation (rotation does not flush the outgoing tail).
-	pendMu  sync.Mutex
-	pendLog []fileTicket
 }
 
-// fileTicket records a deferred append's durability obligation: a flush of f
-// covering ticket. One entry per file — later appends to the same file just
-// advance the ticket, since a barrier on the newest ticket covers them all.
-type fileTicket struct {
-	f      vfile
-	ticket uint64
-}
-
-type segment struct {
-	f    vfile
-	name string
-	base uint64  // sequence number of the first record
-	offs []int64 // frame offset of each record
-	lens []int32 // framed length of each record
-	size int64
-}
-
-var (
-	_ Backend     = (*DiskBackend)(nil)
-	_ readEncoder = (*DiskBackend)(nil)
-)
+var _ readEncoder = (*DiskBackend)(nil)
 
 // diskDataStart is how far past its frame a heap version record's first
 // slot-length prefix lies.
@@ -165,106 +102,36 @@ type DiskOptions struct {
 // autoCompact off (and workers at 1) so the swept op sequence stays
 // deterministic, driving CompactNow explicitly instead.
 type diskOpts struct {
-	// group routes every durability barrier through a shared fsync
-	// scheduler (nil = each barrier fsyncs inline; a group open makes its
-	// own when none is given).
+	DiskOptions
+	// group is the shared fsync scheduler every barrier goes through (a
+	// group open makes its own when none is given).
 	group       *CommitGroup
 	workers     int
-	segMaxBytes int64
 	autoCompact bool
-	// noHeap skips buckets.heap entirely: the shard's bucket data lives in
-	// the shared physical log (LogHeap) and the per-shard heap file is never
-	// created. Bucket ops on the raw DiskBackend are invalid in this mode —
-	// the owning GroupShard routes them to the LogHeap.
-	noHeap bool
-	// keepSegs defers open-time dead-segment collection until the logheap
-	// retention gate is installed.
-	keepSegs bool
-	// logHeap selects the log-structured bucket heap for group opens (see
-	// DiskOptions.LogHeap); openDiskGroupOpts derives noHeap/keepSegs for
-	// the per-shard opens from it.
-	logHeap bool
 }
 
-func openDiskBackend(fsys vfs, dir string, numBuckets int) (*DiskBackend, error) {
-	return openDiskBackendOpts(fsys, dir, numBuckets, diskOpts{workers: 1})
-}
-
-func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*DiskBackend, error) {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: creating data dir: %w", err)
-	}
+// openDiskBackend opens (or creates) the bucket heap in dir, which holds
+// numBuckets buckets, with every barrier on opts.group.
+func openDiskBackend(fsys vfs, dir string, numBuckets int, opts diskOpts) (*DiskBackend, error) {
 	b := &DiskBackend{
+		failStop:       failStop{name: "bucket heap " + dir},
 		fsys:           fsys,
 		dir:            dir,
+		numBuckets:     numBuckets,
 		group:          opts.group,
-		replayWorkers:  opts.workers,
 		heapCompactMin: defaultHeapCompactMin,
-		segMaxBytes:    defaultSegMaxBytes,
-		truncBefore:    1,
-		keepDeadSegs:   opts.keepSegs,
 	}
-	if opts.segMaxBytes > 0 {
-		b.segMaxBytes = opts.segMaxBytes
-	}
-	if b.replayWorkers <= 0 {
-		b.replayWorkers = defaultReplayWorkers()
-	}
-	names, err := fsys.List(dir)
-	if err != nil {
-		return nil, fmt.Errorf("storage: listing data dir: %w", err)
-	}
-	for _, n := range names {
-		// A crashed compaction or meta update leaves a stray temp file;
-		// it was never renamed into place, so it is dead weight.
-		if len(n) > len(tmpSuffix) && n[len(n)-len(tmpSuffix):] == tmpSuffix {
-			_ = fsys.Remove(joinPath(dir, n))
+	if err := b.openHeap(); err != nil {
+		if b.heap != nil {
+			b.heap.Close()
 		}
-	}
-	if slices.Contains(names, kvFileName) {
-		if err := refuseKVJournal(fsys, dir); err != nil {
-			return nil, err
-		}
-	}
-	if err := b.openMeta(numBuckets); err != nil {
 		return nil, err
-	}
-	// The heap and the log touch disjoint files and disjoint state:
-	// with a worker budget they open (replay + crc verify) concurrently,
-	// pFSCK-style. Serial order is preserved at workers == 1 so the crash
-	// harness's op sequence stays deterministic.
-	opens := []func() error{func() error { return b.openLog(names) }}
-	if !opts.noHeap {
-		opens = append([]func() error{b.openHeap}, opens...)
-	}
-	if b.replayWorkers > 1 {
-		var wg sync.WaitGroup
-		errs := make([]error, len(opens))
-		for i, fn := range opens {
-			wg.Add(1)
-			go func(i int, fn func() error) {
-				defer wg.Done()
-				errs[i] = fn()
-			}(i, fn)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for _, fn := range opens {
-			if err := fn(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	// Creating buckets.heap fsyncs its contents, but on ext4 a new file's
 	// *directory entry* is only durable after a directory fsync; without it,
 	// an acked first commit could vanish with the whole file on power loss.
-	// One barrier covers everything open created.
 	if err := fsys.SyncDir(dir); err != nil {
+		b.heap.Close()
 		return nil, err
 	}
 	if opts.autoCompact {
@@ -274,6 +141,29 @@ func openDiskBackendOpts(fsys vfs, dir string, numBuckets int, opts diskOpts) (*
 		go b.compactLoop()
 	}
 	return b, nil
+}
+
+// prepareShardDir readies one shard directory of a group for its opens: a
+// crashed compaction, checkpoint or meta update leaves a stray temp file,
+// never renamed into place, so it is dead weight; and a kv.log holding
+// records is refused (refuseKVJournal).
+func prepareShardDir(fsys vfs, dir string) error {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("storage: creating data dir: %w", err)
+	}
+	names, err := fsys.List(dir)
+	if err != nil {
+		return fmt.Errorf("storage: listing data dir: %w", err)
+	}
+	for _, n := range names {
+		if strings.HasSuffix(n, tmpSuffix) && len(n) > len(tmpSuffix) {
+			_ = fsys.Remove(joinPath(dir, n))
+		}
+	}
+	if slices.Contains(names, kvFileName) {
+		return refuseKVJournal(fsys, dir)
+	}
+	return nil
 }
 
 // refuseKVJournal fails the open of a directory whose kv.log — the journal
@@ -296,96 +186,6 @@ func refuseKVJournal(fsys vfs, dir string) error {
 		return fmt.Errorf("storage: %s holds %d bytes of key-value records: %w", name, size-fileHeaderSize, ErrNoKV)
 	}
 	return nil
-}
-
-// defaultReplayWorkers sizes the replay pool: parallel crc verification
-// saturates quickly, so a small pool captures most of the win.
-func defaultReplayWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// ---- meta ----
-
-func (b *DiskBackend) openMeta(numBuckets int) error {
-	f, err := b.fsys.OpenFile(joinPath(b.dir, metaFileName), os.O_RDONLY, 0)
-	if errors.Is(err, fs.ErrNotExist) {
-		if numBuckets <= 0 {
-			return fmt.Errorf("storage: creating a disk backend needs a positive bucket count (got %d)", numBuckets)
-		}
-		b.numBuckets = numBuckets
-		return b.writeMeta()
-	}
-	if err != nil {
-		return fmt.Errorf("storage: opening meta: %w", err)
-	}
-	size, serr := f.Size()
-	if serr == nil && size == 0 {
-		// A crash can install the meta rename before the file's content ever
-		// became durable (e.g. a dropped fsync); an empty meta is the
-		// pre-creation state, not corruption.
-		f.Close()
-		if numBuckets <= 0 {
-			return fmt.Errorf("storage: creating a disk backend needs a positive bucket count (got %d)", numBuckets)
-		}
-		b.numBuckets = numBuckets
-		return b.writeMeta()
-	}
-	buf, rerr := readFileRange(f, 0, fileHeaderSize)
-	cerr := f.Close()
-	if serr != nil {
-		return serr
-	}
-	if rerr != nil {
-		return fmt.Errorf("storage: reading meta: %w", rerr)
-	}
-	if cerr != nil {
-		return cerr
-	}
-	stored, trunc, err := decodeFileHeader(buf, metaMagic)
-	if err != nil {
-		return fmt.Errorf("storage: meta file: %w", err)
-	}
-	if numBuckets != 0 && int(stored) != numBuckets {
-		return fmt.Errorf("storage: data dir holds %d buckets but %d requested (refusing to silently resize)", stored, numBuckets)
-	}
-	b.numBuckets = int(stored)
-	if trunc > 0 {
-		b.truncBefore = trunc
-	}
-	return nil
-}
-
-// writeMeta atomically replaces the meta file: temp file, fsync, rename,
-// directory fsync. Callers hold the write lock (or are inside open).
-func (b *DiskBackend) writeMeta() error {
-	tmp := joinPath(b.dir, metaFileName+tmpSuffix)
-	f, err := b.fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: creating meta: %w", err)
-	}
-	hdr := encodeFileHeader(metaMagic, uint32(b.numBuckets), b.truncBefore)
-	if _, err := f.WriteAt(hdr, 0); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = b.fsys.Remove(tmp)
-		return fmt.Errorf("storage: writing meta: %w", err)
-	}
-	if err := b.fsys.Rename(tmp, joinPath(b.dir, metaFileName)); err != nil {
-		_ = b.fsys.Remove(tmp)
-		return fmt.Errorf("storage: installing meta: %w", err)
-	}
-	return b.fsys.SyncDir(b.dir)
 }
 
 // ---- heap open / replay ----
@@ -482,72 +282,6 @@ func (b *DiskBackend) replayHeap(f vfile, size int64) (int64, error) {
 		off += int64(total)
 	}
 	return off, nil
-}
-
-// ---- common guards ----
-
-func (b *DiskBackend) checkUsable() error {
-	b.stMu.Lock()
-	defer b.stMu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	return b.ioErr
-}
-
-// wedge marks the backend unusable: after a failed write the in-memory index
-// may be ahead of the file, and continuing could ack operations the disk
-// never saw. Fail-stop is the honest behaviour; reopening replays the file
-// back to a consistent state.
-func (b *DiskBackend) wedge(err error) error {
-	b.stMu.Lock()
-	defer b.stMu.Unlock()
-	if b.ioErr == nil {
-		b.ioErr = fmt.Errorf("storage: disk backend disabled by I/O error: %w", err)
-	}
-	return err
-}
-
-// stamp tickets bytes the caller just wrote to f, so the matching
-// barrierTicket can ride an fsync already in flight when it arrives (0
-// without a group: the inline fsync needs no ticket).
-func (b *DiskBackend) stamp(f vfile) uint64 {
-	if b.group != nil {
-		return b.group.Wrote(f)
-	}
-	return 0
-}
-
-// barrierTicket makes the bytes stamped by ticket durable: through the
-// shared scheduler when the backend belongs to a commit group, with an
-// inline fsync otherwise. The caller's ack stands on this call returning
-// nil.
-func (b *DiskBackend) barrierTicket(f vfile, ticket uint64) error {
-	if b.group != nil {
-		return b.group.BarrierTicket(f, ticket)
-	}
-	return f.Sync()
-}
-
-// forgetFile releases a retired file's scheduler state (rolled-over
-// segments, compacted-away heaps). Call after f is closed.
-func (b *DiskBackend) forgetFile(f vfile) {
-	if b.group != nil {
-		b.group.Forget(f)
-	}
-	// Drop any deferred-barrier obligation on the retired file: its records
-	// were only ever retired because they are logically gone (truncation,
-	// compaction), so there is nothing left to make durable — and a later
-	// SyncLog must not fsync a closed handle.
-	b.pendMu.Lock()
-	keep := b.pendLog[:0]
-	for _, p := range b.pendLog {
-		if p.f != f {
-			keep = append(keep, p)
-		}
-	}
-	b.pendLog = keep
-	b.pendMu.Unlock()
 }
 
 // appendHeapLocked appends pre-framed bytes to the heap file (no fsync).
@@ -688,8 +422,8 @@ func (b *DiskBackend) WriteBuckets(writes []BucketWrite) error {
 // replay only learns a commit from its record, and any record written before
 // it is covered by the same fsync. The record is appended *unsynced* under
 // the heap lock, which is then released for the barrier itself — reads,
-// bucket writes and other shards' commits proceed while the fsync (or the
-// shared group's coalesced fsync wave) is in flight. commitMu keeps the heap
+// bucket writes and other shards' commits proceed while the group's fsync
+// wave is in flight. commitMu keeps the heap
 // handle stable and the commit/rollback record order equal to the barrier
 // order.
 func (b *DiskBackend) CommitEpoch(epoch uint64) error {
@@ -730,7 +464,7 @@ func (b *DiskBackend) heapBarrierOp(kind byte, epoch uint64) error {
 			b.mu.Unlock()
 			return err
 		}
-		ticket = b.stamp(heap)
+		ticket = b.group.Wrote(heap)
 	}
 	if kind == heapKindCommit {
 		b.ix.commit(epoch)
@@ -740,7 +474,7 @@ func (b *DiskBackend) heapBarrierOp(kind byte, epoch uint64) error {
 	b.noteCompactLocked()
 	b.mu.Unlock()
 	if needBarrier {
-		if err := b.barrierTicket(heap, ticket); err != nil {
+		if err := b.group.BarrierTicket(heap, ticket); err != nil {
 			return b.wedge(err)
 		}
 	}
@@ -942,46 +676,23 @@ func (b *DiskBackend) compactHeap() error {
 		}
 	}
 	b.heap.Close()
-	b.forgetFile(b.heap)
+	b.group.Forget(b.heap)
 	b.heap = tf
 	b.heapSize = off
 	b.heapReserved = off
 	return nil
 }
 
-// ---- KVStore ----
-
-// Get implements KVStore: a disk store keeps no namespace.
-func (b *DiskBackend) Get(string) ([]byte, bool, error) { return nil, false, b.noKV() }
-
-// Put implements KVStore: a disk store keeps no namespace.
-func (b *DiskBackend) Put(string, []byte) error { return b.noKV() }
-
-// Delete implements KVStore: a disk store keeps no namespace.
-func (b *DiskBackend) Delete(string) error { return b.noKV() }
-
-func (b *DiskBackend) noKV() error {
-	if err := b.checkUsable(); err != nil {
-		return err
-	}
-	return ErrNoKV
-}
-
 // ---- Close ----
 
-// Close implements Backend. Appended-but-unsynced bucket versions are not
+// Close closes the heap file. Appended-but-unsynced bucket versions are not
 // flushed: they are uncommitted by definition, and the durability contract
-// only covers acknowledged commits and log appends. The shared
-// commit group (if any) is NOT closed — it belongs to the directory, not
-// the shard; DiskGroup.Close owns that.
+// only covers acknowledged commits. The commit group belongs to the
+// DiskGroup, which closes it.
 func (b *DiskBackend) Close() error {
-	b.stMu.Lock()
-	if b.closed {
-		b.stMu.Unlock()
+	if b.markClosed() {
 		return nil
 	}
-	b.closed = true
-	b.stMu.Unlock()
 	// Stop the background compactor before taking the data locks: a running
 	// compaction takes commitMu + mu itself and must finish (or abort) first.
 	if b.compactStop != nil {
@@ -992,19 +703,5 @@ func (b *DiskBackend) Close() error {
 	defer b.commitMu.Unlock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.logMu.Lock()
-	defer b.logMu.Unlock()
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	if b.heap != nil {
-		keep(b.heap.Close())
-	}
-	for _, s := range b.segs {
-		keep(s.f.Close())
-	}
-	return first
+	return b.heap.Close()
 }

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -17,9 +18,10 @@ import (
 // the durability semantics of a real disk (written data is volatile until
 // fsync; metadata operations are journaled) with injectable faults — fail
 // after N operations, a torn final write, silently dropped fsyncs — plus a
-// sweep that crashes DiskBackend at *every* mutation point of a
-// write→seal→commit workload and asserts that reopening recovers exactly the
-// state of the last durable commit.
+// sweep that crashes a one-shard per-shard-file disk group (a heap file and
+// the group's log) at *every* mutation point of a write→seal→commit workload
+// and asserts that reopening recovers exactly the state of the last durable
+// commit.
 
 var errInjectedCrash = errors.New("injected crash")
 
@@ -299,11 +301,23 @@ func (o *sweepOracle) snapshot(epoch uint64) {
 	o.snaps[epoch] = state
 }
 
-// shrinkDiskKnobs forces compaction and segment rollover inside the tiny
-// sweep workload, so their crash windows are part of the swept surface.
-func shrinkDiskKnobs(b *DiskBackend) {
-	b.heapCompactMin = 64
-	b.segMaxBytes = 128
+// sweepSegMaxBytes is the sweeps' segment size: small enough that the tiny
+// workloads roll segments, so rollover's crash windows are swept.
+const sweepSegMaxBytes = 128
+
+// sweepOpts opens a crash-harness group: serial recovery, no background
+// work, tiny segments.
+var sweepOpts = diskOpts{workers: 1, DiskOptions: DiskOptions{SegMaxBytes: sweepSegMaxBytes}}
+
+// openSweepStore opens the one-shard group a sweep drives in dir, with heap
+// compaction due early so its crash windows are part of the swept surface.
+func openSweepStore(fsys vfs, dir string, opts diskOpts) (*diskStore, error) {
+	s, err := openDiskStore(fsys, dir, 5, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.disk.heapCompactMin = 64
+	return s, nil
 }
 
 // crashWorkload drives b through write→seal→commit cycles with same-epoch
@@ -315,7 +329,7 @@ func shrinkDiskKnobs(b *DiskBackend) {
 // prefixes every payload so multi-shard runs store distinct bytes per shard;
 // single-digit shard salts keep record sizes — and so each shard's op
 // sequence — identical across shards.
-func crashWorkload(b *DiskBackend, o *sweepOracle, salt string) {
+func crashWorkload(b *diskStore, o *sweepOracle, salt string) {
 	const numBuckets = 5
 	slotsFor := func(e uint64, bucket int) [][]byte {
 		return [][]byte{
@@ -354,7 +368,7 @@ func crashWorkload(b *DiskBackend, o *sweepOracle, salt string) {
 			o.mem.RollbackTo(2)
 			// Compact over the rolled-back garbage: the incremental rewrite
 			// must be crash-atomic with dead rollback bytes in flight.
-			if b.CompactNow() != nil {
+			if b.disk.CompactNow() != nil {
 				return
 			}
 			continue
@@ -374,7 +388,7 @@ func crashWorkload(b *DiskBackend, o *sweepOracle, salt string) {
 		if e == 5 {
 			// Compact mid-stream with committed, superseded and truncated
 			// state all present.
-			if b.CompactNow() != nil {
+			if b.disk.CompactNow() != nil {
 				return
 			}
 		}
@@ -388,17 +402,34 @@ func verifyRecovered(t *testing.T, snap *crashFS, dir string, o *sweepOracle, st
 	t.Helper()
 	// A crash during the store's very creation can leave no meta file; the
 	// operator reopens with the configured geometry, so pass it here too.
-	r, err := openDiskBackend(snap, dir, 5)
+	r, err := openDiskStore(snap, dir, 5, diskOpts{workers: 1})
 	if err != nil {
 		t.Fatalf("%s: recovered store failed to open: %v", tag, err)
 	}
 	defer r.Close()
-	verifyRecoveredState(t, r, o, strict, tag)
+	verifyRecoveredState(t, physLogStore{r}, o, strict, tag)
+}
+
+// physLogStore answers a one-shard group's log face from the physical log
+// under its one stream: the same records, numbered as they were appended.
+// That numbering survives a reopen and a truncation; the stream's own
+// restarts from its surviving records.
+type physLogStore struct{ *diskStore }
+
+func (p physLogStore) LastSeq() (uint64, error) { return p.log.last() }
+
+func (p physLogStore) Scan(from uint64) ([][]byte, error) {
+	var out [][]byte
+	err := p.log.scan(max(from, p.log.truncFloor()), func(_, _ uint64, _ int64, rec []byte) error {
+		_, body, err := splitSharedRecord(rec)
+		out = append(out, bytes.Clone(body))
+		return err
+	})
+	return out, err
 }
 
 // recoveredStore is what the verifier needs from a reopened shard: the full
-// Backend contract plus its recovered commit point. Both a raw DiskBackend
-// and a shared-log GroupShard satisfy it.
+// Backend contract plus its recovered commit point.
 type recoveredStore interface {
 	Backend
 	CommittedEpoch() uint64
@@ -473,11 +504,10 @@ func verifyRecoveredState(t *testing.T, r recoveredStore, o *sweepOracle, strict
 func countWorkloadOps(t *testing.T) int {
 	plan := &faultPlan{mode: crashFailStop, crashAt: 1 << 30}
 	fsys := newCrashFS(plan)
-	b, err := openDiskBackend(fsys, "data", 5)
+	b, err := openSweepStore(fsys, "data", sweepOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrinkDiskKnobs(b)
 	o := newSweepOracle(5)
 	crashWorkload(b, o, "")
 	b.Close()
@@ -513,10 +543,9 @@ func TestCrashPointSweep(t *testing.T) {
 			for k := 1; k <= total; k++ {
 				plan := &faultPlan{mode: m.mode, crashAt: k}
 				fsys := newCrashFS(plan)
-				b, err := openDiskBackend(fsys, "data", 5)
+				b, err := openSweepStore(fsys, "data", sweepOpts)
 				o := newSweepOracle(5)
 				if err == nil {
-					shrinkDiskKnobs(b)
 					crashWorkload(b, o, "")
 					b.Close()
 				} else if !errors.Is(err, errInjectedCrash) {
@@ -535,10 +564,10 @@ const groupSweepShards = 3
 // groupShardDir names shard i's data dir in the group sweep.
 func groupShardDir(i int) string { return fmt.Sprintf("data/shard-%d", i) }
 
-// runGroupCrashWorkload opens groupSweepShards backends on one crashFS, all
-// routed through one CommitGroup, and drives the standard workload on every
-// shard CONCURRENTLY — commits and log appends race into shared
-// flush waves. Each shard mirrors its acked ops into its own oracle. A crash
+// runGroupCrashWorkload opens groupSweepShards one-shard groups in private
+// directories of one crashFS, all routed through one CommitGroup, and drives
+// the standard workload on every shard CONCURRENTLY — commits and log
+// appends race into shared flush waves. Each shard mirrors its acked ops into its own oracle. A crash
 // during a shard's open leaves that shard's oracle empty (epoch 0), which is
 // exactly what its directory must recover to.
 //
@@ -556,17 +585,18 @@ func runGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 	cg := NewCommitGroup()
 	defer cg.Close()
 	oracles := make([]*sweepOracle, groupSweepShards)
-	backends := make([]*DiskBackend, groupSweepShards)
+	backends := make([]*diskStore, groupSweepShards)
+	opts := sweepOpts
+	opts.group = cg
 	for i := range oracles {
 		oracles[i] = newSweepOracle(5)
-		b, err := openDiskBackendOpts(fsys, groupShardDir(i), 5, diskOpts{group: cg, workers: 1})
+		b, err := openSweepStore(fsys, groupShardDir(i), opts)
 		if err != nil {
 			if !errors.Is(err, errInjectedCrash) {
 				t.Fatalf("group shard %d open failed oddly: %v", i, err)
 			}
 			continue
 		}
-		shrinkDiskKnobs(b)
 		backends[i] = b
 	}
 	var wg sync.WaitGroup
@@ -575,7 +605,7 @@ func runGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, b *DiskBackend) {
+		go func(i int, b *diskStore) {
 			defer wg.Done()
 			crashWorkload(b, oracles[i], fmt.Sprintf("s%d-", i))
 		}(i, b)
@@ -657,28 +687,22 @@ func (f segOpenFailFS) OpenFile(name string, flag int, perm os.FileMode) (vfile,
 	return f.vfs.OpenFile(name, flag, perm)
 }
 
-// buildSegmentedStore creates a store with several log segments on a clean
+// buildSegmentedStore creates a log with several segments on a clean
 // in-memory fs and returns the fs and the acked records.
-func buildSegmentedStore(t *testing.T) (*crashFS, [][]byte) {
+func buildSegmentedStore(t *testing.T) (*crashFS, []string) {
 	t.Helper()
 	fsys := newCrashFS(nil)
-	b, err := openDiskBackend(fsys, "data", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.segMaxBytes = 128
-	var recs [][]byte
+	l := openTestLog(t, fsys, "data", diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 128}})
+	var recs []string
 	for i := 0; i < 12; i++ {
-		rec := []byte(fmt.Sprintf("record-%02d-%032d", i, i))
-		if _, err := b.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+		rec := fmt.Sprintf("record-%02d-%032d", i, i)
+		logAppend(t, l, rec)
 		recs = append(recs, rec)
 	}
-	if len(b.segs) < 3 {
-		t.Fatalf("want several segments, got %d", len(b.segs))
+	if len(l.segs) < 3 {
+		t.Fatalf("want several segments, got %d", len(l.segs))
 	}
-	if err := b.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return fsys, recs
@@ -697,32 +721,19 @@ func TestOpenLogTransientErrorDoesNotDeleteSegments(t *testing.T) {
 		}
 	}
 	sort.Strings(segNames)
-	if _, err := openDiskBackend(segOpenFailFS{vfs: fsys, failName: segNames[0]}, "data", 4); err == nil {
+	if _, err := openLogAt(segOpenFailFS{vfs: fsys, failName: segNames[0]}, "data", diskOpts{}); err == nil {
 		t.Fatal("open succeeded despite a transient segment open failure")
 	}
 	// Every segment must still be on disk, and a clean reopen sees all data.
 	after, _ := fsys.List("data")
 	for _, want := range segNames {
-		found := false
-		for _, n := range after {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(after, want) {
 			t.Fatalf("segment %s was deleted on a transient open error", want)
 		}
 	}
-	r, err := openDiskBackend(fsys, "data", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestLog(t, fsys, "data", diskOpts{})
 	defer r.Close()
-	got, err := r.Scan(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) || !bytes.Equal(got[0], recs[0]) || !bytes.Equal(got[len(got)-1], recs[len(recs)-1]) {
+	if got := logRecords(t, r, 0); !slices.Equal(got, recs) {
 		t.Fatalf("records lost after transient error: got %d of %d", len(got), len(recs))
 	}
 }
@@ -748,23 +759,14 @@ func TestOpenLogStructuralDamageDropsOrphanSuffix(t *testing.T) {
 	if _, err := f.WriteAt(make([]byte, fileHeaderSize), 0); err != nil {
 		t.Fatal(err)
 	}
-	r, err := openDiskBackend(fsys, "data", 4)
+	r, err := openLogAt(fsys, "data", diskOpts{})
 	if err != nil {
 		t.Fatalf("open failed on a droppable orphan suffix: %v", err)
 	}
 	defer r.Close()
-	got, err := r.Scan(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := int(bases[1] - bases[0])
-	if len(got) != kept {
-		t.Fatalf("kept %d records, want the intact prefix of %d", len(got), kept)
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], recs[i]) {
-			t.Fatalf("prefix record %d = %q, want %q", i, got[i], recs[i])
-		}
+	got := logRecords(t, r, 0)
+	if kept := int(bases[1] - bases[0]); !slices.Equal(got, recs[:kept]) {
+		t.Fatalf("kept %q, want the intact prefix of %d records", got, kept)
 	}
 }
 

@@ -12,13 +12,34 @@ import (
 	"time"
 )
 
-// openLoneDisk opens a lone DiskBackend on the real filesystem with a group
-// shard's settings: background compaction on, default recovery workers.
-func openLoneDisk(dir string, buckets int) (*DiskBackend, error) {
-	return openDiskBackendOpts(osFS{}, dir, buckets, diskOpts{autoCompact: true})
+// diskStore is a one-shard per-shard-file disk group as one Backend: the
+// shard, the heap file behind its bucket face (disk) and, through the shard,
+// the group's log. Closing it closes the group.
+type diskStore struct {
+	*GroupShard
+	g    *DiskGroup
+	disk *DiskBackend
 }
 
-func openDisk(t *testing.T, dir string, buckets int) *DiskBackend {
+func (d *diskStore) Close() error { return d.g.Close() }
+
+// openDiskStore opens a one-shard per-shard-file group in dir.
+func openDiskStore(fsys vfs, dir string, buckets int, opts diskOpts) (*diskStore, error) {
+	g, err := openDiskGroupOpts(fsys, dir, 1, buckets, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &diskStore{GroupShard: g.views[0], g: g, disk: g.views[0].buckets.(*DiskBackend)}, nil
+}
+
+// openLoneDisk opens a one-shard per-shard-file group on the real filesystem
+// with a deployment's settings: background compaction on, default recovery
+// workers.
+func openLoneDisk(dir string, buckets int) (*diskStore, error) {
+	return openDiskStore(osFS{}, dir, buckets, diskOpts{autoCompact: true})
+}
+
+func openDisk(t *testing.T, dir string, buckets int) *diskStore {
 	t.Helper()
 	b, err := openLoneDisk(dir, buckets)
 	if err != nil {
@@ -139,7 +160,7 @@ func TestDiskTornHeapTailTruncated(t *testing.T) {
 	must(t, b.CommitEpoch(1))
 	must(t, b.Close())
 
-	path := filepath.Join(dir, heapFileName)
+	path := filepath.Join(dir, "shard-000", heapFileName)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +201,7 @@ func TestDiskStructuralCorruptionFailsLoudly(t *testing.T) {
 	// Rewrite the version record's kind byte to garbage and fix up the
 	// checksum: a structurally invalid body under a valid crc is corruption,
 	// not a torn write, and must refuse to open.
-	path := filepath.Join(dir, heapFileName)
+	path := filepath.Join(dir, "shard-000", heapFileName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -218,14 +239,19 @@ func TestDiskNumBucketsMismatchRejected(t *testing.T) {
 
 // TestGroupOpenRefusesOtherLayouts opens data dirs written in the two
 // layouts obladi-storage no longer serves the way it opens its -data-dir: a
-// lone single-directory store and a per-shard-file group are each refused
-// with an error naming the layout, and neither dir gains or loses a file.
+// single-directory store (an older layout, one shard's files at the top
+// level) and a per-shard-file group are each refused with an error naming
+// the layout, and neither dir gains or loses a file.
 func TestGroupOpenRefusesOtherLayouts(t *testing.T) {
-	single := t.TempDir()
-	b := openDisk(t, single, 8)
+	tmp := t.TempDir()
+	b := openDisk(t, tmp, 8)
 	must(t, b.WriteBucket(0, 1, slots("live")))
 	must(t, b.CommitEpoch(1))
+	if _, err := b.Append([]byte("record")); err != nil {
+		t.Fatal(err)
+	}
 	must(t, b.Close())
+	single := filepath.Join(tmp, "shard-000")
 	perShard := t.TempDir()
 	g, err := OpenDiskGroupOpts(perShard, 2, 8, DiskOptions{})
 	if err != nil {
@@ -269,7 +295,7 @@ func TestDiskHeapCompaction(t *testing.T) {
 	dir := t.TempDir()
 	b := openDisk(t, dir, 4)
 	defer b.Close()
-	b.heapCompactMin = 1 << 10
+	b.disk.heapCompactMin = 1 << 10
 	payload := bytes.Repeat([]byte("p"), 256)
 	for e := uint64(1); e <= 64; e++ {
 		var writes []BucketWrite
@@ -284,9 +310,9 @@ func TestDiskHeapCompaction(t *testing.T) {
 	// background compactor to catch up with the kicks the commits issued.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		b.mu.RLock()
-		size := b.heapSize
-		b.mu.RUnlock()
+		b.disk.mu.RLock()
+		size := b.disk.heapSize
+		b.disk.mu.RUnlock()
 		if size <= 8<<10 {
 			break
 		}
@@ -321,64 +347,54 @@ func TestDiskHeapCompaction(t *testing.T) {
 	}
 }
 
+// TestDiskLogSegmentsRollAndTruncate drives the physical log underneath the
+// streams: its sequence numbers, segment rolls and truncation point, which
+// (unlike a stream's numbering) persist across a reopen.
 func TestDiskLogSegmentsRollAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	b := openDisk(t, dir, 1)
-	b.segMaxBytes = 256
+	l := openTestLog(t, osFS{}, dir, diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 256}})
 	var seqs []uint64
 	for i := 0; i < 40; i++ {
-		seq, err := b.Append([]byte(fmt.Sprintf("record-%02d-%s", i, bytes.Repeat([]byte("x"), 32))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs = append(seqs, seq)
+		seqs = append(seqs, logAppend(t, l, fmt.Sprintf("record-%02d-%s", i, bytes.Repeat([]byte("x"), 32))))
 	}
 	if seqs[39] != 40 {
 		t.Fatalf("last seq = %d", seqs[39])
 	}
-	if len(b.segs) < 3 {
-		t.Fatalf("expected several segments, got %d", len(b.segs))
+	if len(l.segs) < 3 {
+		t.Fatalf("expected several segments, got %d", len(l.segs))
 	}
-	segsBefore := len(b.segs)
-	must(t, b.Truncate(30))
-	if len(b.segs) >= segsBefore {
-		t.Fatalf("truncate dropped no segments (%d -> %d)", segsBefore, len(b.segs))
+	segsBefore := len(l.segs)
+	must(t, l.truncate(30))
+	if len(l.segs) >= segsBefore {
+		t.Fatalf("truncate dropped no segments (%d -> %d)", segsBefore, len(l.segs))
 	}
-	recs, err := b.Scan(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 11 || !bytes.HasPrefix(recs[0], []byte("record-29")) {
+	recs := logRecords(t, l, l.truncFloor())
+	if len(recs) != 11 || !strings.HasPrefix(recs[0], "record-29") {
 		t.Fatalf("after truncate: %d records, first %q", len(recs), recs[0])
 	}
-	must(t, b.Close())
+	must(t, l.Close())
 
-	r := openDisk(t, dir, 1)
-	r.segMaxBytes = 256
-	if seq, _ := r.LastSeq(); seq != 40 {
-		t.Fatalf("reopened LastSeq = %d", seq)
+	r := openTestLog(t, osFS{}, dir, diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 256}})
+	if seq, _ := r.last(); seq != 40 {
+		t.Fatalf("reopened last seq = %d", seq)
 	}
-	recs, err = r.Scan(35)
-	if err != nil {
-		t.Fatal(err)
+	if r.truncFloor() != 30 {
+		t.Fatalf("reopened truncation point = %d, want 30", r.truncFloor())
 	}
-	if len(recs) != 6 || !bytes.HasPrefix(recs[0], []byte("record-34")) {
-		t.Fatalf("reopened Scan(35): %d records, first %q", len(recs), recs[0])
+	recs = logRecords(t, r, 35)
+	if len(recs) != 6 || !strings.HasPrefix(recs[0], "record-34") {
+		t.Fatalf("reopened scan from 35: %d records, first %q", len(recs), recs[0])
 	}
 	// Truncating everything keeps the sequence counter across a reopen.
-	must(t, r.Truncate(41))
+	must(t, r.truncate(41))
 	must(t, r.Close())
-	r2 := openDisk(t, dir, 1)
+	r2 := openTestLog(t, osFS{}, dir, diskOpts{})
 	defer r2.Close()
-	if seq, _ := r2.LastSeq(); seq != 40 {
-		t.Fatalf("LastSeq after truncate-all reopen = %d", seq)
+	if seq, _ := r2.last(); seq != 40 {
+		t.Fatalf("last seq after truncate-all reopen = %d", seq)
 	}
-	seq, err := r2.Append([]byte("fresh"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 41 {
-		t.Fatalf("Append after truncate-all reopen = %d, want 41", seq)
+	if seq := logAppend(t, r2, "fresh"); seq != 41 {
+		t.Fatalf("append after truncate-all reopen = %d, want 41", seq)
 	}
 }
 
@@ -472,7 +488,7 @@ func TestDiskWedgesAfterIOError(t *testing.T) {
 	must(t, b.CommitEpoch(1))
 	// Close the heap file behind the backend's back; the next write must
 	// fail and wedge the store (fail-stop beats acking into the void).
-	b.heap.Close()
+	b.disk.heap.Close()
 	if err := b.CommitEpoch(2); err == nil {
 		t.Fatal("commit succeeded on a closed file")
 	}

@@ -8,9 +8,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
-// This file defines the narrow file abstraction DiskBackend performs all its
+// This file defines the narrow file abstraction a disk group performs all its
 // I/O through, plus the length-prefixed, checksummed record framing shared by
 // every on-disk file. Keeping the surface small serves two masters: the
 // crash-point test harness interposes an in-memory fault-injecting
@@ -18,7 +19,7 @@ import (
 // has to reason about five primitives (write-at, sync, truncate, rename,
 // directory sync).
 
-// vfile is one open file. DiskBackend only ever appends at a tracked offset
+// vfile is one open file. A disk group only ever appends at a tracked offset
 // (WriteAt), reads with positional reads (ReadAt), truncates torn tails on
 // open, and syncs at durability barriers; there is no seek state to reason
 // about.
@@ -35,8 +36,8 @@ type vfile interface {
 	Close() error
 }
 
-// vfs is the file-system surface DiskBackend uses. Path arguments are
-// regular slash paths inside the backend's data directory.
+// vfs is the file-system surface a disk group uses. Path arguments are
+// regular slash paths inside the group's data directory.
 type vfs interface {
 	OpenFile(name string, flag int, perm os.FileMode) (vfile, error)
 	Rename(oldpath, newpath string) error
@@ -543,3 +544,45 @@ func readFileRangeInto(buf []byte, f vfile, off int64, n int) ([]byte, error) {
 }
 
 func joinPath(dir, name string) string { return filepath.Join(dir, name) }
+
+// failStop is a disk store's fail-stop state: closed, or wedged by an I/O
+// error. After a failed write or barrier the store's in-memory state may be
+// ahead of its files, and continuing could ack operations the disk never
+// saw; fail-stop is the honest behaviour, and reopening replays the files
+// back to a consistent state. Its own tiny mutex keeps the wedge from
+// waiting on a data lock.
+type failStop struct {
+	name   string // the store, in the wedge's error
+	stMu   sync.Mutex
+	closed bool
+	ioErr  error // sticky: the first failure's
+}
+
+// checkUsable reports ErrClosed once the store is closed and the wedge's
+// error once it is wedged.
+func (f *failStop) checkUsable() error {
+	f.stMu.Lock()
+	defer f.stMu.Unlock()
+	if f.closed {
+		return ErrClosed
+	}
+	return f.ioErr
+}
+
+// wedge marks the store unusable and returns err.
+func (f *failStop) wedge(err error) error {
+	f.stMu.Lock()
+	defer f.stMu.Unlock()
+	if f.ioErr == nil {
+		f.ioErr = fmt.Errorf("storage: %s disabled by I/O error: %w", f.name, err)
+	}
+	return err
+}
+
+// markClosed marks the store closed and reports whether it already was.
+func (f *failStop) markClosed() (was bool) {
+	f.stMu.Lock()
+	defer f.stMu.Unlock()
+	was, f.closed = f.closed, true
+	return was
+}

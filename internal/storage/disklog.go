@@ -4,17 +4,78 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// This file holds DiskBackend's recovery log: segmented append-only files
-// with an fsync barrier per append.
+// diskLog is a disk group's one physical log (§8's recovery unit): segmented
+// append-only files in shard-000's directory, whose record order is their
+// durability order. Every shard's recovery-log stream rides it (SharedLog
+// multiplexes them), and in a logheap group so does every shard's bucket
+// data (LogHeap). The group owns it; SharedLog, LogHeap and GroupShard hold
+// it directly. Its files:
+//
+//   - wal-<base>.seg — the segments. A record is written unsynced and stands
+//     on a CommitGroup barrier of its segment, at once (an Append) or at the
+//     next SyncLog (a deferred append); Truncate drops whole dead segments.
+//   - meta — a tiny atomically-replaced file holding the group's bucket count
+//     and the log's truncation point.
+//
+// Every record is length-prefixed and checksummed; open truncates a torn
+// tail at the first invalid record, so reopening after a crash at any point
+// recovers exactly the records of the last completed fsync barrier.
+type diskLog struct {
+	fsys  vfs
+	dir   string
+	group *CommitGroup
+	// workers bounds the pool that replays segments at open; 1 means serial.
+	workers int
+	// numBuckets is the group's tree size, kept in meta beside the
+	// truncation point.
+	numBuckets int
 
-// ---- recovery log ----
+	failStop
+
+	mu          sync.RWMutex
+	segs        []*segment
+	lastSeq     uint64
+	truncBefore uint64 // sequence numbers below this are logically gone
+	segMaxBytes int64
+	// retain, when set (logheap mode), is the retention gate: segments
+	// holding any sequence number >= retain() survive truncation because
+	// they still carry live bucket versions or un-checkpointed index state.
+	// Called under mu; must only read atomics.
+	retain func() uint64
+	frame  []byte // appendRecord's framing buffer, reused by every append
+
+	// Deferred appends awaiting a SyncLog barrier, oldest first. Almost
+	// always one entry; a second appears only when unsynced appends straddle
+	// a segment rotation (rotation does not flush the outgoing tail).
+	pendMu sync.Mutex
+	pend   []fileTicket
+}
+
+// fileTicket records a deferred append's durability obligation: a flush of f
+// covering ticket. One entry per file — later appends to the same file just
+// advance the ticket, since a barrier on the newest ticket covers them all.
+type fileTicket struct {
+	f      vfile
+	ticket uint64
+}
+
+type segment struct {
+	f    vfile
+	name string
+	base uint64  // sequence number of the first record
+	offs []int64 // frame offset of each record
+	lens []int32 // framed length of each record
+	size int64
+}
 
 func segName(base uint64) string {
 	return segPrefix + fmt.Sprintf("%020d", base) + segSuffix
@@ -32,6 +93,88 @@ func parseSegName(name string) (uint64, bool) {
 	return base, true
 }
 
+// defaultReplayWorkers sizes the replay pool: parallel crc verification
+// saturates quickly, so a small pool captures most of the win.
+func defaultReplayWorkers() int {
+	return max(1, min(runtime.GOMAXPROCS(0), 4))
+}
+
+// ---- meta ----
+
+// openMeta reads dir's meta file — the group's bucket count and the log's
+// truncation point — creating it for a fresh group. numBuckets 0 adopts the
+// stored count; any other count must match it.
+func openMeta(fsys vfs, dir string, numBuckets int) (nb int, truncBefore uint64, err error) {
+	create := func() (int, uint64, error) {
+		if numBuckets <= 0 {
+			return 0, 0, fmt.Errorf("storage: creating a disk group needs a positive bucket count (got %d)", numBuckets)
+		}
+		return numBuckets, 1, writeMeta(fsys, dir, numBuckets, 1)
+	}
+	f, err := fsys.OpenFile(joinPath(dir, metaFileName), os.O_RDONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		return create()
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("storage: opening meta: %w", err)
+	}
+	size, serr := f.Size()
+	if serr == nil && size == 0 {
+		// A crash can install the meta rename before the file's content ever
+		// became durable (e.g. a dropped fsync); an empty meta is the
+		// pre-creation state, not corruption.
+		f.Close()
+		return create()
+	}
+	buf, rerr := readFileRange(f, 0, fileHeaderSize)
+	cerr := f.Close()
+	if serr != nil {
+		return 0, 0, serr
+	}
+	if rerr != nil {
+		return 0, 0, fmt.Errorf("storage: reading meta: %w", rerr)
+	}
+	if cerr != nil {
+		return 0, 0, cerr
+	}
+	stored, trunc, err := decodeFileHeader(buf, metaMagic)
+	if err != nil {
+		return 0, 0, fmt.Errorf("storage: meta file: %w", err)
+	}
+	if numBuckets != 0 && int(stored) != numBuckets {
+		return 0, 0, fmt.Errorf("storage: data dir holds %d buckets but %d requested (refusing to silently resize)", stored, numBuckets)
+	}
+	return int(stored), max(trunc, 1), nil
+}
+
+// writeMeta atomically replaces dir's meta file: temp file, fsync, rename,
+// directory fsync.
+func writeMeta(fsys vfs, dir string, numBuckets int, truncBefore uint64) error {
+	tmp := joinPath(dir, metaFileName+tmpSuffix)
+	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("storage: creating meta: %w", err)
+	}
+	hdr := encodeFileHeader(metaMagic, uint32(numBuckets), truncBefore)
+	if _, err := f.WriteAt(hdr, 0); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp)
+		return fmt.Errorf("storage: writing meta: %w", err)
+	}
+	if err := fsys.Rename(tmp, joinPath(dir, metaFileName)); err != nil {
+		_ = fsys.Remove(tmp)
+		return fmt.Errorf("storage: installing meta: %w", err)
+	}
+	return fsys.SyncDir(dir)
+}
+
+// ---- open ----
+
 // errSegDamaged marks structural damage in a log segment (sub-header file,
 // bad header, corrupt mid-file record): the segment and its successors are
 // an orphaned suffix that recovery drops. Any *other* error — a transient
@@ -40,19 +183,43 @@ func parseSegName(name string) (uint64, bool) {
 // recovery tools destroy the data they exist to protect.
 var errSegDamaged = errors.New("storage: damaged log segment")
 
-// openLog rebuilds the segment chain with prefix semantics: segments are
-// kept while each one is intact and contiguous with its predecessor; the
-// first structurally broken or gapped segment and everything after it are
-// dropped. With honest fsyncs only the *last* segment can ever be torn (a
-// segment's header is synced before its first record, and a successor is
-// only created after the predecessor filled), so nothing acknowledged is
-// lost; the drop path only fires on damage that already lost data — exactly
-// the point-in-time prefix a write-ahead log must recover to.
-// Segment replay — scanning every record frame and checking its crc32c —
-// dominates recovery time on a long log, and segments are independent
-// files, so the scan fans out across b.replayWorkers (pFSCK-style);
-// only the chain-prefix decision below stays sequential.
-func (b *DiskBackend) openLog(names []string) error {
+// openDiskLog opens the log in dir, whose meta openMeta already read, with
+// retention gate retain (nil: none). It rebuilds the segment chain with
+// prefix semantics: segments are kept while each one is intact and
+// contiguous with its predecessor; the first structurally broken or gapped
+// segment and everything after it are dropped. With honest fsyncs only the
+// *last* segment can ever be torn (a segment's header is synced before its
+// first record, and a successor is only created after the predecessor
+// filled), so nothing acknowledged is lost; the drop path only fires on
+// damage that already lost data — exactly the point-in-time prefix a
+// write-ahead log must recover to. Segment replay — scanning every record
+// frame and checking its crc32c — dominates recovery time on a long log, and
+// segments are independent files, so the scan fans out across the workers
+// (pFSCK-style); only the chain-prefix decision stays sequential. Last, the
+// segments below both the truncation point and the gate go: a crash between
+// a meta update and the deletion it licensed leaves them behind.
+func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts diskOpts, retain func() uint64) (*diskLog, error) {
+	l := &diskLog{
+		failStop:    failStop{name: "disk log"},
+		fsys:        fsys,
+		dir:         dir,
+		group:       opts.group,
+		workers:     opts.workers,
+		numBuckets:  numBuckets,
+		truncBefore: truncBefore,
+		segMaxBytes: defaultSegMaxBytes,
+		retain:      retain,
+	}
+	if opts.SegMaxBytes > 0 {
+		l.segMaxBytes = opts.SegMaxBytes
+	}
+	if l.workers <= 0 {
+		l.workers = defaultReplayWorkers()
+	}
+	names, err := fsys.List(dir)
+	if err != nil {
+		return nil, fmt.Errorf("storage: listing log dir: %w", err)
+	}
 	var bases []uint64
 	for _, n := range names {
 		if base, ok := parseSegName(n); ok {
@@ -62,10 +229,7 @@ func (b *DiskBackend) openLog(names []string) error {
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 	segs := make([]*segment, len(bases))
 	segErrs := make([]error, len(bases))
-	if workers := b.replayWorkers; workers > 1 && len(bases) > 1 {
-		if workers > len(bases) {
-			workers = len(bases)
-		}
+	if workers := min(l.workers, len(bases)); workers > 1 {
 		idx := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -73,7 +237,7 @@ func (b *DiskBackend) openLog(names []string) error {
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					segs[i], segErrs[i] = b.openSegment(bases[i])
+					segs[i], segErrs[i] = l.openSegment(bases[i])
 				}
 			}()
 		}
@@ -84,7 +248,7 @@ func (b *DiskBackend) openLog(names []string) error {
 		wg.Wait()
 	} else {
 		for i, base := range bases {
-			segs[i], segErrs[i] = b.openSegment(base)
+			segs[i], segErrs[i] = l.openSegment(base)
 		}
 	}
 	closeRest := func(from int) {
@@ -98,38 +262,33 @@ func (b *DiskBackend) openLog(names []string) error {
 		seg, err := segs[i], segErrs[i]
 		if err != nil && !errors.Is(err, errSegDamaged) {
 			closeRest(i)
-			return err
+			l.Close()
+			return nil, err
 		}
-		gap := err == nil && len(b.segs) > 0 &&
-			b.segs[len(b.segs)-1].base+uint64(len(b.segs[len(b.segs)-1].offs)) != seg.base
+		gap := err == nil && len(l.segs) > 0 &&
+			l.segs[len(l.segs)-1].base+uint64(len(l.segs[len(l.segs)-1].offs)) != seg.base
 		if err != nil || gap {
 			// Orphaned suffix: remove it so the next open sees a clean chain.
 			closeRest(i)
 			for _, orphan := range bases[i:] {
-				_ = b.fsys.Remove(joinPath(b.dir, segName(orphan)))
+				_ = fsys.Remove(joinPath(dir, segName(orphan)))
 			}
 			break
 		}
-		b.segs = append(b.segs, seg)
+		l.segs = append(l.segs, seg)
 	}
-	if len(b.segs) == 0 {
-		b.lastSeq = b.truncBefore - 1
-	} else {
-		last := b.segs[len(b.segs)-1]
-		b.lastSeq = last.base + uint64(len(last.offs)) - 1
-		if b.lastSeq < b.truncBefore-1 {
-			b.lastSeq = b.truncBefore - 1
-		}
+	l.lastSeq = l.truncBefore - 1
+	if n := len(l.segs); n > 0 {
+		last := l.segs[n-1]
+		l.lastSeq = max(l.lastSeq, last.base+uint64(len(last.offs))-1)
 	}
-	// A crash between the meta update and segment deletion can leave whole
-	// segments below the truncation point; finish the job. In logheap mode
-	// the retention gate is only installed after the heap index is rebuilt,
-	// so the open-time pass is deferred until then — dropping a segment here
-	// could delete live bucket versions the WAL no longer needs.
-	if !b.keepDeadSegs {
-		b.dropDeadSegmentsLocked()
+	l.dropDeadSegmentsLocked()
+	// One directory barrier covers whatever open removed.
+	if err := fsys.SyncDir(dir); err != nil {
+		l.Close()
+		return nil, err
 	}
-	return nil
+	return l, nil
 }
 
 // openSegment opens one segment, truncating a torn tail at the first invalid
@@ -137,9 +296,9 @@ func (b *DiskBackend) openLog(names []string) error {
 // record) returns an error wrapping errSegDamaged — the caller drops the
 // segment as an orphan; every other failure is a real I/O error and
 // propagates as-is.
-func (b *DiskBackend) openSegment(base uint64) (*segment, error) {
+func (l *diskLog) openSegment(base uint64) (*segment, error) {
 	name := segName(base)
-	f, err := b.fsys.OpenFile(joinPath(b.dir, name), os.O_RDWR, 0)
+	f, err := l.fsys.OpenFile(joinPath(l.dir, name), os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening log segment %s: %w", name, err)
 	}
@@ -200,93 +359,24 @@ func (b *DiskBackend) openSegment(base uint64) (*segment, error) {
 	return seg, nil
 }
 
-// Append implements LogStore: the record's covering fsync — issued inline,
-// or by the shared commit group — returns before the sequence number does.
-// The log is the recovery unit, so an acknowledged append must survive any
-// crash. The log lives on its own lock (logMu) and its own files, so log
-// appends and bucket-heap writes inside one epoch boundary overlap instead
-// of serializing on a shared mutex.
-func (b *DiskBackend) Append(record []byte) (uint64, error) {
-	res, err := b.appendLogRecord(noStream, record)
-	if err != nil {
-		return 0, err
-	}
-	// The lock is already dropped before standing on the barrier, so appends
-	// from other namespaces/shards coalesce into (and parallelize within)
-	// one flush wave. The sequence number is only returned after a flush
-	// covering this record's write ticket lands, so the ack contract holds.
-	if err := b.barrierTicket(res.f, res.ticket); err != nil {
-		return 0, b.wedge(err)
-	}
-	return res.seq, nil
-}
-
-// AppendNoSync implements LogBatcher: the record is written to the active
-// segment but its durability waits for the next SyncLog. Until then the
-// sequence number is provisional — a crash may lose the record (and recovery
-// will trim it with the torn tail), which is exactly why the LogStore ack
-// contract moves to SyncLog's return.
-func (b *DiskBackend) AppendNoSync(record []byte) (uint64, error) {
-	res, err := b.appendLogRecord(noStream, record)
-	if err != nil {
-		return 0, err
-	}
-	b.notePending(res.f, res.ticket)
-	return res.seq, nil
-}
-
-// SyncLog implements LogBatcher: every append deferred before the call
-// becomes durable. Usually one barrier; two only when appends straddled a
-// segment rotation (each file needs its own flush — the outgoing segment's
-// tail is not covered by the new segment's barrier). The obligations stay
-// noted until their barrier lands: a SyncLog running alongside (another
-// shard's round barrier, a heap checkpoint) needs them as much as this one,
-// and rides the same fsync wave instead of returning before it lands.
-func (b *DiskBackend) SyncLog() error {
-	var buf [2]fileTicket
-	b.pendMu.Lock()
-	due := append(buf[:0], b.pendLog...)
-	b.pendMu.Unlock()
-	for _, p := range due {
-		if err := b.barrierTicket(p.f, p.ticket); err != nil {
-			return b.wedge(err)
-		}
-	}
-	b.pendMu.Lock()
-	keep := b.pendLog[:0]
-	for _, p := range b.pendLog {
-		if !coveredBy(p, due) {
+// forgetFile releases a dropped segment's scheduler state and any deferred
+// barrier on it: its records are logically gone, so there is nothing left
+// to make durable — and a later SyncLog must not fsync a closed handle.
+// Call after f is closed.
+func (l *diskLog) forgetFile(f vfile) {
+	l.group.Forget(f)
+	l.pendMu.Lock()
+	keep := l.pend[:0]
+	for _, p := range l.pend {
+		if p.f != f {
 			keep = append(keep, p)
 		}
 	}
-	clear(b.pendLog[len(keep):])
-	b.pendLog = keep
-	b.pendMu.Unlock()
-	return nil
+	l.pend = keep
+	l.pendMu.Unlock()
 }
 
-// coveredBy reports whether a barrier on one of due makes p durable.
-func coveredBy(p fileTicket, due []fileTicket) bool {
-	for _, d := range due {
-		if d.f == p.f && p.ticket <= d.ticket {
-			return true
-		}
-	}
-	return false
-}
-
-// notePending records a deferred append's barrier obligation.
-func (b *DiskBackend) notePending(f vfile, ticket uint64) {
-	b.pendMu.Lock()
-	if n := len(b.pendLog); n > 0 && b.pendLog[n-1].f == f {
-		if ticket > b.pendLog[n-1].ticket {
-			b.pendLog[n-1].ticket = ticket
-		}
-	} else {
-		b.pendLog = append(b.pendLog, fileTicket{f: f, ticket: ticket})
-	}
-	b.pendMu.Unlock()
-}
+// ---- appends and barriers ----
 
 // logAppendRes describes where one framed record landed in the physical
 // log: its sequence number, the segment (by base) and byte offset of the
@@ -302,135 +392,169 @@ type logAppendRes struct {
 	ticket  uint64
 }
 
-// noStream: the backend's own raw log, whose records have no stream header.
-const noStream = -1
-
-// appendLogRecord frames one record in place in the log's reusable buffer —
-// frame header, the shared log's stream header unless stream is noStream,
-// the record — writes it to the active segment and stamps it, leaving
-// durability to the caller's barrierTicket on the returned file: the seam
-// through which several shards' streams land in one physical log and stand
-// on the same flush wave. record is not retained.
-func (b *DiskBackend) appendLogRecord(stream int, record []byte) (logAppendRes, error) {
-	b.logMu.Lock()
-	defer b.logMu.Unlock()
-	buf := beginRecord(b.logFrame[:0])
-	if stream != noStream {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(stream))
-	}
+// appendRecord frames one stream record in place in the log's reusable
+// buffer — frame header, stream header, the record — writes it to the active
+// segment and stamps it, leaving durability to the caller's barrier on the
+// returned file: the seam through which several shards' streams land in one
+// physical log and stand on the same flush wave. record is not retained.
+func (l *diskLog) appendRecord(stream uint32, record []byte) (logAppendRes, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	buf := binary.BigEndian.AppendUint32(beginRecord(l.frame[:0]), stream)
 	buf = append(buf, record...)
 	sealRecord(buf)
-	b.logFrame = buf
-	return b.appendLogFramedLocked(buf)
+	l.frame = buf
+	return l.appendFramedLocked(buf)
 }
 
-// appendLogFramed is appendLogRecord for a record already framed in a buffer
-// of the caller's (beginRecord/sealRecord); framed is not retained.
-func (b *DiskBackend) appendLogFramed(framed []byte) (logAppendRes, error) {
-	b.logMu.Lock()
-	defer b.logMu.Unlock()
-	return b.appendLogFramedLocked(framed)
+// appendFramed is appendRecord for a record already framed in a buffer of
+// the caller's (beginRecord/sealRecord); framed is not retained.
+func (l *diskLog) appendFramed(framed []byte) (logAppendRes, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendFramedLocked(framed)
 }
 
-func (b *DiskBackend) appendLogFramedLocked(framed []byte) (logAppendRes, error) {
-	if err := b.checkUsable(); err != nil {
+func (l *diskLog) appendFramedLocked(framed []byte) (logAppendRes, error) {
+	if err := l.checkUsable(); err != nil {
 		return logAppendRes{}, err
 	}
-	seg, err := b.activeSegmentLocked()
+	seg, err := l.activeSegmentLocked()
 	if err != nil {
 		return logAppendRes{}, err
 	}
 	off := seg.size
 	if _, err := seg.f.WriteAt(framed, off); err != nil {
-		return logAppendRes{}, b.wedge(err)
+		return logAppendRes{}, l.wedge(err)
 	}
 	seg.offs = append(seg.offs, off)
 	seg.lens = append(seg.lens, int32(len(framed)))
 	seg.size += int64(len(framed))
-	b.lastSeq++
+	l.lastSeq++
 	return logAppendRes{
-		seq:     b.lastSeq,
+		seq:     l.lastSeq,
 		segBase: seg.base,
 		off:     off,
 		n:       len(framed),
 		f:       seg.f,
-		ticket:  b.stamp(seg.f),
+		ticket:  l.group.Wrote(seg.f),
 	}, nil
 }
 
 // activeSegmentLocked returns the tail segment, rolling to a fresh file once
 // the current one exceeds segMaxBytes.
-func (b *DiskBackend) activeSegmentLocked() (*segment, error) {
-	if n := len(b.segs); n > 0 && b.segs[n-1].size < b.segMaxBytes {
-		return b.segs[n-1], nil
+func (l *diskLog) activeSegmentLocked() (*segment, error) {
+	if n := len(l.segs); n > 0 && l.segs[n-1].size < l.segMaxBytes {
+		return l.segs[n-1], nil
 	}
-	base := b.lastSeq + 1
+	base := l.lastSeq + 1
 	name := segName(base)
-	f, err := b.fsys.OpenFile(joinPath(b.dir, name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := l.fsys.OpenFile(joinPath(l.dir, name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, b.wedge(err)
+		return nil, l.wedge(err)
 	}
 	hdr := encodeFileHeader(segMagic, 0, base)
 	if _, err := f.WriteAt(hdr, 0); err != nil {
 		f.Close()
-		return nil, b.wedge(err)
+		return nil, l.wedge(err)
 	}
 	// Reserve the whole segment up front so per-record appends never
 	// allocate blocks — the per-barrier fsync then flushes data, not
 	// allocation metadata. The header sync below also settles this.
-	preallocate(f, 0, b.segMaxBytes)
+	preallocate(f, 0, l.segMaxBytes)
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return nil, b.wedge(err)
+		return nil, l.wedge(err)
 	}
-	if err := b.fsys.SyncDir(b.dir); err != nil {
+	if err := l.fsys.SyncDir(l.dir); err != nil {
 		f.Close()
-		return nil, b.wedge(err)
+		return nil, l.wedge(err)
 	}
 	seg := &segment{f: f, name: name, base: base, size: fileHeaderSize}
-	b.segs = append(b.segs, seg)
+	l.segs = append(l.segs, seg)
 	return seg, nil
 }
 
-// Scan implements LogStore: all records with sequence number >= from, in
-// order. Each overlapping segment is served with one ranged pread.
-func (b *DiskBackend) Scan(from uint64) ([][]byte, error) {
-	b.logMu.RLock()
-	defer b.logMu.RUnlock()
-	if err := b.checkUsable(); err != nil {
-		return nil, err
+// barrier stands on a flush of f covering ticket — the fsync wave an
+// Append's ack waits for — and wedges the log if it fails.
+func (l *diskLog) barrier(f vfile, ticket uint64) error {
+	if err := l.group.BarrierTicket(f, ticket); err != nil {
+		return l.wedge(err)
 	}
-	if from < b.truncBefore {
-		from = b.truncBefore
-	}
-	var out [][]byte
-	err := b.scanLogLocked(from, func(_, _ uint64, _ int64, rec []byte) error {
-		out = append(out, append([]byte(nil), rec...))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return nil
 }
 
-// scanLog streams every retained record with sequence number >= from, in
-// order, passing each record's physical location alongside its body. Unlike
-// Scan it does NOT clamp to the WAL truncation point: in logheap mode the
-// retention gate keeps whole segments below truncBefore alive because they
-// still hold live bucket versions, and index replay must see them. The body
-// slice is only valid for the duration of the callback.
-func (b *DiskBackend) scanLog(from uint64, fn func(seq, segBase uint64, off int64, rec []byte) error) error {
-	b.logMu.RLock()
-	defer b.logMu.RUnlock()
-	if err := b.checkUsable(); err != nil {
+// notePending records a deferred append's barrier obligation.
+func (l *diskLog) notePending(f vfile, ticket uint64) {
+	l.pendMu.Lock()
+	if n := len(l.pend); n > 0 && l.pend[n-1].f == f {
+		l.pend[n-1].ticket = max(l.pend[n-1].ticket, ticket)
+	} else {
+		l.pend = append(l.pend, fileTicket{f: f, ticket: ticket})
+	}
+	l.pendMu.Unlock()
+}
+
+// syncLog makes every append deferred before the call durable. Usually one
+// barrier; two only when appends straddled a segment rotation (each file
+// needs its own flush — the outgoing segment's tail is not covered by the
+// new segment's barrier). The obligations stay noted until their barrier
+// lands: a syncLog running alongside (another shard's round barrier, a heap
+// checkpoint) needs them as much as this one, and rides the same fsync wave
+// instead of returning before it lands. A wedged log refuses: what it
+// holds may be behind what was acknowledged to its writers.
+func (l *diskLog) syncLog() error {
+	if err := l.checkUsable(); err != nil {
 		return err
 	}
-	return b.scanLogLocked(from, fn)
+	var buf [2]fileTicket
+	l.pendMu.Lock()
+	due := append(buf[:0], l.pend...)
+	l.pendMu.Unlock()
+	for _, p := range due {
+		if err := l.barrier(p.f, p.ticket); err != nil {
+			return err
+		}
+	}
+	l.pendMu.Lock()
+	keep := l.pend[:0]
+	for _, p := range l.pend {
+		if !coveredBy(p, due) {
+			keep = append(keep, p)
+		}
+	}
+	clear(l.pend[len(keep):])
+	l.pend = keep
+	l.pendMu.Unlock()
+	return nil
 }
 
-func (b *DiskBackend) scanLogLocked(from uint64, fn func(seq, segBase uint64, off int64, rec []byte) error) error {
-	for _, seg := range b.segs {
+// coveredBy reports whether a barrier on one of due makes p durable.
+func coveredBy(p fileTicket, due []fileTicket) bool {
+	for _, d := range due {
+		if d.f == p.f && p.ticket <= d.ticket {
+			return true
+		}
+	}
+	return false
+}
+
+// ---- reads ----
+
+// scan streams every retained record with sequence number >= from, in
+// order, passing each record's physical location alongside its body. It does
+// NOT clamp to the truncation point: in logheap mode the retention gate
+// keeps whole segments below it alive because they still hold live bucket
+// versions, and index replay must see them. Each overlapping segment is
+// served with one ranged pread; the body slice is only valid for the
+// duration of the callback.
+func (l *diskLog) scan(from uint64, fn func(seq, segBase uint64, off int64, rec []byte) error) error {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if err := l.checkUsable(); err != nil {
+		return err
+	}
+	for _, seg := range l.segs {
 		n := uint64(len(seg.offs))
 		if n == 0 || seg.base+n <= from {
 			continue
@@ -462,127 +586,121 @@ func (b *DiskBackend) scanLogLocked(from uint64, fn func(seq, segBase uint64, of
 	return nil
 }
 
-// readLogRange serves one ranged pread out of a retained segment, addressed
-// by the (segBase, offset) an appendLogRecord or scanLog reported. Every
-// retained record's crc32c was verified when its segment was opened (or the
-// bytes were written by this process), so the logheap read path slices the
-// returned frame without re-checking.
-func (b *DiskBackend) readLogRange(segBase uint64, off int64, n int) ([]byte, error) {
-	return b.readLogRangeInto(nil, segBase, off, n)
+// readRange serves one ranged pread out of a retained segment, addressed by
+// the (segBase, offset) an append or scan reported. Every retained record's
+// crc32c was verified when its segment was opened (or the bytes were written
+// by this process), so the logheap read path slices the returned frame
+// without re-checking.
+func (l *diskLog) readRange(segBase uint64, off int64, n int) ([]byte, error) {
+	return l.readRangeInto(nil, segBase, off, n)
 }
 
-// readLogRangeInto is readLogRange into buf's backing array when it is large
+// readRangeInto is readRange into buf's backing array when it is large
 // enough.
-func (b *DiskBackend) readLogRangeInto(buf []byte, segBase uint64, off int64, n int) ([]byte, error) {
-	b.logMu.RLock()
-	defer b.logMu.RUnlock()
-	if err := b.checkUsable(); err != nil {
+func (l *diskLog) readRangeInto(buf []byte, segBase uint64, off int64, n int) ([]byte, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if err := l.checkUsable(); err != nil {
 		return nil, err
 	}
-	i := sort.Search(len(b.segs), func(i int) bool { return b.segs[i].base >= segBase })
-	if i >= len(b.segs) || b.segs[i].base != segBase {
+	i := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].base >= segBase })
+	if i >= len(l.segs) || l.segs[i].base != segBase {
 		return nil, fmt.Errorf("storage: log segment with base %d is gone", segBase)
 	}
-	seg := b.segs[i]
+	seg := l.segs[i]
 	if off < int64(fileHeaderSize) || n < 0 || off+int64(n) > seg.size {
 		return nil, fmt.Errorf("storage: read [%d,+%d) outside log segment %s", off, n, seg.name)
 	}
 	return readFileRangeInto(buf, seg.f, off, n)
 }
 
-// Truncate implements LogStore: the truncation point lands durably in the
-// meta file first, then whole segments below it are deleted. A crash in
-// between just leaves dead segments for the next open to finish removing.
-func (b *DiskBackend) Truncate(before uint64) error {
-	b.logMu.Lock()
-	defer b.logMu.Unlock()
-	if err := b.checkUsable(); err != nil {
+// last reports the sequence number of the newest record.
+func (l *diskLog) last() (uint64, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if err := l.checkUsable(); err != nil {
+		return 0, err
+	}
+	return l.lastSeq, nil
+}
+
+// ---- truncation and retention ----
+
+// truncate lands the truncation point durably in the meta file first, then
+// deletes the whole segments below it. A crash in between just leaves dead
+// segments for the next open to finish removing.
+func (l *diskLog) truncate(before uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.checkUsable(); err != nil {
 		return err
 	}
-	if before > b.lastSeq+1 {
-		before = b.lastSeq + 1
-	}
-	if before <= b.truncBefore {
+	before = min(before, l.lastSeq+1)
+	if before <= l.truncBefore {
 		return nil
 	}
-	old := b.truncBefore
-	b.truncBefore = before
-	if err := b.writeMeta(); err != nil {
-		b.truncBefore = old
+	if err := writeMeta(l.fsys, l.dir, l.numBuckets, before); err != nil {
 		// The rename is atomic — the on-disk meta is either the old or the
 		// new truncation point, both consistent — but we no longer know
 		// which, so the in-memory view may diverge: fail stop.
-		return b.wedge(err)
+		return l.wedge(err)
 	}
-	b.dropDeadSegmentsLocked()
+	l.truncBefore = before
+	l.dropDeadSegmentsLocked()
 	return nil
-}
-
-// setSegRetain installs the logheap retention gate: a function returning
-// the first physical sequence number that must stay on disk regardless of
-// the WAL truncation point (live bucket versions, and records above the
-// index checkpoint watermark). The gate is called while logMu is held, so
-// it must only read atomics — never take a lock that can itself wait on
-// the log (lock order is heap mu → shared log mu → logMu).
-func (b *DiskBackend) setSegRetain(gate func() uint64) {
-	b.logMu.Lock()
-	b.segRetain = gate
-	b.logMu.Unlock()
 }
 
 // dropDeadSegments re-runs dead-segment collection outside any truncation;
 // the logheap GC pokes it after the retention gate rises.
-func (b *DiskBackend) dropDeadSegments() {
-	b.logMu.Lock()
-	if b.checkUsable() == nil {
-		b.dropDeadSegmentsLocked()
+func (l *diskLog) dropDeadSegments() {
+	l.mu.Lock()
+	if l.checkUsable() == nil {
+		l.dropDeadSegmentsLocked()
 	}
-	b.logMu.Unlock()
+	l.mu.Unlock()
 }
 
 // dropDeadSegmentsLocked removes segments whose every record is below both
-// the truncation point and the logheap retention gate. The tail segment
-// survives even when fully dead so the next Append can keep extending it.
-func (b *DiskBackend) dropDeadSegmentsLocked() {
-	keep := b.truncBefore
-	if b.segRetain != nil {
-		if g := b.segRetain(); g < keep {
-			keep = g
-		}
+// the truncation point and the retention gate. The tail segment survives
+// even when fully dead so the next append can keep extending it.
+func (l *diskLog) dropDeadSegmentsLocked() {
+	keep := l.truncBefore
+	if l.retain != nil {
+		keep = min(keep, l.retain())
 	}
 	drop := func(seg *segment) {
 		seg.f.Close()
-		b.forgetFile(seg.f)
-		_ = b.fsys.Remove(joinPath(b.dir, seg.name)) // reopen filters it anyway
+		l.forgetFile(seg.f)
+		_ = l.fsys.Remove(joinPath(l.dir, seg.name)) // reopen filters it anyway
 	}
-	for len(b.segs) > 1 {
-		seg := b.segs[0]
+	for len(l.segs) > 1 {
+		seg := l.segs[0]
 		if seg.base+uint64(len(seg.offs)) > keep {
 			break
 		}
 		drop(seg)
-		b.segs = b.segs[1:]
+		l.segs = l.segs[1:]
 	}
-	if len(b.segs) == 1 {
-		seg := b.segs[0]
+	if len(l.segs) == 1 {
+		seg := l.segs[0]
 		if seg.base+uint64(len(seg.offs)) <= keep {
 			drop(seg)
-			b.segs = nil
+			l.segs = nil
 		}
 	}
 }
 
 // gcCandidates lists the sealed segments whose every record sits below the
-// WAL truncation point, oldest first: nothing but the logheap retention gate
-// keeps them on disk, so evacuating their live bucket versions frees them.
-// The active tail is never a candidate.
-func (b *DiskBackend) gcCandidates() []uint64 {
-	b.logMu.RLock()
-	defer b.logMu.RUnlock()
+// truncation point, oldest first: nothing but the retention gate keeps them
+// on disk, so evacuating their live bucket versions frees them. The active
+// tail is never a candidate.
+func (l *diskLog) gcCandidates() []uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	var bases []uint64
-	for i := 0; i+1 < len(b.segs); i++ {
-		seg := b.segs[i]
-		if seg.base+uint64(len(seg.offs)) > b.truncBefore {
+	for i := 0; i+1 < len(l.segs); i++ {
+		seg := l.segs[i]
+		if seg.base+uint64(len(seg.offs)) > l.truncBefore {
 			break
 		}
 		bases = append(bases, seg.base)
@@ -590,20 +708,26 @@ func (b *DiskBackend) gcCandidates() []uint64 {
 	return bases
 }
 
-// truncFloor returns the WAL truncation point (first retained WAL
-// sequence).
-func (b *DiskBackend) truncFloor() uint64 {
-	b.logMu.RLock()
-	defer b.logMu.RUnlock()
-	return b.truncBefore
+// truncFloor returns the truncation point (first retained WAL sequence).
+func (l *diskLog) truncFloor() uint64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.truncBefore
 }
 
-// LastSeq implements LogStore.
-func (b *DiskBackend) LastSeq() (uint64, error) {
-	b.logMu.RLock()
-	defer b.logMu.RUnlock()
-	if err := b.checkUsable(); err != nil {
-		return 0, err
+// Close closes the segments. Appended-but-unsynced records are not flushed:
+// nothing acknowledged them. The commit group belongs to the DiskGroup,
+// which closes it.
+func (l *diskLog) Close() error {
+	l.markClosed()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var first error
+	for _, s := range l.segs {
+		if err := s.f.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	return b.lastSeq, nil
+	l.segs = nil
+	return first
 }

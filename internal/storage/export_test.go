@@ -44,7 +44,7 @@ func (c *crashFS) Snapshot() *CrashFS { return c.snapshot() }
 // sweeps do: serial recovery, background maintenance off (MaintainOnce
 // drives it), tiny segments so truncation has files to delete.
 func OpenCrashLogHeapGroup(fsys *CrashFS, shards, numBuckets int, segMaxBytes int64) (*DiskGroup, error) {
-	return openDiskGroupOpts(fsys, "data", shards, numBuckets, diskOpts{workers: 1, logHeap: true, segMaxBytes: segMaxBytes})
+	return openDiskGroupOpts(fsys, "data", shards, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true, SegMaxBytes: segMaxBytes}})
 }
 
 // MaintainOnce runs one logheap maintenance pass synchronously.
@@ -53,8 +53,7 @@ func (g *DiskGroup) MaintainOnce() { g.maintainOnce() }
 // SegmentCount reports how many log segment files the group's physical log
 // currently spans.
 func (g *DiskGroup) SegmentCount() int {
-	owner := g.shards[0]
-	owner.logMu.RLock()
-	defer owner.logMu.RUnlock()
-	return len(owner.segs)
+	g.log.mu.RLock()
+	defer g.log.mu.RUnlock()
+	return len(g.log.segs)
 }

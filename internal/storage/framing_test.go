@@ -61,14 +61,14 @@ func randomSlots(rng *rand.Rand) [][]byte {
 	return slots
 }
 
-// logBytes returns what the backend's physical log holds, file headers
+// logBytes returns what a group's physical log holds, file headers
 // stripped, segments in order.
-func logBytes(t *testing.T, b *DiskBackend) []byte {
+func logBytes(t *testing.T, l *diskLog) []byte {
 	t.Helper()
-	b.logMu.RLock()
-	defer b.logMu.RUnlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	var out []byte
-	for _, seg := range b.segs {
+	for _, seg := range l.segs {
 		part, err := readFileRange(seg.f, fileHeaderSize, int(seg.size-fileHeaderSize))
 		if err != nil {
 			t.Fatal(err)
@@ -89,12 +89,12 @@ func TestInPlaceFramerGoldenBytesLogHeap(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g, err := openDiskGroupOpts(newCrashFS(nil), "data", shards, numBuckets,
-				diskOpts{workers: 1, logHeap: true, segMaxBytes: 2048})
+				diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true, SegMaxBytes: 2048}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer g.Close()
-			owner := g.shards[0]
+			owner := g.log
 			var want []byte
 			expect := func(stream int, body []byte) {
 				want = goldenEncodeRecord(want, wrapSharedRecord(uint32(stream), body))
@@ -146,12 +146,12 @@ func TestInPlaceFramerGoldenBytesLogHeap(t *testing.T) {
 	}
 }
 
-// TestInPlaceFramerGoldenBytesRaw is the same requirement for a standalone
-// DiskBackend: the heap file's version records and the raw (stream-less)
-// log's records.
+// TestInPlaceFramerGoldenBytesRaw is the same requirement for the
+// per-shard-file layout: the heap file's version records and the log
+// records of the shard's stream.
 func TestInPlaceFramerGoldenBytesRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	b, err := openDiskBackendOpts(newCrashFS(nil), "data", 8, diskOpts{workers: 1, segMaxBytes: 1024})
+	b, err := openDiskStore(newCrashFS(nil), "data", 8, diskOpts{workers: 1, DiskOptions: DiskOptions{SegMaxBytes: 1024}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,23 +169,23 @@ func TestInPlaceFramerGoldenBytesRaw(t *testing.T) {
 		}
 		rec := make([]byte, rng.Intn(3)*rng.Intn(300))
 		rng.Read(rec)
-		wantLog = goldenEncodeRecord(wantLog, rec)
+		wantLog = goldenEncodeRecord(wantLog, wrapSharedRecord(0, rec))
 		if _, err := b.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	heap, err := readFileRange(b.heap, fileHeaderSize, int(b.heapSize-fileHeaderSize))
+	heap, err := readFileRange(b.disk.heap, fileHeaderSize, int(b.disk.heapSize-fileHeaderSize))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(heap, wantHeap) {
 		t.Fatalf("heap file holds %d bytes that differ from the old chain's %d", len(heap), len(wantHeap))
 	}
-	if got := logBytes(t, b); !bytes.Equal(got, wantLog) {
-		t.Fatalf("raw log holds %d bytes that differ from the old chain's %d", len(got), len(wantLog))
+	if got := logBytes(t, b.log); !bytes.Equal(got, wantLog) {
+		t.Fatalf("log holds %d bytes that differ from the old chain's %d", len(got), len(wantLog))
 	}
-	if len(b.segs) < 2 {
-		t.Fatal("the raw log never rolled a segment")
+	if len(b.log.segs) < 2 {
+		t.Fatal("the log never rolled a segment")
 	}
 }
 
@@ -195,7 +195,7 @@ func TestInPlaceFramerGoldenBytesRaw(t *testing.T) {
 // wrap, no frame buffer per bucket.
 func TestLogHeapWriteBucketsAllocBudget(t *testing.T) {
 	const numBuckets, slotsPer, slotSize = 32, 16, 256
-	g, err := openDiskGroupOpts(osFS{}, t.TempDir(), 1, numBuckets, diskOpts{workers: 1, logHeap: true})
+	g, err := openDiskGroupOpts(osFS{}, t.TempDir(), 1, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // This file holds the group-commit scheduler: a per-data-dir fsync coalescer
-// shared by every DiskBackend shard rooted under one directory. Shards append
-// their commit records (and log records) unsynced and then stand on a
-// barrier (BarrierTicket). The barriers on one file form fsync waves: a
+// shared by every file of a disk group — its physical log and, in the
+// per-shard-file layout, each shard's bucket heap. Writers append their
+// records unsynced and then stand on a barrier (BarrierTicket). The barriers on one file form fsync waves: a
 // barrier with no fsync of its file in flight issues one itself, and every
 // barrier the in-flight fsync covers waits for it and shares its outcome —
 // fsyncs of *different* files never wait on one another. The ack contract is
@@ -181,17 +181,18 @@ func (g *CommitGroup) Close() error {
 
 // ---- DiskGroup: N shards sharing one directory and one scheduler ----
 
-// DiskGroup is the deployment unit for group commit: n DiskBackend shards
-// rooted in subdirectories of one data dir, all routing their durability
-// barriers through one CommitGroup so commits arriving together across
-// shards share a single fsync wave — and all multiplexing their recovery-log
-// streams into shard 0's physical log (see SharedLog), so cross-shard log
-// barriers land on one file and actually coalesce instead of merely running
-// in parallel.
+// DiskGroup is the deployment unit for group commit: n shards rooted in
+// subdirectories of one data dir. The group owns one physical log (diskLog,
+// in shard-000) that every shard's recovery-log stream rides (see
+// SharedLog), so cross-shard log barriers land on one file and actually
+// coalesce instead of merely running in parallel; and one CommitGroup every
+// durability barrier goes through. A shard's buckets live in the same log
+// (logheap mode: a LogHeap per shard, and shard-<i> holds only its index
+// checkpoint) or in its own buckets.heap (a DiskBackend per shard).
 type DiskGroup struct {
 	group  *CommitGroup
-	shards []*DiskBackend
-	shared *SharedLog
+	log    *diskLog
+	shared *SharedLog // set once the open has replayed the log
 	views  []*GroupShard
 	heaps  []*LogHeap // logheap mode: one per shard, else nil
 
@@ -203,20 +204,19 @@ type DiskGroup struct {
 	maintainWG   sync.WaitGroup
 }
 
-// GroupShard is one shard of a DiskGroup as the proxy consumes it: the
-// shard's own DiskBackend, with the recovery-log face rerouted onto the
-// group's shared physical log and the bucket face onto the store picked at
-// open — the backend's heap file, or in logheap mode the shard's LogHeap.
-// It keeps no key-value namespace (ErrNoKV).
+// GroupShard is one shard of a DiskGroup as the proxy consumes it: its
+// recovery-log face is its stream on the group's physical log, its bucket
+// face the store picked at open — the shard's heap file, or in logheap mode
+// its LogHeap. It keeps no key-value namespace (ErrNoKV).
 type GroupShard struct {
-	*DiskBackend
+	log     *diskLog
 	logView *LogView
 	buckets shardBuckets
 	// closed marks this shard logically closed. Its files belong to the
-	// group — the physical log is shard 0's, and every shard's log stream
-	// rides it — so Close cannot close them; the flag keeps the per-shard
-	// ErrClosed contract (every op on a closed shard fails, the siblings
-	// keep working), and the files close with the group.
+	// group — every shard's log stream rides the one physical log — so Close
+	// cannot close them; the flag keeps the per-shard ErrClosed contract
+	// (every op on a closed shard fails, the siblings keep working), and the
+	// files close with the group.
 	closed atomic.Bool
 }
 
@@ -330,7 +330,7 @@ func (s *GroupShard) RollbackTo(epoch uint64) error {
 	return s.buckets.RollbackTo(epoch)
 }
 
-// CommittedEpoch / VersionCount mirror the DiskBackend test helpers.
+// CommittedEpoch / VersionCount mirror the bucket stores' test helpers.
 func (s *GroupShard) CommittedEpoch() uint64      { return s.buckets.CommittedEpoch() }
 func (s *GroupShard) VersionCount(bucket int) int { return s.buckets.VersionCount(bucket) }
 
@@ -343,7 +343,10 @@ func (s *GroupShard) noKV() error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	return s.DiskBackend.noKV()
+	if err := s.log.checkUsable(); err != nil {
+		return err
+	}
+	return ErrNoKV
 }
 
 // Close closes the shard logically (see closed).
@@ -373,20 +376,17 @@ func (s logHeapShard) CommitEpochNoSync(epoch uint64) error {
 }
 
 // CommitStream implements EpochCommitBatcher: every shard of a logheap group
-// appends into the owner backend's one physical log.
-func (s logHeapShard) CommitStream() any { return s.heap.owner }
+// appends into the group's one physical log.
+func (s logHeapShard) CommitStream() any { return s.log }
 
-// OpenDiskGroupOpts opens (or creates) shards backends under dir/shard-<i>,
-// each provisioned with numBuckets buckets, sharing one fsync scheduler the
-// group owns and closes. numBuckets fixes the tree size at creation;
-// reopening with a different non-zero count fails loudly (0 adopts the
-// stored size). obladi-storage opens its data dir with opts.LogHeap set.
+// OpenDiskGroupOpts opens (or creates) a group of shards under
+// dir/shard-<i>, each provisioned with numBuckets buckets, sharing one
+// physical log and one fsync scheduler the group owns and closes.
+// numBuckets fixes the tree size at creation; reopening with a different
+// non-zero count fails loudly (0 adopts the stored size). obladi-storage
+// opens its data dir with opts.LogHeap set.
 func OpenDiskGroupOpts(dir string, shards, numBuckets int, opts DiskOptions) (*DiskGroup, error) {
-	return openDiskGroupOpts(osFS{}, dir, shards, numBuckets, diskOpts{
-		segMaxBytes: opts.SegMaxBytes,
-		autoCompact: true,
-		logHeap:     opts.LogHeap,
-	})
+	return openDiskGroupOpts(osFS{}, dir, shards, numBuckets, diskOpts{DiskOptions: opts, autoCompact: true})
 }
 
 // logHeapMarker is the group-dir marker distinguishing logheap data dirs
@@ -397,9 +397,9 @@ func OpenDiskGroupOpts(dir string, shards, numBuckets int, opts DiskOptions) (*D
 const logHeapMarker = "logheap"
 
 // checkGroupMode enforces the marker, creating it for a fresh logheap dir. A
-// dir holding a lone DiskBackend's files at its top level is no group at
-// all: opening it would create shard-000 beside them and serve an empty tree
-// over live data, so it is refused in either mode.
+// dir holding a single-directory store's files (an older layout) at its top
+// level is no group at all: opening it would create shard-000 beside them
+// and serve an empty tree over live data, so it is refused in either mode.
 func checkGroupMode(fsys vfs, dir string, logHeap bool) error {
 	names, err := fsys.List(dir)
 	if err != nil {
@@ -436,7 +436,12 @@ func checkGroupMode(fsys vfs, dir string, logHeap bool) error {
 }
 
 // openDiskGroupOpts is the vfs-injectable group constructor (the crash sweep
-// opens groups on its fault-modeling filesystem through it).
+// opens groups on its fault-modeling filesystem through it). The open runs
+// in dependency order: shard-000's meta gives the tree size; in logheap mode
+// the heaps load their index checkpoints, whose retention floors are the
+// gate the log opens under; the log's demux scan then replays each heap
+// above its checkpoint, or, in the per-shard-file layout, each shard opens
+// its heap file.
 func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOpts) (*DiskGroup, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("storage: disk group needs a positive shard count (got %d)", shards)
@@ -444,106 +449,84 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: creating group dir: %w", err)
 	}
-	if err := checkGroupMode(fsys, dir, opts.logHeap); err != nil {
+	if err := checkGroupMode(fsys, dir, opts.LogHeap); err != nil {
 		return nil, err
 	}
 	if opts.group == nil {
 		opts.group = NewCommitGroup()
 	}
-	shardOpts := opts
-	if opts.logHeap {
-		// Logheap shards keep no buckets.heap (versions ride the shared
-		// log), and the owner's open-time segment collection waits until the
-		// retention gate knows which old segments still hold live versions.
-		shardOpts.noHeap = true
-		shardOpts.keepSegs = true
-	}
 	g := &DiskGroup{group: opts.group}
+	fail := func(what string, err error) (*DiskGroup, error) {
+		g.Close()
+		return nil, fmt.Errorf("storage: opening disk group %s: %w", what, err)
+	}
 	shardDir := func(i int) string { return joinPath(dir, fmt.Sprintf("shard-%03d", i)) }
 	for i := 0; i < shards; i++ {
-		b, err := openDiskBackendOpts(fsys, shardDir(i), numBuckets, shardOpts)
-		if err != nil {
-			g.Close()
-			return nil, fmt.Errorf("storage: opening disk group shard %d: %w", i, err)
+		if err := prepareShardDir(fsys, shardDir(i)); err != nil {
+			return fail(fmt.Sprintf("shard %d", i), err)
 		}
-		g.shards = append(g.shards, b)
 	}
-	owner := g.shards[0]
-	nb := g.shards[0].numBuckets // openMeta resolved 0 to the stored count
-	var shared *SharedLog
-	if opts.logHeap {
+	nb, trunc, err := openMeta(fsys, shardDir(0), numBuckets)
+	if err != nil {
+		return fail("meta", err)
+	}
+	var retain func() uint64
+	if opts.LogHeap {
 		for i := 0; i < shards; i++ {
-			lh, err := newLogHeap(owner, fsys, shardDir(i), i, nb)
+			lh, err := newLogHeap(fsys, shardDir(i), i, nb)
 			if err != nil {
-				g.Close()
-				return nil, fmt.Errorf("storage: opening disk group shard %d logheap: %w", i, err)
+				return fail(fmt.Sprintf("shard %d logheap", i), err)
 			}
 			g.heaps = append(g.heaps, lh)
 		}
-		var err error
-		shared, err = newSharedLogOpts(owner, shards, shards, sharedLogReplay{
-			heapFloor: func(i int) uint64 { return g.heaps[i].ckptW },
-			onHeap: func(i int, seq, segBase uint64, off int64, body []byte) error {
-				return g.heaps[i].replayRecord(seq, segBase, off, body)
-			},
-		})
-		if err != nil {
-			g.Close()
-			return nil, fmt.Errorf("storage: opening disk group shared log: %w", err)
-		}
-		for _, lh := range g.heaps {
-			lh.finishOpen()
-		}
-		heaps := g.heaps
-		owner.setSegRetain(func() uint64 {
-			floor := ^uint64(0)
-			for _, lh := range heaps {
-				if f := lh.retainFloor.Load(); f < floor {
-					floor = f
-				}
-			}
-			return floor
-		})
-		// The open-time dead-segment pass the shards deferred: with the gate
-		// installed, anything below both the truncation point and every
-		// heap's retention floor can finally go.
-		owner.dropDeadSegments()
-	} else {
-		var err error
-		shared, err = NewSharedLog(owner, shards)
-		if err != nil {
-			g.Close()
-			return nil, fmt.Errorf("storage: opening disk group shared log: %w", err)
-		}
+		retain = g.retainFloor
 	}
-	g.shared = shared
-	for i, b := range g.shards {
-		v := &GroupShard{DiskBackend: b, logView: shared.View(i), buckets: b}
-		if opts.logHeap {
+	if g.log, err = openDiskLog(fsys, shardDir(0), nb, trunc, opts, retain); err != nil {
+		return fail("log", err)
+	}
+	shared, err := newSharedLog(g.log, shards, g.heaps)
+	if err != nil {
+		return fail("shared log", err)
+	}
+	for i := 0; i < shards; i++ {
+		v := &GroupShard{log: g.log, logView: shared.View(i)}
+		if opts.LogHeap {
 			v.buckets = g.heaps[i]
+		} else if v.buckets, err = openDiskBackend(fsys, shardDir(i), nb, opts); err != nil {
+			return fail(fmt.Sprintf("shard %d", i), err)
 		}
 		g.views = append(g.views, v)
 	}
-	if opts.logHeap && opts.autoCompact {
+	var kick func()
+	if opts.LogHeap && opts.autoCompact {
 		g.maintainKick = make(chan struct{}, 1)
 		g.maintainStop = make(chan struct{})
-		kick := func() {
+		kick = func() {
 			select {
 			case g.maintainKick <- struct{}{}:
 			default:
 			}
 		}
-		for _, lh := range g.heaps {
-			lh.attach(shared, kick)
-		}
+	}
+	for _, lh := range g.heaps {
+		lh.attach(shared, kick)
+	}
+	g.shared = shared
+	if kick != nil {
 		g.maintainWG.Add(1)
 		go g.maintainLoop()
-	} else if opts.logHeap {
-		for _, lh := range g.heaps {
-			lh.attach(shared, nil)
-		}
 	}
 	return g, nil
+}
+
+// retainFloor is a logheap group's retention gate: the first physical
+// sequence any heap still needs on disk.
+func (g *DiskGroup) retainFloor() uint64 {
+	floor := ^uint64(0)
+	for _, lh := range g.heaps {
+		floor = min(floor, lh.retainFloor.Load())
+	}
+	return floor
 }
 
 // maintainLoop runs logheap maintenance off the commit path: it copies live
@@ -570,9 +553,8 @@ func (g *DiskGroup) maintainLoop() {
 // so a pass costs the checkpoints it would have written anyway plus the
 // copies. Only then can the segments go.
 func (g *DiskGroup) maintainOnce() {
-	owner := g.shards[0]
 	moved := make([]int, len(g.heaps))
-	for _, base := range owner.gcCandidates() {
+	for _, base := range g.log.gcCandidates() {
 		for i, lh := range g.heaps {
 			n, err := lh.EvacuateSegment(base)
 			if err != nil {
@@ -591,13 +573,8 @@ func (g *DiskGroup) maintainOnce() {
 			}
 		}
 	}
-	owner.dropDeadSegments()
+	g.log.dropDeadSegments()
 }
-
-// Shards returns the group's backends in shard order. Log methods on these
-// raw backends bypass the shared log; use Backends for the proxy-facing
-// shape.
-func (g *DiskGroup) Shards() []*DiskBackend { return g.shards }
 
 // Backends returns the shards as Backend values (the shape core.NewSharded
 // and the bench harness consume), each with its log stream routed through
@@ -617,26 +594,35 @@ func (g *DiskGroup) Backends() []Backend {
 // Group returns the shared scheduler (stats live there).
 func (g *DiskGroup) Group() *CommitGroup { return g.group }
 
-// Close closes every shard, then the scheduler. Logheap heaps checkpoint
-// first (best effort — replay would rebuild the same state, a checkpoint
-// just makes the next open cheap), while the owner's files are still open.
+// Close closes the shards' heap files and the log, then the scheduler.
+// Logheap heaps checkpoint first (best effort — replay would rebuild the
+// same state, a checkpoint just makes the next open cheap), while the log is
+// still open.
 func (g *DiskGroup) Close() error {
 	if g.maintainStop != nil {
 		close(g.maintainStop)
 		g.maintainWG.Wait()
 		g.maintainStop = nil
 	}
-	for _, lh := range g.heaps {
-		_ = lh.Checkpoint()
+	if g.shared != nil {
+		for _, lh := range g.heaps {
+			_ = lh.Checkpoint()
+		}
 	}
 	var first error
-	for _, b := range g.shards {
-		if err := b.Close(); err != nil && first == nil {
+	keep := func(err error) {
+		if err != nil && first == nil {
 			first = err
 		}
 	}
-	if err := g.group.Close(); err != nil && first == nil {
-		first = err
+	for _, v := range g.views {
+		if b, ok := v.buckets.(*DiskBackend); ok {
+			keep(b.Close())
+		}
 	}
+	if g.log != nil {
+		keep(g.log.Close())
+	}
+	keep(g.group.Close())
 	return first
 }

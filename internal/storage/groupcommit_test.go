@@ -80,7 +80,7 @@ func returnsWithin(done <-chan error, d time.Duration) (error, bool) {
 // commit point is.
 func TestSyncLogWaitsForTheFsyncInFlight(t *testing.T) {
 	fsys := &gatedFS{entered: make(chan struct{}, 4)}
-	g, err := openDiskGroupOpts(fsys, t.TempDir(), 2, 8, diskOpts{workers: 1, logHeap: true})
+	g, err := openDiskGroupOpts(fsys, t.TempDir(), 2, 8, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // holding more than one version, the only ones a commit has anything to retire
 // from; and the slabs the versions' mirrors live in. The stores differ only in
 // what else a version has: nothing (MemBackend), or a record in a file (a
-// DiskBackend's heap, a LogHeap's shared log). A version written in this
+// DiskBackend's heap file, the group's log for a LogHeap). A version written in this
 // process mirrors its slots in a slab; one replayed from a file has no mirror
 // and is read back from its record. The owning store's lock guards the index:
 // reads run under its read lock, everything else under its write lock.

@@ -38,10 +38,10 @@ import (
 // At open the index is rebuilt from an atomically-replaced checkpoint file
 // (heapIndexName, watermark W) plus a replay of own-stream records above W,
 // so recovery work is bounded by checkpoint cadence, not log length. The
-// owner's segment retention gate (retainFloor) keeps any segment holding a
+// log's segment retention gate (retainFloor) keeps any segment holding a
 // live version or an un-checkpointed record alive past WAL truncation.
 type LogHeap struct {
-	owner  *DiskBackend // shard 0's backend: owns the physical log
+	log    *diskLog // the group's physical log
 	shared *SharedLog
 	stream int // bucket-data stream index on shared
 
@@ -51,7 +51,7 @@ type LogHeap struct {
 
 	// commitMu serializes the stream-order-sensitive multi-step operations
 	// — commit/rollback barriers, checkpointing, segment GC — against each
-	// other, mirroring DiskBackend.commitMu.
+	// other.
 	commitMu sync.Mutex
 
 	mu       sync.RWMutex
@@ -64,8 +64,8 @@ type LogHeap struct {
 	// retainFloor is the segment retention gate's input: the first physical
 	// sequence this heap still needs on disk (lowest live version's segment
 	// base, or ckptW+1 for un-checkpointed records, whichever is lower).
-	// Atomic because the gate reads it while holding the owner's logMu,
-	// which is *below* mu in the lock order.
+	// Atomic because the gate reads it while holding the log's mu, which is
+	// *below* mu in the lock order.
 	retainFloor atomic.Uint64
 
 	// kick, when set, nudges the group's background maintenance loop after
@@ -89,12 +89,13 @@ var (
 	_ readEncoder = (*LogHeap)(nil)
 )
 
-// newLogHeap loads the shard's index checkpoint; the caller then replays
-// own-stream records above the returned watermark through replayRecord (via
-// the SharedLog demux scan) and finally attaches the shared log.
-func newLogHeap(owner *DiskBackend, fsys vfs, dir string, stream, numBuckets int) (*LogHeap, error) {
+// newLogHeap loads the shard's index checkpoint, before the log opens: the
+// retention floor it sets is the gate the log's open collects dead segments
+// under. The caller then replays own-stream records above the watermark
+// through replayRecord (via the SharedLog demux scan) and finally attaches
+// the log.
+func newLogHeap(fsys vfs, dir string, stream, numBuckets int) (*LogHeap, error) {
 	lh := &LogHeap{
-		owner:      owner,
 		stream:     stream,
 		fsys:       fsys,
 		dir:        dir,
@@ -175,16 +176,20 @@ func (lh *LogHeap) loadCheckpoint() error {
 	return nil
 }
 
-// attach wires the replayed heap to its shared log and maintenance hook.
+// attach wires the replayed heap to the log and its maintenance hook, once
+// replay is done, and recomputes the retention floor replay moved.
 func (lh *LogHeap) attach(shared *SharedLog, kick func()) {
-	lh.shared = shared
-	lh.kick = kick
+	lh.mu.Lock()
+	lh.log, lh.shared, lh.kick = shared.log, shared, kick
+	lh.recomputeRetainLocked()
+	lh.mu.Unlock()
 }
 
 // replayRecord applies one own-stream record during the open-time demux
-// scan. Record order equals the original mutation order (appends and index
-// mutations happen under one lock at runtime), so replay reproduces the
-// exact index state as of the log's end.
+// scan; body is only valid for the duration of the call. Record order
+// equals the original mutation order (appends and index mutations happen
+// under one lock at runtime), so replay reproduces the exact index state as
+// of the log's end.
 func (lh *LogHeap) replayRecord(seq, segBase uint64, off int64, body []byte) error {
 	rec, err := parseHeapBody(body)
 	if err != nil {
@@ -225,14 +230,6 @@ func (lh *LogHeap) replayRecord(seq, segBase uint64, off int64, body []byte) err
 	return nil
 }
 
-// finishOpen recomputes the retention floor once replay is done; the group
-// installs the gate right after.
-func (lh *LogHeap) finishOpen() {
-	lh.mu.Lock()
-	lh.recomputeRetainLocked()
-	lh.mu.Unlock()
-}
-
 // recomputeRetainLocked refreshes the retention floor: the lowest segment
 // base holding a live version, or ckptW+1 (the first record replay would
 // need), whichever is lower. Any physical sequence >= the floor survives
@@ -252,7 +249,7 @@ func (lh *LogHeap) recomputeRetainLocked() {
 
 // NumBuckets implements BucketStore.
 func (lh *LogHeap) NumBuckets() (int, error) {
-	if err := lh.owner.checkUsable(); err != nil {
+	if err := lh.log.checkUsable(); err != nil {
 		return 0, err
 	}
 	return lh.numBuckets, nil
@@ -267,7 +264,7 @@ func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(
 func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	if err := lh.owner.checkUsable(); err != nil {
+	if err := lh.log.checkUsable(); err != nil {
 		return nil, err
 	}
 	return lh.ix.readSlots(refs, lh)
@@ -277,7 +274,7 @@ func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 func (lh *LogHeap) ReadBucket(bucket int) ([][]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	if err := lh.owner.checkUsable(); err != nil {
+	if err := lh.log.checkUsable(); err != nil {
 		return nil, err
 	}
 	return lh.ix.readBucket(bucket, lh)
@@ -288,7 +285,7 @@ func (lh *LogHeap) ReadBucket(bucket int) ([][]byte, error) {
 func (lh *LogHeap) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	if err := lh.owner.checkUsable(); err != nil {
+	if err := lh.log.checkUsable(); err != nil {
 		return dst, err
 	}
 	return lh.ix.encodeSlots(dst, refs, lh)
@@ -298,7 +295,7 @@ func (lh *LogHeap) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 func (lh *LogHeap) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	if err := lh.owner.checkUsable(); err != nil {
+	if err := lh.log.checkUsable(); err != nil {
 		return dst, err
 	}
 	return lh.ix.encodeBucket(dst, bucket, lh)
@@ -306,7 +303,7 @@ func (lh *LogHeap) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 
 // preadVersion implements versionFile over the shared log.
 func (lh *LogHeap) preadVersion(seg uint64, off int64, n int) ([]byte, error) {
-	return lh.owner.readLogRange(seg, off, n)
+	return lh.log.readRange(seg, off, n)
 }
 
 // ---- BucketStore writes ----
@@ -345,7 +342,7 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 		if err != nil {
 			return err
 		}
-		lh.owner.notePending(res.f, res.ticket)
+		lh.log.notePending(res.f, res.ticket)
 		v := version{epoch: w.Epoch, layout: layoutOf(w.Slots), seg: res.segBase, off: res.off}
 		if err := lh.ix.write(w.Bucket, v, w.Slots); err != nil {
 			return err
@@ -367,7 +364,7 @@ func (lh *LogHeap) CommitEpoch(epoch uint64) error {
 		return err
 	}
 	if needBarrier {
-		if err := lh.owner.SyncLog(); err != nil {
+		if err := lh.log.syncLog(); err != nil {
 			return err
 		}
 	}
@@ -394,18 +391,18 @@ func (lh *LogHeap) RollbackTo(epoch uint64) error {
 	if _, err := lh.appendEpochRecord(heapKindRollback, epoch); err != nil {
 		return err
 	}
-	return lh.owner.SyncLog()
+	return lh.log.syncLog()
 }
 
 // appendEpochRecord appends a commit/rollback record and applies it to the
 // index in one critical section. An already-covered commit (epoch <=
-// committed) appends nothing and needs no barrier, mirroring DiskBackend.
+// committed) appends nothing and needs no barrier.
 func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) (appended bool, err error) {
 	lh.commitMu.Lock()
 	defer lh.commitMu.Unlock()
 	lh.mu.Lock()
 	defer lh.mu.Unlock()
-	if err := lh.owner.checkUsable(); err != nil {
+	if err := lh.log.checkUsable(); err != nil {
 		return false, err
 	}
 	needRecord := kind == heapKindRollback || epoch > lh.ix.committed
@@ -415,7 +412,7 @@ func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) (appended bool, er
 		if err != nil {
 			return false, err
 		}
-		lh.owner.notePending(res.f, res.ticket)
+		lh.log.notePending(res.f, res.ticket)
 		lh.lastPhys = res.seq
 		lh.dirty++
 	}
@@ -441,7 +438,7 @@ func (lh *LogHeap) maybeKick() {
 }
 
 // CommittedEpoch reports the highest committed epoch (test/recovery
-// helper, parity with DiskBackend).
+// helper).
 func (lh *LogHeap) CommittedEpoch() uint64 {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
@@ -477,7 +474,7 @@ func (lh *LogHeap) Checkpoint() error {
 	lh.commitMu.Lock()
 	defer lh.commitMu.Unlock()
 	lh.mu.RLock()
-	if err := lh.owner.checkUsable(); err != nil {
+	if err := lh.log.checkUsable(); err != nil {
 		lh.mu.RUnlock()
 		return err
 	}
@@ -501,7 +498,7 @@ func (lh *LogHeap) Checkpoint() error {
 	dirtyAt := lh.dirty
 	lh.mu.RUnlock()
 
-	if err := lh.owner.SyncLog(); err != nil {
+	if err := lh.log.syncLog(); err != nil {
 		return err
 	}
 
@@ -597,7 +594,7 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 		recLen int
 	}
 	lh.mu.RLock()
-	if err := lh.owner.checkUsable(); err != nil {
+	if err := lh.log.checkUsable(); err != nil {
 		lh.mu.RUnlock()
 		return 0, err
 	}
@@ -630,7 +627,7 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			continue // superseded or rolled back since the snapshot
 		}
 		var err error
-		frame, err = lh.owner.readLogRangeInto(frame, segBase, r.off, r.recLen)
+		frame, err = lh.log.readRangeInto(frame, segBase, r.off, r.recLen)
 		if err != nil {
 			lh.mu.Unlock()
 			return moved, err
@@ -652,7 +649,7 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			lh.mu.Unlock()
 			return moved, err
 		}
-		lh.owner.notePending(res.f, res.ticket)
+		lh.log.notePending(res.f, res.ticket)
 		v := &vs[cur]
 		v.seg, v.off = res.segBase, res.off
 		lh.lastPhys = res.seq

@@ -31,9 +31,12 @@ import (
 const logHeapSweepShards = 2
 
 // openLogHeapSweepGroup opens the group the sweep drives: logheap mode,
-// serial recovery, background maintenance off.
+// serial recovery, background maintenance off, tiny segments so the one
+// physical log rotates constantly.
 func openLogHeapSweepGroup(fsys *crashFS) (*DiskGroup, error) {
-	return openDiskGroupOpts(fsys, "data", logHeapSweepShards, 5, diskOpts{workers: 1, logHeap: true})
+	opts := sweepOpts
+	opts.LogHeap = true
+	return openDiskGroupOpts(fsys, "data", logHeapSweepShards, 5, opts)
 }
 
 // runLogHeapCrashWorkload opens a logheap DiskGroup on the fault-injecting
@@ -54,9 +57,6 @@ func runLogHeapCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 		return oracles
 	}
 	defer g.Close()
-	for _, b := range g.shards {
-		shrinkDiskKnobs(b) // tiny segments: the one physical log rotates constantly
-	}
 	logHeapWorkload(g, oracles)
 	return oracles
 }
@@ -170,7 +170,7 @@ func logHeapWorkload(g *DiskGroup, oracles []*sweepOracle) {
 			// GC-copy record and its index entry flipped; the closing
 			// checkpoint makes the relocation durable. Crash points land
 			// between any two of those steps.
-			if segs := g.shards[0].segs; len(segs) > 1 {
+			if segs := g.log.segs; len(segs) > 1 {
 				base := segs[0].base
 				for _, lh := range g.heaps {
 					if _, err := lh.EvacuateSegment(base); err != nil {
@@ -182,7 +182,7 @@ func logHeapWorkload(g *DiskGroup, oracles []*sweepOracle) {
 						return
 					}
 				}
-				g.shards[0].dropDeadSegments()
+				g.log.dropDeadSegments()
 			}
 		}
 	}

@@ -1,13 +1,14 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
 )
 
-// SharedLog multiplexes several shards' recovery-log streams onto ONE
-// physical segmented log (the owner backend's). This is what makes group
+// SharedLog multiplexes several shards' recovery-log streams onto the disk
+// group's ONE physical segmented log (diskLog). This is what makes group
 // commit actually coalesce across shards: with per-shard log files, two
 // shards' epoch-boundary appends land on different files and their fsyncs
 // can never merge — the scheduler only amortizes barriers on the same file.
@@ -21,7 +22,7 @@ import (
 // commit point's single flush is exactly the durability the protocol's
 // recovery floor assumes.
 //
-// Stream records are the owner's physical records with a 4-byte stream-id
+// Stream records are the log's physical records with a 4-byte stream-id
 // prefix. Each stream presents the LogStore contract with its own dense
 // sequence numbers. Sequence numbers restart from the surviving record
 // count at reopen; that is sound because the WAL layer persists no sequence
@@ -33,7 +34,7 @@ import (
 // exactly the write-ahead contract, and the cross-shard recovery floor logic
 // raises lagging shards afterwards.
 type SharedLog struct {
-	owner *DiskBackend
+	log *diskLog
 
 	mu      sync.Mutex
 	streams []logStream
@@ -53,49 +54,32 @@ type logStream struct {
 
 const sharedLogHdrSize = 4
 
-// NewSharedLog builds the multiplexer over owner's physical log, which must
-// only ever be written through the returned views (raw appends would be
-// unparseable stream records). Existing physical records are demuxed to
-// rebuild each stream's state — including after a crash, where the owner's
-// own open already handled torn tails and damaged segments.
-func NewSharedLog(owner *DiskBackend, streams int) (*SharedLog, error) {
-	return newSharedLogOpts(owner, streams, 0, sharedLogReplay{})
-}
-
-// sharedLogReplay feeds bucket-data records to the logheap rebuild during
-// the open-time demux scan. heapFloor(i) is heap stream i's checkpoint
-// watermark W: own-stream records with physical sequence <= W are already
-// reflected in the loaded checkpoint and are skipped; onHeap receives every
-// record above it, with its physical location (the body slice is only valid
-// for the duration of the call).
-type sharedLogReplay struct {
-	heapFloor func(i int) uint64
-	onHeap    func(i int, seq, segBase uint64, off int64, body []byte) error
-}
-
-// newSharedLogOpts builds the multiplexer over walStreams WAL streams plus
-// heapStreams bucket-data streams. The demux scan starts at the lowest
-// sequence any consumer still needs — the WAL truncation point, or a heap
-// stream's checkpoint watermark, whichever is lower (the retention gate
-// keeps those segments on disk) — and WAL streams simply skip the
-// logically-truncated records below the truncation point.
-func newSharedLogOpts(owner *DiskBackend, walStreams, heapStreams int, rp sharedLogReplay) (*SharedLog, error) {
+// newSharedLog builds the multiplexer over walStreams WAL streams of log,
+// plus in a logheap group one bucket-data stream per heap; log must only
+// ever be written through it. Existing physical records are demuxed to
+// rebuild each stream's state — including after a crash, where the log's
+// own open already handled torn tails and damaged segments — and each heap
+// replays its own records above its checkpoint watermark W (the ones at or
+// below it are already in the loaded checkpoint). The demux scan starts at
+// the lowest sequence any consumer still needs — the WAL truncation point,
+// or a heap's W+1, whichever is lower (the retention gate keeps those
+// segments on disk) — and WAL streams simply skip the logically-truncated
+// records below the truncation point.
+func newSharedLog(log *diskLog, walStreams int, heaps []*LogHeap) (*SharedLog, error) {
 	if walStreams <= 0 {
 		return nil, fmt.Errorf("storage: shared log needs a positive stream count (got %d)", walStreams)
 	}
-	s := &SharedLog{owner: owner, streams: make([]logStream, walStreams), heapStreams: heapStreams}
+	s := &SharedLog{log: log, streams: make([]logStream, walStreams), heapStreams: len(heaps)}
 	for i := range s.streams {
 		s.streams[i].floor = 1
 	}
-	trunc := owner.truncFloor()
+	trunc := log.truncFloor()
 	from := trunc
-	for i := 0; i < heapStreams; i++ {
-		if w := rp.heapFloor(i) + 1; w < from {
-			from = w
-		}
+	for _, lh := range heaps {
+		from = min(from, lh.ckptW+1)
 	}
-	total := walStreams + heapStreams
-	err := owner.scanLog(from, func(seq, segBase uint64, off int64, rec []byte) error {
+	total := walStreams + len(heaps)
+	err := log.scan(from, func(seq, segBase uint64, off int64, rec []byte) error {
 		id, body, err := splitSharedRecord(rec)
 		if err != nil {
 			return fmt.Errorf("storage: shared log physical record %d: %w", seq, err)
@@ -112,11 +96,11 @@ func newSharedLogOpts(owner *DiskBackend, walStreams, heapStreams int, rp shared
 			st.last++
 			return nil
 		}
-		h := int(id) - walStreams
-		if seq <= rp.heapFloor(h) {
+		lh := heaps[int(id)-walStreams]
+		if seq <= lh.ckptW {
 			return nil // already covered by the index checkpoint
 		}
-		return rp.onHeap(h, seq, segBase, off, body)
+		return lh.replayRecord(seq, segBase, off, body)
 	})
 	if err != nil {
 		return nil, err
@@ -132,7 +116,7 @@ func newSharedLogOpts(owner *DiskBackend, walStreams, heapStreams int, rp shared
 // read back and edited (segment GC's copy): the stream id and frame header
 // are filled in there and frame goes to the log head as it is, not retained.
 // Called with the owning LogHeap's mutex held — lock order is heap mu → s.mu
-// → the owner's logMu.
+// → the log's mu.
 func (s *SharedLog) appendHeapFrame(i int, frame []byte) (logAppendRes, error) {
 	if i < 0 || i >= s.heapStreams {
 		return logAppendRes{}, fmt.Errorf("storage: shared log heap stream %d of %d", i, s.heapStreams)
@@ -144,7 +128,7 @@ func (s *SharedLog) appendHeapFrame(i int, frame []byte) (logAppendRes, error) {
 	sealRecord(frame)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.owner.appendLogFramed(frame)
+	return s.log.appendFramed(frame)
 }
 
 func splitSharedRecord(rec []byte) (uint32, []byte, error) {
@@ -159,23 +143,23 @@ func (s *SharedLog) View(i int) *LogView {
 	if i < 0 || i >= len(s.streams) {
 		panic(fmt.Sprintf("storage: shared log stream %d of %d", i, len(s.streams)))
 	}
-	return &LogView{log: s, id: uint32(i)}
+	return &LogView{shared: s, id: uint32(i)}
 }
 
 // LogView is one stream's LogStore over the shared physical log.
 type LogView struct {
-	log *SharedLog
-	id  uint32
+	shared *SharedLog
+	id     uint32
 }
 
 // appendUnsynced writes the record into the shared physical log and extends
 // the stream's mapping under one lock (stream order == physical order, the
 // invariant torn-tail recovery leans on); durability is the caller's.
 func (v *LogView) appendUnsynced(record []byte) (seq uint64, res logAppendRes, err error) {
-	s := v.log
+	s := v.shared
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if res, err = s.owner.appendLogRecord(int(v.id), record); err != nil {
+	if res, err = s.log.appendRecord(v.id, record); err != nil {
 		return 0, res, err
 	}
 	st := &s.streams[v.id]
@@ -192,8 +176,8 @@ func (v *LogView) Append(record []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := v.log.owner.barrierTicket(res.f, res.ticket); err != nil {
-		return 0, v.log.owner.wedge(err)
+	if err := v.shared.log.barrier(res.f, res.ticket); err != nil {
+		return 0, err
 	}
 	return seq, nil
 }
@@ -208,10 +192,10 @@ func (v *LogView) AppendNoSync(record []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The pending-barrier ledger is the owner's: it is per physical log
-	// (which is exactly the coalescing domain) and it already forgets
-	// obligations on retired segment files.
-	v.log.owner.notePending(res.f, res.ticket)
+	// The pending-barrier ledger is the log's: it is per physical log (which
+	// is exactly the coalescing domain) and it forgets obligations on
+	// retired segment files.
+	v.shared.log.notePending(res.f, res.ticket)
 	return seq, nil
 }
 
@@ -221,41 +205,41 @@ func (v *LogView) AppendNoSync(record []byte) (uint64, error) {
 // one fsync; one per file only when deferred appends straddled a segment
 // rotation.
 func (v *LogView) SyncLog() error {
-	return v.log.owner.SyncLog()
+	return v.shared.log.syncLog()
 }
 
-// Scan returns this stream's records with sequence >= from, in order,
-// demuxed from one physical scan.
+// Scan returns this stream's records with sequence >= from, in order. It
+// walks the physical log from the stream's first wanted record and copies
+// only its own records: the other streams' records between them — other
+// shards' WAL records, every bucket version in a logheap group — are skipped
+// where they lie.
 func (v *LogView) Scan(from uint64) ([][]byte, error) {
-	s := v.log
+	s := v.shared
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Checked here and not only by the owner's Scan: the empty-stream early
-	// return below must still report a closed store.
-	if err := s.owner.checkUsable(); err != nil {
+	// Checked here and not only by the scan: the empty-stream early return
+	// below must still report a closed store.
+	if err := s.log.checkUsable(); err != nil {
 		return nil, err
 	}
 	st := &s.streams[v.id]
-	if from < st.floor {
-		from = st.floor
-	}
+	from = max(from, st.floor)
 	if from > st.last {
 		return nil, nil
 	}
-	firstPhys := st.phys[from-st.floor]
-	recs, err := s.owner.Scan(firstPhys)
-	if err != nil {
-		return nil, err
-	}
 	out := make([][]byte, 0, st.last-from+1)
-	for _, rec := range recs {
+	err := s.log.scan(st.phys[from-st.floor], func(_, _ uint64, _ int64, rec []byte) error {
 		id, body, err := splitSharedRecord(rec)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if id == v.id {
-			out = append(out, body)
+			out = append(out, bytes.Clone(body))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -265,11 +249,11 @@ func (v *LogView) Scan(from uint64) ([][]byte, error) {
 // under. One stream truncating never strands another: the physical floor is
 // the minimum over every stream's first retained record.
 func (v *LogView) Truncate(before uint64) error {
-	s := v.log
+	s := v.shared
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Same reasoning as Scan: the no-op path must still see ErrClosed.
-	if err := s.owner.checkUsable(); err != nil {
+	if err := s.log.checkUsable(); err != nil {
 		return err
 	}
 	st := &s.streams[v.id]
@@ -281,7 +265,7 @@ func (v *LogView) Truncate(before uint64) error {
 	}
 	st.phys = st.phys[before-st.floor:]
 	st.floor = before
-	physFloor, err := s.owner.LastSeq()
+	physFloor, err := s.log.last()
 	if err != nil {
 		return err
 	}
@@ -291,15 +275,15 @@ func (v *LogView) Truncate(before uint64) error {
 			physFloor = p[0]
 		}
 	}
-	return s.owner.Truncate(physFloor)
+	return s.log.truncate(physFloor)
 }
 
 // LastSeq reports the stream's last assigned sequence number.
 func (v *LogView) LastSeq() (uint64, error) {
-	s := v.log
+	s := v.shared
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.owner.checkUsable(); err != nil {
+	if err := s.log.checkUsable(); err != nil {
 		return 0, err
 	}
 	return s.streams[v.id].last, nil

@@ -7,9 +7,9 @@ import (
 )
 
 // The shared-log group sweep: crashes the REAL DiskGroup deployment shape —
-// N shards, one data dir, recovery-log streams multiplexed into shard 0's
-// physical log, deferred appends closed by one SyncLog per round — at every
-// mutation point in every fault mode. The private-dir group sweep
+// N shards, one data dir, recovery-log streams multiplexed into the group's
+// one physical log, deferred appends closed by one SyncLog per round — at
+// every mutation point in every fault mode. The private-dir group sweep
 // (TestCrashPointSweepGroupCommit) covers the scheduler; this one covers
 // what the scheduler coalesces ON: the shared physical log and the
 // deferred-barrier rounds the proxy stands its epoch acks on.
@@ -21,9 +21,9 @@ import (
 // not persisted (the WAL layer re-derives its position from epochs, not
 // sequences), so a reopen renumbers each stream from its surviving records —
 // sound for the WAL but it would desynchronize the oracle's seq-indexed
-// content check. Truncation crash windows are swept by the single-backend
-// sweep (where sequences are physical and stable) and exercised logically by
-// the shared-log unit tests.
+// content check. Truncation crash windows are swept by the one-shard sweep
+// (which checks the log by its physical sequences, stable across a reopen)
+// and exercised logically by the shared-log unit tests.
 
 const sharedSweepShards = 2
 
@@ -38,7 +38,8 @@ func runSharedGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 	for i := range oracles {
 		oracles[i] = newSweepOracle(5)
 	}
-	g, err := openDiskGroupOpts(fsys, "data", sharedSweepShards, 5, diskOpts{workers: 1})
+	// Tiny segments: the shared log rotates mid-round.
+	g, err := openDiskGroupOpts(fsys, "data", sharedSweepShards, 5, sweepOpts)
 	if err != nil {
 		if !errors.Is(err, errInjectedCrash) {
 			t.Fatalf("shared group open failed oddly: %v", err)
@@ -46,9 +47,6 @@ func runSharedGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 		return oracles
 	}
 	defer g.Close()
-	for _, b := range g.shards {
-		shrinkDiskKnobs(b) // tiny segments: the shared log rotates mid-round
-	}
 	sharedGroupWorkload(g.views, oracles)
 	return oracles
 }

@@ -12,13 +12,57 @@ import (
 // truncation floors, deferred barriers, and torn-tail recovery. They run on
 // the crashFS vfs so durability (what a power loss keeps) is modeled exactly.
 
-func openSharedOwner(t *testing.T, fsys vfs, dir string, streams int) (*DiskBackend, *SharedLog) {
+// openLogAt opens a group's physical log alone in dir (a fresh one holds 8
+// buckets), serially, its barriers on a commit group of its own.
+func openLogAt(fsys vfs, dir string, opts diskOpts) (*diskLog, error) {
+	if err := prepareShardDir(fsys, dir); err != nil {
+		return nil, err
+	}
+	nb, trunc, err := openMeta(fsys, dir, 8)
+	if err != nil {
+		return nil, err
+	}
+	opts.workers = max(opts.workers, 1)
+	opts.group = NewCommitGroup()
+	return openDiskLog(fsys, dir, nb, trunc, opts, nil)
+}
+
+func openTestLog(t *testing.T, fsys vfs, dir string, opts diskOpts) *diskLog {
 	t.Helper()
-	owner, err := openDiskBackendOpts(fsys, dir, 8, diskOpts{workers: 1})
+	l, err := openLogAt(fsys, dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSharedLog(owner, streams)
+	return l
+}
+
+// logAppend appends rec to stream 0 of l and stands on its barrier.
+func logAppend(t *testing.T, l *diskLog, rec string) uint64 {
+	t.Helper()
+	res, err := l.appendRecord(0, []byte(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(t, l.barrier(res.f, res.ticket))
+	return res.seq
+}
+
+// logRecords returns the bodies of l's records from sequence from on.
+func logRecords(t *testing.T, l *diskLog, from uint64) []string {
+	t.Helper()
+	var out []string
+	must(t, l.scan(from, func(_, _ uint64, _ int64, rec []byte) error {
+		_, body, err := splitSharedRecord(rec)
+		out = append(out, string(body))
+		return err
+	}))
+	return out
+}
+
+func openSharedOwner(t *testing.T, fsys vfs, dir string, streams int) (*diskLog, *SharedLog) {
+	t.Helper()
+	owner := openTestLog(t, fsys, dir, diskOpts{})
+	s, err := newSharedLog(owner, streams, nil)
 	if err != nil {
 		owner.Close()
 		t.Fatal(err)
@@ -244,38 +288,30 @@ func TestSharedLogTornTailRecoversStreamPrefixes(t *testing.T) {
 	}
 }
 
-// A physical log written in the old per-shard raw format (or by raw Append
-// on the owner, bypassing the views) must fail loudly at open — silently
-// misparsing stream ids would corrupt recovery.
+// A physical log written in the old per-shard raw format (records with no
+// stream header) must fail loudly at open — silently misparsing stream ids
+// would corrupt recovery.
 func TestSharedLogRejectsUnwrappedRecords(t *testing.T) {
 	t.Run("short-record", func(t *testing.T) {
-		fsys := newCrashFS(nil)
-		owner, err := openDiskBackendOpts(fsys, "data", 8, diskOpts{workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		owner := openTestLog(t, newCrashFS(nil), "data", diskOpts{})
 		defer owner.Close()
-		if _, err := owner.Append([]byte("x")); err != nil { // 1 byte < stream header
+		if _, err := owner.appendFramed(encodeRecord(nil, []byte("x"))); err != nil { // 1 byte < stream header
 			t.Fatal(err)
 		}
-		if _, err := NewSharedLog(owner, 2); err == nil {
-			t.Fatal("NewSharedLog accepted a record shorter than its stream header")
+		if _, err := newSharedLog(owner, 2, nil); err == nil {
+			t.Fatal("newSharedLog accepted a record shorter than its stream header")
 		}
 	})
 	t.Run("stream-out-of-range", func(t *testing.T) {
-		fsys := newCrashFS(nil)
-		owner, err := openDiskBackendOpts(fsys, "data", 8, diskOpts{workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		owner := openTestLog(t, newCrashFS(nil), "data", diskOpts{})
 		defer owner.Close()
 		// An old-format raw record: its first 4 bytes decode to a stream id
 		// far beyond the opened stream count.
-		if _, err := owner.Append([]byte("epoch=7 commit")); err != nil {
+		if _, err := owner.appendFramed(encodeRecord(nil, []byte("epoch=7 commit"))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewSharedLog(owner, 2); err == nil {
-			t.Fatal("NewSharedLog accepted a record for an out-of-range stream")
+		if _, err := newSharedLog(owner, 2, nil); err == nil {
+			t.Fatal("newSharedLog accepted a record for an out-of-range stream")
 		}
 	})
 }

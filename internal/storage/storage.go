@@ -34,8 +34,8 @@ var (
 	// fail-stop rather than corrupt the log or bucket tree it no longer owns.
 	ErrFenced = errors.New("storage: fenced: a newer proxy generation owns this store")
 	// ErrNoKV is returned by the KVStore calls of a store that keeps no
-	// key-value namespace: DiskBackend and a DiskGroup's shards. It also
-	// refuses a data dir holding one an older disk store wrote.
+	// key-value namespace: a DiskGroup's shards. It also refuses a data dir
+	// holding one an older disk store wrote.
 	ErrNoKV = errors.New("storage: this store keeps no key-value namespace")
 )
 
@@ -121,8 +121,8 @@ type BucketStore interface {
 // KVStore is the plain (non-oblivious) key-value namespace used by the
 // NoPriv and TwoPL baselines. Obladi itself never calls it. MemBackend keeps
 // one, and so do the wrappers over it (Latency, its fence views) and a Server
-// serving it to a Client; DiskBackend and a DiskGroup's shards keep none and
-// fail every call with ErrNoKV.
+// serving it to a Client; a DiskGroup's shards keep none and fail every call
+// with ErrNoKV (or, once the group's log is wedged, its error).
 type KVStore interface {
 	Get(key string) (value []byte, found bool, err error)
 	Put(key string, value []byte) error
@@ -206,9 +206,9 @@ type EpochCommitBatcher interface {
 // before the fence, and anything after it fails loudly (the proxy
 // fail-stops on any boundary error).
 //
-// Backends without the capability (plain disk dirs opened in-process) simply
-// do not fence; the remote Server fences at the wire for whatever backend it
-// serves, which covers every multi-proxy deployment.
+// Backends without the capability (a DiskGroup's shards opened in-process)
+// simply do not fence; the remote Server fences at the wire for whatever
+// backend it serves, which covers every multi-proxy deployment.
 type Fenceable interface {
 	AcquireFence() (view Backend, token uint64, err error)
 }
