@@ -586,17 +586,12 @@ func (l *diskLog) scan(from uint64, fn func(seq, segBase uint64, off int64, rec 
 	return nil
 }
 
-// readRange serves one ranged pread out of a retained segment, addressed by
-// the (segBase, offset) an append or scan reported. Every retained record's
-// crc32c was verified when its segment was opened (or the bytes were written
-// by this process), so the logheap read path slices the returned frame
-// without re-checking.
-func (l *diskLog) readRange(segBase uint64, off int64, n int) ([]byte, error) {
-	return l.readRangeInto(nil, segBase, off, n)
-}
-
-// readRangeInto is readRange into buf's backing array when it is large
-// enough.
+// readRangeInto serves one ranged pread out of a retained segment, into
+// buf's backing array when it is large enough, addressed by the (segBase,
+// offset) an append or scan reported. Every retained record's crc32c was
+// verified when its segment was opened (or the bytes were written by this
+// process), so the logheap read path slices the returned frame without
+// re-checking.
 func (l *diskLog) readRangeInto(buf []byte, segBase uint64, off int64, n int) ([]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

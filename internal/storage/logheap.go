@@ -303,7 +303,7 @@ func (lh *LogHeap) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 
 // preadVersion implements versionFile over the shared log.
 func (lh *LogHeap) preadVersion(seg uint64, off int64, n int) ([]byte, error) {
-	return lh.log.readRange(seg, off, n)
+	return lh.log.readRangeInto(nil, seg, off, n)
 }
 
 // ---- BucketStore writes ----
