@@ -382,9 +382,6 @@ func (e *Executor) BeginEpoch(epoch uint64) {
 // Epoch returns the current epoch tag.
 func (e *Executor) Epoch() uint64 { return e.epoch }
 
-// BufferedBuckets reports how many distinct buckets are buffered.
-func (e *Executor) BufferedBuckets() int { return len(e.buffered) }
-
 // PlanReadBatch plans a full read batch: one logical access per op plus any
 // early reshuffles and evict-paths that fall due. The ops must have distinct
 // keys (the proxy deduplicates); padding entries have empty keys.
@@ -961,27 +958,6 @@ func (e *Executor) flushBuckets(epoch uint64, buckets map[int]bufferedBucket) (i
 	n := len(writes)
 	e.stats.bucketWrites.Add(int64(n))
 	return n, nil
-}
-
-// DiscardBuffer drops all buffered writes, current and sealed, and empties
-// the resident set: storage may roll back the versions it copies, and
-// LoadResident brings back the ones it rolled back to (used when abandoning
-// an epoch in tests; a crashed proxy loses all of it implicitly).
-func (e *Executor) DiscardBuffer() {
-	// Discarded current-epoch buckets never reached storage, so their arenas
-	// recycle. Sealed buckets may be in the middle of a background flush:
-	// they just drop.
-	recycleAll(e.buffered)
-	clear(e.buffered)
-	e.sealed, e.spare = nil, nil
-	e.dropResident()
-}
-
-// dropResident empties the resident set.
-func (e *Executor) dropResident() {
-	for i := range e.resident {
-		e.releaseFrames(&e.resident[i])
-	}
 }
 
 // ReplayBatch replays logged entries during crash recovery: metadata is

@@ -325,7 +325,14 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	if _, err := h.exec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	h.exec.DiscardBuffer()
+	// Abandon the epoch: drop every buffered write, current and sealed, and
+	// empty the resident set — storage rolls back the versions it copies, and
+	// LoadResident brings back the ones it rolled back to. The current
+	// epoch's buckets never reached storage, so their arenas recycle.
+	recycleAll(h.exec.buffered)
+	clear(h.exec.buffered)
+	h.exec.sealed, h.exec.spare = nil, nil
+	h.exec.dropResident()
 	if err := h.rec.RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestExecutorStatsAccounting(t *testing.T) {
 	if st.BucketWrites != int64(n) {
 		t.Fatalf("flush wrote %d, stats say %d", n, st.BucketWrites)
 	}
-	if h.exec.BufferedBuckets() != 0 {
+	if len(h.exec.buffered) != 0 {
 		t.Fatal("buffer not cleared by flush")
 	}
 }

@@ -279,3 +279,11 @@ func TestResidentBudget(t *testing.T) {
 	}
 	t.Logf("allocations per epoch: %.0f warm, %.0f emptied; %d resident bytes", warm, emptied, e.Stats().ResidentBytes)
 }
+
+// dropResident empties the resident set, as a restart over rolled-back
+// storage finds it.
+func (e *Executor) dropResident() {
+	for i := range e.resident {
+		e.releaseFrames(&e.resident[i])
+	}
+}

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// buildRecoveryStore populates dir with a bucket heap and a many-segment
-// recovery log sized so that segment replay dominates a reopen.
+// buildRecoveryStore populates dir with a one-shard group whose bucket
+// versions and recovery log fill many segments, sized so that segment replay
+// dominates a reopen.
 func buildRecoveryStore(tb testing.TB, dir string) {
 	tb.Helper()
-	b, err := openDiskStore(osFS{}, dir, 64, diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 32 << 10}, autoCompact: true})
+	b, err := openDiskStore(osFS{}, dir, 64, diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 32 << 10}, autoMaintain: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func buildRecoveryStore(tb testing.TB, dir string) {
 	}
 }
 
-// BenchmarkRecovery measures a full reopen — heap replay, KV replay and
+// BenchmarkRecovery measures a full reopen — index checkpoint load and
 // segmented log replay with crc verification — at 1, 2 and 4 recovery
 // workers. Workers == 1 is the serial baseline; higher counts fan the
 // per-segment scan out pFSCK-style.
@@ -49,7 +50,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := openDiskStore(osFS{}, dir, 0, diskOpts{workers: workers, autoCompact: true})
+				r, err := openDiskStore(osFS{}, dir, 0, diskOpts{workers: workers, autoMaintain: true})
 				if err != nil {
 					b.Fatal(err)
 				}

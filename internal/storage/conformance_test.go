@@ -16,9 +16,10 @@ func TestBackendConformanceMem(t *testing.T) {
 	})
 }
 
-// openSecondDiskShard opens a two-shard per-shard-file group in dir and
-// returns shard 1: a shard whose heap file lies in its own directory and
-// whose log stream rides shard-000's.
+// openSecondDiskShard opens a two-shard group without DiskOptions.LogHeap in
+// dir and returns shard 1: a shard whose directory holds only its index
+// checkpoint, whose bucket versions and log stream ride shard-000's log, and
+// which commits behind its own barriers.
 func openSecondDiskShard(t *testing.T, dir string) Backend {
 	g, err := OpenDiskGroupOpts(dir, 2, ConformanceMinBuckets, DiskOptions{})
 	if err != nil {
@@ -90,8 +91,9 @@ func TestBackendConformanceDiskGrouped(t *testing.T) {
 	})
 }
 
-// A logheap shard — bucket versions as records on the shared physical log —
-// must be contract-indistinguishable from the bucket-heap-file backends.
+// A shard whose epoch commits can ride the proxy's round barrier
+// (DiskOptions.LogHeap) must be contract-indistinguishable from one that
+// commits behind its own.
 func TestBackendConformanceLogHeap(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
 		g, err := OpenDiskGroupOpts(t.TempDir(), 1, ConformanceMinBuckets, DiskOptions{LogHeap: true})
@@ -125,8 +127,8 @@ func TestBackendConformanceLogHeapReopened(t *testing.T) {
 	})
 }
 
-// Group-commit conformance: N disk shards on one data dir, each with its own
-// bucket heap file, sharing one CommitGroup scheduler.
+// Group-commit conformance: N disk shards on one data dir, opened without
+// DiskOptions.LogHeap, so each commits behind its own barrier.
 func TestBackendConformanceGroupDisk(t *testing.T) {
 	RunGroupCommitConformance(t, 3, func(t *testing.T, n int) []Backend {
 		g, err := OpenDiskGroupOpts(t.TempDir(), n, ConformanceMinBuckets, DiskOptions{})
@@ -163,7 +165,7 @@ func TestBackendConformanceGroupDiskZeroWindow(t *testing.T) {
 // Logheap group-commit conformance: every shard's bucket versions, epoch
 // commits, and log stream ride ONE physical log. Epoch-order rejection,
 // rollback after a partially installed write vector, and closed-shard
-// isolation must hold exactly as they do with per-shard heap files.
+// isolation must hold exactly as they do with per-shard commit barriers.
 func TestBackendConformanceGroupLogHeap(t *testing.T) {
 	RunGroupCommitConformance(t, 3, func(t *testing.T, n int) []Backend {
 		g, err := OpenDiskGroupOpts(t.TempDir(), n, ConformanceMinBuckets, DiskOptions{LogHeap: true})
@@ -250,9 +252,9 @@ func TestBackendConformanceRemoteDisk(t *testing.T) {
 	})
 }
 
-// A store keeps its own copy on disk too: after a reopen, the logheap and
-// disk layouts answer the written bytes from their files, with no write-through
-// mirror left.
+// A store keeps its own copy on disk too: after a reopen, a group answers the
+// written bytes from its log, with no write-through mirror left, under either
+// DiskOptions.LogHeap value.
 func TestKeepsOwnCopySurvivesReopen(t *testing.T) {
 	t.Run("disk", func(t *testing.T) {
 		dir := t.TempDir()
@@ -292,8 +294,9 @@ func TestKeepsOwnCopySurvivesReopen(t *testing.T) {
 	})
 }
 
-// A bucket's slot count is per version on disk too: every durable layout must
-// answer the same after a close and reopen in the middle of the case.
+// A bucket's slot count is per version on disk too: a group must answer the
+// same after a close and reopen in the middle of the case, opened alone or
+// as a one-shard group under either DiskOptions.LogHeap value.
 func TestSlotCountPerVersionSurvivesReopen(t *testing.T) {
 	t.Run("disk", func(t *testing.T) {
 		dir := t.TempDir()

@@ -18,10 +18,11 @@ import (
 // the durability semantics of a real disk (written data is volatile until
 // fsync; metadata operations are journaled) with injectable faults — fail
 // after N operations, a torn final write, silently dropped fsyncs — plus a
-// sweep that crashes a one-shard per-shard-file disk group (a heap file and
-// the group's log) at *every* mutation point of a write→seal→commit workload
-// and asserts that reopening recovers exactly the state of the last durable
-// commit.
+// sweep that crashes a one-shard disk group opened without
+// DiskOptions.LogHeap (its bucket versions and log records on one log, each
+// commit behind its own barrier) at *every* mutation point of a
+// write→seal→commit workload and asserts that reopening recovers exactly the
+// state of the last durable commit.
 
 var errInjectedCrash = errors.New("injected crash")
 
@@ -161,6 +162,13 @@ func (c *crashFS) List(dir string) ([]string, error) {
 
 func (c *crashFS) MkdirAll(dir string, perm os.FileMode) error { return nil }
 
+// lying reports whether the plan's fsyncs have started to lie.
+func (c *crashFS) lying() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plan != nil && c.plan.mode == crashDropSync && c.plan.ops >= c.plan.crashAt
+}
+
 func (c *crashFS) SyncDir(dir string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -265,6 +273,17 @@ type sweepOracle struct {
 	// unacknowledged truncation may still have landed durably (the meta
 	// rename raced the crash), so recovery may truncate up to here.
 	truncAttempted uint64
+	// segsDeleted is set once the workload has issued a call that deletes
+	// log segments on the strength of fsyncs — a truncation, whose segment
+	// drop leans on the index checkpoint and later commits. Under a disk
+	// that lies about fsync, a checkpoint replaced after it (the close
+	// writes one) may never have reached the disk while the segments are
+	// gone, so the buckets have nothing left to assert.
+	segsDeleted bool
+	// logPhys is the physical sequence each acked record of logRecs landed
+	// on, for the one-shard sweeps: it survives a reopen, which renumbers the
+	// stream (oracleLog).
+	logPhys []uint64
 	// commitIssued is the highest epoch whose commit record was issued as a
 	// DEFERRED append (CommitEpochNoSync accepted it; the closing barrier
 	// never acked). A segment rotation's seal fsync can make such a record
@@ -309,22 +328,48 @@ const sweepSegMaxBytes = 128
 // work, tiny segments.
 var sweepOpts = diskOpts{workers: 1, DiskOptions: DiskOptions{SegMaxBytes: sweepSegMaxBytes}}
 
-// openSweepStore opens the one-shard group a sweep drives in dir, with heap
-// compaction due early so its crash windows are part of the swept surface.
+// openSweepStore opens the one-shard group a sweep drives in dir.
 func openSweepStore(fsys vfs, dir string, opts diskOpts) (*diskStore, error) {
-	s, err := openDiskStore(fsys, dir, 5, opts)
-	if err != nil {
-		return nil, err
+	return openDiskStore(fsys, dir, 5, opts)
+}
+
+// diskLies reports whether the store's disk has begun to lie about fsync. A
+// segment is deleted — by a truncation or by the maintenance pass — on the
+// strength of fsyncs of what supersedes its contents: a later committed
+// version, the index checkpoint, a moved copy. Once those fsyncs lie, the
+// delete takes the only durable copy and a crash loses it by construction,
+// so there is nothing to assert; the workload then deletes nothing
+// (truncate_crash_test.go leaves that mode out for the same reason).
+func (d *diskStore) diskLies() bool {
+	fs, ok := d.log.fsys.(*crashFS)
+	return ok && fs.lying()
+}
+
+// maintainPass is the group's maintenance pass with its checkpoint forced,
+// so its crash windows are part of the swept surface however little the
+// workload wrote: evacuate every segment below the truncation point, write
+// the heap's index checkpoint, drop the segments that frees (unless the
+// disk lies).
+func (d *diskStore) maintainPass() error {
+	for _, base := range d.log.gcCandidates() {
+		if _, err := d.heap.EvacuateSegment(base); err != nil {
+			return err
+		}
 	}
-	s.disk.heapCompactMin = 64
-	return s, nil
+	if err := d.heap.Checkpoint(); err != nil {
+		return err
+	}
+	if !d.diskLies() {
+		d.log.dropDeadSegments()
+	}
+	return nil
 }
 
 // crashWorkload drives b through write→seal→commit cycles with same-epoch
-// rewrites, a mid-stream rollback, log appends, truncation and two
-// explicit heap compactions (the background compactor is off in harness
-// opens, so CompactNow puts compaction's crash windows at deterministic
-// sweep indices). Acked operations mirror into the oracle; the workload
+// rewrites, a mid-stream rollback, log appends, truncation and two explicit
+// maintenance passes (background maintenance is off in harness opens, so
+// maintainPass puts its crash windows at deterministic sweep indices).
+// Acked operations mirror into the oracle; the workload
 // stops at the first error (the injected crash wedges the backend). salt
 // prefixes every payload so multi-shard runs store distinct bytes per shard;
 // single-digit shard salts keep record sizes — and so each shard's op
@@ -358,7 +403,9 @@ func crashWorkload(b *diskStore, o *sweepOracle, salt string) {
 		if _, err := b.Append(rec); err != nil {
 			return
 		}
+		phys, _ := b.log.last()
 		o.logRecs = append(o.logRecs, rec)
+		o.logPhys = append(o.logPhys, phys)
 		o.logAcked = len(o.logRecs)
 		if e == 3 {
 			// Epoch 3 aborts: revert instead of committing (the paper's §8).
@@ -366,9 +413,10 @@ func crashWorkload(b *diskStore, o *sweepOracle, salt string) {
 				return
 			}
 			o.mem.RollbackTo(2)
-			// Compact over the rolled-back garbage: the incremental rewrite
-			// must be crash-atomic with dead rollback bytes in flight.
-			if b.disk.CompactNow() != nil {
+			// Checkpoint over the rolled-back garbage: the index written must
+			// be the reverted one, and replay above it must not resurrect
+			// epoch 3.
+			if b.maintainPass() != nil {
 				return
 			}
 			continue
@@ -379,16 +427,19 @@ func crashWorkload(b *diskStore, o *sweepOracle, salt string) {
 		o.mem.CommitEpoch(e)
 		o.lastCommit = e
 		o.snapshot(e)
-		if e == 4 {
+		if e == 4 && !b.diskLies() {
+			o.segsDeleted = true
 			o.truncAttempted = 3
 			if b.Truncate(3) != nil {
 				return
 			}
 		}
 		if e == 5 {
-			// Compact mid-stream with committed, superseded and truncated
-			// state all present.
-			if b.disk.CompactNow() != nil {
+			// Segment GC with committed, superseded and truncated state all
+			// present: the live versions below the truncation point move to
+			// the log head, the checkpoint makes that durable, and the
+			// segments they left go.
+			if b.maintainPass() != nil {
 				return
 			}
 		}
@@ -407,25 +458,57 @@ func verifyRecovered(t *testing.T, snap *crashFS, dir string, o *sweepOracle, st
 		t.Fatalf("%s: recovered store failed to open: %v", tag, err)
 	}
 	defer r.Close()
-	verifyRecoveredState(t, physLogStore{r}, o, strict, tag)
+	verifyRecoveredState(t, oracleLog{r, o.logPhys}, o, strict, tag)
 }
 
-// physLogStore answers a one-shard group's log face from the physical log
-// under its one stream: the same records, numbered as they were appended.
-// That numbering survives a reopen and a truncation; the stream's own
+// oracleLog answers a reopened one-shard group's log face from the physical
+// log, in the numbering the workload saw: a record's sequence is the
+// position, among the acked records, of the physical sequence it lies at.
+// A reopen keeps physical sequences, where the stream's own numbering
 // restarts from its surviving records.
-type physLogStore struct{ *diskStore }
+type oracleLog struct {
+	*diskStore
+	phys []uint64 // the acked records' physical sequences, in order
+}
 
-func (p physLogStore) LastSeq() (uint64, error) { return p.log.last() }
+// seqOf numbers the record at physical sequence p; one never acked numbers
+// past every record appended.
+func (l oracleLog) seqOf(p uint64) uint64 {
+	i, found := slices.BinarySearch(l.phys, p)
+	if !found {
+		return uint64(len(l.phys)) + 1
+	}
+	return uint64(i) + 1
+}
 
-func (p physLogStore) Scan(from uint64) ([][]byte, error) {
-	var out [][]byte
-	err := p.log.scan(max(from, p.log.truncFloor()), func(_, _ uint64, _ int64, rec []byte) error {
-		_, body, err := splitSharedRecord(rec)
-		out = append(out, bytes.Clone(body))
+// records returns the stream's retained records and the sequence of the
+// last; with none, the count of acked records the physical log reaches.
+func (l oracleLog) records() (last uint64, recs [][]byte, err error) {
+	err = l.log.scan(l.log.truncFloor(), func(seq, _ uint64, _ int64, rec []byte) error {
+		id, body, err := splitSharedRecord(rec)
+		if err == nil && id == 0 {
+			last = l.seqOf(seq)
+			recs = append(recs, bytes.Clone(body))
+		}
 		return err
 	})
-	return out, err
+	if err == nil && len(recs) == 0 {
+		end, err := l.log.last()
+		n, _ := slices.BinarySearch(l.phys, end+1)
+		return uint64(n), nil, err
+	}
+	return last, recs, err
+}
+
+func (l oracleLog) LastSeq() (uint64, error) {
+	last, _, err := l.records()
+	return last, err
+}
+
+func (l oracleLog) Scan(from uint64) ([][]byte, error) {
+	last, recs, err := l.records()
+	first := last + 1 - uint64(len(recs))
+	return recs[min(from-min(from, first), uint64(len(recs))):], err
 }
 
 // recoveredStore is what the verifier needs from a reopened shard: the full
@@ -458,6 +541,9 @@ func verifyRecoveredState(t *testing.T, r recoveredStore, o *sweepOracle, strict
 		got, err := r.ReadBucket(bucket)
 		if err != nil {
 			t.Fatalf("%s: ReadBucket(%d): %v", tag, bucket, err)
+		}
+		if !strict && o.segsDeleted {
+			continue
 		}
 		if len(got) != len(want[bucket]) {
 			t.Fatalf("%s: bucket %d has %d slots, want %d", tag, bucket, len(got), len(want[bucket]))

@@ -23,7 +23,7 @@ func FuzzDiskRecordDecode(f *testing.F) {
 	f.Add(encodeRecord(nil, wrapSharedRecord(3, encodeEpochBody(heapKindCommit, 9))))
 	f.Add(encodeFileHeader(metaMagic, 8, 3))
 	f.Add(encodeRecord(nil, []byte("raw log record")))
-	f.Add(encodeFileHeader(heapMagic, 64, 0))
+	f.Add(encodeFileHeader(segMagic, 64, 1<<40))
 	f.Add(encodeFileHeader(segMagic, 0, 17))
 	f.Add(encodeFileHeader(lhixMagic, 5, 99))
 	// Damaged variants: truncation, zero fill, flipped bytes.
@@ -95,7 +95,7 @@ func FuzzDiskRecordDecode(f *testing.F) {
 			}
 		}
 		// File headers on the same bytes: decode or error, never panic.
-		for _, magic := range []string{heapMagic, segMagic, metaMagic, lhixMagic} {
+		for _, magic := range []string{segMagic, metaMagic, lhixMagic} {
 			a, b, err := decodeFileHeader(data, magic)
 			if err == nil {
 				if re := encodeFileHeader(magic, a, b); !bytes.Equal(re, data[:fileHeaderSize]) {

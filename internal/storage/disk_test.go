@@ -9,34 +9,31 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
-// diskStore is a one-shard per-shard-file disk group as one Backend: the
-// shard, the heap file behind its bucket face (disk) and, through the shard,
-// the group's log. Closing it closes the group.
+// diskStore is a one-shard disk group as one Backend: the shard and, for the
+// tests that reach past it, the group. Closing it closes the group.
 type diskStore struct {
 	*GroupShard
-	g    *DiskGroup
-	disk *DiskBackend
+	g *DiskGroup
 }
 
 func (d *diskStore) Close() error { return d.g.Close() }
 
-// openDiskStore opens a one-shard per-shard-file group in dir.
+// openDiskStore opens a one-shard group in dir.
 func openDiskStore(fsys vfs, dir string, buckets int, opts diskOpts) (*diskStore, error) {
 	g, err := openDiskGroupOpts(fsys, dir, 1, buckets, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &diskStore{GroupShard: g.views[0], g: g, disk: g.views[0].buckets.(*DiskBackend)}, nil
+	return &diskStore{GroupShard: g.views[0], g: g}, nil
 }
 
-// openLoneDisk opens a one-shard per-shard-file group on the real filesystem
-// with a deployment's settings: background compaction on, default recovery
+// openLoneDisk opens a one-shard group on the real filesystem with a
+// deployment's settings: background maintenance on, default recovery
 // workers.
 func openLoneDisk(dir string, buckets int) (*diskStore, error) {
-	return openDiskStore(osFS{}, dir, buckets, diskOpts{autoCompact: true})
+	return openDiskStore(osFS{}, dir, buckets, diskOpts{autoMaintain: true})
 }
 
 func openDisk(t *testing.T, dir string, buckets int) *diskStore {
@@ -153,20 +150,32 @@ func TestDiskRollbackSurvivesReopen(t *testing.T) {
 	}
 }
 
+// lastSegment returns the path of the store's newest log segment and where
+// its records end.
+func lastSegment(b *diskStore, dir string) (string, int64) {
+	b.log.mu.RLock()
+	defer b.log.mu.RUnlock()
+	seg := b.log.segs[len(b.log.segs)-1]
+	return filepath.Join(dir, "shard-000", seg.name), seg.size
+}
+
+// TestDiskTornHeapTailTruncated: the bucket heap's records are the log's, so
+// its torn tail is the log's. A torn record behind the last barrier is cut
+// at reopen, and what is appended after it survives the next one.
 func TestDiskTornHeapTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	b := openDisk(t, dir, 2)
 	must(t, b.WriteBucket(0, 1, [][]byte{[]byte("survives")}))
 	must(t, b.CommitEpoch(1))
+	path, end := lastSegment(b, dir)
 	must(t, b.Close())
 
-	path := filepath.Join(dir, "shard-000", heapFileName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A torn record: a plausible length prefix with garbage behind it.
-	if _, err := f.Write([]byte{0, 0, 0, 40, 1, 2, 3}); err != nil {
+	if _, err := f.WriteAt([]byte{0, 0, 0, 40, 1, 2, 3}, end); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -196,24 +205,23 @@ func TestDiskStructuralCorruptionFailsLoudly(t *testing.T) {
 	b := openDisk(t, dir, 2)
 	must(t, b.WriteBucket(0, 1, [][]byte{[]byte("x")}))
 	must(t, b.CommitEpoch(1))
+	path, _ := lastSegment(b, dir)
 	must(t, b.Close())
 
 	// Rewrite the version record's kind byte to garbage and fix up the
 	// checksum: a structurally invalid body under a valid crc is corruption,
-	// not a torn write, and must refuse to open.
-	path := filepath.Join(dir, "shard-000", heapFileName)
+	// not a torn write, and must refuse to open. The index checkpoint the
+	// close wrote goes too, so the open replays the record.
+	must(t, os.Remove(filepath.Join(dir, "shard-000", heapIndexName)))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := data[fileHeaderSize+recordFrameSize:]
-	// First record is the version record; find its body length.
-	n := int(uint32(data[fileHeaderSize])<<24 | uint32(data[fileHeaderSize+1])<<16 |
-		uint32(data[fileHeaderSize+2])<<8 | uint32(data[fileHeaderSize+3]))
-	body = body[:n]
-	body[0] = 99
-	reframed := encodeRecord(nil, body)
-	copy(data[fileHeaderSize:], reframed)
+	// The first record is the version record, on the bucket stream.
+	n := int(binary.BigEndian.Uint32(data[fileHeaderSize:]))
+	body := bytes.Clone(data[fileHeaderSize+recordFrameSize : fileHeaderSize+recordFrameSize+n])
+	body[sharedLogHdrSize] = 99
+	copy(data[fileHeaderSize:], encodeRecord(nil, body))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +246,11 @@ func TestDiskNumBucketsMismatchRejected(t *testing.T) {
 }
 
 // TestGroupOpenRefusesOtherLayouts opens data dirs written in the two
-// layouts obladi-storage no longer serves the way it opens its -data-dir: a
-// single-directory store (an older layout, one shard's files at the top
-// level) and a per-shard-file group are each refused with an error naming
-// the layout, and neither dir gains or loses a file.
+// layouts no build serves any more: a single-directory store (one shard's
+// files at the top level) and a per-shard-file group (each shard's buckets in
+// its own buckets.heap, no group marker). Both are refused under either
+// DiskOptions.LogHeap value with an error naming the layout and a file of
+// it, and neither dir gains or loses a file.
 func TestGroupOpenRefusesOtherLayouts(t *testing.T) {
 	tmp := t.TempDir()
 	b := openDisk(t, tmp, 8)
@@ -253,96 +262,39 @@ func TestGroupOpenRefusesOtherLayouts(t *testing.T) {
 	must(t, b.Close())
 	single := filepath.Join(tmp, "shard-000")
 	perShard := t.TempDir()
-	g, err := OpenDiskGroupOpts(perShard, 2, 8, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		shard := filepath.Join(perShard, fmt.Sprintf("shard-%03d", i))
+		must(t, os.MkdirAll(shard, 0o755))
+		must(t, os.WriteFile(filepath.Join(shard, heapFileName), encodeFileHeader("OBHEAP01", 8, 0), 0o644))
 	}
-	must(t, g.Close())
 
 	names := func(dir string) string {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var out []string
-		for _, e := range ents {
-			out = append(out, e.Name())
-		}
+		must(t, filepath.WalkDir(dir, func(path string, _ os.DirEntry, err error) error {
+			out = append(out, path)
+			return err
+		}))
 		return strings.Join(out, " ")
 	}
-	for _, c := range []struct{ dir, layout string }{{single, "single-directory"}, {perShard, "per-shard-file"}} {
+	for _, c := range []struct{ dir, layout, file string }{
+		{single, "single-directory", metaFileName},
+		{perShard, "per-shard-file", heapFileName},
+	} {
 		before := names(c.dir)
-		for _, shards := range []int{1, 2} {
-			g, err := OpenDiskGroupOpts(c.dir, shards, 8, DiskOptions{LogHeap: true})
-			if err == nil {
-				g.Close()
-				t.Fatalf("%d-shard logheap open of a %s dir succeeded", shards, c.layout)
-			}
-			if !strings.Contains(err.Error(), c.layout) {
-				t.Fatalf("%d-shard logheap open of a %s dir: %v; want the layout named", shards, c.layout, err)
+		for _, logHeap := range []bool{false, true} {
+			for _, shards := range []int{1, 2} {
+				g, err := OpenDiskGroupOpts(c.dir, shards, 8, DiskOptions{LogHeap: logHeap})
+				if err == nil {
+					g.Close()
+					t.Fatalf("%d-shard open (LogHeap %v) of a %s dir succeeded", shards, logHeap, c.layout)
+				}
+				if !strings.Contains(err.Error(), c.layout) || !strings.Contains(err.Error(), c.file) {
+					t.Fatalf("%d-shard open (LogHeap %v) of a %s dir: %v; want the layout and %s named", shards, logHeap, c.layout, err, c.file)
+				}
 			}
 		}
 		if after := names(c.dir); after != before {
 			t.Fatalf("refused open of a %s dir changed it: [%s] -> [%s]", c.layout, before, after)
-		}
-	}
-	if _, err := OpenDiskGroupOpts(single, 1, 8, DiskOptions{}); err == nil || !strings.Contains(err.Error(), "single-directory") {
-		t.Fatalf("per-shard-file open of a single-directory dir: %v; want it refused", err)
-	}
-}
-
-func TestDiskHeapCompaction(t *testing.T) {
-	dir := t.TempDir()
-	b := openDisk(t, dir, 4)
-	defer b.Close()
-	b.disk.heapCompactMin = 1 << 10
-	payload := bytes.Repeat([]byte("p"), 256)
-	for e := uint64(1); e <= 64; e++ {
-		var writes []BucketWrite
-		for bucket := 0; bucket < 4; bucket++ {
-			writes = append(writes, BucketWrite{Bucket: bucket, Epoch: e, Slots: [][]byte{payload, []byte(fmt.Sprintf("e%d-b%d", e, bucket))}})
-		}
-		must(t, b.WriteBuckets(writes))
-		must(t, b.CommitEpoch(e))
-	}
-	// 64 epochs × 4 buckets × ~280 bytes ≈ 70 KiB of versions, all but the
-	// last 4 dead: compaction runs off the commit path now, so poll for the
-	// background compactor to catch up with the kicks the commits issued.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.disk.mu.RLock()
-		size := b.disk.heapSize
-		b.disk.mu.RUnlock()
-		if size <= 8<<10 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("heap not compacted: %d bytes", size)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for bucket := 0; bucket < 4; bucket++ {
-		got, err := b.ReadSlot(bucket, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("e64-b%d", bucket); string(got) != want {
-			t.Fatalf("bucket %d after compaction = %q, want %q", bucket, got, want)
-		}
-	}
-	must(t, b.Close())
-	r := openDisk(t, dir, 4)
-	defer r.Close()
-	if got := r.CommittedEpoch(); got != 64 {
-		t.Fatalf("committed after compacted reopen = %d", got)
-	}
-	for bucket := 0; bucket < 4; bucket++ {
-		got, err := r.ReadSlot(bucket, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("e64-b%d", bucket); string(got) != want {
-			t.Fatalf("bucket %d after reopen = %q, want %q", bucket, got, want)
 		}
 	}
 }
@@ -486,9 +438,11 @@ func TestDiskWedgesAfterIOError(t *testing.T) {
 	b := openDisk(t, dir, 2)
 	must(t, b.WriteBucket(0, 1, [][]byte{[]byte("x")}))
 	must(t, b.CommitEpoch(1))
-	// Close the heap file behind the backend's back; the next write must
+	// Close the log's segment behind the store's back; the next write must
 	// fail and wedge the store (fail-stop beats acking into the void).
-	b.disk.heap.Close()
+	b.log.mu.RLock()
+	b.log.segs[len(b.log.segs)-1].f.Close()
+	b.log.mu.RUnlock()
 	if err := b.CommitEpoch(2); err == nil {
 		t.Fatal("commit succeeded on a closed file")
 	}

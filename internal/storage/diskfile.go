@@ -53,8 +53,8 @@ type vfs interface {
 // [off, off+n) so later in-range appends don't allocate blocks. On ext4
 // every append into unreserved space dirties allocation metadata, and the
 // next fsync pays a journal commit for it — measurably more than flushing
-// the data alone. Reserving a segment (or a heap growth chunk) up front
-// moves that cost off the per-barrier path. Purely a performance lever:
+// the data alone. Reserving a segment up front moves that cost off the
+// per-barrier path. Purely a performance lever:
 // reserved-but-unwritten space reads as zeros, which the record framing
 // already rejects as a torn tail (the CRC covers the length prefix), so
 // recovery is unchanged.
@@ -222,7 +222,6 @@ func decodeRecord(buf []byte) (body []byte, size int, err error) {
 const fileHeaderSize = 24
 
 const (
-	heapMagic = "OBHEAP01"
 	segMagic  = "OBSEG001"
 	metaMagic = "OBMETA01"
 	// lhixMagic heads a LogHeap index checkpoint: u32 = bucket count,

@@ -16,9 +16,9 @@ import (
 // diskLog is a disk group's one physical log (§8's recovery unit): segmented
 // append-only files in shard-000's directory, whose record order is their
 // durability order. Every shard's recovery-log stream rides it (SharedLog
-// multiplexes them), and in a logheap group so does every shard's bucket
-// data (LogHeap). The group owns it; SharedLog, LogHeap and GroupShard hold
-// it directly. Its files:
+// multiplexes them), and so does every shard's bucket data (LogHeap). The
+// group owns it; SharedLog, LogHeap and GroupShard hold it directly. Its
+// files:
 //
 //   - wal-<base>.seg — the segments. A record is written unsynced and stands
 //     on a CommitGroup barrier of its segment, at once (an Append) or at the
@@ -46,7 +46,7 @@ type diskLog struct {
 	lastSeq     uint64
 	truncBefore uint64 // sequence numbers below this are logically gone
 	segMaxBytes int64
-	// retain, when set (logheap mode), is the retention gate: segments
+	// retain, when set (a group's log), is the retention gate: segments
 	// holding any sequence number >= retain() survive truncation because
 	// they still carry live bucket versions or un-checkpointed index state.
 	// Called under mu; must only read atomics.
@@ -484,6 +484,30 @@ func (l *diskLog) barrier(f vfile, ticket uint64) error {
 	return nil
 }
 
+// barrierPrefix is an inline append's barrier: a flush of f covering
+// ticket, after the flushes of the deferred appends noted on other files. A
+// record is durable only with every record before it — an open drops the
+// segments after one whose tail tore, as an orphan suffix — and a rotation
+// does not flush the outgoing segment, so a flush of f alone could ack a
+// record that a crash then takes with the unsynced tail before it.
+func (l *diskLog) barrierPrefix(f vfile, ticket uint64) error {
+	var buf [2]fileTicket
+	older := buf[:0]
+	l.pendMu.Lock()
+	for _, p := range l.pend {
+		if p.f != f {
+			older = append(older, p)
+		}
+	}
+	l.pendMu.Unlock()
+	for _, p := range older {
+		if err := l.barrier(p.f, p.ticket); err != nil {
+			return err
+		}
+	}
+	return l.barrier(f, ticket)
+}
+
 // notePending records a deferred append's barrier obligation.
 func (l *diskLog) notePending(f vfile, ticket uint64) {
 	l.pendMu.Lock()
@@ -543,11 +567,10 @@ func coveredBy(p fileTicket, due []fileTicket) bool {
 
 // scan streams every retained record with sequence number >= from, in
 // order, passing each record's physical location alongside its body. It does
-// NOT clamp to the truncation point: in logheap mode the retention gate
-// keeps whole segments below it alive because they still hold live bucket
-// versions, and index replay must see them. Each overlapping segment is
-// served with one ranged pread; the body slice is only valid for the
-// duration of the callback.
+// NOT clamp to the truncation point: the retention gate keeps whole segments
+// below it alive because they still hold live bucket versions, and index
+// replay must see them. Each overlapping segment is served with one ranged
+// pread; the body slice is only valid for the duration of the callback.
 func (l *diskLog) scan(from uint64, fn func(seq, segBase uint64, off int64, rec []byte) error) error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

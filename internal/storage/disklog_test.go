@@ -6,18 +6,19 @@ import (
 	"os"
 	"path"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
 
-// TestGroupLayout opens a three-shard group in each layout and checks where
-// its files lie: the log's segments and meta in shard-000 only, and in each
-// shard nothing but the file its bucket store keeps — buckets.heap, or a
-// logheap shard's heapindex. A logheap group opens no heap file at all. A
+// TestGroupLayout opens a three-shard group under each DiskOptions.LogHeap
+// value and checks where its files lie: the group marker at the top, the
+// log's segments and meta in shard-000 only, and in each shard nothing but
+// its heap's index checkpoint. Both values write the same files; the flag
+// only decides whether the shards expose EpochCommitBatcher. A
 // shard-001/meta left by a build in which every shard kept log state is
 // ignored: the group opens over it and serves the same buckets and records.
 func TestGroupLayout(t *testing.T) {
+	files := map[bool][]string{}
 	for _, logHeap := range []bool{false, true} {
 		t.Run(fmt.Sprintf("logheap=%v", logHeap), func(t *testing.T) {
 			fsys := newCrashFS(nil)
@@ -31,12 +32,10 @@ func TestGroupLayout(t *testing.T) {
 				return g
 			}
 			g := open()
-			for i, v := range g.views {
-				if _, isHeapFile := v.buckets.(*DiskBackend); isHeapFile == logHeap {
-					t.Fatalf("shard %d serves its buckets from a %T", i, v.buckets)
-				}
-			}
 			for i, s := range g.Backends() {
+				if _, ok := s.(EpochCommitBatcher); ok != logHeap {
+					t.Fatalf("shard %d exposes EpochCommitBatcher = %v under LogHeap %v", i, ok, logHeap)
+				}
 				must(t, s.WriteBucket(i, 1, slots(fmt.Sprintf("shard %d", i))))
 				must(t, s.CommitEpoch(1))
 				for k := 0; k < 8; k++ {
@@ -47,9 +46,14 @@ func TestGroupLayout(t *testing.T) {
 			}
 			must(t, g.Close())
 
-			store := heapFileName
-			if logHeap {
-				store = heapIndexName
+			for name := range fsys.nodes {
+				files[logHeap] = append(files[logHeap], name)
+			}
+			slices.Sort(files[logHeap])
+			top, err := fsys.List("data")
+			must(t, err)
+			if !slices.Contains(top, logHeapMarker) {
+				t.Errorf("data holds no %s marker: %v", logHeapMarker, top)
 			}
 			for i := 0; i < 3; i++ {
 				names, err := fsys.List(fmt.Sprintf("data/shard-%03d", i))
@@ -58,7 +62,7 @@ func TestGroupLayout(t *testing.T) {
 				for _, n := range names {
 					_, isSeg := parseSegName(n)
 					switch {
-					case n == store:
+					case n == heapIndexName:
 					case i == 0 && n == metaFileName:
 					case i == 0 && isSeg:
 						segs++
@@ -66,8 +70,8 @@ func TestGroupLayout(t *testing.T) {
 						t.Errorf("shard-%03d holds %s", i, n)
 					}
 				}
-				if !slices.Contains(names, store) {
-					t.Errorf("shard-%03d holds no %s: %v", i, store, names)
+				if !slices.Contains(names, heapIndexName) {
+					t.Errorf("shard-%03d holds no %s: %v", i, heapIndexName, names)
 				}
 				if i == 0 && (segs < 2 || !slices.Contains(names, metaFileName)) {
 					t.Errorf("shard-000 holds %d segments and meta=%v, want several and a meta", segs, slices.Contains(names, metaFileName))
@@ -93,6 +97,9 @@ func TestGroupLayout(t *testing.T) {
 				}
 			}
 		})
+	}
+	if !slices.Equal(files[false], files[true]) {
+		t.Errorf("the LogHeap values write different files: %v and %v", files[false], files[true])
 	}
 }
 
@@ -180,11 +187,9 @@ func bucketFaceErrors(s Backend) map[string]error {
 }
 
 // TestWedgeDomains pins which faces an I/O error stops. The physical log is
-// the group's: an error on it wedges every shard's log face, and in a
-// logheap group every bucket face too, since the buckets ride the same log.
-// A per-shard-file shard's heap is its own: an error on shard 1's
-// buckets.heap wedges shard 1's bucket face only, while the log and the
-// other shards keep serving.
+// the group's, and every shard's buckets ride it: an error on it wedges
+// every shard's log face and every shard's bucket face, under either
+// DiskOptions.LogHeap value.
 func TestWedgeDomains(t *testing.T) {
 	isSeg := func(name string) bool { _, ok := parseSegName(path.Base(name)); return ok }
 	for _, logHeap := range []bool{false, true} {
@@ -198,10 +203,8 @@ func TestWedgeDomains(t *testing.T) {
 			armed.Store(false) // the wedge, not the fault, must stop what follows
 			for i, s := range shards {
 				faces := logFaceErrors(s)
-				if logHeap {
-					for call, err := range bucketFaceErrors(s) {
-						faces[call] = err
-					}
+				for call, err := range bucketFaceErrors(s) {
+					faces[call] = err
 				}
 				for call, err := range faces {
 					if !errors.Is(err, errInjectedIO) {
@@ -211,35 +214,4 @@ func TestWedgeDomains(t *testing.T) {
 			}
 		})
 	}
-	t.Run("heap-file", func(t *testing.T) {
-		g, armed := openFaultGroup(t, false, func(name string) bool {
-			return path.Base(name) == heapFileName && strings.HasSuffix(path.Dir(name), "shard-001")
-		})
-		shards := g.Backends()
-		armed.Store(true)
-		if err := shards[1].WriteBuckets([]BucketWrite{{Bucket: 2, Epoch: 2, Slots: slots("fails")}}); !errors.Is(err, errInjectedIO) {
-			t.Fatalf("write to a failing heap = %v", err)
-		}
-		armed.Store(false)
-		for call, err := range bucketFaceErrors(shards[1]) {
-			if !errors.Is(err, errInjectedIO) {
-				t.Errorf("shard 1 %s after its heap failed = %v, want the wedge error", call, err)
-			}
-		}
-		for i, s := range shards {
-			for call, err := range logFaceErrors(s) {
-				if err != nil {
-					t.Errorf("shard %d %s after shard 1's heap failed: %v", i, call, err)
-				}
-			}
-			if i == 1 {
-				continue
-			}
-			for call, err := range bucketFaceErrors(s) {
-				if err != nil {
-					t.Errorf("shard %d %s after shard 1's heap failed: %v", i, call, err)
-				}
-			}
-		}
-	})
 }

@@ -2,22 +2,20 @@ package storage
 
 import (
 	"fmt"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // This file holds the group-commit scheduler: a per-data-dir fsync coalescer
-// shared by every file of a disk group — its physical log and, in the
-// per-shard-file layout, each shard's bucket heap. Writers append their
-// records unsynced and then stand on a barrier (BarrierTicket). The barriers on one file form fsync waves: a
-// barrier with no fsync of its file in flight issues one itself, and every
-// barrier the in-flight fsync covers waits for it and shares its outcome —
-// fsyncs of *different* files never wait on one another. The ack contract is
-// unchanged: nothing is acknowledged before its covering barrier lands; what
-// moves is how many acks one fsync covers.
+// shared by every segment of a disk group's physical log. Writers append
+// their records unsynced and then stand on a barrier (BarrierTicket). The
+// barriers on one file form fsync waves: a barrier with no fsync of its file
+// in flight issues one itself, and every barrier the in-flight fsync covers
+// waits for it and shares its outcome — fsyncs of *different* files never
+// wait on one another. The ack contract is unchanged: nothing is
+// acknowledged before its covering barrier lands; what moves is how many
+// acks one fsync covers.
 
 // GroupStats counts a CommitGroup's work. Barriers/Syncs is the
 // amortization factor the scheduler achieved.
@@ -151,8 +149,8 @@ func (g *CommitGroup) leadLocked(f vfile, fs *fileSync) error {
 }
 
 // Forget drops f's entry. Call only once f is closed and nothing can stamp
-// or barrier it again (segment dropped, compacted file swapped out); without
-// it a long-lived group accumulates an entry per retired file.
+// or barrier it again (a dropped segment); without it a long-lived group
+// accumulates an entry per retired file.
 func (g *CommitGroup) Forget(f vfile) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -183,22 +181,24 @@ func (g *CommitGroup) Close() error {
 
 // DiskGroup is the deployment unit for group commit: n shards rooted in
 // subdirectories of one data dir. The group owns one physical log (diskLog,
-// in shard-000) that every shard's recovery-log stream rides (see
-// SharedLog), so cross-shard log barriers land on one file and actually
-// coalesce instead of merely running in parallel; and one CommitGroup every
-// durability barrier goes through. A shard's buckets live in the same log
-// (logheap mode: a LogHeap per shard, and shard-<i> holds only its index
-// checkpoint) or in its own buckets.heap (a DiskBackend per shard).
+// in shard-000) that every shard's recovery-log stream and bucket versions
+// ride (see SharedLog and LogHeap), so cross-shard barriers land on one file
+// and actually coalesce instead of merely running in parallel; and one
+// CommitGroup every durability barrier goes through. shard-<i> holds only
+// shard i's index checkpoint.
 type DiskGroup struct {
 	group  *CommitGroup
 	log    *diskLog
 	shared *SharedLog // set once the open has replayed the log
 	views  []*GroupShard
-	heaps  []*LogHeap // logheap mode: one per shard, else nil
+	heaps  []*LogHeap // one per shard
+	// batchCommits is DiskOptions.LogHeap: Backends exposes
+	// EpochCommitBatcher.
+	batchCommits bool
 
-	// Background logheap maintenance (checkpoint + segment GC); nil
-	// channels when off (crash-harness opens drive Checkpoint /
-	// EvacuateSegment explicitly for determinism).
+	// Background maintenance (checkpoint + segment GC); nil channels when
+	// off (crash-harness opens drive Checkpoint / EvacuateSegment explicitly
+	// for determinism).
 	maintainKick chan struct{}
 	maintainStop chan struct{}
 	maintainWG   sync.WaitGroup
@@ -206,26 +206,18 @@ type DiskGroup struct {
 
 // GroupShard is one shard of a DiskGroup as the proxy consumes it: its
 // recovery-log face is its stream on the group's physical log, its bucket
-// face the store picked at open — the shard's heap file, or in logheap mode
-// its LogHeap. It keeps no key-value namespace (ErrNoKV).
+// face its LogHeap on the same log. It keeps no key-value namespace
+// (ErrNoKV).
 type GroupShard struct {
 	log     *diskLog
 	logView *LogView
-	buckets shardBuckets
+	heap    *LogHeap
 	// closed marks this shard logically closed. Its files belong to the
 	// group — every shard's log stream rides the one physical log — so Close
 	// cannot close them; the flag keeps the per-shard ErrClosed contract
 	// (every op on a closed shard fails, the siblings keep working), and the
 	// files close with the group.
 	closed atomic.Bool
-}
-
-// shardBuckets is the store a GroupShard serves its bucket face from.
-type shardBuckets interface {
-	BucketStore
-	readEncoder
-	CommittedEpoch() uint64
-	VersionCount(bucket int) int
 }
 
 func (s *GroupShard) guard() error {
@@ -281,32 +273,32 @@ func (s *GroupShard) NumBuckets() (int, error) {
 	if err := s.guard(); err != nil {
 		return 0, err
 	}
-	return s.buckets.NumBuckets()
+	return s.heap.NumBuckets()
 }
 func (s *GroupShard) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(s, bucket, slot) }
 func (s *GroupShard) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	if err := s.guard(); err != nil {
 		return nil, err
 	}
-	return s.buckets.ReadSlots(refs)
+	return s.heap.ReadSlots(refs)
 }
 func (s *GroupShard) ReadBucket(bucket int) ([][]byte, error) {
 	if err := s.guard(); err != nil {
 		return nil, err
 	}
-	return s.buckets.ReadBucket(bucket)
+	return s.heap.ReadBucket(bucket)
 }
 func (s *GroupShard) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 	if err := s.guard(); err != nil {
 		return dst, err
 	}
-	return s.buckets.encodeSlots(dst, refs)
+	return s.heap.encodeSlots(dst, refs)
 }
 func (s *GroupShard) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 	if err := s.guard(); err != nil {
 		return dst, err
 	}
-	return s.buckets.encodeBucket(dst, bucket)
+	return s.heap.encodeBucket(dst, bucket)
 }
 func (s *GroupShard) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 	return writeBucket(s, bucket, epoch, slots)
@@ -315,24 +307,24 @@ func (s *GroupShard) WriteBuckets(writes []BucketWrite) error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	return s.buckets.WriteBuckets(writes)
+	return s.heap.WriteBuckets(writes)
 }
 func (s *GroupShard) CommitEpoch(epoch uint64) error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	return s.buckets.CommitEpoch(epoch)
+	return s.heap.CommitEpoch(epoch)
 }
 func (s *GroupShard) RollbackTo(epoch uint64) error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	return s.buckets.RollbackTo(epoch)
+	return s.heap.RollbackTo(epoch)
 }
 
 // CommittedEpoch / VersionCount mirror the bucket stores' test helpers.
-func (s *GroupShard) CommittedEpoch() uint64      { return s.buckets.CommittedEpoch() }
-func (s *GroupShard) VersionCount(bucket int) int { return s.buckets.VersionCount(bucket) }
+func (s *GroupShard) CommittedEpoch() uint64      { return s.heap.CommittedEpoch() }
+func (s *GroupShard) VersionCount(bucket int) int { return s.heap.VersionCount(bucket) }
 
 // Get, Put and Delete implement KVStore: a shard keeps no namespace.
 func (s *GroupShard) Get(string) ([]byte, bool, error) { return nil, false, s.noKV() }
@@ -355,17 +347,12 @@ func (s *GroupShard) Close() error {
 	return nil
 }
 
-// logHeapShard is the Backend face of a logheap-mode shard. It is a
-// distinct type so that only logheap shards expose CommitEpochNoSync: a
-// per-shard-file GroupShard must NOT satisfy EpochCommitBatcher — deferring
-// its commit barrier would let a bucket heap become durably committed ahead
-// of the WAL's committing checkpoint it depends on, exactly the ordering
-// inversion the unified log exists to make impossible (commit records ride
-// the same stream, so prefix durability orders them for free).
-type logHeapShard struct {
-	*GroupShard
-	heap *LogHeap
-}
+// logHeapShard is the Backend face of a shard of a group opened with
+// DiskOptions.LogHeap: a GroupShard that also exposes CommitEpochNoSync. The
+// deferral is safe because a shard's commit record rides the same physical
+// log as the WAL's committing checkpoint it depends on, after it, so prefix
+// durability orders them for free.
+type logHeapShard struct{ *GroupShard }
 
 // CommitEpochNoSync implements EpochCommitBatcher.
 func (s logHeapShard) CommitEpochNoSync(epoch uint64) error {
@@ -375,8 +362,8 @@ func (s logHeapShard) CommitEpochNoSync(epoch uint64) error {
 	return s.heap.CommitEpochNoSync(epoch)
 }
 
-// CommitStream implements EpochCommitBatcher: every shard of a logheap group
-// appends into the group's one physical log.
+// CommitStream implements EpochCommitBatcher: every shard of a group appends
+// into the group's one physical log.
 func (s logHeapShard) CommitStream() any { return s.log }
 
 // OpenDiskGroupOpts opens (or creates) a group of shards under
@@ -386,62 +373,14 @@ func (s logHeapShard) CommitStream() any { return s.log }
 // non-zero count fails loudly (0 adopts the stored size). obladi-storage
 // opens its data dir with opts.LogHeap set.
 func OpenDiskGroupOpts(dir string, shards, numBuckets int, opts DiskOptions) (*DiskGroup, error) {
-	return openDiskGroupOpts(osFS{}, dir, shards, numBuckets, diskOpts{DiskOptions: opts, autoCompact: true})
-}
-
-// logHeapMarker is the group-dir marker distinguishing logheap data dirs
-// from per-shard-file ones. Opening a dir in the wrong mode must fail
-// loudly — a logheap dir's bucket data is invisible to the per-shard-file
-// layout (and vice versa), so proceeding would silently serve an empty
-// store over live data.
-const logHeapMarker = "logheap"
-
-// checkGroupMode enforces the marker, creating it for a fresh logheap dir. A
-// dir holding a single-directory store's files (an older layout) at its top
-// level is no group at all: opening it would create shard-000 beside them
-// and serve an empty tree over live data, so it is refused in either mode.
-func checkGroupMode(fsys vfs, dir string, logHeap bool) error {
-	names, err := fsys.List(dir)
-	if err != nil {
-		return fmt.Errorf("storage: listing group dir: %w", err)
-	}
-	hasMarker, hasShard := false, false
-	for _, n := range names {
-		switch {
-		case n == logHeapMarker:
-			hasMarker = true
-		case strings.HasPrefix(n, "shard-"):
-			hasShard = true
-		case n == metaFileName, n == heapFileName,
-			strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix):
-			return fmt.Errorf("storage: data dir %s holds a single-directory disk store (%s at its top level); refusing to open it as a group", dir, n)
-		}
-	}
-	switch {
-	case logHeap && hasMarker, !logHeap && !hasMarker:
-		return nil
-	case logHeap && hasShard:
-		return fmt.Errorf("storage: data dir %s holds a per-shard-file group; refusing to open it in logheap mode", dir)
-	case !logHeap:
-		return fmt.Errorf("storage: data dir %s holds a logheap group; open it with DiskOptions.LogHeap", dir)
-	}
-	f, err := fsys.OpenFile(joinPath(dir, logHeapMarker), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: creating logheap marker: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
+	return openDiskGroupOpts(osFS{}, dir, shards, numBuckets, diskOpts{DiskOptions: opts, autoMaintain: true})
 }
 
 // openDiskGroupOpts is the vfs-injectable group constructor (the crash sweep
 // opens groups on its fault-modeling filesystem through it). The open runs
-// in dependency order: shard-000's meta gives the tree size; in logheap mode
-// the heaps load their index checkpoints, whose retention floors are the
-// gate the log opens under; the log's demux scan then replays each heap
-// above its checkpoint, or, in the per-shard-file layout, each shard opens
-// its heap file.
+// in dependency order: shard-000's meta gives the tree size; the heaps load
+// their index checkpoints, whose retention floors are the gate the log opens
+// under; the log's demux scan then replays each heap above its checkpoint.
 func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOpts) (*DiskGroup, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("storage: disk group needs a positive shard count (got %d)", shards)
@@ -449,13 +388,13 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: creating group dir: %w", err)
 	}
-	if err := checkGroupMode(fsys, dir, opts.LogHeap); err != nil {
+	if err := checkGroupLayout(fsys, dir); err != nil {
 		return nil, err
 	}
 	if opts.group == nil {
 		opts.group = NewCommitGroup()
 	}
-	g := &DiskGroup{group: opts.group}
+	g := &DiskGroup{group: opts.group, batchCommits: opts.LogHeap}
 	fail := func(what string, err error) (*DiskGroup, error) {
 		g.Close()
 		return nil, fmt.Errorf("storage: opening disk group %s: %w", what, err)
@@ -470,35 +409,25 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 	if err != nil {
 		return fail("meta", err)
 	}
-	var retain func() uint64
-	if opts.LogHeap {
-		for i := 0; i < shards; i++ {
-			lh, err := newLogHeap(fsys, shardDir(i), i, nb)
-			if err != nil {
-				return fail(fmt.Sprintf("shard %d logheap", i), err)
-			}
-			g.heaps = append(g.heaps, lh)
+	for i := 0; i < shards; i++ {
+		lh, err := newLogHeap(fsys, shardDir(i), i, nb)
+		if err != nil {
+			return fail(fmt.Sprintf("shard %d logheap", i), err)
 		}
-		retain = g.retainFloor
+		g.heaps = append(g.heaps, lh)
 	}
-	if g.log, err = openDiskLog(fsys, shardDir(0), nb, trunc, opts, retain); err != nil {
+	if g.log, err = openDiskLog(fsys, shardDir(0), nb, trunc, opts, g.retainFloor); err != nil {
 		return fail("log", err)
 	}
 	shared, err := newSharedLog(g.log, shards, g.heaps)
 	if err != nil {
 		return fail("shared log", err)
 	}
-	for i := 0; i < shards; i++ {
-		v := &GroupShard{log: g.log, logView: shared.View(i)}
-		if opts.LogHeap {
-			v.buckets = g.heaps[i]
-		} else if v.buckets, err = openDiskBackend(fsys, shardDir(i), nb, opts); err != nil {
-			return fail(fmt.Sprintf("shard %d", i), err)
-		}
-		g.views = append(g.views, v)
+	for i, lh := range g.heaps {
+		g.views = append(g.views, &GroupShard{log: g.log, logView: shared.View(i), heap: lh})
 	}
 	var kick func()
-	if opts.LogHeap && opts.autoCompact {
+	if opts.autoMaintain {
 		g.maintainKick = make(chan struct{}, 1)
 		g.maintainStop = make(chan struct{})
 		kick = func() {
@@ -519,8 +448,8 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 	return g, nil
 }
 
-// retainFloor is a logheap group's retention gate: the first physical
-// sequence any heap still needs on disk.
+// retainFloor is the group's retention gate: the first physical sequence
+// any heap still needs on disk.
 func (g *DiskGroup) retainFloor() uint64 {
 	floor := ^uint64(0)
 	for _, lh := range g.heaps {
@@ -529,9 +458,9 @@ func (g *DiskGroup) retainFloor() uint64 {
 	return floor
 }
 
-// maintainLoop runs logheap maintenance off the commit path: it copies live
-// bucket versions out of the segments WAL truncation has left behind,
-// checkpoints the heaps, and drops what that frees.
+// maintainLoop runs maintenance off the commit path: it copies live bucket
+// versions out of the segments WAL truncation has left behind, checkpoints
+// the heaps, and drops what that frees.
 func (g *DiskGroup) maintainLoop() {
 	defer g.maintainWG.Done()
 	for {
@@ -578,14 +507,14 @@ func (g *DiskGroup) maintainOnce() {
 
 // Backends returns the shards as Backend values (the shape core.NewSharded
 // and the bench harness consume), each with its log stream routed through
-// the group's shared physical log. Logheap shards come wrapped in the type
-// that additionally satisfies EpochCommitBatcher.
+// the group's shared physical log. A group opened with DiskOptions.LogHeap
+// wraps them in the type that additionally satisfies EpochCommitBatcher.
 func (g *DiskGroup) Backends() []Backend {
 	out := make([]Backend, len(g.views))
 	for i, v := range g.views {
 		out[i] = v
-		if len(g.heaps) > 0 {
-			out[i] = logHeapShard{v, g.heaps[i]}
+		if g.batchCommits {
+			out[i] = logHeapShard{v}
 		}
 	}
 	return out
@@ -594,10 +523,9 @@ func (g *DiskGroup) Backends() []Backend {
 // Group returns the shared scheduler (stats live there).
 func (g *DiskGroup) Group() *CommitGroup { return g.group }
 
-// Close closes the shards' heap files and the log, then the scheduler.
-// Logheap heaps checkpoint first (best effort — replay would rebuild the
-// same state, a checkpoint just makes the next open cheap), while the log is
-// still open.
+// Close closes the log, then the scheduler. The heaps checkpoint first (best
+// effort — replay would rebuild the same state, a checkpoint just makes the
+// next open cheap), while the log is still open.
 func (g *DiskGroup) Close() error {
 	if g.maintainStop != nil {
 		close(g.maintainStop)
@@ -610,19 +538,11 @@ func (g *DiskGroup) Close() error {
 		}
 	}
 	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, v := range g.views {
-		if b, ok := v.buckets.(*DiskBackend); ok {
-			keep(b.Close())
-		}
-	}
 	if g.log != nil {
-		keep(g.log.Close())
+		first = g.log.Close()
 	}
-	keep(g.group.Close())
+	if err := g.group.Close(); first == nil {
+		first = err
+	}
 	return first
 }

@@ -10,10 +10,10 @@ import (
 // tagged with the epoch that wrote it; the committed frontier; the buckets
 // holding more than one version, the only ones a commit has anything to retire
 // from; and the slabs the versions' mirrors live in. The stores differ only in
-// what else a version has: nothing (MemBackend), or a record in a file (a
-// DiskBackend's heap file, the group's log for a LogHeap). A version written in this
-// process mirrors its slots in a slab; one replayed from a file has no mirror
-// and is read back from its record. The owning store's lock guards the index:
+// what else a version has: nothing (MemBackend), or a record on the group's
+// log (LogHeap). A version written in this process mirrors its slots in a
+// slab; one replayed from the log has no mirror and is read back from its
+// record. The owning store's lock guards the index:
 // reads run under its read lock, everything else under its write lock.
 
 // version is one shadow-paged copy of a bucket.
@@ -21,10 +21,10 @@ type version struct {
 	epoch  uint64
 	layout slotLayout
 	// mirror holds the slots back to back in one of the index's slabs; nil
-	// for a version replayed from a file.
+	// for a version replayed from the log.
 	mirror []byte
-	// seg and off locate the version's record in a durable store: the log
-	// segment it lies in (by base; 0 in a heap file) and its frame offset.
+	// seg and off locate the version's record on a durable store's log: the
+	// segment it lies in (by base) and its frame offset.
 	seg uint64
 	off int64
 }
@@ -37,9 +37,6 @@ type versionIndex struct {
 	// dataStart is how far past its frame offset a record's first slot-length
 	// prefix lies (0 for a store without records).
 	dataStart int64
-	// live is the bytes of the records the index references: what a
-	// compaction keeps of a file.
-	live int64
 }
 
 func newVersionIndex(numBuckets int, dataStart int64) versionIndex {
@@ -93,7 +90,6 @@ func (ix *versionIndex) install(bucket int, v version) error {
 // push puts v on top of bucket's stack, retiring a version of the same epoch
 // it replaces.
 func (ix *versionIndex) push(bucket int, v version) {
-	ix.live += ix.recLen(&v)
 	vs := ix.buckets[bucket]
 	n := len(vs)
 	if n > 0 && vs[n-1].epoch == v.epoch {
@@ -107,12 +103,9 @@ func (ix *versionIndex) push(bucket int, v version) {
 	ix.buckets[bucket] = append(vs, v)
 }
 
-// retire drops v from the accounting and hands its slab back. The caller
-// guarantees nothing reads it any more.
-func (ix *versionIndex) retire(v *version) {
-	ix.live -= ix.recLen(v)
-	ix.slabs.put(v.mirror)
-}
+// retire hands v's slab back. The caller guarantees nothing reads it any
+// more.
+func (ix *versionIndex) retire(v *version) { ix.slabs.put(v.mirror) }
 
 // commit advances the committed frontier to epoch and retires every version
 // below the newest one tagged at or under it, visiting only the buckets multi

@@ -127,7 +127,7 @@ func logHeapWorkload(g *DiskGroup, oracles []*sweepOracle) {
 		// mirrors into the oracle at issue (a rotation's seal fsync may
 		// persist it before the barrier); the ack waits for SyncLog.
 		for i := range views {
-			if (logHeapShard{views[i], g.heaps[i]}).CommitEpochNoSync(e) != nil {
+			if (logHeapShard{views[i]}).CommitEpochNoSync(e) != nil {
 				return
 			}
 			oracles[i].mem.CommitEpoch(e)

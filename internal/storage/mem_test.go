@@ -378,7 +378,7 @@ func TestCommitRetiresWhatTheEpochWrote(t *testing.T) {
 	t.Run("disk", func(t *testing.T) {
 		b := openDisk(t, t.TempDir(), numBuckets)
 		defer b.Close()
-		run(t, b, func() int { return len(b.disk.ix.multi) })
+		run(t, b, func() int { return len(b.heap.ix.multi) })
 	})
 }
 

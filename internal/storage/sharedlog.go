@@ -38,7 +38,7 @@ type SharedLog struct {
 
 	mu      sync.Mutex
 	streams []logStream
-	// heapStreams counts bucket-data streams (logheap mode); they occupy
+	// heapStreams counts bucket-data streams, one per LogHeap; they occupy
 	// stream ids len(streams)..len(streams)+heapStreams-1. Heap streams have
 	// no logical sequence mapping — the logheap index addresses records by
 	// physical location, its checkpoint watermark bounds replay, and the
@@ -55,10 +55,10 @@ type logStream struct {
 const sharedLogHdrSize = 4
 
 // newSharedLog builds the multiplexer over walStreams WAL streams of log,
-// plus in a logheap group one bucket-data stream per heap; log must only
-// ever be written through it. Existing physical records are demuxed to
-// rebuild each stream's state — including after a crash, where the log's
-// own open already handled torn tails and damaged segments — and each heap
+// plus one bucket-data stream per heap; log must only ever be written
+// through it. Existing physical records are demuxed to rebuild each
+// stream's state — including after a crash, where the log's own open
+// already handled torn tails and damaged segments — and each heap
 // replays its own records above its checkpoint watermark W (the ones at or
 // below it are already in the loaded checkpoint). The demux scan starts at
 // the lowest sequence any consumer still needs — the WAL truncation point,
@@ -169,14 +169,15 @@ func (v *LogView) appendUnsynced(record []byte) (seq uint64, res logAppendRes, e
 }
 
 // Append writes the record and blocks on a flush wave of the physical log's
-// active segment. The barrier runs outside the lock — that is the whole
+// active segment, and of any older segment still holding deferred appends
+// (barrierPrefix). The barrier runs outside the lock — that is the whole
 // point: every stream's barrier lands on the same file and coalesces.
 func (v *LogView) Append(record []byte) (uint64, error) {
 	seq, res, err := v.appendUnsynced(record)
 	if err != nil {
 		return 0, err
 	}
-	if err := v.shared.log.barrier(res.f, res.ticket); err != nil {
+	if err := v.shared.log.barrierPrefix(res.f, res.ticket); err != nil {
 		return 0, err
 	}
 	return seq, nil
@@ -211,8 +212,8 @@ func (v *LogView) SyncLog() error {
 // Scan returns this stream's records with sequence >= from, in order. It
 // walks the physical log from the stream's first wanted record and copies
 // only its own records: the other streams' records between them — other
-// shards' WAL records, every bucket version in a logheap group — are skipped
-// where they lie.
+// shards' WAL records, every shard's bucket versions — are skipped where
+// they lie.
 func (v *LogView) Scan(from uint64) ([][]byte, error) {
 	s := v.shared
 	s.mu.Lock()

@@ -22,8 +22,8 @@ import (
 // sequences), so a reopen renumbers each stream from its surviving records —
 // sound for the WAL but it would desynchronize the oracle's seq-indexed
 // content check. Truncation crash windows are swept by the one-shard sweep
-// (which checks the log by its physical sequences, stable across a reopen)
-// and exercised logically by the shared-log unit tests.
+// (which knows the physical sequence of each record, stable across a
+// reopen) and exercised logically by the shared-log unit tests.
 
 const sharedSweepShards = 2
 

@@ -233,6 +233,33 @@ func TestSharedLogDeferredBarrier(t *testing.T) {
 	rOwner.Close()
 }
 
+// An Append's ack must cover the deferred appends before it in an older
+// segment: a rotation does not flush the outgoing segment, and an open drops
+// every segment after one whose tail tore, so a flush of the Append's own
+// segment alone would ack a record that a crash then takes with it.
+func TestSharedLogAppendCoversOlderSegments(t *testing.T) {
+	fsys := newCrashFS(nil)
+	owner := openTestLog(t, fsys, "data", diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 128}})
+	defer owner.Close()
+	s, err := newSharedLog(owner, 2, nil)
+	must(t, err)
+	var deferred []string
+	for len(owner.segs) < 2 {
+		rec := fmt.Sprintf("deferred-%02d", len(deferred))
+		if _, err := s.View(1).AppendNoSync([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		deferred = append(deferred, rec)
+	}
+	if _, err := s.View(0).Append([]byte("acked")); err != nil {
+		t.Fatal(err)
+	}
+	rOwner, rs := openSharedOwner(t, fsys.snapshot(), "data", 2)
+	defer rOwner.Close()
+	wantStrings(t, scanStrings(t, rs.View(0), 0), "acked")
+	wantStrings(t, scanStrings(t, rs.View(1), 0), deferred...)
+}
+
 // A torn physical tail (power loss mid-write) must truncate to a prefix of
 // EACH stream: the physical suffix that is lost is a suffix of every stream
 // in append order.

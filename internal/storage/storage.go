@@ -172,8 +172,8 @@ type LogBatcher interface {
 // shards' epoch commits and the round's WAL records all stand on ONE fsync
 // wave. Only stores that can guarantee the commit record is ordered AFTER
 // the WAL's committing checkpoint it depends on (prefix durability in one
-// stream) may implement this — a store with a separate heap file must not,
-// since deferring would let the heap commit become durable first.
+// stream) may implement this — a store whose commit record lay in another
+// file must not, since deferring would let that commit become durable first.
 //
 // Callers probe with a type assertion and fall back to CommitEpoch's
 // inline barrier.

@@ -278,9 +278,17 @@ func mallocsOf(f func()) uint64 {
 // pending-checkpoint handle, and the log store's (amortized) bookkeeping.
 func TestBoundaryAllocBudget(t *testing.T) {
 	const checkpointBudget, batchBudget = 4, 3
-	// The counter is process-wide: keep the collector's own bookkeeping out
-	// of the measured windows.
+	// The counter is process-wide, so nothing but this goroutine may
+	// allocate while a window is open. The collector is off. With one P no
+	// other goroutine runs during a window, and this one never changes P
+	// between windows, so the per-P sync.Pool cache the sealer cuts nonces
+	// from hits as it does in a steady proxy instead of allocating a fresh
+	// buffer on the P it moved to. The Gosched lets what the last collection
+	// woke run to its end first: the runtime's unique-map cleanup allocates
+	// after every cycle, and on a busy host it ran inside the first windows.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.Gosched()
 	h := newFormatHarness(t, 13, Config{FullCheckpointEvery: 1 << 20, PadPosEntries: 2 * formatEpochAccesses, PadStashEntries: 64})
 	h.preload(48)
 	epoch := func(reads, writeSlots int) (batch, checkpoint uint64) {
