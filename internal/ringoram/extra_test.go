@@ -50,6 +50,13 @@ func TestPaperParameters(t *testing.T) {
 	}
 	checkPathInvariant(t, seq.ORAM())
 	checkMetaConsistency(t, seq.ORAM())
+	// At 296 slots a bucket a checkpoint carries two-byte permutation
+	// entries and five-word bitmaps: it must restore to the same client.
+	o := seq.ORAM()
+	restored, err := Restore(cryptoutil.KeyFromSeed([]byte("paper")), o.Params(), image(t, o, true))
+	must(t, err)
+	requireSameClient(t, o, restored)
+	checkMetaConsistency(t, restored)
 }
 
 func TestStashOverflowSurfaces(t *testing.T) {

@@ -100,20 +100,59 @@ func (c *sparseClient) access(plan *AccessPlan, due []int) ([]byte, bool) {
 	return val, found
 }
 
+// slotModel is a bucket's metadata as per-slot flags, the oracle's own copy
+// of it: which key each real position holds and which physical slots are
+// valid.
+type slotModel struct {
+	perm  []int
+	addrs []string
+	valid []bool
+}
+
+// modelOf copies bucket m of o into a slotModel.
+func modelOf(o *ORAM, m *bucketMeta) slotModel {
+	sm := slotModel{perm: slices.Clone(m.perm), addrs: make([]string, len(m.addrs)), valid: make([]bool, len(m.perm))}
+	for r, ki := range m.addrs {
+		if ki >= 0 {
+			sm.addrs[r] = o.keys[ki].name
+		}
+	}
+	for s := range sm.valid {
+		sm.valid[s] = m.valid().has(s)
+	}
+	return sm
+}
+
+// fillers lists, in ascending order, the positions a dummy read may
+// consume: a position is a filler when it holds no block (a dummy, or an
+// empty real position) and its slot is still valid.
+func (sm *slotModel) fillers() []int {
+	var out []int
+	for pos, s := range sm.perm {
+		if pos < len(sm.addrs) && sm.addrs[pos] != "" {
+			continue
+		}
+		if sm.valid[s] {
+			out = append(out, pos)
+		}
+	}
+	return out
+}
+
 // rescanFillers is the eviction read phase's filler loop as it ran before
-// the planner scanned each bucket once: a fresh scan for every pick. It pads
-// m (a copy of a bucket's metadata after its occupied reals were read) to
-// need fillers with draws from rng and returns the physical slots picked.
-func rescanFillers(o *ORAM, m *bucketMeta, rng *rand.Rand, need int) []int {
+// the planner scanned each bucket once: a fresh scan for every pick, a draw
+// from rng indexing the ascending list. It pads sm (a bucket after its
+// occupied reals were read) to need fillers and returns the physical slots
+// picked.
+func rescanFillers(sm *slotModel, rng *rand.Rand, need int) []int {
 	var picked []int
 	for len(picked) < need {
-		fillers := o.fillerPositions(m)
+		fillers := sm.fillers()
 		if len(fillers) == 0 {
 			break
 		}
-		phys := m.perm[fillers[rng.IntN(len(fillers))]]
-		m.valid[phys] = false
-		m.count++
+		phys := sm.perm[fillers[rng.IntN(len(fillers))]]
+		sm.valid[phys] = false
 		picked = append(picked, phys)
 	}
 	return picked
@@ -127,24 +166,17 @@ func predictReads(o *ORAM, buckets []int, src *rand.PCG) []SlotRead {
 	rng := rand.New(src)
 	var want []SlotRead
 	for _, b := range buckets {
-		live := &o.meta[b]
-		m := bucketMeta{
-			perm:  slices.Clone(live.perm),
-			addrs: slices.Clone(live.addrs),
-			valid: slices.Clone(live.valid),
-			count: live.count,
-		}
+		m := modelOf(o, &o.meta[b])
 		start := len(want)
 		for r := 0; r < o.p.Z; r++ {
 			if m.addrs[r] != "" {
 				phys := m.perm[r]
 				m.valid[phys] = false
-				m.count++
 				m.addrs[r] = ""
 				want = append(want, SlotRead{Bucket: b, Slot: phys})
 			}
 		}
-		for _, phys := range rescanFillers(o, &m, rng, o.p.Z-(len(want)-start)) {
+		for _, phys := range rescanFillers(&m, rng, o.p.Z-(len(want)-start)) {
 			want = append(want, SlotRead{Bucket: b, Slot: phys})
 		}
 	}

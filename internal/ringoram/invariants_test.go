@@ -3,6 +3,7 @@ package ringoram
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -37,32 +38,72 @@ func checkPathInvariant(t *testing.T, o *ORAM) {
 		if !onPath {
 			t.Fatalf("key %q (leaf %d) resides in bucket %d, off its path", key, leaf, bucket)
 		}
-		if got := o.meta[bucket].addrs[rpos]; got != key {
-			t.Fatalf("loc index says bucket %d pos %d holds %q, metadata says %q", bucket, rpos, key, got)
+		if got := o.meta[bucket].addrs[rpos]; got != int32(i) {
+			t.Fatalf("loc index says bucket %d pos %d holds %q (index %d), metadata says index %d", bucket, rpos, key, i, got)
+		}
+	}
+}
+
+// checkBucketBits recomputes bucket b's bitsets slot by slot from perm,
+// addrs and validity and fails unless its words equal them: valid has no
+// member past the last slot, occ is exactly the occupied real positions, and
+// filler exactly the positions that hold no block and whose slot is valid.
+func checkBucketBits(t *testing.T, o *ORAM, b int) {
+	t.Helper()
+	m := &o.meta[b]
+	n, z := o.geo.SlotsPer, o.p.Z
+	if len(m.perm) != n || len(m.addrs) != z || len(m.words) != metaWords(n, z) {
+		t.Fatalf("bucket %d: %d slots, %d real positions, %d words", b, len(m.perm), len(m.addrs), len(m.words))
+	}
+	valid := make([]bool, n)
+	wantValid := make(bitset, wordsFor(n))
+	for s := range valid {
+		if valid[s] = m.valid().has(s); valid[s] {
+			wantValid[s/64] |= 1 << (s % 64)
+		}
+	}
+	wantFiller, wantOcc := make(bitset, wordsFor(n)), make(bitset, wordsFor(z))
+	for pos, s := range m.perm {
+		switch occupied := pos < z && m.addrs[pos] >= 0; {
+		case occupied:
+			wantOcc[pos/64] |= 1 << (pos % 64)
+		case valid[s]:
+			wantFiller[pos/64] |= 1 << (pos % 64)
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want bitset
+	}{{"valid", m.valid(), wantValid}, {"occupied", m.occ(), wantOcc}, {"filler", m.filler(), wantFiller}} {
+		if !slices.Equal(c.got, c.want) {
+			t.Fatalf("bucket %d: %s bitset %x, the per-slot rule gives %x (perm %v, addrs %v)", b, c.name, c.got, c.want, m.perm, m.addrs)
 		}
 	}
 }
 
 // checkMetaConsistency verifies structural invariants of the bucket
-// metadata: occupied real slots are valid, and the loc index is exactly the
-// set of occupied addresses.
+// metadata: every bucket's bitsets match the per-slot rule, occupied real
+// slots are valid, and the loc index is exactly the set of occupied
+// addresses.
 func checkMetaConsistency(t *testing.T, o *ORAM) {
 	t.Helper()
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	occupied := 0
 	for b := range o.meta {
+		checkBucketBits(t, o, b)
 		m := &o.meta[b]
-		for r, key := range m.addrs {
-			if key == "" {
+		for r, ki := range m.addrs {
+			if ki < 0 {
 				continue
 			}
 			occupied++
-			if !m.valid[m.perm[r]] {
-				t.Fatalf("bucket %d: occupied real slot for %q is invalid", b, key)
+			k := o.keys[ki]
+			if !m.valid().has(m.perm[r]) {
+				t.Fatalf("bucket %d: occupied real slot for %q is invalid", b, k.name)
 			}
-			if k := o.keys[o.pos[key]]; int(k.bucket) != b || int(k.rpos) != r {
-				t.Fatalf("loc index out of sync for %q", key)
+			if int(k.bucket) != b || int(k.rpos) != r {
+				t.Fatalf("loc index out of sync for %q", k.name)
 			}
 		}
 	}
@@ -79,8 +120,8 @@ func checkMetaConsistency(t *testing.T, o *ORAM) {
 		t.Fatalf("stash list has %d entries, stash map %d", len(o.stashList), len(o.stash))
 	}
 	for i, e := range o.stashList {
-		if e.idx != i || o.stash[e.key] != e {
-			t.Fatalf("stash list entry %d (%q, idx %d) out of sync with the stash map", i, e.key, e.idx)
+		if e.idx != i || o.stash[e.key] != e || o.keys[e.ki].name != e.key {
+			t.Fatalf("stash list entry %d (%q, idx %d, key index %d) out of sync with the stash map or the key table", i, e.key, e.idx, e.ki)
 		}
 		if o.keys[o.pos[e.key]].bucket >= 0 {
 			t.Fatalf("key %q both in stash and tree", e.key)
@@ -88,11 +129,12 @@ func checkMetaConsistency(t *testing.T, o *ORAM) {
 	}
 }
 
-// randomOps drives a Seq with a random workload checked against a map
-// oracle, then verifies all invariants.
-func runRandomWorkload(t *testing.T, seed uint64, numKeys, ops int) {
+// runRandomWorkload drives a Seq with a random workload checked against a
+// map oracle, checking the metadata after every operation and all
+// invariants at the end.
+func runRandomWorkload(t *testing.T, p Params, seed uint64, numKeys, ops int) {
 	t.Helper()
-	p := testParams(numKeys)
+	p.NumBlocks = numKeys
 	p.Seed = seed
 	store := newMapStore()
 	seq, err := NewSeq(store, cryptoutil.KeyFromSeed([]byte("prop")), p)
@@ -127,6 +169,7 @@ func runRandomWorkload(t *testing.T, seed uint64, numKeys, ops int) {
 				t.Fatalf("op %d: %s = %q, want %q", i, k, v, want)
 			}
 		}
+		checkMetaConsistency(t, seq.ORAM())
 	}
 	if store.violation != nil {
 		t.Fatalf("bucket invariant: %v", store.violation)
@@ -140,7 +183,7 @@ func runRandomWorkload(t *testing.T, seed uint64, numKeys, ops int) {
 
 func TestPropertyRandomWorkloads(t *testing.T) {
 	f := func(seed uint64) bool {
-		runRandomWorkload(t, seed|1, 32, 300)
+		runRandomWorkload(t, testParams(0), seed|1, 32, 300)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -152,7 +195,41 @@ func TestPropertyLargerTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	runRandomWorkload(t, 99, 200, 1500)
+	runRandomWorkload(t, testParams(0), 99, 200, 1500)
+}
+
+// TestPropertyWideBuckets runs the workload at Z=25, S=40: 65 slots a
+// bucket, so every bitset but occ spans two words.
+func TestPropertyWideBuckets(t *testing.T) {
+	runRandomWorkload(t, Params{Z: 25, S: 40, A: 25, KeySize: 16, ValueSize: 32}, 7, 300, 1500)
+}
+
+// TestBlindWriteRetiresTreeCopy: a write of a key resident in the tree
+// blanks its position without reading it, and the position becomes a
+// filler — its slot is still valid.
+func TestBlindWriteRetiresTreeCopy(t *testing.T) {
+	seq, _ := newTestSeq(t, testParams(64))
+	o := seq.ORAM()
+	for i := 0; i < 64; i++ {
+		must(t, seq.Write(fmt.Sprintf("k%d", i), []byte("v")))
+	}
+	retired := 0
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("k%d", i)
+		k := o.keys[o.pos[key]]
+		if k.bucket < 0 {
+			continue
+		}
+		must(t, o.PlanWrite(key, []byte("w"), false))
+		if m := &o.meta[k.bucket]; m.occ().has(int(k.rpos)) || !m.filler().has(int(k.rpos)) {
+			t.Fatalf("%s: retired position %d of bucket %d is occupied=%v filler=%v", key, k.rpos, k.bucket, m.occ().has(int(k.rpos)), m.filler().has(int(k.rpos)))
+		}
+		checkMetaConsistency(t, o)
+		retired++
+	}
+	if retired == 0 {
+		t.Fatal("no key was resident in the tree to retire")
+	}
 }
 
 func TestPropertyRemapChangesLeaf(t *testing.T) {

@@ -3,7 +3,9 @@ package ringoram
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,11 +31,112 @@ var (
 
 // bucketMeta is the client-side metadata for one bucket.
 type bucketMeta struct {
-	perm     []int    // perm[pos] = physical slot; pos < Z real, else dummy
-	addrs    []string // addrs[r]: key at real position r ("" = empty)
-	valid    []bool   // indexed by physical slot
-	count    int      // slots consumed since last write
-	writeVer uint64   // bumped on every rewrite; binds slot ciphertexts
+	perm  []int   // perm[pos] = physical slot; pos < Z real, else dummy
+	addrs []int32 // addrs[r]: key-table index of the block at real position r (-1 = empty)
+	// words holds the bucket's three bitsets back to back (see valid, filler
+	// and occ), so a bucket's slot state is one allocation of a few words.
+	words    []uint64
+	count    int    // slots consumed since last write
+	writeVer uint64 // bumped on every rewrite; binds slot ciphertexts
+}
+
+// metaWords is how many words a bucket's bitsets take: ⌈slotsPer/64⌉ each
+// for valid and filler, ⌈z/64⌉ for occ.
+func metaWords(slotsPer, z int) int { return 2*wordsFor(slotsPer) + wordsFor(z) }
+
+func wordsFor(n int) int { return (n + 63) / 64 }
+
+// valid is the set of physical slots not read since the bucket was written.
+func (m *bucketMeta) valid() bitset {
+	n := wordsFor(len(m.perm))
+	return bitset(m.words[:n:n])
+}
+
+// filler is the set of positions a dummy read may consume: dummy positions
+// and unoccupied real positions whose slot is still valid. Every site that
+// consumes, retires or rewrites a slot keeps it current, so a pick is a
+// draw over its members, not a scan of the bucket.
+func (m *bucketMeta) filler() bitset {
+	n := wordsFor(len(m.perm))
+	return bitset(m.words[n : 2*n : 2*n])
+}
+
+// occ is the set of real positions holding a block (addrs[r] >= 0).
+func (m *bucketMeta) occ() bitset { return bitset(m.words[2*wordsFor(len(m.perm)):]) }
+
+// consume invalidates the slot of position pos, which is not occupied, and
+// counts it.
+func (m *bucketMeta) consume(pos int) {
+	m.valid().unset(m.perm[pos])
+	m.filler().unset(pos)
+	m.count++
+}
+
+// rewrite resets the bucket's bitsets to a fresh version holding blocks at
+// real positions 0..placed-1: every slot valid, every other position a
+// filler.
+func (m *bucketMeta) rewrite(placed int) {
+	n := len(m.perm)
+	m.valid().setRange(0, n)
+	m.filler().setRange(placed, n)
+	m.occ().setRange(0, placed)
+}
+
+// derive recomputes occ and filler from addrs, valid and perm: how a bucket
+// decoded from a checkpoint, which records only addrs and valid, gets them.
+func (m *bucketMeta) derive() {
+	valid, filler, occ := m.valid(), m.filler(), m.occ()
+	clear(filler)
+	clear(occ)
+	for pos, s := range m.perm {
+		switch {
+		case pos < len(m.addrs) && m.addrs[pos] >= 0:
+			occ.set(pos)
+		case valid.has(s):
+			filler.set(pos)
+		}
+	}
+}
+
+// bitset is a set of small integers, i in bit i%64 of word i/64. Bits past a
+// set's universe stay clear, so its words are also its checkpoint bitmap's
+// bytes, little-endian (see putBits).
+type bitset []uint64
+
+func (s bitset) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func (s bitset) set(i int)      { s[i>>6] |= 1 << (i & 63) }
+func (s bitset) unset(i int)    { s[i>>6] &^= 1 << (i & 63) }
+
+// len returns the number of members.
+func (s bitset) len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// nth returns the k-th smallest member, counting from 0; k < s.len().
+func (s bitset) nth(k int) int {
+	for i, w := range s {
+		if c := bits.OnesCount64(w); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1
+		}
+		return i<<6 + bits.TrailingZeros64(w)
+	}
+	panic("ringoram: bitset.nth past the last member")
+}
+
+// setRange makes s exactly the members lo..hi-1.
+func (s bitset) setRange(lo, hi int) {
+	for i := range s {
+		l, h := min(max(lo-i<<6, 0), 64), min(max(hi-i<<6, 0), 64)
+		s[i] = ^uint64(0) >> (64 - (h - l)) << l
+	}
 }
 
 // keyEnt is one position-map entry: the leaf a key is mapped to and, while
@@ -45,8 +148,9 @@ type bucketMeta struct {
 //
 // name is the ORAM's own copy of the key, made when the entry is. It is the
 // one string everything long-lived holds for the block — the index map,
-// stash entries, placements, bucket addrs — so a caller's key (a carved wire
-// key pins its whole chunk) is never kept past the call that handed it over.
+// stash entries, placements; bucket addrs hold the entry's index — so a
+// caller's key (a carved wire key pins its whole chunk) is never kept past
+// the call that handed it over.
 type keyEnt struct {
 	name   string
 	leaf   int32
@@ -60,6 +164,7 @@ type keyEnt struct {
 // value to a block that a later-planned eviction has already placed.
 type stashEntry struct {
 	key       string
+	ki        int32 // the key's index in ORAM.keys
 	value     []byte
 	tombstone bool
 	leaf      int
@@ -112,11 +217,10 @@ type ORAM struct {
 	// Hot-path scratch, all guarded by mu (planning and completion are
 	// serialized per ORAM): the codec plaintext buffer for opens and the
 	// Appendix A binding encoder.
-	decPlain  []byte
-	bindBuf   []byte
-	fillerBuf []int
-	pathBuf   []int
-	varena    valArena
+	decPlain []byte
+	bindBuf  []byte
+	pathBuf  []int
+	varena   valArena
 	// vals carves the values CompleteAccess returns: they escape to the
 	// caller, so they are copied once into chunks that are never reused.
 	vals slab.Bytes
@@ -417,7 +521,10 @@ func New(key *cryptoutil.Key, p Params) (*ORAM, error) {
 		return nil, err
 	}
 	for b := range o.meta {
-		o.meta[b] = o.freshMeta()
+		m := &o.meta[b]
+		o.shuffle(m.perm)
+		m.writeVer = 1
+		m.rewrite(0)
 	}
 	return o, nil
 }
@@ -462,6 +569,21 @@ func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
 		meta:        make([]bucketMeta, geo.NumBuckets),
 		bucketDirty: make([]uint8, geo.NumBuckets),
 	}
+	// One slab per metadata array instead of three slices per bucket.
+	n, z, nw := geo.SlotsPer, p.Z, metaWords(geo.SlotsPer, p.Z)
+	perms := make([]int, geo.NumBuckets*n)
+	addrs := make([]int32, geo.NumBuckets*z)
+	for i := range addrs {
+		addrs[i] = -1
+	}
+	words := make([]uint64, geo.NumBuckets*nw)
+	for b := range o.meta {
+		o.meta[b] = bucketMeta{
+			perm:  perms[b*n : (b+1)*n : (b+1)*n],
+			addrs: addrs[b*z : (b+1)*z : (b+1)*z],
+			words: words[b*nw : (b+1)*nw : (b+1)*nw],
+		}
+	}
 	o.decPlain = make([]byte, 0, o.cdc.plainSize())
 	o.varena.slab = p.ValueSize
 	o.bindBuf = make([]byte, 0, cryptoutil.BindingSize)
@@ -481,21 +603,6 @@ func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
 func (o *ORAM) binding(id, epoch uint64) []byte {
 	o.bindBuf = cryptoutil.AppendBinding(o.bindBuf[:0], id, epoch, 0)
 	return o.bindBuf
-}
-
-func (o *ORAM) freshMeta() bucketMeta {
-	n := o.geo.SlotsPer
-	m := bucketMeta{
-		perm:     o.rng.Perm(n),
-		addrs:    make([]string, o.p.Z),
-		valid:    make([]bool, n),
-		count:    0,
-		writeVer: 1,
-	}
-	for i := range m.valid {
-		m.valid[i] = true
-	}
-	return m
 }
 
 // Params returns the validated configuration.
@@ -538,8 +645,9 @@ func (o *ORAM) BlockSlots(b int, dst []int) ([]int, uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	m := &o.meta[b]
+	valid, occ := m.valid(), m.occ()
 	for r := 0; r < o.p.Z; r++ {
-		if phys := m.perm[r]; m.addrs[r] != "" && m.valid[phys] {
+		if phys := m.perm[r]; occ.has(r) && valid.has(phys) {
 			dst = append(dst, phys)
 		} else {
 			dst = append(dst, -1)
@@ -624,8 +732,8 @@ func (o *ORAM) addKey(key string) int32 {
 
 // remap points key at leaf, allocating its position-map entry on first
 // write, and records the change for the next delta checkpoint. It returns
-// the key's entry.
-func (o *ORAM) remap(key string, leaf int) *keyEnt {
+// the key's index in the table.
+func (o *ORAM) remap(key string, leaf int) int32 {
 	i, ok := o.pos[key]
 	if !ok {
 		i = o.addKey(key)
@@ -636,7 +744,7 @@ func (o *ORAM) remap(key string, leaf int) *keyEnt {
 		k.dirty = true
 		o.dirtyKeys = append(o.dirtyKeys, i)
 	}
-	return k
+	return i
 }
 
 // stashAdd inserts e into the stash.
@@ -674,23 +782,19 @@ func (o *ORAM) scratchPath(leaf int) []int {
 	return o.pathBuf
 }
 
-// fillerPositions returns the logical positions usable as dummy reads:
-// dummy positions and unoccupied real positions whose slot is still valid.
-// The returned slice is mu-guarded scratch, valid until the next call — it
-// runs once per filler a path read consumes and once per bucket an eviction
-// reads, so it must not allocate in steady state.
-func (o *ORAM) fillerPositions(m *bucketMeta) []int {
-	out := o.fillerBuf[:0]
-	for pos := 0; pos < o.geo.SlotsPer; pos++ {
-		if pos < o.p.Z && m.addrs[pos] != "" {
-			continue
-		}
-		if m.valid[m.perm[pos]] {
-			out = append(out, pos)
-		}
+// takeFiller draws a filler position of m uniformly — the k-th member of
+// its filler set for the draw k, which is the position the ascending list of
+// fillers held at index k — consumes its slot and returns the slot, or -1
+// (drawing nothing) when m has no filler left.
+func (o *ORAM) takeFiller(m *bucketMeta) int {
+	fillers := m.filler()
+	n := fillers.len()
+	if n == 0 {
+		return -1
 	}
-	o.fillerBuf = out
-	return out
+	pos := fillers.nth(o.rng.IntN(n))
+	m.consume(pos)
+	return m.perm[pos]
 }
 
 // consumeFiller invalidates and returns a filler slot of bucket b, honoring
@@ -698,29 +802,23 @@ func (o *ORAM) fillerPositions(m *bucketMeta) []int {
 func (o *ORAM) consumeFiller(b int, forced int) (int, error) {
 	m := &o.meta[b]
 	if forced >= 0 {
-		if forced >= o.geo.SlotsPer || !m.valid[forced] {
+		if forced >= o.geo.SlotsPer || !m.valid().has(forced) {
 			return 0, fmt.Errorf("%w: bucket %d slot %d not a valid filler", ErrReplay, b, forced)
 		}
-		for pos := 0; pos < o.p.Z; pos++ {
-			if m.perm[pos] == forced && m.addrs[pos] != "" {
-				return 0, fmt.Errorf("%w: bucket %d slot %d holds a real block", ErrReplay, b, forced)
-			}
+		pos := slices.Index(m.perm, forced)
+		if pos < o.p.Z && m.occ().has(pos) {
+			return 0, fmt.Errorf("%w: bucket %d slot %d holds a real block", ErrReplay, b, forced)
 		}
-		m.valid[forced] = false
-		m.count++
+		m.consume(pos)
 		o.markBucket(b, bucketTouched)
 		return forced, nil
 	}
-	fillers := o.fillerPositions(m)
-	if len(fillers) == 0 {
+	phys := o.takeFiller(m)
+	if phys < 0 {
 		// Cannot happen when early reshuffles run on schedule; treated as
 		// an internal invariant violation.
 		return 0, fmt.Errorf("ringoram: bucket %d has no valid filler slot (count=%d)", b, m.count)
 	}
-	pos := fillers[o.rng.IntN(len(fillers))]
-	phys := m.perm[pos]
-	m.valid[phys] = false
-	m.count++
 	o.markBucket(b, bucketTouched)
 	return phys, nil
 }
@@ -826,12 +924,15 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 				if forced >= 0 && forced != phys {
 					return nil, nil, fmt.Errorf("%w: key %q logged slot %d in bucket %d, metadata says %d", ErrReplay, key, forced, b, phys)
 				}
-				if !m.valid[phys] {
+				if !m.valid().has(phys) {
 					return nil, nil, fmt.Errorf("ringoram: occupied real slot invalid (bucket %d pos %d)", b, rpos)
 				}
-				m.valid[phys] = false
+				// An occupied position is no filler, and with its slot read it
+				// does not become one.
+				m.valid().unset(phys)
 				m.count++
-				m.addrs[rpos] = ""
+				m.addrs[rpos] = -1
+				m.occ().unset(rpos)
 				o.markBucket(b, bucketTouched)
 				plan.targetIdx = len(plan.Reads)
 				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer, target: true})
@@ -847,7 +948,7 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 			return nil, nil, fmt.Errorf("ringoram: key %q resides in bucket %d, off its path (leaf %d)", key, bucket, oldLeaf)
 		}
 		o.keys[ki].bucket = -1
-		e := o.newEntry(stashEntry{key: o.keys[ki].name, cacheable: true, pending: true})
+		e := o.newEntry(stashEntry{key: o.keys[ki].name, ki: ki, cacheable: true, pending: true})
 		o.stashAdd(e)
 		plan.targetEntry = e
 		e.leaf = o.randLeaf()
@@ -917,7 +1018,8 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) error {
 		}
 	}
 	newLeaf := o.randLeaf()
-	k := o.remap(key, newLeaf)
+	ki := o.remap(key, newLeaf)
+	k := &o.keys[ki]
 	if e, ok := o.stash[key]; ok {
 		o.setEntryVal(e, value)
 		e.tombstone = tombstone
@@ -927,13 +1029,16 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) error {
 	} else {
 		if k.bucket >= 0 {
 			// Logically remove the stale tree copy without reading it: the
-			// slot keeps its (now meaningless) ciphertext and remains valid
-			// filler.
-			o.meta[k.bucket].addrs[k.rpos] = ""
+			// slot keeps its (now meaningless) ciphertext and becomes valid
+			// filler (an occupied slot is always valid).
+			m := &o.meta[k.bucket]
+			m.addrs[k.rpos] = -1
+			m.occ().unset(int(k.rpos))
+			m.filler().set(int(k.rpos))
 			o.markBucket(int(k.bucket), bucketTouched)
 			k.bucket = -1
 		}
-		e := o.newEntry(stashEntry{key: k.name, tombstone: tombstone, leaf: newLeaf, cacheable: true})
+		e := o.newEntry(stashEntry{key: k.name, ki: ki, tombstone: tombstone, leaf: newLeaf, cacheable: true})
 		o.setEntryVal(e, value)
 		o.stashAdd(e)
 	}
@@ -1074,16 +1179,6 @@ func (o *ORAM) ReplayReshuffle(bucket int, slots []int) (*EvictPlan, error) {
 	return o.planEvictionLocked([]int{bucket}, false, [][]int{slots})
 }
 
-// bucketLevel returns the depth of a heap bucket index.
-func bucketLevel(b int) int {
-	lvl := 0
-	for b > 0 {
-		b = (b - 1) / 2
-		lvl++
-	}
-	return lvl
-}
-
 // shuffle fills perm with a fresh uniform permutation of 0..len(perm)-1 in
 // place, drawing from the ORAM's generator exactly as rand.Perm does, so a
 // seeded run keeps its stream.
@@ -1124,37 +1219,32 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 		if forced != nil {
 			forcedUsed = make(map[int]bool, len(forced))
 		}
-		// Occupied reals first.
-		for r := 0; r < o.p.Z; r++ {
-			key := m.addrs[r]
-			if key == "" {
-				continue
-			}
-			phys := m.perm[r]
-			if !m.valid[phys] {
-				return nil, fmt.Errorf("ringoram: occupied real slot invalid (bucket %d pos %d)", b, r)
-			}
-			if forced != nil {
-				ok := false
-				for _, s := range forced {
-					if s == phys {
-						ok = true
-						break
+		// Occupied reals first, in position order.
+		valid, occ := m.valid(), m.occ()
+		for i, w := range occ {
+			for ; w != 0; w &= w - 1 {
+				r := i<<6 + bits.TrailingZeros64(w)
+				phys := m.perm[r]
+				if !valid.has(phys) {
+					return nil, fmt.Errorf("ringoram: occupied real slot invalid (bucket %d pos %d)", b, r)
+				}
+				if forced != nil {
+					if !slices.Contains(forced, phys) {
+						return nil, fmt.Errorf("%w: logged eviction misses real slot %d of bucket %d", ErrReplay, phys, b)
 					}
+					forcedUsed[phys] = true
 				}
-				if !ok {
-					return nil, fmt.Errorf("%w: logged eviction misses real slot %d of bucket %d", ErrReplay, phys, b)
-				}
-				forcedUsed[phys] = true
+				valid.unset(phys)
+				m.count++
+				ki := m.addrs[r]
+				m.addrs[r] = -1
+				occ.unset(r)
+				k := &o.keys[ki]
+				k.bucket = -1
+				e := o.newEntry(stashEntry{key: k.name, ki: ki, leaf: int(k.leaf), pending: true})
+				o.stashAdd(e)
+				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer, entry: e})
 			}
-			m.valid[phys] = false
-			m.count++
-			m.addrs[r] = ""
-			k := &o.keys[o.pos[key]]
-			k.bucket = -1
-			e := o.newEntry(stashEntry{key: key, leaf: int(k.leaf), pending: true})
-			o.stashAdd(e)
-			plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer, entry: e})
 		}
 		// Pad with fillers.
 		if forced != nil {
@@ -1169,18 +1259,12 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer})
 			}
 		} else {
-			// One scan per bucket: consuming a filler invalidates its slot
-			// and no other, so dropping each pick from the list in order
-			// leaves exactly the list a rescan would build, and the draws
-			// pick the same slots. A bucket may run out (a short read phase;
-			// harmless and rare).
-			fillers := o.fillerPositions(m)
-			for len(plan.Reads)-start < o.p.Z && len(fillers) > 0 {
-				j := o.rng.IntN(len(fillers))
-				phys := m.perm[fillers[j]]
-				fillers = append(fillers[:j], fillers[j+1:]...)
-				m.valid[phys] = false
-				m.count++
+			// A bucket may run out (a short read phase; harmless and rare).
+			for len(plan.Reads)-start < o.p.Z {
+				phys := o.takeFiller(m)
+				if phys < 0 {
+					break
+				}
 				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer})
 			}
 		}
@@ -1216,19 +1300,17 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 		}
 		m := &o.meta[b]
 		o.shuffle(m.perm)
-		for i := range m.valid {
-			m.valid[i] = true
-		}
-		for r := range m.addrs {
-			m.addrs[r] = ""
-		}
 		m.count = 0
 		m.writeVer++
+		for r := range m.addrs {
+			m.addrs[r] = -1
+		}
 		for r, pl := range pb.placed {
-			m.addrs[r] = pl.key
-			k := &o.keys[o.pos[pl.key]]
+			m.addrs[r] = pl.entry.ki
+			k := &o.keys[pl.entry.ki]
 			k.bucket, k.rpos = int32(b), int32(r)
 		}
+		m.rewrite(len(pb.placed))
 		pb.ver = m.writeVer
 		// A later plan may rewrite this bucket (and m.perm, in place) before
 		// this one completes: the plan keeps its own copy.

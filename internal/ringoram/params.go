@@ -118,15 +118,11 @@ func (p Params) Geometry() Geometry {
 func (g Geometry) leafBucket(leaf int) int { return g.Leaves - 1 + leaf }
 
 // pathBucket returns the heap index of the bucket at the given level
-// (0 = root) on the path from the root to leaf.
+// (0 = root) on the path from the root to leaf: in 1-based heap numbering
+// the leaf bucket is Leaves+leaf and its ancestor at level is that number
+// shifted right by Levels-level.
 func (g Geometry) pathBucket(leaf, level int) int {
-	// The bucket at `level` is the ancestor of the leaf bucket obtained by
-	// walking up (Levels - level) times.
-	b := g.leafBucket(leaf)
-	for i := g.Levels; i > level; i-- {
-		b = (b - 1) / 2
-	}
-	return b
+	return (g.Leaves+leaf)>>(g.Levels-level) - 1
 }
 
 // path returns all bucket indices from root to leaf, root first.
@@ -141,6 +137,9 @@ func (g Geometry) appendPath(dst []int, leaf int) []int {
 	}
 	return dst
 }
+
+// bucketLevel returns the depth of a heap bucket index.
+func bucketLevel(b int) int { return bits.Len(uint(b+1)) - 1 }
 
 // evictLeaf returns the g-th eviction target leaf in Ring ORAM's
 // deterministic reverse-lexicographic order: the bit-reversal of the

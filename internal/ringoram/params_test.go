@@ -1,6 +1,9 @@
 package ringoram
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestValidateDefaults(t *testing.T) {
 	p := Params{NumBlocks: 100, Z: 4, S: 6, A: 4}
@@ -124,6 +127,59 @@ func TestBucketLevel(t *testing.T) {
 	for b, want := range cases {
 		if got := bucketLevel(b); got != want {
 			t.Fatalf("bucketLevel(%d) = %d, want %d", b, got, want)
+		}
+	}
+}
+
+// pathBucketLoop, appendPathLoop and bucketLevelLoop are the path helpers as
+// loops, one tree level a step: the reference the closed forms must equal.
+func pathBucketLoop(g Geometry, leaf, level int) int {
+	b := g.leafBucket(leaf)
+	for i := g.Levels; i > level; i-- {
+		b = (b - 1) / 2
+	}
+	return b
+}
+
+func appendPathLoop(g Geometry, dst []int, leaf int) []int {
+	for lvl := 0; lvl <= g.Levels; lvl++ {
+		dst = append(dst, pathBucketLoop(g, leaf, lvl))
+	}
+	return dst
+}
+
+func bucketLevelLoop(b int) int {
+	lvl := 0
+	for b > 0 {
+		b = (b - 1) / 2
+		lvl++
+	}
+	return lvl
+}
+
+// TestPathHelpersMatchLoops checks pathBucket, appendPath and bucketLevel
+// against their loop forms for every leaf and level of trees of 1 to 12
+// levels, and bucketLevel for every bucket of them.
+func TestPathHelpersMatchLoops(t *testing.T) {
+	for levels := 1; levels <= 12; levels++ {
+		g := Params{NumBlocks: 4 << levels, Z: 4, S: 4, A: 4}.Geometry()
+		if g.Levels != levels {
+			t.Fatalf("NumBlocks %d gives %d levels, want %d", 4<<levels, g.Levels, levels)
+		}
+		for leaf := 0; leaf < g.Leaves; leaf++ {
+			for lvl := 0; lvl <= g.Levels; lvl++ {
+				if got, want := g.pathBucket(leaf, lvl), pathBucketLoop(g, leaf, lvl); got != want {
+					t.Fatalf("%d levels: pathBucket(%d, %d) = %d, the loop gives %d", levels, leaf, lvl, got, want)
+				}
+			}
+			if got, want := g.appendPath([]int{-1}, leaf), appendPathLoop(g, []int{-1}, leaf); !slices.Equal(got, want) {
+				t.Fatalf("%d levels: appendPath(%d) = %v, the loop gives %v", levels, leaf, got, want)
+			}
+		}
+		for b := 0; b < g.NumBuckets; b++ {
+			if got, want := bucketLevel(b), bucketLevelLoop(b); got != want {
+				t.Fatalf("bucketLevel(%d) = %d, the loop gives %d", b, got, want)
+			}
 		}
 	}
 }

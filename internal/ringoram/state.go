@@ -158,8 +158,35 @@ func (l imageLayout) putKey(b []byte, key string) []byte {
 	return b[l.keyField():]
 }
 
-// setBit sets bit i of the zeroed bitmap b (bit i%8 of byte i/8).
-func setBit(b []byte, i int) { b[i/8] |= 1 << (i % 8) }
+// putBits writes the bitmap of s into b, bit i in bit i%8 of byte i/8: the
+// set's words little-endian, cut to len(b) bytes (the bits past the set's
+// universe are clear, so the cut drops only zeros).
+func putBits(b []byte, s bitset) {
+	for _, w := range s {
+		if len(b) >= 8 {
+			binary.LittleEndian.PutUint64(b, w)
+			b = b[8:]
+			continue
+		}
+		for ; len(b) > 0; w >>= 8 {
+			b[0] = byte(w)
+			b = b[1:]
+		}
+	}
+}
+
+// readBits is putBits reversed for a set of n members at most: bits of b
+// past n are ignored.
+func readBits(s bitset, b []byte, n int) {
+	for i := range s {
+		var w [8]byte
+		b = b[copy(w[:], b):]
+		s[i] = binary.LittleEndian.Uint64(w[:])
+	}
+	if r := n & 63; r != 0 {
+		s[len(s)-1] &= 1<<r - 1
+	}
+}
 
 // EncodeCheckpoint writes a full or delta image of the current metadata into
 // one freshly allocated buffer, with head bytes reserved in front of the
@@ -233,11 +260,7 @@ func (o *ORAM) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([
 			}
 			m := &o.meta[id]
 			b = putBucketState(l, b, int(id), m)
-			for r, key := range m.addrs {
-				if key != "" {
-					setBit(b, r)
-				}
-			}
+			putBits(b[:l.occBytes], m.occ())
 			b = b[l.occBytes:]
 		}
 		for _, id := range o.dirtyBuckets {
@@ -274,11 +297,7 @@ func (o *ORAM) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([
 func putBucketState(l imageLayout, b []byte, id int, m *bucketMeta) []byte {
 	binary.BigEndian.PutUint32(b, uint32(id))
 	binary.BigEndian.PutUint16(b[4:], uint16(m.count))
-	for s, ok := range m.valid {
-		if ok {
-			setBit(b[6:], s)
-		}
-	}
+	putBits(b[6:6+l.validBytes], m.valid())
 	return b[6+l.validBytes:]
 }
 
@@ -287,17 +306,23 @@ func (o *ORAM) putRewritten(l imageLayout, b []byte, id int, full bool) []byte {
 	b = putBucketState(l, b, id, m)
 	binary.BigEndian.PutUint64(b, m.writeVer)
 	b = b[8:]
-	for _, s := range m.perm {
-		if l.permWidth == 1 {
-			b[0] = uint8(s)
-		} else {
-			binary.BigEndian.PutUint16(b, uint16(s))
+	if l.permWidth == 1 {
+		for i, s := range m.perm {
+			b[i] = uint8(s)
 		}
-		b = b[l.permWidth:]
+	} else {
+		for i, s := range m.perm {
+			binary.BigEndian.PutUint16(b[2*i:], uint16(s))
+		}
 	}
+	b = b[len(m.perm)*l.permWidth:]
 	if !full {
-		for _, key := range m.addrs {
-			b = l.putKey(b, key)
+		for _, ki := range m.addrs {
+			if ki < 0 {
+				b = b[l.keyField():] // empty: zeros
+				continue
+			}
+			b = l.putKey(b, o.keys[ki].name)
 		}
 	}
 	return b
@@ -373,18 +398,7 @@ func Restore(key *cryptoutil.Key, p Params, full []byte, deltas ...[]byte) (*ORA
 	if err != nil {
 		return nil, err
 	}
-	// One slab per metadata array instead of three slices per bucket.
 	l := o.imageLayout()
-	perms := make([]int, l.numBuckets*l.slotsPer)
-	addrs := make([]string, l.numBuckets*l.z)
-	valid := make([]bool, l.numBuckets*l.slotsPer)
-	for b := range o.meta {
-		o.meta[b] = bucketMeta{
-			perm:  perms[b*l.slotsPer : (b+1)*l.slotsPer : (b+1)*l.slotsPer],
-			addrs: addrs[b*l.z : (b+1)*l.z : (b+1)*l.z],
-			valid: valid[b*l.slotsPer : (b+1)*l.slotsPer : (b+1)*l.slotsPer],
-		}
-	}
 	if err := o.applyImage(l, full, true); err != nil {
 		return nil, err
 	}
@@ -394,22 +408,20 @@ func Restore(key *cryptoutil.Key, p Params, full []byte, deltas ...[]byte) (*ORA
 		}
 	}
 	// Rebuild the location index from bucket metadata: a block is resident
-	// in at most one place, never both resident and stashed.
+	// in at most one place, never both resident and stashed. The images
+	// record addrs and valid; occ and filler follow from them.
 	for b := range o.meta {
-		for r, key := range o.meta[b].addrs {
-			if key == "" {
+		o.meta[b].derive()
+		for r, ki := range o.meta[b].addrs {
+			if ki < 0 {
 				continue
 			}
-			if _, inStash := o.stash[key]; inStash {
-				return nil, fmt.Errorf("ringoram: checkpoint places %q both in stash and bucket %d", key, b)
-			}
-			ki, known := o.pos[key]
-			if !known {
-				return nil, fmt.Errorf("ringoram: checkpoint places %q in bucket %d without a position-map entry", key, b)
-			}
 			k := &o.keys[ki]
+			if _, inStash := o.stash[k.name]; inStash {
+				return nil, fmt.Errorf("ringoram: checkpoint places %q both in stash and bucket %d", k.name, b)
+			}
 			if k.bucket >= 0 {
-				return nil, fmt.Errorf("ringoram: checkpoint places %q in buckets %d and %d", key, k.bucket, b)
+				return nil, fmt.Errorf("ringoram: checkpoint places %q in buckets %d and %d", k.name, k.bucket, b)
 			}
 			k.bucket, k.rpos = int32(b), int32(r)
 		}
@@ -483,10 +495,10 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 			if bucket >= l.numBuckets || pos >= l.z {
 				return fmt.Errorf("ringoram: checkpoint places %q at bucket %d position %d, out of range", key, bucket, pos)
 			}
-			if prev := o.meta[bucket].addrs[pos]; prev != "" {
-				return fmt.Errorf("ringoram: checkpoint places %q and %q at bucket %d position %d", prev, key, bucket, pos)
+			if prev := o.meta[bucket].addrs[pos]; prev >= 0 {
+				return fmt.Errorf("ringoram: checkpoint places %q and %q at bucket %d position %d", o.keys[prev].name, key, bucket, pos)
 			}
-			o.meta[bucket].addrs[pos] = o.keys[ki].name
+			o.meta[bucket].addrs[pos] = ki
 		}
 	}
 
@@ -499,8 +511,8 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		for pos := range m.addrs {
 			switch occupied := bit(occ, pos); {
 			case !occupied:
-				m.addrs[pos] = ""
-			case m.addrs[pos] == "":
+				m.addrs[pos] = -1
+			case m.addrs[pos] < 0:
 				return fmt.Errorf("ringoram: delta image marks empty position %d of bucket %d occupied", pos, id)
 			}
 		}
@@ -533,7 +545,7 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 				if err != nil {
 					return err
 				}
-				if m.addrs[pos], err = o.tableName(key); err != nil {
+				if m.addrs[pos], err = o.tableIndex(key); err != nil {
 					return err
 				}
 			}
@@ -572,6 +584,7 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		}
 		o.stashAdd(&stashEntry{
 			key:       o.keys[ki].name,
+			ki:        ki,
 			value:     append([]byte(nil), value...),
 			tombstone: flags&stashFlagTombstone != 0,
 			leaf:      leaf,
@@ -587,31 +600,30 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 	return nil
 }
 
-// tableName returns the key table's own copy of a key an image places in the
-// tree ("" stays ""); a placed key the table lacks is a corrupt image.
-func (o *ORAM) tableName(key string) (string, error) {
+// tableIndex returns the key-table index of a key an image places in the
+// tree (-1 for "", an empty position); a placed key the table lacks is a
+// corrupt image.
+func (o *ORAM) tableIndex(key string) (int32, error) {
 	if key == "" {
-		return "", nil
+		return -1, nil
 	}
 	ki, known := o.pos[key]
 	if !known {
-		return "", fmt.Errorf("ringoram: checkpoint places %q, which has no position-map entry", key)
+		return 0, fmt.Errorf("ringoram: checkpoint places %q, which has no position-map entry", key)
 	}
-	return o.keys[ki].name, nil
+	return ki, nil
 }
 
 // readBucketState decodes the common head of a bucket entry into the bucket
 // it names and returns that bucket.
 func (o *ORAM) readBucketState(l imageLayout, c *cursor) (int, *bucketMeta, error) {
 	id, count := c.u32(), c.u16()
-	bits := c.take(l.validBytes)
+	valid := c.take(l.validBytes)
 	if id >= l.numBuckets {
 		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d out of range", id)
 	}
 	m := &o.meta[id]
 	m.count = count
-	for s := range m.valid {
-		m.valid[s] = bit(bits, s)
-	}
+	readBits(m.valid(), valid, l.slotsPer)
 	return id, m, nil
 }

@@ -2,9 +2,11 @@ package ringoram
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -100,7 +102,7 @@ func requireSameClient(t *testing.T, want, got *ORAM) {
 	}
 	for b := range want.meta {
 		w, g := &want.meta[b], &got.meta[b]
-		if !reflect.DeepEqual(w.perm, g.perm) || !reflect.DeepEqual(w.addrs, g.addrs) || !reflect.DeepEqual(w.valid, g.valid) ||
+		if !reflect.DeepEqual(w.perm, g.perm) || !reflect.DeepEqual(w.addrs, g.addrs) || !reflect.DeepEqual(w.words, g.words) ||
 			w.count != g.count || w.writeVer != g.writeVer {
 			t.Fatalf("bucket %d diverges:\nwant %+v\ngot  %+v", b, *w, *g)
 		}
@@ -447,24 +449,120 @@ func TestShuffleMatchesRandPerm(t *testing.T) {
 	}
 }
 
-// TestCheckpointImageDeterministic: the same seed and operations produce the
-// same image bytes — nothing in an image follows map iteration order.
-func TestCheckpointImageDeterministic(t *testing.T) {
-	run := func() (full, delta []byte) {
-		seq, _, _ := buildWorkload(t, 33)
-		full = image(t, seq.ORAM(), true)
-		seq.ORAM().ClearDirty()
-		for i := 0; i < 40; i++ {
-			must(t, seq.Write(fmt.Sprintf("k%d", i%25), []byte("again")))
+// checkpointRun drives a seeded client through a fixed workload and returns
+// a full image and the delta image of a second round of writes after it.
+func checkpointRun(t *testing.T, p Params) (full, delta []byte) {
+	t.Helper()
+	seq, err := NewSeq(newMapStore(), stateKey, p)
+	must(t, err)
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("k%d", i%20)
+		must(t, seq.Write(k, []byte(fmt.Sprintf("v%d", i))))
+		if i%3 == 0 {
+			if _, _, err := seq.Read(k); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return full, image(t, seq.ORAM(), false)
 	}
-	f1, d1 := run()
-	f2, d2 := run()
-	if !bytes.Equal(f1, f2) {
-		t.Fatal("two identical seeded runs produced different full images")
+	full = image(t, seq.ORAM(), true)
+	seq.ORAM().ClearDirty()
+	for i := 0; i < 40; i++ {
+		must(t, seq.Write(fmt.Sprintf("k%d", i%25), []byte("again")))
 	}
-	if !bytes.Equal(d1, d2) {
-		t.Fatal("two identical seeded runs produced different delta images")
+	return full, image(t, seq.ORAM(), false)
+}
+
+// TestCheckpointImageDeterministic: the same seed and operations produce the
+// same image bytes — nothing in an image follows map iteration order — and
+// those bytes are pinned: the sha256 digests below were taken from the
+// per-slot bitmap encoder, so a word-level encoder that drifts from its
+// bit order fails here. The wide case (Z=25, S=40: 65 slots, two words a
+// bucket) covers a bitmap that spans words.
+func TestCheckpointImageDeterministic(t *testing.T) {
+	narrow := testParams(64)
+	narrow.Seed = 33
+	wide := Params{NumBlocks: 200, Z: 25, S: 40, A: 25, KeySize: 16, ValueSize: 32, Seed: 33}
+	for _, c := range []struct {
+		name              string
+		p                 Params
+		wantFull, wantDel string
+	}{
+		{"Z=4,S=6", narrow,
+			"e02b8a02cec327a7bab54b77243268ac430722ce017cd9146198aad95dc197df",
+			"2932643b26305f801635efc1b14e99e6c3a8f97ac99ee4f4f2184d4fbe8026ca"},
+		{"Z=25,S=40", wide,
+			"31f6c3eb4623734c1c5f76104d0e9dea3277989ad1d49dc210b6a606ce574cb1",
+			"eadc747d727874626ca4aecbe09c562caf089aed3e3df002379a38f9b8f52d6d"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f1, d1 := checkpointRun(t, c.p)
+			f2, d2 := checkpointRun(t, c.p)
+			if !bytes.Equal(f1, f2) {
+				t.Fatal("two identical seeded runs produced different full images")
+			}
+			if !bytes.Equal(d1, d2) {
+				t.Fatal("two identical seeded runs produced different delta images")
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(f1)); got != c.wantFull {
+				t.Errorf("full image sha256 %s, pinned %s", got, c.wantFull)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(d1)); got != c.wantDel {
+				t.Errorf("delta image sha256 %s, pinned %s", got, c.wantDel)
+			}
+		})
+	}
+}
+
+// TestBitsetWordsMatchPerBit checks the word-level bitset operations against
+// bit-at-a-time references for universes of 1 to 130 members: putBits
+// writes the bytes setting bit i%8 of byte i/8 for each member writes,
+// readBits inverts it and drops whatever lies past the universe, nth is the
+// ascending member list's k-th entry, and setRange holds exactly its range.
+func TestBitsetWordsMatchPerBit(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for n := 1; n <= 130; n++ {
+		for round := 0; round < 20; round++ {
+			s := make(bitset, wordsFor(n))
+			var members []int
+			for i := 0; i < n; i++ {
+				if rng.IntN(3) == 0 {
+					s.set(i)
+					members = append(members, i)
+				}
+			}
+			want := make([]byte, (n+7)/8)
+			for _, i := range members {
+				want[i/8] |= 1 << (i % 8)
+			}
+			got := make([]byte, len(want))
+			putBits(got, s)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d members %v: putBits wrote %x, per bit %x", n, members, got, want)
+			}
+			if n%8 != 0 {
+				got[len(got)-1] |= 0xFF << (n % 8) // bits past the universe
+			}
+			back := make(bitset, len(s))
+			readBits(back, got, n)
+			if !slices.Equal(back, s) {
+				t.Fatalf("n=%d: readBits gave %x, want %x", n, back, s)
+			}
+			if s.len() != len(members) {
+				t.Fatalf("n=%d: len %d, %d members", n, s.len(), len(members))
+			}
+			for k, m := range members {
+				if got := s.nth(k); got != m {
+					t.Fatalf("n=%d members %v: nth(%d) = %d, want %d", n, members, k, got, m)
+				}
+			}
+			lo := rng.IntN(n + 1)
+			hi := lo + rng.IntN(n+1-lo)
+			s.setRange(lo, hi)
+			for i := 0; i < len(s)*64; i++ {
+				if s.has(i) != (i >= lo && i < hi) {
+					t.Fatalf("n=%d: setRange(%d, %d) has(%d) = %v", n, lo, hi, i, s.has(i))
+				}
+			}
+		}
 	}
 }
