@@ -114,9 +114,6 @@ func (p Params) Geometry() Geometry {
 	}
 }
 
-// leafBucket maps a leaf index [0, Leaves) to its heap bucket index.
-func (g Geometry) leafBucket(leaf int) int { return g.Leaves - 1 + leaf }
-
 // pathBucket returns the heap index of the bucket at the given level
 // (0 = root) on the path from the root to leaf: in 1-based heap numbering
 // the leaf bucket is Leaves+leaf and its ancestor at level is that number

@@ -131,6 +131,9 @@ func TestBucketLevel(t *testing.T) {
 	}
 }
 
+// leafBucket maps a leaf index [0, Leaves) to its heap bucket index.
+func (g Geometry) leafBucket(leaf int) int { return g.Leaves - 1 + leaf }
+
 // pathBucketLoop, appendPathLoop and bucketLevelLoop are the path helpers as
 // loops, one tree level a step: the reference the closed forms must equal.
 func pathBucketLoop(g Geometry, leaf, level int) int {
