@@ -540,8 +540,8 @@ func conformKV(t *testing.T, b Backend) {
 // ---- group-commit conformance ----
 
 // RunGroupCommitConformance exercises the Backend contract edges that only
-// appear when several shards share one durability scheduler (a CommitGroup
-// over one data dir). The factory must return n open, empty backends, whose
+// appear when several shards' barriers may coalesce (a disk group's shards
+// on its one log). The factory must return n open, empty backends, whose
 // durability barriers may coalesce, and register cleanup on t. The contract
 // under test: coalescing is invisible —
 // concurrent CommitEpoch calls from every shard succeed and each shard still

@@ -142,16 +142,14 @@ func TestBackendConformanceGroupDisk(t *testing.T) {
 
 // The same contract must hold for the composition the private-dir group
 // crash sweep leans on: one-shard groups in directories of their own, each
-// opened with one worker, sharing one CommitGroup the caller made. The
-// scheduler has no window, so every barrier races the flusher.
+// opened with one worker, each with its own log's frontier. A barrier has
+// no window, so every barrier races the wave in flight.
 func TestBackendConformanceGroupDiskZeroWindow(t *testing.T) {
 	RunGroupCommitConformance(t, 3, func(t *testing.T, n int) []Backend {
-		cg := NewCommitGroup()
-		t.Cleanup(func() { cg.Close() })
 		dir := t.TempDir()
 		out := make([]Backend, n)
 		for i := range out {
-			g, err := openDiskGroupOpts(osFS{}, filepath.Join(dir, fmt.Sprintf("shard-%d", i)), 1, ConformanceMinBuckets, diskOpts{group: cg, workers: 1})
+			g, err := openDiskGroupOpts(osFS{}, filepath.Join(dir, fmt.Sprintf("shard-%d", i)), 1, ConformanceMinBuckets, diskOpts{workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,9 +54,6 @@ type DiskOptions struct {
 // deterministic, driving Checkpoint and EvacuateSegment explicitly instead.
 type diskOpts struct {
 	DiskOptions
-	// group is the shared fsync scheduler every barrier goes through (a
-	// group open makes its own when none is given).
-	group        *CommitGroup
 	workers      int
 	autoMaintain bool
 }

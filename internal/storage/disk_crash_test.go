@@ -328,9 +328,23 @@ const sweepSegMaxBytes = 128
 // work, tiny segments.
 var sweepOpts = diskOpts{workers: 1, DiskOptions: DiskOptions{SegMaxBytes: sweepSegMaxBytes}}
 
-// openSweepStore opens the one-shard group a sweep drives in dir.
+// openSweepStore opens the one-shard group a sweep drives in dir, its
+// durability calls checked by a barrier oracle.
 func openSweepStore(fsys vfs, dir string, opts diskOpts) (*diskStore, error) {
-	return openDiskStore(fsys, dir, 5, opts)
+	b, err := openDiskStore(fsys, dir, 5, opts)
+	if err == nil {
+		b.o = newBarrierOracle(fsys)
+	}
+	return b, err
+}
+
+// mustHoldBarriers fails the test if the oracle saw a durability call
+// return before its records were durable.
+func mustHoldBarriers(t *testing.T, o *barrierOracle, tag string) {
+	t.Helper()
+	if err := o.violation(); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
 }
 
 // diskLies reports whether the store's disk has begun to lie about fsync. A
@@ -597,6 +611,7 @@ func countWorkloadOps(t *testing.T) int {
 	o := newSweepOracle(5)
 	crashWorkload(b, o, "")
 	b.Close()
+	mustHoldBarriers(t, b.o, "fault-free")
 	if o.lastCommit != 6 {
 		t.Fatalf("fault-free workload committed through epoch %d, want 6", o.lastCommit)
 	}
@@ -634,6 +649,7 @@ func TestCrashPointSweep(t *testing.T) {
 				if err == nil {
 					crashWorkload(b, o, "")
 					b.Close()
+					mustHoldBarriers(t, b.o, fmt.Sprintf("crash point %d", k))
 				} else if !errors.Is(err, errInjectedCrash) {
 					t.Fatalf("crash point %d: open failed oddly: %v", k, err)
 				}
@@ -651,32 +667,28 @@ const groupSweepShards = 3
 func groupShardDir(i int) string { return fmt.Sprintf("data/shard-%d", i) }
 
 // runGroupCrashWorkload opens groupSweepShards one-shard groups in private
-// directories of one crashFS, all routed through one CommitGroup, and drives
-// the standard workload on every shard CONCURRENTLY — commits and log
-// appends race into shared flush waves. Each shard mirrors its acked ops into its own oracle. A crash
+// directories of one crashFS, each with its own log's frontier, and drives
+// the standard workload on every shard CONCURRENTLY — the groups' waves
+// race on the one filesystem. Each shard mirrors its acked ops into its own
+// oracle. A crash
 // during a shard's open leaves that shard's oracle empty (epoch 0), which is
 // exactly what its directory must recover to.
 //
 // Determinism: the sweep indexes crash points by a global op counter, so the
 // total must not depend on goroutine interleaving. It doesn't: each shard's
-// own op sequence is fixed, shards share no files, and a group barrier
-// always costs exactly one fsync of its own file — sequential barriers from
-// one shard can never share a wave (Barrier blocks until its wave lands),
-// and cross-shard wave-mates sync different files — so coalescing changes
-// *when* fsyncs happen, never how many. The three swept windows per barrier
-// — record appended unsynced, pre-fsync, post-fsync-pre-ack — fall at
-// consecutive global indices whatever the interleaving.
+// own op sequence is fixed, shards share no files, and each shard drives
+// its own log serially, so its waves never coalesce with anything —
+// interleaving changes *when* fsyncs happen, never how many. The three
+// swept windows per barrier — record appended unsynced, pre-fsync,
+// post-fsync-pre-ack — fall at consecutive global indices whatever the
+// interleaving.
 func runGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 	t.Helper()
-	cg := NewCommitGroup()
-	defer cg.Close()
 	oracles := make([]*sweepOracle, groupSweepShards)
 	backends := make([]*diskStore, groupSweepShards)
-	opts := sweepOpts
-	opts.group = cg
 	for i := range oracles {
 		oracles[i] = newSweepOracle(5)
-		b, err := openSweepStore(fsys, groupShardDir(i), opts)
+		b, err := openSweepStore(fsys, groupShardDir(i), sweepOpts)
 		if err != nil {
 			if !errors.Is(err, errInjectedCrash) {
 				t.Fatalf("group shard %d open failed oddly: %v", i, err)
@@ -697,9 +709,10 @@ func runGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 		}(i, b)
 	}
 	wg.Wait()
-	for _, b := range backends {
+	for i, b := range backends {
 		if b != nil {
 			b.Close()
+			mustHoldBarriers(t, b.o, fmt.Sprintf("shard %d", i))
 		}
 	}
 	return oracles

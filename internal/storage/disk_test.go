@@ -12,9 +12,10 @@ import (
 )
 
 // diskStore is a one-shard disk group as one Backend: the shard and, for the
-// tests that reach past it, the group. Closing it closes the group.
+// tests that reach past it, the group. Closing it closes the group. The
+// crash sweeps set the shard's barrier oracle.
 type diskStore struct {
-	*GroupShard
+	checkedShard
 	g *DiskGroup
 }
 
@@ -26,7 +27,7 @@ func openDiskStore(fsys vfs, dir string, buckets int, opts diskOpts) (*diskStore
 	if err != nil {
 		return nil, err
 	}
-	return &diskStore{GroupShard: g.views[0], g: g}, nil
+	return &diskStore{checkedShard: checkedShard{GroupShard: g.views[0]}, g: g}, nil
 }
 
 // openLoneDisk opens a one-shard group on the real filesystem with a

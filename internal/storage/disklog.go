@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // diskLog is a disk group's one physical log (§8's recovery unit): segmented
@@ -21,8 +22,9 @@ import (
 // files:
 //
 //   - wal-<base>.seg — the segments. A record is written unsynced and stands
-//     on a CommitGroup barrier of its segment, at once (an Append) or at the
-//     next SyncLog (a deferred append); Truncate drops whole dead segments.
+//     on a barrier of the log's durable frontier, at once (an Append) or at
+//     the next SyncLog (a deferred append); Truncate drops whole dead
+//     segments.
 //   - meta — a tiny atomically-replaced file holding the group's bucket count
 //     and the log's truncation point.
 //
@@ -30,9 +32,11 @@ import (
 // tail at the first invalid record, so reopening after a crash at any point
 // recovers exactly the records of the last completed fsync barrier.
 type diskLog struct {
-	fsys  vfs
-	dir   string
-	group *CommitGroup
+	fsys vfs
+	dir  string
+	// group is the durable frontier. Lock order: mu before group.mu; a
+	// wave's leader takes mu only after releasing group.mu.
+	group CommitGroup
 	// workers bounds the pool that replays segments at open; 1 means serial.
 	workers int
 	// numBuckets is the group's tree size, kept in meta beside the
@@ -51,21 +55,8 @@ type diskLog struct {
 	// they still carry live bucket versions or un-checkpointed index state.
 	// Called under mu; must only read atomics.
 	retain func() uint64
-	frame  []byte // appendRecord's framing buffer, reused by every append
-
-	// Deferred appends awaiting a SyncLog barrier, oldest first. Almost
-	// always one entry; a second appears only when unsynced appends straddle
-	// a segment rotation (rotation does not flush the outgoing tail).
-	pendMu sync.Mutex
-	pend   []fileTicket
-}
-
-// fileTicket records a deferred append's durability obligation: a flush of f
-// covering ticket. One entry per file — later appends to the same file just
-// advance the ticket, since a barrier on the newest ticket covers them all.
-type fileTicket struct {
-	f      vfile
-	ticket uint64
+	frame  []byte  // appendRecord's framing buffer, reused by every append
+	wave   []vfile // the segments a wave syncs; only its leader touches it
 }
 
 type segment struct {
@@ -203,13 +194,13 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 		failStop:    failStop{name: "disk log"},
 		fsys:        fsys,
 		dir:         dir,
-		group:       opts.group,
 		workers:     opts.workers,
 		numBuckets:  numBuckets,
 		truncBefore: truncBefore,
 		segMaxBytes: defaultSegMaxBytes,
 		retain:      retain,
 	}
+	l.group.landed.L = &l.group.mu
 	if opts.SegMaxBytes > 0 {
 		l.segMaxBytes = opts.SegMaxBytes
 	}
@@ -282,6 +273,7 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 		last := l.segs[n-1]
 		l.lastSeq = max(l.lastSeq, last.base+uint64(len(last.offs))-1)
 	}
+	l.group.durable = l.lastSeq
 	l.dropDeadSegmentsLocked()
 	// One directory barrier covers whatever open removed.
 	if err := fsys.SyncDir(dir); err != nil {
@@ -359,44 +351,26 @@ func (l *diskLog) openSegment(base uint64) (*segment, error) {
 	return seg, nil
 }
 
-// forgetFile releases a dropped segment's scheduler state and any deferred
-// barrier on it: its records are logically gone, so there is nothing left
-// to make durable — and a later SyncLog must not fsync a closed handle.
-// Call after f is closed.
-func (l *diskLog) forgetFile(f vfile) {
-	l.group.Forget(f)
-	l.pendMu.Lock()
-	keep := l.pend[:0]
-	for _, p := range l.pend {
-		if p.f != f {
-			keep = append(keep, p)
-		}
-	}
-	l.pend = keep
-	l.pendMu.Unlock()
-}
-
 // ---- appends and barriers ----
 
 // logAppendRes describes where one framed record landed in the physical
-// log: its sequence number, the segment (by base) and byte offset of the
-// frame, the framed length, and the file+ticket the caller stands on (or
-// defers) for durability. The location fields are what lets the logheap
-// index point straight back into the log.
+// log: its sequence number (what the caller's barrier waits on), the segment
+// (by base) and byte offset of the frame, and the framed length. The
+// location fields are what lets the logheap index point straight back into
+// the log.
 type logAppendRes struct {
 	seq     uint64
 	segBase uint64
 	off     int64
 	n       int
-	f       vfile
-	ticket  uint64
 }
 
 // appendRecord frames one stream record in place in the log's reusable
-// buffer — frame header, stream header, the record — writes it to the active
-// segment and stamps it, leaving durability to the caller's barrier on the
-// returned file: the seam through which several shards' streams land in one
-// physical log and stand on the same flush wave. record is not retained.
+// buffer — frame header, stream header, the record — and writes it to the
+// active segment, leaving durability to the caller's barrier on its
+// sequence number: the seam through which several shards' streams land in
+// one physical log and stand on the same flush wave. record is not
+// retained.
 func (l *diskLog) appendRecord(stream uint32, record []byte) (logAppendRes, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -431,14 +405,7 @@ func (l *diskLog) appendFramedLocked(framed []byte) (logAppendRes, error) {
 	seg.lens = append(seg.lens, int32(len(framed)))
 	seg.size += int64(len(framed))
 	l.lastSeq++
-	return logAppendRes{
-		seq:     l.lastSeq,
-		segBase: seg.base,
-		off:     off,
-		n:       len(framed),
-		f:       seg.f,
-		ticket:  l.group.Wrote(seg.f),
-	}, nil
+	return logAppendRes{seq: l.lastSeq, segBase: seg.base, off: off, n: len(framed)}, nil
 }
 
 // activeSegmentLocked returns the tail segment, rolling to a fresh file once
@@ -475,92 +442,83 @@ func (l *diskLog) activeSegmentLocked() (*segment, error) {
 	return seg, nil
 }
 
-// barrier stands on a flush of f covering ticket — the fsync wave an
-// Append's ack waits for — and wedges the log if it fails.
-func (l *diskLog) barrier(f vfile, ticket uint64) error {
-	if err := l.group.BarrierTicket(f, ticket); err != nil {
-		return l.wedge(err)
-	}
-	return nil
-}
-
-// barrierPrefix is an inline append's barrier: a flush of f covering
-// ticket, after the flushes of the deferred appends noted on other files. A
-// record is durable only with every record before it — an open drops the
-// segments after one whose tail tore, as an orphan suffix — and a rotation
-// does not flush the outgoing segment, so a flush of f alone could ack a
-// record that a crash then takes with the unsynced tail before it.
-func (l *diskLog) barrierPrefix(f vfile, ticket uint64) error {
-	var buf [2]fileTicket
-	older := buf[:0]
-	l.pendMu.Lock()
-	for _, p := range l.pend {
-		if p.f != f {
-			older = append(older, p)
+// barrier returns once every record up to physical sequence s is durable:
+// at once if the frontier covers s; with ErrClosed or the wedge's error if
+// the log is closed or wedged; otherwise after the wave in flight lands —
+// the caller then returns or leads the next wave — or, with none in flight,
+// after the wave it leads itself. A failed fsync wedges the log, so every
+// barrier the wave did not cover gets its error.
+func (l *diskLog) barrier(s uint64) error {
+	g := &l.group
+	g.mu.Lock()
+	g.stats.Barriers++
+	for {
+		if s <= g.durable {
+			g.mu.Unlock()
+			return nil
 		}
-	}
-	l.pendMu.Unlock()
-	for _, p := range older {
-		if err := l.barrier(p.f, p.ticket); err != nil {
+		if err := l.checkUsable(); err != nil {
+			g.mu.Unlock()
 			return err
 		}
+		if !g.syncing {
+			break
+		}
+		g.landed.Wait()
 	}
-	return l.barrier(f, ticket)
+	g.syncing = true
+	from := g.durable
+	g.mu.Unlock()
+	target, syncs, elapsed, err := l.syncWave(from)
+	g.mu.Lock()
+	g.syncing = false
+	if err == nil {
+		g.durable = target
+	}
+	g.stats.Syncs += syncs
+	g.stats.Waves += syncs
+	g.stats.SyncTime += elapsed
+	g.landed.Broadcast()
+	g.mu.Unlock()
+	return err
 }
 
-// notePending records a deferred append's barrier obligation.
-func (l *diskLog) notePending(f vfile, ticket uint64) {
-	l.pendMu.Lock()
-	if n := len(l.pend); n > 0 && l.pend[n-1].f == f {
-		l.pend[n-1].ticket = max(l.pend[n-1].ticket, ticket)
-	} else {
-		l.pend = append(l.pend, fileTicket{f: f, ticket: ticket})
+// syncWave is a wave: it fsyncs, oldest first, every segment holding a
+// record above from, and returns the newest record it covers. No segment it
+// syncs can close under it: dropDeadSegmentsLocked keeps every segment with
+// a record above the frontier, and Close waits for the wave.
+func (l *diskLog) syncWave(from uint64) (target, syncs uint64, elapsed time.Duration, err error) {
+	l.mu.RLock()
+	target = l.lastSeq
+	files := l.wave[:0]
+	for _, seg := range l.segs {
+		if n := uint64(len(seg.offs)); n > 0 && seg.base+n-1 > from {
+			files = append(files, seg.f)
+		}
 	}
-	l.pendMu.Unlock()
+	l.wave = files
+	l.mu.RUnlock()
+	start := time.Now()
+	for _, f := range files {
+		syncs++
+		if err = f.Sync(); err != nil {
+			err = l.wedge(err)
+			break
+		}
+	}
+	return target, syncs, time.Since(start), err
 }
 
-// syncLog makes every append deferred before the call durable. Usually one
-// barrier; two only when appends straddled a segment rotation (each file
-// needs its own flush — the outgoing segment's tail is not covered by the
-// new segment's barrier). The obligations stay noted until their barrier
-// lands: a syncLog running alongside (another shard's round barrier, a heap
-// checkpoint) needs them as much as this one, and rides the same fsync wave
-// instead of returning before it lands. A wedged log refuses: what it
-// holds may be behind what was acknowledged to its writers.
+// syncLog makes every record appended before the call durable, whatever
+// its stream and whether its append deferred its barrier: a barrier on the
+// newest record. A wedged log refuses: what it holds may be behind what
+// was acknowledged to its writers.
 func (l *diskLog) syncLog() error {
-	if err := l.checkUsable(); err != nil {
+	last, err := l.last()
+	if err != nil {
 		return err
 	}
-	var buf [2]fileTicket
-	l.pendMu.Lock()
-	due := append(buf[:0], l.pend...)
-	l.pendMu.Unlock()
-	for _, p := range due {
-		if err := l.barrier(p.f, p.ticket); err != nil {
-			return err
-		}
-	}
-	l.pendMu.Lock()
-	keep := l.pend[:0]
-	for _, p := range l.pend {
-		if !coveredBy(p, due) {
-			keep = append(keep, p)
-		}
-	}
-	clear(l.pend[len(keep):])
-	l.pend = keep
-	l.pendMu.Unlock()
-	return nil
-}
-
-// coveredBy reports whether a barrier on one of due makes p durable.
-func coveredBy(p fileTicket, due []fileTicket) bool {
-	for _, d := range due {
-		if d.f == p.f && p.ticket <= d.ticket {
-			return true
-		}
-	}
-	return false
+	return l.barrier(last)
 }
 
 // ---- reads ----
@@ -678,17 +636,20 @@ func (l *diskLog) dropDeadSegments() {
 	l.mu.Unlock()
 }
 
-// dropDeadSegmentsLocked removes segments whose every record is below both
-// the truncation point and the retention gate. The tail segment survives
-// even when fully dead so the next append can keep extending it.
+// dropDeadSegmentsLocked removes segments whose every record is below the
+// truncation point, the retention gate and the durable frontier: a wave in
+// flight may be syncing a segment with a record above the frontier. The
+// tail segment survives even when fully dead so the next append can keep
+// extending it.
 func (l *diskLog) dropDeadSegmentsLocked() {
-	keep := l.truncBefore
+	l.group.mu.Lock()
+	keep := min(l.truncBefore, l.group.durable+1)
+	l.group.mu.Unlock()
 	if l.retain != nil {
 		keep = min(keep, l.retain())
 	}
 	drop := func(seg *segment) {
 		seg.f.Close()
-		l.forgetFile(seg.f)
 		_ = l.fsys.Remove(joinPath(l.dir, seg.name)) // reopen filters it anyway
 	}
 	for len(l.segs) > 1 {
@@ -733,11 +694,16 @@ func (l *diskLog) truncFloor() uint64 {
 	return l.truncBefore
 }
 
-// Close closes the segments. Appended-but-unsynced records are not flushed:
-// nothing acknowledged them. The commit group belongs to the DiskGroup,
-// which closes it.
+// Close closes the segments once the wave in flight, if any, has landed;
+// later barriers not yet covered fail with ErrClosed. Appended-but-unsynced
+// records are not flushed: nothing acknowledged them.
 func (l *diskLog) Close() error {
 	l.markClosed()
+	l.group.mu.Lock()
+	for l.group.syncing {
+		l.group.landed.Wait()
+	}
+	l.group.mu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var first error

@@ -57,3 +57,19 @@ func (g *DiskGroup) SegmentCount() int {
 	defer g.log.mu.RUnlock()
 	return len(g.log.segs)
 }
+
+// CheckedBackends returns the group's Backends with their durability calls
+// checked at return by a barrier oracle over fsys (the crash sweeps' check:
+// every record appended before a call that returned nil is durable), and
+// the function that reports the first violation.
+func (g *DiskGroup) CheckedBackends(fsys *CrashFS) ([]Backend, func() error) {
+	o := newBarrierOracle(fsys)
+	out := make([]Backend, len(g.views))
+	for i, s := range checkShards(g, o) {
+		out[i] = s
+		if g.batchCommits {
+			out[i] = checkedBatcher{s}
+		}
+	}
+	return out, o.violation
+}

@@ -7,187 +7,49 @@ import (
 	"time"
 )
 
-// This file holds the group-commit scheduler: a per-data-dir fsync coalescer
-// shared by every segment of a disk group's physical log. Writers append
-// their records unsynced and then stand on a barrier (BarrierTicket). The
-// barriers on one file form fsync waves: a barrier with no fsync of its file
-// in flight issues one itself, and every barrier the in-flight fsync covers
-// waits for it and shares its outcome — fsyncs of *different* files never
-// wait on one another. The ack contract is unchanged: nothing is
-// acknowledged before its covering barrier lands; what moves is how many
-// acks one fsync covers.
+// This file holds a disk group: its shards, the durable frontier of its one
+// physical log, and its background maintenance.
 
-// GroupStats counts a CommitGroup's work. Barriers/Syncs is the
-// amortization factor the scheduler achieved.
+// GroupStats counts a log's barrier work. Barriers/Syncs is the
+// amortization factor its waves achieved.
 type GroupStats struct {
 	Barriers uint64        // barrier requests served
 	Syncs    uint64        // fsyncs issued
-	Waves    uint64        // fsync rounds (== Syncs: one round syncs one file once)
+	Waves    uint64        // fsyncs issued (== Syncs: a wave that straddles a rotation counts one per segment)
 	SyncTime time.Duration // cumulative time spent inside fsync calls
 }
 
-// fileSync is one file's barrier state. The entry persists until Forget —
-// the ticket counters must outlive idle gaps, or a ticket stamped before a
-// retire could never be matched again.
-type fileSync struct {
-	written uint64 // write tickets issued for this file (see Wrote)
-	acked   uint64 // highest ticket covered by a *successful* fsync
-	flying  uint64 // highest ticket the in-flight fsync covers
-	syncing bool   // a barrier is leading an fsync of this file
-	waves   uint64 // fsyncs of this file that have returned
-	// err is the first failed fsync's error. It sticks: after a failed
-	// fsync the kernel may have dropped the dirty pages, so a later fsync
-	// that succeeds proves nothing about the bytes the failed one covered.
-	err    error
-	landed sync.Cond // broadcast (L = CommitGroup.mu) when an fsync returns
-}
-
-// CommitGroup is the shared fsync scheduler. It has no goroutine of its own:
-// a barrier's caller leads the fsync its file needs, so a lone committer
-// never waits for company, and barriers arriving while an fsync is in flight
-// batch into the file's next one. Close drains every accepted barrier before
-// returning.
+// CommitGroup is a disk log's durable frontier, the one number every
+// barrier waits on: durable is the highest physical sequence number whose
+// whole prefix is on disk. The log's record order is its durability order,
+// so no per-file or per-record state is needed. Barriers form fsync waves:
+// a barrier with no wave in flight leads one itself, on its own goroutine,
+// and every barrier arriving meanwhile waits for it to land and then
+// returns or leads the next (diskLog.barrier).
 type CommitGroup struct {
-	mu     sync.Mutex
-	files  map[vfile]*fileSync
-	closed bool
-	stats  GroupStats
-	wg     sync.WaitGroup // accepted barriers not yet returned
+	mu      sync.Mutex
+	landed  sync.Cond // broadcast (L = mu) when a wave lands
+	durable uint64
+	syncing bool // a barrier is leading a wave
+	stats   GroupStats
 }
 
-// NewCommitGroup starts a scheduler.
-func NewCommitGroup() *CommitGroup {
-	return &CommitGroup{files: make(map[vfile]*fileSync)}
-}
-
-// Wrote records that the caller just finished writing bytes to f and returns
-// a ticket for them. A later BarrierTicket with that ticket is satisfied by
-// any fsync of f *issued* after Wrote returned — including one already in
-// flight when the barrier arrives, which is the classic group-commit ride:
-// the flush was issued after the bytes landed, so it covers them.
-func (g *CommitGroup) Wrote(f vfile) uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	fs := g.fileLocked(f)
-	fs.written++
-	return fs.written
-}
-
-// fileLocked returns (creating if needed) f's entry.
-func (g *CommitGroup) fileLocked(f vfile) *fileSync {
-	fs := g.files[f]
-	if fs == nil {
-		fs = &fileSync{}
-		fs.landed.L = &g.mu
-		g.files[f] = fs
-	}
-	return fs
-}
-
-// BarrierTicket blocks until an fsync of f issued after ticket (stamped by
-// an earlier Wrote) returns, and reports that fsync's error: the durability
-// point every group-routed ack stands on. It returns at once when a
-// successful fsync already covered the ticket. Otherwise, if an fsync of f
-// in flight covers it, the barrier waits for that fsync and returns its
-// error; if none is in flight, the barrier issues the fsync itself, on its
-// own goroutine; and if the one in flight started too early to cover it, the
-// barrier waits for it to land and then leads — or rides — the next. Once an
-// fsync of f has failed, every barrier on f not already covered fails with
-// its error. Each ticket backs at most one BarrierTicket call.
-func (g *CommitGroup) BarrierTicket(f vfile, ticket uint64) error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return fmt.Errorf("storage: commit group: %w", ErrClosed)
-	}
-	g.wg.Add(1)
-	defer g.wg.Done()
-	g.stats.Barriers++
-	fs := g.fileLocked(f)
-	for {
-		switch {
-		case ticket <= fs.acked:
-			g.mu.Unlock()
-			return nil
-		case fs.err != nil:
-			g.mu.Unlock()
-			return fs.err
-		case !fs.syncing:
-			return g.leadLocked(f, fs)
-		}
-		for w := fs.waves; fs.waves == w; {
-			fs.landed.Wait()
-		}
-	}
-}
-
-// leadLocked issues one fsync of f covering every ticket stamped so far,
-// publishes its outcome to the barriers waiting on it, and returns its
-// error. Called with g.mu held; returns with it released.
-func (g *CommitGroup) leadLocked(f vfile, fs *fileSync) error {
-	fs.syncing, fs.flying = true, fs.written
-	g.mu.Unlock()
-	start := time.Now()
-	err := f.Sync()
-	elapsed := time.Since(start)
-	g.mu.Lock()
-	fs.syncing = false
-	fs.waves++
-	if err != nil {
-		if fs.err == nil {
-			fs.err = err
-		}
-	} else if fs.flying > fs.acked {
-		fs.acked = fs.flying
-	}
-	g.stats.Syncs++
-	g.stats.Waves++
-	g.stats.SyncTime += elapsed
-	fs.landed.Broadcast()
-	g.mu.Unlock()
-	return err
-}
-
-// Forget drops f's entry. Call only once f is closed and nothing can stamp
-// or barrier it again (a dropped segment); without it a long-lived group
-// accumulates an entry per retired file.
-func (g *CommitGroup) Forget(f vfile) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if fs := g.files[f]; fs != nil && !fs.syncing {
-		delete(g.files, f)
-	}
-}
-
-// Stats snapshots the scheduler's counters.
+// Stats snapshots the frontier's counters.
 func (g *CommitGroup) Stats() GroupStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.stats
 }
 
-// Close rejects new barriers and waits for every barrier already accepted
-// to return. Backends using the group must be closed first (or be prepared
-// to see ErrClosed from their barriers).
-func (g *CommitGroup) Close() error {
-	g.mu.Lock()
-	g.closed = true
-	g.mu.Unlock()
-	g.wg.Wait()
-	return nil
-}
-
-// ---- DiskGroup: N shards sharing one directory and one scheduler ----
+// ---- DiskGroup: N shards sharing one directory and one log ----
 
 // DiskGroup is the deployment unit for group commit: n shards rooted in
 // subdirectories of one data dir. The group owns one physical log (diskLog,
 // in shard-000) that every shard's recovery-log stream and bucket versions
-// ride (see SharedLog and LogHeap), so cross-shard barriers land on one file
-// and actually coalesce instead of merely running in parallel; and one
-// CommitGroup every durability barrier goes through. shard-<i> holds only
-// shard i's index checkpoint.
+// ride (see SharedLog and LogHeap), so cross-shard barriers wait on one
+// durable frontier and actually coalesce instead of merely running in
+// parallel. shard-<i> holds only shard i's index checkpoint.
 type DiskGroup struct {
-	group  *CommitGroup
 	log    *diskLog
 	shared *SharedLog // set once the open has replayed the log
 	views  []*GroupShard
@@ -368,7 +230,7 @@ func (s logHeapShard) CommitStream() any { return s.log }
 
 // OpenDiskGroupOpts opens (or creates) a group of shards under
 // dir/shard-<i>, each provisioned with numBuckets buckets, sharing one
-// physical log and one fsync scheduler the group owns and closes.
+// physical log the group owns and closes.
 // numBuckets fixes the tree size at creation; reopening with a different
 // non-zero count fails loudly (0 adopts the stored size). obladi-storage
 // opens its data dir with opts.LogHeap set.
@@ -391,10 +253,7 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 	if err := checkGroupLayout(fsys, dir); err != nil {
 		return nil, err
 	}
-	if opts.group == nil {
-		opts.group = NewCommitGroup()
-	}
-	g := &DiskGroup{group: opts.group, batchCommits: opts.LogHeap}
+	g := &DiskGroup{batchCommits: opts.LogHeap}
 	fail := func(what string, err error) (*DiskGroup, error) {
 		g.Close()
 		return nil, fmt.Errorf("storage: opening disk group %s: %w", what, err)
@@ -520,12 +379,12 @@ func (g *DiskGroup) Backends() []Backend {
 	return out
 }
 
-// Group returns the shared scheduler (stats live there).
-func (g *DiskGroup) Group() *CommitGroup { return g.group }
+// Group returns the log's durable frontier (its stats live there).
+func (g *DiskGroup) Group() *CommitGroup { return &g.log.group }
 
-// Close closes the log, then the scheduler. The heaps checkpoint first (best
-// effort — replay would rebuild the same state, a checkpoint just makes the
-// next open cheap), while the log is still open.
+// Close closes the log. The heaps checkpoint first (best effort — replay
+// would rebuild the same state, a checkpoint just makes the next open
+// cheap), while the log is still open.
 func (g *DiskGroup) Close() error {
 	if g.maintainStop != nil {
 		close(g.maintainStop)
@@ -537,12 +396,8 @@ func (g *DiskGroup) Close() error {
 			_ = lh.Checkpoint()
 		}
 	}
-	var first error
-	if g.log != nil {
-		first = g.log.Close()
+	if g.log == nil {
+		return nil
 	}
-	if err := g.group.Close(); first == nil {
-		first = err
-	}
-	return first
+	return g.log.Close()
 }

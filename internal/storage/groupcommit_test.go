@@ -3,7 +3,9 @@ package storage
 import (
 	"errors"
 	"os"
+	"path"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -124,89 +126,187 @@ func TestSyncLogWaitsForTheFsyncInFlight(t *testing.T) {
 	}
 }
 
-// blockingFile is a vfile whose Sync waits for release and then fails with
-// failWith (nil: succeeds); a Sync announces itself on entered first, unless
-// an earlier announcement is still unread.
-type blockingFile struct {
+// waveFS is the in-memory filesystem with its log segments' fsyncs
+// observed rather than performed: each logs its segment's name in synced,
+// and while held is set it first announces itself on entered, waits for
+// held to close and returns fail.
+type waveFS struct {
+	*crashFS
+	mu      sync.Mutex
+	held    chan struct{}
+	fail    error
+	entered chan struct{}
+	synced  []string
+}
+
+func newWaveFS() *waveFS {
+	return &waveFS{crashFS: newCrashFS(nil), entered: make(chan struct{}, 1)}
+}
+
+func (w *waveFS) OpenFile(name string, flag int, perm os.FileMode) (vfile, error) {
+	f, err := w.crashFS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasPrefix(path.Base(name), segPrefix) {
+		return f, err
+	}
+	return waveFile{f, w, path.Base(name)}, nil
+}
+
+// hold makes segment fsyncs wait and then return fail; the returned func
+// releases them.
+func (w *waveFS) hold(fail error) (release func()) {
+	held := make(chan struct{})
+	w.mu.Lock()
+	w.held, w.fail = held, fail
+	w.mu.Unlock()
+	return func() {
+		w.mu.Lock()
+		w.held, w.fail = nil, nil
+		w.mu.Unlock()
+		close(held)
+	}
+}
+
+type waveFile struct {
 	vfile
-	entered  chan struct{}
-	release  chan struct{}
-	failWith error
+	fs   *waveFS
+	name string
 }
 
-func (f *blockingFile) Sync() error {
-	if f.entered != nil {
-		select {
-		case f.entered <- struct{}{}:
-		default:
+func (f waveFile) Sync() error {
+	f.fs.mu.Lock()
+	f.fs.synced = append(f.fs.synced, f.name)
+	held, fail := f.fs.held, f.fs.fail
+	f.fs.mu.Unlock()
+	if held == nil {
+		return nil
+	}
+	f.fs.entered <- struct{}{}
+	<-held
+	return fail
+}
+
+// appendSeqs appends n records to l without a barrier and returns their
+// sequence numbers.
+func appendSeqs(t *testing.T, l *diskLog, n int) []uint64 {
+	t.Helper()
+	seqs := make([]uint64, n)
+	for i := range seqs {
+		res, err := l.appendRecord(0, []byte("record"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		<-f.release
+		seqs[i] = res.seq
 	}
-	return f.failWith
+	return seqs
 }
 
-// TestCommitGroupLeaderAndFollowers pins the fsync wave. The first barrier
-// on an idle file leads the fsync itself; barriers whose bytes that fsync
-// covers wait for it and share its outcome — here a failure, which must
-// reach every one of them — and a barrier stamped after it was issued waits
-// for it too and gets its error rather than a fresh fsync's word. Close,
-// called while the fsync is held, returns only once every accepted barrier
-// has, and a barrier after Close is refused.
-func TestCommitGroupLeaderAndFollowers(t *testing.T) {
-	boom := errors.New("injected fsync failure")
-	f := &blockingFile{entered: make(chan struct{}, 1), release: make(chan struct{}), failWith: boom}
-	g := NewCommitGroup()
-	tickets := []uint64{g.Wrote(f), g.Wrote(f), g.Wrote(f)}
-	results := make(chan error, 4)
-	go func() { results <- g.BarrierTicket(f, tickets[0]) }()
-	<-f.entered
-	late := g.Wrote(f)
-	for _, tk := range append(tickets[1:], late) {
-		go func() { results <- g.BarrierTicket(f, tk) }()
-	}
-	for deadline := time.Now().Add(10 * time.Second); g.Stats().Barriers < 4; {
+// waitBarriers waits until l has accepted n barriers.
+func waitBarriers(t *testing.T, l *diskLog, n uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); l.group.Stats().Barriers < n; {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of 4 barriers accepted", g.Stats().Barriers)
+			t.Fatalf("only %d of %d barriers accepted", l.group.Stats().Barriers, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	closed := make(chan error, 1)
-	go func() { closed <- g.Close() }()
-	if _, done := returnsWithin(closed, 100*time.Millisecond); done {
-		t.Fatal("Close returned while accepted barriers were still waiting on their fsync")
+}
+
+// TestBarrierLeaderAndFollowers pins the fsync wave on the durable
+// frontier. The first barrier above the frontier leads the wave itself;
+// barriers whose records that wave covers wait for it and share its
+// outcome — here a failure, which must reach every one of them — and a
+// barrier on a record appended after the wave was issued waits for it too
+// and gets its error rather than a fresh fsync's word. Close, called while a
+// wave is held, returns only once it has landed, and a barrier after Close
+// is refused.
+func TestBarrierLeaderAndFollowers(t *testing.T) {
+	boom := errors.New("injected fsync failure")
+	fsys := newWaveFS()
+	l := openTestLog(t, fsys, "failing", diskOpts{})
+	defer l.Close()
+	seqs := appendSeqs(t, l, 3)
+	release := fsys.hold(boom)
+	results := make(chan error, 4)
+	go func() { results <- l.barrier(seqs[0]) }()
+	<-fsys.entered
+	late := appendSeqs(t, l, 1)[0]
+	for _, s := range append(seqs[1:], late) {
+		go func() { results <- l.barrier(s) }()
 	}
-	close(f.release)
+	waitBarriers(t, l, 4)
+	release()
 	for i := 0; i < 4; i++ {
 		if err := <-results; !errors.Is(err, boom) {
 			t.Fatalf("barrier returned %v, want the failed fsync's error", err)
 		}
 	}
+	if st := l.group.Stats(); st.Syncs != 1 || st.Waves != 1 || st.Barriers != 4 {
+		t.Fatalf("stats %+v, want 4 barriers on 1 fsync", st)
+	}
+
+	l = openTestLog(t, fsys, "closing", diskOpts{})
+	first := appendSeqs(t, l, 1)[0]
+	release = fsys.hold(nil)
+	led := make(chan error, 1)
+	go func() { led <- l.barrier(first) }()
+	<-fsys.entered
+	late = appendSeqs(t, l, 1)[0]
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	if _, done := returnsWithin(closed, 100*time.Millisecond); done {
+		t.Fatal("Close returned while a wave was in flight")
+	}
+	release()
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	if st := g.Stats(); st.Syncs != 1 || st.Waves != 1 || st.Barriers != 4 {
-		t.Fatalf("stats %+v, want 4 barriers on 1 fsync", st)
-	}
-	if err := g.BarrierTicket(f, g.Wrote(f)); !errors.Is(err, ErrClosed) {
+	if err := l.barrier(late); !errors.Is(err, ErrClosed) {
 		t.Fatalf("barrier after Close: %v, want ErrClosed", err)
 	}
 }
 
-// TestCommitGroupBarrierAllocBudget: a barrier in steady state — stamp, then
-// lead the fsync or find it already covered — allocates nothing.
-func TestCommitGroupBarrierAllocBudget(t *testing.T) {
+// TestBarrierWaveStraddlesRotation: records on both sides of a segment
+// rotation stand on one wave, which fsyncs both segments, the older first —
+// a rotation does not flush the outgoing segment — and counts one wave per
+// fsync.
+func TestBarrierWaveStraddlesRotation(t *testing.T) {
+	fsys := newWaveFS()
+	l := openTestLog(t, fsys, "data", diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 128}})
+	defer l.Close()
+	var last uint64
+	for len(l.segs) < 2 {
+		last = appendSeqs(t, l, 1)[0]
+	}
+	fsys.synced = nil
+	must(t, l.barrier(last))
+	if want := []string{l.segs[0].name, l.segs[1].name}; !slices.Equal(fsys.synced, want) {
+		t.Fatalf("wave synced %v, want %v", fsys.synced, want)
+	}
+	if st := l.group.Stats(); st.Syncs != 2 || st.Waves != 2 || st.Barriers != 1 {
+		t.Fatalf("stats %+v, want 1 barrier on 2 fsyncs", st)
+	}
+}
+
+// TestBarrierAllocBudget: a barrier in steady state — lead the wave or find
+// the frontier past its record — allocates nothing.
+func TestBarrierAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	f := &blockingFile{}
-	g := NewCommitGroup()
-	defer g.Close()
+	fsys := newWaveFS()
+	l := openTestLog(t, fsys, "data", diskOpts{})
+	defer l.Close()
+	fsys.synced = make([]string, 0, 1024)
 	round := func() {
-		a, b := g.Wrote(f), g.Wrote(f)
-		if err := g.BarrierTicket(f, a); err != nil {
+		a, _ := l.appendRecord(0, []byte("a"))
+		b, _ := l.appendRecord(0, []byte("b"))
+		if err := l.barrier(a.seq); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.BarrierTicket(f, b); err != nil {
+		if err := l.barrier(b.seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +315,7 @@ func TestCommitGroupBarrierAllocBudget(t *testing.T) {
 		t.Fatalf("%.1f allocations per round of two barriers, want 0", allocs)
 	}
 	// AllocsPerRun runs one warm-up round beyond the 200 it counts.
-	if st := g.Stats(); st.Syncs != 202 || st.Barriers != 404 {
+	if st := l.group.Stats(); st.Syncs != 202 || st.Barriers != 404 {
 		t.Fatalf("stats %+v, want one fsync per round of two barriers", st)
 	}
 }

@@ -342,7 +342,6 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 		if err != nil {
 			return err
 		}
-		lh.log.notePending(res.f, res.ticket)
 		v := version{epoch: w.Epoch, layout: layoutOf(w.Slots), seg: res.segBase, off: res.off}
 		if err := lh.ix.write(w.Bucket, v, w.Slots); err != nil {
 			return err
@@ -359,14 +358,11 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 // put them), the commit record, and whatever WAL records shared the round —
 // in one wave; nothing is acknowledged before it returns.
 func (lh *LogHeap) CommitEpoch(epoch uint64) error {
-	needBarrier, err := lh.appendEpochRecord(heapKindCommit, epoch)
-	if err != nil {
+	if err := lh.appendEpochRecord(heapKindCommit, epoch); err != nil {
 		return err
 	}
-	if needBarrier {
-		if err := lh.log.syncLog(); err != nil {
-			return err
-		}
+	if err := lh.log.syncLog(); err != nil {
+		return err
 	}
 	lh.maybeKick()
 	return nil
@@ -377,7 +373,7 @@ func (lh *LogHeap) CommitEpoch(epoch uint64) error {
 // the proxy's round barrier, where N shards' commits and the coordinator's
 // committing checkpoint all stand on one fsync.
 func (lh *LogHeap) CommitEpochNoSync(epoch uint64) error {
-	if _, err := lh.appendEpochRecord(heapKindCommit, epoch); err != nil {
+	if err := lh.appendEpochRecord(heapKindCommit, epoch); err != nil {
 		return err
 	}
 	lh.maybeKick()
@@ -388,7 +384,7 @@ func (lh *LogHeap) CommitEpochNoSync(epoch uint64) error {
 // barrier: the index shrinks, and replay must see that before the caller
 // builds on the reverted state.
 func (lh *LogHeap) RollbackTo(epoch uint64) error {
-	if _, err := lh.appendEpochRecord(heapKindRollback, epoch); err != nil {
+	if err := lh.appendEpochRecord(heapKindRollback, epoch); err != nil {
 		return err
 	}
 	return lh.log.syncLog()
@@ -396,23 +392,22 @@ func (lh *LogHeap) RollbackTo(epoch uint64) error {
 
 // appendEpochRecord appends a commit/rollback record and applies it to the
 // index in one critical section. An already-covered commit (epoch <=
-// committed) appends nothing and needs no barrier.
-func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) (appended bool, err error) {
+// committed) appends nothing; CommitEpoch still stands on the barrier, which
+// the versions written at or below the committed epoch since need.
+func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) error {
 	lh.commitMu.Lock()
 	defer lh.commitMu.Unlock()
 	lh.mu.Lock()
 	defer lh.mu.Unlock()
 	if err := lh.log.checkUsable(); err != nil {
-		return false, err
+		return err
 	}
-	needRecord := kind == heapKindRollback || epoch > lh.ix.committed
-	if needRecord {
+	if kind == heapKindRollback || epoch > lh.ix.committed {
 		lh.frame = append(lh.beginFrame(), encodeEpochBody(kind, epoch)...)
 		res, err := lh.shared.appendHeapFrame(lh.stream, lh.frame)
 		if err != nil {
-			return false, err
+			return err
 		}
-		lh.log.notePending(res.f, res.ticket)
 		lh.lastPhys = res.seq
 		lh.dirty++
 	}
@@ -425,7 +420,7 @@ func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) (appended bool, er
 		// ckptW+1 <= lastPhys already guarantees.
 		lh.recomputeRetainLocked()
 	}
-	return needRecord, nil
+	return nil
 }
 
 func (lh *LogHeap) maybeKick() {
@@ -463,9 +458,9 @@ func (lh *LogHeap) VersionCount(bucket int) int {
 //  1. Snapshot index + W under the read lock — W covers exactly the
 //     records the snapshot reflects, never more, because append + install
 //     + lastPhys update are atomic under mu.
-//  2. SyncLog. Every own-stream record <= W is now durable, so the
-//     checkpoint never points at (or bounds replay past) data a crash
-//     could still tear.
+//  2. A barrier on W. Every record <= W is now durable, so the checkpoint
+//     never points at (or bounds replay past) data a crash could still
+//     tear.
 //  3. Write tmp, fsync, rename, dir-sync — the install is atomic; a crash
 //     before the rename leaves the old checkpoint, after it the new one,
 //     and either replays to the same state (replay above the respective W
@@ -498,7 +493,7 @@ func (lh *LogHeap) Checkpoint() error {
 	dirtyAt := lh.dirty
 	lh.mu.RUnlock()
 
-	if err := lh.log.syncLog(); err != nil {
+	if err := lh.log.barrier(w); err != nil {
 		return err
 	}
 
@@ -649,7 +644,6 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			lh.mu.Unlock()
 			return moved, err
 		}
-		lh.log.notePending(res.f, res.ticket)
 		v := &vs[cur]
 		v.seg, v.off = res.segBase, res.off
 		lh.lastPhys = res.seq

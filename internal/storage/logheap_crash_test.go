@@ -57,7 +57,9 @@ func runLogHeapCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 		return oracles
 	}
 	defer g.Close()
-	logHeapWorkload(g, oracles)
+	o := newBarrierOracle(fsys)
+	logHeapWorkload(g, checkShards(g, o), oracles)
+	mustHoldBarriers(t, o, "logheap group")
 	return oracles
 }
 
@@ -68,9 +70,8 @@ func runLogHeapCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 // reverted by index rollback; checkpoints and a GC evacuation run at fixed
 // epochs so their crash windows sit at deterministic sweep indices. It
 // stops at the first error (the injected crash wedges the group).
-func logHeapWorkload(g *DiskGroup, oracles []*sweepOracle) {
+func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle) {
 	const numBuckets = 5
-	views := g.views
 	n := len(views)
 	for e := uint64(1); e <= 6; e++ {
 		for i, v := range views {
@@ -127,7 +128,7 @@ func logHeapWorkload(g *DiskGroup, oracles []*sweepOracle) {
 		// mirrors into the oracle at issue (a rotation's seal fsync may
 		// persist it before the barrier); the ack waits for SyncLog.
 		for i := range views {
-			if (logHeapShard{views[i]}).CommitEpochNoSync(e) != nil {
+			if (checkedBatcher{views[i]}).CommitEpochNoSync(e) != nil {
 				return
 			}
 			oracles[i].mem.CommitEpoch(e)

@@ -11,10 +11,10 @@ import (
 // group's ONE physical segmented log (diskLog). This is what makes group
 // commit actually coalesce across shards: with per-shard log files, two
 // shards' epoch-boundary appends land on different files and their fsyncs
-// can never merge — the scheduler only amortizes barriers on the same file.
-// With every stream in one file, a read round's two schedule appends, the
-// commit round's two checkpoints and whatever else is in flight all stand on
-// one flush wave.
+// can never merge — a wave only covers barriers on its own log. With every
+// stream in one log, a read round's two schedule appends, the commit round's
+// two checkpoints and whatever else is in flight all stand on one flush
+// wave.
 //
 // Sharing one file also strengthens the sharded commit protocol for free:
 // the fsync of the coordinator's committing checkpoint covers every other
@@ -110,7 +110,7 @@ func newSharedLog(log *diskLog, walStreams int, heaps []*LogHeap) (*SharedLog, e
 
 // appendHeapFrame appends one bucket-data record to heap stream i without
 // standing on a barrier, returning where it landed; the caller owns
-// durability (notePending now, SyncLog at the commit barrier). The caller
+// durability (a SyncLog at the commit barrier covers it). The caller
 // laid the record out as a whole frame in its own buffer — beginRecord,
 // sharedLogHdrSize bytes for the stream header, the body — freshly built or
 // read back and edited (segment GC's copy): the stream id and frame header
@@ -154,30 +154,32 @@ type LogView struct {
 
 // appendUnsynced writes the record into the shared physical log and extends
 // the stream's mapping under one lock (stream order == physical order, the
-// invariant torn-tail recovery leans on); durability is the caller's.
-func (v *LogView) appendUnsynced(record []byte) (seq uint64, res logAppendRes, err error) {
+// invariant torn-tail recovery leans on), returning the stream and physical
+// sequence numbers; durability is the caller's.
+func (v *LogView) appendUnsynced(record []byte) (seq, phys uint64, err error) {
 	s := v.shared
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if res, err = s.log.appendRecord(v.id, record); err != nil {
-		return 0, res, err
+	res, err := s.log.appendRecord(v.id, record)
+	if err != nil {
+		return 0, 0, err
 	}
 	st := &s.streams[v.id]
 	st.phys = append(st.phys, res.seq)
 	st.last++
-	return st.last, res, nil
+	return st.last, res.seq, nil
 }
 
-// Append writes the record and blocks on a flush wave of the physical log's
-// active segment, and of any older segment still holding deferred appends
-// (barrierPrefix). The barrier runs outside the lock — that is the whole
-// point: every stream's barrier lands on the same file and coalesces.
+// Append writes the record and blocks until the physical log is durable
+// through it, which covers every record before it. The barrier runs outside
+// the lock — that is the whole point: every stream's barrier waits on the
+// same frontier and coalesces.
 func (v *LogView) Append(record []byte) (uint64, error) {
-	seq, res, err := v.appendUnsynced(record)
+	seq, phys, err := v.appendUnsynced(record)
 	if err != nil {
 		return 0, err
 	}
-	if err := v.shared.log.barrierPrefix(res.f, res.ticket); err != nil {
+	if err := v.shared.log.barrier(phys); err != nil {
 		return 0, err
 	}
 	return seq, nil
@@ -189,22 +191,15 @@ func (v *LogView) Append(record []byte) (uint64, error) {
 // their records back to back, then the first SyncLog's single fsync makes
 // all of them durable and the remaining N-1 calls ride that fsync's wave.
 func (v *LogView) AppendNoSync(record []byte) (uint64, error) {
-	seq, res, err := v.appendUnsynced(record)
-	if err != nil {
-		return 0, err
-	}
-	// The pending-barrier ledger is the log's: it is per physical log (which
-	// is exactly the coalescing domain) and it forgets obligations on
-	// retired segment files.
-	v.shared.log.notePending(res.f, res.ticket)
-	return seq, nil
+	seq, _, err := v.appendUnsynced(record)
+	return seq, err
 }
 
 // SyncLog implements LogBatcher: every deferred append across ALL streams
-// becomes durable — they share one physical file, so one fsync covers them
+// becomes durable — they share one physical log, so one wave covers them
 // and the other views' SyncLog calls wait on it or find it landed. Usually
-// one fsync; one per file only when deferred appends straddled a segment
-// rotation.
+// one fsync; one per segment only when deferred appends straddled a
+// segment rotation.
 func (v *LogView) SyncLog() error {
 	return v.shared.log.syncLog()
 }

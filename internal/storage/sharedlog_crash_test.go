@@ -47,7 +47,9 @@ func runSharedGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 		return oracles
 	}
 	defer g.Close()
-	sharedGroupWorkload(g.views, oracles)
+	o := newBarrierOracle(fsys)
+	sharedGroupWorkload(checkShards(g, o), oracles)
+	mustHoldBarriers(t, o, "shared group")
 	return oracles
 }
 
@@ -56,7 +58,7 @@ func runSharedGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 // synced append interleaved on the same physical log, a mid-stream rollback,
 // and per-shard commits. It stops at the first error (the injected
 // crash wedges the group).
-func sharedGroupWorkload(views []*GroupShard, oracles []*sweepOracle) {
+func sharedGroupWorkload(views []checkedShard, oracles []*sweepOracle) {
 	const numBuckets = 5
 	n := len(views)
 	for e := uint64(1); e <= 4; e++ {

@@ -13,7 +13,7 @@ import (
 // the crashFS vfs so durability (what a power loss keeps) is modeled exactly.
 
 // openLogAt opens a group's physical log alone in dir (a fresh one holds 8
-// buckets), serially, its barriers on a commit group of its own.
+// buckets), serially.
 func openLogAt(fsys vfs, dir string, opts diskOpts) (*diskLog, error) {
 	if err := prepareShardDir(fsys, dir); err != nil {
 		return nil, err
@@ -23,7 +23,6 @@ func openLogAt(fsys vfs, dir string, opts diskOpts) (*diskLog, error) {
 		return nil, err
 	}
 	opts.workers = max(opts.workers, 1)
-	opts.group = NewCommitGroup()
 	return openDiskLog(fsys, dir, nb, trunc, opts, nil)
 }
 
@@ -43,7 +42,7 @@ func logAppend(t *testing.T, l *diskLog, rec string) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	must(t, l.barrier(res.f, res.ticket))
+	must(t, l.barrier(res.seq))
 	return res.seq
 }
 

@@ -108,8 +108,14 @@ func runTruncSweepWorkload(t *testing.T, w *truncSweep) (acked map[string]string
 		t.Fatalf("opening group: %v", err)
 	}
 	defer g.Close()
+	backends, violation := g.CheckedBackends(w.fsys)
+	defer func() {
+		if err := violation(); err != nil {
+			t.Fatalf("%s call %d, %d mutations in: %v", [...]string{"Truncate", "maintenance"}[w.kind], w.call, w.depth, err)
+		}
+	}()
 	var stores []storage.Backend
-	for _, b := range g.Backends() {
+	for _, b := range backends {
 		stores = append(stores, truncSpy{Backend: b, LogBatcher: b.(storage.LogBatcher), EpochCommitBatcher: b.(storage.EpochCommitBatcher), sweep: w})
 	}
 	p, err := core.NewSharded(stores, cfg)
@@ -162,7 +168,13 @@ func verifyTruncSweepRecovery(t *testing.T, image *storage.CrashFS, acked map[st
 		t.Fatalf("%s: reopening group: %v", tag, err)
 	}
 	defer g.Close()
-	p, err := core.NewSharded(g.Backends(), cfg)
+	backends, violation := g.CheckedBackends(image)
+	defer func() {
+		if err := violation(); err != nil {
+			t.Fatalf("%s: after recovery: %v", tag, err)
+		}
+	}()
+	p, err := core.NewSharded(backends, cfg)
 	if err != nil {
 		t.Fatalf("%s: recovery: %v", tag, err)
 	}
