@@ -27,22 +27,9 @@ type barrierOracle struct {
 	bad  error
 }
 
-// newBarrierOracle returns an oracle over fsys, or nil (no checks) for any
-// other filesystem.
-func newBarrierOracle(fsys vfs) *barrierOracle {
-	c, ok := fsys.(*crashFS)
-	if !ok {
-		return nil
-	}
-	return &barrierOracle{fsys: c}
-}
-
 // violation reports the first call that returned before its records were
 // durable.
 func (o *barrierOracle) violation() error {
-	if o == nil {
-		return nil
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.bad
@@ -93,7 +80,7 @@ func durablePrefix(fsys *crashFS, l *diskLog) uint64 {
 			}
 		}
 	}
-	return l.lastSeq
+	return l.lastSeq.Load()
 }
 
 // checkedShard is a shard whose durability calls the oracle checks at their

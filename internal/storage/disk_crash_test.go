@@ -330,10 +330,10 @@ var sweepOpts = diskOpts{workers: 1, DiskOptions: DiskOptions{SegMaxBytes: sweep
 
 // openSweepStore opens the one-shard group a sweep drives in dir, its
 // durability calls checked by a barrier oracle.
-func openSweepStore(fsys vfs, dir string, opts diskOpts) (*diskStore, error) {
+func openSweepStore(fsys *crashFS, dir string, opts diskOpts) (*diskStore, error) {
 	b, err := openDiskStore(fsys, dir, 5, opts)
 	if err == nil {
-		b.o = newBarrierOracle(fsys)
+		b.o = &barrierOracle{fsys: fsys}
 	}
 	return b, err
 }

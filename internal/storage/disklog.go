@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -45,9 +46,12 @@ type diskLog struct {
 
 	failStop
 
-	mu          sync.RWMutex
-	segs        []*segment
-	lastSeq     uint64
+	mu   sync.RWMutex
+	segs []*segment
+	// lastSeq is the newest record's sequence number. It changes under mu
+	// but is read without it, so a barrier never waits behind an append or
+	// a segment roll to learn what it must cover.
+	lastSeq     atomic.Uint64
 	truncBefore uint64 // sequence numbers below this are logically gone
 	segMaxBytes int64
 	// retain, when set (a group's log), is the retention gate: segments
@@ -268,12 +272,13 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 		}
 		l.segs = append(l.segs, seg)
 	}
-	l.lastSeq = l.truncBefore - 1
+	lastSeq := l.truncBefore - 1
 	if n := len(l.segs); n > 0 {
 		last := l.segs[n-1]
-		l.lastSeq = max(l.lastSeq, last.base+uint64(len(last.offs))-1)
+		lastSeq = max(lastSeq, last.base+uint64(len(last.offs))-1)
 	}
-	l.group.durable = l.lastSeq
+	l.lastSeq.Store(lastSeq)
+	l.group.durable = lastSeq
 	l.dropDeadSegmentsLocked()
 	// One directory barrier covers whatever open removed.
 	if err := fsys.SyncDir(dir); err != nil {
@@ -404,8 +409,7 @@ func (l *diskLog) appendFramedLocked(framed []byte) (logAppendRes, error) {
 	seg.offs = append(seg.offs, off)
 	seg.lens = append(seg.lens, int32(len(framed)))
 	seg.size += int64(len(framed))
-	l.lastSeq++
-	return logAppendRes{seq: l.lastSeq, segBase: seg.base, off: off, n: len(framed)}, nil
+	return logAppendRes{seq: l.lastSeq.Add(1), segBase: seg.base, off: off, n: len(framed)}, nil
 }
 
 // activeSegmentLocked returns the tail segment, rolling to a fresh file once
@@ -414,7 +418,7 @@ func (l *diskLog) activeSegmentLocked() (*segment, error) {
 	if n := len(l.segs); n > 0 && l.segs[n-1].size < l.segMaxBytes {
 		return l.segs[n-1], nil
 	}
-	base := l.lastSeq + 1
+	base := l.lastSeq.Load() + 1
 	name := segName(base)
 	f, err := l.fsys.OpenFile(joinPath(l.dir, name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -469,7 +473,7 @@ func (l *diskLog) barrier(s uint64) error {
 	g.syncing = true
 	from := g.durable
 	g.mu.Unlock()
-	target, syncs, elapsed, err := l.syncWave(from)
+	target, syncs, elapsed, err := l.syncWave(from, s)
 	g.mu.Lock()
 	g.syncing = false
 	if err == nil {
@@ -483,17 +487,24 @@ func (l *diskLog) barrier(s uint64) error {
 	return err
 }
 
-// syncWave is a wave: it fsyncs, oldest first, every segment holding a
-// record above from, and returns the newest record it covers. No segment it
-// syncs can close under it: dropDeadSegmentsLocked keeps every segment with
-// a record above the frontier, and Close waits for the wave.
-func (l *diskLog) syncWave(from uint64) (target, syncs uint64, elapsed time.Duration, err error) {
+// syncWave is the wave a barrier on s leads: it fsyncs, oldest first, every
+// segment holding a record above from, through the one holding s, and
+// returns that segment's last record. It stops there even when the log has
+// rolled on: a newer segment would cost the wave one more fsync for records
+// this barrier does not need, which their own barrier pays anyway. No
+// segment it syncs can close under it: dropDeadSegmentsLocked keeps every
+// segment with a record above the frontier, and Close waits for the wave.
+func (l *diskLog) syncWave(from, s uint64) (target, syncs uint64, elapsed time.Duration, err error) {
 	l.mu.RLock()
-	target = l.lastSeq
 	files := l.wave[:0]
 	for _, seg := range l.segs {
-		if n := uint64(len(seg.offs)); n > 0 && seg.base+n-1 > from {
-			files = append(files, seg.f)
+		n := uint64(len(seg.offs))
+		if n == 0 || seg.base+n-1 <= from {
+			continue
+		}
+		files = append(files, seg.f)
+		if target = seg.base + n - 1; target >= s {
+			break
 		}
 	}
 	l.wave = files
@@ -592,12 +603,10 @@ func (l *diskLog) readRangeInto(buf []byte, segBase uint64, off int64, n int) ([
 
 // last reports the sequence number of the newest record.
 func (l *diskLog) last() (uint64, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if err := l.checkUsable(); err != nil {
 		return 0, err
 	}
-	return l.lastSeq, nil
+	return l.lastSeq.Load(), nil
 }
 
 // ---- truncation and retention ----
@@ -611,7 +620,7 @@ func (l *diskLog) truncate(before uint64) error {
 	if err := l.checkUsable(); err != nil {
 		return err
 	}
-	before = min(before, l.lastSeq+1)
+	before = min(before, l.lastSeq.Load()+1)
 	if before <= l.truncBefore {
 		return nil
 	}

@@ -63,7 +63,7 @@ func (g *DiskGroup) SegmentCount() int {
 // every record appended before a call that returned nil is durable), and
 // the function that reports the first violation.
 func (g *DiskGroup) CheckedBackends(fsys *CrashFS) ([]Backend, func() error) {
-	o := newBarrierOracle(fsys)
+	o := &barrierOracle{fsys: fsys}
 	out := make([]Backend, len(g.views))
 	for i, s := range checkShards(g, o) {
 		out[i] = s

@@ -57,7 +57,7 @@ func runLogHeapCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 		return oracles
 	}
 	defer g.Close()
-	o := newBarrierOracle(fsys)
+	o := &barrierOracle{fsys: fsys}
 	logHeapWorkload(g, checkShards(g, o), oracles)
 	mustHoldBarriers(t, o, "logheap group")
 	return oracles

@@ -47,7 +47,7 @@ func runSharedGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 		return oracles
 	}
 	defer g.Close()
-	o := newBarrierOracle(fsys)
+	o := &barrierOracle{fsys: fsys}
 	sharedGroupWorkload(checkShards(g, o), oracles)
 	mustHoldBarriers(t, o, "shared group")
 	return oracles

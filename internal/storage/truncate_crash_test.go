@@ -111,7 +111,11 @@ func runTruncSweepWorkload(t *testing.T, w *truncSweep) (acked map[string]string
 	backends, violation := g.CheckedBackends(w.fsys)
 	defer func() {
 		if err := violation(); err != nil {
-			t.Fatalf("%s call %d, %d mutations in: %v", [...]string{"Truncate", "maintenance"}[w.kind], w.call, w.depth, err)
+			tag := "fault-free"
+			if w.call > 0 {
+				tag = fmt.Sprintf("%s %d, %d mutations in", [...]string{"Truncate call", "maintenance pass"}[w.kind], w.call, w.depth)
+			}
+			t.Fatalf("%s: %v", tag, err)
 		}
 	}()
 	var stores []storage.Backend
