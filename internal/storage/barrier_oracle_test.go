@@ -103,10 +103,9 @@ func checkShards(g *DiskGroup, o *barrierOracle) []checkedShard {
 // streamPhys is the physical record of the shard's log record seq, or 0
 // once a Truncate dropped it.
 func (s checkedShard) streamPhys(seq uint64) uint64 {
-	shared := s.logView.shared
-	shared.mu.Lock()
-	defer shared.mu.Unlock()
-	st := &shared.streams[s.logView.id]
+	s.log.mu.RLock()
+	defer s.log.mu.RUnlock()
+	st := &s.log.streams[s.stream]
 	if seq < st.floor {
 		return 0
 	}

@@ -498,14 +498,16 @@ func (l oracleLog) seqOf(p uint64) uint64 {
 // records returns the stream's retained records and the sequence of the
 // last; with none, the count of acked records the physical log reaches.
 func (l oracleLog) records() (last uint64, recs [][]byte, err error) {
-	err = l.log.scan(l.log.truncFloor(), func(seq, _ uint64, _ int64, rec []byte) error {
-		id, body, err := splitSharedRecord(rec)
+	l.log.mu.RLock()
+	err = l.log.scanLocked(l.log.truncBefore, func(seq, _ uint64, _ int64, rec []byte) error {
+		id, body, err := splitStreamRecord(rec)
 		if err == nil && id == 0 {
 			last = l.seqOf(seq)
 			recs = append(recs, bytes.Clone(body))
 		}
 		return err
 	})
+	l.log.mu.RUnlock()
 	if err == nil && len(recs) == 0 {
 		end, err := l.log.last()
 		n, _ := slices.BinarySearch(l.phys, end+1)

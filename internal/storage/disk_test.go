@@ -221,7 +221,7 @@ func TestDiskStructuralCorruptionFailsLoudly(t *testing.T) {
 	// The first record is the version record, on the bucket stream.
 	n := int(binary.BigEndian.Uint32(data[fileHeaderSize:]))
 	body := bytes.Clone(data[fileHeaderSize+recordFrameSize : fileHeaderSize+recordFrameSize+n])
-	body[sharedLogHdrSize] = 99
+	body[streamHdrSize] = 99
 	copy(data[fileHeaderSize:], encodeRecord(nil, body))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -302,7 +302,8 @@ func TestGroupOpenRefusesOtherLayouts(t *testing.T) {
 
 // TestDiskLogSegmentsRollAndTruncate drives the physical log underneath the
 // streams: its sequence numbers, segment rolls and truncation point, which
-// (unlike a stream's numbering) persist across a reopen.
+// (unlike a stream's numbering) persist across a reopen. The log has one
+// stream, whose numbering equals the physical one until the reopen.
 func TestDiskLogSegmentsRollAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, osFS{}, dir, diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 256}})
@@ -317,11 +318,11 @@ func TestDiskLogSegmentsRollAndTruncate(t *testing.T) {
 		t.Fatalf("expected several segments, got %d", len(l.segs))
 	}
 	segsBefore := len(l.segs)
-	must(t, l.truncate(30))
+	must(t, l.truncateStream(0, 30))
 	if len(l.segs) >= segsBefore {
 		t.Fatalf("truncate dropped no segments (%d -> %d)", segsBefore, len(l.segs))
 	}
-	recs := logRecords(t, l, l.truncFloor())
+	recs := logRecords(t, l, l.truncBefore)
 	if len(recs) != 11 || !strings.HasPrefix(recs[0], "record-29") {
 		t.Fatalf("after truncate: %d records, first %q", len(recs), recs[0])
 	}
@@ -331,15 +332,20 @@ func TestDiskLogSegmentsRollAndTruncate(t *testing.T) {
 	if seq, _ := r.last(); seq != 40 {
 		t.Fatalf("reopened last seq = %d", seq)
 	}
-	if r.truncFloor() != 30 {
-		t.Fatalf("reopened truncation point = %d, want 30", r.truncFloor())
+	if r.truncBefore != 30 {
+		t.Fatalf("reopened truncation point = %d, want 30", r.truncBefore)
 	}
 	recs = logRecords(t, r, 35)
 	if len(recs) != 6 || !strings.HasPrefix(recs[0], "record-34") {
 		t.Fatalf("reopened scan from 35: %d records, first %q", len(recs), recs[0])
 	}
-	// Truncating everything keeps the sequence counter across a reopen.
-	must(t, r.truncate(41))
+	// Truncating everything keeps the sequence counter across a reopen. The
+	// reopen renumbered the stream from 1 at physical record 30, so its 11
+	// records end at 11.
+	must(t, r.truncateStream(0, 12))
+	if r.truncBefore != 41 {
+		t.Fatalf("truncation point after truncating every record = %d, want 41", r.truncBefore)
+	}
 	must(t, r.Close())
 	r2 := openTestLog(t, osFS{}, dir, diskOpts{})
 	defer r2.Close()
@@ -437,6 +443,7 @@ func TestDiskReadSlotsCoalescesAndHandlesDuplicates(t *testing.T) {
 func TestDiskWedgesAfterIOError(t *testing.T) {
 	dir := t.TempDir()
 	b := openDisk(t, dir, 2)
+	defer b.Close()
 	must(t, b.WriteBucket(0, 1, [][]byte{[]byte("x")}))
 	must(t, b.CommitEpoch(1))
 	// Close the log's segment behind the store's back; the next write must

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,9 +18,11 @@ import (
 
 // diskLog is a disk group's one physical log (§8's recovery unit): segmented
 // append-only files in shard-000's directory, whose record order is their
-// durability order. Every shard's recovery-log stream rides it (SharedLog
-// multiplexes them), and so does every shard's bucket data (LogHeap). The
-// group owns it; SharedLog, LogHeap and GroupShard hold it directly. Its
+// durability order. Every shard's recovery-log stream rides it, and so does
+// every shard's bucket data (LogHeap), each record tagged with its stream
+// (logStream); so one fsync wave covers every shard's round, and the
+// coordinator's committing checkpoint covers the prepared ones before it.
+// The group owns the log; LogHeap and GroupShard hold it directly. Its
 // files:
 //
 //   - wal-<base>.seg — the segments. A record is written unsynced and stands
@@ -46,8 +49,13 @@ type diskLog struct {
 
 	failStop
 
+	// mu guards the segments and the stream table. Lock order: a heap's mu
+	// before it.
 	mu   sync.RWMutex
 	segs []*segment
+	// streams are the WAL streams, ids 0..len(streams)-1; a record and its
+	// stream's entry change under one hold of mu.
+	streams []logStream
 	// lastSeq is the newest record's sequence number. It changes under mu
 	// but is read without it, so a barrier never waits behind an append or
 	// a segment roll to learn what it must cover.
@@ -59,9 +67,32 @@ type diskLog struct {
 	// they still carry live bucket versions or un-checkpointed index state.
 	// Called under mu; must only read atomics.
 	retain func() uint64
-	frame  []byte  // appendRecord's framing buffer, reused by every append
+	frame  []byte  // appendStream's framing buffer, reused by every append
 	wave   []vfile // the segments a wave syncs; only its leader touches it
 }
+
+// logStream is one shard's recovery-log stream on the log: the LogStore
+// contract with its own dense sequence numbers. A stream record is a
+// physical record whose body starts with its stream id (streamHdrSize
+// bytes). The WAL streams come first; each LogHeap's bucket-data stream
+// follows them and has no entry in the table: the heap addresses its records
+// by physical location, its checkpoint bounds their replay, and the
+// retention gate, not Truncate, decides how long they stay.
+//
+// Stream sequence numbers restart from the surviving record count at reopen.
+// That is sound because the WAL layer persists none: every recovery derives
+// its state from a fresh Scan(0), and checkpoints name epochs, not
+// sequences. A torn physical tail cuts a suffix of the log, which is a
+// suffix of every stream in append order: each stream recovers to a prefix,
+// the write-ahead contract, and the cross-shard recovery floor raises the
+// shards that lag.
+type logStream struct {
+	phys  []uint64 // physical seq of each live record; logical seq = floor+i
+	floor uint64   // logical seq of phys[0] (1 when nothing truncated)
+	last  uint64   // last logical seq handed out
+}
+
+const streamHdrSize = 4
 
 type segment struct {
 	f    vfile
@@ -356,42 +387,101 @@ func (l *diskLog) openSegment(base uint64) (*segment, error) {
 	return seg, nil
 }
 
+// openStreams rebuilds the stream table over the records the open kept —
+// walStreams WAL streams, then one bucket-data stream per heap — and replays
+// each heap's records above its checkpoint watermark W (those at or below it
+// are in the loaded checkpoint). The scan starts at the lowest sequence any
+// consumer still needs: the truncation point, or a heap's W+1 (the retention
+// gate kept those segments); the WAL streams skip the records below the
+// truncation point.
+func (l *diskLog) openStreams(walStreams int, heaps []*LogHeap) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.streams = make([]logStream, walStreams)
+	for i := range l.streams {
+		l.streams[i].floor = 1
+	}
+	from := l.truncBefore
+	for _, lh := range heaps {
+		from = min(from, lh.ckptW+1)
+	}
+	total := walStreams + len(heaps)
+	return l.scanLocked(from, func(seq, segBase uint64, off int64, rec []byte) error {
+		id, body, err := splitStreamRecord(rec)
+		if err != nil {
+			return fmt.Errorf("storage: log physical record %d: %w", seq, err)
+		}
+		if int(id) >= total {
+			return fmt.Errorf("storage: log record for stream %d but only %d streams opened", id, total)
+		}
+		if int(id) < walStreams {
+			if seq >= l.truncBefore {
+				st := &l.streams[id]
+				st.phys = append(st.phys, seq)
+				st.last++
+			}
+			return nil
+		}
+		lh := heaps[int(id)-walStreams]
+		if seq <= lh.ckptW {
+			return nil // already covered by the index checkpoint
+		}
+		return lh.replayRecord(seq, segBase, off, body)
+	})
+}
+
+func splitStreamRecord(rec []byte) (uint32, []byte, error) {
+	if len(rec) < streamHdrSize {
+		return 0, nil, fmt.Errorf("record shorter than its stream header (%d bytes)", len(rec))
+	}
+	return binary.BigEndian.Uint32(rec), rec[streamHdrSize:], nil
+}
+
 // ---- appends and barriers ----
 
 // logAppendRes describes where one framed record landed in the physical
-// log: its sequence number (what the caller's barrier waits on), the segment
-// (by base) and byte offset of the frame, and the framed length. The
-// location fields are what lets the logheap index point straight back into
-// the log.
+// log: its sequence number (what the caller's barrier waits on) and the
+// segment (by base) and byte offset of the frame, which is what lets the
+// logheap index point straight back into the log.
 type logAppendRes struct {
 	seq     uint64
 	segBase uint64
 	off     int64
-	n       int
 }
 
-// appendRecord frames one stream record in place in the log's reusable
-// buffer — frame header, stream header, the record — and writes it to the
-// active segment, leaving durability to the caller's barrier on its
-// sequence number: the seam through which several shards' streams land in
-// one physical log and stand on the same flush wave. record is not
-// retained.
-func (l *diskLog) appendRecord(stream uint32, record []byte) (logAppendRes, error) {
+// appendStream writes record to WAL stream id and extends the stream's
+// entry under the same hold of mu (stream order == physical order, which
+// torn-tail recovery leans on), returning the stream and physical sequence
+// numbers. Durability is the caller's barrier on phys: the seam through
+// which several shards' streams stand on one flush wave. The record is
+// framed in the log's reusable buffer and not retained.
+func (l *diskLog) appendStream(id uint32, record []byte) (seq, phys uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	buf := binary.BigEndian.AppendUint32(beginRecord(l.frame[:0]), stream)
-	buf = append(buf, record...)
-	sealRecord(buf)
-	l.frame = buf
-	return l.appendFramedLocked(buf)
+	l.frame = append(binary.BigEndian.AppendUint32(beginRecord(l.frame[:0]), id), record...)
+	sealRecord(l.frame)
+	res, err := l.appendFramedLocked(l.frame)
+	if err != nil {
+		return 0, 0, err
+	}
+	st := &l.streams[id]
+	st.phys = append(st.phys, res.seq)
+	st.last++
+	return st.last, res.seq, nil
 }
 
-// appendFramed is appendRecord for a record already framed in a buffer of
-// the caller's (beginRecord/sealRecord); framed is not retained.
-func (l *diskLog) appendFramed(framed []byte) (logAppendRes, error) {
+// appendFramed appends a record to stream id without a barrier and returns
+// where it landed: the heaps' path, which maps no stream sequence. The
+// caller laid the record out as a whole frame in its own buffer —
+// beginRecord, streamHdrSize bytes for the stream header, the body — freshly
+// built or read back and edited (segment GC's copy); the stream id and frame
+// header are filled in there, and frame is not retained.
+func (l *diskLog) appendFramed(id uint32, frame []byte) (logAppendRes, error) {
+	binary.BigEndian.PutUint32(frame[recordFrameSize:], id)
+	sealRecord(frame)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendFramedLocked(framed)
+	return l.appendFramedLocked(frame)
 }
 
 func (l *diskLog) appendFramedLocked(framed []byte) (logAppendRes, error) {
@@ -409,7 +499,7 @@ func (l *diskLog) appendFramedLocked(framed []byte) (logAppendRes, error) {
 	seg.offs = append(seg.offs, off)
 	seg.lens = append(seg.lens, int32(len(framed)))
 	seg.size += int64(len(framed))
-	return logAppendRes{seq: l.lastSeq.Add(1), segBase: seg.base, off: off, n: len(framed)}, nil
+	return logAppendRes{seq: l.lastSeq.Add(1), segBase: seg.base, off: off}, nil
 }
 
 // activeSegmentLocked returns the tail segment, rolling to a fresh file once
@@ -534,15 +624,58 @@ func (l *diskLog) syncLog() error {
 
 // ---- reads ----
 
-// scan streams every retained record with sequence number >= from, in
-// order, passing each record's physical location alongside its body. It does
-// NOT clamp to the truncation point: the retention gate keeps whole segments
-// below it alive because they still hold live bucket versions, and index
-// replay must see them. Each overlapping segment is served with one ranged
-// pread; the body slice is only valid for the duration of the callback.
-func (l *diskLog) scan(from uint64, fn func(seq, segBase uint64, off int64, rec []byte) error) error {
+// scanStream returns stream id's records with sequence >= from, in order.
+// It walks the log from the stream's first wanted record and copies only
+// its own records: the other streams' records between them — other shards'
+// WAL records, every shard's bucket versions — are skipped where they lie.
+func (l *diskLog) scanStream(id uint32, from uint64) ([][]byte, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	// Checked here and not only by the scan: the empty-stream early return
+	// below must still report a closed store.
+	if err := l.checkUsable(); err != nil {
+		return nil, err
+	}
+	st := &l.streams[id]
+	from = max(from, st.floor)
+	if from > st.last {
+		return nil, nil
+	}
+	out := make([][]byte, 0, st.last-from+1)
+	err := l.scanLocked(st.phys[from-st.floor], func(_, _ uint64, _ int64, rec []byte) error {
+		sid, body, err := splitStreamRecord(rec)
+		if err != nil {
+			return err
+		}
+		if sid == id {
+			out = append(out, bytes.Clone(body))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// streamLast reports stream id's last assigned sequence number.
+func (l *diskLog) streamLast(id uint32) (uint64, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if err := l.checkUsable(); err != nil {
+		return 0, err
+	}
+	return l.streams[id].last, nil
+}
+
+// scanLocked streams every retained record with sequence number >= from, in
+// order, passing each record's physical location alongside its body; mu is
+// held. It does NOT clamp to the truncation point: the retention gate keeps
+// whole segments below it alive because they still hold live bucket
+// versions, and index replay must see them. Each overlapping segment is
+// served with one ranged pread; the body slice is only valid for the
+// duration of the callback.
+func (l *diskLog) scanLocked(from uint64, fn func(seq, segBase uint64, off int64, rec []byte) error) error {
 	if err := l.checkUsable(); err != nil {
 		return err
 	}
@@ -611,26 +744,42 @@ func (l *diskLog) last() (uint64, error) {
 
 // ---- truncation and retention ----
 
-// truncate lands the truncation point durably in the meta file first, then
-// deletes the whole segments below it. A crash in between just leaves dead
-// segments for the next open to finish removing.
-func (l *diskLog) truncate(before uint64) error {
+// truncateStream drops stream id's records below before, then raises the
+// log's truncation point to the first record any WAL stream still holds
+// (the next append's, with none): one stream truncating never strands
+// another. The point lands durably in the meta file first, then the whole
+// segments below both it and the retention gate go. A crash in between
+// just leaves dead segments for the next open to finish removing.
+func (l *diskLog) truncateStream(id uint32, before uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Checked before the no-op paths, which must still see ErrClosed.
 	if err := l.checkUsable(); err != nil {
 		return err
 	}
-	before = min(before, l.lastSeq.Load()+1)
-	if before <= l.truncBefore {
+	st := &l.streams[id]
+	before = min(before, st.last+1)
+	if before <= st.floor {
 		return nil
 	}
-	if err := writeMeta(l.fsys, l.dir, l.numBuckets, before); err != nil {
+	st.phys = st.phys[before-st.floor:]
+	st.floor = before
+	floor := l.lastSeq.Load() + 1
+	for i := range l.streams {
+		if p := l.streams[i].phys; len(p) > 0 {
+			floor = min(floor, p[0])
+		}
+	}
+	if floor <= l.truncBefore {
+		return nil
+	}
+	if err := writeMeta(l.fsys, l.dir, l.numBuckets, floor); err != nil {
 		// The rename is atomic — the on-disk meta is either the old or the
 		// new truncation point, both consistent — but we no longer know
 		// which, so the in-memory view may diverge: fail stop.
 		return l.wedge(err)
 	}
-	l.truncBefore = before
+	l.truncBefore = floor
 	l.dropDeadSegmentsLocked()
 	return nil
 }
@@ -694,13 +843,6 @@ func (l *diskLog) gcCandidates() []uint64 {
 		bases = append(bases, seg.base)
 	}
 	return bases
-}
-
-// truncFloor returns the truncation point (first retained WAL sequence).
-func (l *diskLog) truncFloor() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.truncBefore
 }
 
 // Close closes the segments once the wave in flight, if any, has landed;

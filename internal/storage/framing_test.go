@@ -36,9 +36,9 @@ func encodeVersionBodyKind(kind byte, bucket int, epoch uint64, slots [][]byte) 
 }
 
 func wrapSharedRecord(id uint32, rec []byte) []byte {
-	out := make([]byte, sharedLogHdrSize+len(rec))
+	out := make([]byte, streamHdrSize+len(rec))
 	binary.BigEndian.PutUint32(out, id)
-	copy(out[sharedLogHdrSize:], rec)
+	copy(out[streamHdrSize:], rec)
 	return out
 }
 

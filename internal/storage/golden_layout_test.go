@@ -97,11 +97,11 @@ func TestLogFilesGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestLogViewScanCopiesOnlyItsStream pins what one stream's Scan costs on a
+// TestLogStreamScanCopiesOnlyItsStream pins what one stream's Scan costs on a
 // log it shares: a copy of each of its own records and the reads of the
 // segments they lie in. The other shard's log records and both shards'
 // bucket versions sit between them and must not be copied.
-func TestLogViewScanCopiesOnlyItsStream(t *testing.T) {
+func TestLogStreamScanCopiesOnlyItsStream(t *testing.T) {
 	const own = 8
 	g, err := OpenCrashLogHeapGroup(newCrashFS(nil), 2, 7, 1<<20)
 	if err != nil {

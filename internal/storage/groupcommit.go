@@ -46,14 +46,15 @@ func (g *CommitGroup) Stats() GroupStats {
 // DiskGroup is the deployment unit for group commit: n shards rooted in
 // subdirectories of one data dir. The group owns one physical log (diskLog,
 // in shard-000) that every shard's recovery-log stream and bucket versions
-// ride (see SharedLog and LogHeap), so cross-shard barriers wait on one
+// ride (see logStream and LogHeap), so cross-shard barriers wait on one
 // durable frontier and actually coalesce instead of merely running in
 // parallel. shard-<i> holds only shard i's index checkpoint.
 type DiskGroup struct {
-	log    *diskLog
-	shared *SharedLog // set once the open has replayed the log
-	views  []*GroupShard
-	heaps  []*LogHeap // one per shard
+	log *diskLog
+	// views are set once the open has replayed the log and attached the
+	// heaps to it.
+	views []*GroupShard
+	heaps []*LogHeap // one per shard
 	// batchCommits is DiskOptions.LogHeap: Backends exposes
 	// EpochCommitBatcher.
 	batchCommits bool
@@ -71,9 +72,9 @@ type DiskGroup struct {
 // face its LogHeap on the same log. It keeps no key-value namespace
 // (ErrNoKV).
 type GroupShard struct {
-	log     *diskLog
-	logView *LogView
-	heap    *LogHeap
+	log    *diskLog
+	stream uint32 // its WAL stream on log
+	heap   *LogHeap
 	// closed marks this shard logically closed. Its files belong to the
 	// group — every shard's log stream rides the one physical log — so Close
 	// cannot close them; the flag keeps the per-shard ErrClosed contract
@@ -93,42 +94,52 @@ func (s *GroupShard) Append(record []byte) (uint64, error) {
 	if err := s.guard(); err != nil {
 		return 0, err
 	}
-	return s.logView.Append(record)
+	seq, phys, err := s.log.appendStream(s.stream, record)
+	if err != nil {
+		return 0, err
+	}
+	// The barrier runs outside the log's lock, so every stream's barrier
+	// waits on the same frontier and coalesces.
+	if err := s.log.barrier(phys); err != nil {
+		return 0, err
+	}
+	return seq, nil
 }
 func (s *GroupShard) Scan(from uint64) ([][]byte, error) {
 	if err := s.guard(); err != nil {
 		return nil, err
 	}
-	return s.logView.Scan(from)
+	return s.log.scanStream(s.stream, from)
 }
 func (s *GroupShard) Truncate(before uint64) error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	return s.logView.Truncate(before)
+	return s.log.truncateStream(s.stream, before)
 }
 func (s *GroupShard) LastSeq() (uint64, error) {
 	if err := s.guard(); err != nil {
 		return 0, err
 	}
-	return s.logView.LastSeq()
+	return s.log.streamLast(s.stream)
 }
 
-// The deferred-barrier capability routes through the shared log too — this
-// is where it earns its keep: shards append back to back and the first
-// SyncLog's lone fsync covers the whole round; the other shards' SyncLogs
-// ride it.
+// AppendNoSync and SyncLog implement LogBatcher, where the one log earns
+// its keep: shards append back to back, the first SyncLog's lone fsync
+// covers the whole round — every stream's deferred records, on one wave —
+// and the other shards' SyncLogs ride it or find it landed.
 func (s *GroupShard) AppendNoSync(record []byte) (uint64, error) {
 	if err := s.guard(); err != nil {
 		return 0, err
 	}
-	return s.logView.AppendNoSync(record)
+	seq, _, err := s.log.appendStream(s.stream, record)
+	return seq, err
 }
 func (s *GroupShard) SyncLog() error {
 	if err := s.guard(); err != nil {
 		return err
 	}
-	return s.logView.SyncLog()
+	return s.log.syncLog()
 }
 
 func (s *GroupShard) NumBuckets() (int, error) {
@@ -269,7 +280,7 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 		return fail("meta", err)
 	}
 	for i := 0; i < shards; i++ {
-		lh, err := newLogHeap(fsys, shardDir(i), i, nb)
+		lh, err := newLogHeap(fsys, shardDir(i), uint32(shards+i), nb)
 		if err != nil {
 			return fail(fmt.Sprintf("shard %d logheap", i), err)
 		}
@@ -278,12 +289,8 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 	if g.log, err = openDiskLog(fsys, shardDir(0), nb, trunc, opts, g.retainFloor); err != nil {
 		return fail("log", err)
 	}
-	shared, err := newSharedLog(g.log, shards, g.heaps)
-	if err != nil {
-		return fail("shared log", err)
-	}
-	for i, lh := range g.heaps {
-		g.views = append(g.views, &GroupShard{log: g.log, logView: shared.View(i), heap: lh})
+	if err := g.log.openStreams(shards, g.heaps); err != nil {
+		return fail("log streams", err)
 	}
 	var kick func()
 	if opts.autoMaintain {
@@ -296,10 +303,10 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 			}
 		}
 	}
-	for _, lh := range g.heaps {
-		lh.attach(shared, kick)
+	for i, lh := range g.heaps {
+		lh.attach(g.log, kick)
+		g.views = append(g.views, &GroupShard{log: g.log, stream: uint32(i), heap: lh})
 	}
-	g.shared = shared
 	if kick != nil {
 		g.maintainWG.Add(1)
 		go g.maintainLoop()
@@ -366,7 +373,7 @@ func (g *DiskGroup) maintainOnce() {
 
 // Backends returns the shards as Backend values (the shape core.NewSharded
 // and the bench harness consume), each with its log stream routed through
-// the group's shared physical log. A group opened with DiskOptions.LogHeap
+// the group's one physical log. A group opened with DiskOptions.LogHeap
 // wraps them in the type that additionally satisfies EpochCommitBatcher.
 func (g *DiskGroup) Backends() []Backend {
 	out := make([]Backend, len(g.views))
@@ -391,7 +398,7 @@ func (g *DiskGroup) Close() error {
 		g.maintainWG.Wait()
 		g.maintainStop = nil
 	}
-	if g.shared != nil {
+	if g.views != nil {
 		for _, lh := range g.heaps {
 			_ = lh.Checkpoint()
 		}

@@ -11,14 +11,14 @@ import (
 
 // LogHeap is the log-structured bucket heap: one shard's BucketStore whose
 // version records ride the SAME physical segmented log as the group's
-// recovery-log streams (a dedicated bucket-data stream id on the
-// SharedLog). That is the whole point of the design — an epoch's bucket
-// commit record and the WAL checkpoint that commits it land in one file, so
-// the round's single deferred-barrier fsync covers both: heap commit and log
-// barrier share a wave instead of each costing one.
+// recovery-log streams (a dedicated bucket-data stream; see logStream).
+// That is the whole point of the design — an epoch's bucket commit record
+// and the WAL checkpoint that commits it land in one file, so the round's
+// single deferred-barrier fsync covers both: heap commit and log barrier
+// share a wave instead of each costing one.
 //
 // State is the version index every store keeps (versionIndex), each entry
-// locating a version record in the shared log. Nothing on disk is ever
+// locating a version record in the group's log. Nothing on disk is ever
 // mutated in place:
 //
 //   - WriteBuckets appends a version record per bucket (no fsync — shadow
@@ -42,8 +42,7 @@ import (
 // live version or an un-checkpointed record alive past WAL truncation.
 type LogHeap struct {
 	log    *diskLog // the group's physical log
-	shared *SharedLog
-	stream int // bucket-data stream index on shared
+	stream uint32   // its bucket-data stream on log
 
 	fsys       vfs
 	dir        string // this shard's directory; holds the index checkpoint
@@ -82,7 +81,7 @@ const maintainEvery = 4096
 
 // logHeapDataStart is how far past its frame a version record's first
 // slot-length prefix lies: the stream-id header and the version-body header.
-const logHeapDataStart = recordFrameSize + sharedLogHdrSize + heapVersionDataStart
+const logHeapDataStart = recordFrameSize + streamHdrSize + heapVersionDataStart
 
 var (
 	_ BucketStore = (*LogHeap)(nil)
@@ -92,9 +91,9 @@ var (
 // newLogHeap loads the shard's index checkpoint, before the log opens: the
 // retention floor it sets is the gate the log's open collects dead segments
 // under. The caller then replays own-stream records above the watermark
-// through replayRecord (via the SharedLog demux scan) and finally attaches
+// through replayRecord (via diskLog.openStreams) and finally attaches
 // the log.
-func newLogHeap(fsys vfs, dir string, stream, numBuckets int) (*LogHeap, error) {
+func newLogHeap(fsys vfs, dir string, stream uint32, numBuckets int) (*LogHeap, error) {
 	lh := &LogHeap{
 		stream:     stream,
 		fsys:       fsys,
@@ -178,9 +177,9 @@ func (lh *LogHeap) loadCheckpoint() error {
 
 // attach wires the replayed heap to the log and its maintenance hook, once
 // replay is done, and recomputes the retention floor replay moved.
-func (lh *LogHeap) attach(shared *SharedLog, kick func()) {
+func (lh *LogHeap) attach(log *diskLog, kick func()) {
 	lh.mu.Lock()
-	lh.log, lh.shared, lh.kick = shared.log, shared, kick
+	lh.log, lh.kick = log, kick
 	lh.recomputeRetainLocked()
 	lh.mu.Unlock()
 }
@@ -260,7 +259,7 @@ func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(
 
 // ReadSlots implements BucketStore: refs carrying the write-through mirror
 // are answered from memory, the rest — only versions installed by recovery
-// replay — are read back out of the shared log.
+// replay — are read back out of the log.
 func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
@@ -301,7 +300,7 @@ func (lh *LogHeap) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 	return lh.ix.encodeBucket(dst, bucket, lh)
 }
 
-// preadVersion implements versionFile over the shared log.
+// preadVersion implements versionFile over the log.
 func (lh *LogHeap) preadVersion(seg uint64, off int64, n int) ([]byte, error) {
 	return lh.log.readRangeInto(nil, seg, off, n)
 }
@@ -310,9 +309,9 @@ func (lh *LogHeap) preadVersion(seg uint64, off int64, n int) ([]byte, error) {
 
 // beginFrame starts a stream record in the heap's framing buffer (mu held):
 // an empty frame header and room for the stream header; the caller appends
-// the body and hands the whole to appendHeapFrame.
+// the body and hands the whole to diskLog.appendFramed.
 func (lh *LogHeap) beginFrame() []byte {
-	return append(beginRecord(lh.frame[:0]), make([]byte, sharedLogHdrSize)...)
+	return append(beginRecord(lh.frame[:0]), make([]byte, streamHdrSize)...)
 }
 
 // WriteBucket implements BucketStore.
@@ -321,7 +320,7 @@ func (lh *LogHeap) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 }
 
 // WriteBuckets implements BucketStore: one version record per bucket into
-// the shared log, no fsync (CommitEpoch's wave is the barrier; shadow paging
+// the log, no fsync (CommitEpoch's wave is the barrier; shadow paging
 // makes a torn or unsynced version harmless). Each record is framed in place
 // in the heap's one buffer, which is what the log writes out, and the slots
 // are copied once more into the version's mirror slab. Framing,
@@ -338,7 +337,7 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 			return err
 		}
 		lh.frame = appendVersionBody(lh.beginFrame(), heapKindVersion, w.Bucket, w.Epoch, w.Slots)
-		res, err := lh.shared.appendHeapFrame(lh.stream, lh.frame)
+		res, err := lh.log.appendFramed(lh.stream, lh.frame)
 		if err != nil {
 			return err
 		}
@@ -404,7 +403,7 @@ func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) error {
 	}
 	if kind == heapKindRollback || epoch > lh.ix.committed {
 		lh.frame = append(lh.beginFrame(), encodeEpochBody(kind, epoch)...)
-		res, err := lh.shared.appendHeapFrame(lh.stream, lh.frame)
+		res, err := lh.log.appendFramed(lh.stream, lh.frame)
 		if err != nil {
 			return err
 		}
@@ -632,14 +631,14 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			lh.mu.Unlock()
 			return moved, fmt.Errorf("storage: GC re-reading segment %d offset %d: %w", segBase, r.off, err)
 		}
-		if len(body) <= sharedLogHdrSize {
+		if len(body) <= streamHdrSize {
 			lh.mu.Unlock()
 			return moved, fmt.Errorf("storage: GC re-reading segment %d offset %d: record shorter than its stream header", segBase, r.off)
 		}
 		// frame is this call's own buffer: flip the kind in place and send
 		// the same bytes back to the log head.
-		body[sharedLogHdrSize] = heapKindGCCopy
-		res, err := lh.shared.appendHeapFrame(lh.stream, frame[:size])
+		body[streamHdrSize] = heapKindGCCopy
+		res, err := lh.log.appendFramed(lh.stream, frame[:size])
 		if err != nil {
 			lh.mu.Unlock()
 			return moved, err

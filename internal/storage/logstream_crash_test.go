@@ -23,7 +23,7 @@ import (
 // sound for the WAL but it would desynchronize the oracle's seq-indexed
 // content check. Truncation crash windows are swept by the one-shard sweep
 // (which knows the physical sequence of each record, stable across a
-// reopen) and exercised logically by the shared-log unit tests.
+// reopen) and exercised logically by the log-stream unit tests.
 
 const sharedSweepShards = 2
 
@@ -125,7 +125,7 @@ func sharedGroupWorkload(views []checkedShard, oracles []*sweepOracle) {
 }
 
 // verifySharedGroupRecovered reopens the whole group on the durable snapshot
-// — shared-log demux included — and checks every shard view against its
+// — the log's stream demux included — and checks every shard view against its
 // oracle.
 func verifySharedGroupRecovered(t *testing.T, snap *crashFS, oracles []*sweepOracle, strict bool, tag string) {
 	t.Helper()

@@ -126,7 +126,16 @@ func storeState(mem *MemBackend) string {
 // a per-request error before anything is sized by its length fields, and
 // leaves the store as it was.
 func TestServerHandleRejectsHostileFrames(t *testing.T) {
+	// TotalAlloc is process-wide, so nothing but this goroutine may allocate
+	// while a window is open. The collector is off. With one P no other
+	// goroutine runs during a window, and this one cannot move to a P whose
+	// sync.Pool cache holds no fmt printer, where an error message would
+	// allocate a fresh one. The Gosched first lets whatever is runnable —
+	// another test's teardown, the runtime's work after the last collection —
+	// run to its end.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.Gosched()
 	for _, hf := range hostileFrames() {
 		mem := seededStore(t)
 		before := storeState(mem)
