@@ -30,3 +30,16 @@ func BenchmarkOpen256(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSealFrame seals a kv-mem slot in place, nonce draw included: the
+// per-slot cost a filler frame (BenchmarkFill) replaces.
+func BenchmarkSealFrame(b *testing.B) {
+	k := KeyFromSeed([]byte("bench"))
+	frame := make([]byte, fillerFrame)
+	binding := Binding(1, 2, 3)
+	for i := 0; i < b.N; i++ {
+		if err := k.SealInPlace(frame, binding); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

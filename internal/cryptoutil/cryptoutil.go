@@ -14,7 +14,8 @@
 //	scheme(1) | nonce(12) | ciphertext | tag(16)
 //
 // A frame led by any other scheme byte fails with ErrScheme and never yields
-// plaintext.
+// plaintext. A Filler writes frames of the same shape that carry no message:
+// the scheme byte and keystream, for slots that hold no block.
 package cryptoutil
 
 import (

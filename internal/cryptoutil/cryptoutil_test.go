@@ -309,7 +309,7 @@ func TestGCMSealedFailsUnderCTR(t *testing.T) {
 // FuzzOpenSealed extends frame-decode fuzzing to the sealed framing: the
 // opener must reject arbitrary frames without panicking, a valid frame must
 // survive the trip, and a frame led by a foreign scheme byte fails with
-// ErrScheme.
+// ErrScheme. A filler frame seeds the corpus beside the sealed ones.
 func FuzzOpenSealed(f *testing.F) {
 	k := KeyFromSeed([]byte("fuzz"))
 	if s, err := k.Seal([]byte("seed frame"), Binding(1, 2, 3)); err == nil {
@@ -320,6 +320,11 @@ func FuzzOpenSealed(f *testing.F) {
 	}
 	f.Add([]byte{byte(SchemeGCM)}, uint64(0), uint64(0), uint64(0))
 	f.Add([]byte{}, uint64(0), uint64(0), uint64(0))
+	if filler, err := NewFiller(); err == nil {
+		frame := make([]byte, k.SealedSize(len("seed frame")))
+		filler.Fill(frame, len(frame))
+		f.Add(frame, uint64(1), uint64(2), uint64(3))
+	}
 	f.Fuzz(func(t *testing.T, frame []byte, id, epoch, batch uint64) {
 		binding := Binding(id, epoch, batch)
 		if plain, err := k.Open(frame, binding); err == nil {

@@ -14,28 +14,52 @@ import (
 	"obladi/internal/storage"
 )
 
-// slotCounter counts the slots a store is written.
+// slotCounter counts the slots a store is written and, once oram is set,
+// sorts them by trying each under its bucket's binding: a slot that opens
+// is a sealed block, one that fails with ErrAuth a filler, anything else an
+// error. It relies on the writer's metadata being at the version it writes,
+// as it is while a flush runs with nothing planned beside it.
 type slotCounter struct {
 	storage.BucketStore
-	slots int64
+	key                    *cryptoutil.Key
+	oram                   *ringoram.ORAM
+	slots, blocks, fillers int64
+	err                    error
 }
 
 func (s *slotCounter) WriteBuckets(writes []storage.BucketWrite) error {
 	for _, w := range writes {
 		s.slots += int64(len(w.Slots))
+		if s.oram == nil {
+			continue
+		}
+		_, ver := s.oram.BlockSlots(w.Bucket, nil)
+		binding := cryptoutil.Binding(uint64(w.Bucket), ver, 0)
+		for i, slot := range w.Slots {
+			switch _, err := s.key.Open(slot, binding); {
+			case err == nil:
+				s.blocks++
+			case errors.Is(err, cryptoutil.ErrAuth) && slot[0] == byte(cryptoutil.SchemeGCM):
+				s.fillers++
+			default:
+				s.err = fmt.Errorf("bucket %d version %d slot %d: led by %d, %v", w.Bucket, ver, i, slot[0], err)
+			}
+		}
 	}
 	return s.BucketStore.WriteBuckets(writes)
 }
 
-// TestSealsEqualFlushedSlots counts seals: every slot sealed in an epoch is a
-// slot the epoch's flush writes. A bucket version a later eviction of the
-// same epoch supersedes stays a plaintext image and is never sealed. The
+// TestSealsEqualFlushedSlots counts seals and fillers: every block sealed in
+// an epoch is a block the epoch's flush writes, and every other slot it
+// writes is a filler, sealed under nothing. A bucket version a later eviction
+// of the same epoch supersedes stays a plaintext image and is never sealed.
+// The
 // geometry and schedule are the kv-mem benchmark's — Z = 16, S = 24, A = 16,
 // 256-byte values, 16 384 keys on one shard, four read batches of 32 and a
 // write batch of 64 per epoch — preloaded the way its setup is, 64 keys an
 // epoch under padding reads, then run through steady-state epochs of uniform
-// reads and blind writes, where an epoch makes 132.2 bucket versions and
-// flushes 99 of them (2 448.5 slots).
+// reads and blind writes; the test logs the set-up's and the per-epoch
+// split.
 func TestSealsEqualFlushedSlots(t *testing.T) {
 	const (
 		keys, readBatches, readBatch, writeBatch = 16384, 4, 32, 64
@@ -47,11 +71,12 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	p := ringoram.Params{NumBlocks: keys, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 256, Seed: 2}
 	backend := storage.NewMemBackend(p.Geometry().NumBuckets)
 	defer backend.Close()
-	store := &slotCounter{BucketStore: backend}
-	oram, err := InitORAM(store, cryptoutil.KeyFromSeed([]byte("seals")), p)
+	store := &slotCounter{BucketStore: backend, key: cryptoutil.KeyFromSeed([]byte("seals"))}
+	oram, err := InitORAM(store, store.key, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.oram = oram
 	e := New(oram, store, Config{})
 	names := make([]string, keys)
 	for i := range names {
@@ -60,12 +85,13 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	value := make([]byte, p.ValueSize)
 	rng := rand.New(rand.NewPCG(1, 2))
 	reads, writes := make([]ReadOp, readBatch), make([]WriteOp, writeBatch)
-	var sealed, versions, written int64
+	var sealed, filled, versions, written int64
 	epoch := uint64(0)
 	run := func(preload int) {
 		epoch++
 		e.BeginEpoch(epoch)
-		seals0, slots0, st0 := oram.SealedSlots(), store.slots, e.Stats()
+		seals0, fills0, st0 := oram.SealedSlots(), oram.FilledSlots(), e.Stats()
+		slots0, blocks0, fillers0 := store.slots, store.blocks, store.fillers
 		for b := 0; b < readBatches; b++ {
 			clear(reads)
 			if preload < 0 {
@@ -98,8 +124,8 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 		if _, err := e.Execute(plan); err != nil {
 			t.Fatal(err)
 		}
-		if got := oram.SealedSlots() - seals0; got != 0 {
-			t.Fatalf("epoch %d: %d slots sealed before the flush", epoch, got)
+		if seals, fills := oram.SealedSlots()-seals0, oram.FilledSlots()-fills0; seals != 0 || fills != 0 {
+			t.Fatalf("epoch %d: %d slots sealed and %d filled before the flush", epoch, seals, fills)
 		}
 		s, err := e.SealEpoch()
 		if err != nil {
@@ -111,13 +137,18 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 		if err := backend.CommitEpoch(epoch); err != nil {
 			t.Fatal(err)
 		}
-		seals, slots := oram.SealedSlots()-seals0, store.slots-slots0
-		if seals != slots {
-			t.Fatalf("epoch %d: %d slots sealed, %d flushed", epoch, seals, slots)
+		if store.err != nil {
+			t.Fatalf("epoch %d: %v", epoch, store.err)
+		}
+		seals, fills := oram.SealedSlots()-seals0, oram.FilledSlots()-fills0
+		slots, blocks, fillers := store.slots-slots0, store.blocks-blocks0, store.fillers-fillers0
+		if seals != blocks || fills != fillers || seals+fills != slots {
+			t.Fatalf("epoch %d: %d slots sealed and %d filled; %d flushed, %d of them blocks and %d fillers", epoch, seals, fills, slots, blocks, fillers)
 		}
 		if preload < 0 {
 			st := e.Stats()
 			sealed += seals
+			filled += fills
 			versions += st.WritesBuffered - st0.WritesBuffered
 			written += st.BucketWrites - st0.BucketWrites
 		}
@@ -125,14 +156,17 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	for next := 0; next < keys; next += writeBatch {
 		run(next)
 	}
+	setupSealed, setupFilled := oram.SealedSlots(), oram.FilledSlots()
 	for i := 0; i < steady; i++ {
 		run(-1)
 	}
 	if versions <= written {
 		t.Fatalf("%d bucket versions made and %d flushed: no version was superseded within an epoch", versions, written)
 	}
-	t.Logf("steady state, per epoch: %.1f slots sealed and flushed; %.1f bucket versions made, %.1f of them flushed",
-		float64(sealed)/steady, float64(versions)/steady, float64(written)/steady)
+	t.Logf("set-up (tree and preload): %d slots sealed, %d filled (%.1f %% fillers)",
+		setupSealed, setupFilled, 100*float64(setupFilled)/float64(setupSealed+setupFilled))
+	t.Logf("steady state, per epoch: %.1f slots flushed, %.1f of them sealed blocks and %.1f fillers; %.1f bucket versions made, %.1f of them flushed",
+		float64(sealed+filled)/steady, float64(sealed)/steady, float64(filled)/steady, float64(versions)/steady, float64(written)/steady)
 }
 
 // plainStore answers every remote read of a slot it has a plaintext copy of

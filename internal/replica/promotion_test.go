@@ -268,9 +268,11 @@ func commit(p *core.Proxy, key string, value []byte) error {
 	return tx.Commit()
 }
 
-// readKey reads key in its own transaction, retrying ErrEpochFull: a read
-// that arrives after its epoch's last read batch is held until the next
-// epoch opens and then refused, so the retry can be immediate.
+// readKey reads key in its own transaction, retrying a retryable abort as a
+// client must: a read that arrives after its epoch's last read batch is held
+// until the next epoch opens and then refused (ErrEpochFull), and one whose
+// epoch ends before it is performed is aborted with the epoch (fate sharing).
+// Either retry can be immediate.
 func readKey(t *testing.T, p *core.Proxy, key string) ([]byte, bool) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
@@ -280,7 +282,7 @@ func readKey(t *testing.T, p *core.Proxy, key string) ([]byte, bool) {
 		if err == nil {
 			return v, found
 		}
-		if !errors.Is(err, core.ErrEpochFull) || attempt >= 50 {
+		if retryable := errors.Is(err, core.ErrEpochFull) || errors.Is(err, core.ErrAborted); !retryable || attempt >= 50 {
 			t.Fatalf("read %s: %v", key, err)
 		}
 	}
@@ -411,7 +413,7 @@ func checkZeroAckedLoss(t *testing.T) {
 			break
 		}
 		tx.Abort()
-		if !errors.Is(err, core.ErrEpochFull) || attempt >= 50 {
+		if retryable := errors.Is(err, core.ErrEpochFull) || errors.Is(err, core.ErrAborted); !retryable || attempt >= 50 {
 			t.Fatalf("multi-key commit: %v", err)
 		}
 	}

@@ -11,12 +11,14 @@ import (
 //
 //	kind(u8) | keyLen(u16) | key[KeySize] | valLen(u32) | value[ValueSize]
 //
-// kind distinguishes dummy filler, an occupied real slot, an empty real slot,
-// and a tombstone (a deleted key that still occupies its position-map entry).
+// kind distinguishes a filler, an occupied real slot and a tombstone (a
+// deleted key that still occupies its position-map entry). With encryption on
+// a filler is never encoded at all (see fill); with it off it is a cleared
+// plaintext, kind 0. Kind 2 is retired (it named an empty real position):
+// parse rejects it like any unknown kind.
 const (
 	slotDummy     = 0
 	slotReal      = 1
-	slotEmptyReal = 2
 	slotTombstone = 3
 )
 
@@ -86,6 +88,17 @@ func (c codec) seal(frame, binding []byte) error {
 	return c.key.SealInPlace(frame, binding)
 }
 
+// fill writes run, whole slot frames, as fillers: keystream frames from f
+// (see cryptoutil.Filler) or, with encryption off, cleared plaintext (f may
+// then be nil). Nothing opens a filler.
+func (c codec) fill(run []byte, f *cryptoutil.Filler) {
+	if c.key == nil {
+		clear(run)
+		return
+	}
+	f.Fill(run, c.slotSize())
+}
+
 // open authenticates a stored slot under binding and returns its plaintext,
 // decrypted into scratch (cap >= plainSize, reused across calls); with
 // encryption off the plaintext is data itself.
@@ -97,18 +110,18 @@ func (c codec) open(scratch, data, binding []byte) ([]byte, error) {
 }
 
 // parse decodes a slot's plaintext. It returns the slot kind and, for real or
-// tombstone slots, the decoded block. The returned block ALIASES plain and is
-// only valid as long as plain is: a caller that retains it must copy it out
-// first — the ORAM hot path copies into its stash value arena, turning what
-// used to be one heap allocation per decoded slot into a bump of a recycled
-// slab.
+// tombstone slots, the decoded block; a cleared plaintext filler parses as
+// slotDummy. The returned block ALIASES plain and is only valid as long as
+// plain is: a caller that retains it must copy it out first — the ORAM hot
+// path copies into its stash value arena, turning what used to be one heap
+// allocation per decoded slot into a bump of a recycled slab.
 func (c codec) parse(plain []byte) (byte, block, error) {
 	if len(plain) != c.plainSize() {
 		return 0, block{}, fmt.Errorf("ringoram: slot of %d bytes, want %d", len(plain), c.plainSize())
 	}
 	kind := plain[0]
 	switch kind {
-	case slotDummy, slotEmptyReal:
+	case slotDummy:
 		return kind, block{}, nil
 	case slotReal, slotTombstone:
 	default:

@@ -2,6 +2,7 @@ package ringoram
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -18,7 +19,9 @@ import (
 type sparseClient struct {
 	t        *testing.T
 	oram     *ORAM
-	kept     map[int]map[int][]byte // bucket -> physical slot -> bytes
+	kept     map[int]map[int][]byte  // bucket -> physical slot -> bytes
+	fillers  map[int]map[string]bool // bucket -> the fillers of its last image
+	refills  int                     // images whose fillers were checked against the version before
 	realOnly int
 	arena    SealArena
 }
@@ -48,29 +51,45 @@ func (c *sparseClient) evict(plan *EvictPlan) {
 			c.t.Fatalf("bucket %d sealed with %d slots, want its Z = %d real positions", im.Bucket, len(slots), want)
 		}
 		kept := make(map[int][]byte, len(im.Blocks))
+		holds := make([]bool, len(slots))
+		bind := cryptoutil.Binding(uint64(im.Bucket), im.Ver, 0)
 		for i, s := range im.Real() {
-			if trimmed {
-				// Real()[i] is the physical slot of the block at slots[i].
-				kept[s] = bytes.Clone(slots[i])
-			} else {
-				kept[s] = bytes.Clone(slots[s])
+			frame := i // Real()[i] is the physical slot of the block at slots[i]
+			if !trimmed {
+				frame = s
+			}
+			holds[frame] = true
+			kept[s] = bytes.Clone(slots[frame])
+			plain, err := c.oram.cdc.open(make([]byte, 0, c.oram.cdc.plainSize()), slots[frame], bind)
+			must(c.t, err)
+			kind, _, err := c.oram.cdc.parse(plain)
+			must(c.t, err)
+			if (kind != slotReal && kind != slotTombstone) || !bytes.Equal(plain, im.Blocks[i]) {
+				c.t.Fatalf("bucket %d version %d slot %d is listed in Real but does not open to its block (kind %d)", im.Bucket, im.Ver, s, kind)
 			}
 		}
 		c.kept[im.Bucket] = kept
-		for s, d := range slots {
-			kind, _, err := c.oram.cdc.decodeSlot(d, c.oram.binding(uint64(im.Bucket), im.Ver))
-			must(c.t, err)
-			listed := kept[s] != nil
-			if trimmed {
-				listed = s < len(im.Blocks)
-				if kind == slotDummy {
-					c.t.Fatalf("bucket %d version %d: a dummy sealed at position %d of a bucket sealed without dummies", im.Bucket, im.Ver, s)
-				}
-			}
-			if holds := kind == slotReal || kind == slotTombstone; holds != listed {
-				c.t.Fatalf("bucket %d version %d slot %d: holds a block = %v, listed in Real = %v", im.Bucket, im.Ver, s, holds, !holds)
-			}
+		prev := c.fillers[im.Bucket]
+		if prev != nil {
+			c.refills++
 		}
+		fillers := make(map[string]bool, len(slots))
+		for i, d := range slots {
+			if holds[i] {
+				continue
+			}
+			if len(d) != c.oram.cdc.slotSize() || d[0] != byte(cryptoutil.SchemeGCM) {
+				c.t.Fatalf("bucket %d version %d: filler %d is %d bytes led by %d, want %d bytes led by the scheme byte", im.Bucket, im.Ver, i, len(d), d[0], c.oram.cdc.slotSize())
+			}
+			if _, err := c.oram.cdc.key.OpenTo(nil, d, bind); !errors.Is(err, cryptoutil.ErrAuth) {
+				c.t.Fatalf("bucket %d version %d: filler %d opened under the bucket's binding: %v, want ErrAuth", im.Bucket, im.Ver, i, err)
+			}
+			if prev[string(d)] {
+				c.t.Fatalf("bucket %d version %d: filler %d repeats a filler of the version before", im.Bucket, im.Ver, i)
+			}
+			fillers[string(d)] = true
+		}
+		c.fillers[im.Bucket] = fillers
 		im.Recycle()
 		c.arena.Reset()
 	}
@@ -263,13 +282,17 @@ func TestEvictionFillersMatchRescan(t *testing.T) {
 // though the twin seals its upper buckets as their Z real positions alone,
 // where Real[i] is the physical slot of Slots[i]: leaving the dummies out
 // changes nothing a checkpoint records and draws nothing from the generator.
+// Every sealed image is checked slot by slot: each slot in Real opens to its
+// block under the bucket's binding, every other slot is a full-length frame
+// led by the scheme byte that fails to open with ErrAuth, and no filler
+// repeats one of the bucket's version before.
 func TestCompletionNeverInspectsFillers(t *testing.T) {
 	t.Run("dummiless=true", func(t *testing.T) {
 		p := testParams(64)
 		full, store := newTestSeq(t, p)
 		o, err := New(cryptoutil.KeyFromSeed([]byte("test")), p)
 		must(t, err)
-		sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte), realOnly: o.geo.NumBuckets / 4}
+		sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte), fillers: make(map[int]map[string]bool), realOnly: o.geo.NumBuckets / 4}
 		o.SealRealOnly(sparse.realOnly)
 
 		rng := rand.New(rand.NewPCG(5, 6))
@@ -303,6 +326,9 @@ func TestCompletionNeverInspectsFillers(t *testing.T) {
 		}
 		if store.violation != nil {
 			t.Fatal(store.violation)
+		}
+		if sparse.refills < 100 {
+			t.Fatalf("only %d bucket versions had a version before them to compare fillers with", sparse.refills)
 		}
 		a, err := full.ORAM().EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
 		must(t, err)

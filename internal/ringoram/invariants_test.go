@@ -328,7 +328,7 @@ func TestPropertyStashBoundedUnderHotspot(t *testing.T) {
 }
 
 // encodeSlot seals one slot into a fresh frame, as SealImage seals each slot
-// of a bucket.
+// of a bucket that holds a block.
 func (c codec) encodeSlot(kind byte, b block, binding []byte) ([]byte, error) {
 	frame := make([]byte, c.slotSize())
 	if err := c.encodePlain(c.plainOf(frame), kind, b); err != nil {
@@ -338,11 +338,6 @@ func (c codec) encodeSlot(kind byte, b block, binding []byte) ([]byte, error) {
 		return nil, err
 	}
 	return frame, nil
-}
-
-// encodeDummy seals a filler slot.
-func (c codec) encodeDummy(binding []byte) ([]byte, error) {
-	return c.encodeSlot(slotDummy, block{}, binding)
 }
 
 // decodeSlot opens and parses a stored slot, as completion does a remote read.
@@ -389,19 +384,22 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecDummyIndistinguishableSize: a filler frame is as long as a sealed
+// slot and leads with the same scheme byte.
 func TestCodecDummyIndistinguishableSize(t *testing.T) {
 	c := codec{keySize: 16, valueSize: 32, key: cryptoutil.KeyFromSeed([]byte("d"))}
-	binding := cryptoutil.Binding(0, 1, 0)
-	d, err := c.encodeDummy(binding)
+	f, err := cryptoutil.NewFiller()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.encodeSlot(slotReal, block{key: "k", value: []byte("v")}, binding)
+	d := make([]byte, c.slotSize())
+	c.fill(d, f)
+	r, err := c.encodeSlot(slotReal, block{key: "k", value: []byte("v")}, cryptoutil.Binding(0, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d) != len(r) {
-		t.Fatalf("dummy slot %d bytes, real slot %d bytes", len(d), len(r))
+	if len(d) != len(r) || d[0] != r[0] {
+		t.Fatalf("filler slot of %d bytes led by %d, real slot of %d bytes led by %d", len(d), d[0], len(r), r[0])
 	}
 }
 
@@ -413,5 +411,21 @@ func TestCodecRejectsWrongBinding(t *testing.T) {
 	}
 	if _, _, err := c.decodeSlot(enc, cryptoutil.Binding(3, 8, 0)); err == nil {
 		t.Fatal("stale bucket version accepted")
+	}
+}
+
+// TestCodecRejectsUnknownKinds: parse accepts only a filler, a real slot and
+// a tombstone; every other kind byte, the retired empty-real kind 2 among
+// them, is an error.
+func TestCodecRejectsUnknownKinds(t *testing.T) {
+	c := codec{keySize: 16, valueSize: 32}
+	plain := make([]byte, c.plainSize())
+	for kind := 0; kind < 256; kind++ {
+		plain[0] = byte(kind)
+		_, _, err := c.parse(plain)
+		known := kind == slotDummy || kind == slotReal || kind == slotTombstone
+		if known != (err == nil) {
+			t.Fatalf("slot kind %d: %v", kind, err)
+		}
 	}
 }

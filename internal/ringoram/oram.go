@@ -132,8 +132,10 @@ type ORAM struct {
 	// realOnly is how many buckets, from the root in heap order, are sealed as
 	// their Z real positions alone (see SealRealOnly).
 	realOnly int
-	// sealedSlots counts the slots SealImage has sealed.
+	// sealedSlots and filledSlots count the slots SealImage has sealed (those
+	// holding a block) and filled (all the others).
 	sealedSlots atomic.Int64
+	filledSlots atomic.Int64
 }
 
 // imageBuf is a pooled buffer for one bucket image: the version's
@@ -509,8 +511,12 @@ func (o *ORAM) SlotSize() int { return o.cdc.slotSize() }
 func (o *ORAM) PlainSlotSize() int { return o.cdc.plainSize() }
 
 // SealedSlots returns how many slots SealImage has sealed, SealFresh's
-// included.
+// included: the slots holding a block, each a GCM seal when encryption is on.
 func (o *ORAM) SealedSlots() int64 { return o.sealedSlots.Load() }
+
+// FilledSlots returns how many slots SealImage has written as fillers,
+// SealFresh's included: every slot it wrote that holds no block.
+func (o *ORAM) FilledSlots() int64 { return o.filledSlots.Load() }
 
 // SealRealOnly makes the seal of every bucket version of the first n buckets
 // (heap order, the root first) that is made from now on produce only the
@@ -1298,14 +1304,16 @@ func (o *ORAM) imageOf(pb *plannedBucket) (BucketImage, error) {
 }
 
 // SealArena is memory a caller lends to SealImage and SealFresh: byte chunks
-// the seals carve slot frames from, front to back, and the slot headers they
-// hand back. It grows to the largest set of buckets sealed between two Resets,
-// a chunk at a time, and is reused after that. The zero value is ready.
+// the seals carve slot frames from, front to back, the slot headers they hand
+// back, and the Filler that writes the frames holding no block. It grows to
+// the largest set of buckets sealed between two Resets, a chunk at a time, and
+// is reused after that. The zero value is ready.
 type SealArena struct {
 	chunks [][]byte // chunks[:used] hold frames, the last of them is carved next
 	used   int
 	slots  [][]byte
 	bind   []byte
+	filler *cryptoutil.Filler // made by the first seal with encryption on
 }
 
 // sealChunk is the size of a seal arena's chunks: a few buckets' slots, so an
@@ -1326,7 +1334,8 @@ func (a *SealArena) Reset() {
 
 // take carves n frames of size bytes from the current chunk, moving on to
 // the next one (and making it, the first time) when the current one is short.
-func (a *SealArena) take(n, size int) [][]byte {
+// It returns the frames as one run of n*size bytes and as n slots.
+func (a *SealArena) take(n, size int) ([]byte, [][]byte) {
 	need := n * size
 	if a.used == 0 || cap(a.chunks[a.used-1])-len(a.chunks[a.used-1]) < need {
 		if a.used == len(a.chunks) {
@@ -1338,21 +1347,23 @@ func (a *SealArena) take(n, size int) [][]byte {
 		a.used++
 	}
 	c := a.chunks[a.used-1]
-	start := len(a.slots)
+	begin, start := len(c), len(a.slots)
 	for i := 0; i < n; i++ {
 		off := len(c)
 		c = c[:off+size]
 		a.slots = append(a.slots, c[off:off+size:off+size])
 	}
 	a.chunks[a.used-1] = c
-	return a.slots[start:len(a.slots):len(a.slots)]
+	return c[begin:len(c):len(c)], a.slots[start:len(a.slots):len(a.slots)]
 }
 
 // SealImage seals im into a as the bucket version storage keeps: its Z+S
 // slots indexed by physical slot, or, for a bucket below the SealRealOnly
-// bound, its Z real positions in position order and no dummies. Every slot
-// is sealed under the version's (bucket, version) binding. It is the one
-// place a bucket is sealed. It reads only the image and the ORAM's fixed
+// bound, its Z real positions in position order and no dummies. Only the
+// positions holding a block are sealed, under the version's (bucket, version)
+// binding; every other slot is a filler frame (see cryptoutil.Filler), which
+// storage cannot tell from a sealed one and the proxy never opens. It is the
+// one place a bucket is sealed. It reads only the image and the ORAM's fixed
 // configuration, never state the ORAM's lock guards, so a committer may seal
 // one epoch's images while the next epoch plans and completes.
 func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
@@ -1360,28 +1371,27 @@ func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
 	if im.trim {
 		n = o.p.Z
 	}
-	slots := a.take(n, o.cdc.slotSize())
+	if a.filler == nil && o.cdc.key != nil {
+		f, err := cryptoutil.NewFiller()
+		if err != nil {
+			return nil, err
+		}
+		a.filler = f
+	}
+	run, slots := a.take(n, o.cdc.slotSize())
+	o.cdc.fill(run, a.filler)
 	a.bind = cryptoutil.AppendBinding(a.bind[:0], uint64(im.Bucket), im.Ver, 0)
-	for pos := 0; pos < n; pos++ {
+	for pos, b := range im.Blocks {
 		frame := slots[pos]
 		if !im.trim {
 			frame = slots[im.perm[pos]]
 		}
-		plain := o.cdc.plainOf(frame)
-		switch {
-		case pos < len(im.Blocks):
-			copy(plain, im.Blocks[pos])
-		case pos < o.p.Z:
-			clear(plain)
-			plain[0] = slotEmptyReal
-		default:
-			clear(plain)
-			plain[0] = slotDummy
-		}
+		copy(o.cdc.plainOf(frame), b)
 		if err := o.cdc.seal(frame, a.bind); err != nil {
 			return nil, err
 		}
 	}
-	o.sealedSlots.Add(int64(n))
+	o.sealedSlots.Add(int64(len(im.Blocks)))
+	o.filledSlots.Add(int64(n - len(im.Blocks)))
 	return slots, nil
 }

@@ -17,34 +17,46 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 	if !raceEnabled {
 		t.Skip("Recycle and Reset poison buffers in race builds only")
 	}
-	o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("seal arena", func(t *testing.T) {
-		var a SealArena
-		slots, err := o.SealFresh(0, &a)
+	// evicted writes k into a fresh ORAM and evicts it into the tree,
+	// returning the images of the eviction's bucket versions.
+	evicted := func(t *testing.T) (*ORAM, []BucketImage) {
+		o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
 		must(t, err)
-		open := func() error {
-			_, _, err := o.cdc.decodeSlot(slots[0], o.binding(0, 1))
-			return err
-		}
-		if err := open(); err != nil {
-			t.Fatalf("a sealed slot does not open: %v", err)
-		}
-		a.Reset()
-		if err := open(); err == nil {
-			t.Fatal("a slot of a reset arena still opens: the arena was not poisoned")
-		}
-	})
-
-	t.Run("image", func(t *testing.T) {
 		must(t, o.PlanWrite("k", []byte("v"), false))
 		ep, err := o.PlanEvict()
 		must(t, err)
 		images, err := o.CompleteEvict(ep, make([][]byte, len(ep.Reads)))
 		must(t, err)
+		return o, images
+	}
+
+	t.Run("seal arena", func(t *testing.T) {
+		o, images := evicted(t)
+		var a SealArena
+		for _, im := range images {
+			if len(im.Blocks) == 0 {
+				continue
+			}
+			slots, err := o.SealImage(im, &a)
+			must(t, err)
+			open := func() error {
+				_, _, err := o.cdc.decodeSlot(slots[im.Real()[0]], o.binding(uint64(im.Bucket), im.Ver))
+				return err
+			}
+			if err := open(); err != nil {
+				t.Fatalf("a sealed slot does not open: %v", err)
+			}
+			a.Reset()
+			if err := open(); err == nil {
+				t.Fatal("a slot of a reset arena still opens: the arena was not poisoned")
+			}
+			return
+		}
+		t.Fatal("no image holds the evicted block")
+	})
+
+	t.Run("image", func(t *testing.T) {
+		o, images := evicted(t)
 		plan, _, err := o.PlanRead("k")
 		must(t, err)
 		if plan.Cached() {
