@@ -149,9 +149,10 @@ func TestLogLifecycleSoakDisk(t *testing.T) {
 	cfg := testConfig(302)
 	cfg.FullCheckpointEvery = 8
 	dir := t.TempDir()
-	// Small segments, so the floor crosses many of them.
+	// The full run rolls about 40 of the log's default 4 MiB segments, so the
+	// floor crosses many of them.
 	g, err := storage.OpenDiskGroupOpts(dir, 2, cfg.Params.Geometry().NumBuckets,
-		storage.DiskOptions{LogHeap: true, SegMaxBytes: 256 << 10})
+		storage.DiskOptions{LogHeap: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -376,9 +376,14 @@ func NewSharded(stores []storage.Backend, cfg Config) (*Proxy, error) {
 
 // WALConfigFor returns the recovery-unit configuration NewSharded gives
 // shard's log under cfg, for tools and tests that open a proxy's log
-// themselves.
+// themselves. The stash pad is the validated stash limit, derived when
+// cfg.Params leaves it 0, as NewSharded derives it.
 func WALConfigFor(cfg Config, shard, shards int) (wal.Config, error) {
 	if err := cfg.setDefaults(); err != nil {
+		return wal.Config{}, err
+	}
+	p := cfg.Params
+	if err := p.Validate(); err != nil {
 		return wal.Config{}, err
 	}
 	return wal.Config{
@@ -386,7 +391,7 @@ func WALConfigFor(cfg Config, shard, shards int) (wal.Config, error) {
 		Shard:               shard,
 		Shards:              shards,
 		PadPosEntries:       cfg.ReadBatches*cfg.ReadBatchSize + cfg.WriteBatchSize,
-		PadStashEntries:     cfg.Params.StashLimit,
+		PadStashEntries:     p.StashLimit,
 		FullCheckpointEvery: cfg.FullCheckpointEvery,
 	}, nil
 }

@@ -589,6 +589,24 @@ func TestManualBoundaryErrorFailsProxy(t *testing.T) {
 	}
 }
 
+// TestWALConfigForDerivesStashPad: a Config whose Params leave StashLimit 0
+// gets the stash pad NewSharded gives its logs, the validated (derived)
+// limit, not 0.
+func TestWALConfigForDerivesStashPad(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.Params.NumBlocks = 256
+	if cfg.Params.StashLimit != 0 {
+		t.Fatalf("the test config sets StashLimit %d", cfg.Params.StashLimit)
+	}
+	wcfg, err := WALConfigFor(cfg, 0, 1)
+	must(t, err)
+	p := cfg.Params
+	must(t, p.Validate())
+	if wcfg.PadStashEntries != p.StashLimit || wcfg.PadStashEntries <= 0 {
+		t.Fatalf("stash pad %d, the validated stash limit is %d", wcfg.PadStashEntries, p.StashLimit)
+	}
+}
+
 func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {

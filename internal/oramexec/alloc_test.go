@@ -176,7 +176,7 @@ func TestEpochAllocBudget(t *testing.T) {
 // hotPathReadAllocCeiling is the regression gate for the read hot path:
 // steady-state heap allocations per physical batch slot across
 // PlanReadBatch+Execute, maintenance (evictions, reshuffles) included. With
-// decoded values landing in the stash's slab arena, decoded keys compared
+// delivered blocks landing in pooled slots, decoded keys compared
 // in place, and plans/stash entries recycled through pools, the pipeline
 // measures ~0.7 on this geometry (what remains is mostly the caller-owned
 // result copy and per-epoch bookkeeping); the ceiling leaves room for

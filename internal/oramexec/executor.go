@@ -54,10 +54,8 @@
 package oramexec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 
@@ -108,12 +106,6 @@ type Executor struct {
 	// residentBuckets for the level rule); empty in write-through mode.
 	// Touched only by planning and execution, never by a background flush.
 	resident []residentBucket
-	// freeFrames are resident-set frames no bucket holds at the moment. The
-	// buckets share them because a bucket's occupancy swings between 0 and Z
-	// while the levels' total barely moves: per-bucket buffers would each grow
-	// to their own peak, about twice the memory.
-	freeFrames [][]byte
-	frameSize  int // 2-byte slot number + one slot's plaintext
 
 	// refsBuf and destsBuf are issueVector's scatter-gather scratch, reused
 	// across batches. Planning and execution are serialized per executor, so
@@ -152,13 +144,16 @@ type bufferedBucket struct {
 func (b bufferedBucket) filled() bool { return b.w.Ver != 0 }
 
 // residentBucket is the executor's copy of one upper-level bucket: the
-// version it holds and that version's blocks, one frame each of a 2-byte
-// physical slot number and the slot's plaintext, copied out of the image or
-// the load's opened reply (never aliased: images are recycled, replies are
-// the store's). A bucket of a fresh tree holds no blocks and has no frames.
+// version it holds and that version's blocks, each a pooled plaintext slot of
+// the ORAM's beside its physical slot number. A block is copied out of the
+// image (CopySlot) or opened from the load's reply (OpenSlot), never aliased:
+// images are recycled, replies are the store's. The buckets share the ORAM's
+// pool because a bucket's occupancy swings between 0 and Z while the levels'
+// total barely moves. A bucket of a fresh tree holds no blocks.
 type residentBucket struct {
 	ver    uint64
-	frames [][]byte
+	slots  []int // slots[i] is the physical slot of blocks[i]
+	blocks [][]byte
 }
 
 // residentBuckets is the level rule: the buckets of levels 0..L-3, which are
@@ -166,7 +161,7 @@ type residentBucket struct {
 // same number of blocks at every level, so each further level doubles the
 // memory for the same 1/(L+1) of the physical reads.
 func residentBuckets(g ringoram.Geometry) int {
-	if g.Levels < 3 || g.SlotsPer > math.MaxUint16 {
+	if g.Levels < 3 {
 		return 0
 	}
 	return 1<<(g.Levels-2) - 1
@@ -199,8 +194,8 @@ type Stats struct {
 	// buys.
 	ReadCalls  int64
 	WriteCalls int64
-	// ResidentBytes is a gauge: the memory of the resident set's frames, in
-	// use or free, at most Z frames for each resident bucket.
+	// ResidentBytes is a gauge: the memory of the blocks the resident set
+	// holds, at most Z plaintext slots for each resident bucket.
 	ResidentBytes int64
 }
 
@@ -348,20 +343,25 @@ type ReadResult struct {
 // must call LoadResident before planning or replaying anything.
 func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
 	e := &Executor{
-		oram:      oram,
-		store:     store,
-		cfg:       cfg,
-		buffered:  make(map[int]bufferedBucket),
-		frameSize: 2 + oram.PlainSlotSize(),
-		shape:     newLogShape(oram.Params(), oram.Geometry()),
+		oram:     oram,
+		store:    store,
+		cfg:      cfg,
+		buffered: make(map[int]bufferedBucket),
+		shape:    newLogShape(oram.Params(), oram.Geometry()),
 	}
 	e.readPlan.shape, e.writePlan.shape = e.shape, e.shape
 	if !cfg.WriteThrough {
-		e.resident = make([]residentBucket, residentBuckets(oram.Geometry()))
-		oram.SealRealOnly(len(e.resident))
-		var slots []int
+		n, z := residentBuckets(oram.Geometry()), oram.Params().Z
+		e.resident = make([]residentBucket, n)
+		oram.SealRealOnly(n)
+		// One slab per field, carved at each bucket's Z blocks: no bucket's
+		// slices ever grow.
+		slots, blocks := make([]int, n*z), make([][]byte, n*z)
+		var scratch []int
 		for b := range e.resident {
-			slots, e.resident[b].ver = oram.BlockSlots(b, slots[:0])
+			rb := &e.resident[b]
+			rb.slots, rb.blocks = slots[b*z:b*z:(b+1)*z], blocks[b*z:b*z:(b+1)*z]
+			scratch, rb.ver = oram.BlockSlots(b, scratch[:0])
 		}
 	}
 	return e
@@ -741,36 +741,29 @@ func (e *Executor) keepResident(im ringoram.BucketImage) {
 		return
 	}
 	rb := &e.resident[im.Bucket]
-	e.releaseFrames(rb)
+	e.releaseResident(rb)
 	rb.ver = im.Ver
 	for i, s := range im.Real() {
-		e.addFrame(rb, s, im.Blocks[i])
+		e.addResident(rb, s, e.oram.CopySlot(im.Blocks[i]))
 	}
 }
 
-// addFrame copies the block at physical slot s into rb.
-func (e *Executor) addFrame(rb *residentBucket, s int, block []byte) {
-	if len(e.freeFrames) == 0 {
-		// One bucket's worth at a time, so the frames in existence never
-		// exceed Z per resident bucket.
-		chunk := make([]byte, e.oram.Params().Z*e.frameSize)
-		e.stats.residentBytes.Add(int64(len(chunk)))
-		for ; len(chunk) > 0; chunk = chunk[e.frameSize:] {
-			e.freeFrames = append(e.freeFrames, chunk[:e.frameSize:e.frameSize])
-		}
-	}
-	last := len(e.freeFrames) - 1
-	f := e.freeFrames[last]
-	e.freeFrames = e.freeFrames[:last]
-	binary.BigEndian.PutUint16(f, uint16(s))
-	copy(f[2:], block)
-	rb.frames = append(rb.frames, f)
+// addResident adds block, a pooled slot, to rb as the block at physical slot
+// s.
+func (e *Executor) addResident(rb *residentBucket, s int, block []byte) {
+	rb.slots = append(rb.slots, s)
+	rb.blocks = append(rb.blocks, block)
+	e.stats.residentBytes.Add(int64(len(block)))
 }
 
-// releaseFrames empties rb, keeping its frames for reuse.
-func (e *Executor) releaseFrames(rb *residentBucket) {
-	e.freeFrames = append(e.freeFrames, rb.frames...)
-	rb.frames = rb.frames[:0]
+// releaseResident empties rb, handing its blocks back to the ORAM's pool.
+func (e *Executor) releaseResident(rb *residentBucket) {
+	for _, b := range rb.blocks {
+		e.stats.residentBytes.Add(-int64(len(b)))
+	}
+	e.oram.ReleaseSlots(rb.blocks)
+	clear(rb.blocks)
+	rb.slots, rb.blocks = rb.slots[:0], rb.blocks[:0]
 }
 
 // LoadResident rebuilds the resident set from storage for an executor built
@@ -796,20 +789,19 @@ func (e *Executor) LoadResident() error {
 		return fmt.Errorf("oramexec: loading the resident levels: %w", err)
 	}
 	var slots []int
-	plain := make([]byte, 0, e.oram.PlainSlotSize())
 	for b := range e.resident {
 		rb := &e.resident[b]
-		e.releaseFrames(rb)
+		e.releaseResident(rb)
 		slots, rb.ver = e.oram.BlockSlots(b, slots[:0])
 		for r, s := range slots {
 			if s < 0 {
 				continue
 			}
-			block, err := e.oram.OpenSlot(plain, data[b*z+r], b, rb.ver)
+			block, err := e.oram.OpenSlot(data[b*z+r], b, rb.ver)
 			if err != nil {
 				return fmt.Errorf("oramexec: loading the resident levels: %w", err)
 			}
-			e.addFrame(rb, s, block)
+			e.addResident(rb, s, block)
 		}
 	}
 	return nil
@@ -826,10 +818,8 @@ func (e *Executor) LoadResident() error {
 func (e *Executor) localSlot(r ringoram.SlotRead) ([]byte, uint64, error) {
 	if r.Bucket < len(e.resident) {
 		rb := &e.resident[r.Bucket]
-		for _, f := range rb.frames {
-			if int(binary.BigEndian.Uint16(f)) == r.Slot {
-				return f[2:], rb.ver, nil
-			}
+		if i := slices.Index(rb.slots, r.Slot); i >= 0 {
+			return rb.blocks[i], rb.ver, nil
 		}
 		return nil, rb.ver, nil
 	}

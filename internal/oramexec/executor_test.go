@@ -350,7 +350,7 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	}
 	top := 0 // committed blocks the top holds: served from the reloaded set or not at all
 	for b := 0; b < nRes; b++ {
-		top += len(h.exec.resident[b].frames)
+		top += len(h.exec.resident[b].blocks)
 	}
 	if top == 0 {
 		t.Fatal("no committed block sits in a resident level: the test would prove nothing")

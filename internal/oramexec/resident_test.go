@@ -2,9 +2,9 @@ package oramexec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -78,12 +78,10 @@ func slotReadRefs(evs []storage.Event) []storage.SlotRef {
 	return refs
 }
 
-// frameOf returns rb's frame for physical slot s, nil when it has none.
-func frameOf(rb *residentBucket, s int) []byte {
-	for _, f := range rb.frames {
-		if int(binary.BigEndian.Uint16(f)) == s {
-			return f[2:]
-		}
+// blockOf returns rb's block for physical slot s, nil when it has none.
+func blockOf(rb *residentBucket, s int) []byte {
+	if i := slices.Index(rb.slots, s); i >= 0 {
+		return rb.blocks[i]
 	}
 	return nil
 }
@@ -95,7 +93,7 @@ func frameOf(rb *residentBucket, s int) []byte {
 // the other builds a new one and loads the top, as a recovery does. Results
 // and checkpoint images must be identical, neither may read a resident level
 // outside the load, the load must be the same read every time, and what it
-// brings back must be the frames the replaced executor held at the end of the
+// brings back must be the blocks the replaced executor held at the end of the
 // epoch (ciphertexts differ between the two deployments), restricted to the
 // positions the metadata says still hold a block.
 func TestResidentWarmEqualsRecovered(t *testing.T) {
@@ -166,13 +164,13 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 					continue
 				}
 				held++
-				w, c := frameOf(&prev.resident[b], s), frameOf(&cold.exec.resident[b], s)
+				w, c := blockOf(&prev.resident[b], s), blockOf(&cold.exec.resident[b], s)
 				if w == nil || !bytes.Equal(w, c) {
-					t.Fatalf("epoch %d: bucket %d slot %d: loaded frame differs from the one the replaced executor held", e, b, s)
+					t.Fatalf("epoch %d: bucket %d slot %d: loaded block differs from the one the replaced executor held", e, b, s)
 				}
 			}
-			if got := len(cold.exec.resident[b].frames); got != held {
-				t.Fatalf("epoch %d: bucket %d: %d frames loaded, the metadata places %d blocks", e, b, got, held)
+			if got := len(cold.exec.resident[b].blocks); got != held {
+				t.Fatalf("epoch %d: bucket %d: %d blocks loaded, the metadata places %d blocks", e, b, got, held)
 			}
 			loaded += held
 		}
@@ -184,11 +182,11 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 	cold.checkInvariant(t)
 }
 
-// TestResidentCopiesNeverAliasArenas: a resident frame holds the plaintext of
-// the buffered image's block in memory of its own. Images are recycled when a
-// later eviction of the same epoch supersedes the version (the root's, every
-// eviction) and after the flush; a frame that pointed into one would change
-// under the reads it serves.
+// TestResidentCopiesNeverAliasArenas: a resident block holds the plaintext of
+// the buffered image's block in a pooled slot of its own. Images are recycled
+// when a later eviction of the same epoch supersedes the version (the root's,
+// every eviction) and after the flush; a block that pointed into one would
+// change under the reads it serves.
 func TestResidentCopiesNeverAliasArenas(t *testing.T) {
 	p := residentParams(32)
 	h := newHarness(t, p, Config{})
@@ -202,16 +200,16 @@ func TestResidentCopiesNeverAliasArenas(t *testing.T) {
 			if !buf.filled() {
 				continue
 			}
-			if len(rb.frames) != len(buf.w.Blocks) || rb.ver != buf.w.Ver {
-				t.Fatalf("bucket %d: %d frames of version %d, the buffered image holds %d blocks of version %d", b, len(rb.frames), rb.ver, len(buf.w.Blocks), buf.w.Ver)
+			if len(rb.blocks) != len(buf.w.Blocks) || len(rb.slots) != len(rb.blocks) || rb.ver != buf.w.Ver {
+				t.Fatalf("bucket %d: %d blocks at %d slots of version %d, the buffered image holds %d blocks of version %d", b, len(rb.blocks), len(rb.slots), rb.ver, len(buf.w.Blocks), buf.w.Ver)
 			}
-			for i, f := range rb.frames {
+			for i, f := range rb.blocks {
 				block := buf.w.Blocks[i]
-				if int(binary.BigEndian.Uint16(f)) != buf.w.Real()[i] || !bytes.Equal(f[2:], block) {
-					t.Fatalf("bucket %d: resident frame differs from the buffered block", b)
+				if rb.slots[i] != buf.w.Real()[i] || !bytes.Equal(f, block) {
+					t.Fatalf("bucket %d: resident block differs from the buffered block", b)
 				}
-				if &f[2] == &block[0] {
-					t.Fatalf("bucket %d: resident frame aliases the buffered image", b)
+				if &f[0] == &block[0] {
+					t.Fatalf("bucket %d: resident block aliases the buffered image", b)
 				}
 				checked++
 			}
@@ -219,7 +217,7 @@ func TestResidentCopiesNeverAliasArenas(t *testing.T) {
 		h.endEpoch(t)
 	}
 	if checked == 0 {
-		t.Fatal("no resident frame was ever compared")
+		t.Fatal("no resident block was ever compared")
 	}
 	if ev := h.exec.Stats().Evictions; ev < 2*12 {
 		t.Fatalf("%d evictions in 12 epochs: no version was superseded inside an epoch", ev)
@@ -227,10 +225,11 @@ func TestResidentCopiesNeverAliasArenas(t *testing.T) {
 	h.checkInvariant(t)
 }
 
-// TestResidentBudget pins what the resident set may cost. Memory: the frames
-// in existence never exceed Z per resident bucket. Allocation: a steady-state
-// epoch with the set warm allocates no more than the same epoch with the set
-// emptied and loaded back from storage first.
+// TestResidentBudget pins what the resident set may cost. Memory: the blocks
+// it holds never exceed Z per resident bucket, and ResidentBytes is their
+// size. Allocation: a steady-state epoch with the set warm allocates no more
+// than the same epoch with the set emptied and loaded back from storage
+// first.
 func TestResidentBudget(t *testing.T) {
 	p := residentParams(33)
 	steady := func(empty bool) (perEpoch float64, e *Executor) {
@@ -241,7 +240,6 @@ func TestResidentBudget(t *testing.T) {
 		}
 		e = New(oram, backend, Config{})
 		rng := rand.New(rand.NewPCG(23, 29))
-		limit := int64(p.Z * (2 + oram.PlainSlotSize()) * residentBuckets(p.Geometry()))
 		epoch := uint64(0)
 		one := func() {
 			epoch++
@@ -260,8 +258,17 @@ func TestResidentBudget(t *testing.T) {
 			if err := backend.CommitEpoch(epoch); err != nil {
 				t.Fatal(err)
 			}
-			if got := e.Stats().ResidentBytes; got > limit {
-				t.Fatalf("epoch %d: %d resident bytes, the bound is %d", epoch, got, limit)
+			held := int64(0)
+			for b, rb := range e.resident {
+				if len(rb.blocks) > p.Z || len(rb.slots) != len(rb.blocks) {
+					t.Fatalf("epoch %d: bucket %d holds %d blocks at %d slots, the bound is Z = %d", epoch, b, len(rb.blocks), len(rb.slots), p.Z)
+				}
+				for _, block := range rb.blocks {
+					held += int64(len(block))
+				}
+			}
+			if got := e.Stats().ResidentBytes; got != held {
+				t.Fatalf("epoch %d: %d resident bytes reported, the blocks held are %d bytes", epoch, got, held)
 			}
 		}
 		for i := 0; i < 200; i++ {
@@ -284,6 +291,6 @@ func TestResidentBudget(t *testing.T) {
 // storage finds it.
 func (e *Executor) dropResident() {
 	for i := range e.resident {
-		e.releaseFrames(&e.resident[i])
+		e.releaseResident(&e.resident[i])
 	}
 }

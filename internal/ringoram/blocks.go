@@ -1,0 +1,273 @@
+package ringoram
+
+import (
+	"fmt"
+	"sync"
+
+	"obladi/internal/cryptoutil"
+)
+
+// The block plane. A block's plaintext has one representation from the
+// moment it reaches the proxy until it is sealed: one slot of the codec's
+// layout (see encodePlain), taken from the ORAM's blockPool. A write encodes
+// into its stash entry's slot, a read's completion opens or copies into one,
+// an eviction moves its placed entries' slots into the bucket image, and the
+// seal copies each into its frame. The executor's resident copies are pooled
+// slots too (OpenSlot, CopySlot, ReleaseSlots).
+
+// blockPool is the one allocator of block plaintext: slots of one plaintext
+// slot each, carved from large chunks and recycled through a free list. It
+// never shrinks; the slots in use (the stash, the images in flight, the
+// resident copies) are a function of the public schedule. Slots are taken
+// under the ORAM's lock but returned by whoever holds them last — an image's
+// holder, on any goroutine — so the pool has a lock of its own. In race builds
+// a returned slot is poisoned, so a read through a stale reference fails to
+// decode or authenticate instead of passing with the bytes it held.
+type blockPool struct {
+	mu    sync.Mutex
+	size  int // plainSize
+	chunk []byte
+	free  [][]byte
+}
+
+// blockChunk is the size of the pool's carve chunks (at least one slot).
+const blockChunk = 64 << 10
+
+// take returns a slot of the pool's size. Its bytes are whatever the slot
+// last held: the caller overwrites all of it.
+func (p *blockPool) take() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
+	}
+	if len(p.chunk) < p.size {
+		p.chunk = make([]byte, max(blockChunk, p.size))
+	}
+	s := p.chunk[:p.size:p.size]
+	p.chunk = p.chunk[p.size:]
+	return s
+}
+
+// put returns slots to the pool; nothing may read them afterwards.
+func (p *blockPool) put(slots ...[]byte) {
+	for _, s := range slots {
+		poison(s)
+	}
+	p.mu.Lock()
+	p.free = append(p.free, slots...)
+	p.mu.Unlock()
+}
+
+// OpenSlot authenticates a slot storage holds for version ver of bucket b and
+// returns its plaintext in a pooled slot: what a caller that serves the
+// bucket's reads itself keeps of it, until it hands the slot back with
+// ReleaseSlots. A slot that does not open under that binding fails with
+// ErrCorrupt.
+func (o *ORAM) OpenSlot(data []byte, b int, ver uint64) ([]byte, error) {
+	slot := o.blocks.take()
+	if err := o.cdc.open(slot, data, cryptoutil.Binding(uint64(b), ver, 0)); err != nil {
+		o.blocks.put(slot)
+		return nil, fmt.Errorf("%w: bucket %d version %d: %v", ErrCorrupt, b, ver, err)
+	}
+	return slot, nil
+}
+
+// CopySlot returns a pooled slot holding a copy of plain, a block's plaintext
+// slot (an image's block), the caller's until it hands it back with
+// ReleaseSlots.
+func (o *ORAM) CopySlot(plain []byte) []byte {
+	slot := o.blocks.take()
+	copy(slot, plain)
+	return slot
+}
+
+// ReleaseSlots hands slots OpenSlot or CopySlot returned back to the pool.
+func (o *ORAM) ReleaseSlots(slots [][]byte) { o.blocks.put(slots...) }
+
+// BucketImage is one bucket version in plaintext, as an eviction leaves it:
+// its version, its permutation and its blocks. It is what the caller keeps
+// until the version reaches storage, and SealImage seals it then: a version
+// that a later rewrite supersedes first is never sealed at all. The image's
+// memory is the ORAM's pooled buffer, the caller's until it calls Recycle.
+type BucketImage struct {
+	Bucket int
+	Ver    uint64
+	// Blocks holds the plaintext slots of the blocks this version placed, the
+	// block of real position i at Blocks[i] (the placed blocks fill positions
+	// 0..len(Blocks)-1); Real()[i] is its physical slot. They are the slots
+	// the placed stash entries held, moved, not copied.
+	Blocks [][]byte
+
+	perm []int // perm[pos] = physical slot; pos < Z real, else dummy
+	trim bool  // sealed as its Z real positions alone (SealRealOnly)
+	buf  *imageBuf
+}
+
+// imageBuf is a pooled buffer for one bucket image: the version's
+// permutation and the headers of its blocks, which belong to the blockPool.
+type imageBuf struct {
+	perm   []int
+	blocks [][]byte
+	pool   *sync.Pool
+	free   *blockPool
+}
+
+// Real returns the physical slots of the image's blocks: the block at
+// physical slot Real()[i] is Blocks[i]. It is the image's own memory.
+func (im *BucketImage) Real() []int { return im.perm[:len(im.Blocks)] }
+
+// Block returns the plaintext slot the image holds at physical slot s, or nil
+// when s holds no block (a dummy or an empty real position).
+func (im *BucketImage) Block(s int) []byte {
+	for i, b := range im.Blocks {
+		if im.perm[i] == s {
+			return b
+		}
+	}
+	return nil
+}
+
+// Recycle returns the image's buffer and its blocks to the ORAM's pools, for
+// the next eviction to reuse. Call it once nothing reads the image any more:
+// a later rewrite superseded it, or its epoch's flush sealed it and no local
+// read is still served from it. Safe to call more than once; the image must
+// not be used afterwards, and in race builds its blocks are poisoned so a
+// read of one fails to decode instead of passing with stale bytes.
+func (im *BucketImage) Recycle() {
+	if b := im.buf; b != nil {
+		im.buf, im.Blocks, im.perm = nil, nil, nil
+		b.free.put(b.blocks...)
+		clear(b.blocks)
+		b.blocks = b.blocks[:0]
+		b.pool.Put(b)
+	}
+}
+
+// imageOf builds the image of a write-phase plan's bucket version in a pooled
+// buffer: the permutation, and each placed entry's slot, which moves into the
+// image.
+func (o *ORAM) imageOf(pb *plannedBucket) BucketImage {
+	ib := o.imagePool.Get().(*imageBuf)
+	copy(ib.perm, pb.perm)
+	for _, e := range pb.placed {
+		ib.blocks = append(ib.blocks, e.slot)
+		e.slot = nil
+	}
+	return BucketImage{Bucket: pb.bucket, Ver: pb.ver, Blocks: ib.blocks, perm: ib.perm, trim: pb.bucket < o.realOnly, buf: ib}
+}
+
+// SealFresh seals bucket b of the fresh tree New drew into a, as SealImage
+// does: its first version, holding no block.
+func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	m := &o.meta[b]
+	if m.writeVer != 1 || m.count != 0 {
+		return nil, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
+	}
+	return o.SealImage(BucketImage{Bucket: b, Ver: m.writeVer, perm: m.perm, trim: b < o.realOnly}, a)
+}
+
+// SealedSlots returns how many slots SealImage has sealed, SealFresh's
+// included: the slots holding a block, each a GCM seal when encryption is on.
+func (o *ORAM) SealedSlots() int64 { return o.sealedSlots.Load() }
+
+// FilledSlots returns how many slots SealImage has written as fillers,
+// SealFresh's included: every slot it wrote that holds no block.
+func (o *ORAM) FilledSlots() int64 { return o.filledSlots.Load() }
+
+// SealArena is memory a caller lends to SealImage and SealFresh: byte chunks
+// the seals carve slot frames from, front to back, the slot headers they hand
+// back, and the Filler that writes the frames holding no block. It grows to
+// the largest set of buckets sealed between two Resets, a chunk at a time, and
+// is reused after that. The zero value is ready.
+type SealArena struct {
+	chunks [][]byte // chunks[:used] hold frames, the last of them is carved next
+	used   int
+	slots  [][]byte
+	bind   []byte
+	filler *cryptoutil.Filler // made by the first seal with encryption on
+}
+
+// sealChunk is the size of a seal arena's chunks: a few buckets' slots, so an
+// arena outgrows what it holds by less than one chunk.
+const sealChunk = 64 << 10
+
+// Reset hands the arena's memory to the next seals. Every slot sealed into it
+// before must be unused by then (a store copies what it keeps); in race
+// builds the memory is poisoned, so a slot still read fails authentication
+// instead of passing with the bytes it held.
+func (a *SealArena) Reset() {
+	for i, c := range a.chunks[:a.used] {
+		poison(c)
+		a.chunks[i] = c[:0]
+	}
+	a.used, a.slots = 0, a.slots[:0]
+}
+
+// take carves n frames of size bytes from the current chunk, moving on to
+// the next one (and making it, the first time) when the current one is short.
+// It returns the frames as one run of n*size bytes and as n slots.
+func (a *SealArena) take(n, size int) ([]byte, [][]byte) {
+	need := n * size
+	if a.used == 0 || cap(a.chunks[a.used-1])-len(a.chunks[a.used-1]) < need {
+		if a.used == len(a.chunks) {
+			a.chunks = append(a.chunks, nil)
+		}
+		if cap(a.chunks[a.used]) < need {
+			a.chunks[a.used] = make([]byte, 0, max(sealChunk, need))
+		}
+		a.used++
+	}
+	c := a.chunks[a.used-1]
+	begin, start := len(c), len(a.slots)
+	for i := 0; i < n; i++ {
+		off := len(c)
+		c = c[:off+size]
+		a.slots = append(a.slots, c[off:off+size:off+size])
+	}
+	a.chunks[a.used-1] = c
+	return c[begin:len(c):len(c)], a.slots[start:len(a.slots):len(a.slots)]
+}
+
+// SealImage seals im into a as the bucket version storage keeps: its Z+S
+// slots indexed by physical slot, or, for a bucket below the SealRealOnly
+// bound, its Z real positions in position order and no dummies. Only the
+// positions holding a block are sealed, under the version's (bucket, version)
+// binding; every other slot is a filler frame (see cryptoutil.Filler), which
+// storage cannot tell from a sealed one and the proxy never opens. It is the
+// one place a bucket is sealed. It reads only the image and the ORAM's fixed
+// configuration, never state the ORAM's lock guards, so a committer may seal
+// one epoch's images while the next epoch plans and completes.
+func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
+	n := o.geo.SlotsPer
+	if im.trim {
+		n = o.p.Z
+	}
+	if a.filler == nil && o.cdc.key != nil {
+		f, err := cryptoutil.NewFiller()
+		if err != nil {
+			return nil, err
+		}
+		a.filler = f
+	}
+	run, slots := a.take(n, o.cdc.slotSize())
+	o.cdc.fill(run, a.filler)
+	a.bind = cryptoutil.AppendBinding(a.bind[:0], uint64(im.Bucket), im.Ver, 0)
+	for pos, b := range im.Blocks {
+		frame := slots[pos]
+		if !im.trim {
+			frame = slots[im.perm[pos]]
+		}
+		copy(o.cdc.plainOf(frame), b)
+		if err := o.cdc.seal(frame, a.bind); err != nil {
+			return nil, err
+		}
+	}
+	o.sealedSlots.Add(int64(len(im.Blocks)))
+	o.filledSlots.Add(int64(n - len(im.Blocks)))
+	return slots, nil
+}

@@ -99,22 +99,27 @@ func (c codec) fill(run []byte, f *cryptoutil.Filler) {
 	f.Fill(run, c.slotSize())
 }
 
-// open authenticates a stored slot under binding and returns its plaintext,
-// decrypted into scratch (cap >= plainSize, reused across calls); with
-// encryption off the plaintext is data itself.
-func (c codec) open(scratch, data, binding []byte) ([]byte, error) {
-	if c.key == nil {
-		return data, nil
+// open authenticates a stored slot under binding and writes its plaintext
+// over plain (plainSize bytes: a pooled slot); with encryption off the stored
+// slot is the plaintext, copied.
+func (c codec) open(plain, data, binding []byte) error {
+	if len(data) != c.slotSize() {
+		return fmt.Errorf("slot of %d bytes, want %d", len(data), c.slotSize())
 	}
-	return c.key.OpenTo(scratch[:0], data, binding)
+	if c.key == nil {
+		copy(plain, data)
+		return nil
+	}
+	_, err := c.key.OpenTo(plain[:0], data, binding)
+	return err
 }
 
 // parse decodes a slot's plaintext. It returns the slot kind and, for real or
 // tombstone slots, the decoded block; a cleared plaintext filler parses as
 // slotDummy. The returned block ALIASES plain and is only valid as long as
-// plain is: a caller that retains it must copy it out first — the ORAM hot
-// path copies into its stash value arena, turning what used to be one heap
-// allocation per decoded slot into a bump of a recycled slab.
+// plain is. The ORAM decodes only slots it keeps — a stash entry's pooled
+// slot, which is the block (see blocks.go) — so nothing is copied out of a
+// slot but the value CompleteAccess returns.
 func (c codec) parse(plain []byte) (byte, block, error) {
 	if len(plain) != c.plainSize() {
 		return 0, block{}, fmt.Errorf("ringoram: slot of %d bytes, want %d", len(plain), c.plainSize())

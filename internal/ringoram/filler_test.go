@@ -60,8 +60,8 @@ func (c *sparseClient) evict(plan *EvictPlan) {
 			}
 			holds[frame] = true
 			kept[s] = bytes.Clone(slots[frame])
-			plain, err := c.oram.cdc.open(make([]byte, 0, c.oram.cdc.plainSize()), slots[frame], bind)
-			must(c.t, err)
+			plain := make([]byte, c.oram.cdc.plainSize())
+			must(c.t, c.oram.cdc.open(plain, slots[frame], bind))
 			kind, _, err := c.oram.cdc.parse(plain)
 			must(c.t, err)
 			if (kind != slotReal && kind != slotTombstone) || !bytes.Equal(plain, im.Blocks[i]) {

@@ -342,8 +342,8 @@ func (c codec) encodeSlot(kind byte, b block, binding []byte) ([]byte, error) {
 
 // decodeSlot opens and parses a stored slot, as completion does a remote read.
 func (c codec) decodeSlot(data, binding []byte) (byte, block, error) {
-	plain, err := c.open(make([]byte, 0, c.plainSize()), data, binding)
-	if err != nil {
+	plain := make([]byte, c.plainSize())
+	if err := c.open(plain, data, binding); err != nil {
 		return 0, block{}, err
 	}
 	return c.parse(plain)

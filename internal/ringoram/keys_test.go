@@ -87,14 +87,16 @@ func requireTableOwned(t *testing.T, o *ORAM, scratch []byte) {
 	}
 	for _, ep := range o.evictPool {
 		for _, pb := range ep.writes {
-			for _, pl := range pb.placed {
-				owned("placement", pl.key)
+			for _, e := range pb.placed {
+				if e.key != "" { // "" once the completion retired the entry
+					owned("placement", e.key)
+				}
 			}
 		}
 	}
 	for _, e := range o.entryPool {
-		if e.key != "" || e.value != nil {
-			t.Fatalf("pooled stash entry still holds key %q and %d value bytes", e.key, len(e.value))
+		if e.key != "" || e.slot != nil {
+			t.Fatalf("pooled stash entry still holds key %q and a slot of %d bytes", e.key, len(e.slot))
 		}
 	}
 }

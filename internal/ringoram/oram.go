@@ -51,17 +51,18 @@ type keyEnt struct {
 
 // stashEntry is a client-side buffered block. Entries are shared by pointer
 // between the stash and in-flight plans so that a completion can deliver a
-// value to a block that a later-planned eviction has already placed.
+// block that a later-planned eviction has already placed.
 type stashEntry struct {
-	key       string
-	ki        int32 // the key's index in ORAM.keys
-	value     []byte
-	tombstone bool
+	key string
+	ki  int32 // the key's index in ORAM.keys
+	// slot is the block: a pooled slot holding its encodePlain plaintext, the
+	// one copy of its value and tombstone flag (nil while pending). An
+	// eviction moves it into the image of the bucket the entry is placed in.
+	slot      []byte
 	leaf      int
 	idx       int  // position in ORAM.stashList
 	cacheable bool // safe to serve without a dummy path read (§6.3)
-	pending   bool // value not yet delivered by a completion
-	arenaVal  bool // value is a slab owned by the ORAM's value arena
+	pending   bool // block not yet delivered by a completion
 }
 
 // Per-bucket dirty levels for delta checkpoints. Only an eviction's write
@@ -105,12 +106,9 @@ type ORAM struct {
 	stashPeak    int
 
 	// Hot-path scratch, all guarded by mu (planning and completion are
-	// serialized per ORAM): the codec plaintext buffer for opens and the
-	// Appendix A binding encoder.
-	decPlain []byte
-	bindBuf  []byte
-	pathBuf  []int
-	varena   valArena
+	// serialized per ORAM): the Appendix A binding encoder and a path.
+	bindBuf []byte
+	pathBuf []int
 	// vals carves the values CompleteAccess returns: they escape to the
 	// caller, so they are copied once into chunks that are never reused.
 	vals slab.Bytes
@@ -119,14 +117,14 @@ type ORAM struct {
 	// planPool, evictPool and entryPool recycle the per-access and
 	// per-eviction objects. CompleteAccess and CompleteEvict retire their
 	// plans (with every slice the plan owns); CompleteEvict also retires
-	// entries once their blocks are copied into the tree's images. All
+	// entries once their blocks have moved into the tree's images. All
 	// guarded by mu.
 	planPool  []*AccessPlan
 	evictPool []*EvictPlan
 	entryPool []*stashEntry
-	// imagePool recycles image buffers and blocks their images' plaintext
-	// slots: whoever holds a BucketImage returns both with Recycle once
-	// nothing reads the image any more.
+	// imagePool recycles image buffers, and blocks is the block plane's one
+	// allocator (see blocks.go): whoever holds a BucketImage returns both
+	// with Recycle once nothing reads the image any more.
 	imagePool *sync.Pool
 	blocks    *blockPool
 	// realOnly is how many buckets, from the root in heap order, are sealed as
@@ -136,103 +134,6 @@ type ORAM struct {
 	// holding a block) and filled (all the others).
 	sealedSlots atomic.Int64
 	filledSlots atomic.Int64
-}
-
-// imageBuf is a pooled buffer for one bucket image: the version's
-// permutation and the headers of its blocks, which come from the ORAM's
-// blockPool.
-type imageBuf struct {
-	perm   []int
-	blocks [][]byte
-	pool   *sync.Pool
-	free   *blockPool
-}
-
-// blockPool recycles the plaintext slots images hold their blocks in, so an
-// image costs the blocks it holds, not Z of them: a valArena of slot-sized
-// slabs, which never shrinks back (the images in flight are a function of
-// the public schedule). Images are made under the ORAM's lock but recycled
-// by their holder, on any goroutine, so the pool has a lock of its own.
-type blockPool struct {
-	mu    sync.Mutex
-	slabs valArena
-}
-
-// take appends n blocks, each a full slot long, to dst.
-func (p *blockPool) take(dst [][]byte, n int) [][]byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := 0; i < n; i++ {
-		dst = append(dst, p.slabs.take()[:p.slabs.slab])
-	}
-	return dst
-}
-
-// put returns blocks to the pool.
-func (p *blockPool) put(blocks [][]byte) {
-	p.mu.Lock()
-	for _, b := range blocks {
-		p.slabs.release(b)
-	}
-	p.mu.Unlock()
-}
-
-// valArenaChunk sizes the value arena's carve chunks (at least one slab).
-const valArenaChunk = 64 << 10
-
-// valArena hands out fixed-capacity slabs carved from large chunks and
-// recycled through a free list. The ORAM's varena owns the stash's values,
-// decoded or written, recycled when their entry is placed back into the tree,
-// so neither the steady-state read path nor a write allocates per value; all
-// access to it is guarded by the ORAM's mu. Slabs never shrink the
-// value-size bound, so a recycled slab fits any future value. A blockPool
-// keeps the image blocks in another.
-type valArena struct {
-	slab  int // slab capacity (== ValueSize)
-	chunk []byte
-	free  [][]byte
-}
-
-// take returns an empty slab with cap >= a.slab.
-func (a *valArena) take() []byte {
-	if n := len(a.free); n > 0 {
-		b := a.free[n-1]
-		a.free = a.free[:n-1]
-		return b[:0]
-	}
-	if len(a.chunk) < a.slab || a.slab == 0 {
-		n := valArenaChunk
-		if n < a.slab {
-			n = a.slab
-		}
-		a.chunk = make([]byte, n)
-	}
-	b := a.chunk[0:0:a.slab]
-	a.chunk = a.chunk[a.slab:]
-	return b
-}
-
-// copyVal clones v into an arena slab.
-func (a *valArena) copyVal(v []byte) []byte { return append(a.take(), v...) }
-
-// release returns a slab for reuse. Only slabs handed out by take/copyVal may
-// be released; entry.arenaVal is the callers' ownership tag.
-func (a *valArena) release(b []byte) { a.free = append(a.free, b) }
-
-// releaseEntryVal recycles an entry's arena slab (if it owns one) before its
-// value is replaced or dropped.
-func (o *ORAM) releaseEntryVal(e *stashEntry) {
-	if e.arenaVal {
-		o.varena.release(e.value)
-		e.arenaVal = false
-	}
-	e.value = nil
-}
-
-// setEntryVal replaces an entry's value with an arena copy of v.
-func (o *ORAM) setEntryVal(e *stashEntry, v []byte) {
-	o.releaseEntryVal(e)
-	e.value, e.arenaVal = o.varena.copyVal(v), true
 }
 
 // newPlan takes a retired AccessPlan from the pool (keeping its Reads
@@ -305,71 +206,13 @@ type AccessPlan struct {
 // Cached reports whether the plan requires no storage reads.
 func (p *AccessPlan) Cached() bool { return p == nil || p.cached }
 
-// BucketImage is one bucket version in plaintext, as an eviction leaves it:
-// its version, its permutation and its blocks. It is what the caller keeps
-// until the version reaches storage, and SealImage seals it then: a version
-// that a later rewrite supersedes first is never sealed at all. The image's
-// memory is the ORAM's pooled buffer, the caller's until it calls Recycle.
-type BucketImage struct {
-	Bucket int
-	Ver    uint64
-	// Blocks holds the plaintext slots of the blocks this version placed, the
-	// block of real position i at Blocks[i] (the placed blocks fill positions
-	// 0..len(Blocks)-1); Real()[i] is its physical slot.
-	Blocks [][]byte
-
-	perm []int // perm[pos] = physical slot; pos < Z real, else dummy
-	trim bool  // sealed as its Z real positions alone (SealRealOnly)
-	buf  *imageBuf
-}
-
-// Real returns the physical slots of the image's blocks: the block at
-// physical slot Real()[i] is Blocks[i]. It is the image's own memory.
-func (im *BucketImage) Real() []int { return im.perm[:len(im.Blocks)] }
-
-// Block returns the plaintext slot the image holds at physical slot s, or nil
-// when s holds no block (a dummy or an empty real position).
-func (im *BucketImage) Block(s int) []byte {
-	for i, b := range im.Blocks {
-		if im.perm[i] == s {
-			return b
-		}
-	}
-	return nil
-}
-
-// Recycle returns the image's buffer to the ORAM's pool, for the next
-// eviction to overwrite. Call it once nothing reads the image any more: a
-// later rewrite superseded it, or its epoch's flush sealed it and no local
-// read is still served from it. Safe to call more than once; the image must
-// not be used afterwards, and in race builds its blocks are poisoned so a
-// read of one fails to decode instead of passing with stale bytes.
-func (im *BucketImage) Recycle() {
-	if b := im.buf; b != nil {
-		im.buf, im.Blocks, im.perm = nil, nil, nil
-		for _, block := range b.blocks {
-			poison(block)
-		}
-		b.free.put(b.blocks)
-		clear(b.blocks)
-		b.blocks = b.blocks[:0]
-		b.pool.Put(b)
-	}
-}
-
-// placement records a block assigned to a bucket by an eviction write phase.
-type placement struct {
-	key   string
-	entry *stashEntry
-}
-
 // plannedBucket is the write-phase plan for one bucket. Its i-th placed
 // block goes to real position i.
 type plannedBucket struct {
 	bucket int
 	ver    uint64
 	perm   []int
-	placed []placement
+	placed []*stashEntry
 }
 
 // EvictPlan is the outcome of planning an evict-path or early reshuffle. A
@@ -421,18 +264,6 @@ func New(key *cryptoutil.Key, p Params) (*ORAM, error) {
 	return o, nil
 }
 
-// SealFresh seals bucket b of the fresh tree New drew into a, as SealImage
-// does: its first version, holding no block.
-func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	m := &o.meta[b]
-	if m.writeVer != 1 || m.count != 0 {
-		return nil, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
-	}
-	return o.SealImage(BucketImage{Bucket: b, Ver: m.writeVer, perm: m.perm, trim: b < o.realOnly}, a)
-}
-
 func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -476,11 +307,9 @@ func newClient(key *cryptoutil.Key, p Params) (*ORAM, error) {
 			words: words[b*nw : (b+1)*nw : (b+1)*nw],
 		}
 	}
-	o.decPlain = make([]byte, 0, o.cdc.plainSize())
-	o.varena.slab = p.ValueSize
 	o.bindBuf = make([]byte, 0, cryptoutil.BindingSize)
 	o.pathBuf = make([]int, 0, geo.Levels+1)
-	o.blocks = &blockPool{slabs: valArena{slab: o.cdc.plainSize()}}
+	o.blocks = &blockPool{size: o.cdc.plainSize()}
 	pool := &sync.Pool{}
 	pool.New = func() any {
 		return &imageBuf{perm: make([]int, geo.SlotsPer), blocks: make([][]byte, 0, p.Z), pool: pool, free: o.blocks}
@@ -505,18 +334,6 @@ func (o *ORAM) Geometry() Geometry { return o.geo }
 
 // SlotSize returns the physical slot size in bytes.
 func (o *ORAM) SlotSize() int { return o.cdc.slotSize() }
-
-// PlainSlotSize returns the size of a slot's plaintext, which image blocks
-// and local reads carry.
-func (o *ORAM) PlainSlotSize() int { return o.cdc.plainSize() }
-
-// SealedSlots returns how many slots SealImage has sealed, SealFresh's
-// included: the slots holding a block, each a GCM seal when encryption is on.
-func (o *ORAM) SealedSlots() int64 { return o.sealedSlots.Load() }
-
-// FilledSlots returns how many slots SealImage has written as fillers,
-// SealFresh's included: every slot it wrote that holds no block.
-func (o *ORAM) FilledSlots() int64 { return o.filledSlots.Load() }
 
 // SealRealOnly makes the seal of every bucket version of the first n buckets
 // (heap order, the root first) that is made from now on produce only the
@@ -550,22 +367,6 @@ func (o *ORAM) BlockSlots(b int, dst []int) ([]int, uint64) {
 		}
 	}
 	return dst, m.writeVer
-}
-
-// OpenSlot authenticates a slot storage holds for version ver of bucket b and
-// returns its plaintext, decrypted into scratch (or data itself when
-// encryption is off): what a caller that serves the bucket's reads itself
-// keeps of it. A slot that does not open under that binding fails with
-// ErrCorrupt.
-func (o *ORAM) OpenSlot(scratch, data []byte, b int, ver uint64) ([]byte, error) {
-	plain, err := o.cdc.open(scratch, data, cryptoutil.Binding(uint64(b), ver, 0))
-	if err == nil && len(plain) != o.cdc.plainSize() {
-		err = fmt.Errorf("slot of %d bytes, want %d", len(plain), o.cdc.plainSize())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: bucket %d version %d: %v", ErrCorrupt, b, ver, err)
-	}
-	return plain, nil
 }
 
 // Counters returns (accessCount, evictCount).
@@ -916,9 +717,11 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) error {
 	newLeaf := o.randLeaf()
 	ki := o.remap(key, newLeaf)
 	k := &o.keys[ki]
-	if e, ok := o.stash[key]; ok {
-		o.setEntryVal(e, value)
-		e.tombstone = tombstone
+	e, ok := o.stash[key]
+	if ok {
+		if e.pending { // a block a planned read has yet to deliver: superseded
+			e.slot = o.blocks.take()
+		}
 		e.leaf = newLeaf
 		e.cacheable = true
 		e.pending = false
@@ -934,9 +737,15 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) error {
 			o.markBucket(int(k.bucket), bucketTouched)
 			k.bucket = -1
 		}
-		e := o.newEntry(stashEntry{key: k.name, ki: ki, tombstone: tombstone, leaf: newLeaf, cacheable: true})
-		o.setEntryVal(e, value)
+		e = o.newEntry(stashEntry{key: k.name, ki: ki, slot: o.blocks.take(), leaf: newLeaf, cacheable: true})
 		o.stashAdd(e)
+	}
+	kind := byte(slotReal)
+	if tombstone {
+		kind = slotTombstone
+	}
+	if err := o.cdc.encodePlain(e.slot, kind, block{key: e.key, value: value}); err != nil {
+		return err
 	}
 	o.accessCount++
 	return o.noteStash()
@@ -999,21 +808,33 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 	if entry.pending {
 		return nil, false, errors.New("ringoram: completion out of order: entry still pending")
 	}
-	if entry.tombstone {
-		return nil, false, nil
+	blk, err := o.stashBlock(entry)
+	if err != nil || blk.tombstone {
+		return nil, false, err
 	}
-	return o.vals.Copy(entry.value), true, nil
+	return o.vals.Copy(blk.value), true, nil
 }
 
-// deliver decodes the block a read fetched and moves it into the read's
-// pending stash entry. A local read's data is plaintext the caller served; a
-// remote read's is opened under the (bucket, version) binding it was planned
-// against. Either must hold the entry's key.
+// stashBlock decodes the block a delivered stash entry's slot holds.
+func (o *ORAM) stashBlock(e *stashEntry) (block, error) {
+	_, blk, err := o.cdc.parse(e.slot)
+	if err != nil {
+		return block{}, fmt.Errorf("%w: stash entry %q: %v", ErrCorrupt, e.key, err)
+	}
+	return blk, nil
+}
+
+// deliver moves the block a read fetched into a pooled slot, the read's
+// pending stash entry's. A local read's data is plaintext the caller served,
+// copied into the slot; a remote read's is opened straight into it under the
+// (bucket, version) binding it was planned against. Either must hold the
+// entry's key.
 func (o *ORAM) deliver(r SlotRead, data []byte, e *stashEntry) error {
+	slot := o.blocks.take()
 	plain := data
 	var err error
 	if !r.Local {
-		plain, err = o.cdc.open(o.decPlain, data, o.binding(uint64(r.Bucket), r.Ver))
+		plain, err = slot, o.cdc.open(slot, data, o.binding(uint64(r.Bucket), r.Ver))
 	}
 	var kind byte
 	var blk block
@@ -1021,19 +842,19 @@ func (o *ORAM) deliver(r SlotRead, data []byte, e *stashEntry) error {
 		kind, blk, err = o.cdc.parse(plain)
 	}
 	switch {
-	case err != nil || (kind != slotReal && kind != slotTombstone):
-		if err == nil {
-			err = fmt.Errorf("slot kind %d", kind)
-		}
-		return fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, err)
-	case string(blk.keyB) != e.key:
-		return fmt.Errorf("%w: bucket %d slot %d holds key %q, want %q", ErrCorrupt, r.Bucket, r.Slot, blk.keyB, e.key)
+	case err == nil && kind != slotReal && kind != slotTombstone:
+		err = fmt.Errorf("slot kind %d", kind)
+	case err == nil && string(blk.keyB) != e.key:
+		err = fmt.Errorf("holds key %q, want %q", blk.keyB, e.key)
 	}
-	// blk.value aliases the plaintext: copy it into the stash's value arena,
-	// which owns it until the entry is written back into the tree.
-	o.setEntryVal(e, blk.value)
-	e.tombstone = blk.tombstone
-	e.pending = false
+	if err != nil {
+		o.blocks.put(slot)
+		return fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, err)
+	}
+	if r.Local {
+		copy(slot, plain)
+	}
+	e.slot, e.pending = slot, false
 	return nil
 }
 
@@ -1191,7 +1012,7 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 				i++
 				continue
 			}
-			pb.placed = append(pb.placed, placement{key: e.key, entry: e})
+			pb.placed = append(pb.placed, e)
 			o.stashRemove(e) // moves the last entry to i: look at i again
 		}
 		m := &o.meta[b]
@@ -1201,9 +1022,9 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 		for r := range m.addrs {
 			m.addrs[r] = -1
 		}
-		for r, pl := range pb.placed {
-			m.addrs[r] = pl.entry.ki
-			k := &o.keys[pl.entry.ki]
+		for r, e := range pb.placed {
+			m.addrs[r] = e.ki
+			k := &o.keys[e.ki]
 			k.bucket, k.rpos = int32(b), int32(r)
 		}
 		m.rewrite(len(pb.placed))
@@ -1249,149 +1070,31 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketImage, err
 			return nil, err
 		}
 	}
+	// Every placed block must be delivered before any moves into an image:
+	// an earlier plan's completion delivered it, or this plan's just did.
+	for i := range plan.writes {
+		for _, e := range plan.writes[i].placed {
+			if e.pending {
+				return nil, fmt.Errorf("ringoram: writing bucket %d: block %q still pending (completion order violated)", plan.writes[i].bucket, e.key)
+			}
+		}
+	}
 	images := o.images[:0]
 	for i := range plan.writes {
-		im, err := o.imageOf(&plan.writes[i])
-		if err != nil {
-			for j := range images {
-				images[j].Recycle()
-			}
-			return nil, err
-		}
-		images = append(images, im)
+		images = append(images, o.imageOf(&plan.writes[i]))
 	}
 	o.images = images
 	// The placed entries left the stash when the write phase planned them and
-	// their values are now copied into the images: recycle the slabs.
+	// their slots have moved into the images: recycle the entries.
 	// Plan-ordered completion means no earlier plan still references them, and
 	// any later access finds the key in the tree, not in these entries.
 	for i := range plan.writes {
-		for _, pl := range plan.writes[i].placed {
-			if pl.entry != nil {
-				o.releaseEntryVal(pl.entry)
-				*pl.entry = stashEntry{}
-				o.entryPool = append(o.entryPool, pl.entry)
-			}
+		for _, e := range plan.writes[i].placed {
+			*e = stashEntry{}
+			o.entryPool = append(o.entryPool, e)
 		}
 	}
 	// Completion is the plan's death in every caller: recycle it.
 	o.evictPool = append(o.evictPool, plan)
 	return images, nil
-}
-
-// imageOf builds the image of a write-phase plan's bucket version in a pooled
-// buffer: the permutation, and each placed block's plaintext slot.
-func (o *ORAM) imageOf(pb *plannedBucket) (BucketImage, error) {
-	ib := o.imagePool.Get().(*imageBuf)
-	copy(ib.perm, pb.perm)
-	ib.blocks = o.blocks.take(ib.blocks, len(pb.placed))
-	im := BucketImage{Bucket: pb.bucket, Ver: pb.ver, Blocks: ib.blocks, perm: ib.perm, trim: pb.bucket < o.realOnly, buf: ib}
-	for i, pl := range pb.placed {
-		if pl.entry.pending {
-			im.Recycle()
-			return BucketImage{}, fmt.Errorf("ringoram: writing bucket %d: block %q still pending (completion order violated)", pb.bucket, pl.key)
-		}
-		kind := byte(slotReal)
-		if pl.entry.tombstone {
-			kind = slotTombstone
-		}
-		if err := o.cdc.encodePlain(ib.blocks[i], kind, block{key: pl.key, value: pl.entry.value}); err != nil {
-			im.Recycle()
-			return BucketImage{}, err
-		}
-	}
-	return im, nil
-}
-
-// SealArena is memory a caller lends to SealImage and SealFresh: byte chunks
-// the seals carve slot frames from, front to back, the slot headers they hand
-// back, and the Filler that writes the frames holding no block. It grows to
-// the largest set of buckets sealed between two Resets, a chunk at a time, and
-// is reused after that. The zero value is ready.
-type SealArena struct {
-	chunks [][]byte // chunks[:used] hold frames, the last of them is carved next
-	used   int
-	slots  [][]byte
-	bind   []byte
-	filler *cryptoutil.Filler // made by the first seal with encryption on
-}
-
-// sealChunk is the size of a seal arena's chunks: a few buckets' slots, so an
-// arena outgrows what it holds by less than one chunk.
-const sealChunk = 64 << 10
-
-// Reset hands the arena's memory to the next seals. Every slot sealed into it
-// before must be unused by then (a store copies what it keeps); in race
-// builds the memory is poisoned, so a slot still read fails authentication
-// instead of passing with the bytes it held.
-func (a *SealArena) Reset() {
-	for i, c := range a.chunks[:a.used] {
-		poison(c)
-		a.chunks[i] = c[:0]
-	}
-	a.used, a.slots = 0, a.slots[:0]
-}
-
-// take carves n frames of size bytes from the current chunk, moving on to
-// the next one (and making it, the first time) when the current one is short.
-// It returns the frames as one run of n*size bytes and as n slots.
-func (a *SealArena) take(n, size int) ([]byte, [][]byte) {
-	need := n * size
-	if a.used == 0 || cap(a.chunks[a.used-1])-len(a.chunks[a.used-1]) < need {
-		if a.used == len(a.chunks) {
-			a.chunks = append(a.chunks, nil)
-		}
-		if cap(a.chunks[a.used]) < need {
-			a.chunks[a.used] = make([]byte, 0, max(sealChunk, need))
-		}
-		a.used++
-	}
-	c := a.chunks[a.used-1]
-	begin, start := len(c), len(a.slots)
-	for i := 0; i < n; i++ {
-		off := len(c)
-		c = c[:off+size]
-		a.slots = append(a.slots, c[off:off+size:off+size])
-	}
-	a.chunks[a.used-1] = c
-	return c[begin:len(c):len(c)], a.slots[start:len(a.slots):len(a.slots)]
-}
-
-// SealImage seals im into a as the bucket version storage keeps: its Z+S
-// slots indexed by physical slot, or, for a bucket below the SealRealOnly
-// bound, its Z real positions in position order and no dummies. Only the
-// positions holding a block are sealed, under the version's (bucket, version)
-// binding; every other slot is a filler frame (see cryptoutil.Filler), which
-// storage cannot tell from a sealed one and the proxy never opens. It is the
-// one place a bucket is sealed. It reads only the image and the ORAM's fixed
-// configuration, never state the ORAM's lock guards, so a committer may seal
-// one epoch's images while the next epoch plans and completes.
-func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
-	n := o.geo.SlotsPer
-	if im.trim {
-		n = o.p.Z
-	}
-	if a.filler == nil && o.cdc.key != nil {
-		f, err := cryptoutil.NewFiller()
-		if err != nil {
-			return nil, err
-		}
-		a.filler = f
-	}
-	run, slots := a.take(n, o.cdc.slotSize())
-	o.cdc.fill(run, a.filler)
-	a.bind = cryptoutil.AppendBinding(a.bind[:0], uint64(im.Bucket), im.Ver, 0)
-	for pos, b := range im.Blocks {
-		frame := slots[pos]
-		if !im.trim {
-			frame = slots[im.perm[pos]]
-		}
-		copy(o.cdc.plainOf(frame), b)
-		if err := o.cdc.seal(frame, a.bind); err != nil {
-			return nil, err
-		}
-	}
-	o.sealedSlots.Add(int64(len(im.Blocks)))
-	o.filledSlots.Add(int64(n - len(im.Blocks)))
-	return slots, nil
 }

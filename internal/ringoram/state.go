@@ -219,7 +219,11 @@ func (o *ORAM) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([
 		if e.pending {
 			return nil, errors.New("ringoram: checkpoint with pending stash entries (mid-epoch checkpoint)")
 		}
-		valueBytes += len(e.value)
+		blk, err := o.stashBlock(e)
+		if err != nil {
+			return nil, err
+		}
+		valueBytes += len(blk.value)
 	}
 	size := imageHeaderSize + nKeys*l.keyEntry(full) + nTouched*l.touchedEntry() +
 		nRewritten*l.rewrittenEntry(full) + nStash*l.stashHeader() + valueBytes
@@ -271,16 +275,17 @@ func (o *ORAM) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([
 	}
 
 	for _, e := range o.stashList {
+		blk, _ := o.stashBlock(e) // decoded above
 		b = l.putKey(b, e.key)
-		if e.tombstone {
+		if blk.tombstone {
 			b[0] |= stashFlagTombstone
 		}
 		if e.cacheable {
 			b[0] |= stashFlagCacheable
 		}
 		binary.BigEndian.PutUint32(b[1:], uint32(e.leaf))
-		binary.BigEndian.PutUint32(b[5:], uint32(len(e.value)))
-		b = b[9+copy(b[9:], e.value):]
+		binary.BigEndian.PutUint32(b[5:], uint32(len(blk.value)))
+		b = b[9+copy(b[9:], blk.value):]
 	}
 	for i := len(o.stashList); i < nStash; i++ {
 		binary.BigEndian.PutUint32(b[l.keyField()+5:], uint32(pad.ValueSize))
@@ -552,8 +557,12 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		}
 	}
 
-	// The stash in each image is complete: replace wholesale. Values are
-	// variable-length, so each entry is bounds-checked as it is read.
+	// The stash in each image is complete: replace wholesale, the slots of
+	// the entries it drops back to the pool. Values are variable-length, so
+	// each entry is bounds-checked as it is read.
+	for _, e := range o.stashList {
+		o.blocks.put(e.slot)
+	}
 	clear(o.stash)
 	o.stashList = o.stashList[:0]
 	for i := 0; i < nStash; i++ {
@@ -582,14 +591,15 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		if !known {
 			return fmt.Errorf("ringoram: checkpoint stash entry %q has no position-map entry", key)
 		}
-		o.stashAdd(&stashEntry{
-			key:       o.keys[ki].name,
-			ki:        ki,
-			value:     append([]byte(nil), value...),
-			tombstone: flags&stashFlagTombstone != 0,
-			leaf:      leaf,
-			cacheable: flags&stashFlagCacheable != 0,
-		})
+		kind := byte(slotReal)
+		if flags&stashFlagTombstone != 0 {
+			kind = slotTombstone
+		}
+		e := &stashEntry{key: o.keys[ki].name, ki: ki, slot: o.blocks.take(), leaf: leaf, cacheable: flags&stashFlagCacheable != 0}
+		o.stashAdd(e)
+		if err := o.cdc.encodePlain(e.slot, kind, block{key: e.key, value: value}); err != nil {
+			return err
+		}
 	}
 	if len(o.stashList) > o.p.StashLimit {
 		return fmt.Errorf("ringoram: checkpoint stash of %d entries exceeds the limit %d", len(o.stashList), o.p.StashLimit)

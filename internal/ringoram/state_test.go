@@ -112,7 +112,7 @@ func requireSameClient(t *testing.T, want, got *ORAM) {
 	}
 	for i, w := range want.stashList {
 		g := got.stashList[i]
-		if w.key != g.key || !bytes.Equal(w.value, g.value) || w.tombstone != g.tombstone || w.leaf != g.leaf || w.cacheable != g.cacheable {
+		if w.key != g.key || !bytes.Equal(w.slot, g.slot) || w.leaf != g.leaf || w.cacheable != g.cacheable {
 			t.Fatalf("stash entry %d: want %+v, got %+v", i, *w, *g)
 		}
 	}

@@ -11,8 +11,9 @@ import (
 )
 
 // TestValuePathAllocBudget pins what a value costs inside the ORAM once the
-// stash is warm: a write copies into the stash's recycled arena (nothing),
-// and a read's result is carved, sixteen 256-byte values to a chunk.
+// stash is warm: a write encodes into a recycled slot of the block pool
+// (nothing), and a read's result is carved, sixteen 256-byte values to a
+// chunk.
 func TestValuePathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -47,7 +48,7 @@ func TestValuePathAllocBudget(t *testing.T) {
 	write()
 	read()
 	if allocs := testing.AllocsPerRun(50, write); allocs != 0 {
-		t.Errorf("%.2f allocations per %d writes, want 0: PlanWrite copies outside the stash arena again", allocs, len(keys))
+		t.Errorf("%.2f allocations per %d writes, want 0: PlanWrite allocates outside the block pool again", allocs, len(keys))
 	}
 	if allocs := testing.AllocsPerRun(50, read) / float64(len(keys)); allocs > 1.0/16 {
 		t.Errorf("%.3f allocations per returned value, budget 1/16: CompleteAccess allocates per value again", allocs)

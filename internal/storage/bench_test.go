@@ -10,7 +10,7 @@ import (
 // dominates a reopen.
 func buildRecoveryStore(tb testing.TB, dir string) {
 	tb.Helper()
-	b, err := openDiskStore(osFS{}, dir, 64, diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 32 << 10}, autoMaintain: true})
+	b, err := openDiskStore(osFS{}, dir, 64, diskOpts{segMaxBytes: 32 << 10, autoMaintain: true})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -36,9 +36,6 @@ const (
 
 // DiskOptions tunes OpenDiskGroupOpts beyond the defaults.
 type DiskOptions struct {
-	// SegMaxBytes overrides the log segment roll-over size (0 = default).
-	// Exposed for tests that need many segments.
-	SegMaxBytes int64
 	// LogHeap picks no file layout: every group keeps its buckets on its
 	// log, and a dir opens the same way whatever the flag. With it, Backends
 	// exposes EpochCommitBatcher, so an epoch's heap commits and its log
@@ -52,10 +49,13 @@ type DiskOptions struct {
 // diskOpts is the internal option set; crash-harness opens leave
 // autoMaintain off (and workers at 1) so the swept op sequence stays
 // deterministic, driving Checkpoint and EvacuateSegment explicitly instead.
+// segMaxBytes overrides the log segment roll-over size (0 = default) for
+// tests that need many segments.
 type diskOpts struct {
 	DiskOptions
 	workers      int
 	autoMaintain bool
+	segMaxBytes  int64
 }
 
 // logHeapMarker marks a data dir as a group in the one layout every build

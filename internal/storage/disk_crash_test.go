@@ -326,7 +326,7 @@ const sweepSegMaxBytes = 128
 
 // sweepOpts opens a crash-harness group: serial recovery, no background
 // work, tiny segments.
-var sweepOpts = diskOpts{workers: 1, DiskOptions: DiskOptions{SegMaxBytes: sweepSegMaxBytes}}
+var sweepOpts = diskOpts{workers: 1, segMaxBytes: sweepSegMaxBytes}
 
 // openSweepStore opens the one-shard group a sweep drives in dir, its
 // durability calls checked by a barrier oracle.
@@ -793,7 +793,7 @@ func (f segOpenFailFS) OpenFile(name string, flag int, perm os.FileMode) (vfile,
 func buildSegmentedStore(t *testing.T) (*crashFS, []string) {
 	t.Helper()
 	fsys := newCrashFS(nil)
-	l := openTestLog(t, fsys, "data", diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 128}})
+	l := openTestLog(t, fsys, "data", diskOpts{segMaxBytes: 128})
 	var recs []string
 	for i := 0; i < 12; i++ {
 		rec := fmt.Sprintf("record-%02d-%032d", i, i)

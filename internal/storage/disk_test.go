@@ -306,7 +306,7 @@ func TestGroupOpenRefusesOtherLayouts(t *testing.T) {
 // stream, whose numbering equals the physical one until the reopen.
 func TestDiskLogSegmentsRollAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	l := openTestLog(t, osFS{}, dir, diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 256}})
+	l := openTestLog(t, osFS{}, dir, diskOpts{segMaxBytes: 256})
 	var seqs []uint64
 	for i := 0; i < 40; i++ {
 		seqs = append(seqs, logAppend(t, l, fmt.Sprintf("record-%02d-%s", i, bytes.Repeat([]byte("x"), 32))))
@@ -328,7 +328,7 @@ func TestDiskLogSegmentsRollAndTruncate(t *testing.T) {
 	}
 	must(t, l.Close())
 
-	r := openTestLog(t, osFS{}, dir, diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 256}})
+	r := openTestLog(t, osFS{}, dir, diskOpts{segMaxBytes: 256})
 	if seq, _ := r.last(); seq != 40 {
 		t.Fatalf("reopened last seq = %d", seq)
 	}

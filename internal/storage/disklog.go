@@ -236,8 +236,8 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 		retain:      retain,
 	}
 	l.group.landed.L = &l.group.mu
-	if opts.SegMaxBytes > 0 {
-		l.segMaxBytes = opts.SegMaxBytes
+	if opts.segMaxBytes > 0 {
+		l.segMaxBytes = opts.segMaxBytes
 	}
 	if l.workers <= 0 {
 		l.workers = defaultReplayWorkers()

@@ -22,7 +22,7 @@ func TestGroupLayout(t *testing.T) {
 	for _, logHeap := range []bool{false, true} {
 		t.Run(fmt.Sprintf("logheap=%v", logHeap), func(t *testing.T) {
 			fsys := newCrashFS(nil)
-			opts := diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: logHeap, SegMaxBytes: 256}}
+			opts := diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: logHeap}, segMaxBytes: 256}
 			open := func() *DiskGroup {
 				t.Helper()
 				g, err := openDiskGroupOpts(fsys, "data", 3, 4, opts)

@@ -44,7 +44,7 @@ func (c *crashFS) Snapshot() *CrashFS { return c.snapshot() }
 // sweeps do: serial recovery, background maintenance off (MaintainOnce
 // drives it), tiny segments so truncation has files to delete.
 func OpenCrashLogHeapGroup(fsys *CrashFS, shards, numBuckets int, segMaxBytes int64) (*DiskGroup, error) {
-	return openDiskGroupOpts(fsys, "data", shards, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true, SegMaxBytes: segMaxBytes}})
+	return openDiskGroupOpts(fsys, "data", shards, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}, segMaxBytes: segMaxBytes})
 }
 
 // MaintainOnce runs one logheap maintenance pass synchronously.

@@ -89,7 +89,7 @@ func TestInPlaceFramerGoldenBytesLogHeap(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g, err := openDiskGroupOpts(newCrashFS(nil), "data", shards, numBuckets,
-				diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true, SegMaxBytes: 2048}})
+				diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}, segMaxBytes: 2048})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +152,7 @@ func TestInPlaceFramerGoldenBytesLogHeap(t *testing.T) {
 // its log stream, interleaved on the one log.
 func TestInPlaceFramerGoldenBytesRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	b, err := openDiskStore(newCrashFS(nil), "data", 8, diskOpts{workers: 1, DiskOptions: DiskOptions{SegMaxBytes: 1024}})
+	b, err := openDiskStore(newCrashFS(nil), "data", 8, diskOpts{workers: 1, segMaxBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,7 +275,7 @@ func TestBarrierLeaderAndFollowers(t *testing.T) {
 // fsync.
 func TestBarrierWaveStraddlesRotation(t *testing.T) {
 	fsys := newWaveFS()
-	l := openTestLog(t, fsys, "data", diskOpts{DiskOptions: DiskOptions{SegMaxBytes: 128}})
+	l := openTestLog(t, fsys, "data", diskOpts{segMaxBytes: 128})
 	defer l.Close()
 	var last uint64
 	for len(l.segs) < 2 {

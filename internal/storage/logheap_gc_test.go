@@ -17,7 +17,7 @@ import (
 func TestEvacuateSegmentAllocatesPerPassNotPerVersion(t *testing.T) {
 	const numBuckets, slotsPer, slotSize = 96, 8, 96
 	dir := t.TempDir()
-	g, err := openDiskGroupOpts(osFS{}, dir, 1, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true, SegMaxBytes: 1 << 20}})
+	g, err := openDiskGroupOpts(osFS{}, dir, 1, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}, segMaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestEvacuateSegmentAllocatesPerPassNotPerVersion(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g, err = openDiskGroupOpts(osFS{}, dir, 1, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true, SegMaxBytes: 1 << 20}})
+	g, err = openDiskGroupOpts(osFS{}, dir, 1, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}, segMaxBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

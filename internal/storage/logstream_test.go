@@ -85,7 +85,7 @@ func logRecords(t *testing.T, l *diskLog, from uint64) []string {
 // returns it with its shards.
 func openStreamGroup(t *testing.T, fsys vfs, n int, segMaxBytes int64) (*DiskGroup, []*GroupShard) {
 	t.Helper()
-	g, err := openDiskGroupOpts(fsys, "data", n, 8, diskOpts{workers: 1, DiskOptions: DiskOptions{SegMaxBytes: segMaxBytes}})
+	g, err := openDiskGroupOpts(fsys, "data", n, 8, diskOpts{workers: 1, segMaxBytes: segMaxBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestLogStreamConcurrentCrashOrder(t *testing.T) {
 		snapshots  = 12
 	)
 	fsys := newCrashFS(nil)
-	g, err := openDiskGroupOpts(fsys, "data", shards, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true, SegMaxBytes: 1024}})
+	g, err := openDiskGroupOpts(fsys, "data", shards, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}, segMaxBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
