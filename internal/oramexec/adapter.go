@@ -39,7 +39,7 @@ const initChunk = 64
 // executor of any configuration can drive the tree; InitORAMFor writes the
 // tree the configuration itself writes.
 func InitORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params) (*ringoram.ORAM, error) {
-	return initORAM(store, key, p, 0)
+	return initORAM(store, key, p, false)
 }
 
 // InitORAMFor is InitORAM for the executor configuration that will drive the
@@ -48,21 +48,21 @@ func InitORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params)
 // whole-bucket version of them is ever stored (write-through keeps every
 // bucket whole). This is the starting state of every Obladi deployment.
 func InitORAMFor(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params, cfg Config) (*ringoram.ORAM, error) {
-	resident := 0
-	if !cfg.WriteThrough {
-		resident = residentBuckets(p.Geometry())
-	}
-	return initORAM(store, key, p, resident)
+	return initORAM(store, key, p, !cfg.WriteThrough)
 }
 
 // initORAM writes a fresh tree in three steps: RollbackTo(0), the buckets in
-// ascending order, initChunk to a WriteBuckets call, and CommitEpoch(0).
-func initORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params, realOnly int) (*ringoram.ORAM, error) {
+// ascending order, initChunk to a WriteBuckets call, and CommitEpoch(0). With
+// local set it turns the ORAM's local-version table on first, so the resident
+// buckets are written as the table's executor writes them.
+func initORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params, local bool) (*ringoram.ORAM, error) {
 	o, err := ringoram.New(key, p)
 	if err != nil {
 		return nil, err
 	}
-	o.SealRealOnly(realOnly)
+	if local {
+		o.KeepLocal()
+	}
 	n := p.Geometry().NumBuckets
 	if have, err := store.NumBuckets(); err != nil {
 		return nil, err

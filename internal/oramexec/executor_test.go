@@ -50,9 +50,10 @@ func newHarness(t *testing.T, p ringoram.Params, cfg Config) *harness {
 	return h
 }
 
-// adopt puts the harness's executor over o, restored metadata of its own ORAM.
+// adopt puts the harness's executor over o, restored metadata of its own ORAM,
+// with the local-version table on; the caller loads the resident levels.
 func (h *harness) adopt(o *ringoram.ORAM) {
-	o.SealRealOnly(len(h.exec.resident))
+	o.KeepLocal()
 	h.oram, h.exec.oram = o, o
 }
 
@@ -105,10 +106,11 @@ func (h *harness) runWrites(t *testing.T, kv map[string]string, pad int) {
 	}
 }
 
-// endEpoch seals, flushes and commits the way the proxy's boundary does: the
-// sealed set stays with the executor until the next seal supersedes it, so
-// the next epoch's reads of its buckets are served from the proxy.
-func (h *harness) endEpoch(t *testing.T) {
+// endEpoch seals, flushes and commits the way the proxy's boundary does, and
+// returns the sealed set: it stays in the ORAM's table until the next seal
+// supersedes it, so the next epoch's reads of its buckets are served from the
+// proxy.
+func (h *harness) endEpoch(t *testing.T) *SealedEpoch {
 	t.Helper()
 	sealed, err := h.exec.SealEpoch()
 	if err != nil {
@@ -121,6 +123,7 @@ func (h *harness) endEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.begin()
+	return sealed
 }
 
 func (h *harness) checkInvariant(t *testing.T) {
@@ -291,7 +294,17 @@ func TestWriteThroughNamesResidentTree(t *testing.T) {
 	h := newHarness(t, p, Config{})
 	h.runWrites(t, map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"}, 0)
 	h.endEpoch(t)
-	wt := New(h.oram, h.rec, Config{WriteThrough: true})
+	// The write-through executor gets the tree's metadata without the
+	// resident executor's table, as a restart in that mode would.
+	img, err := h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("exec")), p, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wt := New(o, h.rec, Config{WriteThrough: true})
 	wt.BeginEpoch(h.epoch)
 	plan, err := wt.PlanReadBatch(make([]ReadOp, 4))
 	if err != nil {
@@ -304,14 +317,16 @@ func TestWriteThroughNamesResidentTree(t *testing.T) {
 }
 
 // TestExecutorRollbackDiscardsEpoch: an executor that outlives a rollback must
-// not serve anything of the epoch storage dropped — not from the epoch
-// buffers and not from the resident set, whose copies are by then of versions
-// that no longer exist. It discards both and loads the set back, and the
-// rolled-back values come from the reloaded set with no slot read of the top.
+// not serve anything of the epoch storage dropped — not of the epoch's or the
+// sealed set's versions and not of the resident levels', which are by then
+// versions that no longer exist. Adopting the restored metadata discards the
+// ORAM whose table held them all; the executor loads the resident levels back
+// into the new one, and the rolled-back values come from the reloaded levels
+// with no slot read of the top.
 func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	p := testParams(64, 8)
 	h := newHarness(t, p, Config{})
-	nRes := len(h.exec.resident)
+	nRes := h.exec.resident
 	committed := map[string]string{"durable": "yes", "d2": "yes2", "d3": "yes3", "d4": "yes4"}
 	h.runWrites(t, committed, 0)
 	h.endEpoch(t)
@@ -325,14 +340,8 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	if _, err := h.exec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Abandon the epoch: drop every buffered write, current and sealed, and
-	// empty the resident set — storage rolls back the versions it copies, and
-	// LoadResident brings back the ones it rolled back to. The current
-	// epoch's buckets never reached storage, so their arenas recycle.
-	recycleAll(h.exec.buffered)
-	clear(h.exec.buffered)
-	h.exec.sealed, h.exec.spare = nil, nil
-	h.exec.dropResident()
+	// Abandon the epoch: storage rolls back the versions it holds, and
+	// LoadResident brings back the ones it rolled back to.
 	if err := h.rec.RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}
@@ -348,11 +357,9 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	if got := slotReadRefs(h.rec.Events()); fmt.Sprint(got) != fmt.Sprint(loadRefs(nRes, p.Z)) {
 		t.Fatalf("the load read %v", got)
 	}
-	top := 0 // committed blocks the top holds: served from the reloaded set or not at all
-	for b := 0; b < nRes; b++ {
-		top += len(h.exec.resident[b].blocks)
-	}
-	if top == 0 {
+	// The committed blocks the top holds: served from the reloaded levels or
+	// not at all.
+	if top := h.exec.Stats().ResidentBytes; top == 0 {
 		t.Fatal("no committed block sits in a resident level: the test would prove nothing")
 	}
 
@@ -447,7 +454,7 @@ func testSkipSetIsPublic(t *testing.T) {
 	p := testParams(256, 77)
 	p.S = 16 // roomy enough that no early reshuffle (a function of the drawn paths) falls due
 	geo := p.Geometry()
-	nRes := residentBuckets(geo)
+	nRes := 1<<(geo.Levels-2) - 1 // levels 0..L-3 stay resident
 	if geo.Levels < 6 || nRes != 15 {
 		t.Fatalf("geometry %+v keeps %d buckets resident, want L >= 6 and 15", geo, nRes)
 	}
@@ -469,12 +476,12 @@ func testSkipSetIsPublic(t *testing.T) {
 				if tk.logKind == LogReshuffle {
 					t.Fatalf("%s: an early reshuffle fell due; its timing depends on the drawn paths — pick parameters that avoid it", workload)
 				}
-				for i, r := range tk.reads {
+				for _, r := range tk.reads {
 					public := r.Bucket < nRes || claimed[r.Bucket] || prevFlush[r.Bucket]
-					if tk.reads[i].Local != public {
-						t.Fatalf("%s: read of bucket %d (level %d) planned local=%v, the public sets say %v", workload, r.Bucket, level(r.Bucket), tk.reads[i].Local, public)
+					if r.Local() != public {
+						t.Fatalf("%s: read of bucket %d (level %d) planned local=%v, the public sets say %v", workload, r.Bucket, level(r.Bucket), r.Local(), public)
 					}
-					if tk.reads[i].Local {
+					if r.Local() {
 						continue
 					}
 					remote++
@@ -599,9 +606,9 @@ func testSkipSetIsPublic(t *testing.T) {
 // TestExecutorReplayReproducesTrace is the recovery security test. After a
 // crash mid-epoch the new executor loads the resident levels — one read, a
 // function of the geometry — and the replay then reads every slot the aborted
-// epoch read from storage, exactly once. It reads more: a new executor holds
-// no epoch buffers, so slots the aborted epoch served from the previous
-// epoch's sealed set now come from storage. Those are slots the epoch's log
+// epoch read from storage, exactly once. It reads more: the restored ORAM's
+// table holds no sealed set, so slots the aborted epoch served from the
+// previous epoch's sealed set now come from storage. Those are slots the epoch's log
 // records name, in buckets of levels L-2..L the epoch never read from storage
 // — bucket versions the adversary has not seen a read of — and no slot of any
 // bucket version is read twice (the invariant checker sits under the
@@ -686,7 +693,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 	if err := exec2.LoadResident(); err != nil {
 		t.Fatal(err)
 	}
-	nRes := len(exec2.resident)
+	nRes := exec2.resident
 	if got := slotReadRefs(h.rec.Events()); nRes == 0 || fmt.Sprint(got) != fmt.Sprint(loadRefs(nRes, p.Z)) {
 		t.Fatalf("the load of %d resident buckets read %v", nRes, got)
 	}

@@ -23,8 +23,8 @@ func TestExecutorStatsAccounting(t *testing.T) {
 	if st.BucketWrites != int64(n) {
 		t.Fatalf("flush wrote %d, stats say %d", n, st.BucketWrites)
 	}
-	if len(h.exec.buffered) != 0 {
-		t.Fatal("buffer not cleared by flush")
+	if n, err := h.exec.Flush(); n != 0 || err != nil {
+		t.Fatalf("a second flush wrote %d buckets (%v): the epoch's versions were not dropped by the first", n, err)
 	}
 }
 

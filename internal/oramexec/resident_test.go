@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -78,32 +77,26 @@ func slotReadRefs(evs []storage.Event) []storage.SlotRef {
 	return refs
 }
 
-// blockOf returns rb's block for physical slot s, nil when it has none.
-func blockOf(rb *residentBucket, s int) []byte {
-	if i := slices.Index(rb.slots, s); i >= 0 {
-		return rb.blocks[i]
-	}
-	return nil
-}
-
-// TestResidentWarmEqualsRecovered is the differential behind "the resident set
-// is recovered state". Two identically seeded deployments run the same epochs;
-// after every epoch both restore their ORAM from its full checkpoint (so both
-// draw from the same restarted generator), but one keeps its executor while
-// the other builds a new one and loads the top, as a recovery does. Results
-// and checkpoint images must be identical, neither may read a resident level
-// outside the load, the load must be the same read every time, and what it
-// brings back must be the blocks the replaced executor held at the end of the
-// epoch (ciphertexts differ between the two deployments), restricted to the
-// positions the metadata says still hold a block.
+// TestResidentWarmEqualsRecovered is the differential behind "the resident
+// levels are recovered state, not a cache". Two identically seeded
+// deployments run the same epochs; after every epoch one keeps its executor
+// and its ORAM's table as they are, the other builds a new executor over its
+// ORAM and loads the resident levels back from storage, as a recovery does,
+// replacing the versions its table held. Results and checkpoint images must
+// be identical, neither may read a resident level outside the load, the load
+// must be the same one-call read every time, and it must bring blocks back.
+// That the load keeps exactly the blocks the metadata still places, each
+// byte-equal to the block the replaced version held at that slot, is checked
+// where the table lives: ringoram's planeClient.load, at the in-place reloads
+// of TestLocalTableOwnsEachSlotOnce and the Restore of
+// TestBlockPlaneSlotsAreCanonical.
 func TestResidentWarmEqualsRecovered(t *testing.T) {
 	p := residentParams(31)
-	key := cryptoutil.KeyFromSeed([]byte("exec"))
 	warm, cold := newHarness(t, p, Config{}), newHarness(t, p, Config{})
-	nRes := len(warm.exec.resident)
+	nRes := warm.exec.resident
 	wantLoad := loadRefs(nRes, p.Z)
 	rng := rand.New(rand.NewPCG(11, 13))
-	loaded := 0
+	loads := 0
 	for e := 0; e < 40; e++ {
 		reads, writes := epochOps(rng, e)
 		warm.rec.Reset()
@@ -133,21 +126,13 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 		if !bytes.Equal(imgW, imgC) {
 			t.Fatalf("epoch %d: warm and recovered checkpoint images differ", e)
 		}
-		restoredW, err := ringoram.Restore(key, p, imgW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm.adopt(restoredW)
-		if cold.oram, err = ringoram.Restore(key, p, imgC); err != nil {
-			t.Fatal(err)
-		}
-		// A recovery: roll back to the committed epoch (nothing to discard
-		// here), build the executor, load the top.
+		// A recovery's load: roll back to the committed epoch (nothing to
+		// discard here), build the executor, read the resident levels back.
 		if err := cold.rec.RollbackTo(cold.epoch - 1); err != nil {
 			t.Fatal(err)
 		}
-		prev := cold.exec
 		cold.exec = New(cold.oram, cold.rec, Config{})
+		cold.exec.BeginEpoch(cold.epoch)
 		cold.rec.Reset()
 		if err := cold.exec.LoadResident(); err != nil {
 			t.Fatal(err)
@@ -155,97 +140,115 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 		if got := slotReadRefs(cold.rec.Events()); fmt.Sprint(got) != fmt.Sprint(wantLoad) || cold.rec.Calls().ReadSlots != 1 {
 			t.Fatalf("epoch %d: the load read %v in %d calls, want slots 0..%d of buckets 0..%d in one", e, got, cold.rec.Calls().ReadSlots, p.Z-1, nRes-1)
 		}
-		cold.exec.BeginEpoch(cold.epoch)
-		for b := 0; b < nRes; b++ {
-			held := 0
-			slots, _ := cold.oram.BlockSlots(b, nil)
-			for _, s := range slots {
-				if s < 0 {
-					continue
-				}
-				held++
-				w, c := blockOf(&prev.resident[b], s), blockOf(&cold.exec.resident[b], s)
-				if w == nil || !bytes.Equal(w, c) {
-					t.Fatalf("epoch %d: bucket %d slot %d: loaded block differs from the one the replaced executor held", e, b, s)
-				}
-			}
-			if got := len(cold.exec.resident[b].blocks); got != held {
-				t.Fatalf("epoch %d: bucket %d: %d blocks loaded, the metadata places %d blocks", e, b, got, held)
-			}
-			loaded += held
+		if cold.exec.Stats().ResidentBytes > 0 {
+			loads++
 		}
 	}
-	if loaded == 0 {
+	if loads == 0 {
 		t.Fatal("no load ever brought a block back: the upper levels stayed empty")
 	}
 	warm.checkInvariant(t)
 	cold.checkInvariant(t)
 }
 
-// TestResidentCopiesNeverAliasArenas: a resident block holds the plaintext of
-// the buffered image's block in a pooled slot of its own. Images are recycled
-// when a later eviction of the same epoch supersedes the version (the root's,
-// every eviction) and after the flush; a block that pointed into one would
-// change under the reads it serves.
-func TestResidentCopiesNeverAliasArenas(t *testing.T) {
+// TestResidentBlocksNeverRecycledUnderReads: a resident bucket keeps its
+// newest version's image itself, the one its eviction filed, and the sealed
+// set holds that same image when the epoch that wrote it last is sealed. The
+// next epoch's evictions supersede it as the newest — the root's, on every
+// eviction — while the committer has yet to seal it and while reads planned
+// before the supersede are served from it, so it must not go back to the pool
+// before the next seal retires it: a block of a recycled image is poisoned in
+// race builds, and refilled by a later eviction in any build. The test runs
+// the pipelined boundary — seal, the next epoch's batches, then the flush —
+// and checks that every block of every sealed image is byte-equal, after the
+// next epoch's batches, to what it held at the seal, and that the slots the
+// flush wrote open, under the version's binding, to those blocks.
+func TestResidentBlocksNeverRecycledUnderReads(t *testing.T) {
 	p := residentParams(32)
 	h := newHarness(t, p, Config{})
+	key := cryptoutil.KeyFromSeed([]byte("exec"))
 	rng := rand.New(rand.NewPCG(17, 19))
-	checked := 0
-	for e := 0; e < 12; e++ {
+	reads, writes := epochOps(rng, 0)
+	runEpoch(t, h.exec, reads, writes)
+	checked, superseded := 0, 0
+	for e := 1; e <= 12; e++ {
+		sealed, err := h.exec.SealEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := make([][][]byte, len(sealed.images))
+		for i, im := range sealed.images {
+			for _, b := range im.Blocks {
+				held[i] = append(held[i], bytes.Clone(b))
+			}
+		}
+		sealedEpoch := h.epoch
+		h.begin()
+		evictions := h.exec.Stats().Evictions
 		reads, writes := epochOps(rng, e)
 		runEpoch(t, h.exec, reads, writes)
-		for b := range h.exec.resident {
-			rb, buf := &h.exec.resident[b], h.exec.buffered[b]
-			if !buf.filled() {
-				continue
-			}
-			if len(rb.blocks) != len(buf.w.Blocks) || len(rb.slots) != len(rb.blocks) || rb.ver != buf.w.Ver {
-				t.Fatalf("bucket %d: %d blocks at %d slots of version %d, the buffered image holds %d blocks of version %d", b, len(rb.blocks), len(rb.slots), rb.ver, len(buf.w.Blocks), buf.w.Ver)
-			}
-			for i, f := range rb.blocks {
-				block := buf.w.Blocks[i]
-				if rb.slots[i] != buf.w.Real()[i] || !bytes.Equal(f, block) {
-					t.Fatalf("bucket %d: resident block differs from the buffered block", b)
-				}
-				if &f[0] == &block[0] {
-					t.Fatalf("bucket %d: resident block aliases the buffered image", b)
+		if sealed.images[0].Bucket == 0 && h.exec.Stats().Evictions > evictions {
+			superseded++ // the root's sealed version is no longer its newest
+		}
+		for i, im := range sealed.images {
+			for j, b := range im.Blocks {
+				if !bytes.Equal(b, held[i][j]) {
+					t.Fatalf("epoch %d: bucket %d version %d: a sealed block changed before its flush", e, im.Bucket, im.Ver)
 				}
 				checked++
 			}
 		}
-		h.endEpoch(t)
+		if _, err := h.exec.FlushSealed(sealed); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.backend.CommitEpoch(sealedEpoch); err != nil {
+			t.Fatal(err)
+		}
+		for i, im := range sealed.images {
+			for j := range im.Blocks {
+				frame := j // a resident bucket is stored as its real positions
+				if im.Bucket >= h.exec.resident {
+					frame = im.Real()[j]
+				}
+				data, err := h.backend.ReadSlot(im.Bucket, frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain, err := key.Open(data, cryptoutil.Binding(uint64(im.Bucket), im.Ver, 0))
+				if err != nil || !bytes.Equal(plain, held[i][j]) {
+					t.Fatalf("epoch %d: bucket %d version %d: the flushed slot %d does not open to the sealed block (%v)", e, im.Bucket, im.Ver, frame, err)
+				}
+			}
+		}
 	}
-	if checked == 0 {
-		t.Fatal("no resident block was ever compared")
-	}
-	if ev := h.exec.Stats().Evictions; ev < 2*12 {
-		t.Fatalf("%d evictions in 12 epochs: no version was superseded inside an epoch", ev)
+	if checked == 0 || superseded == 0 {
+		t.Fatalf("%d sealed blocks compared, %d epochs superseded the root's sealed version: the test would prove nothing", checked, superseded)
 	}
 	h.checkInvariant(t)
 }
 
-// TestResidentBudget pins what the resident set may cost. Memory: the blocks
-// it holds never exceed Z per resident bucket, and ResidentBytes is their
-// size. Allocation: a steady-state epoch with the set warm allocates no more
-// than the same epoch with the set emptied and loaded back from storage
-// first.
+// TestResidentBudget pins what the resident levels may cost. Memory: the
+// blocks they hold never exceed Z per resident bucket, and ResidentBytes is
+// their size — a whole number of plaintext slots, at most Z per resident
+// bucket (ringoram's checkOwnership checks the bucket-by-bucket sum).
+// Allocation: a steady-state epoch with the levels warm allocates no more
+// than the same epoch with the levels loaded back from storage first.
 func TestResidentBudget(t *testing.T) {
 	p := residentParams(33)
-	steady := func(empty bool) (perEpoch float64, e *Executor) {
+	steady := func(reload bool) (perEpoch float64, e *Executor) {
 		backend := storage.NewMemBackend(p.Geometry().NumBuckets)
 		oram, err := InitORAM(backend, cryptoutil.KeyFromSeed([]byte("exec")), p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e = New(oram, backend, Config{})
+		plain := int64(oram.SlotSize() - cryptoutil.Overhead)
 		rng := rand.New(rand.NewPCG(23, 29))
 		epoch := uint64(0)
 		one := func() {
 			epoch++
 			e.BeginEpoch(epoch)
-			if empty {
-				e.dropResident()
+			if reload {
 				if err := e.LoadResident(); err != nil {
 					t.Fatal(err)
 				}
@@ -258,17 +261,8 @@ func TestResidentBudget(t *testing.T) {
 			if err := backend.CommitEpoch(epoch); err != nil {
 				t.Fatal(err)
 			}
-			held := int64(0)
-			for b, rb := range e.resident {
-				if len(rb.blocks) > p.Z || len(rb.slots) != len(rb.blocks) {
-					t.Fatalf("epoch %d: bucket %d holds %d blocks at %d slots, the bound is Z = %d", epoch, b, len(rb.blocks), len(rb.slots), p.Z)
-				}
-				for _, block := range rb.blocks {
-					held += int64(len(block))
-				}
-			}
-			if got := e.Stats().ResidentBytes; got != held {
-				t.Fatalf("epoch %d: %d resident bytes reported, the blocks held are %d bytes", epoch, got, held)
+			if got, bound := e.Stats().ResidentBytes, int64(e.resident*p.Z)*plain; got%plain != 0 || got > bound {
+				t.Fatalf("epoch %d: %d resident bytes reported, want whole %d-byte slots, at most %d", epoch, got, plain, bound)
 			}
 		}
 		for i := 0; i < 200; i++ {
@@ -277,20 +271,12 @@ func TestResidentBudget(t *testing.T) {
 		return testing.AllocsPerRun(100, one), e
 	}
 	warm, e := steady(false)
-	emptied, _ := steady(true)
+	reloaded, _ := steady(true)
 	if e.Stats().ResidentBytes == 0 {
 		t.Fatal("nothing is resident after 300 epochs of evictions")
 	}
-	if warm > emptied && !raceEnabled {
-		t.Fatalf("a warm epoch allocates %.0f objects, an emptied one %.0f: the resident set allocates in steady state", warm, emptied)
+	if warm > reloaded && !raceEnabled {
+		t.Fatalf("a warm epoch allocates %.0f objects, a reloaded one %.0f: the resident levels allocate in steady state", warm, reloaded)
 	}
-	t.Logf("allocations per epoch: %.0f warm, %.0f emptied; %d resident bytes", warm, emptied, e.Stats().ResidentBytes)
-}
-
-// dropResident empties the resident set, as a restart over rolled-back
-// storage finds it.
-func (e *Executor) dropResident() {
-	for i := range e.resident {
-		e.releaseResident(&e.resident[i])
-	}
+	t.Logf("allocations per epoch: %.0f warm, %.0f reloaded; %d resident bytes", warm, reloaded, e.Stats().ResidentBytes)
 }

@@ -14,26 +14,31 @@ import (
 	"obladi/internal/storage"
 )
 
-// slotCounter counts the slots a store is written and, once oram is set,
+// slotCounter counts the slots a store is written and, once sealed is set,
 // sorts them by trying each under its bucket's binding: a slot that opens
 // is a sealed block, one that fails with ErrAuth a filler, anything else an
-// error. It relies on the writer's metadata being at the version it writes,
-// as it is while a flush runs with nothing planned beside it.
+// error. The version of each bucket is the one the sealed set being flushed
+// holds.
 type slotCounter struct {
 	storage.BucketStore
 	key                    *cryptoutil.Key
-	oram                   *ringoram.ORAM
+	sealed                 *SealedEpoch
 	slots, blocks, fillers int64
 	err                    error
 }
 
 func (s *slotCounter) WriteBuckets(writes []storage.BucketWrite) error {
-	for _, w := range writes {
+	for i, w := range writes {
 		s.slots += int64(len(w.Slots))
-		if s.oram == nil {
+		if s.sealed == nil {
 			continue
 		}
-		_, ver := s.oram.BlockSlots(w.Bucket, nil)
+		im := s.sealed.images[i] // the flush writes the set in its order
+		if im.Bucket != w.Bucket {
+			s.err = fmt.Errorf("write %d is of bucket %d, the sealed set's of bucket %d", i, w.Bucket, im.Bucket)
+			break
+		}
+		ver := im.Ver
 		binding := cryptoutil.Binding(uint64(w.Bucket), ver, 0)
 		for i, slot := range w.Slots {
 			switch _, err := s.key.Open(slot, binding); {
@@ -76,7 +81,6 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.oram = oram
 	e := New(oram, store, Config{})
 	names := make([]string, keys)
 	for i := range names {
@@ -85,12 +89,13 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	value := make([]byte, p.ValueSize)
 	rng := rand.New(rand.NewPCG(1, 2))
 	reads, writes := make([]ReadOp, readBatch), make([]WriteOp, writeBatch)
-	var sealed, filled, versions, written int64
+	var sealed, filled, versions, written, opened, copied int64
 	epoch := uint64(0)
 	run := func(preload int) {
 		epoch++
 		e.BeginEpoch(epoch)
 		seals0, fills0, st0 := oram.SealedSlots(), oram.FilledSlots(), e.Stats()
+		opens0, copies0 := oram.OpenedSlots(), oram.CopiedSlots()
 		slots0, blocks0, fillers0 := store.slots, store.blocks, store.fillers
 		for b := 0; b < readBatches; b++ {
 			clear(reads)
@@ -131,6 +136,7 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		store.sealed = s
 		if _, err := e.FlushSealed(s); err != nil {
 			t.Fatal(err)
 		}
@@ -151,6 +157,8 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 			filled += fills
 			versions += st.WritesBuffered - st0.WritesBuffered
 			written += st.BucketWrites - st0.BucketWrites
+			opened += oram.OpenedSlots() - opens0
+			copied += oram.CopiedSlots() - copies0
 		}
 	}
 	for next := 0; next < keys; next += writeBatch {
@@ -167,6 +175,7 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 		setupSealed, setupFilled, 100*float64(setupFilled)/float64(setupSealed+setupFilled))
 	t.Logf("steady state, per epoch: %.1f slots flushed, %.1f of them sealed blocks and %.1f fillers; %.1f bucket versions made, %.1f of them flushed",
 		float64(sealed+filled)/steady, float64(sealed)/steady, float64(filled)/steady, float64(versions)/steady, float64(written)/steady)
+	t.Logf("steady state, per epoch: %.1f slots opened under a binding, %.1f plaintext slots copied", float64(opened)/steady, float64(copied)/steady)
 }
 
 // plainStore answers every remote read of a slot it has a plaintext copy of
@@ -194,18 +203,18 @@ func (s *plainStore) ReadSlots(refs []storage.SlotRef) ([][]byte, error) {
 	return out, nil
 }
 
-// keepPlain records, for every bucket the executor is about to flush, the
-// plaintext of the blocks of the version that reaches storage.
-func (s *plainStore) keepPlain(e *Executor) {
-	for b, buf := range e.buffered {
-		if b < len(e.resident) {
+// keepPlain records, for every bucket of a sealed set below the resident
+// levels, the plaintext of the blocks of the version that reaches storage.
+func (s *plainStore) keepPlain(sealed *SealedEpoch, resident int) {
+	for _, im := range sealed.images {
+		if im.Bucket < resident {
 			continue
 		}
-		kept := make(map[int][]byte, len(buf.w.Blocks))
-		for i, slot := range buf.w.Real() {
-			kept[slot] = append([]byte(nil), buf.w.Blocks[i]...)
+		kept := make(map[int][]byte, len(im.Blocks))
+		for i, slot := range im.Real() {
+			kept[slot] = append([]byte(nil), im.Blocks[i]...)
 		}
-		s.plain[b] = kept
+		s.plain[im.Bucket] = kept
 	}
 }
 
@@ -271,28 +280,29 @@ func TestRemotePlaintextSlotRefused(t *testing.T) {
 		if _, refused := execute(lied.exec.PlanWriteBatch(wops)); refused {
 			return
 		}
-		liar.keepPlain(lied.exec)
 		honest.endEpoch(t)
-		lied.endEpoch(t)
+		liar.keepPlain(lied.endEpoch(t), lied.exec.resident)
 	}
 	t.Fatalf("%d plaintext slots served from storage in 40 epochs and no batch refused: either no block was read from storage, or plaintext from storage was accepted", liar.answered)
 }
 
-// TestLocalReadVersionChecked: a read served from the proxy's own plaintext
-// copy must come from the version it was planned against, which is the check
-// a read from storage gets from the slot's binding. A resident copy or a
-// sealed image whose version differs is refused.
+// TestLocalReadVersionChecked: a read the ORAM serves from its own plaintext
+// version must come from the version it was planned against, which is the
+// check a read from storage gets from the slot's binding. A read of a
+// resident bucket or of a bucket the sealed set holds, planned against
+// another version than the one the table holds, is refused.
 func TestLocalReadVersionChecked(t *testing.T) {
 	setup := func(t *testing.T) *harness {
 		h := newHarness(t, testParams(64, 22), Config{})
 		h.runWrites(t, map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"}, 8)
-		h.endEpoch(t)
-		if len(h.exec.resident) == 0 || len(h.exec.sealed.buckets) == 0 {
-			t.Fatalf("%d resident buckets, %d sealed: nothing is served locally", len(h.exec.resident), len(h.exec.sealed.buckets))
+		if s := h.endEpoch(t); h.exec.resident == 0 || s.Buckets() == 0 {
+			t.Fatalf("%d resident buckets, %d sealed: nothing is served locally", h.exec.resident, s.Buckets())
 		}
 		return h
 	}
-	refused := func(t *testing.T, h *harness, what string, keys ...string) {
+	// refused plans a read batch of keys, moves the planned version of every
+	// local read that pick selects, and expects the batch refused.
+	refused := func(t *testing.T, h *harness, what string, pick func(b int) bool, keys ...string) {
 		t.Helper()
 		ops := make([]ReadOp, 4)
 		for i, k := range keys {
@@ -302,6 +312,18 @@ func TestLocalReadVersionChecked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		moved := 0
+		for _, tk := range plan.tasks {
+			for i, r := range tk.reads {
+				if r.Local() && pick(r.Bucket) {
+					tk.reads[i].Ver--
+					moved++
+				}
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("no local read of a %s planned", what)
+		}
 		if _, err := h.exec.Execute(plan); err == nil || !strings.Contains(err.Error(), "planned against version") {
 			t.Fatalf("a read served from a %s of another version: %v", what, err)
 		}
@@ -309,18 +331,13 @@ func TestLocalReadVersionChecked(t *testing.T) {
 	t.Run("resident", func(t *testing.T) {
 		h := setup(t)
 		// The root is resident, and every path read goes through it.
-		h.exec.resident[0].ver++
-		refused(t, h, "resident copy")
+		refused(t, h, "resident bucket", func(b int) bool { return b == 0 })
 	})
 	t.Run("sealed image", func(t *testing.T) {
 		h := setup(t)
-		for b, buf := range h.exec.sealed.buckets {
-			buf.w.Ver--
-			h.exec.sealed.buckets[b] = buf
-		}
 		// The epoch's evictions moved the keys from the stash into buckets
 		// of their paths, below the resident levels, which the sealed set
 		// serves.
-		refused(t, h, "sealed image", "a", "b", "c", "d")
+		refused(t, h, "sealed image", func(b int) bool { return b >= h.exec.resident }, "a", "b", "c", "d")
 	})
 }

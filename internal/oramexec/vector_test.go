@@ -1,7 +1,6 @@
 package oramexec
 
 import (
-	"maps"
 	"slices"
 	"testing"
 
@@ -100,8 +99,8 @@ func TestExecutorVectorTraceMatchesPlan(t *testing.T) {
 		}
 		var want []storage.Event
 		for _, tk := range plan.tasks {
-			for i, r := range tk.reads {
-				if !tk.reads[i].Local {
+			for _, r := range tk.reads {
+				if !r.Local() {
 					want = append(want, storage.Event{Op: storage.OpReadSlot, Bucket: r.Bucket, Slot: r.Slot})
 				}
 			}
@@ -132,13 +131,16 @@ func TestExecutorVectorTraceMatchesPlan(t *testing.T) {
 	}
 	flush := func() {
 		t.Helper()
-		buckets := slices.Sorted(maps.Keys(h.exec.buffered))
-		want := make([]storage.Event, len(buckets))
-		for i, b := range buckets {
-			want[i] = storage.Event{Op: storage.OpWriteBucket, Bucket: b, Epoch: h.epoch}
-		}
+		epoch := h.epoch
 		h.rec.Reset()
-		h.endEpoch(t)
+		sealed := h.endEpoch(t)
+		var want []storage.Event
+		for _, im := range sealed.images {
+			want = append(want, storage.Event{Op: storage.OpWriteBucket, Bucket: im.Bucket, Epoch: epoch})
+		}
+		if !slices.IsSortedFunc(want, func(a, b storage.Event) int { return a.Bucket - b.Bucket }) {
+			t.Fatalf("the sealed set is not in bucket order: %v", want)
+		}
 		check("flush", want)
 	}
 	writes(9, "k1", "k2", "k3")

@@ -12,22 +12,23 @@ import (
 // layout (see encodePlain), taken from the ORAM's blockPool. A write encodes
 // into its stash entry's slot, a read's completion opens or copies into one,
 // an eviction moves its placed entries' slots into the bucket image, and the
-// seal copies each into its frame. The executor's resident copies are pooled
-// slots too (OpenSlot, CopySlot, ReleaseSlots).
+// seal copies each into its frame. The images an eviction leaves are the
+// local-version table's (see local.go) until nothing holds them.
 
 // blockPool is the one allocator of block plaintext: slots of one plaintext
 // slot each, carved from large chunks and recycled through a free list. It
-// never shrinks; the slots in use (the stash, the images in flight, the
-// resident copies) are a function of the public schedule. Slots are taken
+// never shrinks; the slots in use (the stash and the images the table holds)
+// are a function of the public schedule. Slots are taken
 // under the ORAM's lock but returned by whoever holds them last — an image's
 // holder, on any goroutine — so the pool has a lock of its own. In race builds
 // a returned slot is poisoned, so a read through a stale reference fails to
 // decode or authenticate instead of passing with the bytes it held.
 type blockPool struct {
-	mu    sync.Mutex
-	size  int // plainSize
-	chunk []byte
-	free  [][]byte
+	mu     sync.Mutex
+	size   int // plainSize
+	chunk  []byte
+	free   [][]byte
+	carved int // slots handed out of chunks so far
 }
 
 // blockChunk is the size of the pool's carve chunks (at least one slot).
@@ -48,6 +49,7 @@ func (p *blockPool) take() []byte {
 	}
 	s := p.chunk[:p.size:p.size]
 	p.chunk = p.chunk[p.size:]
+	p.carved++
 	return s
 }
 
@@ -61,48 +63,25 @@ func (p *blockPool) put(slots ...[]byte) {
 	p.mu.Unlock()
 }
 
-// OpenSlot authenticates a slot storage holds for version ver of bucket b and
-// returns its plaintext in a pooled slot: what a caller that serves the
-// bucket's reads itself keeps of it, until it hands the slot back with
-// ReleaseSlots. A slot that does not open under that binding fails with
-// ErrCorrupt.
-func (o *ORAM) OpenSlot(data []byte, b int, ver uint64) ([]byte, error) {
-	slot := o.blocks.take()
-	if err := o.cdc.open(slot, data, cryptoutil.Binding(uint64(b), ver, 0)); err != nil {
-		o.blocks.put(slot)
-		return nil, fmt.Errorf("%w: bucket %d version %d: %v", ErrCorrupt, b, ver, err)
-	}
-	return slot, nil
-}
-
-// CopySlot returns a pooled slot holding a copy of plain, a block's plaintext
-// slot (an image's block), the caller's until it hands it back with
-// ReleaseSlots.
-func (o *ORAM) CopySlot(plain []byte) []byte {
-	slot := o.blocks.take()
-	copy(slot, plain)
-	return slot
-}
-
-// ReleaseSlots hands slots OpenSlot or CopySlot returned back to the pool.
-func (o *ORAM) ReleaseSlots(slots [][]byte) { o.blocks.put(slots...) }
-
 // BucketImage is one bucket version in plaintext, as an eviction leaves it:
-// its version, its permutation and its blocks. It is what the caller keeps
-// until the version reaches storage, and SealImage seals it then: a version
-// that a later rewrite supersedes first is never sealed at all. The image's
-// memory is the ORAM's pooled buffer, the caller's until it calls Recycle.
+// its version, its permutation and its blocks. It is kept until the version
+// reaches storage, and SealImage seals it then: a version that a later
+// rewrite supersedes first is never sealed at all. The image's memory is the
+// ORAM's pooled buffer: the local-version table's while the table is on
+// (see local.go), the caller's until it calls Recycle otherwise.
 type BucketImage struct {
 	Bucket int
 	Ver    uint64
 	// Blocks holds the plaintext slots of the blocks this version placed, the
 	// block of real position i at Blocks[i] (the placed blocks fill positions
 	// 0..len(Blocks)-1); Real()[i] is its physical slot. They are the slots
-	// the placed stash entries held, moved, not copied.
+	// the placed stash entries held, moved, not copied. A resident bucket's
+	// version loaded from storage (LoadLocal) holds the blocks still placed,
+	// and is never sealed.
 	Blocks [][]byte
 
 	perm []int // perm[pos] = physical slot; pos < Z real, else dummy
-	trim bool  // sealed as its Z real positions alone (SealRealOnly)
+	trim bool  // sealed as its Z real positions alone (a resident bucket)
 	buf  *imageBuf
 }
 
@@ -139,11 +118,16 @@ func (im *BucketImage) Block(s int) []byte {
 func (im *BucketImage) Recycle() {
 	if b := im.buf; b != nil {
 		im.buf, im.Blocks, im.perm = nil, nil, nil
-		b.free.put(b.blocks...)
-		clear(b.blocks)
-		b.blocks = b.blocks[:0]
-		b.pool.Put(b)
+		b.recycle()
 	}
+}
+
+// recycle returns the buffer and its blocks to their pools.
+func (b *imageBuf) recycle() {
+	b.free.put(b.blocks...)
+	clear(b.blocks)
+	b.blocks = b.blocks[:0]
+	b.pool.Put(b)
 }
 
 // imageOf builds the image of a write-phase plan's bucket version in a pooled
@@ -156,7 +140,7 @@ func (o *ORAM) imageOf(pb *plannedBucket) BucketImage {
 		ib.blocks = append(ib.blocks, e.slot)
 		e.slot = nil
 	}
-	return BucketImage{Bucket: pb.bucket, Ver: pb.ver, Blocks: ib.blocks, perm: ib.perm, trim: pb.bucket < o.realOnly, buf: ib}
+	return BucketImage{Bucket: pb.bucket, Ver: pb.ver, Blocks: ib.blocks, perm: ib.perm, trim: pb.bucket < o.local.resident, buf: ib}
 }
 
 // SealFresh seals bucket b of the fresh tree New drew into a, as SealImage
@@ -168,7 +152,7 @@ func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
 	if m.writeVer != 1 || m.count != 0 {
 		return nil, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
 	}
-	return o.SealImage(BucketImage{Bucket: b, Ver: m.writeVer, perm: m.perm, trim: b < o.realOnly}, a)
+	return o.SealImage(BucketImage{Bucket: b, Ver: m.writeVer, perm: m.perm, trim: b < o.local.resident}, a)
 }
 
 // SealedSlots returns how many slots SealImage has sealed, SealFresh's
@@ -178,6 +162,14 @@ func (o *ORAM) SealedSlots() int64 { return o.sealedSlots.Load() }
 // FilledSlots returns how many slots SealImage has written as fillers,
 // SealFresh's included: every slot it wrote that holds no block.
 func (o *ORAM) FilledSlots() int64 { return o.filledSlots.Load() }
+
+// OpenedSlots returns how many slots have been opened under a (bucket,
+// version) binding: remote reads delivered to the stash, and LoadLocal's.
+func (o *ORAM) OpenedSlots() int64 { return o.openedSlots.Load() }
+
+// CopiedSlots returns how many plaintext slots have been copied: local reads
+// delivered to the stash from the local-version table.
+func (o *ORAM) CopiedSlots() int64 { return o.copiedSlots.Load() }
 
 // SealArena is memory a caller lends to SealImage and SealFresh: byte chunks
 // the seals carve slot frames from, front to back, the slot headers they hand
@@ -234,8 +226,8 @@ func (a *SealArena) take(n, size int) ([]byte, [][]byte) {
 }
 
 // SealImage seals im into a as the bucket version storage keeps: its Z+S
-// slots indexed by physical slot, or, for a bucket below the SealRealOnly
-// bound, its Z real positions in position order and no dummies. Only the
+// slots indexed by physical slot, or, for a bucket the local-version table
+// keeps resident, its Z real positions in position order and no dummies. Only the
 // positions holding a block are sealed, under the version's (bucket, version)
 // binding; every other slot is a filler frame (see cryptoutil.Filler), which
 // storage cannot tell from a sealed one and the proxy never opens. It is the

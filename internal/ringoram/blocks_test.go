@@ -4,28 +4,118 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
 )
 
-// planeClient drives an ORAM one operation at a time and checks the block
-// plane against an oracle of every key's logical content. It keeps, for every
-// bucket an eviction wrote, the version's image (a read of it may be served
-// locally, as the executor serves a buffered bucket) and a copy of its sealed
-// slots (or be fetched from those, as from storage), and picks between the
-// two per read.
+// planeClient drives an ORAM with its local-version table on, one operation
+// at a time, the way the executor does, and checks the block plane against
+// an oracle of every key's logical content. Its store keeps, per bucket, the
+// sealed slots of the last version an epoch boundary wrote back; a read the
+// ORAM marks Local is served from the table, every other one from the store.
+// Epochs end every few operations, alternately by SealLocal (the pipelined
+// boundary) and by FlushLocal.
 type planeClient struct {
 	t      *testing.T
 	oram   *ORAM
 	rng    *rand.Rand
-	images map[int]BucketImage
-	sealed map[int][][]byte
+	stored map[int][][]byte
 	arena  SealArena
 	oracle map[string][]byte // nil value: deleted
-	// Blocks delivered to the stash by a local and by a remote read, and
-	// images checked block by block.
-	local, remote, checked int
+	// Blocks delivered to the stash by a local and by a remote read, images
+	// checked block by block, and epochs ended.
+	local, remote, checked, epochs int
+	evictions, reshuffles          int
+}
+
+// newPlaneClient turns o's table on and writes its fresh tree to the store.
+func newPlaneClient(t *testing.T, o *ORAM, seed uint64) *planeClient {
+	c := &planeClient{t: t, oram: o, rng: rand.New(rand.NewPCG(seed, seed+1)), stored: make(map[int][][]byte), oracle: make(map[string][]byte)}
+	o.KeepLocal()
+	for b := 0; b < o.geo.NumBuckets; b++ {
+		slots, err := o.SealFresh(b, &c.arena)
+		must(t, err)
+		c.keep(b, slots)
+	}
+	return c
+}
+
+// keep stores a copy of the slots a bucket version was sealed into.
+func (c *planeClient) keep(b int, slots [][]byte) {
+	kept := make([][]byte, len(slots))
+	for i, s := range slots {
+		kept[i] = bytes.Clone(s)
+	}
+	c.stored[b] = kept
+	c.arena.Reset()
+}
+
+// write seals images and stores them, as a flush does.
+func (c *planeClient) write(images []BucketImage) error {
+	for _, im := range images {
+		slots, err := c.oram.SealImage(im, &c.arena)
+		if err != nil {
+			return err
+		}
+		c.keep(im.Bucket, slots)
+	}
+	return nil
+}
+
+// endEpoch writes the epoch's versions back, by SealLocal or by FlushLocal.
+func (c *planeClient) endEpoch() {
+	c.epochs++
+	if c.epochs%2 == 0 {
+		must(c.t, c.oram.FlushLocal(c.write))
+		return
+	}
+	images, err := c.oram.SealLocal()
+	must(c.t, err)
+	must(c.t, c.write(images))
+}
+
+// load reads the resident buckets' stored slots into the table, and checks
+// that it kept exactly the blocks the metadata places. When prev's table
+// holds the versions the load replaces — an in-place reload, or a Restore to
+// the state prev is in — each loaded block must also be byte-equal to the
+// block prev's version holds at that physical slot.
+func (c *planeClient) load(prev *ORAM) {
+	o, z := c.oram, c.oram.p.Z
+	held := make([]map[int][]byte, o.local.resident)
+	for b := range held {
+		if prev != nil {
+			im := prev.local.image(b, prev.local.versions[b].cur)
+			held[b] = make(map[int][]byte)
+			for i, s := range im.Real() {
+				held[b][s] = bytes.Clone(im.Blocks[i])
+			}
+		}
+	}
+	var data [][]byte
+	for b := range held {
+		data = append(data, c.stored[b][:z]...)
+	}
+	must(c.t, o.LoadLocal(data))
+	for b := range held {
+		m := &o.meta[b]
+		placed := 0
+		for r := 0; r < z; r++ {
+			if m.occ().has(r) && m.valid().has(m.perm[r]) {
+				placed++
+			}
+		}
+		im := o.local.image(b, o.local.versions[b].cur)
+		if len(im.Blocks) != placed || im.Ver != m.writeVer {
+			c.t.Fatalf("bucket %d: loaded %d blocks of version %d, the metadata places %d at version %d", b, len(im.Blocks), im.Ver, placed, m.writeVer)
+		}
+		for i, s := range im.Real() {
+			if want, ok := held[b][s]; prev != nil && (!ok || !bytes.Equal(im.Blocks[i], want)) {
+				c.t.Fatalf("bucket %d slot %d: the loaded block is not the one the replaced version held", b, s)
+			}
+		}
+	}
 }
 
 // want is the canonical plaintext slot of key's logical content.
@@ -45,49 +135,46 @@ func (c *planeClient) want(key string) []byte {
 
 func (c *planeClient) fetch(reads []SlotRead) [][]byte {
 	data := make([][]byte, len(reads))
-	for i := range reads {
-		r := &reads[i]
+	for i, r := range reads {
 		carries := r.target || r.entry != nil
-		if im, ok := c.images[r.Bucket]; ok && im.Ver == r.Ver && c.rng.IntN(2) == 0 {
-			r.Local, data[i] = true, im.Block(r.Slot)
+		switch {
+		case r.Local():
 			if carries {
 				c.local++
 			}
-			continue
-		}
-		if slots := c.sealed[r.Bucket]; slots != nil {
-			data[i] = slots[r.Slot]
-		}
-		if carries {
-			c.remote++
+		case r.Bucket < c.oram.local.resident:
+			c.t.Fatalf("bucket %d of a resident level read from storage", r.Bucket)
+		default:
+			data[i] = c.stored[r.Bucket][r.Slot]
+			if carries {
+				c.remote++
+			}
 		}
 	}
 	return data
 }
 
 func (c *planeClient) evict(plan *EvictPlan) {
+	buckets := slices.Clone(plan.Buckets)
 	images, err := c.oram.CompleteEvict(plan, c.fetch(plan.Reads))
 	must(c.t, err)
-	for _, im := range images {
-		m := &c.oram.meta[im.Bucket]
-		for i, b := range im.Blocks {
+	if len(images) != 0 {
+		c.t.Fatalf("CompleteEvict returned %d images with the table on", len(images))
+	}
+	for _, b := range buckets {
+		lb := &c.oram.local.versions[b]
+		im := c.oram.local.image(b, lb.cur)
+		if im.Ver != c.oram.meta[b].writeVer || lb.want != im.Ver {
+			c.t.Fatalf("bucket %d: the table holds version %d (claimed %d), the metadata is at %d", b, im.Ver, lb.want, c.oram.meta[b].writeVer)
+		}
+		m := &c.oram.meta[b]
+		for i, blk := range im.Blocks {
 			key := c.oram.keys[m.addrs[i]].name
-			if !bytes.Equal(b, c.want(key)) {
+			if !bytes.Equal(blk, c.want(key)) {
 				c.t.Fatalf("bucket %d version %d position %d: the image's block is not the canonical slot of %q", im.Bucket, im.Ver, i, key)
 			}
 			c.checked++
 		}
-		slots, err := c.oram.SealImage(im, &c.arena)
-		must(c.t, err)
-		kept := make([][]byte, len(slots))
-		for i, s := range slots {
-			kept[i] = bytes.Clone(s)
-		}
-		c.arena.Reset()
-		if old, ok := c.images[im.Bucket]; ok {
-			old.Recycle()
-		}
-		c.images[im.Bucket], c.sealed[im.Bucket] = im, kept
 	}
 }
 
@@ -96,12 +183,64 @@ func (c *planeClient) maintain(reshuffle []int) {
 		plan, err := c.oram.PlanReshuffle(b)
 		must(c.t, err)
 		c.evict(plan)
+		c.reshuffles++
 	}
 	for c.oram.EvictDue() {
 		plan, err := c.oram.PlanEvict()
 		must(c.t, err)
 		c.evict(plan)
+		c.evictions++
 	}
+}
+
+// step runs one seeded operation over forty keys — a blind write of a random
+// length, a delete, a read checked against the oracle, or a dummy read — and
+// reports whether the stash served a read.
+func (c *planeClient) step(i int) (hit bool) {
+	k := fmt.Sprintf("k%d", c.rng.IntN(40))
+	switch op := c.rng.IntN(20); {
+	case op < 6:
+		v := bytes.Repeat([]byte{byte(i)}, c.rng.IntN(c.oram.p.ValueSize+1))
+		c.oracle[k] = v
+		must(c.t, c.oram.PlanWrite(k, v, false))
+		c.maintain(nil)
+	case op < 8:
+		c.oracle[k] = nil
+		must(c.t, c.oram.PlanWrite(k, nil, true))
+		c.maintain(nil)
+	case op < 19:
+		got, found, hit := c.read(k)
+		if want := c.oracle[k]; found != (want != nil) || !bytes.Equal(got, want) {
+			c.t.Fatalf("op %d: read %s = %q (found=%v), want %q", i, k, got, found, want)
+		}
+		return hit
+	default:
+		c.read("")
+	}
+	return false
+}
+
+// read runs one read of key (a dummy read for "") to completion and returns
+// its result and whether the stash served it.
+func (c *planeClient) read(key string) (val []byte, found, hit bool) {
+	var plan *AccessPlan
+	var due []int
+	var err error
+	if key == "" {
+		plan, due, err = c.oram.PlanDummyRead()
+	} else {
+		plan, due, err = c.oram.PlanRead(key)
+	}
+	must(c.t, err)
+	hit = plan.Cached()
+	var data [][]byte
+	if !hit {
+		data = c.fetch(plan.Reads)
+	}
+	val, found, err = c.oram.CompleteAccess(plan, data)
+	must(c.t, err)
+	c.maintain(due)
+	return val, found, hit
 }
 
 // checkStash fails unless every stash entry's slot is the canonical slot of
@@ -115,13 +254,14 @@ func (c *planeClient) checkStash(op int) {
 }
 
 // TestBlockPlaneSlotsAreCanonical runs a seeded mixed workload — blind writes
-// of every value length, deletes, stash hits, reads served locally from an
-// image and remotely from sealed slots, dummy reads, and a Restore from a full
-// and a delta image midway — and checks after every operation that each stash
-// slot, and every block of every image an eviction returns, is byte-equal to
-// encodePlain of its key's logical content: whichever path brought the block
-// into the stash (a write, a delivered local or remote read, a Restore), its
-// slot is that one encoding, moved into the image untouched.
+// of every value length, deletes, stash hits, reads served locally from the
+// table and remotely from sealed slots, dummy reads, epochs ended both ways,
+// and a Restore from a full and a delta image midway with the resident levels
+// loaded back — and checks after every operation that each stash slot, and
+// every block of every image an eviction files, is byte-equal to encodePlain
+// of its key's logical content: whichever path brought the block into the
+// stash (a write, a delivered local or remote read, a Restore), its slot is
+// that one encoding, moved into the image untouched.
 func TestBlockPlaneSlotsAreCanonical(t *testing.T) {
 	for _, encrypted := range []bool{true, false} {
 		t.Run(fmt.Sprintf("encrypted=%v", encrypted), func(t *testing.T) {
@@ -134,52 +274,26 @@ func TestBlockPlaneSlotsAreCanonical(t *testing.T) {
 			}
 			o, err := New(key, p)
 			must(t, err)
-			c := &planeClient{t: t, oram: o, rng: rand.New(rand.NewPCG(7, 8)),
-				images: make(map[int]BucketImage), sealed: make(map[int][][]byte), oracle: make(map[string][]byte)}
+			c := newPlaneClient(t, o, 7)
 			var full []byte
 			hits, restored := 0, false
 			for i := 0; i < 1500; i++ {
-				k := fmt.Sprintf("k%d", c.rng.IntN(40))
-				switch op := c.rng.IntN(20); {
-				case op < 6:
-					v := bytes.Repeat([]byte{byte(i)}, c.rng.IntN(p.ValueSize+1))
-					c.oracle[k] = v
-					must(t, c.oram.PlanWrite(k, v, false))
-					c.maintain(nil)
-				case op < 8:
-					c.oracle[k] = nil
-					must(t, c.oram.PlanWrite(k, nil, true))
-					c.maintain(nil)
-				case op < 19:
-					plan, due, err := c.oram.PlanRead(k)
-					must(t, err)
-					if plan.Cached() {
-						hits++
-					}
-					var data [][]byte
-					if !plan.Cached() {
-						data = c.fetch(plan.Reads)
-					}
-					got, found, err := c.oram.CompleteAccess(plan, data)
-					must(t, err)
-					if want := c.oracle[k]; found != (want != nil) || !bytes.Equal(got, want) {
-						t.Fatalf("op %d: read %s = %q (found=%v), want %q", i, k, got, found, want)
-					}
-					c.maintain(due)
-				default:
-					plan, due, err := c.oram.PlanDummyRead()
-					must(t, err)
-					_, _, err = c.oram.CompleteAccess(plan, c.fetch(plan.Reads))
-					must(t, err)
-					c.maintain(due)
+				if c.step(i) {
+					hits++
+				}
+				if i%10 == 9 {
+					c.endEpoch()
 				}
 				switch i {
 				case 600:
 					full = image(t, c.oram, true)
 					c.oram.ClearDirty()
-				case 900:
+				case 899:
+					prev := c.oram
 					c.oram, err = Restore(key, p, full, image(t, c.oram, false))
 					must(t, err)
+					c.oram.KeepLocal()
+					c.load(prev)
 					restored = true
 				}
 				c.checkStash(i)

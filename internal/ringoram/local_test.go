@@ -1,0 +1,136 @@
+package ringoram
+
+import (
+	"fmt"
+	"maps"
+	"testing"
+
+	"obladi/internal/cryptoutil"
+)
+
+// checkOwnership fails unless every block slot o's pool has handed out is
+// held exactly once: by a stash entry, by a version the local-version table
+// holds (a bucket's current or newest version, or its sealed one), or by the
+// pool's free list. A slot held twice is a double Recycle or a slot still
+// read after it went back; a slot held nowhere is a leak. An image may be
+// both the current and the sealed version of the one bucket it belongs to,
+// and nothing else. A resident bucket holds at most Z blocks, and
+// ResidentBytes is the size of them all.
+func checkOwnership(t *testing.T, o *ORAM, when string) {
+	t.Helper()
+	held := make(map[*byte]string)
+	hold := func(s []byte, by string) {
+		if prev, dup := held[&s[0]]; dup {
+			t.Fatalf("%s: a block slot is held by %s and by %s", when, prev, by)
+		}
+		held[&s[0]] = by
+	}
+	for _, e := range o.stashList {
+		if e.slot != nil {
+			hold(e.slot, "stash entry "+e.key)
+		}
+	}
+	type owner struct {
+		b   int
+		ver uint64
+	}
+	images := make(map[*imageBuf]owner)
+	for b := range o.local.versions {
+		lb := &o.local.versions[b]
+		for _, v := range [...]localVer{lb.cur, lb.sealed} {
+			if v.buf == nil {
+				continue
+			}
+			if prev, ok := images[v.buf]; ok {
+				if prev != (owner{b, v.ver}) {
+					t.Fatalf("%s: one image is bucket %d version %d and bucket %d version %d", when, prev.b, prev.ver, b, v.ver)
+				}
+				continue
+			}
+			images[v.buf] = owner{b, v.ver}
+			for _, s := range v.buf.blocks {
+				hold(s, fmt.Sprintf("bucket %d version %d", b, v.ver))
+			}
+		}
+	}
+	var resident int64
+	for b := 0; b < o.local.resident; b++ {
+		n := o.local.versions[b].cur.blocks()
+		if n > o.p.Z {
+			t.Fatalf("%s: resident bucket %d holds %d blocks, the bound is Z = %d", when, b, n, o.p.Z)
+		}
+		resident += int64(n) * o.local.plain
+	}
+	if got := o.ResidentBytes(); got != resident {
+		t.Fatalf("%s: %d resident bytes reported, the resident buckets' newest versions hold %d", when, got, resident)
+	}
+	for _, im := range o.local.sealed {
+		if o.local.versions[im.Bucket].sealed.buf != im.buf {
+			t.Fatalf("%s: the sealed set's version %d of bucket %d is not the bucket's sealed version", when, im.Ver, im.Bucket)
+		}
+	}
+	o.blocks.mu.Lock()
+	for _, s := range o.blocks.free {
+		hold(s, "the free list")
+	}
+	carved := o.blocks.carved
+	o.blocks.mu.Unlock()
+	if len(held) != carved {
+		t.Fatalf("%s: the pool handed out %d slots, %d are held: %d leaked", when, carved, len(held), carved-len(held))
+	}
+}
+
+// TestLocalTableOwnsEachSlotOnce runs 48 seeded epochs of a mixed workload
+// with the local-version table on — early reshuffles and evict paths that
+// rewrite the top several times an epoch, so a resident bucket's newest
+// version is superseded while the sealed set still holds it — ending epochs
+// alternately by SealLocal and FlushLocal, reloading the resident levels in
+// place twice, and once rolling back: the metadata restored from an earlier
+// checkpoint, the store back at that epoch, and the resident levels loaded.
+// After every boundary and every load each block slot the pool handed out
+// must be held exactly once (see checkOwnership).
+func TestLocalTableOwnsEachSlotOnce(t *testing.T) {
+	// Four resident levels: the deepest is rewritten once in eight evictions,
+	// so its newest version is often also the sealed one when a seal retires
+	// the set.
+	p := testParams(256)
+	key := cryptoutil.KeyFromSeed([]byte("owner"))
+	o, err := New(key, p)
+	must(t, err)
+	c := newPlaneClient(t, o, 11)
+	var full []byte
+	var stored map[int][][]byte
+	var oracle map[string][]byte
+	reloads, rolledBack := 0, false
+	for epoch := 1; epoch <= 48; epoch++ {
+		for i := 0; i < 12; i++ {
+			c.step(epoch*100 + i)
+		}
+		c.endEpoch()
+		checkOwnership(t, c.oram, fmt.Sprintf("epoch %d", epoch))
+		switch epoch {
+		case 12, 27:
+			c.load(c.oram)
+			reloads++
+			checkOwnership(t, c.oram, fmt.Sprintf("epoch %d, reloaded", epoch))
+		case 20:
+			full = image(t, c.oram, true)
+			stored, oracle = maps.Clone(c.stored), maps.Clone(c.oracle)
+		case 33:
+			c.oram, err = Restore(key, p, full)
+			must(t, err)
+			c.stored, c.oracle = stored, oracle
+			c.oram.KeepLocal()
+			c.load(nil) // the replaced versions are newer than the rolled-back state
+			rolledBack = true
+			checkOwnership(t, c.oram, fmt.Sprintf("epoch %d, rolled back to epoch 20", epoch))
+		}
+	}
+	if !rolledBack || reloads != 2 || c.reshuffles == 0 || c.evictions <= 2*c.epochs {
+		t.Fatalf("the workload missed a path: rolled back %v, %d reloads, %d reshuffles, %d evictions in %d epochs", rolledBack, reloads, c.reshuffles, c.evictions, c.epochs)
+	}
+	if c.oram.ResidentBytes() == 0 {
+		t.Fatal("no block is resident after 48 epochs")
+	}
+	t.Logf("%d epochs: %d evictions, %d early reshuffles, %d local and %d remote deliveries", c.epochs, c.evictions, c.reshuffles, c.local, c.remote)
+}

@@ -127,13 +127,11 @@ type ORAM struct {
 	// with Recycle once nothing reads the image any more.
 	imagePool *sync.Pool
 	blocks    *blockPool
-	// realOnly is how many buckets, from the root in heap order, are sealed as
-	// their Z real positions alone (see SealRealOnly).
-	realOnly int
-	// sealedSlots and filledSlots count the slots SealImage has sealed (those
-	// holding a block) and filled (all the others).
-	sealedSlots atomic.Int64
-	filledSlots atomic.Int64
+	local     localTable // see local.go
+	// The block plane's work counts: slots SealImage sealed (those holding a
+	// block) and filled (all the others), slots opened under a binding, and
+	// plaintext slots copied.
+	sealedSlots, filledSlots, openedSlots, copiedSlots atomic.Int64
 }
 
 // newPlan takes a retired AccessPlan from the pool (keeping its Reads
@@ -177,15 +175,23 @@ type SlotRead struct {
 	// whose ciphertext binding applies, or whose plaintext a local read must
 	// be served from.
 	Ver uint64
-	// Local marks a read the caller serves from its own plaintext copy of
-	// the bucket version (see BucketImage) instead of storage: completion
-	// decodes its bytes as plaintext instead of opening them. A read is
-	// remote unless the caller marks it.
-	Local bool
+	// local marks a read the local-version table serves (see Local).
+	local bool
 	// target marks the slot holding the access's block.
 	target bool
 	// entry receives the decoded block for eviction/reshuffle reads.
 	entry *stashEntry
+}
+
+// Local reports whether the ORAM serves the read from its local-version table
+// at completion (see local.go): the caller fetches nothing for it.
+func (r SlotRead) Local() bool { return r.local }
+
+// readOf plans a read of slot s of bucket b's current version, local when
+// the table serves it.
+func (o *ORAM) readOf(b, s int) SlotRead {
+	ver := o.meta[b].writeVer
+	return SlotRead{Bucket: b, Slot: s, Ver: ver, local: o.local.serves(b, ver)}
 }
 
 // AccessPlan is the outcome of planning one logical access.
@@ -335,40 +341,6 @@ func (o *ORAM) Geometry() Geometry { return o.geo }
 // SlotSize returns the physical slot size in bytes.
 func (o *ORAM) SlotSize() int { return o.cdc.slotSize() }
 
-// SealRealOnly makes the seal of every bucket version of the first n buckets
-// (heap order, the root first) that is made from now on produce only the
-// bucket's Z real positions, in position order,
-// and no dummies: such a bucket can be read back whole but no longer slot by
-// physical slot, so only a caller that keeps those buckets' blocks itself and
-// never reads them from storage may ask for it. Metadata, permutations and
-// the generator's stream do not change; the dummies become metadata only.
-func (o *ORAM) SealRealOnly(n int) {
-	o.mu.Lock()
-	o.realOnly = n
-	o.mu.Unlock()
-}
-
-// BlockSlots appends, for each real position 0..Z-1 of bucket b in order, the
-// physical slot of the block the position holds, or -1 where it holds none
-// (never filled, blanked by an overwrite, or read since the bucket was
-// written), and returns the bucket's version. It is what a caller needs to
-// rebuild its copy of a bucket sealed by SealRealOnly from the bucket's stored
-// slots (see OpenSlot).
-func (o *ORAM) BlockSlots(b int, dst []int) ([]int, uint64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	m := &o.meta[b]
-	valid, occ := m.valid(), m.occ()
-	for r := 0; r < o.p.Z; r++ {
-		if phys := m.perm[r]; occ.has(r) && valid.has(phys) {
-			dst = append(dst, phys)
-		} else {
-			dst = append(dst, -1)
-		}
-	}
-	return dst, m.writeVer
-}
-
 // Counters returns (accessCount, evictCount).
 func (o *ORAM) Counters() (uint64, uint64) {
 	o.mu.Lock()
@@ -391,8 +363,7 @@ func (o *ORAM) StashPeak() int {
 }
 
 // PathBuckets returns the buckets on the path from the root to leaf, root
-// first. Used by the executor to adjust replayed slot choices for buckets
-// it has already rewritten.
+// first: the buckets a logged access to leaf names slots of.
 func (o *ORAM) PathBuckets(leaf int) []int {
 	if leaf < 0 || leaf >= o.geo.Leaves {
 		return nil
@@ -613,7 +584,7 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 		for lvl, b := range path {
 			m := &o.meta[b]
 			var forced = -1
-			if forcedSlots != nil {
+			if forcedSlots != nil && !o.local.rewritten(b) {
 				forced = forcedSlots[lvl]
 			}
 			if b == bucket {
@@ -632,14 +603,15 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 				m.occ().unset(rpos)
 				o.markBucket(b, bucketTouched)
 				plan.targetIdx = len(plan.Reads)
-				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer, target: true})
+				plan.Reads = append(plan.Reads, o.readOf(b, phys))
+				plan.Reads[plan.targetIdx].target = true
 				continue
 			}
 			phys, err := o.consumeFiller(b, forced)
 			if err != nil {
 				return nil, nil, err
 			}
-			plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: o.meta[b].writeVer})
+			plan.Reads = append(plan.Reads, o.readOf(b, phys))
 		}
 		if plan.targetIdx < 0 {
 			return nil, nil, fmt.Errorf("ringoram: key %q resides in bucket %d, off its path (leaf %d)", key, bucket, oldLeaf)
@@ -680,14 +652,14 @@ func (o *ORAM) dummyPathLocked(leaf int, forcedSlots []int) (*AccessPlan, []int,
 	}
 	for lvl, b := range path {
 		forced := -1
-		if forcedSlots != nil {
+		if forcedSlots != nil && !o.local.rewritten(b) {
 			forced = forcedSlots[lvl]
 		}
 		phys, err := o.consumeFiller(b, forced)
 		if err != nil {
 			return nil, nil, err
 		}
-		plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: o.meta[b].writeVer})
+		plan.Reads = append(plan.Reads, o.readOf(b, phys))
 	}
 	o.accessCount++
 	return plan, o.reshuffleDue(path), nil
@@ -770,11 +742,11 @@ func (o *ORAM) EvictDue() bool {
 // CompleteAccess applies the fetched slot data for a read plan and returns
 // the read value. The value
 // is the caller's to keep: a capacity-clipped copy carved by a slab.Bytes.
-// data must be parallel to plan.Reads: a sealed slot from storage, or for a
-// read marked Local the plaintext slot the caller served it from. Only the
-// slot that carries the access's block is ever inspected: the entry of every
-// other read (a filler) may be nil, which is what lets a caller that knows
-// where a bucket's blocks sit skip fetching the rest.
+// data must be parallel to plan.Reads: a sealed slot from storage, nil for a
+// Local read, which the local-version table serves. Only the slot that
+// carries the access's block is ever inspected: the entry of every other read
+// (a filler) may be nil, which is what lets a caller that knows where a
+// bucket's blocks sit skip fetching the rest.
 func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, found bool, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -791,6 +763,9 @@ func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, fo
 	}()
 	if !plan.cached && len(data) != len(plan.Reads) {
 		return nil, false, fmt.Errorf("ringoram: %d slots delivered, plan has %d", len(data), len(plan.Reads))
+	}
+	if err := o.local.check(plan.Reads); err != nil {
+		return nil, false, err
 	}
 	if plan.targetIdx >= 0 && plan.targetEntry.pending {
 		if err := o.deliver(plan.Reads[plan.targetIdx], data[plan.targetIdx], plan.targetEntry); err != nil {
@@ -825,16 +800,19 @@ func (o *ORAM) stashBlock(e *stashEntry) (block, error) {
 }
 
 // deliver moves the block a read fetched into a pooled slot, the read's
-// pending stash entry's. A local read's data is plaintext the caller served,
-// copied into the slot; a remote read's is opened straight into it under the
-// (bucket, version) binding it was planned against. Either must hold the
-// entry's key.
+// pending stash entry's. A local read is served from the local-version table
+// and copied into the slot; a remote read's data is opened straight into it
+// under the (bucket, version) binding it was planned against. Either must
+// hold the entry's key.
 func (o *ORAM) deliver(r SlotRead, data []byte, e *stashEntry) error {
 	slot := o.blocks.take()
-	plain := data
+	var plain []byte
 	var err error
-	if !r.Local {
+	if r.local {
+		plain, err = o.local.serve(r)
+	} else {
 		plain, err = slot, o.cdc.open(slot, data, o.binding(uint64(r.Bucket), r.Ver))
+		o.openedSlots.Add(1)
 	}
 	var kind byte
 	var blk block
@@ -851,8 +829,9 @@ func (o *ORAM) deliver(r SlotRead, data []byte, e *stashEntry) error {
 		o.blocks.put(slot)
 		return fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, err)
 	}
-	if r.Local {
+	if r.local {
 		copy(slot, plain)
+		o.copiedSlots.Add(1)
 	}
 	e.slot, e.pending = slot, false
 	return nil
@@ -929,7 +908,7 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 		m := &o.meta[b]
 		start := len(plan.Reads)
 		var forced []int
-		if forcedSlots != nil {
+		if forcedSlots != nil && !o.local.rewritten(b) {
 			forced = forcedSlots[bi]
 		}
 		var forcedUsed map[int]bool
@@ -960,7 +939,8 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 				k.bucket = -1
 				e := o.newEntry(stashEntry{key: k.name, ki: ki, leaf: int(k.leaf), pending: true})
 				o.stashAdd(e)
-				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer, entry: e})
+				plan.Reads = append(plan.Reads, o.readOf(b, phys))
+				plan.Reads[len(plan.Reads)-1].entry = e
 			}
 		}
 		// Pad with fillers.
@@ -973,7 +953,7 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 				if err != nil {
 					return nil, err
 				}
-				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer})
+				plan.Reads = append(plan.Reads, o.readOf(b, phys))
 			}
 		} else {
 			// A bucket may run out (a short read phase; harmless and rare).
@@ -982,7 +962,7 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 				if phys < 0 {
 					break
 				}
-				plan.Reads = append(plan.Reads, SlotRead{Bucket: b, Slot: phys, Ver: m.writeVer})
+				plan.Reads = append(plan.Reads, o.readOf(b, phys))
 			}
 		}
 		o.markBucket(b, bucketTouched)
@@ -1029,6 +1009,7 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 		}
 		m.rewrite(len(pb.placed))
 		pb.ver = m.writeVer
+		o.local.claim(b, pb.ver)
 		// A later plan may rewrite this bucket (and m.perm, in place) before
 		// this one completes: the plan keeps its own copy.
 		pb.perm = append(pb.perm[:0], m.perm...)
@@ -1045,13 +1026,14 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 	return plan, nil
 }
 
-// CompleteEvict applies the fetched read-phase data and returns the image of
-// every bucket version the plan writes, which the caller keeps until it
-// seals them (SealImage) or a later rewrite supersedes them. data is parallel
-// to plan.Reads, as in CompleteAccess, and as there only reads that carry a
-// block are inspected; a filler's entry may be nil. The returned slice is the
-// ORAM's scratch, valid until the next CompleteEvict: keep the images by
-// value.
+// CompleteEvict applies the fetched read-phase data and makes the image of
+// every bucket version the plan writes. With the local-version table on it
+// files them there and returns none; otherwise it returns them, and the
+// caller keeps them until it seals them (SealImage) or a later rewrite
+// supersedes them. data is parallel to plan.Reads, as in CompleteAccess, and
+// as there only reads that carry a block are inspected; a filler's entry may
+// be nil. The returned slice is the ORAM's scratch, valid until the next
+// CompleteEvict: keep the images by value.
 func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketImage, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -1061,6 +1043,9 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketImage, err
 	plan.completed = true
 	if len(data) != len(plan.Reads) {
 		return nil, fmt.Errorf("ringoram: %d slots delivered, plan has %d", len(data), len(plan.Reads))
+	}
+	if err := o.local.check(plan.Reads); err != nil {
+		return nil, err
 	}
 	for i, r := range plan.Reads {
 		if r.entry == nil || !r.entry.pending {
@@ -1081,7 +1066,12 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketImage, err
 	}
 	images := o.images[:0]
 	for i := range plan.writes {
-		images = append(images, o.imageOf(&plan.writes[i]))
+		im := o.imageOf(&plan.writes[i])
+		if o.local.versions != nil {
+			o.local.keep(im.Bucket, localVer{ver: im.Ver, buf: im.buf})
+			continue
+		}
+		images = append(images, im)
 	}
 	o.images = images
 	// The placed entries left the stash when the write phase planned them and

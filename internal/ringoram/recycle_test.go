@@ -2,6 +2,7 @@ package ringoram
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -10,9 +11,9 @@ import (
 // TestRecycledBufferFailsAuthentication: in race builds both kinds of buffer
 // a bucket version passes through are poisoned when they go back for reuse,
 // so a read through a stale reference fails loudly instead of passing with
-// the bytes the buffer held. A recycled image's block, served as a local
-// read, fails to decode (0xdb is no slot kind); a slot of a reset seal arena
-// fails authentication.
+// the bytes the buffer held. A recycled image's block, served from the
+// local-version table, fails to decode (0xdb is no slot kind); a slot of a
+// reset seal arena fails authentication.
 func TestRecycledBufferFailsAuthentication(t *testing.T) {
 	if !raceEnabled {
 		t.Skip("Recycle and Reset poison buffers in race builds only")
@@ -56,36 +57,41 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 	})
 
 	t.Run("image", func(t *testing.T) {
-		o, images := evicted(t)
+		o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
+		must(t, err)
+		o.KeepLocal()
+		must(t, o.PlanWrite("k", []byte("v"), false))
+		ep, err := o.PlanEvict()
+		must(t, err)
+		buckets := slices.Clone(ep.Buckets)
+		_, err = o.CompleteEvict(ep, make([][]byte, len(ep.Reads)))
+		must(t, err)
 		plan, _, err := o.PlanRead("k")
 		must(t, err)
-		if plan.Cached() {
-			t.Fatal("the evicted block is still served from the stash")
+		if plan.Cached() || !plan.Reads[plan.targetIdx].Local() {
+			t.Fatal("the evicted block is not read from the table")
 		}
-		// Serve every read of the access locally, the target from the image
-		// that holds it, as the executor serves a buffered bucket.
-		data := make([][]byte, len(plan.Reads))
-		var holder *BucketImage
-		for i := range plan.Reads {
-			r := &plan.Reads[i]
-			r.Local = true
-			for j := range images {
-				if im := &images[j]; im.Bucket == r.Bucket && im.Ver == r.Ver && im.Block(r.Slot) != nil {
-					data[i], holder = im.Block(r.Slot), im
-				}
-			}
+		if kind, _, err := o.cdc.parse(mustServe(t, o, plan.Reads[plan.targetIdx])); err != nil || kind != slotReal {
+			t.Fatalf("the table's block does not decode: kind %d, %v", kind, err)
 		}
-		if holder == nil {
-			t.Fatal("no image holds the evicted block")
+		// Recycle the eviction's images behind the table's back: the table
+		// still names them, and a read served from one must fail.
+		for _, b := range buckets {
+			o.local.versions[b].cur.buf.recycle()
 		}
-		if kind, _, err := o.cdc.parse(data[plan.targetIdx]); err != nil || kind != slotReal {
-			t.Fatalf("the image's block does not decode: kind %d, %v", kind, err)
-		}
-		for j := range images {
-			images[j].Recycle()
-		}
-		if _, _, err := o.CompleteAccess(plan, data); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := o.CompleteAccess(plan, make([][]byte, len(plan.Reads))); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("a block of a recycled image read locally: %v, want ErrCorrupt (the image was not poisoned)", err)
 		}
 	})
+}
+
+// mustServe is the table's plaintext for a local read that carries a block.
+func mustServe(t *testing.T, o *ORAM, r SlotRead) []byte {
+	t.Helper()
+	plain, err := o.local.serve(r)
+	must(t, err)
+	if plain == nil {
+		t.Fatalf("bucket %d slot %d holds no block in the table", r.Bucket, r.Slot)
+	}
+	return plain
 }
