@@ -94,7 +94,6 @@ func BenchmarkPublicAPIUpdate(b *testing.B) {
 	db, err := obladi.Open(obladi.Options{
 		MaxKeys:       4096,
 		KeySeed:       []byte("bench"),
-		EagerBatches:  true,
 		BatchInterval: 200_000, // 200µs
 	})
 	if err != nil {

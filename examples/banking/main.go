@@ -27,7 +27,6 @@ func main() {
 	db, err := obladi.Open(obladi.Options{
 		MaxKeys:        256,
 		BatchInterval:  time.Millisecond,
-		EagerBatches:   true,
 		WriteBatchSize: 64,
 		KeySeed:        []byte("bank-demo"),
 	})

@@ -195,7 +195,6 @@ func buildEngine(cfg Config, es engineSpec, as appSpec, batchInterval time.Durat
 			ReadBatchSize:     as.readBatch,
 			WriteBatchSize:    as.writeBatch,
 			BatchInterval:     batchInterval,
-			EagerBatches:      true,
 			DisableDurability: true, // Figure 9 isolates the data path
 		})
 		if err != nil {

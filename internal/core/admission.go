@@ -33,8 +33,7 @@ import (
 // and a shed request never touches the schedule: no slot is consumed, no
 // batch fires early, no dummy becomes real. Sheds happen strictly before
 // scheduling, so the storage trace keeps the exact workload-independent
-// shape it has at any other load. (Compare EagerBatches, which deliberately
-// trades that property away; admission control does not.)
+// shape it has at any other load.
 //
 // # The boundary window is not overload
 //

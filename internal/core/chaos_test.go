@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +22,6 @@ func TestChaosCrashRecoverLoop(t *testing.T) {
 	}
 	cfg := testConfig(77)
 	cfg.BatchInterval = 500 * time.Microsecond
-	cfg.EagerBatches = true
 	cfg.ReadBatchSize = 16
 	cfg.WriteBatchSize = 32
 	cfg.FullCheckpointEvery = 3
@@ -38,6 +38,7 @@ func TestChaosCrashRecoverLoop(t *testing.T) {
 		}
 		rng := rand.New(rand.NewPCG(uint64(round), 17))
 		var wg sync.WaitGroup
+		var roundAcks atomic.Uint64
 		stop := make(chan struct{})
 		for c := 0; c < 4; c++ {
 			wg.Add(1)
@@ -63,12 +64,15 @@ func TestChaosCrashRecoverLoop(t *testing.T) {
 						ackedMu.Lock()
 						acked[key] = val
 						ackedMu.Unlock()
+						roundAcks.Add(1)
 					}
 				}
 			}(c)
 		}
-		// Let the system churn, then crash at a random moment.
+		// Let the system churn, then crash at a random moment once the
+		// round has acknowledged a commit.
 		time.Sleep(time.Duration(5+rng.IntN(15)) * time.Millisecond)
+		ok := awaitAck(&roundAcks)
 		close(stop)
 		wg.Wait()
 		// "Crash": Close stops the epoch loop without flushing or
@@ -79,6 +83,9 @@ func TestChaosCrashRecoverLoop(t *testing.T) {
 		// does.
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if !ok {
+			t.Fatalf("round %d: no commit acknowledged within %v", round, ackWait)
 		}
 		// The next round's New() recovers. For the last round, verify.
 	}
@@ -100,7 +107,7 @@ func TestChaosCrashRecoverLoop(t *testing.T) {
 		keys = append(keys, k)
 	}
 	if len(keys) == 0 {
-		t.Skip("no commits acknowledged; host too slow for this schedule")
+		t.Fatal("no commits acknowledged")
 	}
 	// The proxy runs in auto mode: its epoch loop drives batches, so the
 	// verification transaction simply blocks on ReadMany (driving the
@@ -150,7 +157,6 @@ func TestChaosPipelinedCommitCrashLoop(t *testing.T) {
 	}
 	cfg := testConfig(91)
 	cfg.BatchInterval = 500 * time.Microsecond
-	cfg.EagerBatches = true
 	cfg.ReadBatchSize = 16
 	cfg.WriteBatchSize = 32
 	cfg.FullCheckpointEvery = 3
@@ -168,6 +174,7 @@ func TestChaosPipelinedCommitCrashLoop(t *testing.T) {
 		}
 		rng := rand.New(rand.NewPCG(uint64(round), 29))
 		var wg sync.WaitGroup
+		var roundAcks atomic.Uint64
 		stop := make(chan struct{})
 		for c := 0; c < 4; c++ {
 			wg.Add(1)
@@ -193,15 +200,20 @@ func TestChaosPipelinedCommitCrashLoop(t *testing.T) {
 						ackedMu.Lock()
 						acked[key] = val
 						ackedMu.Unlock()
+						roundAcks.Add(1)
 					}
 				}
 			}(c)
 		}
-		// Let the system churn, then fail the next commit record: the proxy
-		// fail-stops between a boundary's seal and its commit.
+		// Let the system churn until the round has acknowledged a commit,
+		// then fail the next commit record: the proxy fail-stops between a
+		// boundary's seal and its commit.
 		time.Sleep(time.Duration(5+rng.IntN(10)) * time.Millisecond)
-		gate.arm(true)
-		time.Sleep(5 * time.Millisecond)
+		ok := awaitAck(&roundAcks)
+		if ok {
+			gate.arm(true)
+			time.Sleep(5 * time.Millisecond)
+		}
 		close(stop)
 		wg.Wait()
 		// Close drains the epoch loop and committer (the dying commit has
@@ -210,6 +222,9 @@ func TestChaosPipelinedCommitCrashLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		gate.arm(false)
+		if !ok {
+			t.Fatalf("round %d: no commit acknowledged within %v", round, ackWait)
+		}
 	}
 
 	p, err := New(gate, cfg)
@@ -228,7 +243,7 @@ func TestChaosPipelinedCommitCrashLoop(t *testing.T) {
 		keys = append(keys, k)
 	}
 	if len(keys) == 0 {
-		t.Skip("no commits acknowledged; host too slow for this schedule")
+		t.Fatal("no commits acknowledged")
 	}
 	got := map[string]string{}
 	for attempt := 0; attempt < 20; attempt++ {
@@ -258,87 +273,105 @@ func TestChaosPipelinedCommitCrashLoop(t *testing.T) {
 	}
 }
 
-// TestEagerBatchesFireEarly verifies that a full batch fires before Δ in
-// eager mode.
-func TestEagerBatchesFireEarly(t *testing.T) {
-	cfg := testConfig(78)
-	cfg.BatchInterval = time.Second // Δ is huge; only eager firing can help
-	cfg.EagerBatches = true
-	cfg.ReadBatchSize = 2
-	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
-	p, err := New(backend, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	done := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			tx := p.Begin()
-			defer tx.Abort()
-			_, _, err := tx.Read(fmt.Sprintf("k%d", i))
-			done <- err
-		}(i)
-	}
-	deadline := time.After(5 * time.Second)
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-done:
-			if err != nil && !errors.Is(err, ErrAborted) {
-				t.Fatal(err)
-			}
-		case <-deadline:
-			t.Fatal("full batch did not fire before Δ in eager mode")
+// ackWait bounds how long a crash loop's round waits for its first
+// acknowledged commit.
+const ackWait = 5 * time.Second
+
+// awaitAck waits up to ackWait for acks to count a commit, and reports whether
+// one came. The crash loops crash a round only after it has acknowledged
+// something, however slow the host (under the race detector the first ack can
+// take longer than a round's churn).
+func awaitAck(acks *atomic.Uint64) bool {
+	deadline := time.Now().Add(ackWait)
+	for acks.Load() == 0 {
+		if time.Now().After(deadline) {
+			return false
 		}
+		time.Sleep(time.Millisecond)
 	}
+	return true
 }
 
-// TestEagerKickNeverFiresBoundary is the regression test for a trace-shape
-// leak: a full-queue eager kick arriving after all R read batches had fired
-// used to route into EndEpoch, so the epoch boundary's timing depended on
-// how many keys clients had queued. Eager mode may only accelerate
-// read-batch slots; the boundary must wait out its Δ slot.
-func TestEagerKickNeverFiresBoundary(t *testing.T) {
+// TestFullQueueWaitsOutDelta pins the fixed schedule in auto mode: with every
+// shard's queue holding more keys than a read batch serves, and a kick sent
+// to the epoch loop, no batch fires and the epoch does not move before Δ.
+// Close still returns promptly and wakes every parked reader.
+func TestFullQueueWaitsOutDelta(t *testing.T) {
 	cfg := testConfig(92)
-	cfg.BatchInterval = time.Minute // Δ is huge: only a kick could end the epoch early
-	cfg.EagerBatches = true
-	cfg.ReadBatches = 1
+	cfg.BatchInterval = time.Minute // only the Δ timer may step the schedule
 	cfg.ReadBatchSize = 1
-	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
-	p, err := New(backend, cfg)
+	const shards, perShard = 2, 3 // perShard > bread, within the epoch's R·bread
+	stores, _ := shardedBackends(cfg, shards)
+	p, err := NewSharded(stores, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	start := p.Epoch()
-	// The first read fills the queue; its eager kick legitimately fires the
-	// epoch's only read batch.
-	r1 := make(chan error, 1)
-	go func() {
-		tx := p.Begin()
-		defer tx.Abort()
-		_, _, rerr := tx.Read("a")
-		r1 <- rerr
-	}()
-	if err := <-r1; err != nil {
-		t.Fatal(err)
+
+	var keys []string
+	count := make([]int, shards)
+	for i := 0; len(keys) < shards*perShard; i++ {
+		k := fmt.Sprintf("full-%d", i)
+		if s := shardOf(k, shards); count[s] < perShard {
+			count[s]++
+			keys = append(keys, k)
+		}
 	}
-	// All of the epoch's read-batch slots are spent, so the only schedule
-	// slot a kick could fire now is the boundary. Another read is held through
-	// the boundary window rather than queued, so kick the loop directly; the
-	// epoch must not advance before Δ.
-	go func() {
-		tx := p.Begin()
-		defer tx.Abort()
-		tx.Read("b") // woken with an abort when the proxy closes
-	}()
-	for p.Stats().BoundaryReads == 0 {
+	errs := make(chan error, len(keys))
+	for _, k := range keys {
+		go func() {
+			tx := p.Begin()
+			defer tx.Abort()
+			_, _, err := tx.Read(k)
+			errs <- err
+		}()
+	}
+	full := func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, sh := range p.shards {
+			if sh.queuedKeys < perShard {
+				return false
+			}
+		}
+		return true
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !full() {
+		if slots := p.Stats().ReadBatchSlots; slots != 0 || time.Now().After(deadline) {
+			t.Fatalf("queues never held %d keys per shard (%d read-batch slots fired)", perShard, slots)
+		}
 		time.Sleep(time.Millisecond)
 	}
 	p.kick <- struct{}{}
 	time.Sleep(20 * time.Millisecond)
+	if st := p.Stats(); st.ReadBatchSlots != 0 {
+		t.Fatalf("%d read-batch slots fired before Δ: batch timing follows the queue", st.ReadBatchSlots)
+	}
 	if got := p.Epoch(); got != start {
-		t.Fatalf("epoch advanced %d -> %d on an eager kick: boundary timing depends on queued keys", start, got)
+		t.Fatalf("epoch advanced %d -> %d before Δ", start, got)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return within 1s")
+	}
+	for range keys {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrAborted) {
+				t.Fatalf("parked reader woke with %v, want ErrClosed or ErrAborted", err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("a parked reader was not woken by Close")
+		}
 	}
 }
 

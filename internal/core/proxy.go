@@ -95,14 +95,11 @@ type Config struct {
 	ReadBatchSize int
 	// WriteBatchSize is bwrite (default 32).
 	WriteBatchSize int
-	// BatchInterval is Δ. Zero selects manual mode: the caller drives
-	// batches with StepReadBatch/EndEpoch (tests, deterministic examples).
+	// BatchInterval is Δ, the fixed cadence: the epoch loop steps the
+	// schedule once per Δ whatever the load, so a full queue waits out its
+	// slot. Zero selects manual mode: the caller drives batches with
+	// Advance or StepReadBatch/EndEpoch (tests, deterministic examples).
 	BatchInterval time.Duration
-	// EagerBatches fires a read batch as soon as one shard's batch fills
-	// instead of waiting out Δ. The batch schedule then tracks offered load,
-	// which is observable; the paper keeps the schedule fixed, so this knob
-	// exists for throughput experiments only.
-	EagerBatches bool
 
 	// Boundary has no effect: every epoch boundary is pipelined (see
 	// EndEpoch). It remains so configurations that name BoundaryPipelined
@@ -304,7 +301,7 @@ type Proxy struct {
 	// truncation, never from the middle of it.
 	retiring sync.Mutex
 
-	kick chan struct{} // wakes the epoch loop (eager batches, close)
+	kick chan struct{} // stops the epoch loop (Close, Shutdown)
 	loop sync.WaitGroup
 
 	// Overload-control counters. Atomics (the PR 2 Stats-race pattern):

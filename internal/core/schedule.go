@@ -6,54 +6,26 @@ import (
 	"time"
 )
 
-// epochLoop drives the fixed batch schedule in auto mode.
+// epochLoop drives the fixed batch schedule in auto mode: one slot per Δ,
+// whatever the load. A kick only stops it: Close and Shutdown mark the proxy
+// closed or draining before they send one.
 func (p *Proxy) epochLoop() {
 	defer p.loop.Done()
 	timer := time.NewTimer(p.cfg.BatchInterval)
 	defer timer.Stop()
 	for {
+		select {
+		case <-timer.C:
+		case <-p.kick:
+			return
+		}
 		p.mu.Lock()
 		closed := p.closed || p.draining
 		p.mu.Unlock()
 		if closed {
 			return
 		}
-		step := p.stepScheduled
-		select {
-		case <-timer.C:
-		case <-p.kick:
-			p.mu.Lock()
-			closed = p.closed || p.draining
-			fire := false
-			// An eager kick may only accelerate a read-batch slot. The
-			// epoch boundary stays on the Δ timer: routing a full-queue
-			// kick into EndEpoch would make the boundary's timing depend
-			// on how many keys clients queued — a trace-shape leak (and,
-			// pipelined, a premature seal).
-			if p.cfg.EagerBatches && p.batchIdx < p.cfg.ReadBatches {
-				for _, sh := range p.shards {
-					if sh.queuedKeys >= p.cfg.ReadBatchSize {
-						fire = true
-						break
-					}
-				}
-			}
-			p.mu.Unlock()
-			if closed {
-				return
-			}
-			if !fire {
-				continue
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			step = p.StepReadBatch
-		}
-		if err := step(); err != nil {
+		if err := p.Advance(); err != nil {
 			// StepReadBatch and EndEpoch fail-stop the proxy themselves on
 			// execution errors; the loop only stops driving the schedule.
 			if !errors.Is(err, ErrClosed) {
@@ -66,13 +38,10 @@ func (p *Proxy) epochLoop() {
 }
 
 // Advance moves the fixed schedule forward by one slot: the next read batch,
-// or the epoch boundary once all R read batches have fired. It is the manual
-// counterpart of the Δ timer (tests, deterministic examples).
-func (p *Proxy) Advance() error { return p.stepScheduled() }
-
-// stepScheduled advances the schedule by one slot: a read batch, or the
-// epoch boundary once all R read batches have fired.
-func (p *Proxy) stepScheduled() error {
+// or the epoch boundary once all R read batches have fired. The epoch loop
+// calls it once per Δ; in manual mode the caller does (tests, deterministic
+// examples).
+func (p *Proxy) Advance() error {
 	p.mu.Lock()
 	last := p.batchIdx >= p.cfg.ReadBatches
 	p.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -681,7 +682,6 @@ func TestShardedChaosCrashRecoverLoop(t *testing.T) {
 	}
 	cfg := testConfig(88)
 	cfg.BatchInterval = 500 * time.Microsecond
-	cfg.EagerBatches = true
 	cfg.ReadBatchSize = 16
 	cfg.WriteBatchSize = 32
 	cfg.FullCheckpointEvery = 3
@@ -697,6 +697,7 @@ func TestShardedChaosCrashRecoverLoop(t *testing.T) {
 		}
 		rng := rand.New(rand.NewPCG(uint64(round), 23))
 		var wg sync.WaitGroup
+		var roundAcks atomic.Uint64
 		stop := make(chan struct{})
 		for c := 0; c < 4; c++ {
 			wg.Add(1)
@@ -722,15 +723,20 @@ func TestShardedChaosCrashRecoverLoop(t *testing.T) {
 						ackedMu.Lock()
 						acked[key] = val
 						ackedMu.Unlock()
+						roundAcks.Add(1)
 					}
 				}
 			}(c)
 		}
 		time.Sleep(time.Duration(5+rng.IntN(15)) * time.Millisecond)
+		ok := awaitAck(&roundAcks)
 		close(stop)
 		wg.Wait()
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if !ok {
+			t.Fatalf("round %d: no commit acknowledged within %v", round, ackWait)
 		}
 	}
 
@@ -750,7 +756,7 @@ func TestShardedChaosCrashRecoverLoop(t *testing.T) {
 		keys = append(keys, k)
 	}
 	if len(keys) == 0 {
-		t.Skip("no commits acknowledged; host too slow for this schedule")
+		t.Fatal("no commits acknowledged")
 	}
 	got := map[string]string{}
 	for attempt := 0; attempt < 20; attempt++ {

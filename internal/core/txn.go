@@ -236,12 +236,6 @@ func (p *Proxy) queueFetchLocked(f *Future) {
 		return
 	}
 	p.enqueueLocked(sh, f.t.inner.TS(), f.key, &f.w)
-	if sh.queuedKeys >= p.cfg.ReadBatchSize && p.cfg.EagerBatches {
-		select {
-		case p.kick <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // enqueueLocked makes w wait for key's slot on sh. A key nobody has scheduled

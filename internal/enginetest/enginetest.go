@@ -86,7 +86,6 @@ func NewObladi(opt ObladiOptions) (Engine, error) {
 		ReadBatchSize:     opt.ReadBatchSize,
 		WriteBatchSize:    opt.WriteBatchSize,
 		BatchInterval:     300 * time.Microsecond,
-		EagerBatches:      true,
 		DisableDurability: !opt.Durability,
 	}
 	stores := make([]storage.Backend, opt.Shards)

@@ -24,7 +24,6 @@ func newProxyDB(t *testing.T) ProxyDB {
 		ReadBatchSize:     8,
 		WriteBatchSize:    16,
 		BatchInterval:     300 * time.Microsecond,
-		EagerBatches:      true,
 		DisableDurability: true,
 	}
 	backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)

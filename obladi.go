@@ -81,16 +81,13 @@ type Options struct {
 	ReadBatches    int
 	ReadBatchSize  int
 	WriteBatchSize int
-	// BatchInterval is Δ, the fixed batch cadence. Zero selects manual
-	// mode, where the caller drives the schedule with Advance (useful for
-	// tests and deterministic tools). Either way an epoch's write-back and
-	// durability round trips overlap the next epoch's read batches.
+	// BatchInterval is Δ, the fixed batch cadence: one read batch or
+	// boundary per Δ whatever the load, so a full batch waits out its slot.
+	// Zero selects manual mode, where the caller drives the schedule with
+	// Advance (useful for tests and deterministic tools). Either way an
+	// epoch's write-back and durability round trips overlap the next
+	// epoch's read batches.
 	BatchInterval time.Duration
-	// EagerBatches fires a read batch as soon as it fills rather than
-	// waiting out Δ. This makes the schedule load-dependent (observable);
-	// use only for throughput experiments. Eager firing never moves the
-	// epoch boundary, which always waits out its Δ slot.
-	EagerBatches bool
 
 	// Z, S, A tune the Ring ORAM (reals/dummies per bucket, eviction
 	// rate). Zero selects 8/12/8, suitable for small stores; the paper's
@@ -217,7 +214,6 @@ func coreConfig(opt Options, params ringoram.Params, key *cryptoutil.Key) core.C
 		ReadBatchSize:       opt.ReadBatchSize,
 		WriteBatchSize:      opt.WriteBatchSize,
 		BatchInterval:       opt.BatchInterval,
-		EagerBatches:        opt.EagerBatches,
 		DisableDurability:   opt.DisableDurability,
 		FullCheckpointEvery: opt.FullCheckpointEvery,
 	}

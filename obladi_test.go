@@ -15,7 +15,6 @@ func openTest(t *testing.T, opt Options) *DB {
 	t.Helper()
 	if opt.BatchInterval == 0 {
 		opt.BatchInterval = 300 * time.Microsecond
-		opt.EagerBatches = true
 	}
 	if opt.KeySeed == nil {
 		opt.KeySeed = []byte("obladi-test")
@@ -217,7 +216,6 @@ func TestCrashRecoveryThroughAPI(t *testing.T) {
 		RemoteAddr:    srv.Addr(),
 		KeySeed:       []byte("recovery-seed"),
 		BatchInterval: 300 * time.Microsecond,
-		EagerBatches:  true,
 	}
 	db1, err := Open(opt)
 	if err != nil {
@@ -339,7 +337,6 @@ func TestShardedRemoteStorage(t *testing.T) {
 		RemoteAddr:    strings.Join(addrs, ","),
 		KeySeed:       []byte("sharded-remote"),
 		BatchInterval: 300 * time.Microsecond,
-		EagerBatches:  true,
 	}
 	db1, err := Open(opt)
 	if err != nil {
@@ -414,7 +411,6 @@ func TestFullRestartWithPersistedStorage(t *testing.T) {
 		RemoteAddr:    srv1.Addr(),
 		KeySeed:       []byte("full-restart"),
 		BatchInterval: 300 * time.Microsecond,
-		EagerBatches:  true,
 	}
 	db1, err := Open(opt)
 	if err != nil {
