@@ -108,7 +108,11 @@ func (p *Proxy) recover(coordRec *wal.Recovery) error {
 	}
 	for _, rec := range r.recs {
 		for _, batch := range rec.AbortedBatches {
-			p.stats.RecoveryReplayed += len(batch)
+			for _, le := range batch {
+				if le.Kind == oramexec.LogAccess {
+					p.stats.RecoveryReplayed++
+				}
+			}
 		}
 	}
 	if err := p.commitSnapshot(r.epoch); err != nil {

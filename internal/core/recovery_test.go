@@ -11,6 +11,7 @@ import (
 
 	"obladi/internal/oramexec"
 	"obladi/internal/storage"
+	"obladi/internal/wal"
 )
 
 // commitKV commits a set of writes in one transaction, driving the schedule
@@ -125,13 +126,30 @@ func TestRecoveryDropsInFlightEpoch(t *testing.T) {
 	must(t, p1.StepReadBatch())
 	// Crash now: no EndEpoch, no Close.
 
+	// The logged reads recovery must replay: the batch's accesses, without
+	// the evictions logged beside them.
+	wcfg, err := WALConfigFor(cfg, 0, 1)
+	must(t, err)
+	l, err := wal.New(backend, wcfg)
+	must(t, err)
+	logged, err := l.Recover()
+	must(t, err)
+	reads := 0
+	for _, batch := range logged.AbortedBatches {
+		for _, le := range batch {
+			if le.Kind == oramexec.LogAccess {
+				reads++
+			}
+		}
+	}
+
 	p2, err := New(checker, cfg)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer p2.Close()
-	if p2.Stats().RecoveryReplayed == 0 {
-		t.Fatal("recovery replayed nothing despite a logged batch")
+	if got := p2.Stats().RecoveryReplayed; got == 0 || got != reads {
+		t.Fatalf("recovery replayed %d logged reads, the log holds %d", got, reads)
 	}
 	got := readAll(t, p2, "stable", "new-key")
 	if got["stable"] != "committed" {

@@ -87,14 +87,14 @@ func durablePrefix(fsys *crashFS, l *diskLog) uint64 {
 // return, and whose append calls tell it what they wrote (a nil oracle
 // checks nothing).
 type checkedShard struct {
-	*GroupShard
+	*LogHeap
 	o *barrierOracle
 }
 
 // checkShards wraps g's shards for o.
 func checkShards(g *DiskGroup, o *barrierOracle) []checkedShard {
-	out := make([]checkedShard, len(g.views))
-	for i, v := range g.views {
+	out := make([]checkedShard, len(g.shards))
+	for i, v := range g.shards {
 		out[i] = checkedShard{v, o}
 	}
 	return out
@@ -105,7 +105,7 @@ func checkShards(g *DiskGroup, o *barrierOracle) []checkedShard {
 func (s checkedShard) streamPhys(seq uint64) uint64 {
 	s.log.mu.RLock()
 	defer s.log.mu.RUnlock()
-	st := &s.log.streams[s.stream]
+	st := &s.log.streams[s.walStream]
 	if seq < st.floor {
 		return 0
 	}
@@ -116,9 +116,9 @@ func (s checkedShard) streamPhys(seq uint64) uint64 {
 // returned.
 func (s checkedShard) heapWrote(err error) error {
 	if err == nil && s.o != nil {
-		s.heap.mu.RLock()
-		phys := s.heap.lastPhys
-		s.heap.mu.RUnlock()
+		s.mu.RLock()
+		phys := s.lastPhys
+		s.mu.RUnlock()
 		s.o.wrote(phys)
 	}
 	return err
@@ -139,7 +139,7 @@ func (s checkedShard) barrier(call string, fn func() error) error {
 }
 
 func (s checkedShard) Append(record []byte) (uint64, error) {
-	seq, err := s.GroupShard.Append(record)
+	seq, err := s.LogHeap.Append(record)
 	if err == nil && s.o != nil {
 		phys := s.streamPhys(seq)
 		s.o.wrote(phys)
@@ -149,7 +149,7 @@ func (s checkedShard) Append(record []byte) (uint64, error) {
 }
 
 func (s checkedShard) AppendNoSync(record []byte) (uint64, error) {
-	seq, err := s.GroupShard.AppendNoSync(record)
+	seq, err := s.LogHeap.AppendNoSync(record)
 	if err == nil && s.o != nil {
 		s.o.wrote(s.streamPhys(seq))
 	}
@@ -157,7 +157,7 @@ func (s checkedShard) AppendNoSync(record []byte) (uint64, error) {
 }
 
 func (s checkedShard) WriteBuckets(writes []BucketWrite) error {
-	return s.heapWrote(s.GroupShard.WriteBuckets(writes))
+	return s.heapWrote(s.LogHeap.WriteBuckets(writes))
 }
 
 func (s checkedShard) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
@@ -165,15 +165,15 @@ func (s checkedShard) WriteBucket(bucket int, epoch uint64, slots [][]byte) erro
 }
 
 func (s checkedShard) SyncLog() error {
-	return s.barrier("SyncLog", s.GroupShard.SyncLog)
+	return s.barrier("SyncLog", s.LogHeap.SyncLog)
 }
 
 func (s checkedShard) CommitEpoch(epoch uint64) error {
-	return s.barrier("CommitEpoch", func() error { return s.heapWrote(s.GroupShard.CommitEpoch(epoch)) })
+	return s.barrier("CommitEpoch", func() error { return s.heapWrote(s.LogHeap.CommitEpoch(epoch)) })
 }
 
 func (s checkedShard) RollbackTo(epoch uint64) error {
-	return s.barrier("RollbackTo", func() error { return s.heapWrote(s.GroupShard.RollbackTo(epoch)) })
+	return s.barrier("RollbackTo", func() error { return s.heapWrote(s.LogHeap.RollbackTo(epoch)) })
 }
 
 // checkedBatcher is a checkedShard with the EpochCommitBatcher face a
@@ -181,7 +181,7 @@ func (s checkedShard) RollbackTo(epoch uint64) error {
 type checkedBatcher struct{ checkedShard }
 
 func (s checkedBatcher) CommitEpochNoSync(epoch uint64) error {
-	return s.heapWrote(logHeapShard{s.GroupShard}.CommitEpochNoSync(epoch))
+	return s.heapWrote(s.commitEpochNoSync(epoch))
 }
 
 func (s checkedBatcher) CommitStream() any { return s.log }

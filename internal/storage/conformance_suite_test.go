@@ -692,16 +692,22 @@ func RunGroupCommitConformance(t *testing.T, n int, factory func(t *testing.T, n
 
 	t.Run("closed-shard-isolation", func(t *testing.T) {
 		// Closing one shard must not take the scheduler (or its groupmates)
-		// down with it, and the closed shard must keep reporting ErrClosed.
+		// down with it, and every call on the closed shard must keep
+		// reporting ErrClosed, the optional faces' included.
 		shards := newShards(t)
-		if err := shards[0].Close(); err != nil {
-			t.Fatalf("Close: %v", err)
+		conformClosed(t, shards[0])
+		if lb, ok := shards[0].(LogBatcher); ok {
+			if _, err := lb.AppendNoSync([]byte("r")); !errors.Is(err, ErrClosed) {
+				t.Fatalf("AppendNoSync on closed shard = %v, want ErrClosed", err)
+			}
+			if err := lb.SyncLog(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("SyncLog on closed shard = %v, want ErrClosed", err)
+			}
 		}
-		if err := shards[0].CommitEpoch(1); !errors.Is(err, ErrClosed) {
-			t.Fatalf("CommitEpoch on closed shard = %v, want ErrClosed", err)
-		}
-		if _, err := shards[0].Append([]byte("r")); !errors.Is(err, ErrClosed) {
-			t.Fatalf("Append on closed shard = %v, want ErrClosed", err)
+		if ecb, ok := shards[0].(EpochCommitBatcher); ok {
+			if err := ecb.CommitEpochNoSync(1); !errors.Is(err, ErrClosed) {
+				t.Fatalf("CommitEpochNoSync on closed shard = %v, want ErrClosed", err)
+			}
 		}
 		errs := make([]error, n)
 		var wg sync.WaitGroup

@@ -16,6 +16,19 @@ func TestBackendConformanceMem(t *testing.T) {
 	})
 }
 
+// A fence handle is a MemBackend on the store it was acquired from and must
+// hold the same contract: its Close closes that handle, after which every
+// call through it refuses.
+func TestBackendConformanceMemFenceHandle(t *testing.T) {
+	RunBackendConformance(t, func(t *testing.T) Backend {
+		h, _, err := NewMemBackend(ConformanceMinBuckets).AcquireFence()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	})
+}
+
 // openSecondDiskShard opens a two-shard group without DiskOptions.LogHeap in
 // dir and returns shard 1: a shard whose directory holds only its index
 // checkpoint, whose bucket versions and log stream ride shard-000's log, and

@@ -366,11 +366,11 @@ func (d *diskStore) diskLies() bool {
 // disk lies).
 func (d *diskStore) maintainPass() error {
 	for _, base := range d.log.gcCandidates() {
-		if _, err := d.heap.EvacuateSegment(base); err != nil {
+		if _, err := d.LogHeap.EvacuateSegment(base); err != nil {
 			return err
 		}
 	}
-	if err := d.heap.Checkpoint(); err != nil {
+	if err := d.LogHeap.Checkpoint(); err != nil {
 		return err
 	}
 	if !d.diskLies() {

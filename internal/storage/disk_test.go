@@ -27,7 +27,7 @@ func openDiskStore(fsys vfs, dir string, buckets int, opts diskOpts) (*diskStore
 	if err != nil {
 		return nil, err
 	}
-	return &diskStore{checkedShard: checkedShard{GroupShard: g.views[0]}, g: g}, nil
+	return &diskStore{checkedShard: checkedShard{LogHeap: g.shards[0]}, g: g}, nil
 }
 
 // openLoneDisk opens a one-shard group on the real filesystem with a

@@ -22,7 +22,7 @@ import (
 // every shard's bucket data (LogHeap), each record tagged with its stream
 // (logStream); so one fsync wave covers every shard's round, and the
 // coordinator's committing checkpoint covers the prepared ones before it.
-// The group owns the log; LogHeap and GroupShard hold it directly. Its
+// The group owns the log; each shard's LogHeap holds it directly. Its
 // files:
 //
 //   - wal-<base>.seg — the segments. A record is written unsynced and stands

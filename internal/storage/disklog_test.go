@@ -36,6 +36,9 @@ func TestGroupLayout(t *testing.T) {
 				if _, ok := s.(EpochCommitBatcher); ok != logHeap {
 					t.Fatalf("shard %d exposes EpochCommitBatcher = %v under LogHeap %v", i, ok, logHeap)
 				}
+				if _, ok := any(g.shards[i]).(EpochCommitBatcher); ok {
+					t.Fatalf("bare shard %d exposes EpochCommitBatcher", i)
+				}
 				must(t, s.WriteBucket(i, 1, slots(fmt.Sprintf("shard %d", i))))
 				must(t, s.CommitEpoch(1))
 				for k := 0; k < 8; k++ {

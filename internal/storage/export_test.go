@@ -64,7 +64,7 @@ func (g *DiskGroup) SegmentCount() int {
 // the function that reports the first violation.
 func (g *DiskGroup) CheckedBackends(fsys *CrashFS) ([]Backend, func() error) {
 	o := &barrierOracle{fsys: fsys}
-	out := make([]Backend, len(g.views))
+	out := make([]Backend, len(g.shards))
 	for i, s := range checkShards(g, o) {
 		out[i] = s
 		if g.batchCommits {

@@ -6,8 +6,9 @@ import (
 )
 
 // TestMemFence pins the in-process fencing contract: a newer acquisition
-// fences every older view's mutations, reads stay open, and the raw backend
+// fences every older handle's mutations, reads stay open, and the raw handle
 // (token 0) is never fenced — deployments that don't opt in are unaffected.
+// A handle's Close closes that handle only.
 func TestMemFence(t *testing.T) {
 	m := NewMemBackend(8)
 	defer m.Close()
@@ -17,7 +18,7 @@ func TestMemFence(t *testing.T) {
 		t.Fatalf("acquire 1: %v", err)
 	}
 	if _, err := v1.Append([]byte("a")); err != nil {
-		t.Fatalf("append through live fence view: %v", err)
+		t.Fatalf("append through live fence handle: %v", err)
 	}
 
 	v2, t2, err := m.AcquireFence()
@@ -28,40 +29,71 @@ func TestMemFence(t *testing.T) {
 		t.Fatalf("tokens must strictly increase: %d then %d", t1, t2)
 	}
 
-	if _, err := v1.Append([]byte("b")); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale view append: got %v, want ErrFenced", err)
+	checkFenced := func(v Backend, gen string) {
+		t.Helper()
+		_, err := v.Append([]byte("b"))
+		for op, err := range map[string]error{
+			"append":        err,
+			"bucket write":  v.WriteBucket(0, 1, [][]byte{{1}}),
+			"bucket writes": v.WriteBuckets([]BucketWrite{{Bucket: 1, Epoch: 1, Slots: [][]byte{{1}}}}),
+			"commit":        v.CommitEpoch(1),
+			"rollback":      v.RollbackTo(0),
+			"put":           v.Put("k", []byte("v")),
+			"delete":        v.Delete("k"),
+			"truncate":      v.Truncate(1),
+		} {
+			if !errors.Is(err, ErrFenced) {
+				t.Fatalf("%s handle %s: got %v, want ErrFenced", gen, op, err)
+			}
+		}
+		// Reads through a stale handle keep working: the fenced-out
+		// generation may still observe state while failing over, it just
+		// cannot change it.
+		if _, err := v.Scan(0); err != nil {
+			t.Fatalf("%s handle scan: %v", gen, err)
+		}
+		if _, err := v.LastSeq(); err != nil {
+			t.Fatalf("%s handle last-seq: %v", gen, err)
+		}
 	}
-	if err := v1.WriteBucket(0, 1, [][]byte{{1}}); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale view bucket write: got %v, want ErrFenced", err)
-	}
-	if err := v1.CommitEpoch(1); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale view commit: got %v, want ErrFenced", err)
-	}
-	if err := v1.RollbackTo(0); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale view rollback: got %v, want ErrFenced", err)
-	}
-	// Reads through the stale view keep working: the fenced-out generation
-	// may still observe state while failing over, it just cannot change it.
-	if _, err := v1.Scan(0); err != nil {
-		t.Fatalf("stale view scan: %v", err)
-	}
-	if _, err := v1.LastSeq(); err != nil {
-		t.Fatalf("stale view last-seq: %v", err)
-	}
+	checkFenced(v1, "stale")
 
 	if _, err := v2.Append([]byte("c")); err != nil {
-		t.Fatalf("current view append: %v", err)
+		t.Fatalf("current handle append: %v", err)
 	}
-	// The raw backend never acquired a fence and stays writable (token 0).
+	// A fence acquired through a handle is one more generation of the same
+	// store: it fences the handle it came through.
+	v3, t3, err := v2.(Fenceable).AcquireFence()
+	if err != nil {
+		t.Fatalf("acquire through a handle: %v", err)
+	}
+	if t3 <= t2 {
+		t.Fatalf("tokens must strictly increase: %d then %d", t2, t3)
+	}
+	checkFenced(v2, "superseded")
+	if _, err := v3.Append([]byte("d")); err != nil {
+		t.Fatalf("newest handle append: %v", err)
+	}
+	// The raw handle never acquired a fence and stays writable (token 0).
 	if _, err := m.Append([]byte("raw")); err != nil {
-		t.Fatalf("raw backend append: %v", err)
+		t.Fatalf("raw handle append: %v", err)
 	}
-	// Closing the stale view must not close the shared store.
+
+	// Closing a stale handle closes it, not the shared store.
 	if err := v1.Close(); err != nil {
-		t.Fatalf("stale view close: %v", err)
+		t.Fatalf("stale handle close: %v", err)
 	}
-	if _, err := v2.Append([]byte("d")); err != nil {
-		t.Fatalf("append after stale view close: %v", err)
+	if _, err := v1.Scan(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed handle scan: got %v, want ErrClosed", err)
+	}
+	if _, err := v3.Append([]byte("e")); err != nil {
+		t.Fatalf("newest handle append after a stale handle closed: %v", err)
+	}
+	if _, err := m.Append([]byte("raw2")); err != nil {
+		t.Fatalf("raw handle append after a stale handle closed: %v", err)
+	}
+	if recs, err := v3.Scan(0); err != nil || len(recs) != 6 {
+		t.Fatalf("newest handle scan: %v (%d records, want 6)", err, len(recs))
 	}
 }
 

@@ -109,11 +109,11 @@ func TestInPlaceFramerGoldenBytesLogHeap(t *testing.T) {
 						expect(shards+sh, encodeVersionBody(w.Bucket, w.Epoch, w.Slots))
 					}
 					segsBefore := len(owner.segs)
-					if err := g.views[sh].WriteBuckets(writes); err != nil {
+					if err := g.shards[sh].WriteBuckets(writes); err != nil {
 						t.Fatal(err)
 					}
 					// A roll between two records of one vector.
-					if first, last := g.heaps[sh].ix.buckets[writes[0].Bucket], g.heaps[sh].ix.buckets[writes[len(writes)-1].Bucket]; len(owner.segs) > segsBefore &&
+					if first, last := g.shards[sh].ix.buckets[writes[0].Bucket], g.shards[sh].ix.buckets[writes[len(writes)-1].Bucket]; len(owner.segs) > segsBefore &&
 						first[len(first)-1].seg != last[len(last)-1].seg {
 						straddled = true
 					}
@@ -121,9 +121,9 @@ func TestInPlaceFramerGoldenBytesLogHeap(t *testing.T) {
 					rng.Read(rec)
 					expect(sh, rec)
 					if rng.Intn(2) == 0 {
-						_, err = g.views[sh].Append(rec)
+						_, err = g.shards[sh].Append(rec)
 					} else {
-						_, err = g.views[sh].AppendNoSync(rec)
+						_, err = g.shards[sh].AppendNoSync(rec)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -131,7 +131,7 @@ func TestInPlaceFramerGoldenBytesLogHeap(t *testing.T) {
 				}
 				for sh := 0; sh < shards; sh++ {
 					expect(shards+sh, encodeEpochBody(heapKindCommit, epoch))
-					if err := g.views[sh].CommitEpoch(epoch); err != nil {
+					if err := g.shards[sh].CommitEpoch(epoch); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -207,7 +207,7 @@ func TestLogHeapWriteBucketsAllocBudget(t *testing.T) {
 	// is the steady state: the framer, the log and the index reuse what they
 	// have, and a version with one slot size keeps no slot-length table.
 	write := func() {
-		if err := g.views[0].WriteBuckets(writes); err != nil {
+		if err := g.shards[0].WriteBuckets(writes); err != nil {
 			t.Fatal(err)
 		}
 	}

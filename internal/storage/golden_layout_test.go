@@ -58,7 +58,7 @@ func goldenWorkload(t *testing.T, fsys *crashFS) {
 				must(t, s.Truncate(last))
 			}
 		case 4:
-			for _, lh := range g.heaps {
+			for _, lh := range g.shards {
 				must(t, lh.Checkpoint())
 			}
 		case 5:

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -50,11 +49,8 @@ func (g *CommitGroup) Stats() GroupStats {
 // durable frontier and actually coalesce instead of merely running in
 // parallel. shard-<i> holds only shard i's index checkpoint.
 type DiskGroup struct {
-	log *diskLog
-	// views are set once the open has replayed the log and attached the
-	// heaps to it.
-	views []*GroupShard
-	heaps []*LogHeap // one per shard
+	log    *diskLog
+	shards []*LogHeap
 	// batchCommits is DiskOptions.LogHeap: Backends exposes
 	// EpochCommitBatcher.
 	batchCommits bool
@@ -67,173 +63,15 @@ type DiskGroup struct {
 	maintainWG   sync.WaitGroup
 }
 
-// GroupShard is one shard of a DiskGroup as the proxy consumes it: its
-// recovery-log face is its stream on the group's physical log, its bucket
-// face its LogHeap on the same log. It keeps no key-value namespace
-// (ErrNoKV).
-type GroupShard struct {
-	log    *diskLog
-	stream uint32 // its WAL stream on log
-	heap   *LogHeap
-	// closed marks this shard logically closed. Its files belong to the
-	// group — every shard's log stream rides the one physical log — so Close
-	// cannot close them; the flag keeps the per-shard ErrClosed contract
-	// (every op on a closed shard fails, the siblings keep working), and the
-	// files close with the group.
-	closed atomic.Bool
-}
-
-func (s *GroupShard) guard() error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return nil
-}
-
-func (s *GroupShard) Append(record []byte) (uint64, error) {
-	if err := s.guard(); err != nil {
-		return 0, err
-	}
-	seq, phys, err := s.log.appendStream(s.stream, record)
-	if err != nil {
-		return 0, err
-	}
-	// The barrier runs outside the log's lock, so every stream's barrier
-	// waits on the same frontier and coalesces.
-	if err := s.log.barrier(phys); err != nil {
-		return 0, err
-	}
-	return seq, nil
-}
-func (s *GroupShard) Scan(from uint64) ([][]byte, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.log.scanStream(s.stream, from)
-}
-func (s *GroupShard) Truncate(before uint64) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.log.truncateStream(s.stream, before)
-}
-func (s *GroupShard) LastSeq() (uint64, error) {
-	if err := s.guard(); err != nil {
-		return 0, err
-	}
-	return s.log.streamLast(s.stream)
-}
-
-// AppendNoSync and SyncLog implement LogBatcher, where the one log earns
-// its keep: shards append back to back, the first SyncLog's lone fsync
-// covers the whole round — every stream's deferred records, on one wave —
-// and the other shards' SyncLogs ride it or find it landed.
-func (s *GroupShard) AppendNoSync(record []byte) (uint64, error) {
-	if err := s.guard(); err != nil {
-		return 0, err
-	}
-	seq, _, err := s.log.appendStream(s.stream, record)
-	return seq, err
-}
-func (s *GroupShard) SyncLog() error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.log.syncLog()
-}
-
-func (s *GroupShard) NumBuckets() (int, error) {
-	if err := s.guard(); err != nil {
-		return 0, err
-	}
-	return s.heap.NumBuckets()
-}
-func (s *GroupShard) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(s, bucket, slot) }
-func (s *GroupShard) ReadSlots(refs []SlotRef) ([][]byte, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.heap.ReadSlots(refs)
-}
-func (s *GroupShard) ReadBucket(bucket int) ([][]byte, error) {
-	if err := s.guard(); err != nil {
-		return nil, err
-	}
-	return s.heap.ReadBucket(bucket)
-}
-func (s *GroupShard) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
-	if err := s.guard(); err != nil {
-		return dst, err
-	}
-	return s.heap.encodeSlots(dst, refs)
-}
-func (s *GroupShard) encodeBucket(dst []byte, bucket int) ([]byte, error) {
-	if err := s.guard(); err != nil {
-		return dst, err
-	}
-	return s.heap.encodeBucket(dst, bucket)
-}
-func (s *GroupShard) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
-	return writeBucket(s, bucket, epoch, slots)
-}
-func (s *GroupShard) WriteBuckets(writes []BucketWrite) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.heap.WriteBuckets(writes)
-}
-func (s *GroupShard) CommitEpoch(epoch uint64) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.heap.CommitEpoch(epoch)
-}
-func (s *GroupShard) RollbackTo(epoch uint64) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.heap.RollbackTo(epoch)
-}
-
-// CommittedEpoch / VersionCount mirror the bucket stores' test helpers.
-func (s *GroupShard) CommittedEpoch() uint64      { return s.heap.CommittedEpoch() }
-func (s *GroupShard) VersionCount(bucket int) int { return s.heap.VersionCount(bucket) }
-
-// Get, Put and Delete implement KVStore: a shard keeps no namespace.
-func (s *GroupShard) Get(string) ([]byte, bool, error) { return nil, false, s.noKV() }
-func (s *GroupShard) Put(string, []byte) error         { return s.noKV() }
-func (s *GroupShard) Delete(string) error              { return s.noKV() }
-
-func (s *GroupShard) noKV() error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	if err := s.log.checkUsable(); err != nil {
-		return err
-	}
-	return ErrNoKV
-}
-
-// Close closes the shard logically (see closed).
-func (s *GroupShard) Close() error {
-	s.closed.Store(true)
-	return nil
-}
-
 // logHeapShard is the Backend face of a shard of a group opened with
-// DiskOptions.LogHeap: a GroupShard that also exposes CommitEpochNoSync. The
+// DiskOptions.LogHeap: a LogHeap that also exposes CommitEpochNoSync. The
 // deferral is safe because a shard's commit record rides the same physical
 // log as the WAL's committing checkpoint it depends on, after it, so prefix
 // durability orders them for free.
-type logHeapShard struct{ *GroupShard }
+type logHeapShard struct{ *LogHeap }
 
 // CommitEpochNoSync implements EpochCommitBatcher.
-func (s logHeapShard) CommitEpochNoSync(epoch uint64) error {
-	if err := s.guard(); err != nil {
-		return err
-	}
-	return s.heap.CommitEpochNoSync(epoch)
-}
+func (s logHeapShard) CommitEpochNoSync(epoch uint64) error { return s.commitEpochNoSync(epoch) }
 
 // CommitStream implements EpochCommitBatcher: every shard of a group appends
 // into the group's one physical log.
@@ -280,16 +118,16 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 		return fail("meta", err)
 	}
 	for i := 0; i < shards; i++ {
-		lh, err := newLogHeap(fsys, shardDir(i), uint32(shards+i), nb)
+		lh, err := newLogHeap(fsys, shardDir(i), uint32(i), uint32(shards+i), nb)
 		if err != nil {
 			return fail(fmt.Sprintf("shard %d logheap", i), err)
 		}
-		g.heaps = append(g.heaps, lh)
+		g.shards = append(g.shards, lh)
 	}
 	if g.log, err = openDiskLog(fsys, shardDir(0), nb, trunc, opts, g.retainFloor); err != nil {
 		return fail("log", err)
 	}
-	if err := g.log.openStreams(shards, g.heaps); err != nil {
+	if err := g.log.openStreams(shards, g.shards); err != nil {
 		return fail("log streams", err)
 	}
 	var kick func()
@@ -303,9 +141,8 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 			}
 		}
 	}
-	for i, lh := range g.heaps {
+	for _, lh := range g.shards {
 		lh.attach(g.log, kick)
-		g.views = append(g.views, &GroupShard{log: g.log, stream: uint32(i), heap: lh})
 	}
 	if kick != nil {
 		g.maintainWG.Add(1)
@@ -318,7 +155,7 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 // any heap still needs on disk.
 func (g *DiskGroup) retainFloor() uint64 {
 	floor := ^uint64(0)
-	for _, lh := range g.heaps {
+	for _, lh := range g.shards {
 		floor = min(floor, lh.retainFloor.Load())
 	}
 	return floor
@@ -348,9 +185,9 @@ func (g *DiskGroup) maintainLoop() {
 // so a pass costs the checkpoints it would have written anyway plus the
 // copies. Only then can the segments go.
 func (g *DiskGroup) maintainOnce() {
-	moved := make([]int, len(g.heaps))
+	moved := make([]int, len(g.shards))
 	for _, base := range g.log.gcCandidates() {
-		for i, lh := range g.heaps {
+		for i, lh := range g.shards {
 			n, err := lh.EvacuateSegment(base)
 			if err != nil {
 				return // wedged or closing; the next kick retries
@@ -358,7 +195,7 @@ func (g *DiskGroup) maintainOnce() {
 			moved[i] += n
 		}
 	}
-	for i, lh := range g.heaps {
+	for i, lh := range g.shards {
 		lh.mu.RLock()
 		due := lh.dirty >= maintainEvery
 		lh.mu.RUnlock()
@@ -376,11 +213,11 @@ func (g *DiskGroup) maintainOnce() {
 // the group's one physical log. A group opened with DiskOptions.LogHeap
 // wraps them in the type that additionally satisfies EpochCommitBatcher.
 func (g *DiskGroup) Backends() []Backend {
-	out := make([]Backend, len(g.views))
-	for i, v := range g.views {
-		out[i] = v
+	out := make([]Backend, len(g.shards))
+	for i, lh := range g.shards {
+		out[i] = lh
 		if g.batchCommits {
-			out[i] = logHeapShard{v}
+			out[i] = logHeapShard{lh}
 		}
 	}
 	return out
@@ -391,15 +228,16 @@ func (g *DiskGroup) Group() *CommitGroup { return &g.log.group }
 
 // Close closes the log. The heaps checkpoint first (best effort — replay
 // would rebuild the same state, a checkpoint just makes the next open
-// cheap), while the log is still open.
+// cheap), while the log is still open: every heap the open attached to it,
+// closed shards' included.
 func (g *DiskGroup) Close() error {
 	if g.maintainStop != nil {
 		close(g.maintainStop)
 		g.maintainWG.Wait()
 		g.maintainStop = nil
 	}
-	if g.views != nil {
-		for _, lh := range g.heaps {
+	for _, lh := range g.shards {
+		if lh.log != nil {
 			_ = lh.Checkpoint()
 		}
 	}

@@ -87,7 +87,7 @@ func TestSyncLogWaitsForTheFsyncInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	shard0, shard1 := g.views[0], g.views[1]
+	shard0, shard1 := g.shards[0], g.shards[1]
 	if _, err := shard1.AppendNoSync([]byte("shard 1 schedule")); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSyncLogWaitsForTheFsyncInFlight(t *testing.T) {
 	follower := make(chan error, 1)
 	go func() { follower <- shard1.SyncLog() }()
 	checkpoint := make(chan error, 1)
-	go func() { checkpoint <- g.heaps[1].Checkpoint() }()
+	go func() { checkpoint <- g.shards[1].Checkpoint() }()
 	if err, done := returnsWithin(follower, 200*time.Millisecond); done {
 		t.Fatalf("shard 1's SyncLog returned (%v) while the fsync covering its records was still in flight", err)
 	}
@@ -123,6 +123,45 @@ func TestSyncLogWaitsForTheFsyncInFlight(t *testing.T) {
 	}
 	if st := g.Group().Stats(); st.Waves != 1 {
 		t.Errorf("%d fsync waves for one round, want 1", st.Waves)
+	}
+}
+
+// TestGroupCloseCheckpointsClosedShard pins that the group's own work on a
+// heap ignores its shard's logical close: maintenance still runs on it, and
+// DiskGroup.Close still checkpoints it, so its watermark reaches its last
+// record and a reopen replays nothing of it.
+func TestGroupCloseCheckpointsClosedShard(t *testing.T) {
+	fsys := newCrashFS(nil)
+	opts := diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}}
+	g, err := openDiskGroupOpts(fsys, "data", 2, 8, opts)
+	must(t, err)
+	lh := g.shards[0]
+	must(t, lh.WriteBucket(3, 1, slots("closed shard")))
+	must(t, lh.CommitEpoch(1))
+	must(t, lh.Close())
+	if _, err := lh.EvacuateSegment(0); err != nil {
+		t.Fatalf("EvacuateSegment on a closed shard: %v", err)
+	}
+	g.MaintainOnce()
+	last := lh.lastPhys
+	if lh.ckptW == last {
+		t.Fatalf("watermark already at the last record %d before Close", last)
+	}
+	must(t, g.Close())
+	if lh.ckptW != last {
+		t.Fatalf("closed shard checkpointed to watermark %d, its last record is %d", lh.ckptW, last)
+	}
+
+	g, err = openDiskGroupOpts(fsys, "data", 2, 8, opts)
+	must(t, err)
+	defer g.Close()
+	if w, dirty := g.shards[0].ckptW, g.shards[0].dirty; w != last || dirty != 0 {
+		t.Fatalf("reopened shard: checkpoint watermark %d (want %d), %d records replayed (want 0)", w, last, dirty)
+	}
+	got, err := g.shards[0].ReadSlot(3, 0)
+	must(t, err)
+	if string(got) != "closed shard" {
+		t.Fatalf("reopened shard reads %q", got)
 	}
 }
 

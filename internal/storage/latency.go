@@ -2,6 +2,7 @@ package storage
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -65,9 +66,10 @@ func (p Profile) Scaled(factor float64) Profile {
 // independent operations overlap exactly as they would against a remote
 // server with the given round-trip time.
 type Latency struct {
-	inner Backend
-	prof  Profile
-	slots chan struct{} // nil when unlimited
+	inner  Backend
+	prof   Profile
+	slots  chan struct{} // nil when unlimited
+	closed atomic.Bool   // set by Close: over an inner without LogBatcher, SyncLog has no call that could fail
 }
 
 var (
@@ -227,6 +229,9 @@ func (l *Latency) SyncLog() error {
 	if lb, ok := l.inner.(LogBatcher); ok {
 		return lb.SyncLog()
 	}
+	if l.closed.Load() {
+		return ErrClosed
+	}
 	return nil
 }
 
@@ -251,4 +256,7 @@ func (l *Latency) LastSeq() (uint64, error) {
 	return l.inner.LastSeq()
 }
 
-func (l *Latency) Close() error { return l.inner.Close() }
+func (l *Latency) Close() error {
+	l.closed.Store(true)
+	return l.inner.Close()
+}

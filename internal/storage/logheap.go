@@ -9,13 +9,14 @@ import (
 	"sync/atomic"
 )
 
-// LogHeap is the log-structured bucket heap: one shard's BucketStore whose
-// version records ride the SAME physical segmented log as the group's
-// recovery-log streams (a dedicated bucket-data stream; see logStream).
-// That is the whole point of the design — an epoch's bucket commit record
-// and the WAL checkpoint that commits it land in one file, so the round's
-// single deferred-barrier fsync covers both: heap commit and log barrier
-// share a wave instead of each costing one.
+// LogHeap is one shard of a DiskGroup, as the proxy consumes it: a Backend
+// whose recovery log is its WAL stream on the group's physical log and whose
+// bucket heap is log-structured on the SAME log (a dedicated bucket-data
+// stream; see logStream). It keeps no key-value namespace (ErrNoKV). That is
+// the whole point of the design — an epoch's bucket commit record and the WAL
+// checkpoint that commits it land in one file, so the round's single
+// deferred-barrier fsync covers both: heap commit and log barrier share a
+// wave instead of each costing one.
 //
 // State is the version index every store keeps (versionIndex), each entry
 // locating a version record in the group's log. Nothing on disk is ever
@@ -41,8 +42,16 @@ import (
 // log's segment retention gate (retainFloor) keeps any segment holding a
 // live version or an un-checkpointed record alive past WAL truncation.
 type LogHeap struct {
-	log    *diskLog // the group's physical log
-	stream uint32   // its bucket-data stream on log
+	log       *diskLog // the group's physical log
+	walStream uint32   // its recovery-log stream on log
+	stream    uint32   // its bucket-data stream on log
+	// closed marks the shard logically closed. Its files belong to the group
+	// — every shard's streams ride the one physical log — so Close cannot
+	// close them; the flag keeps the per-shard ErrClosed contract (every
+	// Backend call on a closed shard fails, the siblings keep working), and
+	// the files close with the group. The group's own work on the heap —
+	// replay, Checkpoint, EvacuateSegment — ignores it.
+	closed atomic.Bool
 
 	fsys       vfs
 	dir        string // this shard's directory; holds the index checkpoint
@@ -84,7 +93,8 @@ const maintainEvery = 4096
 const logHeapDataStart = recordFrameSize + streamHdrSize + heapVersionDataStart
 
 var (
-	_ BucketStore = (*LogHeap)(nil)
+	_ Backend     = (*LogHeap)(nil)
+	_ LogBatcher  = (*LogHeap)(nil)
 	_ readEncoder = (*LogHeap)(nil)
 )
 
@@ -93,8 +103,9 @@ var (
 // under. The caller then replays own-stream records above the watermark
 // through replayRecord (via diskLog.openStreams) and finally attaches
 // the log.
-func newLogHeap(fsys vfs, dir string, stream uint32, numBuckets int) (*LogHeap, error) {
+func newLogHeap(fsys vfs, dir string, walStream, stream uint32, numBuckets int) (*LogHeap, error) {
 	lh := &LogHeap{
+		walStream:  walStream,
 		stream:     stream,
 		fsys:       fsys,
 		dir:        dir,
@@ -244,11 +255,20 @@ func (lh *LogHeap) recomputeRetainLocked() {
 	lh.retainFloor.Store(floor)
 }
 
+// checkOpen is every Backend call's guard: ErrClosed once the shard is
+// closed, else the log's fail-stop state.
+func (lh *LogHeap) checkOpen() error {
+	if lh.closed.Load() {
+		return ErrClosed
+	}
+	return lh.log.checkUsable()
+}
+
 // ---- BucketStore reads ----
 
 // NumBuckets implements BucketStore.
 func (lh *LogHeap) NumBuckets() (int, error) {
-	if err := lh.log.checkUsable(); err != nil {
+	if err := lh.checkOpen(); err != nil {
 		return 0, err
 	}
 	return lh.numBuckets, nil
@@ -263,7 +283,7 @@ func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(
 func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	if err := lh.log.checkUsable(); err != nil {
+	if err := lh.checkOpen(); err != nil {
 		return nil, err
 	}
 	return lh.ix.readSlots(refs, lh)
@@ -273,7 +293,7 @@ func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 func (lh *LogHeap) ReadBucket(bucket int) ([][]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	if err := lh.log.checkUsable(); err != nil {
+	if err := lh.checkOpen(); err != nil {
 		return nil, err
 	}
 	return lh.ix.readBucket(bucket, lh)
@@ -284,7 +304,7 @@ func (lh *LogHeap) ReadBucket(bucket int) ([][]byte, error) {
 func (lh *LogHeap) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	if err := lh.log.checkUsable(); err != nil {
+	if err := lh.checkOpen(); err != nil {
 		return dst, err
 	}
 	return lh.ix.encodeSlots(dst, refs, lh)
@@ -294,7 +314,7 @@ func (lh *LogHeap) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 func (lh *LogHeap) encodeBucket(dst []byte, bucket int) ([]byte, error) {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
-	if err := lh.log.checkUsable(); err != nil {
+	if err := lh.checkOpen(); err != nil {
 		return dst, err
 	}
 	return lh.ix.encodeBucket(dst, bucket, lh)
@@ -332,6 +352,9 @@ func (lh *LogHeap) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 	lh.mu.Lock()
 	defer lh.mu.Unlock()
+	if err := lh.checkOpen(); err != nil {
+		return err
+	}
 	for _, w := range writes {
 		if err := lh.ix.checkWrite(w.Bucket, w.Epoch); err != nil {
 			return err
@@ -367,11 +390,11 @@ func (lh *LogHeap) CommitEpoch(epoch uint64) error {
 	return nil
 }
 
-// CommitEpochNoSync implements EpochCommitBatcher: the commit record is
-// appended and applied but its durability rides the caller's next SyncLog —
-// the proxy's round barrier, where N shards' commits and the coordinator's
-// committing checkpoint all stand on one fsync.
-func (lh *LogHeap) CommitEpochNoSync(epoch uint64) error {
+// commitEpochNoSync is logHeapShard's CommitEpochNoSync: the commit record
+// is appended and applied but its durability rides the caller's next
+// SyncLog — the proxy's round barrier, where N shards' commits and the
+// coordinator's committing checkpoint all stand on one fsync.
+func (lh *LogHeap) commitEpochNoSync(epoch uint64) error {
 	if err := lh.appendEpochRecord(heapKindCommit, epoch); err != nil {
 		return err
 	}
@@ -398,7 +421,7 @@ func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) error {
 	defer lh.commitMu.Unlock()
 	lh.mu.Lock()
 	defer lh.mu.Unlock()
-	if err := lh.log.checkUsable(); err != nil {
+	if err := lh.checkOpen(); err != nil {
 		return err
 	}
 	if kind == heapKindRollback || epoch > lh.ix.committed {
@@ -445,6 +468,85 @@ func (lh *LogHeap) VersionCount(bucket int) int {
 	lh.mu.RLock()
 	defer lh.mu.RUnlock()
 	return lh.ix.count(bucket)
+}
+
+// ---- LogStore, LogBatcher and KVStore ----
+
+// Append implements LogStore: the record joins the shard's WAL stream and
+// stands on a barrier, run outside the log's lock, so every stream's
+// barrier waits on the same frontier and coalesces.
+func (lh *LogHeap) Append(record []byte) (uint64, error) {
+	if err := lh.checkOpen(); err != nil {
+		return 0, err
+	}
+	seq, phys, err := lh.log.appendStream(lh.walStream, record)
+	if err != nil {
+		return 0, err
+	}
+	if err := lh.log.barrier(phys); err != nil {
+		return 0, err
+	}
+	return seq, nil
+}
+
+// Scan implements LogStore.
+func (lh *LogHeap) Scan(from uint64) ([][]byte, error) {
+	if err := lh.checkOpen(); err != nil {
+		return nil, err
+	}
+	return lh.log.scanStream(lh.walStream, from)
+}
+
+// Truncate implements LogStore.
+func (lh *LogHeap) Truncate(before uint64) error {
+	if err := lh.checkOpen(); err != nil {
+		return err
+	}
+	return lh.log.truncateStream(lh.walStream, before)
+}
+
+// LastSeq implements LogStore.
+func (lh *LogHeap) LastSeq() (uint64, error) {
+	if err := lh.checkOpen(); err != nil {
+		return 0, err
+	}
+	return lh.log.streamLast(lh.walStream)
+}
+
+// AppendNoSync and SyncLog implement LogBatcher, where the one log earns
+// its keep: shards append back to back, the first SyncLog's lone fsync
+// covers the whole round — every stream's deferred records, on one wave —
+// and the other shards' SyncLogs ride it or find it landed.
+func (lh *LogHeap) AppendNoSync(record []byte) (uint64, error) {
+	if err := lh.checkOpen(); err != nil {
+		return 0, err
+	}
+	seq, _, err := lh.log.appendStream(lh.walStream, record)
+	return seq, err
+}
+func (lh *LogHeap) SyncLog() error {
+	if err := lh.checkOpen(); err != nil {
+		return err
+	}
+	return lh.log.syncLog()
+}
+
+// Get, Put and Delete implement KVStore: a shard keeps no namespace.
+func (lh *LogHeap) Get(string) ([]byte, bool, error) { return nil, false, lh.noKV() }
+func (lh *LogHeap) Put(string, []byte) error         { return lh.noKV() }
+func (lh *LogHeap) Delete(string) error              { return lh.noKV() }
+
+func (lh *LogHeap) noKV() error {
+	if err := lh.checkOpen(); err != nil {
+		return err
+	}
+	return ErrNoKV
+}
+
+// Close closes the shard logically (see closed).
+func (lh *LogHeap) Close() error {
+	lh.closed.Store(true)
+	return nil
 }
 
 // ---- index checkpoint ----

@@ -117,7 +117,7 @@ func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle)
 			// Checkpoint over the rolled-back garbage: the snapshot must
 			// reflect the reverted index, and replay above its watermark
 			// must not resurrect epoch 3.
-			if g.heaps[0].Checkpoint() != nil {
+			if g.shards[0].Checkpoint() != nil {
 				return
 			}
 			continue
@@ -146,7 +146,7 @@ func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle)
 			// Checkpoint every shard with committed and superseded versions
 			// in the index: the atomic replace (write tmp, fsync, rename,
 			// dir sync) is swept window by window.
-			for _, lh := range g.heaps {
+			for _, lh := range g.shards {
 				if lh.Checkpoint() != nil {
 					return
 				}
@@ -173,12 +173,12 @@ func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle)
 			// between any two of those steps.
 			if segs := g.log.segs; len(segs) > 1 {
 				base := segs[0].base
-				for _, lh := range g.heaps {
+				for _, lh := range g.shards {
 					if _, err := lh.EvacuateSegment(base); err != nil {
 						return
 					}
 				}
-				for _, lh := range g.heaps {
+				for _, lh := range g.shards {
 					if lh.Checkpoint() != nil {
 						return
 					}
@@ -199,7 +199,7 @@ func verifyLogHeapRecovered(t *testing.T, snap *crashFS, oracles []*sweepOracle,
 		t.Fatalf("%s: recovered logheap group failed to open: %v", tag, err)
 	}
 	defer g.Close()
-	for i, v := range g.views {
+	for i, v := range g.shards {
 		verifyRecoveredState(t, v, oracles[i], strict, fmt.Sprintf("%s shard %d", tag, i))
 	}
 }

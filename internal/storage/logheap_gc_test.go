@@ -21,7 +21,7 @@ func TestEvacuateSegmentAllocatesPerPassNotPerVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lh, v := g.heaps[0], g.views[0]
+	lh, v := g.shards[0], g.shards[0]
 
 	slots := func(bucket int) [][]byte {
 		out := make([][]byte, slotsPer)
@@ -77,7 +77,7 @@ func TestEvacuateSegmentAllocatesPerPassNotPerVersion(t *testing.T) {
 	}
 	defer g.Close()
 	for b := 0; b < numBuckets; b++ {
-		got, err := g.views[0].ReadBucket(b)
+		got, err := g.shards[0].ReadBucket(b)
 		if err != nil {
 			t.Fatal(err)
 		}

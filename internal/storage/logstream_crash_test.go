@@ -134,7 +134,7 @@ func verifySharedGroupRecovered(t *testing.T, snap *crashFS, oracles []*sweepOra
 		t.Fatalf("%s: recovered group failed to open: %v", tag, err)
 	}
 	defer g.Close()
-	for i, v := range g.views {
+	for i, v := range g.shards {
 		verifyRecoveredState(t, v, oracles[i], strict, fmt.Sprintf("%s shard %d", tag, i))
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // Unit tests for the log's streams: isolation, the open-time demux,
 // truncation floors, deferred barriers, and torn-tail recovery, each driven
-// through the GroupShard methods the proxy calls. They run on the crashFS
+// through the LogHeap methods the proxy calls. They run on the crashFS
 // vfs so durability (what a power loss keeps) is modeled exactly.
 
 // openLogAt opens a group's physical log alone in dir (a fresh one holds 8
@@ -83,16 +83,16 @@ func logRecords(t *testing.T, l *diskLog, from uint64) []string {
 // openStreamGroup opens an n-shard group in fsys's "data" dir (8 buckets,
 // serial, no background maintenance; segMaxBytes 0 keeps the default) and
 // returns it with its shards.
-func openStreamGroup(t *testing.T, fsys vfs, n int, segMaxBytes int64) (*DiskGroup, []*GroupShard) {
+func openStreamGroup(t *testing.T, fsys vfs, n int, segMaxBytes int64) (*DiskGroup, []*LogHeap) {
 	t.Helper()
 	g, err := openDiskGroupOpts(fsys, "data", n, 8, diskOpts{workers: 1, segMaxBytes: segMaxBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, g.views
+	return g, g.shards
 }
 
-func scanStrings(t *testing.T, s *GroupShard, from uint64) []string {
+func scanStrings(t *testing.T, s *LogHeap, from uint64) []string {
 	t.Helper()
 	recs, err := s.Scan(from)
 	if err != nil {
@@ -435,7 +435,7 @@ func TestLogStreamConcurrentCrashOrder(t *testing.T) {
 	var acked, truncated [shards]atomic.Int64
 	var progress atomic.Int64
 	var wg sync.WaitGroup
-	for i, s := range g.views {
+	for i, s := range g.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -522,7 +522,7 @@ func TestLogStreamConcurrentCrashOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot %d: reopen: %v", c, err)
 		}
-		for i, s := range rg.views {
+		for i, s := range rg.shards {
 			recs := scanStrings(t, s, 0)
 			first, last := 0, 0
 			for k, r := range recs {

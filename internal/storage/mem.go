@@ -2,10 +2,23 @@ package storage
 
 import "sync"
 
-// MemBackend is an in-memory Backend. It is the reference implementation that
-// both the in-process benchmarks and the TCP storage server build on, and the
-// one store that keeps the key-value namespace.
+// MemBackend is an in-memory Backend: a handle on a shared in-memory store,
+// plus a fence token. It is the reference implementation that both the
+// in-process benchmarks and the TCP storage server build on, and the one
+// store that keeps the key-value namespace.
 type MemBackend struct {
+	*memStore
+	// token is the handle's proxy generation (see Fenceable): 0, never
+	// fenced, for NewMemBackend's handle; AcquireFence's token for the
+	// handle it returns.
+	token uint64
+	// released marks this handle closed (guarded by mu). Closing the raw
+	// handle closes the store instead, under every handle.
+	released bool
+}
+
+// memStore is what every handle on one in-memory store shares.
+type memStore struct {
 	mu     sync.RWMutex
 	closed bool
 	ix     versionIndex // the bucket tree; every version mirrored
@@ -23,20 +36,33 @@ var (
 )
 
 // NewMemBackend creates a backend with numBuckets buckets, none of them
-// written yet; the ORAM client initializes them explicitly.
+// written yet; the ORAM client initializes them explicitly. It returns the
+// store's raw handle, whose token is 0.
 func NewMemBackend(numBuckets int) *MemBackend {
-	return &MemBackend{
+	return &MemBackend{memStore: &memStore{
 		ix:      newVersionIndex(numBuckets, 0),
 		kv:      make(map[string][]byte),
 		logBase: 1,
-	}
+	}}
 }
 
+// checkOpen is every call's guard (mu held): ErrClosed once the store or
+// this handle is closed.
 func (m *MemBackend) checkOpen() error {
-	if m.closed {
+	if m.closed || m.released {
 		return ErrClosed
 	}
 	return nil
+}
+
+// checkWrite is a mutation's guard (mu held): checkOpen, then ErrFenced
+// once a newer AcquireFence has superseded the handle's token. Reads stay
+// unfenced.
+func (m *MemBackend) checkWrite() error {
+	if err := m.checkOpen(); err != nil {
+		return err
+	}
+	return m.fence.check(m.token)
 }
 
 // ReadSlot implements BucketStore.
@@ -93,7 +119,7 @@ func (m *MemBackend) WriteBucket(bucket int, epoch uint64, slots [][]byte) error
 func (m *MemBackend) WriteBuckets(writes []BucketWrite) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkOpen(); err != nil {
+	if err := m.checkWrite(); err != nil {
 		return err
 	}
 	for _, w := range writes {
@@ -108,7 +134,7 @@ func (m *MemBackend) WriteBuckets(writes []BucketWrite) error {
 func (m *MemBackend) CommitEpoch(epoch uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkOpen(); err != nil {
+	if err := m.checkWrite(); err != nil {
 		return err
 	}
 	m.ix.commit(epoch)
@@ -119,7 +145,7 @@ func (m *MemBackend) CommitEpoch(epoch uint64) error {
 func (m *MemBackend) RollbackTo(epoch uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkOpen(); err != nil {
+	if err := m.checkWrite(); err != nil {
 		return err
 	}
 	m.ix.rollback(epoch)
@@ -166,7 +192,7 @@ func (m *MemBackend) Get(key string) ([]byte, bool, error) {
 func (m *MemBackend) Put(key string, value []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkOpen(); err != nil {
+	if err := m.checkWrite(); err != nil {
 		return err
 	}
 	m.kv[key] = value
@@ -177,7 +203,7 @@ func (m *MemBackend) Put(key string, value []byte) error {
 func (m *MemBackend) Delete(key string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkOpen(); err != nil {
+	if err := m.checkWrite(); err != nil {
 		return err
 	}
 	delete(m.kv, key)
@@ -188,7 +214,7 @@ func (m *MemBackend) Delete(key string) error {
 func (m *MemBackend) Append(record []byte) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkOpen(); err != nil {
+	if err := m.checkWrite(); err != nil {
 		return 0, err
 	}
 	m.log = append(m.log, record)
@@ -218,7 +244,7 @@ func (m *MemBackend) Scan(from uint64) ([][]byte, error) {
 func (m *MemBackend) Truncate(before uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkOpen(); err != nil {
+	if err := m.checkWrite(); err != nil {
 		return err
 	}
 	if before <= m.logBase {
@@ -243,10 +269,16 @@ func (m *MemBackend) LastSeq() (uint64, error) {
 	return m.logBase + uint64(len(m.log)) - 1, nil
 }
 
-// Close implements Backend.
+// Close implements Backend. The raw handle's Close closes the store; a
+// fence handle's closes that handle only: the fenced-out generation tearing
+// itself down must not take the store away from the generation that owns it.
 func (m *MemBackend) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.closed = true
+	if m.token == 0 {
+		m.closed = true
+	} else {
+		m.released = true
+	}
 	return nil
 }

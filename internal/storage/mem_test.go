@@ -373,12 +373,12 @@ func TestCommitRetiresWhatTheEpochWrote(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer g.Close()
-		run(t, g.views[0], func() int { return len(g.heaps[0].ix.multi) })
+		run(t, g.shards[0], func() int { return len(g.shards[0].ix.multi) })
 	})
 	t.Run("disk", func(t *testing.T) {
 		b := openDisk(t, t.TempDir(), numBuckets)
 		defer b.Close()
-		run(t, b, func() int { return len(b.heap.ix.multi) })
+		run(t, b, func() int { return len(b.LogHeap.ix.multi) })
 	})
 }
 

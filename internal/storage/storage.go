@@ -29,7 +29,7 @@ var (
 	// ErrClosed is returned by operations on a closed backend.
 	ErrClosed = errors.New("storage: backend closed")
 	// ErrFenced is returned for mutating operations issued through a fence
-	// view whose generation has been superseded (see Fenceable): a newer
+	// handle whose generation has been superseded (see Fenceable): a newer
 	// proxy generation owns the store, and the older generation must
 	// fail-stop rather than corrupt the log or bucket tree it no longer owns.
 	ErrFenced = errors.New("storage: fenced: a newer proxy generation owns this store")
@@ -120,9 +120,10 @@ type BucketStore interface {
 
 // KVStore is the plain (non-oblivious) key-value namespace used by the
 // NoPriv and TwoPL baselines. Obladi itself never calls it. MemBackend keeps
-// one, and so do the wrappers over it (Latency, its fence views) and a Server
-// serving it to a Client; a DiskGroup's shards keep none and fail every call
-// with ErrNoKV (or, once the group's log is wedged, its error).
+// one, shared by every handle on its store, and so do the Latency wrapper
+// over it and a Server serving it to a Client; a DiskGroup's shards (LogHeap)
+// keep none and fail every call with ErrNoKV (or, once the shard is closed or
+// the group's log wedged, that error).
 type KVStore interface {
 	Get(key string) (value []byte, found bool, err error)
 	Put(key string, value []byte) error
@@ -193,14 +194,16 @@ type EpochCommitBatcher interface {
 // what lets a promoted standby (internal/replica) revoke a primary that may
 // still be running. AcquireFence registers a new proxy generation with the
 // store: the returned token is strictly greater than every token issued
-// before, and the returned view is bound to it. Mutating operations (bucket writes, epoch commit/rollback, log
-// append/truncate, KV writes) issued through a view whose token has been
+// before, and the returned handle is bound to it: another MemBackend on the
+// same store, or the Client whose connection the server bound it to.
+// Mutating operations (bucket writes, epoch commit/rollback, log
+// append/truncate, KV writes) issued through a handle whose token has been
 // superseded fail with ErrFenced; reads stay unfenced (the store is untrusted
 // and readable by anyone holding the wire anyway).
 //
 // The contract is the standard fencing one: an operation concurrent with an
 // AcquireFence may be admitted as if it preceded the acquisition, but every
-// mutating operation STARTED after AcquireFence returns on a stale view
+// mutating operation STARTED after AcquireFence returns on a stale handle
 // fails. A promoted standby therefore acquires its fence first and only then
 // recovers — its log scan observes anything a zombie primary slipped in
 // before the fence, and anything after it fails loudly (the proxy
@@ -237,7 +240,7 @@ func checkBucket(bucket, n int) error {
 }
 
 // FenceAll acquires a new proxy generation on every Fenceable backend of a
-// sharded deployment and returns the views to run through; a backend without
+// sharded deployment and returns the handles to run through; a backend without
 // the capability is returned as is. Any failure is returned: falling back to
 // the raw handle, whose token is 0, would leave a proxy no later generation
 // can revoke.

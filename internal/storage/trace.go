@@ -204,9 +204,9 @@ func (c *InvariantChecker) ReadSlots(refs []SlotRef) ([][]byte, error) {
 }
 
 func (c *InvariantChecker) ReadBucket(bucket int) ([][]byte, error) {
-	// Full-bucket reads only occur during recovery or initialization; they
-	// reveal nothing beyond the write that must follow, so they reset the
-	// bucket's read-set like a write does.
+	// No product path reads a whole bucket (recovery's load uses
+	// ReadSlots); a full-bucket read stands for a rewrite of the bucket, so
+	// it resets the bucket's read-set like a write does.
 	c.mu.Lock()
 	delete(c.readSlots, bucket)
 	c.mu.Unlock()
