@@ -1,6 +1,5 @@
 // Command obladi-storage runs the untrusted cloud storage server: an ORAM
-// bucket tree with shadow paging, the recovery log, and a plain KV namespace
-// for the NoPriv baseline, served over TCP.
+// bucket tree with shadow paging and the recovery log, served over TCP.
 //
 // The server stores only ciphertext and padded, encrypted log records; it
 // learns nothing about the workload beyond Obladi's fixed batch schedule.

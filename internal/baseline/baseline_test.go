@@ -14,17 +14,20 @@ import (
 
 // engines returns constructors for both baselines, so every test runs
 // against each.
-func engines() map[string]func(storage.KVStore) kvtxn.DB {
-	return map[string]func(storage.KVStore) kvtxn.DB{
-		"nopriv": func(s storage.KVStore) kvtxn.DB { return NewNoPriv(s) },
-		"twopl":  func(s storage.KVStore) kvtxn.DB { return NewTwoPL(s) },
+func engines() map[string]func(Store) kvtxn.DB {
+	return map[string]func(Store) kvtxn.DB{
+		"nopriv": func(s Store) kvtxn.DB { return NewNoPriv(s) },
+		"twopl":  func(s Store) kvtxn.DB { return NewTwoPL(s) },
 	}
 }
+
+// memStore returns an unpaced store.
+func memStore() *MemStore { return NewMemStore(storage.ProfileDummy) }
 
 func TestBasicCommit(t *testing.T) {
 	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
-			db := mk(storage.NewMemBackend(0))
+			db := mk(memStore())
 			defer db.Close()
 			tx := db.Begin()
 			if err := tx.Write("k", []byte("v")); err != nil {
@@ -48,7 +51,7 @@ func TestBasicCommit(t *testing.T) {
 func TestReadYourWrites(t *testing.T) {
 	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
-			db := mk(storage.NewMemBackend(0))
+			db := mk(memStore())
 			defer db.Close()
 			tx := db.Begin()
 			must(t, tx.Write("k", []byte("mine")))
@@ -64,7 +67,7 @@ func TestReadYourWrites(t *testing.T) {
 func TestAbortRollsBack(t *testing.T) {
 	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
-			db := mk(storage.NewMemBackend(0))
+			db := mk(memStore())
 			defer db.Close()
 			setup := db.Begin()
 			must(t, setup.Write("k", []byte("original")))
@@ -90,7 +93,7 @@ func TestAbortRollsBack(t *testing.T) {
 func TestDelete(t *testing.T) {
 	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
-			db := mk(storage.NewMemBackend(0))
+			db := mk(memStore())
 			defer db.Close()
 			tx := db.Begin()
 			must(t, tx.Write("k", []byte("v")))
@@ -111,7 +114,7 @@ func TestDelete(t *testing.T) {
 func TestReadMany(t *testing.T) {
 	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
-			db := mk(storage.NewMemBackend(0))
+			db := mk(memStore())
 			defer db.Close()
 			setup := db.Begin()
 			for i := 0; i < 5; i++ {
@@ -138,7 +141,7 @@ func TestReadMany(t *testing.T) {
 }
 
 func TestNoPrivUncommittedVisibleAndCascade(t *testing.T) {
-	db := NewNoPriv(storage.NewMemBackend(0))
+	db := NewNoPriv(memStore())
 	defer db.Close()
 	t1 := db.Begin()
 	must(t, t1.Write("a", []byte("from-t1")))
@@ -154,7 +157,7 @@ func TestNoPrivUncommittedVisibleAndCascade(t *testing.T) {
 }
 
 func TestNoPrivCommitWaitsForDependency(t *testing.T) {
-	db := NewNoPriv(storage.NewMemBackend(0))
+	db := NewNoPriv(memStore())
 	defer db.Close()
 	t1 := db.Begin()
 	must(t, t1.Write("a", []byte("x")))
@@ -176,7 +179,7 @@ func TestNoPrivCommitWaitsForDependency(t *testing.T) {
 }
 
 func TestNoPrivConflictAbort(t *testing.T) {
-	db := NewNoPriv(storage.NewMemBackend(0))
+	db := NewNoPriv(memStore())
 	defer db.Close()
 	setup := db.Begin()
 	must(t, setup.Write("d", []byte("d0")))
@@ -193,7 +196,7 @@ func TestNoPrivConflictAbort(t *testing.T) {
 }
 
 func TestTwoPLWaitDie(t *testing.T) {
-	db := NewTwoPL(storage.NewMemBackend(0))
+	db := NewTwoPL(memStore())
 	defer db.Close()
 	older := db.Begin() // smaller ts
 	younger := db.Begin()
@@ -207,7 +210,7 @@ func TestTwoPLWaitDie(t *testing.T) {
 }
 
 func TestTwoPLOlderWaits(t *testing.T) {
-	db := NewTwoPL(storage.NewMemBackend(0))
+	db := NewTwoPL(memStore())
 	defer db.Close()
 	older := db.Begin()
 	younger := db.Begin()
@@ -227,7 +230,7 @@ func TestTwoPLOlderWaits(t *testing.T) {
 }
 
 func TestTwoPLSharedReaders(t *testing.T) {
-	db := NewTwoPL(storage.NewMemBackend(0))
+	db := NewTwoPL(memStore())
 	defer db.Close()
 	setup := db.Begin()
 	must(t, setup.Write("k", []byte("v")))
@@ -245,7 +248,7 @@ func TestTwoPLSharedReaders(t *testing.T) {
 }
 
 func TestTwoPLLockUpgrade(t *testing.T) {
-	db := NewTwoPL(storage.NewMemBackend(0))
+	db := NewTwoPL(memStore())
 	defer db.Close()
 	setup := db.Begin()
 	must(t, setup.Write("k", []byte("v")))
@@ -265,7 +268,7 @@ func TestTwoPLLockUpgrade(t *testing.T) {
 func TestEnginesConcurrentCorrectness(t *testing.T) {
 	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
-			db := mk(storage.NewMemBackend(0))
+			db := mk(memStore())
 			defer db.Close()
 			setup := db.Begin()
 			must(t, setup.Write("counter", []byte{0}))
@@ -320,9 +323,9 @@ func must(t *testing.T, err error) {
 	}
 }
 
-// keyStore is a KVStore that records the keys it is handed to keep.
+// keyStore is a Store that records the keys it is handed to keep.
 type keyStore struct {
-	storage.KVStore
+	Store
 	mu   sync.Mutex
 	kept []string
 }
@@ -331,7 +334,7 @@ func (s *keyStore) Put(key string, value []byte) error {
 	s.mu.Lock()
 	s.kept = append(s.kept, key)
 	s.mu.Unlock()
-	return s.KVStore.Put(key, value)
+	return s.Store.Put(key, value)
 }
 
 // TestEnginesKeepTheirOwnKeys writes, deletes and reads through keys that
@@ -341,7 +344,7 @@ func (s *keyStore) Put(key string, value []byte) error {
 func TestEnginesKeepTheirOwnKeys(t *testing.T) {
 	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
-			store := &keyStore{KVStore: storage.NewMemBackend(0)}
+			store := &keyStore{Store: memStore()}
 			db := mk(store)
 			defer db.Close()
 			scratch := make([]byte, 0, 256)

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"obladi/internal/kvtxn"
-	"obladi/internal/storage"
 )
 
 // ErrAborted wraps kvtxn.ErrAborted for baseline engines.
@@ -51,7 +50,7 @@ type npChain struct {
 type NoPriv struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	store  storage.KVStore
+	store  Store
 	nextTS uint64
 	chains map[string]*npChain
 	txns   map[uint64]*npTxn
@@ -60,8 +59,9 @@ type NoPriv struct {
 
 var _ kvtxn.DB = (*NoPriv)(nil)
 
-// NewNoPriv creates the baseline over a (typically latency-wrapped) store.
-func NewNoPriv(store storage.KVStore) *NoPriv {
+// NewNoPriv creates the baseline over store, typically a MemStore paced by
+// the figure's storage.Profile.
+func NewNoPriv(store Store) *NoPriv {
 	n := &NoPriv{
 		store:  store,
 		chains: make(map[string]*npChain),

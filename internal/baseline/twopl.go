@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"obladi/internal/kvtxn"
-	"obladi/internal/storage"
 )
 
 // TwoPL is the "MySQL-like" baseline: strict two-phase locking with
@@ -16,7 +15,7 @@ import (
 type TwoPL struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	store  storage.KVStore
+	store  Store
 	nextTS uint64
 	locks  map[string]*lockState
 	closed bool
@@ -35,8 +34,9 @@ type lockState struct {
 	exclusiveHolder uint64
 }
 
-// NewTwoPL creates the 2PL baseline over a (typically latency-wrapped) store.
-func NewTwoPL(store storage.KVStore) *TwoPL {
+// NewTwoPL creates the 2PL baseline over store, typically a MemStore paced by
+// the figure's storage.Profile.
+func NewTwoPL(store Store) *TwoPL {
 	d := &TwoPL{
 		store: store,
 		locks: make(map[string]*lockState),

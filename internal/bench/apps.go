@@ -202,11 +202,9 @@ func buildEngine(cfg Config, es engineSpec, as appSpec, batchInterval time.Durat
 		}
 		return &appEngine{name: es.name, db: kvtxn.ProxyDB{P: proxy}}, nil
 	case "nopriv":
-		store := storage.WithLatency(storage.NewMemBackend(0), prof)
-		return &appEngine{name: es.name, db: baseline.NewNoPriv(store)}, nil
+		return &appEngine{name: es.name, db: baseline.NewNoPriv(baseline.NewMemStore(prof))}, nil
 	case "mysql":
-		store := storage.WithLatency(storage.NewMemBackend(0), prof)
-		return &appEngine{name: es.name, db: baseline.NewTwoPL(store)}, nil
+		return &appEngine{name: es.name, db: baseline.NewTwoPL(baseline.NewMemStore(prof))}, nil
 	}
 	return nil, fmt.Errorf("bench: unknown engine kind %q", es.kind)
 }

@@ -88,6 +88,31 @@ func TestPrintFormatsRows(t *testing.T) {
 	}
 }
 
+// TestFig9aShape: the non-private baselines skip the epoch wait and the ORAM
+// both, so on every application NoPriv and MySQL commit at least twice
+// Obladi's transactions per second. NoPriv is not asserted against MySQL:
+// on Smallbank the two trade places from run to run.
+func TestFig9aShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	rows, err := Fig9a(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := index(rows)
+	for _, as := range appSpecs(quickCfg()) {
+		obladi := tb.get(t, "Obladi", as.name)
+		for _, series := range []string{"NoPriv", "MySQL"} {
+			v := tb.get(t, series, as.name)
+			t.Logf("%s: %s %.0f txn/s, %.1f× Obladi's %.0f", as.name, series, v, v/obladi, obladi)
+			if v < 2*obladi {
+				t.Errorf("%s: %s commits %.0f txn/s, under twice Obladi's %.0f", as.name, series, v, obladi)
+			}
+		}
+	}
+}
+
 // TestFig10aShape: the parallel executor's batch crosses storage in a few
 // vectored calls where the sequential client pays one per slot and bucket,
 // and encryption leaves the call and slot trace exactly as it was.

@@ -153,10 +153,10 @@ func (w wireDB) Close() error {
 	return err
 }
 
-// Baselines returns the NoPriv and 2PL engines over memory storage.
+// Baselines returns the NoPriv and 2PL engines over unpaced memory stores.
 func Baselines() []Engine {
 	return []Engine{
-		{Name: "nopriv", DB: baseline.NewNoPriv(storage.NewMemBackend(0))},
-		{Name: "twopl", DB: baseline.NewTwoPL(storage.NewMemBackend(0))},
+		{Name: "nopriv", DB: baseline.NewNoPriv(baseline.NewMemStore(storage.ProfileDummy))},
+		{Name: "twopl", DB: baseline.NewTwoPL(baseline.NewMemStore(storage.ProfileDummy))},
 	}
 }

@@ -721,10 +721,3 @@ func (c *Client) GetPMH() error {
 	}
 	return tx.Commit()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -38,8 +38,6 @@ func TestMemFence(t *testing.T) {
 			"bucket writes": v.WriteBuckets([]BucketWrite{{Bucket: 1, Epoch: 1, Slots: [][]byte{{1}}}}),
 			"commit":        v.CommitEpoch(1),
 			"rollback":      v.RollbackTo(0),
-			"put":           v.Put("k", []byte("v")),
-			"delete":        v.Delete("k"),
 			"truncate":      v.Truncate(1),
 		} {
 			if !errors.Is(err, ErrFenced) {

@@ -61,6 +61,38 @@ func (p Profile) Scaled(factor float64) Profile {
 	return q
 }
 
+// Pacer paces the calls to a modelled remote store: each call holds one of
+// at most MaxConcurrent request slots and waits out its delay before it
+// reaches the store. Latency paces the ORAM's store through one; the
+// baselines' key-value store (internal/baseline) paces its calls through
+// another.
+type Pacer struct {
+	slots chan struct{} // nil when unlimited
+}
+
+// NewPacer returns a Pacer admitting at most maxConcurrent calls at once
+// (0 means unlimited).
+func NewPacer(maxConcurrent int) *Pacer {
+	p := &Pacer{}
+	if maxConcurrent > 0 {
+		p.slots = make(chan struct{}, maxConcurrent)
+	}
+	return p
+}
+
+// Pace takes a request slot and waits d. The call it paces runs next, still
+// holding the slot, which the returned release frees: a paced method opens
+// with defer p.Pace(d)().
+func (p *Pacer) Pace(d time.Duration) (release func()) {
+	release = func() {}
+	if p.slots != nil {
+		p.slots <- struct{}{}
+		release = func() { <-p.slots }
+	}
+	delay(d)
+	return release
+}
+
 // Latency wraps a Backend, injecting the profile's per-operation latency and
 // concurrency cap. Sleeps happen outside the inner backend's locks, so
 // independent operations overlap exactly as they would against a remote
@@ -68,8 +100,8 @@ func (p Profile) Scaled(factor float64) Profile {
 type Latency struct {
 	inner  Backend
 	prof   Profile
-	slots  chan struct{} // nil when unlimited
-	closed atomic.Bool   // set by Close: over an inner without LogBatcher, SyncLog has no call that could fail
+	pace   *Pacer
+	closed atomic.Bool // set by Close: over an inner without LogBatcher, SyncLog has no call that could fail
 }
 
 var (
@@ -79,23 +111,11 @@ var (
 
 // WithLatency wraps inner with the given profile.
 func WithLatency(inner Backend, prof Profile) *Latency {
-	l := &Latency{inner: inner, prof: prof}
-	if prof.MaxConcurrent > 0 {
-		l.slots = make(chan struct{}, prof.MaxConcurrent)
-	}
-	return l
+	return &Latency{inner: inner, prof: prof, pace: NewPacer(prof.MaxConcurrent)}
 }
 
 // Profile returns the wrapper's profile.
 func (l *Latency) Profile() Profile { return l.prof }
-
-func (l *Latency) acquire() func() {
-	if l.slots == nil {
-		return func() {}
-	}
-	l.slots <- struct{}{}
-	return func() { <-l.slots }
-}
 
 // sleepGranularity is the portion of a delay left to a calibrated
 // spin-wait: time.Sleep on stock Linux kernels rounds small sleeps up to
@@ -103,7 +123,9 @@ func (l *Latency) acquire() func() {
 // "server" (0.3ms) and "server WAN" (10ms) profiles.
 const sleepGranularity = 1500 * time.Microsecond
 
-func (l *Latency) delay(d time.Duration) {
+// delay waits d: a sleep for all but the last sleepGranularity, then a
+// spin-wait to the deadline.
+func delay(d time.Duration) {
 	if d <= 0 {
 		return
 	}
@@ -122,33 +144,25 @@ func (l *Latency) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(l
 // service time, occupying a single concurrency slot: the vectored call is
 // one request on the wire.
 func (l *Latency) ReadSlots(refs []SlotRef) ([][]byte, error) {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Read + time.Duration(len(refs))*l.prof.ReadPerSlot)
+	defer l.pace.Pace(l.prof.Read + time.Duration(len(refs))*l.prof.ReadPerSlot)()
 	return l.inner.ReadSlots(refs)
 }
 
 func (l *Latency) ReadBucket(bucket int) ([][]byte, error) {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Read)
+	defer l.pace.Pace(l.prof.Read)()
 	return l.inner.ReadBucket(bucket)
 }
 
 // encodeSlots serves ReadSlots to the storage server: same price, and the
 // reply is encoded under the inner store's lock when it has one.
 func (l *Latency) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Read + time.Duration(len(refs))*l.prof.ReadPerSlot)
+	defer l.pace.Pace(l.prof.Read + time.Duration(len(refs))*l.prof.ReadPerSlot)()
 	return encodeSlotsFrom(l.inner, dst, refs)
 }
 
 // encodeBucket serves ReadBucket to the storage server.
 func (l *Latency) encodeBucket(dst []byte, bucket int) ([]byte, error) {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Read)
+	defer l.pace.Pace(l.prof.Read)()
 	return encodeBucketFrom(l.inner, dst, bucket)
 }
 
@@ -159,23 +173,17 @@ func (l *Latency) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 // WriteBuckets charges one round trip for the whole write-back vector plus
 // per-bucket service time, occupying a single concurrency slot.
 func (l *Latency) WriteBuckets(writes []BucketWrite) error {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Write + time.Duration(len(writes))*l.prof.WritePerBucket)
+	defer l.pace.Pace(l.prof.Write + time.Duration(len(writes))*l.prof.WritePerBucket)()
 	return l.inner.WriteBuckets(writes)
 }
 
 func (l *Latency) CommitEpoch(epoch uint64) error {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Write)
+	defer l.pace.Pace(l.prof.Write)()
 	return l.inner.CommitEpoch(epoch)
 }
 
 func (l *Latency) RollbackTo(epoch uint64) error {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Write)
+	defer l.pace.Pace(l.prof.Write)()
 	return l.inner.RollbackTo(epoch)
 }
 
@@ -183,31 +191,14 @@ func (l *Latency) NumBuckets() (int, error) {
 	return l.inner.NumBuckets()
 }
 
-func (l *Latency) Get(key string) ([]byte, bool, error) {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Read)
-	return l.inner.Get(key)
-}
-
-func (l *Latency) Put(key string, value []byte) error {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Write)
-	return l.inner.Put(key, value)
-}
-
-func (l *Latency) Delete(key string) error {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Write)
-	return l.inner.Delete(key)
-}
+// Get, Put and Delete implement KVStore: no store keeps a namespace, so
+// they answer the inner store's refusal unpaced.
+func (l *Latency) Get(key string) ([]byte, bool, error) { return l.inner.Get(key) }
+func (l *Latency) Put(key string, value []byte) error   { return l.inner.Put(key, value) }
+func (l *Latency) Delete(key string) error              { return l.inner.Delete(key) }
 
 func (l *Latency) Append(record []byte) (uint64, error) {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Write)
+	defer l.pace.Pace(l.prof.Write)()
 	return l.inner.Append(record)
 }
 
@@ -223,9 +214,7 @@ func (l *Latency) AppendNoSync(record []byte) (uint64, error) {
 // SyncLog implements LogBatcher: the durability barrier is where the round
 // trip is paid.
 func (l *Latency) SyncLog() error {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Write)
+	defer l.pace.Pace(l.prof.Write)()
 	if lb, ok := l.inner.(LogBatcher); ok {
 		return lb.SyncLog()
 	}
@@ -236,23 +225,17 @@ func (l *Latency) SyncLog() error {
 }
 
 func (l *Latency) Scan(from uint64) ([][]byte, error) {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Read)
+	defer l.pace.Pace(l.prof.Read)()
 	return l.inner.Scan(from)
 }
 
 func (l *Latency) Truncate(before uint64) error {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Write)
+	defer l.pace.Pace(l.prof.Write)()
 	return l.inner.Truncate(before)
 }
 
 func (l *Latency) LastSeq() (uint64, error) {
-	release := l.acquire()
-	defer release()
-	l.delay(l.prof.Read)
+	defer l.pace.Pace(l.prof.Read)()
 	return l.inner.LastSeq()
 }
 

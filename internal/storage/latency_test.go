@@ -93,11 +93,6 @@ func TestProfilesOrder(t *testing.T) {
 func TestLatencyPassthrough(t *testing.T) {
 	inner := NewMemBackend(1)
 	l := WithLatency(inner, ProfileDummy)
-	must(t, l.Put("k", []byte("v")))
-	v, found, err := l.Get("k")
-	if err != nil || !found || string(v) != "v" {
-		t.Fatalf("Get through wrapper: %q %v %v", v, found, err)
-	}
 	seq, err := l.Append([]byte("r"))
 	if err != nil || seq != 1 {
 		t.Fatalf("Append through wrapper: %d %v", seq, err)

@@ -12,11 +12,10 @@ import (
 // LogHeap is one shard of a DiskGroup, as the proxy consumes it: a Backend
 // whose recovery log is its WAL stream on the group's physical log and whose
 // bucket heap is log-structured on the SAME log (a dedicated bucket-data
-// stream; see logStream). It keeps no key-value namespace (ErrNoKV). That is
-// the whole point of the design — an epoch's bucket commit record and the WAL
-// checkpoint that commits it land in one file, so the round's single
-// deferred-barrier fsync covers both: heap commit and log barrier share a
-// wave instead of each costing one.
+// stream; see logStream). That is the whole point of the design — an epoch's
+// bucket commit record and the WAL checkpoint that commits it land in one
+// file, so the round's single deferred-barrier fsync covers both: heap commit
+// and log barrier share a wave instead of each costing one.
 //
 // State is the version index every store keeps (versionIndex), each entry
 // locating a version record in the group's log. Nothing on disk is ever

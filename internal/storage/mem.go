@@ -4,8 +4,7 @@ import "sync"
 
 // MemBackend is an in-memory Backend: a handle on a shared in-memory store,
 // plus a fence token. It is the reference implementation that both the
-// in-process benchmarks and the TCP storage server build on, and the one
-// store that keeps the key-value namespace.
+// in-process benchmarks and the TCP storage server build on.
 type MemBackend struct {
 	*memStore
 	// token is the handle's proxy generation (see Fenceable): 0, never
@@ -22,7 +21,6 @@ type memStore struct {
 	mu     sync.RWMutex
 	closed bool
 	ix     versionIndex // the bucket tree; every version mirrored
-	kv     map[string][]byte
 
 	log     [][]byte
 	logBase uint64 // sequence number of log[0]
@@ -41,7 +39,6 @@ var (
 func NewMemBackend(numBuckets int) *MemBackend {
 	return &MemBackend{memStore: &memStore{
 		ix:      newVersionIndex(numBuckets, 0),
-		kv:      make(map[string][]byte),
 		logBase: 1,
 	}}
 }
@@ -177,37 +174,18 @@ func (m *MemBackend) VersionCount(bucket int) int {
 	return m.ix.count(bucket)
 }
 
-// Get implements KVStore.
-func (m *MemBackend) Get(key string) ([]byte, bool, error) {
+// Get, Put and Delete implement KVStore: the store keeps no namespace.
+func (m *MemBackend) Get(string) ([]byte, bool, error) { return nil, false, m.noKV() }
+func (m *MemBackend) Put(string, []byte) error         { return m.noKV() }
+func (m *MemBackend) Delete(string) error              { return m.noKV() }
+
+func (m *MemBackend) noKV() error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if err := m.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	v, ok := m.kv[key]
-	return v, ok, nil
-}
-
-// Put implements KVStore.
-func (m *MemBackend) Put(key string, value []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkWrite(); err != nil {
 		return err
 	}
-	m.kv[key] = value
-	return nil
-}
-
-// Delete implements KVStore.
-func (m *MemBackend) Delete(key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkWrite(); err != nil {
-		return err
-	}
-	delete(m.kv, key)
-	return nil
+	return ErrNoKV
 }
 
 // Append implements LogStore.

@@ -138,23 +138,6 @@ func TestMemBackendCommitGarbageCollects(t *testing.T) {
 	}
 }
 
-func TestMemBackendKV(t *testing.T) {
-	m := NewMemBackend(0)
-	if _, found, err := m.Get("missing"); err != nil || found {
-		t.Fatalf("Get(missing) = found=%v err=%v", found, err)
-	}
-	must(t, m.Put("k", []byte("v")))
-	v, found, err := m.Get("k")
-	if err != nil || !found || string(v) != "v" {
-		t.Fatalf("Get(k) = %q found=%v err=%v", v, found, err)
-	}
-	must(t, m.Delete("k"))
-	if _, found, _ := m.Get("k"); found {
-		t.Fatal("key survives Delete")
-	}
-	must(t, m.Delete("k")) // idempotent
-}
-
 func TestMemBackendLog(t *testing.T) {
 	m := NewMemBackend(0)
 	if last, err := m.LastSeq(); err != nil || last != 0 {

@@ -27,17 +27,19 @@ type wireOp uint8
 
 const (
 	// Ops 1 and 3 are reserved: they were the scalar slot read and bucket
-	// write, now vectors of one (wireReadSlots, wireWriteBuckets), and a
-	// server answers them as unknown ops.
+	// write, now vectors of one (wireReadSlots, wireWriteBuckets). Ops 7-9
+	// are too: they were the baselines' key-value get, put and delete, and
+	// no store keeps that namespace now. A server answers every reserved op
+	// as an unknown one.
 	_ wireOp = iota + 1
 	wireReadBucket
 	_
 	wireCommitEpoch
 	wireRollbackTo
 	wireNumBuckets
-	wireKVGet
-	wireKVPut
-	wireKVDelete
+	_
+	_
+	_
 	wireLogAppend
 	wireLogScan
 	wireLogTruncate
@@ -280,18 +282,18 @@ func (sc *serverConn) serve(fb *wire.Buf, hs *scratch) {
 func mutatingOp(op wireOp) bool {
 	switch op {
 	case wireWriteBuckets, wireCommitEpoch, wireRollbackTo,
-		wireKVPut, wireKVDelete, wireLogAppend, wireLogTruncate:
+		wireLogAppend, wireLogTruncate:
 		return true
 	}
 	return false
 }
 
 // handle executes one request. The payload may alias a pooled frame: bucket
-// writes reach the backend as views of it (a store copies what it keeps), the
-// recovery log and KV values as copies (copyBytes, str), so the caller may
-// release the frame as soon as handle returns. Read replies are encoded
-// through encodeSlotsFrom/encodeBucketFrom, under the store's read lock when
-// it reuses retired versions' bytes. Vectors decode into the worker's
+// writes reach the backend as views of it (a store copies what it keeps), log
+// records as copies (copyBytes), so the caller may release the frame as soon
+// as handle returns. Read replies are encoded through
+// encodeSlotsFrom/encodeBucketFrom, under the store's read lock when it
+// reuses retired versions' bytes. Vectors decode into the worker's
 // scratch hs, and the response is appended to out[:0].
 func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []byte) (byte, []byte) {
 	enc := encoder{buf: out[:0]}
@@ -380,38 +382,6 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 			return fail(err)
 		}
 		enc.u32(uint32(n))
-	case wireKVGet:
-		key := d.str()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		v, found, err := s.backend.Get(key)
-		if err != nil {
-			return fail(err)
-		}
-		if found {
-			enc.u8(1)
-			enc.bytes(v)
-		} else {
-			enc.u8(0)
-		}
-	case wireKVPut:
-		key := d.str()
-		val := d.copyBytes()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		if err := s.backend.Put(key, val); err != nil {
-			return fail(err)
-		}
-	case wireKVDelete:
-		key := d.str()
-		if d.err != nil {
-			return fail(d.err)
-		}
-		if err := s.backend.Delete(key); err != nil {
-			return fail(err)
-		}
 	case wireLogAppend:
 		rec := d.copyBytes()
 		if d.err != nil {
@@ -517,14 +487,11 @@ func (c *Client) call(op wireOp, pre, payload []byte) (*wire.Buf, error) {
 	}
 	msg := string(resp.Payload())
 	wire.Put(resp)
-	// Reconstruct the sentinels a caller acts on so errors.Is holds across
+	// Reconstruct the sentinel a caller acts on so errors.Is holds across
 	// the wire: a fenced-out proxy must be able to tell "I am a zombie" from
-	// an ordinary storage failure, and a baseline a store without a
-	// namespace from a lost write.
-	for _, sentinel := range [...]error{ErrFenced, ErrNoKV} {
-		if strings.HasPrefix(msg, sentinel.Error()) {
-			return nil, fmt.Errorf("%w: %w", ErrRemote, sentinel)
-		}
+	// an ordinary storage failure.
+	if strings.HasPrefix(msg, ErrFenced.Error()) {
+		return nil, fmt.Errorf("%w: %w", ErrRemote, ErrFenced)
 	}
 	return nil, fmt.Errorf("%w: %s", ErrRemote, msg)
 }
@@ -700,37 +667,18 @@ func (c *Client) NumBuckets() (int, error) {
 	return n, d.err
 }
 
-func (c *Client) Get(key string) ([]byte, bool, error) {
-	var enc encoder
-	enc.str(key)
-	resp, err := c.call(wireKVGet, nil, enc.buf)
-	if err != nil {
-		return nil, false, err
-	}
-	defer wire.Put(resp)
-	d := decoder{buf: resp.Payload()}
-	if d.u8() == 0 {
-		return nil, false, d.err
-	}
-	v := d.copyBytes()
-	return v, true, d.err
-}
+// Get, Put and Delete implement KVStore: the server keeps no namespace, so
+// the client refuses them without a call (ErrClosed once it is closed or its
+// connection lost).
+func (c *Client) Get(string) ([]byte, bool, error) { return nil, false, c.noKV() }
+func (c *Client) Put(string, []byte) error         { return c.noKV() }
+func (c *Client) Delete(string) error              { return c.noKV() }
 
-func (c *Client) Put(key string, value []byte) error {
-	var enc encoder
-	enc.str(key)
-	enc.bytes(value)
-	resp, err := c.call(wireKVPut, nil, enc.buf)
-	wire.Put(resp)
-	return err
-}
-
-func (c *Client) Delete(key string) error {
-	var enc encoder
-	enc.str(key)
-	resp, err := c.call(wireKVDelete, nil, enc.buf)
-	wire.Put(resp)
-	return err
+func (c *Client) noKV() error {
+	if err := c.wc.Err(); err != nil {
+		return lostErr(err)
+	}
+	return ErrNoKV
 }
 
 func (c *Client) Append(record []byte) (uint64, error) {
@@ -754,7 +702,6 @@ type encoder struct {
 	buf []byte
 }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
 func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 func (e *encoder) bytes(b []byte) {
@@ -782,11 +729,6 @@ func (e *encoder) bucket(bucket int, epoch uint64, slots [][]byte) {
 	}
 }
 
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
 // decoder parses wire payloads.
 type decoder struct {
 	buf []byte
@@ -809,14 +751,6 @@ func (d *decoder) take(n int) []byte {
 	b := d.buf[:n]
 	d.buf = d.buf[n:]
 	return b
-}
-
-func (d *decoder) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
 }
 
 func (d *decoder) u32() uint32 {
@@ -913,10 +847,4 @@ func (d *decoder) fields() [][]byte {
 		out[i] = arena[at:len(arena):len(arena)]
 	}
 	return out
-}
-
-func (d *decoder) str() string {
-	n := int(d.u32())
-	b := d.take(n)
-	return string(b)
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,8 +42,8 @@ type hostileFrame struct {
 // more than the payload holds; every strict prefix of two valid write frames
 // (the format is self-delimiting, so each of those is short); every strict
 // prefix of each mutation that carries one u64, and the same u64 with a byte
-// behind it (each value would change seededStore); and the two retired
-// scalar ops.
+// behind it (each value would change seededStore); and every reserved op,
+// carrying the payload its retired call sent.
 func hostileFrames() []hostileFrame {
 	oneBucket := encodeWriteBuckets([]BucketWrite{{Bucket: 1, Epoch: 1, Slots: [][]byte{[]byte("alpha"), {}, []byte("gamma")}}})
 	vector := encodeWriteBuckets([]BucketWrite{
@@ -69,6 +70,9 @@ func hostileFrames() []hostileFrame {
 		{"read-slots count one too many", wireReadSlots, cat(be32(2), be32(0), be32(0))},
 		{"retired scalar slot read", 1, cat(be32(0), be32(0))},
 		{"retired scalar bucket write", 3, oneBucket[4:]},
+		{"retired KV get", 7, cat(be32(1), []byte("k"))},
+		{"retired KV put", 8, cat(be32(1), []byte("k"), be32(1), []byte("v"))},
+		{"retired KV delete", 9, cat(be32(1), []byte("k"))},
 	}
 	for cut := 0; cut < len(oneBucket); cut++ {
 		frames = append(frames, hostileFrame{fmt.Sprintf("one-bucket write cut at %d", cut), wireWriteBuckets, oneBucket[:cut]})
@@ -174,22 +178,23 @@ func checkWellFormed(t *testing.T, op wireOp, resp []byte) {
 		d.u32()
 	case wireReadBucket, wireReadSlots, wireLogScan:
 		d.fields()
-	case wireKVGet:
-		if d.u8() == 1 {
-			d.view()
-		}
 	}
 	if d.err != nil || len(d.buf) != 0 {
 		t.Fatalf("op %d: malformed response %x (err %v, %d bytes left over)", op, resp, d.err, len(d.buf))
 	}
 }
 
+// reservedOps are the op numbers a server answers as unknown: the retired
+// scalar slot read (1) and bucket write (3), and the baselines' retired
+// key-value get, put and delete (7-9).
+var reservedOps = []wireOp{1, 3, 7, 8, 9}
+
 // FuzzServerHandle throws arbitrary requests at the server's handler over a
 // small seeded MemBackend: it must not panic, must answer with an error or a
-// well-formed response, a refused mutation must leave the store as it was,
-// and whatever a write leaves behind in the store must be sized by the
-// payload that carried it — one exact-length slab per version, no more bytes
-// than the frame had.
+// well-formed response, a refused mutation or a reserved op must leave the
+// store as it was and a reserved op be refused, and whatever a write leaves
+// behind in the store must be sized by the payload that carried it — one
+// exact-length slab per version, no more bytes than the frame had.
 func FuzzServerHandle(f *testing.F) {
 	for _, hf := range hostileFrames() {
 		f.Add(byte(hf.op), hf.payload)
@@ -206,8 +211,8 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add(byte(wireLogAppend), bytes.Join([][]byte{be32(3), []byte("rec")}, nil))
 	f.Add(byte(wireLogScan), make([]byte, 8))
 	f.Add(byte(wireLogScan), bytes.Repeat([]byte{0xb9}, 8)) // found by this fuzzer: a from past 2^63 panicked MemBackend.Scan
-	f.Add(byte(wireKVPut), bytes.Join([][]byte{be32(1), []byte("k"), be32(1), []byte("v")}, nil))
-	f.Add(byte(wireKVGet), bytes.Join([][]byte{be32(1), []byte("k")}, nil))
+	f.Add(byte(wireNumBuckets), []byte{})
+	f.Add(byte(wireLogLastSeq), []byte{})
 	f.Add(byte(wireFence), []byte{})
 	f.Add(byte(0), []byte{})
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
@@ -218,6 +223,14 @@ func FuzzServerHandle(f *testing.F) {
 		s := &Server{backend: mem}
 		var hs scratch
 		status, resp := s.handle(&connState{}, &hs, wireOp(op), payload, nil)
+		if slices.Contains(reservedOps, wireOp(op)) {
+			if status != statusErr {
+				t.Fatalf("reserved op %d answered %d: %x", op, status, resp)
+			}
+			if after := storeState(mem); after != before {
+				t.Fatalf("reserved op %d changed the store:\n%s\nto\n%s", op, before, after)
+			}
+		}
 		switch status {
 		case statusErr:
 			if len(resp) == 0 {
@@ -337,7 +350,7 @@ func TestRemoteWritesDoNotAliasPooledFrames(t *testing.T) {
 	}
 
 	// Unrelated traffic: garbage vectors as large as the real one (to other
-	// buckets), large and small values, log records, and reads of them.
+	// buckets), large and small log records, and reads of them.
 	junk := func(n int) []byte { return bytes.Repeat([]byte{0xee}, n) }
 	for round := 0; round < 40; round++ {
 		var garbage []BucketWrite
@@ -347,10 +360,11 @@ func TestRemoteWritesDoNotAliasPooledFrames(t *testing.T) {
 		if err := c.WriteBuckets(garbage); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Put("junk", junk(64<<10)); err != nil {
+		seq, err := c.Append(junk(64 << 10))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.Get("junk"); err != nil {
+		if _, err := c.Scan(seq); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Append(junk(300 + round)); err != nil {
@@ -426,7 +440,7 @@ func TestClientAppendSendsRecordInPlace(t *testing.T) {
 	}
 	var enc encoder // the encoding Append sent before it stopped copying
 	enc.u32(uint32(9 + 4 + len(record)))
-	enc.u8(uint8(wireLogAppend))
+	enc.buf = append(enc.buf, byte(wireLogAppend))
 	enc.u64(1)
 	enc.bytes(record)
 	if !bytes.Equal(frame, enc.buf) {
@@ -488,23 +502,23 @@ func oracleRequest(op wireOp, id uint64, payload []byte) []byte {
 
 // TestWireGoldenBytes requires the storage wire's bytes to be what they were
 // before it moved onto internal/wire: the client's requests (a u64 mutation,
-// a KV write, a bucket read) and the server's responses (a u32, a slot
-// vector, an error).
+// a log append — a length-prefixed mutation —, a bucket read) and the
+// server's responses (a u32, a slot vector, an error), the error also for
+// each reserved op of the baselines' retired key-value calls.
 func TestWireGoldenBytes(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	c := &Client{wc: wire.NewClient(cliConn, maxFrame, &bufs)}
 	defer c.Close()
 	slots := [][]byte{[]byte("alpha"), {}, []byte("gamma")}
-	var put, get encoder
-	put.str("key")
-	put.bytes([]byte("value"))
+	var app, get encoder
+	app.bytes([]byte("record"))
 	get.u32(5)
 	want := [][]byte{
 		oracleRequest(wireCommitEpoch, 1, binary.BigEndian.AppendUint64(nil, 0x0102030405060708)),
-		oracleRequest(wireKVPut, 2, put.buf),
+		oracleRequest(wireLogAppend, 2, app.buf),
 		oracleRequest(wireReadBucket, 3, get.buf),
 	}
-	replies := [][]byte{nil, nil, appendFields(nil, slots)}
+	replies := [][]byte{nil, binary.BigEndian.AppendUint64(nil, 9), appendFields(nil, slots)}
 	peer := make(chan error, 1)
 	go func() {
 		defer srvConn.Close()
@@ -529,8 +543,8 @@ func TestWireGoldenBytes(t *testing.T) {
 	if err := c.CommitEpoch(0x0102030405060708); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("key", []byte("value")); err != nil {
-		t.Fatal(err)
+	if seq, err := c.Append([]byte("record")); err != nil || seq != 9 {
+		t.Fatalf("Append = %d, %v", seq, err)
 	}
 	if got, err := c.ReadBucket(5); err != nil || len(got) != len(slots) {
 		t.Fatalf("ReadBucket = %q, %v", got, err)
@@ -556,6 +570,9 @@ func TestWireGoldenBytes(t *testing.T) {
 		{wireNumBuckets, 7, nil, statusOK, be32(2)},
 		{wireReadSlots, 1 << 40, refs, statusOK, appendFields(nil, [][]byte{slots[0], slots[2]})},
 		{wireOp(1), 0xffffffffffffffff, nil, statusErr, []byte("storage: unknown op 1")},
+		{wireOp(7), 3, append(be32(1), 'k'), statusErr, []byte("storage: unknown op 7")},
+		{wireOp(8), 4, bytes.Join([][]byte{be32(1), []byte("k"), be32(1), []byte("v")}, nil), statusErr, []byte("storage: unknown op 8")},
+		{wireOp(9), 5, append(be32(1), 'k'), statusErr, []byte("storage: unknown op 9")},
 	} {
 		fb, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(oracleRequest(rq.op, rq.id, rq.payload))), maxFrame, &bufs)
 		if err != nil {

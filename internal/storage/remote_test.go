@@ -82,29 +82,8 @@ func TestRemoteErrorsPropagate(t *testing.T) {
 	}
 }
 
-func TestRemoteKV(t *testing.T) {
-	c, _ := newRemotePair(t, 0)
-	if _, found, err := c.Get("nope"); err != nil || found {
-		t.Fatalf("Get(nope) = %v %v", found, err)
-	}
-	must(t, c.Put("key", []byte("value")))
-	v, found, err := c.Get("key")
-	if err != nil || !found || string(v) != "value" {
-		t.Fatalf("Get = %q %v %v", v, found, err)
-	}
-	must(t, c.Delete("key"))
-	if _, found, _ := c.Get("key"); found {
-		t.Fatal("key survives delete")
-	}
-}
-
 func TestRemoteEmptyValues(t *testing.T) {
 	c, _ := newRemotePair(t, 1)
-	must(t, c.Put("empty", nil))
-	v, found, err := c.Get("empty")
-	if err != nil || !found || len(v) != 0 {
-		t.Fatalf("empty value: %q %v %v", v, found, err)
-	}
 	must(t, c.WriteBucket(0, 1, [][]byte{nil, {}}))
 	a, err := c.ReadSlot(0, 0)
 	if err != nil || len(a) != 0 {
@@ -248,10 +227,12 @@ func TestRemoteMultipleClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	must(t, c1.Put("shared", []byte("from-c1")))
-	v, found, err := c2.Get("shared")
-	if err != nil || !found || string(v) != "from-c1" {
-		t.Fatalf("c2 sees %q %v %v", v, found, err)
+	if _, err := c1.Append([]byte("from-c1")); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := c2.Scan(0)
+	if err != nil || len(recs) != 1 || string(recs[0]) != "from-c1" {
+		t.Fatalf("c2 sees %q %v", recs, err)
 	}
 }
 
@@ -266,10 +247,12 @@ func TestRemoteClientAfterServerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	must(t, c.Put("a", []byte("b")))
+	if _, err := c.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
 	srv.Close()
-	if err := c.Put("x", []byte("y")); err == nil {
-		t.Fatal("Put succeeded after server close")
+	if _, err := c.Append([]byte("x")); err == nil {
+		t.Fatal("Append succeeded after server close")
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package storage implements Obladi's untrusted cloud-storage substrate.
 //
-// The storage server is honest-but-curious: it stores encrypted ORAM buckets
-// and the recovery unit's write-ahead log, and MemBackend (with the wrappers
-// and servers over one) also a plain key-value namespace for the non-private
-// NoPriv and TwoPL baselines; the durable stores keep none. Buckets are
+// The storage server is honest-but-curious: it stores two things, the
+// encrypted Ring ORAM bucket tree and the recovery unit's write-ahead log,
+// and nothing else (the non-private NoPriv and TwoPL baselines keep their
+// key-value namespace in internal/baseline). Buckets are
 // shadow-paged (§8 of the paper): every write installs a new version tagged
 // with the epoch that produced it, so the proxy can revert the whole tree to
 // the last committed epoch after a crash simply by discarding newer versions.
@@ -33,9 +33,9 @@ var (
 	// proxy generation owns the store, and the older generation must
 	// fail-stop rather than corrupt the log or bucket tree it no longer owns.
 	ErrFenced = errors.New("storage: fenced: a newer proxy generation owns this store")
-	// ErrNoKV is returned by the KVStore calls of a store that keeps no
-	// key-value namespace: a DiskGroup's shards. It also refuses a data dir
-	// holding one an older disk store wrote.
+	// ErrNoKV is every store's answer to a KVStore call: no store keeps a
+	// key-value namespace. It also refuses a data dir holding one an older
+	// disk store wrote. It goes with KVStore (see there).
 	ErrNoKV = errors.New("storage: this store keeps no key-value namespace")
 )
 
@@ -118,12 +118,14 @@ type BucketStore interface {
 	NumBuckets() (int, error)
 }
 
-// KVStore is the plain (non-oblivious) key-value namespace used by the
-// NoPriv and TwoPL baselines. Obladi itself never calls it. MemBackend keeps
-// one, shared by every handle on its store, and so do the Latency wrapper
-// over it and a Server serving it to a Client; a DiskGroup's shards (LogHeap)
-// keep none and fail every call with ErrNoKV (or, once the shard is closed or
-// the group's log wedged, that error).
+// KVStore is the plain (non-oblivious) key-value namespace the NoPriv and
+// TwoPL baselines once kept in storage; they keep their own now
+// (internal/baseline), and Obladi never calls it. No store keeps one: every
+// Backend answers each call with ErrNoKV, or with the error it answers every
+// call with once closed (ErrClosed, or a wedged group log's error), and the
+// wire carries no KV op. It remains only because the benchmark's storage
+// meter forwards these three calls and compiles against Backend; it goes
+// with that meter's next change (ROADMAP item 3(a)).
 type KVStore interface {
 	Get(key string) (value []byte, found bool, err error)
 	Put(key string, value []byte) error
@@ -141,8 +143,9 @@ type LogStore interface {
 	LastSeq() (uint64, error)
 }
 
-// Backend is the full untrusted storage service: ORAM tree + recovery unit +
-// baseline KV namespace (which a store may refuse with ErrNoKV).
+// Backend is the full untrusted storage service: the ORAM tree and the
+// recovery unit. It still embeds KVStore, which every store refuses, only
+// until ROADMAP item 3(a) changes the benchmark meter that forwards it.
 type Backend interface {
 	BucketStore
 	KVStore
@@ -197,7 +200,7 @@ type EpochCommitBatcher interface {
 // before, and the returned handle is bound to it: another MemBackend on the
 // same store, or the Client whose connection the server bound it to.
 // Mutating operations (bucket writes, epoch commit/rollback, log
-// append/truncate, KV writes) issued through a handle whose token has been
+// append/truncate) issued through a handle whose token has been
 // superseded fail with ErrFenced; reads stay unfenced (the store is untrusted
 // and readable by anyone holding the wire anyway).
 //
