@@ -144,7 +144,7 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 		if errs[i] != nil || sh.rlog == nil {
 			continue
 		}
-		if err := sh.rlog.AppendBatchDeferred(epoch, p.cfg.ReadBatches, p.step.plans[i].Log()); err != nil {
+		if err := sh.rlog.AppendBatch(epoch, p.cfg.ReadBatches, p.step.plans[i].Log()); err != nil {
 			errs[i] = err
 		}
 	}
@@ -283,7 +283,7 @@ func (p *Proxy) runCommit(job *boundaryJob) error {
 	// Commit point: every shard has flushed and every follower is prepared.
 	if cp := job.ckpts[0]; cp != nil {
 		coord := p.shards[0].rlog
-		if _, err := coord.AppendPreparedDeferred(cp); err != nil {
+		if _, err := coord.AppendPrepared(cp); err != nil {
 			return err
 		}
 		// The hook's contract is a durable commit point with nothing after
@@ -326,7 +326,7 @@ func (p *Proxy) flushShard(sh *shard) error {
 		}
 	}
 	if cp := job.ckpts[sh.id]; sh.id > 0 && cp != nil {
-		_, err := sh.rlog.AppendPreparedDeferred(cp)
+		_, err := sh.rlog.AppendPrepared(cp)
 		return err
 	}
 	return nil

@@ -108,7 +108,7 @@ func (p *Proxy) StepReadBatch() error {
 		if errs[i] != nil || sh.rlog == nil {
 			continue
 		}
-		if err := sh.rlog.AppendBatchDeferred(epoch, batchIdx, plans[i].Log()); err != nil {
+		if err := sh.rlog.AppendBatch(epoch, batchIdx, plans[i].Log()); err != nil {
 			errs[i] = err
 		}
 	}

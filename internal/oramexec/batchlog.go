@@ -94,10 +94,9 @@ type BatchLog struct {
 
 // Len returns the number of log entries.
 func (l BatchLog) Len() int {
-	n := l.plan.bumps
+	n := 0
 	for _, t := range l.plan.tasks {
-		n += t.bumps
-		if t.logKind != 0 {
+		if t.logKind() != 0 {
 			n++
 		}
 	}
@@ -107,10 +106,11 @@ func (l BatchLog) Len() int {
 // EncodedSize returns the exact number of bytes Encode writes.
 func (l BatchLog) EncodedSize() int {
 	s := l.plan.shape
-	n := batchLogHeaderSize + l.plan.bumps
+	n := batchLogHeaderSize
 	for _, t := range l.plan.tasks {
-		n += t.bumps
-		switch t.logKind {
+		switch t.logKind() {
+		case LogWriteBump:
+			n++
 		case LogAccess:
 			n += s.accessSize()
 		case LogEvict:
@@ -136,10 +136,12 @@ func (l BatchLog) Encode(dst []byte) error {
 	binary.BigEndian.PutUint32(dst[7:], uint32(l.Len()))
 	b := dst[batchLogHeaderSize:]
 	for _, t := range l.plan.tasks {
-		b = putBumps(b, t.bumps)
-		switch t.logKind {
+		switch kind := t.logKind(); kind {
+		case LogWriteBump:
+			b[0] = byte(LogWriteBump)
+			b = b[1:]
 		case LogAccess:
-			ap := t.access
+			ap := t.step
 			if len(ap.Reads) != s.pathLen || len(ap.Key) > s.keySize {
 				return fmt.Errorf("oramexec: access of %q reads %d slots, path has %d buckets", ap.Key, len(ap.Reads), s.pathLen)
 			}
@@ -153,10 +155,10 @@ func (l BatchLog) Encode(dst []byte) error {
 				b = b[s.slotWidth:]
 			}
 		case LogEvict, LogReshuffle:
-			ep := t.evict
-			b[0] = byte(t.logKind)
+			ep := t.step
+			b[0] = byte(kind)
 			b = b[1:]
-			if t.logKind == LogEvict {
+			if kind == LogEvict {
 				if len(ep.Buckets) != s.pathLen {
 					return fmt.Errorf("oramexec: eviction covers %d buckets, path has %d", len(ep.Buckets), s.pathLen)
 				}
@@ -180,19 +182,10 @@ func (l BatchLog) Encode(dst []byte) error {
 			}
 		}
 	}
-	b = putBumps(b, l.plan.bumps)
 	if len(b) != 0 {
 		return fmt.Errorf("oramexec: batch log size mismatch: %d bytes unwritten", len(b))
 	}
 	return nil
-}
-
-// putBumps writes n write-bump entries at b and returns the bytes after them.
-func putBumps(b []byte, n int) []byte {
-	for i := 0; i < n; i++ {
-		b[i] = byte(LogWriteBump)
-	}
-	return b[n:]
 }
 
 // DecodeBatchLog parses an encoded batch log into replayable entries

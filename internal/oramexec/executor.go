@@ -1,12 +1,15 @@
 // Package oramexec is Obladi's parallel ORAM executor (§7 of the paper).
 //
 // The executor turns a batch of logical operations into one pipelined pass
-// over storage: all client-side metadata is planned sequentially (cheap CPU),
-// the resulting physical slot reads are coalesced into a single scatter-
-// gather storage call per stage (one wire op and one round trip however many
-// slots the stage reads), and completions are applied in plan order, which
-// realizes multilevel serializability: the outcome is identical to the
-// sequential execution of the same batch.
+// over storage: the ORAM plans each operation whole and sequentially (cheap
+// CPU) — its access, then the early reshuffles and evict-paths it makes due,
+// a schedule ringoram alone decides — the resulting physical slot reads are
+// coalesced into a single scatter-gather storage call per stage (one wire op
+// and one round trip however many slots the stage reads), and every step is
+// completed in plan order, which realizes multilevel serializability: the
+// outcome is identical to the sequential execution of the same batch
+// (ringoram.Seq). Each step is one durability-log entry, and a replay feeds
+// the log back one entry per step.
 //
 // The executor schedules I/O and owns no block bytes. The ORAM's
 // local-version table (ringoram's local.go) holds every bucket version the
@@ -74,9 +77,10 @@ type Executor struct {
 
 	// readPlan and writePlan are the one read and one write batch plan each
 	// Plan*Batch call resets, tasks and results included; seen is the read
-	// batch's duplicate check.
+	// batch's duplicate check, and steps receives each operation's plans.
 	readPlan, writePlan BatchPlan
 	seen                map[string]bool
+	steps               []*ringoram.Plan
 
 	shape logShape // fixed entry widths of this ORAM's batch records
 	stats statCounters
@@ -150,37 +154,45 @@ func (c *statCounters) snapshot() Stats {
 	}
 }
 
-// task is one planned unit with its physical reads. Tasks belong to their
-// plan and are reset, keeping their data backing array, for the plan's next
-// batch.
+// task is one planned step of the ORAM with the slots its reads fetched.
+// Tasks belong to their plan and are reset, keeping their data backing array,
+// for the plan's next batch.
 type task struct {
-	access *ringoram.AccessPlan
-	evict  *ringoram.EvictPlan // eviction or reshuffle
-	reads  []ringoram.SlotRead // the plan's reads; the ORAM marks the local ones
-	data   [][]byte
-	opIdx  int // index into the batch's results (-1 for maintenance)
-	// logKind is the durability-log entry this task stands for (0: none — a
-	// read served from the stash issues no physical reads), and bumps the
-	// number of write-bump entries logged ahead of it.
-	logKind LogKind
-	bumps   int
+	step  *ringoram.Plan
+	data  [][]byte
+	opIdx int // index into the batch's results (-1 for all but a batch's reads)
 }
 
 // reset clears a finished task for its plan's next batch. The backing array
 // of data rides along for reuse.
 func (t *task) reset() {
 	clear(t.data) // drop slot references so kept tasks don't pin arenas
-	t.access = nil
-	t.evict = nil
-	t.reads = nil
+	t.step = nil
 	t.data = t.data[:0]
 	t.opIdx = 0
-	t.logKind, t.bumps = 0, 0
 }
 
-// ensureData sizes t.data for the task's reads, reusing pooled capacity.
+// logKind is the durability-log entry the task stands for: 0 (none) for an
+// access the stash served, which reads no slot.
+func (t *task) logKind() LogKind {
+	switch t.step.Kind {
+	case ringoram.AccessStep:
+		if len(t.step.Reads) > 0 {
+			return LogAccess
+		}
+	case ringoram.WriteStep:
+		return LogWriteBump
+	case ringoram.EvictStep:
+		return LogEvict
+	case ringoram.ReshuffleStep:
+		return LogReshuffle
+	}
+	return 0
+}
+
+// ensureData sizes t.data for the step's reads, reusing pooled capacity.
 func (t *task) ensureData() {
-	n := len(t.reads)
+	n := len(t.step.Reads)
 	if cap(t.data) < n {
 		t.data = make([][]byte, n)
 		return
@@ -196,12 +208,9 @@ func (t *task) ensureData() {
 type BatchPlan struct {
 	// tasks[:len] are this batch's; tasks[len:cap] are reset tasks kept
 	// from earlier batches for newTask to hand out again.
-	tasks   []*task
-	results []ReadResult
-	shape   logShape
-	// bumps counts write-bump log entries not yet attached to a task: the
-	// next task planned takes them, and whatever remains trails the batch.
-	bumps    int
+	tasks    []*task
+	results  []ReadResult
+	shape    logShape
 	executed bool
 }
 
@@ -210,7 +219,7 @@ func (b *BatchPlan) reset(n int) *BatchPlan {
 	b.tasks = b.tasks[:0]
 	b.results = slices.Grow(b.results[:0], n)[:n]
 	clear(b.results)
-	b.bumps, b.executed = 0, false
+	b.executed = false
 	return b
 }
 
@@ -227,12 +236,23 @@ func (b *BatchPlan) newTask() *task {
 	return new(task)
 }
 
-// addTask appends t to the plan as a durability-log entry of the given kind
-// (0 for none), after the write bumps planned since the previous task.
-func (b *BatchPlan) addTask(t *task, kind LogKind) {
-	t.logKind, t.bumps = kind, b.bumps
-	b.bumps = 0
-	b.tasks = append(b.tasks, t)
+// add appends the ORAM's planned steps to the batch as tasks, counting the
+// evictions and reshuffles among them; an access among them answers the
+// batch's result opIdx.
+func (e *Executor) add(b *BatchPlan, steps []*ringoram.Plan, opIdx int) {
+	for _, s := range steps {
+		t := b.newTask()
+		t.step, t.opIdx = s, -1
+		switch s.Kind {
+		case ringoram.AccessStep:
+			t.opIdx = opIdx
+		case ringoram.EvictStep:
+			e.stats.evictions.Add(1)
+		case ringoram.ReshuffleStep:
+			e.stats.reshuffles.Add(1)
+		}
+		b.tasks = append(b.tasks, t)
+	}
 }
 
 // Log returns the batch's durability-log entries, in order, as a view over
@@ -312,22 +332,14 @@ func (e *Executor) PlanReadBatch(ops []ReadOp) (*BatchPlan, error) {
 			e.seen[op.Key] = true
 		}
 		plan.results[i].Key = op.Key
-		var ap *ringoram.AccessPlan
-		var due []int
-		var err error
-		if op.Key == "" {
-			ap, due, err = e.oram.PlanDummyRead()
-		} else {
-			ap, due, err = e.oram.PlanRead(op.Key)
-		}
+		steps, err := e.oram.PlanRead(op.Key, e.steps[:0])
 		if err != nil {
 			return nil, err
 		}
-		e.appendAccess(plan, ap, i)
-		if err := e.planMaintenance(plan, due); err != nil {
-			return nil, err
-		}
+		e.add(plan, steps, i)
+		e.steps = steps
 	}
+	clear(e.steps)
 	return plan, nil
 }
 
@@ -339,61 +351,15 @@ func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
 	plan := e.writePlan.reset(0)
 	for i := range ops {
 		op := &ops[i]
-		if op.Key == "" {
-			e.oram.BumpWrite()
-		} else if err := e.oram.PlanWrite(op.Key, op.Value, op.Tombstone); err != nil {
+		steps, err := e.oram.PlanWrite(op.Key, op.Value, op.Tombstone, e.steps[:0])
+		if err != nil {
 			return nil, err
 		}
-		plan.bumps++
-		if err := e.planDueEvictions(plan); err != nil {
-			return nil, err
-		}
+		e.add(plan, steps, -1)
+		e.steps = steps
 	}
+	clear(e.steps)
 	return plan, nil
-}
-
-func (e *Executor) appendAccess(plan *BatchPlan, ap *ringoram.AccessPlan, opIdx int) {
-	t := plan.newTask()
-	t.access = ap
-	t.opIdx = opIdx
-	kind := LogKind(0)
-	if !ap.Cached() {
-		t.reads = ap.Reads
-		kind = LogAccess
-	}
-	plan.addTask(t, kind)
-}
-
-// planMaintenance plans due early reshuffles then due evict-paths.
-func (e *Executor) planMaintenance(plan *BatchPlan, reshuffle []int) error {
-	for _, b := range reshuffle {
-		ep, err := e.oram.PlanReshuffle(b)
-		if err != nil {
-			return err
-		}
-		e.stats.reshuffles.Add(1)
-		addEvict(plan, ep, LogReshuffle)
-	}
-	return e.planDueEvictions(plan)
-}
-
-func (e *Executor) planDueEvictions(plan *BatchPlan) error {
-	for e.oram.EvictDue() {
-		ep, err := e.oram.PlanEvict()
-		if err != nil {
-			return err
-		}
-		e.stats.evictions.Add(1)
-		addEvict(plan, ep, LogEvict)
-	}
-	return nil
-}
-
-// addEvict appends an eviction or reshuffle plan to the batch as a task.
-func addEvict(plan *BatchPlan, ep *ringoram.EvictPlan, kind LogKind) {
-	t := plan.newTask()
-	t.evict, t.reads, t.opIdx = ep, ep.Reads, -1
-	plan.addTask(t, kind)
 }
 
 // Execute performs a planned batch as one stage: every non-local slot read
@@ -429,7 +395,7 @@ func (e *Executor) executeStaged(plan *BatchPlan) ([]ReadResult, error) {
 		// A stage is a maximal run of access tasks plus one trailing
 		// eviction (if present).
 		end := stage
-		for end < len(plan.tasks) && plan.tasks[end].evict == nil {
+		for end < len(plan.tasks) && len(plan.tasks[end].step.Buckets) == 0 {
 			end++
 		}
 		if end < len(plan.tasks) {
@@ -450,7 +416,7 @@ func (e *Executor) executeStage(plan *BatchPlan, tasks []*task) ([]ReadResult, e
 		return nil, err
 	}
 	for _, t := range tasks {
-		if err := e.completeTask(t, plan); err != nil {
+		if err := e.complete(t, plan); err != nil {
 			return nil, err
 		}
 	}
@@ -466,7 +432,7 @@ func (e *Executor) issueVector(tasks []*task) error {
 	locals := int64(0)
 	for _, t := range tasks {
 		t.ensureData()
-		for i, r := range t.reads {
+		for i, r := range t.step.Reads {
 			if r.Local() {
 				locals++
 				continue
@@ -511,38 +477,30 @@ func (e *Executor) readSlots(refs []storage.SlotRef) ([][]byte, error) {
 	return data, nil
 }
 
-// completeTask applies the task's completion; the ORAM serves its local
-// reads.
-func (e *Executor) completeTask(t *task, plan *BatchPlan) error {
-	switch {
-	case t.access != nil:
-		val, found, err := e.oram.CompleteAccess(t.access, t.data)
-		if err != nil {
-			return err
-		}
-		if t.opIdx >= 0 {
-			plan.results[t.opIdx].Value = val
-			plan.results[t.opIdx].Found = found
-		}
-	case t.evict != nil:
-		n := len(t.evict.Buckets)
-		images, err := e.oram.CompleteEvict(t.evict, t.data)
-		if err != nil {
-			return err
-		}
-		e.stats.writesBuffered.Add(int64(n))
-		if e.cfg.WriteThrough {
-			// Write-through: the eviction's whole write set, sealed now, in
-			// one call, preserving the barrier (writes land before the next
-			// stage's reads are issued). The store copied what it keeps.
-			_, err := e.flushImages(e.epoch, images)
-			for i := range images {
-				images[i].Recycle()
-			}
-			return err
+// complete applies the task's completion; the ORAM serves its local reads.
+func (e *Executor) complete(t *task, plan *BatchPlan) error {
+	rewrites := int64(len(t.step.Buckets))
+	val, found, images, err := e.oram.Complete(t.step, t.data)
+	if err != nil {
+		return err
+	}
+	if t.opIdx >= 0 {
+		plan.results[t.opIdx].Value = val
+		plan.results[t.opIdx].Found = found
+	}
+	e.stats.writesBuffered.Add(rewrites)
+	if len(images) > 0 {
+		// Only write-through keeps no local-version table, so only there
+		// does an eviction hand back its images: its whole write set,
+		// sealed now, in one call, preserving the barrier (writes land
+		// before the next stage's reads are issued). The store copied what
+		// it keeps.
+		_, err = e.flushImages(e.epoch, images)
+		for i := range images {
+			images[i].Recycle()
 		}
 	}
-	return nil
+	return err
 }
 
 // LoadResident rebuilds the resident levels from storage for an executor
@@ -656,42 +614,39 @@ func (e *Executor) flushImages(epoch uint64, images []ringoram.BucketImage) (int
 // ReplayBatch replays logged entries during crash recovery: metadata is
 // mutated exactly as the original epoch did (with logged slot choices; the
 // ORAM gives a bucket this replay already rewrote free ones) and the same
-// physical reads are issued. Eviction writes stay in the ORAM's table and are
+// physical reads are issued. Each entry is one step, and the ORAM refuses one
+// its schedule does not owe. Eviction writes stay in the ORAM's table and are
 // flushed by the caller as the recovery epoch's write-back.
 func (e *Executor) ReplayBatch(entries []LogEntry) error {
+	plan, err := e.planReplay(entries)
+	if err == nil {
+		_, err = e.Execute(plan)
+	}
+	return err
+}
+
+// planReplay plans the steps of a logged batch, one per entry.
+func (e *Executor) planReplay(entries []LogEntry) (*BatchPlan, error) {
 	plan := &BatchPlan{shape: e.shape}
 	for _, le := range entries {
+		var step *ringoram.Plan
+		var err error
 		switch le.Kind {
 		case LogAccess:
-			ap, _, err := e.oram.ReplayRead(le.Key, le.Leaf, le.Slots)
-			if err != nil {
-				return err
-			}
-			// Reshuffles and evictions appear explicitly in the log (the
-			// LogReshuffle entries of the buckets due follow), so the due
-			// list is not re-planned here.
-			e.appendAccess(plan, ap, -1)
+			step, err = e.oram.ReplayRead(le.Key, le.Leaf, le.Slots)
 		case LogWriteBump:
-			e.oram.BumpWrite()
+			step = e.oram.ReplayBump()
 		case LogEvict:
-			if !e.oram.EvictDue() {
-				return errors.New("oramexec: replay divergence: logged eviction not due")
-			}
-			ep, err := e.oram.ReplayEvict(le.BucketSlots)
-			if err != nil {
-				return err
-			}
-			addEvict(plan, ep, LogEvict)
+			step, err = e.oram.ReplayEvict(le.BucketSlots)
 		case LogReshuffle:
-			ep, err := e.oram.ReplayReshuffle(le.Bucket, le.Slots)
-			if err != nil {
-				return err
-			}
-			addEvict(plan, ep, LogReshuffle)
+			step, err = e.oram.ReplayReshuffle(le.Bucket, le.Slots)
 		default:
-			return fmt.Errorf("oramexec: unknown log entry kind %d", le.Kind)
+			err = fmt.Errorf("oramexec: unknown log entry kind %d", le.Kind)
 		}
+		if err != nil {
+			return nil, err
+		}
+		e.add(plan, []*ringoram.Plan{step}, -1)
 	}
-	_, err := e.Execute(plan)
-	return err
+	return plan, nil
 }

@@ -473,10 +473,10 @@ func testSkipSetIsPublic(t *testing.T) {
 			evictRemote := make([]int, geo.Levels+1)
 			remote := 0
 			for _, tk := range plan.tasks {
-				if tk.logKind == LogReshuffle {
+				if tk.logKind() == LogReshuffle {
 					t.Fatalf("%s: an early reshuffle fell due; its timing depends on the drawn paths — pick parameters that avoid it", workload)
 				}
-				for _, r := range tk.reads {
+				for _, r := range tk.step.Reads {
 					public := r.Bucket < nRes || claimed[r.Bucket] || prevFlush[r.Bucket]
 					if r.Local() != public {
 						t.Fatalf("%s: read of bucket %d (level %d) planned local=%v, the public sets say %v", workload, r.Bucket, level(r.Bucket), r.Local(), public)
@@ -485,16 +485,16 @@ func testSkipSetIsPublic(t *testing.T) {
 						continue
 					}
 					remote++
-					if tk.evict != nil {
+					if len(tk.step.Buckets) > 0 {
 						evictRemote[level(r.Bucket)]++
 					}
 				}
-				if tk.evict != nil {
-					if path := evictPath(h.oram, evictCount); fmt.Sprint(tk.evict.Buckets) != fmt.Sprint(path) {
-						t.Fatalf("%s: eviction %d rewrites %v, the counter says %v", workload, evictCount, tk.evict.Buckets, path)
+				if len(tk.step.Buckets) > 0 {
+					if path := evictPath(h.oram, evictCount); fmt.Sprint(tk.step.Buckets) != fmt.Sprint(path) {
+						t.Fatalf("%s: eviction %d rewrites %v, the counter says %v", workload, evictCount, tk.step.Buckets, path)
 					}
 					evictCount++
-					for _, b := range tk.evict.Buckets {
+					for _, b := range tk.step.Buckets {
 						claimed[b] = true
 					}
 				}

@@ -314,9 +314,9 @@ func TestLocalReadVersionChecked(t *testing.T) {
 		}
 		moved := 0
 		for _, tk := range plan.tasks {
-			for i, r := range tk.reads {
+			for i, r := range tk.step.Reads {
 				if r.Local() && pick(r.Bucket) {
-					tk.reads[i].Ver--
+					tk.step.Reads[i].Ver--
 					moved++
 				}
 			}

@@ -99,7 +99,7 @@ func TestExecutorVectorTraceMatchesPlan(t *testing.T) {
 		}
 		var want []storage.Event
 		for _, tk := range plan.tasks {
-			for _, r := range tk.reads {
+			for _, r := range tk.step.Reads {
 				if !r.Local() {
 					want = append(want, storage.Event{Op: storage.OpReadSlot, Bucket: r.Bucket, Slot: r.Slot})
 				}

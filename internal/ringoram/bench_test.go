@@ -41,31 +41,15 @@ func BenchmarkPlanRead(b *testing.B) {
 	}
 	o := seq.ORAM()
 	b.ResetTimer()
+	var steps []*Plan
 	for i := 0; i < b.N; i++ {
-		plan, _, err := o.PlanDummyRead()
+		steps, err = o.PlanRead("", steps[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Complete immediately against fetched data to keep metadata sane.
-		data := make([][]byte, len(plan.Reads))
-		for j, r := range plan.Reads {
-			d, err := seq.store.ReadSlot(r.Bucket, r.Slot)
-			if err != nil {
-				b.Fatal(err)
-			}
-			data[j] = d
-		}
-		if _, _, err := o.CompleteAccess(plan, data); err != nil {
+		if _, _, err := seq.run(steps); err != nil {
 			b.Fatal(err)
-		}
-		if o.EvictDue() {
-			ep, err := o.PlanEvict()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := seq.runEviction(ep); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

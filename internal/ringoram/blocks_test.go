@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -136,7 +135,7 @@ func (c *planeClient) want(key string) []byte {
 func (c *planeClient) fetch(reads []SlotRead) [][]byte {
 	data := make([][]byte, len(reads))
 	for i, r := range reads {
-		carries := r.target || r.entry != nil
+		carries := r.entry != nil
 		switch {
 		case r.Local():
 			if carries {
@@ -154,43 +153,74 @@ func (c *planeClient) fetch(reads []SlotRead) [][]byte {
 	return data
 }
 
-func (c *planeClient) evict(plan *EvictPlan) {
-	buckets := slices.Clone(plan.Buckets)
-	images, err := c.oram.CompleteEvict(plan, c.fetch(plan.Reads))
+// evict completes an eviction and checks that the table holds, for every
+// bucket it rewrote, the version it planned, each block the canonical slot of
+// the key it placed there. A later step of the same operation may rewrite a
+// bucket again: run checks the newest versions once all have completed.
+func (c *planeClient) evict(plan *Plan) {
+	type planned struct {
+		bucket int
+		ver    uint64
+		keys   []string
+	}
+	var want []planned
+	for _, pb := range plan.writes {
+		w := planned{bucket: pb.bucket, ver: pb.ver}
+		for _, e := range pb.placed {
+			w.keys = append(w.keys, e.key)
+		}
+		want = append(want, w)
+	}
+	_, _, images, err := c.oram.Complete(plan, c.fetch(plan.Reads))
 	must(c.t, err)
 	if len(images) != 0 {
-		c.t.Fatalf("CompleteEvict returned %d images with the table on", len(images))
+		c.t.Fatalf("Complete returned %d images with the table on", len(images))
 	}
-	for _, b := range buckets {
-		lb := &c.oram.local.versions[b]
-		im := c.oram.local.image(b, lb.cur)
-		if im.Ver != c.oram.meta[b].writeVer || lb.want != im.Ver {
-			c.t.Fatalf("bucket %d: the table holds version %d (claimed %d), the metadata is at %d", b, im.Ver, lb.want, c.oram.meta[b].writeVer)
+	for _, w := range want {
+		im := c.oram.local.image(w.bucket, c.oram.local.versions[w.bucket].cur)
+		if im.Ver != w.ver || len(im.Blocks) != len(w.keys) {
+			c.t.Fatalf("bucket %d: the table holds version %d with %d blocks, the eviction wrote version %d with %d", w.bucket, im.Ver, len(im.Blocks), w.ver, len(w.keys))
 		}
-		m := &c.oram.meta[b]
 		for i, blk := range im.Blocks {
-			key := c.oram.keys[m.addrs[i]].name
-			if !bytes.Equal(blk, c.want(key)) {
-				c.t.Fatalf("bucket %d version %d position %d: the image's block is not the canonical slot of %q", im.Bucket, im.Ver, i, key)
+			if !bytes.Equal(blk, c.want(w.keys[i])) {
+				c.t.Fatalf("bucket %d version %d position %d: the image's block is not the canonical slot of %q", im.Bucket, im.Ver, i, w.keys[i])
 			}
 			c.checked++
 		}
 	}
 }
 
-func (c *planeClient) maintain(reshuffle []int) {
-	for _, b := range reshuffle {
-		plan, err := c.oram.PlanReshuffle(b)
-		must(c.t, err)
-		c.evict(plan)
-		c.reshuffles++
+// run completes an operation's steps in plan order, checking every
+// eviction's images, and returns the access's result and whether the stash
+// served it.
+func (c *planeClient) run(steps []*Plan, err error) (val []byte, found, hit bool) {
+	must(c.t, err)
+	var rewritten []int
+	for _, p := range steps {
+		rewritten = append(rewritten, p.Buckets...)
+		switch p.Kind {
+		case AccessStep:
+			hit = len(p.Reads) == 0
+			val, found, _, err = c.oram.Complete(p, c.fetch(p.Reads))
+			must(c.t, err)
+		case WriteStep:
+			_, _, _, err = c.oram.Complete(p, nil)
+			must(c.t, err)
+		case ReshuffleStep:
+			c.evict(p)
+			c.reshuffles++
+		case EvictStep:
+			c.evict(p)
+			c.evictions++
+		}
 	}
-	for c.oram.EvictDue() {
-		plan, err := c.oram.PlanEvict()
-		must(c.t, err)
-		c.evict(plan)
-		c.evictions++
+	for _, b := range rewritten {
+		lb := &c.oram.local.versions[b]
+		if v := c.oram.meta[b].writeVer; lb.cur.ver != v || lb.want != v {
+			c.t.Fatalf("bucket %d: the table holds version %d (claimed %d), the metadata is at %d", b, lb.cur.ver, lb.want, v)
+		}
 	}
+	return val, found, hit
 }
 
 // step runs one seeded operation over forty keys — a blind write of a random
@@ -202,12 +232,10 @@ func (c *planeClient) step(i int) (hit bool) {
 	case op < 6:
 		v := bytes.Repeat([]byte{byte(i)}, c.rng.IntN(c.oram.p.ValueSize+1))
 		c.oracle[k] = v
-		must(c.t, c.oram.PlanWrite(k, v, false))
-		c.maintain(nil)
+		c.run(c.oram.PlanWrite(k, v, false, nil))
 	case op < 8:
 		c.oracle[k] = nil
-		must(c.t, c.oram.PlanWrite(k, nil, true))
-		c.maintain(nil)
+		c.run(c.oram.PlanWrite(k, nil, true, nil))
 	case op < 19:
 		got, found, hit := c.read(k)
 		if want := c.oracle[k]; found != (want != nil) || !bytes.Equal(got, want) {
@@ -223,24 +251,7 @@ func (c *planeClient) step(i int) (hit bool) {
 // read runs one read of key (a dummy read for "") to completion and returns
 // its result and whether the stash served it.
 func (c *planeClient) read(key string) (val []byte, found, hit bool) {
-	var plan *AccessPlan
-	var due []int
-	var err error
-	if key == "" {
-		plan, due, err = c.oram.PlanDummyRead()
-	} else {
-		plan, due, err = c.oram.PlanRead(key)
-	}
-	must(c.t, err)
-	hit = plan.Cached()
-	var data [][]byte
-	if !hit {
-		data = c.fetch(plan.Reads)
-	}
-	val, found, err = c.oram.CompleteAccess(plan, data)
-	must(c.t, err)
-	c.maintain(due)
-	return val, found, hit
+	return c.run(c.oram.PlanRead(key, nil))
 }
 
 // checkStash fails unless every stash entry's slot is the canonical slot of
@@ -315,17 +326,22 @@ func TestRestoreDropsStashSlotsPoisoned(t *testing.T) {
 		t.Skip("the block pool poisons returned slots in race builds only")
 	}
 	key := cryptoutil.KeyFromSeed([]byte("poison"))
-	src, err := New(key, testParams(64))
+	p := testParams(64)
+	p.S, p.A = 16, 16 // no evict-path falls due during the writes
+	src, err := New(key, p)
 	must(t, err)
 	for i := 0; i < 12; i++ { // dummiless writes: twelve entries, no eviction yet
-		must(t, src.PlanWrite(fmt.Sprintf("k%d", i), []byte("v"), false))
+		steps, err := src.PlanWrite(fmt.Sprintf("k%d", i), []byte("v"), false, nil)
+		must(t, err)
+		if len(steps) != 1 {
+			t.Fatalf("write %d planned %d steps, want the write alone", i, len(steps))
+		}
 	}
 	full := image(t, src, true)
 	src.ClearDirty()
 	// One eviction over the empty tree: its reads are all fillers.
-	ep, err := src.PlanEvict()
-	must(t, err)
-	images, err := src.CompleteEvict(ep, make([][]byte, len(ep.Reads)))
+	ep := evictNow(t, src)
+	_, _, images, err := src.Complete(ep, make([][]byte, len(ep.Reads)))
 	must(t, err)
 	for _, im := range images {
 		im.Recycle()

@@ -113,11 +113,7 @@ func TestNextEvictPathDeterministic(t *testing.T) {
 		}
 		// Advance both by one eviction.
 		for _, s := range []*Seq{seqA, seqB} {
-			plan, err := s.ORAM().PlanEvict()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.runEviction(plan); err != nil {
+			if err := s.runOne(evictNow(t, s.ORAM())); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -30,16 +30,30 @@ func (c *sparseClient) fetch(reads []SlotRead) [][]byte {
 	data := make([][]byte, len(reads))
 	for i, r := range reads {
 		data[i] = c.kept[r.Bucket][r.Slot]
-		if carries := r.target || r.entry != nil; carries && data[i] == nil {
+		if carries := r.entry != nil; carries && data[i] == nil {
 			c.t.Fatalf("bucket %d slot %d carries a block, but the bucket's image did not list it in Real", r.Bucket, r.Slot)
 		}
 	}
 	return data
 }
 
-func (c *sparseClient) evict(plan *EvictPlan) {
-	images, err := c.oram.CompleteEvict(plan, c.fetch(plan.Reads))
+// run completes an operation's steps in plan order, checking every image an
+// eviction seals, and returns the access's result.
+func (c *sparseClient) run(steps []*Plan, err error) (val []byte, found bool) {
 	must(c.t, err)
+	for _, p := range steps {
+		access := p.Kind == AccessStep
+		v, f, images, err := c.oram.Complete(p, c.fetch(p.Reads))
+		must(c.t, err)
+		if access {
+			val, found = v, f
+		}
+		c.seal(images)
+	}
+	return val, found
+}
+
+func (c *sparseClient) seal(images []BucketImage) {
 	for _, im := range images {
 		slots, err := c.oram.SealImage(im, &c.arena)
 		must(c.t, err)
@@ -93,30 +107,6 @@ func (c *sparseClient) evict(plan *EvictPlan) {
 		im.Recycle()
 		c.arena.Reset()
 	}
-}
-
-func (c *sparseClient) maintain(reshuffle []int) {
-	for _, b := range reshuffle {
-		plan, err := c.oram.PlanReshuffle(b)
-		must(c.t, err)
-		c.evict(plan)
-	}
-	for c.oram.EvictDue() {
-		plan, err := c.oram.PlanEvict()
-		must(c.t, err)
-		c.evict(plan)
-	}
-}
-
-func (c *sparseClient) access(plan *AccessPlan, due []int) ([]byte, bool) {
-	var data [][]byte
-	if !plan.Cached() {
-		data = c.fetch(plan.Reads)
-	}
-	val, found, err := c.oram.CompleteAccess(plan, data)
-	must(c.t, err)
-	c.maintain(due)
-	return val, found
 }
 
 // slotModel is a bucket's metadata as per-slot flags, the oracle's own copy
@@ -178,14 +168,14 @@ func rescanFillers(sm *slotModel, rng *rand.Rand, need int) []int {
 }
 
 // predictReads returns the read phase an eviction or reshuffle of buckets
-// plans from o's current state, drawn the rescanning way from a copy of
-// o's generator src, and advances that copy past the write phase's
-// shuffles: on return it is the state src must be in after the plan.
-func predictReads(o *ORAM, buckets []int, src *rand.PCG) []SlotRead {
+// plans from models, the buckets' state before it, drawn the rescanning way
+// from a copy of o's generator src, and advances that copy past the write
+// phase's shuffles: on return it is the state src must be in after the plan.
+func predictReads(o *ORAM, models map[int]slotModel, buckets []int, src *rand.PCG) []SlotRead {
 	rng := rand.New(src)
 	var want []SlotRead
 	for _, b := range buckets {
-		m := modelOf(o, &o.meta[b])
+		m := models[b]
 		start := len(want)
 		for r := 0; r < o.p.Z; r++ {
 			if m.addrs[r] != "" {
@@ -217,55 +207,63 @@ func TestEvictionFillersMatchRescan(t *testing.T) {
 	o := seq.ORAM()
 	src := rand.NewPCG(7, 8)
 	o.rng = rand.New(src)
-	check := func(buckets []int, planIt func() (*EvictPlan, error)) *EvictPlan {
-		t.Helper()
-		oracle := *src
-		want := predictReads(o, buckets, &oracle)
-		plan, err := planIt()
-		must(t, err)
-		if len(plan.Reads) != len(want) {
-			t.Fatalf("eviction %d of buckets %v: %d reads, the rescan plans %d", o.evictCount, buckets, len(plan.Reads), len(want))
-		}
-		for i, r := range plan.Reads {
-			if r.Bucket != want[i].Bucket || r.Slot != want[i].Slot {
-				t.Fatalf("eviction %d read %d: bucket %d slot %d, the rescan picks bucket %d slot %d", o.evictCount, i, r.Bucket, r.Slot, want[i].Bucket, want[i].Slot)
-			}
-		}
-		if *src != oracle {
-			t.Fatalf("eviction %d of buckets %v: generator state diverged from the rescan's", o.evictCount, buckets)
-		}
-		return plan
-	}
+	// run plans one operation the way PlanRead and PlanWrite do — the access,
+	// then each step nextDue plans — checking each step against the rescan
+	// from the state just before it, and runs it. A step is an early
+	// reshuffle of a bucket on the access's path or the next evict-path, so
+	// the models of those buckets are all a prediction can need.
 	reshuffles := 0
-	maintain := func(due []int) {
-		for _, b := range due {
-			must(t, seq.runEviction(check([]int{b}, func() (*EvictPlan, error) { return o.PlanReshuffle(b) })))
-			reshuffles++
+	run := func(access *Plan, err error) {
+		t.Helper()
+		must(t, err)
+		steps, path := []*Plan{access}, access.Reads
+		for {
+			models := make(map[int]slotModel)
+			for _, b := range o.geo.path(o.geo.evictLeaf(o.evictCount)) {
+				models[b] = modelOf(o, &o.meta[b])
+			}
+			for _, r := range path {
+				models[r.Bucket] = modelOf(o, &o.meta[r.Bucket])
+			}
+			oracle := *src
+			plan, rest, err := o.nextDue(path)
+			must(t, err)
+			if plan == nil {
+				break
+			}
+			want := predictReads(o, models, plan.Buckets, &oracle)
+			if len(plan.Reads) != len(want) {
+				t.Fatalf("eviction %d of buckets %v: %d reads, the rescan plans %d", o.evictCount, plan.Buckets, len(plan.Reads), len(want))
+			}
+			for i, r := range plan.Reads {
+				if r.Bucket != want[i].Bucket || r.Slot != want[i].Slot {
+					t.Fatalf("eviction %d read %d: bucket %d slot %d, the rescan picks bucket %d slot %d", o.evictCount, i, r.Bucket, r.Slot, want[i].Bucket, want[i].Slot)
+				}
+			}
+			if *src != oracle {
+				t.Fatalf("eviction %d of buckets %v: generator state diverged from the rescan's", o.evictCount, plan.Buckets)
+			}
+			if plan.Kind == ReshuffleStep {
+				reshuffles++
+			}
+			steps, path = append(steps, plan), rest
 		}
-		for o.EvictDue() {
-			must(t, seq.runEviction(check(o.NextEvictPath(), o.PlanEvict)))
-		}
+		o.mu.Unlock()
+		_, _, err = seq.run(steps)
+		must(t, err)
 	}
 	ops := rand.New(rand.NewPCG(9, 10))
 	for i := 0; o.evictCount < evictions; i++ {
 		key := fmt.Sprintf("k%d", ops.IntN(48))
-		var plan *AccessPlan
-		var due []int
-		var err error
+		o.mu.Lock() // the steps are planned one at a time, as the planner does under the lock
 		switch op := ops.IntN(10); {
 		case op < 3:
-			must(t, o.PlanWrite(key, []byte(fmt.Sprintf("v%d", i)), false))
-			maintain(nil)
-			continue
+			run(o.planWriteLocked(key, []byte(fmt.Sprintf("v%d", i)), false))
 		case op < 9:
-			plan, due, err = o.PlanRead(key)
+			run(o.planReadLocked(key, -1, nil))
 		default:
-			plan, due, err = o.PlanDummyRead()
+			run(o.planReadLocked("", -1, nil))
 		}
-		must(t, err)
-		_, _, err = seq.runAccess(plan)
-		must(t, err)
-		maintain(due)
 	}
 	if reshuffles < 100 {
 		t.Fatalf("only %d early reshuffles over %d evictions", reshuffles, o.evictCount)
@@ -274,7 +272,7 @@ func TestEvictionFillersMatchRescan(t *testing.T) {
 }
 
 // TestCompletionNeverInspectsFillers pins the contract the executor's
-// resident set stands on: CompleteAccess and CompleteEvict look only at reads
+// resident set stands on: Complete looks only at reads
 // that carry a block, and BucketImage.Real names exactly the slots that can.
 // One ORAM is driven by the sequential client over a full store, its twin
 // (same seed, same operations) by a client that is handed nil for everything
@@ -304,26 +302,20 @@ func TestCompletionNeverInspectsFillers(t *testing.T) {
 			case op < 4:
 				val := []byte(fmt.Sprintf("v%d", i))
 				must(t, full.Write(key, val))
-				must(t, o.PlanWrite(key, val, false))
-				sparse.maintain(nil)
+				sparse.run(o.PlanWrite(key, val, false, nil))
 			case op < 5:
 				must(t, full.Delete(key))
-				must(t, o.PlanWrite(key, nil, true))
-				sparse.maintain(nil)
+				sparse.run(o.PlanWrite(key, nil, true, nil))
 			case op < 9:
 				want, wantFound, err := full.Read(key)
 				must(t, err)
-				plan, due, err := o.PlanRead(key)
-				must(t, err)
-				got, found := sparse.access(plan, due)
+				got, found := sparse.run(o.PlanRead(key, nil))
 				if found != wantFound || !bytes.Equal(got, want) {
 					t.Fatalf("op %d: read %s = %q (found=%v) from kept blocks, %q (found=%v) from the full store", i, key, got, found, want, wantFound)
 				}
 			default:
 				must(t, full.DummyRead())
-				plan, due, err := o.PlanDummyRead()
-				must(t, err)
-				sparse.access(plan, due)
+				sparse.run(o.PlanRead("", nil))
 			}
 		}
 		if store.violation != nil {

@@ -3,6 +3,7 @@ package ringoram
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -85,7 +86,10 @@ func requireTableOwned(t *testing.T, o *ORAM, scratch []byte) {
 		owned("stash map key", k)
 		owned("stash entry", e.key)
 	}
-	for _, ep := range o.evictPool {
+	for _, ep := range slices.Concat(o.planPool[:]...) {
+		if ep.Key != "" {
+			t.Fatalf("pooled plan still holds key %q", ep.Key)
+		}
 		for _, pb := range ep.writes {
 			for _, e := range pb.placed {
 				if e.key != "" { // "" once the completion retired the entry

@@ -72,8 +72,8 @@ func residentCount(g Geometry) int {
 // KeepLocal turns the local-version table on and returns how many buckets,
 // from the root in heap order, it keeps resident. From then on reads are
 // marked Local as they are planned and served from the table as they
-// complete, CompleteEvict files its images in the table instead of returning
-// them, and SealImage seals a resident bucket as its Z real positions alone,
+// complete, Complete files an eviction's images in the table instead of
+// returning them, and SealImage seals a resident bucket as its Z real positions alone,
 // in position order — so only a caller that never reads those buckets from
 // storage slot by slot may turn it on. Over a fresh tree the table is ready;
 // over restored metadata the caller loads the resident buckets (LoadLocal)

@@ -109,18 +109,18 @@ type ORAM struct {
 	// serialized per ORAM): the Appendix A binding encoder and a path.
 	bindBuf []byte
 	pathBuf []int
-	// vals carves the values CompleteAccess returns: they escape to the
-	// caller, so they are copied once into chunks that are never reused.
+	// vals carves the values Complete returns: they escape to the caller, so
+	// they are copied once into chunks that are never reused.
 	vals slab.Bytes
-	// images backs the []BucketImage CompleteEvict returns.
+	// images backs the []BucketImage Complete returns.
 	images []BucketImage
-	// planPool, evictPool and entryPool recycle the per-access and
-	// per-eviction objects. CompleteAccess and CompleteEvict retire their
-	// plans (with every slice the plan owns); CompleteEvict also retires
-	// entries once their blocks have moved into the tree's images. All
-	// guarded by mu.
-	planPool  []*AccessPlan
-	evictPool []*EvictPlan
+	// planPool and entryPool recycle the per-step objects. Complete retires
+	// its plan (with every slice the plan owns), and an eviction's entries
+	// once their blocks have moved into the tree's images. planPool keeps
+	// the plans of steps that rewrite buckets apart (planPool[1]), so an
+	// access or a write never holds an eviction's Z reads and permutation
+	// per bucket. Both guarded by mu.
+	planPool  [2][]*Plan
 	entryPool []*stashEntry
 	// imagePool recycles image buffers, and blocks is the block plane's one
 	// allocator (see blocks.go): whoever holds a BucketImage returns both
@@ -134,19 +134,21 @@ type ORAM struct {
 	sealedSlots, filledSlots, openedSlots, copiedSlots atomic.Int64
 }
 
-// newPlan takes a retired AccessPlan from the pool (keeping its Reads
-// capacity) or allocates a fresh one, zeroed either way. The steady-state
-// read path cycles the same handful of plans instead of allocating one (plus
-// a Reads slice) per access.
-func (o *ORAM) newPlan() *AccessPlan {
-	n := len(o.planPool)
-	if n == 0 {
-		return &AccessPlan{}
+// newPlan takes a retired plan from the pool, keeping the capacity of every
+// slice it owns, or allocates a fresh one, and readies it as a step of the
+// given kind that reads no path. The steady state cycles the same plans
+// instead of allocating one (plus its slices) per step.
+func (o *ORAM) newPlan(kind PlanKind) *Plan {
+	var p *Plan
+	if pool := &o.planPool[kind.pool()]; len(*pool) > 0 {
+		n := len(*pool) - 1
+		p = (*pool)[n]
+		(*pool)[n] = nil
+		*pool = (*pool)[:n]
+	} else {
+		p = new(Plan)
 	}
-	p := o.planPool[n-1]
-	o.planPool[n-1] = nil
-	o.planPool = o.planPool[:n-1]
-	*p = AccessPlan{Reads: p.Reads[:0]}
+	*p = Plan{Kind: kind, Leaf: -1, Buckets: p.Buckets[:0], Reads: p.Reads[:0], writes: p.writes[:0]}
 	return p
 }
 
@@ -177,9 +179,9 @@ type SlotRead struct {
 	Ver uint64
 	// local marks a read the local-version table serves (see Local).
 	local bool
-	// target marks the slot holding the access's block.
-	target bool
-	// entry receives the decoded block for eviction/reshuffle reads.
+	// entry is the pending stash entry the slot's block is delivered to: the
+	// access's target, or a block an eviction reads out of its bucket. nil
+	// for a filler.
 	entry *stashEntry
 }
 
@@ -194,23 +196,57 @@ func (o *ORAM) readOf(b, s int) SlotRead {
 	return SlotRead{Bucket: b, Slot: s, Ver: ver, local: o.local.serves(b, ver)}
 }
 
-// AccessPlan is the outcome of planning one logical access.
-type AccessPlan struct {
-	Key string
-	// Leaf is the path read by this access (-1 when no path is read).
-	Leaf int
-	// Reads lists the physical slots to fetch, root to leaf.
-	Reads []SlotRead
+// PlanKind says which step of the public schedule a Plan is.
+type PlanKind uint8
 
-	cached      bool // served locally, no I/O
-	cachedEntry *stashEntry
-	targetIdx   int
-	targetEntry *stashEntry
-	completed   bool
+// Plan kinds.
+const (
+	// AccessStep is a logical read or a padding read: one slot per bucket of
+	// one path, or no read at all when the stash serves the key.
+	AccessStep PlanKind = iota + 1
+	// WriteStep is a dummiless write or a padding bump: it reads nothing and
+	// counts one access toward the eviction schedule.
+	WriteStep
+	// EvictStep is an evict-path: the next path in reverse-lexicographic
+	// order, read and rewritten.
+	EvictStep
+	// ReshuffleStep is an early reshuffle of one bucket whose dummies ran out.
+	ReshuffleStep
+)
+
+// pool is the plan pool's free list for the kind: 1 for steps that rewrite
+// buckets.
+func (k PlanKind) pool() int {
+	if k >= EvictStep {
+		return 1
+	}
+	return 0
 }
 
-// Cached reports whether the plan requires no storage reads.
-func (p *AccessPlan) Cached() bool { return p == nil || p.cached }
+// Plan is one planned step of the schedule: the client-side metadata is
+// already mutated, the slots it reads are listed, and Complete applies them.
+// A plan and its slices belong to the ORAM's pool again once Complete
+// succeeds; callers must not touch it afterwards.
+type Plan struct {
+	Kind PlanKind
+	// Key is the key an access reads; "" for a padding read and for every
+	// other step.
+	Key string
+	// Leaf is the path an access reads (-1 when it reads none).
+	Leaf int
+	// Buckets lists the buckets an evict-path or a reshuffle rewrites, in
+	// read order.
+	Buckets []int
+	// Reads lists the physical slots to fetch: an access's root to leaf, an
+	// eviction's bucket by bucket in Buckets order, each bucket's reads one
+	// contiguous run (at most Z, fewer only when a bucket ran out of filler
+	// slots).
+	Reads []SlotRead
+
+	entry     *stashEntry     // the block an access returns: its target read's, or the stash's
+	writes    []plannedBucket // an eviction's, parallel to Buckets
+	completed bool
+}
 
 // plannedBucket is the write-phase plan for one bucket. Its i-th placed
 // block goes to real position i.
@@ -219,36 +255,6 @@ type plannedBucket struct {
 	ver    uint64
 	perm   []int
 	placed []*stashEntry
-}
-
-// EvictPlan is the outcome of planning an evict-path or early reshuffle. A
-// plan and its slices belong to the ORAM's pool again once CompleteEvict
-// succeeds; callers must not touch it afterwards.
-type EvictPlan struct {
-	// Buckets lists the buckets rewritten, in read order.
-	Buckets []int
-	// Reads lists all physical slot reads of the read phase, bucket by
-	// bucket in Buckets order: each bucket's reads are one contiguous run
-	// (at most Z, fewer only when a bucket ran out of filler slots).
-	Reads []SlotRead
-
-	writes    []plannedBucket // parallel to Buckets
-	completed bool
-}
-
-// newEvictPlan takes a retired EvictPlan from the pool, keeping the capacity
-// of every slice it owns, or allocates a fresh one.
-func (o *ORAM) newEvictPlan() *EvictPlan {
-	n := len(o.evictPool)
-	if n == 0 {
-		return &EvictPlan{}
-	}
-	p := o.evictPool[n-1]
-	o.evictPool[n-1] = nil
-	o.evictPool = o.evictPool[:n-1]
-	p.Buckets, p.Reads, p.writes = p.Buckets[:0], p.Reads[:0], p.writes[:0]
-	p.completed = false
-	return p
 }
 
 // New creates an ORAM client over a fresh tree and does no I/O: every bucket
@@ -491,17 +497,6 @@ func (o *ORAM) consumeFiller(b int, forced int) (int, error) {
 	return phys, nil
 }
 
-// reshuffleDue lists path buckets whose slot budget is exhausted.
-func (o *ORAM) reshuffleDue(path []int) []int {
-	var due []int
-	for _, b := range path {
-		if o.meta[b].count >= o.p.S {
-			due = append(due, b)
-		}
-	}
-	return due
-}
-
 func (o *ORAM) noteStash() error {
 	if len(o.stash) > o.stashPeak {
 		o.stashPeak = len(o.stash)
@@ -512,75 +507,169 @@ func (o *ORAM) noteStash() error {
 	return nil
 }
 
-// PlanRead plans a logical read. It returns the plan and any buckets that
-// now require an early reshuffle. A nil error with plan.Cached() true means
-// the value can be produced by CompleteAccess with no storage reads.
-func (o *ORAM) PlanRead(key string) (*AccessPlan, []int, error) {
+// The schedule is Ring ORAM's own rule, and this file is the one place that
+// knows it: every access reads one path; after it, each bucket on that path
+// whose dummies ran out (S slots read since its last rewrite) gets an early
+// reshuffle, root first; then an evict-path runs for every A accesses the
+// counter owes, a write or a padding bump counting as one access. PlanRead
+// and PlanWrite append an operation's access and then, in that order, every
+// step it made due; a replay takes the steps one log entry at a time and
+// refuses an evict-path the counter does not owe.
+
+// PlanRead plans a logical read of key, or a padding read (a uniformly random
+// path, one filler slot per bucket) when key is "". It appends the access to
+// dst, then every step it makes due, and returns the extended slice. An access
+// the stash serves reads no slot. On error dst holds the steps planned before
+// it.
+func (o *ORAM) PlanRead(key string, dst []*Plan) ([]*Plan, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.planReadLocked(key, -1, nil)
+	p, err := o.planReadLocked(key, -1, nil)
+	if err != nil {
+		return dst, err
+	}
+	return o.planDue(append(dst, p), p.Reads)
 }
 
-// PlanDummyRead plans a padding read: a uniformly random path with one
-// filler slot per bucket.
-func (o *ORAM) PlanDummyRead() (*AccessPlan, []int, error) {
+// PlanWrite applies a logical write (or delete, when tombstone is set) as a
+// dummiless write (§6.3): the block goes directly to the stash, so the step
+// reads nothing. key "" is a padding bump, which only counts the access
+// (keeping the eviction schedule workload independent). Either way it appends
+// the write step to dst, then every evict-path it makes due.
+func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool, dst []*Plan) ([]*Plan, error) {
+	if len(key) > o.p.KeySize {
+		return dst, fmt.Errorf("ringoram: key of %d bytes exceeds KeySize %d", len(key), o.p.KeySize)
+	}
+	if len(value) > o.p.ValueSize {
+		return dst, fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(value), o.p.ValueSize)
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.planReadLocked("", -1, nil)
+	p, err := o.planWriteLocked(key, value, tombstone)
+	if err != nil {
+		return dst, err
+	}
+	return o.planDue(append(dst, p), nil)
+}
+
+// planDue appends every step the schedule owes after an access that read
+// path, in the order nextDue plans them.
+func (o *ORAM) planDue(dst []*Plan, path []SlotRead) ([]*Plan, error) {
+	for {
+		p, rest, err := o.nextDue(path)
+		if p == nil || err != nil {
+			return dst, err
+		}
+		dst, path = append(dst, p), rest
+	}
+}
+
+// nextDue plans the next step the schedule owes after an access that read
+// path: an early reshuffle of the first bucket on it whose slot budget is
+// exhausted, else an evict-path if the access counter owes one. It returns
+// the plan (nil when nothing is owed) and the part of path after the
+// reshuffled bucket.
+func (o *ORAM) nextDue(path []SlotRead) (*Plan, []SlotRead, error) {
+	for i, r := range path {
+		if o.meta[r.Bucket].count >= o.p.S {
+			p, err := o.planEvictionLocked(ReshuffleStep, r.Bucket, nil)
+			return p, path[i+1:], err
+		}
+	}
+	if !o.evictDue() {
+		return nil, nil, nil
+	}
+	p, err := o.planEvictionLocked(EvictStep, 0, nil)
+	return p, nil, err
+}
+
+// evictDue reports whether the access counter owes an evict-path.
+func (o *ORAM) evictDue() bool {
+	return o.accessCount >= uint64(o.p.A)*(o.evictCount+1)
 }
 
 // ReplayRead replays a logged access (key may be "" for padding) using the
-// logged leaf and physical slot choices.
-func (o *ORAM) ReplayRead(key string, leaf int, slots []int) (*AccessPlan, []int, error) {
+// logged leaf and physical slot choices. The steps it made due are log
+// entries of their own.
+func (o *ORAM) ReplayRead(key string, leaf int, slots []int) (*Plan, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if len(slots) != o.geo.Levels+1 {
-		return nil, nil, fmt.Errorf("%w: logged %d slots, path has %d buckets", ErrReplay, len(slots), o.geo.Levels+1)
+		return nil, fmt.Errorf("%w: logged %d slots, path has %d buckets", ErrReplay, len(slots), o.geo.Levels+1)
+	}
+	if leaf < 0 || leaf >= o.geo.Leaves {
+		return nil, fmt.Errorf("%w: logged leaf %d, the tree has %d", ErrReplay, leaf, o.geo.Leaves)
 	}
 	return o.planReadLocked(key, leaf, slots)
 }
 
-func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*AccessPlan, []int, error) {
+// ReplayBump replays a logged write-batch slot: a log names no written key,
+// so it only counts the access, as the write or padding did.
+func (o *ORAM) ReplayBump() *Plan {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.accessCount++
+	return o.newPlan(WriteStep)
+}
+
+// ReplayEvict replays a logged evict-path with the logged per-bucket slots.
+// It refuses one the access counter does not owe.
+func (o *ORAM) ReplayEvict(slots [][]int) (*Plan, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !o.evictDue() {
+		return nil, fmt.Errorf("%w: logged eviction not due (%d accesses, %d evictions)", ErrReplay, o.accessCount, o.evictCount)
+	}
+	if len(slots) != o.geo.Levels+1 {
+		return nil, fmt.Errorf("%w: logged %d buckets, evict path has %d", ErrReplay, len(slots), o.geo.Levels+1)
+	}
+	return o.planEvictionLocked(EvictStep, 0, slots)
+}
+
+// ReplayReshuffle replays a logged early reshuffle.
+func (o *ORAM) ReplayReshuffle(bucket int, slots []int) (*Plan, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if bucket < 0 || bucket >= o.geo.NumBuckets {
+		return nil, fmt.Errorf("%w: reshuffle bucket %d out of range", ErrReplay, bucket)
+	}
+	return o.planEvictionLocked(ReshuffleStep, bucket, [][]int{slots})
+}
+
+func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*Plan, error) {
 	// Stash hit.
 	if key != "" {
 		if e, ok := o.stash[key]; ok {
 			e.leaf = o.randLeaf() // remap on every logical access
 			o.remap(key, e.leaf)
 			if e.cacheable && forcedSlots == nil {
-				p := o.newPlan()
-				p.Key, p.Leaf, p.cached, p.cachedEntry, p.targetIdx = key, -1, true, e, -1
-				return p, nil, nil
+				p := o.newPlan(AccessStep)
+				p.Key, p.entry = key, e
+				return p, nil
 			}
 			// Non-cacheable resident block: a dummy path read is mandatory
 			// to keep the observed path distribution uniform (§6.3). After
 			// this logical access the entry is uniformly remapped, hence
 			// cacheable again.
 			e.cacheable = true
-			leaf := forcedLeaf
-			if leaf < 0 {
-				leaf = o.randLeaf()
-			}
-			plan, due, err := o.dummyPathLocked(leaf, forcedSlots)
+			p, err := o.dummyPathLocked(key, forcedLeaf, forcedSlots)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			plan.Key = key
-			plan.cachedEntry = e
-			return plan, due, nil
+			p.entry = e
+			return p, nil
 		}
 	}
 
 	if ki, known := o.pos[key]; known && o.keys[ki].bucket >= 0 {
 		oldLeaf, bucket, rpos := int(o.keys[ki].leaf), int(o.keys[ki].bucket), int(o.keys[ki].rpos)
 		if forcedLeaf >= 0 && forcedLeaf != oldLeaf {
-			return nil, nil, fmt.Errorf("%w: key %q logged leaf %d, position map says %d", ErrReplay, key, forcedLeaf, oldLeaf)
+			return nil, fmt.Errorf("%w: key %q logged leaf %d, position map says %d", ErrReplay, key, forcedLeaf, oldLeaf)
 		}
 		path := o.scratchPath(oldLeaf)
-		plan := o.newPlan()
-		plan.Key, plan.Leaf, plan.targetIdx = key, oldLeaf, -1
-		if cap(plan.Reads) < len(path) {
-			plan.Reads = make([]SlotRead, 0, len(path))
-		}
+		p := o.newPlan(AccessStep)
+		p.Key, p.Leaf = key, oldLeaf
+		e := o.newEntry(stashEntry{key: o.keys[ki].name, ki: ki, cacheable: true, pending: true})
 		for lvl, b := range path {
 			m := &o.meta[b]
 			var forced = -1
@@ -590,10 +679,10 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 			if b == bucket {
 				phys := m.perm[rpos]
 				if forced >= 0 && forced != phys {
-					return nil, nil, fmt.Errorf("%w: key %q logged slot %d in bucket %d, metadata says %d", ErrReplay, key, forced, b, phys)
+					return nil, fmt.Errorf("%w: key %q logged slot %d in bucket %d, metadata says %d", ErrReplay, key, forced, b, phys)
 				}
 				if !m.valid().has(phys) {
-					return nil, nil, fmt.Errorf("ringoram: occupied real slot invalid (bucket %d pos %d)", b, rpos)
+					return nil, fmt.Errorf("ringoram: occupied real slot invalid (bucket %d pos %d)", b, rpos)
 				}
 				// An occupied position is no filler, and with its slot read it
 				// does not become one.
@@ -602,85 +691,72 @@ func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*A
 				m.addrs[rpos] = -1
 				m.occ().unset(rpos)
 				o.markBucket(b, bucketTouched)
-				plan.targetIdx = len(plan.Reads)
-				plan.Reads = append(plan.Reads, o.readOf(b, phys))
-				plan.Reads[plan.targetIdx].target = true
+				p.entry = e
+				p.Reads = append(p.Reads, o.readOf(b, phys))
+				p.Reads[len(p.Reads)-1].entry = e
 				continue
 			}
 			phys, err := o.consumeFiller(b, forced)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			plan.Reads = append(plan.Reads, o.readOf(b, phys))
+			p.Reads = append(p.Reads, o.readOf(b, phys))
 		}
-		if plan.targetIdx < 0 {
-			return nil, nil, fmt.Errorf("ringoram: key %q resides in bucket %d, off its path (leaf %d)", key, bucket, oldLeaf)
+		if p.entry == nil {
+			return nil, fmt.Errorf("ringoram: key %q resides in bucket %d, off its path (leaf %d)", key, bucket, oldLeaf)
 		}
 		o.keys[ki].bucket = -1
-		e := o.newEntry(stashEntry{key: o.keys[ki].name, ki: ki, cacheable: true, pending: true})
 		o.stashAdd(e)
-		plan.targetEntry = e
 		e.leaf = o.randLeaf()
 		o.remap(key, e.leaf)
 		o.accessCount++
 		if err := o.noteStash(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return plan, o.reshuffleDue(path), nil
+		return p, nil
 	}
 
 	// Unknown key (or explicit padding): pure dummy path read.
-	leaf := forcedLeaf
+	return o.dummyPathLocked(key, forcedLeaf, forcedSlots)
+}
+
+// dummyPathLocked plans an access of key that reads one filler slot per
+// bucket along a path: leaf's, or a uniformly random one when leaf < 0.
+func (o *ORAM) dummyPathLocked(key string, leaf int, forcedSlots []int) (*Plan, error) {
 	if leaf < 0 {
 		leaf = o.randLeaf()
 	}
-	plan, due, err := o.dummyPathLocked(leaf, forcedSlots)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan.Key = key
-	return plan, due, nil
-}
-
-// dummyPathLocked consumes one filler slot per bucket along leaf's path.
-func (o *ORAM) dummyPathLocked(leaf int, forcedSlots []int) (*AccessPlan, []int, error) {
-	path := o.scratchPath(leaf)
-	plan := o.newPlan()
-	plan.Leaf, plan.targetIdx = leaf, -1
-	if cap(plan.Reads) < len(path) {
-		plan.Reads = make([]SlotRead, 0, len(path))
-	}
-	for lvl, b := range path {
+	p := o.newPlan(AccessStep)
+	p.Key, p.Leaf = key, leaf
+	for lvl, b := range o.scratchPath(leaf) {
 		forced := -1
 		if forcedSlots != nil && !o.local.rewritten(b) {
 			forced = forcedSlots[lvl]
 		}
 		phys, err := o.consumeFiller(b, forced)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		plan.Reads = append(plan.Reads, o.readOf(b, phys))
+		p.Reads = append(p.Reads, o.readOf(b, phys))
 	}
 	o.accessCount++
-	return plan, o.reshuffleDue(path), nil
+	return p, nil
 }
 
-// PlanWrite applies a logical write (or delete, when tombstone is set) as a
-// dummiless write (§6.3): the block goes directly to the stash, so no storage
-// reads are needed and there is nothing to complete. The write counts as one
-// access toward the eviction schedule (EvictDue).
-func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) error {
-	if key == "" {
-		return errors.New("ringoram: empty key")
+// planWriteLocked plans a write step: the block into the stash unless key is
+// "", and one access counted either way.
+func (o *ORAM) planWriteLocked(key string, value []byte, tombstone bool) (*Plan, error) {
+	if key != "" {
+		if err := o.writeLocked(key, value, tombstone); err != nil {
+			return nil, err
+		}
 	}
-	if len(key) > o.p.KeySize {
-		return fmt.Errorf("ringoram: key of %d bytes exceeds KeySize %d", len(key), o.p.KeySize)
-	}
-	if len(value) > o.p.ValueSize {
-		return fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(value), o.p.ValueSize)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	o.accessCount++
+	return o.newPlan(WriteStep), nil
+}
+
+// writeLocked puts a written block into the stash.
+func (o *ORAM) writeLocked(key string, value []byte, tombstone bool) error {
 	if _, known := o.pos[key]; !known {
 		if len(o.keys) >= o.p.NumBlocks {
 			return fmt.Errorf("%w: %d keys", ErrFull, len(o.keys))
@@ -719,71 +795,71 @@ func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool) error {
 	if err := o.cdc.encodePlain(e.slot, kind, block{key: e.key, value: value}); err != nil {
 		return err
 	}
-	o.accessCount++
 	return o.noteStash()
 }
 
-// BumpWrite advances the access counter by one write-batch slot without any
-// logical effect. It pads write batches (keeping the eviction schedule
-// workload independent) and replays logged write bumps during recovery.
-func (o *ORAM) BumpWrite() {
-	o.mu.Lock()
-	o.accessCount++
-	o.mu.Unlock()
-}
-
-// EvictDue reports whether an evict-path operation is owed.
-func (o *ORAM) EvictDue() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.accessCount >= uint64(o.p.A)*(o.evictCount+1)
-}
-
-// CompleteAccess applies the fetched slot data for a read plan and returns
-// the read value. The value
-// is the caller's to keep: a capacity-clipped copy carved by a slab.Bytes.
-// data must be parallel to plan.Reads: a sealed slot from storage, nil for a
-// Local read, which the local-version table serves. Only the slot that
-// carries the access's block is ever inspected: the entry of every other read
-// (a filler) may be nil, which is what lets a caller that knows where a
-// bucket's blocks sit skip fetching the rest.
-func (o *ORAM) CompleteAccess(plan *AccessPlan, data [][]byte) (value []byte, found bool, err error) {
+// Complete applies a step's fetched slots, in plan order: it delivers every
+// read that carries a pending block, then returns the access's value, or the
+// images of the bucket versions an eviction writes. A write step completes
+// with nothing. data must be parallel to p.Reads: a sealed slot from storage,
+// nil for a Local read, which the local-version table serves. Only the slots
+// that carry a block are ever inspected: a filler's entry may be nil, which
+// is what lets a caller that knows where a bucket's blocks sit skip fetching
+// the rest.
+//
+// The value is the caller's to keep: a capacity-clipped copy carved by a
+// slab.Bytes. With the local-version table on, an eviction files its images
+// there and returns none; otherwise the caller keeps them until it seals them
+// (SealImage) or a later rewrite supersedes them. The returned slice is the
+// ORAM's scratch, valid until the next Complete: keep the images by value.
+//
+// Completion is the plan's death in every caller: it goes back to the pool on
+// success. An error leaves it out of the pool so the caller can inspect it.
+func (o *ORAM) Complete(p *Plan, data [][]byte) (value []byte, found bool, images []BucketImage, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if plan.completed {
-		return nil, false, errors.New("ringoram: plan completed twice")
+	if p.completed {
+		return nil, false, nil, errors.New("ringoram: plan completed twice")
 	}
-	plan.completed = true
-	// Completion is the plan's death in every caller: recycle it on success.
-	// Error returns leave it out of the pool so the caller can inspect it.
-	defer func() {
-		if err == nil {
-			o.planPool = append(o.planPool, plan)
+	p.completed = true
+	if len(data) != len(p.Reads) {
+		return nil, false, nil, fmt.Errorf("ringoram: %d slots delivered, plan has %d", len(data), len(p.Reads))
+	}
+	if err := o.local.check(p.Reads); err != nil {
+		return nil, false, nil, err
+	}
+	for i, r := range p.Reads {
+		if r.entry == nil || !r.entry.pending {
+			continue
 		}
-	}()
-	if !plan.cached && len(data) != len(plan.Reads) {
-		return nil, false, fmt.Errorf("ringoram: %d slots delivered, plan has %d", len(data), len(plan.Reads))
-	}
-	if err := o.local.check(plan.Reads); err != nil {
-		return nil, false, err
-	}
-	if plan.targetIdx >= 0 && plan.targetEntry.pending {
-		if err := o.deliver(plan.Reads[plan.targetIdx], data[plan.targetIdx], plan.targetEntry); err != nil {
-			return nil, false, err
+		if err := o.deliver(r, data[i], r.entry); err != nil {
+			return nil, false, nil, err
 		}
 	}
-	// Resolve the logical result.
-	entry := plan.targetEntry
-	if entry == nil {
-		entry = plan.cachedEntry
+	switch p.Kind {
+	case AccessStep:
+		value, found, err = o.accessResult(p.entry)
+	case EvictStep, ReshuffleStep:
+		images, err = o.writeImages(p)
 	}
-	if entry == nil {
-		return nil, false, nil // unknown key or padding
+	if err == nil {
+		p.Key, p.entry = "", nil
+		pool := &o.planPool[p.Kind.pool()]
+		*pool = append(*pool, p)
 	}
-	if entry.pending {
+	return value, found, images, err
+}
+
+// accessResult resolves an access's logical result from the block it
+// returns: none for an unknown key or padding.
+func (o *ORAM) accessResult(e *stashEntry) ([]byte, bool, error) {
+	if e == nil {
+		return nil, false, nil
+	}
+	if e.pending {
 		return nil, false, errors.New("ringoram: completion out of order: entry still pending")
 	}
-	blk, err := o.stashBlock(entry)
+	blk, err := o.stashBlock(e)
 	if err != nil || blk.tombstone {
 		return nil, false, err
 	}
@@ -837,44 +913,6 @@ func (o *ORAM) deliver(r SlotRead, data []byte, e *stashEntry) error {
 	return nil
 }
 
-// PlanEvict plans the next deterministic evict-path operation.
-func (o *ORAM) PlanEvict() (*EvictPlan, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.planEvictionLocked(o.scratchPath(o.geo.evictLeaf(o.evictCount)), true, nil)
-}
-
-// ReplayEvict replays a logged evict-path with the logged per-bucket slots.
-func (o *ORAM) ReplayEvict(slots [][]int) (*EvictPlan, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	path := o.scratchPath(o.geo.evictLeaf(o.evictCount))
-	if len(slots) != len(path) {
-		return nil, fmt.Errorf("%w: logged %d buckets, evict path has %d", ErrReplay, len(slots), len(path))
-	}
-	return o.planEvictionLocked(path, true, slots)
-}
-
-// PlanReshuffle plans an early reshuffle of a single bucket.
-func (o *ORAM) PlanReshuffle(bucket int) (*EvictPlan, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if bucket < 0 || bucket >= o.geo.NumBuckets {
-		return nil, fmt.Errorf("ringoram: reshuffle of bucket %d out of range", bucket)
-	}
-	return o.planEvictionLocked([]int{bucket}, false, nil)
-}
-
-// ReplayReshuffle replays a logged early reshuffle.
-func (o *ORAM) ReplayReshuffle(bucket int, slots []int) (*EvictPlan, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if bucket < 0 || bucket >= o.geo.NumBuckets {
-		return nil, fmt.Errorf("%w: reshuffle bucket %d out of range", ErrReplay, bucket)
-	}
-	return o.planEvictionLocked([]int{bucket}, false, [][]int{slots})
-}
-
 // shuffle fills perm with a fresh uniform permutation of 0..len(perm)-1 in
 // place, drawing from the ORAM's generator exactly as rand.Perm does, so a
 // seeded run keeps its stream.
@@ -888,19 +926,24 @@ func (o *ORAM) shuffle(perm []int) {
 	}
 }
 
-// planEvictionLocked implements the shared read/write planning of evict-path
-// (buckets = full path, deepest placement first) and early reshuffle
-// (single bucket). forcedSlots, when non-nil, dictates the physical slots of
-// the read phase (recovery replay). buckets may be scratch: it is copied.
+// planEvictionLocked plans the read and write phases of the next evict-path
+// (kind EvictStep: the full path, deepest placement first) or of an early
+// reshuffle of bucket (kind ReshuffleStep). forcedSlots, when non-nil,
+// dictates the physical slots of the read phase (recovery replay).
 //
 // The planner runs once per A accesses over L+1 buckets, so everything it
 // needs — the plan, its slices, each planned bucket's permutation copy and
 // placements — comes from the plan pool, and the new permutation is drawn in
 // place: the steady state allocates nothing here.
-func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]int) (*EvictPlan, error) {
-	plan := o.newEvictPlan()
-	plan.Buckets = append(plan.Buckets, buckets...)
-	buckets = plan.Buckets
+func (o *ORAM) planEvictionLocked(kind PlanKind, bucket int, forcedSlots [][]int) (*Plan, error) {
+	plan := o.newPlan(kind)
+	isEvict := kind == EvictStep
+	if isEvict {
+		plan.Buckets = o.geo.appendPath(plan.Buckets, o.geo.evictLeaf(o.evictCount))
+	} else {
+		plan.Buckets = append(plan.Buckets, bucket)
+	}
+	buckets := plan.Buckets
 
 	// Read phase: every valid occupied real block, padded with fillers to Z
 	// reads per bucket. Blocks move to the stash as pending entries.
@@ -1026,47 +1069,21 @@ func (o *ORAM) planEvictionLocked(buckets []int, isEvict bool, forcedSlots [][]i
 	return plan, nil
 }
 
-// CompleteEvict applies the fetched read-phase data and makes the image of
-// every bucket version the plan writes. With the local-version table on it
-// files them there and returns none; otherwise it returns them, and the
-// caller keeps them until it seals them (SealImage) or a later rewrite
-// supersedes them. data is parallel to plan.Reads, as in CompleteAccess, and
-// as there only reads that carry a block are inspected; a filler's entry may
-// be nil. The returned slice is the ORAM's scratch, valid until the next
-// CompleteEvict: keep the images by value.
-func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketImage, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if plan.completed {
-		return nil, errors.New("ringoram: eviction completed twice")
-	}
-	plan.completed = true
-	if len(data) != len(plan.Reads) {
-		return nil, fmt.Errorf("ringoram: %d slots delivered, plan has %d", len(data), len(plan.Reads))
-	}
-	if err := o.local.check(plan.Reads); err != nil {
-		return nil, err
-	}
-	for i, r := range plan.Reads {
-		if r.entry == nil || !r.entry.pending {
-			continue
-		}
-		if err := o.deliver(r, data[i], r.entry); err != nil {
-			return nil, err
-		}
-	}
+// writeImages makes the image of every bucket version an eviction writes and
+// retires the entries whose blocks moved into them.
+func (o *ORAM) writeImages(p *Plan) ([]BucketImage, error) {
 	// Every placed block must be delivered before any moves into an image:
 	// an earlier plan's completion delivered it, or this plan's just did.
-	for i := range plan.writes {
-		for _, e := range plan.writes[i].placed {
+	for i := range p.writes {
+		for _, e := range p.writes[i].placed {
 			if e.pending {
-				return nil, fmt.Errorf("ringoram: writing bucket %d: block %q still pending (completion order violated)", plan.writes[i].bucket, e.key)
+				return nil, fmt.Errorf("ringoram: writing bucket %d: block %q still pending (completion order violated)", p.writes[i].bucket, e.key)
 			}
 		}
 	}
 	images := o.images[:0]
-	for i := range plan.writes {
-		im := o.imageOf(&plan.writes[i])
+	for i := range p.writes {
+		im := o.imageOf(&p.writes[i])
 		if o.local.versions != nil {
 			o.local.keep(im.Bucket, localVer{ver: im.Ver, buf: im.buf})
 			continue
@@ -1078,13 +1095,11 @@ func (o *ORAM) CompleteEvict(plan *EvictPlan, data [][]byte) ([]BucketImage, err
 	// their slots have moved into the images: recycle the entries.
 	// Plan-ordered completion means no earlier plan still references them, and
 	// any later access finds the key in the tree, not in these entries.
-	for i := range plan.writes {
-		for _, e := range plan.writes[i].placed {
+	for i := range p.writes {
+		for _, e := range p.writes[i].placed {
 			*e = stashEntry{}
 			o.entryPool = append(o.entryPool, e)
 		}
 	}
-	// Completion is the plan's death in every caller: recycle it.
-	o.evictPool = append(o.evictPool, plan)
 	return images, nil
 }

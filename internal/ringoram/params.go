@@ -2,14 +2,18 @@
 // with the Obladi modifications of §6.3 of the paper: dummiless writes and
 // stash-cacheability tagging.
 //
-// The package separates *planning* from *I/O*: PlanRead / PlanWrite /
-// PlanEvict / PlanReshuffle mutate client-side metadata and return the exact
-// physical slot reads and bucket writes the access requires, without touching
-// storage. Callers (the sequential wrapper in this package, and the parallel
-// epoch executor in internal/oramexec) perform the I/O and feed results back
-// through the matching Complete* methods. This split is what lets Obladi
+// The package separates *planning* from *I/O*: PlanRead and PlanWrite plan a
+// whole logical operation — its access, then the early reshuffles and
+// evict-paths it makes due, Ring ORAM's schedule, which this package alone
+// decides (oram.go) — mutating client-side metadata and returning each step as
+// a Plan that lists the exact physical slot reads, without touching storage.
+// Callers (the sequential wrapper in this package, and the parallel epoch
+// executor in internal/oramexec) perform the I/O and feed each step's slots
+// back through Complete, in plan order. This split is what lets Obladi
 // pipeline an epoch's physical reads, defer all physical writes to the epoch
-// boundary, and replay logged slot choices deterministically after a crash.
+// boundary, and replay logged slot choices deterministically after a crash
+// (ReplayRead, ReplayBump, ReplayEvict and ReplayReshuffle, one step per log
+// entry).
 package ringoram
 
 import (
@@ -34,7 +38,7 @@ type Params struct {
 	// physical size derived from KeySize and ValueSize.
 	ValueSize int
 	// StashLimit bounds the stash; 0 selects a default derived from the
-	// tree geometry. The durability layer pads the logged stash to this
+	// tree geometry, and a negative limit is refused. The durability layer pads the logged stash to this
 	// size so its true size is never revealed.
 	StashLimit int
 	// DisableEncryption stores slots in plaintext. Only for measuring
@@ -85,6 +89,9 @@ func (p *Params) Validate() error {
 	}
 	if p.ValueSize < 1 {
 		return fmt.Errorf("%w: ValueSize %d", errBadParams, p.ValueSize)
+	}
+	if p.StashLimit < 0 {
+		return fmt.Errorf("%w: StashLimit %d", errBadParams, p.StashLimit)
 	}
 	if p.StashLimit == 0 {
 		g := p.Geometry()

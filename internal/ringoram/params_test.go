@@ -1,6 +1,7 @@
 package ringoram
 
 import (
+	"errors"
 	"slices"
 	"testing"
 )
@@ -30,6 +31,19 @@ func TestValidateRejections(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Fatalf("case %d accepted: %+v", i, p)
 		}
+	}
+}
+
+// TestValidateRejectsNegativeStashLimit: 0 selects the default limit, and a
+// negative one is refused up front, not by the first write's overflow.
+func TestValidateRejectsNegativeStashLimit(t *testing.T) {
+	p := Params{NumBlocks: 100, Z: 4, S: 6, A: 4, StashLimit: -1}
+	if err := p.Validate(); !errors.Is(err, errBadParams) {
+		t.Fatalf("StashLimit -1: %v, want a parameter error", err)
+	}
+	p.StashLimit = 0
+	if err := p.Validate(); err != nil || p.StashLimit <= 0 {
+		t.Fatalf("StashLimit 0: %v, limit %d, want the default", err, p.StashLimit)
 	}
 }
 

@@ -23,10 +23,10 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 	evicted := func(t *testing.T) (*ORAM, []BucketImage) {
 		o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
 		must(t, err)
-		must(t, o.PlanWrite("k", []byte("v"), false))
-		ep, err := o.PlanEvict()
+		_, err = o.PlanWrite("k", []byte("v"), false, nil)
 		must(t, err)
-		images, err := o.CompleteEvict(ep, make([][]byte, len(ep.Reads)))
+		ep := evictNow(t, o)
+		_, _, images, err := o.Complete(ep, make([][]byte, len(ep.Reads)))
 		must(t, err)
 		return o, images
 	}
@@ -60,18 +60,20 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 		o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
 		must(t, err)
 		o.KeepLocal()
-		must(t, o.PlanWrite("k", []byte("v"), false))
-		ep, err := o.PlanEvict()
+		_, err = o.PlanWrite("k", []byte("v"), false, nil)
 		must(t, err)
+		ep := evictNow(t, o)
 		buckets := slices.Clone(ep.Buckets)
-		_, err = o.CompleteEvict(ep, make([][]byte, len(ep.Reads)))
+		_, _, _, err = o.Complete(ep, make([][]byte, len(ep.Reads)))
 		must(t, err)
-		plan, _, err := o.PlanRead("k")
+		steps, err := o.PlanRead("k", nil)
 		must(t, err)
-		if plan.Cached() || !plan.Reads[plan.targetIdx].Local() {
+		plan := steps[0]
+		target := slices.IndexFunc(plan.Reads, func(r SlotRead) bool { return r.entry != nil })
+		if target < 0 || !plan.Reads[target].Local() {
 			t.Fatal("the evicted block is not read from the table")
 		}
-		if kind, _, err := o.cdc.parse(mustServe(t, o, plan.Reads[plan.targetIdx])); err != nil || kind != slotReal {
+		if kind, _, err := o.cdc.parse(mustServe(t, o, plan.Reads[target])); err != nil || kind != slotReal {
 			t.Fatalf("the table's block does not decode: kind %d, %v", kind, err)
 		}
 		// Recycle the eviction's images behind the table's back: the table
@@ -79,7 +81,7 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 		for _, b := range buckets {
 			o.local.versions[b].cur.buf.recycle()
 		}
-		if _, _, err := o.CompleteAccess(plan, make([][]byte, len(plan.Reads))); !errors.Is(err, ErrCorrupt) {
+		if _, _, _, err := o.Complete(plan, make([][]byte, len(plan.Reads))); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("a block of a recycled image read locally: %v, want ErrCorrupt (the image was not poisoned)", err)
 		}
 	})

@@ -1,6 +1,7 @@
 package ringoram
 
 import (
+	"errors"
 	"fmt"
 
 	"obladi/internal/cryptoutil"
@@ -15,15 +16,18 @@ type Store interface {
 	WriteBucket(bucket int, slots [][]byte) error
 }
 
-// Seq is a synchronous, sequential Ring ORAM: every logical operation's
-// physical reads execute one at a time and evictions write back immediately.
-// It is the canonical construction the paper benchmarks against (the
-// "Sequential" series of Figure 10a) and the reference oracle for the
-// parallel executor's tests.
+// Seq is a synchronous, sequential Ring ORAM: it plans each logical
+// operation whole (its access, then the early reshuffles and evict-paths the
+// access makes due, as PlanRead and PlanWrite lay them out), then runs the
+// steps one at a time, reading one slot per call and writing each bucket an
+// eviction rewrites back at once, one bucket per call. It is the canonical
+// construction the paper benchmarks against (the "Sequential" series of
+// Figure 10a) and the reference oracle for the parallel executor's tests.
 type Seq struct {
 	oram  *ORAM
 	store Store
 	arena SealArena // each bucket is sealed into it and written at once
+	steps []*Plan   // the operation being run, reused
 }
 
 // NewSeq creates a sequential Ring ORAM over store and writes its fresh tree,
@@ -53,18 +57,12 @@ func (s *Seq) ORAM() *ORAM { return s.oram }
 // Read returns the value of key, or found=false if the key was never
 // written (or was deleted).
 func (s *Seq) Read(key string) ([]byte, bool, error) {
-	plan, due, err := s.oram.PlanRead(key)
+	steps, err := s.oram.PlanRead(key, s.steps[:0])
+	s.steps = steps
 	if err != nil {
 		return nil, false, err
 	}
-	val, found, err := s.runAccess(plan)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := s.maintain(due); err != nil {
-		return nil, false, err
-	}
-	return val, found, nil
+	return s.run(steps)
 }
 
 // Write stores value under key.
@@ -79,78 +77,57 @@ func (s *Seq) Delete(key string) error {
 }
 
 func (s *Seq) write(key string, value []byte, tombstone bool) error {
-	if err := s.oram.PlanWrite(key, value, tombstone); err != nil {
-		return err
+	if key == "" {
+		return errors.New("ringoram: empty key")
 	}
-	return s.maintain(nil)
+	steps, err := s.oram.PlanWrite(key, value, tombstone, s.steps[:0])
+	s.steps = steps
+	if err == nil {
+		_, _, err = s.run(steps)
+	}
+	return err
 }
 
 // DummyRead issues a padding access (used by callers that must keep a fixed
 // request rate).
 func (s *Seq) DummyRead() error {
-	plan, due, err := s.oram.PlanDummyRead()
-	if err != nil {
-		return err
-	}
-	if _, _, err := s.runAccess(plan); err != nil {
-		return err
-	}
-	return s.maintain(due)
+	_, _, err := s.Read("")
+	return err
 }
 
-// runAccess performs the plan's physical reads sequentially and completes it.
-func (s *Seq) runAccess(plan *AccessPlan) ([]byte, bool, error) {
-	var data [][]byte
-	if !plan.Cached() {
-		data = make([][]byte, len(plan.Reads))
-		for i, r := range plan.Reads {
+// run performs an operation's steps in plan order: each step's reads one slot
+// at a time, its completion, and the buckets it rewrites one at a time. It
+// returns the access's value.
+func (s *Seq) run(steps []*Plan) ([]byte, bool, error) {
+	defer clear(steps)
+	var value []byte
+	var found bool
+	for _, p := range steps {
+		data := make([][]byte, len(p.Reads))
+		for i, r := range p.Reads {
 			d, err := s.store.ReadSlot(r.Bucket, r.Slot)
 			if err != nil {
 				return nil, false, fmt.Errorf("ringoram: reading bucket %d slot %d: %w", r.Bucket, r.Slot, err)
 			}
 			data[i] = d
 		}
+		access := p.Kind == AccessStep
+		v, f, images, err := s.oram.Complete(p, data)
+		if err == nil {
+			err = s.writeBack(images)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		if access {
+			value, found = v, f
+		}
 	}
-	return s.oram.CompleteAccess(plan, data)
+	return value, found, nil
 }
 
-// maintain runs due early reshuffles, then any due evictions, writing
-// buckets back immediately.
-func (s *Seq) maintain(reshuffle []int) error {
-	for _, b := range reshuffle {
-		plan, err := s.oram.PlanReshuffle(b)
-		if err != nil {
-			return err
-		}
-		if err := s.runEviction(plan); err != nil {
-			return err
-		}
-	}
-	for s.oram.EvictDue() {
-		plan, err := s.oram.PlanEvict()
-		if err != nil {
-			return err
-		}
-		if err := s.runEviction(plan); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *Seq) runEviction(plan *EvictPlan) error {
-	data := make([][]byte, len(plan.Reads))
-	for i, r := range plan.Reads {
-		d, err := s.store.ReadSlot(r.Bucket, r.Slot)
-		if err != nil {
-			return fmt.Errorf("ringoram: eviction read bucket %d slot %d: %w", r.Bucket, r.Slot, err)
-		}
-		data[i] = d
-	}
-	images, err := s.oram.CompleteEvict(plan, data)
-	if err != nil {
-		return err
-	}
+// writeBack seals and writes an eviction's images, one bucket per call.
+func (s *Seq) writeBack(images []BucketImage) error {
 	defer func() {
 		for i := range images {
 			images[i].Recycle()

@@ -3,6 +3,7 @@ package ringoram
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -62,7 +63,7 @@ func restoreFrom(t *testing.T, o *ORAM, full []byte, deltas ...[]byte) *ORAM {
 
 // pathSlots lists the physical slot an access plan reads in each path bucket
 // — what the durability log records for it.
-func pathSlots(p *AccessPlan) []int {
+func pathSlots(p *Plan) []int {
 	out := make([]int, len(p.Reads))
 	for i, r := range p.Reads {
 		out[i] = r.Slot
@@ -72,7 +73,7 @@ func pathSlots(p *AccessPlan) []int {
 
 // evictSlots lists, per bucket of an eviction plan, the slots its read phase
 // reads — what the durability log records for it.
-func evictSlots(p *EvictPlan) [][]int {
+func evictSlots(p *Plan) [][]int {
 	out := make([][]int, len(p.Buckets))
 	i := 0
 	for bi, b := range p.Buckets {
@@ -254,11 +255,12 @@ func TestReplayReadProducesSameSlots(t *testing.T) {
 	seq, store, _ := buildWorkload(t, 27)
 	st := image(t, seq.ORAM(), true)
 	// Original access on the live client ("the epoch that will crash").
-	plan, _, err := seq.ORAM().PlanRead("k3")
+	steps, err := seq.ORAM().PlanRead("k3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Cached() {
+	plan := steps[0]
+	if len(plan.Reads) == 0 {
 		t.Skip("key landed in stash; no physical read to replay")
 	}
 	loggedLeaf := plan.Leaf
@@ -266,7 +268,7 @@ func TestReplayReadProducesSameSlots(t *testing.T) {
 
 	// Crash: restore from the snapshot and replay the logged access.
 	restored := restoreFrom(t, seq.ORAM(), st)
-	replayPlan, _, err := restored.ReplayRead("k3", loggedLeaf, loggedSlots)
+	replayPlan, err := restored.ReplayRead("k3", loggedLeaf, loggedSlots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +296,7 @@ func TestReplayReadProducesSameSlots(t *testing.T) {
 		}
 		data[i] = d
 	}
-	v, found, err := restored.CompleteAccess(replayPlan, data)
+	v, found, _, err := restored.Complete(replayPlan, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +311,7 @@ func TestReplayRejectsDivergence(t *testing.T) {
 	restored := restoreFrom(t, seq.ORAM(), st)
 	geo := restored.Geometry()
 	// Wrong number of slots.
-	if _, _, err := restored.ReplayRead("", 0, make([]int, geo.Levels+5)); err == nil {
+	if _, err := restored.ReplayRead("", 0, make([]int, geo.Levels+5)); err == nil {
 		t.Fatal("wrong slot count accepted")
 	}
 	// Out-of-range slot index.
@@ -317,22 +319,66 @@ func TestReplayRejectsDivergence(t *testing.T) {
 	for i := range bad {
 		bad[i] = geo.SlotsPer + 10
 	}
-	if _, _, err := restored.ReplayRead("", 0, bad); err == nil {
+	if _, err := restored.ReplayRead("", 0, bad); err == nil {
 		t.Fatal("out-of-range slots accepted")
+	}
+}
+
+// TestReplayReadRejectsLeafOutOfRange: a logged leaf outside [0, Leaves) is
+// a divergence, whatever the key, and never indexes past the tree. The logged
+// slots (slot 0 of every bucket) are fillers of the fresh tree, so only the
+// leaf is wrong.
+func TestReplayReadRejectsLeafOutOfRange(t *testing.T) {
+	p := testParams(64)
+	p.DisableEncryption = true
+	g := p.Geometry()
+	slots := make([]int, g.Levels+1)
+	for _, leaf := range []int{-1, g.Leaves, g.Leaves + 5} {
+		for _, key := range []string{"", "never-written"} {
+			o, err := New(nil, p)
+			must(t, err)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("ReplayRead(%q, %d) panicked: %v", key, leaf, r)
+					}
+				}()
+				if _, err := o.ReplayRead(key, leaf, slots); !errors.Is(err, ErrReplay) {
+					t.Fatalf("ReplayRead(%q, %d): %v, want ErrReplay", key, leaf, err)
+				}
+			}()
+		}
 	}
 }
 
 func TestReplayEvictMatchesLogged(t *testing.T) {
 	seq, _, _ := buildWorkload(t, 29)
 	st := image(t, seq.ORAM(), true)
-	// Live eviction to log.
-	plan, err := seq.ORAM().PlanEvict()
-	if err != nil {
-		t.Fatal(err)
+	// Live eviction to log: padding bumps until one falls due, which the
+	// bump that makes it due plans right after itself.
+	var steps []*Plan
+	bumps := 0
+	for len(steps) < 2 {
+		var err error
+		if steps, err = seq.ORAM().PlanWrite("", nil, false, steps[:0]); err != nil {
+			t.Fatal(err)
+		}
+		bumps++
+	}
+	plan := steps[1]
+	if len(steps) != 2 || plan.Kind != EvictStep {
+		t.Fatalf("a padding bump planned %d steps, the second of kind %d, want one evict-path", len(steps), plan.Kind)
 	}
 	logged := evictSlots(plan)
 
 	restored := restoreFrom(t, seq.ORAM(), st)
+	for i := 0; i < bumps; i++ {
+		// The schedule owes the eviction only once every bump is replayed.
+		if _, err := restored.ReplayEvict(logged); !errors.Is(err, ErrReplay) {
+			t.Fatalf("an eviction replayed %d bumps early: %v, want ErrReplay", bumps-i, err)
+		}
+		restored.ReplayBump()
+	}
 	replay, err := restored.ReplayEvict(logged)
 	if err != nil {
 		t.Fatal(err)
@@ -364,17 +410,17 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 
 func TestSnapshotWithPendingFails(t *testing.T) {
 	seq, _, _ := buildWorkload(t, 30)
-	plan, _, err := seq.ORAM().PlanRead("k1")
+	steps, err := seq.ORAM().PlanRead("k1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Cached() {
+	if len(steps[0].Reads) > 0 {
 		// Mid-flight: a pending stash entry exists.
 		if _, err := seq.ORAM().EncodeCheckpoint(true, CheckpointPad{}, 0, 0); err == nil {
 			t.Fatal("snapshot with pending entries accepted")
 		}
 		// Finish the access to restore a clean state.
-		if _, _, err := seq.runAccess(plan); err != nil {
+		if _, _, err := seq.run(steps); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,24 +20,29 @@ func TestValuePathAllocBudget(t *testing.T) {
 	}
 	p := testParams(256)
 	p.KeySize, p.ValueSize = 16, 256
+	p.S, p.A = 4096, 4096 // no evict-path falls due: the blocks stay in the stash
 	o, err := New(cryptoutil.KeyFromSeed([]byte("budget")), p)
 	must(t, err)
 	keys := make([]string, 16)
 	value := make([]byte, p.ValueSize)
+	var steps []*Plan
 	write := func() {
 		for _, k := range keys {
-			if err := o.PlanWrite(k, value, false); err != nil {
+			if steps, err = o.PlanWrite(k, value, false, steps[:0]); err != nil || len(steps) != 1 {
+				t.Fatalf("write of %s: %d steps, err=%v, want the write alone", k, len(steps), err)
+			}
+			if _, _, _, err := o.Complete(steps[0], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	read := func() {
 		for _, k := range keys {
-			plan, _, err := o.PlanRead(k)
-			if err != nil || !plan.Cached() {
-				t.Fatalf("read of %s: cached=%v err=%v, want a stash hit", k, plan.Cached(), err)
+			steps, err = o.PlanRead(k, steps[:0])
+			if err != nil || len(steps) != 1 || len(steps[0].Reads) != 0 {
+				t.Fatalf("read of %s: %d steps, err=%v, want a stash hit alone", k, len(steps), err)
 			}
-			if v, found, err := o.CompleteAccess(plan, nil); err != nil || !found || len(v) != len(value) {
+			if v, found, _, err := o.Complete(steps[0], nil); err != nil || !found || len(v) != len(value) {
 				t.Fatalf("read of %s: %d bytes, found=%v, err=%v", k, len(v), found, err)
 			}
 		}
@@ -48,10 +53,10 @@ func TestValuePathAllocBudget(t *testing.T) {
 	write()
 	read()
 	if allocs := testing.AllocsPerRun(50, write); allocs != 0 {
-		t.Errorf("%.2f allocations per %d writes, want 0: PlanWrite allocates outside the block pool again", allocs, len(keys))
+		t.Errorf("%.2f allocations per %d writes, want 0: PlanWrite allocates outside the block pool and the plan pool again", allocs, len(keys))
 	}
 	if allocs := testing.AllocsPerRun(50, read) / float64(len(keys)); allocs > 1.0/16 {
-		t.Errorf("%.3f allocations per returned value, budget 1/16: CompleteAccess allocates per value again", allocs)
+		t.Errorf("%.3f allocations per returned value, budget 1/16: Complete allocates per value again", allocs)
 	}
 }
 

@@ -211,7 +211,7 @@ func TestFollowerCannotCommit(t *testing.T) {
 	if !IsCommitRecord(committing.rec) || IsCommitRecord(prepared.rec) {
 		t.Fatalf("coordinator prepared kind %d, follower kind %d", committing.rec[0], prepared.rec[0])
 	}
-	if _, err := coord.AppendPreparedDeferred(prepared); err == nil {
+	if _, err := coord.AppendPrepared(prepared); err == nil {
 		t.Fatal("the coordinator's log wrote a checkpoint that commits nothing")
 	}
 	if recs, _ := backend.Scan(0); len(recs) != 0 {

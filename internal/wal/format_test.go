@@ -316,7 +316,7 @@ func TestBoundaryAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		log := plan.Log()
-		batch = mallocsOf(func() { err = h.log.AppendBatchDeferred(h.epoch, 0, log) })
+		batch = mallocsOf(func() { err = h.log.AppendBatch(h.epoch, 0, log) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestBoundaryAllocBudget(t *testing.T) {
 		checkpoint = mallocsOf(func() {
 			var cp *PendingCheckpoint
 			if cp, err = h.log.PrepareCheckpoint(h.epoch, h.oram); err == nil {
-				_, err = h.log.AppendPreparedDeferred(cp)
+				_, err = h.log.AppendPrepared(cp)
 			}
 		})
 		if err != nil {

@@ -19,6 +19,12 @@
 // coordinator committed (RecoverWithFloor). The two differ in the kind byte
 // alone — same layout, same size.
 //
+// There is one append mode: AppendBatch and AppendPrepared hand the record to
+// the store, and it is durable once the next Sync returns (at once on a store
+// without the storage.LogBatcher capability). Callers append every record of
+// a round, then Sync once, so the round's records share one barrier.
+// AppendCheckpoint is the one-call prepare, append and Sync.
+//
 // # Record format
 //
 // A record is one exact-size buffer, written once and sealed where it lies:
@@ -248,27 +254,16 @@ func (l *Log) open(rec []byte, headerSize int) ([]byte, error) {
 	return plain, nil
 }
 
-// AppendBatch durably logs a batch's physical read schedule. Must complete
-// before the batch's reads are issued (write-ahead rule).
-func (l *Log) AppendBatch(epoch uint64, batch int, log oramexec.BatchLog) error {
-	return l.appendBatch(epoch, batch, log, true)
-}
-
-// AppendBatchDeferred logs a batch's read schedule without waiting for its
-// durability barrier: the record rides the next Sync. The write-ahead rule
-// is then the CALLER's to restore — Sync must return before the batch's
-// reads are issued. The split lets several shards' schedule records (and,
-// on a shared physical log, several records per shard) stand on one flush
-// instead of one fsync per record.
-func (l *Log) AppendBatchDeferred(epoch uint64, batch int, log oramexec.BatchLog) error {
-	return l.appendBatch(epoch, batch, log, false)
-}
-
-// appendBatch appends a batch record and remembers where its epoch's batch
-// records start. The append and the note share one critical section: a
-// batch record that reaches the store ahead of a checkpoint is then always
+// AppendBatch logs a batch's physical read schedule and remembers where its
+// epoch's batch records start. The record is durable once the next Sync
+// returns (at once when the store lacks the LogBatcher capability): the
+// write-ahead rule is the caller's, and Sync must return before the batch's
+// reads are issued. Several shards' schedule records (and, on a shared
+// physical log, several records per shard) thus stand on one flush instead of
+// one fsync per record. The append and the note share one critical section:
+// a batch record that reaches the store ahead of a checkpoint is then always
 // noted before a Retire standing on that checkpoint can read the marks.
-func (l *Log) appendBatch(epoch uint64, batch int, log oramexec.BatchLog, sync bool) error {
+func (l *Log) AppendBatch(epoch uint64, batch int, log oramexec.BatchLog) error {
 	rec, plain := newRecord(kindBatch, batchHeaderSize+log.EncodedSize())
 	putHeader(plain, epoch)
 	binary.BigEndian.PutUint32(plain[9:], uint32(batch))
@@ -280,7 +275,7 @@ func (l *Log) appendBatch(epoch uint64, batch int, log oramexec.BatchLog, sync b
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seq, err := l.appendStore(rec, sync)
+	seq, err := l.appendStore(rec)
 	if err != nil {
 		return err
 	}
@@ -298,8 +293,8 @@ func (l *Log) noteAppendLocked(seq uint64) {
 	l.retained++
 }
 
-// Sync makes every deferred append durable. A no-op when the store lacks
-// the LogBatcher capability — its Appends were durable inline.
+// Sync makes every append durable. A no-op when the store lacks the
+// LogBatcher capability — its Appends were durable inline.
 func (l *Log) Sync() error {
 	if lb, ok := l.store.(storage.LogBatcher); ok {
 		return lb.SyncLog()
@@ -307,15 +302,12 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// appendStore appends a sealed record: durably, or — when sync is false and
-// the store supports deferred barriers — riding a later Sync. Stores
-// without the capability always append durably, so every caller of the
-// deferred variants degrades to the stricter behavior.
-func (l *Log) appendStore(rec []byte, sync bool) (uint64, error) {
-	if !sync {
-		if lb, ok := l.store.(storage.LogBatcher); ok {
-			return lb.AppendNoSync(rec)
-		}
+// appendStore appends a sealed record that rides the next Sync when the store
+// supports deferred barriers. Stores without the capability append durably,
+// the stricter behavior.
+func (l *Log) appendStore(rec []byte) (uint64, error) {
+	if lb, ok := l.store.(storage.LogBatcher); ok {
+		return lb.AppendNoSync(rec)
 	}
 	return l.store.Append(rec)
 }
@@ -374,33 +366,22 @@ func (l *Log) checkpointKind() byte {
 	return kindCheckpoint
 }
 
-// AppendPrepared seals and durably appends a prepared checkpoint. Returns
-// whether it was a full checkpoint. On the coordinator's log its return is
-// the epoch's commit point: every other shard's checkpoint and write-back
-// must already be durable, and the epoch's transactions may be acknowledged
-// once the stores have retired the epoch.
-func (l *Log) AppendPrepared(cp *PendingCheckpoint) (bool, error) {
-	return l.appendPrepared(cp, true)
-}
-
-// AppendPreparedDeferred appends a prepared checkpoint without its barrier;
-// the caller must Sync before treating the checkpoint as durable (in the
-// coordinator-commit protocol: a follower's before the coordinator's
+// AppendPrepared seals and appends a prepared checkpoint and returns whether
+// it was a full checkpoint. Like AppendBatch's record it is durable once the
+// next Sync returns, and the caller must Sync before treating it as durable
+// (in the coordinator-commit protocol: a follower's before the coordinator's
 // committing checkpoint may be written, the coordinator's before the epoch
-// counts as committed). On a log stream shared with the records that depend
-// on it, record order carries the same guarantee and one Sync covers them all.
-func (l *Log) AppendPreparedDeferred(cp *PendingCheckpoint) (bool, error) {
-	return l.appendPrepared(cp, false)
-}
-
-func (l *Log) appendPrepared(cp *PendingCheckpoint, sync bool) (bool, error) {
+// counts as committed — that Sync's return is the epoch's commit point). On a
+// log stream shared with the records that depend on it, record order carries
+// the same guarantee and one Sync covers them all.
+func (l *Log) AppendPrepared(cp *PendingCheckpoint) (bool, error) {
 	if cp.rec[0] != l.checkpointKind() {
 		return false, fmt.Errorf("wal: shard %d's log cannot write a checkpoint of kind %d (only the coordinator commits)", l.cfg.Shard, cp.rec[0])
 	}
 	if err := l.seal(cp.rec); err != nil {
 		return false, err
 	}
-	seq, err := l.appendStore(cp.rec, sync)
+	seq, err := l.appendStore(cp.rec)
 	if err != nil {
 		return false, err
 	}
@@ -418,15 +399,19 @@ func (l *Log) appendPrepared(cp *PendingCheckpoint, sync bool) (bool, error) {
 	return cp.full, nil
 }
 
-// AppendCheckpoint logs the epoch-end metadata snapshot synchronously:
-// PrepareCheckpoint immediately followed by AppendPrepared. Returns whether
-// a full checkpoint was written.
+// AppendCheckpoint logs the epoch-end metadata snapshot durably:
+// PrepareCheckpoint, AppendPrepared and Sync in one call. Returns whether a
+// full checkpoint was written.
 func (l *Log) AppendCheckpoint(epoch uint64, oram *ringoram.ORAM) (bool, error) {
 	cp, err := l.PrepareCheckpoint(epoch, oram)
 	if err != nil {
 		return false, err
 	}
-	return l.AppendPrepared(cp)
+	full, err := l.AppendPrepared(cp)
+	if err == nil {
+		err = l.Sync()
+	}
+	return full, err
 }
 
 // IsCommitRecord reports whether a raw log record is a committing
