@@ -135,21 +135,7 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// free to refill.
 	job := &p.job
 	job.epoch = epoch
-	// Same staging as StepReadBatch: plan everywhere, append every shard's
-	// write-batch schedule deferred, one Sync round (one fsync on a shared
-	// log), then execute — the write-ahead rule holds per shard, with the
-	// barrier placed once per round instead of once per record.
-	p.sched.Run(stagePlanWrites)
-	for i, sh := range p.shards {
-		if errs[i] != nil || sh.rlog == nil {
-			continue
-		}
-		if err := sh.rlog.AppendBatch(epoch, p.cfg.ReadBatches, p.step.plans[i].Log()); err != nil {
-			errs[i] = err
-		}
-	}
-	p.syncLogs(p.sched, stageSyncStep)
-	p.sched.Run(stageSeal)
+	p.loggedRound(stagePlanWrites, stageSeal, epoch, p.cfg.ReadBatches)
 	clear(p.step.plans)
 	if err := firstError(errs); err != nil {
 		return nil, p.failBoundary(err)

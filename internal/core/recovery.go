@@ -109,7 +109,7 @@ func (p *Proxy) recover(coordRec *wal.Recovery) error {
 	for _, rec := range r.recs {
 		for _, batch := range rec.AbortedBatches {
 			for _, le := range batch {
-				if le.Kind == oramexec.LogAccess {
+				if le.Kind == ringoram.AccessStep {
 					p.stats.RecoveryReplayed++
 				}
 			}

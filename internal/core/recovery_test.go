@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"obladi/internal/oramexec"
+	"obladi/internal/ringoram"
 	"obladi/internal/storage"
 	"obladi/internal/wal"
 )
@@ -137,7 +137,7 @@ func TestRecoveryDropsInFlightEpoch(t *testing.T) {
 	reads := 0
 	for _, batch := range logged.AbortedBatches {
 		for _, le := range batch {
-			if le.Kind == oramexec.LogAccess {
+			if le.Kind == ringoram.AccessStep {
 				reads++
 			}
 		}
@@ -220,11 +220,11 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 	for _, batch := range logged.AbortedBatches {
 		for _, le := range batch {
 			switch le.Kind {
-			case oramexec.LogAccess:
+			case ringoram.AccessStep:
 				for i, b := range oram.PathBuckets(le.Leaf) {
 					named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
 				}
-			case oramexec.LogEvict:
+			case ringoram.EvictStep:
 				// The evict path is a function of the eviction counter.
 				leaf := int(bits.Reverse(uint(evictCount)%uint(geo.Leaves)) >> (bits.UintSize - geo.Levels))
 				for i, b := range oram.PathBuckets(leaf) {
@@ -233,8 +233,8 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 					}
 				}
 				evictCount++
-			case oramexec.LogReshuffle:
-				for _, s := range le.Slots {
+			case ringoram.ReshuffleStep:
+				for _, s := range le.BucketSlots[0] {
 					named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
 				}
 			}

@@ -60,6 +60,30 @@ type shardReadBatch struct {
 	waiters []*fetchWaiter
 }
 
+// loggedRound runs one logged batch round on every shard: the plan stage,
+// each shard's batch record appended, one Sync round, then the exec stage; a
+// shard's error lands in p.step.errs. The write-ahead rule (§8: a batch's
+// schedule must be durable before its reads are issued) only orders a shard's
+// own log against its own reads, so planning and execution run concurrently
+// across shards. The appends, though, are split from their barrier: every
+// shard's record is appended first, then one Sync round makes them all
+// durable before any read issues. On a shared physical log the round is ONE
+// fsync for all shards — barrier placement, not barrier count, is what the
+// write-ahead rule fixes.
+func (p *Proxy) loggedRound(plan, exec stage, epoch uint64, batch int) {
+	p.sched.Run(plan)
+	for i, sh := range p.shards {
+		if p.step.errs[i] != nil || sh.rlog == nil {
+			continue
+		}
+		if err := sh.rlog.AppendBatch(epoch, batch, p.step.plans[i].Log()); err != nil {
+			p.step.errs[i] = err
+		}
+	}
+	p.syncLogs(p.sched, stageSyncStep)
+	p.sched.Run(exec)
+}
+
 // StepReadBatch issues the epoch's next read batch on every shard: up to
 // bread queued fetches per shard, padded with dummies, executed in parallel
 // across shards. Exported for manual mode and tests.
@@ -94,26 +118,7 @@ func (p *Proxy) StepReadBatch() error {
 	epoch := p.epoch
 	p.mu.Unlock()
 
-	// Per shard: plan, write-ahead log, execute. The write-ahead rule (§8:
-	// the read schedule must be durable before its reads are issued) only
-	// orders a shard's own log against its own reads, so planning and
-	// execution run concurrently across shards. The log appends, though,
-	// are split from their barrier: every shard's schedule record is
-	// appended first (deferred), then one Sync round makes them all durable
-	// before any read issues. On a shared physical log the round is ONE
-	// fsync for all shards — barrier placement, not barrier count, is what
-	// the write-ahead rule fixes.
-	p.sched.Run(stagePlanReads)
-	for i, sh := range p.shards {
-		if errs[i] != nil || sh.rlog == nil {
-			continue
-		}
-		if err := sh.rlog.AppendBatch(epoch, batchIdx, plans[i].Log()); err != nil {
-			errs[i] = err
-		}
-	}
-	p.syncLogs(p.sched, stageSyncStep)
-	p.sched.Run(stageExecReads)
+	p.loggedRound(stagePlanReads, stageExecReads, epoch, batchIdx)
 
 	p.mu.Lock()
 	for i, b := range batches {

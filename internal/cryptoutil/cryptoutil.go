@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Scheme identifies a sealing construction; every frame carries it as its
@@ -112,35 +111,30 @@ func grow(b []byte, n int) []byte {
 	return nb
 }
 
-// nonceBlock is how much crypto/rand output one refill of a nonce buffer
+// nonceBlock is how much crypto/rand output one refill of a Nonces block
 // draws: 341 nonces for one read of the system generator.
 const nonceBlock = 4096
 
-// nonceBuf is a block of crypto/rand output that nonces are cut from, front
-// to back, each byte used once; off is the first unused byte.
-type nonceBuf struct {
-	b   [nonceBlock]byte
-	off int
+// Nonces is a block of crypto/rand output that one sealer cuts its nonces
+// from, front to back, each byte used once, and refills when it runs short.
+// It belongs to one sealer and is never shared, so it is not safe for
+// concurrent use: every goroutine that seals in place brings its own. The
+// zero value is ready.
+type Nonces struct {
+	b    [nonceBlock]byte
+	left int // the unused bytes, at the end of b
 }
 
-// nonces holds the nonce buffers. A sync.Pool keeps one per P, and Get hands
-// a buffer to one goroutine at a time, so no two seals ever cut the same
-// bytes. A buffer the collector drops takes its unused bytes with it.
-var nonces = sync.Pool{New: func() any { return &nonceBuf{off: nonceBlock} }}
-
-// readNonce fills dst with fresh random bytes from a nonce buffer, refilling
-// the buffer from crypto/rand when it runs short.
-func readNonce(dst []byte) error {
-	nb := nonces.Get().(*nonceBuf)
-	defer nonces.Put(nb)
-	if nb.off+len(dst) > nonceBlock {
-		if _, err := io.ReadFull(rand.Reader, nb.b[:]); err != nil {
-			nb.off = nonceBlock
+// read fills dst with fresh random bytes from the block.
+func (n *Nonces) read(dst []byte) error {
+	if n.left < len(dst) {
+		if _, err := io.ReadFull(rand.Reader, n.b[:]); err != nil {
+			n.left = 0
 			return fmt.Errorf("cryptoutil: generating nonce: %w", err)
 		}
-		nb.off = 0
+		n.left = nonceBlock
 	}
-	nb.off += copy(dst, nb.b[nb.off:])
+	n.left -= copy(dst, n.b[nonceBlock-n.left:])
 	return nil
 }
 
@@ -150,15 +144,17 @@ func (k *Key) SealedSize(n int) int { return n + Overhead }
 // SealTo appends scheme|nonce|ciphertext|tag for plaintext to dst and returns
 // the extended slice. The binding is authenticated as GCM additional data; it
 // never travels with the message, and OpenTo must present it identically.
-// With enough spare capacity in dst the call performs no allocation.
+// With enough spare capacity in dst the call performs no allocation. The
+// nonce comes straight from crypto/rand; a hot sealer owns a Nonces block
+// and seals in place (SealInPlace).
 func (k *Key) SealTo(dst, plaintext, binding []byte) ([]byte, error) {
 	off := len(dst)
 	dst = grow(dst, len(plaintext)+Overhead)
 	frame := dst[off:]
 	frame[0] = byte(SchemeGCM)
 	nonce := frame[1 : 1+nonceSize]
-	if err := readNonce(nonce); err != nil {
-		return nil, err
+	if _, err := rand.Read(nonce); err != nil {
+		return nil, fmt.Errorf("cryptoutil: generating nonce: %w", err)
 	}
 	k.aead.Seal(frame[:1+nonceSize], nonce, plaintext, binding)
 	return dst, nil
@@ -180,13 +176,14 @@ const (
 // its final position, frame[PlaintextOffset:len(frame)-TagSize], encrypting
 // it where it lies: a large message is built once, in the buffer that will be
 // stored, with no second copy. The result is exactly what SealTo produces.
-func (k *Key) SealInPlace(frame, binding []byte) error {
+// The nonce is cut from the caller's own block.
+func (k *Key) SealInPlace(frame, binding []byte, nonces *Nonces) error {
 	if len(frame) < Overhead {
 		return fmt.Errorf("cryptoutil: frame of %d bytes is smaller than the sealing overhead", len(frame))
 	}
 	frame[0] = byte(SchemeGCM)
 	nonce := frame[1:PlaintextOffset]
-	if err := readNonce(nonce); err != nil {
+	if err := nonces.read(nonce); err != nil {
 		return err
 	}
 	// cipher.AEAD permits dst and plaintext to overlap exactly.

@@ -144,11 +144,12 @@ func TestQuickRoundTrip(t *testing.T) {
 func TestSealInPlaceOpensLikeSealTo(t *testing.T) {
 	k := KeyFromSeed([]byte("in-place"))
 	binding := Binding(7, 8, 9)
+	var nonces Nonces
 	for _, n := range []int{0, 1, 15, 16, 17, 4096} {
 		plain := bytes.Repeat([]byte{0xA5}, n)
 		frame := make([]byte, k.SealedSize(n))
 		copy(frame[PlaintextOffset:], plain)
-		if err := k.SealInPlace(frame, binding); err != nil {
+		if err := k.SealInPlace(frame, binding, &nonces); err != nil {
 			t.Fatal(err)
 		}
 		got, err := k.Open(frame, binding)
@@ -162,7 +163,7 @@ func TestSealInPlaceOpensLikeSealTo(t *testing.T) {
 			t.Fatal("in-place frame opened under the wrong binding")
 		}
 	}
-	if err := k.SealInPlace(make([]byte, Overhead-1), binding); err == nil {
+	if err := k.SealInPlace(make([]byte, Overhead-1), binding, &nonces); err == nil {
 		t.Fatal("undersized frame accepted")
 	}
 }
@@ -353,15 +354,16 @@ func FuzzOpenSealed(f *testing.F) {
 }
 
 // TestNoncesDistinct draws 10^5 nonces through the seal path, across many
-// refills of the nonce buffers, and finds no nonce twice: every byte of a
-// buffer is cut into one nonce only.
+// refills of one Nonces block, and finds no nonce twice: every byte of a
+// block is cut into one nonce only.
 func TestNoncesDistinct(t *testing.T) {
 	const n = 100_000
 	k := KeyFromSeed([]byte("nonces"))
 	seen := make(map[[nonceSize]byte]bool, n)
 	frame := make([]byte, Overhead)
+	var nonces Nonces
 	for i := 0; i < n; i++ {
-		if err := k.SealInPlace(frame, nil); err != nil {
+		if err := k.SealInPlace(frame, nil, &nonces); err != nil {
 			t.Fatal(err)
 		}
 		nonce := [nonceSize]byte(frame[1:PlaintextOffset])
@@ -372,8 +374,9 @@ func TestNoncesDistinct(t *testing.T) {
 	}
 }
 
-// TestConcurrentSeals seals from several goroutines at once through one Key
-// (run it with -race): every frame opens, and no two frames share a nonce.
+// TestConcurrentSeals seals from several goroutines at once through one Key,
+// each in-place sealer with its own Nonces block (run it with -race): every
+// frame opens, and no two frames share a nonce.
 func TestConcurrentSeals(t *testing.T) {
 	const workers, each = 8, 2000
 	k := KeyFromSeed([]byte("concurrent"))
@@ -384,6 +387,7 @@ func TestConcurrentSeals(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var nonces Nonces
 			for i := 0; i < each; i++ {
 				var f []byte
 				var err error
@@ -392,7 +396,7 @@ func TestConcurrentSeals(t *testing.T) {
 				} else {
 					f = make([]byte, k.SealedSize(15))
 					copy(f[PlaintextOffset:], "concurrent seal")
-					err = k.SealInPlace(f, binding)
+					err = k.SealInPlace(f, binding, &nonces)
 				}
 				if err != nil {
 					t.Error(err)

@@ -66,16 +66,18 @@ func (d *planDigest) step(kind byte, key string, leaf int, buckets []int, reads 
 func (d *planDigest) batch(plan *BatchPlan) {
 	for _, t := range plan.tasks {
 		s := t.step
-		switch t.logKind() {
-		case 0:
-			d.step(digestCached, s.Key, s.Leaf, nil, nil)
-		case LogAccess:
-			d.step(digestAccess, s.Key, s.Leaf, nil, s.Reads)
-		case LogWriteBump:
+		switch s.Kind {
+		case ringoram.AccessStep:
+			if len(s.Reads) == 0 {
+				d.step(digestCached, s.Key, s.Leaf, nil, nil)
+			} else {
+				d.step(digestAccess, s.Key, s.Leaf, nil, s.Reads)
+			}
+		case ringoram.WriteStep:
 			d.step(digestWrite, "", -1, nil, nil)
-		case LogEvict:
+		case ringoram.EvictStep:
 			d.step(digestEvict, "", -1, s.Buckets, s.Reads)
-		case LogReshuffle:
+		case ringoram.ReshuffleStep:
 			d.step(digestReshuffle, "", -1, s.Buckets, s.Reads)
 		}
 	}
@@ -149,7 +151,7 @@ func TestPlanDigestGolden(t *testing.T) {
 	d := newPlanDigest()
 	var snap []byte
 	var committed uint64
-	var logged [][]LogEntry
+	var logged [][]ringoram.LogEntry
 	for e := 0; e < digestEpochs; e++ {
 		last := e == digestEpochs-1
 		if last {

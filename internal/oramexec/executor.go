@@ -8,8 +8,9 @@
 // and one round trip however many slots the stage reads), and every step is
 // completed in plan order, which realizes multilevel serializability: the
 // outcome is identical to the sequential execution of the same batch
-// (ringoram.Seq). Each step is one durability-log entry, and a replay feeds
-// the log back one entry per step.
+// (ringoram.Seq). A batch's log is the ORAM's view of its steps
+// (BatchPlan.Log); what a step logs and how it is replayed is ringoram's, and
+// ReplayBatch executes what the ORAM's Replay plans.
 //
 // The executor schedules I/O and owns no block bytes. The ORAM's
 // local-version table (ringoram's local.go) holds every bucket version the
@@ -82,7 +83,6 @@ type Executor struct {
 	seen                map[string]bool
 	steps               []*ringoram.Plan
 
-	shape logShape // fixed entry widths of this ORAM's batch records
 	stats statCounters
 }
 
@@ -172,24 +172,6 @@ func (t *task) reset() {
 	t.opIdx = 0
 }
 
-// logKind is the durability-log entry the task stands for: 0 (none) for an
-// access the stash served, which reads no slot.
-func (t *task) logKind() LogKind {
-	switch t.step.Kind {
-	case ringoram.AccessStep:
-		if len(t.step.Reads) > 0 {
-			return LogAccess
-		}
-	case ringoram.WriteStep:
-		return LogWriteBump
-	case ringoram.EvictStep:
-		return LogEvict
-	case ringoram.ReshuffleStep:
-		return LogReshuffle
-	}
-	return 0
-}
-
 // ensureData sizes t.data for the step's reads, reusing pooled capacity.
 func (t *task) ensureData() {
 	n := len(t.step.Reads)
@@ -208,18 +190,18 @@ func (t *task) ensureData() {
 type BatchPlan struct {
 	// tasks[:len] are this batch's; tasks[len:cap] are reset tasks kept
 	// from earlier batches for newTask to hand out again.
-	tasks    []*task
-	results  []ReadResult
-	shape    logShape
-	executed bool
+	tasks []*task
+	// steps are the tasks' steps, in order: what the batch logs.
+	steps   []*ringoram.Plan
+	results []ReadResult
+	oram    *ringoram.ORAM
 }
 
 // reset readies the plan for a batch of n results.
 func (b *BatchPlan) reset(n int) *BatchPlan {
-	b.tasks = b.tasks[:0]
+	b.tasks, b.steps = b.tasks[:0], b.steps[:0]
 	b.results = slices.Grow(b.results[:0], n)[:n]
 	clear(b.results)
-	b.executed = false
 	return b
 }
 
@@ -252,13 +234,14 @@ func (e *Executor) add(b *BatchPlan, steps []*ringoram.Plan, opIdx int) {
 			e.stats.reshuffles.Add(1)
 		}
 		b.tasks = append(b.tasks, t)
+		b.steps = append(b.steps, s)
 	}
 }
 
-// Log returns the batch's durability-log entries, in order, as a view over
-// the plan. The caller must persist it before calling Execute (write-ahead
-// logging): execution recycles what the view reads.
-func (b *BatchPlan) Log() BatchLog { return BatchLog{plan: b} }
+// Log returns the batch's durability-log entries, in order, as the ORAM's
+// view over the plan's steps. The caller must persist it before calling
+// Execute (write-ahead logging): execution recycles what the view reads.
+func (b *BatchPlan) Log() ringoram.BatchLog { return b.oram.BatchLog(b.steps) }
 
 // ReadOp is one slot of a read batch. An empty key is a padding dummy.
 type ReadOp struct {
@@ -283,13 +266,8 @@ type ReadResult struct {
 // freshly initialized tree it is ready; over restored metadata the caller
 // must call LoadResident before planning or replaying anything.
 func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
-	e := &Executor{
-		oram:  oram,
-		store: store,
-		cfg:   cfg,
-		shape: newLogShape(oram.Params(), oram.Geometry()),
-	}
-	e.readPlan.shape, e.writePlan.shape = e.shape, e.shape
+	e := &Executor{oram: oram, store: store, cfg: cfg}
+	e.readPlan.oram, e.writePlan.oram = oram, oram
 	if !cfg.WriteThrough {
 		e.resident = oram.KeepLocal()
 	}
@@ -367,7 +345,8 @@ func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
 // applied in plan order, and eviction writes stay in the ORAM's table (or are
 // written through).
 func (e *Executor) Execute(plan *BatchPlan) ([]ReadResult, error) {
-	plan.executed = true
+	clear(plan.steps) // a log view read from now on finds no step
+	plan.steps = plan.steps[:0]
 	var res []ReadResult
 	var err error
 	if e.cfg.WriteThrough {
@@ -611,13 +590,12 @@ func (e *Executor) flushImages(epoch uint64, images []ringoram.BucketImage) (int
 	return len(images), nil
 }
 
-// ReplayBatch replays logged entries during crash recovery: metadata is
-// mutated exactly as the original epoch did (with logged slot choices; the
-// ORAM gives a bucket this replay already rewrote free ones) and the same
-// physical reads are issued. Each entry is one step, and the ORAM refuses one
-// its schedule does not owe. Eviction writes stay in the ORAM's table and are
+// ReplayBatch replays a logged batch during crash recovery: the ORAM plans
+// its steps again, one per entry, refusing any its schedule does not owe
+// (ringoram's Replay), and the batch executes like a live one, issuing the
+// same physical reads. Eviction writes stay in the ORAM's table and are
 // flushed by the caller as the recovery epoch's write-back.
-func (e *Executor) ReplayBatch(entries []LogEntry) error {
+func (e *Executor) ReplayBatch(entries []ringoram.LogEntry) error {
 	plan, err := e.planReplay(entries)
 	if err == nil {
 		_, err = e.Execute(plan)
@@ -625,28 +603,15 @@ func (e *Executor) ReplayBatch(entries []LogEntry) error {
 	return err
 }
 
-// planReplay plans the steps of a logged batch, one per entry.
-func (e *Executor) planReplay(entries []LogEntry) (*BatchPlan, error) {
-	plan := &BatchPlan{shape: e.shape}
-	for _, le := range entries {
-		var step *ringoram.Plan
-		var err error
-		switch le.Kind {
-		case LogAccess:
-			step, err = e.oram.ReplayRead(le.Key, le.Leaf, le.Slots)
-		case LogWriteBump:
-			step = e.oram.ReplayBump()
-		case LogEvict:
-			step, err = e.oram.ReplayEvict(le.BucketSlots)
-		case LogReshuffle:
-			step, err = e.oram.ReplayReshuffle(le.Bucket, le.Slots)
-		default:
-			err = fmt.Errorf("oramexec: unknown log entry kind %d", le.Kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e.add(plan, []*ringoram.Plan{step}, -1)
+// planReplay plans a logged batch's steps as a batch plan.
+func (e *Executor) planReplay(entries []ringoram.LogEntry) (*BatchPlan, error) {
+	steps, err := e.oram.Replay(entries, e.steps[:0])
+	e.steps = steps
+	defer clear(e.steps)
+	if err != nil {
+		return nil, err
 	}
+	plan := &BatchPlan{oram: e.oram}
+	e.add(plan, steps, -1)
 	return plan, nil
 }

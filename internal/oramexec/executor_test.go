@@ -473,7 +473,7 @@ func testSkipSetIsPublic(t *testing.T) {
 			evictRemote := make([]int, geo.Levels+1)
 			remote := 0
 			for _, tk := range plan.tasks {
-				if tk.logKind() == LogReshuffle {
+				if tk.step.Kind == ringoram.ReshuffleStep {
 					t.Fatalf("%s: an early reshuffle fell due; its timing depends on the drawn paths — pick parameters that avoid it", workload)
 				}
 				for _, r := range tk.step.Reads {
@@ -647,7 +647,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 	// each logged before it executes.
 	h.rec.Reset()
 	before := h.exec.Stats()
-	var logged [][]LogEntry
+	var logged [][]ringoram.LogEntry
 	for _, keys := range [][]string{{key(1), key(9), "ghost", ""}, {key(2), key(17), key(22), ""}} {
 		ops := make([]ReadOp, len(keys))
 		for i, k := range keys {
@@ -733,25 +733,25 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 // loggedSlots adds every slot the batch's log entries name to named. Evict
 // entries name slots along the evict path, a function of the eviction counter
 // alone; the counter after the batch is returned.
-func loggedSlots(o *ringoram.ORAM, evictCount uint64, batch []LogEntry, named map[storage.SlotRef]bool) (map[storage.SlotRef]bool, uint64) {
+func loggedSlots(o *ringoram.ORAM, evictCount uint64, batch []ringoram.LogEntry, named map[storage.SlotRef]bool) (map[storage.SlotRef]bool, uint64) {
 	if named == nil {
 		named = make(map[storage.SlotRef]bool)
 	}
 	for _, le := range batch {
 		switch le.Kind {
-		case LogAccess:
+		case ringoram.AccessStep:
 			for i, b := range o.PathBuckets(le.Leaf) {
 				named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
 			}
-		case LogEvict:
+		case ringoram.EvictStep:
 			for i, b := range evictPath(o, evictCount) {
 				for _, s := range le.BucketSlots[i] {
 					named[storage.SlotRef{Bucket: b, Slot: s}] = true
 				}
 			}
 			evictCount++
-		case LogReshuffle:
-			for _, s := range le.Slots {
+		case ringoram.ReshuffleStep:
+			for _, s := range le.BucketSlots[0] {
 				named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
 			}
 		}
@@ -804,14 +804,15 @@ func checkReplayTrace(t *testing.T, aborted, replay []storage.Event, named map[s
 }
 
 // decodeLog takes a plan's durability log through its record encoding, as a
-// crash would: what recovery replays is what DecodeBatchLog gives back.
-func decodeLog(t *testing.T, l BatchLog) []LogEntry {
+// crash would: what recovery replays is what ringoram.DecodeBatchLog gives
+// back.
+func decodeLog(t *testing.T, l ringoram.BatchLog) []ringoram.LogEntry {
 	t.Helper()
 	buf := make([]byte, l.EncodedSize())
 	if err := l.Encode(buf); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := DecodeBatchLog(buf)
+	entries, err := ringoram.DecodeBatchLog(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package oramexec
 import (
 	"testing"
 
+	"obladi/internal/ringoram"
 	"obladi/internal/storage"
 )
 
@@ -28,11 +29,11 @@ func TestExecutorStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestReplayUnknownLogKind rejects corrupt log entries.
-func TestReplayUnknownLogKind(t *testing.T) {
+// TestReplayUnknownStepKind rejects corrupt log entries.
+func TestReplayUnknownStepKind(t *testing.T) {
 	h := newHarness(t, testParams(64, 24), Config{})
-	if err := h.exec.ReplayBatch([]LogEntry{{Kind: 99}}); err == nil {
-		t.Fatal("unknown log kind accepted")
+	if err := h.exec.ReplayBatch([]ringoram.LogEntry{{Kind: 99}}); err == nil {
+		t.Fatal("unknown step kind accepted")
 	}
 }
 

@@ -1,0 +1,288 @@
+package ringoram
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// logOf takes steps through their batch record, as a crash would: the entries
+// a recovery replays.
+func logOf(t testing.TB, o *ORAM, steps []*Plan) []LogEntry {
+	t.Helper()
+	l := o.BatchLog(steps)
+	buf := make([]byte, l.EncodedSize())
+	if err := l.Encode(buf); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := DecodeBatchLog(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != l.Len() {
+		t.Fatalf("decoded %d log entries, the steps hold %d", len(entries), l.Len())
+	}
+	return entries
+}
+
+// scheduleParams make early reshuffles frequent: with S = A the root runs out
+// of dummies between two evict-paths.
+func scheduleParams() Params {
+	p := testParams(64)
+	p.S, p.A, p.Seed = 4, 4, 77
+	return p
+}
+
+// loggedOp runs padding operations — reads, or writes when write is set — on a
+// seeded client until one plans a step of kind, and returns the client, a
+// checkpoint image taken just before that operation, and its log entries.
+func loggedOp(t *testing.T, write bool, kind PlanKind) (*ORAM, []byte, []LogEntry) {
+	t.Helper()
+	seq, _ := newTestSeq(t, scheduleParams())
+	o := seq.ORAM()
+	for i := 0; i < 1000; i++ {
+		img := image(t, o, true)
+		var steps []*Plan
+		var err error
+		if write {
+			steps, err = o.PlanWrite("", nil, false, nil)
+		} else {
+			steps, err = o.PlanRead("", nil)
+		}
+		must(t, err)
+		if slices.ContainsFunc(steps, func(p *Plan) bool { return p.Kind == kind }) {
+			return o, img, logOf(t, o, steps)
+		}
+		_, _, err = seq.run(steps)
+		must(t, err)
+	}
+	t.Fatalf("1000 padding operations planned no step of kind %d", kind)
+	return nil, nil, nil
+}
+
+// kindAt returns the index of op's first entry of kind.
+func kindAt(op []LogEntry, kind PlanKind) int {
+	return slices.IndexFunc(op, func(le LogEntry) bool { return le.Kind == kind })
+}
+
+// replayRefused replays entries on a client restored from img and fails
+// unless the schedule refuses them.
+func replayRefused(t *testing.T, o *ORAM, img []byte, what string, entries ...LogEntry) {
+	t.Helper()
+	if _, err := restoreFrom(t, o, img).Replay(entries, nil); !errors.Is(err, ErrReplay) {
+		t.Fatalf("%s: %v, want ErrReplay", what, err)
+	}
+}
+
+// TestReplayRefusesReshuffleNotDue: a reshuffle replays only after the access
+// that exhausted its bucket. Logged alone, its bucket was read fewer than S
+// times and the reshuffle is refused; a reshuffle of another bucket than the
+// one owed is refused too. The operation as logged replays.
+func TestReplayRefusesReshuffleNotDue(t *testing.T) {
+	o, img, op := loggedOp(t, false, ReshuffleStep)
+	ri := kindAt(op, ReshuffleStep)
+	re := op[ri]
+	if n := restoreFrom(t, o, img).meta[re.Bucket].count; n >= o.p.S {
+		t.Fatalf("bucket %d was read %d times before the operation: its reshuffle was owed already", re.Bucket, n)
+	}
+	replayRefused(t, o, img, "a reshuffle of a bucket read fewer than S times", re)
+	other := re
+	other.Bucket = (re.Bucket + 1) % o.geo.NumBuckets
+	replayRefused(t, o, img, "a reshuffle of another bucket than the one owed", append(slices.Clone(op[:ri]), other)...)
+	replayed, err := restoreFrom(t, o, img).Replay(op, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != len(op) || replayed[ri].Kind != ReshuffleStep || replayed[ri].Buckets[0] != re.Bucket {
+		t.Fatalf("the logged operation replayed as %d steps, want %d with a reshuffle of bucket %d at %d", len(replayed), len(op), re.Bucket, ri)
+	}
+}
+
+// TestReplayRefusesAccessWhileEvictOwed: once a bump makes an evict-path due,
+// neither an access nor another bump may come before it. The refused batches
+// are otherwise whole: each operation in them replays on its own, and they end
+// with the evict-path, owing nothing.
+func TestReplayRefusesAccessWhileEvictOwed(t *testing.T) {
+	o, img, op := loggedOp(t, true, EvictStep)
+	if len(op) != 2 || op[0].Kind != WriteStep {
+		t.Fatalf("a bump logged %d entries, want the bump and its eviction", len(op))
+	}
+	// A padding read from the same state: it too makes the evict-path due.
+	steps, err := restoreFrom(t, o, img).PlanRead("", nil)
+	must(t, err)
+	read := logOf(t, o, steps)
+	if read[len(read)-1].Kind != EvictStep {
+		t.Fatalf("a padding read from the state before the bump logged %+v, want it to end with an evict-path", read)
+	}
+	for _, whole := range [][]LogEntry{op, read} {
+		if _, err := restoreFrom(t, o, img).Replay(whole, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replayRefused(t, o, img, "an access while an evict-path is owed", append([]LogEntry{op[0]}, read...)...)
+	replayRefused(t, o, img, "a bump while an evict-path is owed", op[0], op[0], op[1])
+}
+
+// TestReplayRefusesWrongMaintenanceStep: an evict-path logged where a
+// reshuffle is owed is refused, and so is a reshuffle where an evict-path is.
+func TestReplayRefusesWrongMaintenanceStep(t *testing.T) {
+	o, img, op := loggedOp(t, false, ReshuffleStep)
+	ri := kindAt(op, ReshuffleStep)
+	evict := LogEntry{Kind: EvictStep, BucketSlots: make([][]int, o.geo.Levels+1)}
+	replayRefused(t, o, img, "an evict-path where a reshuffle is owed", append(slices.Clone(op[:ri]), evict)...)
+
+	o, img, op = loggedOp(t, true, EvictStep)
+	for b := range o.geo.NumBuckets {
+		reshuffle := LogEntry{Kind: ReshuffleStep, Bucket: b, BucketSlots: [][]int{{}}}
+		replayRefused(t, o, img, fmt.Sprintf("a reshuffle of bucket %d where an evict-path is owed", b), op[0], reshuffle)
+	}
+}
+
+// TestReplayRefusesBatchEndingOwed: a batch is whole operations, so its last
+// entry leaves nothing owed; one that stops short of a due reshuffle or
+// evict-path is refused.
+func TestReplayRefusesBatchEndingOwed(t *testing.T) {
+	o, img, op := loggedOp(t, false, ReshuffleStep)
+	replayRefused(t, o, img, "a batch ending before its reshuffle", op[:kindAt(op, ReshuffleStep)]...)
+	o, img, op = loggedOp(t, true, EvictStep)
+	replayRefused(t, o, img, "a batch ending before its evict-path", op[:kindAt(op, EvictStep)]...)
+}
+
+// TestBatchLogRoundTrip: every logged step decodes to what it planned — its
+// kind, key, leaf and slots, bucket by bucket — and an access the stash
+// serves is not logged. A view read after its steps ran is refused.
+func TestBatchLogRoundTrip(t *testing.T) {
+	seq, _ := newTestSeq(t, scheduleParams())
+	o := seq.ORAM()
+	kinds := make(map[PlanKind]int)
+	served := 0
+	for i := 0; i < 400; i++ {
+		key := fmt.Sprintf("k%d", i/3%24) // written, then read at once: the stash serves it
+		if i%3 == 2 {
+			key = fmt.Sprintf("k%d", i*7%24)
+		}
+		var steps []*Plan
+		var err error
+		if i%3 == 0 {
+			steps, err = o.PlanWrite(key, []byte("v"), false, nil)
+		} else {
+			steps, err = o.PlanRead(key, nil)
+		}
+		must(t, err)
+		entries := logOf(t, o, steps)
+		j := 0
+		for _, p := range steps {
+			if p.Kind == AccessStep && len(p.Reads) == 0 {
+				served++
+				continue
+			}
+			le := entries[j]
+			j++
+			kinds[le.Kind]++
+			want := LogEntry{Kind: p.Kind}
+			switch p.Kind {
+			case AccessStep:
+				want.Key, want.Leaf, want.Slots = p.Key, p.Leaf, pathSlots(p)
+			case EvictStep:
+				want.BucketSlots = evictSlots(p)
+			case ReshuffleStep:
+				want.Bucket, want.BucketSlots = p.Buckets[0], evictSlots(p)
+			}
+			if fmt.Sprint(le) != fmt.Sprint(want) {
+				t.Fatalf("op %d: logged %+v, the step planned %+v", i, le, want)
+			}
+		}
+		l := o.BatchLog(slices.Clone(steps))
+		_, _, err = seq.run(steps)
+		must(t, err)
+		if err := l.Encode(make([]byte, l.EncodedSize())); err == nil {
+			t.Fatalf("op %d: a log view encoded after its steps completed", i)
+		}
+	}
+	for _, k := range []PlanKind{AccessStep, EvictStep, ReshuffleStep, WriteStep} {
+		if kinds[k] == 0 {
+			t.Fatalf("the workload logged no step of kind %d: %v", k, kinds)
+		}
+	}
+	if served == 0 {
+		t.Fatal("the stash served no access: the test would not show it unlogged")
+	}
+}
+
+// TestDecodeBatchLogRejectsMalformed: a record whose counts or lengths
+// disagree with its bytes is refused, never read past.
+func TestDecodeBatchLogRejectsMalformed(t *testing.T) {
+	o, _, _ := loggedOp(t, false, ReshuffleStep)
+	steps, err := o.PlanWrite("", nil, false, nil)
+	must(t, err)
+	read, err := o.PlanRead("", nil)
+	must(t, err)
+	l := o.BatchLog(append(steps, read...))
+	good := make([]byte, l.EncodedSize())
+	must(t, l.Encode(good))
+	s := o.logShape()
+	access := batchLogHeaderSize + s.entrySize(WriteStep) // the read's entry
+	for name, mutate := range map[string]func([]byte) []byte{
+		"short header":    func(b []byte) []byte { return b[:batchLogHeaderSize-1] },
+		"slot width 3":    func(b []byte) []byte { b[6] = 3; return b },
+		"entry count":     func(b []byte) []byte { binary.BigEndian.PutUint32(b[7:], uint32(len(b))); return b },
+		"unknown kind":    func(b []byte) []byte { b[batchLogHeaderSize] = 9; return b },
+		"truncated entry": func(b []byte) []byte { return b[:len(b)-1] },
+		"trailing byte":   func(b []byte) []byte { return append(b, 0) },
+		"key length":      func(b []byte) []byte { binary.BigEndian.PutUint16(b[access+1:], uint16(s.keySize+1)); return b },
+	} {
+		if _, err := DecodeBatchLog(mutate(slices.Clone(good))); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// FuzzDecodeBatchLog feeds hostile batch records to the decoder and what it
+// accepts to Replay on a fresh client: nothing may panic, every entry decoded
+// is of a known kind, and a replay either plans one step per entry or is
+// refused.
+func FuzzDecodeBatchLog(f *testing.F) {
+	p := scheduleParams()
+	p.DisableEncryption = true
+	o, err := New(nil, p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 24; i++ {
+		var steps []*Plan
+		if i%2 == 0 {
+			steps, err = o.PlanWrite(fmt.Sprintf("k%d", i), nil, false, nil)
+		} else {
+			steps, err = o.PlanRead("", nil)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		l := o.BatchLog(steps)
+		b := make([]byte, l.EncodedSize())
+		if err := l.Encode(b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		entries, err := DecodeBatchLog(b)
+		if err != nil {
+			return
+		}
+		for _, le := range entries {
+			if le.Kind < AccessStep || le.Kind > WriteStep {
+				t.Fatalf("decoder let entry kind %d through", le.Kind)
+			}
+		}
+		fresh, err := New(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps, err := fresh.Replay(entries, nil); err == nil && len(steps) != len(entries) {
+			t.Fatalf("replay planned %d steps for %d entries", len(steps), len(entries))
+		}
+	})
+}

@@ -173,15 +173,18 @@ func (o *ORAM) CopiedSlots() int64 { return o.copiedSlots.Load() }
 
 // SealArena is memory a caller lends to SealImage and SealFresh: byte chunks
 // the seals carve slot frames from, front to back, the slot headers they hand
-// back, and the Filler that writes the frames holding no block. It grows to
-// the largest set of buckets sealed between two Resets, a chunk at a time, and
-// is reused after that. The zero value is ready.
+// back, the Filler that writes the frames holding no block, and the Nonces
+// block the sealed frames' nonces are cut from. It grows to the largest set of
+// buckets sealed between two Resets, a chunk at a time, and is reused after
+// that. An arena belongs to one sealing goroutine at a time. The zero value is
+// ready.
 type SealArena struct {
 	chunks [][]byte // chunks[:used] hold frames, the last of them is carved next
 	used   int
 	slots  [][]byte
 	bind   []byte
 	filler *cryptoutil.Filler // made by the first seal with encryption on
+	nonces cryptoutil.Nonces
 }
 
 // sealChunk is the size of a seal arena's chunks: a few buckets' slots, so an
@@ -255,7 +258,7 @@ func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
 			frame = slots[im.perm[pos]]
 		}
 		copy(o.cdc.plainOf(frame), b)
-		if err := o.cdc.seal(frame, a.bind); err != nil {
+		if err := o.cdc.seal(frame, a.bind, &a.nonces); err != nil {
 			return nil, err
 		}
 	}

@@ -80,12 +80,13 @@ func (c codec) encodePlain(plain []byte, kind byte, b block) error {
 }
 
 // seal seals a frame whose plaintext is already in place (see plainOf) under
-// binding, which authenticates the slot's bucket and version (Appendix A).
-func (c codec) seal(frame, binding []byte) error {
+// binding, which authenticates the slot's bucket and version (Appendix A),
+// with a nonce cut from the sealer's own block.
+func (c codec) seal(frame, binding []byte, nonces *cryptoutil.Nonces) error {
 	if c.key == nil {
 		return nil
 	}
-	return c.key.SealInPlace(frame, binding)
+	return c.key.SealInPlace(frame, binding, nonces)
 }
 
 // fill writes run, whole slot frames, as fillers: keystream frames from f

@@ -337,7 +337,7 @@ func (c codec) encodeSlot(kind byte, b block, binding []byte) ([]byte, error) {
 	if err := c.encodePlain(c.plainOf(frame), kind, b); err != nil {
 		return nil, err
 	}
-	if err := c.seal(frame, binding); err != nil {
+	if err := c.seal(frame, binding, new(cryptoutil.Nonces)); err != nil {
 		return nil, err
 	}
 	return frame, nil

@@ -196,7 +196,8 @@ func (o *ORAM) readOf(b, s int) SlotRead {
 	return SlotRead{Bucket: b, Slot: s, Ver: ver, local: o.local.serves(b, ver)}
 }
 
-// PlanKind says which step of the public schedule a Plan is.
+// PlanKind says which step of the public schedule a Plan is. The values are
+// also a batch record's entry kinds (batchlog.go): do not renumber.
 type PlanKind uint8
 
 // Plan kinds.
@@ -204,20 +205,20 @@ const (
 	// AccessStep is a logical read or a padding read: one slot per bucket of
 	// one path, or no read at all when the stash serves the key.
 	AccessStep PlanKind = iota + 1
-	// WriteStep is a dummiless write or a padding bump: it reads nothing and
-	// counts one access toward the eviction schedule.
-	WriteStep
 	// EvictStep is an evict-path: the next path in reverse-lexicographic
 	// order, read and rewritten.
 	EvictStep
 	// ReshuffleStep is an early reshuffle of one bucket whose dummies ran out.
 	ReshuffleStep
+	// WriteStep is a dummiless write or a padding bump: it reads nothing and
+	// counts one access toward the eviction schedule.
+	WriteStep
 )
 
 // pool is the plan pool's free list for the kind: 1 for steps that rewrite
 // buckets.
 func (k PlanKind) pool() int {
-	if k >= EvictStep {
+	if k == EvictStep || k == ReshuffleStep {
 		return 1
 	}
 	return 0
@@ -508,13 +509,13 @@ func (o *ORAM) noteStash() error {
 }
 
 // The schedule is Ring ORAM's own rule, and this file is the one place that
-// knows it: every access reads one path; after it, each bucket on that path
-// whose dummies ran out (S slots read since its last rewrite) gets an early
-// reshuffle, root first; then an evict-path runs for every A accesses the
-// counter owes, a write or a padding bump counting as one access. PlanRead
+// knows it (due): every access reads one path; after it, each bucket on that
+// path whose dummies ran out (S slots read since its last rewrite) gets an
+// early reshuffle, root first; then an evict-path runs for every A accesses
+// the counter owes, a write or a padding bump counting as one access. PlanRead
 // and PlanWrite append an operation's access and then, in that order, every
-// step it made due; a replay takes the steps one log entry at a time and
-// refuses an evict-path the counter does not owe.
+// step it made due; Replay (batchlog.go) takes the steps one log entry at a
+// time and refuses any the schedule does not owe.
 
 // PlanRead plans a logical read of key, or a padding read (a uniformly random
 // path, one filler slot per bucket) when key is "". It appends the access to
@@ -565,75 +566,32 @@ func (o *ORAM) planDue(dst []*Plan, path []SlotRead) ([]*Plan, error) {
 }
 
 // nextDue plans the next step the schedule owes after an access that read
-// path: an early reshuffle of the first bucket on it whose slot budget is
-// exhausted, else an evict-path if the access counter owes one. It returns
-// the plan (nil when nothing is owed) and the part of path after the
-// reshuffled bucket.
+// path (see due). It returns the plan (nil when nothing is owed) and the part
+// of path after the reshuffled bucket.
 func (o *ORAM) nextDue(path []SlotRead) (*Plan, []SlotRead, error) {
-	for i, r := range path {
-		if o.meta[r.Bucket].count >= o.p.S {
-			p, err := o.planEvictionLocked(ReshuffleStep, r.Bucket, nil)
-			return p, path[i+1:], err
-		}
-	}
-	if !o.evictDue() {
+	kind, bucket, rest := o.due(path)
+	if kind == 0 {
 		return nil, nil, nil
 	}
-	p, err := o.planEvictionLocked(EvictStep, 0, nil)
-	return p, nil, err
+	p, err := o.planEvictionLocked(kind, bucket, nil)
+	return p, rest, err
 }
 
-// evictDue reports whether the access counter owes an evict-path.
-func (o *ORAM) evictDue() bool {
-	return o.accessCount >= uint64(o.p.A)*(o.evictCount+1)
-}
-
-// ReplayRead replays a logged access (key may be "" for padding) using the
-// logged leaf and physical slot choices. The steps it made due are log
-// entries of their own.
-func (o *ORAM) ReplayRead(key string, leaf int, slots []int) (*Plan, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if len(slots) != o.geo.Levels+1 {
-		return nil, fmt.Errorf("%w: logged %d slots, path has %d buckets", ErrReplay, len(slots), o.geo.Levels+1)
+// due names the next step the schedule owes after an access that read path:
+// an early reshuffle of the first bucket on it whose slot budget is
+// exhausted, else an evict-path if the access counter owes one, else none
+// (kind 0). It returns the step's kind, the bucket a reshuffle rewrites, and
+// the part of path after it.
+func (o *ORAM) due(path []SlotRead) (PlanKind, int, []SlotRead) {
+	for i, r := range path {
+		if o.meta[r.Bucket].count >= o.p.S {
+			return ReshuffleStep, r.Bucket, path[i+1:]
+		}
 	}
-	if leaf < 0 || leaf >= o.geo.Leaves {
-		return nil, fmt.Errorf("%w: logged leaf %d, the tree has %d", ErrReplay, leaf, o.geo.Leaves)
+	if o.accessCount >= uint64(o.p.A)*(o.evictCount+1) {
+		return EvictStep, 0, nil
 	}
-	return o.planReadLocked(key, leaf, slots)
-}
-
-// ReplayBump replays a logged write-batch slot: a log names no written key,
-// so it only counts the access, as the write or padding did.
-func (o *ORAM) ReplayBump() *Plan {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.accessCount++
-	return o.newPlan(WriteStep)
-}
-
-// ReplayEvict replays a logged evict-path with the logged per-bucket slots.
-// It refuses one the access counter does not owe.
-func (o *ORAM) ReplayEvict(slots [][]int) (*Plan, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if !o.evictDue() {
-		return nil, fmt.Errorf("%w: logged eviction not due (%d accesses, %d evictions)", ErrReplay, o.accessCount, o.evictCount)
-	}
-	if len(slots) != o.geo.Levels+1 {
-		return nil, fmt.Errorf("%w: logged %d buckets, evict path has %d", ErrReplay, len(slots), o.geo.Levels+1)
-	}
-	return o.planEvictionLocked(EvictStep, 0, slots)
-}
-
-// ReplayReshuffle replays a logged early reshuffle.
-func (o *ORAM) ReplayReshuffle(bucket int, slots []int) (*Plan, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if bucket < 0 || bucket >= o.geo.NumBuckets {
-		return nil, fmt.Errorf("%w: reshuffle bucket %d out of range", ErrReplay, bucket)
-	}
-	return o.planEvictionLocked(ReshuffleStep, bucket, [][]int{slots})
+	return 0, 0, nil
 }
 
 func (o *ORAM) planReadLocked(key string, forcedLeaf int, forcedSlots []int) (*Plan, error) {

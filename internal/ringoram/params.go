@@ -11,9 +11,12 @@
 // executor in internal/oramexec) perform the I/O and feed each step's slots
 // back through Complete, in plan order. This split is what lets Obladi
 // pipeline an epoch's physical reads, defer all physical writes to the epoch
-// boundary, and replay logged slot choices deterministically after a crash
-// (ReplayRead, ReplayBump, ReplayEvict and ReplayReshuffle, one step per log
-// entry).
+// boundary, and replay logged slot choices deterministically after a crash.
+//
+// The package also owns both formats of the recovery log's payloads: a batch
+// record, the steps of one planned batch (BatchLog, DecodeBatchLog), which
+// Replay plans again one step per entry, refusing any the schedule does not
+// owe (batchlog.go); and a checkpoint image of the client metadata (state.go).
 package ringoram
 
 import (
@@ -93,8 +96,13 @@ func (p *Params) Validate() error {
 	if p.StashLimit < 0 {
 		return fmt.Errorf("%w: StashLimit %d", errBadParams, p.StashLimit)
 	}
+	// Both log formats store slot indices and per-bucket counts as u16 and
+	// bucket ids as u32, 0xFFFFFFFF meaning none.
+	g := p.Geometry()
+	if g.SlotsPer >= 1<<16 || g.NumBuckets >= noBucket {
+		return fmt.Errorf("%w: %d slots per bucket and %d buckets exceed the log formats", errBadParams, g.SlotsPer, g.NumBuckets)
+	}
 	if p.StashLimit == 0 {
-		g := p.Geometry()
 		p.StashLimit = p.Z*(g.Levels+1) + 4*p.A + 64
 	}
 	return nil

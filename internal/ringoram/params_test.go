@@ -47,6 +47,28 @@ func TestValidateRejectsNegativeStashLimit(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsGeometryPastLogFormats: both log formats store slot
+// indices and per-bucket counts as u16 and bucket ids as u32 (0xFFFFFFFF
+// meaning none), so a geometry past them is refused up front, not by the
+// first checkpoint or, in a batch record, truncated silently.
+func TestValidateRejectsGeometryPastLogFormats(t *testing.T) {
+	for _, c := range []struct {
+		p  Params
+		ok bool
+	}{
+		{Params{NumBlocks: 100, Z: 1, S: 65534, A: 1}, true},  // Z+S = 65 535
+		{Params{NumBlocks: 100, Z: 1, S: 65535, A: 1}, false}, // Z+S = 65 536
+		{Params{NumBlocks: 100, Z: 1, S: 65536, A: 1}, false},
+		{Params{NumBlocks: 1 << 30, Z: 1, S: 1, A: 1}, true},  // 2^31 - 1 buckets
+		{Params{NumBlocks: 1 << 31, Z: 1, S: 1, A: 1}, false}, // 2^32 - 1 buckets
+	} {
+		err := c.p.Validate()
+		if c.ok && err != nil || !c.ok && !errors.Is(err, errBadParams) {
+			t.Errorf("Z=%d S=%d NumBlocks=%d (%d buckets): %v, want ok=%v", c.p.Z, c.p.S, c.p.NumBlocks, c.p.Geometry().NumBuckets, err, c.ok)
+		}
+	}
+}
+
 func TestGeometryShape(t *testing.T) {
 	cases := []struct {
 		n, z           int

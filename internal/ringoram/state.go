@@ -26,7 +26,7 @@ import (
 //	          full only: bucket(u32, 0xFFFFFFFF = not in the tree) pos(u16)
 //	touched   bucket(u32) count(u16) valid[⌈slotsPer/8⌉] occupied[⌈z/8⌉]
 //	rewritten bucket(u32) count(u16) valid[⌈slotsPer/8⌉] writeVer(u64)
-//	          perm[slotsPer]×(u8 if slotsPer ≤ 256 else u16)
+//	          perm[slotsPer]×(u8 if slotsPer ≤ 256 else u16: slotWidth)
 //	          delta only: z × (keyLen(u16) key[keySize])     keyLen 0 = empty
 //	stash     keyLen(u16) key[keySize] flags(u8: bit0 tombstone, bit1
 //	          cacheable) leaf(u32) valLen(u32) value[valLen]  keyLen 0 = padding
@@ -115,17 +115,15 @@ type CheckpointPad struct {
 // imageLayout derives the entry widths from the public parameters.
 type imageLayout struct {
 	keySize, z, slotsPer, numBuckets int
-	validBytes, occBytes, permWidth  int
+	validBytes, occBytes             int
+	slot                             slotWidth // a permutation entry's width
 }
 
 func (o *ORAM) imageLayout() imageLayout {
 	l := imageLayout{keySize: o.p.KeySize, z: o.p.Z, slotsPer: o.geo.SlotsPer, numBuckets: o.geo.NumBuckets}
 	l.validBytes = (l.slotsPer + 7) / 8
 	l.occBytes = (l.z + 7) / 8
-	l.permWidth = 1
-	if l.slotsPer > 256 {
-		l.permWidth = 2
-	}
+	l.slot = slotWidthOf(l.slotsPer)
 	return l
 }
 
@@ -141,7 +139,7 @@ func (l imageLayout) keyEntry(full bool) int {
 func (l imageLayout) touchedEntry() int { return 4 + 2 + l.validBytes + l.occBytes }
 
 func (l imageLayout) rewrittenEntry(full bool) int {
-	n := 4 + 2 + l.validBytes + 8 + l.slotsPer*l.permWidth
+	n := 4 + 2 + l.validBytes + 8 + l.slotsPer*int(l.slot)
 	if !full {
 		n += l.z * l.keyField()
 	}
@@ -198,9 +196,6 @@ func (o *ORAM) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	l := o.imageLayout()
-	if l.slotsPer >= 1<<16 || l.numBuckets >= noBucket {
-		return nil, fmt.Errorf("ringoram: geometry (%d slots per bucket, %d buckets) exceeds the checkpoint format", l.slotsPer, l.numBuckets)
-	}
 
 	nKeys, nTouched, nRewritten := len(o.keys), 0, l.numBuckets
 	if !full {
@@ -311,16 +306,10 @@ func (o *ORAM) putRewritten(l imageLayout, b []byte, id int, full bool) []byte {
 	b = putBucketState(l, b, id, m)
 	binary.BigEndian.PutUint64(b, m.writeVer)
 	b = b[8:]
-	if l.permWidth == 1 {
-		for i, s := range m.perm {
-			b[i] = uint8(s)
-		}
-	} else {
-		for i, s := range m.perm {
-			binary.BigEndian.PutUint16(b[2*i:], uint16(s))
-		}
+	for i, s := range m.perm {
+		l.slot.put(b[i*int(l.slot):], s)
 	}
-	b = b[len(m.perm)*l.permWidth:]
+	b = b[len(m.perm)*int(l.slot):]
 	if !full {
 		for _, ki := range m.addrs {
 			if ki < 0 {
@@ -532,12 +521,7 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		m.writeVer = rewritten.u64()
 		clear(seen)
 		for pos := range m.perm {
-			s := 0
-			if l.permWidth == 1 {
-				s = int(rewritten.u8())
-			} else {
-				s = rewritten.u16()
-			}
+			s := l.slot.get(rewritten.take(int(l.slot)))
 			if s >= l.slotsPer || seen[s] {
 				return fmt.Errorf("ringoram: checkpoint permutation of bucket %d repeats or overruns slot %d", id, s)
 			}

@@ -265,13 +265,18 @@ func TestReplayReadProducesSameSlots(t *testing.T) {
 	}
 	loggedLeaf := plan.Leaf
 	loggedSlots := pathSlots(plan)
+	logged := logOf(t, seq.ORAM(), steps)
 
-	// Crash: restore from the snapshot and replay the logged access.
+	// Crash: restore from the snapshot and replay the logged operation.
 	restored := restoreFrom(t, seq.ORAM(), st)
-	replayPlan, err := restored.ReplayRead("k3", loggedLeaf, loggedSlots)
+	replayed, err := restored.Replay(logged, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(replayed) != len(steps) {
+		t.Fatalf("replay planned %d steps, the operation %d", len(replayed), len(steps))
+	}
+	replayPlan := replayed[0]
 	if replayPlan.Leaf != loggedLeaf {
 		t.Fatalf("replay leaf %d, logged %d", replayPlan.Leaf, loggedLeaf)
 	}
@@ -311,7 +316,7 @@ func TestReplayRejectsDivergence(t *testing.T) {
 	restored := restoreFrom(t, seq.ORAM(), st)
 	geo := restored.Geometry()
 	// Wrong number of slots.
-	if _, err := restored.ReplayRead("", 0, make([]int, geo.Levels+5)); err == nil {
+	if _, err := restored.Replay([]LogEntry{{Kind: AccessStep, Slots: make([]int, geo.Levels+5)}}, nil); err == nil {
 		t.Fatal("wrong slot count accepted")
 	}
 	// Out-of-range slot index.
@@ -319,7 +324,7 @@ func TestReplayRejectsDivergence(t *testing.T) {
 	for i := range bad {
 		bad[i] = geo.SlotsPer + 10
 	}
-	if _, err := restored.ReplayRead("", 0, bad); err == nil {
+	if _, err := restored.Replay([]LogEntry{{Kind: AccessStep, Slots: bad}}, nil); err == nil {
 		t.Fatal("out-of-range slots accepted")
 	}
 }
@@ -340,11 +345,11 @@ func TestReplayReadRejectsLeafOutOfRange(t *testing.T) {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("ReplayRead(%q, %d) panicked: %v", key, leaf, r)
+						t.Fatalf("replaying an access of %q at leaf %d panicked: %v", key, leaf, r)
 					}
 				}()
-				if _, err := o.ReplayRead(key, leaf, slots); !errors.Is(err, ErrReplay) {
-					t.Fatalf("ReplayRead(%q, %d): %v, want ErrReplay", key, leaf, err)
+				if _, err := o.Replay([]LogEntry{{Kind: AccessStep, Key: key, Leaf: leaf, Slots: slots}}, nil); !errors.Is(err, ErrReplay) {
+					t.Fatalf("replaying an access of %q at leaf %d: %v, want ErrReplay", key, leaf, err)
 				}
 			}()
 		}
@@ -370,20 +375,29 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 		t.Fatalf("a padding bump planned %d steps, the second of kind %d, want one evict-path", len(steps), plan.Kind)
 	}
 	logged := evictSlots(plan)
+	entries := logOf(t, seq.ORAM(), steps)
+	if fmt.Sprint(entries[1].BucketSlots) != fmt.Sprint(logged) {
+		t.Fatalf("the log names slots %v, the eviction read %v", entries[1].BucketSlots, logged)
+	}
 
 	restored := restoreFrom(t, seq.ORAM(), st)
 	for i := 0; i < bumps; i++ {
 		// The schedule owes the eviction only once every bump is replayed.
-		if _, err := restored.ReplayEvict(logged); !errors.Is(err, ErrReplay) {
+		if _, err := restored.Replay(entries[1:], nil); !errors.Is(err, ErrReplay) {
 			t.Fatalf("an eviction replayed %d bumps early: %v, want ErrReplay", bumps-i, err)
 		}
-		restored.ReplayBump()
+		if i < bumps-1 {
+			if _, err := restored.Replay(entries[:1], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	replay, err := restored.ReplayEvict(logged)
+	// The last bump and the eviction it makes due are one operation.
+	replayed, err := restored.Replay(entries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := evictSlots(replay)
+	got := evictSlots(replayed[1])
 	if len(got) != len(logged) {
 		t.Fatalf("replay read %d buckets, logged %d", len(got), len(logged))
 	}

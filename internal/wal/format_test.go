@@ -175,7 +175,7 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if entries, err := oramexec.DecodeBatchLog(plain[batchHeaderSize:]); err != nil || len(entries) != 3 {
+		if entries, err := ringoram.DecodeBatchLog(plain[batchHeaderSize:]); err != nil || len(entries) != 3 {
 			t.Fatalf("batch logged %d entries (%v), want 3 accesses", len(entries), err)
 		}
 		return rec
@@ -246,7 +246,7 @@ func sealPlain(t testing.TB, l *Log, kind byte, plain []byte) []byte {
 	t.Helper()
 	rec, p := newRecord(kind, len(plain))
 	copy(p, plain)
-	if err := l.seal(rec); err != nil {
+	if err := l.seal(rec, new(cryptoutil.Nonces)); err != nil {
 		t.Fatal(err)
 	}
 	return rec
@@ -294,13 +294,11 @@ func mallocsOf(f func()) uint64 {
 func TestBoundaryAllocBudget(t *testing.T) {
 	const checkpointBudget, batchBudget = 4, 3
 	// The counter is process-wide, so nothing but this goroutine may
-	// allocate while a window is open. The collector is off. With one P no
-	// other goroutine runs during a window, and this one never changes P
-	// between windows, so the per-P sync.Pool cache the sealer cuts nonces
-	// from hits as it does in a steady proxy instead of allocating a fresh
-	// buffer on the P it moved to. The Gosched lets what the last collection
-	// woke run to its end first: the runtime's unique-map cleanup allocates
-	// after every cycle, and on a busy host it ran inside the first windows.
+	// allocate while a window is open. The collector is off, and with one P
+	// no other goroutine runs during a window. The Gosched lets what the last
+	// collection woke run to its end first: the runtime's unique-map cleanup
+	// allocates after every cycle, and on a busy host it ran inside the first
+	// windows.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.Gosched()

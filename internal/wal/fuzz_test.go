@@ -116,7 +116,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			if rec, err := l.Recover(); err == nil {
 				for _, entries := range rec.AbortedBatches {
 					for _, le := range entries {
-						if le.Kind < oramexec.LogAccess || le.Kind > oramexec.LogWriteBump {
+						if le.Kind < ringoram.AccessStep || le.Kind > ringoram.WriteStep {
 							t.Fatalf("decoder let entry kind %d through", le.Kind)
 						}
 					}

@@ -35,16 +35,16 @@
 // plaintext starts with a format version byte and a fixed header, followed by
 // a payload the owning package lays out in fixed-width entries:
 //
-//	batch       version(u8) epoch(u64) batch(u32)              | oramexec batch log
+//	batch       version(u8) epoch(u64) batch(u32)              | ringoram batch log
 //	checkpoint  version(u8) epoch(u64) shard(u32) shards(u32)  | ringoram checkpoint image
 //
-// The payloads are written straight from the executor's plan and the ORAM's
-// live metadata into the record buffer (oramexec.BatchLog, ringoram's
-// EncodeCheckpoint): there is no intermediate representation, no reflection,
-// and one allocation per record. A record whose version byte is not
-// formatVersion — version 0 is the retired gob encoding, version 1 committed
-// epochs with a record of their own — fails recovery and standby attach with
-// ErrFormat; there is no migration reader.
+// Both payload formats are ringoram's, and both are written straight from
+// the ORAM's planned steps and live metadata into the record buffer
+// (ringoram.BatchLog, EncodeCheckpoint): there is no intermediate
+// representation, no reflection, and one allocation per record. A record
+// whose version byte is not formatVersion — version 0 is the retired gob
+// encoding, version 1 committed epochs with a record of their own — fails
+// recovery and standby attach with ErrFormat; there is no migration reader.
 //
 // All payloads are sealed with the proxy's key and bound to the record kind;
 // epoch ordering is carried (authenticated) inside the payload, so the
@@ -62,7 +62,6 @@ import (
 	"time"
 
 	"obladi/internal/cryptoutil"
-	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
 	"obladi/internal/storage"
 )
@@ -145,6 +144,9 @@ type Log struct {
 	sinceFull int
 	// bind holds each record kind's AEAD binding, built once.
 	bind [kindCheckpointCommitting + 1][]byte
+	// The two sealers' own nonce blocks, never shared: batch records are
+	// sealed on the schedule goroutine, checkpoints on the committer.
+	batchNonces, checkpointNonces cryptoutil.Nonces
 
 	// mu guards the lifecycle bookkeeping below. Batch appends run on the
 	// schedule goroutine, checkpoint appends and Retire on the committer.
@@ -224,9 +226,10 @@ func putHeader(plain []byte, epoch uint64) {
 // headerEpoch reads the epoch out of an opened record's header.
 func headerEpoch(plain []byte) uint64 { return binary.BigEndian.Uint64(plain[1:]) }
 
-// seal encrypts and authenticates a record's plaintext where it lies.
-func (l *Log) seal(rec []byte) error {
-	return l.cfg.Key.SealInPlace(rec[1:], l.bind[rec[0]])
+// seal encrypts and authenticates a record's plaintext where it lies, with a
+// nonce cut from the sealer's block.
+func (l *Log) seal(rec []byte, nonces *cryptoutil.Nonces) error {
+	return l.cfg.Key.SealInPlace(rec[1:], l.bind[rec[0]], nonces)
 }
 
 // open authenticates and decrypts a record, checks its format version and
@@ -263,14 +266,14 @@ func (l *Log) open(rec []byte, headerSize int) ([]byte, error) {
 // one fsync per record. The append and the note share one critical section:
 // a batch record that reaches the store ahead of a checkpoint is then always
 // noted before a Retire standing on that checkpoint can read the marks.
-func (l *Log) AppendBatch(epoch uint64, batch int, log oramexec.BatchLog) error {
+func (l *Log) AppendBatch(epoch uint64, batch int, log ringoram.BatchLog) error {
 	rec, plain := newRecord(kindBatch, batchHeaderSize+log.EncodedSize())
 	putHeader(plain, epoch)
 	binary.BigEndian.PutUint32(plain[9:], uint32(batch))
 	if err := log.Encode(plain[batchHeaderSize:]); err != nil {
 		return err
 	}
-	if err := l.seal(rec); err != nil {
+	if err := l.seal(rec, &l.batchNonces); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -378,7 +381,7 @@ func (l *Log) AppendPrepared(cp *PendingCheckpoint) (bool, error) {
 	if cp.rec[0] != l.checkpointKind() {
 		return false, fmt.Errorf("wal: shard %d's log cannot write a checkpoint of kind %d (only the coordinator commits)", l.cfg.Shard, cp.rec[0])
 	}
-	if err := l.seal(cp.rec); err != nil {
+	if err := l.seal(cp.rec, &l.checkpointNonces); err != nil {
 		return false, err
 	}
 	seq, err := l.appendStore(cp.rec)
@@ -506,7 +509,7 @@ type Recovery struct {
 	// two uncommitted epochs can be in flight at once: the sealed epoch
 	// whose commit had not landed, and its successor that was already
 	// issuing read batches.
-	AbortedBatches [][]oramexec.LogEntry
+	AbortedBatches [][]ringoram.LogEntry
 	// MaxAbortedEpoch is the highest epoch appearing in AbortedBatches (0
 	// when none). Recovery commits its replay under this epoch so a later
 	// crash can never replay the dead generation's records again.
@@ -615,7 +618,7 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 		if epoch <= r.CommittedEpoch {
 			continue // batch of a committed (already durable) epoch
 		}
-		entries, err := oramexec.DecodeBatchLog(plain[batchHeaderSize:])
+		entries, err := ringoram.DecodeBatchLog(plain[batchHeaderSize:])
 		if err != nil {
 			return nil, fmt.Errorf("wal: batch record %d: %w", i, err)
 		}
