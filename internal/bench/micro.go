@@ -592,10 +592,6 @@ func recoveryVsUptime(cfg Config) ([]Row, error) {
 		Key:         key,
 		ReadBatches: 4, ReadBatchSize: 16, WriteBatchSize: 32,
 	}
-	wcfg, err := core.WALConfigFor(ccfg, 0, 1)
-	if err != nil {
-		return nil, err
-	}
 	var rows []Row
 	for _, uptime := range uptimeAxis(cfg) {
 		backend := storage.NewMemBackend(ccfg.Params.Geometry().NumBuckets)
@@ -611,7 +607,7 @@ func recoveryVsUptime(cfg Config) ([]Row, error) {
 		if err := p.StepReadBatch(); err != nil {
 			return nil, err
 		}
-		l, err := wal.New(backend, wcfg)
+		l, err := wal.New(backend, wal.Config{Key: key})
 		if err != nil {
 			return nil, err
 		}

@@ -134,7 +134,7 @@ var errReadBatchesExhausted = fmt.Errorf("%w: read batches exhausted", ErrEpochF
 // inBoundaryWindowLocked reports whether the epoch's read batches have all
 // fired. The caller holds p.mu.
 func (p *Proxy) inBoundaryWindowLocked() bool {
-	return p.batchIdx >= p.cfg.ReadBatches
+	return p.batchIdx >= p.pub.ReadBatches()
 }
 
 // releaseParkedLocked fails every read held through the boundary window with
@@ -165,7 +165,7 @@ type sessionFetchQueue struct {
 // service, and no admitted read dies at the seal (the seal still fails any it
 // finds, as a safety net).
 func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) error {
-	remaining := (p.cfg.ReadBatches - p.batchIdx) * p.cfg.ReadBatchSize
+	remaining := (p.pub.ReadBatches() - p.batchIdx) * p.pub.ReadBatchSize()
 	if sh.queuedKeys >= remaining {
 		p.shedReads.Add(1)
 		return &ShedError{RetryEpoch: p.epoch + 1, Shard: sh.id}

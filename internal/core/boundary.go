@@ -112,17 +112,17 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	clear(errs)
 	for _, w := range out.Writes {
 		i := shardOf(w.Key, len(p.shards))
-		if len(shardOps[i]) == p.cfg.WriteBatchSize {
+		if len(shardOps[i]) == p.pub.WriteBatchSize() {
 			// Unreachable: the CCU charges every admitted write against the
 			// epoch generation's budget under its own lock (SetWriteBudget),
 			// so the finalized write set cannot exceed it. Fail-stop if the
 			// invariant ever breaks — the epoch cannot commit these writes.
-			return nil, p.failBoundary(fmt.Errorf("core: shard %d write set exceeds write batch (%d)", i, p.cfg.WriteBatchSize))
+			return nil, p.failBoundary(fmt.Errorf("core: shard %d write set exceeds write batch (%d)", i, p.pub.WriteBatchSize()))
 		}
 		shardOps[i] = append(shardOps[i], oramexec.WriteOp{Key: w.Key, Value: w.Value, Tombstone: w.Tombstone})
 	}
 	p.mu.Lock()
-	p.stats.WriteSlots += uint64(p.cfg.WriteBatchSize * len(p.shards))
+	p.stats.WriteSlots += uint64(p.pub.WriteBatchSize() * len(p.shards))
 	p.stats.RealWrites += uint64(len(out.Writes))
 	p.mu.Unlock()
 
@@ -135,7 +135,7 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// free to refill.
 	job := &p.job
 	job.epoch = epoch
-	p.loggedRound(stagePlanWrites, stageSeal, epoch, p.cfg.ReadBatches)
+	p.loggedRound(stagePlanWrites, stageSeal, epoch, p.pub.ReadBatches())
 	clear(p.step.plans)
 	if err := firstError(errs); err != nil {
 		return nil, p.failBoundary(err)

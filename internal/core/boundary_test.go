@@ -434,9 +434,7 @@ func recoverLogs(t *testing.T, cfg Config, stores []storage.Backend, when string
 	t.Helper()
 	var out recoveredLogs
 	for i, store := range stores {
-		wcfg, err := WALConfigFor(cfg, i, len(stores))
-		must(t, err)
-		l, err := wal.New(store, wcfg)
+		l, err := wal.New(store, wal.Config{Key: cfg.Key, Shard: i, Shards: len(stores)})
 		must(t, err)
 		rec, err := l.RecoverWithFloor(out.committed)
 		if err != nil {

@@ -17,17 +17,6 @@ import (
 	"obladi/internal/wal"
 )
 
-// lifecycleBound is the most records one shard's recovery log may retain. A
-// full checkpoint's cut runs at the end of its own epoch's commit stage, so
-// just before it the log holds the previous full checkpoint, the
-// FullCheckpointEvery epochs since — R read batches, a write batch and a
-// checkpoint each — and the read batches of the one epoch that overlaps the
-// commit (its write batch waits for the boundary slot, which the cut frees):
-// C·(R+2) + R + 1. It is a function of public parameters only.
-func lifecycleBound(cfg Config) uint64 {
-	return uint64((cfg.FullCheckpointEvery+1)*(cfg.ReadBatches+2) - 1)
-}
-
 // finishEpoch advances the schedule, from wherever it stands, through the
 // current epoch's seal.
 func finishEpoch(t *testing.T, p *Proxy) {
@@ -84,7 +73,7 @@ func TestLogLifecycleSoakMem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	bound := lifecycleBound(cfg)
+	bound := uint64(p.pub.LogRecordBound())
 	epochs, heapFrom := 10000, 2000
 	if testing.Short() {
 		epochs, heapFrom = 3000, 1000
@@ -162,7 +151,7 @@ func TestLogLifecycleSoakDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	bound := lifecycleBound(cfg)
+	bound := uint64(p.pub.LogRecordBound())
 	epochs := 1600
 	if testing.Short() {
 		epochs = 400
@@ -268,11 +257,9 @@ func checkRecoveryEquivalence(t *testing.T, cfg Config, stores []*historyBackend
 	var floor uint64
 	truncated, whole := crashImages(t, stores)
 	for i := range stores {
-		wcfg, err := WALConfigFor(cfg, i, len(stores))
-		must(t, err)
 		var recs [2]*wal.Recovery
 		for j, store := range []storage.LogStore{truncated[i], whole[i]} {
-			l, err := wal.New(store, wcfg)
+			l, err := wal.New(store, wal.Config{Key: cfg.Key, Shard: i, Shards: len(stores)})
 			must(t, err)
 			if i == 0 {
 				recs[j], err = l.Recover()
@@ -426,9 +413,7 @@ func TestRecoveryEquivalenceLiveMetadata(t *testing.T) {
 				must(t, p.WaitCommitted())
 				var floor uint64
 				for i, store := range stores {
-					wcfg, err := WALConfigFor(cfg, i, shards)
-					must(t, err)
-					l, err := wal.New(store, wcfg)
+					l, err := wal.New(store, wal.Config{Key: cfg.Key, Shard: i, Shards: shards})
 					must(t, err)
 					rec, err := l.RecoverWithFloor(floor)
 					if err != nil {

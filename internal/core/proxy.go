@@ -90,6 +90,8 @@ type Config struct {
 	Key *cryptoutil.Key
 
 	// ReadBatches is R, the number of read batches per epoch (default 4).
+	// This and the next two, like FullCheckpointEvery, select their default
+	// when 0 and are refused when negative (see Public).
 	ReadBatches int
 	// ReadBatchSize is bread (default 32).
 	ReadBatchSize int
@@ -109,7 +111,8 @@ type Config struct {
 	// DisableDurability skips the recovery unit entirely (microbenchmarks
 	// that isolate ORAM throughput; Figure 10 runs without durability).
 	DisableDurability bool
-	// FullCheckpointEvery is the full-checkpoint cadence (Figure 11a).
+	// FullCheckpointEvery is the full-checkpoint cadence (Figure 11a;
+	// default 16).
 	FullCheckpointEvery int
 }
 
@@ -121,20 +124,13 @@ type BoundaryMode int
 // next epoch's read batches.
 const BoundaryPipelined BoundaryMode = 0
 
-func (c *Config) setDefaults() error {
-	if c.ReadBatches <= 0 {
-		c.ReadBatches = 4
-	}
-	if c.ReadBatchSize <= 0 {
-		c.ReadBatchSize = 32
-	}
-	if c.WriteBatchSize <= 0 {
-		c.WriteBatchSize = 32
-	}
-	if c.Key == nil && !c.Params.DisableEncryption {
-		return errors.New("core: nil key with encryption enabled")
-	}
-	return nil
+// Public validates c's public parameters — the ORAM geometry, the epoch
+// schedule and the checkpoint cadence — and returns them as one value: the one
+// mapping from a Config to what the adversary may learn, and where every
+// shard's recovery log takes its pads from. A zero schedule value or cadence
+// selects its default, and a negative one is refused.
+func (c Config) Public() (*ringoram.Public, error) {
+	return ringoram.NewPublic(c.Params, c.ReadBatches, c.ReadBatchSize, c.WriteBatchSize, c.FullCheckpointEvery)
 }
 
 // Stats is a snapshot of proxy counters, the public view of the trusted
@@ -237,7 +233,10 @@ func shardOf(key string, n int) int {
 
 // Proxy is the Obladi trusted proxy.
 type Proxy struct {
-	cfg    Config
+	cfg Config
+	// pub is cfg's public parameters, validated: the geometry and schedule
+	// every shard runs, read from here rather than from cfg.
+	pub    *ringoram.Public
 	shards []*shard
 	ccu    *mvtso.Manager
 	// unified, when non-nil, holds every shard's EpochCommitBatcher face:
@@ -371,42 +370,22 @@ func NewSharded(stores []storage.Backend, cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
-// WALConfigFor returns the recovery-unit configuration NewSharded gives
-// shard's log under cfg, for tools and tests that open a proxy's log
-// themselves. The stash pad is the validated stash limit, derived when
-// cfg.Params leaves it 0, as NewSharded derives it.
-func WALConfigFor(cfg Config, shard, shards int) (wal.Config, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return wal.Config{}, err
-	}
-	p := cfg.Params
-	if err := p.Validate(); err != nil {
-		return wal.Config{}, err
-	}
-	return wal.Config{
-		Key:                 cfg.Key,
-		Shard:               shard,
-		Shards:              shards,
-		PadPosEntries:       cfg.ReadBatches*cfg.ReadBatchSize + cfg.WriteBatchSize,
-		PadStashEntries:     p.StashLimit,
-		FullCheckpointEvery: cfg.FullCheckpointEvery,
-	}, nil
-}
-
 // newProxy validates cfg and assembles the shards, their recovery units and
 // the unified-commit probe; NewSharded then bootstraps or recovers.
 func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("core: at least one storage backend required")
 	}
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if cfg.Key == nil && !cfg.Params.DisableEncryption {
+		return nil, errors.New("core: nil key with encryption enabled")
 	}
-	if err := cfg.Params.Validate(); err != nil {
+	pub, err := cfg.Public()
+	if err != nil {
 		return nil, err
 	}
 	p := &Proxy{
 		cfg:     cfg,
+		pub:     pub,
 		ccu:     mvtso.NewManager(),
 		waiters: make(map[mvtso.Timestamp]chan error),
 		kick:    make(chan struct{}, 1),
@@ -436,11 +415,7 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 			if _, ok := st.(storage.LogBatcher); ok {
 				p.deferredLogs = true
 			}
-			wcfg, err := WALConfigFor(cfg, i, len(stores))
-			if err != nil {
-				return nil, err
-			}
-			l, err := wal.New(st, wcfg)
+			l, err := wal.New(st, wal.Config{Key: cfg.Key, Shard: i, Shards: len(stores), Public: pub})
 			if err != nil {
 				return nil, err
 			}
@@ -448,8 +423,8 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 		}
 		p.shards = append(p.shards, sh)
 		p.step.batches[i] = shardReadBatch{sh: sh}
-		p.step.ops[i] = make([]oramexec.ReadOp, cfg.ReadBatchSize)
-		p.step.shardOps[i] = make([]oramexec.WriteOp, 0, cfg.WriteBatchSize)
+		p.step.ops[i] = make([]oramexec.ReadOp, pub.ReadBatchSize())
+		p.step.shardOps[i] = make([]oramexec.WriteOp, 0, pub.WriteBatchSize())
 	}
 	if !cfg.DisableDurability {
 		p.unified = unifiedCommitStores(stores)
@@ -459,7 +434,7 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 	// charged against that generation's budget, so boundary races cannot
 	// oversubscribe the write batch (see mvtso.SetWriteBudget).
 	nshards := len(p.shards)
-	p.ccu.SetWriteBudget(nshards, cfg.WriteBatchSize, func(key string) int {
+	p.ccu.SetWriteBudget(nshards, pub.WriteBatchSize(), func(key string) int {
 		return shardOf(key, nshards)
 	})
 	p.job.sealed = make([]*oramexec.SealedEpoch, n)
@@ -478,7 +453,7 @@ func (p *Proxy) Shards() int { return len(p.shards) }
 // shardParams returns shard i's ORAM parameters: the shared geometry with a
 // decorrelated deterministic seed (tests only; a zero seed stays random).
 func (p *Proxy) shardParams(i int) ringoram.Params {
-	sp := p.cfg.Params
+	sp := p.pub.Params()
 	if sp.Seed != 0 {
 		sp.Seed += uint64(i)
 	}
@@ -552,7 +527,7 @@ func (p *Proxy) runStage(s stage, i int) {
 		}
 	case stagePlanWrites:
 		ops := st.shardOps[i]
-		for len(ops) < p.cfg.WriteBatchSize {
+		for len(ops) < p.pub.WriteBatchSize() {
 			ops = append(ops, oramexec.WriteOp{})
 		}
 		st.plans[i], st.errs[i] = sh.exec.PlanWriteBatch(ops)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -265,7 +266,7 @@ func TestValueTooLarge(t *testing.T) {
 	stop := pump(t, p)
 	defer stop()
 	tx := p.Begin()
-	err := tx.Write("k", make([]byte, p.cfg.Params.ValueSize+1))
+	err := tx.Write("k", make([]byte, p.pub.Params().ValueSize+1))
 	if !errors.Is(err, ErrValueTooLarge) {
 		t.Fatalf("oversized value: %v", err)
 	}
@@ -359,8 +360,8 @@ func TestBatchPaddingFixedSlots(t *testing.T) {
 	if st.ReadBatchSlots == 0 {
 		t.Fatal("no batch slots recorded")
 	}
-	if st.ReadBatchSlots%uint64(p.cfg.ReadBatchSize) != 0 {
-		t.Fatalf("slots %d not a multiple of bread %d", st.ReadBatchSlots, p.cfg.ReadBatchSize)
+	if st.ReadBatchSlots%uint64(p.pub.ReadBatchSize()) != 0 {
+		t.Fatalf("slots %d not a multiple of bread %d", st.ReadBatchSlots, p.pub.ReadBatchSize())
 	}
 	if st.RealReads >= st.ReadBatchSlots {
 		t.Fatalf("padding missing: real=%d slots=%d", st.RealReads, st.ReadBatchSlots)
@@ -589,21 +590,39 @@ func TestManualBoundaryErrorFailsProxy(t *testing.T) {
 	}
 }
 
-// TestWALConfigForDerivesStashPad: a Config whose Params leave StashLimit 0
-// gets the stash pad NewSharded gives its logs, the validated (derived)
-// limit, not 0.
-func TestWALConfigForDerivesStashPad(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.Params.NumBlocks = 256
-	if cfg.Params.StashLimit != 0 {
-		t.Fatalf("the test config sets StashLimit %d", cfg.Params.StashLimit)
-	}
-	wcfg, err := WALConfigFor(cfg, 0, 1)
-	must(t, err)
-	p := cfg.Params
-	must(t, p.Validate())
-	if wcfg.PadStashEntries != p.StashLimit || wcfg.PadStashEntries <= 0 {
-		t.Fatalf("stash pad %d, the validated stash limit is %d", wcfg.PadStashEntries, p.StashLimit)
+// TestNewRefusesNegativeSchedule: a negative R, bread, bwrite or cadence is
+// refused as invalid parameters, not replaced by the default; 0 selects the
+// default.
+func TestNewRefusesNegativeSchedule(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*Config, int)
+		def  int
+		got  func(*ringoram.Public) int
+	}{
+		{"ReadBatches", func(c *Config, v int) { c.ReadBatches = v }, 4, (*ringoram.Public).ReadBatches},
+		{"ReadBatchSize", func(c *Config, v int) { c.ReadBatchSize = v }, 32, (*ringoram.Public).ReadBatchSize},
+		{"WriteBatchSize", func(c *Config, v int) { c.WriteBatchSize = v }, 32, (*ringoram.Public).WriteBatchSize},
+		{"FullCheckpointEvery", func(c *Config, v int) { c.FullCheckpointEvery = v }, 16, (*ringoram.Public).FullCheckpointEvery},
+	} {
+		cfg := testConfig(1)
+		c.set(&cfg, -1)
+		backend := storage.NewMemBackend(cfg.Params.Geometry().NumBuckets)
+		if p, err := New(backend, cfg); err == nil || !strings.Contains(err.Error(), "invalid parameters: "+c.name) {
+			if p != nil {
+				p.Close()
+			}
+			t.Fatalf("%s -1: %v, want invalid parameters", c.name, err)
+		}
+		c.set(&cfg, 0)
+		p, err := New(backend, cfg)
+		if err != nil {
+			t.Fatalf("%s 0: %v", c.name, err)
+		}
+		if got := c.got(p.pub); got != c.def {
+			t.Errorf("%s 0 runs with %d, want the default %d", c.name, got, c.def)
+		}
+		p.Close()
 	}
 }
 

@@ -128,9 +128,7 @@ func TestRecoveryDropsInFlightEpoch(t *testing.T) {
 
 	// The logged reads recovery must replay: the batch's accesses, without
 	// the evictions logged beside them.
-	wcfg, err := WALConfigFor(cfg, 0, 1)
-	must(t, err)
-	l, err := wal.New(backend, wcfg)
+	l, err := wal.New(backend, wal.Config{Key: cfg.Key, Shards: 1})
 	must(t, err)
 	logged, err := l.Recover()
 	must(t, err)
@@ -628,7 +626,7 @@ func TestProxyTraceShapeIndependence(t *testing.T) {
 			}
 			tx.Commit()
 		}()
-		for i := 0; i < p.cfg.ReadBatches; i++ {
+		for i := 0; i < p.pub.ReadBatches(); i++ {
 			waitQueuedOrDone(p, done)
 			if err := p.StepReadBatch(); err != nil {
 				t.Error(err)

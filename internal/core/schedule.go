@@ -43,7 +43,7 @@ func (p *Proxy) epochLoop() {
 // examples).
 func (p *Proxy) Advance() error {
 	p.mu.Lock()
-	last := p.batchIdx >= p.cfg.ReadBatches
+	last := p.batchIdx >= p.pub.ReadBatches()
 	p.mu.Unlock()
 	if last {
 		return p.EndEpoch()
@@ -93,9 +93,9 @@ func (p *Proxy) StepReadBatch() error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	if p.batchIdx >= p.cfg.ReadBatches {
+	if p.batchIdx >= p.pub.ReadBatches() {
 		p.mu.Unlock()
-		return fmt.Errorf("core: epoch %d already issued all %d read batches", p.epoch, p.cfg.ReadBatches)
+		return fmt.Errorf("core: epoch %d already issued all %d read batches", p.epoch, p.pub.ReadBatches())
 	}
 	st := &p.step
 	batches, results, plans, errs := st.batches, st.results, st.plans, st.errs
@@ -104,13 +104,13 @@ func (p *Proxy) StepReadBatch() error {
 		// Fair drain: one key per session per pass (admission.go), up to
 		// bread slots.
 		b := &batches[i]
-		b.keys = sh.takeBatchLocked(b.keys, p.cfg.ReadBatchSize)
+		b.keys = sh.takeBatchLocked(b.keys, p.pub.ReadBatchSize())
 		b.waiters = b.waiters[:0]
 		for _, k := range b.keys {
 			b.waiters = append(b.waiters, sh.queued[k])
 			delete(sh.queued, k)
 		}
-		p.stats.ReadBatchSlots += uint64(p.cfg.ReadBatchSize)
+		p.stats.ReadBatchSlots += uint64(p.pub.ReadBatchSize())
 		p.stats.RealReads += uint64(len(b.keys))
 	}
 	p.batchIdx++

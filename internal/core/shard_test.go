@@ -469,7 +469,11 @@ func TestShardConfigMismatchRejected(t *testing.T) {
 func TestTornFirstBootReinitializes(t *testing.T) {
 	cfg := testConfig(57)
 	stores, checkers := shardedBackends(cfg, 2)
-	l, err := wal.New(stores[1], wal.Config{Key: cfg.Key, Shard: 1, Shards: 2, FullCheckpointEvery: 1})
+	pub, err := cfg.Public()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.New(stores[1], wal.Config{Key: cfg.Key, Shard: 1, Shards: 2, Public: pub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +637,7 @@ func TestShardedScheduleShapeIndependence(t *testing.T) {
 			}
 			tx.Commit()
 		}()
-		for i := 0; i < p.cfg.ReadBatches; i++ {
+		for i := 0; i < p.pub.ReadBatches(); i++ {
 			waitQueuedOrDone(p, done)
 			if err := p.StepReadBatch(); err != nil {
 				t.Error(err)

@@ -73,8 +73,8 @@ func (t *Txn) Write(key string, value []byte) error {
 	if err := t.check(key); err != nil {
 		return err
 	}
-	if len(value) > t.p.cfg.Params.ValueSize {
-		return fmt.Errorf("%w: %d > %d", ErrValueTooLarge, len(value), t.p.cfg.Params.ValueSize)
+	if len(value) > t.p.pub.Params().ValueSize {
+		return fmt.Errorf("%w: %d > %d", ErrValueTooLarge, len(value), t.p.pub.Params().ValueSize)
 	}
 	if err := t.inner.Write(key, value); err != nil {
 		return t.mapWriteErr(err)
@@ -203,8 +203,8 @@ func (t *Txn) checkLocked(key string) error {
 	if key[0] == 0 {
 		return errors.New("obladi: keys must not start with a NUL byte")
 	}
-	if len(key) > t.p.cfg.Params.KeySize {
-		return fmt.Errorf("obladi: key of %d bytes exceeds KeySize %d", len(key), t.p.cfg.Params.KeySize)
+	if len(key) > t.p.pub.Params().KeySize {
+		return fmt.Errorf("obladi: key of %d bytes exceeds KeySize %d", len(key), t.p.pub.Params().KeySize)
 	}
 	if t.p.closed {
 		return ErrClosed

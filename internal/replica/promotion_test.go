@@ -24,12 +24,14 @@ const conformanceCadence = 4
 // conformanceLease is the standby lease of every pair built here.
 const conformanceLease = 150 * time.Millisecond
 
-// logBound is the most records one shard's log may retain: the previous full
-// checkpoint, the epochs of one cadence (R read batches, a write batch and a
-// checkpoint each) and the read batches of the epoch that overlaps the commit
-// stage whose end truncates.
-func logBound(cfg core.Config) int {
-	return (conformanceCadence+1)*(cfg.ReadBatches+2) - 1
+// logBound is the most records one shard's log may retain under cfg.
+func logBound(t *testing.T, cfg core.Config) int {
+	t.Helper()
+	pub, err := cfg.Public()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pub.LogRecordBound()
 }
 
 // conformanceConfig mirrors core's test configuration: a small ORAM so
@@ -200,7 +202,7 @@ func (h *haPair) checkStepped(t *testing.T, p *core.Proxy, want map[string][]byt
 // checkBounded asserts the lifecycle bound on every shard's log.
 func (h *haPair) checkBounded(t *testing.T, when string) {
 	t.Helper()
-	bound := logBound(h.cfg)
+	bound := logBound(t, h.cfg)
 	for i, l := range h.primary.Stats().Logs {
 		if int(l.Records) > bound {
 			t.Fatalf("%s: shard %d log retains %d records, bound %d", when, i, l.Records, bound)
@@ -628,7 +630,7 @@ func checkLateAttachAfterTruncation(t *testing.T) {
 	counted, restarted := countStores(twin.raw)
 	twin.newPrimary(t, counted)
 
-	bound := logBound(h.cfg)
+	bound := logBound(t, h.cfg)
 	for i, c := range promoted {
 		if n := c.calls["AcquireFence"]; n != 1 {
 			t.Fatalf("shard %d: promotion made %d AcquireFence calls, want 1", i, n)

@@ -20,6 +20,7 @@
 package ringoram
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -106,6 +107,83 @@ func (p *Params) Validate() error {
 		p.StashLimit = p.Z*(g.Levels+1) + 4*p.A + 64
 	}
 	return nil
+}
+
+// Public is a deployment's public parameters, validated once: the ORAM's
+// Params, the epoch schedule — R read batches of bread keys, then one write
+// batch of bwrite — and the full-checkpoint cadence. The adversary may learn
+// exactly these, and every padded size the recovery log writes is derived from
+// them by a method here, so no caller computes or sets one. NewPublic builds
+// the value; nothing changes it afterwards.
+type Public struct {
+	params                                     Params
+	readBatches, readBatchSize, writeBatchSize int
+	fullCheckpointEvery                        int
+}
+
+// NewPublic validates p, the schedule and the cadence, and returns their one
+// value. p gets Validate's defaults; a zero R, bread, bwrite or cadence
+// selects 4, 32, 32 or 16, and a negative one is refused.
+func NewPublic(p Params, readBatches, readBatchSize, writeBatchSize, fullCheckpointEvery int) (*Public, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	pub := &Public{params: p}
+	for _, f := range []struct {
+		name   string
+		v, def int
+		dst    *int
+	}{
+		{"ReadBatches", readBatches, 4, &pub.readBatches},
+		{"ReadBatchSize", readBatchSize, 32, &pub.readBatchSize},
+		{"WriteBatchSize", writeBatchSize, 32, &pub.writeBatchSize},
+		{"FullCheckpointEvery", fullCheckpointEvery, 16, &pub.fullCheckpointEvery},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("%w: %s %d", errBadParams, f.name, f.v)
+		}
+		*f.dst = cmp.Or(f.v, f.def)
+	}
+	return pub, nil
+}
+
+// Params returns the validated ORAM parameters.
+func (pub *Public) Params() Params { return pub.params }
+
+// ReadBatches is R, the read batches of an epoch.
+func (pub *Public) ReadBatches() int { return pub.readBatches }
+
+// ReadBatchSize is bread, the keys of a read batch.
+func (pub *Public) ReadBatchSize() int { return pub.readBatchSize }
+
+// WriteBatchSize is bwrite, the keys of an epoch's write batch.
+func (pub *Public) WriteBatchSize() int { return pub.writeBatchSize }
+
+// FullCheckpointEvery is the cadence: every this many epochs a checkpoint
+// is full, the others are deltas.
+func (pub *Public) FullCheckpointEvery() int { return pub.fullCheckpointEvery }
+
+// CheckpointPad is the shape every checkpoint is padded to (§8): a delta's
+// position map to the most keys an epoch can touch, R·bread + bwrite, and the
+// stash to its limit. Padding stash entries carry no value bytes, so the
+// stash section's size still tracks the real entries' value lengths.
+func (pub *Public) CheckpointPad() CheckpointPad {
+	return CheckpointPad{
+		PosEntries:   pub.readBatches*pub.readBatchSize + pub.writeBatchSize,
+		StashEntries: pub.params.StashLimit,
+		ValueSize:    0,
+	}
+}
+
+// LogRecordBound is the most records one shard's recovery log retains. A
+// full checkpoint's cut runs at the end of its own epoch's commit stage, so
+// just before it the log holds the previous full checkpoint, the C epochs
+// since — R read batches, a write batch and a checkpoint each — and, under
+// the pipelined boundary, the read batches of the one epoch that overlaps the
+// commit (its write batch waits for the boundary slot, which the cut frees):
+// C·(R+2) + R + 1 = (C+1)(R+2) − 1.
+func (pub *Public) LogRecordBound() int {
+	return (pub.fullCheckpointEvery+1)*(pub.readBatches+2) - 1
 }
 
 // Geometry derives the tree shape: the smallest power-of-two leaf count whose

@@ -69,6 +69,45 @@ func TestValidateRejectsGeometryPastLogFormats(t *testing.T) {
 	}
 }
 
+// TestPublicPadsAndLogBound pins the value's derived sizes for the benchmark
+// workloads' geometries and schedules, obladi.Open's defaults, and the core
+// lifecycle tests' short cadence. Every case leaves StashLimit 0, so the
+// stash pad is the limit Validate derives. A pad is part of every checkpoint
+// record's size, so a derivation that drifts fails here by number.
+func TestPublicPadsAndLogBound(t *testing.T) {
+	for _, c := range []struct {
+		name                      string
+		p                         Params
+		r, bread, bwrite, cadence int
+		pos, stash, bound         int
+	}{
+		{"kv-mem, kv-contend", Params{NumBlocks: 16384, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 256}, 4, 32, 64, 0, 192, 304, 101},
+		{"bank-disk", Params{NumBlocks: 5250, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 64}, 4, 32, 64, 0, 192, 288, 101},
+		{"kv-wire", Params{NumBlocks: 16384, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 256}, 4, 16, 32, 0, 96, 304, 101},
+		{"obladi.Open defaults", Params{NumBlocks: 8192, Z: 8, S: 12, A: 8}, 0, 0, 0, 0, 160, 184, 101},
+		{"lifecycle", Params{NumBlocks: 256, Z: 4, S: 6, A: 3, KeySize: 32, ValueSize: 32}, 2, 4, 8, 3, 16, 104, 15},
+	} {
+		pub, err := NewPublic(c.p, c.r, c.bread, c.bwrite, c.cadence)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		validated := c.p
+		if err := validated.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if pub.Params() != validated {
+			t.Errorf("%s: the value holds %+v, Validate gives %+v", c.name, pub.Params(), validated)
+		}
+		want := CheckpointPad{PosEntries: c.pos, StashEntries: c.stash}
+		if got := pub.CheckpointPad(); got != want || got.StashEntries != validated.StashLimit {
+			t.Errorf("%s: pad %+v, want %+v (stash limit %d)", c.name, got, want, validated.StashLimit)
+		}
+		if got := pub.LogRecordBound(); got != c.bound {
+			t.Errorf("%s: log bound %d, want %d", c.name, got, c.bound)
+		}
+	}
+}
+
 func TestGeometryShape(t *testing.T) {
 	cases := []struct {
 		n, z           int

@@ -99,7 +99,8 @@ func readImageHeader(img []byte) (imageHeader, error) {
 }
 
 // CheckpointPad fixes the padded shape of a checkpoint image so its size does
-// not track the workload (§8 "Optimizations").
+// not track the workload (§8 "Optimizations"). The recovery log pads to
+// Public.CheckpointPad(); the zero pad encodes an unpadded image.
 type CheckpointPad struct {
 	// PosEntries pads a delta's position-map section to this many entries:
 	// the most keys an epoch can remap. Full images list every key.

@@ -47,7 +47,7 @@ func (s scheduler) bump() ringoram.BatchLog {
 func TestRecoverWithFloor(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1, Shard: 1, Shards: 2})
+	l := newLog(t, backend, Config{Shard: 1, Shards: 2, Public: publicOf(t, o, schedule{cadence: 1})})
 
 	for e := uint64(1); e <= 2; e++ {
 		seed(t, o, backend, exec, e, 4)
@@ -89,7 +89,7 @@ func TestRecoverWithFloor(t *testing.T) {
 func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1, Shard: 1, Shards: 2})
+	l := newLog(t, backend, Config{Shard: 1, Shards: 2, Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 4)
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
@@ -143,7 +143,7 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 4)
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
@@ -195,8 +195,8 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 // coordinator's log is refused by a follower's, and the other way round.
 func TestFollowerCannotCommit(t *testing.T) {
 	o, backend := testORAM(t)
-	coord := newLog(t, backend, Config{Shard: 0, Shards: 2})
-	follower := newLog(t, backend, Config{Shard: 1, Shards: 2})
+	coord := newLog(t, backend, Config{Shard: 0, Shards: 2, Public: publicOf(t, o, schedule{})})
+	follower := newLog(t, backend, Config{Shard: 1, Shards: 2, Public: publicOf(t, o, schedule{})})
 	committing, err := coord.PrepareCheckpoint(1, o)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestFollowerCannotCommit(t *testing.T) {
 func TestCommittingMarkIsAuthenticated(t *testing.T) {
 	for _, shard := range []int{0, 1} {
 		o, backend := testORAM(t)
-		l := newLog(t, backend, Config{Shard: shard, Shards: 2})
+		l := newLog(t, backend, Config{Shard: shard, Shards: 2, Public: publicOf(t, o, schedule{})})
 		if _, err := l.AppendCheckpoint(1, o); err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 // formatParams is a small tree whose every bucket one epoch can rewrite: 16
 // leaves, so 16 consecutive evict-paths (A accesses each) cover all 31
 // buckets.
-var formatParams = ringoram.Params{NumBlocks: 64, Z: 4, S: 6, A: 4, KeySize: 16, ValueSize: 32}
+var formatParams = ringoram.Params{NumBlocks: 64, Z: 4, S: 6, A: 4, KeySize: 16, ValueSize: 32, StashLimit: 64}
 
 const formatEpochAccesses = 64 // 16 evictions × A
 
@@ -32,7 +32,7 @@ type formatHarness struct {
 	epoch   uint64
 }
 
-func newFormatHarness(t testing.TB, seed uint64, cfg Config) *formatHarness {
+func newFormatHarness(t testing.TB, seed uint64, s schedule) *formatHarness {
 	t.Helper()
 	p := formatParams
 	p.Seed = seed
@@ -42,7 +42,7 @@ func newFormatHarness(t testing.TB, seed uint64, cfg Config) *formatHarness {
 		t.Fatal(err)
 	}
 	h := &formatHarness{t: t, oram: o, backend: backend, exec: oramexec.New(o, backend, oramexec.Config{}), epoch: 1}
-	h.log = newLog(t, backend, cfg)
+	h.log = newLog(t, backend, Config{Public: publicOf(t, o, s)})
 	h.exec.BeginEpoch(h.epoch)
 	return h
 }
@@ -122,11 +122,8 @@ func (h *formatHarness) preload(n int) {
 // rewrites every bucket of the tree, so the public bucket counts agree), and
 // a batch of dummies logs exactly as many bytes as a batch of real accesses.
 func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
-	cfg := Config{
-		FullCheckpointEvery: 1 << 20, PadPosEntries: formatEpochAccesses,
-		PadStashEntries: 64, PadValueSize: formatParams.ValueSize,
-	}
-	h := newFormatHarness(t, 5, cfg)
+	s := schedule{r: 1, bread: formatEpochAccesses / 2, bwrite: formatEpochAccesses / 2, cadence: 1 << 20}
+	h := newFormatHarness(t, 5, s)
 	h.preload(formatEpochAccesses)
 
 	// All dummies: no position-map entry is real.
@@ -134,7 +131,7 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 		h.reads(b, make([]string, formatEpochAccesses/4)...)
 	}
 	dummyDelta := h.endEpoch()
-	// All real: every key of the store is read once, PadPosEntries of them.
+	// All real: every key of the store is read once, the pad's worth of them.
 	for b := 0; b < 4; b++ {
 		keys := make([]string, formatEpochAccesses/4)
 		for i := range keys {
@@ -160,7 +157,7 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 	// Batch records: three accesses, no eviction or reshuffle falling due in
 	// either batch, so both logs hold three access entries.
 	batchRecord := func(keys ...string) []byte {
-		h := newFormatHarness(t, 6, cfg)
+		h := newFormatHarness(t, 6, s)
 		h.preload(8)
 		h.reads(0, keys...)
 		recs, err := h.backend.Scan(0)
@@ -190,7 +187,7 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 // in a record follows map iteration order.
 func TestRecordBytesDeterministic(t *testing.T) {
 	run := func() [][]byte {
-		h := newFormatHarness(t, 9, Config{FullCheckpointEvery: 3, PadPosEntries: 24, PadStashEntries: 64})
+		h := newFormatHarness(t, 9, schedule{r: 1, bread: 16, bwrite: 8, cadence: 3})
 		for e := 0; e < 7; e++ {
 			keys := make([]string, 8)
 			for i := range keys {
@@ -260,7 +257,7 @@ func TestOlderFormatRejected(t *testing.T) {
 	for version := byte(0); version < formatVersion; version++ {
 		for kind := byte(kindBatch); kind <= kindCheckpointCommitting; kind++ {
 			o, backend := testORAM(t)
-			l := newLog(t, backend, Config{})
+			l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})})
 			if _, err := l.AppendCheckpoint(1, o); err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +299,7 @@ func TestBoundaryAllocBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.Gosched()
-	h := newFormatHarness(t, 13, Config{FullCheckpointEvery: 1 << 20, PadPosEntries: 2 * formatEpochAccesses, PadStashEntries: 64})
+	h := newFormatHarness(t, 13, schedule{r: 1, bread: formatEpochAccesses, bwrite: formatEpochAccesses, cadence: 1 << 20})
 	h.preload(48)
 	epoch := func(reads, writeSlots int) (batch, checkpoint uint64) {
 		keys := make([]string, reads)

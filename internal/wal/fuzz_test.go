@@ -20,7 +20,7 @@ import (
 // fuzzSeedRecords runs a short real workload and returns the plaintext of
 // every record it logged, by kind.
 func fuzzSeedRecords(t testing.TB) (batches, checkpoints [][]byte) {
-	h := newFormatHarness(t, 21, Config{FullCheckpointEvery: 2, PadPosEntries: 16, PadStashEntries: 8, PadValueSize: 4})
+	h := newFormatHarness(t, 21, schedule{r: 1, bread: 8, bwrite: 8, cadence: 2})
 	h.preload(12)
 	for e := 0; e < 3; e++ {
 		h.reads(0, formatKey(e), "", formatKey(e+4), formatKey(e+8))
@@ -105,7 +105,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, plain []byte) {
 		o, backend := testORAM(t)
-		l := newLog(t, backend, Config{})
+		l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})})
 		if _, err := l.AppendCheckpoint(0, o); err != nil {
 			t.Fatal(err)
 		}

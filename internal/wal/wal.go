@@ -10,7 +10,8 @@
 //     map, per-bucket permutation/valid maps, counters, and the stash.
 //     Checkpoints are deltas, with a periodic full checkpoint; deltas pad
 //     the position-map to the maximum number of entries an epoch can touch
-//     and the stash to its configured maximum, so record sizes leak nothing.
+//     and the stash to its bound (Config.Public's CheckpointPad), so record
+//     sizes leak nothing.
 //
 // A checkpoint is also the epoch-boundary durability point. The coordinator's
 // log (Config.Shard == 0) writes every checkpoint as a COMMITTING checkpoint:
@@ -99,31 +100,10 @@ type Config struct {
 	// mis-routing the key space. Shards == 0 disables the check (unsharded
 	// tools and tests).
 	Shard, Shards int
-	// PadPosEntries pads every checkpoint's position-map delta to this
-	// many entries: the maximum number of keys an epoch can touch
-	// (R*bread + bwrite). 0 disables padding (tests only).
-	PadPosEntries int
-	// PadStashEntries pads the logged stash to this many blocks
-	// (the ORAM's stash limit). 0 disables padding (tests only).
-	PadStashEntries int
-	// PadValueSize is the number of value bytes each padding stash entry
-	// carries. Real entries are logged at their own value length, so the
-	// stash section is constant-size only when this is the ORAM value size
-	// and values are full width. Defaults to 0 (empty pad values).
-	PadValueSize int
-	// FullCheckpointEvery forces a full (non-delta) checkpoint every N
-	// epochs; 1 means every checkpoint is full. Default 16.
-	FullCheckpointEvery int
-}
-
-func (c *Config) setDefaults() error {
-	if c.Key == nil {
-		return errors.New("wal: nil key")
-	}
-	if c.FullCheckpointEvery <= 0 {
-		c.FullCheckpointEvery = 16
-	}
-	return nil
+	// Public is the deployment's public parameters: every checkpoint takes
+	// its cadence and padded shape from it. A log without one can append
+	// batch records and recover, but refuses to checkpoint.
+	Public *ringoram.Public
 }
 
 // Log is the recovery unit client.
@@ -139,9 +119,10 @@ func (c *Config) setDefaults() error {
 // of an epoch above e. The bookkeeping is per process: after a restart it is
 // empty and the first full checkpoint appended (recovery's own) re-anchors it.
 type Log struct {
-	store     storage.LogStore
-	cfg       Config
-	sinceFull int
+	store storage.LogStore
+	cfg   Config
+	// untilFull counts the delta checkpoints due before the next full one.
+	untilFull int
 	// bind holds each record kind's AEAD binding, built once.
 	bind [kindCheckpointCommitting + 1][]byte
 	// The two sealers' own nonce blocks, never shared: batch records are
@@ -198,10 +179,10 @@ func (l *Log) Stats() Stats {
 
 // New creates a recovery unit over a durable log store.
 func New(store storage.LogStore, cfg Config) (*Log, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if cfg.Key == nil {
+		return nil, errors.New("wal: nil key")
 	}
-	l := &Log{store: store, cfg: cfg, sinceFull: cfg.FullCheckpointEvery}
+	l := &Log{store: store, cfg: cfg}
 	for kind := kindBatch; kind <= kindCheckpointCommitting; kind++ {
 		l.bind[kind] = cryptoutil.Binding(uint64(kind), 0, 0)
 	}
@@ -333,16 +314,20 @@ func (c *PendingCheckpoint) Epoch() uint64 { return c.epoch }
 
 // PrepareCheckpoint snapshots the epoch-end metadata without appending it:
 // one pass over the ORAM's live metadata encodes the checkpoint image
-// directly into the record buffer. It decides full-vs-delta per the
-// configured cadence, pads the image so its size is workload independent, and
+// directly into the record buffer. It decides full-vs-delta per the public
+// cadence, pads the image to Public.CheckpointPad so its size is workload
+// independent, and
 // resets the ORAM's dirty tracking (the snapshot owns those changes now; if
 // the later append fails the proxy fail-stops, so no subsequent checkpoint
 // can miss them). On the coordinator's log the record is a committing
 // checkpoint: appending it commits the epoch.
 func (l *Log) PrepareCheckpoint(epoch uint64, oram *ringoram.ORAM) (*PendingCheckpoint, error) {
-	full := l.sinceFull >= l.cfg.FullCheckpointEvery
-	pad := ringoram.CheckpointPad{PosEntries: l.cfg.PadPosEntries, StashEntries: l.cfg.PadStashEntries, ValueSize: l.cfg.PadValueSize}
-	rec, err := oram.EncodeCheckpoint(full, pad, recordHead+checkpointHeaderSize, recordTail)
+	pub := l.cfg.Public
+	if pub == nil {
+		return nil, errors.New("wal: checkpoint on a log built without public parameters")
+	}
+	full := l.untilFull == 0
+	rec, err := oram.EncodeCheckpoint(full, pub.CheckpointPad(), recordHead+checkpointHeaderSize, recordTail)
 	if err != nil {
 		return nil, err
 	}
@@ -353,9 +338,9 @@ func (l *Log) PrepareCheckpoint(epoch uint64, oram *ringoram.ORAM) (*PendingChec
 	binary.BigEndian.PutUint32(plain[9:], uint32(l.cfg.Shard))
 	binary.BigEndian.PutUint32(plain[13:], uint32(l.cfg.Shards))
 	if full {
-		l.sinceFull = 1
+		l.untilFull = pub.FullCheckpointEvery() - 1
 	} else {
-		l.sinceFull++
+		l.untilFull--
 	}
 	return &PendingCheckpoint{epoch: epoch, full: full, rec: rec}, nil
 }

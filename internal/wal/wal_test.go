@@ -22,6 +22,22 @@ func testORAM(t testing.TB) (*ringoram.ORAM, *storage.MemBackend) {
 	return o, backend
 }
 
+// schedule is a test log's public schedule, R read batches of bread and one
+// write batch of bwrite, and its checkpoint cadence; a zero field selects the
+// default.
+type schedule struct{ r, bread, bwrite, cadence int }
+
+// publicOf is the public value of a log over o: o's parameters with the
+// schedule s. A delta checkpoint's position map pads to r·bread + bwrite.
+func publicOf(t testing.TB, o *ringoram.ORAM, s schedule) *ringoram.Public {
+	t.Helper()
+	pub, err := ringoram.NewPublic(o.Params(), s.r, s.bread, s.bwrite, s.cadence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pub
+}
+
 func newLog(t testing.TB, store storage.LogStore, cfg Config) *Log {
 	t.Helper()
 	if cfg.Key == nil {
@@ -60,7 +76,7 @@ func seed(t *testing.T, o *ringoram.ORAM, backend *storage.MemBackend, exec *ora
 func TestCheckpointCommitRecover(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 5)
 	if full, err := l.AppendCheckpoint(1, o); err != nil || !full {
@@ -90,7 +106,7 @@ func TestCheckpointCommitRecover(t *testing.T) {
 func TestRecoverAppliesDeltas(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 3, PadPosEntries: 8, PadStashEntries: 10})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{r: 1, bread: 4, bwrite: 4, cadence: 3})})
 
 	for e := uint64(1); e <= 5; e++ {
 		seed(t, o, backend, exec, e, 3)
@@ -140,7 +156,7 @@ func TestRecoverAppliesDeltas(t *testing.T) {
 func TestRecoverAbortedBatches(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 4)
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
@@ -185,7 +201,7 @@ func TestRecoverAbortedBatches(t *testing.T) {
 func TestRecoverIgnoresCommittedEpochBatches(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	exec.BeginEpoch(1)
 	plan, err := exec.PlanWriteBatch([]oramexec.WriteOp{{Key: "k", Value: []byte("v")}})
@@ -218,7 +234,7 @@ func TestRecoverIgnoresCommittedEpochBatches(t *testing.T) {
 // until the coordinator's floor reaches its epoch.
 func TestRecoverNoCheckpoint(t *testing.T) {
 	o, backend := testORAM(t)
-	l := newLog(t, backend, Config{Shard: 1, Shards: 2})
+	l := newLog(t, backend, Config{Shard: 1, Shards: 2, Public: publicOf(t, o, schedule{})})
 	if _, err := l.Recover(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("recover of an empty log: %v", err)
 	}
@@ -233,7 +249,7 @@ func TestRecoverNoCheckpoint(t *testing.T) {
 func TestPaddingMakesDeltasConstantSize(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 100, PadPosEntries: 16, PadStashEntries: 12, PadValueSize: 32})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{r: 1, bread: 8, bwrite: 8, cadence: 100})})
 
 	// Epoch 1's checkpoint is full (always, for recoverability); epochs 2
 	// and 3 produce deltas with very different touched-key counts. The
@@ -282,7 +298,7 @@ func TestPaddingMakesDeltasConstantSize(t *testing.T) {
 func TestPaddingStaysOutOfRestoredState(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 2, PadPosEntries: 32, PadStashEntries: 16, PadValueSize: 8})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{r: 1, bread: 16, bwrite: 16, cadence: 2})})
 	for e := uint64(1); e <= 2; e++ {
 		seed(t, o, backend, exec, e, 3)
 		if _, err := l.AppendCheckpoint(e, o); err != nil {
@@ -311,7 +327,7 @@ func TestPaddingStaysOutOfRestoredState(t *testing.T) {
 func TestTamperedRecordRejected(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 	seed(t, o, backend, exec, 1, 2)
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
 		t.Fatal(err)
@@ -326,7 +342,7 @@ func TestTamperedRecordRejected(t *testing.T) {
 func TestTruncateDropsOldRecords(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 2})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 2})})
 	for e := uint64(1); e <= 6; e++ {
 		seed(t, o, backend, exec, e, 2)
 		if _, err := l.AppendCheckpoint(e, o); err != nil {
@@ -364,7 +380,7 @@ func TestTruncateDropsOldRecords(t *testing.T) {
 func TestRecoverStats(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{FullCheckpointEvery: 1})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 	seed(t, o, backend, exec, 1, 4)
 	if _, err := l.AppendCheckpoint(1, o); err != nil {
 		t.Fatal(err)
@@ -393,5 +409,38 @@ func TestNilKeyRejected(t *testing.T) {
 	_, backend := testORAM(t)
 	if _, err := New(backend, Config{}); err == nil {
 		t.Fatal("nil key accepted")
+	}
+}
+
+// TestCheckpointNeedsPublic: a log built without the public parameters logs
+// batch records and recovers, but has no pads to checkpoint with, so it
+// refuses to rather than write an unpadded image.
+func TestCheckpointNeedsPublic(t *testing.T) {
+	o, backend := testORAM(t)
+	exec := oramexec.New(o, backend, oramexec.Config{})
+	seed(t, o, backend, exec, 1, 2)
+	if _, err := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})}).AppendCheckpoint(1, o); err != nil {
+		t.Fatal(err)
+	}
+	l := newLog(t, backend, Config{})
+	exec.BeginEpoch(2)
+	plan, err := exec.PlanReadBatch([]oramexec.ReadOp{{Key: "e1-k0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendBatch(2, 0, plan.Log()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.Execute(plan); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := l.Recover(); err != nil || len(rec.AbortedBatches) != 1 {
+		t.Fatalf("recovery without the public parameters: %v", err)
+	}
+	if _, err := l.PrepareCheckpoint(2, o); err == nil {
+		t.Fatal("a log without the public parameters prepared a checkpoint")
+	}
+	if recs, _ := backend.Scan(0); len(recs) != 2 {
+		t.Fatalf("%d records in the store, want the checkpoint and the batch", len(recs))
 	}
 }

@@ -77,7 +77,8 @@ type Options struct {
 	MaxKeySize int
 
 	// ReadBatches (R), ReadBatchSize (bread) and WriteBatchSize (bwrite)
-	// fix the epoch's observable shape. Defaults: 4, 32, 32.
+	// fix the epoch's observable shape. Defaults: 4, 32, 32; a negative
+	// value is refused.
 	ReadBatches    int
 	ReadBatchSize  int
 	WriteBatchSize int
@@ -102,7 +103,8 @@ type Options struct {
 
 	// DisableDurability turns off the recovery unit (no crash recovery).
 	DisableDurability bool
-	// FullCheckpointEvery sets the full-checkpoint cadence (default 16).
+	// FullCheckpointEvery sets the full-checkpoint cadence (default 16; a
+	// negative value is refused).
 	FullCheckpointEvery int
 
 	// KeySeed derives the encryption key deterministically. Required
