@@ -56,6 +56,7 @@ import (
 	"obladi/internal/mvtso"
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/slab"
 	"obladi/internal/storage"
 	"obladi/internal/wal"
@@ -129,8 +130,8 @@ const BoundaryPipelined BoundaryMode = 0
 // mapping from a Config to what the adversary may learn, and where every
 // shard's recovery log takes its pads from. A zero schedule value or cadence
 // selects its default, and a negative one is refused.
-func (c Config) Public() (*ringoram.Public, error) {
-	return ringoram.NewPublic(c.Params, c.ReadBatches, c.ReadBatchSize, c.WriteBatchSize, c.FullCheckpointEvery)
+func (c Config) Public() (*meta.Public, error) {
+	return meta.NewPublic(c.Params, c.ReadBatches, c.ReadBatchSize, c.WriteBatchSize, c.FullCheckpointEvery)
 }
 
 // Stats is a snapshot of proxy counters, the public view of the trusted
@@ -236,7 +237,7 @@ type Proxy struct {
 	cfg Config
 	// pub is cfg's public parameters, validated: the geometry and schedule
 	// every shard runs, read from here rather than from cfg.
-	pub    *ringoram.Public
+	pub    *meta.Public
 	shards []*shard
 	ccu    *mvtso.Manager
 	// unified, when non-nil, holds every shard's EpochCommitBatcher face:

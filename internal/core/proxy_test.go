@@ -10,6 +10,7 @@ import (
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -598,12 +599,12 @@ func TestNewRefusesNegativeSchedule(t *testing.T) {
 		name string
 		set  func(*Config, int)
 		def  int
-		got  func(*ringoram.Public) int
+		got  func(*meta.Public) int
 	}{
-		{"ReadBatches", func(c *Config, v int) { c.ReadBatches = v }, 4, (*ringoram.Public).ReadBatches},
-		{"ReadBatchSize", func(c *Config, v int) { c.ReadBatchSize = v }, 32, (*ringoram.Public).ReadBatchSize},
-		{"WriteBatchSize", func(c *Config, v int) { c.WriteBatchSize = v }, 32, (*ringoram.Public).WriteBatchSize},
-		{"FullCheckpointEvery", func(c *Config, v int) { c.FullCheckpointEvery = v }, 16, (*ringoram.Public).FullCheckpointEvery},
+		{"ReadBatches", func(c *Config, v int) { c.ReadBatches = v }, 4, (*meta.Public).ReadBatches},
+		{"ReadBatchSize", func(c *Config, v int) { c.ReadBatchSize = v }, 32, (*meta.Public).ReadBatchSize},
+		{"WriteBatchSize", func(c *Config, v int) { c.WriteBatchSize = v }, 32, (*meta.Public).WriteBatchSize},
+		{"FullCheckpointEvery", func(c *Config, v int) { c.FullCheckpointEvery = v }, 16, (*meta.Public).FullCheckpointEvery},
 	} {
 		cfg := testConfig(1)
 		c.set(&cfg, -1)

@@ -6,6 +6,7 @@ import (
 
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/wal"
 )
 
@@ -109,7 +110,7 @@ func (p *Proxy) recover(coordRec *wal.Recovery) error {
 	for _, rec := range r.recs {
 		for _, batch := range rec.AbortedBatches {
 			for _, le := range batch {
-				if le.Kind == ringoram.AccessStep {
+				if le.Kind == meta.AccessStep {
 					p.stats.RecoveryReplayed++
 				}
 			}

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 	"obladi/internal/wal"
 )
@@ -135,7 +135,7 @@ func TestRecoveryDropsInFlightEpoch(t *testing.T) {
 	reads := 0
 	for _, batch := range logged.AbortedBatches {
 		for _, le := range batch {
-			if le.Kind == ringoram.AccessStep {
+			if le.Kind == meta.AccessStep {
 				reads++
 			}
 		}
@@ -218,11 +218,11 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 	for _, batch := range logged.AbortedBatches {
 		for _, le := range batch {
 			switch le.Kind {
-			case ringoram.AccessStep:
+			case meta.AccessStep:
 				for i, b := range oram.PathBuckets(le.Leaf) {
 					named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
 				}
-			case ringoram.EvictStep:
+			case meta.EvictStep:
 				// The evict path is a function of the eviction counter.
 				leaf := int(bits.Reverse(uint(evictCount)%uint(geo.Leaves)) >> (bits.UintSize - geo.Levels))
 				for i, b := range oram.PathBuckets(leaf) {
@@ -231,7 +231,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 					}
 				}
 				evictCount++
-			case ringoram.ReshuffleStep:
+			case meta.ReshuffleStep:
 				for _, s := range le.BucketSlots[0] {
 					named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
 				}
@@ -688,7 +688,7 @@ func waitQueuedOrDone(p *Proxy, done chan struct{}) {
 // be replayed. The dummiless write turned the stale copy into filler without
 // reading it, so the epoch's logged evictions skip that slot; recovery does
 // not re-apply the aborted write, finds a live block the logged schedule never
-// reads, and refuses (ringoram.ErrReplay) — on every restart. Keeping the
+// reads, and refuses (meta.ErrReplay) — on every restart. Keeping the
 // block needs its bytes, and fetching them is a read the adversary never saw:
 // the fix belongs in how a dummiless write retires a tree copy, not in replay
 // (ROADMAP, "End-to-end oracles").

@@ -10,6 +10,7 @@ import (
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -36,7 +37,7 @@ func newPlanDigest() *planDigest { return &planDigest{h: sha256.New(), kinds: ma
 
 func (d *planDigest) int(v int) { d.h.Write(binary.BigEndian.AppendUint64(nil, uint64(v))) }
 
-func (d *planDigest) step(kind byte, key string, leaf int, buckets []int, reads []ringoram.SlotRead) {
+func (d *planDigest) step(kind byte, key string, leaf int, buckets []int, reads []meta.SlotRead) {
 	d.kinds[kind]++
 	d.h.Write([]byte{kind})
 	if kind == digestWrite {
@@ -67,17 +68,17 @@ func (d *planDigest) batch(plan *BatchPlan) {
 	for _, t := range plan.tasks {
 		s := t.step
 		switch s.Kind {
-		case ringoram.AccessStep:
+		case meta.AccessStep:
 			if len(s.Reads) == 0 {
 				d.step(digestCached, s.Key, s.Leaf, nil, nil)
 			} else {
 				d.step(digestAccess, s.Key, s.Leaf, nil, s.Reads)
 			}
-		case ringoram.WriteStep:
+		case meta.WriteStep:
 			d.step(digestWrite, "", -1, nil, nil)
-		case ringoram.EvictStep:
+		case meta.EvictStep:
 			d.step(digestEvict, "", -1, s.Buckets, s.Reads)
-		case ringoram.ReshuffleStep:
+		case meta.ReshuffleStep:
 			d.step(digestReshuffle, "", -1, s.Buckets, s.Reads)
 		}
 	}
@@ -151,12 +152,12 @@ func TestPlanDigestGolden(t *testing.T) {
 	d := newPlanDigest()
 	var snap []byte
 	var committed uint64
-	var logged [][]ringoram.LogEntry
+	var logged [][]meta.LogEntry
 	for e := 0; e < digestEpochs; e++ {
 		last := e == digestEpochs-1
 		if last {
 			var err error
-			if snap, err = h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0); err != nil {
+			if snap, err = h.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 			committed = h.epoch - 1

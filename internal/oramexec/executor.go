@@ -3,20 +3,19 @@
 // The executor turns a batch of logical operations into one pipelined pass
 // over storage: the ORAM plans each operation whole and sequentially (cheap
 // CPU) — its access, then the early reshuffles and evict-paths it makes due,
-// a schedule ringoram alone decides — the resulting physical slot reads are
-// coalesced into a single scatter-gather storage call per stage (one wire op
-// and one round trip however many slots the stage reads), and every step is
-// completed in plan order, which realizes multilevel serializability: the
+// a schedule ringoram/meta alone decides — the resulting physical slot reads
+// are coalesced into a single scatter-gather storage call per stage (one wire
+// op and one round trip however many slots the stage reads), and every step
+// is completed in plan order, which realizes multilevel serializability: the
 // outcome is identical to the sequential execution of the same batch
 // (ringoram.Seq). A batch's log is the ORAM's view of its steps
-// (BatchPlan.Log); what a step logs and how it is replayed is ringoram's, and
+// (BatchPlan.Log); what a step logs and how it is replayed is meta's, and
 // ReplayBatch executes what the ORAM's Replay plans.
 //
-// The executor schedules I/O and owns no block bytes. The ORAM's
-// local-version table (ringoram's local.go) holds every bucket version the
-// epoch's evictions write and the resident top of the tree, marks the reads
-// it serves Local as they are planned, and serves them at completion; the
-// executor issues the others. It also does the table's I/O: LoadResident,
+// The executor schedules I/O and owns no block bytes. The ORAM's local-version
+// table holds every bucket version the epoch's evictions write and the
+// resident top of the tree, marks the reads it serves Local as they are
+// planned, and serves them at completion; the executor issues the others. It also does the table's I/O: LoadResident,
 // one vectored read of the resident buckets' Z real slots before anything is
 // planned over restored metadata, and the write-back, which seals only the
 // versions that reach storage, into an arena reused by the next flush, and
@@ -33,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -81,7 +81,7 @@ type Executor struct {
 	// batch's duplicate check, and steps receives each operation's plans.
 	readPlan, writePlan BatchPlan
 	seen                map[string]bool
-	steps               []*ringoram.Plan
+	steps               []*meta.Plan
 
 	stats statCounters
 }
@@ -158,7 +158,7 @@ func (c *statCounters) snapshot() Stats {
 // Tasks belong to their plan and are reset, keeping their data backing array,
 // for the plan's next batch.
 type task struct {
-	step  *ringoram.Plan
+	step  *meta.Plan
 	data  [][]byte
 	opIdx int // index into the batch's results (-1 for all but a batch's reads)
 }
@@ -192,7 +192,7 @@ type BatchPlan struct {
 	// from earlier batches for newTask to hand out again.
 	tasks []*task
 	// steps are the tasks' steps, in order: what the batch logs.
-	steps   []*ringoram.Plan
+	steps   []*meta.Plan
 	results []ReadResult
 	oram    *ringoram.ORAM
 }
@@ -221,16 +221,16 @@ func (b *BatchPlan) newTask() *task {
 // add appends the ORAM's planned steps to the batch as tasks, counting the
 // evictions and reshuffles among them; an access among them answers the
 // batch's result opIdx.
-func (e *Executor) add(b *BatchPlan, steps []*ringoram.Plan, opIdx int) {
+func (e *Executor) add(b *BatchPlan, steps []*meta.Plan, opIdx int) {
 	for _, s := range steps {
 		t := b.newTask()
 		t.step, t.opIdx = s, -1
 		switch s.Kind {
-		case ringoram.AccessStep:
+		case meta.AccessStep:
 			t.opIdx = opIdx
-		case ringoram.EvictStep:
+		case meta.EvictStep:
 			e.stats.evictions.Add(1)
-		case ringoram.ReshuffleStep:
+		case meta.ReshuffleStep:
 			e.stats.reshuffles.Add(1)
 		}
 		b.tasks = append(b.tasks, t)
@@ -241,7 +241,7 @@ func (e *Executor) add(b *BatchPlan, steps []*ringoram.Plan, opIdx int) {
 // Log returns the batch's durability-log entries, in order, as the ORAM's
 // view over the plan's steps. The caller must persist it before calling
 // Execute (write-ahead logging): execution recycles what the view reads.
-func (b *BatchPlan) Log() ringoram.BatchLog { return b.oram.BatchLog(b.steps) }
+func (b *BatchPlan) Log() meta.BatchLog { return b.oram.BatchLog(b.steps) }
 
 // ReadOp is one slot of a read batch. An empty key is a padding dummy.
 type ReadOp struct {
@@ -592,10 +592,10 @@ func (e *Executor) flushImages(epoch uint64, images []ringoram.BucketImage) (int
 
 // ReplayBatch replays a logged batch during crash recovery: the ORAM plans
 // its steps again, one per entry, refusing any its schedule does not owe
-// (ringoram's Replay), and the batch executes like a live one, issuing the
+// (meta's Replay), and the batch executes like a live one, issuing the
 // same physical reads. Eviction writes stay in the ORAM's table and are
 // flushed by the caller as the recovery epoch's write-back.
-func (e *Executor) ReplayBatch(entries []ringoram.LogEntry) error {
+func (e *Executor) ReplayBatch(entries []meta.LogEntry) error {
 	plan, err := e.planReplay(entries)
 	if err == nil {
 		_, err = e.Execute(plan)
@@ -604,7 +604,7 @@ func (e *Executor) ReplayBatch(entries []ringoram.LogEntry) error {
 }
 
 // planReplay plans a logged batch's steps as a batch plan.
-func (e *Executor) planReplay(entries []ringoram.LogEntry) (*BatchPlan, error) {
+func (e *Executor) planReplay(entries []meta.LogEntry) (*BatchPlan, error) {
 	steps, err := e.oram.Replay(entries, e.steps[:0])
 	e.steps = steps
 	defer clear(e.steps)

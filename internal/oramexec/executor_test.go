@@ -11,6 +11,7 @@ import (
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -296,7 +297,7 @@ func TestWriteThroughNamesResidentTree(t *testing.T) {
 	h.endEpoch(t)
 	// The write-through executor gets the tree's metadata without the
 	// resident executor's table, as a restart in that mode would.
-	img, err := h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
+	img, err := h.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	committed := map[string]string{"durable": "yes", "d2": "yes2", "d3": "yes3", "d4": "yes4"}
 	h.runWrites(t, committed, 0)
 	h.endEpoch(t)
-	snap, err := h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
+	snap, err := h.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +474,7 @@ func testSkipSetIsPublic(t *testing.T) {
 			evictRemote := make([]int, geo.Levels+1)
 			remote := 0
 			for _, tk := range plan.tasks {
-				if tk.step.Kind == ringoram.ReshuffleStep {
+				if tk.step.Kind == meta.ReshuffleStep {
 					t.Fatalf("%s: an early reshuffle fell due; its timing depends on the drawn paths — pick parameters that avoid it", workload)
 				}
 				for _, r := range tk.step.Reads {
@@ -637,7 +638,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 		h.endEpoch(t)
 	}
 	committed := h.epoch - 1
-	snap, err := h.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
+	snap, err := h.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +648,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 	// each logged before it executes.
 	h.rec.Reset()
 	before := h.exec.Stats()
-	var logged [][]ringoram.LogEntry
+	var logged [][]meta.LogEntry
 	for _, keys := range [][]string{{key(1), key(9), "ghost", ""}, {key(2), key(17), key(22), ""}} {
 		ops := make([]ReadOp, len(keys))
 		for i, k := range keys {
@@ -733,24 +734,24 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 // loggedSlots adds every slot the batch's log entries name to named. Evict
 // entries name slots along the evict path, a function of the eviction counter
 // alone; the counter after the batch is returned.
-func loggedSlots(o *ringoram.ORAM, evictCount uint64, batch []ringoram.LogEntry, named map[storage.SlotRef]bool) (map[storage.SlotRef]bool, uint64) {
+func loggedSlots(o *ringoram.ORAM, evictCount uint64, batch []meta.LogEntry, named map[storage.SlotRef]bool) (map[storage.SlotRef]bool, uint64) {
 	if named == nil {
 		named = make(map[storage.SlotRef]bool)
 	}
 	for _, le := range batch {
 		switch le.Kind {
-		case ringoram.AccessStep:
+		case meta.AccessStep:
 			for i, b := range o.PathBuckets(le.Leaf) {
 				named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
 			}
-		case ringoram.EvictStep:
+		case meta.EvictStep:
 			for i, b := range evictPath(o, evictCount) {
 				for _, s := range le.BucketSlots[i] {
 					named[storage.SlotRef{Bucket: b, Slot: s}] = true
 				}
 			}
 			evictCount++
-		case ringoram.ReshuffleStep:
+		case meta.ReshuffleStep:
 			for _, s := range le.BucketSlots[0] {
 				named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
 			}
@@ -804,15 +805,15 @@ func checkReplayTrace(t *testing.T, aborted, replay []storage.Event, named map[s
 }
 
 // decodeLog takes a plan's durability log through its record encoding, as a
-// crash would: what recovery replays is what ringoram.DecodeBatchLog gives
+// crash would: what recovery replays is what meta.DecodeBatchLog gives
 // back.
-func decodeLog(t *testing.T, l ringoram.BatchLog) []ringoram.LogEntry {
+func decodeLog(t *testing.T, l meta.BatchLog) []meta.LogEntry {
 	t.Helper()
 	buf := make([]byte, l.EncodedSize())
 	if err := l.Encode(buf); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ringoram.DecodeBatchLog(buf)
+	entries, err := meta.DecodeBatchLog(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package oramexec
 import (
 	"testing"
 
-	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -32,7 +32,7 @@ func TestExecutorStatsAccounting(t *testing.T) {
 // TestReplayUnknownStepKind rejects corrupt log entries.
 func TestReplayUnknownStepKind(t *testing.T) {
 	h := newHarness(t, testParams(64, 24), Config{})
-	if err := h.exec.ReplayBatch([]ringoram.LogEntry{{Kind: 99}}); err == nil {
+	if err := h.exec.ReplayBatch([]meta.LogEntry{{Kind: 99}}); err == nil {
 		t.Fatal("unknown step kind accepted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -115,11 +116,11 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 		warm.endEpoch(t)
 		cold.endEpoch(t)
 
-		imgW, err := warm.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
+		imgW, err := warm.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imgC, err := cold.oram.EncodeCheckpoint(true, ringoram.CheckpointPad{}, 0, 0)
+		imgC, err := cold.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // BenchmarkSeqAccess measures sequential Ring ORAM logical ops against an
@@ -41,7 +42,7 @@ func BenchmarkPlanRead(b *testing.B) {
 	}
 	o := seq.ORAM()
 	b.ResetTimer()
-	var steps []*Plan
+	var steps []*meta.Plan
 	for i := 0; i < b.N; i++ {
 		steps, err = o.PlanRead("", steps[:0])
 		if err != nil {

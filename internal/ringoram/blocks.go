@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // The block plane. A block's plaintext has one representation from the
@@ -85,13 +86,22 @@ type BucketImage struct {
 	buf  *imageBuf
 }
 
-// imageBuf is a pooled buffer for one bucket image: the version's
+// imageBuf is a pooled buffer for one bucket image: the version's number and
 // permutation and the headers of its blocks, which belong to the blockPool.
 type imageBuf struct {
+	ver    uint64
 	perm   []int
 	blocks [][]byte
 	pool   *sync.Pool
 	free   *blockPool
+}
+
+// len is the number of blocks b holds, 0 for no buffer.
+func (b *imageBuf) len() int {
+	if b == nil {
+		return 0
+	}
+	return len(b.blocks)
 }
 
 // Real returns the physical slots of the image's blocks: the block at
@@ -130,17 +140,19 @@ func (b *imageBuf) recycle() {
 	b.pool.Put(b)
 }
 
-// imageOf builds the image of a write-phase plan's bucket version in a pooled
-// buffer: the permutation, and each placed entry's slot, which moves into the
-// image.
-func (o *ORAM) imageOf(pb *plannedBucket) BucketImage {
+// imageOf builds the image of a bucket version an eviction writes in a
+// pooled buffer: the permutation, and each placed block's slot, which moves
+// into the image.
+func (o *ORAM) imageOf(w *meta.BucketWrite) BucketImage {
 	ib := o.imagePool.Get().(*imageBuf)
-	copy(ib.perm, pb.perm)
-	for _, e := range pb.placed {
-		ib.blocks = append(ib.blocks, e.slot)
-		e.slot = nil
+	ib.ver = w.Ver
+	copy(ib.perm, w.Perm)
+	for _, b := range w.Placed {
+		slot := o.slot(b)
+		ib.blocks = append(ib.blocks, *slot)
+		*slot = nil
 	}
-	return BucketImage{Bucket: pb.bucket, Ver: pb.ver, Blocks: ib.blocks, perm: ib.perm, trim: pb.bucket < o.local.resident, buf: ib}
+	return o.local.image(w.Bucket, ib)
 }
 
 // SealFresh seals bucket b of the fresh tree New drew into a, as SealImage
@@ -148,11 +160,11 @@ func (o *ORAM) imageOf(pb *plannedBucket) BucketImage {
 func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	m := &o.meta[b]
-	if m.writeVer != 1 || m.count != 0 {
+	perm, fresh := o.m.Fresh(b)
+	if !fresh {
 		return nil, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
 	}
-	return o.SealImage(BucketImage{Bucket: b, Ver: m.writeVer, perm: m.perm, trim: b < o.local.resident}, a)
+	return o.SealImage(BucketImage{Bucket: b, Ver: 1, perm: perm, trim: b < o.local.resident}, a)
 }
 
 // SealedSlots returns how many slots SealImage has sealed, SealFresh's

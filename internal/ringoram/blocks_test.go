@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // planeClient drives an ORAM with its local-version table on, one operation
@@ -84,8 +85,8 @@ func (c *planeClient) load(prev *ORAM) {
 	o, z := c.oram, c.oram.p.Z
 	held := make([]map[int][]byte, o.local.resident)
 	for b := range held {
-		if prev != nil {
-			im := prev.local.image(b, prev.local.versions[b].cur)
+		if cur := prev.localCur(b); cur != nil {
+			im := prev.local.image(b, cur)
 			held[b] = make(map[int][]byte)
 			for i, s := range im.Real() {
 				held[b][s] = bytes.Clone(im.Blocks[i])
@@ -98,16 +99,10 @@ func (c *planeClient) load(prev *ORAM) {
 	}
 	must(c.t, o.LoadLocal(data))
 	for b := range held {
-		m := &o.meta[b]
-		placed := 0
-		for r := 0; r < z; r++ {
-			if m.occ().has(r) && m.valid().has(m.perm[r]) {
-				placed++
-			}
-		}
-		im := o.local.image(b, o.local.versions[b].cur)
-		if len(im.Blocks) != placed || im.Ver != m.writeVer {
-			c.t.Fatalf("bucket %d: loaded %d blocks of version %d, the metadata places %d at version %d", b, len(im.Blocks), im.Ver, placed, m.writeVer)
+		ver, _, placed := o.m.Holds(b, nil)
+		im := o.local.image(b, o.localCur(b))
+		if len(im.Blocks) != len(placed) || im.Ver != ver {
+			c.t.Fatalf("bucket %d: loaded %d blocks of version %d, the metadata places %d at version %d", b, len(im.Blocks), im.Ver, len(placed), ver)
 		}
 		for i, s := range im.Real() {
 			if want, ok := held[b][s]; prev != nil && (!ok || !bytes.Equal(im.Blocks[i], want)) {
@@ -132,10 +127,10 @@ func (c *planeClient) want(key string) []byte {
 	return plain
 }
 
-func (c *planeClient) fetch(reads []SlotRead) [][]byte {
+func (c *planeClient) fetch(reads []meta.SlotRead) [][]byte {
 	data := make([][]byte, len(reads))
 	for i, r := range reads {
-		carries := r.entry != nil
+		carries := r.Block() != 0
 		switch {
 		case r.Local():
 			if carries {
@@ -157,17 +152,17 @@ func (c *planeClient) fetch(reads []SlotRead) [][]byte {
 // bucket it rewrote, the version it planned, each block the canonical slot of
 // the key it placed there. A later step of the same operation may rewrite a
 // bucket again: run checks the newest versions once all have completed.
-func (c *planeClient) evict(plan *Plan) {
+func (c *planeClient) evict(plan *meta.Plan) {
 	type planned struct {
 		bucket int
 		ver    uint64
 		keys   []string
 	}
 	var want []planned
-	for _, pb := range plan.writes {
-		w := planned{bucket: pb.bucket, ver: pb.ver}
-		for _, e := range pb.placed {
-			w.keys = append(w.keys, e.key)
+	for _, pb := range plan.Writes() {
+		w := planned{bucket: pb.Bucket, ver: pb.Ver}
+		for _, b := range pb.Placed {
+			w.keys = append(w.keys, c.oram.m.Key(b))
 		}
 		want = append(want, w)
 	}
@@ -177,7 +172,7 @@ func (c *planeClient) evict(plan *Plan) {
 		c.t.Fatalf("Complete returned %d images with the table on", len(images))
 	}
 	for _, w := range want {
-		im := c.oram.local.image(w.bucket, c.oram.local.versions[w.bucket].cur)
+		im := c.oram.local.image(w.bucket, c.oram.localCur(w.bucket))
 		if im.Ver != w.ver || len(im.Blocks) != len(w.keys) {
 			c.t.Fatalf("bucket %d: the table holds version %d with %d blocks, the eviction wrote version %d with %d", w.bucket, im.Ver, len(im.Blocks), w.ver, len(w.keys))
 		}
@@ -193,31 +188,30 @@ func (c *planeClient) evict(plan *Plan) {
 // run completes an operation's steps in plan order, checking every
 // eviction's images, and returns the access's result and whether the stash
 // served it.
-func (c *planeClient) run(steps []*Plan, err error) (val []byte, found, hit bool) {
+func (c *planeClient) run(steps []*meta.Plan, err error) (val []byte, found, hit bool) {
 	must(c.t, err)
 	var rewritten []int
 	for _, p := range steps {
 		rewritten = append(rewritten, p.Buckets...)
 		switch p.Kind {
-		case AccessStep:
+		case meta.AccessStep:
 			hit = len(p.Reads) == 0
 			val, found, _, err = c.oram.Complete(p, c.fetch(p.Reads))
 			must(c.t, err)
-		case WriteStep:
+		case meta.WriteStep:
 			_, _, _, err = c.oram.Complete(p, nil)
 			must(c.t, err)
-		case ReshuffleStep:
+		case meta.ReshuffleStep:
 			c.evict(p)
 			c.reshuffles++
-		case EvictStep:
+		case meta.EvictStep:
 			c.evict(p)
 			c.evictions++
 		}
 	}
 	for _, b := range rewritten {
-		lb := &c.oram.local.versions[b]
-		if v := c.oram.meta[b].writeVer; lb.cur.ver != v || lb.want != v {
-			c.t.Fatalf("bucket %d: the table holds version %d (claimed %d), the metadata is at %d", b, lb.cur.ver, lb.want, v)
+		if v, _, _ := c.oram.m.Holds(b, nil); c.oram.localCur(b) == nil || c.oram.localCur(b).ver != v {
+			c.t.Fatalf("bucket %d: the table does not hold the version the metadata is at, %d", b, v)
 		}
 	}
 	return val, found, hit
@@ -254,14 +248,31 @@ func (c *planeClient) read(key string) (val []byte, found, hit bool) {
 	return c.run(c.oram.PlanRead(key, nil))
 }
 
-// checkStash fails unless every stash entry's slot is the canonical slot of
-// its key's content.
+// checkStash fails unless every stash entry has a slot and each is the
+// canonical slot of its key's content.
 func (c *planeClient) checkStash(op int) {
-	for _, e := range c.oram.stashList {
-		if !bytes.Equal(e.slot, c.want(e.key)) {
-			c.t.Fatalf("op %d: the stash slot of %q is not the canonical slot of its content", op, e.key)
+	n := 0
+	for b, s := range c.oram.slots {
+		if s == nil {
+			continue
+		}
+		n++
+		if key := c.oram.m.Key(meta.Block(b)); !bytes.Equal(s, c.want(key)) {
+			c.t.Fatalf("op %d: the stash slot of %q is not the canonical slot of its content", op, key)
 		}
 	}
+	if n != c.oram.StashSize() {
+		c.t.Fatalf("op %d: %d stash slots for %d stash entries", op, n, c.oram.StashSize())
+	}
+}
+
+// localCur is the image of bucket b's current version in o's local table,
+// nil when the version holds no block or o is nil.
+func (o *ORAM) localCur(b int) *imageBuf {
+	if o == nil {
+		return nil
+	}
+	return o.local.bufs[b].cur
 }
 
 // TestBlockPlaneSlotsAreCanonical runs a seeded mixed workload — blind writes
@@ -317,14 +328,11 @@ func TestBlockPlaneSlotsAreCanonical(t *testing.T) {
 	}
 }
 
-// TestRestoreDropsStashSlotsPoisoned: a delta image replaces the stash
-// wholesale, and in race builds every slot of the stash it drops is poisoned
-// back in the pool, unless the new stash took it again for an entry of its
-// own — so a read through a stale entry fails to decode.
-func TestRestoreDropsStashSlotsPoisoned(t *testing.T) {
-	if !raceEnabled {
-		t.Skip("the block pool poisons returned slots in race builds only")
-	}
+// TestRestoreTakesSlotsForItsStashOnly: a delta image replaces the stash
+// wholesale, so a Restore from a full image and a delta takes a slot of the
+// block pool for each entry of the stash the delta leaves, and for no entry of
+// the stash the full image listed: nothing it took is dropped again.
+func TestRestoreTakesSlotsForItsStashOnly(t *testing.T) {
 	key := cryptoutil.KeyFromSeed([]byte("poison"))
 	p := testParams(64)
 	p.S, p.A = 16, 16 // no evict-path falls due during the writes
@@ -339,39 +347,16 @@ func TestRestoreDropsStashSlotsPoisoned(t *testing.T) {
 	}
 	full := image(t, src, true)
 	src.ClearDirty()
-	// One eviction over the empty tree: its reads are all fillers.
-	ep := evictNow(t, src)
-	_, _, images, err := src.Complete(ep, make([][]byte, len(ep.Reads)))
-	must(t, err)
-	for _, im := range images {
+	// Bumps up to one eviction over the empty tree: its reads are all fillers.
+	for _, im := range completeAll(t, src, evictNow(t, src)) {
 		im.Recycle()
 	}
 	delta := image(t, src, false)
 
-	o, err := newClient(key, src.Params())
+	o, err := Restore(key, src.Params(), full, delta)
 	must(t, err)
-	l := o.imageLayout()
-	must(t, o.applyImage(l, full, true))
-	var dropped [][]byte
-	for _, e := range o.stashList {
-		dropped = append(dropped, e.slot)
+	if n := o.StashSize(); n >= 12 || o.blocks.carved != n {
+		t.Fatalf("the delta's stash of %d entries (the full image's: 12) took %d slots of the pool", n, o.blocks.carved)
 	}
-	must(t, o.applyImage(l, delta, false))
-	held := make(map[*byte]bool)
-	for _, e := range o.stashList {
-		held[&e.slot[0]] = true
-	}
-	poisoned := 0
-	for _, s := range dropped {
-		if held[&s[0]] {
-			continue
-		}
-		if !bytes.Equal(s, bytes.Repeat([]byte{0xdb}, len(s))) {
-			t.Fatal("a stash slot the delta dropped went back to the pool unpoisoned")
-		}
-		poisoned++
-	}
-	if poisoned == 0 {
-		t.Fatalf("the delta's stash of %d entries kept every slot of the full image's %d: nothing was dropped", len(o.stashList), len(dropped))
-	}
+	requireSameClient(t, src, o)
 }

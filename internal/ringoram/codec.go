@@ -22,6 +22,14 @@ const (
 	slotTombstone = 3
 )
 
+// kindOf is the slot kind of a block: a tombstone or a real one.
+func kindOf(tombstone bool) byte {
+	if tombstone {
+		return slotTombstone
+	}
+	return slotReal
+}
+
 type codec struct {
 	keySize   int
 	valueSize int

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // TestPaperParameters smoke-tests the paper's cloud configuration
@@ -67,7 +68,7 @@ func TestStashOverflowSurfaces(t *testing.T) {
 	for i := 0; i < 16 && err == nil; i++ {
 		err = seq.Write(fmt.Sprintf("k%d", i), []byte("v"))
 	}
-	if !errors.Is(err, ErrStashOverflow) {
+	if !errors.Is(err, meta.ErrStashOverflow) {
 		t.Fatalf("expected stash overflow, got %v", err)
 	}
 }
@@ -101,8 +102,7 @@ func TestNextEvictPathDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		a := seqA.ORAM().NextEvictPath()
-		b := seqB.ORAM().NextEvictPath()
+		a, b := nextEvictPath(seqA.ORAM()), nextEvictPath(seqB.ORAM())
 		if len(a) != len(b) {
 			t.Fatal("path lengths differ")
 		}
@@ -113,11 +113,18 @@ func TestNextEvictPathDeterministic(t *testing.T) {
 		}
 		// Advance both by one eviction.
 		for _, s := range []*Seq{seqA, seqB} {
-			if err := s.runOne(evictNow(t, s.ORAM())); err != nil {
+			if _, _, err := s.run(evictNow(t, s.ORAM())); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+}
+
+// nextEvictPath returns the buckets the next evict-path will touch: a pure
+// function of the eviction counter.
+func nextEvictPath(o *ORAM) []int {
+	_, evicted := o.Counters()
+	return o.PathBuckets(o.Geometry().EvictLeaf(evicted))
 }
 
 // TestEarlyReshuffleTriggers drives one bucket's slot budget to exhaustion

@@ -10,121 +10,70 @@ import (
 	"obladi/internal/cryptoutil"
 )
 
-// checkPathInvariant verifies that every allocated key is either in the
-// stash or in some bucket on the path from the root to its assigned leaf.
+// checkPathInvariant verifies, on o's full checkpoint image, that every
+// allocated key is either in the stash or in some bucket on the path from the
+// root to its assigned leaf.
 func checkPathInvariant(t *testing.T, o *ORAM) {
 	t.Helper()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i := range o.keys {
-		key, leaf := o.keys[i].name, int(o.keys[i].leaf)
-		if o.pos[key] != int32(i) {
-			t.Fatalf("key %q sits at table index %d, index map says %d", key, i, o.pos[key])
-		}
-		if _, inStash := o.stash[key]; inStash {
+	s := snap(t, o)
+	stashed := make(map[string]bool)
+	for _, e := range s.stash {
+		stashed[e.key] = true
+	}
+	for _, k := range s.keys {
+		if stashed[k.name] {
 			continue
 		}
-		bucket, rpos := int(o.keys[i].bucket), int(o.keys[i].rpos)
-		if bucket < 0 {
-			t.Fatalf("key %q neither in stash nor in tree", key)
+		if k.bucket < 0 {
+			t.Fatalf("key %q neither in stash nor in tree", k.name)
 		}
-		onPath := false
-		for lvl := 0; lvl <= o.geo.Levels; lvl++ {
-			if o.geo.pathBucket(leaf, lvl) == bucket {
-				onPath = true
-				break
-			}
-		}
-		if !onPath {
-			t.Fatalf("key %q (leaf %d) resides in bucket %d, off its path", key, leaf, bucket)
-		}
-		if got := o.meta[bucket].addrs[rpos]; got != int32(i) {
-			t.Fatalf("loc index says bucket %d pos %d holds %q (index %d), metadata says index %d", bucket, rpos, key, i, got)
+		if !slices.Contains(o.Geometry().Path(k.leaf), k.bucket) {
+			t.Fatalf("key %q (leaf %d) resides in bucket %d, off its path", k.name, k.leaf, k.bucket)
 		}
 	}
 }
 
-// checkBucketBits recomputes bucket b's bitsets slot by slot from perm,
-// addrs and validity and fails unless its words equal them: valid has no
-// member past the last slot, occ is exactly the occupied real positions, and
-// filler exactly the positions that hold no block and whose slot is valid.
-func checkBucketBits(t *testing.T, o *ORAM, b int) {
-	t.Helper()
-	m := &o.meta[b]
-	n, z := o.geo.SlotsPer, o.p.Z
-	if len(m.perm) != n || len(m.addrs) != z || len(m.words) != metaWords(n, z) {
-		t.Fatalf("bucket %d: %d slots, %d real positions, %d words", b, len(m.perm), len(m.addrs), len(m.words))
-	}
-	valid := make([]bool, n)
-	wantValid := make(bitset, wordsFor(n))
-	for s := range valid {
-		if valid[s] = m.valid().has(s); valid[s] {
-			wantValid[s/64] |= 1 << (s % 64)
-		}
-	}
-	wantFiller, wantOcc := make(bitset, wordsFor(n)), make(bitset, wordsFor(z))
-	for pos, s := range m.perm {
-		switch occupied := pos < z && m.addrs[pos] >= 0; {
-		case occupied:
-			wantOcc[pos/64] |= 1 << (pos % 64)
-		case valid[s]:
-			wantFiller[pos/64] |= 1 << (pos % 64)
-		}
-	}
-	for _, c := range []struct {
-		name      string
-		got, want bitset
-	}{{"valid", m.valid(), wantValid}, {"occupied", m.occ(), wantOcc}, {"filler", m.filler(), wantFiller}} {
-		if !slices.Equal(c.got, c.want) {
-			t.Fatalf("bucket %d: %s bitset %x, the per-slot rule gives %x (perm %v, addrs %v)", b, c.name, c.got, c.want, m.perm, m.addrs)
-		}
-	}
-}
-
-// checkMetaConsistency verifies structural invariants of the bucket
-// metadata: every bucket's bitsets match the per-slot rule, occupied real
-// slots are valid, and the loc index is exactly the set of occupied
-// addresses.
+// checkMetaConsistency verifies, on o's full checkpoint image, the metadata's
+// structural invariants: occupied real slots are valid, no two keys share a
+// real position, no key is both in the tree and in the stash, and the stash
+// lists each key of the table at most once, with a slot that decodes to it.
+// The bitsets behind the image are the machine's to check
+// (meta.TestMachineInvariants).
 func checkMetaConsistency(t *testing.T, o *ORAM) {
 	t.Helper()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	occupied := 0
-	for b := range o.meta {
-		checkBucketBits(t, o, b)
-		m := &o.meta[b]
-		for r, ki := range m.addrs {
-			if ki < 0 {
-				continue
-			}
-			occupied++
-			k := o.keys[ki]
-			if !m.valid().has(m.perm[r]) {
-				t.Fatalf("bucket %d: occupied real slot for %q is invalid", b, k.name)
-			}
-			if int(k.bucket) != b || int(k.rpos) != r {
-				t.Fatalf("loc index out of sync for %q", k.name)
-			}
+	s := snap(t, o)
+	type place struct{ bucket, pos int }
+	placed := make(map[place]string)
+	known := make(map[string]bool)
+	for _, k := range s.keys {
+		known[k.name] = true
+		if k.bucket < 0 {
+			continue
+		}
+		if k.bucket >= len(s.buckets) || k.pos >= o.p.Z {
+			t.Fatalf("key %q placed at bucket %d position %d, off the tree", k.name, k.bucket, k.pos)
+		}
+		if prev, dup := placed[place{k.bucket, k.pos}]; dup {
+			t.Fatalf("bucket %d position %d holds %q and %q", k.bucket, k.pos, prev, k.name)
+		}
+		placed[place{k.bucket, k.pos}] = k.name
+		if bk := s.buckets[k.bucket]; !bk.valid[bk.perm[k.pos]] {
+			t.Fatalf("bucket %d: occupied real slot for %q is invalid", k.bucket, k.name)
 		}
 	}
-	resident := 0
-	for i := range o.keys {
-		if o.keys[i].bucket >= 0 {
-			resident++
+	stashed := make(map[string]bool)
+	for _, e := range s.stash {
+		if stashed[e.key] || !known[e.key] {
+			t.Fatalf("stash entry %q: listed twice=%v, in the key table=%v", e.key, stashed[e.key], known[e.key])
+		}
+		stashed[e.key] = true
+		if _, blk, err := o.cdc.parse(slotOf(t, o, e.key)); err != nil || string(blk.keyB) != e.key {
+			t.Fatalf("stash entry %q: slot decodes to %q, %v", e.key, blk.keyB, err)
 		}
 	}
-	if occupied != resident {
-		t.Fatalf("loc index has %d entries, metadata has %d occupied slots", resident, occupied)
-	}
-	if len(o.stashList) != len(o.stash) {
-		t.Fatalf("stash list has %d entries, stash map %d", len(o.stashList), len(o.stash))
-	}
-	for i, e := range o.stashList {
-		if e.idx != i || o.stash[e.key] != e || o.keys[e.ki].name != e.key {
-			t.Fatalf("stash list entry %d (%q, idx %d, key index %d) out of sync with the stash map or the key table", i, e.key, e.idx, e.ki)
-		}
-		if o.keys[o.pos[e.key]].bucket >= 0 {
-			t.Fatalf("key %q both in stash and tree", e.key)
+	for _, k := range s.keys {
+		if stashed[k.name] && k.bucket >= 0 {
+			t.Fatalf("key %q both in stash and tree", k.name)
 		}
 	}
 }
@@ -205,7 +154,7 @@ func TestPropertyWideBuckets(t *testing.T) {
 
 // TestBlindWriteRetiresTreeCopy: a write of a key resident in the tree
 // blanks its position without reading it, and the position becomes a
-// filler — its slot is still valid.
+// filler — no key holds it, and its slot is still valid.
 func TestBlindWriteRetiresTreeCopy(t *testing.T) {
 	seq, _ := newTestSeq(t, testParams(64))
 	o := seq.ORAM()
@@ -215,21 +164,27 @@ func TestBlindWriteRetiresTreeCopy(t *testing.T) {
 	retired := 0
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("k%d", i)
-		k := o.keys[o.pos[key]]
+		k := snapKeyOf(t, o, key)
 		if k.bucket < 0 {
 			continue
 		}
-		// The write step alone: an evict-path it made due could rewrite the
-		// bucket before the check.
-		o.mu.Lock()
-		_, err := o.planWriteLocked(key, []byte("w"), false)
-		o.mu.Unlock()
+		steps, err := o.PlanWrite(key, []byte("w"), false, nil)
 		must(t, err)
-		if m := &o.meta[k.bucket]; m.occ().has(int(k.rpos)) || !m.filler().has(int(k.rpos)) {
-			t.Fatalf("%s: retired position %d of bucket %d is occupied=%v filler=%v", key, k.rpos, k.bucket, m.occ().has(int(k.rpos)), m.filler().has(int(k.rpos)))
+		if len(steps) == 1 { // an evict-path the write made due could rewrite the bucket
+			s := snap(t, o)
+			for _, other := range s.keys {
+				if other.bucket == k.bucket && other.pos == k.pos {
+					t.Fatalf("%s: retired position %d of bucket %d is held by %q", key, k.pos, k.bucket, other.name)
+				}
+			}
+			if bk := s.buckets[k.bucket]; !bk.valid[bk.perm[k.pos]] {
+				t.Fatalf("%s: the slot of retired position %d of bucket %d is no longer valid", key, k.pos, k.bucket)
+			}
+			checkMetaConsistency(t, o)
+			retired++
 		}
-		checkMetaConsistency(t, o)
-		retired++
+		_, _, err = seq.run(steps)
+		must(t, err)
 	}
 	if retired == 0 {
 		t.Fatal("no key was resident in the tree to retire")
@@ -248,10 +203,7 @@ func TestPropertyRemapChangesLeaf(t *testing.T) {
 		if _, _, err := seq.Read("k"); err != nil {
 			t.Fatal(err)
 		}
-		seq.ORAM().mu.Lock()
-		o := seq.ORAM()
-		leaves[int(o.keys[o.pos["k"]].leaf)] = true
-		seq.ORAM().mu.Unlock()
+		leaves[snapKeyOf(t, seq.ORAM(), "k").leaf] = true
 	}
 	geo := seq.ORAM().Geometry()
 	// 64 samples over 16 leaves: expect nearly all leaves hit; require > half.
@@ -314,6 +266,18 @@ func TestPropertyPathReadDistributionUniform(t *testing.T) {
 	if chi2 > 60 {
 		t.Fatalf("path distribution not uniform: chi2 = %.1f over %d leaves (counts %v)", chi2, geo.Leaves, counts)
 	}
+}
+
+// snapKeyOf is key's position-map entry in o's full checkpoint image.
+func snapKeyOf(t *testing.T, o *ORAM, key string) snapKey {
+	t.Helper()
+	for _, k := range snap(t, o).keys {
+		if k.name == key {
+			return k
+		}
+	}
+	t.Fatalf("%q has no position-map entry", key)
+	return snapKey{}
 }
 
 func TestPropertyStashBoundedUnderHotspot(t *testing.T) {

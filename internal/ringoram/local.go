@@ -2,92 +2,58 @@ package ringoram
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
+
+	"obladi/internal/ringoram/meta"
 )
 
-// The local-version table. The proxy keeps every bucket version an epoch's
-// evictions write in plaintext until the epoch's write-back reaches storage,
-// and serves reads of it itself meanwhile (delayed visibility, §6.3 and §7);
-// it keeps the top of the tree, the buckets of levels 0..L-3, for good (Ring
-// ORAM's client-side tree top), and storage holds those as their Z real
-// positions alone. Both are one table of the ORAM's: each bucket holds at
-// most two versions, the current epoch's — a resident bucket's newest,
-// whatever epoch wrote it — and the sealed epoch's, each the BucketImage the
-// eviction left. A read is local when, at the moment it is planned, its
-// bucket is resident, or an eviction planned before it claimed the bucket, or
-// the sealed set holds the version it reads; which reads that are is a function of the bucket number and the
-// epoch's evictions, never of the workload. Completion serves a local read by
-// the one lookup (bucket, slot, planned version) → plaintext slot: the
-// version must be the one the read was planned against, the check that
-// stands where the slot's (bucket, version) binding would for a read from
-// storage.
+// The local-version table's images. The machine decides which bucket
+// versions the proxy keeps and which reads are local (meta/local.go); this
+// table holds those versions' plaintext, each the BucketImage the eviction
+// left, and completion serves a local read by the one lookup (bucket, slot,
+// planned version) → plaintext slot.
 //
 // An image goes back to the pool only once it is neither a bucket's version
 // nor in the sealed set. A resident bucket's newest version can be both: the
 // epoch that wrote it last sealed it, and the next rewrite supersedes it as
 // the newest while the sealed set still holds it.
 
-// localTable is the ORAM's local bucket versions, guarded by its lock. The
-// zero value is off: no read is local and evictions hand their images to the
-// caller.
-type localTable struct {
-	resident int           // buckets 0..resident-1 keep their newest version
-	versions []localBucket // indexed by bucket; nil while the table is off
-	// epoch lists the buckets the current epoch rewrites, in claim order;
+// localImages is the ORAM's local bucket versions, guarded by its lock. The
+// zero value is off: evictions hand their images to the caller.
+type localImages struct {
+	resident int         // buckets 0..resident-1 keep their newest version, sealed as Z real positions
+	bufs     []localBufs // indexed by bucket; nil while the table is off
 	// sealed is the sealed epoch's versions in bucket order, what its flush
 	// seals, and flushing is FlushLocal's list.
-	epoch            []int
 	sealed, flushing []BucketImage
 	plain            int64        // bytes of a plaintext slot
 	residentBytes    atomic.Int64 // the blocks the resident buckets' newest versions hold
 }
 
-// localBucket is one bucket's entry: its current (or newest) and sealed
-// versions, and the version the epoch's last planned rewrite of it makes (0:
-// the epoch has not claimed it).
-type localBucket struct {
-	cur, sealed localVer
-	want        uint64
-}
-
-// localVer is one bucket version the table holds: its number and its image's
-// buffer, nil for a version that holds no block (a fresh tree's).
-type localVer struct {
-	ver uint64
-	buf *imageBuf
-}
-
-// residentCount is the level rule: the buckets of levels 0..L-3, which are
-// the first 2^(L-2)-1 heap indices, stay resident. A bucket holds about the
-// same number of blocks at every level, so each further level doubles the
-// memory for the same 1/(L+1) of the physical reads.
-func residentCount(g Geometry) int {
-	if g.Levels < 3 {
-		return 0
-	}
-	return 1<<(g.Levels-2) - 1
+// localBufs is one bucket's images: its current (or newest) and sealed
+// versions', nil for a version that holds no block (a fresh tree's) and for
+// none.
+type localBufs struct {
+	cur, sealed *imageBuf
 }
 
 // KeepLocal turns the local-version table on and returns how many buckets,
 // from the root in heap order, it keeps resident. From then on reads are
 // marked Local as they are planned and served from the table as they
 // complete, Complete files an eviction's images in the table instead of
-// returning them, and SealImage seals a resident bucket as its Z real positions alone,
-// in position order — so only a caller that never reads those buckets from
-// storage slot by slot may turn it on. Over a fresh tree the table is ready;
-// over restored metadata the caller loads the resident buckets (LoadLocal)
-// before planning anything. Calling it again changes nothing.
+// returning them, and SealImage seals a resident bucket as its Z real
+// positions alone, in position order — so only a caller that never reads
+// those buckets from storage slot by slot may turn it on. Over a fresh tree
+// the table is ready; over restored metadata the caller loads the resident
+// buckets (LoadLocal) before planning anything. Calling it again changes
+// nothing.
 func (o *ORAM) KeepLocal() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	t := &o.local
-	if t.versions == nil {
-		t.resident, t.plain = residentCount(o.geo), int64(o.cdc.plainSize())
-		t.versions = make([]localBucket, o.geo.NumBuckets)
-		for b := 0; b < t.resident; b++ {
-			t.versions[b].cur.ver = o.meta[b].writeVer
-		}
+	if t.bufs == nil {
+		t.resident, t.plain = o.m.KeepLocal(), int64(o.cdc.plainSize())
+		t.bufs = make([]localBufs, o.geo.NumBuckets)
 	}
 	return t.resident
 }
@@ -106,24 +72,24 @@ func (o *ORAM) LoadLocal(data [][]byte) error {
 	if len(data) != t.resident*z {
 		return fmt.Errorf("ringoram: loading %d resident buckets from %d slots", t.resident, len(data))
 	}
+	var held []int
 	for b := 0; b < t.resident; b++ {
-		m := &o.meta[b]
+		var ver uint64
+		var perm []int
+		ver, perm, held = o.m.Holds(b, held[:0])
 		ib := o.imagePool.Get().(*imageBuf)
-		valid, occ := m.valid(), m.occ()
-		for r := 0; r < z; r++ {
-			if !occ.has(r) || !valid.has(m.perm[r]) {
-				continue
-			}
+		ib.ver = ver
+		for _, r := range held {
 			slot := o.blocks.take()
-			ib.perm[len(ib.blocks)] = m.perm[r]
+			ib.perm[len(ib.blocks)] = perm[r]
 			ib.blocks = append(ib.blocks, slot)
 			o.openedSlots.Add(1)
-			if err := o.cdc.open(slot, data[b*z+r], o.binding(uint64(b), m.writeVer)); err != nil {
+			if err := o.cdc.open(slot, data[b*z+r], o.binding(uint64(b), ver)); err != nil {
 				ib.recycle()
-				return fmt.Errorf("%w: bucket %d version %d: %v", ErrCorrupt, b, m.writeVer, err)
+				return fmt.Errorf("%w: bucket %d version %d: %v", ErrCorrupt, b, ver, err)
 			}
 		}
-		t.keep(b, localVer{ver: m.writeVer, buf: ib})
+		t.keep(b, ib)
 	}
 	return nil
 }
@@ -137,26 +103,26 @@ func (o *ORAM) LoadLocal(data [][]byte) error {
 func (o *ORAM) SealLocal() ([]BucketImage, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	t := &o.local
-	if err := t.complete(); err != nil {
+	buckets, err := o.m.SealLocal()
+	if err != nil {
 		return nil, err
 	}
+	t := &o.local
 	for _, im := range t.sealed {
-		lb := &t.versions[im.Bucket]
+		lb := &t.bufs[im.Bucket]
 		old := lb.sealed
-		lb.sealed = localVer{}
+		lb.sealed = nil
 		lb.release(old)
 	}
 	clear(t.sealed)
-	t.sealed = t.images(t.sealed[:0])
-	for _, b := range t.epoch {
-		lb := &t.versions[b]
-		lb.sealed, lb.want = lb.cur, 0
+	t.sealed = t.images(t.sealed[:0], buckets)
+	for _, b := range buckets {
+		lb := &t.bufs[b]
+		lb.sealed = lb.cur
 		if b >= t.resident {
-			lb.cur = localVer{}
+			lb.cur = nil
 		}
 	}
-	t.epoch = t.epoch[:0]
 	return t.sealed, nil
 }
 
@@ -167,10 +133,10 @@ func (o *ORAM) SealLocal() ([]BucketImage, error) {
 func (o *ORAM) FlushLocal(write func([]BucketImage) error) error {
 	o.mu.Lock()
 	t := &o.local
-	err := t.complete()
+	buckets, err := o.m.LocalEpoch()
 	if err == nil {
 		clear(t.flushing)
-		t.flushing = t.images(t.flushing[:0])
+		t.flushing = t.images(t.flushing[:0], buckets)
 	}
 	o.mu.Unlock()
 	if err != nil {
@@ -181,16 +147,13 @@ func (o *ORAM) FlushLocal(write func([]BucketImage) error) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, b := range t.epoch {
-		lb := &t.versions[b]
-		lb.want = 0
-		if b >= t.resident {
+	for _, b := range o.m.Flushed() {
+		if lb := &t.bufs[b]; b >= t.resident {
 			old := lb.cur
-			lb.cur = localVer{}
+			lb.cur = nil
 			lb.release(old)
 		}
 	}
-	t.epoch = t.epoch[:0]
 	return nil
 }
 
@@ -198,120 +161,50 @@ func (o *ORAM) FlushLocal(write func([]BucketImage) error) error {
 // versions hold: at most Z plaintext slots per resident bucket.
 func (o *ORAM) ResidentBytes() int64 { return o.local.residentBytes.Load() }
 
-// serves reports whether a read of version ver of bucket b, planned now, is
-// local: the bucket is resident, the epoch has claimed it, or the sealed set
-// holds that version (after a FlushLocal storage may hold a newer one).
-func (t *localTable) serves(b int, ver uint64) bool {
-	if t.versions == nil {
-		return false
-	}
-	lb := &t.versions[b]
-	return b < t.resident || lb.want != 0 || lb.sealed.ver == ver
-}
-
-// rewritten reports whether the current epoch has claimed bucket b. A replay
-// gives such a bucket's reads free slot choices: the logged ones name slots
-// of a version the replay has since replaced with a fresh layout, and the
-// reads are local, invisible to the adversary.
-func (t *localTable) rewritten(b int) bool {
-	return t.versions != nil && t.versions[b].want != 0
-}
-
-// claim records that a planned rewrite makes version ver of bucket b, so
-// reads planned after it are local.
-func (t *localTable) claim(b int, ver uint64) {
-	if t.versions == nil {
-		return
-	}
-	lb := &t.versions[b]
-	if lb.want == 0 {
-		t.epoch = append(t.epoch, b)
-	}
-	lb.want = ver
-}
-
-// keep makes v bucket b's current version, recycling the one it replaces.
-func (t *localTable) keep(b int, v localVer) {
-	lb := &t.versions[b]
+// keep makes ib bucket b's current version, recycling the one it replaces.
+func (t *localImages) keep(b int, ib *imageBuf) {
+	lb := &t.bufs[b]
 	old := lb.cur
-	lb.cur = v
+	lb.cur = ib
 	if b < t.resident {
-		t.residentBytes.Add(int64(v.blocks()-old.blocks()) * t.plain)
+		t.residentBytes.Add(int64(ib.len()-old.len()) * t.plain)
 	}
 	lb.release(old)
 }
 
-// release recycles v's image unless the bucket still holds it, as its
-// current or as its sealed version.
-func (lb *localBucket) release(v localVer) {
-	if v.buf != nil && v.buf != lb.cur.buf && v.buf != lb.sealed.buf {
-		v.buf.recycle()
+// release recycles ib unless the bucket still holds it, as its current or as
+// its sealed version.
+func (lb *localBufs) release(ib *imageBuf) {
+	if ib != nil && ib != lb.cur && ib != lb.sealed {
+		ib.recycle()
 	}
 }
 
-func (v localVer) blocks() int {
-	if v.buf == nil {
-		return 0
+// serve is the one lookup: the plaintext slot that the bucket version r was
+// planned against holds at r.Slot, nil when it holds no block. The machine
+// has checked that the table holds that version (meta.Machine.Begin).
+func (t *localImages) serve(r meta.SlotRead) []byte {
+	lb := &t.bufs[r.Bucket]
+	ib := lb.cur
+	if ib == nil || ib.ver != r.Ver {
+		ib = lb.sealed
 	}
-	return len(v.buf.blocks)
+	if ib == nil || ib.ver != r.Ver {
+		return nil
+	}
+	im := t.image(r.Bucket, ib)
+	return im.Block(r.Slot)
 }
 
-// serve is the one lookup: the plaintext slot bucket version r.Ver holds at
-// r.Slot, nil when the slot holds no block. Completions apply in plan order,
-// so a resident bucket's newest version is the one the read was planned
-// against, and of the other buckets the current version is, unless the read
-// was planned before the epoch claimed the bucket and is served from the
-// sealed one.
-func (t *localTable) serve(r SlotRead) ([]byte, error) {
-	lb := &t.versions[r.Bucket]
-	v := lb.cur
-	if v.ver != r.Ver {
-		v = lb.sealed
-	}
-	if v.ver != r.Ver {
-		return nil, fmt.Errorf("ringoram: bucket %d slot %d is served locally, but the read was planned against version %d and the proxy holds versions %d and %d", r.Bucket, r.Slot, r.Ver, lb.cur.ver, lb.sealed.ver)
-	}
-	im := t.image(r.Bucket, v)
-	return im.Block(r.Slot), nil
-}
-
-// check serves every local read of reads, for its version check alone.
-func (t *localTable) check(reads []SlotRead) error {
-	for _, r := range reads {
-		if r.local {
-			if _, err := t.serve(r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// complete fails unless every bucket the epoch claimed holds the version its
-// last planned rewrite makes.
-func (t *localTable) complete() error {
-	for _, b := range t.epoch {
-		if lb := &t.versions[b]; lb.cur.ver != lb.want {
-			return fmt.Errorf("ringoram: bucket %d claimed but never filled (incomplete epoch)", b)
-		}
-	}
-	return nil
-}
-
-// images appends the current epoch's versions to dst in bucket order.
-func (t *localTable) images(dst []BucketImage) []BucketImage {
-	slices.Sort(t.epoch)
-	for _, b := range t.epoch {
-		dst = append(dst, t.image(b, t.versions[b].cur))
+// images appends the current versions of buckets to dst.
+func (t *localImages) images(dst []BucketImage, buckets []int) []BucketImage {
+	for _, b := range buckets {
+		dst = append(dst, t.image(b, t.bufs[b].cur))
 	}
 	return dst
 }
 
-// image is version v of bucket b as a BucketImage.
-func (t *localTable) image(b int, v localVer) BucketImage {
-	im := BucketImage{Bucket: b, Ver: v.ver, trim: b < t.resident, buf: v.buf}
-	if v.buf != nil {
-		im.Blocks, im.perm = v.buf.blocks, v.buf.perm
-	}
-	return im
+// image is bucket b's version ib as a BucketImage.
+func (t *localImages) image(b int, ib *imageBuf) BucketImage {
+	return BucketImage{Bucket: b, Ver: ib.ver, Blocks: ib.blocks, perm: ib.perm, trim: b < t.resident, buf: ib}
 }

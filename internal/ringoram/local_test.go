@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // checkOwnership fails unless every block slot o's pool has handed out is
@@ -25,9 +26,9 @@ func checkOwnership(t *testing.T, o *ORAM, when string) {
 		}
 		held[&s[0]] = by
 	}
-	for _, e := range o.stashList {
-		if e.slot != nil {
-			hold(e.slot, "stash entry "+e.key)
+	for b, s := range o.slots {
+		if s != nil {
+			hold(s, "stash entry "+o.m.Key(meta.Block(b)))
 		}
 	}
 	type owner struct {
@@ -35,27 +36,27 @@ func checkOwnership(t *testing.T, o *ORAM, when string) {
 		ver uint64
 	}
 	images := make(map[*imageBuf]owner)
-	for b := range o.local.versions {
-		lb := &o.local.versions[b]
-		for _, v := range [...]localVer{lb.cur, lb.sealed} {
-			if v.buf == nil {
+	for b := range o.local.bufs {
+		lb := &o.local.bufs[b]
+		for _, ib := range [...]*imageBuf{lb.cur, lb.sealed} {
+			if ib == nil {
 				continue
 			}
-			if prev, ok := images[v.buf]; ok {
-				if prev != (owner{b, v.ver}) {
-					t.Fatalf("%s: one image is bucket %d version %d and bucket %d version %d", when, prev.b, prev.ver, b, v.ver)
+			if prev, ok := images[ib]; ok {
+				if prev != (owner{b, ib.ver}) {
+					t.Fatalf("%s: one image is bucket %d version %d and bucket %d version %d", when, prev.b, prev.ver, b, ib.ver)
 				}
 				continue
 			}
-			images[v.buf] = owner{b, v.ver}
-			for _, s := range v.buf.blocks {
-				hold(s, fmt.Sprintf("bucket %d version %d", b, v.ver))
+			images[ib] = owner{b, ib.ver}
+			for _, s := range ib.blocks {
+				hold(s, fmt.Sprintf("bucket %d version %d", b, ib.ver))
 			}
 		}
 	}
 	var resident int64
 	for b := 0; b < o.local.resident; b++ {
-		n := o.local.versions[b].cur.blocks()
+		n := o.local.bufs[b].cur.len()
 		if n > o.p.Z {
 			t.Fatalf("%s: resident bucket %d holds %d blocks, the bound is Z = %d", when, b, n, o.p.Z)
 		}
@@ -65,7 +66,7 @@ func checkOwnership(t *testing.T, o *ORAM, when string) {
 		t.Fatalf("%s: %d resident bytes reported, the resident buckets' newest versions hold %d", when, got, resident)
 	}
 	for _, im := range o.local.sealed {
-		if o.local.versions[im.Bucket].sealed.buf != im.buf {
+		if o.local.bufs[im.Bucket].sealed != im.buf {
 			t.Fatalf("%s: the sealed set's version %d of bucket %d is not the bucket's sealed version", when, im.Ver, im.Bucket)
 		}
 	}

@@ -1,4 +1,4 @@
-package ringoram
+package meta
 
 import (
 	"encoding/binary"
@@ -61,8 +61,8 @@ type logShape struct {
 	slot                slotWidth
 }
 
-func (o *ORAM) logShape() logShape {
-	return logShape{keySize: o.p.KeySize, pathLen: o.geo.Levels + 1, z: o.p.Z, slot: slotWidthOf(o.geo.SlotsPer)}
+func (m *Machine) logShape() logShape {
+	return logShape{keySize: m.p.KeySize, pathLen: m.geo.Levels + 1, z: m.p.Z, slot: slotWidthOf(m.geo.SlotsPer)}
 }
 
 func (s logShape) bucketSize() int { return 2 + s.z*int(s.slot) }
@@ -90,12 +90,12 @@ func logged(p *Plan) bool { return p.Kind != AccessStep || len(p.Reads) > 0 }
 // steps in place, with no per-entry copy, and is valid only until they are
 // completed.
 type BatchLog struct {
-	o     *ORAM
+	m     *Machine
 	steps []*Plan
 }
 
 // BatchLog returns the log view of a batch's steps, in plan order.
-func (o *ORAM) BatchLog(steps []*Plan) BatchLog { return BatchLog{o: o, steps: steps} }
+func (m *Machine) BatchLog(steps []*Plan) BatchLog { return BatchLog{m: m, steps: steps} }
 
 // Len returns the number of log entries.
 func (l BatchLog) Len() int {
@@ -110,7 +110,7 @@ func (l BatchLog) Len() int {
 
 // EncodedSize returns the exact number of bytes Encode writes.
 func (l BatchLog) EncodedSize() int {
-	s := l.o.logShape()
+	s := l.m.logShape()
 	n := batchLogHeaderSize
 	for _, p := range l.steps {
 		if p != nil && logged(p) {
@@ -123,7 +123,7 @@ func (l BatchLog) EncodedSize() int {
 // Encode writes the entries into dst, which must be zeroed and exactly
 // EncodedSize bytes long.
 func (l BatchLog) Encode(dst []byte) error {
-	s := l.o.logShape()
+	s := l.m.logShape()
 	binary.BigEndian.PutUint16(dst, uint16(s.keySize))
 	binary.BigEndian.PutUint16(dst[2:], uint16(s.pathLen))
 	binary.BigEndian.PutUint16(dst[4:], uint16(s.z))
@@ -284,21 +284,26 @@ func DecodeBatchLog(b []byte) ([]LogEntry, error) {
 // due): after an access or a write, the early reshuffles and the evict-path
 // it made due, in order, and an access or a write only when nothing is owed.
 // Anything else, a batch that ends with a step still owed included, is
-// refused with ErrReplay. On error dst holds the steps planned before it.
-func (o *ORAM) Replay(entries []LogEntry, dst []*Plan) ([]*Plan, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+// refused with ErrReplay, and so is a batch with an access of a key longer
+// than KeySize, before anything is planned. On error dst holds the steps
+// planned before it.
+func (m *Machine) Replay(entries []LogEntry, dst []*Plan) ([]*Plan, error) {
+	for i, le := range entries {
+		if len(le.Key) > m.p.KeySize {
+			return dst, fmt.Errorf("%w: entry %d reads a key of %d bytes, KeySize is %d", ErrReplay, i, len(le.Key), m.p.KeySize)
+		}
+	}
 	var path []SlotRead // the reads of the last access not yet checked for reshuffles
 	for i := range entries {
 		le := &entries[i]
-		owed, bucket, rest := o.due(path)
+		owed, bucket, rest := m.due(path)
 		if owed == 0 && (le.Kind == AccessStep || le.Kind == WriteStep) {
 			owed = le.Kind
 		}
 		if le.Kind != owed || (owed == ReshuffleStep && le.Bucket != bucket) {
 			return dst, fmt.Errorf("%w: entry %d is a step of kind %d (bucket %d), the schedule owes kind %d (bucket %d)", ErrReplay, i, le.Kind, le.Bucket, owed, bucket)
 		}
-		p, err := o.replayStep(le, bucket)
+		p, err := m.replayStep(le, bucket)
 		if err != nil {
 			return dst, err
 		}
@@ -307,7 +312,7 @@ func (o *ORAM) Replay(entries []LogEntry, dst []*Plan) ([]*Plan, error) {
 			path = p.Reads
 		}
 	}
-	if owed, _, _ := o.due(path); owed != 0 {
+	if owed, _, _ := m.due(path); owed != 0 {
 		return dst, fmt.Errorf("%w: the batch ends owing a step of kind %d", ErrReplay, owed)
 	}
 	return dst, nil
@@ -315,25 +320,26 @@ func (o *ORAM) Replay(entries []LogEntry, dst []*Plan) ([]*Plan, error) {
 
 // replayStep plans one logged step the schedule owes; bucket is the bucket
 // an owed reshuffle rewrites.
-func (o *ORAM) replayStep(le *LogEntry, bucket int) (*Plan, error) {
+func (m *Machine) replayStep(le *LogEntry, bucket int) (*Plan, error) {
 	switch le.Kind {
 	case AccessStep:
-		if len(le.Slots) != o.geo.Levels+1 {
-			return nil, fmt.Errorf("%w: logged %d slots, path has %d buckets", ErrReplay, len(le.Slots), o.geo.Levels+1)
+		if len(le.Slots) != m.geo.Levels+1 {
+			return nil, fmt.Errorf("%w: logged %d slots, path has %d buckets", ErrReplay, len(le.Slots), m.geo.Levels+1)
 		}
-		if le.Leaf < 0 || le.Leaf >= o.geo.Leaves {
-			return nil, fmt.Errorf("%w: logged leaf %d, the tree has %d", ErrReplay, le.Leaf, o.geo.Leaves)
+		if le.Leaf < 0 || le.Leaf >= m.geo.Leaves {
+			return nil, fmt.Errorf("%w: logged leaf %d, the tree has %d", ErrReplay, le.Leaf, m.geo.Leaves)
 		}
-		return o.planReadLocked(le.Key, le.Leaf, le.Slots)
+		return m.planRead(le.Key, le.Leaf, le.Slots)
 	case WriteStep:
-		return o.planWriteLocked("", nil, false)
+		p, _, err := m.planWrite("")
+		return p, err
 	}
-	want := o.geo.Levels + 1
+	want := m.geo.Levels + 1
 	if le.Kind == ReshuffleStep {
 		want = 1
 	}
 	if len(le.BucketSlots) != want {
 		return nil, fmt.Errorf("%w: logged %d buckets, the step rewrites %d", ErrReplay, len(le.BucketSlots), want)
 	}
-	return o.planEvictionLocked(le.Kind, bucket, le.BucketSlots)
+	return m.planEviction(le.Kind, bucket, le.BucketSlots)
 }

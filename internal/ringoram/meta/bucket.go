@@ -1,4 +1,4 @@
-package ringoram
+package meta
 
 import "math/bits"
 

@@ -1,11 +1,9 @@
-package ringoram
+package meta
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"obladi/internal/cryptoutil"
 )
 
 // A checkpoint image is the client metadata the recovery unit logs at epoch
@@ -38,9 +36,9 @@ import (
 //
 // Touched versus rewritten is what keeps deltas small. perm, writeVer and the
 // identity of a bucket's resident keys change only in an eviction's write
-// phase (planEvictionLocked), which marks the bucket rewritten. The other
+// phase (planEviction), which marks the bucket rewritten. The other
 // mutation sites — consumeFiller (both branches), the target slot of
-// planReadLocked, PlanWrite's logical removal of a stale tree copy, and the
+// planRead, PlanWrite's logical removal of a stale tree copy, and the
 // eviction read phase — only clear a valid bit, bump count, or blank a
 // resident key, so their buckets are described by state: the valid bitmap,
 // the count, and which real positions are still occupied.
@@ -120,8 +118,8 @@ type imageLayout struct {
 	slot                             slotWidth // a permutation entry's width
 }
 
-func (o *ORAM) imageLayout() imageLayout {
-	l := imageLayout{keySize: o.p.KeySize, z: o.p.Z, slotsPer: o.geo.SlotsPer, numBuckets: o.geo.NumBuckets}
+func (m *Machine) imageLayout() imageLayout {
+	l := imageLayout{keySize: m.p.KeySize, z: m.p.Z, slotsPer: m.geo.SlotsPer, numBuckets: m.geo.NumBuckets}
 	l.validBytes = (l.slotsPer + 7) / 8
 	l.occBytes = (l.z + 7) / 8
 	l.slot = slotWidthOf(l.slotsPer)
@@ -187,39 +185,49 @@ func readBits(s bitset, b []byte, n int) {
 	}
 }
 
+// Values is the byte plane's side of a checkpoint's stash section: the
+// machine knows which blocks the stash holds, the byte plane their values.
+type Values interface {
+	// Value returns the value and the tombstone flag of delivered block b,
+	// key's. The value is read before the next call.
+	Value(b Block, key string) (value []byte, tombstone bool, err error)
+	// Restore stores value and the tombstone flag as block b, key's: an entry
+	// of the stash the last image of a Restore leaves.
+	Restore(b Block, key string, value []byte, tombstone bool) error
+}
+
 // EncodeCheckpoint writes a full or delta image of the current metadata into
 // one freshly allocated buffer, with head bytes reserved in front of the
 // image and tail bytes behind it (the recovery log's framing and AEAD tag),
-// and returns the buffer. It does not reset delta tracking; see ClearDirty.
-// It fails while an access is in flight (a pending stash entry has no value
-// to log): checkpoints belong to epoch boundaries.
-func (o *ORAM) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([]byte, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	l := o.imageLayout()
+// and returns the buffer; values supplies the stash's values. It does not
+// reset delta tracking; see ClearDirty. It fails while an access is in
+// flight (a pending stash entry has no value to log): checkpoints belong to
+// epoch boundaries.
+func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int, values Values) ([]byte, error) {
+	l := m.imageLayout()
 
-	nKeys, nTouched, nRewritten := len(o.keys), 0, l.numBuckets
+	nKeys, nTouched, nRewritten := len(m.keys), 0, l.numBuckets
 	if !full {
-		nKeys = max(len(o.dirtyKeys), pad.PosEntries)
+		nKeys = max(len(m.dirtyKeys), pad.PosEntries)
 		nRewritten = 0
-		for _, b := range o.dirtyBuckets {
-			if o.bucketDirty[b] == bucketRewritten {
+		for _, b := range m.dirtyBuckets {
+			if m.bucketDirty[b] == bucketRewritten {
 				nRewritten++
 			}
 		}
-		nTouched = len(o.dirtyBuckets) - nRewritten
+		nTouched = len(m.dirtyBuckets) - nRewritten
 	}
-	nStash := max(len(o.stashList), pad.StashEntries)
-	valueBytes := (nStash - len(o.stashList)) * pad.ValueSize
-	for _, e := range o.stashList {
+	nStash := max(len(m.stashList), pad.StashEntries)
+	valueBytes := (nStash - len(m.stashList)) * pad.ValueSize
+	for _, e := range m.stashList {
 		if e.pending {
 			return nil, errors.New("ringoram: checkpoint with pending stash entries (mid-epoch checkpoint)")
 		}
-		blk, err := o.stashBlock(e)
+		value, _, err := values.Value(e.blk, e.key)
 		if err != nil {
 			return nil, err
 		}
-		valueBytes += len(blk.value)
+		valueBytes += len(value)
 	}
 	size := imageHeaderSize + nKeys*l.keyEntry(full) + nTouched*l.touchedEntry() +
 		nRewritten*l.rewrittenEntry(full) + nStash*l.stashHeader() + valueBytes
@@ -228,14 +236,14 @@ func (o *ORAM) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([
 	b := buf[head : head+size]
 	imageHeader{
 		full: full, keySize: l.keySize, z: l.z, slotsPer: l.slotsPer, numBuckets: l.numBuckets,
-		accessCount: o.accessCount, evictCount: o.evictCount,
+		accessCount: m.accessCount, evictCount: m.evictCount,
 		nKeys: nKeys, nTouched: nTouched, nRewritten: nRewritten, nStash: nStash,
 	}.put(b)
 	b = b[imageHeaderSize:]
 
 	if full {
-		for i := range o.keys {
-			k := &o.keys[i]
+		for i := range m.keys {
+			k := &m.keys[i]
 			b = l.putKey(b, k.name)
 			binary.BigEndian.PutUint32(b, uint32(k.leaf))
 			binary.BigEndian.PutUint32(b[4:], uint32(k.bucket)) // -1 is noBucket
@@ -244,46 +252,46 @@ func (o *ORAM) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([
 			}
 			b = b[10:]
 		}
-		for id := range o.meta {
-			b = o.putRewritten(l, b, id, true)
+		for id := range m.buckets {
+			b = m.putRewritten(l, b, id, true)
 		}
 	} else {
-		for _, i := range o.dirtyKeys {
-			b = l.putKey(b, o.keys[i].name)
-			binary.BigEndian.PutUint32(b, uint32(o.keys[i].leaf))
+		for _, i := range m.dirtyKeys {
+			b = l.putKey(b, m.keys[i].name)
+			binary.BigEndian.PutUint32(b, uint32(m.keys[i].leaf))
 			b = b[4:]
 		}
-		b = b[(nKeys-len(o.dirtyKeys))*l.keyEntry(false):] // padding: zeros
-		for _, id := range o.dirtyBuckets {
-			if o.bucketDirty[id] != bucketTouched {
+		b = b[(nKeys-len(m.dirtyKeys))*l.keyEntry(false):] // padding: zeros
+		for _, id := range m.dirtyBuckets {
+			if m.bucketDirty[id] != bucketTouched {
 				continue
 			}
-			m := &o.meta[id]
-			b = putBucketState(l, b, int(id), m)
-			putBits(b[:l.occBytes], m.occ())
+			bm := &m.buckets[id]
+			b = putBucketState(l, b, int(id), bm)
+			putBits(b[:l.occBytes], bm.occ())
 			b = b[l.occBytes:]
 		}
-		for _, id := range o.dirtyBuckets {
-			if o.bucketDirty[id] == bucketRewritten {
-				b = o.putRewritten(l, b, int(id), false)
+		for _, id := range m.dirtyBuckets {
+			if m.bucketDirty[id] == bucketRewritten {
+				b = m.putRewritten(l, b, int(id), false)
 			}
 		}
 	}
 
-	for _, e := range o.stashList {
-		blk, _ := o.stashBlock(e) // decoded above
+	for _, e := range m.stashList {
+		value, tombstone, _ := values.Value(e.blk, e.key) // read above
 		b = l.putKey(b, e.key)
-		if blk.tombstone {
+		if tombstone {
 			b[0] |= stashFlagTombstone
 		}
 		if e.cacheable {
 			b[0] |= stashFlagCacheable
 		}
 		binary.BigEndian.PutUint32(b[1:], uint32(e.leaf))
-		binary.BigEndian.PutUint32(b[5:], uint32(len(blk.value)))
-		b = b[9+copy(b[9:], blk.value):]
+		binary.BigEndian.PutUint32(b[5:], uint32(len(value)))
+		b = b[9+copy(b[9:], value):]
 	}
-	for i := len(o.stashList); i < nStash; i++ {
+	for i := len(m.stashList); i < nStash; i++ {
 		binary.BigEndian.PutUint32(b[l.keyField()+5:], uint32(pad.ValueSize))
 		b = b[l.stashHeader()+pad.ValueSize:]
 	}
@@ -295,29 +303,29 @@ func (o *ORAM) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([
 
 // putBucketState writes the part every bucket entry starts with: index, slot
 // count and valid bitmap.
-func putBucketState(l imageLayout, b []byte, id int, m *bucketMeta) []byte {
+func putBucketState(l imageLayout, b []byte, id int, bm *bucketMeta) []byte {
 	binary.BigEndian.PutUint32(b, uint32(id))
-	binary.BigEndian.PutUint16(b[4:], uint16(m.count))
-	putBits(b[6:6+l.validBytes], m.valid())
+	binary.BigEndian.PutUint16(b[4:], uint16(bm.count))
+	putBits(b[6:6+l.validBytes], bm.valid())
 	return b[6+l.validBytes:]
 }
 
-func (o *ORAM) putRewritten(l imageLayout, b []byte, id int, full bool) []byte {
-	m := &o.meta[id]
-	b = putBucketState(l, b, id, m)
-	binary.BigEndian.PutUint64(b, m.writeVer)
+func (m *Machine) putRewritten(l imageLayout, b []byte, id int, full bool) []byte {
+	bm := &m.buckets[id]
+	b = putBucketState(l, b, id, bm)
+	binary.BigEndian.PutUint64(b, bm.writeVer)
 	b = b[8:]
-	for i, s := range m.perm {
+	for i, s := range bm.perm {
 		l.slot.put(b[i*int(l.slot):], s)
 	}
-	b = b[len(m.perm)*int(l.slot):]
+	b = b[len(bm.perm)*int(l.slot):]
 	if !full {
-		for _, ki := range m.addrs {
+		for _, ki := range bm.addrs {
 			if ki < 0 {
 				b = b[l.keyField():] // empty: zeros
 				continue
 			}
-			b = l.putKey(b, o.keys[ki].name)
+			b = l.putKey(b, m.keys[ki].name)
 		}
 	}
 	return b
@@ -325,17 +333,15 @@ func (o *ORAM) putRewritten(l imageLayout, b []byte, id int, full bool) []byte {
 
 // ClearDirty resets delta tracking; call once a checkpoint image has been
 // taken (the image owns those changes from then on).
-func (o *ORAM) ClearDirty() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, i := range o.dirtyKeys {
-		o.keys[i].dirty = false
+func (m *Machine) ClearDirty() {
+	for _, i := range m.dirtyKeys {
+		m.keys[i].dirty = false
 	}
-	o.dirtyKeys = o.dirtyKeys[:0]
-	for _, b := range o.dirtyBuckets {
-		o.bucketDirty[b] = bucketClean
+	m.dirtyKeys = m.dirtyKeys[:0]
+	for _, b := range m.dirtyBuckets {
+		m.bucketDirty[b] = bucketClean
 	}
-	o.dirtyBuckets = o.dirtyBuckets[:0]
+	m.dirtyBuckets = m.dirtyBuckets[:0]
 }
 
 // ImageInfo is what a checkpoint image's header says about it.
@@ -387,32 +393,36 @@ func bit(b []byte, i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
 // shadow-paged tree on the server is reverted separately via RollbackTo.
 // Images are untrusted only in the sense that a bug or a mismatched
 // configuration may have produced them (the log authenticates them): every
-// count, index and length is checked before it is used.
-func Restore(key *cryptoutil.Key, p Params, full []byte, deltas ...[]byte) (*ORAM, error) {
-	o, err := newClient(key, p)
+// count, index and length is checked before it is used. The stash each
+// image lists replaces the one before it, and values is handed the values of
+// the stash the last image leaves.
+func Restore(p Params, values Values, full []byte, deltas ...[]byte) (*Machine, error) {
+	m, err := newMachine(p)
 	if err != nil {
 		return nil, err
 	}
-	l := o.imageLayout()
-	if err := o.applyImage(l, full, true); err != nil {
-		return nil, err
-	}
-	for _, d := range deltas {
-		if err := o.applyImage(l, d, false); err != nil {
+	l := m.imageLayout()
+	images := append([][]byte{full}, deltas...)
+	for i, img := range images {
+		var v Values
+		if i == len(images)-1 {
+			v = values
+		}
+		if err := m.applyImage(l, img, i == 0, v); err != nil {
 			return nil, err
 		}
 	}
 	// Rebuild the location index from bucket metadata: a block is resident
 	// in at most one place, never both resident and stashed. The images
 	// record addrs and valid; occ and filler follow from them.
-	for b := range o.meta {
-		o.meta[b].derive()
-		for r, ki := range o.meta[b].addrs {
+	for b := range m.buckets {
+		m.buckets[b].derive()
+		for r, ki := range m.buckets[b].addrs {
 			if ki < 0 {
 				continue
 			}
-			k := &o.keys[ki]
-			if _, inStash := o.stash[k.name]; inStash {
+			k := &m.keys[ki]
+			if _, inStash := m.stash[k.name]; inStash {
 				return nil, fmt.Errorf("ringoram: checkpoint places %q both in stash and bucket %d", k.name, b)
 			}
 			if k.bucket >= 0 {
@@ -421,13 +431,14 @@ func Restore(key *cryptoutil.Key, p Params, full []byte, deltas ...[]byte) (*ORA
 			k.bucket, k.rpos = int32(b), int32(r)
 		}
 	}
-	o.stashPeak = len(o.stash)
-	return o, nil
+	m.stashPeak = len(m.stash)
+	return m, nil
 }
 
-// applyImage decodes one image into the client. wantFull says which kind the
-// caller's position in the restore sequence requires.
-func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
+// applyImage decodes one image into the machine, handing its stash's values
+// to values unless that is nil. wantFull says which kind the caller's
+// position in the restore sequence requires.
+func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, values Values) error {
 	h, err := readImageHeader(img)
 	if err != nil {
 		return err
@@ -458,7 +469,7 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		return fmt.Errorf("ringoram: full checkpoint image covers %d+%d buckets, tree has %d", nTouched, nRewritten, l.numBuckets)
 	}
 	keys, touched, rewritten := cursor(c.take(int(keysLen))), cursor(c.take(int(touchedLen))), cursor(c.take(int(rewrittenLen)))
-	o.accessCount, o.evictCount = h.accessCount, h.evictCount
+	m.accessCount, m.evictCount = h.accessCount, h.evictCount
 
 	for i := 0; i < nKeys; i++ {
 		key, err := keys.key(l)
@@ -473,41 +484,41 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		if key == "" {
 			continue // padding
 		}
-		if leaf >= o.geo.Leaves {
+		if leaf >= m.geo.Leaves {
 			return fmt.Errorf("ringoram: checkpoint leaf %d out of range", leaf)
 		}
-		ki, known := o.pos[key]
+		ki, known := m.pos[key]
 		if !known {
-			if len(o.keys) >= o.p.NumBlocks {
-				return fmt.Errorf("ringoram: checkpoint holds more than NumBlocks=%d keys", o.p.NumBlocks)
+			if len(m.keys) >= m.p.NumBlocks {
+				return fmt.Errorf("ringoram: checkpoint holds more than NumBlocks=%d keys", m.p.NumBlocks)
 			}
-			ki = o.addKey(key)
+			ki = m.addKey(key)
 		} else if full {
 			return fmt.Errorf("ringoram: full checkpoint image lists %q twice", key)
 		}
-		o.keys[ki].leaf = int32(leaf)
+		m.keys[ki].leaf = int32(leaf)
 		if bucket != noBucket {
 			if bucket >= l.numBuckets || pos >= l.z {
 				return fmt.Errorf("ringoram: checkpoint places %q at bucket %d position %d, out of range", key, bucket, pos)
 			}
-			if prev := o.meta[bucket].addrs[pos]; prev >= 0 {
-				return fmt.Errorf("ringoram: checkpoint places %q and %q at bucket %d position %d", o.keys[prev].name, key, bucket, pos)
+			if prev := m.buckets[bucket].addrs[pos]; prev >= 0 {
+				return fmt.Errorf("ringoram: checkpoint places %q and %q at bucket %d position %d", m.keys[prev].name, key, bucket, pos)
 			}
-			o.meta[bucket].addrs[pos] = ki
+			m.buckets[bucket].addrs[pos] = ki
 		}
 	}
 
 	for i := 0; i < nTouched; i++ {
-		id, m, err := o.readBucketState(l, &touched)
+		id, bm, err := m.readBucketState(l, &touched)
 		if err != nil {
 			return err
 		}
 		occ := touched.take(l.occBytes)
-		for pos := range m.addrs {
+		for pos := range bm.addrs {
 			switch occupied := bit(occ, pos); {
 			case !occupied:
-				m.addrs[pos] = -1
-			case m.addrs[pos] < 0:
+				bm.addrs[pos] = -1
+			case bm.addrs[pos] < 0:
 				return fmt.Errorf("ringoram: delta image marks empty position %d of bucket %d occupied", pos, id)
 			}
 		}
@@ -515,41 +526,42 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 
 	seen := make([]bool, l.slotsPer)
 	for i := 0; i < nRewritten; i++ {
-		id, m, err := o.readBucketState(l, &rewritten)
+		id, bm, err := m.readBucketState(l, &rewritten)
 		if err != nil {
 			return err
 		}
-		m.writeVer = rewritten.u64()
+		bm.writeVer = rewritten.u64()
 		clear(seen)
-		for pos := range m.perm {
+		for pos := range bm.perm {
 			s := l.slot.get(rewritten.take(int(l.slot)))
 			if s >= l.slotsPer || seen[s] {
 				return fmt.Errorf("ringoram: checkpoint permutation of bucket %d repeats or overruns slot %d", id, s)
 			}
 			seen[s] = true
-			m.perm[pos] = s
+			bm.perm[pos] = s
 		}
 		if !full {
-			for pos := range m.addrs {
+			for pos := range bm.addrs {
 				key, err := rewritten.key(l)
 				if err != nil {
 					return err
 				}
-				if m.addrs[pos], err = o.tableIndex(key); err != nil {
+				if bm.addrs[pos], err = m.tableIndex(key); err != nil {
 					return err
 				}
 			}
 		}
 	}
 
-	// The stash in each image is complete: replace wholesale, the slots of
-	// the entries it drops back to the pool. Values are variable-length, so
-	// each entry is bounds-checked as it is read.
-	for _, e := range o.stashList {
-		o.blocks.put(e.slot)
+	// The stash in each image is complete: replace wholesale, the entries it
+	// drops back to the pool (no value was handed over for them). Values are
+	// variable-length, so each entry is bounds-checked as it is read.
+	for _, e := range m.stashList {
+		*e = stashEntry{blk: e.blk}
+		m.entryPool = append(m.entryPool, e)
 	}
-	clear(o.stash)
-	o.stashList = o.stashList[:0]
+	clear(m.stash)
+	m.stashList = m.stashList[:0]
 	for i := 0; i < nStash; i++ {
 		if len(c) < l.stashHeader() {
 			return errors.New("ringoram: checkpoint image truncated in the stash")
@@ -566,28 +578,26 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 		if key == "" {
 			continue // padding
 		}
-		if leaf >= o.geo.Leaves || valLen > o.p.ValueSize {
+		if leaf >= m.geo.Leaves || valLen > m.p.ValueSize {
 			return fmt.Errorf("ringoram: checkpoint stash entry %q has leaf %d, %d value bytes", key, leaf, valLen)
 		}
-		if _, dup := o.stash[key]; dup {
+		if _, dup := m.stash[key]; dup {
 			return fmt.Errorf("ringoram: checkpoint stash lists %q twice", key)
 		}
-		ki, known := o.pos[key]
+		ki, known := m.pos[key]
 		if !known {
 			return fmt.Errorf("ringoram: checkpoint stash entry %q has no position-map entry", key)
 		}
-		kind := byte(slotReal)
-		if flags&stashFlagTombstone != 0 {
-			kind = slotTombstone
-		}
-		e := &stashEntry{key: o.keys[ki].name, ki: ki, slot: o.blocks.take(), leaf: leaf, cacheable: flags&stashFlagCacheable != 0}
-		o.stashAdd(e)
-		if err := o.cdc.encodePlain(e.slot, kind, block{key: e.key, value: value}); err != nil {
-			return err
+		e := m.newEntry(stashEntry{key: m.keys[ki].name, ki: ki, leaf: leaf, cacheable: flags&stashFlagCacheable != 0})
+		m.stashAdd(e)
+		if values != nil {
+			if err := values.Restore(e.blk, e.key, value, flags&stashFlagTombstone != 0); err != nil {
+				return err
+			}
 		}
 	}
-	if len(o.stashList) > o.p.StashLimit {
-		return fmt.Errorf("ringoram: checkpoint stash of %d entries exceeds the limit %d", len(o.stashList), o.p.StashLimit)
+	if len(m.stashList) > m.p.StashLimit {
+		return fmt.Errorf("ringoram: checkpoint stash of %d entries exceeds the limit %d", len(m.stashList), m.p.StashLimit)
 	}
 	if len(c) != 0 {
 		return fmt.Errorf("ringoram: %d trailing bytes after checkpoint image", len(c))
@@ -598,11 +608,11 @@ func (o *ORAM) applyImage(l imageLayout, img []byte, wantFull bool) error {
 // tableIndex returns the key-table index of a key an image places in the
 // tree (-1 for "", an empty position); a placed key the table lacks is a
 // corrupt image.
-func (o *ORAM) tableIndex(key string) (int32, error) {
+func (m *Machine) tableIndex(key string) (int32, error) {
 	if key == "" {
 		return -1, nil
 	}
-	ki, known := o.pos[key]
+	ki, known := m.pos[key]
 	if !known {
 		return 0, fmt.Errorf("ringoram: checkpoint places %q, which has no position-map entry", key)
 	}
@@ -611,14 +621,14 @@ func (o *ORAM) tableIndex(key string) (int32, error) {
 
 // readBucketState decodes the common head of a bucket entry into the bucket
 // it names and returns that bucket.
-func (o *ORAM) readBucketState(l imageLayout, c *cursor) (int, *bucketMeta, error) {
+func (m *Machine) readBucketState(l imageLayout, c *cursor) (int, *bucketMeta, error) {
 	id, count := c.u32(), c.u16()
 	valid := c.take(l.validBytes)
 	if id >= l.numBuckets {
 		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d out of range", id)
 	}
-	m := &o.meta[id]
-	m.count = count
-	readBits(m.valid(), valid, l.slotsPer)
-	return id, m, nil
+	bm := &m.buckets[id]
+	bm.count = count
+	readBits(bm.valid(), valid, l.slotsPer)
+	return id, bm, nil
 }

@@ -1,0 +1,358 @@
+package meta
+
+import (
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"strings"
+)
+
+// Public errors.
+var (
+	// ErrFull is returned when inserting more distinct keys than NumBlocks.
+	ErrFull = errors.New("ringoram: capacity exceeded")
+	// ErrStashOverflow is returned when the stash exceeds its configured
+	// bound. With canonical parameters (S, A from the Ring ORAM analysis)
+	// this does not occur except with negligible probability.
+	ErrStashOverflow = errors.New("ringoram: stash overflow")
+	// ErrReplay indicates a logged replay entry inconsistent with the
+	// restored metadata.
+	ErrReplay = errors.New("ringoram: replay divergence")
+)
+
+// keyEnt is one position-map entry: the leaf a key is mapped to and, while
+// the block is resident in the tree, the bucket and real position holding it.
+// Entries live in a table in first-write order and are never removed (a
+// deleted key keeps its entry, §6.3), so a key's index is stable: full
+// checkpoints walk the table in order, which makes their bytes a function of
+// the operation history instead of map iteration order.
+//
+// name is the machine's own copy of the key, made when the entry is. It is
+// the one string everything long-lived holds for the block — the index map,
+// stash entries; bucket addrs hold the entry's index — so a caller's key (a
+// carved wire key pins its whole chunk) is never kept past the call that
+// handed it over.
+type keyEnt struct {
+	name   string
+	leaf   int32
+	bucket int32 // heap index of the bucket holding the block; -1 when not in the tree
+	rpos   int32 // real position inside that bucket
+	dirty  bool  // remapped since the last ClearDirty
+}
+
+// Block names a stash entry's block to the byte plane, which keeps the
+// block's bytes under it; 0 names none. A handle is the entry's index in the
+// machine's entry table: it is reused once an eviction has moved the block
+// into the tree and the entry is retired.
+type Block int32
+
+// stashEntry is a client-side buffered block. Entries are shared by handle
+// between the stash and in-flight plans so that a completion can deliver a
+// block that a later-planned eviction has already placed.
+type stashEntry struct {
+	key       string
+	ki        int32 // the key's index in Machine.keys
+	blk       Block // the entry's own handle
+	leaf      int
+	idx       int  // position in Machine.stashList
+	cacheable bool // safe to serve without a dummy path read (§6.3)
+	pending   bool // block not yet delivered by a completion
+}
+
+// Per-bucket dirty levels for delta checkpoints. Only an eviction's write
+// phase changes a bucket's permutation, version and the identity of its
+// resident keys; every other mutation clears a valid bit, bumps the slot
+// count or blanks a resident key, and a delta can describe it by state alone.
+type dirtyLevel uint8
+
+const (
+	bucketClean dirtyLevel = iota
+	bucketTouched
+	bucketRewritten
+)
+
+// Machine is a Ring ORAM client's metadata. It is not safe for concurrent
+// use: the byte plane guards a plan and its completion with one lock, and
+// completions apply in plan order (the executor in internal/oramexec
+// enforces this).
+type Machine struct {
+	p   Params
+	geo Geometry
+	rng *rand.Rand
+
+	keys  []keyEnt         // position map and location index, in first-write order
+	pos   map[string]int32 // key -> index into keys
+	stash map[string]*stashEntry
+	// stashList holds the stash in a deterministic order (insertion order,
+	// perturbed by swap-removal): eviction placement and checkpoint encoding
+	// walk it instead of the map, so both are a function of the operation
+	// history and the seed alone.
+	stashList []*stashEntry
+	buckets   []bucketMeta
+
+	accessCount uint64 // physical batch slots consumed (reads + writes)
+	evictCount  uint64
+
+	// Delta tracking since the last ClearDirty: flag arrays plus first-dirtied
+	// order lists, reset in place.
+	dirtyKeys    []int32 // indices into keys
+	bucketDirty  []dirtyLevel
+	dirtyBuckets []int32
+	stashPeak    int
+
+	pathBuf []int // a path, planning's scratch
+	// planPool and entryPool recycle the per-step objects. Finish retires
+	// its plan (with every slice the plan owns), and an eviction's entries
+	// once their blocks have moved into the tree. planPool keeps the plans of
+	// steps that rewrite buckets apart (planPool[1]), so an access or a write
+	// never holds an eviction's Z reads and permutation per bucket. entries
+	// is every entry made, indexed by its handle (entries[0] is none).
+	planPool  [2][]*Plan
+	entries   []*stashEntry
+	entryPool []*stashEntry
+	local     localTable // see local.go
+}
+
+// New creates the metadata of a fresh tree: every bucket gets empty real
+// positions and a random permutation, drawn in heap order from the seeded
+// generator, at version 1.
+func New(p Params) (*Machine, error) {
+	m, err := newMachine(p)
+	if err != nil {
+		return nil, err
+	}
+	for b := range m.buckets {
+		bm := &m.buckets[b]
+		m.shuffle(bm.perm)
+		bm.writeVer = 1
+		bm.rewrite(0)
+	}
+	return m, nil
+}
+
+func newMachine(p Params) (*Machine, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	geo := p.Geometry()
+	seed := p.Seed
+	var src rand.Source
+	if seed != 0 {
+		src = rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
+	} else {
+		src = rand.NewPCG(rand.Uint64(), rand.Uint64())
+	}
+	m := &Machine{
+		p:           p,
+		geo:         geo,
+		rng:         rand.New(src),
+		pos:         make(map[string]int32),
+		stash:       make(map[string]*stashEntry),
+		buckets:     make([]bucketMeta, geo.NumBuckets),
+		bucketDirty: make([]dirtyLevel, geo.NumBuckets),
+		pathBuf:     make([]int, 0, geo.Levels+1),
+		entries:     []*stashEntry{nil},
+	}
+	// One slab per metadata array instead of three slices per bucket.
+	n, z, nw := geo.SlotsPer, p.Z, metaWords(geo.SlotsPer, p.Z)
+	perms := make([]int, geo.NumBuckets*n)
+	addrs := make([]int32, geo.NumBuckets*z)
+	for i := range addrs {
+		addrs[i] = -1
+	}
+	words := make([]uint64, geo.NumBuckets*nw)
+	for b := range m.buckets {
+		m.buckets[b] = bucketMeta{
+			perm:  perms[b*n : (b+1)*n : (b+1)*n],
+			addrs: addrs[b*z : (b+1)*z : (b+1)*z],
+			words: words[b*nw : (b+1)*nw : (b+1)*nw],
+		}
+	}
+	return m, nil
+}
+
+// Counters returns (accessCount, evictCount).
+func (m *Machine) Counters() (uint64, uint64) { return m.accessCount, m.evictCount }
+
+// StashSize returns the current number of stash entries.
+func (m *Machine) StashSize() int { return len(m.stash) }
+
+// StashPeak returns the high-water mark of the stash.
+func (m *Machine) StashPeak() int { return m.stashPeak }
+
+// KeyCount returns the number of allocated logical keys.
+func (m *Machine) KeyCount() int { return len(m.keys) }
+
+// Fresh returns the permutation of bucket b while the bucket is still at its
+// first version with no slot read, and false once it is not.
+func (m *Machine) Fresh(b int) ([]int, bool) {
+	bm := &m.buckets[b]
+	return bm.perm, bm.writeVer == 1 && bm.count == 0
+}
+
+// Holds appends to dst the real positions of bucket b that hold a block, in
+// position order, and returns them with the bucket's version and
+// permutation.
+func (m *Machine) Holds(b int, dst []int) (uint64, []int, []int) {
+	bm := &m.buckets[b]
+	valid, occ := bm.valid(), bm.occ()
+	for r := range bm.addrs {
+		if occ.has(r) && valid.has(bm.perm[r]) {
+			dst = append(dst, r)
+		}
+	}
+	return bm.writeVer, bm.perm, dst
+}
+
+func (m *Machine) randLeaf() int { return m.rng.IntN(m.geo.Leaves) }
+
+// addKey allocates key's position-map entry, with a copy of key as its name.
+func (m *Machine) addKey(key string) int32 {
+	i := int32(len(m.keys))
+	name := strings.Clone(key)
+	m.keys = append(m.keys, keyEnt{name: name, bucket: -1})
+	m.pos[name] = i
+	return i
+}
+
+// remap points key at leaf, allocating its position-map entry on first
+// write, and records the change for the next delta checkpoint. It returns
+// the key's index in the table.
+func (m *Machine) remap(key string, leaf int) int32 {
+	i, ok := m.pos[key]
+	if !ok {
+		i = m.addKey(key)
+	}
+	k := &m.keys[i]
+	k.leaf = int32(leaf)
+	if !k.dirty {
+		k.dirty = true
+		m.dirtyKeys = append(m.dirtyKeys, i)
+	}
+	return i
+}
+
+// newEntry clones v into a pooled stashEntry, or a new one with the next
+// handle. Entries go back to the pool, keeping only their handle so a free
+// entry pins nothing, when an eviction's completion moves their blocks into
+// the tree — the one point where nothing (stash, position map, outstanding
+// plans) can still reference them. v.key must be the key table's name.
+func (m *Machine) newEntry(v stashEntry) *stashEntry {
+	n := len(m.entryPool)
+	if n == 0 {
+		e := new(stashEntry)
+		*e = v
+		e.blk = Block(len(m.entries))
+		m.entries = append(m.entries, e)
+		return e
+	}
+	e := m.entryPool[n-1]
+	m.entryPool[n-1] = nil
+	m.entryPool = m.entryPool[:n-1]
+	v.blk = e.blk
+	*e = v
+	return e
+}
+
+// stashAdd inserts e into the stash.
+func (m *Machine) stashAdd(e *stashEntry) {
+	e.idx = len(m.stashList)
+	m.stashList = append(m.stashList, e)
+	m.stash[e.key] = e
+}
+
+// stashRemove deletes e from the stash, moving the last entry into its place.
+func (m *Machine) stashRemove(e *stashEntry) {
+	last := len(m.stashList) - 1
+	moved := m.stashList[last]
+	m.stashList[e.idx] = moved
+	moved.idx = e.idx
+	m.stashList[last] = nil
+	m.stashList = m.stashList[:last]
+	delete(m.stash, e.key)
+}
+
+// markBucket raises bucket b's dirty level for the next delta checkpoint.
+func (m *Machine) markBucket(b int, level dirtyLevel) {
+	if m.bucketDirty[b] == bucketClean {
+		m.dirtyBuckets = append(m.dirtyBuckets, int32(b))
+	}
+	if m.bucketDirty[b] < level {
+		m.bucketDirty[b] = level
+	}
+}
+
+func (m *Machine) noteStash() error {
+	if len(m.stash) > m.stashPeak {
+		m.stashPeak = len(m.stash)
+	}
+	if len(m.stash) > m.p.StashLimit {
+		return fmt.Errorf("%w: %d entries exceed limit %d", ErrStashOverflow, len(m.stash), m.p.StashLimit)
+	}
+	return nil
+}
+
+// shuffle fills perm with a fresh uniform permutation of 0..len(perm)-1 in
+// place, drawing from the machine's generator exactly as rand.Perm does, so
+// a seeded run keeps its stream.
+func (m *Machine) shuffle(perm []int) {
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := m.rng.IntN(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+}
+
+// Completion. The byte plane completes each step in plan order: Begin; then,
+// for every read whose block is still Pending, it moves the block into the
+// stash and calls Delivered; then it reads an access's block (Plan.Block), or
+// moves an eviction's placed blocks (Plan.Writes) into the tree, neither
+// Pending any more; and Finish retires the step. An error on the way leaves
+// the plan out of the pool, so the caller can inspect it.
+
+// Begin starts completing p with n fetched slots. It refuses a plan
+// completed before and a slot count other than the plan's, and checks every
+// local read against the versions the local table holds.
+func (m *Machine) Begin(p *Plan, n int) error {
+	if p.completed {
+		return errors.New("ringoram: plan completed twice")
+	}
+	p.completed = true
+	if n != len(p.Reads) {
+		return fmt.Errorf("ringoram: %d slots delivered, plan has %d", n, len(p.Reads))
+	}
+	return m.local.check(p.Reads)
+}
+
+// Pending reports whether block b has yet to reach the stash. A read whose
+// block a later write superseded delivers nothing.
+func (m *Machine) Pending(b Block) bool { return m.entries[b].pending }
+
+// Delivered records that block b's bytes reached the stash.
+func (m *Machine) Delivered(b Block) { m.entries[b].pending = false }
+
+// Key returns the key of block b.
+func (m *Machine) Key(b Block) string { return m.entries[b].key }
+
+// Finish retires a completed step: an eviction's versions become the local
+// table's current ones and its placed entries go back to the pool (their
+// blocks are the tree's now; plan-ordered completion means no earlier plan
+// still references them, and any later access finds the key in the tree),
+// and the plan goes back to its pool, which the caller must not touch it
+// past.
+func (m *Machine) Finish(p *Plan) {
+	for i := range p.writes {
+		w := &p.writes[i]
+		m.local.keep(w.Bucket, w.Ver)
+		for _, b := range w.Placed {
+			e := m.entries[b]
+			*e = stashEntry{blk: b}
+			m.entryPool = append(m.entryPool, e)
+		}
+	}
+	p.Key, p.blk = "", 0
+	pool := &m.planPool[p.Kind.pool()]
+	*pool = append(*pool, p)
+}

@@ -1,0 +1,248 @@
+package meta
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"testing"
+	"testing/quick"
+)
+
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func testParams(n int) Params {
+	return Params{NumBlocks: n, Z: 4, S: 6, A: 4, KeySize: 16, ValueSize: 32, Seed: 42}
+}
+
+// complete completes steps in plan order as the byte plane does, with no
+// bytes to move: every pending block a read carries is delivered, and an
+// access's block and an eviction's placed blocks must be by then.
+func complete(t testing.TB, m *Machine, steps []*Plan) {
+	t.Helper()
+	for _, p := range steps {
+		must(t, m.Begin(p, len(p.Reads)))
+		for _, r := range p.Reads {
+			if b := r.Block(); b != 0 && m.Pending(b) {
+				m.Delivered(b)
+			}
+		}
+		if b := p.Block(); b != 0 && m.Pending(b) {
+			t.Fatalf("access of %q: block still pending", m.Key(b))
+		}
+		for _, w := range p.Writes() {
+			for _, b := range w.Placed {
+				if m.Pending(b) {
+					t.Fatalf("bucket %d: block %q still pending at its eviction", w.Bucket, m.Key(b))
+				}
+			}
+		}
+		m.Finish(p)
+	}
+}
+
+// values is a Values of every key's last written content, keyed by key: what
+// the byte plane's stash slots hold, as the machine alone knows it.
+type values map[string]value
+
+type value struct {
+	v         []byte
+	tombstone bool
+}
+
+func (vs values) Value(_ Block, key string) ([]byte, bool, error) {
+	v, ok := vs[key]
+	if !ok {
+		return nil, false, fmt.Errorf("no value for %q", key)
+	}
+	return v.v, v.tombstone, nil
+}
+
+func (vs values) Restore(_ Block, key string, v []byte, tombstone bool) error {
+	vs[key] = value{v: v, tombstone: tombstone}
+	return nil
+}
+
+// checkBucketBits recomputes bucket b's bitsets slot by slot from perm,
+// addrs and validity and fails unless its words equal them: valid has no
+// member past the last slot, occ is exactly the occupied real positions, and
+// filler exactly the positions that hold no block and whose slot is valid.
+func checkBucketBits(t *testing.T, m *Machine, b int) {
+	t.Helper()
+	bm := &m.buckets[b]
+	n, z := m.geo.SlotsPer, m.p.Z
+	if len(bm.perm) != n || len(bm.addrs) != z || len(bm.words) != metaWords(n, z) {
+		t.Fatalf("bucket %d: %d slots, %d real positions, %d words", b, len(bm.perm), len(bm.addrs), len(bm.words))
+	}
+	valid := make([]bool, n)
+	wantValid := make(bitset, wordsFor(n))
+	for s := range valid {
+		if valid[s] = bm.valid().has(s); valid[s] {
+			wantValid[s/64] |= 1 << (s % 64)
+		}
+	}
+	wantFiller, wantOcc := make(bitset, wordsFor(n)), make(bitset, wordsFor(z))
+	for pos, s := range bm.perm {
+		switch occupied := pos < z && bm.addrs[pos] >= 0; {
+		case occupied:
+			wantOcc[pos/64] |= 1 << (pos % 64)
+		case valid[s]:
+			wantFiller[pos/64] |= 1 << (pos % 64)
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want bitset
+	}{{"valid", bm.valid(), wantValid}, {"occupied", bm.occ(), wantOcc}, {"filler", bm.filler(), wantFiller}} {
+		if !slices.Equal(c.got, c.want) {
+			t.Fatalf("bucket %d: %s bitset %x, the per-slot rule gives %x (perm %v, addrs %v)", b, c.name, c.got, c.want, bm.perm, bm.addrs)
+		}
+	}
+}
+
+// checkMachine verifies the metadata's structural invariants: every
+// allocated key is either in the stash or in a bucket on the path to its
+// leaf, where the bucket's addrs name it at its position; every bucket's
+// bitsets match the per-slot rule and its occupied real slots are valid; the
+// location index is exactly the set of occupied addresses; and the stash
+// list, the stash map and the key table agree.
+func checkMachine(t *testing.T, m *Machine) {
+	t.Helper()
+	for i := range m.keys {
+		k := &m.keys[i]
+		if m.pos[k.name] != int32(i) {
+			t.Fatalf("key %q sits at table index %d, index map says %d", k.name, i, m.pos[k.name])
+		}
+		if _, inStash := m.stash[k.name]; inStash {
+			if k.bucket >= 0 {
+				t.Fatalf("key %q both in stash and tree", k.name)
+			}
+			continue
+		}
+		if k.bucket < 0 {
+			t.Fatalf("key %q neither in stash nor in tree", k.name)
+		}
+		if !slices.Contains(m.geo.Path(int(k.leaf)), int(k.bucket)) {
+			t.Fatalf("key %q (leaf %d) resides in bucket %d, off its path", k.name, k.leaf, k.bucket)
+		}
+		if got := m.buckets[k.bucket].addrs[k.rpos]; got != int32(i) {
+			t.Fatalf("loc index says bucket %d pos %d holds %q (index %d), metadata says index %d", k.bucket, k.rpos, k.name, i, got)
+		}
+	}
+	occupied := 0
+	for b := range m.buckets {
+		checkBucketBits(t, m, b)
+		bm := &m.buckets[b]
+		for r, ki := range bm.addrs {
+			if ki < 0 {
+				continue
+			}
+			occupied++
+			k := m.keys[ki]
+			if !bm.valid().has(bm.perm[r]) {
+				t.Fatalf("bucket %d: occupied real slot for %q is invalid", b, k.name)
+			}
+			if int(k.bucket) != b || int(k.rpos) != r {
+				t.Fatalf("loc index out of sync for %q", k.name)
+			}
+		}
+	}
+	resident := 0
+	for i := range m.keys {
+		if m.keys[i].bucket >= 0 {
+			resident++
+		}
+	}
+	if occupied != resident {
+		t.Fatalf("loc index has %d entries, metadata has %d occupied slots", resident, occupied)
+	}
+	if len(m.stashList) != len(m.stash) {
+		t.Fatalf("stash list has %d entries, stash map %d", len(m.stashList), len(m.stash))
+	}
+	for i, e := range m.stashList {
+		if e.idx != i || m.stash[e.key] != e || m.keys[e.ki].name != e.key || m.entries[e.blk] != e {
+			t.Fatalf("stash list entry %d (%q, idx %d, key index %d, block %d) out of sync with the stash map, the key table or the entry table", i, e.key, e.idx, e.ki, e.blk)
+		}
+	}
+}
+
+// runWorkload drives a machine alone through a seeded mix of writes, deletes,
+// reads and padding reads over numKeys keys, completing every operation as
+// the byte plane would and checking the metadata after each.
+func runWorkload(t *testing.T, p Params, seed uint64, numKeys, ops int) *Machine {
+	t.Helper()
+	p.NumBlocks, p.Seed = numKeys, seed
+	m, err := New(p)
+	must(t, err)
+	rng := rand.New(rand.NewPCG(seed, seed+1))
+	var steps []*Plan
+	for i := 0; i < ops; i++ {
+		k := fmt.Sprintf("key-%d", rng.IntN(numKeys))
+		switch op := rng.IntN(10); {
+		case op < 5:
+			steps, _, err = m.PlanWrite(k, steps[:0])
+		case op < 9:
+			steps, err = m.PlanRead(k, steps[:0])
+		default:
+			steps, err = m.PlanRead("", steps[:0])
+		}
+		must(t, err)
+		complete(t, m, steps)
+		checkMachine(t, m)
+	}
+	if m.StashPeak() > m.p.StashLimit {
+		t.Fatalf("stash peak %d exceeds limit %d", m.StashPeak(), m.p.StashLimit)
+	}
+	return m
+}
+
+// TestMachineInvariants runs seeded workloads on the machine alone — a small
+// tree, a larger one and one whose buckets span two bitset words (Z=25,
+// S=40) — and checks every invariant after every operation: the metadata
+// checks the byte plane's property tests make from checkpoint images, and the
+// bitset words against the per-slot rule, which only this package can see.
+func TestMachineInvariants(t *testing.T) {
+	f := func(seed uint64) bool {
+		runWorkload(t, testParams(0), seed|1, 32, 300)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, testParams(0), 99, 200, 1500)
+	runWorkload(t, Params{Z: 25, S: 40, A: 25, KeySize: 16, ValueSize: 32}, 7, 300, 1500)
+}
+
+// TestRestoreKeepsInvariants: a machine restored from a full image and a
+// delta holds every invariant, its bitsets derived from the images' valid
+// maps and placements.
+func TestRestoreKeepsInvariants(t *testing.T) {
+	m := runWorkload(t, testParams(0), 5, 64, 400)
+	vs := values{}
+	for _, e := range m.stashList {
+		vs[e.key] = value{v: []byte(e.key)}
+	}
+	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, vs)
+	must(t, err)
+	m.ClearDirty()
+	for i := 0; i < 50; i++ {
+		steps, _, err := m.PlanWrite(fmt.Sprintf("key-%d", i), nil)
+		must(t, err)
+		complete(t, m, steps)
+		vs[fmt.Sprintf("key-%d", i)] = value{v: []byte("w")}
+	}
+	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0, vs)
+	must(t, err)
+	restored, err := Restore(m.p, values{}, full, delta)
+	must(t, err)
+	checkMachine(t, restored)
+	for b := range m.buckets {
+		if !slices.Equal(m.buckets[b].words, restored.buckets[b].words) {
+			t.Fatalf("bucket %d: restored bitsets %x, live %x", b, restored.buckets[b].words, m.buckets[b].words)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // mapStore is an in-memory Store that enforces the bucket invariant from the
@@ -277,11 +278,11 @@ func TestSeqDummilessWritesSkipReads(t *testing.T) {
 func TestSeqWriteVersionsAdvance(t *testing.T) {
 	seq, _ := newTestSeq(t, testParams(64))
 	o := seq.ORAM()
-	root0 := o.meta[0].writeVer
+	root0, _, _ := o.m.Holds(0, nil)
 	for i := 0; i < 2*o.p.A; i++ {
 		must(t, seq.Write(fmt.Sprintf("k%d", i), []byte("v")))
 	}
-	if o.meta[0].writeVer <= root0 {
+	if root, _, _ := o.m.Holds(0, nil); root <= root0 {
 		t.Fatal("root bucket version did not advance across evictions")
 	}
 }
@@ -298,7 +299,7 @@ func TestSeqTamperDetected(t *testing.T) {
 	// Force the block into the tree.
 	geo := seq.ORAM().Geometry()
 	for i := 0; i < 4*geo.Leaves && seq.ORAM().StashSize() > 0; i++ {
-		if err := seq.runOne(evictNow(t, seq.ORAM())); err != nil {
+		if _, _, err := seq.run(evictNow(t, seq.ORAM())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,23 +322,35 @@ func TestSeqTamperDetected(t *testing.T) {
 	}
 }
 
-// evictNow plans the next evict-path whether or not the schedule owes one: a
-// test's way to move blocks into the tree without driving accesses.
-func evictNow(t testing.TB, o *ORAM) *Plan {
+// evictNow plans padding bumps until one makes an evict-path due and
+// returns their steps, the evict-path last: a test's way to move blocks into
+// the tree without driving accesses.
+func evictNow(t testing.TB, o *ORAM) []*meta.Plan {
 	t.Helper()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	p, err := o.planEvictionLocked(EvictStep, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	var steps []*meta.Plan
+	for len(steps) == 0 || steps[len(steps)-1].Kind != meta.EvictStep {
+		var err error
+		if steps, err = o.PlanWrite("", nil, false, steps); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return p
+	return steps
 }
 
-// runOne runs one planned step through the sequential ORAM.
-func (s *Seq) runOne(p *Plan) error {
-	_, _, err := s.run([]*Plan{p})
-	return err
+// completeAll completes steps whose reads are all fillers of a fresh tree or
+// served locally, handing nil for every slot, and returns the images the
+// evictions among them leave.
+func completeAll(t testing.TB, o *ORAM, steps []*meta.Plan) []BucketImage {
+	t.Helper()
+	var images []BucketImage
+	for _, p := range steps {
+		_, _, ims, err := o.Complete(p, make([][]byte, len(p.Reads)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, ims...)
+	}
+	return images
 }
 
 func must(t *testing.T, err error) {

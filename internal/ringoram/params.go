@@ -2,241 +2,22 @@
 // with the Obladi modifications of §6.3 of the paper: dummiless writes and
 // stash-cacheability tagging.
 //
-// The package separates *planning* from *I/O*: PlanRead and PlanWrite plan a
-// whole logical operation — its access, then the early reshuffles and
-// evict-paths it makes due, Ring ORAM's schedule, which this package alone
-// decides (oram.go) — mutating client-side metadata and returning each step as
-// a Plan that lists the exact physical slot reads, without touching storage.
-// Callers (the sequential wrapper in this package, and the parallel epoch
-// executor in internal/oramexec) perform the I/O and feed each step's slots
-// back through Complete, in plan order. This split is what lets Obladi
-// pipeline an epoch's physical reads, defer all physical writes to the epoch
-// boundary, and replay logged slot choices deterministically after a crash.
-//
-// The package also owns both formats of the recovery log's payloads: a batch
-// record, the steps of one planned batch (BatchLog, DecodeBatchLog), which
-// Replay plans again one step per entry, refusing any the schedule does not
-// owe (batchlog.go); and a checkpoint image of the client metadata (state.go).
+// It is the block plane on top of the public machine in package meta, which
+// alone decides the storage trace: the metadata, every plan, the schedule,
+// replay and both recovery-log formats. An ORAM holds the machine and the
+// block bytes it moves — the slot codec, sealing and opening, the pooled
+// plaintext of every block (blocks.go) and the images of the bucket versions
+// the proxy keeps (local.go) — and guards a plan and its completion with one
+// lock. PlanRead and PlanWrite plan a whole logical operation, without
+// touching storage; callers (the sequential wrapper in this package, and the
+// parallel epoch executor in internal/oramexec) perform the I/O and feed each
+// step's slots back through Complete, in plan order. This split is what lets
+// Obladi pipeline an epoch's physical reads, defer all physical writes to the
+// epoch boundary, and replay logged slot choices deterministically after a
+// crash.
 package ringoram
 
-import (
-	"cmp"
-	"errors"
-	"fmt"
-	"math/bits"
-)
+import "obladi/internal/ringoram/meta"
 
-// Params configures a Ring ORAM instance.
-type Params struct {
-	// NumBlocks is N, the maximum number of distinct logical keys.
-	NumBlocks int
-	// Z is the number of real slots per bucket.
-	Z int
-	// S is the number of dummy slots per bucket.
-	S int
-	// A is the eviction rate: one evict-path per A logical accesses.
-	A int
-	// KeySize is the maximum logical key length in bytes.
-	KeySize int
-	// ValueSize is the maximum value length in bytes. Slots have a fixed
-	// physical size derived from KeySize and ValueSize.
-	ValueSize int
-	// StashLimit bounds the stash; 0 selects a default derived from the
-	// tree geometry, and a negative limit is refused. The durability layer pads the logged stash to this
-	// size so its true size is never revealed.
-	StashLimit int
-	// DisableEncryption stores slots in plaintext. Only for measuring
-	// crypto overhead (the "Parallel" vs "ParallelCrypto" series of
-	// Figure 10a); never secure.
-	DisableEncryption bool
-	// Seed, when non-zero, makes all randomized choices (leaf remaps,
-	// dummy-slot selection, permutations) deterministic. Tests only.
-	Seed uint64
-}
-
-// Geometry is the derived tree shape.
-type Geometry struct {
-	Levels     int // L: depth of the tree; leaves sit at level L
-	Leaves     int // 2^L
-	NumBuckets int // 2^(L+1) - 1, heap-ordered, root = 0
-	SlotsPer   int // Z + S physical slots per bucket
-}
-
-// Validation errors.
-var (
-	errBadParams = errors.New("ringoram: invalid parameters")
-)
-
-// Validate checks the parameters and fills in defaults.
-func (p *Params) Validate() error {
-	if p.NumBlocks <= 0 {
-		return fmt.Errorf("%w: NumBlocks %d", errBadParams, p.NumBlocks)
-	}
-	if p.Z <= 0 || p.S <= 0 || p.A <= 0 {
-		return fmt.Errorf("%w: Z=%d S=%d A=%d must be positive", errBadParams, p.Z, p.S, p.A)
-	}
-	if p.A > p.S {
-		// A bucket must survive A accesses between evictions touching it;
-		// with A > S the dummies of a bucket on every path (the root) can
-		// be exhausted between two of its evictions faster than early
-		// reshuffles amortize. Canonical Ring ORAM requires S >= A.
-		return fmt.Errorf("%w: require A (%d) <= S (%d)", errBadParams, p.A, p.S)
-	}
-	if p.KeySize == 0 {
-		p.KeySize = 64
-	}
-	if p.ValueSize == 0 {
-		p.ValueSize = 256
-	}
-	if p.KeySize < 1 || p.KeySize > 1<<16-1 {
-		return fmt.Errorf("%w: KeySize %d", errBadParams, p.KeySize)
-	}
-	if p.ValueSize < 1 {
-		return fmt.Errorf("%w: ValueSize %d", errBadParams, p.ValueSize)
-	}
-	if p.StashLimit < 0 {
-		return fmt.Errorf("%w: StashLimit %d", errBadParams, p.StashLimit)
-	}
-	// Both log formats store slot indices and per-bucket counts as u16 and
-	// bucket ids as u32, 0xFFFFFFFF meaning none.
-	g := p.Geometry()
-	if g.SlotsPer >= 1<<16 || g.NumBuckets >= noBucket {
-		return fmt.Errorf("%w: %d slots per bucket and %d buckets exceed the log formats", errBadParams, g.SlotsPer, g.NumBuckets)
-	}
-	if p.StashLimit == 0 {
-		p.StashLimit = p.Z*(g.Levels+1) + 4*p.A + 64
-	}
-	return nil
-}
-
-// Public is a deployment's public parameters, validated once: the ORAM's
-// Params, the epoch schedule — R read batches of bread keys, then one write
-// batch of bwrite — and the full-checkpoint cadence. The adversary may learn
-// exactly these, and every padded size the recovery log writes is derived from
-// them by a method here, so no caller computes or sets one. NewPublic builds
-// the value; nothing changes it afterwards.
-type Public struct {
-	params                                     Params
-	readBatches, readBatchSize, writeBatchSize int
-	fullCheckpointEvery                        int
-}
-
-// NewPublic validates p, the schedule and the cadence, and returns their one
-// value. p gets Validate's defaults; a zero R, bread, bwrite or cadence
-// selects 4, 32, 32 or 16, and a negative one is refused.
-func NewPublic(p Params, readBatches, readBatchSize, writeBatchSize, fullCheckpointEvery int) (*Public, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	pub := &Public{params: p}
-	for _, f := range []struct {
-		name   string
-		v, def int
-		dst    *int
-	}{
-		{"ReadBatches", readBatches, 4, &pub.readBatches},
-		{"ReadBatchSize", readBatchSize, 32, &pub.readBatchSize},
-		{"WriteBatchSize", writeBatchSize, 32, &pub.writeBatchSize},
-		{"FullCheckpointEvery", fullCheckpointEvery, 16, &pub.fullCheckpointEvery},
-	} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("%w: %s %d", errBadParams, f.name, f.v)
-		}
-		*f.dst = cmp.Or(f.v, f.def)
-	}
-	return pub, nil
-}
-
-// Params returns the validated ORAM parameters.
-func (pub *Public) Params() Params { return pub.params }
-
-// ReadBatches is R, the read batches of an epoch.
-func (pub *Public) ReadBatches() int { return pub.readBatches }
-
-// ReadBatchSize is bread, the keys of a read batch.
-func (pub *Public) ReadBatchSize() int { return pub.readBatchSize }
-
-// WriteBatchSize is bwrite, the keys of an epoch's write batch.
-func (pub *Public) WriteBatchSize() int { return pub.writeBatchSize }
-
-// FullCheckpointEvery is the cadence: every this many epochs a checkpoint
-// is full, the others are deltas.
-func (pub *Public) FullCheckpointEvery() int { return pub.fullCheckpointEvery }
-
-// CheckpointPad is the shape every checkpoint is padded to (§8): a delta's
-// position map to the most keys an epoch can touch, R·bread + bwrite, and the
-// stash to its limit. Padding stash entries carry no value bytes, so the
-// stash section's size still tracks the real entries' value lengths.
-func (pub *Public) CheckpointPad() CheckpointPad {
-	return CheckpointPad{
-		PosEntries:   pub.readBatches*pub.readBatchSize + pub.writeBatchSize,
-		StashEntries: pub.params.StashLimit,
-		ValueSize:    0,
-	}
-}
-
-// LogRecordBound is the most records one shard's recovery log retains. A
-// full checkpoint's cut runs at the end of its own epoch's commit stage, so
-// just before it the log holds the previous full checkpoint, the C epochs
-// since — R read batches, a write batch and a checkpoint each — and, under
-// the pipelined boundary, the read batches of the one epoch that overlaps the
-// commit (its write batch waits for the boundary slot, which the cut frees):
-// C·(R+2) + R + 1 = (C+1)(R+2) − 1.
-func (pub *Public) LogRecordBound() int {
-	return (pub.fullCheckpointEvery+1)*(pub.readBatches+2) - 1
-}
-
-// Geometry derives the tree shape: the smallest power-of-two leaf count whose
-// leaf level alone can hold all N blocks (leaves * Z >= N), matching the
-// paper's configurations (e.g. 100K objects at Z=100 -> 10-11 levels).
-func (p Params) Geometry() Geometry {
-	needLeaves := (p.NumBlocks + p.Z - 1) / p.Z
-	l := bits.Len(uint(needLeaves - 1)) // ceil(log2(needLeaves))
-	if needLeaves <= 1 {
-		l = 0
-	}
-	if l < 1 {
-		l = 1
-	}
-	leaves := 1 << l
-	return Geometry{
-		Levels:     l,
-		Leaves:     leaves,
-		NumBuckets: 2*leaves - 1,
-		SlotsPer:   p.Z + p.S,
-	}
-}
-
-// pathBucket returns the heap index of the bucket at the given level
-// (0 = root) on the path from the root to leaf: in 1-based heap numbering
-// the leaf bucket is Leaves+leaf and its ancestor at level is that number
-// shifted right by Levels-level.
-func (g Geometry) pathBucket(leaf, level int) int {
-	return (g.Leaves+leaf)>>(g.Levels-level) - 1
-}
-
-// path returns all bucket indices from root to leaf, root first.
-func (g Geometry) path(leaf int) []int {
-	return g.appendPath(make([]int, 0, g.Levels+1), leaf)
-}
-
-// appendPath appends the root-first path to leaf to dst.
-func (g Geometry) appendPath(dst []int, leaf int) []int {
-	for lvl := 0; lvl <= g.Levels; lvl++ {
-		dst = append(dst, g.pathBucket(leaf, lvl))
-	}
-	return dst
-}
-
-// bucketLevel returns the depth of a heap bucket index.
-func bucketLevel(b int) int { return bits.Len(uint(b+1)) - 1 }
-
-// evictLeaf returns the g-th eviction target leaf in Ring ORAM's
-// deterministic reverse-lexicographic order: the bit-reversal of the
-// eviction counter modulo the leaf count. This determinism is what makes
-// crash recovery cheap (§8): the set of buckets written by any epoch is a
-// pure function of the eviction counter.
-func (g Geometry) evictLeaf(evictCount uint64) int {
-	n := uint(evictCount) % uint(g.Leaves)
-	return int(bits.Reverse(n) >> (bits.UintSize - g.Levels))
-}
+// Params configures a Ring ORAM instance (see meta.Params).
+type Params = meta.Params

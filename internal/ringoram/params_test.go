@@ -4,6 +4,8 @@ import (
 	"errors"
 	"slices"
 	"testing"
+
+	"obladi/internal/ringoram/meta"
 )
 
 func TestValidateDefaults(t *testing.T) {
@@ -38,7 +40,7 @@ func TestValidateRejections(t *testing.T) {
 // negative one is refused up front, not by the first write's overflow.
 func TestValidateRejectsNegativeStashLimit(t *testing.T) {
 	p := Params{NumBlocks: 100, Z: 4, S: 6, A: 4, StashLimit: -1}
-	if err := p.Validate(); !errors.Is(err, errBadParams) {
+	if err := p.Validate(); !errors.Is(err, meta.ErrBadParams) {
 		t.Fatalf("StashLimit -1: %v, want a parameter error", err)
 	}
 	p.StashLimit = 0
@@ -63,7 +65,7 @@ func TestValidateRejectsGeometryPastLogFormats(t *testing.T) {
 		{Params{NumBlocks: 1 << 31, Z: 1, S: 1, A: 1}, false}, // 2^32 - 1 buckets
 	} {
 		err := c.p.Validate()
-		if c.ok && err != nil || !c.ok && !errors.Is(err, errBadParams) {
+		if c.ok && err != nil || !c.ok && !errors.Is(err, meta.ErrBadParams) {
 			t.Errorf("Z=%d S=%d NumBlocks=%d (%d buckets): %v, want ok=%v", c.p.Z, c.p.S, c.p.NumBlocks, c.p.Geometry().NumBuckets, err, c.ok)
 		}
 	}
@@ -87,7 +89,7 @@ func TestPublicPadsAndLogBound(t *testing.T) {
 		{"obladi.Open defaults", Params{NumBlocks: 8192, Z: 8, S: 12, A: 8}, 0, 0, 0, 0, 160, 184, 101},
 		{"lifecycle", Params{NumBlocks: 256, Z: 4, S: 6, A: 3, KeySize: 32, ValueSize: 32}, 2, 4, 8, 3, 16, 104, 15},
 	} {
-		pub, err := NewPublic(c.p, c.r, c.bread, c.bwrite, c.cadence)
+		pub, err := meta.NewPublic(c.p, c.r, c.bread, c.bwrite, c.cadence)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -98,7 +100,7 @@ func TestPublicPadsAndLogBound(t *testing.T) {
 		if pub.Params() != validated {
 			t.Errorf("%s: the value holds %+v, Validate gives %+v", c.name, pub.Params(), validated)
 		}
-		want := CheckpointPad{PosEntries: c.pos, StashEntries: c.stash}
+		want := meta.CheckpointPad{PosEntries: c.pos, StashEntries: c.stash}
 		if got := pub.CheckpointPad(); got != want || got.StashEntries != validated.StashLimit {
 			t.Errorf("%s: pad %+v, want %+v (stash limit %d)", c.name, got, want, validated.StashLimit)
 		}
@@ -142,18 +144,18 @@ func TestPathBucket(t *testing.T) {
 	}
 	// Root is always bucket 0.
 	for leaf := 0; leaf < g.Leaves; leaf++ {
-		if b := g.pathBucket(leaf, 0); b != 0 {
+		if b := g.PathBucket(leaf, 0); b != 0 {
 			t.Fatalf("path(%d) level 0 = %d", leaf, b)
 		}
-		if b := g.pathBucket(leaf, g.Levels); b != g.leafBucket(leaf) {
-			t.Fatalf("path(%d) leaf level = %d, want %d", leaf, b, g.leafBucket(leaf))
+		if b := g.PathBucket(leaf, g.Levels); b != leafBucket(g, leaf) {
+			t.Fatalf("path(%d) leaf level = %d, want %d", leaf, b, leafBucket(g, leaf))
 		}
 	}
 	// Consecutive levels are parent/child.
 	for leaf := 0; leaf < g.Leaves; leaf++ {
 		for lvl := 1; lvl <= g.Levels; lvl++ {
-			child := g.pathBucket(leaf, lvl)
-			parent := g.pathBucket(leaf, lvl-1)
+			child := g.PathBucket(leaf, lvl)
+			parent := g.PathBucket(leaf, lvl-1)
 			if (child-1)/2 != parent {
 				t.Fatalf("leaf %d: level %d bucket %d not child of %d", leaf, lvl, child, parent)
 			}
@@ -163,14 +165,14 @@ func TestPathBucket(t *testing.T) {
 
 func TestPathRootFirst(t *testing.T) {
 	g := Params{NumBlocks: 32, Z: 4, S: 4, A: 4}.Geometry()
-	p := g.path(5)
+	p := g.Path(5)
 	if len(p) != g.Levels+1 {
 		t.Fatalf("path length %d", len(p))
 	}
 	if p[0] != 0 {
 		t.Fatalf("path does not start at root: %v", p)
 	}
-	if p[len(p)-1] != g.leafBucket(5) {
+	if p[len(p)-1] != leafBucket(g, 5) {
 		t.Fatalf("path does not end at leaf bucket: %v", p)
 	}
 }
@@ -180,7 +182,7 @@ func TestEvictLeafReverseLexicographic(t *testing.T) {
 	// Bit-reversed order for 3 bits: 0,4,2,6,1,5,3,7 then repeats.
 	want := []int{0, 4, 2, 6, 1, 5, 3, 7, 0, 4}
 	for i, w := range want {
-		if got := g.evictLeaf(uint64(i)); got != w {
+		if got := g.EvictLeaf(uint64(i)); got != w {
 			t.Fatalf("evictLeaf(%d) = %d, want %d", i, got, w)
 		}
 	}
@@ -190,7 +192,7 @@ func TestEvictLeafCoversAllLeaves(t *testing.T) {
 	g := Params{NumBlocks: 1000, Z: 4, S: 4, A: 4}.Geometry()
 	seen := make(map[int]bool)
 	for i := 0; i < g.Leaves; i++ {
-		seen[g.evictLeaf(uint64(i))] = true
+		seen[g.EvictLeaf(uint64(i))] = true
 	}
 	if len(seen) != g.Leaves {
 		t.Fatalf("one eviction cycle covered %d of %d leaves", len(seen), g.Leaves)
@@ -200,26 +202,26 @@ func TestEvictLeafCoversAllLeaves(t *testing.T) {
 func TestBucketLevel(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 1, 2: 1, 3: 2, 6: 2, 7: 3, 14: 3}
 	for b, want := range cases {
-		if got := bucketLevel(b); got != want {
-			t.Fatalf("bucketLevel(%d) = %d, want %d", b, got, want)
+		if got := meta.BucketLevel(b); got != want {
+			t.Fatalf("BucketLevel(%d) = %d, want %d", b, got, want)
 		}
 	}
 }
 
 // leafBucket maps a leaf index [0, Leaves) to its heap bucket index.
-func (g Geometry) leafBucket(leaf int) int { return g.Leaves - 1 + leaf }
+func leafBucket(g meta.Geometry, leaf int) int { return g.Leaves - 1 + leaf }
 
 // pathBucketLoop, appendPathLoop and bucketLevelLoop are the path helpers as
 // loops, one tree level a step: the reference the closed forms must equal.
-func pathBucketLoop(g Geometry, leaf, level int) int {
-	b := g.leafBucket(leaf)
+func pathBucketLoop(g meta.Geometry, leaf, level int) int {
+	b := leafBucket(g, leaf)
 	for i := g.Levels; i > level; i-- {
 		b = (b - 1) / 2
 	}
 	return b
 }
 
-func appendPathLoop(g Geometry, dst []int, leaf int) []int {
+func appendPathLoop(g meta.Geometry, dst []int, leaf int) []int {
 	for lvl := 0; lvl <= g.Levels; lvl++ {
 		dst = append(dst, pathBucketLoop(g, leaf, lvl))
 	}
@@ -235,9 +237,9 @@ func bucketLevelLoop(b int) int {
 	return lvl
 }
 
-// TestPathHelpersMatchLoops checks pathBucket, appendPath and bucketLevel
+// TestPathHelpersMatchLoops checks PathBucket, AppendPath and BucketLevel
 // against their loop forms for every leaf and level of trees of 1 to 12
-// levels, and bucketLevel for every bucket of them.
+// levels, and BucketLevel for every bucket of them.
 func TestPathHelpersMatchLoops(t *testing.T) {
 	for levels := 1; levels <= 12; levels++ {
 		g := Params{NumBlocks: 4 << levels, Z: 4, S: 4, A: 4}.Geometry()
@@ -246,17 +248,17 @@ func TestPathHelpersMatchLoops(t *testing.T) {
 		}
 		for leaf := 0; leaf < g.Leaves; leaf++ {
 			for lvl := 0; lvl <= g.Levels; lvl++ {
-				if got, want := g.pathBucket(leaf, lvl), pathBucketLoop(g, leaf, lvl); got != want {
-					t.Fatalf("%d levels: pathBucket(%d, %d) = %d, the loop gives %d", levels, leaf, lvl, got, want)
+				if got, want := g.PathBucket(leaf, lvl), pathBucketLoop(g, leaf, lvl); got != want {
+					t.Fatalf("%d levels: PathBucket(%d, %d) = %d, the loop gives %d", levels, leaf, lvl, got, want)
 				}
 			}
-			if got, want := g.appendPath([]int{-1}, leaf), appendPathLoop(g, []int{-1}, leaf); !slices.Equal(got, want) {
-				t.Fatalf("%d levels: appendPath(%d) = %v, the loop gives %v", levels, leaf, got, want)
+			if got, want := g.AppendPath([]int{-1}, leaf), appendPathLoop(g, []int{-1}, leaf); !slices.Equal(got, want) {
+				t.Fatalf("%d levels: AppendPath(%d) = %v, the loop gives %v", levels, leaf, got, want)
 			}
 		}
 		for b := 0; b < g.NumBuckets; b++ {
-			if got, want := bucketLevel(b), bucketLevelLoop(b); got != want {
-				t.Fatalf("bucketLevel(%d) = %d, the loop gives %d", b, got, want)
+			if got, want := meta.BucketLevel(b), bucketLevelLoop(b); got != want {
+				t.Fatalf("BucketLevel(%d) = %d, the loop gives %d", b, got, want)
 			}
 		}
 	}

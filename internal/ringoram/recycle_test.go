@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // TestRecycledBufferFailsAuthentication: in race builds both kinds of buffer
@@ -25,10 +26,7 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 		must(t, err)
 		_, err = o.PlanWrite("k", []byte("v"), false, nil)
 		must(t, err)
-		ep := evictNow(t, o)
-		_, _, images, err := o.Complete(ep, make([][]byte, len(ep.Reads)))
-		must(t, err)
-		return o, images
+		return o, completeAll(t, o, evictNow(t, o))
 	}
 
 	t.Run("seal arena", func(t *testing.T) {
@@ -62,14 +60,13 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 		o.KeepLocal()
 		_, err = o.PlanWrite("k", []byte("v"), false, nil)
 		must(t, err)
-		ep := evictNow(t, o)
-		buckets := slices.Clone(ep.Buckets)
-		_, _, _, err = o.Complete(ep, make([][]byte, len(ep.Reads)))
-		must(t, err)
-		steps, err := o.PlanRead("k", nil)
+		steps := evictNow(t, o)
+		buckets := slices.Clone(steps[len(steps)-1].Buckets)
+		completeAll(t, o, steps)
+		steps, err = o.PlanRead("k", nil)
 		must(t, err)
 		plan := steps[0]
-		target := slices.IndexFunc(plan.Reads, func(r SlotRead) bool { return r.entry != nil })
+		target := slices.IndexFunc(plan.Reads, func(r meta.SlotRead) bool { return r.Block() != 0 })
 		if target < 0 || !plan.Reads[target].Local() {
 			t.Fatal("the evicted block is not read from the table")
 		}
@@ -79,7 +76,7 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 		// Recycle the eviction's images behind the table's back: the table
 		// still names them, and a read served from one must fail.
 		for _, b := range buckets {
-			o.local.versions[b].cur.buf.recycle()
+			o.local.bufs[b].cur.recycle()
 		}
 		if _, _, _, err := o.Complete(plan, make([][]byte, len(plan.Reads))); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("a block of a recycled image read locally: %v, want ErrCorrupt (the image was not poisoned)", err)
@@ -88,10 +85,9 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 }
 
 // mustServe is the table's plaintext for a local read that carries a block.
-func mustServe(t *testing.T, o *ORAM, r SlotRead) []byte {
+func mustServe(t *testing.T, o *ORAM, r meta.SlotRead) []byte {
 	t.Helper()
-	plain, err := o.local.serve(r)
-	must(t, err)
+	plain := o.local.serve(r)
 	if plain == nil {
 		t.Fatalf("bucket %d slot %d holds no block in the table", r.Bucket, r.Slot)
 	}

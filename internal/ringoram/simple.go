@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // Store is the slot-granularity storage interface the sequential client
@@ -26,8 +27,8 @@ type Store interface {
 type Seq struct {
 	oram  *ORAM
 	store Store
-	arena SealArena // each bucket is sealed into it and written at once
-	steps []*Plan   // the operation being run, reused
+	arena SealArena    // each bucket is sealed into it and written at once
+	steps []*meta.Plan // the operation being run, reused
 }
 
 // NewSeq creates a sequential Ring ORAM over store and writes its fresh tree,
@@ -98,7 +99,7 @@ func (s *Seq) DummyRead() error {
 // run performs an operation's steps in plan order: each step's reads one slot
 // at a time, its completion, and the buckets it rewrites one at a time. It
 // returns the access's value.
-func (s *Seq) run(steps []*Plan) ([]byte, bool, error) {
+func (s *Seq) run(steps []*meta.Plan) ([]byte, bool, error) {
 	defer clear(steps)
 	var value []byte
 	var found bool
@@ -111,7 +112,7 @@ func (s *Seq) run(steps []*Plan) ([]byte, bool, error) {
 			}
 			data[i] = d
 		}
-		access := p.Kind == AccessStep
+		access := p.Kind == meta.AccessStep
 		v, f, images, err := s.oram.Complete(p, data)
 		if err == nil {
 			err = s.writeBack(images)

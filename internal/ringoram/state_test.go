@@ -3,14 +3,15 @@ package ringoram
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
-	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // buildWorkload creates a Seq, applies a deterministic workload, and returns
@@ -44,7 +45,7 @@ var stateKey = cryptoutil.KeyFromSeed([]byte("state"))
 // image takes a checkpoint image of o with no padding and no framing room.
 func image(t *testing.T, o *ORAM, full bool) []byte {
 	t.Helper()
-	img, err := o.EncodeCheckpoint(full, CheckpointPad{}, 0, 0)
+	img, err := o.EncodeCheckpoint(full, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func restoreFrom(t *testing.T, o *ORAM, full []byte, deltas ...[]byte) *ORAM {
 
 // pathSlots lists the physical slot an access plan reads in each path bucket
 // — what the durability log records for it.
-func pathSlots(p *Plan) []int {
+func pathSlots(p *meta.Plan) []int {
 	out := make([]int, len(p.Reads))
 	for i, r := range p.Reads {
 		out[i] = r.Slot
@@ -73,7 +74,7 @@ func pathSlots(p *Plan) []int {
 
 // evictSlots lists, per bucket of an eviction plan, the slots its read phase
 // reads — what the durability log records for it.
-func evictSlots(p *Plan) [][]int {
+func evictSlots(p *meta.Plan) [][]int {
 	out := make([][]int, len(p.Buckets))
 	i := 0
 	for bi, b := range p.Buckets {
@@ -84,39 +85,124 @@ func evictSlots(p *Plan) [][]int {
 	return out
 }
 
-// requireSameClient fails unless got holds exactly want's metadata: every
-// bucket's permutation, resident keys, valid map, count and version, the
-// position map and location index in table order, the stash in order, and the
-// counters.
+// requireSameClient fails unless got holds exactly want's metadata and
+// stash: every bucket's permutation, resident keys, valid map, count and
+// version, the position map and location index in table order, the stash in
+// order with each block's slot, and the counters. A full image carries all
+// of it but the slots; the bitsets derived from it are the machine's to
+// check (meta.TestRestoreKeepsInvariants).
 func requireSameClient(t *testing.T, want, got *ORAM) {
 	t.Helper()
-	if want.accessCount != got.accessCount || want.evictCount != got.evictCount {
-		t.Fatalf("counters: want %d/%d, got %d/%d", want.accessCount, want.evictCount, got.accessCount, got.evictCount)
+	w, g := snap(t, want), snap(t, got)
+	if !reflect.DeepEqual(w, g) {
+		for i := range min(len(w.keys), len(g.keys)) {
+			if w.keys[i] != g.keys[i] {
+				t.Fatalf("position map entry %d: want %+v, got %+v", i, w.keys[i], g.keys[i])
+			}
+		}
+		for b := range min(len(w.buckets), len(g.buckets)) {
+			if !reflect.DeepEqual(w.buckets[b], g.buckets[b]) {
+				t.Fatalf("bucket %d diverges:\nwant %+v\ngot  %+v", b, w.buckets[b], g.buckets[b])
+			}
+		}
+		t.Fatalf("metadata diverges:\nwant %+v\ngot  %+v", w, g)
 	}
-	if len(want.keys) != len(got.keys) {
-		t.Fatalf("position map: want %d keys, got %d", len(want.keys), len(got.keys))
-	}
-	for i := range want.keys {
-		if w, g := want.keys[i], got.keys[i]; w.name != g.name || w.leaf != g.leaf || w.bucket != g.bucket || (w.bucket >= 0 && w.rpos != g.rpos) {
-			t.Fatalf("position map entry %d: want %+v, got %+v", i, w, g)
+	for i, e := range w.stash {
+		if ws, gs := slotOf(t, want, e.key), slotOf(t, got, e.key); !bytes.Equal(ws, gs) {
+			t.Fatalf("stash entry %d (%q): want slot %x, got %x", i, e.key, ws, gs)
 		}
 	}
-	for b := range want.meta {
-		w, g := &want.meta[b], &got.meta[b]
-		if !reflect.DeepEqual(w.perm, g.perm) || !reflect.DeepEqual(w.addrs, g.addrs) || !reflect.DeepEqual(w.words, g.words) ||
-			w.count != g.count || w.writeVer != g.writeVer {
-			t.Fatalf("bucket %d diverges:\nwant %+v\ngot  %+v", b, *w, *g)
+}
+
+// slotOf returns the plaintext slot o's stash holds for key.
+func slotOf(t *testing.T, o *ORAM, key string) []byte {
+	t.Helper()
+	for b, s := range o.slots {
+		if s != nil && o.m.Key(meta.Block(b)) == key {
+			return s
 		}
 	}
-	if len(want.stashList) != len(got.stashList) {
-		t.Fatalf("stash: want %d entries, got %d", len(want.stashList), len(got.stashList))
+	t.Fatalf("the stash holds no slot for %q", key)
+	return nil
+}
+
+// snapshot is a client's metadata as its full checkpoint image carries it:
+// what the tests check the machine's invariants on from outside it.
+type snapshot struct {
+	access, evict uint64
+	keys          []snapKey    // in table order
+	buckets       []snapBucket // by heap index
+	stash         []snapStash  // in stash order
+}
+
+type snapKey struct {
+	name              string
+	leaf, bucket, pos int // bucket -1: not in the tree
+}
+
+type snapBucket struct {
+	count int
+	valid []bool // by physical slot
+	ver   uint64
+	perm  []int
+}
+
+type snapStash struct {
+	key                  string
+	leaf                 int
+	tombstone, cacheable bool
+	value                string
+}
+
+// snap decodes o's full checkpoint image (the format is meta/checkpoint.go's).
+func snap(t *testing.T, o *ORAM) snapshot {
+	t.Helper()
+	img := image(t, o, true)
+	be := binary.BigEndian
+	keySize, slotsPer := int(be.Uint16(img[1:])), int(be.Uint16(img[5:]))
+	s := snapshot{access: be.Uint64(img[11:]), evict: be.Uint64(img[19:])}
+	nKeys, nBuckets, nStash := int(be.Uint32(img[27:])), int(be.Uint32(img[35:])), int(be.Uint32(img[39:]))
+	b := img[43:]
+	key := func() string {
+		k := string(b[2 : 2+be.Uint16(b)])
+		b = b[2+keySize:]
+		return k
 	}
-	for i, w := range want.stashList {
-		g := got.stashList[i]
-		if w.key != g.key || !bytes.Equal(w.slot, g.slot) || w.leaf != g.leaf || w.cacheable != g.cacheable {
-			t.Fatalf("stash entry %d: want %+v, got %+v", i, *w, *g)
+	for range nKeys {
+		k := snapKey{name: key(), leaf: int(be.Uint32(b)), bucket: int(int32(be.Uint32(b[4:]))), pos: int(be.Uint16(b[8:]))}
+		if k.bucket < 0 {
+			k.pos = 0
 		}
+		s.keys = append(s.keys, k)
+		b = b[10:]
 	}
+	for range nBuckets {
+		bk := snapBucket{count: int(be.Uint16(b[4:])), valid: make([]bool, slotsPer)}
+		b = b[6:]
+		for i := range bk.valid {
+			bk.valid[i] = b[i/8]&(1<<(i%8)) != 0
+		}
+		b = b[(slotsPer+7)/8:]
+		bk.ver, b = be.Uint64(b), b[8:]
+		for range slotsPer {
+			if slotsPer > 256 {
+				bk.perm, b = append(bk.perm, int(be.Uint16(b))), b[2:]
+			} else {
+				bk.perm, b = append(bk.perm, int(b[0])), b[1:]
+			}
+		}
+		s.buckets = append(s.buckets, bk)
+	}
+	for range nStash {
+		e := snapStash{key: key(), tombstone: b[0]&1 != 0, cacheable: b[0]&2 != 0, leaf: int(be.Uint32(b[1:]))}
+		n := int(be.Uint32(b[5:]))
+		e.value, b = string(b[9:9+n]), b[9+n:]
+		s.stash = append(s.stash, e)
+	}
+	if len(b) != 0 {
+		t.Fatalf("%d bytes left after decoding a full image", len(b))
+	}
+	return s
 }
 
 func TestSnapshotRestoreFull(t *testing.T) {
@@ -167,11 +253,11 @@ func TestSnapshotDelta(t *testing.T) {
 		extra[k] = v
 	}
 	delta := image(t, seq.ORAM(), false)
-	fi, err := InspectImage(full)
+	fi, err := meta.InspectImage(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	di, err := InspectImage(delta)
+	di, err := meta.InspectImage(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,31 +307,57 @@ func TestSnapshotRejectsWrongShape(t *testing.T) {
 	}
 }
 
+// TestDirtyTracking reads delta tracking off unpadded delta images: empty
+// right after ClearDirty, one position-map entry for two writes of one key,
+// and every dirty bucket listed exactly once, as touched or as rewritten.
 func TestDirtyTracking(t *testing.T) {
 	seq, _, _ := buildWorkload(t, 26)
 	o := seq.ORAM()
 	o.ClearDirty()
-	if len(o.dirtyKeys) != 0 || len(o.dirtyBuckets) != 0 {
-		t.Fatalf("dirty after clear: %d keys, %d buckets", len(o.dirtyKeys), len(o.dirtyBuckets))
-	}
-	for b, level := range o.bucketDirty {
-		if level != bucketClean {
-			t.Fatalf("bucket %d still at dirty level %d after clear", b, level)
-		}
+	if info, err := meta.InspectImage(image(t, o, false)); err != nil || info.PosEntries != 0 || info.Buckets != 0 {
+		t.Fatalf("dirty after clear: %+v, %v", info, err)
 	}
 	must(t, seq.Write("fresh", []byte("v")))
 	must(t, seq.Write("fresh", []byte("w")))
-	if len(o.dirtyKeys) != 1 {
-		t.Fatalf("two writes of one key left %d dirty position-map entries, want 1", len(o.dirtyKeys))
+	delta := image(t, o, false)
+	info, err := meta.InspectImage(delta)
+	must(t, err)
+	if info.PosEntries != 1 {
+		t.Fatalf("two writes of one key left %d dirty position-map entries, want 1", info.PosEntries)
 	}
-	// Every dirty bucket is listed exactly once, at the level its flag says.
-	seen := make(map[int32]bool)
-	for _, b := range o.dirtyBuckets {
-		if seen[b] || o.bucketDirty[b] == bucketClean {
-			t.Fatalf("dirty list entry for bucket %d: repeated=%v level=%d", b, seen[b], o.bucketDirty[b])
+	seen := make(map[int]bool)
+	for _, b := range deltaBuckets(o, delta) {
+		if seen[b] {
+			t.Fatalf("the delta lists bucket %d twice", b)
 		}
 		seen[b] = true
 	}
+	if len(seen) != info.Buckets {
+		t.Fatalf("the delta lists %d distinct buckets of %d entries", len(seen), info.Buckets)
+	}
+}
+
+// deltaBuckets returns the bucket of every touched and rewritten entry of an
+// unpadded delta image of o's.
+func deltaBuckets(o *ORAM, img []byte) []int {
+	be := binary.BigEndian
+	p, g := o.Params(), o.Geometry()
+	keyField, validBytes := 2+p.KeySize, (g.SlotsPer+7)/8
+	width := 1
+	if g.SlotsPer > 256 {
+		width = 2
+	}
+	b := img[43+int(be.Uint32(img[27:]))*(keyField+4):]
+	var ids []int
+	for i, n := 0, int(be.Uint32(img[35:])); i < int(be.Uint32(img[31:]))+n; i++ {
+		ids = append(ids, int(be.Uint32(b)))
+		if i < int(be.Uint32(img[31:])) {
+			b = b[6+validBytes+(p.Z+7)/8:]
+		} else {
+			b = b[6+validBytes+8+g.SlotsPer*width+p.Z*keyField:]
+		}
+	}
+	return ids
 }
 
 // TestReplayReadProducesSameSlots exercises the recovery replay path: a
@@ -316,7 +428,7 @@ func TestReplayRejectsDivergence(t *testing.T) {
 	restored := restoreFrom(t, seq.ORAM(), st)
 	geo := restored.Geometry()
 	// Wrong number of slots.
-	if _, err := restored.Replay([]LogEntry{{Kind: AccessStep, Slots: make([]int, geo.Levels+5)}}, nil); err == nil {
+	if _, err := restored.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Slots: make([]int, geo.Levels+5)}}, nil); err == nil {
 		t.Fatal("wrong slot count accepted")
 	}
 	// Out-of-range slot index.
@@ -324,7 +436,7 @@ func TestReplayRejectsDivergence(t *testing.T) {
 	for i := range bad {
 		bad[i] = geo.SlotsPer + 10
 	}
-	if _, err := restored.Replay([]LogEntry{{Kind: AccessStep, Slots: bad}}, nil); err == nil {
+	if _, err := restored.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Slots: bad}}, nil); err == nil {
 		t.Fatal("out-of-range slots accepted")
 	}
 }
@@ -348,7 +460,7 @@ func TestReplayReadRejectsLeafOutOfRange(t *testing.T) {
 						t.Fatalf("replaying an access of %q at leaf %d panicked: %v", key, leaf, r)
 					}
 				}()
-				if _, err := o.Replay([]LogEntry{{Kind: AccessStep, Key: key, Leaf: leaf, Slots: slots}}, nil); !errors.Is(err, ErrReplay) {
+				if _, err := o.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Key: key, Leaf: leaf, Slots: slots}}, nil); !errors.Is(err, meta.ErrReplay) {
 					t.Fatalf("replaying an access of %q at leaf %d: %v, want ErrReplay", key, leaf, err)
 				}
 			}()
@@ -361,7 +473,7 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 	st := image(t, seq.ORAM(), true)
 	// Live eviction to log: padding bumps until one falls due, which the
 	// bump that makes it due plans right after itself.
-	var steps []*Plan
+	var steps []*meta.Plan
 	bumps := 0
 	for len(steps) < 2 {
 		var err error
@@ -371,7 +483,7 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 		bumps++
 	}
 	plan := steps[1]
-	if len(steps) != 2 || plan.Kind != EvictStep {
+	if len(steps) != 2 || plan.Kind != meta.EvictStep {
 		t.Fatalf("a padding bump planned %d steps, the second of kind %d, want one evict-path", len(steps), plan.Kind)
 	}
 	logged := evictSlots(plan)
@@ -383,7 +495,7 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 	restored := restoreFrom(t, seq.ORAM(), st)
 	for i := 0; i < bumps; i++ {
 		// The schedule owes the eviction only once every bump is replayed.
-		if _, err := restored.Replay(entries[1:], nil); !errors.Is(err, ErrReplay) {
+		if _, err := restored.Replay(entries[1:], nil); !errors.Is(err, meta.ErrReplay) {
 			t.Fatalf("an eviction replayed %d bumps early: %v, want ErrReplay", bumps-i, err)
 		}
 		if i < bumps-1 {
@@ -430,7 +542,7 @@ func TestSnapshotWithPendingFails(t *testing.T) {
 	}
 	if len(steps[0].Reads) > 0 {
 		// Mid-flight: a pending stash entry exists.
-		if _, err := seq.ORAM().EncodeCheckpoint(true, CheckpointPad{}, 0, 0); err == nil {
+		if _, err := seq.ORAM().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0); err == nil {
 			t.Fatal("snapshot with pending entries accepted")
 		}
 		// Finish the access to restore a clean state.
@@ -453,7 +565,7 @@ func TestRestoreMatchesLiveClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := seq.ORAM()
-	pad := CheckpointPad{PosEntries: 24, StashEntries: o.Params().StashLimit, ValueSize: 8}
+	pad := meta.CheckpointPad{PosEntries: 24, StashEntries: o.Params().StashLimit, ValueSize: 8}
 	rng := rand.New(rand.NewPCG(41, 42))
 	var full []byte
 	var deltas [][]byte
@@ -488,23 +600,22 @@ func TestRestoreMatchesLiveClient(t *testing.T) {
 		restored := restoreFrom(t, o, full, deltas...)
 		requireSameClient(t, o, restored)
 		checkMetaConsistency(t, restored)
-		if again := image(t, restored, true); !bytes.Equal(again, image(t, o, true)) {
-			t.Fatalf("epoch %d: the restored client's full image differs from the live client's", epoch)
-		}
 	}
 }
 
 // TestShuffleMatchesRandPerm pins the in-place permutation to rand.Perm's
 // draw sequence: seeded traces recorded before the planner stopped
-// allocating stay valid.
+// allocating stay valid. A fresh tree's permutations are the seeded
+// generator's first draws, one bucket after another in heap order.
 func TestShuffleMatchesRandPerm(t *testing.T) {
-	a := &ORAM{rng: rand.New(rand.NewPCG(7, 8))}
-	ref := rand.New(rand.NewPCG(7, 8))
-	perm := make([]int, 40)
-	for round := 0; round < 10; round++ {
-		a.shuffle(perm)
-		if want := ref.Perm(len(perm)); !reflect.DeepEqual(perm, want) {
-			t.Fatalf("round %d: shuffle drew %v, rand.Perm %v", round, perm, want)
+	p := Params{NumBlocks: 64, Z: 16, S: 24, A: 16, Seed: 7, DisableEncryption: true}
+	o, err := New(nil, p)
+	must(t, err)
+	ref := rand.New(rand.NewPCG(p.Seed, p.Seed^0x9e3779b97f4a7c15))
+	for b := range o.Geometry().NumBuckets {
+		perm, fresh := o.m.Fresh(b)
+		if want := ref.Perm(len(perm)); !fresh || !reflect.DeepEqual(perm, want) {
+			t.Fatalf("bucket %d: shuffle drew %v, rand.Perm %v", b, perm, want)
 		}
 	}
 }
@@ -570,59 +681,5 @@ func TestCheckpointImageDeterministic(t *testing.T) {
 				t.Errorf("delta image sha256 %s, pinned %s", got, c.wantDel)
 			}
 		})
-	}
-}
-
-// TestBitsetWordsMatchPerBit checks the word-level bitset operations against
-// bit-at-a-time references for universes of 1 to 130 members: putBits
-// writes the bytes setting bit i%8 of byte i/8 for each member writes,
-// readBits inverts it and drops whatever lies past the universe, nth is the
-// ascending member list's k-th entry, and setRange holds exactly its range.
-func TestBitsetWordsMatchPerBit(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for n := 1; n <= 130; n++ {
-		for round := 0; round < 20; round++ {
-			s := make(bitset, wordsFor(n))
-			var members []int
-			for i := 0; i < n; i++ {
-				if rng.IntN(3) == 0 {
-					s.set(i)
-					members = append(members, i)
-				}
-			}
-			want := make([]byte, (n+7)/8)
-			for _, i := range members {
-				want[i/8] |= 1 << (i % 8)
-			}
-			got := make([]byte, len(want))
-			putBits(got, s)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("n=%d members %v: putBits wrote %x, per bit %x", n, members, got, want)
-			}
-			if n%8 != 0 {
-				got[len(got)-1] |= 0xFF << (n % 8) // bits past the universe
-			}
-			back := make(bitset, len(s))
-			readBits(back, got, n)
-			if !slices.Equal(back, s) {
-				t.Fatalf("n=%d: readBits gave %x, want %x", n, back, s)
-			}
-			if s.len() != len(members) {
-				t.Fatalf("n=%d: len %d, %d members", n, s.len(), len(members))
-			}
-			for k, m := range members {
-				if got := s.nth(k); got != m {
-					t.Fatalf("n=%d members %v: nth(%d) = %d, want %d", n, members, k, got, m)
-				}
-			}
-			lo := rng.IntN(n + 1)
-			hi := lo + rng.IntN(n+1-lo)
-			s.setRange(lo, hi)
-			for i := 0; i < len(s)*64; i++ {
-				if s.has(i) != (i >= lo && i < hi) {
-					t.Fatalf("n=%d: setRange(%d, %d) has(%d) = %v", n, lo, hi, i, s.has(i))
-				}
-			}
-		}
 	}
 }

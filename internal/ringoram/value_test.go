@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // TestValuePathAllocBudget pins what a value costs inside the ORAM once the
@@ -25,7 +26,7 @@ func TestValuePathAllocBudget(t *testing.T) {
 	must(t, err)
 	keys := make([]string, 16)
 	value := make([]byte, p.ValueSize)
-	var steps []*Plan
+	var steps []*meta.Plan
 	write := func() {
 		for _, k := range keys {
 			if steps, err = o.PlanWrite(k, value, false, steps[:0]); err != nil || len(steps) != 1 {

@@ -6,6 +6,7 @@ import (
 	"obladi/internal/cryptoutil"
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 )
 
 // scheduler plans batches over a scratch ORAM so tests have real schedules
@@ -21,7 +22,7 @@ func newScheduler(t *testing.T) scheduler {
 }
 
 // access returns the log of a one-read batch for key.
-func (s scheduler) access(key string) ringoram.BatchLog {
+func (s scheduler) access(key string) meta.BatchLog {
 	s.t.Helper()
 	plan, err := s.exec.PlanReadBatch([]oramexec.ReadOp{{Key: key}})
 	if err != nil {
@@ -31,7 +32,7 @@ func (s scheduler) access(key string) ringoram.BatchLog {
 }
 
 // bump returns the log of a write batch holding one padding slot.
-func (s scheduler) bump() ringoram.BatchLog {
+func (s scheduler) bump() meta.BatchLog {
 	s.t.Helper()
 	plan, err := s.exec.PlanWriteBatch([]oramexec.WriteOp{{}})
 	if err != nil {
@@ -126,7 +127,7 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 	if len(rec.AbortedBatches) != 3 {
 		t.Fatalf("aborted batches = %d, want 3 (two of epoch 2, one of epoch 3)", len(rec.AbortedBatches))
 	}
-	if rec.AbortedBatches[0][0].Key != "e2-r" || rec.AbortedBatches[1][0].Kind != ringoram.WriteStep || rec.AbortedBatches[2][0].Key != "e3-r" {
+	if rec.AbortedBatches[0][0].Key != "e2-r" || rec.AbortedBatches[1][0].Kind != meta.WriteStep || rec.AbortedBatches[2][0].Key != "e3-r" {
 		t.Fatalf("aborted batches out of schedule order: %+v", rec.AbortedBatches)
 	}
 	// Recovery commits its replay under the HIGHEST aborted epoch so these

@@ -13,6 +13,7 @@ import (
 	"obladi/internal/cryptoutil"
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -148,7 +149,7 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := ringoram.InspectImage(plain[checkpointHeaderSize:])
+		info, err := meta.InspectImage(plain[checkpointHeaderSize:])
 		if err != nil || info.Full || info.PosEntries != formatEpochAccesses || info.Buckets != formatParams.Geometry().NumBuckets {
 			t.Fatalf("%s epoch's checkpoint: %+v, %v; want a delta of %d position entries over every bucket", name, info, err, formatEpochAccesses)
 		}
@@ -172,7 +173,7 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if entries, err := ringoram.DecodeBatchLog(plain[batchHeaderSize:]); err != nil || len(entries) != 3 {
+		if entries, err := meta.DecodeBatchLog(plain[batchHeaderSize:]); err != nil || len(entries) != 3 {
 			t.Fatalf("batch logged %d entries (%v), want 3 accesses", len(entries), err)
 		}
 		return rec

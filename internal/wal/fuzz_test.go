@@ -7,6 +7,7 @@ import (
 	"obladi/internal/cryptoutil"
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -116,7 +117,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			if rec, err := l.Recover(); err == nil {
 				for _, entries := range rec.AbortedBatches {
 					for _, le := range entries {
-						if le.Kind < ringoram.AccessStep || le.Kind > ringoram.WriteStep {
+						if le.Kind < meta.AccessStep || le.Kind > meta.WriteStep {
 							t.Fatalf("decoder let entry kind %d through", le.Kind)
 						}
 					}

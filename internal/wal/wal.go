@@ -36,12 +36,12 @@
 // plaintext starts with a format version byte and a fixed header, followed by
 // a payload the owning package lays out in fixed-width entries:
 //
-//	batch       version(u8) epoch(u64) batch(u32)              | ringoram batch log
-//	checkpoint  version(u8) epoch(u64) shard(u32) shards(u32)  | ringoram checkpoint image
+//	batch       version(u8) epoch(u64) batch(u32)              | meta batch log
+//	checkpoint  version(u8) epoch(u64) shard(u32) shards(u32)  | meta checkpoint image
 //
-// Both payload formats are ringoram's, and both are written straight from
+// Both payload formats are ringoram/meta's, and both are written straight from
 // the ORAM's planned steps and live metadata into the record buffer
-// (ringoram.BatchLog, EncodeCheckpoint): there is no intermediate
+// (meta.BatchLog, EncodeCheckpoint): there is no intermediate
 // representation, no reflection, and one allocation per record. A record
 // whose version byte is not formatVersion — version 0 is the retired gob
 // encoding, version 1 committed epochs with a record of their own — fails
@@ -64,6 +64,7 @@ import (
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -103,7 +104,7 @@ type Config struct {
 	// Public is the deployment's public parameters: every checkpoint takes
 	// its cadence and padded shape from it. A log without one can append
 	// batch records and recover, but refuses to checkpoint.
-	Public *ringoram.Public
+	Public *meta.Public
 }
 
 // Log is the recovery unit client.
@@ -247,7 +248,7 @@ func (l *Log) open(rec []byte, headerSize int) ([]byte, error) {
 // one fsync per record. The append and the note share one critical section:
 // a batch record that reaches the store ahead of a checkpoint is then always
 // noted before a Retire standing on that checkpoint can read the marks.
-func (l *Log) AppendBatch(epoch uint64, batch int, log ringoram.BatchLog) error {
+func (l *Log) AppendBatch(epoch uint64, batch int, log meta.BatchLog) error {
 	rec, plain := newRecord(kindBatch, batchHeaderSize+log.EncodedSize())
 	putHeader(plain, epoch)
 	binary.BigEndian.PutUint32(plain[9:], uint32(batch))
@@ -494,7 +495,7 @@ type Recovery struct {
 	// two uncommitted epochs can be in flight at once: the sealed epoch
 	// whose commit had not landed, and its successor that was already
 	// issuing read batches.
-	AbortedBatches [][]ringoram.LogEntry
+	AbortedBatches [][]meta.LogEntry
 	// MaxAbortedEpoch is the highest epoch appearing in AbortedBatches (0
 	// when none). Recovery commits its replay under this epoch so a later
 	// crash can never replay the dead generation's records again.
@@ -561,7 +562,7 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 			haveFloorCp = true
 		}
 		image := plain[checkpointHeaderSize:]
-		info, err := ringoram.InspectImage(image)
+		info, err := meta.InspectImage(image)
 		if err != nil {
 			return nil, fmt.Errorf("wal: checkpoint record %d: %w", i, err)
 		}
@@ -603,7 +604,7 @@ func (l *Log) RecoverWithFloor(floor uint64) (*Recovery, error) {
 		if epoch <= r.CommittedEpoch {
 			continue // batch of a committed (already durable) epoch
 		}
-		entries, err := ringoram.DecodeBatchLog(plain[batchHeaderSize:])
+		entries, err := meta.DecodeBatchLog(plain[batchHeaderSize:])
 		if err != nil {
 			return nil, fmt.Errorf("wal: batch record %d: %w", i, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"obladi/internal/cryptoutil"
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -29,9 +30,9 @@ type schedule struct{ r, bread, bwrite, cadence int }
 
 // publicOf is the public value of a log over o: o's parameters with the
 // schedule s. A delta checkpoint's position map pads to r·bread + bwrite.
-func publicOf(t testing.TB, o *ringoram.ORAM, s schedule) *ringoram.Public {
+func publicOf(t testing.TB, o *ringoram.ORAM, s schedule) *meta.Public {
 	t.Helper()
-	pub, err := ringoram.NewPublic(o.Params(), s.r, s.bread, s.bwrite, s.cadence)
+	pub, err := meta.NewPublic(o.Params(), s.r, s.bread, s.bwrite, s.cadence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestCheckpointCommitRecover(t *testing.T) {
 	if rec.CommittedEpoch != 1 {
 		t.Fatalf("committed epoch = %d", rec.CommittedEpoch)
 	}
-	if info, err := ringoram.InspectImage(rec.Full); err != nil || !info.Full {
+	if info, err := meta.InspectImage(rec.Full); err != nil || !info.Full {
 		t.Fatalf("no full checkpoint recovered: %+v, %v", info, err)
 	}
 	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
@@ -272,7 +273,7 @@ func TestPaddingMakesDeltasConstantSize(t *testing.T) {
 	}
 	// Checkpoints 2 and 3 dirtied the same buckets' worth of public schedule
 	// or not — what must not differ is the padded part: entry counts.
-	var infos []ringoram.ImageInfo
+	var infos []meta.ImageInfo
 	for _, r := range recs {
 		if r[0] != kindCheckpointCommitting {
 			continue
@@ -281,7 +282,7 @@ func TestPaddingMakesDeltasConstantSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := ringoram.InspectImage(plain[checkpointHeaderSize:])
+		info, err := meta.InspectImage(plain[checkpointHeaderSize:])
 		if err != nil {
 			t.Fatal(err)
 		}
