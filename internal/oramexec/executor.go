@@ -13,16 +13,16 @@
 // ReplayBatch executes what the ORAM's Replay plans.
 //
 // The executor schedules I/O and owns no block bytes. The ORAM's local-version
-// table holds every bucket version the epoch's evictions write and the
-// resident top of the tree, marks the reads it serves Local as they are
-// planned, and serves them at completion; the executor issues the others. It also does the table's I/O: LoadResident,
-// one vectored read of the resident buckets' Z real slots before anything is
-// planned over restored metadata, and the write-back, which seals only the
-// versions that reach storage, into an arena reused by the next flush, and
-// writes them in one call. At the pipelined boundary SealEpoch detaches the
-// epoch's versions, which a background committer writes (FlushSealed) while
-// the next epoch's batches run. Write-through mode keeps no table and writes
-// each eviction's whole buckets at once.
+// table holds every bucket version the epoch's evictions write and the resident
+// top of the tree, marks the reads it serves Local as they are planned, and
+// serves them at completion; the executor issues the others. It also does the
+// table's I/O: LoadResident, one vectored read of the resident buckets' Z real
+// slots before anything is planned over restored metadata, and the write-back,
+// which seals only the versions that reach storage, into an arena reused by the
+// next flush, and writes them in one call. At the pipelined boundary SealEpoch
+// detaches the epoch's versions, which a background committer writes
+// (FlushSealed) while the next epoch's batches run. Write-through mode keeps no
+// table and writes each eviction's whole buckets at once.
 package oramexec
 
 import (

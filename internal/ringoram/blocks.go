@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"obladi/internal/cryptoutil"
-	"obladi/internal/ringoram/meta"
 )
 
 // The block plane. A block's plaintext has one representation from the
@@ -14,7 +13,7 @@ import (
 // into its stash entry's slot, a read's completion opens or copies into one,
 // an eviction moves its placed entries' slots into the bucket image, and the
 // seal copies each into its frame. The images an eviction leaves are the
-// local-version table's (see local.go) until nothing holds them.
+// local-version table's (see local.go) until the machine releases them.
 
 // blockPool is the one allocator of block plaintext: slots of one plaintext
 // slot each, carved from large chunks and recycled through a free list. It
@@ -82,26 +81,24 @@ type BucketImage struct {
 	Blocks [][]byte
 
 	perm []int // perm[pos] = physical slot; pos < Z real, else dummy
-	trim bool  // sealed as its Z real positions alone (a resident bucket)
 	buf  *imageBuf
 }
 
-// imageBuf is a pooled buffer for one bucket image: the version's number and
-// permutation and the headers of its blocks, which belong to the blockPool.
+// imageBuf is a pooled buffer for one bucket image: the memory of its
+// permutation and of the headers of its blocks, which belong to the
+// blockPool.
 type imageBuf struct {
-	ver    uint64
 	perm   []int
 	blocks [][]byte
 	pool   *sync.Pool
 	free   *blockPool
 }
 
-// len is the number of blocks b holds, 0 for no buffer.
-func (b *imageBuf) len() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.blocks)
+// newImage is version ver of bucket b in a pooled buffer, holding no block
+// yet.
+func (o *ORAM) newImage(b int, ver uint64) BucketImage {
+	ib := o.imagePool.Get().(*imageBuf)
+	return BucketImage{Bucket: b, Ver: ver, Blocks: ib.blocks, perm: ib.perm, buf: ib}
 }
 
 // Real returns the physical slots of the image's blocks: the block at
@@ -127,32 +124,12 @@ func (im *BucketImage) Block(s int) []byte {
 // read of one fails to decode instead of passing with stale bytes.
 func (im *BucketImage) Recycle() {
 	if b := im.buf; b != nil {
+		b.free.put(im.Blocks...)
+		clear(im.Blocks)
+		b.blocks = im.Blocks[:0]
 		im.buf, im.Blocks, im.perm = nil, nil, nil
-		b.recycle()
+		b.pool.Put(b)
 	}
-}
-
-// recycle returns the buffer and its blocks to their pools.
-func (b *imageBuf) recycle() {
-	b.free.put(b.blocks...)
-	clear(b.blocks)
-	b.blocks = b.blocks[:0]
-	b.pool.Put(b)
-}
-
-// imageOf builds the image of a bucket version an eviction writes in a
-// pooled buffer: the permutation, and each placed block's slot, which moves
-// into the image.
-func (o *ORAM) imageOf(w *meta.BucketWrite) BucketImage {
-	ib := o.imagePool.Get().(*imageBuf)
-	ib.ver = w.Ver
-	copy(ib.perm, w.Perm)
-	for _, b := range w.Placed {
-		slot := o.slot(b)
-		ib.blocks = append(ib.blocks, *slot)
-		*slot = nil
-	}
-	return o.local.image(w.Bucket, ib)
 }
 
 // SealFresh seals bucket b of the fresh tree New drew into a, as SealImage
@@ -164,7 +141,7 @@ func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
 	if !fresh {
 		return nil, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
 	}
-	return o.SealImage(BucketImage{Bucket: b, Ver: 1, perm: perm, trim: b < o.local.resident}, a)
+	return o.SealImage(BucketImage{Bucket: b, Ver: 1, perm: perm}, a)
 }
 
 // SealedSlots returns how many slots SealImage has sealed, SealFresh's
@@ -250,8 +227,8 @@ func (a *SealArena) take(n, size int) ([]byte, [][]byte) {
 // configuration, never state the ORAM's lock guards, so a committer may seal
 // one epoch's images while the next epoch plans and completes.
 func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
-	n := o.geo.SlotsPer
-	if im.trim {
+	n, trim := o.geo.SlotsPer, im.Bucket < o.resident
+	if trim {
 		n = o.p.Z
 	}
 	if a.filler == nil && o.cdc.key != nil {
@@ -266,7 +243,7 @@ func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
 	a.bind = cryptoutil.AppendBinding(a.bind[:0], uint64(im.Bucket), im.Ver, 0)
 	for pos, b := range im.Blocks {
 		frame := slots[pos]
-		if !im.trim {
+		if !trim {
 			frame = slots[im.perm[pos]]
 		}
 		copy(o.cdc.plainOf(frame), b)

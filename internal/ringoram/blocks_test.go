@@ -83,10 +83,9 @@ func (c *planeClient) endEpoch() {
 // block prev's version holds at that physical slot.
 func (c *planeClient) load(prev *ORAM) {
 	o, z := c.oram, c.oram.p.Z
-	held := make([]map[int][]byte, o.local.resident)
+	held := make([]map[int][]byte, o.resident)
 	for b := range held {
-		if cur := prev.localCur(b); cur != nil {
-			im := prev.local.image(b, cur)
+		if im := prev.localCur(b); im.buf != nil {
 			held[b] = make(map[int][]byte)
 			for i, s := range im.Real() {
 				held[b][s] = bytes.Clone(im.Blocks[i])
@@ -100,7 +99,7 @@ func (c *planeClient) load(prev *ORAM) {
 	must(c.t, o.LoadLocal(data))
 	for b := range held {
 		ver, _, placed := o.m.Holds(b, nil)
-		im := o.local.image(b, o.localCur(b))
+		im := o.localCur(b)
 		if len(im.Blocks) != len(placed) || im.Ver != ver {
 			c.t.Fatalf("bucket %d: loaded %d blocks of version %d, the metadata places %d at version %d", b, len(im.Blocks), im.Ver, len(placed), ver)
 		}
@@ -136,7 +135,7 @@ func (c *planeClient) fetch(reads []meta.SlotRead) [][]byte {
 			if carries {
 				c.local++
 			}
-		case r.Bucket < c.oram.local.resident:
+		case r.Bucket < c.oram.resident:
 			c.t.Fatalf("bucket %d of a resident level read from storage", r.Bucket)
 		default:
 			data[i] = c.stored[r.Bucket][r.Slot]
@@ -172,7 +171,7 @@ func (c *planeClient) evict(plan *meta.Plan) {
 		c.t.Fatalf("Complete returned %d images with the table on", len(images))
 	}
 	for _, w := range want {
-		im := c.oram.local.image(w.bucket, c.oram.localCur(w.bucket))
+		im := c.oram.localCur(w.bucket)
 		if im.Ver != w.ver || len(im.Blocks) != len(w.keys) {
 			c.t.Fatalf("bucket %d: the table holds version %d with %d blocks, the eviction wrote version %d with %d", w.bucket, im.Ver, len(im.Blocks), w.ver, len(w.keys))
 		}
@@ -210,7 +209,7 @@ func (c *planeClient) run(steps []*meta.Plan, err error) (val []byte, found, hit
 		}
 	}
 	for _, b := range rewritten {
-		if v, _, _ := c.oram.m.Holds(b, nil); c.oram.localCur(b) == nil || c.oram.localCur(b).ver != v {
+		if v, _, _ := c.oram.m.Holds(b, nil); c.oram.localCur(b).buf == nil || c.oram.localCur(b).Ver != v {
 			c.t.Fatalf("bucket %d: the table does not hold the version the metadata is at, %d", b, v)
 		}
 	}
@@ -266,13 +265,14 @@ func (c *planeClient) checkStash(op int) {
 	}
 }
 
-// localCur is the image of bucket b's current version in o's local table,
-// nil when the version holds no block or o is nil.
-func (o *ORAM) localCur(b int) *imageBuf {
+// localCur is the image o files under the handle of bucket b's current
+// version, the zero image when b has none or o is nil.
+func (o *ORAM) localCur(b int) BucketImage {
 	if o == nil {
-		return nil
+		return BucketImage{}
 	}
-	return o.local.bufs[b].cur
+	cur, _ := o.m.Local(b)
+	return *o.image(cur)
 }
 
 // TestBlockPlaneSlotsAreCanonical runs a seeded mixed workload — blind writes

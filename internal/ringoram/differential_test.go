@@ -3,6 +3,7 @@ package ringoram
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -13,7 +14,8 @@ import (
 
 // twin drives the full ORAM and its public machine alone — meta.Machine, fed
 // no byte — through the same operations from the same seed, and fails at the
-// first difference in what the adversary sees or the recovery log records.
+// first difference in what the adversary sees, the recovery log records or
+// the local-version table keeps.
 type twin struct {
 	t      *testing.T
 	o      *ORAM
@@ -21,39 +23,54 @@ type twin struct {
 	local  bool
 	stored map[int][][]byte // the ORAM's store: each bucket's last sealed version
 	arena  SealArena
-	values twinValues // every key's content, for the machine's checkpoints
+	plane  twinPlane
 	// What the workload covered.
 	kinds                        map[meta.PlanKind]int
 	hits, blind, pads, localRead int
 }
 
-// twinValues hands the machine the stash values its ORAM twin holds in its
-// slots: each key's last written content.
-type twinValues map[string]twinValue
+// twinPlane is the machine's byte plane, which moves no byte: it knows every
+// key's content, for the machine's checkpoints, and the bucket of every
+// version the machine has it keep, by handle.
+type twinPlane struct {
+	values map[string]twinValue
+	images map[meta.Image]int
+}
 
 type twinValue struct {
 	v         []byte
 	tombstone bool
 }
 
-func (tv twinValues) Value(_ meta.Block, key string) ([]byte, bool, error) {
-	v, ok := tv[key]
+func (tp *twinPlane) Deliver(meta.SlotRead, []byte, string) error { return nil }
+
+func (tp *twinPlane) Place(w *meta.BucketWrite) {
+	if w.Image != 0 {
+		tp.images[w.Image] = w.Bucket
+	}
+}
+
+func (tp *twinPlane) Release(h meta.Image) { delete(tp.images, h) }
+
+func (tp *twinPlane) Value(_ meta.Block, key string) ([]byte, bool, error) {
+	v, ok := tp.values[key]
 	if !ok {
 		return nil, false, fmt.Errorf("no value for %q", key)
 	}
 	return v.v, v.tombstone, nil
 }
 
-func (tv twinValues) Restore(meta.Block, string, []byte, bool) error { return nil }
+func (tp *twinPlane) Restore(meta.Block, string, []byte, bool) error { return nil }
 
 func newTwin(t *testing.T, p Params, local bool) *twin {
 	o, err := New(cryptoutil.KeyFromSeed([]byte("twin")), p)
 	must(t, err)
 	m, err := meta.New(p)
 	must(t, err)
-	tw := &twin{t: t, o: o, m: m, local: local, stored: make(map[int][][]byte), values: twinValues{}, kinds: make(map[meta.PlanKind]int)}
+	tw := &twin{t: t, o: o, m: m, local: local, stored: make(map[int][][]byte), kinds: make(map[meta.PlanKind]int),
+		plane: twinPlane{values: make(map[string]twinValue), images: make(map[meta.Image]int)}}
 	if local {
-		if a, b := o.KeepLocal(), m.KeepLocal(); a != b {
+		if a, b := o.KeepLocal(), m.KeepLocal(&tw.plane); a != b {
 			t.Fatalf("the ORAM keeps %d buckets resident, the machine %d", a, b)
 		}
 	}
@@ -62,7 +79,38 @@ func newTwin(t *testing.T, p Params, local bool) *twin {
 		must(t, err)
 		tw.store(b, slots)
 	}
+	tw.checkImages("the start")
 	return tw
+}
+
+// checkImages fails unless both sides keep the same versions under the same
+// handles: the ORAM's images, filed by handle, are exactly those its machine
+// holds as a bucket's current or sealed version (see heldImages), and they
+// are the handles, with their buckets, that the machine alone holds and has
+// its plane keep.
+func (tw *twin) checkImages(when string) {
+	t := tw.t
+	t.Helper()
+	if !tw.local {
+		if len(tw.o.images) != 0 || len(tw.plane.images) != 0 {
+			t.Fatalf("%s: %d images filed by the ORAM and %d by the machine's plane with the table off", when, len(tw.o.images), len(tw.plane.images))
+		}
+		return
+	}
+	held := make(map[meta.Image]int)
+	for h, im := range heldImages(t, tw.o, when) {
+		held[h] = im.Bucket
+	}
+	for b := range tw.o.Geometry().NumBuckets {
+		for _, h := range localHandles(tw.m, b) {
+			if held[h] != b {
+				t.Fatalf("%s: the machine alone keeps bucket %d under handle %d, the ORAM %v", when, b, h, held)
+			}
+		}
+	}
+	if !maps.Equal(held, tw.plane.images) {
+		t.Fatalf("%s: the ORAM keeps images %v, the machine alone has its plane keep %v", when, held, tw.plane.images)
+	}
 }
 
 // store keeps a copy of the slots a bucket version was sealed into.
@@ -110,18 +158,18 @@ func (tw *twin) run(steps []*meta.Plan, err error, msteps []*meta.Plan, merr err
 	if a, b := record(t, tw.o.BatchLog(steps)), record(t, tw.m.BatchLog(msteps)); !bytes.Equal(a, b) {
 		t.Fatalf("batch records differ:\nORAM    %x\nmachine %x", a, b)
 	}
-	for _, p := range steps {
+	for i, p := range steps {
 		tw.kinds[p.Kind]++
 		if p.Kind == meta.AccessStep && p.Key != "" && len(p.Reads) == 0 {
 			tw.hits++
 		}
 		data := make([][]byte, len(p.Reads))
-		for i, r := range p.Reads {
+		for j, r := range p.Reads {
 			if r.Local() {
 				tw.localRead++
 				continue
 			}
-			data[i] = tw.stored[r.Bucket][r.Slot]
+			data[j] = tw.stored[r.Bucket][r.Slot]
 		}
 		_, _, images, err := tw.o.Complete(p, data)
 		must(t, err)
@@ -132,8 +180,10 @@ func (tw *twin) run(steps []*meta.Plan, err error, msteps []*meta.Plan, merr err
 		for _, im := range images {
 			im.Recycle()
 		}
+		_, err = tw.m.Complete(msteps[i], make([][]byte, len(msteps[i].Reads)), &tw.plane)
+		must(t, err)
+		tw.checkImages(fmt.Sprintf("step %d's completion", i))
 	}
-	complete(t, tw.m, msteps)
 	a0, e0 := tw.o.Counters()
 	a1, e1 := tw.m.Counters()
 	if a0 != a1 || e0 != e1 || tw.o.StashSize() != tw.m.StashSize() {
@@ -149,32 +199,6 @@ func record(t *testing.T, l meta.BatchLog) []byte {
 	return b
 }
 
-// complete completes a machine's steps in plan order as the byte plane does,
-// with no bytes to move: every pending block a read carries is delivered, and
-// an access's block and an eviction's placed blocks must be by then.
-func complete(t *testing.T, m *meta.Machine, steps []*meta.Plan) {
-	t.Helper()
-	for _, p := range steps {
-		must(t, m.Begin(p, len(p.Reads)))
-		for _, r := range p.Reads {
-			if b := r.Block(); b != 0 && m.Pending(b) {
-				m.Delivered(b)
-			}
-		}
-		if b := p.Block(); b != 0 && m.Pending(b) {
-			t.Fatalf("access of %q: block still pending", m.Key(b))
-		}
-		for _, w := range p.Writes() {
-			for _, b := range w.Placed {
-				if m.Pending(b) {
-					t.Fatalf("bucket %d: block %q still pending at its eviction", w.Bucket, m.Key(b))
-				}
-			}
-		}
-		m.Finish(p)
-	}
-}
-
 // endEpoch writes the epoch's versions back on both sides, alternately by
 // sealing the epoch and by flushing it, and checks they name the same
 // buckets.
@@ -183,32 +207,37 @@ func (tw *twin) endEpoch(seal bool) {
 	if seal {
 		images, err := tw.o.SealLocal()
 		must(t, err)
-		buckets, err := tw.m.SealLocal()
+		handles, err := tw.m.SealLocal(&tw.plane)
 		must(t, err)
-		if len(images) != len(buckets) {
-			t.Fatalf("the ORAM sealed %d buckets, the machine %d", len(images), len(buckets))
-		}
-		for i, im := range images {
-			if im.Bucket != buckets[i] {
-				t.Fatalf("sealed bucket %d: the ORAM's is %d, the machine's %d", i, im.Bucket, buckets[i])
-			}
-		}
+		tw.sameBuckets("sealed", images, handles)
 		must(t, tw.write(images))
+		tw.checkImages("SealLocal")
+		checkSettled(t, tw.o, "SealLocal")
 		return
 	}
-	buckets, err := tw.m.LocalEpoch()
+	handles, err := tw.m.LocalEpoch()
 	must(t, err)
-	buckets = slices.Clone(buckets)
+	handles = slices.Clone(handles)
 	must(t, tw.o.FlushLocal(func(images []BucketImage) error {
-		for i, im := range images {
-			if im.Bucket != buckets[i] {
-				t.Errorf("flushed bucket %d: the ORAM's is %d, the machine's %d", i, im.Bucket, buckets[i])
-			}
-		}
+		tw.sameBuckets("flushed", images, handles)
 		return tw.write(images)
 	}))
-	if done := tw.m.Flushed(); !slices.Equal(done, buckets) {
-		t.Fatalf("the machine flushed %v, then listed %v", buckets, done)
+	tw.m.Flushed(&tw.plane)
+	tw.checkImages("FlushLocal")
+	checkSettled(t, tw.o, "FlushLocal")
+}
+
+// sameBuckets fails unless the ORAM's images are of the buckets whose
+// versions the machine alone names by handles, in the same order.
+func (tw *twin) sameBuckets(what string, images []BucketImage, handles []meta.Image) {
+	tw.t.Helper()
+	if len(images) != len(handles) {
+		tw.t.Fatalf("the ORAM %s %d buckets, the machine %d", what, len(images), len(handles))
+	}
+	for i, im := range images {
+		if b := tw.plane.images[handles[i]]; im.Bucket != b {
+			tw.t.Fatalf("%s bucket %d: the ORAM's is %d, the machine's %d", what, i, im.Bucket, b)
+		}
 	}
 }
 
@@ -219,7 +248,7 @@ func (tw *twin) checkpoint(full bool) {
 	pad := meta.CheckpointPad{PosEntries: 40, StashEntries: tw.o.Params().StashLimit}
 	a, err := tw.o.EncodeCheckpoint(full, pad, 3, 5)
 	must(t, err)
-	b, err := tw.m.EncodeCheckpoint(full, pad, 3, 5, tw.values)
+	b, err := tw.m.EncodeCheckpoint(full, pad, 3, 5, &tw.plane)
 	must(t, err)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("checkpoint images (full %v) differ:\nORAM    %x\nmachine %x", full, a, b)
@@ -234,8 +263,10 @@ func (tw *twin) checkpoint(full bool) {
 // reads and bumps, stash hits, blind overwrites of keys already in the tree,
 // evict-paths and early reshuffles — plan the same steps (kind, key, leaf,
 // buckets, and every read's bucket, slot, version and local flag), keep the
-// same counters and stash size, log the same batch records and, given the
-// stash values, write the same checkpoint images, full and delta.
+// same counters and stash size, log the same batch records, given the stash
+// values write the same checkpoint images, full and delta, and keep the same
+// bucket versions under the same handles, each with an image in the ORAM
+// exactly while the machine holds it.
 func TestMachineMatchesORAM(t *testing.T) {
 	for _, local := range []bool{false, true} {
 		t.Run(fmt.Sprintf("local=%v", local), func(t *testing.T) {
@@ -254,12 +285,12 @@ func TestMachineMatchesORAM(t *testing.T) {
 					}
 					steps, err := o.PlanWrite(k, v, false, nil)
 					msteps, _, merr := m.PlanWrite(k, nil)
-					tw.values[k] = twinValue{v: v}
+					tw.plane.values[k] = twinValue{v: v}
 					tw.run(steps, err, msteps, merr)
 				case op < 8:
 					steps, err := o.PlanWrite(k, nil, true, nil)
 					msteps, _, merr := m.PlanWrite(k, nil)
-					tw.values[k] = twinValue{tombstone: true}
+					tw.plane.values[k] = twinValue{tombstone: true}
 					tw.run(steps, err, msteps, merr)
 				case op < 17:
 					steps, err := o.PlanRead(k, nil)

@@ -131,7 +131,7 @@ func TestCompletionNeverInspectsFillers(t *testing.T) {
 		sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte), fillers: make(map[int]map[string]bool), realOnly: o.geo.NumBuckets / 4}
 		// The twin's seals trim its first realOnly buckets as the table trims
 		// the resident ones; its table stays off, so every read is fetched.
-		o.local.resident = sparse.realOnly
+		o.resident = sparse.realOnly
 
 		rng := rand.New(rand.NewPCG(5, 6))
 		for i := 0; i < 1500; i++ {

@@ -3,6 +3,7 @@ package ringoram
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -16,9 +17,11 @@ import (
 // read after it went back; a slot held nowhere is a leak. An image may be
 // both the current and the sealed version of the one bucket it belongs to,
 // and nothing else. A resident bucket holds at most Z blocks, and
-// ResidentBytes is the size of them all.
+// ResidentBytes is the size of them all. Call it at an epoch boundary (see
+// checkSettled).
 func checkOwnership(t *testing.T, o *ORAM, when string) {
 	t.Helper()
+	checkSettled(t, o, when)
 	held := make(map[*byte]string)
 	hold := func(s []byte, by string) {
 		if prev, dup := held[&s[0]]; dup {
@@ -31,42 +34,24 @@ func checkOwnership(t *testing.T, o *ORAM, when string) {
 			hold(s, "stash entry "+o.m.Key(meta.Block(b)))
 		}
 	}
-	type owner struct {
-		b   int
-		ver uint64
-	}
-	images := make(map[*imageBuf]owner)
-	for b := range o.local.bufs {
-		lb := &o.local.bufs[b]
-		for _, ib := range [...]*imageBuf{lb.cur, lb.sealed} {
-			if ib == nil {
-				continue
-			}
-			if prev, ok := images[ib]; ok {
-				if prev != (owner{b, ib.ver}) {
-					t.Fatalf("%s: one image is bucket %d version %d and bucket %d version %d", when, prev.b, prev.ver, b, ib.ver)
-				}
-				continue
-			}
-			images[ib] = owner{b, ib.ver}
-			for _, s := range ib.blocks {
-				hold(s, fmt.Sprintf("bucket %d version %d", b, ib.ver))
-			}
+	for _, im := range heldImages(t, o, when) {
+		for _, s := range im.Blocks {
+			hold(s, fmt.Sprintf("bucket %d version %d", im.Bucket, im.Ver))
 		}
 	}
 	var resident int64
-	for b := 0; b < o.local.resident; b++ {
-		n := o.local.bufs[b].cur.len()
+	for b := 0; b < o.resident; b++ {
+		n := len(o.localCur(b).Blocks)
 		if n > o.p.Z {
 			t.Fatalf("%s: resident bucket %d holds %d blocks, the bound is Z = %d", when, b, n, o.p.Z)
 		}
-		resident += int64(n) * o.local.plain
+		resident += int64(n * o.cdc.plainSize())
 	}
 	if got := o.ResidentBytes(); got != resident {
 		t.Fatalf("%s: %d resident bytes reported, the resident buckets' newest versions hold %d", when, got, resident)
 	}
-	for _, im := range o.local.sealed {
-		if o.local.bufs[im.Bucket].sealed != im.buf {
+	for _, im := range o.sealed {
+		if _, sealed := o.m.Local(im.Bucket); o.images[sealed].buf != im.buf {
 			t.Fatalf("%s: the sealed set's version %d of bucket %d is not the bucket's sealed version", when, im.Ver, im.Bucket)
 		}
 	}
@@ -79,6 +64,54 @@ func checkOwnership(t *testing.T, o *ORAM, when string) {
 	if len(held) != carved {
 		t.Fatalf("%s: the pool handed out %d slots, %d are held: %d leaked", when, carved, len(held), carved-len(held))
 	}
+}
+
+// heldImages returns the image o files under each handle its machine holds,
+// a bucket's current or sealed version, and fails unless the two agree: every
+// held handle has an image of its bucket, one no other handle names (none
+// missing), and no other handle has one (none leaked).
+func heldImages(t *testing.T, o *ORAM, when string) map[meta.Image]BucketImage {
+	t.Helper()
+	images := make(map[meta.Image]BucketImage)
+	owner := make(map[*imageBuf]meta.Image)
+	for b := range o.geo.NumBuckets {
+		for _, h := range localHandles(o.m, b) {
+			im := *o.image(h)
+			switch prev, shared := owner[im.buf]; {
+			case im.buf == nil || im.Bucket != b:
+				t.Fatalf("%s: the machine keeps bucket %d under handle %d, which files no image of it", when, b, h)
+			case shared && prev != h:
+				t.Fatalf("%s: one image is filed under handles %d and %d", when, prev, h)
+			}
+			images[h], owner[im.buf] = im, h
+		}
+	}
+	for h, im := range o.images {
+		if _, ok := images[meta.Image(h)]; im.buf != nil && !ok {
+			t.Fatalf("%s: an image of bucket %d version %d is filed under handle %d, which the machine does not hold", when, im.Bucket, im.Ver, h)
+		}
+	}
+	return images
+}
+
+// checkSettled fails unless, at an epoch boundary, no bucket below the
+// resident levels has a current version: the table keeps such a version only
+// from the eviction that claims the bucket to its epoch's write-back, and
+// then, sealed, until the next seal.
+func checkSettled(t *testing.T, o *ORAM, when string) {
+	t.Helper()
+	for b := o.resident; b < o.geo.NumBuckets; b++ {
+		if cur, _ := o.m.Local(b); cur != 0 {
+			t.Fatalf("%s: bucket %d, below the resident levels, keeps a current version past the epoch's boundary", when, b)
+		}
+	}
+}
+
+// localHandles returns the handles of bucket b's current and sealed versions
+// that m holds: the one handle twice when it is both.
+func localHandles(m *meta.Machine, b int) []meta.Image {
+	cur, sealed := m.Local(b)
+	return slices.DeleteFunc([]meta.Image{cur, sealed}, func(h meta.Image) bool { return h == 0 })
 }
 
 // TestLocalTableOwnsEachSlotOnce runs 48 seeded epochs of a mixed workload

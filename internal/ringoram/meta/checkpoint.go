@@ -185,25 +185,14 @@ func readBits(s bitset, b []byte, n int) {
 	}
 }
 
-// Values is the byte plane's side of a checkpoint's stash section: the
-// machine knows which blocks the stash holds, the byte plane their values.
-type Values interface {
-	// Value returns the value and the tombstone flag of delivered block b,
-	// key's. The value is read before the next call.
-	Value(b Block, key string) (value []byte, tombstone bool, err error)
-	// Restore stores value and the tombstone flag as block b, key's: an entry
-	// of the stash the last image of a Restore leaves.
-	Restore(b Block, key string, value []byte, tombstone bool) error
-}
-
 // EncodeCheckpoint writes a full or delta image of the current metadata into
 // one freshly allocated buffer, with head bytes reserved in front of the
 // image and tail bytes behind it (the recovery log's framing and AEAD tag),
-// and returns the buffer; values supplies the stash's values. It does not
+// and returns the buffer; plane supplies the stash's values. It does not
 // reset delta tracking; see ClearDirty. It fails while an access is in
 // flight (a pending stash entry has no value to log): checkpoints belong to
 // epoch boundaries.
-func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int, values Values) ([]byte, error) {
+func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int, plane Plane) ([]byte, error) {
 	l := m.imageLayout()
 
 	nKeys, nTouched, nRewritten := len(m.keys), 0, l.numBuckets
@@ -223,7 +212,7 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 		if e.pending {
 			return nil, errors.New("ringoram: checkpoint with pending stash entries (mid-epoch checkpoint)")
 		}
-		value, _, err := values.Value(e.blk, e.key)
+		value, _, err := plane.Value(e.blk, e.key)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +268,7 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 	}
 
 	for _, e := range m.stashList {
-		value, tombstone, _ := values.Value(e.blk, e.key) // read above
+		value, tombstone, _ := plane.Value(e.blk, e.key) // read above
 		b = l.putKey(b, e.key)
 		if tombstone {
 			b[0] |= stashFlagTombstone
@@ -394,9 +383,9 @@ func bit(b []byte, i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
 // Images are untrusted only in the sense that a bug or a mismatched
 // configuration may have produced them (the log authenticates them): every
 // count, index and length is checked before it is used. The stash each
-// image lists replaces the one before it, and values is handed the values of
+// image lists replaces the one before it, and plane is handed the values of
 // the stash the last image leaves.
-func Restore(p Params, values Values, full []byte, deltas ...[]byte) (*Machine, error) {
+func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, error) {
 	m, err := newMachine(p)
 	if err != nil {
 		return nil, err
@@ -404,17 +393,18 @@ func Restore(p Params, values Values, full []byte, deltas ...[]byte) (*Machine, 
 	l := m.imageLayout()
 	images := append([][]byte{full}, deltas...)
 	for i, img := range images {
-		var v Values
+		var v Plane
 		if i == len(images)-1 {
-			v = values
+			v = plane
 		}
 		if err := m.applyImage(l, img, i == 0, v); err != nil {
 			return nil, err
 		}
 	}
 	// Rebuild the location index from bucket metadata: a block is resident
-	// in at most one place, never both resident and stashed. The images
-	// record addrs and valid; occ and filler follow from them.
+	// in at most one place, on its leaf's path, never both resident and
+	// stashed. The images record addrs and valid; occ and filler follow from
+	// them.
 	for b := range m.buckets {
 		m.buckets[b].derive()
 		for r, ki := range m.buckets[b].addrs {
@@ -428,6 +418,9 @@ func Restore(p Params, values Values, full []byte, deltas ...[]byte) (*Machine, 
 			if k.bucket >= 0 {
 				return nil, fmt.Errorf("ringoram: checkpoint places %q in buckets %d and %d", k.name, k.bucket, b)
 			}
+			if m.geo.PathBucket(int(k.leaf), BucketLevel(b)) != b {
+				return nil, fmt.Errorf("ringoram: checkpoint places %q in bucket %d, off its leaf %d's path", k.name, b, k.leaf)
+			}
 			k.bucket, k.rpos = int32(b), int32(r)
 		}
 	}
@@ -436,9 +429,9 @@ func Restore(p Params, values Values, full []byte, deltas ...[]byte) (*Machine, 
 }
 
 // applyImage decodes one image into the machine, handing its stash's values
-// to values unless that is nil. wantFull says which kind the caller's
+// to plane unless that is nil. wantFull says which kind the caller's
 // position in the restore sequence requires.
-func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, values Values) error {
+func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Plane) error {
 	h, err := readImageHeader(img)
 	if err != nil {
 		return err
@@ -590,8 +583,8 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, values Va
 		}
 		e := m.newEntry(stashEntry{key: m.keys[ki].name, ki: ki, leaf: leaf, cacheable: flags&stashFlagCacheable != 0})
 		m.stashAdd(e)
-		if values != nil {
-			if err := values.Restore(e.blk, e.key, value, flags&stashFlagTombstone != 0); err != nil {
+		if plane != nil {
+			if err := plane.Restore(e.blk, e.key, value, flags&stashFlagTombstone != 0); err != nil {
 				return err
 			}
 		}

@@ -5,38 +5,56 @@ import (
 	"slices"
 )
 
-// The local-version table's bookkeeping. The proxy keeps every bucket
-// version an epoch's evictions write in plaintext until the epoch's
-// write-back reaches storage, and serves reads of it itself meanwhile
-// (delayed visibility, §6.3 and §7); it keeps the top of the tree, the
-// buckets of levels 0..L-3, for good (Ring ORAM's client-side tree top), and
-// storage holds those as their Z real positions alone. Each bucket holds at
-// most two versions, the current epoch's — a resident bucket's newest,
-// whatever epoch wrote it — and the sealed epoch's. A read is local when, at
-// the moment it is planned, its bucket is resident, or an eviction planned
-// before it claimed the bucket, or the sealed set holds the version it reads;
-// which reads that are is a function of the bucket number and the epoch's
-// evictions, never of the workload. This table records which version numbers
-// the proxy holds; the byte plane holds their images and serves a local read
-// from the one whose version the read was planned against — the check that
-// stands where the slot's (bucket, version) binding would for a read from
-// storage.
+// The local-version table. The proxy keeps every bucket version an epoch's
+// evictions write in plaintext until the epoch's write-back reaches storage,
+// and serves reads of it itself meanwhile (delayed visibility, §6.3 and §7);
+// it keeps the top of the tree, the buckets of levels 0..L-3, for good (Ring
+// ORAM's client-side tree top), and storage holds those as their Z real
+// positions alone. Each bucket holds at most two versions, the current
+// epoch's — a resident bucket's newest, whatever epoch wrote it — and the
+// sealed epoch's. A read is local when, at the moment it is planned, its
+// bucket is resident, or an eviction planned before it claimed the bucket,
+// or the sealed set holds the version it reads; which reads that are is a
+// function of the bucket number and the epoch's evictions, never of the
+// workload.
+//
+// Each kept version has a handle, an Image, which the table allocates when an
+// eviction claims the bucket (or a resident bucket is kept or reloaded). The
+// byte plane files the version's plaintext under it (Plane.Place) and serves
+// a local read from the handle the read carries; the table alone decides when
+// a version stops being kept and tells the plane (Plane.Release). That is the
+// one release rule: a handle is released once it is neither its bucket's
+// current version nor in the sealed set.
+
+// Image is the handle of a version the table keeps; 0 names none. A released
+// handle is reused.
+type Image int32
 
 // localTable is the machine's local bucket versions. The zero value is off:
-// no read is local.
+// no read is local, and no eviction gets a handle.
 type localTable struct {
 	resident int           // buckets 0..resident-1 keep their newest version
 	versions []localBucket // indexed by bucket; nil while the table is off
+	images   []kept        // indexed by handle; images[0] and free handles are zero
+	free     []Image
 	// epoch lists the buckets the current epoch rewrites, in claim order;
-	// sealed is the sealed epoch's buckets in bucket order.
-	epoch, sealed []int
+	// sealed is the sealed epoch's handles in bucket order, and out the
+	// current epoch's, LocalEpoch's list.
+	epoch       []int
+	sealed, out []Image
 }
 
-// localBucket is one bucket's entry: its current (or newest) and sealed
-// version numbers (0: none), and the version the epoch's last planned
-// rewrite of it makes (0: the epoch has not claimed it).
+// localBucket is one bucket's entry: the handles of its current (or newest)
+// and sealed versions, and of the version the epoch's last planned rewrite of
+// it makes (0: none, or the epoch has not claimed it).
 type localBucket struct {
-	cur, sealed, want uint64
+	cur, sealed, want Image
+}
+
+// kept is the bucket version a live handle names.
+type kept struct {
+	bucket int
+	ver    uint64
 }
 
 // residentCount is the level rule: the buckets of levels 0..L-3, which are
@@ -52,82 +70,117 @@ func residentCount(g Geometry) int {
 
 // KeepLocal turns the local-version table on and returns how many buckets,
 // from the root in heap order, it keeps resident. From then on reads are
-// marked Local as they are planned. Calling it again changes nothing.
-func (m *Machine) KeepLocal() int {
+// marked Local as they are planned and evictions name their versions'
+// handles. Each resident bucket's current version gets a handle, which plane
+// files as the version's image with no block — all of it over a fresh tree;
+// over restored metadata the byte plane loads the blocks (Reload) before
+// anything is planned. Calling it again changes nothing.
+func (m *Machine) KeepLocal(plane Plane) int {
 	t := &m.local
 	if t.versions == nil {
 		t.resident = residentCount(m.geo)
 		t.versions = make([]localBucket, m.geo.NumBuckets)
+		t.images = []kept{{}}
 		for b := 0; b < t.resident; b++ {
-			t.versions[b].cur = m.buckets[b].writeVer
+			bm := &m.buckets[b]
+			w := BucketWrite{Bucket: b, Ver: bm.writeVer, Image: t.alloc(b, bm.writeVer), Perm: bm.perm}
+			t.versions[b].cur = w.Image
+			plane.Place(&w)
 		}
 	}
 	return t.resident
 }
 
+// Reload gives resident bucket b's current version a new handle, for the byte
+// plane to file the version under as it loads its blocks from storage, and
+// releases the one it replaces unless the sealed set holds it. It returns the
+// handle and what Holds returns.
+func (m *Machine) Reload(b int, dst []int, plane Plane) (Image, uint64, []int, []int) {
+	ver, perm, held := m.Holds(b, dst)
+	h := m.local.alloc(b, ver)
+	m.local.keep(b, h, plane)
+	return h, ver, perm, held
+}
+
+// Local returns the handles of bucket b's current and sealed versions, 0 for
+// none. The table must be on.
+func (m *Machine) Local(b int) (cur, sealed Image) {
+	lb := &m.local.versions[b]
+	return lb.cur, lb.sealed
+}
+
 // SealLocal ends the current epoch in the table: its versions become the
-// sealed set, whose buckets it returns in bucket order, and the sealed set
+// sealed set, whose handles it returns in bucket order, and the sealed set
 // before it is retired. The slice is the table's, valid until the next call.
-func (m *Machine) SealLocal() ([]int, error) {
+func (m *Machine) SealLocal(plane Plane) ([]Image, error) {
 	t := &m.local
-	if err := t.complete(); err != nil {
+	handles, err := m.LocalEpoch()
+	if err != nil {
 		return nil, err
 	}
-	for _, b := range t.sealed {
-		t.versions[b].sealed = 0
+	for _, h := range t.sealed {
+		lb := &t.versions[t.images[h].bucket]
+		lb.sealed = 0
+		t.release(lb, h, plane)
 	}
-	slices.Sort(t.epoch)
-	t.sealed = append(t.sealed[:0], t.epoch...)
-	for _, b := range t.epoch {
-		lb := &t.versions[b]
-		lb.sealed, lb.want = lb.cur, 0
-		if b >= t.resident {
-			lb.cur = 0
-		}
+	t.sealed = append(t.sealed[:0], handles...)
+	for _, h := range t.sealed {
+		t.versions[t.images[h].bucket].sealed = h
 	}
-	t.epoch = t.epoch[:0]
+	m.Flushed(plane)
 	return t.sealed, nil
 }
 
-// LocalEpoch returns the buckets the current epoch rewrote, in bucket order,
-// once each holds the version its last planned rewrite makes. The slice is
-// the table's, valid until the epoch's next claim.
-func (m *Machine) LocalEpoch() ([]int, error) {
+// LocalEpoch returns the handles of the versions the current epoch wrote, in
+// bucket order, once each bucket holds the version its last planned rewrite
+// makes. The slice is the table's, valid until the next call.
+func (m *Machine) LocalEpoch() ([]Image, error) {
 	t := &m.local
 	if err := t.complete(); err != nil {
 		return nil, err
 	}
 	slices.Sort(t.epoch)
-	return t.epoch, nil
+	t.out = t.out[:0]
+	for _, b := range t.epoch {
+		t.out = append(t.out, t.versions[b].cur)
+	}
+	return t.out, nil
 }
 
-// Flushed records that the current epoch's versions reached storage without
-// the epoch being sealed: they leave the table, the resident buckets' newest
-// versions excepted. It returns the epoch's buckets, in a slice valid until
-// the next claim.
-func (m *Machine) Flushed() []int {
+// Flushed records that the current epoch's versions reached storage: the
+// epoch's claims are done, and the versions leave the table unless the sealed
+// set holds them, the resident buckets' newest versions excepted.
+func (m *Machine) Flushed(plane Plane) {
 	t := &m.local
-	done := t.epoch
-	for _, b := range done {
+	for _, b := range t.epoch {
 		lb := &t.versions[b]
 		lb.want = 0
 		if b >= t.resident {
+			old := lb.cur
 			lb.cur = 0
+			t.release(lb, old, plane)
 		}
 	}
 	t.epoch = t.epoch[:0]
-	return done
 }
 
-// serves reports whether a read of version ver of bucket b, planned now, is
-// local: the bucket is resident, the epoch has claimed it, or the sealed set
-// holds that version (after a flush storage may hold a newer one).
-func (t *localTable) serves(b int, ver uint64) bool {
+// serves returns the handle of the version a read of version ver of bucket
+// b, planned now, is served from, 0 when the read is not local: the version
+// the epoch's last rewrite makes, a resident bucket's newest, or the sealed
+// one if it is that version (after a flush storage may hold a newer one).
+func (t *localTable) serves(b int, ver uint64) Image {
 	if t.versions == nil {
-		return false
+		return 0
 	}
-	lb := &t.versions[b]
-	return b < t.resident || lb.want != 0 || lb.sealed == ver
+	switch lb := &t.versions[b]; {
+	case lb.want != 0:
+		return lb.want
+	case b < t.resident:
+		return lb.cur
+	case t.images[lb.sealed].ver == ver:
+		return lb.sealed
+	}
+	return 0
 }
 
 // rewritten reports whether the current epoch has claimed bucket b. A replay
@@ -139,37 +192,65 @@ func (t *localTable) rewritten(b int) bool {
 }
 
 // claim records that a planned rewrite makes version ver of bucket b, so
-// reads planned after it are local.
-func (t *localTable) claim(b int, ver uint64) {
+// reads planned after it are local, and returns the version's handle.
+func (t *localTable) claim(b int, ver uint64) Image {
 	if t.versions == nil {
-		return
+		return 0
 	}
 	lb := &t.versions[b]
 	if lb.want == 0 {
 		t.epoch = append(t.epoch, b)
 	}
-	lb.want = ver
+	lb.want = t.alloc(b, ver)
+	return lb.want
 }
 
-// keep makes ver bucket b's current version: its rewrite completed.
-func (t *localTable) keep(b int, ver uint64) {
-	if t.versions != nil {
-		t.versions[b].cur = ver
+// alloc returns a free handle naming version ver of bucket b.
+func (t *localTable) alloc(b int, ver uint64) Image {
+	var h Image
+	if n := len(t.free); n > 0 {
+		h, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		h = Image(len(t.images))
+		t.images = append(t.images, kept{})
+	}
+	t.images[h] = kept{bucket: b, ver: ver}
+	return h
+}
+
+// keep makes h bucket b's current version: its rewrite completed.
+func (t *localTable) keep(b int, h Image, plane Plane) {
+	if t.versions == nil {
+		return
+	}
+	lb := &t.versions[b]
+	old := lb.cur
+	lb.cur = h
+	t.release(lb, old, plane)
+}
+
+// release is the rule every transition ends with: handle h, which bucket lb
+// held, goes back to the free list, and its image to the byte plane, unless
+// the bucket still holds it as its current or its sealed version.
+func (t *localTable) release(lb *localBucket, h Image, plane Plane) {
+	if h != 0 && h != lb.cur && h != lb.sealed {
+		t.images[h] = kept{}
+		t.free = append(t.free, h)
+		plane.Release(h)
 	}
 }
 
-// check fails unless the table holds the version each local read of reads
-// was planned against. Completions apply in plan order, so a resident
-// bucket's newest version is the one the read was planned against, and of
-// the other buckets the current version is, unless the read was planned
-// before the epoch claimed the bucket and is served from the sealed one.
+// check fails unless each local read of reads is served from a version the
+// table still holds, the one the read was planned against. Completions apply
+// in plan order, so that is the bucket's current version, unless the read
+// was planned before the epoch claimed the bucket and is served from the
+// sealed one.
 func (t *localTable) check(reads []SlotRead) error {
 	for _, r := range reads {
-		if !r.local {
-			continue
-		}
-		if lb := &t.versions[r.Bucket]; lb.cur != r.Ver && lb.sealed != r.Ver {
-			return fmt.Errorf("ringoram: bucket %d slot %d is served locally, but the read was planned against version %d and the proxy holds versions %d and %d", r.Bucket, r.Slot, r.Ver, lb.cur, lb.sealed)
+		if h := r.img; h != 0 {
+			if lb := &t.versions[r.Bucket]; h != lb.cur && h != lb.sealed || t.images[h].ver != r.Ver {
+				return fmt.Errorf("ringoram: bucket %d slot %d is served locally, but the read was planned against version %d and the proxy holds versions %d and %d", r.Bucket, r.Slot, r.Ver, t.images[lb.cur].ver, t.images[lb.sealed].ver)
+			}
 		}
 	}
 	return nil

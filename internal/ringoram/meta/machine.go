@@ -101,7 +101,7 @@ type Machine struct {
 	stashPeak    int
 
 	pathBuf []int // a path, planning's scratch
-	// planPool and entryPool recycle the per-step objects. Finish retires
+	// planPool and entryPool recycle the per-step objects. Complete retires
 	// its plan (with every slice the plan owns), and an eviction's entries
 	// once their blocks have moved into the tree. planPool keeps the plans of
 	// steps that rewrite buckets apart (planPool[1]), so an access or a write
@@ -305,54 +305,98 @@ func (m *Machine) shuffle(perm []int) {
 	}
 }
 
-// Completion. The byte plane completes each step in plan order: Begin; then,
-// for every read whose block is still Pending, it moves the block into the
-// stash and calls Delivered; then it reads an access's block (Plan.Block), or
-// moves an eviction's placed blocks (Plan.Writes) into the tree, neither
-// Pending any more; and Finish retires the step. An error on the way leaves
-// the plan out of the pool, so the caller can inspect it.
-
-// Begin starts completing p with n fetched slots. It refuses a plan
-// completed before and a slot count other than the plan's, and checks every
-// local read against the versions the local table holds.
-func (m *Machine) Begin(p *Plan, n int) error {
-	if p.completed {
-		return errors.New("ringoram: plan completed twice")
-	}
-	p.completed = true
-	if n != len(p.Reads) {
-		return fmt.Errorf("ringoram: %d slots delivered, plan has %d", n, len(p.Reads))
-	}
-	return m.local.check(p.Reads)
+// Plane is the byte plane as the machine drives it: the machine decides what
+// happens to a block or a bucket version, and the plane moves the bytes. A
+// stash block is named by its Block and a kept bucket version by its Image.
+type Plane interface {
+	// Deliver moves the block read r carries, key's, into the stash: data is
+	// the slot storage returned, nil for a local read, which the plane serves
+	// from the version r.Image names.
+	Deliver(r SlotRead, data []byte, key string) error
+	// Place moves the blocks w places out of the stash into the image of the
+	// version w writes, and files it under w.Image; with Image 0 (the
+	// local-version table is off) the image is the caller's.
+	Place(w *BucketWrite)
+	// Release drops the image filed under h: the table keeps the version no
+	// longer.
+	Release(h Image)
+	// Value returns the value and the tombstone flag of delivered block b,
+	// key's, for a checkpoint's stash section. The value is read before the
+	// next call.
+	Value(b Block, key string) (value []byte, tombstone bool, err error)
+	// Restore stores value and the tombstone flag as block b, key's: an entry
+	// of the stash the last image of a Restore leaves.
+	Restore(b Block, key string, value []byte, tombstone bool) error
 }
-
-// Pending reports whether block b has yet to reach the stash. A read whose
-// block a later write superseded delivers nothing.
-func (m *Machine) Pending(b Block) bool { return m.entries[b].pending }
-
-// Delivered records that block b's bytes reached the stash.
-func (m *Machine) Delivered(b Block) { m.entries[b].pending = false }
 
 // Key returns the key of block b.
 func (m *Machine) Key(b Block) string { return m.entries[b].key }
 
-// Finish retires a completed step: an eviction's versions become the local
-// table's current ones and its placed entries go back to the pool (their
-// blocks are the tree's now; plan-ordered completion means no earlier plan
-// still references them, and any later access finds the key in the tree),
-// and the plan goes back to its pool, which the caller must not touch it
-// past.
-func (m *Machine) Finish(p *Plan) {
+// Complete applies a step's fetched slots, in plan order, through plane: it
+// delivers every read whose block is still pending (a read whose block a
+// later write superseded delivers nothing), places an eviction's blocks into
+// the versions it writes, which become the local table's current ones, and
+// retires the step. data must be parallel to p.Reads. It returns the block
+// an access returns, 0 for padding, an unknown key and every other step. It
+// refuses a plan completed before, a slot count other than the plan's, a
+// local read of a version the table no longer holds, and a block still
+// pending when its access or eviction completes. The plan goes back to its
+// pool, which the caller must not touch it past; an error leaves it out of
+// the pool, so the caller can inspect it.
+func (m *Machine) Complete(p *Plan, data [][]byte, plane Plane) (Block, error) {
+	if p.completed {
+		return 0, errors.New("ringoram: plan completed twice")
+	}
+	p.completed = true
+	if len(data) != len(p.Reads) {
+		return 0, fmt.Errorf("ringoram: %d slots delivered, plan has %d", len(data), len(p.Reads))
+	}
+	if err := m.local.check(p.Reads); err != nil {
+		return 0, err
+	}
+	for i, r := range p.Reads {
+		if e := m.entries[r.blk]; r.blk != 0 && e.pending {
+			if err := plane.Deliver(r, data[i], e.key); err != nil {
+				return 0, err
+			}
+			e.pending = false
+		}
+	}
+	// Every block the step moves on must be delivered by now: by an earlier
+	// plan's completion or by this one's.
+	err := m.delivered(p.blk)
+	for i := 0; err == nil && i < len(p.writes); i++ {
+		err = m.delivered(p.writes[i].Placed...)
+	}
+	if err != nil {
+		return 0, err
+	}
+	// The placed entries go back to the pool: their blocks are the tree's
+	// now, plan-ordered completion means no earlier plan still references
+	// them, and any later access finds the key in the tree.
 	for i := range p.writes {
 		w := &p.writes[i]
-		m.local.keep(w.Bucket, w.Ver)
+		plane.Place(w)
+		m.local.keep(w.Bucket, w.Image, plane)
 		for _, b := range w.Placed {
 			e := m.entries[b]
 			*e = stashEntry{blk: b}
 			m.entryPool = append(m.entryPool, e)
 		}
 	}
+	blk := p.blk
 	p.Key, p.blk = "", 0
 	pool := &m.planPool[p.Kind.pool()]
 	*pool = append(*pool, p)
+	return blk, nil
+}
+
+// delivered fails if a block of blocks has yet to reach the stash.
+func (m *Machine) delivered(blocks ...Block) error {
+	for _, b := range blocks {
+		if b != 0 && m.entries[b].pending {
+			return fmt.Errorf("ringoram: block %q still pending (completion order violated)", m.entries[b].key)
+		}
+	}
+	return nil
 }

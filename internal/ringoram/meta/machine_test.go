@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -19,40 +20,29 @@ func testParams(n int) Params {
 	return Params{NumBlocks: n, Z: 4, S: 6, A: 4, KeySize: 16, ValueSize: 32, Seed: 42}
 }
 
-// complete completes steps in plan order as the byte plane does, with no
-// bytes to move: every pending block a read carries is delivered, and an
-// access's block and an eviction's placed blocks must be by then.
+// complete completes steps in plan order through the one Complete, with a
+// plane that moves no byte.
 func complete(t testing.TB, m *Machine, steps []*Plan) {
 	t.Helper()
 	for _, p := range steps {
-		must(t, m.Begin(p, len(p.Reads)))
-		for _, r := range p.Reads {
-			if b := r.Block(); b != 0 && m.Pending(b) {
-				m.Delivered(b)
-			}
-		}
-		if b := p.Block(); b != 0 && m.Pending(b) {
-			t.Fatalf("access of %q: block still pending", m.Key(b))
-		}
-		for _, w := range p.Writes() {
-			for _, b := range w.Placed {
-				if m.Pending(b) {
-					t.Fatalf("bucket %d: block %q still pending at its eviction", w.Bucket, m.Key(b))
-				}
-			}
-		}
-		m.Finish(p)
+		_, err := m.Complete(p, make([][]byte, len(p.Reads)), values{})
+		must(t, err)
 	}
 }
 
-// values is a Values of every key's last written content, keyed by key: what
-// the byte plane's stash slots hold, as the machine alone knows it.
+// values is a byte-free Plane: every key's last written content, keyed by
+// key — what the byte plane's stash slots hold, as the machine alone knows
+// it. It delivers, places and releases nothing.
 type values map[string]value
 
 type value struct {
 	v         []byte
 	tombstone bool
 }
+
+func (vs values) Deliver(SlotRead, []byte, string) error { return nil }
+func (vs values) Place(*BucketWrite)                     {}
+func (vs values) Release(Image)                          {}
 
 func (vs values) Value(_ Block, key string) ([]byte, bool, error) {
 	v, ok := vs[key]
@@ -243,6 +233,44 @@ func TestRestoreKeepsInvariants(t *testing.T) {
 	for b := range m.buckets {
 		if !slices.Equal(m.buckets[b].words, restored.buckets[b].words) {
 			t.Fatalf("bucket %d: restored bitsets %x, live %x", b, restored.buckets[b].words, m.buckets[b].words)
+		}
+	}
+}
+
+// TestRestoreRefusesKeyOffItsPath: Restore refuses an image that places a key
+// in a bucket off its leaf's path — a full image that says so, or a full
+// image and a delta that remaps the key the full image places — instead of
+// restoring a client whose first read of the key would consume a filler in
+// every bucket of the path and only then refuse.
+func TestRestoreRefusesKeyOffItsPath(t *testing.T) {
+	m := runWorkload(t, testParams(0), 5, 64, 400)
+	vs := values{}
+	for _, e := range m.stashList {
+		vs[e.key] = value{v: []byte(e.key)}
+	}
+	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, vs)
+	must(t, err)
+	_, err = Restore(m.p, values{}, full)
+	must(t, err)
+	m.ClearDirty()
+	// A key below the root, moved to a leaf whose path misses its bucket.
+	ki := slices.IndexFunc(m.keys, func(k keyEnt) bool { return k.bucket > 0 })
+	if ki < 0 {
+		t.Fatal("no key resides below the root")
+	}
+	k := &m.keys[ki]
+	off := 0
+	for m.geo.PathBucket(off, BucketLevel(int(k.bucket))) == int(k.bucket) {
+		off++
+	}
+	m.remap(k.name, off)
+	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0, vs)
+	must(t, err)
+	offFull, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, vs)
+	must(t, err)
+	for name, images := range map[string][][]byte{"full": {offFull}, "full and delta": {full, delta}} {
+		if _, err := Restore(m.p, values{}, images[0], images[1:]...); err == nil || !strings.Contains(err.Error(), "off its leaf") {
+			t.Fatalf("%s: Restore of %q in bucket %d with leaf %d: %v, want a refusal", name, k.name, k.bucket, off, err)
 		}
 	}
 }

@@ -13,17 +13,21 @@ type SlotRead struct {
 	// whose ciphertext binding applies, or whose plaintext a local read must
 	// be served from.
 	Ver uint64
-	// local marks a read the local-version table serves (see Local).
-	local bool
+	// img is the kept version a local read is served from (see Local).
+	img Image
 	// blk is the pending block the slot delivers to the stash: the access's
 	// target, or a block an eviction reads out of its bucket. 0 for a filler.
 	blk Block
 }
 
-// Local reports whether the byte plane serves the read from its
-// local-version table at completion (see local.go): the caller fetches
-// nothing for it.
-func (r SlotRead) Local() bool { return r.local }
+// Local reports whether the byte plane serves the read from the version
+// the local-version table keeps (see local.go): the caller fetches nothing
+// for it.
+func (r SlotRead) Local() bool { return r.img != 0 }
+
+// Image returns the handle of the version a local read is served from, 0
+// for a read from storage.
+func (r SlotRead) Image() Image { return r.img }
 
 // Block returns the block the slot holds, 0 for a filler. Only these slots
 // are ever inspected at completion.
@@ -33,7 +37,7 @@ func (r SlotRead) Block() Block { return r.blk }
 // the table serves it.
 func (m *Machine) readOf(b, s int) SlotRead {
 	ver := m.buckets[b].writeVer
-	return SlotRead{Bucket: b, Slot: s, Ver: ver, local: m.local.serves(b, ver)}
+	return SlotRead{Bucket: b, Slot: s, Ver: ver, img: m.local.serves(b, ver)}
 }
 
 // PlanKind says which step of the public schedule a Plan is. The values are
@@ -66,8 +70,8 @@ func (k PlanKind) pool() int {
 
 // Plan is one planned step of the schedule: the metadata is already mutated,
 // the slots it reads are listed, and completion (machine.go) applies them. A
-// plan and its slices belong to the machine's pool again once Finish retires
-// it; callers must not touch it afterwards.
+// plan and its slices belong to the machine's pool again once Complete
+// retires it; callers must not touch it afterwards.
 type Plan struct {
 	Kind PlanKind
 	// Key is the key an access reads; "" for a padding read and for every
@@ -84,24 +88,22 @@ type Plan struct {
 	// slots).
 	Reads []SlotRead
 
-	blk       Block         // see Block
+	blk       Block         // an access's block, its target read's or the stash's
 	writes    []BucketWrite // an eviction's, parallel to Buckets
 	completed bool
 }
-
-// Block returns the block an access returns, its target read's or the
-// stash's; 0 for padding and an unknown key.
-func (p *Plan) Block() Block { return p.blk }
 
 // Writes returns the bucket versions an eviction writes, parallel to
 // Buckets: the plan's own slice.
 func (p *Plan) Writes() []BucketWrite { return p.writes }
 
 // BucketWrite is the version of one bucket an eviction writes: its number,
-// its permutation, and the blocks it holds, the i-th at real position i.
+// its handle in the local-version table (0 while the table is off), its
+// permutation, and the blocks it holds, the i-th at real position i.
 type BucketWrite struct {
 	Bucket int
 	Ver    uint64
+	Image  Image
 	// Perm is the version's own copy of its permutation (perm[pos] is the
 	// physical slot of position pos; pos < Z real, else dummy): a later plan
 	// may rewrite the bucket before this one completes.
@@ -560,7 +562,7 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 		bm.writeVer++
 		bm.rewrite(len(w.Placed))
 		w.Ver = bm.writeVer
-		m.local.claim(b, w.Ver)
+		w.Image = m.local.claim(b, w.Ver)
 		w.Perm = append(w.Perm[:0], bm.perm...)
 		m.markBucket(b, bucketRewritten)
 	}

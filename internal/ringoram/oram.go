@@ -32,19 +32,25 @@ type ORAM struct {
 	// vals carves the values Complete returns: they escape to the caller, so
 	// they are copied once into chunks that are never reused.
 	vals slab.Bytes
-	// images backs the []BucketImage Complete returns.
-	images []BucketImage
+	// evicted backs the []BucketImage Complete returns, and sealed and
+	// flushing the ones SealLocal and FlushLocal return.
+	evicted, sealed, flushing []BucketImage
 	// slots holds each stash block's plaintext slot, indexed by the block's
 	// handle: one slot of the codec's layout (see encodePlain), the one copy
 	// of its value and tombstone flag, nil while the block is pending and
 	// once an eviction has moved it into a bucket image.
 	slots [][]byte
+	// images holds each bucket version the local-version table keeps,
+	// indexed by the version's handle (see local.go), and resident is how
+	// many buckets, from the root, the table keeps for good: set once, when
+	// the table is turned on, and read by SealImage without the lock.
+	images   []BucketImage
+	resident int
 	// imagePool recycles image buffers, and blocks is the block plane's one
 	// allocator (see blocks.go): whoever holds a BucketImage returns both
 	// with Recycle once nothing reads the image any more.
 	imagePool *sync.Pool
 	blocks    *blockPool
-	local     localImages // see local.go
 	// The block plane's work counts: slots SealImage sealed (those holding a
 	// block) and filled (all the others), slots opened under a binding, and
 	// plaintext slots copied.
@@ -76,7 +82,7 @@ func Restore(key *cryptoutil.Key, p Params, full []byte, deltas ...[]byte) (*ORA
 	if err != nil {
 		return nil, err
 	}
-	if o.m, err = meta.Restore(o.p, (*stashValues)(o), full, deltas...); err != nil {
+	if o.m, err = meta.Restore(o.p, (*plane)(o), full, deltas...); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -212,7 +218,7 @@ func (o *ORAM) BatchLog(steps []*meta.Plan) meta.BatchLog { return o.m.BatchLog(
 func (o *ORAM) EncodeCheckpoint(full bool, pad meta.CheckpointPad, head, tail int) ([]byte, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.m.EncodeCheckpoint(full, pad, head, tail, (*stashValues)(o))
+	return o.m.EncodeCheckpoint(full, pad, head, tail, (*plane)(o))
 }
 
 // ClearDirty resets delta tracking; call once a checkpoint image has been
@@ -223,71 +229,48 @@ func (o *ORAM) ClearDirty() {
 	o.m.ClearDirty()
 }
 
-// Complete applies a step's fetched slots, in plan order: it delivers every
-// read that carries a pending block, then returns the access's value, or the
-// images of the bucket versions an eviction writes. A write step completes
-// with nothing. data must be parallel to p.Reads: a sealed slot from storage,
-// nil for a Local read, which the local-version table serves. Only the slots
-// that carry a block are ever inspected: a filler's entry may be nil, which
-// is what lets a caller that knows where a bucket's blocks sit skip fetching
-// the rest.
+// Complete applies a step's fetched slots, in plan order (see
+// meta.Machine.Complete): it delivers every read that carries a pending
+// block, then returns the access's value, or the images of the bucket
+// versions an eviction writes. A write step completes with nothing. data must
+// be parallel to p.Reads: a sealed slot from storage, nil for a Local read,
+// which the local-version table serves. Only the slots that carry a block are
+// ever inspected: a filler's entry may be nil, which is what lets a caller
+// that knows where a bucket's blocks sit skip fetching the rest.
 //
 // The value is the caller's to keep: a capacity-clipped copy carved by a
 // slab.Bytes. With the local-version table on, an eviction files its images
 // there and returns none; otherwise the caller keeps them until it seals them
 // (SealImage) or a later rewrite supersedes them. The returned slice is the
 // ORAM's scratch, valid until the next Complete: keep the images by value.
-//
-// Completion is the plan's death in every caller: it goes back to the pool on
-// success. An error leaves it out of the pool so the caller can inspect it.
 func (o *ORAM) Complete(p *meta.Plan, data [][]byte) (value []byte, found bool, images []BucketImage, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if err := o.m.Begin(p, len(data)); err != nil {
+	clear(o.evicted)
+	o.evicted = o.evicted[:0]
+	b, err := o.m.Complete(p, data, (*plane)(o))
+	if err != nil {
 		return nil, false, nil, err
 	}
-	for i, r := range p.Reads {
-		if b := r.Block(); b != 0 && o.m.Pending(b) {
-			if err := o.deliver(r, data[i], b); err != nil {
-				return nil, false, nil, err
-			}
-		}
-	}
-	switch p.Kind {
-	case meta.AccessStep:
-		value, found, err = o.accessResult(p)
-	case meta.EvictStep, meta.ReshuffleStep:
-		images, err = o.writeImages(p)
-	}
-	if err == nil {
-		o.m.Finish(p)
-	}
-	return value, found, images, err
-}
-
-// slot returns the place of block b's slot, growing the table to it.
-func (o *ORAM) slot(b meta.Block) *[]byte {
-	for int(b) >= len(o.slots) {
-		o.slots = append(o.slots, nil)
-	}
-	return &o.slots[b]
-}
-
-// accessResult resolves an access's logical result from the block it
-// returns: none for an unknown key or padding.
-func (o *ORAM) accessResult(p *meta.Plan) ([]byte, bool, error) {
-	b := p.Block()
 	if b == 0 {
-		return nil, false, nil
-	}
-	if o.m.Pending(b) {
-		return nil, false, errors.New("ringoram: completion out of order: entry still pending")
+		return nil, false, o.evicted, nil
 	}
 	blk, err := o.stashBlock(b)
 	if err != nil || blk.tombstone {
-		return nil, false, err
+		return nil, false, nil, err
 	}
-	return o.vals.Copy(blk.value), true, nil
+	return o.vals.Copy(blk.value), true, nil, nil
+}
+
+// slot returns the place of block b's slot, growing the table to it.
+func (o *ORAM) slot(b meta.Block) *[]byte { return grow(&o.slots, int(b)) }
+
+// grow returns the place of (*s)[i], growing *s with zero values to it.
+func grow[T any](s *[]T, i int) *T {
+	for i >= len(*s) {
+		*s = append(*s, *new(T))
+	}
+	return &(*s)[i]
 }
 
 // stashBlock decodes the block a delivered stash entry's slot holds.
@@ -299,16 +282,21 @@ func (o *ORAM) stashBlock(b meta.Block) (block, error) {
 	return blk, nil
 }
 
-// deliver moves the block a read fetched into a pooled slot, block b's. A
-// local read is served from the local-version table and copied into the
-// slot; a remote read's data is opened straight into it under the (bucket,
-// version) binding it was planned against. Either must hold b's key.
-func (o *ORAM) deliver(r meta.SlotRead, data []byte, b meta.Block) error {
+// plane is the ORAM as its machine's meta.Plane: the stash blocks' slots,
+// indexed by block, and the kept bucket versions' images, indexed by handle.
+type plane ORAM
+
+// Deliver moves the block read r fetched into a pooled slot, the block's. A
+// local read is served from the image r names and copied into the slot; a
+// remote read's data is opened straight into it under the (bucket, version)
+// binding it was planned against. Either must hold key.
+func (v *plane) Deliver(r meta.SlotRead, data []byte, key string) error {
+	o := (*ORAM)(v)
 	slot := o.blocks.take()
 	var plain []byte
 	var err error
 	if r.Local() {
-		plain = o.local.serve(r)
+		plain = o.image(r.Image()).Block(r.Slot)
 	} else {
 		plain, err = slot, o.cdc.open(slot, data, o.binding(uint64(r.Bucket), r.Ver))
 		o.openedSlots.Add(1)
@@ -318,7 +306,7 @@ func (o *ORAM) deliver(r meta.SlotRead, data []byte, b meta.Block) error {
 	if err == nil {
 		kind, blk, err = o.cdc.parse(plain)
 	}
-	switch key := o.m.Key(b); {
+	switch {
 	case err == nil && kind != slotReal && kind != slotTombstone:
 		err = fmt.Errorf("slot kind %d", kind)
 	case err == nil && string(blk.keyB) != key:
@@ -332,48 +320,38 @@ func (o *ORAM) deliver(r meta.SlotRead, data []byte, b meta.Block) error {
 		copy(slot, plain)
 		o.copiedSlots.Add(1)
 	}
-	*o.slot(b) = slot
-	o.m.Delivered(b)
+	*o.slot(r.Block()) = slot
 	return nil
 }
 
-// writeImages makes the image of every bucket version an eviction writes,
-// moving the placed blocks' slots into them, and files them in the
-// local-version table when it is on.
-func (o *ORAM) writeImages(p *meta.Plan) ([]BucketImage, error) {
-	// Every placed block must be delivered before any moves into an image:
-	// an earlier plan's completion delivered it, or this plan's just did.
-	writes := p.Writes()
-	for i := range writes {
-		for _, b := range writes[i].Placed {
-			if o.m.Pending(b) {
-				return nil, fmt.Errorf("ringoram: writing bucket %d: block %q still pending (completion order violated)", writes[i].Bucket, o.m.Key(b))
-			}
-		}
+// Place builds the image of the bucket version w writes in a pooled buffer,
+// moving each placed block's slot into it, and files it under w's handle, or
+// hands it to Complete's caller when w has none.
+func (v *plane) Place(w *meta.BucketWrite) {
+	o := (*ORAM)(v)
+	im := o.newImage(w.Bucket, w.Ver)
+	copy(im.perm, w.Perm)
+	for _, b := range w.Placed {
+		slot := o.slot(b)
+		im.Blocks = append(im.Blocks, *slot)
+		*slot = nil
 	}
-	images := o.images[:0]
-	for i := range writes {
-		im := o.imageOf(&writes[i])
-		if o.local.bufs != nil {
-			o.local.keep(im.Bucket, im.buf)
-			continue
-		}
-		images = append(images, im)
+	if w.Image == 0 {
+		o.evicted = append(o.evicted, im)
+		return
 	}
-	o.images = images
-	return images, nil
+	*o.image(w.Image) = im
 }
 
-// stashValues is the ORAM as its machine's meta.Values: the stash blocks'
-// values, for a checkpoint image to carry and a Restore to hand back.
-type stashValues ORAM
+// Release recycles the image filed under h.
+func (v *plane) Release(h meta.Image) { (*ORAM)(v).image(h).Recycle() }
 
-func (v *stashValues) Value(b meta.Block, _ string) ([]byte, bool, error) {
+func (v *plane) Value(b meta.Block, _ string) ([]byte, bool, error) {
 	blk, err := (*ORAM)(v).stashBlock(b)
 	return blk.value, blk.tombstone, err
 }
 
-func (v *stashValues) Restore(b meta.Block, key string, value []byte, tombstone bool) error {
+func (v *plane) Restore(b meta.Block, key string, value []byte, tombstone bool) error {
 	o := (*ORAM)(v)
 	slot := o.slot(b)
 	*slot = o.blocks.take()

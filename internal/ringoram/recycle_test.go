@@ -76,7 +76,8 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 		// Recycle the eviction's images behind the table's back: the table
 		// still names them, and a read served from one must fail.
 		for _, b := range buckets {
-			o.local.bufs[b].cur.recycle()
+			im := o.localCur(b)
+			im.Recycle()
 		}
 		if _, _, _, err := o.Complete(plan, make([][]byte, len(plan.Reads))); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("a block of a recycled image read locally: %v, want ErrCorrupt (the image was not poisoned)", err)
@@ -87,7 +88,7 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 // mustServe is the table's plaintext for a local read that carries a block.
 func mustServe(t *testing.T, o *ORAM, r meta.SlotRead) []byte {
 	t.Helper()
-	plain := o.local.serve(r)
+	plain := o.image(r.Image()).Block(r.Slot)
 	if plain == nil {
 		t.Fatalf("bucket %d slot %d holds no block in the table", r.Bucket, r.Slot)
 	}

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -56,6 +59,40 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// offPathImage returns a copy of the plaintext of the first full checkpoint
+// record of checkpoints that places a key below the root, with that key's
+// leaf moved to one whose path misses the key's bucket. A full image's
+// position-map entry is the key field (a 2-byte length, then KeySize bytes),
+// the leaf, the bucket and the position.
+func offPathImage(t testing.TB, checkpoints [][]byte) []byte {
+	geo, field := formatParams.Geometry(), 2+formatParams.KeySize
+	for _, plain := range checkpoints {
+		img := plain[checkpointHeaderSize:]
+		if info, err := meta.InspectImage(img); err != nil || !info.Full {
+			continue
+		}
+		for i := 0; i < 12; i++ {
+			name := binary.BigEndian.AppendUint16(nil, uint16(len(formatKey(i))))
+			at := bytes.Index(img, append(name, formatKey(i)...))
+			if at < 0 {
+				continue
+			}
+			leaf := img[at+field:]
+			if bucket := int(int32(binary.BigEndian.Uint32(leaf[4:]))); bucket > 0 {
+				off := 0
+				for geo.PathBucket(off, meta.BucketLevel(bucket)) == bucket {
+					off++
+				}
+				out := bytes.Clone(plain)
+				binary.BigEndian.PutUint32(out[checkpointHeaderSize+at+field:], uint32(off))
+				return out
+			}
+		}
+	}
+	t.Fatal("no full checkpoint places a key below the root")
+	return nil
+}
+
 func FuzzDecodeCheckpoint(f *testing.F) {
 	_, checkpoints := fuzzSeedRecords(f)
 	for _, cp := range checkpoints {
@@ -67,6 +104,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	if err := p.Validate(); err != nil {
 		f.Fatal(err)
 	}
+	// A full image that places a key off its leaf's path, which Restore
+	// refuses.
+	off := offPathImage(f, checkpoints)
+	if _, err := ringoram.Restore(key, p, off[checkpointHeaderSize:]); err == nil || !strings.Contains(err.Error(), "off its leaf") {
+		f.Fatalf("a full image placing a key off its path restored: %v", err)
+	}
+	f.Add(off, true)
+	f.Add(off, false)
 	// What restoring costs before the image has any say: the client itself.
 	base := allocatedBy(func() { ringoram.Restore(key, p, nil) })
 	f.Fuzz(func(t *testing.T, plain []byte, committing bool) {
