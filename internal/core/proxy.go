@@ -649,6 +649,10 @@ func (p *Proxy) Stats() Stats {
 		s.Executor.ReadCalls += es.ReadCalls
 		s.Executor.WriteCalls += es.WriteCalls
 		s.Executor.ResidentBytes += es.ResidentBytes
+		s.Executor.SealedSlots += es.SealedSlots
+		s.Executor.FilledSlots += es.FilledSlots
+		s.Executor.OpenedSlots += es.OpenedSlots
+		s.Executor.CopiedSlots += es.CopiedSlots
 		if peak := sh.exec.ORAM().StashPeak(); peak > s.StashPeak {
 			s.StashPeak = peak
 		}

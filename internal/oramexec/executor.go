@@ -124,6 +124,10 @@ type Stats struct {
 	// ResidentBytes is a gauge: the memory of the blocks the resident levels
 	// hold in the ORAM's table, at most Z plaintext slots per resident bucket.
 	ResidentBytes int64
+	// The block plane's work (ringoram.ORAM.Work): slots sealed holding a
+	// block and written as fillers, slots opened under a binding, and
+	// plaintext slots copied from the local-version table.
+	SealedSlots, FilledSlots, OpenedSlots, CopiedSlots int64
 }
 
 // statCounters is the executor's internal, atomically updated counter set.
@@ -282,6 +286,7 @@ func (e *Executor) ORAM() *ringoram.ORAM { return e.oram }
 func (e *Executor) Stats() Stats {
 	s := e.stats.snapshot()
 	s.ResidentBytes = e.oram.ResidentBytes()
+	s.SealedSlots, s.FilledSlots, s.OpenedSlots, s.CopiedSlots = e.oram.Work()
 	return s
 }
 

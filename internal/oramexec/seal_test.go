@@ -94,8 +94,7 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	run := func(preload int) {
 		epoch++
 		e.BeginEpoch(epoch)
-		seals0, fills0, st0 := oram.SealedSlots(), oram.FilledSlots(), e.Stats()
-		opens0, copies0 := oram.OpenedSlots(), oram.CopiedSlots()
+		st0 := e.Stats()
 		slots0, blocks0, fillers0 := store.slots, store.blocks, store.fillers
 		for b := 0; b < readBatches; b++ {
 			clear(reads)
@@ -129,7 +128,7 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 		if _, err := e.Execute(plan); err != nil {
 			t.Fatal(err)
 		}
-		if seals, fills := oram.SealedSlots()-seals0, oram.FilledSlots()-fills0; seals != 0 || fills != 0 {
+		if seals, fills := e.Stats().SealedSlots-st0.SealedSlots, e.Stats().FilledSlots-st0.FilledSlots; seals != 0 || fills != 0 {
 			t.Fatalf("epoch %d: %d slots sealed and %d filled before the flush", epoch, seals, fills)
 		}
 		s, err := e.SealEpoch()
@@ -146,25 +145,26 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 		if store.err != nil {
 			t.Fatalf("epoch %d: %v", epoch, store.err)
 		}
-		seals, fills := oram.SealedSlots()-seals0, oram.FilledSlots()-fills0
+		st := e.Stats()
+		seals, fills := st.SealedSlots-st0.SealedSlots, st.FilledSlots-st0.FilledSlots
 		slots, blocks, fillers := store.slots-slots0, store.blocks-blocks0, store.fillers-fillers0
 		if seals != blocks || fills != fillers || seals+fills != slots {
 			t.Fatalf("epoch %d: %d slots sealed and %d filled; %d flushed, %d of them blocks and %d fillers", epoch, seals, fills, slots, blocks, fillers)
 		}
 		if preload < 0 {
-			st := e.Stats()
 			sealed += seals
 			filled += fills
 			versions += st.WritesBuffered - st0.WritesBuffered
 			written += st.BucketWrites - st0.BucketWrites
-			opened += oram.OpenedSlots() - opens0
-			copied += oram.CopiedSlots() - copies0
+			opened += st.OpenedSlots - st0.OpenedSlots
+			copied += st.CopiedSlots - st0.CopiedSlots
 		}
 	}
 	for next := 0; next < keys; next += writeBatch {
 		run(next)
 	}
-	setupSealed, setupFilled := oram.SealedSlots(), oram.FilledSlots()
+	setup := e.Stats()
+	setupSealed, setupFilled := setup.SealedSlots, setup.FilledSlots
 	for i := 0; i < steady; i++ {
 		run(-1)
 	}

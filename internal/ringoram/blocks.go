@@ -144,21 +144,15 @@ func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
 	return o.SealImage(BucketImage{Bucket: b, Ver: 1, perm: perm}, a)
 }
 
-// SealedSlots returns how many slots SealImage has sealed, SealFresh's
-// included: the slots holding a block, each a GCM seal when encryption is on.
-func (o *ORAM) SealedSlots() int64 { return o.sealedSlots.Load() }
-
-// FilledSlots returns how many slots SealImage has written as fillers,
-// SealFresh's included: every slot it wrote that holds no block.
-func (o *ORAM) FilledSlots() int64 { return o.filledSlots.Load() }
-
-// OpenedSlots returns how many slots have been opened under a (bucket,
-// version) binding: remote reads delivered to the stash, and LoadLocal's.
-func (o *ORAM) OpenedSlots() int64 { return o.openedSlots.Load() }
-
-// CopiedSlots returns how many plaintext slots have been copied: local reads
-// delivered to the stash from the local-version table.
-func (o *ORAM) CopiedSlots() int64 { return o.copiedSlots.Load() }
+// Work returns the block plane's work counts since the client was made:
+// slots SealImage sealed (the slots holding a block, each a GCM seal when
+// encryption is on) and filled (every other slot it wrote), SealFresh's
+// included; slots opened under a (bucket, version) binding (remote reads
+// delivered to the stash, and LoadLocal's); and plaintext slots copied
+// (local reads delivered to the stash from the local-version table).
+func (o *ORAM) Work() (sealed, filled, opened, copied int64) {
+	return o.sealedSlots.Load(), o.filledSlots.Load(), o.openedSlots.Load(), o.copiedSlots.Load()
+}
 
 // SealArena is memory a caller lends to SealImage and SealFresh: byte chunks
 // the seals carve slot frames from, front to back, the slot headers they hand

@@ -21,48 +21,58 @@ import (
 //	reshuffle kind(u8) bucket(u32) n(u16) slot[z]
 //	write     kind(u8)
 //
-// Slots are slotWidth bytes each (see slotWidth). An eviction reads at most z
-// slots per bucket (fewer only when a bucket ran out of fillers); n says how
-// many of the z slot fields are meaningful. A write names no key: a replay
-// only counts it.
+// Slots are slotWidth bytes each, the width of a slot index (see width). An
+// eviction reads at most z slots per bucket (fewer only when a bucket ran out
+// of fillers); n says how many of the z slot fields are meaningful. A write
+// names no key: a replay only counts it.
 const batchLogHeaderSize = 2 + 2 + 2 + 1 + 4
 
-// slotWidth is the one slot-index width of both log formats, a batch record's
-// slot lists and a checkpoint's permutations: one byte when a bucket has at
-// most 256 slots, else two (Validate keeps Z+S below 65 536).
-type slotWidth int
+// width is the byte width of a sized integer field: the fewest bytes that
+// hold the field's largest legal value, which the public parameters fix
+// (widthOf), so no field's width depends on the data. A checkpoint image
+// sizes each per-entry integer this way, a batch record its slot indices:
+// one byte while a bucket has at most 256 slots, else two (Validate keeps
+// Z+S below 65 536). Values are big-endian.
+type width int
 
-func slotWidthOf(slotsPer int) slotWidth {
-	if slotsPer > 256 {
-		return 2
+// widthOf returns the width of a field whose values are at most max.
+func widthOf(max int) width {
+	w := width(1)
+	for max>>(8*w) != 0 {
+		w++
 	}
-	return 1
+	return w
 }
 
-func (w slotWidth) put(b []byte, slot int) {
-	if w == 1 {
-		b[0] = uint8(slot)
-	} else {
-		binary.BigEndian.PutUint16(b, uint16(slot))
+// put writes v at the front of b and returns the bytes after it.
+func (w width) put(b []byte, v int) []byte {
+	for i := int(w) - 1; i >= 0; i-- {
+		b[i] = byte(v)
+		v >>= 8
 	}
+	return b[w:]
 }
 
-func (w slotWidth) get(b []byte) int {
-	if w == 1 {
-		return int(b[0])
+func (w width) get(b []byte) int {
+	v := 0
+	for _, c := range b[:w] {
+		v = v<<8 | int(c)
 	}
-	return int(binary.BigEndian.Uint16(b))
+	return v
 }
+
+// ones is the largest value w holds: every bit set.
+func (w width) ones() int { return 1<<(8*w) - 1 }
 
 // logShape holds the public parameters that fix a batch record's entry
 // widths.
 type logShape struct {
 	keySize, pathLen, z int
-	slot                slotWidth
+	slot                width
 }
 
 func (m *Machine) logShape() logShape {
-	return logShape{keySize: m.p.KeySize, pathLen: m.geo.Levels + 1, z: m.p.Z, slot: slotWidthOf(m.geo.SlotsPer)}
+	return logShape{keySize: m.p.KeySize, pathLen: m.geo.Levels + 1, z: m.p.Z, slot: widthOf(m.geo.SlotsPer - 1)}
 }
 
 func (s logShape) bucketSize() int { return 2 + s.z*int(s.slot) }
@@ -149,8 +159,7 @@ func (l BatchLog) Encode(dst []byte) error {
 			binary.BigEndian.PutUint32(b[2+s.keySize:], uint32(p.Leaf))
 			b = b[2+s.keySize+4:]
 			for _, r := range p.Reads {
-				s.slot.put(b, r.Slot)
-				b = b[s.slot:]
+				b = s.slot.put(b, r.Slot)
 			}
 		case EvictStep, ReshuffleStep:
 			if p.Kind == ReshuffleStep {
@@ -206,7 +215,7 @@ func DecodeBatchLog(b []byte) ([]LogEntry, error) {
 		return nil, fmt.Errorf("ringoram: batch log of %d bytes is shorter than its header", len(b))
 	}
 	c := cursor(b)
-	s := logShape{keySize: c.u16(), pathLen: c.u16(), z: c.u16(), slot: slotWidth(c.u8())}
+	s := logShape{keySize: c.u16(), pathLen: c.u16(), z: c.u16(), slot: width(c.u8())}
 	n := c.u32()
 	if s.slot != 1 && s.slot != 2 {
 		return nil, fmt.Errorf("ringoram: batch log slot width %d", s.slot)

@@ -13,21 +13,43 @@ import (
 // structures into one exact-size buffer and read straight back into them;
 // there is no intermediate representation.
 //
-// Every entry kind has a fixed width given the public parameters (KeySize, Z,
-// S), so an image's size is a function of entry counts alone, and padding
-// entries are byte-for-byte the size of real ones. All integers big-endian:
+// Every entry kind has a fixed width given the public parameters (KeySize,
+// ValueSize, NumBlocks, Z, S), so an image's size is a function of entry
+// counts and the stash's value lengths alone, and padding entries are
+// byte-for-byte the size of real ones. Integers are big-endian; a field
+// written (≤X) is as wide as the public bound X needs, the fewest bytes that
+// hold it (see width), and one written (uN) is N bits:
 //
 //	header    flags(u8: bit0 full) keySize(u16) z(u16) slotsPer(u16)
-//	          numBuckets(u32) accessCount(u64) evictCount(u64)
+//	          numBuckets(u32) numBlocks(u32) accessCount(u64) evictCount(u64)
 //	          nKeys(u32) nTouched(u32) nRewritten(u32) nStash(u32)
-//	key       keyLen(u16) key[keySize] leaf(u32)            keyLen 0 = padding
-//	          full only: bucket(u32, 0xFFFFFFFF = not in the tree) pos(u16)
-//	touched   bucket(u32) count(u16) valid[⌈slotsPer/8⌉] occupied[⌈z/8⌉]
-//	rewritten bucket(u32) count(u16) valid[⌈slotsPer/8⌉] writeVer(u64)
-//	          perm[slotsPer]×(u8 if slotsPer ≤ 256 else u16: slotWidth)
-//	          delta only: z × (keyLen(u16) key[keySize])     keyLen 0 = empty
-//	stash     keyLen(u16) key[keySize] flags(u8: bit0 tombstone, bit1
-//	          cacheable) leaf(u32) valLen(u32) value[valLen]  keyLen 0 = padding
+//	key       keyLen(≤keySize) key[keySize] leaf(≤leaves−1)  keyLen 0 = padding
+//	          full only: bucket(≤numBuckets: all ones = not in the tree)
+//	          pos(≤z−1)
+//	touched   bucket(≤numBuckets) count(≤slotsPer) valid[⌈slotsPer/8⌉]
+//	          occupied[⌈z/8⌉]
+//	rewritten bucket(≤numBuckets) count(≤slotsPer) valid[⌈slotsPer/8⌉]
+//	          writeVer(u64) perm[slotsPer]×(≤slotsPer−1)
+//	          delta only: z × index(≤numBlocks)            index 0 = empty
+//	stash     index(≤numBlocks) flags(u8: bit0 tombstone, bit1 cacheable)
+//	          leaf(≤leaves−1) valLen(≤valueSize) value[valLen]
+//	                                                       index 0 = padding
+//
+// At the benchmark's kv-mem parameters (Z=16, S=24, 1 024 leaves, KeySize=16,
+// NumBlocks=16 384, ValueSize=256) the header is 47 bytes, a key entry 19 in
+// a delta and 22 in a full image, a touched bucket 10, a rewritten bucket 88
+// in a delta and 56 in a full image, and a stash entry 7 plus its value.
+//
+// An index is a key's position in the key table plus one, so 0 names no key
+// and a zeroed buffer needs no write for an empty position or a padding
+// entry. Keys the table already holds are named by index: a delta bucket's
+// resident keys and every stash entry's key (a stashed key always has a
+// position-map entry). Position-map entries spell their keys out: a delta's
+// new keys must be named, and naming only them would reveal how many writes
+// were inserts. Indices agree between the live table and a restored one
+// because the table only grows and remap dirties a key when it adds one: a
+// full image lists the table in order, and a delta its new keys in the order
+// they were added.
 //
 // A full image lists every key (in table order) and every bucket (in index
 // order, as rewritten entries); the keys carry their tree location, so the
@@ -43,22 +65,20 @@ import (
 // resident key, so their buckets are described by state: the valid bitmap,
 // the count, and which real positions are still occupied.
 const (
-	imageHeaderSize = 1 + 2 + 2 + 2 + 4 + 8 + 8 + 4 + 4 + 4 + 4
+	imageHeaderSize = 1 + 2 + 2 + 2 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4
 	imageFlagFull   = 1
 
 	stashFlagTombstone = 1
 	stashFlagCacheable = 2
-
-	noBucket = 0xFFFFFFFF
 )
 
 // imageHeader is the fixed head of every image: the kind, the geometry it was
 // written under, the counters, and the entry count of each section.
 type imageHeader struct {
-	full                                bool
-	keySize, z, slotsPer, numBuckets    int
-	accessCount, evictCount             uint64
-	nKeys, nTouched, nRewritten, nStash int
+	full                                        bool
+	keySize, z, slotsPer, numBuckets, numBlocks int
+	accessCount, evictCount                     uint64
+	nKeys, nTouched, nRewritten, nStash         int
 }
 
 func (h imageHeader) put(b []byte) {
@@ -69,12 +89,13 @@ func (h imageHeader) put(b []byte) {
 	binary.BigEndian.PutUint16(b[3:], uint16(h.z))
 	binary.BigEndian.PutUint16(b[5:], uint16(h.slotsPer))
 	binary.BigEndian.PutUint32(b[7:], uint32(h.numBuckets))
-	binary.BigEndian.PutUint64(b[11:], h.accessCount)
-	binary.BigEndian.PutUint64(b[19:], h.evictCount)
-	binary.BigEndian.PutUint32(b[27:], uint32(h.nKeys))
-	binary.BigEndian.PutUint32(b[31:], uint32(h.nTouched))
-	binary.BigEndian.PutUint32(b[35:], uint32(h.nRewritten))
-	binary.BigEndian.PutUint32(b[39:], uint32(h.nStash))
+	binary.BigEndian.PutUint32(b[11:], uint32(h.numBlocks))
+	binary.BigEndian.PutUint64(b[15:], h.accessCount)
+	binary.BigEndian.PutUint64(b[23:], h.evictCount)
+	binary.BigEndian.PutUint32(b[31:], uint32(h.nKeys))
+	binary.BigEndian.PutUint32(b[35:], uint32(h.nTouched))
+	binary.BigEndian.PutUint32(b[39:], uint32(h.nRewritten))
+	binary.BigEndian.PutUint32(b[43:], uint32(h.nStash))
 }
 
 func readImageHeader(img []byte) (imageHeader, error) {
@@ -87,12 +108,13 @@ func readImageHeader(img []byte) (imageHeader, error) {
 		z:           int(binary.BigEndian.Uint16(img[3:])),
 		slotsPer:    int(binary.BigEndian.Uint16(img[5:])),
 		numBuckets:  int(binary.BigEndian.Uint32(img[7:])),
-		accessCount: binary.BigEndian.Uint64(img[11:]),
-		evictCount:  binary.BigEndian.Uint64(img[19:]),
-		nKeys:       int(binary.BigEndian.Uint32(img[27:])),
-		nTouched:    int(binary.BigEndian.Uint32(img[31:])),
-		nRewritten:  int(binary.BigEndian.Uint32(img[35:])),
-		nStash:      int(binary.BigEndian.Uint32(img[39:])),
+		numBlocks:   int(binary.BigEndian.Uint32(img[11:])),
+		accessCount: binary.BigEndian.Uint64(img[15:]),
+		evictCount:  binary.BigEndian.Uint64(img[23:]),
+		nKeys:       int(binary.BigEndian.Uint32(img[31:])),
+		nTouched:    int(binary.BigEndian.Uint32(img[35:])),
+		nRewritten:  int(binary.BigEndian.Uint32(img[39:])),
+		nStash:      int(binary.BigEndian.Uint32(img[43:])),
 	}, nil
 }
 
@@ -107,51 +129,61 @@ type CheckpointPad struct {
 	// limit).
 	StashEntries int
 	// ValueSize is the number of value bytes each padding stash entry
-	// carries.
+	// carries, at most Params.ValueSize.
 	ValueSize int
 }
 
 // imageLayout derives the entry widths from the public parameters.
 type imageLayout struct {
-	keySize, z, slotsPer, numBuckets int
-	validBytes, occBytes             int
-	slot                             slotWidth // a permutation entry's width
+	keySize, z, slotsPer, numBuckets, numBlocks int
+	validBytes, occBytes                        int
+	// The sized fields' widths (see the format above).
+	index, keyLen, leaf, bucket, pos, count, slot, valLen width
 }
 
 func (m *Machine) imageLayout() imageLayout {
-	l := imageLayout{keySize: m.p.KeySize, z: m.p.Z, slotsPer: m.geo.SlotsPer, numBuckets: m.geo.NumBuckets}
+	l := imageLayout{keySize: m.p.KeySize, z: m.p.Z, slotsPer: m.geo.SlotsPer, numBuckets: m.geo.NumBuckets, numBlocks: m.p.NumBlocks}
 	l.validBytes = (l.slotsPer + 7) / 8
 	l.occBytes = (l.z + 7) / 8
-	l.slot = slotWidthOf(l.slotsPer)
+	l.index = widthOf(l.numBlocks)
+	l.keyLen = widthOf(l.keySize)
+	l.leaf = widthOf(m.geo.Leaves - 1)
+	l.bucket = widthOf(l.numBuckets) // all ones is none of them
+	l.pos = widthOf(l.z - 1)
+	l.count = widthOf(l.slotsPer)
+	l.slot = widthOf(l.slotsPer - 1)
+	l.valLen = widthOf(m.p.ValueSize)
 	return l
 }
 
-func (l imageLayout) keyField() int { return 2 + l.keySize }
+func (l imageLayout) keyField() int { return int(l.keyLen) + l.keySize }
 
 func (l imageLayout) keyEntry(full bool) int {
+	n := l.keyField() + int(l.leaf)
 	if full {
-		return l.keyField() + 4 + 4 + 2
-	}
-	return l.keyField() + 4
-}
-
-func (l imageLayout) touchedEntry() int { return 4 + 2 + l.validBytes + l.occBytes }
-
-func (l imageLayout) rewrittenEntry(full bool) int {
-	n := 4 + 2 + l.validBytes + 8 + l.slotsPer*int(l.slot)
-	if !full {
-		n += l.z * l.keyField()
+		n += int(l.bucket + l.pos)
 	}
 	return n
 }
 
-func (l imageLayout) stashHeader() int { return l.keyField() + 1 + 4 + 4 }
+func (l imageLayout) bucketState() int { return int(l.bucket+l.count) + l.validBytes }
+
+func (l imageLayout) touchedEntry() int { return l.bucketState() + l.occBytes }
+
+func (l imageLayout) rewrittenEntry(full bool) int {
+	n := l.bucketState() + 8 + l.slotsPer*int(l.slot)
+	if !full {
+		n += l.z * int(l.index)
+	}
+	return n
+}
+
+func (l imageLayout) stashHeader() int { return int(l.index) + 1 + int(l.leaf+l.valLen) }
 
 // putKey writes a fixed-width key field at b and returns the bytes after it.
 // b is zeroed, so the unused tail of the field needs no write.
 func (l imageLayout) putKey(b []byte, key string) []byte {
-	binary.BigEndian.PutUint16(b, uint16(len(key)))
-	copy(b[2:], key)
+	copy(l.keyLen.put(b, len(key)), key)
 	return b[l.keyField():]
 }
 
@@ -194,6 +226,9 @@ func readBits(s bitset, b []byte, n int) {
 // epoch boundaries.
 func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int, plane Plane) ([]byte, error) {
 	l := m.imageLayout()
+	if pad.ValueSize > m.p.ValueSize {
+		return nil, fmt.Errorf("ringoram: checkpoint pads stash values to %d bytes, ValueSize is %d", pad.ValueSize, m.p.ValueSize)
+	}
 
 	nKeys, nTouched, nRewritten := len(m.keys), 0, l.numBuckets
 	if !full {
@@ -216,6 +251,9 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 		if err != nil {
 			return nil, err
 		}
+		if len(value) > m.p.ValueSize {
+			return nil, fmt.Errorf("ringoram: stash value of %d bytes for %q exceeds ValueSize %d", len(value), e.key, m.p.ValueSize)
+		}
 		valueBytes += len(value)
 	}
 	size := imageHeaderSize + nKeys*l.keyEntry(full) + nTouched*l.touchedEntry() +
@@ -224,7 +262,7 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 	buf := make([]byte, head+size+tail)
 	b := buf[head : head+size]
 	imageHeader{
-		full: full, keySize: l.keySize, z: l.z, slotsPer: l.slotsPer, numBuckets: l.numBuckets,
+		full: full, keySize: l.keySize, z: l.z, slotsPer: l.slotsPer, numBuckets: l.numBuckets, numBlocks: l.numBlocks,
 		accessCount: m.accessCount, evictCount: m.evictCount,
 		nKeys: nKeys, nTouched: nTouched, nRewritten: nRewritten, nStash: nStash,
 	}.put(b)
@@ -233,22 +271,19 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 	if full {
 		for i := range m.keys {
 			k := &m.keys[i]
-			b = l.putKey(b, k.name)
-			binary.BigEndian.PutUint32(b, uint32(k.leaf))
-			binary.BigEndian.PutUint32(b[4:], uint32(k.bucket)) // -1 is noBucket
-			if k.bucket >= 0 {
-				binary.BigEndian.PutUint16(b[8:], uint16(k.rpos))
+			b = l.leaf.put(l.putKey(b, k.name), int(k.leaf))
+			if k.bucket < 0 {
+				b = l.bucket.put(b, l.bucket.ones())[l.pos:]
+				continue
 			}
-			b = b[10:]
+			b = l.pos.put(l.bucket.put(b, int(k.bucket)), int(k.rpos))
 		}
 		for id := range m.buckets {
 			b = m.putRewritten(l, b, id, true)
 		}
 	} else {
 		for _, i := range m.dirtyKeys {
-			b = l.putKey(b, m.keys[i].name)
-			binary.BigEndian.PutUint32(b, uint32(m.keys[i].leaf))
-			b = b[4:]
+			b = l.leaf.put(l.putKey(b, m.keys[i].name), int(m.keys[i].leaf))
 		}
 		b = b[(nKeys-len(m.dirtyKeys))*l.keyEntry(false):] // padding: zeros
 		for _, id := range m.dirtyBuckets {
@@ -269,19 +304,18 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 
 	for _, e := range m.stashList {
 		value, tombstone, _ := plane.Value(e.blk, e.key) // read above
-		b = l.putKey(b, e.key)
+		b = l.index.put(b, int(e.ki)+1)
 		if tombstone {
 			b[0] |= stashFlagTombstone
 		}
 		if e.cacheable {
 			b[0] |= stashFlagCacheable
 		}
-		binary.BigEndian.PutUint32(b[1:], uint32(e.leaf))
-		binary.BigEndian.PutUint32(b[5:], uint32(len(value)))
-		b = b[9+copy(b[9:], value):]
+		b = l.valLen.put(l.leaf.put(b[1:], e.leaf), len(value))
+		b = b[copy(b, value):]
 	}
 	for i := len(m.stashList); i < nStash; i++ {
-		binary.BigEndian.PutUint32(b[l.keyField()+5:], uint32(pad.ValueSize))
+		l.valLen.put(b[l.stashHeader()-int(l.valLen):], pad.ValueSize)
 		b = b[l.stashHeader()+pad.ValueSize:]
 	}
 	if len(b) != 0 {
@@ -293,10 +327,9 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 // putBucketState writes the part every bucket entry starts with: index, slot
 // count and valid bitmap.
 func putBucketState(l imageLayout, b []byte, id int, bm *bucketMeta) []byte {
-	binary.BigEndian.PutUint32(b, uint32(id))
-	binary.BigEndian.PutUint16(b[4:], uint16(bm.count))
-	putBits(b[6:6+l.validBytes], bm.valid())
-	return b[6+l.validBytes:]
+	b = l.count.put(l.bucket.put(b, id), bm.count)
+	putBits(b[:l.validBytes], bm.valid())
+	return b[l.validBytes:]
 }
 
 func (m *Machine) putRewritten(l imageLayout, b []byte, id int, full bool) []byte {
@@ -304,17 +337,12 @@ func (m *Machine) putRewritten(l imageLayout, b []byte, id int, full bool) []byt
 	b = putBucketState(l, b, id, bm)
 	binary.BigEndian.PutUint64(b, bm.writeVer)
 	b = b[8:]
-	for i, s := range bm.perm {
-		l.slot.put(b[i*int(l.slot):], s)
+	for _, s := range bm.perm {
+		b = l.slot.put(b, s)
 	}
-	b = b[len(bm.perm)*int(l.slot):]
 	if !full {
 		for _, ki := range bm.addrs {
-			if ki < 0 {
-				b = b[l.keyField():] // empty: zeros
-				continue
-			}
-			b = l.putKey(b, m.keys[ki].name)
+			b = l.index.put(b, int(ki)+1) // an empty position, -1, is 0
 		}
 	}
 	return b
@@ -365,14 +393,27 @@ func (c *cursor) u16() int    { return int(binary.BigEndian.Uint16(c.take(2))) }
 func (c *cursor) u32() int    { return int(binary.BigEndian.Uint32(c.take(4))) }
 func (c *cursor) u64() uint64 { return binary.BigEndian.Uint64(c.take(8)) }
 
+// int reads a field of width w.
+func (c *cursor) int(w width) int { return w.get(c.take(int(w))) }
+
 // key reads a fixed-width key field.
 func (c *cursor) key(l imageLayout) (string, error) {
 	f := c.take(l.keyField())
-	n := int(binary.BigEndian.Uint16(f))
+	n := l.keyLen.get(f)
 	if n > l.keySize {
 		return "", fmt.Errorf("ringoram: checkpoint image key length %d exceeds KeySize %d", n, l.keySize)
 	}
-	return string(f[2 : 2+n]), nil
+	return string(f[l.keyLen:][:n]), nil
+}
+
+// keyIndex reads a key-table index field: -1 (0 on the wire) names no key,
+// and an index past the end of the table is refused.
+func (m *Machine) keyIndex(l imageLayout, c *cursor) (int32, error) {
+	ki := c.int(l.index) - 1
+	if ki >= len(m.keys) {
+		return 0, fmt.Errorf("ringoram: checkpoint names key index %d, the table holds %d keys", ki, len(m.keys))
+	}
+	return int32(ki), nil
 }
 
 func bit(b []byte, i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
@@ -444,9 +485,9 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 		}
 		return errors.New("ringoram: full checkpoint image in delta position")
 	}
-	if h.keySize != l.keySize || h.z != l.z || h.slotsPer != l.slotsPer || h.numBuckets != l.numBuckets {
-		return fmt.Errorf("ringoram: checkpoint image shaped KeySize=%d Z=%d slots=%d buckets=%d, client is KeySize=%d Z=%d slots=%d buckets=%d",
-			h.keySize, h.z, h.slotsPer, h.numBuckets, l.keySize, l.z, l.slotsPer, l.numBuckets)
+	if h.keySize != l.keySize || h.z != l.z || h.slotsPer != l.slotsPer || h.numBuckets != l.numBuckets || h.numBlocks != l.numBlocks {
+		return fmt.Errorf("ringoram: checkpoint image shaped KeySize=%d Z=%d slots=%d buckets=%d NumBlocks=%d, client is KeySize=%d Z=%d slots=%d buckets=%d NumBlocks=%d",
+			h.keySize, h.z, h.slotsPer, h.numBuckets, h.numBlocks, l.keySize, l.z, l.slotsPer, l.numBuckets, l.numBlocks)
 	}
 	nKeys, nTouched, nRewritten, nStash := h.nKeys, h.nTouched, h.nRewritten, h.nStash
 	// Counts come before anything is allocated or applied: the fixed-width
@@ -469,10 +510,10 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 		if err != nil {
 			return err
 		}
-		leaf := keys.u32()
-		bucket, pos := noBucket, 0
+		leaf := keys.int(l.leaf)
+		bucket, pos := l.bucket.ones(), 0
 		if full {
-			bucket, pos = keys.u32(), keys.u16()
+			bucket, pos = keys.int(l.bucket), keys.int(l.pos)
 		}
 		if key == "" {
 			continue // padding
@@ -490,7 +531,7 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 			return fmt.Errorf("ringoram: full checkpoint image lists %q twice", key)
 		}
 		m.keys[ki].leaf = int32(leaf)
-		if bucket != noBucket {
+		if bucket != l.bucket.ones() {
 			if bucket >= l.numBuckets || pos >= l.z {
 				return fmt.Errorf("ringoram: checkpoint places %q at bucket %d position %d, out of range", key, bucket, pos)
 			}
@@ -535,11 +576,7 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 		}
 		if !full {
 			for pos := range bm.addrs {
-				key, err := rewritten.key(l)
-				if err != nil {
-					return err
-				}
-				if bm.addrs[pos], err = m.tableIndex(key); err != nil {
+				if bm.addrs[pos], err = m.keyIndex(l, &rewritten); err != nil {
 					return err
 				}
 			}
@@ -559,29 +596,26 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 		if len(c) < l.stashHeader() {
 			return errors.New("ringoram: checkpoint image truncated in the stash")
 		}
-		key, err := c.key(l)
+		ki, err := m.keyIndex(l, &c)
 		if err != nil {
 			return err
 		}
-		flags, leaf, valLen := c.u8(), c.u32(), c.u32()
+		flags, leaf, valLen := c.u8(), c.int(l.leaf), c.int(l.valLen)
 		if valLen > len(c) {
 			return fmt.Errorf("ringoram: checkpoint stash value of %d bytes, %d remain", valLen, len(c))
 		}
 		value := c.take(valLen)
-		if key == "" {
+		if ki < 0 {
 			continue // padding
 		}
+		key := m.keys[ki].name
 		if leaf >= m.geo.Leaves || valLen > m.p.ValueSize {
 			return fmt.Errorf("ringoram: checkpoint stash entry %q has leaf %d, %d value bytes", key, leaf, valLen)
 		}
 		if _, dup := m.stash[key]; dup {
 			return fmt.Errorf("ringoram: checkpoint stash lists %q twice", key)
 		}
-		ki, known := m.pos[key]
-		if !known {
-			return fmt.Errorf("ringoram: checkpoint stash entry %q has no position-map entry", key)
-		}
-		e := m.newEntry(stashEntry{key: m.keys[ki].name, ki: ki, leaf: leaf, cacheable: flags&stashFlagCacheable != 0})
+		e := m.newEntry(stashEntry{key: key, ki: ki, leaf: leaf, cacheable: flags&stashFlagCacheable != 0})
 		m.stashAdd(e)
 		if plane != nil {
 			if err := plane.Restore(e.blk, e.key, value, flags&stashFlagTombstone != 0); err != nil {
@@ -598,27 +632,13 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 	return nil
 }
 
-// tableIndex returns the key-table index of a key an image places in the
-// tree (-1 for "", an empty position); a placed key the table lacks is a
-// corrupt image.
-func (m *Machine) tableIndex(key string) (int32, error) {
-	if key == "" {
-		return -1, nil
-	}
-	ki, known := m.pos[key]
-	if !known {
-		return 0, fmt.Errorf("ringoram: checkpoint places %q, which has no position-map entry", key)
-	}
-	return ki, nil
-}
-
 // readBucketState decodes the common head of a bucket entry into the bucket
 // it names and returns that bucket.
 func (m *Machine) readBucketState(l imageLayout, c *cursor) (int, *bucketMeta, error) {
-	id, count := c.u32(), c.u16()
+	id, count := c.int(l.bucket), c.int(l.count)
 	valid := c.take(l.validBytes)
-	if id >= l.numBuckets {
-		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d out of range", id)
+	if id >= l.numBuckets || count > l.slotsPer {
+		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d (%d slots read) out of range", id, count)
 	}
 	bm := &m.buckets[id]
 	bm.count = count

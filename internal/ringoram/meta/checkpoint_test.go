@@ -1,0 +1,195 @@
+package meta
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math/rand/v2"
+	"testing"
+)
+
+// stateDigest hashes everything a checkpoint carries of m, with the stash's
+// values from plane: the counters; the key table in order, each key with its
+// leaf and, while resident, its bucket and position; every bucket's bitset
+// words, permutation, version, slot count and resident key indices; and the
+// stash in order, each entry with its leaf, flags and value. Block handles,
+// dirty marks and the stash peak are process-local and left out.
+func stateDigest(t testing.TB, m *Machine, plane Plane) string {
+	t.Helper()
+	h := sha256.New()
+	u := func(vs ...uint64) {
+		for _, v := range vs {
+			h.Write(binary.BigEndian.AppendUint64(nil, v))
+		}
+	}
+	str := func(s string) {
+		u(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	u(m.accessCount, m.evictCount, uint64(len(m.keys)))
+	for _, k := range m.keys {
+		str(k.name)
+		u(uint64(k.leaf), uint64(k.bucket))
+		if k.bucket >= 0 {
+			u(uint64(k.rpos))
+		}
+	}
+	for b := range m.buckets {
+		bm := &m.buckets[b]
+		u(bm.words...)
+		for _, s := range bm.perm {
+			u(uint64(s))
+		}
+		u(bm.writeVer, uint64(bm.count))
+		for _, ki := range bm.addrs {
+			u(uint64(ki))
+		}
+	}
+	u(uint64(len(m.stashList)))
+	for _, e := range m.stashList {
+		v, tombstone, err := plane.Value(e.blk, e.key)
+		must(t, err)
+		str(e.key)
+		str(string(v))
+		u(uint64(e.leaf), uint64(e.ki))
+		for _, f := range []bool{e.cacheable, tombstone} {
+			if f {
+				u(1)
+			} else {
+				u(0)
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestRestoredStateDigest: a seeded run checkpointed as a full image and four
+// padded deltas restores to exactly the live machine's state, and that state
+// is pinned: the digests below were taken before checkpoints named keys by
+// their table index, so a format change that loses or reorders anything the
+// images carry fails here, not only against itself. The wide case (Z=25,
+// S=40, 300 keys) has two-word bitsets and a key table past one byte.
+func TestRestoredStateDigest(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		p       Params
+		numKeys int
+		want    string
+	}{
+		{"Z=4,S=6", testParams(0), 64, "8ac8906aa62863b1bb48ea2215996098dabc4bb6e3a98c8083eaede8a3419b10"},
+		{"Z=25,S=40", Params{Z: 25, S: 40, A: 25, KeySize: 16, ValueSize: 32}, 300,
+			"b6c3f03f24b6fddb666209bc2987c5f8cbd73a1e7c54b6d29441208404dccdf5"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.p
+			p.NumBlocks, p.Seed = c.numKeys, 17
+			m, err := New(p)
+			must(t, err)
+			rng := rand.New(rand.NewPCG(17, 18))
+			vs := values{}
+			var steps []*Plan
+			run := func(ops int) {
+				for i := 0; i < ops; i++ {
+					k := fmt.Sprintf("key-%d", rng.IntN(c.numKeys))
+					switch op := rng.IntN(10); {
+					case op < 5:
+						steps, _, err = m.PlanWrite(k, steps[:0])
+						vs[k] = value{v: []byte(fmt.Sprintf("%s@%d", k, rng.IntN(1000))), tombstone: op == 0}
+					case op < 9:
+						steps, err = m.PlanRead(k, steps[:0])
+					default:
+						steps, err = m.PlanRead("", steps[:0])
+					}
+					must(t, err)
+					complete(t, m, steps)
+				}
+			}
+			pad := CheckpointPad{PosEntries: 48, StashEntries: m.p.StashLimit, ValueSize: 8}
+			run(6 * c.numKeys)
+			full, err := m.EncodeCheckpoint(true, pad, 0, 0, vs)
+			must(t, err)
+			m.ClearDirty()
+			var deltas [][]byte
+			for range 4 {
+				run(40)
+				delta, err := m.EncodeCheckpoint(false, pad, 0, 0, vs)
+				must(t, err)
+				m.ClearDirty()
+				deltas = append(deltas, delta)
+			}
+			restoredValues := values{}
+			restored, err := Restore(m.p, restoredValues, full, deltas...)
+			must(t, err)
+			live, got := stateDigest(t, m, vs), stateDigest(t, restored, restoredValues)
+			if got != live {
+				t.Fatalf("restored state digest %s, live %s", got, live)
+			}
+			if got != c.want {
+				t.Errorf("restored state digest %s, pinned %s", got, c.want)
+			}
+		})
+	}
+}
+
+// TestCheckpointWidthBoundaries round-trips a full image and a delta on each
+// side of the points where a sized field grows a byte: a key index, which
+// holds NumBlocks, at 255/256 and 65 535/65 536 blocks with the key table
+// filled to the last index, and a tree of 2¹⁶ leaves, whose leaf field is
+// still two bytes and whose bucket field (131 071 buckets and the all-ones
+// "not in the tree") is three. The delta writes the newest keys again, so
+// it names their indices, the largest, in the stash or in the buckets the
+// evictions rewrote.
+func TestCheckpointWidthBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		p                   Params
+		keys                int
+		index, leaf, bucket width
+	}{
+		{Params{NumBlocks: 255, Z: 4, S: 6, A: 4, KeySize: 16, ValueSize: 8}, 255, 1, 1, 1},
+		{Params{NumBlocks: 256, Z: 4, S: 6, A: 4, KeySize: 16, ValueSize: 8}, 256, 2, 1, 1},
+		{Params{NumBlocks: 65535, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 8}, 65535, 2, 2, 2},
+		{Params{NumBlocks: 65536, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 8}, 65536, 3, 2, 2},
+		{Params{NumBlocks: 4<<15 + 1, Z: 4, S: 6, A: 4, KeySize: 16, ValueSize: 8}, 2000, 3, 2, 3},
+	} {
+		t.Run(fmt.Sprintf("NumBlocks=%d", c.p.NumBlocks), func(t *testing.T) {
+			p := c.p
+			p.Seed = 5
+			m, err := New(p)
+			must(t, err)
+			if l := m.imageLayout(); l.index != c.index || l.leaf != c.leaf || l.bucket != c.bucket {
+				t.Fatalf("%d leaves, %d buckets: index, leaf and bucket fields %d, %d, %d bytes; want %d, %d, %d",
+					m.geo.Leaves, m.geo.NumBuckets, l.index, l.leaf, l.bucket, c.index, c.leaf, c.bucket)
+			}
+			vs := values{}
+			var steps []*Plan
+			write := func(k string, v int) {
+				steps, _, err = m.PlanWrite(k, steps[:0])
+				must(t, err)
+				complete(t, m, steps)
+				vs[k] = value{v: []byte(fmt.Sprint(v))}
+			}
+			for i := range c.keys {
+				write(fmt.Sprintf("key-%d", i), i)
+			}
+			pad := CheckpointPad{PosEntries: 16, StashEntries: m.p.StashLimit, ValueSize: 8}
+			full, err := m.EncodeCheckpoint(true, pad, 0, 0, vs)
+			must(t, err)
+			m.ClearDirty()
+			for i := range 8 {
+				write(fmt.Sprintf("key-%d", c.keys-1-i), -i)
+			}
+			delta, err := m.EncodeCheckpoint(false, pad, 0, 0, vs)
+			must(t, err)
+			newest := &m.keys[c.keys-1]
+			if _, stashed := m.stash[newest.name]; !stashed && m.bucketDirty[newest.bucket] != bucketRewritten {
+				t.Fatalf("the delta names %q neither in the stash nor in a rewritten bucket", newest.name)
+			}
+			restoredValues := values{}
+			restored, err := Restore(m.p, restoredValues, full, delta)
+			must(t, err)
+			if live, got := stateDigest(t, m, vs), stateDigest(t, restored, restoredValues); got != live {
+				t.Fatalf("restored state digest %s, live %s", got, live)
+			}
+		})
+	}
+}

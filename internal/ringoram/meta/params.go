@@ -26,6 +26,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -98,11 +99,13 @@ func (p *Params) Validate() error {
 	if p.StashLimit < 0 {
 		return fmt.Errorf("%w: StashLimit %d", ErrBadParams, p.StashLimit)
 	}
-	// Both log formats store slot indices and per-bucket counts as u16 and
-	// bucket ids as u32, 0xFFFFFFFF meaning none.
+	// A batch record stores slot indices and slot counts in at most two
+	// bytes and bucket ids in four; a checkpoint header stores the bucket
+	// and block counts in four, and its sized fields take up to four bytes,
+	// a bucket's all ones meaning none. The key table counts in int32.
 	g := p.Geometry()
-	if g.SlotsPer >= 1<<16 || g.NumBuckets >= noBucket {
-		return fmt.Errorf("%w: %d slots per bucket and %d buckets exceed the log formats", ErrBadParams, g.SlotsPer, g.NumBuckets)
+	if g.SlotsPer >= 1<<16 || uint64(g.NumBuckets) >= math.MaxUint32 || p.NumBlocks > math.MaxInt32 {
+		return fmt.Errorf("%w: %d slots per bucket, %d buckets and %d blocks exceed the log formats", ErrBadParams, g.SlotsPer, g.NumBuckets, p.NumBlocks)
 	}
 	if p.StashLimit == 0 {
 		p.StashLimit = p.Z*(g.Levels+1) + 4*p.A + 64

@@ -51,9 +51,9 @@ type ORAM struct {
 	// with Recycle once nothing reads the image any more.
 	imagePool *sync.Pool
 	blocks    *blockPool
-	// The block plane's work counts: slots SealImage sealed (those holding a
-	// block) and filled (all the others), slots opened under a binding, and
-	// plaintext slots copied.
+	// The block plane's work counts (Work): slots SealImage sealed (those
+	// holding a block) and filled (all the others), slots opened under a
+	// binding, and plaintext slots copied.
 	sealedSlots, filledSlots, openedSlots, copiedSlots atomic.Int64
 }
 

@@ -49,9 +49,10 @@ func TestValidateRejectsNegativeStashLimit(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsGeometryPastLogFormats: both log formats store slot
-// indices and per-bucket counts as u16 and bucket ids as u32 (0xFFFFFFFF
-// meaning none), so a geometry past them is refused up front, not by the
+// TestValidateRejectsGeometryPastLogFormats: a batch record stores slot
+// indices and per-bucket counts in at most two bytes and bucket ids in four,
+// a checkpoint header the bucket and block counts in four, and key-table
+// indices are int32, so a geometry past them is refused up front, not by the
 // first checkpoint or, in a batch record, truncated silently.
 func TestValidateRejectsGeometryPastLogFormats(t *testing.T) {
 	for _, c := range []struct {
@@ -63,6 +64,8 @@ func TestValidateRejectsGeometryPastLogFormats(t *testing.T) {
 		{Params{NumBlocks: 100, Z: 1, S: 65536, A: 1}, false},
 		{Params{NumBlocks: 1 << 30, Z: 1, S: 1, A: 1}, true},  // 2^31 - 1 buckets
 		{Params{NumBlocks: 1 << 31, Z: 1, S: 1, A: 1}, false}, // 2^32 - 1 buckets
+		{Params{NumBlocks: 1<<31 - 1, Z: 4, S: 6, A: 4}, true},
+		{Params{NumBlocks: 1 << 31, Z: 4, S: 6, A: 4}, false}, // more keys than an int32 counts
 	} {
 		err := c.p.Validate()
 		if c.ok && err != nil || !c.ok && !errors.Is(err, meta.ErrBadParams) {

@@ -154,49 +154,72 @@ type snapStash struct {
 	value                string
 }
 
-// snap decodes o's full checkpoint image (the format is meta/checkpoint.go's).
+// fieldWidth is the width of a checkpoint field whose largest legal value is
+// bound: the fewest bytes that hold it.
+func fieldWidth(bound int) int {
+	w := 1
+	for bound>>(8*w) != 0 {
+		w++
+	}
+	return w
+}
+
+// fieldAt reads the big-endian field of w bytes at the front of b.
+func fieldAt(b []byte, w int) int {
+	v := 0
+	for _, c := range b[:w] {
+		v = v<<8 | int(c)
+	}
+	return v
+}
+
+// snap decodes o's full checkpoint image (the format is meta/checkpoint.go's:
+// a sized field is as wide as its public bound needs, and a stash entry names
+// its key by table index plus one).
 func snap(t *testing.T, o *ORAM) snapshot {
 	t.Helper()
 	img := image(t, o, true)
 	be := binary.BigEndian
+	p, geo := o.Params(), o.Geometry()
 	keySize, slotsPer := int(be.Uint16(img[1:])), int(be.Uint16(img[5:]))
-	s := snapshot{access: be.Uint64(img[11:]), evict: be.Uint64(img[19:])}
-	nKeys, nBuckets, nStash := int(be.Uint32(img[27:])), int(be.Uint32(img[35:])), int(be.Uint32(img[39:]))
-	b := img[43:]
-	key := func() string {
-		k := string(b[2 : 2+be.Uint16(b)])
-		b = b[2+keySize:]
-		return k
+	s := snapshot{access: be.Uint64(img[15:]), evict: be.Uint64(img[23:])}
+	nKeys, nBuckets, nStash := int(be.Uint32(img[31:])), int(be.Uint32(img[39:])), int(be.Uint32(img[43:]))
+	b := img[47:]
+	field := func(bound int) int {
+		w := fieldWidth(bound)
+		v := fieldAt(b, w)
+		b = b[w:]
+		return v
 	}
 	for range nKeys {
-		k := snapKey{name: key(), leaf: int(be.Uint32(b)), bucket: int(int32(be.Uint32(b[4:]))), pos: int(be.Uint16(b[8:]))}
-		if k.bucket < 0 {
-			k.pos = 0
+		n := field(keySize)
+		k := snapKey{name: string(b[:n])}
+		b = b[keySize:]
+		k.leaf, k.bucket, k.pos = field(geo.Leaves-1), field(geo.NumBuckets), field(p.Z-1)
+		if k.bucket >= geo.NumBuckets { // all ones: not in the tree
+			k.bucket, k.pos = -1, 0
 		}
 		s.keys = append(s.keys, k)
-		b = b[10:]
 	}
 	for range nBuckets {
-		bk := snapBucket{count: int(be.Uint16(b[4:])), valid: make([]bool, slotsPer)}
-		b = b[6:]
+		field(geo.NumBuckets)
+		bk := snapBucket{count: field(slotsPer), valid: make([]bool, slotsPer)}
 		for i := range bk.valid {
 			bk.valid[i] = b[i/8]&(1<<(i%8)) != 0
 		}
 		b = b[(slotsPer+7)/8:]
 		bk.ver, b = be.Uint64(b), b[8:]
 		for range slotsPer {
-			if slotsPer > 256 {
-				bk.perm, b = append(bk.perm, int(be.Uint16(b))), b[2:]
-			} else {
-				bk.perm, b = append(bk.perm, int(b[0])), b[1:]
-			}
+			bk.perm = append(bk.perm, field(slotsPer-1))
 		}
 		s.buckets = append(s.buckets, bk)
 	}
 	for range nStash {
-		e := snapStash{key: key(), tombstone: b[0]&1 != 0, cacheable: b[0]&2 != 0, leaf: int(be.Uint32(b[1:]))}
-		n := int(be.Uint32(b[5:]))
-		e.value, b = string(b[9:9+n]), b[9+n:]
+		e := snapStash{key: s.keys[field(p.NumBlocks)-1].name}
+		e.tombstone, e.cacheable, b = b[0]&1 != 0, b[0]&2 != 0, b[1:]
+		e.leaf = field(geo.Leaves - 1)
+		n := field(p.ValueSize)
+		e.value, b = string(b[:n]), b[n:]
 		s.stash = append(s.stash, e)
 	}
 	if len(b) != 0 {
@@ -342,19 +365,18 @@ func TestDirtyTracking(t *testing.T) {
 func deltaBuckets(o *ORAM, img []byte) []int {
 	be := binary.BigEndian
 	p, g := o.Params(), o.Geometry()
-	keyField, validBytes := 2+p.KeySize, (g.SlotsPer+7)/8
-	width := 1
-	if g.SlotsPer > 256 {
-		width = 2
-	}
-	b := img[43+int(be.Uint32(img[27:]))*(keyField+4):]
+	bucket, count, slot, index := fieldWidth(g.NumBuckets), fieldWidth(g.SlotsPer), fieldWidth(g.SlotsPer-1), fieldWidth(p.NumBlocks)
+	keyEntry := fieldWidth(p.KeySize) + p.KeySize + fieldWidth(g.Leaves-1)
+	state := bucket + count + (g.SlotsPer+7)/8
+	nKeys, nTouched, nRewritten := int(be.Uint32(img[31:])), int(be.Uint32(img[35:])), int(be.Uint32(img[39:]))
+	b := img[47+nKeys*keyEntry:]
 	var ids []int
-	for i, n := 0, int(be.Uint32(img[35:])); i < int(be.Uint32(img[31:]))+n; i++ {
-		ids = append(ids, int(be.Uint32(b)))
-		if i < int(be.Uint32(img[31:])) {
-			b = b[6+validBytes+(p.Z+7)/8:]
+	for i := 0; i < nTouched+nRewritten; i++ {
+		ids = append(ids, fieldAt(b, bucket))
+		if i < nTouched {
+			b = b[state+(p.Z+7)/8:]
 		} else {
-			b = b[6+validBytes+8+g.SlotsPer*width+p.Z*keyField:]
+			b = b[state+8+g.SlotsPer*slot+p.Z*index:]
 		}
 	}
 	return ids
@@ -555,7 +577,7 @@ func TestSnapshotWithPendingFails(t *testing.T) {
 // TestRestoreMatchesLiveClient is the format's differential test at the
 // client level: a seeded run checkpointed every "epoch" — a full image every
 // fifth, touched/rewritten deltas between — must restore, at every epoch, to
-// exactly the live client's metadata.
+// exactly the live client's metadata, each key at its live key-table index.
 func TestRestoreMatchesLiveClient(t *testing.T) {
 	p := testParams(96)
 	p.Seed = 41
@@ -598,6 +620,14 @@ func TestRestoreMatchesLiveClient(t *testing.T) {
 			deltas = append(deltas, img)
 		}
 		restored := restoreFrom(t, o, full, deltas...)
+		// A delta names resident and stashed keys by key-table index, so
+		// every key must sit at its live index in the restored table.
+		live, got := snap(t, o).keys, snap(t, restored).keys
+		for i := range max(len(live), len(got)) {
+			if i >= len(live) || i >= len(got) || live[i].name != got[i].name {
+				t.Fatalf("epoch %d: the live table holds %d keys and the restored one %d; they differ at index %d", epoch, len(live), len(got), i)
+			}
+		}
 		requireSameClient(t, o, restored)
 		checkMetaConsistency(t, restored)
 	}
@@ -645,10 +675,11 @@ func checkpointRun(t *testing.T, p Params) (full, delta []byte) {
 
 // TestCheckpointImageDeterministic: the same seed and operations produce the
 // same image bytes — nothing in an image follows map iteration order — and
-// those bytes are pinned: the sha256 digests below were taken from the
-// per-slot bitmap encoder, so a word-level encoder that drifts from its
-// bit order fails here. The wide case (Z=25, S=40: 65 slots, two words a
-// bucket) covers a bitmap that spans words.
+// those bytes are pinned. The sha256 digests below were taken when images
+// went to format 3 (keys named by table index, every field sized to its
+// public bound); meta.TestRestoredStateDigest, pinned under format 2, checks
+// that those images restore to the same state. The wide case (Z=25, S=40:
+// 65 slots, two words a bucket) covers a bitmap that spans words.
 func TestCheckpointImageDeterministic(t *testing.T) {
 	narrow := testParams(64)
 	narrow.Seed = 33
@@ -659,11 +690,11 @@ func TestCheckpointImageDeterministic(t *testing.T) {
 		wantFull, wantDel string
 	}{
 		{"Z=4,S=6", narrow,
-			"e02b8a02cec327a7bab54b77243268ac430722ce017cd9146198aad95dc197df",
-			"2932643b26305f801635efc1b14e99e6c3a8f97ac99ee4f4f2184d4fbe8026ca"},
+			"86057ee8f3c6ba0e71000bb735041df8155946f03ff4e327c70195b132859cbd",
+			"6c58909066e7fafbd41a21b76fc4fa8dda658f6883579f7ac1bf4d6e3c53c4b7"},
 		{"Z=25,S=40", wide,
-			"31f6c3eb4623734c1c5f76104d0e9dea3277989ad1d49dc210b6a606ce574cb1",
-			"eadc747d727874626ca4aecbe09c562caf089aed3e3df002379a38f9b8f52d6d"},
+			"18cf7e80370044308aa16f2a07f3f2aee0acee190dfe2c85763a07bf0fef09c7",
+			"38b2695f7fce50b4e71f2fde40ca51f9c2d52af433bd2275aafd58bc841c3d40"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f1, d1 := checkpointRun(t, c.p)

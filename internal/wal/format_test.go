@@ -120,8 +120,10 @@ func (h *formatHarness) preload(n int) {
 // TestRecordSizeIndependentOfRealEntries: a record's length is a function of
 // public counts only. An epoch of nothing but padding dummies and an epoch
 // whose every position-map entry is real produce deltas of one length (each
-// rewrites every bucket of the tree, so the public bucket counts agree), and
-// a batch of dummies logs exactly as many bytes as a batch of real accesses.
+// rewrites every bucket of the tree, so the public bucket counts agree), so
+// do rewritten buckets full of resident keys and empty ones, and stashes of
+// short and of KeySize-long keys; and a batch of dummies logs exactly as many
+// bytes as a batch of real accesses.
 func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 	s := schedule{r: 1, bread: formatEpochAccesses / 2, bwrite: formatEpochAccesses / 2, cadence: 1 << 20}
 	h := newFormatHarness(t, 5, s)
@@ -153,6 +155,59 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 		if err != nil || info.Full || info.PosEntries != formatEpochAccesses || info.Buckets != formatParams.Geometry().NumBuckets {
 			t.Fatalf("%s epoch's checkpoint: %+v, %v; want a delta of %d position entries over every bucket", name, info, err, formatEpochAccesses)
 		}
+	}
+
+	// Rewritten buckets full of resident blocks against rewritten buckets
+	// holding none: an epoch of padding reads rewrites every bucket, of a
+	// preloaded tree and of an empty one, and the two deltas agree.
+	paddingDelta := func(preload int) []byte {
+		h := newFormatHarness(t, 7, s)
+		if preload > 0 {
+			h.preload(preload)
+		} else {
+			h.reads(0, "")
+			h.endEpoch() // the log's first checkpoint is full; the next is a delta
+		}
+		for b := 0; b < 4; b++ {
+			h.reads(b, make([]string, formatEpochAccesses/4)...)
+		}
+		rec := h.endEpoch()
+		if resident := h.oram.KeyCount() - h.oram.StashSize(); resident != preload || h.oram.StashSize() != 0 {
+			t.Fatalf("preloading %d keys left %d resident and %d stashed after the epoch", preload, resident, h.oram.StashSize())
+		}
+		plain, err := h.log.open(rec, checkpointHeaderSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, err := meta.InspectImage(plain[checkpointHeaderSize:]); err != nil || info.Full || info.Buckets != formatParams.Geometry().NumBuckets {
+			t.Fatalf("padding epoch's checkpoint after preloading %d keys: %+v, %v; want a delta over every bucket", preload, info, err)
+		}
+		return rec
+	}
+	if full, empty := paddingDelta(formatEpochAccesses), paddingDelta(0); len(full) != len(empty) {
+		t.Fatalf("delta rewriting every bucket of a full tree is %d bytes, of an empty tree %d", len(full), len(empty))
+	}
+
+	// Stash entries with 1-byte keys against stash entries with KeySize-byte
+	// keys: the same writes under either name length leave the same stash.
+	stashDelta := func(name func(int) string) ([]byte, int) {
+		h := newFormatHarness(t, 8, s)
+		h.reads(0, "")
+		h.endEpoch() // the log's first checkpoint is full; the next is a delta
+		ops := make([]oramexec.WriteOp, 8)
+		for i := range ops {
+			ops[i] = oramexec.WriteOp{Key: name(i), Value: []byte("value")}
+		}
+		h.writes(0, ops)
+		return h.endEpoch(), h.oram.StashSize()
+	}
+	short, shortStash := stashDelta(func(i int) string { return string(rune('a' + i)) })
+	long, longStash := stashDelta(func(i int) string { return fmt.Sprintf("%0*d", formatParams.KeySize, i) })
+	if shortStash == 0 || shortStash != longStash {
+		t.Fatalf("the writes left %d and %d stash entries, want the same, more than none", shortStash, longStash)
+	}
+	if len(short) != len(long) {
+		t.Fatalf("delta with a stash of 1-byte keys is %d bytes, of %d-byte keys %d", len(short), formatParams.KeySize, len(long))
 	}
 
 	// Batch records: three accesses, no eviction or reshuffle falling due in
@@ -224,11 +279,11 @@ func TestRecordBytesDeterministic(t *testing.T) {
 			t.Fatalf("record %d differs between two identical seeded runs", i)
 		}
 	}
-	// The plaintexts are pinned too, each length-prefixed into one sha256:
-	// the digest was taken from the per-slot checkpoint bitmap encoder, so
-	// an encoder that drifts from its bytes fails here, not only between
-	// two runs of itself.
-	const wantRecords, wantDigest = 28, "9e401a176ae6b6daf7c402f0c84bf874687c299e6b6925b93ca6912355df1ac4"
+	// The plaintexts are pinned too, each length-prefixed into one sha256,
+	// so an encoder that drifts from its bytes fails here, not only between
+	// two runs of itself. The digest was taken under format 3, whose batch
+	// records are format 2's but for the version byte.
+	const wantRecords, wantDigest = 28, "9ce6a079680e67e786d72bdf0420e800f4338598f9d1313b7bbf1f26c2c010cf"
 	h := sha256.New()
 	for _, p := range a {
 		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(p))))
@@ -252,8 +307,9 @@ func sealPlain(t testing.TB, l *Log, kind byte, plain []byte) []byte {
 
 // TestOlderFormatRejected: a record whose version byte is not this build's —
 // version 0 is what the retired gob encoding wrote, version 1 committed epochs
-// with a 9-byte record of kind 3 — fails recovery with ErrFormat, whatever
-// follows the byte.
+// with a 9-byte record of kind 3, version 2 spelled out every checkpoint key
+// in fixed-width fields — fails recovery with ErrFormat, whatever follows the
+// byte.
 func TestOlderFormatRejected(t *testing.T) {
 	for version := byte(0); version < formatVersion; version++ {
 		for kind := byte(kindBatch); kind <= kindCheckpointCommitting; kind++ {

@@ -59,38 +59,119 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// fieldWidth is the width of a checkpoint image field whose largest legal
+// value is bound: the fewest bytes that hold it (meta/checkpoint.go).
+func fieldWidth(bound int) int {
+	w := 1
+	for bound>>(8*w) != 0 {
+		w++
+	}
+	return w
+}
+
+// putField writes v big-endian in the w bytes at the front of b.
+func putField(b []byte, w, v int) {
+	for i := w - 1; i >= 0; i-- {
+		b[i] = byte(v)
+		v >>= 8
+	}
+}
+
+// fieldAt reads the big-endian field of w bytes at the front of b.
+func fieldAt(b []byte, w int) int {
+	v := 0
+	for _, c := range b[:w] {
+		v = v<<8 | int(c)
+	}
+	return v
+}
+
+// imageHeaderSize is a checkpoint image's fixed header; its four entry counts
+// (u32 each) end it.
+const imageHeaderSize = 47
+
+// firstImages returns the plaintexts of the first full checkpoint record of
+// checkpoints and of the delta that follows it.
+func firstImages(t testing.TB, checkpoints [][]byte) (full, delta []byte) {
+	for i, plain := range checkpoints[:len(checkpoints)-1] {
+		fi, err := meta.InspectImage(plain[checkpointHeaderSize:])
+		if err != nil || !fi.Full {
+			continue
+		}
+		if di, err := meta.InspectImage(checkpoints[i+1][checkpointHeaderSize:]); err == nil && !di.Full {
+			return plain, checkpoints[i+1]
+		}
+	}
+	t.Fatal("no full checkpoint followed by a delta")
+	return nil, nil
+}
+
 // offPathImage returns a copy of the plaintext of the first full checkpoint
 // record of checkpoints that places a key below the root, with that key's
 // leaf moved to one whose path misses the key's bucket. A full image's
-// position-map entry is the key field (a 2-byte length, then KeySize bytes),
-// the leaf, the bucket and the position.
+// position-map entry is the key field (its length, then KeySize bytes), the
+// leaf, the bucket and the position.
 func offPathImage(t testing.TB, checkpoints [][]byte) []byte {
-	geo, field := formatParams.Geometry(), 2+formatParams.KeySize
+	geo := formatParams.Geometry()
+	keyLen, leaf, bucketW := fieldWidth(formatParams.KeySize), fieldWidth(geo.Leaves-1), fieldWidth(geo.NumBuckets)
+	field := keyLen + formatParams.KeySize
 	for _, plain := range checkpoints {
 		img := plain[checkpointHeaderSize:]
 		if info, err := meta.InspectImage(img); err != nil || !info.Full {
 			continue
 		}
 		for i := 0; i < 12; i++ {
-			name := binary.BigEndian.AppendUint16(nil, uint16(len(formatKey(i))))
+			name := make([]byte, keyLen)
+			putField(name, keyLen, len(formatKey(i)))
 			at := bytes.Index(img, append(name, formatKey(i)...))
 			if at < 0 {
 				continue
 			}
-			leaf := img[at+field:]
-			if bucket := int(int32(binary.BigEndian.Uint32(leaf[4:]))); bucket > 0 {
+			if bucket := fieldAt(img[at+field+leaf:], bucketW); bucket > 0 && bucket < geo.NumBuckets {
 				off := 0
 				for geo.PathBucket(off, meta.BucketLevel(bucket)) == bucket {
 					off++
 				}
 				out := bytes.Clone(plain)
-				binary.BigEndian.PutUint32(out[checkpointHeaderSize+at+field:], uint32(off))
+				putField(out[checkpointHeaderSize+at+field:], leaf, off)
 				return out
 			}
 		}
 	}
 	t.Fatal("no full checkpoint places a key below the root")
 	return nil
+}
+
+// pastTableDelta returns a copy of a delta record's plaintext whose first
+// rewritten bucket names, at its first real position, the largest key index
+// the field holds: past the key table, which holds at most NumBlocks keys.
+func pastTableDelta(t testing.TB, delta []byte) []byte {
+	p, geo := formatParams, formatParams.Geometry()
+	img := delta[checkpointHeaderSize:]
+	be := binary.BigEndian
+	nKeys, nTouched, nRewritten := int(be.Uint32(img[31:])), int(be.Uint32(img[35:])), int(be.Uint32(img[39:]))
+	if nRewritten == 0 {
+		t.Fatal("the delta rewrote no bucket")
+	}
+	keyEntry := fieldWidth(p.KeySize) + p.KeySize + fieldWidth(geo.Leaves-1)
+	state := fieldWidth(geo.NumBuckets) + fieldWidth(geo.SlotsPer) + (geo.SlotsPer+7)/8
+	at := imageHeaderSize + nKeys*keyEntry + nTouched*(state+(p.Z+7)/8) + state + 8 + geo.SlotsPer*fieldWidth(geo.SlotsPer-1)
+	out := bytes.Clone(delta)
+	index := fieldWidth(p.NumBlocks)
+	putField(out[checkpointHeaderSize+at:], index, 1<<(8*index)-1)
+	return out
+}
+
+// pastTableStash returns a copy of a checkpoint record's plaintext whose last
+// stash entry, a padding entry carrying no value bytes, names the largest key
+// index the field holds.
+func pastTableStash(plain []byte) []byte {
+	p, geo := formatParams, formatParams.Geometry()
+	index := fieldWidth(p.NumBlocks)
+	header := index + 1 + fieldWidth(geo.Leaves-1) + fieldWidth(p.ValueSize)
+	out := bytes.Clone(plain)
+	putField(out[len(out)-header:], index, 1<<(8*index)-1)
+	return out
 }
 
 func FuzzDecodeCheckpoint(f *testing.F) {
@@ -112,8 +193,31 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	f.Add(off, true)
 	f.Add(off, false)
+	// A delta whose rewritten bucket names a key past the table, and a full
+	// image and a delta whose stash does, which Restore refuses.
+	base, delta := firstImages(f, checkpoints)
+	if _, err := ringoram.Restore(key, p, base[checkpointHeaderSize:], delta[checkpointHeaderSize:]); err != nil {
+		f.Fatalf("the untouched delta: %v", err)
+	}
+	for _, c := range []struct {
+		name   string
+		images [][]byte // a full record, then deltas
+	}{
+		{"delta bucket", [][]byte{base, pastTableDelta(f, delta)}},
+		{"delta stash", [][]byte{base, pastTableStash(delta)}},
+		{"full stash", [][]byte{pastTableStash(base)}},
+	} {
+		var images [][]byte
+		for _, rec := range c.images {
+			images = append(images, rec[checkpointHeaderSize:])
+		}
+		if _, err := ringoram.Restore(key, p, images[0], images[1:]...); err == nil || !strings.Contains(err.Error(), "names key index") {
+			f.Fatalf("%s naming a key past the table: %v", c.name, err)
+		}
+		f.Add(c.images[len(c.images)-1], true)
+	}
 	// What restoring costs before the image has any say: the client itself.
-	base := allocatedBy(func() { ringoram.Restore(key, p, nil) })
+	baseCost := allocatedBy(func() { ringoram.Restore(key, p, nil) })
 	f.Fuzz(func(t *testing.T, plain []byte, committing bool) {
 		backend := storage.NewMemBackend(1)
 		l := newLog(t, backend, Config{})
@@ -130,6 +234,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		spent := allocatedBy(func() {
+			// The image as a delta over the seed run's first full image.
+			if len(plain) >= checkpointHeaderSize {
+				ringoram.Restore(key, p, base[checkpointHeaderSize:], plain[checkpointHeaderSize:])
+			}
 			rec, err := l.RecoverWithFloor(floor)
 			if err != nil {
 				return
@@ -138,7 +246,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			ringoram.Restore(key, p, rec.Full)
 			ringoram.Restore(key, p, rec.Full, rec.Full)
 		})
-		if limit := 4*base + 64*uint64(len(plain)) + 1<<16; spent > limit {
+		if limit := 4*baseCost + 64*uint64(len(plain)) + 1<<16; spent > limit {
 			t.Fatalf("recovering a %d-byte checkpoint record allocated %d bytes (limit %d)", len(plain), spent, limit)
 		}
 	})

@@ -44,8 +44,10 @@
 // (meta.BatchLog, EncodeCheckpoint): there is no intermediate
 // representation, no reflection, and one allocation per record. A record
 // whose version byte is not formatVersion — version 0 is the retired gob
-// encoding, version 1 committed epochs with a record of their own — fails
-// recovery and standby attach with ErrFormat; there is no migration reader.
+// encoding, version 1 committed epochs with a record of their own, version 2
+// spelled out every key of a checkpoint and gave its integers fixed widths —
+// fails recovery and standby attach with ErrFormat; there is no migration
+// reader.
 //
 // All payloads are sealed with the proxy's key and bound to the record kind;
 // epoch ordering is carried (authenticated) inside the payload, so the
@@ -76,7 +78,7 @@ const (
 )
 
 // formatVersion leads every record's plaintext.
-const formatVersion = 2
+const formatVersion = 3
 
 // Record geometry: where the plaintext sits in a record, and the fixed
 // header each kind puts in front of its payload.
