@@ -137,8 +137,8 @@ func (c Config) Public() (*meta.Public, error) {
 // Stats is a snapshot of proxy counters, the public view of the trusted
 // proxy's bookkeeping: epochs and transaction fates, batch-slot utilization
 // (how much of the fixed schedule carried real work), and the storage calls
-// the vectored I/O plane made. Executor counters are summed across shards;
-// StashPeak is the maximum over shards.
+// the vectored I/O plane made. Executor counters are summed across shards but
+// the stash peak, which is StashPeak: the maximum over shards.
 type Stats struct {
 	// Shards is the number of key-space partitions.
 	Shards int
@@ -539,7 +539,7 @@ func (p *Proxy) runStage(s stage, i int) {
 	case stageSyncStep:
 		syncLog(sh, &st.errs[i])
 	case stagePrepare:
-		job.ckpts[i], *cerr = sh.rlog.PrepareCheckpoint(job.epoch, sh.exec.ORAM())
+		job.ckpts[i], *cerr = sh.rlog.PrepareCheckpoint(job.epoch, sh.exec.ORAM().Machine(), sh.exec.ORAM())
 	case stageFlush:
 		*cerr = p.flushShard(sh)
 	case stageSyncFollowers:
@@ -653,9 +653,7 @@ func (p *Proxy) Stats() Stats {
 		s.Executor.FilledSlots += es.FilledSlots
 		s.Executor.OpenedSlots += es.OpenedSlots
 		s.Executor.CopiedSlots += es.CopiedSlots
-		if peak := sh.exec.ORAM().StashPeak(); peak > s.StashPeak {
-			s.StashPeak = peak
-		}
+		s.StashPeak = max(s.StashPeak, es.StashPeak)
 	}
 	p.mu.Unlock()
 	// Outside p.mu: a log's counters sit behind the lock its batch appends

@@ -194,7 +194,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 		commitKV(t, p1, kv)
 	}
 	oram := p1.shards[0].exec.ORAM()
-	_, evictCount := oram.Counters()
+	_, evictCount := oram.Machine().Counters()
 
 	// Aborted epoch: two read batches.
 	rec.Reset()
@@ -214,18 +214,18 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	named := make(map[storage.SlotRef]bool)
-	geo := oram.Geometry()
+	geo := oram.Machine().Params().Geometry()
 	for _, batch := range logged.AbortedBatches {
 		for _, le := range batch {
 			switch le.Kind {
 			case meta.AccessStep:
-				for i, b := range oram.PathBuckets(le.Leaf) {
+				for i, b := range geo.Path(le.Leaf) {
 					named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
 				}
 			case meta.EvictStep:
 				// The evict path is a function of the eviction counter.
 				leaf := int(bits.Reverse(uint(evictCount)%uint(geo.Leaves)) >> (bits.UintSize - geo.Levels))
-				for i, b := range oram.PathBuckets(leaf) {
+				for i, b := range geo.Path(leaf) {
 					for _, s := range le.BucketSlots[i] {
 						named[storage.SlotRef{Bucket: b, Slot: s}] = true
 					}

@@ -481,7 +481,7 @@ func TestTornFirstBootReinitializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendCheckpoint(0, oram); err != nil {
+	if _, err := l.AppendCheckpoint(0, oram.Machine(), oram); err != nil {
 		t.Fatal(err)
 	}
 	// Crash here: shard 1 prepared, the coordinator's log empty.

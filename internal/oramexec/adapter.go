@@ -53,7 +53,7 @@ func InitORAMFor(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Para
 
 // initORAM writes a fresh tree in three steps: RollbackTo(0), the buckets in
 // ascending order, initChunk to a WriteBuckets call, and CommitEpoch(0). With
-// local set it turns the ORAM's local-version table on first, so the resident
+// local set it turns the machine's local-version table on first, so the resident
 // buckets are written as the table's executor writes them.
 func initORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params, local bool) (*ringoram.ORAM, error) {
 	o, err := ringoram.New(key, p)
@@ -61,7 +61,7 @@ func initORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params,
 		return nil, err
 	}
 	if local {
-		o.KeepLocal()
+		o.Machine().KeepLocal(o)
 	}
 	n := p.Geometry().NumBuckets
 	if have, err := store.NumBuckets(); err != nil {

@@ -1,28 +1,32 @@
 // Package oramexec is Obladi's parallel ORAM executor (§7 of the paper).
 //
-// The executor turns a batch of logical operations into one pipelined pass
-// over storage: the ORAM plans each operation whole and sequentially (cheap
-// CPU) — its access, then the early reshuffles and evict-paths it makes due,
-// a schedule ringoram/meta alone decides — the resulting physical slot reads
-// are coalesced into a single scatter-gather storage call per stage (one wire
-// op and one round trip however many slots the stage reads), and every step
-// is completed in plan order, which realizes multilevel serializability: the
-// outcome is identical to the sequential execution of the same batch
-// (ringoram.Seq). A batch's log is the ORAM's view of its steps
-// (BatchPlan.Log); what a step logs and how it is replayed is meta's, and
-// ReplayBatch executes what the ORAM's Replay plans.
+// The executor drives the public machine (ringoram/meta) over its byte plane
+// (ringoram.ORAM). It turns a batch of logical operations into one pipelined
+// pass over storage: the machine plans each operation whole and sequentially
+// (cheap CPU) — its access, then the early reshuffles and evict-paths it
+// makes due, a schedule meta alone decides — the resulting physical slot
+// reads are coalesced into a single scatter-gather storage call per stage
+// (one wire op and one round trip however many slots the stage reads), and
+// every step is completed on the machine in plan order, with the ORAM moving
+// the bytes, which realizes multilevel serializability: the outcome is
+// identical to the sequential execution of the same batch (ringoram.Seq). A
+// batch's log is the machine's view of its steps (BatchPlan.Log); what a step
+// logs and how it is replayed is meta's, and ReplayBatch executes what the
+// machine's Replay plans.
 //
-// The executor schedules I/O and owns no block bytes. The ORAM's local-version
-// table holds every bucket version the epoch's evictions write and the resident
-// top of the tree, marks the reads it serves Local as they are planned, and
-// serves them at completion; the executor issues the others. It also does the
-// table's I/O: LoadResident, one vectored read of the resident buckets' Z real
-// slots before anything is planned over restored metadata, and the write-back,
-// which seals only the versions that reach storage, into an arena reused by the
-// next flush, and writes them in one call. At the pipelined boundary SealEpoch
-// detaches the epoch's versions, which a background committer writes
-// (FlushSealed) while the next epoch's batches run. Write-through mode keeps no
-// table and writes each eviction's whole buckets at once.
+// The executor schedules I/O and owns no block bytes. The machine's
+// local-version table decides which bucket versions the proxy keeps — every
+// version the epoch's evictions write and the resident top of the tree — and
+// marks the reads they serve Local as they are planned; the ORAM files each
+// kept version's image and serves those reads at completion, and the executor
+// issues the others. It also does the table's I/O: LoadResident, one vectored
+// read of the resident buckets' Z real slots before anything is planned over
+// restored metadata, and the write-back, which seals only the versions that
+// reach storage, into an arena reused by the next flush, and writes them in
+// one call. At the pipelined boundary SealEpoch detaches the epoch's
+// versions, which a background committer writes (FlushSealed) while the next
+// epoch's batches run. Write-through mode keeps no table and writes each
+// eviction's whole buckets at once.
 package oramexec
 
 import (
@@ -33,6 +37,7 @@ import (
 
 	"obladi/internal/ringoram"
 	"obladi/internal/ringoram/meta"
+	"obladi/internal/slab"
 	"obladi/internal/storage"
 )
 
@@ -47,13 +52,15 @@ type Config struct {
 	WriteThrough bool
 }
 
-// Executor drives a ringoram client against shadow-paged storage.
-// Planning and execution are not safe for concurrent use (the proxy
+// Executor drives a ringoram client against shadow-paged storage. Nothing is
+// locked: planning and execution are not safe for concurrent use (the proxy
 // serializes batch execution per shard), with two exceptions: FlushSealed
 // may run from a background committer concurrently with the next epoch's
-// planning/execution, and Stats may be read from any goroutine.
+// planning/execution, and Stats, which reads only atomics, may be read from
+// any goroutine.
 type Executor struct {
 	oram  *ringoram.ORAM
+	m     *meta.Machine // the ORAM's
 	store storage.BucketStore
 	cfg   Config
 
@@ -64,9 +71,11 @@ type Executor struct {
 	// flushBuf is flushImages' write vector and arena the memory its seals
 	// carve the slots from, both reused across flushes: a flush runs on one
 	// goroutine at a time, and stores keep nothing of the vector or the slots.
-	// Write-through evictions use them too.
+	// Write-through evictions use them too; images holds the images either
+	// writes.
 	flushBuf []storage.BucketWrite
 	arena    ringoram.SealArena
+	images   []ringoram.BucketImage
 	// resident is how many buckets, from the root, the ORAM keeps resident
 	// (0 in write-through mode): LoadResident reads their Z real slots.
 	resident int
@@ -82,6 +91,9 @@ type Executor struct {
 	readPlan, writePlan BatchPlan
 	seen                map[string]bool
 	steps               []*meta.Plan
+	// vals carves the values reads return: they escape to the caller, so
+	// they are copied once into chunks that are never reused.
+	vals slab.Bytes
 
 	stats statCounters
 }
@@ -124,6 +136,8 @@ type Stats struct {
 	// ResidentBytes is a gauge: the memory of the blocks the resident levels
 	// hold in the ORAM's table, at most Z plaintext slots per resident bucket.
 	ResidentBytes int64
+	// StashPeak is a gauge: the high-water mark of the machine's stash.
+	StashPeak int
 	// The block plane's work (ringoram.ORAM.Work): slots sealed holding a
 	// block and written as fillers, slots opened under a binding, and
 	// plaintext slots copied from the local-version table.
@@ -143,6 +157,9 @@ type statCounters struct {
 	reshuffles     atomic.Int64
 	readCalls      atomic.Int64
 	writeCalls     atomic.Int64
+	// The gauges, refreshed on the executor's goroutine (see refresh).
+	residentBytes atomic.Int64
+	stashPeak     atomic.Int64
 }
 
 func (c *statCounters) snapshot() Stats {
@@ -155,6 +172,8 @@ func (c *statCounters) snapshot() Stats {
 		Reshuffles:     c.reshuffles.Load(),
 		ReadCalls:      c.readCalls.Load(),
 		WriteCalls:     c.writeCalls.Load(),
+		ResidentBytes:  c.residentBytes.Load(),
+		StashPeak:      int(c.stashPeak.Load()),
 	}
 }
 
@@ -198,7 +217,7 @@ type BatchPlan struct {
 	// steps are the tasks' steps, in order: what the batch logs.
 	steps   []*meta.Plan
 	results []ReadResult
-	oram    *ringoram.ORAM
+	m       *meta.Machine
 }
 
 // reset readies the plan for a batch of n results.
@@ -222,7 +241,7 @@ func (b *BatchPlan) newTask() *task {
 	return new(task)
 }
 
-// add appends the ORAM's planned steps to the batch as tasks, counting the
+// add appends the machine's planned steps to the batch as tasks, counting the
 // evictions and reshuffles among them; an access among them answers the
 // batch's result opIdx.
 func (e *Executor) add(b *BatchPlan, steps []*meta.Plan, opIdx int) {
@@ -242,10 +261,10 @@ func (e *Executor) add(b *BatchPlan, steps []*meta.Plan, opIdx int) {
 	}
 }
 
-// Log returns the batch's durability-log entries, in order, as the ORAM's
+// Log returns the batch's durability-log entries, in order, as the machine's
 // view over the plan's steps. The caller must persist it before calling
 // Execute (write-ahead logging): execution recycles what the view reads.
-func (b *BatchPlan) Log() meta.BatchLog { return b.oram.BatchLog(b.steps) }
+func (b *BatchPlan) Log() meta.BatchLog { return b.m.BatchLog(b.steps) }
 
 // ReadOp is one slot of a read batch. An empty key is a padding dummy.
 type ReadOp struct {
@@ -270,10 +289,11 @@ type ReadResult struct {
 // freshly initialized tree it is ready; over restored metadata the caller
 // must call LoadResident before planning or replaying anything.
 func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
-	e := &Executor{oram: oram, store: store, cfg: cfg}
-	e.readPlan.oram, e.writePlan.oram = oram, oram
+	m := oram.Machine()
+	e := &Executor{oram: oram, m: m, store: store, cfg: cfg}
+	e.readPlan.m, e.writePlan.m = m, m
 	if !cfg.WriteThrough {
-		e.resident = oram.KeepLocal()
+		e.resident = m.KeepLocal(oram)
 	}
 	return e
 }
@@ -282,12 +302,27 @@ func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
 func (e *Executor) ORAM() *ringoram.ORAM { return e.oram }
 
 // Stats returns a snapshot of the executor's counters. Safe to call from
-// any goroutine, including concurrently with batch execution.
+// any goroutine, including concurrently with batch execution: it reads only
+// atomics, and its gauges are as the last batch, load, flush or seal left
+// them.
 func (e *Executor) Stats() Stats {
 	s := e.stats.snapshot()
-	s.ResidentBytes = e.oram.ResidentBytes()
 	s.SealedSlots, s.FilledSlots, s.OpenedSlots, s.CopiedSlots = e.oram.Work()
 	return s
+}
+
+// refresh updates the gauges Stats reads from other goroutines: the memory of
+// the blocks the resident buckets' newest versions hold, and the stash peak.
+func (e *Executor) refresh() {
+	n := 0
+	for b := range e.resident {
+		cur, _ := e.m.Local(b)
+		for _, blk := range e.oram.Image(cur).Blocks {
+			n += len(blk)
+		}
+	}
+	e.stats.residentBytes.Store(int64(n))
+	e.stats.stashPeak.Store(int64(e.m.StashPeak()))
 }
 
 // BeginEpoch sets the shadow-paging tag for subsequent bucket writes.
@@ -315,7 +350,7 @@ func (e *Executor) PlanReadBatch(ops []ReadOp) (*BatchPlan, error) {
 			e.seen[op.Key] = true
 		}
 		plan.results[i].Key = op.Key
-		steps, err := e.oram.PlanRead(op.Key, e.steps[:0])
+		steps, err := e.m.PlanRead(op.Key, e.steps[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -327,14 +362,24 @@ func (e *Executor) PlanReadBatch(ops []ReadOp) (*BatchPlan, error) {
 }
 
 // PlanWriteBatch applies the epoch's write batch logically (dummiless writes
-// go straight to the stash) and plans the evictions it triggers. Padding
-// entries (empty keys) bump the access counter so the eviction schedule
-// stays workload independent.
+// go straight to the stash, the ORAM encoding each block's value) and plans
+// the evictions it triggers. Padding entries (empty keys) bump the access
+// counter so the eviction schedule stays workload independent. A value over
+// ValueSize is refused before the machine plans its write.
 func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
 	plan := e.writePlan.reset(0)
+	valueSize := e.m.Params().ValueSize
 	for i := range ops {
 		op := &ops[i]
-		steps, err := e.oram.PlanWrite(op.Key, op.Value, op.Tombstone, e.steps[:0])
+		if len(op.Value) > valueSize {
+			return nil, fmt.Errorf("oramexec: value of %d bytes exceeds ValueSize %d", len(op.Value), valueSize)
+		}
+		steps, b, err := e.m.PlanWrite(op.Key, e.steps[:0])
+		if b != 0 {
+			if perr := e.oram.Put(b, op.Key, op.Value, op.Tombstone); err == nil {
+				err = perr
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -350,6 +395,7 @@ func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
 // applied in plan order, and eviction writes stay in the ORAM's table (or are
 // written through).
 func (e *Executor) Execute(plan *BatchPlan) ([]ReadResult, error) {
+	defer e.refresh()
 	clear(plan.steps) // a log view read from now on finds no step
 	plan.steps = plan.steps[:0]
 	var res []ReadResult
@@ -461,27 +507,35 @@ func (e *Executor) readSlots(refs []storage.SlotRef) ([][]byte, error) {
 	return data, nil
 }
 
-// complete applies the task's completion; the ORAM serves its local reads.
+// complete applies the task's completion on the machine, the ORAM moving its
+// blocks and serving its local reads, and copies out the value an access
+// returns.
 func (e *Executor) complete(t *task, plan *BatchPlan) error {
 	rewrites := int64(len(t.step.Buckets))
-	val, found, images, err := e.oram.Complete(t.step, t.data)
+	b, err := e.m.Complete(t.step, t.data, e.oram)
 	if err != nil {
 		return err
 	}
-	if t.opIdx >= 0 {
-		plan.results[t.opIdx].Value = val
-		plan.results[t.opIdx].Found = found
+	if t.opIdx >= 0 && b != 0 {
+		v, tombstone, err := e.oram.Value(b, e.m.Key(b))
+		if err != nil {
+			return err
+		}
+		if !tombstone {
+			plan.results[t.opIdx].Value = e.vals.Copy(v)
+			plan.results[t.opIdx].Found = true
+		}
 	}
 	e.stats.writesBuffered.Add(rewrites)
-	if len(images) > 0 {
+	if e.images = e.oram.Evicted(e.images[:0]); len(e.images) > 0 {
 		// Only write-through keeps no local-version table, so only there
 		// does an eviction hand back its images: its whole write set,
 		// sealed now, in one call, preserving the barrier (writes land
 		// before the next stage's reads are issued). The store copied what
 		// it keeps.
-		_, err = e.flushImages(e.epoch, images)
-		for i := range images {
-			images[i].Recycle()
+		_, err = e.flushImages(e.epoch, e.images)
+		for i := range e.images {
+			e.images[i].Recycle()
 		}
 	}
 	return err
@@ -497,7 +551,8 @@ func (e *Executor) LoadResident() error {
 	if e.resident == 0 {
 		return nil
 	}
-	z := e.oram.Params().Z
+	defer e.refresh()
+	z := e.m.Params().Z
 	refs := make([]storage.SlotRef, 0, z*e.resident)
 	for b := 0; b < e.resident; b++ {
 		for r := 0; r < z; r++ {
@@ -515,16 +570,34 @@ func (e *Executor) LoadResident() error {
 }
 
 // Flush seals the current epoch's bucket versions, writes them to storage in
-// one call, and drops them from the ORAM's table. This is the epoch's
-// deterministic write-back set: intermediate bucket versions were already
-// superseded (write dedup), unsealed.
+// one call, and drops them from the table, the resident buckets' newest
+// versions excepted. This is the epoch's deterministic write-back set:
+// intermediate bucket versions were already superseded (write dedup),
+// unsealed. The sealed set is left as it is.
 func (e *Executor) Flush() (int, error) {
-	n := 0
-	err := e.oram.FlushLocal(func(images []ringoram.BucketImage) (err error) {
-		n, err = e.flushImages(e.epoch, images)
-		return err
-	})
-	return n, err
+	defer e.refresh()
+	handles, err := e.m.LocalEpoch()
+	if err != nil {
+		return 0, err
+	}
+	e.images = e.imagesOf(e.images, handles)
+	n, err := e.flushImages(e.epoch, e.images)
+	clear(e.images)
+	if err != nil {
+		return 0, err
+	}
+	e.m.Flushed(e.oram)
+	return n, nil
+}
+
+// imagesOf refills dst with the images the ORAM files under handles.
+func (e *Executor) imagesOf(dst []ringoram.BucketImage, handles []meta.Image) []ringoram.BucketImage {
+	clear(dst)
+	dst = dst[:0]
+	for _, h := range handles {
+		dst = append(dst, e.oram.Image(h))
+	}
+	return dst
 }
 
 // SealEpoch detaches the current epoch's write-back set, so the next epoch's
@@ -532,10 +605,12 @@ func (e *Executor) Flush() (int, error) {
 // sealed set via FlushSealed. The sealed buckets remain locally servable until
 // the next seal. Must be called from the proxy's schedule driver (never
 // concurrently with planning or execution), and only once the previous sealed
-// set's flush has returned: the ORAM retires that set here, and its handle
-// reports no buckets from now on.
+// set's flush has returned: the machine retires that set here, and its
+// handle reports no buckets from now on. The sealed images are immutable and
+// stay valid until the next SealEpoch.
 func (e *Executor) SealEpoch() (*SealedEpoch, error) {
-	images, err := e.oram.SealLocal()
+	defer e.refresh()
+	handles, err := e.m.SealLocal(e.oram)
 	if err != nil {
 		return nil, err
 	}
@@ -544,16 +619,17 @@ func (e *Executor) SealEpoch() (*SealedEpoch, error) {
 		s = new(SealedEpoch)
 	}
 	if e.sealed != nil {
-		e.sealed.images = nil
+		clear(e.sealed.images)
+		e.sealed.images = e.sealed.images[:0]
 	}
-	s.epoch, s.images = e.epoch, images
+	s.epoch, s.images = e.epoch, e.imagesOf(s.images, handles)
 	e.spare, e.sealed = e.sealed, s
 	return s, nil
 }
 
 // FlushSealed seals a sealed epoch's buckets and writes them to storage in
 // one call. It only reads the immutable sealed set (SealImage reads nothing
-// the ORAM's lock guards), so it is safe to run from a background committer
+// the machine's calls change), so it is safe to run from a background committer
 // while the executor plans and executes the next epoch's batches: the epoch's
 // seals run there. The sealed set stays locally servable afterwards (the
 // flushed versions are identical) until the next SealEpoch retires it.
@@ -595,7 +671,7 @@ func (e *Executor) flushImages(epoch uint64, images []ringoram.BucketImage) (int
 	return len(images), nil
 }
 
-// ReplayBatch replays a logged batch during crash recovery: the ORAM plans
+// ReplayBatch replays a logged batch during crash recovery: the machine plans
 // its steps again, one per entry, refusing any its schedule does not owe
 // (meta's Replay), and the batch executes like a live one, issuing the
 // same physical reads. Eviction writes stay in the ORAM's table and are
@@ -610,13 +686,13 @@ func (e *Executor) ReplayBatch(entries []meta.LogEntry) error {
 
 // planReplay plans a logged batch's steps as a batch plan.
 func (e *Executor) planReplay(entries []meta.LogEntry) (*BatchPlan, error) {
-	steps, err := e.oram.Replay(entries, e.steps[:0])
+	steps, err := e.m.Replay(entries, e.steps[:0])
 	e.steps = steps
 	defer clear(e.steps)
 	if err != nil {
 		return nil, err
 	}
-	plan := &BatchPlan{oram: e.oram}
+	plan := &BatchPlan{m: e.m}
 	e.add(plan, steps, -1)
 	return plan, nil
 }

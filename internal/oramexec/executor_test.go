@@ -54,8 +54,10 @@ func newHarness(t *testing.T, p ringoram.Params, cfg Config) *harness {
 // adopt puts the harness's executor over o, restored metadata of its own ORAM,
 // with the local-version table on; the caller loads the resident levels.
 func (h *harness) adopt(o *ringoram.ORAM) {
-	o.KeepLocal()
-	h.oram, h.exec.oram = o, o
+	m := o.Machine()
+	m.KeepLocal(o)
+	h.oram, h.exec.oram, h.exec.m = o, o, m
+	h.exec.readPlan.m, h.exec.writePlan.m = m, m
 }
 
 func (h *harness) begin() {
@@ -66,19 +68,7 @@ func (h *harness) begin() {
 // runReads executes one read batch and returns its results.
 func (h *harness) runReads(t *testing.T, keys ...string) []ReadResult {
 	t.Helper()
-	ops := make([]ReadOp, len(keys))
-	for i, k := range keys {
-		ops[i].Key = k
-	}
-	plan, err := h.exec.PlanReadBatch(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.exec.Execute(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return mustReads(t, h.exec, keys...)
 }
 
 // runWrites applies a write batch. Keys are applied in sorted order so runs
@@ -297,7 +287,7 @@ func TestWriteThroughNamesResidentTree(t *testing.T) {
 	h.endEpoch(t)
 	// The write-through executor gets the tree's metadata without the
 	// resident executor's table, as a restart in that mode would.
-	img, err := h.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	img, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, h.oram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +321,7 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	committed := map[string]string{"durable": "yes", "d2": "yes2", "d3": "yes3", "d4": "yes4"}
 	h.runWrites(t, committed, 0)
 	h.endEpoch(t)
-	snap, err := h.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, h.oram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,6 +454,11 @@ func testSkipSetIsPublic(t *testing.T) {
 
 	run := func(workload string) (batches, flushes []string) {
 		h := newHarness(t, p, Config{})
+		leaf, err := h.backend.ReadBucket(geo.NumBuckets - 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slotSize := len(leaf[0]) // the fresh tree's
 		rng := rand.New(rand.NewPCG(3, 4))
 		prevFlush := map[int]bool{}
 		var evictCount uint64
@@ -577,8 +572,8 @@ func testSkipSetIsPublic(t *testing.T) {
 					t.Fatalf("%s: epoch %d wrote bucket %d with %d slots, its number says %d", workload, e+1, ev.Bucket, len(written), want)
 				}
 				for _, slot := range written {
-					if len(slot) != h.oram.SlotSize() {
-						t.Fatalf("%s: epoch %d wrote bucket %d with a slot of %d bytes, want %d", workload, e+1, ev.Bucket, len(slot), h.oram.SlotSize())
+					if len(slot) != slotSize {
+						t.Fatalf("%s: epoch %d wrote bucket %d with a slot of %d bytes, want the fresh tree's %d", workload, e+1, ev.Bucket, len(slot), slotSize)
 					}
 				}
 			}
@@ -638,11 +633,11 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 		h.endEpoch(t)
 	}
 	committed := h.epoch - 1
-	snap, err := h.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, h.oram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, evictCount := h.oram.Counters()
+	_, evictCount := h.oram.Machine().Counters()
 
 	// The epoch that will crash: two read batches and the write batch,
 	// each logged before it executes.
@@ -741,7 +736,7 @@ func loggedSlots(o *ringoram.ORAM, evictCount uint64, batch []meta.LogEntry, nam
 	for _, le := range batch {
 		switch le.Kind {
 		case meta.AccessStep:
-			for i, b := range o.PathBuckets(le.Leaf) {
+			for i, b := range o.Machine().Params().Geometry().Path(le.Leaf) {
 				named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
 			}
 		case meta.EvictStep:
@@ -763,8 +758,8 @@ func loggedSlots(o *ringoram.ORAM, evictCount uint64, batch []meta.LogEntry, nam
 // evictPath returns the buckets of the evictCount-th evict-path: Ring ORAM's
 // reverse-lexicographic order, a function of the counter alone.
 func evictPath(o *ringoram.ORAM, evictCount uint64) []int {
-	g := o.Geometry()
-	return o.PathBuckets(int(bits.Reverse(uint(evictCount)%uint(g.Leaves)) >> (bits.UintSize - g.Levels)))
+	g := o.Machine().Params().Geometry()
+	return g.Path(int(bits.Reverse(uint(evictCount)%uint(g.Leaves)) >> (bits.UintSize - g.Levels)))
 }
 
 // checkReplayTrace asserts the replay-trace property over two recorded traces
@@ -823,6 +818,7 @@ func decodeLog(t *testing.T, l meta.BatchLog) []meta.LogEntry {
 	return entries
 }
 
+// mustReads executes one read batch of keys on e and returns its results.
 func mustReads(t *testing.T, e *Executor, keys ...string) []ReadResult {
 	t.Helper()
 	ops := make([]ReadOp, len(keys))

@@ -116,11 +116,11 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 		warm.endEpoch(t)
 		cold.endEpoch(t)
 
-		imgW, err := warm.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+		imgW, err := warm.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, warm.oram)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imgC, err := cold.oram.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+		imgC, err := cold.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, cold.oram)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,11 @@ func TestResidentBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		e = New(oram, backend, Config{})
-		plain := int64(oram.SlotSize() - cryptoutil.Overhead)
+		slot, err := backend.ReadSlot(p.Geometry().NumBuckets-1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := int64(len(slot) - cryptoutil.Overhead)
 		rng := rand.New(rand.NewPCG(23, 29))
 		epoch := uint64(0)
 		one := func() {

@@ -16,7 +16,7 @@ import (
 // a recovery replays.
 func logOf(t testing.TB, o *ORAM, steps []*meta.Plan) []meta.LogEntry {
 	t.Helper()
-	l := o.BatchLog(steps)
+	l := o.m.BatchLog(steps)
 	buf := make([]byte, l.EncodedSize())
 	if err := l.Encode(buf); err != nil {
 		t.Fatal(err)
@@ -51,9 +51,9 @@ func loggedOp(t *testing.T, write bool, kind meta.PlanKind) (*ORAM, []byte, []me
 		var steps []*meta.Plan
 		var err error
 		if write {
-			steps, err = o.PlanWrite("", nil, false, nil)
+			steps, err = o.planWrite("", nil, false, nil)
 		} else {
-			steps, err = o.PlanRead("", nil)
+			steps, err = o.m.PlanRead("", nil)
 		}
 		must(t, err)
 		if slices.ContainsFunc(steps, func(p *meta.Plan) bool { return p.Kind == kind }) {
@@ -75,7 +75,7 @@ func kindAt(op []meta.LogEntry, kind meta.PlanKind) int {
 // unless the schedule refuses them.
 func replayRefused(t *testing.T, o *ORAM, img []byte, what string, entries ...meta.LogEntry) {
 	t.Helper()
-	if _, err := restoreFrom(t, o, img).Replay(entries, nil); !errors.Is(err, meta.ErrReplay) {
+	if _, err := restoreFrom(t, o, img).m.Replay(entries, nil); !errors.Is(err, meta.ErrReplay) {
 		t.Fatalf("%s: %v, want ErrReplay", what, err)
 	}
 }
@@ -95,7 +95,7 @@ func TestReplayRefusesReshuffleNotDue(t *testing.T) {
 	other := re
 	other.Bucket = (re.Bucket + 1) % o.geo.NumBuckets
 	replayRefused(t, o, img, "a reshuffle of another bucket than the one owed", append(slices.Clone(op[:ri]), other)...)
-	replayed, err := restoreFrom(t, o, img).Replay(op, nil)
+	replayed, err := restoreFrom(t, o, img).m.Replay(op, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +114,14 @@ func TestReplayRefusesAccessWhileEvictOwed(t *testing.T) {
 		t.Fatalf("a bump logged %d entries, want the bump and its eviction", len(op))
 	}
 	// A padding read from the same state: it too makes the evict-path due.
-	steps, err := restoreFrom(t, o, img).PlanRead("", nil)
+	steps, err := restoreFrom(t, o, img).m.PlanRead("", nil)
 	must(t, err)
 	read := logOf(t, o, steps)
 	if read[len(read)-1].Kind != meta.EvictStep {
 		t.Fatalf("a padding read from the state before the bump logged %+v, want it to end with an evict-path", read)
 	}
 	for _, whole := range [][]meta.LogEntry{op, read} {
-		if _, err := restoreFrom(t, o, img).Replay(whole, nil); err != nil {
+		if _, err := restoreFrom(t, o, img).m.Replay(whole, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestReplayRefusesEvictionReadCount(t *testing.T) {
 	// A slot of the root still valid when the evict-path reads it: the
 	// padding reads before it left no block in the tree, so it is a filler.
 	before := restoreFrom(t, o, img)
-	if _, err := before.Replay(op[:ei], nil); !errors.Is(err, meta.ErrReplay) {
+	if _, err := before.m.Replay(op[:ei], nil); !errors.Is(err, meta.ErrReplay) {
 		t.Fatalf("the operation cut before its evict-path: %v, want ErrReplay (owed)", err)
 	}
 	extra := -1
@@ -193,33 +193,37 @@ func TestReplayRefusesEvictionReadCount(t *testing.T) {
 		bad[ei].BucketSlots[0] = c.slots
 		replayRefused(t, o, img, c.name, bad...)
 	}
-	if _, err := restoreFrom(t, o, img).Replay(op, nil); err != nil {
+	if _, err := restoreFrom(t, o, img).m.Replay(op, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestOversizedKeyRefusedBeforePlanning: a read, or a replayed access, of a
 // key longer than KeySize is refused before anything is planned — no step,
-// no access counted, no filler consumed — as a write of one is.
+// no access counted, no filler consumed — as a write of one is, and as the
+// sequential client's write of a value longer than ValueSize is.
 func TestOversizedKeyRefusedBeforePlanning(t *testing.T) {
 	p := testParams(64)
 	p.KeySize, p.DisableEncryption = 8, true
-	o, err := New(nil, p)
-	must(t, err)
+	seq, _ := newTestSeq(t, p)
+	o := seq.oram
 	long := strings.Repeat("k", 20)
 	before := image(t, o, true)
-	if steps, err := o.PlanRead(long, nil); err == nil || len(steps) != 0 {
+	if steps, err := o.m.PlanRead(long, nil); err == nil || len(steps) != 0 {
 		t.Fatalf("a read of a %d-byte key planned %d steps, err=%v", len(long), len(steps), err)
 	}
 	slots := make([]int, o.geo.Levels+1)
-	if steps, err := o.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Key: long, Slots: slots}}, nil); !errors.Is(err, meta.ErrReplay) || len(steps) != 0 {
+	if steps, err := o.m.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Key: long, Slots: slots}}, nil); !errors.Is(err, meta.ErrReplay) || len(steps) != 0 {
 		t.Fatalf("a replayed access of a %d-byte key planned %d steps, err=%v, want ErrReplay", len(long), len(steps), err)
 	}
-	if steps, err := o.PlanWrite(long, nil, false, nil); err == nil || len(steps) != 0 {
+	if steps, err := o.planWrite(long, nil, false, nil); err == nil || len(steps) != 0 {
 		t.Fatalf("a write of a %d-byte key planned %d steps, err=%v", len(long), len(steps), err)
 	}
+	if err := seq.Write("k", make([]byte, p.ValueSize+1)); err == nil || len(seq.steps) != 0 {
+		t.Fatalf("a write of a %d-byte value planned %d steps, err=%v", p.ValueSize+1, len(seq.steps), err)
+	}
 	if !bytes.Equal(image(t, o, true), before) {
-		t.Fatal("a refused key moved the metadata")
+		t.Fatal("a refused key or value moved the metadata")
 	}
 }
 
@@ -262,9 +266,9 @@ func TestBatchLogRoundTrip(t *testing.T) {
 		var steps []*meta.Plan
 		var err error
 		if i%3 == 0 {
-			steps, err = o.PlanWrite(key, []byte("v"), false, nil)
+			steps, err = o.planWrite(key, []byte("v"), false, nil)
 		} else {
-			steps, err = o.PlanRead(key, nil)
+			steps, err = o.m.PlanRead(key, nil)
 		}
 		must(t, err)
 		entries := logOf(t, o, steps)
@@ -290,7 +294,7 @@ func TestBatchLogRoundTrip(t *testing.T) {
 				t.Fatalf("op %d: logged %+v, the step planned %+v", i, le, want)
 			}
 		}
-		l := o.BatchLog(slices.Clone(steps))
+		l := o.m.BatchLog(slices.Clone(steps))
 		_, _, err = seq.run(steps)
 		must(t, err)
 		if err := l.Encode(make([]byte, l.EncodedSize())); err == nil {
@@ -311,11 +315,11 @@ func TestBatchLogRoundTrip(t *testing.T) {
 // disagree with its bytes is refused, never read past.
 func TestDecodeBatchLogRejectsMalformed(t *testing.T) {
 	o, _, _ := loggedOp(t, false, meta.ReshuffleStep)
-	steps, err := o.PlanWrite("", nil, false, nil)
+	steps, err := o.planWrite("", nil, false, nil)
 	must(t, err)
-	read, err := o.PlanRead("", nil)
+	read, err := o.m.PlanRead("", nil)
 	must(t, err)
-	l := o.BatchLog(append(steps, read...))
+	l := o.m.BatchLog(append(steps, read...))
 	good := make([]byte, l.EncodedSize())
 	must(t, l.Encode(good))
 	// The record's header is 11 bytes and a write's entry its kind byte
@@ -351,14 +355,14 @@ func FuzzDecodeBatchLog(f *testing.F) {
 	for i := 0; i < 24; i++ {
 		var steps []*meta.Plan
 		if i%2 == 0 {
-			steps, err = o.PlanWrite(fmt.Sprintf("k%d", i), nil, false, nil)
+			steps, err = o.planWrite(fmt.Sprintf("k%d", i), nil, false, nil)
 		} else {
-			steps, err = o.PlanRead("", nil)
+			steps, err = o.m.PlanRead("", nil)
 		}
 		if err != nil {
 			f.Fatal(err)
 		}
-		l := o.BatchLog(steps)
+		l := o.m.BatchLog(steps)
 		b := make([]byte, l.EncodedSize())
 		if err := l.Encode(b); err != nil {
 			f.Fatal(err)
@@ -373,11 +377,11 @@ func FuzzDecodeBatchLog(f *testing.F) {
 	}
 	var steps []*meta.Plan
 	for !slices.ContainsFunc(steps, func(p *meta.Plan) bool { return p.Kind == meta.EvictStep }) {
-		if steps, err = fresh.PlanRead("", steps); err != nil {
+		if steps, err = fresh.m.PlanRead("", steps); err != nil {
 			f.Fatal(err)
 		}
 	}
-	l := fresh.BatchLog(steps)
+	l := fresh.m.BatchLog(steps)
 	rec := make([]byte, l.EncodedSize())
 	if err := l.Encode(rec); err != nil {
 		f.Fatal(err)
@@ -398,7 +402,7 @@ func FuzzDecodeBatchLog(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if steps, err := fresh.Replay(entries, nil); err == nil && len(steps) != len(entries) {
+		if steps, err := fresh.m.Replay(entries, nil); err == nil && len(steps) != len(entries) {
 			t.Fatalf("replay planned %d steps for %d entries", len(steps), len(entries))
 		}
 	})

@@ -44,7 +44,7 @@ func BenchmarkPlanRead(b *testing.B) {
 	b.ResetTimer()
 	var steps []*meta.Plan
 	for i := 0; i < b.N; i++ {
-		steps, err = o.PlanRead("", steps[:0])
+		steps, err = o.m.PlanRead("", steps[:0])
 		if err != nil {
 			b.Fatal(err)
 		}

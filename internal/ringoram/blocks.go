@@ -18,9 +18,9 @@ import (
 // blockPool is the one allocator of block plaintext: slots of one plaintext
 // slot each, carved from large chunks and recycled through a free list. It
 // never shrinks; the slots in use (the stash and the images the table holds)
-// are a function of the public schedule. Slots are taken
-// under the ORAM's lock but returned by whoever holds them last — an image's
-// holder, on any goroutine — so the pool has a lock of its own. In race builds
+// are a function of the public schedule. Slots are taken on the driver's
+// goroutine but returned by whoever holds them last — an image's holder, on
+// any goroutine — so the pool has a lock of its own. In race builds
 // a returned slot is poisoned, so a read through a stale reference fails to
 // decode or authenticate instead of passing with the bytes it held.
 type blockPool struct {
@@ -82,6 +82,9 @@ type BucketImage struct {
 
 	perm []int // perm[pos] = physical slot; pos < Z real, else dummy
 	buf  *imageBuf
+	// resident is set for a bucket the local-version table keeps resident:
+	// storage holds it as its Z real positions alone.
+	resident bool
 }
 
 // imageBuf is a pooled buffer for one bucket image: the memory of its
@@ -98,7 +101,7 @@ type imageBuf struct {
 // yet.
 func (o *ORAM) newImage(b int, ver uint64) BucketImage {
 	ib := o.imagePool.Get().(*imageBuf)
-	return BucketImage{Bucket: b, Ver: ver, Blocks: ib.blocks, perm: ib.perm, buf: ib}
+	return BucketImage{Bucket: b, Ver: ver, Blocks: ib.blocks, perm: ib.perm, buf: ib, resident: b < o.m.Resident()}
 }
 
 // Real returns the physical slots of the image's blocks: the block at
@@ -135,13 +138,11 @@ func (im *BucketImage) Recycle() {
 // SealFresh seals bucket b of the fresh tree New drew into a, as SealImage
 // does: its first version, holding no block.
 func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	perm, fresh := o.m.Fresh(b)
 	if !fresh {
 		return nil, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
 	}
-	return o.SealImage(BucketImage{Bucket: b, Ver: 1, perm: perm}, a)
+	return o.SealImage(BucketImage{Bucket: b, Ver: 1, perm: perm, resident: b < o.m.Resident()}, a)
 }
 
 // Work returns the block plane's work counts since the client was made:
@@ -218,11 +219,11 @@ func (a *SealArena) take(n, size int) ([]byte, [][]byte) {
 // binding; every other slot is a filler frame (see cryptoutil.Filler), which
 // storage cannot tell from a sealed one and the proxy never opens. It is the
 // one place a bucket is sealed. It reads only the image and the ORAM's fixed
-// configuration, never state the ORAM's lock guards, so a committer may seal
+// configuration, nothing the machine's calls change, so a committer may seal
 // one epoch's images while the next epoch plans and completes.
 func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
-	n, trim := o.geo.SlotsPer, im.Bucket < o.resident
-	if trim {
+	n := o.geo.SlotsPer
+	if im.resident {
 		n = o.p.Z
 	}
 	if a.filler == nil && o.cdc.key != nil {
@@ -237,7 +238,7 @@ func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
 	a.bind = cryptoutil.AppendBinding(a.bind[:0], uint64(im.Bucket), im.Ver, 0)
 	for pos, b := range im.Blocks {
 		frame := slots[pos]
-		if !trim {
+		if !im.resident {
 			frame = slots[im.perm[pos]]
 		}
 		copy(o.cdc.plainOf(frame), b)

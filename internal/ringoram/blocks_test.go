@@ -15,8 +15,8 @@ import (
 // an oracle of every key's logical content. Its store keeps, per bucket, the
 // sealed slots of the last version an epoch boundary wrote back; a read the
 // ORAM marks Local is served from the table, every other one from the store.
-// Epochs end every few operations, alternately by SealLocal (the pipelined
-// boundary) and by FlushLocal.
+// Epochs end every few operations, alternately by sealing the epoch (the
+// pipelined boundary) and by flushing it.
 type planeClient struct {
 	t      *testing.T
 	oram   *ORAM
@@ -30,10 +30,10 @@ type planeClient struct {
 	evictions, reshuffles          int
 }
 
-// newPlaneClient turns o's table on and writes its fresh tree to the store.
+// newPlaneClient writes o's fresh tree to the store, as the table o's machine
+// keeps, on or off, writes it.
 func newPlaneClient(t *testing.T, o *ORAM, seed uint64) *planeClient {
 	c := &planeClient{t: t, oram: o, rng: rand.New(rand.NewPCG(seed, seed+1)), stored: make(map[int][][]byte), oracle: make(map[string][]byte)}
-	o.KeepLocal()
 	for b := 0; b < o.geo.NumBuckets; b++ {
 		slots, err := o.SealFresh(b, &c.arena)
 		must(t, err)
@@ -64,16 +64,23 @@ func (c *planeClient) write(images []BucketImage) error {
 	return nil
 }
 
-// endEpoch writes the epoch's versions back, by SealLocal or by FlushLocal.
-func (c *planeClient) endEpoch() {
+// endEpoch writes the epoch's versions back, alternately as the executor's
+// SealEpoch and FlushSealed do (odd epochs) and as its Flush does, and
+// returns the images it wrote.
+func (c *planeClient) endEpoch() []BucketImage {
 	c.epochs++
-	if c.epochs%2 == 0 {
-		must(c.t, c.oram.FlushLocal(c.write))
-		return
+	m := c.oram.m
+	handles, err := m.LocalEpoch()
+	if c.epochs%2 == 1 {
+		handles, err = m.SealLocal(c.oram)
 	}
-	images, err := c.oram.SealLocal()
 	must(c.t, err)
+	images := c.oram.imagesOf(handles)
 	must(c.t, c.write(images))
+	if c.epochs%2 == 0 {
+		m.Flushed(c.oram)
+	}
+	return images
 }
 
 // load reads the resident buckets' stored slots into the table, and checks
@@ -83,7 +90,7 @@ func (c *planeClient) endEpoch() {
 // block prev's version holds at that physical slot.
 func (c *planeClient) load(prev *ORAM) {
 	o, z := c.oram, c.oram.p.Z
-	held := make([]map[int][]byte, o.resident)
+	held := make([]map[int][]byte, o.m.Resident())
 	for b := range held {
 		if im := prev.localCur(b); im.buf != nil {
 			held[b] = make(map[int][]byte)
@@ -135,7 +142,7 @@ func (c *planeClient) fetch(reads []meta.SlotRead) [][]byte {
 			if carries {
 				c.local++
 			}
-		case r.Bucket < c.oram.resident:
+		case r.Bucket < c.oram.m.Resident():
 			c.t.Fatalf("bucket %d of a resident level read from storage", r.Bucket)
 		default:
 			data[i] = c.stored[r.Bucket][r.Slot]
@@ -165,7 +172,7 @@ func (c *planeClient) evict(plan *meta.Plan) {
 		}
 		want = append(want, w)
 	}
-	_, _, images, err := c.oram.Complete(plan, c.fetch(plan.Reads))
+	_, _, images, err := c.oram.complete(plan, c.fetch(plan.Reads), nil)
 	must(c.t, err)
 	if len(images) != 0 {
 		c.t.Fatalf("Complete returned %d images with the table on", len(images))
@@ -195,10 +202,11 @@ func (c *planeClient) run(steps []*meta.Plan, err error) (val []byte, found, hit
 		switch p.Kind {
 		case meta.AccessStep:
 			hit = len(p.Reads) == 0
-			val, found, _, err = c.oram.Complete(p, c.fetch(p.Reads))
+			val, found, _, err = c.oram.complete(p, c.fetch(p.Reads), nil)
 			must(c.t, err)
+			val = bytes.Clone(val) // a later step may move the block
 		case meta.WriteStep:
-			_, _, _, err = c.oram.Complete(p, nil)
+			_, _, _, err = c.oram.complete(p, nil, nil)
 			must(c.t, err)
 		case meta.ReshuffleStep:
 			c.evict(p)
@@ -225,10 +233,10 @@ func (c *planeClient) step(i int) (hit bool) {
 	case op < 6:
 		v := bytes.Repeat([]byte{byte(i)}, c.rng.IntN(c.oram.p.ValueSize+1))
 		c.oracle[k] = v
-		c.run(c.oram.PlanWrite(k, v, false, nil))
+		c.run(c.oram.planWrite(k, v, false, nil))
 	case op < 8:
 		c.oracle[k] = nil
-		c.run(c.oram.PlanWrite(k, nil, true, nil))
+		c.run(c.oram.planWrite(k, nil, true, nil))
 	case op < 19:
 		got, found, hit := c.read(k)
 		if want := c.oracle[k]; found != (want != nil) || !bytes.Equal(got, want) {
@@ -244,7 +252,7 @@ func (c *planeClient) step(i int) (hit bool) {
 // read runs one read of key (a dummy read for "") to completion and returns
 // its result and whether the stash served it.
 func (c *planeClient) read(key string) (val []byte, found, hit bool) {
-	return c.run(c.oram.PlanRead(key, nil))
+	return c.run(c.oram.m.PlanRead(key, nil))
 }
 
 // checkStash fails unless every stash entry has a slot and each is the
@@ -260,8 +268,8 @@ func (c *planeClient) checkStash(op int) {
 			c.t.Fatalf("op %d: the stash slot of %q is not the canonical slot of its content", op, key)
 		}
 	}
-	if n != c.oram.StashSize() {
-		c.t.Fatalf("op %d: %d stash slots for %d stash entries", op, n, c.oram.StashSize())
+	if n != c.oram.m.StashSize() {
+		c.t.Fatalf("op %d: %d stash slots for %d stash entries", op, n, c.oram.m.StashSize())
 	}
 }
 
@@ -273,6 +281,15 @@ func (o *ORAM) localCur(b int) BucketImage {
 	}
 	cur, _ := o.m.Local(b)
 	return *o.image(cur)
+}
+
+// imagesOf returns the images o files under handles.
+func (o *ORAM) imagesOf(handles []meta.Image) []BucketImage {
+	var images []BucketImage
+	for _, h := range handles {
+		images = append(images, o.Image(h))
+	}
+	return images
 }
 
 // TestBlockPlaneSlotsAreCanonical runs a seeded mixed workload — blind writes
@@ -296,6 +313,7 @@ func TestBlockPlaneSlotsAreCanonical(t *testing.T) {
 			}
 			o, err := New(key, p)
 			must(t, err)
+			o.m.KeepLocal(o)
 			c := newPlaneClient(t, o, 7)
 			var full []byte
 			hits, restored := 0, false
@@ -309,12 +327,12 @@ func TestBlockPlaneSlotsAreCanonical(t *testing.T) {
 				switch i {
 				case 600:
 					full = image(t, c.oram, true)
-					c.oram.ClearDirty()
+					c.oram.m.ClearDirty()
 				case 899:
 					prev := c.oram
 					c.oram, err = Restore(key, p, full, image(t, c.oram, false))
 					must(t, err)
-					c.oram.KeepLocal()
+					c.oram.m.KeepLocal(c.oram)
 					c.load(prev)
 					restored = true
 				}
@@ -339,23 +357,23 @@ func TestRestoreTakesSlotsForItsStashOnly(t *testing.T) {
 	src, err := New(key, p)
 	must(t, err)
 	for i := 0; i < 12; i++ { // dummiless writes: twelve entries, no eviction yet
-		steps, err := src.PlanWrite(fmt.Sprintf("k%d", i), []byte("v"), false, nil)
+		steps, err := src.planWrite(fmt.Sprintf("k%d", i), []byte("v"), false, nil)
 		must(t, err)
 		if len(steps) != 1 {
 			t.Fatalf("write %d planned %d steps, want the write alone", i, len(steps))
 		}
 	}
 	full := image(t, src, true)
-	src.ClearDirty()
+	src.m.ClearDirty()
 	// Bumps up to one eviction over the empty tree: its reads are all fillers.
 	for _, im := range completeAll(t, src, evictNow(t, src)) {
 		im.Recycle()
 	}
 	delta := image(t, src, false)
 
-	o, err := Restore(key, src.Params(), full, delta)
+	o, err := Restore(key, src.p, full, delta)
 	must(t, err)
-	if n := o.StashSize(); n >= 12 || o.blocks.carved != n {
+	if n := o.m.StashSize(); n >= 12 || o.blocks.carved != n {
 		t.Fatalf("the delta's stash of %d entries (the full image's: 12) took %d slots of the pool", n, o.blocks.carved)
 	}
 	requireSameClient(t, src, o)

@@ -128,7 +128,7 @@ func (c codec) open(plain, data, binding []byte) error {
 // slotDummy. The returned block ALIASES plain and is only valid as long as
 // plain is. The ORAM decodes only slots it keeps — a stash entry's pooled
 // slot, which is the block (see blocks.go) — so nothing is copied out of a
-// slot but the value Complete returns.
+// slot but the value a driver copies from Value's view.
 func (c codec) parse(plain []byte) (byte, block, error) {
 	if len(plain) != c.plainSize() {
 		return 0, block{}, fmt.Errorf("ringoram: slot of %d bytes, want %d", len(plain), c.plainSize())

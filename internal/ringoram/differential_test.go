@@ -12,18 +12,18 @@ import (
 	"obladi/internal/ringoram/meta"
 )
 
-// twin drives the full ORAM and its public machine alone — meta.Machine, fed
-// no byte — through the same operations from the same seed, and fails at the
-// first difference in what the adversary sees, the recovery log records or
-// the local-version table keeps.
+// twin drives the full ORAM — its machine over the ORAM as the byte plane —
+// and a public machine alone — meta.Machine, fed no byte — through the same
+// operations from the same seed, and fails at the first difference in what
+// the adversary sees, the recovery log records or the local-version table
+// keeps.
 type twin struct {
-	t      *testing.T
-	o      *ORAM
-	m      *meta.Machine
-	local  bool
-	stored map[int][][]byte // the ORAM's store: each bucket's last sealed version
-	arena  SealArena
-	plane  twinPlane
+	t     *testing.T
+	o     *ORAM
+	c     *planeClient // the ORAM's store
+	m     *meta.Machine
+	local bool
+	plane twinPlane
 	// What the workload covered.
 	kinds                        map[meta.PlanKind]int
 	hits, blind, pads, localRead int
@@ -60,25 +60,21 @@ func (tp *twinPlane) Value(_ meta.Block, key string) ([]byte, bool, error) {
 	return v.v, v.tombstone, nil
 }
 
-func (tp *twinPlane) Restore(meta.Block, string, []byte, bool) error { return nil }
+func (tp *twinPlane) Put(meta.Block, string, []byte, bool) error { return nil }
 
 func newTwin(t *testing.T, p Params, local bool) *twin {
 	o, err := New(cryptoutil.KeyFromSeed([]byte("twin")), p)
 	must(t, err)
 	m, err := meta.New(p)
 	must(t, err)
-	tw := &twin{t: t, o: o, m: m, local: local, stored: make(map[int][][]byte), kinds: make(map[meta.PlanKind]int),
+	tw := &twin{t: t, o: o, m: m, local: local, kinds: make(map[meta.PlanKind]int),
 		plane: twinPlane{values: make(map[string]twinValue), images: make(map[meta.Image]int)}}
 	if local {
-		if a, b := o.KeepLocal(), m.KeepLocal(&tw.plane); a != b {
+		if a, b := o.m.KeepLocal(o), m.KeepLocal(&tw.plane); a != b {
 			t.Fatalf("the ORAM keeps %d buckets resident, the machine %d", a, b)
 		}
 	}
-	for b := range o.Geometry().NumBuckets {
-		slots, err := o.SealFresh(b, &tw.arena)
-		must(t, err)
-		tw.store(b, slots)
-	}
+	tw.c = newPlaneClient(t, o, 0)
 	tw.checkImages("the start")
 	return tw
 }
@@ -101,7 +97,7 @@ func (tw *twin) checkImages(when string) {
 	for h, im := range heldImages(t, tw.o, when) {
 		held[h] = im.Bucket
 	}
-	for b := range tw.o.Geometry().NumBuckets {
+	for b := range tw.o.geo.NumBuckets {
 		for _, h := range localHandles(tw.m, b) {
 			if held[h] != b {
 				t.Fatalf("%s: the machine alone keeps bucket %d under handle %d, the ORAM %v", when, b, h, held)
@@ -111,28 +107,6 @@ func (tw *twin) checkImages(when string) {
 	if !maps.Equal(held, tw.plane.images) {
 		t.Fatalf("%s: the ORAM keeps images %v, the machine alone has its plane keep %v", when, held, tw.plane.images)
 	}
-}
-
-// store keeps a copy of the slots a bucket version was sealed into.
-func (tw *twin) store(b int, slots [][]byte) {
-	kept := make([][]byte, len(slots))
-	for i, s := range slots {
-		kept[i] = bytes.Clone(s)
-	}
-	tw.stored[b] = kept
-	tw.arena.Reset()
-}
-
-// write seals and stores bucket images, as an epoch's flush does.
-func (tw *twin) write(images []BucketImage) error {
-	for _, im := range images {
-		slots, err := tw.o.SealImage(im, &tw.arena)
-		if err != nil {
-			return err
-		}
-		tw.store(im.Bucket, slots)
-	}
-	return nil
 }
 
 // run compares one operation's plans from both sides, then completes them on
@@ -155,7 +129,7 @@ func (tw *twin) run(steps []*meta.Plan, err error, msteps []*meta.Plan, merr err
 			}
 		}
 	}
-	if a, b := record(t, tw.o.BatchLog(steps)), record(t, tw.m.BatchLog(msteps)); !bytes.Equal(a, b) {
+	if a, b := record(t, tw.o.m.BatchLog(steps)), record(t, tw.m.BatchLog(msteps)); !bytes.Equal(a, b) {
 		t.Fatalf("batch records differ:\nORAM    %x\nmachine %x", a, b)
 	}
 	for i, p := range steps {
@@ -169,14 +143,14 @@ func (tw *twin) run(steps []*meta.Plan, err error, msteps []*meta.Plan, merr err
 				tw.localRead++
 				continue
 			}
-			data[j] = tw.stored[r.Bucket][r.Slot]
+			data[j] = tw.c.stored[r.Bucket][r.Slot]
 		}
-		_, _, images, err := tw.o.Complete(p, data)
+		_, _, images, err := tw.o.complete(p, data, nil)
 		must(t, err)
 		if tw.local && len(images) != 0 {
 			t.Fatalf("the ORAM returned %d images with its table on", len(images))
 		}
-		must(t, tw.write(images))
+		must(t, tw.c.write(images))
 		for _, im := range images {
 			im.Recycle()
 		}
@@ -184,10 +158,10 @@ func (tw *twin) run(steps []*meta.Plan, err error, msteps []*meta.Plan, merr err
 		must(t, err)
 		tw.checkImages(fmt.Sprintf("step %d's completion", i))
 	}
-	a0, e0 := tw.o.Counters()
+	a0, e0 := tw.o.m.Counters()
 	a1, e1 := tw.m.Counters()
-	if a0 != a1 || e0 != e1 || tw.o.StashSize() != tw.m.StashSize() {
-		t.Fatalf("counters %d/%d and stash %d on the ORAM, %d/%d and %d on the machine", a0, e0, tw.o.StashSize(), a1, e1, tw.m.StashSize())
+	if a0 != a1 || e0 != e1 || tw.o.m.StashSize() != tw.m.StashSize() {
+		t.Fatalf("counters %d/%d and stash %d on the ORAM, %d/%d and %d on the machine", a0, e0, tw.o.m.StashSize(), a1, e1, tw.m.StashSize())
 	}
 }
 
@@ -200,31 +174,23 @@ func record(t *testing.T, l meta.BatchLog) []byte {
 }
 
 // endEpoch writes the epoch's versions back on both sides, alternately by
-// sealing the epoch and by flushing it, and checks they name the same
-// buckets.
-func (tw *twin) endEpoch(seal bool) {
-	t := tw.t
-	if seal {
-		images, err := tw.o.SealLocal()
-		must(t, err)
-		handles, err := tw.m.SealLocal(&tw.plane)
-		must(t, err)
-		tw.sameBuckets("sealed", images, handles)
-		must(t, tw.write(images))
-		tw.checkImages("SealLocal")
-		checkSettled(t, tw.o, "SealLocal")
-		return
-	}
+// sealing the epoch and by flushing it (see planeClient.endEpoch), and
+// checks they name the same buckets.
+func (tw *twin) endEpoch() {
+	images, what := tw.c.endEpoch(), "sealed"
 	handles, err := tw.m.LocalEpoch()
-	must(t, err)
-	handles = slices.Clone(handles)
-	must(t, tw.o.FlushLocal(func(images []BucketImage) error {
-		tw.sameBuckets("flushed", images, handles)
-		return tw.write(images)
-	}))
-	tw.m.Flushed(&tw.plane)
-	tw.checkImages("FlushLocal")
-	checkSettled(t, tw.o, "FlushLocal")
+	if tw.c.epochs%2 == 1 {
+		handles, err = tw.m.SealLocal(&tw.plane)
+	} else {
+		what = "flushed"
+	}
+	must(tw.t, err)
+	tw.sameBuckets(what, images, handles)
+	if what == "flushed" {
+		tw.m.Flushed(&tw.plane)
+	}
+	tw.checkImages(what)
+	checkSettled(tw.t, tw.o, what)
 }
 
 // sameBuckets fails unless the ORAM's images are of the buckets whose
@@ -245,15 +211,15 @@ func (tw *twin) sameBuckets(what string, images []BucketImage, handles []meta.Im
 // recovery log pads them, and resets delta tracking on both.
 func (tw *twin) checkpoint(full bool) {
 	t := tw.t
-	pad := meta.CheckpointPad{PosEntries: 40, StashEntries: tw.o.Params().StashLimit}
-	a, err := tw.o.EncodeCheckpoint(full, pad, 3, 5)
+	pad := meta.CheckpointPad{PosEntries: 40, StashEntries: tw.o.p.StashLimit}
+	a, err := tw.o.m.EncodeCheckpoint(full, pad, 3, 5, tw.o)
 	must(t, err)
 	b, err := tw.m.EncodeCheckpoint(full, pad, 3, 5, &tw.plane)
 	must(t, err)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("checkpoint images (full %v) differ:\nORAM    %x\nmachine %x", full, a, b)
 	}
-	tw.o.ClearDirty()
+	tw.o.m.ClearDirty()
 	tw.m.ClearDirty()
 }
 
@@ -283,32 +249,32 @@ func TestMachineMatchesORAM(t *testing.T) {
 					if slices.ContainsFunc(snap(t, o).keys, func(sk snapKey) bool { return sk.name == k && sk.bucket >= 0 }) {
 						tw.blind++
 					}
-					steps, err := o.PlanWrite(k, v, false, nil)
+					steps, err := o.planWrite(k, v, false, nil)
 					msteps, _, merr := m.PlanWrite(k, nil)
 					tw.plane.values[k] = twinValue{v: v}
 					tw.run(steps, err, msteps, merr)
 				case op < 8:
-					steps, err := o.PlanWrite(k, nil, true, nil)
+					steps, err := o.planWrite(k, nil, true, nil)
 					msteps, _, merr := m.PlanWrite(k, nil)
 					tw.plane.values[k] = twinValue{tombstone: true}
 					tw.run(steps, err, msteps, merr)
 				case op < 17:
-					steps, err := o.PlanRead(k, nil)
+					steps, err := o.m.PlanRead(k, nil)
 					msteps, merr := m.PlanRead(k, nil)
 					tw.run(steps, err, msteps, merr)
 				case op < 19:
-					steps, err := o.PlanRead("", nil)
+					steps, err := o.m.PlanRead("", nil)
 					msteps, merr := m.PlanRead("", nil)
 					tw.run(steps, err, msteps, merr)
 					tw.pads++
 				default:
-					steps, err := o.PlanWrite("", nil, false, nil)
+					steps, err := o.planWrite("", nil, false, nil)
 					msteps, _, merr := m.PlanWrite("", nil)
 					tw.run(steps, err, msteps, merr)
 					tw.pads++
 				}
 				if local && i%12 == 11 {
-					tw.endEpoch(i%24 == 11)
+					tw.endEpoch()
 				}
 				if i%50 == 49 {
 					tw.checkpoint(i%500 == 49)

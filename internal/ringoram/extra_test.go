@@ -29,7 +29,7 @@ func TestPaperParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	geo := seq.ORAM().Geometry()
+	geo := seq.ORAM().geo
 	if geo.SlotsPer != 296 {
 		t.Fatalf("slots per bucket = %d, want 296", geo.SlotsPer)
 	}
@@ -54,7 +54,7 @@ func TestPaperParameters(t *testing.T) {
 	// At 296 slots a bucket a checkpoint carries two-byte permutation
 	// entries and five-word bitmaps: it must restore to the same client.
 	o := seq.ORAM()
-	restored, err := Restore(cryptoutil.KeyFromSeed([]byte("paper")), o.Params(), image(t, o, true))
+	restored, err := Restore(cryptoutil.KeyFromSeed([]byte("paper")), o.p, image(t, o, true))
 	must(t, err)
 	requireSameClient(t, o, restored)
 	checkMetaConsistency(t, restored)
@@ -70,24 +70,6 @@ func TestStashOverflowSurfaces(t *testing.T) {
 	}
 	if !errors.Is(err, meta.ErrStashOverflow) {
 		t.Fatalf("expected stash overflow, got %v", err)
-	}
-}
-
-func TestPathBuckets(t *testing.T) {
-	seq, _ := newTestSeq(t, testParams(64))
-	o := seq.ORAM()
-	geo := o.Geometry()
-	for leaf := 0; leaf < geo.Leaves; leaf++ {
-		path := o.PathBuckets(leaf)
-		if len(path) != geo.Levels+1 {
-			t.Fatalf("leaf %d: path length %d", leaf, len(path))
-		}
-		if path[0] != 0 {
-			t.Fatalf("leaf %d: path does not start at root", leaf)
-		}
-	}
-	if o.PathBuckets(-1) != nil || o.PathBuckets(geo.Leaves) != nil {
-		t.Fatal("out-of-range leaf accepted")
 	}
 }
 
@@ -123,8 +105,8 @@ func TestNextEvictPathDeterministic(t *testing.T) {
 // nextEvictPath returns the buckets the next evict-path will touch: a pure
 // function of the eviction counter.
 func nextEvictPath(o *ORAM) []int {
-	_, evicted := o.Counters()
-	return o.PathBuckets(o.Geometry().EvictLeaf(evicted))
+	_, evicted := o.m.Counters()
+	return o.geo.Path(o.geo.EvictLeaf(evicted))
 }
 
 // TestEarlyReshuffleTriggers drives one bucket's slot budget to exhaustion
@@ -150,9 +132,9 @@ func TestEarlyReshuffleTriggers(t *testing.T) {
 func TestDeleteKeepsPositionMapEntry(t *testing.T) {
 	seq, _ := newTestSeq(t, testParams(8))
 	must(t, seq.Write("a", []byte("1")))
-	before := seq.ORAM().KeyCount()
+	before := seq.ORAM().m.KeyCount()
 	must(t, seq.Delete("a"))
-	if seq.ORAM().KeyCount() != before {
+	if seq.ORAM().m.KeyCount() != before {
 		t.Fatal("delete changed the position map size (leaks deletions)")
 	}
 }
@@ -162,7 +144,7 @@ func TestCountersMonotonic(t *testing.T) {
 	var lastA, lastE uint64
 	for i := 0; i < 30; i++ {
 		must(t, seq.Write(fmt.Sprintf("k%d", i%8), []byte("v")))
-		a, e := seq.ORAM().Counters()
+		a, e := seq.ORAM().m.Counters()
 		if a < lastA || e < lastE {
 			t.Fatalf("counters went backwards: %d/%d -> %d/%d", lastA, lastE, a, e)
 		}

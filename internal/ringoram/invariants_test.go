@@ -27,7 +27,7 @@ func checkPathInvariant(t *testing.T, o *ORAM) {
 		if k.bucket < 0 {
 			t.Fatalf("key %q neither in stash nor in tree", k.name)
 		}
-		if !slices.Contains(o.Geometry().Path(k.leaf), k.bucket) {
+		if !slices.Contains(o.geo.Path(k.leaf), k.bucket) {
 			t.Fatalf("key %q (leaf %d) resides in bucket %d, off its path", k.name, k.leaf, k.bucket)
 		}
 	}
@@ -124,8 +124,8 @@ func runRandomWorkload(t *testing.T, p Params, seed uint64, numKeys, ops int) {
 		t.Fatalf("bucket invariant: %v", store.violation)
 	}
 	checkPathInvariant(t, seq.ORAM())
-	if limit := seq.ORAM().Params().StashLimit; seq.ORAM().StashPeak() > limit {
-		t.Fatalf("stash peak %d exceeds limit %d", seq.ORAM().StashPeak(), limit)
+	if limit := seq.ORAM().p.StashLimit; seq.ORAM().m.StashPeak() > limit {
+		t.Fatalf("stash peak %d exceeds limit %d", seq.ORAM().m.StashPeak(), limit)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestBlindWriteRetiresTreeCopy(t *testing.T) {
 		if k.bucket < 0 {
 			continue
 		}
-		steps, err := o.PlanWrite(key, []byte("w"), false, nil)
+		steps, err := o.planWrite(key, []byte("w"), false, nil)
 		must(t, err)
 		if len(steps) == 1 { // an evict-path the write made due could rewrite the bucket
 			s := snap(t, o)
@@ -205,7 +205,7 @@ func TestPropertyRemapChangesLeaf(t *testing.T) {
 		}
 		leaves[snapKeyOf(t, seq.ORAM(), "k").leaf] = true
 	}
-	geo := seq.ORAM().Geometry()
+	geo := seq.ORAM().geo
 	// 64 samples over 16 leaves: expect nearly all leaves hit; require > half.
 	if len(leaves) <= geo.Leaves/2 {
 		t.Fatalf("remapping visited only %d of %d leaves over 64 accesses", len(leaves), geo.Leaves)
@@ -225,11 +225,11 @@ func TestPropertyPathReadDistributionUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	must(t, seq.Write("hot", []byte("v")))
-	geo := seq.ORAM().Geometry()
+	geo := seq.ORAM().geo
 	counts := make([]int, geo.Leaves)
 	const samples = 3200
 	for i := 0; i < samples; i++ {
-		steps, err := seq.ORAM().PlanRead("hot", nil)
+		steps, err := seq.ORAM().m.PlanRead("hot", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestPropertyPathReadDistributionUniform(t *testing.T) {
 			if _, _, err := seq.run(steps); err != nil {
 				t.Fatal(err)
 			}
-			if steps, err = seq.ORAM().PlanRead("", nil); err != nil {
+			if steps, err = seq.ORAM().m.PlanRead("", nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -289,7 +289,7 @@ func TestPropertyStashBoundedUnderHotspot(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		must(t, seq.Write(fmt.Sprintf("hot-%d", i%4), []byte(fmt.Sprintf("v%d", i))))
 	}
-	if peak := seq.ORAM().StashPeak(); peak > 16 {
+	if peak := seq.ORAM().m.StashPeak(); peak > 16 {
 		t.Fatalf("stash peak %d under a 4-key workload", peak)
 	}
 }

@@ -16,9 +16,8 @@ import (
 // pool's free list. A slot held twice is a double Recycle or a slot still
 // read after it went back; a slot held nowhere is a leak. An image may be
 // both the current and the sealed version of the one bucket it belongs to,
-// and nothing else. A resident bucket holds at most Z blocks, and
-// ResidentBytes is the size of them all. Call it at an epoch boundary (see
-// checkSettled).
+// and nothing else. A resident bucket holds at most Z blocks. Call it at an
+// epoch boundary (see checkSettled).
 func checkOwnership(t *testing.T, o *ORAM, when string) {
 	t.Helper()
 	checkSettled(t, o, when)
@@ -39,20 +38,9 @@ func checkOwnership(t *testing.T, o *ORAM, when string) {
 			hold(s, fmt.Sprintf("bucket %d version %d", im.Bucket, im.Ver))
 		}
 	}
-	var resident int64
-	for b := 0; b < o.resident; b++ {
-		n := len(o.localCur(b).Blocks)
-		if n > o.p.Z {
+	for b := range o.m.Resident() {
+		if n := len(o.localCur(b).Blocks); n > o.p.Z {
 			t.Fatalf("%s: resident bucket %d holds %d blocks, the bound is Z = %d", when, b, n, o.p.Z)
-		}
-		resident += int64(n * o.cdc.plainSize())
-	}
-	if got := o.ResidentBytes(); got != resident {
-		t.Fatalf("%s: %d resident bytes reported, the resident buckets' newest versions hold %d", when, got, resident)
-	}
-	for _, im := range o.sealed {
-		if _, sealed := o.m.Local(im.Bucket); o.images[sealed].buf != im.buf {
-			t.Fatalf("%s: the sealed set's version %d of bucket %d is not the bucket's sealed version", when, im.Ver, im.Bucket)
 		}
 	}
 	o.blocks.mu.Lock()
@@ -100,7 +88,7 @@ func heldImages(t *testing.T, o *ORAM, when string) map[meta.Image]BucketImage {
 // then, sealed, until the next seal.
 func checkSettled(t *testing.T, o *ORAM, when string) {
 	t.Helper()
-	for b := o.resident; b < o.geo.NumBuckets; b++ {
+	for b := o.m.Resident(); b < o.geo.NumBuckets; b++ {
 		if cur, _ := o.m.Local(b); cur != 0 {
 			t.Fatalf("%s: bucket %d, below the resident levels, keeps a current version past the epoch's boundary", when, b)
 		}
@@ -131,6 +119,7 @@ func TestLocalTableOwnsEachSlotOnce(t *testing.T) {
 	key := cryptoutil.KeyFromSeed([]byte("owner"))
 	o, err := New(key, p)
 	must(t, err)
+	o.m.KeepLocal(o)
 	c := newPlaneClient(t, o, 11)
 	var full []byte
 	var stored map[int][][]byte
@@ -154,7 +143,7 @@ func TestLocalTableOwnsEachSlotOnce(t *testing.T) {
 			c.oram, err = Restore(key, p, full)
 			must(t, err)
 			c.stored, c.oracle = stored, oracle
-			c.oram.KeepLocal()
+			c.oram.m.KeepLocal(c.oram)
 			c.load(nil) // the replaced versions are newer than the rolled-back state
 			rolledBack = true
 			checkOwnership(t, c.oram, fmt.Sprintf("epoch %d, rolled back to epoch 20", epoch))
@@ -163,7 +152,7 @@ func TestLocalTableOwnsEachSlotOnce(t *testing.T) {
 	if !rolledBack || reloads != 2 || c.reshuffles == 0 || c.evictions <= 2*c.epochs {
 		t.Fatalf("the workload missed a path: rolled back %v, %d reloads, %d reshuffles, %d evictions in %d epochs", rolledBack, reloads, c.reshuffles, c.evictions, c.epochs)
 	}
-	if c.oram.ResidentBytes() == 0 {
+	if !slices.ContainsFunc(c.oram.images[1:], func(im BucketImage) bool { return im.resident && len(im.Blocks) > 0 }) {
 		t.Fatal("no block is resident after 48 epochs")
 	}
 	t.Logf("%d epochs: %d evictions, %d early reshuffles, %d local and %d remote deliveries", c.epochs, c.evictions, c.reshuffles, c.local, c.remote)

@@ -9,7 +9,6 @@ type bucketMeta struct {
 	// words holds the bucket's three bitsets back to back (see valid, filler
 	// and occ): a bucket's slot state is a few contiguous words.
 	words    []uint64
-	count    int    // slots consumed since last write
 	writeVer uint64 // bumped on every rewrite; binds slot ciphertexts
 }
 
@@ -37,12 +36,14 @@ func (m *bucketMeta) filler() bitset {
 // occ is the set of real positions holding a block (addrs[r] >= 0).
 func (m *bucketMeta) occ() bitset { return bitset(m.words[2*wordsFor(len(m.perm)):]) }
 
-// consume invalidates the slot of position pos, which is not occupied, and
-// counts it.
+// count is how many of the bucket's slots were read since its last rewrite:
+// the ones no longer valid.
+func (m *bucketMeta) count() int { return len(m.perm) - m.valid().len() }
+
+// consume invalidates the slot of position pos, which is not occupied.
 func (m *bucketMeta) consume(pos int) {
 	m.valid().unset(m.perm[pos])
 	m.filler().unset(pos)
-	m.count++
 }
 
 // rewrite resets the bucket's bitsets to a fresh version holding blocks at

@@ -327,7 +327,7 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 // putBucketState writes the part every bucket entry starts with: index, slot
 // count and valid bitmap.
 func putBucketState(l imageLayout, b []byte, id int, bm *bucketMeta) []byte {
-	b = l.count.put(l.bucket.put(b, id), bm.count)
+	b = l.count.put(l.bucket.put(b, id), bm.count())
 	putBits(b[:l.validBytes], bm.valid())
 	return b[l.validBytes:]
 }
@@ -618,7 +618,7 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 		e := m.newEntry(stashEntry{key: key, ki: ki, leaf: leaf, cacheable: flags&stashFlagCacheable != 0})
 		m.stashAdd(e)
 		if plane != nil {
-			if err := plane.Restore(e.blk, e.key, value, flags&stashFlagTombstone != 0); err != nil {
+			if err := plane.Put(e.blk, e.key, value, flags&stashFlagTombstone != 0); err != nil {
 				return err
 			}
 		}
@@ -633,15 +633,18 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 }
 
 // readBucketState decodes the common head of a bucket entry into the bucket
-// it names and returns that bucket.
+// it names and returns that bucket. The slot count is derived from the valid
+// bitmap, so the logged one must agree with it.
 func (m *Machine) readBucketState(l imageLayout, c *cursor) (int, *bucketMeta, error) {
 	id, count := c.int(l.bucket), c.int(l.count)
 	valid := c.take(l.validBytes)
-	if id >= l.numBuckets || count > l.slotsPer {
-		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d (%d slots read) out of range", id, count)
+	if id >= l.numBuckets {
+		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d out of range", id)
 	}
 	bm := &m.buckets[id]
-	bm.count = count
 	readBits(bm.valid(), valid, l.slotsPer)
+	if count != bm.count() {
+		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d logs %d slots read, its valid bitmap says %d", id, count, bm.count())
+	}
 	return id, bm, nil
 }

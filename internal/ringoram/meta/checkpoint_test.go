@@ -40,7 +40,7 @@ func stateDigest(t testing.TB, m *Machine, plane Plane) string {
 		for _, s := range bm.perm {
 			u(uint64(s))
 		}
-		u(bm.writeVer, uint64(bm.count))
+		u(bm.writeVer, uint64(bm.count()))
 		for _, ki := range bm.addrs {
 			u(uint64(ki))
 		}
@@ -191,5 +191,30 @@ func TestCheckpointWidthBoundaries(t *testing.T) {
 				t.Fatalf("restored state digest %s, live %s", got, live)
 			}
 		})
+	}
+}
+
+// TestRestoreRefusesCountOffBitmap: a bucket's slot count is what its valid
+// bitmap leaves out, so Restore refuses an image whose count byte says one
+// slot more or one fewer than the bitmap, instead of taking it on trust.
+func TestRestoreRefusesCountOffBitmap(t *testing.T) {
+	m := runWorkload(t, testParams(0), 5, 64, 400)
+	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, stashValues(m))
+	must(t, err)
+	_, err = Restore(m.p, values{}, full)
+	must(t, err)
+	// The root's entry leads the rewritten section: its index, then its count.
+	l := m.imageLayout()
+	at := imageHeaderSize + len(m.keys)*l.keyEntry(true) + int(l.bucket)
+	logged := l.count.get(full[at:])
+	for _, count := range []int{logged - 1, logged + 1} {
+		if count < 0 || count > l.slotsPer {
+			continue
+		}
+		edited := append([]byte(nil), full...)
+		l.count.put(edited[at:], count)
+		if _, err := Restore(m.p, values{}, edited); err == nil {
+			t.Errorf("Restore took a root count of %d slots read, its valid bitmap says %d", count, logged)
+		}
 	}
 }

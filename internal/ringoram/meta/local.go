@@ -102,6 +102,10 @@ func (m *Machine) Reload(b int, dst []int, plane Plane) (Image, uint64, []int, [
 	return h, ver, perm, held
 }
 
+// Resident returns how many buckets, from the root in heap order, the table
+// keeps resident: 0 while it is off.
+func (m *Machine) Resident() int { return m.local.resident }
+
 // Local returns the handles of bucket b's current and sealed versions, 0 for
 // none. The table must be on.
 func (m *Machine) Local(b int) (cur, sealed Image) {

@@ -72,7 +72,7 @@ const (
 )
 
 // Machine is a Ring ORAM client's metadata. It is not safe for concurrent
-// use: the byte plane guards a plan and its completion with one lock, and
+// use: its driver plans and completes on one goroutine at a time, and
 // completions apply in plan order (the executor in internal/oramexec
 // enforces this).
 type Machine struct {
@@ -171,6 +171,9 @@ func newMachine(p Params) (*Machine, error) {
 	return m, nil
 }
 
+// Params returns the validated configuration.
+func (m *Machine) Params() Params { return m.p }
+
 // Counters returns (accessCount, evictCount).
 func (m *Machine) Counters() (uint64, uint64) { return m.accessCount, m.evictCount }
 
@@ -187,7 +190,7 @@ func (m *Machine) KeyCount() int { return len(m.keys) }
 // first version with no slot read, and false once it is not.
 func (m *Machine) Fresh(b int) ([]int, bool) {
 	bm := &m.buckets[b]
-	return bm.perm, bm.writeVer == 1 && bm.count == 0
+	return bm.perm, bm.writeVer == 1 && bm.count() == 0
 }
 
 // Holds appends to dst the real positions of bucket b that hold a block, in
@@ -324,9 +327,10 @@ type Plane interface {
 	// key's, for a checkpoint's stash section. The value is read before the
 	// next call.
 	Value(b Block, key string) (value []byte, tombstone bool, err error)
-	// Restore stores value and the tombstone flag as block b, key's: an entry
-	// of the stash the last image of a Restore leaves.
-	Restore(b Block, key string, value []byte, tombstone bool) error
+	// Put stores value and the tombstone flag as block b, key's: the block a
+	// write returns (PlanWrite), or an entry of the stash the last image of a
+	// Restore leaves.
+	Put(b Block, key string, value []byte, tombstone bool) error
 }
 
 // Key returns the key of block b.

@@ -52,9 +52,19 @@ func (vs values) Value(_ Block, key string) ([]byte, bool, error) {
 	return v.v, v.tombstone, nil
 }
 
-func (vs values) Restore(_ Block, key string, v []byte, tombstone bool) error {
+func (vs values) Put(_ Block, key string, v []byte, tombstone bool) error {
 	vs[key] = value{v: v, tombstone: tombstone}
 	return nil
+}
+
+// stashValues is a plane holding each of m's stash entries with its key for
+// a value.
+func stashValues(m *Machine) values {
+	vs := values{}
+	for _, e := range m.stashList {
+		vs[e.key] = value{v: []byte(e.key)}
+	}
+	return vs
 }
 
 // checkBucketBits recomputes bucket b's bitsets slot by slot from perm,
@@ -212,10 +222,7 @@ func TestMachineInvariants(t *testing.T) {
 // maps and placements.
 func TestRestoreKeepsInvariants(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
-	vs := values{}
-	for _, e := range m.stashList {
-		vs[e.key] = value{v: []byte(e.key)}
-	}
+	vs := stashValues(m)
 	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, vs)
 	must(t, err)
 	m.ClearDirty()
@@ -244,10 +251,7 @@ func TestRestoreKeepsInvariants(t *testing.T) {
 // every bucket of the path and only then refuse.
 func TestRestoreRefusesKeyOffItsPath(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
-	vs := values{}
-	for _, e := range m.stashList {
-		vs[e.key] = value{v: []byte(e.key)}
-	}
+	vs := stashValues(m)
 	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, vs)
 	must(t, err)
 	_, err = Restore(m.p, values{}, full)

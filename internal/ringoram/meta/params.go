@@ -10,10 +10,11 @@
 // A Machine plans whole logical operations: PlanRead and PlanWrite mutate the
 // metadata and return each step — the access, then the early reshuffles and
 // evict-paths it made due, Ring ORAM's schedule, which this package alone
-// decides (plan.go) — as a Plan that lists the exact physical slot reads. The
-// byte plane (package ringoram) performs the I/O, moves the blocks, which it
-// knows by the handles this package names them by (Block), and completes
-// each step here, in plan order.
+// decides (plan.go) — as a Plan that lists the exact physical slot reads. Its
+// driver (the executor in package oramexec, or ringoram's Seq) performs the
+// I/O and completes each step here, in plan order, through the byte plane
+// (package ringoram's ORAM), which moves the blocks, known by the handles
+// this package names them by (Block).
 //
 // The package also owns both formats of the recovery log's payloads: a batch
 // record, the steps of one planned batch (BatchLog, DecodeBatchLog), which

@@ -171,7 +171,7 @@ func (m *Machine) consumeFiller(b int, forced int) (int, error) {
 	if phys < 0 {
 		// Cannot happen when early reshuffles run on schedule; treated as
 		// an internal invariant violation.
-		return 0, fmt.Errorf("ringoram: bucket %d has no valid filler slot (count=%d)", b, bm.count)
+		return 0, fmt.Errorf("ringoram: bucket %d has no valid filler slot (count=%d)", b, bm.count())
 	}
 	m.markBucket(b, bucketTouched)
 	return phys, nil
@@ -260,7 +260,7 @@ func (m *Machine) nextDue(path []SlotRead) (*Plan, []SlotRead, error) {
 // the part of path after it.
 func (m *Machine) due(path []SlotRead) (PlanKind, int, []SlotRead) {
 	for i, r := range path {
-		if m.buckets[r.Bucket].count >= m.p.S {
+		if m.buckets[r.Bucket].count() >= m.p.S {
 			return ReshuffleStep, r.Bucket, path[i+1:]
 		}
 	}
@@ -321,7 +321,6 @@ func (m *Machine) planRead(key string, forcedLeaf int, forcedSlots []int) (*Plan
 				// An occupied position is no filler, and with its slot read it
 				// does not become one.
 				bm.valid().unset(phys)
-				bm.count++
 				bm.addrs[rpos] = -1
 				bm.occ().unset(rpos)
 				m.markBucket(b, bucketTouched)
@@ -482,7 +481,6 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 					forcedUsed[phys] = true
 				}
 				valid.unset(phys)
-				bm.count++
 				ki := bm.addrs[r]
 				bm.addrs[r] = -1
 				occ.unset(r)
@@ -558,7 +556,6 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 			m.stashRemove(e) // moves the last entry to i: look at i again
 		}
 		m.shuffle(bm.perm)
-		bm.count = 0
 		bm.writeVer++
 		bm.rewrite(len(w.Placed))
 		w.Ver = bm.writeVer

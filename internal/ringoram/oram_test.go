@@ -164,8 +164,8 @@ func TestSeqManyKeysChurn(t *testing.T) {
 	if store.violation != nil {
 		t.Fatalf("bucket invariant: %v", store.violation)
 	}
-	if limit := seq.ORAM().Params().StashLimit; seq.ORAM().StashPeak() > limit {
-		t.Fatalf("stash peak %d exceeded limit %d", seq.ORAM().StashPeak(), limit)
+	if limit := seq.ORAM().p.StashLimit; seq.ORAM().m.StashPeak() > limit {
+		t.Fatalf("stash peak %d exceeded limit %d", seq.ORAM().m.StashPeak(), limit)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestSeqEvictionScheduleDeterministic(t *testing.T) {
 	for i := 0; i < 3*p.A; i++ {
 		must(t, seq.Write(fmt.Sprintf("k%d", i%8), []byte("v")))
 	}
-	acc, ev := seq.ORAM().Counters()
+	acc, ev := seq.ORAM().m.Counters()
 	if acc != uint64(3*p.A) {
 		t.Fatalf("access count %d", acc)
 	}
@@ -297,13 +297,13 @@ func TestSeqTamperDetected(t *testing.T) {
 	}
 	must(t, seq.Write("k", []byte("v")))
 	// Force the block into the tree.
-	geo := seq.ORAM().Geometry()
-	for i := 0; i < 4*geo.Leaves && seq.ORAM().StashSize() > 0; i++ {
+	geo := seq.ORAM().geo
+	for i := 0; i < 4*geo.Leaves && seq.ORAM().m.StashSize() > 0; i++ {
 		if _, _, err := seq.run(evictNow(t, seq.ORAM())); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if seq.ORAM().StashSize() != 0 {
+	if seq.ORAM().m.StashSize() != 0 {
 		t.Fatal("could not flush stash")
 	}
 	// Corrupt every slot the server holds.
@@ -330,7 +330,7 @@ func evictNow(t testing.TB, o *ORAM) []*meta.Plan {
 	var steps []*meta.Plan
 	for len(steps) == 0 || steps[len(steps)-1].Kind != meta.EvictStep {
 		var err error
-		if steps, err = o.PlanWrite("", nil, false, steps); err != nil {
+		if steps, err = o.planWrite("", nil, false, steps); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +344,7 @@ func completeAll(t testing.TB, o *ORAM, steps []*meta.Plan) []BucketImage {
 	t.Helper()
 	var images []BucketImage
 	for _, p := range steps {
-		_, _, ims, err := o.Complete(p, make([][]byte, len(p.Reads)))
+		_, _, ims, err := o.complete(p, make([][]byte, len(p.Reads)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram/meta"
+	"obladi/internal/slab"
 )
 
 // Store is the slot-granularity storage interface the sequential client
@@ -18,17 +19,20 @@ type Store interface {
 }
 
 // Seq is a synchronous, sequential Ring ORAM: it plans each logical
-// operation whole (its access, then the early reshuffles and evict-paths the
-// access makes due, as PlanRead and PlanWrite lay them out), then runs the
-// steps one at a time, reading one slot per call and writing each bucket an
-// eviction rewrites back at once, one bucket per call. It is the canonical
-// construction the paper benchmarks against (the "Sequential" series of
-// Figure 10a) and the reference oracle for the parallel executor's tests.
+// operation whole on the machine (its access, then the early reshuffles and
+// evict-paths the access makes due, as meta's PlanRead and PlanWrite lay them
+// out), then runs the steps one at a time, reading one slot per call and
+// writing each bucket an eviction rewrites back at once, one bucket per call.
+// It is the canonical construction the paper benchmarks against (the
+// "Sequential" series of Figure 10a) and the reference oracle for the
+// parallel executor's tests.
 type Seq struct {
-	oram  *ORAM
-	store Store
-	arena SealArena    // each bucket is sealed into it and written at once
-	steps []*meta.Plan // the operation being run, reused
+	oram    *ORAM
+	store   Store
+	arena   SealArena     // each bucket is sealed into it and written at once
+	steps   []*meta.Plan  // the operation being run, reused
+	evicted []BucketImage // an eviction's images, reused
+	vals    slab.Bytes    // carves the values Read returns, which escape
 }
 
 // NewSeq creates a sequential Ring ORAM over store and writes its fresh tree,
@@ -58,7 +62,7 @@ func (s *Seq) ORAM() *ORAM { return s.oram }
 // Read returns the value of key, or found=false if the key was never
 // written (or was deleted).
 func (s *Seq) Read(key string) ([]byte, bool, error) {
-	steps, err := s.oram.PlanRead(key, s.steps[:0])
+	steps, err := s.oram.m.PlanRead(key, s.steps[:0])
 	s.steps = steps
 	if err != nil {
 		return nil, false, err
@@ -81,7 +85,7 @@ func (s *Seq) write(key string, value []byte, tombstone bool) error {
 	if key == "" {
 		return errors.New("ringoram: empty key")
 	}
-	steps, err := s.oram.PlanWrite(key, value, tombstone, s.steps[:0])
+	steps, err := s.oram.planWrite(key, value, tombstone, s.steps[:0])
 	s.steps = steps
 	if err == nil {
 		_, _, err = s.run(steps)
@@ -98,7 +102,7 @@ func (s *Seq) DummyRead() error {
 
 // run performs an operation's steps in plan order: each step's reads one slot
 // at a time, its completion, and the buckets it rewrites one at a time. It
-// returns the access's value.
+// returns a copy of the access's value.
 func (s *Seq) run(steps []*meta.Plan) ([]byte, bool, error) {
 	defer clear(steps)
 	var value []byte
@@ -112,19 +116,53 @@ func (s *Seq) run(steps []*meta.Plan) ([]byte, bool, error) {
 			}
 			data[i] = d
 		}
-		access := p.Kind == meta.AccessStep
-		v, f, images, err := s.oram.Complete(p, data)
+		v, f, images, err := s.oram.complete(p, data, s.evicted[:0])
+		s.evicted = images
 		if err == nil {
 			err = s.writeBack(images)
 		}
 		if err != nil {
 			return nil, false, err
 		}
-		if access {
-			value, found = v, f
+		if f {
+			value, found = s.vals.Copy(v), true
 		}
 	}
 	return value, found, nil
+}
+
+// planWrite plans a logical write (or delete, when tombstone is set) of key
+// on the machine, as a driver does: a value over ValueSize is refused before
+// anything is planned, and the block the machine returns is encoded (Put).
+func (o *ORAM) planWrite(key string, value []byte, tombstone bool, dst []*meta.Plan) ([]*meta.Plan, error) {
+	if len(value) > o.p.ValueSize {
+		return dst, fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(value), o.p.ValueSize)
+	}
+	dst, b, err := o.m.PlanWrite(key, dst)
+	if b != 0 {
+		if perr := o.Put(b, key, value, tombstone); err == nil {
+			err = perr
+		}
+	}
+	return dst, err
+}
+
+// complete completes step p on the machine with the slots data holds, the
+// ORAM as its plane, as a driver does. It returns the value an access
+// returns — a view of its block's slot, valid until the block's next write
+// or eviction — and images with the images an eviction placed while the
+// local-version table is off (Evicted) appended.
+func (o *ORAM) complete(p *meta.Plan, data [][]byte, images []BucketImage) ([]byte, bool, []BucketImage, error) {
+	b, err := o.m.Complete(p, data, o)
+	if err != nil {
+		return nil, false, images, err
+	}
+	images = o.Evicted(images)
+	if b == 0 {
+		return nil, false, images, nil
+	}
+	v, tombstone, err := o.Value(b, o.m.Key(b))
+	return v, err == nil && !tombstone, images, err
 }
 
 // writeBack seals and writes an eviction's images, one bucket per call.

@@ -45,7 +45,7 @@ var stateKey = cryptoutil.KeyFromSeed([]byte("state"))
 // image takes a checkpoint image of o with no padding and no framing room.
 func image(t *testing.T, o *ORAM, full bool) []byte {
 	t.Helper()
-	img, err := o.EncodeCheckpoint(full, meta.CheckpointPad{}, 0, 0)
+	img, err := o.m.EncodeCheckpoint(full, meta.CheckpointPad{}, 0, 0, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func image(t *testing.T, o *ORAM, full bool) []byte {
 // restoreFrom rebuilds a client shaped like o from images.
 func restoreFrom(t *testing.T, o *ORAM, full []byte, deltas ...[]byte) *ORAM {
 	t.Helper()
-	restored, err := Restore(stateKey, o.Params(), full, deltas...)
+	restored, err := Restore(stateKey, o.p, full, deltas...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func snap(t *testing.T, o *ORAM) snapshot {
 	t.Helper()
 	img := image(t, o, true)
 	be := binary.BigEndian
-	p, geo := o.Params(), o.Geometry()
+	p, geo := o.p, o.geo
 	keySize, slotsPer := int(be.Uint16(img[1:])), int(be.Uint16(img[5:]))
 	s := snapshot{access: be.Uint64(img[15:]), evict: be.Uint64(img[23:])}
 	nKeys, nBuckets, nStash := int(be.Uint32(img[31:])), int(be.Uint32(img[39:])), int(be.Uint32(img[43:]))
@@ -228,10 +228,13 @@ func snap(t *testing.T, o *ORAM) snapshot {
 	return s
 }
 
+// TestSnapshotRestoreFull: a client restored from a full image is the live
+// one — counters, key table, buckets and stash — and reads every key back.
 func TestSnapshotRestoreFull(t *testing.T) {
 	seq, store, oracle := buildWorkload(t, 21)
 	st := image(t, seq.ORAM(), true)
 	restored := restoreFrom(t, seq.ORAM(), st)
+	requireSameClient(t, seq.ORAM(), restored)
 	// Reset the server-side read-tracking: the restored client replays
 	// nothing here, it simply resumes; reads against untouched buckets are
 	// legitimate after the (conceptual) crash boundary.
@@ -252,21 +255,10 @@ func TestSnapshotRestoreFull(t *testing.T) {
 	checkMetaConsistency(t, restored)
 }
 
-func TestSnapshotCountersPreserved(t *testing.T) {
-	seq, _, _ := buildWorkload(t, 22)
-	a0, e0 := seq.ORAM().Counters()
-	st := image(t, seq.ORAM(), true)
-	restored := restoreFrom(t, seq.ORAM(), st)
-	a1, e1 := restored.Counters()
-	if a0 != a1 || e0 != e1 {
-		t.Fatalf("counters drifted: %d/%d -> %d/%d", a0, e0, a1, e1)
-	}
-}
-
 func TestSnapshotDelta(t *testing.T) {
 	seq, store, _ := buildWorkload(t, 23)
 	full := image(t, seq.ORAM(), true)
-	seq.ORAM().ClearDirty()
+	seq.ORAM().m.ClearDirty()
 	// More activity -> delta.
 	extra := map[string]string{}
 	for i := 0; i < 30; i++ {
@@ -311,11 +303,11 @@ func TestSnapshotDelta(t *testing.T) {
 func TestSnapshotRequiresFull(t *testing.T) {
 	seq, _, _ := buildWorkload(t, 24)
 	delta := image(t, seq.ORAM(), false)
-	if _, err := Restore(stateKey, seq.ORAM().Params(), delta); err == nil {
+	if _, err := Restore(stateKey, seq.ORAM().p, delta); err == nil {
 		t.Fatal("restore from delta-only accepted")
 	}
 	full := image(t, seq.ORAM(), true)
-	if _, err := Restore(stateKey, seq.ORAM().Params(), full, full); err == nil {
+	if _, err := Restore(stateKey, seq.ORAM().p, full, full); err == nil {
 		t.Fatal("full image in delta position accepted")
 	}
 }
@@ -323,7 +315,7 @@ func TestSnapshotRequiresFull(t *testing.T) {
 func TestSnapshotRejectsWrongShape(t *testing.T) {
 	seq, _, _ := buildWorkload(t, 25)
 	st := image(t, seq.ORAM(), true)
-	p2 := seq.ORAM().Params()
+	p2 := seq.ORAM().p
 	p2.NumBlocks = 4 * p2.NumBlocks // different geometry
 	if _, err := Restore(stateKey, p2, st); err == nil {
 		t.Fatal("geometry mismatch accepted")
@@ -336,7 +328,7 @@ func TestSnapshotRejectsWrongShape(t *testing.T) {
 func TestDirtyTracking(t *testing.T) {
 	seq, _, _ := buildWorkload(t, 26)
 	o := seq.ORAM()
-	o.ClearDirty()
+	o.m.ClearDirty()
 	if info, err := meta.InspectImage(image(t, o, false)); err != nil || info.PosEntries != 0 || info.Buckets != 0 {
 		t.Fatalf("dirty after clear: %+v, %v", info, err)
 	}
@@ -364,7 +356,7 @@ func TestDirtyTracking(t *testing.T) {
 // unpadded delta image of o's.
 func deltaBuckets(o *ORAM, img []byte) []int {
 	be := binary.BigEndian
-	p, g := o.Params(), o.Geometry()
+	p, g := o.p, o.geo
 	bucket, count, slot, index := fieldWidth(g.NumBuckets), fieldWidth(g.SlotsPer), fieldWidth(g.SlotsPer-1), fieldWidth(p.NumBlocks)
 	keyEntry := fieldWidth(p.KeySize) + p.KeySize + fieldWidth(g.Leaves-1)
 	state := bucket + count + (g.SlotsPer+7)/8
@@ -389,7 +381,7 @@ func TestReplayReadProducesSameSlots(t *testing.T) {
 	seq, store, _ := buildWorkload(t, 27)
 	st := image(t, seq.ORAM(), true)
 	// Original access on the live client ("the epoch that will crash").
-	steps, err := seq.ORAM().PlanRead("k3", nil)
+	steps, err := seq.ORAM().m.PlanRead("k3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +395,7 @@ func TestReplayReadProducesSameSlots(t *testing.T) {
 
 	// Crash: restore from the snapshot and replay the logged operation.
 	restored := restoreFrom(t, seq.ORAM(), st)
-	replayed, err := restored.Replay(logged, nil)
+	replayed, err := restored.m.Replay(logged, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +427,7 @@ func TestReplayReadProducesSameSlots(t *testing.T) {
 		}
 		data[i] = d
 	}
-	v, found, _, err := restored.Complete(replayPlan, data)
+	v, found, _, err := restored.complete(replayPlan, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,9 +440,9 @@ func TestReplayRejectsDivergence(t *testing.T) {
 	seq, _, _ := buildWorkload(t, 28)
 	st := image(t, seq.ORAM(), true)
 	restored := restoreFrom(t, seq.ORAM(), st)
-	geo := restored.Geometry()
+	geo := restored.geo
 	// Wrong number of slots.
-	if _, err := restored.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Slots: make([]int, geo.Levels+5)}}, nil); err == nil {
+	if _, err := restored.m.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Slots: make([]int, geo.Levels+5)}}, nil); err == nil {
 		t.Fatal("wrong slot count accepted")
 	}
 	// Out-of-range slot index.
@@ -458,7 +450,7 @@ func TestReplayRejectsDivergence(t *testing.T) {
 	for i := range bad {
 		bad[i] = geo.SlotsPer + 10
 	}
-	if _, err := restored.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Slots: bad}}, nil); err == nil {
+	if _, err := restored.m.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Slots: bad}}, nil); err == nil {
 		t.Fatal("out-of-range slots accepted")
 	}
 }
@@ -482,7 +474,7 @@ func TestReplayReadRejectsLeafOutOfRange(t *testing.T) {
 						t.Fatalf("replaying an access of %q at leaf %d panicked: %v", key, leaf, r)
 					}
 				}()
-				if _, err := o.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Key: key, Leaf: leaf, Slots: slots}}, nil); !errors.Is(err, meta.ErrReplay) {
+				if _, err := o.m.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Key: key, Leaf: leaf, Slots: slots}}, nil); !errors.Is(err, meta.ErrReplay) {
 					t.Fatalf("replaying an access of %q at leaf %d: %v, want ErrReplay", key, leaf, err)
 				}
 			}()
@@ -499,7 +491,7 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 	bumps := 0
 	for len(steps) < 2 {
 		var err error
-		if steps, err = seq.ORAM().PlanWrite("", nil, false, steps[:0]); err != nil {
+		if steps, err = seq.ORAM().planWrite("", nil, false, steps[:0]); err != nil {
 			t.Fatal(err)
 		}
 		bumps++
@@ -517,17 +509,17 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 	restored := restoreFrom(t, seq.ORAM(), st)
 	for i := 0; i < bumps; i++ {
 		// The schedule owes the eviction only once every bump is replayed.
-		if _, err := restored.Replay(entries[1:], nil); !errors.Is(err, meta.ErrReplay) {
+		if _, err := restored.m.Replay(entries[1:], nil); !errors.Is(err, meta.ErrReplay) {
 			t.Fatalf("an eviction replayed %d bumps early: %v, want ErrReplay", bumps-i, err)
 		}
 		if i < bumps-1 {
-			if _, err := restored.Replay(entries[:1], nil); err != nil {
+			if _, err := restored.m.Replay(entries[:1], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	// The last bump and the eviction it makes due are one operation.
-	replayed, err := restored.Replay(entries, nil)
+	replayed, err := restored.m.Replay(entries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,8 +541,8 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 			}
 		}
 	}
-	_, e0 := seq.ORAM().Counters()
-	_, e1 := restored.Counters()
+	_, e0 := seq.ORAM().m.Counters()
+	_, e1 := restored.m.Counters()
 	if e0 != e1 {
 		t.Fatalf("eviction counters diverged: %d vs %d", e0, e1)
 	}
@@ -558,13 +550,13 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 
 func TestSnapshotWithPendingFails(t *testing.T) {
 	seq, _, _ := buildWorkload(t, 30)
-	steps, err := seq.ORAM().PlanRead("k1", nil)
+	steps, err := seq.ORAM().m.PlanRead("k1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(steps[0].Reads) > 0 {
 		// Mid-flight: a pending stash entry exists.
-		if _, err := seq.ORAM().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0); err == nil {
+		if _, err := seq.oram.m.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, seq.oram); err == nil {
 			t.Fatal("snapshot with pending entries accepted")
 		}
 		// Finish the access to restore a clean state.
@@ -587,7 +579,7 @@ func TestRestoreMatchesLiveClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := seq.ORAM()
-	pad := meta.CheckpointPad{PosEntries: 24, StashEntries: o.Params().StashLimit, ValueSize: 8}
+	pad := meta.CheckpointPad{PosEntries: 24, StashEntries: o.p.StashLimit, ValueSize: 8}
 	rng := rand.New(rand.NewPCG(41, 42))
 	var full []byte
 	var deltas [][]byte
@@ -608,12 +600,12 @@ func TestRestoreMatchesLiveClient(t *testing.T) {
 			}
 		}
 		isFull := epoch%5 == 0
-		img, err := o.EncodeCheckpoint(isFull, pad, 3, 5)
+		img, err := o.m.EncodeCheckpoint(isFull, pad, 3, 5, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		img = img[3 : len(img)-5]
-		o.ClearDirty()
+		o.m.ClearDirty()
 		if isFull {
 			full, deltas = img, nil
 		} else {
@@ -642,7 +634,7 @@ func TestShuffleMatchesRandPerm(t *testing.T) {
 	o, err := New(nil, p)
 	must(t, err)
 	ref := rand.New(rand.NewPCG(p.Seed, p.Seed^0x9e3779b97f4a7c15))
-	for b := range o.Geometry().NumBuckets {
+	for b := range o.geo.NumBuckets {
 		perm, fresh := o.m.Fresh(b)
 		if want := ref.Perm(len(perm)); !fresh || !reflect.DeepEqual(perm, want) {
 			t.Fatalf("bucket %d: shuffle drew %v, rand.Perm %v", b, perm, want)
@@ -666,7 +658,7 @@ func checkpointRun(t *testing.T, p Params) (full, delta []byte) {
 		}
 	}
 	full = image(t, seq.ORAM(), true)
-	seq.ORAM().ClearDirty()
+	seq.ORAM().m.ClearDirty()
 	for i := 0; i < 40; i++ {
 		must(t, seq.Write(fmt.Sprintf("k%d", i%25), []byte("again")))
 	}

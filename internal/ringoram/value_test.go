@@ -9,12 +9,13 @@ import (
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram/meta"
+	"obladi/internal/slab"
 )
 
-// TestValuePathAllocBudget pins what a value costs inside the ORAM once the
-// stash is warm: a write encodes into a recycled slot of the block pool
-// (nothing), and a read's result is carved, sixteen 256-byte values to a
-// chunk.
+// TestValuePathAllocBudget pins what a value costs a driver once the stash is
+// warm: a write encodes into a recycled slot of the block pool (nothing), and
+// a read's result is a view of its block's slot, which the driver carves a
+// copy of, sixteen 256-byte values to a chunk.
 func TestValuePathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -27,23 +28,24 @@ func TestValuePathAllocBudget(t *testing.T) {
 	keys := make([]string, 16)
 	value := make([]byte, p.ValueSize)
 	var steps []*meta.Plan
+	var vals slab.Bytes
 	write := func() {
 		for _, k := range keys {
-			if steps, err = o.PlanWrite(k, value, false, steps[:0]); err != nil || len(steps) != 1 {
+			if steps, err = o.planWrite(k, value, false, steps[:0]); err != nil || len(steps) != 1 {
 				t.Fatalf("write of %s: %d steps, err=%v, want the write alone", k, len(steps), err)
 			}
-			if _, _, _, err := o.Complete(steps[0], nil); err != nil {
+			if _, _, _, err := o.complete(steps[0], nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	read := func() {
 		for _, k := range keys {
-			steps, err = o.PlanRead(k, steps[:0])
+			steps, err = o.m.PlanRead(k, steps[:0])
 			if err != nil || len(steps) != 1 || len(steps[0].Reads) != 0 {
 				t.Fatalf("read of %s: %d steps, err=%v, want a stash hit alone", k, len(steps), err)
 			}
-			if v, found, _, err := o.Complete(steps[0], nil); err != nil || !found || len(v) != len(value) {
+			if v, found, _, err := o.complete(steps[0], nil, nil); err != nil || !found || len(vals.Copy(v)) != len(value) {
 				t.Fatalf("read of %s: %d bytes, found=%v, err=%v", k, len(v), found, err)
 			}
 		}
@@ -54,10 +56,10 @@ func TestValuePathAllocBudget(t *testing.T) {
 	write()
 	read()
 	if allocs := testing.AllocsPerRun(50, write); allocs != 0 {
-		t.Errorf("%.2f allocations per %d writes, want 0: PlanWrite allocates outside the block pool and the plan pool again", allocs, len(keys))
+		t.Errorf("%.2f allocations per %d writes, want 0: a write allocates outside the block pool and the plan pool again", allocs, len(keys))
 	}
 	if allocs := testing.AllocsPerRun(50, read) / float64(len(keys)); allocs > 1.0/16 {
-		t.Errorf("%.3f allocations per returned value, budget 1/16: Complete allocates per value again", allocs)
+		t.Errorf("%.3f allocations per returned value, budget 1/16: a completion allocates per value again", allocs)
 	}
 }
 

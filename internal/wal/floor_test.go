@@ -3,9 +3,7 @@ package wal
 import (
 	"testing"
 
-	"obladi/internal/cryptoutil"
 	"obladi/internal/oramexec"
-	"obladi/internal/ringoram"
 	"obladi/internal/ringoram/meta"
 )
 
@@ -52,7 +50,7 @@ func TestRecoverWithFloor(t *testing.T) {
 
 	for e := uint64(1); e <= 2; e++ {
 		seed(t, o, backend, exec, e, 4)
-		if _, err := l.AppendCheckpoint(e, o); err != nil {
+		if _, err := l.AppendCheckpoint(e, o.Machine(), o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,12 +65,9 @@ func TestRecoverWithFloor(t *testing.T) {
 		if rec.CommittedEpoch != floor || rec.HasCommit {
 			t.Fatalf("floor %d: committed epoch %d, HasCommit %v; a follower commits nothing itself", floor, rec.CommittedEpoch, rec.HasCommit)
 		}
-		restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := 4 * int(floor); restored.KeyCount() != want {
-			t.Fatalf("floor %d restores %d keys, want %d", floor, restored.KeyCount(), want)
+		restored := restoreRecovery(t, o, rec)
+		if want := 4 * int(floor); restored.Machine().KeyCount() != want {
+			t.Fatalf("floor %d restores %d keys, want %d", floor, restored.Machine().KeyCount(), want)
 		}
 	}
 	// A floor beyond any durable checkpoint is a protocol violation.
@@ -93,7 +88,7 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 	l := newLog(t, backend, Config{Shard: 1, Shards: 2, Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 4)
-	if _, err := l.AppendCheckpoint(1, o); err != nil {
+	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
 		t.Fatal(err)
 	}
 	sched := newScheduler(t)
@@ -105,7 +100,7 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 	if err := l.AppendBatch(2, 1, sched.bump()); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := l.PrepareCheckpoint(2, o)
+	cp, err := l.PrepareCheckpoint(2, o.Machine(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +142,7 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 4)
-	if _, err := l.AppendCheckpoint(1, o); err != nil {
+	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
 		t.Fatal(err)
 	}
 	sched := newScheduler(t)
@@ -156,7 +151,7 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 	if err := l.AppendBatch(2, 0, sched.access("e2-r")); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := l.PrepareCheckpoint(2, o)
+	cp, err := l.PrepareCheckpoint(2, o.Machine(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +193,14 @@ func TestFollowerCannotCommit(t *testing.T) {
 	o, backend := testORAM(t)
 	coord := newLog(t, backend, Config{Shard: 0, Shards: 2, Public: publicOf(t, o, schedule{})})
 	follower := newLog(t, backend, Config{Shard: 1, Shards: 2, Public: publicOf(t, o, schedule{})})
-	committing, err := coord.PrepareCheckpoint(1, o)
+	committing, err := coord.PrepareCheckpoint(1, o.Machine(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := follower.AppendPrepared(committing); err == nil {
 		t.Fatal("a follower's log wrote a committing checkpoint")
 	}
-	prepared, err := follower.PrepareCheckpoint(1, o)
+	prepared, err := follower.PrepareCheckpoint(1, o.Machine(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +223,7 @@ func TestCommittingMarkIsAuthenticated(t *testing.T) {
 	for _, shard := range []int{0, 1} {
 		o, backend := testORAM(t)
 		l := newLog(t, backend, Config{Shard: shard, Shards: 2, Public: publicOf(t, o, schedule{})})
-		if _, err := l.AppendCheckpoint(1, o); err != nil {
+		if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.RecoverWithFloor(1); err != nil {

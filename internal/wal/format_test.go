@@ -84,7 +84,7 @@ func (h *formatHarness) endEpoch() []byte {
 	if err := h.backend.CommitEpoch(h.epoch); err != nil {
 		h.t.Fatal(err)
 	}
-	if _, err := h.log.AppendCheckpoint(h.epoch, h.oram); err != nil {
+	if _, err := h.log.AppendCheckpoint(h.epoch, h.oram.Machine(), h.oram); err != nil {
 		h.t.Fatal(err)
 	}
 	recs, err := h.backend.Scan(0)
@@ -108,11 +108,11 @@ func (h *formatHarness) preload(n int) {
 	}
 	h.writes(0, ops)
 	h.endEpoch()
-	for e := 0; e < 8 && h.oram.StashSize() > 0; e++ {
+	for e := 0; e < 8 && h.oram.Machine().StashSize() > 0; e++ {
 		h.writes(0, make([]oramexec.WriteOp, formatEpochAccesses))
 		h.endEpoch()
 	}
-	if n := h.oram.StashSize(); n != 0 {
+	if n := h.oram.Machine().StashSize(); n != 0 {
 		h.t.Fatalf("preload left %d blocks in the stash", n)
 	}
 }
@@ -172,8 +172,8 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 			h.reads(b, make([]string, formatEpochAccesses/4)...)
 		}
 		rec := h.endEpoch()
-		if resident := h.oram.KeyCount() - h.oram.StashSize(); resident != preload || h.oram.StashSize() != 0 {
-			t.Fatalf("preloading %d keys left %d resident and %d stashed after the epoch", preload, resident, h.oram.StashSize())
+		if resident := h.oram.Machine().KeyCount() - h.oram.Machine().StashSize(); resident != preload || h.oram.Machine().StashSize() != 0 {
+			t.Fatalf("preloading %d keys left %d resident and %d stashed after the epoch", preload, resident, h.oram.Machine().StashSize())
 		}
 		plain, err := h.log.open(rec, checkpointHeaderSize)
 		if err != nil {
@@ -199,7 +199,7 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 			ops[i] = oramexec.WriteOp{Key: name(i), Value: []byte("value")}
 		}
 		h.writes(0, ops)
-		return h.endEpoch(), h.oram.StashSize()
+		return h.endEpoch(), h.oram.Machine().StashSize()
 	}
 	short, shortStash := stashDelta(func(i int) string { return string(rune('a' + i)) })
 	long, longStash := stashDelta(func(i int) string { return fmt.Sprintf("%0*d", formatParams.KeySize, i) })
@@ -315,7 +315,7 @@ func TestOlderFormatRejected(t *testing.T) {
 		for kind := byte(kindBatch); kind <= kindCheckpointCommitting; kind++ {
 			o, backend := testORAM(t)
 			l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})})
-			if _, err := l.AppendCheckpoint(1, o); err != nil {
+			if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := l.Recover(); err != nil {
@@ -381,7 +381,7 @@ func TestBoundaryAllocBudget(t *testing.T) {
 		}
 		checkpoint = mallocsOf(func() {
 			var cp *PendingCheckpoint
-			if cp, err = h.log.PrepareCheckpoint(h.epoch, h.oram); err == nil {
+			if cp, err = h.log.PrepareCheckpoint(h.epoch, h.oram.Machine(), h.oram); err == nil {
 				_, err = h.log.AppendPrepared(cp)
 			}
 		})

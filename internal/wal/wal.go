@@ -40,8 +40,8 @@
 //	checkpoint  version(u8) epoch(u64) shard(u32) shards(u32)  | meta checkpoint image
 //
 // Both payload formats are ringoram/meta's, and both are written straight from
-// the ORAM's planned steps and live metadata into the record buffer
-// (meta.BatchLog, EncodeCheckpoint): there is no intermediate
+// the machine's planned steps and live metadata into the record buffer
+// (meta.BatchLog, meta.Machine.EncodeCheckpoint): there is no intermediate
 // representation, no reflection, and one allocation per record. A record
 // whose version byte is not formatVersion — version 0 is the retired gob
 // encoding, version 1 committed epochs with a record of their own, version 2
@@ -65,7 +65,6 @@ import (
 	"time"
 
 	"obladi/internal/cryptoutil"
-	"obladi/internal/ringoram"
 	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
@@ -316,25 +315,25 @@ type PendingCheckpoint struct {
 func (c *PendingCheckpoint) Epoch() uint64 { return c.epoch }
 
 // PrepareCheckpoint snapshots the epoch-end metadata without appending it:
-// one pass over the ORAM's live metadata encodes the checkpoint image
-// directly into the record buffer. It decides full-vs-delta per the public
-// cadence, pads the image to Public.CheckpointPad so its size is workload
-// independent, and
-// resets the ORAM's dirty tracking (the snapshot owns those changes now; if
-// the later append fails the proxy fail-stops, so no subsequent checkpoint
-// can miss them). On the coordinator's log the record is a committing
-// checkpoint: appending it commits the epoch.
-func (l *Log) PrepareCheckpoint(epoch uint64, oram *ringoram.ORAM) (*PendingCheckpoint, error) {
+// one pass over the machine's live metadata, with the stash's values from
+// plane, encodes the checkpoint image directly into the record buffer. It
+// decides full-vs-delta per the public cadence, pads the image to
+// Public.CheckpointPad so its size is workload independent, and resets the
+// machine's dirty tracking (the snapshot owns those changes now; if the later
+// append fails the proxy fail-stops, so no subsequent checkpoint can miss
+// them). On the coordinator's log the record is a committing checkpoint:
+// appending it commits the epoch.
+func (l *Log) PrepareCheckpoint(epoch uint64, m *meta.Machine, plane meta.Plane) (*PendingCheckpoint, error) {
 	pub := l.cfg.Public
 	if pub == nil {
 		return nil, errors.New("wal: checkpoint on a log built without public parameters")
 	}
 	full := l.untilFull == 0
-	rec, err := oram.EncodeCheckpoint(full, pub.CheckpointPad(), recordHead+checkpointHeaderSize, recordTail)
+	rec, err := m.EncodeCheckpoint(full, pub.CheckpointPad(), recordHead+checkpointHeaderSize, recordTail, plane)
 	if err != nil {
 		return nil, err
 	}
-	oram.ClearDirty()
+	m.ClearDirty()
 	rec[0] = l.checkpointKind()
 	plain := rec[recordHead:]
 	putHeader(plain, epoch)
@@ -393,8 +392,8 @@ func (l *Log) AppendPrepared(cp *PendingCheckpoint) (bool, error) {
 // AppendCheckpoint logs the epoch-end metadata snapshot durably:
 // PrepareCheckpoint, AppendPrepared and Sync in one call. Returns whether a
 // full checkpoint was written.
-func (l *Log) AppendCheckpoint(epoch uint64, oram *ringoram.ORAM) (bool, error) {
-	cp, err := l.PrepareCheckpoint(epoch, oram)
+func (l *Log) AppendCheckpoint(epoch uint64, m *meta.Machine, plane meta.Plane) (bool, error) {
+	cp, err := l.PrepareCheckpoint(epoch, m, plane)
 	if err != nil {
 		return false, err
 	}

@@ -3,6 +3,11 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -32,11 +37,21 @@ type schedule struct{ r, bread, bwrite, cadence int }
 // schedule s. A delta checkpoint's position map pads to r·bread + bwrite.
 func publicOf(t testing.TB, o *ringoram.ORAM, s schedule) *meta.Public {
 	t.Helper()
-	pub, err := meta.NewPublic(o.Params(), s.r, s.bread, s.bwrite, s.cadence)
+	pub, err := meta.NewPublic(o.Machine().Params(), s.r, s.bread, s.bwrite, s.cadence)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pub
+}
+
+// restoreRecovery restores a client shaped like o from rec's images.
+func restoreRecovery(t testing.TB, o *ringoram.ORAM, rec *Recovery) *ringoram.ORAM {
+	t.Helper()
+	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Machine().Params(), rec.Full, rec.Deltas...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
 }
 
 func newLog(t testing.TB, store storage.LogStore, cfg Config) *Log {
@@ -80,7 +95,7 @@ func TestCheckpointCommitRecover(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 5)
-	if full, err := l.AppendCheckpoint(1, o); err != nil || !full {
+	if full, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil || !full {
 		t.Fatalf("checkpoint: full=%v err=%v", full, err)
 	}
 	rec, err := l.Recover()
@@ -93,12 +108,9 @@ func TestCheckpointCommitRecover(t *testing.T) {
 	if info, err := meta.InspectImage(rec.Full); err != nil || !info.Full {
 		t.Fatalf("no full checkpoint recovered: %+v, %v", info, err)
 	}
-	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a0, e0 := o.Counters()
-	a1, e1 := restored.Counters()
+	restored := restoreRecovery(t, o, rec)
+	a0, e0 := o.Machine().Counters()
+	a1, e1 := restored.Machine().Counters()
 	if a0 != a1 || e0 != e1 {
 		t.Fatalf("counters: %d/%d vs %d/%d", a0, e0, a1, e1)
 	}
@@ -111,7 +123,7 @@ func TestRecoverAppliesDeltas(t *testing.T) {
 
 	for e := uint64(1); e <= 5; e++ {
 		seed(t, o, backend, exec, e, 3)
-		if _, err := l.AppendCheckpoint(e, o); err != nil {
+		if _, err := l.AppendCheckpoint(e, o.Machine(), o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,10 +137,7 @@ func TestRecoverAppliesDeltas(t *testing.T) {
 	if len(rec.Deltas) == 0 {
 		t.Fatal("no deltas recovered despite FullCheckpointEvery=3")
 	}
-	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := restoreRecovery(t, o, rec)
 	// All five epochs' keys must be readable through a fresh executor.
 	exec2 := oramexec.New(restored, backend, oramexec.Config{})
 	if err := exec2.LoadResident(); err != nil {
@@ -160,7 +169,7 @@ func TestRecoverAbortedBatches(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 4)
-	if _, err := l.AppendCheckpoint(1, o); err != nil {
+	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
 		t.Fatal(err)
 	}
 	// Epoch 2 in flight: two batches logged, then crash (no commit).
@@ -219,7 +228,7 @@ func TestRecoverIgnoresCommittedEpochBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	backend.CommitEpoch(1)
-	if _, err := l.AppendCheckpoint(1, o); err != nil {
+	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := l.Recover()
@@ -239,7 +248,7 @@ func TestRecoverNoCheckpoint(t *testing.T) {
 	if _, err := l.Recover(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("recover of an empty log: %v", err)
 	}
-	if _, err := l.AppendCheckpoint(1, o); err != nil {
+	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Recover(); !errors.Is(err, ErrNoCheckpoint) {
@@ -256,15 +265,15 @@ func TestPaddingMakesDeltasConstantSize(t *testing.T) {
 	// and 3 produce deltas with very different touched-key counts. The
 	// deltas' position-map entry counts must be indistinguishable.
 	seed(t, o, backend, exec, 1, 2)
-	if full, err := l.AppendCheckpoint(1, o); err != nil || !full {
+	if full, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil || !full {
 		t.Fatalf("first checkpoint: full=%v err=%v", full, err)
 	}
 	seed(t, o, backend, exec, 2, 1) // touches 1 key
-	if full, err := l.AppendCheckpoint(2, o); err != nil || full {
+	if full, err := l.AppendCheckpoint(2, o.Machine(), o); err != nil || full {
 		t.Fatalf("second checkpoint: full=%v err=%v", full, err)
 	}
 	seed(t, o, backend, exec, 3, 8) // touches 8 keys
-	if full, err := l.AppendCheckpoint(3, o); err != nil || full {
+	if full, err := l.AppendCheckpoint(3, o.Machine(), o); err != nil || full {
 		t.Fatalf("third checkpoint: full=%v err=%v", full, err)
 	}
 	recs, err := backend.Scan(0)
@@ -302,7 +311,7 @@ func TestPaddingStaysOutOfRestoredState(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{r: 1, bread: 16, bwrite: 16, cadence: 2})})
 	for e := uint64(1); e <= 2; e++ {
 		seed(t, o, backend, exec, e, 3)
-		if _, err := l.AppendCheckpoint(e, o); err != nil {
+		if _, err := l.AppendCheckpoint(e, o.Machine(), o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,13 +324,10 @@ func TestPaddingStaysOutOfRestoredState(t *testing.T) {
 	}
 	// Restoring must succeed and hold exactly the live client's keys and
 	// stash: padding entries are dropped, never applied.
-	restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.KeyCount() != o.KeyCount() || restored.StashSize() != o.StashSize() {
+	restored := restoreRecovery(t, o, rec)
+	if restored.Machine().KeyCount() != o.Machine().KeyCount() || restored.Machine().StashSize() != o.Machine().StashSize() {
 		t.Fatalf("restored client holds %d keys and %d stash blocks, live client %d and %d",
-			restored.KeyCount(), restored.StashSize(), o.KeyCount(), o.StashSize())
+			restored.Machine().KeyCount(), restored.Machine().StashSize(), o.Machine().KeyCount(), o.Machine().StashSize())
 	}
 }
 
@@ -330,7 +336,7 @@ func TestTamperedRecordRejected(t *testing.T) {
 	exec := oramexec.New(o, backend, oramexec.Config{})
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 	seed(t, o, backend, exec, 1, 2)
-	if _, err := l.AppendCheckpoint(1, o); err != nil {
+	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
 		t.Fatal(err)
 	}
 	recs, _ := backend.Scan(0)
@@ -346,7 +352,7 @@ func TestTruncateDropsOldRecords(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 2})})
 	for e := uint64(1); e <= 6; e++ {
 		seed(t, o, backend, exec, e, 2)
-		if _, err := l.AppendCheckpoint(e, o); err != nil {
+		if _, err := l.AppendCheckpoint(e, o.Machine(), o); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Retire(e); err != nil {
@@ -373,9 +379,7 @@ func TestTruncateDropsOldRecords(t *testing.T) {
 	if rec.CommittedEpoch != 6 || !rec.HasCommit {
 		t.Fatalf("after truncate: committed epoch %d, HasCommit %v", rec.CommittedEpoch, rec.HasCommit)
 	}
-	if _, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("wal")), o.Params(), rec.Full, rec.Deltas...); err != nil {
-		t.Fatal(err)
-	}
+	restoreRecovery(t, o, rec)
 }
 
 func TestRecoverStats(t *testing.T) {
@@ -383,7 +387,7 @@ func TestRecoverStats(t *testing.T) {
 	exec := oramexec.New(o, backend, oramexec.Config{})
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 	seed(t, o, backend, exec, 1, 4)
-	if _, err := l.AppendCheckpoint(1, o); err != nil {
+	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
 		t.Fatal(err)
 	}
 	exec.BeginEpoch(2)
@@ -420,7 +424,7 @@ func TestCheckpointNeedsPublic(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
 	seed(t, o, backend, exec, 1, 2)
-	if _, err := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})}).AppendCheckpoint(1, o); err != nil {
+	if _, err := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})}).AppendCheckpoint(1, o.Machine(), o); err != nil {
 		t.Fatal(err)
 	}
 	l := newLog(t, backend, Config{})
@@ -438,10 +442,41 @@ func TestCheckpointNeedsPublic(t *testing.T) {
 	if rec, err := l.Recover(); err != nil || len(rec.AbortedBatches) != 1 {
 		t.Fatalf("recovery without the public parameters: %v", err)
 	}
-	if _, err := l.PrepareCheckpoint(2, o); err == nil {
+	if _, err := l.PrepareCheckpoint(2, o.Machine(), o); err == nil {
 		t.Fatal("a log without the public parameters prepared a checkpoint")
 	}
 	if recs, _ := backend.Scan(0); len(recs) != 2 {
 		t.Fatalf("%d records in the store, want the checkpoint and the batch", len(recs))
+	}
+}
+
+// TestCheckpointsFromMetaAlone pins the layering: the log checkpoints the
+// public machine through its byte-plane interface (ringoram/meta), so no
+// non-test file of the package imports the byte plane (ringoram) or the
+// executor that drives it (oramexec).
+func TestCheckpointsFromMetaAlone(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		for _, imp := range f.Imports {
+			switch path, _ := strconv.Unquote(imp.Path.Value); path {
+			case "obladi/internal/ringoram", "obladi/internal/oramexec":
+				t.Errorf("%s imports %s", name, path)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no non-test file parsed")
 	}
 }
