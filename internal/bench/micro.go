@@ -195,7 +195,7 @@ func Fig10a(cfg Config) ([]Row, error) {
 		{
 			p := microParams(cfg, true)
 			backend, m := microBackend(p, prof, scale)
-			seq, err := ringoram.NewSeq(oramexec.StoreAdapter{B: backend, Epoch: 1}, cryptoutil.KeyFromSeed([]byte("f10a")), p)
+			seq, err := ringoram.NewSeq(backend, cryptoutil.KeyFromSeed([]byte("f10a")), p)
 			if err != nil {
 				return nil, err
 			}

@@ -138,7 +138,7 @@ func (c Config) Public() (*meta.Public, error) {
 // proxy's bookkeeping: epochs and transaction fates, batch-slot utilization
 // (how much of the fixed schedule carried real work), and the storage calls
 // the vectored I/O plane made. Executor counters are summed across shards but
-// the stash peak, which is StashPeak: the maximum over shards.
+// the stash peak, which is the maximum over shards there and in StashPeak.
 type Stats struct {
 	// Shards is the number of key-space partitions.
 	Shards int
@@ -160,9 +160,9 @@ type Stats struct {
 	// ConflictAborts and CascadingAborts break down MVTSO aborts.
 	ConflictAborts  int64
 	CascadingAborts int64
-	// Executor sums the shards' executor counters. Its ReadCalls and
-	// WriteCalls count storage calls; their ratio to the slot counters is
-	// the vectored I/O batching factor.
+	// Executor sums the shards' executor counters, but for StashPeak, the
+	// maximum over shards. Its ReadCalls and WriteCalls count storage calls;
+	// their ratio to the slot counters is the vectored I/O batching factor.
 	Executor oramexec.Stats
 	// StashPeak is the maximum Ring ORAM stash occupancy over shards.
 	StashPeak int
@@ -653,8 +653,9 @@ func (p *Proxy) Stats() Stats {
 		s.Executor.FilledSlots += es.FilledSlots
 		s.Executor.OpenedSlots += es.OpenedSlots
 		s.Executor.CopiedSlots += es.CopiedSlots
-		s.StashPeak = max(s.StashPeak, es.StashPeak)
+		s.Executor.StashPeak = max(s.Executor.StashPeak, es.StashPeak)
 	}
+	s.StashPeak = s.Executor.StashPeak
 	p.mu.Unlock()
 	// Outside p.mu: a log's counters sit behind the lock its batch appends
 	// hold across the store call, and clients must not queue behind that.

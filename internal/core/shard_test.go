@@ -115,6 +115,33 @@ func TestShardedCommitAndReadBack(t *testing.T) {
 	checkAll(t, checkers)
 }
 
+// TestStatsExecutorStashPeakIsShardMax: a two-shard proxy's Stats.Executor
+// carries the stash peak — the maximum over shards, as Stats.StashPeak does —
+// instead of leaving it out of the sums at zero.
+func TestStatsExecutorStashPeakIsShardMax(t *testing.T) {
+	cfg := testConfig(71)
+	stores, _ := shardedBackends(cfg, 2)
+	p, err := NewSharded(stores, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// Shard 0 takes three writes and shard 1 one, so their peaks differ.
+	kv := map[string]string{keysForShard(1, 2, 1)[0]: "v"}
+	for _, k := range keysForShard(0, 2, 3) {
+		kv[k] = "v"
+	}
+	commitKV(t, p, kv)
+	peak := 0
+	for _, sh := range p.shards {
+		peak = max(peak, sh.exec.Stats().StashPeak)
+	}
+	st := p.Stats()
+	if peak == 0 || st.Executor.StashPeak != peak || st.StashPeak != peak {
+		t.Fatalf("stash peak: Stats.Executor %d, Stats %d, the shards' maximum %d", st.Executor.StashPeak, st.StashPeak, peak)
+	}
+}
+
 // TestShardedCloseLeavesNoGoroutine runs proxies of 1, 2 and 4 shards, both
 // stepped by hand and on the Δ timer, through committed epochs, and checks
 // that Close stops everything they started: the shard workers of both

@@ -8,26 +8,6 @@ import (
 	"obladi/internal/storage"
 )
 
-// StoreAdapter adapts a shadow-paged storage.BucketStore to the
-// epoch-agnostic ringoram.Store interface of the sequential baseline
-// (ringoram.Seq) by tagging every write with a fixed epoch.
-type StoreAdapter struct {
-	B     storage.BucketStore
-	Epoch uint64
-}
-
-var _ ringoram.Store = StoreAdapter{}
-
-// ReadSlot implements ringoram.Store.
-func (s StoreAdapter) ReadSlot(bucket, slot int) ([]byte, error) {
-	return s.B.ReadSlot(bucket, slot)
-}
-
-// WriteBucket implements ringoram.Store.
-func (s StoreAdapter) WriteBucket(bucket int, slots [][]byte) error {
-	return s.B.WriteBucket(bucket, s.Epoch, slots)
-}
-
 // initChunk is how many buckets of the fresh tree one WriteBuckets call
 // carries. The tree crosses the storage boundary as ⌈NumBuckets/initChunk⌉
 // vectors in ascending bucket order, and at most one chunk's bucket buffers

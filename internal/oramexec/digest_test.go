@@ -240,7 +240,7 @@ func TestPlanDigestGolden(t *testing.T) {
 
 	// The sequential ORAM over the same operations (it has no padding
 	// write): its slot reads and bucket writes, one call at a time.
-	st := &traceStore{B: storage.NewMemBackend(p.Geometry().NumBuckets), d: newPlanDigest()}
+	st := &traceStore{MemBackend: storage.NewMemBackend(p.Geometry().NumBuckets), d: newPlanDigest()}
 	seq, err := ringoram.NewSeq(st, cryptoutil.KeyFromSeed([]byte("seq")), p)
 	if err != nil {
 		t.Fatal(err)
@@ -287,23 +287,29 @@ func TestPlanDigestGolden(t *testing.T) {
 	}
 }
 
-// traceStore hashes every call the sequential ORAM makes, in order: the
-// bucket and slot of each read, the bucket and width of each write.
+// traceStore hashes every call the sequential ORAM makes, in order: each
+// read call and the bucket and slot of its refs, each write call and the
+// bucket and width of its buckets. A call carries one slot or one bucket, so
+// a call that carried more would hash differently.
 type traceStore struct {
-	B *storage.MemBackend
+	*storage.MemBackend
 	d *planDigest
 }
 
-func (s *traceStore) ReadSlot(bucket, slot int) ([]byte, error) {
+func (s *traceStore) ReadSlots(refs []storage.SlotRef) ([][]byte, error) {
 	s.d.h.Write([]byte{'r'})
-	s.d.int(bucket)
-	s.d.int(slot)
-	return s.B.ReadSlot(bucket, slot)
+	for _, r := range refs {
+		s.d.int(r.Bucket)
+		s.d.int(r.Slot)
+	}
+	return s.MemBackend.ReadSlots(refs)
 }
 
-func (s *traceStore) WriteBucket(bucket int, slots [][]byte) error {
+func (s *traceStore) WriteBuckets(writes []storage.BucketWrite) error {
 	s.d.h.Write([]byte{'w'})
-	s.d.int(bucket)
-	s.d.int(len(slots))
-	return s.B.WriteBucket(bucket, 0, slots)
+	for _, w := range writes {
+		s.d.int(w.Bucket)
+		s.d.int(len(w.Slots))
+	}
+	return s.MemBackend.WriteBuckets(writes)
 }

@@ -7,9 +7,11 @@
 // makes due, a schedule meta alone decides — the resulting physical slot
 // reads are coalesced into a single scatter-gather storage call per stage
 // (one wire op and one round trip however many slots the stage reads), and
-// every step is completed on the machine in plan order, with the ORAM moving
-// the bytes, which realizes multilevel serializability: the outcome is
-// identical to the sequential execution of the same batch (ringoram.Seq). A
+// every step is completed in plan order, which realizes multilevel
+// serializability: the outcome is identical to the sequential execution of
+// the same batch (ringoram.Seq). Both plan writes and complete steps with
+// the same two ORAM calls (PlanWrite, Complete) over the same store
+// interface; they differ only in how they schedule the I/O. A
 // batch's log is the machine's view of its steps (BatchPlan.Log); what a step
 // logs and how it is replayed is meta's, and ReplayBatch executes what the
 // machine's Replay plans.
@@ -368,18 +370,9 @@ func (e *Executor) PlanReadBatch(ops []ReadOp) (*BatchPlan, error) {
 // ValueSize is refused before the machine plans its write.
 func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
 	plan := e.writePlan.reset(0)
-	valueSize := e.m.Params().ValueSize
 	for i := range ops {
 		op := &ops[i]
-		if len(op.Value) > valueSize {
-			return nil, fmt.Errorf("oramexec: value of %d bytes exceeds ValueSize %d", len(op.Value), valueSize)
-		}
-		steps, b, err := e.m.PlanWrite(op.Key, e.steps[:0])
-		if b != 0 {
-			if perr := e.oram.Put(b, op.Key, op.Value, op.Tombstone); err == nil {
-				err = perr
-			}
-		}
+		steps, err := e.oram.PlanWrite(op.Key, op.Value, op.Tombstone, e.steps[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -512,30 +505,25 @@ func (e *Executor) readSlots(refs []storage.SlotRef) ([][]byte, error) {
 // returns.
 func (e *Executor) complete(t *task, plan *BatchPlan) error {
 	rewrites := int64(len(t.step.Buckets))
-	b, err := e.m.Complete(t.step, t.data, e.oram)
+	v, found, images, err := e.oram.Complete(t.step, t.data, e.images[:0])
+	e.images = images
 	if err != nil {
 		return err
 	}
-	if t.opIdx >= 0 && b != 0 {
-		v, tombstone, err := e.oram.Value(b, e.m.Key(b))
-		if err != nil {
-			return err
-		}
-		if !tombstone {
-			plan.results[t.opIdx].Value = e.vals.Copy(v)
-			plan.results[t.opIdx].Found = true
-		}
+	if t.opIdx >= 0 && found {
+		plan.results[t.opIdx].Value = e.vals.Copy(v)
+		plan.results[t.opIdx].Found = true
 	}
 	e.stats.writesBuffered.Add(rewrites)
-	if e.images = e.oram.Evicted(e.images[:0]); len(e.images) > 0 {
+	if len(images) > 0 {
 		// Only write-through keeps no local-version table, so only there
 		// does an eviction hand back its images: its whole write set,
 		// sealed now, in one call, preserving the barrier (writes land
 		// before the next stage's reads are issued). The store copied what
 		// it keeps.
-		_, err = e.flushImages(e.epoch, e.images)
-		for i := range e.images {
-			e.images[i].Recycle()
+		_, err = e.flushImages(e.epoch, images)
+		for i := range images {
+			images[i].Recycle()
 		}
 	}
 	return err

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"obladi/internal/ringoram/meta"
-	"obladi/internal/storage"
 )
 
 // TestExecutorStatsAccounting cross-checks the executor counters.
@@ -36,26 +35,6 @@ func TestReplayUnknownStepKind(t *testing.T) {
 	h := newHarness(t, testParams(64, 24), Config{})
 	if err := h.exec.ReplayBatch([]meta.LogEntry{{Kind: 99}}); err == nil {
 		t.Fatal("unknown step kind accepted")
-	}
-}
-
-// TestStoreAdapterImplementsInterface exercises the adapter passthrough.
-func TestStoreAdapterPassthrough(t *testing.T) {
-	backend := storage.NewMemBackend(2)
-	a := StoreAdapter{B: backend, Epoch: 5}
-	if err := a.WriteBucket(1, [][]byte{[]byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.ReadSlot(1, 0)
-	if err != nil || string(got) != "x" {
-		t.Fatalf("adapter round trip: %q %v", got, err)
-	}
-	// The write must carry the adapter's epoch tag (visible via rollback).
-	if err := backend.RollbackTo(4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.ReadSlot(1, 0); err == nil {
-		t.Fatal("write survived rollback below adapter epoch")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // in-memory store (pure client CPU + metadata cost).
 func BenchmarkSeqAccess(b *testing.B) {
 	p := Params{NumBlocks: 4096, Z: 8, S: 12, A: 8, KeySize: 24, ValueSize: 64, Seed: 1}
-	seq, err := NewSeq(newMapStore(), cryptoutil.KeyFromSeed([]byte("bench")), p)
+	seq, err := NewSeq(newStore(p), cryptoutil.KeyFromSeed([]byte("bench")), p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func BenchmarkSeqAccess(b *testing.B) {
 // BenchmarkPlanRead isolates metadata planning cost (no I/O).
 func BenchmarkPlanRead(b *testing.B) {
 	p := Params{NumBlocks: 4096, Z: 8, S: 64, A: 8, KeySize: 24, ValueSize: 64, Seed: 1}
-	seq, err := NewSeq(newMapStore(), cryptoutil.KeyFromSeed([]byte("bench")), p)
+	seq, err := NewSeq(newStore(p), cryptoutil.KeyFromSeed([]byte("bench")), p)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func (c *planeClient) evict(plan *meta.Plan) {
 		}
 		want = append(want, w)
 	}
-	_, _, images, err := c.oram.complete(plan, c.fetch(plan.Reads), nil)
+	_, _, images, err := c.oram.Complete(plan, c.fetch(plan.Reads), nil)
 	must(c.t, err)
 	if len(images) != 0 {
 		c.t.Fatalf("Complete returned %d images with the table on", len(images))
@@ -202,11 +202,11 @@ func (c *planeClient) run(steps []*meta.Plan, err error) (val []byte, found, hit
 		switch p.Kind {
 		case meta.AccessStep:
 			hit = len(p.Reads) == 0
-			val, found, _, err = c.oram.complete(p, c.fetch(p.Reads), nil)
+			val, found, _, err = c.oram.Complete(p, c.fetch(p.Reads), nil)
 			must(c.t, err)
 			val = bytes.Clone(val) // a later step may move the block
 		case meta.WriteStep:
-			_, _, _, err = c.oram.complete(p, nil, nil)
+			_, _, _, err = c.oram.Complete(p, nil, nil)
 			must(c.t, err)
 		case meta.ReshuffleStep:
 			c.evict(p)
@@ -233,10 +233,10 @@ func (c *planeClient) step(i int) (hit bool) {
 	case op < 6:
 		v := bytes.Repeat([]byte{byte(i)}, c.rng.IntN(c.oram.p.ValueSize+1))
 		c.oracle[k] = v
-		c.run(c.oram.planWrite(k, v, false, nil))
+		c.run(c.oram.PlanWrite(k, v, false, nil))
 	case op < 8:
 		c.oracle[k] = nil
-		c.run(c.oram.planWrite(k, nil, true, nil))
+		c.run(c.oram.PlanWrite(k, nil, true, nil))
 	case op < 19:
 		got, found, hit := c.read(k)
 		if want := c.oracle[k]; found != (want != nil) || !bytes.Equal(got, want) {
@@ -357,7 +357,7 @@ func TestRestoreTakesSlotsForItsStashOnly(t *testing.T) {
 	src, err := New(key, p)
 	must(t, err)
 	for i := 0; i < 12; i++ { // dummiless writes: twelve entries, no eviction yet
-		steps, err := src.planWrite(fmt.Sprintf("k%d", i), []byte("v"), false, nil)
+		steps, err := src.PlanWrite(fmt.Sprintf("k%d", i), []byte("v"), false, nil)
 		must(t, err)
 		if len(steps) != 1 {
 			t.Fatalf("write %d planned %d steps, want the write alone", i, len(steps))

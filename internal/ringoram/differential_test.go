@@ -145,7 +145,7 @@ func (tw *twin) run(steps []*meta.Plan, err error, msteps []*meta.Plan, merr err
 			}
 			data[j] = tw.c.stored[r.Bucket][r.Slot]
 		}
-		_, _, images, err := tw.o.complete(p, data, nil)
+		_, _, images, err := tw.o.Complete(p, data, nil)
 		must(t, err)
 		if tw.local && len(images) != 0 {
 			t.Fatalf("the ORAM returned %d images with its table on", len(images))
@@ -249,12 +249,12 @@ func TestMachineMatchesORAM(t *testing.T) {
 					if slices.ContainsFunc(snap(t, o).keys, func(sk snapKey) bool { return sk.name == k && sk.bucket >= 0 }) {
 						tw.blind++
 					}
-					steps, err := o.planWrite(k, v, false, nil)
+					steps, err := o.PlanWrite(k, v, false, nil)
 					msteps, _, merr := m.PlanWrite(k, nil)
 					tw.plane.values[k] = twinValue{v: v}
 					tw.run(steps, err, msteps, merr)
 				case op < 8:
-					steps, err := o.planWrite(k, nil, true, nil)
+					steps, err := o.PlanWrite(k, nil, true, nil)
 					msteps, _, merr := m.PlanWrite(k, nil)
 					tw.plane.values[k] = twinValue{tombstone: true}
 					tw.run(steps, err, msteps, merr)
@@ -268,7 +268,7 @@ func TestMachineMatchesORAM(t *testing.T) {
 					tw.run(steps, err, msteps, merr)
 					tw.pads++
 				default:
-					steps, err := o.planWrite("", nil, false, nil)
+					steps, err := o.PlanWrite("", nil, false, nil)
 					msteps, _, merr := m.PlanWrite("", nil)
 					tw.run(steps, err, msteps, merr)
 					tw.pads++

@@ -24,7 +24,7 @@ func TestPaperParameters(t *testing.T) {
 		ValueSize: 64,
 		Seed:      13,
 	}
-	store := newMapStore()
+	store := newStore(p)
 	seq, err := NewSeq(store, cryptoutil.KeyFromSeed([]byte("paper")), p)
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +46,8 @@ func TestPaperParameters(t *testing.T) {
 			t.Fatalf("%s = %q (%v, %v), want %q", k, v, found, err, want)
 		}
 	}
-	if store.violation != nil {
-		t.Fatal(store.violation)
+	if store.Violation() != nil {
+		t.Fatal(store.Violation())
 	}
 	checkPathInvariant(t, seq.ORAM())
 	checkMetaConsistency(t, seq.ORAM())
@@ -78,7 +78,7 @@ func TestNextEvictPathDeterministic(t *testing.T) {
 	seqA, _ := newTestSeq(t, p)
 	p2 := p
 	p2.Seed = 999 // different randomness must not change the evict schedule
-	store := newMapStore()
+	store := newStore(p2)
 	seqB, err := NewSeq(store, cryptoutil.KeyFromSeed([]byte("other")), p2)
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +122,8 @@ func TestEarlyReshuffleTriggers(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		must(t, seq.DummyRead())
 	}
-	if store.violation != nil {
-		t.Fatal(store.violation)
+	if store.Violation() != nil {
+		t.Fatal(store.Violation())
 	}
 	// The bucket invariant holding for 200×(L+1) filler reads with S=4 is
 	// only possible if early reshuffles ran.

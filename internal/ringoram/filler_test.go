@@ -44,7 +44,7 @@ func (c *sparseClient) run(steps []*meta.Plan, err error) (val []byte, found boo
 	must(c.t, err)
 	for _, p := range steps {
 		access := p.Kind == meta.AccessStep
-		v, f, images, err := c.oram.complete(p, c.fetch(p.Reads), nil)
+		v, f, images, err := c.oram.Complete(p, c.fetch(p.Reads), nil)
 		must(c.t, err)
 		if access {
 			val, found = bytes.Clone(v), f // a later step may move the block
@@ -139,10 +139,10 @@ func TestCompletionNeverInspectsFillers(t *testing.T) {
 			case op < 4:
 				val := []byte(fmt.Sprintf("v%d", i))
 				must(t, full.Write(key, val))
-				sparse.run(o.planWrite(key, val, false, nil))
+				sparse.run(o.PlanWrite(key, val, false, nil))
 			case op < 5:
 				must(t, full.Delete(key))
-				sparse.run(o.planWrite(key, nil, true, nil))
+				sparse.run(o.PlanWrite(key, nil, true, nil))
 			case op < 9:
 				want, wantFound, err := full.Read(key)
 				must(t, err)
@@ -155,8 +155,8 @@ func TestCompletionNeverInspectsFillers(t *testing.T) {
 				sparse.run(o.m.PlanRead("", nil))
 			}
 		}
-		if store.violation != nil {
-			t.Fatal(store.violation)
+		if store.Violation() != nil {
+			t.Fatal(store.Violation())
 		}
 		if sparse.refills < 100 {
 			t.Fatalf("only %d bucket versions had a version before them to compare fillers with", sparse.refills)

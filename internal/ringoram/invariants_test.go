@@ -85,7 +85,7 @@ func runRandomWorkload(t *testing.T, p Params, seed uint64, numKeys, ops int) {
 	t.Helper()
 	p.NumBlocks = numKeys
 	p.Seed = seed
-	store := newMapStore()
+	store := newStore(p)
 	seq, err := NewSeq(store, cryptoutil.KeyFromSeed([]byte("prop")), p)
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +120,8 @@ func runRandomWorkload(t *testing.T, p Params, seed uint64, numKeys, ops int) {
 		}
 		checkMetaConsistency(t, seq.ORAM())
 	}
-	if store.violation != nil {
-		t.Fatalf("bucket invariant: %v", store.violation)
+	if store.Violation() != nil {
+		t.Fatalf("bucket invariant: %v", store.Violation())
 	}
 	checkPathInvariant(t, seq.ORAM())
 	if limit := seq.ORAM().p.StashLimit; seq.ORAM().m.StashPeak() > limit {
@@ -168,7 +168,7 @@ func TestBlindWriteRetiresTreeCopy(t *testing.T) {
 		if k.bucket < 0 {
 			continue
 		}
-		steps, err := o.planWrite(key, []byte("w"), false, nil)
+		steps, err := o.PlanWrite(key, []byte("w"), false, nil)
 		must(t, err)
 		if len(steps) == 1 { // an evict-path the write made due could rewrite the bucket
 			s := snap(t, o)
@@ -219,7 +219,7 @@ func TestPropertyPathReadDistributionUniform(t *testing.T) {
 	// generous threshold.
 	p := testParams(64)
 	p.Seed = 11
-	store := newMapStore()
+	store := newStore(p)
 	seq, err := NewSeq(store, cryptoutil.KeyFromSeed([]byte("uni")), p)
 	if err != nil {
 		t.Fatal(err)

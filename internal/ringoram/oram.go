@@ -14,12 +14,12 @@ import (
 var ErrCorrupt = errors.New("ringoram: corrupt slot")
 
 // ORAM is a Ring ORAM client's byte plane: the blocks and bucket images its
-// public machine (Machine) moves. It is the machine's meta.Plane, which a
+// public machine (Machine) moves. It is the machine's meta.Plane, which its
 // driver — the sequential client in this package, or the executor in
-// internal/oramexec — hands to every machine call that moves bytes; the
-// driver plans and completes on one goroutine at a time, in plan order. Only
-// SealImage and Work may run beside it, on any goroutine: they read nothing
-// the machine's calls change.
+// internal/oramexec — moves bytes through: PlanWrite and Complete are the
+// protocol both drivers share. A driver plans and completes on one goroutine
+// at a time, in plan order. Only SealImage and Work may run beside it, on any
+// goroutine: they read nothing the machine's calls change.
 type ORAM struct {
 	m   *meta.Machine
 	p   Params // the machine's, immutable
@@ -29,7 +29,7 @@ type ORAM struct {
 	// Hot-path scratch: the Appendix A binding encoder.
 	bindBuf []byte
 	// evicted holds the images Place builds while the local-version table is
-	// off, until Evicted hands them to the driver.
+	// off, until Complete hands them to the driver.
 	evicted []BucketImage
 	// slots holds each stash block's plaintext slot, indexed by the block's
 	// handle: one slot of the codec's layout (see encodePlain), the one copy
@@ -118,15 +118,43 @@ func (o *ORAM) binding(id, epoch uint64) []byte {
 // Machine returns the public machine whose bytes the ORAM holds.
 func (o *ORAM) Machine() *meta.Machine { return o.m }
 
-// Evicted appends to dst the images of the bucket versions the completions
-// since the last call placed while the local-version table is off, and
-// forgets them: they are the caller's, to seal (SealImage) until a later
-// rewrite supersedes them, and to Recycle.
-func (o *ORAM) Evicted(dst []BucketImage) []BucketImage {
-	dst = append(dst, o.evicted...)
+// PlanWrite plans a logical write (or delete, when tombstone is set) of key
+// on the machine: a value over ValueSize is refused before anything is
+// planned, and the block the machine returns is encoded (Put). The steps are
+// appended to dst.
+func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool, dst []*meta.Plan) ([]*meta.Plan, error) {
+	if len(value) > o.p.ValueSize {
+		return dst, fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(value), o.p.ValueSize)
+	}
+	dst, b, err := o.m.PlanWrite(key, dst)
+	if b != 0 {
+		if perr := o.Put(b, key, value, tombstone); err == nil {
+			err = perr
+		}
+	}
+	return dst, err
+}
+
+// Complete completes step p on the machine with the slots data holds, the
+// ORAM as its plane. It returns the value an access returns — a view of its
+// block's slot, valid until the block's next write or eviction, which a
+// caller that keeps it copies — and images with the images of the bucket
+// versions the completion placed while the local-version table is off
+// appended: they are the caller's, to seal (SealImage) until a later rewrite
+// supersedes them, and to Recycle.
+func (o *ORAM) Complete(p *meta.Plan, data [][]byte, images []BucketImage) ([]byte, bool, []BucketImage, error) {
+	b, err := o.m.Complete(p, data, o)
+	if err != nil {
+		return nil, false, images, err
+	}
+	images = append(images, o.evicted...)
 	clear(o.evicted)
 	o.evicted = o.evicted[:0]
-	return dst
+	if b == 0 {
+		return nil, false, images, nil
+	}
+	v, tombstone, err := o.Value(b, o.m.Key(b))
+	return v, err == nil && !tombstone, images, err
 }
 
 // slot returns the place of block b's slot, growing the table to it.
@@ -188,7 +216,7 @@ func (o *ORAM) Deliver(r meta.SlotRead, data []byte, key string) error {
 
 // Place builds the image of the bucket version w writes in a pooled buffer,
 // moving each placed block's slot into it, and files it under w's handle, or
-// keeps it for Evicted when w has none.
+// keeps it for Complete to hand out when w has none.
 func (o *ORAM) Place(w *meta.BucketWrite) {
 	im := o.newImage(w.Bucket, w.Ver)
 	copy(im.perm, w.Perm)

@@ -3,63 +3,18 @@ package ringoram
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram/meta"
+	"obladi/internal/storage"
 )
 
-// mapStore is an in-memory Store that enforces the bucket invariant from the
-// server's perspective: no slot may be read twice between writes of its
-// bucket.
-type mapStore struct {
-	mu        sync.Mutex
-	buckets   map[int][][]byte
-	readSince map[int]map[int]bool
-	violation error
-	reads     int
-	writes    int
-}
-
-func newMapStore() *mapStore {
-	return &mapStore{
-		buckets:   make(map[int][][]byte),
-		readSince: make(map[int]map[int]bool),
-	}
-}
-
-func (s *mapStore) ReadSlot(bucket, slot int) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reads++
-	slots, ok := s.buckets[bucket]
-	if !ok || slot < 0 || slot >= len(slots) {
-		return nil, fmt.Errorf("mapStore: no bucket %d slot %d", bucket, slot)
-	}
-	set := s.readSince[bucket]
-	if set == nil {
-		set = make(map[int]bool)
-		s.readSince[bucket] = set
-	}
-	if set[slot] && s.violation == nil {
-		s.violation = fmt.Errorf("bucket %d slot %d read twice between writes", bucket, slot)
-	}
-	set[slot] = true
-	return slots[slot], nil
-}
-
-func (s *mapStore) WriteBucket(bucket int, slots [][]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writes++
-	kept := make([][]byte, len(slots)) // a store copies what it keeps
-	for i, sl := range slots {
-		kept[i] = bytes.Clone(sl)
-	}
-	s.buckets[bucket] = kept
-	delete(s.readSince, bucket)
-	return nil
+// newStore is the store the sequential client's tests drive: an in-memory
+// tree that enforces the bucket invariant from the server's point of view
+// (no slot read twice between writes of its bucket; see Violation).
+func newStore(p Params) *storage.InvariantChecker {
+	return storage.NewInvariantChecker(storage.NewMemBackend(p.Geometry().NumBuckets))
 }
 
 func testParams(n int) Params {
@@ -74,14 +29,20 @@ func testParams(n int) Params {
 	}
 }
 
-func newTestSeq(t *testing.T, p Params) (*Seq, *mapStore) {
+func newTestSeq(t *testing.T, p Params) (*Seq, *storage.InvariantChecker) {
 	t.Helper()
-	store := newMapStore()
+	store := newStore(p)
+	return newSeqOver(t, store, p), store
+}
+
+// newSeqOver creates a sequential client over store.
+func newSeqOver(t *testing.T, store storage.BucketStore, p Params) *Seq {
+	t.Helper()
 	seq, err := NewSeq(store, cryptoutil.KeyFromSeed([]byte("test")), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return seq, store
+	return seq
 }
 
 func TestSeqReadUnknownKey(t *testing.T) {
@@ -161,8 +122,8 @@ func TestSeqManyKeysChurn(t *testing.T) {
 			}
 		}
 	}
-	if store.violation != nil {
-		t.Fatalf("bucket invariant: %v", store.violation)
+	if store.Violation() != nil {
+		t.Fatalf("bucket invariant: %v", store.Violation())
 	}
 	if limit := seq.ORAM().p.StashLimit; seq.ORAM().m.StashPeak() > limit {
 		t.Fatalf("stash peak %d exceeded limit %d", seq.ORAM().m.StashPeak(), limit)
@@ -218,11 +179,13 @@ func TestSeqEvictionScheduleDeterministic(t *testing.T) {
 }
 
 func TestSeqDummyRead(t *testing.T) {
-	seq, store := newTestSeq(t, testParams(64))
+	p := testParams(64)
+	rec := storage.NewRecorder(newStore(p))
+	seq := newSeqOver(t, rec, p)
 	must(t, seq.Write("k", []byte("v")))
-	before := store.reads
+	before := rec.Calls().ReadSlots
 	must(t, seq.DummyRead())
-	if store.reads == before {
+	if rec.Calls().ReadSlots == before {
 		t.Fatal("dummy read issued no storage reads")
 	}
 	v, found, _ := seq.Read("k")
@@ -244,7 +207,7 @@ func TestSeqKeyTooLong(t *testing.T) {
 func TestSeqPlaintextMode(t *testing.T) {
 	p := testParams(32)
 	p.DisableEncryption = true
-	store := newMapStore()
+	store := newStore(p)
 	seq, err := NewSeq(store, nil, p)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +221,7 @@ func TestSeqPlaintextMode(t *testing.T) {
 
 func TestSeqNilKeyRejected(t *testing.T) {
 	p := testParams(32)
-	if _, err := NewSeq(newMapStore(), nil, p); err == nil {
+	if _, err := NewSeq(newStore(p), nil, p); err == nil {
 		t.Fatal("encryption enabled with nil key accepted")
 	}
 }
@@ -267,11 +230,12 @@ func TestSeqDummilessWritesSkipReads(t *testing.T) {
 	// A dummiless write between evictions performs zero physical reads.
 	p := testParams(64)
 	p.A = 6
-	seq, store := newTestSeq(t, p)
-	before := store.reads
+	rec := storage.NewRecorder(newStore(p))
+	seq := newSeqOver(t, rec, p)
+	before := rec.Calls().ReadSlots
 	must(t, seq.Write("w1", []byte("v")))
-	if store.reads != before {
-		t.Fatalf("dummiless write issued %d reads", store.reads-before)
+	if rec.Calls().ReadSlots != before {
+		t.Fatalf("dummiless write issued %d reads", rec.Calls().ReadSlots-before)
 	}
 }
 
@@ -290,7 +254,7 @@ func TestSeqWriteVersionsAdvance(t *testing.T) {
 func TestSeqTamperDetected(t *testing.T) {
 	p := testParams(32)
 	p.Seed = 7
-	store := newMapStore()
+	store := newStore(p)
 	seq, err := NewSeq(store, cryptoutil.KeyFromSeed([]byte("t")), p)
 	if err != nil {
 		t.Fatal(err)
@@ -306,17 +270,23 @@ func TestSeqTamperDetected(t *testing.T) {
 	if seq.ORAM().m.StashSize() != 0 {
 		t.Fatal("could not flush stash")
 	}
-	// Corrupt every slot the server holds.
-	store.mu.Lock()
-	for _, slots := range store.buckets {
-		for _, s := range slots {
-			if len(s) > 0 {
-				s[0] ^= 0xFF
+	// Corrupt every slot the server holds, rewriting each bucket (which
+	// restarts its read-set).
+	for b := range geo.NumBuckets {
+		refs := make([]storage.SlotRef, geo.SlotsPer)
+		for i := range refs {
+			refs[i] = storage.SlotRef{Bucket: b, Slot: i}
+		}
+		slots, err := store.ReadSlots(refs)
+		must(t, err)
+		bad := make([][]byte, len(slots))
+		for i, s := range slots {
+			if bad[i] = bytes.Clone(s); len(s) > 0 {
+				bad[i][0] ^= 0xFF
 			}
 		}
+		must(t, store.WriteBuckets([]storage.BucketWrite{{Bucket: b, Slots: bad}}))
 	}
-	store.readSince = make(map[int]map[int]bool)
-	store.mu.Unlock()
 	if _, _, err := seq.Read("k"); err == nil {
 		t.Fatal("tampered block accepted")
 	}
@@ -330,7 +300,7 @@ func evictNow(t testing.TB, o *ORAM) []*meta.Plan {
 	var steps []*meta.Plan
 	for len(steps) == 0 || steps[len(steps)-1].Kind != meta.EvictStep {
 		var err error
-		if steps, err = o.planWrite("", nil, false, steps); err != nil {
+		if steps, err = o.PlanWrite("", nil, false, steps); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +314,7 @@ func completeAll(t testing.TB, o *ORAM, steps []*meta.Plan) []BucketImage {
 	t.Helper()
 	var images []BucketImage
 	for _, p := range steps {
-		_, _, ims, err := o.complete(p, make([][]byte, len(p.Reads)), nil)
+		_, _, ims, err := o.Complete(p, make([][]byte, len(p.Reads)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 	evicted := func(t *testing.T) (*ORAM, []BucketImage) {
 		o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
 		must(t, err)
-		_, err = o.planWrite("k", []byte("v"), false, nil)
+		_, err = o.PlanWrite("k", []byte("v"), false, nil)
 		must(t, err)
 		return o, completeAll(t, o, evictNow(t, o))
 	}
@@ -58,7 +58,7 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 		o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
 		must(t, err)
 		o.m.KeepLocal(o)
-		_, err = o.planWrite("k", []byte("v"), false, nil)
+		_, err = o.PlanWrite("k", []byte("v"), false, nil)
 		must(t, err)
 		steps := evictNow(t, o)
 		buckets := slices.Clone(steps[len(steps)-1].Buckets)
@@ -79,7 +79,7 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 			im := o.localCur(b)
 			im.Recycle()
 		}
-		if _, _, _, err := o.complete(plan, make([][]byte, len(plan.Reads)), nil); !errors.Is(err, ErrCorrupt) {
+		if _, _, _, err := o.Complete(plan, make([][]byte, len(plan.Reads)), nil); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("a block of a recycled image read locally: %v, want ErrCorrupt (the image was not poisoned)", err)
 		}
 	})

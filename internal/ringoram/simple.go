@@ -7,16 +7,8 @@ import (
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram/meta"
 	"obladi/internal/slab"
+	"obladi/internal/storage"
 )
-
-// Store is the slot-granularity storage interface the sequential client
-// drives. Implementations decide how writes map onto shadow-paged epochs. A
-// store must not retain the slots WriteBucket is handed: the client reuses
-// their bytes once the call returns.
-type Store interface {
-	ReadSlot(bucket, slot int) ([]byte, error)
-	WriteBucket(bucket int, slots [][]byte) error
-}
 
 // Seq is a synchronous, sequential Ring ORAM: it plans each logical
 // operation whole on the machine (its access, then the early reshuffles and
@@ -26,9 +18,15 @@ type Store interface {
 // It is the canonical construction the paper benchmarks against (the
 // "Sequential" series of Figure 10a) and the reference oracle for the
 // parallel executor's tests.
+//
+// Seq drives a storage.BucketStore with vectors of one: a ReadSlots call of
+// one ref per slot, a WriteBuckets call of one bucket per write. Every write
+// is tagged epoch 0: Seq has no epochs, commits nothing and never rolls back,
+// and a store replaces a bucket's version of the same epoch, so the store
+// holds just the newest version of every bucket.
 type Seq struct {
 	oram    *ORAM
-	store   Store
+	store   storage.BucketStore
 	arena   SealArena     // each bucket is sealed into it and written at once
 	steps   []*meta.Plan  // the operation being run, reused
 	evicted []BucketImage // an eviction's images, reused
@@ -37,7 +35,7 @@ type Seq struct {
 
 // NewSeq creates a sequential Ring ORAM over store and writes its fresh tree,
 // one bucket at a time in heap order.
-func NewSeq(store Store, key *cryptoutil.Key, p Params) (*Seq, error) {
+func NewSeq(store storage.BucketStore, key *cryptoutil.Key, p Params) (*Seq, error) {
 	o, err := New(key, p)
 	if err != nil {
 		return nil, err
@@ -48,10 +46,9 @@ func NewSeq(store Store, key *cryptoutil.Key, p Params) (*Seq, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := store.WriteBucket(b, slots); err != nil {
+		if err := s.storeBucket(b, slots); err != nil {
 			return nil, fmt.Errorf("ringoram: initializing bucket %d: %w", b, err)
 		}
-		s.arena.Reset()
 	}
 	return s, nil
 }
@@ -85,7 +82,7 @@ func (s *Seq) write(key string, value []byte, tombstone bool) error {
 	if key == "" {
 		return errors.New("ringoram: empty key")
 	}
-	steps, err := s.oram.planWrite(key, value, tombstone, s.steps[:0])
+	steps, err := s.oram.PlanWrite(key, value, tombstone, s.steps[:0])
 	s.steps = steps
 	if err == nil {
 		_, _, err = s.run(steps)
@@ -110,13 +107,13 @@ func (s *Seq) run(steps []*meta.Plan) ([]byte, bool, error) {
 	for _, p := range steps {
 		data := make([][]byte, len(p.Reads))
 		for i, r := range p.Reads {
-			d, err := s.store.ReadSlot(r.Bucket, r.Slot)
+			d, err := s.store.ReadSlots([]storage.SlotRef{{Bucket: r.Bucket, Slot: r.Slot}})
 			if err != nil {
 				return nil, false, fmt.Errorf("ringoram: reading bucket %d slot %d: %w", r.Bucket, r.Slot, err)
 			}
-			data[i] = d
+			data[i] = d[0]
 		}
-		v, f, images, err := s.oram.complete(p, data, s.evicted[:0])
+		v, f, images, err := s.oram.Complete(p, data, s.evicted[:0])
 		s.evicted = images
 		if err == nil {
 			err = s.writeBack(images)
@@ -131,40 +128,6 @@ func (s *Seq) run(steps []*meta.Plan) ([]byte, bool, error) {
 	return value, found, nil
 }
 
-// planWrite plans a logical write (or delete, when tombstone is set) of key
-// on the machine, as a driver does: a value over ValueSize is refused before
-// anything is planned, and the block the machine returns is encoded (Put).
-func (o *ORAM) planWrite(key string, value []byte, tombstone bool, dst []*meta.Plan) ([]*meta.Plan, error) {
-	if len(value) > o.p.ValueSize {
-		return dst, fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(value), o.p.ValueSize)
-	}
-	dst, b, err := o.m.PlanWrite(key, dst)
-	if b != 0 {
-		if perr := o.Put(b, key, value, tombstone); err == nil {
-			err = perr
-		}
-	}
-	return dst, err
-}
-
-// complete completes step p on the machine with the slots data holds, the
-// ORAM as its plane, as a driver does. It returns the value an access
-// returns — a view of its block's slot, valid until the block's next write
-// or eviction — and images with the images an eviction placed while the
-// local-version table is off (Evicted) appended.
-func (o *ORAM) complete(p *meta.Plan, data [][]byte, images []BucketImage) ([]byte, bool, []BucketImage, error) {
-	b, err := o.m.Complete(p, data, o)
-	if err != nil {
-		return nil, false, images, err
-	}
-	images = o.Evicted(images)
-	if b == 0 {
-		return nil, false, images, nil
-	}
-	v, tombstone, err := o.Value(b, o.m.Key(b))
-	return v, err == nil && !tombstone, images, err
-}
-
 // writeBack seals and writes an eviction's images, one bucket per call.
 func (s *Seq) writeBack(images []BucketImage) error {
 	defer func() {
@@ -177,11 +140,16 @@ func (s *Seq) writeBack(images []BucketImage) error {
 		if err != nil {
 			return err
 		}
-		err = s.store.WriteBucket(im.Bucket, slots)
-		s.arena.Reset()
-		if err != nil {
+		if err := s.storeBucket(im.Bucket, slots); err != nil {
 			return fmt.Errorf("ringoram: eviction write bucket %d: %w", im.Bucket, err)
 		}
 	}
 	return nil
+}
+
+// storeBucket stores one sealed bucket, tagged epoch 0, and resets the arena
+// its slots were carved from: the store copied what it keeps.
+func (s *Seq) storeBucket(bucket int, slots [][]byte) error {
+	defer s.arena.Reset()
+	return s.store.WriteBuckets([]storage.BucketWrite{{Bucket: bucket, Epoch: 0, Slots: slots}})
 }

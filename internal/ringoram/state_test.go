@@ -12,15 +12,16 @@ import (
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram/meta"
+	"obladi/internal/storage"
 )
 
 // buildWorkload creates a Seq, applies a deterministic workload, and returns
 // it with the expected contents.
-func buildWorkload(t *testing.T, seed uint64) (*Seq, *mapStore, map[string]string) {
+func buildWorkload(t *testing.T, seed uint64) (*Seq, *storage.InvariantChecker, map[string]string) {
 	t.Helper()
 	p := testParams(64)
 	p.Seed = seed
-	store := newMapStore()
+	store := newStore(p)
 	seq, err := NewSeq(store, cryptoutil.KeyFromSeed([]byte("state")), p)
 	if err != nil {
 		t.Fatal(err)
@@ -235,12 +236,11 @@ func TestSnapshotRestoreFull(t *testing.T) {
 	st := image(t, seq.ORAM(), true)
 	restored := restoreFrom(t, seq.ORAM(), st)
 	requireSameClient(t, seq.ORAM(), restored)
-	// Reset the server-side read-tracking: the restored client replays
+	// Reset the server-side read-tracking (a rollback to epoch 0, which
+	// every write carries, discards nothing): the restored client replays
 	// nothing here, it simply resumes; reads against untouched buckets are
 	// legitimate after the (conceptual) crash boundary.
-	store.mu.Lock()
-	store.readSince = make(map[int]map[int]bool)
-	store.mu.Unlock()
+	must(t, store.RollbackTo(0))
 	seq2 := &Seq{oram: restored, store: store}
 	for k, want := range oracle {
 		v, found, err := seq2.Read(k)
@@ -287,9 +287,7 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 	restored := restoreFrom(t, seq.ORAM(), full, delta)
 	requireSameClient(t, seq.ORAM(), restored)
-	store.mu.Lock()
-	store.readSince = make(map[int]map[int]bool)
-	store.mu.Unlock()
+	must(t, store.RollbackTo(0))
 	seq2 := &Seq{oram: restored, store: store}
 	for k, want := range extra {
 		v, found, err := seq2.Read(k)
@@ -416,9 +414,7 @@ func TestReplayReadProducesSameSlots(t *testing.T) {
 		}
 	}
 	// Completing the replayed access yields the key's value.
-	store.mu.Lock()
-	store.readSince = make(map[int]map[int]bool)
-	store.mu.Unlock()
+	must(t, store.RollbackTo(0))
 	data := make([][]byte, len(replayPlan.Reads))
 	for i, r := range replayPlan.Reads {
 		d, err := store.ReadSlot(r.Bucket, r.Slot)
@@ -427,7 +423,7 @@ func TestReplayReadProducesSameSlots(t *testing.T) {
 		}
 		data[i] = d
 	}
-	v, found, _, err := restored.complete(replayPlan, data, nil)
+	v, found, _, err := restored.Complete(replayPlan, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +487,7 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 	bumps := 0
 	for len(steps) < 2 {
 		var err error
-		if steps, err = seq.ORAM().planWrite("", nil, false, steps[:0]); err != nil {
+		if steps, err = seq.ORAM().PlanWrite("", nil, false, steps[:0]); err != nil {
 			t.Fatal(err)
 		}
 		bumps++
@@ -573,7 +569,7 @@ func TestSnapshotWithPendingFails(t *testing.T) {
 func TestRestoreMatchesLiveClient(t *testing.T) {
 	p := testParams(96)
 	p.Seed = 41
-	store := newMapStore()
+	store := newStore(p)
 	seq, err := NewSeq(store, stateKey, p)
 	if err != nil {
 		t.Fatal(err)
@@ -646,7 +642,7 @@ func TestShuffleMatchesRandPerm(t *testing.T) {
 // a full image and the delta image of a second round of writes after it.
 func checkpointRun(t *testing.T, p Params) (full, delta []byte) {
 	t.Helper()
-	seq, err := NewSeq(newMapStore(), stateKey, p)
+	seq, err := NewSeq(newStore(p), stateKey, p)
 	must(t, err)
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%d", i%20)

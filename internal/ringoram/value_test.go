@@ -31,10 +31,10 @@ func TestValuePathAllocBudget(t *testing.T) {
 	var vals slab.Bytes
 	write := func() {
 		for _, k := range keys {
-			if steps, err = o.planWrite(k, value, false, steps[:0]); err != nil || len(steps) != 1 {
+			if steps, err = o.PlanWrite(k, value, false, steps[:0]); err != nil || len(steps) != 1 {
 				t.Fatalf("write of %s: %d steps, err=%v, want the write alone", k, len(steps), err)
 			}
-			if _, _, _, err := o.complete(steps[0], nil, nil); err != nil {
+			if _, _, _, err := o.Complete(steps[0], nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -45,7 +45,7 @@ func TestValuePathAllocBudget(t *testing.T) {
 			if err != nil || len(steps) != 1 || len(steps[0].Reads) != 0 {
 				t.Fatalf("read of %s: %d steps, err=%v, want a stash hit alone", k, len(steps), err)
 			}
-			if v, found, _, err := o.complete(steps[0], nil, nil); err != nil || !found || len(vals.Copy(v)) != len(value) {
+			if v, found, _, err := o.Complete(steps[0], nil, nil); err != nil || !found || len(vals.Copy(v)) != len(value) {
 				t.Fatalf("read of %s: %d bytes, found=%v, err=%v", k, len(v), found, err)
 			}
 		}
