@@ -31,16 +31,15 @@ func BenchmarkOpen256(b *testing.B) {
 	}
 }
 
-// BenchmarkSealFrame seals a kv-mem slot in place, nonce draw from the
-// sealer's own block included: the per-slot cost a filler frame
-// (BenchmarkFill) replaces.
+// BenchmarkSealFrame seals a kv-mem slot in place under its version's seed:
+// the per-slot cost a filler frame (BenchmarkFill) replaces.
 func BenchmarkSealFrame(b *testing.B) {
 	k := KeyFromSeed([]byte("bench"))
 	frame := make([]byte, fillerFrame)
 	binding := Binding(1, 2, 3)
-	var nonces Nonces
+	var nonce Nonce
 	for i := 0; i < b.N; i++ {
-		if err := k.SealInPlace(frame, binding, &nonces); err != nil {
+		if err := k.SealSlot(frame, Seed{}, i%40, binding, &nonce); err != nil {
 			b.Fatal(err)
 		}
 	}

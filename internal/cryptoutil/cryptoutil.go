@@ -1,21 +1,27 @@
-// Package cryptoutil provides the randomized authenticated encryption used by
-// Obladi for ORAM bucket slots and recovery-log records.
+// Package cryptoutil provides the authenticated encryption used by Obladi for
+// ORAM bucket slots and recovery-log records.
 //
-// Every ciphertext is freshly randomized (a random nonce per seal) so that
-// re-encrypting the same plaintext yields an unlinkable ciphertext, and is
-// authenticated together with an optional "binding" (location, epoch counter,
-// batch counter — see Appendix A of the paper) so a malicious server cannot
-// splice stale or relocated blocks.
+// Every ciphertext is sealed under a nonce used once, so re-encrypting the
+// same plaintext yields an unlinkable ciphertext, and is authenticated
+// together with an optional "binding" (location, epoch counter, batch counter
+// — see Appendix A of the paper) so a malicious server cannot splice stale or
+// relocated blocks. The construction is single-pass AES-GCM
+// (hardware-accelerated on amd64/arm64) with the binding as additional
+// authenticated data and a scheme byte leading every frame. There are two
+// frames:
 //
-// The construction is single-pass AES-GCM (hardware-accelerated on
-// amd64/arm64) with the binding as additional authenticated data and a scheme
-// byte leading every frame:
+//	record  scheme(1: SchemeGCM)  | nonce(12) | ciphertext | tag(16)
+//	slot    scheme(1: SchemeSlot) | ciphertext | tag(16)
 //
-//	scheme(1) | nonce(12) | ciphertext | tag(16)
-//
-// A frame led by any other scheme byte fails with ErrScheme and never yields
-// plaintext. A Filler writes frames of the same shape that carry no message:
-// the scheme byte and keystream, for slots that hold no block.
+// A record frame carries its nonce, drawn from crypto/rand (SealTo,
+// SealInPlace). A slot frame carries none: it is slot s of a bucket version
+// whose 96-bit Seed the proxy keeps, and is sealed under the nonce seed ⊕ s
+// (SealSlot, OpenSlot). Every version a proxy writes draws a fresh seed, so
+// no two slots share a nonce, and a frame moved to another slot of its
+// version fails authentication. A frame led by a scheme byte other than the
+// opener's fails with ErrScheme and never yields plaintext. A Filler writes
+// slot frames that carry no message: the scheme byte and keystream, for slots
+// that hold no block.
 package cryptoutil
 
 import (
@@ -33,10 +39,18 @@ import (
 // leading byte.
 type Scheme byte
 
-// SchemeGCM is the AES-GCM single-pass construction, the only one there is.
-// The value is wire format: do not renumber. Value 1 is reserved (it named
-// an AES-CTR + HMAC-SHA256 construction that no stored data uses).
-const SchemeGCM Scheme = 2
+// The schemes. The values are wire format: do not renumber. Value 1 is
+// reserved (it named an AES-CTR + HMAC-SHA256 construction that no stored
+// data uses).
+const (
+	// SchemeGCM is the AES-GCM record frame, which carries its nonce.
+	SchemeGCM Scheme = 2
+	// SchemeSlot is the AES-GCM slot frame, sealed under a nonce derived
+	// from its version's seed and its slot index. Slot frames of the
+	// SchemeGCM shape, which carried a random nonce each, are refused with
+	// ErrScheme.
+	SchemeSlot Scheme = 3
+)
 
 // Key is the proxy's secret, with the AES cipher and GCM AEAD constructed
 // once at key creation (not per seal). A Key is safe for concurrent use.
@@ -88,16 +102,31 @@ const (
 	tagSize   = 16 // GCM tag
 )
 
-// Overhead is the number of bytes sealing adds to a plaintext: scheme byte +
-// nonce + tag.
+// Overhead is the number of bytes sealing a record adds to a plaintext:
+// scheme byte + nonce + tag.
 const Overhead = 1 + nonceSize + tagSize
+
+// SlotOverhead is the number of bytes sealing a slot adds to a plaintext:
+// scheme byte + tag.
+const SlotOverhead = 1 + tagSize
+
+// SeedSize is the size of a Seed: one GCM nonce.
+const SeedSize = nonceSize
+
+// Seed is a bucket version's seed: slot s of the version is sealed under the
+// nonce seed ⊕ s, s big-endian in the seed's last four bytes. A seed must be
+// drawn fresh (Nonces.Seed) for every version written, a version rewritten
+// after a crash included: two versions sealed under one seed would share
+// their slots' nonces.
+type Seed [SeedSize]byte
 
 // ErrAuth is returned when a ciphertext fails authentication: it was
 // tampered with, truncated, or bound to a different location/counter.
 var ErrAuth = errors.New("cryptoutil: message authentication failed")
 
-// ErrScheme is returned when a frame's scheme byte is not SchemeGCM. It is
-// loud by design: a frame of another construction must never yield plaintext.
+// ErrScheme is returned when a frame's scheme byte is not the opener's:
+// SchemeGCM for OpenTo, SchemeSlot for OpenSlot. It is loud by design: a
+// frame of another construction must never yield plaintext.
 var ErrScheme = errors.New("cryptoutil: sealing scheme mismatch")
 
 // grow extends b by n bytes, reallocating only when spare capacity is short
@@ -112,30 +141,34 @@ func grow(b []byte, n int) []byte {
 }
 
 // nonceBlock is how much crypto/rand output one refill of a Nonces block
-// draws: 341 nonces for one read of the system generator.
+// draws: 341 nonces or seeds for one read of the system generator.
 const nonceBlock = 4096
 
 // Nonces is a block of crypto/rand output that one sealer cuts its nonces
-// from, front to back, each byte used once, and refills when it runs short.
-// It belongs to one sealer and is never shared, so it is not safe for
-// concurrent use: every goroutine that seals in place brings its own. The
-// zero value is ready.
+// (or one proxy its seeds) from, front to back, each byte used once, and
+// refills when it runs short. It belongs to one sealer and is never shared,
+// so it is not safe for concurrent use: every goroutine that seals in place
+// brings its own. The zero value is ready.
 type Nonces struct {
 	b    [nonceBlock]byte
 	left int // the unused bytes, at the end of b
 }
 
-// read fills dst with fresh random bytes from the block.
-func (n *Nonces) read(dst []byte) error {
+// read fills dst with fresh random bytes from the block. crypto/rand.Read
+// does not fail (it ends the program instead), so neither does read.
+func (n *Nonces) read(dst []byte) {
 	if n.left < len(dst) {
-		if _, err := io.ReadFull(rand.Reader, n.b[:]); err != nil {
-			n.left = 0
-			return fmt.Errorf("cryptoutil: generating nonce: %w", err)
-		}
+		rand.Read(n.b[:])
 		n.left = nonceBlock
 	}
 	n.left -= copy(dst, n.b[nonceBlock-n.left:])
-	return nil
+}
+
+// Seed cuts a fresh seed from the block, for one bucket version.
+func (n *Nonces) Seed() Seed {
+	var s Seed
+	n.read(s[:])
+	return s
 }
 
 // SealedSize reports the frame size for a plaintext of n bytes.
@@ -183,9 +216,7 @@ func (k *Key) SealInPlace(frame, binding []byte, nonces *Nonces) error {
 	}
 	frame[0] = byte(SchemeGCM)
 	nonce := frame[1:PlaintextOffset]
-	if err := nonces.read(nonce); err != nil {
-		return err
-	}
+	nonces.read(nonce)
 	// cipher.AEAD permits dst and plaintext to overlap exactly.
 	k.aead.Seal(frame[:PlaintextOffset], nonce, frame[PlaintextOffset:len(frame)-TagSize], binding)
 	return nil
@@ -217,6 +248,57 @@ func (k *Key) Open(sealed, binding []byte) ([]byte, error) {
 		return nil, ErrAuth
 	}
 	return k.OpenTo(make([]byte, 0, len(sealed)-Overhead), sealed, binding)
+}
+
+// Nonce is a sealer's or opener's scratch for the nonce of the slot it
+// seals or opens (SealSlot, OpenSlot). cipher.AEAD takes a nonce through an
+// interface, so a nonce derived on the stack would move to the heap at every
+// call: a caller keeps a Nonce beside its binding scratch instead. It belongs
+// to one goroutine; the zero value is ready.
+type Nonce [nonceSize]byte
+
+// derive writes the nonce of slot s of the version seed names: the seed with
+// s XORed into its last four bytes, big-endian.
+func (n *Nonce) derive(seed Seed, slot int) []byte {
+	*n = Nonce(seed)
+	binary.BigEndian.PutUint32(n[nonceSize-4:], binary.BigEndian.Uint32(n[nonceSize-4:])^uint32(slot))
+	return n[:]
+}
+
+// SealSlot seals slot s of the bucket version seed names, in place: the
+// caller has written the plaintext at frame[1:len(frame)-TagSize], and the
+// frame becomes SchemeSlot | ciphertext | tag, sealed under the nonce seed ⊕
+// slot (derived into nonce) with binding as additional data. It allocates
+// nothing. slot must be below 2^32, and the seed's version must not seal
+// slot s twice.
+func (k *Key) SealSlot(frame []byte, seed Seed, slot int, binding []byte, nonce *Nonce) error {
+	if len(frame) < SlotOverhead {
+		return fmt.Errorf("cryptoutil: frame of %d bytes is smaller than the slot overhead", len(frame))
+	}
+	frame[0] = byte(SchemeSlot)
+	k.aead.Seal(frame[:1], nonce.derive(seed, slot), frame[1:len(frame)-TagSize], binding)
+	return nil
+}
+
+// OpenSlot authenticates slot s of the bucket version seed names under
+// binding and appends its plaintext to dst, returning the extended slice;
+// nonce is the caller's scratch (see Nonce). A frame led by another scheme
+// byte fails with ErrScheme; a forged, stale or relocated frame — one sealed
+// for another slot of the version included — and one opened under the wrong
+// seed fail with ErrAuth.
+func (k *Key) OpenSlot(dst, frame []byte, seed Seed, slot int, binding []byte, nonce *Nonce) ([]byte, error) {
+	if len(frame) > 0 && Scheme(frame[0]) != SchemeSlot {
+		return nil, fmt.Errorf("%w: frame scheme %d, opener is the slot frame", ErrScheme, frame[0])
+	}
+	if len(frame) < SlotOverhead {
+		return nil, ErrAuth
+	}
+	off := len(dst)
+	dst = grow(dst, len(frame)-SlotOverhead)
+	if _, err := k.aead.Open(dst[off:off], nonce.derive(seed, slot), frame[1:], binding); err != nil {
+		return nil, ErrAuth
+	}
+	return dst, nil
 }
 
 // BindingSize is the encoded size of an (id, epoch, batch) binding.

@@ -421,3 +421,109 @@ func TestConcurrentSeals(t *testing.T) {
 		}
 	}
 }
+
+// slotFrame seals plain as slot s of the version seed names.
+func slotFrame(t testing.TB, k *Key, plain []byte, seed Seed, s int, binding []byte) []byte {
+	t.Helper()
+	frame := make([]byte, len(plain)+SlotOverhead)
+	copy(frame[1:], plain)
+	if err := k.SealSlot(frame, seed, s, binding, new(Nonce)); err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestSlotFrameBindsSeedAndSlot is the seeded slot frame's rule: a frame is
+// the scheme byte, the ciphertext and the tag, nothing else; it opens as its
+// own slot under its version's seed and binding, and fails with ErrAuth when
+// storage moves it to another slot of the version, when it is opened under
+// another seed, and under another binding. A frame of the record shape, led
+// by SchemeGCM, fails with ErrScheme.
+func TestSlotFrameBindsSeedAndSlot(t *testing.T) {
+	k := KeyFromSeed([]byte("slots"))
+	seed := Seed{0: 0xa5, 11: 0x07}
+	binding := Binding(9, 4, 0)
+	plain := []byte("the block of slot 5")
+	var nonce Nonce
+	frames := make([][]byte, 8)
+	for s := range frames {
+		frames[s] = slotFrame(t, k, plain, seed, s, binding)
+		if len(frames[s]) != len(plain)+SlotOverhead || Scheme(frames[s][0]) != SchemeSlot {
+			t.Fatalf("slot %d: a %d-byte frame led by %d", s, len(frames[s]), frames[s][0])
+		}
+	}
+	// Another seed, one bit off: its slot s has the nonce of the version's
+	// slot s^1, never of slot s.
+	other := seed
+	other[SeedSize-1] ^= 1
+	for s, frame := range frames {
+		got, err := k.OpenSlot(nil, frame, seed, s, binding, &nonce)
+		if err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("slot %d does not open as itself: %q, %v", s, got, err)
+		}
+		swapped := (s + 1) % len(frames)
+		if _, err := k.OpenSlot(nil, frame, seed, swapped, binding, &nonce); !errors.Is(err, ErrAuth) {
+			t.Fatalf("slot %d opened as slot %d of its version: %v, want ErrAuth", s, swapped, err)
+		}
+		if _, err := k.OpenSlot(nil, frame, other, s, binding, &nonce); !errors.Is(err, ErrAuth) {
+			t.Fatalf("slot %d opened under another seed: %v, want ErrAuth", s, err)
+		}
+		if _, err := k.OpenSlot(nil, frame, seed, s, Binding(9, 5, 0), &nonce); !errors.Is(err, ErrAuth) {
+			t.Fatalf("slot %d opened under the next version's binding: %v, want ErrAuth", s, err)
+		}
+	}
+	record, err := k.Seal(plain, binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.OpenSlot(nil, record, seed, 0, binding, &nonce); !errors.Is(err, ErrScheme) {
+		t.Fatalf("a record frame opened as a slot: %v, want ErrScheme", err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := k.SealSlot(frames[0], seed, 0, binding, &nonce); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.OpenSlot(plain[:0], frames[0], seed, 0, binding, &nonce); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("%.1f allocations per slot seal and open, want 0", n)
+	}
+}
+
+// FuzzOpenSlot fuzzes the seeded slot frame: the opener rejects an arbitrary
+// frame without panicking, and a frame sealed as one slot of a version opens
+// as that slot and fails with ErrAuth as any other slot of the version or
+// under any other seed.
+func FuzzOpenSlot(f *testing.F) {
+	k := KeyFromSeed([]byte("fuzz slot"))
+	f.Add([]byte("seed frame"), []byte("twelve bytes"), uint32(3), uint32(4), []byte{1})
+	f.Add([]byte{}, []byte{}, uint32(0), uint32(1), []byte{0})
+	f.Add([]byte{byte(SchemeSlot)}, []byte{0xff}, uint32(1<<16-1), uint32(0), []byte{byte(SchemeGCM)})
+	f.Fuzz(func(t *testing.T, data, seedBytes []byte, slot, other uint32, otherSeed []byte) {
+		var seed, wrong Seed
+		copy(seed[:], seedBytes)
+		copy(wrong[:], otherSeed)
+		binding := Binding(uint64(slot), 1, 0)
+		var nonce Nonce
+		// data as a frame storage returned: only a forgery would open.
+		if _, err := k.OpenSlot(nil, data, seed, int(slot), binding, &nonce); err == nil {
+			t.Fatalf("an arbitrary %d-byte frame opened", len(data))
+		}
+		// data as a plaintext, sealed as slot slot of the version seed names.
+		frame := slotFrame(t, k, data, seed, int(slot), binding)
+		if got, err := k.OpenSlot(nil, frame, seed, int(slot), binding, &nonce); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("a sealed slot does not open as itself: %v", err)
+		}
+		if other != slot {
+			if _, err := k.OpenSlot(nil, frame, seed, int(other), binding, &nonce); !errors.Is(err, ErrAuth) {
+				t.Fatalf("slot %d opened as slot %d: %v, want ErrAuth", slot, other, err)
+			}
+		}
+		if wrong != seed {
+			if _, err := k.OpenSlot(nil, frame, wrong, int(slot), binding, &nonce); !errors.Is(err, ErrAuth) {
+				t.Fatalf("slot %d opened under another seed: %v, want ErrAuth", slot, err)
+			}
+		}
+	})
+}

@@ -8,11 +8,11 @@ import (
 	"io"
 )
 
-// Filler writes filler frames: frames that stand where a sealed frame of the
-// same size could, but carry no message and are never opened. A filler frame
-// is the SchemeGCM byte followed by AES-CTR keystream. To anyone without the
-// keys it is as uniform as a GCM frame sealed under a random nonce, and under
-// any Key and binding it fails OpenTo with ErrAuth.
+// Filler writes filler frames: slot frames that stand where a sealed slot of
+// the same size could, but carry no message and are never opened. A filler
+// frame is the SchemeSlot byte followed by AES-CTR keystream. To anyone
+// without the keys it is as uniform as a slot sealed under a nonce used once,
+// and under any Key, seed, slot and binding it fails OpenSlot with ErrAuth.
 //
 // The keystream's AES key and IV are drawn from crypto/rand, independent of
 // every Key: no filler block can repeat a GCM counter block, and a Key made by
@@ -45,6 +45,6 @@ func (f *Filler) Fill(frames []byte, size int) {
 	clear(frames)
 	f.stream.XORKeyStream(frames, frames)
 	for off := 0; off < len(frames); off += size {
-		frames[off] = byte(SchemeGCM)
+		frames[off] = byte(SchemeSlot)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// fillerFrame is the frame size the filler tests use: a 279-byte plaintext
-// sealed, the kv-mem benchmark's slot.
-const fillerFrame = 279 + Overhead
+// fillerFrame is the frame size the filler tests use: a 276-byte plaintext
+// sealed as a slot, the kv-mem benchmark's slot.
+const fillerFrame = 276 + SlotOverhead
 
 func newFiller(t testing.TB) *Filler {
 	t.Helper()
@@ -32,8 +32,8 @@ func TestFillerFrameShape(t *testing.T) {
 		f.Fill(run, fillerFrame)
 		for i := 0; i < n; i++ {
 			frame := run[i*fillerFrame : (i+1)*fillerFrame]
-			if Scheme(frame[0]) != SchemeGCM {
-				t.Fatalf("frame %d of %d led by %d, want %d", i, n, frame[0], SchemeGCM)
+			if Scheme(frame[0]) != SchemeSlot {
+				t.Fatalf("frame %d of %d led by %d, want %d", i, n, frame[0], SchemeSlot)
 			}
 			var zero, poison int
 			for _, b := range frame[1:] {
@@ -63,9 +63,9 @@ func TestFillerFrameShape(t *testing.T) {
 	}
 }
 
-// TestFillerFailsAuthentication: a filler frame fails OpenTo with ErrAuth,
-// never ErrScheme and never a plaintext, under the binding of the bucket it
-// stands in and under random bindings, whatever the key.
+// TestFillerFailsAuthentication: a filler frame fails OpenSlot with ErrAuth,
+// never ErrScheme and never a plaintext, under the seed, slot and binding of
+// the slot it stands in and under random ones, whatever the key.
 func TestFillerFailsAuthentication(t *testing.T) {
 	f := newFiller(t)
 	random, err := NewKey()
@@ -76,6 +76,7 @@ func TestFillerFailsAuthentication(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	frame := make([]byte, fillerFrame)
 	dst := make([]byte, 0, fillerFrame)
+	var nonce Nonce
 	for i := 0; i < 500; i++ {
 		f.Fill(frame, fillerFrame)
 		bindings := [][]byte{
@@ -83,10 +84,16 @@ func TestFillerFailsAuthentication(t *testing.T) {
 			Binding(rng.Uint64(), rng.Uint64(), rng.Uint64()),
 			nil,
 		}
+		var seed Seed
+		for j := range seed {
+			seed[j] = byte(rng.Uint32())
+		}
 		for _, k := range keys {
 			for _, b := range bindings {
-				if plain, err := k.OpenTo(dst, frame, b); !errors.Is(err, ErrAuth) {
-					t.Fatalf("fill %d opened to %d bytes: %v, want ErrAuth", i, len(plain), err)
+				for _, s := range []int{i % 40, rng.IntN(1 << 16)} {
+					if plain, err := k.OpenSlot(dst, frame, seed, s, b, &nonce); !errors.Is(err, ErrAuth) {
+						t.Fatalf("fill %d opened to %d bytes: %v, want ErrAuth", i, len(plain), err)
+					}
 				}
 			}
 		}

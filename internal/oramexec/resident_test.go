@@ -2,6 +2,7 @@ package oramexec
 
 import (
 	"bytes"
+	crand "crypto/rand"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -78,20 +79,40 @@ func slotReadRefs(evs []storage.Event) []storage.SlotRef {
 	return refs
 }
 
+// zeroSeeds makes crypto/rand read zeros until the test ends, so every
+// bucket version two deployments write draws the zero seed: a deployment
+// draws its seeds fresh, and their checkpoint images would otherwise differ
+// in every rewritten bucket's seed. What such a test compares does not depend
+// on the seeds being secret or distinct.
+func zeroSeeds(t *testing.T) {
+	saved := crand.Reader
+	crand.Reader = zeroReader{}
+	t.Cleanup(func() { crand.Reader = saved })
+}
+
+type zeroReader struct{}
+
+func (zeroReader) Read(b []byte) (int, error) {
+	clear(b)
+	return len(b), nil
+}
+
 // TestResidentWarmEqualsRecovered is the differential behind "the resident
 // levels are recovered state, not a cache". Two identically seeded
 // deployments run the same epochs; after every epoch one keeps its executor
 // and its ORAM's table as they are, the other builds a new executor over its
 // ORAM and loads the resident levels back from storage, as a recovery does,
-// replacing the versions its table held. Results and checkpoint images must
-// be identical, neither may read a resident level outside the load, the load
-// must be the same one-call read every time, and it must bring blocks back.
+// replacing the versions its table held. Results and checkpoint images (the
+// seeds zeroed: zeroSeeds) must be identical, neither may read a resident
+// level outside the load, the load must be the same one-call read every
+// time, and it must bring blocks back.
 // That the load keeps exactly the blocks the metadata still places, each
 // byte-equal to the block the replaced version held at that slot, is checked
 // where the table lives: ringoram's planeClient.load, at the in-place reloads
 // of TestLocalTableOwnsEachSlotOnce and the Restore of
 // TestBlockPlaneSlotsAreCanonical.
 func TestResidentWarmEqualsRecovered(t *testing.T) {
+	zeroSeeds(t)
 	p := residentParams(31)
 	warm, cold := newHarness(t, p, Config{}), newHarness(t, p, Config{})
 	nRes := warm.exec.resident
@@ -215,7 +236,7 @@ func TestResidentBlocksNeverRecycledUnderReads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain, err := key.Open(data, cryptoutil.Binding(uint64(im.Bucket), im.Ver, 0))
+				plain, err := key.OpenSlot(nil, data, cryptoutil.Seed(im.Seed), im.Real()[j], cryptoutil.Binding(uint64(im.Bucket), im.Ver, 0), new(cryptoutil.Nonce))
 				if err != nil || !bytes.Equal(plain, held[i][j]) {
 					t.Fatalf("epoch %d: bucket %d version %d: the flushed slot %d does not open to the sealed block (%v)", e, im.Bucket, im.Ver, frame, err)
 				}
@@ -247,7 +268,7 @@ func TestResidentBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain := int64(len(slot) - cryptoutil.Overhead)
+		plain := int64(len(slot) - cryptoutil.SlotOverhead)
 		rng := rand.New(rand.NewPCG(23, 29))
 		epoch := uint64(0)
 		one := func() {

@@ -11,6 +11,7 @@ import (
 
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram"
+	"obladi/internal/ringoram/meta"
 	"obladi/internal/storage"
 )
 
@@ -22,6 +23,7 @@ import (
 type slotCounter struct {
 	storage.BucketStore
 	key                    *cryptoutil.Key
+	z                      int // a resident bucket is written as its Z real positions
 	sealed                 *SealedEpoch
 	slots, blocks, fillers int64
 	err                    error
@@ -41,10 +43,14 @@ func (s *slotCounter) WriteBuckets(writes []storage.BucketWrite) error {
 		ver := im.Ver
 		binding := cryptoutil.Binding(uint64(w.Bucket), ver, 0)
 		for i, slot := range w.Slots {
-			switch _, err := s.key.Open(slot, binding); {
+			phys := i // the slot a block at frame i was sealed as
+			if len(w.Slots) == s.z && i < len(im.Blocks) {
+				phys = im.Real()[i]
+			}
+			switch _, err := s.key.OpenSlot(nil, slot, cryptoutil.Seed(im.Seed), phys, binding, new(cryptoutil.Nonce)); {
 			case err == nil:
 				s.blocks++
-			case errors.Is(err, cryptoutil.ErrAuth) && slot[0] == byte(cryptoutil.SchemeGCM):
+			case errors.Is(err, cryptoutil.ErrAuth) && slot[0] == byte(cryptoutil.SchemeSlot):
 				s.fillers++
 			default:
 				s.err = fmt.Errorf("bucket %d version %d slot %d: led by %d, %v", w.Bucket, ver, i, slot[0], err)
@@ -76,7 +82,7 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	p := ringoram.Params{NumBlocks: keys, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 256, Seed: 2}
 	backend := storage.NewMemBackend(p.Geometry().NumBuckets)
 	defer backend.Close()
-	store := &slotCounter{BucketStore: backend, key: cryptoutil.KeyFromSeed([]byte("seals"))}
+	store := &slotCounter{BucketStore: backend, key: cryptoutil.KeyFromSeed([]byte("seals")), z: p.Z}
 	oram, err := InitORAM(store, store.key, p)
 	if err != nil {
 		t.Fatal(err)
@@ -340,4 +346,139 @@ func TestLocalReadVersionChecked(t *testing.T) {
 		// serves.
 		refused(t, h, "sealed image", func(b int) bool { return b >= h.exec.resident }, "a", "b", "c", "d")
 	})
+}
+
+// sealPair is one slot seal: the seed of the version and the physical slot,
+// which name the nonce the slot is sealed under.
+type sealPair struct {
+	seed meta.Seed
+	slot int
+}
+
+// version names a bucket version.
+type version struct {
+	bucket int
+	ver    uint64
+}
+
+// nonceLedger records every slot an epoch's seal sealed and fails the test
+// the moment a (seed, slot) pair comes round again.
+type nonceLedger struct {
+	pairs  map[sealPair]version
+	sealed map[version]int // how many seals sealed a block of the version
+}
+
+func (l *nonceLedger) record(t *testing.T, s *SealedEpoch) {
+	t.Helper()
+	for _, im := range s.images {
+		v := version{im.Bucket, im.Ver}
+		if len(im.Real()) > 0 {
+			l.sealed[v]++
+		}
+		for _, slot := range im.Real() {
+			pair := sealPair{im.Seed, slot}
+			if prev, ok := l.pairs[pair]; ok {
+				t.Fatalf("bucket %d version %d sealed slot %d under the seed bucket %d version %d sealed it under", v.bucket, v.ver, slot, prev.bucket, prev.ver)
+			}
+			l.pairs[pair] = v
+		}
+	}
+}
+
+// TestSlotNoncesNeverRepeat: no two slot seals share a (seed, slot) pair, and
+// so a GCM nonce, over a run with early reshuffles, a crash after an epoch
+// sealed its versions, and two recoveries from the one checkpoint, each of
+// which replays the epoch and seals its bucket versions again — the same
+// (bucket, version) pairs, under a permutation the replay draws anew. A seed
+// drawn from the plans' seeded generator would come round at the second
+// recovery, which replays from the same generator state; a seed kept across
+// a reshuffle would seal the version after it under the version's before.
+func TestSlotNoncesNeverRepeat(t *testing.T) {
+	p := testParams(256, 9)
+	p.S = p.A // the root runs out of dummies between evict-paths: early reshuffles
+	h := newHarness(t, p, Config{})
+	ledger := &nonceLedger{pairs: map[sealPair]version{}, sealed: map[version]int{}}
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	reshuffles := h.exec.Stats().Reshuffles
+	for e := 0; e < 40; e++ {
+		h.runReads(t, key(e), key(e+20), "", "")
+		h.runWrites(t, map[string]string{key(e): "v", key(e + 40): "w"}, 2)
+		ledger.record(t, h.endEpoch(t))
+	}
+	if h.exec.Stats().Reshuffles == reshuffles {
+		t.Fatal("the run planned no early reshuffle: the test would prove nothing")
+	}
+	committed := h.epoch - 1
+	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, h.oram)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The epoch that crashes: logged, executed, sealed and flushed, never
+	// committed.
+	var logged [][]meta.LogEntry
+	plan, err := h.exec.PlanReadBatch([]ReadOp{{Key: key(1)}, {Key: key(22)}, {}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged = append(logged, decodeLog(t, plan.Log()))
+	if _, err := h.exec.Execute(plan); err != nil {
+		t.Fatal(err)
+	}
+	wplan, err := h.exec.PlanWriteBatch([]WriteOp{{Key: key(3), Value: []byte("doomed")}, {}, {}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged = append(logged, decodeLog(t, wplan.Log()))
+	if _, err := h.exec.Execute(wplan); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := h.exec.SealEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger.record(t, sealed)
+	if _, err := h.exec.FlushSealed(sealed); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two recoveries from the checkpoint, the second after a crash of the
+	// first past its seal: each restores, replays the epoch and seals it.
+	for range 2 {
+		if err := h.rec.RollbackTo(committed); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := ringoram.Restore(cryptoutil.KeyFromSeed([]byte("exec")), p, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := New(restored, h.rec, Config{})
+		if err := exec.LoadResident(); err != nil {
+			t.Fatal(err)
+		}
+		exec.BeginEpoch(h.epoch + 1)
+		for _, batch := range logged {
+			if err := exec.ReplayBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sealed, err := exec.SealEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger.record(t, sealed)
+		if _, err := exec.FlushSealed(sealed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resealed := 0
+	for _, n := range ledger.sealed {
+		if n == 3 {
+			resealed++
+		}
+	}
+	if resealed == 0 {
+		t.Fatal("no bucket version was sealed again by the recoveries: the test would prove nothing")
+	}
+	t.Logf("%d slot seals, %d bucket versions sealed by the crashed epoch and both recoveries", len(ledger.pairs), resealed)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
 // The block plane. A block's plaintext has one representation from the
@@ -72,6 +73,8 @@ func (p *blockPool) put(slots ...[]byte) {
 type BucketImage struct {
 	Bucket int
 	Ver    uint64
+	// Seed is the version's seed, which its slots' nonces derive from.
+	Seed meta.Seed
 	// Blocks holds the plaintext slots of the blocks this version placed, the
 	// block of real position i at Blocks[i] (the placed blocks fill positions
 	// 0..len(Blocks)-1); Real()[i] is its physical slot. They are the slots
@@ -97,11 +100,11 @@ type imageBuf struct {
 	free   *blockPool
 }
 
-// newImage is version ver of bucket b in a pooled buffer, holding no block
-// yet.
-func (o *ORAM) newImage(b int, ver uint64) BucketImage {
+// newImage is version ver of bucket b, sealed under seed, in a pooled
+// buffer, holding no block yet.
+func (o *ORAM) newImage(b int, ver uint64, seed meta.Seed) BucketImage {
 	ib := o.imagePool.Get().(*imageBuf)
-	return BucketImage{Bucket: b, Ver: ver, Blocks: ib.blocks, perm: ib.perm, buf: ib, resident: b < o.m.Resident()}
+	return BucketImage{Bucket: b, Ver: ver, Seed: seed, Blocks: ib.blocks, perm: ib.perm, buf: ib, resident: b < o.m.Resident()}
 }
 
 // Real returns the physical slots of the image's blocks: the block at
@@ -142,7 +145,7 @@ func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
 	if !fresh {
 		return nil, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
 	}
-	return o.SealImage(BucketImage{Bucket: b, Ver: 1, perm: perm, resident: b < o.m.Resident()}, a)
+	return o.SealImage(BucketImage{Bucket: b, Ver: 1, Seed: o.m.Seed(b), perm: perm, resident: b < o.m.Resident()}, a)
 }
 
 // Work returns the block plane's work counts since the client was made:
@@ -157,18 +160,18 @@ func (o *ORAM) Work() (sealed, filled, opened, copied int64) {
 
 // SealArena is memory a caller lends to SealImage and SealFresh: byte chunks
 // the seals carve slot frames from, front to back, the slot headers they hand
-// back, the Filler that writes the frames holding no block, and the Nonces
-// block the sealed frames' nonces are cut from. It grows to the largest set of
-// buckets sealed between two Resets, a chunk at a time, and is reused after
-// that. An arena belongs to one sealing goroutine at a time. The zero value is
-// ready.
+// back, the Filler that writes the frames holding no block, and the scratch
+// the binding and each slot's nonce are derived into. It grows to the largest
+// set of buckets sealed between two Resets, a chunk at a time, and is reused
+// after that. An arena belongs to one sealing goroutine at a time. The zero
+// value is ready.
 type SealArena struct {
 	chunks [][]byte // chunks[:used] hold frames, the last of them is carved next
 	used   int
 	slots  [][]byte
 	bind   []byte
+	nonce  cryptoutil.Nonce
 	filler *cryptoutil.Filler // made by the first seal with encryption on
-	nonces cryptoutil.Nonces
 }
 
 // sealChunk is the size of a seal arena's chunks: a few buckets' slots, so an
@@ -215,12 +218,15 @@ func (a *SealArena) take(n, size int) ([]byte, [][]byte) {
 // SealImage seals im into a as the bucket version storage keeps: its Z+S
 // slots indexed by physical slot, or, for a bucket the local-version table
 // keeps resident, its Z real positions in position order and no dummies. Only the
-// positions holding a block are sealed, under the version's (bucket, version)
-// binding; every other slot is a filler frame (see cryptoutil.Filler), which
-// storage cannot tell from a sealed one and the proxy never opens. It is the
-// one place a bucket is sealed. It reads only the image and the ORAM's fixed
-// configuration, nothing the machine's calls change, so a committer may seal
-// one epoch's images while the next epoch plans and completes.
+// positions holding a block are sealed, each under the nonce the version's
+// seed and the block's physical slot derive (a resident bucket's position r
+// is sealed as physical slot perm[r], though storage holds it at r) and
+// under the version's (bucket, version) binding; every other slot is a
+// filler frame (see cryptoutil.Filler), which storage cannot tell from a
+// sealed one and the proxy never opens. It is the one place a bucket is
+// sealed. It reads only the image and the ORAM's fixed configuration,
+// nothing the machine's calls change, so a committer may seal one epoch's
+// images while the next epoch plans and completes.
 func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
 	n := o.geo.SlotsPer
 	if im.resident {
@@ -242,7 +248,7 @@ func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
 			frame = slots[im.perm[pos]]
 		}
 		copy(o.cdc.plainOf(frame), b)
-		if err := o.cdc.seal(frame, a.bind, &a.nonces); err != nil {
+		if err := o.cdc.seal(frame, im.Seed, im.perm[pos], a.bind, &a.nonce); err != nil {
 			return nil, err
 		}
 	}

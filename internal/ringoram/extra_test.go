@@ -49,15 +49,14 @@ func TestPaperParameters(t *testing.T) {
 	if store.Violation() != nil {
 		t.Fatal(store.Violation())
 	}
-	checkPathInvariant(t, seq.ORAM())
-	checkMetaConsistency(t, seq.ORAM())
+	checkClient(t, seq.ORAM())
 	// At 296 slots a bucket a checkpoint carries two-byte permutation
 	// entries and five-word bitmaps: it must restore to the same client.
 	o := seq.ORAM()
 	restored, err := Restore(cryptoutil.KeyFromSeed([]byte("paper")), o.p, image(t, o, true))
 	must(t, err)
 	requireSameClient(t, o, restored)
-	checkMetaConsistency(t, restored)
+	checkClient(t, restored)
 }
 
 func TestStashOverflowSurfaces(t *testing.T) {

@@ -77,7 +77,7 @@ func (c *sparseClient) seal(images []BucketImage) {
 			holds[frame] = true
 			kept[s] = bytes.Clone(slots[frame])
 			plain := make([]byte, c.oram.cdc.plainSize())
-			must(c.t, c.oram.cdc.open(plain, slots[frame], bind))
+			must(c.t, c.oram.cdc.open(plain, slots[frame], im.Seed, s, bind, new(cryptoutil.Nonce)))
 			kind, _, err := c.oram.cdc.parse(plain)
 			must(c.t, err)
 			if (kind != slotReal && kind != slotTombstone) || !bytes.Equal(plain, im.Blocks[i]) {
@@ -94,10 +94,10 @@ func (c *sparseClient) seal(images []BucketImage) {
 			if holds[i] {
 				continue
 			}
-			if len(d) != c.oram.cdc.slotSize() || d[0] != byte(cryptoutil.SchemeGCM) {
+			if len(d) != c.oram.cdc.slotSize() || d[0] != byte(cryptoutil.SchemeSlot) {
 				c.t.Fatalf("bucket %d version %d: filler %d is %d bytes led by %d, want %d bytes led by the scheme byte", im.Bucket, im.Ver, i, len(d), d[0], c.oram.cdc.slotSize())
 			}
-			if _, err := c.oram.cdc.key.OpenTo(nil, d, bind); !errors.Is(err, cryptoutil.ErrAuth) {
+			if _, err := c.oram.cdc.key.OpenSlot(nil, d, cryptoutil.Seed(im.Seed), i, bind, new(cryptoutil.Nonce)); !errors.Is(err, cryptoutil.ErrAuth) {
 				c.t.Fatalf("bucket %d version %d: filler %d opened under the bucket's binding: %v, want ErrAuth", im.Bucket, im.Ver, i, err)
 			}
 			if prev[string(d)] {
@@ -115,8 +115,8 @@ func (c *sparseClient) seal(images []BucketImage) {
 // resident set stands on: Complete looks only at reads
 // that carry a block, and BucketImage.Real names exactly the slots that can.
 // One ORAM is driven by the sequential client over a full store, its twin
-// (same seed, same operations) by a client that is handed nil for everything
-// outside Real. They must agree on every result and end in the same state —
+// (same seed, same operations, and both drawing their versions' seeds from
+// fixedSeeds) by a client that is handed nil for everything outside Real. They must agree on every result and end in the same state —
 // though the twin seals its upper buckets as their Z real positions alone,
 // where Real[i] is the physical slot of Slots[i]: leaving the dummies out
 // changes nothing a checkpoint records and draws nothing from the generator.
@@ -127,9 +127,9 @@ func (c *sparseClient) seal(images []BucketImage) {
 func TestCompletionNeverInspectsFillers(t *testing.T) {
 	t.Run("dummiless=true", func(t *testing.T) {
 		p := testParams(64)
-		full, store := newTestSeq(t, p)
-		o, err := New(cryptoutil.KeyFromSeed([]byte("test")), p)
-		must(t, err)
+		store := newStore(p)
+		full := newFixedSeq(t, store, cryptoutil.KeyFromSeed([]byte("test")), p)
+		o := newFixedORAM(t, cryptoutil.KeyFromSeed([]byte("test")), p)
 		sparse := &sparseClient{t: t, oram: o, kept: make(map[int]map[int][]byte), fillers: make(map[int]map[string]bool), realOnly: o.geo.NumBuckets / 4}
 
 		rng := rand.New(rand.NewPCG(5, 6))

@@ -3,77 +3,33 @@ package ringoram
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"testing"
 	"testing/quick"
 
 	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram/meta"
 )
 
-// checkPathInvariant verifies, on o's full checkpoint image, that every
-// allocated key is either in the stash or in some bucket on the path from the
-// root to its assigned leaf.
-func checkPathInvariant(t *testing.T, o *ORAM) {
+// checkClient checks o's metadata through the machine's own decoder: its full
+// image restores — Restore refuses a key off its leaf's path, two keys at one
+// position, a key both stashed and in the tree, and a key in a slot already
+// read — to a client that encodes the same image, and every stash entry's
+// slot decodes to its key. The machine's rules themselves are checked on the
+// machine (meta.TestMachineInvariants).
+func checkClient(t *testing.T, o *ORAM) {
 	t.Helper()
-	s := snap(t, o)
-	stashed := make(map[string]bool)
-	for _, e := range s.stash {
-		stashed[e.key] = true
+	restored, err := Restore(stateKey, o.p, image(t, o, true))
+	if err != nil {
+		t.Fatalf("the full image does not restore: %v", err)
 	}
-	for _, k := range s.keys {
-		if stashed[k.name] {
+	requireSameClient(t, o, restored)
+	for b, s := range o.slots {
+		if s == nil {
 			continue
 		}
-		if k.bucket < 0 {
-			t.Fatalf("key %q neither in stash nor in tree", k.name)
-		}
-		if !slices.Contains(o.geo.Path(k.leaf), k.bucket) {
-			t.Fatalf("key %q (leaf %d) resides in bucket %d, off its path", k.name, k.leaf, k.bucket)
-		}
-	}
-}
-
-// checkMetaConsistency verifies, on o's full checkpoint image, the metadata's
-// structural invariants: occupied real slots are valid, no two keys share a
-// real position, no key is both in the tree and in the stash, and the stash
-// lists each key of the table at most once, with a slot that decodes to it.
-// The bitsets behind the image are the machine's to check
-// (meta.TestMachineInvariants).
-func checkMetaConsistency(t *testing.T, o *ORAM) {
-	t.Helper()
-	s := snap(t, o)
-	type place struct{ bucket, pos int }
-	placed := make(map[place]string)
-	known := make(map[string]bool)
-	for _, k := range s.keys {
-		known[k.name] = true
-		if k.bucket < 0 {
-			continue
-		}
-		if k.bucket >= len(s.buckets) || k.pos >= o.p.Z {
-			t.Fatalf("key %q placed at bucket %d position %d, off the tree", k.name, k.bucket, k.pos)
-		}
-		if prev, dup := placed[place{k.bucket, k.pos}]; dup {
-			t.Fatalf("bucket %d position %d holds %q and %q", k.bucket, k.pos, prev, k.name)
-		}
-		placed[place{k.bucket, k.pos}] = k.name
-		if bk := s.buckets[k.bucket]; !bk.valid[bk.perm[k.pos]] {
-			t.Fatalf("bucket %d: occupied real slot for %q is invalid", k.bucket, k.name)
-		}
-	}
-	stashed := make(map[string]bool)
-	for _, e := range s.stash {
-		if stashed[e.key] || !known[e.key] {
-			t.Fatalf("stash entry %q: listed twice=%v, in the key table=%v", e.key, stashed[e.key], known[e.key])
-		}
-		stashed[e.key] = true
-		if _, blk, err := o.cdc.parse(slotOf(t, o, e.key)); err != nil || string(blk.keyB) != e.key {
-			t.Fatalf("stash entry %q: slot decodes to %q, %v", e.key, blk.keyB, err)
-		}
-	}
-	for _, k := range s.keys {
-		if stashed[k.name] && k.bucket >= 0 {
-			t.Fatalf("key %q both in stash and tree", k.name)
+		key := o.m.Key(meta.Block(b))
+		if _, blk, err := o.cdc.parse(s); err != nil || string(blk.keyB) != key {
+			t.Fatalf("stash entry %q: slot decodes to %q, %v", key, blk.keyB, err)
 		}
 	}
 }
@@ -118,12 +74,12 @@ func runRandomWorkload(t *testing.T, p Params, seed uint64, numKeys, ops int) {
 				t.Fatalf("op %d: %s = %q, want %q", i, k, v, want)
 			}
 		}
-		checkMetaConsistency(t, seq.ORAM())
+		checkClient(t, seq.ORAM())
 	}
 	if store.Violation() != nil {
 		t.Fatalf("bucket invariant: %v", store.Violation())
 	}
-	checkPathInvariant(t, seq.ORAM())
+
 	if limit := seq.ORAM().p.StashLimit; seq.ORAM().m.StashPeak() > limit {
 		t.Fatalf("stash peak %d exceeds limit %d", seq.ORAM().m.StashPeak(), limit)
 	}
@@ -150,66 +106,6 @@ func TestPropertyLargerTree(t *testing.T) {
 // bucket, so every bitset but occ spans two words.
 func TestPropertyWideBuckets(t *testing.T) {
 	runRandomWorkload(t, Params{Z: 25, S: 40, A: 25, KeySize: 16, ValueSize: 32}, 7, 300, 1500)
-}
-
-// TestBlindWriteRetiresTreeCopy: a write of a key resident in the tree
-// blanks its position without reading it, and the position becomes a
-// filler — no key holds it, and its slot is still valid.
-func TestBlindWriteRetiresTreeCopy(t *testing.T) {
-	seq, _ := newTestSeq(t, testParams(64))
-	o := seq.ORAM()
-	for i := 0; i < 64; i++ {
-		must(t, seq.Write(fmt.Sprintf("k%d", i), []byte("v")))
-	}
-	retired := 0
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("k%d", i)
-		k := snapKeyOf(t, o, key)
-		if k.bucket < 0 {
-			continue
-		}
-		steps, err := o.PlanWrite(key, []byte("w"), false, nil)
-		must(t, err)
-		if len(steps) == 1 { // an evict-path the write made due could rewrite the bucket
-			s := snap(t, o)
-			for _, other := range s.keys {
-				if other.bucket == k.bucket && other.pos == k.pos {
-					t.Fatalf("%s: retired position %d of bucket %d is held by %q", key, k.pos, k.bucket, other.name)
-				}
-			}
-			if bk := s.buckets[k.bucket]; !bk.valid[bk.perm[k.pos]] {
-				t.Fatalf("%s: the slot of retired position %d of bucket %d is no longer valid", key, k.pos, k.bucket)
-			}
-			checkMetaConsistency(t, o)
-			retired++
-		}
-		_, _, err = seq.run(steps)
-		must(t, err)
-	}
-	if retired == 0 {
-		t.Fatal("no key was resident in the tree to retire")
-	}
-}
-
-func TestPropertyRemapChangesLeaf(t *testing.T) {
-	// Over many accesses of one key, the assigned leaf must take many
-	// distinct values (each access remaps uniformly).
-	p := testParams(64)
-	p.Seed = 5
-	seq, _ := newTestSeq(t, p)
-	must(t, seq.Write("k", []byte("v")))
-	leaves := make(map[int]bool)
-	for i := 0; i < 64; i++ {
-		if _, _, err := seq.Read("k"); err != nil {
-			t.Fatal(err)
-		}
-		leaves[snapKeyOf(t, seq.ORAM(), "k").leaf] = true
-	}
-	geo := seq.ORAM().geo
-	// 64 samples over 16 leaves: expect nearly all leaves hit; require > half.
-	if len(leaves) <= geo.Leaves/2 {
-		t.Fatalf("remapping visited only %d of %d leaves over 64 accesses", len(leaves), geo.Leaves)
-	}
 }
 
 func TestPropertyPathReadDistributionUniform(t *testing.T) {
@@ -268,18 +164,6 @@ func TestPropertyPathReadDistributionUniform(t *testing.T) {
 	}
 }
 
-// snapKeyOf is key's position-map entry in o's full checkpoint image.
-func snapKeyOf(t *testing.T, o *ORAM, key string) snapKey {
-	t.Helper()
-	for _, k := range snap(t, o).keys {
-		if k.name == key {
-			return k
-		}
-	}
-	t.Fatalf("%q has no position-map entry", key)
-	return snapKey{}
-}
-
 func TestPropertyStashBoundedUnderHotspot(t *testing.T) {
 	// Repeatedly writing a few hot keys must not grow the stash: eviction
 	// keeps it bounded.
@@ -294,30 +178,34 @@ func TestPropertyStashBoundedUnderHotspot(t *testing.T) {
 	}
 }
 
+// codecSeed is the version seed the codec tests seal slot 0 under.
+var codecSeed = meta.Seed{0: 7, 11: 1}
+
 // encodeSlot seals one slot into a fresh frame, as SealImage seals each slot
-// of a bucket that holds a block.
+// of a bucket that holds a block: slot 0 of the version codecSeed names.
 func (c codec) encodeSlot(kind byte, b block, binding []byte) ([]byte, error) {
 	frame := make([]byte, c.slotSize())
 	if err := c.encodePlain(c.plainOf(frame), kind, b); err != nil {
 		return nil, err
 	}
-	if err := c.seal(frame, binding, new(cryptoutil.Nonces)); err != nil {
+	if err := c.seal(frame, codecSeed, 0, binding, new(cryptoutil.Nonce)); err != nil {
 		return nil, err
 	}
 	return frame, nil
 }
 
-// decodeSlot opens and parses a stored slot, as completion does a remote read.
-func (c codec) decodeSlot(data, binding []byte) (byte, block, error) {
+// decodeSlot opens and parses stored slot s of the version seed names, as
+// completion does a remote read.
+func (c codec) decodeSlot(data []byte, seed meta.Seed, s int, binding []byte) (byte, block, error) {
 	plain := make([]byte, c.plainSize())
-	if err := c.open(plain, data, binding); err != nil {
+	if err := c.open(plain, data, seed, s, binding, new(cryptoutil.Nonce)); err != nil {
 		return 0, block{}, err
 	}
 	return c.parse(plain)
 }
 
 func TestQuickCodecRoundTrip(t *testing.T) {
-	c := codec{keySize: 32, valueSize: 64, key: cryptoutil.KeyFromSeed([]byte("codec"))}
+	c := newCodec(32, 64, cryptoutil.KeyFromSeed([]byte("codec")))
 	f := func(rawKey []byte, value []byte, tomb bool) bool {
 		if len(rawKey) > 32 {
 			rawKey = rawKey[:32]
@@ -340,7 +228,7 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 		if len(enc) != c.slotSize() {
 			return false
 		}
-		gotKind, blk, err := c.decodeSlot(enc, binding)
+		gotKind, blk, err := c.decodeSlot(enc, codecSeed, 0, binding)
 		if err != nil || gotKind != kind {
 			return false
 		}
@@ -354,7 +242,7 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 // TestCodecDummyIndistinguishableSize: a filler frame is as long as a sealed
 // slot and leads with the same scheme byte.
 func TestCodecDummyIndistinguishableSize(t *testing.T) {
-	c := codec{keySize: 16, valueSize: 32, key: cryptoutil.KeyFromSeed([]byte("d"))}
+	c := newCodec(16, 32, cryptoutil.KeyFromSeed([]byte("d")))
 	f, err := cryptoutil.NewFiller()
 	if err != nil {
 		t.Fatal(err)
@@ -371,12 +259,12 @@ func TestCodecDummyIndistinguishableSize(t *testing.T) {
 }
 
 func TestCodecRejectsWrongBinding(t *testing.T) {
-	c := codec{keySize: 16, valueSize: 32, key: cryptoutil.KeyFromSeed([]byte("b"))}
+	c := newCodec(16, 32, cryptoutil.KeyFromSeed([]byte("b")))
 	enc, err := c.encodeSlot(slotReal, block{key: "k", value: []byte("v")}, cryptoutil.Binding(3, 7, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.decodeSlot(enc, cryptoutil.Binding(3, 8, 0)); err == nil {
+	if _, _, err := c.decodeSlot(enc, codecSeed, 0, cryptoutil.Binding(3, 8, 0)); err == nil {
 		t.Fatal("stale bucket version accepted")
 	}
 }
@@ -385,7 +273,7 @@ func TestCodecRejectsWrongBinding(t *testing.T) {
 // a tombstone; every other kind byte, the retired empty-real kind 2 among
 // them, is an error.
 func TestCodecRejectsUnknownKinds(t *testing.T) {
-	c := codec{keySize: 16, valueSize: 32}
+	c := newCodec(16, 32, nil)
 	plain := make([]byte, c.plainSize())
 	for kind := 0; kind < 256; kind++ {
 		plain[0] = byte(kind)

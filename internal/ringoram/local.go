@@ -1,8 +1,10 @@
 package ringoram
 
 import (
+	"errors"
 	"fmt"
 
+	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram/meta"
 )
 
@@ -21,9 +23,11 @@ import (
 // whatever the table held of them. data holds slots 0..Z-1 of every resident
 // bucket, in bucket order: the one read that brings the top back, a function
 // of the geometry alone. Of each bucket it keeps the positions the metadata
-// says hold a block, each opened under the bucket's (bucket, version) binding:
-// a slot that fails to authenticate fails the load with ErrCorrupt. Call it
-// with the table on and no eviction planned and not yet completed.
+// says hold a block, each opened under the version's seed and (bucket,
+// version) binding: a slot that fails to authenticate fails the load with
+// ErrCorrupt, and one of another scheme, which an older build wrote, with
+// cryptoutil.ErrScheme. Call it with the table on and no eviction planned and
+// not yet completed.
 func (o *ORAM) LoadLocal(data [][]byte) error {
 	z, resident := o.p.Z, o.m.Resident()
 	if len(data) != resident*z {
@@ -34,13 +38,17 @@ func (o *ORAM) LoadLocal(data [][]byte) error {
 		h, ver, perm, got := o.m.Reload(b, held[:0], o)
 		held = got
 		im := o.image(h)
-		*im = o.newImage(b, ver)
+		*im = o.newImage(b, ver, o.m.Seed(b))
 		for _, r := range held {
 			slot := o.blocks.take()
 			im.perm[len(im.Blocks)] = perm[r]
 			im.Blocks = append(im.Blocks, slot)
 			o.openedSlots.Add(1)
-			if err := o.cdc.open(slot, data[b*z+r], o.binding(uint64(b), ver)); err != nil {
+			err := o.cdc.open(slot, data[b*z+r], im.Seed, perm[r], o.binding(uint64(b), ver), &o.nonce)
+			if errors.Is(err, cryptoutil.ErrScheme) {
+				return fmt.Errorf("ringoram: bucket %d version %d: %w", b, ver, err)
+			}
+			if err != nil {
 				return fmt.Errorf("%w: bucket %d version %d: %v", ErrCorrupt, b, ver, err)
 			}
 		}

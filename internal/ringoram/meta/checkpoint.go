@@ -26,10 +26,9 @@ import (
 //	key       keyLen(≤keySize) key[keySize] leaf(≤leaves−1)  keyLen 0 = padding
 //	          full only: bucket(≤numBuckets: all ones = not in the tree)
 //	          pos(≤z−1)
-//	touched   bucket(≤numBuckets) count(≤slotsPer) valid[⌈slotsPer/8⌉]
-//	          occupied[⌈z/8⌉]
-//	rewritten bucket(≤numBuckets) count(≤slotsPer) valid[⌈slotsPer/8⌉]
-//	          writeVer(u64) perm[slotsPer]×(≤slotsPer−1)
+//	touched   bucket(≤numBuckets) valid[⌈slotsPer/8⌉] occupied[⌈z/8⌉]
+//	rewritten bucket(≤numBuckets) valid[⌈slotsPer/8⌉] writeVer(u64)
+//	          seed[12] perm[slotsPer]×(≤slotsPer−1)
 //	          delta only: z × index(≤numBlocks)            index 0 = empty
 //	stash     index(≤numBlocks) flags(u8: bit0 tombstone, bit1 cacheable)
 //	          leaf(≤leaves−1) valLen(≤valueSize) value[valLen]
@@ -37,8 +36,14 @@ import (
 //
 // At the benchmark's kv-mem parameters (Z=16, S=24, 1 024 leaves, KeySize=16,
 // NumBlocks=16 384, ValueSize=256) the header is 47 bytes, a key entry 19 in
-// a delta and 22 in a full image, a touched bucket 10, a rewritten bucket 88
-// in a delta and 56 in a full image, and a stash entry 7 plus its value.
+// a delta and 22 in a full image, a touched bucket 9, a rewritten bucket 99
+// in a delta and 67 in a full image, and a stash entry 7 plus its value.
+//
+// A bucket's slot count (how many of its slots were read since its last
+// rewrite) is not logged: it is what the valid bitmap leaves out. A rewritten
+// entry carries its version's seed, which the byte plane derives the
+// version's slot nonces from: a restored proxy reads the versions storage
+// holds under the seeds they were sealed with.
 //
 // An index is a key's position in the key table plus one, so 0 names no key
 // and a zeroed buffer needs no write for an empty position or a padding
@@ -61,9 +66,9 @@ import (
 // phase (planEviction), which marks the bucket rewritten. The other
 // mutation sites — consumeFiller (both branches), the target slot of
 // planRead, PlanWrite's logical removal of a stale tree copy, and the
-// eviction read phase — only clear a valid bit, bump count, or blank a
-// resident key, so their buckets are described by state: the valid bitmap,
-// the count, and which real positions are still occupied.
+// eviction read phase — only clear a valid bit or blank a resident key, so
+// their buckets are described by state: the valid bitmap and which real
+// positions are still occupied.
 const (
 	imageHeaderSize = 1 + 2 + 2 + 2 + 4 + 4 + 8 + 8 + 4 + 4 + 4 + 4
 	imageFlagFull   = 1
@@ -138,7 +143,7 @@ type imageLayout struct {
 	keySize, z, slotsPer, numBuckets, numBlocks int
 	validBytes, occBytes                        int
 	// The sized fields' widths (see the format above).
-	index, keyLen, leaf, bucket, pos, count, slot, valLen width
+	index, keyLen, leaf, bucket, pos, slot, valLen width
 }
 
 func (m *Machine) imageLayout() imageLayout {
@@ -150,7 +155,6 @@ func (m *Machine) imageLayout() imageLayout {
 	l.leaf = widthOf(m.geo.Leaves - 1)
 	l.bucket = widthOf(l.numBuckets) // all ones is none of them
 	l.pos = widthOf(l.z - 1)
-	l.count = widthOf(l.slotsPer)
 	l.slot = widthOf(l.slotsPer - 1)
 	l.valLen = widthOf(m.p.ValueSize)
 	return l
@@ -166,12 +170,12 @@ func (l imageLayout) keyEntry(full bool) int {
 	return n
 }
 
-func (l imageLayout) bucketState() int { return int(l.bucket+l.count) + l.validBytes }
+func (l imageLayout) bucketState() int { return int(l.bucket) + l.validBytes }
 
 func (l imageLayout) touchedEntry() int { return l.bucketState() + l.occBytes }
 
 func (l imageLayout) rewrittenEntry(full bool) int {
-	n := l.bucketState() + 8 + l.slotsPer*int(l.slot)
+	n := l.bucketState() + 8 + len(Seed{}) + l.slotsPer*int(l.slot)
 	if !full {
 		n += l.z * int(l.index)
 	}
@@ -324,10 +328,10 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 	return buf, nil
 }
 
-// putBucketState writes the part every bucket entry starts with: index, slot
-// count and valid bitmap.
+// putBucketState writes the part every bucket entry starts with: index and
+// valid bitmap.
 func putBucketState(l imageLayout, b []byte, id int, bm *bucketMeta) []byte {
-	b = l.count.put(l.bucket.put(b, id), bm.count())
+	b = l.bucket.put(b, id)
 	putBits(b[:l.validBytes], bm.valid())
 	return b[l.validBytes:]
 }
@@ -336,7 +340,7 @@ func (m *Machine) putRewritten(l imageLayout, b []byte, id int, full bool) []byt
 	bm := &m.buckets[id]
 	b = putBucketState(l, b, id, bm)
 	binary.BigEndian.PutUint64(b, bm.writeVer)
-	b = b[8:]
+	b = b[8+copy(b[8:], bm.seed[:]):]
 	for _, s := range bm.perm {
 		b = l.slot.put(b, s)
 	}
@@ -425,9 +429,10 @@ func bit(b []byte, i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
 // configuration may have produced them (the log authenticates them): every
 // count, index and length is checked before it is used. The stash each
 // image lists replaces the one before it, and plane is handed the values of
-// the stash the last image leaves.
+// the stash the last image leaves; it draws the seed of every version the
+// restored machine writes.
 func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, error) {
-	m, err := newMachine(p)
+	m, err := newMachine(p, plane)
 	if err != nil {
 		return nil, err
 	}
@@ -443,9 +448,9 @@ func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, er
 		}
 	}
 	// Rebuild the location index from bucket metadata: a block is resident
-	// in at most one place, on its leaf's path, never both resident and
-	// stashed. The images record addrs and valid; occ and filler follow from
-	// them.
+	// in at most one place, on its leaf's path, in a slot not read since its
+	// bucket was written, never both resident and stashed. The images record
+	// addrs and valid; occ and filler follow from them.
 	for b := range m.buckets {
 		m.buckets[b].derive()
 		for r, ki := range m.buckets[b].addrs {
@@ -461,6 +466,9 @@ func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, er
 			}
 			if m.geo.PathBucket(int(k.leaf), BucketLevel(b)) != b {
 				return nil, fmt.Errorf("ringoram: checkpoint places %q in bucket %d, off its leaf %d's path", k.name, b, k.leaf)
+			}
+			if bm := &m.buckets[b]; !bm.valid().has(bm.perm[r]) {
+				return nil, fmt.Errorf("ringoram: checkpoint places %q at position %d of bucket %d, whose slot was read", k.name, r, b)
 			}
 			k.bucket, k.rpos = int32(b), int32(r)
 		}
@@ -565,6 +573,7 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 			return err
 		}
 		bm.writeVer = rewritten.u64()
+		bm.seed = Seed(rewritten.take(len(bm.seed)))
 		clear(seen)
 		for pos := range bm.perm {
 			s := l.slot.get(rewritten.take(int(l.slot)))
@@ -633,18 +642,14 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 }
 
 // readBucketState decodes the common head of a bucket entry into the bucket
-// it names and returns that bucket. The slot count is derived from the valid
-// bitmap, so the logged one must agree with it.
+// it names and returns that bucket.
 func (m *Machine) readBucketState(l imageLayout, c *cursor) (int, *bucketMeta, error) {
-	id, count := c.int(l.bucket), c.int(l.count)
+	id := c.int(l.bucket)
 	valid := c.take(l.validBytes)
 	if id >= l.numBuckets {
 		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d out of range", id)
 	}
 	bm := &m.buckets[id]
 	readBits(bm.valid(), valid, l.slotsPer)
-	if count != bm.count() {
-		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d logs %d slots read, its valid bitmap says %d", id, count, bm.count())
-	}
 	return id, bm, nil
 }

@@ -1,17 +1,20 @@
 package meta
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 )
 
 // stateDigest hashes everything a checkpoint carries of m, with the stash's
 // values from plane: the counters; the key table in order, each key with its
 // leaf and, while resident, its bucket and position; every bucket's bitset
-// words, permutation, version, slot count and resident key indices; and the
+// words, permutation, version, slot count, seed and resident key indices; and the
 // stash in order, each entry with its leaf, flags and value. Block handles,
 // dirty marks and the stash peak are process-local and left out.
 func stateDigest(t testing.TB, m *Machine, plane Plane) string {
@@ -41,6 +44,7 @@ func stateDigest(t testing.TB, m *Machine, plane Plane) string {
 			u(uint64(s))
 		}
 		u(bm.writeVer, uint64(bm.count()))
+		h.Write(bm.seed[:])
 		for _, ki := range bm.addrs {
 			u(uint64(ki))
 		}
@@ -65,9 +69,12 @@ func stateDigest(t testing.TB, m *Machine, plane Plane) string {
 
 // TestRestoredStateDigest: a seeded run checkpointed as a full image and four
 // padded deltas restores to exactly the live machine's state, and that state
-// is pinned: the digests below were taken before checkpoints named keys by
-// their table index, so a format change that loses or reorders anything the
-// images carry fails here, not only against itself. The wide case (Z=25,
+// is pinned, so a format change that loses or reorders anything the images
+// carry fails here, not only against itself. The digests were re-taken when
+// images went to format 4 and the digest took in each version's seed (the
+// test plane's, a function of bucket and version); with the seeds left out
+// they are still the digests pinned before checkpoints named keys by their
+// table index. The wide case (Z=25,
 // S=40, 300 keys) has two-word bitsets and a key table past one byte.
 func TestRestoredStateDigest(t *testing.T) {
 	for _, c := range []struct {
@@ -76,14 +83,14 @@ func TestRestoredStateDigest(t *testing.T) {
 		numKeys int
 		want    string
 	}{
-		{"Z=4,S=6", testParams(0), 64, "8ac8906aa62863b1bb48ea2215996098dabc4bb6e3a98c8083eaede8a3419b10"},
+		{"Z=4,S=6", testParams(0), 64, "e8471bf607002f4ce67ab88591ea46eb106735fda9652122218b5910117f5132"},
 		{"Z=25,S=40", Params{Z: 25, S: 40, A: 25, KeySize: 16, ValueSize: 32}, 300,
-			"b6c3f03f24b6fddb666209bc2987c5f8cbd73a1e7c54b6d29441208404dccdf5"},
+			"6a9cdbcb3c516e2ad44d9040f5d319a18361b3201bdb12cc5fbde7584d8e4a81"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := c.p
 			p.NumBlocks, p.Seed = c.numKeys, 17
-			m, err := New(p)
+			m, err := New(p, values{})
 			must(t, err)
 			rng := rand.New(rand.NewPCG(17, 18))
 			vs := values{}
@@ -154,7 +161,7 @@ func TestCheckpointWidthBoundaries(t *testing.T) {
 		t.Run(fmt.Sprintf("NumBlocks=%d", c.p.NumBlocks), func(t *testing.T) {
 			p := c.p
 			p.Seed = 5
-			m, err := New(p)
+			m, err := New(p, values{})
 			must(t, err)
 			if l := m.imageLayout(); l.index != c.index || l.leaf != c.leaf || l.bucket != c.bucket {
 				t.Fatalf("%d leaves, %d buckets: index, leaf and bucket fields %d, %d, %d bytes; want %d, %d, %d",
@@ -194,27 +201,67 @@ func TestCheckpointWidthBoundaries(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesCountOffBitmap: a bucket's slot count is what its valid
-// bitmap leaves out, so Restore refuses an image whose count byte says one
-// slot more or one fewer than the bitmap, instead of taking it on trust.
-func TestRestoreRefusesCountOffBitmap(t *testing.T) {
+// TestRestoreRefusesKeyIndexPastTable: Restore refuses an image naming a key
+// by an index past the key table — a delta's rewritten bucket, a delta's
+// stash and a full image's stash — before it indexes the table. The images
+// are a live machine's, each with one index field set to the largest value
+// its width holds: the table holds at most NumBlocks keys.
+func TestRestoreRefusesKeyIndexPastTable(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
+	pad := CheckpointPad{PosEntries: 8, StashEntries: m.p.StashLimit}
+	full, err := m.EncodeCheckpoint(true, pad, 0, 0, stashValues(m))
+	must(t, err)
+	m.ClearDirty()
+	for i := 0; i < 40; i++ {
+		steps, err := m.PlanRead(fmt.Sprintf("key-%d", i), nil)
+		must(t, err)
+		complete(t, m, steps)
+	}
+	delta, err := m.EncodeCheckpoint(false, pad, 0, 0, stashValues(m))
+	must(t, err)
+	_, err = Restore(m.p, values{}, full, delta)
+	must(t, err)
+
+	l := m.imageLayout()
+	h, err := readImageHeader(delta)
+	must(t, err)
+	if h.nRewritten == 0 {
+		t.Fatal("the delta rewrote no bucket")
+	}
+	// The first rewritten bucket's resident key indices end its entry.
+	bucketAt := imageHeaderSize + h.nKeys*l.keyEntry(false) + h.nTouched*l.touchedEntry() + l.rewrittenEntry(false) - l.z*int(l.index)
+	// The last stash entry is padding: its index leads a header and no value.
+	stashAt := func(img []byte) int { return len(img) - l.stashHeader() }
+	pastTable := func(img []byte, at int) []byte {
+		out := bytes.Clone(img)
+		l.index.put(out[at:], l.index.ones())
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		images [][]byte // a full image, then deltas
+	}{
+		{"delta bucket", [][]byte{full, pastTable(delta, bucketAt)}},
+		{"delta stash", [][]byte{full, pastTable(delta, stashAt(delta))}},
+		{"full stash", [][]byte{pastTable(full, stashAt(full))}},
+	} {
+		if _, err := Restore(m.p, values{}, c.images[0], c.images[1:]...); err == nil || !strings.Contains(err.Error(), "names key index") {
+			t.Errorf("%s naming a key past the table: %v", c.name, err)
+		}
+	}
+}
+
+// TestRestoreRefusesKeyInReadSlot: Restore refuses a full image that places a
+// key at a position whose slot its valid bitmap says was read, instead of
+// restoring a client whose first read of the key would refuse.
+func TestRestoreRefusesKeyInReadSlot(t *testing.T) {
+	m := runWorkload(t, testParams(0), 5, 64, 400)
+	k := m.keys[slices.IndexFunc(m.keys, func(k keyEnt) bool { return k.bucket >= 0 })]
+	bm := &m.buckets[k.bucket]
+	bm.valid().unset(bm.perm[k.rpos])
 	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, stashValues(m))
 	must(t, err)
-	_, err = Restore(m.p, values{}, full)
-	must(t, err)
-	// The root's entry leads the rewritten section: its index, then its count.
-	l := m.imageLayout()
-	at := imageHeaderSize + len(m.keys)*l.keyEntry(true) + int(l.bucket)
-	logged := l.count.get(full[at:])
-	for _, count := range []int{logged - 1, logged + 1} {
-		if count < 0 || count > l.slotsPer {
-			continue
-		}
-		edited := append([]byte(nil), full...)
-		l.count.put(edited[at:], count)
-		if _, err := Restore(m.p, values{}, edited); err == nil {
-			t.Errorf("Restore took a root count of %d slots read, its valid bitmap says %d", count, logged)
-		}
+	if _, err := Restore(m.p, values{}, full); err == nil || !strings.Contains(err.Error(), "whose slot was read") {
+		t.Fatalf("Restore of %q at a read slot of bucket %d: %v, want a refusal", k.name, k.bucket, err)
 	}
 }

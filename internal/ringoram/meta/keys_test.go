@@ -19,7 +19,7 @@ import (
 func TestStashKeysAreTableOwned(t *testing.T) {
 	p := testParams(64)
 	p.Seed = 7
-	m, err := New(p)
+	m, err := New(p, values{})
 	must(t, err)
 	scratch := make([]byte, 0, 1<<14)
 	carve := func(key string) string {

@@ -83,7 +83,7 @@ func (m *Machine) KeepLocal(plane Plane) int {
 		t.images = []kept{{}}
 		for b := 0; b < t.resident; b++ {
 			bm := &m.buckets[b]
-			w := BucketWrite{Bucket: b, Ver: bm.writeVer, Image: t.alloc(b, bm.writeVer), Perm: bm.perm}
+			w := BucketWrite{Bucket: b, Ver: bm.writeVer, Seed: bm.seed, Image: t.alloc(b, bm.writeVer), Perm: bm.perm}
 			t.versions[b].cur = w.Image
 			plane.Place(&w)
 		}

@@ -76,9 +76,10 @@ const (
 // completions apply in plan order (the executor in internal/oramexec
 // enforces this).
 type Machine struct {
-	p   Params
-	geo Geometry
-	rng *rand.Rand
+	p     Params
+	geo   Geometry
+	rng   *rand.Rand
+	seeds Seeder // draws every version's seed; never the rng (see Seeder)
 
 	keys  []keyEnt         // position map and location index, in first-write order
 	pos   map[string]int32 // key -> index into keys
@@ -113,11 +114,30 @@ type Machine struct {
 	local     localTable // see local.go
 }
 
+// Seed is a bucket version's seed, 96 bits: the byte plane derives the
+// nonce of each of the version's slots from it and the slot's index. The
+// machine keeps the current version's beside its number, hands each plan the
+// seed of every version it reads or writes, and logs it in checkpoints.
+type Seed [12]byte
+
+// Seeder draws seeds. The machine asks for one whenever it writes a bucket
+// version: a fresh tree's versions, every eviction's and early reshuffle's,
+// and a replayed one's after a crash. The byte plane draws from the system's
+// secure generator, never from the Params.Seed generator, because a version
+// a recovery writes again under a new permutation must not reuse the
+// version's first seed; a test plane may answer deterministically.
+type Seeder interface {
+	// Seed returns the seed of version ver of bucket b, which the machine
+	// is writing.
+	Seed(b int, ver uint64) Seed
+}
+
 // New creates the metadata of a fresh tree: every bucket gets empty real
 // positions and a random permutation, drawn in heap order from the seeded
-// generator, at version 1.
-func New(p Params) (*Machine, error) {
-	m, err := newMachine(p)
+// generator, at version 1 with a seed from seeds, which draws every later
+// version's seed too.
+func New(p Params, seeds Seeder) (*Machine, error) {
+	m, err := newMachine(p, seeds)
 	if err != nil {
 		return nil, err
 	}
@@ -125,12 +145,13 @@ func New(p Params) (*Machine, error) {
 		bm := &m.buckets[b]
 		m.shuffle(bm.perm)
 		bm.writeVer = 1
+		bm.seed = seeds.Seed(b, 1)
 		bm.rewrite(0)
 	}
 	return m, nil
 }
 
-func newMachine(p Params) (*Machine, error) {
+func newMachine(p Params, seeds Seeder) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -146,6 +167,7 @@ func newMachine(p Params) (*Machine, error) {
 		p:           p,
 		geo:         geo,
 		rng:         rand.New(src),
+		seeds:       seeds,
 		pos:         make(map[string]int32),
 		stash:       make(map[string]*stashEntry),
 		buckets:     make([]bucketMeta, geo.NumBuckets),
@@ -185,6 +207,9 @@ func (m *Machine) StashPeak() int { return m.stashPeak }
 
 // KeyCount returns the number of allocated logical keys.
 func (m *Machine) KeyCount() int { return len(m.keys) }
+
+// Seed returns the seed of bucket b's current version.
+func (m *Machine) Seed(b int) Seed { return m.buckets[b].seed }
 
 // Fresh returns the permutation of bucket b while the bucket is still at its
 // first version with no slot read, and false once it is not.
@@ -311,7 +336,9 @@ func (m *Machine) shuffle(perm []int) {
 // Plane is the byte plane as the machine drives it: the machine decides what
 // happens to a block or a bucket version, and the plane moves the bytes. A
 // stash block is named by its Block and a kept bucket version by its Image.
+// The plane draws the versions' seeds.
 type Plane interface {
+	Seeder
 	// Deliver moves the block read r carries, key's, into the stash: data is
 	// the slot storage returned, nil for a local read, which the plane serves
 	// from the version r.Image names.

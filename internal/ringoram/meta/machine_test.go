@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -43,6 +44,15 @@ type value struct {
 func (vs values) Deliver(SlotRead, []byte, string) error { return nil }
 func (vs values) Place(*BucketWrite)                     {}
 func (vs values) Release(Image)                          {}
+
+// Seed answers deterministically: the bucket and the version, big-endian.
+// Only a plane that seals must draw seeds fresh.
+func (vs values) Seed(b int, ver uint64) Seed {
+	var s Seed
+	binary.BigEndian.PutUint32(s[:4], uint32(b))
+	binary.BigEndian.PutUint64(s[4:], ver)
+	return s
+}
 
 func (vs values) Value(_ Block, key string) ([]byte, bool, error) {
 	v, ok := vs[key]
@@ -176,7 +186,7 @@ func checkMachine(t *testing.T, m *Machine) {
 func runWorkload(t *testing.T, p Params, seed uint64, numKeys, ops int) *Machine {
 	t.Helper()
 	p.NumBlocks, p.Seed = numKeys, seed
-	m, err := New(p)
+	m, err := New(p, values{})
 	must(t, err)
 	rng := rand.New(rand.NewPCG(seed, seed+1))
 	var steps []*Plan
@@ -276,5 +286,103 @@ func TestRestoreRefusesKeyOffItsPath(t *testing.T) {
 		if _, err := Restore(m.p, values{}, images[0], images[1:]...); err == nil || !strings.Contains(err.Error(), "off its leaf") {
 			t.Fatalf("%s: Restore of %q in bucket %d with leaf %d: %v, want a refusal", name, k.name, k.bucket, off, err)
 		}
+	}
+}
+
+// TestBlindWriteRetiresTreeCopy: a write of a key resident in the tree
+// blanks its position without reading it, and the position becomes a
+// filler — no key holds it, and its slot is still valid.
+func TestBlindWriteRetiresTreeCopy(t *testing.T) {
+	m, err := New(testParams(64), values{})
+	must(t, err)
+	var steps []*Plan
+	for i := 0; i < 64; i++ {
+		steps, _, err = m.PlanWrite(fmt.Sprintf("k%d", i), steps[:0])
+		must(t, err)
+		complete(t, m, steps)
+	}
+	retired := 0
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("k%d", i)
+		k := m.keys[m.pos[key]]
+		if k.bucket < 0 {
+			continue
+		}
+		steps, _, err = m.PlanWrite(key, steps[:0])
+		must(t, err)
+		if len(steps) == 1 { // an evict-path the write made due could rewrite the bucket
+			bm := &m.buckets[k.bucket]
+			if ki := bm.addrs[k.rpos]; ki >= 0 {
+				t.Fatalf("%s: retired position %d of bucket %d is held by %q", key, k.rpos, k.bucket, m.keys[ki].name)
+			}
+			if !bm.valid().has(bm.perm[k.rpos]) || !bm.filler().has(int(k.rpos)) {
+				t.Fatalf("%s: retired position %d of bucket %d is no valid filler", key, k.rpos, k.bucket)
+			}
+			checkMachine(t, m)
+			retired++
+		}
+		complete(t, m, steps)
+	}
+	if retired == 0 {
+		t.Fatal("no key was resident in the tree to retire")
+	}
+}
+
+// TestPropertyRemapChangesLeaf: over many accesses of one key, the assigned
+// leaf takes many distinct values (each access remaps uniformly).
+func TestPropertyRemapChangesLeaf(t *testing.T) {
+	p := testParams(64)
+	p.Seed = 5
+	m, err := New(p, values{})
+	must(t, err)
+	steps, _, err := m.PlanWrite("k", nil)
+	must(t, err)
+	complete(t, m, steps)
+	leaves := make(map[int32]bool)
+	for i := 0; i < 64; i++ {
+		steps, err = m.PlanRead("k", steps[:0])
+		must(t, err)
+		complete(t, m, steps)
+		leaves[m.keys[m.pos["k"]].leaf] = true
+	}
+	// 64 samples over 16 leaves: expect nearly all leaves hit; require > half.
+	if len(leaves) <= m.geo.Leaves/2 {
+		t.Fatalf("remapping visited only %d of %d leaves over 64 accesses", len(leaves), m.geo.Leaves)
+	}
+}
+
+// TestDeltaListsEachDirtyBucketOnce: delta tracking lists every bucket an
+// epoch dirtied once, as touched or as rewritten, and the delta carries an
+// entry for each.
+func TestDeltaListsEachDirtyBucketOnce(t *testing.T) {
+	m := runWorkload(t, testParams(0), 26, 64, 400)
+	vs := stashValues(m)
+	m.ClearDirty()
+	var steps []*Plan
+	var err error
+	for range 2 {
+		steps, _, err = m.PlanWrite("fresh", steps[:0])
+		must(t, err)
+		complete(t, m, steps)
+		vs["fresh"] = value{v: []byte("v")}
+	}
+	for i := 0; i < 40; i++ {
+		steps, err = m.PlanRead(fmt.Sprintf("key-%d", i), steps[:0])
+		must(t, err)
+		complete(t, m, steps)
+	}
+	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0, vs)
+	must(t, err)
+	info, err := InspectImage(delta)
+	must(t, err)
+	seen := make(map[int32]bool)
+	for _, b := range m.dirtyBuckets {
+		if seen[b] {
+			t.Fatalf("delta tracking lists bucket %d twice", b)
+		}
+		seen[b] = true
+	}
+	if info.Buckets != len(seen) || info.Buckets == 0 {
+		t.Fatalf("the delta carries %d bucket entries, the epoch dirtied %d buckets", info.Buckets, len(seen))
 	}
 }

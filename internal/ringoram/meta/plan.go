@@ -13,6 +13,8 @@ type SlotRead struct {
 	// whose ciphertext binding applies, or whose plaintext a local read must
 	// be served from.
 	Ver uint64
+	// Seed is that version's seed, which the slot's nonce derives from.
+	Seed Seed
 	// img is the kept version a local read is served from (see Local).
 	img Image
 	// blk is the pending block the slot delivers to the stash: the access's
@@ -36,8 +38,8 @@ func (r SlotRead) Block() Block { return r.blk }
 // readOf plans a read of slot s of bucket b's current version, local when
 // the table serves it.
 func (m *Machine) readOf(b, s int) SlotRead {
-	ver := m.buckets[b].writeVer
-	return SlotRead{Bucket: b, Slot: s, Ver: ver, img: m.local.serves(b, ver)}
+	bm := &m.buckets[b]
+	return SlotRead{Bucket: b, Slot: s, Ver: bm.writeVer, Seed: bm.seed, img: m.local.serves(b, bm.writeVer)}
 }
 
 // PlanKind says which step of the public schedule a Plan is. The values are
@@ -97,12 +99,13 @@ type Plan struct {
 // Buckets: the plan's own slice.
 func (p *Plan) Writes() []BucketWrite { return p.writes }
 
-// BucketWrite is the version of one bucket an eviction writes: its number,
-// its handle in the local-version table (0 while the table is off), its
-// permutation, and the blocks it holds, the i-th at real position i.
+// BucketWrite is the version of one bucket an eviction writes: its number
+// and seed, its handle in the local-version table (0 while the table is off),
+// its permutation, and the blocks it holds, the i-th at real position i.
 type BucketWrite struct {
 	Bucket int
 	Ver    uint64
+	Seed   Seed
 	Image  Image
 	// Perm is the version's own copy of its permutation (perm[pos] is the
 	// physical slot of position pos; pos < Z real, else dummy): a later plan
@@ -557,8 +560,9 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 		}
 		m.shuffle(bm.perm)
 		bm.writeVer++
+		bm.seed = m.seeds.Seed(b, bm.writeVer)
 		bm.rewrite(len(w.Placed))
-		w.Ver = bm.writeVer
+		w.Ver, w.Seed = bm.writeVer, bm.seed
 		w.Image = m.local.claim(b, w.Ver)
 		w.Perm = append(w.Perm[:0], bm.perm...)
 		m.markBucket(b, bucketRewritten)

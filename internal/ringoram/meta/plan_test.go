@@ -101,7 +101,7 @@ func predictReads(m *Machine, models map[int]slotModel, buckets []int, src *rand
 // same order, and the generator left in the same state.
 func TestEvictionFillersMatchRescan(t *testing.T) {
 	const evictions = 10000
-	m, err := New(testParams(64))
+	m, err := New(testParams(64), values{})
 	must(t, err)
 	src := rand.NewPCG(7, 8)
 	m.rng = rand.New(src)

@@ -26,8 +26,13 @@ type ORAM struct {
 	geo meta.Geometry
 	cdc codec
 
-	// Hot-path scratch: the Appendix A binding encoder.
+	// Hot-path scratch: the Appendix A binding encoder, and the nonce of the
+	// slot being opened.
 	bindBuf []byte
+	nonce   cryptoutil.Nonce
+	// seeds is the block the bucket versions' seeds are cut from (Seed): the
+	// machine asks for them while it plans, on the driver's goroutine.
+	seeds cryptoutil.Nonces
 	// evicted holds the images Place builds while the local-version table is
 	// off, until Complete hands them to the driver.
 	evicted []BucketImage
@@ -59,7 +64,7 @@ func New(key *cryptoutil.Key, p Params) (*ORAM, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.m, err = meta.New(o.p); err != nil {
+	if o.m, err = meta.New(o.p, o); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -96,7 +101,7 @@ func newORAM(key *cryptoutil.Key, p Params) (*ORAM, error) {
 	o := &ORAM{
 		p:       p,
 		geo:     geo,
-		cdc:     codec{keySize: p.KeySize, valueSize: p.ValueSize, key: key},
+		cdc:     newCodec(p.KeySize, p.ValueSize, key),
 		bindBuf: make([]byte, 0, cryptoutil.BindingSize),
 	}
 	o.blocks = &blockPool{size: o.cdc.plainSize()}
@@ -177,10 +182,16 @@ func (o *ORAM) stashBlock(b meta.Block) (block, error) {
 	return blk, nil
 }
 
+// Seed draws the seed of a bucket version the machine writes from the
+// system's secure generator (see meta.Seeder).
+func (o *ORAM) Seed(int, uint64) meta.Seed { return meta.Seed(o.seeds.Seed()) }
+
 // Deliver moves the block read r fetched into a pooled slot, the block's. A
 // local read is served from the image r names and copied into the slot; a
-// remote read's data is opened straight into it under the (bucket, version)
-// binding it was planned against. Either must hold key.
+// remote read's data is opened straight into it under the seed and the
+// (bucket, version) binding of the version it was planned against. Either
+// must hold key. A slot frame of another scheme fails with
+// cryptoutil.ErrScheme, not ErrCorrupt: it was written by another build.
 func (o *ORAM) Deliver(r meta.SlotRead, data []byte, key string) error {
 	slot := o.blocks.take()
 	var plain []byte
@@ -188,8 +199,12 @@ func (o *ORAM) Deliver(r meta.SlotRead, data []byte, key string) error {
 	if r.Local() {
 		plain = o.image(r.Image()).Block(r.Slot)
 	} else {
-		plain, err = slot, o.cdc.open(slot, data, o.binding(uint64(r.Bucket), r.Ver))
+		plain, err = slot, o.cdc.open(slot, data, r.Seed, r.Slot, o.binding(uint64(r.Bucket), r.Ver), &o.nonce)
 		o.openedSlots.Add(1)
+		if errors.Is(err, cryptoutil.ErrScheme) {
+			o.blocks.put(slot)
+			return fmt.Errorf("ringoram: bucket %d slot %d: %w", r.Bucket, r.Slot, err)
+		}
 	}
 	var kind byte
 	var blk block
@@ -218,7 +233,7 @@ func (o *ORAM) Deliver(r meta.SlotRead, data []byte, key string) error {
 // moving each placed block's slot into it, and files it under w's handle, or
 // keeps it for Complete to hand out when w has none.
 func (o *ORAM) Place(w *meta.BucketWrite) {
-	im := o.newImage(w.Bucket, w.Ver)
+	im := o.newImage(w.Bucket, w.Ver, w.Seed)
 	copy(im.perm, w.Perm)
 	for _, b := range w.Placed {
 		slot := o.slot(b)

@@ -2,6 +2,7 @@ package ringoram
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -33,6 +34,43 @@ func newTestSeq(t *testing.T, p Params) (*Seq, *storage.InvariantChecker) {
 	t.Helper()
 	store := newStore(p)
 	return newSeqOver(t, store, p), store
+}
+
+// fixedSeeds is a Seeder that answers with a function of bucket and version,
+// the bucket and the version big-endian, where the ORAM draws each seed
+// fresh: two clients driven alike write byte-identical checkpoint images.
+// Such a client reseals a version a crash rewrote under the seed it had.
+type fixedSeeds struct{}
+
+func (fixedSeeds) Seed(b int, ver uint64) meta.Seed {
+	var s meta.Seed
+	binary.BigEndian.PutUint32(s[:4], uint32(b))
+	binary.BigEndian.PutUint64(s[4:], ver)
+	return s
+}
+
+// newFixedORAM is New with a machine that takes its seeds from fixedSeeds.
+func newFixedORAM(t *testing.T, key *cryptoutil.Key, p Params) *ORAM {
+	t.Helper()
+	o, err := newORAM(key, p)
+	must(t, err)
+	o.m, err = meta.New(o.p, fixedSeeds{})
+	must(t, err)
+	return o
+}
+
+// newFixedSeq is NewSeq over newFixedORAM: it writes the fresh tree to store
+// as NewSeq does.
+func newFixedSeq(t *testing.T, store storage.BucketStore, key *cryptoutil.Key, p Params) *Seq {
+	t.Helper()
+	o := newFixedORAM(t, key, p)
+	s := &Seq{oram: o, store: store}
+	for b := 0; b < o.geo.NumBuckets; b++ {
+		slots, err := o.SealFresh(b, &s.arena)
+		must(t, err)
+		must(t, s.storeBucket(b, slots))
+	}
+	return s
 }
 
 // newSeqOver creates a sequential client over store.

@@ -3,7 +3,6 @@ package ringoram
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -87,30 +86,29 @@ func evictSlots(p *meta.Plan) [][]int {
 }
 
 // requireSameClient fails unless got holds exactly want's metadata and
-// stash: every bucket's permutation, resident keys, valid map, count and
-// version, the position map and location index in table order, the stash in
-// order with each block's slot, and the counters. A full image carries all
-// of it but the slots; the bitsets derived from it are the machine's to
-// check (meta.TestRestoreKeepsInvariants).
+// stash: both machines encode the same full image — every bucket's
+// permutation, valid map, version and seed, the position map and location
+// index in table order, the stash in order, and the counters — and both byte
+// planes hold the same slot for every stash entry. The images are compared
+// whole, never decoded: what an image carries is the machine's to check
+// (meta.TestRestoredStateDigest).
 func requireSameClient(t *testing.T, want, got *ORAM) {
 	t.Helper()
-	w, g := snap(t, want), snap(t, got)
-	if !reflect.DeepEqual(w, g) {
-		for i := range min(len(w.keys), len(g.keys)) {
-			if w.keys[i] != g.keys[i] {
-				t.Fatalf("position map entry %d: want %+v, got %+v", i, w.keys[i], g.keys[i])
-			}
+	w, g := image(t, want, true), image(t, got, true)
+	if !bytes.Equal(w, g) {
+		at := 0
+		for at < min(len(w), len(g)) && w[at] == g[at] {
+			at++
 		}
-		for b := range min(len(w.buckets), len(g.buckets)) {
-			if !reflect.DeepEqual(w.buckets[b], g.buckets[b]) {
-				t.Fatalf("bucket %d diverges:\nwant %+v\ngot  %+v", b, w.buckets[b], g.buckets[b])
-			}
-		}
-		t.Fatalf("metadata diverges:\nwant %+v\ngot  %+v", w, g)
+		t.Fatalf("metadata diverges: full images of %d and %d bytes differ from byte %d", len(w), len(g), at)
 	}
-	for i, e := range w.stash {
-		if ws, gs := slotOf(t, want, e.key), slotOf(t, got, e.key); !bytes.Equal(ws, gs) {
-			t.Fatalf("stash entry %d (%q): want slot %x, got %x", i, e.key, ws, gs)
+	for b, s := range want.slots {
+		if s == nil {
+			continue
+		}
+		key := want.m.Key(meta.Block(b))
+		if gs := slotOf(t, got, key); !bytes.Equal(s, gs) {
+			t.Fatalf("stash entry %q: want slot %x, got %x", key, s, gs)
 		}
 	}
 }
@@ -118,115 +116,22 @@ func requireSameClient(t *testing.T, want, got *ORAM) {
 // slotOf returns the plaintext slot o's stash holds for key.
 func slotOf(t *testing.T, o *ORAM, key string) []byte {
 	t.Helper()
-	for b, s := range o.slots {
-		if s != nil && o.m.Key(meta.Block(b)) == key {
-			return s
-		}
+	if s := stashSlot(o, key); s != nil {
+		return s
 	}
 	t.Fatalf("the stash holds no slot for %q", key)
 	return nil
 }
 
-// snapshot is a client's metadata as its full checkpoint image carries it:
-// what the tests check the machine's invariants on from outside it.
-type snapshot struct {
-	access, evict uint64
-	keys          []snapKey    // in table order
-	buckets       []snapBucket // by heap index
-	stash         []snapStash  // in stash order
-}
-
-type snapKey struct {
-	name              string
-	leaf, bucket, pos int // bucket -1: not in the tree
-}
-
-type snapBucket struct {
-	count int
-	valid []bool // by physical slot
-	ver   uint64
-	perm  []int
-}
-
-type snapStash struct {
-	key                  string
-	leaf                 int
-	tombstone, cacheable bool
-	value                string
-}
-
-// fieldWidth is the width of a checkpoint field whose largest legal value is
-// bound: the fewest bytes that hold it.
-func fieldWidth(bound int) int {
-	w := 1
-	for bound>>(8*w) != 0 {
-		w++
-	}
-	return w
-}
-
-// fieldAt reads the big-endian field of w bytes at the front of b.
-func fieldAt(b []byte, w int) int {
-	v := 0
-	for _, c := range b[:w] {
-		v = v<<8 | int(c)
-	}
-	return v
-}
-
-// snap decodes o's full checkpoint image (the format is meta/checkpoint.go's:
-// a sized field is as wide as its public bound needs, and a stash entry names
-// its key by table index plus one).
-func snap(t *testing.T, o *ORAM) snapshot {
-	t.Helper()
-	img := image(t, o, true)
-	be := binary.BigEndian
-	p, geo := o.p, o.geo
-	keySize, slotsPer := int(be.Uint16(img[1:])), int(be.Uint16(img[5:]))
-	s := snapshot{access: be.Uint64(img[15:]), evict: be.Uint64(img[23:])}
-	nKeys, nBuckets, nStash := int(be.Uint32(img[31:])), int(be.Uint32(img[39:])), int(be.Uint32(img[43:]))
-	b := img[47:]
-	field := func(bound int) int {
-		w := fieldWidth(bound)
-		v := fieldAt(b, w)
-		b = b[w:]
-		return v
-	}
-	for range nKeys {
-		n := field(keySize)
-		k := snapKey{name: string(b[:n])}
-		b = b[keySize:]
-		k.leaf, k.bucket, k.pos = field(geo.Leaves-1), field(geo.NumBuckets), field(p.Z-1)
-		if k.bucket >= geo.NumBuckets { // all ones: not in the tree
-			k.bucket, k.pos = -1, 0
+// stashSlot returns the plaintext slot o's stash holds for key, nil when the
+// stash holds none.
+func stashSlot(o *ORAM, key string) []byte {
+	for b, s := range o.slots {
+		if s != nil && o.m.Key(meta.Block(b)) == key {
+			return s
 		}
-		s.keys = append(s.keys, k)
 	}
-	for range nBuckets {
-		field(geo.NumBuckets)
-		bk := snapBucket{count: field(slotsPer), valid: make([]bool, slotsPer)}
-		for i := range bk.valid {
-			bk.valid[i] = b[i/8]&(1<<(i%8)) != 0
-		}
-		b = b[(slotsPer+7)/8:]
-		bk.ver, b = be.Uint64(b), b[8:]
-		for range slotsPer {
-			bk.perm = append(bk.perm, field(slotsPer-1))
-		}
-		s.buckets = append(s.buckets, bk)
-	}
-	for range nStash {
-		e := snapStash{key: s.keys[field(p.NumBlocks)-1].name}
-		e.tombstone, e.cacheable, b = b[0]&1 != 0, b[0]&2 != 0, b[1:]
-		e.leaf = field(geo.Leaves - 1)
-		n := field(p.ValueSize)
-		e.value, b = string(b[:n]), b[n:]
-		s.stash = append(s.stash, e)
-	}
-	if len(b) != 0 {
-		t.Fatalf("%d bytes left after decoding a full image", len(b))
-	}
-	return s
+	return nil
 }
 
 // TestSnapshotRestoreFull: a client restored from a full image is the live
@@ -251,8 +156,7 @@ func TestSnapshotRestoreFull(t *testing.T) {
 			t.Fatalf("after restore %s = %q (found=%v), want %q", k, v, found, want)
 		}
 	}
-	checkPathInvariant(t, restored)
-	checkMetaConsistency(t, restored)
+	checkClient(t, restored)
 }
 
 func TestSnapshotDelta(t *testing.T) {
@@ -295,7 +199,7 @@ func TestSnapshotDelta(t *testing.T) {
 			t.Fatalf("delta-restored %s = %q %v %v, want %q", k, v, found, err, want)
 		}
 	}
-	checkMetaConsistency(t, restored)
+	checkClient(t, restored)
 }
 
 func TestSnapshotRequiresFull(t *testing.T) {
@@ -321,8 +225,9 @@ func TestSnapshotRejectsWrongShape(t *testing.T) {
 }
 
 // TestDirtyTracking reads delta tracking off unpadded delta images: empty
-// right after ClearDirty, one position-map entry for two writes of one key,
-// and every dirty bucket listed exactly once, as touched or as rewritten.
+// right after ClearDirty, and one position-map entry for two writes of one
+// key. That each dirty bucket is listed once is the machine's to check
+// (meta.TestDeltaListsEachDirtyBucketOnce).
 func TestDirtyTracking(t *testing.T) {
 	seq, _, _ := buildWorkload(t, 26)
 	o := seq.ORAM()
@@ -332,44 +237,11 @@ func TestDirtyTracking(t *testing.T) {
 	}
 	must(t, seq.Write("fresh", []byte("v")))
 	must(t, seq.Write("fresh", []byte("w")))
-	delta := image(t, o, false)
-	info, err := meta.InspectImage(delta)
+	info, err := meta.InspectImage(image(t, o, false))
 	must(t, err)
 	if info.PosEntries != 1 {
 		t.Fatalf("two writes of one key left %d dirty position-map entries, want 1", info.PosEntries)
 	}
-	seen := make(map[int]bool)
-	for _, b := range deltaBuckets(o, delta) {
-		if seen[b] {
-			t.Fatalf("the delta lists bucket %d twice", b)
-		}
-		seen[b] = true
-	}
-	if len(seen) != info.Buckets {
-		t.Fatalf("the delta lists %d distinct buckets of %d entries", len(seen), info.Buckets)
-	}
-}
-
-// deltaBuckets returns the bucket of every touched and rewritten entry of an
-// unpadded delta image of o's.
-func deltaBuckets(o *ORAM, img []byte) []int {
-	be := binary.BigEndian
-	p, g := o.p, o.geo
-	bucket, count, slot, index := fieldWidth(g.NumBuckets), fieldWidth(g.SlotsPer), fieldWidth(g.SlotsPer-1), fieldWidth(p.NumBlocks)
-	keyEntry := fieldWidth(p.KeySize) + p.KeySize + fieldWidth(g.Leaves-1)
-	state := bucket + count + (g.SlotsPer+7)/8
-	nKeys, nTouched, nRewritten := int(be.Uint32(img[31:])), int(be.Uint32(img[35:])), int(be.Uint32(img[39:]))
-	b := img[47+nKeys*keyEntry:]
-	var ids []int
-	for i := 0; i < nTouched+nRewritten; i++ {
-		ids = append(ids, fieldAt(b, bucket))
-		if i < nTouched {
-			b = b[state+(p.Z+7)/8:]
-		} else {
-			b = b[state+8+g.SlotsPer*slot+p.Z*index:]
-		}
-	}
-	return ids
 }
 
 // TestReplayReadProducesSameSlots exercises the recovery replay path: a
@@ -607,17 +479,12 @@ func TestRestoreMatchesLiveClient(t *testing.T) {
 		} else {
 			deltas = append(deltas, img)
 		}
-		restored := restoreFrom(t, o, full, deltas...)
 		// A delta names resident and stashed keys by key-table index, so
-		// every key must sit at its live index in the restored table.
-		live, got := snap(t, o).keys, snap(t, restored).keys
-		for i := range max(len(live), len(got)) {
-			if i >= len(live) || i >= len(got) || live[i].name != got[i].name {
-				t.Fatalf("epoch %d: the live table holds %d keys and the restored one %d; they differ at index %d", epoch, len(live), len(got), i)
-			}
-		}
+		// every key must sit at its live index in the restored table: a full
+		// image lists the table in order.
+		restored := restoreFrom(t, o, full, deltas...)
 		requireSameClient(t, o, restored)
-		checkMetaConsistency(t, restored)
+		checkClient(t, restored)
 	}
 }
 
@@ -642,8 +509,7 @@ func TestShuffleMatchesRandPerm(t *testing.T) {
 // a full image and the delta image of a second round of writes after it.
 func checkpointRun(t *testing.T, p Params) (full, delta []byte) {
 	t.Helper()
-	seq, err := NewSeq(newStore(p), stateKey, p)
-	must(t, err)
+	seq := newFixedSeq(t, newStore(p), stateKey, p)
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%d", i%20)
 		must(t, seq.Write(k, []byte(fmt.Sprintf("v%d", i))))
@@ -663,10 +529,11 @@ func checkpointRun(t *testing.T, p Params) (full, delta []byte) {
 
 // TestCheckpointImageDeterministic: the same seed and operations produce the
 // same image bytes — nothing in an image follows map iteration order — and
-// those bytes are pinned. The sha256 digests below were taken when images
-// went to format 3 (keys named by table index, every field sized to its
-// public bound); meta.TestRestoredStateDigest, pinned under format 2, checks
-// that those images restore to the same state. The wide case (Z=25, S=40:
+// those bytes are pinned. A live client draws its versions' seeds fresh, so
+// the runs take theirs from fixedSeeds. The sha256 digests below were taken
+// when images went to format 4 (each rewritten bucket carries its version's
+// seed, and no bucket entry its slot count); meta.TestRestoredStateDigest
+// checks that images restore to the same state. The wide case (Z=25, S=40:
 // 65 slots, two words a bucket) covers a bitmap that spans words.
 func TestCheckpointImageDeterministic(t *testing.T) {
 	narrow := testParams(64)
@@ -678,11 +545,11 @@ func TestCheckpointImageDeterministic(t *testing.T) {
 		wantFull, wantDel string
 	}{
 		{"Z=4,S=6", narrow,
-			"86057ee8f3c6ba0e71000bb735041df8155946f03ff4e327c70195b132859cbd",
-			"6c58909066e7fafbd41a21b76fc4fa8dda658f6883579f7ac1bf4d6e3c53c4b7"},
+			"0a43dcd1bc486c5a03d5ef8cc1b735348eba2bd44ace9150f9d721c5b7926df2",
+			"bf25bfc4aaa3e749bcfbfdfaeae88650e41a387b8f30dee3815338bd0ba42858"},
 		{"Z=25,S=40", wide,
-			"18cf7e80370044308aa16f2a07f3f2aee0acee190dfe2c85763a07bf0fef09c7",
-			"38b2695f7fce50b4e71f2fde40ca51f9c2d52af433bd2275aafd58bc841c3d40"},
+			"6f8d5b96c5e14351534ae5675f31c1d54e41239e648ae9065bace86e65c20942",
+			"a6d5234e44ceb843871440e477977258729da1c5f693ccabfd00a7d32c514876"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f1, d1 := checkpointRun(t, c.p)

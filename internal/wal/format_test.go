@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	mrand "math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -238,11 +240,24 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 	}
 }
 
+// seededRand makes crypto/rand a ChaCha8 stream from seed until the test
+// ends, or until the next call restarts it. A client draws its versions'
+// seeds from crypto/rand, so two runs of one workload log the same records
+// only if they draw the same stream; every draw of a run here happens on the
+// test's goroutine, in the order the run makes it.
+func seededRand(t *testing.T, seed byte) {
+	saved := crand.Reader
+	crand.Reader = mrand.NewChaCha8([32]byte{seed})
+	t.Cleanup(func() { crand.Reader = saved })
+}
+
 // TestRecordBytesDeterministic: the same seed and operations produce the same
-// record plaintexts — batch, delta and full — byte for byte. Nothing
-// in a record follows map iteration order.
+// record plaintexts — batch, delta and full — byte for byte, when they draw
+// their versions' seeds from the same stream (seededRand). Nothing in a record
+// follows map iteration order.
 func TestRecordBytesDeterministic(t *testing.T) {
 	run := func() [][]byte {
+		seededRand(t, 9)
 		h := newFormatHarness(t, 9, schedule{r: 1, bread: 16, bwrite: 8, cadence: 3})
 		for e := 0; e < 7; e++ {
 			keys := make([]string, 8)
@@ -281,9 +296,10 @@ func TestRecordBytesDeterministic(t *testing.T) {
 	}
 	// The plaintexts are pinned too, each length-prefixed into one sha256,
 	// so an encoder that drifts from its bytes fails here, not only between
-	// two runs of itself. The digest was taken under format 3, whose batch
-	// records are format 2's but for the version byte.
-	const wantRecords, wantDigest = 28, "9ce6a079680e67e786d72bdf0420e800f4338598f9d1313b7bbf1f26c2c010cf"
+	// two runs of itself. The digest was taken under format 4, whose
+	// checkpoints carry each rewritten bucket's seed and no slot count, and
+	// whose batch records are format 2's but for the version byte.
+	const wantRecords, wantDigest = 28, "c2f1ee6e1bab095a0391c092373d21701cae449e18dd2b76dcfdaf107b6440ac"
 	h := sha256.New()
 	for _, p := range a {
 		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(p))))
@@ -329,6 +345,35 @@ func TestOlderFormatRejected(t *testing.T) {
 				t.Fatalf("recovering over a version-%d record of kind %d: %v, want ErrFormat", version, kind, err)
 			}
 		}
+	}
+}
+
+// TestFormat3CheckpointRefused: a checkpoint the build before seeded slots
+// logged — format 3, whose rewritten buckets carry no seed — is refused with
+// ErrFormat, at full size and as a log's only checkpoint, before its image is
+// decoded: its versions' slots could not be opened.
+func TestFormat3CheckpointRefused(t *testing.T) {
+	o, backend := testORAM(t)
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})})
+	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := backend.Scan(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := l.open(recs[len(recs)-1], checkpointHeaderSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain = bytes.Clone(plain)
+	plain[0] = 3
+	older := storage.NewMemBackend(1)
+	if _, err := older.Append(sealPlain(t, l, kindCheckpointCommitting, plain)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newLog(t, older, Config{}).Recover(); !errors.Is(err, ErrFormat) {
+		t.Fatalf("recovering a format-3 checkpoint: %v, want ErrFormat", err)
 	}
 }
 

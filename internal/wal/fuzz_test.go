@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"runtime"
 	"strings"
 	"testing"
@@ -59,37 +58,6 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// fieldWidth is the width of a checkpoint image field whose largest legal
-// value is bound: the fewest bytes that hold it (meta/checkpoint.go).
-func fieldWidth(bound int) int {
-	w := 1
-	for bound>>(8*w) != 0 {
-		w++
-	}
-	return w
-}
-
-// putField writes v big-endian in the w bytes at the front of b.
-func putField(b []byte, w, v int) {
-	for i := w - 1; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-}
-
-// fieldAt reads the big-endian field of w bytes at the front of b.
-func fieldAt(b []byte, w int) int {
-	v := 0
-	for _, c := range b[:w] {
-		v = v<<8 | int(c)
-	}
-	return v
-}
-
-// imageHeaderSize is a checkpoint image's fixed header; its four entry counts
-// (u32 each) end it.
-const imageHeaderSize = 47
-
 // firstImages returns the plaintexts of the first full checkpoint record of
 // checkpoints and of the delta that follows it.
 func firstImages(t testing.TB, checkpoints [][]byte) (full, delta []byte) {
@@ -106,73 +74,49 @@ func firstImages(t testing.TB, checkpoints [][]byte) (full, delta []byte) {
 	return nil, nil
 }
 
-// offPathImage returns a copy of the plaintext of the first full checkpoint
-// record of checkpoints that places a key below the root, with that key's
-// leaf moved to one whose path misses the key's bucket. A full image's
-// position-map entry is the key field (its length, then KeySize bytes), the
-// leaf, the bucket and the position.
-func offPathImage(t testing.TB, checkpoints [][]byte) []byte {
-	geo := formatParams.Geometry()
-	keyLen, leaf, bucketW := fieldWidth(formatParams.KeySize), fieldWidth(geo.Leaves-1), fieldWidth(geo.NumBuckets)
-	field := keyLen + formatParams.KeySize
-	for _, plain := range checkpoints {
-		img := plain[checkpointHeaderSize:]
-		if info, err := meta.InspectImage(img); err != nil || !info.Full {
-			continue
+// refused returns a copy of rec, a checkpoint record's plaintext, with one
+// byte of its image changed so that restore refuses it with an error naming
+// want: the bytes are tried front to back (back to front when backward is
+// set), each with every change of edits in turn, and the first that works is
+// kept. A seed so reaches one of Restore's refusals without this package
+// knowing the image's layout, which is meta's alone: its
+// TestRestoreRefusesKeyOffItsPath and TestRestoreRefusesKeyIndexPastTable
+// build the same images field by field.
+func refused(t testing.TB, rec []byte, backward bool, edits []func(byte) byte, restore func(img []byte) error, want string) []byte {
+	out := bytes.Clone(rec)
+	img := out[checkpointHeaderSize:]
+	for n := range img {
+		at := n
+		if backward {
+			at = len(img) - 1 - n
 		}
-		for i := 0; i < 12; i++ {
-			name := make([]byte, keyLen)
-			putField(name, keyLen, len(formatKey(i)))
-			at := bytes.Index(img, append(name, formatKey(i)...))
-			if at < 0 {
+		was := img[at]
+		for _, edit := range edits {
+			if img[at] = edit(was); img[at] == was {
 				continue
 			}
-			if bucket := fieldAt(img[at+field+leaf:], bucketW); bucket > 0 && bucket < geo.NumBuckets {
-				off := 0
-				for geo.PathBucket(off, meta.BucketLevel(bucket)) == bucket {
-					off++
-				}
-				out := bytes.Clone(plain)
-				putField(out[checkpointHeaderSize+at+field:], leaf, off)
+			if err := restore(img); err != nil && strings.Contains(err.Error(), want) {
 				return out
 			}
 		}
+		img[at] = was
 	}
-	t.Fatal("no full checkpoint places a key below the root")
+	t.Fatalf("no one-byte change of the image makes restoring it fail with %q", want)
 	return nil
 }
 
-// pastTableDelta returns a copy of a delta record's plaintext whose first
-// rewritten bucket names, at its first real position, the largest key index
-// the field holds: past the key table, which holds at most NumBlocks keys.
-func pastTableDelta(t testing.TB, delta []byte) []byte {
-	p, geo := formatParams, formatParams.Geometry()
-	img := delta[checkpointHeaderSize:]
-	be := binary.BigEndian
-	nKeys, nTouched, nRewritten := int(be.Uint32(img[31:])), int(be.Uint32(img[35:])), int(be.Uint32(img[39:]))
-	if nRewritten == 0 {
-		t.Fatal("the delta rewrote no bucket")
-	}
-	keyEntry := fieldWidth(p.KeySize) + p.KeySize + fieldWidth(geo.Leaves-1)
-	state := fieldWidth(geo.NumBuckets) + fieldWidth(geo.SlotsPer) + (geo.SlotsPer+7)/8
-	at := imageHeaderSize + nKeys*keyEntry + nTouched*(state+(p.Z+7)/8) + state + 8 + geo.SlotsPer*fieldWidth(geo.SlotsPer-1)
-	out := bytes.Clone(delta)
-	index := fieldWidth(p.NumBlocks)
-	putField(out[checkpointHeaderSize+at:], index, 1<<(8*index)-1)
-	return out
-}
+// ones sets every bit of a byte: a sized field's largest value, and past the
+// key table for a key index.
+var ones = []func(byte) byte{func(byte) byte { return 0xff }}
 
-// pastTableStash returns a copy of a checkpoint record's plaintext whose last
-// stash entry, a padding entry carrying no value bytes, names the largest key
-// index the field holds.
-func pastTableStash(plain []byte) []byte {
-	p, geo := formatParams, formatParams.Geometry()
-	index := fieldWidth(p.NumBlocks)
-	header := index + 1 + fieldWidth(geo.Leaves-1) + fieldWidth(p.ValueSize)
-	out := bytes.Clone(plain)
-	putField(out[len(out)-header:], index, 1<<(8*index)-1)
-	return out
-}
+// bitFlips flips one bit of a byte, each in turn: a leaf to another path.
+var bitFlips = func() []func(byte) byte {
+	var flips []func(byte) byte
+	for i := range 8 {
+		flips = append(flips, func(b byte) byte { return b ^ 1<<i })
+	}
+	return flips
+}()
 
 func FuzzDecodeCheckpoint(f *testing.F) {
 	_, checkpoints := fuzzSeedRecords(f)
@@ -187,35 +131,25 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	// A full image that places a key off its leaf's path, which Restore
 	// refuses.
-	off := offPathImage(f, checkpoints)
-	if _, err := ringoram.Restore(key, p, off[checkpointHeaderSize:]); err == nil || !strings.Contains(err.Error(), "off its leaf") {
-		f.Fatalf("a full image placing a key off its path restored: %v", err)
+	base, delta := firstImages(f, checkpoints)
+	restore := func(images ...[]byte) error {
+		_, err := ringoram.Restore(key, p, images[0], images[1:]...)
+		return err
 	}
+	off := refused(f, base, false, bitFlips, func(img []byte) error { return restore(img) }, "off its leaf")
 	f.Add(off, true)
 	f.Add(off, false)
 	// A delta whose rewritten bucket names a key past the table, and a full
-	// image and a delta whose stash does, which Restore refuses.
-	base, delta := firstImages(f, checkpoints)
-	if _, err := ringoram.Restore(key, p, base[checkpointHeaderSize:], delta[checkpointHeaderSize:]); err != nil {
+	// image and a delta whose stash does, which Restore refuses. The first
+	// key index a delta holds is its first rewritten bucket's; the last bytes
+	// of an image are its last stash entry, padding, whose index leads it.
+	if err := restore(base[checkpointHeaderSize:], delta[checkpointHeaderSize:]); err != nil {
 		f.Fatalf("the untouched delta: %v", err)
 	}
-	for _, c := range []struct {
-		name   string
-		images [][]byte // a full record, then deltas
-	}{
-		{"delta bucket", [][]byte{base, pastTableDelta(f, delta)}},
-		{"delta stash", [][]byte{base, pastTableStash(delta)}},
-		{"full stash", [][]byte{pastTableStash(base)}},
-	} {
-		var images [][]byte
-		for _, rec := range c.images {
-			images = append(images, rec[checkpointHeaderSize:])
-		}
-		if _, err := ringoram.Restore(key, p, images[0], images[1:]...); err == nil || !strings.Contains(err.Error(), "names key index") {
-			f.Fatalf("%s naming a key past the table: %v", c.name, err)
-		}
-		f.Add(c.images[len(c.images)-1], true)
-	}
+	overBase := func(img []byte) error { return restore(base[checkpointHeaderSize:], img) }
+	f.Add(refused(f, delta, false, ones, overBase, "names key index"), true) // a delta's bucket
+	f.Add(refused(f, delta, true, ones, overBase, "names key index"), true)  // a delta's stash
+	f.Add(refused(f, base, true, ones, func(img []byte) error { return restore(img) }, "names key index"), true)
 	// What restoring costs before the image has any say: the client itself.
 	baseCost := allocatedBy(func() { ringoram.Restore(key, p, nil) })
 	f.Fuzz(func(t *testing.T, plain []byte, committing bool) {

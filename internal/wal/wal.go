@@ -45,9 +45,10 @@
 // representation, no reflection, and one allocation per record. A record
 // whose version byte is not formatVersion — version 0 is the retired gob
 // encoding, version 1 committed epochs with a record of their own, version 2
-// spelled out every key of a checkpoint and gave its integers fixed widths —
-// fails recovery and standby attach with ErrFormat; there is no migration
-// reader.
+// spelled out every key of a checkpoint and gave its integers fixed widths,
+// version 3 logged no seed of a bucket version (its slots carried their own
+// nonces) and a slot count per bucket — fails recovery and standby attach
+// with ErrFormat; there is no migration reader.
 //
 // All payloads are sealed with the proxy's key and bound to the record kind;
 // epoch ordering is carried (authenticated) inside the payload, so the
@@ -77,7 +78,7 @@ const (
 )
 
 // formatVersion leads every record's plaintext.
-const formatVersion = 3
+const formatVersion = 4
 
 // Record geometry: where the plaintext sits in a record, and the fixed
 // header each kind puts in front of its payload.
