@@ -333,7 +333,7 @@ func (p *Proxy) sealShard(sh *shard, plan *oramexec.BatchPlan) error {
 		return err
 	}
 	if sh.rlog != nil {
-		job.ckpts[sh.id], err = sh.rlog.PrepareCheckpoint(job.epoch, sh.exec.ORAM().Machine(), sh.exec.ORAM())
+		job.ckpts[sh.id], err = sh.rlog.PrepareCheckpoint(job.epoch, sh.exec.ORAM().Machine())
 	}
 	return err
 }

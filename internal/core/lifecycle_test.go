@@ -249,7 +249,7 @@ func recoveredState(t *testing.T, cfg Config, shard int, rec *wal.Recovery) []by
 	sp.Seed += uint64(shard)
 	o, err := ringoram.Restore(cfg.Key, sp, rec.Full, rec.Deltas...)
 	must(t, err)
-	img, err := o.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, o)
+	img, err := o.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 	must(t, err)
 	return img
 }
@@ -431,7 +431,7 @@ func TestRecoveryEquivalenceLiveMetadata(t *testing.T) {
 						t.Fatalf("epoch %d: shard %d recovers to epoch %d with %d batches to replay; want the quiesced epoch %d and none",
 							e, i, rec.CommittedEpoch, len(rec.AbortedBatches), floor)
 					}
-					live, err := p.shards[i].exec.ORAM().Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, p.shards[i].exec.ORAM())
+					live, err := p.shards[i].exec.ORAM().Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 					must(t, err)
 					if !bytes.Equal(recoveredState(t, cfg, i, rec), live) {
 						t.Fatalf("epoch %d: shard %d: metadata restored from a full checkpoint and %d deltas differs from the live ORAM's",

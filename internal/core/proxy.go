@@ -539,7 +539,7 @@ func (p *Proxy) runStage(s stage, i int) {
 	case stageSyncStep:
 		syncLog(sh, &st.errs[i])
 	case stagePrepare:
-		job.ckpts[i], *cerr = sh.rlog.PrepareCheckpoint(job.epoch, sh.exec.ORAM().Machine(), sh.exec.ORAM())
+		job.ckpts[i], *cerr = sh.rlog.PrepareCheckpoint(job.epoch, sh.exec.ORAM().Machine())
 	case stageFlush:
 		*cerr = p.flushShard(sh)
 	case stageSyncFollowers:

@@ -508,7 +508,14 @@ func TestTornFirstBootReinitializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendCheckpoint(0, oram.Machine(), oram); err != nil {
+	cp, err := l.PrepareCheckpoint(0, oram.Machine())
+	if err == nil {
+		_, err = l.AppendPrepared(cp)
+	}
+	if err == nil {
+		err = l.Sync()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Crash here: shard 1 prepared, the coordinator's log empty.

@@ -41,7 +41,7 @@ func initORAM(store storage.BucketStore, key *cryptoutil.Key, p ringoram.Params,
 		return nil, err
 	}
 	if local {
-		o.Machine().KeepLocal(o)
+		o.Machine().KeepLocal()
 	}
 	n := p.Geometry().NumBuckets
 	if have, err := store.NumBuckets(); err != nil {

@@ -1,7 +1,8 @@
 // Package oramexec is Obladi's parallel ORAM executor (§7 of the paper).
 //
-// The executor drives the public machine (ringoram/meta) over its byte plane
-// (ringoram.ORAM). It turns a batch of logical operations into one pipelined
+// The executor drives the public machine (ringoram/meta), which holds its
+// byte plane (ringoram.ORAM), given once when the ORAM was made, and calls
+// it itself. It turns a batch of logical operations into one pipelined
 // pass over storage: the machine plans each operation whole and sequentially
 // (cheap CPU) — its access, then the early reshuffles and evict-paths it
 // makes due, a schedule meta alone decides — the resulting physical slot
@@ -9,12 +10,12 @@
 // (one wire op and one round trip however many slots the stage reads), and
 // every step is completed in plan order, which realizes multilevel
 // serializability: the outcome is identical to the sequential execution of
-// the same batch (ringoram.Seq). Both plan writes and complete steps with
-// the same two ORAM calls (PlanWrite, Complete) over the same store
-// interface; they differ only in how they schedule the I/O. A
-// batch's log is the machine's view of its steps (BatchPlan.Log); what a step
-// logs and how it is replayed is meta's, and ReplayBatch executes what the
-// machine's Replay plans.
+// the same batch (ringoram.Seq). Both plan on the machine (PlanRead,
+// PlanWrite) and complete each step with ringoram.ORAM.Complete over the
+// same store interface; they differ only in how they schedule the I/O. A
+// batch's log is the machine's view of its steps (BatchPlan.Log); what a
+// step logs and how it is replayed is meta's, and ReplayBatch executes what
+// the machine's Replay plans.
 //
 // The executor schedules I/O and owns no block bytes. The machine's
 // local-version table decides which bucket versions the proxy keeps — every
@@ -295,7 +296,7 @@ func New(oram *ringoram.ORAM, store storage.BucketStore, cfg Config) *Executor {
 	e := &Executor{oram: oram, m: m, store: store, cfg: cfg}
 	e.readPlan.m, e.writePlan.m = m, m
 	if !cfg.WriteThrough {
-		e.resident = m.KeepLocal(oram)
+		e.resident = m.KeepLocal()
 	}
 	return e
 }
@@ -372,7 +373,7 @@ func (e *Executor) PlanWriteBatch(ops []WriteOp) (*BatchPlan, error) {
 	plan := e.writePlan.reset(0)
 	for i := range ops {
 		op := &ops[i]
-		steps, err := e.oram.PlanWrite(op.Key, op.Value, op.Tombstone, e.steps[:0])
+		steps, err := e.m.PlanWrite(op.Key, op.Value, op.Tombstone, e.steps[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -574,7 +575,7 @@ func (e *Executor) Flush() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.m.Flushed(e.oram)
+	e.m.Flushed()
 	return n, nil
 }
 
@@ -598,7 +599,7 @@ func (e *Executor) imagesOf(dst []ringoram.BucketImage, handles []meta.Image) []
 // stay valid until the next SealEpoch.
 func (e *Executor) SealEpoch() (*SealedEpoch, error) {
 	defer e.refresh()
-	handles, err := e.m.SealLocal(e.oram)
+	handles, err := e.m.SealLocal()
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func newHarness(t *testing.T, p ringoram.Params, cfg Config) *harness {
 // with the local-version table on; the caller loads the resident levels.
 func (h *harness) adopt(o *ringoram.ORAM) {
 	m := o.Machine()
-	m.KeepLocal(o)
+	m.KeepLocal()
 	h.oram, h.exec.oram, h.exec.m = o, o, m
 	h.exec.readPlan.m, h.exec.writePlan.m = m, m
 }
@@ -287,7 +287,7 @@ func TestWriteThroughNamesResidentTree(t *testing.T) {
 	h.endEpoch(t)
 	// The write-through executor gets the tree's metadata without the
 	// resident executor's table, as a restart in that mode would.
-	img, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, h.oram)
+	img, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	committed := map[string]string{"durable": "yes", "d2": "yes2", "d3": "yes3", "d4": "yes4"}
 	h.runWrites(t, committed, 0)
 	h.endEpoch(t)
-	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, h.oram)
+	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +633,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 		h.endEpoch(t)
 	}
 	committed := h.epoch - 1
-	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, h.oram)
+	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package oramexec
 
 import (
 	"bytes"
-	crand "crypto/rand"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -79,40 +78,22 @@ func slotReadRefs(evs []storage.Event) []storage.SlotRef {
 	return refs
 }
 
-// zeroSeeds makes crypto/rand read zeros until the test ends, so every
-// bucket version two deployments write draws the zero seed: a deployment
-// draws its seeds fresh, and their checkpoint images would otherwise differ
-// in every rewritten bucket's seed. What such a test compares does not depend
-// on the seeds being secret or distinct.
-func zeroSeeds(t *testing.T) {
-	saved := crand.Reader
-	crand.Reader = zeroReader{}
-	t.Cleanup(func() { crand.Reader = saved })
-}
-
-type zeroReader struct{}
-
-func (zeroReader) Read(b []byte) (int, error) {
-	clear(b)
-	return len(b), nil
-}
-
 // TestResidentWarmEqualsRecovered is the differential behind "the resident
 // levels are recovered state, not a cache". Two identically seeded
 // deployments run the same epochs; after every epoch one keeps its executor
 // and its ORAM's table as they are, the other builds a new executor over its
 // ORAM and loads the resident levels back from storage, as a recovery does,
-// replacing the versions its table held. Results and checkpoint images (the
-// seeds zeroed: zeroSeeds) must be identical, neither may read a resident
-// level outside the load, the load must be the same one-call read every
-// time, and it must bring blocks back.
+// replacing the versions its table held. Results and checkpoint images must
+// be identical, but for the seed of each bucket's version, which each
+// deployment draws itself; neither may read a resident level outside the
+// load, the load must be the same one-call read every time, and it must
+// bring blocks back.
 // That the load keeps exactly the blocks the metadata still places, each
 // byte-equal to the block the replaced version held at that slot, is checked
 // where the table lives: ringoram's planeClient.load, at the in-place reloads
 // of TestLocalTableOwnsEachSlotOnce and the Restore of
 // TestBlockPlaneSlotsAreCanonical.
 func TestResidentWarmEqualsRecovered(t *testing.T) {
-	zeroSeeds(t)
 	p := residentParams(31)
 	warm, cold := newHarness(t, p, Config{}), newHarness(t, p, Config{})
 	nRes := warm.exec.resident
@@ -137,13 +118,23 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 		warm.endEpoch(t)
 		cold.endEpoch(t)
 
-		imgW, err := warm.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, warm.oram)
+		imgW, err := warm.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imgC, err := cold.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, cold.oram)
+		imgC, err := cold.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Each deployment draws its versions' seeds fresh: the images may
+		// differ in those alone, each bucket's at the same offset in both.
+		for b := range p.Geometry().NumBuckets {
+			sw, sc := warm.oram.Machine().Seed(b), cold.oram.Machine().Seed(b)
+			at := bytes.Index(imgW, sw[:])
+			if at < 0 || at != bytes.Index(imgC, sc[:]) {
+				t.Fatalf("epoch %d: bucket %d's seed is at offset %d of the warm image, %d of the recovered one", e, b, at, bytes.Index(imgC, sc[:]))
+			}
+			copy(imgC[at:], sw[:])
 		}
 		if !bytes.Equal(imgW, imgC) {
 			t.Fatalf("epoch %d: warm and recovered checkpoint images differ", e)

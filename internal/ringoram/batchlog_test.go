@@ -51,7 +51,7 @@ func loggedOp(t *testing.T, write bool, kind meta.PlanKind) (*ORAM, []byte, []me
 		var steps []*meta.Plan
 		var err error
 		if write {
-			steps, err = o.PlanWrite("", nil, false, nil)
+			steps, err = o.m.PlanWrite("", nil, false, nil)
 		} else {
 			steps, err = o.m.PlanRead("", nil)
 		}
@@ -207,7 +207,7 @@ func TestOversizedKeyRefusedBeforePlanning(t *testing.T) {
 	if steps, err := o.m.Replay([]meta.LogEntry{{Kind: meta.AccessStep, Key: long, Slots: slots}}, nil); !errors.Is(err, meta.ErrReplay) || len(steps) != 0 {
 		t.Fatalf("a replayed access of a %d-byte key planned %d steps, err=%v, want ErrReplay", len(long), len(steps), err)
 	}
-	if steps, err := o.PlanWrite(long, nil, false, nil); err == nil || len(steps) != 0 {
+	if steps, err := o.m.PlanWrite(long, nil, false, nil); err == nil || len(steps) != 0 {
 		t.Fatalf("a write of a %d-byte key planned %d steps, err=%v", len(long), len(steps), err)
 	}
 	if err := seq.Write("k", make([]byte, p.ValueSize+1)); err == nil || len(seq.steps) != 0 {
@@ -257,7 +257,7 @@ func TestBatchLogRoundTrip(t *testing.T) {
 		var steps []*meta.Plan
 		var err error
 		if i%3 == 0 {
-			steps, err = o.PlanWrite(key, []byte("v"), false, nil)
+			steps, err = o.m.PlanWrite(key, []byte("v"), false, nil)
 		} else {
 			steps, err = o.m.PlanRead(key, nil)
 		}
@@ -306,7 +306,7 @@ func TestBatchLogRoundTrip(t *testing.T) {
 // disagree with its bytes is refused, never read past.
 func TestDecodeBatchLogRejectsMalformed(t *testing.T) {
 	o, _, _ := loggedOp(t, false, meta.ReshuffleStep)
-	steps, err := o.PlanWrite("", nil, false, nil)
+	steps, err := o.m.PlanWrite("", nil, false, nil)
 	must(t, err)
 	read, err := o.m.PlanRead("", nil)
 	must(t, err)
@@ -346,7 +346,7 @@ func FuzzDecodeBatchLog(f *testing.F) {
 	for i := 0; i < 24; i++ {
 		var steps []*meta.Plan
 		if i%2 == 0 {
-			steps, err = o.PlanWrite(fmt.Sprintf("k%d", i), nil, false, nil)
+			steps, err = o.m.PlanWrite(fmt.Sprintf("k%d", i), nil, false, nil)
 		} else {
 			steps, err = o.m.PlanRead("", nil)
 		}

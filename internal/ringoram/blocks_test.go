@@ -72,13 +72,13 @@ func (c *planeClient) endEpoch() []BucketImage {
 	m := c.oram.m
 	handles, err := m.LocalEpoch()
 	if c.epochs%2 == 1 {
-		handles, err = m.SealLocal(c.oram)
+		handles, err = m.SealLocal()
 	}
 	must(c.t, err)
 	images := c.oram.imagesOf(handles)
 	must(c.t, c.write(images))
 	if c.epochs%2 == 0 {
-		m.Flushed(c.oram)
+		m.Flushed()
 	}
 	return images
 }
@@ -233,10 +233,10 @@ func (c *planeClient) step(i int) (hit bool) {
 	case op < 6:
 		v := bytes.Repeat([]byte{byte(i)}, c.rng.IntN(c.oram.p.ValueSize+1))
 		c.oracle[k] = v
-		c.run(c.oram.PlanWrite(k, v, false, nil))
+		c.run(c.oram.m.PlanWrite(k, v, false, nil))
 	case op < 8:
 		c.oracle[k] = nil
-		c.run(c.oram.PlanWrite(k, nil, true, nil))
+		c.run(c.oram.m.PlanWrite(k, nil, true, nil))
 	case op < 19:
 		got, found, hit := c.read(k)
 		if want := c.oracle[k]; found != (want != nil) || !bytes.Equal(got, want) {
@@ -313,7 +313,7 @@ func TestBlockPlaneSlotsAreCanonical(t *testing.T) {
 			}
 			o, err := New(key, p)
 			must(t, err)
-			o.m.KeepLocal(o)
+			o.m.KeepLocal()
 			c := newPlaneClient(t, o, 7)
 			var full []byte
 			hits, restored := 0, false
@@ -332,7 +332,7 @@ func TestBlockPlaneSlotsAreCanonical(t *testing.T) {
 					prev := c.oram
 					c.oram, err = Restore(key, p, full, image(t, c.oram, false))
 					must(t, err)
-					c.oram.m.KeepLocal(c.oram)
+					c.oram.m.KeepLocal()
 					c.load(prev)
 					restored = true
 				}
@@ -357,7 +357,7 @@ func TestRestoreTakesSlotsForItsStashOnly(t *testing.T) {
 	src, err := New(key, p)
 	must(t, err)
 	for i := 0; i < 12; i++ { // dummiless writes: twelve entries, no eviction yet
-		steps, err := src.PlanWrite(fmt.Sprintf("k%d", i), []byte("v"), false, nil)
+		steps, err := src.m.PlanWrite(fmt.Sprintf("k%d", i), []byte("v"), false, nil)
 		must(t, err)
 		if len(steps) != 1 {
 			t.Fatalf("write %d planned %d steps, want the write alone", i, len(steps))

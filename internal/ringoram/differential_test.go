@@ -29,9 +29,9 @@ type twin struct {
 	hits, blind, pads, localRead int
 }
 
-// twinPlane is the machine's byte plane, which moves no byte: it knows every
-// key's content, for the machine's checkpoints, and the bucket of every
-// version the machine has it keep, by handle.
+// twinPlane is the machine's byte plane, which moves no byte: it keeps every
+// key's written content (Put), for the machine's checkpoints, and the bucket
+// of every version the machine has it keep, by handle.
 type twinPlane struct {
 	values map[string]twinValue
 	images map[meta.Image]int
@@ -66,7 +66,10 @@ func (tp *twinPlane) Value(_ meta.Block, key string) ([]byte, bool, error) {
 	return v.v, v.tombstone, nil
 }
 
-func (tp *twinPlane) Put(meta.Block, string, []byte, bool) error { return nil }
+func (tp *twinPlane) Put(_ meta.Block, key string, v []byte, tombstone bool) error {
+	tp.values[key] = twinValue{v: v, tombstone: tombstone}
+	return nil
+}
 
 func newTwin(t *testing.T, p Params, local bool) *twin {
 	o, err := New(cryptoutil.KeyFromSeed([]byte("twin")), p)
@@ -76,7 +79,7 @@ func newTwin(t *testing.T, p Params, local bool) *twin {
 	tw.m, err = meta.New(p, &tw.plane)
 	must(t, err)
 	if local {
-		if a, b := o.m.KeepLocal(o), tw.m.KeepLocal(&tw.plane); a != b {
+		if a, b := o.m.KeepLocal(), tw.m.KeepLocal(); a != b {
 			t.Fatalf("the ORAM keeps %d buckets resident, the machine %d", a, b)
 		}
 	}
@@ -160,7 +163,7 @@ func (tw *twin) run(steps []*meta.Plan, err error, msteps []*meta.Plan, merr err
 		for _, im := range images {
 			im.Recycle()
 		}
-		_, err = tw.m.Complete(msteps[i], make([][]byte, len(msteps[i].Reads)), &tw.plane)
+		_, err = tw.m.Complete(msteps[i], make([][]byte, len(msteps[i].Reads)))
 		must(t, err)
 		tw.checkImages(fmt.Sprintf("step %d's completion", i))
 	}
@@ -186,14 +189,14 @@ func (tw *twin) endEpoch() {
 	images, what := tw.c.endEpoch(), "sealed"
 	handles, err := tw.m.LocalEpoch()
 	if tw.c.epochs%2 == 1 {
-		handles, err = tw.m.SealLocal(&tw.plane)
+		handles, err = tw.m.SealLocal()
 	} else {
 		what = "flushed"
 	}
 	must(tw.t, err)
 	tw.sameBuckets(what, images, handles)
 	if what == "flushed" {
-		tw.m.Flushed(&tw.plane)
+		tw.m.Flushed()
 	}
 	tw.checkImages(what)
 	checkSettled(tw.t, tw.o, what)
@@ -218,9 +221,9 @@ func (tw *twin) sameBuckets(what string, images []BucketImage, handles []meta.Im
 func (tw *twin) checkpoint(full bool) {
 	t := tw.t
 	pad := meta.CheckpointPad{PosEntries: 40, StashEntries: tw.o.p.StashLimit}
-	a, err := tw.o.m.EncodeCheckpoint(full, pad, 3, 5, tw.o)
+	a, err := tw.o.m.EncodeCheckpoint(full, pad, 3, 5)
 	must(t, err)
-	b, err := tw.m.EncodeCheckpoint(full, pad, 3, 5, &tw.plane)
+	b, err := tw.m.EncodeCheckpoint(full, pad, 3, 5)
 	must(t, err)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("checkpoint images (full %v) differ:\nORAM    %x\nmachine %x", full, a, b)
@@ -255,14 +258,12 @@ func TestMachineMatchesORAM(t *testing.T) {
 					if _, written := tw.plane.values[k]; written && stashSlot(o, k) == nil {
 						tw.blind++ // a key written before and not in the stash is in the tree
 					}
-					steps, err := o.PlanWrite(k, v, false, nil)
-					msteps, _, merr := m.PlanWrite(k, nil)
-					tw.plane.values[k] = twinValue{v: v}
+					steps, err := o.m.PlanWrite(k, v, false, nil)
+					msteps, merr := m.PlanWrite(k, v, false, nil)
 					tw.run(steps, err, msteps, merr)
 				case op < 8:
-					steps, err := o.PlanWrite(k, nil, true, nil)
-					msteps, _, merr := m.PlanWrite(k, nil)
-					tw.plane.values[k] = twinValue{tombstone: true}
+					steps, err := o.m.PlanWrite(k, nil, true, nil)
+					msteps, merr := m.PlanWrite(k, nil, true, nil)
 					tw.run(steps, err, msteps, merr)
 				case op < 17:
 					steps, err := o.m.PlanRead(k, nil)
@@ -274,8 +275,8 @@ func TestMachineMatchesORAM(t *testing.T) {
 					tw.run(steps, err, msteps, merr)
 					tw.pads++
 				default:
-					steps, err := o.PlanWrite("", nil, false, nil)
-					msteps, _, merr := m.PlanWrite("", nil)
+					steps, err := o.m.PlanWrite("", nil, false, nil)
+					msteps, merr := m.PlanWrite("", nil, false, nil)
 					tw.run(steps, err, msteps, merr)
 					tw.pads++
 				}

@@ -116,7 +116,8 @@ func (c *sparseClient) seal(images []BucketImage) {
 // that carry a block, and BucketImage.Real names exactly the slots that can.
 // One ORAM is driven by the sequential client over a full store, its twin
 // (same seed, same operations, and both drawing their versions' seeds from
-// fixedSeeds) by a client that is handed nil for everything outside Real. They must agree on every result and end in the same state —
+// fixedPlane) by a client that is handed nil for everything outside Real.
+// They must agree on every result and end in the same state —
 // though the twin seals its upper buckets as their Z real positions alone,
 // where Real[i] is the physical slot of Slots[i]: leaving the dummies out
 // changes nothing a checkpoint records and draws nothing from the generator.
@@ -139,10 +140,10 @@ func TestCompletionNeverInspectsFillers(t *testing.T) {
 			case op < 4:
 				val := []byte(fmt.Sprintf("v%d", i))
 				must(t, full.Write(key, val))
-				sparse.run(o.PlanWrite(key, val, false, nil))
+				sparse.run(o.m.PlanWrite(key, val, false, nil))
 			case op < 5:
 				must(t, full.Delete(key))
-				sparse.run(o.PlanWrite(key, nil, true, nil))
+				sparse.run(o.m.PlanWrite(key, nil, true, nil))
 			case op < 9:
 				want, wantFound, err := full.Read(key)
 				must(t, err)

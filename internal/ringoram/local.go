@@ -35,7 +35,7 @@ func (o *ORAM) LoadLocal(data [][]byte) error {
 	}
 	var held []int
 	for b := 0; b < resident; b++ {
-		h, ver, perm, got := o.m.Reload(b, held[:0], o)
+		h, ver, perm, got := o.m.Reload(b, held[:0])
 		held = got
 		im := o.image(h)
 		*im = o.newImage(b, ver, o.m.Seed(b))

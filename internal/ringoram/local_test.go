@@ -121,7 +121,7 @@ func TestLocalTableOwnsEachSlotOnce(t *testing.T) {
 	key := cryptoutil.KeyFromSeed([]byte("owner"))
 	o, err := New(key, p)
 	must(t, err)
-	o.m.KeepLocal(o)
+	o.m.KeepLocal()
 	c := newPlaneClient(t, o, 11)
 	var full []byte
 	var stored map[int][][]byte
@@ -145,7 +145,7 @@ func TestLocalTableOwnsEachSlotOnce(t *testing.T) {
 			c.oram, err = Restore(key, p, full)
 			must(t, err)
 			c.stored, c.oracle = stored, oracle
-			c.oram.m.KeepLocal(c.oram)
+			c.oram.m.KeepLocal()
 			c.load(nil) // the replaced versions are newer than the rolled-back state
 			rolledBack = true
 			checkOwnership(t, c.oram, fmt.Sprintf("epoch %d, rolled back to epoch 20", epoch))
@@ -219,7 +219,7 @@ func TestOlderSlotSchemeRefused(t *testing.T) {
 	t.Run("LoadLocal", func(t *testing.T) {
 		o, err := New(key, p)
 		must(t, err)
-		o.m.KeepLocal(o)
+		o.m.KeepLocal()
 		c := newPlaneClient(t, o, 5)
 		for epoch := 1; epoch <= 8; epoch++ {
 			for i := 0; i < 12; i++ {

@@ -10,7 +10,7 @@ type bucketMeta struct {
 	// and occ): a bucket's slot state is a few contiguous words.
 	words    []uint64
 	writeVer uint64 // bumped on every rewrite; binds slot ciphertexts
-	seed     Seed   // the version's, drawn from the Seeder when it is written
+	seed     Seed   // the version's, drawn from the plane when it is written
 }
 
 // metaWords is how many words a bucket's bitsets take: ⌈slotsPer/64⌉ each

@@ -224,11 +224,11 @@ func readBits(s bitset, b []byte, n int) {
 // EncodeCheckpoint writes a full or delta image of the current metadata into
 // one freshly allocated buffer, with head bytes reserved in front of the
 // image and tail bytes behind it (the recovery log's framing and AEAD tag),
-// and returns the buffer; plane supplies the stash's values. It does not
+// and returns the buffer; the plane supplies the stash's values. It does not
 // reset delta tracking; see ClearDirty. It fails while an access is in
 // flight (a pending stash entry has no value to log): checkpoints belong to
 // epoch boundaries.
-func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int, plane Plane) ([]byte, error) {
+func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([]byte, error) {
 	l := m.imageLayout()
 	if pad.ValueSize > m.p.ValueSize {
 		return nil, fmt.Errorf("ringoram: checkpoint pads stash values to %d bytes, ValueSize is %d", pad.ValueSize, m.p.ValueSize)
@@ -251,7 +251,7 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 		if e.pending {
 			return nil, errors.New("ringoram: checkpoint with pending stash entries (mid-epoch checkpoint)")
 		}
-		value, _, err := plane.Value(e.blk, e.key)
+		value, _, err := m.plane.Value(e.blk, e.key)
 		if err != nil {
 			return nil, err
 		}
@@ -307,7 +307,7 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int,
 	}
 
 	for _, e := range m.stashList {
-		value, tombstone, _ := plane.Value(e.blk, e.key) // read above
+		value, tombstone, _ := m.plane.Value(e.blk, e.key) // read above
 		b = l.index.put(b, int(e.ki)+1)
 		if tombstone {
 			b[0] |= stashFlagTombstone
@@ -428,9 +428,9 @@ func bit(b []byte, i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
 // Images are untrusted only in the sense that a bug or a mismatched
 // configuration may have produced them (the log authenticates them): every
 // count, index and length is checked before it is used. The stash each
-// image lists replaces the one before it, and plane is handed the values of
-// the stash the last image leaves; it draws the seed of every version the
-// restored machine writes.
+// image lists replaces the one before it, and plane, the byte plane the
+// machine drives from then on, is handed the values of the stash the last
+// image leaves.
 func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, error) {
 	m, err := newMachine(p, plane)
 	if err != nil {
@@ -439,11 +439,7 @@ func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, er
 	l := m.imageLayout()
 	images := append([][]byte{full}, deltas...)
 	for i, img := range images {
-		var v Plane
-		if i == len(images)-1 {
-			v = plane
-		}
-		if err := m.applyImage(l, img, i == 0, v); err != nil {
+		if err := m.applyImage(l, img, i == 0, i == len(images)-1); err != nil {
 			return nil, err
 		}
 	}
@@ -478,9 +474,9 @@ func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, er
 }
 
 // applyImage decodes one image into the machine, handing its stash's values
-// to plane unless that is nil. wantFull says which kind the caller's
+// to the plane if it is the last. wantFull says which kind the caller's
 // position in the restore sequence requires.
-func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Plane) error {
+func (m *Machine) applyImage(l imageLayout, img []byte, wantFull, last bool) error {
 	h, err := readImageHeader(img)
 	if err != nil {
 		return err
@@ -626,8 +622,8 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull bool, plane Pla
 		}
 		e := m.newEntry(stashEntry{key: key, ki: ki, leaf: leaf, cacheable: flags&stashFlagCacheable != 0})
 		m.stashAdd(e)
-		if plane != nil {
-			if err := plane.Put(e.blk, e.key, value, flags&stashFlagTombstone != 0); err != nil {
+		if last {
+			if err := m.plane.Put(e.blk, e.key, value, flags&stashFlagTombstone != 0); err != nil {
 				return err
 			}
 		}

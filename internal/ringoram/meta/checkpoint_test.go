@@ -12,12 +12,12 @@ import (
 )
 
 // stateDigest hashes everything a checkpoint carries of m, with the stash's
-// values from plane: the counters; the key table in order, each key with its
-// leaf and, while resident, its bucket and position; every bucket's bitset
-// words, permutation, version, slot count, seed and resident key indices; and the
-// stash in order, each entry with its leaf, flags and value. Block handles,
+// values from its plane: the counters; the key table in order, each key with
+// its leaf and, while resident, its bucket and position; every bucket's bitset
+// words, permutation, version, slot count, seed and resident key indices; and
+// the stash in order, each entry with its leaf, flags and value. Block handles,
 // dirty marks and the stash peak are process-local and left out.
-func stateDigest(t testing.TB, m *Machine, plane Plane) string {
+func stateDigest(t testing.TB, m *Machine) string {
 	t.Helper()
 	h := sha256.New()
 	u := func(vs ...uint64) {
@@ -51,7 +51,7 @@ func stateDigest(t testing.TB, m *Machine, plane Plane) string {
 	}
 	u(uint64(len(m.stashList)))
 	for _, e := range m.stashList {
-		v, tombstone, err := plane.Value(e.blk, e.key)
+		v, tombstone, err := m.plane.Value(e.blk, e.key)
 		must(t, err)
 		str(e.key)
 		str(string(v))
@@ -93,15 +93,14 @@ func TestRestoredStateDigest(t *testing.T) {
 			m, err := New(p, values{})
 			must(t, err)
 			rng := rand.New(rand.NewPCG(17, 18))
-			vs := values{}
 			var steps []*Plan
 			run := func(ops int) {
 				for i := 0; i < ops; i++ {
 					k := fmt.Sprintf("key-%d", rng.IntN(c.numKeys))
 					switch op := rng.IntN(10); {
 					case op < 5:
-						steps, _, err = m.PlanWrite(k, steps[:0])
-						vs[k] = value{v: []byte(fmt.Sprintf("%s@%d", k, rng.IntN(1000))), tombstone: op == 0}
+						v := []byte(fmt.Sprintf("%s@%d", k, rng.IntN(1000)))
+						steps, err = m.PlanWrite(k, v, op == 0, steps[:0])
 					case op < 9:
 						steps, err = m.PlanRead(k, steps[:0])
 					default:
@@ -113,21 +112,20 @@ func TestRestoredStateDigest(t *testing.T) {
 			}
 			pad := CheckpointPad{PosEntries: 48, StashEntries: m.p.StashLimit, ValueSize: 8}
 			run(6 * c.numKeys)
-			full, err := m.EncodeCheckpoint(true, pad, 0, 0, vs)
+			full, err := m.EncodeCheckpoint(true, pad, 0, 0)
 			must(t, err)
 			m.ClearDirty()
 			var deltas [][]byte
 			for range 4 {
 				run(40)
-				delta, err := m.EncodeCheckpoint(false, pad, 0, 0, vs)
+				delta, err := m.EncodeCheckpoint(false, pad, 0, 0)
 				must(t, err)
 				m.ClearDirty()
 				deltas = append(deltas, delta)
 			}
-			restoredValues := values{}
-			restored, err := Restore(m.p, restoredValues, full, deltas...)
+			restored, err := Restore(m.p, values{}, full, deltas...)
 			must(t, err)
-			live, got := stateDigest(t, m, vs), stateDigest(t, restored, restoredValues)
+			live, got := stateDigest(t, m), stateDigest(t, restored)
 			if got != live {
 				t.Fatalf("restored state digest %s, live %s", got, live)
 			}
@@ -167,34 +165,31 @@ func TestCheckpointWidthBoundaries(t *testing.T) {
 				t.Fatalf("%d leaves, %d buckets: index, leaf and bucket fields %d, %d, %d bytes; want %d, %d, %d",
 					m.geo.Leaves, m.geo.NumBuckets, l.index, l.leaf, l.bucket, c.index, c.leaf, c.bucket)
 			}
-			vs := values{}
 			var steps []*Plan
 			write := func(k string, v int) {
-				steps, _, err = m.PlanWrite(k, steps[:0])
+				steps, err = m.PlanWrite(k, []byte(fmt.Sprint(v)), false, steps[:0])
 				must(t, err)
 				complete(t, m, steps)
-				vs[k] = value{v: []byte(fmt.Sprint(v))}
 			}
 			for i := range c.keys {
 				write(fmt.Sprintf("key-%d", i), i)
 			}
 			pad := CheckpointPad{PosEntries: 16, StashEntries: m.p.StashLimit, ValueSize: 8}
-			full, err := m.EncodeCheckpoint(true, pad, 0, 0, vs)
+			full, err := m.EncodeCheckpoint(true, pad, 0, 0)
 			must(t, err)
 			m.ClearDirty()
 			for i := range 8 {
 				write(fmt.Sprintf("key-%d", c.keys-1-i), -i)
 			}
-			delta, err := m.EncodeCheckpoint(false, pad, 0, 0, vs)
+			delta, err := m.EncodeCheckpoint(false, pad, 0, 0)
 			must(t, err)
 			newest := &m.keys[c.keys-1]
 			if _, stashed := m.stash[newest.name]; !stashed && m.bucketDirty[newest.bucket] != bucketRewritten {
 				t.Fatalf("the delta names %q neither in the stash nor in a rewritten bucket", newest.name)
 			}
-			restoredValues := values{}
-			restored, err := Restore(m.p, restoredValues, full, delta)
+			restored, err := Restore(m.p, values{}, full, delta)
 			must(t, err)
-			if live, got := stateDigest(t, m, vs), stateDigest(t, restored, restoredValues); got != live {
+			if live, got := stateDigest(t, m), stateDigest(t, restored); got != live {
 				t.Fatalf("restored state digest %s, live %s", got, live)
 			}
 		})
@@ -209,7 +204,7 @@ func TestCheckpointWidthBoundaries(t *testing.T) {
 func TestRestoreRefusesKeyIndexPastTable(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
 	pad := CheckpointPad{PosEntries: 8, StashEntries: m.p.StashLimit}
-	full, err := m.EncodeCheckpoint(true, pad, 0, 0, stashValues(m))
+	full, err := m.EncodeCheckpoint(true, pad, 0, 0)
 	must(t, err)
 	m.ClearDirty()
 	for i := 0; i < 40; i++ {
@@ -217,7 +212,7 @@ func TestRestoreRefusesKeyIndexPastTable(t *testing.T) {
 		must(t, err)
 		complete(t, m, steps)
 	}
-	delta, err := m.EncodeCheckpoint(false, pad, 0, 0, stashValues(m))
+	delta, err := m.EncodeCheckpoint(false, pad, 0, 0)
 	must(t, err)
 	_, err = Restore(m.p, values{}, full, delta)
 	must(t, err)
@@ -259,7 +254,7 @@ func TestRestoreRefusesKeyInReadSlot(t *testing.T) {
 	k := m.keys[slices.IndexFunc(m.keys, func(k keyEnt) bool { return k.bucket >= 0 })]
 	bm := &m.buckets[k.bucket]
 	bm.valid().unset(bm.perm[k.rpos])
-	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, stashValues(m))
+	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
 	must(t, err)
 	if _, err := Restore(m.p, values{}, full); err == nil || !strings.Contains(err.Error(), "whose slot was read") {
 		t.Fatalf("Restore of %q at a read slot of bucket %d: %v, want a refusal", k.name, k.bucket, err)

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -55,6 +56,52 @@ func TestImportsStandardLibraryOnly(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no non-test file parsed")
+	}
+}
+
+// TestNoFileAssignsRandReader: no Go file of the repository, test files
+// included, assigns crypto/rand.Reader. The generator is the process's: a
+// test that swaps it changes what every goroutine draws, seeds and nonces
+// included, and cannot run beside another test. A test that needs
+// deterministic seeds gives its machine a plane whose Seed answers them.
+func TestNoFileAssignsRandReader(t *testing.T) {
+	root := filepath.Join("..", "..", "..")
+	checked := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		checked++
+		name := "" // what the file calls crypto/rand
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"crypto/rand"` {
+				name = "rand"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			for i := 0; ok && name != "" && i < len(as.Lhs); i++ {
+				if sel, isSel := as.Lhs[i].(*ast.SelectorExpr); isSel && sel.Sel.Name == "Reader" {
+					if x, isIdent := sel.X.(*ast.Ident); isIdent && x.Name == name {
+						t.Errorf("%s assigns crypto/rand.Reader", fset.Position(as.Pos()))
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	must(t, err)
+	if checked == 0 {
+		t.Fatal("no Go file parsed")
 	}
 }
 

@@ -31,22 +31,20 @@ func TestStashKeysAreTableOwned(t *testing.T) {
 		return unsafe.String(&scratch[start], len(key))
 	}
 	rng := rand.New(rand.NewPCG(7, 8))
-	vs := values{}
 	var full []byte
 	var steps []*Plan
 	for i := 0; i < 600; i++ {
 		k := carve(fmt.Sprintf("k%d", rng.IntN(40)))
 		switch rng.IntN(4) {
 		case 0, 1, 2:
-			steps, _, err = m.PlanWrite(k, steps[:0])
-			vs[string([]byte(k))] = value{v: []byte("v")}
+			steps, err = m.PlanWrite(k, []byte("v"), false, steps[:0])
 		default:
 			steps, err = m.PlanRead(k, steps[:0])
 		}
 		must(t, err)
 		complete(t, m, steps)
 		if i == 300 {
-			full, err = m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, vs)
+			full, err = m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
 			must(t, err)
 			m.ClearDirty()
 		}
@@ -55,7 +53,7 @@ func TestStashKeysAreTableOwned(t *testing.T) {
 		t.Fatal("no eviction pooled a stash entry: the workload checks nothing")
 	}
 	requireTableOwned(t, m, scratch)
-	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0, vs)
+	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0)
 	must(t, err)
 	restored, err := Restore(p, values{}, full, delta)
 	must(t, err)

@@ -71,11 +71,11 @@ func residentCount(g Geometry) int {
 // KeepLocal turns the local-version table on and returns how many buckets,
 // from the root in heap order, it keeps resident. From then on reads are
 // marked Local as they are planned and evictions name their versions'
-// handles. Each resident bucket's current version gets a handle, which plane
-// files as the version's image with no block — all of it over a fresh tree;
-// over restored metadata the byte plane loads the blocks (Reload) before
-// anything is planned. Calling it again changes nothing.
-func (m *Machine) KeepLocal(plane Plane) int {
+// handles. Each resident bucket's current version gets a handle, which the
+// plane files as the version's image with no block — all of it over a fresh
+// tree; over restored metadata the byte plane loads the blocks (Reload)
+// before anything is planned. Calling it again changes nothing.
+func (m *Machine) KeepLocal() int {
 	t := &m.local
 	if t.versions == nil {
 		t.resident = residentCount(m.geo)
@@ -85,7 +85,7 @@ func (m *Machine) KeepLocal(plane Plane) int {
 			bm := &m.buckets[b]
 			w := BucketWrite{Bucket: b, Ver: bm.writeVer, Seed: bm.seed, Image: t.alloc(b, bm.writeVer), Perm: bm.perm}
 			t.versions[b].cur = w.Image
-			plane.Place(&w)
+			m.plane.Place(&w)
 		}
 	}
 	return t.resident
@@ -95,10 +95,10 @@ func (m *Machine) KeepLocal(plane Plane) int {
 // plane to file the version under as it loads its blocks from storage, and
 // releases the one it replaces unless the sealed set holds it. It returns the
 // handle and what Holds returns.
-func (m *Machine) Reload(b int, dst []int, plane Plane) (Image, uint64, []int, []int) {
+func (m *Machine) Reload(b int, dst []int) (Image, uint64, []int, []int) {
 	ver, perm, held := m.Holds(b, dst)
 	h := m.local.alloc(b, ver)
-	m.local.keep(b, h, plane)
+	m.keep(b, h)
 	return h, ver, perm, held
 }
 
@@ -116,7 +116,7 @@ func (m *Machine) Local(b int) (cur, sealed Image) {
 // SealLocal ends the current epoch in the table: its versions become the
 // sealed set, whose handles it returns in bucket order, and the sealed set
 // before it is retired. The slice is the table's, valid until the next call.
-func (m *Machine) SealLocal(plane Plane) ([]Image, error) {
+func (m *Machine) SealLocal() ([]Image, error) {
 	t := &m.local
 	handles, err := m.LocalEpoch()
 	if err != nil {
@@ -125,13 +125,13 @@ func (m *Machine) SealLocal(plane Plane) ([]Image, error) {
 	for _, h := range t.sealed {
 		lb := &t.versions[t.images[h].bucket]
 		lb.sealed = 0
-		t.release(lb, h, plane)
+		m.release(lb, h)
 	}
 	t.sealed = append(t.sealed[:0], handles...)
 	for _, h := range t.sealed {
 		t.versions[t.images[h].bucket].sealed = h
 	}
-	m.Flushed(plane)
+	m.Flushed()
 	return t.sealed, nil
 }
 
@@ -154,7 +154,7 @@ func (m *Machine) LocalEpoch() ([]Image, error) {
 // Flushed records that the current epoch's versions reached storage: the
 // epoch's claims are done, and the versions leave the table unless the sealed
 // set holds them, the resident buckets' newest versions excepted.
-func (m *Machine) Flushed(plane Plane) {
+func (m *Machine) Flushed() {
 	t := &m.local
 	for _, b := range t.epoch {
 		lb := &t.versions[b]
@@ -162,7 +162,7 @@ func (m *Machine) Flushed(plane Plane) {
 		if b >= t.resident {
 			old := lb.cur
 			lb.cur = 0
-			t.release(lb, old, plane)
+			m.release(lb, old)
 		}
 	}
 	t.epoch = t.epoch[:0]
@@ -223,24 +223,24 @@ func (t *localTable) alloc(b int, ver uint64) Image {
 }
 
 // keep makes h bucket b's current version: its rewrite completed.
-func (t *localTable) keep(b int, h Image, plane Plane) {
-	if t.versions == nil {
+func (m *Machine) keep(b int, h Image) {
+	if m.local.versions == nil {
 		return
 	}
-	lb := &t.versions[b]
+	lb := &m.local.versions[b]
 	old := lb.cur
 	lb.cur = h
-	t.release(lb, old, plane)
+	m.release(lb, old)
 }
 
 // release is the rule every transition ends with: handle h, which bucket lb
 // held, goes back to the free list, and its image to the byte plane, unless
 // the bucket still holds it as its current or its sealed version.
-func (t *localTable) release(lb *localBucket, h Image, plane Plane) {
-	if h != 0 && h != lb.cur && h != lb.sealed {
+func (m *Machine) release(lb *localBucket, h Image) {
+	if t := &m.local; h != 0 && h != lb.cur && h != lb.sealed {
 		t.images[h] = kept{}
 		t.free = append(t.free, h)
-		plane.Release(h)
+		m.plane.Release(h)
 	}
 }
 

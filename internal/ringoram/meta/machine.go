@@ -79,7 +79,7 @@ type Machine struct {
 	p     Params
 	geo   Geometry
 	rng   *rand.Rand
-	seeds Seeder // draws every version's seed; never the rng (see Seeder)
+	plane Plane // given once, at New or Restore (see Plane)
 
 	keys  []keyEnt         // position map and location index, in first-write order
 	pos   map[string]int32 // key -> index into keys
@@ -120,24 +120,12 @@ type Machine struct {
 // seed of every version it reads or writes, and logs it in checkpoints.
 type Seed [12]byte
 
-// Seeder draws seeds. The machine asks for one whenever it writes a bucket
-// version: a fresh tree's versions, every eviction's and early reshuffle's,
-// and a replayed one's after a crash. The byte plane draws from the system's
-// secure generator, never from the Params.Seed generator, because a version
-// a recovery writes again under a new permutation must not reuse the
-// version's first seed; a test plane may answer deterministically.
-type Seeder interface {
-	// Seed returns the seed of version ver of bucket b, which the machine
-	// is writing.
-	Seed(b int, ver uint64) Seed
-}
-
-// New creates the metadata of a fresh tree: every bucket gets empty real
-// positions and a random permutation, drawn in heap order from the seeded
-// generator, at version 1 with a seed from seeds, which draws every later
-// version's seed too.
-func New(p Params, seeds Seeder) (*Machine, error) {
-	m, err := newMachine(p, seeds)
+// New creates the metadata of a fresh tree over plane, the byte plane the
+// machine drives from then on: every bucket gets empty real positions and a
+// random permutation, drawn in heap order from the seeded generator, at
+// version 1 with a seed the plane draws.
+func New(p Params, plane Plane) (*Machine, error) {
+	m, err := newMachine(p, plane)
 	if err != nil {
 		return nil, err
 	}
@@ -145,13 +133,13 @@ func New(p Params, seeds Seeder) (*Machine, error) {
 		bm := &m.buckets[b]
 		m.shuffle(bm.perm)
 		bm.writeVer = 1
-		bm.seed = seeds.Seed(b, 1)
+		bm.seed = plane.Seed(b, 1)
 		bm.rewrite(0)
 	}
 	return m, nil
 }
 
-func newMachine(p Params, seeds Seeder) (*Machine, error) {
+func newMachine(p Params, plane Plane) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,7 +155,7 @@ func newMachine(p Params, seeds Seeder) (*Machine, error) {
 		p:           p,
 		geo:         geo,
 		rng:         rand.New(src),
-		seeds:       seeds,
+		plane:       plane,
 		pos:         make(map[string]int32),
 		stash:       make(map[string]*stashEntry),
 		buckets:     make([]bucketMeta, geo.NumBuckets),
@@ -336,9 +324,16 @@ func (m *Machine) shuffle(perm []int) {
 // Plane is the byte plane as the machine drives it: the machine decides what
 // happens to a block or a bucket version, and the plane moves the bytes. A
 // stash block is named by its Block and a kept bucket version by its Image.
-// The plane draws the versions' seeds.
+// A machine is given its plane once, at New or Restore, and calls no other.
 type Plane interface {
-	Seeder
+	// Seed draws the seed of version ver of bucket b, which the machine is
+	// writing: a fresh tree's versions, every eviction's and early
+	// reshuffle's, and a replayed one's after a crash. The ORAM draws from
+	// the system's secure generator, never from the Params.Seed generator,
+	// because a version a recovery writes again under a new permutation must
+	// not reuse the version's first seed; a plane that seals nothing may
+	// answer deterministically.
+	Seed(b int, ver uint64) Seed
 	// Deliver moves the block read r carries, key's, into the stash: data is
 	// the slot storage returned, nil for a local read, which the plane serves
 	// from the version r.Image names.
@@ -355,26 +350,26 @@ type Plane interface {
 	// next call.
 	Value(b Block, key string) (value []byte, tombstone bool, err error)
 	// Put stores value and the tombstone flag as block b, key's: the block a
-	// write returns (PlanWrite), or an entry of the stash the last image of a
-	// Restore leaves.
+	// write puts in the stash (PlanWrite), or an entry of the stash the last
+	// image of a Restore leaves.
 	Put(b Block, key string, value []byte, tombstone bool) error
 }
 
 // Key returns the key of block b.
 func (m *Machine) Key(b Block) string { return m.entries[b].key }
 
-// Complete applies a step's fetched slots, in plan order, through plane: it
-// delivers every read whose block is still pending (a read whose block a
-// later write superseded delivers nothing), places an eviction's blocks into
-// the versions it writes, which become the local table's current ones, and
-// retires the step. data must be parallel to p.Reads. It returns the block
-// an access returns, 0 for padding, an unknown key and every other step. It
-// refuses a plan completed before, a slot count other than the plan's, a
-// local read of a version the table no longer holds, and a block still
-// pending when its access or eviction completes. The plan goes back to its
-// pool, which the caller must not touch it past; an error leaves it out of
-// the pool, so the caller can inspect it.
-func (m *Machine) Complete(p *Plan, data [][]byte, plane Plane) (Block, error) {
+// Complete applies a step's fetched slots, in plan order, through the plane: it
+// delivers every read whose block is still pending (a read whose block a later
+// write superseded delivers nothing), places an eviction's blocks into the
+// versions it writes, which become the local table's current ones, and retires
+// the step. data must be parallel to p.Reads. It returns the block an access
+// returns, 0 for padding, an unknown key and every other step. It refuses a
+// plan completed before, a slot count other than the plan's, a local read of a
+// version the table no longer holds, and a block still pending when its access
+// or eviction completes. The plan goes back to its pool, which the caller must
+// not touch it past; an error leaves it out of the pool, so the caller can
+// inspect it.
+func (m *Machine) Complete(p *Plan, data [][]byte) (Block, error) {
 	if p.completed {
 		return 0, errors.New("ringoram: plan completed twice")
 	}
@@ -387,7 +382,7 @@ func (m *Machine) Complete(p *Plan, data [][]byte, plane Plane) (Block, error) {
 	}
 	for i, r := range p.Reads {
 		if e := m.entries[r.blk]; r.blk != 0 && e.pending {
-			if err := plane.Deliver(r, data[i], e.key); err != nil {
+			if err := m.plane.Deliver(r, data[i], e.key); err != nil {
 				return 0, err
 			}
 			e.pending = false
@@ -407,8 +402,8 @@ func (m *Machine) Complete(p *Plan, data [][]byte, plane Plane) (Block, error) {
 	// them, and any later access finds the key in the tree.
 	for i := range p.writes {
 		w := &p.writes[i]
-		plane.Place(w)
-		m.local.keep(w.Bucket, w.Image, plane)
+		m.plane.Place(w)
+		m.keep(w.Bucket, w.Image)
 		for _, b := range w.Placed {
 			e := m.entries[b]
 			*e = stashEntry{blk: b}

@@ -21,12 +21,12 @@ func testParams(n int) Params {
 	return Params{NumBlocks: n, Z: 4, S: 6, A: 4, KeySize: 16, ValueSize: 32, Seed: 42}
 }
 
-// complete completes steps in plan order through the one Complete, with a
-// plane that moves no byte.
+// complete completes steps in plan order through the one Complete, with no
+// slot data: every test machine's plane moves no byte.
 func complete(t testing.TB, m *Machine, steps []*Plan) {
 	t.Helper()
 	for _, p := range steps {
-		_, err := m.Complete(p, make([][]byte, len(p.Reads)), values{})
+		_, err := m.Complete(p, make([][]byte, len(p.Reads)))
 		must(t, err)
 	}
 }
@@ -65,16 +65,6 @@ func (vs values) Value(_ Block, key string) ([]byte, bool, error) {
 func (vs values) Put(_ Block, key string, v []byte, tombstone bool) error {
 	vs[key] = value{v: v, tombstone: tombstone}
 	return nil
-}
-
-// stashValues is a plane holding each of m's stash entries with its key for
-// a value.
-func stashValues(m *Machine) values {
-	vs := values{}
-	for _, e := range m.stashList {
-		vs[e.key] = value{v: []byte(e.key)}
-	}
-	return vs
 }
 
 // checkBucketBits recomputes bucket b's bitsets slot by slot from perm,
@@ -194,7 +184,7 @@ func runWorkload(t *testing.T, p Params, seed uint64, numKeys, ops int) *Machine
 		k := fmt.Sprintf("key-%d", rng.IntN(numKeys))
 		switch op := rng.IntN(10); {
 		case op < 5:
-			steps, _, err = m.PlanWrite(k, steps[:0])
+			steps, err = m.PlanWrite(k, []byte(k), false, steps[:0])
 		case op < 9:
 			steps, err = m.PlanRead(k, steps[:0])
 		default:
@@ -232,17 +222,15 @@ func TestMachineInvariants(t *testing.T) {
 // maps and placements.
 func TestRestoreKeepsInvariants(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
-	vs := stashValues(m)
-	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, vs)
+	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
 	must(t, err)
 	m.ClearDirty()
 	for i := 0; i < 50; i++ {
-		steps, _, err := m.PlanWrite(fmt.Sprintf("key-%d", i), nil)
+		steps, err := m.PlanWrite(fmt.Sprintf("key-%d", i), []byte("w"), false, nil)
 		must(t, err)
 		complete(t, m, steps)
-		vs[fmt.Sprintf("key-%d", i)] = value{v: []byte("w")}
 	}
-	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0, vs)
+	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0)
 	must(t, err)
 	restored, err := Restore(m.p, values{}, full, delta)
 	must(t, err)
@@ -261,8 +249,7 @@ func TestRestoreKeepsInvariants(t *testing.T) {
 // every bucket of the path and only then refuse.
 func TestRestoreRefusesKeyOffItsPath(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
-	vs := stashValues(m)
-	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, vs)
+	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
 	must(t, err)
 	_, err = Restore(m.p, values{}, full)
 	must(t, err)
@@ -278,9 +265,9 @@ func TestRestoreRefusesKeyOffItsPath(t *testing.T) {
 		off++
 	}
 	m.remap(k.name, off)
-	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0, vs)
+	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0)
 	must(t, err)
-	offFull, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0, vs)
+	offFull, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
 	must(t, err)
 	for name, images := range map[string][][]byte{"full": {offFull}, "full and delta": {full, delta}} {
 		if _, err := Restore(m.p, values{}, images[0], images[1:]...); err == nil || !strings.Contains(err.Error(), "off its leaf") {
@@ -297,7 +284,7 @@ func TestBlindWriteRetiresTreeCopy(t *testing.T) {
 	must(t, err)
 	var steps []*Plan
 	for i := 0; i < 64; i++ {
-		steps, _, err = m.PlanWrite(fmt.Sprintf("k%d", i), steps[:0])
+		steps, err = m.PlanWrite(fmt.Sprintf("k%d", i), nil, false, steps[:0])
 		must(t, err)
 		complete(t, m, steps)
 	}
@@ -308,7 +295,7 @@ func TestBlindWriteRetiresTreeCopy(t *testing.T) {
 		if k.bucket < 0 {
 			continue
 		}
-		steps, _, err = m.PlanWrite(key, steps[:0])
+		steps, err = m.PlanWrite(key, nil, false, steps[:0])
 		must(t, err)
 		if len(steps) == 1 { // an evict-path the write made due could rewrite the bucket
 			bm := &m.buckets[k.bucket]
@@ -335,7 +322,7 @@ func TestPropertyRemapChangesLeaf(t *testing.T) {
 	p.Seed = 5
 	m, err := New(p, values{})
 	must(t, err)
-	steps, _, err := m.PlanWrite("k", nil)
+	steps, err := m.PlanWrite("k", nil, false, nil)
 	must(t, err)
 	complete(t, m, steps)
 	leaves := make(map[int32]bool)
@@ -356,22 +343,20 @@ func TestPropertyRemapChangesLeaf(t *testing.T) {
 // entry for each.
 func TestDeltaListsEachDirtyBucketOnce(t *testing.T) {
 	m := runWorkload(t, testParams(0), 26, 64, 400)
-	vs := stashValues(m)
 	m.ClearDirty()
 	var steps []*Plan
 	var err error
 	for range 2 {
-		steps, _, err = m.PlanWrite("fresh", steps[:0])
+		steps, err = m.PlanWrite("fresh", []byte("v"), false, steps[:0])
 		must(t, err)
 		complete(t, m, steps)
-		vs["fresh"] = value{v: []byte("v")}
 	}
 	for i := 0; i < 40; i++ {
 		steps, err = m.PlanRead(fmt.Sprintf("key-%d", i), steps[:0])
 		must(t, err)
 		complete(t, m, steps)
 	}
-	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0, vs)
+	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0)
 	must(t, err)
 	info, err := InspectImage(delta)
 	must(t, err)

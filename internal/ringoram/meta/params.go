@@ -12,9 +12,10 @@
 // evict-paths it made due, Ring ORAM's schedule, which this package alone
 // decides (plan.go) — as a Plan that lists the exact physical slot reads. Its
 // driver (the executor in package oramexec, or ringoram's Seq) performs the
-// I/O and completes each step here, in plan order, through the byte plane
-// (package ringoram's ORAM), which moves the blocks, known by the handles
-// this package names them by (Block).
+// I/O and completes each step here, in plan order. The machine drives the
+// byte plane (package ringoram's ORAM) it was given once, at New or Restore:
+// the plane moves the blocks, known by the handles this package names them
+// by (Block), and stores each write's value as the machine plans it.
 //
 // The package also owns both formats of the recovery log's payloads: a batch
 // record, the steps of one planned batch (BatchLog, DecodeBatchLog), which

@@ -206,23 +206,32 @@ func (m *Machine) PlanRead(key string, dst []*Plan) ([]*Plan, error) {
 	return m.planDue(append(dst, p), p.Reads)
 }
 
-// PlanWrite applies a logical write (or delete) of key as a dummiless write
-// (§6.3): the block goes directly to the stash, so the step reads nothing,
-// and PlanWrite returns it for the byte plane to store the value under. key
+// PlanWrite applies a logical write (or delete, when tombstone is set) of
+// key as a dummiless write (§6.3): the block goes directly to the stash, so
+// the step reads nothing, and the plane stores value as the block (Put). key
 // "" is a padding bump, which only counts the access (keeping the eviction
-// schedule workload independent) and returns no block. Either way it appends
-// the write step to dst, then every evict-path it makes due. A stash
-// overflow is an error that still returns the block, which is in the stash.
-func (m *Machine) PlanWrite(key string, dst []*Plan) ([]*Plan, Block, error) {
+// schedule workload independent) and stores no block. Either way it appends
+// the write step to dst, then every evict-path it makes due. A key over
+// KeySize or a value over ValueSize is refused before anything is planned. A
+// stash overflow is an error that still stores the block, which is in the
+// stash.
+func (m *Machine) PlanWrite(key string, value []byte, tombstone bool, dst []*Plan) ([]*Plan, error) {
+	if len(value) > m.p.ValueSize {
+		return dst, fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(value), m.p.ValueSize)
+	}
 	if err := m.checkKey(key); err != nil {
-		return dst, 0, err
+		return dst, err
 	}
 	p, b, err := m.planWrite(key)
-	if err != nil {
-		return dst, b, err
+	if b != 0 {
+		if perr := m.plane.Put(b, m.Key(b), value, tombstone); err == nil {
+			err = perr
+		}
 	}
-	dst, err = m.planDue(append(dst, p), nil)
-	return dst, b, err
+	if err != nil {
+		return dst, err
+	}
+	return m.planDue(append(dst, p), nil)
 }
 
 func (m *Machine) checkKey(key string) error {
@@ -560,7 +569,7 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 		}
 		m.shuffle(bm.perm)
 		bm.writeVer++
-		bm.seed = m.seeds.Seed(b, bm.writeVer)
+		bm.seed = m.plane.Seed(b, bm.writeVer)
 		bm.rewrite(len(w.Placed))
 		w.Ver, w.Seed = bm.writeVer, bm.seed
 		w.Image = m.local.claim(b, w.Ver)

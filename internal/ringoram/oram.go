@@ -14,12 +14,15 @@ import (
 var ErrCorrupt = errors.New("ringoram: corrupt slot")
 
 // ORAM is a Ring ORAM client's byte plane: the blocks and bucket images its
-// public machine (Machine) moves. It is the machine's meta.Plane, which its
-// driver — the sequential client in this package, or the executor in
-// internal/oramexec — moves bytes through: PlanWrite and Complete are the
-// protocol both drivers share. A driver plans and completes on one goroutine
-// at a time, in plan order. Only SealImage and Work may run beside it, on any
-// goroutine: they read nothing the machine's calls change.
+// public machine (Machine) moves. It is the machine's meta.Plane, given to
+// the machine once, when New or Restore makes both, and the machine calls it
+// itself: its PlanWrite stores a written value here, its Complete delivers
+// and places blocks. ORAM.Complete only adds what its caller — the
+// sequential client in this package, or the executor in internal/oramexec —
+// gets back: the access's value and the images placed with the
+// local-version table off. The caller plans and completes on one goroutine
+// at a time, in plan order. Only SealImage and Work may run beside it, on
+// any goroutine: they read nothing the machine's calls change.
 type ORAM struct {
 	m   *meta.Machine
 	p   Params // the machine's, immutable
@@ -123,32 +126,15 @@ func (o *ORAM) binding(id, epoch uint64) []byte {
 // Machine returns the public machine whose bytes the ORAM holds.
 func (o *ORAM) Machine() *meta.Machine { return o.m }
 
-// PlanWrite plans a logical write (or delete, when tombstone is set) of key
-// on the machine: a value over ValueSize is refused before anything is
-// planned, and the block the machine returns is encoded (Put). The steps are
-// appended to dst.
-func (o *ORAM) PlanWrite(key string, value []byte, tombstone bool, dst []*meta.Plan) ([]*meta.Plan, error) {
-	if len(value) > o.p.ValueSize {
-		return dst, fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(value), o.p.ValueSize)
-	}
-	dst, b, err := o.m.PlanWrite(key, dst)
-	if b != 0 {
-		if perr := o.Put(b, key, value, tombstone); err == nil {
-			err = perr
-		}
-	}
-	return dst, err
-}
-
-// Complete completes step p on the machine with the slots data holds, the
-// ORAM as its plane. It returns the value an access returns — a view of its
-// block's slot, valid until the block's next write or eviction, which a
-// caller that keeps it copies — and images with the images of the bucket
-// versions the completion placed while the local-version table is off
-// appended: they are the caller's, to seal (SealImage) until a later rewrite
-// supersedes them, and to Recycle.
+// Complete completes step p on the machine with the slots data holds. It
+// returns the value an access returns — a view of its block's slot, valid
+// until the block's next write or eviction, which a caller that keeps it
+// copies — and images with the images of the bucket versions the completion
+// placed while the local-version table is off appended: they are the
+// caller's, to seal (SealImage) until a later rewrite supersedes them, and to
+// Recycle.
 func (o *ORAM) Complete(p *meta.Plan, data [][]byte, images []BucketImage) ([]byte, bool, []BucketImage, error) {
-	b, err := o.m.Complete(p, data, o)
+	b, err := o.m.Complete(p, data)
 	if err != nil {
 		return nil, false, images, err
 	}
@@ -183,7 +169,7 @@ func (o *ORAM) stashBlock(b meta.Block) (block, error) {
 }
 
 // Seed draws the seed of a bucket version the machine writes from the
-// system's secure generator (see meta.Seeder).
+// system's secure generator (see meta.Plane).
 func (o *ORAM) Seed(int, uint64) meta.Seed { return meta.Seed(o.seeds.Seed()) }
 
 // Deliver moves the block read r fetched into a pooled slot, the block's. A
@@ -258,9 +244,9 @@ func (o *ORAM) Value(b meta.Block, _ string) ([]byte, bool, error) {
 }
 
 // Put encodes block b, key's, into its pooled slot, taking one if b has none
-// yet: a written block (the machine's PlanWrite refuses a key over KeySize,
-// its caller a value over ValueSize, before anything is planned) or a stash
-// entry a Restore leaves.
+// yet: a written block (the machine's PlanWrite refuses a key over KeySize
+// or a value over ValueSize before anything is planned) or a stash entry a
+// Restore leaves.
 func (o *ORAM) Put(b meta.Block, key string, value []byte, tombstone bool) error {
 	slot := o.slot(b)
 	if *slot == nil {

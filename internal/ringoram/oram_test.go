@@ -3,6 +3,7 @@ package ringoram
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -36,25 +37,26 @@ func newTestSeq(t *testing.T, p Params) (*Seq, *storage.InvariantChecker) {
 	return newSeqOver(t, store, p), store
 }
 
-// fixedSeeds is a Seeder that answers with a function of bucket and version,
-// the bucket and the version big-endian, where the ORAM draws each seed
-// fresh: two clients driven alike write byte-identical checkpoint images.
-// Such a client reseals a version a crash rewrote under the seed it had.
-type fixedSeeds struct{}
+// fixedPlane is the ORAM as its machine's plane, but for Seed, which answers
+// with a function of bucket and version, the bucket and the version
+// big-endian, where the ORAM draws each seed fresh: two clients driven alike
+// write byte-identical checkpoint images. Such a client reseals a version a
+// crash rewrote under the seed it had.
+type fixedPlane struct{ *ORAM }
 
-func (fixedSeeds) Seed(b int, ver uint64) meta.Seed {
+func (fixedPlane) Seed(b int, ver uint64) meta.Seed {
 	var s meta.Seed
 	binary.BigEndian.PutUint32(s[:4], uint32(b))
 	binary.BigEndian.PutUint64(s[4:], ver)
 	return s
 }
 
-// newFixedORAM is New with a machine that takes its seeds from fixedSeeds.
+// newFixedORAM is New with a machine over fixedPlane.
 func newFixedORAM(t *testing.T, key *cryptoutil.Key, p Params) *ORAM {
 	t.Helper()
 	o, err := newORAM(key, p)
 	must(t, err)
-	o.m, err = meta.New(o.p, fixedSeeds{})
+	o.m, err = meta.New(o.p, fixedPlane{o})
 	must(t, err)
 	return o
 }
@@ -330,6 +332,81 @@ func TestSeqTamperDetected(t *testing.T) {
 	}
 }
 
+// TestDeliverRefusesReplayedFrame: storage that answers the read of a block
+// with a frame the block had before — sealed into another bucket, or into an
+// older version of the block's bucket — is refused with ErrCorrupt instead of
+// serving the block's old value. Each run writes key k, lets an evict-path
+// move it into the tree, reads it, and does the same again with a new value;
+// the second read is answered with the frame the first one fetched. Runs go
+// on until both cases have been seen, and a frame replayed at the slot index
+// it was sealed for, whose nonce differs only by its version's seed. The
+// frame fails under the version's seed as well as under its (bucket,
+// version) binding (cryptoutil's TestSlotFrameBindsSeedAndSlot checks each
+// alone at the cipher level).
+func TestDeliverRefusesReplayedFrame(t *testing.T) {
+	seen := make(map[string]bool)
+	for seed := uint64(1); len(seen) < 3; seed++ {
+		if seed > 200 {
+			t.Fatalf("200 runs replayed only %v", seen)
+		}
+		p := testParams(32)
+		p.Seed = seed
+		o, err := New(cryptoutil.KeyFromSeed([]byte("replay")), p)
+		must(t, err)
+		c := newPlaneClient(t, o, 0)
+		// run completes steps over the store and returns the read of the
+		// access that carries a block, with the frame it fetched; replay,
+		// unless nil, answers that read instead.
+		run := func(steps []*meta.Plan, replay []byte) (carrier meta.SlotRead, frame []byte, err error) {
+			for _, st := range steps {
+				data := make([][]byte, len(st.Reads))
+				for i, r := range st.Reads {
+					data[i] = c.stored[r.Bucket][r.Slot]
+					if st.Kind == meta.AccessStep && r.Block() != 0 {
+						carrier, frame = r, data[i]
+						if replay != nil {
+							data[i] = replay
+						}
+					}
+				}
+				var images []BucketImage
+				if _, _, images, err = o.Complete(st, data, nil); err != nil {
+					return carrier, frame, err
+				}
+				must(t, c.write(images))
+			}
+			return carrier, frame, nil
+		}
+		// writeAndRead writes k, evicts it into the tree and plans its read.
+		writeAndRead := func(v string) []*meta.Plan {
+			steps, err := o.m.PlanWrite("k", []byte(v), false, nil)
+			must(t, err)
+			_, _, err = run(steps, nil)
+			for err == nil && o.m.StashSize() > 0 {
+				_, _, err = run(evictNow(t, o), nil)
+			}
+			must(t, err)
+			steps, err = o.m.PlanRead("k", nil)
+			must(t, err)
+			return steps
+		}
+		old, frame, err := run(writeAndRead("v1"), nil)
+		must(t, err)
+		now, _, err := run(writeAndRead("v2"), frame)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("seed %d: bucket %d version %d slot %d answered with the frame of bucket %d version %d slot %d: %v, want ErrCorrupt", seed, now.Bucket, now.Ver, now.Slot, old.Bucket, old.Ver, old.Slot, err)
+		}
+		if now.Bucket != old.Bucket {
+			seen["another bucket's frame"] = true
+		} else {
+			seen["an older version's frame"] = true
+		}
+		if now.Slot == old.Slot {
+			seen["a frame at its own slot index"] = true
+		}
+	}
+}
+
 // evictNow plans padding bumps until one makes an evict-path due and
 // returns their steps, the evict-path last: a test's way to move blocks into
 // the tree without driving accesses.
@@ -338,7 +415,7 @@ func evictNow(t testing.TB, o *ORAM) []*meta.Plan {
 	var steps []*meta.Plan
 	for len(steps) == 0 || steps[len(steps)-1].Kind != meta.EvictStep {
 		var err error
-		if steps, err = o.PlanWrite("", nil, false, steps); err != nil {
+		if steps, err = o.m.PlanWrite("", nil, false, steps); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,15 +7,16 @@
 // and both recovery-log formats. An ORAM holds the block bytes the machine
 // moves — the slot codec, sealing and opening, the pooled plaintext of every
 // block (blocks.go) and the images of the bucket versions the proxy keeps
-// (local.go) — and is the machine's meta.Plane. Its two drivers, the
-// sequential client in this package (Seq) and the parallel epoch executor in
-// internal/oramexec, share one protocol and one store interface
-// (storage.BucketStore) and differ only in how they schedule I/O: each plans
-// a whole logical operation without touching storage (the machine's
-// PlanRead, or PlanWrite), performs the I/O, and completes each step in plan
-// order (Complete). This split is what lets Obladi pipeline an epoch's
-// physical reads, defer all physical writes to the epoch boundary, and
-// replay logged slot choices deterministically after a crash.
+// (local.go) — and is the machine's meta.Plane, given to the machine once,
+// when New or Restore makes both. The sequential client in this package
+// (Seq) and the parallel epoch executor in internal/oramexec share one
+// protocol and one store interface (storage.BucketStore) and differ only in
+// how they schedule I/O: each plans a whole logical operation on the
+// machine without touching storage (PlanRead, or PlanWrite, which
+// stores the written value in the ORAM), performs the I/O, and completes
+// each step in plan order (Complete). This split is what lets Obladi
+// pipeline an epoch's physical reads, defer all physical writes to the epoch
+// boundary, and replay logged slot choices deterministically after a crash.
 package ringoram
 
 import "obladi/internal/ringoram/meta"

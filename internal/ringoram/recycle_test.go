@@ -24,7 +24,7 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 	evicted := func(t *testing.T) (*ORAM, []BucketImage) {
 		o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
 		must(t, err)
-		_, err = o.PlanWrite("k", []byte("v"), false, nil)
+		_, err = o.m.PlanWrite("k", []byte("v"), false, nil)
 		must(t, err)
 		return o, completeAll(t, o, evictNow(t, o))
 	}
@@ -57,8 +57,8 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 	t.Run("image", func(t *testing.T) {
 		o, err := New(cryptoutil.KeyFromSeed([]byte("poison")), testParams(16))
 		must(t, err)
-		o.m.KeepLocal(o)
-		_, err = o.PlanWrite("k", []byte("v"), false, nil)
+		o.m.KeepLocal()
+		_, err = o.m.PlanWrite("k", []byte("v"), false, nil)
 		must(t, err)
 		steps := evictNow(t, o)
 		buckets := slices.Clone(steps[len(steps)-1].Buckets)

@@ -82,7 +82,7 @@ func (s *Seq) write(key string, value []byte, tombstone bool) error {
 	if key == "" {
 		return errors.New("ringoram: empty key")
 	}
-	steps, err := s.oram.PlanWrite(key, value, tombstone, s.steps[:0])
+	steps, err := s.oram.m.PlanWrite(key, value, tombstone, s.steps[:0])
 	s.steps = steps
 	if err == nil {
 		_, _, err = s.run(steps)

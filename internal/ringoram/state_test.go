@@ -45,7 +45,7 @@ var stateKey = cryptoutil.KeyFromSeed([]byte("state"))
 // image takes a checkpoint image of o with no padding and no framing room.
 func image(t *testing.T, o *ORAM, full bool) []byte {
 	t.Helper()
-	img, err := o.m.EncodeCheckpoint(full, meta.CheckpointPad{}, 0, 0, o)
+	img, err := o.m.EncodeCheckpoint(full, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestReplayEvictMatchesLogged(t *testing.T) {
 	bumps := 0
 	for len(steps) < 2 {
 		var err error
-		if steps, err = seq.ORAM().PlanWrite("", nil, false, steps[:0]); err != nil {
+		if steps, err = seq.oram.m.PlanWrite("", nil, false, steps[:0]); err != nil {
 			t.Fatal(err)
 		}
 		bumps++
@@ -424,7 +424,7 @@ func TestSnapshotWithPendingFails(t *testing.T) {
 	}
 	if len(steps[0].Reads) > 0 {
 		// Mid-flight: a pending stash entry exists.
-		if _, err := seq.oram.m.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0, seq.oram); err == nil {
+		if _, err := seq.oram.m.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0); err == nil {
 			t.Fatal("snapshot with pending entries accepted")
 		}
 		// Finish the access to restore a clean state.
@@ -468,7 +468,7 @@ func TestRestoreMatchesLiveClient(t *testing.T) {
 			}
 		}
 		isFull := epoch%5 == 0
-		img, err := o.m.EncodeCheckpoint(isFull, pad, 3, 5, o)
+		img, err := o.m.EncodeCheckpoint(isFull, pad, 3, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -530,7 +530,7 @@ func checkpointRun(t *testing.T, p Params) (full, delta []byte) {
 // TestCheckpointImageDeterministic: the same seed and operations produce the
 // same image bytes — nothing in an image follows map iteration order — and
 // those bytes are pinned. A live client draws its versions' seeds fresh, so
-// the runs take theirs from fixedSeeds. The sha256 digests below were taken
+// the runs take theirs from fixedPlane. The sha256 digests below were taken
 // when images went to format 4 (each rewritten bucket carries its version's
 // seed, and no bucket entry its slot count); meta.TestRestoredStateDigest
 // checks that images restore to the same state. The wide case (Z=25, S=40:

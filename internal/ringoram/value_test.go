@@ -31,7 +31,7 @@ func TestValuePathAllocBudget(t *testing.T) {
 	var vals slab.Bytes
 	write := func() {
 		for _, k := range keys {
-			if steps, err = o.PlanWrite(k, value, false, steps[:0]); err != nil || len(steps) != 1 {
+			if steps, err = o.m.PlanWrite(k, value, false, steps[:0]); err != nil || len(steps) != 1 {
 				t.Fatalf("write of %s: %d steps, err=%v, want the write alone", k, len(steps), err)
 			}
 			if _, _, _, err := o.Complete(steps[0], nil, nil); err != nil {

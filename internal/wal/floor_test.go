@@ -50,7 +50,7 @@ func TestRecoverWithFloor(t *testing.T) {
 
 	for e := uint64(1); e <= 2; e++ {
 		seed(t, o, backend, exec, e, 4)
-		if _, err := l.AppendCheckpoint(e, o.Machine(), o); err != nil {
+		if _, err := appendCheckpoint(l, e, o.Machine()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 	l := newLog(t, backend, Config{Shard: 1, Shards: 2, Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 4)
-	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+	if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	sched := newScheduler(t)
@@ -100,7 +100,7 @@ func TestRecoverPipelinedTwoEpochsInFlight(t *testing.T) {
 	if err := l.AppendBatch(2, 1, sched.bump()); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := l.PrepareCheckpoint(2, o.Machine(), o)
+	cp, err := l.PrepareCheckpoint(2, o.Machine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 4)
-	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+	if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	sched := newScheduler(t)
@@ -151,7 +151,7 @@ func TestTruncateKeepsLiveBatchRecords(t *testing.T) {
 	if err := l.AppendBatch(2, 0, sched.access("e2-r")); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := l.PrepareCheckpoint(2, o.Machine(), o)
+	cp, err := l.PrepareCheckpoint(2, o.Machine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +193,14 @@ func TestFollowerCannotCommit(t *testing.T) {
 	o, backend := testORAM(t)
 	coord := newLog(t, backend, Config{Shard: 0, Shards: 2, Public: publicOf(t, o, schedule{})})
 	follower := newLog(t, backend, Config{Shard: 1, Shards: 2, Public: publicOf(t, o, schedule{})})
-	committing, err := coord.PrepareCheckpoint(1, o.Machine(), o)
+	committing, err := coord.PrepareCheckpoint(1, o.Machine())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := follower.AppendPrepared(committing); err == nil {
 		t.Fatal("a follower's log wrote a committing checkpoint")
 	}
-	prepared, err := follower.PrepareCheckpoint(1, o.Machine(), o)
+	prepared, err := follower.PrepareCheckpoint(1, o.Machine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCommittingMarkIsAuthenticated(t *testing.T) {
 	for _, shard := range []int{0, 1} {
 		o, backend := testORAM(t)
 		l := newLog(t, backend, Config{Shard: shard, Shards: 2, Public: publicOf(t, o, schedule{})})
-		if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+		if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.RecoverWithFloor(1); err != nil {

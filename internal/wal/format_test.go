@@ -2,12 +2,10 @@ package wal
 
 import (
 	"bytes"
-	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	mrand "math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -86,7 +84,7 @@ func (h *formatHarness) endEpoch() []byte {
 	if err := h.backend.CommitEpoch(h.epoch); err != nil {
 		h.t.Fatal(err)
 	}
-	if _, err := h.log.AppendCheckpoint(h.epoch, h.oram.Machine(), h.oram); err != nil {
+	if _, err := appendCheckpoint(h.log, h.epoch, h.oram.Machine()); err != nil {
 		h.t.Fatal(err)
 	}
 	recs, err := h.backend.Scan(0)
@@ -240,24 +238,33 @@ func TestRecordSizeIndependentOfRealEntries(t *testing.T) {
 	}
 }
 
-// seededRand makes crypto/rand a ChaCha8 stream from seed until the test
-// ends, or until the next call restarts it. A client draws its versions'
-// seeds from crypto/rand, so two runs of one workload log the same records
-// only if they draw the same stream; every draw of a run here happens on the
-// test's goroutine, in the order the run makes it.
-func seededRand(t *testing.T, seed byte) {
-	saved := crand.Reader
-	crand.Reader = mrand.NewChaCha8([32]byte{seed})
-	t.Cleanup(func() { crand.Reader = saved })
+// maskSeeds zeroes the seed fields of a checkpoint record's plaintext: the
+// 12 bytes of each rewritten bucket entry that hold the seed its version
+// drew. The offsets are meta's image layout (ringoram/meta/checkpoint.go) at
+// formatParams, where every sized field is one byte wide: the record header
+// and the 47-byte image header, then nKeys key entries of 20 bytes in a full
+// image and 18 in a delta, nTouched touched entries of 4, and the rewritten
+// entries, 33 bytes in a full image and 37 in a delta, each holding its seed
+// after bucket(1) valid[2] writeVer(8).
+func maskSeeds(plain []byte) {
+	img := plain[checkpointHeaderSize:]
+	keyEntry, rewrittenEntry := 18, 37
+	if img[0]&1 != 0 {
+		keyEntry, rewrittenEntry = 20, 33
+	}
+	at := 47 + int(binary.BigEndian.Uint32(img[31:]))*keyEntry + int(binary.BigEndian.Uint32(img[35:]))*4 + 1 + 2 + 8
+	for range binary.BigEndian.Uint32(img[39:]) {
+		clear(img[at : at+len(meta.Seed{})])
+		at += rewrittenEntry
+	}
 }
 
 // TestRecordBytesDeterministic: the same seed and operations produce the same
-// record plaintexts — batch, delta and full — byte for byte, when they draw
-// their versions' seeds from the same stream (seededRand). Nothing in a record
-// follows map iteration order.
+// record plaintexts — batch, delta and full — byte for byte, but for the
+// seeds each run's versions drew from the system's generator (maskSeeds).
+// Nothing in a record follows map iteration order.
 func TestRecordBytesDeterministic(t *testing.T) {
 	run := func() [][]byte {
-		seededRand(t, 9)
 		h := newFormatHarness(t, 9, schedule{r: 1, bread: 16, bwrite: 8, cadence: 3})
 		for e := 0; e < 7; e++ {
 			keys := make([]string, 8)
@@ -282,6 +289,9 @@ func TestRecordBytesDeterministic(t *testing.T) {
 			if plains[i], err = h.log.open(rec, 1); err != nil {
 				t.Fatal(err)
 			}
+			if rec[0] != kindBatch {
+				maskSeeds(plains[i])
+			}
 		}
 		return plains
 	}
@@ -298,8 +308,13 @@ func TestRecordBytesDeterministic(t *testing.T) {
 	// so an encoder that drifts from its bytes fails here, not only between
 	// two runs of itself. The digest was taken under format 4, whose
 	// checkpoints carry each rewritten bucket's seed and no slot count, and
-	// whose batch records are format 2's but for the version byte.
-	const wantRecords, wantDigest = 28, "c2f1ee6e1bab095a0391c092373d21701cae449e18dd2b76dcfdaf107b6440ac"
+	// whose batch records are format 2's but for the version byte. It pins
+	// every byte but the 167 seed fields (2 004 of 15 491): the records of
+	// a run whose seeds came from a fixed stream, masked alike, hash to it
+	// too. Seed bytes are pinned by ringoram's TestCheckpointImageDeterministic
+	// and meta's TestRestoredStateDigest, whose planes draw them from bucket
+	// and version.
+	const wantRecords, wantDigest = 28, "004ffdb319eb3f5a3960553be3cba473dff386b5a17afb965a534fae86ecc665"
 	h := sha256.New()
 	for _, p := range a {
 		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(p))))
@@ -331,7 +346,7 @@ func TestOlderFormatRejected(t *testing.T) {
 		for kind := byte(kindBatch); kind <= kindCheckpointCommitting; kind++ {
 			o, backend := testORAM(t)
 			l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})})
-			if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+			if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := l.Recover(); err != nil {
@@ -355,7 +370,7 @@ func TestOlderFormatRejected(t *testing.T) {
 func TestFormat3CheckpointRefused(t *testing.T) {
 	o, backend := testORAM(t)
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})})
-	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+	if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := backend.Scan(0)
@@ -426,7 +441,7 @@ func TestBoundaryAllocBudget(t *testing.T) {
 		}
 		checkpoint = mallocsOf(func() {
 			var cp *PendingCheckpoint
-			if cp, err = h.log.PrepareCheckpoint(h.epoch, h.oram.Machine(), h.oram); err == nil {
+			if cp, err = h.log.PrepareCheckpoint(h.epoch, h.oram.Machine()); err == nil {
 				_, err = h.log.AppendPrepared(cp)
 			}
 		})

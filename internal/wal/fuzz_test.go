@@ -194,7 +194,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, plain []byte) {
 		o, backend := testORAM(t)
 		l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})})
-		if _, err := l.AppendCheckpoint(0, o.Machine(), o); err != nil {
+		if _, err := appendCheckpoint(l, 0, o.Machine()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := backend.Append(sealPlain(t, l, kindBatch, plain)); err != nil {

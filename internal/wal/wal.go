@@ -24,7 +24,6 @@
 // the store, and it is durable once the next Sync returns (at once on a store
 // without the storage.LogBatcher capability). Callers append every record of
 // a round, then Sync once, so the round's records share one barrier.
-// AppendCheckpoint is the one-call prepare, append and Sync.
 //
 // # Record format
 //
@@ -317,20 +316,21 @@ func (c *PendingCheckpoint) Epoch() uint64 { return c.epoch }
 
 // PrepareCheckpoint snapshots the epoch-end metadata without appending it:
 // one pass over the machine's live metadata, with the stash's values from
-// plane, encodes the checkpoint image directly into the record buffer. It
-// decides full-vs-delta per the public cadence, pads the image to
+// its byte plane, encodes the checkpoint image directly into the record
+// buffer. It decides full-vs-delta per the public cadence, pads the image to
 // Public.CheckpointPad so its size is workload independent, and resets the
 // machine's dirty tracking (the snapshot owns those changes now; if the later
 // append fails the proxy fail-stops, so no subsequent checkpoint can miss
 // them). On the coordinator's log the record is a committing checkpoint:
-// appending it commits the epoch.
-func (l *Log) PrepareCheckpoint(epoch uint64, m *meta.Machine, plane meta.Plane) (*PendingCheckpoint, error) {
+// appending it commits the epoch; AppendPrepared appends it, and the next
+// Sync makes it durable.
+func (l *Log) PrepareCheckpoint(epoch uint64, m *meta.Machine) (*PendingCheckpoint, error) {
 	pub := l.cfg.Public
 	if pub == nil {
 		return nil, errors.New("wal: checkpoint on a log built without public parameters")
 	}
 	full := l.untilFull == 0
-	rec, err := m.EncodeCheckpoint(full, pub.CheckpointPad(), recordHead+checkpointHeaderSize, recordTail, plane)
+	rec, err := m.EncodeCheckpoint(full, pub.CheckpointPad(), recordHead+checkpointHeaderSize, recordTail)
 	if err != nil {
 		return nil, err
 	}
@@ -388,21 +388,6 @@ func (l *Log) AppendPrepared(cp *PendingCheckpoint) (bool, error) {
 	}
 	l.mu.Unlock()
 	return cp.full, nil
-}
-
-// AppendCheckpoint logs the epoch-end metadata snapshot durably:
-// PrepareCheckpoint, AppendPrepared and Sync in one call. Returns whether a
-// full checkpoint was written.
-func (l *Log) AppendCheckpoint(epoch uint64, m *meta.Machine, plane meta.Plane) (bool, error) {
-	cp, err := l.PrepareCheckpoint(epoch, m, plane)
-	if err != nil {
-		return false, err
-	}
-	full, err := l.AppendPrepared(cp)
-	if err == nil {
-		err = l.Sync()
-	}
-	return full, err
 }
 
 // IsCommitRecord reports whether a raw log record is a committing

@@ -66,6 +66,20 @@ func newLog(t testing.TB, store storage.LogStore, cfg Config) *Log {
 	return l
 }
 
+// appendCheckpoint logs m's epoch-end checkpoint durably: PrepareCheckpoint,
+// AppendPrepared and Sync. It returns whether the checkpoint was full.
+func appendCheckpoint(l *Log, epoch uint64, m *meta.Machine) (bool, error) {
+	cp, err := l.PrepareCheckpoint(epoch, m)
+	if err != nil {
+		return false, err
+	}
+	full, err := l.AppendPrepared(cp)
+	if err == nil {
+		err = l.Sync()
+	}
+	return full, err
+}
+
 // seed runs a tiny workload so the ORAM has state worth checkpointing.
 func seed(t *testing.T, o *ringoram.ORAM, backend *storage.MemBackend, exec *oramexec.Executor, epoch uint64, n int) {
 	t.Helper()
@@ -95,7 +109,7 @@ func TestCheckpointCommitRecover(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 5)
-	if full, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil || !full {
+	if full, err := appendCheckpoint(l, 1, o.Machine()); err != nil || !full {
 		t.Fatalf("checkpoint: full=%v err=%v", full, err)
 	}
 	rec, err := l.Recover()
@@ -123,7 +137,7 @@ func TestRecoverAppliesDeltas(t *testing.T) {
 
 	for e := uint64(1); e <= 5; e++ {
 		seed(t, o, backend, exec, e, 3)
-		if _, err := l.AppendCheckpoint(e, o.Machine(), o); err != nil {
+		if _, err := appendCheckpoint(l, e, o.Machine()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +183,7 @@ func TestRecoverAbortedBatches(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 
 	seed(t, o, backend, exec, 1, 4)
-	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+	if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	// Epoch 2 in flight: two batches logged, then crash (no commit).
@@ -228,7 +242,7 @@ func TestRecoverIgnoresCommittedEpochBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	backend.CommitEpoch(1)
-	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+	if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := l.Recover()
@@ -248,7 +262,7 @@ func TestRecoverNoCheckpoint(t *testing.T) {
 	if _, err := l.Recover(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("recover of an empty log: %v", err)
 	}
-	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+	if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Recover(); !errors.Is(err, ErrNoCheckpoint) {
@@ -265,15 +279,15 @@ func TestPaddingMakesDeltasConstantSize(t *testing.T) {
 	// and 3 produce deltas with very different touched-key counts. The
 	// deltas' position-map entry counts must be indistinguishable.
 	seed(t, o, backend, exec, 1, 2)
-	if full, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil || !full {
+	if full, err := appendCheckpoint(l, 1, o.Machine()); err != nil || !full {
 		t.Fatalf("first checkpoint: full=%v err=%v", full, err)
 	}
 	seed(t, o, backend, exec, 2, 1) // touches 1 key
-	if full, err := l.AppendCheckpoint(2, o.Machine(), o); err != nil || full {
+	if full, err := appendCheckpoint(l, 2, o.Machine()); err != nil || full {
 		t.Fatalf("second checkpoint: full=%v err=%v", full, err)
 	}
 	seed(t, o, backend, exec, 3, 8) // touches 8 keys
-	if full, err := l.AppendCheckpoint(3, o.Machine(), o); err != nil || full {
+	if full, err := appendCheckpoint(l, 3, o.Machine()); err != nil || full {
 		t.Fatalf("third checkpoint: full=%v err=%v", full, err)
 	}
 	recs, err := backend.Scan(0)
@@ -311,7 +325,7 @@ func TestPaddingStaysOutOfRestoredState(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{r: 1, bread: 16, bwrite: 16, cadence: 2})})
 	for e := uint64(1); e <= 2; e++ {
 		seed(t, o, backend, exec, e, 3)
-		if _, err := l.AppendCheckpoint(e, o.Machine(), o); err != nil {
+		if _, err := appendCheckpoint(l, e, o.Machine()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,7 +350,7 @@ func TestTamperedRecordRejected(t *testing.T) {
 	exec := oramexec.New(o, backend, oramexec.Config{})
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 	seed(t, o, backend, exec, 1, 2)
-	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+	if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	recs, _ := backend.Scan(0)
@@ -352,7 +366,7 @@ func TestTruncateDropsOldRecords(t *testing.T) {
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 2})})
 	for e := uint64(1); e <= 6; e++ {
 		seed(t, o, backend, exec, e, 2)
-		if _, err := l.AppendCheckpoint(e, o.Machine(), o); err != nil {
+		if _, err := appendCheckpoint(l, e, o.Machine()); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Retire(e); err != nil {
@@ -387,7 +401,7 @@ func TestRecoverStats(t *testing.T) {
 	exec := oramexec.New(o, backend, oramexec.Config{})
 	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 	seed(t, o, backend, exec, 1, 4)
-	if _, err := l.AppendCheckpoint(1, o.Machine(), o); err != nil {
+	if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	exec.BeginEpoch(2)
@@ -424,7 +438,7 @@ func TestCheckpointNeedsPublic(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
 	seed(t, o, backend, exec, 1, 2)
-	if _, err := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})}).AppendCheckpoint(1, o.Machine(), o); err != nil {
+	if _, err := appendCheckpoint(newLog(t, backend, Config{Public: publicOf(t, o, schedule{})}), 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
 	l := newLog(t, backend, Config{})
@@ -442,7 +456,7 @@ func TestCheckpointNeedsPublic(t *testing.T) {
 	if rec, err := l.Recover(); err != nil || len(rec.AbortedBatches) != 1 {
 		t.Fatalf("recovery without the public parameters: %v", err)
 	}
-	if _, err := l.PrepareCheckpoint(2, o.Machine(), o); err == nil {
+	if _, err := l.PrepareCheckpoint(2, o.Machine()); err == nil {
 		t.Fatal("a log without the public parameters prepared a checkpoint")
 	}
 	if recs, _ := backend.Scan(0); len(recs) != 2 {
