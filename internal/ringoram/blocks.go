@@ -16,20 +16,27 @@ import (
 // seal copies each into its frame. The images an eviction leaves are the
 // local-version table's (see local.go) until the machine releases them.
 
-// blockPool is the one allocator of block plaintext: slots of one plaintext
-// slot each, carved from large chunks and recycled through a free list. It
-// never shrinks; the slots in use (the stash and the images the table holds)
-// are a function of the public schedule. Slots are taken on the driver's
+// blockPool is the one allocator of block plaintext and of the image buffers
+// that hold it: slots of one plaintext slot each, carved from large chunks,
+// and image buffers, each recycled through a free list. It never shrinks;
+// the slots and buffers in use (the stash and the images the table holds)
+// are a function of the public schedule. They are taken on the driver's
 // goroutine but returned by whoever holds them last — an image's holder, on
-// any goroutine — so the pool has a lock of its own. In race builds
-// a returned slot is poisoned, so a read through a stale reference fails to
-// decode or authenticate instead of passing with the bytes it held.
+// any goroutine — so the pool has a lock of its own. (A sync.Pool would
+// drop its buffers at every GC cycle, and a smaller heap cycles more often.)
+// In race builds a returned slot is poisoned, so a read through a stale
+// reference fails to decode or authenticate instead of passing with the
+// bytes it held.
 type blockPool struct {
 	mu     sync.Mutex
 	size   int // plainSize
 	chunk  []byte
 	free   [][]byte
 	carved int // slots handed out of chunks so far
+	// images is the free list of image buffers; a new one holds a
+	// permutation of slotsPer entries and room for z blocks.
+	images      []*imageBuf
+	slotsPer, z int
 }
 
 // blockChunk is the size of the pool's carve chunks (at least one slot).
@@ -64,6 +71,31 @@ func (p *blockPool) put(slots ...[]byte) {
 	p.mu.Unlock()
 }
 
+// image returns an image buffer holding no block.
+func (p *blockPool) image() *imageBuf {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.images); n > 0 {
+		ib := p.images[n-1]
+		p.images = p.images[:n-1]
+		return ib
+	}
+	return &imageBuf{perm: make([]int, p.slotsPer), blocks: make([][]byte, 0, p.z), pool: p}
+}
+
+// recycle returns an image buffer and the blocks it held to the pool.
+func (p *blockPool) recycle(ib *imageBuf, blocks [][]byte) {
+	for _, s := range blocks {
+		poison(s)
+	}
+	p.mu.Lock()
+	p.free = append(p.free, blocks...)
+	clear(blocks)
+	ib.blocks = blocks[:0]
+	p.images = append(p.images, ib)
+	p.mu.Unlock()
+}
+
 // BucketImage is one bucket version in plaintext, as an eviction leaves it:
 // its version, its permutation and its blocks. It is kept until the version
 // reaches storage, and SealImage seals it then: a version that a later
@@ -92,18 +124,17 @@ type BucketImage struct {
 
 // imageBuf is a pooled buffer for one bucket image: the memory of its
 // permutation and of the headers of its blocks, which belong to the
-// blockPool.
+// blockPool, as the buffer does.
 type imageBuf struct {
 	perm   []int
 	blocks [][]byte
-	pool   *sync.Pool
-	free   *blockPool
+	pool   *blockPool
 }
 
 // newImage is version ver of bucket b, sealed under seed, in a pooled
 // buffer, holding no block yet.
 func (o *ORAM) newImage(b int, ver uint64, seed meta.Seed) BucketImage {
-	ib := o.imagePool.Get().(*imageBuf)
+	ib := o.blocks.image()
 	return BucketImage{Bucket: b, Ver: ver, Seed: seed, Blocks: ib.blocks, perm: ib.perm, buf: ib, resident: b < o.m.Resident()}
 }
 
@@ -130,11 +161,8 @@ func (im *BucketImage) Block(s int) []byte {
 // read of one fails to decode instead of passing with stale bytes.
 func (im *BucketImage) Recycle() {
 	if b := im.buf; b != nil {
-		b.free.put(im.Blocks...)
-		clear(im.Blocks)
-		b.blocks = im.Blocks[:0]
+		b.pool.recycle(b, im.Blocks)
 		im.buf, im.Blocks, im.perm = nil, nil, nil
-		b.pool.Put(b)
 	}
 }
 

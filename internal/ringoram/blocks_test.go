@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -377,4 +378,40 @@ func TestRestoreTakesSlotsForItsStashOnly(t *testing.T) {
 		t.Fatalf("the delta's stash of %d entries (the full image's: 12) took %d slots of the pool", n, o.blocks.carved)
 	}
 	requireSameClient(t, src, o)
+}
+
+// TestImageBuffersSurviveGC pins that the pool keeps its image buffers across
+// garbage collections: an epoch's evictions take a buffer per bucket of their
+// paths and the boundary recycles them, and with the GC run twice between
+// epochs (enough to empty a sync.Pool, primary and victim cache) every buffer
+// a warm epoch takes is one an earlier epoch recycled. A smaller heap
+// collects more often, so a pool that drops its buffers at a collection
+// costs allocations per epoch.
+func TestImageBuffersSurviveGC(t *testing.T) {
+	o, err := New(cryptoutil.KeyFromSeed([]byte("images")), testParams(64))
+	must(t, err)
+	images := make([]BucketImage, 0, 4*(o.geo.Levels+1))
+	warm := map[*imageBuf]bool{}
+	for e := 0; e <= 5; e++ {
+		if e > 0 {
+			runtime.GC()
+			runtime.GC()
+		}
+		for b := 0; b < cap(images); b++ {
+			images = append(images, o.newImage(b%o.geo.NumBuckets, 2, o.m.Seed(b%o.geo.NumBuckets)))
+		}
+		fresh := 0
+		for i := range images {
+			if e == 0 {
+				warm[images[i].buf] = true
+			} else if !warm[images[i].buf] {
+				fresh++
+			}
+			images[i].Recycle()
+		}
+		images = images[:0]
+		if fresh > 0 {
+			t.Fatalf("warm epoch %d after two collections: %d of its %d image buffers newly allocated, want 0", e, fresh, cap(images))
+		}
+	}
 }

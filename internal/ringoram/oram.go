@@ -3,7 +3,6 @@ package ringoram
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"obladi/internal/cryptoutil"
@@ -47,11 +46,10 @@ type ORAM struct {
 	// images holds each bucket version the local-version table keeps,
 	// indexed by the version's handle (see local.go).
 	images []BucketImage
-	// imagePool recycles image buffers, and blocks is the block plane's one
-	// allocator (see blocks.go): whoever holds a BucketImage returns both
-	// with Recycle once nothing reads the image any more.
-	imagePool *sync.Pool
-	blocks    *blockPool
+	// blocks is the block plane's one allocator of block slots and image
+	// buffers (see blocks.go): whoever holds a BucketImage returns both with
+	// Recycle once nothing reads the image any more.
+	blocks *blockPool
 	// The block plane's work counts (Work): slots SealImage sealed (those
 	// holding a block) and filled (all the others), slots opened under a
 	// binding, and plaintext slots copied.
@@ -107,12 +105,7 @@ func newORAM(key *cryptoutil.Key, p Params) (*ORAM, error) {
 		cdc:     newCodec(p.KeySize, p.ValueSize, key),
 		bindBuf: make([]byte, 0, cryptoutil.BindingSize),
 	}
-	o.blocks = &blockPool{size: o.cdc.plainSize()}
-	pool := &sync.Pool{}
-	pool.New = func() any {
-		return &imageBuf{perm: make([]int, geo.SlotsPer), blocks: make([][]byte, 0, p.Z), pool: pool, free: o.blocks}
-	}
-	o.imagePool = pool
+	o.blocks = &blockPool{size: o.cdc.plainSize(), slotsPer: geo.SlotsPer, z: p.Z}
 	return o, nil
 }
 

@@ -264,7 +264,7 @@ func TestBackendConformanceRemoteDisk(t *testing.T) {
 }
 
 // A store keeps its own copy on disk too: after a reopen, a group answers the
-// written bytes from its log, with no write-through mirror left, under either
+// written bytes from its log, as it does before one, under either
 // DiskOptions.LogHeap value.
 func TestKeepsOwnCopySurvivesReopen(t *testing.T) {
 	t.Run("disk", func(t *testing.T) {

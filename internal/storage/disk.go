@@ -27,12 +27,7 @@ const (
 	tmpSuffix    = ".tmp"
 )
 
-const (
-	defaultSegMaxBytes = 4 << 20
-	// readCoalesceGap merges vectored slot reads whose file ranges are
-	// within this many bytes into one pread.
-	readCoalesceGap = 4096
-)
+const defaultSegMaxBytes = 4 << 20
 
 // DiskOptions tunes OpenDiskGroupOpts beyond the defaults.
 type DiskOptions struct {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -72,6 +73,15 @@ func preallocate(f vfile, off, n int64) {
 	if p, ok := f.(preallocator); ok {
 		_ = p.Preallocate(off, n)
 	}
+}
+
+// mapper is an optional vfile capability: map the file's first n bytes
+// read-only and shared, n possibly past its end (only bytes the file holds
+// may be read), and unmap such a mapping. A log segment's reads copy out of
+// its mapping and cost no syscall.
+type mapper interface {
+	Map(n int64) ([]byte, error)
+	Unmap(b []byte) error
 }
 
 // osFS is the real file system.
@@ -522,24 +532,19 @@ func (s *recordScanner) next() (body []byte, size int, err error) {
 
 // readFileRange reads [off, off+n) from f, failing on short reads.
 func readFileRange(f vfile, off int64, n int) ([]byte, error) {
-	return readFileRangeInto(nil, f, off, n)
+	buf := make([]byte, n)
+	if err := readFileInto(buf, f, off); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
-// readFileRangeInto is readFileRange into buf's backing array when it is
-// large enough (a fresh one otherwise); the result does not extend buf.
-func readFileRangeInto(buf []byte, f vfile, off int64, n int) ([]byte, error) {
-	if cap(buf) < n {
-		buf = make([]byte, n)
+// readFileInto fills dst from f at off, failing on short reads.
+func readFileInto(dst []byte, f vfile, off int64) error {
+	if got, err := f.ReadAt(dst, off); got < len(dst) {
+		return cmp.Or(err, io.ErrUnexpectedEOF)
 	}
-	buf = buf[:n]
-	got, err := f.ReadAt(buf, off)
-	if got == n {
-		return buf, nil
-	}
-	if err == nil {
-		err = io.ErrUnexpectedEOF
-	}
-	return nil, err
+	return nil
 }
 
 func joinPath(dir, name string) string { return filepath.Join(dir, name) }

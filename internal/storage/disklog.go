@@ -101,6 +101,37 @@ type segment struct {
 	offs []int64 // frame offset of each record
 	lens []int32 // framed length of each record
 	size int64
+	// mapped is the file mapped read-only and shared (mapTo), nil for a
+	// file that cannot be mapped. It is unmapped only under the log's write
+	// lock, so a read holding the read lock may copy out of it.
+	mapped []byte
+}
+
+// mapTo maps the segment's first n bytes, when its file can be (mapper);
+// reads of a file that cannot, or of a failed mapping, go to ReadAt.
+func (s *segment) mapTo(n int64) {
+	if m, ok := s.f.(mapper); ok {
+		s.mapped, _ = m.Map(n)
+	}
+}
+
+// readAt fills dst with the bytes at off: copied out of the mapping when it
+// covers them, else read with the file's ReadAt (a file with no mapping, or
+// the end of a record that crossed segMaxBytes).
+func (s *segment) readAt(dst []byte, off int64) error {
+	if end := off + int64(len(dst)); end <= int64(len(s.mapped)) {
+		copy(dst, s.mapped[off:end])
+		return nil
+	}
+	return readFileInto(dst, s.f, off)
+}
+
+// close unmaps the segment and closes its file.
+func (s *segment) close() error {
+	if m, ok := s.f.(mapper); ok && s.mapped != nil {
+		_ = m.Unmap(s.mapped)
+	}
+	return s.f.Close()
 }
 
 func segName(base uint64) string {
@@ -280,7 +311,7 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 	closeRest := func(from int) {
 		for j := from; j < len(segs); j++ {
 			if segs[j] != nil {
-				segs[j].f.Close()
+				segs[j].close()
 			}
 		}
 	}
@@ -384,6 +415,9 @@ func (l *diskLog) openSegment(base uint64) (*segment, error) {
 		}
 	}
 	seg.size = off
+	// Mapped at least segMaxBytes long, like a new segment: the tail keeps
+	// taking appends past its size at open.
+	seg.mapTo(max(off, l.segMaxBytes))
 	return seg, nil
 }
 
@@ -532,6 +566,7 @@ func (l *diskLog) activeSegmentLocked() (*segment, error) {
 		return nil, l.wedge(err)
 	}
 	seg := &segment{f: f, name: name, base: base, size: fileHeaderSize}
+	seg.mapTo(l.segMaxBytes)
 	l.segs = append(l.segs, seg)
 	return seg, nil
 }
@@ -711,27 +746,22 @@ func (l *diskLog) scanLocked(from uint64, fn func(seq, segBase uint64, off int64
 	return nil
 }
 
-// readRangeInto serves one ranged pread out of a retained segment, into
-// buf's backing array when it is large enough, addressed by the (segBase,
-// offset) an append or scan reported. Every retained record's crc32c was
-// verified when its segment was opened (or the bytes were written by this
-// process), so the logheap read path slices the returned frame without
-// re-checking.
-func (l *diskLog) readRangeInto(buf []byte, segBase uint64, off int64, n int) ([]byte, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if err := l.checkUsable(); err != nil {
-		return nil, err
-	}
+// readAtLocked fills dst with the bytes at off of a retained segment,
+// addressed by the (segBase, offset) an append or scan reported; mu is held
+// (at least for reading), so the segment stays mapped while it copies. Every
+// retained record's crc32c was verified when its segment was opened (or the
+// bytes were written by this process), so the logheap read path slices what
+// it reads without re-checking.
+func (l *diskLog) readAtLocked(dst []byte, segBase uint64, off int64) error {
 	i := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].base >= segBase })
 	if i >= len(l.segs) || l.segs[i].base != segBase {
-		return nil, fmt.Errorf("storage: log segment with base %d is gone", segBase)
+		return fmt.Errorf("storage: log segment with base %d is gone", segBase)
 	}
 	seg := l.segs[i]
-	if off < int64(fileHeaderSize) || n < 0 || off+int64(n) > seg.size {
-		return nil, fmt.Errorf("storage: read [%d,+%d) outside log segment %s", off, n, seg.name)
+	if off < int64(fileHeaderSize) || off+int64(len(dst)) > seg.size {
+		return fmt.Errorf("storage: read [%d,+%d) outside log segment %s", off, len(dst), seg.name)
 	}
-	return readFileRangeInto(buf, seg.f, off, n)
+	return seg.readAt(dst, off)
 }
 
 // last reports the sequence number of the newest record.
@@ -807,7 +837,7 @@ func (l *diskLog) dropDeadSegmentsLocked() {
 		keep = min(keep, l.retain())
 	}
 	drop := func(seg *segment) {
-		seg.f.Close()
+		seg.close()
 		_ = l.fsys.Remove(joinPath(l.dir, seg.name)) // reopen filters it anyway
 	}
 	for len(l.segs) > 1 {
@@ -859,7 +889,7 @@ func (l *diskLog) Close() error {
 	defer l.mu.Unlock()
 	var first error
 	for _, s := range l.segs {
-		if err := s.f.Close(); err != nil && first == nil {
+		if err := s.close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -202,10 +202,10 @@ func TestLogHeapWriteBucketsAllocBudget(t *testing.T) {
 		}
 		writes[b] = BucketWrite{Bucket: b, Epoch: 1, Slots: slots}
 	}
-	// Same-epoch rewrites replace index entries in place and retire the
-	// mirror slabs the next run reuses, so from the second run on the write
-	// is the steady state: the framer, the log and the index reuse what they
-	// have, and a version with one slot size keeps no slot-length table.
+	// Same-epoch rewrites replace index entries in place, so from the second
+	// run on the write is the steady state: the framer, the log and the
+	// index reuse what they have, and a version with one slot size keeps no
+	// slot-length table.
 	write := func() {
 		if err := g.shards[0].WriteBuckets(writes); err != nil {
 			t.Fatal(err)

@@ -1,27 +1,28 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file holds the one version index every store keeps its bucket tree in
 // (§8's shadow paging): per bucket a stack of versions, oldest first, each
 // tagged with the epoch that wrote it; the committed frontier; the buckets
 // holding more than one version, the only ones a commit has anything to retire
-// from; and the slabs the versions' mirrors live in. The stores differ only in
-// what else a version has: nothing (MemBackend), or a record on the group's
-// log (LogHeap). A version written in this process mirrors its slots in a
-// slab; one replayed from the log has no mirror and is read back from its
-// record. The owning store's lock guards the index:
-// reads run under its read lock, everything else under its write lock.
+// from; and the slabs a MemBackend's versions live in. The stores differ only
+// in where a version's bytes are: in a slab (MemBackend), or in its record on
+// the group's log (LogHeap), whether this process wrote it or replayed it, so
+// a LogHeap's reads are copies out of the log (versionFile). The owning
+// store's lock guards the index: reads run under its read lock, everything
+// else under its write lock.
 
 // version is one shadow-paged copy of a bucket.
 type version struct {
 	epoch  uint64
 	layout slotLayout
-	// mirror holds the slots back to back in one of the index's slabs; nil
-	// for a version replayed from the log.
+	// mirror holds a MemBackend version's slots back to back in one of the
+	// index's slabs; a LogHeap's versions have none.
 	mirror []byte
 	// seg and off locate the version's record on a durable store's log: the
 	// segment it lies in (by base) and its frame offset.
@@ -68,7 +69,7 @@ func (ix *versionIndex) checkWrite(bucket int, epoch uint64) error {
 	return nil
 }
 
-// write installs v with a mirror of slots, copied into a slab.
+// write installs a MemBackend's v with a mirror of slots, copied into a slab.
 func (ix *versionIndex) write(bucket int, v version, slots [][]byte) error {
 	if err := ix.checkWrite(bucket, v.epoch); err != nil {
 		return err
@@ -78,7 +79,8 @@ func (ix *versionIndex) write(bucket int, v version, slots [][]byte) error {
 	return nil
 }
 
-// install installs v as it is: a version replayed from a file.
+// install installs v as it is: a version on a LogHeap's log, written or
+// replayed.
 func (ix *versionIndex) install(bucket int, v version) error {
 	if err := ix.checkWrite(bucket, v.epoch); err != nil {
 		return err
@@ -103,8 +105,8 @@ func (ix *versionIndex) push(bucket int, v version) {
 	ix.buckets[bucket] = append(vs, v)
 }
 
-// retire hands v's slab back. The caller guarantees nothing reads it any
-// more.
+// retire hands a MemBackend version's slab back (a LogHeap's has none). The
+// caller guarantees nothing reads it any more.
 func (ix *versionIndex) retire(v *version) { ix.slabs.put(v.mirror) }
 
 // commit advances the committed frontier to epoch and retires every version
@@ -189,58 +191,68 @@ func (ix *versionIndex) slot(bucket, slot int) (*version, error) {
 	return v, nil
 }
 
-// versionFile is the file a durable store's mirror-less versions are read
-// back from: preadVersion returns n bytes at off of the file seg names.
+// versionFile is where a LogHeap's versions are read from: its log, whose
+// read lock the caller holds for the whole read, so no segment a version lies
+// in is unmapped under it. take returns n bytes for a read's results, and
+// readAt fills dst with the bytes at off of the segment seg names.
 type versionFile interface {
-	preadVersion(seg uint64, off int64, n int) ([]byte, error)
+	take(n int) []byte
+	readAt(dst []byte, seg uint64, off int64) error
 }
 
-// readSlots answers a vectored read: every ref is validated before any I/O,
-// so the vector fails as a whole; mirrored slots are served from memory and
-// the rest go to preadSlots over f (nil for a store without files).
+// readSlots answers a vectored read: from the versions' mirrors (f nil), or
+// copied out of f into one buffer after every ref is validated, so the vector
+// fails as a whole before any copy.
 func (ix *versionIndex) readSlots(refs []SlotRef, f versionFile) ([][]byte, error) {
-	var reads []slotRead // only versions without a mirror need any
 	out := make([][]byte, len(refs))
+	total := 0
 	for i, r := range refs {
 		v, err := ix.slot(r.Bucket, r.Slot)
 		if err != nil {
 			return nil, err
 		}
-		if v.mirror != nil {
+		if f == nil {
 			out[i] = v.layout.slotIn(v.mirror, r.Slot, 0)
-			continue
 		}
-		if reads == nil {
-			reads = make([]slotRead, 0, len(refs)-i)
-		}
-		off, n := ix.slotRange(v, r.Slot)
-		reads = append(reads, slotRead{res: i, seg: v.seg, off: off, n: n})
+		total += v.layout.slotLen(r.Slot)
 	}
-	if err := preadSlots(f, reads, out); err != nil {
-		return nil, err
+	if f == nil {
+		return out, nil
+	}
+	buf := f.take(total)
+	for i, r := range refs {
+		vs := ix.buckets[r.Bucket] // validated above
+		v := &vs[len(vs)-1]
+		off, n := ix.slotRange(v, r.Slot)
+		out[i], buf = buf[:n:n], buf[n:]
+		if err := f.readAt(out[i], v.seg, off); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// readBucket returns every slot of bucket's newest version (none for a bucket
-// never written).
+// readBucket returns a copy of every slot of bucket's newest version (none
+// for a bucket never written), which the caller keeps: only tests and tools
+// read a whole bucket, so the server encodes this copy too.
 func (ix *versionIndex) readBucket(bucket int, f versionFile) ([][]byte, error) {
 	v, err := ix.newest(bucket)
 	if err != nil || v == nil {
 		return nil, err
 	}
-	if v.mirror != nil {
-		return v.layout.split(v.mirror, 0), nil
+	if f == nil {
+		return v.layout.split(bytes.Clone(v.mirror), 0), nil
 	}
-	buf, err := f.preadVersion(v.seg, v.off+ix.dataStart, v.layout.span(4))
-	if err != nil {
+	span := f.take(v.layout.span(4))
+	if err := f.readAt(span, v.seg, v.off+ix.dataStart); err != nil {
 		return nil, err
 	}
-	return v.layout.split(buf, 4), nil
+	return v.layout.split(span, 4), nil
 }
 
 // encodeSlots is readSlots appended to dst as a count-prefixed field vector
-// (readEncoder): mirrored slots are copied straight into the reply.
+// (readEncoder), each slot copied straight into the reply: from its mirror,
+// or out of f with the length prefix its record holds, which is the field's.
 func (ix *versionIndex) encodeSlots(dst []byte, refs []SlotRef, f versionFile) ([]byte, error) {
 	e := encoder{buf: dst}
 	e.u32(uint32(len(refs)))
@@ -249,78 +261,21 @@ func (ix *versionIndex) encodeSlots(dst []byte, refs []SlotRef, f versionFile) (
 		if err != nil {
 			return e.buf, err
 		}
-		if v.mirror == nil {
-			data, err := ix.readSlots(refs, f)
-			if err != nil {
-				return dst, err
-			}
-			return appendFields(dst, data), nil
+		if f == nil {
+			e.bytes(v.layout.slotIn(v.mirror, r.Slot, 0))
+			continue
 		}
-		e.bytes(v.layout.slotIn(v.mirror, r.Slot, 0))
+		off, n := ix.slotRange(v, r.Slot)
+		if e.buf, err = appendRead(e.buf, f, v.seg, off-4, n+4); err != nil {
+			return e.buf, err
+		}
 	}
 	return e.buf, nil
 }
 
-// encodeBucket is readBucket appended to dst the same way.
-func (ix *versionIndex) encodeBucket(dst []byte, bucket int, f versionFile) ([]byte, error) {
-	v, err := ix.newest(bucket)
-	if err != nil {
-		return dst, err
-	}
-	if v == nil || v.mirror == nil {
-		slots, err := ix.readBucket(bucket, f)
-		if err != nil {
-			return dst, err
-		}
-		return appendFields(dst, slots), nil
-	}
-	e := encoder{buf: dst}
-	e.u32(uint32(v.layout.n))
-	for i := 0; i < v.layout.n; i++ {
-		e.bytes(v.layout.slotIn(v.mirror, i, 0))
-	}
-	return e.buf, nil
-}
-
-// slotRead is one slot preadSlots fetches: where it lies, and which result it
-// answers.
-type slotRead struct {
-	res int
-	seg uint64
-	off int64
-	n   int
-}
-
-// preadSlots serves reads out of f into out, sorted by file position: ranges
-// of one file within readCoalesceGap of each other share one pread, so a
-// stage's reads cost a handful of syscalls.
-func preadSlots(f versionFile, reads []slotRead, out [][]byte) error {
-	if len(reads) > 1 {
-		sort.Slice(reads, func(i, j int) bool {
-			if reads[i].seg != reads[j].seg {
-				return reads[i].seg < reads[j].seg
-			}
-			return reads[i].off < reads[j].off
-		})
-	}
-	for start := 0; start < len(reads); {
-		end := start
-		runEnd := reads[start].off + int64(reads[start].n)
-		for end+1 < len(reads) && reads[end+1].seg == reads[start].seg &&
-			reads[end+1].off <= runEnd+readCoalesceGap {
-			end++
-			runEnd = max(runEnd, reads[end].off+int64(reads[end].n))
-		}
-		base := reads[start].off
-		buf, err := f.preadVersion(reads[start].seg, base, int(runEnd-base))
-		if err != nil {
-			return err
-		}
-		for i := start; i <= end; i++ {
-			lo := reads[i].off - base
-			out[reads[i].res] = buf[lo : lo+int64(reads[i].n)]
-		}
-		start = end + 1
-	}
-	return nil
+// appendRead appends the n bytes at off of segment seg of f to dst.
+func appendRead(dst []byte, f versionFile, seg uint64, off int64, n int) ([]byte, error) {
+	dst = slices.Grow(dst, n)
+	end := len(dst) + n
+	return dst[:end], f.readAt(dst[len(dst):end], seg, off)
 }

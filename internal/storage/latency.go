@@ -160,12 +160,6 @@ func (l *Latency) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 	return encodeSlotsFrom(l.inner, dst, refs)
 }
 
-// encodeBucket serves ReadBucket to the storage server.
-func (l *Latency) encodeBucket(dst []byte, bucket int) ([]byte, error) {
-	defer l.pace.Pace(l.prof.Read)()
-	return encodeBucketFrom(l.inner, dst, bucket)
-}
-
 func (l *Latency) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 	return writeBucket(l, bucket, epoch, slots)
 }

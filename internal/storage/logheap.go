@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -18,8 +19,10 @@ import (
 // and log barrier share a wave instead of each costing one.
 //
 // State is the version index every store keeps (versionIndex), each entry
-// locating a version record in the group's log. Nothing on disk is ever
-// mutated in place:
+// locating a version record in the group's log, and the log is the only copy
+// of a version's bytes: a read copies its slots out of the log's mapped
+// segments under the log's read lock. Nothing on disk is ever mutated in
+// place:
 //
 //   - WriteBuckets appends a version record per bucket (no fsync — shadow
 //     paging makes an unsynced version harmless) and installs its location.
@@ -67,6 +70,10 @@ type LogHeap struct {
 	ckptW    uint64 // watermark of the installed index checkpoint
 	dirty    int    // own-stream records appended since that checkpoint
 	frame    []byte // framing buffer: one stream record at a time
+	// results is what reads copy their slots into; reads run concurrently
+	// under mu's read lock, so it has a lock of its own.
+	resultsMu sync.Mutex
+	results   slabs
 
 	// retainFloor is the segment retention gate's input: the first physical
 	// sequence this heap still needs on disk (lowest live version's segment
@@ -276,52 +283,63 @@ func (lh *LogHeap) NumBuckets() (int, error) {
 // ReadSlot implements BucketStore.
 func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(lh, bucket, slot) }
 
-// ReadSlots implements BucketStore: refs carrying the write-through mirror
-// are answered from memory, the rest — only versions installed by recovery
-// replay — are read back out of the log.
+// ReadSlots implements BucketStore: every slot, whether this process wrote
+// its version or recovery replayed it, is copied out of the log into one
+// carved buffer, which stays the caller's.
 func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
-	lh.mu.RLock()
-	defer lh.mu.RUnlock()
-	if err := lh.checkOpen(); err != nil {
+	if err := lh.rlock(); err != nil {
 		return nil, err
 	}
+	defer lh.runlock()
 	return lh.ix.readSlots(refs, lh)
 }
 
 // ReadBucket implements BucketStore.
 func (lh *LogHeap) ReadBucket(bucket int) ([][]byte, error) {
-	lh.mu.RLock()
-	defer lh.mu.RUnlock()
-	if err := lh.checkOpen(); err != nil {
+	if err := lh.rlock(); err != nil {
 		return nil, err
 	}
+	defer lh.runlock()
 	return lh.ix.readBucket(bucket, lh)
 }
 
-// encodeSlots implements readEncoder: the vector is read as ReadSlots reads
-// it and copied into the reply before the lock is released.
+// encodeSlots implements readEncoder: each slot is copied out of the log
+// straight into the reply.
 func (lh *LogHeap) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
-	lh.mu.RLock()
-	defer lh.mu.RUnlock()
-	if err := lh.checkOpen(); err != nil {
+	if err := lh.rlock(); err != nil {
 		return dst, err
 	}
+	defer lh.runlock()
 	return lh.ix.encodeSlots(dst, refs, lh)
 }
 
-// encodeBucket implements readEncoder.
-func (lh *LogHeap) encodeBucket(dst []byte, bucket int) ([]byte, error) {
+// rlock takes what a read holds: the heap's read lock, for the index, then
+// the log's, so no segment a version lies in is dropped and unmapped while
+// the read copies from it.
+func (lh *LogHeap) rlock() error {
 	lh.mu.RLock()
-	defer lh.mu.RUnlock()
 	if err := lh.checkOpen(); err != nil {
-		return dst, err
+		lh.mu.RUnlock()
+		return err
 	}
-	return lh.ix.encodeBucket(dst, bucket, lh)
+	lh.log.mu.RLock()
+	return nil
 }
 
-// preadVersion implements versionFile over the log.
-func (lh *LogHeap) preadVersion(seg uint64, off int64, n int) ([]byte, error) {
-	return lh.log.readRangeInto(nil, seg, off, n)
+func (lh *LogHeap) runlock() {
+	lh.log.mu.RUnlock()
+	lh.mu.RUnlock()
+}
+
+// take and readAt implement versionFile over the log, under rlock.
+func (lh *LogHeap) take(n int) []byte {
+	lh.resultsMu.Lock()
+	defer lh.resultsMu.Unlock()
+	return lh.results.take(n)
+}
+
+func (lh *LogHeap) readAt(dst []byte, seg uint64, off int64) error {
+	return lh.log.readAtLocked(dst, seg, off)
 }
 
 // ---- BucketStore writes ----
@@ -341,11 +359,12 @@ func (lh *LogHeap) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 // WriteBuckets implements BucketStore: one version record per bucket into
 // the log, no fsync (CommitEpoch's wave is the barrier; shadow paging
 // makes a torn or unsynced version harmless). Each record is framed in place
-// in the heap's one buffer, which is what the log writes out, and the slots
-// are copied once more into the version's mirror slab. Framing,
-// append and index install all happen under the lock, so the stream's record
-// order equals the index mutation order replay will reproduce — and lastPhys
-// (the checkpoint watermark source) never runs behind an installed record.
+// in the heap's one buffer, which is what the log writes out, and the index
+// records where it landed, as replay does: the log's page cache serves its
+// reads from then on, synced or not. Framing, append and index install all
+// happen under the lock, so the stream's record order equals the index
+// mutation order replay will reproduce — and lastPhys (the checkpoint
+// watermark source) never runs behind an installed record.
 // Writes install in vector order and stop at the first failing entry,
 // leaving the validated prefix installed.
 func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
@@ -364,7 +383,7 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 			return err
 		}
 		v := version{epoch: w.Epoch, layout: layoutOf(w.Slots), seg: res.segBase, off: res.off}
-		if err := lh.ix.write(w.Bucket, v, w.Slots); err != nil {
+		if err := lh.ix.install(w.Bucket, v); err != nil {
 			return err
 		}
 		lh.lastPhys = res.seq
@@ -721,8 +740,10 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			lh.mu.Unlock()
 			continue // superseded or rolled back since the snapshot
 		}
-		var err error
-		frame, err = lh.log.readRangeInto(frame, segBase, r.off, r.recLen)
+		frame = slices.Grow(frame[:0], r.recLen)[:r.recLen]
+		lh.log.mu.RLock()
+		err := lh.log.readAtLocked(frame, segBase, r.off)
+		lh.log.mu.RUnlock()
 		if err != nil {
 			lh.mu.Unlock()
 			return moved, err

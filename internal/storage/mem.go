@@ -96,16 +96,6 @@ func (m *MemBackend) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
 	return m.ix.encodeSlots(dst, refs, nil)
 }
 
-// encodeBucket implements readEncoder.
-func (m *MemBackend) encodeBucket(dst []byte, bucket int) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if err := m.checkOpen(); err != nil {
-		return dst, err
-	}
-	return m.ix.encodeBucket(dst, bucket, nil)
-}
-
 // WriteBucket implements BucketStore.
 func (m *MemBackend) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 	return writeBucket(m, bucket, epoch, slots)

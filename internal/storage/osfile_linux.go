@@ -13,3 +13,12 @@ import "syscall"
 func (o osFile) Preallocate(off, n int64) error {
 	return syscall.Fallocate(int(o.f.Fd()), 0, off, n)
 }
+
+// Map and Unmap implement the optional mapper capability with mmap(2):
+// read-only and shared, so what WriteAt writes is visible through the
+// mapping at once, from the page cache.
+func (o osFile) Map(n int64) ([]byte, error) {
+	return syscall.Mmap(int(o.f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
+}
+
+func (o osFile) Unmap(b []byte) error { return syscall.Munmap(b) }

@@ -291,9 +291,9 @@ func mutatingOp(op wireOp) bool {
 // handle executes one request. The payload may alias a pooled frame: bucket
 // writes reach the backend as views of it (a store copies what it keeps), log
 // records as copies (copyBytes), so the caller may release the frame as soon
-// as handle returns. Read replies are encoded through
-// encodeSlotsFrom/encodeBucketFrom, under the store's read lock when it
-// reuses retired versions' bytes. Vectors decode into the worker's
+// as handle returns. A slot-read reply is encoded through encodeSlotsFrom,
+// under the store's read lock when it has one; a bucket read is a copy
+// (ReadBucket). Vectors decode into the worker's
 // scratch hs, and the response is appended to out[:0].
 func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []byte) (byte, []byte) {
 	enc := encoder{buf: out[:0]}
@@ -316,10 +316,11 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 		if d.err != nil {
 			return fail(d.err)
 		}
-		var err error
-		if enc.buf, err = encodeBucketFrom(s.backend, enc.buf, bucket); err != nil {
+		slots, err := s.backend.ReadBucket(bucket)
+		if err != nil {
 			return fail(err)
 		}
+		enc.buf = appendFields(enc.buf, slots)
 	case wireReadSlots:
 		n := d.count(8)
 		if d.err != nil {

@@ -1,9 +1,10 @@
 package storage
 
-// This file holds how the stores keep a bucket version's bytes: its slots
-// back to back in one exact-length slab (slabs), addressed through the
-// version's slotLayout; and the server's read path into such a store
-// (readEncoder).
+// This file holds how the stores lay out a bucket version's bytes: its slots
+// back to back, addressed through the version's slotLayout, in one
+// exact-length slab (slabs: a MemBackend's versions, a LogHeap's read
+// results) or in its log record (a LogHeap's versions); and the server's
+// read path into a store (readEncoder).
 
 // slotLayout is how a version's slots lie back to back in a span, each behind
 // prefix bytes (its u32 length on disk, nothing in memory): n slots of size
@@ -111,7 +112,9 @@ const (
 // next write of that length. A store writes about as many bytes as it
 // retires, so once warm it allocates nothing; the slabs are never given back,
 // and the free list holds at most the bytes of the versions retired since the
-// last write. Guarded by the owning store's write lock.
+// last write. Guarded by the owning store's write lock. A LogHeap carves its
+// read results from slabs it never takes back (LogHeap.take): the GC frees a
+// chunk once no result points into it.
 type slabs struct {
 	chunk []byte
 	next  int // size of the next chunk
@@ -164,18 +167,16 @@ func (s *slabs) put(b []byte) {
 	s.free[len(b)] = append(s.free[len(b)], b)
 }
 
-// readEncoder is the read side of a store that reuses a retired version's slab
-// (every store's mirror: see versionIndex) and of the wrappers that serve one. The
-// server encodes read replies through it: slots are copied into the reply
-// while the store's read lock is held, so no reply can carry a slab that a
-// concurrent commit retired and a write reused — whoever reads, a fenced
-// zombie primary included.
+// readEncoder is the slot-read side of the stores and of the wrappers that
+// serve one. The server encodes read-slots replies through it: slots are
+// copied into the reply while the store's read lock is held, so no reply can
+// carry a slab that a concurrent commit retired and a write reused — whoever
+// reads, a fenced zombie primary included (MemBackend) — and a LogHeap's
+// slots go from its log's mapping into the reply, with no copy between.
 type readEncoder interface {
 	// encodeSlots appends refs' slots to dst as a count-prefixed field
 	// vector. On error what it appended is meaningless.
 	encodeSlots(dst []byte, refs []SlotRef) ([]byte, error)
-	// encodeBucket appends the newest version of bucket the same way.
-	encodeBucket(dst []byte, bucket int) ([]byte, error)
 }
 
 // encodeSlotsFrom appends refs' slots read from b, under b's own lock when b
@@ -189,16 +190,4 @@ func encodeSlotsFrom(b BucketStore, dst []byte, refs []SlotRef) ([]byte, error) 
 		return dst, err
 	}
 	return appendFields(dst, data), nil
-}
-
-// encodeBucketFrom is encodeSlotsFrom for a whole bucket.
-func encodeBucketFrom(b BucketStore, dst []byte, bucket int) ([]byte, error) {
-	if re, ok := b.(readEncoder); ok {
-		return re.encodeBucket(dst, bucket)
-	}
-	slots, err := b.ReadBucket(bucket)
-	if err != nil {
-		return dst, err
-	}
-	return appendFields(dst, slots), nil
 }

@@ -67,11 +67,12 @@ type BucketWrite struct {
 // returns. Reads: a returned slot is the store's and stays valid until its
 // version is retired — superseded by a CommitEpoch, discarded by a
 // RollbackTo, or replaced by a same-epoch write — after which the store may
-// reuse its bytes. A caller that needs a slot longer copies it. The proxy
-// reads a bucket from storage only while nothing retires its newest version:
-// a bucket rewritten by the epoch being committed is served from the sealed
-// set, not read. The storage server encodes its replies under the store's own
-// lock, so no client read depends on the rule.
+// reuse its bytes (a LogHeap's reads, and every store's ReadBucket, return
+// copies the caller keeps). A caller that needs a slot longer copies it. The
+// proxy reads a bucket from storage only while nothing retires its newest
+// version: a bucket rewritten by the epoch being committed is served from the
+// sealed set, not read. The storage server encodes its slot replies under the
+// store's own lock, so no client read depends on the rule.
 type BucketStore interface {
 	// ReadSlot is ReadSlots of the one ref (every store answers it through
 	// readSlot).
