@@ -261,7 +261,7 @@ func (p *Proxy) runCommit(job *boundaryJob) error {
 	clear(errs)
 	p.commits.Run(stageFlush)
 	if !shared {
-		p.syncLogs(p.commits, stageSyncFollowers)
+		p.commits.Run(stageSyncFollowers)
 	}
 	if err := firstError(errs); err != nil {
 		return err
@@ -291,7 +291,7 @@ func (p *Proxy) runCommit(job *boundaryJob) error {
 				return err
 			}
 		}
-		p.syncLogs(p.commits, stageSyncAll)
+		p.commits.Run(stageSyncAll)
 	} else {
 		// Each CommitEpoch stands on its own barrier; issued together,
 		// backends sharing a commit-group data dir coalesce the round into

@@ -375,8 +375,10 @@ func TestFullQueueWaitsOutDelta(t *testing.T) {
 	}
 }
 
-// TestManyEpochsStatsConsistent sanity-checks the accounting over a longer
-// auto-mode run.
+// TestManyEpochsStatsConsistent sanity-checks the accounting over an
+// auto-mode run of at least two epochs. It commits until Stats reports them
+// and a commit, under a deadline far past what two epochs take, so a slow or
+// loaded host only makes it run longer.
 func TestManyEpochsStatsConsistent(t *testing.T) {
 	cfg := testConfig(79)
 	cfg.BatchInterval = 200 * time.Microsecond
@@ -387,15 +389,17 @@ func TestManyEpochsStatsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	deadline := time.Now().Add(50 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	const wait = 10 * time.Second
+	deadline := time.Now().Add(wait)
+	st := p.Stats()
+	for (st.Epochs < 2 || st.Committed == 0) && time.Now().Before(deadline) {
 		tx := p.Begin()
 		tx.Write(fmt.Sprintf("k%d", time.Now().UnixNano()%32), []byte("v"))
 		tx.Commit()
+		st = p.Stats()
 	}
-	st := p.Stats()
 	if st.Epochs < 2 {
-		t.Fatalf("only %d epochs in 50ms at Δ=200µs", st.Epochs)
+		t.Fatalf("only %d epochs in %v at Δ=200µs", st.Epochs, wait)
 	}
 	if st.RealReads > st.ReadBatchSlots {
 		t.Fatalf("real reads %d exceed slots %d", st.RealReads, st.ReadBatchSlots)

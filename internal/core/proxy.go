@@ -246,10 +246,6 @@ type Proxy struct {
 	// commit's ordering points and the whole commit stands on a single flush
 	// wave (see runCommit). nil: each ordering point is a barrier.
 	unified []storage.EpochCommitBatcher
-	// deferredLogs reports that some shard's log store splits appends from
-	// their barrier (storage.LogBatcher). Without one, every append was
-	// durable inline and a Sync round has nothing to flush.
-	deferredLogs bool
 
 	mu     sync.Mutex
 	closed bool
@@ -413,9 +409,6 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 			fetched: make(map[string]bool),
 		}
 		if !cfg.DisableDurability {
-			if _, ok := st.(storage.LogBatcher); ok {
-				p.deferredLogs = true
-			}
 			l, err := wal.New(st, wal.Config{Key: cfg.Key, Shard: i, Shards: len(stores), Public: pub})
 			if err != nil {
 				return nil, err
@@ -465,17 +458,6 @@ func (p *Proxy) shardParams(i int) ringoram.Params {
 func (p *Proxy) beginEpochAllLocked() {
 	for _, sh := range p.shards {
 		sh.exec.BeginEpoch(p.epoch)
-	}
-}
-
-// syncLogs runs one Sync round on f, s being one of its sync stages: every
-// shard the stage names, unless it already failed, flushes its recovery log's
-// deferred appends. On a shared physical log the shards' barriers ride one
-// fsync wave; on independent stores they overlap. With nothing deferred (no
-// LogBatcher store: every append was durable inline) there is no round.
-func (p *Proxy) syncLogs(f *oramexec.Fanout[stage], s stage) {
-	if p.deferredLogs {
-		f.Run(s)
 	}
 }
 

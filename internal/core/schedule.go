@@ -80,7 +80,7 @@ func (p *Proxy) loggedRound(plan, exec stage, epoch uint64, batch int) {
 			p.step.errs[i] = err
 		}
 	}
-	p.syncLogs(p.sched, stageSyncStep)
+	p.sched.Run(stageSyncStep)
 	p.sched.Run(exec)
 }
 

@@ -252,6 +252,21 @@ func (f *crashFile) Size() (int64, error) {
 
 func (f *crashFile) Close() error { return nil }
 
+// Map returns a view of the first n bytes of the file's process view, its
+// page cache: the bytes are given room up to n in place, so WriteAt updates
+// the view as long as it writes inside it, as a shared mapping sees writes.
+// Bytes past the file's size are not the file's and are never read.
+func (f *crashFile) Map(n int64) ([]byte, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if int64(cap(f.node.data)) < n {
+		f.node.data = append(make([]byte, 0, n), f.node.data...)
+	}
+	return f.node.data[:n:n], nil
+}
+
+func (f *crashFile) Unmap([]byte) error { return nil }
+
 // ---- the sweep ----
 
 // sweepOracle mirrors every operation the disk backend acknowledged into a

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,9 +20,10 @@ import (
 // directory sync).
 
 // vfile is one open file. A disk group only ever appends at a tracked offset
-// (WriteAt), reads with positional reads (ReadAt), truncates torn tails on
-// open, and syncs at durability barriers; there is no seek state to reason
-// about.
+// (WriteAt), reads a log segment or the heap index through a read-only shared
+// mapping (Map) and the meta header with a positional read (ReadAt),
+// truncates torn tails on open, and syncs at durability barriers; there is no
+// seek state to reason about.
 type vfile interface {
 	io.ReaderAt
 	io.WriterAt
@@ -34,6 +34,13 @@ type vfile interface {
 	Sync() error
 	// Size reports the current file length.
 	Size() (int64, error)
+	// Map maps the file's first n bytes read-only and shared, n possibly
+	// past its end: what WriteAt writes inside the mapping is visible
+	// through it at once, and only bytes the file holds may be read. Unmap
+	// releases such a mapping. A platform without mappings fails Map, and
+	// with it the group's open.
+	Map(n int64) ([]byte, error)
+	Unmap(b []byte) error
 	Close() error
 }
 
@@ -73,15 +80,6 @@ func preallocate(f vfile, off, n int64) {
 	if p, ok := f.(preallocator); ok {
 		_ = p.Preallocate(off, n)
 	}
-}
-
-// mapper is an optional vfile capability: map the file's first n bytes
-// read-only and shared, n possibly past its end (only bytes the file holds
-// may be read), and unmap such a mapping. A log segment's reads copy out of
-// its mapping and cost no syscall.
-type mapper interface {
-	Map(n int64) ([]byte, error)
-	Unmap(b []byte) error
 }
 
 // osFS is the real file system.
@@ -221,6 +219,29 @@ func decodeRecord(buf []byte) (body []byte, size int, err error) {
 		return nil, 0, errTornRecord
 	}
 	return body, recordFrameSize + n, nil
+}
+
+// decodeRecords decodes the framed records at the front of buf in order,
+// handing fn each one's offset in buf and body (aliasing buf), and returns
+// the length of the valid prefix: it stops at the first torn record, which
+// is not an error. Corruption or fn's error stops it with that error, the
+// offset returned being the failing record's.
+func decodeRecords(buf []byte, fn func(off int, body []byte) error) (int, error) {
+	off := 0
+	for off < len(buf) {
+		body, size, err := decodeRecord(buf[off:])
+		if errors.Is(err, errTornRecord) {
+			break
+		}
+		if err == nil {
+			err = fn(off, body)
+		}
+		if err != nil {
+			return off, err
+		}
+		off += size
+	}
+	return off, nil
 }
 
 // ---- file headers ----
@@ -453,98 +474,6 @@ func parseLhixBody(body []byte) (lhixRec, error) {
 	default:
 		return lhixRec{}, fmt.Errorf("%w: unknown index checkpoint record kind %d", errBadRecord, body[0])
 	}
-}
-
-// recordScanner sequentially decodes framed records from a vfile using
-// chunked buffered reads, so replaying a large file costs one syscall per
-// chunk instead of two per record. The body returned by next aliases the
-// scanner's buffer and is only valid until the following call.
-type recordScanner struct {
-	f        vfile
-	size     int64 // scan stops here
-	bufStart int64 // file offset of buf[0]
-	buf      []byte
-	pos      int // parse position within buf
-}
-
-const scannerChunk = 256 << 10
-
-func newRecordScanner(f vfile, off, size int64) *recordScanner {
-	return &recordScanner{f: f, size: size, bufStart: off}
-}
-
-// ensure makes at least n unparsed bytes available in the buffer (bounded by
-// the file size). It returns the number actually available.
-func (s *recordScanner) ensure(n int) (int, error) {
-	if avail := len(s.buf) - s.pos; avail >= n {
-		return avail, nil
-	}
-	// Compact the consumed prefix away, then read a chunk.
-	s.buf = append(s.buf[:0], s.buf[s.pos:]...)
-	s.bufStart += int64(s.pos)
-	s.pos = 0
-	want := n - len(s.buf)
-	if want < scannerChunk {
-		want = scannerChunk
-	}
-	if left := s.size - s.bufStart - int64(len(s.buf)); int64(want) > left {
-		want = int(left)
-	}
-	if want > 0 {
-		ext, err := readFileRange(s.f, s.bufStart+int64(len(s.buf)), want)
-		if err != nil {
-			return 0, err
-		}
-		s.buf = append(s.buf, ext...)
-	}
-	return len(s.buf), nil
-}
-
-// next decodes the next record, returning its body and total framed size.
-// It returns errTornRecord at a torn tail and errBadRecord on structural
-// corruption, exactly like decodeRecord.
-func (s *recordScanner) next() (body []byte, size int, err error) {
-	avail, err := s.ensure(recordFrameSize)
-	if err != nil {
-		return nil, 0, err
-	}
-	if avail < recordFrameSize {
-		return nil, 0, errTornRecord
-	}
-	n := int(binary.BigEndian.Uint32(s.buf[s.pos : s.pos+4]))
-	if n > maxRecordSize {
-		return nil, 0, fmt.Errorf("%w: %d byte record exceeds limit", errBadRecord, n)
-	}
-	avail, err = s.ensure(recordFrameSize + n)
-	if err != nil {
-		return nil, 0, err
-	}
-	if avail < recordFrameSize+n {
-		return nil, 0, errTornRecord
-	}
-	body, size, err = decodeRecord(s.buf[s.pos : s.pos+recordFrameSize+n])
-	if err != nil {
-		return nil, 0, err
-	}
-	s.pos += size
-	return body, size, nil
-}
-
-// readFileRange reads [off, off+n) from f, failing on short reads.
-func readFileRange(f vfile, off int64, n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if err := readFileInto(buf, f, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readFileInto fills dst from f at off, failing on short reads.
-func readFileInto(dst []byte, f vfile, off int64) error {
-	if got, err := f.ReadAt(dst, off); got < len(dst) {
-		return cmp.Or(err, io.ErrUnexpectedEOF)
-	}
-	return nil
 }
 
 func joinPath(dir, name string) string { return filepath.Join(dir, name) }

@@ -101,36 +101,35 @@ type segment struct {
 	offs []int64 // frame offset of each record
 	lens []int32 // framed length of each record
 	size int64
-	// mapped is the file mapped read-only and shared (mapTo), nil for a
-	// file that cannot be mapped. It is unmapped only under the log's write
-	// lock, so a read holding the read lock may copy out of it.
+	// mapped is the file mapped read-only and shared, always covering its
+	// size: every read of the segment copies or slices out of it. It is
+	// replaced (mapTo) or unmapped only under the log's write lock, so a
+	// reader holding the read lock may use it until it lets go of the lock,
+	// and no reader keeps a mapped byte past that.
 	mapped []byte
 }
 
-// mapTo maps the segment's first n bytes, when its file can be (mapper);
-// reads of a file that cannot, or of a failed mapping, go to ReadAt.
-func (s *segment) mapTo(n int64) {
-	if m, ok := s.f.(mapper); ok {
-		s.mapped, _ = m.Map(n)
+// mapTo maps the segment's first n bytes in place of its mapping, if any.
+func (s *segment) mapTo(n int64) error {
+	m, err := s.f.Map(n)
+	if err != nil {
+		return fmt.Errorf("storage: mapping log segment %s: %w", s.name, err)
 	}
+	s.unmap()
+	s.mapped = m
+	return nil
 }
 
-// readAt fills dst with the bytes at off: copied out of the mapping when it
-// covers them, else read with the file's ReadAt (a file with no mapping, or
-// the end of a record that crossed segMaxBytes).
-func (s *segment) readAt(dst []byte, off int64) error {
-	if end := off + int64(len(dst)); end <= int64(len(s.mapped)) {
-		copy(dst, s.mapped[off:end])
-		return nil
+func (s *segment) unmap() {
+	if s.mapped != nil {
+		_ = s.f.Unmap(s.mapped)
+		s.mapped = nil
 	}
-	return readFileInto(dst, s.f, off)
 }
 
 // close unmaps the segment and closes its file.
 func (s *segment) close() error {
-	if m, ok := s.f.(mapper); ok && s.mapped != nil {
-		_ = m.Unmap(s.mapped)
-	}
+	s.unmap()
 	return s.f.Close()
 }
 
@@ -183,12 +182,13 @@ func openMeta(fsys vfs, dir string, numBuckets int) (nb int, truncBefore uint64,
 		f.Close()
 		return create()
 	}
-	buf, rerr := readFileRange(f, 0, fileHeaderSize)
+	buf := make([]byte, fileHeaderSize)
+	n, rerr := f.ReadAt(buf, 0)
 	cerr := f.Close()
 	if serr != nil {
 		return 0, 0, serr
 	}
-	if rerr != nil {
+	if n < fileHeaderSize { // a short ReadAt always says why
 		return 0, 0, fmt.Errorf("storage: reading meta: %w", rerr)
 	}
 	if cerr != nil {
@@ -368,56 +368,44 @@ func (l *diskLog) openSegment(base uint64) (*segment, error) {
 	}
 	seg := &segment{f: f, name: name, base: base}
 	fail := func(err error) (*segment, error) {
-		f.Close()
+		seg.close()
 		return nil, err
 	}
 	damaged := func(format string, args ...any) (*segment, error) {
-		f.Close()
-		return nil, fmt.Errorf("%w: %s", errSegDamaged, fmt.Sprintf(format, args...))
+		return fail(fmt.Errorf("%w: %s", errSegDamaged, fmt.Sprintf(format, args...)))
 	}
 	if size < fileHeaderSize {
 		return damaged("segment %s truncated below its header", name)
 	}
-	hdr, err := readFileRange(f, 0, fileHeaderSize)
-	if err != nil {
+	// Mapped at least segMaxBytes long, like a new segment: the tail keeps
+	// taking appends past its size at open.
+	if err := seg.mapTo(max(size, l.segMaxBytes)); err != nil {
 		return fail(err)
 	}
-	_, storedBase, err := decodeFileHeader(hdr, segMagic)
+	_, storedBase, err := decodeFileHeader(seg.mapped, segMagic)
 	if err != nil {
 		return damaged("segment %s: %v", name, err)
 	}
 	if storedBase != base {
 		return damaged("segment %s header claims base %d", name, storedBase)
 	}
-	sc := newRecordScanner(f, fileHeaderSize, size)
-	off := int64(fileHeaderSize)
-	for off < size {
-		_, total, err := sc.next()
-		if err != nil {
-			if errors.Is(err, errTornRecord) {
-				break
-			}
-			if errors.Is(err, errBadRecord) {
-				return damaged("segment %s at offset %d: %v", name, off, err)
-			}
-			return fail(fmt.Errorf("storage: log segment %s at offset %d: %w", name, off, err))
-		}
-		seg.offs = append(seg.offs, off)
-		seg.lens = append(seg.lens, int32(total))
-		off += int64(total)
+	end, err := decodeRecords(seg.mapped[fileHeaderSize:size], func(off int, body []byte) error {
+		seg.offs = append(seg.offs, int64(fileHeaderSize+off))
+		seg.lens = append(seg.lens, int32(recordFrameSize+len(body)))
+		return nil
+	})
+	seg.size = int64(fileHeaderSize + end)
+	if err != nil {
+		return damaged("segment %s at offset %d: %v", name, seg.size, err)
 	}
-	if off < size {
-		if err := f.Truncate(off); err != nil {
+	if seg.size < size {
+		if err := f.Truncate(seg.size); err != nil {
 			return fail(err)
 		}
 		if err := f.Sync(); err != nil {
 			return fail(err)
 		}
 	}
-	seg.size = off
-	// Mapped at least segMaxBytes long, like a new segment: the tail keeps
-	// taking appends past its size at open.
-	seg.mapTo(max(off, l.segMaxBytes))
 	return seg, nil
 }
 
@@ -533,6 +521,15 @@ func (l *diskLog) appendFramedLocked(framed []byte) (logAppendRes, error) {
 	seg.offs = append(seg.offs, off)
 	seg.lens = append(seg.lens, int32(len(framed)))
 	seg.size += int64(len(framed))
+	// A record crossing segMaxBytes outgrows the mapping, and the segment
+	// takes no append after it: remapped to its size, it covers every record
+	// it holds. Readers hold the read lock and this the write lock, so none
+	// is copying out of the old mapping as it goes.
+	if seg.size > int64(len(seg.mapped)) {
+		if err := seg.mapTo(seg.size); err != nil {
+			return logAppendRes{}, l.wedge(err)
+		}
+	}
 	return logAppendRes{seq: l.lastSeq.Add(1), segBase: seg.base, off: off}, nil
 }
 
@@ -566,7 +563,10 @@ func (l *diskLog) activeSegmentLocked() (*segment, error) {
 		return nil, l.wedge(err)
 	}
 	seg := &segment{f: f, name: name, base: base, size: fileHeaderSize}
-	seg.mapTo(l.segMaxBytes)
+	if err := seg.mapTo(l.segMaxBytes); err != nil {
+		f.Close()
+		return nil, l.wedge(err)
+	}
 	l.segs = append(l.segs, seg)
 	return seg, nil
 }
@@ -708,7 +708,7 @@ func (l *diskLog) streamLast(id uint32) (uint64, error) {
 // held. It does NOT clamp to the truncation point: the retention gate keeps
 // whole segments below it alive because they still hold live bucket
 // versions, and index replay must see them. Each overlapping segment is
-// served with one ranged pread; the body slice is only valid for the
+// decoded where its mapping lies; the body slice is only valid for the
 // duration of the callback.
 func (l *diskLog) scanLocked(from uint64, fn func(seq, segBase uint64, off int64, rec []byte) error) error {
 	if err := l.checkUsable(); err != nil {
@@ -719,39 +719,32 @@ func (l *diskLog) scanLocked(from uint64, fn func(seq, segBase uint64, off int64
 		if n == 0 || seg.base+n <= from {
 			continue
 		}
-		start := 0
+		start := uint64(0)
 		if from > seg.base {
-			start = int(from - seg.base)
+			start = from - seg.base
 		}
 		lo := seg.offs[start]
-		buf, err := readFileRange(seg.f, lo, int(seg.size-lo))
+		end, err := decodeRecords(seg.mapped[lo:seg.size], func(off int, body []byte) error {
+			err := fn(seg.base+start, seg.base, lo+int64(off), body)
+			start++
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		seq := seg.base + uint64(start)
-		off := lo
-		for rest := buf; len(rest) > 0; {
-			body, total, err := decodeRecord(rest)
-			if err != nil {
-				return fmt.Errorf("storage: log segment %s: %w", seg.name, err)
-			}
-			if err := fn(seq, seg.base, off, body); err != nil {
-				return err
-			}
-			seq++
-			off += int64(total)
-			rest = rest[total:]
+		if lo+int64(end) < seg.size {
+			return fmt.Errorf("storage: log segment %s: %w", seg.name, errTornRecord)
 		}
 	}
 	return nil
 }
 
-// readAtLocked fills dst with the bytes at off of a retained segment,
+// readAtLocked copies into dst the bytes at off of a retained segment,
 // addressed by the (segBase, offset) an append or scan reported; mu is held
-// (at least for reading), so the segment stays mapped while it copies. Every
-// retained record's crc32c was verified when its segment was opened (or the
-// bytes were written by this process), so the logheap read path slices what
-// it reads without re-checking.
+// (at least for reading), so the segment's mapping stays in place while it
+// copies. Every retained record's crc32c was verified when its segment was
+// opened (or the bytes were written by this process), so the logheap read
+// path slices what it reads without re-checking.
 func (l *diskLog) readAtLocked(dst []byte, segBase uint64, off int64) error {
 	i := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].base >= segBase })
 	if i >= len(l.segs) || l.segs[i].base != segBase {
@@ -761,7 +754,8 @@ func (l *diskLog) readAtLocked(dst []byte, segBase uint64, off int64) error {
 	if off < int64(fileHeaderSize) || off+int64(len(dst)) > seg.size {
 		return fmt.Errorf("storage: read [%d,+%d) outside log segment %s", off, len(dst), seg.name)
 	}
-	return seg.readAt(dst, off)
+	copy(dst, seg.mapped[off:off+int64(len(dst))])
+	return nil
 }
 
 // last reports the sequence number of the newest record.

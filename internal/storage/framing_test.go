@@ -69,8 +69,8 @@ func logBytes(t *testing.T, l *diskLog) []byte {
 	defer l.mu.RUnlock()
 	var out []byte
 	for _, seg := range l.segs {
-		part, err := readFileRange(seg.f, fileHeaderSize, int(seg.size-fileHeaderSize))
-		if err != nil {
+		part := make([]byte, seg.size-fileHeaderSize)
+		if _, err := seg.f.ReadAt(part, fileHeaderSize); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, part...)

@@ -150,11 +150,12 @@ func (lh *LogHeap) loadCheckpoint() error {
 	if size < fileHeaderSize {
 		return nil // creation never durably completed
 	}
-	hdr, err := readFileRange(f, 0, fileHeaderSize)
+	m, err := f.Map(size)
 	if err != nil {
-		return err
+		return fmt.Errorf("storage: mapping heap index checkpoint: %w", err)
 	}
-	nb, w, err := decodeFileHeader(hdr, lhixMagic)
+	defer f.Unmap(m)
+	nb, w, err := decodeFileHeader(m, lhixMagic)
 	if err != nil {
 		return nil // installed but never durable: pre-checkpoint state
 	}
@@ -162,30 +163,22 @@ func (lh *LogHeap) loadCheckpoint() error {
 		return fmt.Errorf("storage: heap index checkpoint holds %d buckets but meta says %d", nb, lh.numBuckets)
 	}
 	ix := newVersionIndex(lh.numBuckets, logHeapDataStart)
-	sc := newRecordScanner(f, fileHeaderSize, size)
-	off := int64(fileHeaderSize)
-	for off < size {
-		body, total, err := sc.next()
-		if err != nil {
-			if errors.Is(err, errTornRecord) {
-				return nil // discard: see doc comment
-			}
-			return fmt.Errorf("storage: heap index checkpoint at offset %d: %w", off, err)
-		}
+	end, err := decodeRecords(m[fileHeaderSize:], func(_ int, body []byte) error {
 		rec, err := parseLhixBody(body)
 		if err != nil {
-			return fmt.Errorf("storage: heap index checkpoint at offset %d: %w", off, err)
+			return err
 		}
-		switch rec.kind {
-		case lhixKindState:
+		if rec.kind == lhixKindState {
 			ix.committed = rec.committed
-		case lhixKindVersion:
-			v := version{epoch: rec.epoch, layout: layoutFromLens(rec.slotLens), seg: rec.segBase, off: rec.off}
-			if err := ix.install(rec.bucket, v); err != nil {
-				return fmt.Errorf("storage: heap index checkpoint: %w", err)
-			}
+			return nil
 		}
-		off += int64(total)
+		return ix.install(rec.bucket, version{epoch: rec.epoch, layout: layoutFromLens(rec.slotLens), seg: rec.segBase, off: rec.off})
+	})
+	if err != nil {
+		return fmt.Errorf("storage: heap index checkpoint at offset %d: %w", fileHeaderSize+end, err)
+	}
+	if int64(fileHeaderSize+end) < size {
+		return nil // a torn record discards it all: see doc comment
 	}
 	lh.ix = ix
 	lh.ckptW = w

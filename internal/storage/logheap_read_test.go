@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"path"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -132,9 +135,9 @@ func checkReadBack(t *testing.T, g *DiskGroup, lh *LogHeap, model map[int][][]by
 // TestLogHeapReadsBackFromLog writes and commits on a one-shard group and
 // reads back without a restart, then after one, then after segment GC moved
 // versions: in every case each slot is the bytes the log's own scan finds at
-// the version's location. On the real file system the segments are mapped
-// and reads copy out of the mappings; the crash harness's files cannot be
-// mapped and serve the same reads with ReadAt.
+// the version's location. On the real file system and on the crash
+// harness's alike, every segment is mapped and covers every record it holds:
+// the reads the crash sweeps check are the ones production makes.
 func TestLogHeapReadsBackFromLog(t *testing.T) {
 	const numBuckets, slotsPer = 12, 6
 	for _, fsName := range []string{"os", "crash"} {
@@ -151,13 +154,7 @@ func TestLogHeapReadsBackFromLog(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.log.mu.RLock()
-				for _, seg := range g.log.segs {
-					if mapped := seg.mapped != nil; mapped != (fsName == "os") {
-						t.Fatalf("segment %s mapped=%v on the %s file system", seg.name, mapped, fsName)
-					}
-				}
-				g.log.mu.RUnlock()
+				checkMapped(t, g.log)
 				return g
 			}
 			rng := rand.New(rand.NewPCG(1, 2))
@@ -205,6 +202,7 @@ func TestLogHeapReadsBackFromLog(t *testing.T) {
 			}
 			commit(g)
 			checkReadBack(t, g, lh, model, rng)
+			checkMapped(t, g.log)
 
 			// Replayed: every version now lies in a segment opened at start;
 			// then more land in the reopened tail, past its size at open.
@@ -230,8 +228,209 @@ func TestLogHeapReadsBackFromLog(t *testing.T) {
 					t.Fatalf("bucket %d still reads from evacuated segment %d", b, old)
 				}
 			}
+			checkMapped(t, g.log)
 			if err := g.Close(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// checkMapped requires every segment of l mapped over at least the bytes it
+// holds.
+func checkMapped(t *testing.T, l *diskLog) {
+	t.Helper()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, seg := range l.segs {
+		if int64(len(seg.mapped)) < seg.size {
+			t.Fatalf("segment %s holds %d bytes, %d of them mapped", seg.name, seg.size, len(seg.mapped))
+		}
+	}
+}
+
+// readCountFS counts the ReadAt calls made on log segments and heap index
+// checkpoints, whose every read must go through a mapping.
+type readCountFS struct {
+	vfs
+	reads *atomic.Int64
+}
+
+type readCountFile struct {
+	vfile
+	reads *atomic.Int64
+}
+
+func (c readCountFS) OpenFile(name string, flag int, perm os.FileMode) (vfile, error) {
+	f, err := c.vfs.OpenFile(name, flag, perm)
+	if _, seg := parseSegName(path.Base(name)); err == nil && (seg || path.Base(name) == heapIndexName) {
+		return readCountFile{f, c.reads}, nil
+	}
+	return f, err
+}
+
+func (f readCountFile) ReadAt(p []byte, off int64) (int, error) {
+	f.reads.Add(1)
+	return f.vfile.ReadAt(p, off)
+}
+
+// TestLogReadsOnlyThroughMappings drives a two-shard group on the real file
+// system and on the crash harness's through every read of its log — ReadSlots,
+// a WAL stream's Scan, replay and the heap index load at reopen, segment GC —
+// with segments small enough that records cross segMaxBytes and their
+// segments are remapped, and requires that none of them reads a segment or a
+// heap index with ReadAt. Run it under -race: a remap runs under the log's
+// write lock while the readers hold its read lock.
+func TestLogReadsOnlyThroughMappings(t *testing.T) {
+	const numBuckets, slotsPer, segMax = 8, 6, 1024
+	for _, fsName := range []string{"os", "crash"} {
+		t.Run(fsName, func(t *testing.T) {
+			var inner vfs = osFS{}
+			dir := t.TempDir()
+			if fsName == "crash" {
+				inner, dir = newCrashFS(nil), "data"
+			}
+			var reads atomic.Int64
+			fsys := readCountFS{inner, &reads}
+			open := func() *DiskGroup {
+				g, err := openDiskGroupOpts(fsys, dir, 2, numBuckets, diskOpts{workers: 2, DiskOptions: DiskOptions{LogHeap: true}, segMaxBytes: segMax})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkMapped(t, g.log)
+				return g
+			}
+			model := make([]map[int][][]byte, 2)
+			var wal [2][][]byte
+			rng := rand.New(rand.NewPCG(5, 6))
+			// check reads every shard's buckets and WAL stream back.
+			check := func(g *DiskGroup) {
+				t.Helper()
+				for i, lh := range g.shards {
+					checkReadBack(t, g, lh, model[i], rng)
+					got, err := lh.Scan(0)
+					if err != nil || len(got) != len(wal[i]) {
+						t.Fatalf("shard %d: Scan returned %d records, %v; %d appended", i, len(got), err, len(wal[i]))
+					}
+					for j := range got {
+						if !bytes.Equal(got[j], wal[i][j]) {
+							t.Fatalf("shard %d record %d: Scan %q, appended %q", i, j, got[j], wal[i][j])
+						}
+					}
+				}
+			}
+			epoch := uint64(0)
+			write := func(g *DiskGroup, buckets ...int) {
+				epoch++
+				for i, lh := range g.shards {
+					if model[i] == nil {
+						model[i] = map[int][][]byte{}
+					}
+					var writes []BucketWrite
+					for _, b := range buckets {
+						model[i][b] = readBackSlots(b+8*i, epoch, slotsPer)
+						writes = append(writes, BucketWrite{Bucket: b, Epoch: epoch, Slots: model[i][b]})
+					}
+					rec := []byte(fmt.Sprintf("shard %d epoch %d", i, epoch))
+					wal[i] = append(wal[i], rec)
+					if _, err := lh.Append(rec); err != nil {
+						t.Fatal(err)
+					}
+					if err := lh.WriteBuckets(writes); err != nil {
+						t.Fatal(err)
+					}
+					if err := lh.CommitEpoch(epoch); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			g := open()
+			write(g, 0, 1, 2, 3, 4, 5, 6, 7)
+			// A reader loops over every slot and stream while the next epochs
+			// append, and remap the segments their records cross into.
+			var refs []SlotRef
+			for b := 0; b < numBuckets; b++ {
+				for j := 0; j < slotsPer; j++ {
+					refs = append(refs, SlotRef{Bucket: b, Slot: j})
+				}
+			}
+			done, readErr := make(chan struct{}), make(chan error, 1)
+			go func() {
+				for {
+					for i, lh := range g.shards {
+						got, err := lh.ReadSlots(refs)
+						for k := 0; err == nil && k < len(got); k++ {
+							if r := refs[k]; len(got[k]) < 3 || got[k][0] != byte(r.Bucket+8*i) || got[k][2] != byte(r.Slot) {
+								err = fmt.Errorf("shard %d bucket %d slot %d read %x", i, r.Bucket, r.Slot, got[k])
+							}
+						}
+						if err == nil {
+							_, err = lh.Scan(0)
+						}
+						if err != nil {
+							readErr <- err
+							return
+						}
+					}
+					select {
+					case <-done:
+						readErr <- nil
+						return
+					default:
+					}
+				}
+			}()
+			write(g, 1, 3, 5)
+			write(g, 2, 4, 6)
+			write(g, 1, 3)
+			close(done)
+			if err := <-readErr; err != nil {
+				t.Fatal(err)
+			}
+			check(g)
+			crossed := false
+			g.log.mu.RLock()
+			for _, seg := range g.log.segs {
+				crossed = crossed || seg.size > segMax
+			}
+			g.log.mu.RUnlock()
+			if !crossed {
+				t.Fatalf("no record crossed segMaxBytes (%d): no segment was remapped", segMax)
+			}
+			checkMapped(t, g.log)
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			g = open() // replays the log above each heap index checkpoint
+			defer g.Close()
+			check(g)
+			write(g, 0, 2)
+			// Segment GC moves the versions of the segment holding shard 0's
+			// bucket 7, written in the first epoch only.
+			lh := g.shards[0]
+			lh.mu.RLock()
+			v, err := lh.ix.newest(7)
+			lh.mu.RUnlock()
+			if err != nil || v == nil {
+				t.Fatalf("bucket 7: newest version %v, %v", v, err)
+			}
+			old, moved := v.seg, 0
+			for _, lh := range g.shards {
+				n, err := lh.EvacuateSegment(old)
+				if err != nil {
+					t.Fatal(err)
+				}
+				moved += n
+			}
+			if moved == 0 {
+				t.Fatalf("segment GC moved no version out of segment %d", old)
+			}
+			check(g)
+			checkMapped(t, g.log)
+			if n := reads.Load(); n != 0 {
+				t.Fatalf("%d ReadAt calls on log segments and heap indexes; every read must go through a mapping", n)
 			}
 		})
 	}

@@ -122,7 +122,10 @@ type Config struct {
 // empty and the first full checkpoint appended (recovery's own) re-anchors it.
 type Log struct {
 	store storage.LogStore
-	cfg   Config
+	// batcher is store's LogBatcher face, nil when it has none: probed once,
+	// at New, not on every append and Sync.
+	batcher storage.LogBatcher
+	cfg     Config
 	// untilFull counts the delta checkpoints due before the next full one.
 	untilFull int
 	// bind holds each record kind's AEAD binding, built once.
@@ -185,6 +188,7 @@ func New(store storage.LogStore, cfg Config) (*Log, error) {
 		return nil, errors.New("wal: nil key")
 	}
 	l := &Log{store: store, cfg: cfg}
+	l.batcher, _ = store.(storage.LogBatcher)
 	for kind := kindBatch; kind <= kindCheckpointCommitting; kind++ {
 		l.bind[kind] = cryptoutil.Binding(uint64(kind), 0, 0)
 	}
@@ -282,20 +286,20 @@ func (l *Log) noteAppendLocked(seq uint64) {
 // Sync makes every append durable. A no-op when the store lacks the
 // LogBatcher capability — its Appends were durable inline.
 func (l *Log) Sync() error {
-	if lb, ok := l.store.(storage.LogBatcher); ok {
-		return lb.SyncLog()
+	if l.batcher == nil {
+		return nil
 	}
-	return nil
+	return l.batcher.SyncLog()
 }
 
 // appendStore appends a sealed record that rides the next Sync when the store
 // supports deferred barriers. Stores without the capability append durably,
 // the stricter behavior.
 func (l *Log) appendStore(rec []byte) (uint64, error) {
-	if lb, ok := l.store.(storage.LogBatcher); ok {
-		return lb.AppendNoSync(rec)
+	if l.batcher == nil {
+		return l.store.Append(rec)
 	}
-	return l.store.Append(rec)
+	return l.batcher.AppendNoSync(rec)
 }
 
 // PendingCheckpoint is an epoch-end metadata snapshot whose log append has
