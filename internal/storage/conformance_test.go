@@ -119,8 +119,8 @@ func TestBackendConformanceLogHeap(t *testing.T) {
 }
 
 // The logheap contract must also survive a close/reopen cycle: the reopened
-// store rebuilds its bucket index from the index checkpoint plus a replay of
-// the shared log's bucket-data streams.
+// store rebuilds its bucket index from a replay of the shared log's
+// bucket-data streams.
 func TestBackendConformanceLogHeapReopened(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
 		dir := t.TempDir()

@@ -10,9 +10,9 @@ import (
 // This file holds a disk group's data-dir layout: the options a group opens
 // with, the names of its files, and the checks that refuse a dir an older
 // build wrote in a layout no build serves any more. A group keeps every
-// shard's bucket versions and recovery-log stream on one physical log
-// (diskLog, in shard-000); shard-<i> holds only shard i's index checkpoint
-// (LogHeap).
+// shard's bucket versions, the index over them and its recovery-log stream
+// on one physical log (diskLog, in shard-000); the other shard-<i>
+// directories hold nothing.
 
 const (
 	// heapFileName is the per-shard bucket heap older builds kept; an open
@@ -20,11 +20,14 @@ const (
 	heapFileName = "buckets.heap"
 	// kvFileName is the key-value journal older disk stores kept; an open
 	// only checks that it holds no records (refuseKVJournal).
-	kvFileName   = "kv.log"
-	metaFileName = "meta"
-	segPrefix    = "wal-"
-	segSuffix    = ".seg"
-	tmpSuffix    = ".tmp"
+	kvFileName = "kv.log"
+	// staleIndexName is the per-shard index file older builds kept beside
+	// the log; an open removes it, since the log alone is the index now.
+	staleIndexName = "heapindex"
+	metaFileName   = "meta"
+	segPrefix      = "wal-"
+	segSuffix      = ".seg"
+	tmpSuffix      = ".tmp"
 )
 
 const defaultSegMaxBytes = 4 << 20
@@ -43,7 +46,7 @@ type DiskOptions struct {
 
 // diskOpts is the internal option set; crash-harness opens leave
 // autoMaintain off (and workers at 1) so the swept op sequence stays
-// deterministic, driving Checkpoint and EvacuateSegment explicitly instead.
+// deterministic, driving maintenance explicitly instead.
 // segMaxBytes overrides the log segment roll-over size (0 = default) for
 // tests that need many segments.
 type diskOpts struct {
@@ -98,9 +101,9 @@ func checkGroupLayout(fsys vfs, dir string) error {
 }
 
 // prepareShardDir readies one shard directory of a group for its opens: a
-// crashed checkpoint or meta update leaves a stray temp file, never renamed
-// into place, so it is dead weight; and a kv.log holding records is refused
-// (refuseKVJournal).
+// crashed meta update leaves a stray temp file, never renamed into place, so
+// it is dead weight, as is an index file an older build left; and a kv.log
+// holding records is refused (refuseKVJournal).
 func prepareShardDir(fsys vfs, dir string) error {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("storage: creating data dir: %w", err)
@@ -110,9 +113,10 @@ func prepareShardDir(fsys vfs, dir string) error {
 		return fmt.Errorf("storage: listing data dir: %w", err)
 	}
 	for _, n := range names {
-		if strings.HasSuffix(n, tmpSuffix) && len(n) > len(tmpSuffix) {
+		if strings.HasSuffix(n, tmpSuffix) && len(n) > len(tmpSuffix) || n == staleIndexName {
 			_ = fsys.Remove(joinPath(dir, n))
 		}
+
 	}
 	if slices.Contains(names, kvFileName) {
 		return refuseKVJournal(fsys, dir)

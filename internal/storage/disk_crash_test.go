@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path"
@@ -177,19 +176,6 @@ func (c *crashFS) SyncDir(dir string) error {
 	return c.plan.op()
 }
 
-func (f *crashFile) ReadAt(p []byte, off int64) (int, error) {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	if off >= int64(len(f.node.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.node.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
 func (f *crashFile) WriteAt(p []byte, off int64) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
@@ -290,10 +276,10 @@ type sweepOracle struct {
 	truncAttempted uint64
 	// segsDeleted is set once the workload has issued a call that deletes
 	// log segments on the strength of fsyncs — a truncation, whose segment
-	// drop leans on the index checkpoint and later commits. Under a disk
-	// that lies about fsync, a checkpoint replaced after it (the close
-	// writes one) may never have reached the disk while the segments are
-	// gone, so the buckets have nothing left to assert.
+	// drop leans on the barriers of the floor raise and later commits.
+	// Under a disk that lies about fsync, the records that made a dropped
+	// segment's versions dead may never have reached the disk while the
+	// segment is gone, so the buckets have nothing left to assert.
 	segsDeleted bool
 	// logPhys is the physical sequence each acked record of logRecs landed
 	// on, for the one-shard sweeps: it survives a reopen, which renumbers the
@@ -365,7 +351,7 @@ func mustHoldBarriers(t *testing.T, o *barrierOracle, tag string) {
 // diskLies reports whether the store's disk has begun to lie about fsync. A
 // segment is deleted — by a truncation or by the maintenance pass — on the
 // strength of fsyncs of what supersedes its contents: a later committed
-// version, the index checkpoint, a moved copy. Once those fsyncs lie, the
+// version, a rollback, a moved copy. Once those fsyncs lie, the
 // delete takes the only durable copy and a crash loses it by construction,
 // so there is nothing to assert; the workload then deletes nothing
 // (truncate_crash_test.go leaves that mode out for the same reason).
@@ -374,18 +360,17 @@ func (d *diskStore) diskLies() bool {
 	return ok && fs.lying()
 }
 
-// maintainPass is the group's maintenance pass with its checkpoint forced,
-// so its crash windows are part of the swept surface however little the
-// workload wrote: evacuate every segment below the truncation point, write
-// the heap's index checkpoint, drop the segments that frees (unless the
-// disk lies).
+// maintainPass is the group's maintenance pass, run explicitly so its crash
+// windows are part of the swept surface: evacuate every segment below the
+// truncation point, raise the heap's floor behind a barrier on its last
+// record, drop the segments that frees (unless the disk lies).
 func (d *diskStore) maintainPass() error {
 	for _, base := range d.log.gcCandidates() {
 		if _, err := d.LogHeap.EvacuateSegment(base); err != nil {
 			return err
 		}
 	}
-	if err := d.LogHeap.Checkpoint(); err != nil {
+	if err := d.LogHeap.raiseFloor(); err != nil {
 		return err
 	}
 	if !d.diskLies() {
@@ -442,9 +427,8 @@ func crashWorkload(b *diskStore, o *sweepOracle, salt string) {
 				return
 			}
 			o.mem.RollbackTo(2)
-			// Checkpoint over the rolled-back garbage: the index written must
-			// be the reverted one, and replay above it must not resurrect
-			// epoch 3.
+			// Maintenance over the rolled-back garbage: replay must not
+			// resurrect epoch 3, whichever segments the pass frees.
 			if b.maintainPass() != nil {
 				return
 			}
@@ -466,8 +450,8 @@ func crashWorkload(b *diskStore, o *sweepOracle, salt string) {
 		if e == 5 {
 			// Segment GC with committed, superseded and truncated state all
 			// present: the live versions below the truncation point move to
-			// the log head, the checkpoint makes that durable, and the
-			// segments they left go.
+			// the log head, the floor raise's barrier makes that durable, and
+			// the segments they left go.
 			if b.maintainPass() != nil {
 				return
 			}
@@ -936,9 +920,13 @@ func TestCrashFSModelsDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 8)
-	n, _ := sf.ReadAt(buf, 0)
-	if string(buf[:n]) != "AAAABB" {
-		t.Fatalf("torn write durable state = %q, want synced prefix plus half the torn write", buf[:n])
+	size, _ = sf.Size()
+	got, err := sf.Map(size)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if string(got) != "AAAABB" {
+		t.Fatalf("torn write durable state = %q, want synced prefix plus half the torn write", got)
+	}
+
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // FuzzDiskRecordDecode hammers the on-disk decoders with arbitrary bytes
-// (mirroring the client plane's FuzzDecodeFrame): record framing, file
-// headers, heap bodies and index-checkpoint bodies must either decode a value
-// that re-encodes to the identical bytes, or fail — never panic, never
+// (mirroring the client plane's FuzzDecodeFrame): record framing, segment
+// and meta headers and heap bodies must either decode a value that
+// re-encodes to the identical bytes, or fail — never panic, never
 // mis-deserialize.
 func FuzzDiskRecordDecode(f *testing.F) {
 	// Valid records of every kind.
@@ -17,15 +17,15 @@ func FuzzDiskRecordDecode(f *testing.F) {
 	f.Add(encodeRecord(nil, encodeVersionBodyKind(heapKindGCCopy, 2, 5, [][]byte{[]byte("moved"), []byte("fwd")})))
 	f.Add(encodeRecord(nil, encodeEpochBody(heapKindCommit, 42)))
 	f.Add(encodeRecord(nil, encodeEpochBody(heapKindRollback, 1)))
-	f.Add(encodeRecord(nil, encodeEpochBody(lhixKindState, 42)))
-	f.Add(encodeRecord(nil, appendLhixVersion(nil, 3, 7, 128, 44, 61, layoutFromLens([]uint32{5, 0, 5}))))
-	f.Add(encodeRecord(nil, appendLhixVersion(nil, 0, 0, 0, 0, 0, slotLayout{})))
+	f.Add(encodeRecord(nil, wrapSharedRecord(2, encodeVersionBody(4, 9, [][]byte{[]byte("on a stream")}))))
+	f.Add(encodeRecord(nil, encodeVersionBodyKind(heapKindGCCopy, 0, 0, nil)))
+	f.Add(encodeRecord(nil, encodeVersionBody(6, 1<<40, [][]byte{{}, {}, []byte("x")})))
 	f.Add(encodeRecord(nil, wrapSharedRecord(3, encodeEpochBody(heapKindCommit, 9))))
 	f.Add(encodeFileHeader(metaMagic, 8, 3))
 	f.Add(encodeRecord(nil, []byte("raw log record")))
 	f.Add(encodeFileHeader(segMagic, 64, 1<<40))
 	f.Add(encodeFileHeader(segMagic, 0, 17))
-	f.Add(encodeFileHeader(lhixMagic, 5, 99))
+	f.Add(encodeFileHeader(metaMagic, 0, 1<<63))
 	// Damaged variants: truncation, zero fill, flipped bytes.
 	rec := encodeRecord(nil, encodeVersionBody(1, 2, [][]byte{[]byte("abc")}))
 	f.Add(rec[:len(rec)-2])
@@ -33,11 +33,11 @@ func FuzzDiskRecordDecode(f *testing.F) {
 	flipped := append([]byte(nil), rec...)
 	flipped[recordFrameSize] ^= 0xff
 	f.Add(flipped)
-	lrec := encodeRecord(nil, appendLhixVersion(nil, 1, 2, 64, 8, 30, layoutFromLens([]uint32{3, 3})))
-	f.Add(lrec[:len(lrec)-2])
-	lflipped := append([]byte(nil), lrec...)
-	lflipped[recordFrameSize] ^= 0xff
-	f.Add(lflipped)
+	grec := encodeRecord(nil, encodeVersionBodyKind(heapKindGCCopy, 1, 2, [][]byte{[]byte("abc"), []byte("abc")}))
+	f.Add(grec[:len(grec)-2])
+	hdr := encodeFileHeader(segMagic, 0, 5)
+	hdr[fileHeaderSize-1] ^= 0xff
+	f.Add(hdr)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, size, err := decodeRecord(data)
@@ -76,26 +76,10 @@ func FuzzDiskRecordDecode(f *testing.F) {
 					t.Fatalf("parseHeapBody accepted unknown kind %d", rec.kind)
 				}
 			}
-			if rec, err := parseLhixBody(body); err == nil {
-				switch rec.kind {
-				case lhixKindState:
-					if re := encodeEpochBody(lhixKindState, rec.committed); !bytes.Equal(re, body) {
-						t.Fatalf("checkpoint state body did not round-trip")
-					}
-				case lhixKindVersion:
-					// Through the index's compact layout: a table of equal
-					// lengths kept as one size re-encodes to the same bytes.
-					re := appendLhixVersion(nil, rec.bucket, rec.epoch, rec.segBase, rec.off, rec.recLen, layoutFromLens(rec.slotLens))
-					if !bytes.Equal(re, body) {
-						t.Fatalf("checkpoint version body did not round-trip")
-					}
-				default:
-					t.Fatalf("parseLhixBody accepted unknown kind %d", rec.kind)
-				}
-			}
 		}
 		// File headers on the same bytes: decode or error, never panic.
-		for _, magic := range []string{segMagic, metaMagic, lhixMagic} {
+		for _, magic := range []string{segMagic, metaMagic} {
+
 			a, b, err := decodeFileHeader(data, magic)
 			if err == nil {
 				if re := encodeFileHeader(magic, a, b); !bytes.Equal(re, data[:fileHeaderSize]) {

@@ -211,9 +211,8 @@ func TestDiskStructuralCorruptionFailsLoudly(t *testing.T) {
 
 	// Rewrite the version record's kind byte to garbage and fix up the
 	// checksum: a structurally invalid body under a valid crc is corruption,
-	// not a torn write, and must refuse to open. The index checkpoint the
-	// close wrote goes too, so the open replays the record.
-	must(t, os.Remove(filepath.Join(dir, "shard-000", heapIndexName)))
+	// not a torn write, and must refuse to open.
+
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -20,12 +20,11 @@ import (
 // directory sync).
 
 // vfile is one open file. A disk group only ever appends at a tracked offset
-// (WriteAt), reads a log segment or the heap index through a read-only shared
-// mapping (Map) and the meta header with a positional read (ReadAt),
-// truncates torn tails on open, and syncs at durability barriers; there is no
-// seek state to reason about.
+// (WriteAt), reads every file — a log segment, the meta header — through a
+// read-only shared mapping (Map), truncates torn tails on open, and syncs at
+// durability barriers; there is no seek state to reason about, and no read
+// that could bypass a mapping.
 type vfile interface {
-	io.ReaderAt
 	io.WriterAt
 	// Truncate cuts the file to size bytes (used to drop torn tails).
 	Truncate(size int64) error
@@ -87,7 +86,6 @@ type osFS struct{}
 
 type osFile struct{ f *os.File }
 
-func (o osFile) ReadAt(p []byte, off int64) (int, error)  { return o.f.ReadAt(p, off) }
 func (o osFile) WriteAt(p []byte, off int64) (int, error) { return o.f.WriteAt(p, off) }
 func (o osFile) Truncate(size int64) error                { return o.f.Truncate(size) }
 func (o osFile) Sync() error                              { return o.f.Sync() }
@@ -192,15 +190,6 @@ func sealRecord(rec []byte) {
 	binary.BigEndian.PutUint32(rec[4:8], recordCRC(rec[:4], body))
 }
 
-// encodeRecord appends the framed record to dst and returns the extended
-// slice.
-func encodeRecord(dst, body []byte) []byte {
-	at := len(dst)
-	dst = append(beginRecord(dst), body...)
-	sealRecord(dst[at:])
-	return dst
-}
-
 // decodeRecord parses one framed record from the front of buf. The returned
 // body aliases buf; size is the total framed length consumed.
 func decodeRecord(buf []byte) (body []byte, size int, err error) {
@@ -255,10 +244,6 @@ const fileHeaderSize = 24
 const (
 	segMagic  = "OBSEG001"
 	metaMagic = "OBMETA01"
-	// lhixMagic heads a LogHeap index checkpoint: u32 = bucket count,
-	// u64 = physical-log watermark W (every own-stream record with physical
-	// sequence <= W is reflected in the checkpointed index).
-	lhixMagic = "OBLHIX01"
 )
 
 func encodeFileHeader(magic string, a uint32, b uint64) []byte {
@@ -381,98 +366,6 @@ func parseHeapBody(body []byte) (heapRec, error) {
 		return rec, nil
 	default:
 		return heapRec{}, fmt.Errorf("%w: unknown heap record kind %d", errBadRecord, body[0])
-	}
-}
-
-// ---- LogHeap index-checkpoint record bodies ----
-//
-// A LogHeap index checkpoint is an atomically-replaced file (lhixMagic
-// header carrying the bucket count and the watermark W) holding framed
-// records: one state record with the committed epoch frontier, then one
-// version record per live index entry in bucket order, stack order (oldest
-// first). It stores *locations* into the shared physical log, never slot
-// bytes, so replay after the checkpoint is bounded to own-stream records
-// with physical sequence > W.
-
-const (
-	lhixKindState   = 1 // u64 committed epoch
-	lhixKindVersion = 2 // u32 bucket | u64 epoch | u64 segBase | u64 off | u32 recLen | u32 nslots | u32 len*
-)
-
-// lhixVersionDataStart is the offset, within a checkpoint version record
-// body, of the first slot-length entry.
-const lhixVersionDataStart = 1 + 4 + 8 + 8 + 8 + 4 + 4
-
-// appendLhixVersion writes every slot's length, whatever the layout keeps:
-// the checkpoint format is the same for uniform and mixed slot sizes.
-func appendLhixVersion(body []byte, bucket int, epoch, segBase uint64, off int64, recLen int, l slotLayout) []byte {
-	body = append(body, lhixKindVersion)
-	body = binary.BigEndian.AppendUint32(body, uint32(bucket))
-	body = binary.BigEndian.AppendUint64(body, epoch)
-	body = binary.BigEndian.AppendUint64(body, segBase)
-	body = binary.BigEndian.AppendUint64(body, uint64(off))
-	body = binary.BigEndian.AppendUint32(body, uint32(recLen))
-	body = binary.BigEndian.AppendUint32(body, uint32(l.n))
-	for i := 0; i < l.n; i++ {
-		body = binary.BigEndian.AppendUint32(body, uint32(l.slotLen(i)))
-	}
-	return body
-}
-
-// lhixRec is a parsed checkpoint record body.
-type lhixRec struct {
-	kind      byte
-	committed uint64 // state records
-	bucket    int    // version records from here down
-	epoch     uint64
-	segBase   uint64
-	off       int64
-	recLen    int
-	slotLens  []uint32
-}
-
-// parseLhixBody decodes a checkpoint record body. Like parseHeapBody, every
-// field is bounds-checked: a structurally invalid body under a valid frame
-// checksum is corruption and must fail loudly, not mis-deserialize.
-func parseLhixBody(body []byte) (lhixRec, error) {
-	if len(body) == 0 {
-		return lhixRec{}, fmt.Errorf("%w: empty index checkpoint record", errBadRecord)
-	}
-	switch body[0] {
-	case lhixKindState:
-		if len(body) != 9 {
-			return lhixRec{}, fmt.Errorf("%w: checkpoint state record of %d bytes", errBadRecord, len(body))
-		}
-		return lhixRec{kind: lhixKindState, committed: binary.BigEndian.Uint64(body[1:9])}, nil
-	case lhixKindVersion:
-		if len(body) < lhixVersionDataStart {
-			return lhixRec{}, fmt.Errorf("%w: short checkpoint version record", errBadRecord)
-		}
-		rec := lhixRec{
-			kind:    lhixKindVersion,
-			bucket:  int(binary.BigEndian.Uint32(body[1:5])),
-			epoch:   binary.BigEndian.Uint64(body[5:13]),
-			segBase: binary.BigEndian.Uint64(body[13:21]),
-			off:     int64(binary.BigEndian.Uint64(body[21:29])),
-			recLen:  int(binary.BigEndian.Uint32(body[29:33])),
-		}
-		if rec.off < 0 || rec.recLen < 0 || rec.recLen > maxRecordSize {
-			return lhixRec{}, fmt.Errorf("%w: checkpoint version location out of range", errBadRecord)
-		}
-		nslots := int(binary.BigEndian.Uint32(body[33:37]))
-		if nslots < 0 || nslots > maxVector {
-			return lhixRec{}, fmt.Errorf("%w: checkpoint version with %d slots", errBadRecord, nslots)
-		}
-		if len(body)-lhixVersionDataStart != 4*nslots {
-			return lhixRec{}, fmt.Errorf("%w: checkpoint slot table size mismatch", errBadRecord)
-		}
-		rec.slotLens = make([]uint32, nslots)
-		for i := 0; i < nslots; i++ {
-			rec.slotLens[i] = binary.BigEndian.Uint32(body[lhixVersionDataStart+4*i:])
-		}
-		return rec, nil
-	default:
-		return lhixRec{}, fmt.Errorf("%w: unknown index checkpoint record kind %d", errBadRecord, body[0])
 	}
 }
 

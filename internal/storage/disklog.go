@@ -32,9 +32,11 @@ import (
 //   - meta — a tiny atomically-replaced file holding the group's bucket count
 //     and the log's truncation point.
 //
-// Every record is length-prefixed and checksummed; open truncates a torn
-// tail at the first invalid record, so reopening after a crash at any point
-// recovers exactly the records of the last completed fsync barrier.
+// The log is every durable byte a group has: bucket versions, the heaps'
+// indexes (replayed from their records at open) and the recovery log. Every
+// record is length-prefixed and checksummed; open truncates a torn tail at
+// the first invalid record, so reopening after a crash at any point recovers
+// exactly the records of the last completed fsync barrier.
 type diskLog struct {
 	fsys vfs
 	dir  string
@@ -62,13 +64,15 @@ type diskLog struct {
 	lastSeq     atomic.Uint64
 	truncBefore uint64 // sequence numbers below this are logically gone
 	segMaxBytes int64
-	// retain, when set (a group's log), is the retention gate: segments
-	// holding any sequence number >= retain() survive truncation because
-	// they still carry live bucket versions or un-checkpointed index state.
-	// Called under mu; must only read atomics.
+	// retain, when set (a group's log, once replay has set the heaps'
+	// floors), is the retention gate: segments holding any sequence number
+	// >= retain() survive truncation because a heap's index still needs
+	// them. Called under mu; must only read atomics.
 	retain func() uint64
-	frame  []byte  // appendStream's framing buffer, reused by every append
-	wave   []vfile // the segments a wave syncs; only its leader touches it
+	// kick, when set, starts the group's maintenance (see truncateStream).
+	kick  func()
+	frame []byte  // appendStream's framing buffer, reused by every append
+	wave  []vfile // the segments a wave syncs; only its leader touches it
 }
 
 // logStream is one shard's recovery-log stream on the log: the LogStore
@@ -76,8 +80,8 @@ type diskLog struct {
 // physical record whose body starts with its stream id (streamHdrSize
 // bytes). The WAL streams come first; each LogHeap's bucket-data stream
 // follows them and has no entry in the table: the heap addresses its records
-// by physical location, its checkpoint bounds their replay, and the
-// retention gate, not Truncate, decides how long they stay.
+// by physical location, replays them all at open, and the retention gate,
+// not Truncate, decides how long they stay.
 //
 // Stream sequence numbers restart from the surviving record count at reopen.
 // That is sound because the WAL layer persists none: every recovery derives
@@ -174,27 +178,23 @@ func openMeta(fsys vfs, dir string, numBuckets int) (nb int, truncBefore uint64,
 	if err != nil {
 		return 0, 0, fmt.Errorf("storage: opening meta: %w", err)
 	}
-	size, serr := f.Size()
-	if serr == nil && size == 0 {
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return 0, 0, err
+	}
+	if size == 0 {
 		// A crash can install the meta rename before the file's content ever
 		// became durable (e.g. a dropped fsync); an empty meta is the
 		// pre-creation state, not corruption.
-		f.Close()
 		return create()
 	}
-	buf := make([]byte, fileHeaderSize)
-	n, rerr := f.ReadAt(buf, 0)
-	cerr := f.Close()
-	if serr != nil {
-		return 0, 0, serr
+	m, err := f.Map(min(size, fileHeaderSize))
+	if err != nil {
+		return 0, 0, fmt.Errorf("storage: mapping meta: %w", err)
 	}
-	if n < fileHeaderSize { // a short ReadAt always says why
-		return 0, 0, fmt.Errorf("storage: reading meta: %w", rerr)
-	}
-	if cerr != nil {
-		return 0, 0, cerr
-	}
-	stored, trunc, err := decodeFileHeader(buf, metaMagic)
+	stored, trunc, err := decodeFileHeader(m, metaMagic)
+	f.Unmap(m)
 	if err != nil {
 		return 0, 0, fmt.Errorf("storage: meta file: %w", err)
 	}
@@ -240,8 +240,8 @@ func writeMeta(fsys vfs, dir string, numBuckets int, truncBefore uint64) error {
 // recovery tools destroy the data they exist to protect.
 var errSegDamaged = errors.New("storage: damaged log segment")
 
-// openDiskLog opens the log in dir, whose meta openMeta already read, with
-// retention gate retain (nil: none). It rebuilds the segment chain with
+// openDiskLog opens the log in dir, whose meta openMeta already read. It
+// rebuilds the segment chain with
 // prefix semantics: segments are kept while each one is intact and
 // contiguous with its predecessor; the first structurally broken or gapped
 // segment and everything after it are dropped. With honest fsyncs only the
@@ -252,10 +252,11 @@ var errSegDamaged = errors.New("storage: damaged log segment")
 // write-ahead log must recover to. Segment replay — scanning every record
 // frame and checking its crc32c — dominates recovery time on a long log, and
 // segments are independent files, so the scan fans out across the workers
-// (pFSCK-style); only the chain-prefix decision stays sequential. Last, the
-// segments below both the truncation point and the gate go: a crash between
-// a meta update and the deletion it licensed leaves them behind.
-func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts diskOpts, retain func() uint64) (*diskLog, error) {
+// (pFSCK-style); only the chain-prefix decision stays sequential. The open
+// drops no dead segment: the heaps' indexes live in the log, and until
+// replay has set their floors nothing says which segments they need (the
+// group drops them after replay).
+func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts diskOpts) (*diskLog, error) {
 	l := &diskLog{
 		failStop:    failStop{name: "disk log"},
 		fsys:        fsys,
@@ -264,7 +265,6 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 		numBuckets:  numBuckets,
 		truncBefore: truncBefore,
 		segMaxBytes: defaultSegMaxBytes,
-		retain:      retain,
 	}
 	l.group.landed.L = &l.group.mu
 	if opts.segMaxBytes > 0 {
@@ -338,11 +338,16 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 	if n := len(l.segs); n > 0 {
 		last := l.segs[n-1]
 		lastSeq = max(lastSeq, last.base+uint64(len(last.offs))-1)
+		// The tail keeps taking appends: the open cut its reservation's
+		// zeros as a torn tail, and it gets the reservation back, as a new
+		// segment has one.
+		if last.size < l.segMaxBytes {
+			preallocate(last.f, 0, l.segMaxBytes)
+		}
 	}
 	l.lastSeq.Store(lastSeq)
 	l.group.durable = lastSeq
-	l.dropDeadSegmentsLocked()
-	// One directory barrier covers whatever open removed.
+	// One directory barrier covers the orphans open removed.
 	if err := fsys.SyncDir(dir); err != nil {
 		l.Close()
 		return nil, err
@@ -351,10 +356,11 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 }
 
 // openSegment opens one segment, truncating a torn tail at the first invalid
-// record. Structural damage (sub-header file, bad header, corrupt mid-file
-// record) returns an error wrapping errSegDamaged — the caller drops the
-// segment as an orphan; every other failure is a real I/O error and
-// propagates as-is.
+// record: bytes past the valid prefix — torn records, or the zeros a
+// segment's reservation reads as — never decode again. Structural damage
+// (sub-header file, bad header, corrupt mid-file record) returns an error
+// wrapping errSegDamaged — the caller drops the segment as an orphan; every
+// other failure is a real I/O error and propagates as-is.
 func (l *diskLog) openSegment(base uint64) (*segment, error) {
 	name := segName(base)
 	f, err := l.fsys.OpenFile(joinPath(l.dir, name), os.O_RDWR, 0)
@@ -411,11 +417,9 @@ func (l *diskLog) openSegment(base uint64) (*segment, error) {
 
 // openStreams rebuilds the stream table over the records the open kept —
 // walStreams WAL streams, then one bucket-data stream per heap — and replays
-// each heap's records above its checkpoint watermark W (those at or below it
-// are in the loaded checkpoint). The scan starts at the lowest sequence any
-// consumer still needs: the truncation point, or a heap's W+1 (the retention
-// gate kept those segments); the WAL streams skip the records below the
-// truncation point.
+// every retained record of each heap's stream into its index; the WAL
+// streams skip the records below the truncation point, which the retention
+// gate kept for the heaps.
 func (l *diskLog) openStreams(walStreams int, heaps []*LogHeap) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -423,12 +427,8 @@ func (l *diskLog) openStreams(walStreams int, heaps []*LogHeap) error {
 	for i := range l.streams {
 		l.streams[i].floor = 1
 	}
-	from := l.truncBefore
-	for _, lh := range heaps {
-		from = min(from, lh.ckptW+1)
-	}
 	total := walStreams + len(heaps)
-	return l.scanLocked(from, func(seq, segBase uint64, off int64, rec []byte) error {
+	return l.scanLocked(0, func(seq, segBase uint64, off int64, rec []byte) error {
 		id, body, err := splitStreamRecord(rec)
 		if err != nil {
 			return fmt.Errorf("storage: log physical record %d: %w", seq, err)
@@ -444,11 +444,7 @@ func (l *diskLog) openStreams(walStreams int, heaps []*LogHeap) error {
 			}
 			return nil
 		}
-		lh := heaps[int(id)-walStreams]
-		if seq <= lh.ckptW {
-			return nil // already covered by the index checkpoint
-		}
-		return lh.replayRecord(seq, segBase, off, body)
+		return heaps[int(id)-walStreams].replayRecord(seq, segBase, off, body)
 	})
 }
 
@@ -773,7 +769,12 @@ func (l *diskLog) last() (uint64, error) {
 // (the next append's, with none): one stream truncating never strands
 // another. The point lands durably in the meta file first, then the whole
 // segments below both it and the retention gate go. A crash in between
-// just leaves dead segments for the next open to finish removing.
+// just leaves dead segments for a later drop to finish removing. A sealed
+// segment still left wholly below the previous point as well holds live
+// bucket versions that a whole truncation interval did not retire, which
+// only the heaps can move: it kicks maintenance. (Kicking as soon as one
+// segment lies below the point would copy versions a few epochs old, most
+// of which the next epochs rewrite anyway.)
 func (l *diskLog) truncateStream(id uint32, before uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -803,13 +804,17 @@ func (l *diskLog) truncateStream(id uint32, before uint64) error {
 		// which, so the in-memory view may diverge: fail stop.
 		return l.wedge(err)
 	}
+	prev := l.truncBefore
 	l.truncBefore = floor
 	l.dropDeadSegmentsLocked()
+	if l.kick != nil && len(l.segs) > 1 && l.segs[0].base+uint64(len(l.segs[0].offs)) <= prev {
+		l.kick()
+	}
 	return nil
 }
 
-// dropDeadSegments re-runs dead-segment collection outside any truncation;
-// the logheap GC pokes it after the retention gate rises.
+// dropDeadSegments re-runs dead-segment collection outside any truncation:
+// after the open's replay has set the gate, and after maintenance raised it.
 func (l *diskLog) dropDeadSegments() {
 	l.mu.Lock()
 	if l.checkUsable() == nil {

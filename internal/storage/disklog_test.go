@@ -12,11 +12,12 @@ import (
 
 // TestGroupLayout opens a three-shard group under each DiskOptions.LogHeap
 // value and checks where its files lie: the group marker at the top, the
-// log's segments and meta in shard-000 only, and in each shard nothing but
-// its heap's index checkpoint. Both values write the same files; the flag
-// only decides whether the shards expose EpochCommitBatcher. A
-// shard-001/meta left by a build in which every shard kept log state is
-// ignored: the group opens over it and serves the same buckets and records.
+// log's segments and meta in shard-000, and nothing in the other shards'
+// directories. Both values write the same files; the flag only decides
+// whether the shards expose EpochCommitBatcher. A shard-001/meta left by a
+// build in which every shard kept log state is ignored: the group opens over
+// it and serves the same buckets and records. The index files older builds
+// kept (heapindex, and its temp file) are removed at open.
 func TestGroupLayout(t *testing.T) {
 	files := map[bool][]string{}
 	for _, logHeap := range []bool{false, true} {
@@ -65,16 +66,12 @@ func TestGroupLayout(t *testing.T) {
 				for _, n := range names {
 					_, isSeg := parseSegName(n)
 					switch {
-					case n == heapIndexName:
 					case i == 0 && n == metaFileName:
 					case i == 0 && isSeg:
 						segs++
 					default:
 						t.Errorf("shard-%03d holds %s", i, n)
 					}
-				}
-				if !slices.Contains(names, heapIndexName) {
-					t.Errorf("shard-%03d holds no %s: %v", i, heapIndexName, names)
 				}
 				if i == 0 && (segs < 2 || !slices.Contains(names, metaFileName)) {
 					t.Errorf("shard-000 holds %d segments and meta=%v, want several and a meta", segs, slices.Contains(names, metaFileName))
@@ -86,8 +83,21 @@ func TestGroupLayout(t *testing.T) {
 			_, err = f.WriteAt(encodeFileHeader(metaMagic, 4, 1), 0)
 			must(t, err)
 			must(t, f.Sync())
+			stale := []string{"data/shard-000/heapindex", "data/shard-002/heapindex", "data/shard-002/heapindex.tmp"}
+			for _, name := range stale {
+				f, err := fsys.OpenFile(name, os.O_RDWR|os.O_CREATE, 0o644)
+				must(t, err)
+				_, err = f.WriteAt([]byte("OBLHIX01 an older build's index"), 0)
+				must(t, err)
+			}
 			g = open()
 			defer g.Close()
+			for _, name := range stale {
+				if _, ok := fsys.nodes[name]; ok {
+					t.Errorf("%s survived the open", name)
+				}
+			}
+
 			for i, s := range g.Backends() {
 				got, err := s.ReadSlot(i, 0)
 				if err != nil || string(got) != fmt.Sprintf("shard %d", i) {

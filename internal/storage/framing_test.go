@@ -14,6 +14,15 @@ import (
 // that replaced them (and for the decode fuzzer's re-encode checks). Nothing
 // outside the tests calls them.
 
+// encodeRecord appends the framed record to dst and returns the extended
+// slice.
+func encodeRecord(dst, body []byte) []byte {
+	at := len(dst)
+	dst = append(beginRecord(dst), body...)
+	sealRecord(dst[at:])
+	return dst
+}
+
 func encodeVersionBody(bucket int, epoch uint64, slots [][]byte) []byte {
 	return encodeVersionBodyKind(heapKindVersion, bucket, epoch, slots)
 }
@@ -69,12 +78,9 @@ func logBytes(t *testing.T, l *diskLog) []byte {
 	defer l.mu.RUnlock()
 	var out []byte
 	for _, seg := range l.segs {
-		part := make([]byte, seg.size-fileHeaderSize)
-		if _, err := seg.f.ReadAt(part, fileHeaderSize); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, part...)
+		out = append(out, seg.mapped[fileHeaderSize:seg.size]...)
 	}
+
 	return out
 }
 

@@ -47,7 +47,9 @@ func (g *CommitGroup) Stats() GroupStats {
 // in shard-000) that every shard's recovery-log stream and bucket versions
 // ride (see logStream and LogHeap), so cross-shard barriers wait on one
 // durable frontier and actually coalesce instead of merely running in
-// parallel. shard-<i> holds only shard i's index checkpoint.
+// parallel. The log is every durable byte the group has, each heap's index
+// included (replayed at open); shard-<i> directories beyond shard-000 hold
+// nothing, and stay because the layout check reads them.
 type DiskGroup struct {
 	log    *diskLog
 	shards []*LogHeap
@@ -55,9 +57,9 @@ type DiskGroup struct {
 	// EpochCommitBatcher.
 	batchCommits bool
 
-	// Background maintenance (checkpoint + segment GC); nil channels when
-	// off (crash-harness opens drive Checkpoint / EvacuateSegment explicitly
-	// for determinism).
+	// Background maintenance (segment GC and floor raises); nil channels
+	// when off (crash-harness opens drive maintainOnce or EvacuateSegment
+	// explicitly for determinism).
 	maintainKick chan struct{}
 	maintainStop chan struct{}
 	maintainWG   sync.WaitGroup
@@ -89,9 +91,10 @@ func OpenDiskGroupOpts(dir string, shards, numBuckets int, opts DiskOptions) (*D
 
 // openDiskGroupOpts is the vfs-injectable group constructor (the crash sweep
 // opens groups on its fault-modeling filesystem through it). The open runs
-// in dependency order: shard-000's meta gives the tree size; the heaps load
-// their index checkpoints, whose retention floors are the gate the log opens
-// under; the log's demux scan then replays each heap above its checkpoint.
+// in dependency order: shard-000's meta gives the tree size; the log opens
+// and its demux scan replays every heap's records into its index; only then
+// do the heaps' floors exist, and the retention gate they form drops the
+// segments no index needs.
 func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOpts) (*DiskGroup, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("storage: disk group needs a positive shard count (got %d)", shards)
@@ -117,34 +120,31 @@ func openDiskGroupOpts(fsys vfs, dir string, shards, numBuckets int, opts diskOp
 	if err != nil {
 		return fail("meta", err)
 	}
-	for i := 0; i < shards; i++ {
-		lh, err := newLogHeap(fsys, shardDir(i), uint32(i), uint32(shards+i), nb)
-		if err != nil {
-			return fail(fmt.Sprintf("shard %d logheap", i), err)
-		}
-		g.shards = append(g.shards, lh)
-	}
-	if g.log, err = openDiskLog(fsys, shardDir(0), nb, trunc, opts, g.retainFloor); err != nil {
+	if g.log, err = openDiskLog(fsys, shardDir(0), nb, trunc, opts); err != nil {
 		return fail("log", err)
+	}
+	for i := 0; i < shards; i++ {
+		g.shards = append(g.shards, newLogHeap(g.log, i, shards, nb))
 	}
 	if err := g.log.openStreams(shards, g.shards); err != nil {
 		return fail("log streams", err)
 	}
-	var kick func()
+	for i, lh := range g.shards {
+		if err := lh.raiseFloor(); err != nil {
+			return fail(fmt.Sprintf("shard %d floor", i), err)
+		}
+	}
+	g.log.retain = g.retainFloor
+	g.log.dropDeadSegments()
 	if opts.autoMaintain {
 		g.maintainKick = make(chan struct{}, 1)
 		g.maintainStop = make(chan struct{})
-		kick = func() {
+		g.log.kick = func() {
 			select {
 			case g.maintainKick <- struct{}{}:
 			default:
 			}
 		}
-	}
-	for _, lh := range g.shards {
-		lh.attach(g.log, kick)
-	}
-	if kick != nil {
 		g.maintainWG.Add(1)
 		go g.maintainLoop()
 	}
@@ -161,9 +161,11 @@ func (g *DiskGroup) retainFloor() uint64 {
 	return floor
 }
 
-// maintainLoop runs maintenance off the commit path: it copies live bucket
-// versions out of the segments WAL truncation has left behind, checkpoints
-// the heaps, and drops what that frees.
+// maintainLoop runs maintenance off the commit path, whenever a WAL
+// truncation leaves behind a sealed segment the previous truncation had
+// already left behind (diskLog.truncateStream): it copies live bucket
+// versions out of the segments truncation has left behind, raises the
+// heaps' floors, and drops what that frees.
 func (g *DiskGroup) maintainLoop() {
 	defer g.maintainWG.Done()
 	for {
@@ -177,32 +179,22 @@ func (g *DiskGroup) maintainLoop() {
 }
 
 // maintainOnce is one maintenance pass. Every sealed segment wholly below
-// the WAL truncation floor holds nothing but dead WAL records and bucket
-// versions; each heap re-appends its live ones at the log head. One index
-// checkpoint per heap then covers the whole pass — it makes the copies
-// durable, stops pointing into the old segments and raises the retention
-// gate — and is also the periodic checkpoint that bounds open-time replay,
-// so a pass costs the checkpoints it would have written anyway plus the
-// copies. Only then can the segments go.
+// the WAL truncation point holds nothing but dead WAL records and bucket
+// versions; each heap re-appends its live ones at the log head. One floor
+// raise per heap then covers the whole pass — its barrier makes the copies
+// durable before the floor passes the old segments — and only then can
+// the segments go.
 func (g *DiskGroup) maintainOnce() {
-	moved := make([]int, len(g.shards))
 	for _, base := range g.log.gcCandidates() {
-		for i, lh := range g.shards {
-			n, err := lh.EvacuateSegment(base)
-			if err != nil {
+		for _, lh := range g.shards {
+			if _, err := lh.EvacuateSegment(base); err != nil {
 				return // wedged or closing; the next kick retries
 			}
-			moved[i] += n
 		}
 	}
-	for i, lh := range g.shards {
-		lh.mu.RLock()
-		due := lh.dirty >= maintainEvery
-		lh.mu.RUnlock()
-		if due || moved[i] > 0 {
-			if err := lh.Checkpoint(); err != nil {
-				return
-			}
+	for _, lh := range g.shards {
+		if err := lh.raiseFloor(); err != nil {
+			return
 		}
 	}
 	g.log.dropDeadSegments()
@@ -226,20 +218,13 @@ func (g *DiskGroup) Backends() []Backend {
 // Group returns the log's durable frontier (its stats live there).
 func (g *DiskGroup) Group() *CommitGroup { return &g.log.group }
 
-// Close closes the log. The heaps checkpoint first (best effort — replay
-// would rebuild the same state, a checkpoint just makes the next open
-// cheap), while the log is still open: every heap the open attached to it,
-// closed shards' included.
+// Close stops maintenance and closes the log. It writes nothing: the log
+// already holds every heap's index.
 func (g *DiskGroup) Close() error {
 	if g.maintainStop != nil {
 		close(g.maintainStop)
 		g.maintainWG.Wait()
 		g.maintainStop = nil
-	}
-	for _, lh := range g.shards {
-		if lh.log != nil {
-			_ = lh.Checkpoint()
-		}
 	}
 	if g.log == nil {
 		return nil

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path"
 	"path/filepath"
@@ -75,8 +76,9 @@ func returnsWithin(done <-chan error, d time.Duration) (error, bool) {
 // two callers share one physical log: shard 1 appends deferred records (a
 // log record and a bucket version), shard 0's SyncLog starts the fsync that
 // covers them and is held inside it, and then shard 1's own SyncLog — and a
-// heap index Checkpoint, which syncs the log before it installs — must not
-// return until that fsync lands. A SyncLog that found the obligation already
+// raise of its heap's floor, which barriers the heap's last record before it
+// publishes — must not return until that fsync lands. A SyncLog that found
+// the obligation already
 // taken by the other caller and returned at once would let the proxy issue
 // reads before their schedule record is durable, or ack an epoch before its
 // commit point is.
@@ -106,17 +108,17 @@ func TestSyncLogWaitsForTheFsyncInFlight(t *testing.T) {
 	<-fsys.entered
 	follower := make(chan error, 1)
 	go func() { follower <- shard1.SyncLog() }()
-	checkpoint := make(chan error, 1)
-	go func() { checkpoint <- g.shards[1].Checkpoint() }()
+	floor := make(chan error, 1)
+	go func() { floor <- g.shards[1].raiseFloor() }()
 	if err, done := returnsWithin(follower, 200*time.Millisecond); done {
 		t.Fatalf("shard 1's SyncLog returned (%v) while the fsync covering its records was still in flight", err)
 	}
-	if err, done := returnsWithin(checkpoint, 50*time.Millisecond); done {
-		t.Fatalf("Checkpoint returned (%v) while the fsync covering its heap's records was still in flight", err)
+	if err, done := returnsWithin(floor, 50*time.Millisecond); done {
+		t.Fatalf("the floor raise returned (%v) while the fsync covering its heap's records was still in flight", err)
 	}
 	open()
 	open = nil
-	for what, ch := range map[string]chan error{"shard 0's SyncLog": leader, "shard 1's SyncLog": follower, "Checkpoint": checkpoint} {
+	for what, ch := range map[string]chan error{"shard 0's SyncLog": leader, "shard 1's SyncLog": follower, "the floor raise": floor} {
 		if err := <-ch; err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -126,43 +128,51 @@ func TestSyncLogWaitsForTheFsyncInFlight(t *testing.T) {
 	}
 }
 
-// TestGroupCloseCheckpointsClosedShard pins that the group's own work on a
-// heap ignores its shard's logical close: maintenance still runs on it, and
-// DiskGroup.Close still checkpoints it, so its watermark reaches its last
-// record and a reopen replays nothing of it.
-func TestGroupCloseCheckpointsClosedShard(t *testing.T) {
+// TestGroupMaintainsClosedShard pins that the group's own work on a heap
+// ignores its shard's logical close: a maintenance pass evacuates the closed
+// shard's live version and its only commit record out of a segment WAL
+// truncation left behind and raises its floor, the segment goes, and a
+// reopen serves the version from its new place and the committed epoch from
+// the moved commit record.
+func TestGroupMaintainsClosedShard(t *testing.T) {
 	fsys := newCrashFS(nil)
-	opts := diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}}
+	opts := diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}, segMaxBytes: 128}
 	g, err := openDiskGroupOpts(fsys, "data", 2, 8, opts)
 	must(t, err)
-	lh := g.shards[0]
-	must(t, lh.WriteBucket(3, 1, slots("closed shard")))
-	must(t, lh.CommitEpoch(1))
-	must(t, lh.Close())
-	if _, err := lh.EvacuateSegment(0); err != nil {
-		t.Fatalf("EvacuateSegment on a closed shard: %v", err)
+	closed, open := g.shards[0], g.shards[1]
+	must(t, closed.WriteBucket(3, 1, slots("closed shard")))
+	must(t, closed.CommitEpoch(1))
+	first := g.log.segs[0].base
+	var last uint64
+	for e := uint64(1); e <= 6; e++ {
+		must(t, open.WriteBucket(int(e), e, slots(fmt.Sprintf("open shard %d", e))))
+		must(t, open.CommitEpoch(e))
+		last, err = open.Append([]byte("wal record"))
+		must(t, err)
+	}
+	must(t, closed.Close())
+	must(t, open.Truncate(last))
+	if got := g.log.gcCandidates(); len(got) == 0 || got[0] != first {
+		t.Fatalf("truncation left gc candidates %v, want the first segment %d among them", got, first)
 	}
 	g.MaintainOnce()
-	last := lh.lastPhys
-	if lh.ckptW == last {
-		t.Fatalf("watermark already at the last record %d before Close", last)
+	if got := g.log.segs[0].base; got == first {
+		t.Fatalf("maintenance left the first segment %d: the closed shard's heap pins it", got)
 	}
 	must(t, g.Close())
-	if lh.ckptW != last {
-		t.Fatalf("closed shard checkpointed to watermark %d, its last record is %d", lh.ckptW, last)
-	}
 
 	g, err = openDiskGroupOpts(fsys, "data", 2, 8, opts)
 	must(t, err)
 	defer g.Close()
-	if w, dirty := g.shards[0].ckptW, g.shards[0].dirty; w != last || dirty != 0 {
-		t.Fatalf("reopened shard: checkpoint watermark %d (want %d), %d records replayed (want 0)", w, last, dirty)
-	}
 	got, err := g.shards[0].ReadSlot(3, 0)
 	must(t, err)
 	if string(got) != "closed shard" {
 		t.Fatalf("reopened shard reads %q", got)
 	}
+	if c := g.shards[0].CommittedEpoch(); c != 1 {
+		t.Fatalf("reopened closed shard committed through epoch %d, want 1", c)
+	}
+
 }
 
 // waveFS is the in-memory filesystem with its log segments' fsyncs

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -87,6 +88,24 @@ func (ix *versionIndex) install(bucket int, v version) error {
 	}
 	ix.push(bucket, v)
 	return nil
+}
+
+// relocate points bucket's entry for v's epoch at v, a segment GC copy
+// replayed. When the copy's original lay in a segment dropped since, the
+// stack holds no entry for the epoch, and v goes in at the epoch's place,
+// not on top: a committed version can be copied after a newer uncommitted
+// one was written.
+func (ix *versionIndex) relocate(bucket int, v version) {
+	vs := ix.buckets[bucket]
+	i, found := slices.BinarySearchFunc(vs, v.epoch, func(x version, e uint64) int { return cmp.Compare(x.epoch, e) })
+	if found {
+		vs[i] = v
+		return
+	}
+	if len(vs) == 1 {
+		ix.multi = append(ix.multi, bucket)
+	}
+	ix.buckets[bucket] = slices.Insert(vs, i, v)
 }
 
 // push puts v on top of bucket's stack, retiring a version of the same epoch

@@ -1,10 +1,7 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -34,15 +31,18 @@ import (
 //   - RollbackTo appends a rollback record and reverts the index — the
 //     shadow-page discard, as a log record.
 //   - Segment GC re-appends live versions (kind heapKindGCCopy) out of old
-//     segments and flips their index entries; the copy is crash-safe at
-//     every point because replay relocates a copy only when the entry it
-//     copied is still current.
+//     segments and flips their index entries.
 //
-// At open the index is rebuilt from an atomically-replaced checkpoint file
-// (heapIndexName, watermark W) plus a replay of own-stream records above W,
-// so recovery work is bounded by checkpoint cadence, not log length. The
-// log's segment retention gate (retainFloor) keeps any segment holding a
-// live version or an un-checkpointed record alive past WAL truncation.
+// The log is also the index's only durable form: an open replays every
+// record of the heap's stream the log retains. What the log drops is a
+// prefix the index no longer needs, which the retention floor (retainFloor)
+// guarantees: it is the first physical sequence holding a live version or
+// the heap's newest commit record, and it rises only in maintenance, after a
+// barrier on the heap's last record, so no segment goes before the records
+// that made its contents dead are durable. Replaying the retained suffix
+// therefore rebuilds the index the whole log would: every record after a
+// dropped one is retained, and a GC copy whose original went with a dropped
+// segment is installed at its epoch's place in the bucket's stack.
 type LogHeap struct {
 	log       *diskLog // the group's physical log
 	walStream uint32   // its recovery-log stream on log
@@ -52,47 +52,33 @@ type LogHeap struct {
 	// close them; the flag keeps the per-shard ErrClosed contract (every
 	// Backend call on a closed shard fails, the siblings keep working), and
 	// the files close with the group. The group's own work on the heap —
-	// replay, Checkpoint, EvacuateSegment — ignores it.
+	// replay, maintenance — ignores it.
 	closed atomic.Bool
 
-	fsys       vfs
-	dir        string // this shard's directory; holds the index checkpoint
 	numBuckets int
 
-	// commitMu serializes the stream-order-sensitive multi-step operations
-	// — commit/rollback barriers, checkpointing, segment GC — against each
-	// other.
-	commitMu sync.Mutex
-
-	mu       sync.RWMutex
-	ix       versionIndex
-	lastPhys uint64 // physical seq of this stream's newest record
-	ckptW    uint64 // watermark of the installed index checkpoint
-	dirty    int    // own-stream records appended since that checkpoint
-	frame    []byte // framing buffer: one stream record at a time
+	mu        sync.RWMutex
+	ix        versionIndex
+	lastPhys  uint64 // physical seq of this stream's newest record
+	commitSeg uint64 // segment base of its newest commit record (0: none)
+	frame     []byte // framing buffer: one stream record at a time
 	// results is what reads copy their slots into; reads run concurrently
 	// under mu's read lock, so it has a lock of its own.
 	resultsMu sync.Mutex
 	results   slabs
 
+	// gcMu serializes segment evacuations, whose buffers it guards: a
+	// maintenance pass reuses them rather than allocating per pass.
+	gcMu    sync.Mutex
+	gcRefs  []gcRef
+	gcFrame []byte
+
 	// retainFloor is the segment retention gate's input: the first physical
-	// sequence this heap still needs on disk (lowest live version's segment
-	// base, or ckptW+1 for un-checkpointed records, whichever is lower).
-	// Atomic because the gate reads it while holding the log's mu, which is
-	// *below* mu in the lock order.
+	// sequence this heap still needs on disk, as raiseFloor last published
+	// it. Atomic because the gate reads it while holding the log's mu, which
+	// is *below* mu in the lock order.
 	retainFloor atomic.Uint64
-
-	// kick, when set, nudges the group's background maintenance loop after
-	// a commit finds the un-checkpointed backlog past maintainEvery.
-	kick func()
 }
-
-// heapIndexName is the checkpoint file inside the shard directory.
-const heapIndexName = "heapindex"
-
-// maintainEvery is how many own-stream records may accumulate past the
-// checkpoint watermark before a commit kicks background maintenance.
-const maintainEvery = 4096
 
 // logHeapDataStart is how far past its frame a version record's first
 // slot-length prefix lies: the stream-id header and the version-body header.
@@ -104,101 +90,23 @@ var (
 	_ readEncoder = (*LogHeap)(nil)
 )
 
-// newLogHeap loads the shard's index checkpoint, before the log opens: the
-// retention floor it sets is the gate the log's open collects dead segments
-// under. The caller then replays own-stream records above the watermark
-// through replayRecord (via diskLog.openStreams) and finally attaches
-// the log.
-func newLogHeap(fsys vfs, dir string, walStream, stream uint32, numBuckets int) (*LogHeap, error) {
-	lh := &LogHeap{
-		walStream:  walStream,
-		stream:     stream,
-		fsys:       fsys,
-		dir:        dir,
+// newLogHeap returns shard i of a group of shards on log, empty until the
+// log's open-time scan replays its stream (diskLog.openStreams).
+func newLogHeap(log *diskLog, i, shards, numBuckets int) *LogHeap {
+	return &LogHeap{
+		log:        log,
+		walStream:  uint32(i),
+		stream:     uint32(shards + i),
 		numBuckets: numBuckets,
 		ix:         newVersionIndex(numBuckets, logHeapDataStart),
 	}
-	if err := lh.loadCheckpoint(); err != nil {
-		return nil, err
-	}
-	lh.lastPhys = lh.ckptW
-	lh.recomputeRetainLocked()
-	return lh, nil
-}
-
-// loadCheckpoint reads the heapindex file. A missing file, or one whose
-// header never became durable (lying fsync under the rename), loads as
-// empty — replay from the log's start rebuilds everything still on disk. A
-// torn record tail discards the whole checkpoint the same way: a partially
-// loaded index with a high watermark would silently drop the missing
-// buckets, and the previous checkpoint is gone (the rename replaced it), so
-// full replay is the only sound fallback. A structurally invalid record
-// under a valid checksum is corruption and fails loudly.
-func (lh *LogHeap) loadCheckpoint() error {
-	f, err := lh.fsys.OpenFile(joinPath(lh.dir, heapIndexName), os.O_RDONLY, 0)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("storage: opening heap index checkpoint: %w", err)
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	if size < fileHeaderSize {
-		return nil // creation never durably completed
-	}
-	m, err := f.Map(size)
-	if err != nil {
-		return fmt.Errorf("storage: mapping heap index checkpoint: %w", err)
-	}
-	defer f.Unmap(m)
-	nb, w, err := decodeFileHeader(m, lhixMagic)
-	if err != nil {
-		return nil // installed but never durable: pre-checkpoint state
-	}
-	if int(nb) != lh.numBuckets {
-		return fmt.Errorf("storage: heap index checkpoint holds %d buckets but meta says %d", nb, lh.numBuckets)
-	}
-	ix := newVersionIndex(lh.numBuckets, logHeapDataStart)
-	end, err := decodeRecords(m[fileHeaderSize:], func(_ int, body []byte) error {
-		rec, err := parseLhixBody(body)
-		if err != nil {
-			return err
-		}
-		if rec.kind == lhixKindState {
-			ix.committed = rec.committed
-			return nil
-		}
-		return ix.install(rec.bucket, version{epoch: rec.epoch, layout: layoutFromLens(rec.slotLens), seg: rec.segBase, off: rec.off})
-	})
-	if err != nil {
-		return fmt.Errorf("storage: heap index checkpoint at offset %d: %w", fileHeaderSize+end, err)
-	}
-	if int64(fileHeaderSize+end) < size {
-		return nil // a torn record discards it all: see doc comment
-	}
-	lh.ix = ix
-	lh.ckptW = w
-	return nil
-}
-
-// attach wires the replayed heap to the log and its maintenance hook, once
-// replay is done, and recomputes the retention floor replay moved.
-func (lh *LogHeap) attach(log *diskLog, kick func()) {
-	lh.mu.Lock()
-	lh.log, lh.kick = log, kick
-	lh.recomputeRetainLocked()
-	lh.mu.Unlock()
 }
 
 // replayRecord applies one own-stream record during the open-time demux
 // scan; body is only valid for the duration of the call. Record order
 // equals the original mutation order (appends and index mutations happen
-// under one lock at runtime), so replay reproduces the exact index state as
-// of the log's end.
+// under one lock at runtime), so replay reproduces the index the retained
+// records describe.
 func (lh *LogHeap) replayRecord(seq, segBase uint64, off int64, body []byte) error {
 	rec, err := parseHeapBody(body)
 	if err != nil {
@@ -211,47 +119,50 @@ func (lh *LogHeap) replayRecord(seq, segBase uint64, off int64, body []byte) err
 		}
 		v := version{epoch: rec.epoch, layout: layoutFromLens(rec.slotLens), seg: segBase, off: off}
 		if rec.kind == heapKindGCCopy {
-			// A GC copy re-locates the version it copied, and only if that
-			// version is still the bucket's entry for its epoch: at runtime
-			// the copy was appended under the lock only while the entry
-			// matched, so by induction a mismatch here means a later record
-			// already superseded or rolled the version back — ignore.
-			vs := lh.ix.buckets[rec.bucket]
-			for j := len(vs) - 1; j >= 0; j-- {
-				if vs[j].epoch == rec.epoch {
-					vs[j] = v
-					break
-				}
-				if vs[j].epoch < rec.epoch {
-					break
-				}
-			}
+			// At runtime a copy is appended only while the version it copies
+			// is the bucket's entry for its epoch, so it relocates that entry;
+			// or, its original gone with a dropped segment, takes its place.
+			lh.ix.relocate(rec.bucket, v)
 		} else if err := lh.ix.install(rec.bucket, v); err != nil {
 			return fmt.Errorf("storage: bucket stream %d replay: %w", lh.stream, err)
 		}
 	case heapKindCommit:
 		lh.ix.commit(rec.epoch)
+		lh.commitSeg = segBase
 	case heapKindRollback:
 		lh.ix.rollback(rec.epoch)
 	}
 	lh.lastPhys = seq
-	lh.dirty++
 	return nil
 }
 
-// recomputeRetainLocked refreshes the retention floor: the lowest segment
-// base holding a live version, or ckptW+1 (the first record replay would
-// need), whichever is lower. Any physical sequence >= the floor survives
-// segment collection. Only ever called with mu held; the gate itself just
-// reads the atomic.
-func (lh *LogHeap) recomputeRetainLocked() {
-	floor := lh.ckptW + 1
+// raiseFloor publishes the heap's retention floor: the lowest segment base
+// holding a live version or its newest commit record (replay learns the
+// committed frontier from it), or, past both, the first record not yet
+// appended. The floor is taken together with the heap's last record under
+// the lock, and published only once a barrier makes that record durable:
+// the records that made a segment's versions dead — a commit, a rollback, a
+// GC copy — are durable before the segment can go. Records appended after
+// the snapshot lie above any floor it yields, so a floor published late is
+// still safe, only lower than it could be.
+func (lh *LogHeap) raiseFloor() error {
+	lh.mu.RLock()
+	last := lh.lastPhys
+	floor := lh.log.lastSeq.Load() + 1
+	if lh.commitSeg > 0 {
+		floor = min(floor, lh.commitSeg)
+	}
 	for _, vs := range lh.ix.buckets {
 		for i := range vs {
 			floor = min(floor, vs[i].seg)
 		}
 	}
+	lh.mu.RUnlock()
+	if err := lh.log.barrier(last); err != nil {
+		return err
+	}
 	lh.retainFloor.Store(floor)
+	return nil
 }
 
 // checkOpen is every Backend call's guard: ErrClosed once the shard is
@@ -356,8 +267,8 @@ func (lh *LogHeap) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 // records where it landed, as replay does: the log's page cache serves its
 // reads from then on, synced or not. Framing, append and index install all
 // happen under the lock, so the stream's record order equals the index
-// mutation order replay will reproduce — and lastPhys (the checkpoint
-// watermark source) never runs behind an installed record.
+// mutation order replay will reproduce — and lastPhys (what a floor raise
+// barriers) never runs behind an installed record.
 // Writes install in vector order and stop at the first failing entry,
 // leaving the validated prefix installed.
 func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
@@ -380,7 +291,6 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 			return err
 		}
 		lh.lastPhys = res.seq
-		lh.dirty++
 	}
 	return nil
 }
@@ -394,11 +304,7 @@ func (lh *LogHeap) CommitEpoch(epoch uint64) error {
 	if err := lh.appendEpochRecord(heapKindCommit, epoch); err != nil {
 		return err
 	}
-	if err := lh.log.syncLog(); err != nil {
-		return err
-	}
-	lh.maybeKick()
-	return nil
+	return lh.log.syncLog()
 }
 
 // commitEpochNoSync is logHeapShard's CommitEpochNoSync: the commit record
@@ -406,11 +312,7 @@ func (lh *LogHeap) CommitEpoch(epoch uint64) error {
 // SyncLog — the proxy's round barrier, where N shards' commits and the
 // coordinator's committing checkpoint all stand on one fsync.
 func (lh *LogHeap) commitEpochNoSync(epoch uint64) error {
-	if err := lh.appendEpochRecord(heapKindCommit, epoch); err != nil {
-		return err
-	}
-	lh.maybeKick()
-	return nil
+	return lh.appendEpochRecord(heapKindCommit, epoch)
 }
 
 // RollbackTo implements BucketStore. Rollbacks always log and always
@@ -426,10 +328,9 @@ func (lh *LogHeap) RollbackTo(epoch uint64) error {
 // appendEpochRecord appends a commit/rollback record and applies it to the
 // index in one critical section. An already-covered commit (epoch <=
 // committed) appends nothing; CommitEpoch still stands on the barrier, which
-// the versions written at or below the committed epoch since need.
+// the versions written at or below the committed epoch since need. Neither
+// raises the retention floor: only maintenance does (raiseFloor).
 func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) error {
-	lh.commitMu.Lock()
-	defer lh.commitMu.Unlock()
 	lh.mu.Lock()
 	defer lh.mu.Unlock()
 	if err := lh.checkOpen(); err != nil {
@@ -442,27 +343,16 @@ func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) error {
 			return err
 		}
 		lh.lastPhys = res.seq
-		lh.dirty++
+		if kind == heapKindCommit {
+			lh.commitSeg = res.segBase
+		}
 	}
 	if kind == heapKindCommit {
 		lh.ix.commit(epoch)
 	} else {
 		lh.ix.rollback(epoch)
-		// Entries above the rollback target are gone; the floor may rise,
-		// but more importantly replay must re-see the rollback record, which
-		// ckptW+1 <= lastPhys already guarantees.
-		lh.recomputeRetainLocked()
 	}
 	return nil
-}
-
-func (lh *LogHeap) maybeKick() {
-	lh.mu.RLock()
-	due := lh.dirty >= maintainEvery
-	lh.mu.RUnlock()
-	if due && lh.kick != nil {
-		lh.kick()
-	}
 }
 
 // CommittedEpoch reports the highest committed epoch (test/recovery
@@ -560,124 +450,16 @@ func (lh *LogHeap) Close() error {
 	return nil
 }
 
-// ---- index checkpoint ----
-
-// Checkpoint atomically replaces the shard's index checkpoint with the
-// current index and a watermark W = lastPhys, then raises the retention
-// floor so segments holding only pre-W records (and no live versions)
-// become collectible. Ordering is what makes it crash-safe:
-//
-//  1. Snapshot index + W under the read lock — W covers exactly the
-//     records the snapshot reflects, never more, because append + install
-//     + lastPhys update are atomic under mu.
-//  2. A barrier on W. Every record <= W is now durable, so the checkpoint
-//     never points at (or bounds replay past) data a crash could still
-//     tear.
-//  3. Write tmp, fsync, rename, dir-sync — the install is atomic; a crash
-//     before the rename leaves the old checkpoint, after it the new one,
-//     and either replays to the same state (replay above the respective W
-//     fills the difference).
-func (lh *LogHeap) Checkpoint() error {
-	lh.commitMu.Lock()
-	defer lh.commitMu.Unlock()
-	lh.mu.RLock()
-	if err := lh.log.checkUsable(); err != nil {
-		lh.mu.RUnlock()
-		return err
-	}
-	w := lh.lastPhys
-	committed := lh.ix.committed
-	// One flat copy, sliced per bucket: a checkpoint runs every maintenance
-	// pass and must not cost an allocation per bucket.
-	total, encoded := 0, 0
-	for _, vs := range lh.ix.buckets {
-		total += len(vs)
-		for i := range vs {
-			encoded += recordFrameSize + lhixVersionDataStart + 4*vs[i].layout.n
-		}
-	}
-	flat := make([]version, 0, total)
-	snap := make([][]version, len(lh.ix.buckets))
-	for i, vs := range lh.ix.buckets {
-		flat = append(flat, vs...)
-		snap[i] = flat[len(flat)-len(vs):]
-	}
-	dirtyAt := lh.dirty
-	lh.mu.RUnlock()
-
-	if err := lh.log.barrier(w); err != nil {
-		return err
-	}
-
-	tmpName := joinPath(lh.dir, heapIndexName+tmpSuffix)
-	tf, err := lh.fsys.OpenFile(tmpName, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	abort := func(err error) error {
-		tf.Close()
-		_ = lh.fsys.Remove(tmpName)
-		return err
-	}
-	// Sized up front (to the flush threshold at most): the file is written
-	// from one buffer, not from a chain of doublings.
-	buf := make([]byte, 0, fileHeaderSize+32+min(encoded, 1<<20))
-	buf = append(buf, encodeFileHeader(lhixMagic, uint32(lh.numBuckets), w)...)
-	buf = encodeRecord(buf, encodeEpochBody(lhixKindState, committed))
-	off := int64(0)
-	flush := func() error {
-		if _, err := tf.WriteAt(buf, off); err != nil {
-			return err
-		}
-		off += int64(len(buf))
-		buf = buf[:0]
-		return nil
-	}
-	var body []byte
-	for bucket, vs := range snap {
-		for i := range vs {
-			v := &vs[i]
-			body = appendLhixVersion(body[:0], bucket, v.epoch, v.seg, v.off, int(lh.ix.recLen(v)), v.layout)
-			buf = encodeRecord(buf, body)
-			if len(buf) >= 1<<20 {
-				if err := flush(); err != nil {
-					return abort(err)
-				}
-			}
-		}
-	}
-	if len(buf) > 0 {
-		if err := flush(); err != nil {
-			return abort(err)
-		}
-	}
-	if err := tf.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := lh.fsys.Rename(tmpName, joinPath(lh.dir, heapIndexName)); err != nil {
-		return abort(err)
-	}
-	if err := lh.fsys.SyncDir(lh.dir); err != nil {
-		tf.Close()
-		return err
-	}
-	tf.Close()
-
-	lh.mu.Lock()
-	if w > lh.ckptW {
-		lh.ckptW = w
-	}
-	if lh.dirty >= dirtyAt {
-		lh.dirty -= dirtyAt
-	} else {
-		lh.dirty = 0
-	}
-	lh.recomputeRetainLocked()
-	lh.mu.Unlock()
-	return nil
-}
-
 // ---- segment GC ----
+
+// gcRef is a live version an evacuation found in its segment: the entry's
+// identity, (epoch, offset) in its bucket, and its record's length.
+type gcRef struct {
+	bucket int
+	epoch  uint64
+	off    int64
+	recLen int
+}
 
 // EvacuateSegment copies this heap's live versions out of the segment based
 // at segBase, re-appending each as a heapKindGCCopy record at the log head
@@ -685,38 +467,34 @@ func (lh *LogHeap) Checkpoint() error {
 // leaves either the old location (still on disk: the floor has not risen)
 // or the new one. Each copy happens under the lock against the entry it
 // copies, so a copy record in the log always reflects the entry's state at
-// append time; replay leans on that to relocate exactly the still-current
-// copies. Returns how many versions moved. The segment becomes collectible
-// only after the caller's next Checkpoint: that makes the copies durable and
-// installs an index that no longer points into the old segment before the
-// retention floor rises.
+// append time; replay leans on that to relocate exactly the current
+// versions. The heap's newest commit record moves too when it lies there:
+// it is re-appended as a commit of the committed frontier, applied to the
+// index as replay will apply it. Returns how many versions moved. The
+// segment becomes collectible only after the caller's next raiseFloor: its
+// barrier makes the copies durable before the floor passes the old segment.
 func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
-	lh.commitMu.Lock()
-	defer lh.commitMu.Unlock()
-
-	type ref struct {
-		bucket int
-		epoch  uint64
-		off    int64
-		recLen int
-	}
+	lh.gcMu.Lock()
+	defer lh.gcMu.Unlock()
 	lh.mu.RLock()
 	if err := lh.log.checkUsable(); err != nil {
 		lh.mu.RUnlock()
 		return 0, err
 	}
-	var refs []ref
+	refs := lh.gcRefs[:0]
 	for bucket, vs := range lh.ix.buckets {
 		for i := range vs {
 			if vs[i].seg == segBase {
-				refs = append(refs, ref{bucket: bucket, epoch: vs[i].epoch, off: vs[i].off, recLen: int(lh.ix.recLen(&vs[i]))})
+				refs = append(refs, gcRef{bucket: bucket, epoch: vs[i].epoch, off: vs[i].off, recLen: int(lh.ix.recLen(&vs[i]))})
 			}
 		}
 	}
+	lh.gcRefs = refs
 	lh.mu.RUnlock()
 
 	moved := 0
-	var frame []byte // one buffer for every copy: a pass moves thousands
+	frame := lh.gcFrame // one buffer for every copy: a pass moves thousands
+	defer func() { lh.gcFrame = frame }()
 	for _, r := range refs {
 		lh.mu.Lock()
 		vs := lh.ix.buckets[r.bucket]
@@ -750,7 +528,7 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 			lh.mu.Unlock()
 			return moved, fmt.Errorf("storage: GC re-reading segment %d offset %d: record shorter than its stream header", segBase, r.off)
 		}
-		// frame is this call's own buffer: flip the kind in place and send
+		// frame is the heap's GC buffer: flip the kind in place and send
 		// the same bytes back to the log head.
 		body[streamHdrSize] = heapKindGCCopy
 		res, err := lh.log.appendFramed(lh.stream, frame[:size])
@@ -761,9 +539,19 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 		v := &vs[cur]
 		v.seg, v.off = res.segBase, res.off
 		lh.lastPhys = res.seq
-		lh.dirty++
 		lh.mu.Unlock()
 		moved++
+	}
+	lh.mu.Lock()
+	defer lh.mu.Unlock()
+	if lh.commitSeg == segBase {
+		lh.frame = append(lh.beginFrame(), encodeEpochBody(heapKindCommit, lh.ix.committed)...)
+		res, err := lh.log.appendFramed(lh.stream, lh.frame)
+		if err != nil {
+			return moved, err
+		}
+		lh.ix.commit(lh.ix.committed)
+		lh.lastPhys, lh.commitSeg = res.seq, res.segBase
 	}
 	return moved, nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -13,20 +14,20 @@ import (
 // one SyncLog) this covers what only logheap mode has: deferred bucket
 // writes made durable by the round's single barrier, unified epoch commits
 // (CommitEpochNoSync + SyncLog, the proxy's single-barrier boundary), the
-// atomically-replaced index checkpoint, and segment GC's copy-forward pass —
-// with crash points landing mid-checkpoint-replace and mid-evacuation.
+// maintenance pass's floor raises, and segment GC's copy-forward pass —
+// with crash points landing mid-evacuation.
 //
 // The workload is strictly serial, so the global mutation-op counter indexes
 // crash points deterministically; the group opens with maintenance off and
-// drives Checkpoint / EvacuateSegment explicitly for the same reason.
+// drives maintainOnce / EvacuateSegment explicitly for the same reason.
 //
 // Like the shared-log sweep, the workload never truncates the WAL (stream
 // floors are not persisted, so a reopen would renumber streams and
 // desynchronize the oracle's seq-indexed log check). One consequence is that
 // dropDeadSegments never finds a removable segment here — the WAL floor
-// pins them all — so the swept GC surface is the copy-forward pass and its
-// checkpoint, which is also the only part of GC that mutates heap state;
-// the drop itself is a journaled remove of bytes nothing references.
+// pins them all — so the swept GC surface here is the copy-forward pass and
+// its barrier. TestCrashPointSweepLogHeapMaintenance sweeps a whole pass
+// over a truncated log, drops included, against an index model.
 
 const logHeapSweepShards = 2
 
@@ -67,8 +68,8 @@ func runLogHeapCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 // bucket writes and same-epoch rewrites per shard, a deferred WAL round,
 // then the unified commit — every shard's CommitEpochNoSync followed by ONE
 // SyncLog that makes the whole epoch durable. Epoch 3 aborts and is
-// reverted by index rollback; checkpoints and a GC evacuation run at fixed
-// epochs so their crash windows sit at deterministic sweep indices. It
+// reverted by index rollback; maintenance passes and a GC evacuation run at
+// fixed epochs so their crash windows sit at deterministic sweep indices. It
 // stops at the first error (the injected crash wedges the group).
 func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle) {
 	const numBuckets = 5
@@ -114,12 +115,10 @@ func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle)
 				}
 				oracles[i].mem.RollbackTo(2)
 			}
-			// Checkpoint over the rolled-back garbage: the snapshot must
-			// reflect the reverted index, and replay above its watermark
-			// must not resurrect epoch 3.
-			if g.shards[0].Checkpoint() != nil {
-				return
-			}
+			// Maintenance over the rolled-back garbage: its floor raises
+			// barrier the rollback records, and replay must not resurrect
+			// epoch 3.
+			g.maintainOnce()
 			continue
 		}
 		// The unified commit: one record per shard, all deferred, one
@@ -143,14 +142,9 @@ func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle)
 			o.lastCommit = e
 		}
 		if e == 2 {
-			// Checkpoint every shard with committed and superseded versions
-			// in the index: the atomic replace (write tmp, fsync, rename,
-			// dir sync) is swept window by window.
-			for _, lh := range g.shards {
-				if lh.Checkpoint() != nil {
-					return
-				}
-			}
+			// A maintenance pass with committed and superseded versions in
+			// every index: its floor raises are swept window by window.
+			g.maintainOnce()
 		}
 		if e == 4 {
 			// An inline synced commit path also exists (bootstrap and the
@@ -169,8 +163,8 @@ func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle)
 			// Segment GC's copy-forward pass: evacuate the oldest sealed
 			// segment on every heap. Each live version is re-appended as a
 			// GC-copy record and its index entry flipped; the closing
-			// checkpoint makes the relocation durable. Crash points land
-			// between any two of those steps.
+			// maintenance pass's barriers make the relocation durable. Crash
+			// points land between any two of those steps.
 			if segs := g.log.segs; len(segs) > 1 {
 				base := segs[0].base
 				for _, lh := range g.shards {
@@ -178,20 +172,16 @@ func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle)
 						return
 					}
 				}
-				for _, lh := range g.shards {
-					if lh.Checkpoint() != nil {
-						return
-					}
-				}
-				g.log.dropDeadSegments()
+				g.maintainOnce()
 			}
 		}
 	}
 }
 
 // verifyLogHeapRecovered reopens the whole group on the durable snapshot —
-// checkpoint load, mixed WAL+bucket segment scan, index rebuild — and
-// checks every shard view against its oracle.
+// mixed WAL+bucket segment scan, index rebuild — and checks every shard view
+// against its oracle.
+
 func verifyLogHeapRecovered(t *testing.T, snap *crashFS, oracles []*sweepOracle, strict bool, tag string) {
 	t.Helper()
 	g, err := openLogHeapSweepGroup(snap)
@@ -246,6 +236,152 @@ func TestCrashPointSweepLogHeap(t *testing.T) {
 				oracles := runLogHeapCrashWorkload(t, fsys)
 				verifyLogHeapRecovered(t, fsys.snapshot(), oracles,
 					m.strict, fmt.Sprintf("crash point %d", k))
+			}
+		})
+	}
+}
+
+// ---- the maintenance sweep ----
+
+// maintBuckets is the tree size of maintenanceWorkload's shards.
+const maintBuckets = 5
+
+// maintenanceWorkload drives a two-shard group on fsys, every call acked, to
+// where a maintenance pass has work: a WAL truncation has left sealed
+// segments wholly below the truncation point, and the live versions they
+// hold keep them. Buckets 0 and 1 hold their epoch-1 versions there;
+// bucket 1 also holds an uncommitted epoch-5 version, written after them,
+// so the pass copies a committed version after a newer uncommitted one.
+// Each shard's model is a MemBackend given the same calls.
+func maintenanceWorkload(t *testing.T, fsys *crashFS) (*DiskGroup, []*MemBackend) {
+	t.Helper()
+	g, err := openLogHeapSweepGroup(fsys)
+	must(t, err)
+	models := []*MemBackend{NewMemBackend(maintBuckets), NewMemBackend(maintBuckets)}
+	write := func(e uint64, buckets ...int) {
+		for i, lh := range g.shards {
+			var writes []BucketWrite
+			for _, b := range buckets {
+				writes = append(writes, BucketWrite{Bucket: b, Epoch: e, Slots: slots(fmt.Sprintf("s%d-e%d-b%d", i, e, b), "slot 1")})
+			}
+			must(t, lh.WriteBuckets(writes))
+			must(t, models[i].WriteBuckets(writes))
+		}
+	}
+	for e := uint64(1); e <= 4; e++ {
+		if e == 1 {
+			write(e, 0, 1, 2, 3, 4)
+		} else {
+			write(e, 2, 3, 2+int(e)%3)
+		}
+		for i, lh := range g.shards {
+			must(t, lh.CommitEpoch(e))
+			must(t, models[i].CommitEpoch(e))
+			_, err := lh.Append([]byte(fmt.Sprintf("s%d-wal-%d", i, e)))
+			must(t, err)
+		}
+	}
+	write(5, 1)
+	must(t, g.shards[0].SyncLog())
+	for _, lh := range g.shards {
+		last, err := lh.LastSeq()
+		must(t, err)
+		must(t, lh.Truncate(last))
+	}
+	if len(g.log.gcCandidates()) < 2 {
+		t.Fatalf("truncation left %v to collect; the workload must leave several sealed segments", g.log.gcCandidates())
+	}
+	return g, models
+}
+
+// indexImage renders an index as text: its committed frontier, then every
+// version of every bucket, oldest first, with its slots as read reads them.
+func indexImage(ix *versionIndex, read func(v *version) [][]byte) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "committed %d\n", ix.committed)
+	for bucket, vs := range ix.buckets {
+		for i := range vs {
+			fmt.Fprintf(&b, "bucket %d epoch %d: %q\n", bucket, vs[i].epoch, read(&vs[i]))
+		}
+	}
+	return b.String()
+}
+
+// heapImage is lh's index, each version read out of the log.
+func heapImage(lh *LogHeap) string {
+	lh.mu.RLock()
+	defer lh.mu.RUnlock()
+	lh.log.mu.RLock()
+	defer lh.log.mu.RUnlock()
+	return indexImage(&lh.ix, func(v *version) [][]byte {
+		span := make([]byte, v.layout.span(4))
+		if err := lh.log.readAtLocked(span, v.seg, v.off+lh.ix.dataStart); err != nil {
+			return [][]byte{[]byte(err.Error())}
+		}
+		return v.layout.split(span, 4)
+	})
+}
+
+// memImage is m's index, each version read from its mirror.
+func memImage(m *MemBackend) string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return indexImage(&m.ix, func(v *version) [][]byte { return v.layout.split(v.mirror, 0) })
+}
+
+// checkAgainstModels reopens the group on fsys and requires every shard's
+// index, version by version, equal to its model's.
+func checkAgainstModels(t *testing.T, fsys *crashFS, models []*MemBackend, tag string) {
+	t.Helper()
+	g, err := openLogHeapSweepGroup(fsys)
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", tag, err)
+	}
+	defer g.Close()
+	for i, lh := range g.shards {
+		if got, want := heapImage(lh), memImage(models[i]); got != want {
+			t.Fatalf("%s: shard %d reopened to\n%swant\n%s", tag, i, got, want)
+		}
+	}
+}
+
+// TestCrashPointSweepLogHeapMaintenance crashes a maintenance pass over a
+// truncated log at every file operation it makes — the GC copies'
+// appends and any segment roll they cause, the floor raises' barriers
+// (each floor is published only after its barrier) and the removes of the
+// segments the raised floors free — and requires every reopened index
+// equal to its model: no version lost, moved to the wrong place in its
+// stack or resurrected, and the committed frontier intact. Dropped-fsync
+// mode is left out: a drop on the strength of a lying fsync deletes the only
+// durable copy by construction.
+func TestCrashPointSweepLogHeapMaintenance(t *testing.T) {
+	plan := &faultPlan{mode: crashFailStop, crashAt: 1 << 30}
+	fsys := newCrashFS(plan)
+	g, models := maintenanceWorkload(t, fsys)
+	before, segs := plan.ops, g.SegmentCount()
+	g.maintainOnce()
+	total := plan.ops - before
+	if after := g.SegmentCount(); after >= segs {
+		t.Fatalf("the pass freed no segment (%d -> %d)", segs, after)
+	}
+	must(t, g.Close())
+	checkAgainstModels(t, fsys.snapshot(), models, "fault-free")
+	if total < 10 {
+		t.Fatalf("the maintenance pass makes only %d file operations; the sweep would prove little", total)
+	}
+	for _, m := range []struct {
+		name string
+		mode int
+	}{{"fail-stop", crashFailStop}, {"torn-write", crashTorn}} {
+		t.Run(m.name, func(t *testing.T) {
+			for k := 1; k <= total; k++ {
+				plan := &faultPlan{mode: m.mode, crashAt: 1 << 30}
+				fsys := newCrashFS(plan)
+				g, models := maintenanceWorkload(t, fsys)
+				plan.crashAt = plan.ops + k
+				g.maintainOnce()
+				g.Close()
+				checkAgainstModels(t, fsys.snapshot(), models, fmt.Sprintf("crash at operation %d of %d", k, total))
 			}
 		})
 	}

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
-	"os"
-	"path"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -249,49 +246,23 @@ func checkMapped(t *testing.T, l *diskLog) {
 	}
 }
 
-// readCountFS counts the ReadAt calls made on log segments and heap index
-// checkpoints, whose every read must go through a mapping.
-type readCountFS struct {
-	vfs
-	reads *atomic.Int64
-}
-
-type readCountFile struct {
-	vfile
-	reads *atomic.Int64
-}
-
-func (c readCountFS) OpenFile(name string, flag int, perm os.FileMode) (vfile, error) {
-	f, err := c.vfs.OpenFile(name, flag, perm)
-	if _, seg := parseSegName(path.Base(name)); err == nil && (seg || path.Base(name) == heapIndexName) {
-		return readCountFile{f, c.reads}, nil
-	}
-	return f, err
-}
-
-func (f readCountFile) ReadAt(p []byte, off int64) (int, error) {
-	f.reads.Add(1)
-	return f.vfile.ReadAt(p, off)
-}
-
 // TestLogReadsOnlyThroughMappings drives a two-shard group on the real file
 // system and on the crash harness's through every read of its log — ReadSlots,
-// a WAL stream's Scan, replay and the heap index load at reopen, segment GC —
-// with segments small enough that records cross segMaxBytes and their
-// segments are remapped, and requires that none of them reads a segment or a
-// heap index with ReadAt. Run it under -race: a remap runs under the log's
-// write lock while the readers hold its read lock.
+// a WAL stream's Scan, replay at reopen, segment GC — with segments small
+// enough that records cross segMaxBytes and their segments are remapped, and
+// requires every segment mapped over all it holds, with a concurrent reader
+// seeing whole slots throughout. A file has no read but its mapping (vfile
+// has no ReadAt). Run it under -race: a remap runs under the log's write lock
+// while the readers hold its read lock.
 func TestLogReadsOnlyThroughMappings(t *testing.T) {
 	const numBuckets, slotsPer, segMax = 8, 6, 1024
 	for _, fsName := range []string{"os", "crash"} {
 		t.Run(fsName, func(t *testing.T) {
-			var inner vfs = osFS{}
+			var fsys vfs = osFS{}
 			dir := t.TempDir()
 			if fsName == "crash" {
-				inner, dir = newCrashFS(nil), "data"
+				fsys, dir = newCrashFS(nil), "data"
 			}
-			var reads atomic.Int64
-			fsys := readCountFS{inner, &reads}
 			open := func() *DiskGroup {
 				g, err := openDiskGroupOpts(fsys, dir, 2, numBuckets, diskOpts{workers: 2, DiskOptions: DiskOptions{LogHeap: true}, segMaxBytes: segMax})
 				if err != nil {
@@ -403,7 +374,7 @@ func TestLogReadsOnlyThroughMappings(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			g = open() // replays the log above each heap index checkpoint
+			g = open() // replays every heap's records
 			defer g.Close()
 			check(g)
 			write(g, 0, 2)
@@ -429,15 +400,12 @@ func TestLogReadsOnlyThroughMappings(t *testing.T) {
 			}
 			check(g)
 			checkMapped(t, g.log)
-			if n := reads.Load(); n != 0 {
-				t.Fatalf("%d ReadAt calls on log segments and heap indexes; every read must go through a mapping", n)
-			}
 		})
 	}
 }
 
 // TestLogHeapMappedReadsRaceSegmentDrops loops every read path against a
-// writer whose truncation, segment GC and checkpoints drop and unmap segments
+// writer whose truncation, segment GC and floor raises drop and unmap segments
 // under it (small segments, so a drop is frequent). A read copies out of a
 // mapping only under the log's read lock, so every slot it returns is whole;
 // a read left holding a mapped byte past the drop would fault or return
@@ -547,10 +515,11 @@ func TestLogHeapMappedReadsRaceSegmentDrops(t *testing.T) {
 				}
 				moved += n
 			}
-			if err := lh.Checkpoint(); err != nil {
+			if err := lh.raiseFloor(); err != nil {
 				t.Fatal(err)
 			}
 			g.log.dropDeadSegments()
+
 		}
 	}
 	stop()

@@ -27,7 +27,7 @@ func openLogAt(fsys vfs, dir string, opts diskOpts) (*diskLog, error) {
 		return nil, err
 	}
 	opts.workers = max(opts.workers, 1)
-	l, err := openDiskLog(fsys, dir, nb, trunc, opts, nil)
+	l, err := openDiskLog(fsys, dir, nb, trunc, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +35,9 @@ func openLogAt(fsys vfs, dir string, opts diskOpts) (*diskLog, error) {
 		l.Close()
 		return nil, err
 	}
+	l.dropDeadSegments() // no heap: the truncation point alone decides
 	return l, nil
+
 }
 
 func openTestLog(t *testing.T, fsys vfs, dir string, opts diskOpts) *diskLog {

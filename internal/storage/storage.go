@@ -7,7 +7,11 @@
 // shadow-paged (§8 of the paper): every write installs a new version tagged
 // with the epoch that produced it, so the proxy can revert the whole tree to
 // the last committed epoch after a crash simply by discarding newer versions.
-// Every store keeps them in one version index (versionIndex).
+// Every store keeps them in one version index (versionIndex). The durable
+// store (DiskGroup) keeps every byte on one physical log, the index
+// included: an open replays it from the log's records, and the log drops a
+// segment only once a maintenance pass has raised every heap's retention
+// floor past it, behind a barrier.
 //
 // The package also provides the latency-profile wrappers used throughout the
 // paper's evaluation (dummy / server / server WAN / dynamo), a trace recorder,

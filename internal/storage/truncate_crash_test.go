@@ -17,11 +17,11 @@ import (
 // log's per-stream floor, into the owner's meta file — on a 2-shard logheap
 // group, followed between epochs by the maintenance pass that truncation
 // unlocks: the heaps copy their live bucket versions out of the segments now
-// below the WAL floor, checkpoint, and only then are the segment files
-// removed. Every crash lands some number of filesystem mutations into one
-// particular Truncate call (meta temp file created, written, synced,
-// renamed, directory synced) or one particular maintenance pass (copies,
-// barrier, two index checkpoint replacements, segments removed one by one).
+// below the WAL floor, raise their floors behind a barrier, and only then are
+// the segment files removed. Every crash lands some number of filesystem
+// mutations into one particular Truncate call (meta temp file created,
+// written, synced, renamed, directory synced) or one particular maintenance
+// pass (copies, barriers, segments removed one by one).
 // The two shards' commit stages run concurrently, so the harness arms the
 // fault from inside the call instead of trusting a global operation index.
 //
