@@ -221,13 +221,13 @@ func TestResidentBlocksNeverRecycledUnderReads(t *testing.T) {
 			for j := range im.Blocks {
 				frame := j // a resident bucket is stored as its real positions
 				if im.Bucket >= h.exec.resident {
-					frame = im.Real()[j]
+					frame = int(im.Real()[j])
 				}
 				data, err := h.backend.ReadSlot(im.Bucket, frame)
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain, err := key.OpenSlot(nil, data, cryptoutil.Seed(im.Seed), im.Real()[j], cryptoutil.Binding(uint64(im.Bucket), im.Ver, 0), new(cryptoutil.Nonce))
+				plain, err := key.OpenSlot(nil, data, cryptoutil.Seed(im.Seed), int(im.Real()[j]), cryptoutil.Binding(uint64(im.Bucket), im.Ver, 0), new(cryptoutil.Nonce))
 				if err != nil || !bytes.Equal(plain, held[i][j]) {
 					t.Fatalf("epoch %d: bucket %d version %d: the flushed slot %d does not open to the sealed block (%v)", e, im.Bucket, im.Ver, frame, err)
 				}

@@ -45,7 +45,7 @@ func (s *slotCounter) WriteBuckets(writes []storage.BucketWrite) error {
 		for i, slot := range w.Slots {
 			phys := i // the slot a block at frame i was sealed as
 			if len(w.Slots) == s.z && i < len(im.Blocks) {
-				phys = im.Real()[i]
+				phys = int(im.Real()[i])
 			}
 			switch _, err := s.key.OpenSlot(nil, slot, cryptoutil.Seed(im.Seed), phys, binding, new(cryptoutil.Nonce)); {
 			case err == nil:
@@ -218,7 +218,7 @@ func (s *plainStore) keepPlain(sealed *SealedEpoch, resident int) {
 		}
 		kept := make(map[int][]byte, len(im.Blocks))
 		for i, slot := range im.Real() {
-			kept[slot] = append([]byte(nil), im.Blocks[i]...)
+			kept[int(slot)] = append([]byte(nil), im.Blocks[i]...)
 		}
 		s.plain[im.Bucket] = kept
 	}
@@ -376,7 +376,7 @@ func (l *nonceLedger) record(t *testing.T, s *SealedEpoch) {
 			l.sealed[v]++
 		}
 		for _, slot := range im.Real() {
-			pair := sealPair{im.Seed, slot}
+			pair := sealPair{im.Seed, int(slot)}
 			if prev, ok := l.pairs[pair]; ok {
 				t.Fatalf("bucket %d version %d sealed slot %d under the seed bucket %d version %d sealed it under", v.bucket, v.ver, slot, prev.bucket, prev.ver)
 			}

@@ -33,10 +33,10 @@ type blockPool struct {
 	chunk  []byte
 	free   [][]byte
 	carved int // slots handed out of chunks so far
-	// images is the free list of image buffers; a new one holds a
-	// permutation of slotsPer entries and room for z blocks.
-	images      []*imageBuf
-	slotsPer, z int
+	// images is the free list of image buffers; a new one holds room for z
+	// blocks and their physical slots.
+	images []*imageBuf
+	z      int
 }
 
 // blockChunk is the size of the pool's carve chunks (at least one slot).
@@ -80,7 +80,7 @@ func (p *blockPool) image() *imageBuf {
 		p.images = p.images[:n-1]
 		return ib
 	}
-	return &imageBuf{perm: make([]int, p.slotsPer), blocks: make([][]byte, 0, p.z), pool: p}
+	return &imageBuf{real: make([]uint16, p.z), blocks: make([][]byte, 0, p.z), pool: p}
 }
 
 // recycle returns an image buffer and the blocks it held to the pool.
@@ -97,7 +97,7 @@ func (p *blockPool) recycle(ib *imageBuf, blocks [][]byte) {
 }
 
 // BucketImage is one bucket version in plaintext, as an eviction leaves it:
-// its version, its permutation and its blocks. It is kept until the version
+// its version, its blocks and their physical slots. It is kept until the version
 // reaches storage, and SealImage seals it then: a version that a later
 // rewrite supersedes first is never sealed at all. The image's memory is the
 // ORAM's pooled buffer: the local-version table's while the table is on
@@ -115,7 +115,7 @@ type BucketImage struct {
 	// and is never sealed.
 	Blocks [][]byte
 
-	perm []int // perm[pos] = physical slot; pos < Z real, else dummy
+	real []uint16 // real[i] is the physical slot of Blocks[i]
 	buf  *imageBuf
 	// resident is set for a bucket the local-version table keeps resident:
 	// storage holds it as its Z real positions alone.
@@ -123,10 +123,10 @@ type BucketImage struct {
 }
 
 // imageBuf is a pooled buffer for one bucket image: the memory of its
-// permutation and of the headers of its blocks, which belong to the
+// blocks' physical slots and of their headers, which belong to the
 // blockPool, as the buffer does.
 type imageBuf struct {
-	perm   []int
+	real   []uint16
 	blocks [][]byte
 	pool   *blockPool
 }
@@ -135,18 +135,18 @@ type imageBuf struct {
 // buffer, holding no block yet.
 func (o *ORAM) newImage(b int, ver uint64, seed meta.Seed) BucketImage {
 	ib := o.blocks.image()
-	return BucketImage{Bucket: b, Ver: ver, Seed: seed, Blocks: ib.blocks, perm: ib.perm, buf: ib, resident: b < o.m.Resident()}
+	return BucketImage{Bucket: b, Ver: ver, Seed: seed, Blocks: ib.blocks, real: ib.real, buf: ib, resident: b < o.m.Resident()}
 }
 
 // Real returns the physical slots of the image's blocks: the block at
 // physical slot Real()[i] is Blocks[i]. It is the image's own memory.
-func (im *BucketImage) Real() []int { return im.perm[:len(im.Blocks)] }
+func (im *BucketImage) Real() []uint16 { return im.real[:len(im.Blocks)] }
 
 // Block returns the plaintext slot the image holds at physical slot s, or nil
 // when s holds no block (a dummy or an empty real position).
 func (im *BucketImage) Block(s int) []byte {
 	for i, b := range im.Blocks {
-		if im.perm[i] == s {
+		if int(im.real[i]) == s {
 			return b
 		}
 	}
@@ -162,18 +162,17 @@ func (im *BucketImage) Block(s int) []byte {
 func (im *BucketImage) Recycle() {
 	if b := im.buf; b != nil {
 		b.pool.recycle(b, im.Blocks)
-		im.buf, im.Blocks, im.perm = nil, nil, nil
+		im.buf, im.Blocks, im.real = nil, nil, nil
 	}
 }
 
 // SealFresh seals bucket b of the fresh tree New drew into a, as SealImage
 // does: its first version, holding no block.
 func (o *ORAM) SealFresh(b int, a *SealArena) ([][]byte, error) {
-	perm, fresh := o.m.Fresh(b)
-	if !fresh {
+	if !o.m.Fresh(b) {
 		return nil, fmt.Errorf("ringoram: bucket %d is no longer fresh", b)
 	}
-	return o.SealImage(BucketImage{Bucket: b, Ver: 1, Seed: o.m.Seed(b), perm: perm, resident: b < o.m.Resident()}, a)
+	return o.SealImage(BucketImage{Bucket: b, Ver: 1, Seed: o.m.Seed(b), resident: b < o.m.Resident()}, a)
 }
 
 // Work returns the block plane's work counts since the client was made:
@@ -248,7 +247,7 @@ func (a *SealArena) take(n, size int) ([]byte, [][]byte) {
 // keeps resident, its Z real positions in position order and no dummies. Only the
 // positions holding a block are sealed, each under the nonce the version's
 // seed and the block's physical slot derive (a resident bucket's position r
-// is sealed as physical slot perm[r], though storage holds it at r) and
+// is sealed as its physical slot Real()[r], though storage holds it at r) and
 // under the version's (bucket, version) binding; every other slot is a
 // filler frame (see cryptoutil.Filler), which storage cannot tell from a
 // sealed one and the proxy never opens. It is the one place a bucket is
@@ -273,10 +272,10 @@ func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
 	for pos, b := range im.Blocks {
 		frame := slots[pos]
 		if !im.resident {
-			frame = slots[im.perm[pos]]
+			frame = slots[im.real[pos]]
 		}
 		copy(o.cdc.plainOf(frame), b)
-		if err := o.cdc.seal(frame, im.Seed, im.perm[pos], a.bind, &a.nonce); err != nil {
+		if err := o.cdc.seal(frame, im.Seed, int(im.real[pos]), a.bind, &a.nonce); err != nil {
 			return nil, err
 		}
 	}

@@ -96,7 +96,7 @@ func (c *planeClient) load(prev *ORAM) {
 		if im := prev.localCur(b); im.buf != nil {
 			held[b] = make(map[int][]byte)
 			for i, s := range im.Real() {
-				held[b][s] = bytes.Clone(im.Blocks[i])
+				held[b][int(s)] = bytes.Clone(im.Blocks[i])
 			}
 		}
 	}
@@ -112,7 +112,7 @@ func (c *planeClient) load(prev *ORAM) {
 			c.t.Fatalf("bucket %d: loaded %d blocks of version %d, the metadata places %d at version %d", b, len(im.Blocks), im.Ver, len(placed), ver)
 		}
 		for i, s := range im.Real() {
-			if want, ok := held[b][s]; prev != nil && (!ok || !bytes.Equal(im.Blocks[i], want)) {
+			if want, ok := held[b][int(s)]; prev != nil && (!ok || !bytes.Equal(im.Blocks[i], want)) {
 				c.t.Fatalf("bucket %d slot %d: the loaded block is not the one the replaced version held", b, s)
 			}
 		}

@@ -3,6 +3,7 @@ package ringoram
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -151,5 +152,94 @@ func TestCountersMonotonic(t *testing.T) {
 	}
 	if lastE == 0 {
 		t.Fatal("no evictions over 30 writes with A=4")
+	}
+}
+
+// TestWideBucketsEndToEnd runs a geometry of more than 256 slots a bucket
+// (Z=6, S=260), where a permutation entry narrower than two bytes would
+// truncate. Blocks are placed at physical slots past 255, sealed there under
+// their slots' nonces, read back from storage and opened; a full checkpoint
+// restores to the same client; and an operation logged after it replays on
+// the restored client over the very slots the live one read, some past 255.
+func TestWideBucketsEndToEnd(t *testing.T) {
+	p := Params{NumBlocks: 48, Z: 6, S: 260, A: 6, KeySize: 16, ValueSize: 32, Seed: 21}
+	seq, store := newTestSeq(t, p)
+	o := seq.ORAM()
+	if o.geo.SlotsPer <= 256 {
+		t.Fatalf("%d slots a bucket: the test needs more than 256", o.geo.SlotsPer)
+	}
+	high := func(slots []int) bool { return slices.ContainsFunc(slots, func(s int) bool { return s >= 256 }) }
+	oracle := map[string]string{}
+	placedHigh, readHigh := 0, 0
+	for i := 0; i < 600; i++ {
+		k := fmt.Sprintf("k%d", i*7%40)
+		var steps []*meta.Plan
+		var err error
+		if i%3 == 0 {
+			oracle[k] = fmt.Sprintf("v%d", i)
+			steps, err = o.m.PlanWrite(k, []byte(oracle[k]), false, nil)
+		} else {
+			steps, err = o.m.PlanRead(k, nil)
+		}
+		must(t, err)
+		for _, st := range steps {
+			for _, r := range st.Reads {
+				if r.Block() != 0 && r.Slot >= 256 {
+					readHigh++
+				}
+			}
+			for _, w := range st.Writes() {
+				for _, s := range w.Perm[:len(w.Placed)] {
+					if s >= 256 {
+						placedHigh++
+					}
+				}
+			}
+		}
+		v, found, err := seq.run(steps)
+		must(t, err)
+		if want, ok := oracle[k]; i%3 != 0 && (found != ok || string(v) != want) {
+			t.Fatalf("op %d: %s = %q (found %v), want %q", i, k, v, found, want)
+		}
+	}
+	if placedHigh == 0 || readHigh == 0 {
+		t.Fatalf("%d blocks placed and %d read back past slot 255: the workload never used the wide slots", placedHigh, readHigh)
+	}
+	if store.Violation() != nil {
+		t.Fatal(store.Violation())
+	}
+	checkClient(t, o)
+
+	img := image(t, o, true)
+	for i := 0; ; i++ {
+		if i == 200 {
+			t.Fatal("200 logged operations read no slot past 255")
+		}
+		steps, err := o.m.PlanRead(fmt.Sprintf("k%d", i%40), nil)
+		must(t, err)
+		entries := logOf(t, o, steps)
+		want := make([][]int, len(steps))
+		for j, st := range steps {
+			want[j] = pathSlots(st)
+		}
+		restored := restoreFrom(t, o, img)
+		replayed, err := restored.m.Replay(entries, nil)
+		must(t, err)
+		if len(replayed) != len(steps) {
+			t.Fatalf("replay planned %d steps, the operation %d", len(replayed), len(steps))
+		}
+		wide := false
+		for j, st := range replayed {
+			if got := pathSlots(st); !slices.Equal(got, want[j]) {
+				t.Fatalf("step %d: replay read slots %v, the live client %v", j, got, want[j])
+			}
+			wide = wide || high(want[j])
+		}
+		_, _, err = seq.run(steps)
+		must(t, err)
+		if wide {
+			break
+		}
+		img = image(t, o, true)
 	}
 }

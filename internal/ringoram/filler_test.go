@@ -69,7 +69,8 @@ func (c *sparseClient) seal(images []BucketImage) {
 		kept := make(map[int][]byte, len(im.Blocks))
 		holds := make([]bool, len(slots))
 		bind := cryptoutil.Binding(uint64(im.Bucket), im.Ver, 0)
-		for i, s := range im.Real() {
+		for i, phys := range im.Real() {
+			s := int(phys)
 			frame := i // Real()[i] is the physical slot of the block at slots[i]
 			if !trimmed {
 				frame = s

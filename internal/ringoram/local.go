@@ -41,10 +41,10 @@ func (o *ORAM) LoadLocal(data [][]byte) error {
 		*im = o.newImage(b, ver, o.m.Seed(b))
 		for _, r := range held {
 			slot := o.blocks.take()
-			im.perm[len(im.Blocks)] = perm[r]
+			im.real[len(im.Blocks)] = perm[r]
 			im.Blocks = append(im.Blocks, slot)
 			o.openedSlots.Add(1)
-			err := o.cdc.open(slot, data[b*z+r], im.Seed, perm[r], o.binding(uint64(b), ver), &o.nonce)
+			err := o.cdc.open(slot, data[b*z+r], im.Seed, int(perm[r]), o.binding(uint64(b), ver), &o.nonce)
 			if errors.Is(err, cryptoutil.ErrScheme) {
 				return fmt.Errorf("ringoram: bucket %d version %d: %w", b, ver, err)
 			}

@@ -2,16 +2,37 @@ package meta
 
 import "math/bits"
 
-// bucketMeta is the client-side metadata for one bucket.
+// bucketMeta is a bucket's version; bucketView adds its rows of the tables.
 type bucketMeta struct {
-	perm  []int   // perm[pos] = physical slot; pos < Z real, else dummy
-	addrs []int32 // addrs[r]: key-table index of the block at real position r (-1 = empty)
-	// words holds the bucket's three bitsets back to back (see valid, filler
-	// and occ): a bucket's slot state is a few contiguous words.
-	words    []uint64
 	writeVer uint64 // bumped on every rewrite; binds slot ciphertexts
 	seed     Seed   // the version's, drawn from the plane when it is written
 }
+
+// bucketView is a bucket's metadata: its version and its rows of the tables.
+// Its row of words holds its three bitsets back to back: a bucket's slot
+// state is a few contiguous words.
+type bucketView struct {
+	*bucketMeta
+	perm  []uint16 // perm[pos] = physical slot; pos < Z real, else dummy
+	addrs []int32  // addrs[r]: key-table index of the block at real position r (-1 = empty)
+	valid bitset   // the physical slots not read since the bucket was written
+	// filler is the set of positions a dummy read may consume: dummy
+	// positions and unoccupied real positions whose slot is still valid.
+	// Every site that consumes, retires or rewrites a slot keeps it current,
+	// so a pick is a draw over its members, not a scan of the bucket.
+	filler bitset
+	occ    bitset // the real positions holding a block (addrs[r] >= 0)
+}
+
+// bucket returns bucket b's view.
+func (m *Machine) bucket(b int) bucketView {
+	n, z := m.geo.SlotsPer, m.p.Z
+	w, nw := row(m.words, b, metaWords(n, z)), wordsFor(n)
+	return bucketView{&m.buckets[b], row(m.perms, b, n), row(m.addrs, b, z), w[:nw:nw], w[nw : 2*nw : 2*nw], w[2*nw:]}
+}
+
+// row is row b of a table of rows of n entries.
+func row[T any](table []T, b, n int) []T { return table[b*n : (b+1)*n : (b+1)*n] }
 
 // metaWords is how many words a bucket's bitsets take: ⌈slotsPer/64⌉ each
 // for valid and filler, ⌈z/64⌉ for occ.
@@ -19,56 +40,37 @@ func metaWords(slotsPer, z int) int { return 2*wordsFor(slotsPer) + wordsFor(z) 
 
 func wordsFor(n int) int { return (n + 63) / 64 }
 
-// valid is the set of physical slots not read since the bucket was written.
-func (m *bucketMeta) valid() bitset {
-	n := wordsFor(len(m.perm))
-	return bitset(m.words[:n:n])
-}
-
-// filler is the set of positions a dummy read may consume: dummy positions
-// and unoccupied real positions whose slot is still valid. Every site that
-// consumes, retires or rewrites a slot keeps it current, so a pick is a
-// draw over its members, not a scan of the bucket.
-func (m *bucketMeta) filler() bitset {
-	n := wordsFor(len(m.perm))
-	return bitset(m.words[n : 2*n : 2*n])
-}
-
-// occ is the set of real positions holding a block (addrs[r] >= 0).
-func (m *bucketMeta) occ() bitset { return bitset(m.words[2*wordsFor(len(m.perm)):]) }
-
 // count is how many of the bucket's slots were read since its last rewrite:
 // the ones no longer valid.
-func (m *bucketMeta) count() int { return len(m.perm) - m.valid().len() }
+func (v bucketView) count() int { return len(v.perm) - v.valid.len() }
 
 // consume invalidates the slot of position pos, which is not occupied.
-func (m *bucketMeta) consume(pos int) {
-	m.valid().unset(m.perm[pos])
-	m.filler().unset(pos)
+func (v bucketView) consume(pos int) {
+	v.valid.unset(int(v.perm[pos]))
+	v.filler.unset(pos)
 }
 
 // rewrite resets the bucket's bitsets to a fresh version holding blocks at
 // real positions 0..placed-1: every slot valid, every other position a
 // filler.
-func (m *bucketMeta) rewrite(placed int) {
-	n := len(m.perm)
-	m.valid().setRange(0, n)
-	m.filler().setRange(placed, n)
-	m.occ().setRange(0, placed)
+func (v bucketView) rewrite(placed int) {
+	n := len(v.perm)
+	v.valid.setRange(0, n)
+	v.filler.setRange(placed, n)
+	v.occ.setRange(0, placed)
 }
 
 // derive recomputes occ and filler from addrs, valid and perm: how a bucket
 // decoded from a checkpoint, which records only addrs and valid, gets them.
-func (m *bucketMeta) derive() {
-	valid, filler, occ := m.valid(), m.filler(), m.occ()
-	clear(filler)
-	clear(occ)
-	for pos, s := range m.perm {
+func (v bucketView) derive() {
+	clear(v.filler)
+	clear(v.occ)
+	for pos, s := range v.perm {
 		switch {
-		case pos < len(m.addrs) && m.addrs[pos] >= 0:
-			occ.set(pos)
-		case valid.has(s):
-			filler.set(pos)
+		case pos < len(v.addrs) && v.addrs[pos] >= 0:
+			v.occ.set(pos)
+		case v.valid.has(int(s)):
+			v.filler.set(pos)
 		}
 	}
 }

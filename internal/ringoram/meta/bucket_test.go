@@ -5,7 +5,39 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"unsafe"
 )
+
+// TestBucketFootprint pins what the machine spends per bucket: a bucketMeta
+// is the bucket's version alone, at most 24 bytes, and the rest lies in three
+// flat tables of NumBuckets rows — SlotsPer two-byte permutation entries, Z
+// key indices and metaWords bitset words — whose row b is what bucket(b)
+// views, with no slack for a neighbour's row.
+func TestBucketFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(bucketMeta{}); n > 24 {
+		t.Fatalf("a bucketMeta is %d bytes, want at most 24", n)
+	}
+	p := Params{NumBlocks: 256, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 32, Seed: 1}
+	m, err := New(p, values{})
+	must(t, err)
+	nb, n, z, nw := m.geo.NumBuckets, m.geo.SlotsPer, p.Z, metaWords(m.geo.SlotsPer, p.Z)
+	if len(m.buckets) != nb || len(m.perms) != nb*n || len(m.addrs) != nb*z || len(m.words) != nb*nw {
+		t.Fatalf("%d buckets: %d versions, %d permutation entries, %d key indices, %d words; want %d, %d, %d, %d",
+			nb, len(m.buckets), len(m.perms), len(m.addrs), len(m.words), nb, nb*n, nb*z, nb*nw)
+	}
+	if size := unsafe.Sizeof(m.perms[0]); size != 2 {
+		t.Fatalf("a permutation entry is %d bytes, want 2", size)
+	}
+	for b := range nb {
+		v := m.bucket(b)
+		if v.bucketMeta != &m.buckets[b] || &v.perm[0] != &m.perms[b*n] || &v.addrs[0] != &m.addrs[b*z] || &v.valid[0] != &m.words[b*nw] {
+			t.Fatalf("bucket %d's view is not its row of the tables", b)
+		}
+		if cap(v.perm) != n || cap(v.addrs) != z || len(v.valid)+len(v.filler)+len(v.occ) != nw || cap(v.occ) != len(v.occ) {
+			t.Fatalf("bucket %d's view is not its row: capacities %d, %d, bitsets of %d+%d+%d words", b, cap(v.perm), cap(v.addrs), len(v.valid), len(v.filler), len(v.occ))
+		}
+	}
+}
 
 // TestBitsetWordsMatchPerBit checks the word-level bitset operations against
 // bit-at-a-time references for universes of 1 to 130 members: putBits

@@ -294,9 +294,9 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int)
 			if m.bucketDirty[id] != bucketTouched {
 				continue
 			}
-			bm := &m.buckets[id]
+			bm := m.bucket(int(id))
 			b = putBucketState(l, b, int(id), bm)
-			putBits(b[:l.occBytes], bm.occ())
+			putBits(b[:l.occBytes], bm.occ)
 			b = b[l.occBytes:]
 		}
 		for _, id := range m.dirtyBuckets {
@@ -330,19 +330,19 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int)
 
 // putBucketState writes the part every bucket entry starts with: index and
 // valid bitmap.
-func putBucketState(l imageLayout, b []byte, id int, bm *bucketMeta) []byte {
+func putBucketState(l imageLayout, b []byte, id int, bm bucketView) []byte {
 	b = l.bucket.put(b, id)
-	putBits(b[:l.validBytes], bm.valid())
+	putBits(b[:l.validBytes], bm.valid)
 	return b[l.validBytes:]
 }
 
 func (m *Machine) putRewritten(l imageLayout, b []byte, id int, full bool) []byte {
-	bm := &m.buckets[id]
+	bm := m.bucket(id)
 	b = putBucketState(l, b, id, bm)
 	binary.BigEndian.PutUint64(b, bm.writeVer)
 	b = b[8+copy(b[8:], bm.seed[:]):]
 	for _, s := range bm.perm {
-		b = l.slot.put(b, s)
+		b = l.slot.put(b, int(s))
 	}
 	if !full {
 		for _, ki := range bm.addrs {
@@ -448,8 +448,9 @@ func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, er
 	// bucket was written, never both resident and stashed. The images record
 	// addrs and valid; occ and filler follow from them.
 	for b := range m.buckets {
-		m.buckets[b].derive()
-		for r, ki := range m.buckets[b].addrs {
+		bm := m.bucket(b)
+		bm.derive()
+		for r, ki := range bm.addrs {
 			if ki < 0 {
 				continue
 			}
@@ -463,7 +464,7 @@ func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, er
 			if m.geo.PathBucket(int(k.leaf), BucketLevel(b)) != b {
 				return nil, fmt.Errorf("ringoram: checkpoint places %q in bucket %d, off its leaf %d's path", k.name, b, k.leaf)
 			}
-			if bm := &m.buckets[b]; !bm.valid().has(bm.perm[r]) {
+			if !bm.valid.has(int(bm.perm[r])) {
 				return nil, fmt.Errorf("ringoram: checkpoint places %q at position %d of bucket %d, whose slot was read", k.name, r, b)
 			}
 			k.bucket, k.rpos = int32(b), int32(r)
@@ -539,10 +540,10 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull, last bool) err
 			if bucket >= l.numBuckets || pos >= l.z {
 				return fmt.Errorf("ringoram: checkpoint places %q at bucket %d position %d, out of range", key, bucket, pos)
 			}
-			if prev := m.buckets[bucket].addrs[pos]; prev >= 0 {
+			if prev := m.addrs[bucket*l.z+pos]; prev >= 0 {
 				return fmt.Errorf("ringoram: checkpoint places %q and %q at bucket %d position %d", m.keys[prev].name, key, bucket, pos)
 			}
-			m.buckets[bucket].addrs[pos] = ki
+			m.addrs[bucket*l.z+pos] = ki
 		}
 	}
 
@@ -577,7 +578,7 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull, last bool) err
 				return fmt.Errorf("ringoram: checkpoint permutation of bucket %d repeats or overruns slot %d", id, s)
 			}
 			seen[s] = true
-			bm.perm[pos] = s
+			bm.perm[pos] = uint16(s)
 		}
 		if !full {
 			for pos := range bm.addrs {
@@ -639,13 +640,13 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull, last bool) err
 
 // readBucketState decodes the common head of a bucket entry into the bucket
 // it names and returns that bucket.
-func (m *Machine) readBucketState(l imageLayout, c *cursor) (int, *bucketMeta, error) {
+func (m *Machine) readBucketState(l imageLayout, c *cursor) (int, bucketView, error) {
 	id := c.int(l.bucket)
 	valid := c.take(l.validBytes)
 	if id >= l.numBuckets {
-		return 0, nil, fmt.Errorf("ringoram: checkpoint bucket %d out of range", id)
+		return 0, bucketView{}, fmt.Errorf("ringoram: checkpoint bucket %d out of range", id)
 	}
-	bm := &m.buckets[id]
-	readBits(bm.valid(), valid, l.slotsPer)
+	bm := m.bucket(id)
+	readBits(bm.valid, valid, l.slotsPer)
 	return id, bm, nil
 }

@@ -38,8 +38,10 @@ func stateDigest(t testing.TB, m *Machine) string {
 		}
 	}
 	for b := range m.buckets {
-		bm := &m.buckets[b]
-		u(bm.words...)
+		bm := m.bucket(b)
+		u(bm.valid...)
+		u(bm.filler...)
+		u(bm.occ...)
 		for _, s := range bm.perm {
 			u(uint64(s))
 		}
@@ -252,8 +254,8 @@ func TestRestoreRefusesKeyIndexPastTable(t *testing.T) {
 func TestRestoreRefusesKeyInReadSlot(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
 	k := m.keys[slices.IndexFunc(m.keys, func(k keyEnt) bool { return k.bucket >= 0 })]
-	bm := &m.buckets[k.bucket]
-	bm.valid().unset(bm.perm[k.rpos])
+	bm := m.bucket(int(k.bucket))
+	bm.valid.unset(int(bm.perm[k.rpos]))
 	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
 	must(t, err)
 	if _, err := Restore(m.p, values{}, full); err == nil || !strings.Contains(err.Error(), "whose slot was read") {

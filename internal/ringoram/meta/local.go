@@ -82,7 +82,7 @@ func (m *Machine) KeepLocal() int {
 		t.versions = make([]localBucket, m.geo.NumBuckets)
 		t.images = []kept{{}}
 		for b := 0; b < t.resident; b++ {
-			bm := &m.buckets[b]
+			bm := m.bucket(b)
 			w := BucketWrite{Bucket: b, Ver: bm.writeVer, Seed: bm.seed, Image: t.alloc(b, bm.writeVer), Perm: bm.perm}
 			t.versions[b].cur = w.Image
 			m.plane.Place(&w)
@@ -95,7 +95,7 @@ func (m *Machine) KeepLocal() int {
 // plane to file the version under as it loads its blocks from storage, and
 // releases the one it replaces unless the sealed set holds it. It returns the
 // handle and what Holds returns.
-func (m *Machine) Reload(b int, dst []int) (Image, uint64, []int, []int) {
+func (m *Machine) Reload(b int, dst []int) (Image, uint64, []uint16, []int) {
 	ver, perm, held := m.Holds(b, dst)
 	h := m.local.alloc(b, ver)
 	m.keep(b, h)

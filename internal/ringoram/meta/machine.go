@@ -89,7 +89,11 @@ type Machine struct {
 	// walk it instead of the map, so both are a function of the operation
 	// history and the seed alone.
 	stashList []*stashEntry
-	buckets   []bucketMeta
+	// buckets holds each bucket's version, the flat tables its rows (bucketView).
+	buckets []bucketMeta
+	perms   []uint16
+	addrs   []int32
+	words   []uint64
 
 	accessCount uint64 // physical batch slots consumed (reads + writes)
 	evictCount  uint64
@@ -130,7 +134,7 @@ func New(p Params, plane Plane) (*Machine, error) {
 		return nil, err
 	}
 	for b := range m.buckets {
-		bm := &m.buckets[b]
+		bm := m.bucket(b)
 		m.shuffle(bm.perm)
 		bm.writeVer = 1
 		bm.seed = plane.Seed(b, 1)
@@ -151,6 +155,7 @@ func newMachine(p Params, plane Plane) (*Machine, error) {
 	} else {
 		src = rand.NewPCG(rand.Uint64(), rand.Uint64())
 	}
+	n, z := geo.SlotsPer, p.Z
 	m := &Machine{
 		p:           p,
 		geo:         geo,
@@ -159,24 +164,15 @@ func newMachine(p Params, plane Plane) (*Machine, error) {
 		pos:         make(map[string]int32),
 		stash:       make(map[string]*stashEntry),
 		buckets:     make([]bucketMeta, geo.NumBuckets),
+		perms:       make([]uint16, geo.NumBuckets*n),
+		addrs:       make([]int32, geo.NumBuckets*z),
+		words:       make([]uint64, geo.NumBuckets*metaWords(n, z)),
 		bucketDirty: make([]dirtyLevel, geo.NumBuckets),
 		pathBuf:     make([]int, 0, geo.Levels+1),
 		entries:     []*stashEntry{nil},
 	}
-	// One slab per metadata array instead of three slices per bucket.
-	n, z, nw := geo.SlotsPer, p.Z, metaWords(geo.SlotsPer, p.Z)
-	perms := make([]int, geo.NumBuckets*n)
-	addrs := make([]int32, geo.NumBuckets*z)
-	for i := range addrs {
-		addrs[i] = -1
-	}
-	words := make([]uint64, geo.NumBuckets*nw)
-	for b := range m.buckets {
-		m.buckets[b] = bucketMeta{
-			perm:  perms[b*n : (b+1)*n : (b+1)*n],
-			addrs: addrs[b*z : (b+1)*z : (b+1)*z],
-			words: words[b*nw : (b+1)*nw : (b+1)*nw],
-		}
+	for i := range m.addrs {
+		m.addrs[i] = -1
 	}
 	return m, nil
 }
@@ -199,21 +195,20 @@ func (m *Machine) KeyCount() int { return len(m.keys) }
 // Seed returns the seed of bucket b's current version.
 func (m *Machine) Seed(b int) Seed { return m.buckets[b].seed }
 
-// Fresh returns the permutation of bucket b while the bucket is still at its
-// first version with no slot read, and false once it is not.
-func (m *Machine) Fresh(b int) ([]int, bool) {
-	bm := &m.buckets[b]
-	return bm.perm, bm.writeVer == 1 && bm.count() == 0
+// Fresh reports whether bucket b is still at its first version with no slot
+// read.
+func (m *Machine) Fresh(b int) bool {
+	bm := m.bucket(b)
+	return bm.writeVer == 1 && bm.count() == 0
 }
 
 // Holds appends to dst the real positions of bucket b that hold a block, in
 // position order, and returns them with the bucket's version and
-// permutation.
-func (m *Machine) Holds(b int, dst []int) (uint64, []int, []int) {
-	bm := &m.buckets[b]
-	valid, occ := bm.valid(), bm.occ()
+// permutation, the machine's row of it.
+func (m *Machine) Holds(b int, dst []int) (uint64, []uint16, []int) {
+	bm := m.bucket(b)
 	for r := range bm.addrs {
-		if occ.has(r) && valid.has(bm.perm[r]) {
+		if bm.occ.has(r) && bm.valid.has(int(bm.perm[r])) {
 			dst = append(dst, r)
 		}
 	}
@@ -311,9 +306,9 @@ func (m *Machine) noteStash() error {
 // shuffle fills perm with a fresh uniform permutation of 0..len(perm)-1 in
 // place, drawing from the machine's generator exactly as rand.Perm does, so
 // a seeded run keeps its stream.
-func (m *Machine) shuffle(perm []int) {
+func (m *Machine) shuffle(perm []uint16) {
 	for i := range perm {
-		perm[i] = i
+		perm[i] = uint16(i)
 	}
 	for i := len(perm) - 1; i > 0; i-- {
 		j := m.rng.IntN(i + 1)

@@ -73,15 +73,15 @@ func (vs values) Put(_ Block, key string, v []byte, tombstone bool) error {
 // filler exactly the positions that hold no block and whose slot is valid.
 func checkBucketBits(t *testing.T, m *Machine, b int) {
 	t.Helper()
-	bm := &m.buckets[b]
+	bm := m.bucket(b)
 	n, z := m.geo.SlotsPer, m.p.Z
-	if len(bm.perm) != n || len(bm.addrs) != z || len(bm.words) != metaWords(n, z) {
-		t.Fatalf("bucket %d: %d slots, %d real positions, %d words", b, len(bm.perm), len(bm.addrs), len(bm.words))
+	if words := len(bm.valid) + len(bm.filler) + len(bm.occ); len(bm.perm) != n || len(bm.addrs) != z || words != metaWords(n, z) {
+		t.Fatalf("bucket %d: %d slots, %d real positions, %d words", b, len(bm.perm), len(bm.addrs), words)
 	}
 	valid := make([]bool, n)
 	wantValid := make(bitset, wordsFor(n))
 	for s := range valid {
-		if valid[s] = bm.valid().has(s); valid[s] {
+		if valid[s] = bm.valid.has(s); valid[s] {
 			wantValid[s/64] |= 1 << (s % 64)
 		}
 	}
@@ -97,7 +97,7 @@ func checkBucketBits(t *testing.T, m *Machine, b int) {
 	for _, c := range []struct {
 		name      string
 		got, want bitset
-	}{{"valid", bm.valid(), wantValid}, {"occupied", bm.occ(), wantOcc}, {"filler", bm.filler(), wantFiller}} {
+	}{{"valid", bm.valid, wantValid}, {"occupied", bm.occ, wantOcc}, {"filler", bm.filler, wantFiller}} {
 		if !slices.Equal(c.got, c.want) {
 			t.Fatalf("bucket %d: %s bitset %x, the per-slot rule gives %x (perm %v, addrs %v)", b, c.name, c.got, c.want, bm.perm, bm.addrs)
 		}
@@ -129,21 +129,21 @@ func checkMachine(t *testing.T, m *Machine) {
 		if !slices.Contains(m.geo.Path(int(k.leaf)), int(k.bucket)) {
 			t.Fatalf("key %q (leaf %d) resides in bucket %d, off its path", k.name, k.leaf, k.bucket)
 		}
-		if got := m.buckets[k.bucket].addrs[k.rpos]; got != int32(i) {
+		if got := m.bucket(int(k.bucket)).addrs[k.rpos]; got != int32(i) {
 			t.Fatalf("loc index says bucket %d pos %d holds %q (index %d), metadata says index %d", k.bucket, k.rpos, k.name, i, got)
 		}
 	}
 	occupied := 0
 	for b := range m.buckets {
 		checkBucketBits(t, m, b)
-		bm := &m.buckets[b]
+		bm := m.bucket(b)
 		for r, ki := range bm.addrs {
 			if ki < 0 {
 				continue
 			}
 			occupied++
 			k := m.keys[ki]
-			if !bm.valid().has(bm.perm[r]) {
+			if !bm.valid.has(int(bm.perm[r])) {
 				t.Fatalf("bucket %d: occupied real slot for %q is invalid", b, k.name)
 			}
 			if int(k.bucket) != b || int(k.rpos) != r {
@@ -236,8 +236,9 @@ func TestRestoreKeepsInvariants(t *testing.T) {
 	must(t, err)
 	checkMachine(t, restored)
 	for b := range m.buckets {
-		if !slices.Equal(m.buckets[b].words, restored.buckets[b].words) {
-			t.Fatalf("bucket %d: restored bitsets %x, live %x", b, restored.buckets[b].words, m.buckets[b].words)
+		nw := metaWords(m.geo.SlotsPer, m.p.Z)
+		if live, got := row(m.words, b, nw), row(restored.words, b, nw); !slices.Equal(live, got) {
+			t.Fatalf("bucket %d: restored bitsets %x, live %x", b, got, live)
 		}
 	}
 }
@@ -298,11 +299,11 @@ func TestBlindWriteRetiresTreeCopy(t *testing.T) {
 		steps, err = m.PlanWrite(key, nil, false, steps[:0])
 		must(t, err)
 		if len(steps) == 1 { // an evict-path the write made due could rewrite the bucket
-			bm := &m.buckets[k.bucket]
+			bm := m.bucket(int(k.bucket))
 			if ki := bm.addrs[k.rpos]; ki >= 0 {
 				t.Fatalf("%s: retired position %d of bucket %d is held by %q", key, k.rpos, k.bucket, m.keys[ki].name)
 			}
-			if !bm.valid().has(bm.perm[k.rpos]) || !bm.filler().has(int(k.rpos)) {
+			if !bm.valid.has(int(bm.perm[k.rpos])) || !bm.filler.has(int(k.rpos)) {
 				t.Fatalf("%s: retired position %d of bucket %d is no valid filler", key, k.rpos, k.bucket)
 			}
 			checkMachine(t, m)

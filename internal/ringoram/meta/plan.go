@@ -110,7 +110,7 @@ type BucketWrite struct {
 	// Perm is the version's own copy of its permutation (perm[pos] is the
 	// physical slot of position pos; pos < Z real, else dummy): a later plan
 	// may rewrite the bucket before this one completes.
-	Perm   []int
+	Perm   []uint16
 	Placed []Block
 }
 
@@ -143,27 +143,27 @@ func (m *Machine) scratchPath(leaf int) []int {
 // its filler set for the draw k, which is the position the ascending list of
 // fillers held at index k — consumes its slot and returns the slot, or -1
 // (drawing nothing) when bm has no filler left.
-func (m *Machine) takeFiller(bm *bucketMeta) int {
-	fillers := bm.filler()
+func (m *Machine) takeFiller(bm bucketView) int {
+	fillers := bm.filler
 	n := fillers.len()
 	if n == 0 {
 		return -1
 	}
 	pos := fillers.nth(m.rng.IntN(n))
 	bm.consume(pos)
-	return bm.perm[pos]
+	return int(bm.perm[pos])
 }
 
 // consumeFiller invalidates and returns a filler slot of bucket b, honoring
 // a forced physical slot during replay (forced < 0 means choose randomly).
 func (m *Machine) consumeFiller(b int, forced int) (int, error) {
-	bm := &m.buckets[b]
+	bm := m.bucket(b)
 	if forced >= 0 {
-		if forced >= m.geo.SlotsPer || !bm.valid().has(forced) {
+		if forced >= m.geo.SlotsPer || !bm.valid.has(forced) {
 			return 0, fmt.Errorf("%w: bucket %d slot %d not a valid filler", ErrReplay, b, forced)
 		}
-		pos := slices.Index(bm.perm, forced)
-		if pos < m.p.Z && bm.occ().has(pos) {
+		pos := slices.Index(bm.perm, uint16(forced))
+		if pos < m.p.Z && bm.occ.has(pos) {
 			return 0, fmt.Errorf("%w: bucket %d slot %d holds a real block", ErrReplay, b, forced)
 		}
 		bm.consume(pos)
@@ -272,7 +272,7 @@ func (m *Machine) nextDue(path []SlotRead) (*Plan, []SlotRead, error) {
 // the part of path after it.
 func (m *Machine) due(path []SlotRead) (PlanKind, int, []SlotRead) {
 	for i, r := range path {
-		if m.buckets[r.Bucket].count() >= m.p.S {
+		if m.bucket(r.Bucket).count() >= m.p.S {
 			return ReshuffleStep, r.Bucket, path[i+1:]
 		}
 	}
@@ -317,24 +317,24 @@ func (m *Machine) planRead(key string, forcedLeaf int, forcedSlots []int) (*Plan
 		p.Key, p.Leaf = key, oldLeaf
 		e := m.newEntry(stashEntry{key: m.keys[ki].name, ki: ki, cacheable: true, pending: true})
 		for lvl, b := range path {
-			bm := &m.buckets[b]
+			bm := m.bucket(b)
 			var forced = -1
 			if forcedSlots != nil && !m.local.rewritten(b) {
 				forced = forcedSlots[lvl]
 			}
 			if b == bucket {
-				phys := bm.perm[rpos]
+				phys := int(bm.perm[rpos])
 				if forced >= 0 && forced != phys {
 					return nil, fmt.Errorf("%w: key %q logged slot %d in bucket %d, metadata says %d", ErrReplay, key, forced, b, phys)
 				}
-				if !bm.valid().has(phys) {
+				if !bm.valid.has(phys) {
 					return nil, fmt.Errorf("ringoram: occupied real slot invalid (bucket %d pos %d)", b, rpos)
 				}
 				// An occupied position is no filler, and with its slot read it
 				// does not become one.
-				bm.valid().unset(phys)
+				bm.valid.unset(phys)
 				bm.addrs[rpos] = -1
-				bm.occ().unset(rpos)
+				bm.occ.unset(rpos)
 				m.markBucket(b, bucketTouched)
 				p.blk = e.blk
 				p.Reads = append(p.Reads, m.readOf(b, phys))
@@ -424,10 +424,10 @@ func (m *Machine) write(key string) (Block, error) {
 			// Logically remove the stale tree copy without reading it: the
 			// slot keeps its (now meaningless) ciphertext and becomes valid
 			// filler (an occupied slot is always valid).
-			bm := &m.buckets[k.bucket]
+			bm := m.bucket(int(k.bucket))
 			bm.addrs[k.rpos] = -1
-			bm.occ().unset(int(k.rpos))
-			bm.filler().set(int(k.rpos))
+			bm.occ.unset(int(k.rpos))
+			bm.filler.set(int(k.rpos))
 			m.markBucket(int(k.bucket), bucketTouched)
 			k.bucket = -1
 		}
@@ -460,7 +460,7 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 	// Read phase: every valid occupied real block, padded with fillers to Z
 	// reads per bucket. Blocks move to the stash as pending entries.
 	for bi, b := range buckets {
-		bm := &m.buckets[b]
+		bm := m.bucket(b)
 		start := len(plan.Reads)
 		var forced []int
 		if forcedSlots != nil && !m.local.rewritten(b) {
@@ -469,8 +469,8 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 		// Live planning reads every occupied real and fillers up to Z, fewer
 		// only when the bucket runs out of them: a logged bucket must list
 		// exactly as many.
-		valid, occ := bm.valid(), bm.occ()
-		want := occ.len() + min(m.p.Z-occ.len(), bm.filler().len())
+		valid, occ := bm.valid, bm.occ
+		want := occ.len() + min(m.p.Z-occ.len(), bm.filler.len())
 		var forcedUsed map[int]bool
 		if forced != nil {
 			if len(forced) != want {
@@ -482,7 +482,7 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 		for i, w := range occ {
 			for ; w != 0; w &= w - 1 {
 				r := i<<6 + bits.TrailingZeros64(w)
-				phys := bm.perm[r]
+				phys := int(bm.perm[r])
 				if !valid.has(phys) {
 					return nil, fmt.Errorf("ringoram: occupied real slot invalid (bucket %d pos %d)", b, r)
 				}
@@ -550,7 +550,7 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 		lvl := BucketLevel(b)
 		w := &plan.writes[wi]
 		w.Bucket, w.Placed = b, w.Placed[:0]
-		bm := &m.buckets[b]
+		bm := m.bucket(b)
 		for r := range bm.addrs {
 			bm.addrs[r] = -1
 		}

@@ -3,7 +3,6 @@ package meta
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"testing"
 )
 
@@ -17,15 +16,18 @@ type slotModel struct {
 }
 
 // modelOf copies bucket bm of m into a slotModel.
-func modelOf(m *Machine, bm *bucketMeta) slotModel {
-	sm := slotModel{perm: slices.Clone(bm.perm), addrs: make([]string, len(bm.addrs)), valid: make([]bool, len(bm.perm))}
+func modelOf(m *Machine, bm bucketView) slotModel {
+	sm := slotModel{perm: make([]int, len(bm.perm)), addrs: make([]string, len(bm.addrs)), valid: make([]bool, len(bm.perm))}
+	for pos, s := range bm.perm {
+		sm.perm[pos] = int(s)
+	}
 	for r, ki := range bm.addrs {
 		if ki >= 0 {
 			sm.addrs[r] = m.keys[ki].name
 		}
 	}
 	for s := range sm.valid {
-		sm.valid[s] = bm.valid().has(s)
+		sm.valid[s] = bm.valid.has(s)
 	}
 	return sm
 }
@@ -118,10 +120,10 @@ func TestEvictionFillersMatchRescan(t *testing.T) {
 		for {
 			models := make(map[int]slotModel)
 			for _, b := range m.geo.Path(m.geo.EvictLeaf(m.evictCount)) {
-				models[b] = modelOf(m, &m.buckets[b])
+				models[b] = modelOf(m, m.bucket(b))
 			}
 			for _, r := range path {
-				models[r.Bucket] = modelOf(m, &m.buckets[r.Bucket])
+				models[r.Bucket] = modelOf(m, m.bucket(r.Bucket))
 			}
 			oracle := *src
 			plan, rest, err := m.nextDue(path)

@@ -105,7 +105,7 @@ func newORAM(key *cryptoutil.Key, p Params) (*ORAM, error) {
 		cdc:     newCodec(p.KeySize, p.ValueSize, key),
 		bindBuf: make([]byte, 0, cryptoutil.BindingSize),
 	}
-	o.blocks = &blockPool{size: o.cdc.plainSize(), slotsPer: geo.SlotsPer, z: p.Z}
+	o.blocks = &blockPool{size: o.cdc.plainSize(), z: p.Z}
 	return o, nil
 }
 
@@ -213,7 +213,7 @@ func (o *ORAM) Deliver(r meta.SlotRead, data []byte, key string) error {
 // keeps it for Complete to hand out when w has none.
 func (o *ORAM) Place(w *meta.BucketWrite) {
 	im := o.newImage(w.Bucket, w.Ver, w.Seed)
-	copy(im.perm, w.Perm)
+	copy(im.real, w.Perm) // the placed blocks are at real positions 0..len(Placed)-1
 	for _, b := range w.Placed {
 		slot := o.slot(b)
 		im.Blocks = append(im.Blocks, *slot)

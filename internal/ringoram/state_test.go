@@ -498,8 +498,12 @@ func TestShuffleMatchesRandPerm(t *testing.T) {
 	must(t, err)
 	ref := rand.New(rand.NewPCG(p.Seed, p.Seed^0x9e3779b97f4a7c15))
 	for b := range o.geo.NumBuckets {
-		perm, fresh := o.m.Fresh(b)
-		if want := ref.Perm(len(perm)); !fresh || !reflect.DeepEqual(perm, want) {
+		_, perm, _ := o.m.Holds(b, nil)
+		got := make([]int, len(perm))
+		for i, s := range perm {
+			got[i] = int(s)
+		}
+		if want := ref.Perm(len(perm)); !o.m.Fresh(b) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("bucket %d: shuffle drew %v, rand.Perm %v", b, perm, want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -39,6 +40,7 @@ func RunBackendConformance(t *testing.T, factory func(t *testing.T) Backend) {
 		{"commit-rollback-visibility", conformCommitRollback},
 		{"slot-count-per-version", func(t *testing.T, b Backend) { ConformSlotCountPerVersion(t, b, nil) }},
 		{"keeps-own-copy", func(t *testing.T, b Backend) { ConformKeepsOwnCopy(t, b, nil) }},
+		{"one-slot-length", conformOneSlotLength},
 		{"log-sequence", conformLogSequence},
 		{"log-truncate", conformLogTruncate},
 		{"kv", conformKV},
@@ -51,10 +53,11 @@ func RunBackendConformance(t *testing.T, factory func(t *testing.T) Backend) {
 	}
 }
 
+// conformSlots is a version of n slots of one length (n < 100).
 func conformSlots(tag string, n int) [][]byte {
 	slots := make([][]byte, n)
 	for i := range slots {
-		slots[i] = []byte(fmt.Sprintf("%s-slot%d", tag, i))
+		slots[i] = []byte(fmt.Sprintf("%s-slot%02d", tag, i))
 	}
 	return slots
 }
@@ -218,7 +221,7 @@ func conformCommitRollback(t *testing.T, b Backend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "e2-slot0" {
+	if string(got) != "e2-slot00" {
 		t.Fatalf("newest version not served: %q", got)
 	}
 	if err := b.RollbackTo(1); err != nil {
@@ -228,14 +231,14 @@ func conformCommitRollback(t *testing.T, b Backend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "e1-slot0" {
+	if string(got) != "e1-slot00" {
 		t.Fatalf("rollback did not restore the committed version: %q", got)
 	}
 	// Rolling back to the committed frontier is a no-op.
 	if err := b.RollbackTo(1); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := b.ReadSlot(0, 0); string(got) != "e1-slot0" {
+	if got, _ := b.ReadSlot(0, 0); string(got) != "e1-slot00" {
 		t.Fatalf("idempotent rollback changed state: %q", got)
 	}
 	// Committing again is idempotent too.
@@ -311,7 +314,7 @@ func ConformSlotCountPerVersion(t *testing.T, b Backend, reopen func(Backend) Ba
 // handed to WriteBuckets and WriteBucket as soon as the call returns, and
 // reads still answer the written bytes — the newest version, a committed one
 // under an uncommitted rewrite, the one a same-epoch rewrite replaced, and the
-// one a rollback brings back, in slots of one size and of mixed sizes. reopen,
+// one a rollback brings back, in slots of several sizes, empty ones included. reopen,
 // when not nil, closes and reopens a durable store before the last reads.
 func ConformKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) {
 	if reopen == nil {
@@ -370,12 +373,9 @@ func ConformKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) 
 			}
 		}
 	}
-	mixed := func(tag string) [][]byte {
-		return [][]byte{[]byte(tag), {}, []byte(tag + "-longer-slot"), []byte("x")}
-	}
 	write([]BucketWrite{
 		{Bucket: 0, Epoch: 1, Slots: conformSlots("e1b0", 4)},
-		{Bucket: 1, Epoch: 1, Slots: mixed("e1b1")},
+		{Bucket: 1, Epoch: 1, Slots: [][]byte{{}, {}, {}}},
 	})
 	write([]BucketWrite{{Bucket: 2, Epoch: 1, Slots: conformSlots("e1b2", 3)}})
 	check("epoch 1 written")
@@ -388,7 +388,7 @@ func ConformKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) 
 		{Bucket: 0, Epoch: 2, Slots: conformSlots("e2b0", 2)},
 		{Bucket: 1, Epoch: 2, Slots: conformSlots("e2b1", 4)},
 	})
-	write([]BucketWrite{{Bucket: 1, Epoch: 2, Slots: mixed("e2b1-rewrite")}})
+	write([]BucketWrite{{Bucket: 1, Epoch: 2, Slots: conformSlots("e2b1-a-longer-rewrite", 4)}})
 	check("epoch 2 over epoch 1")
 	if err := b.RollbackTo(1); err != nil {
 		t.Fatal(err)
@@ -401,6 +401,43 @@ func ConformKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) 
 	}
 	b = reopen(b)
 	check("epoch 2 committed")
+}
+
+// conformOneSlotLength holds a store to the one-slot-length rule: a version's
+// slots all have one length, so a write of a bucket whose slots differ is
+// refused — alone or inside a vector, which stops there: the buckets after it
+// are not written, and a rollback discards the prefix before it.
+func conformOneSlotLength(t *testing.T, b Backend) {
+	committed := conformSlots("e1b0", 3)
+	if err := b.WriteBucket(0, 1, committed); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CommitEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	mixed := [][]byte{[]byte("a slot"), []byte("a longer slot")}
+	if err := b.WriteBucket(1, 2, mixed); err == nil || !strings.Contains(err.Error(), "one length") {
+		t.Fatalf("WriteBucket of slots of %d and %d bytes: %v, want a refusal", len(mixed[0]), len(mixed[1]), err)
+	}
+	err := b.WriteBuckets([]BucketWrite{
+		{Bucket: 0, Epoch: 2, Slots: conformSlots("e2b0", 3)},
+		{Bucket: 2, Epoch: 2, Slots: [][]byte{{}, []byte("x")}},
+		{Bucket: 3, Epoch: 2, Slots: conformSlots("e2b3", 3)},
+	})
+	if err == nil || !strings.Contains(err.Error(), "one length") {
+		t.Fatalf("WriteBuckets naming a bucket of mixed slot lengths: %v, want a refusal", err)
+	}
+	for _, bucket := range []int{1, 2, 3} {
+		if all, err := b.ReadBucket(bucket); err != nil || len(all) != 0 {
+			t.Fatalf("bucket %d after the refused writes holds %q (%v), want nothing", bucket, all, err)
+		}
+	}
+	if err := b.RollbackTo(1); err != nil {
+		t.Fatal(err)
+	}
+	if all, err := b.ReadBucket(0); err != nil || len(all) != len(committed) || !bytes.Equal(all[2], committed[2]) {
+		t.Fatalf("bucket 0 rolled back past the refused vector's prefix = %q, %v; want %q", all, err, committed)
+	}
 }
 
 func conformClone(slots [][]byte) [][]byte {
@@ -560,7 +597,7 @@ func RunGroupCommitConformance(t *testing.T, n int, factory func(t *testing.T, n
 			if err != nil {
 				t.Fatalf("shard %d read-back: %v", i, err)
 			}
-			want := fmt.Sprintf("s%d-e%d-slot0", i, epochs)
+			want := fmt.Sprintf("s%d-e%d-slot00", i, epochs)
 			if string(got) != want {
 				t.Fatalf("shard %d newest slot = %q, want %q", i, got, want)
 			}

@@ -63,6 +63,8 @@ type crashFS struct {
 	mu    sync.Mutex
 	nodes map[string]*crashNode
 	plan  *faultPlan
+	// truncates counts the Truncate calls that reached a file.
+	truncates int
 }
 
 type crashNode struct {
@@ -208,6 +210,7 @@ func (f *crashFile) Truncate(size int64) error {
 	if err := f.fs.plan.op(); err != nil {
 		return err
 	}
+	f.fs.truncates++
 	if int64(len(f.node.data)) > size {
 		f.node.data = f.node.data[:size]
 	}
@@ -408,7 +411,7 @@ func crashWorkload(b *diskStore, o *sweepOracle, salt string) {
 		o.mem.WriteBuckets(writes)
 		// Same-epoch rewrite (recovery replay does this).
 		re := BucketWrite{Bucket: int(e) % numBuckets, Epoch: e,
-			Slots: [][]byte{[]byte(fmt.Sprintf("%se%d-rewrite", salt, e)), []byte("s1")}}
+			Slots: [][]byte{[]byte(fmt.Sprintf("%se%d-rewrite-s0", salt, e)), []byte(fmt.Sprintf("%se%d-rewrite-s1", salt, e))}}
 		if b.WriteBucket(re.Bucket, re.Epoch, re.Slots) != nil {
 			return
 		}

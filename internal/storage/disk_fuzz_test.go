@@ -52,19 +52,13 @@ func FuzzDiskRecordDecode(f *testing.F) {
 			if rec, err := parseHeapBody(body); err == nil {
 				switch rec.kind {
 				case heapKindVersion, heapKindGCCopy:
-					// Reconstruct the slots from the parsed lengths; the
+					// Reconstruct the slots from the parsed layout; the
 					// re-encoded record must be byte-identical, proving the
 					// parse kept every boundary exactly.
-					slots := make([][]byte, len(rec.slotLens))
-					off := heapVersionDataStart
-					for i, l := range rec.slotLens {
-						off += 4
-						if off+int(l) > len(body) {
-							t.Fatalf("slot %d (len %d) overruns accepted body (%d)", i, l, len(body))
-						}
-						slots[i] = body[off : off+int(l)]
-						off += int(l)
+					if n := heapVersionDataStart + rec.layout.span(4); n != len(body) {
+						t.Fatalf("layout %+v spans %d bytes of an accepted body of %d", rec.layout, n, len(body))
 					}
+					slots := rec.layout.split(body[heapVersionDataStart:], 4)
 					if re := encodeVersionBodyKind(rec.kind, rec.bucket, rec.epoch, slots); !bytes.Equal(re, body) {
 						t.Fatalf("version body did not round-trip")
 					}

@@ -69,6 +69,10 @@ type preallocator interface {
 	Preallocate(off, n int64) error
 }
 
+// holeTeller is an optional vfile capability: HolesAfter reports that the
+// file holds nothing but holes past off, so every byte there reads as zero.
+type holeTeller interface{ HolesAfter(off int64) bool }
+
 // preallocate best-effort reserves [off, off+n) of f's backing store. A
 // file or platform without the capability (or a failing fallocate — e.g. an
 // unsupported filesystem) degrades to ordinary allocate-on-write.
@@ -297,16 +301,6 @@ func appendVersionBody(dst []byte, kind byte, bucket int, epoch uint64, slots []
 	return dst
 }
 
-// slotLengths is the per-slot length table of a version whose slots differ
-// in length.
-func slotLengths(slots [][]byte) []uint32 {
-	lens := make([]uint32, len(slots))
-	for i, s := range slots {
-		lens[i] = uint32(len(s))
-	}
-	return lens
-}
-
 func encodeEpochBody(kind byte, epoch uint64) []byte {
 	body := make([]byte, 0, 9)
 	body = append(body, kind)
@@ -315,10 +309,10 @@ func encodeEpochBody(kind byte, epoch uint64) []byte {
 
 // heapRec is a parsed heap record body.
 type heapRec struct {
-	kind     byte
-	bucket   int
-	epoch    uint64
-	slotLens []uint32 // version records only
+	kind   byte
+	bucket int
+	epoch  uint64
+	layout slotLayout // version records only
 }
 
 // parseHeapBody decodes a heap record body, bounds-checking everything so a
@@ -346,22 +340,18 @@ func parseHeapBody(body []byte) (heapRec, error) {
 		if nslots < 0 || nslots > maxVector {
 			return heapRec{}, fmt.Errorf("%w: version record with %d slots", errBadRecord, nslots)
 		}
-		rec.slotLens = make([]uint32, nslots)
-		off := heapVersionDataStart
-		for i := 0; i < nslots; i++ {
-			if len(body)-off < 4 {
-				return heapRec{}, fmt.Errorf("%w: truncated slot table", errBadRecord)
-			}
-			l := binary.BigEndian.Uint32(body[off : off+4])
-			off += 4
-			if int64(l) > int64(len(body)-off) {
-				return heapRec{}, fmt.Errorf("%w: slot length %d overruns record", errBadRecord, l)
-			}
-			rec.slotLens[i] = l
-			off += int(l)
+		// One slot length, the first's: the body is n prefixed slots of it.
+		rec.layout.n = uint32(nslots)
+		if nslots > 0 && len(body) >= heapVersionDataStart+4 {
+			rec.layout.size = binary.BigEndian.Uint32(body[heapVersionDataStart:])
 		}
-		if off != len(body) {
-			return heapRec{}, fmt.Errorf("%w: %d trailing bytes in version record", errBadRecord, len(body)-off)
+		if n := len(body) - heapVersionDataStart; rec.layout.span(4) != n {
+			return heapRec{}, fmt.Errorf("%w: version record of %d slots of %d bytes holds %d bytes", errBadRecord, nslots, rec.layout.size, n)
+		}
+		for i := 1; i < nslots; i++ {
+			if l := binary.BigEndian.Uint32(body[heapVersionDataStart+rec.layout.off(i, 4)-4:]); l != rec.layout.size {
+				return heapRec{}, fmt.Errorf("%w: slot %d of %d bytes in a version of %d-byte slots", errBadRecord, i, l, rec.layout.size)
+			}
 		}
 		return rec, nil
 	default:

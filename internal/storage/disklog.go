@@ -338,9 +338,9 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 	if n := len(l.segs); n > 0 {
 		last := l.segs[n-1]
 		lastSeq = max(lastSeq, last.base+uint64(len(last.offs))-1)
-		// The tail keeps taking appends: the open cut its reservation's
-		// zeros as a torn tail, and it gets the reservation back, as a new
-		// segment has one.
+		// The tail keeps taking appends: it gets its reservation back, as a
+		// new segment has one, when the open cut a torn tail (over a kept
+		// reservation the call changes nothing).
 		if last.size < l.segMaxBytes {
 			preallocate(last.f, 0, l.segMaxBytes)
 		}
@@ -356,8 +356,10 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 }
 
 // openSegment opens one segment, truncating a torn tail at the first invalid
-// record: bytes past the valid prefix — torn records, or the zeros a
-// segment's reservation reads as — never decode again. Structural damage
+// record, so the bytes of a torn record never decode again. Bytes past the
+// valid prefix that are all zeros — a reservation (preallocate), or a tear
+// that left nothing — are kept: they never decode as a record, and appends
+// overwrite them. Structural damage
 // (sub-header file, bad header, corrupt mid-file record) returns an error
 // wrapping errSegDamaged — the caller drops the segment as an orphan; every
 // other failure is a real I/O error and propagates as-is.
@@ -404,7 +406,7 @@ func (l *diskLog) openSegment(base uint64) (*segment, error) {
 	if err != nil {
 		return damaged("segment %s at offset %d: %v", name, seg.size, err)
 	}
-	if seg.size < size {
+	if seg.size < size && !zeroPast(seg, size) {
 		if err := f.Truncate(seg.size); err != nil {
 			return fail(err)
 		}
@@ -413,6 +415,19 @@ func (l *diskLog) openSegment(base uint64) (*segment, error) {
 		}
 	}
 	return seg, nil
+}
+
+// zeroPast reports whether every byte of seg from its valid prefix to size is
+// zero. Past the page the prefix ends in, a file that tells it holds only
+// holes there (holeTeller) is not read: a reservation's blocks cost nothing.
+func zeroPast(seg *segment, size int64) bool {
+	end := size
+	if ht, ok := seg.f.(holeTeller); ok {
+		if page := (seg.size + 4095) &^ 4095; page < size && ht.HolesAfter(page) {
+			end = page
+		}
+	}
+	return bytes.Count(seg.mapped[seg.size:end], []byte{0}) == int(end-seg.size)
 }
 
 // openStreams rebuilds the stream table over the records the open kept —

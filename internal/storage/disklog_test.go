@@ -228,3 +228,59 @@ func TestWedgeDomains(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenKeepsZeroTail: the bytes past the tail segment's valid prefix that
+// are all zeros — its reservation — survive an open as they are, with no
+// Truncate, and the appends after it overwrite them; a tail holding a torn
+// record's bytes there is still cut back to its valid prefix, and the cut is
+// synced.
+func TestOpenKeepsZeroTail(t *testing.T) {
+	fsys := newCrashFS(nil)
+	opts := diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}, segMaxBytes: 1 << 20}
+	epoch := uint64(0)
+	// session opens the group, checks the last epoch's bucket reads back,
+	// writes and commits one more epoch in the next bucket, and returns the
+	// tail segment's file and valid prefix as it closes the group.
+	session := func() (*crashNode, int) {
+		t.Helper()
+		g, err := openDiskGroupOpts(fsys, "data", 1, 4, opts)
+		must(t, err)
+		lh := g.shards[0]
+		if epoch > 0 {
+			got, err := lh.ReadSlot(int(epoch%4), 0)
+			if want := fmt.Sprintf("epoch %d", epoch); err != nil || string(got) != want {
+				t.Fatalf("bucket %d reads %q, %v; want %q", epoch%4, got, err, want)
+			}
+		}
+		epoch++
+		must(t, lh.WriteBucket(int(epoch%4), epoch, slots(fmt.Sprintf("epoch %d", epoch))))
+		must(t, lh.CommitEpoch(epoch))
+		tail := g.log.segs[len(g.log.segs)-1]
+		node, valid := fsys.nodes[path.Join("data", "shard-000", tail.name)], int(tail.size)
+		must(t, g.Close())
+		return node, valid
+	}
+	node, valid := session()
+	// A reservation: zeros past the valid prefix, durable as fallocate's are.
+	node.data = append(node.data[:valid], make([]byte, 4096)...)
+	node.durable = append(node.durable[:0], node.data...)
+	fsys.truncates = 0
+	node, valid = session()
+	if fsys.truncates != 0 {
+		t.Fatalf("a clean reopen over a zero tail issued %d truncates", fsys.truncates)
+	}
+	if len(node.durable) != len(node.data) || len(node.data) <= valid {
+		t.Fatalf("the tail holds %d bytes (%d durable) past a valid prefix of %d: the reservation was cut", len(node.data), len(node.durable), valid)
+	}
+	// A torn record past the valid prefix, inside the reservation.
+	copy(node.data[valid+100:], "torn record bytes")
+	node.durable = append(node.durable[:0], node.data...)
+	session()
+	if fsys.truncates != 1 {
+		t.Fatalf("an open over a torn tail issued %d truncates, want 1", fsys.truncates)
+	}
+	if len(node.durable) >= valid+100 {
+		t.Fatalf("the torn tail's cut is not durable: %d bytes survive, the valid prefix was %d", len(node.durable), valid)
+	}
+	session()
+}

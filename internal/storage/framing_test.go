@@ -63,8 +63,9 @@ func goldenEncodeRecord(dst, body []byte) []byte {
 // bucket with no slots at all.
 func randomSlots(rng *rand.Rand) [][]byte {
 	slots := make([][]byte, rng.Intn(7))
+	n := rng.Intn(4) * rng.Intn(40)
 	for i := range slots {
-		slots[i] = make([]byte, rng.Intn(4)*rng.Intn(40))
+		slots[i] = make([]byte, n)
 		rng.Read(slots[i])
 	}
 	return slots
@@ -190,9 +191,8 @@ func TestInPlaceFramerGoldenBytesRaw(t *testing.T) {
 }
 
 // TestLogHeapWriteBucketsAllocBudget pins the write-back path's shape: in
-// the steady state a vector of n buckets costs the n slot-length tables the
-// index keeps and nothing proportional to the bytes written — no body, no
-// wrap, no frame buffer per bucket.
+// the steady state a vector of n buckets allocates nothing, however many
+// bytes it writes — no body, no wrap, no frame buffer per bucket.
 func TestLogHeapWriteBucketsAllocBudget(t *testing.T) {
 	const numBuckets, slotsPer, slotSize = 32, 16, 256
 	g, err := openDiskGroupOpts(osFS{}, t.TempDir(), 1, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}})
@@ -210,8 +210,7 @@ func TestLogHeapWriteBucketsAllocBudget(t *testing.T) {
 	}
 	// Same-epoch rewrites replace index entries in place, so from the second
 	// run on the write is the steady state: the framer, the log and the
-	// index reuse what they have, and a version with one slot size keeps no
-	// slot-length table.
+	// index reuse what they have.
 	write := func() {
 		if err := g.shards[0].WriteBuckets(writes); err != nil {
 			t.Fatal(err)

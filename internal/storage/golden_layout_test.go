@@ -13,12 +13,12 @@ import (
 // goldenLogDigest is the SHA-256 of what goldenWorkload leaves in the
 // physical log's files: shard-000's segments and meta, named and in name
 // order. A change to how the log or its meta is laid out on disk changes it.
-const goldenLogDigest = "ebe333e104b1c8ed50e4b315cbf8fea3f0971b63957e7e72f727a6d85a145412"
+const goldenLogDigest = "7a48ee0b81910382caa7137c5c2eaa3dbcbfa41afb2cb1e461234675e20a3573"
 
 // goldenWorkload drives a two-shard logheap group on fsys through a fixed
-// sequence: bucket writes, synced and deferred log appends, unified epoch
-// commits, a truncation of both streams and one maintenance pass (segment
-// GC), then closes the group.
+// sequence: bucket writes (each version of one slot length), synced and
+// deferred log appends, unified epoch commits, a truncation of both streams
+// and one maintenance pass (segment GC), then closes the group.
 func goldenWorkload(t *testing.T, fsys *crashFS) {
 	t.Helper()
 	g, err := OpenCrashLogHeapGroup(fsys, 2, 7, 512)
@@ -32,7 +32,7 @@ func goldenWorkload(t *testing.T, fsys *crashFS) {
 			for k := 0; k < 3; k++ {
 				bucket := (int(e) + 2*k + i) % 7
 				writes = append(writes, BucketWrite{Bucket: bucket, Epoch: e, Slots: [][]byte{
-					[]byte(fmt.Sprintf("s%d-e%d-b%d-slot0", i, e, bucket)),
+					[]byte(fmt.Sprintf("s%d-e%d-b%d-slot0-%s", i, e, bucket, strings.Repeat("x", k*7))),
 					[]byte(fmt.Sprintf("s%d-e%d-b%d-slot1-%s", i, e, bucket, strings.Repeat("x", k*7))),
 				}})
 			}

@@ -50,8 +50,7 @@ func (ix *versionIndex) recLen(v *version) int64 { return ix.dataStart + int64(v
 
 // slotRange is the file range of one slot's bytes in v's record.
 func (ix *versionIndex) slotRange(v *version, slot int) (off int64, n int) {
-	at, n := v.layout.at(slot, 4)
-	return v.off + ix.dataStart + int64(at), n
+	return v.off + ix.dataStart + int64(v.layout.off(slot, 4)), int(v.layout.size)
 }
 
 // checkWrite refuses a write to bucket for an epoch below its newest
@@ -130,9 +129,14 @@ func (ix *versionIndex) retire(v *version) { ix.slabs.put(v.mirror) }
 
 // commit advances the committed frontier to epoch and retires every version
 // below the newest one tagged at or under it, visiting only the buckets multi
-// lists: a commit costs what the epochs since the last one wrote.
+// lists: a commit costs what the epochs since the last one wrote. A commit at
+// or below the frontier changes nothing: a LogHeap logs no record for it, so
+// a replay could not retire what it would.
 func (ix *versionIndex) commit(epoch uint64) {
-	ix.committed = max(ix.committed, epoch)
+	if epoch <= ix.committed {
+		return
+	}
+	ix.committed = epoch
 	still := ix.multi[:0]
 	for _, b := range ix.multi {
 		vs := ix.buckets[b]
@@ -204,7 +208,7 @@ func (ix *versionIndex) slot(bucket, slot int) (*version, error) {
 	if v == nil {
 		return nil, fmt.Errorf("%w: bucket %d never written", ErrNoSuchSlot, bucket)
 	}
-	if slot < 0 || slot >= v.layout.n {
+	if slot < 0 || slot >= int(v.layout.n) {
 		return nil, fmt.Errorf("%w: bucket %d slot %d (have %d)", ErrNoSuchSlot, bucket, slot, v.layout.n)
 	}
 	return v, nil
@@ -233,7 +237,7 @@ func (ix *versionIndex) readSlots(refs []SlotRef, f versionFile) ([][]byte, erro
 		if f == nil {
 			out[i] = v.layout.slotIn(v.mirror, r.Slot, 0)
 		}
-		total += v.layout.slotLen(r.Slot)
+		total += int(v.layout.size)
 	}
 	if f == nil {
 		return out, nil

@@ -117,7 +117,7 @@ func (lh *LogHeap) replayRecord(seq, segBase uint64, off int64, body []byte) err
 		if rec.bucket < 0 || rec.bucket >= lh.numBuckets {
 			return fmt.Errorf("storage: bucket stream %d references bucket %d of %d", lh.stream, rec.bucket, lh.numBuckets)
 		}
-		v := version{epoch: rec.epoch, layout: layoutFromLens(rec.slotLens), seg: segBase, off: off}
+		v := version{epoch: rec.epoch, layout: rec.layout, seg: segBase, off: off}
 		if rec.kind == heapKindGCCopy {
 			// At runtime a copy is appended only while the version it copies
 			// is the bucket's entry for its epoch, so it relocates that entry;
@@ -281,12 +281,16 @@ func (lh *LogHeap) WriteBuckets(writes []BucketWrite) error {
 		if err := lh.ix.checkWrite(w.Bucket, w.Epoch); err != nil {
 			return err
 		}
+		layout, err := layoutOf(w.Bucket, w.Slots)
+		if err != nil {
+			return err
+		}
 		lh.frame = appendVersionBody(lh.beginFrame(), heapKindVersion, w.Bucket, w.Epoch, w.Slots)
 		res, err := lh.log.appendFramed(lh.stream, lh.frame)
 		if err != nil {
 			return err
 		}
-		v := version{epoch: w.Epoch, layout: layoutOf(w.Slots), seg: res.segBase, off: res.off}
+		v := version{epoch: w.Epoch, layout: layout, seg: res.segBase, off: res.off}
 		if err := lh.ix.install(w.Bucket, v); err != nil {
 			return err
 		}
@@ -327,27 +331,27 @@ func (lh *LogHeap) RollbackTo(epoch uint64) error {
 
 // appendEpochRecord appends a commit/rollback record and applies it to the
 // index in one critical section. An already-covered commit (epoch <=
-// committed) appends nothing; CommitEpoch still stands on the barrier, which
-// the versions written at or below the committed epoch since need. Neither
-// raises the retention floor: only maintenance does (raiseFloor).
+// committed) appends nothing and, as replay will, retires nothing;
+// CommitEpoch still stands on the barrier, which the versions written at or
+// below the committed epoch since need. Neither raises the retention floor:
+// only maintenance does (raiseFloor).
 func (lh *LogHeap) appendEpochRecord(kind byte, epoch uint64) error {
 	lh.mu.Lock()
 	defer lh.mu.Unlock()
 	if err := lh.checkOpen(); err != nil {
 		return err
 	}
-	if kind == heapKindRollback || epoch > lh.ix.committed {
-		lh.frame = append(lh.beginFrame(), encodeEpochBody(kind, epoch)...)
-		res, err := lh.log.appendFramed(lh.stream, lh.frame)
-		if err != nil {
-			return err
-		}
-		lh.lastPhys = res.seq
-		if kind == heapKindCommit {
-			lh.commitSeg = res.segBase
-		}
+	if kind == heapKindCommit && epoch <= lh.ix.committed {
+		return nil
 	}
+	lh.frame = append(lh.beginFrame(), encodeEpochBody(kind, epoch)...)
+	res, err := lh.log.appendFramed(lh.stream, lh.frame)
+	if err != nil {
+		return err
+	}
+	lh.lastPhys = res.seq
 	if kind == heapKindCommit {
+		lh.commitSeg = res.segBase
 		lh.ix.commit(epoch)
 	} else {
 		lh.ix.rollback(epoch)
@@ -469,8 +473,9 @@ type gcRef struct {
 // copies, so a copy record in the log always reflects the entry's state at
 // append time; replay leans on that to relocate exactly the current
 // versions. The heap's newest commit record moves too when it lies there:
-// it is re-appended as a commit of the committed frontier, applied to the
-// index as replay will apply it. Returns how many versions moved. The
+// it is re-appended as a commit of the committed frontier, which changes
+// nothing in the index, here or in a replay that still holds the record it
+// copies. Returns how many versions moved. The
 // segment becomes collectible only after the caller's next raiseFloor: its
 // barrier makes the copies durable before the floor passes the old segment.
 func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
@@ -550,7 +555,6 @@ func (lh *LogHeap) EvacuateSegment(segBase uint64) (int, error) {
 		if err != nil {
 			return moved, err
 		}
-		lh.ix.commit(lh.ix.committed)
 		lh.lastPhys, lh.commitSeg = res.seq, res.segBase
 	}
 	return moved, nil

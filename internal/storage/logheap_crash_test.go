@@ -91,7 +91,7 @@ func logHeapWorkload(g *DiskGroup, views []checkedShard, oracles []*sweepOracle)
 			// Same-epoch rewrite (recovery replay does this): the newer
 			// version record supersedes the older within the epoch.
 			re := BucketWrite{Bucket: int(e) % numBuckets, Epoch: e,
-				Slots: [][]byte{[]byte(fmt.Sprintf("g%d-e%d-rewrite", i, e)), []byte("s1")}}
+				Slots: [][]byte{[]byte(fmt.Sprintf("g%d-e%d-rewrite-s0", i, e)), []byte(fmt.Sprintf("g%d-e%d-rewrite-s1", i, e))}}
 			if v.WriteBucket(re.Bucket, re.Epoch, re.Slots) != nil {
 				return
 			}
@@ -262,7 +262,7 @@ func maintenanceWorkload(t *testing.T, fsys *crashFS) (*DiskGroup, []*MemBackend
 		for i, lh := range g.shards {
 			var writes []BucketWrite
 			for _, b := range buckets {
-				writes = append(writes, BucketWrite{Bucket: b, Epoch: e, Slots: slots(fmt.Sprintf("s%d-e%d-b%d", i, e, b), "slot 1")})
+				writes = append(writes, BucketWrite{Bucket: b, Epoch: e, Slots: slots(fmt.Sprintf("s%d-e%d-b%d/0", i, e, b), fmt.Sprintf("s%d-e%d-b%d/1", i, e, b))})
 			}
 			must(t, lh.WriteBuckets(writes))
 			must(t, models[i].WriteBuckets(writes))
@@ -385,4 +385,32 @@ func TestCrashPointSweepLogHeapMaintenance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCoveredCommitRetiresNothing: a commit at or below the committed epoch
+// appends no record, so replay cannot retire anything for it, and the
+// runtime retires nothing either. After a write at epoch 2, CommitEpoch(5), a
+// write at epoch 3 and CommitEpoch(4), the bucket keeps both versions: a
+// MemBackend given the same calls, the heap at runtime and the heap reopened
+// all hold the same index, version by version.
+func TestCoveredCommitRetiresNothing(t *testing.T) {
+	fsys := newCrashFS(nil)
+	g, err := openLogHeapSweepGroup(fsys)
+	must(t, err)
+	model := NewMemBackend(5)
+	for _, s := range []BucketStore{g.shards[0], model} {
+		must(t, s.WriteBucket(0, 2, slots("epoch 2")))
+		must(t, s.CommitEpoch(5))
+		must(t, s.WriteBucket(0, 3, slots("epoch 3")))
+		must(t, s.CommitEpoch(4))
+	}
+	if n := g.shards[0].VersionCount(0); n != 2 {
+		t.Fatalf("bucket 0 holds %d versions after the covered commit, want 2", n)
+	}
+	live := heapImage(g.shards[0])
+	if want := memImage(model); live != want {
+		t.Fatalf("the heap holds\n%sthe MemBackend\n%s", live, want)
+	}
+	must(t, g.Close())
+	checkAgainstModels(t, fsys.snapshot(), []*MemBackend{model, NewMemBackend(5)}, "reopened")
 }

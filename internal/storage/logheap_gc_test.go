@@ -132,7 +132,7 @@ func TestReplayPlacesGCCopyAtItsEpoch(t *testing.T) {
 		for _, b := range []int{0, 1} {
 			got, err := lh.ReadSlot(b, 0)
 			must(t, err)
-			if want := fmt.Sprintf("s%d-e1-b%d", i, b); string(got) != want {
+			if want := fmt.Sprintf("s%d-e1-b%d/0", i, b); string(got) != want {
 				t.Fatalf("shard %d bucket %d reads %q after the rollback, want %q", i, b, got, want)
 			}
 		}

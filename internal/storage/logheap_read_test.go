@@ -14,15 +14,11 @@ import (
 // discipline against segment drops.
 
 // readBackSlots is version epoch of bucket b: slotsPer slots whose bytes name
-// their bucket, epoch and slot, of one length, or of lengths that differ in
-// every third epoch (a version with a slot-length table).
+// their bucket, epoch and slot, of one length, which changes with the epoch.
 func readBackSlots(b int, epoch uint64, slotsPer int) [][]byte {
 	out := make([][]byte, slotsPer)
+	n := 48 + int(epoch%3)
 	for i := range out {
-		n := 48
-		if epoch%3 == 0 {
-			n += i
-		}
 		out[i] = bytes.Repeat([]byte{byte(b), byte(epoch), byte(i)}, n/3+1)[:n]
 	}
 	return out
@@ -44,14 +40,7 @@ func logVersions(t *testing.T, g *DiskGroup, lh *LogHeap) map[[2]int64][][]byte 
 		if err != nil || (hr.kind != heapKindVersion && hr.kind != heapKindGCCopy) {
 			return err
 		}
-		slots := make([][]byte, len(hr.slotLens))
-		at := heapVersionDataStart
-		for i, n := range hr.slotLens {
-			at += 4
-			slots[i] = bytes.Clone(body[at : at+int(n)])
-			at += int(n)
-		}
-		out[[2]int64{int64(segBase), off}] = slots
+		out[[2]int64{int64(segBase), off}] = conformClone(hr.layout.split(body[heapVersionDataStart:], 4))
 		return nil
 	})
 	if err != nil {

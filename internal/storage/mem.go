@@ -110,7 +110,11 @@ func (m *MemBackend) WriteBuckets(writes []BucketWrite) error {
 		return err
 	}
 	for _, w := range writes {
-		if err := m.ix.write(w.Bucket, version{epoch: w.Epoch, layout: layoutOf(w.Slots)}, w.Slots); err != nil {
+		layout, err := layoutOf(w.Bucket, w.Slots)
+		if err != nil {
+			return err
+		}
+		if err := m.ix.write(w.Bucket, version{epoch: w.Epoch, layout: layout}, w.Slots); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,10 @@
 
 package storage
 
-import "syscall"
+import (
+	"errors"
+	"syscall"
+)
 
 // Preallocate implements the optional preallocator capability with
 // fallocate(2) in its default mode: blocks are reserved and the file size
@@ -12,4 +15,11 @@ import "syscall"
 // torn tail.
 func (o osFile) Preallocate(off, n int64) error {
 	return syscall.Fallocate(int(o.f.Fd()), 0, off, n)
+}
+
+// HolesAfter implements the optional holeTeller capability with lseek(2),
+// whose SEEK_DATA passes over a reservation's never-written blocks as holes.
+func (o osFile) HolesAfter(off int64) bool {
+	_, err := o.f.Seek(off, 3) // SEEK_DATA
+	return errors.Is(err, syscall.ENXIO)
 }

@@ -45,9 +45,9 @@ type hostileFrame struct {
 // behind it (each value would change seededStore); and every reserved op,
 // carrying the payload its retired call sent.
 func hostileFrames() []hostileFrame {
-	oneBucket := encodeWriteBuckets([]BucketWrite{{Bucket: 1, Epoch: 1, Slots: [][]byte{[]byte("alpha"), {}, []byte("gamma")}}})
+	oneBucket := encodeWriteBuckets([]BucketWrite{{Bucket: 1, Epoch: 1, Slots: [][]byte{[]byte("alpha"), []byte("bravo"), []byte("gamma")}}})
 	vector := encodeWriteBuckets([]BucketWrite{
-		{Bucket: 1, Epoch: 1, Slots: [][]byte{[]byte("alpha"), []byte("beta")}},
+		{Bucket: 1, Epoch: 1, Slots: [][]byte{[]byte("alpha"), []byte("bravo")}},
 		{Bucket: 2, Epoch: 1, Slots: [][]byte{[]byte("gamma")}},
 	})
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -99,7 +99,7 @@ func hostileFrames() []hostileFrame {
 // records.
 func seededStore(t *testing.T) *MemBackend {
 	mem := NewMemBackend(8)
-	must(t, mem.WriteBucket(0, 1, [][]byte{[]byte("one"), {}}))
+	must(t, mem.WriteBucket(0, 1, [][]byte{[]byte("one")}))
 	must(t, mem.CommitEpoch(1))
 	must(t, mem.WriteBucket(0, 2, [][]byte{[]byte("two")}))
 	for _, rec := range []string{"r1", "r2"} {
@@ -200,7 +200,7 @@ func FuzzServerHandle(f *testing.F) {
 		f.Add(byte(hf.op), hf.payload)
 	}
 	valid := encodeWriteBuckets([]BucketWrite{
-		{Bucket: 0, Epoch: 1, Slots: [][]byte{[]byte("alpha"), {}, []byte("gamma")}},
+		{Bucket: 0, Epoch: 1, Slots: [][]byte{[]byte("alpha"), []byte("bravo"), []byte("gamma")}},
 		{Bucket: 3, Epoch: 1, Slots: nil},
 		{Bucket: 7, Epoch: 2, Slots: [][]byte{bytes.Repeat([]byte{7}, 300)}},
 	})
@@ -262,7 +262,7 @@ func FuzzServerHandle(f *testing.F) {
 				if cap(v.mirror) != v.layout.span(0) {
 					t.Fatalf("op %d: bucket %d keeps %d slot bytes in a %d byte slab", op, b, v.layout.span(0), cap(v.mirror))
 				}
-				if 4*v.layout.n > len(payload) {
+				if 4*int(v.layout.n) > len(payload) {
 					t.Fatalf("op %d: bucket %d holds %d slots from a %d byte payload", op, b, v.layout.n, len(payload))
 				}
 				retained += cap(v.mirror)
@@ -328,7 +328,7 @@ func TestRemoteWritesDoNotAliasPooledFrames(t *testing.T) {
 	c, _ := newRemotePair(t, numBuckets+8)
 
 	slot := func(b, i int) []byte {
-		return bytes.Repeat([]byte{byte(b + 1), byte(i + 1), 0x5a}, 40+3*i)
+		return bytes.Repeat([]byte{byte(b + 1), byte(i + 1), 0x5a}, 40+3*b)
 	}
 	var writes []BucketWrite
 	for b := 0; b < numBuckets-1; b++ {
@@ -554,7 +554,8 @@ func TestWireGoldenBytes(t *testing.T) {
 	}
 
 	mem := NewMemBackend(2)
-	must(t, mem.WriteBucket(1, 1, slots))
+	stored := [][]byte{slots[0], []byte("bravo"), slots[2]} // a version's slots have one length
+	must(t, mem.WriteBucket(1, 1, stored))
 	var out, wantOut bytes.Buffer
 	sc := &serverConn{s: &Server{backend: mem}, w: bufio.NewWriter(&out)}
 	oracle := bufio.NewWriter(&wantOut)

@@ -33,14 +33,14 @@ func newRemotePair(t *testing.T, numBuckets int) (*Client, *MemBackend) {
 
 func TestRemoteBucketRoundTrip(t *testing.T) {
 	c, _ := newRemotePair(t, 4)
-	if err := c.WriteBucket(2, 7, slots("alpha", "beta")); err != nil {
+	if err := c.WriteBucket(2, 7, slots("alpha", "bravo")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.ReadSlot(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "beta" {
+	if string(got) != "bravo" {
 		t.Fatalf("ReadSlot = %q", got)
 	}
 	all, err := c.ReadBucket(2)

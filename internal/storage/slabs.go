@@ -1,5 +1,7 @@
 package storage
 
+import "fmt"
+
 // This file holds how the stores lay out a bucket version's bytes: its slots
 // back to back, addressed through the version's slotLayout, in one
 // exact-length slab (slabs: a MemBackend's versions, a LogHeap's read
@@ -8,90 +10,46 @@ package storage
 
 // slotLayout is how a version's slots lie back to back in a span, each behind
 // prefix bytes (its u32 length on disk, nothing in memory): n slots of size
-// bytes each, or, only when their lengths differ, the lengths in lens. Every
-// production write has one slot size, so a version carries no table.
+// bytes each. A version's slots all have one length, the ORAM's public frame
+// length: WriteBuckets refuses a bucket whose slots differ (layoutOf), and
+// replay a record that holds one (parseHeapBody).
 type slotLayout struct {
-	n    int
-	size int
-	lens []uint32
+	n, size uint32
 }
 
-// layoutOf is the layout of slots laid out in order.
-func layoutOf(slots [][]byte) slotLayout {
-	l := slotLayout{n: len(slots)}
+// layoutOf is the layout of bucket's slots laid out in order, refused unless
+// they have one length.
+func layoutOf(bucket int, slots [][]byte) (slotLayout, error) {
+	l := slotLayout{n: uint32(len(slots))}
 	for i, s := range slots {
 		if i == 0 {
-			l.size = len(s)
-		} else if len(s) != l.size {
-			return slotLayout{n: len(slots), lens: slotLengths(slots)}
+			l.size = uint32(len(s))
+		} else if len(s) != int(l.size) {
+			return slotLayout{}, fmt.Errorf("storage: bucket %d slot %d is %d bytes, slot 0 %d: a version's slots have one length", bucket, i, len(s), l.size)
 		}
 	}
-	return l
+	return l, nil
 }
 
-// layoutFromLens is the layout of slots of the given lengths; lens is kept
-// only when they differ.
-func layoutFromLens(lens []uint32) slotLayout {
-	l := slotLayout{n: len(lens)}
-	for i, n := range lens {
-		if i == 0 {
-			l.size = int(n)
-		} else if int(n) != l.size {
-			l.lens = lens
-			return l
-		}
-	}
-	return l
-}
-
-// slotLen is the length of slot i.
-func (l slotLayout) slotLen(i int) int {
-	if l.lens != nil {
-		return int(l.lens[i])
-	}
-	return l.size
-}
-
-// at locates slot i in a span laid out as l: its offset and its length.
-func (l slotLayout) at(i, prefix int) (off, n int) {
-	if l.lens == nil {
-		return i*(prefix+l.size) + prefix, l.size
-	}
-	for _, s := range l.lens[:i] {
-		off += prefix + int(s)
-	}
-	return off + prefix, int(l.lens[i])
-}
+// off is slot i's offset in a span laid out as l.
+func (l slotLayout) off(i, prefix int) int { return i*(prefix+int(l.size)) + prefix }
 
 // span is the length of the whole span.
-func (l slotLayout) span(prefix int) int {
-	if l.lens == nil {
-		return l.n * (prefix + l.size)
-	}
-	n := 0
-	for _, s := range l.lens {
-		n += prefix + int(s)
-	}
-	return n
-}
+func (l slotLayout) span(prefix int) int { return int(l.n) * (prefix + int(l.size)) }
 
 // split returns every slot of span as a capacity-clipped view.
 func (l slotLayout) split(span []byte, prefix int) [][]byte {
 	out := make([][]byte, l.n)
-	off := 0
 	for i := range out {
-		off += prefix
-		end := off + l.slotLen(i)
-		out[i] = span[off:end:end]
-		off = end
+		out[i] = l.slotIn(span, i, prefix)
 	}
 	return out
 }
 
 // slotIn returns slot i of span as a capacity-clipped view.
 func (l slotLayout) slotIn(span []byte, i, prefix int) []byte {
-	off, n := l.at(i, prefix)
-	return span[off : off+n : off+n]
+	off := l.off(i, prefix)
+	return span[off : off+int(l.size) : off+int(l.size)]
 }
 
 // Version slabs are carved out of chunks that grow from slabChunkMin to

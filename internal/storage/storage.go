@@ -63,8 +63,11 @@ type BucketWrite struct {
 // bucket version holds however many encrypted slots its writer gave it: the
 // count is per version, not per store or per bucket (the executor writes the
 // upper levels' buckets without their dummies), and a slot index at or past
-// the newest version's count is ErrNoSuchSlot. The server never interprets
-// slot contents.
+// the newest version's count is ErrNoSuchSlot. A version's slots all have one
+// length — the ORAM's public frame length — and a store refuses a write of a
+// bucket whose slots differ (a durable store refuses such a record at replay
+// as damaged), and indexes a version as its slot count and that length. The
+// server never interprets slot contents.
 //
 // Writes: a store must not retain the caller's slices — it copies what it
 // keeps, and the caller may reuse every slot and the vector once the call
@@ -92,7 +95,8 @@ type BucketStore interface {
 	// WriteBuckets performs a vectored write-back: every bucket write of a
 	// stage (typically one sealed epoch's deduplicated write-back set) in
 	// one storage call, each installing a new version of its bucket tagged
-	// with its epoch. The store copies the slots it keeps. Per bucket,
+	// with its epoch, whose slots must share one length. The store copies the
+	// slots it keeps. Per bucket,
 	// writes arrive in non-decreasing epoch order: the pipelined proxy keeps
 	// at most two live (uncommitted) epochs — the sealed epoch a background
 	// committer is flushing and its successor — and flushes them in epoch
@@ -112,7 +116,7 @@ type BucketStore interface {
 
 	// CommitEpoch makes every version tagged <= epoch durable and allows the
 	// store to retire versions that are superseded within the committed
-	// prefix.
+	// prefix. A commit at or below the committed epoch retires nothing.
 	CommitEpoch(epoch uint64) error
 
 	// RollbackTo discards all bucket versions tagged with an epoch > epoch.
