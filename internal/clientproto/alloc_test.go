@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"obladi/internal/allocgate"
 	"obladi/internal/kvtxn"
 )
 
@@ -40,6 +41,7 @@ func TestMuxTxnAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	gate := allocgate.Begin(t)
 	db := &allocFreeDB{txn: allocFreeTxn{value: make([]byte, 256)}}
 	srv, err := NewServer(db, "127.0.0.1:0")
 	if err != nil {
@@ -69,6 +71,7 @@ func TestMuxTxnAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	gate.Settle()
 	allocs := testing.AllocsPerRun(200, txn)
 	t.Logf("2 reads + 1 write + commit over the mux wire: %.1f allocations, client and server", allocs)
 	if allocs > 1 {

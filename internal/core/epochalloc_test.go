@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"obladi/internal/allocgate"
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram"
 	"obladi/internal/storage"
@@ -38,6 +39,7 @@ func TestTxnAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	gate := allocgate.Begin(t)
 	const txns, warm, epochs = 64, 3, 20
 	cfg := kvMemConfig(41)
 	p, err := New(storage.NewMemBackend(cfg.Params.Geometry().NumBuckets), cfg)
@@ -62,6 +64,7 @@ func TestTxnAllocBudget(t *testing.T) {
 	bg := context.Background()
 	for e := 0; e < warm+epochs; e++ {
 		if e == warm {
+			gate.Settle()
 			client, schedule = 0, 0
 		}
 		key := func(i int) string { return keys[(i+e)%len(keys)] }
@@ -126,6 +129,7 @@ func TestShardedEpochAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	gate := allocgate.Begin(t)
 	const warm, epochs = 4, 40
 	cfg := testConfig(91)
 	g := openLogHeapGroup(t, t.TempDir(), 2, cfg)
@@ -142,6 +146,9 @@ func TestShardedEpochAllocBudget(t *testing.T) {
 	}
 	var schedule uint64
 	for e := 0; e < warm+epochs; e++ {
+		if e == warm {
+			gate.Settle()
+		}
 		m0 := mallocs()
 		for b := 0; b < cfg.ReadBatches; b++ {
 			if err := p.StepReadBatch(); err != nil {

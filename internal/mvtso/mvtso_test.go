@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
+
+	"obladi/internal/allocgate"
 )
 
 // installAll installs base versions so reads need no fetch.
@@ -426,6 +428,7 @@ func TestEpochAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	gate := allocgate.Begin(t)
 	const txns, epochs = 64, 50
 	keys := make([]string, 3*txns)
 	for i := range keys {
@@ -462,6 +465,7 @@ func TestEpochAllocBudget(t *testing.T) {
 	}
 	epoch() // grow the slabs and maps
 	epoch()
+	gate.Settle()
 	perEpoch := testing.AllocsPerRun(epochs, epoch)
 	t.Logf("%.1f allocations per epoch of %d transactions", perEpoch, txns)
 	if perTxn := perEpoch / txns; perTxn > 0.25 {

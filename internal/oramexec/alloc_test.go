@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"obladi/internal/allocgate"
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram"
 	"obladi/internal/storage"
@@ -80,6 +81,7 @@ func TestEpochAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	gate := allocgate.Begin(t)
 	const (
 		readBatches = 4
 		batchSize   = 16
@@ -150,6 +152,7 @@ func TestEpochAllocBudget(t *testing.T) {
 	}
 	const runs = 50
 	before := store.bucketsWritten(e)
+	gate.Settle()
 	allocs := testing.AllocsPerRun(runs, run)
 	flushed := float64(store.bucketsWritten(e)-before) / (runs + 1)
 	budget := perEpoch + readBatches*batchSize/16.0
@@ -198,6 +201,7 @@ func TestHotPathReadAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	gate := allocgate.Begin(t)
 	const (
 		numKeys     = 2048
 		readBatches = 4
@@ -280,6 +284,7 @@ func TestHotPathReadAllocBudget(t *testing.T) {
 		runEpoch(false)
 	}
 	runtime.GC()
+	gate.Settle()
 	const epochs = 12
 	for i := 0; i < epochs; i++ {
 		runEpoch(true)

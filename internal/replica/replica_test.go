@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -166,10 +167,48 @@ func checkHelloValidation(t *testing.T) {
 
 // --- lease ---
 
+// leaseClock is what a timed lease check measured: named instants since the
+// check began, and how often and how evenly it polled the standby. A check
+// logs it when it fails (logOnFailure): on a loaded host a failure is a late
+// poll or a late heartbeat, and these tell which.
+type leaseClock struct {
+	start, last time.Time
+	polls       int
+	maxGap      time.Duration // the longest wait between two polls
+	marks       []string
+}
+
+func newLeaseClock() *leaseClock { return &leaseClock{start: time.Now()} }
+
+func (c *leaseClock) mark(what string) {
+	c.marks = append(c.marks, fmt.Sprintf("%s at %v", what, time.Since(c.start)))
+}
+
+func (c *leaseClock) poll() {
+	now := time.Now()
+	if c.polls > 0 {
+		c.maxGap = max(c.maxGap, now.Sub(c.last))
+	}
+	c.polls, c.last = c.polls+1, now
+}
+
+// logOnFailure logs the clock and the standby's lease state if t failed.
+func (c *leaseClock) logOnFailure(t *testing.T, sb *Standby) {
+	if !t.Failed() {
+		return
+	}
+	sb.mu.Lock()
+	beat, connected := sb.lastBeat, sb.connected
+	sb.mu.Unlock()
+	t.Logf("lease timings: failed at %v; %v; %d polls, longest gap %v; last heartbeat %v ago, connected %v; lease %v, heartbeat every %v, read deadline %v",
+		time.Since(c.start), c.marks, c.polls, c.maxGap, time.Since(beat), connected, sb.lease, sb.clock.heartbeat, sb.clock.readDeadline)
+}
+
 // holdsFor fails t if sb's lease expires within d.
-func holdsFor(t *testing.T, sb *Standby, d time.Duration) {
+func holdsFor(t *testing.T, sb *Standby, d time.Duration, c *leaseClock) {
 	t.Helper()
 	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		c.poll()
 		if sb.PrimaryDown() {
 			t.Fatal("lease expired while the primary was heartbeating")
 		}
@@ -184,12 +223,14 @@ func checkLeaseHeartbeatHolds(t *testing.T) {
 	}
 	defer s.Close()
 	stores := []storage.Backend{storage.NewMemBackend(8)}
+	c := newLeaseClock()
 	sb, err := NewStandby(s.Addr(), stores, StandbyConfig{LeaseTimeout: lease})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Stop()
-	holdsFor(t, sb, 600*time.Millisecond)
+	defer c.logOnFailure(t, sb)
+	holdsFor(t, sb, 600*time.Millisecond, c)
 	if !sb.Connected() {
 		t.Fatal("standby never attached")
 	}
@@ -202,22 +243,27 @@ func checkLeaseExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	stores := []storage.Backend{storage.NewMemBackend(8)}
+	c := newLeaseClock()
 	sb, err := NewStandby(s.Addr(), stores, StandbyConfig{LeaseTimeout: lease})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Stop()
+	defer c.logOnFailure(t, sb)
 	waitAttached(t, sb)
+	c.mark("attached")
 	if sb.PrimaryDown() {
 		t.Fatal("lease expired under live heartbeats")
 	}
 	s.Close() // primary dies: heartbeats stop
+	c.mark("primary closed")
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
 	if err := sb.WaitPrimaryDown(ctx); err != nil {
 		t.Fatalf("lease never expired: %v", err)
 	}
+	c.mark("lease expired")
 	if waited := time.Since(start); waited > 3*time.Second {
 		t.Fatalf("failover detection took %v", waited)
 	}
@@ -300,12 +346,14 @@ func TestSenderSurvivesAcceptErrors(t *testing.T) {
 	fl := &flakyListener{Listener: ln, fails: 3}
 	s := newSender(fl, SenderConfig{Shards: 1, Lease: lease})
 	defer s.Close()
+	c := newLeaseClock()
 	sb, err := NewStandby(s.Addr(), []storage.Backend{storage.NewMemBackend(8)}, StandbyConfig{LeaseTimeout: lease})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Stop()
-	holdsFor(t, sb, 3*lease)
+	defer c.logOnFailure(t, sb)
+	holdsFor(t, sb, 3*lease, c)
 	if !sb.Connected() || fl.accepts.Load() <= fl.fails {
 		t.Fatalf("standby attached %v after %d Accept calls", sb.Connected(), fl.accepts.Load())
 	}
@@ -416,14 +464,18 @@ func TestStandbyRedialsBlackholedLink(t *testing.T) {
 	}
 	defer s.Close()
 	link := newLinkProxy(t, s.Addr())
+	c := newLeaseClock()
 	sb, err := NewStandby(link.addr(), []storage.Backend{storage.NewMemBackend(8)}, StandbyConfig{LeaseTimeout: lease})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Stop()
+	defer c.logOnFailure(t, sb)
 	waitAttached(t, sb)
+	c.mark("attached")
 	link.blackhole()
-	holdsFor(t, sb, 3*lease)
+	c.mark("link blackholed")
+	holdsFor(t, sb, 3*lease, c)
 	if n := link.accepts.Load(); n < 2 || !sb.Connected() {
 		t.Fatalf("standby attached %v over %d connections, want reattached", sb.Connected(), n)
 	}

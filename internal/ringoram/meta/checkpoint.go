@@ -234,7 +234,7 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int)
 		return nil, fmt.Errorf("ringoram: checkpoint pads stash values to %d bytes, ValueSize is %d", pad.ValueSize, m.p.ValueSize)
 	}
 
-	nKeys, nTouched, nRewritten := len(m.keys), 0, l.numBuckets
+	nKeys, nTouched, nRewritten := m.keys.len(), 0, l.numBuckets
 	if !full {
 		nKeys = max(len(m.dirtyKeys), pad.PosEntries)
 		nRewritten = 0
@@ -273,21 +273,21 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int)
 	b = b[imageHeaderSize:]
 
 	if full {
-		for i := range m.keys {
-			k := &m.keys[i]
-			b = l.leaf.put(l.putKey(b, k.name), int(k.leaf))
-			if k.bucket < 0 {
+		k := &m.keys
+		for i := range int32(k.len()) {
+			b = l.leaf.put(l.putKey(b, k.name(i)), int(k.leaf[i]))
+			if k.bucket[i] < 0 {
 				b = l.bucket.put(b, l.bucket.ones())[l.pos:]
 				continue
 			}
-			b = l.pos.put(l.bucket.put(b, int(k.bucket)), int(k.rpos))
+			b = l.pos.put(l.bucket.put(b, int(k.bucket[i])), int(k.rpos[i]))
 		}
 		for id := range m.buckets {
 			b = m.putRewritten(l, b, id, true)
 		}
 	} else {
 		for _, i := range m.dirtyKeys {
-			b = l.leaf.put(l.putKey(b, m.keys[i].name), int(m.keys[i].leaf))
+			b = l.leaf.put(l.putKey(b, m.keys.name(i)), int(m.keys.leaf[i]))
 		}
 		b = b[(nKeys-len(m.dirtyKeys))*l.keyEntry(false):] // padding: zeros
 		for _, id := range m.dirtyBuckets {
@@ -356,7 +356,7 @@ func (m *Machine) putRewritten(l imageLayout, b []byte, id int, full bool) []byt
 // taken (the image owns those changes from then on).
 func (m *Machine) ClearDirty() {
 	for _, i := range m.dirtyKeys {
-		m.keys[i].dirty = false
+		m.keys.dirty.unset(int(i))
 	}
 	m.dirtyKeys = m.dirtyKeys[:0]
 	for _, b := range m.dirtyBuckets {
@@ -414,8 +414,8 @@ func (c *cursor) key(l imageLayout) (string, error) {
 // and an index past the end of the table is refused.
 func (m *Machine) keyIndex(l imageLayout, c *cursor) (int32, error) {
 	ki := c.int(l.index) - 1
-	if ki >= len(m.keys) {
-		return 0, fmt.Errorf("ringoram: checkpoint names key index %d, the table holds %d keys", ki, len(m.keys))
+	if ki >= m.keys.len() {
+		return 0, fmt.Errorf("ringoram: checkpoint names key index %d, the table holds %d keys", ki, m.keys.len())
 	}
 	return int32(ki), nil
 }
@@ -454,20 +454,20 @@ func Restore(p Params, plane Plane, full []byte, deltas ...[]byte) (*Machine, er
 			if ki < 0 {
 				continue
 			}
-			k := &m.keys[ki]
-			if _, inStash := m.stash[k.name]; inStash {
-				return nil, fmt.Errorf("ringoram: checkpoint places %q both in stash and bucket %d", k.name, b)
+			k, name := &m.keys, m.keys.name(ki)
+			if _, inStash := m.stash[ki]; inStash {
+				return nil, fmt.Errorf("ringoram: checkpoint places %q both in stash and bucket %d", name, b)
 			}
-			if k.bucket >= 0 {
-				return nil, fmt.Errorf("ringoram: checkpoint places %q in buckets %d and %d", k.name, k.bucket, b)
+			if k.bucket[ki] >= 0 {
+				return nil, fmt.Errorf("ringoram: checkpoint places %q in buckets %d and %d", name, k.bucket[ki], b)
 			}
-			if m.geo.PathBucket(int(k.leaf), BucketLevel(b)) != b {
-				return nil, fmt.Errorf("ringoram: checkpoint places %q in bucket %d, off its leaf %d's path", k.name, b, k.leaf)
+			if m.geo.PathBucket(int(k.leaf[ki]), BucketLevel(b)) != b {
+				return nil, fmt.Errorf("ringoram: checkpoint places %q in bucket %d, off its leaf %d's path", name, b, k.leaf[ki])
 			}
 			if !bm.valid.has(int(bm.perm[r])) {
-				return nil, fmt.Errorf("ringoram: checkpoint places %q at position %d of bucket %d, whose slot was read", k.name, r, b)
+				return nil, fmt.Errorf("ringoram: checkpoint places %q at position %d of bucket %d, whose slot was read", name, r, b)
 			}
-			k.bucket, k.rpos = int32(b), int32(r)
+			k.bucket[ki], k.rpos[ki] = int32(b), uint16(r)
 		}
 	}
 	m.stashPeak = len(m.stash)
@@ -526,22 +526,24 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull, last bool) err
 		if leaf >= m.geo.Leaves {
 			return fmt.Errorf("ringoram: checkpoint leaf %d out of range", leaf)
 		}
-		ki, known := m.pos[key]
+		ki, known := m.keys.lookup(key)
 		if !known {
-			if len(m.keys) >= m.p.NumBlocks {
+			if m.keys.len() >= m.p.NumBlocks {
 				return fmt.Errorf("ringoram: checkpoint holds more than NumBlocks=%d keys", m.p.NumBlocks)
 			}
-			ki = m.addKey(key)
+			if ki, err = m.keys.add(key); err != nil {
+				return err
+			}
 		} else if full {
 			return fmt.Errorf("ringoram: full checkpoint image lists %q twice", key)
 		}
-		m.keys[ki].leaf = int32(leaf)
+		m.keys.leaf[ki] = int32(leaf)
 		if bucket != l.bucket.ones() {
 			if bucket >= l.numBuckets || pos >= l.z {
 				return fmt.Errorf("ringoram: checkpoint places %q at bucket %d position %d, out of range", key, bucket, pos)
 			}
 			if prev := m.addrs[bucket*l.z+pos]; prev >= 0 {
-				return fmt.Errorf("ringoram: checkpoint places %q and %q at bucket %d position %d", m.keys[prev].name, key, bucket, pos)
+				return fmt.Errorf("ringoram: checkpoint places %q and %q at bucket %d position %d", m.keys.name(prev), key, bucket, pos)
 			}
 			m.addrs[bucket*l.z+pos] = ki
 		}
@@ -614,11 +616,11 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull, last bool) err
 		if ki < 0 {
 			continue // padding
 		}
-		key := m.keys[ki].name
+		key := m.keys.name(ki)
 		if leaf >= m.geo.Leaves || valLen > m.p.ValueSize {
 			return fmt.Errorf("ringoram: checkpoint stash entry %q has leaf %d, %d value bytes", key, leaf, valLen)
 		}
-		if _, dup := m.stash[key]; dup {
+		if _, dup := m.stash[ki]; dup {
 			return fmt.Errorf("ringoram: checkpoint stash lists %q twice", key)
 		}
 		e := m.newEntry(stashEntry{key: key, ki: ki, leaf: leaf, cacheable: flags&stashFlagCacheable != 0})

@@ -29,8 +29,8 @@ func stateDigest(t testing.TB, m *Machine) string {
 		u(uint64(len(s)))
 		h.Write([]byte(s))
 	}
-	u(m.accessCount, m.evictCount, uint64(len(m.keys)))
-	for _, k := range m.keys {
+	u(m.accessCount, m.evictCount, uint64(m.keys.len()))
+	for _, k := range m.keyRows() {
 		str(k.name)
 		u(uint64(k.leaf), uint64(k.bucket))
 		if k.bucket >= 0 {
@@ -185,8 +185,8 @@ func TestCheckpointWidthBoundaries(t *testing.T) {
 			}
 			delta, err := m.EncodeCheckpoint(false, pad, 0, 0)
 			must(t, err)
-			newest := &m.keys[c.keys-1]
-			if _, stashed := m.stash[newest.name]; !stashed && m.bucketDirty[newest.bucket] != bucketRewritten {
+			newest := m.keyRow(int32(c.keys - 1))
+			if _, stashed := m.stash[int32(c.keys-1)]; !stashed && m.bucketDirty[newest.bucket] != bucketRewritten {
 				t.Fatalf("the delta names %q neither in the stash nor in a rewritten bucket", newest.name)
 			}
 			restored, err := Restore(m.p, values{}, full, delta)
@@ -253,7 +253,8 @@ func TestRestoreRefusesKeyIndexPastTable(t *testing.T) {
 // restoring a client whose first read of the key would refuse.
 func TestRestoreRefusesKeyInReadSlot(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
-	k := m.keys[slices.IndexFunc(m.keys, func(k keyEnt) bool { return k.bucket >= 0 })]
+	rows := m.keyRows()
+	k := rows[slices.IndexFunc(rows, func(k keyRow) bool { return k.bucket >= 0 })]
 	bm := m.bucket(int(k.bucket))
 	bm.valid.unset(int(bm.perm[k.rpos]))
 	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"strings"
 )
 
 // Public errors.
@@ -20,26 +19,6 @@ var (
 	ErrReplay = errors.New("ringoram: replay divergence")
 )
 
-// keyEnt is one position-map entry: the leaf a key is mapped to and, while
-// the block is resident in the tree, the bucket and real position holding it.
-// Entries live in a table in first-write order and are never removed (a
-// deleted key keeps its entry, §6.3), so a key's index is stable: full
-// checkpoints walk the table in order, which makes their bytes a function of
-// the operation history instead of map iteration order.
-//
-// name is the machine's own copy of the key, made when the entry is. It is
-// the one string everything long-lived holds for the block — the index map,
-// stash entries; bucket addrs hold the entry's index — so a caller's key (a
-// carved wire key pins its whole chunk) is never kept past the call that
-// handed it over.
-type keyEnt struct {
-	name   string
-	leaf   int32
-	bucket int32 // heap index of the bucket holding the block; -1 when not in the tree
-	rpos   int32 // real position inside that bucket
-	dirty  bool  // remapped since the last ClearDirty
-}
-
 // Block names a stash entry's block to the byte plane, which keeps the
 // block's bytes under it; 0 names none. A handle is the entry's index in the
 // machine's entry table: it is reused once an eviction has moved the block
@@ -51,7 +30,7 @@ type Block int32
 // block that a later-planned eviction has already placed.
 type stashEntry struct {
 	key       string
-	ki        int32 // the key's index in Machine.keys
+	ki        int32 // the key's row in Machine.keys
 	blk       Block // the entry's own handle
 	leaf      int
 	idx       int  // position in Machine.stashList
@@ -81,9 +60,8 @@ type Machine struct {
 	rng   *rand.Rand
 	plane Plane // given once, at New or Restore (see Plane)
 
-	keys  []keyEnt         // position map and location index, in first-write order
-	pos   map[string]int32 // key -> index into keys
-	stash map[string]*stashEntry
+	keys  keyTable              // position map and location index (keys.go)
+	stash map[int32]*stashEntry // by key row
 	// stashList holds the stash in a deterministic order (insertion order,
 	// perturbed by swap-removal): eviction placement and checkpoint encoding
 	// walk it instead of the map, so both are a function of the operation
@@ -100,7 +78,7 @@ type Machine struct {
 
 	// Delta tracking since the last ClearDirty: flag arrays plus first-dirtied
 	// order lists, reset in place.
-	dirtyKeys    []int32 // indices into keys
+	dirtyKeys    []int32 // rows of keys
 	bucketDirty  []dirtyLevel
 	dirtyBuckets []int32
 	stashPeak    int
@@ -161,8 +139,8 @@ func newMachine(p Params, plane Plane) (*Machine, error) {
 		geo:         geo,
 		rng:         rand.New(src),
 		plane:       plane,
-		pos:         make(map[string]int32),
-		stash:       make(map[string]*stashEntry),
+		keys:        newKeyTable(),
+		stash:       make(map[int32]*stashEntry),
 		buckets:     make([]bucketMeta, geo.NumBuckets),
 		perms:       make([]uint16, geo.NumBuckets*n),
 		addrs:       make([]int32, geo.NumBuckets*z),
@@ -190,7 +168,7 @@ func (m *Machine) StashSize() int { return len(m.stash) }
 func (m *Machine) StashPeak() int { return m.stashPeak }
 
 // KeyCount returns the number of allocated logical keys.
-func (m *Machine) KeyCount() int { return len(m.keys) }
+func (m *Machine) KeyCount() int { return m.keys.len() }
 
 // Seed returns the seed of bucket b's current version.
 func (m *Machine) Seed(b int) Seed { return m.buckets[b].seed }
@@ -217,30 +195,14 @@ func (m *Machine) Holds(b int, dst []int) (uint64, []uint16, []int) {
 
 func (m *Machine) randLeaf() int { return m.rng.IntN(m.geo.Leaves) }
 
-// addKey allocates key's position-map entry, with a copy of key as its name.
-func (m *Machine) addKey(key string) int32 {
-	i := int32(len(m.keys))
-	name := strings.Clone(key)
-	m.keys = append(m.keys, keyEnt{name: name, bucket: -1})
-	m.pos[name] = i
-	return i
-}
-
-// remap points key at leaf, allocating its position-map entry on first
-// write, and records the change for the next delta checkpoint. It returns
-// the key's index in the table.
-func (m *Machine) remap(key string, leaf int) int32 {
-	i, ok := m.pos[key]
-	if !ok {
-		i = m.addKey(key)
+// remap points row ki at leaf and records the change for the next delta
+// checkpoint.
+func (m *Machine) remap(ki int32, leaf int) {
+	m.keys.leaf[ki] = int32(leaf)
+	if !m.keys.dirty.has(int(ki)) {
+		m.keys.dirty.set(int(ki))
+		m.dirtyKeys = append(m.dirtyKeys, ki)
 	}
-	k := &m.keys[i]
-	k.leaf = int32(leaf)
-	if !k.dirty {
-		k.dirty = true
-		m.dirtyKeys = append(m.dirtyKeys, i)
-	}
-	return i
 }
 
 // newEntry clones v into a pooled stashEntry, or a new one with the next
@@ -269,7 +231,7 @@ func (m *Machine) newEntry(v stashEntry) *stashEntry {
 func (m *Machine) stashAdd(e *stashEntry) {
 	e.idx = len(m.stashList)
 	m.stashList = append(m.stashList, e)
-	m.stash[e.key] = e
+	m.stash[e.ki] = e
 }
 
 // stashRemove deletes e from the stash, moving the last entry into its place.
@@ -280,7 +242,7 @@ func (m *Machine) stashRemove(e *stashEntry) {
 	moved.idx = e.idx
 	m.stashList[last] = nil
 	m.stashList = m.stashList[:last]
-	delete(m.stash, e.key)
+	delete(m.stash, e.ki)
 }
 
 // markBucket raises bucket b's dirty level for the next delta checkpoint.

@@ -112,12 +112,11 @@ func checkBucketBits(t *testing.T, m *Machine, b int) {
 // list, the stash map and the key table agree.
 func checkMachine(t *testing.T, m *Machine) {
 	t.Helper()
-	for i := range m.keys {
-		k := &m.keys[i]
-		if m.pos[k.name] != int32(i) {
-			t.Fatalf("key %q sits at table index %d, index map says %d", k.name, i, m.pos[k.name])
+	for i, k := range m.keyRows() {
+		if ki, _ := m.keys.lookup(k.name); ki != int32(i) {
+			t.Fatalf("key %q sits at table index %d, index says %d", k.name, i, ki)
 		}
-		if _, inStash := m.stash[k.name]; inStash {
+		if _, inStash := m.stash[int32(i)]; inStash {
 			if k.bucket >= 0 {
 				t.Fatalf("key %q both in stash and tree", k.name)
 			}
@@ -142,7 +141,7 @@ func checkMachine(t *testing.T, m *Machine) {
 				continue
 			}
 			occupied++
-			k := m.keys[ki]
+			k := m.keyRow(ki)
 			if !bm.valid.has(int(bm.perm[r])) {
 				t.Fatalf("bucket %d: occupied real slot for %q is invalid", b, k.name)
 			}
@@ -152,8 +151,8 @@ func checkMachine(t *testing.T, m *Machine) {
 		}
 	}
 	resident := 0
-	for i := range m.keys {
-		if m.keys[i].bucket >= 0 {
+	for _, b := range m.keys.bucket {
+		if b >= 0 {
 			resident++
 		}
 	}
@@ -164,7 +163,7 @@ func checkMachine(t *testing.T, m *Machine) {
 		t.Fatalf("stash list has %d entries, stash map %d", len(m.stashList), len(m.stash))
 	}
 	for i, e := range m.stashList {
-		if e.idx != i || m.stash[e.key] != e || m.keys[e.ki].name != e.key || m.entries[e.blk] != e {
+		if e.idx != i || m.stash[e.ki] != e || m.keys.name(e.ki) != e.key || m.entries[e.blk] != e {
 			t.Fatalf("stash list entry %d (%q, idx %d, key index %d, block %d) out of sync with the stash map, the key table or the entry table", i, e.key, e.idx, e.ki, e.blk)
 		}
 	}
@@ -256,16 +255,17 @@ func TestRestoreRefusesKeyOffItsPath(t *testing.T) {
 	must(t, err)
 	m.ClearDirty()
 	// A key below the root, moved to a leaf whose path misses its bucket.
-	ki := slices.IndexFunc(m.keys, func(k keyEnt) bool { return k.bucket > 0 })
+	rows := m.keyRows()
+	ki := slices.IndexFunc(rows, func(k keyRow) bool { return k.bucket > 0 })
 	if ki < 0 {
 		t.Fatal("no key resides below the root")
 	}
-	k := &m.keys[ki]
+	k := rows[ki]
 	off := 0
 	for m.geo.PathBucket(off, BucketLevel(int(k.bucket))) == int(k.bucket) {
 		off++
 	}
-	m.remap(k.name, off)
+	m.remap(int32(ki), off)
 	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0)
 	must(t, err)
 	offFull, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
@@ -292,7 +292,7 @@ func TestBlindWriteRetiresTreeCopy(t *testing.T) {
 	retired := 0
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("k%d", i)
-		k := m.keys[m.pos[key]]
+		k := m.keyRowOf(key)
 		if k.bucket < 0 {
 			continue
 		}
@@ -301,7 +301,7 @@ func TestBlindWriteRetiresTreeCopy(t *testing.T) {
 		if len(steps) == 1 { // an evict-path the write made due could rewrite the bucket
 			bm := m.bucket(int(k.bucket))
 			if ki := bm.addrs[k.rpos]; ki >= 0 {
-				t.Fatalf("%s: retired position %d of bucket %d is held by %q", key, k.rpos, k.bucket, m.keys[ki].name)
+				t.Fatalf("%s: retired position %d of bucket %d is held by %q", key, k.rpos, k.bucket, m.keys.name(ki))
 			}
 			if !bm.valid.has(int(bm.perm[k.rpos])) || !bm.filler.has(int(k.rpos)) {
 				t.Fatalf("%s: retired position %d of bucket %d is no valid filler", key, k.rpos, k.bucket)
@@ -331,7 +331,7 @@ func TestPropertyRemapChangesLeaf(t *testing.T) {
 		steps, err = m.PlanRead("k", steps[:0])
 		must(t, err)
 		complete(t, m, steps)
-		leaves[m.keys[m.pos["k"]].leaf] = true
+		leaves[m.keyRowOf("k").leaf] = true
 	}
 	// 64 samples over 16 leaves: expect nearly all leaves hit; require > half.
 	if len(leaves) <= m.geo.Leaves/2 {

@@ -283,39 +283,38 @@ func (m *Machine) due(path []SlotRead) (PlanKind, int, []SlotRead) {
 }
 
 func (m *Machine) planRead(key string, forcedLeaf int, forcedSlots []int) (*Plan, error) {
+	ki, known := m.keys.lookup(key)
 	// Stash hit.
-	if key != "" {
-		if e, ok := m.stash[key]; ok {
-			e.leaf = m.randLeaf() // remap on every logical access
-			m.remap(key, e.leaf)
-			if e.cacheable && forcedSlots == nil {
-				p := m.newPlan(AccessStep)
-				p.Key, p.blk = key, e.blk
-				return p, nil
-			}
-			// Non-cacheable resident block: a dummy path read is mandatory
-			// to keep the observed path distribution uniform (§6.3). After
-			// this logical access the entry is uniformly remapped, hence
-			// cacheable again.
-			e.cacheable = true
-			p, err := m.dummyPath(key, forcedLeaf, forcedSlots)
-			if err != nil {
-				return nil, err
-			}
-			p.blk = e.blk
+	if e, ok := m.stash[ki]; known && ok {
+		e.leaf = m.randLeaf() // remap on every logical access
+		m.remap(ki, e.leaf)
+		if e.cacheable && forcedSlots == nil {
+			p := m.newPlan(AccessStep)
+			p.Key, p.blk = key, e.blk
 			return p, nil
 		}
+		// Non-cacheable resident block: a dummy path read is mandatory to
+		// keep the observed path distribution uniform (§6.3). After this
+		// logical access the entry is uniformly remapped, hence cacheable
+		// again.
+		e.cacheable = true
+		p, err := m.dummyPath(key, forcedLeaf, forcedSlots)
+		if err != nil {
+			return nil, err
+		}
+		p.blk = e.blk
+		return p, nil
 	}
 
-	if ki, known := m.pos[key]; known && m.keys[ki].bucket >= 0 {
-		oldLeaf, bucket, rpos := int(m.keys[ki].leaf), int(m.keys[ki].bucket), int(m.keys[ki].rpos)
+	if known && m.keys.bucket[ki] >= 0 {
+		oldLeaf, bucket, rpos := int(m.keys.leaf[ki]), int(m.keys.bucket[ki]), int(m.keys.rpos[ki])
 		if forcedLeaf >= 0 && forcedLeaf != oldLeaf {
 			return nil, fmt.Errorf("%w: key %q logged leaf %d, position map says %d", ErrReplay, key, forcedLeaf, oldLeaf)
 		}
 		path := m.scratchPath(oldLeaf)
 		p := m.newPlan(AccessStep)
 		p.Key, p.Leaf = key, oldLeaf
-		e := m.newEntry(stashEntry{key: m.keys[ki].name, ki: ki, cacheable: true, pending: true})
+		e := m.newEntry(stashEntry{key: m.keys.name(ki), ki: ki, cacheable: true, pending: true})
 		for lvl, b := range path {
 			bm := m.bucket(b)
 			var forced = -1
@@ -350,10 +349,10 @@ func (m *Machine) planRead(key string, forcedLeaf int, forcedSlots []int) (*Plan
 		if p.blk == 0 {
 			return nil, fmt.Errorf("ringoram: key %q resides in bucket %d, off its path (leaf %d)", key, bucket, oldLeaf)
 		}
-		m.keys[ki].bucket = -1
+		m.keys.bucket[ki] = -1
 		m.stashAdd(e)
 		e.leaf = m.randLeaf()
-		m.remap(key, e.leaf)
+		m.remap(ki, e.leaf)
 		m.accessCount++
 		if err := m.noteStash(); err != nil {
 			return nil, err
@@ -404,15 +403,19 @@ func (m *Machine) planWrite(key string) (*Plan, Block, error) {
 
 // write puts a written block into the stash and returns it.
 func (m *Machine) write(key string) (Block, error) {
-	if _, known := m.pos[key]; !known {
-		if len(m.keys) >= m.p.NumBlocks {
-			return 0, fmt.Errorf("%w: %d keys", ErrFull, len(m.keys))
+	ki, known := m.keys.lookup(key)
+	if !known {
+		if m.keys.len() >= m.p.NumBlocks {
+			return 0, fmt.Errorf("%w: %d keys", ErrFull, m.keys.len())
+		}
+		var err error
+		if ki, err = m.keys.add(key); err != nil {
+			return 0, err
 		}
 	}
 	newLeaf := m.randLeaf()
-	ki := m.remap(key, newLeaf)
-	k := &m.keys[ki]
-	e, ok := m.stash[key]
+	m.remap(ki, newLeaf)
+	e, ok := m.stash[ki]
 	if ok {
 		// A block a planned read has yet to deliver is superseded: the
 		// read's completion skips it.
@@ -420,18 +423,18 @@ func (m *Machine) write(key string) (Block, error) {
 		e.cacheable = true
 		e.pending = false
 	} else {
-		if k.bucket >= 0 {
+		if b := int(m.keys.bucket[ki]); b >= 0 {
 			// Logically remove the stale tree copy without reading it: the
 			// slot keeps its (now meaningless) ciphertext and becomes valid
 			// filler (an occupied slot is always valid).
-			bm := m.bucket(int(k.bucket))
-			bm.addrs[k.rpos] = -1
-			bm.occ.unset(int(k.rpos))
-			bm.filler.set(int(k.rpos))
-			m.markBucket(int(k.bucket), bucketTouched)
-			k.bucket = -1
+			bm, r := m.bucket(b), int(m.keys.rpos[ki])
+			bm.addrs[r] = -1
+			bm.occ.unset(r)
+			bm.filler.set(r)
+			m.markBucket(b, bucketTouched)
+			m.keys.bucket[ki] = -1
 		}
-		e = m.newEntry(stashEntry{key: k.name, ki: ki, leaf: newLeaf, cacheable: true})
+		e = m.newEntry(stashEntry{key: m.keys.name(ki), ki: ki, leaf: newLeaf, cacheable: true})
 		m.stashAdd(e)
 	}
 	return e.blk, m.noteStash()
@@ -496,9 +499,8 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 				ki := bm.addrs[r]
 				bm.addrs[r] = -1
 				occ.unset(r)
-				k := &m.keys[ki]
-				k.bucket = -1
-				e := m.newEntry(stashEntry{key: k.name, ki: ki, leaf: int(k.leaf), pending: true})
+				m.keys.bucket[ki] = -1
+				e := m.newEntry(stashEntry{key: m.keys.name(ki), ki: ki, leaf: int(m.keys.leaf[ki]), pending: true})
 				m.stashAdd(e)
 				plan.Reads = append(plan.Reads, m.readOf(b, phys))
 				plan.Reads[len(plan.Reads)-1].blk = e.blk
@@ -563,8 +565,7 @@ func (m *Machine) planEviction(kind PlanKind, bucket int, forcedSlots [][]int) (
 			r := len(w.Placed)
 			w.Placed = append(w.Placed, e.blk)
 			bm.addrs[r] = e.ki
-			k := &m.keys[e.ki]
-			k.bucket, k.rpos = int32(b), int32(r)
+			m.keys.bucket[e.ki], m.keys.rpos[e.ki] = int32(b), uint16(r)
 			m.stashRemove(e) // moves the last entry to i: look at i again
 		}
 		m.shuffle(bm.perm)

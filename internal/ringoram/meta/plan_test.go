@@ -23,7 +23,7 @@ func modelOf(m *Machine, bm bucketView) slotModel {
 	}
 	for r, ki := range bm.addrs {
 		if ki >= 0 {
-			sm.addrs[r] = m.keys[ki].name
+			sm.addrs[r] = m.keys.name(ki)
 		}
 	}
 	for s := range sm.valid {

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"obladi/internal/allocgate"
 	"obladi/internal/cryptoutil"
 	"obladi/internal/ringoram/meta"
 	"obladi/internal/slab"
@@ -20,6 +21,7 @@ func TestValuePathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	gate := allocgate.Begin(t)
 	p := testParams(256)
 	p.KeySize, p.ValueSize = 16, 256
 	p.S, p.A = 4096, 4096 // no evict-path falls due: the blocks stay in the stash
@@ -55,6 +57,7 @@ func TestValuePathAllocBudget(t *testing.T) {
 	}
 	write()
 	read()
+	gate.Settle()
 	if allocs := testing.AllocsPerRun(50, write); allocs != 0 {
 		t.Errorf("%.2f allocations per %d writes, want 0: a write allocates outside the block pool and the plan pool again", allocs, len(keys))
 	}

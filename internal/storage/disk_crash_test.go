@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -70,6 +71,12 @@ type crashFS struct {
 type crashNode struct {
 	data    []byte
 	durable []byte
+	// maps holds the anonymous mappings Map has backed data with, the last
+	// one data's own while data lies in it. They are unmapped together once
+	// the harness has dropped the node (removed or renamed over, or its
+	// crashFS discarded) and no open file holds it: a mapped view is only
+	// read beside its file, which holds the node, so no view outlives it.
+	maps *[][]byte
 }
 
 func newCrashFS(plan *faultPlan) *crashFS {
@@ -242,16 +249,31 @@ func (f *crashFile) Size() (int64, error) {
 func (f *crashFile) Close() error { return nil }
 
 // Map returns a view of the first n bytes of the file's process view, its
-// page cache: the bytes are given room up to n in place, so WriteAt updates
-// the view as long as it writes inside it, as a shared mapping sees writes.
-// Bytes past the file's size are not the file's and are never read.
+// page cache: the bytes are given room up to n in place, in an anonymous
+// mapping, so WriteAt updates the view as long as it writes inside it, as a
+// shared mapping sees writes. Bytes past the file's size are not the file's
+// and are never read.
 func (f *crashFile) Map(n int64) ([]byte, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if int64(cap(f.node.data)) < n {
-		f.node.data = append(make([]byte, 0, n), f.node.data...)
+	node := f.node
+	if int64(cap(node.data)) < n {
+		m, err := anonMap(int(n))
+		if err != nil {
+			return nil, err
+		}
+		if node.maps == nil {
+			node.maps = new([][]byte)
+			runtime.AddCleanup(node, func(maps *[][]byte) {
+				for _, m := range *maps {
+					anonUnmap(m)
+				}
+			}, node.maps)
+		}
+		*node.maps = append(*node.maps, m)
+		node.data = m[:copy(m, node.data)]
 	}
-	return f.node.data[:n:n], nil
+	return node.data[:n:n], nil
 }
 
 func (f *crashFile) Unmap([]byte) error { return nil }
@@ -632,6 +654,7 @@ func TestCrashPointSweep(t *testing.T) {
 	if total < 30 {
 		t.Fatalf("workload only has %d mutation points; the sweep would prove little", total)
 	}
+	t.Logf("%d mutation points per mode", total)
 	modes := []struct {
 		name   string
 		mode   int

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"obladi/internal/allocgate"
 )
 
 // The three functions every version record used to pass through on its way
@@ -194,6 +196,7 @@ func TestInPlaceFramerGoldenBytesRaw(t *testing.T) {
 // the steady state a vector of n buckets allocates nothing, however many
 // bytes it writes — no body, no wrap, no frame buffer per bucket.
 func TestLogHeapWriteBucketsAllocBudget(t *testing.T) {
+	gate := allocgate.Begin(t)
 	const numBuckets, slotsPer, slotSize = 32, 16, 256
 	g, err := openDiskGroupOpts(osFS{}, t.TempDir(), 1, numBuckets, diskOpts{workers: 1, DiskOptions: DiskOptions{LogHeap: true}})
 	if err != nil {
@@ -218,6 +221,7 @@ func TestLogHeapWriteBucketsAllocBudget(t *testing.T) {
 	}
 	write()
 	write()
+	gate.Settle()
 	allocs := testing.AllocsPerRun(20, write)
 	t.Logf("WriteBuckets of %d buckets (%d KB): %.1f allocations", numBuckets, numBuckets*slotsPer*slotSize>>10, allocs)
 	if allocs > 0 {

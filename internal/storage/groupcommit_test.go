@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"obladi/internal/allocgate"
 )
 
 // gatedFS is the real file system, except that while the gate is shut a log
@@ -349,6 +351,7 @@ func TestBarrierAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	gate := allocgate.Begin(t)
 	fsys := newWaveFS()
 	l := openTestLog(t, fsys, "data", diskOpts{})
 	defer l.Close()
@@ -368,6 +371,7 @@ func TestBarrierAllocBudget(t *testing.T) {
 	seg := l.segs[0]
 	seg.offs = slices.Grow(seg.offs, 1024)
 	seg.lens = slices.Grow(seg.lens, 1024)
+	gate.Settle()
 	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
 		t.Fatalf("%.1f allocations per round of two barriers, want 0", allocs)
 	}

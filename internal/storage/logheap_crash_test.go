@@ -219,6 +219,7 @@ func TestCrashPointSweepLogHeap(t *testing.T) {
 	if total < 60 {
 		t.Fatalf("logheap workload only has %d mutation points; the sweep would prove little", total)
 	}
+	t.Logf("%d mutation points per mode", total)
 	modes := []struct {
 		name   string
 		mode   int
@@ -369,6 +370,7 @@ func TestCrashPointSweepLogHeapMaintenance(t *testing.T) {
 	if total < 10 {
 		t.Fatalf("the maintenance pass makes only %d file operations; the sweep would prove little", total)
 	}
+	t.Logf("%d mutation points per mode", total)
 	for _, m := range []struct {
 		name string
 		mode int

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"obladi/internal/allocgate"
 )
 
 // A LogHeap keeps no copy of its versions: every read copies out of the log.
@@ -536,6 +538,7 @@ func TestLogHeapReadSlotsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	gate := allocgate.Begin(t)
 	const numBuckets, slotsPer, slotSize, calls = 64, 8, 96, 2000
 	dir := t.TempDir()
 	open := func() *DiskGroup {
@@ -582,6 +585,7 @@ func TestLogHeapReadSlotsAllocBudget(t *testing.T) {
 	}
 	read()
 	var m0, m1 runtime.MemStats
+	gate.Settle()
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < calls; i++ {
 		read()

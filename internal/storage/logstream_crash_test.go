@@ -159,6 +159,7 @@ func TestCrashPointSweepSharedLogGroup(t *testing.T) {
 	if total < 40 {
 		t.Fatalf("shared-log workload only has %d mutation points; the sweep would prove little", total)
 	}
+	t.Logf("%d mutation points per mode", total)
 	modes := []struct {
 		name   string
 		mode   int

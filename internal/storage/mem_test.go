@@ -7,6 +7,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"obladi/internal/allocgate"
 )
 
 func slots(vals ...string) [][]byte {
@@ -369,6 +371,7 @@ func TestCommitRetiresWhatTheEpochWrote(t *testing.T) {
 // warm, writing an epoch's buckets and committing it allocates nothing — each
 // version's slab is one a commit retired.
 func TestMemBackendEpochAllocBudget(t *testing.T) {
+	gate := allocgate.Begin(t)
 	const numBuckets, slotsPer, slotSize = 32, 40, 300
 	m := NewMemBackend(numBuckets)
 	vec := make([]BucketWrite, numBuckets/2)
@@ -395,6 +398,7 @@ func TestMemBackendEpochAllocBudget(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		run()
 	}
+	gate.Settle()
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Errorf("%.1f allocations per written and committed epoch of %d buckets, want 0", allocs, len(vec))
 	}

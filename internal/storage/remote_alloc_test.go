@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"testing"
+
+	"obladi/internal/allocgate"
 )
 
 // TestReadSlotsRoundTripAllocBudget pins the storage wire's per-call cost:
@@ -14,6 +16,7 @@ func TestReadSlotsRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	gate := allocgate.Begin(t)
 	const numBuckets, slotsPer, slotSize = 16, 4, 300
 	backend := NewMemBackend(numBuckets)
 	srv, err := NewServer(backend, "127.0.0.1:0")
@@ -46,6 +49,7 @@ func TestReadSlotsRoundTripAllocBudget(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		call()
 	}
+	gate.Settle()
 	allocs := testing.AllocsPerRun(200, call)
 	t.Logf("ReadSlots of %d slots: %.2f allocations per round trip, both ends", len(refs), allocs)
 	if allocs > 2 {

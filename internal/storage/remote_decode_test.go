@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"obladi/internal/allocgate"
 	"obladi/internal/wire"
 )
 
@@ -279,6 +280,7 @@ func FuzzServerHandle(f *testing.F) {
 // and the store copies each bucket into a slab a retired version left, so
 // once warm a vector of n buckets allocates nothing at all.
 func TestServerHandleWriteBucketsAllocBudget(t *testing.T) {
+	gate := allocgate.Begin(t)
 	const n, slotsPer, slotSize = 16, 40, 300
 	writes := make([]BucketWrite, n)
 	for b := range writes {
@@ -300,6 +302,7 @@ func TestServerHandleWriteBucketsAllocBudget(t *testing.T) {
 	// reuses: from the second run on the store allocates nothing.
 	handle()
 	handle()
+	gate.Settle()
 	allocs := testing.AllocsPerRun(50, handle)
 	t.Logf("wireWriteBuckets of %d buckets × %d slots: %.1f allocations", n, slotsPer, allocs)
 	if allocs > 0 {
@@ -409,6 +412,7 @@ func TestRemoteWritesDoNotAliasPooledFrames(t *testing.T) {
 // the process allocates during a call is the client's; a real server's round
 // trip follows.
 func TestClientAppendSendsRecordInPlace(t *testing.T) {
+	gate := allocgate.Begin(t)
 	record := bytes.Repeat([]byte{0xa5, 0x5a, 0x3c}, 64<<10/3)
 	cliConn, srvConn := net.Pipe()
 	c := &Client{wc: wire.NewClient(cliConn, maxFrame, &bufs)}
@@ -449,6 +453,7 @@ func TestClientAppendSendsRecordInPlace(t *testing.T) {
 
 	const runs = 50
 	var m0, m1 runtime.MemStats
+	gate.Settle()
 	runtime.ReadMemStats(&m0)
 	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := c.Append(record); err != nil {

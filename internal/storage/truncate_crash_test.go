@@ -255,7 +255,7 @@ func TestCrashPointSweepTruncateUnderProxy(t *testing.T) {
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			crashed := 0
+			crashed, points := 0, 0
 			for kind, name := range []string{"Truncate call", "maintenance pass"} {
 				for call := 1; call <= dry.seen[kind]; call++ {
 					depths := truncSweepDepth
@@ -263,6 +263,7 @@ func TestCrashPointSweepTruncateUnderProxy(t *testing.T) {
 						depths = passOps[call-1] + 1
 					}
 					for depth := 1; depth <= depths; depth++ {
+						points++
 						w := &truncSweep{fsys: storage.NewCrashFS(storage.NewCrashPlan(m.mode)), kind: kind, call: call, depth: depth}
 						acked, written, _, _ := runTruncSweepWorkload(t, w)
 						if len(acked) < truncSweepEpochs/2 || w.seen[inMaintain] < truncSweepEpochs {
@@ -273,6 +274,7 @@ func TestCrashPointSweepTruncateUnderProxy(t *testing.T) {
 					}
 				}
 			}
+			t.Logf("%d crash points, %d runs cut short", points, crashed)
 			if crashed == 0 {
 				t.Fatal("no run was cut short: the crashes never fired")
 			}

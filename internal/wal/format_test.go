@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"obladi/internal/allocgate"
 	"obladi/internal/cryptoutil"
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
@@ -407,6 +408,7 @@ func mallocsOf(f func()) uint64 {
 // pending-checkpoint handle, and the log store's (amortized) bookkeeping.
 func TestBoundaryAllocBudget(t *testing.T) {
 	const checkpointBudget, batchBudget = 4, 3
+	gate := allocgate.Begin(t)
 	// The counter is process-wide, so nothing but this goroutine may
 	// allocate while a window is open. The collector is off, and with one P
 	// no other goroutine runs during a window. The Gosched lets what the last
@@ -452,6 +454,7 @@ func TestBoundaryAllocBudget(t *testing.T) {
 		h.exec.BeginEpoch(h.epoch)
 		return batch, checkpoint
 	}
+	gate.Settle()
 	// A quiet epoch dirties a handful of buckets, a busy one all of them.
 	for _, shape := range []struct{ reads, writeSlots int }{{1, 1}, {32, 64}, {2, 0}, {40, 128}} {
 		for i := 0; i < 4; i++ {
