@@ -370,7 +370,7 @@ func crashAt(t *testing.T, logheap bool, shards, k int) crashOutcome {
 	// live ORAMs since: they are what the epoch's checkpoints restore to.
 	postState := make([][]byte, shards)
 	for i, sh := range p.shards {
-		postState[i], err = sh.exec.ORAM().Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+		postState[i], err = sh.exec.ORAM().Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 		must(t, err)
 	}
 	must(t, p.Close())

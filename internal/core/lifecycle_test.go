@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -187,7 +188,8 @@ func TestLogLifecycleSoakDisk(t *testing.T) {
 
 // historyBackend is a store that remembers every log record ever appended,
 // so a test can ask what recovery would have seen had the log never been
-// truncated. Appends and truncations are serialized with crashImages, which
+// truncated. Like every store it keeps its own copy of each record: the
+// recovery log writes its next record into the same buffer. Appends and truncations are serialized with crashImages, which
 // therefore captures a consistent crash image at any instant, background
 // committer or not.
 type historyBackend struct {
@@ -201,7 +203,7 @@ func (h *historyBackend) Append(rec []byte) (uint64, error) {
 	defer h.mu.Unlock()
 	seq, err := h.Backend.Append(rec)
 	if err == nil {
-		h.history = append(h.history, rec)
+		h.history = append(h.history, slices.Clone(rec))
 	}
 	return seq, err
 }
@@ -249,7 +251,7 @@ func recoveredState(t *testing.T, cfg Config, shard int, rec *wal.Recovery) []by
 	sp.Seed += uint64(shard)
 	o, err := ringoram.Restore(cfg.Key, sp, rec.Full, rec.Deltas...)
 	must(t, err)
-	img, err := o.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	img, err := o.Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 	must(t, err)
 	return img
 }
@@ -431,7 +433,7 @@ func TestRecoveryEquivalenceLiveMetadata(t *testing.T) {
 						t.Fatalf("epoch %d: shard %d recovers to epoch %d with %d batches to replay; want the quiesced epoch %d and none",
 							e, i, rec.CommittedEpoch, len(rec.AbortedBatches), floor)
 					}
-					live, err := p.shards[i].exec.ORAM().Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+					live, err := p.shards[i].exec.ORAM().Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 					must(t, err)
 					if !bytes.Equal(recoveredState(t, cfg, i, rec), live) {
 						t.Fatalf("epoch %d: shard %d: metadata restored from a full checkpoint and %d deltas differs from the live ORAM's",

@@ -116,7 +116,7 @@ type Txn struct {
 	dependents []Timestamp
 
 	depsInline   [2]Timestamp
-	writesInline [2]string
+	writesInline [4]string // room for SmallBank's Amalgamate, which writes 3
 	dependInline [2]Timestamp
 }
 

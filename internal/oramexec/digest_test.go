@@ -157,7 +157,7 @@ func TestPlanDigestGolden(t *testing.T) {
 		last := e == digestEpochs-1
 		if last {
 			var err error
-			if snap, err = h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0); err != nil {
+			if snap, err = h.oram.Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 			committed = h.epoch - 1

@@ -287,7 +287,7 @@ func TestWriteThroughNamesResidentTree(t *testing.T) {
 	h.endEpoch(t)
 	// The write-through executor gets the tree's metadata without the
 	// resident executor's table, as a restart in that mode would.
-	img, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	img, err := h.oram.Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestExecutorRollbackDiscardsEpoch(t *testing.T) {
 	committed := map[string]string{"durable": "yes", "d2": "yes2", "d3": "yes3", "d4": "yes4"}
 	h.runWrites(t, committed, 0)
 	h.endEpoch(t)
-	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	snap, err := h.oram.Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,7 +633,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 		h.endEpoch(t)
 	}
 	committed := h.epoch - 1
-	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	snap, err := h.oram.Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

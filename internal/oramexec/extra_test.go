@@ -47,12 +47,12 @@ func TestOversizedValueRefusedBeforePlanning(t *testing.T) {
 	p := testParams(64, 9)
 	h := newHarness(t, p, Config{})
 	m := h.oram.Machine()
-	before, err := m.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	before, err := m.EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = h.exec.PlanWriteBatch([]WriteOp{{Key: "k", Value: make([]byte, p.ValueSize+1)}})
-	after, _ := m.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	after, _ := m.EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 	if accesses, _ := m.Counters(); err == nil || len(h.exec.writePlan.tasks) != 0 || accesses != 0 || !bytes.Equal(before, after) {
 		t.Fatalf("err=%v, %d steps planned, %d accesses counted, image unchanged %v", err, len(h.exec.writePlan.tasks), accesses, bytes.Equal(before, after))
 	}

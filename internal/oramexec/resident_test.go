@@ -118,11 +118,11 @@ func TestResidentWarmEqualsRecovered(t *testing.T) {
 		warm.endEpoch(t)
 		cold.endEpoch(t)
 
-		imgW, err := warm.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+		imgW, err := warm.oram.Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imgC, err := cold.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+		imgC, err := cold.oram.Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

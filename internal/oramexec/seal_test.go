@@ -409,7 +409,7 @@ func TestSlotNoncesNeverRepeat(t *testing.T) {
 		t.Fatal("the run planned no early reshuffle: the test would prove nothing")
 	}
 	committed := h.epoch - 1
-	snap, err := h.oram.Machine().EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0)
+	snap, err := h.oram.Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,9 +221,9 @@ func (tw *twin) sameBuckets(what string, images []BucketImage, handles []meta.Im
 func (tw *twin) checkpoint(full bool) {
 	t := tw.t
 	pad := meta.CheckpointPad{PosEntries: 40, StashEntries: tw.o.p.StashLimit}
-	a, err := tw.o.m.EncodeCheckpoint(full, pad, 3, 5)
+	a, err := tw.o.m.EncodeCheckpoint(nil, full, pad, 3, 5)
 	must(t, err)
-	b, err := tw.m.EncodeCheckpoint(full, pad, 3, 5)
+	b, err := tw.m.EncodeCheckpoint(nil, full, pad, 3, 5)
 	must(t, err)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("checkpoint images (full %v) differ:\nORAM    %x\nmachine %x", full, a, b)

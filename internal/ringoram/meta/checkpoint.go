@@ -222,13 +222,15 @@ func readBits(s bitset, b []byte, n int) {
 }
 
 // EncodeCheckpoint writes a full or delta image of the current metadata into
-// one freshly allocated buffer, with head bytes reserved in front of the
-// image and tail bytes behind it (the recovery log's framing and AEAD tag),
-// and returns the buffer; the plane supplies the stash's values. It does not
-// reset delta tracking; see ClearDirty. It fails while an access is in
-// flight (a pending stash entry has no value to log): checkpoints belong to
-// epoch boundaries.
-func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int) ([]byte, error) {
+// one buffer, with head bytes reserved in front of the image and tail bytes
+// behind it (the recovery log's framing and AEAD tag), and returns the
+// buffer; the plane supplies the stash's values. The buffer is dst's array
+// when it has the capacity, zeroed first (padding is left unwritten and must
+// read as zeros), and a new one otherwise; dst's contents are not read. It
+// does not reset delta tracking; see ClearDirty. It fails while an access is
+// in flight (a pending stash entry has no value to log): checkpoints belong
+// to epoch boundaries.
+func (m *Machine) EncodeCheckpoint(dst []byte, full bool, pad CheckpointPad, head, tail int) ([]byte, error) {
 	l := m.imageLayout()
 	if pad.ValueSize > m.p.ValueSize {
 		return nil, fmt.Errorf("ringoram: checkpoint pads stash values to %d bytes, ValueSize is %d", pad.ValueSize, m.p.ValueSize)
@@ -263,7 +265,13 @@ func (m *Machine) EncodeCheckpoint(full bool, pad CheckpointPad, head, tail int)
 	size := imageHeaderSize + nKeys*l.keyEntry(full) + nTouched*l.touchedEntry() +
 		nRewritten*l.rewrittenEntry(full) + nStash*l.stashHeader() + valueBytes
 
-	buf := make([]byte, head+size+tail)
+	buf := dst[:0]
+	if n := head + size + tail; cap(buf) < n {
+		buf = make([]byte, n)
+	} else {
+		buf = buf[:n]
+		clear(buf)
+	}
 	b := buf[head : head+size]
 	imageHeader{
 		full: full, keySize: l.keySize, z: l.z, slotsPer: l.slotsPer, numBuckets: l.numBuckets, numBlocks: l.numBlocks,
@@ -400,14 +408,14 @@ func (c *cursor) u64() uint64 { return binary.BigEndian.Uint64(c.take(8)) }
 // int reads a field of width w.
 func (c *cursor) int(w width) int { return w.get(c.take(int(w))) }
 
-// key reads a fixed-width key field.
-func (c *cursor) key(l imageLayout) (string, error) {
+// key reads a fixed-width key field, as a view of the image.
+func (c *cursor) key(l imageLayout) ([]byte, error) {
 	f := c.take(l.keyField())
 	n := l.keyLen.get(f)
 	if n > l.keySize {
-		return "", fmt.Errorf("ringoram: checkpoint image key length %d exceeds KeySize %d", n, l.keySize)
+		return nil, fmt.Errorf("ringoram: checkpoint image key length %d exceeds KeySize %d", n, l.keySize)
 	}
-	return string(f[l.keyLen:][:n]), nil
+	return f[l.keyLen:][:n], nil
 }
 
 // keyIndex reads a key-table index field: -1 (0 on the wire) names no key,
@@ -508,6 +516,9 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull, last bool) err
 		return fmt.Errorf("ringoram: full checkpoint image covers %d+%d buckets, tree has %d", nTouched, nRewritten, l.numBuckets)
 	}
 	keys, touched, rewritten := cursor(c.take(int(keysLen))), cursor(c.take(int(touchedLen))), cursor(c.take(int(rewrittenLen)))
+	if full {
+		m.keys.reserve(min(nKeys, m.p.NumBlocks))
+	}
 	m.accessCount, m.evictCount = h.accessCount, h.evictCount
 
 	for i := 0; i < nKeys; i++ {
@@ -520,18 +531,19 @@ func (m *Machine) applyImage(l imageLayout, img []byte, wantFull, last bool) err
 		if full {
 			bucket, pos = keys.int(l.bucket), keys.int(l.pos)
 		}
-		if key == "" {
+		if len(key) == 0 {
 			continue // padding
 		}
 		if leaf >= m.geo.Leaves {
 			return fmt.Errorf("ringoram: checkpoint leaf %d out of range", leaf)
 		}
-		ki, known := m.keys.lookup(key)
+		// Looked up by its bytes: only a new name is copied, into the table.
+		ki, known := m.keys.lookupBytes(key)
 		if !known {
 			if m.keys.len() >= m.p.NumBlocks {
 				return fmt.Errorf("ringoram: checkpoint holds more than NumBlocks=%d keys", m.p.NumBlocks)
 			}
-			if ki, err = m.keys.add(key); err != nil {
+			if ki, err = m.keys.addBytes(key); err != nil {
 				return err
 			}
 		} else if full {

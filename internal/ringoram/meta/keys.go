@@ -3,6 +3,7 @@ package meta
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"strings"
 )
 
@@ -67,16 +68,26 @@ func (t *keyTable) name(i int32) string {
 
 // lookup returns the row of key.
 func (t *keyTable) lookup(key string) (int32, bool) {
+	return find(t, maphash.String(t.seed, key), key)
+}
+
+// lookupBytes is lookup for a key held in bytes, which it does not copy.
+func (t *keyTable) lookupBytes(key []byte) (int32, bool) {
+	return find(t, maphash.Bytes(t.seed, key), key)
+}
+
+// find returns the row of key, whose hash is h.
+func find[K string | []byte](t *keyTable, h uint64, key K) (int32, bool) {
 	if len(t.index) == 0 {
 		return -1, false
 	}
 	mask := uint64(len(t.index) - 1)
-	for h := maphash.String(t.seed, key) & mask; ; h = (h + 1) & mask {
+	for h &= mask; ; h = (h + 1) & mask {
 		i := t.index[h] - 1
 		if i < 0 {
 			return -1, false
 		}
-		if t.name(i) == key {
+		if t.name(i) == string(key) {
 			return i, true
 		}
 	}
@@ -86,21 +97,44 @@ func (t *keyTable) lookup(key string) (int32, bool) {
 // no leaf and no location, and returns its index. It fails only when the
 // arena has no chunk left.
 func (t *keyTable) add(key string) (int32, error) {
+	if err := t.startRow(len(key)); err != nil {
+		return 0, err
+	}
+	t.cur.WriteString(key)
+	return t.endRow(), nil
+}
+
+// addBytes is add for a key held in bytes.
+func (t *keyTable) addBytes(key []byte) (int32, error) {
+	if err := t.startRow(len(key)); err != nil {
+		return 0, err
+	}
+	t.cur.Write(key)
+	return t.endRow(), nil
+}
+
+// startRow makes room in the arena for a name of n bytes and records where
+// it starts; the caller writes the name to cur and calls endRow.
+func (t *keyTable) startRow(n int) error {
 	// An offset must lie inside its chunk, an empty name's too.
-	if t.cur.Cap()-t.cur.Len() < max(len(key), 1) {
+	if t.cur.Cap()-t.cur.Len() < max(n, 1) {
 		if len(t.chunks) == 1<<(32-chunkBits) {
-			return 0, fmt.Errorf("%w: key names fill the key table's arena", ErrFull)
+			return fmt.Errorf("%w: key names fill the key table's arena", ErrFull)
 		}
-		size := max(min(2*t.cur.Cap(), maxChunk), minChunk, len(key))
+		size := max(min(2*t.cur.Cap(), maxChunk), minChunk, n)
 		t.cur.Reset()
 		t.cur.Grow(size)
 		t.chunks = append(t.chunks, "")
 	}
-	c := len(t.chunks) - 1
-	i := int32(len(t.off))
-	t.off = append(t.off, uint32(c)<<chunkBits|uint32(t.cur.Len()))
-	t.cur.WriteString(key)
-	t.chunks[c] = t.cur.String()
+	t.off = append(t.off, uint32(len(t.chunks)-1)<<chunkBits|uint32(t.cur.Len()))
+	return nil
+}
+
+// endRow completes the row startRow began once its name is written, and
+// returns its index.
+func (t *keyTable) endRow() int32 {
+	i := int32(len(t.off) - 1)
+	t.chunks[len(t.chunks)-1] = t.cur.String()
 	t.leaf = append(t.leaf, 0)
 	t.bucket = append(t.bucket, -1)
 	t.rpos = append(t.rpos, 0)
@@ -108,13 +142,36 @@ func (t *keyTable) add(key string) (int32, error) {
 		t.dirty = append(t.dirty, 0)
 	}
 	if 4*len(t.off) > 3*len(t.index) {
-		t.index = make([]int32, max(16, 2*len(t.index)))
-		for j := range i {
-			t.insert(j)
-		}
+		t.rehash(max(16, 2*len(t.index)), i)
 	}
 	t.insert(i)
-	return i, nil
+	return i
+}
+
+// reserve makes room for rows more rows: adding them grows no column and
+// rebuilds no index.
+func (t *keyTable) reserve(rows int) {
+	n := len(t.off) + rows
+	t.off = slices.Grow(t.off, rows)
+	t.leaf = slices.Grow(t.leaf, rows)
+	t.bucket = slices.Grow(t.bucket, rows)
+	t.rpos = slices.Grow(t.rpos, rows)
+	t.dirty = slices.Grow(t.dirty, (n+63)/64-len(t.dirty))
+	size := max(16, len(t.index))
+	for 4*n > 3*size {
+		size *= 2
+	}
+	if size > len(t.index) {
+		t.rehash(size, int32(len(t.off)))
+	}
+}
+
+// rehash files the first rows rows in a new index of size slots.
+func (t *keyTable) rehash(size int, rows int32) {
+	t.index = make([]int32, size)
+	for j := range rows {
+		t.insert(j)
+	}
 }
 
 // insert files row i in the index, which has a free slot.

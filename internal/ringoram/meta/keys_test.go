@@ -54,7 +54,7 @@ func TestStashKeysAreTableOwned(t *testing.T) {
 		}
 		complete(t, m, steps)
 		if i == 300 {
-			full, err = m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
+			full, err = m.EncodeCheckpoint(nil, true, CheckpointPad{}, 0, 0)
 			must(t, err)
 			m.ClearDirty()
 		}
@@ -63,7 +63,7 @@ func TestStashKeysAreTableOwned(t *testing.T) {
 		t.Fatalf("%d stash entries pooled, %d checks of a non-empty stash: the workload checks nothing", len(m.entryPool), stashed)
 	}
 	requireTableOwned(t, m, scratch)
-	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0)
+	delta, err := m.EncodeCheckpoint(nil, false, CheckpointPad{}, 0, 0)
 	must(t, err)
 	restored, err := Restore(p, values{}, full, delta)
 	must(t, err)

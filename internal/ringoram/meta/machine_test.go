@@ -221,7 +221,7 @@ func TestMachineInvariants(t *testing.T) {
 // maps and placements.
 func TestRestoreKeepsInvariants(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
-	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
+	full, err := m.EncodeCheckpoint(nil, true, CheckpointPad{}, 0, 0)
 	must(t, err)
 	m.ClearDirty()
 	for i := 0; i < 50; i++ {
@@ -229,7 +229,7 @@ func TestRestoreKeepsInvariants(t *testing.T) {
 		must(t, err)
 		complete(t, m, steps)
 	}
-	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0)
+	delta, err := m.EncodeCheckpoint(nil, false, CheckpointPad{}, 0, 0)
 	must(t, err)
 	restored, err := Restore(m.p, values{}, full, delta)
 	must(t, err)
@@ -249,7 +249,7 @@ func TestRestoreKeepsInvariants(t *testing.T) {
 // every bucket of the path and only then refuse.
 func TestRestoreRefusesKeyOffItsPath(t *testing.T) {
 	m := runWorkload(t, testParams(0), 5, 64, 400)
-	full, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
+	full, err := m.EncodeCheckpoint(nil, true, CheckpointPad{}, 0, 0)
 	must(t, err)
 	_, err = Restore(m.p, values{}, full)
 	must(t, err)
@@ -266,9 +266,9 @@ func TestRestoreRefusesKeyOffItsPath(t *testing.T) {
 		off++
 	}
 	m.remap(int32(ki), off)
-	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0)
+	delta, err := m.EncodeCheckpoint(nil, false, CheckpointPad{}, 0, 0)
 	must(t, err)
-	offFull, err := m.EncodeCheckpoint(true, CheckpointPad{}, 0, 0)
+	offFull, err := m.EncodeCheckpoint(nil, true, CheckpointPad{}, 0, 0)
 	must(t, err)
 	for name, images := range map[string][][]byte{"full": {offFull}, "full and delta": {full, delta}} {
 		if _, err := Restore(m.p, values{}, images[0], images[1:]...); err == nil || !strings.Contains(err.Error(), "off its leaf") {
@@ -357,7 +357,7 @@ func TestDeltaListsEachDirtyBucketOnce(t *testing.T) {
 		must(t, err)
 		complete(t, m, steps)
 	}
-	delta, err := m.EncodeCheckpoint(false, CheckpointPad{}, 0, 0)
+	delta, err := m.EncodeCheckpoint(nil, false, CheckpointPad{}, 0, 0)
 	must(t, err)
 	info, err := InspectImage(delta)
 	must(t, err)

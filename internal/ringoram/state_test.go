@@ -45,7 +45,7 @@ var stateKey = cryptoutil.KeyFromSeed([]byte("state"))
 // image takes a checkpoint image of o with no padding and no framing room.
 func image(t *testing.T, o *ORAM, full bool) []byte {
 	t.Helper()
-	img, err := o.m.EncodeCheckpoint(full, meta.CheckpointPad{}, 0, 0)
+	img, err := o.m.EncodeCheckpoint(nil, full, meta.CheckpointPad{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestSnapshotWithPendingFails(t *testing.T) {
 	}
 	if len(steps[0].Reads) > 0 {
 		// Mid-flight: a pending stash entry exists.
-		if _, err := seq.oram.m.EncodeCheckpoint(true, meta.CheckpointPad{}, 0, 0); err == nil {
+		if _, err := seq.oram.m.EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0); err == nil {
 			t.Fatal("snapshot with pending entries accepted")
 		}
 		// Finish the access to restore a clean state.
@@ -468,7 +468,7 @@ func TestRestoreMatchesLiveClient(t *testing.T) {
 			}
 		}
 		isFull := epoch%5 == 0
-		img, err := o.m.EncodeCheckpoint(isFull, pad, 3, 5)
+		img, err := o.m.EncodeCheckpoint(nil, isFull, pad, 3, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

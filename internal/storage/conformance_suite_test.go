@@ -40,6 +40,7 @@ func RunBackendConformance(t *testing.T, factory func(t *testing.T) Backend) {
 		{"commit-rollback-visibility", conformCommitRollback},
 		{"slot-count-per-version", func(t *testing.T, b Backend) { ConformSlotCountPerVersion(t, b, nil) }},
 		{"keeps-own-copy", func(t *testing.T, b Backend) { ConformKeepsOwnCopy(t, b, nil) }},
+		{"log-keeps-own-copy", func(t *testing.T, b Backend) { ConformLogKeepsOwnCopy(t, b, nil) }},
 		{"one-slot-length", conformOneSlotLength},
 		{"log-sequence", conformLogSequence},
 		{"log-truncate", conformLogTruncate},
@@ -401,6 +402,78 @@ func ConformKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) 
 	}
 	b = reopen(b)
 	check("epoch 2 committed")
+}
+
+// ConformLogKeepsOwnCopy holds a store to LogStore.Append's ownership rule: it
+// keeps its own copy of every record. Each record is written into one buffer,
+// the way the recovery log writes its records, and the buffer is scribbled
+// over once Append (or AppendNoSync, on a store that has it) returns; Scan
+// must read every record as it was appended, after a truncation, after
+// reopen (when given) and after a later append. The records range from one
+// byte to 40 KiB: a MemBackend carves the short ones out of a chunk and
+// copies the long ones whole.
+func ConformLogKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) {
+	if reopen == nil {
+		reopen = func(b Backend) Backend { return b }
+	}
+	var buf []byte
+	var want [][]byte // the records Scan(0) must return, in order
+	appendRecord := func(n int, deferred bool) {
+		t.Helper()
+		buf = buf[:0]
+		for i := range n {
+			buf = append(buf, byte('a'+(len(want)+i)%26))
+		}
+		want = append(want, bytes.Clone(buf))
+		var err error
+		if lb, ok := b.(LogBatcher); ok && deferred {
+			_, err = lb.AppendNoSync(buf)
+		} else {
+			_, err = b.Append(buf)
+		}
+		if err != nil {
+			t.Fatalf("appending record %d: %v", len(want), err)
+		}
+		for i := range buf {
+			buf[i] = 0xee
+		}
+	}
+	sync := func() {
+		t.Helper()
+		if lb, ok := b.(LogBatcher); ok {
+			if err := lb.SyncLog(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		recs, err := b.Scan(0)
+		if err != nil || len(recs) != len(want) {
+			t.Fatalf("%s: Scan returned %d records (%v), want %d", when, len(recs), err, len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(recs[i], want[i]) {
+				t.Fatalf("%s: record %d reads %d bytes %.16q..., want %d bytes %.16q...: the store kept the caller's bytes", when, i, len(recs[i]), recs[i], len(want[i]), want[i])
+			}
+		}
+	}
+	for i, n := range []int{9, 300, 4 << 10, 40 << 10, 1, 20 << 10, 600} {
+		appendRecord(n, i%2 == 1)
+	}
+	sync()
+	check("appended")
+	if err := b.Truncate(3); err != nil {
+		t.Fatal(err)
+	}
+	want = want[2:]
+	check("truncated")
+	b = reopen(b)
+	check("reopened")
+	appendRecord(700, true)
+	appendRecord(70, false)
+	sync()
+	check("appended after the truncation")
 }
 
 // conformOneSlotLength holds a store to the one-slot-length rule: a version's

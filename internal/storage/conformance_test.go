@@ -267,13 +267,24 @@ func TestBackendConformanceRemoteDisk(t *testing.T) {
 // written bytes from its log, as it does before one, under either
 // DiskOptions.LogHeap value.
 func TestKeepsOwnCopySurvivesReopen(t *testing.T) {
+	acrossReopen(t, ConformKeepsOwnCopy)
+}
+
+// So does its log: the appended records read back from disk after a reopen.
+func TestLogKeepsOwnCopySurvivesReopen(t *testing.T) {
+	acrossReopen(t, ConformLogKeepsOwnCopy)
+}
+
+// acrossReopen runs a conformance case whose reopen closes and reopens the
+// store, on a lone disk store and on a logheap group.
+func acrossReopen(t *testing.T, conform func(*testing.T, Backend, func(Backend) Backend)) {
 	t.Run("disk", func(t *testing.T) {
 		dir := t.TempDir()
 		b, err := openLoneDisk(dir, ConformanceMinBuckets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ConformKeepsOwnCopy(t, b, func(old Backend) Backend {
+		conform(t, b, func(old Backend) Backend {
 			if err := old.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +305,7 @@ func TestKeepsOwnCopySurvivesReopen(t *testing.T) {
 			return g
 		}
 		g := open()
-		ConformKeepsOwnCopy(t, g.Backends()[0], func(Backend) Backend {
+		conform(t, g.Backends()[0], func(Backend) Backend {
 			if err := g.Close(); err != nil {
 				t.Fatal(err)
 			}

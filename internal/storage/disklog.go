@@ -71,7 +71,7 @@ type diskLog struct {
 	retain func() uint64
 	// kick, when set, starts the group's maintenance (see truncateStream).
 	kick  func()
-	frame []byte  // appendStream's framing buffer, reused by every append
+	frame []byte  // appendStream's framing buffer, reused by every append up to frameKeep
 	wave  []vfile // the segments a wave syncs; only its leader touches it
 }
 
@@ -482,6 +482,11 @@ type logAppendRes struct {
 	off     int64
 }
 
+// frameKeep bounds the framing buffer kept between appends: a longer record
+// (a full checkpoint, sized by the key count) is framed in a buffer dropped
+// once it is written, so no copy of it stays on the heap.
+const frameKeep = 64 << 10
+
 // appendStream writes record to WAL stream id and extends the stream's
 // entry under the same hold of mu (stream order == physical order, which
 // torn-tail recovery leans on), returning the stream and physical sequence
@@ -494,6 +499,9 @@ func (l *diskLog) appendStream(id uint32, record []byte) (seq, phys uint64, err 
 	l.frame = append(binary.BigEndian.AppendUint32(beginRecord(l.frame[:0]), id), record...)
 	sealRecord(l.frame)
 	res, err := l.appendFramedLocked(l.frame)
+	if cap(l.frame) > frameKeep {
+		l.frame = nil
+	}
 	if err != nil {
 		return 0, 0, err
 	}
@@ -547,7 +555,8 @@ func (l *diskLog) appendFramedLocked(framed []byte) (logAppendRes, error) {
 // activeSegmentLocked returns the tail segment, rolling to a fresh file once
 // the current one exceeds segMaxBytes.
 func (l *diskLog) activeSegmentLocked() (*segment, error) {
-	if n := len(l.segs); n > 0 && l.segs[n-1].size < l.segMaxBytes {
+	n := len(l.segs)
+	if n > 0 && l.segs[n-1].size < l.segMaxBytes {
 		return l.segs[n-1], nil
 	}
 	base := l.lastSeq.Load() + 1
@@ -574,6 +583,12 @@ func (l *diskLog) activeSegmentLocked() (*segment, error) {
 		return nil, l.wedge(err)
 	}
 	seg := &segment{f: f, name: name, base: base, size: fileHeaderSize}
+	// The record index is sized once, for as many records as the segment
+	// before it took: a steady log fills its segments alike.
+	if n > 0 {
+		records := len(l.segs[n-1].offs)
+		seg.offs, seg.lens = make([]int64, 0, records), make([]int32, 0, records)
+	}
 	if err := seg.mapTo(l.segMaxBytes); err != nil {
 		f.Close()
 		return nil, l.wedge(err)

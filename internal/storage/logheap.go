@@ -62,10 +62,8 @@ type LogHeap struct {
 	lastPhys  uint64 // physical seq of this stream's newest record
 	commitSeg uint64 // segment base of its newest commit record (0: none)
 	frame     []byte // framing buffer: one stream record at a time
-	// results is what reads copy their slots into; reads run concurrently
-	// under mu's read lock, so it has a lock of its own.
-	resultsMu sync.Mutex
-	results   slabs
+	// results is what reads copy their slots into.
+	results resultSlabs
 
 	// gcMu serializes segment evacuations, whose buffers it guards: a
 	// maintenance pass reuses them rather than allocating per pass.
@@ -236,11 +234,7 @@ func (lh *LogHeap) runlock() {
 }
 
 // take and readAt implement versionFile over the log, under rlock.
-func (lh *LogHeap) take(n int) []byte {
-	lh.resultsMu.Lock()
-	defer lh.resultsMu.Unlock()
-	return lh.results.take(n)
-}
+func (lh *LogHeap) take(n int) []byte { return lh.results.take(n) }
 
 func (lh *LogHeap) readAt(dst []byte, seg uint64, off int64) error {
 	return lh.log.readAtLocked(dst, seg, off)

@@ -108,7 +108,7 @@ func checkReadBack(t *testing.T, g *DiskGroup, lh *LogHeap, model map[int][][]by
 		t.Fatal(err)
 	}
 	d := decoder{buf: enc}
-	encoded := d.fields()
+	encoded := d.fields(new(resultSlabs))
 	if d.err != nil || len(d.buf) != 0 || len(encoded) != len(refs) {
 		t.Fatalf("encodeSlots: %d fields, %d bytes left, %v", len(encoded), len(d.buf), d.err)
 	}
@@ -472,7 +472,7 @@ func TestLogHeapMappedReadsRaceSegmentDrops(t *testing.T) {
 				}
 				if err == nil {
 					d := decoder{buf: enc}
-					err = whole("encodeSlots", d.fields())
+					err = whole("encodeSlots", d.fields(new(resultSlabs)))
 				}
 				if err != nil {
 					errs <- err

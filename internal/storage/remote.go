@@ -289,9 +289,9 @@ func mutatingOp(op wireOp) bool {
 }
 
 // handle executes one request. The payload may alias a pooled frame: bucket
-// writes reach the backend as views of it (a store copies what it keeps), log
-// records as copies (copyBytes), so the caller may release the frame as soon
-// as handle returns. A slot-read reply is encoded through encodeSlotsFrom,
+// writes and log records reach the backend as views of it (a store copies
+// what it keeps), so the caller may release the frame as soon as handle
+// returns. A slot-read reply is encoded through encodeSlotsFrom,
 // under the store's read lock when it has one; a bucket read is a copy
 // (ReadBucket). Vectors decode into the worker's
 // scratch hs, and the response is appended to out[:0].
@@ -384,7 +384,7 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 		}
 		enc.u32(uint32(n))
 	case wireLogAppend:
-		rec := d.copyBytes()
+		rec := d.view()
 		if d.err != nil {
 			return fail(d.err)
 		}
@@ -434,7 +434,14 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 type Client struct {
 	wc     *wire.Client
 	nextID atomic.Uint64
+	// replies is what read replies' fields are copied into.
+	replies resultSlabs
 }
+
+// replyChunk is the largest chunk a Client carves read replies from: two of
+// the benchmark's 28 KB slot-read replies, where a 256 KiB chunk held whole
+// put about a quarter megabyte on the heap of a process with a client.
+const replyChunk = 64 << 10
 
 var _ Backend = (*Client)(nil)
 
@@ -464,7 +471,7 @@ func dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: dial %s: %w", addr, err)
 	}
-	return &Client{wc: wire.NewClient(conn, maxFrame, &bufs)}, nil
+	return &Client{wc: wire.NewClient(conn, maxFrame, &bufs), replies: resultSlabs{s: slabs{max: replyChunk}}}, nil
 }
 
 // call sends one request, pre‖payload, and waits for its reply. pre (a few
@@ -579,8 +586,8 @@ func (c *Client) readSlotsFrame(refs []SlotRef) ([][]byte, error) {
 }
 
 // callForFields performs an op whose reply is a vector of byte fields (slots,
-// log records), copied out of the pooled reply frame into one arena: two
-// allocations per call instead of one per field.
+// log records), copied out of the pooled reply frame into one arena carved
+// from the client's reply slabs: the vector is the call's one allocation.
 func (c *Client) callForFields(op wireOp, payload []byte) ([][]byte, error) {
 	resp, err := c.call(op, nil, payload)
 	if err != nil {
@@ -588,7 +595,7 @@ func (c *Client) callForFields(op wireOp, payload []byte) ([][]byte, error) {
 	}
 	defer wire.Put(resp)
 	d := decoder{buf: resp.Payload()}
-	out := d.fields()
+	out := d.fields(&c.replies)
 	if d.err != nil {
 		return nil, fmt.Errorf("storage: bad response to op %d: %w", op, d.err)
 	}
@@ -781,17 +788,6 @@ func (d *decoder) onlyU64() (uint64, error) {
 	return v, d.err
 }
 
-func (d *decoder) copyBytes() []byte {
-	n := int(d.u32())
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
 // view reads a length-prefixed byte field without copying; the result
 // aliases the decoder's buffer (a pooled frame — dead once it releases).
 func (d *decoder) view() []byte {
@@ -825,9 +821,9 @@ func (d *decoder) views(dst [][]byte) [][]byte {
 
 // fields decodes a count and that many length-prefixed fields (a read reply's
 // slots or log records) into one arena the caller may keep: a size pass over
-// the prefixes bounded by the payload, one exactly-sized allocation,
-// capacity-clipped subslices.
-func (d *decoder) fields() [][]byte {
+// the prefixes bounded by the payload, one exactly-sized slab taken from
+// arenas, capacity-clipped subslices.
+func (d *decoder) fields(arenas *resultSlabs) [][]byte {
 	n := d.count(4)
 	size := decoder{buf: d.buf}
 	total := 0
@@ -840,7 +836,7 @@ func (d *decoder) fields() [][]byte {
 	if d.err != nil {
 		return nil
 	}
-	arena := make([]byte, 0, total)
+	arena := arenas.take(total)[:0]
 	out := make([][]byte, n)
 	for i := range out {
 		at := len(arena)

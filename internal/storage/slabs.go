@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // This file holds how the stores lay out a bucket version's bytes: its slots
 // back to back, addressed through the version's slotLayout, in one
@@ -70,13 +73,18 @@ const (
 // next write of that length. A store writes about as many bytes as it
 // retires, so once warm it allocates nothing; the slabs are never given back,
 // and the free list holds at most the bytes of the versions retired since the
-// last write. Guarded by the owning store's write lock. A LogHeap carves its
-// read results from slabs it never takes back (LogHeap.take): the GC frees a
-// chunk once no result points into it.
+// last write. Guarded by the owning store's write lock. Reads carve their
+// results from slabs they never take back (resultSlabs), and a MemBackend
+// its log records.
 type slabs struct {
 	chunk []byte
 	next  int // size of the next chunk
-	free  map[int][][]byte
+	// max is the largest chunk, slabChunkMax when zero. The newest chunk is
+	// held whole for as long as its unused end is, so slabs that take
+	// nothing back and hand out slabs nobody keeps for long (read replies,
+	// log records) keep theirs small.
+	max  int
+	free map[int][][]byte
 }
 
 // take returns a slab of exactly n bytes (len == cap), non-nil even when n is
@@ -90,11 +98,15 @@ func (s *slabs) take(n int) []byte {
 		s.free[n] = f[:len(f)-1]
 		return b
 	}
-	if n > slabChunkMax {
+	limit := s.max
+	if limit == 0 {
+		limit = slabChunkMax
+	}
+	if n > limit {
 		return make([]byte, n)
 	}
 	if len(s.chunk) < n {
-		s.next = min(max(2*s.next, slabChunkMin), slabChunkMax)
+		s.next = min(max(2*s.next, slabChunkMin), limit)
 		s.chunk = make([]byte, max(s.next, n))
 	}
 	b := s.chunk[:n:n]
@@ -123,6 +135,22 @@ func (s *slabs) put(b []byte) {
 		s.free = make(map[int][][]byte)
 	}
 	s.free[len(b)] = append(s.free[len(b)], b)
+}
+
+// resultSlabs carves the bytes a read hands its caller (a LogHeap's slots, a
+// remote client's replies) out of slabs it never takes back: the garbage
+// collector frees a chunk once no result points into it. Reads run
+// concurrently, so it has a lock of its own.
+type resultSlabs struct {
+	mu sync.Mutex
+	s  slabs
+}
+
+// take returns n bytes of a fresh slab, as slabs.take.
+func (r *resultSlabs) take(n int) []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.s.take(n)
 }
 
 // readEncoder is the slot-read side of the stores and of the wrappers that

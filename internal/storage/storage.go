@@ -144,6 +144,10 @@ type KVStore interface {
 // LogStore is the recovery unit: an append-only, durable record log.
 // Sequence numbers start at 1 and increase by one per Append.
 type LogStore interface {
+	// Append adds record to the log. The store keeps its own copy: once
+	// Append returns, the caller may write record's bytes again (the
+	// recovery log reuses one buffer for every record of a kind), and what
+	// Scan returns is unchanged by it.
 	Append(record []byte) (seq uint64, err error)
 	// Scan returns all records with sequence number >= from, in order.
 	Scan(from uint64) ([][]byte, error)
@@ -174,6 +178,7 @@ type Backend interface {
 // Stores without this capability simply keep Append's inline durability;
 // callers probe with a type assertion and fall back.
 type LogBatcher interface {
+	// AppendNoSync keeps its own copy of record, as Append does.
 	AppendNoSync(record []byte) (seq uint64, err error)
 	SyncLog() error
 }

@@ -41,7 +41,12 @@
 // Both payload formats are ringoram/meta's, and both are written straight from
 // the machine's planned steps and live metadata into the record buffer
 // (meta.BatchLog, meta.Machine.EncodeCheckpoint): there is no intermediate
-// representation, no reflection, and one allocation per record. A record
+// representation and no reflection. Batch records and delta checkpoints are
+// encoded into two buffers the log keeps and reuses, one each because batch
+// records are appended on the schedule goroutine and checkpoints on the
+// committer: a store copies what it keeps (storage.LogStore), so a buffer is
+// free again once its append returns. A full checkpoint, sized by the key
+// count, gets a buffer of its own that nothing keeps after its append. A record
 // whose version byte is not formatVersion — version 0 is the retired gob
 // encoding, version 1 committed epochs with a record of their own, version 2
 // spelled out every key of a checkpoint and gave its integers fixed widths,
@@ -130,9 +135,15 @@ type Log struct {
 	untilFull int
 	// bind holds each record kind's AEAD binding, built once.
 	bind [kindCheckpointCommitting + 1][]byte
-	// The two sealers' own nonce blocks, never shared: batch records are
-	// sealed on the schedule goroutine, checkpoints on the committer.
+	// The two sealers' own nonce blocks and record buffers, never shared:
+	// batch records are encoded and sealed on the schedule goroutine,
+	// checkpoints on the committer. deltaRec is the newest delta
+	// checkpoint's buffer, which the next delta reuses.
 	batchNonces, checkpointNonces cryptoutil.Nonces
+	batchRec, deltaRec            []byte
+	// pending is the one checkpoint prepared and not yet appended: the
+	// boundary keeps at most one in flight.
+	pending PendingCheckpoint
 
 	// mu guards the lifecycle bookkeeping below. Batch appends run on the
 	// schedule goroutine, checkpoint appends and Retire on the committer.
@@ -195,12 +206,19 @@ func New(store storage.LogStore, cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// newRecord allocates the one buffer a record of the given kind and plaintext
-// length will ever occupy, and returns it with its plaintext region.
-func newRecord(kind byte, plainLen int) (rec, plain []byte) {
-	rec = make([]byte, recordHead+plainLen+recordTail)
+// newRecord lays a record of the given kind and plaintext length out in buf's
+// array, growing it only when it is too short, and returns the record with
+// its plaintext region, zeroed: the encoders leave padding unwritten.
+func newRecord(buf []byte, kind byte, plainLen int) (rec, plain []byte) {
+	n := recordHead + plainLen + recordTail
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	rec = buf[:n]
 	rec[0] = kind
-	return rec, rec[recordHead : recordHead+plainLen]
+	plain = rec[recordHead : recordHead+plainLen]
+	clear(plain)
+	return rec, plain
 }
 
 // putHeader writes the part every kind's fixed header starts with: the format
@@ -254,7 +272,8 @@ func (l *Log) open(rec []byte, headerSize int) ([]byte, error) {
 // a batch record that reaches the store ahead of a checkpoint is then always
 // noted before a Retire standing on that checkpoint can read the marks.
 func (l *Log) AppendBatch(epoch uint64, batch int, log meta.BatchLog) error {
-	rec, plain := newRecord(kindBatch, batchHeaderSize+log.EncodedSize())
+	rec, plain := newRecord(l.batchRec, kindBatch, batchHeaderSize+log.EncodedSize())
+	l.batchRec = rec
 	putHeader(plain, epoch)
 	binary.BigEndian.PutUint32(plain[9:], uint32(batch))
 	if err := log.Encode(plain[batchHeaderSize:]); err != nil {
@@ -306,7 +325,8 @@ func (l *Log) appendStore(rec []byte) (uint64, error) {
 // been deferred. The pipelined epoch boundary snapshots at seal time (the
 // metadata must be captured before the next epoch mutates it) and appends
 // from the background committer, taking the expensive durable write off the
-// batch schedule's hot path.
+// batch schedule's hot path. A Log owns one: each PrepareCheckpoint refills
+// it, so a caller holds it only until its AppendPrepared.
 type PendingCheckpoint struct {
 	epoch uint64
 	full  bool
@@ -321,22 +341,31 @@ func (c *PendingCheckpoint) Epoch() uint64 { return c.epoch }
 // PrepareCheckpoint snapshots the epoch-end metadata without appending it:
 // one pass over the machine's live metadata, with the stash's values from
 // its byte plane, encodes the checkpoint image directly into the record
-// buffer. It decides full-vs-delta per the public cadence, pads the image to
+// buffer — the log's delta buffer for a delta, a buffer of its own for a full
+// image. It decides full-vs-delta per the public cadence, pads the image to
 // Public.CheckpointPad so its size is workload independent, and resets the
 // machine's dirty tracking (the snapshot owns those changes now; if the later
 // append fails the proxy fail-stops, so no subsequent checkpoint can miss
 // them). On the coordinator's log the record is a committing checkpoint:
 // appending it commits the epoch; AppendPrepared appends it, and the next
-// Sync makes it durable.
+// Sync makes it durable. The returned checkpoint is the log's own, valid
+// until the next PrepareCheckpoint.
 func (l *Log) PrepareCheckpoint(epoch uint64, m *meta.Machine) (*PendingCheckpoint, error) {
 	pub := l.cfg.Public
 	if pub == nil {
 		return nil, errors.New("wal: checkpoint on a log built without public parameters")
 	}
 	full := l.untilFull == 0
-	rec, err := m.EncodeCheckpoint(full, pub.CheckpointPad(), recordHead+checkpointHeaderSize, recordTail)
+	var dst []byte
+	if !full {
+		dst = l.deltaRec
+	}
+	rec, err := m.EncodeCheckpoint(dst, full, pub.CheckpointPad(), recordHead+checkpointHeaderSize, recordTail)
 	if err != nil {
 		return nil, err
+	}
+	if !full {
+		l.deltaRec = rec
 	}
 	m.ClearDirty()
 	rec[0] = l.checkpointKind()
@@ -349,7 +378,8 @@ func (l *Log) PrepareCheckpoint(epoch uint64, m *meta.Machine) (*PendingCheckpoi
 	} else {
 		l.untilFull--
 	}
-	return &PendingCheckpoint{epoch: epoch, full: full, rec: rec}, nil
+	l.pending = PendingCheckpoint{epoch: epoch, full: full, rec: rec}
+	return &l.pending, nil
 }
 
 // checkpointKind is the kind of checkpoint this log writes: committing on the
@@ -368,21 +398,26 @@ func (l *Log) checkpointKind() byte {
 // committing checkpoint may be written, the coordinator's before the epoch
 // counts as committed — that Sync's return is the epoch's commit point). On a
 // log stream shared with the records that depend on it, record order carries
-// the same guarantee and one Sync covers them all.
+// the same guarantee and one Sync covers them all. A log appends only the
+// checkpoint it prepared itself, once: so only the coordinator's log writes a
+// committing checkpoint.
 func (l *Log) AppendPrepared(cp *PendingCheckpoint) (bool, error) {
-	if cp.rec[0] != l.checkpointKind() {
-		return false, fmt.Errorf("wal: shard %d's log cannot write a checkpoint of kind %d (only the coordinator commits)", l.cfg.Shard, cp.rec[0])
+	if cp != &l.pending || cp.rec == nil {
+		return false, fmt.Errorf("wal: shard %d's log did not prepare this checkpoint, or appended it already", l.cfg.Shard)
 	}
 	if err := l.seal(cp.rec, &l.checkpointNonces); err != nil {
 		return false, err
 	}
 	seq, err := l.appendStore(cp.rec)
+	size := uint64(len(cp.rec))
+	// The store has its own copy now: a full image is let go, not pinned
+	// until the next checkpoint.
+	cp.rec = nil
 	if err != nil {
 		return false, err
 	}
 	l.mu.Lock()
 	l.noteAppendLocked(seq)
-	size := uint64(len(cp.rec))
 	l.checkpointBytes += size
 	if cp.full {
 		l.full = logMark{epoch: cp.epoch, seq: seq}

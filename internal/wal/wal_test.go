@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"go/parser"
@@ -492,5 +493,58 @@ func TestCheckpointsFromMetaAlone(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no non-test file parsed")
+	}
+}
+
+// TestLogOwnsItsCheckpoints: a log appends only the checkpoint it prepared,
+// and once; it keeps no full image past its append; and its delta
+// checkpoints are encoded into one buffer, the next reusing the last's.
+func TestLogOwnsItsCheckpoints(t *testing.T) {
+	o, backend := testORAM(t)
+	exec := oramexec.New(o, backend, oramexec.Config{})
+	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{r: 1, bread: 4, bwrite: 4, cadence: 4})})
+	other := newLog(t, backend, Config{Public: publicOf(t, o, schedule{r: 1, bread: 4, bwrite: 4, cadence: 4})})
+	seed(t, o, backend, exec, 1, 3)
+	cp, err := l.PrepareCheckpoint(1, o.Machine())
+	if err != nil || !cp.full {
+		t.Fatalf("first checkpoint: %v, full %v", err, err == nil && cp.full)
+	}
+	if _, err := other.AppendPrepared(cp); err == nil {
+		t.Fatal("a log appended a checkpoint another log prepared")
+	}
+	if _, err := l.AppendPrepared(cp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendPrepared(cp); err == nil {
+		t.Fatal("a checkpoint was appended twice")
+	}
+	if cp.rec != nil || l.deltaRec != nil {
+		t.Fatal("the log keeps the full image after its append")
+	}
+	var deltas []*byte
+	for epoch := uint64(2); epoch <= 4; epoch++ {
+		seed(t, o, backend, exec, epoch, 3)
+		if cp, err = l.PrepareCheckpoint(epoch, o.Machine()); err != nil || cp.full {
+			t.Fatalf("epoch %d: %v, full %v", epoch, err, err == nil && cp.full)
+		}
+		deltas = append(deltas, &cp.rec[0])
+		if _, err := l.AppendPrepared(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if deltas[0] != deltas[1] || deltas[1] != deltas[2] {
+		t.Fatal("each delta checkpoint was encoded into a buffer of its own")
+	}
+	rec, err := l.Recover()
+	if err != nil || len(rec.Deltas) != 3 {
+		t.Fatalf("recovering the log: %v", err)
+	}
+	want, err := o.Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restoreRecovery(t, o, rec).Machine().EncodeCheckpoint(nil, true, meta.CheckpointPad{}, 0, 0)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the recovered metadata differs from the live one (%v)", err)
 	}
 }
