@@ -213,27 +213,27 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	named := make(map[storage.SlotRef]bool)
+	named := make(map[slotAt]bool)
 	geo := oram.Machine().Params().Geometry()
 	for _, batch := range logged.AbortedBatches {
 		for _, le := range batch {
 			switch le.Kind {
 			case meta.AccessStep:
 				for i, b := range geo.Path(le.Leaf) {
-					named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
+					named[slotAt{Bucket: b, Slot: le.Slots[i]}] = true
 				}
 			case meta.EvictStep:
 				// The evict path is a function of the eviction counter.
 				leaf := int(bits.Reverse(uint(evictCount)%uint(geo.Leaves)) >> (bits.UintSize - geo.Levels))
 				for i, b := range geo.Path(leaf) {
 					for _, s := range le.BucketSlots[i] {
-						named[storage.SlotRef{Bucket: b, Slot: s}] = true
+						named[slotAt{Bucket: b, Slot: s}] = true
 					}
 				}
 				evictCount++
 			case meta.ReshuffleStep:
 				for _, s := range le.BucketSlots[0] {
-					named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
+					named[slotAt{Bucket: le.Bucket, Slot: s}] = true
 				}
 			}
 		}
@@ -249,7 +249,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 	replay := slotReads(rec.Events())
 	for b := 0; b < nRes; b++ { // the load; nothing else names these buckets
 		for r := 0; r < cfg.Params.Z; r++ {
-			ref := storage.SlotRef{Bucket: b, Slot: r}
+			ref := slotAt{Bucket: b, Slot: r}
 			if replay[ref] != 1 {
 				t.Fatalf("recovery read bucket %d slot %d of the resident levels %d times, the load reads it once", b, r, replay[ref])
 			}
@@ -360,7 +360,7 @@ func TestRecoveryLoadsResidentTop(t *testing.T) {
 					t.Fatalf("recovery read %d slots: no replay followed the load", len(reads))
 				}
 				for i, ref := range reads[:nRes*z] {
-					if ref != (storage.SlotRef{Bucket: i / z, Slot: i % z}) {
+					if ref != (slotAt{Bucket: i / z, Slot: i % z}) {
 						t.Fatalf("read %d of the recovery is bucket %d slot %d, the load reads bucket %d slot %d there", i, ref.Bucket, ref.Slot, i/z, i%z)
 					}
 				}
@@ -448,23 +448,27 @@ func waitQueued(t *testing.T, p *Proxy, n int) {
 	t.Fatal("fetches never queued")
 }
 
+// slotAt names one slot of a bucket: a map key, as a storage.SlotRef,
+// which carries a destination, cannot be.
+type slotAt struct{ Bucket, Slot int }
+
 // slotReads counts the slot reads of a recorded trace.
-func slotReads(evs []storage.Event) map[storage.SlotRef]int {
-	out := make(map[storage.SlotRef]int)
+func slotReads(evs []storage.Event) map[slotAt]int {
+	out := make(map[slotAt]int)
 	for _, ev := range evs {
 		if ev.Op == storage.OpReadSlot {
-			out[storage.SlotRef{Bucket: ev.Bucket, Slot: ev.Slot}]++
+			out[slotAt{Bucket: ev.Bucket, Slot: ev.Slot}]++
 		}
 	}
 	return out
 }
 
 // slotReadOrder lists the slot reads of a recorded trace in order.
-func slotReadOrder(evs []storage.Event) []storage.SlotRef {
-	var refs []storage.SlotRef
+func slotReadOrder(evs []storage.Event) []slotAt {
+	var refs []slotAt
 	for _, ev := range evs {
 		if ev.Op == storage.OpReadSlot {
-			refs = append(refs, storage.SlotRef{Bucket: ev.Bucket, Slot: ev.Slot})
+			refs = append(refs, slotAt{Bucket: ev.Bucket, Slot: ev.Slot})
 		}
 	}
 	return refs

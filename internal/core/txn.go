@@ -103,10 +103,19 @@ func (t *Txn) mapWriteErr(err error) error {
 		return fmt.Errorf("%w: %v", ErrEpochFull, err)
 	}
 	if errors.Is(err, mvtso.ErrAborted) {
-		return fmt.Errorf("%w: %v", ErrAborted, err)
+		return &abortedError{err}
 	}
 	return err
 }
+
+// abortedError is a CCU abort in the proxy's error space: it matches
+// ErrAborted, not the CCU's error, and is formatted only when Error is
+// called.
+type abortedError struct{ cause error }
+
+func (e *abortedError) Error() string { return ErrAborted.Error() + ": " + e.cause.Error() }
+
+func (e *abortedError) Is(target error) bool { return target == ErrAborted }
 
 // Commit requests commit and blocks until the epoch decides the
 // transaction's fate. nil means durably committed. If the transaction's

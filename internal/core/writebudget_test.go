@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"obladi/internal/mvtso"
 	"obladi/internal/storage"
 )
 
@@ -94,5 +95,19 @@ func TestWriteOverBudgetAbortsWholeTxn(t *testing.T) {
 	// The refusal aborted the whole transaction: nothing half-commits.
 	if err := p.Advance(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteConflictMapsToErrAborted: a write's conflict abort reaches the
+// client as the proxy's ErrAborted, not the CCU's, and reads as the CCU's
+// error behind the proxy's.
+func TestWriteConflictMapsToErrAborted(t *testing.T) {
+	cause := &mvtso.ConflictError{Key: "k", Reader: 7, Writer: 3}
+	err := (&Txn{}).mapWriteErr(cause)
+	if !errors.Is(err, ErrAborted) || errors.Is(err, mvtso.ErrAborted) {
+		t.Fatalf("a conflict abort maps to %v: want a match for ErrAborted and none for mvtso.ErrAborted", err)
+	}
+	if want := fmt.Sprintf("%v: %v", ErrAborted, cause); err.Error() != want {
+		t.Fatalf("a conflict abort reads %q, want %q", err, want)
 	}
 }

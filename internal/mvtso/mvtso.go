@@ -79,6 +79,26 @@ var (
 	ErrWriteBatchFull = errors.New("mvtso: epoch write batch full")
 )
 
+// ConflictError is the timestamp-ordering abort of a write: a transaction
+// with a higher timestamp, Reader, already read the version the write by
+// Writer would supersede — Writer's own, for a Rewrite, or its predecessor.
+// It matches ErrAborted and is formatted only when Error is called.
+type ConflictError struct {
+	Key            string
+	Reader, Writer Timestamp
+	Rewrite        bool
+}
+
+func (e *ConflictError) Error() string {
+	if e.Rewrite {
+		return fmt.Sprintf("%v: key %q version read by txn %d before txn %d's rewrite", ErrAborted, e.Key, e.Reader, e.Writer)
+	}
+	return fmt.Sprintf("%v: key %q read by txn %d after txn %d's visible version", ErrAborted, e.Key, e.Reader, e.Writer)
+}
+
+// Unwrap makes the conflict match ErrAborted.
+func (e *ConflictError) Unwrap() error { return ErrAborted }
+
 // version is one entry in a key's version chain.
 type version struct {
 	writer     Timestamp // 0 = base version fetched from the ORAM
@@ -349,7 +369,7 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 		if rm := c.versions[idx].readMarker; rm > t.ts {
 			m.statConflictAborts++
 			m.abortLocked(t, "self-rewrite after dependent read")
-			return fmt.Errorf("%w: key %q version read by txn %d before txn %d's rewrite", ErrAborted, key, rm, t.ts)
+			return &ConflictError{Key: key, Reader: rm, Writer: t.ts, Rewrite: true}
 		}
 		c.versions[idx].value = value
 		c.versions[idx].tombstone = tombstone
@@ -363,7 +383,7 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 			// would invalidate that read. Timestamp-ordering abort.
 			m.statConflictAborts++
 			m.abortLocked(t, "write-write/read conflict")
-			return fmt.Errorf("%w: key %q read by txn %d after txn %d's visible version", ErrAborted, key, pred.readMarker, t.ts)
+			return &ConflictError{Key: key, Reader: pred.readMarker, Writer: t.ts}
 		}
 	}
 	c.versions = slices.Insert(c.versions, idx, version{writer: t.ts, value: value, tombstone: tombstone})

@@ -117,6 +117,44 @@ func TestReadMarkerAbortsLateWriter(t *testing.T) {
 	}
 }
 
+// TestConflictErrorText: a write's conflict abort is a *ConflictError that
+// matches ErrAborted and reads as the abort always has, for a write over a
+// predecessor a later transaction read and for a rewrite of a version one
+// read.
+func TestConflictErrorText(t *testing.T) {
+	m := NewManager()
+	installAll(m, map[string]string{"d": "d0"})
+	t2, t3 := m.Begin(), m.Begin()
+	if _, _, err := t3.Read("d"); err != nil {
+		t.Fatal(err)
+	}
+	late := t2.Write("d", []byte("d2"))
+	t4, t5 := m.Begin(), m.Begin()
+	if err := t4.Write("e", []byte("e4")); err != nil {
+		t.Fatal(err)
+	}
+	m.InstallBase("e", []byte("e0"), true)
+	if _, _, err := t5.Read("e"); err != nil {
+		t.Fatal(err)
+	}
+	rewrite := t4.Write("e", []byte("e4b"))
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{late, fmt.Sprintf("mvtso: transaction aborted: key \"d\" read by txn %d after txn %d's visible version", t3.ts, t2.ts)},
+		{rewrite, fmt.Sprintf("mvtso: transaction aborted: key \"e\" version read by txn %d before txn %d's rewrite", t5.ts, t4.ts)},
+	} {
+		var ce *ConflictError
+		if !errors.Is(c.err, ErrAborted) || !errors.As(c.err, &ce) {
+			t.Fatalf("conflict abort %v (%T) is not a *ConflictError matching ErrAborted", c.err, c.err)
+		}
+		if got := c.err.Error(); got != c.want {
+			t.Fatalf("conflict abort reads %q, want %q", got, c.want)
+		}
+	}
+}
+
 func TestWriteAfterOwnReadOK(t *testing.T) {
 	m := NewManager()
 	installAll(m, map[string]string{"x": "base"})

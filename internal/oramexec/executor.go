@@ -17,19 +17,21 @@
 // step logs and how it is replayed is meta's, and ReplayBatch executes what
 // the machine's Replay plans.
 //
-// The executor schedules I/O and owns no block bytes. The machine's
-// local-version table decides which bucket versions the proxy keeps — every
-// version the epoch's evictions write and the resident top of the tree — and
-// marks the reads they serve Local as they are planned; the ORAM files each
-// kept version's image and serves those reads at completion, and the executor
-// issues the others. It also does the table's I/O: LoadResident, one vectored
-// read of the resident buckets' Z real slots before anything is planned over
-// restored metadata, and the write-back, which seals only the versions that
-// reach storage, into an arena reused by the next flush, and writes them in
-// one call. At the pipelined boundary SealEpoch detaches the epoch's
-// versions, which a background committer writes (FlushSealed) while the next
-// epoch's batches run. Write-through mode keeps no table and writes each
-// eviction's whole buckets at once.
+// The executor schedules I/O and owns no block bytes, only the buffer its
+// reads land in (storage.SlotRef.Into), which serves vector after vector:
+// the ORAM opens each slot into a block of its own as it completes. The
+// machine's local-version table decides which bucket versions the proxy
+// keeps — every version the epoch's evictions write and the resident top of
+// the tree — and marks the reads they serve Local as they are planned; the
+// ORAM files each kept version's image and serves those reads at completion,
+// and the executor issues the others. It also does the table's I/O:
+// LoadResident, one vectored read of the resident buckets' Z real slots
+// before anything is planned over restored metadata, and the write-back,
+// which seals only the versions that reach storage, into an arena reused by
+// the next flush, and writes them in one call. At the pipelined boundary
+// SealEpoch detaches the epoch's versions, which a background committer
+// writes (FlushSealed) while the next epoch's batches run. Write-through mode
+// keeps no table and writes each eviction's whole buckets at once.
 package oramexec
 
 import (
@@ -87,6 +89,13 @@ type Executor struct {
 	// across batches (planning and execution are serialized per executor).
 	refsBuf  []storage.SlotRef
 	destsBuf []scatter
+	// reads is the read buffer every ref of a vector is given a slot frame
+	// of as its destination (storage.SlotRef.Into), vector after vector: it
+	// grows to the largest one. Reusing it is safe because a completion
+	// opens every slot it delivers (meta.Machine.Complete), a stage's vector
+	// is completed before the next stage's is issued, and Execute resets its
+	// tasks before it returns.
+	reads []byte
 
 	// readPlan and writePlan are the one read and one write batch plan each
 	// Plan*Batch call resets, tasks and results included; seen is the read
@@ -473,6 +482,10 @@ func (e *Executor) issueVector(tasks []*task) error {
 	if len(refs) == 0 {
 		return nil
 	}
+	if n := len(refs) * e.oram.SlotSize(); cap(e.reads) < n {
+		e.reads = make([]byte, n)
+	}
+	into(refs, e.reads, e.oram.SlotSize())
 	data, err := e.readSlots(refs)
 	if err != nil {
 		return err
@@ -481,6 +494,13 @@ func (e *Executor) issueVector(tasks []*task) error {
 		dests[k].t.data[dests[k].i] = d
 	}
 	return nil
+}
+
+// into gives each ref a size-byte frame of buf, in order, as its destination.
+func into(refs []storage.SlotRef, buf []byte, size int) {
+	for i := range refs {
+		refs[i].Into = buf[i*size : (i+1)*size : (i+1)*size]
+	}
 }
 
 // readSlots is one vectored storage read, counted. In write-through mode a
@@ -548,6 +568,10 @@ func (e *Executor) LoadResident() error {
 			refs = append(refs, storage.SlotRef{Bucket: b, Slot: r})
 		}
 	}
+	// The load is larger than any batch's vector and happens once, so its
+	// destinations are a buffer of its own, dropped with it.
+	size := e.oram.SlotSize()
+	into(refs, make([]byte, len(refs)*size), size)
 	data, err := e.readSlots(refs)
 	if err == nil {
 		err = e.oram.LoadLocal(data)

@@ -670,7 +670,7 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 	if h.exec.Stats().LocalReads == before.LocalReads {
 		t.Fatal("the aborted epoch served nothing from the proxy: the test would prove nothing")
 	}
-	var named map[storage.SlotRef]bool
+	var named map[slotAt]bool
 	for _, batch := range logged {
 		named, evictCount = loggedSlots(h.oram, evictCount, batch, named)
 	}
@@ -726,29 +726,33 @@ func testReplayAfterPipelinedBoundary(t *testing.T) {
 	h.checkInvariant(t)
 }
 
+// slotAt names one slot of a bucket: a map key, as a storage.SlotRef,
+// which carries a destination, cannot be.
+type slotAt struct{ Bucket, Slot int }
+
 // loggedSlots adds every slot the batch's log entries name to named. Evict
 // entries name slots along the evict path, a function of the eviction counter
 // alone; the counter after the batch is returned.
-func loggedSlots(o *ringoram.ORAM, evictCount uint64, batch []meta.LogEntry, named map[storage.SlotRef]bool) (map[storage.SlotRef]bool, uint64) {
+func loggedSlots(o *ringoram.ORAM, evictCount uint64, batch []meta.LogEntry, named map[slotAt]bool) (map[slotAt]bool, uint64) {
 	if named == nil {
-		named = make(map[storage.SlotRef]bool)
+		named = make(map[slotAt]bool)
 	}
 	for _, le := range batch {
 		switch le.Kind {
 		case meta.AccessStep:
 			for i, b := range o.Machine().Params().Geometry().Path(le.Leaf) {
-				named[storage.SlotRef{Bucket: b, Slot: le.Slots[i]}] = true
+				named[slotAt{Bucket: b, Slot: le.Slots[i]}] = true
 			}
 		case meta.EvictStep:
 			for i, b := range evictPath(o, evictCount) {
 				for _, s := range le.BucketSlots[i] {
-					named[storage.SlotRef{Bucket: b, Slot: s}] = true
+					named[slotAt{Bucket: b, Slot: s}] = true
 				}
 			}
 			evictCount++
 		case meta.ReshuffleStep:
 			for _, s := range le.BucketSlots[0] {
-				named[storage.SlotRef{Bucket: le.Bucket, Slot: s}] = true
+				named[slotAt{Bucket: le.Bucket, Slot: s}] = true
 			}
 		}
 	}
@@ -764,13 +768,13 @@ func evictPath(o *ringoram.ORAM, evictCount uint64) []int {
 
 // checkReplayTrace asserts the replay-trace property over two recorded traces
 // and returns how many reads the replay issued beyond the aborted epoch's.
-func checkReplayTrace(t *testing.T, aborted, replay []storage.Event, named map[storage.SlotRef]bool) (extra int) {
+func checkReplayTrace(t *testing.T, aborted, replay []storage.Event, named map[slotAt]bool) (extra int) {
 	t.Helper()
-	count := func(evs []storage.Event) map[storage.SlotRef]int {
-		out := make(map[storage.SlotRef]int)
+	count := func(evs []storage.Event) map[slotAt]int {
+		out := make(map[slotAt]int)
 		for _, ev := range evs {
 			if ev.Op == storage.OpReadSlot {
-				out[storage.SlotRef{Bucket: ev.Bucket, Slot: ev.Slot}]++
+				out[slotAt{Bucket: ev.Bucket, Slot: ev.Slot}]++
 			}
 		}
 		return out

@@ -1,9 +1,12 @@
 package oramexec
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
+	"obladi/internal/cryptoutil"
 	"obladi/internal/storage"
 )
 
@@ -168,4 +171,97 @@ func TestExecutorWriteThroughVectored(t *testing.T) {
 		t.Fatalf("read through write-through store = %+v", res[0])
 	}
 	h.checkInvariant(t)
+}
+
+// TestExecutorReadBufferReuse: the executor gives every ref of a vector a
+// slot frame of its one read buffer as its destination (storage.SlotRef.Into)
+// and reuses the buffer vector after vector, stage after stage. Two
+// executors run the same seeded epochs over stores that fill destinations (a
+// LogHeap shard each), one reusing its buffer and one given a fresh buffer
+// before every batch: their read results are byte-identical, and so are their
+// storage traces. Write-through mode, whose batch is several stages, reuses
+// the buffer within a batch too.
+func TestExecutorReadBufferReuse(t *testing.T) {
+	for _, cfg := range []Config{{}, {WriteThrough: true}} {
+		t.Run(fmt.Sprintf("write-through=%v", cfg.WriteThrough), func(t *testing.T) {
+			p := testParams(64, 17)
+			run := func(fresh bool) ([]string, []storage.Event) {
+				g, err := storage.OpenDiskGroupOpts(t.TempDir(), 1, p.Geometry().NumBuckets, storage.DiskOptions{LogHeap: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { g.Close() })
+				rec := storage.NewRecorder(g.Backends()[0])
+				o, err := InitORAMFor(rec, cryptoutil.KeyFromSeed([]byte("reads")), p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := New(o, rec, cfg)
+				execute := func(plan *BatchPlan, err error) []ReadResult {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fresh {
+						e.reads = nil
+					}
+					res, err := e.Execute(plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				var out []string
+				for epoch := uint64(1); epoch <= 6; epoch++ {
+					e.BeginEpoch(epoch)
+					writes := make([]WriteOp, 6)
+					for i := range writes {
+						k := fmt.Sprintf("k%02d", (int(epoch)*5+i)%20)
+						writes[i] = WriteOp{Key: k, Value: []byte(fmt.Sprintf("%s@%d", k, epoch))}
+					}
+					execute(e.PlanWriteBatch(writes))
+					for b := 0; b < 3; b++ {
+						reads := make([]ReadOp, 5)
+						for i := range reads[:4] {
+							reads[i].Key = fmt.Sprintf("k%02d", (int(epoch)*3+b*4+i)%20)
+						}
+						for _, r := range execute(e.PlanReadBatch(reads)) {
+							out = append(out, fmt.Sprintf("%s=%q/%v", r.Key, r.Value, r.Found))
+						}
+					}
+					sealed, err := e.SealEpoch()
+					if err == nil {
+						_, err = e.FlushSealed(sealed)
+					}
+					if err == nil {
+						err = rec.CommitEpoch(epoch)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !fresh && cap(e.reads) == 0 {
+					t.Fatal("the executor read nothing into its buffer")
+				}
+				return out, rec.Events()
+			}
+			reused, reusedTrace := run(false)
+			fresh, freshTrace := run(true)
+			if !slices.Equal(reused, fresh) {
+				t.Fatalf("read results differ:\nreused buffer %v\nfresh buffers %v", reused, fresh)
+			}
+			if !slices.Equal(reusedTrace, freshTrace) {
+				t.Fatal("the storage traces differ")
+			}
+			found := 0
+			for _, r := range reused {
+				if strings.HasSuffix(r, "/true") {
+					found++
+				}
+			}
+			if found == 0 {
+				t.Fatal("no read found a value: the test would prove nothing")
+			}
+		})
+	}
 }

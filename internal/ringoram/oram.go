@@ -119,6 +119,10 @@ func (o *ORAM) binding(id, epoch uint64) []byte {
 // Machine returns the public machine whose bytes the ORAM holds.
 func (o *ORAM) Machine() *meta.Machine { return o.m }
 
+// SlotSize is the length of a slot frame on storage: every slot the ORAM
+// writes and reads has it.
+func (o *ORAM) SlotSize() int { return o.cdc.slotSize() }
+
 // Complete completes step p on the machine with the slots data holds. It
 // returns the value an access returns — a view of its block's slot, valid
 // until the block's next write or eviction, which a caller that keeps it

@@ -31,6 +31,10 @@ type Seq struct {
 	steps   []*meta.Plan  // the operation being run, reused
 	evicted []BucketImage // an eviction's images, reused
 	vals    slab.Bytes    // carves the values Read returns, which escape
+	// reads is where a step's slots are read into, a slot frame each,
+	// reused step after step: a completion opens every slot it delivers.
+	reads []byte
+	ref   [1]storage.SlotRef
 }
 
 // NewSeq creates a sequential Ring ORAM over store and writes its fresh tree,
@@ -104,10 +108,15 @@ func (s *Seq) run(steps []*meta.Plan) ([]byte, bool, error) {
 	defer clear(steps)
 	var value []byte
 	var found bool
+	size := s.oram.SlotSize()
 	for _, p := range steps {
 		data := make([][]byte, len(p.Reads))
+		if n := len(p.Reads) * size; cap(s.reads) < n {
+			s.reads = make([]byte, n)
+		}
 		for i, r := range p.Reads {
-			d, err := s.store.ReadSlots([]storage.SlotRef{{Bucket: r.Bucket, Slot: r.Slot}})
+			s.ref[0] = storage.SlotRef{Bucket: r.Bucket, Slot: r.Slot, Into: s.reads[i*size : (i+1)*size : (i+1)*size]}
+			d, err := s.store.ReadSlots(s.ref[:])
 			if err != nil {
 				return nil, false, fmt.Errorf("ringoram: reading bucket %d slot %d: %w", r.Bucket, r.Slot, err)
 			}

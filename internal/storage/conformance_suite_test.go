@@ -41,6 +41,7 @@ func RunBackendConformance(t *testing.T, factory func(t *testing.T) Backend) {
 		{"slot-count-per-version", func(t *testing.T, b Backend) { ConformSlotCountPerVersion(t, b, nil) }},
 		{"keeps-own-copy", func(t *testing.T, b Backend) { ConformKeepsOwnCopy(t, b, nil) }},
 		{"log-keeps-own-copy", func(t *testing.T, b Backend) { ConformLogKeepsOwnCopy(t, b, nil) }},
+		{"reads-into", func(t *testing.T, b Backend) { ConformReadsInto(t, b, nil) }},
 		{"one-slot-length", conformOneSlotLength},
 		{"log-sequence", conformLogSequence},
 		{"log-truncate", conformLogTruncate},
@@ -402,6 +403,86 @@ func ConformKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) 
 	}
 	b = reopen(b)
 	check("epoch 2 committed")
+}
+
+// ConformReadsInto holds a store to the read contract's destinations
+// (SlotRef.Into). A ref whose Into holds its slot reads the slot's bytes, and
+// the result is a view of Into or one of the store's own: a store fills Into
+// or leaves it alone, and never writes past the slot, nor into a neighbour's
+// frame of the one buffer the destinations are carved from. A ref with no
+// Into, or with one a byte too short, reads a private copy and leaves the
+// short Into alone. A bad ref fails the whole vector. reopen, when not nil,
+// closes and reopens a durable store before the reads, so they are answered
+// from replayed versions.
+func ConformReadsInto(t *testing.T, b Backend, reopen func(Backend) Backend) {
+	const pad = 0xee
+	slots := map[int][][]byte{0: conformSlots("into-b0", 4), 1: conformSlots("into-b1", 3)}
+	for bucket, s := range slots {
+		if err := b.WriteBucket(bucket, 1, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.CommitEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	if reopen != nil {
+		b = reopen(b)
+	}
+	n := len(slots[0][0])
+	// Every frame is a slot and a byte long, so a store that wrote past a
+	// slot would show in its frame's last byte.
+	frame := n + 1
+	buf := bytes.Repeat([]byte{pad}, 6*frame)
+	dest := func(i, size int) []byte { return buf[i*frame : i*frame+size] }
+	short := bytes.Repeat([]byte{pad}, n-1)
+	refs := []SlotRef{
+		{Bucket: 1, Slot: 2, Into: dest(0, frame)}, // room to spare
+		{Bucket: 0, Slot: 0, Into: dest(1, n)},
+		{Bucket: 0, Slot: 3},              // no destination
+		{Bucket: 1, Slot: 0, Into: short}, // too short
+		{Bucket: 0, Slot: 0, Into: dest(2, n)},
+		{Bucket: 1, Slot: 1, Into: dest(3, 0)[:0:n]}, // empty, with the capacity
+		{Bucket: 0, Slot: 2},
+	}
+	got, err := b.ReadSlots(refs)
+	if err != nil || len(got) != len(refs) {
+		t.Fatalf("ReadSlots: %d results, %v", len(got), err)
+	}
+	filled := make([]bool, 6)
+	for i, r := range refs {
+		want := slots[r.Bucket][r.Slot]
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("ref %d (bucket %d slot %d) read %q, want %q", i, r.Bucket, r.Slot, got[i], want)
+		}
+		for k := range buf {
+			if &got[i][0] != &buf[k] {
+				continue
+			}
+			if cap(r.Into) < n || &r.Into[:1][0] != &buf[k] {
+				t.Fatalf("ref %d read into byte %d of the destinations' buffer, not into its own destination", i, k)
+			}
+			filled[k/frame] = true
+		}
+		if cap(short) > 0 && &got[i][0] == &short[0] {
+			t.Fatalf("ref %d read into a destination too short for its slot", i)
+		}
+	}
+	for f := range filled {
+		if !filled[f] {
+			if !bytes.Equal(buf[f*frame:(f+1)*frame], bytes.Repeat([]byte{pad}, frame)) {
+				t.Fatalf("frame %d, which no result is a view of, was written: %q", f, buf[f*frame:(f+1)*frame])
+			}
+		} else if buf[(f+1)*frame-1] != pad {
+			t.Fatalf("frame %d was written past its slot", f)
+		}
+	}
+	if !bytes.Equal(short, bytes.Repeat([]byte{pad}, n-1)) {
+		t.Fatalf("a destination too short for its slot was written: %q", short)
+	}
+	bad := []SlotRef{{Bucket: 0, Slot: 1, Into: dest(4, n)}, {Bucket: 0, Slot: 9, Into: dest(5, n)}}
+	if got, err := b.ReadSlots(bad); err == nil || got != nil {
+		t.Fatalf("a vector with a bad ref read %d results, error %v", len(got), err)
+	}
 }
 
 // ConformLogKeepsOwnCopy holds a store to LogStore.Append's ownership rule: it

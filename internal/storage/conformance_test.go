@@ -70,6 +70,20 @@ func TestBackendConformanceLatency(t *testing.T) {
 	})
 }
 
+// The trace recorder and the invariant checker forward every call, reads'
+// destinations included, and must hold the contract of the store they wrap.
+func TestBackendConformanceRecorder(t *testing.T) {
+	RunBackendConformance(t, func(t *testing.T) Backend {
+		return NewRecorder(NewMemBackend(ConformanceMinBuckets))
+	})
+}
+
+func TestBackendConformanceInvariantChecker(t *testing.T) {
+	RunBackendConformance(t, func(t *testing.T) Backend {
+		return NewInvariantChecker(NewMemBackend(ConformanceMinBuckets))
+	})
+}
+
 func TestBackendConformanceRemote(t *testing.T) {
 	RunBackendConformance(t, func(t *testing.T) Backend {
 		inner := NewMemBackend(ConformanceMinBuckets)
@@ -273,6 +287,12 @@ func TestKeepsOwnCopySurvivesReopen(t *testing.T) {
 // So does its log: the appended records read back from disk after a reopen.
 func TestLogKeepsOwnCopySurvivesReopen(t *testing.T) {
 	acrossReopen(t, ConformLogKeepsOwnCopy)
+}
+
+// So do reads into destinations: a durable store answers them from replayed
+// versions after a reopen.
+func TestReadsIntoSurvivesReopen(t *testing.T) {
+	acrossReopen(t, ConformReadsInto)
 }
 
 // acrossReopen runs a conformance case whose reopen closes and reopens the

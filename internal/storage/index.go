@@ -216,38 +216,44 @@ func (ix *versionIndex) slot(bucket, slot int) (*version, error) {
 
 // versionFile is where a LogHeap's versions are read from: its log, whose
 // read lock the caller holds for the whole read, so no segment a version lies
-// in is unmapped under it. take returns n bytes for a read's results, and
-// readAt fills dst with the bytes at off of the segment seg names.
+// in is unmapped under it. readAt fills dst with the bytes at off of the
+// segment seg names.
 type versionFile interface {
-	take(n int) []byte
 	readAt(dst []byte, seg uint64, off int64) error
 }
 
-// readSlots answers a vectored read: from the versions' mirrors (f nil), or
-// copied out of f into one buffer after every ref is validated, so the vector
-// fails as a whole before any copy.
+// readSlots answers a vectored read: with views of the versions' mirrors (f
+// nil), or with copies out of f, once every ref is validated, so the vector
+// fails as a whole before anything is copied. A copy goes into its ref's Into
+// when that holds it, else into one exact-length buffer shared by every ref
+// without a destination.
 func (ix *versionIndex) readSlots(refs []SlotRef, f versionFile) ([][]byte, error) {
 	out := make([][]byte, len(refs))
-	total := 0
-	for i, r := range refs {
+	spare := 0
+	for i := range refs {
+		r := &refs[i]
 		v, err := ix.slot(r.Bucket, r.Slot)
 		if err != nil {
 			return nil, err
 		}
 		if f == nil {
 			out[i] = v.layout.slotIn(v.mirror, r.Slot, 0)
+		} else if n := int(v.layout.size); r.into(n) == nil {
+			spare += n
 		}
-		total += int(v.layout.size)
 	}
 	if f == nil {
 		return out, nil
 	}
-	buf := f.take(total)
-	for i, r := range refs {
+	buf := make([]byte, spare) // no allocation when every ref has one
+	for i := range refs {
+		r := &refs[i]
 		vs := ix.buckets[r.Bucket] // validated above
 		v := &vs[len(vs)-1]
 		off, n := ix.slotRange(v, r.Slot)
-		out[i], buf = buf[:n:n], buf[n:]
+		if out[i] = r.into(n); out[i] == nil {
+			out[i], buf = buf[:n:n], buf[n:]
+		}
 		if err := f.readAt(out[i], v.seg, off); err != nil {
 			return nil, err
 		}
@@ -266,7 +272,7 @@ func (ix *versionIndex) readBucket(bucket int, f versionFile) ([][]byte, error) 
 	if f == nil {
 		return v.layout.split(bytes.Clone(v.mirror), 0), nil
 	}
-	span := f.take(v.layout.span(4))
+	span := make([]byte, v.layout.span(4))
 	if err := f.readAt(span, v.seg, v.off+ix.dataStart); err != nil {
 		return nil, err
 	}

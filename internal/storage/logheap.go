@@ -62,8 +62,6 @@ type LogHeap struct {
 	lastPhys  uint64 // physical seq of this stream's newest record
 	commitSeg uint64 // segment base of its newest commit record (0: none)
 	frame     []byte // framing buffer: one stream record at a time
-	// results is what reads copy their slots into.
-	results resultSlabs
 
 	// gcMu serializes segment evacuations, whose buffers it guards: a
 	// maintenance pass reuses them rather than allocating per pass.
@@ -186,8 +184,9 @@ func (lh *LogHeap) NumBuckets() (int, error) {
 func (lh *LogHeap) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(lh, bucket, slot) }
 
 // ReadSlots implements BucketStore: every slot, whether this process wrote
-// its version or recovery replayed it, is copied out of the log into one
-// carved buffer, which stays the caller's.
+// its version or recovery replayed it, is copied out of the log into its
+// ref's Into, or into one buffer for the refs without one, which the caller
+// keeps.
 func (lh *LogHeap) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	if err := lh.rlock(); err != nil {
 		return nil, err
@@ -233,9 +232,7 @@ func (lh *LogHeap) runlock() {
 	lh.mu.RUnlock()
 }
 
-// take and readAt implement versionFile over the log, under rlock.
-func (lh *LogHeap) take(n int) []byte { return lh.results.take(n) }
-
+// readAt implements versionFile over the log, under rlock.
 func (lh *LogHeap) readAt(dst []byte, seg uint64, off int64) error {
 	return lh.log.readAtLocked(dst, seg, off)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -61,7 +62,7 @@ func checkReadBack(t *testing.T, g *DiskGroup, lh *LogHeap, model map[int][][]by
 	scanned := logVersions(t, g, lh)
 	where := map[int]uint64{}
 	var refs []SlotRef
-	want := map[SlotRef][]byte{}
+	want := map[[2]int][]byte{}
 	for b, slots := range model {
 		lh.mu.RLock()
 		v, err := lh.ix.newest(b)
@@ -84,9 +85,8 @@ func checkReadBack(t *testing.T, g *DiskGroup, lh *LogHeap, model map[int][][]by
 			if !bytes.Equal(logged[i], slots[i]) {
 				t.Fatalf("bucket %d slot %d: the log holds %x, %x written", b, i, logged[i], slots[i])
 			}
-			r := SlotRef{Bucket: b, Slot: i}
-			refs = append(refs, r)
-			want[r] = logged[i]
+			refs = append(refs, SlotRef{Bucket: b, Slot: i})
+			want[[2]int{b, i}] = logged[i]
 		}
 		got, err := lh.ReadBucket(b)
 		if err != nil || len(got) != len(logged) {
@@ -108,13 +108,14 @@ func checkReadBack(t *testing.T, g *DiskGroup, lh *LogHeap, model map[int][][]by
 		t.Fatal(err)
 	}
 	d := decoder{buf: enc}
-	encoded := d.fields(new(resultSlabs))
+	encoded := d.fields()
 	if d.err != nil || len(d.buf) != 0 || len(encoded) != len(refs) {
 		t.Fatalf("encodeSlots: %d fields, %d bytes left, %v", len(encoded), len(d.buf), d.err)
 	}
 	for i, r := range refs {
-		if !bytes.Equal(got[i], want[r]) || !bytes.Equal(encoded[i], want[r]) {
-			t.Fatalf("bucket %d slot %d: ReadSlots %x, encodeSlots %x, the log %x", r.Bucket, r.Slot, got[i], encoded[i], want[r])
+		w := want[[2]int{r.Bucket, r.Slot}]
+		if !bytes.Equal(got[i], w) || !bytes.Equal(encoded[i], w) {
+			t.Fatalf("bucket %d slot %d: ReadSlots %x, encodeSlots %x, the log %x", r.Bucket, r.Slot, got[i], encoded[i], w)
 		}
 	}
 	return where
@@ -472,7 +473,7 @@ func TestLogHeapMappedReadsRaceSegmentDrops(t *testing.T) {
 				}
 				if err == nil {
 					d := decoder{buf: enc}
-					err = whole("encodeSlots", d.fields(new(resultSlabs)))
+					err = whole("encodeSlots", d.fields())
 				}
 				if err != nil {
 					errs <- err
@@ -530,10 +531,11 @@ func TestLogHeapMappedReadsRaceSegmentDrops(t *testing.T) {
 }
 
 // TestLogHeapReadSlotsAllocBudget pins a warm ReadSlots at the result vector
-// plus an amortized share of a result chunk: a vector mixing versions this
-// process wrote with versions replayed at open, read in shuffled order,
-// costs at most 1.1 allocations a call. Per-run read buffers, or a sort of
-// the vector by file position, would cost more.
+// alone when every ref has a destination (SlotRef.Into), and at the vector
+// and one buffer when none has: a vector mixing versions this process wrote
+// with versions replayed at open, read in shuffled order. Per-slot buffers,
+// results carved from chunks, or a sort of the vector by file position would
+// cost more.
 func TestLogHeapReadSlotsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -578,22 +580,37 @@ func TestLogHeapReadSlotsAllocBudget(t *testing.T) {
 		refs[i] = SlotRef{Bucket: rng.IntN(numBuckets), Slot: rng.IntN(slotsPer)}
 	}
 	lh := g.shards[0]
-	read := func() {
-		if _, err := lh.ReadSlots(refs); err != nil {
-			t.Fatal(err)
+	measure := func(refs []SlotRef) float64 {
+		read := func() {
+			if _, err := lh.ReadSlots(refs); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	read()
-	var m0, m1 runtime.MemStats
-	gate.Settle()
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < calls; i++ {
 		read()
+		var m0, m1 runtime.MemStats
+		gate.Settle()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < calls; i++ {
+			read()
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.Mallocs-m0.Mallocs) / calls
 	}
-	runtime.ReadMemStats(&m1)
-	per := float64(m1.Mallocs-m0.Mallocs) / calls
-	t.Logf("ReadSlots of %d slots: %.3f allocations a call", len(refs), per)
-	if per > 1.1 {
-		t.Errorf("%.3f allocations per ReadSlots, budget 1.1 (the result vector and a share of a chunk)", per)
+	into := make([]SlotRef, len(refs))
+	buf := make([]byte, len(refs)*slotSize)
+	for i, r := range refs {
+		into[i] = SlotRef{Bucket: r.Bucket, Slot: r.Slot, Into: buf[i*slotSize : (i+1)*slotSize]}
+	}
+	for _, c := range []struct {
+		name   string
+		refs   []SlotRef
+		budget float64
+	}{{"destinations", into, 1}, {"no destinations", refs, 2}} {
+		per := measure(c.refs)
+		t.Logf("ReadSlots of %d slots, %s: %.3f allocations a call", len(refs), c.name, per)
+		if per > c.budget {
+			t.Errorf("%.3f allocations per ReadSlots with %s, budget %.0f (the result vector, and one buffer for the refs without a destination)", per, c.name, c.budget)
+		}
 	}
 }

@@ -434,14 +434,7 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 type Client struct {
 	wc     *wire.Client
 	nextID atomic.Uint64
-	// replies is what read replies' fields are copied into.
-	replies resultSlabs
 }
-
-// replyChunk is the largest chunk a Client carves read replies from: two of
-// the benchmark's 28 KB slot-read replies, where a 256 KiB chunk held whole
-// put about a quarter megabyte on the heap of a process with a client.
-const replyChunk = 64 << 10
 
 var _ Backend = (*Client)(nil)
 
@@ -471,7 +464,7 @@ func dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: dial %s: %w", addr, err)
 	}
-	return &Client{wc: wire.NewClient(conn, maxFrame, &bufs), replies: resultSlabs{s: slabs{max: replyChunk}}}, nil
+	return &Client{wc: wire.NewClient(conn, maxFrame, &bufs)}, nil
 }
 
 // call sends one request, pre‖payload, and waits for its reply. pre (a few
@@ -548,27 +541,24 @@ func (c *Client) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(c,
 // ReadSlots packs the whole vector into a single request frame: one wire op
 // and one round trip however many slots the stage reads. Vectors larger
 // than vectorChunkRefs are split across frames (sent back-to-back, still
-// ~one round trip) so a response can never exceed the frame limit.
+// ~one round trip) so a response can never exceed the frame limit. Each slot
+// is copied straight out of the pooled reply frame into its ref's Into, or
+// into one buffer a frame for the refs without one.
 func (c *Client) ReadSlots(refs []SlotRef) ([][]byte, error) {
-	if len(refs) > vectorChunkRefs {
-		out := make([][]byte, 0, len(refs))
-		for start := 0; start < len(refs); start += vectorChunkRefs {
-			end := start + vectorChunkRefs
-			if end > len(refs) {
-				end = len(refs)
-			}
-			part, err := c.readSlotsFrame(refs[start:end])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, part...)
+	out := make([][]byte, len(refs))
+	for start := 0; ; start += vectorChunkRefs {
+		end := min(start+vectorChunkRefs, len(refs))
+		if err := c.readSlotsFrame(refs[start:end], out[start:end]); err != nil {
+			return nil, err
 		}
-		return out, nil
+		if end == len(refs) {
+			return out, nil
+		}
 	}
-	return c.readSlotsFrame(refs)
 }
 
-func (c *Client) readSlotsFrame(refs []SlotRef) ([][]byte, error) {
+// readSlotsFrame reads refs in one frame, their slots into out.
+func (c *Client) readSlotsFrame(refs []SlotRef, out [][]byte) error {
 	rq := bufs.Get(0)
 	enc := encoder{buf: rq.B}
 	enc.u32(uint32(len(refs)))
@@ -576,18 +566,26 @@ func (c *Client) readSlotsFrame(refs []SlotRef) ([][]byte, error) {
 		enc.u32(uint32(r.Bucket))
 		enc.u32(uint32(r.Slot))
 	}
-	data, err := c.callForFields(wireReadSlots, enc.buf)
+	resp, err := c.call(wireReadSlots, nil, enc.buf)
 	rq.B = enc.buf
 	wire.Put(rq)
-	if err == nil && len(data) != len(refs) {
-		err = fmt.Errorf("storage: bad read-slots response (%d results for %d refs)", len(data), len(refs))
+	if err != nil {
+		return err
 	}
-	return data, err
+	defer wire.Put(resp)
+	d := decoder{buf: resp.Payload()}
+	if n := d.count(4); d.err == nil && n != len(refs) {
+		return fmt.Errorf("storage: bad read-slots response (%d results for %d refs)", n, len(refs))
+	}
+	if d.fill(out, refs); d.err != nil {
+		return fmt.Errorf("storage: bad response to op %d: %w", wireReadSlots, d.err)
+	}
+	return nil
 }
 
-// callForFields performs an op whose reply is a vector of byte fields (slots,
-// log records), copied out of the pooled reply frame into one arena carved
-// from the client's reply slabs: the vector is the call's one allocation.
+// callForFields performs an op whose reply is a vector of byte fields (a
+// bucket's slots, log records), copied out of the pooled reply frame into
+// one buffer the caller keeps.
 func (c *Client) callForFields(op wireOp, payload []byte) ([][]byte, error) {
 	resp, err := c.call(op, nil, payload)
 	if err != nil {
@@ -595,7 +593,7 @@ func (c *Client) callForFields(op wireOp, payload []byte) ([][]byte, error) {
 	}
 	defer wire.Put(resp)
 	d := decoder{buf: resp.Payload()}
-	out := d.fields(&c.replies)
+	out := d.fields()
 	if d.err != nil {
 		return nil, fmt.Errorf("storage: bad response to op %d: %w", op, d.err)
 	}
@@ -819,29 +817,47 @@ func (d *decoder) views(dst [][]byte) [][]byte {
 	return dst
 }
 
-// fields decodes a count and that many length-prefixed fields (a read reply's
-// slots or log records) into one arena the caller may keep: a size pass over
-// the prefixes bounded by the payload, one exactly-sized slab taken from
-// arenas, capacity-clipped subslices.
-func (d *decoder) fields(arenas *resultSlabs) [][]byte {
+// fields decodes a count and that many length-prefixed fields (a bucket's
+// slots or log records) as copies the caller may keep (fill).
+func (d *decoder) fields() [][]byte {
 	n := d.count(4)
-	size := decoder{buf: d.buf}
-	total := 0
-	for i := 0; i < n; i++ {
-		total += len(size.view())
-	}
-	if d.err == nil {
-		d.err = size.err
-	}
 	if d.err != nil {
 		return nil
 	}
-	arena := arenas.take(total)[:0]
 	out := make([][]byte, n)
-	for i := range out {
-		at := len(arena)
-		arena = append(arena, d.view()...)
-		out[i] = arena[at:len(arena):len(arena)]
+	if d.fill(out, nil); d.err != nil {
+		return nil
 	}
 	return out
+}
+
+// fill decodes len(out) length-prefixed fields into out: field i is copied
+// into refs[i]'s destination when that holds it (refs may be nil), every
+// other field into one exact-length buffer. A size pass over the prefixes,
+// bounded by the payload, runs before anything is copied.
+func (d *decoder) fill(out [][]byte, refs []SlotRef) {
+	size := decoder{buf: d.buf, err: d.err}
+	spare := 0
+	for i := range out {
+		n := len(size.view())
+		if refs == nil || refs[i].into(n) == nil {
+			spare += n
+		}
+	}
+	if d.err = size.err; d.err != nil {
+		return
+	}
+	buf := make([]byte, spare) // no allocation when every field has a destination
+	for i := range out {
+		f := d.view()
+		var dst []byte
+		if refs != nil {
+			dst = refs[i].into(len(f))
+		}
+		if dst == nil {
+			dst, buf = buf[:len(f):len(f)], buf[len(f):]
+		}
+		copy(dst, f)
+		out[i] = dst
+	}
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // TestReadSlotsRoundTripAllocBudget pins the storage wire's per-call cost:
-// a ReadSlots round trip against an in-process Server allocates the reply
-// arena the caller keeps (its bytes and its slot table) and nothing else at
-// either end — no frame header, no per-request goroutine, and no result
-// vector on the server, which encodes the reply under the store's lock.
+// a ReadSlots round trip against an in-process Server allocates the result
+// vector the caller keeps and nothing else at either end when every ref has a
+// destination (SlotRef.Into) — no frame header, no per-request goroutine, and
+// no result vector on the server, which encodes the reply under the store's
+// lock — and one buffer more for a vector without destinations.
 func TestReadSlotsRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -40,19 +41,30 @@ func TestReadSlotsRoundTripAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	call := func() {
-		got, err := c.ReadSlots(refs)
-		if err != nil || len(got) != len(refs) {
-			t.Fatalf("ReadSlots: %d slots, err %v", len(got), err)
+	into := make([]SlotRef, len(refs))
+	buf := make([]byte, len(refs)*slotSize)
+	for i, r := range refs {
+		into[i] = SlotRef{Bucket: r.Bucket, Slot: r.Slot, Into: buf[i*slotSize : (i+1)*slotSize]}
+	}
+	for _, tc := range []struct {
+		name   string
+		refs   []SlotRef
+		budget float64
+	}{{"destinations", into, 1}, {"no destinations", refs, 2}} {
+		call := func() {
+			got, err := c.ReadSlots(tc.refs)
+			if err != nil || len(got) != len(tc.refs) {
+				t.Fatalf("ReadSlots: %d slots, err %v", len(got), err)
+			}
 		}
-	}
-	for i := 0; i < 10; i++ {
-		call()
-	}
-	gate.Settle()
-	allocs := testing.AllocsPerRun(200, call)
-	t.Logf("ReadSlots of %d slots: %.2f allocations per round trip, both ends", len(refs), allocs)
-	if allocs > 2 {
-		t.Errorf("%.2f allocations per ReadSlots round trip, budget 2 (the reply arena): the wire allocates per call again", allocs)
+		for i := 0; i < 10; i++ {
+			call()
+		}
+		gate.Settle()
+		allocs := testing.AllocsPerRun(200, call)
+		t.Logf("ReadSlots of %d slots, %s: %.2f allocations per round trip, both ends", len(refs), tc.name, allocs)
+		if allocs > tc.budget {
+			t.Errorf("%.2f allocations per ReadSlots round trip with %s, budget %.0f (the result vector, and one buffer for the refs without a destination): the wire allocates per call again", allocs, tc.name, tc.budget)
+		}
 	}
 }

@@ -178,7 +178,7 @@ func checkWellFormed(t *testing.T, op wireOp, resp []byte) {
 	case wireNumBuckets:
 		d.u32()
 	case wireReadBucket, wireReadSlots, wireLogScan:
-		d.fields(new(resultSlabs))
+		d.fields()
 	}
 	if d.err != nil || len(d.buf) != 0 {
 		t.Fatalf("op %d: malformed response %x (err %v, %d bytes left over)", op, resp, d.err, len(d.buf))

@@ -1,15 +1,12 @@
 package storage
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // This file holds how the stores lay out a bucket version's bytes: its slots
 // back to back, addressed through the version's slotLayout, in one
-// exact-length slab (slabs: a MemBackend's versions, a LogHeap's read
-// results) or in its log record (a LogHeap's versions); and the server's
-// read path into a store (readEncoder).
+// exact-length slab (slabs: a MemBackend's versions) or in its log record (a
+// LogHeap's versions); and the server's read path into a store
+// (readEncoder).
 
 // slotLayout is how a version's slots lie back to back in a span, each behind
 // prefix bytes (its u32 length on disk, nothing in memory): n slots of size
@@ -73,16 +70,15 @@ const (
 // next write of that length. A store writes about as many bytes as it
 // retires, so once warm it allocates nothing; the slabs are never given back,
 // and the free list holds at most the bytes of the versions retired since the
-// last write. Guarded by the owning store's write lock. Reads carve their
-// results from slabs they never take back (resultSlabs), and a MemBackend
-// its log records.
+// last write. Guarded by the owning store's write lock. A MemBackend also
+// carves its log records from slabs it never takes back.
 type slabs struct {
 	chunk []byte
 	next  int // size of the next chunk
 	// max is the largest chunk, slabChunkMax when zero. The newest chunk is
 	// held whole for as long as its unused end is, so slabs that take
-	// nothing back and hand out slabs nobody keeps for long (read replies,
-	// log records) keep theirs small.
+	// nothing back and hand out slabs nobody keeps for long (log records)
+	// keep theirs small.
 	max  int
 	free map[int][][]byte
 }
@@ -135,22 +131,6 @@ func (s *slabs) put(b []byte) {
 		s.free = make(map[int][][]byte)
 	}
 	s.free[len(b)] = append(s.free[len(b)], b)
-}
-
-// resultSlabs carves the bytes a read hands its caller (a LogHeap's slots, a
-// remote client's replies) out of slabs it never takes back: the garbage
-// collector frees a chunk once no result points into it. Reads run
-// concurrently, so it has a lock of its own.
-type resultSlabs struct {
-	mu sync.Mutex
-	s  slabs
-}
-
-// take returns n bytes of a fresh slab, as slabs.take.
-func (r *resultSlabs) take(n int) []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.s.take(n)
 }
 
 // readEncoder is the slot-read side of the stores and of the wrappers that

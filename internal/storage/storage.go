@@ -43,10 +43,15 @@ var (
 	ErrNoKV = errors.New("storage: this store keeps no key-value namespace")
 )
 
-// SlotRef addresses one physical slot of a bucket for a vectored read.
+// SlotRef addresses one physical slot of a bucket for a vectored read, and
+// says where the caller wants its bytes.
 type SlotRef struct {
 	Bucket int
 	Slot   int
+	// Into is the slot's destination, nil for none: a store that copies
+	// slots out copies this one into Into when its capacity holds the slot,
+	// and answers with Into's view of it (see BucketStore's read contract).
+	Into []byte
 }
 
 // BucketWrite is one bucket of a vectored write-back: a new version of the
@@ -71,15 +76,23 @@ type BucketWrite struct {
 //
 // Writes: a store must not retain the caller's slices — it copies what it
 // keeps, and the caller may reuse every slot and the vector once the call
-// returns. Reads: a returned slot is the store's and stays valid until its
-// version is retired — superseded by a CommitEpoch, discarded by a
-// RollbackTo, or replaced by a same-epoch write — after which the store may
-// reuse its bytes (a LogHeap's reads, and every store's ReadBucket, return
-// copies the caller keeps). A caller that needs a slot longer copies it. The
-// proxy reads a bucket from storage only while nothing retires its newest
-// version: a bucket rewritten by the epoch being committed is served from the
-// sealed set, not read. The storage server encodes its slot replies under the
-// store's own lock, so no client read depends on the rule.
+// returns. Reads: a store answers each ref of ReadSlots in one of two ways.
+// A store that copies slots out (a LogHeap out of its log, a remote Client
+// out of its reply frame) fills the ref's Into when its capacity holds the
+// slot and returns Into's view of it; a ref without one, or with one too
+// short, gets a copy in one exact-length buffer the call allocates for all
+// such refs, which the caller keeps. A store that holds its slots in memory
+// (MemBackend) returns its own read-only bytes and leaves Into alone: such a
+// slot stays valid until its version is retired — superseded by a
+// CommitEpoch, discarded by a RollbackTo, or replaced by a same-epoch write —
+// after which the store may reuse its bytes. So a caller reads result[i], not
+// Into, and one that needs a slot past the next retirement, or past its own
+// next use of Into, copies it. Every store's ReadBucket returns a copy the
+// caller keeps. The proxy reads a bucket from storage only while nothing
+// retires its newest version: a bucket rewritten by the epoch being committed
+// is served from the sealed set, not read. The storage server encodes its
+// slot replies under the store's own lock, so no client read depends on the
+// rule.
 type BucketStore interface {
 	// ReadSlot is ReadSlots of the one ref (every store answers it through
 	// readSlot).
@@ -87,9 +100,11 @@ type BucketStore interface {
 
 	// ReadSlots performs a vectored read: one storage call returning the
 	// requested slots of each bucket's newest version in ref order
-	// (result[i] answers refs[i]). The whole vector fails atomically at the
-	// call level — a single bad ref errors the call (no partial results).
-	// The returned slices must not be modified by the caller.
+	// (result[i] answers refs[i], in refs[i].Into or not: see above). The
+	// whole vector fails atomically at the call level — a single bad ref
+	// errors the call (no partial results); what a failed call left in the
+	// destinations is unspecified. A result that is not a view of its Into
+	// must not be modified by the caller.
 	ReadSlots(refs []SlotRef) ([][]byte, error)
 
 	// WriteBuckets performs a vectored write-back: every bucket write of a
@@ -241,6 +256,15 @@ func readSlot(s BucketStore, bucket, slot int) ([]byte, error) {
 		return nil, err
 	}
 	return out[0], nil
+}
+
+// into is the destination of ref's slot when it is n bytes long: a view of
+// Into when its capacity holds the slot, nil when it does not.
+func (r *SlotRef) into(n int) []byte {
+	if r.Into == nil || cap(r.Into) < n {
+		return nil
+	}
+	return r.Into[:n:n]
 }
 
 // writeBucket is every store's WriteBucket: a vectored write of the one
