@@ -482,10 +482,11 @@ func (e *Executor) issueVector(tasks []*task) error {
 	if len(refs) == 0 {
 		return nil
 	}
-	if n := len(refs) * e.oram.SlotSize(); cap(e.reads) < n {
+	size := e.oram.SlotSize()
+	if n := len(refs) * size; cap(e.reads) < n {
 		e.reads = make([]byte, n)
 	}
-	into(refs, e.reads, e.oram.SlotSize())
+	into(refs, e.reads, size)
 	data, err := e.readSlots(refs)
 	if err != nil {
 		return err

@@ -7,11 +7,20 @@ import (
 	"testing"
 )
 
+// withDestinations returns a copy of refs, each given its own size-byte
+// frame of one buffer as its destination.
+func withDestinations(refs []SlotRef, size int) []SlotRef {
+	out := make([]SlotRef, len(refs))
+	buf := make([]byte, len(refs)*size)
+	for i, r := range refs {
+		out[i] = SlotRef{Bucket: r.Bucket, Slot: r.Slot, Into: buf[i*size : (i+1)*size : (i+1)*size]}
+	}
+	return out
+}
+
 // intoRefs returns a ref for every slot of buckets 0..numBuckets-1, in
-// shuffled order, each with its own size-byte frame of one buffer as its
-// destination.
+// shuffled order, each with a destination (withDestinations).
 func intoRefs(numBuckets, slotsPer, size int, rng *rand.Rand) []SlotRef {
-	buf := make([]byte, numBuckets*slotsPer*size)
 	refs := make([]SlotRef, 0, numBuckets*slotsPer)
 	for b := range numBuckets {
 		for s := range slotsPer {
@@ -19,10 +28,7 @@ func intoRefs(numBuckets, slotsPer, size int, rng *rand.Rand) []SlotRef {
 		}
 	}
 	rng.Shuffle(len(refs), func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
-	for i := range refs {
-		refs[i].Into = buf[i*size : (i+1)*size : (i+1)*size]
-	}
-	return refs
+	return withDestinations(refs, size)
 }
 
 // intoSlot is the content of slot s of bucket b in these tests: size bytes.
@@ -130,12 +136,11 @@ func TestRemoteSplitVectorFillsDestinations(t *testing.T) {
 	for b := range numBuckets {
 		must(t, c.WriteBucket(b, 1, [][]byte{intoSlot(b, 0, size), intoSlot(b, 1, size)}))
 	}
-	n := vectorChunkRefs*2 + 17
-	buf := make([]byte, n*size)
-	refs := make([]SlotRef, n)
+	refs := make([]SlotRef, vectorChunkRefs*2+17)
 	for i := range refs {
-		refs[i] = SlotRef{Bucket: i % numBuckets, Slot: i / numBuckets % slotsPer, Into: buf[i*size : (i+1)*size]}
+		refs[i] = SlotRef{Bucket: i % numBuckets, Slot: i / numBuckets % slotsPer}
 	}
+	refs = withDestinations(refs, size)
 	got, err := c.ReadSlots(refs)
 	if err != nil {
 		t.Fatal(err)

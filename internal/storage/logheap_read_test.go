@@ -597,16 +597,11 @@ func TestLogHeapReadSlotsAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return float64(m1.Mallocs-m0.Mallocs) / calls
 	}
-	into := make([]SlotRef, len(refs))
-	buf := make([]byte, len(refs)*slotSize)
-	for i, r := range refs {
-		into[i] = SlotRef{Bucket: r.Bucket, Slot: r.Slot, Into: buf[i*slotSize : (i+1)*slotSize]}
-	}
 	for _, c := range []struct {
 		name   string
 		refs   []SlotRef
 		budget float64
-	}{{"destinations", into, 1}, {"no destinations", refs, 2}} {
+	}{{"destinations", withDestinations(refs, slotSize), 1}, {"no destinations", refs, 2}} {
 		per := measure(c.refs)
 		t.Logf("ReadSlots of %d slots, %s: %.3f allocations a call", len(refs), c.name, per)
 		if per > c.budget {

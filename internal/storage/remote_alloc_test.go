@@ -41,16 +41,11 @@ func TestReadSlotsRoundTripAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	into := make([]SlotRef, len(refs))
-	buf := make([]byte, len(refs)*slotSize)
-	for i, r := range refs {
-		into[i] = SlotRef{Bucket: r.Bucket, Slot: r.Slot, Into: buf[i*slotSize : (i+1)*slotSize]}
-	}
 	for _, tc := range []struct {
 		name   string
 		refs   []SlotRef
 		budget float64
-	}{{"destinations", into, 1}, {"no destinations", refs, 2}} {
+	}{{"destinations", withDestinations(refs, slotSize), 1}, {"no destinations", refs, 2}} {
 		call := func() {
 			got, err := c.ReadSlots(tc.refs)
 			if err != nil || len(got) != len(tc.refs) {
