@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -71,9 +72,9 @@ const maxVector = 1 << 20
 // call is split into several frames: a sealed epoch's write-back set can
 // exceed maxFrame with large slots, and one poison frame would tear down
 // the connection (erroring every pipelined request) instead of failing one
-// call. Chunks still travel back-to-back on one connection, so a chunked
-// vector pays one round trip of wall clock, and layers above (executor
-// stats, trace recorder) keep counting one storage call.
+// call. Each chunk's frame is sent once the previous one is answered, so a
+// vector of k chunks pays k round trips; layers above (executor stats, trace
+// recorder) keep counting one storage call.
 const vectorChunkBytes = maxFrame / 4
 
 // vectorChunkRefs bounds refs per ReadSlots frame: the request side is tiny
@@ -99,10 +100,22 @@ var ErrRemote = errors.New("storage: remote error")
 // encodings, at both ends.
 var bufs wire.Pool
 
-// Server serves a Backend over TCP.
+// Server serves a Backend over TCP. A connection's frames are read whole
+// into pooled buffers and answered by handler workers, except a write-back
+// vector longer than a pooled buffer, which the read loop streams into the
+// backend a window of whole buckets at a time (streamWriteBuckets; not over
+// a Latency model, which charges per call): a torn or refused one may leave
+// a prefix of its whole buckets installed but uncommitted, as
+// BucketStore.WriteBuckets allows.
 type Server struct {
 	backend Backend
 	srv     *wire.Server
+
+	// streamCap is the longest write-buckets frame read whole into a pooled
+	// buffer (wire.MaxPooled): a longer one is streamed through the
+	// connection's read buffer, a window of whole buckets at a time
+	// (streamWriteBuckets).
+	streamCap int
 
 	// fence is the served backend's proxy-generation register: fencing at
 	// the wire covers any backend (disk groups included) without the backend
@@ -143,7 +156,14 @@ func NewServer(backend Backend, addr string) (*Server, error) {
 }
 
 func newServer(backend Backend, ln net.Listener) *Server {
-	s := &Server{backend: backend}
+	s := &Server{backend: backend, streamCap: wire.MaxPooled}
+	if _, modelled := backend.(*Latency); modelled {
+		// A modelled remote store charges its round trip per call, so each
+		// streamed group would pay it, in the read loop, stalling the
+		// requests behind it. Its vectors are read whole and installed by a
+		// worker, one call each.
+		s.streamCap = maxFrame
+	}
 	s.srv = wire.Serve(ln, s.serveConn)
 	return s
 }
@@ -175,15 +195,17 @@ type serverConn struct {
 	reqs     chan *wire.Buf
 	workers  atomic.Int32
 	handlers sync.WaitGroup
+
+	// group is the read loop's scratch for streamed write-back vectors.
+	group writeGroup
 }
 
 // scratch is a handler worker's vector scratch, reused request to request: a
-// slot read's refs, and a bucket write's writes with the slot views they carry
-// into the request frame.
+// slot read's refs, and a bucket write's whole buckets as views of the
+// request frame.
 type scratch struct {
-	refs   []SlotRef
-	writes []BucketWrite
-	slots  [][]byte
+	refs []SlotRef
+	writeGroup
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -195,6 +217,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc.handlers.Add(1)
 	go sc.work(true)
 	for {
+		op, id, n, err := wire.PeekHeader(r, maxFrame)
+		if err != nil {
+			return
+		}
+		if wireOp(op) == wireWriteBuckets && wire.HeaderLen+n > s.streamCap {
+			r.Discard(wire.PrefixLen + wire.HeaderLen) // peeked
+			if !sc.streamWriteBuckets(r, id, n) {
+				return
+			}
+			continue
+		}
 		fb, err := wire.ReadFrame(r, maxFrame, &bufs)
 		if err != nil {
 			return
@@ -261,12 +294,7 @@ func (sc *serverConn) serve(fb *wire.Buf, hs *scratch) {
 		// clean per-request error, not a connection-killing frame.
 		status, resp = statusErr, []byte(fmt.Sprintf("storage: response of %d bytes exceeds frame limit", len(resp)))
 	}
-	sc.wmu.Lock()
-	err := wire.Write(sc.w, status, fb.ID(), nil, "", resp)
-	sc.wmu.Unlock()
-	if err != nil {
-		sc.conn.Close()
-	}
+	sc.reply(status, fb.ID(), resp)
 	wire.Put(fb)
 	if resp != nil {
 		// Keep whichever backing the handler ended up with (error strings
@@ -274,6 +302,204 @@ func (sc *serverConn) serve(fb *wire.Buf, hs *scratch) {
 		rb.B = resp[:0]
 	}
 	wire.Put(rb)
+}
+
+// reply writes a response frame; a failed write closes the connection.
+func (sc *serverConn) reply(status byte, id uint64, resp []byte) {
+	sc.wmu.Lock()
+	err := wire.Write(sc.w, status, id, nil, "", resp)
+	sc.wmu.Unlock()
+	if err != nil {
+		sc.conn.Close()
+	}
+}
+
+// streamWriteBuckets answers a write-buckets request whose n-byte payload is
+// still on r without holding the vector whole. It parses the payload a
+// window at a time out of r's buffer and hands the whole buckets of each
+// window to the backend's WriteBuckets as views of it, in vector order,
+// before r reads on; a bucket longer than r's buffer has the rest of the
+// payload read into a buffer of its own. So a server holds a bucket's worth
+// per connection, its read buffer, however long the epoch's write-back set.
+// The fence is checked once, before the first group. A payload that does
+// not decode — a count or length running past the frame, bytes left after
+// the last bucket — is refused with the pooled path's error text, and the
+// group it falls in, the last one included, never reaches the backend. The
+// rest of a refused frame is read and dropped and the reply follows, so the
+// next frame starts where the peer put it. It reports false when r fails
+// mid-frame: the connection is torn and closes unanswered. Either way, as
+// BucketStore allows for a mid-vector failure, the groups installed before
+// stay installed and uncommitted: the state a crash between two WriteBuckets
+// calls leaves.
+func (sc *serverConn) streamWriteBuckets(r *bufio.Reader, id uint64, n int) bool {
+	p := payload{r: r, left: n}
+	err := sc.s.fence.check(sc.cs.getToken())
+	if err == nil {
+		err = sc.group.parse(sc.s.backend, &p)
+		sc.group.flush(nil) // the window's views die as r reads on
+		if errors.Is(err, errShort) || errors.Is(err, errTrailing) {
+			err = fmt.Errorf("storage: bad write-buckets frame: %w", err)
+		}
+	}
+	if p.torn == nil && p.r != nil && p.left > 0 {
+		if _, derr := r.Discard(p.left); derr != nil {
+			p.torn = derr
+		}
+	}
+	if p.torn != nil {
+		return false
+	}
+	if err != nil {
+		sc.reply(statusErr, id, []byte(err.Error()))
+	} else {
+		sc.reply(statusOK, id, nil)
+	}
+	return true
+}
+
+// payload is a streamed frame's payload: win, a window on its next bytes,
+// of which off are parsed.
+type payload struct {
+	r    *bufio.Reader // nil once the rest of the payload is in win
+	win  []byte        // a view of r's buffer, or the rest read whole
+	off  int
+	left int   // payload bytes on r, win's included
+	torn error // a read of r that failed
+}
+
+// rest is how many payload bytes follow the parsed ones, in win or not.
+func (p *payload) rest() int {
+	if p.r == nil {
+		return len(p.win) - p.off
+	}
+	return p.left - p.off
+}
+
+// more drops the parsed bytes and widens the window: the next bytes up to
+// r's buffer, or, when the unparsed bytes already fill that, the rest of the
+// payload read whole. It reports false when r fails.
+func (p *payload) more() bool {
+	p.r.Discard(p.off) // parsed, so buffered
+	p.left -= p.off
+	p.win, p.off = p.win[p.off:], 0
+	if len(p.win) < p.r.Size() {
+		p.win, p.torn = p.r.Peek(min(p.r.Size(), p.left))
+		return p.torn == nil
+	}
+	// One bucket outgrows the reader's buffer.
+	buf := make([]byte, p.left)
+	if _, p.torn = io.ReadFull(p.r, buf); p.torn != nil {
+		return false
+	}
+	p.r, p.win, p.left = nil, buf, 0
+	return true
+}
+
+// writeGroup is a write-back vector's whole buckets decoded as views of the
+// bytes that carried them: a pooled request frame (a handler's scratch) or a
+// streamed frame's window on the connection's read buffer (serverConn.group).
+// It holds views only, and none once flushed.
+type writeGroup struct {
+	writes []BucketWrite
+	slots  [][]byte
+}
+
+// parse parses a write-buckets payload out of p and installs it in backend,
+// a window's whole buckets at a time (streamWriteBuckets), leaving what it
+// did not parse in p. It returns errShort or errTrailing for a payload that
+// does not decode, the backend's error, or nil when r tore.
+func (g *writeGroup) parse(backend Backend, p *payload) error {
+	if p.left < 4 {
+		return errShort
+	}
+	hdr, err := p.r.Peek(4)
+	if err != nil {
+		p.torn = err
+		return nil
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	p.r.Discard(4)
+	p.left -= 4
+	if n > maxVector || int(n) > p.left/16 {
+		return errShort
+	}
+	for i := 0; i < int(n); {
+		w, size, err := g.parseBucket(p.win[p.off:], p.rest())
+		if err != nil {
+			return err
+		}
+		if size == 0 {
+			// The window ends inside the bucket: the whole buckets before
+			// it go to the store before r reads on.
+			if err := g.flush(backend); err != nil {
+				return err
+			}
+			if !p.more() {
+				return nil
+			}
+			continue
+		}
+		g.writes = append(g.writes, w)
+		p.off += size
+		i++
+	}
+	if p.rest() > 0 {
+		return errTrailing
+	}
+	return g.flush(backend)
+}
+
+// parseBucket decodes the bucket at the head of b, a prefix of the rest
+// bytes left of the payload, its slots views of b added to g.slots. It
+// returns the bucket's encoded size, or 0 when b ends inside it, and
+// errShort when a count or length runs past the payload. Counts are bounded
+// as decoder.count bounds them. A later append may move g.slots; a returned
+// write's table stays valid where it is.
+func (g *writeGroup) parseBucket(b []byte, rest int) (w BucketWrite, size int, err error) {
+	at := len(g.slots)
+	d := decoder{buf: b}
+	// fits reports whether k more bytes are in b, failing the bucket when the
+	// payload does not hold them either.
+	fits := func(k int) bool {
+		if used := len(b) - len(d.buf); k > rest-used {
+			err = errShort
+		}
+		return err == nil && k <= len(d.buf)
+	}
+	if fits(16) {
+		w.Bucket, w.Epoch = int(d.u32()), d.u64()
+		m := int(d.u32())
+		if m > maxVector || m > (rest-16)/4 {
+			err = errShort
+		}
+		for i := 0; i < m && fits(4); i++ {
+			k := int(d.u32())
+			if !fits(k) {
+				break
+			}
+			g.slots = append(g.slots, d.take(k)[:k:k])
+		}
+		if err == nil && len(g.slots)-at == m {
+			w.Slots = g.slots[at:len(g.slots):len(g.slots)]
+			return w, len(b) - len(d.buf), nil
+		}
+	}
+	clear(g.slots[at:])
+	g.slots = g.slots[:at]
+	return BucketWrite{}, 0, err
+}
+
+// flush hands the group's whole buckets to backend (none when it is nil).
+// The group keeps its arrays but pins no slot.
+func (g *writeGroup) flush(backend Backend) error {
+	var err error
+	if backend != nil && len(g.writes) > 0 {
+		err = backend.WriteBuckets(g.writes)
+	}
+	clear(g.writes)
+	clear(g.slots)
+	g.writes, g.slots = g.writes[:0], g.slots[:0]
+	return err
 }
 
 // mutatingOp reports whether an op changes store state and is therefore
@@ -337,27 +563,26 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 		}
 	case wireWriteBuckets:
 		n := d.count(16)
-		writes, views := hs.writes[:0], hs.slots[:0]
 		for i := 0; i < n && d.err == nil; i++ {
-			w := BucketWrite{Bucket: int(d.u32()), Epoch: d.u64()}
-			at := len(views)
-			views = d.views(views)
-			// A later append may move views; this write's table stays valid
-			// where it is.
-			w.Slots = views[at:len(views):len(views)]
-			writes = append(writes, w)
+			// The frame holds the whole payload: a bucket never ends past it.
+			w, size, err := hs.parseBucket(d.buf, len(d.buf))
+			if err != nil {
+				d.err = err
+				break
+			}
+			hs.writes = append(hs.writes, w)
+			d.buf = d.buf[size:]
+		}
+		if d.err == nil && len(d.buf) > 0 {
+			d.err = errTrailing
 		}
 		var err error
 		if d.err != nil {
 			err = fmt.Errorf("storage: bad write-buckets frame: %w", d.err)
 		} else {
-			err = s.backend.WriteBuckets(writes)
+			err = s.backend.WriteBuckets(hs.writes)
 		}
-		// The views die with the request frame: the scratch keeps its
-		// arrays but pins no frame.
-		clear(writes)
-		clear(views)
-		hs.writes, hs.slots = writes[:0], views[:0]
+		hs.flush(nil) // the views die with the request frame
 		if err != nil {
 			return fail(err)
 		}
@@ -479,6 +704,11 @@ func (c *Client) call(op wireOp, pre, payload []byte) (*wire.Buf, error) {
 	if err != nil {
 		return nil, lostErr(err)
 	}
+	return c.await(ch)
+}
+
+// await waits for the reply on ch, a request's reply channel, as call does.
+func (c *Client) await(ch chan *wire.Buf) (*wire.Buf, error) {
 	resp, ok, _ := wire.Recv(context.Background(), ch)
 	if !ok {
 		return nil, lostErr(c.wc.Err())
@@ -540,8 +770,9 @@ func (c *Client) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(c,
 
 // ReadSlots packs the whole vector into a single request frame: one wire op
 // and one round trip however many slots the stage reads. Vectors larger
-// than vectorChunkRefs are split across frames (sent back-to-back, still
-// ~one round trip) so a response can never exceed the frame limit. Each slot
+// than vectorChunkRefs are split across frames so a response can never
+// exceed the frame limit; each frame is sent once the previous one is
+// answered, so such a vector pays a round trip a frame. Each slot
 // is copied straight out of the pooled reply frame into its ref's Into, or
 // into one buffer a frame for the refs without one.
 func (c *Client) ReadSlots(refs []SlotRef) ([][]byte, error) {
@@ -611,9 +842,11 @@ func (c *Client) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 }
 
 // WriteBuckets ships a whole write-back set in one request frame, splitting
-// into several (sent back-to-back) only when the payload would approach the
-// frame limit; sizes are known before encoding, so each frame is written
-// once into a buffer sized for it. Buckets install in vector order.
+// into several only when the payload would approach the frame limit; each
+// frame is sent once the previous one is answered, so a split vector pays a
+// round trip a frame. Sizes are known before encoding, so a frame is written
+// from the caller's slots as it is encoded, never held whole. Buckets
+// install in vector order.
 func (c *Client) WriteBuckets(writes []BucketWrite) error {
 	for start := 0; ; {
 		end, size := start, 4
@@ -637,17 +870,45 @@ func (c *Client) WriteBuckets(writes []BucketWrite) error {
 	}
 }
 
+// writeBucketsFrame sends writes as one request frame, its payload size
+// bytes, and waits for the reply. Each field is encoded in the connection
+// writer's own buffer and each slot written from where it lies.
 func (c *Client) writeBucketsFrame(writes []BucketWrite, size int) error {
-	rq := bufs.Get(size)
-	enc := encoder{buf: rq.B}
-	enc.u32(uint32(len(writes)))
-	for _, w := range writes {
-		enc.bucket(w.Bucket, w.Epoch, w.Slots)
+	w, ch, err := c.wc.BeginSend(uint8(wireWriteBuckets), c.nextID.Add(1), size)
+	if err != nil {
+		return lostErr(err)
 	}
-	resp, err := c.call(wireWriteBuckets, nil, enc.buf)
+	enc := encoder{buf: available(w, 4)}
+	enc.u32(uint32(len(writes)))
+	w.Write(enc.buf)
+	for _, bw := range writes {
+		enc.buf = available(w, 16)
+		enc.u32(uint32(bw.Bucket))
+		enc.u64(bw.Epoch)
+		enc.u32(uint32(len(bw.Slots)))
+		w.Write(enc.buf)
+		for _, s := range bw.Slots {
+			enc.buf = available(w, 4)
+			enc.u32(uint32(len(s)))
+			w.Write(enc.buf)
+			w.Write(s)
+		}
+	}
+	if err := c.wc.EndSend(); err != nil {
+		return lostErr(err)
+	}
+	resp, err := c.await(ch)
 	wire.Put(resp)
-	wire.Put(rq)
 	return err
+}
+
+// available returns w's free buffer, empty, with room for at least n bytes:
+// a field encoded into it is written without a copy elsewhere.
+func available(w *bufio.Writer, n int) []byte {
+	if w.Available() < n {
+		w.Flush() // a failure sticks in w, and EndSend reports it
+	}
+	return w.AvailableBuffer()
 }
 
 // callU64 performs an op whose request is one u64 and whose reply is empty.
@@ -725,16 +986,6 @@ func appendFields(dst []byte, fs [][]byte) []byte {
 	return e.buf
 }
 
-// bucket encodes one written bucket: bucket, epoch, slot count, slots.
-func (e *encoder) bucket(bucket int, epoch uint64, slots [][]byte) {
-	e.u32(uint32(bucket))
-	e.u64(epoch)
-	e.u32(uint32(len(slots)))
-	for _, s := range slots {
-		e.bytes(s)
-	}
-}
-
 // decoder parses wire payloads.
 type decoder struct {
 	buf []byte
@@ -804,17 +1055,6 @@ func (d *decoder) count(minSize int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// views decodes a count and that many length-prefixed fields as views of the
-// decoder's buffer, appended to dst: nothing is copied, so they are dead when
-// the frame is. The server hands a write's slots to its store this way.
-func (d *decoder) views(dst [][]byte) [][]byte {
-	n := d.count(4)
-	for i := 0; i < n && d.err == nil; i++ {
-		dst = append(dst, d.view())
-	}
-	return dst
 }
 
 // fields decodes a count and that many length-prefixed fields (a bucket's

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"obladi/internal/allocgate"
+	"obladi/internal/wire"
 )
 
 // TestReadSlotsRoundTripAllocBudget pins the storage wire's per-call cost:
@@ -60,6 +61,61 @@ func TestReadSlotsRoundTripAllocBudget(t *testing.T) {
 		t.Logf("ReadSlots of %d slots, %s: %.2f allocations per round trip, both ends", len(refs), tc.name, allocs)
 		if allocs > tc.budget {
 			t.Errorf("%.2f allocations per ReadSlots round trip with %s, budget %.0f (the result vector, and one buffer for the refs without a destination): the wire allocates per call again", allocs, tc.name, tc.budget)
+		}
+	}
+}
+
+// TestWriteBucketsRoundTripAllocBudget pins a streamed write-back's cost: a
+// warm WriteBuckets round trip of a vector whose frame is longer than a
+// pooled buffer, against an in-process Server over a MemBackend, allocates
+// nothing at either end. The client writes the frame from the caller's
+// slots through the connection's writer, the server decodes it into the
+// connection's group scratch, and same-epoch rewrites hand the store back
+// the slabs it retires.
+func TestWriteBucketsRoundTripAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	gate := allocgate.Begin(t)
+	const numBuckets, slotsPer, slotSize = 24, 40, 300
+	c, backend := newRemotePair(t, numBuckets)
+	writes := make([]BucketWrite, numBuckets)
+	size := 4
+	for b := range writes {
+		slots := make([][]byte, slotsPer)
+		for i := range slots {
+			slots[i] = bytes.Repeat([]byte{byte(b), byte(i)}, slotSize/2)
+			size += 4 + slotSize
+		}
+		writes[b] = BucketWrite{Bucket: b, Epoch: 1, Slots: slots}
+		size += 16
+	}
+	if size <= wire.MaxPooled {
+		t.Fatalf("a %d byte vector is not longer than a pooled buffer", size)
+	}
+	call := func() {
+		if err := c.WriteBuckets(writes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		call()
+	}
+	gate.Settle()
+	allocs := testing.AllocsPerRun(100, call)
+	t.Logf("WriteBuckets of %d bytes (%d buckets × %d slots): %.2f allocations per round trip, both ends", size, numBuckets, slotsPer, allocs)
+	if allocs > 0 {
+		t.Errorf("%.2f allocations per streamed WriteBuckets round trip, want 0: the vector is buffered whole again, or the send allocates per call", allocs)
+	}
+	for b, w := range writes {
+		got, err := backend.ReadBucket(b)
+		if err != nil || len(got) != slotsPer {
+			t.Fatalf("bucket %d: %d slots, err %v", b, len(got), err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], w.Slots[i]) {
+				t.Fatalf("bucket %d slot %d differs", b, i)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"obladi/internal/allocgate"
 	"obladi/internal/wire"
@@ -25,7 +27,12 @@ func encodeWriteBuckets(writes []BucketWrite) []byte {
 	var enc encoder
 	enc.u32(uint32(len(writes)))
 	for _, w := range writes {
-		enc.bucket(w.Bucket, w.Epoch, w.Slots)
+		enc.u32(uint32(w.Bucket))
+		enc.u64(w.Epoch)
+		enc.u32(uint32(len(w.Slots)))
+		for _, s := range w.Slots {
+			enc.bytes(s)
+		}
 	}
 	return enc.buf
 }
@@ -81,6 +88,7 @@ func hostileFrames() []hostileFrame {
 	for cut := 0; cut < len(vector); cut++ {
 		frames = append(frames, hostileFrame{fmt.Sprintf("write-buckets cut at %d", cut), wireWriteBuckets, vector[:cut]})
 	}
+	frames = append(frames, hostileFrame{"write-buckets with a trailing byte", wireWriteBuckets, append(vector, 0)})
 	for _, m := range []struct {
 		name string
 		op   wireOp
@@ -254,23 +262,338 @@ func FuzzServerHandle(f *testing.F) {
 		if cap(hs.refs) > len(payload) || cap(hs.writes) > len(payload) || cap(hs.slots) > len(payload) {
 			t.Fatalf("op %d: scratch grew to %d refs / %d writes / %d slots on a %d byte payload", op, cap(hs.refs), cap(hs.writes), cap(hs.slots), len(payload))
 		}
-		retained := 0
-		for b, vs := range mem.ix.buckets {
-			for _, v := range vs {
-				if b == 0 && (string(v.mirror) == "one" || string(v.mirror) == "two") {
-					continue // a seeded version
-				}
-				if cap(v.mirror) != v.layout.span(0) {
-					t.Fatalf("op %d: bucket %d keeps %d slot bytes in a %d byte slab", op, b, v.layout.span(0), cap(v.mirror))
-				}
-				if 4*int(v.layout.n) > len(payload) {
-					t.Fatalf("op %d: bucket %d holds %d slots from a %d byte payload", op, b, v.layout.n, len(payload))
-				}
-				retained += cap(v.mirror)
+		checkRetained(t, mem, len(payload))
+	})
+}
+
+// checkRetained requires what seededStore mem keeps beyond its seeded
+// versions to be sized by the n-byte payload that wrote it: one exact-length
+// slab per version, no more slots than the payload could describe and no
+// more bytes than it had.
+func checkRetained(t *testing.T, mem *MemBackend, n int) {
+	t.Helper()
+	retained := 0
+	for b, vs := range mem.ix.buckets {
+		for _, v := range vs {
+			if b == 0 && (string(v.mirror) == "one" || string(v.mirror) == "two") {
+				continue // a seeded version
+			}
+			if cap(v.mirror) != v.layout.span(0) {
+				t.Fatalf("bucket %d keeps %d slot bytes in a %d byte slab", b, v.layout.span(0), cap(v.mirror))
+			}
+			if 4*int(v.layout.n) > n {
+				t.Fatalf("bucket %d holds %d slots from a %d byte payload", b, v.layout.n, n)
+			}
+			retained += cap(v.mirror)
+		}
+	}
+	if retained > n {
+		t.Fatalf("the store retains %d bytes from a %d byte payload", retained, n)
+	}
+}
+
+// wholeBuckets decodes a write-buckets payload a bucket at a time, as the
+// streamed server does, up to the first bucket that does not decode: the
+// buckets before it and the payload offset each one ends at.
+func wholeBuckets(payload []byte) (writes []BucketWrite, ends []int) {
+	d := decoder{buf: payload}
+	n := d.count(16)
+	for i := 0; i < n && d.err == nil; i++ {
+		w := BucketWrite{Bucket: int(d.u32()), Epoch: d.u64()}
+		m := d.count(4)
+		for j := 0; j < m && d.err == nil; j++ {
+			w.Slots = append(w.Slots, d.view())
+		}
+		if d.err == nil {
+			writes = append(writes, w)
+			ends = append(ends, len(payload)-len(d.buf))
+		}
+	}
+	return writes, ends
+}
+
+// installedPrefix returns k when mem's state is seededStore's with the
+// first k of writes installed, and fails t when it is no such state: a
+// refused or torn streamed vector may leave a prefix of its whole buckets,
+// and nothing else.
+func installedPrefix(t *testing.T, mem *MemBackend, writes []BucketWrite) int {
+	t.Helper()
+	got := storeState(mem)
+	model := seededStore(t)
+	for k := 0; ; k++ {
+		if storeState(model) == got {
+			return k
+		}
+		// A refused entry stops the vector here as it stops the server's.
+		if k == len(writes) || model.WriteBuckets(writes[k:k+1]) != nil {
+			break
+		}
+	}
+	t.Fatalf("the store is no prefix of the %d whole buckets installed:\n%s", len(writes), got)
+	return 0
+}
+
+// streamServer serves backend with write-buckets frames longer than above
+// streamed, and returns its address.
+func streamServer(t *testing.T, backend Backend, above int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{backend: backend, streamCap: above}
+	s.srv = wire.Serve(ln, s.serveConn)
+	t.Cleanup(func() { s.Close() })
+	return s.Addr()
+}
+
+// rawConn is a storage connection driven frame by frame.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+	r    *bufio.Reader
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{t: t, conn: conn, r: bufio.NewReader(conn)}
+}
+
+func (rc *rawConn) send(frames ...[]byte) {
+	rc.t.Helper()
+	if _, err := rc.conn.Write(bytes.Join(frames, nil)); err != nil {
+		rc.t.Fatal(err)
+	}
+}
+
+// reply reads the next reply, which must answer id; nil when the server
+// closed the connection instead.
+func (rc *rawConn) reply(id uint64) *wire.Buf {
+	rc.t.Helper()
+	rc.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	b, err := wire.ReadFrame(rc.r, maxFrame, &bufs)
+	if err != nil {
+		if err != io.EOF {
+			rc.t.Fatalf("reading the reply to %d: %v", id, err)
+		}
+		return nil
+	}
+	if b.ID() != id {
+		rc.t.Fatalf("reply to %d where %d was due: the connection is out of sync", b.ID(), id)
+	}
+	return b
+}
+
+// probe asks for the bucket count and requires the answer: the frames
+// before it were consumed whole.
+func (rc *rawConn) probe(id uint64, want int) {
+	rc.t.Helper()
+	rc.send(oracleRequest(wireNumBuckets, id, nil))
+	b := rc.reply(id)
+	if b == nil || b.Kind() != statusOK || !bytes.Equal(b.Payload(), be32(uint32(want))) {
+		rc.t.Fatalf("probe %d after a refused frame: %v", id, b)
+	}
+	wire.Put(b)
+}
+
+// streamVector is a valid write-back vector over seededStore's buckets
+// whose frame is longer than a pooled buffer: 24 buckets of 12 slots of 300
+// bytes.
+func streamVector() []BucketWrite {
+	long := goldenWriteVectors()[1]
+	for i := range long {
+		long[i].Bucket %= 8
+		long[i].Epoch = 3
+	}
+	return long
+}
+
+// TestStreamedWriteBucketsRefusesHostileFrames sends every malformed
+// write-buckets frame of hostileFrames and a valid vector, longer than the
+// server's read buffer, with a byte behind it over a real connection to a
+// server that streams them all. Each is refused with an error reply, the
+// frame after it is answered in turn, and the store holds at most a prefix
+// of the whole buckets ahead of the bad one.
+func TestStreamedWriteBucketsRefusesHostileFrames(t *testing.T) {
+	frames := []hostileFrame{{"long vector with a trailing byte", wireWriteBuckets, append(encodeWriteBuckets(streamVector()), 0)}}
+	for _, hf := range hostileFrames() {
+		if hf.op == wireWriteBuckets {
+			frames = append(frames, hf)
+		}
+	}
+	for _, hf := range frames {
+		mem := seededStore(t)
+		rc := dialRaw(t, streamServer(t, mem, wire.HeaderLen))
+		rc.send(oracleRequest(hf.op, 1, hf.payload))
+		b := rc.reply(1)
+		if b == nil || b.Kind() != statusErr || len(b.Payload()) == 0 {
+			t.Fatalf("%s: answered %v, want an error", hf.name, b)
+		}
+		wire.Put(b)
+		rc.probe(2, 8)
+		whole, _ := wholeBuckets(hf.payload)
+		if k := installedPrefix(t, mem, whole); hf.name == frames[0].name && k == len(whole) {
+			t.Fatal("the last group of a vector with trailing bytes was installed")
+		}
+	}
+}
+
+// TestStreamedWriteBucketsFenced: a fenced connection's streamed vector is
+// refused with the fence's error before anything reaches the store, and the
+// connection stays in sync.
+func TestStreamedWriteBucketsFenced(t *testing.T) {
+	mem := seededStore(t)
+	addr := streamServer(t, mem, 4<<10)
+	before := storeState(mem)
+	zombie, successor := dialRaw(t, addr), dialRaw(t, addr)
+	for _, rc := range []*rawConn{zombie, successor} {
+		rc.send(oracleRequest(wireFence, 1, nil))
+		if b := rc.reply(1); b == nil || b.Kind() != statusOK {
+			t.Fatalf("fence: %v", b)
+		}
+	}
+	zombie.send(oracleRequest(wireWriteBuckets, 2, encodeWriteBuckets(streamVector())))
+	b := zombie.reply(2)
+	if b == nil || b.Kind() != statusErr || !strings.HasPrefix(string(b.Payload()), ErrFenced.Error()) {
+		t.Fatalf("a fenced streamed vector answered %v, want the fence's error", b)
+	}
+	zombie.probe(3, 8)
+	if after := storeState(mem); after != before {
+		t.Fatalf("a fenced streamed vector changed the store:\n%s\nto\n%s", before, after)
+	}
+	successor.send(oracleRequest(wireWriteBuckets, 2, encodeWriteBuckets(streamVector())))
+	if b := successor.reply(2); b == nil || b.Kind() != statusOK {
+		t.Fatalf("the fence holder's streamed vector answered %v", b)
+	}
+}
+
+// TestStreamedWriteBucketsTorn cuts a streamed vector's frame at points
+// inside it — after the bucket count, mid-bucket, on a bucket's boundary and
+// one byte short — and closes the connection. The server closes it without
+// a reply, and the store holds a prefix of the buckets that arrived whole,
+// uncommitted: what a crash between two WriteBuckets calls leaves.
+func TestStreamedWriteBucketsTorn(t *testing.T) {
+	vector := streamVector()
+	payload := encodeWriteBuckets(vector)
+	whole, ends := wholeBuckets(payload)
+	frame := oracleRequest(wireWriteBuckets, 1, payload)
+	head := len(frame) - len(payload)
+	for _, cut := range []int{4, ends[9] + 700, ends[15], len(payload) - 1} {
+		mem := seededStore(t)
+		rc := dialRaw(t, streamServer(t, mem, 4<<10))
+		rc.send(frame[:head+cut])
+		rc.conn.(*net.TCPConn).CloseWrite()
+		if b := rc.reply(1); b != nil {
+			t.Fatalf("cut at %d: a torn frame was answered (status %d)", cut, b.Kind())
+		}
+		arrived := 0
+		for arrived < len(ends) && ends[arrived] <= cut {
+			arrived++
+		}
+		if k := installedPrefix(t, mem, whole); k > arrived {
+			t.Fatalf("cut at %d: %d buckets installed, %d arrived whole", cut, k, arrived)
+		}
+		if mem.CommittedEpoch() != 1 {
+			t.Fatalf("cut at %d: committed epoch %d", cut, mem.CommittedEpoch())
+		}
+	}
+}
+
+// FuzzStreamWriteBuckets drives the streamed write-buckets decode over a
+// seeded MemBackend with arbitrary payloads, a frame torn short by torn
+// bytes, and a read buffer of 16 + window bytes, and holds it to the pooled
+// handler on a twin store. A whole frame is answered as the pooled handler
+// answers it, with the same error text for one that does not decode, and
+// the reader is left at the next frame; a torn one is reported torn. A
+// vector the pooled handler installs, or one the read buffer holds whole,
+// leaves the same store as the pooled handler; any other leaves a prefix of
+// the buckets that arrived whole (none when torn inside one window), and
+// what the store keeps is sized by the payload. The group scratch pins no
+// slot.
+func FuzzStreamWriteBuckets(f *testing.F) {
+	for _, hf := range hostileFrames() {
+		if hf.op == wireWriteBuckets {
+			f.Add(hf.payload, uint16(0), uint16(16))
+		}
+	}
+	valid := encodeWriteBuckets([]BucketWrite{
+		{Bucket: 0, Epoch: 3, Slots: [][]byte{[]byte("alpha"), []byte("bravo"), []byte("gamma")}},
+		{Bucket: 3, Epoch: 3, Slots: nil},
+		{Bucket: 7, Epoch: 2, Slots: [][]byte{bytes.Repeat([]byte{7}, 300), bytes.Repeat([]byte{8}, 300)}},
+		{Bucket: 2, Epoch: 2, Slots: [][]byte{{}, {}}},
+	})
+	for _, window := range []uint16{0, 9, 64, 700} {
+		f.Add(valid, uint16(0), window)
+		f.Add(append(valid, 0), uint16(0), window)
+		f.Add(valid, uint16(5), window)
+		f.Add(valid, uint16(400), window)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, torn, window uint16) {
+		if int(torn) > len(payload) {
+			torn = 0
+		}
+		arrived := len(payload) - int(torn)
+		mem := seededStore(t)
+		var out bytes.Buffer
+		sc := &serverConn{s: &Server{backend: mem}, w: bufio.NewWriter(&out)}
+		next := oracleRequest(wireNumBuckets, 77, nil)
+		in := payload[:arrived]
+		if torn == 0 {
+			in = append(slices.Clip(in), next...)
+		}
+		r := bufio.NewReaderSize(bytes.NewReader(in), 16+int(window))
+		ok := sc.streamWriteBuckets(r, 42, len(payload))
+		if ok != (torn == 0) {
+			t.Fatalf("%d of %d bytes arrived: reported ok %v", arrived, len(payload), ok)
+		}
+
+		whole, ends := wholeBuckets(payload)
+		n := 0
+		for n < len(ends) && ends[n] <= arrived {
+			n++
+		}
+		twin := seededStore(t)
+		wantStatus, wantResp := (&Server{backend: twin}).handle(&connState{}, new(scratch), wireWriteBuckets, payload, nil)
+		k := installedPrefix(t, mem, whole[:n])
+		// A payload the read buffer holds whole is parsed in one window:
+		// installed as the pooled handler installs it, or, torn, not at all.
+		oneWindow := len(payload)-4 <= r.Size()
+		if !ok && oneWindow && k > 0 {
+			t.Fatalf("a torn payload of one window installed %d buckets", k)
+		}
+		if ok {
+			reply, err := wire.ReadFrame(bufio.NewReader(&out), maxFrame, &bufs)
+			if err != nil || reply.ID() != 42 {
+				t.Fatalf("reply: %v", err)
+			}
+			status, resp := reply.Kind(), string(reply.Payload())
+			if status != wantStatus {
+				t.Fatalf("answered %d %q, the pooled handler %d %q", status, resp, wantStatus, wantResp)
+			}
+			if strings.HasPrefix(resp, "storage: bad write-buckets frame") && resp != string(wantResp) {
+				t.Fatalf("refused with %q, the pooled handler with %q", resp, wantResp)
+			}
+			if (status == statusOK || oneWindow) && storeState(mem) != storeState(twin) {
+				t.Fatalf("installed %d of %d buckets: the store differs from the pooled handler's", k, len(whole))
+			}
+			if fb, err := wire.ReadFrame(r, maxFrame, &bufs); err != nil || fb.ID() != 77 {
+				t.Fatalf("the next frame: %v; the reader is out of sync", err)
 			}
 		}
-		if retained > len(payload) {
-			t.Fatalf("op %d: the store retains %d bytes from a %d byte payload", op, retained, len(payload))
+		checkRetained(t, mem, len(payload))
+		g := &sc.group
+		if len(g.writes) != 0 || len(g.slots) != 0 {
+			t.Fatalf("scratch left with %d writes, %d slots", len(g.writes), len(g.slots))
+		}
+		for _, v := range g.slots[:cap(g.slots)] {
+			if v != nil {
+				t.Fatal("the scratch pins a slot")
+			}
 		}
 	})
 }
@@ -323,15 +646,18 @@ func TestServerHandleWriteBucketsAllocBudget(t *testing.T) {
 
 // TestRemoteWritesDoNotAliasPooledFrames writes buckets through a real
 // connection, then pushes enough unrelated traffic of every size through
-// the same wire to recycle every pooled buffer many times over, and reads
-// each written slot back: a slot the store retained as a view of its request
-// frame would by then hold somebody else's bytes.
+// the same wire to recycle every pooled buffer, and the connection's
+// streamed-vector scratch, many times over, and reads each written slot
+// back: a slot the store retained as a view of its request frame or of that
+// scratch would by then hold somebody else's bytes. The written vector and
+// every other garbage vector are longer than a pooled buffer, so they are
+// streamed.
 func TestRemoteWritesDoNotAliasPooledFrames(t *testing.T) {
 	const numBuckets, slotsPer = 24, 12
 	c, _ := newRemotePair(t, numBuckets+8)
 
 	slot := func(b, i int) []byte {
-		return bytes.Repeat([]byte{byte(b + 1), byte(i + 1), 0x5a}, 40+3*b)
+		return bytes.Repeat([]byte{byte(b + 1), byte(i + 1), 0x5a}, 80+3*b)
 	}
 	var writes []BucketWrite
 	for b := 0; b < numBuckets-1; b++ {
@@ -358,7 +684,8 @@ func TestRemoteWritesDoNotAliasPooledFrames(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		var garbage []BucketWrite
 		for b := numBuckets; b < numBuckets+8; b++ {
-			garbage = append(garbage, BucketWrite{Bucket: b, Epoch: 1, Slots: [][]byte{junk(2048), junk(2048), junk(2048)}})
+			n := 2048 << (round % 2)
+			garbage = append(garbage, BucketWrite{Bucket: b, Epoch: 1, Slots: [][]byte{junk(n), junk(n), junk(n)}})
 		}
 		if err := c.WriteBuckets(garbage); err != nil {
 			t.Fatal(err)
@@ -505,11 +832,42 @@ func oracleRequest(op wireOp, id uint64, payload []byte) []byte {
 	return append(hdr, payload...)
 }
 
+// goldenWriteVectors are the write-back vectors TestWireGoldenBytes sends: a
+// few buckets, one holding a zero-length slot and one none, and a vector
+// whose frame is longer than a pooled frame buffer's 64 KiB (a client that
+// streams its payload sends it in pieces).
+func goldenWriteVectors() [][]BucketWrite {
+	short := []BucketWrite{
+		{Bucket: 3, Epoch: 7, Slots: [][]byte{[]byte("alpha"), []byte("bravo")}},
+		{Bucket: 0, Epoch: 7, Slots: [][]byte{{}, {}}},
+		{Bucket: 1 << 20, Epoch: 1<<40 | 5, Slots: nil},
+		{Bucket: 9, Epoch: 8, Slots: [][]byte{[]byte("x")}},
+	}
+	var long []BucketWrite
+	for b := 0; b < 24; b++ {
+		slots := make([][]byte, 12)
+		for i := range slots {
+			slots[i] = bytes.Repeat([]byte{byte(b), byte(i), 0x5a}, 100)
+		}
+		long = append(long, BucketWrite{Bucket: b, Epoch: uint64(b / 8), Slots: slots})
+	}
+	return [][]BucketWrite{short, long}
+}
+
+// goldenWriteDigests are the SHA-256 digests of the goldenWriteVectors
+// request frames (ids 4 and 5), taken from the client that encoded each
+// frame whole into one buffer.
+var goldenWriteDigests = []string{
+	"9c58fa95e341743c3278b2d67c119835f313700da11121dc57ebefe683d6edaa",
+	"87638236a5205686fd312f32c2c7b62d93ca334d6de7b0dd12fb8bdbc505664b",
+}
+
 // TestWireGoldenBytes requires the storage wire's bytes to be what they were
 // before it moved onto internal/wire: the client's requests (a u64 mutation,
-// a log append — a length-prefixed mutation —, a bucket read) and the
-// server's responses (a u32, a slot vector, an error), the error also for
-// each reserved op of the baselines' retired key-value calls.
+// a log append — a length-prefixed mutation —, a bucket read, and bucket
+// write-backs, short and longer than a pooled frame, also pinned by digest)
+// and the server's responses (a u32, a slot vector, an error), the error
+// also for each reserved op of the baselines' retired key-value calls.
 func TestWireGoldenBytes(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	c := &Client{wc: wire.NewClient(cliConn, maxFrame, &bufs)}
@@ -518,12 +876,23 @@ func TestWireGoldenBytes(t *testing.T) {
 	var app, get encoder
 	app.bytes([]byte("record"))
 	get.u32(5)
+	vectors := goldenWriteVectors()
 	want := [][]byte{
 		oracleRequest(wireCommitEpoch, 1, binary.BigEndian.AppendUint64(nil, 0x0102030405060708)),
 		oracleRequest(wireLogAppend, 2, app.buf),
 		oracleRequest(wireReadBucket, 3, get.buf),
+		oracleRequest(wireWriteBuckets, 4, encodeWriteBuckets(vectors[0])),
+		oracleRequest(wireWriteBuckets, 5, encodeWriteBuckets(vectors[1])),
 	}
-	replies := [][]byte{nil, binary.BigEndian.AppendUint64(nil, 9), appendFields(nil, slots)}
+	if n := len(want[4]); n <= 4+64<<10 {
+		t.Fatalf("the long vector's frame is %d bytes, not longer than a pooled buffer", n)
+	}
+	for i, d := range goldenWriteDigests {
+		if got := fmt.Sprintf("%x", sha256.Sum256(want[3+i])); got != d {
+			t.Fatalf("write-back request %d: digest %s, want %s", 4+i, got, d)
+		}
+	}
+	replies := [][]byte{nil, binary.BigEndian.AppendUint64(nil, 9), appendFields(nil, slots), nil, nil}
 	peer := make(chan error, 1)
 	go func() {
 		defer srvConn.Close()
@@ -553,6 +922,11 @@ func TestWireGoldenBytes(t *testing.T) {
 	}
 	if got, err := c.ReadBucket(5); err != nil || len(got) != len(slots) {
 		t.Fatalf("ReadBucket = %q, %v", got, err)
+	}
+	for _, v := range vectors {
+		if err := c.WriteBuckets(v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := <-peer; err != nil {
 		t.Fatal(err)

@@ -432,3 +432,63 @@ func TestServerSurvivesAcceptErrors(t *testing.T) {
 		t.Fatalf("Close took %v mid-backoff", d)
 	}
 }
+
+// countWrites counts the WriteBuckets calls that reach a backend.
+type countWrites struct {
+	Backend
+	calls atomic.Int32
+}
+
+func (c *countWrites) WriteBuckets(writes []BucketWrite) error {
+	c.calls.Add(1)
+	return c.Backend.WriteBuckets(writes)
+}
+
+// TestServerStreamsLongVectorsInGroups: a write-back vector longer than a
+// pooled buffer reaches a server's store in several WriteBuckets calls, a
+// group of whole buckets each, except behind a Latency model, which charges
+// its round trip per call: there the vector stays one call.
+func TestServerStreamsLongVectorsInGroups(t *testing.T) {
+	const numBuckets, slotsPer = 24, 40
+	writes := make([]BucketWrite, numBuckets)
+	for b := range writes {
+		slots := make([][]byte, slotsPer)
+		for i := range slots {
+			slots[i] = bytes.Repeat([]byte{byte(b), byte(i)}, 150)
+		}
+		writes[b] = BucketWrite{Bucket: b, Epoch: 1, Slots: slots}
+	}
+	for _, modelled := range []bool{false, true} {
+		counted := &countWrites{Backend: NewMemBackend(numBuckets)}
+		var backend Backend = counted
+		if modelled {
+			backend = WithLatency(counted, Profile{Name: "test", Write: time.Microsecond})
+		}
+		srv, err := NewServer(backend, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteBuckets(writes); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		srv.Close()
+		calls := counted.calls.Load()
+		if modelled && calls != 1 {
+			t.Errorf("behind a latency model: %d WriteBuckets calls for one vector, want 1", calls)
+		}
+		if !modelled && calls < 2 {
+			t.Errorf("%d WriteBuckets calls for a %d-bucket vector of 12 KB buckets: not streamed in groups", calls, numBuckets)
+		}
+		for b, w := range writes {
+			got, err := counted.ReadBucket(b)
+			if err != nil || len(got) != slotsPer || !bytes.Equal(got[slotsPer-1], w.Slots[slotsPer-1]) {
+				t.Fatalf("modelled %v: bucket %d reads back %d slots, err %v", modelled, b, len(got), err)
+			}
+		}
+	}
+}

@@ -65,7 +65,40 @@ var replyChans = sync.Pool{New: func() any { return make(chan *Buf, 1) }}
 // read loop notices: a failover dialer keying off Err must not keep handing
 // out a dead connection.
 func (c *Client) Send(kind uint8, id uint64, pre []byte, s string, p []byte) (chan *Buf, error) {
-	if n := HeaderLen + len(pre) + len(s) + len(p); n > c.limit {
+	ch, err := c.begin(id, len(pre)+len(s)+len(p))
+	if err != nil {
+		return nil, err
+	}
+	if err := c.end(Write(c.w, kind, id, pre, s, p)); err != nil {
+		return nil, err
+	}
+	return ch, nil
+}
+
+// BeginSend is Send for a payload of n bytes that the caller writes in
+// pieces, from wherever they lie, to w: it registers the reply and puts the
+// frame's header on w, and the caller then writes exactly n bytes to w and
+// calls EndSend, which flushes the frame. The connection is the caller's
+// alone in between, and nothing is allocated for the frame, however long.
+// BeginSend fails as Send does, before anything reaches the wire and without
+// taking the connection.
+func (c *Client) BeginSend(kind uint8, id uint64, n int) (w *bufio.Writer, reply chan *Buf, err error) {
+	if reply, err = c.begin(id, n); err != nil {
+		return nil, nil, err
+	}
+	writeHeader(c.w, kind, id, n, nil)
+	return c.w, reply, nil
+}
+
+// EndSend flushes the frame BeginSend began and releases the connection. Its
+// error is Send's for a failed write: the connection has failed, and the
+// reply channel closes.
+func (c *Client) EndSend() error { return c.end(c.w.Flush()) }
+
+// begin refuses a frame of an n-byte payload over the limit or on a client
+// that has stopped, registers a pending reply for id and takes the writer.
+func (c *Client) begin(id uint64, n int) (chan *Buf, error) {
+	if n += HeaderLen; n > c.limit {
 		return nil, fmt.Errorf("%w: request of %d bytes", ErrTooLarge, n)
 	}
 	c.mu.Lock()
@@ -76,16 +109,18 @@ func (c *Client) Send(kind uint8, id uint64, pre []byte, s string, p []byte) (ch
 	ch := replyChans.Get().(chan *Buf)
 	c.pending[id] = ch
 	c.mu.Unlock()
-
 	c.wmu.Lock()
-	err := Write(c.w, kind, id, pre, s, p)
+	return ch, nil
+}
+
+// end releases the writer begin took; a write error fails the connection.
+func (c *Client) end(err error) error {
 	c.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("wire: send: %w", err)
 		c.fail(err)
-		return nil, err
 	}
-	return ch, nil
+	return err
 }
 
 // Recv waits for the reply on a channel Send returned, or for ctx to end. ok

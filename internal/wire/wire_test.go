@@ -38,7 +38,8 @@ func framed(n uint32, body int64) *bufio.Reader {
 // TestReadFrameLengths is the one hostile-length table both protocols'
 // readers answer to: a length under the header or over the limit fails
 // before anything is sized by it, a frame of exactly the limit reads, and a
-// body cut short fails as a torn read.
+// body cut short fails as a torn read. PeekHeader answers the same lengths
+// the same way and reads a torn body's header, leaving the frame unread.
 func TestReadFrameLengths(t *testing.T) {
 	for _, limit := range limits {
 		for _, tc := range []struct {
@@ -55,7 +56,15 @@ func TestReadFrameLengths(t *testing.T) {
 			{"length 2^32-1", 0xffffffff, 64, false},
 			{"torn body", 64, 63, false},
 		} {
-			b, err := ReadFrame(framed(tc.n, tc.body), limit, &pool)
+			r := framed(tc.n, tc.body)
+			_, _, payload, err := PeekHeader(r, limit)
+			if peekOK := tc.ok || tc.name == "torn body"; (err == nil) != peekOK || (peekOK && payload != int(tc.n)-HeaderLen) {
+				t.Fatalf("limit %d, %s: PeekHeader says %d payload bytes, err %v", limit, tc.name, payload, err)
+			}
+			if err == nil && r.Buffered() < PrefixLen+HeaderLen {
+				t.Fatalf("limit %d, %s: PeekHeader consumed the header", limit, tc.name)
+			}
+			b, err := ReadFrame(r, limit, &pool)
 			if tc.ok {
 				if err != nil || len(b.B) != int(tc.n) {
 					t.Fatalf("limit %d, %s: err %v", limit, tc.name, err)
@@ -352,5 +361,95 @@ func TestDrainWaitsThenCloses(t *testing.T) {
 				t.Fatalf("Drain took %v with a grace of %v", d, tc.grace)
 			}
 		})
+	}
+}
+
+// TestPoolKeepsNothingOverCap reads a run of frames longer than MaxPooled
+// between short ones, grows a pooled buffer past the cap, puts every buffer
+// back, and then finds no pooled buffer over the cap: a long frame's buffer
+// is its own, and one that outgrew the cap is dropped.
+func TestPoolKeepsNothingOverCap(t *testing.T) {
+	var p Pool
+	var stream []byte
+	for i, n := range []int{100, MaxPooled + 1, 300, 4 * MaxPooled, MaxPooled - HeaderLen, 700 << 10, 10} {
+		stream = frameBytes(stream, 1, uint64(i), make([]byte, n))
+	}
+	r := bufio.NewReader(bytes.NewReader(stream))
+	var held []*Buf
+	for {
+		b, err := ReadFrame(r, 1<<20, &p)
+		if err != nil {
+			break
+		}
+		held = append(held, b)
+	}
+	if len(held) != 7 {
+		t.Fatalf("read %d frames, want 7", len(held))
+	}
+	grown := p.Get(0)
+	grown.B = append(grown.B, make([]byte, 2*MaxPooled)...)
+	held = append(held, grown)
+	for _, b := range held {
+		Put(b)
+	}
+	for i := 0; i < 64; i++ {
+		b := p.Get(0)
+		if cap(b.B) > MaxPooled {
+			t.Fatalf("the pool handed out a %d byte buffer, over its %d byte cap", cap(b.B), MaxPooled)
+		}
+		defer Put(b)
+	}
+}
+
+// TestBeginSendStreamsPayload sends a frame whose payload is written in
+// pieces after BeginSend: it reaches the peer as the frame Send would have
+// built, a frame over the limit is refused without taking the connection,
+// and a failed write fails the connection as Send's does.
+func TestBeginSendStreamsPayload(t *testing.T) {
+	s := echoServer(t)
+	c := dialClient(t, s.Addr(), 1<<20)
+	pieces := [][]byte{[]byte("head"), bytes.Repeat([]byte{7}, 200<<10), nil, []byte("tail")}
+	n := 0
+	for _, p := range pieces {
+		n += len(p)
+	}
+	if _, _, err := c.BeginSend(3, 9, 1<<20); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized BeginSend: %v, want ErrTooLarge", err)
+	}
+	w, ch, err := c.BeginSend(3, 9, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pieces {
+		w.Write(p)
+	}
+	if err := c.EndSend(); err != nil {
+		t.Fatal(err)
+	}
+	b, ok, err := Recv(context.Background(), ch)
+	if !ok || err != nil || b.Kind() != 3 || b.ID() != 9 || !bytes.Equal(b.Payload(), bytes.Join(pieces, nil)) {
+		t.Fatalf("echo of a streamed frame: ok %v err %v", ok, err)
+	}
+	Put(b)
+	if _, err := c.Send(1, 10, nil, "after", nil); err != nil {
+		t.Fatalf("Send after a streamed frame: %v", err)
+	}
+
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	fc := NewClient(&failWrites{Conn: cli}, 1<<20, &pool)
+	defer fc.Close()
+	w, ch, err = fc.BeginSend(3, 1, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pieces {
+		w.Write(p)
+	}
+	if err := fc.EndSend(); err == nil {
+		t.Fatal("EndSend over a failing connection reported no error")
+	}
+	if _, ok := <-ch; ok || fc.Err() == nil {
+		t.Fatalf("a failed streamed write left the connection alive (Err %v)", fc.Err())
 	}
 }
