@@ -102,20 +102,19 @@ var bufs wire.Pool
 
 // Server serves a Backend over TCP. A connection's frames are read whole
 // into pooled buffers and answered by handler workers, except a write-back
-// vector longer than a pooled buffer, which the read loop streams into the
-// backend a window of whole buckets at a time (streamWriteBuckets; not over
-// a Latency model, which charges per call): a torn or refused one may leave
-// a prefix of its whole buckets installed but uncommitted, as
-// BucketStore.WriteBuckets allows.
+// vector longer than the connection's read buffer, which the read loop
+// streams into the backend a window of whole buckets at a time
+// (streamWriteBuckets): a torn or refused one may leave a prefix of its
+// whole buckets installed but uncommitted, as BucketStore.WriteBuckets
+// allows.
 type Server struct {
 	backend Backend
 	srv     *wire.Server
 
-	// streamCap is the longest write-buckets frame read whole into a pooled
-	// buffer (wire.MaxPooled): a longer one is streamed through the
-	// connection's read buffer, a window of whole buckets at a time
-	// (streamWriteBuckets).
-	streamCap int
+	// readBuf sizes each connection's read buffer, and so the longest
+	// write-buckets frame read whole: wire.MaxPooled, the longest a pooled
+	// buffer holds. Tests shrink it to stream short vectors too.
+	readBuf int
 
 	// fence is the served backend's proxy-generation register: fencing at
 	// the wire covers any backend (disk groups included) without the backend
@@ -156,14 +155,7 @@ func NewServer(backend Backend, addr string) (*Server, error) {
 }
 
 func newServer(backend Backend, ln net.Listener) *Server {
-	s := &Server{backend: backend, streamCap: wire.MaxPooled}
-	if _, modelled := backend.(*Latency); modelled {
-		// A modelled remote store charges its round trip per call, so each
-		// streamed group would pay it, in the read loop, stalling the
-		// requests behind it. Its vectors are read whole and installed by a
-		// worker, one call each.
-		s.streamCap = maxFrame
-	}
+	s := &Server{backend: backend, readBuf: wire.MaxPooled}
 	s.srv = wire.Serve(ln, s.serveConn)
 	return s
 }
@@ -209,7 +201,7 @@ type scratch struct {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, 1<<16)
+	r := bufio.NewReaderSize(conn, s.readBuf)
 	sc := &serverConn{s: s, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), reqs: make(chan *wire.Buf)}
 	defer sc.handlers.Wait()
 	defer close(sc.reqs)
@@ -221,7 +213,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if wireOp(op) == wireWriteBuckets && wire.HeaderLen+n > s.streamCap {
+		if wireOp(op) == wireWriteBuckets && wire.HeaderLen+n > r.Size() {
 			r.Discard(wire.PrefixLen + wire.HeaderLen) // peeked
 			if !sc.streamWriteBuckets(r, id, n) {
 				return
@@ -318,9 +310,10 @@ func (sc *serverConn) reply(status byte, id uint64, resp []byte) {
 // still on r without holding the vector whole. It parses the payload a
 // window at a time out of r's buffer and hands the whole buckets of each
 // window to the backend's WriteBuckets as views of it, in vector order,
-// before r reads on; a bucket longer than r's buffer has the rest of the
-// payload read into a buffer of its own. So a server holds a bucket's worth
-// per connection, its read buffer, however long the epoch's write-back set.
+// before r reads on. So while its buckets fit r's buffer a server holds
+// that buffer's worth per connection, however long the epoch's write-back
+// set; a bucket longer than r's buffer has the rest of the payload read
+// into a buffer of its own.
 // The fence is checked once, before the first group. A payload that does
 // not decode — a count or length running past the frame, bytes left after
 // the last bucket — is refused with the pooled path's error text, and the

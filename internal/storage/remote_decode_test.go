@@ -333,15 +333,16 @@ func installedPrefix(t *testing.T, mem *MemBackend, writes []BucketWrite) int {
 	return 0
 }
 
-// streamServer serves backend with write-buckets frames longer than above
-// streamed, and returns its address.
-func streamServer(t *testing.T, backend Backend, above int) string {
+// streamServer serves backend with a read buffer of readBuf bytes, so that
+// write-buckets frames longer than that are streamed, and returns its
+// address.
+func streamServer(t *testing.T, backend Backend, readBuf int) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{backend: backend, streamCap: above}
+	s := &Server{backend: backend, readBuf: readBuf}
 	s.srv = wire.Serve(ln, s.serveConn)
 	t.Cleanup(func() { s.Close() })
 	return s.Addr()
@@ -413,22 +414,26 @@ func streamVector() []BucketWrite {
 	return long
 }
 
-// TestStreamedWriteBucketsRefusesHostileFrames sends every malformed
-// write-buckets frame of hostileFrames and a valid vector, longer than the
-// server's read buffer, with a byte behind it over a real connection to a
-// server that streams them all. Each is refused with an error reply, the
-// frame after it is answered in turn, and the store holds at most a prefix
-// of the whole buckets ahead of the bad one.
+// TestStreamedWriteBucketsRefusesHostileFrames sends a valid vector, longer
+// than the server's read buffer, with a byte behind it, and every malformed
+// write-buckets frame of hostileFrames that is longer than bufio's smallest
+// read buffer, over a real connection to a server with a buffer that small,
+// which streams them all (a shorter one is read whole, as
+// TestServerHandleRejectsHostileFrames covers, and FuzzStreamWriteBuckets
+// streams every length). Each is refused with an error reply, the frame
+// after it is answered in turn, and the store holds at most a prefix of the
+// whole buckets ahead of the bad one.
 func TestStreamedWriteBucketsRefusesHostileFrames(t *testing.T) {
+	const readBuf = 16 // bufio's least
 	frames := []hostileFrame{{"long vector with a trailing byte", wireWriteBuckets, append(encodeWriteBuckets(streamVector()), 0)}}
 	for _, hf := range hostileFrames() {
-		if hf.op == wireWriteBuckets {
+		if hf.op == wireWriteBuckets && wire.HeaderLen+len(hf.payload) > readBuf {
 			frames = append(frames, hf)
 		}
 	}
 	for _, hf := range frames {
 		mem := seededStore(t)
-		rc := dialRaw(t, streamServer(t, mem, wire.HeaderLen))
+		rc := dialRaw(t, streamServer(t, mem, readBuf))
 		rc.send(oracleRequest(hf.op, 1, hf.payload))
 		b := rc.reply(1)
 		if b == nil || b.Kind() != statusErr || len(b.Payload()) == 0 {

@@ -446,8 +446,7 @@ func (c *countWrites) WriteBuckets(writes []BucketWrite) error {
 
 // TestServerStreamsLongVectorsInGroups: a write-back vector longer than a
 // pooled buffer reaches a server's store in several WriteBuckets calls, a
-// group of whole buckets each, except behind a Latency model, which charges
-// its round trip per call: there the vector stays one call.
+// group of whole buckets each.
 func TestServerStreamsLongVectorsInGroups(t *testing.T) {
 	const numBuckets, slotsPer = 24, 40
 	writes := make([]BucketWrite, numBuckets)
@@ -458,37 +457,27 @@ func TestServerStreamsLongVectorsInGroups(t *testing.T) {
 		}
 		writes[b] = BucketWrite{Bucket: b, Epoch: 1, Slots: slots}
 	}
-	for _, modelled := range []bool{false, true} {
-		counted := &countWrites{Backend: NewMemBackend(numBuckets)}
-		var backend Backend = counted
-		if modelled {
-			backend = WithLatency(counted, Profile{Name: "test", Write: time.Microsecond})
-		}
-		srv, err := NewServer(backend, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WriteBuckets(writes); err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-		srv.Close()
-		calls := counted.calls.Load()
-		if modelled && calls != 1 {
-			t.Errorf("behind a latency model: %d WriteBuckets calls for one vector, want 1", calls)
-		}
-		if !modelled && calls < 2 {
-			t.Errorf("%d WriteBuckets calls for a %d-bucket vector of 12 KB buckets: not streamed in groups", calls, numBuckets)
-		}
-		for b, w := range writes {
-			got, err := counted.ReadBucket(b)
-			if err != nil || len(got) != slotsPer || !bytes.Equal(got[slotsPer-1], w.Slots[slotsPer-1]) {
-				t.Fatalf("modelled %v: bucket %d reads back %d slots, err %v", modelled, b, len(got), err)
-			}
+	counted := &countWrites{Backend: NewMemBackend(numBuckets)}
+	srv, err := NewServer(counted, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WriteBuckets(writes); err != nil {
+		t.Fatal(err)
+	}
+	if calls := counted.calls.Load(); calls < 2 {
+		t.Errorf("%d WriteBuckets calls for a %d-bucket vector of 12 KB buckets: not streamed in groups", calls, numBuckets)
+	}
+	for b, w := range writes {
+		got, err := counted.ReadBucket(b)
+		if err != nil || len(got) != slotsPer || !bytes.Equal(got[slotsPer-1], w.Slots[slotsPer-1]) {
+			t.Fatalf("bucket %d reads back %d slots, err %v", b, len(got), err)
 		}
 	}
 }

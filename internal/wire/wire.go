@@ -26,6 +26,7 @@ import (
 	"net"
 	"sync"
 	"time"
+	"weak"
 )
 
 // HeaderLen is the size of a frame's kind and id, the least a length prefix
@@ -45,23 +46,41 @@ type Buf struct {
 // MaxPooled is the largest buffer a Pool keeps. Every frame of a steady
 // state is below it — a slot-read reply is tens of kilobytes, every other
 // frame a few — so a longer one is rare (a full checkpoint's append, the
-// resident levels' load at recovery) and gets a buffer nothing keeps: a pool
-// that kept it would hold megabytes for the next rare frame. A write-back
-// vector, which grows with the epoch, is not held whole on the storage wire
-// at all (internal/storage streams it).
+// resident levels' load at recovery) and gets a buffer the pool holds only
+// weakly: a pool that kept it would hold megabytes for the next rare frame.
+// A write-back vector, which grows with the epoch, is not held whole on the
+// storage wire at all (internal/storage streams it).
 const MaxPooled = 64 << 10
 
 // Pool recycles one protocol's frame buffers. Each protocol keeps its own,
 // so one link's frames never sit on the other's buffers: a storage reply
 // grows to kilobytes, a client frame is a few dozen bytes. The zero Pool is
 // ready to use.
-type Pool struct{ p sync.Pool }
+type Pool struct {
+	p sync.Pool
+
+	// long is the last buffer over MaxPooled put back, held weakly:
+	// the next long frame reuses it unless a collection freed it first, so
+	// a long frame every few epochs need not allocate each time, and none
+	// outlives a collection.
+	mu   sync.Mutex
+	long weak.Pointer[Buf]
+}
 
 // Get returns an empty buffer with room for at least size bytes: a pooled
-// one up to MaxPooled, one of its own, which Put drops, past it.
+// one up to MaxPooled, past it the last long one put back if a collection
+// has not freed it and it is long enough, or else a new one.
 func (p *Pool) Get(size int) *Buf {
 	if size > MaxPooled {
-		return &Buf{B: make([]byte, 0, size), pool: p}
+		p.mu.Lock()
+		b := p.long.Value()
+		p.long = weak.Pointer[Buf]{}
+		p.mu.Unlock()
+		if b == nil || cap(b.B) < size {
+			b = &Buf{B: make([]byte, 0, size), pool: p}
+		}
+		b.B = b.B[:0]
+		return b
 	}
 	b, _ := p.p.Get().(*Buf)
 	if b == nil {
@@ -74,12 +93,18 @@ func (p *Pool) Get(size int) *Buf {
 	return b
 }
 
-// Put returns b to its pool, unless it holds more than MaxPooled bytes —
-// taken for a long frame, or grown past the cap since — which it drops. A
-// nil b is ignored.
+// Put returns b to its pool. One that holds more than MaxPooled bytes —
+// taken for a long frame, or grown past the cap since — the pool holds only
+// weakly, in place of the last such one. A nil b is ignored.
 func Put(b *Buf) {
-	if b != nil && cap(b.B) <= MaxPooled {
+	switch {
+	case b == nil:
+	case cap(b.B) <= MaxPooled:
 		b.pool.p.Put(b)
+	default:
+		b.pool.mu.Lock()
+		b.pool.long = weak.Make(b)
+		b.pool.mu.Unlock()
 	}
 }
 

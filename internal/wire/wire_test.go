@@ -8,6 +8,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -366,8 +368,9 @@ func TestDrainWaitsThenCloses(t *testing.T) {
 
 // TestPoolKeepsNothingOverCap reads a run of frames longer than MaxPooled
 // between short ones, grows a pooled buffer past the cap, puts every buffer
-// back, and then finds no pooled buffer over the cap: a long frame's buffer
-// is its own, and one that outgrew the cap is dropped.
+// back, and then finds no pooled buffer over the cap, and after a
+// collection no long buffer held at all: a long frame's buffer is its own,
+// and one that outgrew the cap is held only weakly.
 func TestPoolKeepsNothingOverCap(t *testing.T) {
 	var p Pool
 	var stream []byte
@@ -398,6 +401,37 @@ func TestPoolKeepsNothingOverCap(t *testing.T) {
 			t.Fatalf("the pool handed out a %d byte buffer, over its %d byte cap", cap(b.B), MaxPooled)
 		}
 		defer Put(b)
+	}
+	runtime.GC()
+	if b := p.long.Value(); b != nil {
+		t.Fatalf("a %d byte buffer outlived a collection", cap(b.B))
+	}
+}
+
+// TestPoolReusesLongBufferUntilCollected: with no collection in between, a
+// long frame's buffer is handed to the next long frame that fits it, and one
+// that does not fit gets a new one; a collection frees the one held.
+func TestPoolReusesLongBufferUntilCollected(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var p Pool
+	a := p.Get(3 * MaxPooled)
+	Put(a)
+	if b := p.Get(2 * MaxPooled); b != a {
+		t.Fatal("a long frame did not reuse the long buffer put back before it")
+	}
+	Put(a)
+	if b := p.Get(4 * MaxPooled); b == a || cap(b.B) < 4*MaxPooled {
+		t.Fatalf("a longer frame got the %d byte buffer put back before it", cap(b.B))
+	}
+	Put(a)
+	allocs := testing.AllocsPerRun(100, func() { Put(p.Get(2 * MaxPooled)) })
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per long frame with no collection in between, want 0", allocs)
+	}
+	a = nil // the pool's is the last hold
+	runtime.GC()
+	if p.long.Value() != nil {
+		t.Fatal("the long buffer outlived a collection")
 	}
 }
 
