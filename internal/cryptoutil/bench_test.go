@@ -30,17 +30,3 @@ func BenchmarkOpen256(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSealFrame seals a kv-mem slot in place under its version's seed:
-// the per-slot cost a filler frame (BenchmarkFill) replaces.
-func BenchmarkSealFrame(b *testing.B) {
-	k := KeyFromSeed([]byte("bench"))
-	frame := make([]byte, fillerFrame)
-	binding := Binding(1, 2, 3)
-	var nonce Nonce
-	for i := 0; i < b.N; i++ {
-		if err := k.SealSlot(frame, Seed{}, i%40, binding, &nonce); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

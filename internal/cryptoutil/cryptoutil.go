@@ -18,9 +18,12 @@
 // whose 96-bit Seed the proxy keeps, and is sealed under the nonce seed ⊕ s
 // (SealSlot, OpenSlot). Every version a proxy writes draws a fresh seed, so
 // no two slots share a nonce, and a frame moved to another slot of its
-// version fails authentication. A frame led by a scheme byte other than the
-// opener's fails with ErrScheme and never yields plaintext. A Filler writes
-// slot frames that carry no message: the scheme byte and keystream, for slots
+// version fails authentication. Nor does a slot frame carry the key of the
+// block it holds: the proxy's metadata names it, and it is authenticated as
+// additional data beside the binding, so a frame opened for another key fails
+// authentication too. A frame led by a scheme byte other than the opener's
+// fails with ErrScheme and never yields plaintext. A Filler writes slot
+// frames that carry no message: the scheme byte and keystream, for slots
 // that hold no block.
 package cryptoutil
 
@@ -45,11 +48,15 @@ type Scheme byte
 const (
 	// SchemeGCM is the AES-GCM record frame, which carries its nonce.
 	SchemeGCM Scheme = 2
+	// SchemeKeyedSlot is retired: it named the seeded slot frame whose
+	// plaintext carried its block's key. No opener accepts it.
+	SchemeKeyedSlot Scheme = 3
 	// SchemeSlot is the AES-GCM slot frame, sealed under a nonce derived
-	// from its version's seed and its slot index. Slot frames of the
-	// SchemeGCM shape, which carried a random nonce each, are refused with
-	// ErrScheme.
-	SchemeSlot Scheme = 3
+	// from its version's seed and its slot index, with its block's key as
+	// additional data. Slot frames of an older shape — SchemeGCM-led ones,
+	// which carried a random nonce each, and SchemeKeyedSlot ones — are
+	// refused with ErrScheme.
+	SchemeSlot Scheme = 4
 )
 
 // Key is the proxy's secret, with the AES cipher and GCM AEAD constructed
@@ -250,43 +257,61 @@ func (k *Key) Open(sealed, binding []byte) ([]byte, error) {
 	return k.OpenTo(make([]byte, 0, len(sealed)-Overhead), sealed, binding)
 }
 
-// Nonce is a sealer's or opener's scratch for the nonce of the slot it
-// seals or opens (SealSlot, OpenSlot). cipher.AEAD takes a nonce through an
+// SlotScratch is a sealer's or opener's scratch for the slot it seals or
+// opens (SealSlot, OpenSlot): the slot's nonce, and its additional data, the
+// binding and the block's key joined. cipher.AEAD takes both through an
 // interface, so a nonce derived on the stack would move to the heap at every
-// call: a caller keeps a Nonce beside its binding scratch instead. It belongs
-// to one goroutine; the zero value is ready.
-type Nonce [nonceSize]byte
+// call: a caller keeps a SlotScratch beside its binding scratch instead. It
+// belongs to one goroutine. The zero value is ready; its additional data
+// grows once, to the longest it joins.
+type SlotScratch struct {
+	nonce [nonceSize]byte
+	ad    []byte
+}
 
 // derive writes the nonce of slot s of the version seed names: the seed with
 // s XORed into its last four bytes, big-endian.
-func (n *Nonce) derive(seed Seed, slot int) []byte {
-	*n = Nonce(seed)
+func (sc *SlotScratch) derive(seed Seed, slot int) []byte {
+	n := &sc.nonce
+	*n = seed
 	binary.BigEndian.PutUint32(n[nonceSize-4:], binary.BigEndian.Uint32(n[nonceSize-4:])^uint32(slot))
 	return n[:]
+}
+
+// join writes a slot's additional data: binding, then key, then key's length
+// as four bytes big-endian. Read from its end it yields key and binding
+// again, so no two (binding, key) pairs share additional data.
+func (sc *SlotScratch) join(binding, key []byte) []byte {
+	sc.ad = append(append(sc.ad[:0], binding...), key...)
+	sc.ad = binary.BigEndian.AppendUint32(sc.ad, uint32(len(key)))
+	return sc.ad
 }
 
 // SealSlot seals slot s of the bucket version seed names, in place: the
 // caller has written the plaintext at frame[1:len(frame)-TagSize], and the
 // frame becomes SchemeSlot | ciphertext | tag, sealed under the nonce seed ⊕
-// slot (derived into nonce) with binding as additional data. It allocates
+// slot with binding and key, the key of the block the slot holds, as
+// additional data (both joined in sc, the caller's scratch). The key is not
+// in the frame: OpenSlot must present it. Once sc has grown, it allocates
 // nothing. slot must be below 2^32, and the seed's version must not seal
 // slot s twice.
-func (k *Key) SealSlot(frame []byte, seed Seed, slot int, binding []byte, nonce *Nonce) error {
+func (k *Key) SealSlot(frame []byte, seed Seed, slot int, binding, key []byte, sc *SlotScratch) error {
 	if len(frame) < SlotOverhead {
 		return fmt.Errorf("cryptoutil: frame of %d bytes is smaller than the slot overhead", len(frame))
 	}
 	frame[0] = byte(SchemeSlot)
-	k.aead.Seal(frame[:1], nonce.derive(seed, slot), frame[1:len(frame)-TagSize], binding)
+	k.aead.Seal(frame[:1], sc.derive(seed, slot), frame[1:len(frame)-TagSize], sc.join(binding, key))
 	return nil
 }
 
 // OpenSlot authenticates slot s of the bucket version seed names under
-// binding and appends its plaintext to dst, returning the extended slice;
-// nonce is the caller's scratch (see Nonce). A frame led by another scheme
-// byte fails with ErrScheme; a forged, stale or relocated frame — one sealed
-// for another slot of the version included — and one opened under the wrong
-// seed fail with ErrAuth.
-func (k *Key) OpenSlot(dst, frame []byte, seed Seed, slot int, binding []byte, nonce *Nonce) ([]byte, error) {
+// binding, as the slot of the block key names, and appends its plaintext to
+// dst, returning the extended slice; sc is the caller's scratch (see
+// SlotScratch). A frame led by another scheme byte fails with ErrScheme; a
+// forged, stale or relocated frame — one sealed for another slot of the
+// version included — and one opened under the wrong seed or for another key
+// fail with ErrAuth.
+func (k *Key) OpenSlot(dst, frame []byte, seed Seed, slot int, binding, key []byte, sc *SlotScratch) ([]byte, error) {
 	if len(frame) > 0 && Scheme(frame[0]) != SchemeSlot {
 		return nil, fmt.Errorf("%w: frame scheme %d, opener is the slot frame", ErrScheme, frame[0])
 	}
@@ -295,7 +320,7 @@ func (k *Key) OpenSlot(dst, frame []byte, seed Seed, slot int, binding []byte, n
 	}
 	off := len(dst)
 	dst = grow(dst, len(frame)-SlotOverhead)
-	if _, err := k.aead.Open(dst[off:off], nonce.derive(seed, slot), frame[1:], binding); err != nil {
+	if _, err := k.aead.Open(dst[off:off], sc.derive(seed, slot), frame[1:], sc.join(binding, key)); err != nil {
 		return nil, ErrAuth
 	}
 	return dst, nil

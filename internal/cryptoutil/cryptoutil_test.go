@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -422,12 +423,13 @@ func TestConcurrentSeals(t *testing.T) {
 	}
 }
 
-// slotFrame seals plain as slot s of the version seed names.
-func slotFrame(t testing.TB, k *Key, plain []byte, seed Seed, s int, binding []byte) []byte {
+// slotFrame seals plain as slot s of the version seed names, the slot of
+// key's block.
+func slotFrame(t testing.TB, k *Key, plain []byte, seed Seed, s int, binding, key []byte) []byte {
 	t.Helper()
 	frame := make([]byte, len(plain)+SlotOverhead)
 	copy(frame[1:], plain)
-	if err := k.SealSlot(frame, seed, s, binding, new(Nonce)); err != nil {
+	if err := k.SealSlot(frame, seed, s, binding, key, new(SlotScratch)); err != nil {
 		t.Fatal(err)
 	}
 	return frame
@@ -442,12 +444,12 @@ func slotFrame(t testing.TB, k *Key, plain []byte, seed Seed, s int, binding []b
 func TestSlotFrameBindsSeedAndSlot(t *testing.T) {
 	k := KeyFromSeed([]byte("slots"))
 	seed := Seed{0: 0xa5, 11: 0x07}
-	binding := Binding(9, 4, 0)
+	binding, key := Binding(9, 4, 0), []byte("alice")
 	plain := []byte("the block of slot 5")
-	var nonce Nonce
+	var sc SlotScratch
 	frames := make([][]byte, 8)
 	for s := range frames {
-		frames[s] = slotFrame(t, k, plain, seed, s, binding)
+		frames[s] = slotFrame(t, k, plain, seed, s, binding, key)
 		if len(frames[s]) != len(plain)+SlotOverhead || Scheme(frames[s][0]) != SchemeSlot {
 			t.Fatalf("slot %d: a %d-byte frame led by %d", s, len(frames[s]), frames[s][0])
 		}
@@ -457,18 +459,18 @@ func TestSlotFrameBindsSeedAndSlot(t *testing.T) {
 	other := seed
 	other[SeedSize-1] ^= 1
 	for s, frame := range frames {
-		got, err := k.OpenSlot(nil, frame, seed, s, binding, &nonce)
+		got, err := k.OpenSlot(nil, frame, seed, s, binding, key, &sc)
 		if err != nil || !bytes.Equal(got, plain) {
 			t.Fatalf("slot %d does not open as itself: %q, %v", s, got, err)
 		}
 		swapped := (s + 1) % len(frames)
-		if _, err := k.OpenSlot(nil, frame, seed, swapped, binding, &nonce); !errors.Is(err, ErrAuth) {
+		if _, err := k.OpenSlot(nil, frame, seed, swapped, binding, key, &sc); !errors.Is(err, ErrAuth) {
 			t.Fatalf("slot %d opened as slot %d of its version: %v, want ErrAuth", s, swapped, err)
 		}
-		if _, err := k.OpenSlot(nil, frame, other, s, binding, &nonce); !errors.Is(err, ErrAuth) {
+		if _, err := k.OpenSlot(nil, frame, other, s, binding, key, &sc); !errors.Is(err, ErrAuth) {
 			t.Fatalf("slot %d opened under another seed: %v, want ErrAuth", s, err)
 		}
-		if _, err := k.OpenSlot(nil, frame, seed, s, Binding(9, 5, 0), &nonce); !errors.Is(err, ErrAuth) {
+		if _, err := k.OpenSlot(nil, frame, seed, s, Binding(9, 5, 0), key, &sc); !errors.Is(err, ErrAuth) {
 			t.Fatalf("slot %d opened under the next version's binding: %v, want ErrAuth", s, err)
 		}
 	}
@@ -476,14 +478,14 @@ func TestSlotFrameBindsSeedAndSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.OpenSlot(nil, record, seed, 0, binding, &nonce); !errors.Is(err, ErrScheme) {
+	if _, err := k.OpenSlot(nil, record, seed, 0, binding, key, &sc); !errors.Is(err, ErrScheme) {
 		t.Fatalf("a record frame opened as a slot: %v, want ErrScheme", err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if err := k.SealSlot(frames[0], seed, 0, binding, &nonce); err != nil {
+		if err := k.SealSlot(frames[0], seed, 0, binding, key, &sc); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.OpenSlot(plain[:0], frames[0], seed, 0, binding, &nonce); err != nil {
+		if _, err := k.OpenSlot(plain[:0], frames[0], seed, 0, binding, key, &sc); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -491,38 +493,74 @@ func TestSlotFrameBindsSeedAndSlot(t *testing.T) {
 	}
 }
 
+// TestSlotFrameBindsKey: a slot frame carries no key, yet opens only as the
+// slot of the block it was sealed for. Opened for another key — a different
+// one, a prefix or an extension of it, none — it fails with ErrAuth, and so
+// it does when bytes move between the binding and the key: the additional
+// data ends in the key's length.
+func TestSlotFrameBindsKey(t *testing.T) {
+	k := KeyFromSeed([]byte("slot keys"))
+	seed := Seed{3: 0x5a}
+	binding, key := Binding(2, 6, 0), []byte("a")
+	plain := []byte("a's block")
+	frame := slotFrame(t, k, plain, seed, 1, binding, key)
+	if len(frame) != len(plain)+SlotOverhead {
+		t.Fatalf("a %d-byte frame for a %d-byte plaintext", len(frame), len(plain))
+	}
+	var sc SlotScratch
+	if got, err := k.OpenSlot(nil, frame, seed, 1, binding, key, &sc); err != nil || !bytes.Equal(got, plain) {
+		t.Fatalf("the frame does not open for its own key: %q, %v", got, err)
+	}
+	for _, other := range [][]byte{[]byte("b"), nil, []byte("ab"), []byte("a\x00"), []byte("A")} {
+		if _, err := k.OpenSlot(nil, frame, seed, 1, binding, other, &sc); !errors.Is(err, ErrAuth) {
+			t.Fatalf("a frame sealed for key %q opened for %q: %v, want ErrAuth", key, other, err)
+		}
+	}
+	// The binding's last byte read as the key's first: the same bytes of
+	// additional data but for the length.
+	shifted := append(slices.Clone(binding[len(binding)-1:]), key...)
+	if _, err := k.OpenSlot(nil, frame, seed, 1, binding[:len(binding)-1], shifted, &sc); !errors.Is(err, ErrAuth) {
+		t.Fatalf("a frame opened with a byte of its binding moved into its key: %v, want ErrAuth", err)
+	}
+}
+
 // FuzzOpenSlot fuzzes the seeded slot frame: the opener rejects an arbitrary
-// frame without panicking, and a frame sealed as one slot of a version opens
-// as that slot and fails with ErrAuth as any other slot of the version or
-// under any other seed.
+// frame without panicking, and a frame sealed as one slot of a version, for
+// one key, opens as that slot and fails with ErrAuth as any other slot of the
+// version, under any other seed and for any other key.
 func FuzzOpenSlot(f *testing.F) {
 	k := KeyFromSeed([]byte("fuzz slot"))
-	f.Add([]byte("seed frame"), []byte("twelve bytes"), uint32(3), uint32(4), []byte{1})
-	f.Add([]byte{}, []byte{}, uint32(0), uint32(1), []byte{0})
-	f.Add([]byte{byte(SchemeSlot)}, []byte{0xff}, uint32(1<<16-1), uint32(0), []byte{byte(SchemeGCM)})
-	f.Fuzz(func(t *testing.T, data, seedBytes []byte, slot, other uint32, otherSeed []byte) {
+	f.Add([]byte("seed frame"), []byte("twelve bytes"), uint32(3), uint32(4), []byte{1}, []byte("k"), []byte("j"))
+	f.Add([]byte{}, []byte{}, uint32(0), uint32(1), []byte{0}, []byte{}, []byte{0})
+	f.Add([]byte{byte(SchemeSlot)}, []byte{0xff}, uint32(1<<16-1), uint32(0), []byte{byte(SchemeGCM)}, []byte("key"), []byte("ke"))
+	f.Fuzz(func(t *testing.T, data, seedBytes []byte, slot, other uint32, otherSeed, key, otherKey []byte) {
 		var seed, wrong Seed
 		copy(seed[:], seedBytes)
 		copy(wrong[:], otherSeed)
 		binding := Binding(uint64(slot), 1, 0)
-		var nonce Nonce
+		var sc SlotScratch
 		// data as a frame storage returned: only a forgery would open.
-		if _, err := k.OpenSlot(nil, data, seed, int(slot), binding, &nonce); err == nil {
+		if _, err := k.OpenSlot(nil, data, seed, int(slot), binding, key, &sc); err == nil {
 			t.Fatalf("an arbitrary %d-byte frame opened", len(data))
 		}
 		// data as a plaintext, sealed as slot slot of the version seed names.
-		frame := slotFrame(t, k, data, seed, int(slot), binding)
-		if got, err := k.OpenSlot(nil, frame, seed, int(slot), binding, &nonce); err != nil || !bytes.Equal(got, data) {
+		frame := slotFrame(t, k, data, seed, int(slot), binding, key)
+		if got, err := k.OpenSlot(nil, frame, seed, int(slot), binding, key, &sc); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("a sealed slot does not open as itself: %v", err)
 		}
 		if other != slot {
-			if _, err := k.OpenSlot(nil, frame, seed, int(other), binding, &nonce); !errors.Is(err, ErrAuth) {
+			if _, err := k.OpenSlot(nil, frame, seed, int(other), binding, key, &sc); !errors.Is(err, ErrAuth) {
 				t.Fatalf("slot %d opened as slot %d: %v, want ErrAuth", slot, other, err)
 			}
 		}
 		if wrong != seed {
-			if _, err := k.OpenSlot(nil, frame, wrong, int(slot), binding, &nonce); !errors.Is(err, ErrAuth) {
+			if _, err := k.OpenSlot(nil, frame, wrong, int(slot), binding, key, &sc); !errors.Is(err, ErrAuth) {
 				t.Fatalf("slot %d opened under another seed: %v, want ErrAuth", slot, err)
+			}
+		}
+		if !bytes.Equal(otherKey, key) {
+			if _, err := k.OpenSlot(nil, frame, seed, int(slot), binding, otherKey, &sc); !errors.Is(err, ErrAuth) {
+				t.Fatalf("slot %d sealed for key %q opened for %q: %v, want ErrAuth", slot, key, otherKey, err)
 			}
 		}
 	})

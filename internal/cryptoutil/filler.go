@@ -12,7 +12,8 @@ import (
 // the same size could, but carry no message and are never opened. A filler
 // frame is the SchemeSlot byte followed by AES-CTR keystream. To anyone
 // without the keys it is as uniform as a slot sealed under a nonce used once,
-// and under any Key, seed, slot and binding it fails OpenSlot with ErrAuth.
+// and under any Key, seed, slot, binding and block key it fails OpenSlot with
+// ErrAuth.
 //
 // The keystream's AES key and IV are drawn from crypto/rand, independent of
 // every Key: no filler block can repeat a GCM counter block, and a Key made by

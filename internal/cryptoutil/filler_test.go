@@ -1,18 +1,27 @@
-package cryptoutil
+package cryptoutil_test
 
 import (
 	"errors"
 	"math/rand/v2"
 	"testing"
+
+	"obladi/internal/cryptoutil"
+	"obladi/internal/ringoram"
 )
 
-// fillerFrame is the frame size the filler tests use: a 276-byte plaintext
-// sealed as a slot, the kv-mem benchmark's slot.
-const fillerFrame = 276 + SlotOverhead
+// fillerFrame is the frame size the filler tests use: the kv-mem benchmark's
+// slot frame (16-byte keys, 256-byte values), as ringoram's codec sizes it.
+var fillerFrame = func() int {
+	o, err := ringoram.New(cryptoutil.KeyFromSeed(nil), ringoram.Params{NumBlocks: 1, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 256})
+	if err != nil {
+		panic(err)
+	}
+	return o.SlotSize()
+}()
 
-func newFiller(t testing.TB) *Filler {
+func newFiller(t testing.TB) *cryptoutil.Filler {
 	t.Helper()
-	f, err := NewFiller()
+	f, err := cryptoutil.NewFiller()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +41,8 @@ func TestFillerFrameShape(t *testing.T) {
 		f.Fill(run, fillerFrame)
 		for i := 0; i < n; i++ {
 			frame := run[i*fillerFrame : (i+1)*fillerFrame]
-			if Scheme(frame[0]) != SchemeSlot {
-				t.Fatalf("frame %d of %d led by %d, want %d", i, n, frame[0], SchemeSlot)
+			if cryptoutil.Scheme(frame[0]) != cryptoutil.SchemeSlot {
+				t.Fatalf("frame %d of %d led by %d, want %d", i, n, frame[0], cryptoutil.SchemeSlot)
 			}
 			var zero, poison int
 			for _, b := range frame[1:] {
@@ -44,8 +53,8 @@ func TestFillerFrameShape(t *testing.T) {
 					poison++
 				}
 			}
-			// 278 uniform bytes hold each value about once; 16 of either is
-			// a buffer the keystream did not cover.
+			// A few hundred uniform bytes hold each value about once; 16 of
+			// either is a buffer the keystream did not cover.
 			if zero > 16 || poison > 16 {
 				t.Fatalf("frame %d of %d: %d zero and %d 0xdb bytes of %d", i, n, zero, poison, fillerFrame-1)
 			}
@@ -64,35 +73,38 @@ func TestFillerFrameShape(t *testing.T) {
 }
 
 // TestFillerFailsAuthentication: a filler frame fails OpenSlot with ErrAuth,
-// never ErrScheme and never a plaintext, under the seed, slot and binding of
-// the slot it stands in and under random ones, whatever the key.
+// never ErrScheme and never a plaintext, under the seed, slot, binding and
+// block key of the slot it stands in and under random ones, whatever the key.
 func TestFillerFailsAuthentication(t *testing.T) {
 	f := newFiller(t)
-	random, err := NewKey()
+	random, err := cryptoutil.NewKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []*Key{KeyFromSeed([]byte("fill")), KeyFromSeed(nil), random}
+	keys := []*cryptoutil.Key{cryptoutil.KeyFromSeed([]byte("fill")), cryptoutil.KeyFromSeed(nil), random}
 	rng := rand.New(rand.NewPCG(1, 2))
 	frame := make([]byte, fillerFrame)
 	dst := make([]byte, 0, fillerFrame)
-	var nonce Nonce
+	var sc cryptoutil.SlotScratch
+	blockKeys := [][]byte{[]byte("key00000042"), nil}
 	for i := 0; i < 500; i++ {
 		f.Fill(frame, fillerFrame)
 		bindings := [][]byte{
-			Binding(uint64(i%64), uint64(i/64+1), 0), // the bucket's own
-			Binding(rng.Uint64(), rng.Uint64(), rng.Uint64()),
+			cryptoutil.Binding(uint64(i%64), uint64(i/64+1), 0), // the bucket's own
+			cryptoutil.Binding(rng.Uint64(), rng.Uint64(), rng.Uint64()),
 			nil,
 		}
-		var seed Seed
+		var seed cryptoutil.Seed
 		for j := range seed {
 			seed[j] = byte(rng.Uint32())
 		}
 		for _, k := range keys {
 			for _, b := range bindings {
 				for _, s := range []int{i % 40, rng.IntN(1 << 16)} {
-					if plain, err := k.OpenSlot(dst, frame, seed, s, b, &nonce); !errors.Is(err, ErrAuth) {
-						t.Fatalf("fill %d opened to %d bytes: %v, want ErrAuth", i, len(plain), err)
+					for _, bk := range blockKeys {
+						if plain, err := k.OpenSlot(dst, frame, seed, s, b, bk, &sc); !errors.Is(err, cryptoutil.ErrAuth) {
+							t.Fatalf("fill %d opened to %d bytes: %v, want ErrAuth", i, len(plain), err)
+						}
 					}
 				}
 			}
@@ -106,7 +118,7 @@ func TestFillerFailsAuthentication(t *testing.T) {
 func TestFillerFillsNeverRepeat(t *testing.T) {
 	const fills, frames = 200, 8
 	seen := make(map[[16]byte]bool, 2*fills*frames)
-	for fi, f := range []*Filler{newFiller(t), newFiller(t)} {
+	for fi, f := range []*cryptoutil.Filler{newFiller(t), newFiller(t)} {
 		run := make([]byte, frames*fillerFrame)
 		for i := 0; i < fills; i++ {
 			f.Fill(run, fillerFrame)
@@ -144,4 +156,19 @@ func BenchmarkFill(b *testing.B) {
 		f.Fill(run, fillerFrame)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+}
+
+// BenchmarkSealFrame seals a kv-mem slot in place under its version's seed
+// and a block's key: the per-slot cost a filler frame (BenchmarkFill)
+// replaces.
+func BenchmarkSealFrame(b *testing.B) {
+	k := cryptoutil.KeyFromSeed([]byte("bench"))
+	frame := make([]byte, fillerFrame)
+	binding, key := cryptoutil.Binding(1, 2, 3), []byte("key00000042")
+	var sc cryptoutil.SlotScratch
+	for i := 0; i < b.N; i++ {
+		if err := k.SealSlot(frame, cryptoutil.Seed{}, i%40, binding, key, &sc); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -146,7 +146,8 @@ type Stats struct {
 	ReadCalls  int64
 	WriteCalls int64
 	// ResidentBytes is a gauge: the memory of the blocks the resident levels
-	// hold in the ORAM's table, at most Z plaintext slots per resident bucket.
+	// hold in the ORAM's table, at most Z blocks (ringoram.ORAM.BlockSize
+	// bytes each) per resident bucket.
 	ResidentBytes int64
 	// StashPeak is a gauge: the high-water mark of the machine's stash.
 	StashPeak int
@@ -329,11 +330,9 @@ func (e *Executor) refresh() {
 	n := 0
 	for b := range e.resident {
 		cur, _ := e.m.Local(b)
-		for _, blk := range e.oram.Image(cur).Blocks {
-			n += len(blk)
-		}
+		n += len(e.oram.Image(cur).Blocks)
 	}
-	e.stats.residentBytes.Store(int64(n))
+	e.stats.residentBytes.Store(int64(n * e.oram.BlockSize()))
 	e.stats.stashPeak.Store(int64(e.m.StashPeak()))
 }
 

@@ -227,8 +227,9 @@ func TestResidentBlocksNeverRecycledUnderReads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain, err := key.OpenSlot(nil, data, cryptoutil.Seed(im.Seed), int(im.Real()[j]), cryptoutil.Binding(uint64(im.Bucket), im.Ver, 0), new(cryptoutil.Nonce))
-				if err != nil || !bytes.Equal(plain, held[i][j]) {
+				blk := held[i][j]
+				body, err := key.OpenSlot(nil, data, cryptoutil.Seed(im.Seed), int(im.Real()[j]), cryptoutil.Binding(uint64(im.Bucket), im.Ver, 0), h.oram.BlockKey(blk), new(cryptoutil.SlotScratch))
+				if err != nil || !bytes.HasPrefix(blk, body) {
 					t.Fatalf("epoch %d: bucket %d version %d: the flushed slot %d does not open to the sealed block (%v)", e, im.Bucket, im.Ver, frame, err)
 				}
 			}
@@ -242,8 +243,9 @@ func TestResidentBlocksNeverRecycledUnderReads(t *testing.T) {
 
 // TestResidentBudget pins what the resident levels may cost. Memory: the
 // blocks they hold never exceed Z per resident bucket, and ResidentBytes is
-// their size — a whole number of plaintext slots, at most Z per resident
-// bucket (ringoram's checkOwnership checks the bucket-by-bucket sum).
+// their size — a whole number of in-memory blocks (ORAM.BlockSize), at most
+// Z per resident bucket (ringoram's checkOwnership checks the
+// bucket-by-bucket sum).
 // Allocation: a steady-state epoch with the levels warm allocates no more
 // than the same epoch with the levels loaded back from storage first.
 func TestResidentBudget(t *testing.T) {
@@ -255,11 +257,7 @@ func TestResidentBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		e = New(oram, backend, Config{})
-		slot, err := backend.ReadSlot(p.Geometry().NumBuckets-1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain := int64(len(slot) - cryptoutil.SlotOverhead)
+		plain := int64(oram.BlockSize())
 		rng := rand.New(rand.NewPCG(23, 29))
 		epoch := uint64(0)
 		one := func() {
@@ -279,7 +277,7 @@ func TestResidentBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got, bound := e.Stats().ResidentBytes, int64(e.resident*p.Z)*plain; got%plain != 0 || got > bound {
-				t.Fatalf("epoch %d: %d resident bytes reported, want whole %d-byte slots, at most %d", epoch, got, plain, bound)
+				t.Fatalf("epoch %d: %d resident bytes reported, want whole %d-byte blocks, at most %d", epoch, got, plain, bound)
 			}
 		}
 		for i := 0; i < 200; i++ {

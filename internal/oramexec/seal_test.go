@@ -15,23 +15,33 @@ import (
 	"obladi/internal/storage"
 )
 
-// slotCounter counts the slots a store is written and, once sealed is set,
-// sorts them by trying each under its bucket's binding: a slot that opens
-// is a sealed block, one that fails with ErrAuth a filler, anything else an
-// error. The version of each bucket is the one the sealed set being flushed
-// holds.
+// slotCounter counts the slots and bytes a store is written, each slot one
+// frame of size bytes, and, once sealed is set, sorts them by trying each
+// under its bucket's binding, as the slot of the block the image holds
+// there: a slot that opens is a sealed block, one that fails with ErrAuth a
+// filler, anything else an error. The version of each bucket is the one the
+// sealed set being flushed holds.
 type slotCounter struct {
 	storage.BucketStore
 	key                    *cryptoutil.Key
+	oram                   *ringoram.ORAM
 	z                      int // a resident bucket is written as its Z real positions
+	size                   int
 	sealed                 *SealedEpoch
 	slots, blocks, fillers int64
+	bytes                  int64
 	err                    error
 }
 
 func (s *slotCounter) WriteBuckets(writes []storage.BucketWrite) error {
 	for i, w := range writes {
 		s.slots += int64(len(w.Slots))
+		for j, slot := range w.Slots {
+			s.bytes += int64(len(slot))
+			if len(slot) != s.size && s.err == nil {
+				s.err = fmt.Errorf("bucket %d slot %d: a %d-byte frame, want %d", w.Bucket, j, len(slot), s.size)
+			}
+		}
 		if s.sealed == nil {
 			continue
 		}
@@ -43,11 +53,18 @@ func (s *slotCounter) WriteBuckets(writes []storage.BucketWrite) error {
 		ver := im.Ver
 		binding := cryptoutil.Binding(uint64(w.Bucket), ver, 0)
 		for i, slot := range w.Slots {
-			phys := i // the slot a block at frame i was sealed as
-			if len(w.Slots) == s.z && i < len(im.Blocks) {
-				phys = int(im.Real()[i])
+			phys, blk := i, im.Block(i) // the slot a block at frame i was sealed as, and the block
+			if len(w.Slots) == s.z {
+				blk = nil
+				if i < len(im.Blocks) {
+					phys, blk = int(im.Real()[i]), im.Blocks[i]
+				}
 			}
-			switch _, err := s.key.OpenSlot(nil, slot, cryptoutil.Seed(im.Seed), phys, binding, new(cryptoutil.Nonce)); {
+			var key []byte // a filler fails for every key
+			if blk != nil {
+				key = s.oram.BlockKey(blk)
+			}
+			switch _, err := s.key.OpenSlot(nil, slot, cryptoutil.Seed(im.Seed), phys, binding, key, new(cryptoutil.SlotScratch)); {
 			case err == nil:
 				s.blocks++
 			case errors.Is(err, cryptoutil.ErrAuth) && slot[0] == byte(cryptoutil.SchemeSlot):
@@ -64,14 +81,18 @@ func (s *slotCounter) WriteBuckets(writes []storage.BucketWrite) error {
 // an epoch is a block the epoch's flush writes, and every other slot it
 // writes is a filler, sealed under nothing. A bucket version a later eviction
 // of the same epoch supersedes stays a plaintext image and is never sealed.
-// The
-// geometry and schedule are the kv-mem benchmark's — Z = 16, S = 24, A = 16,
+// Every slot written is one kvMemFrame-byte frame. The geometry and schedule
+// are the kv-mem benchmark's — Z = 16, S = 24, A = 16, 16-byte keys,
 // 256-byte values, 16 384 keys on one shard, four read batches of 32 and a
 // write batch of 64 per epoch — preloaded the way its setup is, 64 keys an
 // epoch under padding reads, then run through steady-state epochs of uniform
 // reads and blind writes; the test logs the set-up's and the per-epoch
-// split.
+// split, and the bytes flushed per epoch.
 func TestSealsEqualFlushedSlots(t *testing.T) {
+	// kvMemFrame is kv-mem's slot frame: the scheme byte, the sealed kind,
+	// two-byte value length and 256-byte value, and the 16-byte tag. The
+	// block's key stays at the proxy.
+	const kvMemFrame = 276
 	const (
 		keys, readBatches, readBatch, writeBatch = 16384, 4, 32, 64
 		steady                                   = 32
@@ -82,11 +103,12 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	p := ringoram.Params{NumBlocks: keys, Z: 16, S: 24, A: 16, KeySize: 16, ValueSize: 256, Seed: 2}
 	backend := storage.NewMemBackend(p.Geometry().NumBuckets)
 	defer backend.Close()
-	store := &slotCounter{BucketStore: backend, key: cryptoutil.KeyFromSeed([]byte("seals")), z: p.Z}
+	store := &slotCounter{BucketStore: backend, key: cryptoutil.KeyFromSeed([]byte("seals")), z: p.Z, size: kvMemFrame}
 	oram, err := InitORAM(store, store.key, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.oram = oram
 	e := New(oram, store, Config{})
 	names := make([]string, keys)
 	for i := range names {
@@ -95,13 +117,13 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	value := make([]byte, p.ValueSize)
 	rng := rand.New(rand.NewPCG(1, 2))
 	reads, writes := make([]ReadOp, readBatch), make([]WriteOp, writeBatch)
-	var sealed, filled, versions, written, opened, copied int64
+	var sealed, filled, versions, written, opened, copied, flushed int64
 	epoch := uint64(0)
 	run := func(preload int) {
 		epoch++
 		e.BeginEpoch(epoch)
 		st0 := e.Stats()
-		slots0, blocks0, fillers0 := store.slots, store.blocks, store.fillers
+		slots0, blocks0, fillers0, bytes0 := store.slots, store.blocks, store.fillers, store.bytes
 		for b := 0; b < readBatches; b++ {
 			clear(reads)
 			if preload < 0 {
@@ -164,6 +186,7 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 			written += st.BucketWrites - st0.BucketWrites
 			opened += st.OpenedSlots - st0.OpenedSlots
 			copied += st.CopiedSlots - st0.CopiedSlots
+			flushed += store.bytes - bytes0
 		}
 	}
 	for next := 0; next < keys; next += writeBatch {
@@ -182,6 +205,7 @@ func TestSealsEqualFlushedSlots(t *testing.T) {
 	t.Logf("steady state, per epoch: %.1f slots flushed, %.1f of them sealed blocks and %.1f fillers; %.1f bucket versions made, %.1f of them flushed",
 		float64(sealed+filled)/steady, float64(sealed)/steady, float64(filled)/steady, float64(versions)/steady, float64(written)/steady)
 	t.Logf("steady state, per epoch: %.1f slots opened under a binding, %.1f plaintext slots copied", float64(opened)/steady, float64(copied)/steady)
+	t.Logf("steady state, per epoch: %.0f bytes flushed, %d-byte frames", float64(flushed)/steady, kvMemFrame)
 }
 
 // plainStore answers every remote read of a slot it has a plaintext copy of

@@ -188,17 +188,17 @@ func (o *ORAM) Work() (sealed, filled, opened, copied int64) {
 // SealArena is memory a caller lends to SealImage and SealFresh: byte chunks
 // the seals carve slot frames from, front to back, the slot headers they hand
 // back, the Filler that writes the frames holding no block, and the scratch
-// the binding and each slot's nonce are derived into. It grows to the largest
-// set of buckets sealed between two Resets, a chunk at a time, and is reused
-// after that. An arena belongs to one sealing goroutine at a time. The zero
-// value is ready.
+// the binding, each slot's nonce and its additional data are derived into.
+// It grows to the largest set of buckets sealed between two Resets, a chunk
+// at a time, and is reused after that. An arena belongs to one sealing
+// goroutine at a time. The zero value is ready.
 type SealArena struct {
-	chunks [][]byte // chunks[:used] hold frames, the last of them is carved next
-	used   int
-	slots  [][]byte
-	bind   []byte
-	nonce  cryptoutil.Nonce
-	filler *cryptoutil.Filler // made by the first seal with encryption on
+	chunks  [][]byte // chunks[:used] hold frames, the last of them is carved next
+	used    int
+	slots   [][]byte
+	bind    []byte
+	scratch cryptoutil.SlotScratch
+	filler  *cryptoutil.Filler // made by the first seal with encryption on
 }
 
 // sealChunk is the size of a seal arena's chunks: a few buckets' slots, so an
@@ -248,12 +248,13 @@ func (a *SealArena) take(n, size int) ([]byte, [][]byte) {
 // positions holding a block are sealed, each under the nonce the version's
 // seed and the block's physical slot derive (a resident bucket's position r
 // is sealed as its physical slot Real()[r], though storage holds it at r) and
-// under the version's (bucket, version) binding; every other slot is a
-// filler frame (see cryptoutil.Filler), which storage cannot tell from a
-// sealed one and the proxy never opens. It is the one place a bucket is
-// sealed. It reads only the image and the ORAM's fixed configuration,
-// nothing the machine's calls change, so a committer may seal one epoch's
-// images while the next epoch plans and completes.
+// under the version's (bucket, version) binding and the block's key, which
+// the frame does not carry; every other slot is a filler frame (see
+// cryptoutil.Filler), which storage cannot tell from a sealed one and the
+// proxy never opens. It is the one place a bucket is sealed. It reads only
+// the image and the ORAM's fixed configuration, nothing the machine's calls
+// change, so a committer may seal one epoch's images while the next epoch
+// plans and completes.
 func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
 	n := o.geo.SlotsPer
 	if im.resident {
@@ -274,8 +275,7 @@ func (o *ORAM) SealImage(im BucketImage, a *SealArena) ([][]byte, error) {
 		if !im.resident {
 			frame = slots[im.real[pos]]
 		}
-		copy(o.cdc.plainOf(frame), b)
-		if err := o.cdc.seal(frame, im.Seed, int(im.real[pos]), a.bind, &a.nonce); err != nil {
+		if err := o.cdc.seal(frame, b, im.Seed, int(im.real[pos]), a.bind, &a.scratch); err != nil {
 			return nil, err
 		}
 	}

@@ -7,17 +7,22 @@ import (
 	"obladi/internal/ringoram/meta"
 )
 
-// Slot plaintext layout (fixed size so all slots are indistinguishable):
+// Slot layout. A block's plaintext, as the proxy holds it (a pooled slot, see
+// blocks.go), is
 //
-//	kind(u8) | keyLen(≤KeySize) | key[KeySize] | valLen(≤ValueSize) | value[ValueSize]
+//	kind(u8) | valLen(≤ValueSize) | value[ValueSize] | keyLen(≤KeySize) | key[KeySize]
 //
-// A length field written (≤X) is as wide as its public bound X needs, the
-// fewest bytes that hold it, big-endian: the width rule of the checkpoint
-// format (meta/checkpoint.go). With encryption on, slot s of a bucket version
-// is stored as a slot frame, SchemeSlot | ciphertext | tag, sealed under the
+// and its slot frame carries the body, everything before keyLen, alone: the
+// key stays at the proxy, whose metadata names the block of every real slot.
+// The body has a fixed size, so all slots are indistinguishable. A length
+// field written (≤X) is as wide as its public bound X needs, the fewest bytes
+// that hold it, big-endian: the width rule of the checkpoint format
+// (meta/checkpoint.go). With encryption on, slot s of a bucket version is
+// stored as a slot frame, SchemeSlot | ciphertext | tag, sealed under the
 // nonce the version's seed and s derive (cryptoutil.SealSlot) and bound to
-// (bucket, version); at the kv-* benchmarks' KeySize=16, ValueSize=256 a
-// frame is 293 bytes, at bank-disk's 100.
+// (bucket, version) and to the block's key, both additional data; at the kv-*
+// benchmarks' KeySize=16, ValueSize=256 a frame is 276 bytes, at bank-disk's
+// 83. With encryption off the frame is the body.
 //
 // kind distinguishes a filler, an occupied real slot and a tombstone (a
 // deleted key that still occupies its position-map entry). With encryption on
@@ -75,25 +80,27 @@ func newCodec(keySize, valueSize int, key *cryptoutil.Key) codec {
 	return codec{keySize: keySize, valueSize: valueSize, keyLen: lenWidth(keySize), valLen: lenWidth(valueSize), key: key}
 }
 
-// valOff is where the value length field starts in a plaintext slot.
-func (c codec) valOff() int { return 1 + c.keyLen + c.keySize }
+// bodySize is the size of the part of a block's plaintext its frame carries,
+// and where the key's length field starts.
+func (c codec) bodySize() int { return 1 + c.valLen + c.valueSize }
 
-// plainSize is the fixed plaintext slot size.
-func (c codec) plainSize() int { return c.valOff() + c.valLen + c.valueSize }
+// plainSize is the fixed size of a block's plaintext, its key included.
+func (c codec) plainSize() int { return c.bodySize() + c.keyLen + c.keySize }
 
 // slotSize is the on-server physical slot size.
 func (c codec) slotSize() int {
 	if c.key == nil {
-		return c.plainSize()
+		return c.bodySize()
 	}
-	return c.plainSize() + cryptoutil.SlotOverhead
+	return c.bodySize() + cryptoutil.SlotOverhead
 }
 
 // block is a slot's logical content. Encoding reads key; decoding fills keyB
 // instead — a view into the plaintext — because the hot path only ever
-// COMPARES the decoded key against the one it planned for (`string(keyB) ==
-// want` compiles to an allocation-free comparison), and materializing a
-// string per decoded slot was a measurable share of the read path's budget.
+// COMPARES the decoded key against the one it planned for, on a local read
+// (`string(keyB) == want` compiles to an allocation-free comparison), and
+// materializing a string per decoded slot was a measurable share of the read
+// path's budget.
 type block struct {
 	key       string // encode input
 	keyB      []byte // decode output; aliases the decode buffer
@@ -101,17 +108,24 @@ type block struct {
 	tombstone bool
 }
 
-// plainOf returns the plaintext region of a slot frame (slotSize bytes): the
-// middle of the slot frame, or all of it when encryption is off.
-func (c codec) plainOf(frame []byte) []byte {
-	if c.key == nil {
-		return frame
-	}
-	return frame[1 : len(frame)-cryptoutil.TagSize]
+// putKey writes key, of at most keySize bytes, and its length over the key
+// fields of plain, and returns the key as written.
+func (c codec) putKey(plain []byte, key string) []byte {
+	f := plain[c.bodySize():]
+	putLen(f[:c.keyLen], len(key))
+	n := copy(f[c.keyLen:], key)
+	clear(f[c.keyLen+n:])
+	return f[c.keyLen : c.keyLen+n]
 }
 
-// encodePlain writes a slot's plaintext over all of plain (plainSize bytes):
-// kind, the block's key and value, and zeros to the fixed size.
+// keyOf returns the key a block's plaintext holds, which was encoded here.
+func (c codec) keyOf(plain []byte) []byte {
+	off := c.bodySize() + c.keyLen
+	return plain[off : off+getLen(plain[c.bodySize():off])]
+}
+
+// encodePlain writes a block's plaintext over all of plain (plainSize bytes):
+// kind, the block's value and key, and zeros to the fixed size.
 func (c codec) encodePlain(plain []byte, kind byte, b block) error {
 	if len(b.key) > c.keySize {
 		return fmt.Errorf("ringoram: key of %d bytes exceeds KeySize %d", len(b.key), c.keySize)
@@ -119,24 +133,26 @@ func (c codec) encodePlain(plain []byte, kind byte, b block) error {
 	if len(b.value) > c.valueSize {
 		return fmt.Errorf("ringoram: value of %d bytes exceeds ValueSize %d", len(b.value), c.valueSize)
 	}
-	clear(plain)
 	plain[0] = kind
-	putLen(plain[1:1+c.keyLen], len(b.key))
-	copy(plain[1+c.keyLen:], b.key)
-	off := c.valOff()
-	putLen(plain[off:off+c.valLen], len(b.value))
-	copy(plain[off+c.valLen:], b.value)
+	putLen(plain[1:1+c.valLen], len(b.value))
+	val := plain[1+c.valLen : c.bodySize()]
+	clear(val[copy(val, b.value):])
+	c.putKey(plain, b.key)
 	return nil
 }
 
-// seal seals slot s of the version seed names, a frame whose plaintext is
-// already in place (see plainOf), under binding, which authenticates the
-// slot's bucket and version (Appendix A); nonce is the sealer's scratch.
-func (c codec) seal(frame []byte, seed meta.Seed, s int, binding []byte, nonce *cryptoutil.Nonce) error {
+// seal seals slot s of the version seed names into frame (slotSize bytes):
+// the body of plain, a block's plaintext, under binding, which authenticates
+// the slot's bucket and version (Appendix A), and the block's key, which the
+// frame does not carry; sc is the sealer's scratch.
+func (c codec) seal(frame, plain []byte, seed meta.Seed, s int, binding []byte, sc *cryptoutil.SlotScratch) error {
+	body := plain[:c.bodySize()]
 	if c.key == nil {
+		copy(frame, body)
 		return nil
 	}
-	return c.key.SealSlot(frame, cryptoutil.Seed(seed), s, binding, nonce)
+	copy(frame[1:], body)
+	return c.key.SealSlot(frame, cryptoutil.Seed(seed), s, binding, c.keyOf(plain), sc)
 }
 
 // fill writes run, whole slot frames, as fillers: keystream frames from f
@@ -151,23 +167,37 @@ func (c codec) fill(run []byte, f *cryptoutil.Filler) {
 }
 
 // open authenticates stored slot s of the version seed names under binding
-// and writes its plaintext over plain (plainSize bytes: a pooled slot);
-// nonce is the opener's scratch. With encryption off the stored slot is the
-// plaintext, copied. A frame of the SchemeGCM shape, the slot frame that
-// carried its own nonce, fails with cryptoutil.ErrScheme whatever its
-// length: an older build wrote it.
-func (c codec) open(plain, data []byte, seed meta.Seed, s int, binding []byte, nonce *cryptoutil.Nonce) error {
-	if c.key != nil && len(data) > 0 && cryptoutil.Scheme(data[0]) == cryptoutil.SchemeGCM {
-		return fmt.Errorf("%w: slot frame of scheme %d, which an older build sealed", cryptoutil.ErrScheme, data[0])
+// as the slot of key's block, and writes the block's plaintext over plain
+// (plainSize bytes: a pooled slot): the body the frame opens to, and key; sc
+// is the opener's scratch. A frame sealed for another key fails
+// authentication like one of another slot or version. With encryption off
+// the stored slot is the body, copied, and nothing is checked. A frame led by
+// the scheme byte of an older build's slot frame — the SchemeGCM one that
+// carried its own nonce, or the SchemeKeyedSlot one that carried its key —
+// fails with cryptoutil.ErrScheme whatever its length; one led by a byte no
+// build sealed a slot under is corrupt, as a plaintext slot is.
+func (c codec) open(plain, data []byte, seed meta.Seed, s int, binding []byte, key string, sc *cryptoutil.SlotScratch) error {
+	if c.key != nil && len(data) > 0 {
+		switch sch := cryptoutil.Scheme(data[0]); sch {
+		case cryptoutil.SchemeSlot:
+		case cryptoutil.SchemeGCM, cryptoutil.SchemeKeyedSlot:
+			return fmt.Errorf("%w: slot frame of scheme %d, which an older build sealed", cryptoutil.ErrScheme, sch)
+		default:
+			return fmt.Errorf("slot frame led by %d, no slot scheme", sch)
+		}
 	}
 	if len(data) != c.slotSize() {
 		return fmt.Errorf("slot of %d bytes, want %d", len(data), c.slotSize())
 	}
+	if len(key) > c.keySize {
+		return fmt.Errorf("key of %d bytes exceeds KeySize %d", len(key), c.keySize)
+	}
+	k := c.putKey(plain, key)
 	if c.key == nil {
 		copy(plain, data)
 		return nil
 	}
-	_, err := c.key.OpenSlot(plain[:0], data, cryptoutil.Seed(seed), s, binding, nonce)
+	_, err := c.key.OpenSlot(plain[:0], data, cryptoutil.Seed(seed), s, binding, k, sc)
 	return err
 }
 
@@ -189,19 +219,18 @@ func (c codec) parse(plain []byte) (byte, block, error) {
 	default:
 		return 0, block{}, fmt.Errorf("ringoram: unknown slot kind %d", kind)
 	}
-	keyLen := getLen(plain[1 : 1+c.keyLen])
-	if keyLen > c.keySize {
-		return 0, block{}, fmt.Errorf("ringoram: corrupt key length %d", keyLen)
-	}
-	off := c.valOff()
-	valLen := getLen(plain[off : off+c.valLen])
+	valLen := getLen(plain[1 : 1+c.valLen])
 	if valLen > c.valueSize {
 		return 0, block{}, fmt.Errorf("ringoram: corrupt value length %d", valLen)
 	}
-	key, value := plain[1+c.keyLen:], plain[off+c.valLen:]
+	off := c.bodySize()
+	keyLen := getLen(plain[off : off+c.keyLen])
+	if keyLen > c.keySize {
+		return 0, block{}, fmt.Errorf("ringoram: corrupt key length %d", keyLen)
+	}
 	b := block{
-		keyB:      key[:keyLen],
-		value:     value[:valLen],
+		keyB:      plain[off+c.keyLen : off+c.keyLen+keyLen],
+		value:     plain[1+c.valLen : 1+c.valLen+valLen],
 		tombstone: kind == slotTombstone,
 	}
 	return kind, b, nil

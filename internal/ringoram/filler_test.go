@@ -78,7 +78,7 @@ func (c *sparseClient) seal(images []BucketImage) {
 			holds[frame] = true
 			kept[s] = bytes.Clone(slots[frame])
 			plain := make([]byte, c.oram.cdc.plainSize())
-			must(c.t, c.oram.cdc.open(plain, slots[frame], im.Seed, s, bind, new(cryptoutil.Nonce)))
+			must(c.t, c.oram.cdc.open(plain, slots[frame], im.Seed, s, bind, string(c.oram.BlockKey(im.Blocks[i])), new(cryptoutil.SlotScratch)))
 			kind, _, err := c.oram.cdc.parse(plain)
 			must(c.t, err)
 			if (kind != slotReal && kind != slotTombstone) || !bytes.Equal(plain, im.Blocks[i]) {
@@ -98,7 +98,7 @@ func (c *sparseClient) seal(images []BucketImage) {
 			if len(d) != c.oram.cdc.slotSize() || d[0] != byte(cryptoutil.SchemeSlot) {
 				c.t.Fatalf("bucket %d version %d: filler %d is %d bytes led by %d, want %d bytes led by the scheme byte", im.Bucket, im.Ver, i, len(d), d[0], c.oram.cdc.slotSize())
 			}
-			if _, err := c.oram.cdc.key.OpenSlot(nil, d, cryptoutil.Seed(im.Seed), i, bind, new(cryptoutil.Nonce)); !errors.Is(err, cryptoutil.ErrAuth) {
+			if _, err := c.oram.cdc.key.OpenSlot(nil, d, cryptoutil.Seed(im.Seed), i, bind, nil, new(cryptoutil.SlotScratch)); !errors.Is(err, cryptoutil.ErrAuth) {
 				c.t.Fatalf("bucket %d version %d: filler %d opened under the bucket's binding: %v, want ErrAuth", im.Bucket, im.Ver, i, err)
 			}
 			if prev[string(d)] {

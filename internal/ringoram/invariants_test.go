@@ -184,21 +184,22 @@ var codecSeed = meta.Seed{0: 7, 11: 1}
 // encodeSlot seals one slot into a fresh frame, as SealImage seals each slot
 // of a bucket that holds a block: slot 0 of the version codecSeed names.
 func (c codec) encodeSlot(kind byte, b block, binding []byte) ([]byte, error) {
-	frame := make([]byte, c.slotSize())
-	if err := c.encodePlain(c.plainOf(frame), kind, b); err != nil {
+	plain := make([]byte, c.plainSize())
+	if err := c.encodePlain(plain, kind, b); err != nil {
 		return nil, err
 	}
-	if err := c.seal(frame, codecSeed, 0, binding, new(cryptoutil.Nonce)); err != nil {
+	frame := make([]byte, c.slotSize())
+	if err := c.seal(frame, plain, codecSeed, 0, binding, new(cryptoutil.SlotScratch)); err != nil {
 		return nil, err
 	}
 	return frame, nil
 }
 
 // decodeSlot opens and parses stored slot s of the version seed names, as
-// completion does a remote read.
-func (c codec) decodeSlot(data []byte, seed meta.Seed, s int, binding []byte) (byte, block, error) {
+// completion does a remote read of key's block.
+func (c codec) decodeSlot(data []byte, seed meta.Seed, s int, binding []byte, key string) (byte, block, error) {
 	plain := make([]byte, c.plainSize())
-	if err := c.open(plain, data, seed, s, binding, new(cryptoutil.Nonce)); err != nil {
+	if err := c.open(plain, data, seed, s, binding, key, new(cryptoutil.SlotScratch)); err != nil {
 		return 0, block{}, err
 	}
 	return c.parse(plain)
@@ -228,7 +229,7 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 		if len(enc) != c.slotSize() {
 			return false
 		}
-		gotKind, blk, err := c.decodeSlot(enc, codecSeed, 0, binding)
+		gotKind, blk, err := c.decodeSlot(enc, codecSeed, 0, binding, string(rawKey))
 		if err != nil || gotKind != kind {
 			return false
 		}
@@ -264,7 +265,7 @@ func TestCodecRejectsWrongBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.decodeSlot(enc, codecSeed, 0, cryptoutil.Binding(3, 8, 0)); err == nil {
+	if _, _, err := c.decodeSlot(enc, codecSeed, 0, cryptoutil.Binding(3, 8, 0), "k"); err == nil {
 		t.Fatal("stale bucket version accepted")
 	}
 }

@@ -24,10 +24,10 @@ import (
 // bucket, in bucket order: the one read that brings the top back, a function
 // of the geometry alone. Of each bucket it keeps the positions the metadata
 // says hold a block, each opened under the version's seed and (bucket,
-// version) binding: a slot that fails to authenticate fails the load with
-// ErrCorrupt, and one of another scheme, which an older build wrote, with
-// cryptoutil.ErrScheme. Call it with the table on and no eviction planned and
-// not yet completed.
+// version) binding as the slot of the block the metadata names there: a slot
+// that fails to authenticate fails the load with ErrCorrupt, and one of
+// another scheme, which an older build wrote, with cryptoutil.ErrScheme. Call
+// it with the table on and no eviction planned and not yet completed.
 func (o *ORAM) LoadLocal(data [][]byte) error {
 	z, resident := o.p.Z, o.m.Resident()
 	if len(data) != resident*z {
@@ -44,12 +44,12 @@ func (o *ORAM) LoadLocal(data [][]byte) error {
 			im.real[len(im.Blocks)] = perm[r]
 			im.Blocks = append(im.Blocks, slot)
 			o.openedSlots.Add(1)
-			err := o.cdc.open(slot, data[b*z+r], im.Seed, int(perm[r]), o.binding(uint64(b), ver), &o.nonce)
+			err := o.cdc.open(slot, data[b*z+r], im.Seed, int(perm[r]), o.binding(uint64(b), ver), o.m.KeyAt(b, r), &o.scratch)
 			if errors.Is(err, cryptoutil.ErrScheme) {
 				return fmt.Errorf("ringoram: bucket %d version %d: %w", b, ver, err)
 			}
 			if err != nil {
-				return fmt.Errorf("%w: bucket %d version %d: %v", ErrCorrupt, b, ver, err)
+				return fmt.Errorf("%w: bucket %d version %d: %w", ErrCorrupt, b, ver, err)
 			}
 		}
 	}

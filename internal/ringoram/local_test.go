@@ -160,14 +160,28 @@ func TestLocalTableOwnsEachSlotOnce(t *testing.T) {
 	t.Logf("%d epochs: %d evictions, %d early reshuffles, %d local and %d remote deliveries", c.epochs, c.evictions, c.reshuffles, c.local, c.remote)
 }
 
-// oldSlotFrame is a slot frame as the build before seeded slots sealed it: a
+// olderSlotFrames are slot frames as older builds sealed them, each for slot
+// s of version ver of bucket b. The build before seeded slots sealed a
 // SchemeGCM frame with its own random nonce, over a plaintext whose length
-// fields were two and four bytes wide, under the slot's own binding.
-func oldSlotFrame(t *testing.T, key *cryptoutil.Key, p Params, b int, ver uint64) []byte {
-	t.Helper()
-	frame, err := key.Seal(make([]byte, 1+2+p.KeySize+4+p.ValueSize), cryptoutil.Binding(uint64(b), ver, 0))
-	must(t, err)
-	return frame
+// fields were two and four bytes wide, under the slot's own binding. The
+// build before this frame layout sealed a scheme-3 frame under the version's
+// seed, over a plaintext that held the block's key: 17 bytes longer at
+// 16-byte keys.
+var olderSlotFrames = []struct {
+	name  string
+	frame func(t *testing.T, o *ORAM, b int, ver uint64, s int) []byte
+}{
+	{"nonce-carrying", func(t *testing.T, o *ORAM, b int, ver uint64, _ int) []byte {
+		frame, err := o.cdc.key.Seal(make([]byte, 1+2+o.p.KeySize+4+o.p.ValueSize), cryptoutil.Binding(uint64(b), ver, 0))
+		must(t, err)
+		return frame
+	}},
+	{"key-carrying", func(t *testing.T, o *ORAM, b int, ver uint64, s int) []byte {
+		frame := make([]byte, o.cdc.plainSize()+cryptoutil.SlotOverhead)
+		must(t, o.cdc.key.SealSlot(frame, cryptoutil.Seed(o.m.Seed(b)), s, cryptoutil.Binding(uint64(b), ver, 0), nil, new(cryptoutil.SlotScratch)))
+		frame[0] = byte(cryptoutil.SchemeKeyedSlot)
+		return frame
+	}},
 }
 
 // refusedAsOlder fails unless err is cryptoutil.ErrScheme, and neither
@@ -180,67 +194,77 @@ func refusedAsOlder(t *testing.T, what string, err error) {
 	}
 }
 
-// TestOlderSlotSchemeRefused: a slot frame of the build before seeded slots,
-// SchemeGCM-led and 15 bytes longer at these parameters, fails a remote
-// read's delivery and a load of the resident levels with
-// cryptoutil.ErrScheme, not as a corrupt slot.
+// TestOlderSlotSchemeRefused: a slot frame of an older build — the
+// SchemeGCM-led one of the build before seeded slots, and the scheme-3 one of
+// the build whose frames carried their key, each of a length this build
+// never writes — fails a remote read's delivery and a load of the resident
+// levels with cryptoutil.ErrScheme, not as a corrupt slot: the scheme byte
+// is checked before the length.
 func TestOlderSlotSchemeRefused(t *testing.T) {
 	p := testParams(256)
 	key := cryptoutil.KeyFromSeed([]byte("test")) // newTestSeq's
 	t.Run("Deliver", func(t *testing.T) {
-		seq, store := newTestSeq(t, p)
-		o := seq.ORAM()
-		for i := 0; i < 64; i++ {
-			must(t, seq.Write(fmt.Sprintf("k%d", i), []byte("v")))
+		for _, older := range olderSlotFrames {
+			t.Run(older.name, func(t *testing.T) {
+				seq, store := newTestSeq(t, p)
+				o := seq.ORAM()
+				for i := 0; i < 64; i++ {
+					must(t, seq.Write(fmt.Sprintf("k%d", i), []byte("v")))
+				}
+				for i := 0; i < 64; i++ {
+					steps, err := o.m.PlanRead(fmt.Sprintf("k%d", i), nil)
+					must(t, err)
+					target := slices.IndexFunc(steps[0].Reads, func(r meta.SlotRead) bool { return r.Block() != 0 })
+					if target < 0 {
+						_, _, err = seq.run(steps)
+						must(t, err)
+						continue
+					}
+					data := make([][]byte, len(steps[0].Reads))
+					for j, r := range steps[0].Reads {
+						d, err := store.ReadSlots([]storage.SlotRef{{Bucket: r.Bucket, Slot: r.Slot}})
+						must(t, err)
+						data[j] = d[0]
+					}
+					r := steps[0].Reads[target]
+					data[target] = older.frame(t, o, r.Bucket, r.Ver, r.Slot)
+					_, _, _, err = o.Complete(steps[0], data, nil)
+					refusedAsOlder(t, "a remote read", err)
+					return
+				}
+				t.Fatal("no key was read from the tree")
+			})
 		}
-		for i := 0; i < 64; i++ {
-			steps, err := o.m.PlanRead(fmt.Sprintf("k%d", i), nil)
-			must(t, err)
-			target := slices.IndexFunc(steps[0].Reads, func(r meta.SlotRead) bool { return r.Block() != 0 })
-			if target < 0 {
-				_, _, err = seq.run(steps)
-				must(t, err)
-				continue
-			}
-			data := make([][]byte, len(steps[0].Reads))
-			for j, r := range steps[0].Reads {
-				d, err := store.ReadSlots([]storage.SlotRef{{Bucket: r.Bucket, Slot: r.Slot}})
-				must(t, err)
-				data[j] = d[0]
-			}
-			r := steps[0].Reads[target]
-			data[target] = oldSlotFrame(t, key, p, r.Bucket, r.Ver)
-			_, _, _, err = o.Complete(steps[0], data, nil)
-			refusedAsOlder(t, "a remote read", err)
-			return
-		}
-		t.Fatal("no key was read from the tree")
 	})
 	t.Run("LoadLocal", func(t *testing.T) {
-		o, err := New(key, p)
-		must(t, err)
-		o.m.KeepLocal()
-		c := newPlaneClient(t, o, 5)
-		for epoch := 1; epoch <= 8; epoch++ {
-			for i := 0; i < 12; i++ {
-				c.step(epoch*100 + i)
-			}
-			c.endEpoch()
+		for _, older := range olderSlotFrames {
+			t.Run(older.name, func(t *testing.T) {
+				o, err := New(key, p)
+				must(t, err)
+				o.m.KeepLocal()
+				c := newPlaneClient(t, o, 5)
+				for epoch := 1; epoch <= 8; epoch++ {
+					for i := 0; i < 12; i++ {
+						c.step(epoch*100 + i)
+					}
+					c.endEpoch()
+				}
+				var data [][]byte
+				old := -1
+				for b := range o.m.Resident() {
+					ver, perm, placed := o.m.Holds(b, nil)
+					at := len(data)
+					data = append(data, slices.Clone(c.stored[b][:p.Z])...)
+					if old < 0 && len(placed) > 0 {
+						old = at + placed[0]
+						data[old] = older.frame(t, o, b, ver, int(perm[placed[0]]))
+					}
+				}
+				if old < 0 {
+					t.Fatal("no block is resident after 8 epochs")
+				}
+				refusedAsOlder(t, "a load", o.LoadLocal(data))
+			})
 		}
-		var data [][]byte
-		old := -1
-		for b := range o.m.Resident() {
-			ver, _, placed := o.m.Holds(b, nil)
-			at := len(data)
-			data = append(data, slices.Clone(c.stored[b][:p.Z])...)
-			if old < 0 && len(placed) > 0 {
-				old = at + placed[0]
-				data[old] = oldSlotFrame(t, key, p, b, ver)
-			}
-		}
-		if old < 0 {
-			t.Fatal("no block is resident after 8 epochs")
-		}
-		refusedAsOlder(t, "a load", o.LoadLocal(data))
 	})
 }

@@ -193,6 +193,10 @@ func (m *Machine) Holds(b int, dst []int) (uint64, []uint16, []int) {
 	return bm.writeVer, bm.perm, dst
 }
 
+// KeyAt returns the key of the block at real position r of bucket b, a
+// position Holds lists.
+func (m *Machine) KeyAt(b, r int) string { return m.keys.name(m.bucket(b).addrs[r]) }
+
 func (m *Machine) randLeaf() int { return m.rng.IntN(m.geo.Leaves) }
 
 // remap points row ki at leaf and records the change for the next delta

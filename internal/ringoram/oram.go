@@ -28,10 +28,10 @@ type ORAM struct {
 	geo meta.Geometry
 	cdc codec
 
-	// Hot-path scratch: the Appendix A binding encoder, and the nonce of the
-	// slot being opened.
+	// Hot-path scratch: the Appendix A binding encoder, and the nonce and
+	// additional data of the slot being opened.
 	bindBuf []byte
-	nonce   cryptoutil.Nonce
+	scratch cryptoutil.SlotScratch
 	// seeds is the block the bucket versions' seeds are cut from (Seed): the
 	// machine asks for them while it plans, on the driver's goroutine.
 	seeds cryptoutil.Nonces
@@ -123,6 +123,15 @@ func (o *ORAM) Machine() *meta.Machine { return o.m }
 // writes and reads has it.
 func (o *ORAM) SlotSize() int { return o.cdc.slotSize() }
 
+// BlockSize is the length of a block's plaintext slot in memory, its key
+// included: every block the stash and the bucket images hold has it.
+func (o *ORAM) BlockSize() int { return o.cdc.plainSize() }
+
+// BlockKey returns the key block, one of a bucket image's Blocks, holds: the
+// key its slot frame is sealed for, which the frame does not carry. It is a
+// view of block.
+func (o *ORAM) BlockKey(block []byte) []byte { return o.cdc.keyOf(block) }
+
 // Complete completes step p on the machine with the slots data holds. It
 // returns the value an access returns — a view of its block's slot, valid
 // until the block's next write or eviction, which a caller that keeps it
@@ -170,10 +179,11 @@ func (o *ORAM) stashBlock(b meta.Block) (block, error) {
 func (o *ORAM) Seed(int, uint64) meta.Seed { return meta.Seed(o.seeds.Seed()) }
 
 // Deliver moves the block read r fetched into a pooled slot, the block's. A
-// local read is served from the image r names and copied into the slot; a
-// remote read's data is opened straight into it under the seed and the
-// (bucket, version) binding of the version it was planned against. Either
-// must hold key. A slot frame of another scheme fails with
+// local read is served from the image r names, which must hold key, and
+// copied into the slot. A remote read's data is opened straight into it, as
+// the slot of key's block, under the seed and the (bucket, version) binding
+// of the version it was planned against: a frame sealed for another key fails
+// authentication. A slot frame of another scheme fails with
 // cryptoutil.ErrScheme, not ErrCorrupt: it was written by another build.
 func (o *ORAM) Deliver(r meta.SlotRead, data []byte, key string) error {
 	slot := o.blocks.take()
@@ -182,7 +192,7 @@ func (o *ORAM) Deliver(r meta.SlotRead, data []byte, key string) error {
 	if r.Local() {
 		plain = o.image(r.Image()).Block(r.Slot)
 	} else {
-		plain, err = slot, o.cdc.open(slot, data, r.Seed, r.Slot, o.binding(uint64(r.Bucket), r.Ver), &o.nonce)
+		plain, err = slot, o.cdc.open(slot, data, r.Seed, r.Slot, o.binding(uint64(r.Bucket), r.Ver), key, &o.scratch)
 		o.openedSlots.Add(1)
 		if errors.Is(err, cryptoutil.ErrScheme) {
 			o.blocks.put(slot)
@@ -197,12 +207,12 @@ func (o *ORAM) Deliver(r meta.SlotRead, data []byte, key string) error {
 	switch {
 	case err == nil && kind != slotReal && kind != slotTombstone:
 		err = fmt.Errorf("slot kind %d", kind)
-	case err == nil && string(blk.keyB) != key:
+	case err == nil && r.Local() && string(blk.keyB) != key: // open wrote a remote read's key
 		err = fmt.Errorf("holds key %q, want %q", blk.keyB, key)
 	}
 	if err != nil {
 		o.blocks.put(slot)
-		return fmt.Errorf("%w: bucket %d slot %d: %v", ErrCorrupt, r.Bucket, r.Slot, err)
+		return fmt.Errorf("%w: bucket %d slot %d: %w", ErrCorrupt, r.Bucket, r.Slot, err)
 	}
 	if r.Local() {
 		copy(slot, plain)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"obladi/internal/cryptoutil"
@@ -404,6 +405,66 @@ func TestDeliverRefusesReplayedFrame(t *testing.T) {
 		if now.Slot == old.Slot {
 			seen["a frame at its own slot index"] = true
 		}
+	}
+}
+
+// TestDeliverRefusesAnotherKeysFrame: a frame sealed as exactly the slot a
+// read of key k fetches — its bucket, version, seed and slot — but for the
+// block of another key fails the delivery with ErrCorrupt, wrapping
+// cryptoutil.ErrAuth and naming the bucket and slot: the frame carries no
+// key, and the key the metadata names is authenticated beside the binding.
+// The same frame sealed for k is delivered, and the read returns its value.
+func TestDeliverRefusesAnotherKeysFrame(t *testing.T) {
+	// deliver writes k, moves it into the tree and completes the access of a
+	// read of k, its block's read answered by a frame of key's block holding
+	// value, sealed as exactly that slot. It returns the read and the
+	// access's result.
+	deliver := func(key, value string) (meta.SlotRead, []byte, bool, error) {
+		o, err := New(cryptoutil.KeyFromSeed([]byte("keys")), testParams(32))
+		must(t, err)
+		c := newPlaneClient(t, o, 0)
+		run := func(steps []*meta.Plan) {
+			for _, st := range steps {
+				_, _, images, err := o.Complete(st, c.fetch(st.Reads), nil)
+				must(t, err)
+				must(t, c.write(images))
+			}
+		}
+		steps, err := o.m.PlanWrite("k", []byte("v1"), false, nil)
+		must(t, err)
+		run(steps)
+		for o.m.StashSize() > 0 {
+			run(evictNow(t, o))
+		}
+		steps, err = o.m.PlanRead("k", nil)
+		must(t, err)
+		data := c.fetch(steps[0].Reads)
+		var r meta.SlotRead
+		for i, read := range steps[0].Reads {
+			if read.Block() == 0 {
+				continue
+			}
+			r = read
+			plain := make([]byte, o.cdc.plainSize())
+			must(t, o.cdc.encodePlain(plain, slotReal, block{key: key, value: []byte(value)}))
+			data[i] = make([]byte, o.cdc.slotSize())
+			must(t, o.cdc.seal(data[i], plain, r.Seed, r.Slot, cryptoutil.Binding(uint64(r.Bucket), r.Ver, 0), new(cryptoutil.SlotScratch)))
+		}
+		if r.Block() == 0 {
+			t.Fatal("the read of k fetches no block")
+		}
+		v, found, _, err := o.Complete(steps[0], data, nil)
+		return r, v, found, err
+	}
+	r, _, _, err := deliver("j", "v1")
+	if !errors.Is(err, ErrCorrupt) || !errors.Is(err, cryptoutil.ErrAuth) {
+		t.Fatalf("k's slot answered with a frame of key j's block: %v, want ErrCorrupt wrapping ErrAuth", err)
+	}
+	if want := fmt.Sprintf("bucket %d slot %d", r.Bucket, r.Slot); !strings.Contains(err.Error(), want) {
+		t.Fatalf("the refusal %q does not name %s", err, want)
+	}
+	if _, v, found, err := deliver("k", "v2"); err != nil || !found || string(v) != "v2" {
+		t.Fatalf("k's slot answered with a frame of k's block: %q, %v, %v", v, found, err)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestRecycledBufferFailsAuthentication(t *testing.T) {
 			slots, err := o.SealImage(im, &a)
 			must(t, err)
 			open := func() error {
-				_, _, err := o.cdc.decodeSlot(slots[im.Real()[0]], im.Seed, int(im.Real()[0]), o.binding(uint64(im.Bucket), im.Ver))
+				_, _, err := o.cdc.decodeSlot(slots[im.Real()[0]], im.Seed, int(im.Real()[0]), o.binding(uint64(im.Bucket), im.Ver), "k")
 				return err
 			}
 			if err := open(); err != nil {
