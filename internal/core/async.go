@@ -29,12 +29,17 @@ import (
 // StepReadBatch that served it, the seal, a fail-stop — so that moment wakes
 // its readers together. Each Future carries a wait record (fetchWaiter). The
 // decider, under Proxy.mu, publishes every record it decided (outcome, then
-// the done flag), then closes the proxy's one wake channel and installs a
-// fresh one. A waiter loads the channel, then checks its record, then sleeps
-// on the channel: a record published after the check is announced on that
-// channel or on an earlier-closed one, so no wake-up is lost; a close that
-// decided other records wakes it spuriously, at most once per batch of its
-// epoch, and never on a stepped schedule, where Wait follows the batch.
+// the done flag), then, if any waiter is parked, closes the proxy's one wake
+// channel and installs a fresh one. A waiter whose record is not done yet
+// counts itself parked, then loads the channel, then checks its record, then
+// sleeps on the channel. Both sides' steps are sequentially consistent
+// atomics, so either the decider's load of the count follows the waiter's
+// increment, and the decider closes the channel the waiter loaded or a later
+// one (in which case the loaded one was closed before), or it precedes it,
+// and the waiter's check follows the publication and finds its record done:
+// no wake-up is lost. A close that decided other records wakes a parked
+// waiter spuriously, at most once per batch of its epoch. Where Wait follows
+// the batch, as on a stepped schedule, nothing parks and no channel is made.
 // Outcomes known at once (closed proxy, dead epoch, shed) are published by the
 // caller itself and involve no channel.
 //
@@ -79,19 +84,30 @@ func (p *Proxy) publishLocked(w *fetchWaiter, err error) {
 }
 
 // wakeLocked announces everything published since the last call: one close,
-// whatever the number of waiters. The caller holds p.mu.
+// whatever the number of waiters, and none when no waiter is parked: one
+// that parks later finds its record done before it sleeps. The caller holds
+// p.mu.
 func (p *Proxy) wakeLocked() {
 	if !p.wakeDue {
 		return
 	}
 	p.wakeDue = false
+	if p.parkedWaiters.Load() == 0 {
+		return
+	}
 	close(p.wake.Load().(chan struct{}))
 	p.wake.Store(make(chan struct{}))
 }
 
 // await blocks until w is decided, or returns the cause of the first context
-// to end.
+// to end. While it may sleep it counts itself parked, before it loads the
+// channel (see "One wake-up per batch").
 func (w *fetchWaiter) await(p *Proxy, ctx, txnCtx context.Context) error {
+	if w.state.Load() == waiterDone {
+		return nil
+	}
+	p.parkedWaiters.Add(1)
+	defer p.parkedWaiters.Add(-1)
 	for {
 		ch := p.wake.Load().(chan struct{})
 		if w.state.Load() == waiterDone {

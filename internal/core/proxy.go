@@ -263,9 +263,11 @@ type Proxy struct {
 	parked *fetchWaiter
 	// wake is the channel (a chan struct{}) whose close announces every read
 	// outcome published since the previous close; wakeDue says some are
-	// waiting for it (async.go, "One wake-up per batch").
-	wake    atomic.Value
-	wakeDue bool
+	// waiting for it, parkedWaiters how many waiters may sleep on it
+	// (async.go, "One wake-up per batch").
+	wake          atomic.Value
+	wakeDue       bool
+	parkedWaiters atomic.Int32
 	// Client handles come from chunks that are never reused (async.go, "Stale
 	// handles").
 	txnSlab    slab.Chunked[Txn]

@@ -23,6 +23,9 @@ type Txn struct {
 	// Atomic because Future waiters may consult the handle while the owning
 	// goroutine settles it.
 	done atomic.Bool
+	// aborted is the first CCU abort mapWriteErr returned: carved with the
+	// handle, which is never reused, so a client may keep it.
+	aborted abortedError
 }
 
 // Begin starts a transaction in the current epoch.
@@ -103,7 +106,13 @@ func (t *Txn) mapWriteErr(err error) error {
 		return fmt.Errorf("%w: %v", ErrEpochFull, err)
 	}
 	if errors.Is(err, mvtso.ErrAborted) {
-		return &abortedError{err}
+		if t.aborted.cause != nil {
+			// A later write of an aborted transaction: the first error may
+			// still be held, so this one is the caller's own.
+			return &abortedError{err}
+		}
+		t.aborted.cause = err
+		return &t.aborted
 	}
 	return err
 }

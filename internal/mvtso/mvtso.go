@@ -18,11 +18,14 @@
 //
 // Everything here dies at FinalizeEpoch or AbortAll, so the epoch is the unit
 // of allocation (internal/slab). Version chains never leave the package: they
-// are reset and reused. A *Txn does leave it, so transactions come from chunks
-// that are never reused: a handle kept past its epoch is Committed or Aborted
-// for good, every method on it answers from that status alone, and it can
-// never alias — or touch the chains, dependencies or write budget of — a
-// transaction of a later epoch.
+// are reset and reused, and so are the arrays a chain or a dependency list
+// grows into once it outgrows its inline one. A *Txn does leave it, so
+// transactions come from chunks that are never reused: a handle kept past its
+// epoch is Committed or Aborted for good, every method on it answers from that
+// status alone, and it can never alias — or touch the chains, dependencies or
+// write budget of — a transaction of a later epoch. A conflict abort's
+// *ConflictError leaves it too, so it is carved with its transaction: a
+// transaction aborts at most once.
 package mvtso
 
 import (
@@ -110,7 +113,7 @@ type version struct {
 
 // chain is a key's version list, sorted by writer timestamp ascending. Most
 // chains hold a base and one write: versions starts on the inline array and
-// append spills it to the heap.
+// grows into the epoch's version arena (roomIn).
 type chain struct {
 	versions []version
 	hasBase  bool
@@ -120,8 +123,9 @@ type chain struct {
 // Txn is a transaction handle. All methods are safe for concurrent use with
 // other transactions; a single Txn must not be used concurrently.
 //
-// The three sets are small, so they are slices that start on inline arrays
-// (append spills them); none needs a membership scan longer than deps.
+// The three sets are small, so they are slices that start on inline arrays;
+// none needs a membership scan longer than deps. The timestamp lists grow
+// into the epoch's timestamp arena (roomIn), writes spills to the heap.
 type Txn struct {
 	ts     Timestamp
 	mgr    *Manager
@@ -138,6 +142,8 @@ type Txn struct {
 	depsInline   [2]Timestamp
 	writesInline [4]string // room for SmallBank's Amalgamate, which writes 3
 	dependInline [2]Timestamp
+	// conflict is the abort Write returned, if it returned one.
+	conflict ConflictError
 }
 
 // TS returns the transaction's timestamp.
@@ -153,10 +159,12 @@ type Manager struct {
 	txns    []*Txn
 	firstTS Timestamp
 
-	chainSlab slab.Reused[chain]
-	txnSlab   slab.Chunked[Txn]
-	keys      []string // FinalizeEpoch's sort scratch
-	out       Outcome  // FinalizeEpoch's result, refilled by every call
+	chainSlab   slab.Reused[chain]
+	versionSlab slab.Reused[version]   // chains past their inline pair
+	tsSlab      slab.Reused[Timestamp] // deps and dependents past their inline pair
+	txnSlab     slab.Chunked[Txn]
+	keys        []string // FinalizeEpoch's sort scratch
+	out         Outcome  // FinalizeEpoch's result, refilled by every call
 
 	// Write-budget accounting (SetWriteBudget); zero writePerShard means
 	// unlimited.
@@ -192,6 +200,17 @@ func (m *Manager) chainLocked(key string) *chain {
 		m.chains[key] = c
 	}
 	return c
+}
+
+// roomIn returns s with room for one more element: s itself, or, when it is
+// full, a copy in twice its capacity carved from arena, an epoch arena that
+// resetLocked takes back once nothing points into it.
+func roomIn[E any](arena *slab.Reused[E], s []E) []E {
+	if len(s) < cap(s) {
+		return s
+	}
+	grown := arena.Make(2 * cap(s))
+	return grown[:copy(grown, s)]
 }
 
 // Begin starts a transaction in the current epoch.
@@ -277,7 +296,7 @@ func (m *Manager) InstallBase(key string, value []byte, found bool) {
 	}
 	c.hasBase = true
 	// The base sorts before every transaction's versions.
-	c.versions = slices.Insert(c.versions, 0, version{writer: 0, value: value, absent: !found})
+	c.versions = slices.Insert(roomIn(&m.versionSlab, c.versions), 0, version{writer: 0, value: value, absent: !found})
 }
 
 // Read returns the value of key visible to t: the latest version with
@@ -322,8 +341,8 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 		// Visible versions by aborted writers are removed eagerly; a
 		// finished writer is a legitimate dependency until the epoch ends.
 		if !slices.Contains(t.deps, vis.writer) {
-			t.deps = append(t.deps, vis.writer)
-			writer.dependents = append(writer.dependents, t.ts)
+			t.deps = append(roomIn(&m.tsSlab, t.deps), vis.writer)
+			writer.dependents = append(roomIn(&m.tsSlab, writer.dependents), t.ts)
 		}
 	}
 	if vis.absent || vis.tombstone {
@@ -369,7 +388,8 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 		if rm := c.versions[idx].readMarker; rm > t.ts {
 			m.statConflictAborts++
 			m.abortLocked(t, "self-rewrite after dependent read")
-			return &ConflictError{Key: key, Reader: rm, Writer: t.ts, Rewrite: true}
+			t.conflict = ConflictError{Key: key, Reader: rm, Writer: t.ts, Rewrite: true}
+			return &t.conflict
 		}
 		c.versions[idx].value = value
 		c.versions[idx].tombstone = tombstone
@@ -383,10 +403,11 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 			// would invalidate that read. Timestamp-ordering abort.
 			m.statConflictAborts++
 			m.abortLocked(t, "write-write/read conflict")
-			return &ConflictError{Key: key, Reader: pred.readMarker, Writer: t.ts}
+			t.conflict = ConflictError{Key: key, Reader: pred.readMarker, Writer: t.ts}
+			return &t.conflict
 		}
 	}
-	c.versions = slices.Insert(c.versions, idx, version{writer: t.ts, value: value, tombstone: tombstone})
+	c.versions = slices.Insert(roomIn(&m.versionSlab, c.versions), idx, version{writer: t.ts, value: value, tombstone: tombstone})
 	t.writes = append(t.writes, key)
 	return nil
 }
@@ -549,8 +570,9 @@ func refill[E any](s []E, n int) []E {
 }
 
 // resetLocked opens the next epoch: empty version chains, no transactions, a
-// fresh write budget. The chains go back to their slab; the transactions stay
-// where their handles point, decided for good, holding nothing.
+// fresh write budget. The chains and the arrays they and the dependency lists
+// grew into go back to their slabs; the transactions stay where their handles
+// point, decided for good, holding nothing but a conflict abort's error.
 func (m *Manager) resetLocked() {
 	for _, t := range m.txns {
 		t.deps, t.writes, t.dependents = nil, nil, nil
@@ -561,6 +583,8 @@ func (m *Manager) resetLocked() {
 	m.txnSlab.EndEpoch()
 	clear(m.chains)
 	m.chainSlab.Reset()
+	m.versionSlab.Reset()
+	m.tsSlab.Reset()
 	m.resetWriteBudgetLocked()
 }
 

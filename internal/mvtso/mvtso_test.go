@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"testing"
 
 	"obladi/internal/allocgate"
@@ -511,5 +513,116 @@ func TestEpochAllocBudget(t *testing.T) {
 	}
 	if committed != (epochs+3)*txns {
 		t.Fatalf("%d transactions committed, want %d", committed, (epochs+3)*txns)
+	}
+}
+
+// TestConflictAbortAllocatesNothing: a warm conflict abort allocates nothing
+// — its *ConflictError is carved with its transaction — and an abort error a
+// client keeps still matches ErrAborted and *ConflictError, and reads as its
+// own abort, after a later epoch's aborts.
+func TestConflictAbortAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	gate := allocgate.Begin(t)
+	const pairs = 64
+	keys := make([]string, pairs)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+	}
+	value := []byte("value")
+	m := NewManager()
+	writers := make([]*Txn, pairs)
+	errs := make([]error, pairs)
+	// epoch runs an epoch in which writer i's write of key i follows a later
+	// transaction's read of it, and returns what a write allocates.
+	epoch := func() float64 {
+		for i := range writers {
+			writers[i] = m.Begin()
+		}
+		for _, key := range keys {
+			m.InstallBase(key, value, true)
+			if _, _, err := m.Begin().Read(key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(pairs-1, func() {
+			errs[i] = writers[i].Write(keys[i], value)
+			i++
+		})
+		m.FinalizeEpoch()
+		return allocs
+	}
+	epoch()
+	kept := slices.Clone(errs)
+	texts := make([]string, pairs)
+	for i, err := range kept {
+		texts[i] = err.Error()
+	}
+	gate.Settle()
+	if allocs := epoch(); allocs != 0 {
+		t.Errorf("%.1f allocations per warm conflict abort, want 0", allocs)
+	}
+	for i, err := range kept {
+		var ce *ConflictError
+		if !errors.Is(err, ErrAborted) || !errors.As(err, &ce) {
+			t.Fatalf("kept abort %d, %v (%T), is not a *ConflictError matching ErrAborted", i, err, err)
+		}
+		if ce.Key != keys[i] || err.Error() != texts[i] || errs[i] == err {
+			t.Fatalf("kept abort %d reads %q after the next epoch, was %q", i, err, texts[i])
+		}
+	}
+}
+
+// TestGrownListsAllocateNothingWhenWarm: a chain grown to 8 versions and a
+// writer read by 8 transactions outgrow their inline arrays into the epoch's
+// arenas, which FinalizeEpoch takes back: after the first epoch, growing them
+// again allocates nothing.
+func TestGrownListsAllocateNothingWhenWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	gate := allocgate.Begin(t)
+	const versions, readers = 8, 8
+	value := []byte("value")
+	m := NewManager()
+	txns := make([]*Txn, versions-1+readers)
+	var m0, m1 runtime.MemStats
+	epoch := func() uint64 {
+		for i := range txns {
+			txns[i] = m.Begin()
+		}
+		runtime.ReadMemStats(&m0)
+		m.InstallBase("hot", value, true)
+		for _, tx := range txns[:versions-1] {
+			must(t, tx.Write("hot", value))
+		}
+		for _, tx := range txns[versions-1:] {
+			if _, _, err := tx.Read("hot"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		if n := len(m.chains["hot"].versions); n != versions {
+			t.Fatalf("chain of %d versions, want %d", n, versions)
+		}
+		if n := len(txns[versions-2].dependents); n != readers {
+			t.Fatalf("the last writer has %d dependents, want %d", n, readers)
+		}
+		for _, tx := range txns {
+			must(t, tx.Commit())
+		}
+		if out := m.FinalizeEpoch(); len(out.Committed) != len(txns) {
+			t.Fatalf("%d of %d transactions committed", len(out.Committed), len(txns))
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	epoch()
+	gate.Settle()
+	for e := 0; e < 3; e++ {
+		if allocs := epoch(); allocs != 0 {
+			t.Fatalf("warm epoch %d: growing the chain and the dependents allocated %d times, want 0", e, allocs)
+		}
 	}
 }

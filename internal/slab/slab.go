@@ -21,10 +21,21 @@
 // its caller's: a structure that keeps a key past the call that handed it over
 // (a position map, a lock table) keeps a copy of its own.
 //
-// No type here is safe for concurrent use; the owner's lock guards it.
+// A vector of headers that escapes (a store's ReadSlots result, which its
+// caller keeps) follows that rule too: a Slices carves it, as Bytes carves a
+// value, out of chunks it never reuses. Use a Slices where an owner hands out
+// a short vector per call and cannot know when the caller is done with it;
+// where the owner takes its vectors back (Reset), a Reused fits instead.
+//
+// No type here but Slices is safe for concurrent use; the owner's lock guards
+// it. A Slices takes a small lock of its own, because the calls it serves
+// share their owner's read lock.
 package slab
 
-import "unsafe"
+import (
+	"sync"
+	"unsafe"
+)
 
 const (
 	minChunk = 16
@@ -75,6 +86,35 @@ func (b *Bytes) String(v []byte) string {
 	return unsafe.String(unsafe.SliceData(p), len(p))
 }
 
+// Slices' chunks are sliceChunk bytes long, and a slice longer than an eighth
+// of that gets an allocation of its own: a chunk serves eight slices or more,
+// and a slice someone keeps pins at most one chunk.
+const sliceChunk = 48 << 10
+
+// Slices carves slices of T the way Bytes carves values: capacity-clipped,
+// out of chunks it abandons, never reuses, so a slice stays valid for as long
+// as anyone holds it. It is safe for concurrent use.
+type Slices[T any] struct {
+	mu   sync.Mutex
+	free []T // unused tail of the newest chunk
+}
+
+// Make returns a zeroed slice of n Ts that the caller owns.
+func (s *Slices[T]) Make(n int) []T {
+	size := max(int(unsafe.Sizeof(*new(T))), 1)
+	if n == 0 || n*size > sliceChunk/8 {
+		return make([]T, n)
+	}
+	s.mu.Lock()
+	if n > len(s.free) {
+		s.free = make([]T, sliceChunk/size)
+	}
+	p := s.free[:n:n]
+	s.free = s.free[n:]
+	s.mu.Unlock()
+	return p
+}
+
 func clampChunk(n int) int {
 	return min(max(n, minChunk), maxChunk)
 }
@@ -120,6 +160,21 @@ func (r *Reused[T]) New() *T {
 	}
 	p := &r.chunks[r.ci][r.i]
 	r.i++
+	return p
+}
+
+// Make returns n zero Ts side by side, valid until Reset, as a slice whose
+// capacity is clipped: an append to it reallocates instead of reaching the
+// next object.
+func (r *Reused[T]) Make(n int) []T {
+	for r.ci < len(r.chunks) && r.i+n > len(r.chunks[r.ci]) {
+		r.ci, r.i = r.ci+1, 0
+	}
+	if r.ci == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]T, max(clampChunk(r.Len()), n)))
+	}
+	p := r.chunks[r.ci][r.i : r.i+n : r.i+n]
+	r.i += n
 	return p
 }
 

@@ -1,6 +1,9 @@
 package slab
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 type obj struct {
 	n   int
@@ -164,5 +167,114 @@ func TestReusedResetsAndReuses(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("%.1f allocations in a steady epoch, want 0", allocs)
+	}
+}
+
+// Make hands out zeroed runs that neither overlap nor reach each other by
+// append, mixed with New's objects, and takes them back at Reset: a steady
+// epoch of the same runs allocates nothing.
+func TestReusedMake(t *testing.T) {
+	var r Reused[obj]
+	x := 7
+	runs := make([][]obj, 40)
+	epoch := func() {
+		for i := range runs {
+			s := r.Make(1 + i%7)
+			if cap(s) != len(s) {
+				t.Fatalf("run %d: capacity %d, want %d", i, cap(s), len(s))
+			}
+			for j := range s {
+				if s[j] != (obj{}) {
+					t.Fatalf("run %d: object %d not zeroed: %+v", i, j, s[j])
+				}
+				s[j] = obj{n: i + 1, ref: &x}
+			}
+			r.New().n = -1
+			runs[i] = s
+		}
+	}
+	epoch()
+	for i, s := range runs {
+		for j := range s {
+			if s[j].n != i+1 {
+				t.Fatalf("run %d: object %d overwritten by a neighbour: %+v", i, j, s[j])
+			}
+		}
+	}
+	r.Reset()
+	epoch()
+	if allocs := testing.AllocsPerRun(10, func() {
+		r.Reset()
+		epoch()
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations in a steady epoch of runs, want 0", allocs)
+	}
+}
+
+// A Slices carves clipped, zeroed, non-overlapping slices, at least eight to
+// a chunk, never reusing one: a kept slice keeps its contents. A slice over
+// an eighth of a chunk gets its own allocation.
+func TestSlicesCarves(t *testing.T) {
+	var s Slices[[]byte]
+	const n = sliceChunk / 8 / 24 // 24-byte headers
+	var kept [][][]byte
+	for i := 0; i < 100; i++ {
+		v := s.Make(n)
+		if len(v) != n || cap(v) != n {
+			t.Fatalf("slice %d: len %d cap %d, want %d clipped", i, len(v), cap(v), n)
+		}
+		for j := range v {
+			if v[j] != nil {
+				t.Fatalf("slice %d: header %d not zeroed", i, j)
+			}
+			v[j] = []byte{byte(i)}
+		}
+		kept = append(kept, v)
+	}
+	for i, v := range kept {
+		if len(v[0]) != 1 || v[0][0] != byte(i) || v[n-1][0] != byte(i) {
+			t.Fatalf("slice %d changed by a later one", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(80, func() { s.Make(n) }); allocs > 1.0/8 {
+		t.Fatalf("%.3f allocations per slice of an eighth of a chunk, want at most 1/8", allocs)
+	}
+	if v := s.Make(n + 1); cap(v) != n+1 {
+		t.Fatalf("a slice over an eighth of a chunk has capacity %d, want %d", cap(v), n+1)
+	}
+	if v := s.Make(0); len(v) != 0 {
+		t.Fatalf("Make(0) has length %d", len(v))
+	}
+}
+
+// A Slices serves concurrent callers (run under -race): no two get the same
+// memory.
+func TestSlicesConcurrent(t *testing.T) {
+	var s Slices[int]
+	const workers, each, n = 4, 500, 10
+	out := make([][][]int, workers)
+	var wg sync.WaitGroup
+	for w := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				v := s.Make(n)
+				for j := range v {
+					v[j] = w*each + i
+				}
+				out[w] = append(out[w], v)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range out {
+		for i, v := range out[w] {
+			for _, x := range v {
+				if x != w*each+i {
+					t.Fatalf("worker %d slice %d holds %d: shared with another", w, i, x)
+				}
+			}
+		}
 	}
 }

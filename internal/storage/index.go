@@ -5,6 +5,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"obladi/internal/slab"
 )
 
 // This file holds the one version index every store keeps its bucket tree in
@@ -39,6 +41,8 @@ type versionIndex struct {
 	// dataStart is how far past its frame offset a record's first slot-length
 	// prefix lies (0 for a store without records).
 	dataStart int64
+	// vecs carves readSlots' result vectors, which their callers keep.
+	vecs slab.Slices[[]byte]
 }
 
 func newVersionIndex(numBuckets int, dataStart int64) versionIndex {
@@ -226,9 +230,9 @@ type versionFile interface {
 // nil), or with copies out of f, once every ref is validated, so the vector
 // fails as a whole before anything is copied. A copy goes into its ref's Into
 // when that holds it, else into one exact-length buffer shared by every ref
-// without a destination.
+// without a destination. The result vector is carved (ix.vecs).
 func (ix *versionIndex) readSlots(refs []SlotRef, f versionFile) ([][]byte, error) {
-	out := make([][]byte, len(refs))
+	out := ix.vecs.Make(len(refs))
 	spare := 0
 	for i := range refs {
 		r := &refs[i]

@@ -67,7 +67,8 @@ func (p Profile) Scaled(factor float64) Profile {
 // baselines' key-value store (internal/baseline) paces its calls through
 // another.
 type Pacer struct {
-	slots chan struct{} // nil when unlimited
+	slots   chan struct{} // nil when unlimited
+	charged atomic.Int64  // nanoseconds of delay paced in all
 }
 
 // NewPacer returns a Pacer admitting at most maxConcurrent calls at once
@@ -89,9 +90,14 @@ func (p *Pacer) Pace(d time.Duration) (release func()) {
 		p.slots <- struct{}{}
 		release = func() { <-p.slots }
 	}
+	p.charged.Add(int64(d))
 	delay(d)
 	return release
 }
+
+// Charged reports the delay the Pacer has paced in all: the modelled time
+// of the calls it paced, however they overlapped.
+func (p *Pacer) Charged() time.Duration { return time.Duration(p.charged.Load()) }
 
 // Latency wraps a Backend, injecting the profile's per-operation latency and
 // concurrency cap. Sleeps happen outside the inner backend's locks, so
@@ -105,8 +111,9 @@ type Latency struct {
 }
 
 var (
-	_ Backend     = (*Latency)(nil)
-	_ readEncoder = (*Latency)(nil)
+	_ Backend        = (*Latency)(nil)
+	_ readEncoder    = (*Latency)(nil)
+	_ streamedWriter = (*Latency)(nil)
 )
 
 // WithLatency wraps inner with the given profile.
@@ -167,7 +174,18 @@ func (l *Latency) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {
 // WriteBuckets charges one round trip for the whole write-back vector plus
 // per-bucket service time, occupying a single concurrency slot.
 func (l *Latency) WriteBuckets(writes []BucketWrite) error {
-	defer l.pace.Pace(l.prof.Write + time.Duration(len(writes))*l.prof.WritePerBucket)()
+	return l.writeStreamed(writes, true)
+}
+
+// writeStreamed is WriteBuckets of one group of a vector the storage server
+// streams in groups: the vector's round trip is charged with the group that
+// opens it, each bucket's service time with its group.
+func (l *Latency) writeStreamed(writes []BucketWrite, opens bool) error {
+	d := time.Duration(len(writes)) * l.prof.WritePerBucket
+	if opens {
+		d += l.prof.Write
+	}
+	defer l.pace.Pace(d)()
 	return l.inner.WriteBuckets(writes)
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -103,5 +104,51 @@ func TestLatencyPassthrough(t *testing.T) {
 	n, err := l.NumBuckets()
 	if err != nil || n != 1 {
 		t.Fatalf("NumBuckets: %d %v", n, err)
+	}
+}
+
+// TestStreamedWriteChargesOneRoundTrip: a write-back vector a server streams
+// to a Latency store in several groups is charged one Write round trip and
+// its buckets' service time, like a vector short enough to arrive whole, not
+// a round trip per group. It reads the pacer's charge, not the clock.
+func TestStreamedWriteChargesOneRoundTrip(t *testing.T) {
+	const numBuckets, slotsPer = 40, 8
+	prof := Profile{Name: "p", Write: 500 * time.Microsecond, WritePerBucket: 10 * time.Microsecond}
+	counted := &countWrites{Backend: NewMemBackend(numBuckets)}
+	l := WithLatency(counted, prof)
+	srv, err := NewServer(l, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	writes := make([]BucketWrite, numBuckets)
+	for b := range writes {
+		slots := make([][]byte, slotsPer)
+		for i := range slots {
+			slots[i] = bytes.Repeat([]byte{byte(b), byte(i)}, 512)
+		}
+		writes[b] = BucketWrite{Bucket: b, Epoch: 1, Slots: slots}
+	}
+	for _, tc := range []struct {
+		name   string
+		writes []BucketWrite
+	}{{"streamed", writes}, {"whole", writes[:2]}} {
+		calls, before := counted.calls.Load(), l.pace.Charged()
+		if err := c.WriteBuckets(tc.writes); err != nil {
+			t.Fatal(err)
+		}
+		groups := counted.calls.Load() - calls
+		if tc.name == "streamed" && groups < 2 {
+			t.Fatalf("%d WriteBuckets calls for a %d-bucket vector of 8 KB buckets: not streamed in groups", groups, len(tc.writes))
+		}
+		want := prof.Write + time.Duration(len(tc.writes))*prof.WritePerBucket
+		if got := l.pace.Charged() - before; got != want {
+			t.Errorf("%s: a %d-bucket vector in %d groups charged %v, want %v", tc.name, len(tc.writes), groups, got, want)
+		}
 	}
 }

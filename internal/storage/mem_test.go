@@ -405,6 +405,35 @@ func TestMemBackendEpochAllocBudget(t *testing.T) {
 	}
 }
 
+// TestMemBackendReadSlotsAllocBudget: a MemBackend answers ReadSlots with
+// views of its versions in a result vector carved from a 48 KiB chunk, so a
+// warm read of a benchmark-sized vector (192 refs, 4.5 KiB of headers)
+// allocates a tenth of a chunk (0.1 measured), not a vector of its own.
+func TestMemBackendReadSlotsAllocBudget(t *testing.T) {
+	const numBuckets, slotsPer, budget = 48, 4, 0.15
+	gate := allocgate.Begin(t)
+	m := NewMemBackend(numBuckets)
+	var refs []SlotRef
+	for b := 0; b < numBuckets; b++ {
+		must(t, m.WriteBucket(b, 1, slots("a", "b", "c", "d")))
+		for i := 0; i < slotsPer; i++ {
+			refs = append(refs, SlotRef{Bucket: b, Slot: i})
+		}
+	}
+	read := func() {
+		if got, err := m.ReadSlots(refs); err != nil || len(got) != len(refs) {
+			t.Fatalf("ReadSlots: %d slots, err %v", len(got), err)
+		}
+	}
+	read()
+	gate.Settle()
+	allocs := mallocsPerCall(2000, read)
+	t.Logf("ReadSlots of %d slots: %.3f allocations a call", len(refs), allocs)
+	if allocs > budget {
+		t.Errorf("%.3f allocations per ReadSlots of %d slots, budget %.2f (a tenth of a carved chunk): the result vector is allocated per call again", allocs, len(refs), budget)
+	}
+}
+
 // TestMemBackendLogAllocBudget: a MemBackend copies each record it is
 // appended into a chunk it carves records from, so an epoch of the
 // benchmark's in-memory records — three 1.5 KB batch records, a 0.9 KB write

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"obladi/internal/slab"
 	"obladi/internal/wire"
 )
 
@@ -395,6 +396,14 @@ func (p *payload) more() bool {
 type writeGroup struct {
 	writes []BucketWrite
 	slots  [][]byte
+	sent   bool // a group of the streamed vector being parsed reached the store
+}
+
+// streamedWriter is a store that models a write-back vector as one request
+// (Latency charges its round trip once a vector): the server hands it each
+// group of a streamed vector with whether the group opens the vector.
+type streamedWriter interface {
+	writeStreamed(writes []BucketWrite, opens bool) error
 }
 
 // parse parses a write-buckets payload out of p and installs it in backend,
@@ -402,6 +411,7 @@ type writeGroup struct {
 // did not parse in p. It returns errShort or errTrailing for a payload that
 // does not decode, the backend's error, or nil when r tore.
 func (g *writeGroup) parse(backend Backend, p *payload) error {
+	g.sent = false
 	if p.left < 4 {
 		return errShort
 	}
@@ -482,12 +492,18 @@ func (g *writeGroup) parseBucket(b []byte, rest int) (w BucketWrite, size int, e
 	return BucketWrite{}, 0, err
 }
 
-// flush hands the group's whole buckets to backend (none when it is nil).
-// The group keeps its arrays but pins no slot.
+// flush hands the group's whole buckets to backend (none when it is nil),
+// through streamedWriter when backend has it. The group keeps its arrays but
+// pins no slot.
 func (g *writeGroup) flush(backend Backend) error {
 	var err error
 	if backend != nil && len(g.writes) > 0 {
-		err = backend.WriteBuckets(g.writes)
+		if sw, ok := backend.(streamedWriter); ok {
+			err = sw.writeStreamed(g.writes, !g.sent)
+		} else {
+			err = backend.WriteBuckets(g.writes)
+		}
+		g.sent = true
 	}
 	clear(g.writes)
 	clear(g.slots)
@@ -652,6 +668,7 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 type Client struct {
 	wc     *wire.Client
 	nextID atomic.Uint64
+	vecs   slab.Slices[[]byte] // ReadSlots' result vectors, which callers keep
 }
 
 var _ Backend = (*Client)(nil)
@@ -767,9 +784,10 @@ func (c *Client) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(c,
 // exceed the frame limit; each frame is sent once the previous one is
 // answered, so such a vector pays a round trip a frame. Each slot
 // is copied straight out of the pooled reply frame into its ref's Into, or
-// into one buffer a frame for the refs without one.
+// into one buffer a frame for the refs without one. The result vector is
+// carved (c.vecs).
 func (c *Client) ReadSlots(refs []SlotRef) ([][]byte, error) {
-	out := make([][]byte, len(refs))
+	out := c.vecs.Make(len(refs))
 	for start := 0; ; start += vectorChunkRefs {
 		end := min(start+vectorChunkRefs, len(refs))
 		if err := c.readSlotsFrame(refs[start:end], out[start:end]); err != nil {

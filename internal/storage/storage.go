@@ -87,7 +87,9 @@ type BucketWrite struct {
 // CommitEpoch, discarded by a RollbackTo, or replaced by a same-epoch write —
 // after which the store may reuse its bytes. So a caller reads result[i], not
 // Into, and one that needs a slot past the next retirement, or past its own
-// next use of Into, copies it. Every store's ReadBucket returns a copy the
+// next use of Into, copies it. The result vector itself is the caller's to
+// keep: every store carves it from chunks it never reuses (slab.Slices), so
+// no later call writes it. Every store's ReadBucket returns a copy the
 // caller keeps. The proxy reads a bucket from storage only while nothing
 // retires its newest version: a bucket rewritten by the epoch being committed
 // is served from the sealed set, not read. The storage server encodes its
