@@ -43,7 +43,8 @@ type diskLog struct {
 	// group is the durable frontier. Lock order: mu before group.mu; a
 	// wave's leader takes mu only after releasing group.mu.
 	group CommitGroup
-	// workers bounds the pool that replays segments at open; 1 means serial.
+	// workers bounds the pool that replays segments at open; 1 opens them in
+	// base order.
 	workers int
 	// numBuckets is the group's tree size, kept in meta beside the
 	// truncation point.
@@ -286,28 +287,24 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 	segs := make([]*segment, len(bases))
 	segErrs := make([]error, len(bases))
-	if workers := min(l.workers, len(bases)); workers > 1 {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					segs[i], segErrs[i] = l.openSegment(bases[i])
-				}
-			}()
-		}
-		for i := range bases {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i, base := range bases {
-			segs[i], segErrs[i] = l.openSegment(base)
-		}
+	// A pool of one opens the segments in base order on one goroutine, so a
+	// crash sweep's op sequence is deterministic.
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(l.workers, len(bases)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				segs[i], segErrs[i] = l.openSegment(bases[i])
+			}
+		}()
 	}
+	for i := range bases {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	closeRest := func(from int) {
 		for j := from; j < len(segs); j++ {
 			if segs[j] != nil {

@@ -89,6 +89,11 @@ const vectorChunkRefs = 1 << 12
 // bound keeps a flood of frames from spawning an unbounded worker set.
 const serverMaxHandlers = 256
 
+// serverReadBuf sizes each connection's read buffer, and so the window a
+// write-back vector is streamed through: what a connection holds of an
+// epoch's write-back set at a time, however long the set.
+const serverReadBuf = 64 << 10
+
 // serverWorkerIdle is how long a connection's extra handler workers wait for
 // a request before exiting: a burst's workers stay while requests keep
 // coming, and an idle connection shrinks back to its one resident worker.
@@ -102,20 +107,14 @@ var ErrRemote = errors.New("storage: remote error")
 var bufs wire.Pool
 
 // Server serves a Backend over TCP. A connection's frames are read whole
-// into pooled buffers and answered by handler workers, except a write-back
-// vector longer than the connection's read buffer, which the read loop
-// streams into the backend a window of whole buckets at a time
-// (streamWriteBuckets): a torn or refused one may leave a prefix of its
-// whole buckets installed but uncommitted, as BucketStore.WriteBuckets
-// allows.
+// into pooled buffers and answered by handler workers, except write-back
+// vectors, which the read loop streams into the backend a window of whole
+// buckets at a time (streamWriteBuckets): a torn or refused one may leave a
+// prefix of its whole buckets installed but uncommitted, as
+// BucketStore.WriteBuckets allows.
 type Server struct {
 	backend Backend
 	srv     *wire.Server
-
-	// readBuf sizes each connection's read buffer, and so the longest
-	// write-buckets frame read whole: wire.MaxPooled, the longest a pooled
-	// buffer holds. Tests shrink it to stream short vectors too.
-	readBuf int
 
 	// fence is the served backend's proxy-generation register: fencing at
 	// the wire covers any backend (disk groups included) without the backend
@@ -156,7 +155,7 @@ func NewServer(backend Backend, addr string) (*Server, error) {
 }
 
 func newServer(backend Backend, ln net.Listener) *Server {
-	s := &Server{backend: backend, readBuf: wire.MaxPooled}
+	s := &Server{backend: backend}
 	s.srv = wire.Serve(ln, s.serveConn)
 	return s
 }
@@ -189,20 +188,18 @@ type serverConn struct {
 	workers  atomic.Int32
 	handlers sync.WaitGroup
 
-	// group is the read loop's scratch for streamed write-back vectors.
+	// group is the read loop's scratch for write-back vectors.
 	group writeGroup
 }
 
 // scratch is a handler worker's vector scratch, reused request to request: a
-// slot read's refs, and a bucket write's whole buckets as views of the
-// request frame.
+// slot read's refs.
 type scratch struct {
 	refs []SlotRef
-	writeGroup
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, s.readBuf)
+	r := bufio.NewReaderSize(conn, serverReadBuf)
 	sc := &serverConn{s: s, conn: conn, w: bufio.NewWriterSize(conn, 1<<16), reqs: make(chan *wire.Buf)}
 	defer sc.handlers.Wait()
 	defer close(sc.reqs)
@@ -214,7 +211,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if wireOp(op) == wireWriteBuckets && wire.HeaderLen+n > r.Size() {
+		if wireOp(op) == wireWriteBuckets {
 			r.Discard(wire.PrefixLen + wire.HeaderLen) // peeked
 			if !sc.streamWriteBuckets(r, id, n) {
 				return
@@ -308,17 +305,18 @@ func (sc *serverConn) reply(status byte, id uint64, resp []byte) {
 }
 
 // streamWriteBuckets answers a write-buckets request whose n-byte payload is
-// still on r without holding the vector whole. It parses the payload a
-// window at a time out of r's buffer and hands the whole buckets of each
-// window to the backend's WriteBuckets as views of it, in vector order,
-// before r reads on. So while its buckets fit r's buffer a server holds
-// that buffer's worth per connection, however long the epoch's write-back
-// set; a bucket longer than r's buffer has the rest of the payload read
-// into a buffer of its own.
+// still on r without holding the vector whole: every write-back a server
+// takes comes this way. It parses the payload a window at a time out of r's
+// buffer and hands the whole buckets of each window to the backend's
+// WriteBuckets as views of it, in vector order, before r reads on. So while
+// its buckets fit r's buffer a server holds that buffer's worth per
+// connection, however long the epoch's write-back set; a payload that fits
+// the buffer is one window and one call; a bucket longer than r's buffer
+// has the rest of the payload read into a buffer of its own.
 // The fence is checked once, before the first group. A payload that does
 // not decode — a count or length running past the frame, bytes left after
-// the last bucket — is refused with the pooled path's error text, and the
-// group it falls in, the last one included, never reaches the backend. The
+// the last bucket — is refused as a bad write-buckets frame, and the group
+// it falls in, the last one included, never reaches the backend. The
 // rest of a refused frame is read and dropped and the reply follows, so the
 // next frame starts where the peer put it. It reports false when r fails
 // mid-frame: the connection is torn and closes unanswered. Either way, as
@@ -390,9 +388,8 @@ func (p *payload) more() bool {
 }
 
 // writeGroup is a write-back vector's whole buckets decoded as views of the
-// bytes that carried them: a pooled request frame (a handler's scratch) or a
-// streamed frame's window on the connection's read buffer (serverConn.group).
-// It holds views only, and none once flushed.
+// bytes that carried them, a window on the connection's read buffer
+// (serverConn.group). It holds views only, and none once flushed.
 type writeGroup struct {
 	writes []BucketWrite
 	slots  [][]byte
@@ -407,9 +404,9 @@ type streamedWriter interface {
 }
 
 // parse parses a write-buckets payload out of p and installs it in backend,
-// a window's whole buckets at a time (streamWriteBuckets), leaving what it
-// did not parse in p. It returns errShort or errTrailing for a payload that
-// does not decode, the backend's error, or nil when r tore.
+// a window's whole buckets at a time, leaving what it did not parse in p.
+// It returns errShort or errTrailing for a payload that does not decode,
+// the backend's error, or nil when r tore.
 func (g *writeGroup) parse(backend Backend, p *payload) error {
 	g.sent = false
 	if p.left < 4 {
@@ -523,12 +520,12 @@ func mutatingOp(op wireOp) bool {
 	return false
 }
 
-// handle executes one request. The payload may alias a pooled frame: bucket
-// writes and log records reach the backend as views of it (a store copies
-// what it keeps), so the caller may release the frame as soon as handle
-// returns. A slot-read reply is encoded through encodeSlotsFrom,
-// under the store's read lock when it has one; a bucket read is a copy
-// (ReadBucket). Vectors decode into the worker's
+// handle executes one request other than a write-back (streamWriteBuckets).
+// The payload may alias a pooled frame: a log record reaches the backend as
+// a view of it (a store copies what it keeps), so the caller may release the
+// frame as soon as handle returns. A slot-read reply is encoded through
+// encodeSlotsFrom, under the store's read lock when it has one; a bucket
+// read is a copy (ReadBucket). A slot read's refs decode into the worker's
 // scratch hs, and the response is appended to out[:0].
 func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []byte) (byte, []byte) {
 	enc := encoder{buf: out[:0]}
@@ -543,6 +540,9 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 	d := decoder{buf: payload}
 	switch op {
 	case wireFence:
+		if err := d.end(); err != nil {
+			return fail(err)
+		}
 		token := s.fence.acquire()
 		cs.setToken(token)
 		enc.u64(token)
@@ -570,31 +570,6 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 		if enc.buf, err = encodeSlotsFrom(s.backend, enc.buf, refs); err != nil {
 			return fail(err)
 		}
-	case wireWriteBuckets:
-		n := d.count(16)
-		for i := 0; i < n && d.err == nil; i++ {
-			// The frame holds the whole payload: a bucket never ends past it.
-			w, size, err := hs.parseBucket(d.buf, len(d.buf))
-			if err != nil {
-				d.err = err
-				break
-			}
-			hs.writes = append(hs.writes, w)
-			d.buf = d.buf[size:]
-		}
-		if d.err == nil && len(d.buf) > 0 {
-			d.err = errTrailing
-		}
-		var err error
-		if d.err != nil {
-			err = fmt.Errorf("storage: bad write-buckets frame: %w", d.err)
-		} else {
-			err = s.backend.WriteBuckets(hs.writes)
-		}
-		hs.flush(nil) // the views die with the request frame
-		if err != nil {
-			return fail(err)
-		}
 	case wireCommitEpoch:
 		epoch, err := d.onlyU64()
 		if err == nil {
@@ -619,8 +594,8 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 		enc.u32(uint32(n))
 	case wireLogAppend:
 		rec := d.view()
-		if d.err != nil {
-			return fail(d.err)
+		if err := d.end(); err != nil {
+			return fail(err)
 		}
 		seq, err := s.backend.Append(rec)
 		if err != nil {
@@ -1037,15 +1012,20 @@ func (d *decoder) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// onlyU64 decodes a payload that is exactly one u64: a mutation carrying
-// one runs only once the whole frame has decoded, so a short or overlong
-// frame is refused before it reaches the store.
-func (d *decoder) onlyU64() (uint64, error) {
-	v := d.u64()
+// end fails the decode with errTrailing when bytes are left: a mutation
+// runs only once its whole frame has decoded, so a short or overlong frame
+// is refused before it reaches the store.
+func (d *decoder) end() error {
 	if d.err == nil && len(d.buf) > 0 {
 		d.err = errTrailing
 	}
-	return v, d.err
+	return d.err
+}
+
+// onlyU64 decodes a payload that is exactly one u64 (end).
+func (d *decoder) onlyU64() (uint64, error) {
+	v := d.u64()
+	return v, d.end()
 }
 
 // view reads a length-prefixed byte field without copying; the result

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"obladi/internal/allocgate"
-	"obladi/internal/wire"
 )
 
 // TestReadSlotsRoundTripAllocBudget pins the storage wire's per-call cost:
@@ -84,13 +83,13 @@ func mallocsPerCall(calls int, f func()) float64 {
 	return float64(m1.Mallocs-m0.Mallocs) / float64(calls)
 }
 
-// TestWriteBucketsRoundTripAllocBudget pins a streamed write-back's cost: a
-// warm WriteBuckets round trip of a vector whose frame is longer than a
-// pooled buffer, against an in-process Server over a MemBackend, allocates
-// nothing at either end. The client writes the frame from the caller's
-// slots through the connection's writer, the server decodes it into the
-// connection's group scratch, and same-epoch rewrites hand the store back
-// the slabs it retires.
+// TestWriteBucketsRoundTripAllocBudget pins a write-back's cost: a warm
+// WriteBuckets round trip, against an in-process Server over a MemBackend,
+// allocates nothing at either end, for a vector whose frame is longer than
+// the server's read buffer and for one that fits it. The client writes the
+// frame from the caller's slots through the connection's writer, the server
+// decodes it into the connection's group scratch a window at a time, and
+// same-epoch rewrites hand the store back the slabs it retires.
 func TestWriteBucketsRoundTripAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -109,22 +108,27 @@ func TestWriteBucketsRoundTripAllocBudget(t *testing.T) {
 		writes[b] = BucketWrite{Bucket: b, Epoch: 1, Slots: slots}
 		size += 16
 	}
-	if size <= wire.MaxPooled {
-		t.Fatalf("a %d byte vector is not longer than a pooled buffer", size)
+	if size <= serverReadBuf {
+		t.Fatalf("a %d byte vector is not longer than the server's read buffer", size)
 	}
-	call := func() {
-		if err := c.WriteBuckets(writes); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		writes []BucketWrite
+	}{{"long", writes}, {"short", writes[:4]}} {
+		call := func() {
+			if err := c.WriteBuckets(tc.writes); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 10; i++ {
-		call()
-	}
-	gate.Settle()
-	allocs := testing.AllocsPerRun(100, call)
-	t.Logf("WriteBuckets of %d bytes (%d buckets × %d slots): %.2f allocations per round trip, both ends", size, numBuckets, slotsPer, allocs)
-	if allocs > 0 {
-		t.Errorf("%.2f allocations per streamed WriteBuckets round trip, want 0: the vector is buffered whole again, or the send allocates per call", allocs)
+		for i := 0; i < 10; i++ {
+			call()
+		}
+		gate.Settle()
+		allocs := testing.AllocsPerRun(100, call)
+		t.Logf("%s WriteBuckets (%d buckets × %d slots): %.2f allocations per round trip, both ends", tc.name, len(tc.writes), slotsPer, allocs)
+		if allocs > 0 {
+			t.Errorf("%.2f allocations per %s WriteBuckets round trip, want 0: the vector is buffered whole again, or the send allocates per call", allocs, tc.name)
+		}
 	}
 	for b, w := range writes {
 		got, err := backend.ReadBucket(b)

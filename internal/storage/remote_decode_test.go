@@ -48,10 +48,11 @@ type hostileFrame struct {
 
 // hostileFrames lists write and read frames whose counts or lengths promise
 // more than the payload holds; every strict prefix of two valid write frames
-// (the format is self-delimiting, so each of those is short); every strict
-// prefix of each mutation that carries one u64, and the same u64 with a byte
-// behind it (each value would change seededStore); and every reserved op,
-// carrying the payload its retired call sent.
+// and of a log append (the formats are self-delimiting, so each of those is
+// short); every strict prefix of each mutation that carries one u64; each of
+// those mutations, the write frame and the append with a byte behind it
+// (each would change seededStore); a fence with a payload; and every
+// reserved op, carrying the payload its retired call sent.
 func hostileFrames() []hostileFrame {
 	oneBucket := encodeWriteBuckets([]BucketWrite{{Bucket: 1, Epoch: 1, Slots: [][]byte{[]byte("alpha"), []byte("bravo"), []byte("gamma")}}})
 	vector := encodeWriteBuckets([]BucketWrite{
@@ -89,6 +90,13 @@ func hostileFrames() []hostileFrame {
 		frames = append(frames, hostileFrame{fmt.Sprintf("write-buckets cut at %d", cut), wireWriteBuckets, vector[:cut]})
 	}
 	frames = append(frames, hostileFrame{"write-buckets with a trailing byte", wireWriteBuckets, append(vector, 0)})
+	appendRec := cat(be32(3), []byte("rec"))
+	for cut := 0; cut < len(appendRec); cut++ {
+		frames = append(frames, hostileFrame{fmt.Sprintf("log-append cut at %d", cut), wireLogAppend, appendRec[:cut]})
+	}
+	frames = append(frames,
+		hostileFrame{"log-append with a trailing byte", wireLogAppend, append(appendRec, 0)},
+		hostileFrame{"fence with a payload", wireFence, []byte{0}})
 	for _, m := range []struct {
 		name string
 		op   wireOp
@@ -135,9 +143,10 @@ func storeState(mem *MemBackend) string {
 }
 
 // TestServerHandleRejectsHostileFrames: a frame that promises more than it
-// carries, or a u64 mutation whose payload is not exactly its u64, fails as
-// a per-request error before anything is sized by its length fields, and
-// leaves the store as it was.
+// carries, or a mutation whose payload is not exactly its fields, fails as a
+// per-request error before anything is sized by its length fields, and
+// leaves the store and the fence register as they were. Write-backs do not
+// reach handle; TestStreamedWriteBucketsRefusesHostileFrames covers them.
 func TestServerHandleRejectsHostileFrames(t *testing.T) {
 	// TotalAlloc is process-wide, so nothing but this goroutine may allocate
 	// while a window is open. The collector is off. With one P no other
@@ -150,6 +159,9 @@ func TestServerHandleRejectsHostileFrames(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.Gosched()
 	for _, hf := range hostileFrames() {
+		if hf.op == wireWriteBuckets {
+			continue
+		}
 		mem := seededStore(t)
 		before := storeState(mem)
 		s := &Server{backend: mem}
@@ -164,13 +176,16 @@ func TestServerHandleRejectsHostileFrames(t *testing.T) {
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4096 {
 			t.Errorf("%s: %d bytes allocated rejecting a %d byte payload", hf.name, grew, len(hf.payload))
 		}
-		if cap(hs.refs) > len(hf.payload) || cap(hs.writes) > len(hf.payload) {
-			t.Errorf("%s: scratch grew to %d refs / %d writes on a %d byte payload", hf.name, cap(hs.refs), cap(hs.writes), len(hf.payload))
+		if cap(hs.refs) > len(hf.payload) {
+			t.Errorf("%s: scratch grew to %d refs on a %d byte payload", hf.name, cap(hs.refs), len(hf.payload))
 		}
 		// A frame that does not decode never reaches the backend, not even
 		// with the entries ahead of the bad one.
 		if after := storeState(mem); after != before {
 			t.Errorf("%s changed the store:\n%s\nto\n%s", hf.name, before, after)
+		}
+		if s.fence.highest != 0 {
+			t.Errorf("%s issued fence token %d", hf.name, s.fence.highest)
 		}
 	}
 }
@@ -201,9 +216,8 @@ var reservedOps = []wireOp{1, 3, 7, 8, 9}
 // FuzzServerHandle throws arbitrary requests at the server's handler over a
 // small seeded MemBackend: it must not panic, must answer with an error or a
 // well-formed response, a refused mutation or a reserved op must leave the
-// store as it was and a reserved op be refused, and whatever a write leaves
-// behind in the store must be sized by the payload that carried it — one
-// exact-length slab per version, no more bytes than the frame had.
+// store as it was and a reserved op be refused. A write-back never reaches
+// handle (FuzzStreamWriteBuckets fuzzes those).
 func FuzzServerHandle(f *testing.F) {
 	for _, hf := range hostileFrames() {
 		f.Add(byte(hf.op), hf.payload)
@@ -225,6 +239,9 @@ func FuzzServerHandle(f *testing.F) {
 	f.Add(byte(wireFence), []byte{})
 	f.Add(byte(0), []byte{})
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
+		if wireOp(op) == wireWriteBuckets {
+			return
+		}
 		// Something to read, so read ops have successful answers too, and to
 		// lose, so a stray mutation shows.
 		mem := seededStore(t)
@@ -245,11 +262,7 @@ func FuzzServerHandle(f *testing.F) {
 			if len(resp) == 0 {
 				t.Fatalf("op %d: error without a message", op)
 			}
-			// A write-back vector that decoded may fail part way and leave
-			// its prefix installed, as BucketStore allows; any other refused
-			// mutation must not have reached the store.
-			partial := wireOp(op) == wireWriteBuckets && !strings.HasPrefix(string(resp), "storage: bad write-buckets frame")
-			if mutatingOp(wireOp(op)) && !partial {
+			if mutatingOp(wireOp(op)) {
 				if after := storeState(mem); after != before {
 					t.Fatalf("op %d: refused with %q but changed the store:\n%s\nto\n%s", op, resp, before, after)
 				}
@@ -259,10 +272,9 @@ func FuzzServerHandle(f *testing.F) {
 		default:
 			t.Fatalf("op %d: status %d", op, status)
 		}
-		if cap(hs.refs) > len(payload) || cap(hs.writes) > len(payload) || cap(hs.slots) > len(payload) {
-			t.Fatalf("op %d: scratch grew to %d refs / %d writes / %d slots on a %d byte payload", op, cap(hs.refs), cap(hs.writes), cap(hs.slots), len(payload))
+		if cap(hs.refs) > len(payload) {
+			t.Fatalf("op %d: scratch grew to %d refs on a %d byte payload", op, cap(hs.refs), len(payload))
 		}
-		checkRetained(t, mem, len(payload))
 	})
 }
 
@@ -293,9 +305,11 @@ func checkRetained(t *testing.T, mem *MemBackend, n int) {
 }
 
 // wholeBuckets decodes a write-buckets payload a bucket at a time, as the
-// streamed server does, up to the first bucket that does not decode: the
-// buckets before it and the payload offset each one ends at.
-func wholeBuckets(payload []byte) (writes []BucketWrite, ends []int) {
+// server does, up to the first bucket that does not decode: the buckets
+// before it, the payload offset each one ends at, and why the payload does
+// not decode (errShort, errTrailing), nil when it does. It is the model the
+// server's streamed decode is held to.
+func wholeBuckets(payload []byte) (writes []BucketWrite, ends []int, err error) {
 	d := decoder{buf: payload}
 	n := d.count(16)
 	for i := 0; i < n && d.err == nil; i++ {
@@ -309,8 +323,14 @@ func wholeBuckets(payload []byte) (writes []BucketWrite, ends []int) {
 			ends = append(ends, len(payload)-len(d.buf))
 		}
 	}
-	return writes, ends
+	return writes, ends, d.end()
 }
+
+// badFramePrefix opens the server's refusal of a write-buckets payload that
+// does not decode; badFrame is the whole refusal of one that fails with err.
+const badFramePrefix = "storage: bad write-buckets frame"
+
+func badFrame(err error) string { return badFramePrefix + ": " + err.Error() }
 
 // installedPrefix returns k when mem's state is seededStore's with the
 // first k of writes installed, and fails t when it is no such state: a
@@ -333,17 +353,13 @@ func installedPrefix(t *testing.T, mem *MemBackend, writes []BucketWrite) int {
 	return 0
 }
 
-// streamServer serves backend with a read buffer of readBuf bytes, so that
-// write-buckets frames longer than that are streamed, and returns its
-// address.
-func streamServer(t *testing.T, backend Backend, readBuf int) string {
+// serve serves backend and returns the server's address.
+func serve(t *testing.T, backend Backend) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	s, err := NewServer(backend, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{backend: backend, readBuf: readBuf}
-	s.srv = wire.Serve(ln, s.serveConn)
 	t.Cleanup(func() { s.Close() })
 	return s.Addr()
 }
@@ -414,36 +430,77 @@ func streamVector() []BucketWrite {
 	return long
 }
 
-// TestStreamedWriteBucketsRefusesHostileFrames sends a valid vector, longer
-// than the server's read buffer, with a byte behind it, and every malformed
-// write-buckets frame of hostileFrames that is longer than bufio's smallest
-// read buffer, over a real connection to a server with a buffer that small,
-// which streams them all (a shorter one is read whole, as
-// TestServerHandleRejectsHostileFrames covers, and FuzzStreamWriteBuckets
-// streams every length). Each is refused with an error reply, the frame
-// after it is answered in turn, and the store holds at most a prefix of the
-// whole buckets ahead of the bad one.
+// TestStreamedWriteBucketsRefusesHostileFrames streams every write-buckets
+// frame of hostileFrames, and a valid vector longer than the server's read
+// buffer with a byte behind it, through streamWriteBuckets off a read buffer
+// of bufio's least (16 bytes) and one of the server's own size. Each is
+// refused with an error reply, a bad-frame one naming the model's decode
+// error (wholeBuckets), and the reader is left at the next frame. The store
+// holds at most a prefix of the whole buckets ahead of the bad one, and
+// none when the payload fits one window, as every hostile frame fits the
+// server's. Refusing a hostile frame allocates no more than its error and a
+// group scratch sized by its payload, which then pins no slot.
 func TestStreamedWriteBucketsRefusesHostileFrames(t *testing.T) {
-	const readBuf = 16 // bufio's least
+	// As in TestServerHandleRejectsHostileFrames: nothing but this goroutine
+	// allocates while a window is open.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.Gosched()
 	frames := []hostileFrame{{"long vector with a trailing byte", wireWriteBuckets, append(encodeWriteBuckets(streamVector()), 0)}}
 	for _, hf := range hostileFrames() {
-		if hf.op == wireWriteBuckets && wire.HeaderLen+len(hf.payload) > readBuf {
+		if hf.op == wireWriteBuckets {
 			frames = append(frames, hf)
 		}
 	}
-	for _, hf := range frames {
-		mem := seededStore(t)
-		rc := dialRaw(t, streamServer(t, mem, readBuf))
-		rc.send(oracleRequest(hf.op, 1, hf.payload))
-		b := rc.reply(1)
-		if b == nil || b.Kind() != statusErr || len(b.Payload()) == 0 {
-			t.Fatalf("%s: answered %v, want an error", hf.name, b)
-		}
-		wire.Put(b)
-		rc.probe(2, 8)
-		whole, _ := wholeBuckets(hf.payload)
-		if k := installedPrefix(t, mem, whole); hf.name == frames[0].name && k == len(whole) {
-			t.Fatal("the last group of a vector with trailing bytes was installed")
+	next := oracleRequest(wireNumBuckets, 77, nil)
+	for _, size := range []int{16, serverReadBuf} {
+		var in bytes.Reader
+		r := bufio.NewReaderSize(&in, size)
+		for _, hf := range frames {
+			mem := seededStore(t)
+			before := storeState(mem)
+			var out bytes.Buffer
+			out.Grow(4096)
+			sc := &serverConn{s: &Server{backend: mem}, w: bufio.NewWriter(&out)}
+			in.Reset(append(slices.Clip(hf.payload), next...))
+			r.Reset(&in)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			ok := sc.streamWriteBuckets(r, 42, len(hf.payload))
+			runtime.ReadMemStats(&m1)
+			if hf.name != frames[0].name {
+				if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4096 {
+					t.Errorf("%d-byte window, %s: %d bytes allocated refusing a %d byte payload", size, hf.name, grew, len(hf.payload))
+				}
+			}
+			g := &sc.group
+			if cap(g.writes) > len(hf.payload) || cap(g.slots) > len(hf.payload) {
+				t.Errorf("%d-byte window, %s: scratch grew to %d writes / %d slots on a %d byte payload", size, hf.name, cap(g.writes), cap(g.slots), len(hf.payload))
+			}
+			for _, v := range g.slots[:cap(g.slots)] {
+				if v != nil {
+					t.Fatalf("%d-byte window, %s: the scratch pins a slot", size, hf.name)
+				}
+			}
+			reply, err := wire.ReadFrame(bufio.NewReader(&out), maxFrame, &bufs)
+			if !ok || err != nil || reply.ID() != 42 || reply.Kind() != statusErr {
+				t.Fatalf("%d-byte window, %s: ok %v, reply %v, err %v; want an error reply", size, hf.name, ok, reply, err)
+			}
+			whole, _, derr := wholeBuckets(hf.payload)
+			resp := string(reply.Payload())
+			if derr == nil || strings.HasPrefix(resp, badFramePrefix) && resp != badFrame(derr) {
+				t.Fatalf("%d-byte window, %s: refused with %q, the model's decode error is %v", size, hf.name, resp, derr)
+			}
+			if fb, err := wire.ReadFrame(r, maxFrame, &bufs); err != nil || fb.ID() != 77 {
+				t.Fatalf("%d-byte window, %s: the next frame: %v; the reader is out of sync", size, hf.name, err)
+			}
+			k := installedPrefix(t, mem, whole)
+			if oneWindow := len(hf.payload)-4 <= size; oneWindow && (resp != badFrame(derr) || k > 0) {
+				t.Errorf("%d-byte window, %s: a payload of one window refused with %q, %d buckets installed:\n%s\nto\n%s", size, hf.name, resp, k, before, storeState(mem))
+			}
+			if hf.name == frames[0].name && k == len(whole) {
+				t.Fatal("the last group of a vector with trailing bytes was installed")
+			}
 		}
 	}
 }
@@ -453,7 +510,7 @@ func TestStreamedWriteBucketsRefusesHostileFrames(t *testing.T) {
 // connection stays in sync.
 func TestStreamedWriteBucketsFenced(t *testing.T) {
 	mem := seededStore(t)
-	addr := streamServer(t, mem, 4<<10)
+	addr := serve(t, mem)
 	before := storeState(mem)
 	zombie, successor := dialRaw(t, addr), dialRaw(t, addr)
 	for _, rc := range []*rawConn{zombie, successor} {
@@ -485,12 +542,12 @@ func TestStreamedWriteBucketsFenced(t *testing.T) {
 func TestStreamedWriteBucketsTorn(t *testing.T) {
 	vector := streamVector()
 	payload := encodeWriteBuckets(vector)
-	whole, ends := wholeBuckets(payload)
+	whole, ends, _ := wholeBuckets(payload)
 	frame := oracleRequest(wireWriteBuckets, 1, payload)
 	head := len(frame) - len(payload)
 	for _, cut := range []int{4, ends[9] + 700, ends[15], len(payload) - 1} {
 		mem := seededStore(t)
-		rc := dialRaw(t, streamServer(t, mem, 4<<10))
+		rc := dialRaw(t, serve(t, mem))
 		rc.send(frame[:head+cut])
 		rc.conn.(*net.TCPConn).CloseWrite()
 		if b := rc.reply(1); b != nil {
@@ -509,17 +566,17 @@ func TestStreamedWriteBucketsTorn(t *testing.T) {
 	}
 }
 
-// FuzzStreamWriteBuckets drives the streamed write-buckets decode over a
+// FuzzStreamWriteBuckets drives the server's write-buckets decode over a
 // seeded MemBackend with arbitrary payloads, a frame torn short by torn
-// bytes, and a read buffer of 16 + window bytes, and holds it to the pooled
-// handler on a twin store. A whole frame is answered as the pooled handler
-// answers it, with the same error text for one that does not decode, and
-// the reader is left at the next frame; a torn one is reported torn. A
-// vector the pooled handler installs, or one the read buffer holds whole,
-// leaves the same store as the pooled handler; any other leaves a prefix of
-// the buckets that arrived whole (none when torn inside one window), and
-// what the store keeps is sized by the payload. The group scratch pins no
-// slot.
+// bytes, and a read buffer of 16 + window bytes, and holds it to a model: the
+// payload decoded whole (wholeBuckets) and, when it decodes, installed in one
+// WriteBuckets call on a twin store. A whole frame is answered OK when the
+// model installs it, refused with the model's decode error when that fails,
+// and the reader is left at the next frame; a torn one is reported torn. A
+// vector the model installs, or one the read buffer holds whole, leaves the
+// twin's store; any other leaves a prefix of the buckets that arrived whole
+// (none when torn inside one window), and what the store keeps is sized by
+// the payload. The group scratch pins no slot.
 func FuzzStreamWriteBuckets(f *testing.F) {
 	for _, hf := range hostileFrames() {
 		if hf.op == wireWriteBuckets {
@@ -557,16 +614,19 @@ func FuzzStreamWriteBuckets(f *testing.F) {
 			t.Fatalf("%d of %d bytes arrived: reported ok %v", arrived, len(payload), ok)
 		}
 
-		whole, ends := wholeBuckets(payload)
+		whole, ends, derr := wholeBuckets(payload)
 		n := 0
 		for n < len(ends) && ends[n] <= arrived {
 			n++
 		}
 		twin := seededStore(t)
-		wantStatus, wantResp := (&Server{backend: twin}).handle(&connState{}, new(scratch), wireWriteBuckets, payload, nil)
+		var wantStatus byte = statusErr
+		if derr == nil && twin.WriteBuckets(whole) == nil {
+			wantStatus = statusOK
+		}
 		k := installedPrefix(t, mem, whole[:n])
 		// A payload the read buffer holds whole is parsed in one window:
-		// installed as the pooled handler installs it, or, torn, not at all.
+		// installed as the model installs it, or, torn, not at all.
 		oneWindow := len(payload)-4 <= r.Size()
 		if !ok && oneWindow && k > 0 {
 			t.Fatalf("a torn payload of one window installed %d buckets", k)
@@ -578,13 +638,15 @@ func FuzzStreamWriteBuckets(f *testing.F) {
 			}
 			status, resp := reply.Kind(), string(reply.Payload())
 			if status != wantStatus {
-				t.Fatalf("answered %d %q, the pooled handler %d %q", status, resp, wantStatus, wantResp)
+				t.Fatalf("answered %d %q, the model %d (decode error %v)", status, resp, wantStatus, derr)
 			}
-			if strings.HasPrefix(resp, "storage: bad write-buckets frame") && resp != string(wantResp) {
-				t.Fatalf("refused with %q, the pooled handler with %q", resp, wantResp)
+			// A group installed before the bad one may have been refused by
+			// the store first; a payload of one window reaches it only whole.
+			if bad := strings.HasPrefix(resp, badFramePrefix); bad && (derr == nil || resp != badFrame(derr)) || !bad && derr != nil && oneWindow {
+				t.Fatalf("refused with %q, the model's decode error is %v", resp, derr)
 			}
 			if (status == statusOK || oneWindow) && storeState(mem) != storeState(twin) {
-				t.Fatalf("installed %d of %d buckets: the store differs from the pooled handler's", k, len(whole))
+				t.Fatalf("installed %d of %d buckets: the store differs from the model's", k, len(whole))
 			}
 			if fb, err := wire.ReadFrame(r, maxFrame, &bufs); err != nil || fb.ID() != 77 {
 				t.Fatalf("the next frame: %v; the reader is out of sync", err)
@@ -603,60 +665,14 @@ func FuzzStreamWriteBuckets(f *testing.F) {
 	})
 }
 
-// TestServerHandleWriteBucketsAllocBudget pins the write decode's shape: the
-// server hands a vector's slots to the store as views of the request frame,
-// and the store copies each bucket into a slab a retired version left, so
-// once warm a vector of n buckets allocates nothing at all.
-func TestServerHandleWriteBucketsAllocBudget(t *testing.T) {
-	gate := allocgate.Begin(t)
-	const n, slotsPer, slotSize = 16, 40, 300
-	writes := make([]BucketWrite, n)
-	for b := range writes {
-		slots := make([][]byte, slotsPer)
-		for i := range slots {
-			slots[i] = bytes.Repeat([]byte{byte(b), byte(i)}, slotSize/2)
-		}
-		writes[b] = BucketWrite{Bucket: b, Epoch: 1, Slots: slots}
-	}
-	payload := encodeWriteBuckets(writes)
-	mem := NewMemBackend(n)
-	s, cs, hs := &Server{backend: mem}, &connState{}, new(scratch)
-	handle := func() {
-		if status, resp := s.handle(cs, hs, wireWriteBuckets, payload, nil); status != statusOK {
-			t.Fatalf("handle: %s", resp)
-		}
-	}
-	// Same-epoch rewrites replace versions, retiring the slabs the next run
-	// reuses: from the second run on the store allocates nothing.
-	handle()
-	handle()
-	gate.Settle()
-	allocs := testing.AllocsPerRun(50, handle)
-	t.Logf("wireWriteBuckets of %d buckets × %d slots: %.1f allocations", n, slotsPer, allocs)
-	if allocs > 0 {
-		t.Errorf("%.1f allocations for %d buckets, want 0: the write path decodes or copies into fresh memory again", allocs, n)
-	}
-	for b, w := range writes {
-		got, err := mem.ReadBucket(b)
-		if err != nil || len(got) != slotsPer {
-			t.Fatalf("bucket %d: %d slots, err %v", b, len(got), err)
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], w.Slots[i]) {
-				t.Fatalf("bucket %d slot %d differs", b, i)
-			}
-		}
-	}
-}
-
 // TestRemoteWritesDoNotAliasPooledFrames writes buckets through a real
 // connection, then pushes enough unrelated traffic of every size through
 // the same wire to recycle every pooled buffer, and the connection's
 // streamed-vector scratch, many times over, and reads each written slot
 // back: a slot the store retained as a view of its request frame or of that
 // scratch would by then hold somebody else's bytes. The written vector and
-// every other garbage vector are longer than a pooled buffer, so they are
-// streamed.
+// every other garbage vector are longer than the server's read buffer, so
+// they are streamed in several windows, the others in one.
 func TestRemoteWritesDoNotAliasPooledFrames(t *testing.T) {
 	const numBuckets, slotsPer = 24, 12
 	c, _ := newRemotePair(t, numBuckets+8)

@@ -122,7 +122,7 @@ type BucketStore interface {
 	// in vector order and the call stops at the first failing entry, so a
 	// mid-vector error may leave a prefix installed (shadow paging makes
 	// that harmless: RollbackTo discards it). A remote store's server
-	// installs a long vector a group of buckets at a time as its frame
+	// installs every vector a group of buckets at a time as its frame
 	// arrives (Server), so a frame refused or torn mid-vector may leave a
 	// prefix of the buckets that arrived whole installed but uncommitted:
 	// the state a crash between two WriteBuckets calls leaves.
