@@ -166,7 +166,7 @@ type sessionFetchQueue struct {
 // finds, as a safety net).
 func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) error {
 	remaining := (p.pub.ReadBatches() - p.batchIdx) * p.pub.ReadBatchSize()
-	if sh.queuedKeys >= remaining {
+	if len(sh.queued) >= remaining {
 		p.shedReads.Add(1)
 		return &ShedError{RetryEpoch: p.epoch + 1, Shard: sh.id}
 	}
@@ -179,8 +179,6 @@ func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) erro
 		p.admittedSessions.Add(1)
 	}
 	sq.keys = append(sq.keys, key)
-	sh.pending[key] = true
-	sh.queuedKeys++
 	return nil
 }
 
@@ -190,7 +188,6 @@ func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) erro
 // keys[:0]. The caller holds p.mu.
 func (sh *shard) takeBatchLocked(keys []string, n int) []string {
 	keys = keys[:0]
-	n = min(n, sh.queuedKeys)
 	i := sh.rr
 	for len(keys) < n && len(sh.ring) > 0 {
 		if i >= len(sh.ring) {
@@ -200,8 +197,6 @@ func (sh *shard) takeBatchLocked(keys []string, n int) []string {
 		k := sq.keys[0]
 		sq.keys = sq.keys[1:]
 		keys = append(keys, k)
-		delete(sh.pending, k)
-		sh.queuedKeys--
 		if len(sq.keys) == 0 {
 			// The session is drained: drop it from the ring. The next
 			// session slides into position i, so the cursor stays put.
@@ -228,6 +223,4 @@ func (sh *shard) resetFetchQueuesLocked() {
 	sh.ring = sh.ring[:0]
 	sh.sessSlab.Reset()
 	sh.rr = 0
-	clear(sh.pending)
-	sh.queuedKeys = 0
 }

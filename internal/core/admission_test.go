@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,6 +175,95 @@ func TestBoundaryWindowReadHeldForNextEpoch(t *testing.T) {
 	}
 }
 
+// appendGate wraps a backend and, once armed, holds the next Append until
+// released: on a store with no LogBatcher the seal's write-batch record is
+// appended inline, so the gate freezes a seal after FinalizeEpoch and before
+// it opens the next epoch.
+type appendGate struct {
+	storage.Backend
+	armed   atomic.Bool
+	hit     chan struct{}
+	release chan struct{}
+}
+
+func (g *appendGate) Append(rec []byte) (uint64, error) {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.hit)
+		<-g.release
+	}
+	return g.Backend.Append(rec)
+}
+
+// TestSealWindowReadParks pins a read by a transaction that begins inside the
+// seal, after FinalizeEpoch reset the CCU's chains: it finds no resident base
+// for a key the ending epoch fetched, so it is held as a boundary-window read
+// and refused with ErrBoundaryWindow once the next epoch opens. It must not
+// go round Wait's fetch loop meanwhile (each pass counts a cache hit).
+func TestSealWindowReadParks(t *testing.T) {
+	cfg := testConfig(15)
+	gate := &appendGate{
+		Backend: storage.NewMemBackend(cfg.Params.Geometry().NumBuckets),
+		hit:     make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	p, err := New(gate, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+
+	tx := p.Begin()
+	f := tx.ReadAsync("k")
+	must(t, p.StepReadBatch())
+	if _, _, err := f.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < cfg.ReadBatches; i++ {
+		must(t, p.StepReadBatch())
+	}
+	must(t, p.WaitCommitted())
+
+	gate.armed.Store(true)
+	sealed := make(chan error, 1)
+	go func() { sealed <- p.EndEpoch() }()
+	select {
+	case <-gate.hit:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the seal never appended its write batch")
+	}
+
+	// Stats would wait on the log lock the held append keeps.
+	cacheHits := func() uint64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.stats.CacheHits
+	}
+	before := cacheHits()
+	late := p.Begin()
+	lf := late.ReadAsync("k")
+	read := make(chan error, 1)
+	go func() {
+		_, _, err := lf.Wait(context.Background())
+		read <- err
+	}()
+	time.Sleep(100 * time.Millisecond)
+	if grew := cacheHits() - before; grew > 1 {
+		t.Errorf("the read went round its fetch loop: %d cache hits in 100ms inside the seal", grew)
+	}
+
+	close(gate.release)
+	must(t, <-sealed)
+	select {
+	case err := <-read:
+		if !errors.Is(err, ErrBoundaryWindow) {
+			t.Fatalf("read begun inside the seal: got %v, want ErrBoundaryWindow", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read begun inside the seal never resolved")
+	}
+	must(t, p.WaitCommitted())
+}
+
 // TestFairSlotSchedulingRoundRobin pins the drain order: one key per session
 // per pass, so a pipelining session cannot monopolize a batch ahead of
 // single-read sessions that arrived after it.
@@ -209,9 +299,9 @@ func TestFairSlotSchedulingRoundRobin(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("batch 2 = %v, want %v", got, want)
 	}
-	if sh.queuedKeys != 0 || len(sh.ring) != 0 || len(sh.sessQ) != 0 || len(sh.pending) != 0 {
-		t.Fatalf("drain left state: queuedKeys=%d ring=%d sessQ=%d pending=%d",
-			sh.queuedKeys, len(sh.ring), len(sh.sessQ), len(sh.pending))
+	if len(sh.queued) != 0 || len(sh.ring) != 0 || len(sh.sessQ) != 0 {
+		t.Fatalf("drain left state: queued=%d ring=%d sessQ=%d",
+			len(sh.queued), len(sh.ring), len(sh.sessQ))
 	}
 }
 

@@ -222,8 +222,10 @@ func (f *Future) Wait(ctx context.Context) ([]byte, bool, error) {
 		case err == nil:
 			return f.resolve(v, found, nil)
 		case errors.Is(err, mvtso.ErrNeedFetch):
-			// The version cache no longer holds the base (possible only
-			// across batch races); queue again and keep waiting.
+			// The CCU holds no base for the key: it reset its chains at a
+			// seal this transaction began inside of. Filing the read again
+			// holds it through the boundary window or finds its epoch
+			// over, so the loop ends with the boundary.
 			t.p.mu.Lock()
 			t.p.queueFetchLocked(f)
 			t.p.mu.Unlock()

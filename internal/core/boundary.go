@@ -172,9 +172,6 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 		ch <- ErrAborted
 		delete(p.waiters, ts)
 	}
-	for _, sh := range p.shards {
-		clear(sh.fetched)
-	}
 	p.txnSlab.EndEpoch()
 	p.futureSlab.EndEpoch()
 	p.batchIdx = 0

@@ -331,7 +331,7 @@ func TestFullQueueWaitsOutDelta(t *testing.T) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		for _, sh := range p.shards {
-			if sh.queuedKeys < perShard {
+			if len(sh.queued) < perShard {
 				return false
 			}
 		}

@@ -200,21 +200,18 @@ type shard struct {
 	// The fields below are guarded by Proxy.mu.
 
 	// Admitted fetch scheduling (admission.go): sessQ/ring hold each
-	// session's queued keys in arrival order for round-robin draining,
-	// pending dedups keys already scheduled for a fetch this epoch, and
-	// queuedKeys counts admitted-but-unscheduled keys (the quantity the
-	// admission gate bounds). Waiters live in queued — per key, the head of
-	// a list linked through the waiters themselves — and are woken when the
-	// key's base version installs. Session queues never leave the proxy, so
+	// session's queued keys in arrival order for round-robin draining.
+	// queued holds one entry per admitted-but-unscheduled key, so its length
+	// is what the admission gate bounds: the head of the key's waiter list,
+	// linked through the waiters themselves, woken when the key's base
+	// version installs. Whether a base is resident is the CCU's to say
+	// (mvtso.Manager.HasBase). Session queues never leave the proxy, so
 	// sessSlab takes them back at every boundary.
-	sessQ      map[mvtso.Timestamp]*sessionFetchQueue
-	sessSlab   slab.Reused[sessionFetchQueue]
-	ring       []*sessionFetchQueue
-	rr         int
-	pending    map[string]bool
-	queuedKeys int
-	queued     map[string]*fetchWaiter
-	fetched    map[string]bool // keys whose base version is resident
+	sessQ    map[mvtso.Timestamp]*sessionFetchQueue
+	sessSlab slab.Reused[sessionFetchQueue]
+	ring     []*sessionFetchQueue
+	rr       int
+	queued   map[string]*fetchWaiter
 }
 
 // shardOf routes a key to one of n shards by FNV-1a hash. The mapping is
@@ -403,12 +400,10 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 	}
 	for i, st := range stores {
 		sh := &shard{
-			id:      i,
-			store:   st,
-			sessQ:   make(map[mvtso.Timestamp]*sessionFetchQueue),
-			pending: make(map[string]bool),
-			queued:  make(map[string]*fetchWaiter),
-			fetched: make(map[string]bool),
+			id:     i,
+			store:  st,
+			sessQ:  make(map[mvtso.Timestamp]*sessionFetchQueue),
+			queued: make(map[string]*fetchWaiter),
 		}
 		if !cfg.DisableDurability {
 			l, err := wal.New(st, wal.Config{Key: cfg.Key, Shard: i, Shards: len(stores), Public: pub})
@@ -605,7 +600,7 @@ func (p *Proxy) PendingFetches() int {
 	defer p.mu.Unlock()
 	n := 0
 	for _, sh := range p.shards {
-		n += sh.queuedKeys
+		n += len(sh.queued)
 	}
 	return n
 }
@@ -620,7 +615,7 @@ func (p *Proxy) Stats() Stats {
 	s.BoundaryReads = p.boundaryReads.Load()
 	s.AdmittedSessions = p.admittedSessions.Load()
 	for _, sh := range p.shards {
-		s.ReadQueueDepth += sh.queuedKeys
+		s.ReadQueueDepth += len(sh.queued)
 	}
 	for _, sh := range p.shards {
 		es := sh.exec.Stats()

@@ -129,7 +129,6 @@ func (p *Proxy) StepReadBatch() error {
 		for j := range b.keys {
 			r := &results[i][j]
 			p.ccu.InstallBase(r.Key, r.Value, r.Found)
-			b.sh.fetched[r.Key] = true
 			p.publishLocked(b.waiters[j], nil)
 			b.waiters[j] = nil
 		}

@@ -235,10 +235,13 @@ func (t *Txn) checkLocked(key string) error {
 }
 
 // queueFetchLocked files f's read of its key: on return f's wait record is
-// idle (the key is resident, nothing to wait for), queued on the key's shard
-// under the admission gate — filed under the requesting session for fair
-// scheduling — or parked through the boundary window, or already decided (a
-// closed proxy, a dead epoch, a shed). The caller holds p.mu.
+// idle (the CCU holds the key's base, nothing to wait for), queued on the
+// key's shard under the admission gate — filed under the requesting session
+// for fair scheduling — or parked through the boundary window, or already
+// decided (a closed proxy, a dead epoch, a shed). The CCU alone says whether
+// a base is resident: inside the seal it has already reset its chains while
+// p.epoch still names the ending epoch, so a transaction begun there finds no
+// base and is held as a boundary-window read. The caller holds p.mu.
 func (p *Proxy) queueFetchLocked(f *Future) {
 	switch {
 	case p.closed:
@@ -249,7 +252,7 @@ func (p *Proxy) queueFetchLocked(f *Future) {
 		return
 	}
 	sh := p.shards[shardOf(f.key, len(p.shards))]
-	if sh.fetched[f.key] {
+	if p.ccu.HasBase(f.key) {
 		p.stats.CacheHits++
 		return
 	}
@@ -262,7 +265,7 @@ func (p *Proxy) queueFetchLocked(f *Future) {
 // gate decides. A key another session already scheduled costs nothing — w
 // just joins its waiters. The caller holds p.mu.
 func (p *Proxy) enqueueLocked(sh *shard, ts mvtso.Timestamp, key string, w *fetchWaiter) {
-	if !sh.pending[key] {
+	if sh.queued[key] == nil {
 		if p.inBoundaryWindowLocked() {
 			p.boundaryReads.Add(1)
 			w.state.Store(waiterQueued)

@@ -10,9 +10,15 @@
 //
 // Commit decisions are delayed: Commit only marks a transaction as
 // "finished". FinalizeEpoch — called by the proxy at an epoch boundary —
-// aborts every unfinished transaction, cascades aborts through dependency
-// edges, commits the survivors, and emits the deduplicated write set (the
-// latest committed version per key) that forms the epoch's ORAM write batch.
+// aborts every unfinished transaction, commits the survivors, and emits the
+// deduplicated write set (the latest committed version per key) that forms
+// the epoch's ORAM write batch. Aborts cascade by one rule, eagerly: an
+// abort aborts every transaction that read its versions, finished or not
+// (abortLocked), so the boundary has no cascade of its own to run.
+//
+// The manager owns every per-key fact of the epoch: a key's versions, whether
+// its base was fetched (HasBase) and whether it was charged against the write
+// budget. They live on the key's chain and reset with it.
 //
 // # Allocation and stale handles
 //
@@ -114,9 +120,13 @@ type version struct {
 // chain is a key's version list, sorted by writer timestamp ascending. Most
 // chains hold a base and one write: versions starts on the inline array and
 // grows into the epoch's version arena (roomIn).
+//
+// hasBase and charged outlive every version: a chain whose writer aborted
+// keeps its base and its write charge until the boundary resets it.
 type chain struct {
 	versions []version
 	hasBase  bool
+	charged  bool // counted against the write budget (SetWriteBudget)
 	inline   [2]version
 }
 
@@ -171,7 +181,6 @@ type Manager struct {
 	writePerShard int
 	writeShardOf  func(string) int
 	writeCounts   []int
-	writeKeys     map[string]struct{}
 
 	// epoch statistics
 	statConflictAborts  int64
@@ -240,17 +249,13 @@ func (m *Manager) SetWriteBudget(shards, perShard int, shardOf func(string) int)
 	m.writePerShard = perShard
 	m.writeShardOf = shardOf
 	m.writeCounts = make([]int, shards)
-	m.writeKeys = make(map[string]struct{})
 }
 
-// reserveWriteLocked charges key against the epoch's write budget. A charge
-// sticks until the boundary even if the writer aborts — mirroring the write
-// batch the seal pads and executes.
-func (m *Manager) reserveWriteLocked(key string) error {
-	if m.writePerShard <= 0 {
-		return nil
-	}
-	if _, ok := m.writeKeys[key]; ok {
+// reserveWriteLocked charges key, whose chain is c, against the epoch's write
+// budget. A charge sticks until the boundary even if the writer aborts —
+// mirroring the write batch the seal pads and executes.
+func (m *Manager) reserveWriteLocked(key string, c *chain) error {
+	if m.writePerShard <= 0 || c.charged {
 		return nil
 	}
 	sh := 0
@@ -260,18 +265,9 @@ func (m *Manager) reserveWriteLocked(key string) error {
 	if m.writeCounts[sh] >= m.writePerShard {
 		return fmt.Errorf("%w: shard %d at %d keys", ErrWriteBatchFull, sh, m.writePerShard)
 	}
-	m.writeKeys[key] = struct{}{}
+	c.charged = true
 	m.writeCounts[sh]++
 	return nil
-}
-
-// resetWriteBudgetLocked opens the next generation's budget.
-func (m *Manager) resetWriteBudgetLocked() {
-	if m.writePerShard <= 0 {
-		return
-	}
-	clear(m.writeCounts)
-	clear(m.writeKeys)
 }
 
 // Status returns a transaction's current state.
@@ -282,6 +278,15 @@ func (m *Manager) Status(ts Timestamp) Status {
 		return t.status
 	}
 	return StatusAborted
+}
+
+// HasBase reports whether key's base version is resident: installed this
+// epoch, and not yet reset by FinalizeEpoch or AbortAll.
+func (m *Manager) HasBase(key string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := m.chains[key]
+	return c != nil && c.hasBase
 }
 
 // InstallBase installs the committed pre-epoch value of a key fetched from
@@ -373,10 +378,10 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 	if t.status != StatusActive {
 		return ErrNotActive
 	}
-	if err := m.reserveWriteLocked(key); err != nil {
+	c := m.chainLocked(key)
+	if err := m.reserveWriteLocked(key, c); err != nil {
 		return err
 	}
-	c := m.chainLocked(key)
 	// Locate the insertion point and the predecessor version.
 	idx := sort.Search(len(c.versions), func(i int) bool {
 		return c.versions[i].writer >= t.ts
@@ -387,7 +392,7 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 		// that read: the read-marker rule applies here too.
 		if rm := c.versions[idx].readMarker; rm > t.ts {
 			m.statConflictAborts++
-			m.abortLocked(t, "self-rewrite after dependent read")
+			m.abortLocked(t)
 			t.conflict = ConflictError{Key: key, Reader: rm, Writer: t.ts, Rewrite: true}
 			return &t.conflict
 		}
@@ -402,7 +407,7 @@ func (t *Txn) write(key string, value []byte, tombstone bool) error {
 			// A later transaction already read the predecessor: writing now
 			// would invalidate that read. Timestamp-ordering abort.
 			m.statConflictAborts++
-			m.abortLocked(t, "write-write/read conflict")
+			m.abortLocked(t)
 			t.conflict = ConflictError{Key: key, Reader: pred.readMarker, Writer: t.ts}
 			return &t.conflict
 		}
@@ -438,12 +443,15 @@ func (t *Txn) Abort() {
 	if t.status == StatusAborted || t.status == StatusCommitted {
 		return
 	}
-	m.abortLocked(t, "voluntary")
+	m.abortLocked(t)
 }
 
 // abortLocked marks t aborted, removes its versions, and cascades to every
-// transaction that observed them.
-func (m *Manager) abortLocked(t *Txn, reason string) {
+// transaction that observed them. It is the one cascade: Read records a
+// dependency only while the reader is active and the writer's version is in
+// the chain, so every dependent is on t.dependents before t can abort, and is
+// aborted here whether it is active or finished.
+func (m *Manager) abortLocked(t *Txn) {
 	if t.status == StatusAborted {
 		return
 	}
@@ -464,7 +472,7 @@ func (m *Manager) abortLocked(t *Txn, reason string) {
 	for _, dep := range t.dependents {
 		if reader := m.txn(dep); reader != nil && reader.status != StatusAborted {
 			m.statCascadingAborts++
-			m.abortLocked(reader, "cascading")
+			m.abortLocked(reader)
 		}
 	}
 }
@@ -487,36 +495,19 @@ type WriteSetEntry struct {
 }
 
 // FinalizeEpoch ends the epoch: unfinished transactions abort (no
-// transaction spans epochs), aborts cascade, survivors commit. The CCU then
-// resets; the next epoch starts with empty version chains (the version cache
-// is flushed, reads re-fetch from the ORAM). The outcome's slices are the
-// manager's: they are valid until the next FinalizeEpoch refills them.
+// transaction spans epochs), each abort cascading to its readers as any
+// abort does, and the survivors commit. The CCU then resets; the next epoch
+// starts with empty version chains (the version cache is flushed, reads
+// re-fetch from the ORAM, no base is resident and no key charged). The
+// outcome's slices are the manager's: they are valid until the next
+// FinalizeEpoch refills them.
 func (m *Manager) FinalizeEpoch() Outcome {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// Abort every transaction that has not requested commit.
 	for _, t := range m.txns {
 		if t.status == StatusActive {
-			m.abortLocked(t, "epoch boundary")
-		}
-	}
-	// Cascading aborts of finished transactions whose dependencies aborted.
-	// abortLocked already cascades eagerly, but a dependency recorded after
-	// the dependent finished is caught here; iterate to fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, t := range m.txns {
-			if t.status != StatusFinished {
-				continue
-			}
-			for _, dep := range t.deps {
-				if d := m.txn(dep); d == nil || d.status == StatusAborted {
-					m.statCascadingAborts++
-					m.abortLocked(t, "dependency aborted")
-					changed = true
-					break
-				}
-			}
+			m.abortLocked(t)
 		}
 	}
 	// Transactions are in timestamp order, so both lists come out sorted.
@@ -585,7 +576,7 @@ func (m *Manager) resetLocked() {
 	m.chainSlab.Reset()
 	m.versionSlab.Reset()
 	m.tsSlab.Reset()
-	m.resetWriteBudgetLocked()
+	clear(m.writeCounts)
 }
 
 // AbortAll aborts every live transaction without committing anyone — the
@@ -595,7 +586,7 @@ func (m *Manager) AbortAll() []Timestamp {
 	defer m.mu.Unlock()
 	var aborted []Timestamp
 	for _, t := range m.txns {
-		m.abortLocked(t, "epoch abandoned")
+		m.abortLocked(t)
 		aborted = append(aborted, t.ts)
 	}
 	m.resetLocked()

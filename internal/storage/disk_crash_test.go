@@ -278,6 +278,11 @@ func (f *crashFile) Map(n int64) ([]byte, error) {
 
 func (f *crashFile) Unmap([]byte) error { return nil }
 
+// Preallocate reserves nothing and HolesAfter knows of no holes, as on a
+// platform without fallocate(2) and SEEK_DATA.
+func (f *crashFile) Preallocate(int64, int64) error { return errors.ErrUnsupported }
+func (f *crashFile) HolesAfter(int64) bool          { return false }
+
 // ---- the sweep ----
 
 // sweepOracle mirrors every operation the disk backend acknowledged into a
@@ -625,65 +630,85 @@ func verifyRecoveredState(t *testing.T, r recoveredStore, o *sweepOracle, strict
 	}
 }
 
-// countWorkloadOps dry-runs the workload to learn how many mutation points
-// there are to crash at.
-func countWorkloadOps(t *testing.T) int {
+// crashSweep is one crash-point sweep: a workload, its oracle and how
+// strictly recovery is held to it. run drives the workload on fsys and
+// returns each shard's oracle of acknowledged operations (tag names the run
+// in its failures); verify checks a recovered snapshot against them.
+type crashSweep struct {
+	run    func(t *testing.T, fsys *crashFS, tag string) []*sweepOracle
+	verify func(t *testing.T, snap *crashFS, oracles []*sweepOracle, strict bool, tag string)
+	epochs uint64 // what every shard's fault-free run commits through
+	minOps int    // the fewest mutation points that make the sweep prove something
+}
+
+// sweepModes are the three fault modes a sweep crashes in. Fail-stop and
+// torn writes must recover exactly the last acknowledged commit (strict);
+// dropped fsyncs lose recency, never consistency: the store must still open
+// cleanly and land on *an* acknowledged commit.
+var sweepModes = []struct {
+	name   string
+	mode   int
+	strict bool
+}{
+	{"fail-stop", crashFailStop, true},
+	{"torn-write", crashTorn, true},
+	{"dropped-fsync", crashDropSync, false},
+}
+
+// sweep dry-runs the workload fault-free to learn how many mutation points
+// there are to crash at, sanity-checking the harness against the uncrashed
+// snapshot, then reopens the store after a crash injected at every point, in
+// each fault mode.
+func (s crashSweep) sweep(t *testing.T) {
 	plan := &faultPlan{mode: crashFailStop, crashAt: 1 << 30}
 	fsys := newCrashFS(plan)
-	b, err := openSweepStore(fsys, "data", sweepOpts)
-	if err != nil {
-		t.Fatal(err)
+	oracles := s.run(t, fsys, "fault-free")
+	for i, o := range oracles {
+		if o.lastCommit != s.epochs {
+			t.Fatalf("fault-free shard %d committed through epoch %d, want %d", i, o.lastCommit, s.epochs)
+		}
 	}
-	o := newSweepOracle(5)
-	crashWorkload(b, o, "")
-	b.Close()
-	mustHoldBarriers(t, b.o, "fault-free")
-	if o.lastCommit != 6 {
-		t.Fatalf("fault-free workload committed through epoch %d, want 6", o.lastCommit)
+	s.verify(t, fsys.snapshot(), oracles, true, "fault-free")
+	total := plan.ops
+	if total < s.minOps {
+		t.Fatalf("workload only has %d mutation points; the sweep would prove little", total)
 	}
-	// Sanity-check the harness against an uncrashed snapshot.
-	verifyRecovered(t, fsys.snapshot(), "data", o, true, "fault-free")
-	return plan.ops
+	t.Logf("%d mutation points per mode", total)
+	for _, m := range sweepModes {
+		t.Run(m.name, func(t *testing.T) {
+			for k := 1; k <= total; k++ {
+				fsys := newCrashFS(&faultPlan{mode: m.mode, crashAt: k})
+				tag := fmt.Sprintf("crash point %d", k)
+				oracles := s.run(t, fsys, tag)
+				s.verify(t, fsys.snapshot(), oracles, m.strict, tag)
+			}
+		})
+	}
 }
 
 // TestCrashPointSweep reopens the store after a crash injected at every
 // mutation point, in each fault mode, and asserts recovery lands on the last
 // durably committed epoch with all checksums intact.
 func TestCrashPointSweep(t *testing.T) {
-	total := countWorkloadOps(t)
-	if total < 30 {
-		t.Fatalf("workload only has %d mutation points; the sweep would prove little", total)
-	}
-	t.Logf("%d mutation points per mode", total)
-	modes := []struct {
-		name   string
-		mode   int
-		strict bool
-	}{
-		{"fail-stop", crashFailStop, true},
-		{"torn-write", crashTorn, true},
-		// Dropped fsyncs lose recency, never consistency: the store must
-		// still open cleanly and land on *an* acknowledged commit.
-		{"dropped-fsync", crashDropSync, false},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			for k := 1; k <= total; k++ {
-				plan := &faultPlan{mode: m.mode, crashAt: k}
-				fsys := newCrashFS(plan)
-				b, err := openSweepStore(fsys, "data", sweepOpts)
-				o := newSweepOracle(5)
-				if err == nil {
-					crashWorkload(b, o, "")
-					b.Close()
-					mustHoldBarriers(t, b.o, fmt.Sprintf("crash point %d", k))
-				} else if !errors.Is(err, errInjectedCrash) {
-					t.Fatalf("crash point %d: open failed oddly: %v", k, err)
-				}
-				verifyRecovered(t, fsys.snapshot(), "data", o, m.strict, fmt.Sprintf("crash point %d", k))
+	crashSweep{
+		run: func(t *testing.T, fsys *crashFS, tag string) []*sweepOracle {
+			o := newSweepOracle(5)
+			b, err := openSweepStore(fsys, "data", sweepOpts)
+			if err == nil {
+				crashWorkload(b, o, "")
+				b.Close()
+				mustHoldBarriers(t, b.o, tag)
+			} else if !errors.Is(err, errInjectedCrash) {
+				t.Fatalf("%s: open failed oddly: %v", tag, err)
 			}
-		})
-	}
+			return []*sweepOracle{o}
+		},
+		verify: func(t *testing.T, snap *crashFS, oracles []*sweepOracle, strict bool, tag string) {
+			verifyRecovered(t, snap, "data", oracles[0], strict, tag)
+		},
+		epochs: 6,
+		minOps: 30,
+	}.sweep(t)
 }
 
 // ---- the group-commit sweep ----
@@ -745,23 +770,6 @@ func runGroupCrashWorkload(t *testing.T, fsys *crashFS) []*sweepOracle {
 	return oracles
 }
 
-// countGroupWorkloadOps dry-runs the concurrent group workload fault-free to
-// learn the total mutation-point count, and sanity-checks that every shard's
-// recovered directory matches its oracle.
-func countGroupWorkloadOps(t *testing.T) int {
-	plan := &faultPlan{mode: crashFailStop, crashAt: 1 << 30}
-	fsys := newCrashFS(plan)
-	oracles := runGroupCrashWorkload(t, fsys)
-	snap := fsys.snapshot()
-	for i, o := range oracles {
-		if o.lastCommit != 6 {
-			t.Fatalf("fault-free shard %d committed through epoch %d, want 6", i, o.lastCommit)
-		}
-		verifyRecovered(t, snap, groupShardDir(i), o, true, fmt.Sprintf("fault-free shard %d", i))
-	}
-	return plan.ops
-}
-
 // TestCrashPointSweepGroupCommit crashes the multi-shard group-commit
 // pipeline at every mutation point in every fault mode and asserts each
 // shard's recovery lands on a prefix-consistent set of that shard's acked
@@ -769,34 +777,18 @@ func countGroupWorkloadOps(t *testing.T) int {
 // lost, nothing unacked is invented), in dropped-fsync mode some acked
 // commit (recency may be lost, consistency may not).
 func TestCrashPointSweepGroupCommit(t *testing.T) {
-	total := countGroupWorkloadOps(t)
-	if total < 3*30 {
-		t.Fatalf("group workload only has %d mutation points; the sweep would prove little", total)
-	}
-	t.Logf("%d mutation points per mode", total)
-	modes := []struct {
-		name   string
-		mode   int
-		strict bool
-	}{
-		{"fail-stop", crashFailStop, true},
-		{"torn-write", crashTorn, true},
-		{"dropped-fsync", crashDropSync, false},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			for k := 1; k <= total; k++ {
-				plan := &faultPlan{mode: m.mode, crashAt: k}
-				fsys := newCrashFS(plan)
-				oracles := runGroupCrashWorkload(t, fsys)
-				snap := fsys.snapshot()
-				for i, o := range oracles {
-					verifyRecovered(t, snap, groupShardDir(i), o, m.strict,
-						fmt.Sprintf("crash point %d shard %d", k, i))
-				}
+	crashSweep{
+		run: func(t *testing.T, fsys *crashFS, _ string) []*sweepOracle {
+			return runGroupCrashWorkload(t, fsys)
+		},
+		verify: func(t *testing.T, snap *crashFS, oracles []*sweepOracle, strict bool, tag string) {
+			for i, o := range oracles {
+				verifyRecovered(t, snap, groupShardDir(i), o, strict, fmt.Sprintf("%s shard %d", tag, i))
 			}
-		})
-	}
+		},
+		epochs: 6,
+		minOps: 3 * 30,
+	}.sweep(t)
 }
 
 // segOpenFailFS fails OpenFile for one specific file name with a transient

@@ -40,6 +40,20 @@ type vfile interface {
 	// with it the group's open.
 	Map(n int64) ([]byte, error)
 	Unmap(b []byte) error
+	// Preallocate reserves backing store for [off, off+n) so later in-range
+	// appends don't allocate blocks. On ext4 every append into unreserved
+	// space dirties allocation metadata, and the next fsync pays a journal
+	// commit for it — measurably more than flushing the data alone.
+	// Reserving a segment up front moves that cost off the per-barrier
+	// path. Purely a performance lever, so callers ignore its error (a
+	// platform without reservations answers errors.ErrUnsupported):
+	// reserved-but-unwritten space reads as zeros, which the record framing
+	// already rejects as a torn tail (the CRC covers the length prefix), so
+	// recovery is unchanged.
+	Preallocate(off, n int64) error
+	// HolesAfter reports that the file holds nothing but holes past off, so
+	// every byte there reads as zero; false where that is not known.
+	HolesAfter(off int64) bool
 	Close() error
 }
 
@@ -54,35 +68,6 @@ type vfs interface {
 	MkdirAll(dir string, perm os.FileMode) error
 	// SyncDir makes directory metadata (creates, renames, removes) durable.
 	SyncDir(dir string) error
-}
-
-// preallocator is an optional vfile capability: reserve backing store for
-// [off, off+n) so later in-range appends don't allocate blocks. On ext4
-// every append into unreserved space dirties allocation metadata, and the
-// next fsync pays a journal commit for it — measurably more than flushing
-// the data alone. Reserving a segment up front moves that cost off the
-// per-barrier path. Purely a performance lever:
-// reserved-but-unwritten space reads as zeros, which the record framing
-// already rejects as a torn tail (the CRC covers the length prefix), so
-// recovery is unchanged.
-type preallocator interface {
-	Preallocate(off, n int64) error
-}
-
-// holeTeller is an optional vfile capability: HolesAfter reports that the
-// file holds nothing but holes past off, so every byte there reads as zero.
-type holeTeller interface{ HolesAfter(off int64) bool }
-
-// preallocate best-effort reserves [off, off+n) of f's backing store. A
-// file or platform without the capability (or a failing fallocate — e.g. an
-// unsupported filesystem) degrades to ordinary allocate-on-write.
-func preallocate(f vfile, off, n int64) {
-	if n <= 0 {
-		return
-	}
-	if p, ok := f.(preallocator); ok {
-		_ = p.Preallocate(off, n)
-	}
 }
 
 // osFS is the real file system.

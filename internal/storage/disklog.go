@@ -339,7 +339,7 @@ func openDiskLog(fsys vfs, dir string, numBuckets int, truncBefore uint64, opts 
 		// new segment has one, when the open cut a torn tail (over a kept
 		// reservation the call changes nothing).
 		if last.size < l.segMaxBytes {
-			preallocate(last.f, 0, l.segMaxBytes)
+			_ = last.f.Preallocate(0, l.segMaxBytes)
 		}
 	}
 	l.lastSeq.Store(lastSeq)
@@ -416,13 +416,11 @@ func (l *diskLog) openSegment(base uint64) (*segment, error) {
 
 // zeroPast reports whether every byte of seg from its valid prefix to size is
 // zero. Past the page the prefix ends in, a file that tells it holds only
-// holes there (holeTeller) is not read: a reservation's blocks cost nothing.
+// holes there (HolesAfter) is not read: a reservation's blocks cost nothing.
 func zeroPast(seg *segment, size int64) bool {
 	end := size
-	if ht, ok := seg.f.(holeTeller); ok {
-		if page := (seg.size + 4095) &^ 4095; page < size && ht.HolesAfter(page) {
-			end = page
-		}
+	if page := (seg.size + 4095) &^ 4095; page < size && seg.f.HolesAfter(page) {
+		end = page
 	}
 	return bytes.Count(seg.mapped[seg.size:end], []byte{0}) == int(end-seg.size)
 }
@@ -570,7 +568,7 @@ func (l *diskLog) activeSegmentLocked() (*segment, error) {
 	// Reserve the whole segment up front so per-record appends never
 	// allocate blocks — the per-barrier fsync then flushes data, not
 	// allocation metadata. The header sync below also settles this.
-	preallocate(f, 0, l.segMaxBytes)
+	_ = f.Preallocate(0, l.segMaxBytes)
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return nil, l.wedge(err)
@@ -627,7 +625,6 @@ func (l *diskLog) barrier(s uint64) error {
 	if err == nil {
 		g.durable = target
 	}
-	g.stats.Syncs += syncs
 	g.stats.Waves += syncs
 	g.stats.SyncTime += elapsed
 	g.landed.Broadcast()

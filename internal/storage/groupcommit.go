@@ -9,12 +9,11 @@ import (
 // This file holds a disk group: its shards, the durable frontier of its one
 // physical log, and its background maintenance.
 
-// GroupStats counts a log's barrier work. Barriers/Syncs is the
+// GroupStats counts a log's barrier work. Barriers/Waves is the
 // amortization factor its waves achieved.
 type GroupStats struct {
 	Barriers uint64        // barrier requests served
-	Syncs    uint64        // fsyncs issued
-	Waves    uint64        // fsyncs issued (== Syncs: a wave that straddles a rotation counts one per segment)
+	Waves    uint64        // fsyncs issued: one per segment a wave syncs, so a wave that straddles a rotation counts one per segment
 	SyncTime time.Duration // cumulative time spent inside fsync calls
 }
 

@@ -292,7 +292,7 @@ func TestBarrierLeaderAndFollowers(t *testing.T) {
 			t.Fatalf("barrier returned %v, want the failed fsync's error", err)
 		}
 	}
-	if st := l.group.Stats(); st.Syncs != 1 || st.Waves != 1 || st.Barriers != 4 {
+	if st := l.group.Stats(); st.Waves != 1 || st.Barriers != 4 {
 		t.Fatalf("stats %+v, want 4 barriers on 1 fsync", st)
 	}
 
@@ -337,7 +337,7 @@ func TestBarrierWaveStraddlesRotation(t *testing.T) {
 	if want := []string{l.segs[0].name, l.segs[1].name}; !slices.Equal(fsys.synced, want) {
 		t.Fatalf("wave synced %v, want %v", fsys.synced, want)
 	}
-	if st := l.group.Stats(); st.Syncs != 2 || st.Waves != 2 || st.Barriers != 1 {
+	if st := l.group.Stats(); st.Waves != 2 || st.Barriers != 1 {
 		t.Fatalf("stats %+v, want 1 barrier on 2 fsyncs", st)
 	}
 }
@@ -376,7 +376,7 @@ func TestBarrierAllocBudget(t *testing.T) {
 		t.Fatalf("%.1f allocations per round of two barriers, want 0", allocs)
 	}
 	// AllocsPerRun runs one warm-up round beyond the 200 it counts.
-	if st := l.group.Stats(); st.Syncs != 202 || st.Barriers != 404 {
+	if st := l.group.Stats(); st.Waves != 202 || st.Barriers != 404 {
 		t.Fatalf("stats %+v, want one fsync per round of two barriers", st)
 	}
 }

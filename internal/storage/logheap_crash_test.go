@@ -194,52 +194,20 @@ func verifyLogHeapRecovered(t *testing.T, snap *crashFS, oracles []*sweepOracle,
 	}
 }
 
-// countLogHeapWorkloadOps dry-runs the workload fault-free to learn the
-// swept surface, sanity-checking the harness along the way.
-func countLogHeapWorkloadOps(t *testing.T) int {
-	plan := &faultPlan{mode: crashFailStop, crashAt: 1 << 30}
-	fsys := newCrashFS(plan)
-	oracles := runLogHeapCrashWorkload(t, fsys)
-	for i, o := range oracles {
-		if o.lastCommit != 6 {
-			t.Fatalf("fault-free shard %d committed through epoch %d, want 6", i, o.lastCommit)
-		}
-	}
-	verifyLogHeapRecovered(t, fsys.snapshot(), oracles, true, "fault-free")
-	return plan.ops
-}
-
 // TestCrashPointSweepLogHeap crashes the unified-log pipeline at every
 // mutation point in every fault mode and asserts each shard recovers to a
 // prefix-consistent acked commit: in strict modes exactly the last acked
 // one, in dropped-fsync mode some acked one (recency may be lost,
 // consistency may not).
 func TestCrashPointSweepLogHeap(t *testing.T) {
-	total := countLogHeapWorkloadOps(t)
-	if total < 60 {
-		t.Fatalf("logheap workload only has %d mutation points; the sweep would prove little", total)
-	}
-	t.Logf("%d mutation points per mode", total)
-	modes := []struct {
-		name   string
-		mode   int
-		strict bool
-	}{
-		{"fail-stop", crashFailStop, true},
-		{"torn-write", crashTorn, true},
-		{"dropped-fsync", crashDropSync, false},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			for k := 1; k <= total; k++ {
-				plan := &faultPlan{mode: m.mode, crashAt: k}
-				fsys := newCrashFS(plan)
-				oracles := runLogHeapCrashWorkload(t, fsys)
-				verifyLogHeapRecovered(t, fsys.snapshot(), oracles,
-					m.strict, fmt.Sprintf("crash point %d", k))
-			}
-		})
-	}
+	crashSweep{
+		run: func(t *testing.T, fsys *crashFS, _ string) []*sweepOracle {
+			return runLogHeapCrashWorkload(t, fsys)
+		},
+		verify: verifyLogHeapRecovered,
+		epochs: 6,
+		minOps: 60,
+	}.sweep(t)
 }
 
 // ---- the maintenance sweep ----

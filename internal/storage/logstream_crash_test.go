@@ -139,45 +139,16 @@ func verifySharedGroupRecovered(t *testing.T, snap *crashFS, oracles []*sweepOra
 	}
 }
 
-// countSharedGroupWorkloadOps dry-runs the workload fault-free to learn the
-// swept surface, sanity-checking the harness along the way.
-func countSharedGroupWorkloadOps(t *testing.T) int {
-	plan := &faultPlan{mode: crashFailStop, crashAt: 1 << 30}
-	fsys := newCrashFS(plan)
-	oracles := runSharedGroupCrashWorkload(t, fsys)
-	for i, o := range oracles {
-		if o.lastCommit != 4 {
-			t.Fatalf("fault-free shard %d committed through epoch %d, want 4", i, o.lastCommit)
-		}
-	}
-	verifySharedGroupRecovered(t, fsys.snapshot(), oracles, true, "fault-free")
-	return plan.ops
-}
-
+// TestCrashPointSweepSharedLogGroup crashes a group whose shards share one
+// physical log at every mutation point in every fault mode and asserts each
+// shard recovers to a prefix-consistent acked commit.
 func TestCrashPointSweepSharedLogGroup(t *testing.T) {
-	total := countSharedGroupWorkloadOps(t)
-	if total < 40 {
-		t.Fatalf("shared-log workload only has %d mutation points; the sweep would prove little", total)
-	}
-	t.Logf("%d mutation points per mode", total)
-	modes := []struct {
-		name   string
-		mode   int
-		strict bool
-	}{
-		{"fail-stop", crashFailStop, true},
-		{"torn-write", crashTorn, true},
-		{"dropped-fsync", crashDropSync, false},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			for k := 1; k <= total; k++ {
-				plan := &faultPlan{mode: m.mode, crashAt: k}
-				fsys := newCrashFS(plan)
-				oracles := runSharedGroupCrashWorkload(t, fsys)
-				verifySharedGroupRecovered(t, fsys.snapshot(), oracles,
-					m.strict, fmt.Sprintf("crash point %d", k))
-			}
-		})
-	}
+	crashSweep{
+		run: func(t *testing.T, fsys *crashFS, _ string) []*sweepOracle {
+			return runSharedGroupCrashWorkload(t, fsys)
+		},
+		verify: verifySharedGroupRecovered,
+		epochs: 4,
+		minOps: 40,
+	}.sweep(t)
 }
