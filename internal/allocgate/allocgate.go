@@ -4,11 +4,13 @@
 // failed test never shut down — allocates into the count and reads as a
 // regression of the code under test. A gate records the goroutines running
 // when it starts (Begin) and, before it counts, waits for every one of them
-// but the testing framework's to exit (Settle).
+// but the testing framework's to exit (Settle). A gate that reads
+// runtime.MemStats also pins the process to one P while it counts (OneP).
 package allocgate
 
 import (
 	"bytes"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -59,6 +61,19 @@ func (g *Gate) Settle() {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// OneP pins the process to one P until t ends, and yields once first, so
+// that whatever is runnable — another test's teardown, the runtime's work
+// after the last collection — runs to its end before the count starts. With
+// one P no other goroutine runs while the gate's goroutine counts, and that
+// goroutine cannot move to a P whose caches are cold: a runtime.MemStats
+// count taken on several Ps can catch the runtime's own allocations after a
+// collection on another P.
+func OneP(t testing.TB) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	runtime.Gosched()
 }
 
 type goroutine struct {

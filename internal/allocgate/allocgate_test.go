@@ -2,6 +2,7 @@ package allocgate
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -57,3 +58,18 @@ func TestSettleFailsWithStrayStacks(t *testing.T) {
 }
 
 func strayLoop(stop chan struct{}) { <-stop }
+
+// TestOnePPinsUntilCleanup: a gate pinned by OneP counts on one P, and the
+// process gets its Ps back when the gate's test ends.
+func TestOnePPinsUntilCleanup(t *testing.T) {
+	before := runtime.GOMAXPROCS(0)
+	t.Run("gate", func(t *testing.T) {
+		OneP(t)
+		if n := runtime.GOMAXPROCS(0); n != 1 {
+			t.Fatalf("GOMAXPROCS %d inside the gate, want 1", n)
+		}
+	})
+	if n := runtime.GOMAXPROCS(0); n != before {
+		t.Fatalf("GOMAXPROCS %d after the gate, want %d", n, before)
+	}
+}

@@ -264,6 +264,63 @@ func TestSealWindowReadParks(t *testing.T) {
 	must(t, p.WaitCommitted())
 }
 
+// TestEarlySealParksReads pins a read admitted inside a seal that comes
+// before the epoch's last read batch (an EndEpoch in manual mode, or
+// Shutdown's): the seal marks the epoch's schedule spent before it releases
+// the lock, so the read is held as a boundary-window read and refused with
+// ErrBoundaryWindow once the next epoch opens. It must not be queued into the
+// next epoch, whose first batch would give a real slot to a transaction of
+// the dead epoch.
+func TestEarlySealParksReads(t *testing.T) {
+	cfg := testConfig(16)
+	gate := &appendGate{
+		Backend: storage.NewMemBackend(cfg.Params.Geometry().NumBuckets),
+		hit:     make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	p, err := New(gate, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+
+	must(t, p.StepReadBatch()) // 1 of 4
+	gate.armed.Store(true)
+	sealed := make(chan error, 1)
+	go func() { sealed <- p.EndEpoch() }()
+	select {
+	case <-gate.hit:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the seal never appended its write batch")
+	}
+	late := p.Begin()
+	lf := late.ReadAsync("k")
+	read := make(chan error, 1)
+	go func() {
+		_, _, err := lf.Wait(context.Background())
+		read <- err
+	}()
+	close(gate.release)
+	must(t, <-sealed)
+
+	if n := p.PendingFetches(); n != 0 {
+		t.Errorf("%d fetches pending after the seal, want 0", n)
+	}
+	before := p.Stats().RealReads
+	must(t, p.StepReadBatch())
+	if real := p.Stats().RealReads - before; real != 0 {
+		t.Errorf("the next epoch's first batch carried %d real reads, want all padding", real)
+	}
+	select {
+	case err := <-read:
+		if !errors.Is(err, ErrBoundaryWindow) {
+			t.Fatalf("read begun inside an early seal: got %v, want ErrBoundaryWindow", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read begun inside an early seal never resolved")
+	}
+}
+
 // TestFairSlotSchedulingRoundRobin pins the drain order: one key per session
 // per pass, so a pipelining session cannot monopolize a batch ahead of
 // single-read sessions that arrived after it.

@@ -98,6 +98,11 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// left: this is the safety net that keeps a broken gate from stranding a
 	// reader past its epoch.
 	p.failQueuedLocked(errReadBatchesExhausted)
+	// The epoch's schedule is spent from here, whether or not its R-th batch
+	// fired (an early seal: Shutdown, or EndEpoch in manual mode): a read
+	// arriving while the seal runs unlocked is held as a boundary-window read
+	// and fails when the next epoch opens, instead of being queued into it.
+	p.batchIdx = p.pub.ReadBatches()
 	p.wakeLocked()
 	p.mu.Unlock()
 

@@ -634,7 +634,9 @@ func TestEndEpochReturnsBeforeCommitLands(t *testing.T) {
 }
 
 // callTrace records what one shard's store is asked, call by call: kind,
-// the recorder's slot refs underneath, and the lengths of what is written.
+// the recorder's slot refs underneath (their buckets and slots, not the bytes
+// their destinations hold from earlier reads), and the lengths of what is
+// written.
 type callTrace struct {
 	*storage.Recorder
 	mu    sync.Mutex
@@ -648,7 +650,11 @@ func (c *callTrace) add(format string, args ...any) {
 }
 
 func (c *callTrace) ReadSlots(refs []storage.SlotRef) ([][]byte, error) {
-	c.add("ReadSlots %v", refs)
+	at := make([][2]int, len(refs))
+	for i, r := range refs {
+		at[i] = [2]int{r.Bucket, r.Slot}
+	}
+	c.add("ReadSlots %v", at)
 	return c.Recorder.ReadSlots(refs)
 }
 

@@ -66,6 +66,7 @@ func TestTxnAllocBudget(t *testing.T) {
 	for e := 0; e < warm+epochs; e++ {
 		if e == warm {
 			gate.Settle()
+			allocgate.OneP(t)
 			client, schedule = 0, 0
 		}
 		key := func(i int) string { return keys[(i+e)%len(keys)] }
@@ -152,6 +153,7 @@ func TestShardedEpochAllocBudget(t *testing.T) {
 	for e := 0; e < warm+epochs; e++ {
 		if e == warm {
 			gate.Settle()
+			allocgate.OneP(t)
 		}
 		m0 := mallocs()
 		for b := 0; b < cfg.ReadBatches; b++ {

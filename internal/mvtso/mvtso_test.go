@@ -584,6 +584,7 @@ func TestGrownListsAllocateNothingWhenWarm(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	gate := allocgate.Begin(t)
+	allocgate.OneP(t)
 	const versions, readers = 8, 8
 	value := []byte("value")
 	m := NewManager()

@@ -165,7 +165,7 @@ func TestEpochAllocBudget(t *testing.T) {
 	// into another P's cache, which may grow: measure the boundary with the
 	// collector off and one P, after an epoch that refills the pools.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocgate.OneP(t)
 	run()
 	boundaryMallocs = 0
 	for i := 0; i < runs; i++ {
@@ -285,6 +285,7 @@ func TestHotPathReadAllocBudget(t *testing.T) {
 	}
 	runtime.GC()
 	gate.Settle()
+	allocgate.OneP(t)
 	const epochs = 12
 	for i := 0; i < epochs; i++ {
 		runEpoch(true)

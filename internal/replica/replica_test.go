@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"obladi/internal/allocgate"
 	"obladi/internal/storage"
 	"obladi/internal/wire"
 )
@@ -124,6 +125,7 @@ func checkFramingHostileLength(t *testing.T) {
 	src := bytes.NewReader(hostile)
 	r := bufio.NewReader(src)
 	const runs = 64
+	allocgate.OneP(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

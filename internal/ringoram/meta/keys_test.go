@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"obladi/internal/allocgate"
 )
 
 // TestStashKeysAreTableOwned drives writes, deletes and reads through keys that
@@ -233,6 +235,7 @@ func FuzzKeyIndex(f *testing.F) {
 // chunks and the columns' doublings, not with the keys: no key is an object.
 func TestKeyFootprint(t *testing.T) {
 	const n, keyFootprintBound = 1 << 20, 42
+	allocgate.OneP(t)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -42,6 +42,7 @@ func RunBackendConformance(t *testing.T, factory func(t *testing.T) Backend) {
 		{"keeps-own-copy", func(t *testing.T, b Backend) { ConformKeepsOwnCopy(t, b, nil) }},
 		{"log-keeps-own-copy", func(t *testing.T, b Backend) { ConformLogKeepsOwnCopy(t, b, nil) }},
 		{"reads-into", func(t *testing.T, b Backend) { ConformReadsInto(t, b, nil) }},
+		{"reads-are-copies", conformReadsAreCopies},
 		{"one-slot-length", conformOneSlotLength},
 		{"log-sequence", conformLogSequence},
 		{"log-truncate", conformLogTruncate},
@@ -406,12 +407,11 @@ func ConformKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) 
 }
 
 // ConformReadsInto holds a store to the read contract's destinations
-// (SlotRef.Into). A ref whose Into holds its slot reads the slot's bytes, and
-// the result is a view of Into or one of the store's own: a store fills Into
-// or leaves it alone, and never writes past the slot, nor into a neighbour's
-// frame of the one buffer the destinations are carved from. A ref with no
-// Into, or with one a byte too short, reads a private copy and leaves the
-// short Into alone. A bad ref fails the whole vector. reopen, when not nil,
+// (SlotRef.Into). A ref whose Into holds its slot reads the slot's bytes into
+// Into, and the result is Into's view of them: a store never writes past the
+// slot, nor into a neighbour's frame of the one buffer the destinations are
+// carved from. A ref with no Into, or with one a byte too short, reads a
+// private copy and leaves the short Into alone. A bad ref fails the whole vector. reopen, when not nil,
 // closes and reopens a durable store before the reads, so they are answered
 // from replayed versions.
 func ConformReadsInto(t *testing.T, b Backend, reopen func(Backend) Backend) {
@@ -465,6 +465,9 @@ func ConformReadsInto(t *testing.T, b Backend, reopen func(Backend) Backend) {
 		}
 		if cap(short) > 0 && &got[i][0] == &short[0] {
 			t.Fatalf("ref %d read into a destination too short for its slot", i)
+		}
+		if cap(r.Into) >= n && &got[i][0] != &r.Into[:1][0] {
+			t.Fatalf("ref %d (bucket %d slot %d) was not read into its destination", i, r.Bucket, r.Slot)
 		}
 	}
 	for f := range filled {
@@ -555,6 +558,50 @@ func ConformLogKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backen
 	appendRecord(70, false)
 	sync()
 	check("appended after the truncation")
+}
+
+// conformReadsAreCopies holds a store to the read contract's ownership: a ref
+// without Into reads a copy the caller keeps, as does ReadBucket. Scribbling
+// over them changes nothing the store answers, and they keep their bytes
+// after their version retires and a write of its length reuses what it held
+// (a MemBackend's slab).
+func conformReadsAreCopies(t *testing.T, b Backend) {
+	write := func(e uint64) [][]byte {
+		t.Helper()
+		slots := conformSlots(fmt.Sprintf("copy-e%d", e), 4)
+		if err := b.WriteBucket(0, e, slots); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.CommitEpoch(e); err != nil {
+			t.Fatal(err)
+		}
+		return slots
+	}
+	old := write(1)
+	got, err := b.ReadSlots([]SlotRef{{Bucket: 0, Slot: 1}, {Bucket: 0, Slot: 3}})
+	if err != nil || len(got) != 2 {
+		t.Fatalf("ReadSlots: %d results, %v", len(got), err)
+	}
+	all, err := b.ReadBucket(0)
+	if err != nil || len(all) != len(old) {
+		t.Fatalf("ReadBucket: %d slots, %v", len(all), err)
+	}
+	write(2)           // retires epoch 1's version
+	newest := write(3) // of its length, so it may reuse what that version held
+	if !bytes.Equal(got[0], old[1]) || !bytes.Equal(got[1], old[3]) {
+		t.Fatalf("slots read in epoch 1 hold %q and %q once it retired, want %q and %q", got[0], got[1], old[1], old[3])
+	}
+	for i := range old {
+		if !bytes.Equal(all[i], old[i]) {
+			t.Fatalf("bucket read in epoch 1: slot %d holds %q once it retired, want %q", i, all[i], old[i])
+		}
+	}
+	for i := range got[0] {
+		got[0][i] = 0xee
+	}
+	if again, err := b.ReadSlot(0, 1); err != nil || !bytes.Equal(again, newest[1]) {
+		t.Fatalf("after the caller scribbled over a read, the slot reads %q (%v), want %q", again, err, newest[1])
+	}
 }
 
 // conformOneSlotLength holds a store to the one-slot-length rule: a version's

@@ -344,6 +344,7 @@ func TestLogHeapEpochAllocBudget(t *testing.T) {
 	segsBefore := len(g.log.segs)
 	gate.Settle()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocgate.OneP(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for e := uint64(2*epochsPerTruncate + 1); e <= epochs; e++ {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -15,10 +14,10 @@ import (
 // holding more than one version, the only ones a commit has anything to retire
 // from; and the slabs a MemBackend's versions live in. The stores differ only
 // in where a version's bytes are: in a slab (MemBackend), or in its record on
-// the group's log (LogHeap), whether this process wrote it or replayed it, so
-// a LogHeap's reads are copies out of the log (versionFile). The owning
-// store's lock guards the index: reads run under its read lock, everything
-// else under its write lock.
+// the group's log (LogHeap), whether this process wrote it or replayed it.
+// Either way a read copies them out (readSlots), a LogHeap's out of the log
+// (versionFile). The owning store's lock guards the index: reads run under
+// its read lock, everything else under its write lock.
 
 // version is one shadow-paged copy of a bucket.
 type version struct {
@@ -52,9 +51,9 @@ func newVersionIndex(numBuckets int, dataStart int64) versionIndex {
 // recLen is the framed length of v's record.
 func (ix *versionIndex) recLen(v *version) int64 { return ix.dataStart + int64(v.layout.span(4)) }
 
-// slotRange is the file range of one slot's bytes in v's record.
-func (ix *versionIndex) slotRange(v *version, slot int) (off int64, n int) {
-	return v.off + ix.dataStart + int64(v.layout.off(slot, 4)), int(v.layout.size)
+// slotOff is the file offset of one slot's bytes in v's record.
+func (ix *versionIndex) slotOff(v *version, slot int) int64 {
+	return v.off + ix.dataStart + int64(v.layout.off(slot, 4))
 }
 
 // checkWrite refuses a write to bucket for an epoch below its newest
@@ -226,11 +225,12 @@ type versionFile interface {
 	readAt(dst []byte, seg uint64, off int64) error
 }
 
-// readSlots answers a vectored read: with views of the versions' mirrors (f
-// nil), or with copies out of f, once every ref is validated, so the vector
-// fails as a whole before anything is copied. A copy goes into its ref's Into
-// when that holds it, else into one exact-length buffer shared by every ref
-// without a destination. The result vector is carved (ix.vecs).
+// readSlots answers a vectored read with copies, once every ref is
+// validated, so the vector fails as a whole before anything is copied: out of
+// a MemBackend version's mirror, or out of f (a LogHeap's log). A copy goes
+// into its ref's Into when that holds it, else into one exact-length buffer
+// shared by every ref without a destination. The result vector is carved
+// (ix.vecs).
 func (ix *versionIndex) readSlots(refs []SlotRef, f versionFile) ([][]byte, error) {
 	out := ix.vecs.Make(len(refs))
 	spare := 0
@@ -240,75 +240,41 @@ func (ix *versionIndex) readSlots(refs []SlotRef, f versionFile) ([][]byte, erro
 		if err != nil {
 			return nil, err
 		}
-		if f == nil {
-			out[i] = v.layout.slotIn(v.mirror, r.Slot, 0)
-		} else if n := int(v.layout.size); r.into(n) == nil {
+		if n := int(v.layout.size); r.into(n) == nil {
 			spare += n
 		}
-	}
-	if f == nil {
-		return out, nil
 	}
 	buf := make([]byte, spare) // no allocation when every ref has one
 	for i := range refs {
 		r := &refs[i]
 		vs := ix.buckets[r.Bucket] // validated above
 		v := &vs[len(vs)-1]
-		off, n := ix.slotRange(v, r.Slot)
+		n := int(v.layout.size)
 		if out[i] = r.into(n); out[i] == nil {
 			out[i], buf = buf[:n:n], buf[n:]
 		}
-		if err := f.readAt(out[i], v.seg, off); err != nil {
+		if v.mirror != nil {
+			copy(out[i], v.layout.slotIn(v.mirror, r.Slot, 0))
+			continue
+		}
+		if err := f.readAt(out[i], v.seg, ix.slotOff(v, r.Slot)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// readBucket returns a copy of every slot of bucket's newest version (none
-// for a bucket never written), which the caller keeps: only tests and tools
-// read a whole bucket, so the server encodes this copy too.
+// readBucket reads every slot of bucket's newest version (none for a bucket
+// never written) into one buffer the caller keeps: only tests and tools read
+// a whole bucket.
 func (ix *versionIndex) readBucket(bucket int, f versionFile) ([][]byte, error) {
 	v, err := ix.newest(bucket)
 	if err != nil || v == nil {
 		return nil, err
 	}
-	if f == nil {
-		return v.layout.split(bytes.Clone(v.mirror), 0), nil
+	refs := make([]SlotRef, v.layout.n)
+	for i := range refs {
+		refs[i] = SlotRef{Bucket: bucket, Slot: i}
 	}
-	span := make([]byte, v.layout.span(4))
-	if err := f.readAt(span, v.seg, v.off+ix.dataStart); err != nil {
-		return nil, err
-	}
-	return v.layout.split(span, 4), nil
-}
-
-// encodeSlots is readSlots appended to dst as a count-prefixed field vector
-// (readEncoder), each slot copied straight into the reply: from its mirror,
-// or out of f with the length prefix its record holds, which is the field's.
-func (ix *versionIndex) encodeSlots(dst []byte, refs []SlotRef, f versionFile) ([]byte, error) {
-	e := encoder{buf: dst}
-	e.u32(uint32(len(refs)))
-	for _, r := range refs {
-		v, err := ix.slot(r.Bucket, r.Slot)
-		if err != nil {
-			return e.buf, err
-		}
-		if f == nil {
-			e.bytes(v.layout.slotIn(v.mirror, r.Slot, 0))
-			continue
-		}
-		off, n := ix.slotRange(v, r.Slot)
-		if e.buf, err = appendRead(e.buf, f, v.seg, off-4, n+4); err != nil {
-			return e.buf, err
-		}
-	}
-	return e.buf, nil
-}
-
-// appendRead appends the n bytes at off of segment seg of f to dst.
-func appendRead(dst []byte, f versionFile, seg uint64, off int64, n int) ([]byte, error) {
-	dst = slices.Grow(dst, n)
-	end := len(dst) + n
-	return dst[:end], f.readAt(dst[len(dst):end], seg, off)
+	return ix.readSlots(refs, f)
 }

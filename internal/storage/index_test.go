@@ -17,3 +17,13 @@ func TestVersionFootprint(t *testing.T) {
 		t.Fatalf("a version is %d bytes, want at most 56", n)
 	}
 }
+
+// split returns every slot of span, laid out as l, as a capacity-clipped
+// view: a record body or a mirror read whole by the tests.
+func (l slotLayout) split(span []byte, prefix int) [][]byte {
+	out := make([][]byte, l.n)
+	for i := range out {
+		out[i] = l.slotIn(span, i, prefix)
+	}
+	return out
+}

@@ -112,7 +112,6 @@ type Latency struct {
 
 var (
 	_ Backend        = (*Latency)(nil)
-	_ readEncoder    = (*Latency)(nil)
 	_ streamedWriter = (*Latency)(nil)
 )
 
@@ -158,13 +157,6 @@ func (l *Latency) ReadSlots(refs []SlotRef) ([][]byte, error) {
 func (l *Latency) ReadBucket(bucket int) ([][]byte, error) {
 	defer l.pace.Pace(l.prof.Read)()
 	return l.inner.ReadBucket(bucket)
-}
-
-// encodeSlots serves ReadSlots to the storage server: same price, and the
-// reply is encoded under the inner store's lock when it has one.
-func (l *Latency) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
-	defer l.pace.Pace(l.prof.Read + time.Duration(len(refs))*l.prof.ReadPerSlot)()
-	return encodeSlotsFrom(l.inner, dst, refs)
 }
 
 func (l *Latency) WriteBucket(bucket int, epoch uint64, slots [][]byte) error {

@@ -81,9 +81,8 @@ type LogHeap struct {
 const logHeapDataStart = recordFrameSize + streamHdrSize + heapVersionDataStart
 
 var (
-	_ Backend     = (*LogHeap)(nil)
-	_ LogBatcher  = (*LogHeap)(nil)
-	_ readEncoder = (*LogHeap)(nil)
+	_ Backend    = (*LogHeap)(nil)
+	_ LogBatcher = (*LogHeap)(nil)
 )
 
 // newLogHeap returns shard i of a group of shards on log, empty until the
@@ -202,16 +201,6 @@ func (lh *LogHeap) ReadBucket(bucket int) ([][]byte, error) {
 	}
 	defer lh.runlock()
 	return lh.ix.readBucket(bucket, lh)
-}
-
-// encodeSlots implements readEncoder: each slot is copied out of the log
-// straight into the reply.
-func (lh *LogHeap) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
-	if err := lh.rlock(); err != nil {
-		return dst, err
-	}
-	defer lh.runlock()
-	return lh.ix.encodeSlots(dst, refs, lh)
 }
 
 // rlock takes what a read holds: the heap's read lock, for the index, then

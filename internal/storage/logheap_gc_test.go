@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+
+	"obladi/internal/allocgate"
 )
 
 // TestEvacuateSegmentAllocatesPerPassNotPerVersion pins what keeps a
@@ -45,6 +47,7 @@ func TestEvacuateSegmentAllocatesPerPassNotPerVersion(t *testing.T) {
 	base := g.log.segs[0].base
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocgate.OneP(t)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	moved, err := lh.EvacuateSegment(base)

@@ -53,10 +53,11 @@ func logVersions(t *testing.T, g *DiskGroup, lh *LogHeap) map[[2]int64][][]byte 
 }
 
 // checkReadBack reads every slot of every written bucket through each of
-// lh's read paths — ReadSlots in a shuffled vector, ReadBucket, and the
-// server's encodeSlots — and requires the bytes the log's
-// scan finds at the newest version's location, which must be model's. It
-// returns the segment each bucket's newest version lies in.
+// lh's read paths — ReadSlots in a shuffled vector, ReadBucket, and a served
+// Client's ReadSlots, twice, so both the server's first reply and one carved
+// in place are read — and requires the bytes the log's scan finds at the
+// newest version's location, which must be model's. It returns the segment
+// each bucket's newest version lies in.
 func checkReadBack(t *testing.T, g *DiskGroup, lh *LogHeap, model map[int][][]byte, rng *rand.Rand) map[int]uint64 {
 	t.Helper()
 	scanned := logVersions(t, g, lh)
@@ -103,19 +104,17 @@ func checkReadBack(t *testing.T, g *DiskGroup, lh *LogHeap, model map[int][][]by
 	if err != nil || len(got) != len(refs) {
 		t.Fatalf("ReadSlots: %d slots, %v", len(got), err)
 	}
-	enc, err := lh.encodeSlots(nil, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := decoder{buf: enc}
-	encoded := d.fields()
-	if d.err != nil || len(d.buf) != 0 || len(encoded) != len(refs) {
-		t.Fatalf("encodeSlots: %d fields, %d bytes left, %v", len(encoded), len(d.buf), d.err)
-	}
-	for i, r := range refs {
-		w := want[[2]int{r.Bucket, r.Slot}]
-		if !bytes.Equal(got[i], w) || !bytes.Equal(encoded[i], w) {
-			t.Fatalf("bucket %d slot %d: ReadSlots %x, encodeSlots %x, the log %x", r.Bucket, r.Slot, got[i], encoded[i], w)
+	c := dialServed(t, lh)
+	for range 2 {
+		served, err := c.ReadSlots(refs)
+		if err != nil || len(served) != len(refs) {
+			t.Fatalf("served ReadSlots: %d slots, %v", len(served), err)
+		}
+		for i, r := range refs {
+			w := want[[2]int{r.Bucket, r.Slot}]
+			if !bytes.Equal(got[i], w) || !bytes.Equal(served[i], w) {
+				t.Fatalf("bucket %d slot %d: ReadSlots %x, served %x, the log %x", r.Bucket, r.Slot, got[i], served[i], w)
+			}
 		}
 	}
 	return where
@@ -453,10 +452,10 @@ func TestLogHeapMappedReadsRaceSegmentDrops(t *testing.T) {
 	errs := make(chan error, 2)
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
+		c := dialServed(t, lh)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var enc []byte
 			for {
 				select {
 				case <-done:
@@ -469,11 +468,10 @@ func TestLogHeapMappedReadsRaceSegmentDrops(t *testing.T) {
 					err = whole("ReadSlots", got)
 				}
 				if err == nil {
-					enc, err = lh.encodeSlots(enc[:0], refs)
+					got, err = c.ReadSlots(refs)
 				}
 				if err == nil {
-					d := decoder{buf: enc}
-					err = whole("encodeSlots", d.fields())
+					err = whole("served ReadSlots", got)
 				}
 				if err != nil {
 					errs <- err
@@ -590,6 +588,7 @@ func TestLogHeapReadSlotsAllocBudget(t *testing.T) {
 		var m0, m1 runtime.MemStats
 		gate.Settle()
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		allocgate.OneP(t)
 		runtime.ReadMemStats(&m0)
 		for i := 0; i < calls; i++ {
 			read()

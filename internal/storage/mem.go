@@ -32,10 +32,7 @@ type memStore struct {
 	fence fenceRegister // proxy-generation fencing (see Fenceable)
 }
 
-var (
-	_ Backend     = (*MemBackend)(nil)
-	_ readEncoder = (*MemBackend)(nil)
-)
+var _ Backend = (*MemBackend)(nil)
 
 // NewMemBackend creates a backend with numBuckets buckets, none of them
 // written yet; the ORAM client initializes them explicitly. It returns the
@@ -70,8 +67,10 @@ func (m *MemBackend) checkWrite() error {
 // ReadSlot implements BucketStore.
 func (m *MemBackend) ReadSlot(bucket, slot int) ([]byte, error) { return readSlot(m, bucket, slot) }
 
-// ReadSlots implements BucketStore: the whole vector is served under one
-// lock acquisition, so it is atomic with respect to concurrent writes.
+// ReadSlots implements BucketStore: the whole vector is copied out of the
+// versions' mirrors under one lock acquisition, so it is atomic with respect
+// to concurrent writes, into each ref's Into, or into one buffer for the refs
+// without one, which the caller keeps.
 func (m *MemBackend) ReadSlots(refs []SlotRef) ([][]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -89,16 +88,6 @@ func (m *MemBackend) ReadBucket(bucket int) ([][]byte, error) {
 		return nil, err
 	}
 	return m.ix.readBucket(bucket, nil)
-}
-
-// encodeSlots implements readEncoder.
-func (m *MemBackend) encodeSlots(dst []byte, refs []SlotRef) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if err := m.checkOpen(); err != nil {
-		return dst, err
-	}
-	return m.ix.encodeSlots(dst, refs, nil)
 }
 
 // WriteBucket implements BucketStore.

@@ -405,10 +405,11 @@ func TestMemBackendEpochAllocBudget(t *testing.T) {
 	}
 }
 
-// TestMemBackendReadSlotsAllocBudget: a MemBackend answers ReadSlots with
-// views of its versions in a result vector carved from a 48 KiB chunk, so a
-// warm read of a benchmark-sized vector (192 refs, 4.5 KiB of headers)
-// allocates a tenth of a chunk (0.1 measured), not a vector of its own.
+// TestMemBackendReadSlotsAllocBudget: a MemBackend copies each slot into its
+// ref's destination, as every product reader gives one, in a result vector
+// carved from a 48 KiB chunk, so a warm read of a benchmark-sized vector (192
+// refs, 4.5 KiB of headers) allocates a tenth of a chunk (0.1 measured), not a
+// vector or a buffer of its own.
 func TestMemBackendReadSlotsAllocBudget(t *testing.T) {
 	const numBuckets, slotsPer, budget = 48, 4, 0.15
 	gate := allocgate.Begin(t)
@@ -420,6 +421,7 @@ func TestMemBackendReadSlotsAllocBudget(t *testing.T) {
 			refs = append(refs, SlotRef{Bucket: b, Slot: i})
 		}
 	}
+	refs = withDestinations(refs, 1)
 	read := func() {
 		if got, err := m.ReadSlots(refs); err != nil || len(got) != len(refs) {
 			t.Fatalf("ReadSlots: %d slots, err %v", len(got), err)
@@ -427,7 +429,7 @@ func TestMemBackendReadSlotsAllocBudget(t *testing.T) {
 	}
 	read()
 	gate.Settle()
-	allocs := mallocsPerCall(2000, read)
+	allocs := mallocsPerCall(t, 2000, read)
 	t.Logf("ReadSlots of %d slots: %.3f allocations a call", len(refs), allocs)
 	if allocs > budget {
 		t.Errorf("%.3f allocations per ReadSlots of %d slots, budget %.2f (a tenth of a carved chunk): the result vector is allocated per call again", allocs, len(refs), budget)
@@ -467,6 +469,7 @@ func TestMemBackendLogAllocBudget(t *testing.T) {
 		epoch()
 	}
 	gate.Settle()
+	allocgate.OneP(t)
 	const runs = 160
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

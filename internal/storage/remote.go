@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -121,6 +122,11 @@ type Server struct {
 	// itself implementing Fenceable, and a zombie proxy's stale connection
 	// is exactly the thing being fenced.
 	fence fenceRegister
+
+	// slotLen is the length of the slot that kept the last read-slots reply
+	// from landing in place, 0 before the first reply: the ORAM's frame
+	// length, at which the next replies' destinations are carved (readSlots).
+	slotLen atomic.Uint32
 }
 
 // connState is per-connection protocol state: the fence token this
@@ -523,10 +529,10 @@ func mutatingOp(op wireOp) bool {
 // handle executes one request other than a write-back (streamWriteBuckets).
 // The payload may alias a pooled frame: a log record reaches the backend as
 // a view of it (a store copies what it keeps), so the caller may release the
-// frame as soon as handle returns. A slot-read reply is encoded through
-// encodeSlotsFrom, under the store's read lock when it has one; a bucket
-// read is a copy (ReadBucket). A slot read's refs decode into the worker's
-// scratch hs, and the response is appended to out[:0].
+// frame as soon as handle returns. A slot read's refs decode into the
+// worker's scratch hs, and its slots are copied by the backend's ReadSlots
+// straight into the reply (readSlots); a bucket read is a copy (ReadBucket).
+// The response is appended to out[:0].
 func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []byte) (byte, []byte) {
 	enc := encoder{buf: out[:0]}
 	fail := func(err error) (byte, []byte) {
@@ -567,7 +573,7 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 		}
 		hs.refs = refs
 		var err error
-		if enc.buf, err = encodeSlotsFrom(s.backend, enc.buf, refs); err != nil {
+		if enc.buf, err = s.readSlots(enc.buf, refs); err != nil {
 			return fail(err)
 		}
 	case wireCommitEpoch:
@@ -636,6 +642,45 @@ func (s *Server) handle(cs *connState, hs *scratch, op wireOp, payload, out []by
 		return fail(d.err)
 	}
 	return statusOK, enc.buf
+}
+
+// readSlots appends the reply to a read of refs to dst: the slot count, then
+// each slot as a length-prefixed field. The backend's ReadSlots copies the
+// slots, under its own read lock, straight into their fields: each ref's Into
+// is carved from the reply at the slot length the server learned (slotLen),
+// when such a reply fits a frame. A reply whose slots did not all land in
+// place — the first one, or one whose slots have another length — is encoded
+// again from the results, into a buffer of its own, since some of them may
+// lie in dst; its slot length is the one the server carves at next.
+func (s *Server) readSlots(dst []byte, refs []SlotRef) ([]byte, error) {
+	e := encoder{buf: dst}
+	e.u32(uint32(len(refs)))
+	size := int(s.slotLen.Load())
+	carved := size > 0 && len(e.buf)+len(refs)*(4+size) <= maxFrame-wire.HeaderLen
+	if carved {
+		e.buf = slices.Grow(e.buf, len(refs)*(4+size))
+		for i := range refs {
+			e.u32(uint32(size))
+			off := len(e.buf)
+			e.buf = e.buf[:off+size]
+			refs[i].Into = e.buf[off : off+size : off+size]
+		}
+	}
+	got, err := s.backend.ReadSlots(refs)
+	if err != nil {
+		return dst, err
+	}
+	for i, sl := range got {
+		if !carved || len(sl) != size || &sl[0] != &refs[i].Into[0] {
+			s.slotLen.Store(uint32(len(sl)))
+			n := 4
+			for _, f := range got {
+				n += 4 + len(f)
+			}
+			return appendFields(make([]byte, 0, n), got), nil
+		}
+	}
+	return e.buf, nil
 }
 
 // Client is a Backend implemented against a remote Server. It is safe for

@@ -61,7 +61,7 @@ func TestReadSlotsRoundTripAllocBudget(t *testing.T) {
 			call()
 		}
 		gate.Settle()
-		allocs := mallocsPerCall(500, call)
+		allocs := mallocsPerCall(t, 500, call)
 		t.Logf("ReadSlots of %d slots, %s: %.3f allocations per round trip, both ends", len(refs), tc.name, allocs)
 		if allocs > tc.budget {
 			t.Errorf("%.2f allocations per ReadSlots round trip with %s, budget %.2f (a share of a carved chunk, and one buffer for the refs without a destination): the wire allocates per call again", allocs, tc.name, tc.budget)
@@ -69,11 +69,57 @@ func TestReadSlotsRoundTripAllocBudget(t *testing.T) {
 	}
 }
 
+// TestServerReadReplyAllocBudget pins the server's side of a ReadSlots round
+// trip over a MemBackend: once the server has learned the slot length, the
+// store copies every slot straight into its field of the reply, whose bytes
+// are the wire's count-prefixed fields, so a warm reply allocates no buffer
+// of its own, only the store's result vector, carved: a 64-slot vector is 1.5
+// KiB of a 48 KiB chunk (0.031 a call).
+func TestServerReadReplyAllocBudget(t *testing.T) {
+	const numBuckets, slotsPer, slotSize, budget = 16, 4, 300, 0.05
+	gate := allocgate.Begin(t)
+	mem := NewMemBackend(numBuckets)
+	var want [][]byte
+	enc := encoder{}
+	enc.u32(numBuckets * slotsPer)
+	for b := 0; b < numBuckets; b++ {
+		slots := make([][]byte, slotsPer)
+		for i := range slots {
+			slots[i] = bytes.Repeat([]byte{byte(b), byte(i)}, slotSize/2)
+			enc.u32(uint32(b))
+			enc.u32(uint32(i))
+		}
+		must(t, mem.WriteBucket(b, 1, slots))
+		want = append(want, slots...)
+	}
+	reply := appendFields(nil, want)
+	s := &Server{backend: mem}
+	var cs connState
+	var hs scratch
+	var out []byte
+	call := func() {
+		status, resp := s.handle(&cs, &hs, wireReadSlots, enc.buf, out)
+		if status != statusOK || !bytes.Equal(resp, reply) {
+			t.Fatalf("status %d, reply of %d bytes: not the slots' count-prefixed fields", status, len(resp))
+		}
+		out = resp[:0]
+	}
+	call() // encoded again from the results: the server learns the slot length
+	call()
+	gate.Settle()
+	allocs := mallocsPerCall(t, 2000, call)
+	t.Logf("a warm reply of %d slots: %.3f allocations", len(want), allocs)
+	if allocs > budget {
+		t.Errorf("%.3f allocations per warm read-slots reply, budget %.2f (a share of the store's carved result vector): the reply allocates per call again", allocs, budget)
+	}
+}
+
 // mallocsPerCall is testing.AllocsPerRun without its rounding down, so a
 // share of a carved chunk counts: the allocations of calls runs of f, a
-// collection never interrupting them, per run.
-func mallocsPerCall(calls int, f func()) float64 {
+// collection never interrupting them, per run, on one P (allocgate.OneP).
+func mallocsPerCall(t *testing.T, calls int, f func()) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocgate.OneP(t)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for range calls {

@@ -149,15 +149,12 @@ func storeState(mem *MemBackend) string {
 // reach handle; TestStreamedWriteBucketsRefusesHostileFrames covers them.
 func TestServerHandleRejectsHostileFrames(t *testing.T) {
 	// TotalAlloc is process-wide, so nothing but this goroutine may allocate
-	// while a window is open. The collector is off. With one P no other
-	// goroutine runs during a window, and this one cannot move to a P whose
-	// sync.Pool cache holds no fmt printer, where an error message would
-	// allocate a fresh one. The Gosched first lets whatever is runnable —
-	// another test's teardown, the runtime's work after the last collection —
-	// run to its end.
+	// while a window is open. The collector is off. With one P (OneP) no
+	// other goroutine runs during a window, and this one cannot move to a P
+	// whose sync.Pool cache holds no fmt printer, where an error message
+	// would allocate a fresh one.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.Gosched()
+	allocgate.OneP(t)
 	for _, hf := range hostileFrames() {
 		if hf.op == wireWriteBuckets {
 			continue
@@ -364,6 +361,18 @@ func serve(t *testing.T, backend Backend) string {
 	return s.Addr()
 }
 
+// dialServed serves backend and returns a client of it, both closed when t
+// ends.
+func dialServed(t *testing.T, backend Backend) *Client {
+	t.Helper()
+	c, err := Dial(serve(t, backend))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // rawConn is a storage connection driven frame by frame.
 type rawConn struct {
 	t    *testing.T
@@ -444,8 +453,7 @@ func TestStreamedWriteBucketsRefusesHostileFrames(t *testing.T) {
 	// As in TestServerHandleRejectsHostileFrames: nothing but this goroutine
 	// allocates while a window is open.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.Gosched()
+	allocgate.OneP(t)
 	frames := []hostileFrame{{"long vector with a trailing byte", wireWriteBuckets, append(encodeWriteBuckets(streamVector()), 0)}}
 	for _, hf := range hostileFrames() {
 		if hf.op == wireWriteBuckets {
@@ -802,6 +810,7 @@ func TestClientAppendSendsRecordInPlace(t *testing.T) {
 	const runs = 50
 	var m0, m1 runtime.MemStats
 	gate.Settle()
+	allocgate.OneP(t)
 	runtime.ReadMemStats(&m0)
 	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := c.Append(record); err != nil {

@@ -268,7 +268,9 @@ func TestRemoteCallAfterClientClose(t *testing.T) {
 // commits every bucket epoch after epoch, so each commit retires versions
 // whose slabs the next write reuses. Every slot of an epoch-e version holds
 // byte e throughout: a reply encoded from a slab being reused would carry a
-// torn mix, and under -race the overlap itself is reported.
+// torn mix, and under -race the overlap itself is reported. A MemBackend is
+// served bare and under a trace recorder: a wrapper's reads are copied under
+// the store's lock too.
 func TestServerReadsRaceCommits(t *testing.T) {
 	const numBuckets, slotsPer, slotSize = 8, 40, 64
 	run := func(t *testing.T, backend Backend, epochs int) {
@@ -369,6 +371,7 @@ func TestServerReadsRaceCommits(t *testing.T) {
 		}
 	}
 	t.Run("mem", func(t *testing.T) { run(t, NewMemBackend(numBuckets), 300) })
+	t.Run("recorder-mem", func(t *testing.T) { run(t, NewRecorder(NewMemBackend(numBuckets)), 300) })
 	t.Run("logheap", func(t *testing.T) {
 		g, err := OpenDiskGroupOpts(t.TempDir(), 1, numBuckets, DiskOptions{LogHeap: true})
 		if err != nil {

@@ -5,8 +5,8 @@ import "fmt"
 // This file holds how the stores lay out a bucket version's bytes: its slots
 // back to back, addressed through the version's slotLayout, in one
 // exact-length slab (slabs: a MemBackend's versions) or in its log record (a
-// LogHeap's versions); and the server's read path into a store
-// (readEncoder).
+// LogHeap's versions). Either way a read copies the slots out under the
+// store's read lock (versionIndex.readSlots).
 
 // slotLayout is how a version's slots lie back to back in a span, each behind
 // prefix bytes (its u32 length on disk, nothing in memory): n slots of size
@@ -36,15 +36,6 @@ func (l slotLayout) off(i, prefix int) int { return i*(prefix+int(l.size)) + pre
 
 // span is the length of the whole span.
 func (l slotLayout) span(prefix int) int { return int(l.n) * (prefix + int(l.size)) }
-
-// split returns every slot of span as a capacity-clipped view.
-func (l slotLayout) split(span []byte, prefix int) [][]byte {
-	out := make([][]byte, l.n)
-	for i := range out {
-		out[i] = l.slotIn(span, i, prefix)
-	}
-	return out
-}
 
 // slotIn returns slot i of span as a capacity-clipped view.
 func (l slotLayout) slotIn(span []byte, i, prefix int) []byte {
@@ -120,9 +111,8 @@ func (s *slabs) copySlots(slots [][]byte, l slotLayout) []byte {
 	return b
 }
 
-// put takes back the slab of a retired version. The caller guarantees nothing
-// reads it any more: a slot returned from it stays valid until its version is
-// retired, no longer.
+// put takes back the slab of a retired version. The caller holds the store's
+// write lock, so no read is copying out of it.
 func (s *slabs) put(b []byte) {
 	if len(b) == 0 {
 		return
@@ -131,29 +121,4 @@ func (s *slabs) put(b []byte) {
 		s.free = make(map[int][][]byte)
 	}
 	s.free[len(b)] = append(s.free[len(b)], b)
-}
-
-// readEncoder is the slot-read side of the stores and of the wrappers that
-// serve one. The server encodes read-slots replies through it: slots are
-// copied into the reply while the store's read lock is held, so no reply can
-// carry a slab that a concurrent commit retired and a write reused — whoever
-// reads, a fenced zombie primary included (MemBackend) — and a LogHeap's
-// slots go from its log's mapping into the reply, with no copy between.
-type readEncoder interface {
-	// encodeSlots appends refs' slots to dst as a count-prefixed field
-	// vector. On error what it appended is meaningless.
-	encodeSlots(dst []byte, refs []SlotRef) ([]byte, error)
-}
-
-// encodeSlotsFrom appends refs' slots read from b, under b's own lock when b
-// is a readEncoder.
-func encodeSlotsFrom(b BucketStore, dst []byte, refs []SlotRef) ([]byte, error) {
-	if re, ok := b.(readEncoder); ok {
-		return re.encodeSlots(dst, refs)
-	}
-	data, err := b.ReadSlots(refs)
-	if err != nil {
-		return dst, err
-	}
-	return appendFields(dst, data), nil
 }

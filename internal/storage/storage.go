@@ -48,9 +48,9 @@ var (
 type SlotRef struct {
 	Bucket int
 	Slot   int
-	// Into is the slot's destination, nil for none: a store that copies
-	// slots out copies this one into Into when its capacity holds the slot,
-	// and answers with Into's view of it (see BucketStore's read contract).
+	// Into is the slot's destination, nil for none: a store copies the slot
+	// into Into when its capacity holds it, and answers with Into's view of
+	// it (see BucketStore's read contract).
 	Into []byte
 }
 
@@ -76,25 +76,18 @@ type BucketWrite struct {
 //
 // Writes: a store must not retain the caller's slices — it copies what it
 // keeps, and the caller may reuse every slot and the vector once the call
-// returns. Reads: a store answers each ref of ReadSlots in one of two ways.
-// A store that copies slots out (a LogHeap out of its log, a remote Client
-// out of its reply frame) fills the ref's Into when its capacity holds the
-// slot and returns Into's view of it; a ref without one, or with one too
-// short, gets a copy in one exact-length buffer the call allocates for all
-// such refs, which the caller keeps. A store that holds its slots in memory
-// (MemBackend) returns its own read-only bytes and leaves Into alone: such a
-// slot stays valid until its version is retired — superseded by a
-// CommitEpoch, discarded by a RollbackTo, or replaced by a same-epoch write —
-// after which the store may reuse its bytes. So a caller reads result[i], not
-// Into, and one that needs a slot past the next retirement, or past its own
-// next use of Into, copies it. The result vector itself is the caller's to
-// keep: every store carves it from chunks it never reuses (slab.Slices), so
-// no later call writes it. Every store's ReadBucket returns a copy the
-// caller keeps. The proxy reads a bucket from storage only while nothing
-// retires its newest version: a bucket rewritten by the epoch being committed
-// is served from the sealed set, not read. The storage server encodes its
-// slot replies under the store's own lock, so no client read depends on the
-// rule.
+// returns. Reads: every store copies each slot of ReadSlots out — a
+// MemBackend out of its slabs and a LogHeap out of its log, under the store's
+// read lock, a remote Client out of its reply frame — into the ref's Into
+// when its capacity holds the slot, and returns Into's view of it; a ref
+// without one, or with one too short, gets a copy in one exact-length buffer
+// the call allocates for all such refs. So no result is the store's own bytes: what the call
+// returns is the caller's, a destination until the caller next uses it, the
+// call's buffer for good, and a later write, commit or rollback changes
+// neither. The result vector itself is the caller's to keep too: every store
+// carves it from chunks it never reuses (slab.Slices), so no later call
+// writes it. Every store's ReadBucket returns a copy the caller keeps. The
+// storage server reads through ReadSlots too, into its reply frame (Server).
 type BucketStore interface {
 	// ReadSlot is ReadSlots of the one ref (every store answers it through
 	// readSlot).
@@ -102,11 +95,10 @@ type BucketStore interface {
 
 	// ReadSlots performs a vectored read: one storage call returning the
 	// requested slots of each bucket's newest version in ref order
-	// (result[i] answers refs[i], in refs[i].Into or not: see above). The
-	// whole vector fails atomically at the call level — a single bad ref
-	// errors the call (no partial results); what a failed call left in the
-	// destinations is unspecified. A result that is not a view of its Into
-	// must not be modified by the caller.
+	// (result[i] answers refs[i], in refs[i].Into when it holds the slot: see
+	// above). The whole vector fails atomically at the call level — a single
+	// bad ref errors the call (no partial results); what a failed call left
+	// in the destinations is unspecified.
 	ReadSlots(refs []SlotRef) ([][]byte, error)
 
 	// WriteBuckets performs a vectored write-back: every bucket write of a

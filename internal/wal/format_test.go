@@ -438,13 +438,12 @@ func TestBoundaryAllocBudget(t *testing.T) {
 	gate := allocgate.Begin(t)
 	// The counter is process-wide, so nothing but this goroutine may
 	// allocate while a window is open. The collector is off, and with one P
-	// no other goroutine runs during a window. The Gosched lets what the last
-	// collection woke run to its end first: the runtime's unique-map cleanup
-	// allocates after every cycle, and on a busy host it ran inside the first
-	// windows.
+	// no other goroutine runs during a window. OneP's yield lets what the
+	// last collection woke run to its end first: the runtime's unique-map
+	// cleanup allocates after every cycle, and on a busy host it ran inside
+	// the first windows.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.Gosched()
+	allocgate.OneP(t)
 	h := newFormatHarness(t, 13, schedule{r: 1, bread: formatEpochAccesses, bwrite: formatEpochAccesses, cadence: 1 << 20})
 	h.preload(48)
 	h.log = newLog(t, &arenaStore{arena: make([]byte, 16<<20)}, Config{Public: publicOf(t, h.oram, schedule{r: 1, bread: formatEpochAccesses, bwrite: formatEpochAccesses, cadence: 1 << 20})})

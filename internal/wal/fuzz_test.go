@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"obladi/internal/allocgate"
 	"obladi/internal/cryptoutil"
 	"obladi/internal/oramexec"
 	"obladi/internal/ringoram"
@@ -151,6 +152,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(refused(f, delta, true, ones, overBase, "names key index"), true)  // a delta's stash
 	f.Add(refused(f, base, true, ones, func(img []byte) error { return restore(img) }, "names key index"), true)
 	// What restoring costs before the image has any say: the client itself.
+	allocgate.OneP(f)
 	baseCost := allocatedBy(func() { ringoram.Restore(key, p, nil) })
 	f.Fuzz(func(t *testing.T, plain []byte, committing bool) {
 		backend := storage.NewMemBackend(1)
@@ -191,6 +193,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	for _, b := range batches {
 		f.Add(b)
 	}
+	allocgate.OneP(f)
 	f.Fuzz(func(t *testing.T, plain []byte) {
 		o, backend := testORAM(t)
 		l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{})})
