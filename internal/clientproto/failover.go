@@ -33,8 +33,7 @@ func (c *FailoverConfig) setDefaults() error {
 }
 
 // dialTimeout bounds one connection attempt; backoffMin..backoffMax bound the
-// doubling redial backoff between sweeps of the address list, and the
-// doubling shed pacing.
+// doubling redial backoff between sweeps of the address list.
 const (
 	dialTimeout = 500 * time.Millisecond
 	backoffMin  = 25 * time.Millisecond
@@ -51,61 +50,18 @@ const (
 // Begin, which transparently lands on the new connection. A commit whose
 // decision was lost fails with ErrCommitUnknown and is deliberately NOT
 // retryable — that is the at-most-once half of the failover contract.
+// BeginCtx's context bounds the redial as well as the transaction: once it
+// ends, the redial stops and the transaction fails with its cause.
+//
+// A shed is not a lost connection: it reaches the caller as the retryable
+// abort it is, on the same connection, and the retry loop that replays the
+// transaction paces it (core.WaitShedBackoff).
 type FailoverClient struct {
 	cfg FailoverConfig
 
 	mu     sync.Mutex
 	cur    *MuxClient
 	closed bool
-
-	// Shed pacing: when the primary is overloaded (not dead) it answers
-	// with retryable sheds, and a retry loop that replays immediately turns
-	// one saturated epoch into a retry storm that keeps it saturated.
-	// noteShed arms a jittered, exponentially-growing pause that the next
-	// Begin serves out; noteOK disarms it. Guarded by shedMu (not mu: a
-	// paced Begin must not block connection management).
-	shedMu      sync.Mutex
-	shedBackoff time.Duration
-	shedUntil   time.Time
-}
-
-// noteShed records a server load-shed: the next Begin waits out a jittered
-// backoff that doubles with consecutive sheds (backoffMin..backoffMax).
-func (fc *FailoverClient) noteShed() {
-	fc.shedMu.Lock()
-	defer fc.shedMu.Unlock()
-	if fc.shedBackoff == 0 {
-		fc.shedBackoff = backoffMin
-	} else {
-		fc.shedBackoff = min(2*fc.shedBackoff, backoffMax)
-	}
-	fc.shedUntil = time.Now().Add(core.Jitter(fc.shedBackoff))
-}
-
-// noteOK records a successfully-settled transaction, disarming shed pacing.
-func (fc *FailoverClient) noteOK() {
-	fc.shedMu.Lock()
-	fc.shedBackoff = 0
-	fc.shedUntil = time.Time{}
-	fc.shedMu.Unlock()
-}
-
-// shedWait serves out any armed shed backoff (or returns early when ctx
-// ends; the caller's Begin then carries ctx's cancellation anyway).
-func (fc *FailoverClient) shedWait(ctx context.Context) {
-	fc.shedMu.Lock()
-	until := fc.shedUntil
-	fc.shedMu.Unlock()
-	d := time.Until(until)
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }
 
 // DialMuxFailover connects to the first reachable address and returns the
@@ -117,14 +73,16 @@ func DialMuxFailover(cfg FailoverConfig) (*FailoverClient, error) {
 		return nil, err
 	}
 	fc := &FailoverClient{cfg: cfg}
-	if _, err := fc.client(); err != nil {
+	if _, err := fc.client(context.Background()); err != nil {
 		return nil, err
 	}
 	return fc, nil
 }
 
-// client returns the live connection, redialing if it is lost.
-func (fc *FailoverClient) client() (*MuxClient, error) {
+// client returns the live connection, redialing if it is lost. The redial
+// gives up after MaxWait, or with ctx's cause once ctx ends: every dial is
+// bounded by ctx's deadline and the backoff between sweeps waits on ctx.
+func (fc *FailoverClient) client(ctx context.Context) (*MuxClient, error) {
 	backoff := backoffMin
 	deadline := time.Now().Add(fc.cfg.MaxWait)
 	var lastErr error
@@ -142,7 +100,17 @@ func (fc *FailoverClient) client() (*MuxClient, error) {
 		fc.mu.Unlock()
 
 		for _, addr := range fc.cfg.Addrs {
-			c, err := dialMux(addr, dialTimeout)
+			timeout := dialTimeout
+			if d, ok := ctx.Deadline(); ok {
+				timeout = min(timeout, time.Until(d))
+			}
+			if timeout <= 0 {
+				<-ctx.Done() // past its deadline: the context ends at once
+			}
+			if ctx.Err() != nil {
+				return nil, context.Cause(ctx)
+			}
+			c, err := dialMux(addr, timeout)
 			if err != nil {
 				lastErr = err
 				continue
@@ -169,7 +137,13 @@ func (fc *FailoverClient) client() (*MuxClient, error) {
 		}
 		// Jittered: a fleet of clients orphaned by the same failover must
 		// not sweep the address list in lockstep.
-		time.Sleep(core.Jitter(backoff))
+		t := time.NewTimer(core.Jitter(backoff))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return nil, context.Cause(ctx)
+		}
 		backoff = min(2*backoff, backoffMax)
 	}
 }
@@ -178,13 +152,13 @@ func (fc *FailoverClient) client() (*MuxClient, error) {
 // needed). A dial failure surfaces on the transaction's operations.
 func (fc *FailoverClient) Begin() *MuxTxn { return fc.BeginCtx(context.Background()) }
 
-// BeginCtx is Begin with a context.
+// BeginCtx is Begin with a context, which also bounds the redial.
 func (fc *FailoverClient) BeginCtx(ctx context.Context) *MuxTxn {
-	c, err := fc.client()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	c, err := fc.client(ctx)
 	if err != nil {
-		if ctx == nil {
-			ctx = context.Background()
-		}
 		// A txn whose sends all fail with the dial error: operations and
 		// Commit surface it, and it is not "session settled" — the caller
 		// sees the real reason redialing gave up.
@@ -215,11 +189,7 @@ func (fc *FailoverClient) Close() error {
 }
 
 // FailoverDB adapts a FailoverClient to kvtxn.DB so workload suites run
-// unchanged across a failover. It also carries the shed-pacing half of
-// overload control: a transaction that dies with a load-shed (core.ErrShed
-// across the wire) arms a jittered backoff that the next Begin waits out, so
-// generic retry loops — which see sheds as ordinary retryable aborts — pace
-// themselves instead of hammering a saturated proxy.
+// unchanged across a failover.
 type FailoverDB struct {
 	C *FailoverClient
 }
@@ -230,79 +200,10 @@ var (
 )
 
 // Begin implements kvtxn.DB.
-func (d FailoverDB) Begin() kvtxn.Txn { return d.BeginCtx(context.Background()) }
+func (d FailoverDB) Begin() kvtxn.Txn { return d.C.Begin() }
 
 // BeginCtx implements kvtxn.CtxDB.
-func (d FailoverDB) BeginCtx(ctx context.Context) kvtxn.Txn {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	d.C.shedWait(ctx)
-	return &pacedTxn{t: d.C.BeginCtx(ctx), fc: d.C}
-}
+func (d FailoverDB) BeginCtx(ctx context.Context) kvtxn.Txn { return d.C.BeginCtx(ctx) }
 
 // Close implements kvtxn.DB.
 func (d FailoverDB) Close() error { return d.C.Close() }
-
-// pacedTxn observes a transaction's outcome for shed pacing: sheds arm the
-// client's backoff, a clean settle disarms it. Everything else passes
-// through to the underlying MuxTxn, including read pipelining.
-type pacedTxn struct {
-	t  *MuxTxn
-	fc *FailoverClient
-}
-
-var _ kvtxn.AsyncTxn = (*pacedTxn)(nil)
-
-// observe routes a settled outcome into the pacing state.
-func (p *pacedTxn) observe(err error) error {
-	switch {
-	case err == nil:
-		p.fc.noteOK()
-	case errors.Is(err, core.ErrShed):
-		p.fc.noteShed()
-	}
-	return err
-}
-
-func (p *pacedTxn) Read(key string) ([]byte, bool, error) {
-	v, found, err := p.t.Read(key)
-	if err != nil && errors.Is(err, core.ErrShed) {
-		p.fc.noteShed()
-	}
-	return v, found, err
-}
-
-// ReadAsync implements kvtxn.AsyncTxn.
-func (p *pacedTxn) ReadAsync(key string) kvtxn.ReadFuture {
-	return pacedFuture{f: p.t.ReadAsync(key), fc: p.fc}
-}
-
-type pacedFuture struct {
-	f  kvtxn.ReadFuture
-	fc *FailoverClient
-}
-
-func (pf pacedFuture) Wait(ctx context.Context) ([]byte, bool, error) {
-	v, found, err := pf.f.Wait(ctx)
-	if err != nil && errors.Is(err, core.ErrShed) {
-		pf.fc.noteShed()
-	}
-	return v, found, err
-}
-
-func (p *pacedTxn) ReadMany(keys []string) ([]kvtxn.Value, error) {
-	out, err := p.t.ReadMany(keys)
-	if err != nil && errors.Is(err, core.ErrShed) {
-		p.fc.noteShed()
-	}
-	return out, err
-}
-
-func (p *pacedTxn) Write(key string, value []byte) error { return p.t.Write(key, value) }
-
-func (p *pacedTxn) Delete(key string) error { return p.t.Delete(key) }
-
-func (p *pacedTxn) Commit() error { return p.observe(p.t.Commit()) }
-
-func (p *pacedTxn) Abort() { p.t.Abort() }

@@ -1,6 +1,7 @@
 package clientproto_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -121,5 +122,38 @@ func TestFailoverBeginSurfacesDialError(t *testing.T) {
 	}
 	if errors.Is(err, clientproto.ErrCommitUnknown) {
 		t.Fatalf("never-sent transaction reported commit-unknown: %v", err)
+	}
+}
+
+// TestFailoverBeginCtxBoundsRedial: a BeginCtx during a full outage stops
+// redialing when its context ends, not after MaxWait, and its transaction
+// fails with the context's cause.
+func TestFailoverBeginCtxBoundsRedial(t *testing.T) {
+	srv := newServer(t, 1)
+	cfg := failoverConfig(srv.Addr())
+	cfg.MaxWait = 5 * time.Second
+	fc, err := clientproto.DialMuxFailover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	srv.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for !fc.Lost() {
+		if time.Now().After(deadline) {
+			t.Fatal("client never observed server close")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err = fc.BeginCtx(ctx).Commit()
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("BeginCtx with a 50ms context redialed for %v (MaxWait %v)", waited, cfg.MaxWait)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("commit after the context ended: %v, want its deadline", err)
 	}
 }

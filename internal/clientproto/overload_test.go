@@ -2,13 +2,12 @@ package clientproto
 
 // Wire-level overload-control tests with a scripted server: the server
 // decides exactly which operations shed, which pins the client half of the
-// contract — sheds are retryable aborts, but the failover client must pace
-// its Begins with jittered backoff instead of hammering an overloaded (not
-// dead) primary or sweeping the address list.
+// contract — sheds are retryable aborts that the retry loop paces with
+// jittered backoff, over the same connection: an overloaded (not dead)
+// primary is neither hammered nor redialed.
 
 import (
 	"bufio"
-	"errors"
 	"io"
 	"net"
 	"sync/atomic"
@@ -68,10 +67,10 @@ func shedServer(t *testing.T, shedCommits int) (addr string, conns *atomic.Int64
 	return ln.Addr().String(), conns
 }
 
-// TestShedBackoffNoRetryStorm pins the retry-storm fix: retryable sheds
-// from an overloaded primary make the failover client pace subsequent
-// Begins with growing jittered backoff — on the SAME connection, never by
-// redialing the address list — and a successful commit disarms the pacing.
+// TestShedBackoffNoRetryStorm pins the retry-storm fix: retryable sheds from
+// an overloaded primary make kvtxn.RunWithRetries over a FailoverDB replay
+// behind growing jittered backoff, on the SAME connection, never by
+// redialing the address list, and the backoff is served once per shed.
 func TestShedBackoffNoRetryStorm(t *testing.T) {
 	addr, conns := shedServer(t, 3)
 	fc, err := DialMuxFailover(FailoverConfig{Addrs: []string{addr}})
@@ -79,40 +78,29 @@ func TestShedBackoffNoRetryStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fc.Close()
-	db := FailoverDB{C: fc}
 
 	start := time.Now()
-	var shedSeen int
-	for i := 0; i < 4; i++ {
-		tx := db.Begin()
-		err := tx.Commit()
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, core.ErrShed) || !errors.Is(err, kvtxn.ErrAborted) {
-			t.Fatalf("commit %d: %v, want a retryable shed", i, err)
-		}
-		shedSeen++
+	attempts := 0
+	err = kvtxn.RunWithRetries(FailoverDB{C: fc}, 10, func(kvtxn.Txn) error {
+		attempts++
+		return nil
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("RunWithRetries: %v", err)
 	}
-	if shedSeen != 3 {
-		t.Fatalf("saw %d sheds, want 3", shedSeen)
+	if attempts != 4 {
+		t.Fatalf("%d attempts, want 4 (3 sheds, then the commit)", attempts)
 	}
-	// Three sheds arm backoffs of 25/50/100ms (jittered to at least half),
-	// each served by the following Begin: the sequence cannot complete in
-	// under 12.5+25+50 = 87.5ms. A storming client finishes in microseconds.
-	if elapsed := time.Since(start); elapsed < 87*time.Millisecond {
+	// Three sheds wait out 1, 2 and 4 ms, each jittered to at least half:
+	// the sequence cannot complete in under 0.5+1+2 = 3.5ms. A storming
+	// client finishes in microseconds.
+	if elapsed < 3500*time.Microsecond {
 		t.Fatalf("4 attempts took %v: sheds are not backing off", elapsed)
 	}
 	// Overloaded is not dead: the client must never have redialed.
 	if n := conns.Load(); n != 1 {
 		t.Fatalf("%d connections dialed, want 1 (shed retries must not sweep the address list)", n)
-	}
-	// The successful commit disarmed pacing: the next Begin is immediate.
-	fc.shedMu.Lock()
-	armed := fc.shedBackoff != 0 || !fc.shedUntil.IsZero()
-	fc.shedMu.Unlock()
-	if armed {
-		t.Fatal("pacing still armed after a successful commit")
 	}
 }
 

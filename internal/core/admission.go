@@ -24,9 +24,9 @@ import (
 // request paid a full epoch of latency for a guaranteed failure and queue
 // memory grew with offered load. The admission gate refuses a fetch the
 // moment the epoch's remaining slot budget cannot serve it: the refusal is
-// immediate (microseconds, not an epoch), retryable (ShedError wraps
-// ErrAborted and ErrEpochFull), and carries a Retry-After-style hint (the
-// epoch from which capacity exists again).
+// immediate (microseconds, not an epoch) and retryable (errShed wraps
+// ErrAborted and ErrEpochFull); the retry loop that replays the transaction
+// paces it (WaitShedBackoff).
 //
 // Crucially the gate's decision depends only on proxy-internal state the
 // adversary already cannot see — queue length and the schedule position —
@@ -58,33 +58,15 @@ import (
 
 // ErrShed is returned when admission control refuses an operation because
 // the current epoch's batch-slot budget is already spoken for. It wraps
-// ErrAborted and ErrEpochFull (see ShedError), so every existing retry loop
+// ErrAborted and ErrEpochFull (see errShed), so every existing retry loop
 // treats a shed as the retryable abort it is.
 var ErrShed = fmt.Errorf("obladi: request shed by admission control (overload)")
 
-// ShedError is the concrete shed error: a retryable abort carrying a
-// Retry-After-style hint. RetryEpoch is the first epoch with fresh slot
-// budget — the epoch after the one whose budget was exhausted — so a
-// co-located retrier can wait for it, and a remote one can treat the hint as
-// "back off roughly one epoch".
-type ShedError struct {
-	// RetryEpoch is the first epoch that has batch-slot budget again.
-	RetryEpoch uint64
-	// Shard identifies the saturated shard (diagnostics only).
-	Shard int
-}
-
-// Error implements error.
-func (e *ShedError) Error() string {
-	return fmt.Sprintf("%v: shard %d out of read-batch slots, retry at epoch %d", ErrShed, e.Shard, e.RetryEpoch)
-}
-
-// Unwrap makes a shed match ErrShed (so callers can apply shed-specific
-// backoff), ErrEpochFull (it *is* exhausted epoch capacity, discovered
-// early), and ErrAborted (every retry loop in the tree keys off it).
-func (e *ShedError) Unwrap() []error {
-	return []error{ErrShed, ErrEpochFull, ErrAborted}
-}
+// errShed is what a shed fetch fails with: ErrShed (so callers can apply
+// shed-specific backoff), ErrEpochFull (it *is* exhausted epoch capacity,
+// discovered early) and ErrAborted (every retry loop in the tree keys off
+// it). It is one value, so a shed allocates nothing.
+var errShed = fmt.Errorf("%w: out of read-batch slots this epoch (%w, %w)", ErrShed, ErrEpochFull, ErrAborted)
 
 // ShedBackoff is a retry loop's first pause after a shed; WaitShedBackoff
 // doubles it up to 250 ms.
@@ -156,7 +138,7 @@ type sessionFetchQueue struct {
 // admitFetchLocked runs the admission gate for one new fetch key on sh and,
 // if admitted, enqueues it under the session's queue. The caller holds
 // p.mu and has already diverted boundary-window reads (enqueueLocked), so read
-// batches remain. It returns nil on admission and a *ShedError when the
+// batches remain. It returns nil on admission and errShed when the
 // epoch's remaining read-slot budget is already fully subscribed.
 //
 // The gate's invariant: the total of admitted-but-unscheduled keys on a
@@ -168,7 +150,7 @@ func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) erro
 	remaining := (p.pub.ReadBatches() - p.batchIdx) * p.pub.ReadBatchSize()
 	if len(sh.queued) >= remaining {
 		p.shedReads.Add(1)
-		return &ShedError{RetryEpoch: p.epoch + 1, Shard: sh.id}
+		return errShed
 	}
 	sq := sh.sessQ[ts]
 	if sq == nil {

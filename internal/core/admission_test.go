@@ -8,14 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"obladi/internal/allocgate"
 	"obladi/internal/mvtso"
 	"obladi/internal/storage"
 )
 
 // TestAdmissionShedsBeyondBudget pins the gate: an epoch with R×bread read
 // slots admits exactly that many distinct keys and sheds the next one
-// immediately — as a retryable abort carrying the retry-epoch hint — instead
-// of queueing it to die at the seal.
+// immediately, as a retryable abort, instead of queueing it to die at the
+// seal.
 func TestAdmissionShedsBeyondBudget(t *testing.T) {
 	cfg := testConfig(11)
 	cfg.ReadBatches = 2
@@ -42,13 +43,6 @@ func TestAdmissionShedsBeyondBudget(t *testing.T) {
 	}
 	if !errors.Is(err, ErrShed) || !errors.Is(err, ErrAborted) || !errors.Is(err, ErrEpochFull) {
 		t.Fatalf("shed error %v must match ErrShed, ErrAborted and ErrEpochFull", err)
-	}
-	var shed *ShedError
-	if !errors.As(err, &shed) {
-		t.Fatalf("no *ShedError in %v", err)
-	}
-	if want := p.Epoch() + 1; shed.RetryEpoch != want {
-		t.Fatalf("RetryEpoch = %d, want %d", shed.RetryEpoch, want)
 	}
 
 	// A key another session already queued costs no new slot: joining its
@@ -84,6 +78,35 @@ func TestAdmissionShedsBeyondBudget(t *testing.T) {
 	}
 	if st.AdmittedSessions != 1 {
 		t.Fatalf("AdmittedSessions = %d, want 1 (only tx queued new slots)", st.AdmittedSessions)
+	}
+}
+
+// TestShedAllocatesNothing: the gate refuses a fetch on a full shard with one
+// static error, so shedding costs a saturated proxy no garbage.
+func TestShedAllocatesNothing(t *testing.T) {
+	gate := allocgate.Begin(t)
+	cfg := testConfig(11)
+	cfg.ReadBatches = 2
+	cfg.ReadBatchSize = 2
+	p, _, _ := testProxy(t, cfg)
+	tx := p.Begin()
+	defer tx.Abort()
+	for i := 0; i < cfg.ReadBatches*cfg.ReadBatchSize; i++ {
+		tx.ReadAsync(fmt.Sprintf("k%d", i))
+	}
+	gate.Settle()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sh := p.shards[0]
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		err = p.admitFetchLocked(sh, mvtso.Timestamp(1<<40), "overflow")
+	})
+	if !errors.Is(err, ErrShed) {
+		t.Fatalf("fetch on a full shard: %v, want a shed", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a shed allocates %v times, want 0", allocs)
 	}
 }
 

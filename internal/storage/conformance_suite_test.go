@@ -493,9 +493,11 @@ func ConformReadsInto(t *testing.T, b Backend, reopen func(Backend) Backend) {
 // the way the recovery log writes its records, and the buffer is scribbled
 // over once Append (or AppendNoSync, on a store that has it) returns; Scan
 // must read every record as it was appended, after a truncation, after
-// reopen (when given) and after a later append. The records range from one
-// byte to 40 KiB: a MemBackend carves the short ones out of a chunk and
-// copies the long ones whole.
+// reopen (when given) and after a later append. What Scan returns is the
+// caller's too: each check scribbles over every record it read, and the next
+// Scan must not see it. The records range from one byte to 40 KiB: a
+// MemBackend carves the short ones out of a chunk and copies the long ones
+// whole.
 func ConformLogKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backend) {
 	if reopen == nil {
 		reopen = func(b Backend) Backend { return b }
@@ -530,7 +532,7 @@ func ConformLogKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backen
 			}
 		}
 	}
-	check := func(when string) {
+	scan := func(when, whose string) {
 		t.Helper()
 		recs, err := b.Scan(0)
 		if err != nil || len(recs) != len(want) {
@@ -538,9 +540,19 @@ func ConformLogKeepsOwnCopy(t *testing.T, b Backend, reopen func(Backend) Backen
 		}
 		for i := range want {
 			if !bytes.Equal(recs[i], want[i]) {
-				t.Fatalf("%s: record %d reads %d bytes %.16q..., want %d bytes %.16q...: the store kept the caller's bytes", when, i, len(recs[i]), recs[i], len(want[i]), want[i])
+				t.Fatalf("%s: record %d reads %d bytes %.16q..., want %d bytes %.16q...: the store kept %s bytes", when, i, len(recs[i]), recs[i], len(want[i]), want[i], whose)
 			}
 		}
+		for _, r := range recs {
+			for i := range r {
+				r[i] = 'X'
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		scan(when, "the appender's")
+		scan(when+", rescanned", "a Scan caller's")
 	}
 	for i, n := range []int{9, 300, 4 << 10, 40 << 10, 1, 20 << 10, 600} {
 		appendRecord(n, i%2 == 1)

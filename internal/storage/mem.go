@@ -26,7 +26,7 @@ type memStore struct {
 	logBase uint64 // sequence number of log[0]
 	// logSlabs holds the store's copy of each record. It takes none back:
 	// Truncate drops the records, and the garbage collector frees a chunk
-	// once none of its records is left (or held by a Scan caller).
+	// once none of its records is left.
 	logSlabs slabs
 
 	fence fenceRegister // proxy-generation fencing (see Fenceable)
@@ -196,7 +196,8 @@ func (m *MemBackend) Append(record []byte) (uint64, error) {
 // allocations a commit.
 const logChunk = 16 << 10
 
-// Scan implements LogStore.
+// Scan implements LogStore. The records are copies the caller keeps, carved
+// from one exact-length buffer.
 func (m *MemBackend) Scan(from uint64) ([][]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -209,9 +210,17 @@ func (m *MemBackend) Scan(from uint64) ([][]byte, error) {
 	if from-m.logBase >= uint64(len(m.log)) {
 		return nil, nil
 	}
-	idx := int(from - m.logBase)
-	out := make([][]byte, len(m.log)-idx)
-	copy(out, m.log[idx:])
+	recs := m.log[from-m.logBase:]
+	n := 0
+	for _, r := range recs {
+		n += len(r)
+	}
+	buf := make([]byte, n)
+	out := make([][]byte, len(recs))
+	for i, r := range recs {
+		k := copy(buf, r)
+		out[i], buf = buf[:k:k], buf[k:]
+	}
 	return out, nil
 }
 

@@ -222,17 +222,21 @@ func TestFollowerCannotCommit(t *testing.T) {
 func TestCommittingMarkIsAuthenticated(t *testing.T) {
 	for _, shard := range []int{0, 1} {
 		o, backend := testORAM(t)
-		l := newLog(t, backend, Config{Shard: shard, Shards: 2, Public: publicOf(t, o, schedule{})})
+		store := &tamperingStore{LogStore: backend}
+		l := newLog(t, store, Config{Shard: shard, Shards: 2, Public: publicOf(t, o, schedule{})})
 		if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.RecoverWithFloor(1); err != nil {
 			t.Fatalf("shard %d: recovering the untouched log: %v", shard, err)
 		}
-		recs, _ := backend.Scan(0)
-		recs[0][0] ^= kindCheckpoint ^ kindCheckpointCommitting
+		var flipped byte
+		store.tamper = func(recs [][]byte) {
+			recs[0][0] ^= kindCheckpoint ^ kindCheckpointCommitting
+			flipped = recs[0][0]
+		}
 		if _, err := l.RecoverWithFloor(1); err == nil {
-			t.Fatalf("shard %d: a checkpoint whose kind byte was flipped to %d recovered", shard, recs[0][0])
+			t.Fatalf("shard %d: a checkpoint whose kind byte was flipped to %d recovered", shard, flipped)
 		}
 	}
 }

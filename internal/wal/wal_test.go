@@ -346,16 +346,32 @@ func TestPaddingStaysOutOfRestoredState(t *testing.T) {
 	}
 }
 
+// tamperingStore is a log store whose Scan hands its records to tamper, when
+// set, before recovery reads them, as a storage server rewriting the log
+// would.
+type tamperingStore struct {
+	storage.LogStore
+	tamper func(recs [][]byte)
+}
+
+func (s *tamperingStore) Scan(from uint64) ([][]byte, error) {
+	recs, err := s.LogStore.Scan(from)
+	if err == nil && s.tamper != nil {
+		s.tamper(recs)
+	}
+	return recs, err
+}
+
 func TestTamperedRecordRejected(t *testing.T) {
 	o, backend := testORAM(t)
 	exec := oramexec.New(o, backend, oramexec.Config{})
-	l := newLog(t, backend, Config{Public: publicOf(t, o, schedule{cadence: 1})})
+	// The store flips a byte in the middle of the first record.
+	store := &tamperingStore{LogStore: backend, tamper: func(recs [][]byte) { recs[0][len(recs[0])/2] ^= 0xFF }}
+	l := newLog(t, store, Config{Public: publicOf(t, o, schedule{cadence: 1})})
 	seed(t, o, backend, exec, 1, 2)
 	if _, err := appendCheckpoint(l, 1, o.Machine()); err != nil {
 		t.Fatal(err)
 	}
-	recs, _ := backend.Scan(0)
-	recs[0][len(recs[0])/2] ^= 0xFF
 	if _, err := l.Recover(); err == nil {
 		t.Fatal("tampered log accepted")
 	}
