@@ -79,13 +79,20 @@ func DialMuxFailover(cfg FailoverConfig) (*FailoverClient, error) {
 	return fc, nil
 }
 
-// client returns the live connection, redialing if it is lost. The redial
-// gives up after MaxWait, or with ctx's cause once ctx ends: every dial is
-// bounded by ctx's deadline and the backoff between sweeps waits on ctx.
+// client returns the live connection, redialing if it is lost. One clock
+// bounds a redial: a context ending at MaxWait or with ctx, whichever is
+// first, bounds every dial and the backoff between sweeps. The redial gives
+// up with ctx's cause if ctx ended, and names MaxWait otherwise.
 func (fc *FailoverClient) client(ctx context.Context) (*MuxClient, error) {
+	var wait context.Context // made by the first sweep
 	backoff := backoffMin
-	deadline := time.Now().Add(fc.cfg.MaxWait)
 	var lastErr error
+	gaveUp := func() error {
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
+		return fmt.Errorf("clientproto: no proxy reachable within %v (last: %w)", fc.cfg.MaxWait, lastErr)
+	}
 	for {
 		fc.mu.Lock()
 		if fc.closed {
@@ -99,16 +106,19 @@ func (fc *FailoverClient) client(ctx context.Context) (*MuxClient, error) {
 		}
 		fc.mu.Unlock()
 
+		if wait == nil {
+			var cancel context.CancelFunc
+			wait, cancel = context.WithTimeout(ctx, fc.cfg.MaxWait)
+			defer cancel()
+		}
 		for _, addr := range fc.cfg.Addrs {
-			timeout := dialTimeout
-			if d, ok := ctx.Deadline(); ok {
-				timeout = min(timeout, time.Until(d))
-			}
+			d, _ := wait.Deadline()
+			timeout := min(dialTimeout, time.Until(d))
 			if timeout <= 0 {
-				<-ctx.Done() // past its deadline: the context ends at once
+				<-wait.Done() // past its deadline: the context ends at once
 			}
-			if ctx.Err() != nil {
-				return nil, context.Cause(ctx)
+			if wait.Err() != nil {
+				return nil, gaveUp()
 			}
 			c, err := dialMux(addr, timeout)
 			if err != nil {
@@ -132,17 +142,14 @@ func (fc *FailoverClient) client(ctx context.Context) (*MuxClient, error) {
 			fc.mu.Unlock()
 			return c, nil
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("clientproto: no proxy reachable within %v (last: %w)", fc.cfg.MaxWait, lastErr)
-		}
 		// Jittered: a fleet of clients orphaned by the same failover must
 		// not sweep the address list in lockstep.
 		t := time.NewTimer(core.Jitter(backoff))
 		select {
 		case <-t.C:
-		case <-ctx.Done():
+		case <-wait.Done():
 			t.Stop()
-			return nil, context.Cause(ctx)
+			return nil, gaveUp()
 		}
 		backoff = min(2*backoff, backoffMax)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,35 +126,60 @@ func TestFailoverBeginSurfacesDialError(t *testing.T) {
 	}
 }
 
-// TestFailoverBeginCtxBoundsRedial: a BeginCtx during a full outage stops
-// redialing when its context ends, not after MaxWait, and its transaction
-// fails with the context's cause.
+// TestFailoverBeginCtxBoundsRedial: a Begin during a full outage stops
+// redialing at the first of its context's end and MaxWait, not at the end of
+// a sweep or of a backoff sleep past it. With a context that ends first the
+// transaction fails with the context's cause; without one, within MaxWait
+// plus a small slack. A check of MaxWait only after each sweep overshoots by
+// up to a whole jittered backoff (up to 200 ms around a 300 ms MaxWait), and
+// four redials make its chance of passing about 1 %.
 func TestFailoverBeginCtxBoundsRedial(t *testing.T) {
-	srv := newServer(t, 1)
-	cfg := failoverConfig(srv.Addr())
-	cfg.MaxWait = 5 * time.Second
-	fc, err := clientproto.DialMuxFailover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
-	srv.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for !fc.Lost() {
-		if time.Now().After(deadline) {
-			t.Fatal("client never observed server close")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err = fc.BeginCtx(ctx).Commit()
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("BeginCtx with a 50ms context redialed for %v (MaxWait %v)", waited, cfg.MaxWait)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("commit after the context ended: %v, want its deadline", err)
+	for _, c := range []struct {
+		name    string
+		maxWait time.Duration
+		ctx     time.Duration // 0: no context
+		within  time.Duration
+		redials int
+	}{
+		{"context ends first", 5 * time.Second, 50 * time.Millisecond, time.Second, 1},
+		{"no context", 300 * time.Millisecond, 0, 400 * time.Millisecond, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := newServer(t, 1)
+			cfg := failoverConfig(srv.Addr())
+			cfg.MaxWait = c.maxWait
+			fc, err := clientproto.DialMuxFailover(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fc.Close()
+			srv.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for !fc.Lost() {
+				if time.Now().After(deadline) {
+					t.Fatal("client never observed server close")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for range c.redials {
+				ctx := context.Background()
+				if c.ctx > 0 {
+					var cancel context.CancelFunc
+					ctx, cancel = context.WithTimeout(ctx, c.ctx)
+					defer cancel()
+				}
+				start := time.Now()
+				err = fc.BeginCtx(ctx).Commit()
+				if waited := time.Since(start); waited > c.within {
+					t.Fatalf("the redial took %v (context %v, MaxWait %v), want at most %v", waited, c.ctx, c.maxWait, c.within)
+				}
+				if c.ctx > 0 && !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("commit after the context ended: %v, want its deadline", err)
+				}
+				if c.ctx == 0 && (err == nil || !strings.Contains(err.Error(), "no proxy reachable within")) {
+					t.Fatalf("commit after MaxWait: %v, want the redial's MaxWait error", err)
+				}
+			}
+		})
 	}
 }

@@ -120,9 +120,9 @@ func (p *Proxy) inBoundaryWindowLocked() bool {
 }
 
 // releaseParkedLocked fails every read held through the boundary window with
-// err. The caller holds p.mu and calls wakeLocked.
+// err. The caller holds p.mu and announces p.readWake.
 func (p *Proxy) releaseParkedLocked(err error) {
-	p.publishLocked(p.parked, err)
+	p.publishReadsLocked(p.parked, err)
 	p.parked = nil
 }
 

@@ -23,25 +23,25 @@ import (
 // a dummy from the schedule's point of view, so cancellation is invisible in
 // the trace.
 //
-// # One wake-up per batch
+// # One handshake, two wakes
 //
-// A read's outcome is decided for its whole batch at one public moment — the
-// StepReadBatch that served it, the seal, a fail-stop — so that moment wakes
-// its readers together. Each Future carries a wait record (fetchWaiter). The
-// decider, under Proxy.mu, publishes every record it decided (outcome, then
-// the done flag), then, if any waiter is parked, closes the proxy's one wake
-// channel and installs a fresh one. A waiter whose record is not done yet
-// counts itself parked, then loads the channel, then checks its record, then
-// sleeps on the channel. Both sides' steps are sequentially consistent
-// atomics, so either the decider's load of the count follows the waiter's
-// increment, and the decider closes the channel the waiter loaded or a later
-// one (in which case the loaded one was closed before), or it precedes it,
-// and the waiter's check follows the publication and finds its record done:
-// no wake-up is lost. A close that decided other records wakes a parked
-// waiter spuriously, at most once per batch of its epoch. Where Wait follows
-// the batch, as on a stepped schedule, nothing parks and no channel is made.
-// Outcomes known at once (closed proxy, dead epoch, shed) are published by the
-// caller itself and involve no channel.
+// A read's outcome is decided for its whole batch at one public moment (the
+// StepReadBatch that served it, the seal, a fail-stop), and a commit's for
+// its epoch (the seal for aborts, the commit stage for acks, a fail-stop), so
+// that moment wakes its waiters together. Each Future and each Txn carries a
+// wait record (waiter). The decider, under Proxy.mu, publishes every record
+// it decided (outcome, then the done flag), then, if any waiter is parked,
+// closes its wake's channel and installs a fresh one. A waiter whose record
+// is not done counts itself parked, loads the channel, checks its record and
+// only then sleeps. These steps are sequentially consistent atomics, so
+// either the decider sees the waiter counted and closes the channel it loaded
+// (or a later one, after that one), or the waiter's check follows the
+// publication: no wake-up is lost (DESIGN.md, "The wake-up protocol").
+// readWake closes at most once a batch and commitWake at most twice an epoch,
+// so a parked committer never wakes for a read batch. Where Wait follows the
+// decision, as on a stepped schedule, nothing parks and no channel is made.
+// Outcomes known at once (closed proxy, dead epoch, shed) are published by
+// the caller itself and involve no channel.
 //
 // # Stale handles
 //
@@ -50,66 +50,58 @@ import (
 // keeps answering — ErrAborted, or the value the Future resolved to — without
 // ever aliasing or disturbing a live transaction.
 
-// fetchWaiter is a read's wait record, embedded in its Future.
-type fetchWaiter struct {
-	next  *fetchWaiter  // the key's waiter list or the parked list; guarded by Proxy.mu
+// waiter is an outcome's wait record: a read's, embedded in its Future, or a
+// commit's, embedded in its Txn.
+type waiter struct {
 	state atomic.Uint32 // waiterIdle, waiterQueued or waiterDone
 	err   error         // the outcome; written before state becomes waiterDone
 }
 
 const (
 	waiterIdle   = iota // nothing to wait for
-	waiterQueued        // on a list: a close of the wake channel will announce the outcome
+	waiterQueued        // on a list: a close of its wake's channel will announce the outcome
 	waiterDone          // err holds the outcome
 )
 
-// publish records w's outcome. A decider holding Proxy.mu follows it with
-// wakeLocked (see publishLocked); a caller deciding its own read does not.
-func (w *fetchWaiter) publish(err error) {
+// publish records w's outcome. Under Proxy.mu the list deciders mark its wake
+// due too (publishReadsLocked, Txn.decide), for the next announce.
+func (w *waiter) publish(err error) {
 	w.err = err
 	w.state.Store(waiterDone)
 }
 
-// publishLocked decides every waiter of a list and takes the list apart, so a
-// future a client keeps pins no other. The caller holds p.mu and calls
-// wakeLocked before releasing it.
-func (p *Proxy) publishLocked(w *fetchWaiter, err error) {
-	for w != nil {
-		next := w.next
-		w.next = nil
-		w.publish(err)
-		p.wakeDue = true
-		w = next
-	}
+// wake is one instance of the handshake (see "One handshake, two wakes").
+type wake struct {
+	ch     atomic.Value // the chan struct{} whose close announces what was published
+	due    bool         // something was published since the last announce; guarded by Proxy.mu
+	parked atomic.Int32 // waiters that may sleep on ch
 }
 
-// wakeLocked announces everything published since the last call: one close,
-// whatever the number of waiters, and none when no waiter is parked: one
-// that parks later finds its record done before it sleeps. The caller holds
-// p.mu.
-func (p *Proxy) wakeLocked() {
-	if !p.wakeDue {
+// announce wakes what was published since the last call with one close, and
+// none when no waiter is parked (one that parks later finds its record done
+// before it sleeps). The caller holds Proxy.mu.
+func (k *wake) announce() {
+	if !k.due {
 		return
 	}
-	p.wakeDue = false
-	if p.parkedWaiters.Load() == 0 {
+	k.due = false
+	if k.parked.Load() == 0 {
 		return
 	}
-	close(p.wake.Load().(chan struct{}))
-	p.wake.Store(make(chan struct{}))
+	close(k.ch.Load().(chan struct{}))
+	k.ch.Store(make(chan struct{}))
 }
 
-// await blocks until w is decided, or returns the cause of the first context
-// to end. While it may sleep it counts itself parked, before it loads the
-// channel (see "One wake-up per batch").
-func (w *fetchWaiter) await(p *Proxy, ctx, txnCtx context.Context) error {
+// await blocks until w is decided or returns the cause of the first context
+// to end; it counts itself parked before it loads the channel.
+func (k *wake) await(w *waiter, ctx, txnCtx context.Context) error {
 	if w.state.Load() == waiterDone {
 		return nil
 	}
-	p.parkedWaiters.Add(1)
-	defer p.parkedWaiters.Add(-1)
+	k.parked.Add(1)
+	defer k.parked.Add(-1)
 	for {
-		ch := p.wake.Load().(chan struct{})
+		ch := k.ch.Load().(chan struct{})
 		if w.state.Load() == waiterDone {
 			return nil
 		}
@@ -120,6 +112,18 @@ func (w *fetchWaiter) await(p *Proxy, ctx, txnCtx context.Context) error {
 		case <-txnCtx.Done():
 			return context.Cause(txnCtx)
 		}
+	}
+}
+
+// publishReadsLocked decides every read of a list and takes the list apart (a
+// future a client keeps pins no other). The caller announces p.readWake.
+func (p *Proxy) publishReadsLocked(f *Future, err error) {
+	for f != nil {
+		next := f.next
+		f.next = nil
+		f.w.publish(err)
+		p.readWake.due = true
+		f = next
 	}
 }
 
@@ -149,9 +153,10 @@ func (p *Proxy) BeginCtx(ctx context.Context) *Txn {
 // multiple Futures of one transaction may be waited concurrently; concurrent
 // Waits on the *same* Future are serialized.
 type Future struct {
-	t   *Txn
-	key string
-	w   fetchWaiter // the pending fetch, if any
+	t    *Txn
+	key  string
+	w    waiter  // the pending fetch, if any
+	next *Future // the key's waiter list or the parked list; guarded by Proxy.mu
 
 	mu    sync.Mutex
 	done  bool
@@ -206,7 +211,7 @@ func (f *Future) Wait(ctx context.Context) ([]byte, bool, error) {
 	}
 	for {
 		if f.w.state.Load() != waiterIdle {
-			if cause := f.w.await(t.p, ctx, t.ctx); cause != nil {
+			if cause := t.p.readWake.await(&f.w, ctx, t.ctx); cause != nil {
 				// The record stays on its list; nobody reads it again.
 				t.inner.Abort()
 				return f.resolve(nil, false, fmt.Errorf("%w: %w", ErrAborted, cause))

@@ -14,7 +14,7 @@ type boundaryJob struct {
 	epoch     uint64
 	sealed    []*oramexec.SealedEpoch  // per-shard detached write-back sets (nil: nothing to flush)
 	ckpts     []*wal.PendingCheckpoint // per-shard checkpoint snapshots (nil without durability)
-	commitAck []chan error             // the committed transactions' waiters
+	acks      *Txn                     // the committed handles, decided by the commit stage
 	committed uint64
 }
 
@@ -22,17 +22,14 @@ type boundaryJob struct {
 // transaction fates, partitions and executes the write batch, detaches every
 // shard's buffered write-back set under a sealed-epoch handle, snapshots the
 // checkpoints, and immediately opens the next epoch so read batches resume.
-// The COMMIT stage flushes the sealed buckets, appends the per-shard
-// checkpoints — the coordinator's last: it commits the epoch — commits the
-// storage epoch, and only then acknowledges the epoch's commit waiters —
-// delayed visibility already deferred acks to the boundary, so deferring them
-// to the commit's completion changes no client-visible semantics. The commit
-// runs on the proxy's committer goroutine and EndEpoch returns right after
-// the seal, with at most one boundary in flight (the next seal waits for the
-// previous commit to land). A boundary error in either stage fail-stops the
-// proxy: every fetch and commit waiter is woken. EndEpoch returns a seal
-// error; a commit error reaches the epoch's commit waiters and WaitCommitted.
-// Exported for manual mode and tests.
+// The COMMIT stage, on the proxy's committer goroutine, flushes the sealed
+// buckets, appends the per-shard checkpoints — the coordinator's last: it
+// commits the epoch — commits the storage epoch, and only then publishes the
+// acks (delayed visibility already deferred them to the boundary). EndEpoch
+// returns right after the seal; the next seal waits for the previous commit.
+// A boundary error in either stage fail-stops the proxy and wakes every
+// waiter with it; a commit error also reaches WaitCommitted. Exported for
+// manual mode and tests.
 func (p *Proxy) EndEpoch() error {
 	p.sealMu.Lock()
 	defer p.sealMu.Unlock()
@@ -103,7 +100,7 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// arriving while the seal runs unlocked is held as a boundary-window read
 	// and fails when the next epoch opens, instead of being queued into it.
 	p.batchIdx = p.pub.ReadBatches()
-	p.wakeLocked()
+	p.readWake.announce()
 	p.mu.Unlock()
 
 	// Decide fates. Every transaction that did not request commit aborts.
@@ -146,37 +143,26 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 		return nil, p.failBoundary(err)
 	}
 
-	// Collect the epoch's commit waiters for the commit stage, ack its
-	// aborts (no durability obligation), and open the next epoch.
+	// Decide each commit request by its own CCU transaction: acks wait for
+	// the commit stage, aborts are told now. One begun while this boundary
+	// was finalizing is of the next CCU generation, for the next boundary to
+	// decide (an abort here would lie: its writes commit next epoch).
 	p.mu.Lock()
-	job.commitAck = job.commitAck[:0]
 	job.committed = uint64(len(out.Committed))
-	for _, ts := range out.Committed {
-		if ch, ok := p.waiters[ts]; ok {
-			job.commitAck = append(job.commitAck, ch)
-			delete(p.waiters, ts)
-		}
-	}
 	p.stats.Aborted += uint64(len(out.Aborted))
-	for _, ts := range out.Aborted {
-		if ch, ok := p.waiters[ts]; ok {
-			ch <- ErrAborted
-			delete(p.waiters, ts)
+	for link := &p.committing; *link != nil; {
+		t := *link
+		switch t.inner.Status() {
+		case mvtso.StatusCommitted:
+			*link, t.next, job.acks = t.next, job.acks, t
+		case mvtso.StatusAborted:
+			*link, t.next = t.next, nil
+			t.decide(ErrAborted)
+		default:
+			link = &t.next
 		}
 	}
-	// Any waiter left belongs either to a transaction the CCU no longer
-	// tracks (abort it now) or to one that began while this boundary was
-	// already finalizing: that transaction lives in the next epoch's CCU
-	// generation, so its waiter stays registered and the next boundary
-	// decides it. Acking such a transaction as aborted here would lie —
-	// its writes would still commit next epoch.
-	for ts, ch := range p.waiters {
-		if st := p.ccu.Status(ts); st == mvtso.StatusActive || st == mvtso.StatusFinished {
-			continue
-		}
-		ch <- ErrAborted
-		delete(p.waiters, ts)
-	}
+	p.commitWake.announce()
 	p.txnSlab.EndEpoch()
 	p.futureSlab.EndEpoch()
 	p.batchIdx = 0
@@ -186,16 +172,17 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	// The next epoch is open: reads held through the boundary window fail
 	// now, so their retry begins in an epoch with a full slot budget.
 	p.releaseParkedLocked(errBoundaryWindow)
-	p.wakeLocked()
+	p.readWake.announce()
 	p.mu.Unlock()
 	return job, nil
 }
 
 // commitBoundary runs a sealed boundary's commit stage and publishes its
-// outcome: on success the epoch's commit waiters are acknowledged; on
-// failure they receive the error and the proxy fail-stops (a half-committed
-// boundary leaves proxy metadata ahead of storage — §8's answer is to crash
-// and recover). Either way the boundary slot is freed for the next seal.
+// outcome into the epoch's committed handles, announced by one close of the
+// commit wake: nil on success; on failure the error, and the proxy fail-stops
+// (a half-committed boundary leaves proxy metadata ahead of storage — §8's
+// answer is to crash and recover). Either way the boundary slot is freed for
+// the next seal.
 func (p *Proxy) commitBoundary(job *boundaryJob) {
 	err := p.runCommit(job)
 	if err == nil {
@@ -203,12 +190,9 @@ func (p *Proxy) commitBoundary(job *boundaryJob) {
 		p.mu.Lock()
 		p.stats.Epochs++
 		p.stats.Committed += job.committed
-		for _, ch := range job.commitAck {
-			ch <- nil
-		}
+		decideAll(&job.acks, nil)
+		p.commitWake.announce()
 		p.mu.Unlock()
-		clear(job.commitAck)
-		job.commitAck = job.commitAck[:0]
 		// The epoch is durable on every shard (checkpoints, the commit point,
 		// store commit), so its log prefix can go — after the acks, which
 		// have no reason to wait for a truncation, and before the boundary
@@ -219,9 +203,7 @@ func (p *Proxy) commitBoundary(job *boundaryJob) {
 	p.mu.Lock()
 	p.inflight = nil
 	if err != nil {
-		for _, ch := range job.commitAck {
-			ch <- err
-		}
+		decideAll(&job.acks, err)
 		p.failStopLocked(err)
 	}
 	clear(job.sealed)
@@ -340,9 +322,8 @@ func (p *Proxy) sealShard(sh *shard, plan *oramexec.BatchPlan) error {
 	return err
 }
 
-// failBoundary fail-stops the proxy after a boundary error: every fetch and
-// commit waiter is woken with err, so manual-mode Advance() callers are never
-// stranded.
+// failBoundary fail-stops the proxy after a boundary error: every waiter is
+// woken with err, so manual-mode Advance() callers are never stranded.
 func (p *Proxy) failBoundary(err error) error {
 	p.mu.Lock()
 	p.failStopLocked(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -115,6 +116,101 @@ func TestTxnAllocBudget(t *testing.T) {
 	t.Logf("client calls: %.2f allocations per transaction; schedule: %.1f per epoch", perTxn, float64(schedule)/epochs)
 	if perTxn > 3 {
 		t.Errorf("client calls allocate %.2f per transaction, budget 3", perTxn)
+	}
+}
+
+// TestCommitAllocBudget counts what a warm blocking Commit allocates: 32
+// long-lived goroutines commit one transaction each per stepped epoch and
+// park on the decision until the commit stage publishes it. The count covers
+// each Commit from its call until it parks, and the collection of the
+// outcomes once the boundary has landed; the steps, EndEpoch and
+// WaitCommitted count as the schedule's. The outcome lands in the handle and
+// one close of the commit wake announces it, so no allocation is a commit's
+// (a channel per commit made two). The collector is off while the gate
+// counts: a parked select's sudog comes from caches every collection empties.
+func TestCommitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	gate := allocgate.Begin(t)
+	const committers, warm, epochs = 32, 3, 20
+	cfg := kvMemConfig(43)
+	p, err := New(storage.NewMemBackend(cfg.Params.Geometry().NumBuckets), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	keys := make([]string, committers)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+	}
+	value := bytes.Repeat([]byte{7}, 48)
+	jobs := make([]chan *Txn, committers)
+	outcomes := make(chan error, committers)
+	for i := range jobs {
+		jobs[i] = make(chan *Txn, 1)
+		go func(jobs <-chan *Txn) {
+			for tx := range jobs {
+				outcomes <- tx.Commit()
+			}
+		}(jobs[i])
+	}
+	defer func() {
+		for _, ch := range jobs {
+			close(ch)
+		}
+	}()
+	gate.Settle()
+	allocgate.OneP(t)
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	mallocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	var counted uint64
+	for e := 0; e < warm+epochs; e++ {
+		txs := make([]*Txn, committers)
+		for i := range txs {
+			txs[i] = p.Begin()
+			if err := txs[i].Write(keys[i], value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for b := 0; b < cfg.ReadBatches; b++ {
+			if err := p.StepReadBatch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m0 := mallocs()
+		for i, tx := range txs {
+			jobs[i] <- tx
+		}
+		for p.commitWake.parked.Load() < committers {
+			runtime.Gosched()
+		}
+		m1 := mallocs()
+		if err := p.EndEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.WaitCommitted(); err != nil {
+			t.Fatal(err)
+		}
+		m2 := mallocs()
+		for range txs {
+			if err := <-outcomes; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e >= warm {
+			counted += (m1 - m0) + (mallocs() - m2)
+		}
+	}
+	perCommit := float64(counted) / (epochs * committers)
+	t.Logf("a warm blocking Commit allocates %.3f times", perCommit)
+	if perCommit >= 0.05 {
+		t.Errorf("a warm blocking Commit allocates %.3f times, budget 0.05", perCommit)
 	}
 }
 
@@ -544,13 +640,14 @@ func TestBatchWakeupNoLostWaiter(t *testing.T) {
 }
 
 // TestSteppedEpochMakesNoWakeChannel: on a stepped schedule every Wait
-// follows the batch that decided its read, so no waiter ever parks, and the
-// batches publish their reads without closing the wake channel or making a
-// new one.
+// follows the batch that decided its read, and every ack is read after the
+// boundary decided it, so no waiter ever parks, and the batches and the
+// boundaries publish without closing either wake's channel or making a new
+// one.
 func TestSteppedEpochMakesNoWakeChannel(t *testing.T) {
 	cfg := Config{ReadBatches: 4, ReadBatchSize: 16, WriteBatchSize: 16}
 	p := newAsyncProxy(t, cfg)
-	wake := p.wake.Load().(chan struct{})
+	reads, commits := p.readWake.ch.Load(), p.commitWake.ch.Load()
 	for e := 0; e < 3; e++ {
 		var txs []*Txn
 		var futs []*Future
@@ -587,47 +684,50 @@ func TestSteppedEpochMakesNoWakeChannel(t *testing.T) {
 			}
 		}
 	}
-	if p.wake.Load().(chan struct{}) != wake {
-		t.Fatal("a stepped epoch with no parked waiter replaced the wake channel")
+	if p.readWake.ch.Load() != reads || p.commitWake.ch.Load() != commits {
+		t.Fatal("a stepped epoch with no parked waiter replaced a wake channel")
 	}
 }
 
 // TestWakeHandshakeNeverStrands races a waiter's await against the decider's
-// publish and wakeLocked for 10 000 rounds, each side yielding a random number
+// publish and announce for 10 000 rounds, each side yielding a random number
 // of times first, so the waiter parks before, during and after the decision:
 // it must return every time, woken or finding its record done, and both the
-// close and the closeless path must have been taken. Run it under -race too.
+// close and the closeless path must have been taken. The proxy's read and
+// commit wakes are both this type. Run it under -race too.
 func TestWakeHandshakeNeverStrands(t *testing.T) {
 	const rounds = 10000
-	p := &Proxy{}
-	p.wake.Store(make(chan struct{}))
+	var mu sync.Mutex // the decider's lock, Proxy.mu's part
+	var k wake
+	k.ch.Store(make(chan struct{}))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	rng := rand.New(rand.NewPCG(5, 6))
 	done := make(chan error)
 	closes := 0
 	for r := 0; r < rounds; r++ {
-		w := new(fetchWaiter)
+		w := new(waiter)
 		w.state.Store(waiterQueued)
 		waiterYields, deciderYields := rng.IntN(4), rng.IntN(4)
 		go func() {
 			for range waiterYields {
 				runtime.Gosched()
 			}
-			done <- w.await(p, ctx, context.Background())
+			done <- k.await(w, ctx, context.Background())
 		}()
 		for range deciderYields {
 			runtime.Gosched()
 		}
-		wake := p.wake.Load()
-		p.mu.Lock()
-		p.publishLocked(w, nil)
-		p.wakeLocked()
-		p.mu.Unlock()
+		wake := k.ch.Load()
+		mu.Lock()
+		w.publish(nil)
+		k.due = true
+		k.announce()
+		mu.Unlock()
 		if err := <-done; err != nil {
 			t.Fatalf("round %d: the waiter was never woken: %v", r, err)
 		}
-		if p.wake.Load() != wake {
+		if k.ch.Load() != wake {
 			closes++
 		}
 	}
@@ -635,7 +735,7 @@ func TestWakeHandshakeNeverStrands(t *testing.T) {
 	if closes == 0 || closes == rounds {
 		t.Fatalf("%d of %d rounds closed the wake channel: the race was not exercised both ways", closes, rounds)
 	}
-	if n := p.parkedWaiters.Load(); n != 0 {
+	if n := k.parked.Load(); n != 0 {
 		t.Fatalf("%d waiters still counted parked", n)
 	}
 }

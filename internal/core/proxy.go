@@ -211,7 +211,7 @@ type shard struct {
 	sessSlab slab.Reused[sessionFetchQueue]
 	ring     []*sessionFetchQueue
 	rr       int
-	queued   map[string]*fetchWaiter
+	queued   map[string]*Future
 }
 
 // shardOf routes a key to one of n shards by FNV-1a hash. The mapping is
@@ -253,18 +253,14 @@ type Proxy struct {
 	epoch    uint64
 	batchIdx int // read batches already issued this epoch
 
-	// commit waiters, by transaction timestamp.
-	waiters map[mvtso.Timestamp]chan error
+	// committing lists the commit requests no seal has decided yet (txn.go).
+	committing *Txn
 	// parked lists the reads that arrived after the epoch's last read batch
 	// (admission.go); the seal releases them when it opens the next epoch.
-	parked *fetchWaiter
-	// wake is the channel (a chan struct{}) whose close announces every read
-	// outcome published since the previous close; wakeDue says some are
-	// waiting for it, parkedWaiters how many waiters may sleep on it
-	// (async.go, "One wake-up per batch").
-	wake          atomic.Value
-	wakeDue       bool
-	parkedWaiters atomic.Int32
+	parked *Future
+	// readWake announces read outcomes, commitWake commit outcomes (async.go,
+	// "One handshake, two wakes").
+	readWake, commitWake wake
 	// Client handles come from chunks that are never reused (async.go, "Stale
 	// handles").
 	txnSlab    slab.Chunked[Txn]
@@ -380,13 +376,13 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		cfg:     cfg,
-		pub:     pub,
-		ccu:     mvtso.NewManager(),
-		waiters: make(map[mvtso.Timestamp]chan error),
-		kick:    make(chan struct{}, 1),
+		cfg:  cfg,
+		pub:  pub,
+		ccu:  mvtso.NewManager(),
+		kick: make(chan struct{}, 1),
 	}
-	p.wake.Store(make(chan struct{}))
+	p.readWake.ch.Store(make(chan struct{}))
+	p.commitWake.ch.Store(make(chan struct{}))
 	p.boundaryDone = sync.NewCond(&p.mu)
 	n := len(stores)
 	p.commitErrs = make([]error, n)
@@ -403,7 +399,7 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 			id:     i,
 			store:  st,
 			sessQ:  make(map[mvtso.Timestamp]*sessionFetchQueue),
-			queued: make(map[string]*fetchWaiter),
+			queued: make(map[string]*Future),
 		}
 		if !cfg.DisableDurability {
 			l, err := wal.New(st, wal.Config{Key: cfg.Key, Shard: i, Shards: len(stores), Public: pub})
@@ -737,20 +733,18 @@ func (p *Proxy) Shutdown() error {
 // failAllLocked wakes every fetch and commit waiter with err.
 func (p *Proxy) failAllLocked(err error) {
 	p.failQueuedLocked(err)
-	for _, ch := range p.waiters {
-		ch <- err
-	}
-	clear(p.waiters)
 	p.releaseParkedLocked(err)
-	p.wakeLocked()
+	p.readWake.announce()
+	decideAll(&p.committing, err)
+	p.commitWake.announce()
 }
 
 // failQueuedLocked decides every queued read with err and empties the fetch
-// queues. The caller holds p.mu and calls wakeLocked.
+// queues. The caller holds p.mu and announces p.readWake.
 func (p *Proxy) failQueuedLocked(err error) {
 	for _, sh := range p.shards {
-		for _, w := range sh.queued {
-			p.publishLocked(w, err)
+		for _, f := range sh.queued {
+			p.publishReadsLocked(f, err)
 		}
 		clear(sh.queued)
 		sh.resetFetchQueuesLocked()

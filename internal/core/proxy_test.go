@@ -556,7 +556,8 @@ func TestStatsConcurrentWithBatches(t *testing.T) {
 }
 
 // TestManualBoundaryErrorFailsProxy pins down fail-stop at the boundary: a
-// commit-stage failure in manual mode must wake commit waiters, reach
+// commit-stage failure in manual mode must wake commit waiters — a
+// CommitAsync channel and a Commit parked on the commit wake alike — reach
 // WaitCommitted and close the proxy, not strand Advance() callers forever.
 func TestManualBoundaryErrorFailsProxy(t *testing.T) {
 	cfg := testConfig(19)
@@ -571,6 +572,13 @@ func TestManualBoundaryErrorFailsProxy(t *testing.T) {
 	tx := p.Begin()
 	must(t, tx.Write("k", []byte("v")))
 	ch := tx.CommitAsync()
+	parked := p.Begin()
+	must(t, parked.Write("k2", []byte("v")))
+	blocked := make(chan error, 1)
+	go func() { blocked <- parked.Commit() }()
+	if !commitsParked(p, 1) {
+		t.Fatal("the blocking Commit never parked")
+	}
 	must(t, p.EndEpoch())
 	if err := p.WaitCommitted(); !errors.Is(err, boom) {
 		t.Fatalf("WaitCommitted under injected failure: %v", err)
@@ -582,6 +590,14 @@ func TestManualBoundaryErrorFailsProxy(t *testing.T) {
 		}
 	default:
 		t.Fatal("commit waiter stranded after a mid-boundary error")
+	}
+	select {
+	case err := <-blocked:
+		if !errors.Is(err, boom) {
+			t.Fatalf("parked Commit returned %v, want the boundary error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked Commit stranded after a mid-boundary error")
 	}
 	if err := p.Advance(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Advance after boundary failure: %v", err)
@@ -625,6 +641,19 @@ func TestNewRefusesNegativeSchedule(t *testing.T) {
 		}
 		p.Close()
 	}
+}
+
+// commitsParked waits up to 5 s for n committers to park on the commit wake:
+// their requests are filed, and only a decision wakes them.
+func commitsParked(p *Proxy, n int32) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for p.commitWake.parked.Load() < n {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return true
 }
 
 func must(t *testing.T, err error) {

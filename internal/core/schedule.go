@@ -52,12 +52,12 @@ func (p *Proxy) Advance() error {
 }
 
 // shardReadBatch is one shard's share of a read-batch slot: the real keys it
-// serves this round and, parallel to them, their blocked transactions
+// serves this round and, parallel to them, the heads of their waiter lists
 // (Proxy.step keeps one per shard across rounds).
 type shardReadBatch struct {
 	sh      *shard
 	keys    []string
-	waiters []*fetchWaiter
+	waiters []*Future
 }
 
 // loggedRound runs one logged batch round on every shard: the plan stage,
@@ -129,7 +129,7 @@ func (p *Proxy) StepReadBatch() error {
 		for j := range b.keys {
 			r := &results[i][j]
 			p.ccu.InstallBase(r.Key, r.Value, r.Found)
-			p.publishLocked(b.waiters[j], nil)
+			p.publishReadsLocked(b.waiters[j], nil)
 			b.waiters[j] = nil
 		}
 	}
@@ -141,7 +141,7 @@ func (p *Proxy) StepReadBatch() error {
 		// transactions would block forever.
 		for _, b := range batches {
 			for _, w := range b.waiters {
-				p.publishLocked(w, firstErr)
+				p.publishReadsLocked(w, firstErr)
 			}
 		}
 		// A failed batch leaves planned ORAM metadata with no matching
@@ -151,7 +151,7 @@ func (p *Proxy) StepReadBatch() error {
 		p.failStopLocked(firstErr)
 	}
 	// One close wakes the batch's readers.
-	p.wakeLocked()
+	p.readWake.announce()
 	p.mu.Unlock()
 	// The scratch outlives the step; what it pointed at must not.
 	for i := range batches {

@@ -562,7 +562,8 @@ func TestTornFirstBootReinitializes(t *testing.T) {
 // committing lives in the next epoch's CCU generation. Its commit must NOT be
 // acked as aborted by the boundary it slipped into (its writes would commit
 // next epoch regardless — a lying ack); it must be decided by the next
-// boundary.
+// boundary. That holds for a CommitAsync and for a blocking Commit parked
+// inside the window alike.
 func TestCommitDuringBoundaryDecidedNextEpoch(t *testing.T) {
 	cfg := testConfig(56)
 	stores, checkers := shardedBackends(cfg, 2)
@@ -573,6 +574,7 @@ func TestCommitDuringBoundaryDecidedNextEpoch(t *testing.T) {
 	defer p.Close()
 
 	var ch <-chan error
+	blocked := make(chan error, 1)
 	fired := false
 	// The hook runs at the commit point: the seal has decided the epoch's
 	// fates, the commit stage has not yet acknowledged its waiters — exactly
@@ -585,6 +587,15 @@ func TestCommitDuringBoundaryDecidedNextEpoch(t *testing.T) {
 			return nil
 		}
 		ch = tx.CommitAsync()
+		parked := p.Begin()
+		if werr := parked.Write("boundary-key-2", []byte("w")); werr != nil {
+			t.Error(werr)
+			return nil
+		}
+		go func() { blocked <- parked.Commit() }()
+		if !commitsParked(p, 1) {
+			t.Error("the blocking Commit never parked inside the boundary window")
+		}
 		return nil
 	}
 	must(t, p.EndEpoch())
@@ -596,14 +607,25 @@ func TestCommitDuringBoundaryDecidedNextEpoch(t *testing.T) {
 	select {
 	case err := <-ch:
 		t.Fatalf("boundary transaction decided by the epoch it slipped into: %v", err)
+	case err := <-blocked:
+		t.Fatalf("blocking boundary Commit decided by the epoch it slipped into: %v", err)
 	default:
 	}
 	must(t, p.EndEpoch())
 	if err := <-ch; err != nil {
 		t.Fatalf("boundary transaction at next epoch: %v", err)
 	}
-	if got := readAll(t, p, "boundary-key"); got["boundary-key"] != "v" {
-		t.Fatalf("boundary-key = %q after commit", got["boundary-key"])
+	select {
+	case err := <-blocked:
+		if err != nil {
+			t.Fatalf("blocking boundary Commit at next epoch: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocking boundary Commit never decided by the next epoch")
+	}
+	got := readAll(t, p, "boundary-key", "boundary-key-2")
+	if got["boundary-key"] != "v" || got["boundary-key-2"] != "w" {
+		t.Fatalf("boundary keys = %q after commit", got)
 	}
 	checkAll(t, checkers)
 }

@@ -26,6 +26,9 @@ type Txn struct {
 	// aborted is the first CCU abort mapWriteErr returned: carved with the
 	// handle, which is never reused, so a client may keep it.
 	aborted abortedError
+	w       waiter     // the commit's wait record
+	next    *Txn       // the proxy's commit list or a boundary's ack list; guarded by Proxy.mu
+	ack     chan error // CommitAsync's channel (nil for Commit)
 }
 
 // Begin starts a transaction in the current epoch.
@@ -96,10 +99,10 @@ func (t *Txn) Delete(key string) error {
 	return nil
 }
 
-// mapWriteErr translates a CCU write refusal into the proxy's error space. A
-// write-budget refusal aborts the whole transaction (its writes cannot all
-// land this epoch; partial commit is not an option) as a retryable
-// epoch-capacity abort.
+// mapWriteErr translates a CCU refusal of a write or a commit into the
+// proxy's error space. A write-budget refusal aborts the whole transaction
+// (its writes cannot all land this epoch; partial commit is not an option) as
+// a retryable epoch-capacity abort.
 func (t *Txn) mapWriteErr(err error) error {
 	if errors.Is(err, mvtso.ErrWriteBatchFull) {
 		t.inner.Abort()
@@ -126,69 +129,86 @@ func (e *abortedError) Error() string { return ErrAborted.Error() + ": " + e.cau
 
 func (e *abortedError) Is(target error) bool { return target == ErrAborted }
 
-// Commit requests commit and blocks until the epoch decides the
-// transaction's fate. nil means durably committed. If the transaction's
-// context (BeginCtx) ends while the decision is pending, Commit stops
-// waiting and returns the context's error — the outcome is then unknown to
-// the caller: the commit request was already registered, and the boundary
-// may still commit it.
+// Commit requests commit and waits until the epoch publishes the
+// transaction's fate into the handle (async.go, "One handshake, two wakes").
+// nil means durably committed. If the transaction's context (BeginCtx) ends
+// first, Commit stops waiting and returns the context's error — the outcome
+// is then unknown to the caller: the request was already registered, and the
+// boundary may still commit it.
 func (t *Txn) Commit() error {
-	ch := t.CommitAsync()
-	select {
-	case err := <-ch:
-		return err
-	case <-t.ctx.Done():
+	if !t.request(nil) {
+		return ErrAborted
+	}
+	if cause := t.p.commitWake.await(&t.w, t.ctx, t.ctx); cause != nil {
 		// Best effort: aborts the transaction if the boundary has not
 		// decided it yet; a no-op if it has.
 		t.inner.Abort()
-		return fmt.Errorf("obladi: %w while awaiting epoch decision (outcome unknown)", context.Cause(t.ctx))
+		return fmt.Errorf("obladi: %w while awaiting epoch decision (outcome unknown)", cause)
+	}
+	return t.w.err
+}
+
+// CommitAsync is Commit without the wait: the returned channel delivers the
+// epoch's decision, sent by the publish that decides the handle. The request
+// is registered on return: it commits at the boundary unless a dependency aborts.
+func (t *Txn) CommitAsync() <-chan error {
+	ch := make(chan error, 1)
+	if !t.request(ch) {
+		ch <- ErrAborted
+	}
+	return ch
+}
+
+// request files the commit request, its outcome also sent on ack if not nil:
+// under p.mu it decides the handle at once (closed proxy, dead epoch, a CCU
+// abort) or queues it on the commit list for a seal; false if already settled.
+func (t *Txn) request(ack chan error) bool {
+	if !t.done.CompareAndSwap(false, true) {
+		return false
+	}
+	t.ack = ack
+	p := t.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.closed:
+		t.inner.Abort()
+		t.decide(ErrClosed)
+	case p.epoch != t.epoch:
+		// The transaction's epoch already ended: it was aborted there.
+		t.inner.Abort()
+		t.decide(fmt.Errorf("%w: epoch ended before commit", ErrAborted))
+	default:
+		if err := t.inner.Commit(); err != nil {
+			t.decide(t.mapWriteErr(err))
+		} else {
+			t.w.state.Store(waiterQueued)
+			t.next, p.committing = p.committing, t
+		}
+	}
+	return true
+}
+
+// decide publishes the commit's outcome into the handle's record, for the
+// commit wake to announce, and onto CommitAsync's channel. The caller holds p.mu.
+func (t *Txn) decide(err error) {
+	t.w.publish(err)
+	t.p.commitWake.due = true
+	if t.ack != nil {
+		t.ack <- err
 	}
 }
 
-// CommitAsync requests commit and returns a channel that delivers the
-// epoch's decision. Once CommitAsync returns, the commit request is
-// registered: the transaction will commit at the epoch boundary unless a
-// dependency aborts.
-func (t *Txn) CommitAsync() <-chan error {
-	ch := make(chan error, 1)
-	if !t.done.CompareAndSwap(false, true) {
-		ch <- ErrAborted
-		return ch
+// decideAll decides every handle of a commit list with err and empties the
+// list. The caller holds p.mu and announces p.commitWake.
+func decideAll(list **Txn, err error) {
+	for t := *list; t != nil; {
+		next := t.next
+		t.next = nil
+		t.decide(err)
+		t = next
 	}
-	p := t.p
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		t.inner.Abort()
-		ch <- ErrClosed
-		return ch
-	}
-	if p.epoch != t.epoch {
-		// The transaction's epoch already ended: it was aborted there.
-		p.mu.Unlock()
-		t.inner.Abort()
-		ch <- fmt.Errorf("%w: epoch ended before commit", ErrAborted)
-		return ch
-	}
-	p.waiters[t.inner.TS()] = ch
-	p.mu.Unlock()
-	if err := t.inner.Commit(); err != nil {
-		// Only deliver if the waiter is still ours: an epoch boundary
-		// sealing in this window may have already aborted the transaction
-		// and sent its fate (which is why inner.Commit errored) — a second
-		// send would jam the one-slot channel and block this caller.
-		p.mu.Lock()
-		_, registered := p.waiters[t.inner.TS()]
-		delete(p.waiters, t.inner.TS())
-		p.mu.Unlock()
-		if registered {
-			if errors.Is(err, mvtso.ErrAborted) {
-				err = fmt.Errorf("%w: %v", ErrAborted, err)
-			}
-			ch <- err
-		}
-	}
-	return ch
+	*list = nil
 }
 
 // Abort voluntarily aborts the transaction.
@@ -256,27 +276,27 @@ func (p *Proxy) queueFetchLocked(f *Future) {
 		p.stats.CacheHits++
 		return
 	}
-	p.enqueueLocked(sh, f.t.inner.TS(), f.key, &f.w)
+	p.enqueueLocked(sh, f)
 }
 
-// enqueueLocked makes w wait for key's slot on sh. A key nobody has scheduled
-// yet needs a new slot: after the last read batch there is none to ask for,
-// so the read is held for the next epoch's opening; before it, the admission
-// gate decides. A key another session already scheduled costs nothing — w
-// just joins its waiters. The caller holds p.mu.
-func (p *Proxy) enqueueLocked(sh *shard, ts mvtso.Timestamp, key string, w *fetchWaiter) {
-	if sh.queued[key] == nil {
+// enqueueLocked makes f wait for its key's slot on sh. A key nobody has
+// scheduled yet needs a new slot: after the last read batch there is none to
+// ask for, so the read is held for the next epoch's opening; before it, the
+// admission gate decides. A key another session already scheduled costs
+// nothing — f just joins its waiters. The caller holds p.mu.
+func (p *Proxy) enqueueLocked(sh *shard, f *Future) {
+	if sh.queued[f.key] == nil {
 		if p.inBoundaryWindowLocked() {
 			p.boundaryReads.Add(1)
-			w.state.Store(waiterQueued)
-			w.next, p.parked = p.parked, w
+			f.w.state.Store(waiterQueued)
+			f.next, p.parked = p.parked, f
 			return
 		}
-		if err := p.admitFetchLocked(sh, ts, key); err != nil {
-			w.publish(err)
+		if err := p.admitFetchLocked(sh, f.t.inner.TS(), f.key); err != nil {
+			f.w.publish(err)
 			return
 		}
 	}
-	w.state.Store(waiterQueued)
-	w.next, sh.queued[key] = sh.queued[key], w
+	f.w.state.Store(waiterQueued)
+	f.next, sh.queued[f.key] = sh.queued[f.key], f
 }

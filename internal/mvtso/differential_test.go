@@ -292,7 +292,7 @@ func (d *differential) abort(h handlePair) {
 
 func (d *differential) checkStatus() {
 	for _, h := range d.live {
-		if got := d.m.Status(h.ref.ts); got != h.ref.status {
+		if got := h.tx.Status(); got != h.ref.status {
 			d.failf("Status(%d) = %v, model %v", h.ref.ts, got, h.ref.status)
 		}
 	}

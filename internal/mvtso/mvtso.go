@@ -270,14 +270,12 @@ func (m *Manager) reserveWriteLocked(key string, c *chain) error {
 	return nil
 }
 
-// Status returns a transaction's current state.
-func (m *Manager) Status(ts Timestamp) Status {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t := m.txn(ts); t != nil {
-		return t.status
-	}
-	return StatusAborted
+// Status returns the transaction's current state. A handle kept past its
+// epoch answers its final one, Committed or Aborted.
+func (t *Txn) Status() Status {
+	t.mgr.mu.Lock()
+	defer t.mgr.mu.Unlock()
+	return t.status
 }
 
 // HasBase reports whether key's base version is resident: installed this

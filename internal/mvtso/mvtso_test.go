@@ -76,7 +76,7 @@ func TestUncommittedVisibleToLaterTxn(t *testing.T) {
 	}
 	// t2 now depends on t1: if t1 aborts, t2 aborts too.
 	t1.Abort()
-	if m.Status(t2.ts) != StatusAborted {
+	if t2.Status() != StatusAborted {
 		t.Fatal("cascading abort did not reach t2")
 	}
 }
@@ -110,7 +110,7 @@ func TestReadMarkerAbortsLateWriter(t *testing.T) {
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("late write accepted: %v", err)
 	}
-	if m.Status(t2.ts) != StatusAborted {
+	if t2.Status() != StatusAborted {
 		t.Fatal("t2 not marked aborted")
 	}
 	conflicts, _ := m.Stats()
@@ -333,7 +333,7 @@ func TestCascadeChain(t *testing.T) {
 	}
 	t1.Abort()
 	for _, tx := range []*Txn{t1, t2, t3} {
-		if m.Status(tx.ts) != StatusAborted {
+		if tx.Status() != StatusAborted {
 			t.Fatalf("txn %d not aborted by cascade", tx.ts)
 		}
 	}
